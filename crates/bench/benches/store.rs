@@ -29,13 +29,13 @@ fn bench_store(c: &mut Criterion) {
     snap.dataset = Some(data.clone());
     snap.roles = Some(roles.clone());
     snap.sd = Some(sd);
-    let bytes = snap.to_bytes();
+    let bytes = snap.to_bytes_v5().expect("encode");
     let mib = bytes.len() as f64 / (1024.0 * 1024.0);
     println!("snapshot payload: {mib:.1} MiB (n = {n}, dims = {dims})");
 
     let mut group = c.benchmark_group("store");
     group.sample_size(10);
-    group.bench_function("encode", |b| b.iter(|| snap.to_bytes()));
+    group.bench_function("encode", |b| b.iter(|| snap.to_bytes_v5().expect("encode")));
     group.bench_function("decode", |b| {
         b.iter(|| Snapshot::from_bytes(&bytes).expect("bytes are valid"))
     });
@@ -43,8 +43,8 @@ fn bench_store(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("sdq-store-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("bench.sdq");
-    group.bench_function("save", |b| b.iter(|| snap.save(&path).expect("save")));
-    snap.save(&path).expect("save");
+    group.bench_function("save", |b| b.iter(|| snap.save_v5(&path).expect("save")));
+    snap.save_v5(&path).expect("save");
     group.bench_function("load", |b| b.iter(|| Snapshot::load(&path).expect("load")));
 
     group.bench_function("rebuild_sd", |b| {

@@ -1,11 +1,12 @@
 //! Lazily-verified section checksums for mapped snapshots.
 //!
-//! Format v5 does not checksum the whole file at open: each region of a
-//! section carries a CRC-32C that is verified **on first touch** — the first
-//! query (or mutation) that would read a region pays one sequential pass
-//! over its bytes, and every later access is a single atomic load. CRC-32C
-//! (Castagnoli) is used instead of the container's CRC-32 because it has a
-//! hardware instruction on x86-64 (SSE 4.2), keeping first-touch
+//! A mapped open does not checksum the whole file: each region of a section
+//! carries a CRC-32C that is verified **on first touch** — the first query
+//! (or mutation) that would read a region pays one sequential pass over its
+//! bytes, and every later access is a single atomic load. CRC-32C
+//! (Castagnoli) is the workspace's one checksum — snapshot regions, the
+//! section table and the write-ahead log all use [`crc32c`] — because it
+//! has a hardware instruction on x86-64 (SSE 4.2), keeping first-touch
 //! verification near memory bandwidth; a slice-by-8 software fallback
 //! produces bit-identical values elsewhere.
 
@@ -299,6 +300,35 @@ mod tests {
         let data: Vec<u8> = (0..4099u32).map(|i| (i * 31 + 7) as u8).collect();
         for len in [0, 1, 7, 8, 9, 63, 64, 65, 4099] {
             assert_eq!(crc32c(&data[..len]), crc32c_sw(&data[..len]), "len {len}");
+        }
+    }
+
+    /// Reference bit-at-a-time implementation for differential testing.
+    fn crc32c_reference(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn matches_reference_on_all_lengths() {
+        // Lengths 0..64 cover every remainder-vs-chunks split.
+        let data: Vec<u8> = (0..64u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        for len in 0..=data.len() {
+            let want = crc32c_reference(&data[..len]);
+            assert_eq!(crc32c_sw(&data[..len]), want, "software, len {len}");
+            assert_eq!(crc32c(&data[..len]), want, "dispatched, len {len}");
         }
     }
 

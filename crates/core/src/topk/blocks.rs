@@ -23,10 +23,10 @@
 //!   is rejected **before any of its points is scored** — the §4
 //!   bound-driven pruning of Claim 6, pushed below node granularity.
 //!
-//! The set is derived state: built from the point table at bulk load (and
-//! at snapshot decode), dropped by point-level `insert`/`delete` (queries
-//! fall back to the exact per-point frontier until the next rebuild), and
-//! never serialised — the v1 wire format is unchanged.
+//! The set is derived state: built from the point table at bulk load,
+//! dropped by point-level `insert`/`delete` (queries fall back to the exact
+//! per-point frontier until the next rebuild), and serialised verbatim so
+//! a snapshot decode maps it instead of rebuilding it.
 
 use crate::codec::{Reader, Result, Writer};
 use crate::geometry::Angle;

@@ -106,7 +106,7 @@ pub(crate) struct Node {
     pub(crate) children: Vec<Child>,
 }
 
-/// The not-yet-materialised tree of a format-v5 decode: the legacy
+/// The not-yet-materialised tree of a snapshot decode: the
 /// node-record bytes (`n_nodes` prefix + per-node records), checksummed
 /// lazily. Queries never need the node tree while the SoA blocks are
 /// current, so `open_mapped` defers record decoding **and** its `O(n)`
@@ -149,15 +149,15 @@ pub struct TopKIndex {
     /// bulk load / rebuild / snapshot decode, dropped by point-level
     /// `insert`/`delete` (queries then fall back to the exact per-point
     /// frontier until the next rebuild). Behind an `Arc` so clones share
-    /// it; format v5 serialises it verbatim (the v1–v4 wire is unchanged).
+    /// it; snapshots serialise it verbatim.
     pub(crate) blocks: Option<Arc<blocks::BlockSet>>,
-    /// The node tree of a mapped v5 decode, still in wire form; `None`
-    /// once materialised (or after any non-v5 construction). Invariant:
+    /// The node tree of a mapped decode, still in wire form; `None` once
+    /// materialised (or when the index was built in memory). Invariant:
     /// `deferred.is_some()` implies `blocks.is_some()` — a deferred tree is
     /// never consulted by queries.
     pub(crate) deferred: Option<DeferredTree>,
     /// Lazy checksums over every region a *query* touches (point table +
-    /// block tables); empty unless this index was decoded from a v5
+    /// block tables); empty unless this index was decoded from a mapped
     /// snapshot. Ensured at each query entry — one atomic load per region
     /// once verified.
     pub(crate) query_integrity: Vec<Arc<SectionIntegrity>>,
@@ -301,7 +301,7 @@ impl TopKIndex {
     /// Verifies (once) every region the query path reads, then runs the
     /// one-shot structural check over the mapped block tables. Steady state
     /// is one atomic load per region. Every query entry point calls this;
-    /// it is free for built or legacy-decoded indexes.
+    /// it is free for built or owned-decoded indexes.
     pub(crate) fn ensure_query_integrity(&self) -> Result<(), SdError> {
         if self.query_integrity.is_empty() {
             return Ok(());

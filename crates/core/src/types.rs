@@ -78,7 +78,8 @@ pub enum SdError {
     SnapshotIo(String),
     /// The file does not start with the snapshot magic — not a snapshot.
     SnapshotBadMagic,
-    /// The snapshot was written by an unsupported (newer) format version.
+    /// The snapshot's format version is not the one version this build
+    /// reads (older and newer files are refused alike).
     SnapshotVersion { found: u32, supported: u32 },
     /// A section's checksum does not match its payload: bit rot or a
     /// truncated/tampered file.
@@ -142,7 +143,7 @@ impl fmt::Display for SdError {
             SdError::SnapshotBadMagic => write!(f, "not a snapshot file (bad magic)"),
             SdError::SnapshotVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} unsupported (this build reads ≤ {supported})"
+                "snapshot format version {found} unsupported (this build reads only version {supported})"
             ),
             SdError::SnapshotChecksum { section } => {
                 write!(f, "snapshot checksum mismatch in section {section}")

@@ -81,7 +81,7 @@ impl<T: Pod> ColumnarView<T> {
     /// memory must stay immutable and alive for as long as `keep` is.
     #[inline]
     pub unsafe fn mapped(ptr: *const T, len: usize, keep: ViewKeep) -> Self {
-        debug_assert!(ptr.is_aligned());
+        debug_assert!((ptr as usize).is_multiple_of(std::mem::align_of::<T>()));
         ColumnarView::Mapped { ptr, len, keep }
     }
 

@@ -52,8 +52,7 @@
 //! wraps shards in per-shard locks only ever blocks one shard's readers at
 //! a time while the rest keep serving. Epochs are per-process
 //! observability counters: they are not persisted in snapshots (a restored
-//! engine restarts at epoch 0), because a compacted engine writes
-//! format-v2 bytes that pre-mutation readers must keep accepting.
+//! engine restarts at epoch 0).
 //!
 //! ## Example
 //!

@@ -30,7 +30,7 @@ use sdq_engine::{
 use sdq_rstar::RStarTree;
 use sdq_store::{
     parse_roles, run_chaos, scrub_path, wal, ChaosConfig, DiskStorage, DurableEngine,
-    DurableOptions, ScrubReport, SectionKind, Snapshot, SnapshotFormat, SyncPolicy,
+    DurableOptions, ScrubReport, SectionKind, Snapshot, SyncPolicy,
 };
 
 const USAGE: &str = "\
@@ -40,7 +40,7 @@ USAGE:
     sdq build --out PATH (--csv FILE | --synthetic DIST --n N --dims D)
               --roles STR [--shards S] [--seed S] [--index LIST]
               [--branching B] [--angles N] [--pairing arbitrary|correlation]
-              [--alpha A] [--beta B] [--k K] [--format v5|legacy]
+              [--alpha A] [--beta B] [--k K]
     sdq query PATH --point X,Y,... [--weights W,W,...] [--k K]
               [--repeat N] [--threads T] [--mapped] [--slow-query-us U]
               [--timeout-us U] [--explain | --profile | --profile-json]
@@ -68,7 +68,7 @@ SUBCOMMANDS:
                  write one snapshot file.
     query        Load a snapshot and answer a top-k SD-Query from it.
     insert       Append rows (CSV file or '-' for stdin) to the engine's
-                 delta region and rewrite the snapshot (format v3).
+                 delta region and rewrite the snapshot.
     delete       Tombstone rows by global id and rewrite the snapshot.
     compact      Fold the delta region into the shards, drop tombstones,
                  bump the engine epoch and rewrite the snapshot. With
@@ -107,10 +107,10 @@ SUBCOMMANDS:
                  journal itself (compactions, checkpoints, WAL rotations,
                  threshold crossings, slow queries). --follow streams
                  events while the probe workload runs on another thread.
-    bench-load   Time snapshot load vs. in-memory index rebuild; for v5
-                 snapshots, also eager owned decode vs. zero-copy
-                 open_mapped cold start (--json-out merges a cold_start
-                 key into the bench-query JSON report).
+    bench-load   Time snapshot load vs. in-memory index rebuild, and eager
+                 owned decode vs. zero-copy open_mapped cold start
+                 (--json-out merges a cold_start key into the bench-query
+                 JSON report).
     bench-query  Measure query latency percentiles and batch QPS against a
                  snapshot's engine/sd-index (or an ad-hoc synthetic build)
                  and write a machine-readable BENCH_queries.json.
@@ -124,8 +124,7 @@ BUILD OPTIONS:
     --dims D           Synthetic dimensionality (default 2).
     --seed S           Generator seed (default 42).
     --roles STR        One char per dimension: a(ttractive) | r(epulsive).
-    --shards S         Shard the sd-index into an S-way engine (default 1;
-                       S > 1 writes a format-v2 snapshot).
+    --shards S         Shard the sd-index into an S-way engine (default 1).
     --index LIST       Comma list of sd, topk, top1, rstar, all (default sd).
                        topk/top1 need exactly one 'a' and one 'r' dimension.
     --branching B      Tree branching factor (default 8).
@@ -135,8 +134,6 @@ BUILD OPTIONS:
     --alpha A          top1: repulsive weight (default 1).
     --beta B           top1: attractive weight (default 1).
     --k K              top1: fixed k (default 1).
-    --format F         Container format: v5 (zero-copy mmap-native, the
-                       default) or legacy (v1-v4, readable by older builds).
 
 MUTATION OPTIONS (insert / delete / compact):
     --csv FILE         Rows to insert, one comma-separated row per line
@@ -150,8 +147,8 @@ MUTATION OPTIONS (insert / delete / compact):
     --out PATH2        Write the mutated snapshot here instead of rewriting
                        PATH in place.
     --wal              Write-ahead-log the mutation before applying it:
-                       appends to PATH.wal (creating it — and upgrading the
-                       snapshot to engine-only format v4 — on first use),
+                       appends to PATH.wal (creating it — and rewriting the
+                       snapshot engine-only — on first use),
                        so an acknowledged write survives a crash. A
                        WAL-backed snapshot refuses non---wal mutations.
     --sync-every N     Group commit: fsync the WAL once every N records
@@ -171,10 +168,10 @@ QUERY OPTIONS:
     --profile          Run the query once with per-stage timing and print
                        the execution counter tree plus the pruning funnel.
     --profile-json     Like --profile but machine-readable JSON on stdout.
-    --mapped           Serve the query off an mmap of the file (v5
-                       snapshots): no decode, checksums verified lazily on
-                       the regions the query touches. Not for WAL-backed
-                       snapshots (replay needs the owned path).
+    --mapped           Serve the query off an mmap of the file: no decode,
+                       checksums verified lazily on the regions the query
+                       touches. Not for WAL-backed snapshots (replay needs
+                       the owned path).
     --slow-query-us U  Journal any engine query at or above U microseconds
                        with its full execution profile, and report captured
                        slow queries on stderr (0 = off).
@@ -390,20 +387,12 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let mut beta: f64 = 1.0;
     let mut k: usize = 1;
     let mut shards: usize = 1;
-    let mut format = SnapshotFormat::V5;
 
     let mut all_requested = false;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
             "--out" => out = Some(flags.value("--out")?.to_string()),
-            "--format" => {
-                format = match flags.value("--format")? {
-                    "v5" | "5" => SnapshotFormat::V5,
-                    "legacy" | "v1" | "v2" | "v3" | "v4" => SnapshotFormat::Legacy,
-                    other => return Err(usage(format!("--format: unknown format {other:?}"))),
-                }
-            }
             "--shards" => shards = flags.parsed("--shards")?,
             "--csv" => csv = Some(flags.value("--csv")?.to_string()),
             "--synthetic" => {
@@ -577,7 +566,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         println!("note: raw dataset section omitted (rows live in the engine shards)");
     }
 
-    let (saved, save_ms) = timed(|| snap.save_as(&out, format));
+    let (saved, save_ms) = timed(|| snap.save_v5(&out));
     saved.map_err(runtime)?;
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!("wrote {out} ({bytes} bytes) in {save_ms:.1} ms");
@@ -719,15 +708,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             )));
         }
         let (m, ms) = timed(|| Snapshot::open_mapped(path));
-        let m = m.map_err(runtime)?;
-        if m.version() < sdq_store::FORMAT_V5 {
-            eprintln!(
-                "note: {path} is a format-v{} snapshot — decoded eagerly; rebuild (or \
-                 compact) for a zero-copy v5 open",
-                m.version()
-            );
-        }
-        (Ok(m.snapshot), ms)
+        (m.map(|m| m.snapshot).map_err(runtime), ms)
     } else {
         timed(|| load_query_snapshot(path))
     };
@@ -1200,7 +1181,7 @@ fn open_durable(path: &str, opts: DurableOptions) -> Result<DurableEngine, CliEr
             ));
         };
         println!(
-            "note: enabling the WAL — {path} becomes an engine-only v4 snapshot with a \
+            "note: enabling the WAL — {path} becomes an engine-only snapshot with a \
              {} sidecar",
             wal_sidecar(path)
         );
@@ -1251,8 +1232,8 @@ fn load_query_snapshot(path: &str) -> Result<Snapshot, CliError> {
 }
 
 /// Loads a snapshot for mutation: the engine when present, otherwise a
-/// single-shard engine promoted from the sd-index (the snapshot upgrades to
-/// an engine snapshot on save — format v2/v3).
+/// single-shard engine promoted from the sd-index (the snapshot becomes an
+/// engine snapshot on save).
 fn load_mutable_engine(path: &str) -> Result<(Snapshot, SdEngine), CliError> {
     let mut snap = Snapshot::load(path).map_err(runtime)?;
     if snap.durability.is_some() || std::path::Path::new(&wal_sidecar(path)).exists() {
@@ -1265,7 +1246,7 @@ fn load_mutable_engine(path: &str) -> Result<(Snapshot, SdEngine), CliError> {
         return Ok((snap, engine));
     }
     if let Some(sd) = snap.sd.take() {
-        println!("note: promoting the sd-index to a single-shard engine (snapshot becomes v2+)");
+        println!("note: promoting the sd-index to a single-shard engine");
         return Ok((snap, SdEngine::single(sd).map_err(runtime)?));
     }
     Err(runtime(
@@ -1302,11 +1283,7 @@ fn save_mutated(mut snap: Snapshot, engine: SdEngine, out: &str) -> Result<(), C
         );
     }
     snap.engine = Some(engine);
-    // Preserve the on-disk format the snapshot was found in: a mutated v5
-    // file stays v5 (verify-before-save guards mapped bytes), a legacy
-    // file stays legacy so older readers keep working.
-    let format = snap.preferred_format();
-    let (saved, ms) = timed(|| snap.save_as(out, format));
+    let (saved, ms) = timed(|| snap.save_v5(out));
     saved.map_err(runtime)?;
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     println!("wrote {out} ({bytes} bytes) in {ms:.1} ms");
@@ -1512,13 +1489,7 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let (mut snap, mut engine) = load_mutable_engine(path)?;
-    // Compaction rewrites every shard anyway — the natural point to
-    // upgrade the container to the mmap-native format.
-    if snap.preferred_format() == SnapshotFormat::Legacy {
-        println!("note: compaction rewrites the container in format v5 (zero-copy)");
-        snap.source_version = None;
-    }
+    let (snap, mut engine) = load_mutable_engine(path)?;
     let (report, ms) = timed(|| engine.compact_with(&options));
     let report = report.map_err(runtime)?;
     println!(
@@ -1922,53 +1893,36 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         "{path}: snapshot format v{} ({} bytes)",
         info.version, info.file_len
     );
-    let v5 = info.version >= sdq_store::FORMAT_V5;
-    println!(
-        "  {:<16} {:>10} {:>12}  {:>10}",
-        "section", "offset", "bytes", "crc32"
-    );
+    println!("  {:<16} {:>10} {:>12}", "section", "offset", "bytes");
     for s in &info.sections {
         let name = s.kind.map(SectionKind::name).unwrap_or("<unknown>");
-        println!(
-            "  {:<16} {:>10} {:>12}  {:>10}",
-            name,
-            s.offset,
-            s.len,
-            if v5 {
-                // v5 table entries carry no CRC; integrity lives in the
-                // per-region CRC-32C headers below.
-                String::from("(regions)")
-            } else {
-                format!("{:08x}", s.crc32)
-            }
-        );
+        println!("  {:<16} {:>10} {:>12}", name, s.offset, s.len);
     }
 
-    // v5: the framed regions inside the sections — the things `open_mapped`
-    // serves in place. State shows the lazy-checksum semantics: metadata
-    // regions verify at open, array regions on first touch.
-    if v5 {
-        let m = Snapshot::open_mapped(path).map_err(runtime)?;
+    // The framed regions inside the sections — the things `open_mapped`
+    // serves in place, each under its own CRC-32C. State shows the
+    // lazy-checksum semantics: metadata regions verify at open, array
+    // regions on first touch.
+    let m = Snapshot::open_mapped(path).map_err(runtime)?;
+    println!(
+        "  {:<28} {:>10} {:>12}  {:>6} {:>10}  state",
+        "region", "offset", "bytes", "align", "crc32c"
+    );
+    for r in m.regions() {
+        let align = if r.file_offset() % 64 == 0 {
+            "64B"
+        } else {
+            "-"
+        };
         println!(
-            "  {:<28} {:>10} {:>12}  {:>6} {:>10}  state",
-            "region", "offset", "bytes", "align", "crc32c"
+            "  {:<28} {:>10} {:>12}  {:>6} {:>10}  {}",
+            r.name(),
+            r.file_offset(),
+            r.len(),
+            align,
+            format!("{:08x}", r.expected_crc()),
+            r.state().label()
         );
-        for r in m.regions() {
-            let align = if r.file_offset() % 64 == 0 {
-                "64B"
-            } else {
-                "-"
-            };
-            println!(
-                "  {:<28} {:>10} {:>12}  {:>6} {:>10}  {}",
-                r.name(),
-                r.file_offset(),
-                r.len(),
-                align,
-                format!("{:08x}", r.expected_crc()),
-                r.state().label()
-            );
-        }
     }
 
     // Decode for artifact-level stats (also verifies all checksums).
@@ -2147,22 +2101,13 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
 /// mutation pressure, floor provenance and the durability generation.
 fn inspect_json(path: &str) -> Result<(), CliError> {
     let info = Snapshot::inspect(path).map_err(runtime)?;
-    let v5 = info.version >= sdq_store::FORMAT_V5;
     let sections: Vec<String> = info
         .sections
         .iter()
         .map(|s| {
             let name = s.kind.map(SectionKind::name).unwrap_or("<unknown>");
-            // v5 table entries carry no CRC; integrity lives in the
-            // per-region CRC-32C frames reported below.
-            let crc = if v5 {
-                String::from("null")
-            } else {
-                format!("{}", s.crc32)
-            };
             format!(
-                "{{\"name\": {}, \"raw_kind\": {}, \"offset\": {}, \"bytes\": {}, \
-                 \"crc32\": {crc}}}",
+                "{{\"name\": {}, \"raw_kind\": {}, \"offset\": {}, \"bytes\": {}}}",
                 json_str(name),
                 s.raw_kind,
                 s.offset,
@@ -2170,25 +2115,22 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
             )
         })
         .collect();
-    let regions: Vec<String> = if v5 {
-        let m = Snapshot::open_mapped(path).map_err(runtime)?;
-        m.regions()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"name\": {}, \"offset\": {}, \"bytes\": {}, \"crc32c\": {}, \
-                     \"state\": {}}}",
-                    json_str(r.name()),
-                    r.file_offset(),
-                    r.len(),
-                    r.expected_crc(),
-                    json_str(r.state().label())
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let regions: Vec<String> = Snapshot::open_mapped(path)
+        .map_err(runtime)?
+        .regions()
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"name\": {}, \"offset\": {}, \"bytes\": {}, \"crc32c\": {}, \
+                 \"state\": {}}}",
+                json_str(r.name()),
+                r.file_offset(),
+                r.len(),
+                r.expected_crc(),
+                json_str(r.state().label())
+            )
+        })
+        .collect();
 
     let snap = Snapshot::load(path).map_err(runtime)?;
     let mut artifacts: Vec<&str> = Vec::new();
@@ -2962,7 +2904,6 @@ fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
     // path decodes + verifies every section before it can serve; the
     // mapped path reads metadata only and pays lazy checksums for just the
     // regions the first query touches.
-    let version = Snapshot::inspect(path).map_err(runtime)?.version;
     let sample = if let Some(e) = &snap.engine {
         Some(mean_query(e.shards().iter().map(|s| s.data())).map_err(runtime)?)
     } else {
@@ -2972,71 +2913,65 @@ fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
             .transpose()
             .map_err(runtime)?
     };
-    if version >= sdq_store::FORMAT_V5 {
-        if let Some(query) = &sample {
-            let k = DEFAULT_K;
-            let (m, open_ms) = timed(|| Snapshot::open_mapped(path));
-            let m = m.map_err(runtime)?;
-            let (mapped_first, mapped_fq_ms) = timed(|| bench_query_once(&m.snapshot, query, k));
-            let mapped_first = mapped_first?;
-            let (owned_first, owned_fq_ms) = timed(|| bench_query_once(&snap, query, k));
-            let owned_first = owned_first?;
-            if mapped_first != owned_first {
-                return Err(runtime(
-                    "mapped and owned decodes answered the same query differently",
-                ));
-            }
-            let owned_cold = cold + owned_fq_ms;
-            let mapped_cold = open_ms + mapped_fq_ms;
-            println!(
-                "cold start to first answer (k = {k}): owned {owned_cold:.2} ms \
-                 (decode {cold:.2} + query {owned_fq_ms:.2}), mapped {mapped_cold:.2} ms \
-                 (open {open_ms:.2} + first query {mapped_fq_ms:.2}) — {:.0}× faster",
-                owned_cold / mapped_cold
-            );
-            // Steady state: same query, scratch-free `query()` on both
-            // sides, nearest-rank p50 over the sample count.
-            const WARM_RUNS: usize = 64;
-            let mut owned_lat = Vec::with_capacity(WARM_RUNS);
-            let mut mapped_lat = Vec::with_capacity(WARM_RUNS);
-            for _ in 0..WARM_RUNS {
-                let (r, ms) = timed(|| bench_query_once(&snap, query, k));
-                r?;
-                owned_lat.push(ms);
-                let (r, ms) = timed(|| bench_query_once(&m.snapshot, query, k));
-                r?;
-                mapped_lat.push(ms);
-            }
-            let owned_p50 = percentile(&mut owned_lat, 50.0);
-            let mapped_p50 = percentile(&mut mapped_lat, 50.0);
-            println!(
-                "warm query p50: owned {owned_p50:.4} ms, mapped {mapped_p50:.4} ms \
-                 ({:+.1}%)",
-                100.0 * (mapped_p50 - owned_p50) / owned_p50
-            );
-            if let Some(out) = &json_out {
-                let entry = format!(
-                    "{{\"file_bytes\": {bytes}, \"format_version\": {version}, \
-                     \"owned_decode_ms\": {cold:.3}, \"owned_first_query_ms\": {owned_fq_ms:.3}, \
-                     \"mapped_open_ms\": {open_ms:.3}, \"mapped_first_query_ms\": {mapped_fq_ms:.3}, \
-                     \"owned_cold_ms\": {owned_cold:.3}, \"mapped_cold_ms\": {mapped_cold:.3}, \
-                     \"cold_speedup\": {:.1}, \
-                     \"owned_warm_p50_ms\": {owned_p50:.4}, \"mapped_warm_p50_ms\": {mapped_p50:.4}}}",
-                    owned_cold / mapped_cold
-                );
-                merge_cold_start(out, &entry)?;
-                println!("merged cold_start into {out}");
-            }
-        } else if json_out.is_some() {
+    if let Some(query) = &sample {
+        let k = DEFAULT_K;
+        let (m, open_ms) = timed(|| Snapshot::open_mapped(path));
+        let m = m.map_err(runtime)?;
+        let (mapped_first, mapped_fq_ms) = timed(|| bench_query_once(&m.snapshot, query, k));
+        let mapped_first = mapped_first?;
+        let (owned_first, owned_fq_ms) = timed(|| bench_query_once(&snap, query, k));
+        let owned_first = owned_first?;
+        if mapped_first != owned_first {
             return Err(runtime(
-                "--json-out: the snapshot holds no engine or sd-index to time a query against",
+                "mapped and owned decodes answered the same query differently",
             ));
         }
+        let owned_cold = cold + owned_fq_ms;
+        let mapped_cold = open_ms + mapped_fq_ms;
+        println!(
+            "cold start to first answer (k = {k}): owned {owned_cold:.2} ms \
+             (decode {cold:.2} + query {owned_fq_ms:.2}), mapped {mapped_cold:.2} ms \
+             (open {open_ms:.2} + first query {mapped_fq_ms:.2}) — {:.0}× faster",
+            owned_cold / mapped_cold
+        );
+        // Steady state: same query, scratch-free `query()` on both
+        // sides, nearest-rank p50 over the sample count.
+        const WARM_RUNS: usize = 64;
+        let mut owned_lat = Vec::with_capacity(WARM_RUNS);
+        let mut mapped_lat = Vec::with_capacity(WARM_RUNS);
+        for _ in 0..WARM_RUNS {
+            let (r, ms) = timed(|| bench_query_once(&snap, query, k));
+            r?;
+            owned_lat.push(ms);
+            let (r, ms) = timed(|| bench_query_once(&m.snapshot, query, k));
+            r?;
+            mapped_lat.push(ms);
+        }
+        let owned_p50 = percentile(&mut owned_lat, 50.0);
+        let mapped_p50 = percentile(&mut mapped_lat, 50.0);
+        println!(
+            "warm query p50: owned {owned_p50:.4} ms, mapped {mapped_p50:.4} ms \
+             ({:+.1}%)",
+            100.0 * (mapped_p50 - owned_p50) / owned_p50
+        );
+        if let Some(out) = &json_out {
+            let entry = format!(
+                "{{\"file_bytes\": {bytes}, \"format_version\": {}, \
+                 \"owned_decode_ms\": {cold:.3}, \"owned_first_query_ms\": {owned_fq_ms:.3}, \
+                 \"mapped_open_ms\": {open_ms:.3}, \"mapped_first_query_ms\": {mapped_fq_ms:.3}, \
+                 \"owned_cold_ms\": {owned_cold:.3}, \"mapped_cold_ms\": {mapped_cold:.3}, \
+                 \"cold_speedup\": {:.1}, \
+                 \"owned_warm_p50_ms\": {owned_p50:.4}, \"mapped_warm_p50_ms\": {mapped_p50:.4}}}",
+                sdq_store::FORMAT_VERSION,
+                owned_cold / mapped_cold
+            );
+            merge_cold_start(out, &entry)?;
+            println!("merged cold_start into {out}");
+        }
     } else if json_out.is_some() {
-        return Err(runtime(format!(
-            "--json-out: {path} is a format-v{version} snapshot; the cold-start comparison \
-             needs v5 (rebuild with `sdq build` or rewrite with `sdq compact`)"
-        )));
+        return Err(runtime(
+            "--json-out: the snapshot holds no engine or sd-index to time a query against",
+        ));
     }
 
     // Rebuild every index kind the snapshot actually holds, for an
@@ -3301,7 +3236,7 @@ fn cmd_bench_query(args: &[String]) -> Result<(), CliError> {
                             e.shard_count()
                         )));
                     }
-                    // A v3 snapshot's engine already carries writes: the
+                    // An engine with uncompacted writes: the
                     // numbers below would not be the pure-snapshot
                     // baseline future PRs compare against.
                     if e.has_mutations() {

@@ -705,8 +705,8 @@ impl<S: Storage> DurableEngine<S> {
         }
         let t0 = std::time::Instant::now();
         let generation = self.generation + 1;
-        // Checkpoints write format v5 natively: the rewritten file is what
-        // a serving process reopens, and `open_mapped` makes that O(1).
+        // The rewritten file is what a serving process reopens, and
+        // `open_mapped` makes that O(1).
         let bytes = self.checkpoint_snapshot(generation).to_bytes_v5()?;
         let snap_name = self.snap_name.clone();
         if let Err(e) = self.atomic_replace(&Self::snap_tmp(&snap_name), &snap_name, &bytes) {

@@ -6,72 +6,49 @@
 //! [`TopKIndex`], a §3 [`Top1Index`] and the R*-tree baseline — into one
 //! versioned, checksummed binary file that restores without any rebuilding.
 //!
-//! ## File format (versions 1 through 4)
+//! ## File format (version 5 — the only one)
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----
 //!      0     8  magic  b"SDQSNAP\0"
-//!      8     4  format version (u32 LE)
+//!      8     4  format version (u32 LE) = 5
 //!     12     4  section count (u32 LE)
-//!     16   28·n section table: {kind u32, reserved u32, offset u64, len u64, crc32 u32}
-//!      …     4  CRC-32 of the section table
-//!      …        section payloads (sdq_core::codec bytes), in table order
+//!     16   28·n section table: {kind u32, reserved u32, offset u64, len u64, zero u32}
+//!      …     4  CRC-32C of the section table
+//!      …        zero padding to the next 64-byte boundary
+//!      …        section payloads (sdq_core::codec bytes), in table order,
+//!               each starting on a 64-byte file offset (zero-padded gaps)
 //! ```
 //!
-//! **Version 2** adds the sharded engine: an `engine-manifest` section
-//! (dimensionality, roles, per-shard row counts) plus one `engine-shard`
-//! section per shard — the shard's [`SdIndex`] codec bytes, with the shard
-//! ordinal carried in the table entry's previously-reserved `u32`. A
-//! snapshot without an engine is still written as version 1, so older
-//! readers keep reading everything this build produces short of engines;
-//! version-1 files load unchanged.
+//! A section is a dataset, the roles, one of the indexes, or a piece of
+//! the sharded engine: an `engine-manifest` (dimensionality, roles,
+//! per-shard row counts), one `engine-shard` per shard (the shard's
+//! [`SdIndex`], its ordinal in the table entry's `reserved` field), the
+//! uncompacted write state (`mutation-delta` rows, `mutation-tombstones`
+//! as the addressable row domain plus a sorted id list — both only when
+//! non-empty) and the `durability` section tying a checkpoint to its
+//! write-ahead log (see the [`durable`] module).
 //!
-//! **Version 3** adds the engine's uncompacted write state: a
-//! `mutation-delta` section (the delta-region rows as plain [`Dataset`]
-//! codec bytes) and a `mutation-tombstones` section (the addressable row
-//! domain as a `u64`, then the dead row ids as a sorted ascending `u32`
-//! list). Both are written only when non-empty, and the version only bumps
-//! to 3 when at least one is — a compacted (delta-free, tombstone-free)
-//! engine still writes version 2 and a plain index still writes version 1,
-//! so every file is readable by the oldest reader that understands its
-//! content. v1/v2 files load unchanged.
+//! Every payload is a stream of framed regions (see `sdq_core::codec`):
+//! small `[crc32c][len]` *metadata* regions verified eagerly at open, and
+//! `[crc32c][count][pad-to-64]` *array* regions whose payload bytes are the
+//! exact little-endian in-memory representation of the hot structures
+//! (point tables, SoA leaf blocks, sorted columns, coordinate tables).
+//! The table itself is covered by the trailing table checksum and padding
+//! must be zero, so *any* single flipped byte in the file is detected.
+//! Structural validation inside `sdq_core::codec` is the second line of
+//! defence: even a checksum collision cannot produce an index that panics
+//! at query time.
 //!
-//! **Version 4** adds the `durability` section: the checkpoint generation
-//! and epoch that tie a snapshot to its write-ahead log (see the
-//! [`durable`] module). As before, the version only bumps when the
-//! section is present — snapshots written outside a [`DurableEngine`]
-//! keep their old version.
-//!
-//! Every section payload carries a CRC-32; the table itself is covered by a
-//! trailing table checksum, so *any* single flipped byte in the file is
-//! detected before decoding begins. Structural validation inside
-//! `sdq_core::codec` is the second line of defence: even a checksum
-//! collision cannot produce an index that panics at query time.
-//!
-//! ## File format version 5 (zero-copy / mmap-native)
-//!
-//! Version 5 keeps the container (magic, version, section table, table
-//! CRC-32) but changes the section payloads to the **aligned region
-//! encoding** of `sdq_core::codec`: every section payload starts on a
-//! 64-byte file offset and consists of framed regions — small `[crc32c]
-//! [len]` *metadata* regions verified eagerly at open, and `[crc32c]
-//! [count][pad-to-64]` *array* regions whose payload bytes are the exact
-//! little-endian in-memory representation of the hot structures (point
-//! tables, SoA leaf blocks, sorted columns, coordinate tables). Array
-//! checksums are verified **lazily on first touch** (see
-//! [`sdq_core::SectionIntegrity`]). Table entries of a v5 file carry
-//! `crc32 = 0` — integrity lives in the region headers — and padding bytes
-//! between sections must be zero.
-//!
-//! [`Snapshot::open_mapped`] reinterprets those array regions in place over
-//! an `mmap` of the file: open cost is O(metadata), the first query pays
-//! one checksum pass over only the regions it touches, and resident memory
-//! scales with touched pages rather than file size. [`Snapshot::from_bytes`]
-//! reads v5 eagerly (owned copies, checksums up front) so every reader
-//! understands every version. Writers choose: [`Snapshot::to_bytes`] emits
-//! the newest *legacy* version the content needs (v1–v4, maximum reader
-//! compatibility), [`Snapshot::to_bytes_v5`] emits v5.
+//! [`Snapshot::open_mapped`] reinterprets the array regions in place over
+//! an `mmap` of the file and verifies their checksums **lazily on first
+//! touch** (see [`sdq_core::SectionIntegrity`]): open cost is O(metadata),
+//! the first query pays one checksum pass over only the regions it touches,
+//! and resident memory scales with touched pages rather than file size.
+//! [`Snapshot::from_bytes`] / [`Snapshot::load`] read the same file eagerly
+//! (owned copies, every checksum up front). A file of any other version is
+//! refused with [`SdError::SnapshotVersion`].
 //!
 //! ## Example
 //!
@@ -85,7 +62,7 @@
 //!
 //! let mut snap = Snapshot::new();
 //! snap.sd = Some(index);
-//! let bytes = snap.to_bytes();
+//! let bytes = snap.to_bytes_v5().unwrap();
 //!
 //! let restored = Snapshot::from_bytes(&bytes).unwrap();
 //! let q = SdQuery::uniform_weights(vec![1.0, 2.0], &roles);
@@ -94,7 +71,6 @@
 //! ```
 
 pub mod chaos;
-mod crc32;
 pub mod durable;
 pub mod io;
 pub mod scrub;
@@ -103,10 +79,8 @@ pub mod wal;
 use std::path::Path;
 use std::sync::Arc;
 
-use sdq_core::codec::{
-    corrupt, decode_from_slice, encode_to_vec, Codec, Reader, Writer, REGION_ALIGN,
-};
-use sdq_core::integrity::ensure_all;
+use sdq_core::codec::{corrupt, Codec, Reader, Writer, REGION_ALIGN};
+use sdq_core::integrity::{crc32c, ensure_all};
 use sdq_core::multidim::SdIndex;
 use sdq_core::top1::Top1Index;
 use sdq_core::topk::TopKIndex;
@@ -115,7 +89,6 @@ use sdq_engine::SdEngine;
 use sdq_rstar::RStarTree;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
-pub use crc32::crc32;
 pub use durable::{
     DurableEngine, DurableOptions, Health, RecoveryReport, SyncPolicy, WalStatus, RETRY_BUDGET,
 };
@@ -126,47 +99,25 @@ pub use sdq_core::CrcState;
 /// `b"SDQSNAP\0"` — the first 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"SDQSNAP\0";
 
-/// The newest format version this build writes and reads.
+/// The one format version this build writes and reads: 64-byte-aligned
+/// region-framed section payloads whose array regions are the exact
+/// in-memory representation, checksummed (CRC-32C) lazily on first touch
+/// when opened via [`Snapshot::open_mapped`].
 pub const FORMAT_VERSION: u32 = 5;
-
-/// The original format (no engine sections). Snapshots without an engine
-/// are still written as version 1 for maximum reader compatibility.
-pub const FORMAT_V1: u32 = 1;
-
-/// The sharded-engine format. Engines without uncompacted mutations are
-/// still written as version 2.
-pub const FORMAT_V2: u32 = 2;
-
-/// The live-mutation format (delta + tombstone sections). Pinned so a
-/// future version bump cannot shift what these sections require.
-pub const FORMAT_V3: u32 = 3;
-
-/// The durability format (checkpoint-generation section tying a snapshot
-/// to its WAL). Only [`DurableEngine`] checkpoints write it.
-pub const FORMAT_V4: u32 = 4;
-
-/// The zero-copy format: 64-byte-aligned region-framed section payloads
-/// whose array regions are the exact in-memory representation, checksummed
-/// lazily (CRC-32C) on first touch. Written by [`Snapshot::to_bytes_v5`];
-/// mappable via [`Snapshot::open_mapped`].
-pub const FORMAT_V5: u32 = 5;
-
-/// Which container encoding a save should produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    /// The newest legacy version the content needs (v1–v4): compact,
-    /// eagerly checksummed, readable by every prior build.
-    Legacy,
-    /// Format v5: mmap-native aligned regions, lazy checksums, O(1) open.
-    V5,
-}
 
 /// Hard cap on the section count, far above anything legitimate; rejects
 /// absurd table sizes from corrupt headers before allocation.
 const MAX_SECTIONS: u32 = 1024;
 
-/// Bytes per section-table entry: kind + reserved + offset + len + crc32.
+/// Bytes per section-table entry: kind + reserved + offset + len + a zero
+/// `u32` (integrity lives in the region headers).
 const TABLE_ENTRY_BYTES: usize = 4 + 4 + 8 + 8 + 4;
+
+/// Bytes before the first payload's padding: magic + version + section
+/// count + `sections` table entries + table checksum.
+const fn header_len(sections: usize) -> u64 {
+    (8 + 4 + 4 + TABLE_ENTRY_BYTES * sections + 4) as u64
+}
 
 /// What one section of a snapshot holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,19 +136,18 @@ pub enum SectionKind {
     /// The R*-tree baseline substrate.
     RStarTree = 6,
     /// The sharded engine's manifest (dims, roles, shard row counts).
-    /// Format v2+.
     EngineManifest = 7,
     /// One engine shard's [`SdIndex`]; the shard ordinal lives in the
-    /// table entry's reserved `u32`. Format v2+.
+    /// table entry's reserved `u32`.
     EngineShard = 8,
     /// The engine's delta region: uncompacted inserted rows, as plain
-    /// [`Dataset`] codec bytes. Format v3+.
+    /// [`Dataset`] codec bytes.
     MutationDelta = 9,
     /// The engine's tombstones: the addressable row domain (`u64`) plus the
-    /// dead row ids as a sorted ascending `u32` list. Format v3+.
+    /// dead row ids as a sorted ascending `u32` list.
     MutationTombstones = 10,
     /// Durability metadata: checkpoint generation (`u64`) and checkpoint
-    /// epoch (`u64`), linking the snapshot to its WAL. Format v4+.
+    /// epoch (`u64`), linking the snapshot to its WAL.
     Durability = 11,
 }
 
@@ -235,24 +185,9 @@ impl SectionKind {
             SectionKind::Durability => "durability",
         }
     }
-
-    /// The lowest format version in which this section kind may appear.
-    fn min_version(self) -> u32 {
-        match self {
-            SectionKind::Dataset
-            | SectionKind::Roles
-            | SectionKind::SdIndex
-            | SectionKind::TopKIndex
-            | SectionKind::Top1Index
-            | SectionKind::RStarTree => FORMAT_V1,
-            SectionKind::EngineManifest | SectionKind::EngineShard => FORMAT_V2,
-            SectionKind::MutationDelta | SectionKind::MutationTombstones => FORMAT_V3,
-            SectionKind::Durability => FORMAT_V4,
-        }
-    }
 }
 
-/// The v4 durability section: ties a snapshot to its write-ahead log.
+/// The durability section: ties a snapshot to its write-ahead log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurabilityInfo {
     /// Checkpoint generation; must match the WAL header's generation for
@@ -264,14 +199,12 @@ pub struct DurabilityInfo {
 }
 
 impl DurabilityInfo {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    fn encode(&self, w: &mut Writer) {
         w.u64(self.generation);
         w.u64(self.checkpoint_epoch);
-        w.into_bytes()
     }
 
-    fn decode_fields(r: &mut Reader<'_>) -> Result<Self, SdError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SdError> {
         let generation = r.u64()?;
         let checkpoint_epoch = r.u64()?;
         if generation == 0 {
@@ -282,18 +215,9 @@ impl DurabilityInfo {
             checkpoint_epoch,
         })
     }
-
-    fn decode(bytes: &[u8]) -> Result<Self, SdError> {
-        let mut r = Reader::new(bytes);
-        let info = Self::decode_fields(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(corrupt("trailing bytes after durability section"));
-        }
-        Ok(info)
-    }
 }
 
-/// The v2 engine manifest: everything needed to validate and reassemble the
+/// The engine manifest: everything needed to validate and reassemble the
 /// shard sections into an [`SdEngine`].
 struct EngineManifest {
     dims: usize,
@@ -314,18 +238,16 @@ impl EngineManifest {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    fn encode(&self, w: &mut Writer) {
         w.usize(self.dims);
-        self.roles.encode(&mut w);
+        self.roles.encode(w);
         w.usize(self.shard_rows.len());
         for &r in &self.shard_rows {
             w.u64(r);
         }
-        w.into_bytes()
     }
 
-    fn decode_fields(r: &mut Reader<'_>) -> Result<Self, SdError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SdError> {
         let dims = r.usize()?;
         let roles = Vec::<DimRole>::decode(r)?;
         let count = r.len_prefix(8)?;
@@ -344,15 +266,6 @@ impl EngineManifest {
             roles,
             shard_rows,
         })
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, SdError> {
-        let mut r = Reader::new(bytes);
-        let m = Self::decode_fields(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(corrupt("trailing bytes after engine manifest"));
-        }
-        Ok(m)
     }
 }
 
@@ -373,15 +286,10 @@ pub struct Snapshot {
     pub top1: Option<Top1Index>,
     /// The R*-tree baseline.
     pub rstar: Option<RStarTree>,
-    /// The sharded execution engine (snapshot format v2).
+    /// The sharded execution engine.
     pub engine: Option<SdEngine>,
-    /// Durability metadata written by [`DurableEngine`] checkpoints
-    /// (snapshot format v4).
+    /// Durability metadata written by [`DurableEngine`] checkpoints.
     pub durability: Option<DurabilityInfo>,
-    /// The container version this snapshot was decoded from (`None` for a
-    /// freshly built snapshot). [`Snapshot::preferred_format`] uses it so
-    /// mutate-and-save flows preserve the on-disk format they found.
-    pub source_version: Option<u32>,
 }
 
 /// Metadata of one stored section, as reported by [`Snapshot::inspect_bytes`].
@@ -395,14 +303,12 @@ pub struct SectionInfo {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
-    /// Stored CRC-32 of the payload.
-    pub crc32: u32,
 }
 
 /// Parsed header of a snapshot, without decoding any payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// Stored format version.
+    /// Stored format version (always [`FORMAT_VERSION`]).
     pub version: u32,
     /// Total file size in bytes.
     pub file_len: u64,
@@ -410,11 +316,17 @@ pub struct SnapshotInfo {
     pub sections: Vec<SectionInfo>,
 }
 
+/// One section ready for framing: raw kind tag, the table entry's
+/// `reserved` word (the shard ordinal of an `engine-shard`, else 0) and the
+/// payload bytes.
+type Section = (u32, u32, Vec<u8>);
+
 struct TableEntry {
     raw_kind: u32,
     reserved: u32,
     offset: u64,
     len: u64,
+    /// The table entry's trailing `u32`; must be zero.
     crc: u32,
 }
 
@@ -436,96 +348,6 @@ impl Snapshot {
             && self.durability.is_none()
     }
 
-    /// Serialises every present artifact into the snapshot container
-    /// format: version 2 when an engine is present, version 1 otherwise
-    /// (so engine-less snapshots stay readable by older builds).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        // (kind, reserved, payload) — reserved carries the shard ordinal
-        // for engine-shard sections and stays 0 everywhere else.
-        let mut sections: Vec<(SectionKind, u32, Vec<u8>)> = Vec::new();
-        if let Some(d) = &self.dataset {
-            sections.push((SectionKind::Dataset, 0, encode_to_vec(d)));
-        }
-        if let Some(r) = &self.roles {
-            sections.push((SectionKind::Roles, 0, encode_to_vec(r)));
-        }
-        if let Some(i) = &self.sd {
-            sections.push((SectionKind::SdIndex, 0, encode_to_vec(i)));
-        }
-        if let Some(i) = &self.topk {
-            sections.push((SectionKind::TopKIndex, 0, encode_to_vec(i)));
-        }
-        if let Some(i) = &self.top1 {
-            sections.push((SectionKind::Top1Index, 0, encode_to_vec(i)));
-        }
-        if let Some(t) = &self.rstar {
-            sections.push((SectionKind::RStarTree, 0, encode_to_vec(t)));
-        }
-        if let Some(e) = &self.engine {
-            sections.push((
-                SectionKind::EngineManifest,
-                0,
-                EngineManifest::of(e).encode(),
-            ));
-            for (ordinal, shard) in e.shards().iter().enumerate() {
-                sections.push((
-                    SectionKind::EngineShard,
-                    ordinal as u32,
-                    encode_to_vec(shard),
-                ));
-            }
-            if !e.delta().is_empty() {
-                sections.push((SectionKind::MutationDelta, 0, encode_to_vec(e.delta())));
-            }
-            let tombstones = e.tombstone_ids();
-            if !tombstones.is_empty() {
-                let mut w = Writer::new();
-                w.u64(e.total_rows() as u64);
-                w.u32s(&tombstones);
-                sections.push((SectionKind::MutationTombstones, 0, w.into_bytes()));
-            }
-        }
-        if let Some(d) = &self.durability {
-            sections.push((SectionKind::Durability, 0, d.encode()));
-        }
-        let version = if self.durability.is_some() {
-            FORMAT_V4
-        } else {
-            match &self.engine {
-                Some(e) if e.has_mutations() => FORMAT_V3,
-                Some(_) => FORMAT_V2,
-                None => FORMAT_V1,
-            }
-        };
-
-        // Header: magic + version + count + table + table CRC.
-        let table_bytes = TABLE_ENTRY_BYTES * sections.len();
-        let payload_base = (8 + 4 + 4 + table_bytes + 4) as u64;
-
-        let mut table = Writer::new();
-        let mut offset = payload_base;
-        for (kind, reserved, payload) in &sections {
-            table.u32(*kind as u32);
-            table.u32(*reserved);
-            table.u64(offset);
-            table.u64(payload.len() as u64);
-            table.u32(crc32(payload));
-            offset += payload.len() as u64;
-        }
-        let table = table.into_bytes();
-
-        let mut out = Vec::with_capacity(offset as usize);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&table);
-        out.extend_from_slice(&crc32(&table).to_le_bytes());
-        for (_, _, payload) in &sections {
-            out.extend_from_slice(payload);
-        }
-        out
-    }
-
     /// Verifies every lazily-checksummed region reachable from the
     /// queryable artifacts (mapped §5 indexes, 2-D trees, engine shards).
     /// A no-op on fully owned snapshots. Called by [`Snapshot::to_bytes_v5`]
@@ -545,101 +367,88 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Every present artifact as `(kind, reserved, payload)` in the v5
-    /// encoding: hot artifacts as aligned region streams, small metadata
-    /// kinds as their legacy bytes wrapped in one eager meta region.
-    fn v5_sections(&self) -> Vec<(SectionKind, u32, Vec<u8>)> {
-        fn aligned(f: impl FnOnce(&mut Writer)) -> Vec<u8> {
-            let mut w = Writer::new_aligned();
+    /// Every present artifact as a [`Section`]: hot artifacts as region
+    /// streams straight from their [`Codec`] impls, small metadata kinds
+    /// wrapped in one eager meta region.
+    fn sections(&self) -> Vec<Section> {
+        fn regions(f: impl FnOnce(&mut Writer)) -> Vec<u8> {
+            let mut w = Writer::new();
             f(&mut w);
             w.into_bytes()
         }
         fn wrapped(f: impl FnOnce(&mut Writer)) -> Vec<u8> {
-            let mut w = Writer::new_aligned();
-            w.meta_region(f);
-            w.into_bytes()
+            regions(|w| w.meta_region(f))
         }
-        let mut sections: Vec<(SectionKind, u32, Vec<u8>)> = Vec::new();
+        let mut sections: Vec<Section> = Vec::new();
+        let mut push = |kind: SectionKind, reserved: u32, payload: Vec<u8>| {
+            sections.push((kind as u32, reserved, payload));
+        };
         if let Some(d) = &self.dataset {
-            sections.push((SectionKind::Dataset, 0, aligned(|w| d.encode(w))));
+            push(SectionKind::Dataset, 0, regions(|w| d.encode(w)));
         }
         if let Some(r) = &self.roles {
-            sections.push((SectionKind::Roles, 0, wrapped(|w| r.encode(w))));
+            push(SectionKind::Roles, 0, wrapped(|w| r.encode(w)));
         }
         if let Some(i) = &self.sd {
-            sections.push((SectionKind::SdIndex, 0, aligned(|w| i.encode(w))));
+            push(SectionKind::SdIndex, 0, regions(|w| i.encode(w)));
         }
         if let Some(i) = &self.topk {
-            sections.push((SectionKind::TopKIndex, 0, aligned(|w| i.encode(w))));
+            push(SectionKind::TopKIndex, 0, regions(|w| i.encode(w)));
         }
         if let Some(i) = &self.top1 {
-            sections.push((SectionKind::Top1Index, 0, wrapped(|w| i.encode(w))));
+            push(SectionKind::Top1Index, 0, wrapped(|w| i.encode(w)));
         }
         if let Some(t) = &self.rstar {
-            sections.push((SectionKind::RStarTree, 0, wrapped(|w| t.encode(w))));
+            push(SectionKind::RStarTree, 0, wrapped(|w| t.encode(w)));
         }
         if let Some(e) = &self.engine {
-            sections.push((
+            push(
                 SectionKind::EngineManifest,
                 0,
-                wrapped(|w| w.bytes(&EngineManifest::of(e).encode())),
-            ));
+                wrapped(|w| EngineManifest::of(e).encode(w)),
+            );
             for (ordinal, shard) in e.shards().iter().enumerate() {
-                sections.push((
+                push(
                     SectionKind::EngineShard,
                     ordinal as u32,
-                    aligned(|w| shard.encode(w)),
-                ));
+                    regions(|w| shard.encode(w)),
+                );
             }
             if !e.delta().is_empty() {
-                sections.push((
+                push(
                     SectionKind::MutationDelta,
                     0,
-                    aligned(|w| e.delta().encode(w)),
-                ));
+                    regions(|w| e.delta().encode(w)),
+                );
             }
             let tombstones = e.tombstone_ids();
             if !tombstones.is_empty() {
-                sections.push((
+                push(
                     SectionKind::MutationTombstones,
                     0,
                     wrapped(|w| {
                         w.u64(e.total_rows() as u64);
                         w.u32s(&tombstones);
                     }),
-                ));
+                );
             }
         }
         if let Some(d) = &self.durability {
-            sections.push((
-                SectionKind::Durability,
-                0,
-                wrapped(|w| w.bytes(&d.encode())),
-            ));
+            push(SectionKind::Durability, 0, wrapped(|w| d.encode(w)));
         }
         sections
     }
 
-    /// Serialises in format v5: section payloads start on 64-byte file
-    /// offsets (zero-padded gaps), table CRCs are zero (integrity lives in
-    /// the per-region CRC-32C headers) and array payloads are the exact
-    /// in-memory representation, so [`Snapshot::open_mapped`] can serve
-    /// queries straight off the file.
-    ///
-    /// Fails only when this snapshot holds mapped views whose deferred
-    /// checksums turn out bad — corruption must surface, not be laundered
-    /// under fresh checksums.
-    pub fn to_bytes_v5(&self) -> Result<Vec<u8>, SdError> {
-        self.verify_integrity()?;
-        let sections = self.v5_sections();
-        let table_bytes = TABLE_ENTRY_BYTES * sections.len();
-        let header_len = (8 + 4 + 4 + table_bytes + 4) as u64;
-
+    /// Lays `sections` out as a container file: header, section table
+    /// (per-entry checksum field zero — integrity lives in the per-region
+    /// CRC-32C headers), table checksum, then each payload on its own
+    /// 64-byte file offset with zero-padded gaps.
+    fn frame(sections: &[Section]) -> Vec<u8> {
         let mut table = Writer::new();
         let mut offsets = Vec::with_capacity(sections.len());
-        let mut offset = header_len.next_multiple_of(REGION_ALIGN as u64);
-        for (kind, reserved, payload) in &sections {
-            table.u32(*kind as u32);
+        let mut offset = header_len(sections.len()).next_multiple_of(REGION_ALIGN as u64);
+        for (kind, reserved, payload) in sections {
+            table.u32(*kind);
             table.u32(*reserved);
             table.u64(offset);
             table.u64(payload.len() as u64);
@@ -651,50 +460,44 @@ impl Snapshot {
 
         let mut out = Vec::with_capacity(offset as usize);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_V5.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
         out.extend_from_slice(&table);
-        out.extend_from_slice(&crc32(&table).to_le_bytes());
-        for (off, (_, _, payload)) in offsets.iter().zip(&sections) {
+        out.extend_from_slice(&crc32c(&table).to_le_bytes());
+        for (off, (_, _, payload)) in offsets.iter().zip(sections) {
             out.resize(*off as usize, 0);
             out.extend_from_slice(payload);
         }
-        Ok(out)
+        out
     }
 
-    /// Serialises in the requested container format.
-    pub fn to_bytes_as(&self, format: SnapshotFormat) -> Result<Vec<u8>, SdError> {
-        match format {
-            SnapshotFormat::Legacy => Ok(self.to_bytes()),
-            SnapshotFormat::V5 => self.to_bytes_v5(),
-        }
+    /// Serialises the snapshot (format v5, the only one); array payloads
+    /// are the exact in-memory representation, so [`Snapshot::open_mapped`]
+    /// can serve queries straight off the file.
+    ///
+    /// Fails only when this snapshot holds mapped views whose deferred
+    /// checksums turn out bad — corruption must surface, not be laundered
+    /// under fresh checksums.
+    pub fn to_bytes_v5(&self) -> Result<Vec<u8>, SdError> {
+        self.verify_integrity()?;
+        Ok(Self::frame(&self.sections()))
     }
 
-    /// The format a save should default to: whatever this snapshot was
-    /// decoded from (so mutate-and-save flows preserve the on-disk format
-    /// they found), v5 for freshly built snapshots.
-    pub fn preferred_format(&self) -> SnapshotFormat {
-        match self.source_version {
-            Some(v) if v < FORMAT_V5 => SnapshotFormat::Legacy,
-            _ => SnapshotFormat::V5,
-        }
-    }
-
-    fn parse_header(bytes: &[u8]) -> Result<(u32, Vec<TableEntry>), SdError> {
+    /// Parses and verifies the header and section table. The only place
+    /// that looks at the version field: anything but [`FORMAT_VERSION`] is
+    /// refused.
+    fn parse_header(bytes: &[u8]) -> Result<Vec<TableEntry>, SdError> {
         let mut r = Reader::new(bytes);
         let magic = r.take(8).map_err(|_| SdError::SnapshotBadMagic)?;
         if magic != MAGIC {
             return Err(SdError::SnapshotBadMagic);
         }
         let version = r.u32()?;
-        if version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(SdError::SnapshotVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
-        }
-        if version == 0 {
-            return Err(corrupt("format version 0 is invalid"));
         }
         let count = r.u32()?;
         if count > MAX_SECTIONS {
@@ -704,7 +507,7 @@ impl Snapshot {
         }
         let table_raw = r.take(TABLE_ENTRY_BYTES * count as usize)?;
         let stored_table_crc = r.u32()?;
-        if crc32(table_raw) != stored_table_crc {
+        if crc32c(table_raw) != stored_table_crc {
             return Err(SdError::SnapshotChecksum {
                 section: "section table".to_string(),
             });
@@ -725,7 +528,7 @@ impl Snapshot {
                 crc,
             });
         }
-        Ok((version, entries))
+        Ok(entries)
     }
 
     fn section_slice<'a>(bytes: &'a [u8], entry: &TableEntry) -> Result<&'a [u8], SdError> {
@@ -748,10 +551,9 @@ impl Snapshot {
     /// Checks that the file ends exactly where the section table says it
     /// does — appended garbage is as suspect as truncation.
     fn check_file_len(bytes: &[u8], entries: &[TableEntry]) -> Result<(), SdError> {
-        let header_len = (8 + 4 + 4 + TABLE_ENTRY_BYTES * entries.len() + 4) as u64;
-        let expected_len = entries
-            .iter()
-            .fold(header_len, |acc, e| acc.max(e.offset.saturating_add(e.len)));
+        let expected_len = entries.iter().fold(header_len(entries.len()), |acc, e| {
+            acc.max(e.offset.saturating_add(e.len))
+        });
         if bytes.len() as u64 != expected_len {
             return Err(corrupt(format!(
                 "file is {} bytes but the section table accounts for {expected_len}",
@@ -761,61 +563,17 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Restores a snapshot from container bytes, verifying the magic, the
-    /// format version and every checksum before decoding. Reads every
-    /// format version; v5 files are decoded eagerly into owned memory
-    /// (use [`Snapshot::open_mapped`] for the zero-copy path).
+    /// Restores a snapshot from container bytes into owned memory,
+    /// verifying the magic, the format version and every checksum before
+    /// decoding (use [`Snapshot::open_mapped`] for the zero-copy path).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SdError> {
-        let (version, entries) = Self::parse_header(bytes)?;
+        let entries = Self::parse_header(bytes)?;
         Self::check_file_len(bytes, &entries)?;
-        if version == FORMAT_V5 {
-            return Self::decode_v5(bytes, &entries, None).map(|(snap, _)| snap);
-        }
-        let mut snap = Snapshot::new();
-        snap.source_version = Some(version);
-        let mut manifest: Option<EngineManifest> = None;
-        let mut engine_shards: Vec<(u32, SdIndex)> = Vec::new();
-        let mut delta: Option<Dataset> = None;
-        let mut tombstones: Option<(u64, Vec<u32>)> = None;
-        for entry in &entries {
-            let payload = Self::section_slice(bytes, entry)?;
-            let kind = SectionKind::from_u32(entry.raw_kind)
-                .ok_or_else(|| corrupt(format!("unknown section kind {}", entry.raw_kind)))?;
-            if crc32(payload) != entry.crc {
-                return Err(SdError::SnapshotChecksum {
-                    section: kind.name().to_string(),
-                });
-            }
-            if version < kind.min_version() {
-                return Err(corrupt(format!(
-                    "{} section in a format-v{version} file",
-                    kind.name()
-                )));
-            }
-            match kind {
-                SectionKind::Dataset => snap.dataset = Some(decode_from_slice(payload)?),
-                SectionKind::Roles => snap.roles = Some(decode_from_slice(payload)?),
-                SectionKind::SdIndex => snap.sd = Some(decode_from_slice(payload)?),
-                SectionKind::TopKIndex => snap.topk = Some(decode_from_slice(payload)?),
-                SectionKind::Top1Index => snap.top1 = Some(decode_from_slice(payload)?),
-                SectionKind::RStarTree => snap.rstar = Some(decode_from_slice(payload)?),
-                SectionKind::EngineManifest => manifest = Some(EngineManifest::decode(payload)?),
-                SectionKind::EngineShard => {
-                    engine_shards.push((entry.reserved, decode_from_slice(payload)?))
-                }
-                SectionKind::MutationDelta => delta = Some(decode_from_slice(payload)?),
-                SectionKind::MutationTombstones => {
-                    tombstones = Some(Self::decode_tombstones(payload)?)
-                }
-                SectionKind::Durability => snap.durability = Some(DurabilityInfo::decode(payload)?),
-            }
-        }
-        Self::finish_engine(&mut snap, manifest, engine_shards, delta, tombstones)?;
-        Ok(snap)
+        Self::decode(bytes, &entries, None).map(|(snap, _)| snap)
     }
 
     /// Reassembles the engine (when present) and restores its mutation
-    /// state — the shared tail of every decode path.
+    /// state.
     fn finish_engine(
         snap: &mut Snapshot,
         manifest: Option<EngineManifest>,
@@ -851,46 +609,44 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Decodes a format-v5 file. With `keep = Some(...)` the hot array
+    /// Decodes the section payloads. With `keep = Some(...)` the hot array
     /// regions become borrowed views of that buffer (checksums lazy);
     /// otherwise everything is copied and verified eagerly. Returns the
     /// snapshot plus every region walked, for inspection and
     /// [`MappedSnapshot::verify_all`].
-    fn decode_v5(
+    fn decode(
         bytes: &[u8],
         entries: &[TableEntry],
         keep: Option<&MappedBytes>,
     ) -> Result<(Snapshot, Vec<Arc<SectionIntegrity>>), SdError> {
         // Layout discipline before any payload is trusted: entries in
-        // ascending offset order, every payload 64-aligned, table CRCs
-        // zeroed (integrity lives in the region headers), gaps zero.
-        let header_len = (8 + 4 + 4 + TABLE_ENTRY_BYTES * entries.len() + 4) as u64;
-        let mut cursor = header_len;
+        // ascending offset order, every payload 64-aligned, the entry
+        // checksum field zero (integrity lives in the region headers),
+        // gaps zero.
+        let mut cursor = header_len(entries.len());
         for entry in entries {
             if entry.crc != 0 {
                 return Err(corrupt(
-                    "v5 table entry carries a section CRC (regions carry their own)",
+                    "table entry carries a section CRC (regions carry their own)",
                 ));
             }
             if entry.offset % REGION_ALIGN as u64 != 0 {
                 return Err(corrupt(format!(
-                    "v5 section at offset {} is not {REGION_ALIGN}-byte aligned",
+                    "section at offset {} is not {REGION_ALIGN}-byte aligned",
                     entry.offset
                 )));
             }
             if entry.offset < cursor {
-                return Err(corrupt(
-                    "v5 sections overlap or are out of table order".to_string(),
-                ));
+                return Err(corrupt("sections overlap or are out of table order"));
             }
             // The gap is inside the file: offsets were bounds-checked by
             // `check_file_len` only as max(end); re-check begin here.
             let (gap_start, gap_end) = (cursor as usize, entry.offset as usize);
             if gap_end > bytes.len() {
-                return Err(corrupt("v5 section offset beyond end of file"));
+                return Err(corrupt("section offset beyond end of file"));
             }
             if bytes[gap_start..gap_end].iter().any(|&b| b != 0) {
-                return Err(corrupt("nonzero padding between v5 sections"));
+                return Err(corrupt("nonzero padding between sections"));
             }
             cursor = entry
                 .offset
@@ -898,16 +654,25 @@ impl Snapshot {
                 .ok_or_else(|| corrupt("section range overflows"))?;
         }
         let mut snap = Snapshot::new();
-        snap.source_version = Some(FORMAT_V5);
         let mut regions: Vec<Arc<SectionIntegrity>> = Vec::new();
         let mut manifest: Option<EngineManifest> = None;
         let mut engine_shards: Vec<(u32, SdIndex)> = Vec::new();
         let mut delta: Option<Dataset> = None;
         let mut tombstones: Option<(u64, Vec<u32>)> = None;
+        let mut seen = 0u32;
         for entry in entries {
             let payload = Self::section_slice(bytes, entry)?;
             let kind = SectionKind::from_u32(entry.raw_kind)
                 .ok_or_else(|| corrupt(format!("unknown section kind {}", entry.raw_kind)))?;
+            // Every kind but the per-shard one fills a single slot; a
+            // second copy must not silently replace the first.
+            if kind != SectionKind::EngineShard {
+                let bit = 1u32 << kind as u32;
+                if seen & bit != 0 {
+                    return Err(corrupt(format!("duplicate {} section", kind.name())));
+                }
+                seen |= bit;
+            }
             let prefix = match kind {
                 SectionKind::EngineShard => format!("{}{}", kind.name(), entry.reserved),
                 _ => kind.name().to_string(),
@@ -929,33 +694,33 @@ impl Snapshot {
                     // pins that memory for as long as any view lives.
                     unsafe { Reader::new_mapped(payload, mb.keep(), prefix, entry.offset) }
                 }
-                _ => Reader::new_aligned(payload, prefix, entry.offset),
+                _ => Reader::new_section(payload, prefix, entry.offset),
             };
             match kind {
                 SectionKind::Dataset => snap.dataset = Some(Dataset::decode(&mut r)?),
                 SectionKind::Roles => {
-                    snap.roles = Some(r.meta_region("legacy", Vec::<DimRole>::decode)?)
+                    snap.roles = Some(r.meta_region("meta", Vec::<DimRole>::decode)?)
                 }
                 SectionKind::SdIndex => snap.sd = Some(SdIndex::decode(&mut r)?),
                 SectionKind::TopKIndex => snap.topk = Some(TopKIndex::decode(&mut r)?),
                 SectionKind::Top1Index => {
-                    snap.top1 = Some(r.meta_region("legacy", Top1Index::decode)?)
+                    snap.top1 = Some(r.meta_region("meta", Top1Index::decode)?)
                 }
                 SectionKind::RStarTree => {
-                    snap.rstar = Some(r.meta_region("legacy", RStarTree::decode)?)
+                    snap.rstar = Some(r.meta_region("meta", RStarTree::decode)?)
                 }
                 SectionKind::EngineManifest => {
-                    manifest = Some(r.meta_region("legacy", EngineManifest::decode_fields)?)
+                    manifest = Some(r.meta_region("meta", EngineManifest::decode)?)
                 }
                 SectionKind::EngineShard => {
                     engine_shards.push((entry.reserved, SdIndex::decode(&mut r)?))
                 }
                 SectionKind::MutationDelta => delta = Some(Dataset::decode(&mut r)?),
                 SectionKind::MutationTombstones => {
-                    tombstones = Some(r.meta_region("legacy", Self::decode_tombstone_fields)?)
+                    tombstones = Some(r.meta_region("meta", Self::decode_tombstones)?)
                 }
                 SectionKind::Durability => {
-                    snap.durability = Some(r.meta_region("legacy", DurabilityInfo::decode_fields)?)
+                    snap.durability = Some(r.meta_region("meta", DurabilityInfo::decode)?)
                 }
             }
             if !r.is_exhausted() {
@@ -974,7 +739,7 @@ impl Snapshot {
     /// Decodes `mutation-tombstones` fields: `u64` domain plus sorted
     /// strictly-ascending `u32` ids (canonical, so bytes stay
     /// deterministic across save→load→save).
-    fn decode_tombstone_fields(r: &mut Reader<'_>) -> Result<(u64, Vec<u32>), SdError> {
+    fn decode_tombstones(r: &mut Reader<'_>) -> Result<(u64, Vec<u32>), SdError> {
         let domain = r.u64()?;
         let ids = r.u32s()?;
         for pair in ids.windows(2) {
@@ -986,15 +751,6 @@ impl Snapshot {
             }
         }
         Ok((domain, ids))
-    }
-
-    fn decode_tombstones(payload: &[u8]) -> Result<(u64, Vec<u32>), SdError> {
-        let mut r = Reader::new(payload);
-        let out = Self::decode_tombstone_fields(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(corrupt("trailing bytes after tombstone list"));
-        }
-        Ok(out)
     }
 
     /// Validates the engine manifest against the decoded shard sections and
@@ -1039,9 +795,9 @@ impl Snapshot {
     /// Parses only the header and section table — cheap metadata access for
     /// `sdq inspect`.
     pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotInfo, SdError> {
-        let (version, entries) = Self::parse_header(bytes)?;
+        let entries = Self::parse_header(bytes)?;
         Ok(SnapshotInfo {
-            version,
+            version: FORMAT_VERSION,
             file_len: bytes.len() as u64,
             sections: entries
                 .iter()
@@ -1050,20 +806,9 @@ impl Snapshot {
                     raw_kind: e.raw_kind,
                     offset: e.offset,
                     len: e.len,
-                    crc32: e.crc,
                 })
                 .collect(),
         })
-    }
-
-    /// Writes the snapshot to `path` atomically *and durably*: temp file
-    /// → `sync_all` → rename → parent-directory fsync, so a crash at any
-    /// point leaves either the old file or the complete new one.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SdError> {
-        let path = path.as_ref();
-        let bytes = self.to_bytes();
-        io::atomic_write_path(path, &bytes)
-            .map_err(|e| SdError::SnapshotIo(format!("{}: {e}", path.display())))
     }
 
     /// Reads and restores a snapshot from `path`.
@@ -1082,24 +827,20 @@ impl Snapshot {
         Self::inspect_bytes(&bytes)
     }
 
-    /// [`Snapshot::save`] in an explicit container format.
-    pub fn save_as(&self, path: impl AsRef<Path>, format: SnapshotFormat) -> Result<(), SdError> {
+    /// Writes the snapshot to `path` atomically *and durably*: temp file
+    /// → `sync_all` → rename → parent-directory fsync, so a crash at any
+    /// point leaves either the old file or the complete new one.
+    pub fn save_v5(&self, path: impl AsRef<Path>) -> Result<(), SdError> {
         let path = path.as_ref();
-        let bytes = self.to_bytes_as(format)?;
+        let bytes = self.to_bytes_v5()?;
         io::atomic_write_path(path, &bytes)
             .map_err(|e| SdError::SnapshotIo(format!("{}: {e}", path.display())))
     }
 
-    /// [`Snapshot::save`] in format v5 (the mmap-native encoding).
-    pub fn save_v5(&self, path: impl AsRef<Path>) -> Result<(), SdError> {
-        self.save_as(path, SnapshotFormat::V5)
-    }
-
-    /// Opens the snapshot at `path` zero-copy: the file is `mmap`ed and a
-    /// v5 file's array regions are served straight off the mapping — open
-    /// cost is O(metadata), the first query pays one CRC-32C pass over only
-    /// the regions it touches, and resident memory scales with touched
-    /// pages. Legacy files (v1–v4) fall back to a normal owned decode.
+    /// Opens the snapshot at `path` zero-copy: the file is `mmap`ed and its
+    /// array regions are served straight off the mapping — open cost is
+    /// O(metadata), the first query pays one CRC-32C pass over only the
+    /// regions it touches, and resident memory scales with touched pages.
     pub fn open_mapped(path: impl AsRef<Path>) -> Result<MappedSnapshot, SdError> {
         let path = path.as_ref();
         let bytes = MappedBytes::map_file(path)
@@ -1112,24 +853,12 @@ impl Snapshot {
     /// aligned and kept alive by the views, so borrowing stays sound).
     pub fn from_mapped(buffer: MappedBytes) -> Result<MappedSnapshot, SdError> {
         let bytes: &[u8] = &buffer;
-        let (version, entries) = Self::parse_header(bytes)?;
+        let entries = Self::parse_header(bytes)?;
         Self::check_file_len(bytes, &entries)?;
-        if version < FORMAT_V5 {
-            // Pre-v5 payloads are not reinterpretable in place; decode the
-            // classic way so every file still opens through this API.
-            let snapshot = Self::from_bytes(bytes)?;
-            return Ok(MappedSnapshot {
-                snapshot,
-                version,
-                mapped: false,
-                sections: Vec::new(),
-            });
-        }
         let mapped = buffer.is_mapped();
-        let (snapshot, sections) = Self::decode_v5(bytes, &entries, Some(&buffer))?;
+        let (snapshot, sections) = Self::decode(bytes, &entries, Some(&buffer))?;
         Ok(MappedSnapshot {
             snapshot,
-            version,
             mapped,
             sections,
         })
@@ -1142,22 +871,15 @@ impl Snapshot {
 /// ([`MappedSnapshot::verify_all`]).
 #[derive(Debug)]
 pub struct MappedSnapshot {
-    /// The decoded snapshot; for a v5 file its hot arrays borrow the
-    /// underlying buffer.
+    /// The decoded snapshot; its hot arrays borrow the underlying buffer.
     pub snapshot: Snapshot,
-    version: u32,
     mapped: bool,
     sections: Vec<Arc<SectionIntegrity>>,
 }
 
 impl MappedSnapshot {
-    /// The container version of the source file.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// `true` when the buffer is a real `mmap` of the file (as opposed to
-    /// the owned in-memory fallback). Either way a v5 decode borrows the
+    /// the owned in-memory fallback). Either way the decode borrows the
     /// buffer zero-copy.
     pub fn is_mapped(&self) -> bool {
         self.mapped
@@ -1165,13 +887,12 @@ impl MappedSnapshot {
 
     /// Every framed region of the file, in layout order — name, file
     /// offset, length and checksum state (lazy / verified / failed).
-    /// Empty for pre-v5 files.
     pub fn regions(&self) -> &[Arc<SectionIntegrity>] {
         &self.sections
     }
 
     /// Forces checksum verification of every region, including ones no
-    /// query has touched yet. The full-coverage equivalent of the legacy
+    /// query has touched yet. The full-coverage equivalent of the owned
     /// eager decode; run it before trusting a file end to end.
     pub fn verify_all(&self) -> Result<(), SdError> {
         ensure_all(&self.sections)
@@ -1210,7 +931,8 @@ mod tests {
     }
 
     /// A full snapshot whose engine carries uncompacted mutations — the
-    /// byte-flip/truncation sweeps below therefore cover the v3 sections.
+    /// byte-flip/truncation sweeps below therefore cover the mutation
+    /// sections.
     fn sample_snapshot() -> Snapshot {
         let mut snap = Snapshot::new();
         let sd = sample_sd();
@@ -1236,10 +958,20 @@ mod tests {
         snap
     }
 
+    /// [`sample_snapshot`] plus the durability section: every section kind.
+    fn durable_snapshot() -> Snapshot {
+        let mut snap = sample_snapshot();
+        snap.durability = Some(DurabilityInfo {
+            generation: 7,
+            checkpoint_epoch: 3,
+        });
+        snap
+    }
+
     #[test]
     fn full_snapshot_roundtrips() {
         let snap = sample_snapshot();
-        let bytes = snap.to_bytes();
+        let bytes = snap.to_bytes_v5().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
 
         let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], snap.roles.as_ref().unwrap());
@@ -1280,11 +1012,17 @@ mod tests {
             snap.engine.as_ref().unwrap().query(&q, 5).unwrap()
         );
         // Deterministic bytes.
-        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.to_bytes_v5().unwrap(), bytes);
+    }
+
+    /// The section kinds a container holds, in table order.
+    fn kinds_of(bytes: &[u8]) -> Vec<SectionKind> {
+        let info = Snapshot::inspect_bytes(bytes).unwrap();
+        info.sections.iter().map(|s| s.kind.unwrap()).collect()
     }
 
     #[test]
-    fn clean_engine_matches_monolithic_and_stays_v2() {
+    fn clean_engine_matches_monolithic() {
         let sd = sample_sd();
         let mut snap = Snapshot::new();
         snap.engine = Some(
@@ -1298,8 +1036,15 @@ mod tests {
             )
             .unwrap(),
         );
-        let bytes = snap.to_bytes();
-        assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V2);
+        let bytes = snap.to_bytes_v5().unwrap();
+        assert_eq!(
+            kinds_of(&bytes),
+            [
+                SectionKind::EngineManifest,
+                SectionKind::EngineShard,
+                SectionKind::EngineShard
+            ]
+        );
         let back = Snapshot::from_bytes(&bytes).unwrap();
         let engine = back.engine.as_ref().unwrap();
         assert!(!engine.has_mutations());
@@ -1309,74 +1054,29 @@ mod tests {
     }
 
     #[test]
-    fn mutated_snapshot_is_version_3_and_compacted_drops_back_to_v2() {
-        let snap = sample_snapshot();
-        let bytes = snap.to_bytes();
-        assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V3);
+    fn compacted_snapshot_carries_no_mutation_sections() {
+        let mutation = [SectionKind::MutationDelta, SectionKind::MutationTombstones];
+        let bytes = sample_snapshot().to_bytes_v5().unwrap();
+        let kinds = kinds_of(&bytes);
+        assert!(mutation.iter().all(|k| kinds.contains(k)));
         let mut back = Snapshot::from_bytes(&bytes).unwrap();
         back.engine.as_mut().unwrap().compact().unwrap();
-        let compacted = back.to_bytes();
-        assert_eq!(
-            Snapshot::inspect_bytes(&compacted).unwrap().version,
-            FORMAT_V2,
-            "compaction removes the need for v3"
+        let kinds = kinds_of(&back.to_bytes_v5().unwrap());
+        assert!(
+            !mutation.iter().any(|k| kinds.contains(k)),
+            "compaction leaves nothing to write"
         );
     }
 
     #[test]
-    fn mutation_sections_in_old_versions_are_rejected() {
-        // Downgrading the version field of a v3 file must not silently
-        // load (the version is deliberately outside the table CRC; the
-        // section gating is the defence).
-        for old in [FORMAT_V1, FORMAT_V2] {
-            let mut bytes = sample_snapshot().to_bytes();
-            bytes[8..12].copy_from_slice(&old.to_le_bytes());
-            assert!(
-                matches!(
-                    Snapshot::from_bytes(&bytes).unwrap_err(),
-                    SdError::SnapshotCorrupt { .. }
-                ),
-                "v{old} file with mutation sections loaded"
-            );
-        }
-    }
-
-    #[test]
-    fn engineless_snapshots_stay_version_1() {
-        let mut snap = sample_snapshot();
-        snap.engine = None;
-        let bytes = snap.to_bytes();
-        let info = Snapshot::inspect_bytes(&bytes).unwrap();
-        assert_eq!(info.version, FORMAT_V1);
-        assert!(Snapshot::from_bytes(&bytes).unwrap().engine.is_none());
-    }
-
-    #[test]
-    fn engine_sections_in_v1_are_rejected() {
-        // Downgrading the version byte of a v2 file must not silently load.
-        let mut bytes = sample_snapshot().to_bytes();
-        assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V3);
-        bytes[8..12].copy_from_slice(&FORMAT_V1.to_le_bytes());
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SdError::SnapshotCorrupt { .. }
-        ));
-    }
-
-    #[test]
-    fn durability_section_bumps_to_v4_and_roundtrips() {
-        let mut snap = sample_snapshot();
-        snap.durability = Some(DurabilityInfo {
-            generation: 7,
-            checkpoint_epoch: 3,
-        });
-        let bytes = snap.to_bytes();
-        assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V4);
+    fn durability_section_roundtrips() {
+        let snap = durable_snapshot();
+        let bytes = snap.to_bytes_v5().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(back.durability, snap.durability);
         // Deterministic bytes survive the round trip.
-        assert_eq!(back.to_bytes(), bytes);
-        // Every flipped byte of a v4 file is still detected.
+        assert_eq!(back.to_bytes_v5().unwrap(), bytes);
+        // Every flipped byte of a durable snapshot is still detected.
         for pos in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[pos] ^= 0x01;
@@ -1388,35 +1088,15 @@ mod tests {
     }
 
     #[test]
-    fn durability_section_in_old_versions_is_rejected() {
-        let mut snap = Snapshot::new();
-        snap.durability = Some(DurabilityInfo {
-            generation: 1,
-            checkpoint_epoch: 0,
-        });
-        let mut bytes = snap.to_bytes();
-        for old in [FORMAT_V1, FORMAT_V2, FORMAT_V3] {
-            bytes[8..12].copy_from_slice(&old.to_le_bytes());
-            assert!(
-                matches!(
-                    Snapshot::from_bytes(&bytes).unwrap_err(),
-                    SdError::SnapshotCorrupt { .. }
-                ),
-                "v{old} file with a durability section loaded"
-            );
-        }
-    }
-
-    #[test]
     fn empty_snapshot_roundtrips() {
-        let bytes = Snapshot::new().to_bytes();
+        let bytes = Snapshot::new().to_bytes_v5().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
         assert!(back.is_empty());
     }
 
     #[test]
     fn wrong_magic_is_typed() {
-        let mut bytes = sample_snapshot().to_bytes();
+        let mut bytes = sample_snapshot().to_bytes_v5().unwrap();
         bytes[0] = b'X';
         assert!(matches!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
@@ -1430,7 +1110,7 @@ mod tests {
 
     #[test]
     fn future_version_is_typed() {
-        let mut bytes = sample_snapshot().to_bytes();
+        let mut bytes = sample_snapshot().to_bytes_v5().unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
@@ -1442,8 +1122,47 @@ mod tests {
     }
 
     #[test]
+    fn every_other_version_is_refused_with_the_typed_error() {
+        // The version field is outside the table checksum, so patching it
+        // is all it takes to present "an old file": every reader must say
+        // so, not report generic corruption.
+        let bytes = sample_snapshot().to_bytes_v5().unwrap();
+        for version in [0u32, 1, 2, 3, 4, 6] {
+            let mut patched = bytes.clone();
+            patched[8..12].copy_from_slice(&version.to_le_bytes());
+            for err in [
+                Snapshot::from_bytes(&patched).unwrap_err(),
+                Snapshot::from_mapped(MappedBytes::copy_from(&patched)).unwrap_err(),
+                Snapshot::inspect_bytes(&patched).unwrap_err(),
+            ] {
+                assert_eq!(
+                    err,
+                    SdError::SnapshotVersion {
+                        found: version,
+                        supported: FORMAT_VERSION
+                    }
+                );
+                assert!(err.to_string().contains("reads only version 5"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn appended_garbage_is_detected() {
+        // Bytes past the section table's accounted end are as suspect as
+        // truncation (found by probing: `dd seek=<past-eof>` extended a
+        // snapshot and the old parser silently ignored the tail).
+        let mut bytes = sample_snapshot().to_bytes_v5().unwrap();
+        bytes.extend_from_slice(b"tail");
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes).unwrap_err(),
+            SdError::SnapshotCorrupt { .. }
+        ));
+    }
+
+    #[test]
     fn every_flipped_byte_is_detected() {
-        let bytes = sample_snapshot().to_bytes();
+        let bytes = sample_snapshot().to_bytes_v5().unwrap();
         for pos in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[pos] ^= 0x01;
@@ -1464,21 +1183,8 @@ mod tests {
     }
 
     #[test]
-    fn appended_garbage_is_detected() {
-        // Bytes past the section table's accounted end are as suspect as
-        // truncation (found by probing: `dd seek=<past-eof>` extended a
-        // snapshot and the old parser silently ignored the tail).
-        let mut bytes = sample_snapshot().to_bytes();
-        bytes.extend_from_slice(b"tail");
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SdError::SnapshotCorrupt { .. }
-        ));
-    }
-
-    #[test]
     fn every_truncation_is_detected() {
-        let bytes = sample_snapshot().to_bytes();
+        let bytes = sample_snapshot().to_bytes_v5().unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 Snapshot::from_bytes(&bytes[..cut]).is_err(),
@@ -1493,13 +1199,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.sdq");
         let snap = sample_snapshot();
-        snap.save(&path).unwrap();
+        snap.save_v5(&path).unwrap();
         let back = Snapshot::load(&path).unwrap();
-        assert_eq!(back.to_bytes(), snap.to_bytes());
+        assert_eq!(back.to_bytes_v5().unwrap(), snap.to_bytes_v5().unwrap());
 
         let info = Snapshot::inspect(&path).unwrap();
-        assert_eq!(info.version, FORMAT_V3);
-        // 6 classic sections + engine manifest + 2 shard sections + delta
+        assert_eq!(info.version, FORMAT_VERSION);
+        // 6 plain sections + engine manifest + 2 shard sections + delta
         // + tombstones.
         assert_eq!(info.sections.len(), 11);
         assert!(info.sections.iter().all(|s| s.kind.is_some()));
@@ -1524,7 +1230,7 @@ mod tests {
         assert!(parse_roles("ax").is_err());
     }
 
-    // ── format v5 (zero-copy) ───────────────────────────────────────────
+    // ── owned vs zero-copy ──────────────────────────────────────────────
 
     /// Asserts both snapshots answer identically across every artifact.
     fn queries_match(a: &Snapshot, b: &Snapshot) {
@@ -1561,19 +1267,16 @@ mod tests {
         let snap = sample_snapshot();
         let bytes = snap.to_bytes_v5().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(back.source_version, Some(FORMAT_V5));
-        assert_eq!(back.preferred_format(), SnapshotFormat::V5);
         // Owned decode verifies everything eagerly; nothing stays mapped.
         assert!(!back.sd.as_ref().unwrap().is_mapped());
         queries_match(&back, &snap);
         assert_eq!(back.to_bytes_v5().unwrap(), bytes, "nondeterministic");
-        // Layout discipline: 64-aligned payloads, table CRCs zero.
+        // Layout discipline: 64-aligned payloads.
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
-        assert_eq!(info.version, FORMAT_V5);
+        assert_eq!(info.version, FORMAT_VERSION);
         assert_eq!(info.sections.len(), 11);
         for s in &info.sections {
             assert_eq!(s.offset % REGION_ALIGN as u64, 0);
-            assert_eq!(s.crc32, 0);
         }
     }
 
@@ -1582,7 +1285,6 @@ mod tests {
         let snap = sample_snapshot();
         let bytes = snap.to_bytes_v5().unwrap();
         let m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
-        assert_eq!(m.version(), FORMAT_V5);
         assert!(!m.regions().is_empty());
         assert!(m.snapshot.sd.as_ref().unwrap().is_mapped());
         queries_match(&m.snapshot, &snap);
@@ -1674,7 +1376,7 @@ mod tests {
         let old = u64::from_le_bytes(bytes[off_at..off_at + 8].try_into().unwrap());
         bytes[off_at..off_at + 8].copy_from_slice(&(old + 8).to_le_bytes());
         let table_end = 16 + TABLE_ENTRY_BYTES * n;
-        let crc = crc32(&bytes[16..table_end]);
+        let crc = crc32c(&bytes[16..table_end]);
         bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
         for result in [
             Snapshot::from_bytes(&bytes),
@@ -1687,18 +1389,6 @@ mod tests {
                 other => panic!("misaligned section accepted: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn open_mapped_reads_legacy_files() {
-        let snap = sample_snapshot();
-        let bytes = snap.to_bytes();
-        let m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
-        assert_eq!(m.version(), FORMAT_V3);
-        assert!(m.regions().is_empty());
-        m.verify_all().unwrap();
-        assert_eq!(m.snapshot.preferred_format(), SnapshotFormat::Legacy);
-        queries_match(&m.snapshot, &snap);
     }
 
     #[test]
@@ -1718,8 +1408,7 @@ mod tests {
             m.snapshot.engine.as_ref().unwrap().query(&q, 6).unwrap(),
             owned.engine.as_ref().unwrap().query(&q, 6).unwrap()
         );
-        // The mutated mapped snapshot saves as v5 and reloads.
-        assert_eq!(m.snapshot.preferred_format(), SnapshotFormat::V5);
+        // The mutated mapped snapshot saves and reloads.
         let rebytes = m.snapshot.to_bytes_v5().unwrap();
         let back = Snapshot::from_bytes(&rebytes).unwrap();
         assert_eq!(
@@ -1784,9 +1473,251 @@ mod tests {
         snap.save_v5(&path).unwrap();
         let m = Snapshot::open_mapped(&path).unwrap();
         assert!(m.is_mapped(), "a real file should arrive via mmap");
-        assert_eq!(m.version(), FORMAT_V5);
         queries_match(&m.snapshot, &snap);
         m.verify_all().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_format_is_pinned() {
+        // With one format and no version ladder, a silent layout change has
+        // no other guard. `PAYLOAD_CRC` was computed over this same fixture
+        // by the last commit that still had the v1–v4 writers: no byte from
+        // the first section offset onward has moved since. (The fixture goes
+        // through `sin`/`cos`; a libm that rounds them differently moves the
+        // coordinates, not the layout.)
+        const PAYLOAD_CRC: u32 = 0x33be_03f2;
+        let bytes = durable_snapshot().to_bytes_v5().unwrap();
+        assert_eq!(bytes[8..12], 5u32.to_le_bytes());
+        let info = Snapshot::inspect_bytes(&bytes).unwrap();
+        let mut kinds: Vec<u32> = info.sections.iter().map(|s| s.raw_kind).collect();
+        kinds.dedup();
+        assert_eq!(kinds, (1..=11).collect::<Vec<u32>>(), "every section kind");
+        let first = info.sections[0].offset as usize;
+        assert_eq!((first, bytes.len()), (384, 17116));
+        assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
+        // Deterministic through both readers.
+        let owned = Snapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(owned.to_bytes_v5().unwrap(), bytes);
+        let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
+        assert_eq!(mapped.snapshot.to_bytes_v5().unwrap(), bytes);
+    }
+
+    // ── hostile containers ──────────────────────────────────────────────
+    //
+    // Every file below is laid out by the production `frame`, so its table
+    // checksum, offsets and region checksums are all valid: only the one
+    // cross-section rule under test is broken.
+
+    /// Both readers must refuse `bytes` as corrupt, naming `needle`.
+    fn assert_refused(bytes: &[u8], needle: &str) {
+        for result in [
+            Snapshot::from_bytes(bytes),
+            Snapshot::from_mapped(MappedBytes::copy_from(bytes)).map(|m| m.snapshot),
+        ] {
+            match result {
+                Err(SdError::SnapshotCorrupt { detail }) => {
+                    assert!(detail.contains(needle), "wrong detail: {detail}")
+                }
+                other => panic!("hostile container not refused as corrupt: {other:?}"),
+            }
+        }
+    }
+
+    /// Index of the first `kind` section.
+    fn position(sections: &[Section], kind: SectionKind) -> usize {
+        sections
+            .iter()
+            .position(|s| s.0 == kind as u32)
+            .unwrap_or_else(|| panic!("fixture holds no {} section", kind.name()))
+    }
+
+    /// A section payload of one metadata region.
+    fn meta(f: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.meta_region(f);
+        w.into_bytes()
+    }
+
+    /// Re-signs the section table after a test patched it in place.
+    fn resign_table(bytes: &mut [u8]) {
+        let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let table_end = 16 + TABLE_ENTRY_BYTES * n;
+        let crc = crc32c(&bytes[16..table_end]);
+        bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn duplicate_singleton_section_is_refused() {
+        let sections = durable_snapshot().sections();
+        for kind in (1..=11).filter_map(SectionKind::from_u32) {
+            if kind == SectionKind::EngineShard {
+                continue;
+            }
+            // The copy goes last: were it accepted, it would win.
+            let mut twice = sections.clone();
+            twice.push(sections[position(&sections, kind)].clone());
+            assert_refused(
+                &Snapshot::frame(&twice),
+                &format!("duplicate {} section", kind.name()),
+            );
+        }
+    }
+
+    #[test]
+    fn shard_without_manifest_is_refused() {
+        let mut sections = sample_snapshot().sections();
+        sections.remove(position(&sections, SectionKind::EngineManifest));
+        assert_refused(&Snapshot::frame(&sections), "without engine-manifest");
+    }
+
+    #[test]
+    fn shard_ordinals_must_be_zero_to_n() {
+        let mut sections = sample_snapshot().sections();
+        let first = position(&sections, SectionKind::EngineShard);
+        sections[first + 1].1 = 5;
+        assert_refused(&Snapshot::frame(&sections), "ordinals are not 0..2");
+        // Two shards claiming the same ordinal are no better.
+        sections[first + 1].1 = 0;
+        assert_refused(&Snapshot::frame(&sections), "ordinals are not 0..2");
+    }
+
+    #[test]
+    fn manifest_shard_count_must_match_the_shard_sections() {
+        let mut sections = sample_snapshot().sections();
+        sections.remove(position(&sections, SectionKind::EngineShard));
+        assert_refused(
+            &Snapshot::frame(&sections),
+            "names 2 shards but 1 shard sections",
+        );
+    }
+
+    #[test]
+    fn shard_row_count_must_match_the_manifest() {
+        let snap = sample_snapshot();
+        let mut sections = snap.sections();
+        let mut manifest = EngineManifest::of(snap.engine.as_ref().unwrap());
+        assert_eq!(manifest.shard_rows, [15, 15]);
+        manifest.shard_rows = vec![14, 16];
+        let at = position(&sections, SectionKind::EngineManifest);
+        sections[at].2 = meta(|w| manifest.encode(w));
+        assert_refused(
+            &Snapshot::frame(&sections),
+            "shard 0 holds 15 rows but the manifest says 14",
+        );
+    }
+
+    #[test]
+    fn mutation_section_without_an_engine_is_refused() {
+        let mut sections = sample_snapshot().sections();
+        sections.retain(|s| {
+            s.0 != SectionKind::EngineManifest as u32 && s.0 != SectionKind::EngineShard as u32
+        });
+        assert_refused(
+            &Snapshot::frame(&sections),
+            "mutation section without an engine",
+        );
+    }
+
+    #[test]
+    fn tombstone_domain_must_equal_base_plus_delta() {
+        let mut sections = sample_snapshot().sections();
+        let at = position(&sections, SectionKind::MutationTombstones);
+        // 30 base rows + 2 delta rows are addressable, not 31.
+        sections[at].2 = meta(|w| {
+            w.u64(31);
+            w.u32s(&[3]);
+        });
+        assert_refused(
+            &Snapshot::frame(&sections),
+            "tombstone domain 31 disagrees with the 32",
+        );
+    }
+
+    #[test]
+    fn tombstone_ids_must_be_strictly_ascending() {
+        let mut sections = sample_snapshot().sections();
+        let at = position(&sections, SectionKind::MutationTombstones);
+        for ids in [[5u32, 3], [3, 3]] {
+            sections[at].2 = meta(|w| {
+                w.u64(32);
+                w.u32s(&ids);
+            });
+            assert_refused(&Snapshot::frame(&sections), "not strictly ascending");
+        }
+    }
+
+    #[test]
+    fn durability_generation_zero_is_refused() {
+        let mut sections = durable_snapshot().sections();
+        let at = position(&sections, SectionKind::Durability);
+        sections[at].2 = meta(|w| {
+            w.u64(0);
+            w.u64(3);
+        });
+        assert_refused(&Snapshot::frame(&sections), "durability generation 0");
+    }
+
+    #[test]
+    fn nonzero_table_entry_crc_is_refused() {
+        let mut bytes = Snapshot::frame(&sample_snapshot().sections());
+        // Entry 0's trailing u32: kind + reserved + offset + len precede it.
+        bytes[16 + 24] = 1;
+        resign_table(&mut bytes);
+        assert_refused(&bytes, "carries a section CRC");
+    }
+
+    #[test]
+    fn overlapping_or_out_of_order_sections_are_refused() {
+        let framed = Snapshot::frame(&sample_snapshot().sections());
+        // Out of table order: entries 0 and 1 trade places. The walk meets
+        // the payload it skipped over where only zero padding may be.
+        let mut bytes = framed.clone();
+        let (e0, e1) = (16, 16 + TABLE_ENTRY_BYTES);
+        let (a, b) = bytes[e0..e1 + TABLE_ENTRY_BYTES].split_at_mut(TABLE_ENTRY_BYTES);
+        a.swap_with_slice(b);
+        resign_table(&mut bytes);
+        assert_refused(&bytes, "nonzero padding between sections");
+        // Overlap: entry 1 starts where entry 0 does.
+        let mut bytes = framed;
+        bytes.copy_within(e0 + 8..e0 + 16, e1 + 8);
+        resign_table(&mut bytes);
+        assert_refused(&bytes, "overlap or are out of table order");
+    }
+
+    #[test]
+    fn nonzero_padding_between_sections_is_refused() {
+        let sections = sample_snapshot().sections();
+        let mut bytes = Snapshot::frame(&sections);
+        // The gap between the header and the first payload …
+        let gap = header_len(sections.len()) as usize;
+        assert_ne!(gap % REGION_ALIGN, 0, "fixture leaves no gap");
+        bytes[gap] = 1;
+        assert_refused(&bytes, "nonzero padding between sections");
+        // … and a gap between two payloads.
+        bytes[gap] = 0;
+        let info = Snapshot::inspect_bytes(&bytes).unwrap();
+        let end = info
+            .sections
+            .iter()
+            .map(|s| (s.offset + s.len) as usize)
+            .find(|end| end % REGION_ALIGN != 0)
+            .expect("fixture leaves no gap");
+        bytes[end] = 1;
+        assert_refused(&bytes, "nonzero padding between sections");
+    }
+
+    #[test]
+    fn unknown_section_kind_is_refused() {
+        let mut sections = sample_snapshot().sections();
+        sections[0].0 = 99;
+        let bytes = Snapshot::frame(&sections);
+        assert_refused(&bytes, "unknown section kind 99");
+        // The header-only reader lists it without judging it.
+        let info = Snapshot::inspect_bytes(&bytes).unwrap();
+        assert_eq!(
+            (info.sections[0].kind, info.sections[0].raw_kind),
+            (None, 99)
+        );
     }
 }

@@ -3,9 +3,9 @@
 //! mode — restore a servable state without guessing.
 //!
 //! A scrub is the offline complement of the lazy per-region verification
-//! queries perform ([`SectionIntegrity::ensure`]): it forces every region,
-//! including ones no query has touched, so silent media decay is found
-//! before a query trips over it.
+//! queries perform ([`sdq_core::SectionIntegrity::ensure`]): it forces
+//! every region, including ones no query has touched, so silent media
+//! decay is found before a query trips over it.
 //!
 //! Repair is deliberately conservative — it only performs actions whose
 //! correctness follows from the durability contract:
@@ -22,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use sdq_core::{CrcState, SdError, SectionIntegrity};
+use sdq_core::{CrcState, SdError};
 
 use crate::io::fsync_parent_dir;
 use crate::{wal, Snapshot};
@@ -89,16 +89,9 @@ fn fail(report: &mut ScrubReport, name: &str, offset: u64, len: u64, detail: Str
 fn scan_snapshot(path: &Path, label: &str, report: &mut ScrubReport) -> bool {
     match Snapshot::open_mapped(path) {
         Ok(mapped) => {
-            report.snapshot_version = report.snapshot_version.or(Some(mapped.version()));
-            let regions: &[std::sync::Arc<SectionIntegrity>] = mapped.regions();
-            if regions.is_empty() {
-                // Pre-v5 container: the eager decode above already
-                // verified every embedded checksum — one implicit region.
-                report.regions_ok += 1;
-                return true;
-            }
+            report.snapshot_version = Some(crate::FORMAT_VERSION);
             let mut ok = true;
-            for region in regions {
+            for region in mapped.regions() {
                 match region.ensure() {
                     Ok(()) => report.regions_ok += 1,
                     Err(e) => {
@@ -317,7 +310,7 @@ mod tests {
         assert!(report.clean(), "{report:?}");
         assert!(report.regions_ok > 1);
         assert_eq!(report.wal_records, 2);
-        assert_eq!(report.snapshot_version, Some(crate::FORMAT_V5));
+        assert_eq!(report.snapshot_version, Some(crate::FORMAT_VERSION));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,16 +14,19 @@
 //!               durability generation
 //!     24     8  base rows (u64 LE) — the engine's addressable row count
 //!               (base + delta) when this log was started
-//!     32     4  CRC-32 of bytes [8, 32)
+//!     32     4  CRC-32C of bytes [8, 32)
 //!
 //! records, back to back:
-//!     [len u32 LE][crc32 u32 LE of payload][payload]
+//!     [len u32 LE][crc32c u32 LE of payload][payload]
 //!     payload: op u8 (1 = insert, 2 = insert-rows, 3 = delete) + body
 //! ```
 //!
-//! Every record carries its own CRC-32 (the same `crc32` the snapshot
-//! sections use), so torn tails and corruption are detected record by
-//! record. Two readers exist:
+//! Every record carries its own CRC-32C (Castagnoli — the same
+//! `sdq_core::integrity::crc32c` the snapshot regions use), so torn tails
+//! and corruption are detected record by record. A log framed with any
+//! other checksum — one written before the store settled on CRC-32C —
+//! fails the header check and is refused by both readers, never
+//! "recovered". Two readers exist:
 //!
 //! * [`read_strict`] — every byte must verify; any defect is a typed
 //!   [`SdError`]. Used by `sdq inspect` and the corruption test sweeps.
@@ -36,9 +39,8 @@
 //!   contract.
 
 use sdq_core::codec::{corrupt, Reader, Writer};
+use sdq_core::integrity::crc32c;
 use sdq_core::SdError;
-
-use crate::crc32::crc32;
 
 /// `b"SDQWAL\0\0"` — the first 8 bytes of every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"SDQWAL\0\0";
@@ -81,7 +83,7 @@ impl WalHeader {
         out.extend_from_slice(&self.dims.to_le_bytes());
         out.extend_from_slice(&self.generation.to_le_bytes());
         out.extend_from_slice(&self.base_rows.to_le_bytes());
-        let crc = crc32(&out[8..]);
+        let crc = crc32c(&out[8..]);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -98,7 +100,7 @@ impl WalHeader {
             return Err(corrupt("write-ahead log has wrong magic"));
         }
         let stored_crc = u32::from_le_bytes(bytes[32..36].try_into().expect("4 bytes"));
-        if crc32(&bytes[8..32]) != stored_crc {
+        if crc32c(&bytes[8..32]) != stored_crc {
             return Err(SdError::SnapshotChecksum {
                 section: "wal header".to_string(),
             });
@@ -157,7 +159,7 @@ impl WalRecord {
         let payload = w.into_bytes();
         let mut out = Vec::with_capacity(RECORD_PREFIX_BYTES + payload.len());
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&crc32c(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
@@ -270,7 +272,7 @@ fn parse_one(
     }
     let stored_crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
     let payload = &bytes[offset + RECORD_PREFIX_BYTES..offset + RECORD_PREFIX_BYTES + len];
-    if crc32(payload) != stored_crc {
+    if crc32c(payload) != stored_crc {
         return Err(ScanErr::BadCrc(idx));
     }
     let rec = WalRecord::decode_payload(payload, dims, idx).map_err(ScanErr::BadPayload)?;
@@ -529,7 +531,7 @@ mod tests {
         // checksum error; a consistently re-signed header is a version
         // error.
         assert!(read_strict(&bytes).is_err());
-        let crc = crc32(&bytes[8..32]);
+        let crc = crc32c(&bytes[8..32]);
         bytes[32..36].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             read_strict(&bytes).unwrap_err(),

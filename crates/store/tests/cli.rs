@@ -269,6 +269,64 @@ fn unknown_flags_and_corrupt_files_fail_cleanly() {
         .expect("spawn sdq");
     assert_eq!(output.status.code(), Some(1));
 
+    // There is one format and no knob to pick another: usage error.
+    let output = sdq()
+        .args(["build", "--synthetic", "uniform", "--roles", "ar"])
+        .args(["--format", "legacy", "--out"])
+        .arg(dir.join("never.sdq"))
+        .output()
+        .expect("spawn sdq");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag \"--format\""), "{stderr}");
+    assert!(!dir.join("never.sdq").exists());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A file of any other version is refused by name — "this build reads only
+/// version 5" — not reported as generic corruption.
+#[test]
+fn other_format_versions_are_refused_by_name() {
+    let dir = temp_dir("versions");
+    let good = dir.join("good.sdq");
+    let status = sdq()
+        .args([
+            "build",
+            "--synthetic",
+            "uniform",
+            "--n",
+            "50",
+            "--roles",
+            "ar",
+        ])
+        .arg("--out")
+        .arg(&good)
+        .status()
+        .expect("spawn sdq build");
+    assert!(status.success());
+    let bytes = std::fs::read(&good).unwrap();
+    let old = dir.join("old.sdq");
+    for version in [0u32, 3, 6] {
+        let mut patched = bytes.clone();
+        patched[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&old, &patched).unwrap();
+        for args in [
+            vec!["query", old.to_str().unwrap(), "--point", "0,0"],
+            vec!["query", old.to_str().unwrap(), "--point", "0,0", "--mapped"],
+            vec!["inspect", old.to_str().unwrap()],
+            vec!["inspect", old.to_str().unwrap(), "--json"],
+        ] {
+            let output = sdq().args(&args).output().expect("spawn sdq");
+            assert_eq!(output.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            let want =
+                format!("format version {version} unsupported (this build reads only version 5)");
+            assert!(stderr.contains(&want), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{stderr}");
+        }
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -487,8 +545,7 @@ fn mutation_lifecycle_matches_in_memory_engine() {
         mirror.insert(&row).unwrap();
     }
 
-    // Inspect reports the mutation sections and the per-shard pressure
-    // (the file stays v5 — mutation preserves the on-disk format).
+    // Inspect reports the mutation sections and the per-shard pressure.
     let out = sdq()
         .args(["inspect", snap_path.to_str().unwrap()])
         .output()
@@ -549,7 +606,7 @@ fn mutation_lifecycle_matches_in_memory_engine() {
     assert_eq!(out.status.code(), Some(1), "unknown id must fail");
 
     // Compact: delta folds back, tombstones drop, epoch bumps, and the
-    // snapshot stays in format v5 with no mutation sections.
+    // snapshot carries no mutation sections.
     let out = sdq()
         .args(["compact", snap_path.to_str().unwrap()])
         .output()

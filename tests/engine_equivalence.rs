@@ -10,15 +10,14 @@
 //!   exactly the sequential answers,
 //! * a dirty, reused [`EngineScratch`] answers exactly like a fresh one,
 //! * `par_query_batch` is bit-identical to the serial loop,
-//! * snapshot round-trips (format v2) preserve engine answers bit-exactly,
-//!   and engine-less snapshots still write format v1.
+//! * snapshot round-trips preserve engine answers bit-exactly.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::core::multidim::SdIndex;
 use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
-use sdq::store::{Snapshot, FORMAT_V1};
+use sdq::store::Snapshot;
 use sdq::{Dataset, DimRole, ScoredPoint, SdQuery};
 
 /// Coordinates from a tiny alphabet: duplicate rows and exact score ties
@@ -169,7 +168,7 @@ proptest! {
         }
     }
 
-    // Snapshot format v2: save → load → query is bit-identical, and the
+    // Snapshot save → load → query is bit-identical, and the
     // reassembled engine keeps its shard layout.
     #[test]
     fn engine_snapshot_roundtrip_is_bit_identical(
@@ -195,7 +194,7 @@ proptest! {
 
         let mut snap = Snapshot::new();
         snap.engine = Some(engine.clone());
-        let bytes = snap.to_bytes();
+        let bytes = snap.to_bytes_v5().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
         let restored = back.engine.as_ref().unwrap();
         prop_assert_eq!(restored.shard_count(), engine.shard_count());
@@ -209,23 +208,6 @@ proptest! {
             assert_bit_identical("snapshot-restored engine", &got, &want)?;
         }
         // Deterministic bytes.
-        prop_assert_eq!(back.to_bytes(), bytes);
+        prop_assert_eq!(back.to_bytes_v5().unwrap(), bytes);
     }
-}
-
-/// Engine-less snapshots keep writing format v1, so files produced by this
-/// build remain readable by pre-engine readers.
-#[test]
-fn engineless_snapshot_stays_v1() {
-    let data = Dataset::from_rows(2, &[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-    let roles = vec![DimRole::Attractive, DimRole::Repulsive];
-    let mut snap = Snapshot::new();
-    snap.sd = Some(SdIndex::build(data, &roles).unwrap());
-    snap.roles = Some(roles);
-    let bytes = snap.to_bytes();
-    let info = Snapshot::inspect_bytes(&bytes).unwrap();
-    assert_eq!(info.version, FORMAT_V1);
-    let back = Snapshot::from_bytes(&bytes).unwrap();
-    assert!(back.engine.is_none());
-    assert!(back.sd.is_some());
 }

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sdq::store::{Snapshot, SnapshotFormat};
+use sdq::store::Snapshot;
 use sdq::{Dataset, DimRole, PointId, SdQuery};
 
 const DIMS: usize = 3;
@@ -124,7 +124,6 @@ proptest! {
         prop_assert!(mapped.is_mapped());
         let mut mapped_snap = mapped.snapshot;
         let mut owned_snap = Snapshot::load(&path).unwrap();
-        prop_assert_eq!(mapped_snap.preferred_format(), SnapshotFormat::V5);
 
         let mut live: Vec<u32> = (0..rows.len() as u32).collect();
         let mut next_id = rows.len() as u32;

@@ -240,7 +240,7 @@ proptest! {
         }
     }
 
-    // Snapshot format v3: save → load preserves mutated answers bit-exactly
+    // Snapshot save → load preserves mutated answers bit-exactly
     // and the bytes stay deterministic.
     #[test]
     fn mutated_snapshot_roundtrip_is_bit_identical(
@@ -251,7 +251,7 @@ proptest! {
         k in 1usize..10,
         shards in 1usize..4,
     ) {
-        use sdq::store::{Snapshot, FORMAT_V3};
+        use sdq::store::Snapshot;
         let q = SdQuery::new(raw_query.0, raw_query.1).unwrap();
         let mut engine = SdEngine::build_with(
             Dataset::from_rows(DIMS, &rows).unwrap(),
@@ -268,10 +268,7 @@ proptest! {
 
         let mut snap = Snapshot::new();
         snap.engine = Some(engine.clone());
-        let bytes = snap.to_bytes();
-        // A mutated engine without a durability section stays at v3 — v4 is
-        // reserved for WAL-backed snapshots.
-        prop_assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V3);
+        let bytes = snap.to_bytes_v5().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
         let restored = back.engine.as_ref().unwrap();
         prop_assert_eq!(restored.delta_rows(), engine.delta_rows());
@@ -283,6 +280,6 @@ proptest! {
             prop_assert_eq!(g.id, w.id);
             prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
         }
-        prop_assert_eq!(back.to_bytes(), bytes);
+        prop_assert_eq!(back.to_bytes_v5().unwrap(), bytes);
     }
 }

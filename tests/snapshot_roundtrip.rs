@@ -7,10 +7,14 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use sdq::core::integrity::crc32c;
 use sdq::core::multidim::SdIndex;
 use sdq::core::top1::Top1Index;
 use sdq::core::topk::TopKIndex;
-use sdq::store::{wal, Snapshot, FORMAT_VERSION, MAGIC};
+use sdq::engine::{EngineOptions, SdEngine};
+use sdq::store::{
+    wal, DiskStorage, DurableEngine, DurableOptions, Snapshot, FORMAT_VERSION, MAGIC,
+};
 use sdq::{Dataset, DimRole, SdError, SdQuery};
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -56,7 +60,7 @@ proptest! {
         let index = TopKIndex::build(&pts).unwrap();
         let mut snap = Snapshot::new();
         snap.topk = Some(index.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let back = Snapshot::from_bytes(&snap.to_bytes_v5().unwrap()).unwrap();
         let restored = back.topk.unwrap();
         // Bit-identical results: same ids, same score bits.
         prop_assert_eq!(
@@ -76,7 +80,7 @@ proptest! {
         let index = Top1Index::build(&pts, alpha, beta, k).unwrap();
         let mut snap = Snapshot::new();
         snap.top1 = Some(index.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let back = Snapshot::from_bytes(&snap.to_bytes_v5().unwrap()).unwrap();
         let restored = back.top1.unwrap();
         for (qx, qy) in queries {
             prop_assert_eq!(restored.query(qx, qy), index.query(qx, qy));
@@ -98,7 +102,7 @@ proptest! {
         let index = SdIndex::build(data, &roles).unwrap();
         let mut snap = Snapshot::new();
         snap.sd = Some(index.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let back = Snapshot::from_bytes(&snap.to_bytes_v5().unwrap()).unwrap();
         let restored = back.sd.unwrap();
         let query = SdQuery::new(q, w).unwrap();
         prop_assert_eq!(
@@ -117,7 +121,7 @@ proptest! {
         let mut snap = Snapshot::new();
         snap.topk = Some(TopKIndex::build(&pts).unwrap());
         snap.top1 = Some(Top1Index::build(&pts, 1.0, 1.0, 2).unwrap());
-        let bytes = snap.to_bytes();
+        let bytes = snap.to_bytes_v5().unwrap();
 
         // Any single-bit flip must be detected (magic, version, checksum or
         // structural validation), with a typed error.
@@ -138,7 +142,7 @@ proptest! {
 fn wrong_magic_and_future_version_are_typed() {
     let mut snap = Snapshot::new();
     snap.dataset = Some(Dataset::from_rows(2, &[vec![1.0, 2.0]]).unwrap());
-    let bytes = snap.to_bytes();
+    let bytes = snap.to_bytes_v5().unwrap();
     assert_eq!(&bytes[..8], &MAGIC);
 
     let mut wrong = bytes.clone();
@@ -182,7 +186,7 @@ fn snapshot_files_roundtrip_on_disk() {
     snap.dataset = Some(data);
     snap.roles = Some(roles.clone());
     snap.sd = Some(index.clone());
-    snap.save(&path).unwrap();
+    snap.save_v5(&path).unwrap();
 
     let back = Snapshot::load(&path).unwrap();
     let q = SdQuery::uniform_weights(vec![1.0, 2.0], &roles);
@@ -315,4 +319,127 @@ fn mid_log_corruption_is_a_typed_error_not_a_silent_truncate() {
     mutated[wal::WAL_HEADER_BYTES + wal::RECORD_PREFIX_BYTES + 2] ^= 0xff;
     let err = wal::recover(&mutated).unwrap_err();
     assert_snapshot_error(&err);
+}
+
+// ─── a log framed with the wrong polynomial ─────────────────────────────────
+//
+// WAL frames once carried IEEE CRC-32; they now carry CRC-32C under the same
+// on-disk version number. Such a log holds acknowledged records, so it must
+// be refused outright — never mistaken for a torn tail and cut.
+
+/// Bitwise CRC-32 (IEEE 802.3, reflected `0xEDB88320`). The reference lives
+/// here, not in the crate: the store knows one polynomial.
+fn ieee_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// Re-signs the header and every record frame of a well-formed log.
+fn resign_wal(bytes: &mut [u8], sum: fn(&[u8]) -> u32) {
+    let crc = sum(&bytes[8..32]);
+    bytes[32..36].copy_from_slice(&crc.to_le_bytes());
+    let mut offset = wal::WAL_HEADER_BYTES;
+    while offset < bytes.len() {
+        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
+        let payload = offset + wal::RECORD_PREFIX_BYTES;
+        let crc = sum(&bytes[payload..payload + len]);
+        bytes[offset + 4..payload].copy_from_slice(&crc.to_le_bytes());
+        offset = payload + len;
+    }
+}
+
+fn assert_wal_header_refused<T: std::fmt::Debug>(result: Result<T, SdError>) {
+    match result {
+        Err(SdError::SnapshotChecksum { section }) => assert_eq!(section, "wal header"),
+        other => panic!("IEEE-framed log not refused at the header: {other:?}"),
+    }
+}
+
+#[test]
+fn ieee_framed_wal_is_refused_by_both_readers() {
+    assert_eq!(ieee_crc32(b"123456789"), 0xCBF4_3926);
+    // The whole log as the previous polynomial framed it.
+    let mut old = sample_wal();
+    resign_wal(&mut old, ieee_crc32);
+    assert_wal_header_refused(wal::read_strict(&old));
+    assert_wal_header_refused(wal::recover(&old));
+    // The header alone: the records verify, the log is refused all the same.
+    let mut bytes = sample_wal();
+    let crc = ieee_crc32(&bytes[8..32]);
+    bytes[32..36].copy_from_slice(&crc.to_le_bytes());
+    assert_wal_header_refused(wal::read_strict(&bytes));
+    assert_wal_header_refused(wal::recover(&bytes));
+    // The final record alone: a strict error, and recovery — which cannot
+    // tell that frame from a torn write — keeps every record before it.
+    let mut bytes = sample_wal();
+    let last = bytes.len() - wal::WalRecord::Insert(vec![9.0, 9.5]).encode().len();
+    let payload = last + wal::RECORD_PREFIX_BYTES;
+    let crc = ieee_crc32(&bytes[payload..]);
+    bytes[last + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    assert!(matches!(
+        wal::read_strict(&bytes).unwrap_err(),
+        SdError::SnapshotChecksum { .. }
+    ));
+    let rec = wal::recover(&bytes).unwrap();
+    assert_eq!((rec.records.len(), rec.valid_len), (3, last as u64));
+    // Re-signed with the store's polynomial the old log reads again.
+    resign_wal(&mut old, crc32c);
+    assert_eq!(wal::read_strict(&old).unwrap().records.len(), 4);
+}
+
+#[test]
+fn durable_open_refuses_an_ieee_framed_wal_and_truncates_nothing() {
+    let dir = std::env::temp_dir().join(format!("sdq-ieee-wal-{}", std::process::id()));
+    let rows: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64, 12.0 - i as f64]).collect();
+    let roles = vec![DimRole::Attractive, DimRole::Repulsive];
+    let engine = SdEngine::build_with(
+        Dataset::from_rows(2, &rows).unwrap(),
+        &roles,
+        &EngineOptions::default(),
+    )
+    .unwrap();
+    let open = || {
+        DurableEngine::open(
+            DiskStorage::new(&dir).unwrap(),
+            "idx.sdq",
+            DurableOptions::default(),
+        )
+    };
+    let mut d = DurableEngine::create(
+        DiskStorage::new(&dir).unwrap(),
+        "idx.sdq",
+        engine,
+        DurableOptions::default(),
+    )
+    .unwrap();
+    d.insert(&[0.5, 0.5]).unwrap();
+    d.insert(&[1.5, 2.5]).unwrap();
+    d.delete(sdq::PointId::new(3)).unwrap();
+    drop(d);
+
+    // Three acknowledged records, framed as the previous polynomial did.
+    let wal_path = dir.join("idx.sdq.wal");
+    let mut old = std::fs::read(&wal_path).unwrap();
+    resign_wal(&mut old, ieee_crc32);
+    std::fs::write(&wal_path, &old).unwrap();
+    assert_wal_header_refused(open().map(|_| ()));
+    assert_eq!(
+        std::fs::read(&wal_path).unwrap(),
+        old,
+        "the log was touched"
+    );
+
+    // Nothing was lost: under the right polynomial all three replay.
+    resign_wal(&mut old, crc32c);
+    std::fs::write(&wal_path, &old).unwrap();
+    let back = open().unwrap();
+    assert_eq!(back.recovery().replayed_records, 3);
+    assert_eq!(back.recovery().truncated_bytes, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
