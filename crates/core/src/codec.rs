@@ -11,11 +11,30 @@
 //! read); the hot arrays (point tables, SoA leaf blocks, sorted columns,
 //! coordinate tables) go into framed *array regions* (`[crc32c u32]
 //! [count u64][zero pad to 64][raw little-endian elements]`) whose payload
-//! is the exact in-memory representation. [`Reader::new`] copies and
-//! verifies every region eagerly; [`Reader::new_mapped`] borrows array
-//! regions in place and defers their checksums to first touch (see
-//! [`SectionIntegrity`]). `sdq-store` stores these bytes verbatim as
-//! snapshot section payloads.
+//! is the exact in-memory representation. `sdq-store` stores these bytes
+//! verbatim as snapshot section payloads.
+//!
+//! There is one decode, too. [`Reader::new_mapped`] walks a payload that
+//! sits in a pinned, 64-byte-aligned buffer — a file mapping, or the one
+//! heap buffer a file was read into — and every array region becomes a
+//! [`ColumnarView`] borrowed from it, its checksum deferred to a
+//! [`SectionIntegrity`] handle; nothing is copied. What differs between
+//! callers is only when the deferred work runs:
+//!
+//! * a lazy open (`Snapshot::open_mapped`) leaves it to first touch — each
+//!   query entry ensures the regions it reads, then the block-table census
+//!   and the ids-in-range checks once;
+//! * an eager open ([`decode_from_slice`], `Snapshot::load` / `from_bytes`,
+//!   `DurableEngine::open`) verifies every region checksum and then runs
+//!   [`Codec::verify_decoded`] — the same structural checks plus the
+//!   content checks only an eager open makes (finite coordinates, points
+//!   and column values, ascending columns) — before it returns, and drops
+//!   the lazy sets so later queries pay nothing.
+//!
+//! Either way a [`TopKIndex`]'s node tree stays in wire form (its region
+//! checksummed like any other) until the first point-level mutation decodes
+//! and walks it: queries never read the tree while the SoA blocks are
+//! current.
 //!
 //! Decoding is **panic-free by contract**: every length is bounds-checked
 //! against the remaining buffer before allocation, every index is validated
@@ -55,12 +74,12 @@ use std::sync::Arc;
 
 use crate::envelope::{KLevel, Keyed, Tent};
 use crate::geometry::Angle;
-use crate::integrity::{crc32c, SectionIntegrity};
+use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
 use crate::multidim::{DimPair, SdIndex, SortedColumn};
 use crate::top1::Top1Index;
 use crate::topk::{AngleBounds, Child, Node, TopKIndex};
 use crate::types::{Dataset, SdError};
-use crate::view::{ColumnarView, Pod, ViewKeep};
+use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
 use crate::DimRole;
 
 /// Shorthand used throughout this module.
@@ -212,13 +231,15 @@ impl Writer {
 /// Walks the framed regions written by [`Writer::meta_region`] /
 /// [`Writer::pod_array`]. Metadata regions are checksum-verified eagerly
 /// (they are small and drive all further parsing); array regions become
-/// [`ColumnarView`]s — borrowed slices of the mapped bytes when a keepalive
-/// is present (checksums deferred to first touch via [`SectionIntegrity`]),
-/// owned eagerly-verified copies otherwise.
+/// [`ColumnarView`]s borrowed from the buffer, their checksums deferred to
+/// the [`SectionIntegrity`] handles the reader collects — which is why a
+/// payload with array regions needs [`Reader::new_mapped`]'s keepalive.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    keep: Option<ViewKeep>,
+    /// What pins `buf`, and whether that is heap memory (as opposed to a
+    /// file mapping). `None` for scalar-only readers.
+    keep: Option<(ViewKeep, bool)>,
     file_offset: u64,
     prefix: String,
     regions: Vec<Arc<SectionIntegrity>>,
@@ -229,34 +250,32 @@ impl std::fmt::Debug for Reader<'_> {
         f.debug_struct("Reader")
             .field("len", &self.buf.len())
             .field("pos", &self.pos)
-            .field("mapped", &self.keep.is_some())
+            .field("pinned", &self.keep.is_some())
             .finish()
     }
 }
 
 impl<'a> Reader<'a> {
-    /// Starts reading at the beginning of `buf`, decoding owned copies with
-    /// eager checksum verification.
+    /// Starts reading scalars and metadata regions at the beginning of
+    /// `buf`. Array regions need a pinned buffer: see
+    /// [`Reader::new_mapped`].
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader::new_section(buf, "", 0)
-    }
-
-    /// [`Reader::new`] over one snapshot section: regions are named under
-    /// `prefix` and report absolute file offsets, `file_offset` being the
-    /// position of `buf[0]` in the snapshot file.
-    pub fn new_section(buf: &'a [u8], prefix: impl Into<String>, file_offset: u64) -> Self {
         Reader {
             buf,
             pos: 0,
             keep: None,
-            file_offset,
-            prefix: prefix.into(),
+            file_offset: 0,
+            prefix: String::new(),
             regions: Vec::new(),
         }
     }
 
-    /// [`Reader::new_section`] producing mapped views with lazily-verified
-    /// checksums (the `open_mapped` path).
+    /// A reader over one region-framed payload (a snapshot section) whose
+    /// array regions become views borrowed from `buf`. Regions are named
+    /// under `prefix` and report absolute file offsets, `file_offset` being
+    /// the position of `buf[0]` in the snapshot file; `heap` says whether
+    /// `keep` owns a heap buffer (so views count towards memory reports) or
+    /// a file mapping.
     ///
     /// # Safety
     ///
@@ -265,18 +284,16 @@ impl<'a> Reader<'a> {
     pub unsafe fn new_mapped(
         buf: &'a [u8],
         keep: ViewKeep,
+        heap: bool,
         prefix: impl Into<String>,
         file_offset: u64,
     ) -> Self {
-        let mut r = Reader::new_section(buf, prefix, file_offset);
-        r.keep = Some(keep);
-        r
-    }
-
-    /// `true` when array regions become borrowed mapped views.
-    #[inline]
-    pub fn is_mapped(&self) -> bool {
-        self.keep.is_some()
+        Reader {
+            keep: Some((keep, heap)),
+            file_offset,
+            prefix: prefix.into(),
+            ..Reader::new(buf)
+        }
     }
 
     /// All regions walked so far (for inspection tooling).
@@ -341,11 +358,10 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    /// Reads a framed aligned array region written by [`Writer::pod_array`].
-    ///
-    /// Mapped mode borrows the bytes in place and defers checksum
-    /// verification to the returned [`SectionIntegrity`] handle; owned mode
-    /// verifies eagerly and copies.
+    /// Reads a framed aligned array region written by [`Writer::pod_array`]:
+    /// borrows the bytes in place and defers checksum verification to the
+    /// returned [`SectionIntegrity`] handle (also collected for
+    /// [`Reader::take_regions`]).
     pub fn pod_array<T: Pod>(
         &mut self,
         label: &str,
@@ -354,7 +370,7 @@ impl<'a> Reader<'a> {
         let crc = self.u32()?;
         let count = self.usize()?;
         // Padding is relative to the payload start, which the container
-        // places on a REGION_ALIGN boundary in the file (and the mapped
+        // places on a REGION_ALIGN boundary in the file (and the
         // pointer-alignment check below enforces it end to end).
         let pad = self.pos.next_multiple_of(REGION_ALIGN) - self.pos;
         for &b in self.take(pad)? {
@@ -382,38 +398,26 @@ impl<'a> Reader<'a> {
             ));
         }
         #[cfg(target_endian = "little")]
-        if let Some(keep) = &self.keep {
+        {
+            let Some((keep, heap)) = &self.keep else {
+                return Err(corrupt(format!(
+                    "array region {name} in a buffer nothing pins (decode through \
+                     `decode_from_slice`)"
+                )));
+            };
             if !(data.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
                 return Err(corrupt(format!("misaligned mapped region {name}")));
             }
             // Safety: the bytes live in `keep`-owned immutable memory
             // (the `new_mapped` contract) and alignment was just checked.
-            let view =
-                unsafe { ColumnarView::mapped(data.as_ptr().cast::<T>(), count, keep.clone()) };
+            let view = unsafe {
+                ColumnarView::mapped(data.as_ptr().cast::<T>(), count, keep.clone(), *heap)
+            };
             let integrity = unsafe {
                 SectionIntegrity::new_lazy(name, off, data.as_ptr(), len_bytes, crc, keep.clone())
             };
             self.regions.push(integrity.clone());
             Ok((view, integrity))
-        } else {
-            if crc32c(data) != crc {
-                return Err(SdError::SnapshotChecksum { section: name });
-            }
-            let mut v: Vec<T> = Vec::with_capacity(count);
-            // Safety: `T` is `Pod` (any bit pattern valid, no padding), the
-            // source holds exactly `count * size_of::<T>()` bytes, and the
-            // destination allocation was just made with that capacity.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    data.as_ptr(),
-                    v.as_mut_ptr().cast::<u8>(),
-                    len_bytes,
-                );
-                v.set_len(count);
-            }
-            let integrity = SectionIntegrity::new_verified(name, off, len_bytes as u64, crc);
-            self.regions.push(integrity.clone());
-            Ok((ColumnarView::owned(v), integrity))
         }
     }
 
@@ -541,8 +545,21 @@ pub trait Codec: Sized {
     /// Appends this value's encoding to `w`.
     fn encode(&self, w: &mut Writer);
 
-    /// Decodes one value, validating structure.
+    /// Decodes one value, validating structure. Array regions are borrowed
+    /// with their checksums still pending and their contents unread.
     fn decode(r: &mut Reader<'_>) -> Result<Self>;
+
+    /// The eager half of a decode: verifies every checksum this value still
+    /// defers, runs the checks that read array contents (ids in range,
+    /// finite values, sort order) and drops the lazy integrity sets, so the
+    /// value behaves like one built in memory. Regions a value keeps no
+    /// handle to (a bare [`Dataset`]'s coordinates) are the caller's to
+    /// verify first — [`decode_from_slice`] and the snapshot layer ensure
+    /// every region the reader walked. Types without array regions have
+    /// nothing to do.
+    fn verify_decoded(&mut self) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// Encodes a value into a fresh byte vector.
@@ -552,16 +569,24 @@ pub fn encode_to_vec<T: Codec>(value: &T) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a value from a byte slice, requiring full consumption.
+/// Decodes a value from a byte slice, requiring full consumption and
+/// verifying everything before returning: the bytes are copied once into an
+/// aligned buffer the value's views then borrow, every region checksum is
+/// ensured and [`Codec::verify_decoded`] has passed.
 pub fn decode_from_slice<T: Codec>(bytes: &[u8]) -> Result<T> {
-    let mut r = Reader::new(bytes);
-    let v = T::decode(&mut r)?;
+    let buffer = Arc::new(AlignedBytes::copy_from(bytes));
+    // Safety: `buffer` owns the aligned, never-again-written bytes and is
+    // the keepalive every view holds.
+    let mut r = unsafe { Reader::new_mapped(buffer.as_slice(), buffer.clone(), true, "", 0) };
+    let mut v = T::decode(&mut r)?;
     if !r.is_exhausted() {
         return Err(corrupt(format!(
             "{} trailing bytes after value",
             r.remaining()
         )));
     }
+    ensure_all(&r.regions)?;
+    v.verify_decoded()?;
     Ok(v)
 }
 
@@ -633,6 +658,9 @@ impl<T: Codec> Codec for Vec<T> {
         }
         Ok(out)
     }
+    fn verify_decoded(&mut self) -> Result<()> {
+        self.iter_mut().try_for_each(T::verify_decoded)
+    }
 }
 
 impl<T: Codec> Codec for Option<T> {
@@ -653,6 +681,9 @@ impl<T: Codec> Codec for Option<T> {
             t => Err(corrupt(format!("invalid Option tag {t:#04x}"))),
         }
     }
+    fn verify_decoded(&mut self) -> Result<()> {
+        self.as_mut().map_or(Ok(()), T::verify_decoded)
+    }
 }
 
 impl<A: Codec, B: Codec> Codec for (A, B) {
@@ -663,6 +694,10 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok((A::decode(r)?, B::decode(r)?))
+    }
+    fn verify_decoded(&mut self) -> Result<()> {
+        self.0.verify_decoded()?;
+        self.1.verify_decoded()
     }
 }
 
@@ -699,13 +734,11 @@ impl Codec for Dataset {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let dims = r.meta_region("data.meta", |m| m.usize())?;
         let (coords, _integrity) = r.pod_array::<f64>("data.coords")?;
-        if !r.is_mapped() {
-            // The owned (eager) path guarantees finite coordinates up
-            // front; mapped views defer to lazy checksums.
-            finite_slice(&coords, "coordinate")?;
-        }
         Dataset::from_view_trusted(dims, coords)
             .map_err(|e| corrupt(format!("dataset rejected: {e}")))
+    }
+    fn verify_decoded(&mut self) -> Result<()> {
+        finite_slice(self.flat(), "coordinate")
     }
 }
 
@@ -1144,12 +1177,6 @@ impl Codec for TopKIndex {
                 meta.n_slots
             )
         })?;
-        if !r.is_mapped() {
-            for &(x, y) in pts.iter() {
-                finite_f64(x, "x coordinate")?;
-                finite_f64(y, "y coordinate")?;
-            }
-        }
         let (raw, tree_integrity) = r.pod_array::<u8>("tree.raw")?;
         let blocks = match meta.n_blocks {
             Some(n_blocks) => Some(Arc::new(crate::topk::blocks::BlockSet::decode_arrays(
@@ -1188,23 +1215,26 @@ impl Codec for TopKIndex {
             query_integrity,
             mapped_check: Arc::new(std::sync::OnceLock::new()),
         };
-        if !r.is_mapped() {
-            // Owned decode validates everything eagerly and then drops the
-            // integrity set — the regions were verified at read time.
-            index.materialize_tree()?;
-            index.ensure_query_integrity()?;
-            index.query_integrity = Vec::new();
-            if index.blocks.is_none() {
-                index.refresh_blocks();
-            }
-        } else if index.blocks.is_none() {
+        if index.blocks.is_none() {
             // Without blocks the query path needs the real tree, so the
             // deferral invariant `deferred ⇒ blocks` is restored here.
             index.materialize_tree()?;
-            index.ensure_query_integrity()?;
             index.refresh_blocks();
         }
         Ok(index)
+    }
+
+    fn verify_decoded(&mut self) -> Result<()> {
+        // Region checksums (the still-deferred `tree.raw` included) and the
+        // block-table census first; only then are the contents worth
+        // reading. The node records themselves wait for `materialize_tree`.
+        self.verify_integrity()?;
+        for &(x, y) in self.pts.iter() {
+            finite_f64(x, "x coordinate")?;
+            finite_f64(y, "y coordinate")?;
+        }
+        self.query_integrity = Vec::new();
+        Ok(())
     }
 }
 
@@ -1435,22 +1465,21 @@ impl Codec for SortedColumn {
         ensure(values.len() == rows.len(), || {
             format!("{} values for {} row tags", values.len(), rows.len())
         })?;
-        if !r.is_mapped() {
-            finite_slice(&values, "column value")?;
-            ensure(values.windows(2).all(|w| w[0] <= w[1]), || {
-                "sorted column out of order".to_string()
-            })?;
-        }
-        // Mapped mode: content checks (finite, sorted, rows-in-range)
-        // run once post-CRC at first query, so open() touches no pages.
         Ok(SortedColumn::from_parts(values, rows))
+    }
+    /// Row ids are checked against the dataset by the owning [`SdIndex`].
+    fn verify_decoded(&mut self) -> Result<()> {
+        finite_slice(&self.values, "column value")?;
+        ensure(self.values.windows(2).all(|w| w[0] <= w[1]), || {
+            "sorted column out of order".to_string()
+        })
     }
 }
 
-/// The structural validation of `SdIndex::decode`. `check_rows`
-/// additionally scans every sorted column's row ids (the mapped path
-/// defers that scan to the once-per-open check after the region checksums
-/// pass).
+/// The structural validation of `SdIndex::decode`: everything that can be
+/// judged from metadata and table shapes. The scan of every sorted column's
+/// row ids reads array contents, so it runs after the region checksums pass
+/// (`SdIndex::ensure_query_integrity`).
 fn validate_sd_parts(
     data: &Dataset,
     roles: &[DimRole],
@@ -1458,7 +1487,6 @@ fn validate_sd_parts(
     unpaired: &[usize],
     pair_indexes: &[TopKIndex],
     columns: &[SortedColumn],
-    check_rows: bool,
 ) -> Result<()> {
     let dims = data.dims();
     let n = data.len();
@@ -1516,13 +1544,6 @@ fn validate_sd_parts(
         ensure(column.len() == n, || {
             format!("column {i} holds {} entries for {n} rows", column.len())
         })?;
-        if check_rows {
-            for &row in column.rows.iter() {
-                ensure((row as usize) < n, || {
-                    format!("column {i} references row {row} out of range")
-                })?;
-            }
-        }
     }
     Ok(())
 }
@@ -1573,26 +1594,12 @@ impl Codec for SdIndex {
             r.pop_prefix(token);
             columns.push(column?);
         }
-        validate_sd_parts(
-            &data,
-            &roles,
-            &pairs,
-            &unpaired,
-            &pair_indexes,
-            &columns,
-            !r.is_mapped(),
-        )?;
+        validate_sd_parts(&data, &roles, &pairs, &unpaired, &pair_indexes, &columns)?;
         // The index's own lazy regions (a query reads coordinates to score
         // candidates and column tables to stream 1-D subproblems); the pair
-        // trees already carry their own sets. Owned decodes verified
-        // everything eagerly above, so they carry none.
-        let query_integrity = if r.is_mapped() {
-            let mut own = data_regions;
-            own.extend(r.regions[col_mark..].iter().cloned());
-            own
-        } else {
-            Vec::new()
-        };
+        // trees already carry their own sets.
+        let mut query_integrity = data_regions;
+        query_integrity.extend(r.regions[col_mark..].iter().cloned());
         Ok(SdIndex {
             data: Arc::new(data),
             roles,
@@ -1604,6 +1611,21 @@ impl Codec for SdIndex {
             query_integrity,
             mapped_check: Arc::new(std::sync::OnceLock::new()),
         })
+    }
+
+    fn verify_decoded(&mut self) -> Result<()> {
+        // Own regions, each tree's query set and the ids-in-range checks;
+        // then everything whose contents only an eager open reads.
+        self.ensure_query_integrity()?;
+        finite_slice(self.data.flat(), "coordinate")?;
+        for tree in &mut self.pair_indexes {
+            tree.verify_decoded()?;
+        }
+        for column in &mut self.columns {
+            column.verify_decoded()?;
+        }
+        self.query_integrity = Vec::new();
+        Ok(())
     }
 }
 

@@ -89,7 +89,7 @@ impl SectionIntegrity {
         })
     }
 
-    /// A region that was already verified during an eager (owned) decode;
+    /// A region that was verified as it was read (metadata regions are);
     /// kept so inspection tooling sees a uniform region table.
     pub fn new_verified(name: String, file_offset: u64, len: u64, expected: u32) -> Arc<Self> {
         Arc::new(SectionIntegrity {

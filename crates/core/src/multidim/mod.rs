@@ -250,13 +250,13 @@ pub struct SdIndex {
     /// unchanged. Behind an `Arc` so clones share the cache.
     pub(crate) pair_columns: Arc<OnceLock<Vec<(SortedColumn, SortedColumn)>>>,
     /// Lazily verified CRC regions owned directly by this index when it was
-    /// decoded from a mapped format-v5 snapshot: the dataset coordinate
-    /// table plus every unpaired sorted column. Empty for built or owned
+    /// decoded lazily (`open_mapped`): the dataset coordinate table plus
+    /// every unpaired sorted column. Empty for built or eagerly loaded
     /// indexes. The per-pair trees carry their own sets.
     pub(crate) query_integrity: Vec<Arc<SectionIntegrity>>,
-    /// Once-shot deferred content validation for mapped decodes (column
-    /// row ids in range) — run after the CRCs pass on the first query.
-    /// `Some(detail)` is a sticky corruption verdict.
+    /// Once-shot content validation of a decode (column row ids in range)
+    /// — run after the CRCs pass: on the first query of a lazy open, before
+    /// an eager one returns. `Some(detail)` is a sticky corruption verdict.
     pub(crate) mapped_check: Arc<OnceLock<Option<String>>>,
 }
 
@@ -313,8 +313,9 @@ impl SdIndex {
         })
     }
 
-    /// `true` when any part of this index still borrows mapped snapshot
-    /// memory (format v5 `open_mapped` decode).
+    /// `true` while any part of this index still defers region checksums to
+    /// first touch (an `open_mapped` decode); an index that was built, or
+    /// loaded and verified eagerly, answers `false`.
     pub fn is_mapped(&self) -> bool {
         !self.query_integrity.is_empty() || self.pair_indexes.iter().any(TopKIndex::is_mapped)
     }

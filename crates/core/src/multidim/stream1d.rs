@@ -59,7 +59,7 @@ impl SortedColumn {
         self.values.is_empty()
     }
 
-    /// Approximate heap footprint in bytes (0 while mapped).
+    /// Approximate heap footprint in bytes (0 over a file mapping).
     pub fn memory_bytes(&self) -> usize {
         self.values.heap_bytes() + self.rows.heap_bytes()
     }

@@ -199,8 +199,8 @@ impl BlockSet {
 
     /// Reads the table regions written by [`BlockSet::encode_arrays`],
     /// enforcing the exact shape implied by `n_blocks` and `m`. Contents
-    /// are **not** inspected here: mapped mode defers that to
-    /// [`BlockSet::validate_structure`] after the lazy checksums pass.
+    /// are **not** inspected here: that waits for
+    /// [`BlockSet::validate_structure`], after the region checksums pass.
     pub(crate) fn decode_arrays(r: &mut Reader<'_>, n_blocks: usize, m: usize) -> Result<Self> {
         let fail = |what: &str, got: usize, want: usize| {
             crate::codec::corrupt(format!(
@@ -264,7 +264,7 @@ impl BlockSet {
         })
     }
 
-    /// Content checks a mapped layout must pass once (post-checksum) before
+    /// Content checks a decoded layout must pass once (post-checksum) before
     /// any query trusts it: live-lane slot ids must stay inside the point
     /// table and the live lanes must cover exactly `n_alive` points —
     /// otherwise a forged-but-checksummed file could index out of bounds at
@@ -328,8 +328,8 @@ impl BlockSet {
     }
 
     /// Approximate heap footprint in bytes (the derived side tables the
-    /// memory report must not undercount). Mapped tables count zero: their
-    /// bytes are file pages, not heap.
+    /// memory report must not undercount). Tables over a file mapping count
+    /// zero: their bytes are file pages, not heap.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.xs.heap_bytes()
             + self.ys.heap_bytes()

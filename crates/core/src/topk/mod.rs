@@ -107,10 +107,14 @@ pub(crate) struct Node {
 }
 
 /// The not-yet-materialised tree of a snapshot decode: the
-/// node-record bytes (`n_nodes` prefix + per-node records), checksummed
-/// lazily. Queries never need the node tree while the SoA blocks are
-/// current, so `open_mapped` defers record decoding **and** its `O(n)`
-/// validation walk until the first mutation asks for the tree.
+/// node-record bytes (`n_nodes` prefix + per-node records) under their own
+/// region checksum. Queries never need the node tree while the SoA blocks
+/// are current, so every decode — `open_mapped` and `load` alike — defers
+/// the record decoding **and** its `O(n)` validation walk until the first
+/// point-level mutation asks for the tree
+/// ([`TopKIndex::materialize_tree`]). What differs is the checksum: a
+/// lazy open verifies it there too, an eager one before it returns. A
+/// still-deferred tree re-encodes verbatim.
 #[derive(Debug, Clone)]
 pub(crate) struct DeferredTree {
     pub(crate) raw: ColumnarView<u8>,
@@ -151,15 +155,15 @@ pub struct TopKIndex {
     /// frontier until the next rebuild). Behind an `Arc` so clones share
     /// it; snapshots serialise it verbatim.
     pub(crate) blocks: Option<Arc<blocks::BlockSet>>,
-    /// The node tree of a mapped decode, still in wire form; `None` once
+    /// The node tree of a decoded index, still in wire form; `None` once
     /// materialised (or when the index was built in memory). Invariant:
     /// `deferred.is_some()` implies `blocks.is_some()` — a deferred tree is
     /// never consulted by queries.
     pub(crate) deferred: Option<DeferredTree>,
     /// Lazy checksums over every region a *query* touches (point table +
-    /// block tables); empty unless this index was decoded from a mapped
-    /// snapshot. Ensured at each query entry — one atomic load per region
-    /// once verified.
+    /// block tables); empty unless this index was decoded lazily (an eager
+    /// decode verifies them up front and drops the set). Ensured at each
+    /// query entry — one atomic load per region once verified.
     pub(crate) query_integrity: Vec<Arc<SectionIntegrity>>,
     /// One-shot structural validation of mapped block tables (slot ids in
     /// range, live-lane census), run after the checksums first pass so a
@@ -276,9 +280,11 @@ impl TopKIndex {
     }
 
     /// Approximate heap footprint in bytes: point table, tree nodes with
-    /// their per-angle bound tuples, and the derived SoA leaf-block tables.
-    /// Mapped tables count zero — their bytes are file pages, not heap,
-    /// which is exactly the serving-footprint story of the mmap format.
+    /// their per-angle bound tuples (or their wire form while deferred),
+    /// and the derived SoA leaf-block tables. Tables borrowed from a file
+    /// mapping count zero — their bytes are file pages, not heap, which is
+    /// exactly the serving-footprint story of the mmap format; tables
+    /// borrowed from a loaded snapshot's heap buffer count in full.
     pub fn memory_bytes(&self) -> usize {
         let pts = self.pts.heap_bytes() + self.alive.len();
         let nodes: usize = self
@@ -293,7 +299,9 @@ impl TopKIndex {
         pts + nodes + tables + blocks
     }
 
-    /// `true` when any table is a borrowed view of a mapped snapshot.
+    /// `true` while this index still defers region checksums to first touch
+    /// (a lazy `open_mapped` decode); `false` once built, loaded eagerly or
+    /// verified.
     pub fn is_mapped(&self) -> bool {
         !self.query_integrity.is_empty()
     }
@@ -301,7 +309,7 @@ impl TopKIndex {
     /// Verifies (once) every region the query path reads, then runs the
     /// one-shot structural check over the mapped block tables. Steady state
     /// is one atomic load per region. Every query entry point calls this;
-    /// it is free for built or owned-decoded indexes.
+    /// it is free for built or eagerly loaded indexes.
     pub(crate) fn ensure_query_integrity(&self) -> Result<(), SdError> {
         if self.query_integrity.is_empty() {
             return Ok(());
@@ -320,10 +328,10 @@ impl TopKIndex {
         }
     }
 
-    /// Decodes and validates the deferred node tree of a mapped v5 index
+    /// Decodes and validates the deferred node tree of a decoded index
     /// (no-op otherwise). Mutations call this on entry: the tree pays its
-    /// checksum pass, record decode and `O(n)` validation walk here — on
-    /// the first write — instead of at open.
+    /// record decode and `O(n)` validation walk here — on the first write —
+    /// instead of at open, plus its checksum pass if the open was lazy.
     pub(crate) fn materialize_tree(&mut self) -> Result<(), SdError> {
         let Some(d) = &self.deferred else {
             return Ok(());
@@ -361,7 +369,15 @@ impl TopKIndex {
 
     /// Number of live tree nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len() - self.free_nodes.len()
+        // A deferred tree's record run opens with its node count.
+        let slots = match &self.deferred {
+            Some(d) => d
+                .raw
+                .first_chunk()
+                .map_or(0, |n| u64::from_le_bytes(*n) as usize),
+            None => self.nodes.len(),
+        };
+        slots.saturating_sub(self.free_nodes.len())
     }
 
     /// Answers a top-k query with runtime weights `α` (repulsive, on `y`)
@@ -524,8 +540,8 @@ impl TopKIndex {
                 value: y,
             });
         }
-        // A mapped index materialises its node tree before the first write
-        // (checksum + decode + validation, paid once).
+        // A decoded index materialises its node tree before the first write
+        // (record decode + validation walk, paid once).
         self.materialize_tree()?;
         // Point-level mutation invalidates the derived block layout; a
         // mid-insert rebalance rebuild re-derives it below.

@@ -267,9 +267,10 @@ impl Dataset {
     }
 
     /// Wraps an (owned or mapped) coordinate view, checking only structure
-    /// (arity, addressability) — not finiteness. Used by the format-v5
-    /// decode paths, where payload integrity is covered by checksums that
-    /// mapped snapshots verify lazily on first touch.
+    /// (arity, addressability) — not finiteness. Used by the snapshot
+    /// decode, where payload integrity is covered by a region checksum (lazy
+    /// on a mapped open) and finiteness by `Codec::verify_decoded` (eager
+    /// opens only).
     pub(crate) fn from_view_trusted(
         dims: usize,
         coords: ColumnarView<f64>,

@@ -107,10 +107,11 @@ SUBCOMMANDS:
                  journal itself (compactions, checkpoints, WAL rotations,
                  threshold crossings, slow queries). --follow streams
                  events while the probe workload runs on another thread.
-    bench-load   Time snapshot load vs. in-memory index rebuild, and eager
-                 owned decode vs. zero-copy open_mapped cold start
-                 (--json-out merges a cold_start key into the bench-query
-                 JSON report).
+    bench-load   Time snapshot load vs. in-memory index rebuild, and the
+                 cold start of load (one read, everything verified up
+                 front) against open_mapped (checksums on first touch) and
+                 open_mapped + verify_all (--json-out merges a cold_start
+                 key into the bench-query JSON report).
     bench-query  Measure query latency percentiles and batch QPS against a
                  snapshot's engine/sd-index (or an ad-hoc synthetic build)
                  and write a machine-readable BENCH_queries.json.
@@ -170,8 +171,8 @@ QUERY OPTIONS:
     --profile-json     Like --profile but machine-readable JSON on stdout.
     --mapped           Serve the query off an mmap of the file: no decode,
                        checksums verified lazily on the regions the query
-                       touches. Not for WAL-backed snapshots (replay needs
-                       the owned path).
+                       touches. Not for WAL-backed snapshots (replay goes
+                       through the durable open).
     --slow-query-us U  Journal any engine query at or above U microseconds
                        with its full execution profile, and report captured
                        slow queries on stderr (0 = off).
@@ -1167,9 +1168,10 @@ fn sync_policy(sync_every: u32) -> Result<SyncPolicy, CliError> {
 /// → single-shard engine if needed) and checkpointed to generation 1.
 fn open_durable(path: &str, opts: DurableOptions) -> Result<DurableEngine, CliError> {
     let (storage, name) = disk_parts(path)?;
-    let snap = Snapshot::load(path).map_err(runtime)?;
-    if snap.durability.is_none() && !std::path::Path::new(&wal_sidecar(path)).exists() {
-        let mut snap = snap;
+    // The section table says whether the file is WAL-backed; the one full
+    // decode is whichever open follows.
+    if !is_wal_backed(path)? {
+        let mut snap = Snapshot::load(path).map_err(runtime)?;
         let engine = if let Some(engine) = snap.engine.take() {
             engine
         } else if let Some(sd) = snap.sd.take() {
@@ -1209,13 +1211,42 @@ fn open_durable(path: &str, opts: DurableOptions) -> Result<DurableEngine, CliEr
     Ok(d)
 }
 
+/// `true` when `path` is one half of a snapshot + WAL pair: its section
+/// table lists a `durability` section, or the sidecar exists. Reads the
+/// header only.
+fn is_wal_backed(path: &str) -> Result<bool, CliError> {
+    Ok(std::path::Path::new(&wal_sidecar(path)).exists()
+        || Snapshot::inspect(path).map_err(runtime)?.is_wal_backed())
+}
+
 /// Loads a snapshot for querying. A WAL-backed snapshot is opened through
 /// the durable engine instead, so the answers include every acknowledged
 /// write still sitting in the log (recovery also truncates a torn tail,
 /// exactly as a serving restart would).
 fn load_query_snapshot(path: &str) -> Result<Snapshot, CliError> {
-    let mut snap = Snapshot::load(path).map_err(runtime)?;
-    if snap.durability.is_some() || std::path::Path::new(&wal_sidecar(path)).exists() {
+    let info = Snapshot::inspect(path).map_err(runtime)?;
+    let wal_backed = info.is_wal_backed() || std::path::Path::new(&wal_sidecar(path)).exists();
+    // What a durable checkpoint writes holds the engine and nothing else,
+    // so the durable open below is then the only decode; a hand-assembled
+    // pair with sibling artifacts needs the plain load for those as well.
+    let engine_only = info.sections.iter().all(|s| {
+        matches!(
+            s.kind,
+            Some(
+                SectionKind::EngineManifest
+                    | SectionKind::EngineShard
+                    | SectionKind::MutationDelta
+                    | SectionKind::MutationTombstones
+                    | SectionKind::Durability
+            )
+        )
+    });
+    let mut snap = if wal_backed && engine_only {
+        Snapshot::new()
+    } else {
+        Snapshot::load(path).map_err(runtime)?
+    };
+    if wal_backed {
         let (storage, name) = disk_parts(path)?;
         let d = DurableEngine::open(storage, name, DurableOptions::default()).map_err(runtime)?;
         let rec = d.recovery();
@@ -1532,9 +1563,7 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
     // "Nothing to recover" (exit 3) must be decided *before* opening as
     // durable: open_durable would promote a plain snapshot to WAL-backed,
     // which is an upgrade the operator did not ask `recover` for.
-    let wal_backed = std::path::Path::new(&wal_sidecar(path)).exists()
-        || Snapshot::load(path).map_err(runtime)?.durability.is_some();
-    if !wal_backed {
+    if !is_wal_backed(path)? {
         if json {
             println!(
                 "{{\"path\": {}, \"recovered\": false, \"reason\": \"not wal-backed\"}}",
@@ -1558,14 +1587,17 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
         println!(
             "{{\"path\": {}, \"recovered\": true, \"records_replayed\": {}, \
              \"truncated_bytes\": {}, \"stale_wal_reset\": {}, \"live_rows\": {}, \
-             \"generation\": {}, \"epoch\": {}}}",
+             \"generation\": {}, \"epoch\": {}, \"regions_verified\": {}}}",
             json_str(path),
             rec.replayed_records,
             rec.truncated_bytes,
             rec.stale_wal_reset,
             d.engine().len(),
             status.generation,
-            status.last_checkpoint_epoch
+            status.last_checkpoint_epoch,
+            // Array-region checksum passes this process ran: one per
+            // region of the file means it was decoded exactly once.
+            Telemetry::global().verify.snapshot().count()
         );
     } else {
         if rec.truncated_bytes > 0 {
@@ -2875,10 +2907,13 @@ fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
     }
 
     // First load is reported separately: a fresh process pays OS page
-    // faults for the whole working set, later loads reuse the heap.
+    // faults for the whole working set, later loads reuse the heap — so
+    // the previous snapshot (and the file-sized buffer it pins) goes back
+    // to the allocator before the next load starts.
     let mut load_ms = Vec::with_capacity(iters);
     let mut snap = None;
     for _ in 0..iters {
+        drop(snap.take());
         let (s, ms) = timed(|| Snapshot::load(path));
         snap = Some(s.map_err(runtime)?);
         load_ms.push(ms);
@@ -2899,11 +2934,12 @@ fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
         iters
     );
 
-    // ── cold start: eager owned decode vs zero-copy open_mapped ────────
-    // "Cold" here = time to the first answer in a fresh process: the owned
-    // path decodes + verifies every section before it can serve; the
-    // mapped path reads metadata only and pays lazy checksums for just the
-    // regions the first query touches.
+    // ── cold start: load vs open_mapped ────────────────────────────────
+    // "Cold" here = time to the first answer in a fresh process. Both
+    // paths run the same in-place decode; `load` reads the file into its
+    // own buffer and verifies every region and content check before it can
+    // serve, the mapped path reads metadata only and pays lazy checksums
+    // for just the regions the first query touches.
     let sample = if let Some(e) = &snap.engine {
         Some(mean_query(e.shards().iter().map(|s| s.data())).map_err(runtime)?)
     } else {
@@ -2917,21 +2953,26 @@ fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
         let k = DEFAULT_K;
         let (m, open_ms) = timed(|| Snapshot::open_mapped(path));
         let m = m.map_err(runtime)?;
+        // What `load` adds over a mapped open, isolated: every checksum.
+        let (verified, verify_all_ms) =
+            timed(|| Snapshot::open_mapped(path).and_then(|v| v.verify_all()));
+        verified.map_err(runtime)?;
         let (mapped_first, mapped_fq_ms) = timed(|| bench_query_once(&m.snapshot, query, k));
         let mapped_first = mapped_first?;
         let (owned_first, owned_fq_ms) = timed(|| bench_query_once(&snap, query, k));
         let owned_first = owned_first?;
         if mapped_first != owned_first {
             return Err(runtime(
-                "mapped and owned decodes answered the same query differently",
+                "mapped and loaded snapshots answered the same query differently",
             ));
         }
         let owned_cold = cold + owned_fq_ms;
         let mapped_cold = open_ms + mapped_fq_ms;
         println!(
-            "cold start to first answer (k = {k}): owned {owned_cold:.2} ms \
-             (decode {cold:.2} + query {owned_fq_ms:.2}), mapped {mapped_cold:.2} ms \
-             (open {open_ms:.2} + first query {mapped_fq_ms:.2}) — {:.0}× faster",
+            "cold start to first answer (k = {k}): load {owned_cold:.2} ms \
+             (read + verify {cold:.2} + query {owned_fq_ms:.2}), mapped {mapped_cold:.2} ms \
+             (open {open_ms:.2} + first query {mapped_fq_ms:.2}) — {:.1}× faster; \
+             mapped open + verify_all {verify_all_ms:.2} ms",
             owned_cold / mapped_cold
         );
         // Steady state: same query, scratch-free `query()` on both
@@ -2950,17 +2991,18 @@ fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
         let owned_p50 = percentile(&mut owned_lat, 50.0);
         let mapped_p50 = percentile(&mut mapped_lat, 50.0);
         println!(
-            "warm query p50: owned {owned_p50:.4} ms, mapped {mapped_p50:.4} ms \
+            "warm query p50: loaded {owned_p50:.4} ms, mapped {mapped_p50:.4} ms \
              ({:+.1}%)",
             100.0 * (mapped_p50 - owned_p50) / owned_p50
         );
         if let Some(out) = &json_out {
             let entry = format!(
                 "{{\"file_bytes\": {bytes}, \"format_version\": {}, \
-                 \"owned_decode_ms\": {cold:.3}, \"owned_first_query_ms\": {owned_fq_ms:.3}, \
+                 \"owned_decode_ms\": {cold:.3}, \"owned_decode_warm_ms\": {warm:.3}, \
+                 \"owned_first_query_ms\": {owned_fq_ms:.3}, \
                  \"mapped_open_ms\": {open_ms:.3}, \"mapped_first_query_ms\": {mapped_fq_ms:.3}, \
                  \"owned_cold_ms\": {owned_cold:.3}, \"mapped_cold_ms\": {mapped_cold:.3}, \
-                 \"cold_speedup\": {:.1}, \
+                 \"verify_all_ms\": {verify_all_ms:.3}, \"cold_speedup\": {:.1}, \
                  \"owned_warm_p50_ms\": {owned_p50:.4}, \"mapped_warm_p50_ms\": {mapped_p50:.4}}}",
                 sdq_store::FORMAT_VERSION,
                 owned_cold / mapped_cold

@@ -294,10 +294,13 @@ impl<S: Storage> DurableEngine<S> {
         let snap_name = snap_name.into();
         let wal_name = Self::wal_name(&snap_name);
 
-        let snap_bytes = storage
-            .read(&snap_name)
+        // One read into an owned aligned buffer (never a mapping: this
+        // store renames new files over `snap_name`), decoded in place and
+        // verified in full before anything is replayed on top of it.
+        let snap_buffer = storage
+            .read_aligned(&snap_name)
             .map_err(|e| io_err(&snap_name, e))?;
-        let snap = Snapshot::from_bytes(&snap_bytes)?;
+        let snap = Snapshot::from_aligned(&snap_buffer)?;
         let durability = snap.durability;
         let Some(engine) = snap.engine else {
             return Err(SdError::SnapshotCorrupt {

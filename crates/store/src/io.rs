@@ -33,6 +33,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use sdq_core::view::AlignedBytes;
+
 /// The abstract flat-directory store the durability layer writes to.
 ///
 /// Names are plain file names (no separators); the directory itself is
@@ -41,13 +43,14 @@ use std::sync::Arc;
 pub trait Storage {
     /// Reads the whole file.
     fn read(&self, name: &str) -> io::Result<Vec<u8>>;
-    /// Reads the whole file as a [`MappedBytes`] buffer suitable for
-    /// zero-copy (format v5) snapshot opening: the returned bytes start on
-    /// a 64-byte boundary and stay valid as long as any clone of the
-    /// buffer (or a keepalive derived from it) is alive. The default
-    /// copies through [`Storage::read`]; [`DiskStorage`] overrides it with
-    /// a real file mapping where the platform provides one.
-    fn read_mapped(&self, name: &str) -> io::Result<MappedBytes> {
+    /// Reads the whole file into an owned [`MappedBytes`] buffer a snapshot
+    /// can be decoded from in place: the returned bytes start on a 64-byte
+    /// boundary and stay valid as long as any clone of the buffer (or a
+    /// keepalive derived from it) is alive. Never a live file mapping — a
+    /// store rewrites and renames its own files under the engine it serves.
+    /// The default copies through [`Storage::read`]; [`DiskStorage`] reads
+    /// the file straight into the aligned buffer.
+    fn read_aligned(&self, name: &str) -> io::Result<MappedBytes> {
         Ok(MappedBytes::copy_from(&self.read(name)?))
     }
     /// Whether the file currently exists.
@@ -107,11 +110,6 @@ pub fn atomic_write_path(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 // ─── MappedBytes ────────────────────────────────────────────────────────────
 
-/// 64-byte-aligned backing storage for the owned [`MappedBytes`] fallback.
-#[repr(C, align(64))]
-#[derive(Clone, Copy)]
-struct AlignedChunk([u8; 64]);
-
 enum MappedInner {
     /// A read-only private file mapping (page-aligned, so 64-aligned).
     #[cfg(unix)]
@@ -119,12 +117,8 @@ enum MappedInner {
         ptr: *mut core::ffi::c_void,
         len: usize,
     },
-    /// An owned copy in 64-aligned storage; `len` is the byte length (the
-    /// final chunk may be partially used).
-    Owned {
-        chunks: Vec<AlignedChunk>,
-        len: usize,
-    },
+    /// Owned 64-aligned heap storage.
+    Owned(AlignedBytes),
 }
 
 // Safety: the mapping is immutable (PROT_READ, MAP_PRIVATE) for its whole
@@ -181,30 +175,32 @@ impl std::fmt::Debug for MappedBytes {
 }
 
 impl MappedBytes {
-    /// An owned, 64-aligned copy of `bytes` (the portable fallback).
-    pub fn copy_from(bytes: &[u8]) -> Self {
-        let n_chunks = bytes.len().div_ceil(64);
-        let mut chunks = vec![AlignedChunk([0u8; 64]); n_chunks];
-        // Safety: the chunk storage is `n_chunks * 64 >= bytes.len()`
-        // contiguous bytes.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                chunks.as_mut_ptr().cast::<u8>(),
-                bytes.len(),
-            );
-        }
+    fn owned(bytes: AlignedBytes) -> Self {
         MappedBytes {
-            inner: Arc::new(MappedInner::Owned {
-                chunks,
-                len: bytes.len(),
-            }),
+            inner: Arc::new(MappedInner::Owned(bytes)),
         }
     }
 
-    /// Maps the file at `path` read-only. Falls back to an owned aligned
-    /// copy when mapping is unavailable (non-Unix platforms, empty files,
-    /// or a failed `mmap`).
+    /// An owned, 64-aligned copy of `bytes`.
+    pub fn copy_from(bytes: &[u8]) -> Self {
+        Self::owned(AlignedBytes::copy_from(bytes))
+    }
+
+    /// Reads the file at `path` into owned, 64-aligned storage: one pass
+    /// straight into the buffer. A file that shrinks between the length
+    /// query and the read is an [`io::ErrorKind::UnexpectedEof`] error; one
+    /// that grows is cut at the length first seen (and then refused by the
+    /// snapshot parser, whose section table accounts for every byte).
+    pub fn read_file(path: &Path) -> io::Result<Self> {
+        let file = std::fs::File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| io::Error::other("file too large to read"))?;
+        Ok(Self::owned(AlignedBytes::read_from(file, len)?))
+    }
+
+    /// Maps the file at `path` read-only. Falls back to
+    /// [`MappedBytes::read_file`] when mapping is unavailable (non-Unix
+    /// platforms, empty files, or a failed `mmap`).
     pub fn map_file(path: &Path) -> io::Result<Self> {
         #[cfg(unix)]
         {
@@ -234,7 +230,7 @@ impl MappedBytes {
                 }
             }
         }
-        Ok(MappedBytes::copy_from(&std::fs::read(path)?))
+        Self::read_file(path)
     }
 
     /// `true` when backed by a real file mapping (RSS scales with touched
@@ -258,10 +254,7 @@ impl MappedBytes {
                 // Safety: the mapping is alive as long as `self.inner` is.
                 unsafe { std::slice::from_raw_parts(ptr.cast::<u8>().cast_const(), *len) }
             }
-            MappedInner::Owned { chunks, len } => {
-                // Safety: `len <= chunks.len() * 64` by construction.
-                unsafe { std::slice::from_raw_parts(chunks.as_ptr().cast::<u8>(), *len) }
-            }
+            MappedInner::Owned(bytes) => bytes.as_slice(),
         }
     }
 
@@ -270,7 +263,7 @@ impl MappedBytes {
         match &*self.inner {
             #[cfg(unix)]
             MappedInner::Mapped { len, .. } => *len,
-            MappedInner::Owned { len, .. } => *len,
+            MappedInner::Owned(bytes) => bytes.as_slice().len(),
         }
     }
 
@@ -329,8 +322,8 @@ impl Storage for DiskStorage {
         std::fs::read(self.path(name))
     }
 
-    fn read_mapped(&self, name: &str) -> io::Result<MappedBytes> {
-        MappedBytes::map_file(&self.path(name))
+    fn read_aligned(&self, name: &str) -> io::Result<MappedBytes> {
+        MappedBytes::read_file(&self.path(name))
     }
 
     fn exists(&self, name: &str) -> bool {

@@ -41,13 +41,37 @@
 //! defence: even a checksum collision cannot produce an index that panics
 //! at query time.
 //!
-//! [`Snapshot::open_mapped`] reinterprets the array regions in place over
-//! an `mmap` of the file and verifies their checksums **lazily on first
-//! touch** (see [`sdq_core::SectionIntegrity`]): open cost is O(metadata),
-//! the first query pays one checksum pass over only the regions it touches,
-//! and resident memory scales with touched pages rather than file size.
-//! [`Snapshot::from_bytes`] / [`Snapshot::load`] read the same file eagerly
-//! (owned copies, every checksum up front). A file of any other version is
+//! ## One decode, two ways to get the buffer
+//!
+//! Every reader runs the same decode: the file sits in one pinned,
+//! 64-byte-aligned buffer, the header, section table, layout discipline and
+//! metadata regions are verified at once, and every array region becomes a
+//! view borrowed from that buffer — nothing is copied, and a 2-D tree's
+//! node records stay in wire form. The readers differ in where the buffer
+//! comes from and in when the deferred work runs:
+//!
+//! * [`Snapshot::open_mapped`] borrows an `mmap` of the file and verifies
+//!   array checksums **lazily on first touch** (see
+//!   [`sdq_core::SectionIntegrity`]): open cost is O(metadata), the first
+//!   query pays one checksum pass over only the regions it touches (then
+//!   the block-table census and the ids-in-range checks, once), and
+//!   resident memory scales with touched pages rather than file size.
+//!   [`MappedSnapshot::verify_all`] settles every checksum on demand.
+//! * [`Snapshot::load`] / [`Snapshot::from_bytes`] and
+//!   [`DurableEngine::open`] read the file once into an owned aligned
+//!   buffer (never a live mapping: a store rewrites its own files) and
+//!   verify **before returning**: every region checksum — each tree's
+//!   `tree.raw` included — the block-table census, slot and row ids in
+//!   range, finite coordinates, points and column values, ascending
+//!   columns. What comes back behaves like a built index
+//!   (`is_mapped() == false`, no per-query integrity work) but pins that
+//!   one file-sized buffer until its views are compacted or
+//!   copied-on-write away.
+//!
+//! On both, a tree's node records are decoded and walked (reachability,
+//! live slots covered exactly once) at the first point-level mutation, the
+//! only code that reads them while the SoA blocks are current; a tree that
+//! is still deferred re-encodes verbatim. A file of any other version is
 //! refused with [`SdError::SnapshotVersion`].
 //!
 //! ## Example
@@ -76,6 +100,7 @@ pub mod io;
 pub mod scrub;
 pub mod wal;
 
+use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -316,6 +341,16 @@ pub struct SnapshotInfo {
     pub sections: Vec<SectionInfo>,
 }
 
+impl SnapshotInfo {
+    /// `true` when the file carries a `durability` section, i.e. it is one
+    /// half of a [`DurableEngine`] snapshot + WAL pair.
+    pub fn is_wal_backed(&self) -> bool {
+        self.sections
+            .iter()
+            .any(|s| s.kind == Some(SectionKind::Durability))
+    }
+}
+
 /// One section ready for framing: raw kind tag, the table entry's
 /// `reserved` word (the shard ordinal of an `engine-shard`, else 0) and the
 /// payload bytes.
@@ -350,8 +385,9 @@ impl Snapshot {
 
     /// Verifies every lazily-checksummed region reachable from the
     /// queryable artifacts (mapped §5 indexes, 2-D trees, engine shards).
-    /// A no-op on fully owned snapshots. Called by [`Snapshot::to_bytes_v5`]
-    /// so corrupt mapped bytes are never re-encoded under fresh checksums.
+    /// A no-op on built or loaded snapshots. Called by
+    /// [`Snapshot::to_bytes_v5`] so corrupt mapped bytes are never
+    /// re-encoded under fresh checksums.
     pub fn verify_integrity(&self) -> Result<(), SdError> {
         if let Some(sd) = &self.sd {
             sd.verify_integrity()?;
@@ -563,13 +599,18 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Restores a snapshot from container bytes into owned memory,
-    /// verifying the magic, the format version and every checksum before
-    /// decoding (use [`Snapshot::open_mapped`] for the zero-copy path).
+    /// Restores a snapshot from container bytes: one aligned copy, then the
+    /// eager open of [`Snapshot::load`] — magic, format version, every
+    /// checksum and every content check pass before this returns (use
+    /// [`Snapshot::open_mapped`] to defer them).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SdError> {
-        let entries = Self::parse_header(bytes)?;
-        Self::check_file_len(bytes, &entries)?;
-        Self::decode(bytes, &entries, None).map(|(snap, _)| snap)
+        Self::from_aligned(&MappedBytes::copy_from(bytes))
+    }
+
+    /// The eager open over an already-acquired buffer: decode in place,
+    /// verify everything, return a snapshot that behaves as if built.
+    pub(crate) fn from_aligned(buffer: &MappedBytes) -> Result<Self, SdError> {
+        Self::decode(buffer, true).map(|(snap, _)| snap)
     }
 
     /// Reassembles the engine (when present) and restores its mutation
@@ -609,16 +650,21 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Decodes the section payloads. With `keep = Some(...)` the hot array
-    /// regions become borrowed views of that buffer (checksums lazy);
-    /// otherwise everything is copied and verified eagerly. Returns the
-    /// snapshot plus every region walked, for inspection and
-    /// [`MappedSnapshot::verify_all`].
+    /// The one decode. Parses and verifies the header and section table,
+    /// then walks the section payloads in place: every array region becomes
+    /// a view borrowed from `buffer` with its checksum deferred. `eager`
+    /// decides when the deferred work runs — `false` leaves it to first
+    /// touch ([`Snapshot::open_mapped`]); `true` settles all of it before
+    /// returning: every region checksum, then each artifact's
+    /// [`Codec::verify_decoded`]. Returns the snapshot plus every region
+    /// walked, for inspection and [`MappedSnapshot::verify_all`].
     fn decode(
-        bytes: &[u8],
-        entries: &[TableEntry],
-        keep: Option<&MappedBytes>,
+        buffer: &MappedBytes,
+        eager: bool,
     ) -> Result<(Snapshot, Vec<Arc<SectionIntegrity>>), SdError> {
+        let bytes: &[u8] = buffer;
+        let entries = &Self::parse_header(bytes)?;
+        Self::check_file_len(bytes, entries)?;
         // Layout discipline before any payload is trusted: entries in
         // ascending offset order, every payload 64-aligned, the entry
         // checksum field zero (integrity lives in the region headers),
@@ -677,24 +723,17 @@ impl Snapshot {
                 SectionKind::EngineShard => format!("{}{}", kind.name(), entry.reserved),
                 _ => kind.name().to_string(),
             };
-            // Only the hot artifacts are worth borrowing; small metadata
-            // sections (and the delta, which mutations rewrite anyway) are
-            // decoded eagerly even in mapped mode.
-            let map_this = matches!(
-                kind,
-                SectionKind::Dataset
-                    | SectionKind::SdIndex
-                    | SectionKind::TopKIndex
-                    | SectionKind::EngineShard
-            );
-            let mut r = match (keep, map_this) {
-                (Some(mb), true) => {
-                    // Safety: `payload` borrows `mb`'s buffer (64-aligned
-                    // base + 64-aligned section offset) and `mb.keep()`
-                    // pins that memory for as long as any view lives.
-                    unsafe { Reader::new_mapped(payload, mb.keep(), prefix, entry.offset) }
-                }
-                _ => Reader::new_section(payload, prefix, entry.offset),
+            // Safety: `payload` borrows `buffer`'s memory (64-aligned base
+            // + 64-aligned section offset) and `buffer.keep()` pins it for
+            // as long as any view lives.
+            let mut r = unsafe {
+                Reader::new_mapped(
+                    payload,
+                    buffer.keep(),
+                    !buffer.is_mapped(),
+                    prefix,
+                    entry.offset,
+                )
             };
             match kind {
                 SectionKind::Dataset => snap.dataset = Some(Dataset::decode(&mut r)?),
@@ -730,7 +769,33 @@ impl Snapshot {
                     kind.name()
                 )));
             }
-            regions.extend(r.take_regions());
+            let walked = r.take_regions();
+            // Only the hot artifacts are worth deferring; the delta (which
+            // mutations rewrite anyway) is settled at open either way, as
+            // the metadata sections are by construction.
+            if eager || kind == SectionKind::MutationDelta {
+                ensure_all(&walked)?;
+            }
+            regions.extend(walked);
+        }
+        if let Some(d) = &mut delta {
+            d.verify_decoded()?;
+        }
+        if eager {
+            // Every checksum above has passed; now the checks that read
+            // array contents, after which nothing stays lazy.
+            if let Some(d) = &mut snap.dataset {
+                d.verify_decoded()?;
+            }
+            if let Some(sd) = &mut snap.sd {
+                sd.verify_decoded()?;
+            }
+            if let Some(t) = &mut snap.topk {
+                t.verify_decoded()?;
+            }
+            for (_, shard) in &mut engine_shards {
+                shard.verify_decoded()?;
+            }
         }
         Self::finish_engine(&mut snap, manifest, engine_shards, delta, tombstones)?;
         Ok((snap, regions))
@@ -795,10 +860,16 @@ impl Snapshot {
     /// Parses only the header and section table — cheap metadata access for
     /// `sdq inspect`.
     pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotInfo, SdError> {
-        let entries = Self::parse_header(bytes)?;
+        Self::inspect_head(bytes, bytes.len() as u64)
+    }
+
+    /// [`Snapshot::inspect_bytes`] over the first bytes of a `file_len`-byte
+    /// file (at least its header and section table, if it has them).
+    fn inspect_head(head: &[u8], file_len: u64) -> Result<SnapshotInfo, SdError> {
+        let entries = Self::parse_header(head)?;
         Ok(SnapshotInfo {
             version: FORMAT_VERSION,
-            file_len: bytes.len() as u64,
+            file_len,
             sections: entries
                 .iter()
                 .map(|e| SectionInfo {
@@ -811,20 +882,35 @@ impl Snapshot {
         })
     }
 
-    /// Reads and restores a snapshot from `path`.
+    /// Reads and restores a snapshot from `path`: the file is read once,
+    /// straight into an aligned buffer the restored artifacts then borrow,
+    /// and everything is verified before this returns — header, section
+    /// table, every region checksum, ids in range, finite values, sorted
+    /// columns (see the crate docs for the full list).
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SdError> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path)
+        let buffer = MappedBytes::read_file(path)
             .map_err(|e| SdError::SnapshotIo(format!("{}: {e}", path.display())))?;
-        Self::from_bytes(&bytes)
+        Self::from_aligned(&buffer)
     }
 
-    /// Reads only the header/table of the snapshot at `path`.
+    /// Reads only the header/table of the snapshot at `path` — two short
+    /// reads (the fixed 16 bytes, then the table they size), however large
+    /// the file.
     pub fn inspect(path: impl AsRef<Path>) -> Result<SnapshotInfo, SdError> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path)
-            .map_err(|e| SdError::SnapshotIo(format!("{}: {e}", path.display())))?;
-        Self::inspect_bytes(&bytes)
+        let io = |e: std::io::Error| SdError::SnapshotIo(format!("{}: {e}", path.display()));
+        let mut file = std::fs::File::open(path).map_err(io)?;
+        let file_len = file.metadata().map_err(io)?.len();
+        let mut head = Vec::new();
+        file.by_ref().take(16).read_to_end(&mut head).map_err(io)?;
+        if let Some(count) = head.get(12..16) {
+            let count = u32::from_le_bytes(count.try_into().expect("4 bytes")).min(MAX_SECTIONS);
+            file.take(header_len(count as usize) - 16)
+                .read_to_end(&mut head)
+                .map_err(io)?;
+        }
+        Self::inspect_head(&head, file_len)
     }
 
     /// Writes the snapshot to `path` atomically *and durably*: temp file
@@ -849,17 +935,13 @@ impl Snapshot {
     }
 
     /// [`Snapshot::open_mapped`] over an already-acquired buffer. Works
-    /// with the owned [`MappedBytes`] fallback too (its buffer is 64-byte
-    /// aligned and kept alive by the views, so borrowing stays sound).
+    /// with an owned [`MappedBytes`] too (its buffer is 64-byte aligned and
+    /// kept alive by the views, so borrowing stays sound).
     pub fn from_mapped(buffer: MappedBytes) -> Result<MappedSnapshot, SdError> {
-        let bytes: &[u8] = &buffer;
-        let entries = Self::parse_header(bytes)?;
-        Self::check_file_len(bytes, &entries)?;
-        let mapped = buffer.is_mapped();
-        let (snapshot, sections) = Self::decode(bytes, &entries, Some(&buffer))?;
+        let (snapshot, sections) = Self::decode(&buffer, false)?;
         Ok(MappedSnapshot {
             snapshot,
-            mapped,
+            mapped: buffer.is_mapped(),
             sections,
         })
     }
@@ -879,8 +961,8 @@ pub struct MappedSnapshot {
 
 impl MappedSnapshot {
     /// `true` when the buffer is a real `mmap` of the file (as opposed to
-    /// the owned in-memory fallback). Either way the decode borrows the
-    /// buffer zero-copy.
+    /// an owned in-memory one). Either way the decode borrows the buffer
+    /// zero-copy.
     pub fn is_mapped(&self) -> bool {
         self.mapped
     }
@@ -892,8 +974,9 @@ impl MappedSnapshot {
     }
 
     /// Forces checksum verification of every region, including ones no
-    /// query has touched yet. The full-coverage equivalent of the owned
-    /// eager decode; run it before trusting a file end to end.
+    /// query has touched yet — the checksum half of what
+    /// [`Snapshot::load`] settles before it returns; run it before trusting
+    /// a file end to end.
     pub fn verify_all(&self) -> Result<(), SdError> {
         ensure_all(&self.sections)
     }
@@ -1214,6 +1297,35 @@ mod tests {
     }
 
     #[test]
+    fn inspect_reads_only_the_header() {
+        let dir = std::env::temp_dir().join(format!("sdq-store-inspect-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sample.sdq");
+        let bytes = sample_snapshot().to_bytes_v5().unwrap();
+        let head = header_len(11) as usize;
+        // Every prefix — through the fixed 16 bytes, the table, and on into
+        // the payloads — gets from the file reader what the in-memory one
+        // says; once the header and table are there, nothing past them is
+        // needed (or looked at: all that is left of the payloads is junk).
+        for cut in (0..head + 8).chain([bytes.len()]) {
+            let mut content = bytes[..cut].to_vec();
+            content[head.min(cut)..].fill(0xAB);
+            std::fs::write(&path, &content).unwrap();
+            assert_eq!(
+                Snapshot::inspect(&path),
+                Snapshot::inspect_bytes(&bytes[..cut]),
+                "prefix of {cut} bytes"
+            );
+            assert_eq!(Snapshot::inspect(&path).is_ok(), cut >= head);
+        }
+        let info = Snapshot::inspect_bytes(&bytes).unwrap();
+        assert!(!info.is_wal_backed());
+        let durable = durable_snapshot().to_bytes_v5().unwrap();
+        assert!(Snapshot::inspect_bytes(&durable).unwrap().is_wal_backed());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn missing_file_is_io_error() {
         assert!(matches!(
             Snapshot::load("/nonexistent/definitely/missing.sdq").unwrap_err(),
@@ -1315,7 +1427,8 @@ mod tests {
         for pos in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[pos] ^= 0x01;
-            // The owned decode verifies eagerly: the flip surfaces at load.
+            // The eager open verifies before it returns: the flip surfaces
+            // at load.
             let err = Snapshot::from_bytes(&mutated)
                 .err()
                 .unwrap_or_else(|| panic!("flip at byte {pos} went undetected (owned)"));
@@ -1475,6 +1588,52 @@ mod tests {
         assert!(m.is_mapped(), "a real file should arrive via mmap");
         queries_match(&m.snapshot, &snap);
         m.verify_all().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn memory_report_follows_what_backs_the_views() {
+        let rows: Vec<Vec<f64>> = (0..4000)
+            .map(|i| {
+                let x = i as f64;
+                vec![(x * 0.7).sin(), (x * 0.3).cos(), x * 1e-3]
+            })
+            .collect();
+        let built = SdEngine::build_with(
+            Dataset::from_rows(3, &rows).unwrap(),
+            &parse_roles("arr").unwrap(),
+            &sdq_engine::EngineOptions {
+                shards: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("sdq-store-mem-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mem.sdq");
+        let snap = Snapshot {
+            engine: Some(built.clone()),
+            ..Snapshot::default()
+        };
+        snap.save_v5(&path).unwrap();
+
+        // A loaded engine's tables sit in the heap buffer `load` read the
+        // file into: the report must say so. It comes out a little under
+        // the built engine's, whose node trees are materialised (their
+        // wire form is the smaller of the two); a real mapping's tables
+        // are page cache and count nothing.
+        let loaded = Snapshot::load(&path).unwrap().engine.unwrap();
+        let mapped = Snapshot::open_mapped(&path).unwrap();
+        assert!(mapped.is_mapped());
+        let mapped = mapped.snapshot.engine.unwrap();
+        let ratio = |a: usize, b: usize| a as f64 / b as f64;
+        let total = ratio(loaded.memory_bytes(), built.memory_bytes());
+        assert!((0.9..=1.0).contains(&total), "loaded/built = {total}");
+        assert!(ratio(mapped.memory_bytes(), built.memory_bytes()) < 0.05);
+        for (l, b) in loaded.shard_infos().iter().zip(built.shard_infos()) {
+            let shard = ratio(l.memory_bytes, b.memory_bytes);
+            assert!((0.9..=1.0).contains(&shard), "loaded/built shard = {shard}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

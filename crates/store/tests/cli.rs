@@ -822,6 +822,37 @@ fn wal_insert_query_recover_lifecycle() {
     let wal_len = std::fs::metadata(&wal_path).unwrap().len();
     assert_eq!(wal_len, 36, "recover must rotate the wal to header-only");
 
+    // One invocation decodes the snapshot once: WAL-backedness comes from
+    // the section table, so `recover` runs exactly one checksum pass per
+    // array region of the file (metadata regions verify inline).
+    let out = sdq()
+        .args(["inspect", snap_path.to_str().unwrap(), "--json"])
+        .output()
+        .expect("spawn sdq inspect --json");
+    assert!(out.status.success(), "inspect --json failed");
+    let json = String::from_utf8_lossy(&out.stdout);
+    let regions = json
+        .split("\"regions\": [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("regions array");
+    let array_regions = regions
+        .split("{\"name\": \"")
+        .skip(1)
+        .filter(|r| !r.split('"').next().unwrap().ends_with("meta"))
+        .count();
+    assert!(array_regions > 10, "{regions}");
+    let out = sdq()
+        .args(["recover", snap_path.to_str().unwrap(), "--json"])
+        .output()
+        .expect("spawn sdq recover --json");
+    assert!(out.status.success(), "recover --json failed");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("\"regions_verified\": {array_regions}}}")),
+        "want {array_regions} region passes (one decode) in {stdout}"
+    );
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,0 +1,459 @@
+//! What the eager opens promise: [`Snapshot::load`] and
+//! [`DurableEngine::open`] run the same in-place decode as
+//! [`Snapshot::open_mapped`], but nothing they return is unverified. Every
+//! damaged or forged file is refused by the open itself — not by the first
+//! query — with the one exception both opens share: a tree's node records
+//! are decoded and walked at the first point-level mutation, which is the
+//! first code that reads them.
+
+use sdq_core::integrity::crc32c;
+use sdq_core::topk::TopKIndex;
+use sdq_core::{Dataset, PointId, SdError, SdQuery};
+use sdq_engine::{EngineOptions, SdEngine};
+use sdq_store::{
+    parse_roles, DurableEngine, DurableOptions, MappedBytes, MemStorage, Snapshot, Storage,
+};
+
+const ROLES: &str = "arr";
+
+/// 3-D rows under roles `arr`: one pair tree plus one unpaired sorted
+/// column per shard, so every kind of array region is present.
+fn engine() -> SdEngine {
+    let rows: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            let x = i as f64;
+            vec![(x * 0.7).sin(), x * 0.3, 10.0 - x * 0.2]
+        })
+        .collect();
+    SdEngine::build_with(
+        Dataset::from_rows(3, &rows).unwrap(),
+        &parse_roles(ROLES).unwrap(),
+        &EngineOptions {
+            shards: 2,
+            threads: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+fn probe() -> SdQuery {
+    SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], &parse_roles(ROLES).unwrap())
+}
+
+/// A 2-D tree with one dead slot whose block tables are current, so a
+/// decode keeps its node tree deferred and a forged record can name a dead
+/// point.
+fn topk() -> TopKIndex {
+    let pts: Vec<(f64, f64)> = (0..70)
+        .map(|i| ((i as f64 * 0.9).cos() * 5.0, i as f64 * 0.11))
+        .collect();
+    let mut t = TopKIndex::build(&pts).unwrap();
+    assert!(t.delete(PointId::new(DEAD_SLOT)));
+    t.refresh_blocks();
+    t
+}
+
+const DEAD_SLOT: u32 = 7;
+
+/// The engine with uncompacted writes plus the 2-D tree: the honest file
+/// every sweep and forgery below starts from.
+fn honest_bytes() -> Vec<u8> {
+    let mut engine = engine();
+    engine.insert(&[0.5, 4.5, 9.0]).unwrap();
+    engine.delete(PointId::new(3)).unwrap();
+    let snap = Snapshot {
+        engine: Some(engine),
+        topk: Some(topk()),
+        ..Snapshot::default()
+    };
+    snap.to_bytes_v5().unwrap()
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sdq-load-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn is_typed(err: &SdError) -> bool {
+    matches!(
+        err,
+        SdError::SnapshotBadMagic
+            | SdError::SnapshotVersion { .. }
+            | SdError::SnapshotChecksum { .. }
+            | SdError::SnapshotCorrupt { .. }
+    )
+}
+
+// ── (b) damaged files ───────────────────────────────────────────────────
+
+#[test]
+fn load_refuses_every_flipped_byte_and_every_truncation() {
+    let bytes = honest_bytes();
+    let dir = temp_dir("sweep");
+    let path = dir.join("damaged.sdq");
+    // Every position: headers, tables, array payloads, `tree.raw`, and the
+    // zero padding between regions and between sections.
+    for pos in 0..bytes.len() {
+        let mut mutated = bytes.clone();
+        mutated[pos] ^= 0x01;
+        std::fs::write(&path, &mutated).unwrap();
+        match Snapshot::load(&path) {
+            Err(e) => assert!(is_typed(&e), "flip at {pos}: untyped {e:?}"),
+            Ok(_) => panic!("flip at byte {pos} survived load"),
+        }
+    }
+    for cut in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        match Snapshot::load(&path) {
+            Err(e) => assert!(is_typed(&e), "cut at {cut}: untyped {e:?}"),
+            Ok(_) => panic!("truncation to {cut} bytes survived load"),
+        }
+    }
+    std::fs::write(&path, &bytes).unwrap();
+    Snapshot::load(&path).expect("the honest file loads");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn durable_open_refuses_every_flipped_byte_and_every_truncation() {
+    let d = DurableEngine::create(
+        MemStorage::new(),
+        "s.sdq",
+        engine(),
+        DurableOptions::default(),
+    )
+    .unwrap();
+    let pristine = d.into_storage();
+    let bytes = pristine.read("s.sdq").unwrap();
+    let open = |snapshot: &[u8]| {
+        let mut storage = pristine.clone();
+        storage.write_file("s.sdq", snapshot).unwrap();
+        DurableEngine::open(storage, "s.sdq", DurableOptions::default())
+    };
+    for pos in 0..bytes.len() {
+        let mut mutated = bytes.clone();
+        mutated[pos] ^= 0x01;
+        match open(&mutated) {
+            Err(e) => assert!(is_typed(&e), "flip at {pos}: untyped {e:?}"),
+            Ok(_) => panic!("flip at byte {pos} survived DurableEngine::open"),
+        }
+    }
+    for cut in (0..bytes.len()).step_by(7) {
+        match open(&bytes[..cut]) {
+            Err(e) => assert!(is_typed(&e), "cut at {cut}: untyped {e:?}"),
+            Ok(_) => panic!("truncation to {cut} bytes survived DurableEngine::open"),
+        }
+    }
+    let reopened = open(&bytes).expect("the honest store opens");
+    assert!(!reopened.engine().is_mapped(), "nothing left lazy");
+    assert_eq!(
+        reopened.engine().query(&probe(), 5).unwrap(),
+        engine().query(&probe(), 5).unwrap()
+    );
+}
+
+// ── (c) forged but checksummed ──────────────────────────────────────────
+
+/// Rewrites the named array region's payload in place and re-signs its
+/// CRC-32C, so no checksum objects to the file: only a content check can.
+fn forge(bytes: &mut [u8], region: &str, patch: impl FnOnce(&mut [u8])) {
+    let opened = Snapshot::from_mapped(MappedBytes::copy_from(bytes)).unwrap();
+    let regions = opened.regions();
+    let i = regions
+        .iter()
+        .position(|r| r.name() == region)
+        .unwrap_or_else(|| panic!("no region {region}"));
+    let (at, len) = (regions[i].file_offset() as usize, regions[i].len() as usize);
+    // Regions are laid out back to back: this one's `[crc32c][count]`
+    // header starts where its predecessor's payload ends.
+    let header = (regions[i - 1].file_offset() + regions[i - 1].len()) as usize;
+    assert_eq!(
+        bytes[header..header + 4],
+        regions[i].expected_crc().to_le_bytes(),
+        "header of {region} not where the layout says"
+    );
+    patch(&mut bytes[at..at + len]);
+    let crc = crc32c(&bytes[at..at + len]);
+    bytes[header..header + 4].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn set_f64(payload: &mut [u8], index: usize, v: f64) {
+    payload[index * 8..index * 8 + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn set_u32(payload: &mut [u8], index: usize, v: u32) {
+    payload[index * 4..index * 4 + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+#[test]
+fn load_refuses_forged_contents_under_valid_checksums() {
+    let honest = honest_bytes();
+    type Patch = fn(&mut [u8]);
+    let cases: [(&str, &str, Patch); 6] = [
+        ("engine-shard0/data.coords", "non-finite coordinate", |p| {
+            set_f64(p, 4, f64::NAN)
+        }),
+        ("engine-shard1/pair0/pts", "non-finite x coordinate", |p| {
+            set_f64(p, 6, f64::INFINITY)
+        }),
+        ("engine-shard0/col0/values", "out of order", |p| {
+            // Swap the two ends of an ascending column.
+            let last = p.len() - 8;
+            let (a, b) = (p[..8].to_vec(), p[last..].to_vec());
+            p[..8].copy_from_slice(&b);
+            p[last..].copy_from_slice(&a);
+        }),
+        (
+            "engine-shard0/col0/values",
+            "non-finite column value",
+            |p| set_f64(p, 0, f64::NEG_INFINITY),
+        ),
+        ("engine-shard1/col0/rows", "out of range", |p| {
+            set_u32(p, 2, 1_000_000)
+        }),
+        ("topk-index/blocks.slots", "outside point table", |p| {
+            set_u32(p, 0, 1_000_000)
+        }),
+    ];
+    for (region, needle, patch) in cases {
+        let mut forged = honest.clone();
+        forge(&mut forged, region, patch);
+        assert_ne!(forged, honest, "{region}: patch changed nothing");
+        match Snapshot::from_bytes(&forged) {
+            Err(SdError::SnapshotCorrupt { detail }) => {
+                assert!(detail.contains(needle), "{region}: wrong detail: {detail}")
+            }
+            other => panic!("{region}: forged file not refused as corrupt: {other:?}"),
+        }
+        // The checksums really are valid: nothing but content is wrong.
+        Snapshot::from_mapped(MappedBytes::copy_from(&forged))
+            .unwrap()
+            .verify_all()
+            .unwrap_or_else(|e| panic!("{region}: forgery broke a checksum: {e}"));
+    }
+}
+
+// ── (d) forged node records ─────────────────────────────────────────────
+
+/// One child reference inside a `tree.raw` record run.
+struct ChildRef {
+    node: usize,
+    /// Byte offset of the 5-byte `[tag u8][value u32]` child in the blob.
+    at: usize,
+    inner: bool,
+    value: u32,
+}
+
+/// Walks the wire form: `n_nodes`, then per node `n_children` + 5-byte
+/// children, `n_bounds` + 32-byte bounds, and a 16-byte x-range.
+fn children_of(raw: &[u8]) -> Vec<ChildRef> {
+    let u64_at = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().unwrap()) as usize;
+    let mut out = Vec::new();
+    let mut at = 8;
+    for node in 0..u64_at(0) {
+        let n_children = u64_at(at);
+        at += 8;
+        for _ in 0..n_children {
+            out.push(ChildRef {
+                node,
+                at,
+                inner: raw[at] == 0,
+                value: u32::from_le_bytes(raw[at + 1..at + 5].try_into().unwrap()),
+            });
+            at += 5;
+        }
+        at += 8 + 32 * u64_at(at) + 16;
+    }
+    assert_eq!(at, raw.len(), "walker out of step with the wire form");
+    out
+}
+
+fn set_child(raw: &mut [u8], child: &ChildRef, inner: bool, value: u32) {
+    raw[child.at] = if inner { 0 } else { 1 };
+    raw[child.at + 1..child.at + 5].copy_from_slice(&value.to_le_bytes());
+}
+
+#[test]
+fn forged_node_records_load_serve_and_fail_at_the_first_tree_mutation() {
+    let honest = honest_bytes();
+    let reference = Snapshot::from_bytes(&honest).unwrap();
+    let topk_answer = |s: &Snapshot| {
+        s.topk
+            .as_ref()
+            .unwrap()
+            .query(1.0, 1.0, 1.0, 0.5, 6)
+            .unwrap()
+    };
+    let engine_answer = |s: &Snapshot| s.engine.as_ref().unwrap().query(&probe(), 6).unwrap();
+
+    type Patch = fn(&mut [u8]);
+    let forgeries: [(&str, Patch); 3] = [
+        ("reachable twice", |raw| {
+            // A cycle: some inner child now points back at the root, the
+            // node no other node references.
+            let kids = children_of(raw);
+            let referenced: Vec<u32> = kids.iter().filter(|c| c.inner).map(|c| c.value).collect();
+            let root = (0..).find(|id| !referenced.contains(id)).unwrap();
+            let victim = kids.iter().find(|c| c.inner).unwrap();
+            set_child(raw, victim, true, root);
+        }),
+        ("dead point slot", |raw| {
+            let kids = children_of(raw);
+            set_child(
+                raw,
+                kids.iter().find(|c| !c.inner).unwrap(),
+                false,
+                DEAD_SLOT,
+            );
+        }),
+        ("points reachable but", |raw| {
+            // Replace a subtree by one of its own points: no slot repeats,
+            // the rest of that subtree is simply gone.
+            let kids = children_of(raw);
+            let (victim, point) = kids
+                .iter()
+                .filter(|c| c.inner)
+                .find_map(|c| {
+                    kids.iter()
+                        .find(|p| !p.inner && p.node == c.value as usize)
+                        .map(|p| (c, p.value))
+                })
+                .unwrap();
+            set_child(raw, victim, false, point);
+        }),
+    ];
+    for (needle, patch) in forgeries {
+        let mut forged = honest.clone();
+        forge(&mut forged, "topk-index/tree.raw", patch);
+        forge(&mut forged, "engine-shard0/pair0/tree.raw", |raw| {
+            let kids = children_of(raw);
+            let victim = kids.iter().find(|c| c.inner).unwrap();
+            set_child(raw, victim, true, victim.node as u32);
+        });
+        assert_ne!(forged, honest);
+
+        let loaded = Snapshot::from_bytes(&forged).expect("load never reads node records");
+        let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&forged)).unwrap();
+        mapped.verify_all().unwrap();
+        for mut snap in [loaded, mapped.snapshot] {
+            // Queries never read the tree while the blocks are current.
+            assert_eq!(topk_answer(&snap), topk_answer(&reference), "{needle}");
+            assert_eq!(engine_answer(&snap), engine_answer(&reference), "{needle}");
+            // Engine writes go to the delta and the tombstones, not the tree.
+            let e = snap.engine.as_mut().unwrap();
+            e.insert(&[0.1, 0.2, 0.3]).unwrap();
+            assert!(e.delete(PointId::new(5)).unwrap());
+            // The first point-level mutation decodes the records — and
+            // refuses them, leaving the index as it was.
+            let t = snap.topk.as_mut().unwrap();
+            match t.insert(2.5, 2.5) {
+                Err(SdError::SnapshotCorrupt { detail }) => {
+                    assert!(detail.contains(needle), "wrong detail: {detail}")
+                }
+                other => panic!("{needle}: forged tree accepted: {other:?}"),
+            }
+            assert!(!t.delete(PointId::new(0)), "{needle}: delete went through");
+            assert_eq!(topk_answer(&snap), topk_answer(&reference), "{needle}");
+        }
+    }
+
+    // The honest tree passes the same walk on both opens.
+    for mut snap in [
+        Snapshot::from_bytes(&honest).unwrap(),
+        Snapshot::from_mapped(MappedBytes::copy_from(&honest))
+            .unwrap()
+            .snapshot,
+    ] {
+        snap.topk.as_mut().unwrap().insert(2.5, 2.5).unwrap();
+    }
+}
+
+// ── (e) the aligned read ────────────────────────────────────────────────
+
+#[test]
+fn aligned_file_read_handles_every_length() {
+    let dir = temp_dir("aligned");
+    let path = dir.join("blob");
+    for len in [0usize, 1, 63, 64, 65, 4096, 4097] {
+        let content: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        std::fs::write(&path, &content).unwrap();
+        for buffer in [
+            MappedBytes::read_file(&path).unwrap(),
+            MappedBytes::map_file(&path).unwrap(),
+            MappedBytes::copy_from(&content),
+        ] {
+            assert_eq!(&buffer[..], &content[..], "len {len}");
+            assert_eq!(buffer.as_ptr() as usize % 64, 0, "len {len}");
+        }
+        assert!(!MappedBytes::read_file(&path).unwrap().is_mapped());
+        // Not a snapshot: a typed refusal, never a panic.
+        let err = Snapshot::load(&path).unwrap_err();
+        assert!(is_typed(&err), "len {len}: {err:?}");
+    }
+    let err = Snapshot::load(dir.join("missing")).unwrap_err();
+    assert!(matches!(err, SdError::SnapshotIo(_)), "{err:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_store_that_cannot_deliver_the_file_is_an_io_error() {
+    /// A store whose snapshot read comes up short, as a file truncated
+    /// between the length query and the read does.
+    #[derive(Debug)]
+    struct Shrinking(MemStorage);
+    impl Storage for Shrinking {
+        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+            self.0.read(name)
+        }
+        fn read_aligned(&self, _: &str) -> std::io::Result<MappedBytes> {
+            sdq_core::view::AlignedBytes::read_from(&[1u8, 2, 3][..], 100)
+                .map(|_| unreachable!("a short source cannot fill the buffer"))
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.0.exists(name)
+        }
+        fn file_len(&self, name: &str) -> std::io::Result<u64> {
+            self.0.file_len(name)
+        }
+        fn write_file(&mut self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.write_file(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.append(name, bytes)
+        }
+        fn set_len(&mut self, name: &str, len: u64) -> std::io::Result<()> {
+            self.0.set_len(name, len)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> std::io::Result<()> {
+            self.0.rename(from, to)
+        }
+        fn remove(&mut self, name: &str) -> std::io::Result<()> {
+            self.0.remove(name)
+        }
+        fn sync_file(&mut self, name: &str) -> std::io::Result<()> {
+            self.0.sync_file(name)
+        }
+        fn sync_dir(&mut self) -> std::io::Result<()> {
+            self.0.sync_dir()
+        }
+    }
+    let d = DurableEngine::create(
+        MemStorage::new(),
+        "s.sdq",
+        engine(),
+        DurableOptions::default(),
+    )
+    .unwrap();
+    let err = DurableEngine::open(
+        Shrinking(d.into_storage()),
+        "s.sdq",
+        DurableOptions::default(),
+    )
+    .unwrap_err();
+    match err {
+        SdError::SnapshotIo(detail) => assert!(detail.contains("expected 100 bytes"), "{detail}"),
+        other => panic!("short read not an I/O error: {other:?}"),
+    }
+}

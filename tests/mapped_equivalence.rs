@@ -1,10 +1,12 @@
 //! Zero-copy equivalence: a snapshot opened with [`Snapshot::open_mapped`]
-//! (format v5, queries served straight off the borrowed file bytes) must be
-//! indistinguishable from the same file decoded eagerly with
-//! [`Snapshot::load`] — every query answered bit-identically, every region
-//! checksum verifiable, and any interleaving of inserts / deletes /
-//! compactions applied to both replicas keeping them in lock-step, down to
-//! the bytes each one re-serialises.
+//! (queries served straight off the mapped file, checksums on first touch)
+//! and the same file read and verified up front by [`Snapshot::load`] (the
+//! same in-place decode over one owned buffer) must both be
+//! indistinguishable from the engine that was built in memory and never
+//! serialised — every query answered bit-identically, every region checksum
+//! verifiable, and any interleaving of inserts / deletes / compactions
+//! applied to all three replicas keeping them in lock-step, down to the
+//! bytes each one re-serialises.
 //!
 //! Tie-heavy coordinate generators make duplicate rows and exact score ties
 //! the norm, so "bit-identical" here exercises tie resolution at the k-th
@@ -53,11 +55,11 @@ fn query() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Append a row to both replicas' delta regions.
+    /// Append a row to every replica's delta region.
     Insert(Vec<f64>),
-    /// Tombstone the (selector % live-ids)-th id on both replicas.
+    /// Tombstone the (selector % live-ids)-th id on every replica.
     Delete(usize),
-    /// Fold deltas back and renumber densely — on both replicas, since
+    /// Fold deltas back and renumber densely — on every replica, since
     /// compaction renumbers ids.
     Compact,
 }
@@ -86,9 +88,9 @@ fn op() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // `open_mapped` and the eager owned decode answer every query — over
-    // every mutation interleaving — with bit-identical results, and both
-    // replicas re-serialise to byte-identical v5 containers.
+    // The built engine, `open_mapped` and `load` answer every query — over
+    // every mutation interleaving — with bit-identical results, and all
+    // three replicas re-serialise to byte-identical v5 containers.
     #[test]
     fn mapped_and_owned_replicas_stay_bit_identical(
         rows in vec(row(), 1..40),
@@ -113,30 +115,37 @@ proptest! {
         )
         .unwrap();
 
-        let mut snap = Snapshot::new();
-        snap.roles = Some(ROLES.to_vec());
-        snap.engine = Some(engine);
+        let mut built_snap = Snapshot::new();
+        built_snap.roles = Some(ROLES.to_vec());
+        built_snap.engine = Some(engine);
         let path = case_path();
-        snap.save_v5(&path).unwrap();
+        built_snap.save_v5(&path).unwrap();
 
-        // Two replicas of the same file: borrowed bytes vs eager decode.
+        // Two replicas of the same file beside the one that was never
+        // written: borrowed file pages with lazy checksums, and one owned
+        // buffer verified before `load` returned.
         let mapped = Snapshot::open_mapped(&path).unwrap();
         prop_assert!(mapped.is_mapped());
         let mut mapped_snap = mapped.snapshot;
+        prop_assert!(mapped_snap.engine.as_ref().unwrap().is_mapped());
         let mut owned_snap = Snapshot::load(&path).unwrap();
+        prop_assert!(!owned_snap.engine.as_ref().unwrap().is_mapped());
 
         let mut live: Vec<u32> = (0..rows.len() as u32).collect();
         let mut next_id = rows.len() as u32;
 
-        // Interleave mutations with full query sweeps on both replicas.
+        // Interleave mutations with full query sweeps on every replica.
         for op in &ops {
             {
+                let b = built_snap.engine.as_mut().unwrap();
                 let m = mapped_snap.engine.as_mut().unwrap();
                 let o = owned_snap.engine.as_mut().unwrap();
                 match op {
                     Op::Insert(r) => {
+                        let id_b = b.insert(r).unwrap();
                         let id_m = m.insert(r).unwrap();
                         let id_o = o.insert(r).unwrap();
+                        prop_assert_eq!(id_b, id_m);
                         prop_assert_eq!(id_m, id_o);
                         live.push(next_id);
                         next_id += 1;
@@ -146,14 +155,17 @@ proptest! {
                             continue;
                         }
                         let id = live.remove(sel % live.len());
+                        let hit_b = b.delete(PointId::new(id)).unwrap();
                         let hit_m = m.delete(PointId::new(id)).unwrap();
                         let hit_o = o.delete(PointId::new(id)).unwrap();
+                        prop_assert_eq!(hit_b, hit_m);
                         prop_assert_eq!(hit_m, hit_o);
                     }
                     Op::Compact => {
+                        b.compact().unwrap();
                         m.compact().unwrap();
                         o.compact().unwrap();
-                        // Compaction renumbers ids densely on both sides.
+                        // Compaction renumbers ids densely on every side.
                         live = (0..live.len() as u32).collect();
                         next_id = live.len() as u32;
                     }
@@ -161,9 +173,11 @@ proptest! {
             }
             for q in &queries {
                 for &k in &ks {
+                    let want = built_snap.engine.as_ref().unwrap().query(q, k).unwrap();
                     let a = mapped_snap.engine.as_ref().unwrap().query(q, k).unwrap();
                     let b = owned_snap.engine.as_ref().unwrap().query(q, k).unwrap();
-                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(&a, &want);
+                    prop_assert_eq!(&b, &want);
                 }
             }
         }
@@ -172,19 +186,22 @@ proptest! {
         // (the loop above only runs after a mutation).
         for q in &queries {
             for &k in &ks {
+                let want = built_snap.engine.as_ref().unwrap().query(q, k).unwrap();
                 let a = mapped_snap.engine.as_ref().unwrap().query(q, k).unwrap();
                 let b = owned_snap.engine.as_ref().unwrap().query(q, k).unwrap();
-                prop_assert_eq!(a, b);
+                prop_assert_eq!(&a, &want);
+                prop_assert_eq!(&b, &want);
             }
         }
 
-        // Every lazily-deferred region checksum still verifies, and both
-        // replicas re-serialise to the byte-identical v5 container.
+        // Every lazily-deferred region checksum still verifies, and all
+        // three replicas re-serialise to the byte-identical v5 container
+        // (a still-deferred node tree verbatim).
         mapped_snap.verify_integrity().unwrap();
-        prop_assert_eq!(
-            mapped_snap.to_bytes_v5().unwrap(),
-            owned_snap.to_bytes_v5().unwrap()
-        );
+        let want = built_snap.to_bytes_v5().unwrap();
+        prop_assert_eq!(&mapped_snap.to_bytes_v5().unwrap(), &want);
+        prop_assert_eq!(&owned_snap.to_bytes_v5().unwrap(), &want);
+        prop_assert!(!owned_snap.engine.as_ref().unwrap().is_mapped());
 
         std::fs::remove_file(&path).ok();
     }
