@@ -181,6 +181,50 @@ mod tests {
         assert_eq!(r[0].score, 100.0);
     }
 
+    /// The baseline is the paper's adapted TA, not the shipped engine: on
+    /// data where `SdIndex` gives up fetching and finishes with a kernel
+    /// scan (see `sdq_core::multidim::plan::scan_budget`), `TaIndex` keeps
+    /// fetching — row for row what it fetched before that exit existed.
+    #[test]
+    fn ta_never_takes_the_scan_exit() {
+        use sdq_core::multidim::SdIndex;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7A);
+        let (n, dims, k) = (2_000, 6, 64);
+        // Anti-correlated: every row's coordinates sum to ≈ 1.
+        let mut coords = Vec::with_capacity(n * dims);
+        for _ in 0..n {
+            let raw: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.01..1.0)).collect();
+            let sum: f64 = raw.iter().sum();
+            coords.extend(raw.iter().map(|v| v / sum));
+        }
+        let data = Dataset::from_flat(dims, coords).unwrap();
+        let roles: Vec<DimRole> = (0..dims)
+            .map(|d| {
+                if d < 4 {
+                    DimRole::Attractive
+                } else {
+                    DimRole::Repulsive
+                }
+            })
+            .collect();
+        let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
+        let want = SeqScan::new(data.clone(), &roles)
+            .unwrap()
+            .query(&q, k)
+            .unwrap();
+        let mut scratch = QueryScratch::new();
+
+        let ta = TaIndex::build(data.clone(), &roles).unwrap();
+        assert_eq!(ta.query_with(&q, k, &mut scratch).unwrap(), &want[..]);
+        assert_eq!(scratch.profile.scan_fallbacks, 0);
+        assert_eq!(scratch.profile.scan_rows, 0);
+        // What the commit before the scan exit fetched for this seed.
+        assert_eq!(scratch.profile.rows_fetched, 3186);
+
+        let sd = SdIndex::build(data, &roles).unwrap();
+        assert_eq!(sd.query_with(&q, k, &mut scratch).unwrap(), &want[..]);
+        assert!(scratch.profile.scan_fallbacks >= 1);
+    }
     #[test]
     fn validation() {
         let data = Dataset::from_flat(2, vec![0.0, 0.0]).unwrap();

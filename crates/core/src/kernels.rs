@@ -76,10 +76,11 @@ unsafe impl crate::view::Pod for LaneBlock {}
 /// The instruction-set level the kernels dispatch to.
 ///
 /// Dispatch is per kernel: the score accumulators have AVX2 and SSE2 arms;
-/// [`rotate_block`] and [`survivors`] have AVX2 arms and otherwise run the
-/// chunked-scalar loops (which the compiler autovectorizes at the x86-64
-/// SSE2 baseline). Every arm is bit-identical, so the level reported in
-/// `BENCH_queries.json` is a performance label, never a results label.
+/// [`rotate_block`], [`survivors`] and [`lane_filter`] have AVX2 arms and
+/// otherwise run the chunked-scalar loops (which the compiler
+/// autovectorizes at the x86-64 SSE2 baseline). Every arm is bit-identical,
+/// so the level reported in `BENCH_queries.json` is a performance label,
+/// never a results label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
     /// Portable chunked-scalar loops (also the `SDQ_FORCE_SCALAR` path).
@@ -348,6 +349,104 @@ unsafe fn ge_mask_avx2(scores: &[f64], floor: f64) -> u32 {
     m
 }
 
+// ─── floor lane filter ──────────────────────────────────────────────────────
+
+/// Relative slack added to thresholds so floating-point rounding between
+/// the rotated-key bounds and direct scoring can never cause a premature
+/// emission or a wrong prune.
+const EPS_REL: f64 = 1e-12;
+
+/// `threshold` widened by the relative slack every bound compare in the
+/// workspace applies: `t + EPS_REL·(1 + |t|)`. The one definition — the
+/// certified loops of `topk` and `multidim` call it per compare, and it is
+/// the scalar arm of [`lane_filter`] lane for lane.
+#[inline]
+pub fn inflate(threshold: f64) -> f64 {
+    threshold + EPS_REL * (1.0 + threshold.abs())
+}
+
+/// Batched per-lane floor filter of the §5 aggregation: returns the bitmask
+/// of lanes that are alive in `live` **and** satisfy
+/// `floor <= inflate(scores[l] + others)` — the lanes of a popped block
+/// whose pair subscore, plus everything the *other* streams can still
+/// contribute, may yet reach the k-th-score floor. A lane outside the mask
+/// can hold no top-k row and is dropped before it is gathered or scored.
+/// Lanes `≥ scores.len()` are reported dead.
+///
+/// Every arm evaluates [`inflate`] with the same IEEE operations in the
+/// same order (add, sign-mask abs, add 1, mul `EPS_REL`, add; never FMA)
+/// and an ordered `<=`, so a NaN sum is dropped on every arm and the mask
+/// is bit-identical across ISAs.
+#[inline]
+pub fn lane_filter(scores: &[f64], live: u32, others: f64, floor: f64) -> u32 {
+    debug_assert!(scores.len() <= 32);
+    let mask = match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` reports `Avx2` only after runtime detection of
+        // the feature; the arm reads `scores` strictly inside its bounds
+        // (four lanes at a time while `i + 4 <= len`).
+        Isa::Avx2 => unsafe { lane_filter_avx2(scores, others, floor) },
+        _ => lane_filter_scalar(scores, others, floor),
+    };
+    mask & live
+}
+
+fn lane_filter_scalar(scores: &[f64], others: f64, floor: f64) -> u32 {
+    let mut m = 0u32;
+    for (l, &s) in scores.iter().enumerate() {
+        m |= u32::from(floor <= inflate(s + others)) << l;
+    }
+    m
+}
+
+/// # Safety
+///
+/// The host must support AVX2 (callers dispatch on [`active`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_filter_avx2(scores: &[f64], others: f64, floor: f64) -> u32 {
+    use std::arch::x86_64::*;
+    let ov = _mm256_set1_pd(others);
+    let fv = _mm256_set1_pd(floor);
+    let one = _mm256_set1_pd(1.0);
+    let eps = _mm256_set1_pd(EPS_REL);
+    let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
+    let n = scores.len();
+    let mut m = 0u32;
+    let mut i = 0;
+    while i + 4 <= n {
+        let t = _mm256_add_pd(_mm256_loadu_pd(scores.as_ptr().add(i)), ov);
+        // inflate(t), operation for operation (mul then add, no FMA).
+        let slack = _mm256_mul_pd(eps, _mm256_add_pd(one, _mm256_and_pd(t, abs_mask)));
+        let le = _mm256_cmp_pd::<_CMP_LE_OQ>(fv, _mm256_add_pd(t, slack));
+        m |= (_mm256_movemask_pd(le) as u32) << i;
+        i += 4;
+    }
+    if i < n {
+        m |= lane_filter_scalar(&scores[i..], others, floor) << i;
+    }
+    m
+}
+
+// ─── prefetch ───────────────────────────────────────────────────────────────
+
+/// Hints the cache hierarchy to load the line holding `*p` (all levels).
+/// Purely a performance hint: it reads nothing architecturally, so any
+/// pointer value is acceptable — callers index with
+/// `as_ptr().wrapping_add(i)` and need no bounds proof. A no-op off x86-64.
+#[inline(always)]
+pub(crate) fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHh never faults and has no architectural effect — an
+    // unmapped, unaligned or dangling address is simply ignored — and SSE
+    // is part of the x86-64 baseline, so the instruction always exists.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 // ─── envelope bounds ────────────────────────────────────────────────────────
 
 /// Admissible upper bound on the SD-score of every point inside a per-block
@@ -494,6 +593,29 @@ mod tests {
             // Short block: tail lanes report dead.
             assert_eq!(survivors(&scores[..5], u32::MAX, -1.0), 0b1_1111);
         });
+    }
+
+    #[test]
+    fn lane_filter_is_the_per_lane_inflate_compare() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        for _ in 0..200 {
+            let scores: Vec<f64> = (0..LANES).map(|_| rng.gen_range(-5.0..5.0)).collect();
+            let others = rng.gen_range(-3.0..3.0);
+            // A floor landing exactly on one lane's inflated sum: kept.
+            let floor = inflate(scores[rng.gen_range(0..LANES)] + others);
+            let live: u32 = rng.gen();
+            let mut want = 0u32;
+            for (l, &s) in scores.iter().enumerate() {
+                want |= u32::from(floor <= inflate(s + others)) << l;
+            }
+            with_each_isa(|| {
+                assert_eq!(lane_filter(&scores, live, others, floor), want & live);
+                assert_eq!(
+                    lane_filter(&scores[..7], u32::MAX, others, floor),
+                    want & 0x7f
+                );
+            });
+        }
     }
 
     #[test]

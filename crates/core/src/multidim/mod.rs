@@ -24,7 +24,10 @@
 //! model in [`plan`] (tree frontier at an indexed angle, Claim 6 bracketed
 //! frontier, or plain 1-D sorted-column streams), and single-pair queries
 //! bypass the aggregation altogether — one certified frontier search over
-//! the pair's tree. Every strategy is exact and the emission order is
+//! the pair's tree. An aggregation that has fetched more than
+//! [`plan::scan_budget`] rows without certifying stops consulting its
+//! streams and finishes with one sequential kernel scan of the rows it has
+//! not seen. Every strategy is exact and the emission order is
 //! **canonical** (score descending, ties by row ascending), so planning can
 //! never change an answer, only its cost; this is also what makes sharded
 //! execution (the `sdq-engine` crate) bit-identical to the monolithic path.
@@ -49,14 +52,14 @@ pub use stream1d::{AttractiveStream, RepulsiveStream, SortedColumn};
 use crate::deadline::Deadline;
 use crate::geometry::Angle;
 use crate::integrity::SectionIntegrity;
-use crate::kernels::{self, LANES};
+use crate::kernels::{self, inflate, LANES};
 use crate::mask::MaskView;
 use crate::profile::QueryProfile;
 use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
 use crate::threshold::{track_floor, SharedThreshold};
 use crate::topk::blocks::{BlockFrontier, BlockSet};
-use crate::topk::stream::{inflate, FastSet, PairFrontier};
+use crate::topk::stream::{FastSet, PairFrontier};
 use crate::topk::{arbitrary, default_angles, TopKIndex};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
@@ -490,6 +493,7 @@ impl SdIndex {
             direct,
             pairs,
             unpaired_streams,
+            scan_budget: plan::scan_budget(n),
         })
     }
 
@@ -634,7 +638,7 @@ impl SdIndex {
 
         let streams = self.assemble_streams(query, k, scratch)?;
 
-        threshold_aggregate_masked(
+        aggregate_and_recycle(
             &self.data,
             &self.roles,
             query,
@@ -643,6 +647,7 @@ impl SdIndex {
             scratch,
             shared,
             mask,
+            plan::scan_budget(n),
         )
     }
 
@@ -656,6 +661,11 @@ impl SdIndex {
     /// the direct 2-D shortcut here — a suspended execution must expose
     /// stream state — but the answer is bit-identical either way (both
     /// paths are canonical).
+    ///
+    /// The execution carries this index's fetch budget
+    /// ([`plan::scan_budget`]): the [`ShardExecution::step`] that finds it
+    /// spent runs a kernel scan of the unseen rows to completion instead of
+    /// another round, so one step can cost a pass over the shard.
     pub fn begin_query<'i>(
         &'i self,
         query: &'i SdQuery,
@@ -724,6 +734,7 @@ impl SdIndex {
             fbuf: std::mem::take(&mut scratch.fbuf),
             profile: scratch.profile,
             deadline: scratch.deadline.clone(),
+            scan_budget: plan::scan_budget(n),
             done: n == 0,
         })
     }
@@ -933,6 +944,7 @@ fn aggregate_into(
     scratch: &mut QueryScratch,
     shared: Option<&SharedThreshold>,
     mask: Option<MaskView<'_>>,
+    scan_budget: usize,
 ) -> Result<(), SdError> {
     let QueryScratch {
         pool,
@@ -978,6 +990,7 @@ fn aggregate_into(
         floor,
         shared,
         usize::MAX,
+        scan_budget,
         &mut |_| {},
         rows,
         gather,
@@ -999,10 +1012,12 @@ fn aggregate_into(
     Ok(())
 }
 
-/// Scores one round's fetched rows — deduplicated, tombstone-masked, then
-/// batched through the SoA scoring kernels in [`LANES`]-wide gathers —
-/// feeding the k-th-score floor, the caller's `on_score` observer and the
-/// candidate pool.
+/// The scoring stage behind every row the aggregation looks at, whichever
+/// way the row arrived — a round's fetched batch ([`score_rows_batched`])
+/// or the scan exit ([`scan_unseen`]): tombstone-masked, gathered into
+/// [`LANES`]-wide SoA lanes, scored on the full query by the batch kernels,
+/// then fed to the k-th-score floor, the caller's `on_score` observer and
+/// the candidate pool.
 ///
 /// Once the floor holds `k_eff` real scores, lanes strictly below its root
 /// are dropped by the batched survivor compare before touching any heap:
@@ -1010,98 +1025,190 @@ fn aggregate_into(
 /// canonical tie resolution), and a score below the local floor is also
 /// below every merged floor downstream of `on_score`, so skipping the
 /// observer too loses nothing.
-#[allow(clippy::too_many_arguments)] // internal: one call site
-fn score_rows_batched<F: FnMut(f64)>(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    batch: &[u32],
-    mask: Option<MaskView<'_>>,
+struct BatchScorer<'a, F: FnMut(f64)> {
+    data: &'a Dataset,
+    roles: &'a [DimRole],
+    query: &'a SdQuery,
+    mask: Option<MaskView<'a>>,
     k_eff: usize,
     publish: bool,
-    pool: &mut BinaryHeap<(OrdF64, Reverse<u32>)>,
-    seen: &mut StampSet,
-    floor: &mut BinaryHeap<Reverse<OrdF64>>,
-    on_score: &mut F,
-    gather: &mut Vec<f64>,
-    scores: &mut Vec<f64>,
-    prof: &mut QueryProfile,
-) {
-    let dims = data.dims();
-    let flat = data.flat();
-    prof.isa = kernels::active().name();
-    // Fixed-size after the first call: no steady-state allocation.
-    gather.resize(dims * LANES, 0.0);
-    scores.resize(LANES, 0.0);
-    let mut lane_rows = [0u32; LANES];
-    let mut cnt = 0usize;
-    let flush = |cnt: usize,
-                 lane_rows: &[u32; LANES],
-                 gather: &mut Vec<f64>,
-                 scores: &mut Vec<f64>,
-                 floor: &mut BinaryHeap<Reverse<OrdF64>>,
-                 pool: &mut BinaryHeap<(OrdF64, Reverse<u32>)>,
-                 on_score: &mut F,
-                 prof: &mut QueryProfile| {
-        prof.kernel_batches += 1;
-        kernels::score_zero(scores);
-        for d in 0..dims {
-            let sw = roles[d].sign() * query.weights[d];
+    pool: &'a mut BinaryHeap<(OrdF64, Reverse<u32>)>,
+    floor: &'a mut BinaryHeap<Reverse<OrdF64>>,
+    on_score: &'a mut F,
+    gather: &'a mut Vec<f64>,
+    scores: &'a mut Vec<f64>,
+    prof: &'a mut QueryProfile,
+    lane_rows: [u32; LANES],
+    cnt: usize,
+}
+
+impl<F: FnMut(f64)> BatchScorer<'_, F> {
+    /// Takes one distinct (not yet seen) row: drops it if tombstoned,
+    /// otherwise gathers it into the next free lane, scoring the batch
+    /// when it fills.
+    #[inline]
+    fn offer(&mut self, row: u32) {
+        // Tombstoned rows are dropped here, before pool and floor: a dead
+        // row's score in the floor could prune live rows.
+        if self.mask.is_some_and(|m| m.is_dead(row)) {
+            self.prof.tombstones_skipped += 1;
+            return;
+        }
+        self.prof.points_gathered += 1;
+        let dims = self.data.dims();
+        let base = row as usize * dims;
+        let coords = &self.data.flat()[base..base + dims];
+        for (d, &c) in coords.iter().enumerate() {
+            self.gather[d * LANES + self.cnt] = c;
+        }
+        self.lane_rows[self.cnt] = row;
+        self.cnt += 1;
+        if self.cnt == LANES {
+            self.flush();
+        }
+    }
+
+    /// Scores the gathered lanes (a no-op when none are pending).
+    fn flush(&mut self) {
+        let cnt = std::mem::take(&mut self.cnt);
+        if cnt > 0 {
+            // Stale lanes beyond `cnt` hold the previous gather's (finite)
+            // coordinates; the live mask drops them.
+            self.score_lanes(u32::MAX >> (LANES - cnt));
+        }
+    }
+
+    /// Gathers the consecutive rows `start..start + count` (`count ≤ LANES`)
+    /// into lanes `0..count` — a straight transpose of the row-major
+    /// table, no per-row decision.
+    fn gather_run(&mut self, start: usize, count: usize) {
+        debug_assert_eq!(self.cnt, 0, "lanes of an open batch would be overwritten");
+        let dims = self.data.dims();
+        let run = &self.data.flat()[start * dims..(start + count) * dims];
+        for (d, col) in self.gather.chunks_exact_mut(LANES).enumerate() {
+            for (lane, row) in col.iter_mut().zip(run.chunks_exact(dims)) {
+                *lane = row[d];
+            }
+        }
+        for (l, slot) in self.lane_rows[..count].iter_mut().enumerate() {
+            *slot = (start + l) as u32;
+        }
+    }
+
+    /// Kernel-scores the gathered lanes named by `live` on the full query,
+    /// then takes every survivor of the floor compare through the one
+    /// per-row step: floor, observer, pool.
+    fn score_lanes(&mut self, live: u32) {
+        self.prof.kernel_batches += 1;
+        self.prof.isa = kernels::active().name();
+        kernels::score_zero(self.scores);
+        for d in 0..self.data.dims() {
+            let sw = self.roles[d].sign() * self.query.weights[d];
             kernels::score_add_dim(
-                &mut scores[..],
-                &gather[d * LANES..(d + 1) * LANES],
-                query.point[d],
+                &mut self.scores[..],
+                &self.gather[d * LANES..(d + 1) * LANES],
+                self.query.point[d],
                 sw,
             );
         }
-        // Stale lanes beyond `cnt` hold the previous gather's (finite)
-        // coordinates; the live mask drops them.
-        let live = if cnt == LANES {
-            u32::MAX
-        } else {
-            (1u32 << cnt) - 1
-        };
-        let fl = if publish && floor.len() == k_eff {
-            floor.peek().expect("floor is non-empty").0 .0
+        let fl = if self.publish && self.floor.len() == self.k_eff {
+            self.floor.peek().expect("floor is non-empty").0 .0
         } else {
             f64::NEG_INFINITY
         };
-        let mut surv = kernels::survivors(scores, live, fl);
+        let mut surv = kernels::survivors(self.scores, live, fl);
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
-            let score = scores[l];
-            prof.points_scored += 1;
-            prof.floor_updates += u64::from(track_floor(floor, k_eff, score));
-            on_score(score);
-            pool.push((OrdF64::new(score), Reverse(lane_rows[l])));
-        }
-    };
-    for &row in batch {
-        if !seen.insert(row) {
-            prof.seen_hits += 1;
-            continue;
-        }
-        // Tombstoned rows are dropped here, before pool and floor: a dead
-        // row's score in the floor could prune live rows.
-        if mask.is_some_and(|m| m.is_dead(row)) {
-            prof.tombstones_skipped += 1;
-            continue;
-        }
-        prof.points_gathered += 1;
-        let base = row as usize * dims;
-        for d in 0..dims {
-            gather[d * LANES + cnt] = flat[base + d];
-        }
-        lane_rows[cnt] = row;
-        cnt += 1;
-        if cnt == LANES {
-            flush(cnt, &lane_rows, gather, scores, floor, pool, on_score, prof);
-            cnt = 0;
+            let score = self.scores[l];
+            self.prof.points_scored += 1;
+            self.prof.floor_updates += u64::from(track_floor(self.floor, self.k_eff, score));
+            (self.on_score)(score);
+            self.pool
+                .push((OrdF64::new(score), Reverse(self.lane_rows[l])));
         }
     }
-    if cnt > 0 {
-        flush(cnt, &lane_rows, gather, scores, floor, pool, on_score, prof);
+}
+
+/// Scores one round's fetched rows: duplicates die on the seen-set, the
+/// rest go through the [`BatchScorer`].
+fn score_rows_batched<F: FnMut(f64)>(
+    scorer: &mut BatchScorer<'_, F>,
+    seen: &mut StampSet,
+    batch: &[u32],
+) {
+    for &row in batch {
+        if seen.insert(row) {
+            scorer.offer(row);
+        } else {
+            scorer.prof.seen_hits += 1;
+        }
+    }
+    scorer.flush();
+}
+
+/// The cost-bounded exit of the aggregation (see [`plan::scan_budget`]):
+/// scores every row the streams have not surfaced yet, in row order,
+/// [`LANES`] consecutive rows at a time straight off the row-major
+/// coordinate table. A chunk is transposed whole; which of its lanes count
+/// is a bitmask — not yet seen, not tombstoned — handed to the same
+/// [`BatchScorer::score_lanes`] the fetched batches end in, so a row that
+/// was already scored (or is dead) costs a wasted lane, never a second
+/// visit to floor, observer or pool. Afterwards every live row of the
+/// dataset has been scored, so the pool holds whatever of the top `k_eff`
+/// is not emitted yet.
+///
+/// The seen-set is only read: the pass meets every row once and ends the
+/// execution. The deadline is consulted once per chunk; an abort leaves the
+/// partial state behind exactly like an abort between rounds.
+fn scan_unseen<F: FnMut(f64)>(
+    scorer: &mut BatchScorer<'_, F>,
+    seen: &StampSet,
+    deadline: &Deadline,
+) -> Result<(), SdError> {
+    scorer.prof.scan_fallbacks += 1;
+    let n = scorer.data.len();
+    let (mut scanned, mut dead_rows) = (0u32, 0u32);
+    for start in (0..n).step_by(LANES) {
+        deadline.check()?;
+        let count = LANES.min(n - start);
+        let mut live = 0u32;
+        for l in 0..count {
+            live |= u32::from(!seen.contains((start + l) as u32)) << l;
+        }
+        scanned += live.count_ones();
+        if let Some(m) = scorer.mask {
+            // Tombstoned rows stop here, before pool and floor.
+            let dead = live & m.dead_word32(start as u32);
+            dead_rows += dead.count_ones();
+            live &= !dead;
+        }
+        if live != 0 {
+            scorer.gather_run(start, count);
+            scorer.score_lanes(live);
+        }
+    }
+    let scanned = u64::from(scanned);
+    scorer.prof.scan_rows += scanned;
+    scorer.prof.rows_fetched += scanned;
+    scorer.prof.tombstones_skipped += u64::from(dead_rows);
+    scorer.prof.points_gathered += scanned - u64::from(dead_rows);
+    Ok(())
+}
+
+/// Moves pooled candidates, best first, into `answers` until it holds
+/// `k_eff` rows or the pool runs dry — the exit taken whenever everything
+/// outside the pool is known to be irrelevant.
+fn emit_pooled(
+    pool: &mut BinaryHeap<(OrdF64, Reverse<u32>)>,
+    answers: &mut Vec<ScoredPoint>,
+    k_eff: usize,
+) {
+    while answers.len() < k_eff {
+        match pool.pop() {
+            Some((OrdF64(s), Reverse(row))) => answers.push(ScoredPoint::new(PointId::new(row), s)),
+            None => break,
+        }
     }
 }
 
@@ -1119,14 +1226,22 @@ fn score_rows_batched<F: FnMut(f64)>(
 /// streams' bounds), so whole blocks certifiably outside the top-k are
 /// rejected before any of their points is scored.
 ///
+/// `scan_budget` bounds what the loop may spend on fetching: an iteration
+/// that finds the query neither certified nor floor-terminated after more
+/// than `scan_budget` rows have been fetched stops consulting the streams
+/// and finishes with [`scan_unseen`] — one sequential kernel pass over the
+/// rows not seen yet — inside this call, whatever `rounds` says (see
+/// [`plan::scan_budget`] for the exchange rate behind the constant).
+/// `usize::MAX` never scans: the paper's pure threshold aggregation.
+///
 /// `on_score` observes the exact full score of every newly fetched
 /// distinct row that could still matter to a top-k — the engine feeds
 /// these into its merged cross-shard k-th-score tracker.
 ///
 /// `deadline` is consulted once per iteration — block-pop granularity,
-/// one inlined branch when unset — and aborts the aggregation with the
-/// typed deadline/cancel error; the answer buffer keeps the certified
-/// partial prefix emitted so far.
+/// one inlined branch when unset — and once per [`LANES`] scanned rows, and
+/// aborts the aggregation with the typed deadline/cancel error; the answer
+/// buffer keeps the certified partial prefix emitted so far.
 #[allow(clippy::too_many_arguments)] // internal: one call site per mode
 fn aggregate_rounds<F: FnMut(f64)>(
     data: &Dataset,
@@ -1142,6 +1257,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
     floor: &mut BinaryHeap<Reverse<OrdF64>>,
     shared: Option<&SharedThreshold>,
     mut rounds: usize,
+    scan_budget: usize,
     on_score: &mut F,
     batch: &mut Vec<u32>,
     gather: &mut Vec<f64>,
@@ -1150,9 +1266,28 @@ fn aggregate_rounds<F: FnMut(f64)>(
     prof: &mut QueryProfile,
     deadline: &Deadline,
 ) -> Result<bool, SdError> {
+    // Fixed-size after the first call: no steady-state allocation.
+    gather.resize(data.dims() * LANES, 0.0);
+    scores.resize(LANES, 0.0);
+    let mut scorer = BatchScorer {
+        data,
+        roles,
+        query,
+        mask,
+        k_eff,
+        publish,
+        pool,
+        floor,
+        on_score,
+        gather,
+        scores,
+        prof,
+        lane_rows: [0; LANES],
+        cnt: 0,
+    };
     while rounds > 0 {
         rounds -= 1;
-        prof.rounds += 1;
+        scorer.prof.rounds += 1;
         deadline.check()?;
 
         // Threshold over rows unseen by *every* stream; per-stream bounds
@@ -1176,9 +1311,9 @@ fn aggregate_rounds<F: FnMut(f64)>(
         // Emit certified candidates (strictly above the bound; once any
         // stream drained, every row has been fetched and pops are final).
         while answers.len() < k_eff {
-            match pool.peek() {
+            match scorer.pool.peek() {
                 Some(&(OrdF64(s), Reverse(row))) if any_drained || s > inflate(tau) => {
-                    pool.pop();
+                    scorer.pool.pop();
                     answers.push(ScoredPoint::new(PointId::new(row), s));
                 }
                 _ => break,
@@ -1187,7 +1322,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
         if answers.len() >= k_eff {
             return Ok(true);
         }
-        if any_drained && pool.is_empty() {
+        if any_drained && scorer.pool.is_empty() {
             return Ok(true);
         }
 
@@ -1196,8 +1331,8 @@ fn aggregate_rounds<F: FnMut(f64)>(
         // below them, the remaining answers are already pooled.
         let mut f = f64::NEG_INFINITY;
         if !any_drained {
-            if floor.len() == k_eff {
-                f = floor.peek().expect("floor is non-empty").0 .0;
+            if scorer.floor.len() == k_eff {
+                f = scorer.floor.peek().expect("floor is non-empty").0 .0;
                 if publish {
                     if let Some(h) = shared {
                         h.raise(f);
@@ -1208,16 +1343,23 @@ fn aggregate_rounds<F: FnMut(f64)>(
                 f = f.max(h.floor());
             }
             if f > inflate(tau) {
-                while answers.len() < k_eff {
-                    match pool.pop() {
-                        Some((OrdF64(s), Reverse(row))) => {
-                            answers.push(ScoredPoint::new(PointId::new(row), s))
-                        }
-                        None => break,
-                    }
-                }
+                emit_pooled(scorer.pool, answers, k_eff);
                 return Ok(true);
             }
+        }
+
+        // Fetch budget spent and the query still open: every further fetch
+        // is a random access worth many sequential rows, so finish with one
+        // pass over what is left instead.
+        if scorer.prof.rows_fetched > scan_budget as u64 {
+            scan_unseen(&mut scorer, seen, deadline)?;
+            if publish && scorer.floor.len() == k_eff {
+                if let Some(h) = shared {
+                    h.raise(scorer.floor.peek().expect("floor is non-empty").0 .0);
+                }
+            }
+            emit_pooled(scorer.pool, answers, k_eff);
+            return Ok(true);
         }
 
         // One emission unit per subproblem per iteration (§5's "top point
@@ -1239,23 +1381,13 @@ fn aggregate_rounds<F: FnMut(f64)>(
             } else {
                 None
             };
-            progressed |= s.next_unit(prune, batch, prof);
+            progressed |= s.next_unit(prune, batch, scorer.prof);
         }
-        prof.rows_fetched += batch.len() as u64;
-        score_rows_batched(
-            data, roles, query, batch, mask, k_eff, publish, pool, seen, floor, on_score, gather,
-            scores, prof,
-        );
+        scorer.prof.rows_fetched += batch.len() as u64;
+        score_rows_batched(&mut scorer, seen, batch);
         if !progressed {
             // Everything fetched; drain what remains.
-            while answers.len() < k_eff {
-                match pool.pop() {
-                    Some((OrdF64(s), Reverse(row))) => {
-                        answers.push(ScoredPoint::new(PointId::new(row), s))
-                    }
-                    None => break,
-                }
-            }
+            emit_pooled(scorer.pool, answers, k_eff);
             return Ok(true);
         }
     }
@@ -1291,6 +1423,8 @@ pub struct ShardExecution<'i> {
     fbuf: Vec<f64>,
     profile: QueryProfile,
     deadline: Deadline,
+    /// Rows this execution may fetch before it finishes by scanning.
+    scan_budget: usize,
     done: bool,
 }
 
@@ -1305,7 +1439,14 @@ impl<'i> ShardExecution<'i> {
     /// [`SdIndex::query_shared`]; `on_score` observes every newly scored
     /// row's exact score. Returns `Ok(true)` once complete; a deadline or
     /// cancellation carried in the originating scratch aborts with the
-    /// typed error (the execution keeps its certified partial answer).
+    /// typed error (the execution keeps its certified partial answer —
+    /// hand its buffers back with [`ShardExecution::abandon_into`]).
+    ///
+    /// A step is not bounded by `rounds` alone: the iteration that finds
+    /// the fetch budget ([`plan::scan_budget`]) spent runs the kernel scan
+    /// over every row not seen yet to completion — one sequential pass over
+    /// the shard, deadline-checked every [`LANES`] rows — and completes the
+    /// execution inside this call.
     pub fn step<F: FnMut(f64)>(
         &mut self,
         rounds: usize,
@@ -1327,6 +1468,7 @@ impl<'i> ShardExecution<'i> {
                 &mut self.floor,
                 shared,
                 rounds,
+                self.scan_budget,
                 &mut on_score,
                 &mut self.batch,
                 &mut self.gather,
@@ -1357,6 +1499,15 @@ impl<'i> ShardExecution<'i> {
         }
         self.profile.floor_value = self.floor.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0);
         self.profile.emitted = self.answers.len() as u64;
+        self.abandon_into(scratch);
+    }
+
+    /// Hands every buffer back to the scratch without finishing: the exit
+    /// for an execution whose [`ShardExecution::step`] returned an error
+    /// (deadline, cancellation), so the scratch it was started from serves
+    /// its next query without re-allocating anything. `scratch.answers`
+    /// holds the certified prefix emitted so far, unsorted.
+    pub fn abandon_into(mut self, scratch: &mut QueryScratch) {
         for s in self.streams.drain(..) {
             s.recycle(scratch);
         }
@@ -1384,7 +1535,17 @@ pub fn threshold_aggregate(
     streams: &mut [Subproblem<'_>],
 ) -> Result<Vec<ScoredPoint>, SdError> {
     let mut scratch = QueryScratch::new();
-    aggregate_into(data, roles, query, k, streams, &mut scratch, None, None)?;
+    aggregate_into(
+        data,
+        roles,
+        query,
+        k,
+        streams,
+        &mut scratch,
+        None,
+        None,
+        usize::MAX,
+    )?;
     Ok(std::mem::take(&mut scratch.answers))
 }
 
@@ -1429,8 +1590,39 @@ pub fn threshold_aggregate_shared<'a, 's>(
 /// candidate pool, the k-th-score floor, nor the emitted answer — the
 /// result is the canonical top-k of the live rows. See
 /// [`SdIndex::query_masked`].
+///
+/// Like the whole `threshold_aggregate*` family this is the paper's pure
+/// threshold aggregation: it never takes the scan exit [`SdIndex`] queries
+/// take (see [`plan::scan_budget`]), whatever the streams cost.
 #[allow(clippy::too_many_arguments)] // mirrors the unmasked entry point
 pub fn threshold_aggregate_masked<'a, 's>(
+    data: &Dataset,
+    roles: &[DimRole],
+    query: &SdQuery,
+    k: usize,
+    streams: Vec<Subproblem<'a>>,
+    scratch: &'s mut QueryScratch,
+    shared: Option<&SharedThreshold>,
+    mask: Option<MaskView<'_>>,
+) -> Result<&'s [ScoredPoint], SdError> {
+    aggregate_and_recycle(
+        data,
+        roles,
+        query,
+        k,
+        streams,
+        scratch,
+        shared,
+        mask,
+        usize::MAX,
+    )
+}
+
+/// Runs the aggregation to completion under `scan_budget`, then hands the
+/// stream buffers back to the scratch — also on error: a deadline abort
+/// must not leak the scratch's recycled buffers.
+#[allow(clippy::too_many_arguments)] // internal: the two budgets' one body
+fn aggregate_and_recycle<'a, 's>(
     data: &Dataset,
     roles: &[DimRole],
     query: &SdQuery,
@@ -1439,10 +1631,19 @@ pub fn threshold_aggregate_masked<'a, 's>(
     scratch: &'s mut QueryScratch,
     shared: Option<&SharedThreshold>,
     mask: Option<MaskView<'_>>,
+    scan_budget: usize,
 ) -> Result<&'s [ScoredPoint], SdError> {
-    // Recycle the streams before surfacing any error: a deadline abort
-    // must not leak the scratch's recycled buffers.
-    let aggregated = aggregate_into(data, roles, query, k, &mut streams, scratch, shared, mask);
+    let aggregated = aggregate_into(
+        data,
+        roles,
+        query,
+        k,
+        &mut streams,
+        scratch,
+        shared,
+        mask,
+        scan_budget,
+    );
     for s in streams.drain(..) {
         s.recycle(scratch);
     }
@@ -1637,41 +1838,31 @@ impl<'a> Pair2DStream<'a> {
                     progressed = true;
                     let mut live = blocks.live(block);
                     let slots = blocks.slots(block);
-                    match prune {
-                        Some((f, others)) => {
-                            // Per-lane floor filter on the cheap SoA pair
-                            // subscores: a lane with
-                            // `f > inflate(subscore + others)` can hold no
-                            // top-k row no matter what the other streams
-                            // contribute, and dies here — before it is
-                            // ever gathered or scored on the full query.
-                            let mut scores = [0.0f64; LANES];
-                            kernels::score_block_2d(
-                                &mut scores,
-                                blocks.xs(block),
-                                blocks.ys(block),
-                                *qx,
-                                *qy,
-                                *alpha,
-                                *beta,
-                            );
-                            while live != 0 {
-                                let l = live.trailing_zeros() as usize;
-                                live &= live - 1;
-                                if f <= inflate(scores[l] + others) {
-                                    out.push(slots[l]);
-                                } else {
-                                    prof.lanes_masked += 1;
-                                }
-                            }
-                        }
-                        None => {
-                            while live != 0 {
-                                let l = live.trailing_zeros() as usize;
-                                live &= live - 1;
-                                out.push(slots[l]);
-                            }
-                        }
+                    if let Some((f, others)) = prune {
+                        // Per-lane floor filter on the cheap SoA pair
+                        // subscores: a lane with
+                        // `f > inflate(subscore + others)` can hold no
+                        // top-k row no matter what the other streams
+                        // contribute, and dies here — before it is ever
+                        // gathered or scored on the full query.
+                        let mut scores = [0.0f64; LANES];
+                        kernels::score_block_2d(
+                            &mut scores,
+                            blocks.xs(block),
+                            blocks.ys(block),
+                            *qx,
+                            *qy,
+                            *alpha,
+                            *beta,
+                        );
+                        let keep = kernels::lane_filter(&scores, live, others, f);
+                        prof.lanes_masked += u64::from((live & !keep).count_ones());
+                        live = keep;
+                    }
+                    while live != 0 {
+                        let l = live.trailing_zeros() as usize;
+                        live &= live - 1;
+                        out.push(slots[l]);
                     }
                 }
                 progressed

@@ -1,5 +1,6 @@
 //! The per-pair query planner: a small cost model that routes every 2-D
-//! subproblem of the §5 decomposition to one of three physical strategies.
+//! subproblem of the §5 decomposition to one of four physical strategies —
+//! and the fetch budget that bounds what any mix of them may cost.
 //!
 //! The paper hardcodes the execution of a pair: walk its §4 tree (certified
 //! when the weight angle is indexed, Claim-6 bracketed otherwise). That is
@@ -18,6 +19,37 @@
 //!   which the full plan degenerates to when every pair picks it),
 //! * [`PairAction::Degenerate`] — both weights zero: the pair contributes
 //!   exactly `0` to every score and is dropped from the stream set.
+//!
+//! A fifth strategy is not chosen per pair but reached by the execution
+//! itself: **the scan exit**. Threshold aggregation degrades towards a full
+//! scan as streams multiply and the data turns anti-correlated, and it
+//! degrades expensively — a row fetched through a stream is a random access
+//! (frontier pop, lane filter, gather), a row met by a sequential pass over
+//! the row-major coordinate table is a few kernel operations. Measured on
+//! the repo benchmark's `agg_6d` (100k × 6-D anti-correlated, k = 64,
+//! 4 shards, 44 % of the rows fetched per query without the exit): 71–88 ns
+//! per fetched row averaged over a whole descent, about 46 ns over its
+//! first n/8 fetches (before the blocks thin out), against 5.5–6 ns per
+//! scanned row — a fetch costs 8–16 scanned rows. An aggregation over `n`
+//! rows that has fetched more than [`scan_budget`]`(n) = n / 8` of them and
+//! is still neither certified nor floor-terminated therefore stops fetching
+//! and finishes with one kernel scan over the rows it has not seen
+//! (`aggregate_rounds` in the parent module owns the exit; the
+//! `threshold_aggregate*` family, which the TA baseline rides, never takes
+//! it). Fetching n/8 rows already costs what scanning all n does, so the
+//! exit bounds a query at about twice a pure scan, and the query that would
+//! have certified one fetch past the budget — the worst case — pays about
+//! twice what it would have; one that would have fetched 44 % of the table
+//! pays a third. The constant is not a tuning knob — it is `n / 8` for
+//! every index — and the sweep says where it sits (three 10-second runs of
+//! the unmodified benchmark per value, medians of p50 / p95): on the
+//! 100k × 4-D uniform anchor (k = 16, 4 shards, `mixed_rw_4d`'s queries)
+//! 238 / 343 µs at n/8, 237 / 338 µs at n/16 and 492 / 608 µs at n/32,
+//! where friendly queries pay for scans they did not need; on `agg_6d`
+//! 1130 / 1304 µs, 869 / 962 µs and 751 / 810 µs. n/16 would serve both
+//! benchmark points; n/8 keeps a margin for the queries between them — the
+//! anchor's hardest fetch 8.8 % of the rows, and not one of its 1024 shard
+//! executions switches at n/8.
 //!
 //! **Every strategy is exact**, and since the aggregation emits the
 //! canonical answer (score descending, id ascending — see
@@ -85,6 +117,10 @@ pub struct QueryPlan {
     pub pairs: Vec<PairPlan>,
     /// Number of unpaired 1-D streams with non-zero weight.
     pub unpaired_streams: usize,
+    /// Rows the aggregation may fetch before it finishes with a kernel scan
+    /// ([`scan_budget`] of the index's row count). Not consulted by a
+    /// `direct` plan, which does not aggregate.
+    pub scan_budget: usize,
 }
 
 impl fmt::Display for QueryPlan {
@@ -113,8 +149,25 @@ impl fmt::Display for QueryPlan {
                 p.est_cost
             )?;
         }
-        write!(f, "] + {} unpaired 1-D", self.unpaired_streams)
+        write!(
+            f,
+            "] + {} unpaired 1-D; kernel scan past {} rows fetched",
+            self.unpaired_streams, self.scan_budget
+        )
     }
+}
+
+/// Rows one aggregation over `n` rows may fetch through its streams before
+/// it stops fetching and finishes with a sequential kernel scan of the rows
+/// it has not seen: `n / 8`. A fetch costs 8–16 scanned rows, so by then
+/// the fetches have cost about what scanning everything does: the exit
+/// bounds any query at roughly twice a pure scan, costs the query that
+/// would have certified just past the budget about 2×, and never touches
+/// one that certifies early. The module docs (strategy five) hold the
+/// measurements and the n/8–n/16–n/32 sweep.
+#[inline]
+pub fn scan_budget(n: usize) -> usize {
+    n / 8
 }
 
 /// Fetches the aggregation typically needs per subproblem before the

@@ -277,3 +277,210 @@ fn paper_publisher_example() {
     let got = index.query(&q, 2).unwrap();
     assert_equiv(&got, &oracle(&data, &roles, &q, 2));
 }
+
+// ─── the scan exit (plan::scan_budget) ──────────────────────────────────────
+
+fn assert_bit_identical(got: &[ScoredPoint], want: &[ScoredPoint]) {
+    assert_eq!(got.len(), want.len(), "length: got {got:?}\nwant {want:?}");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g.id, w.id, "id: got {got:?}\nwant {want:?}");
+        assert_eq!(g.score.to_bits(), w.score.to_bits(), "score bits");
+    }
+}
+
+/// Rows on a noisy simplex: the coordinates of a row sum to ≈ 1, so a row
+/// good on one dimension is bad on the others — hostile to every
+/// threshold algorithm, which is what makes the aggregation outrun its
+/// fetch budget.
+fn anti_correlated(rng: &mut impl Rng, n: usize, dims: usize) -> Dataset {
+    let mut coords = Vec::with_capacity(n * dims);
+    for _ in 0..n {
+        let raw: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.01..1.0)).collect();
+        let sum: f64 = raw.iter().sum();
+        coords.extend(raw.iter().map(|v| v / sum));
+    }
+    Dataset::from_flat(dims, coords).unwrap()
+}
+
+fn six_d_roles() -> Vec<DimRole> {
+    vec![
+        DimRole::Attractive,
+        DimRole::Attractive,
+        DimRole::Attractive,
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+    ]
+}
+
+/// Steps `exec` one round at a time to completion, returning
+/// `rows_fetched` after every round.
+fn fetch_trajectory(exec: &mut ShardExecution<'_>) -> Vec<u64> {
+    let mut fetched = Vec::new();
+    while !exec.step(1, None, |_| {}).unwrap() {
+        fetched.push(exec.profile().rows_fetched);
+    }
+    fetched
+}
+
+#[test]
+fn scan_switches_strictly_past_the_budget() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(300);
+    let data = anti_correlated(&mut rng, 2_000, 6);
+    let roles = six_d_roles();
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
+    let k = 16;
+    let want = oracle(&data, &roles, &q, k);
+    let mut scratch = QueryScratch::new();
+
+    // The pure threshold aggregation: which round had fetched how much.
+    let mut exec = index.begin_query(&q, k, &mut scratch).unwrap();
+    exec.scan_budget = usize::MAX;
+    let fetched = fetch_trajectory(&mut exec);
+    assert_eq!(exec.profile().scan_fallbacks, 0);
+    exec.finish_into(&mut scratch);
+    assert_bit_identical(scratch.answers(), &want);
+    let i = fetched.len() / 2; // rounds 1..=i+1 ran, the query still open
+    assert!(fetched[i] > fetched[i - 1], "round fetched nothing");
+
+    for (budget, scan_round) in [(fetched[i], i + 3), (fetched[i] - 1, i + 2)] {
+        let mut exec = index.begin_query(&q, k, &mut scratch).unwrap();
+        exec.scan_budget = budget as usize;
+        for round in 1..scan_round {
+            assert!(!exec.step(1, None, |_| {}).unwrap());
+            assert_eq!(
+                exec.profile().scan_fallbacks,
+                0,
+                "budget {budget}: scanned in round {round}, at {} rows",
+                exec.profile().rows_fetched
+            );
+        }
+        // `rows_fetched == budget` fetched once more; one row past it scans,
+        // and the scan completes inside that step.
+        assert!(exec.step(1, None, |_| {}).unwrap());
+        let p = *exec.profile();
+        assert_eq!(p.scan_fallbacks, 1, "budget {budget}");
+        assert!(p.scan_rows > 0 && p.scan_rows < 2_000);
+        assert_eq!(
+            p.points_gathered + p.seen_hits + p.tombstones_skipped,
+            p.rows_fetched
+        );
+        assert_eq!(p.points_gathered, 2_000, "every row scored exactly once");
+        exec.finish_into(&mut scratch);
+        assert_bit_identical(scratch.answers(), &want);
+    }
+}
+
+#[test]
+fn scan_after_every_row_was_seen_scores_nothing() {
+    // Two nearest-first 1-D streams whose two-row prefixes cover all four
+    // rows while both bounds stay at −2: τ = −4 certifies rows 0 and 2
+    // (−2) but not rows 1 and 3 (exactly −4), so the aggregation is still
+    // open with nothing left to discover.
+    let rows = [
+        vec![0.0, 2.0],
+        vec![1.0, 3.0],
+        vec![2.0, 0.0],
+        vec![3.0, 1.0],
+    ];
+    let data = Dataset::from_rows(2, &rows).unwrap();
+    let roles = vec![DimRole::Attractive, DimRole::Attractive];
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
+    let want = oracle(&data, &roles, &q, 4);
+    let mut scratch = QueryScratch::new();
+
+    let mut exec = index.begin_query(&q, 4, &mut scratch).unwrap();
+    exec.scan_budget = 3;
+    assert!(!exec.step(2, None, |_| {}).unwrap());
+    assert_eq!(exec.profile().rows_fetched, 4);
+    assert_eq!(exec.profile().points_gathered, 4, "all four rows seen");
+    let mut observed = 0;
+    assert!(exec.step(1, None, |_| observed += 1).unwrap());
+    let p = *exec.profile();
+    assert_eq!((p.scan_fallbacks, p.scan_rows), (1, 0));
+    assert_eq!(observed, 0, "the scan scored nothing");
+    assert_eq!((p.rows_fetched, p.points_gathered), (4, 4));
+    exec.finish_into(&mut scratch);
+    assert_bit_identical(scratch.answers(), &want);
+}
+
+#[test]
+fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
+    use crate::mask::RowMask;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(301);
+    let n = 400;
+    let data = anti_correlated(&mut rng, n, 6);
+    let roles = six_d_roles();
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let mut dead = RowMask::new(n);
+    for row in (0..n).step_by(7) {
+        dead.set(row);
+    }
+    let live_oracle = |q: &SdQuery, k: usize| -> Vec<ScoredPoint> {
+        let mut all = oracle(&data, &roles, q, n);
+        all.retain(|sp| !dead.get(sp.id.index()));
+        all.truncate(k);
+        all
+    };
+    let mut scratch = QueryScratch::new();
+    let q = SdQuery::new(vec![0.3; 6], vec![1.0; 6]).unwrap();
+    // k below, at and above the live row count (343 of 400).
+    for k in [8, 343, 344, n + 3] {
+        let got = index
+            .query_masked(&q, k, &mut scratch, None, Some(MaskView::new(&dead, 0)))
+            .unwrap()
+            .to_vec();
+        assert_bit_identical(&got, &live_oracle(&q, k));
+        let p = scratch.profile;
+        assert_eq!(p.scan_fallbacks, 1, "k = {k}");
+        assert!(p.tombstones_skipped > 0, "the scan met dead rows");
+        assert_eq!(
+            p.points_gathered + p.seen_hits + p.tombstones_skipped,
+            p.rows_fetched
+        );
+    }
+    // All-zero weights: one degenerate stream enumerates rows at score 0;
+    // past the budget the scan takes over and the canonical answer is the
+    // first k live rows.
+    let zero = SdQuery::new(vec![0.3; 6], vec![0.0; 6]).unwrap();
+    let got = index
+        .query_masked(&zero, 5, &mut scratch, None, Some(MaskView::new(&dead, 0)))
+        .unwrap()
+        .to_vec();
+    assert_eq!(scratch.profile.scan_fallbacks, 1);
+    let ids: Vec<usize> = got.iter().map(|sp| sp.id.index()).collect();
+    assert_eq!(ids, [1, 2, 3, 4, 5]);
+    assert!(got.iter().all(|sp| sp.score == 0.0));
+}
+
+#[test]
+fn threshold_aggregate_family_never_scans() {
+    // The public aggregation entry points (the TA baseline's) keep the
+    // paper's pure threshold algorithm: same streams as the index would
+    // assemble, no budget.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(302);
+    let data = anti_correlated(&mut rng, 1_000, 6);
+    let roles = six_d_roles();
+    let q = SdQuery::new(vec![0.2; 6], vec![1.0; 6]).unwrap();
+    let columns: Vec<SortedColumn> = (0..6).map(|d| SortedColumn::new(&data.column(d))).collect();
+    let mut scratch = QueryScratch::new();
+    let mut streams = scratch.stream_buf();
+    for (d, col) in columns.iter().enumerate() {
+        streams.push(match roles[d] {
+            DimRole::Repulsive => Subproblem::repulsive(col, q.point[d], q.weights[d]),
+            DimRole::Attractive => Subproblem::attractive(col, q.point[d], q.weights[d]),
+        });
+    }
+    let got = threshold_aggregate_with(&data, &roles, &q, 32, streams, &mut scratch)
+        .unwrap()
+        .to_vec();
+    assert_bit_identical(&got, &oracle(&data, &roles, &q, 32));
+    let p = scratch.profile;
+    assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));
+    assert!(
+        p.rows_fetched > plan::scan_budget(1_000) as u64,
+        "the workload must be one the index would have scanned"
+    );
+}

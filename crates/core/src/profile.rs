@@ -91,8 +91,17 @@ pub struct QueryProfile {
     /// Rows surfaced by the 1-D sorted-column streams.
     pub onedim_rows_pulled: u64,
     /// Candidate rows handed to the scoring stage by all streams (block
-    /// lanes + tree rows + 1-D rows + delta rows), duplicates included.
+    /// lanes + tree rows + 1-D rows + delta rows), duplicates included,
+    /// plus [`scan_rows`](QueryProfile::scan_rows).
     pub rows_fetched: u64,
+    /// Shard executions that spent their fetch budget
+    /// ([`scan_budget`](crate::multidim::plan::scan_budget)) and finished
+    /// with a sequential kernel scan instead of more fetches.
+    pub scan_fallbacks: u64,
+    /// Rows those scans visited — every row the streams had not surfaced
+    /// when the budget ran out, tombstoned ones included. Counted into
+    /// `rows_fetched`.
+    pub scan_rows: u64,
     /// Distinct live rows gathered into SoA lanes for full scoring.
     pub points_gathered: u64,
     /// Rows whose exact full SD-score was computed and kept (survived the
@@ -144,6 +153,8 @@ impl Default for QueryProfile {
             tree_rows_pulled: 0,
             onedim_rows_pulled: 0,
             rows_fetched: 0,
+            scan_fallbacks: 0,
+            scan_rows: 0,
             points_gathered: 0,
             points_scored: 0,
             kernel_batches: 0,
@@ -195,6 +206,8 @@ impl QueryProfile {
         self.tree_rows_pulled += other.tree_rows_pulled;
         self.onedim_rows_pulled += other.onedim_rows_pulled;
         self.rows_fetched += other.rows_fetched;
+        self.scan_fallbacks += other.scan_fallbacks;
+        self.scan_rows += other.scan_rows;
         self.points_gathered += other.points_gathered;
         self.points_scored += other.points_scored;
         self.kernel_batches += other.kernel_batches;
@@ -223,13 +236,16 @@ impl QueryProfile {
     ///
     /// Stages after the first are derived from the counters:
     /// block-granularity stages count [`LANES`] points per block (the
-    /// admissible upper bound on what survived), and rows from non-block
-    /// streams (1-D, per-point fallback, delta seqscan) pass undiminished
+    /// admissible upper bound on what survived), and rows that reach the
+    /// scoring stage by another road (1-D streams, per-point fallback,
+    /// delta seqscan, the scan exit's `scan_rows`) pass undiminished
     /// through the stages that cannot prune them.
     pub fn funnel(&self, points_in_dataset: u64) -> [(&'static str, u64); 6] {
         let lanes = LANES as u64;
-        let pass_through =
-            self.tree_rows_pulled + self.onedim_rows_pulled + self.delta_rows_scanned;
+        let pass_through = self.tree_rows_pulled
+            + self.onedim_rows_pulled
+            + self.delta_rows_scanned
+            + self.scan_rows;
         let survived_envelope =
             (self.blocks_popped + self.blocks_floor_pruned) * lanes + pass_through;
         let survived_block_floor = self.blocks_popped * lanes + pass_through;

@@ -72,6 +72,12 @@ impl StampSet {
         }
     }
 
+    /// `true` when `row` is in the current generation.
+    #[inline]
+    pub(crate) fn contains(&self, row: u32) -> bool {
+        self.stamps[row as usize] == self.generation
+    }
+
     /// `true` when `row` was not yet in the current generation.
     #[inline]
     pub(crate) fn insert(&mut self, row: u32) -> bool {

@@ -31,10 +31,10 @@
 use std::cmp::Reverse;
 
 use super::blocks::{BlockFrontier, BlockSet};
-use super::stream::{inflate, AngleQuery, FrontierEval, PairFrontier};
+use super::stream::{AngleQuery, FrontierEval, PairFrontier};
 use super::TopKIndex;
 use crate::geometry::Angle;
-use crate::kernels::{self, LANES};
+use crate::kernels::{self, inflate, LANES};
 use crate::score::rank_cmp;
 use crate::scratch::QueryScratch;
 use crate::threshold::{track_floor, SharedThreshold};

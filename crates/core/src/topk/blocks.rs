@@ -30,7 +30,7 @@
 
 use crate::codec::{Reader, Result, Writer};
 use crate::geometry::Angle;
-use crate::kernels::{LaneBlock, LANES};
+use crate::kernels::{prefetch, LaneBlock, LANES};
 use crate::types::OrdF64;
 use crate::view::ColumnarView;
 
@@ -504,20 +504,7 @@ impl<'a> BlockFrontier<'a> {
     /// answer, so the whole subtree is certifiably irrelevant.
     pub(crate) fn next_block(&mut self, mut prune: impl FnMut(f64) -> bool) -> Option<u32> {
         loop {
-            // Argmax over the four heads.
-            let mut best: Option<(usize, f64)> = None;
-            for (k, h) in self.s.heaps.iter().enumerate() {
-                if let Some(&(OrdF64(p), _, _)) = h.peek() {
-                    let better = match best {
-                        Some((_, cur)) => OrdF64(p) >= OrdF64(cur),
-                        None => true,
-                    };
-                    if better {
-                        best = Some((k, p));
-                    }
-                }
-            }
-            let (kind_i, _) = best?;
+            let kind_i = self.best_head()?;
             let kind = StreamKind::ALL[kind_i];
             let (OrdF64(prio), std::cmp::Reverse(lvl), idx) =
                 self.s.heaps[kind_i].pop().expect("peeked entry");
@@ -539,6 +526,7 @@ impl<'a> BlockFrontier<'a> {
             if lvl == BLOCK_LVL {
                 if self.s.seen.insert(idx) {
                     self.counters.blocks_popped += 1;
+                    self.prefetch_next();
                     return Some(idx);
                 }
                 continue;
@@ -552,6 +540,70 @@ impl<'a> BlockFrontier<'a> {
                 self.push(kind, child_lvl, c as u32);
             }
         }
+    }
+
+    /// The heap whose head the next pop takes: argmax over the four heads,
+    /// ties to the later heap.
+    #[inline]
+    fn best_head(&self) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (k, h) in self.s.heaps.iter().enumerate() {
+            if let Some(&(OrdF64(p), _, _)) = h.peek() {
+                let better = match best {
+                    Some((_, cur)) => OrdF64(p) >= OrdF64(cur),
+                    None => true,
+                };
+                if better {
+                    best = Some((k, p));
+                }
+            }
+        }
+        best.map(|(k, _)| k)
+    }
+
+    /// Starts loading what the *next* pop will read while the caller is
+    /// still busy scoring the block just surfaced: a block entry's `xs`,
+    /// `ys` and `slots` lines, or — for an envelope — the bounds and
+    /// x-ranges of the children its expansion pushes. The tables are far
+    /// larger than L2 and popped in score order, not address order, so
+    /// without the hint every pop starts with a chain of cache misses.
+    #[inline]
+    fn prefetch_next(&self) {
+        let Some(kind_i) = self.best_head() else {
+            return;
+        };
+        let &(_, std::cmp::Reverse(lvl), idx) =
+            self.s.heaps[kind_i].peek().expect("best head is non-empty");
+        let i = idx as usize;
+        let set = self.set;
+        if lvl == BLOCK_LVL {
+            let (xs, ys) = (
+                set.xs.as_ptr().wrapping_add(i),
+                set.ys.as_ptr().wrapping_add(i),
+            );
+            for line in 0..LANES / 8 {
+                prefetch(xs.cast::<[f64; 8]>().wrapping_add(line));
+                prefetch(ys.cast::<[f64; 8]>().wrapping_add(line));
+            }
+            let slots = set.slots.as_ptr().wrapping_add(i * LANES);
+            prefetch(slots);
+            prefetch(slots.wrapping_add(LANES / 2));
+            return;
+        }
+        let (bounds, xr) = self.entry_tables(lvl - 1);
+        let start = i * GROUP_FANOUT;
+        let (a, b) = match &self.eval {
+            FrontierEval::Single { angle_i, .. } => (*angle_i, *angle_i),
+            FrontierEval::Dual { lo_i, hi_i, .. } => (*lo_i, *hi_i),
+        };
+        for c in start..start + GROUP_FANOUT {
+            prefetch(bounds.as_ptr().wrapping_add(c * set.m + a));
+            if b != a {
+                prefetch(bounds.as_ptr().wrapping_add(c * set.m + b));
+            }
+        }
+        prefetch(xr.as_ptr().wrapping_add(start));
+        prefetch(xr.as_ptr().wrapping_add(start + GROUP_FANOUT / 2));
     }
 }
 

@@ -19,10 +19,10 @@
 
 use std::cmp::Reverse;
 
-use super::stream::{inflate, AngleScratch};
+use super::stream::AngleScratch;
 use super::AngleBounds;
 use crate::geometry::Angle;
-use crate::kernels::{self, LANES};
+use crate::kernels::{self, inflate, LANES};
 use crate::score::{rank_cmp, sd_score_2d};
 use crate::scratch::QueryScratch;
 use crate::types::{OrdF64, PointId, ScoredPoint, SdError};

@@ -60,17 +60,8 @@ pub(crate) type FastSet = HashSet<u32, BuildHasherDefault<FastHasher>>;
 
 use super::{Child, TopKIndex};
 use crate::geometry::Angle;
+use crate::kernels::inflate;
 use crate::types::OrdF64;
-
-/// Relative slack added to thresholds so floating-point rounding between
-/// the rotated-key bounds and direct scoring can never cause a premature
-/// emission.
-const EPS_REL: f64 = 1e-12;
-
-#[inline]
-pub(crate) fn inflate(threshold: f64) -> f64 {
-    threshold + EPS_REL * (1.0 + threshold.abs())
-}
 
 /// One frontier-heap element. The meaning of the fields differs per tree
 /// layout but the *type* is shared so one [`AngleScratch`] serves both:

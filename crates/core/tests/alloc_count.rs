@@ -2,7 +2,8 @@
 //! reused [`QueryScratch`] answers every query of the steady-state workload
 //! with **zero** heap allocations, on both the 2-D [`TopKIndex`] path
 //! (indexed and bracketed angles), the packed variant, and the §5
-//! [`SdIndex`] aggregation path.
+//! [`SdIndex`] aggregation path — including the queries that spend their
+//! fetch budget and finish with the kernel scan.
 //!
 //! The measurement uses a counting global allocator with a thread-local
 //! counter, so the single `#[test]` in this binary observes exactly the
@@ -161,6 +162,45 @@ fn steady_state_queries_do_not_allocate() {
     );
     assert_eq!(p.emitted, 16);
     assert!(p.aggregate_nanos > 0, "timing was enabled");
+
+    // ── scan exit: 6-D anti-correlated rows outrun the fetch budget ──────
+    let dims = 6;
+    let mut coords = Vec::with_capacity(4_000 * dims);
+    for _ in 0..4_000 {
+        let raw: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.01..1.0)).collect();
+        let sum: f64 = raw.iter().sum();
+        coords.extend(raw.iter().map(|v| v / sum));
+    }
+    let roles6 = [
+        DimRole::Attractive,
+        DimRole::Attractive,
+        DimRole::Attractive,
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+    ];
+    let sd6 = SdIndex::build(Dataset::from_flat(dims, coords).unwrap(), &roles6).unwrap();
+    let queries6d: Vec<SdQuery> = (0..8)
+        .map(|_| {
+            SdQuery::new(
+                (0..dims).map(|_| rng.gen_range(0.0..1.0)).collect(),
+                (0..dims).map(|_| rng.gen_range(0.1..1.0)).collect(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut scans = 0;
+    let mut run_scan = |scratch: &mut QueryScratch, sink: &mut f64| {
+        for q in &queries6d {
+            let r = sd6.query_with(q, 64, scratch).unwrap();
+            *sink += r.iter().map(|sp| sp.score).sum::<f64>();
+            scans += scratch.profile.scan_fallbacks;
+        }
+    };
+    run_scan(&mut scratch, &mut sink);
+    let n = count_allocs(|| run_scan(&mut scratch, &mut sink));
+    assert_eq!(n, 0, "scan-exit queries allocated {n} times after warm-up");
+    assert_eq!(scans, 16, "every one of these queries must take the scan");
 
     // The checksum keeps every query's work observable.
     assert!(sink.is_finite());

@@ -168,7 +168,9 @@ pub struct EngineScratch {
     /// Execution counters of the most recent query served through this
     /// scratch: the merged per-shard profiles plus the engine's own delta
     /// scan and merge statistics. Always on; set [`QueryProfile::timing`]
-    /// before querying to also collect per-stage wall times.
+    /// before querying to also collect per-stage wall times. When the
+    /// single-worker scheduler aborts on a deadline, the counters of the
+    /// work its shard executions had done by then are still folded in.
     pub profile: QueryProfile,
     /// Cooperative deadline/cancel token of the next query served through
     /// this scratch, propagated to every worker and checked once per
@@ -998,41 +1000,54 @@ impl SdEngine {
                 workers,
                 lists,
                 floor,
+                profile,
                 ..
             } = &mut *scratch;
             let mut runs = Vec::with_capacity(s);
-            for (((shard, &offset), &dead), qs) in self
-                .shards
-                .iter()
-                .zip(&self.offsets)
-                .zip(&self.muts.shard_dead)
-                .zip(workers.iter_mut())
-            {
-                let shard_mask = shard_mask_view(mask, offset, dead);
-                runs.push(shard.begin_query_masked(query, k, qs, shard_mask)?);
-            }
             // Rounds per slice: enough that each slice makes real bound
             // progress, small enough that the merged floor forms while
             // every shard is still early in its descent.
             const SLICE_ROUNDS: usize = 8;
-            loop {
-                let mut all_done = true;
-                for run in runs.iter_mut() {
-                    if !run.done() {
-                        // A deadline abort drops the in-flight executions;
-                        // the scratch buffers they own are lost, which is
-                        // acceptable on this rare error path.
-                        all_done &= run.step(SLICE_ROUNDS, Some(&shared), |score| {
-                            track_floor(floor, k, score);
-                        })?;
+            let mut drive = || -> Result<(), SdError> {
+                for (((shard, &offset), &dead), qs) in self
+                    .shards
+                    .iter()
+                    .zip(&self.offsets)
+                    .zip(&self.muts.shard_dead)
+                    .zip(workers.iter_mut())
+                {
+                    let shard_mask = shard_mask_view(mask, offset, dead);
+                    runs.push(shard.begin_query_masked(query, k, qs, shard_mask)?);
+                }
+                loop {
+                    let mut all_done = true;
+                    for run in runs.iter_mut() {
+                        if !run.done() {
+                            all_done &= run.step(SLICE_ROUNDS, Some(&shared), |score| {
+                                track_floor(floor, k, score);
+                            })?;
+                        }
+                    }
+                    if floor.len() == k {
+                        shared.raise(floor.peek().expect("floor is non-empty").0 .0);
+                    }
+                    if all_done {
+                        return Ok(());
                     }
                 }
-                if floor.len() == k {
-                    shared.raise(floor.peek().expect("floor is non-empty").0 .0);
+            };
+            if let Err(e) = drive() {
+                // A deadline or cancellation inside one step (between
+                // rounds, or mid-scan) ends every in-flight execution:
+                // each hands its buffers back to the scratch it took them
+                // from, so the tripped scratch serves its next query
+                // without re-allocating — and its counters say how far the
+                // query got.
+                for (run, qs) in runs.into_iter().zip(workers.iter_mut()) {
+                    run.abandon_into(qs);
+                    profile.merge(&qs.profile);
                 }
-                if all_done {
-                    break;
-                }
+                return Err(e);
             }
             for (i, ((run, qs), (out, &offset))) in runs
                 .into_iter()

@@ -934,10 +934,13 @@ fn report_slow_queries(slow_query_us: u64) {
         {
             eprintln!(
                 "slow-query: {wall_micros} µs ≥ {threshold_micros} µs (k {k}): \
-                 {} block(s) popped, {} floor-pruned, {} row(s) fetched, {} scored, {} emitted",
+                 {} block(s) popped, {} floor-pruned, {} row(s) fetched ({} by {} scan(s)), \
+                 {} scored, {} emitted",
                 profile.blocks_popped,
                 profile.blocks_floor_pruned,
                 profile.rows_fetched,
+                profile.scan_rows,
+                profile.scan_fallbacks,
                 profile.points_scored,
                 profile.emitted
             );
@@ -991,8 +994,20 @@ fn print_plan_table(plans: &[QueryPlan], k: usize) {
                 "-"
             );
         }
+        if !plan.direct {
+            println!(
+                "  {:>5}  {:<16} {:<20} {:>12}",
+                i,
+                "scan budget",
+                "kernel scan past",
+                format!("{} rows", plan.scan_budget)
+            );
+        }
     }
-    println!("  (costs in candidate-handling units; the query was not executed)");
+    println!(
+        "  (costs in candidate-handling units; a shard that fetches more rows than its scan \
+         budget finishes with one kernel scan; the query was not executed)"
+    );
 }
 
 /// `--profile`: the execution counter tree, the pruning funnel and — when
@@ -1020,6 +1035,10 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, lay
     println!(
         "  dedup      seen_hits {} · tombstones_skipped {}",
         p.seen_hits, p.tombstones_skipped
+    );
+    println!(
+        "  scan exit  fallbacks {} · scan_rows {}",
+        p.scan_fallbacks, p.scan_rows
     );
     println!(
         "  delta      rows_scanned {} · blocks_pruned {}",
@@ -1085,6 +1104,7 @@ fn profile_json_string(
          \"nodes_visited\": {}, \"envelope_nodes_rejected\": {},\n    \
          \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"lanes_masked\": {},\n    \
          \"tree_rows_pulled\": {}, \"onedim_rows_pulled\": {}, \"rows_fetched\": {},\n    \
+         \"scan_fallbacks\": {}, \"scan_rows\": {},\n    \
          \"points_gathered\": {}, \"points_scored\": {}, \"kernel_batches\": {},\n    \
          \"delta_rows_scanned\": {}, \"delta_blocks_pruned\": {}, \"tombstones_skipped\": {},\n    \
          \"seen_hits\": {}, \"floor_updates\": {}, \"rounds\": {}, \"merge_rounds\": {},\n    \
@@ -1101,6 +1121,8 @@ fn profile_json_string(
         p.tree_rows_pulled,
         p.onedim_rows_pulled,
         p.rows_fetched,
+        p.scan_fallbacks,
+        p.scan_rows,
         p.points_gathered,
         p.points_scored,
         p.kernel_batches,
@@ -2739,10 +2761,12 @@ fn event_detail_human(kind: &EventKind) -> String {
             profile,
         } => format!(
             "{wall_micros} µs ≥ {threshold_micros} µs (k {k}): {} popped, {} floor-pruned, \
-             {} fetched, {} scored, {} emitted",
+             {} fetched ({} by {} scan(s)), {} scored, {} emitted",
             profile.blocks_popped,
             profile.blocks_floor_pruned,
             profile.rows_fetched,
+            profile.scan_rows,
+            profile.scan_fallbacks,
             profile.points_scored,
             profile.emitted
         ),
@@ -2806,11 +2830,14 @@ fn event_fields_json(kind: &EventKind) -> String {
             "\"wall_micros\": {wall_micros}, \"k\": {k}, \
              \"threshold_micros\": {threshold_micros}, \"profile\": {{\
              \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"rows_fetched\": {}, \
+             \"scan_fallbacks\": {}, \"scan_rows\": {}, \
              \"points_gathered\": {}, \"points_scored\": {}, \"emitted\": {}, \
              \"rounds\": {}}}",
             profile.blocks_popped,
             profile.blocks_floor_pruned,
             profile.rows_fetched,
+            profile.scan_fallbacks,
+            profile.scan_rows,
             profile.points_gathered,
             profile.points_scored,
             profile.emitted,

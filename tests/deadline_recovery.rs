@@ -1,0 +1,170 @@
+//! A query deadline is an error for one query, not for the scratch that
+//! served it: when the single-worker scheduler aborts — between two
+//! aggregation rounds or in the middle of a shard's kernel scan — every
+//! suspended shard execution hands its buffers back, the typed error
+//! surfaces, the `deadline_exceeded` metric counts it, and the same
+//! [`EngineScratch`] answers the same query again bit-identically to a
+//! fresh one **without allocating more than a warmed scratch does**.
+//!
+//! Deadlines are wall-clock, so the test sweeps budgets across the
+//! query's measured duration and classifies every trip from the partial
+//! profile the abort leaves behind (`scan_fallbacks` is counted when a
+//! scan starts): the sweep must produce at least one trip of each kind.
+//!
+//! Allocation counting as in `crates/core/tests/alloc_count.rs`: a
+//! counting global allocator with a thread-local counter, one `#[test]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::time::{Duration, Instant};
+
+use sdq::core::Deadline;
+use sdq::data::{generate, uniform_queries, Distribution};
+use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::{DimRole, ScoredPoint, SdError, SdQuery};
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with` so allocations during TLS teardown cannot panic.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns how many allocations it performed on this thread.
+fn count_allocs(mut f: impl FnMut()) -> u64 {
+    let before = ALLOCS.with(|c| c.get());
+    f();
+    ALLOCS.with(|c| c.get()) - before
+}
+
+fn assert_bit_identical(got: &[ScoredPoint], want: &[ScoredPoint]) {
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!((g.id, g.score.to_bits()), (w.id, w.score.to_bits()));
+    }
+}
+
+/// Where an aborted query was when its deadline tripped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trip {
+    /// Between two aggregation rounds; no execution had started a scan.
+    MidAggregation,
+    /// Inside a shard's kernel scan (or between rounds after one).
+    MidScan,
+}
+
+#[test]
+fn tripped_scratch_recovers_without_reallocating() {
+    let (n, dims, k) = (40_000, 6, 64);
+    let roles: Vec<DimRole> = "aaaarr"
+        .chars()
+        .map(|c| match c {
+            'a' => DimRole::Attractive,
+            _ => DimRole::Repulsive,
+        })
+        .collect();
+    let engine = SdEngine::build_with(
+        generate(Distribution::AntiCorrelated, n, dims, 0xDEAD),
+        &roles,
+        &EngineOptions {
+            shards: 4,
+            threads: 1,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    let query: SdQuery = uniform_queries(1, dims, 0xD1).remove(0);
+    let want = engine.query(&query, k).unwrap(); // a fresh scratch's answer
+
+    // Warm the scratch on this very query: buffer high-water marks are set
+    // here, so a later run of it allocates only what the scheduler stages
+    // per query.
+    let mut scratch = EngineScratch::new();
+    let mut full = Duration::MAX;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
+        full = full.min(t0.elapsed());
+    }
+    assert_eq!(scratch.profile.scan_fallbacks, 4, "every shard must scan");
+    let steady = count_allocs(|| {
+        engine.query_with(&query, k, &mut scratch).unwrap();
+    });
+
+    let mut seen = Vec::new();
+    'sweep: for _attempt in 0..4 {
+        for step in 1..48u32 {
+            let before = engine.metrics().snapshot().deadline_exceeded;
+            scratch.deadline = Deadline::within(full * step / 48);
+            let trip = match engine.query_with(&query, k, &mut scratch) {
+                Ok(_) => continue, // the budget was enough this time
+                Err(SdError::DeadlineExceeded { budget_micros, .. }) => {
+                    assert_eq!(budget_micros, (full * step / 48).as_micros() as u64);
+                    let p = scratch.profile;
+                    if p.rounds == 0 {
+                        continue; // tripped before any execution stepped
+                    } else if p.scan_fallbacks == 0 {
+                        Trip::MidAggregation
+                    } else {
+                        assert!(p.scan_fallbacks <= 4 && p.emitted == 0);
+                        Trip::MidScan
+                    }
+                }
+                Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
+            };
+            assert_eq!(
+                engine.metrics().snapshot().deadline_exceeded,
+                before + 1,
+                "{trip:?}"
+            );
+
+            // The tripped scratch, no deadline: same answer as a fresh
+            // scratch, and not one allocation beyond the steady state.
+            scratch.deadline = Deadline::none();
+            let mut got = Vec::with_capacity(k);
+            let allocs = count_allocs(|| {
+                got.extend_from_slice(engine.query_with(&query, k, &mut scratch).unwrap());
+            });
+            assert_bit_identical(&got, &want);
+            assert_eq!(
+                allocs, steady,
+                "{trip:?}: the scratch re-allocated after a tripped deadline"
+            );
+            if !seen.contains(&trip) {
+                seen.push(trip);
+            }
+            if seen.len() == 2 {
+                break 'sweep;
+            }
+        }
+    }
+    assert!(
+        seen.contains(&Trip::MidAggregation) && seen.contains(&Trip::MidScan),
+        "the sweep over {full:?} tripped only at {seen:?}"
+    );
+}

@@ -6,6 +6,9 @@
 //!   (forced-scalar and the host's detected level),
 //! * the batched k-th-floor survivor compare agrees with a per-lane scalar
 //!   filter under arbitrary dirty live masks,
+//! * the batched lane filter of the §5 aggregation is the per-lane
+//!   `floor <= inflate(score + others)` on every ISA — exact ties, one ulp
+//!   either side, infinities, signed zeros and denormals included,
 //! * end-to-end: a mutated, sharded [`SdEngine`] answers **bit-identically**
 //!   (ids and score bits, k-th-score ties included) with the scalar
 //!   fallback forced and with runtime dispatch active — the property that
@@ -112,6 +115,151 @@ proptest! {
             }
         });
     }
+
+    // The lane filter is the per-lane inflated compare, dirty masks and
+    // extreme magnitudes included.
+    #[test]
+    fn lane_filter_matches_scalar_expression(
+        scores in vec(coord(), LANES),
+        live in 0u32..=u32::MAX,
+        others in coord(),
+        floor in coord(),
+    ) {
+        with_both_dispatches(|forced| {
+            let got = kernels::lane_filter(&scores, live, others, floor);
+            for (l, &s) in scores.iter().enumerate() {
+                let want = live & (1 << l) != 0 && floor <= kernels::inflate(s + others);
+                assert_eq!(
+                    got & (1 << l) != 0,
+                    want,
+                    "lane {l} (forced_scalar = {forced})"
+                );
+            }
+        });
+    }
+}
+
+/// `v` moved `ulps` representable steps up (`v` finite and positive).
+fn ulps_up(v: f64, ulps: i64) -> f64 {
+    assert!(v.is_finite() && v > 0.0);
+    f64::from_bits((v.to_bits() as i64 + ulps) as u64)
+}
+
+/// The edges the aggregation's lane filter meets, each checked on both
+/// dispatch arms against the per-lane expression.
+#[test]
+fn lane_filter_edges() {
+    let check = |scores: &[f64], live: u32, others: f64, floor: f64, want: u32, what: &str| {
+        let mut expr = 0u32;
+        for (l, &s) in scores.iter().enumerate() {
+            expr |= u32::from(floor <= kernels::inflate(s + others)) << l;
+        }
+        assert_eq!(expr & live, want, "{what}: the test's own expectation");
+        with_both_dispatches(|forced| {
+            assert_eq!(
+                kernels::lane_filter(scores, live, others, floor),
+                want,
+                "{what} (forced_scalar = {forced})"
+            );
+        });
+    };
+    let scores: Vec<f64> = (0..LANES).map(|l| 1.0 + l as f64 * 0.125).collect();
+    let others = 0.75;
+    for lane in [0usize, 3, 4, 17, 31] {
+        // Exactly at the inflated sum: kept, with every lane above it.
+        let at = kernels::inflate(scores[lane] + others);
+        check(&scores, u32::MAX, others, at, u32::MAX << lane, "tie kept");
+        // The floor one ulp higher: that lane is now below it.
+        let above = u32::MAX.checked_shl(lane as u32 + 1).unwrap_or(0);
+        check(
+            &scores,
+            u32::MAX,
+            others,
+            ulps_up(at, 1),
+            above,
+            "one ulp below dropped",
+        );
+        check(
+            &scores,
+            u32::MAX,
+            others,
+            ulps_up(at, -1),
+            u32::MAX << lane,
+            "one ulp above kept",
+        );
+    }
+    let dirty = 0b1001_0110_1111_0000_1010_0101_0011_1100u32;
+    check(
+        &scores,
+        dirty,
+        others,
+        f64::NEG_INFINITY,
+        dirty,
+        "floor -inf keeps all live",
+    );
+    check(
+        &scores,
+        dirty,
+        others,
+        f64::INFINITY,
+        0,
+        "floor +inf keeps none",
+    );
+    check(&scores, 0, others, 0.0, 0, "no live lane");
+    check(
+        &scores[..5],
+        u32::MAX,
+        others,
+        0.0,
+        0b1_1111,
+        "short block: tail lanes dead",
+    );
+    // A drained sibling stream contributes -inf: inflate(-inf) is NaN and
+    // the ordered compare drops every lane, whatever the floor.
+    check(
+        &scores,
+        u32::MAX,
+        f64::NEG_INFINITY,
+        f64::NEG_INFINITY,
+        0,
+        "others -inf",
+    );
+    // Signed zeros: the sum's sign never reaches the compare.
+    let zeros: Vec<f64> = (0..LANES)
+        .map(|l| if l % 2 == 0 { 0.0 } else { -0.0 })
+        .collect();
+    for others in [0.0, -0.0] {
+        check(
+            &zeros,
+            u32::MAX,
+            others,
+            0.0,
+            u32::MAX,
+            "±0 sums reach a floor of 0",
+        );
+        check(
+            &zeros,
+            u32::MAX,
+            others,
+            1e-12,
+            u32::MAX,
+            "slack of 1e-12 at 0",
+        );
+        check(
+            &zeros,
+            u32::MAX,
+            others,
+            ulps_up(1e-12, 1),
+            0,
+            "just past the slack",
+        );
+    }
+    // Denormal scores: the sum stays denormal, the slack dominates.
+    let tiny: Vec<f64> = (0..LANES)
+        .map(|l| f64::from_bits(1 + l as u64 * 977))
+        .collect();
+    check(&tiny, dirty, 0.0, 5e-13, dirty, "denormals under the slack");
+    check(&tiny, dirty, -0.0, 2e-12, 0, "denormals over the slack");
 }
 
 /// Tie-heavy end-to-end workload: forced-scalar answers must equal

@@ -1,13 +1,20 @@
 //! Cross-crate integration tests: every index structure and baseline must
 //! agree with the sequential-scan oracle on every distribution, any mix of
-//! roles, runtime weights and k.
+//! roles, runtime weights and k — and the sharded engine must agree with it
+//! **bit for bit** on the inputs that push its aggregation past the fetch
+//! budget and into the kernel-scan exit.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+
+use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
 use sdq::core::multidim::{PairingStrategy, SdIndex, SdIndexOptions};
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::{DimRole, ScoredPoint};
+use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::{Dataset, DimRole, PointId, ScoredPoint};
 
 fn assert_equiv(method: &str, got: &[ScoredPoint], want: &[ScoredPoint], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{method} length mismatch ({ctx})");
@@ -124,4 +131,165 @@ fn facade_reexports_work() {
     let q = sdq::SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
     assert_eq!(idx.query(&q, 1).unwrap()[0].score, 1.0);
     let _ = sdq::sd_score(&[0.0, 1.0], &[0.0, 0.0], &roles, &[1.0, 1.0]);
+}
+
+// ─── the scan exit against the oracle ───────────────────────────────────────
+
+/// Cases run so far by the property below, and how many of them saw at
+/// least one shard execution finish by scanning.
+static SCAN_CASES: AtomicU32 = AtomicU32::new(0);
+static SCAN_CASES_SCANNED: AtomicU32 = AtomicU32::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    // 6-D anti-correlated rows (with exact duplicates, so k-th-score ties
+    // are real), tombstones and a delta region, 1–4 shards, interleaved
+    // and parallel execution: the engine's answer is SeqScan's over the
+    // live rows, bit for bit, whether or not an execution took the scan
+    // exit — and at least half the cases must take it, so the property
+    // cannot hold by never scanning. (At these shard sizes a block stream
+    // alone spends n/8 within a few rounds; the test after this one has
+    // shards large enough to certify inside the budget.)
+    #[test]
+    fn engine_matches_seqscan_through_the_scan_exit(
+        n in 40usize..=4_000,
+        seed in 0u64..1_000_000,
+        dup_every in 0usize..4,
+        k_small in 1usize..70,
+        k_permille in 0usize..=1_000,
+        k_is_small in 0usize..3,
+        shards in 1usize..=4,
+        threads in 1usize..=2,
+        deletes_permille in 0usize..120,
+        inserts in 0usize..40,
+    ) {
+        let dims = 6;
+        let roles = roles_for(dims, 4);
+        // The per-case stream of duplicate sources, delta rows and victims.
+        let mut stream = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Vec<f64>> = generate(Distribution::AntiCorrelated, n, dims, seed)
+            .iter()
+            .map(|(_, c)| c.to_vec())
+            .collect();
+        if dup_every > 0 {
+            for i in (1..n).step_by(dup_every + 1) {
+                rows[i] = rows[stream.gen_range(0..i)].clone();
+            }
+        }
+        // k anywhere in [1, n + 3]; small k twice as often as not, because
+        // that is where the aggregation can still certify before scanning.
+        let k = if k_is_small > 0 { k_small } else { 1 + k_permille * (n + 2) / 1_000 };
+
+        let mut engine = SdEngine::build_with(
+            Dataset::from_rows(dims, &rows).unwrap(),
+            &roles,
+            &EngineOptions { shards, threads, ..EngineOptions::default() },
+        ).unwrap();
+        // Delta region: copies of indexed rows (ties across base and delta)
+        // and fresh rows; then tombstones over base and delta alike.
+        for i in 0..inserts {
+            let row = if i % 2 == 0 {
+                rows[stream.gen_range(0..n)].clone()
+            } else {
+                (0..dims).map(|d| stream.gen_range(0.0..0.5) + 0.1 * d as f64).collect()
+            };
+            engine.insert(&row).unwrap();
+            rows.push(row);
+        }
+        let total = rows.len();
+        let mut dead = vec![false; total];
+        for _ in 0..total * deletes_permille / 1_000 {
+            let victim = stream.gen_range(0..total);
+            let newly = engine.delete(PointId::new(victim as u32)).unwrap();
+            prop_assert_eq!(newly, !dead[victim]);
+            dead[victim] = true;
+        }
+        let live_ids: Vec<u32> = (0..total as u32).filter(|&i| !dead[i as usize]).collect();
+        let live_rows: Vec<Vec<f64>> = live_ids.iter().map(|&i| rows[i as usize].clone()).collect();
+        let oracle = SeqScan::new(Dataset::from_rows(dims, &live_rows).unwrap(), &roles).unwrap();
+
+        let mut scratch = EngineScratch::new();
+        let mut scanned = false;
+        for q in &uniform_queries(3, dims, seed ^ 0xC0FFEE) {
+            let want = oracle.query(q, k).unwrap();
+            let got = engine.query_with(q, k, &mut scratch).unwrap();
+            prop_assert_eq!(got.len(), want.len(), "length (k = {})", k);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.id.raw(), live_ids[w.id.index()], "id (k = {})", k);
+                prop_assert_eq!(g.score.to_bits(), w.score.to_bits(), "score bits (k = {})", k);
+            }
+            let p = scratch.profile;
+            prop_assert_eq!(p.scan_fallbacks == 0, p.scan_rows == 0);
+            prop_assert!(p.scan_fallbacks <= shards as u64);
+            // (The delta seqscan counts its dead rows without fetching
+            // them, so the fetch algebra is the indexed rows' alone.)
+            if inserts == 0 {
+                prop_assert_eq!(
+                    p.points_gathered + p.seen_hits + p.tombstones_skipped,
+                    p.rows_fetched,
+                    "fetch accounting leaks rows"
+                );
+            }
+            scanned |= p.scan_fallbacks > 0;
+        }
+        let cases = SCAN_CASES.fetch_add(1, Ordering::Relaxed) + 1;
+        let with_scan = SCAN_CASES_SCANNED.fetch_add(u32::from(scanned), Ordering::Relaxed)
+            + u32::from(scanned);
+        prop_assert!(
+            cases < 16 || 2 * with_scan >= cases,
+            "only {} of {} cases took the scan exit",
+            with_scan,
+            cases
+        );
+    }
+}
+
+/// Shards big enough that the budget decides query by query, shard by
+/// shard: some executions certify inside it while their siblings — same
+/// query, same shared floor, same merge — finish by scanning.
+#[test]
+fn scanning_and_certifying_shards_merge_to_the_oracle() {
+    let (n, dims, k, shards) = (12_000, 4, 16, 4);
+    let data = Arc::new(generate(Distribution::Uniform, n, dims, 0x5CA9));
+    let roles = roles_for(dims, 2);
+    let oracle = SeqScan::new(data.clone(), &roles).unwrap();
+    let queries = uniform_queries(24, dims, 0x5CAA);
+    for threads in [1, 2] {
+        let engine = SdEngine::build_with(
+            data.clone(),
+            &roles,
+            &EngineOptions {
+                shards,
+                threads,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        let mut scratch = EngineScratch::new();
+        let (mut none, mut some, mut all) = (0, 0, 0);
+        for q in &queries {
+            let want = oracle.query(q, k).unwrap();
+            let got = engine.query_with(q, k, &mut scratch).unwrap();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (g.id, g.score.to_bits()),
+                    (w.id, w.score.to_bits()),
+                    "threads = {threads}"
+                );
+            }
+            match scratch.profile.scan_fallbacks {
+                0 => none += 1,
+                f if f == shards as u64 => all += 1,
+                _ => some += 1,
+            }
+        }
+        // Which executions scan is a fact of the data at one worker; two
+        // workers race the shared floor, so only exactness is asserted.
+        assert!(
+            threads > 1 || (some > 0 && none > 0 && all > 0),
+            "{none} queries never scanned, {some} in some shards, {all} in all"
+        );
+    }
 }

@@ -8,7 +8,10 @@
 //! * Counters obey the pipeline algebra: `scored ≤ gathered ≤ fetched`,
 //!   `gathered + seen_hits + tombstones_skipped == fetched`, the pruning
 //!   funnel is monotone non-increasing past its dataset-size head, and
-//!   `emitted == min(k, live)`.
+//!   `emitted == min(k, live)` — also when an execution spent its fetch
+//!   budget and finished with a kernel scan, whose `scan_rows` are fetched
+//!   rows that pass through the block stages (at these sizes the budget is
+//!   a dozen rows, and nearly every aggregation here ends that way).
 //! * Forced-scalar kernels report exactly the same pruning counters as
 //!   the dispatched ISA — only the ISA name (and, in principle, the batch
 //!   granularity) may differ. Pruning decisions are ISA-independent.
@@ -218,6 +221,8 @@ proptest! {
         prop_assert_eq!(p1.tree_rows_pulled, p2.tree_rows_pulled);
         prop_assert_eq!(p1.onedim_rows_pulled, p2.onedim_rows_pulled);
         prop_assert_eq!(p1.rows_fetched, p2.rows_fetched);
+        prop_assert_eq!(p1.scan_fallbacks, p2.scan_fallbacks);
+        prop_assert_eq!(p1.scan_rows, p2.scan_rows);
         prop_assert_eq!(p1.points_gathered, p2.points_gathered);
         prop_assert_eq!(p1.points_scored, p2.points_scored);
         prop_assert_eq!(p1.seen_hits, p2.seen_hits);
