@@ -255,8 +255,6 @@ pub fn score_block_2d(
 /// Computes both rotated projection keys of a 2-D SoA block:
 /// `u[l] = cos·y[l] − sin·x[l]`, `v[l] = cos·y[l] + sin·x[l]` —
 /// bit-identical to [`Angle::u`]/[`Angle::v`](crate::geometry::Angle::v).
-/// The leaf-page expansion of the packed index batches its per-point heap
-/// priorities through this.
 #[inline]
 pub fn rotate_block(u: &mut [f64], v: &mut [f64], xs: &[f64], ys: &[f64], cos: f64, sin: f64) {
     debug_assert!(u.len() == v.len() && u.len() == xs.len() && u.len() == ys.len());

@@ -84,7 +84,7 @@ pub use integrity::{CrcState, SectionIntegrity};
 pub use mask::{MaskView, RowMask};
 pub use profile::QueryProfile;
 pub use score::{sd_score, DimRole, SdQuery};
-pub use scratch::QueryScratch;
+pub use scratch::{recycle_vec, QueryScratch};
 pub use telemetry::{EventJournal, EventKind, EventRecord, HistoSnapshot, LatencyHisto, Telemetry};
 pub use threshold::SharedThreshold;
 pub use types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};

@@ -15,10 +15,17 @@
 //! ## Execution model
 //!
 //! Subproblems are one closed [`Subproblem`] enum rather than trait
-//! objects, so the `bound()`/`next()` calls in the aggregation inner loop
-//! are direct (inlinable) dispatches — no vtable in the hot path. All
-//! query-time buffers come from a [`QueryScratch`]; the allocating
-//! [`SdIndex::query`] is a thin wrapper over [`SdIndex::query_with`].
+//! objects, so the `bound()`/`next_unit()` calls in the aggregation inner
+//! loop are direct (inlinable) dispatches — no vtable in the hot path.
+//!
+//! An aggregation runs one way: a [`ShardExecution`] takes its buffers out
+//! of a [`QueryScratch`] ([`SdIndex::begin_query`]), is advanced by
+//! [`ShardExecution::step`] — in slices by the sharded engine, in one
+//! unbounded step by [`SdIndex::query_masked`] and
+//! [`threshold_aggregate_with`] — and hands the buffers back in
+//! [`ShardExecution::finish_into`] / [`ShardExecution::abandon_into`]. The
+//! allocating [`SdIndex::query`] and the scratch-reusing
+//! [`SdIndex::query_with`] are thin wrappers over `query_masked`.
 //!
 //! Which physical stream serves a pair is decided per query by the cost
 //! model in [`plan`] (tree frontier at an indexed angle, Claim 6 bracketed
@@ -35,7 +42,7 @@
 //! The aggregation additionally terminates as soon as its *k-th-best seen*
 //! score — locally tracked, and optionally shared across shard executions
 //! through a [`SharedThreshold`] — certifiably beats the admissible bound
-//! on everything unfetched; see [`threshold_aggregate_shared`].
+//! on everything unfetched; see [`ShardExecution::step`].
 
 pub mod pairing;
 pub mod plan;
@@ -63,22 +70,6 @@ use crate::topk::stream::{FastSet, PairFrontier};
 use crate::topk::{arbitrary, default_angles, TopKIndex};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
-
-/// The behavioural contract of one §5 subproblem: emits `(row, subscore)`
-/// pairs in non-increasing subscore order and bounds everything not yet
-/// emitted.
-///
-/// The aggregation loop itself runs over the closed [`Subproblem`] enum
-/// (static dispatch); the trait documents the contract, backs the
-/// stream-level tests and stays implemented by every concrete stream.
-pub trait SubproblemStream {
-    /// Admissible upper bound on the subscore of every row this stream has
-    /// not yet emitted; `None` once the stream is drained (at which point
-    /// every row of the dataset has been emitted by it).
-    fn bound(&self) -> Option<f64>;
-    /// The next row in subscore order.
-    fn next(&mut self) -> Option<(u32, f64)>;
-}
 
 /// One subproblem of the §5 decomposition, as a closed enum so the
 /// aggregation inner loop is fully devirtualized.
@@ -115,26 +106,15 @@ impl<'a> Subproblem<'a> {
         })
     }
 
-    /// See [`SubproblemStream::bound`].
+    /// Admissible upper bound on the subscore of every row this stream has
+    /// not yet surfaced; `None` once the stream is drained (at which point
+    /// it has surfaced every row of the dataset).
     #[inline]
     pub fn bound(&self) -> Option<f64> {
         match self {
             Subproblem::Pair2d(s) => s.bound(),
             Subproblem::Attractive1d(s) => s.bound(),
             Subproblem::Repulsive1d(s) => s.bound(),
-        }
-    }
-
-    /// See [`SubproblemStream::next`]. (Deliberately named like
-    /// `Iterator::next`; an `Iterator` impl would hide the `bound()`
-    /// coupling callers rely on.)
-    #[inline]
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<(u32, f64)> {
-        match self {
-            Subproblem::Pair2d(s) => s.next(),
-            Subproblem::Attractive1d(s) => s.next(),
-            Subproblem::Repulsive1d(s) => s.next(),
         }
     }
 
@@ -147,8 +127,7 @@ impl<'a> Subproblem<'a> {
 
     /// Fetches this stream's next *emission unit* into `out`:
     ///
-    /// * 1-D and per-point streams append one row (exactly like
-    ///   [`Subproblem::next`]);
+    /// * 1-D and per-point streams append one row;
     /// * a block-backed 2-D stream appends every live row of its next
     ///   surviving SoA leaf block (up to [`LANES`] at once), after
     ///   block-level floor pruning: with `prune = Some((f, others))` —
@@ -168,43 +147,14 @@ impl<'a> Subproblem<'a> {
         out: &mut Vec<u32>,
         prof: &mut QueryProfile,
     ) -> bool {
-        match self {
-            Subproblem::Pair2d(s) => s.next_unit(prune, out, prof),
-            Subproblem::Attractive1d(s) => match s.next() {
-                Some((row, _)) => {
-                    prof.onedim_rows_pulled += 1;
-                    out.push(row);
-                    true
-                }
-                None => false,
-            },
-            Subproblem::Repulsive1d(s) => match s.next() {
-                Some((row, _)) => {
-                    prof.onedim_rows_pulled += 1;
-                    out.push(row);
-                    true
-                }
-                None => false,
-            },
-        }
-    }
-
-    /// Flushes any walk counters still buffered inside the stream's
-    /// frontier into `prof` (called once per aggregation slice, so pops
-    /// performed by `bound()` staging are not lost).
-    fn flush_profile(&mut self, prof: &mut QueryProfile) {
-        if let Subproblem::Pair2d(s) = self {
-            s.flush_profile(prof);
-        }
-    }
-}
-
-impl SubproblemStream for Subproblem<'_> {
-    fn bound(&self) -> Option<f64> {
-        Subproblem::bound(self)
-    }
-    fn next(&mut self) -> Option<(u32, f64)> {
-        Subproblem::next(self)
+        let pulled = match self {
+            Subproblem::Pair2d(s) => return s.next_unit(prune, out, prof),
+            Subproblem::Attractive1d(s) => s.next(),
+            Subproblem::Repulsive1d(s) => s.next(),
+        };
+        prof.onedim_rows_pulled += u64::from(pulled.is_some());
+        out.extend(pulled.map(|(row, _)| row));
+        pulled.is_some()
     }
 }
 
@@ -548,40 +498,28 @@ impl SdIndex {
         k: usize,
         scratch: &'s mut QueryScratch,
     ) -> Result<&'s [ScoredPoint], SdError> {
-        self.query_shared(query, k, scratch, None)
+        self.query_masked(query, k, scratch, None, None)
     }
 
-    /// [`SdIndex::query_with`] with an optional cross-execution
-    /// [`SharedThreshold`]: the aggregation publishes its running
-    /// k-th-best score into the handle and prunes against the handle's
-    /// floor, which is what lets the sharded engine run one execution per
-    /// shard and still terminate each of them against the *global* k-th
-    /// score. With `shared = None` this is exactly `query_with`.
+    /// The run-to-completion entry: [`SdIndex::query_with`] with an
+    /// optional cross-execution [`SharedThreshold`] and an optional
+    /// tombstone [`MaskView`].
     ///
-    /// The answer is canonical (score descending, ties by row id
-    /// ascending) and independent of the floor's observed staleness; a
-    /// shard execution may return fewer than `k` points when the floor
-    /// proves the missing ones cannot be in the global top-k.
-    pub fn query_shared<'s>(
-        &self,
-        query: &SdQuery,
-        k: usize,
-        scratch: &'s mut QueryScratch,
-        shared: Option<&SharedThreshold>,
-    ) -> Result<&'s [ScoredPoint], SdError> {
-        self.query_masked(query, k, scratch, shared, None)
-    }
-
-    /// [`SdIndex::query_shared`] with an optional tombstone [`MaskView`]:
-    /// masked rows are dropped *at scoring time* — before they can enter
-    /// the candidate pool or the k-th-score floor — so the answer is the
-    /// canonical top-k of the **live** rows only, exactly as if the dead
-    /// rows had never been indexed. Stream bounds keep covering dead rows
-    /// (admissible for the live subset; compaction restores tightness).
+    /// With `shared`, the execution publishes its running k-th-best score
+    /// into the handle and prunes against the handle's floor, so it may
+    /// return fewer than `k` points when the floor proves the missing ones
+    /// cannot be in the global top-k. With `mask`, masked rows are dropped
+    /// *at scoring time* — before they can enter the candidate pool or the
+    /// k-th-score floor — so the answer is the canonical top-k of the
+    /// **live** rows only, exactly as if the dead rows had never been
+    /// indexed. Stream bounds keep covering dead rows (admissible for the
+    /// live subset; compaction restores tightness). Either way the answer
+    /// is canonical (score descending, ties by row id ascending).
     ///
-    /// With a mask present the direct single-pair shortcut is skipped and
-    /// every query runs through the (equally canonical) aggregation, which
-    /// is where the masking hook lives.
+    /// This is the one place the direct single-pair search is chosen: a
+    /// query that is one non-degenerate pair, unmasked, is one certified
+    /// frontier search over the pair's tree. Everything else is
+    /// [`SdIndex::begin_query`] stepped once without a round limit.
     pub fn query_masked<'s>(
         &self,
         query: &SdQuery,
@@ -590,77 +528,48 @@ impl SdIndex {
         shared: Option<&SharedThreshold>,
         mask: Option<MaskView<'_>>,
     ) -> Result<&'s [ScoredPoint], SdError> {
-        if k == 0 {
-            return Err(SdError::ZeroK);
-        }
-        if query.dims() != self.data.dims() {
-            return Err(SdError::DimensionMismatch {
-                expected: self.data.dims(),
-                got: query.dims(),
-            });
-        }
-        self.ensure_query_integrity()?;
-        let n = self.data.len();
-        if n == 0 {
+        self.check_query(query, k)?;
+        // The direct search bypasses the instrumented aggregation loop, so
+        // its profile only reports emission count, ISA and wall time.
+        let direct = match mask {
+            None if !self.data.is_empty() => self.direct_pair(query),
+            _ => None,
+        };
+        if let Some((alpha, beta, qx, qy)) = direct {
             scratch.profile.reset();
-            scratch.answers.clear();
+            let t0 = scratch.profile.timing.then(std::time::Instant::now);
+            arbitrary::query_canonical_with(
+                &self.pair_indexes[0],
+                qx,
+                qy,
+                alpha,
+                beta,
+                k,
+                scratch,
+                shared,
+            )?;
+            scratch.profile.isa = kernels::active().name();
+            scratch.profile.emitted = scratch.answers.len() as u64;
+            if let Some(t0) = t0 {
+                scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
+            }
             return Ok(&scratch.answers);
         }
-
-        // Direct strategy: a single-pair query is one certified 2-D search
-        // over the pair's tree (indexed-angle or Claim 6 bracketed
-        // frontier) — no aggregation machinery at all. Masked executions
-        // always aggregate (the mask hook lives there). The direct search
-        // bypasses the instrumented aggregation loop, so its profile only
-        // reports emission count, ISA and wall time.
-        if mask.is_none() {
-            if let Some((alpha, beta, qx, qy)) = self.direct_pair(query) {
-                scratch.profile.reset();
-                let t0 = scratch.profile.timing.then(std::time::Instant::now);
-                arbitrary::query_canonical_with(
-                    &self.pair_indexes[0],
-                    qx,
-                    qy,
-                    alpha,
-                    beta,
-                    k,
-                    scratch,
-                    shared,
-                )?;
-                scratch.profile.isa = kernels::active().name();
-                scratch.profile.emitted = scratch.answers.len() as u64;
-                if let Some(t0) = t0 {
-                    scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
-                }
-                return Ok(&scratch.answers);
-            }
-        }
-
-        let streams = self.assemble_streams(query, k, scratch)?;
-
-        aggregate_and_recycle(
-            &self.data,
-            &self.roles,
-            query,
-            k,
-            streams,
-            scratch,
-            shared,
-            mask,
-            plan::scan_budget(n),
-        )
+        self.begin(query, k, scratch, mask)?
+            .run_into(shared, scratch)
     }
 
     /// Starts a suspended, resumable execution of this index's aggregation
-    /// — the engine's interleaved shard-scheduling entry point. The
-    /// returned [`ShardExecution`] owns all its mutable state (taken from
-    /// `scratch`; recovered by [`ShardExecution::finish_into`]), so one
-    /// execution per shard can be in flight simultaneously.
+    /// — the unit the sharded engine schedules. The returned
+    /// [`ShardExecution`] owns all its mutable state (taken from `scratch`;
+    /// recovered by [`ShardExecution::finish_into`]), so one execution per
+    /// shard can be in flight simultaneously. With a tombstone `mask` the
+    /// execution scores (and therefore emits) live rows only; see
+    /// [`SdIndex::query_masked`] for the exactness argument.
     ///
-    /// Unlike [`SdIndex::query_shared`], single-pair queries do not take
-    /// the direct 2-D shortcut here — a suspended execution must expose
-    /// stream state — but the answer is bit-identical either way (both
-    /// paths are canonical).
+    /// Single-pair queries do not take the direct 2-D search here — a
+    /// suspended execution must expose stream state — but the answer is
+    /// bit-identical either way (both paths are canonical).
     ///
     /// The execution carries this index's fetch budget
     /// ([`plan::scan_budget`]): the [`ShardExecution::step`] that finds it
@@ -671,20 +580,14 @@ impl SdIndex {
         query: &'i SdQuery,
         k: usize,
         scratch: &mut QueryScratch,
-    ) -> Result<ShardExecution<'i>, SdError> {
-        self.begin_query_masked(query, k, scratch, None)
-    }
-
-    /// [`SdIndex::begin_query`] with an optional tombstone [`MaskView`] —
-    /// the masked execution scores (and therefore emits) live rows only;
-    /// see [`SdIndex::query_masked`] for the exactness argument.
-    pub fn begin_query_masked<'i>(
-        &'i self,
-        query: &'i SdQuery,
-        k: usize,
-        scratch: &mut QueryScratch,
         mask: Option<MaskView<'i>>,
     ) -> Result<ShardExecution<'i>, SdError> {
+        self.check_query(query, k)?;
+        self.begin(query, k, scratch, mask)
+    }
+
+    /// What every query entry validates before touching the index.
+    fn check_query(&self, query: &SdQuery, k: usize) -> Result<(), SdError> {
         if k == 0 {
             return Err(SdError::ZeroK);
         }
@@ -694,49 +597,34 @@ impl SdIndex {
                 got: query.dims(),
             });
         }
-        self.ensure_query_integrity()?;
+        self.ensure_query_integrity()
+    }
+
+    /// [`SdIndex::begin_query`] past validation: this index's streams under
+    /// this index's fetch budget.
+    fn begin<'i>(
+        &'i self,
+        query: &'i SdQuery,
+        k: usize,
+        scratch: &mut QueryScratch,
+        mask: Option<MaskView<'i>>,
+    ) -> Result<ShardExecution<'i>, SdError> {
         let n = self.data.len();
         let streams = if n == 0 {
             scratch.stream_buf()
         } else {
             self.assemble_streams(query, k, scratch)?
         };
-        let live = n - mask.map_or(0, |m| m.dead_among(n));
-        let k_eff = k.min(live);
-        let mut pool = std::mem::take(&mut scratch.pool);
-        pool.clear();
-        pool.reserve(k_eff + streams.len());
-        let mut seen = std::mem::take(&mut scratch.seen);
-        seen.begin(n);
-        let mut answers = std::mem::take(&mut scratch.answers);
-        answers.clear();
-        answers.reserve(k_eff);
-        let mut floor = std::mem::take(&mut scratch.floor);
-        floor.clear();
-        let mut batch = std::mem::take(&mut scratch.rows);
-        batch.clear();
-        scratch.profile.reset();
-        Ok(ShardExecution {
-            data: self.data.as_ref(),
-            roles: &self.roles,
+        Ok(ShardExecution::begin(
+            &self.data,
+            &self.roles,
             query,
-            k_eff,
-            publish: k_eff == k,
+            k,
             streams,
             mask,
-            pool,
-            seen,
-            answers,
-            floor,
-            batch,
-            gather: std::mem::take(&mut scratch.gather),
-            scores: std::mem::take(&mut scratch.scores),
-            fbuf: std::mem::take(&mut scratch.fbuf),
-            profile: scratch.profile,
-            deadline: scratch.deadline.clone(),
-            scan_budget: plan::scan_budget(n),
-            done: n == 0,
-        })
+            plan::scan_budget(n),
+            scratch,
+        ))
     }
 
     /// The effective build options of this index, recovered from its
@@ -920,98 +808,6 @@ pub(crate) fn build_pair_columns(
         .collect()
 }
 
-/// The §5 aggregation loop, shared with the adapted-TA baseline (which uses
-/// one 1-D stream per dimension — precisely the configuration this
-/// degenerates to with zero pairs, as Fig. 7i–j observes).
-///
-/// Exact and **canonical**: a candidate is emitted only when its exact full
-/// score is strictly above the (FP-inflated) threshold `τ = Σ` stream
-/// bounds, so score ties always resolve through the pool's
-/// `(score, Reverse(row))` order — smallest row first — independent of
-/// stream fetch order. Two further stop rules terminate early without
-/// breaking canonicity (see [`query_frontier_with`] for the argument):
-/// the locally tracked k-th-best seen score, and the optional cross-shard
-/// [`SharedThreshold`] floor.
-///
-/// [`query_frontier_with`]: crate::topk::arbitrary::query_frontier_with
-#[allow(clippy::too_many_arguments)] // internal: one call site per mode
-fn aggregate_into(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: &mut [Subproblem<'_>],
-    scratch: &mut QueryScratch,
-    shared: Option<&SharedThreshold>,
-    mask: Option<MaskView<'_>>,
-    scan_budget: usize,
-) -> Result<(), SdError> {
-    let QueryScratch {
-        pool,
-        seen,
-        answers,
-        floor,
-        rows,
-        gather,
-        scores,
-        fbuf,
-        profile,
-        deadline,
-        ..
-    } = &mut *scratch;
-    profile.reset();
-    let t0 = profile.timing.then(std::time::Instant::now);
-    pool.clear();
-    answers.clear();
-    floor.clear();
-    let n = data.len();
-    seen.begin(n);
-    let live = n - mask.map_or(0, |m| m.dead_among(n));
-    let k_eff = k.min(live);
-    // A floor over fewer than k real points cannot bound the global k-th
-    // score, so shards smaller than k (counting live rows) never publish.
-    let publish = k_eff == k;
-    // Pre-size: the pool holds at most one candidate per fetch round per
-    // stream beyond the k answers still wanted.
-    answers.reserve(k_eff);
-    pool.reserve(k_eff + streams.len());
-
-    let done = aggregate_rounds(
-        data,
-        roles,
-        query,
-        k_eff,
-        publish,
-        streams,
-        mask,
-        pool,
-        seen,
-        answers,
-        floor,
-        shared,
-        usize::MAX,
-        scan_budget,
-        &mut |_| {},
-        rows,
-        gather,
-        scores,
-        fbuf,
-        profile,
-        deadline,
-    )?;
-    debug_assert!(done, "unbounded aggregation must complete");
-    answers.sort_unstable_by(rank_cmp);
-    for s in streams.iter_mut() {
-        s.flush_profile(profile);
-    }
-    profile.floor_value = floor.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0);
-    profile.emitted = answers.len() as u64;
-    if let Some(t0) = t0 {
-        profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
-    }
-    Ok(())
-}
-
 /// The scoring stage behind every row the aggregation looks at, whichever
 /// way the row arrived — a round's fetched batch ([`score_rows_batched`])
 /// or the scan exit ([`scan_unseen`]): tombstone-masked, gathered into
@@ -1084,12 +880,11 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
     fn gather_run(&mut self, start: usize, count: usize) {
         debug_assert_eq!(self.cnt, 0, "lanes of an open batch would be overwritten");
         let dims = self.data.dims();
-        let run = &self.data.flat()[start * dims..(start + count) * dims];
-        for (d, col) in self.gather.chunks_exact_mut(LANES).enumerate() {
-            for (lane, row) in col.iter_mut().zip(run.chunks_exact(dims)) {
-                *lane = row[d];
-            }
-        }
+        transpose_run(
+            &self.data.flat()[start * dims..(start + count) * dims],
+            dims,
+            self.gather,
+        );
         for (l, slot) in self.lane_rows[..count].iter_mut().enumerate() {
             *slot = (start + l) as u32;
         }
@@ -1101,22 +896,12 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
     fn score_lanes(&mut self, live: u32) {
         self.prof.kernel_batches += 1;
         self.prof.isa = kernels::active().name();
-        kernels::score_zero(self.scores);
-        for d in 0..self.data.dims() {
-            let sw = self.roles[d].sign() * self.query.weights[d];
-            kernels::score_add_dim(
-                &mut self.scores[..],
-                &self.gather[d * LANES..(d + 1) * LANES],
-                self.query.point[d],
-                sw,
-            );
-        }
         let fl = if self.publish && self.floor.len() == self.k_eff {
             self.floor.peek().expect("floor is non-empty").0 .0
         } else {
             f64::NEG_INFINITY
         };
-        let mut surv = kernels::survivors(self.scores, live, fl);
+        let mut surv = score_survivors(self.roles, self.query, self.gather, self.scores, live, fl);
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
@@ -1128,6 +913,41 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
                 .push((OrdF64::new(score), Reverse(self.lane_rows[l])));
         }
     }
+}
+
+/// Transposes `run` — consecutive rows of the row-major table — into
+/// dimension-major lanes `0..run.len() / dims` of `gather`.
+///
+/// This and [`score_survivors`] are the observer-independent half of the
+/// scoring stage, kept out of line so that they compile once: inlined into
+/// each `F` instantiation of the loop they came out ≈ 25 % apart in speed
+/// from one source.
+#[inline(never)]
+fn transpose_run(run: &[f64], dims: usize, gather: &mut [f64]) {
+    for (d, col) in gather.chunks_exact_mut(LANES).enumerate() {
+        for (lane, row) in col.iter_mut().zip(run.chunks_exact(dims)) {
+            *lane = row[d];
+        }
+    }
+}
+
+/// Kernel-scores the gathered lanes on the full query into `scores` and
+/// returns which of the `live` ones reach `floor`.
+#[inline(never)]
+fn score_survivors(
+    roles: &[DimRole],
+    query: &SdQuery,
+    gather: &[f64],
+    scores: &mut [f64],
+    live: u32,
+    floor: f64,
+) -> u32 {
+    kernels::score_zero(scores);
+    for (d, col) in gather.chunks_exact(LANES).enumerate() {
+        let sw = roles[d].sign() * query.weights[d];
+        kernels::score_add_dim(scores, col, query.point[d], sw);
+    }
+    kernels::survivors(scores, live, floor)
 }
 
 /// Scores one round's fetched rows: duplicates die on the seen-set, the
@@ -1212,11 +1032,21 @@ fn emit_pooled(
     }
 }
 
-/// Runs up to `rounds` iterations of the aggregation loop over
-/// caller-owned state; returns `true` once the query is complete (the
-/// answer buffer holds the canonical top `k_eff`, unsorted). The single
-/// implementation behind [`aggregate_into`] (run to completion) and
-/// [`ShardExecution::step`] (interleaved shard execution).
+/// The §5 aggregation loop, shared with the adapted-TA baseline (which uses
+/// one 1-D stream per dimension — precisely the configuration this
+/// degenerates to with zero pairs, as Fig. 7i–j observes). Runs up to
+/// `rounds` iterations over the state of one [`ShardExecution`] — its only
+/// caller is [`ShardExecution::step`]; returns `true` once the query is
+/// complete (the answer buffer holds the canonical top `k_eff`, unsorted).
+///
+/// Exact and **canonical**: a candidate is emitted only when its exact full
+/// score is strictly above the (FP-inflated) threshold `τ = Σ` stream
+/// bounds, so score ties always resolve through the pool's
+/// `(score, Reverse(row))` order — smallest row first — independent of
+/// stream fetch order. Two further stop rules terminate early without
+/// breaking canonicity (see [`query_frontier_with`] for the argument):
+/// the locally tracked k-th-best seen score, and the optional cross-shard
+/// [`SharedThreshold`] floor.
 ///
 /// One iteration fetches one *emission unit* per subproblem — a single row
 /// for 1-D streams, a whole SoA leaf block for block-backed 2-D streams —
@@ -1226,7 +1056,7 @@ fn emit_pooled(
 /// streams' bounds), so whole blocks certifiably outside the top-k are
 /// rejected before any of their points is scored.
 ///
-/// `scan_budget` bounds what the loop may spend on fetching: an iteration
+/// The execution's `scan_budget` bounds what the loop may spend on fetching: an iteration
 /// that finds the query neither certified nor floor-terminated after more
 /// than `scan_budget` rows have been fetched stops consulting the streams
 /// and finishes with [`scan_unseen`] — one sequential kernel pass over the
@@ -1238,34 +1068,41 @@ fn emit_pooled(
 /// distinct row that could still matter to a top-k — the engine feeds
 /// these into its merged cross-shard k-th-score tracker.
 ///
-/// `deadline` is consulted once per iteration — block-pop granularity,
+/// The execution's deadline is consulted once per iteration — block-pop granularity,
 /// one inlined branch when unset — and once per [`LANES`] scanned rows, and
 /// aborts the aggregation with the typed deadline/cancel error; the answer
 /// buffer keeps the certified partial prefix emitted so far.
-#[allow(clippy::too_many_arguments)] // internal: one call site per mode
+///
+/// [`query_frontier_with`]: crate::topk::arbitrary::query_frontier_with
 fn aggregate_rounds<F: FnMut(f64)>(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k_eff: usize,
-    publish: bool,
-    streams: &mut [Subproblem<'_>],
-    mask: Option<MaskView<'_>>,
-    pool: &mut BinaryHeap<(OrdF64, Reverse<u32>)>,
-    seen: &mut StampSet,
-    answers: &mut Vec<ScoredPoint>,
-    floor: &mut BinaryHeap<Reverse<OrdF64>>,
+    exec: &mut ShardExecution<'_>,
     shared: Option<&SharedThreshold>,
     mut rounds: usize,
-    scan_budget: usize,
     on_score: &mut F,
-    batch: &mut Vec<u32>,
-    gather: &mut Vec<f64>,
-    scores: &mut Vec<f64>,
-    fbuf: &mut Vec<f64>,
-    prof: &mut QueryProfile,
-    deadline: &Deadline,
 ) -> Result<bool, SdError> {
+    let ShardExecution {
+        data,
+        roles,
+        query,
+        k_eff,
+        publish,
+        streams,
+        mask,
+        pool,
+        seen,
+        answers,
+        floor,
+        batch,
+        gather,
+        scores,
+        fbuf,
+        profile: prof,
+        deadline,
+        scan_budget,
+        done: _,
+    } = exec;
+    let (data, roles, query) = (*data, *roles, *query);
+    let (k_eff, publish, mask, scan_budget) = (*k_eff, *publish, *mask, *scan_budget);
     // Fixed-size after the first call: no steady-state allocation.
     gather.resize(data.dims() * LANES, 0.0);
     scores.resize(LANES, 0.0);
@@ -1429,15 +1266,104 @@ pub struct ShardExecution<'i> {
 }
 
 impl<'i> ShardExecution<'i> {
+    /// The one place an aggregation takes its buffers out of a
+    /// [`QueryScratch`]: `streams` (assembled into that scratch's
+    /// [`QueryScratch::stream_buf`]) run against `data` under `mask`, and
+    /// the execution switches to the kernel scan once it has fetched more
+    /// than `scan_budget` rows (`usize::MAX`: never).
+    #[allow(clippy::too_many_arguments)] // internal: the index's and the TA entry's
+    fn begin(
+        data: &'i Dataset,
+        roles: &'i [DimRole],
+        query: &'i SdQuery,
+        k: usize,
+        streams: Vec<Subproblem<'i>>,
+        mask: Option<MaskView<'i>>,
+        scan_budget: usize,
+        scratch: &mut QueryScratch,
+    ) -> Self {
+        let n = data.len();
+        let live = n - mask.map_or(0, |m| m.dead_among(n));
+        let k_eff = k.min(live);
+        // Pre-size: the pool holds at most one candidate per fetch round per
+        // stream beyond the k answers still wanted.
+        let mut pool = std::mem::take(&mut scratch.pool);
+        pool.clear();
+        pool.reserve(k_eff + streams.len());
+        let mut seen = std::mem::take(&mut scratch.seen);
+        seen.begin(n);
+        let mut answers = std::mem::take(&mut scratch.answers);
+        answers.clear();
+        answers.reserve(k_eff);
+        let mut floor = std::mem::take(&mut scratch.floor);
+        floor.clear();
+        let mut batch = std::mem::take(&mut scratch.rows);
+        batch.clear();
+        scratch.profile.reset();
+        ShardExecution {
+            data,
+            roles,
+            query,
+            k_eff,
+            // A floor over fewer than k real points cannot bound the global
+            // k-th score, so shards smaller than k (counting live rows)
+            // never publish.
+            publish: k_eff == k,
+            streams,
+            mask,
+            pool,
+            seen,
+            answers,
+            floor,
+            batch,
+            gather: std::mem::take(&mut scratch.gather),
+            scores: std::mem::take(&mut scratch.scores),
+            fbuf: std::mem::take(&mut scratch.fbuf),
+            profile: scratch.profile,
+            deadline: scratch.deadline.clone(),
+            scan_budget,
+            done: n == 0,
+        }
+    }
+
+    /// Runs the execution to completion in one unbounded step and returns
+    /// the canonical answer out of `scratch` — the scratch it was begun
+    /// from, which gets every buffer back whether the step completes or a
+    /// deadline ends it.
+    fn run_into<'s>(
+        mut self,
+        shared: Option<&SharedThreshold>,
+        scratch: &'s mut QueryScratch,
+    ) -> Result<&'s [ScoredPoint], SdError> {
+        let t0 = self.profile.timing.then(std::time::Instant::now);
+        let stepped = self.step(usize::MAX, shared, |_| {});
+        if let Some(t0) = t0 {
+            self.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
+        }
+        match stepped {
+            Ok(done) => {
+                debug_assert!(done, "an unbounded step completes");
+                self.finish_into(scratch);
+                Ok(&scratch.answers)
+            }
+            Err(e) => {
+                self.abandon_into(scratch);
+                Err(e)
+            }
+        }
+    }
+
     /// `true` once the execution has produced its canonical answer.
     pub fn done(&self) -> bool {
         self.done
     }
 
     /// Runs up to `rounds` aggregation iterations (one fetch per stream
-    /// each). Publishes into / prunes against `shared` exactly like
-    /// [`SdIndex::query_shared`]; `on_score` observes every newly scored
-    /// row's exact score. Returns `Ok(true)` once complete; a deadline or
+    /// each). Publishes its running k-th-best exact score into `shared`
+    /// and terminates as soon as that handle's floor (raised concurrently
+    /// by sibling shard executions of the same logical query) certifiably
+    /// beats the admissible bound `τ` on every unfetched row; `on_score`
+    /// observes every newly scored row's exact score. Returns `Ok(true)` once complete; a deadline or
     /// cancellation carried in the originating scratch aborts with the
     /// typed error (the execution keeps its certified partial answer —
     /// hand its buffers back with [`ShardExecution::abandon_into`]).
@@ -1454,36 +1380,14 @@ impl<'i> ShardExecution<'i> {
         mut on_score: F,
     ) -> Result<bool, SdError> {
         if !self.done {
-            self.done = aggregate_rounds(
-                self.data,
-                self.roles,
-                self.query,
-                self.k_eff,
-                self.publish,
-                &mut self.streams,
-                self.mask,
-                &mut self.pool,
-                &mut self.seen,
-                &mut self.answers,
-                &mut self.floor,
-                shared,
-                rounds,
-                self.scan_budget,
-                &mut on_score,
-                &mut self.batch,
-                &mut self.gather,
-                &mut self.scores,
-                &mut self.fbuf,
-                &mut self.profile,
-                &self.deadline,
-            )?;
+            self.done = aggregate_rounds(self, shared, rounds, &mut on_score)?;
         }
         Ok(self.done)
     }
 
-    /// Execution counters accumulated so far (finalized counters — floor
-    /// value, emission count, stream-buffered walk statistics — land in the
-    /// scratch's profile at [`ShardExecution::finish_into`]).
+    /// Execution counters accumulated so far (the finalized ones — floor
+    /// value, emission count — land in the scratch's profile at
+    /// [`ShardExecution::finish_into`]).
     pub fn profile(&self) -> &QueryProfile {
         &self.profile
     }
@@ -1494,9 +1398,6 @@ impl<'i> ShardExecution<'i> {
     pub fn finish_into(mut self, scratch: &mut QueryScratch) {
         debug_assert!(self.done, "finish_into before completion");
         self.answers.sort_unstable_by(rank_cmp);
-        for s in self.streams.iter_mut() {
-            s.flush_profile(&mut self.profile);
-        }
         self.profile.floor_value = self.floor.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0);
         self.profile.emitted = self.answers.len() as u64;
         self.abandon_into(scratch);
@@ -1524,132 +1425,25 @@ impl<'i> ShardExecution<'i> {
     }
 }
 
-/// The §5 aggregation loop over caller-assembled streams, allocating its
-/// own buffers. See [`threshold_aggregate_with`] for the reusable-scratch
-/// variant.
-pub fn threshold_aggregate(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: &mut [Subproblem<'_>],
-) -> Result<Vec<ScoredPoint>, SdError> {
-    let mut scratch = QueryScratch::new();
-    aggregate_into(
-        data,
-        roles,
-        query,
-        k,
-        streams,
-        &mut scratch,
-        None,
-        None,
-        usize::MAX,
-    )?;
-    Ok(std::mem::take(&mut scratch.answers))
-}
-
-/// The §5 aggregation loop with scratch-owned buffers: `streams` must have
-/// been assembled into a buffer obtained from
-/// [`QueryScratch::stream_buf`]; the vector (and every recyclable stream
-/// buffer inside it) is handed back to the scratch before returning. The
-/// answer slice is borrowed from the scratch.
-pub fn threshold_aggregate_with<'a, 's>(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: Vec<Subproblem<'a>>,
-    scratch: &'s mut QueryScratch,
-) -> Result<&'s [ScoredPoint], SdError> {
-    threshold_aggregate_shared(data, roles, query, k, streams, scratch, None)
-}
-
-/// [`threshold_aggregate_with`] with an optional cross-execution
-/// [`SharedThreshold`]: the loop publishes its running k-th-best exact
-/// score into the handle and terminates as soon as the handle's floor
-/// (raised concurrently by sibling shard executions of the same logical
-/// query) certifiably beats the admissible bound `τ` on every unfetched
-/// row. Canonical regardless of floor staleness; with a floor the answer
-/// may hold fewer than `k` points — every omitted one is strictly below a
-/// score attained by `k` real points elsewhere.
-pub fn threshold_aggregate_shared<'a, 's>(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: Vec<Subproblem<'a>>,
-    scratch: &'s mut QueryScratch,
-    shared: Option<&SharedThreshold>,
-) -> Result<&'s [ScoredPoint], SdError> {
-    threshold_aggregate_masked(data, roles, query, k, streams, scratch, shared, None)
-}
-
-/// [`threshold_aggregate_shared`] with an optional tombstone [`MaskView`]:
-/// masked rows are dropped at scoring time, so they reach neither the
-/// candidate pool, the k-th-score floor, nor the emitted answer — the
-/// result is the canonical top-k of the live rows. See
-/// [`SdIndex::query_masked`].
+/// The paper's threshold aggregation over caller-assembled streams — the
+/// entry the adapted-TA baseline rides. `streams` must have been assembled
+/// into a buffer obtained from [`QueryScratch::stream_buf`]; the vector (and
+/// every recyclable stream buffer inside it) is handed back to the scratch
+/// before returning, also on a deadline error. The answer slice is borrowed
+/// from the scratch.
 ///
-/// Like the whole `threshold_aggregate*` family this is the paper's pure
-/// threshold aggregation: it never takes the scan exit [`SdIndex`] queries
-/// take (see [`plan::scan_budget`]), whatever the streams cost.
-#[allow(clippy::too_many_arguments)] // mirrors the unmasked entry point
-pub fn threshold_aggregate_masked<'a, 's>(
+/// This is the pure algorithm: it never takes the scan exit [`SdIndex`]
+/// queries take (see [`plan::scan_budget`]), whatever the streams cost.
+pub fn threshold_aggregate_with<'s>(
     data: &Dataset,
     roles: &[DimRole],
     query: &SdQuery,
     k: usize,
-    streams: Vec<Subproblem<'a>>,
+    streams: Vec<Subproblem<'_>>,
     scratch: &'s mut QueryScratch,
-    shared: Option<&SharedThreshold>,
-    mask: Option<MaskView<'_>>,
 ) -> Result<&'s [ScoredPoint], SdError> {
-    aggregate_and_recycle(
-        data,
-        roles,
-        query,
-        k,
-        streams,
-        scratch,
-        shared,
-        mask,
-        usize::MAX,
-    )
-}
-
-/// Runs the aggregation to completion under `scan_budget`, then hands the
-/// stream buffers back to the scratch — also on error: a deadline abort
-/// must not leak the scratch's recycled buffers.
-#[allow(clippy::too_many_arguments)] // internal: the two budgets' one body
-fn aggregate_and_recycle<'a, 's>(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    mut streams: Vec<Subproblem<'a>>,
-    scratch: &'s mut QueryScratch,
-    shared: Option<&SharedThreshold>,
-    mask: Option<MaskView<'_>>,
-    scan_budget: usize,
-) -> Result<&'s [ScoredPoint], SdError> {
-    let aggregated = aggregate_into(
-        data,
-        roles,
-        query,
-        k,
-        &mut streams,
-        scratch,
-        shared,
-        mask,
-        scan_budget,
-    );
-    for s in streams.drain(..) {
-        s.recycle(scratch);
-    }
-    scratch.put_streams(streams);
-    aggregated?;
-    Ok(&scratch.answers)
+    ShardExecution::begin(data, roles, query, k, streams, None, usize::MAX, scratch)
+        .run_into(None, scratch)
 }
 
 /// A 2-D subproblem stream over one §4 tree.
@@ -1680,19 +1474,12 @@ enum PairInner<'a> {
     },
     /// The hot path: a best-first frontier over the tree's SoA leaf
     /// blocks. Whole blocks surface (and are prunable against the
-    /// k-th-score floor) at once; the batched [`Subproblem::next_unit`]
-    /// path kernel-scores a popped block's lanes on the pair and filters
-    /// them against the floor before emission. The stage below only
-    /// serves the one-point-at-a-time [`SubproblemStream`] contract.
+    /// k-th-score floor) at once; [`Subproblem::next_unit`] kernel-scores
+    /// a popped block's lanes on the pair and filters them against the
+    /// floor before emission.
     Blocks {
         frontier: BlockFrontier<'a>,
         blocks: &'a BlockSet,
-        /// Lanes of the block most recently popped through `next()`:
-        /// `(slot, exact raw pair subscore)`, in lane order (the frontier
-        /// contract permits unsorted emission; `bound()` max-scans the
-        /// remainder).
-        staged: Vec<(u32, f64)>,
-        staged_pos: usize,
         qx: f64,
         qy: f64,
         alpha: f64,
@@ -1734,8 +1521,6 @@ impl<'a> Pair2DStream<'a> {
                         scratch.take_angle(),
                     ),
                     blocks,
-                    staged: scratch.take_stage(),
-                    staged_pos: 0,
                     qx,
                     qy,
                     alpha,
@@ -1761,31 +1546,8 @@ impl<'a> Pair2DStream<'a> {
                 scratch.put_angle(frontier.into_scratch());
                 scratch.put_set(seen);
             }
-            PairInner::Blocks {
-                frontier, staged, ..
-            } => {
-                scratch.put_angle(frontier.into_scratch());
-                scratch.put_stage(staged);
-            }
-        }
-    }
-
-    /// Drains the walk counters buffered inside the frontier into `prof`.
-    /// Counters accumulate inside the frontiers (so `bound()` staging and
-    /// the one-point trait path need no profile plumbing) and are flushed
-    /// here — on every batched fetch and once more at query end.
-    fn flush_profile(&mut self, prof: &mut QueryProfile) {
-        match &mut self.inner {
-            PairInner::Degenerate { .. } => {}
-            PairInner::Tree { frontier, .. } => {
-                prof.nodes_visited += frontier.take_nodes();
-            }
             PairInner::Blocks { frontier, .. } => {
-                let c = frontier.take_counters();
-                prof.nodes_visited += c.nodes_visited;
-                prof.envelope_nodes_rejected += c.envelope_rejected;
-                prof.blocks_floor_pruned += c.blocks_floor_pruned;
-                prof.blocks_popped += c.blocks_popped;
+                scratch.put_angle(frontier.into_scratch());
             }
         }
     }
@@ -1797,12 +1559,10 @@ impl<'a> Pair2DStream<'a> {
         out: &mut Vec<u32>,
         prof: &mut QueryProfile,
     ) -> bool {
-        match &mut self.inner {
+        let row = match &mut self.inner {
             PairInner::Blocks {
                 frontier,
                 blocks,
-                staged,
-                staged_pos,
                 qx,
                 qy,
                 alpha,
@@ -1810,18 +1570,6 @@ impl<'a> Pair2DStream<'a> {
                 r,
             } => {
                 let r = *r;
-                // Rows staged by an earlier `next()` call are already
-                // surfaced (the frontier bound no longer covers them):
-                // flush them first.
-                let mut progressed = false;
-                if *staged_pos < staged.len() {
-                    for &(slot, _) in &staged[*staged_pos..] {
-                        out.push(slot);
-                    }
-                    staged.clear();
-                    *staged_pos = 0;
-                    progressed = true;
-                }
                 // One whole block per round; envelope-level pruning first.
                 let picked = frontier.next_block(|b| match prune {
                     Some((f, others)) => f > inflate(r * b + others),
@@ -1835,7 +1583,6 @@ impl<'a> Pair2DStream<'a> {
                     prof.blocks_popped += c.blocks_popped;
                 }
                 if let Some(block) = picked {
-                    progressed = true;
                     let mut live = blocks.live(block);
                     let slots = blocks.slots(block);
                     if let Some((f, others)) = prune {
@@ -1865,126 +1612,33 @@ impl<'a> Pair2DStream<'a> {
                         out.push(slots[l]);
                     }
                 }
-                progressed
+                return picked.is_some();
             }
-            _ => {
-                let fetched = self.next();
-                self.flush_profile(prof);
-                match fetched {
-                    Some((row, _)) => {
-                        prof.tree_rows_pulled += 1;
-                        out.push(row);
-                        true
-                    }
-                    None => false,
-                }
+            PairInner::Degenerate { next_row, n } => (*next_row < *n).then(|| {
+                *next_row += 1;
+                *next_row - 1
+            }),
+            PairInner::Tree { frontier, seen, .. } => {
+                let row = std::iter::from_fn(|| frontier.next_raw())
+                    .map(|(slot, _)| slot)
+                    .find(|&slot| seen.insert(slot));
+                prof.nodes_visited += frontier.take_nodes();
+                row
             }
-        }
+        };
+        // The per-point variants surface one row per fetch.
+        prof.tree_rows_pulled += u64::from(row.is_some());
+        out.extend(row);
+        row.is_some()
     }
-}
 
-/// Kernel-scores one SoA leaf block on its pair and stages the live lanes
-/// (lane order; the frontier contract permits unsorted emission) for the
-/// one-point-at-a-time trait path.
-#[allow(clippy::too_many_arguments)] // internal: one cold call site
-fn stage_block(
-    staged: &mut Vec<(u32, f64)>,
-    staged_pos: &mut usize,
-    blocks: &BlockSet,
-    block: u32,
-    qx: f64,
-    qy: f64,
-    alpha: f64,
-    beta: f64,
-) {
-    staged.clear();
-    *staged_pos = 0;
-    let mut scores = [0.0f64; LANES];
-    kernels::score_block_2d(
-        &mut scores,
-        blocks.xs(block),
-        blocks.ys(block),
-        qx,
-        qy,
-        alpha,
-        beta,
-    );
-    let mut live = blocks.live(block);
-    let slots = blocks.slots(block);
-    while live != 0 {
-        let l = live.trailing_zeros() as usize;
-        live &= live - 1;
-        staged.push((slots[l], scores[l]));
-    }
-}
-
-impl SubproblemStream for Pair2DStream<'_> {
+    /// Admissible upper bound on the raw pair subscore of every row not yet
+    /// surfaced; `None` once drained.
     fn bound(&self) -> Option<f64> {
         match &self.inner {
             PairInner::Degenerate { next_row, n } => (next_row < n).then_some(0.0),
             PairInner::Tree { frontier, r, .. } => frontier.bound().map(|b| r * b),
-            PairInner::Blocks {
-                frontier,
-                staged,
-                staged_pos,
-                r,
-                ..
-            } => {
-                let tree = frontier.bound().map(|b| *r * b);
-                if *staged_pos < staged.len() {
-                    // Exact max over the unconsumed staged lanes.
-                    let head = staged[*staged_pos..]
-                        .iter()
-                        .fold(f64::NEG_INFINITY, |acc, &(_, sc)| acc.max(sc));
-                    Some(match tree {
-                        Some(t) => t.max(head),
-                        None => head,
-                    })
-                } else {
-                    tree
-                }
-            }
-        }
-    }
-
-    fn next(&mut self) -> Option<(u32, f64)> {
-        match &mut self.inner {
-            PairInner::Degenerate { next_row, n } => {
-                if next_row < n {
-                    let row = *next_row;
-                    *next_row += 1;
-                    Some((row, 0.0))
-                } else {
-                    None
-                }
-            }
-            PairInner::Tree { frontier, seen, r } => loop {
-                // Point priorities are exact normalised θ_q scores, so the
-                // raw subscore is a multiply away — no point-table access.
-                let (slot, score) = frontier.next_raw()?;
-                if seen.insert(slot) {
-                    return Some((slot, *r * score));
-                }
-            },
-            PairInner::Blocks {
-                frontier,
-                blocks,
-                staged,
-                staged_pos,
-                qx,
-                qy,
-                alpha,
-                beta,
-                ..
-            } => {
-                if *staged_pos >= staged.len() {
-                    let block = frontier.next_block(|_| false)?;
-                    stage_block(staged, staged_pos, blocks, block, *qx, *qy, *alpha, *beta);
-                }
-                let (slot, score) = staged[*staged_pos];
-                *staged_pos += 1;
-                Some((slot, score))
-            }
+            PairInner::Blocks { frontier, r, .. } => frontier.bound().map(|b| r * b),
         }
     }
 }

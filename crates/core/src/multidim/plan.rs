@@ -34,8 +34,8 @@
 //! rows that has fetched more than [`scan_budget`]`(n) = n / 8` of them and
 //! is still neither certified nor floor-terminated therefore stops fetching
 //! and finishes with one kernel scan over the rows it has not seen
-//! (`aggregate_rounds` in the parent module owns the exit; the
-//! `threshold_aggregate*` family, which the TA baseline rides, never takes
+//! (`aggregate_rounds` in the parent module owns the exit;
+//! `threshold_aggregate_with`, which the TA baseline rides, never takes
 //! it). Fetching n/8 rows already costs what scanning all n does, so the
 //! exit bounds a query at about twice a pure scan, and the query that would
 //! have certified one fetch past the budget — the worst case — pays about

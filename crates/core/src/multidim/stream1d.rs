@@ -10,7 +10,6 @@
 //! power the adapted-TA baseline of §6.1, where *every* dimension is a 1-D
 //! subproblem.
 
-use crate::multidim::SubproblemStream;
 use crate::view::ColumnarView;
 
 /// A dimension's values sorted ascending, each tagged with its row id.
@@ -98,10 +97,11 @@ impl<'a> RepulsiveStream<'a> {
             hi: col.len(),
         }
     }
-}
 
-impl SubproblemStream for RepulsiveStream<'_> {
-    fn bound(&self) -> Option<f64> {
+    /// Admissible upper bound on the subscore of every row not yet
+    /// emitted; `None` once the stream is drained (at which point every row
+    /// of the column has been emitted).
+    pub fn bound(&self) -> Option<f64> {
         if self.lo >= self.hi {
             return None;
         }
@@ -110,7 +110,11 @@ impl SubproblemStream for RepulsiveStream<'_> {
         Some(dl.max(dh))
     }
 
-    fn next(&mut self) -> Option<(u32, f64)> {
+    /// The next `(row, subscore)` in subscore order. (Deliberately named
+    /// like `Iterator::next`; an `Iterator` impl would hide the `bound()`
+    /// coupling callers rely on.)
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<(u32, f64)> {
         if self.lo >= self.hi {
             return None;
         }
@@ -154,10 +158,9 @@ impl<'a> AttractiveStream<'a> {
             right,
         }
     }
-}
 
-impl SubproblemStream for AttractiveStream<'_> {
-    fn bound(&self) -> Option<f64> {
+    /// See [`RepulsiveStream::bound`].
+    pub fn bound(&self) -> Option<f64> {
         let dl = self
             .left
             .map(|i| self.w * (self.q - self.col.value(i)).abs());
@@ -171,7 +174,9 @@ impl SubproblemStream for AttractiveStream<'_> {
         }
     }
 
-    fn next(&mut self) -> Option<(u32, f64)> {
+    /// See [`RepulsiveStream::next`].
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<(u32, f64)> {
         let dl = self
             .left
             .map(|i| self.w * (self.q - self.col.value(i)).abs());
@@ -203,28 +208,21 @@ impl SubproblemStream for AttractiveStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multidim::SubproblemStream;
 
     fn col(values: &[f64]) -> SortedColumn {
         SortedColumn::new(values)
     }
 
-    fn drain(s: &mut dyn SubproblemStream) -> Vec<(u32, f64)> {
-        // A drained stream emits every row exactly once; pre-size for the
-        // columns these tests use so pushes never reallocate mid-drain.
-        let mut out = Vec::with_capacity(256);
-        while let Some(item) = s.next() {
-            // The bound before the pull must cover the emitted subscore.
-            out.push(item);
-        }
-        out
+    /// Everything a stream (of either type) still has to emit, in order.
+    fn drain(next: impl FnMut() -> Option<(u32, f64)>) -> Vec<(u32, f64)> {
+        std::iter::from_fn(next).collect()
     }
 
     #[test]
     fn repulsive_emits_farthest_first() {
         let c = col(&[10.0, 0.0, 5.0, 7.0]);
         let mut s = RepulsiveStream::new(&c, 6.0, 1.0);
-        let seq = drain(&mut s);
+        let seq = drain(|| s.next());
         let scores: Vec<f64> = seq.iter().map(|x| x.1).collect();
         assert_eq!(scores, vec![6.0, 4.0, 1.0, 1.0]);
         // Row ids: value 0.0 is row 1, value 10.0 is row 0.
@@ -236,7 +234,7 @@ mod tests {
     fn attractive_emits_nearest_first() {
         let c = col(&[10.0, 0.0, 5.0, 7.0]);
         let mut s = AttractiveStream::new(&c, 6.0, 2.0);
-        let seq = drain(&mut s);
+        let seq = drain(|| s.next());
         let scores: Vec<f64> = seq.iter().map(|x| x.1).collect();
         assert_eq!(scores, vec![-2.0, -2.0, -8.0, -12.0]);
     }
@@ -249,14 +247,14 @@ mod tests {
         let c = col(&values);
         for q in [-6.0, 0.0, 2.3, 9.0] {
             let mut rep = RepulsiveStream::new(&c, q, 0.7);
-            let rows: Vec<u32> = drain(&mut rep).iter().map(|x| x.0).collect();
+            let rows: Vec<u32> = drain(|| rep.next()).iter().map(|x| x.0).collect();
             let mut sorted = rows.clone();
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), 100);
 
             let mut att = AttractiveStream::new(&c, q, 0.7);
-            let rows: Vec<u32> = drain(&mut att).iter().map(|x| x.0).collect();
+            let rows: Vec<u32> = drain(|| att.next()).iter().map(|x| x.0).collect();
             let mut sorted = rows.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -273,23 +271,25 @@ mod tests {
         let q = 0.42;
         let mut rep = RepulsiveStream::new(&c, q, 1.3);
         let mut att = AttractiveStream::new(&c, q, 0.9);
-        for s in [&mut rep as &mut dyn SubproblemStream, &mut att] {
+        // One `(bound before the pull, pull)` step of either stream type.
+        fn check(mut step: impl FnMut() -> (Option<f64>, Option<(u32, f64)>)) {
             let mut last = f64::INFINITY;
             loop {
-                let b = s.bound();
-                match s.next() {
-                    Some((_, sc)) => {
+                match step() {
+                    (b, Some((_, sc))) => {
                         assert!(sc <= last + 1e-12);
                         assert!(b.unwrap() >= sc - 1e-12, "bound must cover next emission");
                         last = sc;
                     }
-                    None => {
+                    (b, None) => {
                         assert!(b.is_none());
                         break;
                     }
                 }
             }
         }
+        check(|| (rep.bound(), rep.next()));
+        check(|| (att.bound(), att.next()));
     }
 
     #[test]
@@ -308,7 +308,7 @@ mod tests {
         let c = col(&[1.0, 2.0, 3.0]);
         let mut rep = RepulsiveStream::new(&c, 0.0, 0.0);
         assert_eq!(rep.bound(), Some(0.0));
-        let all = drain(&mut rep);
+        let all = drain(|| rep.next());
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|&(_, s)| s == 0.0));
     }

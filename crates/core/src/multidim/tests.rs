@@ -335,7 +335,7 @@ fn scan_switches_strictly_past_the_budget() {
     let mut scratch = QueryScratch::new();
 
     // The pure threshold aggregation: which round had fetched how much.
-    let mut exec = index.begin_query(&q, k, &mut scratch).unwrap();
+    let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
     exec.scan_budget = usize::MAX;
     let fetched = fetch_trajectory(&mut exec);
     assert_eq!(exec.profile().scan_fallbacks, 0);
@@ -345,7 +345,7 @@ fn scan_switches_strictly_past_the_budget() {
     assert!(fetched[i] > fetched[i - 1], "round fetched nothing");
 
     for (budget, scan_round) in [(fetched[i], i + 3), (fetched[i] - 1, i + 2)] {
-        let mut exec = index.begin_query(&q, k, &mut scratch).unwrap();
+        let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
         exec.scan_budget = budget as usize;
         for round in 1..scan_round {
             assert!(!exec.step(1, None, |_| {}).unwrap());
@@ -391,7 +391,7 @@ fn scan_after_every_row_was_seen_scores_nothing() {
     let want = oracle(&data, &roles, &q, 4);
     let mut scratch = QueryScratch::new();
 
-    let mut exec = index.begin_query(&q, 4, &mut scratch).unwrap();
+    let mut exec = index.begin_query(&q, 4, &mut scratch, None).unwrap();
     exec.scan_budget = 3;
     assert!(!exec.step(2, None, |_| {}).unwrap());
     assert_eq!(exec.profile().rows_fetched, 4);
@@ -482,5 +482,129 @@ fn threshold_aggregate_family_never_scans() {
     assert!(
         p.rows_fetched > plan::scan_budget(1_000) as u64,
         "the workload must be one the index would have scanned"
+    );
+}
+
+// ─── every exit of the one execution path, forced in turn ───────────────────
+
+/// One dataset of the sweep below, by kind: uniform, anti-correlated, a
+/// handful of distinct rows repeated, one constant column, ±0 coordinates.
+fn sweep_dataset(rng: &mut impl Rng, kind: usize, n: usize, dims: usize) -> Dataset {
+    match kind {
+        0 => rand_dataset(rng, n, dims),
+        1 => anti_correlated(rng, n, dims),
+        2 => {
+            let distinct = rand_dataset(rng, (n / 8).max(1), dims);
+            let coords = distinct.flat().iter().copied().cycle().take(n * dims);
+            Dataset::from_flat(dims, coords.collect()).unwrap()
+        }
+        3 => {
+            let mut coords: Vec<f64> = (0..n * dims).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for row in coords.chunks_exact_mut(dims) {
+                row[0] = 0.5;
+            }
+            Dataset::from_flat(dims, coords).unwrap()
+        }
+        _ => {
+            let coords = (0..n * dims)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect();
+            Dataset::from_flat(dims, coords).unwrap()
+        }
+    }
+}
+
+#[test]
+fn every_exit_forced_at_the_one_constructor() {
+    use crate::mask::RowMask;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(303);
+    let mut scratch = QueryScratch::new();
+    // How the budget-0 runs ended: by scanning, or certified before the
+    // budget was ever consulted with a row fetched.
+    let (mut scanned, mut certified_first) = (0, 0);
+    for case in 0..60 {
+        let n = rng.gen_range(1..=600);
+        let dims = rng.gen_range(2..=6);
+        let data = sweep_dataset(&mut rng, case % 5, n, dims);
+        let roles = rand_roles(&mut rng, dims);
+        let index = SdIndex::build(data.clone(), &roles).unwrap();
+        let weights: Vec<f64> = (0..dims)
+            .map(|_| match (case % 7, rng.gen_range(0..4)) {
+                (0, _) | (_, 0) => 0.0,
+                _ => rng.gen_range(0.0..1.0),
+            })
+            .collect();
+        let point = (0..dims)
+            .map(|_| {
+                if case % 5 == 4 {
+                    -0.0
+                } else {
+                    rng.gen_range(-0.2..1.2)
+                }
+            })
+            .collect();
+        let q = SdQuery::new(point, weights).unwrap();
+        let mut dead = RowMask::new(n);
+        if case % 2 == 1 {
+            for row in 0..n {
+                if rng.gen_range(0..8) == 0 {
+                    dead.set(row);
+                }
+            }
+        }
+        let mask = (case % 2 == 1).then(|| MaskView::new(&dead, 0));
+        let mut live = oracle(&data, &roles, &q, n);
+        live.retain(|sp| !dead.get(sp.id.index()));
+
+        for k in [1, n.saturating_sub(1).max(1), n, n + 3] {
+            let want = &live[..k.min(live.len())];
+            let mut pure_rounds = 0;
+            for budget in [usize::MAX, plan::scan_budget(n), 0] {
+                let mut stepped: Option<QueryProfile> = None;
+                for step in [1, 8, usize::MAX] {
+                    let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
+                    exec.scan_budget = budget;
+                    while !exec.step(step, None, |_| {}).unwrap() {}
+                    exec.finish_into(&mut scratch);
+                    assert_bit_identical(scratch.answers(), want);
+                    let p = scratch.profile;
+                    let at =
+                        format!("case {case} n {n} dims {dims} k {k} budget {budget} step {step}");
+                    assert_eq!(
+                        p.points_gathered + p.seen_hits + p.tombstones_skipped,
+                        p.rows_fetched,
+                        "{at}"
+                    );
+                    // Slicing the loop differently changes no counter.
+                    assert_eq!(*stepped.get_or_insert(p), p, "{at}");
+                }
+                let p = stepped.expect("three runs");
+                match budget {
+                    usize::MAX => {
+                        assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));
+                        pure_rounds = p.rounds;
+                    }
+                    // Round 1 fetches on an empty budget; round 2 certifies
+                    // or scans. The pure run says which: it was over within
+                    // one round, or still open after two.
+                    0 if pure_rounds == 1 => assert_eq!(p.scan_fallbacks, 0),
+                    0 if pure_rounds > 2 => assert_eq!(p.scan_fallbacks, 1),
+                    _ => assert!(p.scan_fallbacks <= 1),
+                }
+                if budget == 0 {
+                    scanned += p.scan_fallbacks;
+                    certified_first += 1 - p.scan_fallbacks;
+                }
+            }
+        }
+    }
+    assert!(
+        scanned >= 120 && certified_first > 0,
+        "an empty budget must mostly scan, and sometimes not get to: \
+         {scanned} scans, {certified_first} certified"
     );
 }

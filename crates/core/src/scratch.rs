@@ -5,11 +5,11 @@
 //! A fresh [`QueryScratch`] is cheap (all containers start empty); after the
 //! first query through it, every buffer has grown to its high-water mark and
 //! subsequent queries of similar shape allocate nothing. One scratch serves
-//! every engine in the crate — [`TopKIndex`](crate::topk::TopKIndex),
-//! [`PackedTopKIndex`](crate::topk::PackedTopKIndex), the Claim 6 bracketing
-//! path and the §5 [`SdIndex`](crate::multidim::SdIndex) — because they all
-//! decompose into the same primitives: certified angle streams
-//! (`AngleScratch`), a candidate pool, a seen-set and an answer buffer.
+//! every engine in the crate — [`TopKIndex`](crate::topk::TopKIndex), the
+//! Claim 6 bracketing path and the §5 [`SdIndex`](crate::multidim::SdIndex)
+//! — because they all decompose into the same primitives: certified angle
+//! streams (`AngleScratch`), a candidate pool, a seen-set and an answer
+//! buffer.
 //!
 //! Scratches are plain owned values: keep one per worker thread (see
 //! [`SdIndex::par_query_batch`](crate::multidim::SdIndex::par_query_batch))
@@ -92,7 +92,6 @@ impl StampSet {
 ///
 /// Obtain one with [`QueryScratch::new`], then pass it to the `query_with`
 /// entry points ([`TopKIndex::query_with`](crate::topk::TopKIndex::query_with),
-/// [`PackedTopKIndex::query_with`](crate::topk::PackedTopKIndex::query_with),
 /// [`SdIndex::query_with`](crate::multidim::SdIndex::query_with), or a
 /// baseline's equivalent). Results are returned as a slice borrowed from the
 /// scratch — copy them out if they must outlive the next query.
@@ -113,7 +112,7 @@ pub struct QueryScratch {
     pub(crate) seen: StampSet,
     /// The answer buffer `query_with` returns a borrow of.
     pub(crate) answers: Vec<ScoredPoint>,
-    /// Row/position staging buffer (packed bracketing candidates).
+    /// The rows one aggregation round fetched, staged for batched scoring.
     pub(crate) rows: Vec<u32>,
     /// Min-heap over the best `k` exact scores seen so far by the running
     /// query — the k-th-best floor that powers early termination and the
@@ -140,9 +139,6 @@ pub struct QueryScratch {
     /// deadline captures its expiry at construction, so set a fresh one
     /// per query.
     pub deadline: Deadline,
-    /// Spare `(slot, subscore)` staging buffers for block-backed streams
-    /// serving the one-point-at-a-time trait path.
-    stages: Vec<Vec<(u32, f64)>>,
     /// Recycled subproblem list of the §5 aggregation. Empty between
     /// queries; only the allocation is retained.
     subproblems: Vec<Subproblem<'static>>,
@@ -185,18 +181,6 @@ impl QueryScratch {
         self.sets.push(s);
     }
 
-    /// Pops a recycled (cleared) stage buffer.
-    pub(crate) fn take_stage(&mut self) -> Vec<(u32, f64)> {
-        let mut s = self.stages.pop().unwrap_or_default();
-        s.clear();
-        s
-    }
-
-    /// Returns a stage buffer to the pool for reuse.
-    pub(crate) fn put_stage(&mut self, s: Vec<(u32, f64)>) {
-        self.stages.push(s);
-    }
-
     /// Hands out the recycled (empty) subproblem buffer for assembling a
     /// query's stream list. Give it back through
     /// [`threshold_aggregate_with`](crate::multidim::threshold_aggregate_with),
@@ -211,17 +195,32 @@ impl QueryScratch {
 
     /// Adopts a drained subproblem buffer back into the scratch, keeping
     /// its allocation for the next query.
-    pub(crate) fn put_streams(&mut self, mut v: Vec<Subproblem<'_>>) {
-        v.clear();
-        let cap = v.capacity();
-        let ptr = v.as_mut_ptr();
-        std::mem::forget(v);
-        // SAFETY: the vector is empty, so no value with the caller's
-        // lifetime survives; only the raw allocation is adopted. Lifetimes
-        // do not affect layout, so `Subproblem<'a>` and
-        // `Subproblem<'static>` have identical size, alignment and
-        // allocator provenance, which is all `from_raw_parts` requires.
-        self.subproblems =
-            unsafe { Vec::from_raw_parts(ptr.cast::<Subproblem<'static>>(), 0, cap) };
+    pub(crate) fn put_streams(&mut self, v: Vec<Subproblem<'_>>) {
+        self.subproblems = recycle_vec(v);
     }
+}
+
+/// Empties `v` and hands its allocation on as an empty `Vec<U>` — how a
+/// scratch keeps a buffer whose element type borrows from one query
+/// (`Vec<Subproblem<'a>>`, the engine's `Vec<ShardExecution<'a>>`) for the
+/// next query's lifetime without allocating again. `T` and `U` must agree in
+/// size and alignment (checked at compile time); in practice they are one
+/// type at two lifetimes.
+pub fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
+    const {
+        assert!(
+            std::mem::size_of::<T>() == std::mem::size_of::<U>()
+                && std::mem::align_of::<T>() == std::mem::align_of::<U>()
+        )
+    };
+    v.clear();
+    let cap = v.capacity();
+    let ptr = v.as_mut_ptr();
+    std::mem::forget(v);
+    // SAFETY: the vector is empty, so no `T` survives to be read as a `U`;
+    // only the raw allocation is adopted. It was made by the global
+    // allocator for `cap` elements of `T`'s size and alignment, which the
+    // assertion above makes `U`'s size and alignment too — all that
+    // `from_raw_parts` requires of a zero-length vector.
+    unsafe { Vec::from_raw_parts(ptr.cast::<U>(), 0, cap) }
 }

@@ -112,8 +112,7 @@ pub(crate) fn query_canonical_with(
 ) -> Result<(), SdError> {
     let theta = Angle::from_weights(alpha, beta)?;
     let eval = index.frontier_eval(&theta)?;
-    query_frontier_with(index, qx, qy, alpha, beta, k, eval, scratch, shared);
-    Ok(())
+    query_frontier_with(index, qx, qy, alpha, beta, k, eval, scratch, shared)
 }
 
 /// The shared certified-frontier loop behind both entry points above.
@@ -134,6 +133,10 @@ pub(crate) fn query_canonical_with(
 ///   query raise concurrently. Every candidate this search drops is
 ///   strictly below a score attained by `k` real points elsewhere, so the
 ///   global merge cannot miss an answer.
+///
+/// `scratch.deadline` is consulted before every frontier pop (a block on the
+/// hot path, a point on the per-point fallback) and ends the search with the
+/// typed deadline/cancel error; the scratch keeps every buffer.
 #[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
 pub(crate) fn query_frontier_with(
     index: &TopKIndex,
@@ -145,12 +148,11 @@ pub(crate) fn query_frontier_with(
     eval: FrontierEval,
     scratch: &mut QueryScratch,
     shared: Option<&SharedThreshold>,
-) {
+) -> Result<(), SdError> {
     // The hot path runs over the derived SoA leaf blocks (absent only
     // after a point-level mutation, until the next rebuild/refresh).
     if let Some(blocks) = index.blocks() {
-        query_frontier_blocks(index, blocks, qx, qy, alpha, beta, k, eval, scratch, shared);
-        return;
+        return query_frontier_blocks(index, blocks, qx, qy, alpha, beta, k, eval, scratch, shared);
     }
     let r = alpha.hypot(beta);
     let mut frontier = PairFrontier::with_scratch(index, qx, qy, eval, scratch.take_angle());
@@ -158,12 +160,14 @@ pub(crate) fn query_frontier_with(
     // The floor is only publishable when it covers k real points; a tree
     // with fewer than k live points can never certify a global k-th score.
     let publish = k_eff == k;
+    let mut outcome = Ok(());
     {
         let QueryScratch {
             pool,
             seen,
             answers,
             floor,
+            deadline,
             ..
         } = &mut *scratch;
         pool.clear();
@@ -214,6 +218,10 @@ pub(crate) fn query_frontier_with(
                     break;
                 }
             }
+            outcome = deadline.check();
+            if outcome.is_err() {
+                break;
+            }
             if let Some((slot, _)) = frontier.next_raw() {
                 if seen.insert(slot) {
                     let sp = index.rescore(slot, qx, qy, alpha, beta);
@@ -225,6 +233,7 @@ pub(crate) fn query_frontier_with(
         answers.sort_unstable_by(rank_cmp);
     }
     scratch.put_angle(frontier.into_scratch());
+    outcome
 }
 
 /// The block-layout twin of the certified-frontier loop: pops whole SoA
@@ -250,17 +259,19 @@ fn query_frontier_blocks(
     eval: FrontierEval,
     scratch: &mut QueryScratch,
     shared: Option<&SharedThreshold>,
-) {
+) -> Result<(), SdError> {
     let r = alpha.hypot(beta);
     let mut frontier = BlockFrontier::with_scratch(blocks, qx, qy, eval, scratch.take_angle());
     let k_eff = k.min(index.n_alive);
     let publish = k_eff == k;
+    let mut outcome = Ok(());
     {
         let QueryScratch {
             pool,
             answers,
             floor,
             scores,
+            deadline,
             ..
         } = &mut *scratch;
         pool.clear();
@@ -311,6 +322,10 @@ fn query_frontier_blocks(
                     break;
                 }
             }
+            outcome = deadline.check();
+            if outcome.is_err() {
+                break;
+            }
             // Fetch one block; anything bounded below the floor dies here.
             let Some(block) = frontier.next_block(|b| f > inflate(r * b)) else {
                 continue; // drained: the next iteration drains the pool
@@ -343,6 +358,7 @@ fn query_frontier_blocks(
         answers.sort_unstable_by(rank_cmp);
     }
     scratch.put_angle(frontier.into_scratch());
+    outcome
 }
 
 /// Alg. 4 exactly as published (kept for fidelity and comparison; see the

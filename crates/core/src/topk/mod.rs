@@ -22,7 +22,6 @@
 
 pub mod arbitrary;
 pub(crate) mod blocks;
-pub mod packed;
 pub(crate) mod stream;
 
 use std::sync::{Arc, OnceLock};
@@ -34,7 +33,6 @@ use crate::scratch::QueryScratch;
 use crate::types::{OrdF64, PointId, ScoredPoint, SdError};
 use crate::view::ColumnarView;
 
-pub use packed::PackedTopKIndex;
 pub use stream::AngleQuery;
 
 /// Default indexed angles: five uniformly spread over `[0°, 90°]` (§6.1

@@ -67,7 +67,7 @@ use crate::types::OrdF64;
 /// layout but the *type* is shared so one [`AngleScratch`] serves both:
 ///
 /// * dynamic tree: `(priority, Reverse(node-or-slot id), is_point as u32)`,
-/// * packed tree: `(priority, Reverse(level), index within level)`.
+/// * SoA block layout: `(priority, Reverse(level), index within level)`.
 pub(crate) type HeapEntry = (OrdF64, Reverse<u32>, u32);
 
 /// Reusable state of one certified angle query: the four projection-type

@@ -1,9 +1,9 @@
 //! Proof of the zero-allocation query engine: after one warm-up pass, a
 //! reused [`QueryScratch`] answers every query of the steady-state workload
 //! with **zero** heap allocations, on both the 2-D [`TopKIndex`] path
-//! (indexed and bracketed angles), the packed variant, and the §5
-//! [`SdIndex`] aggregation path — including the queries that spend their
-//! fetch budget and finish with the kernel scan.
+//! (indexed and bracketed angles) and the §5 [`SdIndex`] aggregation path
+//! — including the queries that spend their fetch budget and finish with
+//! the kernel scan.
 //!
 //! The measurement uses a counting global allocator with a thread-local
 //! counter, so the single `#[test]` in this binary observes exactly the
@@ -16,7 +16,7 @@ use std::cell::Cell;
 
 use rand::{Rng, SeedableRng};
 use sdq_core::multidim::SdIndex;
-use sdq_core::topk::{PackedTopKIndex, TopKIndex};
+use sdq_core::topk::TopKIndex;
 use sdq_core::{Dataset, DimRole, QueryScratch, SdQuery};
 
 struct CountingAlloc;
@@ -71,7 +71,6 @@ fn steady_state_queries_do_not_allocate() {
         .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
         .collect();
     let topk = TopKIndex::build(&pts).unwrap();
-    let packed = PackedTopKIndex::build(&pts).unwrap();
     // Mix of indexed (α = β → 45°) and arbitrary (bracketed) weights.
     let queries2d: Vec<(f64, f64, f64, f64)> = (0..24)
         .map(|i| {
@@ -97,19 +96,6 @@ fn steady_state_queries_do_not_allocate() {
     assert_eq!(
         n, 0,
         "TopKIndex::query_with allocated {n} times after warm-up"
-    );
-
-    let run_packed = |scratch: &mut QueryScratch, sink: &mut f64| {
-        for &(qx, qy, alpha, beta) in &queries2d {
-            let r = packed.query_with(qx, qy, alpha, beta, 16, scratch).unwrap();
-            *sink += r.iter().map(|sp| sp.score).sum::<f64>();
-        }
-    };
-    run_packed(&mut scratch, &mut sink);
-    let n = count_allocs(|| run_packed(&mut scratch, &mut sink));
-    assert_eq!(
-        n, 0,
-        "PackedTopKIndex::query_with allocated {n} times after warm-up"
     );
 
     // ── §5 index: 4-D, two pairs, TA aggregation over Pair2DStreams ──────

@@ -57,14 +57,27 @@
 //! is a total order. Property tests in `tests/engine_equivalence.rs` pin
 //! this across random datasets, roles, weights, `k` and shard counts.
 //!
+//! ## One driver
+//!
+//! Every shard aggregation runs the same way: [`SdIndex::begin_query`],
+//! [`ShardExecution::step`] in 8-round slices interleaved with its sibling
+//! shards, [`ShardExecution::finish_into`]. One worker drives all shards on
+//! the calling thread and keeps a merged k-of-union floor over every score
+//! any slice has seen; several workers each drive a contiguous range of
+//! shards and meet only through the atomic [`SharedThreshold`]. The one
+//! exception is chosen from what the engine can see: exactly one shard with
+//! no tombstone in it has no sibling to interleave with and calls
+//! [`SdIndex::query_masked`], which answers a single-pair query by one
+//! direct 2-D search — so a multi-shard engine never takes that search,
+//! whatever its worker count ([`SdEngine::explain`] says `aggregate[…]`).
+//!
 //! ## Migration
 //!
-//! [`SdIndex::query`] (and the 2-D `TopKIndex`/`PackedTopKIndex` entry
-//! points) remain fully supported; the engine is the recommended front door
-//! for serving — it subsumes them as plan strategies and adds sharding,
-//! cross-shard pruning and batch execution. `SdEngine::build_with` with
-//! `shards = 1` behaves exactly like a planned `SdIndex` with engine
-//! ergonomics.
+//! [`SdIndex::query`] (and the 2-D `TopKIndex` entry points) remain fully
+//! supported; the engine is the recommended front door for serving — it
+//! subsumes them as plan strategies and adds sharding, cross-shard pruning
+//! and batch execution. `SdEngine::build_with` with `shards = 1` behaves
+//! exactly like a planned `SdIndex` with engine ergonomics.
 //!
 //! ```
 //! use sdq_core::{Dataset, DimRole, SdQuery};
@@ -94,13 +107,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sdq_core::mask::{MaskView, RowMask};
-use sdq_core::multidim::{resolve_threads, QueryPlan, SdIndex, SdIndexOptions};
+use sdq_core::multidim::{resolve_threads, QueryPlan, SdIndex, SdIndexOptions, ShardExecution};
 use sdq_core::score::rank_cmp;
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::threshold::{track_floor, SharedThreshold};
 use sdq_core::{
-    Dataset, Deadline, DimRole, OrdF64, PointId, QueryProfile, QueryScratch, ScoredPoint, SdError,
-    SdQuery,
+    recycle_vec, Dataset, Deadline, DimRole, OrdF64, PointId, QueryProfile, QueryScratch,
+    ScoredPoint, SdError, SdQuery,
 };
 
 pub mod mutation;
@@ -147,16 +160,20 @@ pub struct ShardInfo {
     pub memory_bytes: usize,
 }
 
-/// Reusable execution state for one engine consumer: per-worker
-/// [`QueryScratch`]es, per-shard result staging, merge cursors and the
-/// engine-level k-th-score tracker. Keep one per serving thread and reuse
-/// it across queries — all the *per-candidate* buffers (heaps, pools,
-/// seen-sets, answer lists) are recycled, so the inner aggregation stays
-/// allocation-free after warm-up; the scheduler itself still stages one
-/// small control struct per shard per query.
+/// Reusable execution state for one engine consumer: one [`QueryScratch`]
+/// per shard, per-shard result staging, merge cursors and the engine-level
+/// k-th-score tracker. Keep one per serving thread and reuse it across
+/// queries — every buffer (heaps, pools, seen-sets, answer lists, the
+/// driver's list of shard executions) is recycled, so a warmed
+/// single-worker query touches the allocator zero times.
 #[derive(Default)]
 pub struct EngineScratch {
+    /// One per shard: a [`ShardExecution`] owns its scratch's buffers while
+    /// it is in flight, and all shards of a worker are in flight at once.
     workers: Vec<QueryScratch>,
+    /// The single-worker driver's execution list. Empty between queries;
+    /// only the allocation is retained.
+    runs: Vec<ShardExecution<'static>>,
     lists: Vec<Vec<ScoredPoint>>,
     heads: Vec<usize>,
     floor: BinaryHeap<Reverse<OrdF64>>,
@@ -169,8 +186,8 @@ pub struct EngineScratch {
     /// scratch: the merged per-shard profiles plus the engine's own delta
     /// scan and merge statistics. Always on; set [`QueryProfile::timing`]
     /// before querying to also collect per-stage wall times. When the
-    /// single-worker scheduler aborts on a deadline, the counters of the
-    /// work its shard executions had done by then are still folded in.
+    /// driver aborts on a deadline, the counters of the work its shard
+    /// executions had done by then are still folded in.
     pub profile: QueryProfile,
     /// Cooperative deadline/cancel token of the next query served through
     /// this scratch, propagated to every worker and checked once per
@@ -186,12 +203,12 @@ impl EngineScratch {
         EngineScratch::default()
     }
 
-    fn ensure(&mut self, shards: usize, workers: usize) {
-        if self.lists.len() != shards {
-            self.lists.resize_with(shards, Vec::new);
+    fn ensure(&mut self, lists: usize, shards: usize) {
+        if self.lists.len() != lists {
+            self.lists.resize_with(lists, Vec::new);
         }
-        if self.workers.len() < workers {
-            self.workers.resize_with(workers, QueryScratch::new);
+        if self.workers.len() < shards {
+            self.workers.resize_with(shards, QueryScratch::new);
         }
     }
 }
@@ -790,27 +807,28 @@ impl SdEngine {
     /// The planner's decision for `query` on every shard (shard sizes
     /// differ, so strategies can too). Observability for `sdq inspect`.
     ///
-    /// Reflects the engine's configured execution mode: the single-worker
-    /// interleaved scheduler runs suspended aggregations (no direct 2-D
-    /// shortcut), as does any shard carrying tombstones (masked executions
-    /// always aggregate); otherwise one-shard or multi-worker execution
-    /// plans exactly like a standalone [`SdIndex`]. The delta region, when
-    /// non-empty, additionally executes as an exact seqscan outside these
-    /// per-shard plans (see [`mutation`]).
+    /// Reflects how the engine executes: a lone clean shard plans exactly
+    /// like a standalone [`SdIndex`] (direct 2-D search on a single-pair
+    /// query); everything else runs suspended aggregations and plans as
+    /// such. The delta region, when non-empty, additionally executes as an
+    /// exact seqscan outside these per-shard plans (see [`mutation`]).
     pub fn explain(&self, query: &SdQuery, k: usize) -> Result<Vec<QueryPlan>, SdError> {
-        let s = self.shards.len();
-        let interleaved = s > 1 && resolve_threads(self.threads).clamp(1, s) == 1;
+        if self.lone_clean_shard() {
+            return Ok(vec![self.shards[0].plan(query, k)?]);
+        }
         self.shards
             .iter()
-            .zip(&self.muts.shard_dead)
-            .map(|(shard, &dead)| {
-                if interleaved || dead > 0 {
-                    shard.plan_aggregate(query, k)
-                } else {
-                    shard.plan(query, k)
-                }
-            })
+            .map(|shard| shard.plan_aggregate(query, k))
             .collect()
+    }
+
+    /// The one execution choice the engine makes, shared by
+    /// [`SdEngine::explain`] and the executor: exactly one shard with no
+    /// tombstone in it has no sibling to interleave with and no mask to
+    /// apply, so it runs to completion through [`SdIndex::query_masked`];
+    /// everything else is begun, stepped in slices and finished.
+    fn lone_clean_shard(&self) -> bool {
+        self.shards.len() == 1 && self.muts.shard_dead[0] == 0
     }
 
     /// Answers the top-k query, allocating fresh scratch state. Steady-state
@@ -901,9 +919,9 @@ impl SdEngine {
             self.metrics.record_query(&scratch.profile);
             return Ok(());
         }
-        let w = if s > 0 { workers.clamp(1, s) } else { 1 };
+        let w = workers.clamp(1, s.max(1));
         let lists_n = s + usize::from(dirty);
-        scratch.ensure(lists_n, w);
+        scratch.ensure(lists_n, s);
         for qs in scratch.workers.iter_mut() {
             qs.profile.reset();
             qs.profile.timing = timing;
@@ -960,188 +978,9 @@ impl SdEngine {
         }
         let t_agg = timing.then(std::time::Instant::now);
 
-        if s == 0 {
-            // Delta-only engine: the merge below serves straight from the
-            // delta list.
-        } else if w == 1 && s == 1 {
-            // One shard: the monolithic path (including its direct 2-D
-            // single-pair shortcut when unmasked) with no cross-shard
-            // machinery beyond the delta floor.
-            let EngineScratch { workers, lists, .. } = &mut *scratch;
-            let qs = &mut workers[0];
-            let shard_mask = shard_mask_view(mask, self.offsets[0], self.muts.shard_dead[0]);
-            let shared_ref = if dirty { Some(&shared) } else { None };
-            let res = self.shards[0].query_masked(query, k, qs, shared_ref, shard_mask)?;
-            let out = &mut lists[0];
-            out.clear();
-            out.extend(
-                res.iter().map(|sp| {
-                    ScoredPoint::new(PointId::new(self.offsets[0] + sp.id.raw()), sp.score)
-                }),
-            );
-            self.metrics.record_shard_floor(0, qs.profile.floor_updates);
-        } else if w == 1 {
-            // Single-worker, multiple shards: *interleave* the shard
-            // aggregations in small slices and keep a merged k-of-union
-            // floor over every score any slice has seen (pre-seeded by the
-            // delta scan above). The floor reaches the global k-th within
-            // a few rounds, so every shard — including the first —
-            // terminates against a near-final floor instead of its own
-            // weaker local one (measured ≈ the oracle floor's cost, where
-            // strictly sequential shard execution leaves the first shard
-            // floorless).
-            scratch.ensure(lists_n, s); // one owned execution state per shard
-            for qs in scratch.workers.iter_mut() {
-                qs.profile.reset();
-                qs.profile.timing = timing;
-                qs.deadline = scratch.deadline.clone();
-            }
-            let EngineScratch {
-                workers,
-                lists,
-                floor,
-                profile,
-                ..
-            } = &mut *scratch;
-            let mut runs = Vec::with_capacity(s);
-            // Rounds per slice: enough that each slice makes real bound
-            // progress, small enough that the merged floor forms while
-            // every shard is still early in its descent.
-            const SLICE_ROUNDS: usize = 8;
-            let mut drive = || -> Result<(), SdError> {
-                for (((shard, &offset), &dead), qs) in self
-                    .shards
-                    .iter()
-                    .zip(&self.offsets)
-                    .zip(&self.muts.shard_dead)
-                    .zip(workers.iter_mut())
-                {
-                    let shard_mask = shard_mask_view(mask, offset, dead);
-                    runs.push(shard.begin_query_masked(query, k, qs, shard_mask)?);
-                }
-                loop {
-                    let mut all_done = true;
-                    for run in runs.iter_mut() {
-                        if !run.done() {
-                            all_done &= run.step(SLICE_ROUNDS, Some(&shared), |score| {
-                                track_floor(floor, k, score);
-                            })?;
-                        }
-                    }
-                    if floor.len() == k {
-                        shared.raise(floor.peek().expect("floor is non-empty").0 .0);
-                    }
-                    if all_done {
-                        return Ok(());
-                    }
-                }
-            };
-            if let Err(e) = drive() {
-                // A deadline or cancellation inside one step (between
-                // rounds, or mid-scan) ends every in-flight execution:
-                // each hands its buffers back to the scratch it took them
-                // from, so the tripped scratch serves its next query
-                // without re-allocating — and its counters say how far the
-                // query got.
-                for (run, qs) in runs.into_iter().zip(workers.iter_mut()) {
-                    run.abandon_into(qs);
-                    profile.merge(&qs.profile);
-                }
-                return Err(e);
-            }
-            for (i, ((run, qs), (out, &offset))) in runs
-                .into_iter()
-                .zip(workers.iter_mut())
-                .zip(lists.iter_mut().zip(&self.offsets))
-                .enumerate()
-            {
-                run.finish_into(qs);
-                self.metrics.record_shard_floor(i, qs.profile.floor_updates);
-                out.clear();
-                out.extend(
-                    qs.answers()
-                        .iter()
-                        .map(|sp| ScoredPoint::new(PointId::new(offset + sp.id.raw()), sp.score)),
-                );
-            }
-        } else {
-            // Parallel execution: contiguous shard chunks per worker, the
-            // atomic threshold carries the global floor across workers.
-            let chunk = s.div_ceil(w);
-            let results: Vec<Result<(), SdError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .chunks(chunk)
-                    .zip(self.offsets.chunks(chunk))
-                    .zip(self.muts.shard_dead.chunks(chunk))
-                    .zip(scratch.lists.chunks_mut(chunk))
-                    .zip(scratch.workers.iter_mut())
-                    .enumerate()
-                    .map(
-                        |(ci, ((((shard_chunk, off_chunk), dead_chunk), lists_chunk), qs))| {
-                            let shared = &shared;
-                            scope.spawn(move || -> Result<(), SdError> {
-                                // Each shard's execution resets the worker
-                                // profile, so shard profiles accumulate in
-                                // a chunk-level copy handed back at the end.
-                                let mut acc = QueryProfile::new();
-                                acc.timing = qs.profile.timing;
-                                for (j, (((shard, &offset), &dead), out)) in shard_chunk
-                                    .iter()
-                                    .zip(off_chunk)
-                                    .zip(dead_chunk)
-                                    .zip(lists_chunk.iter_mut())
-                                    .enumerate()
-                                {
-                                    let shard_mask = shard_mask_view(mask, offset, dead);
-                                    let res = shard.query_masked(
-                                        query,
-                                        k,
-                                        qs,
-                                        Some(shared),
-                                        shard_mask,
-                                    )?;
-                                    out.clear();
-                                    out.reserve(res.len());
-                                    for sp in res {
-                                        out.push(ScoredPoint::new(
-                                            PointId::new(offset + sp.id.raw()),
-                                            sp.score,
-                                        ));
-                                    }
-                                    self.metrics.record_shard_floor(
-                                        ci * chunk + j,
-                                        qs.profile.floor_updates,
-                                    );
-                                    acc.merge(&qs.profile);
-                                }
-                                qs.profile = acc;
-                                Ok(())
-                            })
-                        },
-                    )
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            for r in results {
-                r?;
-            }
-        }
-
-        if let Some(t) = t_agg {
-            scratch.profile.aggregate_nanos += t.elapsed().as_nanos() as u64;
-        }
-
-        // Exact k-way merge over the per-shard canonical lists (plus the
-        // delta list when dirty). Global ids are unique, so rank_cmp is a
-        // total order and the merge output is the canonical global top-k
-        // of the live rows.
-        let t_merge = timing.then(std::time::Instant::now);
         let EngineScratch {
             workers: worker_scratches,
+            runs,
             lists,
             heads,
             floor,
@@ -1149,6 +988,94 @@ impl SdEngine {
             profile,
             ..
         } = &mut *scratch;
+        let shard_scratches = &mut worker_scratches[..s];
+        let executed = if self.lone_clean_shard() {
+            // No cross-shard machinery beyond the delta floor.
+            let shared = dirty.then_some(&shared);
+            self.shards[0]
+                .query_masked(query, k, &mut shard_scratches[0], shared, None)
+                .map(drop)
+        } else if w == 1 {
+            // The merged k-of-union floor (pre-seeded by the delta scan
+            // above) reaches the global k-th within a few slices, so every
+            // shard — including the first — terminates against a near-final
+            // floor instead of its own weaker local one (measured ≈ the
+            // oracle floor's cost, where strictly sequential shard
+            // execution leaves the first shard floorless).
+            let mut active = recycle_vec(std::mem::take(runs));
+            let driven = self.drive(
+                0,
+                query,
+                k,
+                mask,
+                &shared,
+                Some(floor),
+                shard_scratches,
+                &mut active,
+            );
+            *runs = recycle_vec(active);
+            driven
+        } else {
+            // Contiguous shard ranges per worker; the atomic threshold
+            // carries the global floor across workers.
+            let chunk = s.div_ceil(w);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shard_scratches
+                    .chunks_mut(chunk)
+                    .enumerate()
+                    .map(|(ci, scratches)| {
+                        let shared = &shared;
+                        scope.spawn(move || {
+                            let mut active = Vec::with_capacity(scratches.len());
+                            self.drive(
+                                ci * chunk,
+                                query,
+                                k,
+                                mask,
+                                shared,
+                                None,
+                                scratches,
+                                &mut active,
+                            )
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .try_for_each(|h| h.join().expect("shard worker panicked"))
+            })
+        };
+        // Fold the per-shard profiles into the engine-level one (unused
+        // worker scratches were reset above and merge as zeros) — also when
+        // a deadline ended the query: the counters say how far it got.
+        for qs in worker_scratches.iter() {
+            profile.merge(&qs.profile);
+        }
+        executed?;
+        for (i, (qs, out)) in worker_scratches[..s]
+            .iter()
+            .zip(lists.iter_mut())
+            .enumerate()
+        {
+            self.metrics.record_shard_floor(i, qs.profile.floor_updates);
+            let offset = self.offsets[i];
+            out.clear();
+            out.extend(
+                qs.answers()
+                    .iter()
+                    .map(|sp| ScoredPoint::new(PointId::new(offset + sp.id.raw()), sp.score)),
+            );
+        }
+
+        if let Some(t) = t_agg {
+            profile.aggregate_nanos += t.elapsed().as_nanos() as u64;
+        }
+
+        // Exact k-way merge over the per-shard canonical lists (plus the
+        // delta list when dirty). Global ids are unique, so rank_cmp is a
+        // total order and the merge output is the canonical global top-k
+        // of the live rows.
+        let t_merge = timing.then(std::time::Instant::now);
         let k_eff = k.min(self.len());
         heads.clear();
         heads.resize(lists.len(), 0);
@@ -1178,13 +1105,8 @@ impl SdEngine {
                 None => break,
             }
         }
-        // Fold the per-shard profiles into the engine-level one (unused
-        // worker scratches were reset above and merge as zeros), then pin
-        // the query-final facts: the emitted answer count and the highest
-        // k-th-score floor any execution reached.
-        for qs in worker_scratches.iter() {
-            profile.merge(&qs.profile);
-        }
+        // Pin the query-final facts: the emitted answer count and the
+        // highest k-th-score floor any execution reached.
         profile.emitted = answers.len() as u64;
         if floor.len() == k {
             let merged = floor.peek().expect("floor is non-empty").0 .0;
@@ -1197,6 +1119,70 @@ impl SdEngine {
         }
         self.metrics.record_query(profile);
         Ok(())
+    }
+
+    /// The one way shard aggregations run: begins shard `first + j` out of
+    /// `scratches[j]` (with its tombstone view), steps all of them in
+    /// `SLICE_ROUNDS` slices until every one is done, and finishes each into
+    /// the scratch it was begun from — where its canonical shard-local
+    /// answer and its profile are left. A deadline or cancellation inside
+    /// one step (between rounds, or mid-scan) ends every in-flight
+    /// execution: each hands its buffers back unfinished, so a tripped
+    /// scratch serves its next query without re-allocating.
+    ///
+    /// `merged` is the single worker's k-of-union floor over every score any
+    /// slice has seen, published into `shared` after every pass over the
+    /// shards; scoped workers pass `None` and meet only through `shared`.
+    /// `runs` must arrive empty and is left empty.
+    #[allow(clippy::too_many_arguments)] // internal: one body, two call sites
+    fn drive<'i>(
+        &'i self,
+        first: usize,
+        query: &'i SdQuery,
+        k: usize,
+        mask: Option<&'i RowMask>,
+        shared: &SharedThreshold,
+        mut merged: Option<&mut BinaryHeap<Reverse<OrdF64>>>,
+        scratches: &mut [QueryScratch],
+        runs: &mut Vec<ShardExecution<'i>>,
+    ) -> Result<(), SdError> {
+        // Rounds per slice: enough that each slice makes real bound
+        // progress, small enough that the merged floor forms while every
+        // shard is still early in its descent.
+        const SLICE_ROUNDS: usize = 8;
+        let mut advance = || -> Result<(), SdError> {
+            for (i, qs) in (first..).zip(scratches.iter_mut()) {
+                let shard_mask = shard_mask_view(mask, self.offsets[i], self.muts.shard_dead[i]);
+                runs.push(self.shards[i].begin_query(query, k, qs, shard_mask)?);
+            }
+            loop {
+                let mut all_done = true;
+                for run in runs.iter_mut().filter(|run| !run.done()) {
+                    all_done &= match merged.as_deref_mut() {
+                        Some(floor) => run.step(SLICE_ROUNDS, Some(shared), |score| {
+                            track_floor(floor, k, score);
+                        })?,
+                        None => run.step(SLICE_ROUNDS, Some(shared), |_| {})?,
+                    };
+                }
+                if let Some(floor) = merged.as_deref() {
+                    if floor.len() == k {
+                        shared.raise(floor.peek().expect("floor is non-empty").0 .0);
+                    }
+                }
+                if all_done {
+                    return Ok(());
+                }
+            }
+        };
+        let advanced = advance();
+        for (run, qs) in runs.drain(..).zip(scratches.iter_mut()) {
+            match advanced {
+                Ok(()) => run.finish_into(qs),
+                Err(_) => run.abandon_into(qs),
+            }
+        }
+        advanced
     }
 
     /// Answers a batch of queries in parallel with up to `threads` workers
@@ -1263,8 +1249,8 @@ impl SdEngine {
 
 /// The tombstone view one shard's execution should receive: `None` when no
 /// dead row falls inside the shard's range (per-shard counters maintained
-/// by `delete`, so this is O(1)), so delete-free shards keep their
-/// unmasked fast paths (including the direct 2-D shortcut).
+/// by `delete`, so this is O(1)), so delete-free shards skip the per-row
+/// mask test.
 fn shard_mask_view(mask: Option<&RowMask>, offset: u32, dead: usize) -> Option<MaskView<'_>> {
     let view = MaskView::new(mask?, offset);
     (dead > 0).then_some(view)

@@ -4,7 +4,11 @@
 //! suspended shard execution hands its buffers back, the typed error
 //! surfaces, the `deadline_exceeded` metric counts it, and the same
 //! [`EngineScratch`] answers the same query again bit-identically to a
-//! fresh one **without allocating more than a warmed scratch does**.
+//! fresh one **without allocating at all**, like any warmed scratch.
+//!
+//! The direct 2-D search — one certified frontier walk, no aggregation
+//! rounds — honours the same token at every block pop, on a bare
+//! [`SdIndex`] and behind a one-shard engine.
 //!
 //! Deadlines are wall-clock, so the test sweeps budgets across the
 //! query's measured duration and classifies every trip from the partial
@@ -18,7 +22,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-use sdq::core::Deadline;
+use sdq::core::multidim::SdIndex;
+use sdq::core::{CancelToken, Deadline, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
 use sdq::{DimRole, ScoredPoint, SdError, SdQuery};
@@ -102,8 +107,7 @@ fn tripped_scratch_recovers_without_reallocating() {
     let want = engine.query(&query, k).unwrap(); // a fresh scratch's answer
 
     // Warm the scratch on this very query: buffer high-water marks are set
-    // here, so a later run of it allocates only what the scheduler stages
-    // per query.
+    // here, so a later run of it allocates nothing.
     let mut scratch = EngineScratch::new();
     let mut full = Duration::MAX;
     for _ in 0..3 {
@@ -115,6 +119,7 @@ fn tripped_scratch_recovers_without_reallocating() {
     let steady = count_allocs(|| {
         engine.query_with(&query, k, &mut scratch).unwrap();
     });
+    assert_eq!(steady, 0, "a warmed single-worker query allocates nothing");
 
     let mut seen = Vec::new();
     'sweep: for _attempt in 0..4 {
@@ -144,7 +149,7 @@ fn tripped_scratch_recovers_without_reallocating() {
             );
 
             // The tripped scratch, no deadline: same answer as a fresh
-            // scratch, and not one allocation beyond the steady state.
+            // scratch, and still not one allocation.
             scratch.deadline = Deadline::none();
             let mut got = Vec::with_capacity(k);
             let allocs = count_allocs(|| {
@@ -167,4 +172,58 @@ fn tripped_scratch_recovers_without_reallocating() {
         seen.contains(&Trip::MidAggregation) && seen.contains(&Trip::MidScan),
         "the sweep over {full:?} tripped only at {seen:?}"
     );
+}
+
+#[test]
+fn direct_2d_search_honours_a_cancelled_token() {
+    let (n, k) = (20_000, 16);
+    let roles = [DimRole::Attractive, DimRole::Repulsive];
+    let data = generate(Distribution::Uniform, n, 2, 0xCA7);
+    let query: SdQuery = uniform_queries(1, 2, 0xC2).remove(0);
+    let token = CancelToken::new();
+    token.cancel();
+
+    // The bare index: nothing but the frontier walk can see the token.
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    assert!(index.plan(&query, k).unwrap().direct);
+    let want = index.query(&query, k).unwrap();
+    let mut scratch = QueryScratch::new();
+    index.query_with(&query, k, &mut scratch).unwrap(); // warm-up
+    scratch.deadline = Deadline::cancelled_by(&token);
+    assert!(matches!(
+        index.query_with(&query, k, &mut scratch),
+        Err(SdError::Cancelled)
+    ));
+    scratch.deadline = Deadline::none();
+    let mut got = Vec::with_capacity(k);
+    let allocs = count_allocs(|| {
+        got.extend_from_slice(index.query_with(&query, k, &mut scratch).unwrap());
+    });
+    assert_bit_identical(&got, &want);
+    assert_eq!(allocs, 0, "the cancelled scratch re-allocated");
+
+    // A one-shard engine runs the same search. (`threads = 1`: resolving
+    // the auto worker count asks the OS, which allocates.)
+    let options = EngineOptions {
+        threads: 1,
+        ..EngineOptions::default()
+    };
+    let engine = SdEngine::build_with(data, &roles, &options).unwrap();
+    assert!(engine.explain(&query, k).unwrap()[0].direct);
+    let mut scratch = EngineScratch::new();
+    assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
+    let before = engine.metrics().snapshot().deadline_exceeded;
+    scratch.deadline = Deadline::cancelled_by(&token);
+    assert!(matches!(
+        engine.query_with(&query, k, &mut scratch),
+        Err(SdError::Cancelled)
+    ));
+    assert_eq!(engine.metrics().snapshot().deadline_exceeded, before + 1);
+    scratch.deadline = Deadline::none();
+    got.clear();
+    let allocs = count_allocs(|| {
+        got.extend_from_slice(engine.query_with(&query, k, &mut scratch).unwrap());
+    });
+    assert_bit_identical(&got, &want);
+    assert_eq!(allocs, 0, "the cancelled engine scratch re-allocated");
 }

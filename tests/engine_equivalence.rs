@@ -10,15 +10,18 @@
 //!   exactly the sequential answers,
 //! * a dirty, reused [`EngineScratch`] answers exactly like a fresh one,
 //! * `par_query_batch` is bit-identical to the serial loop,
-//! * snapshot round-trips preserve engine answers bit-exactly.
+//! * snapshot round-trips preserve engine answers bit-exactly,
+//! * `explain` reports the direct 2-D search exactly when it runs.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use sdq::baselines::SeqScan;
 use sdq::core::multidim::SdIndex;
+use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
 use sdq::store::Snapshot;
-use sdq::{Dataset, DimRole, ScoredPoint, SdQuery};
+use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
 /// Coordinates from a tiny alphabet: duplicate rows and exact score ties
 /// at the k-th position are the norm, not the exception.
@@ -209,5 +212,57 @@ proptest! {
         }
         // Deterministic bytes.
         prop_assert_eq!(back.to_bytes_v5().unwrap(), bytes);
+    }
+}
+
+/// `explain` and the executor consult one predicate: a plan says `direct`
+/// exactly when the query then runs without a single aggregation round —
+/// one clean shard — and every cell answers like the sequential scan.
+#[test]
+fn explain_says_direct_exactly_when_the_direct_search_runs() {
+    let (n, k) = (2_000, 10);
+    let roles = [DimRole::Attractive, DimRole::Repulsive];
+    let data = generate(Distribution::Uniform, n, 2, 0xE1);
+    let queries = uniform_queries(6, 2, 0xE2);
+    let scan = SeqScan::new(data.clone(), &roles).unwrap();
+    for shards in [1, 4] {
+        for threads in [1, 2] {
+            for tombstones in [false, true] {
+                let cell = format!("shards {shards} threads {threads} tombstones {tombstones}");
+                let options = EngineOptions {
+                    shards,
+                    threads,
+                    ..EngineOptions::default()
+                };
+                let mut engine = SdEngine::build_with(data.clone(), &roles, &options).unwrap();
+                let mut dead = Vec::new();
+                if tombstones {
+                    // One per shard, the best row of the first query among them.
+                    dead.push(scan.query(&queries[0], 1).unwrap()[0].id);
+                    for info in engine.shard_infos() {
+                        let id = PointId::new(info.offset as u32);
+                        if !dead.contains(&id) {
+                            dead.push(id);
+                        }
+                    }
+                    for &id in &dead {
+                        assert!(engine.delete(id).unwrap(), "{cell}");
+                    }
+                }
+                let mut scratch = EngineScratch::new();
+                for q in &queries {
+                    let plans = engine.explain(q, k).unwrap();
+                    let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
+                    let ran_direct = scratch.profile.rounds == 0;
+                    assert_eq!(ran_direct, shards == 1 && !tombstones, "{cell}");
+                    assert_eq!(plans.len(), shards, "{cell}");
+                    assert!(plans.iter().all(|p| p.direct == ran_direct), "{cell}");
+                    let mut want = scan.query(q, k + dead.len()).unwrap();
+                    want.retain(|sp| !dead.contains(&sp.id));
+                    want.truncate(k);
+                    assert_bit_identical(&cell, &got, &want).unwrap();
+                }
+            }
+        }
     }
 }

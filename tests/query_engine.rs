@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use sdq::baselines::TaIndex;
 use sdq::core::multidim::SdIndex;
-use sdq::core::topk::{PackedTopKIndex, TopKIndex};
+use sdq::core::topk::TopKIndex;
 use sdq::core::QueryScratch;
 use sdq::{Dataset, DimRole, ScoredPoint, SdQuery};
 
@@ -90,7 +90,7 @@ proptest! {
         }
     }
 
-    // (a) continued: the 2-D engines, with the same scratch fed both the
+    // (a) continued: the 2-D engine, with the same scratch fed both the
     // indexed-angle and the bracketed path in interleaved order.
     #[test]
     fn topk_scratch_reuse_is_bit_identical(
@@ -99,7 +99,6 @@ proptest! {
         k in 1usize..12,
     ) {
         let topk = TopKIndex::build(&pts).unwrap();
-        let packed = PackedTopKIndex::build(&pts).unwrap();
         let mut scratch = QueryScratch::new();
         for &(qx, qy, alpha, beta) in &queries {
             if alpha == 0.0 && beta == 0.0 {
@@ -108,10 +107,6 @@ proptest! {
             let fresh = topk.query(qx, qy, alpha, beta, k).unwrap();
             let reused = topk.query_with(qx, qy, alpha, beta, k, &mut scratch).unwrap();
             assert_bit_identical("TopKIndex", reused, &fresh)?;
-
-            let fresh = packed.query(qx, qy, alpha, beta, k).unwrap();
-            let reused = packed.query_with(qx, qy, alpha, beta, k, &mut scratch).unwrap();
-            assert_bit_identical("PackedTopKIndex", reused, &fresh)?;
         }
     }
 
