@@ -2,10 +2,11 @@
 //!
 //! Every hot loop in the workspace ultimately evaluates the same shape of
 //! arithmetic: *for a batch of points, accumulate `Σ_d sw_d·|p_d − q_d|`*
-//! (the SD-score with pre-signed weights, Eqn. 3) or a rotated projection
-//! key. This module owns that arithmetic once, over fixed-width
-//! structure-of-arrays *lanes* ([`LANES`] points per block), with three
-//! interchangeable backends:
+//! (the SD-score with pre-signed weights, Eqn. 3). This module owns that
+//! arithmetic once — over fixed-width structure-of-arrays *lanes*
+//! ([`LANES`] points per block), and over runs of consecutive rows of the
+//! row-major coordinate table ([`score_rows`]) — with three interchangeable
+//! backends:
 //!
 //! * a chunk-oriented **scalar** loop (the portable reference, and the
 //!   `SDQ_FORCE_SCALAR` escape hatch),
@@ -75,12 +76,13 @@ unsafe impl crate::view::Pod for LaneBlock {}
 
 /// The instruction-set level the kernels dispatch to.
 ///
-/// Dispatch is per kernel: the score accumulators have AVX2 and SSE2 arms;
-/// [`rotate_block`], [`survivors`] and [`lane_filter`] have AVX2 arms and
-/// otherwise run the chunked-scalar loops (which the compiler
-/// autovectorizes at the x86-64 SSE2 baseline). Every arm is bit-identical,
-/// so the level reported in `BENCH_queries.json` is a performance label,
-/// never a results label.
+/// Dispatch is per kernel: the lane accumulators have AVX2 and SSE2 arms;
+/// [`score_rows`], [`survivors`] and [`lane_filter`] have AVX2 arms and
+/// otherwise run the scalar loops (which the compiler autovectorizes at the
+/// x86-64 SSE2 baseline where it can). Every arm is bit-identical, so the
+/// level a report prints (`QueryProfile::isa`, the benchmark's `isa=`
+/// header, `sdq bench-query`'s `simd` key) is a performance label, never a
+/// results label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
     /// Portable chunked-scalar loops (also the `SDQ_FORCE_SCALAR` path).
@@ -92,7 +94,7 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Lower-case name, as reported in `BENCH_queries.json`'s `simd` key.
+    /// Lower-case name, as reports print it.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -250,55 +252,98 @@ pub fn score_block_2d(
     score_add_dim(out, ys, qy, alpha);
 }
 
-// ─── rotated projection keys ────────────────────────────────────────────────
+// ─── row-major runs ─────────────────────────────────────────────────────────
 
-/// Computes both rotated projection keys of a 2-D SoA block:
-/// `u[l] = cos·y[l] − sin·x[l]`, `v[l] = cos·y[l] + sin·x[l]` —
-/// bit-identical to [`Angle::u`]/[`Angle::v`](crate::geometry::Angle::v).
+/// Scores a run of consecutive rows straight off the row-major coordinate
+/// table: `run` holds `scores.len()` rows of `dims` coordinates each, and
+/// `scores[r] = Σ_d sw[d]·|run[r·dims + d] − q[d]|`, accumulated from `+0.0`
+/// in dimension order — [`sd_score`](crate::score::sd_score) bit-for-bit
+/// when `sw` holds the role-signed weights (see [`score_add_dim`]).
+///
+/// This is [`score_zero`] + one [`score_add_dim`] per dimension for rows
+/// that are already adjacent in memory: no gather buffer is written and
+/// the accumulator never leaves its register between dimensions. The AVX2
+/// arm takes four rows at a time and transposes them four dimensions at a
+/// time in registers; the scalar arm is the per-row loop that defines the
+/// score, and also serves the last `scores.len() % 4` rows of the AVX2 arm.
+///
+/// # Panics
+///
+/// When `dims == 0`, `q` or `sw` is not `dims` long, or `run` is not
+/// `scores.len() · dims` long.
 #[inline]
-pub fn rotate_block(u: &mut [f64], v: &mut [f64], xs: &[f64], ys: &[f64], cos: f64, sin: f64) {
-    debug_assert!(u.len() == v.len() && u.len() == xs.len() && u.len() == ys.len());
+pub fn score_rows(scores: &mut [f64], run: &[f64], dims: usize, q: &[f64], sw: &[f64]) {
+    assert!(dims > 0 && q.len() == dims && sw.len() == dims);
+    assert_eq!(run.len(), scores.len() * dims);
     match active() {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { rotate_block_avx2(u, v, xs, ys, cos, sin) },
-        _ => rotate_block_scalar(u, v, xs, ys, cos, sin),
+        // SAFETY: `active()` reports `Avx2` only after runtime detection of
+        // the feature, and the two assertions above are the shape the arm
+        // requires of its arguments.
+        Isa::Avx2 => unsafe { score_rows_avx2(scores, run, dims, q, sw) },
+        _ => score_rows_scalar(scores, run, dims, q, sw),
     }
 }
 
-fn rotate_block_scalar(u: &mut [f64], v: &mut [f64], xs: &[f64], ys: &[f64], cos: f64, sin: f64) {
-    for l in 0..u.len() {
-        let cy = cos * ys[l];
-        let sx = sin * xs[l];
-        u[l] = cy - sx;
-        v[l] = cy + sx;
+fn score_rows_scalar(scores: &mut [f64], run: &[f64], dims: usize, q: &[f64], sw: &[f64]) {
+    for (score, row) in scores.iter_mut().zip(run.chunks_exact(dims)) {
+        let mut acc = 0.0;
+        for d in 0..dims {
+            acc += sw[d] * (row[d] - q[d]).abs();
+        }
+        *score = acc;
     }
 }
 
+/// # Safety
+///
+/// The host must support AVX2 (callers dispatch on [`active`]), and the
+/// arguments must have the shape [`score_rows`] asserts: `q.len() == dims`,
+/// `sw.len() == dims` and `run.len() == scores.len() * dims` — every load
+/// below is at `row·dims + d` with `row < scores.len()` and `d < dims`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn rotate_block_avx2(
-    u: &mut [f64],
-    v: &mut [f64],
-    xs: &[f64],
-    ys: &[f64],
-    cos: f64,
-    sin: f64,
-) {
+unsafe fn score_rows_avx2(scores: &mut [f64], run: &[f64], dims: usize, q: &[f64], sw: &[f64]) {
     use std::arch::x86_64::*;
-    let cv = _mm256_set1_pd(cos);
-    let sv = _mm256_set1_pd(sin);
-    let n = u.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-        let y = _mm256_loadu_pd(ys.as_ptr().add(i));
-        let cy = _mm256_mul_pd(cv, y);
-        let sx = _mm256_mul_pd(sv, x);
-        _mm256_storeu_pd(u.as_mut_ptr().add(i), _mm256_sub_pd(cy, sx));
-        _mm256_storeu_pd(v.as_mut_ptr().add(i), _mm256_add_pd(cy, sx));
-        i += 4;
+    let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
+    // acc + sw[d]·|col − q[d]|: mul then add (no FMA), as the scalar arm.
+    let step = |acc: __m256d, col: __m256d, d: usize| -> __m256d {
+        let t = _mm256_and_pd(
+            _mm256_sub_pd(col, _mm256_set1_pd(*q.get_unchecked(d))),
+            abs_mask,
+        );
+        _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(*sw.get_unchecked(d)), t))
+    };
+    let count = scores.len();
+    let mut r = 0;
+    while r + 4 <= count {
+        let base = run.as_ptr().add(r * dims);
+        let (r0, r1, r2, r3) = (base, base.add(dims), base.add(2 * dims), base.add(3 * dims));
+        let mut acc = _mm256_setzero_pd();
+        let mut d = 0;
+        while d + 4 <= dims {
+            // Four rows × four dimensions, transposed in registers: the
+            // `c*` vectors hold one dimension of the four rows each.
+            let (v0, v1) = (_mm256_loadu_pd(r0.add(d)), _mm256_loadu_pd(r1.add(d)));
+            let (v2, v3) = (_mm256_loadu_pd(r2.add(d)), _mm256_loadu_pd(r3.add(d)));
+            let (t0, t1) = (_mm256_unpacklo_pd(v0, v1), _mm256_unpackhi_pd(v0, v1));
+            let (t2, t3) = (_mm256_unpacklo_pd(v2, v3), _mm256_unpackhi_pd(v2, v3));
+            acc = step(acc, _mm256_permute2f128_pd::<0x20>(t0, t2), d);
+            acc = step(acc, _mm256_permute2f128_pd::<0x20>(t1, t3), d + 1);
+            acc = step(acc, _mm256_permute2f128_pd::<0x31>(t0, t2), d + 2);
+            acc = step(acc, _mm256_permute2f128_pd::<0x31>(t1, t3), d + 3);
+            d += 4;
+        }
+        while d < dims {
+            // Tail dimensions: one coordinate from each of the four rows.
+            let col = _mm256_set_pd(*r3.add(d), *r2.add(d), *r1.add(d), *r0.add(d));
+            acc = step(acc, col, d);
+            d += 1;
+        }
+        _mm256_storeu_pd(scores.as_mut_ptr().add(r), acc);
+        r += 4;
     }
-    rotate_block_scalar(&mut u[i..], &mut v[i..], &xs[i..], &ys[i..], cos, sin);
+    score_rows_scalar(&mut scores[r..], &run[r * dims..], dims, q, sw);
 }
 
 // ─── survivor selection ─────────────────────────────────────────────────────
@@ -559,20 +604,64 @@ mod tests {
     }
 
     #[test]
-    fn rotate_matches_angle_keys_bitwise() {
-        use crate::geometry::Angle;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let a = Angle::from_weights(0.37, 1.21).unwrap();
-        let xs: Vec<f64> = (0..LANES).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let ys: Vec<f64> = (0..LANES).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        with_each_isa(|| {
-            let (mut u, mut v) = ([0.0; LANES], [0.0; LANES]);
-            rotate_block(&mut u, &mut v, &xs, &ys, a.cos, a.sin);
-            for l in 0..LANES {
-                assert_eq!(u[l].to_bits(), a.u(xs[l], ys[l]).to_bits());
-                assert_eq!(v[l].to_bits(), a.v(xs[l], ys[l]).to_bits());
+    fn score_rows_matches_sd_score_bitwise_all_isas() {
+        // Every `dims % 4` and `count % 4` (the AVX2 arm's block and tail
+        // paths), mixed roles, zero weights, and coordinates / query points
+        // from the edges of the format as well as its middle.
+        const EDGES: [f64; 9] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            5e-324,
+            -2.2e-308,
+            1e308,
+            -1e308,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut draw = |edge_one_in: u32| {
+            if rng.gen_range(0..edge_one_in) == 0 {
+                EDGES[rng.gen_range(0..EDGES.len())]
+            } else {
+                rng.gen_range(-1e3..1e3)
             }
-        });
+        };
+        for dims in 1..=9 {
+            for count in 1..=LANES {
+                let roles: Vec<DimRole> = (0..dims)
+                    .map(|d| {
+                        if (d + count) % 3 == 0 {
+                            DimRole::Repulsive
+                        } else {
+                            DimRole::Attractive
+                        }
+                    })
+                    .collect();
+                // Weights are finite and non-negative (`f64::min` drops a NaN).
+                let w: Vec<f64> = (0..dims).map(|_| draw(4).abs().min(10.0)).collect();
+                let sw: Vec<f64> = roles.iter().zip(&w).map(|(r, &w)| r.sign() * w).collect();
+                let q: Vec<f64> = (0..dims).map(|_| draw(5)).collect();
+                let run: Vec<f64> = (0..count * dims).map(|_| draw(5)).collect();
+                with_each_isa(|| {
+                    let mut out = vec![f64::NAN; count];
+                    score_rows(&mut out, &run, dims, &q, &sw);
+                    for (r, row) in run.chunks_exact(dims).enumerate() {
+                        let want = sd_score(row, &q, &roles, &w);
+                        // A NaN score (∞ − ∞, ∞ · 0) is NaN on every arm;
+                        // its sign bit is whichever operand the add
+                        // propagated, an order compilers choose freely.
+                        assert!(
+                            out[r].to_bits() == want.to_bits()
+                                || (out[r].is_nan() && want.is_nan()),
+                            "row {r} of {count}, dims {dims}: {} vs {want} on {:?}",
+                            out[r],
+                            active()
+                        );
+                    }
+                });
+            }
+        }
     }
 
     #[test]

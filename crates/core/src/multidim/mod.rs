@@ -32,7 +32,8 @@
 //! frontier, or plain 1-D sorted-column streams), and single-pair queries
 //! bypass the aggregation altogether — one certified frontier search over
 //! the pair's tree. An aggregation that has fetched more than
-//! [`plan::scan_budget`] rows without certifying stops consulting its
+//! [`plan::scan_budget`] rows without certifying — or whose threshold gap
+//! projects that it will ([`plan::scan_checkpoint`]) — stops consulting its
 //! streams and finishes with one sequential kernel scan of the rows it has
 //! not seen. Every strategy is exact and the emission order is
 //! **canonical** (score descending, ties by row ascending), so planning can
@@ -573,8 +574,9 @@ impl SdIndex {
     ///
     /// The execution carries this index's fetch budget
     /// ([`plan::scan_budget`]): the [`ShardExecution::step`] that finds it
-    /// spent runs a kernel scan of the unseen rows to completion instead of
-    /// another round, so one step can cost a pass over the shard.
+    /// spent, or projects that it will be, runs a kernel scan of the unseen
+    /// rows to completion instead of another round, so one step can cost a
+    /// pass over the shard.
     pub fn begin_query<'i>(
         &'i self,
         query: &'i SdQuery,
@@ -780,12 +782,18 @@ impl SdIndex {
 }
 
 /// Resolves a worker-count argument: `0` means auto — the host's available
-/// parallelism (1 when it cannot be determined).
+/// parallelism (1 when it cannot be determined), asked of the OS once per
+/// process: the answer is an affinity mask plus cgroup quota files, read
+/// and allocated for on every call, and `threads = 0` engines resolve it
+/// per query.
 pub fn resolve_threads(threads: usize) -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
     if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        *AUTO.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     } else {
         threads
     }
@@ -809,11 +817,13 @@ pub(crate) fn build_pair_columns(
 }
 
 /// The scoring stage behind every row the aggregation looks at, whichever
-/// way the row arrived — a round's fetched batch ([`score_rows_batched`])
-/// or the scan exit ([`scan_unseen`]): tombstone-masked, gathered into
-/// [`LANES`]-wide SoA lanes, scored on the full query by the batch kernels,
-/// then fed to the k-th-score floor, the caller's `on_score` observer and
-/// the candidate pool.
+/// way the row arrived: a round's fetched batch ([`score_rows_batched`]) is
+/// tombstone-masked, gathered into [`LANES`]-wide SoA lanes and scored on
+/// the full query by the lane kernels; the scan exit ([`scan_unseen`])
+/// scores runs of consecutive rows where they lie. Either way the scores
+/// that pass the floor compare are fed to the k-th-score floor, the
+/// caller's `on_score` observer and the candidate pool
+/// ([`BatchScorer::admit`]).
 ///
 /// Once the floor holds `k_eff` real scores, lanes strictly below its root
 /// are dropped by the batched survivor compare before touching any heap:
@@ -874,65 +884,50 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
         }
     }
 
-    /// Gathers the consecutive rows `start..start + count` (`count ≤ LANES`)
-    /// into lanes `0..count` — a straight transpose of the row-major
-    /// table, no per-row decision.
-    fn gather_run(&mut self, start: usize, count: usize) {
-        debug_assert_eq!(self.cnt, 0, "lanes of an open batch would be overwritten");
-        let dims = self.data.dims();
-        transpose_run(
-            &self.data.flat()[start * dims..(start + count) * dims],
-            dims,
-            self.gather,
-        );
-        for (l, slot) in self.lane_rows[..count].iter_mut().enumerate() {
-            *slot = (start + l) as u32;
-        }
-    }
-
     /// Kernel-scores the gathered lanes named by `live` on the full query,
-    /// then takes every survivor of the floor compare through the one
-    /// per-row step: floor, observer, pool.
+    /// then takes every survivor of the floor compare through
+    /// [`BatchScorer::admit`].
     fn score_lanes(&mut self, live: u32) {
         self.prof.kernel_batches += 1;
         self.prof.isa = kernels::active().name();
-        let fl = if self.publish && self.floor.len() == self.k_eff {
-            self.floor.peek().expect("floor is non-empty").0 .0
-        } else {
-            f64::NEG_INFINITY
-        };
-        let mut surv = score_survivors(self.roles, self.query, self.gather, self.scores, live, fl);
+        let bar = self.survivor_bar();
+        let mut surv = score_survivors(self.roles, self.query, self.gather, self.scores, live, bar);
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
-            let score = self.scores[l];
-            self.prof.points_scored += 1;
-            self.prof.floor_updates += u64::from(track_floor(self.floor, self.k_eff, score));
-            (self.on_score)(score);
-            self.pool
-                .push((OrdF64::new(score), Reverse(self.lane_rows[l])));
+            self.admit(self.lane_rows[l], self.scores[l]);
         }
     }
-}
 
-/// Transposes `run` — consecutive rows of the row-major table — into
-/// dimension-major lanes `0..run.len() / dims` of `gather`.
-///
-/// This and [`score_survivors`] are the observer-independent half of the
-/// scoring stage, kept out of line so that they compile once: inlined into
-/// each `F` instantiation of the loop they came out ≈ 25 % apart in speed
-/// from one source.
-#[inline(never)]
-fn transpose_run(run: &[f64], dims: usize, gather: &mut [f64]) {
-    for (d, col) in gather.chunks_exact_mut(LANES).enumerate() {
-        for (lane, row) in col.iter_mut().zip(run.chunks_exact(dims)) {
-            *lane = row[d];
+    /// The score a lane must reach to be worth a visit to the heaps: the
+    /// local floor once it holds `k_eff` real scores of a publishing
+    /// execution, `−∞` before.
+    #[inline]
+    fn survivor_bar(&self) -> f64 {
+        if self.publish && self.floor.len() == self.k_eff {
+            self.floor.peek().expect("floor is non-empty").0 .0
+        } else {
+            f64::NEG_INFINITY
         }
+    }
+
+    /// The one per-row step behind every kept score: floor, observer, pool.
+    #[inline]
+    fn admit(&mut self, row: u32, score: f64) {
+        self.prof.points_scored += 1;
+        self.prof.floor_updates += u64::from(track_floor(self.floor, self.k_eff, score));
+        (self.on_score)(score);
+        self.pool.push((OrdF64::new(score), Reverse(row)));
     }
 }
 
 /// Kernel-scores the gathered lanes on the full query into `scores` and
 /// returns which of the `live` ones reach `floor`.
+///
+/// This and [`UnseenScan::chunk`] are the observer-independent half of the
+/// scoring stage, kept out of line so that they compile once: inlined into
+/// each `F` instantiation of the loop they came out ≈ 25 % apart in speed
+/// from one source.
 #[inline(never)]
 fn score_survivors(
     roles: &[DimRole],
@@ -967,52 +962,104 @@ fn score_rows_batched<F: FnMut(f64)>(
     scorer.flush();
 }
 
-/// The cost-bounded exit of the aggregation (see [`plan::scan_budget`]):
-/// scores every row the streams have not surfaced yet, in row order,
-/// [`LANES`] consecutive rows at a time straight off the row-major
-/// coordinate table. A chunk is transposed whole; which of its lanes count
-/// is a bitmask — not yet seen, not tombstoned — handed to the same
-/// [`BatchScorer::score_lanes`] the fetched batches end in, so a row that
-/// was already scored (or is dead) costs a wasted lane, never a second
-/// visit to floor, observer or pool. Afterwards every live row of the
-/// dataset has been scored, so the pool holds whatever of the top `k_eff`
-/// is not emitted yet.
+/// The read-only state and the tallies of one [`scan_unseen`] pass —
+/// everything about the scan that does not depend on the score observer.
+struct UnseenScan<'a> {
+    data: &'a Dataset,
+    seen: &'a StampSet,
+    mask: Option<MaskView<'a>>,
+    /// The query point and the role-signed weights, one per dimension.
+    q: &'a [f64],
+    sw: &'a [f64],
+    /// Unseen rows met (tombstoned ones included), the tombstoned among
+    /// them, and chunks that reached the kernel.
+    scanned: u32,
+    dead: u32,
+    batches: u32,
+}
+
+impl UnseenScan<'_> {
+    /// One chunk — the up to [`LANES`] consecutive rows from `start`:
+    /// builds its live word (not yet seen, not tombstoned), scores the
+    /// whole run on the full query into `scores[..count]` straight off the
+    /// row-major table, and returns the live lanes that reach `floor`. A
+    /// row already scored or dead costs a wasted lane, never a visit to
+    /// floor, observer or pool; a chunk with no live lane is not scored.
+    #[inline(never)]
+    fn chunk(&mut self, start: usize, floor: f64, scores: &mut [f64]) -> u32 {
+        let dims = self.data.dims();
+        let count = LANES.min(self.data.len() - start);
+        let mut live = self.seen.unseen_word(start, count);
+        self.scanned += live.count_ones();
+        if let Some(m) = self.mask {
+            // Tombstoned rows stop here, before pool and floor.
+            let dead = live & m.dead_word32(start as u32);
+            self.dead += dead.count_ones();
+            live &= !dead;
+        }
+        if live == 0 {
+            return 0;
+        }
+        self.batches += 1;
+        let scores = &mut scores[..count];
+        let run = &self.data.flat()[start * dims..(start + count) * dims];
+        kernels::score_rows(scores, run, dims, self.q, self.sw);
+        kernels::survivors(scores, live, floor)
+    }
+}
+
+/// The cost-bounded exit of the aggregation (see [`plan::scan_budget`] and
+/// [`plan::ScanProbe`] for its two triggers): scores every row the streams
+/// have not surfaced yet, in row order, [`LANES`] consecutive rows at a time
+/// ([`UnseenScan::chunk`]), and takes each chunk's survivors through the
+/// same [`BatchScorer::admit`] the fetched batches end in. Afterwards every
+/// live row of the dataset has been scored, so the pool holds whatever of
+/// the top `k_eff` is not emitted yet.
 ///
-/// The seen-set is only read: the pass meets every row once and ends the
-/// execution. The deadline is consulted once per chunk; an abort leaves the
-/// partial state behind exactly like an abort between rounds.
+/// The streams are not consulted again, so their bound staging `sw` is free
+/// to hold the role-signed weights for the pass. The seen-set is only read:
+/// the pass meets every row once and ends the execution. The deadline is
+/// consulted once per chunk; an abort leaves the partial state behind
+/// exactly like an abort between rounds.
 fn scan_unseen<F: FnMut(f64)>(
     scorer: &mut BatchScorer<'_, F>,
     seen: &StampSet,
+    sw: &mut Vec<f64>,
     deadline: &Deadline,
 ) -> Result<(), SdError> {
     scorer.prof.scan_fallbacks += 1;
-    let n = scorer.data.len();
-    let (mut scanned, mut dead_rows) = (0u32, 0u32);
-    for start in (0..n).step_by(LANES) {
+    let (roles, query) = (scorer.roles, scorer.query);
+    sw.clear();
+    sw.extend(roles.iter().zip(&query.weights).map(|(r, w)| r.sign() * w));
+    let mut scan = UnseenScan {
+        data: scorer.data,
+        seen,
+        mask: scorer.mask,
+        q: &query.point,
+        sw,
+        scanned: 0,
+        dead: 0,
+        batches: 0,
+    };
+    for start in (0..scan.data.len()).step_by(LANES) {
         deadline.check()?;
-        let count = LANES.min(n - start);
-        let mut live = 0u32;
-        for l in 0..count {
-            live |= u32::from(!seen.contains((start + l) as u32)) << l;
-        }
-        scanned += live.count_ones();
-        if let Some(m) = scorer.mask {
-            // Tombstoned rows stop here, before pool and floor.
-            let dead = live & m.dead_word32(start as u32);
-            dead_rows += dead.count_ones();
-            live &= !dead;
-        }
-        if live != 0 {
-            scorer.gather_run(start, count);
-            scorer.score_lanes(live);
+        let mut surv = scan.chunk(start, scorer.survivor_bar(), scorer.scores);
+        while surv != 0 {
+            let l = surv.trailing_zeros() as usize;
+            surv &= surv - 1;
+            scorer.admit((start + l) as u32, scorer.scores[l]);
         }
     }
-    let scanned = u64::from(scanned);
-    scorer.prof.scan_rows += scanned;
-    scorer.prof.rows_fetched += scanned;
-    scorer.prof.tombstones_skipped += u64::from(dead_rows);
-    scorer.prof.points_gathered += scanned - u64::from(dead_rows);
+    let (scanned, dead) = (u64::from(scan.scanned), u64::from(scan.dead));
+    let prof = &mut *scorer.prof;
+    prof.scan_rows += scanned;
+    prof.rows_fetched += scanned;
+    prof.tombstones_skipped += dead;
+    prof.points_gathered += scanned - dead;
+    prof.kernel_batches += u64::from(scan.batches);
+    if scan.batches > 0 {
+        prof.isa = kernels::active().name();
+    }
     Ok(())
 }
 
@@ -1061,7 +1108,10 @@ fn emit_pooled(
 /// than `scan_budget` rows have been fetched stops consulting the streams
 /// and finishes with [`scan_unseen`] — one sequential kernel pass over the
 /// rows not seen yet — inside this call, whatever `rounds` says (see
-/// [`plan::scan_budget`] for the exchange rate behind the constant).
+/// [`plan::scan_budget`] for the exchange rate behind the constant). So
+/// does an iteration in which the execution's `ScanProbe` reads off the
+/// threshold gap that the budget is going to be spent (see
+/// [`plan::scan_checkpoint`]); both triggers reach the one call.
 /// `usize::MAX` never scans: the paper's pure threshold aggregation.
 ///
 /// `on_score` observes the exact full score of every newly fetched
@@ -1099,6 +1149,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
         profile: prof,
         deadline,
         scan_budget,
+        probe,
         done: _,
     } = exec;
     let (data, roles, query) = (*data, *roles, *query);
@@ -1185,11 +1236,20 @@ fn aggregate_rounds<F: FnMut(f64)>(
             }
         }
 
-        // Fetch budget spent and the query still open: every further fetch
-        // is a random access worth many sequential rows, so finish with one
-        // pass over what is left instead.
-        if scorer.prof.rows_fetched > scan_budget as u64 {
-            scan_unseen(&mut scorer, seen, deadline)?;
+        // Fetch budget spent and the query still open — or the gap's own
+        // slope says it will be (a floor is known, which also means every
+        // stream is live, and there is a budget to run out of): every
+        // further fetch is a random access worth many sequential rows, so
+        // finish with one pass over what is left instead.
+        let fetched = scorer.prof.rows_fetched;
+        let spent = fetched > scan_budget as u64;
+        let projected = !spent
+            && f > f64::NEG_INFINITY
+            && scan_budget != usize::MAX
+            && probe.lost(fetched, inflate(tau) - f, scan_budget);
+        if spent || projected {
+            scorer.prof.scan_projected += u64::from(projected);
+            scan_unseen(&mut scorer, seen, fbuf, deadline)?;
             if publish && scorer.floor.len() == k_eff {
                 if let Some(h) = shared {
                     h.raise(scorer.floor.peek().expect("floor is non-empty").0 .0);
@@ -1262,6 +1322,9 @@ pub struct ShardExecution<'i> {
     deadline: Deadline,
     /// Rows this execution may fetch before it finishes by scanning.
     scan_budget: usize,
+    /// The projection that sends it there earlier when the budget is a
+    /// lost cause.
+    probe: plan::ScanProbe,
     done: bool,
 }
 
@@ -1270,7 +1333,8 @@ impl<'i> ShardExecution<'i> {
     /// [`QueryScratch`]: `streams` (assembled into that scratch's
     /// [`QueryScratch::stream_buf`]) run against `data` under `mask`, and
     /// the execution switches to the kernel scan once it has fetched more
-    /// than `scan_budget` rows (`usize::MAX`: never).
+    /// than `scan_budget` rows, or projects that it will (`usize::MAX`:
+    /// never).
     #[allow(clippy::too_many_arguments)] // internal: the index's and the TA entry's
     fn begin(
         data: &'i Dataset,
@@ -1322,6 +1386,7 @@ impl<'i> ShardExecution<'i> {
             profile: scratch.profile,
             deadline: scratch.deadline.clone(),
             scan_budget,
+            probe: plan::ScanProbe::new(scan_budget),
             done: n == 0,
         }
     }
@@ -1369,10 +1434,10 @@ impl<'i> ShardExecution<'i> {
     /// hand its buffers back with [`ShardExecution::abandon_into`]).
     ///
     /// A step is not bounded by `rounds` alone: the iteration that finds
-    /// the fetch budget ([`plan::scan_budget`]) spent runs the kernel scan
-    /// over every row not seen yet to completion — one sequential pass over
-    /// the shard, deadline-checked every [`LANES`] rows — and completes the
-    /// execution inside this call.
+    /// the fetch budget ([`plan::scan_budget`]) spent, or projects that it
+    /// will be, runs the kernel scan over every row not seen yet to
+    /// completion — one sequential pass over the shard, deadline-checked
+    /// every [`LANES`] rows — and completes the execution inside this call.
     pub fn step<F: FnMut(f64)>(
         &mut self,
         rounds: usize,

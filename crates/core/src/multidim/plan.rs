@@ -36,20 +36,75 @@
 //! and finishes with one kernel scan over the rows it has not seen
 //! (`aggregate_rounds` in the parent module owns the exit;
 //! `threshold_aggregate_with`, which the TA baseline rides, never takes
-//! it). Fetching n/8 rows already costs what scanning all n does, so the
-//! exit bounds a query at about twice a pure scan, and the query that would
-//! have certified one fetch past the budget — the worst case — pays about
-//! twice what it would have; one that would have fetched 44 % of the table
-//! pays a third. The constant is not a tuning knob — it is `n / 8` for
-//! every index — and the sweep says where it sits (three 10-second runs of
-//! the unmodified benchmark per value, medians of p50 / p95): on the
-//! 100k × 4-D uniform anchor (k = 16, 4 shards, `mixed_rw_4d`'s queries)
-//! 238 / 343 µs at n/8, 237 / 338 µs at n/16 and 492 / 608 µs at n/32,
-//! where friendly queries pay for scans they did not need; on `agg_6d`
-//! 1130 / 1304 µs, 869 / 962 µs and 751 / 810 µs. n/16 would serve both
-//! benchmark points; n/8 keeps a margin for the queries between them — the
-//! anchor's hardest fetch 8.8 % of the rows, and not one of its 1024 shard
-//! executions switches at n/8.
+//! it). The constant is not a tuning knob — it is `n / 8` for every index —
+//! and the sweep says where it sits (three 10-second runs of the unmodified
+//! benchmark per value, medians of p50 / p95, taken when the scan still
+//! cost 7 ns a row): on the 100k × 4-D uniform anchor (k = 16, 4 shards,
+//! `mixed_rw_4d`'s queries) 238 / 343 µs at n/8, 237 / 338 µs at n/16 and
+//! 492 / 608 µs at n/32, where friendly queries pay for scans they did not
+//! need; on `agg_6d` 1130 / 1304 µs, 869 / 962 µs and 751 / 810 µs. n/16
+//! would serve both benchmark points; n/8 keeps a margin for the queries
+//! between them — the anchor's hardest fetch 8.8 % of the rows, and not one
+//! of its 1024 shard executions switches at n/8.
+//!
+//! **The exit has two triggers.** The spent budget is the backstop; the
+//! other is a projection, per execution, that the budget *will* be spent
+//! ([`scan_checkpoint`], `ScanProbe`). On `agg_6d` the budget alone left
+//! every shard execution of every query fetching its whole n/8 through the
+//! streams, certifying nothing, and scanning anyway: 38 % of each query
+//! was a stream phase that decided nothing. The execution knows
+//! long before: the quantity whose sign ends a threshold aggregation, the
+//! gap `inflate(τ) − floor`, reads (median of 1024 shard executions, 25 000
+//! rows each, budget 3 125) 0.565 at 390 rows fetched, 0.398 at 780, 0.340
+//! at 1 170, 0.305 at 1 560, 0.262 at 2 340 and 0.232 with the budget
+//! spent — a power law that never gets there, and the secant through the
+//! readings at 780 and 1 170 already meets zero at ≈ 3 460. The anchor's
+//! executions read 0.148 at 195 rows, 0.066 at 390, 0.028 at 780, certify
+//! at 920 (median; 1 500 the slowest of 1024), and the secant through 390
+//! and 780 says ≈ 1 070. So every `budget / 8` fetched rows an open
+//! execution reads its gap, draws the secant through the previous reading,
+//! and leaves for the same scan the spent budget leads to when the gap did
+//! not shrink or the secant meets zero past the budget; the earliest exit
+//! is the second reading, a quarter of the budget in. Where the gap is
+//! convex in the rows fetched — τ falls fastest and the floor rises fastest
+//! at the start — the latest secant under-estimates the fetches still
+//! needed, so it can only condemn executions the budget would have caught.
+//! Where it is not, the span of the secant is what protects the friendly
+//! query, and the cadence experiment is why the span is `budget / 8` and
+//! no less. Under the sharded engine an execution runs in 8-round slices
+//! and its floor is mostly its siblings', published between slices: inside
+//! a slice the gap closes at the pace of τ alone, at a slice boundary it
+//! drops by a step. Readings at budget/16 and doubling (195, 390, 780,
+//! 1 560 rows at 25 000-row shards) put the first secant inside the first
+//! slice — 3–4 rounds — and it read that plateau as the trend on 2, 2, 4,
+//! 2 and 0 of 1024 anchor executions (five seeds), each a needless scan,
+//! every one at the second reading; a reading every budget/16 rows, tried
+//! when the change was sized, did the same on ≈ 2 % of executions. Doubling
+//! from budget/8 (390, 780, 1 560) misjudged none of 5 120 but left
+//! `agg_6d` fetching 7.1k rows a query through streams with 9 % of its
+//! executions still running the budget out; a reading every budget/8 rows
+//! misjudged none of 8 192 (eight seeds), fetches 5.8k, and every scan of
+//! `agg_6d` is a projected one. The probe is three words and one compare
+//! per round until a reading is due.
+//!
+//! What a lost cause costs now: the stream phase up to the exit plus one
+//! scan, and the scan scores each 32-row chunk straight off the row-major
+//! table ([`score_rows`](crate::kernels::score_rows): four rows transposed
+//! in registers, the accumulator never stored between dimensions) at
+//! ≈ 3 ns a row where the transpose through the gather buffer took ≈ 5.6
+//! (100 000 × 6-D, same host, same checksum). `agg_6d` reads 740–758 µs
+//! p50 against 501–541 µs for the same binary with an empty budget, which
+//! scans from the second round on — 1.45× a pure scan, where the budget
+//! alone cost 1.6× of a scan twice as slow — and the query that would have
+//! certified just past the budget still pays about twice what it would
+//! have. (The empty budget is not the better default: it is the n/32 end of
+//! the sweep above, where every friendly query pays for a scan.) Small
+//! shards leave early by the same rule and for a different reason: at
+//! 5 000 rows a reading falls due every round and a half, the secant spans
+//! one step of the floor, and three executions in four of a uniform 4-D
+//! query take the scan — which there costs less than the handful of rounds
+//! it replaces (the benchmark's `--smoke` sizes, 1 250-row shards: 4-D p50
+//! 64–107 → 48–65 µs over three alternating pairs).
 //!
 //! **Every strategy is exact**, and since the aggregation emits the
 //! canonical answer (score descending, id ascending — see
@@ -118,8 +173,9 @@ pub struct QueryPlan {
     /// Number of unpaired 1-D streams with non-zero weight.
     pub unpaired_streams: usize,
     /// Rows the aggregation may fetch before it finishes with a kernel scan
-    /// ([`scan_budget`] of the index's row count). Not consulted by a
-    /// `direct` plan, which does not aggregate.
+    /// ([`scan_budget`] of the index's row count) — sooner when its
+    /// threshold gap projects that it will ([`scan_checkpoint`]). Not
+    /// consulted by a `direct` plan, which does not aggregate.
     pub scan_budget: usize,
 }
 
@@ -160,14 +216,82 @@ impl fmt::Display for QueryPlan {
 /// Rows one aggregation over `n` rows may fetch through its streams before
 /// it stops fetching and finishes with a sequential kernel scan of the rows
 /// it has not seen: `n / 8`. A fetch costs 8–16 scanned rows, so by then
-/// the fetches have cost about what scanning everything does: the exit
-/// bounds any query at roughly twice a pure scan, costs the query that
-/// would have certified just past the budget about 2×, and never touches
-/// one that certifies early. The module docs (strategy five) hold the
-/// measurements and the n/8–n/16–n/32 sweep.
+/// the fetches have cost at least what scanning everything does: the exit
+/// costs the query that would have certified just past the budget about
+/// 2×, and never touches one that certifies early. It is the backstop of
+/// the exit's other trigger ([`scan_checkpoint`]), which sends an execution
+/// the same way as soon as its own threshold gap projects that the budget
+/// will be spent. The module docs (strategy five) hold the measurements and
+/// the n/8–n/16–n/32 sweep.
 #[inline]
 pub fn scan_budget(n: usize) -> usize {
     n / 8
+}
+
+/// Fetched rows between two readings of the scan exit's projection
+/// ([`scan_budget`]'s second trigger): `budget / 8`, so an execution takes
+/// its first reading with an eighth of its budget spent, can leave from
+/// the second on, and takes seven at most. The module docs (strategy five)
+/// say why a secant must not span less.
+#[inline]
+pub fn scan_checkpoint(budget: usize) -> usize {
+    (budget / 8).max(1)
+}
+
+/// The second trigger of the scan exit: a per-execution projection of where
+/// the threshold gap `inflate(τ) − floor` — the quantity whose sign ends a
+/// threshold aggregation — will reach zero, read off the gap's own secant.
+///
+/// A checkpoint falls at the first round with [`scan_checkpoint`]`(budget)`
+/// more rows fetched than at the previous one. Each checkpoint after the
+/// first draws the secant through the one before it; the execution is lost
+/// — it would reach the budget uncertified and scan anyway — when the gap
+/// did not shrink over that stretch, or when the secant meets zero past the
+/// budget. The cadence is a fraction of the budget and nothing else is
+/// chosen; the module docs (strategy five) hold the trajectories it was
+/// read from and the cadences that were rejected.
+///
+/// Three words, carried by the execution across its steps, so slicing a
+/// query into steps differently changes no decision.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct ScanProbe {
+    /// Rows fetched at the last checkpoint.
+    rows: u64,
+    /// The gap there; `+∞` until a first checkpoint is recorded.
+    gap: f64,
+    /// Rows fetched at which the next checkpoint is due.
+    next: u64,
+}
+
+impl ScanProbe {
+    /// The probe of one execution under `budget`.
+    pub(super) fn new(budget: usize) -> Self {
+        ScanProbe {
+            rows: 0,
+            gap: f64::INFINITY,
+            next: scan_checkpoint(budget) as u64,
+        }
+    }
+
+    /// Consulted once per round of an execution that is still open, with
+    /// the rows fetched so far and the current gap: `true` when this round
+    /// is a checkpoint and the secant through the previous one says the
+    /// streams cannot certify within `budget` fetched rows. A non-finite
+    /// gap (no k-th-score floor yet) is no reading: the checkpoint stays due.
+    pub(super) fn lost(&mut self, rows: u64, gap: f64, budget: usize) -> bool {
+        if rows < self.next || !gap.is_finite() {
+            return false;
+        }
+        let (stretch, shrunk) = (rows - self.rows, self.gap - gap);
+        *self = ScanProbe {
+            rows,
+            gap,
+            next: rows + scan_checkpoint(budget) as u64,
+        };
+        // A first checkpoint has `shrunk == +∞`: it projects certification
+        // at `rows` itself, inside any budget the caller still has.
+        shrunk <= 0.0 || rows as f64 + gap * stretch as f64 / shrunk > budget as f64
+    }
 }
 
 /// Fetches the aggregation typically needs per subproblem before the
@@ -260,6 +384,101 @@ mod tests {
         assert_eq!(large_brk, PairAction::Bracketed);
         let (tiny, _) = plan_pair(24, 8, 8, 1.0, 1.0, false);
         assert_eq!(tiny, PairAction::OneDim);
+    }
+
+    /// Feeds `probe` one reading per round — `per_round` more rows each,
+    /// the gap `gap(rows)` — until it trips or `until` rows are fetched;
+    /// returns the rows at which it tripped.
+    fn trip_point(
+        probe: &mut ScanProbe,
+        budget: usize,
+        per_round: u64,
+        until: u64,
+        gap: impl Fn(u64) -> f64,
+    ) -> Option<u64> {
+        (0..=until)
+            .step_by(per_round as usize)
+            .find(|&rows| probe.lost(rows, gap(rows), budget))
+    }
+
+    #[test]
+    fn probe_never_trips_on_a_gap_closing_inside_the_budget() {
+        // The 4-D anchor's shape (budget 3 125): 0.111 at 315 rows, 0.057
+        // at 551, 0.030 at 735, certified near 1 000 — here a parabola
+        // through zero at 1 000, and a straight line to the budget's edge.
+        let budget = scan_budget(25_000);
+        for per_round in [7, 12, 64] {
+            let parabola = |rows: u64| 0.25 * (1.0 - rows as f64 / 1_000.0).powi(2);
+            let mut probe = ScanProbe::new(budget);
+            assert_eq!(
+                trip_point(&mut probe, budget, per_round, 1_000, parabola),
+                None
+            );
+            let line = |rows: u64| 1.0 - rows as f64 / 3_100.0;
+            let mut probe = ScanProbe::new(budget);
+            assert_eq!(trip_point(&mut probe, budget, per_round, 3_100, line), None);
+        }
+    }
+
+    #[test]
+    fn probe_trips_on_flat_and_rising_gaps_at_the_second_checkpoint() {
+        let budget = scan_budget(25_000);
+        let span = scan_checkpoint(budget) as u64;
+        assert_eq!(span, 390);
+        for per_round in [7u64, 50, 64] {
+            // First checkpoint: the first round at or past `span` rows; the
+            // second, the first round `span` rows past that one.
+            let first = span.div_ceil(per_round) * per_round;
+            let second = first + span.div_ceil(per_round) * per_round;
+            let flat = |_| 0.5;
+            let rising = |rows: u64| 0.5 + rows as f64 * 1e-6;
+            for gap in [&flat as &dyn Fn(u64) -> f64, &rising] {
+                let mut probe = ScanProbe::new(budget);
+                assert_eq!(
+                    trip_point(&mut probe, budget, per_round, budget as u64, gap),
+                    Some(second),
+                    "{per_round} rows a round"
+                );
+            }
+            // `agg_6d`'s shape: 0.833 at 264 rows, 0.663 at 528, 0.642 at
+            // 792, 0.548 at 1 056 — a power law that never gets there, and
+            // whose secant says so with half the budget still unspent.
+            let slow = |rows: u64| 0.833 * (rows.max(264) as f64 / 264.0).powf(-0.3);
+            let mut probe = ScanProbe::new(budget);
+            let tripped = trip_point(&mut probe, budget, per_round, budget as u64, slow)
+                .expect("a power law trips");
+            assert!(
+                second < tripped && tripped <= budget as u64 / 2,
+                "{per_round} rows a round: tripped at {tripped}"
+            );
+        }
+    }
+
+    #[test]
+    fn probe_takes_no_reading_without_a_floor() {
+        let budget = scan_budget(25_000);
+        // No k-th score until 1 000 rows are in: the gap is +∞ (or NaN, with
+        // an infinite τ) and no checkpoint is recorded, however overdue.
+        let mut probe = ScanProbe::new(budget);
+        let fresh = probe;
+        for rows in (0..1_000).step_by(50) {
+            assert!(!probe.lost(rows, f64::INFINITY, budget));
+            assert!(!probe.lost(rows, f64::NAN, budget));
+        }
+        assert_eq!(probe, fresh);
+        // The first finite reading only records, flat as the gap is …
+        assert!(!probe.lost(1_000, 0.5, budget));
+        assert!(!probe.lost(1_050, 0.5, budget));
+        assert!(!probe.lost(1_350, 0.5, budget));
+        // … and the one a whole span later draws the first secant.
+        assert!(probe.lost(1_400, 0.5, budget));
+    }
+
+    #[test]
+    fn probe_under_an_unbounded_budget_never_trips() {
+        let mut probe = ScanProbe::new(usize::MAX);
+        let tripped = trip_point(&mut probe, usize::MAX, 1_000, 50_000_000, |_| 0.5);
+        assert_eq!(tripped, None);
     }
 
     #[test]

@@ -347,6 +347,7 @@ fn scan_switches_strictly_past_the_budget() {
     for (budget, scan_round) in [(fetched[i], i + 3), (fetched[i] - 1, i + 2)] {
         let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
         exec.scan_budget = budget as usize;
+        exec.probe = plan::ScanProbe::new(usize::MAX); // the budget alone decides
         for round in 1..scan_round {
             assert!(!exec.step(1, None, |_| {}).unwrap());
             assert_eq!(
@@ -369,6 +370,104 @@ fn scan_switches_strictly_past_the_budget() {
         assert_eq!(p.points_gathered, 2_000, "every row scored exactly once");
         exec.finish_into(&mut scratch);
         assert_bit_identical(scratch.answers(), &want);
+    }
+}
+
+#[test]
+fn projected_scan_waits_for_its_second_checkpoint() {
+    // The mirror of the test above for the other trigger: under the
+    // index's own budget, with the probe live, nothing scans before the
+    // second checkpoint, and the round that trips completes the scan.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(304);
+    let n = 16_000;
+    let data = anti_correlated(&mut rng, n, 6);
+    let roles = six_d_roles();
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
+    let k = 16;
+    let want = oracle(&data, &roles, &q, k);
+    let mut scratch = QueryScratch::new();
+    let budget = plan::scan_budget(n) as u64;
+    let span = plan::scan_checkpoint(budget as usize) as u64;
+
+    // Probe held off: the rows each round starts with, up to the spent
+    // budget. Round 1 starts with none and no floor; round 2 has both.
+    let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+    exec.probe = plan::ScanProbe::new(usize::MAX);
+    let mut starts_with = vec![0];
+    starts_with.extend(fetch_trajectory(&mut exec));
+    let p = *exec.profile();
+    assert_eq!(
+        (p.scan_fallbacks, p.scan_projected),
+        (1, 0),
+        "spent, not projected"
+    );
+    assert!(p.rows_fetched - p.scan_rows > budget);
+    exec.finish_into(&mut scratch);
+    assert_bit_identical(scratch.answers(), &want);
+    // Checkpoints, as 0-based rounds: the first round with `span` rows in,
+    // then the first with `span` more than that.
+    let first = starts_with.iter().position(|&r| r >= span).unwrap();
+    let second = (starts_with.iter())
+        .position(|&r| r >= starts_with[first] + span)
+        .unwrap();
+    assert!(0 < first && first < second && starts_with[second] < budget / 2);
+
+    let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+    let mut round = 0;
+    while !exec.step(1, None, |_| {}).unwrap() {
+        assert_eq!(exec.profile().scan_fallbacks, 0);
+        round += 1;
+    }
+    let p = *exec.profile();
+    assert!(round >= second, "scanned in round {round}, before {second}");
+    assert_eq!((p.scan_fallbacks, p.scan_projected), (1, 1));
+    let through_streams = p.rows_fetched - p.scan_rows;
+    assert_eq!(
+        through_streams, starts_with[round],
+        "left at a round's start"
+    );
+    assert!(through_streams <= budget, "left with budget to spare");
+    assert_eq!(p.points_gathered, n as u64, "every row scored exactly once");
+    assert_eq!(
+        p.points_gathered + p.seen_hits + p.tombstones_skipped,
+        p.rows_fetched
+    );
+    exec.finish_into(&mut scratch);
+    assert_bit_identical(scratch.answers(), &want);
+}
+
+#[test]
+fn probe_leaves_friendly_queries_alone() {
+    // The false-positive pin: on the anchor's shape — uniform 4-D, k = 16,
+    // one 25 000-row shard — no execution leaves for the scan, and the
+    // probe changes nothing about the ones that certify.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(305);
+    let data = rand_dataset(&mut rng, 25_000, 4);
+    let roles = vec![
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+    ];
+    let index = SdIndex::build(data, &roles).unwrap();
+    let mut scratch = QueryScratch::new();
+    for _ in 0..32 {
+        let q = SdQuery::new(
+            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
+            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
+        )
+        .unwrap();
+        let mut exec = index.begin_query(&q, 16, &mut scratch, None).unwrap();
+        exec.probe = plan::ScanProbe::new(usize::MAX);
+        assert!(exec.step(usize::MAX, None, |_| {}).unwrap());
+        exec.finish_into(&mut scratch);
+        let off = scratch.profile;
+        index
+            .query_masked(&q, 16, &mut scratch, None, None)
+            .unwrap();
+        assert_eq!(scratch.profile.scan_fallbacks, 0);
+        assert_eq!(scratch.profile, off);
     }
 }
 
@@ -526,6 +625,9 @@ fn every_exit_forced_at_the_one_constructor() {
     // How the budget-0 runs ended: by scanning, or certified before the
     // budget was ever consulted with a row fetched.
     let (mut scanned, mut certified_first) = (0, 0);
+    // How the runs under the index's own budget with the probe live ended:
+    // on the projection, on the spent budget, or certified.
+    let (mut projected, mut spent, mut certified) = (0, 0, 0);
     for case in 0..60 {
         let n = rng.gen_range(1..=600);
         let dims = rng.gen_range(2..=6);
@@ -563,17 +665,28 @@ fn every_exit_forced_at_the_one_constructor() {
         for k in [1, n.saturating_sub(1).max(1), n, n + 3] {
             let want = &live[..k.min(live.len())];
             let mut pure_rounds = 0;
-            for budget in [usize::MAX, plan::scan_budget(n), 0] {
+            let natural = plan::scan_budget(n);
+            for (budget, probe_live) in [
+                (usize::MAX, false),
+                (natural, false),
+                (0, false),
+                (natural, true),
+            ] {
                 let mut stepped: Option<QueryProfile> = None;
                 for step in [1, 8, usize::MAX] {
                     let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
                     exec.scan_budget = budget;
+                    if !probe_live {
+                        exec.probe = plan::ScanProbe::new(usize::MAX);
+                    }
                     while !exec.step(step, None, |_| {}).unwrap() {}
                     exec.finish_into(&mut scratch);
                     assert_bit_identical(scratch.answers(), want);
                     let p = scratch.profile;
-                    let at =
-                        format!("case {case} n {n} dims {dims} k {k} budget {budget} step {step}");
+                    let at = format!(
+                        "case {case} n {n} dims {dims} k {k} budget {budget} \
+                         probe {probe_live} step {step}"
+                    );
                     assert_eq!(
                         p.points_gathered + p.seen_hits + p.tombstones_skipped,
                         p.rows_fetched,
@@ -583,6 +696,14 @@ fn every_exit_forced_at_the_one_constructor() {
                     assert_eq!(*stepped.get_or_insert(p), p, "{at}");
                 }
                 let p = stepped.expect("three runs");
+                assert!(p.scan_fallbacks <= 1 && p.scan_projected <= p.scan_fallbacks);
+                if probe_live {
+                    projected += p.scan_projected;
+                    spent += p.scan_fallbacks - p.scan_projected;
+                    certified += 1 - p.scan_fallbacks;
+                    continue;
+                }
+                assert_eq!(p.scan_projected, 0, "the probe was held off");
                 match budget {
                     usize::MAX => {
                         assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));
@@ -593,7 +714,7 @@ fn every_exit_forced_at_the_one_constructor() {
                     // one round, or still open after two.
                     0 if pure_rounds == 1 => assert_eq!(p.scan_fallbacks, 0),
                     0 if pure_rounds > 2 => assert_eq!(p.scan_fallbacks, 1),
-                    _ => assert!(p.scan_fallbacks <= 1),
+                    _ => {}
                 }
                 if budget == 0 {
                     scanned += p.scan_fallbacks;
@@ -606,5 +727,10 @@ fn every_exit_forced_at_the_one_constructor() {
         scanned >= 120 && certified_first > 0,
         "an empty budget must mostly scan, and sometimes not get to: \
          {scanned} scans, {certified_first} certified"
+    );
+    assert!(
+        projected > 0 && spent > 0 && certified > 0,
+        "both triggers and plain certification must each occur: \
+         {projected} projected, {spent} spent, {certified} certified"
     );
 }

@@ -94,13 +94,18 @@ pub struct QueryProfile {
     /// lanes + tree rows + 1-D rows + delta rows), duplicates included,
     /// plus [`scan_rows`](QueryProfile::scan_rows).
     pub rows_fetched: u64,
-    /// Shard executions that spent their fetch budget
-    /// ([`scan_budget`](crate::multidim::plan::scan_budget)) and finished
-    /// with a sequential kernel scan instead of more fetches.
+    /// Shard executions that finished with a sequential kernel scan
+    /// instead of more fetches: their fetch budget
+    /// ([`scan_budget`](crate::multidim::plan::scan_budget)) was spent, or
+    /// projected to be ([`scan_projected`](QueryProfile::scan_projected)).
     pub scan_fallbacks: u64,
+    /// The scan fallbacks that left *before* the budget was spent, on the
+    /// threshold gap's projection; `scan_fallbacks − scan_projected` spent
+    /// the whole budget first.
+    pub scan_projected: u64,
     /// Rows those scans visited — every row the streams had not surfaced
-    /// when the budget ran out, tombstoned ones included. Counted into
-    /// `rows_fetched`.
+    /// when the scan began, tombstoned ones included. Counted into
+    /// `rows_fetched`, so `rows_fetched − scan_rows` came through streams.
     pub scan_rows: u64,
     /// Distinct live rows gathered into SoA lanes for full scoring.
     pub points_gathered: u64,
@@ -154,6 +159,7 @@ impl Default for QueryProfile {
             onedim_rows_pulled: 0,
             rows_fetched: 0,
             scan_fallbacks: 0,
+            scan_projected: 0,
             scan_rows: 0,
             points_gathered: 0,
             points_scored: 0,
@@ -207,6 +213,7 @@ impl QueryProfile {
         self.onedim_rows_pulled += other.onedim_rows_pulled;
         self.rows_fetched += other.rows_fetched;
         self.scan_fallbacks += other.scan_fallbacks;
+        self.scan_projected += other.scan_projected;
         self.scan_rows += other.scan_rows;
         self.points_gathered += other.points_gathered;
         self.points_scored += other.points_scored;

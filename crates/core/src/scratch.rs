@@ -72,10 +72,17 @@ impl StampSet {
         }
     }
 
-    /// `true` when `row` is in the current generation.
+    /// Bit `l` set when row `start + l` is **not** in the current
+    /// generation, for the `count ≤ 32` rows from `start`: one slice
+    /// compare over the stamps.
     #[inline]
-    pub(crate) fn contains(&self, row: u32) -> bool {
-        self.stamps[row as usize] == self.generation
+    pub(crate) fn unseen_word(&self, start: usize, count: usize) -> u32 {
+        debug_assert!(count <= 32);
+        let mut word = 0u32;
+        for (l, &stamp) in self.stamps[start..start + count].iter().enumerate() {
+            word |= u32::from(stamp != self.generation) << l;
+        }
+        word
     }
 
     /// `true` when `row` was not yet in the current generation.

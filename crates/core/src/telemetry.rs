@@ -287,6 +287,10 @@ impl HistoSnapshot {
 pub const JOURNAL_CAPACITY: usize = 1024;
 
 /// A structured lifecycle event, stamped into the journal.
+//
+// The slow-query variant carries a whole `QueryProfile`; the journal is a
+// ring of `Copy` records written without allocating, so it cannot be boxed.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Copy)]
 pub enum EventKind {
     /// A compaction with work to do began at this engine epoch.

@@ -6,7 +6,7 @@
 //! the kernel scan.
 //!
 //! The measurement uses a counting global allocator with a thread-local
-//! counter, so the single `#[test]` in this binary observes exactly the
+//! counter, so each `#[test]` in this binary observes exactly the
 //! allocations of its own thread. Warm-up and measurement run the *same*
 //! query sequence: buffer high-water marks are established in pass one, so
 //! any allocation in pass two is a genuine per-query regression.
@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rand::{Rng, SeedableRng};
-use sdq_core::multidim::SdIndex;
+use sdq_core::multidim::{resolve_threads, SdIndex};
 use sdq_core::topk::TopKIndex;
 use sdq_core::{Dataset, DimRole, QueryScratch, SdQuery};
 
@@ -190,4 +190,18 @@ fn steady_state_queries_do_not_allocate() {
 
     // The checksum keeps every query's work observable.
     assert!(sink.is_finite());
+}
+
+/// `threads = 0` engines resolve their worker count on every query: the
+/// answer is asked of the OS (affinity mask, cgroup quota files — reads
+/// that allocate) once, and is a cached load from then on.
+#[test]
+fn auto_thread_count_is_resolved_once() {
+    let first = resolve_threads(0); // warm-up: the one OS query
+    assert!(first >= 1);
+    let mut second = 0;
+    let n = count_allocs(|| second = resolve_threads(0));
+    assert_eq!(n, 0, "resolve_threads(0) allocated {n} times after warm-up");
+    assert_eq!(second, first);
+    assert_eq!(resolve_threads(3), 3, "explicit counts pass through");
 }

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sdq_core::geometry::Angle;
+use sdq_core::multidim::plan::scan_checkpoint;
 use sdq_core::multidim::{resolve_threads, PairingStrategy, QueryPlan, SdIndex, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::top1::Top1Index;
@@ -996,17 +997,19 @@ fn print_plan_table(plans: &[QueryPlan], k: usize) {
         }
         if !plan.direct {
             println!(
-                "  {:>5}  {:<16} {:<20} {:>12}",
+                "  {:>5}  {:<16} {:<20} {:>12} (or projected to: a reading every {} rows)",
                 i,
                 "scan budget",
                 "kernel scan past",
-                format!("{} rows", plan.scan_budget)
+                format!("{} rows", plan.scan_budget),
+                scan_checkpoint(plan.scan_budget)
             );
         }
     }
     println!(
         "  (costs in candidate-handling units; a shard that fetches more rows than its scan \
-         budget finishes with one kernel scan; the query was not executed)"
+         budget, or whose threshold gap projects that it will, finishes with one kernel scan; \
+         the query was not executed)"
     );
 }
 
@@ -1037,8 +1040,11 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, lay
         p.seen_hits, p.tombstones_skipped
     );
     println!(
-        "  scan exit  fallbacks {} · scan_rows {}",
-        p.scan_fallbacks, p.scan_rows
+        "  scan exit  fallbacks {} (projected {}) · scan_rows {} · rows through streams {}",
+        p.scan_fallbacks,
+        p.scan_projected,
+        p.scan_rows,
+        p.rows_fetched - p.scan_rows
     );
     println!(
         "  delta      rows_scanned {} · blocks_pruned {}",
@@ -1104,7 +1110,7 @@ fn profile_json_string(
          \"nodes_visited\": {}, \"envelope_nodes_rejected\": {},\n    \
          \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"lanes_masked\": {},\n    \
          \"tree_rows_pulled\": {}, \"onedim_rows_pulled\": {}, \"rows_fetched\": {},\n    \
-         \"scan_fallbacks\": {}, \"scan_rows\": {},\n    \
+         \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_rows\": {},\n    \
          \"points_gathered\": {}, \"points_scored\": {}, \"kernel_batches\": {},\n    \
          \"delta_rows_scanned\": {}, \"delta_blocks_pruned\": {}, \"tombstones_skipped\": {},\n    \
          \"seen_hits\": {}, \"floor_updates\": {}, \"rounds\": {}, \"merge_rounds\": {},\n    \
@@ -1122,6 +1128,7 @@ fn profile_json_string(
         p.onedim_rows_pulled,
         p.rows_fetched,
         p.scan_fallbacks,
+        p.scan_projected,
         p.scan_rows,
         p.points_gathered,
         p.points_scored,

@@ -354,6 +354,63 @@ fn engine_answers_bit_identical_scalar_vs_dispatched() {
     }
 }
 
+/// The scan exit scores rows straight off the row-major table
+/// (`kernels::score_rows`): shards whose row counts are not multiples of
+/// [`LANES`] (a short last chunk) or of four (the AVX2 arm's scalar tail),
+/// tombstones in the mask word, every execution ending in the scan —
+/// answers and every counter are the same on both dispatch arms.
+#[test]
+fn scan_exit_bit_identical_scalar_vs_dispatched() {
+    use sdq::data::{generate, uniform_queries, Distribution};
+    let (n, dims, shards, k) = (4_001, 6, 3, 64);
+    let roles: Vec<DimRole> = "aaaarr"
+        .chars()
+        .map(|c| match c {
+            'a' => DimRole::Attractive,
+            _ => DimRole::Repulsive,
+        })
+        .collect();
+    let mut engine = SdEngine::build_with(
+        generate(Distribution::AntiCorrelated, n, dims, 0x5CA7),
+        &roles,
+        &EngineOptions {
+            shards,
+            threads: 1,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    for id in (0..n as u32).step_by(13) {
+        engine.delete(PointId::new(id)).unwrap();
+    }
+    let queries = uniform_queries(12, dims, 0x5CA8);
+    let run = || {
+        let mut scratch = EngineScratch::new();
+        let mut out = Vec::new();
+        for q in &queries {
+            let answer = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
+            out.push((answer, scratch.profile));
+        }
+        out
+    };
+    let _guard = DISPATCH_LOCK.lock().unwrap();
+    kernels::force_scalar(true);
+    let scalar = run();
+    kernels::force_scalar(false);
+    let dispatched = run();
+    for ((a, pa), (b, pb)) in scalar.iter().zip(&dispatched) {
+        assert_eq!(pa.scan_fallbacks, shards as u64, "every shard must scan");
+        assert!(pa.scan_rows % LANES as u64 != 0 && pa.tombstones_skipped > 0);
+        assert_eq!(a.len(), k);
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!((x.id, x.score.to_bits()), (y.id, y.score.to_bits()));
+        }
+        // Field for field, but for the label of the arm that ran.
+        assert_eq!(pa.isa, "scalar");
+        assert_eq!(sdq::core::QueryProfile { isa: pb.isa, ..*pa }, *pb);
+    }
+}
+
 /// The 2-D certified block path (TopKIndex direct queries) is likewise
 /// dispatch-independent, stale-block fallback included.
 #[test]

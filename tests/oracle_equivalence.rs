@@ -245,12 +245,15 @@ proptest! {
     }
 }
 
-/// Shards big enough that the budget decides query by query, shard by
-/// shard: some executions certify inside it while their siblings — same
-/// query, same shared floor, same merge — finish by scanning.
+/// Shards big enough that the exit is decided query by query, shard by
+/// shard: some executions certify inside the budget while their siblings —
+/// same query, same shared floor, same merge — finish by scanning, on the
+/// spent budget or on the projection that it will be (6 000-row shards; at
+/// 3 000 rows the projection sends a shard of every one of these queries
+/// to the scan, at 12 000 none).
 #[test]
 fn scanning_and_certifying_shards_merge_to_the_oracle() {
-    let (n, dims, k, shards) = (12_000, 4, 16, 4);
+    let (n, dims, k, shards) = (24_000, 4, 16, 4);
     let data = Arc::new(generate(Distribution::Uniform, n, dims, 0x5CA9));
     let roles = roles_for(dims, 2);
     let oracle = SeqScan::new(data.clone(), &roles).unwrap();

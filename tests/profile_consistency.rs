@@ -85,6 +85,12 @@ fn assert_counters_consistent(p: &QueryProfile, k: usize, live: u64) -> Result<(
         p.rows_fetched,
         "fetch accounting leaks rows"
     );
+    prop_assert!(
+        p.scan_projected <= p.scan_fallbacks,
+        "projected {} > fallbacks {}",
+        p.scan_projected,
+        p.scan_fallbacks
+    );
     prop_assert_eq!(p.emitted, (k as u64).min(live), "emitted != min(k, live)");
     // The direct single-pair shortcut bypasses the instrumented
     // aggregation loop and legitimately reports only `emitted`; the
@@ -222,6 +228,7 @@ proptest! {
         prop_assert_eq!(p1.onedim_rows_pulled, p2.onedim_rows_pulled);
         prop_assert_eq!(p1.rows_fetched, p2.rows_fetched);
         prop_assert_eq!(p1.scan_fallbacks, p2.scan_fallbacks);
+        prop_assert_eq!(p1.scan_projected, p2.scan_projected);
         prop_assert_eq!(p1.scan_rows, p2.scan_rows);
         prop_assert_eq!(p1.points_gathered, p2.points_gathered);
         prop_assert_eq!(p1.points_scored, p2.points_scored);
