@@ -1,20 +1,18 @@
-//! Criterion benchmark: snapshot persistence vs. index rebuild.
+//! Criterion benchmark: snapshot persistence vs. engine rebuild.
 //!
-//! Measures, over a 100k × 4-D workload:
+//! Measures, over a 100k × 4-D one-shard engine:
 //!
 //! * `encode` / `decode` — in-memory snapshot serialisation throughput,
 //! * `save` / `load` — the same through the filesystem,
-//! * `rebuild_sd` / `rebuild_top1_k8` — the in-memory construction the
-//!   snapshot load replaces.
+//! * `rebuild_engine` — the in-memory construction the snapshot load
+//!   replaces.
 //!
-//! The headline: decoding an SD-index is the same order as rebuilding it
-//! (both are memory-bound at these sizes), while restoring a §3 top-1 index
-//! is orders of magnitude faster than its `O(kn log n)` construction.
+//! The headline: decoding an engine is the same order as rebuilding it
+//! (both are memory-bound at these sizes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sdq_core::multidim::SdIndex;
-use sdq_core::top1::Top1Index;
 use sdq_data::{generate, Distribution};
+use sdq_engine::SdEngine;
 use sdq_store::Snapshot;
 
 fn bench_store(c: &mut Criterion) {
@@ -22,13 +20,11 @@ fn bench_store(c: &mut Criterion) {
     let dims = 4;
     let data = generate(Distribution::Uniform, n, dims, 71);
     let roles = sdq_store::parse_roles("arra").expect("static roles");
-    let sd = SdIndex::build(data.clone(), &roles).expect("index builds");
-    let pts: Vec<(f64, f64)> = data.iter().map(|(_, c)| (c[0], c[1])).collect();
+    let engine = SdEngine::build(data.clone(), &roles).expect("engine builds");
 
     let mut snap = Snapshot::new();
-    snap.dataset = Some(data.clone());
     snap.roles = Some(roles.clone());
-    snap.sd = Some(sd);
+    snap.engine = Some(engine);
     let bytes = snap.to_bytes_v5().expect("encode");
     let mib = bytes.len() as f64 / (1024.0 * 1024.0);
     println!("snapshot payload: {mib:.1} MiB (n = {n}, dims = {dims})");
@@ -47,11 +43,8 @@ fn bench_store(c: &mut Criterion) {
     snap.save_v5(&path).expect("save");
     group.bench_function("load", |b| b.iter(|| Snapshot::load(&path).expect("load")));
 
-    group.bench_function("rebuild_sd", |b| {
-        b.iter(|| SdIndex::build(data.clone(), &roles).expect("index builds"))
-    });
-    group.bench_function("rebuild_top1_k8", |b| {
-        b.iter(|| Top1Index::build(&pts, 1.0, 1.0, 8).expect("index builds"))
+    group.bench_function("rebuild_engine", |b| {
+        b.iter(|| SdEngine::build(data.clone(), &roles).expect("engine builds"))
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

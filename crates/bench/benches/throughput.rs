@@ -1,6 +1,6 @@
 //! Criterion benchmark of the query engine's serving path: single-query
-//! latency (fresh allocations vs reused [`QueryScratch`]) and batch
-//! throughput at several worker counts.
+//! latency, fresh allocations vs reused [`QueryScratch`] (batch throughput
+//! is `engine.batch_qps` / `engine.batch_scaling` in the repo benchmark).
 //!
 //! This is the perf baseline every future query-path PR measures against;
 //! the same configuration is exported as machine-readable JSON by
@@ -94,26 +94,5 @@ fn bench_single_query(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_throughput(c: &mut Criterion) {
-    let data = generate(Distribution::Uniform, N, DIMS, 11);
-    let roles = [
-        DimRole::Attractive,
-        DimRole::Repulsive,
-        DimRole::Repulsive,
-        DimRole::Attractive,
-    ];
-    let index = SdIndex::build(data, &roles).unwrap();
-    let queries = uniform_queries(256, DIMS, 13);
-
-    let mut group = c.benchmark_group("sd_batch_256q_100k_4d");
-    group.sample_size(10);
-    for threads in [1usize, 4, 8] {
-        group.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| index.par_query_batch(&queries, K, threads).unwrap().len())
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_single_query, bench_batch_throughput);
+criterion_group!(benches, bench_single_query);
 criterion_main!(benches);

@@ -25,7 +25,7 @@ pub fn run(cfg: &Config) {
         let queries = uniform_queries(cfg.queries, dims, cfg.seed ^ 0xA77);
         for attractive in 0..=3usize {
             let roles = roles_mixed(dims, attractive);
-            let m = build_all(cfg, data.clone(), &roles, false);
+            let m = build_all(data.clone(), &roles, false);
             report.row(vec![
                 attractive.to_string(),
                 m.sd.pairs().len().to_string(),

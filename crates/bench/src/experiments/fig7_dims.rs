@@ -23,7 +23,7 @@ pub fn run(cfg: &Config) {
             let data = generate(dist, n, dims, cfg.seed);
             let queries = uniform_queries(cfg.queries, dims, cfg.seed ^ 0xD135);
             let roles = roles_mixed(dims, dims / 2);
-            let m = build_all(cfg, data, &roles, false);
+            let m = build_all(data, &roles, false);
             report.row(vec![
                 dims.to_string(),
                 Report::ms(time_queries(&queries, |q| m.scan.query(q, k).unwrap())),

@@ -18,7 +18,7 @@ pub fn run(cfg: &Config) {
         let data = generate(dist, n, dims, cfg.seed);
         let queries = uniform_queries(cfg.queries, dims, cfg.seed ^ 0x7E57);
         let roles = roles_mixed(dims, 3);
-        let m = build_all(cfg, data, &roles, false);
+        let m = build_all(data, &roles, false);
         for k in [5usize, 25, 50, 75, 100] {
             report.row(vec![
                 k.to_string(),

@@ -23,7 +23,7 @@ pub fn run(cfg: &Config) {
             let data = generate(dist, n, dims, cfg.seed);
             let queries = uniform_queries(cfg.queries, dims, cfg.seed ^ 0xA11CE);
             let roles = roles_mixed(dims, 3);
-            let m = build_all(cfg, data, &roles, true);
+            let m = build_all(data, &roles, true);
             let scan = time_queries(&queries, |q| m.scan.query(q, k).unwrap());
             let sd = time_queries(&queries, |q| m.sd.query(q, k).unwrap());
             let ta = time_queries(&queries, |q| m.ta.query(q, k).unwrap());

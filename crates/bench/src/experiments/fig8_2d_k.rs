@@ -20,7 +20,7 @@ pub fn run(cfg: &Config) {
         let data = generate(dist, n, 2, cfg.seed);
         let queries = uniform_queries(cfg.queries, 2, cfg.seed ^ 0x2D4B);
         let roles = roles_mixed(2, 1);
-        let m = build_all(cfg, data, &roles, false);
+        let m = build_all(data, &roles, false);
         for k in [5usize, 25, 50, 75, 100] {
             report.row(vec![
                 k.to_string(),

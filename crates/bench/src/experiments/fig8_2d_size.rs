@@ -21,7 +21,7 @@ pub fn run(cfg: &Config) {
             let data = generate(dist, n, 2, cfg.seed);
             let queries = uniform_queries(cfg.queries, 2, cfg.seed ^ 0x2D);
             let roles = roles_mixed(2, 1);
-            let m = build_all(cfg, data, &roles, false);
+            let m = build_all(data, &roles, false);
             report.row(vec![
                 n.to_string(),
                 Report::ms(time_queries(&queries, |q| m.scan.query(q, k).unwrap())),

@@ -62,14 +62,10 @@ pub struct Methods {
 /// Builds all methods; PE is optional (it only appears in Fig. 7a–c, 8b,
 /// 8j) and gets a `2n` exploration budget so its scan-degradation at high
 /// dimensionality stays bounded in wall-clock.
-///
-/// When `cfg.snapshot` names a snapshot whose stored SD-index matches this
-/// workload (same dataset shape and roles), the index is restored from disk
-/// instead of rebuilt — the build-once/query-many path.
-pub fn build_all(cfg: &crate::Config, data: Dataset, roles: &[DimRole], with_pe: bool) -> Methods {
+pub fn build_all(data: Dataset, roles: &[DimRole], with_pe: bool) -> Methods {
     let data = Arc::new(data);
     let scan = SeqScan::new(data.clone(), roles).expect("roles match");
-    let sd = sd_index_for(cfg, &data, roles);
+    let sd = SdIndex::build(data.clone(), roles).expect("index builds");
     let ta = TaIndex::build(data.clone(), roles).expect("TA builds");
     let brs = BrsIndex::build(&data, roles).expect("BRS builds");
     let pe = with_pe.then(|| {
@@ -84,55 +80,6 @@ pub fn build_all(cfg: &crate::Config, data: Dataset, roles: &[DimRole], with_pe:
         brs,
         pe,
     }
-}
-
-/// The SD-index for one workload: restored from `cfg.snapshot` when it
-/// matches, built from scratch otherwise.
-fn sd_index_for(cfg: &crate::Config, data: &Arc<Dataset>, roles: &[DimRole]) -> SdIndex {
-    if let Some(path) = &cfg.snapshot {
-        match snapshot_sd_index(path) {
-            Some(sd) => {
-                // Exact dataset equality (cheap next to a rebuild): a
-                // same-shaped snapshot of different data must not silently
-                // stand in for this workload.
-                if sd.data() == data.as_ref() && sd.roles() == roles {
-                    eprintln!("(using sd-index from snapshot {})", path.display());
-                    return sd.clone();
-                }
-                eprintln!(
-                    "(snapshot {} does not match this workload; rebuilding)",
-                    path.display()
-                );
-            }
-            None => eprintln!(
-                "(snapshot {} has no usable sd-index; rebuilding)",
-                path.display()
-            ),
-        }
-    }
-    SdIndex::build(data.clone(), roles).expect("index builds")
-}
-
-/// The snapshot's SD-index, loaded and decoded once per process — a full
-/// run probes it against dozens of workloads, and re-reading a multi-MiB
-/// file for each would dwarf the savings.
-fn snapshot_sd_index(path: &std::path::Path) -> Option<&'static SdIndex> {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<std::path::PathBuf, Option<&'static SdIndex>>>> =
-        OnceLock::new();
-    let cache = CACHE.get_or_init(Mutex::default);
-    let mut cache = cache.lock().expect("snapshot cache lock");
-    *cache.entry(path.to_path_buf()).or_insert_with(|| {
-        match sdq_store::Snapshot::load(path) {
-            // Leaked once per distinct path for the life of the process.
-            Ok(snap) => snap.sd.map(|sd| &*Box::leak(Box::new(sd))),
-            Err(e) => {
-                eprintln!("(cannot load snapshot {}: {e})", path.display());
-                None
-            }
-        }
-    })
 }
 
 /// Runs every experiment in paper order.

@@ -16,9 +16,6 @@ pub struct Config {
     pub seed: u64,
     /// Where CSV copies of each report land.
     pub out_dir: std::path::PathBuf,
-    /// Optional snapshot whose stored SD-index replaces in-memory rebuilds
-    /// when its dataset/roles match the experiment's workload.
-    pub snapshot: Option<std::path::PathBuf>,
 }
 
 impl Default for Config {
@@ -28,19 +25,17 @@ impl Default for Config {
             queries: 100,
             seed: 0x5D9E57,
             out_dir: std::path::PathBuf::from("results"),
-            snapshot: None,
         }
     }
 }
 
 /// Flags accepted by [`Config::parse`], shown on parse errors.
-pub const CONFIG_USAGE: &str =
-    "flags: [--full] [--queries N] [--seed S] [--out DIR] [--snapshot PATH]";
+pub const CONFIG_USAGE: &str = "flags: [--full] [--queries N] [--seed S] [--out DIR]";
 
 impl Config {
-    /// Parses `--full`, `--queries N`, `--seed S`, `--out DIR`,
-    /// `--snapshot PATH`. Unknown flags (and malformed values) are errors —
-    /// a typo must not silently run a different experiment than intended.
+    /// Parses `--full`, `--queries N`, `--seed S`, `--out DIR`. Unknown
+    /// flags (and malformed values) are errors — a typo must not silently
+    /// run a different experiment than intended.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut cfg = Config::default();
         let mut args = args.into_iter();
@@ -61,9 +56,6 @@ impl Config {
                 }
                 "--out" => {
                     cfg.out_dir = args.next().ok_or("--out needs a directory")?.into();
-                }
-                "--snapshot" => {
-                    cfg.snapshot = Some(args.next().ok_or("--snapshot needs a path")?.into());
                 }
                 other => return Err(format!("unknown argument {other:?}")),
             }
@@ -215,15 +207,12 @@ mod tests {
             "12",
             "--out",
             "/tmp/x",
-            "--snapshot",
-            "idx.sdq",
         ]))
         .unwrap();
         assert!(cfg.full);
         assert_eq!(cfg.queries, 7);
         assert_eq!(cfg.seed, 12);
         assert_eq!(cfg.out_dir, std::path::PathBuf::from("/tmp/x"));
-        assert_eq!(cfg.snapshot, Some(std::path::PathBuf::from("idx.sdq")));
     }
 
     #[test]
@@ -238,6 +227,6 @@ mod tests {
         assert!(Config::parse(args(&["--queries"])).is_err());
         assert!(Config::parse(args(&["--queries", "many"])).is_err());
         assert!(Config::parse(args(&["--seed", "0x12"])).is_err());
-        assert!(Config::parse(args(&["--snapshot"])).is_err());
+        assert!(Config::parse(args(&["--out"])).is_err());
     }
 }

@@ -3,8 +3,7 @@
 //! The persistence subsystem (`sdq-store`) serialises datasets and indexes
 //! into compact little-endian buffers through the [`Codec`] trait defined
 //! here. The trait lives in `sdq-core` because faithful round-trips need the
-//! `pub(crate)` internals of [`TopKIndex`], [`Top1Index`] and [`SdIndex`];
-//! downstream crates (`sdq-rstar`) implement [`Codec`] for their own types.
+//! `pub(crate)` internals of [`TopKIndex`] and [`SdIndex`].
 //!
 //! There is one encoding. Small structural fields go into framed
 //! *metadata regions* (`[crc32c u32][len u64][bytes]`, verified as they are
@@ -72,11 +71,9 @@
 
 use std::sync::Arc;
 
-use crate::envelope::{KLevel, Keyed, Tent};
 use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
 use crate::multidim::{DimPair, SdIndex, SortedColumn};
-use crate::top1::Top1Index;
 use crate::topk::{AngleBounds, Child, Node, TopKIndex};
 use crate::types::{Dataset, SdError};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
@@ -213,15 +210,6 @@ impl Writer {
         self.buf.reserve(vs.len() * 4);
         for &v in vs {
             self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Bulk-appends a length-prefixed bool slice (one byte each).
-    pub fn bools(&mut self, vs: &[bool]) {
-        self.usize(vs.len());
-        self.buf.reserve(vs.len());
-        for &v in vs {
-            self.buf.push(u8::from(v));
         }
     }
 }
@@ -515,19 +503,6 @@ impl<'a> Reader<'a> {
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
             .collect())
-    }
-
-    /// Bulk-reads a length-prefixed strict-`0`/`1` bool vector.
-    pub fn bools(&mut self) -> Result<Vec<bool>> {
-        let len = self.len_prefix(1)?;
-        let raw = self.take(len)?;
-        raw.iter()
-            .map(|&b| match b {
-                0 => Ok(false),
-                1 => Ok(true),
-                other => Err(corrupt(format!("invalid bool byte {other:#04x}"))),
-            })
-            .collect()
     }
 }
 
@@ -1238,207 +1213,6 @@ impl Codec for TopKIndex {
     }
 }
 
-impl Codec for Tent {
-    const MIN_ENCODED_BYTES: usize = 16;
-    fn encode(&self, w: &mut Writer) {
-        w.f64(self.x);
-        w.f64(self.y);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Tent {
-            x: finite_f64(r.f64()?, "tent x")?,
-            y: finite_f64(r.f64()?, "tent y")?,
-        })
-    }
-}
-
-impl Codec for Keyed {
-    const MIN_ENCODED_BYTES: usize = 4 + 24;
-    fn encode(&self, w: &mut Writer) {
-        w.u32(self.idx);
-        w.f64(self.x);
-        w.f64(self.u);
-        w.f64(self.v);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Keyed {
-            idx: r.u32()?,
-            x: finite_f64(r.f64()?, "keyed x")?,
-            u: finite_f64(r.f64()?, "keyed u")?,
-            v: finite_f64(r.f64()?, "keyed v")?,
-        })
-    }
-}
-
-impl Codec for KLevel {
-    const MIN_ENCODED_BYTES: usize = 24;
-    fn encode(&self, w: &mut Writer) {
-        w.f64s(&self.x_starts);
-        w.u32s(&self.providers);
-        w.usize(self.stride);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let x_starts = r.f64s()?;
-        let providers = r.u32s()?;
-        let stride = r.usize()?;
-        ensure(!x_starts.is_empty(), || {
-            "k-level with no regions".to_string()
-        })?;
-        for &x in &x_starts {
-            ensure(!x.is_nan(), || "NaN region boundary".to_string())?;
-        }
-        ensure(x_starts.windows(2).all(|w| w[0] <= w[1]), || {
-            "region boundaries not sorted".to_string()
-        })?;
-        let expected = x_starts.len().checked_mul(stride);
-        ensure(expected == Some(providers.len()), || {
-            format!(
-                "{} providers for {} regions × stride {stride}",
-                providers.len(),
-                x_starts.len()
-            )
-        })?;
-        Ok(KLevel {
-            x_starts,
-            providers,
-            stride,
-        })
-    }
-}
-
-/// Bulk decode of a `Vec<Tent>` (16 bytes each), wire-compatible with the
-/// generic vector codec.
-fn decode_tents_bulk(r: &mut Reader<'_>) -> Result<Vec<Tent>> {
-    let len = r.len_prefix(Tent::MIN_ENCODED_BYTES)?;
-    let raw = r.take(len * 16)?;
-    raw.chunks_exact(16)
-        .map(|c| {
-            let x = f64::from_bits(u64::from_le_bytes(c[..8].try_into().expect("8 bytes")));
-            let y = f64::from_bits(u64::from_le_bytes(c[8..].try_into().expect("8 bytes")));
-            if x.is_finite() && y.is_finite() {
-                Ok(Tent { x, y })
-            } else {
-                Err(corrupt(format!("non-finite tent ({x}, {y})")))
-            }
-        })
-        .collect()
-}
-
-/// Bulk decode of a `Vec<Keyed>` (28 bytes each), wire-compatible with the
-/// generic vector codec.
-fn decode_keyed_bulk(r: &mut Reader<'_>) -> Result<Vec<Keyed>> {
-    let len = r.len_prefix(Keyed::MIN_ENCODED_BYTES)?;
-    let raw = r.take(len * 28)?;
-    raw.chunks_exact(28)
-        .map(|c| {
-            let idx = u32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
-            let f = |i: usize| {
-                f64::from_bits(u64::from_le_bytes(
-                    c[4 + i * 8..4 + (i + 1) * 8].try_into().expect("8 bytes"),
-                ))
-            };
-            let (x, u, v) = (f(0), f(1), f(2));
-            if x.is_finite() && u.is_finite() && v.is_finite() {
-                Ok(Keyed { idx, x, u, v })
-            } else {
-                Err(corrupt("non-finite sweep key"))
-            }
-        })
-        .collect()
-}
-
-/// Validates a k-level's provider ids against the tent table.
-fn validate_klevel(level: &KLevel, side: &str, tents: usize, alive: &[bool]) -> Result<()> {
-    for &p in &level.providers {
-        ensure((p as usize) < tents, || {
-            format!("{side} k-level provider {p} out of range")
-        })?;
-        ensure(alive[p as usize], || {
-            format!("{side} k-level provider {p} is dead")
-        })?;
-    }
-    Ok(())
-}
-
-impl Codec for Top1Index {
-    fn encode(&self, w: &mut Writer) {
-        w.usize(self.k);
-        w.f64(self.alpha);
-        w.f64(self.beta);
-        self.tents.encode(w);
-        w.bools(&self.alive);
-        w.usize(self.n_alive);
-        self.lower.encode(w);
-        self.upper.encode(w);
-        self.order_lower.encode(w);
-        self.order_upper.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let k = r.usize()?;
-        let alpha = finite_f64(r.f64()?, "alpha")?;
-        let beta = finite_f64(r.f64()?, "beta")?;
-        let tents = decode_tents_bulk(r)?;
-        let alive = r.bools()?;
-        let n_alive = r.usize()?;
-        let lower = KLevel::decode(r)?;
-        let upper = KLevel::decode(r)?;
-        let order_lower = decode_keyed_bulk(r)?;
-        let order_upper = decode_keyed_bulk(r)?;
-
-        ensure(k >= 1, || "k = 0".to_string())?;
-        // The angle is a pure function of the weights: recompute instead of
-        // trusting stored trigonometry.
-        let angle = Angle::from_weights(alpha, beta)
-            .map_err(|e| corrupt(format!("invalid stored weights: {e}")))?;
-        ensure(tents.len() == alive.len(), || {
-            format!("{} tents vs {} alive flags", tents.len(), alive.len())
-        })?;
-        ensure(tents.len() <= u32::MAX as usize, || {
-            format!("{} tents exceed u32 indexing", tents.len())
-        })?;
-        let alive_count = alive.iter().filter(|&&a| a).count();
-        ensure(alive_count == n_alive, || {
-            format!("n_alive {n_alive} but {alive_count} live tents")
-        })?;
-        validate_klevel(&lower, "lower", tents.len(), &alive)?;
-        validate_klevel(&upper, "upper", tents.len(), &alive)?;
-        for (side, order) in [("lower", &order_lower), ("upper", &order_upper)] {
-            // The sweep-order caches exist only in the k = 1 incremental
-            // regime; k > 1 rebuilds clear them.
-            let expected = if k == 1 { n_alive } else { 0 };
-            ensure(order.len() == expected, || {
-                format!(
-                    "{side} sweep order holds {} entries, expected {expected}",
-                    order.len()
-                )
-            })?;
-            for kd in order {
-                ensure((kd.idx as usize) < tents.len(), || {
-                    format!("{side} sweep order references tent {} out of range", kd.idx)
-                })?;
-                ensure(alive[kd.idx as usize], || {
-                    format!("{side} sweep order references dead tent {}", kd.idx)
-                })?;
-            }
-        }
-
-        Ok(Top1Index {
-            k,
-            alpha,
-            beta,
-            angle,
-            tents,
-            alive,
-            n_alive,
-            lower,
-            upper,
-            order_lower,
-            order_upper,
-        })
-    }
-}
-
 impl Codec for DimPair {
     const MIN_ENCODED_BYTES: usize = 16;
     fn encode(&self, w: &mut Writer) {
@@ -1769,19 +1543,6 @@ mod tests {
                 let _ = idx.query(1.0, 1.0, 1.0, 1.0, 3);
             }
         }
-    }
-
-    #[test]
-    fn top1_index_roundtrips_exactly() {
-        let mut index = Top1Index::build(&pts(), 1.0, 0.5, 2).unwrap();
-        index.insert(1.25, 8.0).unwrap();
-        index.delete(PointId::new(0));
-        let bytes = encode_to_vec(&index);
-        let back: Top1Index = decode_from_slice(&bytes).unwrap();
-        for (qx, qy) in [(0.0, 0.0), (3.0, 2.0), (-2.0, 7.5)] {
-            assert_eq!(back.query(qx, qy), index.query(qx, qy));
-        }
-        assert_eq!(encode_to_vec(&back), bytes);
     }
 
     #[test]

@@ -716,69 +716,6 @@ impl SdIndex {
         }
         Ok(streams)
     }
-
-    /// Answers a batch of queries in parallel with up to `threads` workers
-    /// (scoped threads; the index is shared immutably; every worker reuses
-    /// one [`QueryScratch`] across its whole slice of the batch). Results
-    /// keep the input order and are bit-identical to a serial
-    /// [`SdIndex::query`] loop.
-    ///
-    /// `threads == 0` is **auto mode**: the worker count follows
-    /// [`std::thread::available_parallelism`], so a batch saturates
-    /// whatever cores the machine (or its cgroup) actually grants instead
-    /// of trusting a caller-fixed number. Explicit counts are clamped to
-    /// the available parallelism too — oversubscribing a small host only
-    /// adds scheduler churn (and measurably loses QPS on one CPU), never
-    /// throughput. On a single-core host every setting degenerates to the
-    /// serial loop — parallel batching cannot beat one CPU.
-    pub fn par_query_batch(
-        &self,
-        queries: &[SdQuery],
-        k: usize,
-        threads: usize,
-    ) -> Result<Vec<Vec<ScoredPoint>>, SdError> {
-        let threads = resolve_threads(threads).min(resolve_threads(0));
-        if threads <= 1 || queries.len() <= 1 {
-            let mut scratch = QueryScratch::new();
-            return queries
-                .iter()
-                .map(|q| self.query_with(q, k, &mut scratch).map(<[_]>::to_vec))
-                .collect();
-        }
-        let n_workers = threads.min(queries.len());
-        type Bucket = Vec<(usize, Result<Vec<ScoredPoint>, SdError>)>;
-        let buckets: Vec<Bucket> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // One scratch per worker: allocate once per batch,
-                        // not once per query.
-                        let mut scratch = QueryScratch::new();
-                        queries
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(n_workers)
-                            .map(|(i, q)| {
-                                (i, self.query_with(q, k, &mut scratch).map(<[_]>::to_vec))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query worker panicked"))
-                .collect()
-        });
-        let mut out: Vec<Vec<ScoredPoint>> = vec![Vec::new(); queries.len()];
-        for bucket in buckets {
-            for (i, r) in bucket {
-                out[i] = r?;
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Resolves a worker-count argument: `0` means auto — the host's available

@@ -219,21 +219,6 @@ fn k_exceeding_n() {
 }
 
 #[test]
-fn parallel_batch_matches_sequential() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(208);
-    let data = rand_dataset(&mut rng, 300, 4);
-    let roles = rand_roles(&mut rng, 4);
-    let index = SdIndex::build(data, &roles).unwrap();
-    let queries: Vec<SdQuery> = (0..16).map(|_| rand_query(&mut rng, 4)).collect();
-    let seq: Vec<_> = queries.iter().map(|q| index.query(q, 5).unwrap()).collect();
-    let par = index.par_query_batch(&queries, 5, 4).unwrap();
-    assert_eq!(seq.len(), par.len());
-    for (s, p) in seq.iter().zip(&par) {
-        assert_equiv(p, s);
-    }
-}
-
-#[test]
 fn memory_accounting() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(209);
     let data = rand_dataset(&mut rng, 500, 4);

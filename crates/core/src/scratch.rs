@@ -11,9 +11,8 @@
 //! streams (`AngleScratch`), a candidate pool, a seen-set and an answer
 //! buffer.
 //!
-//! Scratches are plain owned values: keep one per worker thread (see
-//! [`SdIndex::par_query_batch`](crate::multidim::SdIndex::par_query_batch))
-//! and reuse it across queries. The indexes themselves stay immutable during
+//! Scratches are plain owned values: keep one per worker thread and reuse
+//! it across queries. The indexes themselves stay immutable during
 //! queries and are freely shared across threads.
 //!
 //! ```

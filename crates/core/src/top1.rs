@@ -27,20 +27,20 @@ use crate::types::{PointId, ScoredPoint, SdError};
 /// `PointId::new(i)`. Deleted slots are tombstoned and never reused.
 #[derive(Debug, Clone)]
 pub struct Top1Index {
-    pub(crate) k: usize,
-    pub(crate) alpha: f64,
-    pub(crate) beta: f64,
-    pub(crate) angle: Angle,
-    pub(crate) tents: Vec<Tent>,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) n_alive: usize,
+    k: usize,
+    alpha: f64,
+    beta: f64,
+    angle: Angle,
+    tents: Vec<Tent>,
+    alive: Vec<bool>,
+    n_alive: usize,
     /// Regions of the k highest lower projections.
-    pub(crate) lower: KLevel,
+    lower: KLevel,
     /// Regions of the k lowest upper projections.
-    pub(crate) upper: KLevel,
+    upper: KLevel,
     /// Cached sweep orders (lower / mirrored upper) for O(n) delete rebuilds.
-    pub(crate) order_lower: Vec<Keyed>,
-    pub(crate) order_upper: Vec<Keyed>,
+    order_lower: Vec<Keyed>,
+    order_upper: Vec<Keyed>,
 }
 
 impl Top1Index {

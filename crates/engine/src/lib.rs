@@ -710,11 +710,6 @@ impl SdEngine {
         })
     }
 
-    /// Wraps one existing [`SdIndex`] as a single-shard engine.
-    pub fn single(index: SdIndex) -> Result<Self, SdError> {
-        Self::from_parts(index.data().dims(), index.roles().to_vec(), vec![index])
-    }
-
     /// Dimensions per point.
     pub fn dims(&self) -> usize {
         self.dims

@@ -21,7 +21,6 @@
 //!   an exact score for points, and results stream out in certified
 //!   descending order.
 
-mod codec;
 mod rect;
 
 pub use rect::Rect;

@@ -27,14 +27,6 @@ impl Rect {
         }
     }
 
-    /// Rebuilds a rect from persisted corners without the ordering debug
-    /// assertion (the codec validates shape; the "empty" rect is inverted by
-    /// design).
-    pub(crate) fn from_parts(lo: Box<[f64]>, hi: Box<[f64]>) -> Self {
-        debug_assert_eq!(lo.len(), hi.len());
-        Rect { lo, hi }
-    }
-
     /// The "empty" rect that unions as the identity.
     pub fn empty(dims: usize) -> Self {
         Rect {

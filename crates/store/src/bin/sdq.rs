@@ -18,20 +18,19 @@ use std::time::Instant;
 
 use sdq_core::geometry::Angle;
 use sdq_core::multidim::plan::scan_checkpoint;
-use sdq_core::multidim::{resolve_threads, PairingStrategy, QueryPlan, SdIndex, SdIndexOptions};
+use sdq_core::multidim::{resolve_threads, PairingStrategy, QueryPlan, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
-use sdq_core::top1::Top1Index;
-use sdq_core::topk::{default_angles, TopKIndex};
-use sdq_core::{Dataset, Deadline, DimRole, QueryProfile, QueryScratch, ScoredPoint, SdQuery};
+use sdq_core::topk::default_angles;
+use sdq_core::{Dataset, Deadline, QueryProfile, ScoredPoint, SdQuery};
 use sdq_data::{generate, uniform_queries, Distribution};
 use sdq_engine::{
     floor_slot_label, CompactionOptions, EngineMetrics, EngineOptions, EngineScratch,
     MetricsSnapshot, SdEngine,
 };
-use sdq_rstar::RStarTree;
+use sdq_store::io::splitmix64;
 use sdq_store::{
-    parse_roles, run_chaos, scrub_path, wal, ChaosConfig, DiskStorage, DurableEngine,
-    DurableOptions, ScrubReport, SectionKind, Snapshot, SyncPolicy,
+    format_roles, parse_roles, run_chaos, scrub_path, wal, ChaosConfig, DiskStorage, DurableEngine,
+    DurableOptions, ScrubReport, SectionInfo, SectionKind, Snapshot, SyncPolicy,
 };
 
 const USAGE: &str = "\
@@ -39,9 +38,8 @@ sdq — SD-Query snapshot tool (build once, query many)
 
 USAGE:
     sdq build --out PATH (--csv FILE | --synthetic DIST --n N --dims D)
-              --roles STR [--shards S] [--seed S] [--index LIST]
+              --roles STR [--shards S] [--seed S]
               [--branching B] [--angles N] [--pairing arbitrary|correlation]
-              [--alpha A] [--beta B] [--k K]
     sdq query PATH --point X,Y,... [--weights W,W,...] [--k K]
               [--repeat N] [--threads T] [--mapped] [--slow-query-us U]
               [--timeout-us U] [--explain | --profile | --profile-json]
@@ -65,9 +63,9 @@ USAGE:
               [--timeout-us U] [--raw] [--out FILE]
 
 SUBCOMMANDS:
-    build        Generate or load a dataset, build the requested indexes and
-                 write one snapshot file.
-    query        Load a snapshot and answer a top-k SD-Query from it.
+    build        Generate or load a dataset, build an S-shard engine over
+                 it and write one store file (roles + engine).
+    query        Open a store and answer a top-k SD-Query from its engine.
     insert       Append rows (CSV file or '-' for stdin) to the engine's
                  delta region and rewrite the snapshot.
     delete       Tombstone rows by global id and rewrite the snapshot.
@@ -96,10 +94,11 @@ SUBCOMMANDS:
     wal-stress   Insert synthetic rows one by one through the WAL,
                  printing 'acked N' after each acknowledged write — the
                  kill -9 crash-smoke driver.
-    inspect      Print the snapshot header, section table, artifact stats
-                 and (for engines) the shard layout, per-shard delta and
+    inspect      Print the snapshot header, section table, region table
+                 and the engine's shard layout, per-shard delta and
                  tombstone pressure, and the planner decision. --json
-                 renders the same facts machine-readably.
+                 renders the same facts machine-readably. A section kind
+                 this build no longer reads is listed as <retired: NAME>.
     metrics      Load a snapshot, run a small probe workload against it,
                  and render the engine's telemetry: latency histograms,
                  lifetime counters, per-shard floor provenance and the
@@ -108,14 +107,14 @@ SUBCOMMANDS:
                  journal itself (compactions, checkpoints, WAL rotations,
                  threshold crossings, slow queries). --follow streams
                  events while the probe workload runs on another thread.
-    bench-load   Time snapshot load vs. in-memory index rebuild, and the
-                 cold start of load (one read, everything verified up
-                 front) against open_mapped (checksums on first touch) and
-                 open_mapped + verify_all (--json-out merges a cold_start
-                 key into the bench-query JSON report).
+    bench-load   Time opening the store, and the cold start of load (one
+                 read, everything verified up front) against open_mapped
+                 (checksums on first touch) and open_mapped + verify_all
+                 (--json-out merges a cold_start key into the bench-query
+                 JSON report).
     bench-query  Measure query latency percentiles and batch QPS against a
-                 snapshot's engine/sd-index (or an ad-hoc synthetic build)
-                 and write a machine-readable BENCH_queries.json.
+                 store's engine (or an ad-hoc synthetic build) and write a
+                 machine-readable BENCH_queries.json.
 
 BUILD OPTIONS:
     --out PATH         Snapshot file to write (required).
@@ -126,16 +125,11 @@ BUILD OPTIONS:
     --dims D           Synthetic dimensionality (default 2).
     --seed S           Generator seed (default 42).
     --roles STR        One char per dimension: a(ttractive) | r(epulsive).
-    --shards S         Shard the sd-index into an S-way engine (default 1).
-    --index LIST       Comma list of sd, topk, top1, rstar, all (default sd).
-                       topk/top1 need exactly one 'a' and one 'r' dimension.
+    --shards S         Shard count of the engine (default 1).
     --branching B      Tree branching factor (default 8).
     --angles N         Indexed angle count, uniform over [0°, 90°]
                        (default 5).
     --pairing P        SD-index pairing: arbitrary | correlation.
-    --alpha A          top1: repulsive weight (default 1).
-    --beta B           top1: attractive weight (default 1).
-    --k K              top1: fixed k (default 1).
 
 MUTATION OPTIONS (insert / delete / compact):
     --csv FILE         Rows to insert, one comma-separated row per line
@@ -149,8 +143,8 @@ MUTATION OPTIONS (insert / delete / compact):
     --out PATH2        Write the mutated snapshot here instead of rewriting
                        PATH in place.
     --wal              Write-ahead-log the mutation before applying it:
-                       appends to PATH.wal (creating it — and rewriting the
-                       snapshot engine-only — on first use),
+                       appends to PATH.wal (creating it, and checkpointing
+                       the snapshot as generation 1, on first use),
                        so an acknowledged write survives a crash. A
                        WAL-backed snapshot refuses non---wal mutations.
     --sync-every N     Group commit: fsync the WAL once every N records
@@ -161,8 +155,8 @@ QUERY OPTIONS:
     --point CSV        Query point, one value per dimension (required).
     --weights CSV      Per-dimension weights (default: all 1).
     --k K              Result size (default 5).
-    --repeat N         Answer the query N times (engine/sd-index snapshots
-                       only) and print latency percentiles + QPS (default 1).
+    --repeat N         Answer the query N times and print latency
+                       percentiles + QPS (default 1).
     --threads T        Worker threads for the repeated batch (default 1;
                        0 = auto: the host's available parallelism).
     --explain          Print the planner's per-pair strategy table (chosen
@@ -178,12 +172,12 @@ QUERY OPTIONS:
                        with its full execution profile, and report captured
                        slow queries on stderr (0 = off).
     --timeout-us U     Abort the query once U microseconds of budget are
-                       spent (engine/sd-index snapshots; checked once per
-                       aggregation round, so overrun is bounded by one
-                       round). A tripped deadline exits 1 with a typed
-                       'deadline exceeded' error. 0 = no deadline. With
-                       --repeat each iteration gets a fresh budget; not
-                       available with --threads > 1.
+                       spent (checked once per aggregation round, so
+                       overrun is bounded by one round). A tripped
+                       deadline exits 1 with a typed 'deadline exceeded'
+                       error. 0 = no deadline. With --repeat each
+                       iteration gets a fresh budget; not available with
+                       --threads > 1.
 
 ROBUSTNESS OPTIONS (scrub / chaos):
     --repair           scrub: fix what can be fixed (truncate torn WAL
@@ -365,14 +359,6 @@ fn angle_grid(count: usize) -> Result<Vec<Angle>, CliError> {
 
 // ─── build ──────────────────────────────────────────────────────────────────
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum IndexKind {
-    Sd,
-    TopK,
-    Top1,
-    RStar,
-}
-
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let mut out: Option<String> = None;
     let mut csv: Option<String> = None;
@@ -381,16 +367,11 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let mut dims: usize = 2;
     let mut seed: u64 = 42;
     let mut roles_spec: Option<String> = None;
-    let mut index_list = vec![IndexKind::Sd];
     let mut branching: usize = 8;
     let mut angle_count: usize = 5;
     let mut pairing = PairingStrategy::Arbitrary;
-    let mut alpha: f64 = 1.0;
-    let mut beta: f64 = 1.0;
-    let mut k: usize = 1;
     let mut shards: usize = 1;
 
-    let mut all_requested = false;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
@@ -413,25 +394,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             "--dims" => dims = flags.parsed("--dims")?,
             "--seed" => seed = flags.parsed("--seed")?,
             "--roles" => roles_spec = Some(flags.value("--roles")?.to_string()),
-            "--index" => {
-                let raw = flags.value("--index")?;
-                index_list.clear();
-                for part in raw.split(',') {
-                    match part.trim() {
-                        "sd" => index_list.push(IndexKind::Sd),
-                        "topk" => index_list.push(IndexKind::TopK),
-                        "top1" => index_list.push(IndexKind::Top1),
-                        "rstar" => index_list.push(IndexKind::RStar),
-                        // `all` = every index the roles support; the 2-D
-                        // kinds join below once the roles are known.
-                        "all" => {
-                            index_list = vec![IndexKind::Sd, IndexKind::RStar];
-                            all_requested = true;
-                        }
-                        other => return Err(usage(format!("--index: unknown kind {other:?}"))),
-                    }
-                }
-            }
             "--branching" => branching = flags.parsed("--branching")?,
             "--angles" => angle_count = flags.parsed("--angles")?,
             "--pairing" => {
@@ -441,9 +403,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
                     other => return Err(usage(format!("--pairing: unknown strategy {other:?}"))),
                 }
             }
-            "--alpha" => alpha = flags.parsed("--alpha")?,
-            "--beta" => beta = flags.parsed("--beta")?,
-            "--k" => k = flags.parsed("--k")?,
             other => return Err(usage(format!("unknown flag {other:?}"))),
         }
     }
@@ -452,11 +411,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     // Flag validation before the (possibly expensive) dataset acquisition.
     if shards == 0 {
         return Err(usage("--shards must be at least 1"));
-    }
-    if shards > 1 && !index_list.contains(&IndexKind::Sd) {
-        return Err(usage(
-            "--shards applies to the sd index; add sd to --index (or drop --shards)",
-        ));
     }
     let data = match (&csv, synthetic) {
         (Some(path), None) => read_csv_dataset(path)?,
@@ -478,15 +432,15 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             data.dims()
         )));
     }
-    if all_requested {
-        if two_dim_axes(&roles).is_ok() {
-            index_list.push(IndexKind::TopK);
-            index_list.push(IndexKind::Top1);
-        } else {
-            println!("note: skipping topk/top1 (need exactly one attractive + one repulsive dim)");
-        }
-    }
-    let angles = angle_grid(angle_count)?;
+    let options = EngineOptions {
+        shards,
+        threads: 0,
+        index: SdIndexOptions {
+            pairing,
+            angles: angle_grid(angle_count)?,
+            branching,
+        },
+    };
 
     println!(
         "dataset: {} rows × {} dims ({})",
@@ -494,109 +448,29 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         data.dims(),
         csv.as_deref().unwrap_or("synthetic")
     );
-
-    let mut snap = Snapshot::new();
-    snap.dataset = Some(data.clone());
-    snap.roles = Some(roles.clone());
-
-    for kind in &index_list {
-        match kind {
-            IndexKind::Sd => {
-                let options = SdIndexOptions {
-                    pairing,
-                    angles: angles.clone(),
-                    branching,
-                };
-                if shards > 1 {
-                    let engine_options = EngineOptions {
-                        shards,
-                        threads: 0,
-                        index: options,
-                    };
-                    let (engine, ms) =
-                        timed(|| SdEngine::build_with(data.clone(), &roles, &engine_options));
-                    let engine = engine.map_err(runtime)?;
-                    println!(
-                        "built {}-shard engine in {ms:.1} ms (≈{} KiB resident)",
-                        engine.shard_count(),
-                        engine.memory_bytes() / 1024
-                    );
-                    snap.engine = Some(engine);
-                } else {
-                    let (index, ms) = timed(|| SdIndex::build_with(data.clone(), &roles, &options));
-                    let index = index.map_err(runtime)?;
-                    println!(
-                        "built sd-index in {ms:.1} ms ({} pairs, {} unpaired dims)",
-                        index.pairs().len(),
-                        index.unpaired().len()
-                    );
-                    snap.sd = Some(index);
-                }
-            }
-            IndexKind::TopK => {
-                let (x, y) = two_dim_axes(&roles)?;
-                let pts: Vec<(f64, f64)> = data.iter().map(|(_, c)| (c[x], c[y])).collect();
-                let (index, ms) = timed(|| TopKIndex::build_with(&pts, &angles, branching));
-                let index = index.map_err(runtime)?;
-                println!(
-                    "built topk-index in {ms:.1} ms ({} nodes)",
-                    index.num_nodes()
-                );
-                snap.topk = Some(index);
-            }
-            IndexKind::Top1 => {
-                let (x, y) = two_dim_axes(&roles)?;
-                let pts: Vec<(f64, f64)> = data.iter().map(|(_, c)| (c[x], c[y])).collect();
-                let (index, ms) = timed(|| Top1Index::build(&pts, alpha, beta, k));
-                let index = index.map_err(runtime)?;
-                println!("built top1-index in {ms:.1} ms (k = {k}, α = {alpha}, β = {beta})");
-                snap.top1 = Some(index);
-            }
-            IndexKind::RStar => {
-                let (tree, ms) =
-                    timed(|| RStarTree::bulk_load(data.dims(), data.flat(), branching.max(4)));
-                println!("built rstar-tree in {ms:.1} ms ({} points)", tree.len());
-                snap.rstar = Some(tree);
-            }
-        }
-    }
-
-    // An engine-only snapshot already stores every row inside its shard
-    // sections; a separate dataset section would double the file size.
-    if snap.engine.is_some() && index_list == [IndexKind::Sd] {
-        snap.dataset = None;
-        println!("note: raw dataset section omitted (rows live in the engine shards)");
-    }
-
-    let (saved, save_ms) = timed(|| snap.save_v5(&out));
-    saved.map_err(runtime)?;
-    let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-    println!("wrote {out} ({bytes} bytes) in {save_ms:.1} ms");
-    Ok(())
+    let (engine, ms) = timed(|| SdEngine::build_with(data, &roles, &options));
+    let engine = engine.map_err(runtime)?;
+    println!(
+        "built {}-shard engine in {ms:.1} ms (≈{} KiB resident)",
+        engine.shard_count(),
+        engine.memory_bytes() / 1024
+    );
+    save_engine(engine, &out)
 }
 
-/// The single (attractive, repulsive) dimension pair required by the 2-D
-/// indexes.
-fn two_dim_axes(roles: &[DimRole]) -> Result<(usize, usize), CliError> {
-    let att: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| **r == DimRole::Attractive)
-        .map(|(i, _)| i)
-        .collect();
-    let rep: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| **r == DimRole::Repulsive)
-        .map(|(i, _)| i)
-        .collect();
-    if att.len() == 1 && rep.len() == 1 {
-        Ok((att[0], rep[0]))
-    } else {
-        Err(usage(
-            "topk/top1 need exactly one attractive and one repulsive dimension",
-        ))
-    }
+/// Writes `engine` as a store — its roles plus the engine sections, what a
+/// durable checkpoint writes minus the durability record — atomically.
+fn save_engine(engine: SdEngine, out: &str) -> Result<(), CliError> {
+    let snap = Snapshot {
+        roles: Some(engine.roles().to_vec()),
+        engine: Some(engine),
+        ..Snapshot::default()
+    };
+    let (saved, ms) = timed(|| snap.save_v5(out));
+    saved.map_err(runtime)?;
+    let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
+    println!("wrote {out} ({bytes} bytes) in {ms:.1} ms");
+    Ok(())
 }
 
 /// Reads CSV rows from a file, or stdin when `path` is `"-"`. Blank lines
@@ -691,227 +565,58 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     // --threads 0 = auto: resolve once so the printed worker count is the
     // real one, not "0 thread(s)".
     let threads = resolve_threads(threads);
-    // The engine loaded below records into the process-global registry, so
+    // The engine opened below records into the process-global registry, so
     // arming the threshold here covers every serving mode (incl. --mapped).
     if slow_query_us > 0 {
         Telemetry::global().set_slow_query_micros(slow_query_us);
     }
 
-    let (snap, load_ms) = if mapped {
-        // A header-only (freshly rotated) log holds nothing to replay, so
-        // mapped opens stay valid right after `sdq recover` / `compact --wal`.
-        let pending_wal = std::fs::metadata(wal_sidecar(path))
-            .map(|md| md.len() > sdq_store::wal::WAL_HEADER_BYTES as u64)
-            .unwrap_or(false);
-        if pending_wal {
-            return Err(runtime(format!(
-                "{path} has unreplayed WAL records; --mapped cannot replay the log (drop \
-                 --mapped, or `sdq recover` first)"
-            )));
-        }
-        let (m, ms) = timed(|| Snapshot::open_mapped(path));
-        (m.map(|m| m.snapshot).map_err(runtime), ms)
-    } else {
-        timed(|| load_query_snapshot(path))
-    };
-    let snap = snap?;
+    let (engine, load_ms) = timed(|| open_engine(path, mapped));
+    let engine = engine?;
+    let weights = weights.unwrap_or_else(|| vec![1.0; point.len()]);
+    let query = SdQuery::new(point, weights).map_err(runtime)?;
+    let k = k.unwrap_or(DEFAULT_K);
 
-    // EXPLAIN / ANALYZE modes: the §5 planner and the execution profile
-    // are only defined for the aggregation paths (engine or sd-index).
-    if explain || profile || profile_json {
-        let weights = weights.unwrap_or_else(|| vec![1.0; point.len()]);
-        let query = SdQuery::new(point, weights).map_err(runtime)?;
-        let k = k.unwrap_or(DEFAULT_K);
-        if explain {
-            let plans: Vec<QueryPlan> = if let Some(engine) = &snap.engine {
-                engine.explain(&query, k).map_err(runtime)?
-            } else if let Some(sd) = &snap.sd {
-                vec![sd.plan(&query, k).map_err(runtime)?]
-            } else {
-                return Err(runtime(
-                    "--explain needs an engine or sd-index snapshot (rebuild with --index sd)",
-                ));
-            };
-            println!("loaded {path} in {load_ms:.1} ms");
-            print_plan_table(&plans, k);
-            return Ok(());
-        }
-        let (results, prof, live, wall_ms, layout) = if let Some(engine) = &snap.engine {
-            let mut scratch = EngineScratch::new();
-            scratch.profile.timing = true;
-            scratch.deadline = Deadline::within_micros(timeout_us);
-            let (r, ms) = timed(|| {
-                engine
-                    .query_with(&query, k, &mut scratch)
-                    .map(<[ScoredPoint]>::to_vec)
-            });
-            (
-                r.map_err(runtime)?,
-                scratch.profile,
-                engine.len() as u64,
-                ms,
-                format!("engine, {} shard(s)", engine.shard_count()),
-            )
-        } else if let Some(sd) = &snap.sd {
-            let mut scratch = QueryScratch::new();
-            scratch.profile.timing = true;
-            scratch.deadline = Deadline::within_micros(timeout_us);
-            let (r, ms) = timed(|| {
-                sd.query_with(&query, k, &mut scratch)
-                    .map(<[ScoredPoint]>::to_vec)
-            });
-            (
-                r.map_err(runtime)?,
-                scratch.profile,
-                sd.data().len() as u64,
-                ms,
-                String::from("monolithic sd-index"),
-            )
-        } else {
-            return Err(runtime(
-                "--profile needs an engine or sd-index snapshot (rebuild with --index sd)",
-            ));
-        };
+    if explain {
+        let plans = engine.explain(&query, k).map_err(runtime)?;
+        println!("loaded {path} in {load_ms:.1} ms");
+        print_plan_table(&plans, k);
+        return Ok(());
+    }
+    let mut scratch = EngineScratch::new();
+    scratch.deadline = Deadline::within_micros(timeout_us);
+    if profile || profile_json {
+        scratch.profile.timing = true;
+        let (results, wall_ms) = timed(|| {
+            engine
+                .query_with(&query, k, &mut scratch)
+                .map(<[ScoredPoint]>::to_vec)
+        });
+        let results = results.map_err(runtime)?;
+        let live = engine.len() as u64;
         if profile_json {
-            let floor = snap.engine.as_ref().map(|e| e.metrics().snapshot());
+            let floor = engine.metrics().snapshot();
             print!(
                 "{}",
-                profile_json_string(&prof, live, k, wall_ms, floor.as_ref())
+                profile_json_string(&scratch.profile, live, k, wall_ms, &floor)
             );
-            report_slow_queries(slow_query_us);
-            return Ok(());
+        } else {
+            println!("loaded {path} in {load_ms:.1} ms");
+            print_profile(&scratch.profile, live, k, wall_ms, engine.shard_count());
+            print_results(&results);
         }
-        println!("loaded {path} in {load_ms:.1} ms");
-        print_profile(&prof, live, k, wall_ms, &layout);
-        print_results(&results);
         report_slow_queries(slow_query_us);
         return Ok(());
     }
 
-    // The 2-D indexes were built with x = the attractive dimension and
-    // y = the repulsive one, in whatever order the roles named them; map the
-    // user's dataset-ordered --point/--weights through the stored roles.
-    let two_dim_mapping = |what: &str| -> Result<(usize, usize), CliError> {
-        match &snap.roles {
-            Some(roles) => two_dim_axes(roles),
-            None => Err(runtime(format!(
-                "snapshot stores a {what} but no roles section; cannot map --point axes"
-            ))),
-        }
-    };
-
-    if timeout_us > 0 && snap.engine.is_none() && snap.sd.is_none() {
-        return Err(usage(
-            "--timeout-us needs a snapshot with an engine or sd-index (rebuild with --index sd)",
-        ));
-    }
-
-    let results = if let Some(engine) = &snap.engine {
-        let weights = weights.unwrap_or_else(|| vec![1.0; point.len()]);
-        let query = SdQuery::new(point, weights).map_err(runtime)?;
-        let k = k.unwrap_or(DEFAULT_K);
-        if repeat > 1 || threads != 1 {
-            let mut scratch = EngineScratch::new();
-            serve_repeated(
-                &format!("engine ({} shards), repeat", engine.shard_count()),
-                &query,
-                repeat,
-                threads,
-                |q, collect| {
-                    // A fresh budget per iteration: the deadline clock
-                    // starts at construction.
-                    scratch.deadline = Deadline::within_micros(timeout_us);
-                    let res = engine.query_with(q, k, &mut scratch).map_err(runtime)?;
-                    Ok(collect.then(|| res.to_vec()))
-                },
-                |qs| {
-                    engine.par_query_batch(qs, k, threads).map_err(runtime)?;
-                    Ok(())
-                },
-            )?
-        } else {
-            let mut scratch = EngineScratch::new();
-            scratch.deadline = Deadline::within_micros(timeout_us);
-            engine
-                .query_with(&query, k, &mut scratch)
-                .map(<[ScoredPoint]>::to_vec)
-                .map_err(runtime)?
-        }
-    } else if let Some(sd) = &snap.sd {
-        let weights = weights.unwrap_or_else(|| vec![1.0; point.len()]);
-        let query = SdQuery::new(point, weights).map_err(runtime)?;
-        let k = k.unwrap_or(DEFAULT_K);
-        if repeat > 1 || threads != 1 {
-            let mut scratch = QueryScratch::new();
-            serve_repeated(
-                "repeat",
-                &query,
-                repeat,
-                threads,
-                |q, collect| {
-                    scratch.deadline = Deadline::within_micros(timeout_us);
-                    let res = sd.query_with(q, k, &mut scratch).map_err(runtime)?;
-                    Ok(collect.then(|| res.to_vec()))
-                },
-                |qs| {
-                    sd.par_query_batch(qs, k, threads).map_err(runtime)?;
-                    Ok(())
-                },
-            )?
-        } else {
-            let mut scratch = QueryScratch::new();
-            scratch.deadline = Deadline::within_micros(timeout_us);
-            sd.query_with(&query, k, &mut scratch)
-                .map(<[ScoredPoint]>::to_vec)
-                .map_err(runtime)?
-        }
-    } else if repeat > 1 || threads != 1 {
-        return Err(usage(
-            "--repeat/--threads need a snapshot with an engine or sd-index (rebuild with --index sd)",
-        ));
-    } else if let Some(topk) = &snap.topk {
-        if point.len() != 2 {
-            return Err(usage(
-                "this snapshot holds a 2-D topk-index; --point needs 2 values",
-            ));
-        }
-        let w = weights.unwrap_or_else(|| vec![1.0, 1.0]);
-        if w.len() != 2 {
-            return Err(usage("--weights needs 2 values for a topk-index"));
-        }
-        let (att, rep) = two_dim_mapping("topk-index")?;
-        let (alpha, beta) = (w[rep], w[att]);
-        topk.query(point[att], point[rep], alpha, beta, k.unwrap_or(DEFAULT_K))
-            .map_err(runtime)?
-    } else if let Some(top1) = &snap.top1 {
-        if point.len() != 2 {
-            return Err(usage(
-                "this snapshot holds a 2-D top1-index; --point needs 2 values",
-            ));
-        }
-        // The §3 index answers with its build-time k, α, β only.
-        let (alpha, beta) = top1.weights();
-        if weights.is_some() {
-            eprintln!(
-                "note: top1-index has fixed weights (α = {alpha}, β = {beta}); ignoring --weights"
-            );
-        }
-        if let Some(k) = k {
-            if k != top1.k() {
-                eprintln!(
-                    "note: top1-index has fixed k = {}; ignoring --k {k}",
-                    top1.k()
-                );
-            }
-        }
-        let (att, rep) = two_dim_mapping("top1-index")?;
-        top1.query(point[att], point[rep])
+    let results = if repeat > 1 || threads != 1 {
+        serve_repeated(&engine, &query, k, repeat, threads, timeout_us)?
     } else {
-        return Err(runtime(
-            "snapshot holds no queryable index (only raw data?); rebuild with --index",
-        ));
+        engine
+            .query_with(&query, k, &mut scratch)
+            .map(<[ScoredPoint]>::to_vec)
+            .map_err(runtime)?
     };
-
     println!("loaded {path} in {load_ms:.1} ms");
     print_results(&results);
     report_slow_queries(slow_query_us);
@@ -1015,9 +720,11 @@ fn print_plan_table(plans: &[QueryPlan], k: usize) {
 
 /// `--profile`: the execution counter tree, the pruning funnel and — when
 /// timing ran — the per-stage wall-clock split.
-fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, layout: &str) {
+fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, shards: usize) {
     let isa = if p.isa.is_empty() { "(none)" } else { p.isa };
-    println!("profiled query ({layout}, k = {k}): {wall_ms:.3} ms wall, kernels {isa}");
+    println!(
+        "profiled query (engine, {shards} shard(s), k = {k}): {wall_ms:.3} ms wall, kernels {isa}"
+    );
     println!("counters:");
     println!(
         "  frontier   nodes_visited {} · envelope_nodes_rejected {}",
@@ -1082,14 +789,14 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, lay
 /// `--profile-json`: the whole profile machine-readably — every counter,
 /// the funnel and the stage timings. `floor_value` is `null` until k real
 /// scores exist (JSON has no `-inf`). `metrics` adds the per-shard
-/// floor-provenance histogram (engine snapshots only): which shard slots
-/// raised the shared k-th-score floor while this process served queries.
+/// floor-provenance histogram: which shard slots raised the shared
+/// k-th-score floor while this process served queries.
 fn profile_json_string(
     p: &QueryProfile,
     live_points: u64,
     k: usize,
     wall_ms: f64,
-    metrics: Option<&MetricsSnapshot>,
+    metrics: &MetricsSnapshot,
 ) -> String {
     let funnel: Vec<String> = p
         .funnel(live_points)
@@ -1101,9 +808,7 @@ fn profile_json_string(
     } else {
         String::from("null")
     };
-    let floor_contributions = metrics
-        .map(floor_contributions_json)
-        .unwrap_or_else(|| String::from("{}"));
+    let floor_contributions = floor_contributions_json(metrics);
     format!(
         "{{\n  \"k\": {k},\n  \"wall_ms\": {wall_ms:.4},\n  \"isa\": {isa},\n  \
          \"counters\": {{\n    \
@@ -1161,9 +866,7 @@ fn floor_contributions_json(m: &MetricsSnapshot) -> String {
     format!("{{{}}}", slots.join(", "))
 }
 
-// ─── insert / delete / compact ──────────────────────────────────────────────
-
-// ─── durability helpers ─────────────────────────────────────────────────────
+// ─── opening a store ────────────────────────────────────────────────────────
 
 /// The WAL sidecar of snapshot `path` (`idx.sdq` → `idx.sdq.wal`).
 fn wal_sidecar(path: &str) -> String {
@@ -1192,32 +895,45 @@ fn sync_policy(sync_every: u32) -> Result<SyncPolicy, CliError> {
     }
 }
 
-/// Opens snapshot `path` as a [`DurableEngine`], enabling the WAL on
-/// first use: a snapshot that is not yet WAL-backed is promoted (sd-index
-/// → single-shard engine if needed) and checkpointed to generation 1.
-fn open_durable(path: &str, opts: DurableOptions) -> Result<DurableEngine, CliError> {
+/// The one way a path becomes an engine. `mapped` serves it off an mmap of
+/// the file (refused while the log holds unreplayed records). Otherwise a
+/// WAL-backed store is opened through the durable engine, so the answers
+/// include every acknowledged write still sitting in the log (recovery also
+/// truncates a torn tail, exactly as a serving restart would), and a plain
+/// one is loaded and verified in full.
+fn open_engine(path: &str, mapped: bool) -> Result<SdEngine, CliError> {
+    let engine = if mapped {
+        // A header-only (freshly rotated) log holds nothing to replay, so
+        // mapped opens stay valid right after `sdq recover` / `compact --wal`.
+        let pending_wal = std::fs::metadata(wal_sidecar(path))
+            .map(|md| md.len() > wal::WAL_HEADER_BYTES as u64)
+            .unwrap_or(false);
+        if pending_wal {
+            return Err(runtime(format!(
+                "{path} has unreplayed WAL records; --mapped cannot replay the log (drop \
+                 --mapped, or `sdq recover` first)"
+            )));
+        }
+        Snapshot::open_mapped(path)
+            .map_err(runtime)?
+            .snapshot
+            .engine
+    } else if is_wal_backed(path)? {
+        Some(open_pair(path, DurableOptions::default())?.engine().clone())
+    } else {
+        Snapshot::load(path).map_err(runtime)?.engine
+    };
+    engine.ok_or_else(|| {
+        runtime(format!(
+            "{path} holds no engine — rebuild it with `sdq build`"
+        ))
+    })
+}
+
+/// Opens the snapshot + WAL pair at `path`, replaying the log, and reports
+/// what recovery did on stderr.
+fn open_pair(path: &str, opts: DurableOptions) -> Result<DurableEngine, CliError> {
     let (storage, name) = disk_parts(path)?;
-    // The section table says whether the file is WAL-backed; the one full
-    // decode is whichever open follows.
-    if !is_wal_backed(path)? {
-        let mut snap = Snapshot::load(path).map_err(runtime)?;
-        let engine = if let Some(engine) = snap.engine.take() {
-            engine
-        } else if let Some(sd) = snap.sd.take() {
-            println!("note: promoting the sd-index to a single-shard engine");
-            SdEngine::single(sd).map_err(runtime)?
-        } else {
-            return Err(runtime(
-                "snapshot holds no engine or sd-index to mutate; rebuild with --index sd",
-            ));
-        };
-        println!(
-            "note: enabling the WAL — {path} becomes an engine-only snapshot with a \
-             {} sidecar",
-            wal_sidecar(path)
-        );
-        return DurableEngine::create(storage, name, engine, opts).map_err(runtime);
-    }
     let d = DurableEngine::open(storage, name, opts).map_err(runtime)?;
     let rec = d.recovery();
     if rec.truncated_bytes > 0 {
@@ -1231,13 +947,28 @@ fn open_durable(path: &str, opts: DurableOptions) -> Result<DurableEngine, CliEr
         eprintln!("note: discarded a stale pre-checkpoint WAL (its records were already applied)");
     }
     if rec.replayed_records > 0 {
-        println!(
-            "replayed {} wal record(s) from {}",
+        eprintln!(
+            "note: replayed {} wal record(s) from {}",
             rec.replayed_records,
             wal_sidecar(path)
         );
     }
     Ok(d)
+}
+
+/// Opens `path` for WAL-logged mutation, enabling the WAL on first use: a
+/// store that is not yet WAL-backed is checkpointed as generation 1.
+fn open_durable(path: &str, opts: DurableOptions) -> Result<DurableEngine, CliError> {
+    if is_wal_backed(path)? {
+        return open_pair(path, opts);
+    }
+    let engine = open_engine(path, false)?;
+    println!(
+        "note: enabling the WAL — {path} gains a durability section and a {} sidecar",
+        wal_sidecar(path)
+    );
+    let (storage, name) = disk_parts(path)?;
+    DurableEngine::create(storage, name, engine, opts).map_err(runtime)
 }
 
 /// `true` when `path` is one half of a snapshot + WAL pair: its section
@@ -1248,107 +979,18 @@ fn is_wal_backed(path: &str) -> Result<bool, CliError> {
         || Snapshot::inspect(path).map_err(runtime)?.is_wal_backed())
 }
 
-/// Loads a snapshot for querying. A WAL-backed snapshot is opened through
-/// the durable engine instead, so the answers include every acknowledged
-/// write still sitting in the log (recovery also truncates a torn tail,
-/// exactly as a serving restart would).
-fn load_query_snapshot(path: &str) -> Result<Snapshot, CliError> {
-    let info = Snapshot::inspect(path).map_err(runtime)?;
-    let wal_backed = info.is_wal_backed() || std::path::Path::new(&wal_sidecar(path)).exists();
-    // What a durable checkpoint writes holds the engine and nothing else,
-    // so the durable open below is then the only decode; a hand-assembled
-    // pair with sibling artifacts needs the plain load for those as well.
-    let engine_only = info.sections.iter().all(|s| {
-        matches!(
-            s.kind,
-            Some(
-                SectionKind::EngineManifest
-                    | SectionKind::EngineShard
-                    | SectionKind::MutationDelta
-                    | SectionKind::MutationTombstones
-                    | SectionKind::Durability
-            )
-        )
-    });
-    let mut snap = if wal_backed && engine_only {
-        Snapshot::new()
-    } else {
-        Snapshot::load(path).map_err(runtime)?
-    };
-    if wal_backed {
-        let (storage, name) = disk_parts(path)?;
-        let d = DurableEngine::open(storage, name, DurableOptions::default()).map_err(runtime)?;
-        let rec = d.recovery();
-        if rec.replayed_records > 0 {
-            eprintln!(
-                "note: replayed {} wal record(s) from {}",
-                rec.replayed_records,
-                wal_sidecar(path)
-            );
-        }
-        snap.engine = Some(d.engine().clone());
-    }
-    Ok(snap)
-}
-
-/// Loads a snapshot for mutation: the engine when present, otherwise a
-/// single-shard engine promoted from the sd-index (the snapshot becomes an
-/// engine snapshot on save).
-fn load_mutable_engine(path: &str) -> Result<(Snapshot, SdEngine), CliError> {
-    let mut snap = Snapshot::load(path).map_err(runtime)?;
-    if snap.durability.is_some() || std::path::Path::new(&wal_sidecar(path)).exists() {
+/// Opens `path` for an unlogged mutation; a WAL-backed store refuses those.
+fn open_unlogged(path: &str) -> Result<SdEngine, CliError> {
+    if is_wal_backed(path)? {
         return Err(runtime(format!(
             "{path} is WAL-backed; mutate it with --wal so the log and snapshot stay \
              in step"
         )));
     }
-    if let Some(engine) = snap.engine.take() {
-        return Ok((snap, engine));
-    }
-    if let Some(sd) = snap.sd.take() {
-        println!("note: promoting the sd-index to a single-shard engine");
-        return Ok((snap, SdEngine::single(sd).map_err(runtime)?));
-    }
-    Err(runtime(
-        "snapshot holds no engine or sd-index to mutate; rebuild with --index sd",
-    ))
+    open_engine(path, false)
 }
 
-/// Puts the mutated engine back and rewrites the snapshot atomically.
-/// Sibling artifacts (raw dataset, monolithic indexes, baselines) are kept
-/// verbatim but describe the *pre-mutation* rows, so their presence is
-/// called out — the engine is the only artifact the write path maintains.
-fn save_mutated(mut snap: Snapshot, engine: SdEngine, out: &str) -> Result<(), CliError> {
-    let mut stale: Vec<&str> = Vec::new();
-    if snap.dataset.is_some() {
-        stale.push("dataset");
-    }
-    if snap.sd.is_some() {
-        stale.push("sd-index");
-    }
-    if snap.topk.is_some() {
-        stale.push("topk-index");
-    }
-    if snap.top1.is_some() {
-        stale.push("top1-index");
-    }
-    if snap.rstar.is_some() {
-        stale.push("rstar-tree");
-    }
-    if !stale.is_empty() {
-        eprintln!(
-            "warning: snapshot also stores [{}] — those sections still describe the \
-             pre-mutation rows; only the engine reflects this write",
-            stale.join(", ")
-        );
-    }
-    snap.engine = Some(engine);
-    let (saved, ms) = timed(|| snap.save_v5(out));
-    saved.map_err(runtime)?;
-    let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    println!("wrote {out} ({bytes} bytes) in {ms:.1} ms");
-    Ok(())
-}
+// ─── insert / delete / compact ──────────────────────────────────────────────
 
 fn cmd_insert(args: &[String]) -> Result<(), CliError> {
     let mut path: Option<&str> = None;
@@ -1400,7 +1042,7 @@ fn cmd_insert(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let (snap, mut engine) = load_mutable_engine(path)?;
+    let mut engine = open_unlogged(path)?;
     let (ids, ms) = timed(|| engine.insert_rows(&rows));
     let ids = ids.map_err(runtime)?;
     println!(
@@ -1410,7 +1052,7 @@ fn cmd_insert(args: &[String]) -> Result<(), CliError> {
         ids.last().expect("non-empty batch"),
         engine.delta_rows()
     );
-    save_mutated(snap, engine, out.as_deref().unwrap_or(path))
+    save_engine(engine, out.as_deref().unwrap_or(path))
 }
 
 fn cmd_delete(args: &[String]) -> Result<(), CliError> {
@@ -1476,7 +1118,7 @@ fn cmd_delete(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let (snap, mut engine) = load_mutable_engine(path)?;
+    let mut engine = open_unlogged(path)?;
     let mut newly = 0usize;
     let mut already = 0usize;
     for id in ids {
@@ -1498,7 +1140,7 @@ fn cmd_delete(args: &[String]) -> Result<(), CliError> {
         engine.tombstone_count(),
         engine.len()
     );
-    save_mutated(snap, engine, out.as_deref().unwrap_or(path))
+    save_engine(engine, out.as_deref().unwrap_or(path))
 }
 
 fn cmd_compact(args: &[String]) -> Result<(), CliError> {
@@ -1549,7 +1191,7 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let (snap, mut engine) = load_mutable_engine(path)?;
+    let mut engine = open_unlogged(path)?;
     let (report, ms) = timed(|| engine.compact_with(&options));
     let report = report.map_err(runtime)?;
     println!(
@@ -1570,7 +1212,7 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
         report.epoch,
         report.live_rows
     );
-    save_mutated(snap, engine, out.as_deref().unwrap_or(path))
+    save_engine(engine, out.as_deref().unwrap_or(path))
 }
 
 fn cmd_recover(args: &[String]) -> Result<(), CliError> {
@@ -1589,9 +1231,8 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
         return Err(runtime(format!("{path}: no such snapshot")));
     }
 
-    // "Nothing to recover" (exit 3) must be decided *before* opening as
-    // durable: open_durable would promote a plain snapshot to WAL-backed,
-    // which is an upgrade the operator did not ask `recover` for.
+    // "Nothing to recover" (exit 3) is decided from the section table and
+    // the sidecar, before anything is opened.
     if !is_wal_backed(path)? {
         if json {
             println!(
@@ -1607,8 +1248,7 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
     // Opening replays the log (truncating a torn tail); the checkpoint
     // folds the replayed state into the snapshot and starts a clean
     // generation. A pair too damaged to open errors out (exit 1).
-    let (storage, name) = disk_parts(path)?;
-    let mut d = DurableEngine::open(storage, name, DurableOptions::default()).map_err(runtime)?;
+    let mut d = open_pair(path, DurableOptions::default())?;
     let rec = d.recovery();
     d.checkpoint().map_err(runtime)?;
     let status = d.wal_status();
@@ -1629,18 +1269,6 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
             Telemetry::global().verify.snapshot().count()
         );
     } else {
-        if rec.truncated_bytes > 0 {
-            eprintln!(
-                "note: truncated a {}-byte torn tail off {}",
-                rec.truncated_bytes,
-                wal_sidecar(path)
-            );
-        }
-        if rec.stale_wal_reset {
-            eprintln!(
-                "note: discarded a stale pre-checkpoint WAL (its records were already applied)"
-            );
-        }
         println!(
             "recovered {path}: {} record(s) replayed, {} live row(s); checkpointed as \
              generation {} (epoch {})",
@@ -1713,8 +1341,7 @@ fn cmd_scrub(args: &[String]) -> Result<(), CliError> {
     // nothing left to open.
     let mut validated: Option<bool> = None;
     if repair && std::path::Path::new(path).is_file() {
-        let (storage, name) = disk_parts(path)?;
-        match DurableEngine::open(storage, name, DurableOptions::default()) {
+        match open_pair(path, DurableOptions::default()) {
             Ok(d) => {
                 d.engine()
                     .metrics()
@@ -1895,12 +1522,8 @@ fn cmd_wal_stress(args: &[String]) -> Result<(), CliError> {
     let dims = d.engine().dims();
     let mut state = seed;
     let mut coord = move || {
-        // splitmix64 → [0, 1)
-        state = state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        (z ^ (z >> 31)) as f64 / u64::MAX as f64
+        state = splitmix64(state);
+        state as f64 / u64::MAX as f64
     };
     use std::io::Write as _;
     let stdout = std::io::stdout();
@@ -1956,8 +1579,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
     );
     println!("  {:<16} {:>10} {:>12}", "section", "offset", "bytes");
     for s in &info.sections {
-        let name = s.kind.map(SectionKind::name).unwrap_or("<unknown>");
-        println!("  {:<16} {:>10} {:>12}", name, s.offset, s.len);
+        println!("  {:<16} {:>10} {:>12}", section_label(s), s.offset, s.len);
     }
 
     // The framed regions inside the sections — the things `open_mapped`
@@ -1986,34 +1608,10 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    // Decode for artifact-level stats (also verifies all checksums).
+    // Decode for engine-level stats (also verifies all checksums).
     let snap = Snapshot::load(path).map_err(runtime)?;
-    if let Some(d) = &snap.dataset {
-        println!("  dataset: {} rows × {} dims", d.len(), d.dims());
-    }
     if let Some(r) = &snap.roles {
-        let spec: String = r
-            .iter()
-            .map(|role| match role {
-                DimRole::Attractive => 'a',
-                DimRole::Repulsive => 'r',
-            })
-            .collect();
-        println!("  roles: {spec}");
-    }
-    if let Some(sd) = &snap.sd {
-        println!(
-            "  sd-index: {} rows, {} pairs, {} unpaired, ≈{} KiB resident",
-            sd.data().len(),
-            sd.pairs().len(),
-            sd.unpaired().len(),
-            sd.memory_bytes() / 1024
-        );
-        let stats = sd.block_stats();
-        print_block_stats("    ", blocks_covered(std::iter::once(sd)), stats);
-        let sample = mean_query(std::iter::once(sd.data())).map_err(runtime)?;
-        let plan = sd.plan(&sample, DEFAULT_K).map_err(runtime)?;
-        println!("    planner (unit weights at the dataset mean, k = {DEFAULT_K}): {plan}");
+        println!("  roles: {}", format_roles(r));
     }
     if let Some(engine) = &snap.engine {
         println!(
@@ -2033,15 +1631,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
                 info.memory_bytes / 1024
             );
         }
-        print_block_stats(
-            "    ",
-            blocks_covered(engine.shards().iter()),
-            engine
-                .shards()
-                .iter()
-                .map(|s| s.block_stats())
-                .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2)),
-        );
+        print_block_stats(engine);
         let stats = engine.mutation_stats();
         println!(
             "    delta: {} row(s) ({} dead); {} tombstone(s) total; engine epoch {}",
@@ -2055,7 +1645,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         // live inside the shard indexes; sum across them). Each shard plans
         // against its own sorted-column stats, so strategies can differ.
         if engine.shard_count() > 0 {
-            let sample = mean_query(engine.shards().iter().map(|s| s.data())).map_err(runtime)?;
+            let sample = mean_query(engine).map_err(runtime)?;
             let plans = engine.explain(&sample, DEFAULT_K).map_err(runtime)?;
             println!("  planner (unit weights at the dataset mean, k = {DEFAULT_K}):");
             for (i, plan) in plans.iter().enumerate() {
@@ -2084,35 +1674,6 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    if let Some(tk) = &snap.topk {
-        println!(
-            "  topk-index: {} live points, {} nodes, {} angles, branching {}, ≈{} KiB resident",
-            tk.len(),
-            tk.num_nodes(),
-            tk.angles().len(),
-            tk.branching(),
-            tk.memory_bytes() / 1024
-        );
-        if let Some((blocks, bytes)) = tk.block_stats() {
-            println!(
-                "    block table: {blocks} SoA leaf block(s) × {} lanes, ≈{} KiB",
-                sdq_core::kernels::LANES,
-                bytes / 1024
-            );
-        }
-    }
-    if let Some(t1) = &snap.top1 {
-        let (alpha, beta) = t1.weights();
-        println!(
-            "  top1-index: {} live points, k = {}, α = {alpha}, β = {beta}",
-            t1.len(),
-            t1.k()
-        );
-    }
-    if let Some(rt) = &snap.rstar {
-        println!("  rstar-tree: {} live points, {} dims", rt.len(), rt.dims());
-    }
-
     // Durability status: present whenever the snapshot or a WAL sidecar
     // says this store is WAL-backed.
     let wal_file = wal_sidecar(path);
@@ -2157,27 +1718,51 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The name `inspect` lists a section under: its kind's, `<retired: NAME>`
+/// for a kind this build no longer reads, `<unknown>` otherwise.
+fn section_label(s: &SectionInfo) -> String {
+    match (s.kind, SectionKind::retired_name(s.raw_kind)) {
+        (Some(kind), _) => kind.name().to_string(),
+        (None, Some(name)) => format!("<retired: {name}>"),
+        (None, None) => String::from("<unknown>"),
+    }
+}
+
 /// `inspect --json`: the same facts machine-readably — header, section
-/// table, v5 region table, artifact stats, shard layout, block stats,
-/// mutation pressure, floor provenance and the durability generation.
+/// table, v5 region table, shard layout, block stats, mutation pressure,
+/// floor provenance and the durability generation. A file whose payloads
+/// do not decode still gets its header-only facts printed before the error.
 fn inspect_json(path: &str) -> Result<(), CliError> {
     let info = Snapshot::inspect(path).map_err(runtime)?;
     let sections: Vec<String> = info
         .sections
         .iter()
         .map(|s| {
-            let name = s.kind.map(SectionKind::name).unwrap_or("<unknown>");
             format!(
                 "{{\"name\": {}, \"raw_kind\": {}, \"offset\": {}, \"bytes\": {}}}",
-                json_str(name),
+                json_str(&section_label(s)),
                 s.raw_kind,
                 s.offset,
                 s.len
             )
         })
         .collect();
-    let regions: Vec<String> = Snapshot::open_mapped(path)
-        .map_err(runtime)?
+    let head = format!(
+        "  \"path\": {},\n  \"format_version\": {},\n  \"file_bytes\": {},\n  \
+         \"sections\": [{}]",
+        json_str(path),
+        info.version,
+        info.file_len,
+        sections.join(", ")
+    );
+    let mapped = match Snapshot::open_mapped(path) {
+        Ok(mapped) => mapped,
+        Err(e) => {
+            println!("{{\n{head}\n}}");
+            return Err(runtime(e));
+        }
+    };
+    let regions: Vec<String> = mapped
         .regions()
         .iter()
         .map(|r| {
@@ -2194,43 +1779,10 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
         .collect();
 
     let snap = Snapshot::load(path).map_err(runtime)?;
-    let mut artifacts: Vec<&str> = Vec::new();
-    if snap.dataset.is_some() {
-        artifacts.push("dataset");
-    }
-    if snap.sd.is_some() {
-        artifacts.push("sd-index");
-    }
-    if snap.engine.is_some() {
-        artifacts.push("engine");
-    }
-    if snap.topk.is_some() {
-        artifacts.push("topk-index");
-    }
-    if snap.top1.is_some() {
-        artifacts.push("top1-index");
-    }
-    if snap.rstar.is_some() {
-        artifacts.push("rstar-tree");
-    }
-    let dataset = snap
-        .dataset
-        .as_ref()
-        .map(|d| format!("{{\"rows\": {}, \"dims\": {}}}", d.len(), d.dims()))
-        .unwrap_or_else(|| String::from("null"));
     let roles = snap
         .roles
         .as_ref()
-        .map(|r| {
-            let spec: String = r
-                .iter()
-                .map(|role| match role {
-                    DimRole::Attractive => 'a',
-                    DimRole::Repulsive => 'r',
-                })
-                .collect();
-            json_str(&spec)
-        })
+        .map(|r| json_str(&format_roles(r)))
         .unwrap_or_else(|| String::from("null"));
 
     let engine_json = match &snap.engine {
@@ -2247,17 +1799,11 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
                     )
                 })
                 .collect();
-            let (blocks, bytes, stale) = engine
-                .shards()
-                .iter()
-                .map(|s| s.block_stats())
-                .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
-            let covered = blocks_covered(engine.shards().iter());
+            let (blocks, bytes, stale, covered) = block_stats(engine);
             let stats = engine.mutation_stats();
             // Floor provenance: one real probe query at the dataset mean.
             let floor = if engine.shard_count() > 0 && !engine.is_empty() {
-                let sample =
-                    mean_query(engine.shards().iter().map(|s| s.data())).map_err(runtime)?;
+                let sample = mean_query(engine).map_err(runtime)?;
                 engine.query(&sample, DEFAULT_K).map_err(runtime)?;
                 floor_contributions_json(&engine.metrics().snapshot())
             } else {
@@ -2316,20 +1862,9 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
     };
 
     print!(
-        "{{\n  \"path\": {},\n  \"format_version\": {},\n  \"file_bytes\": {},\n  \
-         \"sections\": [{}],\n  \"regions\": [{}],\n  \"artifacts\": [{}],\n  \
-         \"dataset\": {dataset},\n  \"roles\": {roles},\n  \"engine\": {engine_json},\n  \
-         \"durability\": {durability}\n}}\n",
-        json_str(path),
-        info.version,
-        info.file_len,
-        sections.join(", "),
+        "{{\n{head},\n  \"regions\": [{}],\n  \"roles\": {roles},\n  \
+         \"engine\": {engine_json},\n  \"durability\": {durability}\n}}\n",
         regions.join(", "),
-        artifacts
-            .iter()
-            .map(|a| json_str(a))
-            .collect::<Vec<_>>()
-            .join(", "),
     );
     Ok(())
 }
@@ -2419,21 +1954,6 @@ fn run_probe(engine: &mut SdEngine, p: &ProbeOpts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Loads snapshot `path` as an engine for the observability probes (a
-/// WAL-backed snapshot replays its log first; an sd-index is promoted).
-fn load_probe_engine(path: &str, what: &str) -> Result<SdEngine, CliError> {
-    let mut snap = load_query_snapshot(path)?;
-    if let Some(engine) = snap.engine.take() {
-        return Ok(engine);
-    }
-    if let Some(sd) = snap.sd.take() {
-        return SdEngine::single(sd).map_err(runtime);
-    }
-    Err(runtime(format!(
-        "{what} needs an engine or sd-index snapshot (rebuild with --index sd)"
-    )))
-}
-
 fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
     let mut path: Option<&str> = None;
     let mut prometheus = false;
@@ -2458,7 +1978,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
     if slow_query_us > 0 {
         Telemetry::global().set_slow_query_micros(slow_query_us);
     }
-    let mut engine = load_probe_engine(path, "metrics")?;
+    let mut engine = open_engine(path, false)?;
     run_probe(&mut engine, &probe)?;
     let metrics = engine.metrics();
     if prometheus {
@@ -2640,7 +2160,7 @@ fn cmd_events(args: &[String]) -> Result<(), CliError> {
     if slow_query_us > 0 {
         Telemetry::global().set_slow_query_micros(slow_query_us);
     }
-    let mut engine = load_probe_engine(path, "events")?;
+    let mut engine = open_engine(path, false)?;
     // The engine records into this registry; holding the Arc lets the
     // journal be drained while the workload runs on another thread.
     let tel = Arc::clone(engine.metrics().telemetry());
@@ -2853,14 +2373,28 @@ fn event_fields_json(kind: &EventKind) -> String {
     }
 }
 
-/// The SoA block-table line `inspect` prints under an sd-index or engine
-/// artifact (aggregated `(blocks, bytes, stale trees)` — counted in
-/// `memory_bytes`, so the footprint report no longer undercounts the
-/// derived query-time state). `covered` is the total point count stored
-/// across all live block tables (each pair tree blocks every row it
-/// covers, so a 2-pair index over n rows packs 2·n points into lanes);
-/// the fill factor reports how full the fixed-capacity lanes are.
-fn print_block_stats(indent: &str, covered: usize, (blocks, bytes, stale): (usize, usize, usize)) {
+/// The engine's SoA block tables, summed over its shards: `(blocks, bytes,
+/// stale trees, covered)`, the last being the total point count stored
+/// across all live tables (each non-stale pair tree blocks every row its
+/// shard covers, so a 2-pair index over n rows packs 2·n points into lanes).
+fn block_stats(engine: &SdEngine) -> (usize, usize, usize, usize) {
+    engine.shards().iter().fold((0, 0, 0, 0), |sum, sd| {
+        let (blocks, bytes, stale) = sd.block_stats();
+        let covered = sd.data().len() * sd.pairs().len().saturating_sub(stale);
+        (
+            sum.0 + blocks,
+            sum.1 + bytes,
+            sum.2 + stale,
+            sum.3 + covered,
+        )
+    })
+}
+
+/// The block-table line `inspect` prints under the engine (counted in
+/// `memory_bytes`); the fill factor reports how full the fixed-capacity
+/// lanes are.
+fn print_block_stats(engine: &SdEngine) {
+    let (blocks, bytes, stale, covered) = block_stats(engine);
     let lanes = sdq_core::kernels::LANES;
     let fill = if blocks > 0 {
         format!(
@@ -2872,7 +2406,7 @@ fn print_block_stats(indent: &str, covered: usize, (blocks, bytes, stale): (usiz
         String::new()
     };
     println!(
-        "{indent}block tables: {blocks} SoA leaf block(s) × {lanes} lanes, ≈{} KiB{}{fill}",
+        "    block tables: {blocks} SoA leaf block(s) × {lanes} lanes, ≈{} KiB{}{fill}",
         bytes / 1024,
         if stale > 0 {
             format!(" ({stale} stale tree(s))")
@@ -2882,30 +2416,13 @@ fn print_block_stats(indent: &str, covered: usize, (blocks, bytes, stale): (usiz
     );
 }
 
-/// Total points packed into live SoA block tables across one or more
-/// sd-indexes: every non-stale pair tree blocks all the rows its index
-/// covers. The numerator of the `inspect` fill factor.
-fn blocks_covered<'a>(indexes: impl Iterator<Item = &'a SdIndex>) -> usize {
-    indexes
-        .map(|sd| {
-            let (_, _, stale) = sd.block_stats();
-            sd.data().len() * sd.pairs().len().saturating_sub(stale)
-        })
-        .sum()
-}
-
-/// A unit-weight probe query at the per-dimension mean of one or more
-/// datasets (the engine's rows live inside its shard indexes, so the mean
-/// sums across them). The planner sample `sdq inspect` reports against.
-fn mean_query<'a>(
-    datasets: impl Iterator<Item = &'a Dataset>,
-) -> Result<SdQuery, sdq_core::SdError> {
-    let mut mean: Vec<f64> = Vec::new();
+/// A unit-weight probe query at the per-dimension mean of the engine's base
+/// rows (they live inside its shard indexes, so the mean sums across them).
+/// The planner sample `sdq inspect` reports against.
+fn mean_query(engine: &SdEngine) -> Result<SdQuery, sdq_core::SdError> {
+    let mut mean = vec![0.0; engine.dims()];
     let mut counted = 0usize;
-    for data in datasets {
-        if mean.is_empty() {
-            mean = vec![0.0; data.dims()];
-        }
+    for data in engine.shards().iter().map(|s| s.data()) {
         for (_, coords) in data.iter() {
             for (m, &c) in mean.iter_mut().zip(coords) {
                 *m += c;
@@ -2942,17 +2459,17 @@ fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
 
     // First load is reported separately: a fresh process pays OS page
     // faults for the whole working set, later loads reuse the heap — so
-    // the previous snapshot (and the file-sized buffer it pins) goes back
+    // the previous engine (and the file-sized buffer it pins) goes back
     // to the allocator before the next load starts.
     let mut load_ms = Vec::with_capacity(iters);
-    let mut snap = None;
+    let mut owned = None;
     for _ in 0..iters {
-        drop(snap.take());
-        let (s, ms) = timed(|| Snapshot::load(path));
-        snap = Some(s.map_err(runtime)?);
+        drop(owned.take());
+        let (e, ms) = timed(|| open_engine(path, false));
+        owned = Some(e?);
         load_ms.push(ms);
     }
-    let snap = snap.expect("at least one iteration ran");
+    let owned = owned.expect("at least one iteration ran");
     let cold = load_ms[0];
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     let mib = bytes as f64 / (1024.0 * 1024.0);
@@ -2974,195 +2491,108 @@ fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
     // own buffer and verifies every region and content check before it can
     // serve, the mapped path reads metadata only and pays lazy checksums
     // for just the regions the first query touches.
-    let sample = if let Some(e) = &snap.engine {
-        Some(mean_query(e.shards().iter().map(|s| s.data())).map_err(runtime)?)
-    } else {
-        snap.sd
-            .as_ref()
-            .map(|sd| mean_query(std::iter::once(sd.data())))
-            .transpose()
-            .map_err(runtime)?
-    };
-    if let Some(query) = &sample {
-        let k = DEFAULT_K;
-        let (m, open_ms) = timed(|| Snapshot::open_mapped(path));
-        let m = m.map_err(runtime)?;
-        // What `load` adds over a mapped open, isolated: every checksum.
-        let (verified, verify_all_ms) =
-            timed(|| Snapshot::open_mapped(path).and_then(|v| v.verify_all()));
-        verified.map_err(runtime)?;
-        let (mapped_first, mapped_fq_ms) = timed(|| bench_query_once(&m.snapshot, query, k));
-        let mapped_first = mapped_first?;
-        let (owned_first, owned_fq_ms) = timed(|| bench_query_once(&snap, query, k));
-        let owned_first = owned_first?;
-        if mapped_first != owned_first {
-            return Err(runtime(
-                "mapped and loaded snapshots answered the same query differently",
-            ));
-        }
-        let owned_cold = cold + owned_fq_ms;
-        let mapped_cold = open_ms + mapped_fq_ms;
-        println!(
-            "cold start to first answer (k = {k}): load {owned_cold:.2} ms \
-             (read + verify {cold:.2} + query {owned_fq_ms:.2}), mapped {mapped_cold:.2} ms \
-             (open {open_ms:.2} + first query {mapped_fq_ms:.2}) — {:.1}× faster; \
-             mapped open + verify_all {verify_all_ms:.2} ms",
-            owned_cold / mapped_cold
-        );
-        // Steady state: same query, scratch-free `query()` on both
-        // sides, nearest-rank p50 over the sample count.
-        const WARM_RUNS: usize = 64;
-        let mut owned_lat = Vec::with_capacity(WARM_RUNS);
-        let mut mapped_lat = Vec::with_capacity(WARM_RUNS);
-        for _ in 0..WARM_RUNS {
-            let (r, ms) = timed(|| bench_query_once(&snap, query, k));
-            r?;
-            owned_lat.push(ms);
-            let (r, ms) = timed(|| bench_query_once(&m.snapshot, query, k));
-            r?;
-            mapped_lat.push(ms);
-        }
-        let owned_p50 = percentile(&mut owned_lat, 50.0);
-        let mapped_p50 = percentile(&mut mapped_lat, 50.0);
-        println!(
-            "warm query p50: loaded {owned_p50:.4} ms, mapped {mapped_p50:.4} ms \
-             ({:+.1}%)",
-            100.0 * (mapped_p50 - owned_p50) / owned_p50
-        );
-        if let Some(out) = &json_out {
-            let entry = format!(
-                "{{\"file_bytes\": {bytes}, \"format_version\": {}, \
-                 \"owned_decode_ms\": {cold:.3}, \"owned_decode_warm_ms\": {warm:.3}, \
-                 \"owned_first_query_ms\": {owned_fq_ms:.3}, \
-                 \"mapped_open_ms\": {open_ms:.3}, \"mapped_first_query_ms\": {mapped_fq_ms:.3}, \
-                 \"owned_cold_ms\": {owned_cold:.3}, \"mapped_cold_ms\": {mapped_cold:.3}, \
-                 \"verify_all_ms\": {verify_all_ms:.3}, \"cold_speedup\": {:.1}, \
-                 \"owned_warm_p50_ms\": {owned_p50:.4}, \"mapped_warm_p50_ms\": {mapped_p50:.4}}}",
-                sdq_store::FORMAT_VERSION,
-                owned_cold / mapped_cold
-            );
-            merge_cold_start(out, &entry)?;
-            println!("merged cold_start into {out}");
-        }
-    } else if json_out.is_some() {
+    let query = &mean_query(&owned).map_err(runtime)?;
+    let k = DEFAULT_K;
+    let (mapped, open_ms) = timed(|| open_engine(path, true));
+    let mapped = mapped?;
+    // What `load` adds over a mapped open, isolated: every checksum.
+    let (verified, verify_all_ms) =
+        timed(|| Snapshot::open_mapped(path).and_then(|v| v.verify_all()));
+    verified.map_err(runtime)?;
+    let (mapped_first, mapped_fq_ms) = timed(|| mapped.query(query, k));
+    let (owned_first, owned_fq_ms) = timed(|| owned.query(query, k));
+    if mapped_first.map_err(runtime)? != owned_first.map_err(runtime)? {
         return Err(runtime(
-            "--json-out: the snapshot holds no engine or sd-index to time a query against",
+            "mapped and loaded snapshots answered the same query differently",
         ));
     }
-
-    // Rebuild every index kind the snapshot actually holds, for an
-    // apples-to-apples comparison.
-    let (Some(data), Some(roles)) = (&snap.dataset, &snap.roles) else {
-        println!("rebuild: skipped (snapshot stores no raw dataset + roles)");
-        return Ok(());
-    };
-    let mut total_rebuild = 0.0;
-    if snap.sd.is_some() {
-        let mut ms_all = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let (index, ms) = timed(|| SdIndex::build(data.clone(), roles));
-            index.map_err(runtime)?;
-            ms_all.push(ms);
-        }
-        let med = median(&mut ms_all);
-        total_rebuild += med;
-        println!("rebuild sd-index: median {med:.1} ms");
+    let owned_cold = cold + owned_fq_ms;
+    let mapped_cold = open_ms + mapped_fq_ms;
+    println!(
+        "cold start to first answer (k = {k}): load {owned_cold:.2} ms \
+         (read + verify {cold:.2} + query {owned_fq_ms:.2}), mapped {mapped_cold:.2} ms \
+         (open {open_ms:.2} + first query {mapped_fq_ms:.2}) — {:.1}× faster; \
+         mapped open + verify_all {verify_all_ms:.2} ms",
+        owned_cold / mapped_cold
+    );
+    // Steady state: same query, scratch-free `query()` on both
+    // sides, nearest-rank p50 over the sample count.
+    const WARM_RUNS: usize = 64;
+    let mut owned_lat = Vec::with_capacity(WARM_RUNS);
+    let mut mapped_lat = Vec::with_capacity(WARM_RUNS);
+    for _ in 0..WARM_RUNS {
+        let (r, ms) = timed(|| owned.query(query, k));
+        r.map_err(runtime)?;
+        owned_lat.push(ms);
+        let (r, ms) = timed(|| mapped.query(query, k));
+        r.map_err(runtime)?;
+        mapped_lat.push(ms);
     }
-    let axes = two_dim_axes(roles).ok();
-    if let (Some(tk), Some((x, y))) = (&snap.topk, axes) {
-        let pts: Vec<(f64, f64)> = data.iter().map(|(_, c)| (c[x], c[y])).collect();
-        let angles = tk.angles().to_vec();
-        let branching = tk.branching();
-        let mut ms_all = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let (index, ms) = timed(|| TopKIndex::build_with(&pts, &angles, branching));
-            index.map_err(runtime)?;
-            ms_all.push(ms);
-        }
-        let med = median(&mut ms_all);
-        total_rebuild += med;
-        println!("rebuild topk-index: median {med:.1} ms");
-    }
-    if let (Some(t1), Some((x, y))) = (&snap.top1, axes) {
-        let pts: Vec<(f64, f64)> = data.iter().map(|(_, c)| (c[x], c[y])).collect();
-        let (alpha, beta) = t1.weights();
-        let k = t1.k();
-        // top1 construction can be seconds at scale: one timed build.
-        let (index, ms) = timed(|| Top1Index::build(&pts, alpha, beta, k));
-        index.map_err(runtime)?;
-        total_rebuild += ms;
-        println!("rebuild top1-index: {ms:.1} ms (single run)");
-    }
-    if snap.rstar.is_some() {
-        let mut ms_all = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let (_, ms) = timed(|| RStarTree::bulk_load(data.dims(), data.flat(), 16));
-            ms_all.push(ms);
-        }
-        let med = median(&mut ms_all);
-        total_rebuild += med;
-        println!("rebuild rstar-tree: median {med:.1} ms");
-    }
-    if total_rebuild > 0.0 {
-        println!(
-            "speedup: {:.1}× cold, {:.1}× warm (rebuild {total_rebuild:.1} ms total)",
-            total_rebuild / cold,
-            total_rebuild / warm
+    let owned_p50 = percentile(&mut owned_lat, 50.0);
+    let mapped_p50 = percentile(&mut mapped_lat, 50.0);
+    println!(
+        "warm query p50: loaded {owned_p50:.4} ms, mapped {mapped_p50:.4} ms \
+         ({:+.1}%)",
+        100.0 * (mapped_p50 - owned_p50) / owned_p50
+    );
+    if let Some(out) = &json_out {
+        let entry = format!(
+            "{{\"file_bytes\": {bytes}, \"format_version\": {}, \
+             \"owned_decode_ms\": {cold:.3}, \"owned_decode_warm_ms\": {warm:.3}, \
+             \"owned_first_query_ms\": {owned_fq_ms:.3}, \
+             \"mapped_open_ms\": {open_ms:.3}, \"mapped_first_query_ms\": {mapped_fq_ms:.3}, \
+             \"owned_cold_ms\": {owned_cold:.3}, \"mapped_cold_ms\": {mapped_cold:.3}, \
+             \"verify_all_ms\": {verify_all_ms:.3}, \"cold_speedup\": {:.1}, \
+             \"owned_warm_p50_ms\": {owned_p50:.4}, \"mapped_warm_p50_ms\": {mapped_p50:.4}}}",
+            sdq_store::FORMAT_VERSION,
+            owned_cold / mapped_cold
         );
+        merge_cold_start(out, &entry)?;
+        println!("merged cold_start into {out}");
     }
     Ok(())
 }
 
-/// Repeated serving measurement shared by the engine and sd-index paths of
-/// `sdq query`: one warm-up pass, `repeat` timed serial passes over the
-/// caller's reusable scratch (percentiles), then the parallel batch path
-/// for QPS. The answer is identical across repeats; one final *untimed*
-/// pass collects it (`collect = true`), so the timed region contains no
-/// answer copy — the same methodology as `bench-query`.
+/// `sdq query --repeat/--threads`: one warm-up pass, `repeat` timed serial
+/// passes over one reused scratch (percentiles; a fresh budget per pass —
+/// the deadline clock starts at construction), then the parallel batch
+/// path for QPS. The answer is identical across repeats; one final
+/// *untimed* pass collects it, so the timed region contains no answer copy
+/// — the same methodology as `bench-query`.
 fn serve_repeated(
-    label_prefix: &str,
+    engine: &SdEngine,
     query: &SdQuery,
+    k: usize,
     repeat: usize,
     threads: usize,
-    mut once: impl FnMut(&SdQuery, bool) -> Result<Option<Vec<ScoredPoint>>, CliError>,
-    batch: impl FnOnce(&[SdQuery]) -> Result<(), CliError>,
+    timeout_us: u64,
 ) -> Result<Vec<ScoredPoint>, CliError> {
-    once(query, false)?; // warm-up
+    let mut scratch = EngineScratch::new();
     let mut lat_ms = Vec::with_capacity(repeat);
-    for _ in 0..repeat {
-        let (r, ms) = timed(|| once(query, false));
-        r?;
-        lat_ms.push(ms);
+    for pass in 0..=repeat {
+        scratch.deadline = Deadline::within_micros(timeout_us);
+        let (r, ms) = timed(|| engine.query_with(query, k, &mut scratch).map(|_| ()));
+        r.map_err(runtime)?;
+        if pass > 0 {
+            lat_ms.push(ms); // pass 0 is the warm-up
+        }
     }
-    let answer = once(query, true)?.expect("collect pass returns the answer");
+    scratch.deadline = Deadline::within_micros(timeout_us);
+    let answer = engine
+        .query_with(query, k, &mut scratch)
+        .map_err(runtime)?
+        .to_vec();
     let batch_queries: Vec<SdQuery> = vec![query.clone(); repeat];
-    let (r, batch_ms) = timed(|| batch(&batch_queries));
-    r?;
+    let (r, batch_ms) = timed(|| engine.par_query_batch(&batch_queries, k, threads));
+    r.map_err(runtime)?;
     println!(
-        "{label_prefix} {repeat}: serial p50 {:.3} ms, p99 {:.3} ms; batch {threads} thread(s): {:.0} queries/s",
+        "engine ({} shards), repeat {repeat}: serial p50 {:.3} ms, p99 {:.3} ms; batch {threads} thread(s): {:.0} queries/s",
+        engine.shard_count(),
         percentile(&mut lat_ms, 50.0),
         percentile(&mut lat_ms, 99.0),
         repeat as f64 / (batch_ms / 1e3)
     );
     Ok(answer)
-}
-
-/// One top-k query against whichever queryable artifact the snapshot
-/// holds (engine preferred, then sd-index) — the bench-load probe.
-fn bench_query_once(
-    snap: &Snapshot,
-    query: &SdQuery,
-    k: usize,
-) -> Result<Vec<ScoredPoint>, CliError> {
-    if let Some(e) = &snap.engine {
-        return e.query(query, k).map_err(runtime);
-    }
-    if let Some(sd) = &snap.sd {
-        return sd.query(query, k).map_err(runtime);
-    }
-    Err(runtime(
-        "snapshot holds no engine or sd-index to query (rebuild with --index sd)",
-    ))
 }
 
 /// Merges a `cold_start` key into the bench JSON report (the file
@@ -3296,66 +2726,31 @@ fn cmd_bench_query(args: &[String]) -> Result<(), CliError> {
         return Err(usage("--mutate-frac must be in [0, 1)"));
     }
 
-    // Obtain the engine: the snapshot's own, a wrap of its sd-index, a
-    // re-shard of its dataset, or an ad-hoc synthetic build.
+    // Obtain the engine: the store's own, or an ad-hoc synthetic build.
     let (engine, source) = match (path, synthetic) {
         (Some(p), None) => {
-            let snap = Snapshot::load(p).map_err(runtime)?;
-            let engine = match snap.engine {
-                Some(e) => {
-                    // Silently ignoring a disagreeing --shards would label
-                    // the measurement with a layout it never ran.
-                    if shards_set && shards != e.shard_count() {
-                        return Err(usage(format!(
-                            "--shards {shards} disagrees with the snapshot's engine manifest \
-                             ({} shards); drop --shards or rebuild the snapshot",
-                            e.shard_count()
-                        )));
-                    }
-                    // An engine with uncompacted writes: the
-                    // numbers below would not be the pure-snapshot
-                    // baseline future PRs compare against.
-                    if e.has_mutations() {
-                        eprintln!(
-                            "warning: snapshot engine carries {} delta row(s) and {} \
-                             tombstone(s) — measurements include that write pressure \
-                             (run `sdq compact` first for a clean baseline)",
-                            e.delta_rows(),
-                            e.tombstone_count()
-                        );
-                    }
-                    e
-                }
-                None => match snap.sd {
-                    Some(sd) if shards == 1 => SdEngine::single(sd).map_err(runtime)?,
-                    _ => match (snap.dataset, snap.roles) {
-                        (Some(data), Some(roles)) => {
-                            let options = EngineOptions {
-                                shards,
-                                threads: 0,
-                                index: SdIndexOptions {
-                                    pairing: PairingStrategy::Arbitrary,
-                                    angles: angle_grid(angle_count)?,
-                                    branching,
-                                },
-                            };
-                            let (e, ms) = timed(|| SdEngine::build_with(data, &roles, &options));
-                            let e = e.map_err(runtime)?;
-                            println!(
-                                "sharded the snapshot dataset into {} shard(s) in {ms:.1} ms",
-                                e.shard_count()
-                            );
-                            e
-                        }
-                        _ => {
-                            return Err(runtime(
-                                "snapshot holds no engine, sd-index or dataset to bench",
-                            ))
-                        }
-                    },
-                },
-            };
-            (engine, format!("\"snapshot\": {}", json_str(p)))
+            let e = open_engine(p, false)?;
+            // Silently ignoring a disagreeing --shards would label the
+            // measurement with a layout it never ran.
+            if shards_set && shards != e.shard_count() {
+                return Err(usage(format!(
+                    "--shards {shards} disagrees with the snapshot's engine manifest \
+                     ({} shards); drop --shards or rebuild the snapshot",
+                    e.shard_count()
+                )));
+            }
+            // An engine with uncompacted writes: the numbers below would
+            // not be the pure-snapshot baseline future PRs compare against.
+            if e.has_mutations() {
+                eprintln!(
+                    "warning: snapshot engine carries {} delta row(s) and {} \
+                     tombstone(s) — measurements include that write pressure \
+                     (run `sdq compact` first for a clean baseline)",
+                    e.delta_rows(),
+                    e.tombstone_count()
+                );
+            }
+            (e, format!("\"snapshot\": {}", json_str(p)))
         }
         (None, Some(dist)) => {
             let roles_spec =
@@ -3721,14 +3116,6 @@ fn cpu_model() -> String {
         }
     }
     std::env::consts::ARCH.to_string()
-}
-
-/// SplitMix64 step: the deterministic victim-id stream of `--mutate-frac`.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Minimal JSON string escaping (quotes and backslashes).

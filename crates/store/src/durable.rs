@@ -639,9 +639,7 @@ impl<S: Storage> DurableEngine<S> {
     }
 
     /// Builds the snapshot a checkpoint writes: the engine, its roles and
-    /// the durability section. Stale sibling artifacts are deliberately
-    /// not carried — the engine is the only artifact the write path
-    /// maintains.
+    /// the durability section.
     fn checkpoint_snapshot(&self, generation: u64) -> Snapshot {
         let mut snap = Snapshot::new();
         snap.engine = Some(self.engine.clone());

@@ -467,8 +467,9 @@ fn injected(what: &str) -> io::Error {
 }
 
 /// SplitMix64 — the deterministic per-(crash point, tag) coin the crash
-/// image flips for "did this un-synced change reach disk?".
-fn splitmix64(mut x: u64) -> u64 {
+/// image flips for "did this un-synced change reach disk?", and the seeded
+/// stream behind the CLI's probe and stress workloads.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);

@@ -1,10 +1,12 @@
 //! # sdq-store
 //!
 //! The persistence subsystem of the SD-Query workspace: **build once, query
-//! many**. A [`Snapshot`] bundles any subset of the queryable artifacts —
-//! the raw [`Dataset`], its dimension roles, the §5 [`SdIndex`], a §4
-//! [`TopKIndex`], a §3 [`Top1Index`] and the R*-tree baseline — into one
+//! many**. A store is an engine: a [`Snapshot`] persists one [`SdEngine`]
+//! (S ≥ 1 shards plus its uncompacted writes), the dimension roles and the
+//! durability record that ties a checkpoint to its write-ahead log, as one
 //! versioned, checksummed binary file that restores without any rebuilding.
+//! (The library can also carry a standalone §4 [`TopKIndex`]; `sdq` never
+//! writes one.)
 //!
 //! ## File format (version 5 — the only one)
 //!
@@ -21,14 +23,16 @@
 //!               each starting on a 64-byte file offset (zero-padded gaps)
 //! ```
 //!
-//! A section is a dataset, the roles, one of the indexes, or a piece of
-//! the sharded engine: an `engine-manifest` (dimensionality, roles,
-//! per-shard row counts), one `engine-shard` per shard (the shard's
-//! [`SdIndex`], its ordinal in the table entry's `reserved` field), the
-//! uncompacted write state (`mutation-delta` rows, `mutation-tombstones`
-//! as the addressable row domain plus a sorted id list — both only when
-//! non-empty) and the `durability` section tying a checkpoint to its
-//! write-ahead log (see the [`durable`] module).
+//! A section is the `roles` (kind 2), a `topk-index` (4), or a piece of
+//! the engine: an `engine-manifest` (7: dimensionality, roles, per-shard
+//! row counts), one `engine-shard` per shard (8: the shard's [`SdIndex`],
+//! its ordinal in the table entry's `reserved` field), the uncompacted
+//! write state (`mutation-delta` rows, 9; `mutation-tombstones`, 10, as
+//! the addressable row domain plus a sorted id list — both only when
+//! non-empty) and the `durability` section (11) tying a checkpoint to its
+//! write-ahead log (see the [`durable`] module). Kinds 1, 3, 5 and 6
+//! (`dataset`, `sd-index`, `top1-index`, `rstar-tree`) are retired: the
+//! numbers stay reserved and a file that carries one is refused by name.
 //!
 //! Every payload is a stream of framed regions (see `sdq_core::codec`):
 //! small `[crc32c][len]` *metadata* regions verified eagerly at open, and
@@ -77,20 +81,21 @@
 //! ## Example
 //!
 //! ```
-//! use sdq_core::{Dataset, DimRole, SdQuery, multidim::SdIndex};
+//! use sdq_core::{Dataset, DimRole, SdQuery};
+//! use sdq_engine::SdEngine;
 //! use sdq_store::Snapshot;
 //!
 //! let data = Dataset::from_rows(2, &[vec![1.0, 9.0], vec![1.1, 2.0]]).unwrap();
 //! let roles = vec![DimRole::Attractive, DimRole::Repulsive];
-//! let index = SdIndex::build(data, &roles).unwrap();
+//! let engine = SdEngine::build(data, &roles).unwrap(); // one shard
 //!
 //! let mut snap = Snapshot::new();
-//! snap.sd = Some(index);
+//! snap.engine = Some(engine);
 //! let bytes = snap.to_bytes_v5().unwrap();
 //!
 //! let restored = Snapshot::from_bytes(&bytes).unwrap();
 //! let q = SdQuery::uniform_weights(vec![1.0, 2.0], &roles);
-//! let top = restored.sd.as_ref().unwrap().query(&q, 1).unwrap();
+//! let top = restored.engine.as_ref().unwrap().query(&q, 1).unwrap();
 //! assert_eq!(top[0].id.index(), 0);
 //! ```
 
@@ -107,11 +112,9 @@ use std::sync::Arc;
 use sdq_core::codec::{corrupt, Codec, Reader, Writer, REGION_ALIGN};
 use sdq_core::integrity::{crc32c, ensure_all};
 use sdq_core::multidim::SdIndex;
-use sdq_core::top1::Top1Index;
 use sdq_core::topk::TopKIndex;
 use sdq_core::{Dataset, DimRole, SdError, SectionIntegrity};
 use sdq_engine::SdEngine;
-use sdq_rstar::RStarTree;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use durable::{
@@ -148,18 +151,10 @@ const fn header_len(sections: usize) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum SectionKind {
-    /// A raw [`Dataset`].
-    Dataset = 1,
-    /// The dimension roles the indexes were built under.
+    /// The dimension roles the engine was built under.
     Roles = 2,
-    /// The §5 multi-dimensional [`SdIndex`].
-    SdIndex = 3,
-    /// A §4 2-D [`TopKIndex`].
+    /// A standalone §4 2-D [`TopKIndex`].
     TopKIndex = 4,
-    /// A §3 fixed-parameter [`Top1Index`].
-    Top1Index = 5,
-    /// The R*-tree baseline substrate.
-    RStarTree = 6,
     /// The sharded engine's manifest (dims, roles, shard row counts).
     EngineManifest = 7,
     /// One engine shard's [`SdIndex`]; the shard ordinal lives in the
@@ -179,12 +174,8 @@ pub enum SectionKind {
 impl SectionKind {
     fn from_u32(v: u32) -> Option<Self> {
         match v {
-            1 => Some(SectionKind::Dataset),
             2 => Some(SectionKind::Roles),
-            3 => Some(SectionKind::SdIndex),
             4 => Some(SectionKind::TopKIndex),
-            5 => Some(SectionKind::Top1Index),
-            6 => Some(SectionKind::RStarTree),
             7 => Some(SectionKind::EngineManifest),
             8 => Some(SectionKind::EngineShard),
             9 => Some(SectionKind::MutationDelta),
@@ -194,15 +185,25 @@ impl SectionKind {
         }
     }
 
+    /// The name a retired kind number carried when it was written: a store
+    /// holds one engine, so the monolithic, §3, R*-tree and raw-dataset
+    /// sections are no longer read. The numbers stay reserved; both readers
+    /// refuse such a file by this name and `sdq inspect` lists it.
+    pub fn retired_name(raw: u32) -> Option<&'static str> {
+        match raw {
+            1 => Some("dataset"),
+            3 => Some("sd-index"),
+            5 => Some("top1-index"),
+            6 => Some("rstar-tree"),
+            _ => None,
+        }
+    }
+
     /// Human-readable section name (used in errors and `sdq inspect`).
     pub fn name(self) -> &'static str {
         match self {
-            SectionKind::Dataset => "dataset",
             SectionKind::Roles => "roles",
-            SectionKind::SdIndex => "sd-index",
             SectionKind::TopKIndex => "topk-index",
-            SectionKind::Top1Index => "top1-index",
-            SectionKind::RStarTree => "rstar-tree",
             SectionKind::EngineManifest => "engine-manifest",
             SectionKind::EngineShard => "engine-shard",
             SectionKind::MutationDelta => "mutation-delta",
@@ -294,24 +295,17 @@ impl EngineManifest {
     }
 }
 
-/// Every queryable artifact a snapshot can persist. All slots optional; a
-/// snapshot stores whichever are `Some`.
+/// What a store persists: one engine, its roles and its durability record.
+/// All slots optional; a snapshot stores whichever are `Some`.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// The raw dataset (for workloads that rebuild or re-index later).
-    pub dataset: Option<Dataset>,
     /// Dimension roles, stored alongside so a query session needs no
     /// out-of-band knowledge.
     pub roles: Option<Vec<DimRole>>,
-    /// The §5 index (contains its own copy of the dataset).
-    pub sd: Option<SdIndex>,
-    /// A §4 2-D projection-bound tree.
+    /// A standalone §4 2-D projection-bound tree (never written by `sdq`).
     pub topk: Option<TopKIndex>,
-    /// A §3 fixed-`k`/fixed-weights index.
-    pub top1: Option<Top1Index>,
-    /// The R*-tree baseline.
-    pub rstar: Option<RStarTree>,
-    /// The sharded execution engine.
+    /// The execution engine: S ≥ 1 shards, each its own §5 index over its
+    /// rows, plus the uncompacted writes.
     pub engine: Option<SdEngine>,
     /// Durability metadata written by [`DurableEngine`] checkpoints.
     pub durability: Option<DurabilityInfo>,
@@ -373,25 +367,18 @@ impl Snapshot {
 
     /// `true` when no artifact is present.
     pub fn is_empty(&self) -> bool {
-        self.dataset.is_none()
-            && self.roles.is_none()
-            && self.sd.is_none()
+        self.roles.is_none()
             && self.topk.is_none()
-            && self.top1.is_none()
-            && self.rstar.is_none()
             && self.engine.is_none()
             && self.durability.is_none()
     }
 
     /// Verifies every lazily-checksummed region reachable from the
-    /// queryable artifacts (mapped §5 indexes, 2-D trees, engine shards).
+    /// queryable artifacts (a mapped 2-D tree, engine shards).
     /// A no-op on built or loaded snapshots. Called by
     /// [`Snapshot::to_bytes_v5`] so corrupt mapped bytes are never
     /// re-encoded under fresh checksums.
     pub fn verify_integrity(&self) -> Result<(), SdError> {
-        if let Some(sd) = &self.sd {
-            sd.verify_integrity()?;
-        }
         if let Some(t) = &self.topk {
             t.verify_integrity()?;
         }
@@ -419,23 +406,11 @@ impl Snapshot {
         let mut push = |kind: SectionKind, reserved: u32, payload: Vec<u8>| {
             sections.push((kind as u32, reserved, payload));
         };
-        if let Some(d) = &self.dataset {
-            push(SectionKind::Dataset, 0, regions(|w| d.encode(w)));
-        }
         if let Some(r) = &self.roles {
             push(SectionKind::Roles, 0, wrapped(|w| r.encode(w)));
         }
-        if let Some(i) = &self.sd {
-            push(SectionKind::SdIndex, 0, regions(|w| i.encode(w)));
-        }
         if let Some(i) = &self.topk {
             push(SectionKind::TopKIndex, 0, regions(|w| i.encode(w)));
-        }
-        if let Some(i) = &self.top1 {
-            push(SectionKind::Top1Index, 0, wrapped(|w| i.encode(w)));
-        }
-        if let Some(t) = &self.rstar {
-            push(SectionKind::RStarTree, 0, wrapped(|w| t.encode(w)));
         }
         if let Some(e) = &self.engine {
             push(
@@ -707,9 +682,17 @@ impl Snapshot {
         let mut tombstones: Option<(u64, Vec<u32>)> = None;
         let mut seen = 0u32;
         for entry in entries {
+            let Some(kind) = SectionKind::from_u32(entry.raw_kind) else {
+                return Err(match SectionKind::retired_name(entry.raw_kind) {
+                    Some(name) => corrupt(format!(
+                        "section kind {} ({name}) was retired: a store holds one engine; \
+                         rebuild it with `sdq build`",
+                        entry.raw_kind
+                    )),
+                    None => corrupt(format!("unknown section kind {}", entry.raw_kind)),
+                });
+            };
             let payload = Self::section_slice(bytes, entry)?;
-            let kind = SectionKind::from_u32(entry.raw_kind)
-                .ok_or_else(|| corrupt(format!("unknown section kind {}", entry.raw_kind)))?;
             // Every kind but the per-shard one fills a single slot; a
             // second copy must not silently replace the first.
             if kind != SectionKind::EngineShard {
@@ -736,18 +719,10 @@ impl Snapshot {
                 )
             };
             match kind {
-                SectionKind::Dataset => snap.dataset = Some(Dataset::decode(&mut r)?),
                 SectionKind::Roles => {
                     snap.roles = Some(r.meta_region("meta", Vec::<DimRole>::decode)?)
                 }
-                SectionKind::SdIndex => snap.sd = Some(SdIndex::decode(&mut r)?),
                 SectionKind::TopKIndex => snap.topk = Some(TopKIndex::decode(&mut r)?),
-                SectionKind::Top1Index => {
-                    snap.top1 = Some(r.meta_region("meta", Top1Index::decode)?)
-                }
-                SectionKind::RStarTree => {
-                    snap.rstar = Some(r.meta_region("meta", RStarTree::decode)?)
-                }
                 SectionKind::EngineManifest => {
                     manifest = Some(r.meta_region("meta", EngineManifest::decode)?)
                 }
@@ -784,12 +759,6 @@ impl Snapshot {
         if eager {
             // Every checksum above has passed; now the checks that read
             // array contents, after which nothing stays lazy.
-            if let Some(d) = &mut snap.dataset {
-                d.verify_decoded()?;
-            }
-            if let Some(sd) = &mut snap.sd {
-                sd.verify_decoded()?;
-            }
             if let Some(t) = &mut snap.topk {
                 t.verify_decoded()?;
             }
@@ -982,6 +951,17 @@ impl MappedSnapshot {
     }
 }
 
+/// Renders roles as the `a`/`r` string [`parse_roles`] reads.
+pub fn format_roles(roles: &[DimRole]) -> String {
+    roles
+        .iter()
+        .map(|role| match role {
+            DimRole::Attractive => 'a',
+            DimRole::Repulsive => 'r',
+        })
+        .collect()
+}
+
 /// Parses a roles string like `"ar"` / `"rraa"` (`a` = attractive, `r` =
 /// repulsive) — the CLI and test shorthand.
 pub fn parse_roles(spec: &str) -> Result<Vec<DimRole>, SdError> {
@@ -1013,17 +993,14 @@ mod tests {
         SdIndex::build(data, &roles).unwrap()
     }
 
-    /// A full snapshot whose engine carries uncompacted mutations — the
-    /// byte-flip/truncation sweeps below therefore cover the mutation
-    /// sections.
+    /// A full snapshot (roles, a standalone 2-D tree, a two-shard engine)
+    /// whose engine carries uncompacted mutations — the byte-flip/truncation
+    /// sweeps below therefore cover the mutation sections.
     fn sample_snapshot() -> Snapshot {
         let mut snap = Snapshot::new();
         let sd = sample_sd();
-        snap.dataset = Some(sd.data().clone());
         snap.roles = Some(sd.roles().to_vec());
         snap.topk = Some(TopKIndex::build(&[(0.0, 1.0), (3.0, -2.0), (5.5, 4.0)]).unwrap());
-        snap.top1 = Some(Top1Index::build(&[(0.0, 1.0), (3.0, -2.0)], 1.0, 1.0, 1).unwrap());
-        snap.rstar = Some(RStarTree::bulk_load(2, &[0.0, 1.0, 3.0, -2.0, 5.5, 4.0], 4));
         let mut engine = SdEngine::build_with(
             sd.data().clone(),
             sd.roles(),
@@ -1037,7 +1014,6 @@ mod tests {
         engine.insert(&[-0.2, 8.0, 1.0]).unwrap();
         engine.delete(sdq_core::PointId::new(3)).unwrap();
         snap.engine = Some(engine);
-        snap.sd = Some(sd);
         snap
     }
 
@@ -1059,10 +1035,6 @@ mod tests {
 
         let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], snap.roles.as_ref().unwrap());
         assert_eq!(
-            back.sd.as_ref().unwrap().query(&q, 5).unwrap(),
-            snap.sd.as_ref().unwrap().query(&q, 5).unwrap()
-        );
-        assert_eq!(
             back.topk
                 .as_ref()
                 .unwrap()
@@ -1074,11 +1046,6 @@ mod tests {
                 .query(1.0, 1.0, 1.0, 0.5, 2)
                 .unwrap()
         );
-        assert_eq!(
-            back.top1.as_ref().unwrap().query(0.0, 0.0),
-            snap.top1.as_ref().unwrap().query(0.0, 0.0)
-        );
-        assert_eq!(back.dataset, snap.dataset);
         assert_eq!(back.roles, snap.roles);
         let engine = back.engine.as_ref().unwrap();
         assert_eq!(engine.shard_count(), 2);
@@ -1288,9 +1255,9 @@ mod tests {
 
         let info = Snapshot::inspect(&path).unwrap();
         assert_eq!(info.version, FORMAT_VERSION);
-        // 6 plain sections + engine manifest + 2 shard sections + delta
+        // roles + topk + engine manifest + 2 shard sections + delta
         // + tombstones.
-        assert_eq!(info.sections.len(), 11);
+        assert_eq!(info.sections.len(), 7);
         assert!(info.sections.iter().all(|s| s.kind.is_some()));
 
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1302,7 +1269,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.sdq");
         let bytes = sample_snapshot().to_bytes_v5().unwrap();
-        let head = header_len(11) as usize;
+        let head = header_len(7) as usize;
         // Every prefix — through the fixed 16 bytes, the table, and on into
         // the payloads — gets from the file reader what the in-memory one
         // says; once the header and table are there, nothing past them is
@@ -1340,6 +1307,9 @@ mod tests {
             vec![DimRole::Attractive, DimRole::Repulsive]
         );
         assert!(parse_roles("ax").is_err());
+        for spec in ["", "a", "ra", "arra"] {
+            assert_eq!(format_roles(&parse_roles(spec).unwrap()), spec);
+        }
     }
 
     // ── owned vs zero-copy ──────────────────────────────────────────────
@@ -1348,10 +1318,6 @@ mod tests {
     fn queries_match(a: &Snapshot, b: &Snapshot) {
         let roles = b.roles.clone().unwrap();
         let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], &roles);
-        assert_eq!(
-            a.sd.as_ref().unwrap().query(&q, 5).unwrap(),
-            b.sd.as_ref().unwrap().query(&q, 5).unwrap()
-        );
         assert_eq!(
             a.topk
                 .as_ref()
@@ -1365,10 +1331,6 @@ mod tests {
                 .unwrap()
         );
         assert_eq!(
-            a.top1.as_ref().unwrap().query(0.0, 0.0),
-            b.top1.as_ref().unwrap().query(0.0, 0.0)
-        );
-        assert_eq!(
             a.engine.as_ref().unwrap().query(&q, 5).unwrap(),
             b.engine.as_ref().unwrap().query(&q, 5).unwrap()
         );
@@ -1380,13 +1342,13 @@ mod tests {
         let bytes = snap.to_bytes_v5().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
         // Owned decode verifies everything eagerly; nothing stays mapped.
-        assert!(!back.sd.as_ref().unwrap().is_mapped());
+        assert!(!back.engine.as_ref().unwrap().shards()[0].is_mapped());
         queries_match(&back, &snap);
         assert_eq!(back.to_bytes_v5().unwrap(), bytes, "nondeterministic");
         // Layout discipline: 64-aligned payloads.
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         assert_eq!(info.version, FORMAT_VERSION);
-        assert_eq!(info.sections.len(), 11);
+        assert_eq!(info.sections.len(), 7);
         for s in &info.sections {
             assert_eq!(s.offset % REGION_ALIGN as u64, 0);
         }
@@ -1398,7 +1360,7 @@ mod tests {
         let bytes = snap.to_bytes_v5().unwrap();
         let m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
         assert!(!m.regions().is_empty());
-        assert!(m.snapshot.sd.as_ref().unwrap().is_mapped());
+        assert!(m.snapshot.engine.as_ref().unwrap().shards()[0].is_mapped());
         queries_match(&m.snapshot, &snap);
         m.verify_all().unwrap();
         // A mapped snapshot re-encodes to the identical file.
@@ -1415,7 +1377,7 @@ mod tests {
             "open should defer array checksums"
         );
         let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], snap.roles.as_ref().unwrap());
-        m.snapshot.sd.as_ref().unwrap().query(&q, 5).unwrap();
+        m.snapshot.engine.as_ref().unwrap().query(&q, 5).unwrap();
         assert!(m.regions().iter().any(|r| r.state() == CrcState::Verified));
         m.verify_all().unwrap();
         assert!(m.regions().iter().all(|r| r.state() == CrcState::Verified));
@@ -1640,20 +1602,21 @@ mod tests {
     #[test]
     fn one_format_is_pinned() {
         // With one format and no version ladder, a silent layout change has
-        // no other guard. `PAYLOAD_CRC` was computed over this same fixture
-        // by the last commit that still had the v1–v4 writers: no byte from
-        // the first section offset onward has moved since. (The fixture goes
-        // through `sin`/`cos`; a libm that rounds them differently moves the
-        // coordinates, not the layout.)
-        const PAYLOAD_CRC: u32 = 0x33be_03f2;
+        // no other guard. `PAYLOAD_CRC`, the first offset and the length were
+        // computed over this same fixture by the last commit that still had
+        // the dataset / sd-index / top1-index / rstar-tree slots, with those
+        // four left `None`: no byte an engine or a checkpoint writes has
+        // moved since. (The fixture goes through `sin`/`cos`; a libm that
+        // rounds them differently moves the coordinates, not the layout.)
+        const PAYLOAD_CRC: u32 = 0xa5fa_ed6c;
         let bytes = durable_snapshot().to_bytes_v5().unwrap();
         assert_eq!(bytes[8..12], 5u32.to_le_bytes());
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         let mut kinds: Vec<u32> = info.sections.iter().map(|s| s.raw_kind).collect();
         kinds.dedup();
-        assert_eq!(kinds, (1..=11).collect::<Vec<u32>>(), "every section kind");
+        assert_eq!(kinds, [2, 4, 7, 8, 9, 10, 11], "every section kind");
         let first = info.sections[0].offset as usize;
-        assert_eq!((first, bytes.len()), (384, 17116));
+        assert_eq!((first, bytes.len()), (256, 10460));
         assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
         // Deterministic through both readers.
         let owned = Snapshot::from_bytes(&bytes).unwrap();
@@ -1878,5 +1841,44 @@ mod tests {
             (info.sections[0].kind, info.sections[0].raw_kind),
             (None, 99)
         );
+    }
+
+    /// A production-framed file whose first section is relabelled as retired
+    /// kind `raw`: both readers must refuse it by `name`, before decoding a
+    /// byte of it, while the header-only reader still lists the table.
+    fn assert_retired_kind_refused(raw: u32, name: &str) {
+        assert_eq!(SectionKind::retired_name(raw), Some(name));
+        let mut bytes = Snapshot::frame(&sample_snapshot().sections());
+        bytes[16..20].copy_from_slice(&raw.to_le_bytes());
+        resign_table(&mut bytes);
+        assert_refused(
+            &bytes,
+            &format!("section kind {raw} ({name}) was retired: a store holds one engine"),
+        );
+        let info = Snapshot::inspect_bytes(&bytes).unwrap();
+        assert_eq!(
+            (info.sections[0].kind, info.sections[0].raw_kind),
+            (None, raw)
+        );
+    }
+
+    #[test]
+    fn retired_dataset_section_is_refused_by_name() {
+        assert_retired_kind_refused(1, "dataset");
+    }
+
+    #[test]
+    fn retired_sd_index_section_is_refused_by_name() {
+        assert_retired_kind_refused(3, "sd-index");
+    }
+
+    #[test]
+    fn retired_top1_index_section_is_refused_by_name() {
+        assert_retired_kind_refused(5, "top1-index");
+    }
+
+    #[test]
+    fn retired_rstar_tree_section_is_refused_by_name() {
+        assert_retired_kind_refused(6, "rstar-tree");
     }
 }

@@ -1,18 +1,31 @@
 //! End-to-end test of the `sdq` binary: `build` then `query` on a synthetic
 //! dataset must return exactly the same top-k (ids and scores) as the
-//! in-memory `SdIndex::build` path — the acceptance criterion of the
-//! build-once/query-many workflow.
+//! in-memory engine and the sequential scan — the acceptance criterion of
+//! the build-once/query-many workflow.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use sdq_core::multidim::SdIndex;
-use sdq_core::SdQuery;
+use sdq_core::score::rank_cmp;
+use sdq_core::{sd_score, Dataset, DimRole, ScoredPoint, SdQuery};
 use sdq_data::{generate, Distribution};
-use sdq_store::parse_roles;
+use sdq_engine::SdEngine;
+use sdq_store::{parse_roles, Snapshot};
 
 fn sdq() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sdq"))
+}
+
+/// The sequential-scan oracle: every row scored, best k by `rank_cmp`.
+fn seq_scan(data: &Dataset, roles: &[DimRole], q: &SdQuery, k: usize) -> Vec<ScoredPoint> {
+    let mut all: Vec<ScoredPoint> = data
+        .iter()
+        .map(|(id, c)| ScoredPoint::new(id, sd_score(c, &q.point, roles, &q.weights)))
+        .collect();
+    all.sort_by(rank_cmp);
+    all.truncate(k);
+    all
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -47,12 +60,38 @@ fn build_then_query_matches_in_memory_index() {
         .expect("spawn sdq build");
     assert!(status.success(), "sdq build failed");
 
-    // The same workload in memory.
-    let data = generate(Distribution::Uniform, 5000, 4, 7);
+    // The default build is a one-shard engine file.
+    let out = sdq()
+        .args(["inspect", snap_path.to_str().unwrap(), "--json"])
+        .output()
+        .expect("spawn sdq inspect --json");
+    assert!(out.status.success());
+    let json = String::from_utf8(out.stdout).unwrap();
+    assert!(json.contains("\"shards\": 1"), "{json}");
+    let kinds: Vec<&str> = json
+        .split("\"raw_kind\": ")
+        .skip(1)
+        .map(|rest| rest.split(',').next().unwrap())
+        .collect();
+    assert_eq!(
+        kinds,
+        ["2", "7", "8"],
+        "roles + manifest + one shard\n{json}"
+    );
+
+    // The same workload in memory: the engine and the scan agree, and the
+    // CLI must print what they answer.
+    let data = std::sync::Arc::new(generate(Distribution::Uniform, 5000, 4, 7));
     let roles = parse_roles("arra").unwrap();
-    let index = SdIndex::build(data, &roles).unwrap();
     let query = SdQuery::new(vec![0.5, 0.25, 0.75, 0.5], vec![1.0, 2.0, 0.5, 1.0]).unwrap();
-    let want = index.query(&query, 7).unwrap();
+    let want = seq_scan(&data, &roles, &query, 7);
+    assert_eq!(
+        SdEngine::build(data, &roles)
+            .unwrap()
+            .query(&query, 7)
+            .unwrap(),
+        want
+    );
 
     let output = sdq()
         .args([
@@ -69,27 +108,7 @@ fn build_then_query_matches_in_memory_index() {
         .expect("spawn sdq query");
     assert!(output.status.success(), "sdq query failed");
     let stdout = String::from_utf8(output.stdout).expect("utf8 stdout");
-
-    // Parse the result table: lines "  rank  pN  score".
-    let mut got: Vec<(usize, f64)> = Vec::new();
-    for line in stdout.lines() {
-        let cells: Vec<&str> = line.split_whitespace().collect();
-        if cells.len() == 3 && cells[1].starts_with('p') {
-            if let (Ok(id), Ok(score)) = (cells[1][1..].parse(), cells[2].parse()) {
-                got.push((id, score));
-            }
-        }
-    }
-    assert_eq!(got.len(), want.len(), "result count differs\n{stdout}");
-    for ((gid, gscore), w) in got.iter().zip(&want) {
-        assert_eq!(*gid, w.id.index(), "ids diverge\n{stdout}");
-        // The CLI prints 6 decimal places; compare at that precision.
-        assert!(
-            (gscore - w.score).abs() < 1e-6 * (1.0 + w.score.abs()),
-            "scores diverge: {gscore} vs {}\n{stdout}",
-            w.score
-        );
-    }
+    assert_results_match(&stdout, &want);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -179,62 +198,57 @@ fn sharded_build_then_query_matches_in_memory_index() {
 
 #[test]
 fn topk_query_respects_stored_roles_order() {
-    // Regression: with roles "ra" (repulsive first) the topk-index is built
-    // over (x = attractive dim 1, y = repulsive dim 0); the query side must
-    // map the dataset-ordered --point through the stored roles rather than
-    // assuming attractive-first.
+    // Regression: with roles "ra" (repulsive first) the lone shard's direct
+    // 2-D search runs over (x = attractive dim 1, y = repulsive dim 0); the
+    // query side must map the dataset-ordered --point through the stored
+    // roles rather than assuming attractive-first.
     let dir = temp_dir("roles-ra");
-    let sd_path = dir.join("sd.sdq");
-    let tk_path = dir.join("tk.sdq");
-    for (path, index) in [(&sd_path, "sd"), (&tk_path, "topk")] {
-        let status = sdq()
-            .args([
-                "build",
-                "--synthetic",
-                "uniform",
-                "--n",
-                "300",
-                "--dims",
-                "2",
-                "--seed",
-                "11",
-                "--roles",
-                "ra",
-                "--index",
-                index,
-                "--out",
-            ])
-            .arg(path)
-            .status()
-            .expect("spawn sdq build");
-        assert!(status.success());
-    }
-    let run = |path: &std::path::Path| -> String {
-        let out = sdq()
-            .args([
-                "query",
-                path.to_str().unwrap(),
-                "--point",
-                "0.2,0.8",
-                "--k",
-                "5",
-            ])
-            .output()
-            .expect("spawn sdq query");
-        assert!(out.status.success());
-        let text = String::from_utf8(out.stdout).expect("utf8");
-        // Keep only the ranked rows (drop the load-time line, which varies).
-        text.lines()
-            .filter(|l| {
-                l.trim_start()
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_digit())
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(run(&sd_path), run(&tk_path), "topk axis mapping diverges");
+    let path = dir.join("ra.sdq");
+    let status = sdq()
+        .args([
+            "build",
+            "--synthetic",
+            "uniform",
+            "--n",
+            "300",
+            "--dims",
+            "2",
+            "--seed",
+            "11",
+            "--roles",
+            "ra",
+            "--out",
+        ])
+        .arg(&path)
+        .status()
+        .expect("spawn sdq build");
+    assert!(status.success());
+    let explain = sdq()
+        .args(["query", path.to_str().unwrap(), "--point", "0.2,0.8"])
+        .args(["--weights", "2,0.5", "--k", "5", "--explain"])
+        .output()
+        .expect("spawn sdq query --explain");
+    let explain = String::from_utf8(explain.stdout).unwrap();
+    assert!(explain.contains("direct "), "{explain}");
+
+    let out = sdq()
+        .args(["query", path.to_str().unwrap(), "--point", "0.2,0.8"])
+        .args(["--weights", "2,0.5", "--k", "5"])
+        .output()
+        .expect("spawn sdq query");
+    assert!(out.status.success());
+    let data = generate(Distribution::Uniform, 300, 2, 11);
+    let roles = parse_roles("ra").unwrap();
+    let query = SdQuery::new(vec![0.2, 0.8], vec![2.0, 0.5]).unwrap();
+    let want = seq_scan(&data, &roles, &query, 5);
+    assert_eq!(
+        SdEngine::build(data, &roles)
+            .unwrap()
+            .query(&query, 5)
+            .unwrap(),
+        want
+    );
+    assert_results_match(&String::from_utf8(out.stdout).unwrap(), &want);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -281,6 +295,142 @@ fn unknown_flags_and_corrupt_files_fail_cleanly() {
     assert!(stderr.contains("unknown flag \"--format\""), "{stderr}");
     assert!(!dir.join("never.sdq").exists());
 
+    // A store is an engine: the flags that picked another artifact are gone.
+    for flag in [
+        ["--index", "sd"],
+        ["--alpha", "1"],
+        ["--beta", "1"],
+        ["--k", "1"],
+    ] {
+        let output = sdq()
+            .args(["build", "--synthetic", "uniform", "--roles", "ar"])
+            .args(flag)
+            .arg("--out")
+            .arg(dir.join("never.sdq"))
+            .output()
+            .expect("spawn sdq");
+        assert_eq!(output.status.code(), Some(2), "{flag:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {:?}", flag[0])),
+            "{stderr}"
+        );
+        assert!(!dir.join("never.sdq").exists());
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same arguments write the same bytes, default and sharded alike.
+#[test]
+fn build_is_deterministic() {
+    let dir = temp_dir("deterministic");
+    for shards in ["1", "4"] {
+        let build = |name: &str| {
+            let path = dir.join(name);
+            let status = sdq()
+                .args(["build", "--synthetic", "anti", "--n", "2000", "--dims", "4"])
+                .args([
+                    "--seed", "3", "--roles", "arra", "--shards", shards, "--out",
+                ])
+                .arg(&path)
+                .status()
+                .expect("spawn sdq build");
+            assert!(status.success());
+            std::fs::read(&path).unwrap()
+        };
+        assert!(build("a.sdq") == build("b.sdq"), "--shards {shards}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A library-written file with no engine in it (roles + a standalone 2-D
+/// tree) has nothing `sdq` serves: one typed refusal, from every command
+/// that opens an engine.
+#[test]
+fn a_store_without_an_engine_is_refused() {
+    let dir = temp_dir("no-engine");
+    let path = dir.join("tk.sdq");
+    Snapshot {
+        roles: Some(parse_roles("ar").unwrap()),
+        topk: Some(sdq_core::topk::TopKIndex::build(&[(0.0, 1.0), (3.0, -2.0)]).unwrap()),
+        ..Snapshot::default()
+    }
+    .save_v5(&path)
+    .unwrap();
+    let p = path.to_str().unwrap();
+    for args in [
+        vec!["query", p, "--point", "0.5,0.5"],
+        vec!["query", p, "--point", "0.5,0.5", "--mapped"],
+        vec!["query", p, "--point", "0.5,0.5", "--repeat", "5"],
+        vec!["delete", p, "--ids", "0"],
+        vec!["metrics", p],
+        vec!["bench-load", p],
+        vec!["bench-query", p],
+    ] {
+        let out = sdq().args(&args).output().expect("spawn sdq");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("holds no engine — rebuild it with `sdq build`"),
+            "{args:?}: {stderr}"
+        );
+    }
+    // inspect still describes the file.
+    let out = sdq().args(["inspect", p]).output().expect("spawn sdq");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("topk-index"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A file that carries a section kind this build retired — what the
+/// previous default `sdq build` wrote — is refused by the kind's name by
+/// every command, never skipped; the header-only `inspect` still lists it.
+#[test]
+fn retired_section_kinds_are_refused_by_name() {
+    let dir = temp_dir("retired");
+    let path = build_wal_base(&dir);
+    let p = path.to_str().unwrap();
+    // Make it WAL-backed, so `recover` goes through the durable open.
+    let status = sdq()
+        .args(["compact", p, "--wal"])
+        .status()
+        .expect("spawn sdq compact --wal");
+    assert!(status.success());
+    // Relabel the first section (roles, kind 2) as the retired sd-index
+    // and re-sign the table: the layout stays production-valid.
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes[16..20], 2u32.to_le_bytes());
+    bytes[16..20].copy_from_slice(&3u32.to_le_bytes());
+    let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let table_end = 16 + 28 * n;
+    let crc = sdq_core::integrity::crc32c(&bytes[16..table_end]);
+    bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let refusal = "section kind 3 (sd-index) was retired: a store holds one engine; \
+                   rebuild it with `sdq build`";
+    for args in [
+        vec!["query", p, "--point", "0.5,0.5"],
+        vec!["query", p, "--point", "0.5,0.5", "--mapped"],
+        vec!["recover", p],
+        vec!["inspect", p],
+        vec!["inspect", p, "--json"],
+    ] {
+        let out = sdq().args(&args).output().expect("spawn sdq");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(refusal), "{args:?}: {stderr}");
+        if args[0] == "inspect" {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.contains("<retired: sd-index>"), "{args:?}: {stdout}");
+        }
+    }
+    let out = sdq().args(["scrub", p]).output().expect("spawn sdq scrub");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(refusal), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -372,7 +522,7 @@ fn repeat_and_bench_query_produce_throughput_numbers() {
         .expect("spawn sdq query");
     assert!(out.status.success(), "sdq query --repeat failed");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("repeat 20:"), "{stdout}");
+    assert!(stdout.contains("engine (1 shards), repeat 20:"), "{stdout}");
     assert!(stdout.contains("queries/s"), "{stdout}");
     assert!(stdout.contains("top-4:"), "{stdout}");
 
@@ -409,40 +559,6 @@ fn repeat_and_bench_query_produce_throughput_numbers() {
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
-
-    // --repeat on a snapshot without an sd-index is a usage error.
-    let tk_path = dir.join("tk.sdq");
-    let status = sdq()
-        .args([
-            "build",
-            "--synthetic",
-            "uniform",
-            "--n",
-            "300",
-            "--dims",
-            "2",
-            "--roles",
-            "ra",
-            "--index",
-            "topk",
-            "--out",
-        ])
-        .arg(&tk_path)
-        .status()
-        .expect("spawn sdq build");
-    assert!(status.success());
-    let out = sdq()
-        .args([
-            "query",
-            tk_path.to_str().unwrap(),
-            "--point",
-            "0.5,0.5",
-            "--repeat",
-            "5",
-        ])
-        .output()
-        .expect("spawn sdq query");
-    assert_eq!(out.status.code(), Some(2), "expected usage error");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -113,10 +113,11 @@ fn correlation_aware_pairing_agrees_with_oracle() {
 fn batch_parallel_query_agrees() {
     let data = Arc::new(generate(Distribution::AntiCorrelated, 600, 4, 19));
     let roles = roles_for(4, 2);
-    let sd = SdIndex::build(data, &roles).unwrap();
+    let sd = SdIndex::build(data.clone(), &roles).unwrap();
     let queries = uniform_queries(24, 4, 23);
     let sequential: Vec<_> = queries.iter().map(|q| sd.query(q, 5).unwrap()).collect();
-    let parallel = sd.par_query_batch(&queries, 5, 4).unwrap();
+    let engine = SdEngine::build(data, &roles).unwrap();
+    let parallel = engine.par_query_batch(&queries, 5, 4).unwrap();
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_equiv("par_query_batch", p, s, "");
     }

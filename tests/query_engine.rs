@@ -2,7 +2,6 @@
 //!
 //! * `query_with` on a dirty, reused [`QueryScratch`] is **bit-identical**
 //!   to a fresh `query` (same ids, same score bits) on every engine,
-//! * `par_query_batch` is bit-identical to the serial query loop,
 //! * one `SdIndex` shared immutably across 8 threads answers exactly like
 //!   the serial loop (concurrency smoke test).
 
@@ -107,30 +106,6 @@ proptest! {
             let fresh = topk.query(qx, qy, alpha, beta, k).unwrap();
             let reused = topk.query_with(qx, qy, alpha, beta, k, &mut scratch).unwrap();
             assert_bit_identical("TopKIndex", reused, &fresh)?;
-        }
-    }
-
-    // (b) The parallel batch path returns exactly the serial answers, in
-    // input order.
-    #[test]
-    fn par_query_batch_is_bit_identical_to_serial(
-        rows in vec(vec(coord(), 3), 1..60),
-        raw_queries in vec((vec(coord(), 3), vec(weight(), 3)), 1..12),
-        k in 1usize..8,
-        threads in 1usize..9,
-    ) {
-        let dims = 3;
-        let roles = [DimRole::Repulsive, DimRole::Attractive, DimRole::Repulsive];
-        let data = Dataset::from_rows(dims, &rows).unwrap();
-        let queries = build_queries(dims, &raw_queries);
-        let sd = SdIndex::build(data, &roles).unwrap();
-
-        let serial: Vec<Vec<ScoredPoint>> =
-            queries.iter().map(|q| sd.query(q, k).unwrap()).collect();
-        let parallel = sd.par_query_batch(&queries, k, threads).unwrap();
-        prop_assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_bit_identical("par_query_batch", p, s)?;
         }
     }
 }

@@ -9,11 +9,11 @@ use proptest::prelude::*;
 
 use sdq::core::integrity::crc32c;
 use sdq::core::multidim::SdIndex;
-use sdq::core::top1::Top1Index;
 use sdq::core::topk::TopKIndex;
 use sdq::engine::{EngineOptions, SdEngine};
 use sdq::store::{
-    wal, DiskStorage, DurableEngine, DurableOptions, Snapshot, FORMAT_VERSION, MAGIC,
+    wal, DiskStorage, DurabilityInfo, DurableEngine, DurableOptions, MappedBytes, Snapshot,
+    FORMAT_VERSION, MAGIC,
 };
 use sdq::{Dataset, DimRole, SdError, SdQuery};
 
@@ -70,24 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn top1_snapshot_queries_bit_identical(
-        pts in vec((coord(), coord()), 1..60),
-        queries in vec((coord(), coord()), 1..6),
-        alpha in weight(), beta in weight(),
-        k in 1usize..5,
-    ) {
-        prop_assume!(alpha > 0.0 || beta > 0.0);
-        let index = Top1Index::build(&pts, alpha, beta, k).unwrap();
-        let mut snap = Snapshot::new();
-        snap.top1 = Some(index.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes_v5().unwrap()).unwrap();
-        let restored = back.top1.unwrap();
-        for (qx, qy) in queries {
-            prop_assert_eq!(restored.query(qx, qy), index.query(qx, qy));
-        }
-    }
-
-    #[test]
     fn sd_snapshot_queries_bit_identical(
         rows in vec(vec(coord(), 3), 1..50),
         q in vec(coord(), 3),
@@ -99,16 +81,18 @@ proptest! {
             if rep_mask & (1 << d) != 0 { DimRole::Repulsive } else { DimRole::Attractive }
         }).collect();
         let data = Arc::new(Dataset::from_rows(3, &rows).unwrap());
-        let index = SdIndex::build(data, &roles).unwrap();
+        let index = SdIndex::build(data.clone(), &roles).unwrap();
         let mut snap = Snapshot::new();
-        snap.sd = Some(index.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes_v5().unwrap()).unwrap();
-        let restored = back.sd.unwrap();
+        snap.engine = Some(SdEngine::build(data, &roles).unwrap());
+        let bytes = snap.to_bytes_v5().unwrap();
         let query = SdQuery::new(q, w).unwrap();
-        prop_assert_eq!(
-            restored.query(&query, k).unwrap(),
-            index.query(&query, k).unwrap()
-        );
+        let want = index.query(&query, k).unwrap();
+        // A one-shard engine, loaded or mapped, answers like the built §5
+        // index: same ids, same score bits.
+        let loaded = Snapshot::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&loaded.engine.unwrap().query(&query, k).unwrap(), &want);
+        let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
+        prop_assert_eq!(&mapped.snapshot.engine.unwrap().query(&query, k).unwrap(), &want);
     }
 
     #[test]
@@ -118,9 +102,14 @@ proptest! {
         flip_bit in 0u8..8,
         cut in 0usize..10_000,
     ) {
-        let mut snap = Snapshot::new();
-        snap.topk = Some(TopKIndex::build(&pts).unwrap());
-        snap.top1 = Some(Top1Index::build(&pts, 1.0, 1.0, 2).unwrap());
+        let roles = vec![DimRole::Attractive, DimRole::Repulsive];
+        let rows: Vec<Vec<f64>> = pts.iter().map(|&(x, y)| vec![x, y]).collect();
+        let snap = Snapshot {
+            topk: Some(TopKIndex::build(&pts).unwrap()),
+            engine: Some(SdEngine::build(Dataset::from_rows(2, &rows).unwrap(), &roles).unwrap()),
+            roles: Some(roles),
+            durability: Some(DurabilityInfo { generation: 1, checkpoint_epoch: 0 }),
+        };
         let bytes = snap.to_bytes_v5().unwrap();
 
         // Any single-bit flip must be detected (magic, version, checksum or
@@ -141,7 +130,7 @@ proptest! {
 #[test]
 fn wrong_magic_and_future_version_are_typed() {
     let mut snap = Snapshot::new();
-    snap.dataset = Some(Dataset::from_rows(2, &[vec![1.0, 2.0]]).unwrap());
+    snap.roles = Some(vec![DimRole::Attractive, DimRole::Repulsive]);
     let bytes = snap.to_bytes_v5().unwrap();
     assert_eq!(&bytes[..8], &MAGIC);
 
@@ -183,15 +172,15 @@ fn snapshot_files_roundtrip_on_disk() {
     let index = SdIndex::build(data.clone(), &roles).unwrap();
 
     let mut snap = Snapshot::new();
-    snap.dataset = Some(data);
     snap.roles = Some(roles.clone());
-    snap.sd = Some(index.clone());
+    snap.engine = Some(SdEngine::build(data, &roles).unwrap());
     snap.save_v5(&path).unwrap();
 
     let back = Snapshot::load(&path).unwrap();
+    assert_eq!(back.roles.as_deref(), Some(&roles[..]));
     let q = SdQuery::uniform_weights(vec![1.0, 2.0], &roles);
     assert_eq!(
-        back.sd.unwrap().query(&q, 3).unwrap(),
+        back.engine.unwrap().query(&q, 3).unwrap(),
         index.query(&q, 3).unwrap()
     );
 

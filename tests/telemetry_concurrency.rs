@@ -119,11 +119,14 @@ fn histograms_and_journal_survive_concurrent_hammering() {
         let stop = Arc::clone(&stop);
         workers.push(thread::spawn(move || {
             let mut state = 0xBEEF ^ t;
-            let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) && rounds < 400 {
+            // At least one query each, however late this thread is
+            // scheduled: the final count check below depends on it.
+            for _ in 0..400 {
                 let q = random_query(&mut state);
                 engine.query(&q, 8).unwrap();
-                rounds += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
         }));
     }
