@@ -14,7 +14,7 @@
 //! monotone and runs constrained searches per region; the global bound
 //! search explores the same frontier (every constrained search is a
 //! best-first walk under the same per-region bound, merged here through
-//! one priority queue), which is the simplification noted in `DESIGN.md`.
+//! one priority queue) — a deliberate simplification of the baseline.
 //!
 //! Node capacities follow the paper's tuning: 28 / 16 / 12 / 9 for
 //! dimensionalities 2 / 4 / 6 / 8.

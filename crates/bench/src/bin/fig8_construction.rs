@@ -1,4 +1,4 @@
-//! Standalone runner for the `fig8_construction` experiment (see `DESIGN.md`).
+//! Standalone runner for the `fig8_construction` experiment.
 
 fn main() {
     let cfg = sdq_bench::Config::from_args();

@@ -1,4 +1,4 @@
-//! Standalone runner for the `fig8_insert` experiment (see `DESIGN.md`).
+//! Standalone runner for the `fig8_insert` experiment.
 
 fn main() {
     let cfg = sdq_bench::Config::from_args();

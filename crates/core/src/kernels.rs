@@ -80,9 +80,9 @@ unsafe impl crate::view::Pod for LaneBlock {}
 /// [`score_rows`], [`survivors`] and [`lane_filter`] have AVX2 arms and
 /// otherwise run the scalar loops (which the compiler autovectorizes at the
 /// x86-64 SSE2 baseline where it can). Every arm is bit-identical, so the
-/// level a report prints (`QueryProfile::isa`, the benchmark's `isa=`
-/// header, `sdq bench-query`'s `simd` key) is a performance label, never a
-/// results label.
+/// level a report prints (`QueryProfile::isa`, hence `sdq query
+/// --profile-json`'s `isa` key; the benchmark's `isa=` header) is a
+/// performance label, never a results label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
     /// Portable chunked-scalar loops (also the `SDQ_FORCE_SCALAR` path).
@@ -533,7 +533,12 @@ mod tests {
     use crate::score::{sd_score, DimRole};
     use rand::{Rng, SeedableRng};
 
+    /// `ACTIVE` is process-global: the tests that store to it take turns, or
+    /// the one that asserts on its value reads another's store.
+    static ISA_TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn with_each_isa(mut f: impl FnMut()) {
+        let _turn = ISA_TURN.lock().unwrap_or_else(|e| e.into_inner());
         // Scalar first, then whatever the host detects (AVX2 or SSE2).
         force_scalar(true);
         f();
@@ -735,6 +740,7 @@ mod tests {
 
     #[test]
     fn isa_reports_a_name_and_force_scalar_toggles() {
+        let _turn = ISA_TURN.lock().unwrap_or_else(|e| e.into_inner());
         force_scalar(true);
         assert_eq!(active(), Isa::Scalar);
         assert_eq!(active().name(), "scalar");

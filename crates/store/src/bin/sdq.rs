@@ -9,7 +9,6 @@
 //! sdq delete idx.sdq --ids 17,42
 //! sdq compact idx.sdq
 //! sdq inspect idx.sdq
-//! sdq bench-load idx.sdq
 //! ```
 
 use std::process::ExitCode;
@@ -56,11 +55,6 @@ USAGE:
               [--mutate N] [--compact] [--slow-query-us U] [--seed S]
     sdq events PATH [--json] [--follow] [--queries N] [--k K]
               [--mutate N] [--compact] [--slow-query-us U] [--seed S]
-    sdq bench-load PATH [--iters N] [--json-out FILE]
-    sdq bench-query (PATH | --synthetic DIST --n N --dims D --roles STR)
-              [--shards S] [--k K] [--queries Q] [--warmup N] [--threads LIST]
-              [--seed S] [--mutate-frac F] [--slow-query-us U]
-              [--timeout-us U] [--raw] [--out FILE]
 
 SUBCOMMANDS:
     build        Generate or load a dataset, build an S-shard engine over
@@ -107,14 +101,6 @@ SUBCOMMANDS:
                  journal itself (compactions, checkpoints, WAL rotations,
                  threshold crossings, slow queries). --follow streams
                  events while the probe workload runs on another thread.
-    bench-load   Time opening the store, and the cold start of load (one
-                 read, everything verified up front) against open_mapped
-                 (checksums on first touch) and open_mapped + verify_all
-                 (--json-out merges a cold_start key into the bench-query
-                 JSON report).
-    bench-query  Measure query latency percentiles and batch QPS against a
-                 store's engine (or an ad-hoc synthetic build) and write a
-                 machine-readable BENCH_queries.json.
 
 BUILD OPTIONS:
     --out PATH         Snapshot file to write (required).
@@ -203,42 +189,35 @@ OBSERVABILITY OPTIONS (metrics / events):
                        events: one JSON object per line).
     --follow           events: run the probe workload on a background
                        thread and stream events as they are journaled.
-
-BENCH-QUERY OPTIONS:
-    --shards S         Shard count for the measured engine (default 1).
-                       Errors when it disagrees with a snapshot's own
-                       engine manifest.
-    --mutate-frac F    After the clean measurement, insert ⌈F·n⌉ synthetic
-                       rows and tombstone ⌈F·n⌉ existing ones, re-measure
-                       single-query latency, and add a 'mutations' key to
-                       the JSON report (0 <= F < 1).
-    --k K              Result size (default 16).
-    --queries Q        Distinct uniform queries per measurement (default 256).
-    --warmup N         Warm-up queries discarded before timing (default: one
-                       full pass over the workload; 0 measures cold).
-    --threads LIST     Comma list of batch worker counts, 0 = auto
-                       (default 1,4,8).
-    --seed S           Query-workload seed (default 13).
-    --build-seed S     Synthetic dataset seed (default 42).
-    --raw              Also report percentiles computed from the sorted
-                       raw per-query samples (key single_query_ms_raw)
-                       next to the default histogram extraction.
-    --slow-query-us U  Journal timed queries at or above U microseconds;
-                       the report counts them under slow_queries.
-    --timeout-us U     Per-query deadline for the timed passes; deadline
-                       aborts count under deadline_hits in the report
-                       (0 = off, the default).
-    --out FILE         JSON report path (default BENCH_queries.json).
-    --synthetic/--n/--dims/--roles/--branching/--angles
-                       Build an ad-hoc engine instead of loading PATH.
 ";
 
 fn main() -> ExitCode {
+    // Rust starts a process with SIGPIPE ignored, so a reader that went away
+    // (`sdq inspect f.sdq | head -3`) turns the next `println!` into a panic
+    // with a backtrace; under the default disposition that write ends the
+    // process quietly instead, as it does for any other Unix filter.
+    // SAFETY: `signal(SIGPIPE = 13, SIG_DFL = 0)` installs no handler code,
+    // and runs before this process spawns a thread or writes a byte.
+    #[cfg(unix)]
+    unsafe {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        signal(13, 0);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(args) {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}");
+            // The subcommand's own entry of USAGE's first block, if it has one.
+            let cmd = args.first().map_or("", String::as_str);
+            let synopses = USAGE.split("\n\n").nth(1).unwrap_or("");
+            let mut entries = synopses.split("\n    sdq ").skip(1);
+            if let Some(own) = entries.find(|e| e.split(' ').next() == Some(cmd)) {
+                eprintln!("    sdq {own}");
+            }
+            eprintln!("see `sdq help`");
             ExitCode::from(2)
         }
         Err(CliError::Runtime(msg)) => {
@@ -250,7 +229,7 @@ fn main() -> ExitCode {
 }
 
 enum CliError {
-    /// Bad invocation: message + usage, exit code 2.
+    /// Bad invocation: message + the subcommand's synopsis, exit code 2.
     Usage(String),
     /// Valid invocation that failed: message only, exit code 1.
     Runtime(String),
@@ -268,7 +247,7 @@ fn runtime(msg: impl std::fmt::Display) -> CliError {
     CliError::Runtime(msg.to_string())
 }
 
-fn run(args: Vec<String>) -> Result<(), CliError> {
+fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err(usage("missing subcommand"));
     };
@@ -286,8 +265,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         "inspect" => cmd_inspect(rest),
         "metrics" => cmd_metrics(rest),
         "events" => cmd_events(rest),
-        "bench-load" => cmd_bench_load(rest),
-        "bench-query" => cmd_bench_query(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -340,8 +317,8 @@ fn parse_csv_list(raw: &str, what: &str) -> Result<Vec<f64>, CliError> {
         .collect()
 }
 
-/// The uniform indexed-angle grid over [0°, 90°] shared by `build` and
-/// `bench-query`; `count == 5` short-circuits to the library default.
+/// The uniform indexed-angle grid over [0°, 90°] that `build` indexes;
+/// `count == 5` short-circuits to the library default.
 fn angle_grid(count: usize) -> Result<Vec<Angle>, CliError> {
     if count < 2 {
         return Err(usage("--angles must be at least 2"));
@@ -411,6 +388,9 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     // Flag validation before the (possibly expensive) dataset acquisition.
     if shards == 0 {
         return Err(usage("--shards must be at least 1"));
+    }
+    if dims == 0 {
+        return Err(usage("--dims must be at least 1"));
     }
     let data = match (&csv, synthetic) {
         (Some(path), None) => read_csv_dataset(path)?,
@@ -2437,128 +2417,13 @@ fn mean_query(engine: &SdEngine) -> Result<SdQuery, sdq_core::SdError> {
     SdQuery::new(mean, vec![1.0; dims])
 }
 
-// ─── bench-load ─────────────────────────────────────────────────────────────
-
-fn cmd_bench_load(args: &[String]) -> Result<(), CliError> {
-    let mut path: Option<&str> = None;
-    let mut iters: usize = 5;
-    let mut json_out: Option<String> = None;
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--iters" => iters = flags.parsed("--iters")?,
-            "--json-out" => json_out = Some(flags.value("--json-out")?.to_string()),
-            other if !other.starts_with('-') && path.is_none() => path = Some(other),
-            other => return Err(usage(format!("unknown flag {other:?}"))),
-        }
-    }
-    let path = path.ok_or_else(|| usage("bench-load needs a snapshot path"))?;
-    if iters == 0 {
-        return Err(usage("--iters must be at least 1"));
-    }
-
-    // First load is reported separately: a fresh process pays OS page
-    // faults for the whole working set, later loads reuse the heap — so
-    // the previous engine (and the file-sized buffer it pins) goes back
-    // to the allocator before the next load starts.
-    let mut load_ms = Vec::with_capacity(iters);
-    let mut owned = None;
-    for _ in 0..iters {
-        drop(owned.take());
-        let (e, ms) = timed(|| open_engine(path, false));
-        owned = Some(e?);
-        load_ms.push(ms);
-    }
-    let owned = owned.expect("at least one iteration ran");
-    let cold = load_ms[0];
-    let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    let mib = bytes as f64 / (1024.0 * 1024.0);
-    let warm = if load_ms.len() > 1 {
-        median(&mut load_ms[1..])
-    } else {
-        cold
-    };
-    println!(
-        "load: cold {cold:.1} ms ({:.0} MiB/s), warm median {warm:.1} ms ({:.0} MiB/s) over {} runs",
-        mib / (cold / 1e3),
-        mib / (warm / 1e3),
-        iters
-    );
-
-    // ── cold start: load vs open_mapped ────────────────────────────────
-    // "Cold" here = time to the first answer in a fresh process. Both
-    // paths run the same in-place decode; `load` reads the file into its
-    // own buffer and verifies every region and content check before it can
-    // serve, the mapped path reads metadata only and pays lazy checksums
-    // for just the regions the first query touches.
-    let query = &mean_query(&owned).map_err(runtime)?;
-    let k = DEFAULT_K;
-    let (mapped, open_ms) = timed(|| open_engine(path, true));
-    let mapped = mapped?;
-    // What `load` adds over a mapped open, isolated: every checksum.
-    let (verified, verify_all_ms) =
-        timed(|| Snapshot::open_mapped(path).and_then(|v| v.verify_all()));
-    verified.map_err(runtime)?;
-    let (mapped_first, mapped_fq_ms) = timed(|| mapped.query(query, k));
-    let (owned_first, owned_fq_ms) = timed(|| owned.query(query, k));
-    if mapped_first.map_err(runtime)? != owned_first.map_err(runtime)? {
-        return Err(runtime(
-            "mapped and loaded snapshots answered the same query differently",
-        ));
-    }
-    let owned_cold = cold + owned_fq_ms;
-    let mapped_cold = open_ms + mapped_fq_ms;
-    println!(
-        "cold start to first answer (k = {k}): load {owned_cold:.2} ms \
-         (read + verify {cold:.2} + query {owned_fq_ms:.2}), mapped {mapped_cold:.2} ms \
-         (open {open_ms:.2} + first query {mapped_fq_ms:.2}) — {:.1}× faster; \
-         mapped open + verify_all {verify_all_ms:.2} ms",
-        owned_cold / mapped_cold
-    );
-    // Steady state: same query, scratch-free `query()` on both
-    // sides, nearest-rank p50 over the sample count.
-    const WARM_RUNS: usize = 64;
-    let mut owned_lat = Vec::with_capacity(WARM_RUNS);
-    let mut mapped_lat = Vec::with_capacity(WARM_RUNS);
-    for _ in 0..WARM_RUNS {
-        let (r, ms) = timed(|| owned.query(query, k));
-        r.map_err(runtime)?;
-        owned_lat.push(ms);
-        let (r, ms) = timed(|| mapped.query(query, k));
-        r.map_err(runtime)?;
-        mapped_lat.push(ms);
-    }
-    let owned_p50 = percentile(&mut owned_lat, 50.0);
-    let mapped_p50 = percentile(&mut mapped_lat, 50.0);
-    println!(
-        "warm query p50: loaded {owned_p50:.4} ms, mapped {mapped_p50:.4} ms \
-         ({:+.1}%)",
-        100.0 * (mapped_p50 - owned_p50) / owned_p50
-    );
-    if let Some(out) = &json_out {
-        let entry = format!(
-            "{{\"file_bytes\": {bytes}, \"format_version\": {}, \
-             \"owned_decode_ms\": {cold:.3}, \"owned_decode_warm_ms\": {warm:.3}, \
-             \"owned_first_query_ms\": {owned_fq_ms:.3}, \
-             \"mapped_open_ms\": {open_ms:.3}, \"mapped_first_query_ms\": {mapped_fq_ms:.3}, \
-             \"owned_cold_ms\": {owned_cold:.3}, \"mapped_cold_ms\": {mapped_cold:.3}, \
-             \"verify_all_ms\": {verify_all_ms:.3}, \"cold_speedup\": {:.1}, \
-             \"owned_warm_p50_ms\": {owned_p50:.4}, \"mapped_warm_p50_ms\": {mapped_p50:.4}}}",
-            sdq_store::FORMAT_VERSION,
-            owned_cold / mapped_cold
-        );
-        merge_cold_start(out, &entry)?;
-        println!("merged cold_start into {out}");
-    }
-    Ok(())
-}
+// ─── query --repeat ─────────────────────────────────────────────────────────
 
 /// `sdq query --repeat/--threads`: one warm-up pass, `repeat` timed serial
 /// passes over one reused scratch (percentiles; a fresh budget per pass —
 /// the deadline clock starts at construction), then the parallel batch
 /// path for QPS. The answer is identical across repeats; one final
-/// *untimed* pass collects it, so the timed region contains no answer copy
-/// — the same methodology as `bench-query`.
+/// *untimed* pass collects it, so the timed region contains no answer copy.
 fn serve_repeated(
     engine: &SdEngine,
     query: &SdQuery,
@@ -2595,527 +2460,11 @@ fn serve_repeated(
     Ok(answer)
 }
 
-/// Merges a `cold_start` key into the bench JSON report (the file
-/// `bench-query` writes), replacing any cold_start a previous run left.
-/// Creates a fresh report when the file does not exist.
-fn merge_cold_start(out: &str, entry: &str) -> Result<(), CliError> {
-    let base = match std::fs::read_to_string(out) {
-        Ok(s) => {
-            let mut s = s.trim_end().to_string();
-            // A previous merge appended cold_start last; cut it (and its
-            // leading comma) so reruns replace rather than accumulate.
-            if let Some(i) = s.find(",\n  \"cold_start\":") {
-                s.truncate(i);
-                s.push_str("\n}");
-            }
-            s
-        }
-        Err(_) => String::from("{\n  \"source\": \"bench-load\"\n}"),
-    };
-    let Some(stripped) = base.trim_end().strip_suffix('}') else {
-        return Err(runtime(format!(
-            "{out} does not end in a JSON object; cannot merge cold_start"
-        )));
-    };
-    let merged = format!(
-        "{},\n  \"cold_start\": {entry}\n}}\n",
-        stripped.trim_end().trim_end_matches(',')
-    );
-    std::fs::write(out, merged).map_err(|e| runtime(format!("cannot write {out}: {e}")))
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    samples[samples.len() / 2]
-}
-
 /// Nearest-rank percentile (`p` in 0..=100) of a sample set.
 fn percentile(samples: &mut [f64], p: f64) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let idx = ((p / 100.0) * (samples.len() - 1) as f64).round() as usize;
     samples[idx.min(samples.len() - 1)]
-}
-
-// ─── bench-query ────────────────────────────────────────────────────────────
-
-/// Default result size of `bench-query`: the acceptance workload of the
-/// zero-allocation query engine (100k × 4-D, k = 16).
-const BENCH_K: usize = 16;
-
-fn cmd_bench_query(args: &[String]) -> Result<(), CliError> {
-    let mut path: Option<&str> = None;
-    let mut synthetic: Option<Distribution> = None;
-    let mut n: usize = 100_000;
-    let mut dims: usize = 4;
-    let mut roles_spec: Option<String> = None;
-    let mut branching: usize = 8;
-    let mut angle_count: usize = 5;
-    let mut build_seed: u64 = 42;
-    let mut k: usize = BENCH_K;
-    let mut queries: usize = 256;
-    let mut warmup: Option<usize> = None;
-    let mut threads_list: Vec<usize> = vec![1, 4, 8];
-    let mut seed: u64 = 13;
-    let mut shards: usize = 1;
-    let mut shards_set = false;
-    let mut mutate_frac: f64 = 0.0;
-    let mut raw = false;
-    let mut slow_query_us: u64 = 0;
-    let mut timeout_us: u64 = 0;
-    let mut out = String::from("BENCH_queries.json");
-
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--shards" => {
-                shards = flags.parsed("--shards")?;
-                shards_set = true;
-            }
-            "--mutate-frac" => mutate_frac = flags.parsed("--mutate-frac")?,
-            "--raw" => raw = true,
-            "--slow-query-us" => slow_query_us = flags.parsed("--slow-query-us")?,
-            "--timeout-us" => timeout_us = flags.parsed("--timeout-us")?,
-            "--synthetic" => {
-                synthetic = Some(match flags.value("--synthetic")? {
-                    "uniform" => Distribution::Uniform,
-                    "correlated" => Distribution::Correlated,
-                    "anti" | "anti-correlated" => Distribution::AntiCorrelated,
-                    other => {
-                        return Err(usage(format!(
-                            "--synthetic: unknown distribution {other:?}"
-                        )))
-                    }
-                })
-            }
-            "--n" => n = flags.parsed("--n")?,
-            "--dims" => dims = flags.parsed("--dims")?,
-            "--roles" => roles_spec = Some(flags.value("--roles")?.to_string()),
-            "--branching" => branching = flags.parsed("--branching")?,
-            "--angles" => angle_count = flags.parsed("--angles")?,
-            "--k" => k = flags.parsed("--k")?,
-            "--queries" => queries = flags.parsed("--queries")?,
-            "--warmup" => warmup = Some(flags.parsed("--warmup")?),
-            "--seed" => seed = flags.parsed("--seed")?,
-            "--build-seed" => build_seed = flags.parsed("--build-seed")?,
-            "--threads" => {
-                let raw = flags.value("--threads")?;
-                threads_list = raw
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|_| usage(format!("--threads: cannot parse {s:?}")))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--out" => out = flags.value("--out")?.to_string(),
-            other if !other.starts_with('-') && path.is_none() => path = Some(other),
-            other => return Err(usage(format!("unknown flag {other:?}"))),
-        }
-    }
-    if k == 0 || queries == 0 {
-        return Err(usage("--k and --queries must be at least 1"));
-    }
-    if shards == 0 {
-        return Err(usage("--shards must be at least 1"));
-    }
-    if threads_list.is_empty() {
-        return Err(usage("--threads needs a comma list of counts (0 = auto)"));
-    }
-    if !(0.0..1.0).contains(&mutate_frac) {
-        return Err(usage("--mutate-frac must be in [0, 1)"));
-    }
-
-    // Obtain the engine: the store's own, or an ad-hoc synthetic build.
-    let (engine, source) = match (path, synthetic) {
-        (Some(p), None) => {
-            let e = open_engine(p, false)?;
-            // Silently ignoring a disagreeing --shards would label the
-            // measurement with a layout it never ran.
-            if shards_set && shards != e.shard_count() {
-                return Err(usage(format!(
-                    "--shards {shards} disagrees with the snapshot's engine manifest \
-                     ({} shards); drop --shards or rebuild the snapshot",
-                    e.shard_count()
-                )));
-            }
-            // An engine with uncompacted writes: the numbers below would
-            // not be the pure-snapshot baseline future PRs compare against.
-            if e.has_mutations() {
-                eprintln!(
-                    "warning: snapshot engine carries {} delta row(s) and {} \
-                     tombstone(s) — measurements include that write pressure \
-                     (run `sdq compact` first for a clean baseline)",
-                    e.delta_rows(),
-                    e.tombstone_count()
-                );
-            }
-            (e, format!("\"snapshot\": {}", json_str(p)))
-        }
-        (None, Some(dist)) => {
-            let roles_spec =
-                roles_spec.ok_or_else(|| usage("--synthetic bench needs --roles STR"))?;
-            let roles = parse_roles(&roles_spec)
-                .map_err(|_| usage(format!("--roles {roles_spec:?}: use 'a'/'r' per dim")))?;
-            if roles.len() != dims {
-                return Err(usage(format!(
-                    "--roles names {} dims but --dims is {dims}",
-                    roles.len()
-                )));
-            }
-            let data = generate(dist, n, dims, build_seed);
-            let options = EngineOptions {
-                shards,
-                threads: 0,
-                index: SdIndexOptions {
-                    pairing: PairingStrategy::Arbitrary,
-                    angles: angle_grid(angle_count)?,
-                    branching,
-                },
-            };
-            let (engine, ms) = timed(|| SdEngine::build_with(data, &roles, &options));
-            let engine = engine.map_err(runtime)?;
-            println!(
-                "built {}-shard engine over {n} x {dims}-D rows in {ms:.1} ms",
-                engine.shard_count()
-            );
-            (
-                engine,
-                format!("\"synthetic\": {}", json_str(&format!("{dist:?}"))),
-            )
-        }
-        (None, None) => return Err(usage("bench-query needs a snapshot path or --synthetic")),
-        (Some(_), Some(_)) => {
-            return Err(usage(
-                "snapshot path and --synthetic are mutually exclusive",
-            ))
-        }
-    };
-    let mut engine = engine;
-    let dims = engine.dims();
-    let shards = engine.shard_count();
-    let workload = uniform_queries(queries, dims, seed);
-
-    // Single-query latency: scratch reuse, `warmup` discarded warm-up
-    // queries (default: one full pass), then one timed pass per query.
-    // Percentiles come from the engine's own latency histogram — the same
-    // extraction a live scrape sees — with the sorted raw samples kept
-    // behind --raw as the quantization-free cross-check.
-    let warmup = warmup.unwrap_or(queries);
-    let clean = measure_single_query(&mut engine, &workload, k, warmup, slow_query_us, timeout_us)?;
-    if timeout_us > 0 {
-        println!(
-            "deadline {timeout_us} µs: {} of {queries} timed query(ies) tripped it",
-            clean.deadline_hits
-        );
-    }
-    let lat = &clean.hist;
-    println!(
-        "single query ({shards} shard(s), k = {k}, {queries} queries, {warmup} warm-up): \
-         p50 {:.3} ms, p90 {:.3} ms, p99 {:.3} ms, p99.9 {:.3} ms, mean {:.3} ms (histogram)",
-        lat.p50, lat.p90, lat.p99, lat.p999, lat.mean
-    );
-    if raw {
-        println!(
-            "  raw samples: p50 {:.3} ms, p90 {:.3} ms, p99 {:.3} ms, p99.9 {:.3} ms, \
-             mean {:.3} ms",
-            clean.raw.p50, clean.raw.p90, clean.raw.p99, clean.raw.p999, clean.raw.mean
-        );
-    }
-    let prof_sum = &clean.prof;
-    println!(
-        "pruning (means/query): {:.0} blocks floor-pruned, {:.0} popped, {:.0} rows fetched, \
-         {:.0} scored, {:.0} emitted",
-        prof_sum.blocks_floor_pruned as f64 / queries as f64,
-        prof_sum.blocks_popped as f64 / queries as f64,
-        prof_sum.rows_fetched as f64 / queries as f64,
-        prof_sum.points_scored as f64 / queries as f64,
-        prof_sum.emitted as f64 / queries as f64,
-    );
-
-    // Batch throughput per worker count: best of three runs.
-    let mut batch_rows = Vec::with_capacity(threads_list.len());
-    for &t in &threads_list {
-        let mut best_qps = 0.0f64;
-        for _ in 0..3 {
-            let (r, ms) = timed(|| engine.par_query_batch(&workload, k, t));
-            r.map_err(runtime)?;
-            best_qps = best_qps.max(queries as f64 / (ms / 1e3));
-        }
-        println!("batch {t} thread(s): {best_qps:.0} queries/s");
-        batch_rows.push(format!("{{\"threads\": {t}, \"qps\": {best_qps:.1}}}"));
-    }
-    let clean_rows = engine.len();
-
-    // Mutation pressure pass: apply ⌈frac·n⌉ inserts + deletes, re-measure
-    // the single-query path against the delta region + tombstone mask.
-    let mutations_json = if mutate_frac > 0.0 {
-        let base_stats = engine.mutation_stats();
-        let victims = engine.total_rows();
-        let m = ((clean_rows as f64) * mutate_frac).ceil() as usize;
-        let fresh = generate(Distribution::Uniform, m, dims, build_seed ^ 0x5eed);
-        for (_, coords) in fresh.iter() {
-            engine.insert(coords).map_err(runtime)?;
-        }
-        // Tombstone exactly m distinct pre-insert victims: the random
-        // stream skips ids it already killed (`delete` reports newly-dead
-        // only), and a sequential sweep finishes the quota when the
-        // random draws keep colliding at large F — the reported count can
-        // no longer drift from the applied one.
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut deleted = 0usize;
-        let mut attempts = 0usize;
-        while deleted < m && attempts < 64 * m.max(1) {
-            attempts += 1;
-            state = splitmix64(state);
-            let id = (state % victims as u64) as u32;
-            if engine.delete(sdq_core::PointId::new(id)).map_err(runtime)? {
-                deleted += 1;
-            }
-        }
-        let mut sweep = 0u32;
-        while deleted < m && (sweep as usize) < victims {
-            if engine
-                .delete(sdq_core::PointId::new(sweep))
-                .map_err(runtime)?
-            {
-                deleted += 1;
-            }
-            sweep += 1;
-        }
-        // The engine's own cumulative accounting must agree with what this
-        // harness reports into the JSON.
-        let stats = engine.mutation_stats();
-        let ins_applied = stats.inserted_total - base_stats.inserted_total;
-        let del_applied = stats.deleted_total - base_stats.deleted_total;
-        if ins_applied != m as u64 || del_applied != deleted as u64 {
-            return Err(runtime(format!(
-                "mutation accounting mismatch: engine recorded {ins_applied} insert(s) / \
-                 {del_applied} delete(s), harness reports {m} / {deleted}"
-            )));
-        }
-        let mutated =
-            measure_single_query(&mut engine, &workload, k, warmup, slow_query_us, timeout_us)?;
-        let mlat = &mutated.hist;
-        println!(
-            "single query with {:.1}% delta + {deleted} tombstone(s): p50 {:.3} ms \
-             ({:+.1}% vs clean), p99 {:.3} ms, mean {:.3} ms",
-            100.0 * mutate_frac,
-            mlat.p50,
-            100.0 * (mlat.p50 - lat.p50) / lat.p50,
-            mlat.p99,
-            mlat.mean,
-        );
-        (
-            format!(
-                ",\n  \"mutations\": {{\"frac\": {mutate_frac}, \"inserted\": {m}, \
-                 \"deleted\": {deleted}, \
-                 \"single_query_ms\": {}}}",
-                mlat.json()
-            ),
-            mutated.slow_queries,
-            mutated.deadline_hits,
-        )
-    } else {
-        (String::new(), 0, 0)
-    };
-    let (mutations_json, mutated_slow, mutated_deadline_hits) = mutations_json;
-    let slow_queries = clean.slow_queries + mutated_slow;
-    let deadline_hits = clean.deadline_hits + mutated_deadline_hits;
-
-    // Host keys: trajectory numbers are only comparable when the CPU and
-    // the kernels' dispatched ISA level are pinned next to them.
-    let cpu = json_str(&cpu_model());
-    let simd = json_str(sdq_core::kernels::active().name());
-    let raw_json = if raw {
-        format!(",\n  \"single_query_ms_raw\": {}", clean.raw.json())
-    } else {
-        String::new()
-    };
-    let json = format!(
-        "{{\n  {source},\n  \"dataset\": {{\"rows\": {clean_rows}, \"dims\": {dims}}},\n  \
-         \"shards\": {shards},\n  \
-         \"k\": {k},\n  \"queries\": {queries},\n  \"warmup\": {warmup},\n  \"query_seed\": {seed},\n  \
-         \"cpu\": {cpu},\n  \"simd\": {simd},\n  \
-         \"percentile_source\": \"histogram\",\n  \
-         \"slow_query_us\": {slow_query_us},\n  \"slow_queries\": {slow_queries},\n  \
-         \"timeout_us\": {timeout_us},\n  \"deadline_hits\": {deadline_hits},\n  \
-         \"single_query_ms\": {lat_json}{raw_json},\n  \
-         \"profile\": {profile_json},\n  \
-         \"batch\": [{batch}]{mutations_json}\n}}\n",
-        lat_json = lat.json(),
-        profile_json = profile_means_json(prof_sum, queries),
-        batch = batch_rows.join(", "),
-    );
-    std::fs::write(&out, json).map_err(|e| runtime(format!("cannot write {out}: {e}")))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// Latency summary of one measured workload, nearest-rank percentiles
-/// over the recorded per-query samples.
-struct LatencySummary {
-    p50: f64,
-    p90: f64,
-    p99: f64,
-    p999: f64,
-    mean: f64,
-}
-
-impl LatencySummary {
-    fn from_samples(lat_ms: &mut [f64]) -> LatencySummary {
-        LatencySummary {
-            p50: percentile(lat_ms, 50.0),
-            p90: percentile(lat_ms, 90.0),
-            p99: percentile(lat_ms, 99.0),
-            p999: percentile(lat_ms, 99.9),
-            mean: lat_ms.iter().sum::<f64>() / lat_ms.len() as f64,
-        }
-    }
-
-    /// Percentiles extracted from a telemetry histogram snapshot — the
-    /// same numbers a live Prometheus scrape would derive.
-    fn from_histogram(s: &HistoSnapshot) -> LatencySummary {
-        LatencySummary {
-            p50: s.quantile(0.50) / 1e6,
-            p90: s.quantile(0.90) / 1e6,
-            p99: s.quantile(0.99) / 1e6,
-            p999: s.quantile(0.999) / 1e6,
-            mean: s.mean_nanos() / 1e6,
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"p50\": {:.4}, \"p90\": {:.4}, \"p99\": {:.4}, \"p999\": {:.4}, \"mean\": {:.4}}}",
-            self.p50, self.p90, self.p99, self.p999, self.mean
-        )
-    }
-}
-
-/// One measured single-query pass: histogram-extracted and raw-sample
-/// latency summaries, summed execution counters, and the slow queries the
-/// pass journaled.
-struct MeasuredPass {
-    /// Percentiles extracted from the pass's isolated latency histogram.
-    hist: LatencySummary,
-    /// Percentiles from the sorted raw wall-clock samples (`--raw`).
-    raw: LatencySummary,
-    /// Execution counters summed over the timed queries.
-    prof: QueryProfile,
-    /// Queries at or above the slow-query threshold during the pass.
-    slow_queries: u64,
-    /// Queries aborted by the `--timeout-us` deadline during the pass.
-    deadline_hits: u64,
-}
-
-/// `warmup` discarded warm-up queries (cycling the workload), then one
-/// timed pass per query with a reused scratch. The timed pass runs under
-/// a fresh telemetry registry installed on the engine, so its histogram
-/// holds exactly the measured samples (divide the returned counters by
-/// `workload.len()` for per-query means).
-fn measure_single_query(
-    engine: &mut SdEngine,
-    workload: &[SdQuery],
-    k: usize,
-    warmup: usize,
-    slow_query_us: u64,
-    timeout_us: u64,
-) -> Result<MeasuredPass, CliError> {
-    let mut scratch = EngineScratch::new();
-    let mut sink = 0.0f64;
-    for q in workload.iter().cycle().take(warmup) {
-        sink += engine
-            .query_with(q, k, &mut scratch)
-            .map_err(runtime)?
-            .iter()
-            .map(|sp| sp.score)
-            .sum::<f64>();
-    }
-    let tel = Telemetry::new();
-    tel.set_slow_query_micros(slow_query_us);
-    engine.set_telemetry(Arc::clone(&tel));
-    let mut lat_ms = Vec::with_capacity(workload.len());
-    let mut prof_sum = QueryProfile::new();
-    let mut deadline_hits = 0u64;
-    for q in workload {
-        // Each timed query gets its own budget (the deadline clock starts
-        // at construction); an aborted query still counts as a sample —
-        // its wall time is the bound the deadline enforced.
-        scratch.deadline = Deadline::within_micros(timeout_us);
-        let (r, ms) = timed(|| engine.query_with(q, k, &mut scratch));
-        match r {
-            Ok(res) => sink += res.iter().map(|sp| sp.score).sum::<f64>(),
-            Err(sdq_core::SdError::DeadlineExceeded { .. }) if timeout_us > 0 => {
-                deadline_hits += 1;
-            }
-            Err(e) => return Err(runtime(e)),
-        }
-        prof_sum.merge(&scratch.profile);
-        lat_ms.push(ms);
-    }
-    std::hint::black_box(sink);
-    let hist = tel.query.snapshot();
-    let slow_queries = tel
-        .journal
-        .snapshot()
-        .iter()
-        .filter(|r| matches!(r.kind, EventKind::SlowQuery { .. }))
-        .count() as u64;
-    Ok(MeasuredPass {
-        hist: LatencySummary::from_histogram(&hist),
-        raw: LatencySummary::from_samples(&mut lat_ms),
-        prof: prof_sum,
-        slow_queries,
-        deadline_hits,
-    })
-}
-
-/// The BENCH_queries.json `profile` key: mean execution counters per
-/// query of the clean single-query measurement, so pruning-effectiveness
-/// regressions show in the same diff as latency regressions.
-fn profile_means_json(sum: &QueryProfile, queries: usize) -> String {
-    let n = queries.max(1) as f64;
-    let m = |v: u64| format!("{:.2}", v as f64 / n);
-    format!(
-        "{{\"queries\": {queries}, \"nodes_visited\": {}, \"envelope_nodes_rejected\": {}, \
-         \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"lanes_masked\": {}, \
-         \"rows_fetched\": {}, \"points_gathered\": {}, \"points_scored\": {}, \
-         \"kernel_batches\": {}, \"seen_hits\": {}, \"tombstones_skipped\": {}, \
-         \"delta_rows_scanned\": {}, \"floor_updates\": {}, \"rounds\": {}, \
-         \"merge_rounds\": {}, \"emitted\": {}}}",
-        m(sum.nodes_visited),
-        m(sum.envelope_nodes_rejected),
-        m(sum.blocks_popped),
-        m(sum.blocks_floor_pruned),
-        m(sum.lanes_masked),
-        m(sum.rows_fetched),
-        m(sum.points_gathered),
-        m(sum.points_scored),
-        m(sum.kernel_batches),
-        m(sum.seen_hits),
-        m(sum.tombstones_skipped),
-        m(sum.delta_rows_scanned),
-        m(sum.floor_updates),
-        m(sum.rounds),
-        m(sum.merge_rounds),
-        m(sum.emitted),
-    )
-}
-
-/// The host CPU model, best effort: the first `model name` of
-/// `/proc/cpuinfo` on Linux, the target architecture elsewhere.
-fn cpu_model() -> String {
-    if let Ok(info) = std::fs::read_to_string("/proc/cpuinfo") {
-        for line in info.lines() {
-            if let Some(rest) = line.strip_prefix("model name") {
-                if let Some((_, name)) = rest.split_once(':') {
-                    return name.trim().to_string();
-                }
-            }
-        }
-    }
-    std::env::consts::ARCH.to_string()
 }
 
 /// Minimal JSON string escaping (quotes and backslashes).

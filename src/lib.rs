@@ -6,8 +6,8 @@
 //! workload generators ([`sdq_data`]) and the snapshot persistence layer
 //! ([`sdq_store`]).
 //!
-//! See the repository `README.md` for a guided tour and `DESIGN.md` for the
-//! paper-to-module mapping.
+//! See the repository `README.md` for a guided tour and the paper-to-module
+//! mapping.
 
 pub use sdq_baselines as baselines;
 pub use sdq_core as core;

@@ -8,6 +8,8 @@
 //! * **Journal seq discipline** — a drained snapshot's sequence numbers are
 //!   strictly increasing, and the only missing prefixes are the ones the
 //!   ring itself declares via `overwritten()`.
+//! * **A scrape reads what a stopwatch reads** — the query histogram's p50 is
+//!   within one half-octave bucket of the raw samples' median.
 //! * **Telemetry is free** — the same workload served with a private
 //!   recording registry and with the default registry returns bit-identical
 //!   results: observability may never change an answer.
@@ -15,12 +17,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Instant;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::core::telemetry::{EventJournal, EventKind, HistoSnapshot, LatencyHisto, Telemetry};
-use sdq::engine::{EngineOptions, SdEngine};
+use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
 use sdq::{Dataset, DimRole, ScoredPoint, SdQuery};
 
 const DIMS: usize = 4;
@@ -216,6 +219,30 @@ fn histograms_and_journal_survive_concurrent_hammering() {
         .filter(|r| matches!(r.kind, EventKind::SlowQuery { .. }))
         .count();
     assert!(slow > 0, "1 µs threshold captured no slow queries");
+
+    // A scrape reads what a stopwatch reads: on a quiet registry the query
+    // histogram's p50 lies within one half-octave bucket (×0.66…×1.34) of the
+    // median of the raw wall-clock samples of the same 256 queries.
+    let mut engine = engine;
+    let quiet = Telemetry::new();
+    engine.set_telemetry(Arc::clone(&quiet));
+    let mut scratch = EngineScratch::new();
+    let mut state = 0xC0FFEE_u64;
+    let mut raw: Vec<u64> = (0..256)
+        .map(|_| {
+            let q = random_query(&mut state);
+            let t0 = Instant::now();
+            engine.query_with(&q, 8, &mut scratch).unwrap();
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    raw.sort_unstable();
+    let raw_p50 = raw[127] as f64; // rank 128 of 256, the rank `p50()` reads
+    let p50 = quiet.query.snapshot().p50();
+    assert!(
+        raw_p50 * 0.66 <= p50 && p50 <= raw_p50 * 1.34,
+        "histogram p50 {p50} ns vs raw p50 {raw_p50} ns"
+    );
 }
 
 #[test]
