@@ -1,5 +1,5 @@
 //! Fig. 8h: memory footprint vs dataset size on 6-dimensional data.
-//! `SD-topk` is the full §5 index (three per-pair trees); `SD-top1` builds
+//! `SD-topk` is the full §5 index (three bulk-loaded per-pair §4 indexes); `SD-top1` builds
 //! one §3 region index per pair and reports only the region storage, per
 //! distribution — correlated/anti-correlated data dominate more points in
 //! rotated space, hence the much smaller top-1 footprints.

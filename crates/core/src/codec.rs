@@ -3,12 +3,12 @@
 //! The persistence subsystem (`sdq-store`) serialises datasets and indexes
 //! into compact little-endian buffers through the [`Codec`] trait defined
 //! here. The trait lives in `sdq-core` because faithful round-trips need the
-//! `pub(crate)` internals of [`TopKIndex`] and [`SdIndex`].
+//! `pub(crate)` internals of [`SdIndex`].
 //!
 //! There is one encoding. Small structural fields go into framed
 //! *metadata regions* (`[crc32c u32][len u64][bytes]`, verified as they are
-//! read); the hot arrays (point tables, SoA leaf blocks, sorted columns,
-//! coordinate tables) go into framed *array regions* (`[crc32c u32]
+//! read); the hot arrays (SoA leaf blocks and their envelope levels, sorted
+//! columns, coordinate tables) go into framed *array regions* (`[crc32c u32]
 //! [count u64][zero pad to 64][raw little-endian elements]`) whose payload
 //! is the exact in-memory representation. `sdq-store` stores these bytes
 //! verbatim as snapshot section payloads.
@@ -26,14 +26,9 @@
 //! * an eager open ([`decode_from_slice`], `Snapshot::load` / `from_bytes`,
 //!   `DurableEngine::open`) verifies every region checksum and then runs
 //!   [`Codec::verify_decoded`] — the same structural checks plus the
-//!   content checks only an eager open makes (finite coordinates, points
-//!   and column values, ascending columns) — before it returns, and drops
-//!   the lazy sets so later queries pay nothing.
-//!
-//! Either way a [`TopKIndex`]'s node tree stays in wire form (its region
-//! checksummed like any other) until the first point-level mutation decodes
-//! and walks it: queries never read the tree while the SoA blocks are
-//! current.
+//!   content checks only an eager open makes (finite coordinates, block
+//!   lanes and column values, ascending columns) — before it returns, and
+//!   drops the lazy sets so later queries pay nothing.
 //!
 //! Decoding is **panic-free by contract**: every length is bounds-checked
 //! against the remaining buffer before allocation, every index is validated
@@ -58,23 +53,23 @@
 //!
 //! ```
 //! use sdq_core::codec::{decode_from_slice, encode_to_vec};
-//! use sdq_core::topk::TopKIndex;
+//! use sdq_core::multidim::SdIndex;
+//! use sdq_core::{Dataset, DimRole, SdQuery};
 //!
-//! let index = TopKIndex::build(&[(0.0, 1.0), (2.0, 5.0), (4.0, 3.0)]).unwrap();
-//! let bytes = encode_to_vec(&index);
-//! let back: TopKIndex = decode_from_slice(&bytes).unwrap();
-//! assert_eq!(
-//!     back.query(1.0, 1.0, 1.0, 1.0, 2).unwrap(),
-//!     index.query(1.0, 1.0, 1.0, 1.0, 2).unwrap(),
-//! );
+//! let data = Dataset::from_rows(2, &[vec![0.0, 1.0], vec![2.0, 5.0], vec![4.0, 3.0]]).unwrap();
+//! let roles = [DimRole::Attractive, DimRole::Repulsive];
+//! let index = SdIndex::build(data, &roles).unwrap();
+//! let back: SdIndex = decode_from_slice(&encode_to_vec(&index)).unwrap();
+//! let q = SdQuery::uniform_weights(vec![1.0, 1.0], &roles);
+//! assert_eq!(back.query(&q, 2).unwrap(), index.query(&q, 2).unwrap());
 //! ```
 
 use std::sync::Arc;
 
 use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
-use crate::multidim::{DimPair, SdIndex, SortedColumn};
-use crate::topk::{AngleBounds, Child, Node, TopKIndex};
+use crate::multidim::{DimPair, PairingStrategy, SdIndex, SortedColumn};
+use crate::topk::blocks::BlockSet;
 use crate::types::{Dataset, SdError};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
 use crate::DimRole;
@@ -754,462 +749,20 @@ impl Codec for Angle {
     }
 }
 
-impl Codec for AngleBounds {
-    const MIN_ENCODED_BYTES: usize = 32;
+impl Codec for PairingStrategy {
+    const MIN_ENCODED_BYTES: usize = 1;
     fn encode(&self, w: &mut Writer) {
-        w.f64(self.max_u);
-        w.f64(self.min_u);
-        w.f64(self.max_v);
-        w.f64(self.min_v);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        // ±∞ is legitimate here (empty bounds); only NaN is corrupt.
-        let mut field = || -> Result<f64> {
-            let v = r.f64()?;
-            ensure(!v.is_nan(), || "NaN projection bound".to_string())?;
-            Ok(v)
-        };
-        Ok(AngleBounds {
-            max_u: field()?,
-            min_u: field()?,
-            max_v: field()?,
-            min_v: field()?,
-        })
-    }
-}
-
-impl Codec for Child {
-    const MIN_ENCODED_BYTES: usize = 5;
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            Child::Inner(n) => {
-                w.u8(0);
-                w.u32(n);
-            }
-            Child::Point(p) => {
-                w.u8(1);
-                w.u32(p);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let tag = r.u8()?;
-        let v = r.u32()?;
-        match tag {
-            0 => Ok(Child::Inner(v)),
-            1 => Ok(Child::Point(v)),
-            t => Err(corrupt(format!("invalid Child tag {t:#04x}"))),
-        }
-    }
-}
-
-/// On-disk node record: `(children, per-angle bounds, xmin, xmax)` —
-/// encode/decode reassemble per-node records from/into the flat
-/// `TopKIndex::{node_xr, node_bounds}` tables.
-const NODE_MIN_ENCODED_BYTES: usize = 8 + 8 + 16;
-
-fn encode_node_record(w: &mut Writer, children: &[Child], bounds: &[AngleBounds], xr: (f64, f64)) {
-    // Wire-compatible with the generic Vec codecs, but written as one
-    // reserve + tight loops: nodes dominate snapshot volume.
-    w.usize(children.len());
-    for c in children {
-        c.encode(w);
-    }
-    w.usize(bounds.len());
-    for b in bounds {
-        b.encode(w);
-    }
-    w.f64(xr.0);
-    w.f64(xr.1);
-}
-
-#[allow(clippy::type_complexity)]
-fn decode_node_record(r: &mut Reader<'_>) -> Result<(Vec<Child>, Vec<AngleBounds>, f64, f64)> {
-    // Bulk path: children are 5 bytes each, bounds 32 — one take() per
-    // vector instead of one bounds check per field (decode throughput
-    // is what makes loading beat rebuilding).
-    let n_children = r.len_prefix(Child::MIN_ENCODED_BYTES)?;
-    let raw = r.take(n_children * 5)?;
-    let children = raw
-        .chunks_exact(5)
-        .map(|c| {
-            let v = u32::from_le_bytes(c[1..].try_into().expect("4 bytes"));
-            match c[0] {
-                0 => Ok(Child::Inner(v)),
-                1 => Ok(Child::Point(v)),
-                t => Err(corrupt(format!("invalid Child tag {t:#04x}"))),
-            }
-        })
-        .collect::<Result<Vec<Child>>>()?;
-    let n_bounds = r.len_prefix(AngleBounds::MIN_ENCODED_BYTES)?;
-    let raw = r.take(n_bounds * 32)?;
-    let bounds = raw
-        .chunks_exact(32)
-        .map(|c| {
-            let f = |i: usize| {
-                f64::from_bits(u64::from_le_bytes(
-                    c[i * 8..(i + 1) * 8].try_into().expect("8 bytes"),
-                ))
-            };
-            let b = AngleBounds {
-                max_u: f(0),
-                min_u: f(1),
-                max_v: f(2),
-                min_v: f(3),
-            };
-            if b.max_u.is_nan() || b.min_u.is_nan() || b.max_v.is_nan() || b.min_v.is_nan() {
-                Err(corrupt("NaN projection bound"))
-            } else {
-                Ok(b)
-            }
-        })
-        .collect::<Result<Vec<AngleBounds>>>()?;
-    let xmin = r.f64()?;
-    let xmax = r.f64()?;
-    ensure(!xmin.is_nan() && !xmax.is_nan(), || {
-        "NaN node x-range".to_string()
-    })?;
-    Ok((children, bounds, xmin, xmax))
-}
-
-/// Writes the node-record run (`n_nodes` prefix + one record per node) —
-/// the byte image of a `tree.raw` region.
-fn encode_topk_nodes(
-    w: &mut Writer,
-    nodes: &[Node],
-    node_bounds: &[AngleBounds],
-    node_xr: &[(f64, f64)],
-    m: usize,
-) {
-    w.usize(nodes.len());
-    for (id, node) in nodes.iter().enumerate() {
-        encode_node_record(
-            w,
-            &node.children,
-            &node_bounds[id * m..(id + 1) * m],
-            node_xr[id],
-        );
-    }
-}
-
-/// Parses the node-record run written by [`encode_topk_nodes`] into the
-/// flat node tables (shape checks only; see [`validate_topk_tree`]).
-#[allow(clippy::type_complexity)]
-fn parse_topk_nodes(
-    r: &mut Reader<'_>,
-    m: usize,
-) -> Result<(Vec<Node>, Vec<(f64, f64)>, Vec<AngleBounds>)> {
-    let n_nodes = r.len_prefix(NODE_MIN_ENCODED_BYTES)?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    let mut node_xr = Vec::with_capacity(n_nodes);
-    let mut node_bounds: Vec<AngleBounds> = Vec::new();
-    for i in 0..n_nodes {
-        let (children, bounds, xmin, xmax) = decode_node_record(r)?;
-        ensure(bounds.len() == m, || {
-            format!("node {i}: {} bound tuples for {m} angles", bounds.len())
-        })?;
-        nodes.push(Node { children });
-        node_xr.push((xmin, xmax));
-        node_bounds.extend_from_slice(&bounds);
-    }
-    Ok((nodes, node_xr, node_bounds))
-}
-
-/// Validates a parsed node tree against its point table: child targets in
-/// range, only live points referenced, a consistent free list, and the
-/// reachable structure a genuine tree covering exactly the live slots.
-fn validate_topk_tree(
-    nodes: &[Node],
-    alive: &[bool],
-    n_alive: usize,
-    root: Option<u32>,
-    free_nodes: &[u32],
-) -> Result<()> {
-    let n_slots = alive.len();
-    for (i, node) in nodes.iter().enumerate() {
-        for child in &node.children {
-            match *child {
-                Child::Inner(c) => ensure((c as usize) < nodes.len(), || {
-                    format!("node {i}: child node {c} out of range")
-                })?,
-                Child::Point(p) => {
-                    ensure((p as usize) < n_slots, || {
-                        format!("node {i}: point slot {p} out of range")
-                    })?;
-                    ensure(alive[p as usize], || {
-                        format!("node {i}: dead point slot {p} in tree")
-                    })?;
-                }
-            }
-        }
-    }
-    let mut freed = vec![false; nodes.len()];
-    for &f in free_nodes {
-        ensure((f as usize) < nodes.len(), || {
-            format!("free-list node {f} out of range")
-        })?;
-        ensure(!freed[f as usize], || format!("node {f} freed twice"))?;
-        freed[f as usize] = true;
-    }
-
-    // The reachable structure must be a tree covering exactly the live
-    // slots: every inner node visited once, every live slot seen once.
-    let mut node_seen = vec![false; nodes.len()];
-    let mut slot_seen = vec![false; n_slots];
-    if let Some(root) = root {
-        ensure((root as usize) < nodes.len(), || {
-            format!("root node {root} out of range")
-        })?;
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            let idx = id as usize;
-            ensure(!node_seen[idx], || {
-                format!("node {id} reachable twice (cycle or DAG)")
-            })?;
-            ensure(!freed[idx], || format!("freed node {id} reachable"))?;
-            node_seen[idx] = true;
-            for child in &nodes[idx].children {
-                match *child {
-                    Child::Inner(c) => stack.push(c),
-                    Child::Point(p) => {
-                        ensure(!slot_seen[p as usize], || {
-                            format!("point slot {p} appears twice")
-                        })?;
-                        slot_seen[p as usize] = true;
-                    }
-                }
-            }
-        }
-    }
-    let reachable_points = slot_seen.iter().filter(|&&s| s).count();
-    ensure(reachable_points == n_alive, || {
-        format!("{reachable_points} points reachable but {n_alive} live")
-    })?;
-    Ok(())
-}
-
-/// Decodes and fully validates a deferred `tree.raw` blob (what
-/// [`TopKIndex::materialize_tree`](crate::topk) runs at the first
-/// mutation). The blob must be exhausted exactly.
-#[allow(clippy::type_complexity)]
-pub(crate) fn decode_topk_tree(
-    raw: &[u8],
-    m: usize,
-    alive: &[bool],
-    n_alive: usize,
-    root: Option<u32>,
-    free_nodes: &[u32],
-) -> Result<(Vec<Node>, Vec<(f64, f64)>, Vec<AngleBounds>)> {
-    let mut r = Reader::new(raw);
-    let (nodes, node_xr, node_bounds) = parse_topk_nodes(&mut r, m)?;
-    if !r.is_exhausted() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after node records",
-            r.remaining()
-        )));
-    }
-    validate_topk_tree(&nodes, alive, n_alive, root, free_nodes)?;
-    Ok((nodes, node_xr, node_bounds))
-}
-
-/// Packs live flags into little-endian `u64` words, low bit first.
-fn pack_alive(alive: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; alive.len().div_ceil(64)];
-    for (i, &a) in alive.iter().enumerate() {
-        if a {
-            words[i / 64] |= 1u64 << (i % 64);
-        }
-    }
-    words
-}
-
-/// Expands an alive bitmap, rejecting stray bits past `n_slots`.
-fn unpack_alive(words: &[u64], n_slots: usize) -> Result<Vec<bool>> {
-    ensure(words.len() == n_slots.div_ceil(64), || {
-        format!("{} bitmap words for {n_slots} slots", words.len())
-    })?;
-    let mut alive = Vec::with_capacity(n_slots);
-    for i in 0..n_slots {
-        alive.push(words[i / 64] & (1u64 << (i % 64)) != 0);
-    }
-    let tail_bits = n_slots % 64;
-    if tail_bits != 0 {
-        let tail = words[n_slots / 64] >> tail_bits;
-        ensure(tail == 0, || {
-            "alive bitmap has bits past the end".to_string()
-        })?;
-    }
-    Ok(alive)
-}
-
-impl Codec for TopKIndex {
-    fn encode(&self, w: &mut Writer) {
-        // Everything a query touches is an aligned array region mappable
-        // in place; the node tree stays a record run inside one lazy
-        // region so a mapped open never decodes it.
-        w.meta_region(|w| {
-            w.usize(self.branching);
-            self.angles.encode(w);
-            w.usize(self.pts.len());
-            w.usize(self.n_alive);
-            pack_alive(&self.alive).encode(w);
-            self.root.encode(w);
-            w.u32s(&self.free_nodes);
-            w.usize(self.deep_leaves);
-            w.f64(self.rebuild_threshold);
-            w.bool(self.blocks.is_some());
-            if let Some(b) = &self.blocks {
-                b.encode_meta(w);
-            }
+        w.u8(match self {
+            PairingStrategy::Arbitrary => 0,
+            PairingStrategy::CorrelationAware => 1,
         });
-        w.pod_array(&self.pts);
-        match &self.deferred {
-            // A still-deferred tree re-encodes verbatim (the caller —
-            // the store layer — has ensured its checksum).
-            Some(d) => w.pod_array(&d.raw),
-            None => {
-                let mut tree = Writer::new();
-                encode_topk_nodes(
-                    &mut tree,
-                    &self.nodes,
-                    &self.node_bounds,
-                    &self.node_xr,
-                    self.angles.len(),
-                );
-                w.pod_array(&tree.into_bytes());
-            }
-        }
-        if let Some(b) = &self.blocks {
-            b.encode_arrays(w);
-        }
     }
-
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        struct Meta {
-            branching: usize,
-            angles: Vec<Angle>,
-            n_slots: usize,
-            n_alive: usize,
-            alive: Vec<bool>,
-            root: Option<u32>,
-            free_nodes: Vec<u32>,
-            deep_leaves: usize,
-            rebuild_threshold: f64,
-            n_blocks: Option<usize>,
+        match r.u8()? {
+            0 => Ok(PairingStrategy::Arbitrary),
+            1 => Ok(PairingStrategy::CorrelationAware),
+            t => Err(corrupt(format!("invalid PairingStrategy tag {t:#04x}"))),
         }
-        let meta = r.meta_region("meta", |m| {
-            let branching = m.usize()?;
-            let angles = Vec::<Angle>::decode(m)?;
-            let n_slots = m.usize()?;
-            let n_alive = m.usize()?;
-            let words = Vec::<u64>::decode(m)?;
-            let alive = unpack_alive(&words, n_slots)?;
-            let root = Option::<u32>::decode(m)?;
-            let free_nodes = m.u32s()?;
-            let deep_leaves = m.usize()?;
-            let rebuild_threshold = finite_f64(m.f64()?, "rebuild threshold")?;
-            let n_blocks = if m.bool()? { Some(m.usize()?) } else { None };
-            Ok(Meta {
-                branching,
-                angles,
-                n_slots,
-                n_alive,
-                alive,
-                root,
-                free_nodes,
-                deep_leaves,
-                rebuild_threshold,
-                n_blocks,
-            })
-        })?;
-        ensure(meta.branching >= 2, || {
-            format!("branching factor {} < 2", meta.branching)
-        })?;
-        ensure(!meta.angles.is_empty(), || "no indexed angles".to_string())?;
-        ensure(meta.n_slots <= u32::MAX as usize, || {
-            format!("{} slots exceed u32 indexing", meta.n_slots)
-        })?;
-        let alive_count = meta.alive.iter().filter(|&&a| a).count();
-        ensure(alive_count == meta.n_alive, || {
-            format!("n_alive {} but {alive_count} live slots", meta.n_alive)
-        })?;
-        ensure(meta.rebuild_threshold >= 0.0, || {
-            format!("negative rebuild threshold {}", meta.rebuild_threshold)
-        })?;
-        if let Some(n_blocks) = meta.n_blocks {
-            ensure(
-                n_blocks == meta.n_alive.div_ceil(crate::kernels::LANES) && n_blocks > 0,
-                || format!("{n_blocks} blocks for {} live points", meta.n_alive),
-            )?;
-        }
-
-        let region_mark = r.regions.len();
-        let (pts, _) = r.pod_array::<(f64, f64)>("pts")?;
-        ensure(pts.len() == meta.n_slots, || {
-            format!(
-                "point table holds {} slots, expected {}",
-                pts.len(),
-                meta.n_slots
-            )
-        })?;
-        let (raw, tree_integrity) = r.pod_array::<u8>("tree.raw")?;
-        let blocks = match meta.n_blocks {
-            Some(n_blocks) => Some(Arc::new(crate::topk::blocks::BlockSet::decode_arrays(
-                r,
-                n_blocks,
-                meta.angles.len(),
-            )?)),
-            None => None,
-        };
-        // Everything a query touches except the tree region: the point table
-        // and the block tables.
-        let query_integrity: Vec<Arc<SectionIntegrity>> = r.regions[region_mark..]
-            .iter()
-            .filter(|reg| !Arc::ptr_eq(reg, &tree_integrity))
-            .cloned()
-            .collect();
-
-        let mut index = TopKIndex {
-            branching: meta.branching,
-            angles: meta.angles,
-            pts,
-            alive: meta.alive,
-            n_alive: meta.n_alive,
-            nodes: Vec::new(),
-            node_xr: Vec::new(),
-            node_bounds: Vec::new(),
-            root: meta.root,
-            free_nodes: meta.free_nodes,
-            deep_leaves: meta.deep_leaves,
-            rebuild_threshold: meta.rebuild_threshold,
-            blocks,
-            deferred: Some(crate::topk::DeferredTree {
-                raw,
-                integrity: tree_integrity,
-            }),
-            query_integrity,
-            mapped_check: Arc::new(std::sync::OnceLock::new()),
-        };
-        if index.blocks.is_none() {
-            // Without blocks the query path needs the real tree, so the
-            // deferral invariant `deferred ⇒ blocks` is restored here.
-            index.materialize_tree()?;
-            index.refresh_blocks();
-        }
-        Ok(index)
-    }
-
-    fn verify_decoded(&mut self) -> Result<()> {
-        // Region checksums (the still-deferred `tree.raw` included) and the
-        // block-table census first; only then are the contents worth
-        // reading. The node records themselves wait for `materialize_tree`.
-        self.verify_integrity()?;
-        for &(x, y) in self.pts.iter() {
-            finite_f64(x, "x coordinate")?;
-            finite_f64(y, "y coordinate")?;
-        }
-        self.query_integrity = Vec::new();
-        Ok(())
     }
 }
 
@@ -1251,28 +804,21 @@ impl Codec for SortedColumn {
 }
 
 /// The structural validation of `SdIndex::decode`: everything that can be
-/// judged from metadata and table shapes. The scan of every sorted column's
-/// row ids reads array contents, so it runs after the region checksums pass
-/// (`SdIndex::ensure_query_integrity`).
+/// judged from metadata and table shapes. The block-table census and the
+/// scan of every sorted column's row ids read array contents, so they run
+/// after the region checksums pass (`SdIndex::verify_integrity`).
 fn validate_sd_parts(
     data: &Dataset,
     roles: &[DimRole],
     pairs: &[DimPair],
     unpaired: &[usize],
-    pair_indexes: &[TopKIndex],
+    pair_blocks: &[BlockSet],
     columns: &[SortedColumn],
 ) -> Result<()> {
     let dims = data.dims();
     let n = data.len();
     ensure(roles.len() == dims, || {
         format!("{} roles for {dims} dimensions", roles.len())
-    })?;
-    ensure(pair_indexes.len() == pairs.len(), || {
-        format!(
-            "{} pair indexes for {} pairs",
-            pair_indexes.len(),
-            pairs.len()
-        )
     })?;
     ensure(columns.len() == unpaired.len(), || {
         format!(
@@ -1304,13 +850,12 @@ fn validate_sd_parts(
     ensure(used.iter().all(|&u| u), || {
         "some dimensions neither paired nor unpaired".to_string()
     })?;
-    for (i, index) in pair_indexes.iter().enumerate() {
-        // Tree slots are dataset rows: tables must align exactly.
-        ensure(index.pts.len() == n && index.len() == n, || {
+    for (i, blocks) in pair_blocks.iter().enumerate() {
+        // Block slots are dataset rows: every row is indexed exactly once.
+        ensure(blocks.n_live() == n, || {
             format!(
-                "pair index {i} covers {} slots ({} live) for {n} rows",
-                index.pts.len(),
-                index.len()
+                "pair index {i} covers {} points for {n} rows",
+                blocks.n_live()
             )
         })?;
     }
@@ -1322,20 +867,21 @@ fn validate_sd_parts(
     Ok(())
 }
 
-/// Section layout: one metadata region (roles / pairs / unpaired — every
-/// count below derives from these), the dataset's regions, each pair
-/// tree's regions under a `pair{i}` prefix, then each sorted column's
-/// under `col{i}`.
+/// Section layout: one metadata region (roles / pairing strategy / pairs /
+/// unpaired — every count below derives from these), the dataset's regions,
+/// each pair's §4 index (`meta` + `blocks.*`) under a `pair{i}` prefix, then
+/// each sorted column's regions under `col{i}`.
 impl Codec for SdIndex {
     fn encode(&self, w: &mut Writer) {
         w.meta_region(|m| {
             self.roles.encode(m);
+            self.pairing.encode(m);
             self.pairs.encode(m);
             self.unpaired.encode(m);
         });
         self.data.as_ref().encode(w);
-        for index in &self.pair_indexes {
-            index.encode(w);
+        for blocks in &self.pair_blocks {
+            blocks.encode(w);
         }
         for column in &self.columns {
             column.encode(w);
@@ -1343,24 +889,23 @@ impl Codec for SdIndex {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let (roles, pairs, unpaired) = r.meta_region("index.meta", |m| {
+        let (roles, pairing, pairs, unpaired) = r.meta_region("index.meta", |m| {
             Ok((
                 Vec::<DimRole>::decode(m)?,
+                PairingStrategy::decode(m)?,
                 Vec::<DimPair>::decode(m)?,
                 Vec::<usize>::decode(m)?,
             ))
         })?;
-        let data_mark = r.regions.len();
+        let mark = r.regions.len();
         let data = Dataset::decode(r)?;
-        let data_regions: Vec<Arc<SectionIntegrity>> = r.regions[data_mark..].to_vec();
-        let mut pair_indexes = Vec::with_capacity(pairs.len());
+        let mut pair_blocks = Vec::with_capacity(pairs.len());
         for i in 0..pairs.len() {
             let token = r.push_prefix(&format!("pair{i}"));
-            let index = TopKIndex::decode(r);
+            let blocks = BlockSet::decode(r);
             r.pop_prefix(token);
-            pair_indexes.push(index?);
+            pair_blocks.push(blocks?);
         }
-        let col_mark = r.regions.len();
         let mut columns = Vec::with_capacity(unpaired.len());
         for i in 0..unpaired.len() {
             let token = r.push_prefix(&format!("col{i}"));
@@ -1368,18 +913,18 @@ impl Codec for SdIndex {
             r.pop_prefix(token);
             columns.push(column?);
         }
-        validate_sd_parts(&data, &roles, &pairs, &unpaired, &pair_indexes, &columns)?;
-        // The index's own lazy regions (a query reads coordinates to score
-        // candidates and column tables to stream 1-D subproblems); the pair
-        // trees already carry their own sets.
-        let mut query_integrity = data_regions;
-        query_integrity.extend(r.regions[col_mark..].iter().cloned());
+        validate_sd_parts(&data, &roles, &pairs, &unpaired, &pair_blocks, &columns)?;
+        // Every region past `index.meta` is one a query reads: coordinates
+        // to score candidates, block tables to walk the pairs, column tables
+        // to stream 1-D subproblems.
+        let query_integrity: Vec<Arc<SectionIntegrity>> = r.regions[mark..].to_vec();
         Ok(SdIndex {
             data: Arc::new(data),
             roles,
+            pairing,
             pairs,
             unpaired,
-            pair_indexes,
+            pair_blocks,
             columns,
             pair_columns: Arc::new(std::sync::OnceLock::new()),
             query_integrity,
@@ -1388,12 +933,12 @@ impl Codec for SdIndex {
     }
 
     fn verify_decoded(&mut self) -> Result<()> {
-        // Own regions, each tree's query set and the ids-in-range checks;
-        // then everything whose contents only an eager open reads.
-        self.ensure_query_integrity()?;
+        // Region checksums, the block-table census and the ids-in-range
+        // checks; then everything whose contents only an eager open reads.
+        self.verify_integrity()?;
         finite_slice(self.data.flat(), "coordinate")?;
-        for tree in &mut self.pair_indexes {
-            tree.verify_decoded()?;
+        for blocks in &self.pair_blocks {
+            blocks.check_finite()?;
         }
         for column in &mut self.columns {
             column.verify_decoded()?;
@@ -1406,20 +951,8 @@ impl Codec for SdIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multidim::{PairingStrategy, SdIndexOptions};
-    use crate::types::PointId;
+    use crate::multidim::SdIndexOptions;
     use crate::SdQuery;
-
-    fn pts() -> Vec<(f64, f64)> {
-        vec![
-            (0.0, 1.0),
-            (2.0, 5.0),
-            (4.0, 3.0),
-            (4.0, 3.0), // duplicate
-            (-1.5, 0.25),
-            (7.0, -2.0),
-        ]
-    }
 
     #[test]
     fn primitives_roundtrip() {
@@ -1499,48 +1032,28 @@ mod tests {
     }
 
     #[test]
-    fn topk_index_roundtrips_exactly() {
-        let mut index = TopKIndex::build(&pts()).unwrap();
-        // Encoding is deterministic and stable across a round-trip.
-        let built = encode_to_vec(&index);
-        let back: TopKIndex = decode_from_slice(&built).unwrap();
-        assert_eq!(encode_to_vec(&back), built);
-
-        index.insert(3.3, -0.7).unwrap();
-        index.delete(PointId::new(1));
-        let bytes = encode_to_vec(&index);
-        let back: TopKIndex = decode_from_slice(&bytes).unwrap();
-        back.check_invariants();
-        for (qx, qy, a, b, k) in [
-            (0.0, 0.0, 1.0, 1.0, 3),
-            (2.0, 4.0, 0.3, 0.9, 6),
-            (-5.0, 1.0, 1.0, 0.0, 2),
-        ] {
-            assert_eq!(
-                back.query(qx, qy, a, b, k).unwrap(),
-                index.query(qx, qy, a, b, k).unwrap()
-            );
-        }
-        // Point-level updates drop the derived block tables and decode
-        // derives them again, so a mutated index is stable from its first
-        // decoded generation on.
-        let rebytes = encode_to_vec(&back);
-        let again: TopKIndex = decode_from_slice(&rebytes).unwrap();
-        assert_eq!(encode_to_vec(&again), rebytes);
-    }
-
-    #[test]
     fn topk_flipped_slot_index_is_corrupt_not_panic() {
-        let index = TopKIndex::build(&pts()).unwrap();
-        let bytes = encode_to_vec(&index);
+        // A stored §4 index: six points (one duplicated) as a 2-D `ar`
+        // shard, so the file holds one pair's block tables and their slots.
+        let rows = [
+            [0.0, 1.0],
+            [2.0, 5.0],
+            [4.0, 3.0],
+            [4.0, 3.0],
+            [-1.5, 0.25],
+            [7.0, -2.0],
+        ];
+        let data = Dataset::from_rows(2, &rows.map(|r| r.to_vec())).unwrap();
+        let roles = [DimRole::Attractive, DimRole::Repulsive];
+        let bytes = encode_to_vec(&SdIndex::build(data, &roles).unwrap());
+        let q = SdQuery::new(vec![1.0, 1.0], vec![1.0, 1.0]).unwrap();
         // Flip every byte position one at a time; decoding must never panic
-        // and any success must still satisfy the tree invariants this index
-        // relies on for panic-free queries.
+        // and any success must still answer without panicking.
         for pos in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[pos] ^= 0x40;
-            if let Ok(idx) = decode_from_slice::<TopKIndex>(&mutated) {
-                let _ = idx.query(1.0, 1.0, 1.0, 1.0, 3);
+            if let Ok(idx) = decode_from_slice::<SdIndex>(&mutated) {
+                let _ = idx.query(&q, 3);
             }
         }
     }
@@ -1570,6 +1083,12 @@ mod tests {
         let q = SdQuery::new(vec![0.1, 1.0, 2.0, 0.3], vec![1.0, 0.5, 2.0, 0.8]).unwrap();
         assert_eq!(back.query(&q, 7).unwrap(), index.query(&q, 7).unwrap());
         assert_eq!(encode_to_vec(&back), bytes);
+        // The build options ride along, so a rebuild pairs the same way.
+        assert_eq!(back.pairs(), index.pairs());
+        assert_eq!(
+            back.rebuild_options().pairing,
+            PairingStrategy::CorrelationAware
+        );
     }
 
     #[test]

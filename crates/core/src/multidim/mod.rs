@@ -2,9 +2,9 @@
 //! and TA-style threshold aggregation.
 //!
 //! The SD-score (Eqn. 3) is re-expressed as Eqn. 10: `min(|D|, |S|)`
-//! repulsive↔attractive 2-D subproblems — each served by a §4
-//! [`TopKIndex`] — plus 1-D subproblems for the leftover dimensions. Every
-//! subproblem yields points in non-increasing subscore order together with
+//! repulsive↔attractive 2-D subproblems — each served by a stored §4 index
+//! (see [`crate::topk`]) — plus 1-D subproblems for the leftover dimensions.
+//! Every subproblem yields points in non-increasing subscore order together with
 //! an admissible bound; the aggregation loop fetches the per-subproblem
 //! tops, scores fetched points exactly on the *full* query, and stops once
 //! the k-th best exact score reaches the threshold `τ = Σ` (per-stream
@@ -31,7 +31,7 @@
 //! model in [`plan`] (tree frontier at an indexed angle, Claim 6 bracketed
 //! frontier, or plain 1-D sorted-column streams), and single-pair queries
 //! bypass the aggregation altogether — one certified frontier search over
-//! the pair's tree. An aggregation that has fetched more than
+//! the pair's §4 index. An aggregation that has fetched more than
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
 //! projects that it will ([`plan::scan_checkpoint`]) — stops consulting its
 //! streams and finishes with one sequential kernel scan of the rows it has
@@ -66,9 +66,9 @@ use crate::profile::QueryProfile;
 use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
 use crate::threshold::{track_floor, SharedThreshold};
-use crate::topk::blocks::{BlockFrontier, BlockSet};
-use crate::topk::stream::{FastSet, PairFrontier};
-use crate::topk::{arbitrary, default_angles, TopKIndex};
+use crate::topk::blocks::{sort_by_x, BlockFrontier, BlockSet};
+use crate::topk::stream::{indexed_angle, FrontierEval};
+use crate::topk::{arbitrary, default_angles, normalize_angles};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
 
@@ -80,7 +80,7 @@ use crate::{DimRole, SdQuery};
 // lives in one small recycled Vec, so the size skew is irrelevant.
 #[allow(clippy::large_enum_variant)]
 pub enum Subproblem<'a> {
-    /// A repulsive↔attractive 2-D subproblem over a §4 tree.
+    /// A repulsive↔attractive 2-D subproblem over a pair's §4 index.
     Pair2d(Pair2DStream<'a>),
     /// A leftover attractive dimension (nearest-first 1-D scan).
     Attractive1d(AttractiveStream<'a>),
@@ -128,8 +128,8 @@ impl<'a> Subproblem<'a> {
 
     /// Fetches this stream's next *emission unit* into `out`:
     ///
-    /// * 1-D and per-point streams append one row;
-    /// * a block-backed 2-D stream appends every live row of its next
+    /// * 1-D and degenerate streams append one row;
+    /// * a 2-D stream appends every live row of its next
     ///   surviving SoA leaf block (up to [`LANES`] at once), after
     ///   block-level floor pruning: with `prune = Some((f, others))` —
     ///   `f` the current k-th-score floor and `others` the sum of every
@@ -165,10 +165,8 @@ pub struct SdIndexOptions {
     /// How repulsive and attractive dimensions are matched (§5 / future
     /// work).
     pub pairing: PairingStrategy,
-    /// Indexed projection angles for the per-pair trees (§4.2).
+    /// Indexed projection angles of the per-pair §4 indexes (§4.2).
     pub angles: Vec<Angle>,
-    /// Branching factor of the per-pair trees.
-    pub branching: usize,
 }
 
 impl Default for SdIndexOptions {
@@ -176,14 +174,13 @@ impl Default for SdIndexOptions {
         SdIndexOptions {
             pairing: PairingStrategy::Arbitrary,
             angles: default_angles(),
-            branching: 8,
         }
     }
 }
 
-/// The multi-dimensional SD-Query index (§5): per-pair §4 trees plus
-/// sorted columns for unpaired dimensions, aggregated under a TA-style
-/// threshold at query time.
+/// The multi-dimensional SD-Query index (§5): one bulk-loaded §4 index per
+/// pair plus sorted columns for unpaired dimensions, aggregated under a
+/// TA-style threshold at query time.
 ///
 /// Dimension *roles* are fixed at build time (they determine the pairing
 /// and the physical indexes); weights and `k` are free at query time.
@@ -193,9 +190,14 @@ impl Default for SdIndexOptions {
 pub struct SdIndex {
     pub(crate) data: Arc<Dataset>,
     pub(crate) roles: Vec<DimRole>,
+    /// The strategy that chose `pairs`, recorded so a rebuild (compaction)
+    /// pairs the same way.
+    pub(crate) pairing: PairingStrategy,
     pub(crate) pairs: Vec<DimPair>,
     pub(crate) unpaired: Vec<usize>,
-    pub(crate) pair_indexes: Vec<TopKIndex>,
+    /// One §4 index per pair over the projection `(x = attractive, y =
+    /// repulsive)` of `data`; its point slots are dataset rows.
+    pub(crate) pair_blocks: Vec<BlockSet>,
     pub(crate) columns: Vec<SortedColumn>,
     /// Per-pair sorted columns `(attractive, repulsive)` backing the
     /// planner's 1-D strategy. Derived lazily from the dataset on the
@@ -203,20 +205,20 @@ pub struct SdIndex {
     /// for them), never serialised — the snapshot wire format is
     /// unchanged. Behind an `Arc` so clones share the cache.
     pub(crate) pair_columns: Arc<OnceLock<Vec<(SortedColumn, SortedColumn)>>>,
-    /// Lazily verified CRC regions owned directly by this index when it was
-    /// decoded lazily (`open_mapped`): the dataset coordinate table plus
-    /// every unpaired sorted column. Empty for built or eagerly loaded
-    /// indexes. The per-pair trees carry their own sets.
+    /// Lazily verified CRC regions of this index when it was decoded lazily
+    /// (`open_mapped`): the dataset coordinate table, every pair's block
+    /// tables and every unpaired sorted column. Empty for built or eagerly
+    /// loaded indexes.
     pub(crate) query_integrity: Vec<Arc<SectionIntegrity>>,
-    /// Once-shot content validation of a decode (column row ids in range)
-    /// — run after the CRCs pass: on the first query of a lazy open, before
-    /// an eager one returns. `Some(detail)` is a sticky corruption verdict.
+    /// Once-shot content validation of a decode (block-table census, slot
+    /// and column row ids in range) — run after the CRCs pass: on the first
+    /// query of a lazy open, before an eager one returns. `Some(detail)` is
+    /// a sticky corruption verdict.
     pub(crate) mapped_check: Arc<OnceLock<Option<String>>>,
 }
 
 impl SdIndex {
-    /// Builds with default options (arbitrary pairing, five angles,
-    /// branching 8).
+    /// Builds with default options (arbitrary pairing, five angles).
     pub fn build(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> Result<Self, SdError> {
         Self::build_with(data, roles, &SdIndexOptions::default())
     }
@@ -234,21 +236,25 @@ impl SdIndex {
                 got: roles.len(),
             });
         }
+        if data.len() > u32::MAX as usize {
+            return Err(SdError::TooManyPoints(data.len()));
+        }
+        let angles = normalize_angles(&options.angles)?;
         let (pairs, unpaired) = pair_dimensions(&data, roles, options.pairing);
 
-        let mut pair_indexes = Vec::with_capacity(pairs.len());
+        // Per pair: project (x = attractive, y = repulsive) out of the rows,
+        // sort the rows by x and bulk-load. The projection is scratch — the
+        // index keeps its own SoA copy and nothing else.
+        let mut pts: Vec<(f64, f64)> = Vec::with_capacity(data.len());
+        let mut order: Vec<u32> = Vec::with_capacity(data.len());
+        let mut pair_blocks = Vec::with_capacity(pairs.len());
         for p in &pairs {
-            // x = attractive dimension, y = repulsive dimension; slot order
-            // equals row order so tree slots are dataset rows.
-            let pts: Vec<(f64, f64)> = data
-                .iter()
-                .map(|(_, c)| (c[p.attractive], c[p.repulsive]))
-                .collect();
-            pair_indexes.push(TopKIndex::build_with(
-                &pts,
-                &options.angles,
-                options.branching,
-            )?);
+            pts.clear();
+            pts.extend(data.iter().map(|(_, c)| (c[p.attractive], c[p.repulsive])));
+            order.clear();
+            order.extend(0..data.len() as u32);
+            sort_by_x(&pts, &mut order);
+            pair_blocks.push(BlockSet::build(&pts, &order, &angles));
         }
         let columns = unpaired
             .iter()
@@ -257,9 +263,10 @@ impl SdIndex {
         Ok(SdIndex {
             data,
             roles: roles.to_vec(),
+            pairing: options.pairing,
             pairs,
             unpaired,
-            pair_indexes,
+            pair_blocks,
             columns,
             pair_columns: Arc::new(OnceLock::new()),
             query_integrity: Vec::new(),
@@ -267,38 +274,25 @@ impl SdIndex {
         })
     }
 
-    /// `true` while any part of this index still defers region checksums to
-    /// first touch (an `open_mapped` decode); an index that was built, or
-    /// loaded and verified eagerly, answers `false`.
+    /// `true` while this index still defers region checksums to first touch
+    /// (an `open_mapped` decode); an index that was built, or loaded and
+    /// verified eagerly, answers `false`.
     pub fn is_mapped(&self) -> bool {
-        !self.query_integrity.is_empty() || self.pair_indexes.iter().any(TopKIndex::is_mapped)
+        !self.query_integrity.is_empty()
     }
 
-    /// Verifies (once) every lazily checksummed region a query can touch:
-    /// the index's own regions, then each pair tree's set, then the
-    /// deferred content checks. Free after the first call — verified
-    /// regions are an atomic load; failures are sticky.
-    pub(crate) fn ensure_query_integrity(&self) -> Result<(), SdError> {
-        if self.query_integrity.is_empty() && self.pair_indexes.iter().all(|t| !t.is_mapped()) {
+    /// Verifies (once) every lazily checksummed region of this index, then
+    /// the deferred content checks. Every query entry calls this, and so
+    /// must whoever re-encodes a mapped index, so corruption cannot be
+    /// laundered into a fresh file under fresh checksums. Free for owned
+    /// indexes and after the first call — verified regions are an atomic
+    /// load; failures are sticky.
+    pub fn verify_integrity(&self) -> Result<(), SdError> {
+        if self.query_integrity.is_empty() {
             return Ok(());
         }
         crate::integrity::ensure_all(&self.query_integrity)?;
-        for tree in &self.pair_indexes {
-            tree.ensure_query_integrity()?;
-        }
-        let n = self.data.len();
-        let failure = self.mapped_check.get_or_init(|| {
-            for (ci, column) in self.columns.iter().enumerate() {
-                for &row in column.rows.iter() {
-                    if row as usize >= n {
-                        return Some(format!(
-                            "sorted column {ci}: row id {row} out of range for {n} rows"
-                        ));
-                    }
-                }
-            }
-            None
-        });
+        let failure = self.mapped_check.get_or_init(|| self.check_ids().err());
         match failure {
             None => Ok(()),
             Some(detail) => Err(SdError::SnapshotCorrupt {
@@ -307,14 +301,22 @@ impl SdIndex {
         }
     }
 
-    /// Verifies every lazily checksummed region this index still borrows,
-    /// including each pair tree's deferred node blob. Call before
-    /// re-encoding a mapped index so corruption cannot be laundered into a
-    /// fresh file under fresh checksums. No-op for owned indexes.
-    pub fn verify_integrity(&self) -> Result<(), SdError> {
-        self.ensure_query_integrity()?;
-        for tree in &self.pair_indexes {
-            tree.verify_integrity()?;
+    /// The content checks of a decode that keep a forged-but-checksummed
+    /// file from indexing out of bounds: every pair's block-table census
+    /// and every sorted column's row ids against the dataset.
+    fn check_ids(&self) -> Result<(), String> {
+        let n = self.data.len();
+        for (pi, blocks) in self.pair_blocks.iter().enumerate() {
+            blocks
+                .validate_structure(n)
+                .map_err(|e| format!("pair {pi}: {e}"))?;
+        }
+        for (ci, column) in self.columns.iter().enumerate() {
+            if let Some(row) = column.rows.iter().find(|&&row| row as usize >= n) {
+                return Err(format!(
+                    "sorted column {ci}: row id {row} out of range for {n} rows"
+                ));
+            }
         }
         Ok(())
     }
@@ -348,9 +350,9 @@ impl SdIndex {
     /// Approximate heap footprint of the index structures (excluding the
     /// shared dataset).
     pub fn memory_bytes(&self) -> usize {
-        self.pair_indexes
+        self.pair_blocks
             .iter()
-            .map(TopKIndex::memory_bytes)
+            .map(BlockSet::memory_bytes)
             .sum::<usize>()
             + self
                 .columns
@@ -364,22 +366,11 @@ impl SdIndex {
             })
     }
 
-    /// Aggregate SoA leaf-block statistics across the per-pair trees:
-    /// `(blocks, resident bytes, stale trees)` — a tree is *stale* when a
-    /// point-level mutation dropped its derived block layout (its queries
-    /// fall back to the per-point frontier until the next rebuild).
-    pub fn block_stats(&self) -> (usize, usize, usize) {
-        let (mut blocks, mut bytes, mut stale) = (0, 0, 0);
-        for tree in &self.pair_indexes {
-            match tree.block_stats() {
-                Some((b, m)) => {
-                    blocks += b;
-                    bytes += m;
-                }
-                None => stale += 1,
-            }
-        }
-        (blocks, bytes, stale)
+    /// `(blocks, resident bytes)` of the per-pair §4 indexes, summed.
+    pub fn block_stats(&self) -> (usize, usize) {
+        self.pair_blocks.iter().fold((0, 0), |(blocks, bytes), b| {
+            (blocks + b.n_blocks(), bytes + b.memory_bytes())
+        })
     }
 
     /// The cost-model decision for `query` against this index: which
@@ -417,16 +408,16 @@ impl SdIndex {
         let n = self.data.len();
         let direct = allow_direct && self.direct_pair(query).is_some();
         let mut pairs = Vec::with_capacity(self.pairs.len());
-        for (pair, index) in self.pairs.iter().zip(&self.pair_indexes) {
+        for (pair, blocks) in self.pairs.iter().zip(&self.pair_blocks) {
             let alpha = query.weights[pair.repulsive];
             let beta = query.weights[pair.attractive];
-            let indexed = self.pair_indexed(index, alpha, beta);
+            let indexed = pair_indexed(blocks, alpha, beta);
             // Single-pair queries bypass the aggregation; report the
             // frontier the direct path actually runs.
             let (action, est_cost) = if direct {
-                plan::plan_direct(n, k, index.branching(), indexed)
+                plan::plan_direct(n, k, indexed)
             } else {
-                plan::plan_pair(n, k, index.branching(), alpha, beta, indexed)
+                plan::plan_pair(n, k, alpha, beta, indexed)
             };
             pairs.push(PairPlan {
                 repulsive: pair.repulsive,
@@ -446,16 +437,6 @@ impl SdIndex {
             unpaired_streams,
             scan_budget: plan::scan_budget(n),
         })
-    }
-
-    /// `true` when the pair's weight angle hits an indexed angle of its
-    /// tree (degenerate both-zero weights report `false`; the planner
-    /// never consults `indexed` for them).
-    fn pair_indexed(&self, index: &TopKIndex, alpha: f64, beta: f64) -> bool {
-        Angle::from_weights(alpha, beta)
-            .ok()
-            .and_then(|theta| index.indexed_angle(&theta))
-            .is_some()
     }
 
     /// When the whole query is one non-degenerate pair (no unpaired
@@ -519,7 +500,7 @@ impl SdIndex {
     ///
     /// This is the one place the direct single-pair search is chosen: a
     /// query that is one non-degenerate pair, unmasked, is one certified
-    /// frontier search over the pair's tree. Everything else is
+    /// frontier search over the pair's §4 index. Everything else is
     /// [`SdIndex::begin_query`] stepped once without a round limit.
     pub fn query_masked<'s>(
         &self,
@@ -539,8 +520,8 @@ impl SdIndex {
         if let Some((alpha, beta, qx, qy)) = direct {
             scratch.profile.reset();
             let t0 = scratch.profile.timing.then(std::time::Instant::now);
-            arbitrary::query_canonical_with(
-                &self.pair_indexes[0],
+            arbitrary::query_blocks_with(
+                &self.pair_blocks[0],
                 qx,
                 qy,
                 alpha,
@@ -599,7 +580,7 @@ impl SdIndex {
                 got: query.dims(),
             });
         }
-        self.ensure_query_integrity()
+        self.verify_integrity()
     }
 
     /// [`SdIndex::begin_query`] past validation: this index's streams under
@@ -629,20 +610,17 @@ impl SdIndex {
         ))
     }
 
-    /// The effective build options of this index, recovered from its
-    /// structures — what a compaction-time rebuild should pass to
-    /// [`SdIndex::build_with`] to reproduce the same physical layout. The
-    /// pairing strategy is not recorded in the index, so arbitrary pairing
-    /// is reported; pairing affects only subproblem decomposition cost,
-    /// never answers (every decomposition is exact and canonical).
+    /// The build options of this index — what a compaction-time rebuild
+    /// passes to [`SdIndex::build_with`] to reproduce the same physical
+    /// layout: the recorded pairing strategy and the pairs' indexed angles
+    /// (the default grid when there is no pair to read them from).
     pub fn rebuild_options(&self) -> SdIndexOptions {
-        match self.pair_indexes.first() {
-            Some(tree) => SdIndexOptions {
-                pairing: PairingStrategy::Arbitrary,
-                angles: tree.angles().to_vec(),
-                branching: tree.branching(),
-            },
-            None => SdIndexOptions::default(),
+        SdIndexOptions {
+            pairing: self.pairing,
+            angles: self
+                .pair_blocks
+                .first()
+                .map_or_else(default_angles, |b| b.angles().to_vec()),
         }
     }
 
@@ -659,19 +637,12 @@ impl SdIndex {
         let n = self.data.len();
         let mut streams = scratch.stream_buf();
         streams.reserve(2 * self.pairs.len() + self.unpaired.len());
-        for (pi, (pair, index)) in self.pairs.iter().zip(&self.pair_indexes).enumerate() {
+        for (pi, (pair, blocks)) in self.pairs.iter().zip(&self.pair_blocks).enumerate() {
             let alpha = query.weights[pair.repulsive];
             let beta = query.weights[pair.attractive];
             let qx = query.point[pair.attractive];
             let qy = query.point[pair.repulsive];
-            let (action, _) = plan::plan_pair(
-                n,
-                k,
-                index.branching(),
-                alpha,
-                beta,
-                self.pair_indexed(index, alpha, beta),
-            );
+            let (action, _) = plan::plan_pair(n, k, alpha, beta, pair_indexed(blocks, alpha, beta));
             match action {
                 PairAction::Degenerate => {} // contributes exactly 0 to every score
                 PairAction::OneDim => {
@@ -684,7 +655,7 @@ impl SdIndex {
                     }
                 }
                 PairAction::Frontier | PairAction::Bracketed => {
-                    match Pair2DStream::with_scratch(index, qx, qy, alpha, beta, n, scratch) {
+                    match Pair2DStream::with_scratch(blocks, qx, qy, alpha, beta, scratch) {
                         Ok(s) => streams.push(Subproblem::Pair2d(s)),
                         Err(e) => {
                             // Hand every buffer back before propagating.
@@ -716,6 +687,16 @@ impl SdIndex {
         }
         Ok(streams)
     }
+}
+
+/// `true` when the pair's weight angle hits an indexed angle of its §4
+/// index (degenerate both-zero weights report `false`; the planner never
+/// consults `indexed` for them).
+fn pair_indexed(blocks: &BlockSet, alpha: f64, beta: f64) -> bool {
+    Angle::from_weights(alpha, beta)
+        .ok()
+        .and_then(|theta| indexed_angle(blocks.angles(), &theta))
+        .is_some()
 }
 
 /// Resolves a worker-count argument: `0` means auto — the host's available
@@ -1028,7 +1009,7 @@ fn emit_pooled(
 /// bounds, so score ties always resolve through the pool's
 /// `(score, Reverse(row))` order — smallest row first — independent of
 /// stream fetch order. Two further stop rules terminate early without
-/// breaking canonicity (see [`query_frontier_with`] for the argument):
+/// breaking canonicity (see [`query_blocks_with`] for the argument):
 /// the locally tracked k-th-best seen score, and the optional cross-shard
 /// [`SharedThreshold`] floor.
 ///
@@ -1060,7 +1041,7 @@ fn emit_pooled(
 /// aborts the aggregation with the typed deadline/cancel error; the answer
 /// buffer keeps the certified partial prefix emitted so far.
 ///
-/// [`query_frontier_with`]: crate::topk::arbitrary::query_frontier_with
+/// [`query_blocks_with`]: crate::topk::arbitrary::query_blocks_with
 fn aggregate_rounds<F: FnMut(f64)>(
     exec: &mut ShardExecution<'_>,
     shared: Option<&SharedThreshold>,
@@ -1448,15 +1429,14 @@ pub fn threshold_aggregate_with<'s>(
         .run_into(None, scratch)
 }
 
-/// A 2-D subproblem stream over one §4 tree.
+/// A 2-D subproblem stream over one pair's §4 index.
 ///
-/// Emissions carry exact θ_q subscores but arrive in *frontier* order, not
-/// sorted subscore order — the aggregation loop only requires an
-/// admissible **bound** on unemitted rows, so the stream runs on the
-/// pool-free uncertified [`PairFrontier`], whose heap priorities are θ_q
-/// score bounds: exact for points, and (for non-indexed θ_q) the Claim 6
-/// `dual_bound` linear programme applied per node, which walks the tree
-/// once where the old dual-stream bracket walked it twice.
+/// Emissions arrive in *frontier* order, not sorted subscore order — the
+/// aggregation loop only requires an admissible **bound** on unemitted rows,
+/// so the stream runs on the pool-free uncertified [`BlockFrontier`], whose
+/// heap priorities are θ_q score bounds: for non-indexed θ_q the Claim 6
+/// `dual_bound` linear programme applied per envelope, which walks the
+/// index once where a dual-stream bracket would walk it twice.
 pub struct Pair2DStream<'a> {
     inner: PairInner<'a>,
 }
@@ -1465,20 +1445,10 @@ pub struct Pair2DStream<'a> {
 enum PairInner<'a> {
     /// Both weights zero: every subscore is exactly 0; enumerate rows.
     Degenerate { next_row: u32, n: u32 },
-    /// Per-point fallback frontier for trees whose derived block layout is
-    /// stale (point-level mutation since the last rebuild).
-    Tree {
-        frontier: PairFrontier<'a>,
-        /// Dedup: a slot surfaces once per projection stream containing it.
-        seen: FastSet,
-        /// `√(α² + β²)`: converts normalised θ_q scores to raw subscores.
-        r: f64,
-    },
-    /// The hot path: a best-first frontier over the tree's SoA leaf
-    /// blocks. Whole blocks surface (and are prunable against the
-    /// k-th-score floor) at once; [`Subproblem::next_unit`] kernel-scores
-    /// a popped block's lanes on the pair and filters them against the
-    /// floor before emission.
+    /// A best-first frontier over the pair's SoA leaf blocks. Whole blocks
+    /// surface (and are prunable against the k-th-score floor) at once;
+    /// [`Subproblem::next_unit`] kernel-scores a popped block's lanes on
+    /// the pair and filters them against the floor before emission.
     Blocks {
         frontier: BlockFrontier<'a>,
         blocks: &'a BlockSet,
@@ -1493,64 +1463,40 @@ enum PairInner<'a> {
 impl<'a> Pair2DStream<'a> {
     /// Builds the stream, borrowing recycled buffers from `scratch`.
     pub(crate) fn with_scratch(
-        index: &'a TopKIndex,
+        blocks: &'a BlockSet,
         qx: f64,
         qy: f64,
         alpha: f64,
         beta: f64,
-        n: usize,
         scratch: &mut QueryScratch,
     ) -> Result<Self, SdError> {
         if alpha == 0.0 && beta == 0.0 {
             return Ok(Pair2DStream {
                 inner: PairInner::Degenerate {
                     next_row: 0,
-                    n: n as u32,
+                    n: blocks.n_live() as u32,
                 },
             });
         }
         let theta = Angle::from_weights(alpha, beta)?;
-        let r = alpha.hypot(beta);
-        let eval = index.frontier_eval(&theta)?;
-        if let Some(blocks) = index.blocks() {
-            return Ok(Pair2DStream {
-                inner: PairInner::Blocks {
-                    frontier: BlockFrontier::with_scratch(
-                        blocks,
-                        qx,
-                        qy,
-                        eval,
-                        scratch.take_angle(),
-                    ),
-                    blocks,
-                    qx,
-                    qy,
-                    alpha,
-                    beta,
-                    r,
-                },
-            });
-        }
+        let eval = FrontierEval::at(blocks.angles(), &theta)?;
         Ok(Pair2DStream {
-            inner: PairInner::Tree {
-                frontier: PairFrontier::with_scratch(index, qx, qy, eval, scratch.take_angle()),
-                seen: scratch.take_set(),
-                r,
+            inner: PairInner::Blocks {
+                frontier: BlockFrontier::with_scratch(blocks, qx, qy, eval, scratch.take_angle()),
+                blocks,
+                qx,
+                qy,
+                alpha,
+                beta,
+                r: alpha.hypot(beta),
             },
         })
     }
 
     /// Hands the owned buffers back to the scratch.
     fn recycle(self, scratch: &mut QueryScratch) {
-        match self.inner {
-            PairInner::Degenerate { .. } => {}
-            PairInner::Tree { frontier, seen, .. } => {
-                scratch.put_angle(frontier.into_scratch());
-                scratch.put_set(seen);
-            }
-            PairInner::Blocks { frontier, .. } => {
-                scratch.put_angle(frontier.into_scratch());
-            }
+        if let PairInner::Blocks { frontier, .. } = self.inner {
+            scratch.put_angle(frontier.into_scratch());
         }
     }
 
@@ -1620,15 +1566,8 @@ impl<'a> Pair2DStream<'a> {
                 *next_row += 1;
                 *next_row - 1
             }),
-            PairInner::Tree { frontier, seen, .. } => {
-                let row = std::iter::from_fn(|| frontier.next_raw())
-                    .map(|(slot, _)| slot)
-                    .find(|&slot| seen.insert(slot));
-                prof.nodes_visited += frontier.take_nodes();
-                row
-            }
         };
-        // The per-point variants surface one row per fetch.
+        // The degenerate enumerator surfaces one row per fetch.
         prof.tree_rows_pulled += u64::from(row.is_some());
         out.extend(row);
         row.is_some()
@@ -1639,7 +1578,6 @@ impl<'a> Pair2DStream<'a> {
     fn bound(&self) -> Option<f64> {
         match &self.inner {
             PairInner::Degenerate { next_row, n } => (next_row < n).then_some(0.0),
-            PairInner::Tree { frontier, r, .. } => frontier.bound().map(|b| r * b),
             PairInner::Blocks { frontier, r, .. } => frontier.bound().map(|b| r * b),
         }
     }

@@ -2,7 +2,7 @@
 //! subproblem of the §5 decomposition to one of four physical strategies —
 //! and the fetch budget that bounds what any mix of them may cost.
 //!
-//! The paper hardcodes the execution of a pair: walk its §4 tree (certified
+//! The paper hardcodes the execution of a pair: walk its §4 index (certified
 //! when the weight angle is indexed, Claim-6 bracketed otherwise). That is
 //! the right call at scale, but it is not *always* the right call: a tiny
 //! shard pays more for four frontier heaps and per-node bound evaluation
@@ -10,7 +10,7 @@
 //! weight degenerates to an exact 1-D problem where a single sorted stream
 //! certifies immediately. The planner picks per pair, per query:
 //!
-//! * [`PairAction::Frontier`] — one best-first [`PairFrontier`] at the
+//! * [`PairAction::Frontier`] — one best-first block frontier at the
 //!   indexed angle θ_q (the §4 fast path),
 //! * [`PairAction::Bracketed`] — the same frontier with the Claim 6
 //!   `dual_bound` LP per node (θ_q not indexed),
@@ -116,15 +116,15 @@
 //! Cost estimates are in *candidate-handling units* (≈ one heap operation
 //! plus one score evaluation) and are deliberately coarse — they only have
 //! to rank strategies, not predict wall time.
-//!
-//! [`PairFrontier`]: crate::topk::stream::PairFrontier
 
 use std::fmt;
+
+use crate::topk::blocks::GROUP_FANOUT;
 
 /// How one repulsive↔attractive pair is physically executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairAction {
-    /// Best-first frontier over the pair's §4 tree at an indexed angle.
+    /// Best-first frontier over the pair's §4 index at an indexed angle.
     Frontier,
     /// Frontier with the Claim 6 per-node `dual_bound` LP (angle between
     /// two indexed angles).
@@ -165,7 +165,7 @@ pub struct PairPlan {
 pub struct QueryPlan {
     /// `true` when the whole query is a single pair with no leftover
     /// dimensions: it bypasses the aggregation loop entirely and runs one
-    /// certified frontier search over the pair's tree (the Claim 6
+    /// certified frontier search over the pair's §4 index (the Claim 6
     /// bracketed path when θ_q is not indexed).
     pub direct: bool,
     /// Per-pair decisions, in pair order.
@@ -301,13 +301,14 @@ fn fetch_estimate(k: usize) -> f64 {
     (k + 8) as f64
 }
 
-/// Cost of serving one pair through its tree frontier: each fetch expands
-/// ~`b·log_b(n)` node entries; the Claim 6 LP per node roughly doubles the
+/// Cost of serving one pair through its §4 index: each fetch expands
+/// ~`b·log_b(n)` envelope entries of the hierarchy the frontier walks
+/// (`b` = [`GROUP_FANOUT`]); the Claim 6 LP per envelope roughly doubles the
 /// evaluation cost when θ_q is not indexed.
 #[inline]
-fn tree_cost(n: usize, k: usize, branching: usize, indexed: bool) -> f64 {
+fn tree_cost(n: usize, k: usize, indexed: bool) -> f64 {
     let nf = (n.max(2)) as f64;
-    let b = (branching.max(2)) as f64;
+    let b = GROUP_FANOUT as f64;
     let lp_factor = if indexed { 1.0 } else { 2.2 };
     fetch_estimate(k) * b * nf.log(b) * lp_factor
 }
@@ -318,27 +319,20 @@ fn tree_cost(n: usize, k: usize, branching: usize, indexed: bool) -> f64 {
 /// feed 1-D streams into, so the OneDim/Degenerate branches of
 /// [`plan_pair`] never apply; `sdq inspect` must report what actually
 /// runs.)
-pub fn plan_direct(n: usize, k: usize, branching: usize, indexed: bool) -> (PairAction, f64) {
+pub fn plan_direct(n: usize, k: usize, indexed: bool) -> (PairAction, f64) {
     let action = if indexed {
         PairAction::Frontier
     } else {
         PairAction::Bracketed
     };
-    (action, tree_cost(n, k, branching, indexed))
+    (action, tree_cost(n, k, indexed))
 }
 
 /// Chooses the strategy for one pair. `n` is the number of points *this*
 /// index covers (the shard size under the engine — smaller shards shift the
 /// balance towards [`PairAction::OneDim`]), `indexed` whether θ_q is an
-/// indexed angle of the pair's tree.
-pub fn plan_pair(
-    n: usize,
-    k: usize,
-    branching: usize,
-    alpha: f64,
-    beta: f64,
-    indexed: bool,
-) -> (PairAction, f64) {
+/// indexed angle of the pair's §4 index.
+pub fn plan_pair(n: usize, k: usize, alpha: f64, beta: f64, indexed: bool) -> (PairAction, f64) {
     if alpha == 0.0 && beta == 0.0 {
         return (PairAction::Degenerate, 0.0);
     }
@@ -348,7 +342,7 @@ pub fn plan_pair(
         return (PairAction::OneDim, fetch_estimate(k));
     }
     let nf = (n.max(2)) as f64;
-    let cost_tree = tree_cost(n, k, branching, indexed);
+    let cost_tree = tree_cost(n, k, indexed);
     // 1-D streams: O(1) per fetch, but the two column bounds are loose for
     // a genuinely 2-D subscore — overfetch grows like √(n·k), capped at a
     // full scan.
@@ -369,20 +363,20 @@ mod tests {
     #[test]
     fn zero_weights_degenerate() {
         assert_eq!(
-            plan_pair(1000, 8, 8, 0.0, 0.0, false).0,
+            plan_pair(1000, 8, 0.0, 0.0, false).0,
             PairAction::Degenerate
         );
-        assert_eq!(plan_pair(1000, 8, 8, 1.0, 0.0, true).0, PairAction::OneDim);
-        assert_eq!(plan_pair(1000, 8, 8, 0.0, 2.0, false).0, PairAction::OneDim);
+        assert_eq!(plan_pair(1000, 8, 1.0, 0.0, true).0, PairAction::OneDim);
+        assert_eq!(plan_pair(1000, 8, 0.0, 2.0, false).0, PairAction::OneDim);
     }
 
     #[test]
     fn large_n_prefers_trees_small_n_prefers_columns() {
-        let (large_idx, _) = plan_pair(100_000, 16, 8, 1.0, 1.0, true);
+        let (large_idx, _) = plan_pair(100_000, 16, 1.0, 1.0, true);
         assert_eq!(large_idx, PairAction::Frontier);
-        let (large_brk, _) = plan_pair(100_000, 16, 8, 1.0, 0.7, false);
+        let (large_brk, _) = plan_pair(100_000, 16, 1.0, 0.7, false);
         assert_eq!(large_brk, PairAction::Bracketed);
-        let (tiny, _) = plan_pair(24, 8, 8, 1.0, 1.0, false);
+        let (tiny, _) = plan_pair(24, 8, 1.0, 1.0, false);
         assert_eq!(tiny, PairAction::OneDim);
     }
 
@@ -484,8 +478,8 @@ mod tests {
     #[test]
     fn costs_rank_sanely() {
         // The bracketed estimate always exceeds the indexed one.
-        let (_, c_idx) = plan_pair(50_000, 16, 8, 1.0, 1.0, true);
-        let (_, c_brk) = plan_pair(50_000, 16, 8, 1.0, 1.0, false);
+        let (_, c_idx) = plan_pair(50_000, 16, 1.0, 1.0, true);
+        let (_, c_brk) = plan_pair(50_000, 16, 1.0, 1.0, false);
         assert!(c_brk > c_idx);
     }
 }

@@ -4,7 +4,7 @@
 //! wins because most envelope nodes, leaf blocks and points are never
 //! scored — and [`QueryProfile`] is how that is observed. Every query
 //! entry point increments a fixed set of `u64` counters as it runs: the
-//! frontier walks ([`PairFrontier`]/[`BlockFrontier`]), the block-level
+//! frontier walk ([`BlockFrontier`]), the block-level
 //! floor pruning, the per-lane mask filter, the batched scoring kernels,
 //! the delta seqscan, the tombstone mask and the k-way shard merge.
 //!
@@ -54,7 +54,6 @@
 //! assert!(p.aggregate_nanos > 0, "timing was enabled");
 //! ```
 //!
-//! [`PairFrontier`]: crate::topk::stream
 //! [`BlockFrontier`]: crate::topk::blocks
 
 use crate::kernels::LANES;
@@ -85,8 +84,8 @@ pub struct QueryProfile {
     /// Lanes of surfaced blocks dropped by the per-lane pair-subscore
     /// filter before gathering.
     pub lanes_masked: u64,
-    /// Rows surfaced by per-point tree frontiers (stale-block fallback and
-    /// degenerate enumeration).
+    /// Rows surfaced one at a time by a pair stream: the degenerate
+    /// enumeration that serves a query whose weights are all zero.
     pub tree_rows_pulled: u64,
     /// Rows surfaced by the 1-D sorted-column streams.
     pub onedim_rows_pulled: u64,

@@ -42,7 +42,7 @@ use std::collections::BinaryHeap;
 use crate::deadline::Deadline;
 use crate::multidim::Subproblem;
 use crate::profile::QueryProfile;
-use crate::topk::stream::{AngleScratch, FastSet};
+use crate::topk::stream::AngleScratch;
 use crate::types::{OrdF64, ScoredPoint};
 
 /// A generation-stamped membership set over dense row ids `0..n`: one
@@ -108,8 +108,6 @@ impl StampSet {
 pub struct QueryScratch {
     /// Recycled per-angle-stream state (4 frontier heaps + pool + seen).
     pub(crate) angles: Vec<AngleScratch>,
-    /// Spare seen-sets for streams that dedupe outside an angle scratch.
-    pub(crate) sets: Vec<FastSet>,
     /// Candidate pool of the outer threshold loop (TA aggregation and the
     /// bracketed single-pair path).
     pub(crate) pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
@@ -173,18 +171,6 @@ impl QueryScratch {
     /// Returns an angle-stream scratch to the pool for reuse.
     pub(crate) fn put_angle(&mut self, s: AngleScratch) {
         self.angles.push(s);
-    }
-
-    /// Pops a recycled (cleared) seen-set.
-    pub(crate) fn take_set(&mut self) -> FastSet {
-        let mut s = self.sets.pop().unwrap_or_default();
-        s.clear();
-        s
-    }
-
-    /// Returns a seen-set to the pool for reuse.
-    pub(crate) fn put_set(&mut self, s: FastSet) {
-        self.sets.push(s);
     }
 
     /// Hands out the recycled (empty) subproblem buffer for assembling a

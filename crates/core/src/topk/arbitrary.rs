@@ -93,12 +93,11 @@ pub(crate) fn dual_bound(bl: f64, bu: f64, tl: &Angle, tu: &Angle, tq: &Angle) -
     best
 }
 
-/// Full 2-D query over one §4 tree as a single certified frontier search —
-/// the engine's *direct* strategy for single-pair queries. Picks the
-/// indexed-angle frontier when θ_q is indexed and the Claim 6 bracketed
-/// frontier otherwise; either way the emission is **canonical** (score
-/// descending, ties by slot ascending), so the result is bit-identical to
-/// what the §5 aggregation produces for the same pair.
+/// Full 2-D query over one [`TopKIndex`] as a single certified frontier
+/// search: over the derived blocks while they are current
+/// ([`query_blocks_with`]), over the per-point tree after a point-level
+/// mutation. Either way the emission is **canonical** (score descending,
+/// ties by slot ascending).
 #[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
 pub(crate) fn query_canonical_with(
     index: &TopKIndex,
@@ -110,12 +109,13 @@ pub(crate) fn query_canonical_with(
     scratch: &mut QueryScratch,
     shared: Option<&SharedThreshold>,
 ) -> Result<(), SdError> {
-    let theta = Angle::from_weights(alpha, beta)?;
-    let eval = index.frontier_eval(&theta)?;
-    query_frontier_with(index, qx, qy, alpha, beta, k, eval, scratch, shared)
+    match index.blocks() {
+        Some(blocks) => query_blocks_with(blocks, qx, qy, alpha, beta, k, scratch, shared),
+        None => query_points_with(index, qx, qy, alpha, beta, k, scratch, shared),
+    }
 }
 
-/// The shared certified-frontier loop behind both entry points above.
+/// The certified-frontier loop over the dynamic tree's per-point frontier.
 ///
 /// Canonical-emission invariant: a pooled candidate is emitted only when
 /// its exact score is **strictly** above the inflated admissible bound on
@@ -134,26 +134,22 @@ pub(crate) fn query_canonical_with(
 ///   strictly below a score attained by `k` real points elsewhere, so the
 ///   global merge cannot miss an answer.
 ///
-/// `scratch.deadline` is consulted before every frontier pop (a block on the
-/// hot path, a point on the per-point fallback) and ends the search with the
-/// typed deadline/cancel error; the scratch keeps every buffer.
+/// `scratch.deadline` is consulted before every frontier pop and ends the
+/// search with the typed deadline/cancel error; the scratch keeps every
+/// buffer.
 #[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
-pub(crate) fn query_frontier_with(
+fn query_points_with(
     index: &TopKIndex,
     qx: f64,
     qy: f64,
     alpha: f64,
     beta: f64,
     k: usize,
-    eval: FrontierEval,
     scratch: &mut QueryScratch,
     shared: Option<&SharedThreshold>,
 ) -> Result<(), SdError> {
-    // The hot path runs over the derived SoA leaf blocks (absent only
-    // after a point-level mutation, until the next rebuild/refresh).
-    if let Some(blocks) = index.blocks() {
-        return query_frontier_blocks(index, blocks, qx, qy, alpha, beta, k, eval, scratch, shared);
-    }
+    let theta = Angle::from_weights(alpha, beta)?;
+    let eval = FrontierEval::at(&index.angles, &theta)?;
     let r = alpha.hypot(beta);
     let mut frontier = PairFrontier::with_scratch(index, qx, qy, eval, scratch.take_angle());
     let k_eff = k.min(index.n_alive);
@@ -236,33 +232,41 @@ pub(crate) fn query_frontier_with(
     outcome
 }
 
-/// The block-layout twin of the certified-frontier loop: pops whole SoA
-/// leaf blocks in best-first bound order, batch-scores every popped block
-/// through the 2-D kernel (bit-identical to `rescore`'s `sd_score_2d`),
-/// and pools the surviving lanes. Identical emission and stop rules —
-/// strict inflated-bound certification, k-th-score floor, shared floor —
-/// plus two block-level savings:
+/// Full 2-D query over one stored §4 index as a single certified frontier
+/// search — an engine shard's *direct* strategy for single-pair queries,
+/// and a [`TopKIndex`]'s while its blocks are current. Picks the
+/// indexed-angle evaluation when θ_q is indexed and the Claim 6 bracket
+/// otherwise ([`FrontierEval::at`]); the emission is **canonical**, so the
+/// result is bit-identical to what the §5 aggregation produces for the same
+/// pair.
+///
+/// The block-layout twin of [`query_points_with`]: pops whole SoA leaf
+/// blocks in best-first bound order, batch-scores every popped block
+/// through the 2-D kernel (bit-identical to `sd_score_2d`), and pools the
+/// surviving lanes. Identical emission and stop rules — strict
+/// inflated-bound certification, k-th-score floor, shared floor — plus two
+/// block-level savings:
 ///
 /// * a popped envelope or block whose bound already falls below the floor
 ///   is discarded without expanding or scoring anything under it;
 /// * blocks surface exactly once (block-level dedup), so there is no
 ///   per-point seen-set hashing at all on this path.
 #[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
-fn query_frontier_blocks(
-    index: &TopKIndex,
+pub(crate) fn query_blocks_with(
     blocks: &BlockSet,
     qx: f64,
     qy: f64,
     alpha: f64,
     beta: f64,
     k: usize,
-    eval: FrontierEval,
     scratch: &mut QueryScratch,
     shared: Option<&SharedThreshold>,
 ) -> Result<(), SdError> {
+    let theta = Angle::from_weights(alpha, beta)?;
+    let eval = FrontierEval::at(blocks.angles(), &theta)?;
     let r = alpha.hypot(beta);
     let mut frontier = BlockFrontier::with_scratch(blocks, qx, qy, eval, scratch.take_angle());
-    let k_eff = k.min(index.n_alive);
+    let k_eff = k.min(blocks.n_live());
     let publish = k_eff == k;
     let mut outcome = Ok(());
     {
@@ -372,7 +376,7 @@ pub fn query_alg4(
     k: usize,
     theta: &Angle,
 ) -> Result<Vec<ScoredPoint>, SdError> {
-    let (lo, hi) = index.bracketing(theta)?;
+    let (lo, hi) = super::stream::bracketing(&index.angles, theta)?;
 
     // Step 1: top-k at the lower indexed angle.
     let mut aq_l = AngleQuery::new(index, lo, qx, qy);

@@ -1,17 +1,26 @@
-//! Structure-of-arrays leaf blocks over a §4 tree's points, plus the
-//! best-first block frontier that replaces per-point frontier emission on
-//! the query hot path.
+//! The stored §4 index: a bulk-loaded, immutable, structure-of-arrays tree
+//! over one pair's points, plus the best-first block frontier that walks it.
 //!
-//! A [`BlockSet`] regroups the tree's live points — in x-sorted order, the
-//! same order the balanced bulk load uses — into cache-aligned blocks of
-//! [`LANES`] points with split `x`/`y` coordinate columns, the originating
-//! point slots, a live-lane mask, and *micro-envelopes*: per-block
+//! A [`BlockSet`] is the whole per-pair index an engine shard
+//! ([`SdIndex`](crate::multidim::SdIndex)) holds, persists and maps: the
+//! points in x-sorted order (ties by slot), grouped into cache-aligned blocks
+//! of [`LANES`] points with split `x`/`y` coordinate columns, the originating
+//! point slots, a live-lane mask, and *micro-envelopes* — per-block
 //! per-indexed-angle projection [`AngleBounds`] plus the block's x-range.
 //! Above the blocks sits a pointer-free implicit tree (fanout
 //! [`GROUP_FANOUT`]) of aggregated envelopes, so a frontier search descends
-//! `O(log n)` levels and then consumes whole blocks.
+//! `O(log n)` levels and then consumes whole blocks. With the indexed angles
+//! and the live-point count it is self-contained: nothing else is needed to
+//! answer a 2-D query, and nothing else of a pair is written to a snapshot.
 //!
-//! The payoff is threefold:
+//! It has no point updates. The paper's *dynamic* tree — per-point leaves,
+//! `insert` / `delete`, the |U|/n rebuild policy — is
+//! [`TopKIndex`](super::TopKIndex), an in-memory library index that derives
+//! a `BlockSet` at every bulk load and drops it at the first point-level
+//! mutation. An engine never mutates a pair in place (writes go to its delta
+//! and tombstones, a compaction rebuilds), so a shard keeps only this.
+//!
+//! The payoff of the layout is threefold:
 //!
 //! * frontier heaps hold **blocks, not points** — a pop surfaces up to 32
 //!   points at once instead of one, collapsing heap churn ~32×;
@@ -22,13 +31,8 @@
 //!   k-th-score floor (the `prune` hook of [`BlockFrontier::next_block`])
 //!   is rejected **before any of its points is scored** — the §4
 //!   bound-driven pruning of Claim 6, pushed below node granularity.
-//!
-//! The set is derived state: built from the point table at bulk load,
-//! dropped by point-level `insert`/`delete` (queries fall back to the exact
-//! per-point frontier until the next rebuild), and serialised verbatim so
-//! a snapshot decode maps it instead of rebuilding it.
 
-use crate::codec::{Reader, Result, Writer};
+use crate::codec::{corrupt, Codec, Reader, Result, Writer};
 use crate::geometry::Angle;
 use crate::kernels::{prefetch, LaneBlock, LANES};
 use crate::types::OrdF64;
@@ -40,6 +44,17 @@ use super::AngleBounds;
 /// Fanout of the implicit envelope tree above the blocks.
 pub(crate) const GROUP_FANOUT: usize = 8;
 
+/// Sorts point slots into bulk-load order: x ascending, ties by slot id.
+/// The one order a [`BlockSet`] (and a [`TopKIndex`](super::TopKIndex)'s
+/// balanced tree) is built over.
+pub(crate) fn sort_by_x(pts: &[(f64, f64)], order: &mut [u32]) {
+    order.sort_by(|&a, &b| {
+        OrdF64(pts[a as usize].0)
+            .cmp(&OrdF64(pts[b as usize].0))
+            .then(a.cmp(&b))
+    });
+}
+
 /// One level of aggregated envelopes above the block level.
 #[derive(Debug, Clone)]
 struct Level {
@@ -49,17 +64,18 @@ struct Level {
     xr: ColumnarView<(f64, f64)>,
 }
 
-/// The derived SoA block layout of one tree's live points. See the module
-/// docs.
+/// The bulk-loaded SoA §4 index over one point set. See the module docs.
 ///
 /// Every table is a [`ColumnarView`]: owned after a build, possibly
 /// borrowed straight off a mapped format-v5 snapshot after `open_mapped` —
 /// the file image **is** this in-memory representation.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockSet {
+    /// The indexed angles, ascending (`bounds` stride).
+    angles: Vec<Angle>,
+    /// Points indexed: the live lanes over all blocks.
+    n_live: usize,
     n_blocks: usize,
-    /// Number of indexed angles (`bounds` stride).
-    m: usize,
     /// Cache-aligned coordinate columns, one [`LaneBlock`] per block.
     xs: ColumnarView<LaneBlock>,
     ys: ColumnarView<LaneBlock>,
@@ -74,15 +90,16 @@ pub(crate) struct BlockSet {
     xr: ColumnarView<(f64, f64)>,
     /// Implicit envelope tree: `levels[0]` groups blocks, each further
     /// level groups the one below, last level has a single root. Empty when
-    /// `n_blocks == 1`.
+    /// `n_blocks <= 1`.
     levels: Vec<Level>,
 }
 
 impl BlockSet {
-    /// Builds the block layout over `order` (live slots, x-sorted with
-    /// slot-id tie-break — the bulk-load order). `order` must be non-empty.
+    /// Builds the index over the slots in `order`, which must be in
+    /// [`sort_by_x`] order; `angles` ascending and non-empty (see
+    /// [`normalize_angles`](super::normalize_angles)). An empty `order`
+    /// yields an index of zero blocks.
     pub(crate) fn build(pts: &[(f64, f64)], order: &[u32], angles: &[Angle]) -> BlockSet {
-        debug_assert!(!order.is_empty());
         let m = angles.len();
         let n_blocks = order.len().div_ceil(LANES);
         let mut xs = vec![LaneBlock::default(); n_blocks];
@@ -153,8 +170,9 @@ impl BlockSet {
             }
         }
         BlockSet {
+            angles: angles.to_vec(),
+            n_live: order.len(),
             n_blocks,
-            m,
             xs: ColumnarView::owned(xs),
             ys: ColumnarView::owned(ys),
             slots: ColumnarView::owned(slots),
@@ -163,6 +181,16 @@ impl BlockSet {
             xr: ColumnarView::owned(xr),
             levels: built,
         }
+    }
+
+    /// The indexed angles, ascending.
+    pub(crate) fn angles(&self) -> &[Angle] {
+        &self.angles
+    }
+
+    /// Number of points indexed.
+    pub(crate) fn n_live(&self) -> usize {
+        self.n_live
     }
 
     /// The per-level sizes of the implicit envelope tree over `n_blocks`
@@ -177,14 +205,14 @@ impl BlockSet {
         sizes
     }
 
-    /// Writes the fixed-shape scalars (format v5, inside the index's meta
-    /// region).
-    pub(crate) fn encode_meta(&self, w: &mut Writer) {
-        w.usize(self.n_blocks);
-    }
-
-    /// Writes every table as an aligned array region (format v5).
-    pub(crate) fn encode_arrays(&self, w: &mut Writer) {
+    /// Writes the index (format v5): one `meta` region — angles, point and
+    /// block counts — then every table as an aligned array region.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.meta_region(|w| {
+            self.angles.encode(w);
+            w.usize(self.n_live);
+            w.usize(self.n_blocks);
+        });
         w.pod_array(&self.xs);
         w.pod_array(&self.ys);
         w.pod_array(&self.slots);
@@ -197,13 +225,25 @@ impl BlockSet {
         }
     }
 
-    /// Reads the table regions written by [`BlockSet::encode_arrays`],
-    /// enforcing the exact shape implied by `n_blocks` and `m`. Contents
-    /// are **not** inspected here: that waits for
-    /// [`BlockSet::validate_structure`], after the region checksums pass.
-    pub(crate) fn decode_arrays(r: &mut Reader<'_>, n_blocks: usize, m: usize) -> Result<Self> {
+    /// Reads what [`BlockSet::encode`] wrote, enforcing the exact shape the
+    /// metadata implies. Table contents are **not** inspected here: that
+    /// waits for [`BlockSet::validate_structure`], after the region
+    /// checksums pass.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let (angles, n_live, n_blocks) = r.meta_region("meta", |m| {
+            Ok((Vec::<Angle>::decode(m)?, m.usize()?, m.usize()?))
+        })?;
+        if angles.is_empty() {
+            return Err(corrupt("blocks: no indexed angles"));
+        }
+        if n_live > u32::MAX as usize || n_blocks != n_live.div_ceil(LANES) {
+            return Err(corrupt(format!(
+                "blocks: {n_blocks} blocks for {n_live} points"
+            )));
+        }
+        let m = angles.len();
         let fail = |what: &str, got: usize, want: usize| {
-            crate::codec::corrupt(format!(
+            corrupt(format!(
                 "blocks: {what} holds {got} entries, expected {want}"
             ))
         };
@@ -213,9 +253,6 @@ impl BlockSet {
         let (live, _) = r.pod_array::<u32>("blocks.live")?;
         let (bounds, _) = r.pod_array::<AngleBounds>("blocks.bounds")?;
         let (xr, _) = r.pod_array::<(f64, f64)>("blocks.xr")?;
-        if n_blocks == 0 {
-            return Err(crate::codec::corrupt("blocks: zero blocks"));
-        }
         if xs.len() != n_blocks {
             return Err(fail("xs", xs.len(), n_blocks));
         }
@@ -252,8 +289,9 @@ impl BlockSet {
             });
         }
         Ok(BlockSet {
+            angles,
+            n_live,
             n_blocks,
-            m,
             xs,
             ys,
             slots,
@@ -264,16 +302,12 @@ impl BlockSet {
         })
     }
 
-    /// Content checks a decoded layout must pass once (post-checksum) before
-    /// any query trusts it: live-lane slot ids must stay inside the point
-    /// table and the live lanes must cover exactly `n_alive` points —
-    /// otherwise a forged-but-checksummed file could index out of bounds at
-    /// scoring time.
-    pub(crate) fn validate_structure(
-        &self,
-        n_slots: usize,
-        n_alive: usize,
-    ) -> std::result::Result<(), String> {
+    /// Content checks a decoded index must pass once (post-checksum) before
+    /// any query trusts it: live-lane slot ids must stay below `n_slots` and
+    /// the live lanes must cover exactly the `n_live` points the metadata
+    /// promised — otherwise a forged-but-checksummed file could index out of
+    /// bounds at scoring time.
+    pub(crate) fn validate_structure(&self, n_slots: usize) -> std::result::Result<(), String> {
         let mut live_total = 0usize;
         for b in 0..self.n_blocks {
             let mask = self.live[b];
@@ -283,16 +317,28 @@ impl BlockSet {
                     let slot = self.slots[b * LANES + l];
                     if slot as usize >= n_slots {
                         return Err(format!(
-                            "block {b} lane {l}: slot {slot} outside point table of {n_slots}"
+                            "block {b} lane {l}: slot {slot} out of range for {n_slots} points"
                         ));
                     }
                 }
             }
         }
-        if live_total != n_alive {
+        if live_total != self.n_live {
             return Err(format!(
-                "blocks cover {live_total} live lanes for {n_alive} live points"
+                "blocks cover {live_total} live lanes for {} live points",
+                self.n_live
             ));
+        }
+        Ok(())
+    }
+
+    /// What only an eager open reads: every stored coordinate — padding
+    /// lanes included, the kernels score them too — must be finite.
+    pub(crate) fn check_finite(&self) -> Result<()> {
+        for (table, what) in [(&self.xs, "x"), (&self.ys, "y")] {
+            if let Some(v) = table.iter().flat_map(|b| b.0).find(|v| !v.is_finite()) {
+                return Err(corrupt(format!("non-finite {what} coordinate: {v}")));
+            }
         }
         Ok(())
     }
@@ -327,8 +373,7 @@ impl BlockSet {
         self.live[b as usize]
     }
 
-    /// Approximate heap footprint in bytes (the derived side tables the
-    /// memory report must not undercount). Tables over a file mapping count
+    /// Approximate heap footprint in bytes. Tables over a file mapping count
     /// zero: their bytes are file pages, not heap.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.xs.heap_bytes()
@@ -351,7 +396,8 @@ const BLOCK_LVL: u32 = 0;
 
 /// Uncertified best-first frontier over a [`BlockSet`] whose heap
 /// priorities are admissible normalised θ_q score bounds — the block-layout
-/// twin of [`PairFrontier`](super::stream::PairFrontier). Instead of
+/// twin of the dynamic tree's per-point
+/// [`PairFrontier`](super::stream::PairFrontier). Instead of
 /// surfacing points one at a time, [`BlockFrontier::next_block`] surfaces
 /// whole leaf blocks (once each, deduplicated across the four projection
 /// heaps), after giving the caller's `prune` hook a chance to reject the
@@ -403,8 +449,10 @@ impl<'a> BlockFrontier<'a> {
             counters: FrontierCounters::default(),
         };
         let root_lvl = set.levels.len() as u32; // 0 = the single block
-        for kind in StreamKind::ALL {
-            f.push(kind, root_lvl, 0);
+        if set.n_blocks > 0 {
+            for kind in StreamKind::ALL {
+                f.push(kind, root_lvl, 0);
+            }
         }
         f
     }
@@ -435,7 +483,7 @@ impl<'a> BlockFrontier<'a> {
     #[inline]
     fn entry_score(&self, lvl: u32, idx: u32, kind: StreamKind) -> f64 {
         let (bounds, _) = self.entry_tables(lvl);
-        let base = idx as usize * self.set.m;
+        let base = idx as usize * self.set.angles.len();
         match &self.eval {
             FrontierEval::Single { angle, angle_i } => {
                 key_to_score(&bounds[base + angle_i], kind, angle, self.qx, self.qy)
@@ -596,10 +644,11 @@ impl<'a> BlockFrontier<'a> {
             FrontierEval::Single { angle_i, .. } => (*angle_i, *angle_i),
             FrontierEval::Dual { lo_i, hi_i, .. } => (*lo_i, *hi_i),
         };
+        let m = set.angles.len();
         for c in start..start + GROUP_FANOUT {
-            prefetch(bounds.as_ptr().wrapping_add(c * set.m + a));
+            prefetch(bounds.as_ptr().wrapping_add(c * m + a));
             if b != a {
-                prefetch(bounds.as_ptr().wrapping_add(c * set.m + b));
+                prefetch(bounds.as_ptr().wrapping_add(c * m + b));
             }
         }
         prefetch(xr.as_ptr().wrapping_add(start));
@@ -614,11 +663,7 @@ mod tests {
 
     fn sorted_order(pts: &[(f64, f64)]) -> Vec<u32> {
         let mut order: Vec<u32> = (0..pts.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            OrdF64(pts[a as usize].0)
-                .cmp(&OrdF64(pts[b as usize].0))
-                .then(a.cmp(&b))
-        });
+        sort_by_x(pts, &mut order);
         order
     }
 
@@ -635,11 +680,13 @@ mod tests {
 
     #[test]
     fn build_covers_every_point_once() {
-        for n in [1usize, 31, 32, 33, 64, 257, 1000] {
+        for n in [0usize, 1, 31, 32, 33, 64, 257, 1000] {
             let pts = sample(n);
             let order = sorted_order(&pts);
             let set = BlockSet::build(&pts, &order, &default_angles());
             assert_eq!(set.n_blocks(), n.div_ceil(LANES));
+            assert_eq!(set.n_live(), n);
+            set.validate_structure(n).unwrap();
             let mut seen = vec![false; n];
             for b in 0..set.n_blocks() as u32 {
                 let live = set.live(b);
@@ -736,10 +783,7 @@ mod tests {
                     angle: angles[1],
                     angle_i: 1,
                 },
-                crate::topk::TopKIndex::build(&pts)
-                    .unwrap()
-                    .frontier_eval(&Angle::from_weights(1.0, 0.3).unwrap())
-                    .unwrap(),
+                FrontierEval::at(&angles, &Angle::from_weights(1.0, 0.3).unwrap()).unwrap(),
             ] {
                 let theta = match &eval {
                     FrontierEval::Single { angle, .. } => *angle,

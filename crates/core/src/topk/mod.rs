@@ -19,19 +19,32 @@
 //!
 //! Storage is `O(n + m·n/(b−1))` for `m` indexed angles; queries cost
 //! `O(k·b·log_b n + k)`; construction `O(n log n)` — the §4 bounds.
+//!
+//! ## Two structures
+//!
+//! [`TopKIndex`] is **the paper's dynamic tree**: one point per leaf slot,
+//! point-level [`insert`](TopKIndex::insert) / [`delete`](TopKIndex::delete)
+//! and the |U|/n rebuild policy — an in-memory library index, what fig. 8's
+//! branching / insert / update experiments measure. It is never persisted.
+//! Every bulk load also derives the **stored** form of the same index, a
+//! `BlockSet` (see `blocks.rs`): the points in the same x-order, 32 to a
+//! leaf, under a fanout-8 envelope hierarchy — immutable, self-contained,
+//! and the only thing an engine shard ([`SdIndex`](crate::multidim::SdIndex))
+//! holds, writes to a snapshot and maps back per pair. While a `TopKIndex`'s
+//! derived blocks are current its queries run over them; a point-level
+//! mutation drops them and queries walk the per-point tree until the next
+//! [`rebuild`](TopKIndex::rebuild) / [`refresh_blocks`](TopKIndex::refresh_blocks).
 
 pub mod arbitrary;
 pub(crate) mod blocks;
 pub(crate) mod stream;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::geometry::Angle;
-use crate::integrity::SectionIntegrity;
 use crate::score::sd_score_2d;
 use crate::scratch::QueryScratch;
 use crate::types::{OrdF64, PointId, ScoredPoint, SdError};
-use crate::view::ColumnarView;
 
 pub use stream::AngleQuery;
 
@@ -42,6 +55,18 @@ pub fn default_angles() -> Vec<Angle> {
         .iter()
         .map(|&d| Angle::from_degrees(d).expect("static angles are valid"))
         .collect()
+}
+
+/// The indexed-angle set an index is built over: `angles` sorted ascending
+/// and deduplicated; empty is [`SdError::NoAngles`].
+pub(crate) fn normalize_angles(angles: &[Angle]) -> Result<Vec<Angle>, SdError> {
+    if angles.is_empty() {
+        return Err(SdError::NoAngles);
+    }
+    let mut sorted = angles.to_vec();
+    sorted.sort_by_key(|a| OrdF64(a.degrees()));
+    sorted.dedup_by(|a, b| (a.degrees() - b.degrees()).abs() < 1e-12);
+    Ok(sorted)
 }
 
 /// Per-angle projection bounds of one subtree.
@@ -104,22 +129,9 @@ pub(crate) struct Node {
     pub(crate) children: Vec<Child>,
 }
 
-/// The not-yet-materialised tree of a snapshot decode: the
-/// node-record bytes (`n_nodes` prefix + per-node records) under their own
-/// region checksum. Queries never need the node tree while the SoA blocks
-/// are current, so every decode — `open_mapped` and `load` alike — defers
-/// the record decoding **and** its `O(n)` validation walk until the first
-/// point-level mutation asks for the tree
-/// ([`TopKIndex::materialize_tree`]). What differs is the checksum: a
-/// lazy open verifies it there too, an eager one before it returns. A
-/// still-deferred tree re-encodes verbatim.
-#[derive(Debug, Clone)]
-pub(crate) struct DeferredTree {
-    pub(crate) raw: ColumnarView<u8>,
-    pub(crate) integrity: Arc<SectionIntegrity>,
-}
-
-/// The §4 top-k index over 2-D points (`x` attractive, `y` repulsive).
+/// The §4 top-k index over 2-D points (`x` attractive, `y` repulsive) —
+/// the paper's dynamic tree; see the module docs for how it relates to the
+/// stored block form.
 ///
 /// Point identity is the insertion slot, as in
 /// [`Top1Index`](crate::top1::Top1Index).
@@ -128,9 +140,8 @@ pub struct TopKIndex {
     pub(crate) branching: usize,
     pub(crate) angles: Vec<Angle>,
     /// Interleaved point table: `(x, y)` per slot, one cache line touch per
-    /// random point access on the query hot path. Possibly a borrowed view
-    /// of a mapped snapshot; the first `insert` copies on write.
-    pub(crate) pts: ColumnarView<(f64, f64)>,
+    /// random point access on the per-point query path.
+    pub(crate) pts: Vec<(f64, f64)>,
     pub(crate) alive: Vec<bool>,
     pub(crate) n_alive: usize,
     pub(crate) nodes: Vec<Node>,
@@ -147,27 +158,11 @@ pub struct TopKIndex {
     /// |U|/n > θ policy).
     pub(crate) deep_leaves: usize,
     pub(crate) rebuild_threshold: f64,
-    /// Derived SoA leaf-block layout (see [`blocks`]): present after every
-    /// bulk load / rebuild / snapshot decode, dropped by point-level
-    /// `insert`/`delete` (queries then fall back to the exact per-point
-    /// frontier until the next rebuild). Behind an `Arc` so clones share
-    /// it; snapshots serialise it verbatim.
+    /// The derived stored form (see [`blocks`]): present after every bulk
+    /// load / rebuild, dropped by point-level `insert`/`delete` (queries
+    /// then walk the per-point frontier until the next rebuild). Behind an
+    /// `Arc` so clones share it.
     pub(crate) blocks: Option<Arc<blocks::BlockSet>>,
-    /// The node tree of a decoded index, still in wire form; `None` once
-    /// materialised (or when the index was built in memory). Invariant:
-    /// `deferred.is_some()` implies `blocks.is_some()` — a deferred tree is
-    /// never consulted by queries.
-    pub(crate) deferred: Option<DeferredTree>,
-    /// Lazy checksums over every region a *query* touches (point table +
-    /// block tables); empty unless this index was decoded lazily (an eager
-    /// decode verifies them up front and drops the set). Ensured at each
-    /// query entry — one atomic load per region once verified.
-    pub(crate) query_integrity: Vec<Arc<SectionIntegrity>>,
-    /// One-shot structural validation of mapped block tables (slot ids in
-    /// range, live-lane census), run after the checksums first pass so a
-    /// forged-but-checksummed file cannot index out of bounds. Holds the
-    /// failure detail, `None` when the check passed. Shared across clones.
-    pub(crate) mapped_check: Arc<OnceLock<Option<String>>>,
 }
 
 impl TopKIndex {
@@ -189,9 +184,7 @@ impl TopKIndex {
         if branching < 2 {
             return Err(SdError::InvalidBranching(branching));
         }
-        if angles.is_empty() {
-            return Err(SdError::NoAngles);
-        }
+        let angles = normalize_angles(angles)?;
         if points.len() > u32::MAX as usize {
             return Err(SdError::TooManyPoints(points.len()));
         }
@@ -211,14 +204,10 @@ impl TopKIndex {
                 });
             }
         }
-        let mut sorted_angles = angles.to_vec();
-        sorted_angles.sort_by_key(|a| OrdF64(a.degrees()));
-        sorted_angles.dedup_by(|a, b| (a.degrees() - b.degrees()).abs() < 1e-12);
-
         let mut idx = TopKIndex {
             branching,
-            angles: sorted_angles,
-            pts: ColumnarView::owned(points.to_vec()),
+            angles,
+            pts: points.to_vec(),
             alive: vec![true; points.len()],
             n_alive: points.len(),
             nodes: Vec::new(),
@@ -229,9 +218,6 @@ impl TopKIndex {
             deep_leaves: 0,
             rebuild_threshold: 0.25,
             blocks: None,
-            deferred: None,
-            query_integrity: Vec::new(),
-            mapped_check: Arc::new(OnceLock::new()),
         };
         idx.rebuild();
         Ok(idx)
@@ -278,104 +264,23 @@ impl TopKIndex {
     }
 
     /// Approximate heap footprint in bytes: point table, tree nodes with
-    /// their per-angle bound tuples (or their wire form while deferred),
-    /// and the derived SoA leaf-block tables. Tables borrowed from a file
-    /// mapping count zero — their bytes are file pages, not heap, which is
-    /// exactly the serving-footprint story of the mmap format; tables
-    /// borrowed from a loaded snapshot's heap buffer count in full.
+    /// their per-angle bound tuples, and the derived block tables.
     pub fn memory_bytes(&self) -> usize {
-        let pts = self.pts.heap_bytes() + self.alive.len();
+        let pts = self.pts.len() * std::mem::size_of::<(f64, f64)>() + self.alive.len();
         let nodes: usize = self
             .nodes
             .iter()
             .map(|n| std::mem::size_of::<Node>() + n.children.len() * std::mem::size_of::<Child>())
             .sum();
         let tables = self.node_xr.len() * std::mem::size_of::<(f64, f64)>()
-            + self.node_bounds.len() * std::mem::size_of::<AngleBounds>()
-            + self.deferred.as_ref().map_or(0, |d| d.raw.heap_bytes());
+            + self.node_bounds.len() * std::mem::size_of::<AngleBounds>();
         let blocks = self.blocks.as_ref().map_or(0, |b| b.memory_bytes());
         pts + nodes + tables + blocks
     }
 
-    /// `true` while this index still defers region checksums to first touch
-    /// (a lazy `open_mapped` decode); `false` once built, loaded eagerly or
-    /// verified.
-    pub fn is_mapped(&self) -> bool {
-        !self.query_integrity.is_empty()
-    }
-
-    /// Verifies (once) every region the query path reads, then runs the
-    /// one-shot structural check over the mapped block tables. Steady state
-    /// is one atomic load per region. Every query entry point calls this;
-    /// it is free for built or eagerly loaded indexes.
-    pub(crate) fn ensure_query_integrity(&self) -> Result<(), SdError> {
-        if self.query_integrity.is_empty() {
-            return Ok(());
-        }
-        crate::integrity::ensure_all(&self.query_integrity)?;
-        let failure = self.mapped_check.get_or_init(|| {
-            self.blocks
-                .as_ref()
-                .and_then(|b| b.validate_structure(self.pts.len(), self.n_alive).err())
-        });
-        match failure {
-            None => Ok(()),
-            Some(detail) => Err(SdError::SnapshotCorrupt {
-                detail: detail.clone(),
-            }),
-        }
-    }
-
-    /// Decodes and validates the deferred node tree of a decoded index
-    /// (no-op otherwise). Mutations call this on entry: the tree pays its
-    /// record decode and `O(n)` validation walk here — on the first write —
-    /// instead of at open, plus its checksum pass if the open was lazy.
-    pub(crate) fn materialize_tree(&mut self) -> Result<(), SdError> {
-        let Some(d) = &self.deferred else {
-            return Ok(());
-        };
-        d.integrity.ensure()?;
-        // The tree validation cross-references the point table, so the
-        // query set must be trustworthy too.
-        self.ensure_query_integrity()?;
-        let (nodes, node_xr, node_bounds) = crate::codec::decode_topk_tree(
-            &d.raw,
-            self.angles.len(),
-            &self.alive,
-            self.n_alive,
-            self.root,
-            &self.free_nodes,
-        )?;
-        self.nodes = nodes;
-        self.node_xr = node_xr;
-        self.node_bounds = node_bounds;
-        self.deferred = None;
-        Ok(())
-    }
-
-    /// Verifies every lazily checksummed region this index still borrows —
-    /// the query set plus the deferred tree blob. Call before re-encoding
-    /// a mapped index, so corruption cannot be laundered into a fresh file
-    /// under fresh (valid) checksums. No-op for owned indexes.
-    pub fn verify_integrity(&self) -> Result<(), SdError> {
-        self.ensure_query_integrity()?;
-        if let Some(d) = &self.deferred {
-            d.integrity.ensure()?;
-        }
-        Ok(())
-    }
-
     /// Number of live tree nodes.
     pub fn num_nodes(&self) -> usize {
-        // A deferred tree's record run opens with its node count.
-        let slots = match &self.deferred {
-            Some(d) => d
-                .raw
-                .first_chunk()
-                .map_or(0, |n| u64::from_le_bytes(*n) as usize),
-            None => self.nodes.len(),
-        };
-        slots.saturating_sub(self.free_nodes.len())
+        self.nodes.len() - self.free_nodes.len()
     }
 
     /// Answers a top-k query with runtime weights `α` (repulsive, on `y`)
@@ -432,11 +337,10 @@ impl TopKIndex {
                 value: qy,
             });
         }
-        self.ensure_query_integrity()?;
         // One certified frontier search serves both the indexed-angle and
         // the Claim 6 bracketed case ([`arbitrary::query_canonical_with`]
-        // picks the evaluation), running over the SoA leaf blocks whenever
-        // the derived layout is current.
+        // picks the evaluation), running over the derived blocks whenever
+        // they are current.
         scratch.answers.clear();
         arbitrary::query_canonical_with(self, qx, qy, alpha, beta, k, scratch, None)?;
         Ok(&scratch.answers)
@@ -455,71 +359,11 @@ impl TopKIndex {
         ScoredPoint::new(PointId::new(slot), sd_score_2d(x, y, qx, qy, alpha, beta))
     }
 
-    /// The derived SoA leaf-block layout, when current (`None` after a
-    /// point-level mutation until the next rebuild/refresh).
+    /// The derived block form, when current (`None` after a point-level
+    /// mutation until the next rebuild/refresh).
     #[inline]
     pub(crate) fn blocks(&self) -> Option<&blocks::BlockSet> {
         self.blocks.as_deref()
-    }
-
-    /// `(block count, resident bytes)` of the derived SoA leaf-block
-    /// layout — the same leading shape [`SdIndex::block_stats`] aggregates
-    /// (lane width is the global [`kernels::LANES`](crate::kernels::LANES))
-    /// — or `None` while it is stale (point-level mutation since the last
-    /// rebuild). Observability for `sdq inspect`.
-    pub fn block_stats(&self) -> Option<(usize, usize)> {
-        self.blocks
-            .as_ref()
-            .map(|b| (b.n_blocks(), b.memory_bytes()))
-    }
-
-    /// Finds an indexed angle equal to `theta` (up to 1e-12 on the sine of
-    /// the difference).
-    pub(crate) fn indexed_angle(&self, theta: &Angle) -> Option<usize> {
-        self.angles
-            .iter()
-            .position(|a| (a.sin * theta.cos - a.cos * theta.sin).abs() < 1e-12)
-    }
-
-    /// How a frontier evaluates nodes at `theta`: directly against its
-    /// bound table when `theta` is indexed, through the Claim 6 per-node
-    /// `dual_bound` bracket otherwise. The single source of this decision —
-    /// the §5 pair streams and the direct 2-D path must agree on it or
-    /// their bit-identity contract breaks.
-    pub(crate) fn frontier_eval(&self, theta: &Angle) -> Result<stream::FrontierEval, SdError> {
-        Ok(match self.indexed_angle(theta) {
-            Some(i) => stream::FrontierEval::Single {
-                angle: self.angles[i],
-                angle_i: i,
-            },
-            None => {
-                let (lo, hi) = self.bracketing(theta)?;
-                stream::FrontierEval::Dual {
-                    lo: self.angles[lo],
-                    lo_i: lo,
-                    hi: self.angles[hi],
-                    hi_i: hi,
-                    theta: *theta,
-                }
-            }
-        })
-    }
-
-    /// The two consecutive indexed angles bracketing `theta`.
-    pub(crate) fn bracketing(&self, theta: &Angle) -> Result<(usize, usize), SdError> {
-        let deg = theta.degrees();
-        let lo = self.angles.first().map(|a| a.degrees()).unwrap_or(0.0);
-        let hi = self.angles.last().map(|a| a.degrees()).unwrap_or(0.0);
-        if deg < lo - 1e-12 || deg > hi + 1e-12 {
-            return Err(SdError::AngleOutOfRange {
-                requested_deg: deg,
-                min_deg: lo,
-                max_deg: hi,
-            });
-        }
-        let upper = self.angles.partition_point(|a| a.degrees() < deg);
-        let upper = upper.min(self.angles.len() - 1);
-        Ok((upper.saturating_sub(1), upper))
     }
 
     /// Inserts a point, returning its id. `O(log_b n)` plus bound updates.
@@ -538,14 +382,11 @@ impl TopKIndex {
                 value: y,
             });
         }
-        // A decoded index materialises its node tree before the first write
-        // (record decode + validation walk, paid once).
-        self.materialize_tree()?;
         // Point-level mutation invalidates the derived block layout; a
         // mid-insert rebalance rebuild re-derives it below.
         self.blocks = None;
         let slot = self.pts.len() as u32;
-        self.pts.make_mut().push((x, y));
+        self.pts.push((x, y));
         self.alive.push(true);
         self.n_alive += 1;
         match self.root {
@@ -568,16 +409,9 @@ impl TopKIndex {
     }
 
     /// Deletes a point by id; `true` on success. `O(b·log_b n)`.
-    ///
-    /// On a mapped index whose deferred tree fails its first-touch
-    /// checksum, this returns `false` (the typed error surface is
-    /// [`TopKIndex::insert`] / the query path).
     pub fn delete(&mut self, id: PointId) -> bool {
         let slot = id.index();
         if slot >= self.pts.len() || !self.alive[slot] {
-            return false;
-        }
-        if self.materialize_tree().is_err() {
             return false;
         }
         let Some(root) = self.root else { return false };
@@ -773,28 +607,19 @@ impl TopKIndex {
         false
     }
 
-    /// The live slots in bulk-load order: x ascending, slot-id tie-break.
-    /// The single source of the order both the balanced tree and the SoA
-    /// block layout are built over — a built index and a decoded one must
-    /// derive identical blocks.
+    /// The live slots in bulk-load order ([`blocks::sort_by_x`]) — the one
+    /// order both the balanced tree and the derived blocks are built over.
     fn live_order(&self) -> Vec<u32> {
         let mut order: Vec<u32> = (0..self.pts.len() as u32)
             .filter(|&i| self.alive[i as usize])
             .collect();
-        order.sort_by(|&a, &b| {
-            OrdF64(self.pts[a as usize].0)
-                .cmp(&OrdF64(self.pts[b as usize].0))
-                .then(a.cmp(&b))
-        });
+        blocks::sort_by_x(&self.pts, &mut order);
         order
     }
 
     /// Rebuilds the balanced tree over the live points (bulk load) and
     /// re-derives the SoA leaf-block layout.
     pub fn rebuild(&mut self) {
-        // A rebuild derives everything from the point table; a deferred
-        // wire-form tree is simply discarded.
-        self.deferred = None;
         self.nodes.clear();
         self.node_xr.clear();
         self.node_bounds.clear();
@@ -815,10 +640,9 @@ impl TopKIndex {
         )));
     }
 
-    /// Re-derives the SoA leaf-block layout from the live point table —
-    /// what snapshot decode runs after reassembling the tree, and what a
-    /// caller who mutated a tree point-wise can invoke to restore the
-    /// block-scored query path without a full tree rebuild.
+    /// Re-derives the block form from the live point table — what a caller
+    /// who mutated a tree point-wise can invoke to restore the block-scored
+    /// query path without a full tree rebuild.
     pub fn refresh_blocks(&mut self) {
         let order = self.live_order();
         if order.is_empty() {
@@ -832,15 +656,23 @@ impl TopKIndex {
         )));
     }
 
+    /// Bulk-loads the subtree over `slots` (x-sorted). Every child but the
+    /// last is a complete `b`-ary subtree, so every leaf node but the last
+    /// on each level holds `b` points and the tree has `≈ n/(b−1)` nodes —
+    /// the §4 storage bound — whatever `n` is.
     fn build_rec(&mut self, slots: &[u32]) -> u32 {
-        if slots.len() <= self.branching {
+        let b = self.branching;
+        if slots.len() <= b {
             let children: Vec<Child> = slots.iter().map(|&s| Child::Point(s)).collect();
             return self.alloc_node(children);
         }
-        let b = self.branching;
-        let chunk = slots.len().div_ceil(b);
+        // The largest power of `b` that still leaves at most `b` children.
+        let mut cap = b;
+        while cap * b < slots.len() {
+            cap *= b;
+        }
         let mut children = Vec::with_capacity(b);
-        for part in slots.chunks(chunk) {
+        for part in slots.chunks(cap) {
             children.push(if part.len() == 1 {
                 Child::Point(part[0])
             } else {

@@ -61,7 +61,7 @@ pub(crate) type FastSet = HashSet<u32, BuildHasherDefault<FastHasher>>;
 use super::{Child, TopKIndex};
 use crate::geometry::Angle;
 use crate::kernels::inflate;
-use crate::types::OrdF64;
+use crate::types::{OrdF64, SdError};
 
 /// One frontier-heap element. The meaning of the fields differs per tree
 /// layout but the *type* is shared so one [`AngleScratch`] serves both:
@@ -126,10 +126,8 @@ impl StreamKind {
 /// approximately score order, while [`RawAngleStream::bound`] stays an
 /// admissible upper bound on every point not yet surfaced.
 ///
-/// This is all the §5 subproblem streams need — the threshold aggregation
-/// requires admissible bounds, not sorted emission — and it skips the
-/// candidate pool and certification compares of the full [`AngleQuery`],
-/// which is the hot-path win for multi-dimensional queries.
+/// The pool-free core of [`AngleQuery`], which adds the candidate pool and
+/// the certification compares on top.
 ///
 /// `next_raw` may surface the same slot twice (a point belongs to two of
 /// the four projection streams); callers dedupe with a seen-set of their
@@ -320,7 +318,34 @@ pub(crate) fn key_to_score(
     }
 }
 
-/// How a [`PairFrontier`] scores tree nodes at the query angle θ_q.
+/// Finds the indexed angle equal to `theta` (up to 1e-12 on the sine of
+/// the difference).
+pub(crate) fn indexed_angle(angles: &[Angle], theta: &Angle) -> Option<usize> {
+    angles
+        .iter()
+        .position(|a| (a.sin * theta.cos - a.cos * theta.sin).abs() < 1e-12)
+}
+
+/// The two consecutive indexed angles bracketing `theta`.
+pub(crate) fn bracketing(angles: &[Angle], theta: &Angle) -> Result<(usize, usize), SdError> {
+    let deg = theta.degrees();
+    let lo = angles.first().map(|a| a.degrees()).unwrap_or(0.0);
+    let hi = angles.last().map(|a| a.degrees()).unwrap_or(0.0);
+    if deg < lo - 1e-12 || deg > hi + 1e-12 {
+        return Err(SdError::AngleOutOfRange {
+            requested_deg: deg,
+            min_deg: lo,
+            max_deg: hi,
+        });
+    }
+    let upper = angles.partition_point(|a| a.degrees() < deg);
+    let upper = upper.min(angles.len() - 1);
+    Ok((upper.saturating_sub(1), upper))
+}
+
+/// How a frontier ([`PairFrontier`] over the dynamic tree,
+/// [`BlockFrontier`](super::blocks::BlockFrontier) over the stored one)
+/// scores nodes at the query angle θ_q.
 pub(crate) enum FrontierEval {
     /// θ_q is an indexed angle: read its bound table directly.
     Single { angle: Angle, angle_i: usize },
@@ -338,12 +363,39 @@ pub(crate) enum FrontierEval {
     },
 }
 
-/// Uncertified best-first frontier over one §4 tree whose heap priorities
-/// *are* admissible normalised θ_q score bounds — exact scores for point
-/// entries. This is the engine of the §5 2-D subproblem streams: the
-/// threshold aggregation needs admissible bounds and near-sorted emission,
-/// not certified order, so there is no candidate pool and no certification
-/// compare per emission.
+impl FrontierEval {
+    /// The evaluation at `theta` over an index whose indexed angles are
+    /// `angles` (ascending): directly against the bound table when `theta`
+    /// is indexed, through the Claim 6 per-node `dual_bound` bracket
+    /// otherwise. The single source of this decision — the §5 pair streams
+    /// and the direct 2-D path must agree on it or their bit-identity
+    /// contract breaks.
+    pub(crate) fn at(angles: &[Angle], theta: &Angle) -> Result<Self, SdError> {
+        Ok(match indexed_angle(angles, theta) {
+            Some(i) => FrontierEval::Single {
+                angle: angles[i],
+                angle_i: i,
+            },
+            None => {
+                let (lo, hi) = bracketing(angles, theta)?;
+                FrontierEval::Dual {
+                    lo: angles[lo],
+                    lo_i: lo,
+                    hi: angles[hi],
+                    hi_i: hi,
+                    theta: *theta,
+                }
+            }
+        })
+    }
+}
+
+/// Uncertified best-first frontier over a [`TopKIndex`]'s per-point tree
+/// whose heap priorities *are* admissible normalised θ_q score bounds —
+/// exact scores for point entries. What a `TopKIndex` query walks after a
+/// point-level mutation dropped its derived blocks; reachable from nothing
+/// else (an engine shard walks a
+/// [`BlockFrontier`](super::blocks::BlockFrontier)).
 ///
 /// `next_raw` may surface the same slot twice (a point belongs to two of
 /// the four projection streams); callers dedupe with a seen-set.
@@ -353,10 +405,6 @@ pub(crate) struct PairFrontier<'a> {
     qy: f64,
     eval: FrontierEval,
     s: AngleScratch,
-    /// Inner-node expansions since the last [`PairFrontier::take_nodes`]
-    /// drain — the aggregation loop flushes this into its
-    /// [`QueryProfile`](crate::profile::QueryProfile).
-    nodes: u64,
 }
 
 impl<'a> PairFrontier<'a> {
@@ -375,7 +423,6 @@ impl<'a> PairFrontier<'a> {
             qy,
             eval,
             s,
-            nodes: 0,
         };
         if let Some(root) = index.root {
             for kind in StreamKind::ALL {
@@ -388,13 +435,6 @@ impl<'a> PairFrontier<'a> {
     /// Recovers the scratch buffers for reuse by a later query.
     pub(crate) fn into_scratch(self) -> AngleScratch {
         self.s
-    }
-
-    /// Drains the inner-node expansion count accumulated since the last
-    /// call (profiling).
-    #[inline]
-    pub(crate) fn take_nodes(&mut self) -> u64 {
-        std::mem::take(&mut self.nodes)
     }
 
     /// Admissible θ_q score bound of one node for one stream kind.
@@ -518,7 +558,6 @@ impl<'a> PairFrontier<'a> {
                 return Some((id, prio));
             }
             // Inner node: expand, then re-evaluate the argmax.
-            self.nodes += 1;
             for child in &index.nodes[id as usize].children {
                 match *child {
                     Child::Inner(c) => self.push_node(kind, c),
@@ -533,10 +572,9 @@ impl<'a> PairFrontier<'a> {
 /// [`AngleQuery::next`] yield points in exact non-increasing normalised
 /// score order.
 ///
-/// This is the engine behind direct queries (indexed angle) and the
-/// Claim 6 bracketing procedure; the §5 subproblem streams use the
-/// uncertified [`RawAngleStream`] directly. All mutable state lives in the
-/// owned [`AngleScratch`], which [`AngleQuery::into_scratch`] recovers for
+/// This is the engine behind the published Alg. 4
+/// ([`query_alg4`](super::arbitrary::query_alg4)). All mutable state lives
+/// in the owned [`AngleScratch`], which [`AngleQuery::into_scratch`] recovers for
 /// reuse once the query is done.
 pub struct AngleQuery<'a> {
     raw: RawAngleStream<'a>,

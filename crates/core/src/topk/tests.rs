@@ -329,6 +329,30 @@ fn memory_shrinks_with_branching() {
 }
 
 #[test]
+fn bulk_load_fills_its_leaves() {
+    // The module docs' storage bound is n/(b−1) nodes; a bulk load that
+    // splits every level evenly instead leaves 2-point leaves for unlucky
+    // n and swings 3× around it (0.41 / 0.17 / 0.53 / 0.31 / 0.17 nodes
+    // per point over these five sizes at b = 8).
+    let angles = [Angle::from_degrees(45.0).unwrap()];
+    for n in [10_000usize, 25_000, 50_000, 100_000, 200_000] {
+        let pts: Vec<(f64, f64)> = (0..n)
+            .map(|i| ((i * 7919 % n) as f64, (i % 97) as f64))
+            .collect();
+        for b in [2usize, 8, 32] {
+            let idx = TopKIndex::build_with(&pts, &angles, b).unwrap();
+            idx.check_invariants();
+            let want = n as f64 / (b - 1) as f64;
+            let got = idx.num_nodes() as f64;
+            assert!(
+                (got - want).abs() <= 0.1 * want,
+                "n = {n}, b = {b}: {got} nodes against n/(b-1) = {want:.0}"
+            );
+        }
+    }
+}
+
+#[test]
 fn angle_query_stream_is_certified_descending() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(110);
     let pts = rand_pts(&mut rng, 60);
@@ -371,7 +395,7 @@ fn alg4_faithful_path_matches_oracle() {
         let (qx, qy) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
         let k = rng.gen_range(1..8);
         let theta = Angle::from_weights(alpha, beta).unwrap();
-        if idx.indexed_angle(&theta).is_some() {
+        if stream::indexed_angle(idx.angles(), &theta).is_some() {
             continue;
         }
         let got = arbitrary::query_alg4(&idx, qx, qy, alpha, beta, k, &theta).unwrap();

@@ -34,7 +34,7 @@
 //! A monolithic [`SdIndex`] query is one sequential tree walk — batch QPS is
 //! flat no matter how many cores serve it. The engine partitions the dataset
 //! into `S` contiguous shards at build time, each with its own `SdIndex`
-//! (per-pair §4 trees + sorted columns) over its row range. A query runs one
+//! (per-pair §4 indexes + sorted columns) over its row range. A query runs one
 //! §5 aggregation per shard — in parallel across however many workers the
 //! host grants — and the per-shard `Subproblem` bounds stay admissible
 //! because they are additive over disjoint point sets.
@@ -129,7 +129,7 @@ pub struct EngineOptions {
     /// Worker threads for shard execution inside a single query; `0` means
     /// auto ([`std::thread::available_parallelism`]).
     pub threads: usize,
-    /// Per-shard [`SdIndex`] build options (pairing, angles, branching).
+    /// Per-shard [`SdIndex`] build options (pairing, angles).
     pub index: SdIndexOptions,
 }
 
@@ -1302,6 +1302,22 @@ mod tests {
             assert!(info.memory_bytes > 0);
         }
         assert_eq!(next, 103);
+    }
+
+    #[test]
+    fn a_pair_costs_under_32_bytes_a_row() {
+        // One pair's index is one SoA copy of its (x, y) — 16 B — plus row
+        // ids, the live masks and the bound hierarchy: ≈ 27 B a row. A second
+        // coordinate copy (a point table, a per-point tree) cannot hide
+        // under 32.
+        for (dims, pairs) in [(2, 1), (4, 2)] {
+            let e = engine(20_000, dims, 2);
+            let per_row = e.memory_bytes() as f64 / 20_000.0;
+            assert!(
+                per_row < 32.0 * pairs as f64,
+                "{dims}-D: {per_row:.1} B/row over {pairs} pair(s)"
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ sdq — SD-Query snapshot tool (build once, query many)
 USAGE:
     sdq build --out PATH (--csv FILE | --synthetic DIST --n N --dims D)
               --roles STR [--shards S] [--seed S]
-              [--branching B] [--angles N] [--pairing arbitrary|correlation]
+              [--angles N] [--pairing arbitrary|correlation]
     sdq query PATH --point X,Y,... [--weights W,W,...] [--k K]
               [--repeat N] [--threads T] [--mapped] [--slow-query-us U]
               [--timeout-us U] [--explain | --profile | --profile-json]
@@ -58,7 +58,7 @@ USAGE:
 
 SUBCOMMANDS:
     build        Generate or load a dataset, build an S-shard engine over
-                 it and write one store file (roles + engine).
+                 it and write one store file (the engine sections).
     query        Open a store and answer a top-k SD-Query from its engine.
     insert       Append rows (CSV file or '-' for stdin) to the engine's
                  delta region and rewrite the snapshot.
@@ -112,7 +112,6 @@ BUILD OPTIONS:
     --seed S           Generator seed (default 42).
     --roles STR        One char per dimension: a(ttractive) | r(epulsive).
     --shards S         Shard count of the engine (default 1).
-    --branching B      Tree branching factor (default 8).
     --angles N         Indexed angle count, uniform over [0°, 90°]
                        (default 5).
     --pairing P        SD-index pairing: arbitrary | correlation.
@@ -344,7 +343,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let mut dims: usize = 2;
     let mut seed: u64 = 42;
     let mut roles_spec: Option<String> = None;
-    let mut branching: usize = 8;
     let mut angle_count: usize = 5;
     let mut pairing = PairingStrategy::Arbitrary;
     let mut shards: usize = 1;
@@ -371,7 +369,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             "--dims" => dims = flags.parsed("--dims")?,
             "--seed" => seed = flags.parsed("--seed")?,
             "--roles" => roles_spec = Some(flags.value("--roles")?.to_string()),
-            "--branching" => branching = flags.parsed("--branching")?,
             "--angles" => angle_count = flags.parsed("--angles")?,
             "--pairing" => {
                 pairing = match flags.value("--pairing")? {
@@ -418,7 +415,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         index: SdIndexOptions {
             pairing,
             angles: angle_grid(angle_count)?,
-            branching,
         },
     };
 
@@ -438,11 +434,10 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     save_engine(engine, &out)
 }
 
-/// Writes `engine` as a store — its roles plus the engine sections, what a
-/// durable checkpoint writes minus the durability record — atomically.
+/// Writes `engine` as a store — the engine sections, what a durable
+/// checkpoint writes minus the durability record — atomically.
 fn save_engine(engine: SdEngine, out: &str) -> Result<(), CliError> {
     let snap = Snapshot {
-        roles: Some(engine.roles().to_vec()),
         engine: Some(engine),
         ..Snapshot::default()
     };
@@ -1590,10 +1585,8 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
 
     // Decode for engine-level stats (also verifies all checksums).
     let snap = Snapshot::load(path).map_err(runtime)?;
-    if let Some(r) = &snap.roles {
-        println!("  roles: {}", format_roles(r));
-    }
     if let Some(engine) = &snap.engine {
+        println!("  roles: {}", format_roles(engine.roles()));
         println!(
             "  engine: {} live rows across {} shard(s), ≈{} KiB resident",
             engine.len(),
@@ -1759,12 +1752,6 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
         .collect();
 
     let snap = Snapshot::load(path).map_err(runtime)?;
-    let roles = snap
-        .roles
-        .as_ref()
-        .map(|r| json_str(&format_roles(r)))
-        .unwrap_or_else(|| String::from("null"));
-
     let engine_json = match &snap.engine {
         Some(engine) => {
             let shard_layout: Vec<String> = engine
@@ -1779,7 +1766,7 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
                     )
                 })
                 .collect();
-            let (blocks, bytes, stale, covered) = block_stats(engine);
+            let (blocks, bytes, covered) = block_stats(engine);
             let stats = engine.mutation_stats();
             // Floor provenance: one real probe query at the dataset mean.
             let floor = if engine.shard_count() > 0 && !engine.is_empty() {
@@ -1790,12 +1777,13 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
                 String::from("{}")
             };
             format!(
-                "{{\"live_rows\": {}, \"shards\": {}, \"epoch\": {}, \"memory_bytes\": {}, \
-                 \"shard_layout\": [{}], \
+                "{{\"roles\": {}, \"live_rows\": {}, \"shards\": {}, \"epoch\": {}, \
+                 \"memory_bytes\": {}, \"shard_layout\": [{}], \
                  \"block_stats\": {{\"blocks\": {blocks}, \"lanes\": {}, \"bytes\": {bytes}, \
-                 \"stale_trees\": {stale}, \"covered_points\": {covered}}}, \
+                 \"covered_points\": {covered}}}, \
                  \"delta\": {{\"rows\": {}, \"dead\": {}}}, \"tombstones\": {}, \
                  \"floor_contributions\": {floor}}}",
+                json_str(&format_roles(engine.roles())),
                 engine.len(),
                 engine.shard_count(),
                 stats.epoch,
@@ -1842,7 +1830,7 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
     };
 
     print!(
-        "{{\n{head},\n  \"regions\": [{}],\n  \"roles\": {roles},\n  \
+        "{{\n{head},\n  \"regions\": [{}],\n  \
          \"engine\": {engine_json},\n  \"durability\": {durability}\n}}\n",
         regions.join(", "),
     );
@@ -2354,19 +2342,14 @@ fn event_fields_json(kind: &EventKind) -> String {
 }
 
 /// The engine's SoA block tables, summed over its shards: `(blocks, bytes,
-/// stale trees, covered)`, the last being the total point count stored
-/// across all live tables (each non-stale pair tree blocks every row its
-/// shard covers, so a 2-pair index over n rows packs 2·n points into lanes).
-fn block_stats(engine: &SdEngine) -> (usize, usize, usize, usize) {
-    engine.shards().iter().fold((0, 0, 0, 0), |sum, sd| {
-        let (blocks, bytes, stale) = sd.block_stats();
-        let covered = sd.data().len() * sd.pairs().len().saturating_sub(stale);
-        (
-            sum.0 + blocks,
-            sum.1 + bytes,
-            sum.2 + stale,
-            sum.3 + covered,
-        )
+/// covered)`, the last being the total point count stored across all tables
+/// (each pair blocks every row its shard covers, so a 2-pair index over n
+/// rows packs 2·n points into lanes).
+fn block_stats(engine: &SdEngine) -> (usize, usize, usize) {
+    engine.shards().iter().fold((0, 0, 0), |sum, sd| {
+        let (blocks, bytes) = sd.block_stats();
+        let covered = sd.data().len() * sd.pairs().len();
+        (sum.0 + blocks, sum.1 + bytes, sum.2 + covered)
     })
 }
 
@@ -2374,7 +2357,7 @@ fn block_stats(engine: &SdEngine) -> (usize, usize, usize, usize) {
 /// `memory_bytes`); the fill factor reports how full the fixed-capacity
 /// lanes are.
 fn print_block_stats(engine: &SdEngine) {
-    let (blocks, bytes, stale, covered) = block_stats(engine);
+    let (blocks, bytes, covered) = block_stats(engine);
     let lanes = sdq_core::kernels::LANES;
     let fill = if blocks > 0 {
         format!(
@@ -2386,13 +2369,8 @@ fn print_block_stats(engine: &SdEngine) {
         String::new()
     };
     println!(
-        "    block tables: {blocks} SoA leaf block(s) × {lanes} lanes, ≈{} KiB{}{fill}",
+        "    block tables: {blocks} SoA leaf block(s) × {lanes} lanes, ≈{} KiB{fill}",
         bytes / 1024,
-        if stale > 0 {
-            format!(" ({stale} stale tree(s))")
-        } else {
-            String::new()
-        }
     );
 }
 

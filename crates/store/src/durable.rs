@@ -638,17 +638,16 @@ impl<S: Storage> DurableEngine<S> {
         Ok(())
     }
 
-    /// Builds the snapshot a checkpoint writes: the engine, its roles and
-    /// the durability section.
+    /// Builds the snapshot a checkpoint writes: the engine and the
+    /// durability section.
     fn checkpoint_snapshot(&self, generation: u64) -> Snapshot {
-        let mut snap = Snapshot::new();
-        snap.engine = Some(self.engine.clone());
-        snap.roles = Some(self.engine.roles().to_vec());
-        snap.durability = Some(DurabilityInfo {
-            generation,
-            checkpoint_epoch: self.engine.epoch(),
-        });
-        snap
+        Snapshot {
+            engine: Some(self.engine.clone()),
+            durability: Some(DurabilityInfo {
+                generation,
+                checkpoint_epoch: self.engine.epoch(),
+            }),
+        }
     }
 
     /// Temp write → fsync → rename → dir fsync. The write and the rename
@@ -941,6 +940,73 @@ mod tests {
         let back =
             DurableEngine::open(d.into_storage(), "idx.sdq", DurableOptions::default()).unwrap();
         assert_eq!(back.query(&probe(), 5).unwrap(), want);
+    }
+
+    #[test]
+    fn pairing_survives_compact_checkpoint_and_recover() {
+        use sdq_core::multidim::{DimPair, PairingStrategy, SdIndexOptions};
+        // Roles `arra` over rows where dim 2 follows dim 0 (tightly) and
+        // dim 1 follows dim 3 (loosely): correlation-aware pairing crosses
+        // what arbitrary pairing would take in dimension order.
+        let row = |i: usize| {
+            let (t, u) = ((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos());
+            vec![t, u + 0.2 * t, t - 1e-3 * u, u]
+        };
+        let rows: Vec<Vec<f64>> = (0..200).map(row).collect();
+        let engine = SdEngine::build_with(
+            Dataset::from_rows(4, &rows).unwrap(),
+            &crate::parse_roles("arra").unwrap(),
+            &EngineOptions {
+                shards: 2,
+                index: SdIndexOptions {
+                    pairing: PairingStrategy::CorrelationAware,
+                    ..SdIndexOptions::default()
+                },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let pairs_of = |e: &SdEngine| -> Vec<Vec<DimPair>> {
+            e.shards().iter().map(|s| s.pairs().to_vec()).collect()
+        };
+        let crossed = vec![
+            DimPair {
+                repulsive: 2,
+                attractive: 0,
+            },
+            DimPair {
+                repulsive: 1,
+                attractive: 3,
+            },
+        ];
+        let built = pairs_of(&engine);
+        assert_eq!(built, [crossed.clone(), crossed]);
+
+        let mut d = DurableEngine::create(
+            MemStorage::new(),
+            "idx.sdq",
+            engine,
+            DurableOptions::default(),
+        )
+        .unwrap();
+        // A compaction (which checkpoints) rebuilds every touched shard.
+        d.insert_rows(&(200..230).map(row).collect::<Vec<_>>())
+            .unwrap();
+        d.delete(PointId::new(5)).unwrap();
+        d.compact().unwrap();
+        assert_eq!(pairs_of(d.engine()), built);
+        // A plain checkpoint, then a tail left in the log for recovery.
+        d.delete(PointId::new(150)).unwrap();
+        d.checkpoint().unwrap();
+        d.insert_rows(&(230..250).map(row).collect::<Vec<_>>())
+            .unwrap();
+        let mut back =
+            DurableEngine::open(d.into_storage(), "idx.sdq", DurableOptions::default()).unwrap();
+        assert!(back.recovery().replayed_records > 0);
+        assert_eq!(pairs_of(back.engine()), built);
+        // And the reopened store still compacts the way it was built.
+        back.compact().unwrap();
+        assert_eq!(pairs_of(back.engine()), built);
     }
 
     #[test]

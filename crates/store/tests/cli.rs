@@ -74,11 +74,7 @@ fn build_then_query_matches_in_memory_index() {
         .skip(1)
         .map(|rest| rest.split(',').next().unwrap())
         .collect();
-    assert_eq!(
-        kinds,
-        ["2", "7", "8"],
-        "roles + manifest + one shard\n{json}"
-    );
+    assert_eq!(kinds, ["7", "12"], "manifest + one shard\n{json}");
 
     // The same workload in memory: the engine and the scan agree, and the
     // CLI must print what they answer.
@@ -309,8 +305,10 @@ fn unknown_flags_and_corrupt_files_fail_cleanly() {
     assert!(stderr.contains("unknown flag \"--format\""), "{stderr}");
     assert!(!dir.join("never.sdq").exists());
 
-    // A store is an engine: the flags that picked another artifact are gone.
+    // A store is an engine: the flags that picked another artifact are gone,
+    // and so is the one that shaped a per-point tree no shard holds.
     for flag in [
+        ["--branching", "4"],
         ["--index", "sd"],
         ["--alpha", "1"],
         ["--beta", "1"],
@@ -398,20 +396,14 @@ fn build_is_deterministic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A library-written file with no engine in it (roles + a standalone 2-D
-/// tree) has nothing `sdq` serves: one typed refusal, from every command
-/// that opens an engine.
+/// A library-written file with no engine in it (an empty snapshot) has
+/// nothing `sdq` serves: one typed refusal, from every command that opens an
+/// engine.
 #[test]
 fn a_store_without_an_engine_is_refused() {
     let dir = temp_dir("no-engine");
     let path = dir.join("tk.sdq");
-    Snapshot {
-        roles: Some(parse_roles("ar").unwrap()),
-        topk: Some(sdq_core::topk::TopKIndex::build(&[(0.0, 1.0), (3.0, -2.0)]).unwrap()),
-        ..Snapshot::default()
-    }
-    .save_v5(&path)
-    .unwrap();
+    Snapshot::default().save_v5(&path).unwrap();
     let p = path.to_str().unwrap();
     for args in [
         vec!["query", p, "--point", "0.5,0.5"],
@@ -432,13 +424,13 @@ fn a_store_without_an_engine_is_refused() {
     let out = sdq().args(["inspect", p]).output().expect("spawn sdq");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("topk-index"), "{stdout}");
+    assert!(stdout.contains("snapshot format v5"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A file that carries a section kind this build retired — what the
-/// previous default `sdq build` wrote — is refused by the kind's name by
-/// every command, never skipped; the header-only `inspect` still lists it.
+/// A file that carries a section kind this build retired — what an earlier
+/// `sdq build` wrote — is refused by the kind's name by every command, never
+/// skipped or mis-decoded; the header-only `inspect` still lists it.
 #[test]
 fn retired_section_kinds_are_refused_by_name() {
     let dir = temp_dir("retired");
@@ -450,39 +442,55 @@ fn retired_section_kinds_are_refused_by_name() {
         .status()
         .expect("spawn sdq compact --wal");
     assert!(status.success());
-    // Relabel the first section (roles, kind 2) as the retired sd-index
-    // and re-sign the table: the layout stays production-valid.
-    let mut bytes = std::fs::read(&path).unwrap();
-    assert_eq!(bytes[16..20], 2u32.to_le_bytes());
-    bytes[16..20].copy_from_slice(&3u32.to_le_bytes());
-    let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let table_end = 16 + 28 * n;
-    let crc = sdq_core::integrity::crc32c(&bytes[16..table_end]);
-    bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-
-    let refusal = "section kind 3 (sd-index) was retired: a store holds one engine; \
-                   rebuild it with `sdq build`";
-    for args in [
-        vec!["query", p, "--point", "0.5,0.5"],
-        vec!["query", p, "--point", "0.5,0.5", "--mapped"],
-        vec!["recover", p],
-        vec!["inspect", p],
-        vec!["inspect", p, "--json"],
+    let honest = std::fs::read(&path).unwrap();
+    assert_eq!(honest[16..20], 7u32.to_le_bytes());
+    // The monolithic index; then the three kinds the last layout wrote:
+    // standalone roles, a standalone §4 tree, and the shard that stored a
+    // point table and node records beside its blocks.
+    for (raw, name) in [
+        (3u32, "sd-index"),
+        (2, "roles"),
+        (4, "topk-index"),
+        (8, "engine-shard"),
     ] {
-        let out = sdq().args(&args).output().expect("spawn sdq");
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(refusal), "{args:?}: {stderr}");
-        if args[0] == "inspect" {
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert!(stdout.contains("<retired: sd-index>"), "{args:?}: {stdout}");
+        // Relabel the first section (the manifest) and re-sign the table:
+        // the layout stays production-valid.
+        let mut bytes = honest.clone();
+        bytes[16..20].copy_from_slice(&raw.to_le_bytes());
+        let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let table_end = 16 + 28 * n;
+        let crc = sdq_core::integrity::crc32c(&bytes[16..table_end]);
+        bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let refusal = format!(
+            "section kind {raw} ({name}) was retired: a store holds one engine; \
+             rebuild it with `sdq build`"
+        );
+        for args in [
+            vec!["query", p, "--point", "0.5,0.5"],
+            vec!["query", p, "--point", "0.5,0.5", "--mapped"],
+            vec!["recover", p],
+            vec!["inspect", p],
+            vec!["inspect", p, "--json"],
+        ] {
+            let out = sdq().args(&args).output().expect("spawn sdq");
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&refusal), "{args:?}: {stderr}");
+            if args[0] == "inspect" {
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(
+                    stdout.contains(&format!("<retired: {name}>")),
+                    "{args:?}: {stdout}"
+                );
+            }
         }
+        let out = sdq().args(["scrub", p]).output().expect("spawn sdq scrub");
+        assert_eq!(out.status.code(), Some(1));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&refusal), "{stdout}");
     }
-    let out = sdq().args(["scrub", p]).output().expect("spawn sdq scrub");
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains(refusal), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,12 +2,9 @@
 //! [`DurableEngine::open`] run the same in-place decode as
 //! [`Snapshot::open_mapped`], but nothing they return is unverified. Every
 //! damaged or forged file is refused by the open itself — not by the first
-//! query — with the one exception both opens share: a tree's node records
-//! are decoded and walked at the first point-level mutation, which is the
-//! first code that reads them.
+//! query.
 
 use sdq_core::integrity::crc32c;
-use sdq_core::topk::TopKIndex;
 use sdq_core::{Dataset, PointId, SdError, SdQuery};
 use sdq_engine::{EngineOptions, SdEngine};
 use sdq_store::{
@@ -16,10 +13,14 @@ use sdq_store::{
 
 const ROLES: &str = "arr";
 
-/// 3-D rows under roles `arr`: one pair tree plus one unpaired sorted
-/// column per shard, so every kind of array region is present.
+/// 3-D rows under roles `arr`: one pair plus one unpaired sorted column per
+/// shard, so every kind of array region is present.
 fn engine() -> SdEngine {
-    let rows: Vec<Vec<f64>> = (0..40)
+    engine_of(40)
+}
+
+fn engine_of(n: usize) -> SdEngine {
+    let rows: Vec<Vec<f64>> = (0..n)
         .map(|i| {
             let x = i as f64;
             vec![(x * 0.7).sin(), x * 0.3, 10.0 - x * 0.2]
@@ -41,30 +42,14 @@ fn probe() -> SdQuery {
     SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], &parse_roles(ROLES).unwrap())
 }
 
-/// A 2-D tree with one dead slot whose block tables are current, so a
-/// decode keeps its node tree deferred and a forged record can name a dead
-/// point.
-fn topk() -> TopKIndex {
-    let pts: Vec<(f64, f64)> = (0..70)
-        .map(|i| ((i as f64 * 0.9).cos() * 5.0, i as f64 * 0.11))
-        .collect();
-    let mut t = TopKIndex::build(&pts).unwrap();
-    assert!(t.delete(PointId::new(DEAD_SLOT)));
-    t.refresh_blocks();
-    t
-}
-
-const DEAD_SLOT: u32 = 7;
-
-/// The engine with uncompacted writes plus the 2-D tree: the honest file
-/// every sweep and forgery below starts from.
+/// The engine with uncompacted writes: the honest file every sweep and
+/// forgery below starts from.
 fn honest_bytes() -> Vec<u8> {
     let mut engine = engine();
     engine.insert(&[0.5, 4.5, 9.0]).unwrap();
     engine.delete(PointId::new(3)).unwrap();
     let snap = Snapshot {
         engine: Some(engine),
-        topk: Some(topk()),
         ..Snapshot::default()
     };
     snap.to_bytes_v5().unwrap()
@@ -86,6 +71,52 @@ fn is_typed(err: &SdError) -> bool {
     )
 }
 
+// ── (a) what a file holds ───────────────────────────────────────────────
+
+/// A shard is its coordinates, one §4 index per pair and one sorted column
+/// per unpaired dimension — one copy of the pair's (x, y) besides
+/// `data.coords`, one bound hierarchy, no point table and no node records.
+#[test]
+fn an_engine_file_lists_exactly_these_regions() {
+    // 300 rows a shard: 10 leaf blocks under two envelope levels.
+    let snap = Snapshot {
+        engine: Some(engine_of(600)),
+        ..Snapshot::default()
+    };
+    let opened = Snapshot::from_mapped(MappedBytes::copy_from(&snap.to_bytes_v5().unwrap()));
+    let names: Vec<String> = opened
+        .unwrap()
+        .regions()
+        .iter()
+        .map(|r| r.name().to_string())
+        .collect();
+    let mut want = vec![String::from("engine-manifest/meta")];
+    for shard in 0..2 {
+        want.extend(
+            [
+                "index.meta",
+                "data.meta",
+                "data.coords",
+                "pair0/meta",
+                "pair0/blocks.xs",
+                "pair0/blocks.ys",
+                "pair0/blocks.slots",
+                "pair0/blocks.live",
+                "pair0/blocks.bounds",
+                "pair0/blocks.xr",
+                "pair0/blocks.lvl0/bounds",
+                "pair0/blocks.lvl0/xr",
+                "pair0/blocks.lvl1/bounds",
+                "pair0/blocks.lvl1/xr",
+                "col0/values",
+                "col0/rows",
+            ]
+            .map(|region| format!("engine-shard{shard}/{region}")),
+        );
+    }
+    assert_eq!(names, want);
+}
+
 // ── (b) damaged files ───────────────────────────────────────────────────
 
 #[test]
@@ -93,8 +124,8 @@ fn load_refuses_every_flipped_byte_and_every_truncation() {
     let bytes = honest_bytes();
     let dir = temp_dir("sweep");
     let path = dir.join("damaged.sdq");
-    // Every position: headers, tables, array payloads, `tree.raw`, and the
-    // zero padding between regions and between sections.
+    // Every position: headers, tables, array payloads, and the zero padding
+    // between regions and between sections.
     for pos in 0..bytes.len() {
         let mut mutated = bytes.clone();
         mutated[pos] ^= 0x01;
@@ -191,13 +222,21 @@ fn set_u32(payload: &mut [u8], index: usize, v: u32) {
 fn load_refuses_forged_contents_under_valid_checksums() {
     let honest = honest_bytes();
     type Patch = fn(&mut [u8]);
-    let cases: [(&str, &str, Patch); 6] = [
+    let cases: [(&str, &str, Patch); 8] = [
         ("engine-shard0/data.coords", "non-finite coordinate", |p| {
             set_f64(p, 4, f64::NAN)
         }),
-        ("engine-shard1/pair0/pts", "non-finite x coordinate", |p| {
-            set_f64(p, 6, f64::INFINITY)
-        }),
+        (
+            "engine-shard1/pair0/blocks.xs",
+            "non-finite x coordinate",
+            |p| set_f64(p, 6, f64::INFINITY),
+        ),
+        (
+            "engine-shard0/pair0/blocks.ys",
+            "non-finite y coordinate",
+            // A padding lane: the kernels score those too.
+            |p| set_f64(p, 31, f64::NAN),
+        ),
         ("engine-shard0/col0/values", "out of order", |p| {
             // Swap the two ends of an ascending column.
             let last = p.len() - 8;
@@ -213,8 +252,13 @@ fn load_refuses_forged_contents_under_valid_checksums() {
         ("engine-shard1/col0/rows", "out of range", |p| {
             set_u32(p, 2, 1_000_000)
         }),
-        ("topk-index/blocks.slots", "outside point table", |p| {
-            set_u32(p, 0, 1_000_000)
+        (
+            "engine-shard0/pair0/blocks.slots",
+            "slot 1000000 out of range",
+            |p| set_u32(p, 0, 1_000_000),
+        ),
+        ("engine-shard1/pair0/blocks.live", "live lanes", |p| {
+            set_u32(p, 0, 1)
         }),
     ];
     for (region, needle, patch) in cases {
@@ -235,142 +279,7 @@ fn load_refuses_forged_contents_under_valid_checksums() {
     }
 }
 
-// ── (d) forged node records ─────────────────────────────────────────────
-
-/// One child reference inside a `tree.raw` record run.
-struct ChildRef {
-    node: usize,
-    /// Byte offset of the 5-byte `[tag u8][value u32]` child in the blob.
-    at: usize,
-    inner: bool,
-    value: u32,
-}
-
-/// Walks the wire form: `n_nodes`, then per node `n_children` + 5-byte
-/// children, `n_bounds` + 32-byte bounds, and a 16-byte x-range.
-fn children_of(raw: &[u8]) -> Vec<ChildRef> {
-    let u64_at = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().unwrap()) as usize;
-    let mut out = Vec::new();
-    let mut at = 8;
-    for node in 0..u64_at(0) {
-        let n_children = u64_at(at);
-        at += 8;
-        for _ in 0..n_children {
-            out.push(ChildRef {
-                node,
-                at,
-                inner: raw[at] == 0,
-                value: u32::from_le_bytes(raw[at + 1..at + 5].try_into().unwrap()),
-            });
-            at += 5;
-        }
-        at += 8 + 32 * u64_at(at) + 16;
-    }
-    assert_eq!(at, raw.len(), "walker out of step with the wire form");
-    out
-}
-
-fn set_child(raw: &mut [u8], child: &ChildRef, inner: bool, value: u32) {
-    raw[child.at] = if inner { 0 } else { 1 };
-    raw[child.at + 1..child.at + 5].copy_from_slice(&value.to_le_bytes());
-}
-
-#[test]
-fn forged_node_records_load_serve_and_fail_at_the_first_tree_mutation() {
-    let honest = honest_bytes();
-    let reference = Snapshot::from_bytes(&honest).unwrap();
-    let topk_answer = |s: &Snapshot| {
-        s.topk
-            .as_ref()
-            .unwrap()
-            .query(1.0, 1.0, 1.0, 0.5, 6)
-            .unwrap()
-    };
-    let engine_answer = |s: &Snapshot| s.engine.as_ref().unwrap().query(&probe(), 6).unwrap();
-
-    type Patch = fn(&mut [u8]);
-    let forgeries: [(&str, Patch); 3] = [
-        ("reachable twice", |raw| {
-            // A cycle: some inner child now points back at the root, the
-            // node no other node references.
-            let kids = children_of(raw);
-            let referenced: Vec<u32> = kids.iter().filter(|c| c.inner).map(|c| c.value).collect();
-            let root = (0..).find(|id| !referenced.contains(id)).unwrap();
-            let victim = kids.iter().find(|c| c.inner).unwrap();
-            set_child(raw, victim, true, root);
-        }),
-        ("dead point slot", |raw| {
-            let kids = children_of(raw);
-            set_child(
-                raw,
-                kids.iter().find(|c| !c.inner).unwrap(),
-                false,
-                DEAD_SLOT,
-            );
-        }),
-        ("points reachable but", |raw| {
-            // Replace a subtree by one of its own points: no slot repeats,
-            // the rest of that subtree is simply gone.
-            let kids = children_of(raw);
-            let (victim, point) = kids
-                .iter()
-                .filter(|c| c.inner)
-                .find_map(|c| {
-                    kids.iter()
-                        .find(|p| !p.inner && p.node == c.value as usize)
-                        .map(|p| (c, p.value))
-                })
-                .unwrap();
-            set_child(raw, victim, false, point);
-        }),
-    ];
-    for (needle, patch) in forgeries {
-        let mut forged = honest.clone();
-        forge(&mut forged, "topk-index/tree.raw", patch);
-        forge(&mut forged, "engine-shard0/pair0/tree.raw", |raw| {
-            let kids = children_of(raw);
-            let victim = kids.iter().find(|c| c.inner).unwrap();
-            set_child(raw, victim, true, victim.node as u32);
-        });
-        assert_ne!(forged, honest);
-
-        let loaded = Snapshot::from_bytes(&forged).expect("load never reads node records");
-        let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&forged)).unwrap();
-        mapped.verify_all().unwrap();
-        for mut snap in [loaded, mapped.snapshot] {
-            // Queries never read the tree while the blocks are current.
-            assert_eq!(topk_answer(&snap), topk_answer(&reference), "{needle}");
-            assert_eq!(engine_answer(&snap), engine_answer(&reference), "{needle}");
-            // Engine writes go to the delta and the tombstones, not the tree.
-            let e = snap.engine.as_mut().unwrap();
-            e.insert(&[0.1, 0.2, 0.3]).unwrap();
-            assert!(e.delete(PointId::new(5)).unwrap());
-            // The first point-level mutation decodes the records — and
-            // refuses them, leaving the index as it was.
-            let t = snap.topk.as_mut().unwrap();
-            match t.insert(2.5, 2.5) {
-                Err(SdError::SnapshotCorrupt { detail }) => {
-                    assert!(detail.contains(needle), "wrong detail: {detail}")
-                }
-                other => panic!("{needle}: forged tree accepted: {other:?}"),
-            }
-            assert!(!t.delete(PointId::new(0)), "{needle}: delete went through");
-            assert_eq!(topk_answer(&snap), topk_answer(&reference), "{needle}");
-        }
-    }
-
-    // The honest tree passes the same walk on both opens.
-    for mut snap in [
-        Snapshot::from_bytes(&honest).unwrap(),
-        Snapshot::from_mapped(MappedBytes::copy_from(&honest))
-            .unwrap()
-            .snapshot,
-    ] {
-        snap.topk.as_mut().unwrap().insert(2.5, 2.5).unwrap();
-    }
-}
-
-// ── (e) the aligned read ────────────────────────────────────────────────
+// ── (d) the aligned read ────────────────────────────────────────────────
 
 #[test]
 fn aligned_file_read_handles_every_length() {

@@ -116,7 +116,6 @@ proptest! {
         .unwrap();
 
         let mut built_snap = Snapshot::new();
-        built_snap.roles = Some(ROLES.to_vec());
         built_snap.engine = Some(engine);
         let path = case_path();
         built_snap.save_v5(&path).unwrap();
@@ -195,8 +194,7 @@ proptest! {
         }
 
         // Every lazily-deferred region checksum still verifies, and all
-        // three replicas re-serialise to the byte-identical v5 container
-        // (a still-deferred node tree verbatim).
+        // three replicas re-serialise to the byte-identical v5 container.
         mapped_snap.verify_integrity().unwrap();
         let want = built_snap.to_bytes_v5().unwrap();
         prop_assert_eq!(&mapped_snap.to_bytes_v5().unwrap(), &want);
@@ -228,7 +226,6 @@ fn mapped_regions_verify_on_demand() {
     )
     .unwrap();
     let mut snap = Snapshot::new();
-    snap.roles = Some(ROLES.to_vec());
     snap.engine = Some(engine);
     let path = case_path();
     snap.save_v5(&path).unwrap();

@@ -57,14 +57,19 @@ proptest! {
         k in 1usize..8,
     ) {
         prop_assume!(alpha > 0.0 || beta > 0.0);
+        // The in-memory §4 tree against its stored form: the same points as
+        // a one-shard 2-D engine (x attractive, y repulsive), saved and
+        // loaded back.
         let index = TopKIndex::build(&pts).unwrap();
+        let rows: Vec<Vec<f64>> = pts.iter().map(|&(x, y)| vec![x, y]).collect();
+        let roles = [DimRole::Attractive, DimRole::Repulsive];
         let mut snap = Snapshot::new();
-        snap.topk = Some(index.clone());
+        snap.engine = Some(SdEngine::build(Dataset::from_rows(2, &rows).unwrap(), &roles).unwrap());
         let back = Snapshot::from_bytes(&snap.to_bytes_v5().unwrap()).unwrap();
-        let restored = back.topk.unwrap();
+        let query = SdQuery::new(vec![qx, qy], vec![beta, alpha]).unwrap();
         // Bit-identical results: same ids, same score bits.
         prop_assert_eq!(
-            restored.query(qx, qy, alpha, beta, k).unwrap(),
+            back.engine.unwrap().query(&query, k).unwrap(),
             index.query(qx, qy, alpha, beta, k).unwrap()
         );
     }
@@ -105,9 +110,7 @@ proptest! {
         let roles = vec![DimRole::Attractive, DimRole::Repulsive];
         let rows: Vec<Vec<f64>> = pts.iter().map(|&(x, y)| vec![x, y]).collect();
         let snap = Snapshot {
-            topk: Some(TopKIndex::build(&pts).unwrap()),
             engine: Some(SdEngine::build(Dataset::from_rows(2, &rows).unwrap(), &roles).unwrap()),
-            roles: Some(roles),
             durability: Some(DurabilityInfo { generation: 1, checkpoint_epoch: 0 }),
         };
         let bytes = snap.to_bytes_v5().unwrap();
@@ -129,8 +132,13 @@ proptest! {
 
 #[test]
 fn wrong_magic_and_future_version_are_typed() {
-    let mut snap = Snapshot::new();
-    snap.roles = Some(vec![DimRole::Attractive, DimRole::Repulsive]);
+    let snap = Snapshot {
+        durability: Some(DurabilityInfo {
+            generation: 1,
+            checkpoint_epoch: 0,
+        }),
+        ..Snapshot::default()
+    };
     let bytes = snap.to_bytes_v5().unwrap();
     assert_eq!(&bytes[..8], &MAGIC);
 
@@ -172,17 +180,13 @@ fn snapshot_files_roundtrip_on_disk() {
     let index = SdIndex::build(data.clone(), &roles).unwrap();
 
     let mut snap = Snapshot::new();
-    snap.roles = Some(roles.clone());
     snap.engine = Some(SdEngine::build(data, &roles).unwrap());
     snap.save_v5(&path).unwrap();
 
-    let back = Snapshot::load(&path).unwrap();
-    assert_eq!(back.roles.as_deref(), Some(&roles[..]));
+    let engine = Snapshot::load(&path).unwrap().engine.unwrap();
+    assert_eq!(engine.roles(), &roles[..]);
     let q = SdQuery::uniform_weights(vec![1.0, 2.0], &roles);
-    assert_eq!(
-        back.engine.unwrap().query(&q, 3).unwrap(),
-        index.query(&q, 3).unwrap()
-    );
+    assert_eq!(engine.query(&q, 3).unwrap(), index.query(&q, 3).unwrap());
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
