@@ -66,7 +66,7 @@ use crate::profile::QueryProfile;
 use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
 use crate::threshold::{track_floor, SharedThreshold};
-use crate::topk::blocks::{sort_by_x, BlockFrontier, BlockSet};
+use crate::topk::blocks::{BlockFrontier, BlockSet};
 use crate::topk::stream::{indexed_angle, FrontierEval};
 use crate::topk::{arbitrary, default_angles, normalize_angles};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
@@ -242,19 +242,15 @@ impl SdIndex {
         let angles = normalize_angles(&options.angles)?;
         let (pairs, unpaired) = pair_dimensions(&data, roles, options.pairing);
 
-        // Per pair: project (x = attractive, y = repulsive) out of the rows,
-        // sort the rows by x and bulk-load. The projection is scratch — the
-        // index keeps its own SoA copy and nothing else.
+        // Per pair: project (x = attractive, y = repulsive) out of the rows
+        // and bulk-load. The projection is scratch — the index keeps its own
+        // SoA copy and nothing else.
         let mut pts: Vec<(f64, f64)> = Vec::with_capacity(data.len());
-        let mut order: Vec<u32> = Vec::with_capacity(data.len());
         let mut pair_blocks = Vec::with_capacity(pairs.len());
         for p in &pairs {
             pts.clear();
             pts.extend(data.iter().map(|(_, c)| (c[p.attractive], c[p.repulsive])));
-            order.clear();
-            order.extend(0..data.len() as u32);
-            sort_by_x(&pts, &mut order);
-            pair_blocks.push(BlockSet::build(&pts, &order, &angles));
+            pair_blocks.push(BlockSet::build(&pts, 0..data.len() as u32, &angles));
         }
         let columns = unpaired
             .iter()

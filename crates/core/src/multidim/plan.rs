@@ -45,7 +45,11 @@
 //! need; on `agg_6d` 1130 / 1304 µs, 869 / 962 µs and 751 / 810 µs. n/16
 //! would serve both benchmark points; n/8 keeps a margin for the queries
 //! between them — the anchor's hardest fetch 8.8 % of the rows, and not one
-//! of its 1024 shard executions switches at n/8.
+//! of its 1024 shard executions switches at n/8. (Read when a leaf block was
+//! an x-strip. Over the tiled blocks of
+//! [`topk::blocks`](crate::topk::blocks) the anchor's hardest execution
+//! fetches 3.7 % of its shard's rows — 915 of 25 000 — so the margin that
+//! was 1.4× is 3.4×, and n/8 stands with room to spare.)
 //!
 //! **The exit has two triggers.** The spent budget is the backstop; the
 //! other is a projection, per execution, that the budget *will* be spent
@@ -61,7 +65,10 @@
 //! readings at 780 and 1 170 already meets zero at ≈ 3 460. The anchor's
 //! executions read 0.148 at 195 rows, 0.066 at 390, 0.028 at 780, certify
 //! at 920 (median; 1 500 the slowest of 1024), and the secant through 390
-//! and 780 says ≈ 1 070. So every `budget / 8` fetched rows an open
+//! and 780 says ≈ 1 070 — over x-strip blocks; over tiled ones they read
+//! 0.070 at 195 rows and 0.048 at 390, certify at 554 (median; 915 the
+//! slowest of 1024), and 20 of the 1024 are still open at 780 rows, the
+//! first reading that can condemn. So every `budget / 8` fetched rows an open
 //! execution reads its gap, draws the secant through the previous reading,
 //! and leaves for the same scan the spent budget leads to when the gap did
 //! not shrink or the secant meets zero past the budget; the earliest exit
@@ -84,7 +91,9 @@
 //! `agg_6d` fetching 7.1k rows a query through streams with 9 % of its
 //! executions still running the budget out; a reading every budget/8 rows
 //! misjudged none of 8 192 (eight seeds), fetches 5.8k, and every scan of
-//! `agg_6d` is a projected one. The probe is three words and one compare
+//! `agg_6d` is a projected one — and none of 8 192 again (eight seeds) over
+//! the tiled blocks, where an anchor execution is mostly over before its
+//! second reading falls due. The probe is three words and one compare
 //! per round until a reading is due.
 //!
 //! What a lost cause costs now: the stream phase up to the exit plus one

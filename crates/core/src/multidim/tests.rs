@@ -1,7 +1,9 @@
 //! Oracle-equivalence tests for the multi-dimensional SD-Index.
 
 use super::*;
+use crate::mask::RowMask;
 use crate::score::sd_score;
+use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 fn oracle(data: &Dataset, roles: &[DimRole], query: &SdQuery, k: usize) -> Vec<ScoredPoint> {
@@ -604,7 +606,6 @@ fn sweep_dataset(rng: &mut impl Rng, kind: usize, n: usize, dims: usize) -> Data
 
 #[test]
 fn every_exit_forced_at_the_one_constructor() {
-    use crate::mask::RowMask;
     let mut rng = rand::rngs::StdRng::seed_from_u64(303);
     let mut scratch = QueryScratch::new();
     // How the budget-0 runs ended: by scanning, or certified before the
@@ -635,14 +636,11 @@ fn every_exit_forced_at_the_one_constructor() {
             })
             .collect();
         let q = SdQuery::new(point, weights).unwrap();
-        let mut dead = RowMask::new(n);
-        if case % 2 == 1 {
-            for row in 0..n {
-                if rng.gen_range(0..8) == 0 {
-                    dead.set(row);
-                }
-            }
-        }
+        let dead = if case % 2 == 1 {
+            rand_dead(&mut rng, n)
+        } else {
+            RowMask::new(n)
+        };
         let mask = (case % 2 == 1).then(|| MaskView::new(&dead, 0));
         let mut live = oracle(&data, &roles, &q, n);
         live.retain(|sp| !dead.get(sp.id.index()));
@@ -718,4 +716,128 @@ fn every_exit_forced_at_the_one_constructor() {
         "both triggers and plain certification must each occur: \
          {projected} projected, {spent} spent, {certified} certified"
     );
+}
+
+// ─── the leaf layout is a bulk-load choice, not a contract ──────────────────
+
+/// A mask with each row dead at probability 1/8.
+fn rand_dead(rng: &mut impl Rng, n: usize) -> RowMask {
+    let mut dead = RowMask::new(n);
+    for row in 0..n {
+        if rng.gen_range(0..8) == 0 {
+            dead.set(row);
+        }
+    }
+    dead
+}
+
+/// `index` with every pair's rows dealt into blocks by a random permutation
+/// — no tiles, no strips, no order at all; a file written by a build that
+/// ordered its blocks some other way is one of these.
+fn dealt_at_random(index: &SdIndex, rng: &mut impl Rng) -> SdIndex {
+    let n = index.data.len();
+    let mut dealt = index.clone();
+    for (p, blocks) in index.pairs.iter().zip(&mut dealt.pair_blocks) {
+        let pts: Vec<(f64, f64)> = index
+            .data
+            .iter()
+            .map(|(_, c)| (c[p.attractive], c[p.repulsive]))
+            .collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        *blocks = BlockSet::from_order(&pts, &order, blocks.angles());
+    }
+    dealt
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Every bound is a true min/max over the block's points, so the answer
+    // cannot depend on which points share a block: tiled, dealt at random
+    // and scanned agree bit for bit — the direct 2-D search (two
+    // dimensions, no mask) and the §5 aggregation, dead rows or not.
+    #[test]
+    fn any_order_is_an_index(
+        seed in 0u64..1 << 48,
+        n in 1usize..1200,
+        dims in prop_oneof![Just(2usize), Just(4), Just(5)],
+        kind in 0usize..5,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = sweep_dataset(&mut rng, kind, n, dims);
+        let roles: Vec<DimRole> = match dims {
+            2 => vec![DimRole::Attractive, DimRole::Repulsive],
+            _ => rand_roles(&mut rng, dims),
+        };
+        let tiled = SdIndex::build(data.clone(), &roles).unwrap();
+        let dealt = dealt_at_random(&tiled, &mut rng);
+        let dead = rand_dead(&mut rng, n);
+        let mut scratch = QueryScratch::new();
+        for _ in 0..4 {
+            let q = rand_query(&mut rng, dims);
+            let all = oracle(&data, &roles, &q, n);
+            for masked in [false, true] {
+                let mask = masked.then(|| MaskView::new(&dead, 0));
+                let mut want = all.clone();
+                want.retain(|sp| !(masked && dead.get(sp.id.index())));
+                for k in [1, 16, n] {
+                    let want = &want[..k.min(want.len())];
+                    for index in [&tiled, &dealt] {
+                        let got = index.query_masked(&q, k, &mut scratch, None, mask).unwrap();
+                        assert_bit_identical(got, want);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // The certifying block-stream path at a size where it is the path: the
+    // small-n sweeps above mostly end in the scan exit, so here the budget
+    // is lifted and every query must certify off its streams — duplicate
+    // rows, a constant column and ±0 ties included.
+    #[test]
+    fn certifying_streams_match_the_scan_at_size(
+        seed in 0u64..1 << 48,
+        n in 4096usize..=8192,
+        dims in prop_oneof![Just(2usize), Just(4), Just(6)],
+        kind in 0usize..5,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = sweep_dataset(&mut rng, kind, n, dims);
+        let roles: Vec<DimRole> = (0..dims)
+            .map(|d| if d % 2 == 0 { DimRole::Attractive } else { DimRole::Repulsive })
+            .collect();
+        let index = SdIndex::build(data.clone(), &roles).unwrap();
+        prop_assert_eq!(index.pairs().len(), dims / 2);
+        let dead = rand_dead(&mut rng, n);
+        let mut scratch = QueryScratch::new();
+        // (At k = 100 the planner may serve a pair of this size by its
+        // sorted columns; at k = 1 and 16 it walks the blocks.)
+        let mut blocks_popped = 0;
+        for i in 0..3 {
+            let q = rand_query(&mut rng, dims);
+            let mask = (i == 2).then(|| MaskView::new(&dead, 0));
+            let mut want = oracle(&data, &roles, &q, n);
+            want.retain(|sp| !(mask.is_some() && dead.get(sp.id.index())));
+            for k in [1, 16, 100] {
+                let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
+                exec.scan_budget = usize::MAX;
+                exec.probe = plan::ScanProbe::new(usize::MAX);
+                while !exec.step(usize::MAX, None, |_| {}).unwrap() {}
+                exec.finish_into(&mut scratch);
+                assert_bit_identical(scratch.answers(), &want[..k]);
+                let p = scratch.profile;
+                prop_assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));
+                blocks_popped += p.blocks_popped;
+            }
+        }
+        prop_assert!(blocks_popped > 0, "no block stream ran");
+    }
 }

@@ -51,7 +51,7 @@ pub fn track_floor(floor: &mut BinaryHeap<Reverse<OrdF64>>, cap: usize, score: f
 /// order: positive floats get the sign bit set, negative floats are
 /// bit-inverted.
 #[inline]
-fn encode(v: f64) -> u64 {
+pub(crate) fn encode(v: f64) -> u64 {
     let bits = v.to_bits();
     if bits >> 63 == 1 {
         !bits

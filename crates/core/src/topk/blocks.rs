@@ -3,8 +3,8 @@
 //!
 //! A [`BlockSet`] is the whole per-pair index an engine shard
 //! ([`SdIndex`](crate::multidim::SdIndex)) holds, persists and maps: the
-//! points in x-sorted order (ties by slot), grouped into cache-aligned blocks
-//! of [`LANES`] points with split `x`/`y` coordinate columns, the originating
+//! points in *tiled* order (below), grouped into cache-aligned blocks of
+//! [`LANES`] points with split `x`/`y` coordinate columns, the originating
 //! point slots, a live-lane mask, and *micro-envelopes* — per-block
 //! per-indexed-angle projection [`AngleBounds`] plus the block's x-range.
 //! Above the blocks sits a pointer-free implicit tree (fanout
@@ -13,8 +13,25 @@
 //! and the live-point count it is self-contained: nothing else is needed to
 //! answer a 2-D query, and nothing else of a pair is written to a snapshot.
 //!
-//! It has no point updates. The paper's *dynamic* tree — per-point leaves,
-//! `insert` / `delete`, the |U|/n rebuild policy — is
+//! **The bulk-load order is a two-level sort-tile-recursive one**, owned by
+//! [`BlockSet::build`]: the points are sorted by x, cut into x-slabs of
+//! [`SLAB_BLOCKS`] blocks, each slab is sorted by y and cut into its blocks,
+//! and the lanes of a block run by (x, slot). A leaf block is therefore a 2-D
+//! cell — 1/49 of the x-range by 1/16 of the y-range on 25 000 uniform
+//! points — not a full-height x-strip, and the envelope of a cell is tight at
+//! every angle: an index pruned by projection bounds is exactly as good as
+//! those bounds. Why 16 and not the square tiling: a query whose weights are
+//! very unequal (α/β under 0.05 or over 20) has a thin band for an answer set
+//! and wants strips, and a row of square tiles bounds a band equally badly;
+//! 16 blocks per slab takes nearly all of the gain a uniform 4-D aggregation
+//! has to take and caps that tail (CHANGES.md, PR 23, has the sweep). The
+//! order is a bulk-load choice and nothing else: every bound is a true
+//! min/max over the block's points, so *any* assignment of points to blocks
+//! is an admissible index (a file written in x-strips opens and answers), and
+//! no reader knows which one it was handed.
+//!
+//! It has no point updates. The paper's *dynamic* tree — per-point leaves
+//! in x-sorted order, `insert` / `delete`, the |U|/n rebuild policy — is
 //! [`TopKIndex`](super::TopKIndex), an in-memory library index that derives
 //! a `BlockSet` at every bulk load and drops it at the first point-level
 //! mutation. An engine never mutates a pair in place (writes go to its delta
@@ -35,6 +52,7 @@
 use crate::codec::{corrupt, Codec, Reader, Result, Writer};
 use crate::geometry::Angle;
 use crate::kernels::{prefetch, LaneBlock, LANES};
+use crate::threshold::encode as order_key;
 use crate::types::OrdF64;
 use crate::view::ColumnarView;
 
@@ -44,15 +62,31 @@ use super::AngleBounds;
 /// Fanout of the implicit envelope tree above the blocks.
 pub(crate) const GROUP_FANOUT: usize = 8;
 
-/// Sorts point slots into bulk-load order: x ascending, ties by slot id.
-/// The one order a [`BlockSet`] (and a [`TopKIndex`](super::TopKIndex)'s
-/// balanced tree) is built over.
-pub(crate) fn sort_by_x(pts: &[(f64, f64)], order: &mut [u32]) {
-    order.sort_by(|&a, &b| {
-        OrdF64(pts[a as usize].0)
-            .cmp(&OrdF64(pts[b as usize].0))
-            .then(a.cmp(&b))
-    });
+/// Blocks per x-slab of the bulk-load order: a slab of `SLAB_BLOCKS * LANES`
+/// x-consecutive points is cut into that many blocks along y. A measured
+/// constant, not a knob — see the module docs.
+const SLAB_BLOCKS: usize = 16;
+
+/// Puts `slots` into the tiled bulk-load order of the module docs. Every
+/// sort is over `(key, slot)` with an order-preserving integer key, so it is
+/// total — the result is a pure function of the point set — and compares
+/// without touching `pts`.
+fn tile(pts: &[(f64, f64)], slots: impl IntoIterator<Item = u32>) -> Vec<u32> {
+    let sort_on = |part: &mut [(u64, u32)], coord: fn(&(f64, f64)) -> f64| {
+        for e in part.iter_mut() {
+            e.0 = order_key(coord(&pts[e.1 as usize]));
+        }
+        part.sort_unstable();
+    };
+    let mut keyed: Vec<(u64, u32)> = slots.into_iter().map(|s| (0, s)).collect();
+    sort_on(&mut keyed, |p| p.0);
+    for slab in keyed.chunks_mut(SLAB_BLOCKS * LANES) {
+        sort_on(slab, |p| p.1);
+        for block in slab.chunks_mut(LANES) {
+            sort_on(block, |p| p.0);
+        }
+    }
+    keyed.into_iter().map(|(_, s)| s).collect()
 }
 
 /// One level of aggregated envelopes above the block level.
@@ -86,7 +120,8 @@ pub(crate) struct BlockSet {
     live: ColumnarView<u32>,
     /// Block-major per-angle micro-envelopes: `bounds[b * m + angle_i]`.
     bounds: ColumnarView<AngleBounds>,
-    /// Per-block `(xmin, xmax)` (lanes are x-sorted, so `xs[0]`/`xs[len-1]`).
+    /// Per-block `(xmin, xmax)`: the true x-range of the block's live lanes,
+    /// which is what decides the side of the query a block can serve.
     xr: ColumnarView<(f64, f64)>,
     /// Implicit envelope tree: `levels[0]` groups blocks, each further
     /// level groups the one below, last level has a single root. Empty when
@@ -95,11 +130,23 @@ pub(crate) struct BlockSet {
 }
 
 impl BlockSet {
-    /// Builds the index over the slots in `order`, which must be in
-    /// [`sort_by_x`] order; `angles` ascending and non-empty (see
-    /// [`normalize_angles`](super::normalize_angles)). An empty `order`
-    /// yields an index of zero blocks.
-    pub(crate) fn build(pts: &[(f64, f64)], order: &[u32], angles: &[Angle]) -> BlockSet {
+    /// Builds the index over `slots` (distinct, in any order — the layout
+    /// depends on the points, not on how they arrived); `angles` ascending
+    /// and non-empty (see [`normalize_angles`](super::normalize_angles)). No
+    /// slots yield an index of zero blocks.
+    pub(crate) fn build(
+        pts: &[(f64, f64)],
+        slots: impl IntoIterator<Item = u32>,
+        angles: &[Angle],
+    ) -> BlockSet {
+        Self::from_order(pts, &tile(pts, slots), angles)
+    }
+
+    /// Deals the slots into blocks in exactly the order given:
+    /// `order[b * LANES + l]` is lane `l` of block `b`. [`BlockSet::build`]
+    /// hands it the tiled order; any other one is an index too, only a
+    /// slower one — which is what the tests use it for.
+    pub(crate) fn from_order(pts: &[(f64, f64)], order: &[u32], angles: &[Angle]) -> BlockSet {
         let m = angles.len();
         let n_blocks = order.len().div_ceil(LANES);
         let mut xs = vec![LaneBlock::default(); n_blocks];
@@ -235,6 +282,11 @@ impl BlockSet {
         })?;
         if angles.is_empty() {
             return Err(corrupt("blocks: no indexed angles"));
+        }
+        // `stream::bracketing` binary-searches them and `dual_bound` reads a
+        // bracket as (lower, upper).
+        if !angles.windows(2).all(|w| w[0].degrees() < w[1].degrees()) {
+            return Err(corrupt("blocks: indexed angles not strictly ascending"));
         }
         if n_live > u32::MAX as usize || n_blocks != n_live.div_ceil(LANES) {
             return Err(corrupt(format!(
@@ -660,12 +712,7 @@ impl<'a> BlockFrontier<'a> {
 mod tests {
     use super::*;
     use crate::topk::default_angles;
-
-    fn sorted_order(pts: &[(f64, f64)]) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..pts.len() as u32).collect();
-        sort_by_x(pts, &mut order);
-        order
-    }
+    use rand::{Rng, SeedableRng};
 
     fn sample(n: usize) -> Vec<(f64, f64)> {
         (0..n)
@@ -678,83 +725,192 @@ mod tests {
             .collect()
     }
 
+    /// Sizes around every cut of the tiled order: the empty set, one block,
+    /// one slab, three slabs, each ± 1.
+    const SIZES: [usize; 11] = [
+        0,
+        1,
+        LANES - 1,
+        LANES,
+        LANES + 1,
+        SLAB_BLOCKS * LANES - 1,
+        SLAB_BLOCKS * LANES,
+        SLAB_BLOCKS * LANES + 1,
+        SLAB_BLOCKS * LANES * 3 - 1,
+        SLAB_BLOCKS * LANES * 3,
+        SLAB_BLOCKS * LANES * 3 + 1,
+    ];
+
+    /// Point sets that leave a sort nothing to sort by: generic, all x
+    /// equal, all y equal, every point identical, and ±0.0 / denormal
+    /// coordinates (where the integer key tells apart what `==` does not).
+    fn shapes(n: usize) -> Vec<Vec<(f64, f64)>> {
+        const TINY: [f64; 6] = [0.0, -0.0, 5e-324, -5e-324, f64::MIN_POSITIVE, -1e-310];
+        let pts = sample(n);
+        vec![
+            pts.iter().map(|&(_, y)| (0.25, y)).collect(),
+            pts.iter().map(|&(x, _)| (x, -1.5)).collect(),
+            vec![(0.5, 0.5); n],
+            (0..n).map(|i| (TINY[i % 6], TINY[(i / 6) % 6])).collect(),
+            pts,
+        ]
+    }
+
+    fn all_slots(pts: &[(f64, f64)]) -> std::ops::Range<u32> {
+        0..pts.len() as u32
+    }
+
+    /// The live `(slot, x, y)` lanes of one block.
+    fn lanes(set: &BlockSet, b: u32) -> impl Iterator<Item = (u32, f64, f64)> + '_ {
+        (0..LANES)
+            .filter(move |l| set.live(b) & (1 << l) != 0)
+            .map(move |l| (set.slots(b)[l], set.xs(b)[l], set.ys(b)[l]))
+    }
+
     #[test]
     fn build_covers_every_point_once() {
-        for n in [0usize, 1, 31, 32, 33, 64, 257, 1000] {
-            let pts = sample(n);
-            let order = sorted_order(&pts);
-            let set = BlockSet::build(&pts, &order, &default_angles());
-            assert_eq!(set.n_blocks(), n.div_ceil(LANES));
-            assert_eq!(set.n_live(), n);
-            set.validate_structure(n).unwrap();
-            let mut seen = vec![false; n];
-            for b in 0..set.n_blocks() as u32 {
-                let live = set.live(b);
-                let slots = set.slots(b);
-                for (l, &slot) in slots.iter().enumerate() {
-                    if live & (1 << l) != 0 {
+        for n in SIZES {
+            for pts in shapes(n) {
+                let set = BlockSet::build(&pts, all_slots(&pts), &default_angles());
+                assert_eq!(set.n_blocks(), n.div_ceil(LANES));
+                assert_eq!(set.n_live(), n);
+                set.validate_structure(n).unwrap();
+                set.check_finite().unwrap();
+                let mut seen = vec![false; n];
+                for b in 0..set.n_blocks() as u32 {
+                    for (slot, x, y) in lanes(&set, b) {
                         let s = slot as usize;
                         assert!(!seen[s], "slot {s} twice");
                         seen[s] = true;
-                        assert_eq!(set.xs(b)[l], pts[s].0);
-                        assert_eq!(set.ys(b)[l], pts[s].1);
+                        assert_eq!(x.to_bits(), pts[s].0.to_bits());
+                        assert_eq!(y.to_bits(), pts[s].1.to_bits());
                     }
                 }
+                assert!(seen.iter().all(|&s| s), "every point in some block");
             }
-            assert!(seen.iter().all(|&s| s), "every point in some block");
         }
     }
 
     #[test]
     fn envelopes_are_conservative() {
-        let pts = sample(500);
-        let order = sorted_order(&pts);
         let angles = default_angles();
-        let set = BlockSet::build(&pts, &order, &angles);
         let m = angles.len();
-        for b in 0..set.n_blocks() {
-            let live = set.live(b as u32);
-            for l in 0..LANES {
-                if live & (1 << l) == 0 {
-                    continue;
+        for n in SIZES {
+            for pts in shapes(n) {
+                let set = BlockSet::build(&pts, all_slots(&pts), &angles);
+                for b in 0..set.n_blocks() {
+                    for (_, x, y) in lanes(&set, b as u32) {
+                        let (xmin, xmax) = set.xr[b];
+                        assert!(xmin <= x && x <= xmax);
+                        for (i, a) in angles.iter().enumerate() {
+                            let bd = &set.bounds[b * m + i];
+                            let (u, v) = (a.u(x, y), a.v(x, y));
+                            assert!(bd.min_u <= u && u <= bd.max_u);
+                            assert!(bd.min_v <= v && v <= bd.max_v);
+                        }
+                    }
                 }
-                let (x, y) = (set.xs(b as u32)[l], set.ys(b as u32)[l]);
-                let (xmin, xmax) = set.xr[b];
-                assert!(xmin <= x && x <= xmax);
-                for (i, a) in angles.iter().enumerate() {
-                    let bd = &set.bounds[b * m + i];
-                    let (u, v) = (a.u(x, y), a.v(x, y));
-                    assert!(bd.min_u <= u && u <= bd.max_u);
-                    assert!(bd.min_v <= v && v <= bd.max_v);
+                // Level envelopes cover their groups.
+                for (li, level) in set.levels.iter().enumerate() {
+                    let (below_bounds, below_xr): (&[AngleBounds], &[(f64, f64)]) = if li == 0 {
+                        (&set.bounds, &set.xr)
+                    } else {
+                        (&set.levels[li - 1].bounds, &set.levels[li - 1].xr)
+                    };
+                    for (j, &(bxmin, bxmax)) in below_xr.iter().enumerate() {
+                        let g = j / GROUP_FANOUT;
+                        assert!(level.xr[g].0 <= bxmin && level.xr[g].1 >= bxmax);
+                        for i in 0..m {
+                            let gb = &level.bounds[g * m + i];
+                            let cb = &below_bounds[j * m + i];
+                            assert!(gb.max_u >= cb.max_u && gb.min_u <= cb.min_u);
+                            assert!(gb.max_v >= cb.max_v && gb.min_v <= cb.min_v);
+                        }
+                    }
                 }
             }
         }
-        // Level envelopes cover their groups.
-        for (li, level) in set.levels.iter().enumerate() {
-            let (below_bounds, below_xr): (&[AngleBounds], &[(f64, f64)]) = if li == 0 {
-                (&set.bounds, &set.xr)
-            } else {
-                (&set.levels[li - 1].bounds, &set.levels[li - 1].xr)
-            };
-            for (j, &(bxmin, bxmax)) in below_xr.iter().enumerate() {
-                let g = j / GROUP_FANOUT;
-                assert!(level.xr[g].0 <= bxmin && level.xr[g].1 >= bxmax);
-                for i in 0..m {
-                    let gb = &level.bounds[g * m + i];
-                    let cb = &below_bounds[j * m + i];
-                    assert!(gb.max_u >= cb.max_u && gb.min_u <= cb.min_u);
-                    assert!(gb.max_v >= cb.max_v && gb.min_v <= cb.min_v);
-                }
+    }
+
+    /// A refactor that quietly falls back to x-order fails here, not in a
+    /// benchmark: strips of 20 000 uniform points read 0.0016 × 0.94.
+    #[test]
+    fn blocks_are_cells_not_strips() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let pts: Vec<(f64, f64)> = (0..20_000)
+            .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+            .collect();
+        let set = BlockSet::build(&pts, all_slots(&pts), &default_angles());
+        let (mut dx, mut dy) = (0.0, 0.0);
+        for b in 0..set.n_blocks() as u32 {
+            let (xmin, xmax) = set.xr[b as usize];
+            let ys = || lanes(&set, b).map(|(_, _, y)| y);
+            dx += xmax - xmin;
+            dy += ys().fold(f64::MIN, f64::max) - ys().fold(f64::MAX, f64::min);
+        }
+        let (dx, dy) = (dx / set.n_blocks() as f64, dy / set.n_blocks() as f64);
+        assert!(dx < 0.05 && dy < 0.15, "mean block extent {dx} × {dy}");
+    }
+
+    /// The layout depends on the points, not on how they arrived: the same
+    /// rows under another slot numbering, handed over in another order,
+    /// fall into the same blocks. (Distinct coordinates — a tie would be
+    /// broken by slot, which is what makes one build deterministic, not two
+    /// numberings equal.)
+    #[test]
+    fn layout_is_independent_of_arrival_order() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        for n in [1usize, 700, 5_000] {
+            let pts: Vec<(f64, f64)> = (0..n)
+                .map(|i| (i as f64 + rng.gen_range(0.0..0.5), rng.gen_range(-1.0..1.0)))
+                .collect();
+            let mut perm: Vec<u32> = all_slots(&pts).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
             }
+            let shuffled: Vec<(f64, f64)> = perm.iter().map(|&s| pts[s as usize]).collect();
+            let angles = default_angles();
+            let a = BlockSet::build(&pts, all_slots(&pts), &angles);
+            let b = BlockSet::build(&shuffled, all_slots(&pts).rev(), &angles);
+            assert_eq!(a.n_blocks(), b.n_blocks());
+            for blk in 0..a.n_blocks() as u32 {
+                let cell = |set: &BlockSet| -> Vec<(u64, u64)> {
+                    lanes(set, blk)
+                        .map(|(_, x, y)| (x.to_bits(), y.to_bits()))
+                        .collect()
+                };
+                assert_eq!(cell(&a), cell(&b), "block {blk} of {n} points");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_refuses_angles_out_of_order() {
+        let pts = sample(100);
+        let set = BlockSet::build(&pts, all_slots(&pts), &default_angles());
+        // An unpinned reader serves metadata only: the honest index gets as
+        // far as its first table, a forged one not past its angles.
+        let decode = |set: &BlockSet| {
+            let mut w = Writer::new();
+            set.encode(&mut w);
+            let err = BlockSet::decode(&mut Reader::new(&w.into_bytes())).unwrap_err();
+            err.to_string()
+        };
+        assert!(decode(&set).contains("blocks.xs"), "{}", decode(&set));
+        let (mut swapped, mut repeated) = (set.clone(), set.clone());
+        swapped.angles.swap(1, 2);
+        repeated.angles[3] = repeated.angles[2];
+        for forged in [swapped, repeated] {
+            let err = decode(&forged);
+            assert!(err.contains("not strictly ascending"), "{err}");
         }
     }
 
     #[test]
     fn frontier_surfaces_every_block_exactly_once() {
         let pts = sample(333);
-        let order = sorted_order(&pts);
         let angles = default_angles();
-        let set = BlockSet::build(&pts, &order, &angles);
+        let set = BlockSet::build(&pts, all_slots(&pts), &angles);
         let eval = FrontierEval::Single {
             angle: angles[2],
             angle_i: 2,
@@ -773,50 +929,57 @@ mod tests {
 
     #[test]
     fn frontier_bound_dominates_unsurfaced_scores() {
-        let pts = sample(400);
-        let order = sorted_order(&pts);
         let angles = default_angles();
-        let set = BlockSet::build(&pts, &order, &angles);
-        for (qx, qy) in [(0.0, 0.0), (5.0, -2.0), (-3.0, 1.0)] {
-            for eval in [
-                FrontierEval::Single {
-                    angle: angles[1],
-                    angle_i: 1,
-                },
-                FrontierEval::at(&angles, &Angle::from_weights(1.0, 0.3).unwrap()).unwrap(),
-            ] {
-                let theta = match &eval {
-                    FrontierEval::Single { angle, .. } => *angle,
-                    FrontierEval::Dual { theta, .. } => *theta,
-                };
-                let mut f =
-                    BlockFrontier::with_scratch(&set, qx, qy, eval, AngleScratch::default());
-                let mut unsurfaced: std::collections::HashSet<u32> =
-                    (0..set.n_blocks() as u32).collect();
-                loop {
-                    let bound = f.bound();
-                    // Every point of every unsurfaced block scores <= bound.
-                    for &b in &unsurfaced {
-                        let live = set.live(b);
-                        for l in 0..LANES {
-                            if live & (1 << l) != 0 {
-                                let s = theta.normalized_score(set.xs(b)[l], set.ys(b)[l], qx, qy);
-                                assert!(
-                                    s <= bound.expect("blocks remain") + 1e-9,
-                                    "unsurfaced point above bound"
-                                );
-                            }
-                        }
-                    }
-                    match f.next_block(|_| false) {
-                        Some(b) => {
-                            unsurfaced.remove(&b);
-                        }
-                        None => break,
+        for n in SIZES {
+            for pts in shapes(n) {
+                let set = BlockSet::build(&pts, all_slots(&pts), &angles);
+                for (qx, qy) in [(0.0, 0.0), (5.0, -2.0), (-3.0, 1.0)] {
+                    for eval in [
+                        FrontierEval::Single {
+                            angle: angles[1],
+                            angle_i: 1,
+                        },
+                        FrontierEval::at(&angles, &Angle::from_weights(1.0, 0.3).unwrap()).unwrap(),
+                    ] {
+                        bound_dominates(&set, qx, qy, eval);
                     }
                 }
-                assert!(unsurfaced.is_empty());
             }
         }
+    }
+
+    /// Walks `set` to exhaustion, asserting before every pop that each point
+    /// of each unsurfaced block scores at or under the frontier's bound.
+    fn bound_dominates(set: &BlockSet, qx: f64, qy: f64, eval: FrontierEval) {
+        let theta = match &eval {
+            FrontierEval::Single { angle, .. } => *angle,
+            FrontierEval::Dual { theta, .. } => *theta,
+        };
+        // Best score per block, once: the walk below is quadratic in blocks.
+        let best: Vec<f64> = (0..set.n_blocks() as u32)
+            .map(|b| {
+                lanes(set, b)
+                    .map(|(_, x, y)| theta.normalized_score(x, y, qx, qy))
+                    .fold(f64::NEG_INFINITY, f64::max)
+            })
+            .collect();
+        let mut f = BlockFrontier::with_scratch(set, qx, qy, eval, AngleScratch::default());
+        let mut unsurfaced: std::collections::HashSet<u32> = (0..set.n_blocks() as u32).collect();
+        loop {
+            let bound = f.bound();
+            for &b in &unsurfaced {
+                assert!(
+                    best[b as usize] <= bound.expect("blocks remain") + 1e-9,
+                    "unsurfaced point above bound"
+                );
+            }
+            match f.next_block(|_| false) {
+                Some(b) => {
+                    unsurfaced.remove(&b);
+                }
+                None => break,
+            }
+        }
+        assert!(unsurfaced.is_empty());
     }
 }

@@ -69,6 +69,16 @@ pub(crate) fn normalize_angles(angles: &[Angle]) -> Result<Vec<Angle>, SdError> 
     Ok(sorted)
 }
 
+/// Sorts point slots into the dynamic tree's bulk-load order: x ascending,
+/// ties by slot id. (The stored [`blocks::BlockSet`] chooses its own.)
+fn sort_by_x(pts: &[(f64, f64)], order: &mut [u32]) {
+    order.sort_by(|&a, &b| {
+        OrdF64(pts[a as usize].0)
+            .cmp(&OrdF64(pts[b as usize].0))
+            .then(a.cmp(&b))
+    });
+}
+
 /// Per-angle projection bounds of one subtree.
 ///
 /// `#[repr(C)]` because format v5 maps bound tables straight off the
@@ -607,53 +617,41 @@ impl TopKIndex {
         false
     }
 
-    /// The live slots in bulk-load order ([`blocks::sort_by_x`]) — the one
-    /// order both the balanced tree and the derived blocks are built over.
-    fn live_order(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.pts.len() as u32)
-            .filter(|&i| self.alive[i as usize])
-            .collect();
-        blocks::sort_by_x(&self.pts, &mut order);
-        order
+    /// The live slots, ascending.
+    fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.pts.len() as u32).filter(|&i| self.alive[i as usize])
     }
 
-    /// Rebuilds the balanced tree over the live points (bulk load) and
-    /// re-derives the SoA leaf-block layout.
+    /// Rebuilds the balanced tree over the live points (bulk load, in x
+    /// order with ties by slot) and re-derives the SoA leaf-block layout.
     pub fn rebuild(&mut self) {
         self.nodes.clear();
         self.node_xr.clear();
         self.node_bounds.clear();
         self.free_nodes.clear();
         self.deep_leaves = 0;
-        self.blocks = None;
-        let order = self.live_order();
+        self.root = None;
+        self.refresh_blocks();
+        let mut order: Vec<u32> = self.live_slots().collect();
         if order.is_empty() {
-            self.root = None;
             return;
         }
-        let root = self.build_rec(&order);
-        self.root = Some(root);
-        self.blocks = Some(Arc::new(blocks::BlockSet::build(
-            &self.pts,
-            &order,
-            &self.angles,
-        )));
+        sort_by_x(&self.pts, &mut order);
+        self.root = Some(self.build_rec(&order));
     }
 
     /// Re-derives the block form from the live point table — what a caller
     /// who mutated a tree point-wise can invoke to restore the block-scored
-    /// query path without a full tree rebuild.
+    /// query path without a full tree rebuild. The blocks choose their own
+    /// order ([`blocks::BlockSet::build`]); the tree's is not theirs.
     pub fn refresh_blocks(&mut self) {
-        let order = self.live_order();
-        if order.is_empty() {
-            self.blocks = None;
-            return;
-        }
-        self.blocks = Some(Arc::new(blocks::BlockSet::build(
-            &self.pts,
-            &order,
-            &self.angles,
-        )));
+        self.blocks = (self.n_alive > 0).then(|| {
+            Arc::new(blocks::BlockSet::build(
+                &self.pts,
+                self.live_slots(),
+                &self.angles,
+            ))
+        });
     }
 
     /// Bulk-loads the subtree over `slots` (x-sorted). Every child but the

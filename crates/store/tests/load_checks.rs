@@ -222,7 +222,7 @@ fn set_u32(payload: &mut [u8], index: usize, v: u32) {
 fn load_refuses_forged_contents_under_valid_checksums() {
     let honest = honest_bytes();
     type Patch = fn(&mut [u8]);
-    let cases: [(&str, &str, Patch); 8] = [
+    let cases: [(&str, &str, Patch); 9] = [
         ("engine-shard0/data.coords", "non-finite coordinate", |p| {
             set_f64(p, 4, f64::NAN)
         }),
@@ -260,6 +260,13 @@ fn load_refuses_forged_contents_under_valid_checksums() {
         ("engine-shard1/pair0/blocks.live", "live lanes", |p| {
             set_u32(p, 0, 1)
         }),
+        (
+            "engine-shard0/pair0/meta",
+            "indexed angles not strictly ascending",
+            // `[count][cos sin][cos sin]…`: the first angle repeated where
+            // the second stood. The bracket search assumes neither happens.
+            |p| p.copy_within(8..24, 24),
+        ),
     ];
     for (region, needle, patch) in cases {
         let mut forged = honest.clone();
@@ -271,11 +278,18 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             }
             other => panic!("{region}: forged file not refused as corrupt: {other:?}"),
         }
-        // The checksums really are valid: nothing but content is wrong.
-        Snapshot::from_mapped(MappedBytes::copy_from(&forged))
-            .unwrap()
-            .verify_all()
-            .unwrap_or_else(|e| panic!("{region}: forgery broke a checksum: {e}"));
+        // The checksums really are valid: nothing but content is wrong. (A
+        // metadata region is checksummed, decoded and so refused at every
+        // open, the lazy one included.)
+        match Snapshot::from_mapped(MappedBytes::copy_from(&forged)) {
+            Ok(mapped) => mapped
+                .verify_all()
+                .unwrap_or_else(|e| panic!("{region}: forgery broke a checksum: {e}")),
+            Err(SdError::SnapshotCorrupt { detail }) if region.ends_with("/meta") => {
+                assert!(detail.contains(needle), "{region}: wrong detail: {detail}")
+            }
+            Err(e) => panic!("{region}: forgery broke the lazy open: {e}"),
+        }
     }
 }
 

@@ -249,12 +249,15 @@ proptest! {
 /// Shards big enough that the exit is decided query by query, shard by
 /// shard: some executions certify inside the budget while their siblings —
 /// same query, same shared floor, same merge — finish by scanning, on the
-/// spent budget or on the projection that it will be (6 000-row shards; at
-/// 3 000 rows the projection sends a shard of every one of these queries
-/// to the scan, at 12 000 none).
+/// spent budget or on the projection that it will be. 4 500-row shards: of
+/// these 24 queries 7 scan in no shard, 12 in some, 5 in all; at 2 000 rows
+/// the projection sends every shard of every query to the scan, at 6 000 no
+/// query scans everywhere, at 12 000 none scans at all. (The bracket moves
+/// with the leaf layout: over x-strip blocks it read 3 000 / 6 000 / 12 000;
+/// tiled blocks certify sooner, so the contested sizes are smaller.)
 #[test]
 fn scanning_and_certifying_shards_merge_to_the_oracle() {
-    let (n, dims, k, shards) = (24_000, 4, 16, 4);
+    let (n, dims, k, shards) = (18_000, 4, 16, 4);
     let data = Arc::new(generate(Distribution::Uniform, n, dims, 0x5CA9));
     let roles = roles_for(dims, 2);
     let oracle = SeqScan::new(data.clone(), &roles).unwrap();
