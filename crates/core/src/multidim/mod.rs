@@ -67,7 +67,7 @@ use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
 use crate::threshold::{track_floor, SharedThreshold};
 use crate::topk::blocks::{BlockFrontier, BlockSet};
-use crate::topk::stream::{indexed_angle, FrontierEval};
+use crate::topk::stream::FrontierEval;
 use crate::topk::{arbitrary, default_angles, normalize_angles};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
@@ -407,7 +407,8 @@ impl SdIndex {
         for (pair, blocks) in self.pairs.iter().zip(&self.pair_blocks) {
             let alpha = query.weights[pair.repulsive];
             let beta = query.weights[pair.attractive];
-            let indexed = pair_indexed(blocks, alpha, beta);
+            let (qx, qy) = (query.point[pair.attractive], query.point[pair.repulsive]);
+            let indexed = pair_eval(blocks, alpha, beta, qx, qy).is_ok_and(|e| e.indexed());
             // Single-pair queries bypass the aggregation; report the
             // frontier the direct path actually runs.
             let (action, est_cost) = if direct {
@@ -638,7 +639,12 @@ impl SdIndex {
             let beta = query.weights[pair.attractive];
             let qx = query.point[pair.attractive];
             let qy = query.point[pair.repulsive];
-            let (action, _) = plan::plan_pair(n, k, alpha, beta, pair_indexed(blocks, alpha, beta));
+            // The pair's weight angle is resolved against its indexed angles
+            // once: the planner reads whether it is indexed, the stream
+            // walks under the same evaluation.
+            let eval = pair_eval(blocks, alpha, beta, qx, qy);
+            let indexed = eval.as_ref().is_ok_and(FrontierEval::indexed);
+            let (action, _) = plan::plan_pair(n, k, alpha, beta, indexed);
             match action {
                 PairAction::Degenerate => {} // contributes exactly 0 to every score
                 PairAction::OneDim => {
@@ -650,19 +656,19 @@ impl SdIndex {
                         streams.push(Subproblem::repulsive(rep, qy, alpha));
                     }
                 }
-                PairAction::Frontier | PairAction::Bracketed => {
-                    match Pair2DStream::with_scratch(blocks, qx, qy, alpha, beta, scratch) {
-                        Ok(s) => streams.push(Subproblem::Pair2d(s)),
-                        Err(e) => {
-                            // Hand every buffer back before propagating.
-                            for s in streams.drain(..) {
-                                s.recycle(scratch);
-                            }
-                            scratch.put_streams(streams);
-                            return Err(e);
+                PairAction::Frontier | PairAction::Bracketed => match eval {
+                    Ok(eval) => streams.push(Subproblem::Pair2d(Pair2DStream::with_scratch(
+                        blocks, eval, alpha, beta, scratch,
+                    ))),
+                    Err(e) => {
+                        // Hand every buffer back before propagating.
+                        for s in streams.drain(..) {
+                            s.recycle(scratch);
                         }
+                        scratch.put_streams(streams);
+                        return Err(e);
                     }
-                }
+                },
             }
         }
         for (column, &dim) in self.columns.iter().zip(&self.unpaired) {
@@ -685,14 +691,18 @@ impl SdIndex {
     }
 }
 
-/// `true` when the pair's weight angle hits an indexed angle of its §4
-/// index (degenerate both-zero weights report `false`; the planner never
-/// consults `indexed` for them).
-fn pair_indexed(blocks: &BlockSet, alpha: f64, beta: f64) -> bool {
-    Angle::from_weights(alpha, beta)
-        .ok()
-        .and_then(|theta| indexed_angle(blocks.angles(), &theta))
-        .is_some()
+/// How a frontier over `blocks` evaluates the pair query `(α, β, (qx, qy))`;
+/// an error for both-zero weights (the planner never consults the
+/// evaluation for them) and for a weight angle outside the indexed range.
+fn pair_eval(
+    blocks: &BlockSet,
+    alpha: f64,
+    beta: f64,
+    qx: f64,
+    qy: f64,
+) -> Result<FrontierEval, SdError> {
+    let theta = Angle::from_weights(alpha, beta)?;
+    FrontierEval::at(blocks.angles(), &theta, qx, qy)
 }
 
 /// Resolves a worker-count argument: `0` means auto — the host's available
@@ -739,12 +749,13 @@ pub(crate) fn build_pair_columns(
 /// caller's `on_score` observer and the candidate pool
 /// ([`BatchScorer::admit`]).
 ///
-/// Once the floor holds `k_eff` real scores, lanes strictly below its root
-/// are dropped by the batched survivor compare before touching any heap:
-/// they can never displace `k_eff` known scores (ties survive, preserving
-/// canonical tie resolution), and a score below the local floor is also
-/// below every merged floor downstream of `on_score`, so skipping the
-/// observer too loses nothing.
+/// Lanes strictly below a known k-th score — the local floor once it holds
+/// `k_eff` real scores, or the cross-execution floor the round head last
+/// read, whichever is higher — are dropped by the batched survivor compare
+/// before touching any heap: they can never displace `k` known scores (ties
+/// survive, preserving canonical tie resolution), and a score below either
+/// floor is also below every merged floor downstream of `on_score`, so
+/// skipping the observer too loses nothing.
 struct BatchScorer<'a, F: FnMut(f64)> {
     data: &'a Dataset,
     roles: &'a [DimRole],
@@ -758,6 +769,9 @@ struct BatchScorer<'a, F: FnMut(f64)> {
     gather: &'a mut Vec<f64>,
     scores: &'a mut Vec<f64>,
     prof: &'a mut QueryProfile,
+    /// The [`SharedThreshold`] floor as the round head last read it (it only
+    /// rises, so a stale reading is a lower bar, never a wrong one).
+    shared_floor: f64,
     lane_rows: [u32; LANES],
     cnt: usize,
 }
@@ -814,15 +828,16 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
     }
 
     /// The score a lane must reach to be worth a visit to the heaps: the
-    /// local floor once it holds `k_eff` real scores of a publishing
-    /// execution, `−∞` before.
+    /// higher of the shared floor and — once it holds `k_eff` real scores of
+    /// a publishing execution — the local one; `−∞` with neither.
     #[inline]
     fn survivor_bar(&self) -> f64 {
-        if self.publish && self.floor.len() == self.k_eff {
+        let local = if self.publish && self.floor.len() == self.k_eff {
             self.floor.peek().expect("floor is non-empty").0 .0
         } else {
             f64::NEG_INFINITY
-        }
+        };
+        local.max(self.shared_floor)
     }
 
     /// The one per-row step behind every kept score: floor, observer, pool.
@@ -1084,6 +1099,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
         gather,
         scores,
         prof,
+        shared_floor: f64::NEG_INFINITY,
         lane_rows: [0; LANES],
         cnt: 0,
     };
@@ -1142,7 +1158,8 @@ fn aggregate_rounds<F: FnMut(f64)>(
                 }
             }
             if let Some(h) = shared {
-                f = f.max(h.floor());
+                scorer.shared_floor = h.floor();
+                f = f.max(scorer.shared_floor);
             }
             if f > inflate(tau) {
                 emit_pooled(scorer.pool, answers, k_eff);
@@ -1430,9 +1447,10 @@ pub fn threshold_aggregate_with<'s>(
 /// Emissions arrive in *frontier* order, not sorted subscore order — the
 /// aggregation loop only requires an admissible **bound** on unemitted rows,
 /// so the stream runs on the pool-free uncertified [`BlockFrontier`], whose
-/// heap priorities are θ_q score bounds: for non-indexed θ_q the Claim 6
-/// `dual_bound` linear programme applied per envelope, which walks the
-/// index once where a dual-stream bracket would walk it twice.
+/// one heap is ordered by θ_q score bounds ([`FrontierEval`]: for
+/// non-indexed θ_q the Claim 6 bracket in closed form, per envelope), and
+/// which walks the index once where a dual-stream bracket would walk it
+/// twice.
 pub struct Pair2DStream<'a> {
     inner: PairInner<'a>,
 }
@@ -1457,28 +1475,20 @@ enum PairInner<'a> {
 }
 
 impl<'a> Pair2DStream<'a> {
-    /// Builds the stream, borrowing recycled buffers from `scratch`.
+    /// Builds the stream over `blocks` for the pair query `eval` was
+    /// resolved for (non-degenerate weights `alpha`, `beta`), borrowing
+    /// recycled buffers from `scratch`.
     pub(crate) fn with_scratch(
         blocks: &'a BlockSet,
-        qx: f64,
-        qy: f64,
+        eval: FrontierEval,
         alpha: f64,
         beta: f64,
         scratch: &mut QueryScratch,
-    ) -> Result<Self, SdError> {
-        if alpha == 0.0 && beta == 0.0 {
-            return Ok(Pair2DStream {
-                inner: PairInner::Degenerate {
-                    next_row: 0,
-                    n: blocks.n_live() as u32,
-                },
-            });
-        }
-        let theta = Angle::from_weights(alpha, beta)?;
-        let eval = FrontierEval::at(blocks.angles(), &theta)?;
-        Ok(Pair2DStream {
+    ) -> Self {
+        let (qx, qy) = (eval.qx, eval.qy);
+        Pair2DStream {
             inner: PairInner::Blocks {
-                frontier: BlockFrontier::with_scratch(blocks, qx, qy, eval, scratch.take_angle()),
+                frontier: BlockFrontier::with_scratch(blocks, eval, scratch.take_angle()),
                 blocks,
                 qx,
                 qy,
@@ -1486,7 +1496,7 @@ impl<'a> Pair2DStream<'a> {
                 beta,
                 r: alpha.hypot(beta),
             },
-        })
+        }
     }
 
     /// Hands the owned buffers back to the scratch.

@@ -70,8 +70,9 @@ use crate::kernels::LANES;
 /// double-count).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryProfile {
-    /// Inner tree/envelope nodes expanded by the per-point and per-block
-    /// frontiers.
+    /// Envelope nodes expanded by the block frontiers, each counted once:
+    /// an entry sits in one heap under the best of its projection types,
+    /// not in one heap per type.
     pub nodes_visited: u64,
     /// Envelope-tree nodes rejected against the k-th-score floor — every
     /// block and point underneath discarded unseen.
@@ -79,7 +80,10 @@ pub struct QueryProfile {
     /// SoA leaf blocks surfaced by a block frontier (each holds up to
     /// [`LANES`] points).
     pub blocks_popped: u64,
-    /// Leaf blocks rejected whole against the floor at pop time.
+    /// Leaf blocks rejected whole against the floor at pop time (a block
+    /// is popped at most once, so this is a count of distinct blocks). Low
+    /// when walks end on τ with nothing left under the floor to drain — read
+    /// it beside `rows_fetched`, not on its own.
     pub blocks_floor_pruned: u64,
     /// Lanes of surfaced blocks dropped by the per-lane pair-subscore
     /// filter before gathering.
@@ -109,7 +113,8 @@ pub struct QueryProfile {
     /// Distinct live rows gathered into SoA lanes for full scoring.
     pub points_gathered: u64,
     /// Rows whose exact full SD-score was computed and kept (survived the
-    /// batched k-th-floor survivor compare).
+    /// batched survivor compare against the higher of the local and the
+    /// shared k-th-score floor).
     pub points_scored: u64,
     /// Kernel batch invocations (each scores up to [`LANES`] lanes).
     pub kernel_batches: u64,

@@ -1,5 +1,5 @@
 //! Arbitrary-weight queries via angle bracketing — §4.2, Claim 6, Alg. 4 —
-//! plus the dual-bracket threshold search this library uses by default.
+//! plus the bracketed frontier search this library uses by default.
 //!
 //! **Alg. 4** ([`query_alg4`]): compute top-k at the lower bracketing
 //! indexed angle `θ_l`, pull the certified θ_u stream until it contains
@@ -12,21 +12,16 @@
 //! dataset (measured: hundreds of ms at n = 10⁶ for θ_q ≈ 20° under the
 //! default 22.5° grid).
 //!
-//! **Dual-bracket TA** (the default, via [`query_canonical_with`]): treat
-//! the two bracketing certified streams as TA lists. A point unseen by both
-//! streams satisfies `s_θl(p) ≤ B_l` and `s_θu(p) ≤ B_u`; the sharpest
-//! threshold at θ_q is the value of the 2-variable linear programme
-//!
-//! ```text
-//! max  cosθ_q·a − sinθ_q·b
-//! s.t. cosθ_l·a − sinθ_l·b ≤ B_l,   cosθ_u·a − sinθ_u·b ≤ B_u,  a, b ≥ 0
-//! ```
-//!
-//! solved in closed form over its ≤ 3 candidate vertices
-//! (`dual_bound`). Pulls alternate between the two streams; every pulled
-//! point is scored exactly at the caller's weights; emission happens once
-//! the pooled best reaches the threshold. Exact for every input, and
-//! immune to the one-sided pathology.
+//! **Bracketed frontier** (the default, via [`query_canonical_with`]): one
+//! best-first walk of the index whose every envelope is bounded *at θ_q*
+//! from its two bracketing tables — `λ₁·(bound at θ_l) + λ₂·(bound at θ_u)`
+//! per projection type, the closed form of the Claim 6 bracket
+//! ([`FrontierEval`] has the argument) — so the bracket is applied per
+//! envelope rather than per stream, and the index is walked once, not once
+//! per bracketing angle. Every surfaced point is scored exactly at the
+//! caller's weights; emission happens once the pooled best beats the
+//! frontier's bound. Exact for every input, and immune to the one-sided
+//! pathology.
 
 use std::cmp::Reverse;
 
@@ -43,55 +38,6 @@ use crate::types::{OrdF64, PointId, ScoredPoint, SdError};
 /// Ties at the θ_u cut are padded within this relative score slack so a
 /// floating-point-equal prefix boundary cannot exclude a true answer.
 const TIE_EPS: f64 = 1e-9;
-
-/// Sharpest upper bound at `θ_q` on the normalised score of a point whose
-/// θ_l score is at most `bl` and whose θ_u score is at most `bu`
-/// (`θ_l ≤ θ_q ≤ θ_u`). Closed-form solution of the bounding LP; `None`
-/// never occurs for consistent inputs (the all-zero point is feasible when
-/// `bl, bu ≥ 0`; otherwise a vertex still exists).
-pub(crate) fn dual_bound(bl: f64, bu: f64, tl: &Angle, tu: &Angle, tq: &Angle) -> f64 {
-    let mut best = f64::NEG_INFINITY;
-    // Vertex A: both constraints tight.
-    let det = -(tl.cos * tu.sin - tl.sin * tu.cos); // = −sin(θu − θl)
-    if det.abs() > 1e-15 {
-        let a = (-bl * tu.sin + bu * tl.sin) / det;
-        let b = (tl.cos * bu - tu.cos * bl) / det;
-        if a >= -1e-12 && b >= -1e-12 {
-            best = best.max(tq.cos * a.max(0.0) - tq.sin * b.max(0.0));
-        }
-    }
-    // Vertex B: b = 0, a as large as the cos-positive constraints allow.
-    {
-        let mut a = f64::INFINITY;
-        let mut feasible = true;
-        for (c, bound) in [(tl.cos, bl), (tu.cos, bu)] {
-            if c > 0.0 {
-                a = a.min(bound / c);
-            } else if bound < 0.0 {
-                feasible = false;
-            }
-        }
-        if feasible && a >= 0.0 && a.is_finite() {
-            best = best.max(tq.cos * a);
-        }
-    }
-    // Vertex C: a = 0, b as small as the sin-positive constraints allow.
-    {
-        let mut b: f64 = 0.0;
-        let mut feasible = true;
-        for (s, bound) in [(tl.sin, bl), (tu.sin, bu)] {
-            if s > 0.0 {
-                b = b.max(-bound / s);
-            } else if bound < 0.0 {
-                feasible = false;
-            }
-        }
-        if feasible {
-            best = best.max(-tq.sin * b);
-        }
-    }
-    best
-}
 
 /// Full 2-D query over one [`TopKIndex`] as a single certified frontier
 /// search: over the derived blocks while they are current
@@ -149,9 +95,9 @@ fn query_points_with(
     shared: Option<&SharedThreshold>,
 ) -> Result<(), SdError> {
     let theta = Angle::from_weights(alpha, beta)?;
-    let eval = FrontierEval::at(&index.angles, &theta)?;
+    let eval = FrontierEval::at(&index.angles, &theta, qx, qy)?;
     let r = alpha.hypot(beta);
-    let mut frontier = PairFrontier::with_scratch(index, qx, qy, eval, scratch.take_angle());
+    let mut frontier = PairFrontier::with_scratch(index, eval, scratch.take_angle());
     let k_eff = k.min(index.n_alive);
     // The floor is only publishable when it covers k real points; a tree
     // with fewer than k live points can never certify a global k-th score.
@@ -249,8 +195,7 @@ fn query_points_with(
 ///
 /// * a popped envelope or block whose bound already falls below the floor
 ///   is discarded without expanding or scoring anything under it;
-/// * blocks surface exactly once (block-level dedup), so there is no
-///   per-point seen-set hashing at all on this path.
+/// * blocks surface exactly once, so there is no seen-set on this path.
 #[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
 pub(crate) fn query_blocks_with(
     blocks: &BlockSet,
@@ -263,9 +208,9 @@ pub(crate) fn query_blocks_with(
     shared: Option<&SharedThreshold>,
 ) -> Result<(), SdError> {
     let theta = Angle::from_weights(alpha, beta)?;
-    let eval = FrontierEval::at(blocks.angles(), &theta)?;
+    let eval = FrontierEval::at(blocks.angles(), &theta, qx, qy)?;
     let r = alpha.hypot(beta);
-    let mut frontier = BlockFrontier::with_scratch(blocks, qx, qy, eval, scratch.take_angle());
+    let mut frontier = BlockFrontier::with_scratch(blocks, eval, scratch.take_angle());
     let k_eff = k.min(blocks.n_live());
     let publish = k_eff == k;
     let mut outcome = Ok(());

@@ -39,8 +39,9 @@
 //!
 //! The payoff of the layout is threefold:
 //!
-//! * frontier heaps hold **blocks, not points** — a pop surfaces up to 32
-//!   points at once instead of one, collapsing heap churn ~32×;
+//! * the frontier heap holds **blocks, not points** — a pop surfaces up to
+//!   32 points at once instead of one, collapsing heap churn ~32× — and
+//!   holds each entry once, under the best of its projection types;
 //! * surfaced blocks are scored by the [`kernels`](crate::kernels) batch
 //!   kernels over contiguous SoA columns — no pointer chasing, no
 //!   per-point call;
@@ -56,7 +57,7 @@ use crate::threshold::encode as order_key;
 use crate::types::OrdF64;
 use crate::view::ColumnarView;
 
-use super::stream::{key_to_score, AngleScratch, FrontierEval, StreamKind};
+use super::stream::{AngleScratch, FrontierEval, StreamKind};
 use super::AngleBounds;
 
 /// Fanout of the implicit envelope tree above the blocks.
@@ -283,8 +284,8 @@ impl BlockSet {
         if angles.is_empty() {
             return Err(corrupt("blocks: no indexed angles"));
         }
-        // `stream::bracketing` binary-searches them and `dual_bound` reads a
-        // bracket as (lower, upper).
+        // `stream::bracketing` binary-searches them and `FrontierEval` reads
+        // a bracket as (lower, upper).
         if !angles.windows(2).all(|w| w[0].degrees() < w[1].degrees()) {
             return Err(corrupt("blocks: indexed angles not strictly ascending"));
         }
@@ -446,33 +447,36 @@ impl BlockSet {
 /// `levels[i]`.
 const BLOCK_LVL: u32 = 0;
 
-/// Uncertified best-first frontier over a [`BlockSet`] whose heap
-/// priorities are admissible normalised θ_q score bounds — the block-layout
-/// twin of the dynamic tree's per-point
-/// [`PairFrontier`](super::stream::PairFrontier). Instead of
-/// surfacing points one at a time, [`BlockFrontier::next_block`] surfaces
-/// whole leaf blocks (once each, deduplicated across the four projection
-/// heaps), after giving the caller's `prune` hook a chance to reject the
-/// block against its k-th-score floor before any point is scored.
+/// Uncertified best-first frontier over a [`BlockSet`]: one heap of
+/// envelope-tree entries, each pushed once, whose priority is an admissible
+/// normalised θ_q score bound on every point underneath — the maximum of
+/// [`FrontierEval::score`] over the projection types the entry can serve
+/// (the right-hand two iff `xmax ≥ x_q`, the left-hand two iff
+/// `xmin < x_q`). A child's envelope and sides are within its parent's and
+/// the bound is monotone in both, so priorities only fall along a path:
+/// [`BlockFrontier::next_block`] surfaces whole leaf blocks, once each, in
+/// non-increasing bound order — after giving the caller's `prune` hook a
+/// chance to reject the entry against its k-th-score floor before any point
+/// is scored — and [`BlockFrontier::bound`] is the heap's head and never
+/// rises. (The dynamic tree's per-point
+/// [`PairFrontier`](super::stream::PairFrontier) keeps the paper's four
+/// per-type heaps.)
 pub(crate) struct BlockFrontier<'a> {
     set: &'a BlockSet,
-    qx: f64,
-    qy: f64,
     eval: FrontierEval,
-    /// Recycled heaps + block-dedup seen-set (`pool` unused).
+    /// Recycled buffers; the walk uses `heaps[0]` alone.
     pub(crate) s: AngleScratch,
     /// Walk counters since the last [`BlockFrontier::take_counters`]
     /// drain — flushed into a
     /// [`QueryProfile`](crate::profile::QueryProfile) by the aggregation
-    /// loop. `(envelope nodes expanded, envelope nodes pruned, blocks
-    /// floor-pruned, blocks popped)`.
+    /// loop.
     counters: FrontierCounters,
 }
 
 /// Internal accumulator for [`BlockFrontier`] walk statistics.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct FrontierCounters {
-    /// Envelope nodes expanded one level down.
+    /// Envelope nodes expanded one level down (each at most once).
     pub(crate) nodes_visited: u64,
     /// Envelope nodes pruned whole (every block underneath discarded).
     pub(crate) envelope_rejected: u64,
@@ -484,27 +488,16 @@ pub(crate) struct FrontierCounters {
 
 impl<'a> BlockFrontier<'a> {
     /// Starts a frontier reusing a warmed scratch (reset internally).
-    pub(crate) fn with_scratch(
-        set: &'a BlockSet,
-        qx: f64,
-        qy: f64,
-        eval: FrontierEval,
-        mut s: AngleScratch,
-    ) -> Self {
+    pub(crate) fn with_scratch(set: &'a BlockSet, eval: FrontierEval, mut s: AngleScratch) -> Self {
         s.reset();
         let mut f = BlockFrontier {
             set,
-            qx,
-            qy,
             eval,
             s,
             counters: FrontierCounters::default(),
         };
-        let root_lvl = set.levels.len() as u32; // 0 = the single block
         if set.n_blocks > 0 {
-            for kind in StreamKind::ALL {
-                f.push(kind, root_lvl, 0);
-            }
+            f.push(set.levels.len() as u32, 0); // the root; 0 = the single block
         }
         f
     }
@@ -531,70 +524,31 @@ impl<'a> BlockFrontier<'a> {
         }
     }
 
-    /// Admissible θ_q score bound of one entry for one stream kind.
-    #[inline]
-    fn entry_score(&self, lvl: u32, idx: u32, kind: StreamKind) -> f64 {
-        let (bounds, _) = self.entry_tables(lvl);
-        let base = idx as usize * self.set.angles.len();
-        match &self.eval {
-            FrontierEval::Single { angle, angle_i } => {
-                key_to_score(&bounds[base + angle_i], kind, angle, self.qx, self.qy)
-            }
-            FrontierEval::Dual {
-                lo,
-                lo_i,
-                hi,
-                hi_i,
-                theta,
-            } => {
-                let sl = key_to_score(&bounds[base + lo_i], kind, lo, self.qx, self.qy);
-                let su = key_to_score(&bounds[base + hi_i], kind, hi, self.qx, self.qy);
-                super::arbitrary::dual_bound(sl, su, lo, hi, theta)
-            }
-        }
-    }
-
-    #[inline]
-    fn tables_len(&self, lvl: u32) -> usize {
-        if lvl == BLOCK_LVL {
-            self.set.n_blocks
-        } else {
-            self.set.levels[lvl as usize - 1].xr.len()
-        }
-    }
-
-    fn push(&mut self, kind: StreamKind, lvl: u32, idx: u32) {
-        let (_, xr) = self.entry_tables(lvl);
+    /// Pushes one entry under its bound: the best any point in it can score
+    /// at θ_q, over the sides of the query axis it reaches.
+    fn push(&mut self, lvl: u32, idx: u32) {
+        let (bounds, xr) = self.entry_tables(lvl);
         let (xmin, xmax) = xr[idx as usize];
-        let valid = if kind.left_side() {
-            xmin < self.qx
-        } else {
-            xmax >= self.qx
-        };
-        if !valid {
-            return;
+        let base = idx as usize * self.set.angles.len();
+        let score = |kind| self.eval.score(bounds, base, kind);
+        let mut prio = f64::NEG_INFINITY;
+        if xmax >= self.eval.qx {
+            prio = score(StreamKind::Llp).max(score(StreamKind::Lup));
         }
-        let prio = self.entry_score(lvl, idx, kind);
-        self.s.heaps[kind as usize].push((OrdF64::new(prio), std::cmp::Reverse(lvl), idx));
+        if xmin < self.eval.qx {
+            prio = prio.max(score(StreamKind::Rlp)).max(score(StreamKind::Rup));
+        }
+        self.s.heaps[0].push((OrdF64::new(prio), std::cmp::Reverse(lvl), idx));
     }
 
     /// Admissible upper bound (normalised θ_q units) on every point in a
     /// block not yet surfaced; `None` once drained.
     #[inline]
     pub(crate) fn bound(&self) -> Option<f64> {
-        let mut acc: Option<f64> = None;
-        for h in &self.s.heaps {
-            if let Some(&(OrdF64(p), _, _)) = h.peek() {
-                acc = Some(match acc {
-                    Some(a) if a >= p => a,
-                    _ => p,
-                });
-            }
-        }
-        acc
+        self.s.heaps[0].peek().map(|&(OrdF64(p), _, _)| p)
     }
 
-    /// Surfaces the next not-yet-emitted block, or `None` once drained.
+    /// Surfaces the next block, or `None` once drained.
     ///
     /// `prune(bound)` is consulted on every popped entry (inner envelope or
     /// block) with its admissible normalised score bound; returning `true`
@@ -604,61 +558,30 @@ impl<'a> BlockFrontier<'a> {
     /// answer, so the whole subtree is certifiably irrelevant.
     pub(crate) fn next_block(&mut self, mut prune: impl FnMut(f64) -> bool) -> Option<u32> {
         loop {
-            let kind_i = self.best_head()?;
-            let kind = StreamKind::ALL[kind_i];
-            let (OrdF64(prio), std::cmp::Reverse(lvl), idx) =
-                self.s.heaps[kind_i].pop().expect("peeked entry");
+            let (OrdF64(prio), std::cmp::Reverse(lvl), idx) = self.s.heaps[0].pop()?;
             if prune(prio) {
                 if lvl == BLOCK_LVL {
-                    // Mark the block seen: the floor only rises and every
-                    // stream bound only falls, so a once-pruned block is
-                    // pruned forever — its remaining heap entries can be
-                    // dropped without consulting `prune`, and the counter
-                    // stays distinct-block accurate.
-                    if self.s.seen.insert(idx) {
-                        self.counters.blocks_floor_pruned += 1;
-                    }
+                    self.counters.blocks_floor_pruned += 1;
                 } else {
                     self.counters.envelope_rejected += 1;
                 }
                 continue;
             }
             if lvl == BLOCK_LVL {
-                if self.s.seen.insert(idx) {
-                    self.counters.blocks_popped += 1;
-                    self.prefetch_next();
-                    return Some(idx);
-                }
-                continue;
+                self.counters.blocks_popped += 1;
+                self.prefetch_next();
+                return Some(idx);
             }
             // Expand the envelope group one level down.
             self.counters.nodes_visited += 1;
             let child_lvl = lvl - 1;
+            let (_, child_xr) = self.entry_tables(child_lvl);
             let start = idx as usize * GROUP_FANOUT;
-            let end = (start + GROUP_FANOUT).min(self.tables_len(child_lvl));
+            let end = (start + GROUP_FANOUT).min(child_xr.len());
             for c in start..end {
-                self.push(kind, child_lvl, c as u32);
+                self.push(child_lvl, c as u32);
             }
         }
-    }
-
-    /// The heap whose head the next pop takes: argmax over the four heads,
-    /// ties to the later heap.
-    #[inline]
-    fn best_head(&self) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (k, h) in self.s.heaps.iter().enumerate() {
-            if let Some(&(OrdF64(p), _, _)) = h.peek() {
-                let better = match best {
-                    Some((_, cur)) => OrdF64(p) >= OrdF64(cur),
-                    None => true,
-                };
-                if better {
-                    best = Some((k, p));
-                }
-            }
-        }
-        best.map(|(k, _)| k)
     }
 
     /// Starts loading what the *next* pop will read while the caller is
@@ -669,11 +592,9 @@ impl<'a> BlockFrontier<'a> {
     /// without the hint every pop starts with a chain of cache misses.
     #[inline]
     fn prefetch_next(&self) {
-        let Some(kind_i) = self.best_head() else {
+        let Some(&(_, std::cmp::Reverse(lvl), idx)) = self.s.heaps[0].peek() else {
             return;
         };
-        let &(_, std::cmp::Reverse(lvl), idx) =
-            self.s.heaps[kind_i].peek().expect("best head is non-empty");
         let i = idx as usize;
         let set = self.set;
         if lvl == BLOCK_LVL {
@@ -692,10 +613,7 @@ impl<'a> BlockFrontier<'a> {
         }
         let (bounds, xr) = self.entry_tables(lvl - 1);
         let start = i * GROUP_FANOUT;
-        let (a, b) = match &self.eval {
-            FrontierEval::Single { angle_i, .. } => (*angle_i, *angle_i),
-            FrontierEval::Dual { lo_i, hi_i, .. } => (*lo_i, *hi_i),
-        };
+        let (a, b) = (self.eval.lo_i, self.eval.hi_i);
         let m = set.angles.len();
         for c in start..start + GROUP_FANOUT {
             prefetch(bounds.as_ptr().wrapping_add(c * m + a));
@@ -906,25 +824,29 @@ mod tests {
         }
     }
 
+    /// One heap, every entry pushed once: each block surfaces exactly once
+    /// and each envelope is expanded once, with no seen-set anywhere.
     #[test]
     fn frontier_surfaces_every_block_exactly_once() {
         let pts = sample(333);
         let angles = default_angles();
         let set = BlockSet::build(&pts, all_slots(&pts), &angles);
-        let eval = FrontierEval::Single {
-            angle: angles[2],
-            angle_i: 2,
-        };
-        let mut f = BlockFrontier::with_scratch(&set, 0.5, 0.5, eval, AngleScratch::default());
-        let mut seen = vec![false; set.n_blocks()];
-        let mut bounds = Vec::new();
-        while let Some(b) = f.next_block(|_| false) {
-            assert!(!seen[b as usize]);
-            seen[b as usize] = true;
-            bounds.push(f.bound());
+        for theta in [angles[2], Angle::from_weights(1.0, 0.3).unwrap()] {
+            let eval = FrontierEval::at(&angles, &theta, 0.5, 0.5).unwrap();
+            let mut f = BlockFrontier::with_scratch(&set, eval, AngleScratch::default());
+            let mut surfaced = vec![0u32; set.n_blocks()];
+            while let Some(b) = f.next_block(|_| false) {
+                surfaced[b as usize] += 1;
+            }
+            assert!(surfaced.iter().all(|&s| s == 1), "{surfaced:?}");
+            assert!(f.next_block(|_| false).is_none());
+            let c = f.take_counters();
+            assert_eq!(c.blocks_popped, set.n_blocks() as u64);
+            let inner: usize = set.levels.iter().map(|l| l.xr.len()).sum();
+            assert_eq!(c.nodes_visited, inner as u64, "every envelope once");
+            let s = f.into_scratch();
+            assert!(s.seen.is_empty() && s.heaps[1..].iter().all(|h| h.is_empty()));
         }
-        assert!(seen.iter().all(|&s| s), "every block surfaced");
-        assert!(f.next_block(|_| false).is_none());
     }
 
     #[test]
@@ -934,14 +856,9 @@ mod tests {
             for pts in shapes(n) {
                 let set = BlockSet::build(&pts, all_slots(&pts), &angles);
                 for (qx, qy) in [(0.0, 0.0), (5.0, -2.0), (-3.0, 1.0)] {
-                    for eval in [
-                        FrontierEval::Single {
-                            angle: angles[1],
-                            angle_i: 1,
-                        },
-                        FrontierEval::at(&angles, &Angle::from_weights(1.0, 0.3).unwrap()).unwrap(),
-                    ] {
-                        bound_dominates(&set, qx, qy, eval);
+                    for theta in [angles[1], Angle::from_weights(1.0, 0.3).unwrap()] {
+                        let eval = FrontierEval::at(&angles, &theta, qx, qy).unwrap();
+                        bound_dominates(&set, eval);
                     }
                 }
             }
@@ -949,12 +866,10 @@ mod tests {
     }
 
     /// Walks `set` to exhaustion, asserting before every pop that each point
-    /// of each unsurfaced block scores at or under the frontier's bound.
-    fn bound_dominates(set: &BlockSet, qx: f64, qy: f64, eval: FrontierEval) {
-        let theta = match &eval {
-            FrontierEval::Single { angle, .. } => *angle,
-            FrontierEval::Dual { theta, .. } => *theta,
-        };
+    /// of each unsurfaced block scores at or under the frontier's bound, and
+    /// that the bound never rises from one reading to the next.
+    fn bound_dominates(set: &BlockSet, eval: FrontierEval) {
+        let (theta, qx, qy) = (eval.theta, eval.qx, eval.qy);
         // Best score per block, once: the walk below is quadratic in blocks.
         let best: Vec<f64> = (0..set.n_blocks() as u32)
             .map(|b| {
@@ -963,10 +878,15 @@ mod tests {
                     .fold(f64::NEG_INFINITY, f64::max)
             })
             .collect();
-        let mut f = BlockFrontier::with_scratch(set, qx, qy, eval, AngleScratch::default());
+        let mut f = BlockFrontier::with_scratch(set, eval, AngleScratch::default());
         let mut unsurfaced: std::collections::HashSet<u32> = (0..set.n_blocks() as u32).collect();
+        let mut last = f64::INFINITY;
         loop {
             let bound = f.bound();
+            if let Some(b) = bound {
+                assert!(b <= last, "bound rose from {last} to {b}");
+                last = b;
+            }
             for &b in &unsurfaced {
                 assert!(
                     best[b as usize] <= bound.expect("blocks remain") + 1e-9,

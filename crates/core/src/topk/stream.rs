@@ -58,7 +58,7 @@ impl Hasher for FastHasher {
 /// Seen-set keyed by point slot.
 pub(crate) type FastSet = HashSet<u32, BuildHasherDefault<FastHasher>>;
 
-use super::{Child, TopKIndex};
+use super::{AngleBounds, Child, TopKIndex};
 use crate::geometry::Angle;
 use crate::kernels::inflate;
 use crate::types::{OrdF64, SdError};
@@ -299,94 +299,153 @@ impl<'a> RawAngleStream<'a> {
     }
 }
 
-/// Converts a node's projection-key bound for `kind` into a normalised
-/// score bound at angle `a` (the subtree's score upper bound for points on
-/// the stream's side of the axis).
+/// `sin(a − b)`: positive exactly when `a` lies above `b` on [0°, 90°] — the
+/// angle order without an `atan2`.
 #[inline]
-pub(crate) fn key_to_score(
-    b: &super::AngleBounds,
-    kind: StreamKind,
-    a: &Angle,
-    qx: f64,
-    qy: f64,
-) -> f64 {
-    match kind {
-        StreamKind::Llp => b.max_u + a.sin * qx - a.cos * qy,
-        StreamKind::Rlp => b.max_v - a.sin * qx - a.cos * qy,
-        StreamKind::Lup => a.cos * qy - b.min_v + a.sin * qx,
-        StreamKind::Rup => a.cos * qy - b.min_u - a.sin * qx,
-    }
+fn sin_diff(a: &Angle, b: &Angle) -> f64 {
+    a.sin * b.cos - a.cos * b.sin
 }
 
-/// Finds the indexed angle equal to `theta` (up to 1e-12 on the sine of
-/// the difference).
+/// Two angles closer than this on the sine of their difference are one
+/// angle: a weight angle this close to an indexed one *is* indexed, and one
+/// at least this far outside the indexed range is out of range.
+const SAME_ANGLE_SIN: f64 = 1e-12;
+
+/// Finds the indexed angle equal to `theta` (up to [`SAME_ANGLE_SIN`]).
 pub(crate) fn indexed_angle(angles: &[Angle], theta: &Angle) -> Option<usize> {
     angles
         .iter()
-        .position(|a| (a.sin * theta.cos - a.cos * theta.sin).abs() < 1e-12)
+        .position(|a| sin_diff(a, theta).abs() < SAME_ANGLE_SIN)
 }
 
-/// The two consecutive indexed angles bracketing `theta`.
+/// The two consecutive indexed angles bracketing `theta` (`angles`
+/// ascending, non-empty).
 pub(crate) fn bracketing(angles: &[Angle], theta: &Angle) -> Result<(usize, usize), SdError> {
-    let deg = theta.degrees();
-    let lo = angles.first().map(|a| a.degrees()).unwrap_or(0.0);
-    let hi = angles.last().map(|a| a.degrees()).unwrap_or(0.0);
-    if deg < lo - 1e-12 || deg > hi + 1e-12 {
+    let (first, last) = (&angles[0], &angles[angles.len() - 1]);
+    if sin_diff(first, theta) >= SAME_ANGLE_SIN || sin_diff(theta, last) >= SAME_ANGLE_SIN {
         return Err(SdError::AngleOutOfRange {
-            requested_deg: deg,
-            min_deg: lo,
-            max_deg: hi,
+            requested_deg: theta.degrees(),
+            min_deg: first.degrees(),
+            max_deg: last.degrees(),
         });
     }
-    let upper = angles.partition_point(|a| a.degrees() < deg);
+    let upper = angles.partition_point(|a| sin_diff(theta, a) > 0.0);
     let upper = upper.min(angles.len() - 1);
     Ok((upper.saturating_sub(1), upper))
 }
 
+/// The narrowest bracket the closed form of [`FrontierEval`] is trusted at,
+/// as `sin(θ_u − θ_l)`: 0.01°. The λ's divide by that sine, so their
+/// absolute error — and the bound's, relative to the projection keys — is
+/// ≈ 1e-16 / sin(θ_u − θ_l): 3e-16 on the default 22.5° grid, 6e-13 here,
+/// which is where it meets the 1e-12 relative slack of
+/// [`inflate`](crate::kernels::inflate).
+const MIN_BRACKET_SIN: f64 = 1.745e-4;
+
 /// How a frontier ([`PairFrontier`] over the dynamic tree,
 /// [`BlockFrontier`](super::blocks::BlockFrontier) over the stored one)
-/// scores nodes at the query angle θ_q.
-pub(crate) enum FrontierEval {
-    /// θ_q is an indexed angle: read its bound table directly.
-    Single { angle: Angle, angle_i: usize },
-    /// θ_q sits strictly between indexed angles θ_l and θ_u: combine both
-    /// tables per node through the `dual_bound` linear programme — the
-    /// Claim 6 bracket applied at *node* granularity, which is tighter
-    /// than combining two whole-stream bounds and walks the tree once
-    /// instead of twice.
-    Dual {
-        lo: Angle,
-        lo_i: usize,
-        hi: Angle,
-        hi_i: usize,
-        theta: Angle,
-    },
+/// scores an envelope for the query `(θ_q, q)`: the Claim 6 bracket in
+/// closed form, every query constant computed once.
+///
+/// **Why it is admissible.** Per projection type, a point's score at angle
+/// θ is its projection key plus a term of the query alone — e.g. for the
+/// right-lower type `u_θ(p) + sin θ·x_q − cos θ·y_q` — and both
+/// `u_θ = cos θ·y − sin θ·x` and `v_θ = cos θ·y + sin θ·x` are linear in
+/// `(cos θ, sin θ)`. For indexed angles θ_l ≤ θ_q ≤ θ_u,
+///
+/// ```text
+/// (cos θ_q, sin θ_q) = λ₁·(cos θ_l, sin θ_l) + λ₂·(cos θ_u, sin θ_u)
+/// λ₁ = sin(θ_u − θ_q) / sin(θ_u − θ_l) ≥ 0,   λ₂ = sin(θ_q − θ_l) / sin(θ_u − θ_l) ≥ 0
+/// ```
+///
+/// so a point's key at θ_q *is* λ₁·(its key at θ_l) + λ₂·(its key at θ_u),
+/// and the maximum of that over an envelope is at most
+/// `λ₁·max_l + λ₂·max_u` (the minimum at least `λ₁·min_l + λ₂·min_u`): the
+/// two stored tables bound the type at θ_q with two multiplies and two adds.
+/// This is the both-constraints-tight vertex of the linear programme Claim 6
+/// poses over a pair of stream bounds; its other two vertices bind only
+/// where a type's non-negativity cuts in, and are not evaluated. An indexed
+/// θ_q is the bracket `λ = (1, 0)` on its own table, where the mix is exact:
+/// the stored key plus the query term, bit for bit.
+///
+/// The λ's are trusted down to a bracket of [`MIN_BRACKET_SIN`];
+/// [`FrontierEval::at`] widens a narrower one to the next indexed
+/// neighbour (any θ_l ≤ θ_q ≤ θ_u brackets, adjacent or not).
+pub(crate) struct FrontierEval {
+    /// θ_q — the indexed angle itself when θ_q is one.
+    pub(crate) theta: Angle,
+    pub(crate) qx: f64,
+    pub(crate) qy: f64,
+    /// Table columns of θ_l and θ_u; equal when θ_q is indexed.
+    pub(crate) lo_i: usize,
+    pub(crate) hi_i: usize,
+    l1: f64,
+    l2: f64,
+    /// The query term of each projection type at θ_q, by [`StreamKind`].
+    k: [f64; 4],
 }
 
 impl FrontierEval {
-    /// The evaluation at `theta` over an index whose indexed angles are
-    /// `angles` (ascending): directly against the bound table when `theta`
-    /// is indexed, through the Claim 6 per-node `dual_bound` bracket
-    /// otherwise. The single source of this decision — the §5 pair streams
-    /// and the direct 2-D path must agree on it or their bit-identity
-    /// contract breaks.
-    pub(crate) fn at(angles: &[Angle], theta: &Angle) -> Result<Self, SdError> {
-        Ok(match indexed_angle(angles, theta) {
-            Some(i) => FrontierEval::Single {
-                angle: angles[i],
-                angle_i: i,
-            },
+    /// The evaluation of the query `(theta, (qx, qy))` over an index whose
+    /// indexed angles are `angles` (ascending). The single source of the
+    /// indexed-or-bracketed decision: the planner, the §5 pair streams and
+    /// the direct 2-D path all read it here.
+    pub(crate) fn at(angles: &[Angle], theta: &Angle, qx: f64, qy: f64) -> Result<Self, SdError> {
+        let (theta, lo_i, hi_i, l1, l2) = match indexed_angle(angles, theta) {
+            Some(i) => (angles[i], i, i, 1.0, 0.0),
             None => {
-                let (lo, hi) = bracketing(angles, theta)?;
-                FrontierEval::Dual {
-                    lo: angles[lo],
-                    lo_i: lo,
-                    hi: angles[hi],
-                    hi_i: hi,
-                    theta: *theta,
+                let (mut lo, mut hi) = bracketing(angles, theta)?;
+                while sin_diff(&angles[hi], &angles[lo]) < MIN_BRACKET_SIN {
+                    if lo > 0 {
+                        lo -= 1;
+                    } else if hi + 1 < angles.len() {
+                        hi += 1;
+                    } else {
+                        break; // the whole indexed range is that narrow
+                    }
                 }
+                let (l, u) = (&angles[lo], &angles[hi]);
+                let det = sin_diff(u, l);
+                (
+                    *theta,
+                    lo,
+                    hi,
+                    sin_diff(u, theta) / det,
+                    sin_diff(theta, l) / det,
+                )
             }
+        };
+        let (sx, cy) = (theta.sin * qx, theta.cos * qy);
+        Ok(FrontierEval {
+            theta,
+            qx,
+            qy,
+            lo_i,
+            hi_i,
+            l1,
+            l2,
+            k: [sx - cy, -sx - cy, cy + sx, cy - sx],
         })
+    }
+
+    /// `true` when θ_q is an indexed angle (no bracket).
+    pub(crate) fn indexed(&self) -> bool {
+        self.lo_i == self.hi_i
+    }
+
+    /// Admissible normalised θ_q score bound, for points on `kind`'s side of
+    /// the axis, of the envelope whose per-angle bounds start at
+    /// `table[base]`.
+    #[inline]
+    pub(crate) fn score(&self, table: &[AngleBounds], base: usize, kind: StreamKind) -> f64 {
+        let (lo, hi) = (&table[base + self.lo_i], &table[base + self.hi_i]);
+        let mix = |l: f64, u: f64| self.l1 * l + self.l2 * u;
+        match kind {
+            StreamKind::Llp => mix(lo.max_u, hi.max_u) + self.k[0],
+            StreamKind::Rlp => mix(lo.max_v, hi.max_v) + self.k[1],
+            StreamKind::Lup => self.k[2] - mix(lo.min_v, hi.min_v),
+            StreamKind::Rup => self.k[3] - mix(lo.min_u, hi.min_u),
+        }
     }
 }
 
@@ -401,8 +460,6 @@ impl FrontierEval {
 /// the four projection streams); callers dedupe with a seen-set.
 pub(crate) struct PairFrontier<'a> {
     index: &'a TopKIndex,
-    qx: f64,
-    qy: f64,
     eval: FrontierEval,
     s: AngleScratch,
 }
@@ -411,19 +468,11 @@ impl<'a> PairFrontier<'a> {
     /// Starts a frontier reusing a warmed scratch (reset internally).
     pub(crate) fn with_scratch(
         index: &'a TopKIndex,
-        qx: f64,
-        qy: f64,
         eval: FrontierEval,
         mut s: AngleScratch,
     ) -> Self {
         s.reset();
-        let mut f = PairFrontier {
-            index,
-            qx,
-            qy,
-            eval,
-            s,
-        };
+        let mut f = PairFrontier { index, eval, s };
         if let Some(root) = index.root {
             for kind in StreamKind::ALL {
                 f.push_node(kind, root);
@@ -437,77 +486,36 @@ impl<'a> PairFrontier<'a> {
         self.s
     }
 
-    /// Admissible θ_q score bound of one node for one stream kind.
-    #[inline]
-    fn node_score(&self, id: usize, kind: StreamKind) -> f64 {
-        let m = self.index.angles.len();
-        match &self.eval {
-            FrontierEval::Single { angle, angle_i } => key_to_score(
-                &self.index.node_bounds[id * m + angle_i],
-                kind,
-                angle,
-                self.qx,
-                self.qy,
-            ),
-            FrontierEval::Dual {
-                lo,
-                lo_i,
-                hi,
-                hi_i,
-                theta,
-            } => {
-                let base = id * m;
-                let sl = key_to_score(
-                    &self.index.node_bounds[base + lo_i],
-                    kind,
-                    lo,
-                    self.qx,
-                    self.qy,
-                );
-                let su = key_to_score(
-                    &self.index.node_bounds[base + hi_i],
-                    kind,
-                    hi,
-                    self.qx,
-                    self.qy,
-                );
-                super::arbitrary::dual_bound(sl, su, lo, hi, theta)
-            }
-        }
-    }
-
     /// Exact normalised θ_q score of one point.
     #[inline]
     fn point_score(&self, slot: u32) -> f64 {
         let (x, y) = self.index.pts[slot as usize];
-        let a = match &self.eval {
-            FrontierEval::Single { angle, .. } => angle,
-            FrontierEval::Dual { theta, .. } => theta,
-        };
-        a.normalized_score(x, y, self.qx, self.qy)
+        let e = &self.eval;
+        e.theta.normalized_score(x, y, e.qx, e.qy)
     }
 
     fn push_node(&mut self, kind: StreamKind, node_id: u32) {
         let id = node_id as usize;
         let (xmin, xmax) = self.index.node_xr[id];
         let valid = if kind.left_side() {
-            xmin < self.qx
+            xmin < self.eval.qx
         } else {
-            xmax >= self.qx
+            xmax >= self.eval.qx
         };
         if !valid {
             return;
         }
-        let prio = self.node_score(id, kind);
+        let base = id * self.index.angles.len();
+        let prio = self.eval.score(&self.index.node_bounds, base, kind);
         self.s.heaps[kind as usize].push((OrdF64::new(prio), Reverse(node_id), 0));
     }
 
     fn push_point(&mut self, kind: StreamKind, slot: u32) {
         let x = self.index.pts[slot as usize].0;
         let valid = if kind.left_side() {
-            x < self.qx
+            x < self.eval.qx
         } else {
-            x >= self.qx
+            x >= self.eval.qx
         };
         if !valid {
             return;
