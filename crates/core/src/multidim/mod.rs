@@ -30,8 +30,10 @@
 //! Which physical stream serves a pair is decided per query by the cost
 //! model in [`plan`] (tree frontier at an indexed angle, Claim 6 bracketed
 //! frontier, or plain 1-D sorted-column streams), and single-pair queries
-//! bypass the aggregation altogether — one certified frontier search over
-//! the pair's §4 index. An aggregation that has fetched more than
+//! bypass the aggregation altogether ([`SdIndex::single_pair`]) — one
+//! certified frontier walk over the pair's §4 index, or over the pair's
+//! indexes of every shard at once ([`SinglePair::walk`]). An aggregation
+//! that has fetched more than
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
 //! projects that it will ([`plan::scan_checkpoint`]) — stops consulting its
 //! streams and finishes with one sequential kernel scan of the rows it has
@@ -66,9 +68,10 @@ use crate::profile::QueryProfile;
 use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
 use crate::threshold::{track_floor, SharedThreshold};
+use crate::topk::arbitrary::{self, BlockPart};
 use crate::topk::blocks::{BlockFrontier, BlockSet};
 use crate::topk::stream::FrontierEval;
-use crate::topk::{arbitrary, default_angles, normalize_angles};
+use crate::topk::{default_angles, normalize_angles};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
 
@@ -371,30 +374,14 @@ impl SdIndex {
 
     /// The cost-model decision for `query` against this index: which
     /// physical strategy every pair would execute under and whether the
-    /// whole query short-circuits to a direct 2-D search. Observability
-    /// only ([`sdq inspect`] plumbs it out) — the hot path computes the
-    /// same decisions inline without allocating.
+    /// whole query is the direct 2-D walk — exactly when
+    /// [`SdIndex::single_pair`] is `Some`, which is when
+    /// [`SdIndex::query_masked`] and the engine, at any shard count, walk.
+    /// Observability only ([`sdq inspect`] plumbs it out) — the hot path
+    /// computes the same decisions inline without allocating.
     ///
     /// [`sdq inspect`]: https://docs.rs/sdq-store
     pub fn plan(&self, query: &SdQuery, k: usize) -> Result<QueryPlan, SdError> {
-        self.plan_mode(query, k, true)
-    }
-
-    /// The plan when this index executes as one suspended shard of a
-    /// multi-shard engine ([`SdIndex::begin_query`]): a resumable
-    /// execution must expose stream state, so the direct single-pair
-    /// shortcut never fires and every pair goes through the aggregation
-    /// cost model.
-    pub fn plan_aggregate(&self, query: &SdQuery, k: usize) -> Result<QueryPlan, SdError> {
-        self.plan_mode(query, k, false)
-    }
-
-    fn plan_mode(
-        &self,
-        query: &SdQuery,
-        k: usize,
-        allow_direct: bool,
-    ) -> Result<QueryPlan, SdError> {
         if query.dims() != self.data.dims() {
             return Err(SdError::DimensionMismatch {
                 expected: self.data.dims(),
@@ -402,7 +389,7 @@ impl SdIndex {
             });
         }
         let n = self.data.len();
-        let direct = allow_direct && self.direct_pair(query).is_some();
+        let direct = self.single_pair(query).is_some();
         let mut pairs = Vec::with_capacity(self.pairs.len());
         for (pair, blocks) in self.pairs.iter().zip(&self.pair_blocks) {
             let alpha = query.weights[pair.repulsive];
@@ -436,10 +423,13 @@ impl SdIndex {
         })
     }
 
-    /// When the whole query is one non-degenerate pair (no unpaired
-    /// dimensions), returns `(alpha, beta, qx, qy)` for the direct 2-D
-    /// strategy.
-    fn direct_pair(&self, query: &SdQuery) -> Option<(f64, f64, f64, f64)> {
+    /// The one predicate behind the direct 2-D walk: `Some` when the whole
+    /// query is one non-degenerate pair over this index — one pair, no
+    /// unpaired dimension, not both of its weights zero (one zero weight is
+    /// a walk at 0° or 90°). Every index of an engine shares its roles, so
+    /// any shard answers for all of them. `query` must have this index's
+    /// dimensionality.
+    pub fn single_pair(&self, query: &SdQuery) -> Option<SinglePair> {
         if self.pairs.len() != 1 || !self.unpaired.is_empty() {
             return None;
         }
@@ -449,12 +439,12 @@ impl SdIndex {
         if alpha == 0.0 && beta == 0.0 {
             return None; // projection angle undefined; aggregation handles it
         }
-        Some((
+        Some(SinglePair {
             alpha,
             beta,
-            query.point[p.attractive],
-            query.point[p.repulsive],
-        ))
+            qx: query.point[p.attractive],
+            qy: query.point[p.repulsive],
+        })
     }
 
     /// Answers the SD-Query: the `min(k, n)` highest SD-scores under the
@@ -495,10 +485,10 @@ impl SdIndex {
     /// live subset; compaction restores tightness). Either way the answer
     /// is canonical (score descending, ties by row id ascending).
     ///
-    /// This is the one place the direct single-pair search is chosen: a
-    /// query that is one non-degenerate pair, unmasked, is one certified
-    /// frontier search over the pair's §4 index. Everything else is
-    /// [`SdIndex::begin_query`] stepped once without a round limit.
+    /// A query that is one non-degenerate pair ([`SdIndex::single_pair`]),
+    /// masked or not, is the direct walk over the pair's §4 index
+    /// ([`SinglePair::walk`] with this index as its one shard). Everything
+    /// else is [`SdIndex::begin_query`] stepped once without a round limit.
     pub fn query_masked<'s>(
         &self,
         query: &SdQuery,
@@ -508,31 +498,13 @@ impl SdIndex {
         mask: Option<MaskView<'_>>,
     ) -> Result<&'s [ScoredPoint], SdError> {
         self.check_query(query, k)?;
-        // The direct search bypasses the instrumented aggregation loop, so
-        // its profile only reports emission count, ISA and wall time.
-        let direct = match mask {
-            None if !self.data.is_empty() => self.direct_pair(query),
-            _ => None,
-        };
-        if let Some((alpha, beta, qx, qy)) = direct {
-            scratch.profile.reset();
-            let t0 = scratch.profile.timing.then(std::time::Instant::now);
-            arbitrary::query_blocks_with(
-                &self.pair_blocks[0],
-                qx,
-                qy,
-                alpha,
-                beta,
-                k,
-                scratch,
-                shared,
-            )?;
-            scratch.profile.isa = kernels::active().name();
-            scratch.profile.emitted = scratch.answers.len() as u64;
-            if let Some(t0) = t0 {
-                scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
-            }
-            return Ok(&scratch.answers);
+        if let Some(pair) = self.single_pair(query) {
+            let part = ShardPart {
+                index: self,
+                offset: 0,
+                mask,
+            };
+            return pair.walk([part], k, scratch, shared);
         }
         self.begin(query, k, scratch, mask)?
             .run_into(shared, scratch)
@@ -546,9 +518,10 @@ impl SdIndex {
     /// execution scores (and therefore emits) live rows only; see
     /// [`SdIndex::query_masked`] for the exactness argument.
     ///
-    /// Single-pair queries do not take the direct 2-D search here — a
-    /// suspended execution must expose stream state — but the answer is
-    /// bit-identical either way (both paths are canonical).
+    /// A suspended execution is always an aggregation: a single-pair query
+    /// begun here does not walk (the walk runs to completion, with every
+    /// shard in it — [`SinglePair::walk`]), and its answer is bit-identical
+    /// either way (both paths are canonical).
     ///
     /// The execution carries this index's fetch budget
     /// ([`plan::scan_budget`]): the [`ShardExecution::step`] that finds it
@@ -688,6 +661,88 @@ impl SdIndex {
             streams.push(Subproblem::degenerate(n as u32));
         }
         Ok(streams)
+    }
+}
+
+/// A query that is one non-degenerate pair over an index with one pair and
+/// nothing unpaired — the only query the direct 2-D walk answers, and so
+/// only obtained from [`SdIndex::single_pair`].
+#[derive(Debug, Clone, Copy)]
+pub struct SinglePair {
+    /// Weight of the repulsive dimension (the pair's `y`).
+    alpha: f64,
+    /// Weight of the attractive dimension (the pair's `x`).
+    beta: f64,
+    qx: f64,
+    qy: f64,
+}
+
+/// One shard of a [`SinglePair::walk`]: its index, the global id of its row
+/// 0, and its tombstones viewed at its local rows.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardPart<'a> {
+    /// The shard's index.
+    pub index: &'a SdIndex,
+    /// Global id of the shard's first row: the walk answers `offset + row`.
+    pub offset: u32,
+    /// The shard's dead rows, if any.
+    pub mask: Option<MaskView<'a>>,
+}
+
+impl SinglePair {
+    /// The paper's §4 answer to a one-pair query — one certified best-first
+    /// walk of the isoline index — over the pair's block sets of every
+    /// shard at once: the frontier whose head bound is highest is popped
+    /// first, which walks the shards as one index under a virtual root, and
+    /// tombstoned rows are dropped before they reach floor or pool. Returns
+    /// the canonical top-`min(k, live rows)` with global ids (score
+    /// descending, id ascending), borrowed from `scratch`, whose profile
+    /// holds the walk's counters; `rounds` stays 0.
+    ///
+    /// Every shard must share the roles of the index this pair came from
+    /// (an engine's do). With `shared`, the walk publishes its k-th-best
+    /// score into the handle and prunes against the handle's floor, so it
+    /// may return fewer than `k` rows when the floor proves the missing ones
+    /// cannot be in the global top-k. `scratch.deadline` is consulted before
+    /// every pop; the scratch keeps every buffer either way, so a warmed
+    /// scratch walks without allocating.
+    pub fn walk<'s, 'a, I>(
+        self,
+        shards: I,
+        k: usize,
+        scratch: &'s mut QueryScratch,
+        shared: Option<&SharedThreshold>,
+    ) -> Result<&'s [ScoredPoint], SdError>
+    where
+        I: IntoIterator<Item = ShardPart<'a>>,
+        I::IntoIter: Clone,
+    {
+        if k == 0 {
+            return Err(SdError::ZeroK);
+        }
+        let shards = shards.into_iter();
+        for part in shards.clone() {
+            part.index.verify_integrity()?;
+        }
+        let t0 = scratch.profile.timing.then(std::time::Instant::now);
+        arbitrary::query_blocks_with(
+            shards.map(|part| BlockPart {
+                blocks: &part.index.pair_blocks[0],
+                offset: part.offset,
+                mask: part.mask,
+            }),
+            self.qx,
+            self.qy,
+            self.alpha,
+            self.beta,
+            k,
+            scratch,
+            shared,
+        )?;
+        if let Some(t0) = t0 {
+            scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
+        }
+        Ok(&scratch.answers)
     }
 }
 
@@ -1466,8 +1521,6 @@ enum PairInner<'a> {
     Blocks {
         frontier: BlockFrontier<'a>,
         blocks: &'a BlockSet,
-        qx: f64,
-        qy: f64,
         alpha: f64,
         beta: f64,
         r: f64,
@@ -1485,13 +1538,10 @@ impl<'a> Pair2DStream<'a> {
         beta: f64,
         scratch: &mut QueryScratch,
     ) -> Self {
-        let (qx, qy) = (eval.qx, eval.qy);
         Pair2DStream {
             inner: PairInner::Blocks {
                 frontier: BlockFrontier::with_scratch(blocks, eval, scratch.take_angle()),
                 blocks,
-                qx,
-                qy,
                 alpha,
                 beta,
                 r: alpha.hypot(beta),
@@ -1517,8 +1567,6 @@ impl<'a> Pair2DStream<'a> {
             PairInner::Blocks {
                 frontier,
                 blocks,
-                qx,
-                qy,
                 alpha,
                 beta,
                 r,
@@ -1547,12 +1595,13 @@ impl<'a> Pair2DStream<'a> {
                         // contribute, and dies here — before it is ever
                         // gathered or scored on the full query.
                         let mut scores = [0.0f64; LANES];
+                        let eval = frontier.eval();
                         kernels::score_block_2d(
                             &mut scores,
                             blocks.xs(block),
                             blocks.ys(block),
-                            *qx,
-                            *qy,
+                            eval.qx,
+                            eval.qy,
                             *alpha,
                             *beta,
                         );

@@ -173,10 +173,12 @@ pub struct PairPlan {
 /// The full plan of one query against one [`SdIndex`](super::SdIndex).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
-    /// `true` when the whole query is a single pair with no leftover
-    /// dimensions: it bypasses the aggregation loop entirely and runs one
-    /// certified frontier search over the pair's §4 index (the Claim 6
-    /// bracketed path when θ_q is not indexed).
+    /// `true` when the whole query is one non-degenerate pair with no
+    /// leftover dimensions ([`SdIndex::single_pair`](super::SdIndex::single_pair)):
+    /// it bypasses the aggregation loop entirely and runs one certified
+    /// frontier walk over the pair's §4 index — under an engine, over the
+    /// pair's indexes of every shard at once, so every shard's plan says it
+    /// (the Claim 6 bracketed path when θ_q is not indexed).
     pub direct: bool,
     /// Per-pair decisions, in pair order.
     pub pairs: Vec<PairPlan>,

@@ -757,8 +757,8 @@ proptest! {
 
     // Every bound is a true min/max over the block's points, so the answer
     // cannot depend on which points share a block: tiled, dealt at random
-    // and scanned agree bit for bit — the direct 2-D search (two
-    // dimensions, no mask) and the §5 aggregation, dead rows or not.
+    // and scanned agree bit for bit — the direct 2-D walk (two dimensions)
+    // and the §5 aggregation, dead rows or not.
     #[test]
     fn any_order_is_an_index(
         seed in 0u64..1 << 48,

@@ -68,6 +68,19 @@ use crate::kernels::LANES;
 /// only by the top-level driver of a query (they are **not** summed by
 /// [`QueryProfile::merge`], so per-shard and engine-level timings never
 /// double-count).
+///
+/// **On the direct single-pair walk**
+/// ([`SinglePair::walk`](crate::multidim::SinglePair::walk), one execution
+/// over every shard) the counters read: the four frontier counters as
+/// everywhere; `rows_fetched` — the live lanes of the popped blocks (no
+/// lane filter runs, so `lanes_masked` stays 0); `tombstones_skipped` — the
+/// dead among them; `points_gathered` — the rest, every one scored by the
+/// 2-D kernel in one `kernel_batches` call per block; `points_scored` and
+/// `floor_updates` — the lanes that passed the floor compare, and what they
+/// did to the floor; `floor_value` and `emitted` as everywhere. No row is
+/// met twice (`seen_hits` 0), nothing is scanned (`scan_*` 0) and there are
+/// no rounds: `rounds` stays 0, which is how a profile says the query
+/// walked.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryProfile {
     /// Envelope nodes expanded by the block frontiers, each counted once:
@@ -95,7 +108,8 @@ pub struct QueryProfile {
     pub onedim_rows_pulled: u64,
     /// Candidate rows handed to the scoring stage by all streams (block
     /// lanes + tree rows + 1-D rows + delta rows), duplicates included,
-    /// plus [`scan_rows`](QueryProfile::scan_rows).
+    /// plus [`scan_rows`](QueryProfile::scan_rows); on the direct walk, the
+    /// live lanes of every popped block.
     pub rows_fetched: u64,
     /// Shard executions that finished with a sequential kernel scan
     /// instead of more fetches: their fetch budget
@@ -133,7 +147,8 @@ pub struct QueryProfile {
     pub floor_updates: u64,
     /// Final k-th-score floor (`-inf` until `k` scores are known).
     pub floor_value: f64,
-    /// Aggregation rounds executed (one fetch per stream each).
+    /// Aggregation rounds executed (one fetch per stream each); 0 on the
+    /// direct walk.
     pub rounds: u64,
     /// K-way merge steps taken by the engine (rows popped across shard
     /// lists; `0` on the monolithic path).

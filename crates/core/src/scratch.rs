@@ -42,6 +42,7 @@ use std::collections::BinaryHeap;
 use crate::deadline::Deadline;
 use crate::multidim::Subproblem;
 use crate::profile::QueryProfile;
+use crate::topk::arbitrary::PartWalk;
 use crate::topk::stream::AngleScratch;
 use crate::types::{OrdF64, ScoredPoint};
 
@@ -146,6 +147,9 @@ pub struct QueryScratch {
     /// Recycled subproblem list of the §5 aggregation. Empty between
     /// queries; only the allocation is retained.
     subproblems: Vec<Subproblem<'static>>,
+    /// Recycled per-part frontier list of the direct single-pair walk. Empty
+    /// between queries; only the allocation is retained.
+    walks: Vec<PartWalk<'static>>,
 }
 
 impl QueryScratch {
@@ -189,6 +193,18 @@ impl QueryScratch {
     /// its allocation for the next query.
     pub(crate) fn put_streams(&mut self, v: Vec<Subproblem<'_>>) {
         self.subproblems = recycle_vec(v);
+    }
+
+    /// Hands out the recycled (empty) part list of the direct walk; give it
+    /// back through [`QueryScratch::put_walks`].
+    pub(crate) fn walk_buf<'a>(&mut self) -> Vec<PartWalk<'a>> {
+        debug_assert!(self.walks.is_empty());
+        std::mem::take(&mut self.walks)
+    }
+
+    /// Adopts a drained part list back into the scratch.
+    pub(crate) fn put_walks(&mut self, v: Vec<PartWalk<'_>>) {
+        self.walks = recycle_vec(v);
     }
 }
 

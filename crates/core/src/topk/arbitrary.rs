@@ -30,6 +30,7 @@ use super::stream::{AngleQuery, FrontierEval, PairFrontier};
 use super::TopKIndex;
 use crate::geometry::Angle;
 use crate::kernels::{self, inflate, LANES};
+use crate::mask::MaskView;
 use crate::score::rank_cmp;
 use crate::scratch::QueryScratch;
 use crate::threshold::{track_floor, SharedThreshold};
@@ -41,9 +42,9 @@ const TIE_EPS: f64 = 1e-9;
 
 /// Full 2-D query over one [`TopKIndex`] as a single certified frontier
 /// search: over the derived blocks while they are current
-/// ([`query_blocks_with`]), over the per-point tree after a point-level
-/// mutation. Either way the emission is **canonical** (score descending,
-/// ties by slot ascending).
+/// ([`query_blocks_with`], one part), over the per-point tree after a
+/// point-level mutation. Either way the emission is **canonical** (score
+/// descending, ties by slot ascending).
 #[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
 pub(crate) fn query_canonical_with(
     index: &TopKIndex,
@@ -56,7 +57,20 @@ pub(crate) fn query_canonical_with(
     shared: Option<&SharedThreshold>,
 ) -> Result<(), SdError> {
     match index.blocks() {
-        Some(blocks) => query_blocks_with(blocks, qx, qy, alpha, beta, k, scratch, shared),
+        Some(blocks) => query_blocks_with(
+            [BlockPart {
+                blocks,
+                offset: 0,
+                mask: None,
+            }],
+            qx,
+            qy,
+            alpha,
+            beta,
+            k,
+            scratch,
+            shared,
+        ),
         None => query_points_with(index, qx, qy, alpha, beta, k, scratch, shared),
     }
 }
@@ -178,27 +192,58 @@ fn query_points_with(
     outcome
 }
 
-/// Full 2-D query over one stored §4 index as a single certified frontier
-/// search — an engine shard's *direct* strategy for single-pair queries,
-/// and a [`TopKIndex`]'s while its blocks are current. Picks the
-/// indexed-angle evaluation when θ_q is indexed and the Claim 6 bracket
-/// otherwise ([`FrontierEval::at`]); the emission is **canonical**, so the
-/// result is bit-identical to what the §5 aggregation produces for the same
-/// pair.
+/// One part of a [`query_blocks_with`] walk — in an engine, one shard: the
+/// pair's stored §4 index over the part's rows, the id its slot 0 answers
+/// under, and the part's tombstones (viewed at its slots).
+pub(crate) struct BlockPart<'a> {
+    pub(crate) blocks: &'a BlockSet,
+    pub(crate) offset: u32,
+    pub(crate) mask: Option<MaskView<'a>>,
+}
+
+/// A [`BlockPart`] in flight: the part and the frontier walking it. Lives in
+/// [`QueryScratch::walk_buf`] for the length of one walk.
+pub(crate) struct PartWalk<'a> {
+    part: BlockPart<'a>,
+    frontier: BlockFrontier<'a>,
+}
+
+/// Full 2-D query over the stored §4 indexes of one pair as a single
+/// certified frontier search — the *direct* strategy for single-pair
+/// queries, over one bare index, over every shard of an engine at once, and
+/// a [`TopKIndex`]'s while its blocks are current. Picks the indexed-angle
+/// evaluation when θ_q is indexed and the Claim 6 bracket otherwise
+/// ([`FrontierEval::at`], per part); the emission is **canonical** (score
+/// descending, ties by `offset + slot` ascending), so the result is
+/// bit-identical to what the §5 aggregation produces for the same pair.
 ///
-/// The block-layout twin of [`query_points_with`]: pops whole SoA leaf
-/// blocks in best-first bound order, batch-scores every popped block
-/// through the 2-D kernel (bit-identical to `sd_score_2d`), and pools the
-/// surviving lanes. Identical emission and stop rules — strict
-/// inflated-bound certification, k-th-score floor, shared floor — plus two
-/// block-level savings:
+/// The parts are walked as one index: every part has its own
+/// [`BlockFrontier`], and each step pops the head entry of the frontier
+/// whose head bound is highest — a k-way merge of best-first streams, which
+/// is one best-first walk under a virtual root over all of them — so the
+/// threshold on everything unsurfaced is that head times `r`. A popped leaf
+/// block is batch-scored through the 2-D kernel (bit-identical to
+/// `sd_score_2d`) and its surviving lanes are pooled under their part's
+/// offset. Stop rules — strict inflated-bound certification, k-th-score
+/// floor, shared floor — as in [`query_points_with`], plus two block-level
+/// savings:
 ///
 /// * a popped envelope or block whose bound already falls below the floor
 ///   is discarded without expanding or scoring anything under it;
 /// * blocks surface exactly once, so there is no seen-set on this path.
+///
+/// A part's tombstoned lanes leave the block's live word before the floor
+/// compare, so a dead row reaches neither floor nor pool, and `k_eff` is
+/// `min(k, live rows)` over all parts. The walk fills `scratch.profile`
+/// (reset here): the frontier counters, `rows_fetched` (live lanes of the
+/// popped blocks), `tombstones_skipped`, `points_gathered`,
+/// `kernel_batches`, `points_scored`, `floor_updates`, `floor_value` and
+/// `emitted`; `rounds` stays 0. `scratch.deadline` is consulted before
+/// every pop. The frontiers live in the scratch's recycled buffers, so a
+/// warmed scratch walks any number of parts without allocating.
 #[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
-pub(crate) fn query_blocks_with(
-    blocks: &BlockSet,
+pub(crate) fn query_blocks_with<'a>(
+    parts: impl IntoIterator<Item = BlockPart<'a>>,
     qx: f64,
     qy: f64,
     alpha: f64,
@@ -207,106 +252,178 @@ pub(crate) fn query_blocks_with(
     scratch: &mut QueryScratch,
     shared: Option<&SharedThreshold>,
 ) -> Result<(), SdError> {
+    scratch.profile.reset();
     let theta = Angle::from_weights(alpha, beta)?;
-    let eval = FrontierEval::at(blocks.angles(), &theta, qx, qy)?;
-    let r = alpha.hypot(beta);
-    let mut frontier = BlockFrontier::with_scratch(blocks, eval, scratch.take_angle());
-    let k_eff = k.min(blocks.n_live());
-    let publish = k_eff == k;
+    let mut walks = scratch.walk_buf();
+    let mut live = 0;
     let mut outcome = Ok(());
-    {
-        let QueryScratch {
-            pool,
-            answers,
-            floor,
-            scores,
-            deadline,
-            ..
-        } = &mut *scratch;
-        pool.clear();
-        answers.clear();
-        floor.clear();
-        answers.reserve(k_eff);
-        scores.resize(LANES, 0.0);
-
-        while answers.len() < k_eff {
-            let threshold = frontier.bound().map(|b| r * b);
-            // Certified canonical emission.
-            if let Some(&(OrdF64(s), Reverse(slot))) = pool.peek() {
-                let done = match threshold {
-                    Some(t) => s > inflate(t),
-                    None => true,
-                };
-                if done {
-                    pool.pop();
-                    answers.push(ScoredPoint::new(PointId::new(slot), s));
-                    continue;
-                }
-            } else if threshold.is_none() {
+    for part in parts {
+        match FrontierEval::at(part.blocks.angles(), &theta, qx, qy) {
+            Ok(eval) => {
+                let n = part.blocks.n_live();
+                live += n - part.mask.map_or(0, |m| m.dead_among(n));
+                let frontier = BlockFrontier::with_scratch(part.blocks, eval, scratch.take_angle());
+                walks.push(PartWalk { part, frontier });
+            }
+            Err(e) => {
+                outcome = Err(e);
                 break;
-            }
-            // Floor-based early termination (and the block-prune value).
-            let mut f = f64::NEG_INFINITY;
-            if let Some(t) = threshold {
-                if floor.len() == k_eff {
-                    f = floor.peek().expect("floor is non-empty").0 .0;
-                    if publish {
-                        if let Some(h) = shared {
-                            h.raise(f);
-                        }
-                    }
-                }
-                if let Some(h) = shared {
-                    f = f.max(h.floor());
-                }
-                if f > inflate(t) {
-                    while answers.len() < k_eff {
-                        match pool.pop() {
-                            Some((OrdF64(s), Reverse(slot))) => {
-                                answers.push(ScoredPoint::new(PointId::new(slot), s))
-                            }
-                            None => break,
-                        }
-                    }
-                    break;
-                }
-            }
-            outcome = deadline.check();
-            if outcome.is_err() {
-                break;
-            }
-            // Fetch one block; anything bounded below the floor dies here.
-            let Some(block) = frontier.next_block(|b| f > inflate(r * b)) else {
-                continue; // drained: the next iteration drains the pool
-            };
-            kernels::score_block_2d(
-                scores,
-                blocks.xs(block),
-                blocks.ys(block),
-                qx,
-                qy,
-                alpha,
-                beta,
-            );
-            // Lanes strictly below k_eff known scores can never be emitted.
-            let fl = if floor.len() == k_eff {
-                f.max(floor.peek().expect("floor is non-empty").0 .0)
-            } else {
-                f64::NEG_INFINITY
-            };
-            let slots = blocks.slots(block);
-            let mut surv = kernels::survivors(scores, blocks.live(block), fl);
-            while surv != 0 {
-                let l = surv.trailing_zeros() as usize;
-                surv &= surv - 1;
-                let score = scores[l];
-                track_floor(floor, k_eff, score);
-                pool.push((OrdF64::new(score), Reverse(slots[l])));
             }
         }
-        answers.sort_unstable_by(rank_cmp);
     }
-    scratch.put_angle(frontier.into_scratch());
+    if outcome.is_ok() {
+        let pair = (qx, qy, alpha, beta);
+        outcome = walk_parts(&mut walks, pair, k.min(live), k, scratch, shared);
+    }
+    for PartWalk { mut frontier, .. } in walks.drain(..) {
+        let c = frontier.take_counters();
+        let prof = &mut scratch.profile;
+        prof.nodes_visited += c.nodes_visited;
+        prof.envelope_nodes_rejected += c.envelope_rejected;
+        prof.blocks_floor_pruned += c.blocks_floor_pruned;
+        prof.blocks_popped += c.blocks_popped;
+        scratch.put_angle(frontier.into_scratch());
+    }
+    scratch.put_walks(walks);
+    outcome
+}
+
+/// The loop of [`query_blocks_with`] over its set-up parts: leaves the
+/// canonical answer in `scratch.answers`, or the certified prefix emitted
+/// so far when the deadline ends it.
+fn walk_parts(
+    walks: &mut [PartWalk<'_>],
+    (qx, qy, alpha, beta): (f64, f64, f64, f64),
+    k_eff: usize,
+    k: usize,
+    scratch: &mut QueryScratch,
+    shared: Option<&SharedThreshold>,
+) -> Result<(), SdError> {
+    let r = alpha.hypot(beta);
+    // The floor is only publishable when it covers k real points; parts
+    // with fewer than k live rows can never certify a global k-th score.
+    let publish = k_eff == k;
+    let QueryScratch {
+        pool,
+        answers,
+        floor,
+        scores,
+        deadline,
+        profile: prof,
+        ..
+    } = scratch;
+    pool.clear();
+    answers.clear();
+    floor.clear();
+    answers.reserve(k_eff);
+    scores.resize(LANES, 0.0);
+    let mut outcome = Ok(());
+    while answers.len() < k_eff {
+        // The walk's head: the part whose frontier bound is highest.
+        let mut head: Option<(usize, f64)> = None;
+        for (i, w) in walks.iter().enumerate() {
+            if let Some(b) = w.frontier.bound() {
+                if head.is_none_or(|(_, hb)| b > hb) {
+                    head = Some((i, b));
+                }
+            }
+        }
+        let threshold = head.map(|(_, b)| r * b);
+        // Certified canonical emission.
+        if let Some(&(OrdF64(s), Reverse(id))) = pool.peek() {
+            if threshold.is_none_or(|t| s > inflate(t)) {
+                pool.pop();
+                answers.push(ScoredPoint::new(PointId::new(id), s));
+                continue;
+            }
+        }
+        let (Some((i, _)), Some(t)) = (head, threshold) else {
+            break; // drained, and so is the pool
+        };
+        // Floor-based early termination (and the block-prune value).
+        let mut f = f64::NEG_INFINITY;
+        if floor.len() == k_eff {
+            f = floor.peek().expect("floor is non-empty").0 .0;
+            if publish {
+                if let Some(h) = shared {
+                    h.raise(f);
+                }
+            }
+        }
+        if let Some(h) = shared {
+            f = f.max(h.floor());
+        }
+        if f > inflate(t) {
+            while answers.len() < k_eff {
+                match pool.pop() {
+                    Some((OrdF64(s), Reverse(id))) => {
+                        answers.push(ScoredPoint::new(PointId::new(id), s))
+                    }
+                    None => break,
+                }
+            }
+            break;
+        }
+        outcome = deadline.check();
+        if outcome.is_err() {
+            break;
+        }
+        // One step of the walk; anything bounded below the floor dies here.
+        let PartWalk { part, frontier } = &mut walks[i];
+        let Some(block) = frontier.pop(|b| f > inflate(r * b)) else {
+            continue; // an envelope expanded, or an entry pruned
+        };
+        let (blocks, slots) = (part.blocks, part.blocks.slots(block));
+        let mut live = blocks.live(block);
+        prof.rows_fetched += u64::from(live.count_ones());
+        if let Some(mask) = part.mask {
+            // Tombstoned lanes stop here, before floor and pool.
+            let mut lanes = live;
+            while lanes != 0 {
+                let l = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                if mask.is_dead(slots[l]) {
+                    live &= !(1 << l);
+                    prof.tombstones_skipped += 1;
+                }
+            }
+        }
+        prof.points_gathered += u64::from(live.count_ones());
+        if live == 0 {
+            continue;
+        }
+        prof.kernel_batches += 1;
+        kernels::score_block_2d(
+            scores,
+            blocks.xs(block),
+            blocks.ys(block),
+            qx,
+            qy,
+            alpha,
+            beta,
+        );
+        // Lanes strictly below k_eff known scores can never be emitted.
+        let fl = if floor.len() == k_eff {
+            f.max(floor.peek().expect("floor is non-empty").0 .0)
+        } else {
+            f64::NEG_INFINITY
+        };
+        let mut surv = kernels::survivors(scores, live, fl);
+        while surv != 0 {
+            let l = surv.trailing_zeros() as usize;
+            surv &= surv - 1;
+            let score = scores[l];
+            prof.points_scored += 1;
+            prof.floor_updates += u64::from(track_floor(floor, k_eff, score));
+            pool.push((OrdF64::new(score), Reverse(part.offset + slots[l])));
+        }
+    }
+    answers.sort_unstable_by(rank_cmp);
+    prof.floor_value = floor.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0);
+    prof.emitted = answers.len() as u64;
+    if prof.kernel_batches > 0 {
+        prof.isa = kernels::active().name();
+    }
     outcome
 }
 

@@ -548,40 +548,61 @@ impl<'a> BlockFrontier<'a> {
         self.s.heaps[0].peek().map(|&(OrdF64(p), _, _)| p)
     }
 
-    /// Surfaces the next block, or `None` once drained.
-    ///
-    /// `prune(bound)` is consulted on every popped entry (inner envelope or
-    /// block) with its admissible normalised score bound; returning `true`
-    /// discards the entry — and with it every point underneath — without
-    /// expansion or scoring. Callers prune against a k-th-score floor: once
-    /// `k` exact scores dominate the bound, nothing below it can reach the
-    /// answer, so the whole subtree is certifiably irrelevant.
+    /// The evaluation this frontier bounds its entries under.
+    #[inline]
+    pub(crate) fn eval(&self) -> &FrontierEval {
+        &self.eval
+    }
+
+    /// Surfaces the next block, or `None` once drained: [`BlockFrontier::pop`]
+    /// until a block comes out.
     pub(crate) fn next_block(&mut self, mut prune: impl FnMut(f64) -> bool) -> Option<u32> {
-        loop {
-            let (OrdF64(prio), std::cmp::Reverse(lvl), idx) = self.s.heaps[0].pop()?;
-            if prune(prio) {
-                if lvl == BLOCK_LVL {
-                    self.counters.blocks_floor_pruned += 1;
-                } else {
-                    self.counters.envelope_rejected += 1;
-                }
-                continue;
-            }
-            if lvl == BLOCK_LVL {
-                self.counters.blocks_popped += 1;
-                self.prefetch_next();
-                return Some(idx);
-            }
-            // Expand the envelope group one level down.
-            self.counters.nodes_visited += 1;
-            let child_lvl = lvl - 1;
-            let (_, child_xr) = self.entry_tables(child_lvl);
-            let start = idx as usize * GROUP_FANOUT;
-            let end = (start + GROUP_FANOUT).min(child_xr.len());
-            for c in start..end {
-                self.push(child_lvl, c as u32);
+        while !self.s.heaps[0].is_empty() {
+            if let Some(block) = self.pop(&mut prune) {
+                return Some(block);
             }
         }
+        None
+    }
+
+    /// Takes the head entry off the heap: `Some(block)` when it is a leaf
+    /// block that survives `prune`, `None` when it was an envelope (now
+    /// expanded one level down), a pruned entry, or nothing — the heap was
+    /// empty. One call is one step of the best-first walk, which is what lets
+    /// a caller interleave several frontiers in one global bound order.
+    ///
+    /// `prune(bound)` is consulted on the entry (inner envelope or block)
+    /// with its admissible normalised score bound; returning `true` discards
+    /// the entry — and with it every point underneath — without expansion or
+    /// scoring. Callers prune against a k-th-score floor: once `k` exact
+    /// scores dominate the bound, nothing below it can reach the answer, so
+    /// the whole subtree is certifiably irrelevant.
+    #[inline]
+    pub(crate) fn pop(&mut self, prune: impl FnOnce(f64) -> bool) -> Option<u32> {
+        let (OrdF64(prio), std::cmp::Reverse(lvl), idx) = self.s.heaps[0].pop()?;
+        if prune(prio) {
+            if lvl == BLOCK_LVL {
+                self.counters.blocks_floor_pruned += 1;
+            } else {
+                self.counters.envelope_rejected += 1;
+            }
+            return None;
+        }
+        if lvl == BLOCK_LVL {
+            self.counters.blocks_popped += 1;
+            self.prefetch_next();
+            return Some(idx);
+        }
+        // Expand the envelope group one level down.
+        self.counters.nodes_visited += 1;
+        let child_lvl = lvl - 1;
+        let (_, child_xr) = self.entry_tables(child_lvl);
+        let start = idx as usize * GROUP_FANOUT;
+        let end = (start + GROUP_FANOUT).min(child_xr.len());
+        for c in start..end {
+            self.push(child_lvl, c as u32);
+        }
+        None
     }
 
     /// Starts loading what the *next* pop will read while the caller is

@@ -926,7 +926,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_dead_counters_track_deletes_and_gate_the_direct_plan() {
+    fn shard_dead_counters_track_deletes() {
         let mut e = sample_engine(30, 3); // shards of 10
         e.delete(PointId::new(0)).unwrap();
         e.delete(PointId::new(10)).unwrap();
@@ -941,19 +941,6 @@ mod tests {
         );
         e.compact().unwrap();
         assert!(e.shard_infos().iter().all(|i| i.dead_rows == 0));
-
-        // A 2-D single-shard engine: the direct plan is reported while
-        // clean, and the aggregation plan once a tombstone masks the shard
-        // (what the masked execution actually runs).
-        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, (20 - i) as f64]).collect();
-        let roles = vec![DimRole::Attractive, DimRole::Repulsive];
-        let mut e2 = SdEngine::build(Dataset::from_rows(2, &rows).unwrap(), &roles).unwrap();
-        let q = SdQuery::uniform_weights(vec![1.0, 2.0], &roles);
-        assert!(e2.explain(&q, 3).unwrap()[0].direct);
-        e2.delete(PointId::new(4)).unwrap();
-        assert!(!e2.explain(&q, 3).unwrap()[0].direct);
-        e2.compact().unwrap();
-        assert!(e2.explain(&q, 3).unwrap()[0].direct);
     }
 
     #[test]

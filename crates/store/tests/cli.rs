@@ -195,45 +195,12 @@ fn sharded_build_then_query_matches_in_memory_index() {
 
 #[test]
 fn topk_query_respects_stored_roles_order() {
-    // Regression: with roles "ra" (repulsive first) the lone shard's direct
-    // 2-D search runs over (x = attractive dim 1, y = repulsive dim 0); the
+    // Regression: with roles "ra" (repulsive first) the direct 2-D walk runs
+    // over (x = attractive dim 1, y = repulsive dim 0) of every shard; the
     // query side must map the dataset-ordered --point through the stored
-    // roles rather than assuming attractive-first.
+    // roles rather than assuming attractive-first, and the ids of every
+    // shard's part must come back global.
     let dir = temp_dir("roles-ra");
-    let path = dir.join("ra.sdq");
-    let status = sdq()
-        .args([
-            "build",
-            "--synthetic",
-            "uniform",
-            "--n",
-            "300",
-            "--dims",
-            "2",
-            "--seed",
-            "11",
-            "--roles",
-            "ra",
-            "--out",
-        ])
-        .arg(&path)
-        .status()
-        .expect("spawn sdq build");
-    assert!(status.success());
-    let explain = sdq()
-        .args(["query", path.to_str().unwrap(), "--point", "0.2,0.8"])
-        .args(["--weights", "2,0.5", "--k", "5", "--explain"])
-        .output()
-        .expect("spawn sdq query --explain");
-    let explain = String::from_utf8(explain.stdout).unwrap();
-    assert!(explain.contains("direct "), "{explain}");
-
-    let out = sdq()
-        .args(["query", path.to_str().unwrap(), "--point", "0.2,0.8"])
-        .args(["--weights", "2,0.5", "--k", "5"])
-        .output()
-        .expect("spawn sdq query");
-    assert!(out.status.success());
     let data = generate(Distribution::Uniform, 300, 2, 11);
     let roles = parse_roles("ra").unwrap();
     let query = SdQuery::new(vec![0.2, 0.8], vec![2.0, 0.5]).unwrap();
@@ -245,7 +212,44 @@ fn topk_query_respects_stored_roles_order() {
             .unwrap(),
         want
     );
-    assert_results_match(&String::from_utf8(out.stdout).unwrap(), &want);
+    for shards in ["1", "3"] {
+        let path = dir.join(format!("ra-{shards}.sdq"));
+        let status = sdq()
+            .args([
+                "build",
+                "--synthetic",
+                "uniform",
+                "--n",
+                "300",
+                "--dims",
+                "2",
+            ])
+            .args(["--seed", "11", "--roles", "ra", "--shards", shards, "--out"])
+            .arg(&path)
+            .status()
+            .expect("spawn sdq build");
+        assert!(status.success());
+        let explain = sdq()
+            .args(["query", path.to_str().unwrap(), "--point", "0.2,0.8"])
+            .args(["--weights", "2,0.5", "--k", "5", "--explain"])
+            .output()
+            .expect("spawn sdq query --explain");
+        let explain = String::from_utf8(explain.stdout).unwrap();
+        let rows = explain.lines().filter(|l| l.contains("(d0 r, d1 a)"));
+        assert_eq!(
+            rows.filter(|l| l.contains("direct ")).count(),
+            shards.parse::<usize>().unwrap(),
+            "{explain}"
+        );
+
+        let out = sdq()
+            .args(["query", path.to_str().unwrap(), "--point", "0.2,0.8"])
+            .args(["--weights", "2,0.5", "--k", "5"])
+            .output()
+            .expect("spawn sdq query");
+        assert!(out.status.success());
+        assert_results_match(&String::from_utf8(out.stdout).unwrap(), &want);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,8 +7,8 @@
 //! fresh one **without allocating at all**, like any warmed scratch.
 //!
 //! The direct 2-D search — one certified frontier walk, no aggregation
-//! rounds — honours the same token at every block pop, on a bare
-//! [`SdIndex`] and behind a one-shard engine.
+//! rounds — honours the same token at every pop, on a bare [`SdIndex`] and
+//! behind an engine of one or four shards, clean or dirty.
 //!
 //! Deadlines are wall-clock, so the test sweeps budgets across the
 //! query's measured duration and classifies every trip from the partial
@@ -202,28 +202,56 @@ fn direct_2d_search_honours_a_cancelled_token() {
     assert_bit_identical(&got, &want);
     assert_eq!(allocs, 0, "the cancelled scratch re-allocated");
 
-    // A one-shard engine runs the same search. (`threads = 1`: resolving
-    // the auto worker count asks the OS, which allocates.)
-    let options = EngineOptions {
-        threads: 1,
-        ..EngineOptions::default()
-    };
-    let engine = SdEngine::build_with(data, &roles, &options).unwrap();
-    assert!(engine.explain(&query, k).unwrap()[0].direct);
-    let mut scratch = EngineScratch::new();
-    assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
-    let before = engine.metrics().snapshot().deadline_exceeded;
-    scratch.deadline = Deadline::cancelled_by(&token);
-    assert!(matches!(
-        engine.query_with(&query, k, &mut scratch),
-        Err(SdError::Cancelled)
-    ));
-    assert_eq!(engine.metrics().snapshot().deadline_exceeded, before + 1);
-    scratch.deadline = Deadline::none();
-    got.clear();
-    let allocs = count_allocs(|| {
-        got.extend_from_slice(engine.query_with(&query, k, &mut scratch).unwrap());
-    });
-    assert_bit_identical(&got, &want);
-    assert_eq!(allocs, 0, "the cancelled engine scratch re-allocated");
+    // An engine runs the same search over all its shards at once: one
+    // shard, four, and four with a tombstone and a delta row. (`threads =
+    // 1`: resolving the auto worker count asks the OS, which allocates.)
+    for (shards, dirty) in [(1, false), (4, false), (4, true)] {
+        let cell = format!("{shards} shard(s), dirty {dirty}");
+        let options = EngineOptions {
+            shards,
+            threads: 1,
+            ..EngineOptions::default()
+        };
+        let mut engine = SdEngine::build_with(data.clone(), &roles, &options).unwrap();
+        if dirty {
+            assert!(engine.delete(want[0].id).unwrap());
+            engine.insert(&query.point).unwrap();
+        }
+        let plans = engine.explain(&query, k).unwrap();
+        assert!(
+            plans.len() == shards && plans.iter().all(|p| p.direct),
+            "{cell}"
+        );
+        let fresh = engine.query(&query, k).unwrap();
+        if !dirty {
+            assert_bit_identical(&fresh, &want);
+        }
+        let mut scratch = EngineScratch::new();
+        assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &fresh);
+        assert_eq!(scratch.profile.rounds, 0, "{cell}: the query walked");
+        let before = engine.metrics().snapshot().deadline_exceeded;
+        scratch.deadline = Deadline::cancelled_by(&token);
+        assert!(
+            matches!(
+                engine.query_with(&query, k, &mut scratch),
+                Err(SdError::Cancelled)
+            ),
+            "{cell}"
+        );
+        assert_eq!(
+            engine.metrics().snapshot().deadline_exceeded,
+            before + 1,
+            "{cell}"
+        );
+        scratch.deadline = Deadline::none();
+        got.clear();
+        let allocs = count_allocs(|| {
+            got.extend_from_slice(engine.query_with(&query, k, &mut scratch).unwrap());
+        });
+        assert_bit_identical(&got, &fresh);
+        assert_eq!(
+            allocs, 0,
+            "{cell}: the cancelled engine scratch re-allocated"
+        );
+    }
 }

@@ -77,19 +77,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // The headline guarantee: shard-and-merge == monolithic, bit for bit,
-    // sequential and parallel, ties included.
+    // sequential and parallel, ties included — and at two dimensions, one
+    // walk over every shard == the walk over one index.
     #[test]
     fn engine_is_bit_identical_to_unsharded(
         rows in vec(vec(tie_heavy_coord(), 4), 1..80),
         raw_queries in vec((vec(tie_heavy_coord(), 4), vec(tie_heavy_weight(), 4)), 1..6),
+        dims in prop_oneof![Just(2usize), Just(4)],
         role_bits in 0u8..16,
         k in 1usize..20,
         shards in 1usize..7,
     ) {
-        let dims = 4;
         let roles: Vec<DimRole> = (0..dims)
             .map(|d| if role_bits & (1 << d) != 0 { DimRole::Repulsive } else { DimRole::Attractive })
             .collect();
+        let rows: Vec<Vec<f64>> = rows.iter().map(|r| r[..dims].to_vec()).collect();
         let data = Dataset::from_rows(dims, &rows).unwrap();
         let queries = build_queries(dims, &raw_queries);
 
@@ -216,19 +218,34 @@ proptest! {
 }
 
 /// `explain` and the executor consult one predicate: a plan says `direct`
-/// exactly when the query then runs without a single aggregation round —
-/// one clean shard — and every cell answers like the sequential scan.
+/// on every shard exactly when the query then runs without a single
+/// aggregation round, and that is exactly when it is one non-degenerate
+/// pair — one zero weight included, both zero not — whatever the shard
+/// count, worker count, tombstones or delta rows. Every cell answers like
+/// the sequential scan over the live rows.
 #[test]
 fn explain_says_direct_exactly_when_the_direct_search_runs() {
     let (n, k) = (2_000, 10);
     let roles = [DimRole::Attractive, DimRole::Repulsive];
     let data = generate(Distribution::Uniform, n, 2, 0xE1);
-    let queries = uniform_queries(6, 2, 0xE2);
+    let mut queries = uniform_queries(6, 2, 0xE2);
+    let point = queries[0].point.clone();
+    for weights in [[0.0, 1.5], [0.7, 0.0], [0.0, 0.0]] {
+        queries.push(SdQuery::new(point.clone(), weights.to_vec()).unwrap());
+    }
     let scan = SeqScan::new(data.clone(), &roles).unwrap();
+    let best = scan.query(&queries[0], 1).unwrap()[0].id;
+    // The delta row is a copy of that best row: it ties the row it replaces
+    // and loses the tie to every indexed row of equal score.
+    let mut flat = data.flat().to_vec();
+    flat.extend_from_slice(&data.flat()[best.index() * 2..best.index() * 2 + 2]);
+    let with_delta = SeqScan::new(Dataset::from_flat(2, flat).unwrap(), &roles).unwrap();
     for shards in [1, 4] {
         for threads in [1, 2] {
-            for tombstones in [false, true] {
-                let cell = format!("shards {shards} threads {threads} tombstones {tombstones}");
+            for (tombstones, delta) in [(false, false), (true, false), (true, true)] {
+                let cell = format!(
+                    "shards {shards} threads {threads} tombstones {tombstones} delta {delta}"
+                );
                 let options = EngineOptions {
                     shards,
                     threads,
@@ -238,7 +255,7 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
                 let mut dead = Vec::new();
                 if tombstones {
                     // One per shard, the best row of the first query among them.
-                    dead.push(scan.query(&queries[0], 1).unwrap()[0].id);
+                    dead.push(best);
                     for info in engine.shard_infos() {
                         let id = PointId::new(info.offset as u32);
                         if !dead.contains(&id) {
@@ -249,14 +266,25 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
                         assert!(engine.delete(id).unwrap(), "{cell}");
                     }
                 }
+                let scan = if delta {
+                    let row = &data.flat()[best.index() * 2..best.index() * 2 + 2];
+                    assert_eq!(engine.insert(row).unwrap(), PointId::new(n as u32));
+                    &with_delta
+                } else {
+                    &scan
+                };
                 let mut scratch = EngineScratch::new();
                 for q in &queries {
                     let plans = engine.explain(q, k).unwrap();
                     let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
                     let ran_direct = scratch.profile.rounds == 0;
-                    assert_eq!(ran_direct, shards == 1 && !tombstones, "{cell}");
+                    let one_pair = q.weights.iter().any(|&w| w != 0.0);
+                    assert_eq!(ran_direct, one_pair, "{cell} {:?}", q.weights);
                     assert_eq!(plans.len(), shards, "{cell}");
                     assert!(plans.iter().all(|p| p.direct == ran_direct), "{cell}");
+                    if ran_direct {
+                        assert!(scratch.profile.blocks_popped > 0, "{cell}");
+                    }
                     let mut want = scan.query(q, k + dead.len()).unwrap();
                     want.retain(|sp| !dead.contains(&sp.id));
                     want.truncate(k);

@@ -92,30 +92,33 @@ fn assert_counters_consistent(p: &QueryProfile, k: usize, live: u64) -> Result<(
         p.scan_fallbacks
     );
     prop_assert_eq!(p.emitted, (k as u64).min(live), "emitted != min(k, live)");
-    // The direct single-pair shortcut bypasses the instrumented
-    // aggregation loop and legitimately reports only `emitted`; the
-    // funnel shape is only meaningful when the aggregation ran.
-    if p.rows_fetched > 0 {
-        let funnel = p.funnel(live);
-        for w in funnel.windows(2).skip(1) {
-            prop_assert!(
-                w[0].1 >= w[1].1,
-                "funnel not monotone: {} {} < {} {}",
-                w[0].0,
-                w[0].1,
-                w[1].0,
-                w[1].1
-            );
-        }
+    let funnel = p.funnel(live);
+    for w in funnel.windows(2).skip(1) {
+        prop_assert!(
+            w[0].1 >= w[1].1,
+            "funnel not monotone: {} {} < {} {}",
+            w[0].0,
+            w[0].1,
+            w[1].0,
+            w[1].1
+        );
     }
     Ok(())
 }
 
-fn build_queries(raw: &[(Vec<f64>, Vec<f64>)]) -> Vec<SdQuery> {
+/// The first `dims` coordinates of every query whose weights there are not
+/// all zero.
+fn build_queries(raw: &[(Vec<f64>, Vec<f64>)], dims: usize) -> Vec<SdQuery> {
     raw.iter()
-        .filter(|(_, w)| w.iter().any(|&x| x > 0.0))
-        .map(|(p, w)| SdQuery::new(p.clone(), w.clone()).unwrap())
+        .filter(|(_, w)| w[..dims].iter().any(|&x| x > 0.0))
+        .map(|(p, w)| SdQuery::new(p[..dims].to_vec(), w[..dims].to_vec()).unwrap())
         .collect()
+}
+
+/// The first `dims` coordinates of every row.
+fn truncate_rows(rows: &[Vec<f64>], dims: usize) -> Dataset {
+    let rows: Vec<Vec<f64>> = rows.iter().map(|r| r[..dims].to_vec()).collect();
+    Dataset::from_rows(dims, &rows).unwrap()
 }
 
 fn roles_from_bits(dims: usize, bits: u8) -> Vec<DimRole> {
@@ -135,19 +138,21 @@ proptest! {
 
     // Profiling is observation only: a dirty, timing-enabled scratch
     // returns exactly what the fresh allocation path returns, and the
-    // counters it leaves behind are internally consistent.
+    // counters it leaves behind are internally consistent — on the
+    // aggregation and on the direct walk (2-D, one attractive and one
+    // repulsive dimension).
     #[test]
     fn profiled_sd_index_query_is_bit_identical_and_consistent(
         rows in vec(vec(coord(), 4), 1..120),
         raw_queries in vec((vec(coord(), 4), vec(weight(), 4)), 1..6),
+        dims in 2usize..5,
         role_bits in 0u8..16,
         k in 1usize..24,
     ) {
-        let dims = 4;
         let roles = roles_from_bits(dims, role_bits);
         let live = rows.len() as u64;
-        let data = Dataset::from_rows(dims, &rows).unwrap();
-        let queries = build_queries(&raw_queries);
+        let data = truncate_rows(&rows, dims);
+        let queries = build_queries(&raw_queries, dims);
         let index = SdIndex::build(data, &roles).unwrap();
 
         let mut scratch = QueryScratch::new();
@@ -161,25 +166,32 @@ proptest! {
     }
 
     // The same contract through the sharded engine: per-shard profiles are
-    // merged into one, and the merged counters still add up.
+    // merged into one, a walk over every shard counts as one, and the
+    // counters still add up — also with a tombstoned row, which every
+    // road must count as fetched and skipped.
     #[test]
     fn profiled_engine_query_is_bit_identical_and_consistent(
         rows in vec(vec(coord(), 3), 1..90),
         raw_queries in vec((vec(coord(), 3), vec(weight(), 3)), 1..5),
+        dims in 2usize..4,
         role_bits in 0u8..8,
         k in 1usize..12,
         shards in 1usize..5,
+        dead_row in 0usize..2,
     ) {
-        let dims = 3;
         let roles = roles_from_bits(dims, role_bits);
-        let live = rows.len() as u64;
-        let data = Dataset::from_rows(dims, &rows).unwrap();
-        let queries = build_queries(&raw_queries);
-        let engine = SdEngine::build_with(
+        let data = truncate_rows(&rows, dims);
+        let queries = build_queries(&raw_queries, dims);
+        let mut engine = SdEngine::build_with(
             data,
             &roles,
             &EngineOptions { shards, threads: 1, ..EngineOptions::default() },
         ).unwrap();
+        // Row 0 or none: an indexed row, never a delta one.
+        if dead_row == 1 {
+            engine.delete(PointId::new(0)).unwrap();
+        }
+        let live = engine.len() as u64;
 
         let mut scratch = EngineScratch::new();
         scratch.profile.timing = true;
