@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdq_core::geometry::Angle;
-use sdq_core::topk::TopKIndex;
 use sdq_data::{generate, uniform_queries, Distribution};
+use sdq_paper::topk::TopKIndex;
 
 fn angle_grid(count: usize) -> Vec<Angle> {
     (0..count)

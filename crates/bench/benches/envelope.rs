@@ -2,9 +2,9 @@
 //! construction kernel) across sizes and distributions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sdq_core::envelope::{upper_envelope, Tent};
 use sdq_core::geometry::Angle;
 use sdq_data::{generate, Distribution};
+use sdq_paper::envelope::{upper_envelope, Tent};
 
 fn bench_envelope(c: &mut Criterion) {
     let mut group = c.benchmark_group("envelope_sweep");

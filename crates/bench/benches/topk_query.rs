@@ -3,9 +3,9 @@
 //! lookup for contrast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sdq_core::top1::Top1Index;
-use sdq_core::topk::TopKIndex;
 use sdq_data::{generate, uniform_queries, Distribution};
+use sdq_paper::top1::Top1Index;
+use sdq_paper::topk::TopKIndex;
 
 fn bench_topk(c: &mut Criterion) {
     let n = 100_000;

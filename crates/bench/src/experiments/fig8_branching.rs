@@ -1,7 +1,12 @@
-//! Fig. 8i: SD-Index top-k memory footprint vs branching factor. Fewer,
-//! larger nodes shrink the per-angle bound storage.
+//! Fig. 8i: memory footprint of the paper's §4 dynamic tree
+//! ([`TopKIndex`], `sdq-paper`) vs its branching factor `b`: the point
+//! table plus every node's child list, x-range and per-angle bound tuples,
+//! nothing else. Fewer, larger nodes shrink the per-angle bound storage.
+//! The block form an engine stores per pair has a fixed fanout and takes no
+//! `b`, so it is not in this figure.
 
-use sdq_core::topk::{default_angles, TopKIndex};
+use sdq_core::topk::default_angles;
+use sdq_paper::topk::TopKIndex;
 
 use crate::harness::{Config, Report};
 use sdq_data::{generate, Distribution};

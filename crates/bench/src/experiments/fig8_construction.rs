@@ -2,9 +2,9 @@
 //! SD-topk, BRS (STR bulk load) and PE (per-dimension sorts).
 
 use sdq_baselines::{BrsIndex, PeIndex};
-use sdq_core::top1::Top1Index;
-use sdq_core::topk::TopKIndex;
 use sdq_core::DimRole;
+use sdq_paper::top1::Top1Index;
+use sdq_paper::topk::TopKIndex;
 
 use crate::harness::{time_once, Config, Report};
 use sdq_data::{generate, Distribution};

@@ -4,9 +4,9 @@
 
 use rand::{Rng, SeedableRng};
 use sdq_baselines::{BrsIndex, PeIndex};
-use sdq_core::top1::Top1Index;
-use sdq_core::topk::TopKIndex;
 use sdq_core::DimRole;
+use sdq_paper::top1::Top1Index;
+use sdq_paper::topk::TopKIndex;
 
 use crate::harness::{time_once, Config, Report};
 use sdq_data::{generate, Distribution};

@@ -5,7 +5,7 @@
 //! rotated space, hence the much smaller top-1 footprints.
 
 use sdq_core::multidim::SdIndex;
-use sdq_core::top1::Top1Index;
+use sdq_paper::top1::Top1Index;
 
 use crate::experiments::roles_mixed;
 use crate::harness::{Config, Report};

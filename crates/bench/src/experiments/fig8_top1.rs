@@ -2,7 +2,7 @@
 //! distributions, against sequential scan. The top-1 structure fixes
 //! `k = α = β = 1` at build time (§3).
 
-use sdq_core::top1::Top1Index;
+use sdq_paper::top1::Top1Index;
 
 use crate::harness::{time_once, time_queries, Config, Report};
 use sdq_data::{generate, uniform_queries_unit_weights, Distribution};

@@ -1,12 +1,15 @@
-//! Fig. 8a: growth of the SD-Index top-k querying cost with updates.
-//! An equal number of random deletions and insertions keeps the index size
-//! constant (an x-value of 1000 means 1000 + 1000 = 2000 updates); query
-//! time is measured after each batch. `SD-Index` is the fresh index,
-//! `SD-Index*` the updated one.
+//! Fig. 8a: growth of the query cost of the paper's §4 dynamic tree
+//! ([`TopKIndex`], `sdq-paper`) with point updates. An equal number of
+//! random deletions and insertions keeps the index size constant (an
+//! x-value of 1000 means 1000 + 1000 = 2000 updates); query time is
+//! measured after each batch, every row on the same per-point tree (row 0
+//! is the freshly bulk-loaded one, a rebuild policy may rebalance it later).
+//! An engine takes updates through its delta, tombstones and compaction
+//! instead, which this figure does not measure.
 
 use rand::{Rng, SeedableRng};
-use sdq_core::topk::TopKIndex;
 use sdq_core::PointId;
+use sdq_paper::topk::TopKIndex;
 
 use crate::harness::{time_queries, Config, Report};
 use sdq_data::{generate, uniform_queries, Distribution};

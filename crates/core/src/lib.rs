@@ -15,9 +15,8 @@
 //! The crate provides:
 //!
 //! * [`geometry`] — the isoline/projection machinery of §2 (Claims 1–4),
-//! * [`envelope`] — tent-envelope line sweeps (Alg. 1) and k-levels,
-//! * [`top1`] — the §3 region index for fixed `k`, `α`, `β` (O(log n) query),
-//! * [`topk`] — the §4 projection-bound tree for runtime `k`, `α`, `β`,
+//! * [`topk`] — the §4 projection-bound index for runtime `k`, `α`, `β`, in
+//!   the bulk-loaded block form an engine shard stores per pair,
 //! * [`multidim`] — the §5 pairing + threshold aggregation for any number of
 //!   dimensions, with a per-pair cost-based [`planner`](multidim::plan) and a
 //!   resumable [`ShardExecution`](multidim::ShardExecution) for the sharded
@@ -42,6 +41,10 @@
 //!   foundation of the `sdq-store` snapshot layer; see its module docs for a
 //!   persistence example).
 //!
+//! The paper's reference structures that no engine path reaches — the §3
+//! top-1 region index, the Alg. 1 envelopes and the §4 dynamic tree with its
+//! point updates — are the `sdq-paper` crate, built on this one.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -63,7 +66,6 @@
 pub mod codec;
 pub mod deadline;
 pub mod delta;
-pub mod envelope;
 pub mod geometry;
 pub mod integrity;
 pub mod kernels;
@@ -74,7 +76,6 @@ pub mod score;
 mod scratch;
 pub mod telemetry;
 pub mod threshold;
-pub mod top1;
 pub mod topk;
 mod types;
 pub mod view;

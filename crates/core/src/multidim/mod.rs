@@ -1540,7 +1540,7 @@ impl<'a> Pair2DStream<'a> {
     ) -> Self {
         Pair2DStream {
             inner: PairInner::Blocks {
-                frontier: BlockFrontier::with_scratch(blocks, eval, scratch.take_angle()),
+                frontier: BlockFrontier::with_scratch(blocks, eval, scratch.take_heap()),
                 blocks,
                 alpha,
                 beta,
@@ -1552,7 +1552,7 @@ impl<'a> Pair2DStream<'a> {
     /// Hands the owned buffers back to the scratch.
     fn recycle(self, scratch: &mut QueryScratch) {
         if let PairInner::Blocks { frontier, .. } = self.inner {
-            scratch.put_angle(frontier.into_scratch());
+            scratch.put_heap(frontier.into_scratch());
         }
     }
 

@@ -5,11 +5,11 @@
 //! A fresh [`QueryScratch`] is cheap (all containers start empty); after the
 //! first query through it, every buffer has grown to its high-water mark and
 //! subsequent queries of similar shape allocate nothing. One scratch serves
-//! every engine in the crate — [`TopKIndex`](crate::topk::TopKIndex), the
-//! Claim 6 bracketing path and the §5 [`SdIndex`](crate::multidim::SdIndex)
-//! — because they all decompose into the same primitives: certified angle
-//! streams (`AngleScratch`), a candidate pool, a seen-set and an answer
-//! buffer.
+//! every query path in the crate — the §5 aggregation of an
+//! [`SdIndex`](crate::multidim::SdIndex), the direct 2-D walk of a
+//! single-pair query and the baselines' `query_with` — because they all
+//! decompose into the same primitives: frontier heaps, a candidate pool, a
+//! seen-set and an answer buffer.
 //!
 //! Scratches are plain owned values: keep one per worker thread and reuse
 //! it across queries. The indexes themselves stay immutable during
@@ -43,7 +43,7 @@ use crate::deadline::Deadline;
 use crate::multidim::Subproblem;
 use crate::profile::QueryProfile;
 use crate::topk::arbitrary::PartWalk;
-use crate::topk::stream::AngleScratch;
+use crate::topk::stream::HeapEntry;
 use crate::types::{OrdF64, ScoredPoint};
 
 /// A generation-stamped membership set over dense row ids `0..n`: one
@@ -98,17 +98,16 @@ impl StampSet {
 /// Owned, reusable buffers for the whole query path.
 ///
 /// Obtain one with [`QueryScratch::new`], then pass it to the `query_with`
-/// entry points ([`TopKIndex::query_with`](crate::topk::TopKIndex::query_with),
-/// [`SdIndex::query_with`](crate::multidim::SdIndex::query_with), or a
-/// baseline's equivalent). Results are returned as a slice borrowed from the
+/// entry points ([`SdIndex::query_with`](crate::multidim::SdIndex::query_with)
+/// or a baseline's equivalent). Results are returned as a slice borrowed from the
 /// scratch — copy them out if they must outlive the next query.
 ///
 /// The plain `query()` methods are thin wrappers that run `query_with` over
 /// a fresh scratch, so both entry points return bit-identical answers.
 #[derive(Default)]
 pub struct QueryScratch {
-    /// Recycled per-angle-stream state (4 frontier heaps + pool + seen).
-    pub(crate) angles: Vec<AngleScratch>,
+    /// Recycled frontier heaps, one per block frontier of a query.
+    pub(crate) heaps: Vec<BinaryHeap<HeapEntry>>,
     /// Candidate pool of the outer threshold loop (TA aggregation and the
     /// bracketed single-pair path).
     pub(crate) pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
@@ -167,14 +166,14 @@ impl QueryScratch {
         &self.answers
     }
 
-    /// Pops a recycled angle-stream scratch (or a fresh one).
-    pub(crate) fn take_angle(&mut self) -> AngleScratch {
-        self.angles.pop().unwrap_or_default()
+    /// Pops a recycled frontier heap (or a fresh one).
+    pub(crate) fn take_heap(&mut self) -> BinaryHeap<HeapEntry> {
+        self.heaps.pop().unwrap_or_default()
     }
 
-    /// Returns an angle-stream scratch to the pool for reuse.
-    pub(crate) fn put_angle(&mut self, s: AngleScratch) {
-        self.angles.push(s);
+    /// Returns a frontier heap to the pool for reuse.
+    pub(crate) fn put_heap(&mut self, heap: BinaryHeap<HeapEntry>) {
+        self.heaps.push(heap);
     }
 
     /// Hands out the recycled (empty) subproblem buffer for assembling a

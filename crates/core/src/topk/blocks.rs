@@ -30,12 +30,12 @@
 //! is an admissible index (a file written in x-strips opens and answers), and
 //! no reader knows which one it was handed.
 //!
-//! It has no point updates. The paper's *dynamic* tree — per-point leaves
-//! in x-sorted order, `insert` / `delete`, the |U|/n rebuild policy — is
-//! [`TopKIndex`](super::TopKIndex), an in-memory library index that derives
-//! a `BlockSet` at every bulk load and drops it at the first point-level
-//! mutation. An engine never mutates a pair in place (writes go to its delta
-//! and tombstones, a compaction rebuilds), so a shard keeps only this.
+//! It has no point updates. An engine never mutates a pair in place (writes
+//! go to its delta and tombstones, a compaction rebuilds), so a shard keeps
+//! only this. The paper's *dynamic* tree — per-point leaves in x-sorted
+//! order, `insert` / `delete`, the |U|/n rebuild policy — lives in the
+//! `sdq-paper` crate and shares nothing with this index but the envelope
+//! arithmetic ([`FrontierEval`], [`AngleBounds`]).
 //!
 //! The payoff of the layout is threefold:
 //!
@@ -50,6 +50,8 @@
 //!   is rejected **before any of its points is scored** — the §4
 //!   bound-driven pruning of Claim 6, pushed below node granularity.
 
+use std::collections::BinaryHeap;
+
 use crate::codec::{corrupt, Codec, Reader, Result, Writer};
 use crate::geometry::Angle;
 use crate::kernels::{prefetch, LaneBlock, LANES};
@@ -57,7 +59,7 @@ use crate::threshold::encode as order_key;
 use crate::types::OrdF64;
 use crate::view::ColumnarView;
 
-use super::stream::{AngleScratch, FrontierEval, StreamKind};
+use super::stream::{FrontierEval, HeapEntry, StreamKind};
 use super::AngleBounds;
 
 /// Fanout of the implicit envelope tree above the blocks.
@@ -458,14 +460,12 @@ const BLOCK_LVL: u32 = 0;
 /// non-increasing bound order — after giving the caller's `prune` hook a
 /// chance to reject the entry against its k-th-score floor before any point
 /// is scored — and [`BlockFrontier::bound`] is the heap's head and never
-/// rises. (The dynamic tree's per-point
-/// [`PairFrontier`](super::stream::PairFrontier) keeps the paper's four
-/// per-type heaps.)
+/// rises.
 pub(crate) struct BlockFrontier<'a> {
     set: &'a BlockSet,
     eval: FrontierEval,
-    /// Recycled buffers; the walk uses `heaps[0]` alone.
-    pub(crate) s: AngleScratch,
+    /// The frontier, in a recycled allocation.
+    heap: BinaryHeap<HeapEntry>,
     /// Walk counters since the last [`BlockFrontier::take_counters`]
     /// drain — flushed into a
     /// [`QueryProfile`](crate::profile::QueryProfile) by the aggregation
@@ -487,13 +487,17 @@ pub(crate) struct FrontierCounters {
 }
 
 impl<'a> BlockFrontier<'a> {
-    /// Starts a frontier reusing a warmed scratch (reset internally).
-    pub(crate) fn with_scratch(set: &'a BlockSet, eval: FrontierEval, mut s: AngleScratch) -> Self {
-        s.reset();
+    /// Starts a frontier in a recycled heap (cleared here).
+    pub(crate) fn with_scratch(
+        set: &'a BlockSet,
+        eval: FrontierEval,
+        mut heap: BinaryHeap<HeapEntry>,
+    ) -> Self {
+        heap.clear();
         let mut f = BlockFrontier {
             set,
             eval,
-            s,
+            heap,
             counters: FrontierCounters::default(),
         };
         if set.n_blocks > 0 {
@@ -502,9 +506,9 @@ impl<'a> BlockFrontier<'a> {
         f
     }
 
-    /// Recovers the scratch buffers for reuse by a later query.
-    pub(crate) fn into_scratch(self) -> AngleScratch {
-        self.s
+    /// Recovers the heap for reuse by a later query.
+    pub(crate) fn into_scratch(self) -> BinaryHeap<HeapEntry> {
+        self.heap
     }
 
     /// Drains the walk counters accumulated since the last call
@@ -538,14 +542,15 @@ impl<'a> BlockFrontier<'a> {
         if xmin < self.eval.qx {
             prio = prio.max(score(StreamKind::Rlp)).max(score(StreamKind::Rup));
         }
-        self.s.heaps[0].push((OrdF64::new(prio), std::cmp::Reverse(lvl), idx));
+        self.heap
+            .push((OrdF64::new(prio), std::cmp::Reverse(lvl), idx));
     }
 
     /// Admissible upper bound (normalised θ_q units) on every point in a
     /// block not yet surfaced; `None` once drained.
     #[inline]
     pub(crate) fn bound(&self) -> Option<f64> {
-        self.s.heaps[0].peek().map(|&(OrdF64(p), _, _)| p)
+        self.heap.peek().map(|&(OrdF64(p), _, _)| p)
     }
 
     /// The evaluation this frontier bounds its entries under.
@@ -557,7 +562,7 @@ impl<'a> BlockFrontier<'a> {
     /// Surfaces the next block, or `None` once drained: [`BlockFrontier::pop`]
     /// until a block comes out.
     pub(crate) fn next_block(&mut self, mut prune: impl FnMut(f64) -> bool) -> Option<u32> {
-        while !self.s.heaps[0].is_empty() {
+        while !self.heap.is_empty() {
             if let Some(block) = self.pop(&mut prune) {
                 return Some(block);
             }
@@ -579,7 +584,7 @@ impl<'a> BlockFrontier<'a> {
     /// the whole subtree is certifiably irrelevant.
     #[inline]
     pub(crate) fn pop(&mut self, prune: impl FnOnce(f64) -> bool) -> Option<u32> {
-        let (OrdF64(prio), std::cmp::Reverse(lvl), idx) = self.s.heaps[0].pop()?;
+        let (OrdF64(prio), std::cmp::Reverse(lvl), idx) = self.heap.pop()?;
         if prune(prio) {
             if lvl == BLOCK_LVL {
                 self.counters.blocks_floor_pruned += 1;
@@ -613,7 +618,7 @@ impl<'a> BlockFrontier<'a> {
     /// without the hint every pop starts with a chain of cache misses.
     #[inline]
     fn prefetch_next(&self) {
-        let Some(&(_, std::cmp::Reverse(lvl), idx)) = self.s.heaps[0].peek() else {
+        let Some(&(_, std::cmp::Reverse(lvl), idx)) = self.heap.peek() else {
             return;
         };
         let i = idx as usize;
@@ -854,7 +859,7 @@ mod tests {
         let set = BlockSet::build(&pts, all_slots(&pts), &angles);
         for theta in [angles[2], Angle::from_weights(1.0, 0.3).unwrap()] {
             let eval = FrontierEval::at(&angles, &theta, 0.5, 0.5).unwrap();
-            let mut f = BlockFrontier::with_scratch(&set, eval, AngleScratch::default());
+            let mut f = BlockFrontier::with_scratch(&set, eval, BinaryHeap::new());
             let mut surfaced = vec![0u32; set.n_blocks()];
             while let Some(b) = f.next_block(|_| false) {
                 surfaced[b as usize] += 1;
@@ -865,8 +870,7 @@ mod tests {
             assert_eq!(c.blocks_popped, set.n_blocks() as u64);
             let inner: usize = set.levels.iter().map(|l| l.xr.len()).sum();
             assert_eq!(c.nodes_visited, inner as u64, "every envelope once");
-            let s = f.into_scratch();
-            assert!(s.seen.is_empty() && s.heaps[1..].iter().all(|h| h.is_empty()));
+            assert!(f.into_scratch().is_empty());
         }
     }
 
@@ -899,7 +903,7 @@ mod tests {
                     .fold(f64::NEG_INFINITY, f64::max)
             })
             .collect();
-        let mut f = BlockFrontier::with_scratch(set, eval, AngleScratch::default());
+        let mut f = BlockFrontier::with_scratch(set, eval, BinaryHeap::new());
         let mut unsurfaced: std::collections::HashSet<u32> = (0..set.n_blocks() as u32).collect();
         let mut last = f64::INFINITY;
         loop {

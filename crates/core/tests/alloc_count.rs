@@ -1,9 +1,8 @@
 //! Proof of the zero-allocation query engine: after one warm-up pass, a
 //! reused [`QueryScratch`] answers every query of the steady-state workload
-//! with **zero** heap allocations, on both the 2-D [`TopKIndex`] path
-//! (indexed and bracketed angles) and the §5 [`SdIndex`] aggregation path
-//! — including the queries that spend their fetch budget and finish with
-//! the kernel scan.
+//! with **zero** heap allocations on the §5 [`SdIndex`] aggregation path —
+//! including the queries that spend their fetch budget and finish with the
+//! kernel scan.
 //!
 //! The measurement uses a counting global allocator with a thread-local
 //! counter, so each `#[test]` in this binary observes exactly the
@@ -16,7 +15,6 @@ use std::cell::Cell;
 
 use rand::{Rng, SeedableRng};
 use sdq_core::multidim::{resolve_threads, SdIndex};
-use sdq_core::topk::TopKIndex;
 use sdq_core::{Dataset, DimRole, QueryScratch, SdQuery};
 
 struct CountingAlloc;
@@ -66,37 +64,8 @@ fn count_allocs(mut f: impl FnMut()) -> u64 {
 fn steady_state_queries_do_not_allocate() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xA110C);
 
-    // ── 2-D index: indexed-angle and dual-bracket paths ──────────────────
-    let pts: Vec<(f64, f64)> = (0..20_000)
-        .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
-        .collect();
-    let topk = TopKIndex::build(&pts).unwrap();
-    // Mix of indexed (α = β → 45°) and arbitrary (bracketed) weights.
-    let queries2d: Vec<(f64, f64, f64, f64)> = (0..24)
-        .map(|i| {
-            let (qx, qy) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-            if i % 3 == 0 {
-                (qx, qy, 1.0, 1.0)
-            } else {
-                (qx, qy, rng.gen_range(0.1..1.0), rng.gen_range(0.1..1.0))
-            }
-        })
-        .collect();
-
     let mut scratch = QueryScratch::new();
     let mut sink = 0.0f64;
-    let run_2d = |scratch: &mut QueryScratch, sink: &mut f64| {
-        for &(qx, qy, alpha, beta) in &queries2d {
-            let r = topk.query_with(qx, qy, alpha, beta, 16, scratch).unwrap();
-            *sink += r.iter().map(|sp| sp.score).sum::<f64>();
-        }
-    };
-    run_2d(&mut scratch, &mut sink); // warm-up: buffers grow here
-    let n = count_allocs(|| run_2d(&mut scratch, &mut sink));
-    assert_eq!(
-        n, 0,
-        "TopKIndex::query_with allocated {n} times after warm-up"
-    );
 
     // ── §5 index: 4-D, two pairs, TA aggregation over Pair2DStreams ──────
     let dims = 4;

@@ -76,9 +76,9 @@
 //!
 //! ## Migration
 //!
-//! [`SdIndex::query`] (and the 2-D `TopKIndex` entry points) remain fully
-//! supported; the engine is the recommended front door for serving — it
-//! subsumes them as plan strategies and adds sharding, cross-shard pruning
+//! [`SdIndex::query`] remains fully supported — over roles `[a, r]` it is
+//! the 2-D index too; the engine is the recommended front door for serving —
+//! it subsumes it as plan strategies and adds sharding, cross-shard pruning
 //! and batch execution. `SdEngine::build_with` with `shards = 1` behaves
 //! exactly like a planned `SdIndex` with engine ergonomics.
 //!

@@ -25,8 +25,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::geometry::Angle;
-use crate::types::OrdF64;
+use sdq_core::geometry::Angle;
+use sdq_core::OrdF64;
 
 /// One tent: a point of the 2-D sub-space identified by its slice index.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -16,9 +16,9 @@
 //! updates rebuild the k-level, which the paper leaves unspecified.
 
 use crate::envelope::{k_level, k_level_lower, sweep_presorted, KLevel, Keyed, Tent};
-use crate::geometry::Angle;
-use crate::score::{rank_cmp, sd_score_2d};
-use crate::types::{PointId, ScoredPoint, SdError};
+use sdq_core::geometry::Angle;
+use sdq_core::score::{rank_cmp, sd_score_2d};
+use sdq_core::{PointId, ScoredPoint, SdError};
 
 /// Precomputed top-k index for fixed `k` and fixed weights `α`, `β`.
 ///

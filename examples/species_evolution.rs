@@ -8,7 +8,7 @@
 //! cargo run --example species_evolution
 //! ```
 
-use sdq::core::top1::Top1Index;
+use sdq::paper::top1::Top1Index;
 
 fn main() {
     // (phylogeny, habitat) — laid out to match Figure 1's narrative.

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex};
 use sdq::core::geometry::Angle;
 use sdq::core::multidim::SdIndex;
-use sdq::core::top1::Top1Index;
-use sdq::core::topk::TopKIndex;
+use sdq::paper::top1::Top1Index;
+use sdq::paper::topk::TopKIndex;
 use sdq::{Dataset, DimRole, SdError, SdQuery};
 
 fn two_d() -> Arc<Dataset> {

@@ -418,32 +418,38 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
     }
 }
 
-/// The 2-D certified block path (TopKIndex direct queries) is likewise
-/// dispatch-independent, stale-block fallback included.
+/// The direct 2-D walk — over one bare `SdIndex` over roles `[a, r]`, and
+/// over every shard of a 3-shard engine at once, one row tombstoned — is
+/// likewise dispatch-independent.
 #[test]
 fn topk_direct_path_bit_identical_scalar_vs_dispatched() {
-    use sdq::core::topk::TopKIndex;
-    let pts: Vec<(f64, f64)> = (0..300)
-        .map(|i| (((i * 13) % 7) as f64, ((i * 5) % 9) as f64 * 0.5))
+    let rows: Vec<Vec<f64>> = (0..300)
+        .map(|i| vec![((i * 13) % 7) as f64, ((i * 5) % 9) as f64 * 0.5])
         .collect();
+    let data = Dataset::from_rows(2, &rows).unwrap();
+    let roles = [DimRole::Attractive, DimRole::Repulsive];
+    let index = sdq::core::multidim::SdIndex::build(data.clone(), &roles).unwrap();
+    let mut engine = SdEngine::build_with(
+        data,
+        &roles,
+        &EngineOptions {
+            shards: 3,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    engine.delete(PointId::new(150)).unwrap();
     let run = || {
-        let mut index = TopKIndex::build(&pts).unwrap();
         let mut out = Vec::new();
         for (qx, qy, alpha, beta, k) in [
             (3.0, 1.0, 1.0, 1.0, 9),
             (0.5, 2.0, 2.0, 0.7, 25),
             (6.0, 0.0, 0.3, 1.9, 4),
         ] {
-            out.push(index.query(qx, qy, alpha, beta, k).unwrap());
+            let query = SdQuery::new(vec![qx, qy], vec![beta, alpha]).unwrap();
+            out.push(index.query(&query, k).unwrap());
+            out.push(engine.query(&query, k).unwrap());
         }
-        // Point-level mutation drops the block layout: the per-point
-        // fallback must produce the same canonical answers.
-        let id = index.insert(100.0, 100.0).unwrap();
-        out.push(index.query(3.0, 1.0, 1.0, 1.0, 9).unwrap());
-        index.delete(id);
-        out.push(index.query(3.0, 1.0, 1.0, 1.0, 9).unwrap());
-        index.refresh_blocks();
-        out.push(index.query(3.0, 1.0, 1.0, 1.0, 9).unwrap());
         out
     };
     let _guard = DISPATCH_LOCK.lock().unwrap();

@@ -2,11 +2,11 @@
 //! exercised over randomized inputs at the public-API level.
 
 use rand::{Rng, SeedableRng};
-use sdq::core::envelope::{provider_at, upper_envelope, Tent};
 use sdq::core::geometry::{
     claim1_negative_region, projection_for, score_via_projection, Angle, ProjectionType,
 };
-use sdq::core::topk::TopKIndex;
+use sdq::paper::envelope::{provider_at, upper_envelope, Tent};
+use sdq::paper::topk::TopKIndex;
 
 fn rng() -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(0x51AC)

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex};
 use sdq::core::multidim::SdIndex;
-use sdq::core::top1::Top1Index;
-use sdq::core::topk::TopKIndex;
+use sdq::paper::top1::Top1Index;
+use sdq::paper::topk::TopKIndex;
 use sdq::rstar::RStarTree;
 use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
@@ -170,7 +170,7 @@ proptest! {
         beta in weight(),
         probes in vec(coord(), 1..12),
     ) {
-        use sdq::core::envelope::{provider_at, upper_envelope, Tent};
+        use sdq::paper::envelope::{provider_at, upper_envelope, Tent};
         use sdq::core::geometry::Angle;
         let angle = Angle::from_weights(alpha, beta).unwrap();
         let tents: Vec<Tent> = pts.iter().map(|&(x, y)| Tent::new(x, y)).collect();

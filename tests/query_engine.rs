@@ -10,8 +10,8 @@ use proptest::prelude::*;
 
 use sdq::baselines::TaIndex;
 use sdq::core::multidim::SdIndex;
-use sdq::core::topk::TopKIndex;
 use sdq::core::QueryScratch;
+use sdq::paper::topk::TopKIndex;
 use sdq::{Dataset, DimRole, ScoredPoint, SdQuery};
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -98,7 +98,7 @@ proptest! {
         k in 1usize..12,
     ) {
         let topk = TopKIndex::build(&pts).unwrap();
-        let mut scratch = QueryScratch::new();
+        let mut scratch = sdq::paper::QueryScratch::new();
         for &(qx, qy, alpha, beta) in &queries {
             if alpha == 0.0 && beta == 0.0 {
                 continue; // degenerate weights are rejected by both paths

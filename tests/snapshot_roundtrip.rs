@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use sdq::core::integrity::crc32c;
 use sdq::core::multidim::SdIndex;
-use sdq::core::topk::TopKIndex;
 use sdq::engine::{EngineOptions, SdEngine};
+use sdq::paper::topk::TopKIndex;
 use sdq::store::{
     wal, DiskStorage, DurabilityInfo, DurableEngine, DurableOptions, MappedBytes, Snapshot,
     FORMAT_VERSION, MAGIC,
@@ -55,16 +55,21 @@ proptest! {
         qx in coord(), qy in coord(),
         alpha in weight(), beta in weight(),
         k in 1usize..8,
+        shards in prop_oneof![Just(1usize), Just(3)],
     ) {
         prop_assume!(alpha > 0.0 || beta > 0.0);
-        // The in-memory §4 tree against its stored form: the same points as
-        // a one-shard 2-D engine (x attractive, y repulsive), saved and
-        // loaded back.
+        // The paper's per-point §4 tree against the stored one: the same
+        // points as a 2-D engine (x attractive, y repulsive) of one or three
+        // shards, saved and loaded back, whose single-pair query is the §4
+        // walk over every shard's block set at once.
         let index = TopKIndex::build(&pts).unwrap();
         let rows: Vec<Vec<f64>> = pts.iter().map(|&(x, y)| vec![x, y]).collect();
         let roles = [DimRole::Attractive, DimRole::Repulsive];
+        let options = EngineOptions { shards, ..EngineOptions::default() };
         let mut snap = Snapshot::new();
-        snap.engine = Some(SdEngine::build(Dataset::from_rows(2, &rows).unwrap(), &roles).unwrap());
+        snap.engine = Some(
+            SdEngine::build_with(Dataset::from_rows(2, &rows).unwrap(), &roles, &options).unwrap(),
+        );
         let back = Snapshot::from_bytes(&snap.to_bytes_v5().unwrap()).unwrap();
         let query = SdQuery::new(vec![qx, qy], vec![beta, alpha]).unwrap();
         // Bit-identical results: same ids, same score bits.

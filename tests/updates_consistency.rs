@@ -5,8 +5,8 @@
 use rand::{Rng, SeedableRng};
 use sdq::baselines::BrsIndex;
 use sdq::core::score::rank_cmp;
-use sdq::core::top1::Top1Index;
-use sdq::core::topk::TopKIndex;
+use sdq::paper::top1::Top1Index;
+use sdq::paper::topk::TopKIndex;
 use sdq::rstar::RStarTree;
 use sdq::{DimRole, PointId, ScoredPoint, SdQuery};
 
