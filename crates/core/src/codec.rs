@@ -686,11 +686,50 @@ fn finite_f64(v: f64, what: &str) -> Result<f64> {
     Ok(v)
 }
 
+/// Bytes of table one branch-free pass of a content check covers before it
+/// tests its violation flag.
+pub(crate) const CHECK_CHUNK_BYTES: usize = 4096;
+
+/// The index of the first element of `vs` that is `bad`. Each chunk of
+/// [`CHECK_CHUNK_BYTES`] is one pass that ORs `bad` over every element — no
+/// early exit, so a simple predicate vectorises — and only a chunk that
+/// trips is walked again to name its first offender.
+pub(crate) fn first_bad<T>(vs: &[T], bad: impl Fn(&T) -> bool) -> Option<usize> {
+    let per = (CHECK_CHUNK_BYTES / std::mem::size_of::<T>()).max(1);
+    vs.chunks(per).enumerate().find_map(|(c, chunk)| {
+        let tripped = chunk.iter().fold(false, |acc, v| acc | bad(v));
+        tripped.then(|| c * per + chunk.iter().position(&bad).expect("the chunk tripped"))
+    })
+}
+
 fn finite_slice(vs: &[f64], what: &str) -> Result<()> {
-    for &v in vs {
-        finite_f64(v, what)?;
+    match first_bad(vs, |v| !v.is_finite()) {
+        Some(i) => Err(corrupt(format!("non-finite {what}: {}", vs[i]))),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// `true` unless `x <= y`: a NaN on either side is out of order.
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // the negation is what catches NaN
+#[inline]
+fn descends(x: &f64, y: &f64) -> bool {
+    !(x <= y)
+}
+
+/// `true` when every value is `<=` its successor (so a NaN anywhere but
+/// alone fails), in the chunked passes of [`first_bad`].
+fn ascending(vs: &[f64]) -> bool {
+    let per = CHECK_CHUNK_BYTES / std::mem::size_of::<f64>();
+    let Some(next) = vs.get(1..) else {
+        return true;
+    };
+    // Chunk `c` of `vs` against chunk `c` of `vs[1..]` is every adjacent
+    // pair whose left value lies in chunk `c`.
+    vs.chunks(per).zip(next.chunks(per)).all(|(a, b)| {
+        !a.iter()
+            .zip(b)
+            .fold(false, |acc, (x, y)| acc | descends(x, y))
+    })
 }
 
 // ─── domain type impls ──────────────────────────────────────────────────────
@@ -797,7 +836,7 @@ impl Codec for SortedColumn {
     /// Row ids are checked against the dataset by the owning [`SdIndex`].
     fn verify_decoded(&mut self) -> Result<()> {
         finite_slice(&self.values, "column value")?;
-        ensure(self.values.windows(2).all(|w| w[0] <= w[1]), || {
+        ensure(ascending(&self.values), || {
             "sorted column out of order".to_string()
         })
     }
@@ -1029,6 +1068,90 @@ mod tests {
         w.pod_array(&[f64::NAN]);
         let err = decode_from_slice::<Dataset>(&w.into_bytes()).unwrap_err();
         assert!(matches!(err, SdError::SnapshotCorrupt { .. }));
+    }
+
+    /// Three chunks and a partial fourth of `f64`s.
+    fn chunked_values() -> Vec<f64> {
+        let per = CHECK_CHUNK_BYTES / 8;
+        (0..3 * per + 77).map(|i| i as f64 * 0.5 - 100.0).collect()
+    }
+
+    /// Offender positions: the first, a middle and the last chunk, and two
+    /// in different chunks at once.
+    fn offender_sets(len: usize) -> [Vec<usize>; 5] {
+        let per = CHECK_CHUNK_BYTES / 8;
+        [
+            vec![0],
+            vec![per + 5],
+            vec![len - 1],
+            vec![2 * per + 3, per + 9],
+            vec![per - 1, per],
+        ]
+    }
+
+    #[test]
+    fn finite_slice_names_the_first_offender_in_any_chunk() {
+        let reference = |vs: &[f64]| -> Result<()> {
+            for &v in vs {
+                finite_f64(v, "coordinate")?;
+            }
+            Ok(())
+        };
+        let clean = chunked_values();
+        assert!(finite_slice(&clean, "coordinate").is_ok());
+        for at in offender_sets(clean.len()) {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut vs = clean.clone();
+                for (j, &i) in at.iter().enumerate() {
+                    vs[i] = if j == 0 { bad } else { -bad };
+                }
+                let got = finite_slice(&vs, "coordinate").map_err(|e| e.to_string());
+                assert!(got.is_err(), "{at:?}");
+                assert_eq!(got, reference(&vs).map_err(|e| e.to_string()), "{at:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_finds_a_descent_in_any_chunk() {
+        let reference = |vs: &[f64]| vs.windows(2).all(|w| w[0] <= w[1]);
+        let clean = chunked_values();
+        for len in [0, 1, 2, clean.len()] {
+            assert!(ascending(&clean[..len]), "len {len}");
+        }
+        for at in offender_sets(clean.len()) {
+            for nan in [false, true] {
+                let mut vs = clean.clone();
+                for &i in &at {
+                    // Below its left neighbour, or above its right one.
+                    vs[i] = match (nan, i) {
+                        (true, _) => f64::NAN,
+                        (false, 0) => 1e9,
+                        (false, _) => -1e9,
+                    };
+                }
+                assert!(!reference(&vs), "{at:?}");
+                assert!(!ascending(&vs), "{at:?}, NaN {nan}");
+            }
+        }
+        // Equal neighbours across a chunk edge are in order.
+        let per = CHECK_CHUNK_BYTES / 8;
+        let mut flat = clean.clone();
+        flat[per] = flat[per - 1];
+        assert!(ascending(&flat));
+    }
+
+    #[test]
+    fn first_bad_counts_chunks_in_elements_of_any_size() {
+        for len in [0usize, 1, 1023, 1024, 1025, 5000] {
+            let vs: Vec<u32> = (0..len as u32).collect();
+            for target in [0, len / 2, len.saturating_sub(1)] {
+                let want = (target < len).then_some(target);
+                assert_eq!(first_bad(&vs, |&v| v as usize == target), want);
+                assert_eq!(first_bad(&vs, |&v| v as usize >= target), want);
+            }
+            assert_eq!(first_bad(&vs, |_| false), None);
+        }
     }
 
     #[test]

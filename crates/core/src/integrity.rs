@@ -6,9 +6,32 @@
 //! bytes, and every later access is a single atomic load. CRC-32C
 //! (Castagnoli) is the workspace's one checksum — snapshot regions, the
 //! section table and the write-ahead log all use [`crc32c`] — because it
-//! has a hardware instruction on x86-64 (SSE 4.2), keeping first-touch
-//! verification near memory bandwidth; a slice-by-8 software fallback
-//! produces bit-identical values elsewhere.
+//! has a hardware instruction on x86-64 (SSE 4.2); a slice-by-8 software
+//! arm produces bit-identical values where the instruction is missing or
+//! the kernels are pinned to scalar (`SDQ_FORCE_SCALAR`).
+//!
+//! ## Three streams
+//!
+//! The `crc32` instruction takes 3 cycles to produce its result but can
+//! start one per cycle, so a single chain of them — each step waiting on the
+//! last — runs at a third of what the core can do. The hardware arm
+//! therefore cuts the input into blocks of three adjacent thirds, runs an
+//! independent chain over each third side by side, and joins them: a chain
+//! from register `r` over `A‖B` ends where `shift_|B|(chain from r over A)`
+//! XOR `chain from 0 over B` ends, where `shift_L` — appending `L` zero
+//! bytes — is linear over GF(2). Each `shift_L` is four 256-entry tables
+//! built at compile time (Adler's construction), so a join is eight table
+//! reads.
+//!
+//! Blocks are 3 × 8 KiB while that much input remains: the two joins cost
+//! a few nanoseconds against the ≈ 1.3 µs the block takes, and 24 KiB of
+//! input in flight stays inside L1. Then 3 × 256 B blocks take what is left
+//! down to 768 B, where a join still costs a fraction of the single chain it
+//! replaces. The last < 768 B — so every input that short, such as a WAL
+//! record — runs the single chain. On a 2-core x86-64 VM (Xeon, AVX-512
+//! class) the single chain measured 6.3–7.0 GB/s and the three streams
+//! 17–20 GB/s over a 16 MiB buffer, so the 8.5 MB of regions of a 100k-row
+//! 4-D four-shard store are ≈ 0.45 ms of checksum instead of ≈ 1.3 ms.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -201,6 +224,99 @@ pub fn ensure_all(regions: &[Arc<SectionIntegrity>]) -> Result<(), SdError> {
 
 const POLY: u32 = 0x82F6_3B78; // reflected 0x1EDC6F41
 
+/// Bytes per stream of the long three-stream block (3 × 8 KiB).
+const LONG: usize = 8192;
+/// Bytes per stream of the short three-stream block (3 × 256 B).
+const SHORT: usize = 256;
+
+/// "Append `len` zero bytes" as a linear map on the CRC register, one
+/// 256-entry table per register byte: `T[j][b]` is the register that
+/// `b << 8j` becomes after `len` zero bytes, and by linearity over GF(2)
+/// the image of any register is the XOR of its four bytes' entries.
+type ZerosOperator = [[u32; 256]; 4];
+
+/// The image of `v` under a 32 × 32 GF(2) matrix given by its columns
+/// (`m[i]` is the image of bit `i`).
+const fn gf2_apply(m: &[u32; 32], mut v: u32) -> u32 {
+    let (mut out, mut i) = (0, 0);
+    while v != 0 {
+        if v & 1 != 0 {
+            out ^= m[i];
+        }
+        v >>= 1;
+        i += 1;
+    }
+    out
+}
+
+/// The matrix of `a` after `b`.
+const fn gf2_compose(a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
+    let mut out = [0; 32];
+    let mut i = 0;
+    while i < 32 {
+        out[i] = gf2_apply(a, b[i]);
+        i += 1;
+    }
+    out
+}
+
+/// Builds the [`ZerosOperator`] for `len` zero bytes (Adler's construction):
+/// the one-zero-byte matrix raised to the `len`th power by squaring, then
+/// tabulated per register byte.
+const fn zeros_operator(len: usize) -> ZerosOperator {
+    // One zero byte: eight register shifts, each folding the polynomial in
+    // when a one falls off the end.
+    let mut byte = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let mut crc = 1u32 << i;
+        let mut b = 0;
+        while b < 8 {
+            crc = (crc >> 1) ^ (POLY & 0u32.wrapping_sub(crc & 1));
+            b += 1;
+        }
+        byte[i] = crc;
+        i += 1;
+    }
+    let mut op = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        op[i] = 1 << i;
+        i += 1;
+    }
+    let mut n = len;
+    while n > 0 {
+        if n & 1 != 0 {
+            op = gf2_compose(&byte, &op);
+        }
+        byte = gf2_compose(&byte, &byte);
+        n >>= 1;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut j = 0;
+    while j < 4 {
+        let mut b = 0;
+        while b < 256 {
+            tables[j][b] = gf2_apply(&op, (b as u32) << (8 * j));
+            b += 1;
+        }
+        j += 1;
+    }
+    tables
+}
+
+static ZEROS_LONG: ZerosOperator = zeros_operator(LONG);
+static ZEROS_SHORT: ZerosOperator = zeros_operator(SHORT);
+
+/// The register `crc` becomes after the zero bytes `op` stands for.
+#[inline]
+fn shift(op: &ZerosOperator, crc: u32) -> u32 {
+    op[0][(crc & 0xFF) as usize]
+        ^ op[1][((crc >> 8) & 0xFF) as usize]
+        ^ op[2][((crc >> 16) & 0xFF) as usize]
+        ^ op[3][(crc >> 24) as usize]
+}
+
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -233,12 +349,19 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 static TABLES: [[u32; 256]; 8] = build_tables();
 
-/// CRC-32C of `data` (hardware-accelerated on SSE 4.2, software elsewhere).
+/// CRC-32C of `data`: the SSE 4.2 instruction in three streams where the
+/// host has it and the kernels are not pinned to [`Isa::Scalar`] (by
+/// `SDQ_FORCE_SCALAR` or [`force_scalar`](crate::kernels::force_scalar)),
+/// the slice-by-8 tables otherwise. Both arms give the same value.
+///
+/// [`Isa::Scalar`]: crate::kernels::Isa::Scalar
 pub fn crc32c(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            // Safety: feature presence just checked.
+        use crate::kernels::{active, Isa};
+        if active() != Isa::Scalar && std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: `crc32c_hw` needs SSE 4.2, whose presence was just
+            // checked.
             return unsafe { crc32c_hw(data) };
         }
     }
@@ -266,21 +389,66 @@ fn crc32c_sw(data: &[u8]) -> u32 {
     !crc
 }
 
+/// The hardware arm: three independent `crc32` chains over the adjacent
+/// thirds of each 3 × [`LONG`], then each 3 × [`SHORT`] block, joined by
+/// the zero-byte operators; the last `< 3 × SHORT` bytes (and so any input
+/// that short) take the single chain.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn crc32c_hw(data: &[u8]) -> u32 {
+fn crc32c_hw(data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut crc: u64 = 0xFFFF_FFFF;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().unwrap());
-        crc = _mm_crc32_u64(crc, word);
+    let mut crc = !0u32;
+    let mut rest = data;
+    while let Some((block, tail)) = rest.split_at_checked(3 * LONG) {
+        crc = three_streams::<LONG>(crc, block, &ZEROS_LONG);
+        rest = tail;
+    }
+    while let Some((block, tail)) = rest.split_at_checked(3 * SHORT) {
+        crc = three_streams::<SHORT>(crc, block, &ZEROS_SHORT);
+        rest = tail;
+    }
+    let mut words = rest.chunks_exact(8);
+    let mut crc = u64::from(crc);
+    for w in &mut words {
+        crc = _mm_crc32_u64(crc, word(w));
     }
     let mut crc = crc as u32;
-    for &b in chunks.remainder() {
+    for &b in words.remainder() {
         crc = _mm_crc32_u8(crc, b);
     }
     !crc
+}
+
+/// The little-endian `u64` of an 8-byte chunk.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"))
+}
+
+/// One `3 × L`-byte block: the register `crc` carried through the first
+/// third, the other two thirds from a zero register — three chains the
+/// core runs side by side, since each `crc32` waits only on its own chain —
+/// then `shift(shift(c0) ^ c1) ^ c2`, which is the register one chain over
+/// the whole block would have reached.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+#[inline]
+fn three_streams<const L: usize>(crc: u32, block: &[u8], op: &ZerosOperator) -> u32 {
+    use std::arch::x86_64::_mm_crc32_u64;
+    let (a, bc) = block.split_at(L);
+    let (b, c) = bc.split_at(L);
+    let thirds = a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .zip(c.chunks_exact(8));
+    let (mut c0, mut c1, mut c2) = (u64::from(crc), 0u64, 0u64);
+    for ((x, y), z) in thirds {
+        c0 = _mm_crc32_u64(c0, word(x));
+        c1 = _mm_crc32_u64(c1, word(y));
+        c2 = _mm_crc32_u64(c2, word(z));
+    }
+    shift(op, shift(op, c0 as u32) ^ c1 as u32) ^ c2 as u32
 }
 
 #[cfg(test)]
@@ -303,9 +471,9 @@ mod tests {
         }
     }
 
-    /// Reference bit-at-a-time implementation for differential testing.
-    fn crc32c_reference(bytes: &[u8]) -> u32 {
-        let mut crc = !0u32;
+    /// Reference bit-at-a-time register update for differential testing:
+    /// the register `crc` becomes after `bytes`, no inversions.
+    fn reference_register(mut crc: u32, bytes: &[u8]) -> u32 {
         for &b in bytes {
             crc ^= u32::from(b);
             for _ in 0..8 {
@@ -316,7 +484,29 @@ mod tests {
                 };
             }
         }
-        !crc
+        crc
+    }
+
+    /// Reference bit-at-a-time CRC-32C.
+    fn crc32c_reference(bytes: &[u8]) -> u32 {
+        !reference_register(!0, bytes)
+    }
+
+    /// The hardware arm when this host has it.
+    fn hw(bytes: &[u8]) -> Option<u32> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: SSE 4.2 presence just checked.
+            return Some(unsafe { crc32c_hw(bytes) });
+        }
+        let _ = bytes;
+        None
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
     }
 
     #[test]
@@ -329,6 +519,64 @@ mod tests {
             let want = crc32c_reference(&data[..len]);
             assert_eq!(crc32c_sw(&data[..len]), want, "software, len {len}");
             assert_eq!(crc32c(&data[..len]), want, "dispatched, len {len}");
+        }
+    }
+
+    /// Every cut of the three-stream arm — no block, a short block ± 1, a
+    /// long block ± 1, a long then a short block then a tail, and a long
+    /// run of long blocks — from every start offset within a word.
+    #[test]
+    fn three_streams_slice_by_8_and_reference_agree() {
+        let mut lens: Vec<usize> = (0..=64).collect();
+        for block in [3 * SHORT, 3 * LONG] {
+            lens.extend([block - 1, block, block + 1]);
+        }
+        lens.extend([3 * LONG + 3 * SHORT + 7, (1 << 20) + 5]);
+        let data = pattern((1 << 20) + 5 + 8);
+        for len in lens {
+            for off in 0..8 {
+                let bytes = &data[off..off + len];
+                let want = crc32c_reference(bytes);
+                assert_eq!(crc32c_sw(bytes), want, "slice-by-8, len {len} at {off}");
+                if let Some(got) = hw(bytes) {
+                    assert_eq!(got, want, "three streams, len {len} at {off}");
+                }
+                assert_eq!(crc32c(bytes), want, "dispatched, len {len} at {off}");
+            }
+        }
+    }
+
+    /// `T[j][b]` is the register `b << 8j` turns into over `len` zero bytes.
+    #[test]
+    fn zeros_operators_match_the_reference() {
+        for (len, op) in [(SHORT, &ZEROS_SHORT), (LONG, &ZEROS_LONG)] {
+            let zeros = vec![0u8; len];
+            for (j, table) in op.iter().enumerate() {
+                for (b, &entry) in table.iter().enumerate() {
+                    let reg = (b as u32) << (8 * j);
+                    assert_eq!(
+                        entry,
+                        reference_register(reg, &zeros),
+                        "len {len} T[{j}][{b}]"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_flip_in_any_third_of_a_long_block_is_caught() {
+        let data = pattern(3 * LONG);
+        let clean = crc32c(&data);
+        for at in [5, LONG + 1234, 3 * LONG - 1] {
+            let mut flipped = data.clone();
+            flipped[at] ^= 0x10;
+            let want = crc32c_reference(&flipped);
+            assert_ne!(want, clean, "byte {at}");
+            assert_eq!(crc32c(&flipped), want, "dispatched, byte {at}");
+            if let Some(got) = hw(&flipped) {
+                assert_eq!(got, want, "three streams, byte {at}");
+            }
         }
     }
 

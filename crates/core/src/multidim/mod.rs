@@ -59,6 +59,7 @@ pub use pairing::{pair_dimensions, DimPair, PairingStrategy};
 pub use plan::{PairAction, PairPlan, QueryPlan};
 pub use stream1d::{AttractiveStream, RepulsiveStream, SortedColumn};
 
+use crate::codec::first_bad;
 use crate::deadline::Deadline;
 use crate::geometry::Angle;
 use crate::integrity::SectionIntegrity;
@@ -311,7 +312,8 @@ impl SdIndex {
                 .map_err(|e| format!("pair {pi}: {e}"))?;
         }
         for (ci, column) in self.columns.iter().enumerate() {
-            if let Some(row) = column.rows.iter().find(|&&row| row as usize >= n) {
+            if let Some(i) = first_bad(&column.rows, |&row| row as usize >= n) {
+                let row = column.rows[i];
                 return Err(format!(
                     "sorted column {ci}: row id {row} out of range for {n} rows"
                 ));

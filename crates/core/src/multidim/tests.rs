@@ -841,3 +841,38 @@ proptest! {
         prop_assert!(blocks_popped > 0, "no block stream ran");
     }
 }
+
+/// A forged row id in the first, a middle and the last census chunk of a
+/// sorted column — and two at once — is named exactly as the
+/// row-at-a-time scan names it.
+#[test]
+fn check_ids_names_the_first_column_offender_in_any_chunk() {
+    let per = crate::codec::CHECK_CHUNK_BYTES / 4;
+    let n = 3 * per + 100;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(28);
+    let roles = [DimRole::Attractive, DimRole::Repulsive, DimRole::Repulsive];
+    let index = SdIndex::build(rand_dataset(&mut rng, n, 3), &roles).unwrap();
+    assert_eq!(index.columns.len(), 1, "one unpaired dimension");
+    assert_eq!(index.check_ids(), Ok(()));
+    let nu = n as u32;
+    let cases: [&[(usize, u32)]; 5] = [
+        &[(0, nu)],
+        &[(per + 17, u32::MAX)],
+        &[(n - 1, nu + 3)],
+        &[(2 * per, nu), (per + 1, nu + 1)],
+        &[(per, nu - 1)], // in range
+    ];
+    for at in cases {
+        let mut rows = index.columns[0].rows.to_vec();
+        for &(i, row) in at {
+            rows[i] = row;
+        }
+        let want = rows
+            .iter()
+            .find(|&&row| row as usize >= n)
+            .map(|row| format!("sorted column 0: row id {row} out of range for {n} rows"));
+        let mut forged = index.clone();
+        forged.columns[0].rows = crate::view::ColumnarView::owned(rows);
+        assert_eq!(forged.check_ids().err(), want, "{at:?}");
+    }
+}

@@ -149,6 +149,9 @@ pub struct QueryScratch {
     /// Recycled per-part frontier list of the direct single-pair walk. Empty
     /// between queries; only the allocation is retained.
     walks: Vec<PartWalk<'static>>,
+    /// The floor updates of each part of the last direct walk, in part
+    /// order (see [`QueryScratch::part_floor_updates`]).
+    pub(crate) part_floor_updates: Vec<u64>,
 }
 
 impl QueryScratch {
@@ -164,6 +167,15 @@ impl QueryScratch {
     /// points return a borrow of.
     pub fn answers(&self) -> &[ScoredPoint] {
         &self.answers
+    }
+
+    /// How the last direct single-pair walk
+    /// ([`SinglePair::walk`](crate::multidim::SinglePair::walk)) served from
+    /// this scratch splits its `profile.floor_updates` over its parts — one
+    /// entry per shard, in the order the walk was handed them. Not touched
+    /// by other query paths.
+    pub fn part_floor_updates(&self) -> &[u64] {
+        &self.part_floor_updates
     }
 
     /// Pops a recycled frontier heap (or a fresh one).

@@ -35,11 +35,13 @@ pub(crate) struct BlockPart<'a> {
     pub(crate) mask: Option<MaskView<'a>>,
 }
 
-/// A [`BlockPart`] in flight: the part and the frontier walking it. Lives in
-/// [`QueryScratch::walk_buf`] for the length of one walk.
+/// A [`BlockPart`] in flight: the part, the frontier walking it and the
+/// floor updates its lanes made. Lives in [`QueryScratch::walk_buf`] for the
+/// length of one walk.
 pub(crate) struct PartWalk<'a> {
     part: BlockPart<'a>,
     frontier: BlockFrontier<'a>,
+    floor_updates: u64,
 }
 
 /// Full 2-D query over the stored §4 indexes of one pair as a single
@@ -89,9 +91,11 @@ pub(crate) struct PartWalk<'a> {
 /// (reset here): the frontier counters, `rows_fetched` (live lanes of the
 /// popped blocks), `tombstones_skipped`, `points_gathered`,
 /// `kernel_batches`, `points_scored`, `floor_updates`, `floor_value` and
-/// `emitted`; `rounds` stays 0. `scratch.deadline` is consulted before
-/// every pop. The frontiers live in the scratch's recycled buffers, so a
-/// warmed scratch walks any number of parts without allocating.
+/// `emitted`; `rounds` stays 0. It leaves each part's share of
+/// `floor_updates`, in part order, in `scratch.part_floor_updates`.
+/// `scratch.deadline` is consulted before every pop. The frontiers live in
+/// the scratch's recycled buffers, so a warmed scratch walks any number of
+/// parts without allocating.
 #[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
 pub(crate) fn query_blocks_with<'a>(
     parts: impl IntoIterator<Item = BlockPart<'a>>,
@@ -114,7 +118,11 @@ pub(crate) fn query_blocks_with<'a>(
                 let n = part.blocks.n_live();
                 live += n - part.mask.map_or(0, |m| m.dead_among(n));
                 let frontier = BlockFrontier::with_scratch(part.blocks, eval, scratch.take_heap());
-                walks.push(PartWalk { part, frontier });
+                walks.push(PartWalk {
+                    part,
+                    frontier,
+                    floor_updates: 0,
+                });
             }
             Err(e) => {
                 outcome = Err(e);
@@ -126,14 +134,17 @@ pub(crate) fn query_blocks_with<'a>(
         let pair = (qx, qy, alpha, beta);
         outcome = walk_parts(&mut walks, pair, k.min(live), k, scratch, shared);
     }
-    for PartWalk { mut frontier, .. } in walks.drain(..) {
-        let c = frontier.take_counters();
+    scratch.part_floor_updates.clear();
+    for mut w in walks.drain(..) {
+        let c = w.frontier.take_counters();
         let prof = &mut scratch.profile;
         prof.nodes_visited += c.nodes_visited;
         prof.envelope_nodes_rejected += c.envelope_rejected;
         prof.blocks_floor_pruned += c.blocks_floor_pruned;
         prof.blocks_popped += c.blocks_popped;
-        scratch.put_heap(frontier.into_scratch());
+        prof.floor_updates += w.floor_updates;
+        scratch.part_floor_updates.push(w.floor_updates);
+        scratch.put_heap(w.frontier.into_scratch());
     }
     scratch.put_walks(walks);
     outcome
@@ -220,7 +231,11 @@ fn walk_parts(
             break;
         }
         // One step of the walk; anything bounded below the floor dies here.
-        let PartWalk { part, frontier } = &mut walks[i];
+        let PartWalk {
+            part,
+            frontier,
+            floor_updates,
+        } = &mut walks[i];
         let Some(block) = frontier.pop(|b| f > inflate(r * b)) else {
             continue; // an envelope expanded, or an entry pruned
         };
@@ -265,7 +280,7 @@ fn walk_parts(
             surv &= surv - 1;
             let score = scores[l];
             prof.points_scored += 1;
-            prof.floor_updates += u64::from(track_floor(floor, k_eff, score));
+            *floor_updates += u64::from(track_floor(floor, k_eff, score));
             pool.push((OrdF64::new(score), Reverse(part.offset + slots[l])));
         }
     }

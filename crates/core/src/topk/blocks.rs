@@ -52,7 +52,7 @@
 
 use std::collections::BinaryHeap;
 
-use crate::codec::{corrupt, Codec, Reader, Result, Writer};
+use crate::codec::{corrupt, first_bad, Codec, Reader, Result, Writer, CHECK_CHUNK_BYTES};
 use crate::geometry::Angle;
 use crate::kernels::{prefetch, LaneBlock, LANES};
 use crate::threshold::encode as order_key;
@@ -362,15 +362,46 @@ impl BlockSet {
     /// the live lanes must cover exactly the `n_live` points the metadata
     /// promised — otherwise a forged-but-checksummed file could index out of
     /// bounds at scoring time.
+    ///
+    /// The census is one branch-free pass per [`CHECK_CHUNK_BYTES`] of
+    /// slots that ORs "live and out of range" over every lane; only a chunk
+    /// that trips is walked lane by lane to name the first offender.
     pub(crate) fn validate_structure(&self, n_slots: usize) -> std::result::Result<(), String> {
+        /// Bit `l` of a live mask, per lane: the mask test as a lane-wise
+        /// AND and compare.
+        const LANE_BIT: [u32; LANES] = {
+            let mut bits = [0; LANES];
+            let mut l = 0;
+            while l < LANES {
+                bits[l] = 1 << l;
+                l += 1;
+            }
+            bits
+        };
+        const CHUNK_BLOCKS: usize = CHECK_CHUNK_BYTES / (LANES * 4);
+        // A slot is a `u32`: past `u32::MAX` points none is out of range,
+        // and the lane walk below is what decides.
+        let limit = u32::try_from(n_slots).unwrap_or(u32::MAX);
         let mut live_total = 0usize;
-        for b in 0..self.n_blocks {
-            let mask = self.live[b];
-            live_total += mask.count_ones() as usize;
-            for l in 0..LANES {
-                if mask & (1 << l) != 0 {
-                    let slot = self.slots[b * LANES + l];
-                    if slot as usize >= n_slots {
+        let chunks = self
+            .live
+            .chunks(CHUNK_BLOCKS)
+            .zip(self.slots.chunks(CHUNK_BLOCKS * LANES));
+        for (c, (live, slots)) in chunks.enumerate() {
+            let mut tripped = false;
+            for (&mask, slots) in live.iter().zip(slots.chunks_exact(LANES)) {
+                live_total += mask.count_ones() as usize;
+                for (&bit, &slot) in LANE_BIT.iter().zip(slots) {
+                    tripped |= (mask & bit != 0) & (slot >= limit);
+                }
+            }
+            if !tripped {
+                continue;
+            }
+            for (i, (&mask, slots)) in live.iter().zip(slots.chunks_exact(LANES)).enumerate() {
+                for (l, &slot) in slots.iter().enumerate() {
+                    if mask & (1 << l) != 0 && slot as usize >= n_slots {
+                        let b = c * CHUNK_BLOCKS + i;
                         return Err(format!(
                             "block {b} lane {l}: slot {slot} out of range for {n_slots} points"
                         ));
@@ -391,7 +422,10 @@ impl BlockSet {
     /// lanes included, the kernels score them too — must be finite.
     pub(crate) fn check_finite(&self) -> Result<()> {
         for (table, what) in [(&self.xs, "x"), (&self.ys, "y")] {
-            if let Some(v) = table.iter().flat_map(|b| b.0).find(|v| !v.is_finite()) {
+            let bad_block = |b: &LaneBlock| b.0.iter().fold(false, |acc, v| acc | !v.is_finite());
+            if let Some(b) = first_bad(table, bad_block) {
+                let v = table[b].0.into_iter().find(|v| !v.is_finite());
+                let v = v.expect("the block tripped");
                 return Err(corrupt(format!("non-finite {what} coordinate: {v}")));
             }
         }
@@ -826,6 +860,140 @@ mod tests {
                 assert_eq!(cell(&a), cell(&b), "block {blk} of {n} points");
             }
         }
+    }
+
+    /// The census as a lane-at-a-time loop with an early exit: what the
+    /// chunked pass must agree with, error text included.
+    fn census_reference(set: &BlockSet, n_slots: usize) -> std::result::Result<(), String> {
+        let mut live_total = 0usize;
+        for b in 0..set.n_blocks {
+            let mask = set.live[b];
+            live_total += mask.count_ones() as usize;
+            for l in 0..LANES {
+                let slot = set.slots[b * LANES + l];
+                if mask & (1 << l) != 0 && slot as usize >= n_slots {
+                    return Err(format!(
+                        "block {b} lane {l}: slot {slot} out of range for {n_slots} points"
+                    ));
+                }
+            }
+        }
+        if live_total != set.n_live {
+            return Err(format!(
+                "blocks cover {live_total} live lanes for {} live points",
+                set.n_live
+            ));
+        }
+        Ok(())
+    }
+
+    /// Three census chunks and a partial fourth, ending in a partial block.
+    fn chunked_set() -> (Vec<(f64, f64)>, BlockSet) {
+        let chunk_points = CHECK_CHUNK_BYTES / 4;
+        let pts = sample(3 * chunk_points + 500);
+        let set = BlockSet::build(&pts, all_slots(&pts), &default_angles());
+        (pts, set)
+    }
+
+    /// A forged slot in the first, a middle and the last census chunk — and
+    /// two at once — is named exactly as the lane-at-a-time loop names it.
+    #[test]
+    fn census_names_the_first_offender_in_any_chunk() {
+        let (pts, set) = chunked_set();
+        let n = pts.len();
+        let last = set.n_blocks - 1;
+        let forged = |at: &[(usize, usize, u32)]| {
+            let mut slots = set.slots.to_vec();
+            for &(b, l, slot) in at {
+                slots[b * LANES + l] = slot;
+            }
+            BlockSet {
+                slots: ColumnarView::owned(slots),
+                ..set.clone()
+            }
+        };
+        let nu = n as u32;
+        let cases: [&[(usize, usize, u32)]; 5] = [
+            &[(0, 3, nu)],
+            &[(40, 31, u32::MAX - 1)],
+            &[(last, 0, nu + 7)],
+            &[(70, 2, nu), (40, 9, nu + 1)],
+            &[(33, 0, nu - 1)], // in range: no offender
+        ];
+        for at in cases {
+            let set = forged(at);
+            assert_eq!(
+                set.validate_structure(n),
+                census_reference(&set, n),
+                "{at:?}"
+            );
+        }
+        assert!(forged(&[(0, 3, nu)]).validate_structure(n).is_err());
+        // A live lane dropped from a full block: the lane count fails.
+        let mut live = set.live.to_vec();
+        live[50] &= !(1 << 4);
+        let dropped = BlockSet {
+            live: ColumnarView::owned(live),
+            ..set.clone()
+        };
+        let err = dropped.validate_structure(n).unwrap_err();
+        assert_eq!(Err(err), census_reference(&dropped, n));
+    }
+
+    /// Dead lanes are never read, so what they hold is not the census's
+    /// business — not even a slot past the point count.
+    #[test]
+    fn census_ignores_dead_lanes() {
+        let (pts, set) = chunked_set();
+        let last = set.n_blocks - 1;
+        let dead = (set.live[last].trailing_ones() as usize)..LANES;
+        assert!(!dead.is_empty(), "the last block is partial");
+        let mut slots = set.slots.to_vec();
+        for l in dead {
+            slots[last * LANES + l] = pts.len() as u32 + l as u32;
+        }
+        let set = BlockSet {
+            slots: ColumnarView::owned(slots),
+            ..set
+        };
+        assert_eq!(set.validate_structure(pts.len()), Ok(()));
+    }
+
+    /// A non-finite coordinate in the first, a middle and the last chunk of
+    /// either table — padding lanes included — reads as the value-at-a-time
+    /// scan reads it: the first in x order, then in y order.
+    #[test]
+    fn check_finite_names_the_first_offender_in_any_chunk() {
+        let reference = |set: &BlockSet| {
+            for (table, what) in [(&set.xs, "x"), (&set.ys, "y")] {
+                if let Some(v) = table.iter().flat_map(|b| b.0).find(|v| !v.is_finite()) {
+                    return Err(corrupt(format!("non-finite {what} coordinate: {v}")).to_string());
+                }
+            }
+            Ok(())
+        };
+        let (_, set) = chunked_set();
+        let last = set.n_blocks - 1;
+        let cases: [&[(bool, usize, usize, f64)]; 5] = [
+            &[(false, 0, 0, f64::NAN)],
+            &[(false, 50, 31, f64::INFINITY)],
+            &[(true, last, LANES - 1, f64::NEG_INFINITY)], // a padding lane
+            &[(true, 60, 1, f64::NAN), (true, 20, 8, f64::INFINITY)],
+            &[(true, 3, 3, f64::NAN), (false, last, 0, f64::INFINITY)],
+        ];
+        for at in cases {
+            let mut forged = set.clone();
+            for &(y, b, l, v) in at {
+                let table = if y { &mut forged.ys } else { &mut forged.xs };
+                let mut blocks = table.to_vec();
+                blocks[b].0[l] = v;
+                *table = ColumnarView::owned(blocks);
+            }
+            let got = forged.check_finite().map_err(|e| e.to_string());
+            assert!(got.is_err(), "{at:?}");
+            assert_eq!(got, reference(&forged), "{at:?}");
+        }
+        set.check_finite().unwrap();
     }
 
     #[test]

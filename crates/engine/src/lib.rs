@@ -222,7 +222,8 @@ impl EngineScratch {
 /// slot `i` accumulates the k-th-score-floor updates contributed by shard
 /// `i`, with every shard `≥ FLOOR_HIST_SLOTS − 1` folded into the last
 /// slot (so resharding never invalidates the registry). A single-pair walk
-/// is one execution over every shard and is credited to slot 0.
+/// is one execution over every shard and credits each shard the updates its
+/// own rows made.
 pub const FLOOR_HIST_SLOTS: usize = 16;
 
 #[derive(Debug, Default)]
@@ -1063,12 +1064,23 @@ impl SdEngine {
         for out in &mut lists[ran..s] {
             out.clear();
         }
+        // A walk splits its floor updates by shard itself; an aggregation
+        // left each shard's in that shard's scratch.
+        if pair.is_some() {
+            let walk = &worker_scratches[0];
+            for (i, &updates) in walk.part_floor_updates().iter().enumerate() {
+                self.metrics.record_shard_floor(i, updates);
+            }
+        } else {
+            for (i, qs) in worker_scratches[..s].iter().enumerate() {
+                self.metrics.record_shard_floor(i, qs.profile.floor_updates);
+            }
+        }
         for (i, (qs, out)) in worker_scratches[..ran]
             .iter()
             .zip(lists.iter_mut())
             .enumerate()
         {
-            self.metrics.record_shard_floor(i, qs.profile.floor_updates);
             let offset = self.offsets[i];
             out.clear();
             out.extend(

@@ -318,6 +318,66 @@ fn engine_metrics_registry_accumulates() {
     assert_eq!(snap.epoch_transitions, report.rebuilt_shards as u64);
 }
 
+/// A 4-shard 2-D (`ar`) engine over `rows`, queried at one thread.
+fn engine_2d(rows: &[Vec<f64>]) -> SdEngine {
+    SdEngine::build_with(
+        Dataset::from_rows(2, rows).unwrap(),
+        &[DimRole::Attractive, DimRole::Repulsive],
+        &EngineOptions {
+            shards: 4,
+            threads: 1,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap()
+}
+
+/// A single-pair walk is one execution over every shard, and each shard is
+/// credited the floor updates its own rows made: the slots add up to the
+/// profiles' `floor_updates`, and more than one slot is credited.
+#[test]
+fn single_pair_walk_floor_credits_sum_to_the_profile() {
+    let rows: Vec<Vec<f64>> = (0..4000)
+        .map(|i| vec![((i * 37) % 101) as f64 * 0.1, ((i * 53) % 97) as f64 * 0.1])
+        .collect();
+    let engine = engine_2d(&rows);
+    let mut scratch = EngineScratch::new();
+    let mut updates = 0;
+    for i in 0..20 {
+        let point = vec![(i % 5) as f64 * 2.0, (i % 7) as f64 * 1.5];
+        let q = SdQuery::new(point, vec![1.0, 0.5 + i as f64 * 0.1]).unwrap();
+        engine.query_with(&q, 16, &mut scratch).unwrap();
+        assert_eq!(scratch.profile.rounds, 0, "a direct walk");
+        updates += scratch.profile.floor_updates;
+    }
+    let slots = engine.metrics().snapshot().floor_contributions;
+    assert_eq!(slots.iter().sum::<u64>(), updates);
+    assert!(slots.iter().filter(|&&c| c > 0).count() > 1, "{slots:?}");
+}
+
+/// Every row that can reach the answer lies in shard 2, so every floor
+/// update of the walk is shard 2's.
+#[test]
+fn single_pair_walk_credits_the_shard_whose_rows_raised_the_floor() {
+    let n = 4000;
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let far = (n / 2..3 * n / 4).contains(&i);
+            let y = ((i * 53) % 97) as f64 * 0.01 + if far { 100.0 } else { 0.0 };
+            vec![((i * 37) % 101) as f64 * 0.01, y]
+        })
+        .collect();
+    let engine = engine_2d(&rows);
+    let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
+    let mut scratch = EngineScratch::new();
+    engine.query_with(&q, 16, &mut scratch).unwrap();
+    let updates = scratch.profile.floor_updates;
+    assert!(updates > 0);
+    let slots = engine.metrics().snapshot().floor_contributions;
+    assert_eq!(slots[2], updates, "{slots:?}");
+    assert_eq!(slots.iter().sum::<u64>(), updates, "{slots:?}");
+}
+
 #[test]
 fn cumulative_mutation_totals_survive_compact_and_restore() {
     let mut engine = fixture_engine(200, 2);
