@@ -35,10 +35,11 @@
 //! indexes of every shard at once ([`SinglePair::walk`]). An aggregation
 //! that has fetched more than
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
-//! projects that it will ([`plan::scan_checkpoint`]) — stops consulting its
-//! streams and finishes with one sequential kernel scan of the rows it has
-//! not seen. Every strategy is exact and the emission order is
-//! **canonical** (score descending, ties by row ascending), so planning can
+//! projects that it will ([`plan::scan_checkpoint`]), or whose sibling
+//! execution of the same query already did ([`SharedThreshold::is_lost`])
+//! — stops consulting its streams and finishes with one sequential kernel
+//! scan of the rows it has not seen. Every strategy is exact and the
+//! emission order is **canonical** (score descending, ties by row ascending), so planning can
 //! never change an answer, only its cost; this is also what makes sharded
 //! execution (the `sdq-engine` crate) bit-identical to the monolithic path.
 //!
@@ -1097,8 +1098,12 @@ fn emit_pooled(
 /// [`plan::scan_budget`] for the exchange rate behind the constant). So
 /// does an iteration in which the execution's `ScanProbe` reads off the
 /// threshold gap that the budget is going to be spent (see
-/// [`plan::scan_checkpoint`]); both triggers reach the one call.
-/// `usize::MAX` never scans: the paper's pure threshold aggregation.
+/// [`plan::scan_checkpoint`]), and one that finds the query's
+/// [`SharedThreshold`] marked lost by a sibling execution that took the
+/// exit first ([`SharedThreshold::is_lost`], read after the emit and floor
+/// checks); all three triggers reach the one call, which marks the handle
+/// lost in turn. `usize::MAX` never scans: the paper's pure threshold
+/// aggregation.
 ///
 /// `on_score` observes the exact full score of every newly fetched
 /// distinct row that could still matter to a top-k — the engine feeds
@@ -1224,19 +1229,29 @@ fn aggregate_rounds<F: FnMut(f64)>(
             }
         }
 
-        // Fetch budget spent and the query still open — or the gap's own
-        // slope says it will be (a floor is known, which also means every
-        // stream is live, and there is a budget to run out of): every
-        // further fetch is a random access worth many sequential rows, so
-        // finish with one pass over what is left instead.
+        // Fetch budget spent and the query still open — or a sibling
+        // execution of the same query already found its streams lost (the
+        // shards partition one dataset; the emit and floor checks above
+        // still let a sibling that is certified end without scanning) — or
+        // the gap's own slope says the budget will be spent (a floor is
+        // known, which also means every stream is live, and there is a
+        // budget to run out of): every further fetch is a random access
+        // worth many sequential rows, so finish with one pass over what is
+        // left instead, and tell the siblings.
         let fetched = scorer.prof.rows_fetched;
         let spent = fetched > scan_budget as u64;
-        let projected = !spent
+        let budget_left = !spent && scan_budget != usize::MAX;
+        let inherited = budget_left && shared.is_some_and(SharedThreshold::is_lost);
+        let projected = budget_left
+            && !inherited
             && f > f64::NEG_INFINITY
-            && scan_budget != usize::MAX
             && probe.lost(fetched, inflate(tau) - f, scan_budget);
-        if spent || projected {
+        if spent || inherited || projected {
+            if let Some(h) = shared {
+                h.mark_lost();
+            }
             scorer.prof.scan_projected += u64::from(projected);
+            scorer.prof.scan_inherited += u64::from(inherited);
             scan_unseen(&mut scorer, seen, fbuf, deadline)?;
             if publish && scorer.floor.len() == k_eff {
                 if let Some(h) = shared {
@@ -1422,10 +1437,12 @@ impl<'i> ShardExecution<'i> {
     /// hand its buffers back with [`ShardExecution::abandon_into`]).
     ///
     /// A step is not bounded by `rounds` alone: the iteration that finds
-    /// the fetch budget ([`plan::scan_budget`]) spent, or projects that it
-    /// will be, runs the kernel scan over every row not seen yet to
-    /// completion — one sequential pass over the shard, deadline-checked
-    /// every [`LANES`] rows — and completes the execution inside this call.
+    /// the fetch budget ([`plan::scan_budget`]) spent, projects that it
+    /// will be, or finds `shared` marked lost by a sibling
+    /// ([`SharedThreshold::is_lost`]) runs the kernel scan over every row
+    /// not seen yet to completion — one sequential pass over the shard,
+    /// deadline-checked every [`LANES`] rows — and completes the execution
+    /// inside this call, marking `shared` lost for the siblings after it.
     pub fn step<F: FnMut(f64)>(
         &mut self,
         rounds: usize,

@@ -79,10 +79,11 @@
 //! needed, so it can only condemn executions the budget would have caught.
 //! Where it is not, the span of the secant is what protects the friendly
 //! query, and the cadence experiment is why the span is `budget / 8` and
-//! no less. Under the sharded engine an execution runs in 8-round slices
-//! and its floor is mostly its siblings', published between slices: inside
-//! a slice the gap closes at the pace of τ alone, at a slice boundary it
-//! drops by a step. Readings at budget/16 and doubling (195, 390, 780,
+//! no less. Under the sharded engine an execution then ran in 8-round
+//! slices throughout (now: one slice, then to completion — see the shared
+//! verdict below) and its floor is mostly its siblings', published between
+//! slices: inside a slice the gap closes at the pace of τ alone, at a slice
+//! boundary it drops by a step. Readings at budget/16 and doubling (195, 390, 780,
 //! 1 560 rows at 25 000-row shards) put the first secant inside the first
 //! slice — 3–4 rounds — and it read that plateau as the trend on 2, 2, 4,
 //! 2 and 0 of 1024 anchor executions (five seeds), each a needless scan,
@@ -115,6 +116,33 @@
 //! query take the scan — which there costs less than the handful of rounds
 //! it replaces (the benchmark's `--smoke` sizes, 1 250-row shards: 4-D p50
 //! 64–107 → 48–65 µs over three alternating pairs).
+//!
+//! **The verdict is reached once per query.** The shards of an engine
+//! partition one dataset answering one query, so the first execution that
+//! takes the exit — spent or projected — answers for its siblings: it marks
+//! the query's [`SharedThreshold`](crate::SharedThreshold) lost, and every
+//! sibling still open reads the mark at its next round head and scans
+//! (`scan_inherited`, the third trigger). The read comes after the emit and
+//! floor checks, so a sibling the floor already certifies ends unscanned;
+//! the TA entry, which has no handle, and the single-pair walk never see
+//! it. The engine's `drive` gives every execution one 8-round slice, so the
+//! merged floor forms as it did, and then runs each open one to completion
+//! in shard order: the first verdict lands while the others have spent one
+//! slice each. On `agg_6d` (seed 1, traced run, one worker) that halves the
+//! stream phase — `rounds_per_q` 106.3 → 54.3, `blocks_popped_per_q` 204.6
+//! → 100.6, `engine.aggregate_ns_per_q` 779k → 460k — while
+//! `rows_fetched_per_q` rises 90.5k → 95.2k, the scans taking over rows the
+//! streams used to fetch; p50 427 → 350 µs over ten alternating pairs. The
+//! anchor's executions rarely outlive the first slice: its lap-0 counters
+//! move by under 0.5 % (`rounds_per_q` 50.80 → 50.87). Two schedules were
+//! not taken (prototypes on a 2-core VM): sharing the verdict under the
+//! old lockstep slices read ≈ 0.95× on `agg_6d`, because all four shards
+//! reached their own verdicts in the same pass; running the first execution
+//! alone from round one read 0.70×, but cost the anchor 8–15 % of its p50,
+//! shard 0 losing its siblings' floor. Over small shards the verdict
+//! spreads a scan that was already the likely end: at 5 000 rows a
+//! uniform 4-D query now scans in 29 of 256 executions (5 before), 25 of
+//! them inherited, and fetches 12 % fewer rows through its streams.
 //!
 //! **Every strategy is exact**, and since the aggregation emits the
 //! canonical answer (score descending, id ascending — see

@@ -425,6 +425,141 @@ fn projected_scan_waits_for_its_second_checkpoint() {
 }
 
 #[test]
+fn inherited_verdict_scans_at_the_next_round_head() {
+    // The third trigger: an execution whose handle a sibling marked lost
+    // scans at its next round head, whatever its own budget and probe say —
+    // from the first head when it begins on a lost handle, or from the head
+    // after the verdict lands — and marks nothing it did not find.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(306);
+    let n = 16_000;
+    let data = anti_correlated(&mut rng, n, 6);
+    let roles = six_d_roles();
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
+    let k = 16;
+    let want = oracle(&data, &roles, &q, k);
+    let mut scratch = QueryScratch::new();
+
+    for rounds_before in [0, 1, 3] {
+        let handle = SharedThreshold::new();
+        let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+        if rounds_before > 0 {
+            assert!(!exec.step(rounds_before, Some(&handle), |_| {}).unwrap());
+        }
+        let streamed = exec.profile().rows_fetched;
+        handle.mark_lost();
+        assert!(exec.step(1, Some(&handle), |_| {}).unwrap());
+        let p = *exec.profile();
+        assert_eq!(
+            p.rounds,
+            rounds_before as u64 + 1,
+            "scanned at the next head"
+        );
+        assert_eq!(
+            (p.scan_fallbacks, p.scan_projected, p.scan_inherited),
+            (1, 0, 1)
+        );
+        assert_eq!(p.rows_fetched - p.scan_rows, streamed, "no round ran");
+        assert_eq!(p.points_gathered, n as u64, "every row scored exactly once");
+        exec.finish_into(&mut scratch);
+        assert_bit_identical(scratch.answers(), &want);
+    }
+
+    // Without a handle, or under an unbounded budget, nothing is inherited.
+    let handle = SharedThreshold::new();
+    handle.mark_lost();
+    let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+    exec.scan_budget = usize::MAX;
+    assert!(exec.step(usize::MAX, Some(&handle), |_| {}).unwrap());
+    assert_eq!(exec.profile().scan_fallbacks, 0);
+    exec.finish_into(&mut scratch);
+    assert_bit_identical(scratch.answers(), &want);
+
+    // The execution that reaches the verdict itself publishes it.
+    let handle = SharedThreshold::new();
+    let got = index
+        .query_masked(&q, k, &mut scratch, Some(&handle), None)
+        .unwrap();
+    assert_bit_identical(got, &want);
+    let p = scratch.profile;
+    assert_eq!((p.scan_fallbacks, p.scan_inherited), (1, 0));
+    assert!(handle.is_lost());
+}
+
+#[test]
+fn a_certified_execution_ignores_the_inherited_verdict() {
+    // The verdict is read after the emit and floor checks: an execution
+    // certified at the head where it first sees the flag ends there,
+    // unscanned, exactly as it would have without the flag. On its own it
+    // ends on the emit check; beside a sibling shard — whose rows hold most
+    // of the top k, and whose k-th score the handle carries — on the floor
+    // check, with fewer than k answers.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(307);
+    let data = rand_dataset(&mut rng, 25_000, 4);
+    let sibling = rand_dataset(&mut rng, 25_000, 4);
+    let roles = vec![
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+    ];
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let mut scratch = QueryScratch::new();
+    let mut short = 0;
+    for _ in 0..8 {
+        let q = SdQuery::new(
+            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
+            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
+        )
+        .unwrap();
+        let k = 16;
+        let own = oracle(&data, &roles, &q, k);
+        // The k-th best score of the two shards together: a floor a sibling
+        // execution of this query could publish.
+        let mut both: Vec<f64> = own.iter().map(|sp| sp.score).collect();
+        both.extend(oracle(&sibling, &roles, &q, k).iter().map(|sp| sp.score));
+        both.sort_by(|a, b| b.total_cmp(a));
+        for floor in [f64::NEG_INFINITY, both[k - 1]] {
+            let mut want = own.clone();
+            want.retain(|sp| sp.score >= floor);
+            let shared = || {
+                let handle = SharedThreshold::new();
+                if floor.is_finite() {
+                    handle.raise(floor);
+                }
+                handle
+            };
+            // The reference: the rounds this execution needs without a
+            // verdict.
+            let handle = shared();
+            let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+            assert!(exec.step(usize::MAX, Some(&handle), |_| {}).unwrap());
+            let alone = *exec.profile();
+            exec.finish_into(&mut scratch);
+            assert_eq!(alone.scan_fallbacks, 0, "a friendly query certifies");
+            assert!(!handle.is_lost());
+            assert_bit_identical(scratch.answers(), &want);
+
+            // The same execution, told at its last head that a sibling is
+            // lost.
+            let handle = shared();
+            let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+            let before = alone.rounds as usize - 1;
+            if before > 0 {
+                assert!(!exec.step(before, Some(&handle), |_| {}).unwrap());
+            }
+            handle.mark_lost();
+            assert!(exec.step(usize::MAX, Some(&handle), |_| {}).unwrap());
+            assert_eq!(*exec.profile(), alone, "the verdict changed the execution");
+            exec.finish_into(&mut scratch);
+            assert_bit_identical(scratch.answers(), &want);
+            short += usize::from(want.len() < k);
+        }
+    }
+    assert!(short > 0, "no execution ended on the floor check");
+}
+
+#[test]
 fn probe_leaves_friendly_queries_alone() {
     // The false-positive pin: on the anchor's shape — uniform 4-D, k = 16,
     // one 25 000-row shard — no execution leaves for the scan, and the
@@ -614,6 +749,9 @@ fn every_exit_forced_at_the_one_constructor() {
     // How the runs under the index's own budget with the probe live ended:
     // on the projection, on the spent budget, or certified.
     let (mut projected, mut spent, mut certified) = (0, 0, 0);
+    // Runs told after their first round that a sibling is lost: scanned on
+    // that verdict, or certified (or spent) before it could count.
+    let (mut inherited, mut inherited_certified) = (0, 0);
     for case in 0..60 {
         let n = rng.gen_range(1..=600);
         let dims = rng.gen_range(2..=6);
@@ -649,11 +787,16 @@ fn every_exit_forced_at_the_one_constructor() {
             let want = &live[..k.min(live.len())];
             let mut pure_rounds = 0;
             let natural = plan::scan_budget(n);
-            for (budget, probe_live) in [
-                (usize::MAX, false),
-                (natural, false),
-                (0, false),
-                (natural, true),
+            // `lost_after`: the rounds run before the query's handle is
+            // marked lost, as a sibling's verdict would mark it (`None`: no
+            // handle).
+            for (budget, probe_live, lost_after) in [
+                (usize::MAX, false, None),
+                (natural, false, None),
+                (0, false, None),
+                (natural, true, None),
+                (natural, false, Some(0)),
+                (natural, false, Some(1)),
             ] {
                 let mut stepped: Option<QueryProfile> = None;
                 for step in [1, 8, usize::MAX] {
@@ -662,13 +805,22 @@ fn every_exit_forced_at_the_one_constructor() {
                     if !probe_live {
                         exec.probe = plan::ScanProbe::new(usize::MAX);
                     }
-                    while !exec.step(step, None, |_| {}).unwrap() {}
+                    let handle = SharedThreshold::new();
+                    let shared = lost_after.map(|_| &handle);
+                    let mut done = false;
+                    if let Some(rounds) = lost_after {
+                        done = rounds > 0 && exec.step(rounds, shared, |_| {}).unwrap();
+                        handle.mark_lost();
+                    }
+                    while !done {
+                        done = exec.step(step, shared, |_| {}).unwrap();
+                    }
                     exec.finish_into(&mut scratch);
                     assert_bit_identical(scratch.answers(), want);
                     let p = scratch.profile;
                     let at = format!(
                         "case {case} n {n} dims {dims} k {k} budget {budget} \
-                         probe {probe_live} step {step}"
+                         probe {probe_live} lost after {lost_after:?} step {step}"
                     );
                     assert_eq!(
                         p.points_gathered + p.seen_hits + p.tombstones_skipped,
@@ -679,7 +831,35 @@ fn every_exit_forced_at_the_one_constructor() {
                     assert_eq!(*stepped.get_or_insert(p), p, "{at}");
                 }
                 let p = stepped.expect("three runs");
-                assert!(p.scan_fallbacks <= 1 && p.scan_projected <= p.scan_fallbacks);
+                assert!(
+                    p.scan_fallbacks <= 1
+                        && p.scan_projected + p.scan_inherited <= p.scan_fallbacks
+                );
+                if lost_after.is_none() {
+                    assert_eq!(p.scan_inherited, 0, "no handle, no verdict");
+                }
+                match lost_after {
+                    // Marked lost before the first head: nothing streams.
+                    Some(0) => {
+                        assert_eq!((p.rounds, p.scan_inherited), (1, 1));
+                        assert_eq!(p.rows_fetched, p.scan_rows);
+                        continue;
+                    }
+                    // After one round: the second head scans unless the
+                    // first round ended the query (as for the empty budget
+                    // below), or it spent the budget itself.
+                    Some(_) => {
+                        match pure_rounds {
+                            1 => assert_eq!(p.scan_fallbacks, 0),
+                            r if r > 2 => assert_eq!(p.scan_fallbacks, 1),
+                            _ => {}
+                        }
+                        inherited += p.scan_inherited;
+                        inherited_certified += 1 - p.scan_inherited;
+                        continue;
+                    }
+                    None => {}
+                }
                 if probe_live {
                     projected += p.scan_projected;
                     spent += p.scan_fallbacks - p.scan_projected;
@@ -715,6 +895,11 @@ fn every_exit_forced_at_the_one_constructor() {
         projected > 0 && spent > 0 && certified > 0,
         "both triggers and plain certification must each occur: \
          {projected} projected, {spent} spent, {certified} certified"
+    );
+    assert!(
+        inherited > 0 && inherited_certified > 0,
+        "a verdict after round one must send some runs to the scan and \
+         find others done: {inherited} inherited, {inherited_certified} not"
     );
 }
 

@@ -113,13 +113,19 @@ pub struct QueryProfile {
     pub rows_fetched: u64,
     /// Shard executions that finished with a sequential kernel scan
     /// instead of more fetches: their fetch budget
-    /// ([`scan_budget`](crate::multidim::plan::scan_budget)) was spent, or
-    /// projected to be ([`scan_projected`](QueryProfile::scan_projected)).
+    /// ([`scan_budget`](crate::multidim::plan::scan_budget)) was spent,
+    /// projected to be ([`scan_projected`](QueryProfile::scan_projected)),
+    /// or a sibling's verdict said so
+    /// ([`scan_inherited`](QueryProfile::scan_inherited)).
     pub scan_fallbacks: u64,
     /// The scan fallbacks that left *before* the budget was spent, on the
-    /// threshold gap's projection; `scan_fallbacks − scan_projected` spent
-    /// the whole budget first.
+    /// threshold gap's projection.
     pub scan_projected: u64,
+    /// The scan fallbacks that left on a sibling execution's verdict, read
+    /// off the query's [`SharedThreshold`](crate::SharedThreshold);
+    /// `scan_fallbacks − scan_projected − scan_inherited` spent the whole
+    /// budget first.
+    pub scan_inherited: u64,
     /// Rows those scans visited — every row the streams had not surfaced
     /// when the scan began, tombstoned ones included. Counted into
     /// `rows_fetched`, so `rows_fetched − scan_rows` came through streams.
@@ -179,6 +185,7 @@ impl Default for QueryProfile {
             rows_fetched: 0,
             scan_fallbacks: 0,
             scan_projected: 0,
+            scan_inherited: 0,
             scan_rows: 0,
             points_gathered: 0,
             points_scored: 0,
@@ -233,6 +240,7 @@ impl QueryProfile {
         self.rows_fetched += other.rows_fetched;
         self.scan_fallbacks += other.scan_fallbacks;
         self.scan_projected += other.scan_projected;
+        self.scan_inherited += other.scan_inherited;
         self.scan_rows += other.scan_rows;
         self.points_gathered += other.points_gathered;
         self.points_scored += other.points_scored;
@@ -295,11 +303,12 @@ mod tests {
         let mut p = QueryProfile::new();
         p.timing = true;
         p.rounds = 7;
+        p.scan_inherited = 3;
         p.floor_value = 3.5;
         p.aggregate_nanos = 99;
         p.reset();
         assert!(p.timing);
-        assert_eq!(p.rounds, 0);
+        assert_eq!((p.rounds, p.scan_inherited), (0, 0));
         assert_eq!(p.aggregate_nanos, 0);
         assert_eq!(p.floor_value, f64::NEG_INFINITY);
     }
@@ -308,19 +317,21 @@ mod tests {
     fn merge_adds_counters_maxes_floor_skips_timing() {
         let mut a = QueryProfile {
             blocks_popped: 3,
+            scan_inherited: 1,
             floor_value: 1.0,
             aggregate_nanos: 10,
             ..QueryProfile::default()
         };
         let b = QueryProfile {
             blocks_popped: 4,
+            scan_inherited: 2,
             floor_value: 2.0,
             isa: "avx2",
             aggregate_nanos: 50,
             ..QueryProfile::default()
         };
         a.merge(&b);
-        assert_eq!(a.blocks_popped, 7);
+        assert_eq!((a.blocks_popped, a.scan_inherited), (7, 3));
         assert_eq!(a.floor_value, 2.0);
         assert_eq!(a.isa, "avx2");
         assert_eq!(a.aggregate_nanos, 10, "timings are driver-owned");

@@ -15,10 +15,17 @@
 //! all atomic accesses are `Relaxed`. Scores are totally ordered by encoding
 //! the `f64` bits into a monotone `u64` (sign-flip trick), which makes
 //! `fetch_max` the whole synchronisation story — no locks, no CAS loops.
+//!
+//! The handle also carries the query's scan verdict
+//! ([`SharedThreshold::mark_lost`]): the first execution that gives up on
+//! its streams and finishes by scanning says so here, and every sibling
+//! still open reads it at its next round head and scans too, instead of
+//! spending its own stream phase to reach the same verdict. It is a cost
+//! hint as well — a scan is exact whenever it runs — so it is `Relaxed` too.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::types::OrdF64;
 
@@ -73,18 +80,35 @@ fn decode(e: u64) -> f64 {
 /// Start at `-∞` via [`SharedThreshold::new`], hand `Some(&t)` to every
 /// shard execution of the same `(query, k)`, and drop it with the query.
 /// Never reuse one handle across *different* logical queries — a floor from
-/// another query would prune incorrectly.
+/// another query would prune incorrectly, and its scan verdict would send
+/// this one's executions to scans they may not need.
 #[derive(Debug)]
 pub struct SharedThreshold {
     bits: AtomicU64,
+    lost: AtomicBool,
 }
 
 impl SharedThreshold {
-    /// A fresh threshold with floor `-∞` (prunes nothing).
+    /// A fresh threshold with floor `-∞` (prunes nothing), not lost.
     pub fn new() -> Self {
         SharedThreshold {
             bits: AtomicU64::new(encode(f64::NEG_INFINITY)),
+            lost: AtomicBool::new(false),
         }
+    }
+
+    /// Records that an execution of this query took the scan exit: its
+    /// streams could not certify inside its fetch budget. The shards of one
+    /// engine partition one dataset, so the verdict stands for them all.
+    #[inline]
+    pub fn mark_lost(&self) {
+        self.lost.store(true, Ordering::Relaxed);
+    }
+
+    /// `true` once any execution has called [`SharedThreshold::mark_lost`].
+    #[inline]
+    pub fn is_lost(&self) -> bool {
+        self.lost.load(Ordering::Relaxed)
     }
 
     /// The highest k-th-best score any execution has published so far.
@@ -143,6 +167,17 @@ mod tests {
         assert_eq!(t.floor(), 2.0);
         t.raise(-5.0); // lower publishes are ignored
         assert_eq!(t.floor(), 2.0);
+    }
+
+    #[test]
+    fn lost_is_sticky_and_leaves_the_floor_alone() {
+        let t = SharedThreshold::new();
+        assert!(!t.is_lost());
+        t.raise(1.5);
+        t.mark_lost();
+        t.mark_lost();
+        assert!(t.is_lost());
+        assert_eq!(t.floor(), 1.5);
     }
 
     #[test]

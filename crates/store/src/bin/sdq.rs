@@ -606,25 +606,8 @@ fn report_slow_queries(slow_query_us: u64) {
     }
     let journal = &Telemetry::global().journal;
     for rec in journal.snapshot() {
-        if let EventKind::SlowQuery {
-            wall_micros,
-            k,
-            threshold_micros,
-            profile,
-        } = rec.kind
-        {
-            eprintln!(
-                "slow-query: {wall_micros} µs ≥ {threshold_micros} µs (k {k}): \
-                 {} block(s) popped, {} floor-pruned, {} row(s) fetched ({} by {} scan(s)), \
-                 {} scored, {} emitted",
-                profile.blocks_popped,
-                profile.blocks_floor_pruned,
-                profile.rows_fetched,
-                profile.scan_rows,
-                profile.scan_fallbacks,
-                profile.points_scored,
-                profile.emitted
-            );
+        if let EventKind::SlowQuery { .. } = rec.kind {
+            eprintln!("slow-query: {}", event_detail_human(&rec.kind));
         }
     }
 }
@@ -688,7 +671,8 @@ fn print_plan_table(plans: &[QueryPlan], k: usize) {
     }
     println!(
         "  (costs in candidate-handling units; a shard that fetches more rows than its scan \
-         budget, or whose threshold gap projects that it will, finishes with one kernel scan; \
+         budget, or whose threshold gap projects that it will, finishes with one kernel scan, \
+         and so does a shard still open when an earlier sibling's verdict says so; \
          the query was not executed)"
     );
 }
@@ -722,9 +706,11 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
         p.seen_hits, p.tombstones_skipped
     );
     println!(
-        "  scan exit  fallbacks {} (projected {}) · scan_rows {} · rows through streams {}",
+        "  scan exit  fallbacks {} (projected {}, inherited {}) · scan_rows {} · \
+         rows through streams {}",
         p.scan_fallbacks,
         p.scan_projected,
+        p.scan_inherited,
         p.scan_rows,
         p.rows_fetched - p.scan_rows
     );
@@ -790,7 +776,8 @@ fn profile_json_string(
          \"nodes_visited\": {}, \"envelope_nodes_rejected\": {},\n    \
          \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"lanes_masked\": {},\n    \
          \"tree_rows_pulled\": {}, \"onedim_rows_pulled\": {}, \"rows_fetched\": {},\n    \
-         \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_rows\": {},\n    \
+         \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_inherited\": {}, \
+         \"scan_rows\": {},\n    \
          \"points_gathered\": {}, \"points_scored\": {}, \"kernel_batches\": {},\n    \
          \"delta_rows_scanned\": {}, \"delta_blocks_pruned\": {}, \"tombstones_skipped\": {},\n    \
          \"seen_hits\": {}, \"floor_updates\": {}, \"rounds\": {}, \"merge_rounds\": {},\n    \
@@ -809,6 +796,7 @@ fn profile_json_string(
         p.rows_fetched,
         p.scan_fallbacks,
         p.scan_projected,
+        p.scan_inherited,
         p.scan_rows,
         p.points_gathered,
         p.points_scored,
@@ -2255,13 +2243,16 @@ fn event_detail_human(kind: &EventKind) -> String {
             threshold_micros,
             profile,
         } => format!(
-            "{wall_micros} µs ≥ {threshold_micros} µs (k {k}): {} popped, {} floor-pruned, \
-             {} fetched ({} by {} scan(s)), {} scored, {} emitted",
+            "{wall_micros} µs ≥ {threshold_micros} µs (k {k}): {} block(s) popped, \
+             {} floor-pruned, {} row(s) fetched ({} by {} scan(s): projected {}, inherited {}), \
+             {} scored, {} emitted",
             profile.blocks_popped,
             profile.blocks_floor_pruned,
             profile.rows_fetched,
             profile.scan_rows,
             profile.scan_fallbacks,
+            profile.scan_projected,
+            profile.scan_inherited,
             profile.points_scored,
             profile.emitted
         ),
@@ -2325,13 +2316,16 @@ fn event_fields_json(kind: &EventKind) -> String {
             "\"wall_micros\": {wall_micros}, \"k\": {k}, \
              \"threshold_micros\": {threshold_micros}, \"profile\": {{\
              \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"rows_fetched\": {}, \
-             \"scan_fallbacks\": {}, \"scan_rows\": {}, \
+             \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_inherited\": {}, \
+             \"scan_rows\": {}, \
              \"points_gathered\": {}, \"points_scored\": {}, \"emitted\": {}, \
              \"rounds\": {}}}",
             profile.blocks_popped,
             profile.blocks_floor_pruned,
             profile.rows_fetched,
             profile.scan_fallbacks,
+            profile.scan_projected,
+            profile.scan_inherited,
             profile.scan_rows,
             profile.points_gathered,
             profile.points_scored,

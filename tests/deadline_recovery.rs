@@ -1,6 +1,7 @@
 //! A query deadline is an error for one query, not for the scratch that
 //! served it: when the single-worker scheduler aborts — between two
-//! aggregation rounds or in the middle of a shard's kernel scan — every
+//! aggregation rounds, in the middle of the kernel scan of the shard that
+//! found the query lost, or in one its siblings inherited from it — every
 //! suspended shard execution hands its buffers back, the typed error
 //! surfaces, the `deadline_exceeded` metric counts it, and the same
 //! [`EngineScratch`] answers the same query again bit-identically to a
@@ -78,9 +79,13 @@ fn assert_bit_identical(got: &[ScoredPoint], want: &[ScoredPoint]) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Trip {
     /// Between two aggregation rounds; no execution had started a scan.
-    MidAggregation,
-    /// Inside a shard's kernel scan (or between rounds after one).
-    MidScan,
+    Aggregation,
+    /// Inside the kernel scan of the shard that found the query lost (or
+    /// between rounds after it); no sibling had inherited the verdict yet.
+    Scan,
+    /// Inside a scan a sibling started on that verdict (or at the round
+    /// head of the next one).
+    InheritedScan,
 }
 
 #[test]
@@ -115,7 +120,12 @@ fn tripped_scratch_recovers_without_reallocating() {
         assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
         full = full.min(t0.elapsed());
     }
-    assert_eq!(scratch.profile.scan_fallbacks, 4, "every shard must scan");
+    let p = scratch.profile;
+    assert_eq!(p.scan_fallbacks, 4, "every shard must scan");
+    assert_eq!(
+        p.scan_inherited, 3,
+        "one verdict, three siblings inherit it"
+    );
     let steady = count_allocs(|| {
         engine.query_with(&query, k, &mut scratch).unwrap();
     });
@@ -134,10 +144,15 @@ fn tripped_scratch_recovers_without_reallocating() {
                     if p.rounds == 0 {
                         continue; // tripped before any execution stepped
                     } else if p.scan_fallbacks == 0 {
-                        Trip::MidAggregation
+                        Trip::Aggregation
                     } else {
                         assert!(p.scan_fallbacks <= 4 && p.emitted == 0);
-                        Trip::MidScan
+                        assert_eq!(p.scan_fallbacks - p.scan_inherited, 1, "{p:?}");
+                        if p.scan_inherited == 0 {
+                            Trip::Scan
+                        } else {
+                            Trip::InheritedScan
+                        }
                     }
                 }
                 Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -163,13 +178,15 @@ fn tripped_scratch_recovers_without_reallocating() {
             if !seen.contains(&trip) {
                 seen.push(trip);
             }
-            if seen.len() == 2 {
+            if seen.len() == 3 {
                 break 'sweep;
             }
         }
     }
     assert!(
-        seen.contains(&Trip::MidAggregation) && seen.contains(&Trip::MidScan),
+        seen.contains(&Trip::Aggregation)
+            && seen.contains(&Trip::Scan)
+            && seen.contains(&Trip::InheritedScan),
         "the sweep over {full:?} tripped only at {seen:?}"
     );
 }

@@ -300,3 +300,147 @@ fn scanning_and_certifying_shards_merge_to_the_oracle() {
         );
     }
 }
+
+/// How dirty an engine of the sweep below is.
+#[derive(Debug, Clone, Copy)]
+enum Dirt {
+    Clean,
+    Tombstoned,
+    TombstonedDelta,
+}
+
+/// Builds `rows` into an engine of `shards` × `threads`, dirties it, and
+/// checks `queries` against SeqScan over its live rows, bit for bit; returns
+/// the summed scan counters `(scan_fallbacks, scan_inherited)`.
+fn scans_match_the_oracle(
+    rows: &[Vec<f64>],
+    roles: &[DimRole],
+    shards: usize,
+    threads: usize,
+    dirt: Dirt,
+    k: usize,
+    queries: &[sdq::SdQuery],
+) -> (u64, u64) {
+    let dims = roles.len();
+    let mut rows = rows.to_vec();
+    let mut engine = SdEngine::build_with(
+        Dataset::from_rows(dims, &rows).unwrap(),
+        roles,
+        &EngineOptions {
+            shards,
+            threads,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    if let Dirt::TombstonedDelta = dirt {
+        // Copies of indexed rows (ties across base and delta) and fresh ones.
+        for i in 0..24 {
+            let row = if i % 2 == 0 {
+                rows[(i * 613) % rows.len()].clone()
+            } else {
+                (0..dims).map(|d| 0.05 * (i + d) as f64 % 1.0).collect()
+            };
+            engine.insert(&row).unwrap();
+            rows.push(row);
+        }
+    }
+    let mut dead = vec![false; rows.len()];
+    if !matches!(dirt, Dirt::Clean) {
+        for victim in (3..rows.len()).step_by(11) {
+            assert!(engine.delete(PointId::new(victim as u32)).unwrap());
+            dead[victim] = true;
+        }
+    }
+    let live_ids: Vec<u32> = (0..rows.len() as u32)
+        .filter(|&i| !dead[i as usize])
+        .collect();
+    let live_rows: Vec<Vec<f64>> = live_ids.iter().map(|&i| rows[i as usize].clone()).collect();
+    let oracle = SeqScan::new(Dataset::from_rows(dims, &live_rows).unwrap(), roles).unwrap();
+    let mut scratch = EngineScratch::new();
+    let mut scans = (0, 0);
+    for q in queries {
+        let want = oracle.query(q, k).unwrap();
+        let got = engine.query_with(q, k, &mut scratch).unwrap();
+        let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}");
+        assert_eq!(got.len(), want.len(), "{cell}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                (g.id.raw(), g.score.to_bits()),
+                (live_ids[w.id.index()], w.score.to_bits()),
+                "{cell}"
+            );
+        }
+        let p = scratch.profile;
+        assert!(
+            p.scan_projected + p.scan_inherited <= p.scan_fallbacks,
+            "{cell}: {p:?}"
+        );
+        scans.0 += p.scan_fallbacks;
+        scans.1 += p.scan_inherited;
+    }
+    scans
+}
+
+/// The third scan trigger against the oracle: once one shard execution
+/// finds its streams lost, its open siblings scan on that verdict — at one
+/// worker, where the verdict is always there before they resume, and at two,
+/// where it races their own — over clean, tombstoned and tombstoned-plus-
+/// delta engines, bit for bit.
+#[test]
+fn inherited_scans_merge_to_the_oracle() {
+    let (n, dims, k) = (16_000, 6, 64);
+    let roles = roles_for(dims, 4);
+    let rows: Vec<Vec<f64>> = generate(Distribution::AntiCorrelated, n, dims, 0x1A4)
+        .iter()
+        .map(|(_, c)| c.to_vec())
+        .collect();
+    let queries = uniform_queries(3, dims, 0x1A5);
+    let q = queries.len() as u64;
+    for shards in [1, 2, 4, 8] {
+        for threads in [1, 2] {
+            for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
+                let (fallbacks, inherited) =
+                    scans_match_the_oracle(&rows, &roles, shards, threads, dirt, k, &queries);
+                let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}");
+                // Every shard of every query scans at these sizes …
+                assert_eq!(fallbacks, shards as u64 * q, "{cell}");
+                if threads == 1 {
+                    // … and one worker finds that out once per query.
+                    assert_eq!(inherited, (shards as u64 - 1) * q, "{cell}");
+                } else if shards >= 4 {
+                    // Each worker's second shard resumes after its first
+                    // reached a verdict.
+                    assert!(inherited >= q, "{cell}: {inherited} inherited");
+                }
+            }
+        }
+    }
+
+    // A hostile lead: shard 0 holds 10 000 anti-correlated rows, stretched
+    // about 0.5 so they compete for the top k, and shards 1–3 hold 10 000
+    // uniform rows each. On the last of these queries the lead is lost
+    // while the uniform shards, on their own, certify; its verdict sends
+    // them to three scans they did not need, and those must be exact too.
+    let (m, k) = (10_000, 16);
+    let mut rows: Vec<Vec<f64>> = generate(Distribution::AntiCorrelated, m, dims, 0x1A6)
+        .iter()
+        .map(|(_, c)| c.iter().map(|x| 2.0 * x - 0.5).collect())
+        .collect();
+    rows.extend(
+        generate(Distribution::Uniform, 3 * m, dims, 0x1A7)
+            .iter()
+            .map(|(_, c)| c.to_vec()),
+    );
+    let queries = uniform_queries(4, dims, 0x1A5);
+    for threads in [1, 2] {
+        for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
+            let (_, inherited) =
+                scans_match_the_oracle(&rows, &roles, 4, threads, dirt, k, &queries);
+            assert!(
+                threads > 1 || inherited > 0,
+                "{dirt:?}: the lead's verdict reached no sibling"
+            );
+        }
+    }
+}

@@ -85,10 +85,13 @@ fn assert_counters_consistent(p: &QueryProfile, k: usize, live: u64) -> Result<(
         p.rows_fetched,
         "fetch accounting leaks rows"
     );
+    // Every scan has one trigger: the spent budget, the projection, or a
+    // sibling's verdict.
     prop_assert!(
-        p.scan_projected <= p.scan_fallbacks,
-        "projected {} > fallbacks {}",
+        p.scan_projected + p.scan_inherited <= p.scan_fallbacks,
+        "projected {} + inherited {} > fallbacks {}",
         p.scan_projected,
+        p.scan_inherited,
         p.scan_fallbacks
     );
     prop_assert_eq!(p.emitted, (k as u64).min(live), "emitted != min(k, live)");
@@ -241,6 +244,7 @@ proptest! {
         prop_assert_eq!(p1.rows_fetched, p2.rows_fetched);
         prop_assert_eq!(p1.scan_fallbacks, p2.scan_fallbacks);
         prop_assert_eq!(p1.scan_projected, p2.scan_projected);
+        prop_assert_eq!(p1.scan_inherited, p2.scan_inherited);
         prop_assert_eq!(p1.scan_rows, p2.scan_rows);
         prop_assert_eq!(p1.points_gathered, p2.points_gathered);
         prop_assert_eq!(p1.points_scored, p2.points_scored);
