@@ -5,13 +5,20 @@
 //! (the SD-score with pre-signed weights, Eqn. 3). This module owns that
 //! arithmetic once — over fixed-width structure-of-arrays *lanes*
 //! ([`LANES`] points per block), and over runs of consecutive rows of the
-//! row-major coordinate table ([`score_rows`]) — with three interchangeable
-//! backends:
+//! row-major coordinate table ([`score_rows`], which also compares every
+//! score to the k-th-score floor in the same pass) — with three
+//! interchangeable backends:
 //!
 //! * a chunk-oriented **scalar** loop (the portable reference, and the
 //!   `SDQ_FORCE_SCALAR` escape hatch),
 //! * an **SSE2** path (baseline on `x86_64`),
 //! * an **AVX2** path selected by runtime feature detection.
+//!
+//! Each ISA arm is a safe `#[target_feature]` function: its arithmetic is
+//! ordinary code, and only its pointer loads and stores sit in `unsafe`
+//! blocks, each beside the slice bound that keeps it in range. The one
+//! `unsafe` left at a call site is the dispatch itself, sound because
+//! [`active`] names an ISA only once the host is known to have it.
 //!
 //! ## Bit-identity contract
 //!
@@ -49,6 +56,8 @@
 //! }
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Points per block: the fixed lane width of every SoA block in the
@@ -70,14 +79,15 @@ impl Default for LaneBlock {
     }
 }
 
-// Safety: `#[repr(C, align(64))]` over `[f64; LANES]` — no padding (size is
+// SAFETY: `#[repr(C, align(64))]` over `[f64; LANES]` — no padding (size is
 // a multiple of the alignment), and any bit pattern is a valid f64 array.
 unsafe impl crate::view::Pod for LaneBlock {}
 
 /// The instruction-set level the kernels dispatch to.
 ///
 /// Dispatch is per kernel: the lane accumulators have AVX2 and SSE2 arms;
-/// [`score_rows`], [`survivors`] and [`lane_filter`] have AVX2 arms and
+/// [`score_rows`] (eight rows a step, scored and floor-compared in
+/// registers), [`survivors`] and [`lane_filter`] have AVX2 arms and
 /// otherwise run the scalar loops (which the compiler autovectorizes at the
 /// x86-64 SSE2 baseline where it can). Every arm is bit-identical, so the
 /// level a report prints (`QueryProfile::isa`, hence `sdq query
@@ -179,8 +189,11 @@ pub fn score_add_dim(acc: &mut [f64], col: &[f64], q: f64, sw: f64) {
     debug_assert_eq!(acc.len(), col.len());
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` reports `Avx2` only after runtime detection of
+        // the feature.
         Isa::Avx2 => unsafe { score_add_dim_avx2(acc, col, q, sw) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline.
         Isa::Sse2 => unsafe { score_add_dim_sse2(acc, col, q, sw) },
         _ => score_add_dim_scalar(acc, col, q, sw),
     }
@@ -194,43 +207,43 @@ fn score_add_dim_scalar(acc: &mut [f64], col: &[f64], q: f64, sw: f64) {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn score_add_dim_avx2(acc: &mut [f64], col: &[f64], q: f64, sw: f64) {
+fn score_add_dim_avx2(acc: &mut [f64], col: &[f64], q: f64, sw: f64) {
     use std::arch::x86_64::*;
     let qv = _mm256_set1_pd(q);
     let wv = _mm256_set1_pd(sw);
     let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
-    let n = acc.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let c = _mm256_loadu_pd(col.as_ptr().add(i));
-        let a = _mm256_loadu_pd(acc.as_ptr().add(i));
+    let mut accs = acc.chunks_exact_mut(4);
+    let mut cols = col.chunks_exact(4);
+    for (a4, c4) in accs.by_ref().zip(cols.by_ref()) {
+        // SAFETY: `a4` and `c4` are four-element chunks.
+        let (a, c) = unsafe { (_mm256_loadu_pd(a4.as_ptr()), _mm256_loadu_pd(c4.as_ptr())) };
         let t = _mm256_and_pd(_mm256_sub_pd(c, qv), abs_mask);
         // mul then add (no FMA): identical rounding to the scalar path.
         let r = _mm256_add_pd(a, _mm256_mul_pd(wv, t));
-        _mm256_storeu_pd(acc.as_mut_ptr().add(i), r);
-        i += 4;
+        // SAFETY: `a4` is a four-element chunk.
+        unsafe { _mm256_storeu_pd(a4.as_mut_ptr(), r) };
     }
-    score_add_dim_scalar(&mut acc[i..], &col[i..], q, sw);
+    score_add_dim_scalar(accs.into_remainder(), cols.remainder(), q, sw);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-unsafe fn score_add_dim_sse2(acc: &mut [f64], col: &[f64], q: f64, sw: f64) {
+fn score_add_dim_sse2(acc: &mut [f64], col: &[f64], q: f64, sw: f64) {
     use std::arch::x86_64::*;
     let qv = _mm_set1_pd(q);
     let wv = _mm_set1_pd(sw);
     let abs_mask = _mm_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
-    let n = acc.len();
-    let mut i = 0;
-    while i + 2 <= n {
-        let c = _mm_loadu_pd(col.as_ptr().add(i));
-        let a = _mm_loadu_pd(acc.as_ptr().add(i));
+    let mut accs = acc.chunks_exact_mut(2);
+    let mut cols = col.chunks_exact(2);
+    for (a2, c2) in accs.by_ref().zip(cols.by_ref()) {
+        // SAFETY: `a2` and `c2` are two-element chunks.
+        let (a, c) = unsafe { (_mm_loadu_pd(a2.as_ptr()), _mm_loadu_pd(c2.as_ptr())) };
         let t = _mm_and_pd(_mm_sub_pd(c, qv), abs_mask);
         let r = _mm_add_pd(a, _mm_mul_pd(wv, t));
-        _mm_storeu_pd(acc.as_mut_ptr().add(i), r);
-        i += 2;
+        // SAFETY: `a2` is a two-element chunk.
+        unsafe { _mm_storeu_pd(a2.as_mut_ptr(), r) };
     }
-    score_add_dim_scalar(&mut acc[i..], &col[i..], q, sw);
+    score_add_dim_scalar(accs.into_remainder(), cols.remainder(), q, sw);
 }
 
 /// Scores one 2-D SoA block at raw weights: per lane,
@@ -254,96 +267,155 @@ pub fn score_block_2d(
 
 // ─── row-major runs ─────────────────────────────────────────────────────────
 
-/// Scores a run of consecutive rows straight off the row-major coordinate
-/// table: `run` holds `scores.len()` rows of `dims` coordinates each, and
+/// Scores a run of up to 32 consecutive rows straight off the row-major
+/// coordinate table and compares every score to `floor` in the same pass:
+/// `run` holds `scores.len()` rows of `dims` coordinates each,
 /// `scores[r] = Σ_d sw[d]·|run[r·dims + d] − q[d]|`, accumulated from `+0.0`
 /// in dimension order — [`sd_score`](crate::score::sd_score) bit-for-bit
-/// when `sw` holds the role-signed weights (see [`score_add_dim`]).
+/// when `sw` holds the role-signed weights (see [`score_add_dim`]) — and
+/// bit `r` of the returned mask is `scores[r] >= floor` (ties kept, a NaN
+/// score never set): [`survivors`] over an all-live run, without reading
+/// the scores back.
 ///
 /// This is [`score_zero`] + one [`score_add_dim`] per dimension for rows
 /// that are already adjacent in memory: no gather buffer is written and
 /// the accumulator never leaves its register between dimensions. The AVX2
-/// arm takes four rows at a time and transposes them four dimensions at a
-/// time in registers; the scalar arm is the per-row loop that defines the
-/// score, and also serves the last `scores.len() % 4` rows of the AVX2 arm.
+/// arm takes eight rows a step as two four-row accumulators, builds each
+/// pair of dimension columns from two 128-bit pair loads and an unpack,
+/// and compares each accumulator to the floor before it stores it (one
+/// body per width from 2 to 8 dimensions, one for the rest); the scalar arm
+/// is the per-row loop that defines the score followed by the `>=` mask,
+/// and also serves the last `scores.len() % 8` rows of the AVX2 arm.
 ///
 /// # Panics
 ///
-/// When `dims == 0`, `q` or `sw` is not `dims` long, or `run` is not
-/// `scores.len() · dims` long.
+/// When `dims == 0`, `q` or `sw` is not `dims` long, `run` is not
+/// `scores.len() · dims` long, or `scores` is longer than 32.
 #[inline]
-pub fn score_rows(scores: &mut [f64], run: &[f64], dims: usize, q: &[f64], sw: &[f64]) {
-    assert!(dims > 0 && q.len() == dims && sw.len() == dims);
+pub fn score_rows(
+    scores: &mut [f64],
+    run: &[f64],
+    dims: usize,
+    q: &[f64],
+    sw: &[f64],
+    floor: f64,
+) -> u32 {
+    assert!(dims > 0 && q.len() == dims && sw.len() == dims && scores.len() <= 32);
     assert_eq!(run.len(), scores.len() * dims);
     match active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active()` reports `Avx2` only after runtime detection of
-        // the feature, and the two assertions above are the shape the arm
-        // requires of its arguments.
-        Isa::Avx2 => unsafe { score_rows_avx2(scores, run, dims, q, sw) },
-        _ => score_rows_scalar(scores, run, dims, q, sw),
+        Isa::Avx2 => {
+            // Widths 2 to 8 get a body each, whose pair loop unrolls and
+            // keeps the pairs of `q` and `sw` in registers across steps; any
+            // other width runs the body that reads it at run time.
+            type Arm = unsafe fn(&mut [f64], &[f64], &[f64], &[f64], f64) -> u32;
+            let arm: Arm = match dims {
+                2 => score_rows_avx2::<2>,
+                3 => score_rows_avx2::<3>,
+                4 => score_rows_avx2::<4>,
+                5 => score_rows_avx2::<5>,
+                6 => score_rows_avx2::<6>,
+                7 => score_rows_avx2::<7>,
+                8 => score_rows_avx2::<8>,
+                _ => score_rows_avx2::<0>,
+            };
+            // SAFETY: `active()` reports `Avx2` only after runtime detection
+            // of the feature.
+            unsafe { arm(scores, run, q, sw, floor) }
+        }
+        _ => {
+            score_rows_scalar(scores, run, q, sw);
+            ge_mask_scalar(scores, floor)
+        }
     }
 }
 
-fn score_rows_scalar(scores: &mut [f64], run: &[f64], dims: usize, q: &[f64], sw: &[f64]) {
-    for (score, row) in scores.iter_mut().zip(run.chunks_exact(dims)) {
+fn score_rows_scalar(scores: &mut [f64], run: &[f64], q: &[f64], sw: &[f64]) {
+    for (score, row) in scores.iter_mut().zip(run.chunks_exact(q.len())) {
         let mut acc = 0.0;
-        for d in 0..dims {
+        for d in 0..q.len() {
             acc += sw[d] * (row[d] - q[d]).abs();
         }
         *score = acc;
     }
 }
 
-/// # Safety
-///
-/// The host must support AVX2 (callers dispatch on [`active`]), and the
-/// arguments must have the shape [`score_rows`] asserts: `q.len() == dims`,
-/// `sw.len() == dims` and `run.len() == scores.len() * dims` — every load
-/// below is at `row·dims + d` with `row < scores.len()` and `d < dims`.
+/// The AVX2 arm of [`score_rows`]: eight rows a step, rows 0–3 and 4–7 in
+/// two accumulators of one lane per row. Each pair of dimensions of a
+/// four-row group is two 128-bit loads — rows 0 and 2, rows 1 and 3 — whose
+/// terms `sw·|p − q|` are taken lane for lane against the pair's `q` and
+/// `sw` and then unpacked, low and high, into the pair's two columns; an
+/// odd last dimension is gathered lane by lane. `D` is the row width, or 0
+/// to read it off `q`. Every load and store is bounded by the eight-row
+/// chunk it reads or writes, whatever the arguments.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn score_rows_avx2(scores: &mut [f64], run: &[f64], dims: usize, q: &[f64], sw: &[f64]) {
+fn score_rows_avx2<const D: usize>(
+    scores: &mut [f64],
+    run: &[f64],
+    q: &[f64],
+    sw: &[f64],
+    floor: f64,
+) -> u32 {
     use std::arch::x86_64::*;
+    let dims = if D == 0 { q.len() } else { D };
+    let (q, sw, whole) = (&q[..dims], &sw[..dims], scores.len() / 8 * 8);
     let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
-    // acc + sw[d]·|col − q[d]|: mul then add (no FMA), as the scalar arm.
-    let step = |acc: __m256d, col: __m256d, d: usize| -> __m256d {
-        let t = _mm256_and_pd(
-            _mm256_sub_pd(col, _mm256_set1_pd(*q.get_unchecked(d))),
-            abs_mask,
-        );
-        _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(*sw.get_unchecked(d)), t))
-    };
-    let count = scores.len();
-    let mut r = 0;
-    while r + 4 <= count {
-        let base = run.as_ptr().add(r * dims);
-        let (r0, r1, r2, r3) = (base, base.add(dims), base.add(2 * dims), base.add(3 * dims));
-        let mut acc = _mm256_setzero_pd();
-        let mut d = 0;
-        while d + 4 <= dims {
-            // Four rows × four dimensions, transposed in registers: the
-            // `c*` vectors hold one dimension of the four rows each.
-            let (v0, v1) = (_mm256_loadu_pd(r0.add(d)), _mm256_loadu_pd(r1.add(d)));
-            let (v2, v3) = (_mm256_loadu_pd(r2.add(d)), _mm256_loadu_pd(r3.add(d)));
-            let (t0, t1) = (_mm256_unpacklo_pd(v0, v1), _mm256_unpackhi_pd(v0, v1));
-            let (t2, t3) = (_mm256_unpacklo_pd(v2, v3), _mm256_unpackhi_pd(v2, v3));
-            acc = step(acc, _mm256_permute2f128_pd::<0x20>(t0, t2), d);
-            acc = step(acc, _mm256_permute2f128_pd::<0x20>(t1, t3), d + 1);
-            acc = step(acc, _mm256_permute2f128_pd::<0x31>(t0, t2), d + 2);
-            acc = step(acc, _mm256_permute2f128_pd::<0x31>(t1, t3), d + 3);
-            d += 4;
+    let fv = _mm256_set1_pd(floor);
+    // sw·|p − q| lane for lane: mul then add (no FMA), as the scalar arm.
+    let term = |p, q, sw| _mm256_mul_pd(sw, _mm256_and_pd(_mm256_sub_pd(p, q), abs_mask));
+    // The two values of a pair, twice: `[x, y, x, y]`.
+    let pair = |xy: &[f64]| _mm256_setr_pd(xy[0], xy[1], xy[0], xy[1]);
+    let mut mask = 0u32;
+    let mut outs = scores.chunks_exact_mut(8);
+    for (i, out) in outs.by_ref().enumerate() {
+        let eight = &run[8 * i * dims..8 * (i + 1) * dims];
+        let mut acc = [_mm256_setzero_pd(); 2];
+        let pairs = q.chunks_exact(2).zip(sw.chunks_exact(2));
+        for (d, (qd, swd)) in (0..dims).step_by(2).zip(pairs) {
+            let (qv, wv) = (pair(qd), pair(swd));
+            for (g, acc) in acc.iter_mut().enumerate() {
+                let r0 = eight[4 * g * dims + d..].as_ptr();
+                // SAFETY: `d + 1 < dims` and `eight` holds eight rows of
+                // `dims`, so the two-element loads at `d` of rows `4g` to
+                // `4g + 3` (`r0` plus 0 to 3 rows) all lie inside `eight`.
+                let (a, b) = unsafe {
+                    (
+                        _mm256_loadu2_m128d(r0.add(2 * dims), r0),
+                        _mm256_loadu2_m128d(r0.add(3 * dims), r0.add(dims)),
+                    )
+                };
+                let (ta, tb) = (term(a, qv, wv), term(b, qv, wv));
+                *acc = _mm256_add_pd(*acc, _mm256_unpacklo_pd(ta, tb));
+                *acc = _mm256_add_pd(*acc, _mm256_unpackhi_pd(ta, tb));
+            }
         }
-        while d < dims {
-            // Tail dimensions: one coordinate from each of the four rows.
-            let col = _mm256_set_pd(*r3.add(d), *r2.add(d), *r1.add(d), *r0.add(d));
-            acc = step(acc, col, d);
-            d += 1;
+        if dims % 2 == 1 {
+            let d = dims - 1;
+            let (qv, wv) = (_mm256_set1_pd(q[d]), _mm256_set1_pd(sw[d]));
+            let at = |r: usize| eight[r * dims + d];
+            let (lo, hi) = (
+                _mm256_set_pd(at(3), at(2), at(1), at(0)),
+                _mm256_set_pd(at(7), at(6), at(5), at(4)),
+            );
+            acc[0] = _mm256_add_pd(acc[0], term(lo, qv, wv));
+            acc[1] = _mm256_add_pd(acc[1], term(hi, qv, wv));
         }
-        _mm256_storeu_pd(scores.as_mut_ptr().add(r), acc);
-        r += 4;
+        // SAFETY: `out` is an eight-element chunk.
+        unsafe {
+            _mm256_storeu_pd(out.as_mut_ptr(), acc[0]);
+            _mm256_storeu_pd(out[4..].as_mut_ptr(), acc[1]);
+        }
+        let ge_lo = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(acc[0], fv)) as u32;
+        let ge_hi = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(acc[1], fv)) as u32;
+        mask |= (ge_lo | ge_hi << 4) << (8 * i);
     }
-    score_rows_scalar(&mut scores[r..], &run[r * dims..], dims, q, sw);
+    let tail = outs.into_remainder();
+    if tail.is_empty() {
+        return mask;
+    }
+    score_rows_scalar(tail, &run[whole * dims..], q, sw);
+    mask | ge_mask_scalar(tail, floor) << whole
 }
 
 // ─── survivor selection ─────────────────────────────────────────────────────
@@ -358,6 +430,8 @@ pub fn survivors(scores: &[f64], live: u32, floor: f64) -> u32 {
     debug_assert!(scores.len() <= 32);
     let mask = match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` reports `Avx2` only after runtime detection of
+        // the feature.
         Isa::Avx2 => unsafe { ge_mask_avx2(scores, floor) },
         _ => ge_mask_scalar(scores, floor),
     };
@@ -374,20 +448,20 @@ fn ge_mask_scalar(scores: &[f64], floor: f64) -> u32 {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn ge_mask_avx2(scores: &[f64], floor: f64) -> u32 {
+fn ge_mask_avx2(scores: &[f64], floor: f64) -> u32 {
     use std::arch::x86_64::*;
     let fv = _mm256_set1_pd(floor);
-    let n = scores.len();
     let mut m = 0u32;
-    let mut i = 0;
-    while i + 4 <= n {
-        let s = _mm256_loadu_pd(scores.as_ptr().add(i));
+    let mut quads = scores.chunks_exact(4);
+    for (i, s4) in quads.by_ref().enumerate() {
+        // SAFETY: `s4` is a four-element chunk.
+        let s = unsafe { _mm256_loadu_pd(s4.as_ptr()) };
         let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(s, fv);
-        m |= (_mm256_movemask_pd(ge) as u32) << i;
-        i += 4;
+        m |= (_mm256_movemask_pd(ge) as u32) << (4 * i);
     }
-    if i < n {
-        m |= ge_mask_scalar(&scores[i..], floor) << i;
+    let tail = quads.remainder();
+    if !tail.is_empty() {
+        m |= ge_mask_scalar(tail, floor) << (scores.len() - tail.len());
     }
     m
 }
@@ -426,8 +500,7 @@ pub fn lane_filter(scores: &[f64], live: u32, others: f64, floor: f64) -> u32 {
     let mask = match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `active()` reports `Avx2` only after runtime detection of
-        // the feature; the arm reads `scores` strictly inside its bounds
-        // (four lanes at a time while `i + 4 <= len`).
+        // the feature.
         Isa::Avx2 => unsafe { lane_filter_avx2(scores, others, floor) },
         _ => lane_filter_scalar(scores, others, floor),
     };
@@ -442,31 +515,28 @@ fn lane_filter_scalar(scores: &[f64], others: f64, floor: f64) -> u32 {
     m
 }
 
-/// # Safety
-///
-/// The host must support AVX2 (callers dispatch on [`active`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lane_filter_avx2(scores: &[f64], others: f64, floor: f64) -> u32 {
+fn lane_filter_avx2(scores: &[f64], others: f64, floor: f64) -> u32 {
     use std::arch::x86_64::*;
     let ov = _mm256_set1_pd(others);
     let fv = _mm256_set1_pd(floor);
     let one = _mm256_set1_pd(1.0);
     let eps = _mm256_set1_pd(EPS_REL);
     let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
-    let n = scores.len();
     let mut m = 0u32;
-    let mut i = 0;
-    while i + 4 <= n {
-        let t = _mm256_add_pd(_mm256_loadu_pd(scores.as_ptr().add(i)), ov);
+    let mut quads = scores.chunks_exact(4);
+    for (i, s4) in quads.by_ref().enumerate() {
+        // SAFETY: `s4` is a four-element chunk.
+        let t = _mm256_add_pd(unsafe { _mm256_loadu_pd(s4.as_ptr()) }, ov);
         // inflate(t), operation for operation (mul then add, no FMA).
         let slack = _mm256_mul_pd(eps, _mm256_add_pd(one, _mm256_and_pd(t, abs_mask)));
         let le = _mm256_cmp_pd::<_CMP_LE_OQ>(fv, _mm256_add_pd(t, slack));
-        m |= (_mm256_movemask_pd(le) as u32) << i;
-        i += 4;
+        m |= (_mm256_movemask_pd(le) as u32) << (4 * i);
     }
-    if i < n {
-        m |= lane_filter_scalar(&scores[i..], others, floor) << i;
+    let tail = quads.remainder();
+    if !tail.is_empty() {
+        m |= lane_filter_scalar(tail, others, floor) << (scores.len() - tail.len());
     }
     m
 }
@@ -610,9 +680,13 @@ mod tests {
 
     #[test]
     fn score_rows_matches_sd_score_bitwise_all_isas() {
-        // Every `dims % 4` and `count % 4` (the AVX2 arm's block and tail
-        // paths), mixed roles, zero weights, and coordinates / query points
-        // from the edges of the format as well as its middle.
+        // Every `dims % 2` and `count % 8` (the AVX2 arm's pair loads, odd
+        // last dimension, eight-row steps and scalar tail), mixed roles,
+        // zero weights, and coordinates / query points from the edges of the
+        // format as well as its middle. Every fifth row is the query point
+        // (a score of zero where the query is finite) and every seventh has
+        // a NaN coordinate (a NaN score). The mask is checked against floors
+        // at ±∞, ±0, NaN and exactly one row's score (a tie, kept).
         const EDGES: [f64; 9] = [
             0.0,
             -0.0,
@@ -632,6 +706,7 @@ mod tests {
                 rng.gen_range(-1e3..1e3)
             }
         };
+        let (mut zeros, mut nans, mut ties) = (0, 0, 0);
         for dims in 1..=9 {
             for count in 1..=LANES {
                 let roles: Vec<DimRole> = (0..dims)
@@ -647,26 +722,55 @@ mod tests {
                 let w: Vec<f64> = (0..dims).map(|_| draw(4).abs().min(10.0)).collect();
                 let sw: Vec<f64> = roles.iter().zip(&w).map(|(r, &w)| r.sign() * w).collect();
                 let q: Vec<f64> = (0..dims).map(|_| draw(5)).collect();
-                let run: Vec<f64> = (0..count * dims).map(|_| draw(5)).collect();
-                with_each_isa(|| {
-                    let mut out = vec![f64::NAN; count];
-                    score_rows(&mut out, &run, dims, &q, &sw);
-                    for (r, row) in run.chunks_exact(dims).enumerate() {
-                        let want = sd_score(row, &q, &roles, &w);
-                        // A NaN score (∞ − ∞, ∞ · 0) is NaN on every arm;
-                        // its sign bit is whichever operand the add
-                        // propagated, an order compilers choose freely.
-                        assert!(
-                            out[r].to_bits() == want.to_bits()
-                                || (out[r].is_nan() && want.is_nan()),
-                            "row {r} of {count}, dims {dims}: {} vs {want} on {:?}",
-                            out[r],
-                            active()
-                        );
+                let mut run: Vec<f64> = (0..count * dims).map(|_| draw(5)).collect();
+                for (r, row) in run.chunks_exact_mut(dims).enumerate() {
+                    if r % 5 == 2 {
+                        row.copy_from_slice(&q);
+                    } else if r % 7 == 5 {
+                        row[0] = f64::NAN;
                     }
-                });
+                }
+                let want: Vec<f64> = (run.chunks_exact(dims))
+                    .map(|row| sd_score(row, &q, &roles, &w))
+                    .collect();
+                zeros += want.iter().filter(|s| **s == 0.0).count();
+                nans += want.iter().filter(|s| s.is_nan()).count();
+                let tie = want[(dims + count) % count];
+                for floor in [tie, f64::NEG_INFINITY, f64::INFINITY, 0.0, -0.0, f64::NAN] {
+                    with_each_isa(|| {
+                        let mut out = vec![f64::NAN; count];
+                        let mask = score_rows(&mut out, &run, dims, &q, &sw, floor);
+                        let isa = active();
+                        assert_eq!(u64::from(mask) >> count, 0, "lanes past {count} on {isa:?}");
+                        for (r, &want) in want.iter().enumerate() {
+                            // A NaN score (∞ − ∞, ∞ · 0) is NaN on every
+                            // arm; its sign bit is whichever operand the
+                            // add propagated, an order compilers choose
+                            // freely.
+                            assert!(
+                                out[r].to_bits() == want.to_bits()
+                                    || (out[r].is_nan() && want.is_nan()),
+                                "row {r} of {count}, dims {dims}: {} vs {want} on {isa:?}",
+                                out[r],
+                            );
+                            let kept = mask >> r & 1 == 1;
+                            assert_eq!(
+                                kept,
+                                want >= floor,
+                                "row {r} of {count}, dims {dims}: score {want}, floor {floor} \
+                                 on {isa:?}"
+                            );
+                            assert!(!(kept && want.is_nan()), "a NaN row survived");
+                        }
+                    });
+                }
+                ties += usize::from(!tie.is_nan());
             }
         }
+        assert!(
+            zeros > 0 && nans > 0 && ties > 0,
+            "{zeros} / {nans} / {ties}"
+        );
     }
 
     #[test]

@@ -802,10 +802,11 @@ pub(crate) fn build_pair_columns(
 /// way the row arrived: a round's fetched batch ([`score_rows_batched`]) is
 /// tombstone-masked, gathered into [`LANES`]-wide SoA lanes and scored on
 /// the full query by the lane kernels; the scan exit ([`scan_unseen`])
-/// scores runs of consecutive rows where they lie. Either way the scores
-/// that pass the floor compare are fed to the k-th-score floor, the
-/// caller's `on_score` observer and the candidate pool
-/// ([`BatchScorer::admit`]).
+/// scores every run of consecutive rows where it lies, floor compare
+/// included, and only then drops the rows the streams already surfaced and
+/// the tombstoned ones. Either way the scores that pass the floor compare
+/// are fed to the k-th-score floor, the caller's `on_score` observer and
+/// the candidate pool ([`BatchScorer::admit`]).
 ///
 /// Lanes strictly below a known k-th score — the local floor once it holds
 /// `k_eff` real scores, or the cross-execution floor the round head last
@@ -949,8 +950,8 @@ fn score_rows_batched<F: FnMut(f64)>(
     scorer.flush();
 }
 
-/// The read-only state and the tallies of one [`scan_unseen`] pass —
-/// everything about the scan that does not depend on the score observer.
+/// The read-only state of one [`scan_unseen`] pass — everything about the
+/// scan that does not depend on the score observer.
 struct UnseenScan<'a> {
     data: &'a Dataset,
     seen: &'a StampSet,
@@ -958,50 +959,54 @@ struct UnseenScan<'a> {
     /// The query point and the role-signed weights, one per dimension.
     q: &'a [f64],
     sw: &'a [f64],
-    /// Unseen rows met (tombstoned ones included), the tombstoned among
-    /// them, and chunks that reached the kernel.
-    scanned: u32,
-    dead: u32,
-    batches: u32,
 }
 
 impl UnseenScan<'_> {
     /// One chunk — the up to [`LANES`] consecutive rows from `start`:
-    /// builds its live word (not yet seen, not tombstoned), scores the
-    /// whole run on the full query into `scores[..count]` straight off the
-    /// row-major table, and returns the live lanes that reach `floor`. A
-    /// row already scored or dead costs a wasted lane, never a visit to
-    /// floor, observer or pool; a chunk with no live lane is not scored.
+    /// scores the whole run on the full query into `scores[..count]`
+    /// straight off the row-major table, compares it to `floor` in the same
+    /// pass, and returns the lanes that reach it and are live (not yet
+    /// seen, not tombstoned). The seen-set and the tombstones are read only
+    /// for a chunk with a lane at the floor (on a lost 6-D query, ≈ 0.4 %
+    /// of the rows reach it); a row already scored or dead costs a wasted
+    /// lane, never a visit to floor, observer or pool.
     #[inline(never)]
-    fn chunk(&mut self, start: usize, floor: f64, scores: &mut [f64]) -> u32 {
+    fn chunk(&self, start: usize, floor: f64, scores: &mut [f64]) -> u32 {
         let dims = self.data.dims();
         let count = LANES.min(self.data.len() - start);
-        let mut live = self.seen.unseen_word(start, count);
-        self.scanned += live.count_ones();
-        if let Some(m) = self.mask {
-            // Tombstoned rows stop here, before pool and floor.
-            let dead = live & m.dead_word32(start as u32);
-            self.dead += dead.count_ones();
-            live &= !dead;
+        let flat = self.data.flat();
+        // The chunk three ahead, a line at a time (past the end: a no-op).
+        let ahead = flat.as_ptr().wrapping_add((start + 3 * LANES) * dims);
+        for line in (0..LANES * dims).step_by(8) {
+            kernels::prefetch(ahead.wrapping_add(line));
         }
-        if live == 0 {
+        let run = &flat[start * dims..(start + count) * dims];
+        let reach = kernels::score_rows(&mut scores[..count], run, dims, self.q, self.sw, floor);
+        if reach == 0 {
             return 0;
         }
-        self.batches += 1;
-        let scores = &mut scores[..count];
-        let run = &self.data.flat()[start * dims..(start + count) * dims];
-        kernels::score_rows(scores, run, dims, self.q, self.sw);
-        kernels::survivors(scores, live, floor)
+        let live = reach & self.seen.unseen_word(start, count);
+        // Tombstoned rows stop here, before pool and floor.
+        self.mask
+            .map_or(live, |m| live & !m.dead_word32(start as u32))
     }
 }
 
 /// The cost-bounded exit of the aggregation (see [`plan::scan_budget`] and
-/// [`plan::ScanProbe`] for its two triggers): scores every row the streams
-/// have not surfaced yet, in row order, [`LANES`] consecutive rows at a time
-/// ([`UnseenScan::chunk`]), and takes each chunk's survivors through the
-/// same [`BatchScorer::admit`] the fetched batches end in. Afterwards every
-/// live row of the dataset has been scored, so the pool holds whatever of
-/// the top `k_eff` is not emitted yet.
+/// [`plan::ScanProbe`] for its two triggers): scores every row of the
+/// shard, in row order, [`LANES`] consecutive rows at a time
+/// ([`UnseenScan::chunk`]), and takes the survivors the streams had not
+/// surfaced yet through the same [`BatchScorer::admit`] the fetched batches
+/// end in. Afterwards every live row of the dataset has been scored, so the
+/// pool holds whatever of the top `k_eff` is not emitted yet.
+///
+/// Every chunk is scored, so `kernel_batches` grows by the shard's chunk
+/// count. The rest of the tallies are what a row-by-row pass over the
+/// unseen rows would count, read off the execution instead: every row in
+/// the seen-set was counted once, gathered or tombstone-skipped, when it
+/// was fetched, so the unseen rows are the shard's rows less those two
+/// counters, and the unseen dead rows are the shard's dead rows less the
+/// skipped ones.
 ///
 /// The streams are not consulted again, so their bound staging `sw` is free
 /// to hold the role-signed weights for the pass. The seen-set is only read:
@@ -1018,17 +1023,15 @@ fn scan_unseen<F: FnMut(f64)>(
     let (roles, query) = (scorer.roles, scorer.query);
     sw.clear();
     sw.extend(roles.iter().zip(&query.weights).map(|(r, w)| r.sign() * w));
-    let mut scan = UnseenScan {
+    let scan = UnseenScan {
         data: scorer.data,
         seen,
         mask: scorer.mask,
         q: &query.point,
         sw,
-        scanned: 0,
-        dead: 0,
-        batches: 0,
     };
-    for start in (0..scan.data.len()).step_by(LANES) {
+    let n = scan.data.len();
+    for start in (0..n).step_by(LANES) {
         deadline.check()?;
         let mut surv = scan.chunk(start, scorer.survivor_bar(), scorer.scores);
         while surv != 0 {
@@ -1037,16 +1040,15 @@ fn scan_unseen<F: FnMut(f64)>(
             scorer.admit((start + l) as u32, scorer.scores[l]);
         }
     }
-    let (scanned, dead) = (u64::from(scan.scanned), u64::from(scan.dead));
     let prof = &mut *scorer.prof;
+    let scanned = n as u64 - (prof.points_gathered + prof.tombstones_skipped);
+    let dead = scan.mask.map_or(0, |m| m.dead_among(n)) as u64 - prof.tombstones_skipped;
     prof.scan_rows += scanned;
     prof.rows_fetched += scanned;
     prof.tombstones_skipped += dead;
     prof.points_gathered += scanned - dead;
-    prof.kernel_batches += u64::from(scan.batches);
-    if scan.batches > 0 {
-        prof.isa = kernels::active().name();
-    }
+    prof.kernel_batches += n.div_ceil(LANES) as u64;
+    prof.isa = kernels::active().name();
     Ok(())
 }
 

@@ -31,7 +31,11 @@
 //! 4 shards, 44 % of the rows fetched per query without the exit): 71–88 ns
 //! per fetched row averaged over a whole descent, about 46 ns over its
 //! first n/8 fetches (before the blocks thin out), against 5.5–6 ns per
-//! scanned row — a fetch costs 8–16 scanned rows. An aggregation over `n`
+//! scanned row — a fetch costs 8–16 scanned rows. Re-read with the fused
+//! row kernel below (same data, 256 queries × 3, one worker, timed around
+//! the stream phase and the scan): 44–55 ns per row fetched through the
+//! streams against 2.0–2.3 ns per scanned row, so a fetch now costs ≈ 23
+//! scanned rows (≈ 15 on the kernel before it). An aggregation over `n`
 //! rows that has fetched more than [`scan_budget`]`(n) = n / 8` of them and
 //! is still neither certified nor floor-terminated therefore stops fetching
 //! and finishes with one kernel scan over the rows it has not seen
@@ -100,16 +104,29 @@
 //!
 //! What a lost cause costs now: the stream phase up to the exit plus one
 //! scan, and the scan scores each 32-row chunk straight off the row-major
-//! table ([`score_rows`](crate::kernels::score_rows): four rows transposed
-//! in registers, the accumulator never stored between dimensions) at
-//! ≈ 3 ns a row where the transpose through the gather buffer took ≈ 5.6
-//! (100 000 × 6-D, same host, same checksum). `agg_6d` reads 740–758 µs
+//! table and compares it to the floor in the same pass
+//! ([`score_rows`](crate::kernels::score_rows): eight rows a step, the
+//! accumulators never stored between dimensions), reading the seen-set
+//! and the tombstones only for a chunk with a row at the floor. That is
+//! 2.0–2.3 ns per scanned row on `agg_6d`'s shards (100 000 × 6-D, k = 64,
+//! 4 shards, 256 queries × 3 on a 2-core VM), against 2.9–3.2 ns for the
+//! four-row kernel behind a seen-set word, a tombstone word and a separate
+//! floor compare per chunk, and ≈ 5.6 ns for the transpose through the
+//! gather buffer before that. Neither `scan_budget` nor the probe's
+//! cadence moved with it: a cheaper scan argues for leaving the streams
+//! sooner, but both constants were read off one shard size at one worker,
+//! and they are to be re-fitted together with the slice schedule once a
+//! sweep over shard sizes and workers has chosen the shard size. What they
+//! leave on the table: `agg_6d` reads 278–303 µs p50 against 198–207 µs
+//! for the same tree with an empty budget (seeds 1–3, 8 s runs), so the
+//! stream phase before the verdict is now 26–32 % of its p50. (Read before
+//! the shared verdict, on the four-row kernel: 740–758 µs
 //! p50 against 501–541 µs for the same binary with an empty budget, which
 //! scans from the second round on — 1.45× a pure scan, where the budget
 //! alone cost 1.6× of a scan twice as slow — and the query that would have
 //! certified just past the budget still pays about twice what it would
-//! have. (The empty budget is not the better default: it is the n/32 end of
-//! the sweep above, where every friendly query pays for a scan.) Small
+//! have.) The empty budget is not the better default: it is the n/32 end of
+//! the sweep above, where every friendly query pays for a scan. Small
 //! shards leave early by the same rule and for a different reason: at
 //! 5 000 rows a reading falls due every round and a half, the secant spans
 //! one step of the floor, and three executions in four of a uniform 4-D
@@ -255,7 +272,9 @@ impl fmt::Display for QueryPlan {
 
 /// Rows one aggregation over `n` rows may fetch through its streams before
 /// it stops fetching and finishes with a sequential kernel scan of the rows
-/// it has not seen: `n / 8`. A fetch costs 8–16 scanned rows, so by then
+/// it has not seen: `n / 8`. A fetch costs 8–16 scanned rows (≈ 23 since
+/// the fused row kernel; see the module docs for why the constant stays),
+/// so by then
 /// the fetches have cost at least what scanning everything does: the exit
 /// costs the query that would have certified just past the budget about
 /// 2×, and never touches one that certifies early. It is the backstop of

@@ -677,6 +677,99 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
 }
 
 #[test]
+fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
+    // 101 rows — three full chunks and a five-row one — scored `|y| − |x|`
+    // from the origin by one 1-D stream per dimension, so the rows the
+    // streams hold when the scan starts are known: six rounds surface the
+    // six stars (x = 0, y ≥ 10), at lanes 0 and 31 of the first two chunks,
+    // inside the second and inside the short one, from both streams; the
+    // one inside the second chunk is dead, so the streams have skipped a
+    // tombstone already. Four more dead rows (score 4.5) sit at lanes 0 and
+    // 31 of the third chunk and in the short one; three live rows just
+    // below them (3.4 to 3.6) complete the top 8, and the 8th score is on
+    // the shared floor. So the scan's kernel passes every star and every
+    // dead row, and only the seen-set and the tombstones keep them out.
+    let n = 101;
+    let stars = [0, 31, 32, 50, 63, 97];
+    let dead_star = 50;
+    let dead_rows = [64, 95, 96, 100];
+    let near = [65, 94, 99];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(308);
+    let mut rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| vec![rng.gen_range(1.0..2.0), rng.gen_range(0.0..1.0)])
+        .collect();
+    for (i, &r) in stars.iter().enumerate() {
+        rows[r] = vec![0.0, 10.0 + i as f64];
+    }
+    for &r in &dead_rows {
+        rows[r] = vec![0.5, 5.0];
+    }
+    for (i, &r) in near.iter().enumerate() {
+        rows[r] = vec![0.6, 4.0 + 0.1 * i as f64];
+    }
+    let data = Dataset::from_rows(2, &rows).unwrap();
+    let roles = vec![DimRole::Attractive, DimRole::Repulsive];
+    let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
+    let k = 8;
+    let mut dead = RowMask::new(n);
+    for &r in dead_rows.iter().chain([&dead_star]) {
+        dead.set(r);
+    }
+    let mut want = oracle(&data, &roles, &q, n);
+    want.retain(|sp| !dead.get(sp.id.index()));
+    want.truncate(k);
+    let handle = SharedThreshold::new();
+    handle.raise(want[k - 1].score);
+
+    let columns: Vec<SortedColumn> = (0..2).map(|d| SortedColumn::new(&data.column(d))).collect();
+    let mut scratch = QueryScratch::new();
+    let mut streams = scratch.stream_buf();
+    streams.push(Subproblem::attractive(&columns[0], 0.0, 1.0));
+    streams.push(Subproblem::repulsive(&columns[1], 0.0, 1.0));
+    let mask = Some(MaskView::new(&dead, 0));
+    let mut exec = ShardExecution::begin(
+        &data,
+        &roles,
+        &q,
+        k,
+        streams,
+        mask,
+        usize::MAX,
+        &mut scratch,
+    );
+    assert!(!exec.step(stars.len(), Some(&handle), |_| {}).unwrap());
+    let unseen: Vec<usize> = (0..n)
+        .filter(|&r| exec.seen.unseen_word(r, 1) == 1)
+        .collect();
+    assert_eq!(unseen.len(), n - stars.len(), "the streams hold the stars");
+    assert!(stars.iter().all(|r| !unseen.contains(r)));
+    let before = *exec.profile();
+    assert_eq!(before.tombstones_skipped, 1, "the dead star");
+
+    // The next round head finds the budget spent and scans.
+    exec.scan_budget = 0;
+    assert!(exec.step(1, Some(&handle), |_| {}).unwrap());
+    let p = *exec.profile();
+    assert_eq!(p.scan_fallbacks, 1);
+    // Every counter the scan adds, recounted row by row.
+    let unseen_dead = unseen.iter().filter(|&&r| dead.get(r)).count() as u64;
+    let unseen = unseen.len() as u64;
+    assert_eq!(p.scan_rows - before.scan_rows, unseen);
+    assert_eq!(p.rows_fetched - before.rows_fetched, unseen);
+    assert_eq!(
+        p.tombstones_skipped - before.tombstones_skipped,
+        unseen_dead
+    );
+    assert_eq!(
+        p.points_gathered - before.points_gathered,
+        unseen - unseen_dead
+    );
+    assert_eq!(p.points_scored - before.points_scored, near.len() as u64);
+    exec.finish_into(&mut scratch);
+    assert_bit_identical(scratch.answers(), &want);
+}
+
+#[test]
 fn threshold_aggregate_family_never_scans() {
     // The public aggregation entry points (the TA baseline's) keep the
     // paper's pure threshold algorithm: same streams as the index would

@@ -136,7 +136,11 @@ pub struct QueryProfile {
     /// batched survivor compare against the higher of the local and the
     /// shared k-th-score floor).
     pub points_scored: u64,
-    /// Kernel batch invocations (each scores up to [`LANES`] lanes).
+    /// Kernel batch invocations, each scoring up to [`LANES`] rows: a
+    /// gathered batch of fetched rows, a popped block of the direct walk or
+    /// a delta block, and every chunk of [`LANES`] consecutive rows a scan
+    /// scores — the scan scores all of a shard's chunks, seen and
+    /// tombstoned rows included, so it adds the shard's chunk count.
     pub kernel_batches: u64,
     /// Kernel backend that scored the batches (`"avx2"`, `"sse2"`,
     /// `"scalar"`; empty until a batch runs).

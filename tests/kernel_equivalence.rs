@@ -356,13 +356,14 @@ fn engine_answers_bit_identical_scalar_vs_dispatched() {
 
 /// The scan exit scores rows straight off the row-major table
 /// (`kernels::score_rows`): shards whose row counts are not multiples of
-/// [`LANES`] (a short last chunk) or of four (the AVX2 arm's scalar tail),
-/// tombstones in the mask word, every execution ending in the scan —
-/// answers and every counter are the same on both dispatch arms.
+/// [`LANES`] (a short last chunk) or of eight (the AVX2 arm's scalar tail —
+/// 1, 4, 5 and 6 rows past its last eight-row step below), tombstones in
+/// the mask word, every execution ending in the scan — answers and every
+/// counter are the same on both dispatch arms.
 #[test]
 fn scan_exit_bit_identical_scalar_vs_dispatched() {
     use sdq::data::{generate, uniform_queries, Distribution};
-    let (n, dims, shards, k) = (4_001, 6, 3, 64);
+    let (dims, k) = (6, 64);
     let roles: Vec<DimRole> = "aaaarr"
         .chars()
         .map(|c| match c {
@@ -370,51 +371,54 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
             _ => DimRole::Repulsive,
         })
         .collect();
-    let mut engine = SdEngine::build_with(
-        generate(Distribution::AntiCorrelated, n, dims, 0x5CA7),
-        &roles,
-        &EngineOptions {
-            shards,
-            threads: 1,
-            ..EngineOptions::default()
-        },
-    )
-    .unwrap();
-    for id in (0..n as u32).step_by(13) {
-        engine.delete(PointId::new(id)).unwrap();
-    }
-    // Every shard ends in a short chunk. (Asserted on the shards: how many
-    // unseen rows a scan meets depends on where the walk left off, and is a
-    // multiple of LANES one query in 32.)
-    assert!(engine
-        .shard_infos()
-        .iter()
-        .all(|s| s.rows % LANES != 0 && s.rows % 4 != 0));
-    let queries = uniform_queries(12, dims, 0x5CA8);
-    let run = || {
-        let mut scratch = EngineScratch::new();
-        let mut out = Vec::new();
-        for q in &queries {
-            let answer = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
-            out.push((answer, scratch.profile));
+    // Shard rows 1 333 / 1 334 / 1 334, then 2 012 × 2, then 1 001 × 3.
+    for (n, shards) in [(4_001, 3), (4_024, 2), (3_003, 3)] {
+        let mut engine = SdEngine::build_with(
+            generate(Distribution::AntiCorrelated, n, dims, 0x5CA7),
+            &roles,
+            &EngineOptions {
+                shards,
+                threads: 1,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        for id in (0..n as u32).step_by(13) {
+            engine.delete(PointId::new(id)).unwrap();
         }
-        out
-    };
-    let _guard = DISPATCH_LOCK.lock().unwrap();
-    kernels::force_scalar(true);
-    let scalar = run();
-    kernels::force_scalar(false);
-    let dispatched = run();
-    for ((a, pa), (b, pb)) in scalar.iter().zip(&dispatched) {
-        assert_eq!(pa.scan_fallbacks, shards as u64, "every shard must scan");
-        assert!(pa.scan_rows > 0 && pa.tombstones_skipped > 0);
-        assert_eq!(a.len(), k);
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!((x.id, x.score.to_bits()), (y.id, y.score.to_bits()));
+        // Every shard ends in a short chunk. (Asserted on the shards: how
+        // many unseen rows a scan meets depends on where the walk left off,
+        // and is a multiple of LANES one query in 32.)
+        assert!(engine
+            .shard_infos()
+            .iter()
+            .all(|s| s.rows % LANES != 0 && s.rows % 8 != 0));
+        let queries = uniform_queries(12, dims, 0x5CA8);
+        let run = || {
+            let mut scratch = EngineScratch::new();
+            let mut out = Vec::new();
+            for q in &queries {
+                let answer = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
+                out.push((answer, scratch.profile));
+            }
+            out
+        };
+        let _guard = DISPATCH_LOCK.lock().unwrap();
+        kernels::force_scalar(true);
+        let scalar = run();
+        kernels::force_scalar(false);
+        let dispatched = run();
+        for ((a, pa), (b, pb)) in scalar.iter().zip(&dispatched) {
+            assert_eq!(pa.scan_fallbacks, shards as u64, "every shard must scan");
+            assert!(pa.scan_rows > 0 && pa.tombstones_skipped > 0);
+            assert_eq!(a.len(), k);
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!((x.id, x.score.to_bits()), (y.id, y.score.to_bits()));
+            }
+            // Field for field, but for the label of the arm that ran.
+            assert_eq!(pa.isa, "scalar");
+            assert_eq!(sdq::core::QueryProfile { isa: pb.isa, ..*pa }, *pb);
         }
-        // Field for field, but for the label of the arm that ran.
-        assert_eq!(pa.isa, "scalar");
-        assert_eq!(sdq::core::QueryProfile { isa: pb.isa, ..*pa }, *pb);
     }
 }
 
