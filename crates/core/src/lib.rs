@@ -87,7 +87,7 @@ pub use profile::QueryProfile;
 pub use score::{sd_score, DimRole, SdQuery};
 pub use scratch::{recycle_vec, QueryScratch};
 pub use telemetry::{EventJournal, EventKind, EventRecord, HistoSnapshot, LatencyHisto, Telemetry};
-pub use threshold::SharedThreshold;
+pub use threshold::{SharedThreshold, Verdict};
 pub use types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 pub use view::ColumnarView;
 

@@ -36,9 +36,10 @@
 //! that has fetched more than
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
 //! projects that it will ([`plan::scan_checkpoint`]), or whose sibling
-//! execution of the same query already did ([`SharedThreshold::is_lost`])
-//! — stops consulting its streams and finishes with one sequential kernel
-//! scan of the rows it has not seen. Every strategy is exact and the
+//! execution of the same query already did, or whose query started lost
+//! ([`SharedThreshold::verdict`]) — stops consulting its streams and
+//! finishes with one sequential kernel scan of the rows it has not seen.
+//! Every strategy is exact and the
 //! emission order is **canonical** (score descending, ties by row ascending), so planning can
 //! never change an answer, only its cost; this is also what makes sharded
 //! execution (the `sdq-engine` crate) bit-identical to the monolithic path.
@@ -69,7 +70,7 @@ use crate::mask::MaskView;
 use crate::profile::QueryProfile;
 use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
-use crate::threshold::{track_floor, SharedThreshold};
+use crate::threshold::{track_floor, SharedThreshold, Verdict};
 use crate::topk::arbitrary::{self, BlockPart};
 use crate::topk::blocks::{BlockFrontier, BlockSet};
 use crate::topk::stream::FrontierEval;
@@ -1101,11 +1102,11 @@ fn emit_pooled(
 /// does an iteration in which the execution's `ScanProbe` reads off the
 /// threshold gap that the budget is going to be spent (see
 /// [`plan::scan_checkpoint`]), and one that finds the query's
-/// [`SharedThreshold`] marked lost by a sibling execution that took the
-/// exit first ([`SharedThreshold::is_lost`], read after the emit and floor
-/// checks); all three triggers reach the one call, which marks the handle
-/// lost in turn. `usize::MAX` never scans: the paper's pure threshold
-/// aggregation.
+/// [`SharedThreshold`] marked lost — by a sibling execution that took the
+/// exit first, or by the engine before round one
+/// ([`SharedThreshold::verdict`], read after the emit and floor checks);
+/// every trigger reaches the one call, which marks the handle lost in turn.
+/// `usize::MAX` never scans: the paper's pure threshold aggregation.
 ///
 /// `on_score` observes the exact full score of every newly fetched
 /// distinct row that could still matter to a top-k — the engine feeds
@@ -1232,28 +1233,33 @@ fn aggregate_rounds<F: FnMut(f64)>(
         }
 
         // Fetch budget spent and the query still open — or a sibling
-        // execution of the same query already found its streams lost (the
-        // shards partition one dataset; the emit and floor checks above
-        // still let a sibling that is certified end without scanning) — or
-        // the gap's own slope says the budget will be spent (a floor is
-        // known, which also means every stream is live, and there is a
-        // budget to run out of): every further fetch is a random access
-        // worth many sequential rows, so finish with one pass over what is
-        // left instead, and tell the siblings.
+        // execution of the same query already found its streams lost, or
+        // the query started lost (the shards partition one dataset; the
+        // emit and floor checks above still let an execution that is
+        // certified end without scanning) — or the gap's own slope says the
+        // budget will be spent (a floor is known, which also means every
+        // stream is live, and there is a budget to run out of): every
+        // further fetch is a random access worth many sequential rows, so
+        // finish with one pass over what is left instead, and tell the
+        // siblings.
         let fetched = scorer.prof.rows_fetched;
         let spent = fetched > scan_budget as u64;
         let budget_left = !spent && scan_budget != usize::MAX;
-        let inherited = budget_left && shared.is_some_and(SharedThreshold::is_lost);
+        let verdict = match shared {
+            Some(h) if budget_left => h.verdict(),
+            _ => Verdict::Open,
+        };
         let projected = budget_left
-            && !inherited
+            && verdict == Verdict::Open
             && f > f64::NEG_INFINITY
             && probe.lost(fetched, inflate(tau) - f, scan_budget);
-        if spent || inherited || projected {
+        if spent || verdict != Verdict::Open || projected {
             if let Some(h) = shared {
                 h.mark_lost();
             }
             scorer.prof.scan_projected += u64::from(projected);
-            scorer.prof.scan_inherited += u64::from(inherited);
+            scorer.prof.scan_inherited += u64::from(verdict == Verdict::Lost);
+            scorer.prof.scan_predicted += u64::from(verdict == Verdict::StartedLost);
             scan_unseen(&mut scorer, seen, fbuf, deadline)?;
             if publish && scorer.floor.len() == k_eff {
                 if let Some(h) = shared {
@@ -1440,8 +1446,8 @@ impl<'i> ShardExecution<'i> {
     ///
     /// A step is not bounded by `rounds` alone: the iteration that finds
     /// the fetch budget ([`plan::scan_budget`]) spent, projects that it
-    /// will be, or finds `shared` marked lost by a sibling
-    /// ([`SharedThreshold::is_lost`]) runs the kernel scan over every row
+    /// will be, or finds `shared` marked lost by a sibling or from the start
+    /// ([`SharedThreshold::verdict`]) runs the kernel scan over every row
     /// not seen yet to completion — one sequential pass over the shard,
     /// deadline-checked every [`LANES`] rows — and completes the execution
     /// inside this call, marking `shared` lost for the siblings after it.

@@ -161,6 +161,81 @@
 //! uniform 4-D query now scans in 29 of 256 executions (5 before), 25 of
 //! them inherited, and fetches 12 % fewer rows through its streams.
 //!
+//! **A lost shape starts lost.** Found out once per query, a lost query still
+//! paid the stream phase up to that verdict, and every query of the same
+//! shape paid it again: with the fused row kernel `agg_6d` read 278–303 µs
+//! p50 against 198–207 µs for the same tree with an empty budget (seeds 1–3,
+//! 8 s runs), 26–32 % of the p50 spent re-learning the previous query's
+//! verdict. So the engine keeps one (`sdq-engine`'s `history` module): per
+//! query *shape* — the zero-weight pattern and ⌈log₂ k⌉, the two things
+//! that change which streams run and how high the floor sits — whether its
+//! recent stream-first queries scanned. A shape whose last `STREAK` = 3
+//! stream-first queries all did starts its next query lost: the engine
+//! marks the query's [`SharedThreshold`](crate::SharedThreshold) before round
+//! one ([`start_lost`](crate::SharedThreshold::start_lost)), and every
+//! execution scans at its first round head, after the emit and floor checks,
+//! without a fetch (`scan_predicted`, the fourth trigger). Every
+//! `RECHECK` = 16th query of such a shape runs stream-first again, so a shape
+//! that turned friendly is found out within 16 queries. The verdict stays a
+//! cost hint: a scan is exact whenever it runs, so history moves cost, never
+//! an answer, and `explain` names the shape's state. On `agg_6d` (10 s runs
+//! of the unmodified benchmark, alternating order, seeds 301–310, one
+//! worker, 2-core VM) p50 went 315.9 → 239.4 µs (0.76×, 10 of 10 pairs;
+//! parent quartiles 293 / 336); a traced run reads `rounds_per_q` 53.3 →
+//! 7.9, `blocks_popped_per_q` 98.7 → 7.9, `rows_fetched_per_q` 94.6k →
+//! 99.6k, `floor_updates_per_q` 391 → 546 and `aggregate_ns_per_q` 360k →
+//! 270k. The empty budget re-read on this tree (which then scans from its
+//! second round, history or not) gives 230–245 µs p50, so a lost shape now
+//! costs within 1.03× of a pure scan. Its p95 does not follow (343 → 353,
+//! within noise): one query in 16 of a lost shape re-checks, more than the
+//! 5 % a p95 leaves out, so the p95 of a lost shape *is* a re-check — a
+//! stream phase on block tables the scans have pushed out of cache.
+//!
+//! Why 3 and 16, over 512 queries per shape (one engine, 4 shards; started
+//! lost / of them needless — the query would have certified — / stream
+//! phases still paid by queries that scanned):
+//!
+//! | N, M | anti 100k 6-D, k = 64 (477 scan) | uniform 100k 6-D `aaarrr`, k = 16 (193 scan) |
+//! |---|---|---|
+//! | 1, 16 | 478 / 34 / 33 | 440 / 279 / 32 |
+//! | 2, 16 | 476 / 34 / 35 | 363 / 233 / 63 |
+//! | 3, 8 | 439 / 33 / 71 | 121 / 76 / 148 |
+//! | **3, 16** | 474 / 34 / 37 | 243 / 161 / 111 |
+//! | 3, 32 | 490 / 34 / 21 | 357 / 229 / 65 |
+//! | 4, 16 | 472 / 34 / 39 | 108 / 73 / 158 |
+//!
+//! On a shape that keeps losing, N barely matters and M sets the stream
+//! phases still paid (N + 512/M); on a shape that loses one query in three,
+//! a longer streak and a shorter re-check both cut the needless scans. A
+//! needless scan is cheap at these shard sizes — a uniform 6-D query that
+//! certifies costs more than a scan does (p50 283–291 µs against 202–205
+//! once the shape starts lost) — so every shape measured gets cheaper or
+//! stays put (mean per-query best of three passes, 256 queries, the tree
+//! before the history → this one, two alternating rounds): anti 6-D 354 / 335 → 249 / 246 µs,
+//! correlated 6-D 322 / 325 → 256 / 246, uniform 6-D `aaarrr` 275 / 277 →
+//! 237 / 234, uniform 4-D at 4 500-row shards 36.1 / 36.5 → 35.0 / 35.1,
+//! uniform 4-D k = 256 315 / 313 → 311 / 317, anti-correlated 4-D 152 / 152
+//! → 151 / 152 (66 of 768 queries scan, never three in a row), and the
+//! anchor 74 / 71 → 72 / 74 (none scan). (3, 16) is the middle of that
+//! trade; it was also the prototype's.
+//!
+//! Tried and not taken, the other way to decide before round one: **a
+//! scored sample**. Per shard, 8 chunks × 32 rows (1 024 rows) scored with
+//! `score_rows`; from the per-stream subscore quantiles at the budget's
+//! depth, predict whether τ falls to the estimated floor. It condemned
+//! 158–163 of ≈ 237 lost `agg_6d` queries and 0–1 of ≈ 20 friendly ones,
+//! and none of 256 anchor queries — but 10 of 256 at 256 sampled rows. It
+//! cost 18–29 µs a query, mostly five `select_nth_unstable` passes over
+//! 1 024 values, which moved the anchor's mean 89 → 98 µs; end to end on
+//! `agg_6d` it read 0.82–0.86× p50 with p95 6–10 % worse. The history costs
+//! a hash and two relaxed loads per friendly query, condemns from the
+//! fourth query of a shape on, and never touches a shape that does not
+//! scan. Nor does a started-lost execution skip assembling its streams:
+//! that is 1.7–1.8 µs of a 125 µs execution (1.4 %, a 25 000-row `agg_6d`
+//! shard, 256 queries × 3), under the spread of any pair, and the streams'
+//! bound is what lets a round head certify an execution under its
+//! siblings' floor.
+//!
 //! **Every strategy is exact**, and since the aggregation emits the
 //! canonical answer (score descending, id ascending — see
 //! [`rank_cmp`](crate::score::rank_cmp)), the planner's choice can never

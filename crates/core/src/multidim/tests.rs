@@ -483,7 +483,57 @@ fn inherited_verdict_scans_at_the_next_round_head() {
     assert_bit_identical(got, &want);
     let p = scratch.profile;
     assert_eq!((p.scan_fallbacks, p.scan_inherited), (1, 0));
-    assert!(handle.is_lost());
+    assert_eq!(handle.verdict(), Verdict::Lost);
+}
+
+#[test]
+fn a_query_that_started_lost_scans_at_its_first_round_head() {
+    // The fourth trigger: a handle marked lost before the execution begins
+    // sends it to the scan at its first round head, without a fetch, and
+    // counts the scan as predicted, not inherited — also after the
+    // execution's own exit marks the handle in turn. With a floor that
+    // already certifies the execution, it ends there unscanned instead.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(308);
+    let n = 16_000;
+    let data = anti_correlated(&mut rng, n, 6);
+    let roles = six_d_roles();
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
+    let k = 16;
+    let want = oracle(&data, &roles, &q, k);
+    let mut scratch = QueryScratch::new();
+
+    let handle = SharedThreshold::new();
+    handle.start_lost();
+    let got = index
+        .query_masked(&q, k, &mut scratch, Some(&handle), None)
+        .unwrap();
+    assert_bit_identical(got, &want);
+    let p = scratch.profile;
+    assert_eq!(p.rounds, 1, "scanned at the first head");
+    assert_eq!(
+        (
+            p.scan_fallbacks,
+            p.scan_projected,
+            p.scan_inherited,
+            p.scan_predicted
+        ),
+        (1, 0, 0, 1)
+    );
+    assert_eq!(p.rows_fetched, p.scan_rows, "nothing came through a stream");
+    assert_eq!(p.points_gathered, n as u64, "every row scored exactly once");
+    assert_eq!(handle.verdict(), Verdict::StartedLost);
+
+    // A floor above every row: certified at the first head, nothing scanned.
+    let handle = SharedThreshold::new();
+    handle.start_lost();
+    handle.raise(want[0].score + 1.0);
+    let got = index
+        .query_masked(&q, k, &mut scratch, Some(&handle), None)
+        .unwrap();
+    assert!(got.is_empty());
+    let p = scratch.profile;
+    assert_eq!((p.rounds, p.scan_fallbacks, p.rows_fetched), (1, 0, 0));
 }
 
 #[test]
@@ -537,7 +587,7 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
             let alone = *exec.profile();
             exec.finish_into(&mut scratch);
             assert_eq!(alone.scan_fallbacks, 0, "a friendly query certifies");
-            assert!(!handle.is_lost());
+            assert_eq!(handle.verdict(), Verdict::Open);
             assert_bit_identical(scratch.answers(), &want);
 
             // The same execution, told at its last head that a sibling is

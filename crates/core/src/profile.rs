@@ -115,17 +115,23 @@ pub struct QueryProfile {
     /// instead of more fetches: their fetch budget
     /// ([`scan_budget`](crate::multidim::plan::scan_budget)) was spent,
     /// projected to be ([`scan_projected`](QueryProfile::scan_projected)),
-    /// or a sibling's verdict said so
-    /// ([`scan_inherited`](QueryProfile::scan_inherited)).
+    /// a sibling's verdict said so
+    /// ([`scan_inherited`](QueryProfile::scan_inherited)), or the query
+    /// started lost ([`scan_predicted`](QueryProfile::scan_predicted)).
     pub scan_fallbacks: u64,
     /// The scan fallbacks that left *before* the budget was spent, on the
     /// threshold gap's projection.
     pub scan_projected: u64,
     /// The scan fallbacks that left on a sibling execution's verdict, read
-    /// off the query's [`SharedThreshold`](crate::SharedThreshold);
-    /// `scan_fallbacks − scan_projected − scan_inherited` spent the whole
-    /// budget first.
+    /// off the query's [`SharedThreshold`](crate::SharedThreshold).
     pub scan_inherited: u64,
+    /// The scan fallbacks of a query that started lost
+    /// ([`SharedThreshold::start_lost`](crate::SharedThreshold::start_lost)):
+    /// the engine's history of the query's shape said its streams lose, so
+    /// each execution scanned at its first round head without fetching. Not
+    /// also counted as `scan_inherited`, so `scan_fallbacks − scan_projected
+    /// − scan_inherited − scan_predicted` spent the whole budget first.
+    pub scan_predicted: u64,
     /// Rows those scans visited — every row the streams had not surfaced
     /// when the scan began, tombstoned ones included. Counted into
     /// `rows_fetched`, so `rows_fetched − scan_rows` came through streams.
@@ -190,6 +196,7 @@ impl Default for QueryProfile {
             scan_fallbacks: 0,
             scan_projected: 0,
             scan_inherited: 0,
+            scan_predicted: 0,
             scan_rows: 0,
             points_gathered: 0,
             points_scored: 0,
@@ -245,6 +252,7 @@ impl QueryProfile {
         self.scan_fallbacks += other.scan_fallbacks;
         self.scan_projected += other.scan_projected;
         self.scan_inherited += other.scan_inherited;
+        self.scan_predicted += other.scan_predicted;
         self.scan_rows += other.scan_rows;
         self.points_gathered += other.points_gathered;
         self.points_scored += other.points_scored;
@@ -308,11 +316,12 @@ mod tests {
         p.timing = true;
         p.rounds = 7;
         p.scan_inherited = 3;
+        p.scan_predicted = 2;
         p.floor_value = 3.5;
         p.aggregate_nanos = 99;
         p.reset();
         assert!(p.timing);
-        assert_eq!((p.rounds, p.scan_inherited), (0, 0));
+        assert_eq!((p.rounds, p.scan_inherited, p.scan_predicted), (0, 0, 0));
         assert_eq!(p.aggregate_nanos, 0);
         assert_eq!(p.floor_value, f64::NEG_INFINITY);
     }
@@ -322,6 +331,7 @@ mod tests {
         let mut a = QueryProfile {
             blocks_popped: 3,
             scan_inherited: 1,
+            scan_predicted: 4,
             floor_value: 1.0,
             aggregate_nanos: 10,
             ..QueryProfile::default()
@@ -329,13 +339,17 @@ mod tests {
         let b = QueryProfile {
             blocks_popped: 4,
             scan_inherited: 2,
+            scan_predicted: 4,
             floor_value: 2.0,
             isa: "avx2",
             aggregate_nanos: 50,
             ..QueryProfile::default()
         };
         a.merge(&b);
-        assert_eq!((a.blocks_popped, a.scan_inherited), (7, 3));
+        assert_eq!(
+            (a.blocks_popped, a.scan_inherited, a.scan_predicted),
+            (7, 3, 8)
+        );
         assert_eq!(a.floor_value, 2.0);
         assert_eq!(a.isa, "avx2");
         assert_eq!(a.aggregate_nanos, 10, "timings are driver-owned");

@@ -20,12 +20,17 @@
 //! ([`SharedThreshold::mark_lost`]): the first execution that gives up on
 //! its streams and finishes by scanning says so here, and every sibling
 //! still open reads it at its next round head and scans too, instead of
-//! spending its own stream phase to reach the same verdict. It is a cost
-//! hint as well — a scan is exact whenever it runs — so it is `Relaxed` too.
+//! spending its own stream phase to reach the same verdict. The verdict can
+//! also be there before round one ([`SharedThreshold::start_lost`]): the
+//! engine sets it when the query's shape lost its recent queries, and then
+//! every execution scans at its first round head. The handle keeps the two
+//! apart ([`Verdict`]), so a profile can say which one sent an execution to
+//! its scan. It is a cost hint as well — a scan is exact whenever it runs —
+//! so it is `Relaxed` too.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::types::OrdF64;
 
@@ -74,6 +79,20 @@ fn decode(e: u64) -> f64 {
     f64::from_bits(bits)
 }
 
+/// What the executions of one query know about its streams, read at a round
+/// head ([`SharedThreshold::verdict`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// No execution has given up on its streams.
+    Open,
+    /// An execution of this query took the scan exit
+    /// ([`SharedThreshold::mark_lost`]).
+    Lost,
+    /// The query was marked lost before any execution began
+    /// ([`SharedThreshold::start_lost`]).
+    StartedLost,
+}
+
 /// A monotonically rising lower bound on the global k-th best score of one
 /// logical query, shared across shard executions.
 ///
@@ -85,15 +104,21 @@ fn decode(e: u64) -> f64 {
 #[derive(Debug)]
 pub struct SharedThreshold {
     bits: AtomicU64,
-    lost: AtomicBool,
+    /// [`Verdict`] as `OPEN < LOST < STARTED_LOST`, so marking a query lost
+    /// is a `fetch_max` that never hides that it started lost.
+    verdict: AtomicU8,
 }
+
+const OPEN: u8 = 0;
+const LOST: u8 = 1;
+const STARTED_LOST: u8 = 2;
 
 impl SharedThreshold {
     /// A fresh threshold with floor `-∞` (prunes nothing), not lost.
     pub fn new() -> Self {
         SharedThreshold {
             bits: AtomicU64::new(encode(f64::NEG_INFINITY)),
-            lost: AtomicBool::new(false),
+            verdict: AtomicU8::new(OPEN),
         }
     }
 
@@ -102,13 +127,27 @@ impl SharedThreshold {
     /// engine partition one dataset, so the verdict stands for them all.
     #[inline]
     pub fn mark_lost(&self) {
-        self.lost.store(true, Ordering::Relaxed);
+        self.verdict.fetch_max(LOST, Ordering::Relaxed);
     }
 
-    /// `true` once any execution has called [`SharedThreshold::mark_lost`].
+    /// Marks the query lost before any of its executions begins: each one
+    /// then scans at its first round head, unless the floor certifies it
+    /// there. The engine calls this when the query's shape lost its recent
+    /// queries; [`Verdict::StartedLost`] tells such a scan apart from one a
+    /// sibling's exit sent it to.
     #[inline]
-    pub fn is_lost(&self) -> bool {
-        self.lost.load(Ordering::Relaxed)
+    pub fn start_lost(&self) {
+        self.verdict.store(STARTED_LOST, Ordering::Relaxed);
+    }
+
+    /// The query's scan verdict so far.
+    #[inline]
+    pub fn verdict(&self) -> Verdict {
+        match self.verdict.load(Ordering::Relaxed) {
+            OPEN => Verdict::Open,
+            LOST => Verdict::Lost,
+            _ => Verdict::StartedLost,
+        }
     }
 
     /// The highest k-th-best score any execution has published so far.
@@ -172,12 +211,27 @@ mod tests {
     #[test]
     fn lost_is_sticky_and_leaves_the_floor_alone() {
         let t = SharedThreshold::new();
-        assert!(!t.is_lost());
+        assert_eq!(t.verdict(), Verdict::Open);
         t.raise(1.5);
         t.mark_lost();
         t.mark_lost();
-        assert!(t.is_lost());
+        assert_eq!(t.verdict(), Verdict::Lost);
         assert_eq!(t.floor(), 1.5);
+    }
+
+    #[test]
+    fn a_query_that_started_lost_stays_told_apart() {
+        let t = SharedThreshold::new();
+        assert_eq!(t.verdict(), Verdict::Open);
+        t.start_lost();
+        assert_eq!(t.verdict(), Verdict::StartedLost);
+        // An execution that scans marks the handle in turn; that must not
+        // turn the prediction into a sibling's verdict.
+        t.mark_lost();
+        assert_eq!(t.verdict(), Verdict::StartedLost);
+        let u = SharedThreshold::new();
+        u.mark_lost();
+        assert_eq!(u.verdict(), Verdict::Lost);
     }
 
     #[test]

@@ -109,6 +109,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -124,9 +125,13 @@ use sdq_core::{
     ScoredPoint, SdError, SdQuery,
 };
 
+mod history;
 pub mod mutation;
 
+pub use history::{RECHECK, STREAK};
 pub use mutation::{CompactionOptions, CompactionReport, MutationStats};
+
+use history::{Shape, VerdictHistory};
 
 /// Tuning knobs for [`SdEngine::build_with`].
 #[derive(Debug, Clone)]
@@ -614,6 +619,45 @@ pub struct SdEngine {
     /// Lifetime counters, shared across engine clones (see
     /// [`EngineMetrics`]).
     metrics: EngineMetrics,
+    /// Which query shapes start lost, shared across engine clones like the
+    /// metrics; never persisted (see the `history` module).
+    verdicts: Arc<VerdictHistory>,
+}
+
+/// What [`SdEngine::explain`] reports for one query.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Explain {
+    /// The planner's decision on every shard, in shard order.
+    pub plans: Vec<QueryPlan>,
+    /// How the engine's verdict history would start the query; `None` when
+    /// the query walks (one non-degenerate pair), which never consults it,
+    /// or the engine has no shard.
+    pub shape: Option<ShapeState>,
+}
+
+/// A query shape's state in the engine's verdict history: the zero-weight
+/// pattern and ⌈log₂ k⌉ of a query decide its shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeState {
+    /// The next query of the shape runs its streams first.
+    StreamsFirst,
+    /// The shape's last [`STREAK`] stream-first queries scanned: its next
+    /// query starts lost, unless it is the shape's [`RECHECK`]-th, which
+    /// runs stream-first again.
+    StartsLost,
+}
+
+impl fmt::Display for ShapeState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShapeState::StreamsFirst => f.write_str("streams first"),
+            ShapeState::StartsLost => write!(
+                f,
+                "starts lost: its last {STREAK} stream-first queries scanned; \
+                 every {RECHECK}th re-checks"
+            ),
+        }
+    }
 }
 
 impl SdEngine {
@@ -661,6 +705,7 @@ impl SdEngine {
             index_options: options.index.clone(),
             muts,
             metrics: EngineMetrics::default(),
+            verdicts: Arc::default(),
         })
     }
 
@@ -717,6 +762,7 @@ impl SdEngine {
             index_options,
             muts,
             metrics: EngineMetrics::default(),
+            verdicts: Arc::default(),
         })
     }
 
@@ -810,19 +856,42 @@ impl SdEngine {
     }
 
     /// The planner's decision for `query` on every shard (shard sizes
-    /// differ, so strategies can too). Observability for `sdq inspect`.
+    /// differ, so strategies can too), and the state of the query's shape
+    /// in the verdict history. Observability for `sdq query --explain` and
+    /// `sdq inspect`.
     ///
     /// Reflects how the engine executes: every shard plans like a
     /// standalone [`SdIndex`], so the plans say `direct` exactly when the
     /// query is one non-degenerate pair ([`SdIndex::single_pair`]) and the
     /// engine walks all its shards at once. The delta region, when
     /// non-empty, additionally executes as an exact seqscan outside these
-    /// per-shard plans (see [`mutation`]).
-    pub fn explain(&self, query: &SdQuery, k: usize) -> Result<Vec<QueryPlan>, SdError> {
-        self.shards
+    /// per-shard plans (see [`mutation`]). Reading the history counts no
+    /// query.
+    pub fn explain(&self, query: &SdQuery, k: usize) -> Result<Explain, SdError> {
+        let plans = self
+            .shards
             .iter()
             .map(|shard| shard.plan(query, k))
-            .collect()
+            .collect::<Result<Vec<_>, _>>()?;
+        let shape = self.shape(query, k).map(|shape| {
+            if self.verdicts.starts_lost(shape) {
+                ShapeState::StartsLost
+            } else {
+                ShapeState::StreamsFirst
+            }
+        });
+        Ok(Explain { plans, shape })
+    }
+
+    /// The shape under which the verdict history knows `query`: `None` when
+    /// nothing aggregates it — no shard, or one non-degenerate pair that
+    /// walks. `k ≥ 1` and `query` of the engine's dimensionality.
+    fn shape(&self, query: &SdQuery, k: usize) -> Option<Shape> {
+        let shard = self.shards.first()?;
+        shard
+            .single_pair(query)
+            .is_none()
+            .then(|| Shape::of(query, k))
     }
 
     /// Answers the top-k query, allocating fresh scratch state. Steady-state
@@ -988,6 +1057,14 @@ impl SdEngine {
             .shards
             .first()
             .and_then(|shard| shard.single_pair(query));
+        // An aggregation whose shape lost its recent stream-first queries
+        // starts lost: every execution scans at its first round head, in
+        // either driver below.
+        let shape = self.shape(query, k);
+        let started_lost = shape.is_some_and(|shape| self.verdicts.begin(shape));
+        if started_lost {
+            shared.start_lost();
+        }
         let executed = if let Some(pair) = pair {
             // One walk over every shard's block set, whatever the shard or
             // worker count: no cross-shard machinery beyond the delta floor.
@@ -1061,6 +1138,9 @@ impl SdEngine {
             profile.merge(&qs.profile);
         }
         executed?;
+        if let Some(shape) = shape.filter(|_| !started_lost) {
+            self.verdicts.record(shape, profile.scan_fallbacks > 0);
+        }
         // A walk leaves one list, already in global ids (shard 0's offset is
         // 0), in the first scratch; an aggregation one list per shard.
         let ran = if pair.is_some() { 1 } else { s };
@@ -1491,13 +1571,106 @@ mod tests {
     fn explain_reports_per_shard_plans() {
         let e = engine(400, 4, 4);
         let q = SdQuery::uniform_weights(vec![0.0; 4], e.roles());
-        let plans = e.explain(&q, 8).unwrap();
+        let plans = e.explain(&q, 8).unwrap().plans;
         assert_eq!(plans.len(), 4);
         for p in &plans {
             assert_eq!(p.pairs.len(), 2);
             // Unit weights hit the 45° indexed angle on 100-row shards.
             assert!(p.pairs.iter().all(|pp| pp.action != PairAction::Degenerate));
         }
+    }
+
+    /// The same engine with an empty verdict history.
+    fn forgetful(e: &SdEngine) -> SdEngine {
+        SdEngine {
+            verdicts: Arc::default(),
+            ..e.clone()
+        }
+    }
+
+    /// 200-row shards under k = 64: the streams spend the 25-row budget
+    /// long before they could certify, so every query scans.
+    fn scanning() -> (SdEngine, SdQuery) {
+        let mut e = engine(800, 6, 4);
+        e.set_threads(1);
+        let q = SdQuery::uniform_weights(vec![0.5; 6], e.roles());
+        (e, q)
+    }
+
+    #[test]
+    fn a_shape_that_keeps_scanning_starts_lost_on_every_clone() {
+        let (e, q) = scanning();
+        let want = e.query(&q, 64).unwrap(); // stream-first query 1
+        let twin = e.clone();
+        let mut scratch = EngineScratch::new();
+        for _ in 1..STREAK {
+            twin.query_with(&q, 64, &mut scratch).unwrap();
+            assert_eq!(scratch.profile.scan_predicted, 0);
+            assert!(scratch.profile.scan_fallbacks > 0);
+        }
+        assert_eq!(
+            e.explain(&q, 64).unwrap().shape,
+            Some(ShapeState::StartsLost),
+            "the clones share one history"
+        );
+        assert_eq!(e.query_with(&q, 64, &mut scratch).unwrap(), &want[..]);
+        let p = scratch.profile;
+        assert_eq!((p.scan_predicted, p.scan_fallbacks, p.rounds), (4, 4, 4));
+        // An engine reassembled from the same shards starts with none.
+        let rebuilt = SdEngine::from_parts(6, e.roles().to_vec(), e.shards().to_vec()).unwrap();
+        assert_eq!(
+            rebuilt.explain(&q, 64).unwrap().shape,
+            Some(ShapeState::StreamsFirst)
+        );
+    }
+
+    #[test]
+    fn a_deadline_aborted_query_records_nothing() {
+        let (e, q) = scanning();
+        let mut scratch = EngineScratch::new();
+        // Budgets until one trips after an execution stepped (earlier ones
+        // trip at the entry check, later ones let the query finish).
+        for micros in 1..20_000 {
+            let e = forgetful(&e);
+            for _ in 1..STREAK {
+                e.query_with(&q, 64, &mut scratch).unwrap();
+            }
+            scratch.deadline = Deadline::within(std::time::Duration::from_micros(micros));
+            let tripped = e.query_with(&q, 64, &mut scratch).is_err();
+            scratch.deadline = Deadline::none();
+            if !tripped || scratch.profile.rounds == 0 {
+                continue;
+            }
+            assert_eq!(scratch.profile.scan_predicted, 0);
+            // Still STREAK − 1 scans: the next query runs its streams first,
+            // and only the one after it starts lost.
+            e.query_with(&q, 64, &mut scratch).unwrap();
+            assert_eq!(scratch.profile.scan_predicted, 0, "{micros} µs");
+            e.query_with(&q, 64, &mut scratch).unwrap();
+            assert_eq!(scratch.profile.scan_predicted, 4, "{micros} µs");
+            return;
+        }
+        panic!("no budget tripped inside the aggregation");
+    }
+
+    #[test]
+    fn a_walk_never_consults_the_history() {
+        let mut e = engine(4_000, 2, 4);
+        e.set_threads(1);
+        let q = SdQuery::uniform_weights(vec![0.0, 1.0], e.roles());
+        assert_eq!(e.explain(&q, 16).unwrap().shape, None);
+        let mut scratch = EngineScratch::new();
+        for _ in 0..2 * STREAK {
+            e.query_with(&q, 16, &mut scratch).unwrap();
+            assert_eq!(scratch.profile.rounds, 0, "a walk");
+        }
+        // The same engine's aggregations (both weights zero) keep their own
+        // history, and a walk wrote none of it.
+        let both_zero = SdQuery::new(vec![0.0, 1.0], vec![0.0, 0.0]).unwrap();
+        assert_eq!(
+            e.explain(&both_zero, 16).unwrap().shape,
+            Some(ShapeState::StreamsFirst)
+        );
     }
 
     #[test]

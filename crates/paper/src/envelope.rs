@@ -356,13 +356,14 @@ pub fn k_level_lower(angle: &Angle, tents: &[Tent], k: usize) -> KLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::{lower_at, upper_at};
 
     fn a45() -> Angle {
         Angle::from_weights(1.0, 1.0).unwrap()
     }
 
     fn tent_value(angle: &Angle, t: &Tent, ax: f64) -> f64 {
-        angle.lower_at(t.x, t.y, ax)
+        lower_at(angle, t.x, t.y, ax)
     }
 
     fn brute_envelope_provider(angle: &Angle, tents: &[Tent], ax: f64) -> f64 {
@@ -483,10 +484,10 @@ mod tests {
         for i in -50..50 {
             let ax = i as f64 / 5.0;
             let p = provider_at(&regions, ax) as usize;
-            let got = angle.upper_at(tents[p].x, tents[p].y, ax);
+            let got = upper_at(&angle, tents[p].x, tents[p].y, ax);
             let want = tents
                 .iter()
-                .map(|t| angle.upper_at(t.x, t.y, ax))
+                .map(|t| upper_at(&angle, t.x, t.y, ax))
                 .fold(f64::INFINITY, f64::min);
             assert!((got - want).abs() < 1e-9);
         }
@@ -576,9 +577,12 @@ mod tests {
             let got: Vec<f64> = kl
                 .region_at(ax)
                 .iter()
-                .map(|&p| angle.upper_at(tents[p as usize].x, tents[p as usize].y, ax))
+                .map(|&p| upper_at(&angle, tents[p as usize].x, tents[p as usize].y, ax))
                 .collect();
-            let mut want: Vec<f64> = tents.iter().map(|t| angle.upper_at(t.x, t.y, ax)).collect();
+            let mut want: Vec<f64> = tents
+                .iter()
+                .map(|t| upper_at(&angle, t.x, t.y, ax))
+                .collect();
             want.sort_by(|x, y| x.partial_cmp(y).unwrap());
             want.truncate(k);
             for (g, w) in got.iter().zip(&want) {

@@ -3,6 +3,8 @@
 //! The SD-Query paper's reference structures (Ranu & Singh, PVLDB 5(3),
 //! 2011), as written, over 2-D points (`x` attractive, `y` repulsive):
 //!
+//! * [`geometry`] — the projection types of Definition 4 and Eqn. 6, and
+//!   the score-via-projection identities of Claims 1–3,
 //! * [`envelope`] — tent-envelope line sweeps (Alg. 1) and k-levels,
 //! * [`top1`] — the §3 region index for `k`, `α`, `β` fixed at build time
 //!   (`O(log n)` query, point inserts and deletes),
@@ -31,6 +33,7 @@
 //! ```
 
 pub mod envelope;
+pub mod geometry;
 pub mod top1;
 pub mod topk;
 

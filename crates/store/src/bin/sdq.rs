@@ -17,13 +17,13 @@ use std::time::Instant;
 
 use sdq_core::geometry::Angle;
 use sdq_core::multidim::plan::scan_checkpoint;
-use sdq_core::multidim::{resolve_threads, PairingStrategy, QueryPlan, SdIndexOptions};
+use sdq_core::multidim::{resolve_threads, PairingStrategy, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::topk::default_angles;
 use sdq_core::{Dataset, Deadline, QueryProfile, ScoredPoint, SdQuery};
 use sdq_data::{generate, uniform_queries, Distribution};
 use sdq_engine::{
-    floor_slot_label, CompactionOptions, EngineMetrics, EngineOptions, EngineScratch,
+    floor_slot_label, CompactionOptions, EngineMetrics, EngineOptions, EngineScratch, Explain,
     MetricsSnapshot, SdEngine,
 };
 use sdq_store::io::splitmix64;
@@ -553,9 +553,9 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let k = k.unwrap_or(DEFAULT_K);
 
     if explain {
-        let plans = engine.explain(&query, k).map_err(runtime)?;
+        let explained = engine.explain(&query, k).map_err(runtime)?;
         println!("loaded {path} in {load_ms:.1} ms");
-        print_plan_table(&plans, k);
+        print_plan_table(&explained, k);
         return Ok(());
     }
     let mut scratch = EngineScratch::new();
@@ -627,8 +627,10 @@ fn print_results(results: &[ScoredPoint]) {
 }
 
 /// `--explain`: the planner's per-pair decision table, one row per 2-D
-/// subproblem per shard, without executing anything.
-fn print_plan_table(plans: &[QueryPlan], k: usize) {
+/// subproblem per shard, and the state of the query's shape in the
+/// engine's verdict history — without executing anything.
+fn print_plan_table(explained: &Explain, k: usize) {
+    let plans = &explained.plans;
     println!("planner decisions (k = {k}):");
     println!(
         "  {:>5}  {:<16} {:<20} {:>12}",
@@ -669,11 +671,14 @@ fn print_plan_table(plans: &[QueryPlan], k: usize) {
             );
         }
     }
+    if let Some(shape) = explained.shape {
+        println!("  {:>5}  {:<16} {shape}", "all", "query shape");
+    }
     println!(
         "  (costs in candidate-handling units; a shard that fetches more rows than its scan \
          budget, or whose threshold gap projects that it will, finishes with one kernel scan, \
-         and so does a shard still open when an earlier sibling's verdict says so; \
-         the query was not executed)"
+         and so does a shard still open when an earlier sibling's verdict says so, and every \
+         shard of a query whose shape starts lost; the query was not executed)"
     );
 }
 
@@ -706,11 +711,12 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
         p.seen_hits, p.tombstones_skipped
     );
     println!(
-        "  scan exit  fallbacks {} (projected {}, inherited {}) · scan_rows {} · \
+        "  scan exit  fallbacks {} (projected {}, inherited {}, predicted {}) · scan_rows {} · \
          rows through streams {}",
         p.scan_fallbacks,
         p.scan_projected,
         p.scan_inherited,
+        p.scan_predicted,
         p.scan_rows,
         p.rows_fetched - p.scan_rows
     );
@@ -777,7 +783,7 @@ fn profile_json_string(
          \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"lanes_masked\": {},\n    \
          \"tree_rows_pulled\": {}, \"onedim_rows_pulled\": {}, \"rows_fetched\": {},\n    \
          \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_inherited\": {}, \
-         \"scan_rows\": {},\n    \
+         \"scan_predicted\": {}, \"scan_rows\": {},\n    \
          \"points_gathered\": {}, \"points_scored\": {}, \"kernel_batches\": {},\n    \
          \"delta_rows_scanned\": {}, \"delta_blocks_pruned\": {}, \"tombstones_skipped\": {},\n    \
          \"seen_hits\": {}, \"floor_updates\": {}, \"rounds\": {}, \"merge_rounds\": {},\n    \
@@ -797,6 +803,7 @@ fn profile_json_string(
         p.scan_fallbacks,
         p.scan_projected,
         p.scan_inherited,
+        p.scan_predicted,
         p.scan_rows,
         p.points_gathered,
         p.points_scored,
@@ -1607,7 +1614,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         // against its own sorted-column stats, so strategies can differ.
         if engine.shard_count() > 0 {
             let sample = mean_query(engine).map_err(runtime)?;
-            let plans = engine.explain(&sample, DEFAULT_K).map_err(runtime)?;
+            let plans = engine.explain(&sample, DEFAULT_K).map_err(runtime)?.plans;
             println!("  planner (unit weights at the dataset mean, k = {DEFAULT_K}):");
             for (i, plan) in plans.iter().enumerate() {
                 println!("    shard {i}: {plan}");
@@ -2244,8 +2251,8 @@ fn event_detail_human(kind: &EventKind) -> String {
             profile,
         } => format!(
             "{wall_micros} µs ≥ {threshold_micros} µs (k {k}): {} block(s) popped, \
-             {} floor-pruned, {} row(s) fetched ({} by {} scan(s): projected {}, inherited {}), \
-             {} scored, {} emitted",
+             {} floor-pruned, {} row(s) fetched ({} by {} scan(s): projected {}, inherited {}, \
+             predicted {}), {} scored, {} emitted",
             profile.blocks_popped,
             profile.blocks_floor_pruned,
             profile.rows_fetched,
@@ -2253,6 +2260,7 @@ fn event_detail_human(kind: &EventKind) -> String {
             profile.scan_fallbacks,
             profile.scan_projected,
             profile.scan_inherited,
+            profile.scan_predicted,
             profile.points_scored,
             profile.emitted
         ),
@@ -2317,7 +2325,7 @@ fn event_fields_json(kind: &EventKind) -> String {
              \"threshold_micros\": {threshold_micros}, \"profile\": {{\
              \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"rows_fetched\": {}, \
              \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_inherited\": {}, \
-             \"scan_rows\": {}, \
+             \"scan_predicted\": {}, \"scan_rows\": {}, \
              \"points_gathered\": {}, \"points_scored\": {}, \"emitted\": {}, \
              \"rounds\": {}}}",
             profile.blocks_popped,
@@ -2326,6 +2334,7 @@ fn event_fields_json(kind: &EventKind) -> String {
             profile.scan_fallbacks,
             profile.scan_projected,
             profile.scan_inherited,
+            profile.scan_predicted,
             profile.scan_rows,
             profile.points_gathered,
             profile.points_scored,

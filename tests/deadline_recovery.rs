@@ -1,11 +1,13 @@
 //! A query deadline is an error for one query, not for the scratch that
 //! served it: when the single-worker scheduler aborts — between two
 //! aggregation rounds, in the middle of the kernel scan of the shard that
-//! found the query lost, or in one its siblings inherited from it — every
-//! suspended shard execution hands its buffers back, the typed error
-//! surfaces, the `deadline_exceeded` metric counts it, and the same
-//! [`EngineScratch`] answers the same query again bit-identically to a
-//! fresh one **without allocating at all**, like any warmed scratch.
+//! found the query lost, in one its siblings inherited from it, or in a scan
+//! of a query that started lost — every suspended shard execution hands its
+//! buffers back, the typed error surfaces, the `deadline_exceeded` metric
+//! counts it, and the same [`EngineScratch`] answers the same query again
+//! bit-identically to a fresh one **without allocating at all**, like any
+//! warmed scratch — whether that query runs its streams first or starts
+//! lost.
 //!
 //! The direct 2-D search — one certified frontier walk, no aggregation
 //! rounds — honours the same token at every pop, on a bare [`SdIndex`] and
@@ -26,7 +28,7 @@ use std::time::{Duration, Instant};
 use sdq::core::multidim::SdIndex;
 use sdq::core::{CancelToken, Deadline, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::engine::{EngineOptions, EngineScratch, SdEngine, STREAK};
 use sdq::{DimRole, ScoredPoint, SdError, SdQuery};
 
 struct CountingAlloc;
@@ -86,6 +88,9 @@ enum Trip {
     /// Inside a scan a sibling started on that verdict (or at the round
     /// head of the next one).
     InheritedScan,
+    /// Inside a scan of a query that started lost: the engine's history
+    /// sent every execution to its scan at its first round head.
+    PredictedScan,
 }
 
 #[test]
@@ -108,85 +113,121 @@ fn tripped_scratch_recovers_without_reallocating() {
         },
     )
     .unwrap();
+    // An engine over the same shards with no verdict history: its first
+    // STREAK queries of this shape run their streams first.
+    let fresh = || {
+        let mut e = SdEngine::from_parts(dims, roles.clone(), engine.shards().to_vec()).unwrap();
+        e.set_threads(1);
+        e
+    };
     let query: SdQuery = uniform_queries(1, dims, 0xD1).remove(0);
-    let want = engine.query(&query, k).unwrap(); // a fresh scratch's answer
+    let want = fresh().query(&query, k).unwrap(); // a fresh scratch's answer
 
     // Warm the scratch on this very query: buffer high-water marks are set
-    // here, so a later run of it allocates nothing.
+    // here, so a later run of it allocates nothing — stream-first, until the
+    // engine's history has seen STREAK of them scan …
     let mut scratch = EngineScratch::new();
     let mut full = Duration::MAX;
-    for _ in 0..3 {
+    for i in 0..STREAK {
         let t0 = Instant::now();
-        assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
+        let allocs = count_allocs(|| {
+            assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
+        });
         full = full.min(t0.elapsed());
+        let p = scratch.profile;
+        assert_eq!(p.scan_fallbacks, 4, "every shard must scan");
+        assert_eq!(
+            (p.scan_inherited, p.scan_predicted),
+            (3, 0),
+            "one verdict, three siblings inherit it"
+        );
+        if i > 0 {
+            assert_eq!(allocs, 0, "a warmed single-worker query allocates nothing");
+        }
     }
-    let p = scratch.profile;
-    assert_eq!(p.scan_fallbacks, 4, "every shard must scan");
-    assert_eq!(
-        p.scan_inherited, 3,
-        "one verdict, three siblings inherit it"
-    );
+    // … and then started lost: its first such query sets the high-water
+    // marks of that path (a scan from round one pools more candidates than
+    // one that starts under a floor), and the next allocates nothing.
+    assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
     let steady = count_allocs(|| {
         engine.query_with(&query, k, &mut scratch).unwrap();
     });
-    assert_eq!(steady, 0, "a warmed single-worker query allocates nothing");
+    let p = scratch.profile;
+    assert_eq!(
+        (p.scan_fallbacks, p.scan_inherited, p.scan_predicted),
+        (4, 0, 4),
+        "the shape started lost"
+    );
+    assert_eq!(steady, 0, "a warmed started-lost query allocates nothing");
 
+    // The sweep runs each budget on an engine with no history (the query
+    // runs its streams first; a fresh one per budget, since the recovery
+    // below lengthens its streak) and on the warmed one (the query starts
+    // lost, but for its every RECHECK-th query).
     let mut seen = Vec::new();
     'sweep: for _attempt in 0..4 {
         for step in 1..48u32 {
-            let before = engine.metrics().snapshot().deadline_exceeded;
-            scratch.deadline = Deadline::within(full * step / 48);
-            let trip = match engine.query_with(&query, k, &mut scratch) {
-                Ok(_) => continue, // the budget was enough this time
-                Err(SdError::DeadlineExceeded { budget_micros, .. }) => {
-                    assert_eq!(budget_micros, (full * step / 48).as_micros() as u64);
-                    let p = scratch.profile;
-                    if p.rounds == 0 {
-                        continue; // tripped before any execution stepped
-                    } else if p.scan_fallbacks == 0 {
-                        Trip::Aggregation
-                    } else {
-                        assert!(p.scan_fallbacks <= 4 && p.emitted == 0);
-                        assert_eq!(p.scan_fallbacks - p.scan_inherited, 1, "{p:?}");
-                        if p.scan_inherited == 0 {
-                            Trip::Scan
+            let stream_first = fresh();
+            for engine in [&stream_first, &engine] {
+                let before = engine.metrics().snapshot().deadline_exceeded;
+                scratch.deadline = Deadline::within(full * step / 48);
+                let trip = match engine.query_with(&query, k, &mut scratch) {
+                    Ok(_) => continue, // the budget was enough this time
+                    Err(SdError::DeadlineExceeded { budget_micros, .. }) => {
+                        assert_eq!(budget_micros, (full * step / 48).as_micros() as u64);
+                        let p = scratch.profile;
+                        if p.rounds == 0 {
+                            continue; // tripped before any execution stepped
+                        } else if p.scan_fallbacks == 0 {
+                            Trip::Aggregation
+                        } else if p.scan_predicted > 0 {
+                            assert!(p.scan_fallbacks <= 4 && p.emitted == 0);
+                            assert_eq!(p.scan_fallbacks, p.scan_predicted, "{p:?}");
+                            Trip::PredictedScan
                         } else {
-                            Trip::InheritedScan
+                            assert!(p.scan_fallbacks <= 4 && p.emitted == 0);
+                            assert_eq!(p.scan_fallbacks - p.scan_inherited, 1, "{p:?}");
+                            if p.scan_inherited == 0 {
+                                Trip::Scan
+                            } else {
+                                Trip::InheritedScan
+                            }
                         }
                     }
-                }
-                Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
-            };
-            assert_eq!(
-                engine.metrics().snapshot().deadline_exceeded,
-                before + 1,
-                "{trip:?}"
-            );
+                    Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
+                };
+                assert_eq!(
+                    engine.metrics().snapshot().deadline_exceeded,
+                    before + 1,
+                    "{trip:?}"
+                );
 
-            // The tripped scratch, no deadline: same answer as a fresh
-            // scratch, and still not one allocation.
-            scratch.deadline = Deadline::none();
-            let mut got = Vec::with_capacity(k);
-            let allocs = count_allocs(|| {
-                got.extend_from_slice(engine.query_with(&query, k, &mut scratch).unwrap());
-            });
-            assert_bit_identical(&got, &want);
-            assert_eq!(
-                allocs, steady,
-                "{trip:?}: the scratch re-allocated after a tripped deadline"
-            );
-            if !seen.contains(&trip) {
-                seen.push(trip);
-            }
-            if seen.len() == 3 {
-                break 'sweep;
+                // The tripped scratch, no deadline: same answer as a fresh
+                // scratch, and still not one allocation.
+                scratch.deadline = Deadline::none();
+                let mut got = Vec::with_capacity(k);
+                let allocs = count_allocs(|| {
+                    got.extend_from_slice(engine.query_with(&query, k, &mut scratch).unwrap());
+                });
+                assert_bit_identical(&got, &want);
+                assert_eq!(
+                    allocs, 0,
+                    "{trip:?}: the scratch re-allocated after a tripped deadline"
+                );
+                if !seen.contains(&trip) {
+                    seen.push(trip);
+                }
+                if seen.len() == 4 {
+                    break 'sweep;
+                }
             }
         }
     }
     assert!(
         seen.contains(&Trip::Aggregation)
             && seen.contains(&Trip::Scan)
-            && seen.contains(&Trip::InheritedScan),
+            && seen.contains(&Trip::InheritedScan)
+            && seen.contains(&Trip::PredictedScan),
         "the sweep over {full:?} tripped only at {seen:?}"
     );
 }
@@ -234,7 +275,7 @@ fn direct_2d_search_honours_a_cancelled_token() {
             assert!(engine.delete(want[0].id).unwrap());
             engine.insert(&query.point).unwrap();
         }
-        let plans = engine.explain(&query, k).unwrap();
+        let plans = engine.explain(&query, k).unwrap().plans;
         assert!(
             plans.len() == shards && plans.iter().all(|p| p.direct),
             "{cell}"

@@ -275,7 +275,7 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
                 };
                 let mut scratch = EngineScratch::new();
                 for q in &queries {
-                    let plans = engine.explain(q, k).unwrap();
+                    let plans = engine.explain(q, k).unwrap().plans;
                     let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
                     let ran_direct = scratch.profile.rounds == 0;
                     let one_pair = q.weights.iter().any(|&w| w != 0.0);

@@ -21,7 +21,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::core::kernels::{self, LANES};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::engine::{EngineOptions, EngineScratch, SdEngine, STREAK};
 use sdq::{sd_score, Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
 /// `force_scalar` is process-global; serialize the tests that toggle it.
@@ -373,28 +373,37 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
         .collect();
     // Shard rows 1 333 / 1 334 / 1 334, then 2 012 × 2, then 1 001 × 3.
     for (n, shards) in [(4_001, 3), (4_024, 2), (3_003, 3)] {
-        let mut engine = SdEngine::build_with(
-            generate(Distribution::AntiCorrelated, n, dims, 0x5CA7),
-            &roles,
-            &EngineOptions {
-                shards,
-                threads: 1,
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
-        for id in (0..n as u32).step_by(13) {
-            engine.delete(PointId::new(id)).unwrap();
-        }
+        // One engine per arm: the verdict history of an engine that served
+        // the other arm's queries would start these lost where the other
+        // arm ran its streams first.
+        let build = || {
+            let mut engine = SdEngine::build_with(
+                generate(Distribution::AntiCorrelated, n, dims, 0x5CA7),
+                &roles,
+                &EngineOptions {
+                    shards,
+                    threads: 1,
+                    ..EngineOptions::default()
+                },
+            )
+            .unwrap();
+            for id in (0..n as u32).step_by(13) {
+                engine.delete(PointId::new(id)).unwrap();
+            }
+            engine
+        };
         // Every shard ends in a short chunk. (Asserted on the shards: how
         // many unseen rows a scan meets depends on where the walk left off,
         // and is a multiple of LANES one query in 32.)
-        assert!(engine
+        assert!(build()
             .shard_infos()
             .iter()
             .all(|s| s.rows % LANES != 0 && s.rows % 8 != 0));
+        // Past the first STREAK queries they start lost: both kinds of scan
+        // run on both arms.
         let queries = uniform_queries(12, dims, 0x5CA8);
         let run = || {
+            let engine = build();
             let mut scratch = EngineScratch::new();
             let mut out = Vec::new();
             for q in &queries {
@@ -408,8 +417,14 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
         let scalar = run();
         kernels::force_scalar(false);
         let dispatched = run();
-        for ((a, pa), (b, pb)) in scalar.iter().zip(&dispatched) {
+        for (i, ((a, pa), (b, pb))) in scalar.iter().zip(&dispatched).enumerate() {
             assert_eq!(pa.scan_fallbacks, shards as u64, "every shard must scan");
+            let predicted = if i < STREAK as usize {
+                0
+            } else {
+                shards as u64
+            };
+            assert_eq!(pa.scan_predicted, predicted, "query {i}");
             assert!(pa.scan_rows > 0 && pa.tombstones_skipped > 0);
             assert_eq!(a.len(), k);
             for (x, y) in a.iter().zip(b) {

@@ -12,8 +12,10 @@ use rand::{Rng, SeedableRng};
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
 use sdq::core::multidim::{PairingStrategy, SdIndex, SdIndexOptions};
+use sdq::core::QueryProfile;
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::engine::{EngineOptions, EngineScratch, SdEngine, STREAK};
+use sdq::store::Snapshot;
 use sdq::{Dataset, DimRole, PointId, ScoredPoint};
 
 fn assert_equiv(method: &str, got: &[ScoredPoint], want: &[ScoredPoint], ctx: &str) {
@@ -309,18 +311,33 @@ enum Dirt {
     TombstonedDelta,
 }
 
-/// Builds `rows` into an engine of `shards` × `threads`, dirties it, and
-/// checks `queries` against SeqScan over its live rows, bit for bit; returns
-/// the summed scan counters `(scan_fallbacks, scan_inherited)`.
+/// Where the engine of the sweep below serves its queries from.
+#[derive(Debug, Clone, Copy)]
+enum Serve {
+    /// The engine that was built and dirtied in memory.
+    Owned,
+    /// The same engine saved to a v5 file and opened `open_mapped`: a
+    /// fresh engine over the same rows, tombstones and delta region.
+    Mapped,
+}
+
+static MAPPED_CASE: AtomicU32 = AtomicU32::new(0);
+
+/// Builds `rows` into an engine of `shards` × `threads`, dirties it, serves
+/// it as `serve` says, and checks `queries` — in order, on one engine, so
+/// its verdict history builds up across them — against SeqScan over its
+/// live rows, bit for bit; returns each query's profile.
+#[allow(clippy::too_many_arguments)] // one sweep cell
 fn scans_match_the_oracle(
     rows: &[Vec<f64>],
     roles: &[DimRole],
     shards: usize,
     threads: usize,
     dirt: Dirt,
+    serve: Serve,
     k: usize,
     queries: &[sdq::SdQuery],
-) -> (u64, u64) {
+) -> Vec<QueryProfile> {
     let dims = roles.len();
     let mut rows = rows.to_vec();
     let mut engine = SdEngine::build_with(
@@ -352,17 +369,36 @@ fn scans_match_the_oracle(
             dead[victim] = true;
         }
     }
+    if let Serve::Mapped = serve {
+        let dir = std::env::temp_dir().join(format!("sdq-oracle-eq-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!(
+            "cell-{}.sdq",
+            MAPPED_CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut snap = Snapshot::new();
+        snap.engine = Some(engine);
+        snap.save_v5(&path).unwrap();
+        engine = Snapshot::open_mapped(&path)
+            .unwrap()
+            .snapshot
+            .engine
+            .unwrap();
+        assert!(engine.is_mapped());
+        engine.set_threads(threads);
+        std::fs::remove_file(&path).ok();
+    }
     let live_ids: Vec<u32> = (0..rows.len() as u32)
         .filter(|&i| !dead[i as usize])
         .collect();
     let live_rows: Vec<Vec<f64>> = live_ids.iter().map(|&i| rows[i as usize].clone()).collect();
     let oracle = SeqScan::new(Dataset::from_rows(dims, &live_rows).unwrap(), roles).unwrap();
     let mut scratch = EngineScratch::new();
-    let mut scans = (0, 0);
+    let mut profiles = Vec::with_capacity(queries.len());
     for q in queries {
         let want = oracle.query(q, k).unwrap();
         let got = engine.query_with(q, k, &mut scratch).unwrap();
-        let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}");
+        let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}");
         assert_eq!(got.len(), want.len(), "{cell}");
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(
@@ -373,20 +409,32 @@ fn scans_match_the_oracle(
         }
         let p = scratch.profile;
         assert!(
-            p.scan_projected + p.scan_inherited <= p.scan_fallbacks,
+            p.scan_projected + p.scan_inherited + p.scan_predicted <= p.scan_fallbacks,
             "{cell}: {p:?}"
         );
-        scans.0 += p.scan_fallbacks;
-        scans.1 += p.scan_inherited;
+        profiles.push(p);
     }
-    scans
+    profiles
+}
+
+/// `(scan_fallbacks, scan_inherited, scan_predicted)` summed over `profiles`.
+fn scan_sums(profiles: &[QueryProfile]) -> (u64, u64, u64) {
+    profiles.iter().fold((0, 0, 0), |(f, i, p), q| {
+        (
+            f + q.scan_fallbacks,
+            i + q.scan_inherited,
+            p + q.scan_predicted,
+        )
+    })
 }
 
 /// The third scan trigger against the oracle: once one shard execution
 /// finds its streams lost, its open siblings scan on that verdict — at one
 /// worker, where the verdict is always there before they resume, and at two,
 /// where it races their own — over clean, tombstoned and tombstoned-plus-
-/// delta engines, bit for bit.
+/// delta engines, bit for bit. Each engine serves three queries, so none
+/// starts lost: the engine's history needs [`STREAK`] stream-first scans of
+/// a shape before it predicts the next one.
 #[test]
 fn inherited_scans_merge_to_the_oracle() {
     let (n, dims, k) = (16_000, 6, 64);
@@ -395,14 +443,24 @@ fn inherited_scans_merge_to_the_oracle() {
         .iter()
         .map(|(_, c)| c.to_vec())
         .collect();
-    let queries = uniform_queries(3, dims, 0x1A5);
+    let queries = uniform_queries(STREAK as usize, dims, 0x1A5);
     let q = queries.len() as u64;
     for shards in [1, 2, 4, 8] {
         for threads in [1, 2] {
             for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
-                let (fallbacks, inherited) =
-                    scans_match_the_oracle(&rows, &roles, shards, threads, dirt, k, &queries);
+                let profiles = scans_match_the_oracle(
+                    &rows,
+                    &roles,
+                    shards,
+                    threads,
+                    dirt,
+                    Serve::Owned,
+                    k,
+                    &queries,
+                );
+                let (fallbacks, inherited, predicted) = scan_sums(&profiles);
                 let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}");
+                assert_eq!(predicted, 0, "{cell}: a query started lost");
                 // Every shard of every query scans at these sizes …
                 assert_eq!(fallbacks, shards as u64 * q, "{cell}");
                 if threads == 1 {
@@ -435,12 +493,86 @@ fn inherited_scans_merge_to_the_oracle() {
     let queries = uniform_queries(4, dims, 0x1A5);
     for threads in [1, 2] {
         for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
-            let (_, inherited) =
-                scans_match_the_oracle(&rows, &roles, 4, threads, dirt, k, &queries);
+            let profiles =
+                scans_match_the_oracle(&rows, &roles, 4, threads, dirt, Serve::Owned, k, &queries);
+            let (_, inherited, predicted) = scan_sums(&profiles);
             assert!(
                 threads > 1 || inherited > 0,
                 "{dirt:?}: the lead's verdict reached no sibling"
             );
+            // Not every one of the first three queries scans here, so the
+            // fourth still runs its streams first.
+            assert_eq!(predicted, 0, "{dirt:?}: a query started lost");
         }
     }
+}
+
+/// The fourth trigger against the oracle: once [`STREAK`] stream-first
+/// queries of a shape have scanned, the engine starts the next ones lost —
+/// every shard execution scans at its first round head, fetching nothing
+/// through its streams — and they must answer exactly what SeqScan does.
+/// Over shards {1, 2, 4, 8} × threads {1, 2} × clean / tombstoned /
+/// tombstoned-plus-delta, built in memory and opened mapped (a fresh engine
+/// with no history, so it builds its own streak), on rows with exact
+/// duplicates and signed zeros — ties at the k-th score — and a query at a
+/// signed zero; and at k ≥ n.
+#[test]
+fn started_lost_queries_merge_to_the_oracle() {
+    let dims = 6;
+    let roles = roles_for(dims, 4);
+    let streak = STREAK as usize;
+    let check = |rows: &[Vec<f64>], k: usize, queries: &[sdq::SdQuery], shards: &[usize]| {
+        for &shards in shards {
+            for threads in [1, 2] {
+                for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
+                    for serve in [Serve::Owned, Serve::Mapped] {
+                        let profiles = scans_match_the_oracle(
+                            rows, &roles, shards, threads, dirt, serve, k, queries,
+                        );
+                        let cell = format!(
+                            "{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}, k {k}"
+                        );
+                        for (i, p) in profiles.iter().enumerate() {
+                            if i < streak {
+                                // Stream-first, and every one scans: the
+                                // streak that condemns the shape.
+                                assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
+                                assert!(p.scan_fallbacks > 0, "{cell}: query {i}");
+                            } else {
+                                // Started lost: one round per execution, and
+                                // every scan a predicted one.
+                                assert_eq!(p.rounds, shards as u64, "{cell}: query {i}");
+                                assert_eq!(p.scan_predicted, p.scan_fallbacks, "{cell}: query {i}");
+                                assert_eq!(
+                                    (p.scan_projected, p.scan_inherited),
+                                    (0, 0),
+                                    "{cell}: query {i}"
+                                );
+                                assert!(p.scan_predicted > 0, "{cell}: query {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    };
+
+    let mut rows: Vec<Vec<f64>> = generate(Distribution::AntiCorrelated, 8_000, dims, 0x1A8)
+        .iter()
+        .map(|(_, c)| c.to_vec())
+        .collect();
+    for i in (7..rows.len()).step_by(7) {
+        rows[i] = rows[i / 2].clone();
+    }
+    for (i, row) in rows.iter_mut().enumerate().step_by(13) {
+        row[i % dims] = if i % 2 == 0 { 0.0 } else { -0.0 };
+    }
+    let mut queries = uniform_queries(2 * streak, dims, 0x1A9);
+    queries[streak].point[0] = -0.0;
+    queries[streak + 1].point[0] = 0.0;
+    check(&rows, 64, &queries, &[1, 2, 4, 8]);
+
+    // k ≥ n: every live row is in the answer, and no floor ever forms.
+    let small: Vec<Vec<f64>> = rows[..300].to_vec();
+    check(&small, 340, &queries, &[1, 4]);
 }

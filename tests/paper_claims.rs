@@ -2,10 +2,12 @@
 //! exercised over randomized inputs at the public-API level.
 
 use rand::{Rng, SeedableRng};
-use sdq::core::geometry::{
-    claim1_negative_region, projection_for, score_via_projection, Angle, ProjectionType,
-};
+use sdq::core::geometry::Angle;
 use sdq::paper::envelope::{provider_at, upper_envelope, Tent};
+use sdq::paper::geometry::{
+    claim1_negative_region, lower_at, projection_for, score_via_projection, upper_at,
+    ProjectionType,
+};
 use sdq::paper::topk::TopKIndex;
 
 fn rng() -> rand::rngs::StdRng {
@@ -91,14 +93,14 @@ fn claim4_candidate_containment() {
         // Candidate set per Claim 4.
         let mut by_lower: Vec<usize> = (0..n).collect();
         by_lower.sort_by(|&i, &j| {
-            a.lower_at(pts[j].0, pts[j].1, qx)
-                .partial_cmp(&a.lower_at(pts[i].0, pts[i].1, qx))
+            lower_at(&a, pts[j].0, pts[j].1, qx)
+                .partial_cmp(&lower_at(&a, pts[i].0, pts[i].1, qx))
                 .unwrap()
         });
         let mut by_upper: Vec<usize> = (0..n).collect();
         by_upper.sort_by(|&i, &j| {
-            a.upper_at(pts[i].0, pts[i].1, qx)
-                .partial_cmp(&a.upper_at(pts[j].0, pts[j].1, qx))
+            upper_at(&a, pts[i].0, pts[i].1, qx)
+                .partial_cmp(&upper_at(&a, pts[j].0, pts[j].1, qx))
                 .unwrap()
         });
         let mut candidates: Vec<usize> = by_lower[..k].to_vec();

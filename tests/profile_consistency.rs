@@ -11,7 +11,9 @@
 //!   `emitted == min(k, live)` — also when an execution spent its fetch
 //!   budget and finished with a kernel scan, whose `scan_rows` are fetched
 //!   rows that pass through the block stages (at these sizes the budget is
-//!   a dozen rows, and nearly every aggregation here ends that way).
+//!   a dozen rows, and nearly every aggregation here ends that way), and
+//!   when the engine started the query lost because its shape kept
+//!   scanning: the scan triggers add up to `scan_fallbacks`.
 //! * Forced-scalar kernels report exactly the same pruning counters as
 //!   the dispatched ISA — only the ISA name (and, in principle, the batch
 //!   granularity) may differ. Pruning decisions are ISA-independent.
@@ -85,15 +87,29 @@ fn assert_counters_consistent(p: &QueryProfile, k: usize, live: u64) -> Result<(
         p.rows_fetched,
         "fetch accounting leaks rows"
     );
-    // Every scan has one trigger: the spent budget, the projection, or a
-    // sibling's verdict.
+    // Every scan has one trigger: the spent budget, the projection, a
+    // sibling's verdict, or a query that started lost — `scan_fallbacks` =
+    // spent + projected + inherited + predicted, each non-negative. A query
+    // that started lost scans on that alone: no execution fetched enough to
+    // spend or project anything, or found a sibling's verdict first.
+    let spent = p
+        .scan_fallbacks
+        .checked_sub(p.scan_projected + p.scan_inherited + p.scan_predicted);
     prop_assert!(
-        p.scan_projected + p.scan_inherited <= p.scan_fallbacks,
-        "projected {} + inherited {} > fallbacks {}",
+        spent.is_some(),
+        "projected {} + inherited {} + predicted {} > fallbacks {}",
         p.scan_projected,
         p.scan_inherited,
+        p.scan_predicted,
         p.scan_fallbacks
     );
+    if p.scan_predicted > 0 {
+        prop_assert_eq!(
+            (spent, p.scan_projected, p.scan_inherited),
+            (Some(0), 0, 0),
+            "a query that started lost scanned on another trigger"
+        );
+    }
     prop_assert_eq!(p.emitted, (k as u64).min(live), "emitted != min(k, live)");
     let funnel = p.funnel(live);
     for w in funnel.windows(2).skip(1) {
@@ -245,6 +261,7 @@ proptest! {
         prop_assert_eq!(p1.scan_fallbacks, p2.scan_fallbacks);
         prop_assert_eq!(p1.scan_projected, p2.scan_projected);
         prop_assert_eq!(p1.scan_inherited, p2.scan_inherited);
+        prop_assert_eq!(p1.scan_predicted, p2.scan_predicted);
         prop_assert_eq!(p1.scan_rows, p2.scan_rows);
         prop_assert_eq!(p1.points_gathered, p2.points_gathered);
         prop_assert_eq!(p1.points_scored, p2.points_scored);

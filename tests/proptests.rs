@@ -172,14 +172,15 @@ proptest! {
     ) {
         use sdq::paper::envelope::{provider_at, upper_envelope, Tent};
         use sdq::core::geometry::Angle;
+        use sdq::paper::geometry::lower_at;
         let angle = Angle::from_weights(alpha, beta).unwrap();
         let tents: Vec<Tent> = pts.iter().map(|&(x, y)| Tent::new(x, y)).collect();
         let regions = upper_envelope(&angle, &tents, None);
         for ax in probes {
             let p = provider_at(&regions, ax) as usize;
-            let got = angle.lower_at(tents[p].x, tents[p].y, ax);
+            let got = lower_at(&angle, tents[p].x, tents[p].y, ax);
             let want = tents.iter()
-                .map(|t| angle.lower_at(t.x, t.y, ax))
+                .map(|t| lower_at(&angle, t.x, t.y, ax))
                 .fold(f64::NEG_INFINITY, f64::max);
             let scale = 1.0 + want.abs();
             prop_assert!((got - want).abs() < 1e-9 * scale);
