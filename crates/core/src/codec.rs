@@ -965,7 +965,6 @@ impl Codec for SdIndex {
             unpaired,
             pair_blocks,
             columns,
-            pair_columns: Arc::new(std::sync::OnceLock::new()),
             query_integrity,
             mapped_check: Arc::new(std::sync::OnceLock::new()),
         })

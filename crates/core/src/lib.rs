@@ -18,7 +18,8 @@
 //! * [`topk`] — the §4 projection-bound index for runtime `k`, `α`, `β`, in
 //!   the bulk-loaded block form an engine shard stores per pair,
 //! * [`multidim`] — the §5 pairing + threshold aggregation for any number of
-//!   dimensions, with a per-pair cost-based [`planner`](multidim::plan) and a
+//!   dimensions, with a per-pair [`planner`](multidim::plan) rule (every
+//!   pair walks its own §4 frontier, indexed or Claim-6 bracketed) and a
 //!   resumable [`ShardExecution`](multidim::ShardExecution) for the sharded
 //!   engine,
 //! * [`threshold`] — the atomic cross-shard k-th-score floor

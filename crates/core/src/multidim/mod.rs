@@ -27,12 +27,13 @@
 //! allocating [`SdIndex::query`] and the scratch-reusing
 //! [`SdIndex::query_with`] are thin wrappers over `query_masked`.
 //!
-//! Which physical stream serves a pair is decided per query by the cost
-//! model in [`plan`] (tree frontier at an indexed angle, Claim 6 bracketed
-//! frontier, or plain 1-D sorted-column streams), and single-pair queries
-//! bypass the aggregation altogether ([`SdIndex::single_pair`]) — one
-//! certified frontier walk over the pair's §4 index, or over the pair's
-//! indexes of every shard at once ([`SinglePair::walk`]). An aggregation
+//! Every pair is served by its own §4 frontier, by the rule in [`plan`]:
+//! certified at an indexed angle (0° and 90°, a zero weight, always are),
+//! Claim 6 bracketed otherwise, dropped when both weights are zero.
+//! Single-pair queries bypass the aggregation altogether
+//! ([`SdIndex::single_pair`]) — one certified frontier walk over the pair's
+//! §4 index, or over the pair's indexes of every shard at once
+//! ([`SinglePair::walk`]). An aggregation
 //! that has fetched more than
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
 //! projects that it will ([`plan::scan_checkpoint`]), or whose sibling
@@ -74,7 +75,7 @@ use crate::threshold::{track_floor, SharedThreshold, Verdict};
 use crate::topk::arbitrary::{self, BlockPart};
 use crate::topk::blocks::{BlockFrontier, BlockSet};
 use crate::topk::stream::FrontierEval;
-use crate::topk::{default_angles, normalize_angles};
+use crate::topk::{check_axes, default_angles, normalize_angles};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
 
@@ -205,12 +206,6 @@ pub struct SdIndex {
     /// repulsive)` of `data`; its point slots are dataset rows.
     pub(crate) pair_blocks: Vec<BlockSet>,
     pub(crate) columns: Vec<SortedColumn>,
-    /// Per-pair sorted columns `(attractive, repulsive)` backing the
-    /// planner's 1-D strategy. Derived lazily from the dataset on the
-    /// first query that plans a OneDim pair (most deployments never pay
-    /// for them), never serialised — the snapshot wire format is
-    /// unchanged. Behind an `Arc` so clones share the cache.
-    pub(crate) pair_columns: Arc<OnceLock<Vec<(SortedColumn, SortedColumn)>>>,
     /// Lazily verified CRC regions of this index when it was decoded lazily
     /// (`open_mapped`): the dataset coordinate table, every pair's block
     /// tables and every unpaired sorted column. Empty for built or eagerly
@@ -246,6 +241,7 @@ impl SdIndex {
             return Err(SdError::TooManyPoints(data.len()));
         }
         let angles = normalize_angles(&options.angles)?;
+        check_axes(&angles)?;
         let (pairs, unpaired) = pair_dimensions(&data, roles, options.pairing);
 
         // Per pair: project (x = attractive, y = repulsive) out of the rows
@@ -270,7 +266,6 @@ impl SdIndex {
             unpaired,
             pair_blocks,
             columns,
-            pair_columns: Arc::new(OnceLock::new()),
             query_integrity: Vec::new(),
             mapped_check: Arc::new(OnceLock::new()),
         })
@@ -324,12 +319,6 @@ impl SdIndex {
         Ok(())
     }
 
-    /// The lazily built per-pair sorted columns (see the field docs).
-    fn pair_columns(&self) -> &[(SortedColumn, SortedColumn)] {
-        self.pair_columns
-            .get_or_init(|| build_pair_columns(&self.data, &self.pairs))
-    }
-
     /// The indexed dataset.
     pub fn data(&self) -> &Dataset {
         &self.data
@@ -362,11 +351,6 @@ impl SdIndex {
                 .iter()
                 .map(SortedColumn::memory_bytes)
                 .sum::<usize>()
-            + self.pair_columns.get().map_or(0, |cols| {
-                cols.iter()
-                    .map(|(a, r)| a.memory_bytes() + r.memory_bytes())
-                    .sum()
-            })
     }
 
     /// `(blocks, resident bytes)` of the per-pair §4 indexes, summed.
@@ -376,54 +360,49 @@ impl SdIndex {
         })
     }
 
-    /// The cost-model decision for `query` against this index: which
-    /// physical strategy every pair would execute under and whether the
-    /// whole query is the direct 2-D walk — exactly when
+    /// The planner's rule applied to `query` against this index: which
+    /// strategy every pair runs under, the weight angle it read, and whether
+    /// the whole query is the direct 2-D walk — exactly when
     /// [`SdIndex::single_pair`] is `Some`, which is when
     /// [`SdIndex::query_masked`] and the engine, at any shard count, walk.
     /// Observability only ([`sdq inspect`] plumbs it out) — the hot path
-    /// computes the same decisions inline without allocating.
+    /// applies the same rule ([`plan::plan_pair`]) inline without allocating.
     ///
     /// [`sdq inspect`]: https://docs.rs/sdq-store
-    pub fn plan(&self, query: &SdQuery, k: usize) -> Result<QueryPlan, SdError> {
+    pub fn plan(&self, query: &SdQuery) -> Result<QueryPlan, SdError> {
         if query.dims() != self.data.dims() {
             return Err(SdError::DimensionMismatch {
                 expected: self.data.dims(),
                 got: query.dims(),
             });
         }
-        let n = self.data.len();
-        let direct = self.single_pair(query).is_some();
-        let mut pairs = Vec::with_capacity(self.pairs.len());
-        for (pair, blocks) in self.pairs.iter().zip(&self.pair_blocks) {
-            let alpha = query.weights[pair.repulsive];
-            let beta = query.weights[pair.attractive];
-            let (qx, qy) = (query.point[pair.attractive], query.point[pair.repulsive]);
-            let indexed = pair_eval(blocks, alpha, beta, qx, qy).is_ok_and(|e| e.indexed());
-            // Single-pair queries bypass the aggregation; report the
-            // frontier the direct path actually runs.
-            let (action, est_cost) = if direct {
-                plan::plan_direct(n, k, indexed)
-            } else {
-                plan::plan_pair(n, k, alpha, beta, indexed)
-            };
-            pairs.push(PairPlan {
-                repulsive: pair.repulsive,
-                attractive: pair.attractive,
-                action,
-                est_cost,
-            });
-        }
+        let pairs = self
+            .pairs
+            .iter()
+            .zip(&self.pair_blocks)
+            .map(|(pair, blocks)| {
+                let alpha = query.weights[pair.repulsive];
+                let beta = query.weights[pair.attractive];
+                let (qx, qy) = (query.point[pair.attractive], query.point[pair.repulsive]);
+                let indexed = pair_eval(blocks, alpha, beta, qx, qy).is_ok_and(|e| e.indexed());
+                PairPlan {
+                    repulsive: pair.repulsive,
+                    attractive: pair.attractive,
+                    action: plan::plan_pair(alpha, beta, indexed),
+                    theta: Angle::from_weights(alpha, beta).ok(),
+                }
+            })
+            .collect();
         let unpaired_streams = self
             .unpaired
             .iter()
             .filter(|&&d| query.weights[d] != 0.0)
             .count();
         Ok(QueryPlan {
-            direct,
+            direct: self.single_pair(query).is_some(),
             pairs,
             unpaired_streams,
-            scan_budget: plan::scan_budget(n),
+            scan_budget: plan::scan_budget(self.data.len()),
         })
     }
 
@@ -570,7 +549,7 @@ impl SdIndex {
         let streams = if n == 0 {
             scratch.stream_buf()
         } else {
-            self.assemble_streams(query, k, scratch)?
+            self.assemble_streams(query, scratch)?
         };
         Ok(ShardExecution::begin(
             &self.data,
@@ -605,13 +584,12 @@ impl SdIndex {
     fn assemble_streams<'i>(
         &'i self,
         query: &SdQuery,
-        k: usize,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<Subproblem<'i>>, SdError> {
         let n = self.data.len();
         let mut streams = scratch.stream_buf();
-        streams.reserve(2 * self.pairs.len() + self.unpaired.len());
-        for (pi, (pair, blocks)) in self.pairs.iter().zip(&self.pair_blocks).enumerate() {
+        streams.reserve(self.pairs.len() + self.unpaired.len());
+        for (pair, blocks) in self.pairs.iter().zip(&self.pair_blocks) {
             let alpha = query.weights[pair.repulsive];
             let beta = query.weights[pair.attractive];
             let qx = query.point[pair.attractive];
@@ -621,31 +599,21 @@ impl SdIndex {
             // walks under the same evaluation.
             let eval = pair_eval(blocks, alpha, beta, qx, qy);
             let indexed = eval.as_ref().is_ok_and(FrontierEval::indexed);
-            let (action, _) = plan::plan_pair(n, k, alpha, beta, indexed);
-            match action {
-                PairAction::Degenerate => {} // contributes exactly 0 to every score
-                PairAction::OneDim => {
-                    let (att, rep) = &self.pair_columns()[pi];
-                    if beta != 0.0 {
-                        streams.push(Subproblem::attractive(att, qx, beta));
+            if plan::plan_pair(alpha, beta, indexed) == PairAction::Degenerate {
+                continue; // contributes exactly 0 to every score
+            }
+            match eval {
+                Ok(eval) => streams.push(Subproblem::Pair2d(Pair2DStream::with_scratch(
+                    blocks, eval, alpha, beta, scratch,
+                ))),
+                Err(e) => {
+                    // Hand every buffer back before propagating.
+                    for s in streams.drain(..) {
+                        s.recycle(scratch);
                     }
-                    if alpha != 0.0 {
-                        streams.push(Subproblem::repulsive(rep, qy, alpha));
-                    }
+                    scratch.put_streams(streams);
+                    return Err(e);
                 }
-                PairAction::Frontier | PairAction::Bracketed => match eval {
-                    Ok(eval) => streams.push(Subproblem::Pair2d(Pair2DStream::with_scratch(
-                        blocks, eval, alpha, beta, scratch,
-                    ))),
-                    Err(e) => {
-                        // Hand every buffer back before propagating.
-                        for s in streams.drain(..) {
-                            s.recycle(scratch);
-                        }
-                        scratch.put_streams(streams);
-                        return Err(e);
-                    }
-                },
             }
         }
         for (column, &dim) in self.columns.iter().zip(&self.unpaired) {
@@ -780,23 +748,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
-}
-
-/// Builds the per-pair `(attractive, repulsive)` sorted columns backing the
-/// planner's 1-D strategy.
-pub(crate) fn build_pair_columns(
-    data: &Dataset,
-    pairs: &[DimPair],
-) -> Vec<(SortedColumn, SortedColumn)> {
-    pairs
-        .iter()
-        .map(|p| {
-            (
-                SortedColumn::new(&data.column(p.attractive)),
-                SortedColumn::new(&data.column(p.repulsive)),
-            )
-        })
-        .collect()
 }
 
 /// The scoring stage behind every row the aggregation looks at, whichever

@@ -1,27 +1,56 @@
-//! The per-pair query planner: a small cost model that routes every 2-D
-//! subproblem of the §5 decomposition to one of four physical strategies —
-//! and the fetch budget that bounds what any mix of them may cost.
+//! The per-pair query planner: one rule that serves every 2-D subproblem of
+//! the §5 decomposition from its own §4 frontier — and the fetch budget that
+//! bounds what any mix of streams may cost.
 //!
-//! The paper hardcodes the execution of a pair: walk its §4 index (certified
-//! when the weight angle is indexed, Claim-6 bracketed otherwise). That is
-//! the right call at scale, but it is not *always* the right call: a tiny
-//! shard pays more for a frontier heap and per-envelope bound evaluation
-//! than a plain sorted-column scan would cost, and a pair with one zero
-//! weight degenerates to an exact 1-D problem where a single sorted stream
-//! certifies immediately. The planner picks per pair, per query:
+//! The paper executes a pair one way: walk its §4 index, certified when the
+//! weight angle is indexed and Claim-6 bracketed otherwise. [`plan_pair`]
+//! is that rule, read off the pair's weights alone:
 //!
-//! * [`PairAction::Frontier`] — one best-first block frontier at the
-//!   indexed angle θ_q (the §4 fast path),
-//! * [`PairAction::Bracketed`] — the same frontier, each envelope bounded
-//!   from its two bracketing tables by the closed form of Claim 6 (θ_q not
-//!   indexed),
-//! * [`PairAction::OneDim`] — the pair served by its sorted columns as 1-D
-//!   threshold-aggregation streams (exactly the adapted-TA decomposition,
-//!   which the full plan degenerates to when every pair picks it),
 //! * [`PairAction::Degenerate`] — both weights zero: the pair contributes
-//!   exactly `0` to every score and is dropped from the stream set.
+//!   exactly `0` to every score and is dropped from the stream set;
+//! * [`PairAction::Frontier`] — θ_q is an indexed angle: one best-first
+//!   block frontier at it (the §4 fast path). A zero weight is θ_q = 0° or
+//!   90°, and every index holds both: `SdIndex::build_with` refuses an
+//!   angle set without them, and a decode refuses one as corrupt;
+//! * [`PairAction::Bracketed`] — otherwise: the same frontier, each envelope
+//!   bounded from its two bracketing tables by the closed form of Claim 6.
 //!
-//! A fifth strategy is not chosen per pair but reached by the execution
+//! Neither the shard's size nor `k` enters the rule, so every shard of an
+//! engine plans a query alike, and the direct 2-D walk runs what the rule
+//! names for its one pair.
+//!
+//! **Measured and removed: a pair served by two sorted columns.** A
+//! hand-set cost model used to send a pair to two 1-D sorted-column streams
+//! when one weight was zero or the shard was tiny, over columns built and
+//! sorted inside the first query that asked for them. Sized with the
+//! frontier wherever the model picked the columns (4 shards, one worker,
+//! `taskset -c 0`, 2-core VM, 256 uniform queries per cell, best of 5, four
+//! runs alternating the two; every answer digest identical), engine p50 in
+//! µs:
+//!
+//! | cell (rows, dims, roles, k) | columns | frontier only |
+//! |---|---|---|
+//! | 100k 4-D `arra` k16, repulsive weight of pair (d1,d0) zero | 24–44 | 55–80 |
+//! | same, attractive weight zero | 30–51 | 69–98 |
+//! | same, no zero weight (control: same plan on both) | 63–88 | 59–93 |
+//! | 100k 6-D anti `aaaarr` k64, one zero weight | 286–413 | 294–334 |
+//! | 100k 6-D uniform `aaarrr` k16, one zero weight | 239–359 | 245–361 |
+//! | 5k 4-D (1 250-row shards) k16, one zero weight | 15–21 | 15–25 |
+//! | 800 rows 4-D (200-row shards) k16: the size arm | 7.7–10.3 | 6.9–11.9 |
+//! | 3.2k 6-D anti (800-row shards) k64: the size arm | 28–34 | 27–44 |
+//!
+//! The 4-D cells with a zero weight lose their special-case speed, ≈ 0.45×
+//! of a full-weight query → ≈ 1.0×: at 0° or 90° a tiled block's bound is
+//! its 512-row x-slab or its y-tile, not an exact sorted order. Every other
+//! cell is within run-to-run spread, both size-arm cells included. The
+//! columns' first query paid for their build — 47–66 ms on the 4-D engine,
+//! 46–64 on the 6-D anti one, 65–90 on the 6-D uniform one, against
+//! 0.25–1.05 ms through the frontier — and grew `memory_bytes` by 48 B/row
+//! (5.30 → 10.10 MB on the 4-D engine). No benchmark workload issues a zero
+//! weight, and none has a shard small enough for the size arm (under ≈ 260
+//! rows at k = 16, ≈ 900 at k = 64).
+//!
+//! A fourth path is not chosen per pair but reached by the execution
 //! itself: **the scan exit**. Threshold aggregation degrades towards a full
 //! scan as streams multiply and the data turns anti-correlated, and it
 //! degrades expensively — a row fetched through a stream is a random access
@@ -240,16 +269,12 @@
 //! canonical answer (score descending, id ascending — see
 //! [`rank_cmp`](crate::score::rank_cmp)), the planner's choice can never
 //! change a query result, only its cost. The proptests in
-//! `tests/engine_equivalence.rs` pin this across random shard sizes, which
-//! exercise every branch of the model.
-//!
-//! Cost estimates are in *candidate-handling units* (≈ one heap operation
-//! plus one score evaluation) and are deliberately coarse — they only have
-//! to rank strategies, not predict wall time.
+//! `tests/engine_equivalence.rs` pin this across random shard sizes and
+//! zero weights, which exercise every branch of the rule.
 
 use std::fmt;
 
-use crate::topk::blocks::GROUP_FANOUT;
+use crate::geometry::Angle;
 
 /// How one repulsive↔attractive pair is physically executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,8 +284,6 @@ pub enum PairAction {
     /// The same frontier under the Claim 6 bracket, in closed form per
     /// envelope (angle between two indexed angles).
     Bracketed,
-    /// Two (or one, if a weight is zero) sorted-column 1-D streams.
-    OneDim,
     /// Both weights zero: contributes nothing; no stream is assembled.
     Degenerate,
 }
@@ -271,13 +294,12 @@ impl PairAction {
         match self {
             PairAction::Frontier => "frontier",
             PairAction::Bracketed => "bracketed-frontier",
-            PairAction::OneDim => "1d-streams",
             PairAction::Degenerate => "degenerate",
         }
     }
 }
 
-/// The planner's decision for one pair, with its cost estimate.
+/// The planner's decision for one pair, with the angle it read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairPlan {
     /// Repulsive dimension (the tree's `y`).
@@ -286,8 +308,17 @@ pub struct PairPlan {
     pub attractive: usize,
     /// Chosen physical strategy.
     pub action: PairAction,
-    /// Estimated cost in candidate-handling units.
-    pub est_cost: f64,
+    /// The query's weight angle θ_q for this pair; `None` when both
+    /// weights are zero.
+    pub theta: Option<Angle>,
+}
+
+impl PairPlan {
+    /// θ_q as `sdq` prints it (`90.0°`), or `-` for a degenerate pair.
+    pub fn theta_label(&self) -> String {
+        self.theta
+            .map_or_else(|| "-".to_string(), |t| format!("{:.1}°", t.degrees()))
+    }
 }
 
 /// The full plan of one query against one [`SdIndex`](super::SdIndex).
@@ -330,11 +361,11 @@ impl fmt::Display for QueryPlan {
             }
             write!(
                 f,
-                "(d{},d{})→{} ~{:.0}",
+                "(d{},d{})→{} θ_q {}",
                 p.repulsive,
                 p.attractive,
                 p.action.name(),
-                p.est_cost
+                p.theta_label()
             )?;
         }
         write!(
@@ -355,7 +386,7 @@ impl fmt::Display for QueryPlan {
 /// 2×, and never touches one that certifies early. It is the backstop of
 /// the exit's other trigger ([`scan_checkpoint`]), which sends an execution
 /// the same way as soon as its own threshold gap projects that the budget
-/// will be spent. The module docs (strategy five) hold the measurements and
+/// will be spent. The module docs (the scan exit) hold the measurements and
 /// the n/8–n/16–n/32 sweep.
 #[inline]
 pub fn scan_budget(n: usize) -> usize {
@@ -365,7 +396,7 @@ pub fn scan_budget(n: usize) -> usize {
 /// Fetched rows between two readings of the scan exit's projection
 /// ([`scan_budget`]'s second trigger): `budget / 8`, so an execution takes
 /// its first reading with an eighth of its budget spent, can leave from
-/// the second on, and takes seven at most. The module docs (strategy five)
+/// the second on, and takes seven at most. The module docs (the scan exit)
 /// say why a secant must not span less.
 #[inline]
 pub fn scan_checkpoint(budget: usize) -> usize {
@@ -382,7 +413,7 @@ pub fn scan_checkpoint(budget: usize) -> usize {
 /// — it would reach the budget uncertified and scan anyway — when the gap
 /// did not shrink over that stretch, or when the secant meets zero past the
 /// budget. The cadence is a fraction of the budget and nothing else is
-/// chosen; the module docs (strategy five) hold the trajectories it was
+/// chosen; the module docs (the scan exit) hold the trajectories it was
 /// read from and the cadences that were rejected.
 ///
 /// Three words, carried by the execution across its steps, so slicing a
@@ -428,67 +459,21 @@ impl ScanProbe {
     }
 }
 
-/// Fetches the aggregation typically needs per subproblem before the
-/// threshold certifies: `k` answers plus a constant overfetch.
-#[inline]
-fn fetch_estimate(k: usize) -> f64 {
-    (k + 8) as f64
-}
-
-/// Cost of serving one pair through its §4 index: each fetch expands
-/// ~`b·log_b(n)` envelope entries of the hierarchy the frontier walks
-/// (`b` = [`GROUP_FANOUT`]). Indexed or bracketed makes no difference to the
-/// estimate: the bracket is two multiplies and an add per table read, and on
-/// the 100k × 4-D anchor engine (4 shards, k = 16, 512 queries) weights 1°
-/// off an indexed angle answer at 1.02× the p50 of weights on it — 81.0
-/// against 79.4 µs, the same 91 blocks popped per query.
-#[inline]
-fn tree_cost(n: usize, k: usize) -> f64 {
-    let nf = (n.max(2)) as f64;
-    let b = GROUP_FANOUT as f64;
-    fetch_estimate(k) * b * nf.log(b)
-}
-
-/// The strategy the *direct* single-pair path executes: always the
-/// certified tree frontier — indexed when available, Claim 6 bracketed
-/// otherwise. (When the whole query is one pair there is no aggregation to
-/// feed 1-D streams into, so the OneDim/Degenerate branches of
-/// [`plan_pair`] never apply; `sdq inspect` must report what actually
-/// runs.)
-pub fn plan_direct(n: usize, k: usize, indexed: bool) -> (PairAction, f64) {
-    let action = if indexed {
+/// The rule for one pair with repulsive weight `alpha` and attractive weight
+/// `beta`; `indexed` is whether θ_q is an indexed angle of the pair's §4
+/// index. The one decision [`SdIndex::plan`](super::SdIndex::plan) reports
+/// and the executor runs. Indexed or bracketed walk the same frontier: the
+/// bracket is two multiplies and an add per table read, and on the 100k ×
+/// 4-D anchor engine (4 shards, k = 16, 512 queries) weights 1° off an
+/// indexed angle answer at 1.02× the p50 of weights on it — 81.0 against
+/// 79.4 µs, the same 91 blocks popped per query.
+pub fn plan_pair(alpha: f64, beta: f64, indexed: bool) -> PairAction {
+    if alpha == 0.0 && beta == 0.0 {
+        PairAction::Degenerate
+    } else if indexed {
         PairAction::Frontier
     } else {
         PairAction::Bracketed
-    };
-    (action, tree_cost(n, k))
-}
-
-/// Chooses the strategy for one pair. `n` is the number of points *this*
-/// index covers (the shard size under the engine — smaller shards shift the
-/// balance towards [`PairAction::OneDim`]), `indexed` whether θ_q is an
-/// indexed angle of the pair's §4 index.
-pub fn plan_pair(n: usize, k: usize, alpha: f64, beta: f64, indexed: bool) -> (PairAction, f64) {
-    if alpha == 0.0 && beta == 0.0 {
-        return (PairAction::Degenerate, 0.0);
-    }
-    if alpha == 0.0 || beta == 0.0 {
-        // One live weight: a single sorted stream emits in exact subscore
-        // order with an exact bound — certifies after ~k fetches.
-        return (PairAction::OneDim, fetch_estimate(k));
-    }
-    let nf = (n.max(2)) as f64;
-    let cost_tree = tree_cost(n, k);
-    // 1-D streams: O(1) per fetch, but the two column bounds are loose for
-    // a genuinely 2-D subscore — overfetch grows like √(n·k), capped at a
-    // full scan.
-    let cost_onedim = 2.0 * nf.min(fetch_estimate(k) + 4.0 * (nf * k as f64).sqrt());
-    if cost_onedim < cost_tree {
-        (PairAction::OneDim, cost_onedim)
-    } else if indexed {
-        (PairAction::Frontier, cost_tree)
-    } else {
-        (PairAction::Bracketed, cost_tree)
     }
 }
 
@@ -497,23 +482,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_weights_degenerate() {
-        assert_eq!(
-            plan_pair(1000, 8, 0.0, 0.0, false).0,
-            PairAction::Degenerate
-        );
-        assert_eq!(plan_pair(1000, 8, 1.0, 0.0, true).0, PairAction::OneDim);
-        assert_eq!(plan_pair(1000, 8, 0.0, 2.0, false).0, PairAction::OneDim);
-    }
-
-    #[test]
-    fn large_n_prefers_trees_small_n_prefers_columns() {
-        let (large_idx, _) = plan_pair(100_000, 16, 1.0, 1.0, true);
-        assert_eq!(large_idx, PairAction::Frontier);
-        let (large_brk, _) = plan_pair(100_000, 16, 1.0, 0.7, false);
-        assert_eq!(large_brk, PairAction::Bracketed);
-        let (tiny, _) = plan_pair(24, 8, 1.0, 1.0, false);
-        assert_eq!(tiny, PairAction::OneDim);
+    fn the_rule_has_three_cases() {
+        assert_eq!(plan_pair(0.0, 0.0, false), PairAction::Degenerate);
+        assert_eq!(plan_pair(0.0, 0.0, true), PairAction::Degenerate);
+        // One zero weight is θ_q = 0° or 90°, which every index holds.
+        assert_eq!(plan_pair(1.0, 0.0, true), PairAction::Frontier);
+        assert_eq!(plan_pair(0.0, 2.0, true), PairAction::Frontier);
+        assert_eq!(plan_pair(1.0, 1.0, true), PairAction::Frontier);
+        assert_eq!(plan_pair(1.0, 0.7, false), PairAction::Bracketed);
     }
 
     /// Feeds `probe` one reading per round — `per_round` more rows each,
@@ -609,16 +585,5 @@ mod tests {
         let mut probe = ScanProbe::new(usize::MAX);
         let tripped = trip_point(&mut probe, usize::MAX, 1_000, 50_000_000, |_| 0.5);
         assert_eq!(tripped, None);
-    }
-
-    #[test]
-    fn costs_rank_sanely() {
-        // A bracketed walk is estimated at an indexed one's cost (measured:
-        // 1.02×), and the estimate grows with the shard and with k.
-        let (_, c_idx) = plan_pair(50_000, 16, 1.0, 1.0, true);
-        let (_, c_brk) = plan_pair(50_000, 16, 1.0, 1.0, false);
-        assert_eq!(c_brk, c_idx);
-        assert!(plan_pair(100_000, 16, 1.0, 1.0, true).1 > c_idx);
-        assert!(plan_pair(50_000, 64, 1.0, 1.0, true).1 > c_idx);
     }
 }

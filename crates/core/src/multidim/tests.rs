@@ -173,9 +173,28 @@ fn zero_weights_on_some_dims() {
     ];
     let index = SdIndex::build(data.clone(), &roles).unwrap();
     // Zero out the weights of the first pair entirely (degenerate 2-D
-    // subproblem) and one unpaired dim.
+    // subproblem).
     let q = SdQuery::new(vec![0.5; 4], vec![0.0, 0.0, 1.0, 0.7]).unwrap();
     assert_equiv(&index.query(&q, 5).unwrap(), &oracle(&data, &roles, &q, 5));
+    // One zero weight per role: θ_q = 90° (repulsive weight zero) or 0°
+    // (attractive), both indexed, so the pair walks its own frontier.
+    for (zero, deg) in [(0, 90.0), (1, 0.0)] {
+        let mut weights = vec![1.0, 0.6, 1.0, 0.7];
+        weights[zero] = 0.0;
+        let q = SdQuery::new(vec![0.4, 0.6, 0.5, 0.5], weights).unwrap();
+        for k in [1, 5, 40] {
+            assert_equiv(&index.query(&q, k).unwrap(), &oracle(&data, &roles, &q, k));
+        }
+        let plan = index.plan(&q).unwrap();
+        let pair = plan
+            .pairs
+            .iter()
+            .find(|p| p.repulsive == zero || p.attractive == zero)
+            .unwrap();
+        assert_eq!(pair.action, PairAction::Frontier, "d{zero} zero");
+        let theta = pair.theta.expect("one weight is live").degrees();
+        assert!((theta - deg).abs() < 1e-9, "d{zero} zero: θ_q {theta}°");
+    }
     // All-zero weights: every score is 0; any k points are valid — check
     // count and zero scores only.
     let q = SdQuery::new(vec![0.5; 4], vec![0.0; 4]).unwrap();
@@ -189,6 +208,30 @@ fn validation_errors() {
     let data = Dataset::from_rows(2, &[vec![0.0, 0.0]]).unwrap();
     let roles = vec![DimRole::Attractive, DimRole::Repulsive];
     assert!(SdIndex::build(data.clone(), &[DimRole::Attractive]).is_err());
+    // Every index holds both axes: an angle set short of 0° or of 90° is
+    // refused at build time, naming the missing axis.
+    let deg = |d: f64| Angle::from_degrees(d).unwrap();
+    for (angles, missing) in [
+        (vec![deg(10.0), deg(45.0), deg(90.0)], 0.0),
+        (vec![deg(0.0), deg(45.0), deg(80.0)], 90.0),
+        (vec![deg(45.0)], 0.0),
+    ] {
+        let options = SdIndexOptions {
+            angles,
+            ..SdIndexOptions::default()
+        };
+        match SdIndex::build_with(data.clone(), &roles, &options) {
+            Err(SdError::AngleOutOfRange { requested_deg, .. }) => {
+                assert_eq!(requested_deg, missing)
+            }
+            other => panic!("a set without {missing}° built: {other:?}"),
+        }
+    }
+    let axes = SdIndexOptions {
+        angles: vec![deg(90.0), deg(0.0)],
+        ..SdIndexOptions::default()
+    };
+    assert!(SdIndex::build_with(data.clone(), &roles, &axes).is_ok());
     let index = SdIndex::build(data, &roles).unwrap();
     let q = SdQuery::new(vec![0.0], vec![1.0]).unwrap();
     assert!(matches!(
@@ -1146,8 +1189,6 @@ proptest! {
         prop_assert_eq!(index.pairs().len(), dims / 2);
         let dead = rand_dead(&mut rng, n);
         let mut scratch = QueryScratch::new();
-        // (At k = 100 the planner may serve a pair of this size by its
-        // sorted columns; at k = 1 and 16 it walks the blocks.)
         let mut blocks_popped = 0;
         for i in 0..3 {
             let q = rand_query(&mut rng, dims);

@@ -104,7 +104,8 @@ pub struct QueryProfile {
     /// Rows surfaced one at a time by a pair stream: the degenerate
     /// enumeration that serves a query whose weights are all zero.
     pub tree_rows_pulled: u64,
-    /// Rows surfaced by the 1-D sorted-column streams.
+    /// Rows surfaced by the 1-D sorted-column streams: unpaired dimensions,
+    /// and every dimension of the TA baseline.
     pub onedim_rows_pulled: u64,
     /// Candidate rows handed to the scoring stage by all streams (block
     /// lanes + tree rows + 1-D rows + delta rows), duplicates included,

@@ -291,6 +291,12 @@ impl BlockSet {
         if !angles.windows(2).all(|w| w[0].degrees() < w[1].degrees()) {
             return Err(corrupt("blocks: indexed angles not strictly ascending"));
         }
+        // A zero weight is served at 0° or 90° as an indexed angle.
+        if let Err(e) = super::check_axes(&angles) {
+            return Err(corrupt(format!(
+                "blocks: indexed angles must span 0° to 90°: {e}"
+            )));
+        }
         if n_live > u32::MAX as usize || n_blocks != n_live.div_ceil(LANES) {
             return Err(corrupt(format!(
                 "blocks: {n_blocks} blocks for {n_live} points"
@@ -1015,6 +1021,15 @@ mod tests {
         for forged in [swapped, repeated] {
             let err = decode(&forged);
             assert!(err.contains("not strictly ascending"), "{err}");
+        }
+        // Still ascending, but short of an axis: a zero weight would find
+        // no indexed angle.
+        let (mut low, mut high) = (set.clone(), set.clone());
+        low.angles[0] = Angle::from_degrees(10.0).unwrap();
+        high.angles[4] = Angle::from_degrees(80.0).unwrap();
+        for forged in [low, high] {
+            let err = decode(&forged);
+            assert!(err.contains("must span 0° to 90°"), "{err}");
         }
     }
 

@@ -56,6 +56,26 @@ pub fn normalize_angles(angles: &[Angle]) -> Result<Vec<Angle>, SdError> {
     Ok(sorted)
 }
 
+/// Checks that an ascending, non-empty angle set runs from 0° to 90°, as
+/// every pair an engine stores must: a zero weight is θ_q = 0° or 90°, and
+/// the planner serves it from the frontier at that indexed angle. The error
+/// names the axis that is missing against the range the set does cover.
+pub(crate) fn check_axes(angles: &[Angle]) -> Result<(), SdError> {
+    let (first, last) = (&angles[0], &angles[angles.len() - 1]);
+    let missing = if first.sin != 0.0 {
+        0.0
+    } else if last.cos != 0.0 {
+        90.0
+    } else {
+        return Ok(());
+    };
+    Err(SdError::AngleOutOfRange {
+        requested_deg: missing,
+        min_deg: first.degrees(),
+        max_deg: last.degrees(),
+    })
+}
+
 /// Per-angle projection bounds of one envelope.
 ///
 /// `#[repr(C)]` because format v5 maps bound tables straight off the

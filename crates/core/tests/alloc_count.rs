@@ -101,6 +101,24 @@ fn steady_state_queries_do_not_allocate() {
         "SdIndex::query_with allocated {n} times after warm-up"
     );
 
+    // ── a zero pair weight, first of its kind: θ_q = 0° or 90°, an indexed
+    //    angle of the pair's own frontier, so a scratch warmed by full-weight
+    //    queries serves it as is and the index builds nothing for it ─────
+    let bytes = sd.memory_bytes();
+    for (zero, q) in queries4d.iter().enumerate().take(dims) {
+        let mut q = q.clone();
+        q.weights[zero] = 0.0;
+        let n = count_allocs(|| {
+            let r = sd.query_with(&q, 16, &mut scratch).unwrap();
+            sink += r.iter().map(|sp| sp.score).sum::<f64>();
+        });
+        assert_eq!(
+            n, 0,
+            "the first query with d{zero} weighted 0 allocated {n} times"
+        );
+    }
+    assert_eq!(sd.memory_bytes(), bytes, "a zero weight grew the index");
+
     // ── profiled path: counters + stage timestamps must also be free ─────
     scratch.profile.timing = true;
     run_sd(&mut scratch, &mut sink);

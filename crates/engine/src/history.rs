@@ -21,7 +21,7 @@
 //! which again only moves cost. It is not persisted — a freshly opened or
 //! mapped engine starts with no history.
 //!
-//! `sdq_core::multidim::plan` (strategy five) holds what it buys — `agg_6d`
+//! `sdq_core::multidim::plan` (the scan exit) holds what it buys — `agg_6d`
 //! p50 0.76× — and the measurements behind [`STREAK`] and [`RECHECK`].
 //!
 //! [`SharedThreshold::start_lost`]: sdq_core::SharedThreshold::start_lost

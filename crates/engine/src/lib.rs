@@ -7,9 +7,9 @@
 //!                         SdEngine::query_with
 //!                                 │
 //!                    ┌────────────▼────────────┐
-//!                    │  planner (per shard ×   │   cost model: indexed-angle
-//!                    │  per pair cost model)   │   availability, n per shard,
-//!                    └────────────┬────────────┘   k, weight vector
+//!                    │  planner: one rule per  │   rule: indexed-angle
+//!                    │  pair, on every shard   │   frontier, Claim-6 bracket,
+//!                    └────────────┬────────────┘   or degenerate (weights only)
 //!                                 │
 //!              ┌──────────────────┼──────────────────┐
 //!        ┌─────▼─────┐      ┌─────▼─────┐      ┌─────▼─────┐
@@ -871,7 +871,7 @@ impl SdEngine {
         let plans = self
             .shards
             .iter()
-            .map(|shard| shard.plan(query, k))
+            .map(|shard| shard.plan(query))
             .collect::<Result<Vec<_>, _>>()?;
         let shape = self.shape(query, k).map(|shape| {
             if self.verdicts.starts_lost(shape) {
@@ -1575,8 +1575,8 @@ mod tests {
         assert_eq!(plans.len(), 4);
         for p in &plans {
             assert_eq!(p.pairs.len(), 2);
-            // Unit weights hit the 45° indexed angle on 100-row shards.
-            assert!(p.pairs.iter().all(|pp| pp.action != PairAction::Degenerate));
+            // Unit weights hit the 45° indexed angle, whatever the shard size.
+            assert!(p.pairs.iter().all(|pp| pp.action == PairAction::Frontier));
         }
     }
 

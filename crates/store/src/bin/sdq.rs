@@ -634,7 +634,7 @@ fn print_plan_table(explained: &Explain, k: usize) {
     println!("planner decisions (k = {k}):");
     println!(
         "  {:>5}  {:<16} {:<20} {:>12}",
-        "shard", "pair", "strategy", "est. cost"
+        "shard", "pair", "strategy", "θ_q"
     );
     for (i, plan) in plans.iter().enumerate() {
         for p in &plan.pairs {
@@ -644,11 +644,11 @@ fn print_plan_table(explained: &Explain, k: usize) {
                 p.action.name().to_string()
             };
             println!(
-                "  {:>5}  {:<16} {:<20} {:>12.0}",
+                "  {:>5}  {:<16} {:<20} {:>12}",
                 i,
                 format!("(d{} r, d{} a)", p.repulsive, p.attractive),
                 strategy,
-                p.est_cost
+                p.theta_label()
             );
         }
         if plan.unpaired_streams > 0 {
@@ -675,7 +675,8 @@ fn print_plan_table(explained: &Explain, k: usize) {
         println!("  {:>5}  {:<16} {shape}", "all", "query shape");
     }
     println!(
-        "  (costs in candidate-handling units; a shard that fetches more rows than its scan \
+        "  (θ_q is the pair's weight angle: an indexed one walks the frontier at it, any other \
+         the Claim-6 bracket; a shard that fetches more rows than its scan \
          budget, or whose threshold gap projects that it will, finishes with one kernel scan, \
          and so does a shard still open when an earlier sibling's verdict says so, and every \
          shard of a query whose shape starts lost; the query was not executed)"
@@ -1608,10 +1609,10 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
             stats.base_dead + stats.delta_dead,
             stats.epoch
         );
-        // Planner observability: what the cost model would run for a
-        // unit-weight query at the dataset's per-dimension mean (the rows
-        // live inside the shard indexes; sum across them). Each shard plans
-        // against its own sorted-column stats, so strategies can differ.
+        // Planner observability: what the rule runs for a unit-weight query
+        // at the dataset's per-dimension mean (the rows live inside the
+        // shard indexes; sum across them). The rule reads only the weights
+        // and the indexed angles, so every shard prints the same strategies.
         if engine.shard_count() > 0 {
             let sample = mean_query(engine).map_err(runtime)?;
             let plans = engine.explain(&sample, DEFAULT_K).map_err(runtime)?.plans;

@@ -156,6 +156,31 @@ fn sharded_build_then_query_matches_in_memory_index() {
     assert!(inspect.contains("4 shard(s)"), "{inspect}");
     assert!(inspect.contains("planner"), "{inspect}");
 
+    // A zero weight is an indexed angle: d0 (attractive) weighted 0 puts
+    // pair (d1, d0) at θ_q = 0°, and every shard walks its frontier there.
+    let explain = sdq()
+        .args([
+            "query",
+            snap_path.to_str().unwrap(),
+            "--point",
+            "0.5,0.25,0.75,0.5",
+        ])
+        .args(["--weights", "0,1,1,1", "--k", "7", "--explain"])
+        .output()
+        .expect("spawn sdq query --explain");
+    assert!(explain.status.success());
+    let explain = String::from_utf8(explain.stdout).unwrap();
+    let rows: Vec<&str> = explain
+        .lines()
+        .filter(|l| l.contains("(d1 r, d0 a)"))
+        .collect();
+    assert_eq!(rows.len(), 4, "{explain}");
+    for row in rows {
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells[cells.len() - 2..], ["frontier", "0.0°"], "{explain}");
+    }
+    assert!(!explain.contains("1d-streams"), "{explain}");
+
     let output = sdq()
         .args([
             "query",

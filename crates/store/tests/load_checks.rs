@@ -222,7 +222,7 @@ fn set_u32(payload: &mut [u8], index: usize, v: u32) {
 fn load_refuses_forged_contents_under_valid_checksums() {
     let honest = honest_bytes();
     type Patch = fn(&mut [u8]);
-    let cases: [(&str, &str, Patch); 9] = [
+    let cases: [(&str, &str, Patch); 10] = [
         ("engine-shard0/data.coords", "non-finite coordinate", |p| {
             set_f64(p, 4, f64::NAN)
         }),
@@ -266,6 +266,17 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             // `[count][cos sin][cos sin]…`: the first angle repeated where
             // the second stood. The bracket search assumes neither happens.
             |p| p.copy_within(8..24, 24),
+        ),
+        (
+            "engine-shard1/pair0/meta",
+            "indexed angles must span 0° to 90°",
+            // The first angle, 0°, rewritten as 10°: still ascending, but a
+            // zero attractive weight would find no indexed angle.
+            |p| {
+                let (sin, cos) = 10f64.to_radians().sin_cos();
+                set_f64(p, 1, cos);
+                set_f64(p, 2, sin);
+            },
         ),
     ];
     for (region, needle, patch) in cases {

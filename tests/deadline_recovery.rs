@@ -243,7 +243,7 @@ fn direct_2d_search_honours_a_cancelled_token() {
 
     // The bare index: nothing but the frontier walk can see the token.
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(index.plan(&query, k).unwrap().direct);
+    assert!(index.plan(&query).unwrap().direct);
     let want = index.query(&query, k).unwrap();
     let mut scratch = QueryScratch::new();
     index.query_with(&query, k, &mut scratch).unwrap(); // warm-up

@@ -5,7 +5,7 @@
 //!   roles, weights and `k`, *including ties at the k-th score* (the
 //!   coordinate generator deliberately draws from a tiny value alphabet so
 //!   duplicated rows and tied scores are common, and zero weights force
-//!   the planner through its degenerate/1-D branches),
+//!   the planner through its degenerate branch and its 0°/90° frontiers),
 //! * parallel shard execution (threshold-sharing across workers) returns
 //!   exactly the sequential answers,
 //! * a dirty, reused [`EngineScratch`] answers exactly like a fresh one,

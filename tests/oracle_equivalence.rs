@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
-use sdq::core::multidim::{PairingStrategy, SdIndex, SdIndexOptions};
+use sdq::core::multidim::{PairAction, PairingStrategy, SdIndex, SdIndexOptions};
 use sdq::core::QueryProfile;
 use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{EngineOptions, EngineScratch, SdEngine, STREAK};
@@ -326,7 +326,8 @@ static MAPPED_CASE: AtomicU32 = AtomicU32::new(0);
 /// Builds `rows` into an engine of `shards` × `threads`, dirties it, serves
 /// it as `serve` says, and checks `queries` — in order, on one engine, so
 /// its verdict history builds up across them — against SeqScan over its
-/// live rows, bit for bit; returns each query's profile.
+/// live rows, bit for bit, and every shard's plan against the planner's
+/// rule; returns each query's profile.
 #[allow(clippy::too_many_arguments)] // one sweep cell
 fn scans_match_the_oracle(
     rows: &[Vec<f64>],
@@ -396,9 +397,28 @@ fn scans_match_the_oracle(
     let mut scratch = EngineScratch::new();
     let mut profiles = Vec::with_capacity(queries.len());
     for q in queries {
+        let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}");
+        // The rule: both weights zero drop a pair, one zero weight is the
+        // indexed 0° or 90°, and every shard decides alike.
+        for plan in engine.explain(q, k).unwrap().plans {
+            for p in plan.pairs {
+                let (alpha, beta) = (q.weights[p.repulsive], q.weights[p.attractive]);
+                let want: &[PairAction] = match (alpha == 0.0, beta == 0.0) {
+                    (true, true) => &[PairAction::Degenerate],
+                    (false, false) => &[PairAction::Frontier, PairAction::Bracketed],
+                    _ => &[PairAction::Frontier],
+                };
+                assert!(
+                    want.contains(&p.action),
+                    "{cell}: (d{}, d{}) {:?}",
+                    p.repulsive,
+                    p.attractive,
+                    p.action
+                );
+            }
+        }
         let want = oracle.query(q, k).unwrap();
         let got = engine.query_with(q, k, &mut scratch).unwrap();
-        let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}");
         assert_eq!(got.len(), want.len(), "{cell}");
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(
@@ -415,6 +435,40 @@ fn scans_match_the_oracle(
         profiles.push(p);
     }
     profiles
+}
+
+/// A zero weight walks the pair's 0° or 90° frontier, at every shard size:
+/// each query zeroes one dimension's weight (attractive for the first two,
+/// repulsive for the last two), on 4 shards of {200, 800, 1 250, 25 000}
+/// rows — where the scan exit ends most executions, and where the frontier
+/// certifies — at k {16, 64}, clean and tombstoned, owned and mapped, bit
+/// for bit against SeqScan and planned `frontier` on every shard.
+#[test]
+fn zero_weight_pairs_walk_their_frontier_to_the_oracle() {
+    let (dims, shards) = (4, 4);
+    let roles = roles_for(dims, 2);
+    let mut queries = uniform_queries(dims, dims, 0x2E0);
+    for (zero, q) in queries.iter_mut().enumerate() {
+        q.weights[zero] = 0.0;
+    }
+    for shard_rows in [200, 800, 1_250, 25_000] {
+        let rows: Vec<Vec<f64>> = generate(
+            Distribution::Uniform,
+            shards * shard_rows,
+            dims,
+            0x2E1 ^ shard_rows as u64,
+        )
+        .iter()
+        .map(|(_, c)| c.to_vec())
+        .collect();
+        for k in [16, 64] {
+            for dirt in [Dirt::Clean, Dirt::Tombstoned] {
+                for serve in [Serve::Owned, Serve::Mapped] {
+                    scans_match_the_oracle(&rows, &roles, shards, 1, dirt, serve, k, &queries);
+                }
+            }
+        }
+    }
 }
 
 /// `(scan_fallbacks, scan_inherited, scan_predicted)` summed over `profiles`.

@@ -41,8 +41,9 @@ fn coord() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Weights with zeros so the planner's degenerate/1-D branches (which
-/// route rows through the pass-through funnel stages) are exercised.
+/// Weights with zeros so the planner's degenerate branch (whose all-zero
+/// row enumerator routes rows through the pass-through funnel stages) and
+/// its 0°/90° frontiers are exercised.
 fn weight() -> impl Strategy<Value = f64> {
     prop_oneof![1 => Just(0.0), 1 => Just(1.0), 2 => 0.0..3.0f64]
 }
