@@ -103,18 +103,6 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
-    // Envelope bound: the reject-before-scoring check, once per block.
-    let (env_min, env_max) = ([0.0; DIMS], [1.0; DIMS]);
-    group.bench_function("envelope_bound_4d", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for _ in 0..BLOCKS {
-                acc += kernels::envelope_bound(&env_min, &env_max, &q, &sw);
-            }
-            acc
-        })
-    });
-
     group.finish();
 }
 

@@ -6,7 +6,7 @@
 //! block-pop granularity, not preemption. [`Deadline`] is that check
 //! point: a cloneable token holding an optional expiry instant and an
 //! optional shared cancel flag, consulted once per aggregation round and
-//! once per delta block.
+//! once per 32-row delta chunk.
 //!
 //! The unset token is the common case and must stay invisible on the hot
 //! path: [`Deadline::check`] is a single inline branch on two `Option`

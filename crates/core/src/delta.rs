@@ -4,146 +4,60 @@
 //! Freshly inserted rows live outside every index structure until the next
 //! compaction, so they cannot be served by the §4/§5 bound machinery.
 //! They do not need to be: the delta region is small by construction (the
-//! compactor folds it back once it drifts), and an exact seqscan over it is
-//! cheaper than any bound bookkeeping. The scan produces two things:
+//! compactor folds it back once it drifts), and rows arrive in insertion
+//! order, so no bound over a run of them is tighter than the whole space.
+//! The scan is the one exact row pass of the workspace,
+//! [`kernels::score_rows`] over [`LANES`] consecutive rows of the row-major
+//! delta table at a time, and produces two things:
 //!
 //! 1. the delta's **canonical top-k** (score descending, ties by global row
 //!    id ascending) — one more list for the engine's exact k-way merge, and
-//! 2. every live delta score fed into the caller's **k-th-score floor** —
-//!    the same floor the shard aggregations publish into and prune against
-//!    (see [`SharedThreshold`](crate::threshold::SharedThreshold)), so a
-//!    strong delta candidate terminates the indexed shard executions early
-//!    exactly like a strong candidate found by a sibling shard would.
+//! 2. every live delta score that reaches the delta's running k-th score,
+//!    fed into the caller's **k-th-score floor** — the same floor the shard
+//!    aggregations publish into and prune against (see
+//!    [`SharedThreshold`](crate::threshold::SharedThreshold)), so a strong
+//!    delta candidate terminates the indexed shard executions early exactly
+//!    like a strong candidate found by a sibling shard would.
 //!
-//! Tombstoned delta rows are dropped before scoring (see [`crate::mask`]),
-//! so they reach neither the merge nor the floor.
+//! Tombstoned delta rows are dropped with one mask word per chunk (see
+//! [`crate::mask`]), so they reach neither the merge nor the floor.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::deadline::Deadline;
-use crate::kernels::{self, LaneBlock, LANES};
+use crate::kernels::{self, LANES};
 use crate::mask::MaskView;
 use crate::profile::QueryProfile;
-use crate::score::{sd_score, DimRole, SdQuery};
+use crate::score::{DimRole, SdQuery};
 use crate::threshold::track_floor;
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 
-/// The delta region's structure-of-arrays mirror: cache-aligned blocks of
-/// [`LANES`] rows with one coordinate column per dimension and per-block
-/// per-dimension `[min, max]` micro-envelopes, maintained incrementally as
-/// rows append.
+/// Scans the delta region exactly: appends the canonical top-`k` of the
+/// live delta rows to `out` (with **global** ids `id_offset + local row`)
+/// and feeds every live score that reaches the running k-th-best delta
+/// score into `floor` (capacity `k`) for cross-execution pruning.
 ///
-/// [`scan_delta_blocks_into`] scans it instead of the row-major dataset:
-/// whole blocks whose envelope bound falls strictly below the running
-/// k-th-best delta score are rejected without scoring a single row, the
-/// rest are scored by the batch kernels, and tombstones apply as one
-/// branchless word-AND per block. The row-major [`Dataset`] stays the
-/// source of truth for persistence and compaction; this mirror is derived,
-/// append-synchronised state.
-#[derive(Debug, Clone)]
-pub struct DeltaBlocks {
-    dims: usize,
-    len: usize,
-    /// Block-major, dimension-minor: `cols[b * dims + d].0[l]` is row
-    /// `b * LANES + l`, dimension `d`. Tail lanes hold `0.0` (finite for
-    /// the kernels, masked out of every result).
-    cols: Vec<LaneBlock>,
-    /// Per-block per-dimension envelope minima: `env_min[b * dims + d]`.
-    env_min: Vec<f64>,
-    env_max: Vec<f64>,
-}
-
-impl DeltaBlocks {
-    /// An empty mirror for `dims`-dimensional rows.
-    pub fn new(dims: usize) -> Self {
-        DeltaBlocks {
-            dims: dims.max(1),
-            len: 0,
-            cols: Vec::new(),
-            env_min: Vec::new(),
-            env_max: Vec::new(),
-        }
-    }
-
-    /// Rebuilds the mirror from a row-major delta dataset (snapshot load).
-    pub fn from_dataset(data: &Dataset) -> Self {
-        let mut blocks = DeltaBlocks::new(data.dims());
-        for (_, coords) in data.iter() {
-            blocks.push_row(coords).expect("dataset rows are validated");
-        }
-        blocks
-    }
-
-    /// Rows mirrored so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no rows are mirrored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends one (already validated) row.
-    pub fn push_row(&mut self, row: &[f64]) -> Result<(), SdError> {
-        if row.len() != self.dims {
-            return Err(SdError::DimensionMismatch {
-                expected: self.dims,
-                got: row.len(),
-            });
-        }
-        let lane = self.len % LANES;
-        if lane == 0 {
-            self.cols
-                .resize(self.cols.len() + self.dims, LaneBlock::default());
-            self.env_min
-                .resize(self.env_min.len() + self.dims, f64::INFINITY);
-            self.env_max
-                .resize(self.env_max.len() + self.dims, f64::NEG_INFINITY);
-        }
-        let b = self.len / LANES;
-        for (d, &v) in row.iter().enumerate() {
-            self.cols[b * self.dims + d].0[lane] = v;
-            let e = b * self.dims + d;
-            self.env_min[e] = self.env_min[e].min(v);
-            self.env_max[e] = self.env_max[e].max(v);
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Drops every mirrored row (compaction folded the delta away).
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.cols.clear();
-        self.env_min.clear();
-        self.env_max.clear();
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.cols.len() * std::mem::size_of::<LaneBlock>()
-            + (self.env_min.len() + self.env_max.len()) * 8
-    }
-}
-
-/// [`scan_delta_into`] over the SoA mirror: identical results (canonical
-/// top-`k` appended to `out`, every score that could matter fed into
-/// `floor`), with block-level envelope pruning against the running k-th
-/// delta score, kernel-batched scoring, and tombstones applied as one
-/// word-AND per block. `sw` is a recycled buffer for the role-signed
-/// weights (cleared here). Scan statistics — rows scanned, blocks
-/// envelope-pruned, tombstoned lanes dropped — accumulate into `prof`
-/// (not reset here: the engine owns the per-query reset).
+/// Each chunk of [`LANES`] rows reads its tombstones as one
+/// [`MaskView::dead_word32`]; unless every row in it is dead, it is scored
+/// and compared to the k-th-best delta score so far in one
+/// [`kernels::score_rows`] pass, and its live rows at or above that score
+/// are kept — a row strictly below it can change neither the delta top-k
+/// nor the floor. A chunk whose live rows all fall below it counts as
+/// `delta_blocks_pruned`. `mask`, when present, must view the engine mask
+/// at `id_offset` so delta-local rows resolve correctly.
 ///
-/// `deadline` is checked once per block — the same cooperative
-/// granularity as the aggregation loop; a single inlined branch when
-/// unset — and aborts the scan with the typed deadline/cancel error
-/// without touching `out`.
+/// `pool` (the bounded heap) and `sw` (the role-signed weights) are the
+/// caller's recycled buffers, cleared here; a warmed scratch makes the scan
+/// allocation-free. The counters accumulate into `prof` (not reset here:
+/// the engine owns the per-query reset) the way the scan exit counts its
+/// rows: every delta row is fetched, the tombstoned ones are skipped and
+/// the live ones are gathered and counted as `delta_rows_scanned`. `deadline`
+/// is checked once per chunk and aborts the scan with the typed
+/// deadline/cancel error without touching `out`.
 #[allow(clippy::too_many_arguments)] // scratch-owned buffers, one call site
-pub fn scan_delta_blocks_into(
-    blocks: &DeltaBlocks,
+pub fn scan_delta_into(
+    data: &Dataset,
     roles: &[DimRole],
     query: &SdQuery,
     k: usize,
@@ -156,66 +70,37 @@ pub fn scan_delta_blocks_into(
     prof: &mut QueryProfile,
     deadline: &Deadline,
 ) -> Result<(), SdError> {
-    debug_assert_eq!(blocks.dims, query.dims());
-    debug_assert_eq!(blocks.dims, roles.len());
+    debug_assert_eq!(data.dims(), query.dims());
+    debug_assert_eq!(data.dims(), roles.len());
     pool.clear();
     sw.clear();
     sw.extend(roles.iter().zip(&query.weights).map(|(r, &w)| r.sign() * w));
-    let dims = blocks.dims;
+    let (dims, n, flat) = (data.dims(), data.len(), data.flat());
     let mut scores = [0.0f64; LANES];
-    let n_blocks = blocks.len.div_ceil(LANES);
-    for b in 0..n_blocks {
+    for start in (0..n).step_by(LANES) {
         deadline.check()?;
-        let base = (b * LANES) as u32;
-        let in_block = LANES.min(blocks.len - b * LANES);
-        let full = if in_block == LANES {
-            u32::MAX
-        } else {
-            (1u32 << in_block) - 1
-        };
-        // Tombstones: one branchless word-AND over the block's lanes.
-        let live = full & !mask.map_or(0, |m| m.dead_word32(base));
+        let count = LANES.min(n - start);
+        let full = u32::MAX >> (LANES - count);
+        let live = full & !mask.map_or(0, |m| m.dead_word32(start as u32));
+        prof.rows_fetched += count as u64;
         prof.tombstones_skipped += u64::from((full & !live).count_ones());
         if live == 0 {
             continue;
         }
-        // The pool root is the k-th best live delta score so far; a lane
-        // strictly below it can change neither the delta top-k nor the
-        // floor, so a block whose envelope bound is below it is dead
-        // weight — skipped before any lane is scored.
+        let scanned = u64::from(live.count_ones());
+        prof.delta_rows_scanned += scanned;
+        prof.points_gathered += scanned;
+        prof.kernel_batches += 1;
+        // The pool root is the k-th best live delta score so far.
         let fl = if pool.len() == k {
             pool.peek().expect("pool is non-empty").0 .0 .0
         } else {
             f64::NEG_INFINITY
         };
-        if fl > f64::NEG_INFINITY {
-            let e = b * dims;
-            let bound = kernels::envelope_bound(
-                &blocks.env_min[e..e + dims],
-                &blocks.env_max[e..e + dims],
-                &query.point,
-                sw,
-            );
-            if fl > bound {
-                prof.delta_blocks_pruned += 1;
-                continue;
-            }
-        }
-        let scanned = u64::from(live.count_ones());
-        prof.delta_rows_scanned += scanned;
-        prof.rows_fetched += scanned;
-        prof.points_gathered += scanned;
-        prof.kernel_batches += 1;
-        kernels::score_zero(&mut scores);
-        for (d, &swd) in sw.iter().enumerate() {
-            kernels::score_add_dim(
-                &mut scores,
-                &blocks.cols[b * dims + d].0,
-                query.point[d],
-                swd,
-            );
-        }
-        let mut surv = kernels::survivors(&scores, live, fl);
+        let run = &flat[start * dims..(start + count) * dims];
+        let reach = kernels::score_rows(&mut scores[..count], run, dims, &query.point, sw, fl);
+        let mut surv = reach & live;
+        prof.delta_blocks_pruned += u64::from(surv == 0);
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
@@ -224,12 +109,13 @@ pub fn scan_delta_blocks_into(
             prof.floor_updates += u64::from(track_floor(floor, k, score));
             // Bounded min-heap of the best k: the root is the worst kept
             // entry (lowest score, largest id among ties) under `rank_cmp`.
-            pool.push((Reverse(OrdF64::new(score)), base + l as u32));
+            pool.push((Reverse(OrdF64::new(score)), (start + l) as u32));
             if pool.len() > k {
                 pool.pop();
             }
         }
     }
+    prof.isa = kernels::active().name();
     let start = out.len();
     while let Some((Reverse(OrdF64(score)), row)) = pool.pop() {
         out.push(ScoredPoint::new(PointId::new(id_offset + row), score));
@@ -239,57 +125,15 @@ pub fn scan_delta_blocks_into(
     Ok(())
 }
 
-/// Scans the delta region exactly: appends the canonical top-`k` of the
-/// live delta rows to `out` (with **global** ids `id_offset + local row`)
-/// and feeds every live exact score into `floor` (capacity `k`) for
-/// cross-execution pruning.
-///
-/// `pool` is the caller's recycled bounded heap (cleared here); a warmed
-/// scratch makes the scan allocation-free. `mask`, when present, must view
-/// the engine mask at `id_offset` so delta-local rows resolve correctly.
-#[allow(clippy::too_many_arguments)] // scratch-owned buffers, one call site
-pub fn scan_delta_into(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    id_offset: u32,
-    mask: Option<MaskView<'_>>,
-    pool: &mut BinaryHeap<(Reverse<OrdF64>, u32)>,
-    floor: &mut BinaryHeap<Reverse<OrdF64>>,
-    out: &mut Vec<ScoredPoint>,
-) {
-    debug_assert_eq!(data.dims(), query.dims());
-    debug_assert_eq!(data.dims(), roles.len());
-    pool.clear();
-    for (id, coords) in data.iter() {
-        if mask.is_some_and(|m| m.is_dead(id.raw())) {
-            continue;
-        }
-        let score = sd_score(coords, &query.point, roles, &query.weights);
-        track_floor(floor, k, score);
-        // Bounded min-heap of the best k: the root is the worst kept entry
-        // (lowest score, largest id among ties), matching `rank_cmp`.
-        pool.push((Reverse(OrdF64::new(score)), id.raw()));
-        if pool.len() > k {
-            pool.pop();
-        }
-    }
-    let start = out.len();
-    while let Some((Reverse(OrdF64(score)), row)) = pool.pop() {
-        out.push(ScoredPoint::new(PointId::new(id_offset + row), score));
-    }
-    // Pops arrive worst-first; flip to canonical order.
-    out[start..].reverse();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mask::RowMask;
-    use crate::score::rank_cmp;
+    use crate::score::{rank_cmp, sd_score};
 
-    fn scan(
+    /// The scan's reference: row by row, scalar [`sd_score`], every live
+    /// score fed into the floor.
+    fn reference(
         data: &Dataset,
         roles: &[DimRole],
         query: &SdQuery,
@@ -299,13 +143,61 @@ mod tests {
     ) -> (Vec<ScoredPoint>, Vec<f64>) {
         let mut pool = BinaryHeap::new();
         let mut floor = BinaryHeap::new();
-        let mut out = Vec::new();
-        scan_delta_into(
-            data, roles, query, k, offset, mask, &mut pool, &mut floor, &mut out,
-        );
+        for (id, coords) in data.iter() {
+            if mask.is_some_and(|m| m.is_dead(id.raw())) {
+                continue;
+            }
+            let score = sd_score(coords, &query.point, roles, &query.weights);
+            track_floor(&mut floor, k, score);
+            pool.push((Reverse(OrdF64::new(score)), id.raw()));
+            if pool.len() > k {
+                pool.pop();
+            }
+        }
+        let mut out: Vec<ScoredPoint> = pool
+            .into_iter()
+            .map(|(Reverse(OrdF64(s)), row)| ScoredPoint::new(PointId::new(offset + row), s))
+            .collect();
+        out.sort_by(rank_cmp);
+        (out, sorted_floor(floor))
+    }
+
+    fn sorted_floor(floor: BinaryHeap<Reverse<OrdF64>>) -> Vec<f64> {
         let mut floors: Vec<f64> = floor.into_iter().map(|Reverse(OrdF64(s))| s).collect();
         floors.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        (out, floors)
+        floors
+    }
+
+    /// [`scan_delta_into`] on fresh buffers: its answer, its floor (sorted
+    /// ascending) and its profile.
+    fn scan(
+        data: &Dataset,
+        roles: &[DimRole],
+        query: &SdQuery,
+        k: usize,
+        offset: u32,
+        mask: Option<MaskView<'_>>,
+    ) -> (Vec<ScoredPoint>, Vec<f64>, QueryProfile) {
+        let mut pool = BinaryHeap::new();
+        let mut floor = BinaryHeap::new();
+        let mut out = Vec::new();
+        let mut prof = QueryProfile::new();
+        scan_delta_into(
+            data,
+            roles,
+            query,
+            k,
+            offset,
+            mask,
+            &mut pool,
+            &mut floor,
+            &mut out,
+            &mut Vec::new(),
+            &mut prof,
+            &Deadline::none(),
+        )
+        .unwrap();
+        (out, sorted_floor(floor), prof)
     }
 
     #[test]
@@ -316,7 +208,7 @@ mod tests {
         let data = Dataset::from_rows(2, &rows).unwrap();
         let roles = [DimRole::Attractive, DimRole::Repulsive];
         let q = SdQuery::new(vec![1.0, 0.5], vec![1.0, 2.0]).unwrap();
-        let (got, floors) = scan(&data, &roles, &q, 7, 100, None);
+        let (got, floors, _) = scan(&data, &roles, &q, 7, 100, None);
 
         let mut oracle: Vec<ScoredPoint> = data
             .iter()
@@ -343,101 +235,60 @@ mod tests {
         let mut mask = RowMask::new(13);
         mask.set(10); // delta row 0 at offset 10
         let view = MaskView::new(&mask, 10);
-        let (got, floors) = scan(&data, &roles, &q, 2, 10, Some(view));
+        let (got, floors, prof) = scan(&data, &roles, &q, 2, 10, Some(view));
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].id.raw(), 11);
         assert_eq!(got[0].score, 9.0);
         assert_eq!(got[1].id.raw(), 12);
         assert_eq!(floors, vec![8.0, 9.0]);
+        assert_eq!((prof.delta_rows_scanned, prof.tombstones_skipped), (2, 1));
     }
 
     #[test]
     fn blocks_scan_matches_rowwise_scan_bitwise() {
-        // Tie-heavy coordinates across several blocks, with and without
-        // tombstones: the SoA scan must reproduce the row-wise scan
-        // bit-for-bit (ids and score bits).
-        let rows: Vec<Vec<f64>> = (0..150)
-            .map(|i| vec![(i % 4) as f64, (i % 3) as f64, (i % 7) as f64 * 0.5])
-            .collect();
-        let data = Dataset::from_rows(3, &rows).unwrap();
-        let blocks = DeltaBlocks::from_dataset(&data);
-        assert_eq!(blocks.len(), 150);
+        // Tie-heavy coordinates at every chunk boundary (an empty delta,
+        // one row, a chunk less one, one chunk, one chunk and a row, and
+        // several chunks), with and without tombstones at lanes 0 and 31:
+        // the chunk scan must reproduce the row-wise reference bit for bit
+        // (ids and score bits), and its floor must agree with the
+        // reference's k-th score.
         let roles = [DimRole::Attractive, DimRole::Repulsive, DimRole::Repulsive];
         let q = SdQuery::new(vec![1.5, 0.0, 2.0], vec![0.7, 1.0, 1.3]).unwrap();
-
-        let mut mask = RowMask::new(400);
-        for r in [200usize, 201, 233, 280, 349] {
-            mask.set(r);
-        }
-        for (k, view) in [
-            (1, None),
-            (5, None),
-            (40, None),
-            (200, None),
-            (5, Some(MaskView::new(&mask, 200))),
-            (64, Some(MaskView::new(&mask, 200))),
-        ] {
-            let (want, want_floor) = scan(&data, &roles, &q, k, 200, view);
-            let mut pool = BinaryHeap::new();
-            let mut floor = BinaryHeap::new();
-            let mut out = Vec::new();
-            let mut sw = Vec::new();
-            let mut prof = QueryProfile::new();
-            scan_delta_blocks_into(
-                &blocks,
-                &roles,
-                &q,
-                k,
-                200,
-                view,
-                &mut pool,
-                &mut floor,
-                &mut out,
-                &mut sw,
-                &mut prof,
-                &Deadline::none(),
-            )
-            .unwrap();
-            assert_eq!(out.len(), want.len(), "k = {k}");
-            assert!(prof.points_scored <= prof.delta_rows_scanned, "k = {k}");
-            if prof.delta_blocks_pruned == 0 {
-                assert_eq!(
-                    prof.delta_rows_scanned + prof.tombstones_skipped,
-                    150,
-                    "k = {k}: every delta row is scanned or tombstoned"
-                );
+        for n in [0usize, 1, 31, 32, 33, 150] {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| vec![(i % 4) as f64, (i % 3) as f64, (i % 7) as f64 * 0.5])
+                .collect();
+            let data = Dataset::from_flat(3, rows.concat()).unwrap();
+            let mut mask = RowMask::new(200 + n);
+            for r in [0usize, 31, 32, 33, 63, 64, 95, 149] {
+                if r < n {
+                    mask.set(200 + r);
+                }
             }
-            for (g, w) in out.iter().zip(&want) {
-                assert_eq!(g.id, w.id, "k = {k}");
-                assert_eq!(g.score.to_bits(), w.score.to_bits(), "k = {k}");
-            }
-            // The floor root (k-th best) must agree when full.
-            let mut floors: Vec<f64> = floor.into_iter().map(|Reverse(OrdF64(s))| s).collect();
-            floors.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            if want_floor.len() == k {
-                assert_eq!(floors[0].to_bits(), want_floor[0].to_bits(), "k = {k}");
+            let dead = mask.set_count() as u64;
+            for k in [1, 5, 40, 200] {
+                for view in [None, Some(MaskView::new(&mask, 200))] {
+                    let what = format!("n = {n}, k = {k}, masked = {}", view.is_some());
+                    let (want, want_floor) = reference(&data, &roles, &q, k, 200, view);
+                    let (got, floor, prof) = scan(&data, &roles, &q, k, 200, view);
+                    assert_eq!(got.len(), want.len(), "{what}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.id, w.id, "{what}");
+                        assert_eq!(g.score.to_bits(), w.score.to_bits(), "{what}");
+                    }
+                    let skipped = if view.is_some() { dead } else { 0 };
+                    assert_eq!(prof.tombstones_skipped, skipped, "{what}");
+                    assert_eq!(prof.delta_rows_scanned, n as u64 - skipped, "{what}");
+                    assert!(prof.points_scored <= prof.delta_rows_scanned, "{what}");
+                    assert!(prof.floor_updates >= floor.len() as u64, "{what}");
+                    // The floor's root (the k-th best) agrees when full.
+                    assert_eq!(floor.len(), want_floor.len(), "{what}");
+                    if let (Some(f), Some(w)) = (floor.first(), want_floor.first()) {
+                        assert_eq!(f.to_bits(), w.to_bits(), "{what}");
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn delta_blocks_maintain_envelopes_incrementally() {
-        let mut blocks = DeltaBlocks::new(2);
-        assert!(blocks.is_empty());
-        assert!(blocks.push_row(&[1.0]).is_err(), "arity validated");
-        for i in 0..70 {
-            blocks.push_row(&[i as f64, -(i as f64)]).unwrap();
-        }
-        assert_eq!(blocks.len(), 70);
-        assert!(blocks.memory_bytes() > 0);
-        // Block 0 holds rows 0..32: per-dim envelopes [0,31] and [-31,0].
-        assert_eq!(blocks.env_min[0], 0.0);
-        assert_eq!(blocks.env_max[0], 31.0);
-        assert_eq!(blocks.env_min[1], -31.0);
-        assert_eq!(blocks.env_max[1], 0.0);
-        blocks.clear();
-        assert!(blocks.is_empty());
-        assert_eq!(blocks.memory_bytes(), 0);
     }
 
     #[test]
@@ -445,7 +296,7 @@ mod tests {
         let data = Dataset::from_rows(1, &[vec![1.0], vec![2.0]]).unwrap();
         let roles = [DimRole::Repulsive];
         let q = SdQuery::new(vec![0.0], vec![1.0]).unwrap();
-        let (got, floors) = scan(&data, &roles, &q, 5, 0, None);
+        let (got, floors, _) = scan(&data, &roles, &q, 5, 0, None);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].score, 2.0);
         assert_eq!(floors.len(), 2, "floor cannot fill past the live rows");

@@ -61,11 +61,12 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Points per block: the fixed lane width of every SoA block in the
-/// workspace (tree leaf blocks, delta-region blocks, gather batches).
+/// workspace (tree leaf blocks, gather batches) and of every row chunk
+/// [`score_rows`] scores (the scan exit, the delta scan).
 ///
 /// 32 doubles = 256 bytes per dimension column = 4 cache lines, and 8 AVX2
 /// vectors — wide enough to amortise per-block bookkeeping, small enough
-/// that per-block min/max micro-envelopes still prune usefully.
+/// that per-block envelopes still prune usefully.
 pub const LANES: usize = 32;
 
 /// A cache-aligned lane group: one dimension column of one block.
@@ -560,43 +561,6 @@ pub(crate) fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
-// ─── envelope bounds ────────────────────────────────────────────────────────
-
-/// Admissible upper bound on the SD-score of every point inside a per-block
-/// per-dimension `[min, max]` micro-envelope, at query `q` with pre-signed
-/// weights `sw` (accumulated in dimension order, like the scores).
-///
-/// Admissibility is bit-safe: every per-dimension term is the same chain of
-/// IEEE operations the scoring kernel performs on a coordinate inside the
-/// envelope, and IEEE `sub`/`abs`/`mul`-by-constant/`add` are all monotone,
-/// so the floating-point bound dominates every floating-point score in the
-/// block. Blocks whose bound falls strictly below a k-th-score floor are
-/// rejected before any point is scored.
-#[inline]
-pub fn envelope_bound(min: &[f64], max: &[f64], q: &[f64], sw: &[f64]) -> f64 {
-    debug_assert!(min.len() == max.len() && min.len() == q.len() && min.len() == sw.len());
-    let mut acc = 0.0f64;
-    for d in 0..q.len() {
-        let (lo, hi, qd, w) = (min[d], max[d], q[d], sw[d]);
-        if w >= 0.0 {
-            // Repulsive: farthest endpoint maximises the contribution.
-            acc += w * (lo - qd).abs().max((hi - qd).abs());
-        } else {
-            // Attractive (negative weight): the closest point of the
-            // interval minimises the distance, maximising the contribution.
-            let near = if qd < lo {
-                lo - qd
-            } else if qd > hi {
-                qd - hi
-            } else {
-                0.0
-            };
-            acc += w * near;
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,34 +775,6 @@ mod tests {
                     want & 0x7f
                 );
             });
-        }
-    }
-
-    #[test]
-    fn envelope_bound_dominates_every_interior_score() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        for _ in 0..300 {
-            let dims = rng.gen_range(1..5);
-            let roles: Vec<DimRole> = (0..dims)
-                .map(|_| {
-                    if rng.gen_bool(0.5) {
-                        DimRole::Repulsive
-                    } else {
-                        DimRole::Attractive
-                    }
-                })
-                .collect();
-            let q: Vec<f64> = (0..dims).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            let w: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.0..3.0)).collect();
-            let sw: Vec<f64> = roles.iter().zip(&w).map(|(r, &w)| r.sign() * w).collect();
-            let min: Vec<f64> = (0..dims).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            let max: Vec<f64> = min.iter().map(|&m| m + rng.gen_range(0.0..5.0)).collect();
-            let bound = envelope_bound(&min, &max, &q, &sw);
-            for _ in 0..32 {
-                let p: Vec<f64> = (0..dims).map(|d| rng.gen_range(min[d]..=max[d])).collect();
-                let s = sd_score(&p, &q, &roles, &w);
-                assert!(s <= bound, "score {s} above envelope bound {bound}");
-            }
         }
     }
 

@@ -26,8 +26,9 @@
 //!   ([`SharedThreshold`]),
 //! * [`mask`] — tombstone bitmaps ([`RowMask`]) whose dead rows are dropped
 //!   at scoring time by every masked query path,
-//! * [`delta`] — the exact seqscan subproblem over the engine's append-only
-//!   delta region (the write path's unindexed rows),
+//! * [`delta`] — the exact scan of the engine's append-only delta region
+//!   (the write path's unindexed rows): the scan exit's row kernel
+//!   ([`kernels::score_rows`]) over the row-major delta rows,
 //! * [`score`] — scoring kernels shared by indexes, baselines and tests,
 //! * [`profile`] — always-on per-query execution counters ([`QueryProfile`])
 //!   behind every hot path: pruning effectiveness, kernel batches, floor

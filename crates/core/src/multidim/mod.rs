@@ -38,8 +38,9 @@
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
 //! projects that it will ([`plan::scan_checkpoint`]), or whose sibling
 //! execution of the same query already did, or whose query started lost
-//! ([`SharedThreshold::verdict`]) — stops consulting its streams and
-//! finishes with one sequential kernel scan of the rows it has not seen.
+//! ([`SharedThreshold::verdict`]; a query whose weights are all zero has no
+//! stream and always does) — stops consulting its streams and finishes
+//! with one sequential kernel scan of the rows it has not seen.
 //! Every strategy is exact and the
 //! emission order is **canonical** (score descending, ties by row ascending), so planning can
 //! never change an answer, only its cost; this is also what makes sharded
@@ -106,14 +107,6 @@ impl<'a> Subproblem<'a> {
         Subproblem::Repulsive1d(RepulsiveStream::new(col, q, weight))
     }
 
-    /// A row enumerator with constant subscore 0 — the fallback when every
-    /// dimension's weight is zero (all candidate discovery, no bounds).
-    pub(crate) fn degenerate(n: u32) -> Self {
-        Subproblem::Pair2d(Pair2DStream {
-            inner: PairInner::Degenerate { next_row: 0, n },
-        })
-    }
-
     /// Admissible upper bound on the subscore of every row this stream has
     /// not yet surfaced; `None` once the stream is drained (at which point
     /// it has surfaced every row of the dataset).
@@ -135,7 +128,7 @@ impl<'a> Subproblem<'a> {
 
     /// Fetches this stream's next *emission unit* into `out`:
     ///
-    /// * 1-D and degenerate streams append one row;
+    /// * 1-D streams append one row;
     /// * a 2-D stream appends every live row of its next
     ///   surviving SoA leaf block (up to [`LANES`] at once), after
     ///   block-level floor pruning: with `prune = Some((f, others))` —
@@ -580,13 +573,13 @@ impl SdIndex {
     /// Assembles the subproblem streams for one query into the scratch's
     /// recycled buffer, one planner decision per pair. Zero-weight streams
     /// contribute neither bounds nor useful candidates and are dropped
-    /// outright.
+    /// outright, so a query whose weights are all zero has no stream at all
+    /// — and its execution scans from the start (see [`aggregate_rounds`]).
     fn assemble_streams<'i>(
         &'i self,
         query: &SdQuery,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<Subproblem<'i>>, SdError> {
-        let n = self.data.len();
         let mut streams = scratch.stream_buf();
         streams.reserve(self.pairs.len() + self.unpaired.len());
         for (pair, blocks) in self.pairs.iter().zip(&self.pair_blocks) {
@@ -626,11 +619,6 @@ impl SdIndex {
                 DimRole::Repulsive => streams.push(Subproblem::repulsive(column, q, w)),
                 DimRole::Attractive => streams.push(Subproblem::attractive(column, q, w)),
             }
-        }
-        // All weights zero: no stream survived, but the aggregation still
-        // needs candidate discovery — enumerate rows at constant subscore.
-        if streams.is_empty() {
-            streams.push(Subproblem::degenerate(n as u32));
         }
         Ok(streams)
     }
@@ -1057,7 +1045,10 @@ fn emit_pooled(
 /// exit first, or by the engine before round one
 /// ([`SharedThreshold::verdict`], read after the emit and floor checks);
 /// every trigger reaches the one call, which marks the handle lost in turn.
-/// `usize::MAX` never scans: the paper's pure threshold aggregation.
+/// An execution with no stream — a query whose weights are all zero —
+/// starts lost on its own and scans at its first round head, counted as
+/// `scan_predicted`. Otherwise `usize::MAX` never scans: the paper's pure
+/// threshold aggregation.
 ///
 /// `on_score` observes the exact full score of every newly fetched
 /// distinct row that could still matter to a top-k — the engine feeds
@@ -1197,6 +1188,9 @@ fn aggregate_rounds<F: FnMut(f64)>(
         let spent = fetched > scan_budget as u64;
         let budget_left = !spent && scan_budget != usize::MAX;
         let verdict = match shared {
+            // No stream (every weight zero): nothing to fetch and no bound
+            // to certify with, whatever the budget.
+            _ if streams.is_empty() => Verdict::StartedLost,
             Some(h) if budget_left => h.verdict(),
             _ => Verdict::Open,
         };
@@ -1462,7 +1456,8 @@ impl<'i> ShardExecution<'i> {
 /// from the scratch.
 ///
 /// This is the pure algorithm: it never takes the scan exit [`SdIndex`]
-/// queries take (see [`plan::scan_budget`]), whatever the streams cost.
+/// queries take (see [`plan::scan_budget`]), whatever the streams cost —
+/// unless `streams` is empty, when a scan is the only way to meet a row.
 pub fn threshold_aggregate_with<'s>(
     data: &Dataset,
     roles: &[DimRole],
@@ -1483,26 +1478,15 @@ pub fn threshold_aggregate_with<'s>(
 /// one heap is ordered by θ_q score bounds ([`FrontierEval`]: for
 /// non-indexed θ_q the Claim 6 bracket in closed form, per envelope), and
 /// which walks the index once where a dual-stream bracket would walk it
-/// twice.
+/// twice. Whole blocks surface (and are prunable against the k-th-score
+/// floor) at once; [`Subproblem::next_unit`] kernel-scores a popped block's
+/// lanes on the pair and filters them against the floor before emission.
 pub struct Pair2DStream<'a> {
-    inner: PairInner<'a>,
-}
-
-#[allow(clippy::large_enum_variant)] // hot-path state; boxing would allocate
-enum PairInner<'a> {
-    /// Both weights zero: every subscore is exactly 0; enumerate rows.
-    Degenerate { next_row: u32, n: u32 },
-    /// A best-first frontier over the pair's SoA leaf blocks. Whole blocks
-    /// surface (and are prunable against the k-th-score floor) at once;
-    /// [`Subproblem::next_unit`] kernel-scores a popped block's lanes on
-    /// the pair and filters them against the floor before emission.
-    Blocks {
-        frontier: BlockFrontier<'a>,
-        blocks: &'a BlockSet,
-        alpha: f64,
-        beta: f64,
-        r: f64,
-    },
+    frontier: BlockFrontier<'a>,
+    blocks: &'a BlockSet,
+    alpha: f64,
+    beta: f64,
+    r: f64,
 }
 
 impl<'a> Pair2DStream<'a> {
@@ -1517,21 +1501,17 @@ impl<'a> Pair2DStream<'a> {
         scratch: &mut QueryScratch,
     ) -> Self {
         Pair2DStream {
-            inner: PairInner::Blocks {
-                frontier: BlockFrontier::with_scratch(blocks, eval, scratch.take_heap()),
-                blocks,
-                alpha,
-                beta,
-                r: alpha.hypot(beta),
-            },
+            frontier: BlockFrontier::with_scratch(blocks, eval, scratch.take_heap()),
+            blocks,
+            alpha,
+            beta,
+            r: alpha.hypot(beta),
         }
     }
 
     /// Hands the owned buffers back to the scratch.
     fn recycle(self, scratch: &mut QueryScratch) {
-        if let PairInner::Blocks { frontier, .. } = self.inner {
-            scratch.put_heap(frontier.into_scratch());
-        }
+        scratch.put_heap(self.frontier.into_scratch());
     }
 
     /// Batch fetch: see [`Subproblem::next_unit`].
@@ -1541,78 +1521,54 @@ impl<'a> Pair2DStream<'a> {
         out: &mut Vec<u32>,
         prof: &mut QueryProfile,
     ) -> bool {
-        let row = match &mut self.inner {
-            PairInner::Blocks {
-                frontier,
-                blocks,
-                alpha,
-                beta,
-                r,
-            } => {
-                let r = *r;
-                // One whole block per round; envelope-level pruning first.
-                let picked = frontier.next_block(|b| match prune {
-                    Some((f, others)) => f > inflate(r * b + others),
-                    None => false,
-                });
-                {
-                    let c = frontier.take_counters();
-                    prof.nodes_visited += c.nodes_visited;
-                    prof.envelope_nodes_rejected += c.envelope_rejected;
-                    prof.blocks_floor_pruned += c.blocks_floor_pruned;
-                    prof.blocks_popped += c.blocks_popped;
-                }
-                if let Some(block) = picked {
-                    let mut live = blocks.live(block);
-                    let slots = blocks.slots(block);
-                    if let Some((f, others)) = prune {
-                        // Per-lane floor filter on the cheap SoA pair
-                        // subscores: a lane with
-                        // `f > inflate(subscore + others)` can hold no
-                        // top-k row no matter what the other streams
-                        // contribute, and dies here — before it is ever
-                        // gathered or scored on the full query.
-                        let mut scores = [0.0f64; LANES];
-                        let eval = frontier.eval();
-                        kernels::score_block_2d(
-                            &mut scores,
-                            blocks.xs(block),
-                            blocks.ys(block),
-                            eval.qx,
-                            eval.qy,
-                            *alpha,
-                            *beta,
-                        );
-                        let keep = kernels::lane_filter(&scores, live, others, f);
-                        prof.lanes_masked += u64::from((live & !keep).count_ones());
-                        live = keep;
-                    }
-                    while live != 0 {
-                        let l = live.trailing_zeros() as usize;
-                        live &= live - 1;
-                        out.push(slots[l]);
-                    }
-                }
-                return picked.is_some();
-            }
-            PairInner::Degenerate { next_row, n } => (*next_row < *n).then(|| {
-                *next_row += 1;
-                *next_row - 1
-            }),
+        let (blocks, r) = (self.blocks, self.r);
+        // One whole block per round; envelope-level pruning first.
+        let picked = self.frontier.next_block(|b| match prune {
+            Some((f, others)) => f > inflate(r * b + others),
+            None => false,
+        });
+        let c = self.frontier.take_counters();
+        prof.nodes_visited += c.nodes_visited;
+        prof.envelope_nodes_rejected += c.envelope_rejected;
+        prof.blocks_floor_pruned += c.blocks_floor_pruned;
+        prof.blocks_popped += c.blocks_popped;
+        let Some(block) = picked else {
+            return false;
         };
-        // The degenerate enumerator surfaces one row per fetch.
-        prof.tree_rows_pulled += u64::from(row.is_some());
-        out.extend(row);
-        row.is_some()
+        let mut live = blocks.live(block);
+        let slots = blocks.slots(block);
+        if let Some((f, others)) = prune {
+            // Per-lane floor filter on the cheap SoA pair subscores: a lane
+            // with `f > inflate(subscore + others)` can hold no top-k row no
+            // matter what the other streams contribute, and dies here —
+            // before it is ever gathered or scored on the full query.
+            let mut scores = [0.0f64; LANES];
+            let eval = self.frontier.eval();
+            kernels::score_block_2d(
+                &mut scores,
+                blocks.xs(block),
+                blocks.ys(block),
+                eval.qx,
+                eval.qy,
+                self.alpha,
+                self.beta,
+            );
+            let keep = kernels::lane_filter(&scores, live, others, f);
+            prof.lanes_masked += u64::from((live & !keep).count_ones());
+            live = keep;
+        }
+        while live != 0 {
+            let l = live.trailing_zeros() as usize;
+            live &= live - 1;
+            out.push(slots[l]);
+        }
+        true
     }
 
     /// Admissible upper bound on the raw pair subscore of every row not yet
     /// surfaced; `None` once drained.
     fn bound(&self) -> Option<f64> {
-        match &self.inner {
-            PairInner::Degenerate { next_row, n } => (next_row < n).then_some(0.0),
-            PairInner::Blocks { frontier, r, .. } => frontier.bound().map(|b| r * b),
-        }
+        self.frontier.bound().map(|b| self.r * b)
     }
 }
 

@@ -755,15 +755,18 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
             p.rows_fetched
         );
     }
-    // All-zero weights: one degenerate stream enumerates rows at score 0;
-    // past the budget the scan takes over and the canonical answer is the
-    // first k live rows.
+    // All-zero weights: no stream survives, so the execution starts lost
+    // and scans at its first round head; every live row scores 0 and the
+    // canonical answer is the first k live rows.
     let zero = SdQuery::new(vec![0.3; 6], vec![0.0; 6]).unwrap();
     let got = index
         .query_masked(&zero, 5, &mut scratch, None, Some(MaskView::new(&dead, 0)))
         .unwrap()
         .to_vec();
-    assert_eq!(scratch.profile.scan_fallbacks, 1);
+    let p = scratch.profile;
+    assert_eq!(p.rounds, 1);
+    assert_eq!((p.scan_predicted, p.scan_fallbacks), (1, 1));
+    assert_eq!((p.scan_rows, p.rows_fetched), (n as u64, n as u64));
     let ids: Vec<usize> = got.iter().map(|sp| sp.id.index()).collect();
     assert_eq!(ids, [1, 2, 3, 4, 5]);
     assert!(got.iter().all(|sp| sp.score == 0.0));
@@ -1023,6 +1026,18 @@ fn every_exit_forced_at_the_one_constructor() {
                 );
                 if lost_after.is_none() {
                     assert_eq!(p.scan_inherited, 0, "no handle, no verdict");
+                }
+                // No stream (every weight zero): every run scans at its
+                // first round head, whatever the budget or a handle says —
+                // unless there is no live row to answer with.
+                if q.weights.iter().all(|&w| w == 0.0) {
+                    let scans = u64::from(!want.is_empty());
+                    assert_eq!(
+                        (p.rounds, p.scan_predicted, p.scan_fallbacks),
+                        (1, scans, scans),
+                        "case {case} k {k} budget {budget} lost after {lost_after:?}"
+                    );
+                    continue;
                 }
                 match lost_after {
                     // Marked lost before the first head: nothing streams.

@@ -6,7 +6,7 @@
 //! entry point increments a fixed set of `u64` counters as it runs: the
 //! frontier walk ([`BlockFrontier`]), the block-level
 //! floor pruning, the per-lane mask filter, the batched scoring kernels,
-//! the delta seqscan, the tombstone mask and the k-way shard merge.
+//! the delta scan, the tombstone mask and the k-way shard merge.
 //!
 //! The counters live inside [`QueryScratch`](crate::QueryScratch) (and are
 //! aggregated per engine query into
@@ -101,16 +101,15 @@ pub struct QueryProfile {
     /// Lanes of surfaced blocks dropped by the per-lane pair-subscore
     /// filter before gathering.
     pub lanes_masked: u64,
-    /// Rows surfaced one at a time by a pair stream: the degenerate
-    /// enumeration that serves a query whose weights are all zero.
-    pub tree_rows_pulled: u64,
     /// Rows surfaced by the 1-D sorted-column streams: unpaired dimensions,
     /// and every dimension of the TA baseline.
     pub onedim_rows_pulled: u64,
-    /// Candidate rows handed to the scoring stage by all streams (block
-    /// lanes + tree rows + 1-D rows + delta rows), duplicates included,
-    /// plus [`scan_rows`](QueryProfile::scan_rows); on the direct walk, the
-    /// live lanes of every popped block.
+    /// Candidate rows handed to the scoring stage: every stream's (block
+    /// lanes + 1-D rows), duplicates included, plus
+    /// [`scan_rows`](QueryProfile::scan_rows) and every delta row (the live
+    /// ones are [`delta_rows_scanned`](QueryProfile::delta_rows_scanned),
+    /// the dead ones count in `tombstones_skipped`); on the direct walk,
+    /// the live lanes of every popped block.
     pub rows_fetched: u64,
     /// Shard executions that finished with a sequential kernel scan
     /// instead of more fetches: their fetch budget
@@ -126,10 +125,11 @@ pub struct QueryProfile {
     /// The scan fallbacks that left on a sibling execution's verdict, read
     /// off the query's [`SharedThreshold`](crate::SharedThreshold).
     pub scan_inherited: u64,
-    /// The scan fallbacks of a query that started lost
-    /// ([`SharedThreshold::start_lost`](crate::SharedThreshold::start_lost)):
-    /// the engine's history of the query's shape said its streams lose, so
-    /// each execution scanned at its first round head without fetching. Not
+    /// The scan fallbacks of a query that started lost: the engine's history
+    /// of the query's shape said its streams lose
+    /// ([`SharedThreshold::start_lost`](crate::SharedThreshold::start_lost)),
+    /// or the query has no stream at all (every weight zero), so each
+    /// execution scanned at its first round head without fetching. Not
     /// also counted as `scan_inherited`, so `scan_fallbacks − scan_projected
     /// − scan_inherited − scan_predicted` spent the whole budget first.
     pub scan_predicted: u64,
@@ -144,17 +144,20 @@ pub struct QueryProfile {
     /// shared k-th-score floor).
     pub points_scored: u64,
     /// Kernel batch invocations, each scoring up to [`LANES`] rows: a
-    /// gathered batch of fetched rows, a popped block of the direct walk or
-    /// a delta block, and every chunk of [`LANES`] consecutive rows a scan
-    /// scores — the scan scores all of a shard's chunks, seen and
-    /// tombstoned rows included, so it adds the shard's chunk count.
+    /// gathered batch of fetched rows, a popped block of the direct walk,
+    /// and every chunk of [`LANES`] consecutive rows a scan scores — the
+    /// scan exit scores all of a shard's chunks, seen and tombstoned rows
+    /// included, so it adds the shard's chunk count; the delta scan skips
+    /// only a chunk whose rows are all tombstoned.
     pub kernel_batches: u64,
     /// Kernel backend that scored the batches (`"avx2"`, `"sse2"`,
     /// `"scalar"`; empty until a batch runs).
     pub isa: &'static str,
-    /// Live delta-region rows scanned by the exact seqscan.
+    /// Live delta-region rows scored by the delta scan — every live delta
+    /// row.
     pub delta_rows_scanned: u64,
-    /// Delta SoA blocks rejected whole by their envelope bound.
+    /// Delta chunks of [`LANES`] rows that were scored and dropped whole:
+    /// no live row in them reached the delta's running k-th score.
     pub delta_blocks_pruned: u64,
     /// Rows dropped by the tombstone mask (indexed and delta).
     pub tombstones_skipped: u64,
@@ -175,7 +178,7 @@ pub struct QueryProfile {
     /// Collect per-stage wall-clock timings. Off by default: counters are
     /// free, timestamps are not.
     pub timing: bool,
-    /// Nanoseconds in the delta-region seqscan (engine path, dirty only).
+    /// Nanoseconds in the delta scan (engine path, dirty only).
     pub delta_scan_nanos: u64,
     /// Nanoseconds in shard aggregation (or the whole monolithic query).
     pub aggregate_nanos: u64,
@@ -191,7 +194,6 @@ impl Default for QueryProfile {
             blocks_popped: 0,
             blocks_floor_pruned: 0,
             lanes_masked: 0,
-            tree_rows_pulled: 0,
             onedim_rows_pulled: 0,
             rows_fetched: 0,
             scan_fallbacks: 0,
@@ -247,7 +249,6 @@ impl QueryProfile {
         self.blocks_popped += other.blocks_popped;
         self.blocks_floor_pruned += other.blocks_floor_pruned;
         self.lanes_masked += other.lanes_masked;
-        self.tree_rows_pulled += other.tree_rows_pulled;
         self.onedim_rows_pulled += other.onedim_rows_pulled;
         self.rows_fetched += other.rows_fetched;
         self.scan_fallbacks += other.scan_fallbacks;
@@ -284,15 +285,14 @@ impl QueryProfile {
     /// Stages after the first are derived from the counters:
     /// block-granularity stages count [`LANES`] points per block (the
     /// admissible upper bound on what survived), and rows that reach the
-    /// scoring stage by another road (1-D streams, per-point fallback,
-    /// delta seqscan, the scan exit's `scan_rows`) pass undiminished
-    /// through the stages that cannot prune them.
+    /// scoring stage by another road (1-D streams, the live rows of the
+    /// delta scan, the scan exit's `scan_rows`) pass undiminished through
+    /// the stages that cannot prune them. The lane-mask stage is the fetched
+    /// rows less the tombstoned ones: the lanes the pair filter and the
+    /// tombstone mask both let through to scoring.
     pub fn funnel(&self, points_in_dataset: u64) -> [(&'static str, u64); 6] {
         let lanes = LANES as u64;
-        let pass_through = self.tree_rows_pulled
-            + self.onedim_rows_pulled
-            + self.delta_rows_scanned
-            + self.scan_rows;
+        let pass_through = self.onedim_rows_pulled + self.delta_rows_scanned + self.scan_rows;
         let survived_envelope =
             (self.blocks_popped + self.blocks_floor_pruned) * lanes + pass_through;
         let survived_block_floor = self.blocks_popped * lanes + pass_through;
@@ -300,7 +300,10 @@ impl QueryProfile {
             ("points in dataset", points_in_dataset),
             ("survived envelope tree", survived_envelope),
             ("survived block floor", survived_block_floor),
-            ("survived lane mask", self.rows_fetched),
+            (
+                "survived lane mask",
+                self.rows_fetched.saturating_sub(self.tombstones_skipped),
+            ),
             ("fully scored", self.points_scored),
             ("emitted", self.emitted),
         ]

@@ -190,9 +190,9 @@ pub struct EngineScratch {
     lists: Vec<Vec<ScoredPoint>>,
     heads: Vec<usize>,
     floor: BinaryHeap<Reverse<OrdF64>>,
-    /// Bounded top-k heap of the delta-region seqscan (mutated engines).
+    /// Bounded top-k heap of the delta scan (mutated engines).
     delta_pool: BinaryHeap<(Reverse<OrdF64>, u32)>,
-    /// Role-signed weight staging of the delta block scan.
+    /// Role-signed weight staging of the delta scan.
     delta_sw: Vec<f64>,
     answers: Vec<ScoredPoint>,
     /// Execution counters of the most recent query served through this
@@ -204,7 +204,7 @@ pub struct EngineScratch {
     pub profile: QueryProfile,
     /// Cooperative deadline/cancel token of the next query served through
     /// this scratch, propagated to every worker and checked once per
-    /// aggregation round and per delta block. Unlimited by default; a
+    /// aggregation round and per delta chunk. Unlimited by default; a
     /// bounded deadline captures its expiry at construction, so set a
     /// fresh one per query.
     pub deadline: Deadline,
@@ -831,10 +831,10 @@ impl SdEngine {
     }
 
     /// Approximate heap footprint of all shard index structures plus the
-    /// write path (delta rows, their SoA block mirror, tombstone bitmap).
+    /// write path (delta rows, tombstone bitmap).
     pub fn memory_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(SdIndex::memory_bytes).sum();
-        let delta = self.muts.delta.flat().len() * 8 + self.muts.delta_blocks.memory_bytes();
+        let delta = self.muts.delta.flat().len() * 8;
         let mask = self.muts.tombstones.domain().div_ceil(64) * 8;
         shards + delta + mask
     }
@@ -855,16 +855,17 @@ impl SdEngine {
             .collect()
     }
 
-    /// The planner's decision for `query` on every shard (shard sizes
-    /// differ, so strategies can too), and the state of the query's shape
-    /// in the verdict history. Observability for `sdq query --explain` and
-    /// `sdq inspect`.
+    /// The planner's decision for `query` on every shard — the rule reads
+    /// the weights only, so every shard's pairs read alike; only the scan
+    /// budget follows the shard's size — and the state of the query's
+    /// shape in the verdict history. Observability for `sdq query
+    /// --explain` and `sdq inspect`.
     ///
     /// Reflects how the engine executes: every shard plans like a
     /// standalone [`SdIndex`], so the plans say `direct` exactly when the
     /// query is one non-degenerate pair ([`SdIndex::single_pair`]) and the
     /// engine walks all its shards at once. The delta region, when
-    /// non-empty, additionally executes as an exact seqscan outside these
+    /// non-empty, additionally executes as an exact scan outside these
     /// per-shard plans (see [`mutation`]). Reading the history counts no
     /// query.
     pub fn explain(&self, query: &SdQuery, k: usize) -> Result<Explain, SdError> {
@@ -1018,8 +1019,8 @@ impl SdEngine {
             out.clear();
             if !self.muts.delta.is_empty() {
                 let t0 = timing.then(std::time::Instant::now);
-                sdq_core::delta::scan_delta_blocks_into(
-                    &self.muts.delta_blocks,
+                sdq_core::delta::scan_delta_into(
+                    &self.muts.delta,
                     &self.roles,
                     query,
                     k,

@@ -9,7 +9,7 @@
 //!        │ delta region │          │ tombstone mask │   (base ∪ delta ids)
 //!        │ (append-only │          │ (bit per row;  │
 //!        │  rows, exact │          │  checked before│
-//!        │  seqscan)    │          │  pool + floor) │
+//!        │  row scan)   │          │  pool + floor) │
 //!        └──────┬───────┘          └───────┬────────┘
 //!               └──────────┬───────────────┘
 //!                          ▼  SdEngine::compact (epoch += 1)
@@ -27,9 +27,10 @@
 //! over the same logical dataset (live base rows in id order, then live
 //! delta rows in insertion order):
 //!
-//! * delta rows are scored *exactly* by the seqscan subproblem
-//!   ([`sdq_core::delta`]) with the same kernel on the same coordinates,
-//!   and join the shard results through the engine's exact k-way merge;
+//! * delta rows are scored *exactly* by the delta scan
+//!   ([`sdq_core::delta`]) — the same row kernel the scan exit runs, over
+//!   the row-major delta rows themselves, with no second copy of them — and
+//!   join the shard results through the engine's exact k-way merge;
 //! * tombstoned rows are dropped before they can enter any candidate pool
 //!   or k-th-score floor ([`sdq_core::mask`]), so they influence nothing;
 //! * global ids are assigned in logical-row order (base, then delta), so
@@ -90,7 +91,6 @@
 //! ```
 
 use sdq_core::codec::corrupt;
-use sdq_core::delta::DeltaBlocks;
 use sdq_core::mask::RowMask;
 use sdq_core::multidim::SdIndex;
 use sdq_core::telemetry::EventKind;
@@ -114,11 +114,9 @@ fn levels_crossed(pct: u64) -> u8 {
 #[derive(Debug, Clone)]
 pub(crate) struct MutationState {
     /// Rows inserted since the last compaction; global id = base rows +
-    /// delta index. Scored exactly by the delta-scan subproblem.
+    /// delta index. Row-major, which is how the delta scan reads it and how
+    /// snapshots persist it.
     pub(crate) delta: Dataset,
-    /// Append-synchronised SoA mirror of `delta` (cache-aligned blocks +
-    /// per-block per-dimension envelopes) — what queries actually scan.
-    pub(crate) delta_blocks: DeltaBlocks,
     /// Dead rows over base ∪ delta ids.
     pub(crate) tombstones: RowMask,
     /// Per-shard dead-row counts, maintained by `delete` so the per-query
@@ -148,7 +146,6 @@ impl MutationState {
     pub(crate) fn new(dims: usize, base_rows: usize, shards: usize) -> Self {
         MutationState {
             delta: empty_delta(dims),
-            delta_blocks: DeltaBlocks::new(dims),
             tombstones: RowMask::new(base_rows),
             shard_dead: vec![0; shards],
             shard_epochs: vec![0; shards],
@@ -250,10 +247,6 @@ impl SdEngine {
             return Err(SdError::TooManyPoints(total + 1));
         }
         self.muts.delta.push_row(row)?;
-        self.muts
-            .delta_blocks
-            .push_row(row)
-            .expect("row was validated by the dataset push");
         self.muts.tombstones.grow(total + 1);
         self.muts.inserted_total += 1;
         self.note_delta_growth();
@@ -434,7 +427,6 @@ impl SdEngine {
                 return Err(corrupt(format!("duplicate tombstone id {id}")));
             }
         }
-        self.muts.delta_blocks = DeltaBlocks::from_dataset(&delta);
         self.muts.inserted_total += delta.len() as u64;
         self.muts.deleted_total += tombstones.len() as u64;
         self.muts.delta = delta;
@@ -642,7 +634,6 @@ impl SdEngine {
 
         self.rows = live_total;
         self.muts.delta = empty_delta(dims);
-        self.muts.delta_blocks.clear();
         self.muts.tombstones = RowMask::new(live_total);
         self.muts.shard_dead = vec![0; self.shards.len()];
         self.muts.epoch = epoch_next;

@@ -144,8 +144,9 @@ QUERY OPTIONS:
                        percentiles + QPS (default 1).
     --threads T        Worker threads for the repeated batch (default 1;
                        0 = auto: the host's available parallelism).
-    --explain          Print the planner's per-pair strategy table (chosen
-                       strategy + estimated cost) without running the query.
+    --explain          Print the planner's per-pair strategy table (the
+                       rule's strategy + the weight angle θ_q it read)
+                       without running the query.
     --profile          Run the query once with per-stage timing and print
                        the execution counter tree plus the pruning funnel.
     --profile-json     Like --profile but machine-readable JSON on stdout.
@@ -679,7 +680,8 @@ fn print_plan_table(explained: &Explain, k: usize) {
          the Claim-6 bracket; a shard that fetches more rows than its scan \
          budget, or whose threshold gap projects that it will, finishes with one kernel scan, \
          and so does a shard still open when an earlier sibling's verdict says so, and every \
-         shard of a query whose shape starts lost; the query was not executed)"
+         shard of a query whose shape starts lost or whose weights are all zero; the query was \
+         not executed)"
     );
 }
 
@@ -700,8 +702,8 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
         p.blocks_popped, p.blocks_floor_pruned, p.lanes_masked
     );
     println!(
-        "  streams    tree_rows {} · onedim_rows {} · rounds {}",
-        p.tree_rows_pulled, p.onedim_rows_pulled, p.rounds
+        "  streams    onedim_rows {} · rounds {}",
+        p.onedim_rows_pulled, p.rounds
     );
     println!(
         "  scoring    rows_fetched {} · gathered {} · scored {} · kernel_batches {}",
@@ -782,7 +784,7 @@ fn profile_json_string(
          \"counters\": {{\n    \
          \"nodes_visited\": {}, \"envelope_nodes_rejected\": {},\n    \
          \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"lanes_masked\": {},\n    \
-         \"tree_rows_pulled\": {}, \"onedim_rows_pulled\": {}, \"rows_fetched\": {},\n    \
+         \"onedim_rows_pulled\": {}, \"rows_fetched\": {},\n    \
          \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_inherited\": {}, \
          \"scan_predicted\": {}, \"scan_rows\": {},\n    \
          \"points_gathered\": {}, \"points_scored\": {}, \"kernel_batches\": {},\n    \
@@ -798,7 +800,6 @@ fn profile_json_string(
         p.blocks_popped,
         p.blocks_floor_pruned,
         p.lanes_masked,
-        p.tree_rows_pulled,
         p.onedim_rows_pulled,
         p.rows_fetched,
         p.scan_fallbacks,

@@ -442,14 +442,20 @@ fn scans_match_the_oracle(
 /// repulsive for the last two), on 4 shards of {200, 800, 1 250, 25 000}
 /// rows — where the scan exit ends most executions, and where the frontier
 /// certifies — at k {16, 64}, clean and tombstoned, owned and mapped, bit
-/// for bit against SeqScan and planned `frontier` on every shard.
+/// for bit against SeqScan and planned `frontier` on every shard. A last
+/// query zeroes every weight: no shard has a stream, so each one scans from
+/// its first round head (`scan_predicted`), and the answer is the first k
+/// live ids at score 0.
 #[test]
 fn zero_weight_pairs_walk_their_frontier_to_the_oracle() {
     let (dims, shards) = (4, 4);
     let roles = roles_for(dims, 2);
-    let mut queries = uniform_queries(dims, dims, 0x2E0);
+    let mut queries = uniform_queries(dims + 1, dims, 0x2E0);
     for (zero, q) in queries.iter_mut().enumerate() {
-        q.weights[zero] = 0.0;
+        match q.weights.get_mut(zero) {
+            Some(w) => *w = 0.0,
+            None => q.weights.fill(0.0),
+        }
     }
     for shard_rows in [200, 800, 1_250, 25_000] {
         let rows: Vec<Vec<f64>> = generate(
@@ -464,7 +470,14 @@ fn zero_weight_pairs_walk_their_frontier_to_the_oracle() {
         for k in [16, 64] {
             for dirt in [Dirt::Clean, Dirt::Tombstoned] {
                 for serve in [Serve::Owned, Serve::Mapped] {
-                    scans_match_the_oracle(&rows, &roles, shards, 1, dirt, serve, k, &queries);
+                    let profiles =
+                        scans_match_the_oracle(&rows, &roles, shards, 1, dirt, serve, k, &queries);
+                    let all_zero = profiles.last().unwrap();
+                    assert_eq!(
+                        (all_zero.scan_predicted, all_zero.scan_fallbacks),
+                        (shards as u64, shards as u64),
+                        "{shard_rows} rows a shard, k = {k}, {dirt:?}, {serve:?}"
+                    );
                 }
             }
         }

@@ -41,9 +41,9 @@ fn coord() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Weights with zeros so the planner's degenerate branch (whose all-zero
-/// row enumerator routes rows through the pass-through funnel stages) and
-/// its 0°/90° frontiers are exercised.
+/// Weights with zeros so the planner's dropped pairs, its 0°/90° frontiers
+/// and the all-zero query (no stream at all: it scans from the start, its
+/// rows passing through the funnel's block stages) are exercised.
 fn weight() -> impl Strategy<Value = f64> {
     prop_oneof![1 => Just(0.0), 1 => Just(1.0), 2 => 0.0..3.0f64]
 }
@@ -126,11 +126,9 @@ fn assert_counters_consistent(p: &QueryProfile, k: usize, live: u64) -> Result<(
     Ok(())
 }
 
-/// The first `dims` coordinates of every query whose weights there are not
-/// all zero.
+/// The first `dims` coordinates of every query, all-zero weights included.
 fn build_queries(raw: &[(Vec<f64>, Vec<f64>)], dims: usize) -> Vec<SdQuery> {
     raw.iter()
-        .filter(|(_, w)| w[..dims].iter().any(|&x| x > 0.0))
         .map(|(p, w)| SdQuery::new(p[..dims].to_vec(), w[..dims].to_vec()).unwrap())
         .collect()
 }
@@ -159,8 +157,9 @@ proptest! {
     // Profiling is observation only: a dirty, timing-enabled scratch
     // returns exactly what the fresh allocation path returns, and the
     // counters it leaves behind are internally consistent — on the
-    // aggregation and on the direct walk (2-D, one attractive and one
-    // repulsive dimension).
+    // aggregation (all-zero weights, which scan from the start, included)
+    // and on the direct walk (2-D, one attractive and one repulsive
+    // dimension).
     #[test]
     fn profiled_sd_index_query_is_bit_identical_and_consistent(
         rows in vec(vec(coord(), 4), 1..120),
@@ -186,18 +185,21 @@ proptest! {
     }
 
     // The same contract through the sharded engine: per-shard profiles are
-    // merged into one, a walk over every shard counts as one, and the
-    // counters still add up — also with a tombstoned row, which every
-    // road must count as fetched and skipped.
+    // merged into one with the delta scan's, a walk over every shard counts
+    // as one, and the counters still add up — also with tombstoned rows,
+    // indexed and delta, which every road must count as fetched and
+    // skipped.
     #[test]
     fn profiled_engine_query_is_bit_identical_and_consistent(
         rows in vec(vec(coord(), 3), 1..90),
+        delta in vec(vec(coord(), 3), 1..4),
         raw_queries in vec((vec(coord(), 3), vec(weight(), 3)), 1..5),
         dims in 2usize..4,
         role_bits in 0u8..8,
         k in 1usize..12,
         shards in 1usize..5,
         dead_row in 0usize..2,
+        dead_delta in 0usize..3,
     ) {
         let roles = roles_from_bits(dims, role_bits);
         let data = truncate_rows(&rows, dims);
@@ -207,10 +209,15 @@ proptest! {
             &roles,
             &EngineOptions { shards, threads: 1, ..EngineOptions::default() },
         ).unwrap();
-        // Row 0 or none: an indexed row, never a delta one.
+        // Indexed row 0 or none, and one of the 1–3 delta rows.
         if dead_row == 1 {
             engine.delete(PointId::new(0)).unwrap();
         }
+        let ids: Vec<PointId> = delta
+            .iter()
+            .map(|row| engine.insert(&row[..dims]).unwrap())
+            .collect();
+        engine.delete(ids[dead_delta % ids.len()]).unwrap();
         let live = engine.len() as u64;
 
         let mut scratch = EngineScratch::new();
@@ -256,7 +263,6 @@ proptest! {
         prop_assert_eq!(p1.blocks_popped, p2.blocks_popped);
         prop_assert_eq!(p1.blocks_floor_pruned, p2.blocks_floor_pruned);
         prop_assert_eq!(p1.lanes_masked, p2.lanes_masked);
-        prop_assert_eq!(p1.tree_rows_pulled, p2.tree_rows_pulled);
         prop_assert_eq!(p1.onedim_rows_pulled, p2.onedim_rows_pulled);
         prop_assert_eq!(p1.rows_fetched, p2.rows_fetched);
         prop_assert_eq!(p1.scan_fallbacks, p2.scan_fallbacks);
