@@ -275,6 +275,28 @@ impl QueryProfile {
         self.emitted += other.emitted;
     }
 
+    /// Every counter by name, in report order: the list `sdq`'s
+    /// `--profile-json` and its slow-query events print. Each name is its
+    /// field's, written once; the destructure names every field, so a new
+    /// one does not compile until it is listed or set aside after the `;`.
+    pub fn counters(&self) -> [(&'static str, u64); 23] {
+        macro_rules! named {
+            ($p:expr; $($counter:ident),*; $($other:ident),*) => {{
+                let QueryProfile { $($counter,)* $($other: _,)* } = $p;
+                [$((stringify!($counter), $counter)),*]
+            }};
+        }
+        named! {
+            *self;
+            nodes_visited, envelope_nodes_rejected, blocks_popped, blocks_floor_pruned,
+            lanes_masked, onedim_rows_pulled, rows_fetched, scan_fallbacks, scan_projected,
+            scan_inherited, scan_predicted, scan_rows, points_gathered, points_scored,
+            kernel_batches, delta_rows_scanned, delta_blocks_pruned, tombstones_skipped,
+            seen_hits, floor_updates, rounds, merge_rounds, emitted;
+            isa, floor_value, timing, delta_scan_nanos, aggregate_nanos, merge_nanos
+        }
+    }
+
     /// The pruning funnel: how many points were still in play after each
     /// pruning stage, labelled, monotone non-increasing from the second
     /// stage on (the first stage is the dataset size supplied by the
@@ -357,6 +379,31 @@ mod tests {
         assert_eq!(a.floor_value, 2.0);
         assert_eq!(a.isa, "avx2");
         assert_eq!(a.aggregate_nanos, 10, "timings are driver-owned");
+    }
+
+    #[test]
+    fn counters_name_each_field_once_in_order() {
+        let p = QueryProfile {
+            nodes_visited: 1,
+            rows_fetched: 7,
+            emitted: 23,
+            floor_value: 2.0,
+            aggregate_nanos: 99,
+            ..QueryProfile::default()
+        };
+        let c = p.counters();
+        assert_eq!(c[0], ("nodes_visited", 1));
+        assert_eq!(c[6], ("rows_fetched", 7));
+        assert_eq!(c[22], ("emitted", 23));
+        let mut names: Vec<&str> = c.iter().map(|(n, _)| *n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 23, "a name is listed twice");
+        assert_eq!(
+            c.iter().map(|(_, v)| v).sum::<u64>(),
+            31,
+            "timings are not counters"
+        );
     }
 
     #[test]

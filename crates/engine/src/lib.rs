@@ -419,72 +419,10 @@ impl EngineMetrics {
     pub fn render_prometheus(&self) -> String {
         let snap = self.snapshot();
         let mut out = String::with_capacity(16 * 1024);
-        let counters: [(&str, &str, u64); 13] = [
-            (
-                "sdq_queries_served_total",
-                "Queries answered.",
-                snap.queries_served,
-            ),
-            (
-                "sdq_rows_scored_total",
-                "Points fully scored across all queries.",
-                snap.rows_scored,
-            ),
-            (
-                "sdq_compactions_total",
-                "Compactions performed.",
-                snap.compactions,
-            ),
-            (
-                "sdq_epoch_transitions_total",
-                "Shard epochs advanced by compactions.",
-                snap.epoch_transitions,
-            ),
-            (
-                "sdq_wal_records_appended_total",
-                "WAL records appended.",
-                snap.wal_records_appended,
-            ),
-            (
-                "sdq_wal_bytes_appended_total",
-                "WAL bytes appended.",
-                snap.wal_bytes_appended,
-            ),
-            ("sdq_wal_syncs_total", "WAL fsyncs issued.", snap.wal_syncs),
-            (
-                "sdq_wal_records_replayed_total",
-                "WAL records replayed during recovery.",
-                snap.wal_records_replayed,
-            ),
-            (
-                "sdq_wal_checkpoints_total",
-                "Durable checkpoints taken.",
-                snap.wal_checkpoints,
-            ),
-            (
-                "sdq_retries_attempted_total",
-                "Transient storage failures absorbed by retry-with-backoff.",
-                snap.retries_attempted,
-            ),
-            (
-                "sdq_deadline_exceeded_total",
-                "Queries aborted by their deadline or cancel token.",
-                snap.deadline_exceeded,
-            ),
-            (
-                "sdq_scrub_regions_ok_total",
-                "Scrubbed CRC regions that verified clean.",
-                snap.scrub_regions_ok,
-            ),
-            (
-                "sdq_scrub_regions_failed_total",
-                "Scrubbed CRC regions that failed verification.",
-                snap.scrub_regions_failed,
-            ),
-        ];
-        for (name, help, value) in counters {
+        for (name, help, value) in snap.counters() {
             out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+                "# HELP sdq_{name}_total {help}\n# TYPE sdq_{name}_total counter\n\
+                 sdq_{name}_total {value}\n"
             ));
         }
         out.push_str(&format!(
@@ -592,6 +530,41 @@ pub struct MetricsSnapshot {
     /// Health gauge code: 0 = healthy, 1 = degraded (read-only), 2 =
     /// poisoned. See [`EngineMetrics::set_health`].
     pub engine_health: u64,
+}
+
+impl MetricsSnapshot {
+    /// Every lifetime counter as `(name, help, value)`, in report order:
+    /// the list `metrics --json` prints and
+    /// [`EngineMetrics::render_prometheus`] exposes as `sdq_{name}_total`.
+    /// Each name is its field's, written once; the destructure names every
+    /// field, so a new one does not compile until it is listed or set aside
+    /// after the `;`.
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 13] {
+        macro_rules! named {
+            ($m:expr; $($counter:ident: $help:literal,)*; $($other:ident),*) => {{
+                let MetricsSnapshot { $($counter,)* $($other: _,)* } = $m;
+                [$((stringify!($counter), $help, $counter)),*]
+            }};
+        }
+        named! {
+            *self;
+            queries_served: "Queries answered.",
+            rows_scored: "Points fully scored across all queries.",
+            compactions: "Compactions performed.",
+            epoch_transitions: "Shard epochs advanced by compactions.",
+            wal_records_appended: "WAL records appended.",
+            wal_bytes_appended: "WAL bytes appended.",
+            wal_syncs: "WAL fsyncs issued.",
+            wal_records_replayed: "WAL records replayed during recovery.",
+            wal_checkpoints: "Durable checkpoints taken.",
+            retries_attempted: "Transient storage failures absorbed by retry-with-backoff.",
+            deadline_exceeded: "Queries aborted by their deadline or cancel token.",
+            scrub_regions_ok: "Scrubbed CRC regions that verified clean.",
+            scrub_regions_failed: "Scrubbed CRC regions that failed verification.",
+            ;
+            floor_contributions, engine_health
+        }
+    }
 }
 
 /// The sharded SD-Query execution engine: the recommended front door for

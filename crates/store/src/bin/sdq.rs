@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use sdq_core::geometry::Angle;
 use sdq_core::multidim::plan::scan_checkpoint;
-use sdq_core::multidim::{resolve_threads, PairingStrategy, SdIndexOptions};
+use sdq_core::multidim::{resolve_threads, PairingStrategy, QueryPlan, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::topk::default_angles;
 use sdq_core::{Dataset, Deadline, QueryProfile, ScoredPoint, SdQuery};
@@ -27,9 +27,10 @@ use sdq_engine::{
     MetricsSnapshot, SdEngine,
 };
 use sdq_store::io::splitmix64;
+use sdq_store::json::Json;
 use sdq_store::{
-    format_roles, parse_roles, run_chaos, scrub_path, wal, ChaosConfig, DiskStorage, DurableEngine,
-    DurableOptions, ScrubReport, SectionInfo, SectionKind, Snapshot, SyncPolicy,
+    format_roles, json, parse_roles, run_chaos, scrub_path, wal, ChaosConfig, DiskStorage,
+    DurableEngine, DurableOptions, ScrubReport, SectionInfo, SectionKind, Snapshot, SyncPolicy,
 };
 
 const USAGE: &str = "\
@@ -572,10 +573,8 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         let live = engine.len() as u64;
         if profile_json {
             let floor = engine.metrics().snapshot();
-            print!(
-                "{}",
-                profile_json_string(&scratch.profile, live, k, wall_ms, &floor)
-            );
+            let report = query_profile_json(&scratch.profile, live, k, wall_ms, &floor);
+            println!("{report:#}");
         } else {
             println!("loaded {path} in {load_ms:.1} ms");
             print_profile(&scratch.profile, live, k, wall_ms, engine.shard_count());
@@ -608,7 +607,7 @@ fn report_slow_queries(slow_query_us: u64) {
     let journal = &Telemetry::global().journal;
     for rec in journal.snapshot() {
         if let EventKind::SlowQuery { .. } = rec.kind {
-            eprintln!("slow-query: {}", event_detail_human(&rec.kind));
+            eprintln!("slow-query: {}", event_detail(&rec.kind).0);
         }
     }
 }
@@ -761,81 +760,52 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
 /// scores exist (JSON has no `-inf`). `metrics` adds the per-shard
 /// floor-provenance histogram: which shard slots raised the shared
 /// k-th-score floor while this process served queries.
-fn profile_json_string(
+fn query_profile_json(
     p: &QueryProfile,
     live_points: u64,
     k: usize,
     wall_ms: f64,
     metrics: &MetricsSnapshot,
-) -> String {
-    let funnel: Vec<String> = p
-        .funnel(live_points)
-        .iter()
-        .map(|(stage, pts)| format!("{{\"stage\": {}, \"points\": {pts}}}", json_str(stage)))
-        .collect();
-    let floor = if p.floor_value.is_finite() {
-        format!("{}", p.floor_value)
-    } else {
-        String::from("null")
-    };
-    let floor_contributions = floor_contributions_json(metrics);
-    format!(
-        "{{\n  \"k\": {k},\n  \"wall_ms\": {wall_ms:.4},\n  \"isa\": {isa},\n  \
-         \"counters\": {{\n    \
-         \"nodes_visited\": {}, \"envelope_nodes_rejected\": {},\n    \
-         \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"lanes_masked\": {},\n    \
-         \"onedim_rows_pulled\": {}, \"rows_fetched\": {},\n    \
-         \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_inherited\": {}, \
-         \"scan_predicted\": {}, \"scan_rows\": {},\n    \
-         \"points_gathered\": {}, \"points_scored\": {}, \"kernel_batches\": {},\n    \
-         \"delta_rows_scanned\": {}, \"delta_blocks_pruned\": {}, \"tombstones_skipped\": {},\n    \
-         \"seen_hits\": {}, \"floor_updates\": {}, \"rounds\": {}, \"merge_rounds\": {},\n    \
-         \"emitted\": {}\n  }},\n  \
-         \"floor_value\": {floor},\n  \
-         \"floor_contributions\": {floor_contributions},\n  \
-         \"funnel\": [{funnel}],\n  \
-         \"timings_nanos\": {{\"delta_scan\": {}, \"aggregate\": {}, \"merge\": {}}}\n}}\n",
-        p.nodes_visited,
-        p.envelope_nodes_rejected,
-        p.blocks_popped,
-        p.blocks_floor_pruned,
-        p.lanes_masked,
-        p.onedim_rows_pulled,
-        p.rows_fetched,
-        p.scan_fallbacks,
-        p.scan_projected,
-        p.scan_inherited,
-        p.scan_predicted,
-        p.scan_rows,
-        p.points_gathered,
-        p.points_scored,
-        p.kernel_batches,
-        p.delta_rows_scanned,
-        p.delta_blocks_pruned,
-        p.tombstones_skipped,
-        p.seen_hits,
-        p.floor_updates,
-        p.rounds,
-        p.merge_rounds,
-        p.emitted,
-        p.delta_scan_nanos,
-        p.aggregate_nanos,
-        p.merge_nanos,
-        isa = json_str(p.isa),
-        funnel = funnel.join(", "),
-    )
+) -> Json {
+    let funnel = p.funnel(live_points).into_iter();
+    let funnel = funnel.map(|(stage, points)| json! { "stage": stage, "points": points });
+    json! {
+        "k": k, "wall_ms": Json::fixed(wall_ms, 4), "isa": p.isa,
+        "counters": Json::from_iter(p.counters()),
+        "floor_value": p.floor_value,
+        "floor_contributions": floor_contributions(metrics),
+        "funnel": funnel.collect::<Json>(),
+        "timings_nanos": json! {
+            "delta_scan": p.delta_scan_nanos, "aggregate": p.aggregate_nanos,
+            "merge": p.merge_nanos,
+        },
+    }
 }
 
 /// The per-shard floor-provenance histogram as a JSON object keyed by the
 /// engine's stable slot labels (`shard-0` … `shard-15+`).
-fn floor_contributions_json(m: &MetricsSnapshot) -> String {
-    let slots: Vec<String> = m
+fn floor_contributions(m: &MetricsSnapshot) -> Json {
+    m.floor_contributions
+        .iter()
+        .enumerate()
+        .map(|(slot, &v)| (floor_slot_label(slot), v))
+        .collect()
+}
+
+/// The slots that raised the floor, `shard-0 26 · shard-1 5`, or `none`.
+fn floor_contributions_human(m: &MetricsSnapshot) -> String {
+    let nz: Vec<String> = m
         .floor_contributions
         .iter()
         .enumerate()
-        .map(|(slot, v)| format!("{}: {v}", json_str(&floor_slot_label(slot))))
+        .filter(|(_, v)| **v > 0)
+        .map(|(slot, v)| format!("{} {v}", floor_slot_label(slot)))
         .collect();
-    format!("{{{}}}", slots.join(", "))
+    if nz.is_empty() {
+        String::from("none")
+    } else {
+        nz.join(" · ")
+    }
 }
 
 // ─── opening a store ────────────────────────────────────────────────────────
@@ -1207,10 +1177,8 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
     // the sidecar, before anything is opened.
     if !is_wal_backed(path)? {
         if json {
-            println!(
-                "{{\"path\": {}, \"recovered\": false, \"reason\": \"not wal-backed\"}}",
-                json_str(path)
-            );
+            let report = json! { "path": path, "recovered": false, "reason": "not wal-backed" };
+            println!("{report}");
         } else {
             println!("{path}: not WAL-backed — nothing to recover");
         }
@@ -1225,21 +1193,16 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
     d.checkpoint().map_err(runtime)?;
     let status = d.wal_status();
     if json {
-        println!(
-            "{{\"path\": {}, \"recovered\": true, \"records_replayed\": {}, \
-             \"truncated_bytes\": {}, \"stale_wal_reset\": {}, \"live_rows\": {}, \
-             \"generation\": {}, \"epoch\": {}, \"regions_verified\": {}}}",
-            json_str(path),
-            rec.replayed_records,
-            rec.truncated_bytes,
-            rec.stale_wal_reset,
-            d.engine().len(),
-            status.generation,
-            status.last_checkpoint_epoch,
-            // Array-region checksum passes this process ran: one per
-            // region of the file means it was decoded exactly once.
-            Telemetry::global().verify.snapshot().count()
-        );
+        // `regions_verified`: array-region checksum passes this process
+        // ran — one per region of the file means it was decoded exactly once.
+        let report = json! {
+            "path": path, "recovered": true, "records_replayed": rec.replayed_records,
+            "truncated_bytes": rec.truncated_bytes, "stale_wal_reset": rec.stale_wal_reset,
+            "live_rows": d.engine().len(), "generation": status.generation,
+            "epoch": status.last_checkpoint_epoch,
+            "regions_verified": Telemetry::global().verify.snapshot().count(),
+        };
+        println!("{report}");
     } else {
         println!(
             "recovered {path}: {} record(s) replayed, {} live row(s); checkpointed as \
@@ -1255,40 +1218,27 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
 
 // ─── scrub / chaos ──────────────────────────────────────────────────────────
 
-fn scrub_report_json(path: &str, repair: bool, r: &ScrubReport) -> String {
-    let failures: Vec<String> = r
-        .failures
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"region\": {}, \"offset\": {}, \"len\": {}, \"detail\": {}}}",
-                json_str(&f.name),
-                f.offset,
-                f.len,
-                json_str(&f.detail)
-            )
-        })
-        .collect();
-    let strings =
-        |v: &[String]| -> String { v.iter().map(|s| json_str(s)).collect::<Vec<_>>().join(", ") };
-    format!(
-        "{{\n  \"path\": {},\n  \"repair\": {repair},\n  \"clean\": {},\n  \
-         \"regions_ok\": {},\n  \"regions_failed\": {},\n  \"snapshot_version\": {},\n  \
-         \"wal_records\": {},\n  \"wal_torn_bytes\": {},\n  \"failures\": [{}],\n  \
-         \"repaired\": [{}],\n  \"quarantined\": [{}],\n  \"data_loss_possible\": {}\n}}",
-        json_str(path),
-        r.clean(),
-        r.regions_ok,
-        r.regions_failed,
-        r.snapshot_version
-            .map_or(String::from("null"), |v| v.to_string()),
-        r.wal_records,
-        r.wal_torn_bytes,
-        failures.join(", "),
-        strings(&r.repaired),
-        strings(&r.quarantined),
-        r.data_loss_possible
-    )
+/// `scrub --json`: the report, plus `validated` once a repair was
+/// re-opened to prove it serves.
+fn scrub_report_json(path: &str, repair: bool, r: &ScrubReport, validated: Option<bool>) -> Json {
+    let failures = r.failures.iter().map(|f| {
+        let (region, detail) = (f.name.as_str(), f.detail.as_str());
+        json! { "region": region, "offset": f.offset, "len": f.len, "detail": detail }
+    });
+    let report = json! {
+        "path": path, "repair": repair, "clean": r.clean(),
+        "regions_ok": r.regions_ok, "regions_failed": r.regions_failed,
+        "snapshot_version": r.snapshot_version,
+        "wal_records": r.wal_records, "wal_torn_bytes": r.wal_torn_bytes,
+        "failures": failures.collect::<Json>(),
+        "repaired": Json::from_iter(r.repaired.iter().map(String::as_str)),
+        "quarantined": Json::from_iter(r.quarantined.iter().map(String::as_str)),
+        "data_loss_possible": r.data_loss_possible,
+    };
+    match validated {
+        Some(v) => report.with("validated", v),
+        None => report,
+    }
 }
 
 fn cmd_scrub(args: &[String]) -> Result<(), CliError> {
@@ -1325,17 +1275,7 @@ fn cmd_scrub(args: &[String]) -> Result<(), CliError> {
     }
 
     if json {
-        let body = scrub_report_json(path, repair, &report);
-        match validated {
-            Some(v) => {
-                let trimmed = body.trim_end().trim_end_matches('}');
-                println!(
-                    "{},\n  \"validated\": {v}\n}}",
-                    trimmed.trim_end_matches(',')
-                );
-            }
-            None => println!("{body}"),
-        }
+        println!("{:#}", scrub_report_json(path, repair, &report, validated));
     } else {
         println!(
             "scrubbed {path}: {} region(s) ok, {} failed{}",
@@ -1415,22 +1355,15 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
     let (report, ms) = timed(|| run_chaos(ChaosConfig { seed, ops }));
     let report = report.map_err(runtime)?;
     if json {
-        println!(
-            "{{\n  \"seed\": {seed},\n  \"ops\": {},\n  \"ops_acked\": {},\n  \
-             \"faults_injected\": {},\n  \"crashes\": {},\n  \"degradations\": {},\n  \
-             \"recoveries\": {},\n  \"probes\": {},\n  \"deadline_probes\": {},\n  \
-             \"deadline_hits\": {},\n  \"retries\": {},\n  \"wall_ms\": {ms:.1}\n}}",
-            report.ops_run,
-            report.ops_acked,
-            report.faults_injected,
-            report.crashes,
-            report.degradations,
-            report.recoveries,
-            report.probes,
-            report.deadline_probes,
-            report.deadline_hits,
-            report.retries
-        );
+        let report = json! {
+            "seed": seed, "ops": report.ops_run, "ops_acked": report.ops_acked,
+            "faults_injected": report.faults_injected, "crashes": report.crashes,
+            "degradations": report.degradations, "recoveries": report.recoveries,
+            "probes": report.probes, "deadline_probes": report.deadline_probes,
+            "deadline_hits": report.deadline_hits, "retries": report.retries,
+            "wall_ms": Json::fixed(ms, 1),
+        };
+        println!("{report:#}");
     } else {
         println!(
             "chaos (seed {seed}): {} op(s) in {ms:.1} ms — {} acked, {} fault(s) injected, \
@@ -1559,8 +1492,13 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
     // lazy-checksum semantics: metadata regions verify at open, array
     // regions on first touch.
     let m = Snapshot::open_mapped(path).map_err(runtime)?;
+    let width = m
+        .regions()
+        .iter()
+        .map(|r| r.name().len())
+        .fold("region".len(), usize::max);
     println!(
-        "  {:<28} {:>10} {:>12}  {:>6} {:>10}  state",
+        "  {:<width$} {:>10} {:>12}  {:>6} {:>10}  state",
         "region", "offset", "bytes", "align", "crc32c"
     );
     for r in m.regions() {
@@ -1570,7 +1508,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
             "-"
         };
         println!(
-            "  {:<28} {:>10} {:>12}  {:>6} {:>10}  {}",
+            "  {:<width$} {:>10} {:>12}  {:>6} {:>10}  {}",
             r.name(),
             r.file_offset(),
             r.len(),
@@ -1610,36 +1548,17 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
             stats.base_dead + stats.delta_dead,
             stats.epoch
         );
-        // Planner observability: what the rule runs for a unit-weight query
-        // at the dataset's per-dimension mean (the rows live inside the
-        // shard indexes; sum across them). The rule reads only the weights
-        // and the indexed angles, so every shard prints the same strategies.
-        if engine.shard_count() > 0 {
-            let sample = mean_query(engine).map_err(runtime)?;
-            let plans = engine.explain(&sample, DEFAULT_K).map_err(runtime)?.plans;
+        // The rule reads only the weights and the indexed angles, so every
+        // shard prints the same strategies.
+        if let Some(MeanProbe { plans, floor }) = mean_probe(engine)? {
             println!("  planner (unit weights at the dataset mean, k = {DEFAULT_K}):");
             for (i, plan) in plans.iter().enumerate() {
                 println!("    shard {i}: {plan}");
             }
-            // Floor provenance: run the same probe for real once and report
-            // which shard slots raised the shared k-th-score floor.
-            if !engine.is_empty() {
-                engine.query(&sample, DEFAULT_K).map_err(runtime)?;
-                let m = engine.metrics().snapshot();
-                let nz: Vec<String> = m
-                    .floor_contributions
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| **v > 0)
-                    .map(|(slot, v)| format!("{} {v}", floor_slot_label(slot)))
-                    .collect();
+            if let Some(floor) = &floor {
                 println!(
                     "  floor provenance (probe query, k = {DEFAULT_K}): {}",
-                    if nz.is_empty() {
-                        String::from("none")
-                    } else {
-                        nz.join(" · ")
-                    }
+                    floor_contributions_human(floor)
                 );
             }
         }
@@ -1647,42 +1566,43 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
     // Durability status: present whenever the snapshot or a WAL sidecar
     // says this store is WAL-backed.
     let wal_file = wal_sidecar(path);
-    let wal_present = std::path::Path::new(&wal_file).exists();
     if let Some(d) = &snap.durability {
         println!(
             "  durability: generation {}, last checkpoint epoch {}",
             d.generation, d.checkpoint_epoch
         );
-        if !wal_present {
-            println!("    wal: {wal_file} missing — acknowledged writes may be lost");
-        } else {
-            match std::fs::read(&wal_file) {
-                Err(e) => println!("    wal: {wal_file}: unreadable ({e})"),
-                Ok(bytes) => match wal::recover(&bytes) {
-                    Err(e) => println!("    wal: corrupt ({e})"),
-                    Ok(rec) if rec.header.generation < d.generation => println!(
-                        "    wal: stale (generation {}, already folded into the snapshot)",
-                        rec.header.generation
-                    ),
-                    Ok(rec) => {
-                        let pending = rec.valid_len - wal::WAL_HEADER_BYTES as u64;
-                        let torn = if rec.truncated_bytes > 0 {
-                            format!(", {}-byte torn tail", rec.truncated_bytes)
-                        } else {
-                            String::new()
-                        };
-                        println!(
-                            "    wal: {} record(s), {} byte(s) pending since checkpoint \
-                             ({} file bytes{torn})",
-                            rec.records.len(),
-                            pending,
-                            bytes.len()
-                        );
-                    }
-                },
+        match WalState::read(path, d.generation) {
+            WalState::Missing => {
+                println!("    wal: {wal_file} missing — acknowledged writes may be lost")
+            }
+            WalState::Unreadable(e) => println!("    wal: {wal_file}: unreadable ({e})"),
+            WalState::Corrupt(e) => println!("    wal: corrupt ({e})"),
+            WalState::Read {
+                stale: true,
+                generation,
+                ..
+            } => println!(
+                "    wal: stale (generation {generation}, already folded into the snapshot)"
+            ),
+            WalState::Read {
+                records,
+                pending_bytes,
+                torn_bytes,
+                file_bytes,
+                ..
+            } => {
+                let torn = if torn_bytes > 0 {
+                    format!(", {torn_bytes}-byte torn tail")
+                } else {
+                    String::new()
+                };
+                println!(
+                    "    wal: {records} record(s), {pending_bytes} byte(s) pending since \
+                     checkpoint ({file_bytes} file bytes{torn})"
+                );
             }
         }
-    } else if wal_present {
+    } else if std::path::Path::new(&wal_file).exists() {
         println!("  durability: {wal_file} exists but the snapshot carries no durability section");
     }
     Ok(())
@@ -1698,139 +1618,166 @@ fn section_label(s: &SectionInfo) -> String {
     }
 }
 
+/// `inspect`'s planner sample: a unit-weight query at the per-dimension
+/// mean of the engine's base rows (they live inside its shard indexes, so
+/// the mean sums across them), planned on every shard and — on a non-empty
+/// engine — run once for real, so `floor` shows which shard slots raised
+/// the shared k-th-score floor.
+struct MeanProbe {
+    plans: Vec<QueryPlan>,
+    floor: Option<MetricsSnapshot>,
+}
+
+/// Runs the [`MeanProbe`]; `None` for an engine without shards.
+fn mean_probe(engine: &SdEngine) -> Result<Option<MeanProbe>, CliError> {
+    if engine.shard_count() == 0 {
+        return Ok(None);
+    }
+    let mut mean = vec![0.0; engine.dims()];
+    let mut counted = 0usize;
+    for data in engine.shards().iter().map(|s| s.data()) {
+        for (_, coords) in data.iter() {
+            for (m, &c) in mean.iter_mut().zip(coords) {
+                *m += c;
+            }
+        }
+        counted += data.len();
+    }
+    for m in &mut mean {
+        *m /= counted.max(1) as f64;
+    }
+    let dims = mean.len();
+    let sample = SdQuery::new(mean, vec![1.0; dims]).map_err(runtime)?;
+    let plans = engine.explain(&sample, DEFAULT_K).map_err(runtime)?.plans;
+    let floor = if engine.is_empty() {
+        None
+    } else {
+        engine.query(&sample, DEFAULT_K).map_err(runtime)?;
+        Some(engine.metrics().snapshot())
+    };
+    Ok(Some(MeanProbe { plans, floor }))
+}
+
+/// What `inspect` finds in a WAL-backed store's sidecar.
+enum WalState {
+    Missing,
+    Unreadable(std::io::Error),
+    Corrupt(String),
+    Read {
+        generation: u64,
+        /// Older than the snapshot's checkpoint: already folded in.
+        stale: bool,
+        records: usize,
+        pending_bytes: u64,
+        torn_bytes: u64,
+        file_bytes: usize,
+    },
+}
+
+impl WalState {
+    /// Reads the sidecar of `path` against the snapshot's checkpoint
+    /// `generation`.
+    fn read(path: &str, generation: u64) -> WalState {
+        let bytes = match std::fs::read(wal_sidecar(path)) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return WalState::Missing,
+            Err(e) => return WalState::Unreadable(e),
+            Ok(bytes) => bytes,
+        };
+        match wal::recover(&bytes) {
+            Err(e) => WalState::Corrupt(e.to_string()),
+            Ok(rec) => WalState::Read {
+                generation: rec.header.generation,
+                stale: rec.header.generation < generation,
+                records: rec.records.len(),
+                pending_bytes: rec.valid_len - wal::WAL_HEADER_BYTES as u64,
+                torn_bytes: rec.truncated_bytes,
+                file_bytes: bytes.len(),
+            },
+        }
+    }
+}
+
+/// Prints the part of an `inspect --json` report read before `e`, then
+/// hands `e` back as the command's error.
+fn printed_before(report: &Json, e: impl std::fmt::Display) -> CliError {
+    println!("{report:#}");
+    runtime(e)
+}
+
 /// `inspect --json`: the same facts machine-readably — header, section
 /// table, v5 region table, shard layout, block stats, mutation pressure,
 /// floor provenance and the durability generation. A file whose payloads
-/// do not decode still gets its header-only facts printed before the error.
+/// do not open or decode still gets the facts read so far printed before
+/// the error.
 fn inspect_json(path: &str) -> Result<(), CliError> {
     let info = Snapshot::inspect(path).map_err(runtime)?;
-    let sections: Vec<String> = info
-        .sections
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"name\": {}, \"raw_kind\": {}, \"offset\": {}, \"bytes\": {}}}",
-                json_str(&section_label(s)),
-                s.raw_kind,
-                s.offset,
-                s.len
-            )
-        })
-        .collect();
-    let head = format!(
-        "  \"path\": {},\n  \"format_version\": {},\n  \"file_bytes\": {},\n  \
-         \"sections\": [{}]",
-        json_str(path),
-        info.version,
-        info.file_len,
-        sections.join(", ")
-    );
-    let mapped = match Snapshot::open_mapped(path) {
-        Ok(mapped) => mapped,
-        Err(e) => {
-            println!("{{\n{head}\n}}");
-            return Err(runtime(e));
-        }
+    let sections = info.sections.iter().map(|s| {
+        let name = section_label(s);
+        json! { "name": name, "raw_kind": s.raw_kind, "offset": s.offset, "bytes": s.len }
+    });
+    let report = json! {
+        "path": path, "format_version": info.version, "file_bytes": info.file_len,
+        "sections": sections.collect::<Json>(),
     };
-    let regions: Vec<String> = mapped
-        .regions()
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"name\": {}, \"offset\": {}, \"bytes\": {}, \"crc32c\": {}, \
-                 \"state\": {}}}",
-                json_str(r.name()),
-                r.file_offset(),
-                r.len(),
-                r.expected_crc(),
-                json_str(r.state().label())
-            )
-        })
-        .collect();
+    let mapped = Snapshot::open_mapped(path).map_err(|e| printed_before(&report, e))?;
+    let regions = mapped.regions().iter().map(|r| {
+        json! {
+            "name": r.name(), "offset": r.file_offset(), "bytes": r.len(),
+            "crc32c": r.expected_crc(), "state": r.state().label(),
+        }
+    });
+    let report = report.with("regions", regions.collect::<Json>());
+    let snap = Snapshot::load(path).map_err(|e| printed_before(&report, e))?;
 
-    let snap = Snapshot::load(path).map_err(runtime)?;
-    let engine_json = match &snap.engine {
+    let engine = match &snap.engine {
         Some(engine) => {
-            let shard_layout: Vec<String> = engine
-                .shard_infos()
-                .iter()
-                .enumerate()
-                .map(|(i, si)| {
-                    format!(
-                        "{{\"shard\": {i}, \"offset\": {}, \"rows\": {}, \"dead_rows\": {}, \
-                         \"epoch\": {}, \"memory_bytes\": {}}}",
-                        si.offset, si.rows, si.dead_rows, si.epoch, si.memory_bytes
-                    )
-                })
-                .collect();
+            let shard_layout = engine.shard_infos().into_iter().enumerate().map(|(i, si)| {
+                json! {
+                    "shard": i, "offset": si.offset, "rows": si.rows, "dead_rows": si.dead_rows,
+                    "epoch": si.epoch, "memory_bytes": si.memory_bytes,
+                }
+            });
             let (blocks, bytes, covered) = block_stats(engine);
             let stats = engine.mutation_stats();
-            // Floor provenance: one real probe query at the dataset mean.
-            let floor = if engine.shard_count() > 0 && !engine.is_empty() {
-                let sample = mean_query(engine).map_err(runtime)?;
-                engine.query(&sample, DEFAULT_K).map_err(runtime)?;
-                floor_contributions_json(&engine.metrics().snapshot())
-            } else {
-                String::from("{}")
-            };
-            format!(
-                "{{\"roles\": {}, \"live_rows\": {}, \"shards\": {}, \"epoch\": {}, \
-                 \"memory_bytes\": {}, \"shard_layout\": [{}], \
-                 \"block_stats\": {{\"blocks\": {blocks}, \"lanes\": {}, \"bytes\": {bytes}, \
-                 \"covered_points\": {covered}}}, \
-                 \"delta\": {{\"rows\": {}, \"dead\": {}}}, \"tombstones\": {}, \
-                 \"floor_contributions\": {floor}}}",
-                json_str(&format_roles(engine.roles())),
-                engine.len(),
-                engine.shard_count(),
-                stats.epoch,
-                engine.memory_bytes(),
-                shard_layout.join(", "),
-                sdq_core::kernels::LANES,
-                stats.delta_rows,
-                stats.delta_dead,
-                stats.base_dead + stats.delta_dead,
-            )
-        }
-        None => String::from("null"),
-    };
-
-    let durability = match &snap.durability {
-        Some(d) => {
-            let wal_file = wal_sidecar(path);
-            let wal = match std::fs::read(&wal_file) {
-                Err(_) => String::from("{\"present\": false}"),
-                Ok(bytes) => match wal::recover(&bytes) {
-                    Err(e) => format!(
-                        "{{\"present\": true, \"corrupt\": {}}}",
-                        json_str(&e.to_string())
-                    ),
-                    Ok(rec) => format!(
-                        "{{\"present\": true, \"generation\": {}, \"stale\": {}, \
-                         \"records\": {}, \"pending_bytes\": {}, \"torn_bytes\": {}, \
-                         \"file_bytes\": {}}}",
-                        rec.header.generation,
-                        rec.header.generation < d.generation,
-                        rec.records.len(),
-                        rec.valid_len - wal::WAL_HEADER_BYTES as u64,
-                        rec.truncated_bytes,
-                        bytes.len()
-                    ),
+            let floor = mean_probe(engine)?
+                .and_then(|probe| probe.floor)
+                .map_or(json! {}, |m| floor_contributions(&m));
+            json! {
+                "roles": format_roles(engine.roles()), "live_rows": engine.len(),
+                "shards": engine.shard_count(), "epoch": stats.epoch,
+                "memory_bytes": engine.memory_bytes(),
+                "shard_layout": shard_layout.collect::<Json>(),
+                "block_stats": json! {
+                    "blocks": blocks, "lanes": sdq_core::kernels::LANES, "bytes": bytes,
+                    "covered_points": covered,
                 },
-            };
-            format!(
-                "{{\"generation\": {}, \"checkpoint_epoch\": {}, \"wal\": {wal}}}",
-                d.generation, d.checkpoint_epoch
-            )
+                "delta": json! { "rows": stats.delta_rows, "dead": stats.delta_dead },
+                "tombstones": stats.base_dead + stats.delta_dead,
+                "floor_contributions": floor,
+            }
         }
-        None => String::from("null"),
+        None => Json::Null,
     };
-
-    print!(
-        "{{\n{head},\n  \"regions\": [{}],\n  \
-         \"engine\": {engine_json},\n  \"durability\": {durability}\n}}\n",
-        regions.join(", "),
-    );
+    let durability = snap.durability.as_ref().map(|d| {
+        let wal = match WalState::read(path, d.generation) {
+            WalState::Missing | WalState::Unreadable(_) => json! { "present": false },
+            WalState::Corrupt(e) => json! { "present": true, "corrupt": e },
+            WalState::Read {
+                generation,
+                stale,
+                records,
+                pending_bytes,
+                torn_bytes,
+                file_bytes,
+            } => json! {
+                "present": true, "generation": generation, "stale": stale, "records": records,
+                "pending_bytes": pending_bytes, "torn_bytes": torn_bytes, "file_bytes": file_bytes,
+            },
+        };
+        json! { "generation": d.generation, "checkpoint_epoch": d.checkpoint_epoch, "wal": wal }
+    });
+    let report = report.with("engine", engine).with("durability", durability);
+    println!("{report:#}");
     Ok(())
 }
 
@@ -1949,7 +1896,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
     if prometheus {
         print!("{}", metrics.render_prometheus());
     } else if json {
-        print!("{}", metrics_json(metrics, &probe));
+        println!("{:#}", metrics_json(metrics, &probe));
     } else {
         print_metrics_human(path, metrics, &probe);
     }
@@ -2007,21 +1954,7 @@ fn print_metrics_human(path: &str, metrics: &EngineMetrics, probe: &ProbeOpts) {
         snap.scrub_regions_ok,
         snap.scrub_regions_failed
     );
-    let nz: Vec<String> = snap
-        .floor_contributions
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| **v > 0)
-        .map(|(slot, v)| format!("{} {v}", floor_slot_label(slot)))
-        .collect();
-    println!(
-        "floor contributions: {}",
-        if nz.is_empty() {
-            String::from("none")
-        } else {
-            nz.join(" · ")
-        }
-    );
+    println!("floor contributions: {}", floor_contributions_human(&snap));
     println!(
         "event journal: {} event(s) retained ({} pushed, {} overwritten)",
         tel.journal.depth(),
@@ -2040,68 +1973,43 @@ fn health_label(code: u64) -> &'static str {
 }
 
 /// One latency histogram snapshot as a JSON object (microsecond units).
-fn histo_json(s: &HistoSnapshot) -> String {
-    format!(
-        "{{\"count\": {}, \"p50_us\": {:.3}, \"p90_us\": {:.3}, \"p99_us\": {:.3}, \
-         \"p999_us\": {:.3}, \"mean_us\": {:.3}, \"max_us\": {:.3}}}",
-        s.count(),
-        s.quantile(0.50) / 1e3,
-        s.quantile(0.90) / 1e3,
-        s.quantile(0.99) / 1e3,
-        s.quantile(0.999) / 1e3,
-        s.mean_nanos() / 1e3,
-        s.max_nanos() as f64 / 1e3
-    )
+fn histo_json(s: &HistoSnapshot) -> Json {
+    let us = |nanos: f64| Json::fixed(nanos / 1e3, 3);
+    json! {
+        "count": s.count(), "p50_us": us(s.quantile(0.50)), "p90_us": us(s.quantile(0.90)),
+        "p99_us": us(s.quantile(0.99)), "p999_us": us(s.quantile(0.999)),
+        "mean_us": us(s.mean_nanos()), "max_us": us(s.max_nanos() as f64),
+    }
 }
 
 /// `metrics --json`: counters, floor provenance, every histogram and the
 /// journal status as one JSON object.
-fn metrics_json(metrics: &EngineMetrics, probe: &ProbeOpts) -> String {
+fn metrics_json(metrics: &EngineMetrics, probe: &ProbeOpts) -> Json {
     let snap = metrics.snapshot();
-    let tel = metrics.telemetry();
-    let histograms: Vec<String> = tel
+    let (tel, health) = (metrics.telemetry(), snap.engine_health);
+    let journal = &tel.journal;
+    let counters = snap
+        .counters()
+        .into_iter()
+        .map(|(name, _, value)| (name, value));
+    let histograms = tel
         .histograms()
-        .iter()
-        .map(|(name, h)| format!("{}: {}", json_str(name), histo_json(&h.snapshot())))
-        .collect();
-    format!(
-        "{{\n  \"probe\": {{\"queries\": {}, \"k\": {}, \"mutate\": {}, \"compact\": {}, \
-         \"seed\": {}}},\n  \
-         \"counters\": {{\"queries_served\": {}, \"rows_scored\": {}, \"compactions\": {}, \
-         \"epoch_transitions\": {}, \"wal_records_appended\": {}, \"wal_bytes_appended\": {}, \
-         \"wal_syncs\": {}, \"wal_records_replayed\": {}, \"wal_checkpoints\": {}, \
-         \"retries_attempted\": {}, \"deadline_exceeded\": {}, \"scrub_regions_ok\": {}, \
-         \"scrub_regions_failed\": {}}},\n  \
-         \"engine_health\": {{\"code\": {}, \"label\": {}}},\n  \
-         \"floor_contributions\": {},\n  \
-         \"histograms\": {{{}}},\n  \
-         \"event_journal\": {{\"depth\": {}, \"pushed\": {}, \"overwritten\": {}}}\n}}\n",
-        probe.queries,
-        probe.k,
-        probe.mutate,
-        probe.compact,
-        probe.seed,
-        snap.queries_served,
-        snap.rows_scored,
-        snap.compactions,
-        snap.epoch_transitions,
-        snap.wal_records_appended,
-        snap.wal_bytes_appended,
-        snap.wal_syncs,
-        snap.wal_records_replayed,
-        snap.wal_checkpoints,
-        snap.retries_attempted,
-        snap.deadline_exceeded,
-        snap.scrub_regions_ok,
-        snap.scrub_regions_failed,
-        snap.engine_health,
-        json_str(health_label(snap.engine_health)),
-        floor_contributions_json(&snap),
-        histograms.join(", "),
-        tel.journal.depth(),
-        tel.journal.pushed(),
-        tel.journal.overwritten()
-    )
+        .into_iter()
+        .map(|(name, h)| (name, histo_json(&h.snapshot())));
+    json! {
+        "probe": json! {
+            "queries": probe.queries, "k": probe.k, "mutate": probe.mutate,
+            "compact": probe.compact, "seed": probe.seed,
+        },
+        "counters": counters.collect::<Json>(),
+        "engine_health": json! { "code": health, "label": health_label(health) },
+        "floor_contributions": floor_contributions(&snap),
+        "histograms": histograms.collect::<Json>(),
+        "event_journal": json! {
+            "depth": journal.depth(), "pushed": journal.pushed(),
+            "overwritten": journal.overwritten(),
+        },
+    }
 }
 
 fn cmd_events(args: &[String]) -> Result<(), CliError> {
@@ -2182,31 +2090,34 @@ fn cmd_events(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Prints one journal record, human (`#seq  epoch-seconds  label  detail`)
-/// or as one JSON object per line.
+/// or as one JSON object per line (sequence, stamp, label, then the kind's
+/// own fields).
 fn print_event(rec: &EventRecord, json: bool) {
+    let (detail, fields) = event_detail(&rec.kind);
     if json {
-        println!(
-            "{{\"seq\": {}, \"unix_micros\": {}, \"event\": {}, {}}}",
-            rec.seq,
-            rec.unix_micros,
-            json_str(rec.kind.label()),
-            event_fields_json(&rec.kind)
-        );
+        let head =
+            json! { "seq": rec.seq, "unix_micros": rec.unix_micros, "event": rec.kind.label() };
+        let (Json::Object(mut members), Json::Object(fields)) = (head, fields) else {
+            unreachable!("json! builds objects")
+        };
+        members.extend(fields);
+        println!("{}", Json::Object(members));
     } else {
         println!(
-            "#{:<5} {:>17.6}  {:<20} {}",
+            "#{:<5} {:>17.6}  {:<20} {detail}",
             rec.seq,
             rec.unix_micros as f64 / 1e6,
             rec.kind.label(),
-            event_detail_human(&rec.kind)
         );
     }
 }
 
-/// The human-readable detail column of one event.
-fn event_detail_human(kind: &EventKind) -> String {
-    match kind {
-        EventKind::CompactionStart { epoch } => format!("epoch {epoch}"),
+/// One event's own facts: the human detail column and the JSON fields.
+fn event_detail(kind: &EventKind) -> (String, Json) {
+    match *kind {
+        EventKind::CompactionStart { epoch } => {
+            (format!("epoch {epoch}"), json! { "epoch": epoch })
+        }
         EventKind::CompactionFinish {
             epoch,
             rebuilt_shards,
@@ -2215,133 +2126,90 @@ fn event_detail_human(kind: &EventKind) -> String {
             rows_moved,
             duration_micros,
             rebalanced,
-        } => format!(
-            "epoch {epoch}: rebuilt {rebuilt_shards} shard(s), merged {merged_delta_rows} \
-             delta row(s), dropped {dropped_tombstones} tombstone(s), moved {rows_moved} \
-             row(s) in {duration_micros} µs{}",
-            if *rebalanced { " (rebalanced)" } else { "" }
+        } => (
+            format!(
+                "epoch {epoch}: rebuilt {rebuilt_shards} shard(s), merged {merged_delta_rows} \
+                 delta row(s), dropped {dropped_tombstones} tombstone(s), moved {rows_moved} \
+                 row(s) in {duration_micros} µs{}",
+                if rebalanced { " (rebalanced)" } else { "" }
+            ),
+            json! {
+                "epoch": epoch, "rebuilt_shards": rebuilt_shards,
+                "merged_delta_rows": merged_delta_rows, "dropped_tombstones": dropped_tombstones,
+                "rows_moved": rows_moved, "duration_micros": duration_micros,
+                "rebalanced": rebalanced,
+            },
         ),
-        EventKind::EpochTransition { from, to } => format!("{from} → {to}"),
-        EventKind::Checkpoint { generation, epoch } => {
-            format!("generation {generation} (epoch {epoch})")
+        EventKind::EpochTransition { from, to } => {
+            (format!("{from} → {to}"), json! { "from": from, "to": to })
         }
-        EventKind::WalRotation { generation } => format!("generation {generation}"),
-        EventKind::WalPoison { reason } => String::from(*reason),
+        EventKind::Checkpoint { generation, epoch } => (
+            format!("generation {generation} (epoch {epoch})"),
+            json! { "generation": generation, "epoch": epoch },
+        ),
+        EventKind::WalRotation { generation } => (
+            format!("generation {generation}"),
+            json! { "generation": generation },
+        ),
+        EventKind::WalPoison { reason } => (String::from(reason), json! { "reason": reason }),
         EventKind::WalRecovery {
             replayed,
             truncated_bytes,
-        } => format!("replayed {replayed} record(s), truncated {truncated_bytes} byte(s)"),
-        EventKind::LazyVerify { bytes, ok, crc } => format!(
-            "{bytes} byte(s), crc32c {crc:08x}: {}",
-            if *ok { "ok" } else { "FAILED" }
+        } => (
+            format!("replayed {replayed} record(s), truncated {truncated_bytes} byte(s)"),
+            json! { "replayed": replayed, "truncated_bytes": truncated_bytes },
+        ),
+        EventKind::LazyVerify { bytes, ok, crc } => (
+            format!(
+                "{bytes} byte(s), crc32c {crc:08x}: {}",
+                if ok { "ok" } else { "FAILED" }
+            ),
+            json! { "bytes": bytes, "ok": ok, "crc32c": crc },
         ),
         EventKind::DeltaThreshold {
             delta_rows,
             base_rows,
             percent,
-        } => format!("{delta_rows} delta row(s) ≥ {percent}% of {base_rows} base row(s)"),
-        EventKind::TombstoneThreshold {
-            tombstones,
-            total_rows,
-            percent,
-        } => format!("{tombstones} tombstone(s) ≥ {percent}% of {total_rows} row(s)"),
-        EventKind::HealthTransition { from, to } => format!("{from} → {to}"),
-        EventKind::SlowQuery {
-            wall_micros,
-            k,
-            threshold_micros,
-            profile,
-        } => format!(
-            "{wall_micros} µs ≥ {threshold_micros} µs (k {k}): {} block(s) popped, \
-             {} floor-pruned, {} row(s) fetched ({} by {} scan(s): projected {}, inherited {}, \
-             predicted {}), {} scored, {} emitted",
-            profile.blocks_popped,
-            profile.blocks_floor_pruned,
-            profile.rows_fetched,
-            profile.scan_rows,
-            profile.scan_fallbacks,
-            profile.scan_projected,
-            profile.scan_inherited,
-            profile.scan_predicted,
-            profile.points_scored,
-            profile.emitted
-        ),
-    }
-}
-
-/// The kind-specific JSON fields of one event (no surrounding braces).
-fn event_fields_json(kind: &EventKind) -> String {
-    match kind {
-        EventKind::CompactionStart { epoch } => format!("\"epoch\": {epoch}"),
-        EventKind::CompactionFinish {
-            epoch,
-            rebuilt_shards,
-            merged_delta_rows,
-            dropped_tombstones,
-            rows_moved,
-            duration_micros,
-            rebalanced,
-        } => format!(
-            "\"epoch\": {epoch}, \"rebuilt_shards\": {rebuilt_shards}, \
-             \"merged_delta_rows\": {merged_delta_rows}, \
-             \"dropped_tombstones\": {dropped_tombstones}, \"rows_moved\": {rows_moved}, \
-             \"duration_micros\": {duration_micros}, \"rebalanced\": {rebalanced}"
-        ),
-        EventKind::EpochTransition { from, to } => format!("\"from\": {from}, \"to\": {to}"),
-        EventKind::Checkpoint { generation, epoch } => {
-            format!("\"generation\": {generation}, \"epoch\": {epoch}")
-        }
-        EventKind::WalRotation { generation } => format!("\"generation\": {generation}"),
-        EventKind::WalPoison { reason } => format!("\"reason\": {}", json_str(reason)),
-        EventKind::WalRecovery {
-            replayed,
-            truncated_bytes,
-        } => format!("\"replayed\": {replayed}, \"truncated_bytes\": {truncated_bytes}"),
-        EventKind::LazyVerify { bytes, ok, crc } => {
-            format!("\"bytes\": {bytes}, \"ok\": {ok}, \"crc32c\": {crc}")
-        }
-        EventKind::DeltaThreshold {
-            delta_rows,
-            base_rows,
-            percent,
-        } => format!(
-            "\"delta_rows\": {delta_rows}, \"base_rows\": {base_rows}, \"percent\": {percent}"
+        } => (
+            format!("{delta_rows} delta row(s) ≥ {percent}% of {base_rows} base row(s)"),
+            json! { "delta_rows": delta_rows, "base_rows": base_rows, "percent": percent },
         ),
         EventKind::TombstoneThreshold {
             tombstones,
             total_rows,
             percent,
-        } => format!(
-            "\"tombstones\": {tombstones}, \"total_rows\": {total_rows}, \"percent\": {percent}"
+        } => (
+            format!("{tombstones} tombstone(s) ≥ {percent}% of {total_rows} row(s)"),
+            json! { "tombstones": tombstones, "total_rows": total_rows, "percent": percent },
         ),
         EventKind::HealthTransition { from, to } => {
-            format!("\"from\": {}, \"to\": {}", json_str(from), json_str(to))
+            (format!("{from} → {to}"), json! { "from": from, "to": to })
         }
         EventKind::SlowQuery {
             wall_micros,
             k,
             threshold_micros,
-            profile,
-        } => format!(
-            "\"wall_micros\": {wall_micros}, \"k\": {k}, \
-             \"threshold_micros\": {threshold_micros}, \"profile\": {{\
-             \"blocks_popped\": {}, \"blocks_floor_pruned\": {}, \"rows_fetched\": {}, \
-             \"scan_fallbacks\": {}, \"scan_projected\": {}, \"scan_inherited\": {}, \
-             \"scan_predicted\": {}, \"scan_rows\": {}, \
-             \"points_gathered\": {}, \"points_scored\": {}, \"emitted\": {}, \
-             \"rounds\": {}}}",
-            profile.blocks_popped,
-            profile.blocks_floor_pruned,
-            profile.rows_fetched,
-            profile.scan_fallbacks,
-            profile.scan_projected,
-            profile.scan_inherited,
-            profile.scan_predicted,
-            profile.scan_rows,
-            profile.points_gathered,
-            profile.points_scored,
-            profile.emitted,
-            profile.rounds
+            profile: ref p,
+        } => (
+            format!(
+                "{wall_micros} µs ≥ {threshold_micros} µs (k {k}): {} block(s) popped, \
+                 {} floor-pruned, {} row(s) fetched ({} by {} scan(s): projected {}, \
+                 inherited {}, predicted {}), {} scored, {} emitted",
+                p.blocks_popped,
+                p.blocks_floor_pruned,
+                p.rows_fetched,
+                p.scan_rows,
+                p.scan_fallbacks,
+                p.scan_projected,
+                p.scan_inherited,
+                p.scan_predicted,
+                p.points_scored,
+                p.emitted
+            ),
+            json! {
+                "wall_micros": wall_micros, "k": k, "threshold_micros": threshold_micros,
+                "profile": Json::from_iter(p.counters()),
+            },
         ),
     }
 }
@@ -2377,27 +2245,6 @@ fn print_block_stats(engine: &SdEngine) {
         "    block tables: {blocks} SoA leaf block(s) × {lanes} lanes, ≈{} KiB{fill}",
         bytes / 1024,
     );
-}
-
-/// A unit-weight probe query at the per-dimension mean of the engine's base
-/// rows (they live inside its shard indexes, so the mean sums across them).
-/// The planner sample `sdq inspect` reports against.
-fn mean_query(engine: &SdEngine) -> Result<SdQuery, sdq_core::SdError> {
-    let mut mean = vec![0.0; engine.dims()];
-    let mut counted = 0usize;
-    for data in engine.shards().iter().map(|s| s.data()) {
-        for (_, coords) in data.iter() {
-            for (m, &c) in mean.iter_mut().zip(coords) {
-                *m += c;
-            }
-        }
-        counted += data.len();
-    }
-    for m in &mut mean {
-        *m /= counted.max(1) as f64;
-    }
-    let dims = mean.len();
-    SdQuery::new(mean, vec![1.0; dims])
 }
 
 // ─── query --repeat ─────────────────────────────────────────────────────────
@@ -2448,20 +2295,4 @@ fn percentile(samples: &mut [f64], p: f64) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let idx = ((p / 100.0) * (samples.len() - 1) as f64).round() as usize;
     samples[idx.min(samples.len() - 1)]
-}
-
-/// Minimal JSON string escaping (quotes and backslashes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

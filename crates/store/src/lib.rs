@@ -77,6 +77,13 @@
 //! A file of any other version is refused with
 //! [`SdError::SnapshotVersion`].
 //!
+//! ## Machine-readable reports
+//!
+//! Every `--json` report the `sdq` CLI prints is one [`json::Json`] value,
+//! built member by member and printed by one `Display`: one escaper, one
+//! number format (non-finite → `null`, fixed decimals where a report asks),
+//! objects in insertion order.
+//!
 //! ## Example
 //!
 //! ```
@@ -101,6 +108,7 @@
 pub mod chaos;
 pub mod durable;
 pub mod io;
+pub mod json;
 pub mod scrub;
 pub mod wal;
 

@@ -3,6 +3,7 @@
 //! in-memory engine and the sequential scan — the acceptance criterion of
 //! the build-once/query-many workflow.
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -1277,5 +1278,240 @@ fn query_slow_query_log_reports_on_stderr() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("slow-query:"), "{stderr}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ─── machine-readable output: key paths ─────────────────────────────────────
+
+/// Parses one JSON value off the front of `s` (whitespace around it
+/// skipped) and adds the path of every object member under it to `paths`:
+/// `.a.b` for a member, `[]` for an array element. Panics on malformed
+/// input, so it is also the parse check. Returns the unparsed rest.
+fn json_paths<'a>(s: &'a str, at: &str, paths: &mut BTreeSet<String>) -> &'a str {
+    let s = s.trim_start();
+    match s.as_bytes().first() {
+        Some(b'{') | Some(b'[') => {
+            let (close, object) = if s.starts_with('{') {
+                ('}', true)
+            } else {
+                (']', false)
+            };
+            let mut rest = s[1..].trim_start();
+            if let Some(after) = rest.strip_prefix(close) {
+                return after;
+            }
+            loop {
+                let here = if object {
+                    let (key, after) = json_string(rest);
+                    rest = after
+                        .trim_start()
+                        .strip_prefix(':')
+                        .unwrap_or_else(|| panic!("no ':' after key {key:?}: {after:.60}"));
+                    let here = format!("{at}.{key}");
+                    paths.insert(here.clone());
+                    here
+                } else {
+                    format!("{at}[]")
+                };
+                rest = json_paths(rest, &here, paths).trim_start();
+                match rest.as_bytes().first() {
+                    Some(b',') => rest = rest[1..].trim_start(),
+                    Some(&c) if c == close as u8 => break &rest[1..],
+                    _ => panic!("expected ',' or {close:?} at {rest:.60}"),
+                }
+            }
+        }
+        Some(b'"') => json_string(s).1,
+        _ => {
+            let end = s
+                .find(|c: char| matches!(c, ',' | '}' | ']') || c.is_whitespace())
+                .unwrap_or(s.len());
+            let scalar = &s[..end];
+            assert!(
+                matches!(scalar, "true" | "false" | "null")
+                    || scalar.parse::<f64>().is_ok_and(f64::is_finite),
+                "not a JSON scalar: {scalar:?}"
+            );
+            &s[end..]
+        }
+    }
+}
+
+/// Splits a leading JSON string literal off `s`: (its raw body, the rest).
+fn json_string(s: &str) -> (&str, &str) {
+    assert!(s.starts_with('"'), "expected a string at {s:.60}");
+    let mut escaped = false;
+    for (i, c) in s.char_indices().skip(1) {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '"' => return (&s[1..i], &s[i + 1..]),
+            c => assert!(c >= ' ', "raw control character in a string"),
+        }
+    }
+    panic!("unterminated string: {s:.60}")
+}
+
+/// The key paths of one JSON document (or, `lines`, of every line of a
+/// JSON-lines stream), each prefixed by `label`.
+fn labelled_paths(label: &str, stdout: &[u8], lines: bool, out: &mut BTreeSet<String>) {
+    let text = String::from_utf8_lossy(stdout);
+    let docs: Vec<&str> = if lines {
+        text.lines().collect()
+    } else {
+        vec![&text]
+    };
+    let mut paths = BTreeSet::new();
+    for doc in docs {
+        let rest = json_paths(doc, "", &mut paths);
+        assert!(rest.trim().is_empty(), "{label}: trailing text {rest:?}");
+    }
+    out.extend(paths.into_iter().map(|p| format!("{label} {p}")));
+}
+
+/// A deterministic 2-shard store of 2 000 uniform 4-D rows (`arra`).
+fn build_golden_store(dir: &std::path::Path, name: &str) -> PathBuf {
+    let path = dir.join(name);
+    let status = sdq()
+        .args([
+            "build",
+            "--synthetic",
+            "uniform",
+            "--n",
+            "2000",
+            "--dims",
+            "4",
+        ])
+        .args(["--seed", "42", "--roles", "arra", "--shards", "2", "--out"])
+        .arg(&path)
+        .status()
+        .expect("spawn sdq build");
+    assert!(status.success(), "sdq build failed");
+    path
+}
+
+/// Every machine-readable report `sdq` prints keeps its shape: the set of
+/// key paths of each is pinned in `tests/json_key_paths.txt`. A report that
+/// gains, loses or renames a member fails here and the list says which.
+#[test]
+fn json_reports_keep_their_key_paths() {
+    let dir = temp_dir("jsonpaths");
+    let plain = build_golden_store(&dir, "b.sdq");
+    let logged = build_golden_store(&dir, "w.sdq");
+    let (b, w) = (plain.to_str().unwrap(), logged.to_str().unwrap());
+    let mut insert = sdq()
+        .args(["insert", w, "--csv", "-", "--wal"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn sdq insert");
+    use std::io::Write;
+    insert
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"0.5,0.5,0.5,0.5\n")
+        .unwrap();
+    assert!(insert.wait().unwrap().success(), "insert --wal failed");
+
+    // (label, arguments with `B` / `W` for the plain / WAL-backed store,
+    // exit code, JSON lines?)
+    let runs = [
+        ("inspect", "inspect B --json", 0, false),
+        ("inspect-wal", "inspect W --json", 0, false),
+        (
+            "profile",
+            "query B --point 0.5,0.5,0.5,0.5 --k 16 --profile-json",
+            0,
+            false,
+        ),
+        (
+            "metrics",
+            "metrics B --json --mutate 20 --compact",
+            0,
+            false,
+        ),
+        (
+            "events",
+            "events B --json --slow-query-us 1 --queries 3",
+            0,
+            true,
+        ),
+        (
+            "events-lifecycle",
+            "events B --json --mutate 20 --compact",
+            0,
+            true,
+        ),
+        ("scrub", "scrub W --json", 0, false),
+        ("scrub-repair", "scrub W --json --repair", 0, false),
+        ("recover", "recover W --json", 0, false),
+        ("recover-plain", "recover B --json", 3, false),
+        ("chaos", "chaos --ops 50 --json", 0, false),
+    ];
+    let mut got = BTreeSet::new();
+    for (label, args, code, lines) in runs {
+        let args: Vec<&str> = args
+            .split(' ')
+            .map(|a| match a {
+                "B" => b,
+                "W" => w,
+                a => a,
+            })
+            .collect();
+        let out = sdq().args(&args).output().expect("spawn sdq");
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+        labelled_paths(label, &out.stdout, lines, &mut got);
+    }
+    let want: BTreeSet<String> = include_str!("json_key_paths.txt")
+        .lines()
+        .filter(|l| !l.is_empty())
+        .map(String::from)
+        .collect();
+    let missing: Vec<_> = want.difference(&got).collect();
+    let extra: Vec<_> = got.difference(&want).collect();
+    assert!(
+        missing.is_empty() && extra.is_empty(),
+        "missing {missing:#?}\nextra {extra:#?}\nthe whole list:\n{}",
+        got.iter()
+            .map(String::as_str)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `inspect --json` on a store whose array region is corrupt prints what it
+/// read before the decode failed — header, sections and the region table —
+/// as one parseable object, then the error (exit 1), as the human mode does.
+#[test]
+fn inspect_json_prints_the_region_table_before_a_corrupt_region() {
+    let dir = temp_dir("inspectcorrupt");
+    let path = build_golden_store(&dir, "c.sdq");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[2000] = 0x55; // inside engine-shard0/data.coords
+    std::fs::write(&path, &bytes).unwrap();
+
+    let out = sdq()
+        .args(["inspect", path.to_str().unwrap(), "--json"])
+        .output()
+        .expect("spawn sdq inspect --json");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("checksum mismatch"), "{stderr}");
+    let mut paths = BTreeSet::new();
+    labelled_paths("inspect", &out.stdout, false, &mut paths);
+    for key in [
+        ".format_version",
+        ".sections",
+        ".regions",
+        ".regions[].state",
+    ] {
+        assert!(
+            paths.contains(&format!("inspect {key}")),
+            "no {key}: {paths:?}"
+        );
+    }
+    assert!(!paths.contains("inspect .engine"), "{paths:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
