@@ -33,6 +33,8 @@
 //! 17–20 GB/s over a 16 MiB buffer, so the 8.5 MB of regions of a 100k-row
 //! 4-D four-shard store are ≈ 0.45 ms of checksum instead of ≈ 1.3 ms.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -80,10 +82,14 @@ pub struct SectionIntegrity {
     _keep: Option<ViewKeep>,
 }
 
-// The region is immutable mapped (or frozen owned) memory kept alive by
-// `_keep`; verification is idempotent, so concurrent `ensure` calls race
-// benignly toward the same state.
+// SAFETY: `ptr` is the only field that is not `Send` on its own. It points
+// at immutable mapped (or frozen owned) bytes that `_keep` — itself `Send`
+// and `Sync` — keeps alive wherever the region goes, and nothing ever
+// writes through it.
 unsafe impl Send for SectionIntegrity {}
+// SAFETY: shared access reads `ptr`'s bytes, which never change, and moves
+// `state` only by atomic loads and stores; verification is idempotent, so
+// concurrent `ensure` calls race benignly toward the same state.
 unsafe impl Sync for SectionIntegrity {}
 
 impl SectionIntegrity {
@@ -167,7 +173,7 @@ impl SectionIntegrity {
             STATE_FAILED => return self.fail(),
             _ => {}
         }
-        // Safety: `ptr`/`len` valid per `new_lazy`'s contract (a verified-
+        // SAFETY: `ptr`/`len` valid per `new_lazy`'s contract (a verified-
         // at-decode region never reaches here).
         let data = unsafe { std::slice::from_raw_parts(self.ptr, self.len as usize) };
         let t0 = std::time::Instant::now();
@@ -585,6 +591,7 @@ mod tests {
         let backing: Arc<Vec<u8>> = Arc::new((0..1000u32).map(|i| i as u8).collect());
         let crc = crc32c(&backing);
         let keep: ViewKeep = backing.clone();
+        // SAFETY: `keep` holds `backing`, so its 1000 bytes outlive the region.
         let region = unsafe {
             SectionIntegrity::new_lazy("test/region".into(), 64, backing.as_ptr(), 1000, crc, keep)
         };
@@ -598,6 +605,7 @@ mod tests {
     fn corrupt_region_fails_with_typed_error() {
         let backing: Arc<Vec<u8>> = Arc::new(vec![1, 2, 3, 4]);
         let keep: ViewKeep = backing.clone();
+        // SAFETY: `keep` holds `backing`, so its 4 bytes outlive the region.
         let region = unsafe {
             SectionIntegrity::new_lazy(
                 "bad/region".into(),

@@ -220,6 +220,24 @@
 //! 5 % a p95 leaves out, so the p95 of a lost shape *is* a re-check — a
 //! stream phase on block tables the scans have pushed out of cache.
 //!
+//! So the re-check is an *audit*: every shard but the last starts lost and
+//! scans, then the last runs stream-first under a threshold of its own
+//! raised to the merged floor their scans left, and only its verdict is
+//! recorded (`sdq-engine`'s `history` holds why that verdict is sound).
+//! One shard's stream phase where a re-check paid four: on `agg_6d` (8 s
+//! runs of the unmodified benchmark, 16 pairs — 10 parent first, seeds
+//! 351–360, and 6 change first, 361–366 — two workers, 2-core VM) p95 went
+//! 416.1 → 337.0 µs (0.81×, 16 of 16 pairs; parent quartiles 404 / 428)
+//! while p50 read 279.0 → 288.5 with the change second and 287.5 → 282.3
+//! with it first, the run order's bias either way. Lap 0 of a traced run
+//! (seed 1) reads `blocks_popped_per_q` 9.90 → 6.22, `rounds_per_q` 8.95 →
+//! 7.11 and `rows_fetched_per_q` 99.28k → 99.37k: the lead shards scan
+//! every row where a re-check's certifying shards fetched only their
+//! streams' rows. With re-checks off entirely (`RECHECK` = 255, a scratch
+//! build; seeds 381–384, alternating with the audit) p95 read 277–350 µs
+//! (one noisy run 402) against the audit's 328–348, so the audit takes
+//! most of what the re-check cost.
+//!
 //! Why 3 and 16, over 512 queries per shape (one engine, 4 shards; started
 //! lost / of them needless — the query would have certified — / stream
 //! phases still paid by queries that scanned):

@@ -8,41 +8,84 @@
 //! roles are fixed per engine. A shape whose last [`STREAK`] stream-first
 //! queries all scanned *starts lost* ([`SharedThreshold::start_lost`]):
 //! every shard execution scans at its first round head. Every
-//! [`RECHECK`]-th query of such a shape still runs stream-first, so a shape
-//! whose queries turned friendly (the data changed, the query points moved)
-//! is found out within [`RECHECK`] queries. A scan is exact whenever it runs,
-//! so the history changes what a query costs, never what it answers.
+//! [`RECHECK`]-th query of such a shape is an *audit* ([`Start::Audit`]):
+//! every shard execution but the last starts lost and scans, then the last
+//! runs stream-first against the merged k-th-score floor those scans left,
+//! and only its verdict is told back ([`VerdictHistory::audited`]). A
+//! scanning audit leaves the shape lost; a certifying one runs the shape's
+//! next query fully stream-first, and that query's [`record`] decides as
+//! any stream-first query's does. So a shape whose queries turned friendly
+//! (the data changed, the query points moved) is found out within
+//! [`RECHECK`] + 1 queries, at the cost of one shard's stream phase per
+//! [`RECHECK`] queries while it stays lost. A one-shard engine has no
+//! sibling floor to audit against: its audit is a stream-first query,
+//! recorded as one.
+//!
+//! The audit's verdict is sound evidence. The floor the audit shard starts
+//! from is the k-th best of every row its siblings scanned — their exact
+//! top k — and of the delta's: no shard of a stream-first query starts from
+//! a higher one, and at every round of its stream phase the audit shard's
+//! floor (that, merged with its own scored rows) is at least what the same
+//! shard would read in a stream-first query. So an audit that still scans
+//! is at least the evidence a full re-check's any-shard-scanned verdict
+//! gives. A scan is exact whenever it runs, and a certified shard's answer
+//! holds every row of its part of the global top k, so the answer is the
+//! exact merge either way: the history changes what a query costs, never
+//! what it answers.
 //!
 //! The table is [`SLOTS`] words, one per shape hash bucket, each packing a
-//! tag of the shape, its streak and its tick. A tag that does not match
-//! reads as no history, so two shapes that share a bucket can only cost each
-//! other a stream phase, never start a query lost. Every access is one
-//! `Relaxed` load or store: two queries racing on a word can lose an update,
-//! which again only moves cost. It is not persisted — a freshly opened or
-//! mapped engine starts with no history.
+//! tag of the shape, its streak, its tick and whether its last audit
+//! certified. A tag that does not match reads as no history, so two shapes
+//! that share a bucket can only cost each other a stream phase, never start
+//! a query lost. Every access is one `Relaxed` load or store: two queries
+//! racing on a word can lose an update, which again only moves cost. It is
+//! not persisted — a freshly opened or mapped engine starts with no
+//! history.
 //!
 //! `sdq_core::multidim::plan` (the scan exit) holds what it buys — `agg_6d`
-//! p50 0.76× — and the measurements behind [`STREAK`] and [`RECHECK`].
+//! p50 0.76×, and p95 0.81× for the audit — and the measurements behind
+//! [`STREAK`] and [`RECHECK`].
 //!
 //! [`SharedThreshold::start_lost`]: sdq_core::SharedThreshold::start_lost
+//! [`record`]: VerdictHistory::record
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sdq_core::SdQuery;
 
+use crate::ShapeState;
+
 /// Stream-first queries of a shape that must all have scanned before its
 /// next query starts lost.
 pub const STREAK: u8 = 3;
 
-/// A shape that starts lost runs every `RECHECK`-th query stream-first.
+/// A shape that starts lost audits every `RECHECK`-th query: its last shard
+/// runs stream-first against the others' floor.
 pub const RECHECK: u8 = 16;
 
 /// Words in one engine's table.
 const SLOTS: usize = 64;
 
 const STREAK_BITS: u32 = 0;
+/// The top bit of the streak's byte: the shape's last audit certified.
+const CERTIFIED_BIT: u32 = 7;
 const TICK_BITS: u32 = 8;
 const TAG_BITS: u32 = 16;
+const _: () = assert!(STREAK < 1 << CERTIFIED_BIT);
+
+/// How a query of an aggregated shape begins ([`VerdictHistory::begin`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Start {
+    /// Every execution runs its streams first; the query's verdict is
+    /// [`VerdictHistory::record`]ed.
+    Streams,
+    /// Every execution scans at its first round head; nothing is recorded.
+    Lost,
+    /// Every execution but the last starts lost, and the last runs
+    /// stream-first against the floor the others' scans left; its verdict
+    /// is told back through [`VerdictHistory::audited`].
+    Audit,
+}
 
 /// A query's shape, hashed: the low bits pick the slot, the high 48 are the
 /// tag stored in it.
@@ -87,19 +130,25 @@ struct Entry {
     streak: u8,
     /// Queries of the shape since it took the slot, modulo [`RECHECK`].
     tick: u8,
+    /// The shape's last audit certified: its next query runs stream-first.
+    certified: bool,
 }
 
 impl Entry {
     fn unpack(word: u64) -> Entry {
         Entry {
             tag: word >> TAG_BITS,
-            streak: (word >> STREAK_BITS) as u8,
+            streak: (word >> STREAK_BITS) as u8 & !(1 << CERTIFIED_BIT),
             tick: (word >> TICK_BITS) as u8,
+            certified: word >> CERTIFIED_BIT & 1 == 1,
         }
     }
 
     fn pack(self) -> u64 {
-        self.tag << TAG_BITS | u64::from(self.tick) << TICK_BITS | u64::from(self.streak)
+        self.tag << TAG_BITS
+            | u64::from(self.tick) << TICK_BITS
+            | u64::from(self.certified) << CERTIFIED_BIT
+            | u64::from(self.streak) << STREAK_BITS
     }
 
     fn lost(self) -> bool {
@@ -129,15 +178,21 @@ impl VerdictHistory {
     }
 
     /// Consulted once per aggregated query, before its executions begin:
-    /// `true` when the query should start lost. Counts the query's tick, so
-    /// the `RECHECK`-th query of a lost shape answers `false`.
-    pub(crate) fn begin(&self, shape: Shape) -> bool {
+    /// how the query starts. Counts the query's tick, so the `RECHECK`-th
+    /// query of a lost shape is an audit, and takes back the certified mark
+    /// of the audit before it, so exactly one query runs stream-first on it.
+    pub(crate) fn begin(&self, shape: Shape) -> Start {
         let Some(mut entry) = self.entry(shape) else {
-            return false;
+            return Start::Streams;
         };
         entry.tick = (entry.tick + 1) % RECHECK;
+        let certified = std::mem::take(&mut entry.certified);
         self.slots[shape.slot()].store(entry.pack(), Ordering::Relaxed);
-        entry.lost() && entry.tick != 0
+        match (entry.lost(), certified, entry.tick) {
+            (false, _, _) | (true, true, _) => Start::Streams,
+            (true, false, 0) => Start::Audit,
+            (true, false, _) => Start::Lost,
+        }
     }
 
     /// Records how a query of `shape` that ran stream-first ended: `scanned`
@@ -157,16 +212,39 @@ impl VerdictHistory {
                 tag: shape.tag(),
                 streak: 1,
                 tick: 1,
+                certified: false,
             },
             _ => return,
         };
         self.slots[shape.slot()].store(entry.pack(), Ordering::Relaxed);
     }
 
-    /// Whether `shape`'s next query would start lost, bar a re-check; reads
+    /// Records how an audit of `shape` ended: `scanned` when its last shard,
+    /// run stream-first, took the scan exit. A scanning audit leaves the
+    /// shape lost, its streak and tick as they are; a certifying one marks
+    /// the shape so its next query runs fully stream-first and is
+    /// [`record`](Self::record)ed.
+    pub(crate) fn audited(&self, shape: Shape, scanned: bool) {
+        if scanned {
+            return;
+        }
+        if let Some(entry) = self.entry(shape) {
+            let entry = Entry {
+                certified: true,
+                ..entry
+            };
+            self.slots[shape.slot()].store(entry.pack(), Ordering::Relaxed);
+        }
+    }
+
+    /// The state `shape`'s next query would meet, bar an audit; reads
     /// without counting a tick.
-    pub(crate) fn starts_lost(&self, shape: Shape) -> bool {
-        self.entry(shape).is_some_and(Entry::lost)
+    pub(crate) fn state(&self, shape: Shape) -> ShapeState {
+        match self.entry(shape) {
+            Some(entry) if entry.certified => ShapeState::AuditCertified,
+            Some(entry) if entry.lost() => ShapeState::StartsLost,
+            _ => ShapeState::StreamsFirst,
+        }
     }
 }
 
@@ -178,15 +256,31 @@ mod tests {
         SdQuery::new(vec![0.5; weights.len()], weights.to_vec()).unwrap()
     }
 
-    /// Runs one query of `shape` through the table the way the engine does:
-    /// `true` when it started lost; otherwise it ran stream-first, and its
-    /// outcome `scanned` is recorded.
-    fn serve(h: &VerdictHistory, shape: Shape, scanned: bool) -> bool {
-        let lost = h.begin(shape);
-        if !lost {
-            h.record(shape, scanned);
+    /// Runs one query of `shape` through the table the way the engine does
+    /// at more than one shard: how it started; a stream-first query's
+    /// outcome `scanned` is recorded, an audit's is told back as the audit
+    /// shard's.
+    fn serve(h: &VerdictHistory, shape: Shape, scanned: bool) -> Start {
+        let start = h.begin(shape);
+        match start {
+            Start::Streams => h.record(shape, scanned),
+            Start::Audit => h.audited(shape, scanned),
+            Start::Lost => {}
         }
-        lost
+        start
+    }
+
+    fn starts_lost(h: &VerdictHistory, shape: Shape) -> bool {
+        h.state(shape) == ShapeState::StartsLost
+    }
+
+    /// Serves scanning queries of a lost `shape` up to and including its
+    /// next audit, which ends `audit_scanned`.
+    fn serve_to_audit(h: &VerdictHistory, shape: Shape, audit_scanned: bool) {
+        while h.entry(shape).unwrap().tick != RECHECK - 1 {
+            assert_eq!(serve(h, shape, true), Start::Lost);
+        }
+        assert_eq!(serve(h, shape, audit_scanned), Start::Audit);
     }
 
     #[test]
@@ -194,10 +288,10 @@ mod tests {
         let h = VerdictHistory::default();
         let s = Shape::of(&query(&[1.0, 0.5, 0.2]), 64);
         for i in 0..STREAK {
-            assert!(!serve(&h, s, true), "query {i} ran stream-first");
+            assert_eq!(serve(&h, s, true), Start::Streams, "query {i}");
         }
-        assert!(h.starts_lost(s));
-        assert!(serve(&h, s, true));
+        assert!(starts_lost(&h, s));
+        assert_eq!(serve(&h, s, true), Start::Lost);
     }
 
     #[test]
@@ -207,16 +301,19 @@ mod tests {
         for _ in 1..STREAK {
             serve(&h, s, true);
         }
-        assert!(!serve(&h, s, false), "certified");
+        assert_eq!(serve(&h, s, false), Start::Streams, "certified");
         for i in 0..STREAK {
-            assert!(!serve(&h, s, true), "query {i} after the reset");
+            assert_eq!(
+                serve(&h, s, true),
+                Start::Streams,
+                "query {i} after the reset"
+            );
         }
-        assert!(serve(&h, s, true));
-        // A re-check that certifies ends the lost state.
-        while serve(&h, s, true) {}
+        assert_eq!(serve(&h, s, true), Start::Lost);
+        // A stream-first query that certifies ends the lost state.
         h.record(s, false);
-        assert!(!h.starts_lost(s));
-        assert!(!serve(&h, s, true));
+        assert_eq!(h.state(s), ShapeState::StreamsFirst);
+        assert_eq!(serve(&h, s, true), Start::Streams);
     }
 
     #[test]
@@ -224,13 +321,72 @@ mod tests {
         let h = VerdictHistory::default();
         let s = Shape::of(&query(&[1.0, 1.0]), 8);
         // The slot is taken by the first query (tick 1), so of the first
-        // 3 × RECHECK queries exactly the first STREAK and every multiple of
-        // RECHECK run stream-first.
-        let first: Vec<usize> = (1..=3 * RECHECK as usize)
-            .filter(|_| !serve(&h, s, true))
-            .collect();
+        // 3 × RECHECK queries the first STREAK run stream-first, every
+        // multiple of RECHECK is an audit — whose last shard runs
+        // stream-first — and every other one starts lost.
         let r = RECHECK as usize;
-        assert_eq!(first, [1, 2, 3, r, 2 * r, 3 * r]);
+        let starts: Vec<Start> = (0..3 * r).map(|_| serve(&h, s, true)).collect();
+        let at = |want: Start| -> Vec<usize> {
+            (1..)
+                .zip(&starts)
+                .filter(|(_, &st)| st == want)
+                .map(|(i, _)| i)
+                .collect()
+        };
+        assert_eq!(at(Start::Streams), [1, 2, 3]);
+        assert_eq!(at(Start::Audit), [r, 2 * r, 3 * r]);
+        assert_eq!(at(Start::Lost).len(), 3 * r - 6);
+    }
+
+    #[test]
+    fn a_scanning_audit_leaves_streak_and_tick() {
+        let h = VerdictHistory::default();
+        let s = Shape::of(&query(&[1.0, 0.5, 0.2]), 64);
+        for _ in 0..STREAK {
+            serve(&h, s, true);
+        }
+        while h.entry(s).unwrap().tick != RECHECK - 1 {
+            serve(&h, s, true);
+        }
+        assert_eq!(h.begin(s), Start::Audit);
+        let before = h.entry(s);
+        h.audited(s, true);
+        assert_eq!(h.entry(s), before, "the audit scanned: nothing moves");
+        assert_eq!(h.state(s), ShapeState::StartsLost);
+        // Still lost, and the next audit is RECHECK queries on.
+        for _ in 1..RECHECK {
+            assert_eq!(serve(&h, s, true), Start::Lost);
+        }
+        assert_eq!(serve(&h, s, true), Start::Audit);
+    }
+
+    #[test]
+    fn a_certifying_audit_runs_exactly_the_next_query_stream_first() {
+        let h = VerdictHistory::default();
+        let s = Shape::of(&query(&[1.0, 0.5, 0.2]), 64);
+        for _ in 0..STREAK {
+            serve(&h, s, true);
+        }
+        serve_to_audit(&h, s, false);
+        assert_eq!(h.state(s), ShapeState::AuditCertified);
+        // The next query runs stream-first; it scans, so its record keeps
+        // the shape lost and the query after it starts lost again.
+        assert_eq!(serve(&h, s, true), Start::Streams);
+        assert!(starts_lost(&h, s));
+        assert_eq!(serve(&h, s, true), Start::Lost);
+        // The next audit certifies too, and this time the stream-first
+        // query after it certifies: the streak resets.
+        serve_to_audit(&h, s, false);
+        assert_eq!(serve(&h, s, false), Start::Streams);
+        assert_eq!(h.state(s), ShapeState::StreamsFirst);
+        for i in 0..STREAK {
+            assert_eq!(
+                serve(&h, s, true),
+                Start::Streams,
+                "query {i} after the reset"
+            );
+        }
+        assert_eq!(serve(&h, s, true), Start::Lost);
     }
 
     #[test]
@@ -240,7 +396,7 @@ mod tests {
         for _ in 0..STREAK {
             serve(&h, base, true);
         }
-        assert!(h.starts_lost(base));
+        assert!(starts_lost(&h, base));
         // Any non-zero weights and any k in the same power-of-two bucket
         // share the shape …
         assert_eq!(Shape::of(&query(&[3.0, 0.1, 9.0]), 33), base);
@@ -252,10 +408,10 @@ mod tests {
             Shape::of(&query(&[1.0, 0.5, 0.2]), 32),
         ] {
             assert_ne!(other, base);
-            assert!(!h.starts_lost(other));
-            assert!(!serve(&h, other, true));
+            assert!(!starts_lost(&h, other));
+            assert_eq!(serve(&h, other, true), Start::Streams);
         }
-        assert!(h.starts_lost(base), "other shapes left it alone");
+        assert!(starts_lost(&h, base), "other shapes left it alone");
     }
 
     #[test]
@@ -268,20 +424,22 @@ mod tests {
         for _ in 0..STREAK {
             serve(&h, a, true);
         }
-        assert!(h.starts_lost(a));
-        // b reads a's slot as no history, and a certifying b leaves it alone.
-        assert!(!h.starts_lost(b));
-        assert!(!serve(&h, b, false));
-        assert!(h.starts_lost(a));
+        assert!(starts_lost(&h, a));
+        // b reads a's slot as no history, and a certifying b (or a
+        // certifying audit it never had) leaves it alone.
+        assert!(!starts_lost(&h, b));
+        assert_eq!(serve(&h, b, false), Start::Streams);
+        h.audited(b, false);
+        assert!(starts_lost(&h, a));
         // A scanning b takes the slot: a has no history then, so it too
         // runs stream-first, and never inherits b's streak.
-        assert!(!serve(&h, b, true));
-        assert!(!h.starts_lost(a));
+        assert_eq!(serve(&h, b, true), Start::Streams);
+        assert!(!starts_lost(&h, a));
         for _ in 1..STREAK {
             serve(&h, b, true);
         }
-        assert!(h.starts_lost(b));
-        assert!(!h.starts_lost(a), "a never reads b's streak");
-        assert!(!serve(&h, a, true));
+        assert!(starts_lost(&h, b));
+        assert!(!starts_lost(&h, a), "a never reads b's streak");
+        assert_eq!(serve(&h, a, true), Start::Streams);
     }
 }

@@ -131,7 +131,7 @@ pub mod mutation;
 pub use history::{RECHECK, STREAK};
 pub use mutation::{CompactionOptions, CompactionReport, MutationStats};
 
-use history::{Shape, VerdictHistory};
+use history::{Shape, Start, VerdictHistory};
 
 /// Tuning knobs for [`SdEngine::build_with`].
 #[derive(Debug, Clone)]
@@ -615,9 +615,14 @@ pub enum ShapeState {
     /// The next query of the shape runs its streams first.
     StreamsFirst,
     /// The shape's last [`STREAK`] stream-first queries scanned: its next
-    /// query starts lost, unless it is the shape's [`RECHECK`]-th, which
-    /// runs stream-first again.
+    /// query starts lost, unless it is the shape's [`RECHECK`]-th, an audit
+    /// whose last shard runs stream-first against the others' floor (a
+    /// one-shard engine's runs stream-first whole).
     StartsLost,
+    /// The shape's last audit certified: its next query runs its streams
+    /// first, and that query's verdict decides whether the shape stays
+    /// lost.
+    AuditCertified,
 }
 
 impl fmt::Display for ShapeState {
@@ -627,8 +632,9 @@ impl fmt::Display for ShapeState {
             ShapeState::StartsLost => write!(
                 f,
                 "starts lost: its last {STREAK} stream-first queries scanned; \
-                 every {RECHECK}th re-checks"
+                 every {RECHECK}th audits its last shard stream-first against the others' floor"
             ),
+            ShapeState::AuditCertified => f.write_str("streams first: its last audit certified"),
         }
     }
 }
@@ -847,13 +853,7 @@ impl SdEngine {
             .iter()
             .map(|shard| shard.plan(query))
             .collect::<Result<Vec<_>, _>>()?;
-        let shape = self.shape(query, k).map(|shape| {
-            if self.verdicts.starts_lost(shape) {
-                ShapeState::StartsLost
-            } else {
-                ShapeState::StreamsFirst
-            }
-        });
+        let shape = self.shape(query, k).map(|shape| self.verdicts.state(shape));
         Ok(Explain { plans, shape })
     }
 
@@ -1032,11 +1032,16 @@ impl SdEngine {
             .first()
             .and_then(|shard| shard.single_pair(query));
         // An aggregation whose shape lost its recent stream-first queries
-        // starts lost: every execution scans at its first round head, in
-        // either driver below.
+        // starts lost: every execution scans at its first round head —
+        // except, on the shape's audit, the last shard's, which runs
+        // stream-first once its siblings are done. A one-shard engine has no
+        // sibling floor to audit against: its audit is a stream-first query.
         let shape = self.shape(query, k);
-        let started_lost = shape.is_some_and(|shape| self.verdicts.begin(shape));
-        if started_lost {
+        let start = match shape.map(|shape| self.verdicts.begin(shape)) {
+            Some(Start::Audit) if s == 1 => Start::Streams,
+            start => start.unwrap_or(Start::Streams),
+        };
+        if start != Start::Streams {
             shared.start_lost();
         }
         let executed = if let Some(pair) = pair {
@@ -1055,55 +1060,29 @@ impl SdEngine {
             let shared = dirty.then_some(&shared);
             pair.walk(parts, k, &mut shard_scratches[0], shared)
                 .map(drop)
-        } else if w == 1 {
-            // The merged k-of-union floor (pre-seeded by the delta scan
-            // above) reaches the global k-th within a few slices, so every
-            // shard — including the first — terminates against a near-final
-            // floor instead of its own weaker local one (measured ≈ the
-            // oracle floor's cost, where strictly sequential shard
-            // execution leaves the first shard floorless).
-            let mut active = recycle_vec(std::mem::take(runs));
-            let driven = self.drive(
-                0,
-                query,
-                k,
-                mask,
-                &shared,
-                Some(floor),
-                shard_scratches,
-                &mut active,
-            );
-            *runs = recycle_vec(active);
-            driven
+        } else if start == Start::Audit {
+            let (lead, last) = shard_scratches.split_at_mut(s - 1);
+            let lead_w = w.min(s - 1);
+            self.aggregate(0, query, k, mask, &shared, floor, lead, runs, lead_w)
+                .and_then(|()| {
+                    // The audit shard starts from the k-th best of the
+                    // delta and of every lead shard's exact top k — the
+                    // merged floor one worker already tracked as it went.
+                    if lead_w > 1 {
+                        for qs in lead.iter() {
+                            for sp in qs.answers() {
+                                track_floor(floor, k, sp.score);
+                            }
+                        }
+                    }
+                    let audit = SharedThreshold::new();
+                    if floor.len() == k {
+                        audit.raise(floor.peek().expect("floor is non-empty").0 .0);
+                    }
+                    self.aggregate(s - 1, query, k, mask, &audit, floor, last, runs, 1)
+                })
         } else {
-            // Contiguous shard ranges per worker; the atomic threshold
-            // carries the global floor across workers.
-            let chunk = s.div_ceil(w);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_scratches
-                    .chunks_mut(chunk)
-                    .enumerate()
-                    .map(|(ci, scratches)| {
-                        let shared = &shared;
-                        scope.spawn(move || {
-                            let mut active = Vec::with_capacity(scratches.len());
-                            self.drive(
-                                ci * chunk,
-                                query,
-                                k,
-                                mask,
-                                shared,
-                                None,
-                                scratches,
-                                &mut active,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .try_for_each(|h| h.join().expect("shard worker panicked"))
-            })
+            self.aggregate(0, query, k, mask, &shared, floor, shard_scratches, runs, w)
         };
         // Fold the per-shard profiles into the engine-level one (unused
         // worker scratches were reset above and merge as zeros) — also when
@@ -1112,8 +1091,14 @@ impl SdEngine {
             profile.merge(&qs.profile);
         }
         executed?;
-        if let Some(shape) = shape.filter(|_| !started_lost) {
-            self.verdicts.record(shape, profile.scan_fallbacks > 0);
+        if let Some(shape) = shape {
+            match start {
+                Start::Streams => self.verdicts.record(shape, profile.scan_fallbacks > 0),
+                Start::Audit => self
+                    .verdicts
+                    .audited(shape, worker_scratches[s - 1].profile.scan_fallbacks > 0),
+                Start::Lost => {}
+            }
         }
         // A walk leaves one list, already in global ids (shard 0's offset is
         // 0), in the first scratch; an aggregation one list per shard.
@@ -1199,6 +1184,70 @@ impl SdEngine {
         }
         self.metrics.record_query(profile);
         Ok(())
+    }
+
+    /// Runs shard aggregations `first..first + scratches.len()` under
+    /// `shared`. One worker drives them all on the calling thread, keeping
+    /// the merged k-of-union floor in `floor` (pre-seeded by the delta scan):
+    /// it reaches the global k-th within a few slices, so every shard —
+    /// including the first — terminates against a near-final floor instead
+    /// of its own weaker local one (measured ≈ the oracle floor's cost, where
+    /// strictly sequential shard execution leaves the first shard
+    /// floorless). More workers take contiguous shard ranges and meet only
+    /// through `shared`'s atomic floor; `floor` is left as it came.
+    #[allow(clippy::too_many_arguments)] // internal: one body, three call sites
+    fn aggregate(
+        &self,
+        first: usize,
+        query: &SdQuery,
+        k: usize,
+        mask: Option<&RowMask>,
+        shared: &SharedThreshold,
+        floor: &mut BinaryHeap<Reverse<OrdF64>>,
+        scratches: &mut [QueryScratch],
+        runs: &mut Vec<ShardExecution<'static>>,
+        w: usize,
+    ) -> Result<(), SdError> {
+        if w == 1 {
+            let mut active = recycle_vec(std::mem::take(runs));
+            let driven = self.drive(
+                first,
+                query,
+                k,
+                mask,
+                shared,
+                Some(floor),
+                scratches,
+                &mut active,
+            );
+            *runs = recycle_vec(active);
+            return driven;
+        }
+        let chunk = scratches.len().div_ceil(w);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = scratches
+                .chunks_mut(chunk)
+                .enumerate()
+                .map(|(ci, scratches)| {
+                    scope.spawn(move || {
+                        let mut active = Vec::with_capacity(scratches.len());
+                        self.drive(
+                            first + ci * chunk,
+                            query,
+                            k,
+                            mask,
+                            shared,
+                            None,
+                            scratches,
+                            &mut active,
+                        )
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .try_for_each(|h| h.join().expect("shard worker panicked"))
+        })
     }
 
     /// The one way shard aggregations run: begins shard `first + j` out of
@@ -1596,6 +1645,40 @@ mod tests {
             rebuilt.explain(&q, 64).unwrap().shape,
             Some(ShapeState::StreamsFirst)
         );
+    }
+
+    #[test]
+    fn explain_names_the_audit_and_what_a_certifying_one_leaves() {
+        let (e, q) = scanning();
+        let mut scratch = EngineScratch::new();
+        for _ in 1..RECHECK {
+            e.query_with(&q, 64, &mut scratch).unwrap();
+        }
+        let lost = e.explain(&q, 64).unwrap().shape.unwrap();
+        assert_eq!(lost, ShapeState::StartsLost);
+        assert!(lost
+            .to_string()
+            .ends_with("every 16th audits its last shard stream-first against the others' floor"));
+        // The RECHECK-th query is the audit: three shards predicted, the
+        // last one's own scan, and the shape stays lost.
+        e.query_with(&q, 64, &mut scratch).unwrap();
+        let p = scratch.profile;
+        assert_eq!(
+            (p.scan_predicted, p.scan_inherited, p.scan_fallbacks),
+            (3, 0, 4)
+        );
+        assert_eq!(e.explain(&q, 64).unwrap().shape, Some(lost));
+        // Had it certified, the next query would run its streams first.
+        e.verdicts.audited(e.shape(&q, 64).unwrap(), false);
+        let certified = e.explain(&q, 64).unwrap().shape.unwrap();
+        assert_eq!(certified, ShapeState::AuditCertified);
+        assert_eq!(
+            certified.to_string(),
+            "streams first: its last audit certified"
+        );
+        e.query_with(&q, 64, &mut scratch).unwrap();
+        assert_eq!(scratch.profile.scan_predicted, 0);
+        assert_eq!(e.explain(&q, 64).unwrap().shape, Some(lost), "it scanned");
     }
 
     #[test]

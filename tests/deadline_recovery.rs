@@ -6,8 +6,8 @@
 //! buffers back, the typed error surfaces, the `deadline_exceeded` metric
 //! counts it, and the same [`EngineScratch`] answers the same query again
 //! bit-identically to a fresh one **without allocating at all**, like any
-//! warmed scratch — whether that query runs its streams first or starts
-//! lost.
+//! warmed scratch — whether that query runs its streams first, starts lost
+//! or is its shape's audit.
 //!
 //! The direct 2-D search — one certified frontier walk, no aggregation
 //! rounds — honours the same token at every pop, on a bare [`SdIndex`] and
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use sdq::core::multidim::SdIndex;
 use sdq::core::{CancelToken, Deadline, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine, STREAK};
+use sdq::engine::{EngineOptions, EngineScratch, SdEngine, RECHECK, STREAK};
 use sdq::{DimRole, ScoredPoint, SdError, SdQuery};
 
 struct CountingAlloc;
@@ -91,6 +91,10 @@ enum Trip {
     /// Inside a scan of a query that started lost: the engine's history
     /// sent every execution to its scan at its first round head.
     PredictedScan,
+    /// Inside the last shard of the shape's audit (its every RECHECK-th
+    /// query), run stream-first once the other three finished their
+    /// predicted scans.
+    Audit,
 }
 
 #[test]
@@ -159,11 +163,35 @@ fn tripped_scratch_recovers_without_reallocating() {
         "the shape started lost"
     );
     assert_eq!(steady, 0, "a warmed started-lost query allocates nothing");
+    // The shape's audit — three predicted scans, then the last shard's
+    // streams, longer than any it ran before — sets that path's marks, and
+    // the next audit allocates nothing.
+    for lap in 0..2 {
+        let before = if lap == 0 { STREAK + 2 } else { 0 };
+        for _ in before..RECHECK - 1 {
+            engine.query_with(&query, k, &mut scratch).unwrap();
+        }
+        let audit = count_allocs(|| {
+            assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
+        });
+        let p = scratch.profile;
+        assert_eq!((p.scan_predicted, p.scan_inherited), (3, 0), "audit {lap}");
+        if lap > 0 {
+            assert_eq!(audit, 0, "a warmed audit allocates nothing");
+        }
+    }
 
     // The sweep runs each budget on an engine with no history (the query
     // runs its streams first; a fresh one per budget, since the recovery
     // below lengthens its streak) and on the warmed one (the query starts
     // lost, but for its every RECHECK-th query).
+    // An audit trip is taken when the sweep happens on one, not sought.
+    let wanted = [
+        Trip::Aggregation,
+        Trip::Scan,
+        Trip::InheritedScan,
+        Trip::PredictedScan,
+    ];
     let mut seen = Vec::new();
     'sweep: for _attempt in 0..4 {
         for step in 1..48u32 {
@@ -180,6 +208,13 @@ fn tripped_scratch_recovers_without_reallocating() {
                             continue; // tripped before any execution stepped
                         } else if p.scan_fallbacks == 0 {
                             Trip::Aggregation
+                        } else if p.scan_predicted > 0 && p.emitted > 0 {
+                            // Only an audit finishes executions before one
+                            // trips: its three lead shards, each a predicted
+                            // scan, and at most the last shard's own scan.
+                            assert_eq!((p.scan_predicted, p.scan_inherited), (3, 0), "{p:?}");
+                            assert!(p.scan_fallbacks <= 4, "{p:?}");
+                            Trip::Audit
                         } else if p.scan_predicted > 0 {
                             assert!(p.scan_fallbacks <= 4 && p.emitted == 0);
                             assert_eq!(p.scan_fallbacks, p.scan_predicted, "{p:?}");
@@ -217,17 +252,14 @@ fn tripped_scratch_recovers_without_reallocating() {
                 if !seen.contains(&trip) {
                     seen.push(trip);
                 }
-                if seen.len() == 4 {
+                if wanted.iter().all(|t| seen.contains(t)) {
                     break 'sweep;
                 }
             }
         }
     }
     assert!(
-        seen.contains(&Trip::Aggregation)
-            && seen.contains(&Trip::Scan)
-            && seen.contains(&Trip::InheritedScan)
-            && seen.contains(&Trip::PredictedScan),
+        wanted.iter().all(|t| seen.contains(t)),
         "the sweep over {full:?} tripped only at {seen:?}"
     );
 }

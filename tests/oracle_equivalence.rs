@@ -14,7 +14,7 @@ use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
 use sdq::core::multidim::{PairAction, PairingStrategy, SdIndex, SdIndexOptions};
 use sdq::core::QueryProfile;
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine, STREAK};
+use sdq::engine::{EngineOptions, EngineScratch, SdEngine, RECHECK, STREAK};
 use sdq::store::Snapshot;
 use sdq::{Dataset, DimRole, PointId, ScoredPoint};
 
@@ -582,12 +582,17 @@ fn inherited_scans_merge_to_the_oracle() {
 /// tombstoned-plus-delta, built in memory and opened mapped (a fresh engine
 /// with no history, so it builds its own streak), on rows with exact
 /// duplicates and signed zeros — ties at the k-th score — and a query at a
-/// signed zero; and at k ≥ n.
+/// signed zero; and at k ≥ n. Every engine serves [`RECHECK`] + 1 queries,
+/// so each cell holds the shape's audit — every shard but the last started
+/// lost, the last stream-first against their floor (a one-shard engine's
+/// whole query) — and the query after it, stream-first when the audit
+/// certified.
 #[test]
 fn started_lost_queries_merge_to_the_oracle() {
     let dims = 6;
     let roles = roles_for(dims, 4);
     let streak = STREAK as usize;
+    let audit = RECHECK as usize - 1;
     let check = |rows: &[Vec<f64>], k: usize, queries: &[sdq::SdQuery], shards: &[usize]| {
         for &shards in shards {
             for threads in [1, 2] {
@@ -599,12 +604,30 @@ fn started_lost_queries_merge_to_the_oracle() {
                         let cell = format!(
                             "{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}, k {k}"
                         );
+                        assert_eq!(profiles.len(), audit + 2, "{cell}");
+                        let mut audit_certified = false;
                         for (i, p) in profiles.iter().enumerate() {
                             if i < streak {
                                 // Stream-first, and every one scans: the
                                 // streak that condemns the shape.
                                 assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
                                 assert!(p.scan_fallbacks > 0, "{cell}: query {i}");
+                            } else if i == audit {
+                                // The audit: the lead shards' scans are
+                                // predicted ones, and the last shard either
+                                // certifies or takes one scan of its own —
+                                // never an inherited one, as it runs under a
+                                // threshold of its own.
+                                assert_eq!(p.scan_predicted, shards as u64 - 1, "{cell}: audit");
+                                assert_eq!(p.scan_inherited, 0, "{cell}: audit");
+                                let own = p.scan_fallbacks - p.scan_predicted;
+                                assert!(own <= 1, "{cell}: audit {p:?}");
+                                audit_certified = own == 0;
+                            } else if i == audit + 1 && audit_certified {
+                                // A certifying audit runs the next query
+                                // stream-first (at one shard: its reset
+                                // streak does).
+                                assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
                             } else {
                                 // Started lost: one round per execution, and
                                 // every scan a predicted one.
@@ -634,7 +657,7 @@ fn started_lost_queries_merge_to_the_oracle() {
     for (i, row) in rows.iter_mut().enumerate().step_by(13) {
         row[i % dims] = if i % 2 == 0 { 0.0 } else { -0.0 };
     }
-    let mut queries = uniform_queries(2 * streak, dims, 0x1A9);
+    let mut queries = uniform_queries(RECHECK as usize + 1, dims, 0x1A9);
     queries[streak].point[0] = -0.0;
     queries[streak + 1].point[0] = 0.0;
     check(&rows, 64, &queries, &[1, 2, 4, 8]);
@@ -642,4 +665,65 @@ fn started_lost_queries_merge_to_the_oracle() {
     // k ≥ n: every live row is in the answer, and no floor ever forms.
     let small: Vec<Vec<f64>> = rows[..300].to_vec();
     check(&small, 340, &queries, &[1, 4]);
+}
+
+/// The audit's other outcome, against the oracle: rows that score far above
+/// the rest for one query point let the audit shard certify, and the
+/// shape's next query then runs every execution stream-first — where it
+/// scans again, so the one after it starts lost once more.
+#[test]
+fn a_certifying_audit_runs_the_next_query_stream_first() {
+    let dims = 6;
+    let roles = roles_for(dims, 4);
+    let streak = STREAK as usize;
+    let audit = RECHECK as usize - 1;
+    let mut rows: Vec<Vec<f64>> = generate(Distribution::AntiCorrelated, 8_000, dims, 0x1AA)
+        .iter()
+        .map(|(_, c)| c.to_vec())
+        .collect();
+    // 200 rows far out in every dimension, spread over every shard: the
+    // worst rows for a query inside the unit cube, and the best by far —
+    // ranked alike by every stream — for one whose attractive coordinates
+    // are theirs. Their order is shuffled across the shards, so the lead
+    // shards' top k sets a floor the audit shard's best rows clear.
+    for (j, i) in (0..rows.len()).step_by(rows.len() / 200).enumerate() {
+        for (d, x) in rows[i].iter_mut().enumerate() {
+            *x = if d < 4 {
+                1000.0
+            } else {
+                20.0 + 0.01 * (j * 37 % 200) as f64
+            };
+        }
+    }
+    let mut queries = uniform_queries(audit + 3, dims, 0x1AB);
+    queries[audit] = sdq::SdQuery::new(
+        vec![1000.0, 1000.0, 1000.0, 1000.0, 0.5, 0.5],
+        vec![1.0; dims],
+    )
+    .unwrap();
+    for shards in [2, 4, 8] {
+        for threads in [1, 2] {
+            for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
+                for serve in [Serve::Owned, Serve::Mapped] {
+                    let profiles = scans_match_the_oracle(
+                        &rows, &roles, shards, threads, dirt, serve, 64, &queries,
+                    );
+                    let cell =
+                        format!("{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}");
+                    let started =
+                        |i: usize| (profiles[i].scan_predicted, profiles[i].scan_fallbacks);
+                    for i in 0..streak {
+                        assert_eq!(started(i).0, 0, "{cell}: query {i}");
+                        assert!(started(i).1 > 0, "{cell}: query {i}");
+                    }
+                    let lead = shards as u64 - 1;
+                    assert_eq!(started(audit), (lead, lead), "{cell}: the audit certified");
+                    assert_eq!(started(audit + 1).0, 0, "{cell}: stream-first after it");
+                    assert!(started(audit + 1).1 > 0, "{cell}: and it scanned");
+                    let all = shards as u64;
+                    assert_eq!(started(audit + 2), (all, all), "{cell}: lost again");
+                }
+            }
+        }
+    }
 }
