@@ -226,9 +226,9 @@
 //! recorded (`sdq-engine`'s `history` holds why that verdict is sound).
 //! One shard's stream phase where a re-check paid four: on `agg_6d` (8 s
 //! runs of the unmodified benchmark, 16 pairs — 10 parent first, seeds
-//! 351–360, and 6 change first, 361–366 — two workers, 2-core VM) p95 went
-//! 416.1 → 337.0 µs (0.81×, 16 of 16 pairs; parent quartiles 404 / 428)
-//! while p50 read 279.0 → 288.5 with the change second and 287.5 → 282.3
+//! 351–360, and 6 change first, 361–366 — one worker, as the benchmark's
+//! engine runs `threads: 1`, 2-core VM) p95 went 416.1 → 337.0 µs (0.81×,
+//! 16 of 16 pairs; parent quartiles 404 / 428) while p50 read 279.0 → 288.5 with the change second and 287.5 → 282.3
 //! with it first, the run order's bias either way. Lap 0 of a traced run
 //! (seed 1) reads `blocks_popped_per_q` 9.90 → 6.22, `rounds_per_q` 8.95 →
 //! 7.11 and `rows_fetched_per_q` 99.28k → 99.37k: the lead shards scan
@@ -236,7 +236,12 @@
 //! streams' rows. With re-checks off entirely (`RECHECK` = 255, a scratch
 //! build; seeds 381–384, alternating with the audit) p95 read 277–350 µs
 //! (one noisy run 402) against the audit's 328–348, so the audit takes
-//! most of what the re-check cost.
+//! most of what the re-check cost. Only that one-worker audit is measured,
+//! so only a one-worker engine audits: with more workers the lead shards'
+//! scans and then the audit shard's streams would run one after the other
+//! where a full re-check runs every shard's side by side, and the shape's
+//! re-check stays a stream-first query (as at one shard, which has no
+//! sibling floor).
 //!
 //! Why 3 and 16, over 512 queries per shape (one engine, 4 shards; started
 //! lost / of them needless — the query would have certified — / stream

@@ -616,8 +616,8 @@ pub enum ShapeState {
     StreamsFirst,
     /// The shape's last [`STREAK`] stream-first queries scanned: its next
     /// query starts lost, unless it is the shape's [`RECHECK`]-th, an audit
-    /// whose last shard runs stream-first against the others' floor (a
-    /// one-shard engine's runs stream-first whole).
+    /// whose last shard runs stream-first against the others' floor (at one
+    /// shard or more than one worker, the audit runs stream-first whole).
     StartsLost,
     /// The shape's last audit certified: its next query runs its streams
     /// first, and that query's verdict decides whether the shape stays
@@ -1035,10 +1035,12 @@ impl SdEngine {
         // starts lost: every execution scans at its first round head —
         // except, on the shape's audit, the last shard's, which runs
         // stream-first once its siblings are done. A one-shard engine has no
-        // sibling floor to audit against: its audit is a stream-first query.
+        // sibling floor to audit against, and several workers would queue
+        // the last shard's streams behind scans a full re-check runs beside
+        // them: either way the audit is a stream-first query.
         let shape = self.shape(query, k);
         let start = match shape.map(|shape| self.verdicts.begin(shape)) {
-            Some(Start::Audit) if s == 1 => Start::Streams,
+            Some(Start::Audit) if s == 1 || w > 1 => Start::Streams,
             start => start.unwrap_or(Start::Streams),
         };
         if start != Start::Streams {
@@ -1061,20 +1063,11 @@ impl SdEngine {
             pair.walk(parts, k, &mut shard_scratches[0], shared)
                 .map(drop)
         } else if start == Start::Audit {
+            // One worker: the audit shard starts from the merged floor it
+            // tracked through the delta and every lead shard's exact top k.
             let (lead, last) = shard_scratches.split_at_mut(s - 1);
-            let lead_w = w.min(s - 1);
-            self.aggregate(0, query, k, mask, &shared, floor, lead, runs, lead_w)
+            self.aggregate(0, query, k, mask, &shared, floor, lead, runs, 1)
                 .and_then(|()| {
-                    // The audit shard starts from the k-th best of the
-                    // delta and of every lead shard's exact top k — the
-                    // merged floor one worker already tracked as it went.
-                    if lead_w > 1 {
-                        for qs in lead.iter() {
-                            for sp in qs.answers() {
-                                track_floor(floor, k, sp.score);
-                            }
-                        }
-                    }
                     let audit = SharedThreshold::new();
                     if floor.len() == k {
                         audit.raise(floor.peek().expect("floor is non-empty").0 .0);

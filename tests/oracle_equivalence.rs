@@ -583,10 +583,10 @@ fn inherited_scans_merge_to_the_oracle() {
 /// with no history, so it builds its own streak), on rows with exact
 /// duplicates and signed zeros — ties at the k-th score — and a query at a
 /// signed zero; and at k ≥ n. Every engine serves [`RECHECK`] + 1 queries,
-/// so each cell holds the shape's audit — every shard but the last started
-/// lost, the last stream-first against their floor (a one-shard engine's
-/// whole query) — and the query after it, stream-first when the audit
-/// certified.
+/// so each cell holds the shape's audit — at one worker every shard but the
+/// last started lost, the last stream-first against their floor; at one
+/// shard or two workers the whole query stream-first — and the query after
+/// it, stream-first when the audit certified.
 #[test]
 fn started_lost_queries_merge_to_the_oracle() {
     let dims = 6;
@@ -613,20 +613,25 @@ fn started_lost_queries_merge_to_the_oracle() {
                                 assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
                                 assert!(p.scan_fallbacks > 0, "{cell}: query {i}");
                             } else if i == audit {
-                                // The audit: the lead shards' scans are
-                                // predicted ones, and the last shard either
-                                // certifies or takes one scan of its own —
-                                // never an inherited one, as it runs under a
-                                // threshold of its own.
-                                assert_eq!(p.scan_predicted, shards as u64 - 1, "{cell}: audit");
-                                assert_eq!(p.scan_inherited, 0, "{cell}: audit");
+                                // The audit: at one worker the lead shards'
+                                // scans are predicted ones, and the last
+                                // shard either certifies or takes one scan
+                                // of its own — never an inherited one, as it
+                                // runs under a threshold of its own. One
+                                // shard or two workers run every execution
+                                // stream-first instead.
+                                let lead = if threads == 1 { shards as u64 - 1 } else { 0 };
+                                assert_eq!(p.scan_predicted, lead, "{cell}: audit");
                                 let own = p.scan_fallbacks - p.scan_predicted;
-                                assert!(own <= 1, "{cell}: audit {p:?}");
+                                if lead > 0 {
+                                    assert_eq!(p.scan_inherited, 0, "{cell}: audit");
+                                    assert!(own <= 1, "{cell}: audit {p:?}");
+                                }
                                 audit_certified = own == 0;
                             } else if i == audit + 1 && audit_certified {
                                 // A certifying audit runs the next query
-                                // stream-first (at one shard: its reset
-                                // streak does).
+                                // stream-first (at one shard or two workers:
+                                // its reset streak does).
                                 assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
                             } else {
                                 // Started lost: one round per execution, and
@@ -670,7 +675,8 @@ fn started_lost_queries_merge_to_the_oracle() {
 /// The audit's other outcome, against the oracle: rows that score far above
 /// the rest for one query point let the audit shard certify, and the
 /// shape's next query then runs every execution stream-first — where it
-/// scans again, so the one after it starts lost once more.
+/// scans again, so the one after it starts lost once more. At two workers
+/// the same query is a full stream-first re-check.
 #[test]
 fn a_certifying_audit_runs_the_next_query_stream_first() {
     let dims = 6;
@@ -716,11 +722,20 @@ fn a_certifying_audit_runs_the_next_query_stream_first() {
                         assert_eq!(started(i).0, 0, "{cell}: query {i}");
                         assert!(started(i).1 > 0, "{cell}: query {i}");
                     }
-                    let lead = shards as u64 - 1;
+                    let all = shards as u64;
+                    if threads > 1 {
+                        // Two workers re-check every shard stream-first, and
+                        // its record decides the next query: stream-first
+                        // when every shard certified, lost otherwise.
+                        assert_eq!(started(audit).0, 0, "{cell}: the re-check");
+                        let next = if started(audit).1 == 0 { 0 } else { all };
+                        assert_eq!(started(audit + 1).0, next, "{cell}: after it");
+                        continue;
+                    }
+                    let lead = all - 1;
                     assert_eq!(started(audit), (lead, lead), "{cell}: the audit certified");
                     assert_eq!(started(audit + 1).0, 0, "{cell}: stream-first after it");
                     assert!(started(audit + 1).1 > 0, "{cell}: and it scanned");
-                    let all = shards as u64;
                     assert_eq!(started(audit + 2), (all, all), "{cell}: lost again");
                 }
             }
