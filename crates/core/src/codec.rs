@@ -26,8 +26,8 @@
 //! * an eager open ([`decode_from_slice`], `Snapshot::load` / `from_bytes`,
 //!   `DurableEngine::open`) verifies every region checksum and then runs
 //!   [`Codec::verify_decoded`] — the same structural checks plus the
-//!   content checks only an eager open makes (finite coordinates, block
-//!   lanes and column values, ascending columns) — before it returns, and
+//!   content checks only an eager open makes (finite coordinates and block
+//!   lanes) — before it returns, and
 //!   drops the lazy sets so later queries pay nothing.
 //!
 //! Decoding is **panic-free by contract**: every length is bounds-checked
@@ -68,7 +68,7 @@ use std::sync::Arc;
 
 use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
-use crate::multidim::{DimPair, PairingStrategy, SdIndex, SortedColumn};
+use crate::multidim::{DimPair, PairingStrategy, SdIndex};
 use crate::topk::blocks::BlockSet;
 use crate::types::{Dataset, SdError};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
@@ -819,52 +819,22 @@ impl Codec for DimPair {
     }
 }
 
-impl Codec for SortedColumn {
-    const MIN_ENCODED_BYTES: usize = 8;
-    fn encode(&self, w: &mut Writer) {
-        w.pod_array(&self.values);
-        w.pod_array(&self.rows);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let (values, _) = r.pod_array::<f64>("values")?;
-        let (rows, _) = r.pod_array::<u32>("rows")?;
-        ensure(values.len() == rows.len(), || {
-            format!("{} values for {} row tags", values.len(), rows.len())
-        })?;
-        Ok(SortedColumn::from_parts(values, rows))
-    }
-    /// Row ids are checked against the dataset by the owning [`SdIndex`].
-    fn verify_decoded(&mut self) -> Result<()> {
-        finite_slice(&self.values, "column value")?;
-        ensure(ascending(&self.values), || {
-            "sorted column out of order".to_string()
-        })
-    }
-}
-
 /// The structural validation of `SdIndex::decode`: everything that can be
-/// judged from metadata and table shapes. The block-table census and the
-/// scan of every sorted column's row ids read array contents, so they run
-/// after the region checksums pass (`SdIndex::verify_integrity`).
+/// judged from metadata and table shapes. The block-table census reads
+/// array contents, so it runs after the region checksums pass
+/// (`SdIndex::verify_integrity`).
 fn validate_sd_parts(
     data: &Dataset,
     roles: &[DimRole],
     pairs: &[DimPair],
     unpaired: &[usize],
     pair_blocks: &[BlockSet],
-    columns: &[SortedColumn],
+    extents: &[(f64, f64)],
 ) -> Result<()> {
     let dims = data.dims();
     let n = data.len();
     ensure(roles.len() == dims, || {
         format!("{} roles for {dims} dimensions", roles.len())
-    })?;
-    ensure(columns.len() == unpaired.len(), || {
-        format!(
-            "{} columns for {} unpaired dimensions",
-            columns.len(),
-            unpaired.len()
-        )
     })?;
     let mut used = vec![false; dims];
     let mut mark = |d: usize| -> Result<()> {
@@ -898,18 +868,40 @@ fn validate_sd_parts(
             )
         })?;
     }
-    for (i, column) in columns.iter().enumerate() {
-        ensure(column.len() == n, || {
-            format!("column {i} holds {} entries for {n} rows", column.len())
+    for (&d, &(lo, hi)) in unpaired.iter().zip(extents) {
+        ensure(lo.is_finite() && hi.is_finite() && lo <= hi, || {
+            format!("unpaired dimension {d}: extent [{lo}, {hi}]")
         })?;
     }
     Ok(())
 }
 
+/// An older file's sorted column, read for its extent: the first and last
+/// of its values, which must ascend (`(0, 0)` with no rows). Both regions
+/// stay in the reader's list, so their checksums are verified like any
+/// other.
+fn legacy_column_extent(r: &mut Reader<'_>, n: usize) -> Result<(f64, f64)> {
+    let (values, _) = r.pod_array::<f64>("values")?;
+    let (rows, _) = r.pod_array::<u32>("rows")?;
+    ensure(values.len() == n && rows.len() == n, || {
+        format!("{} values and {} rows for {n} rows", values.len(), rows.len())
+    })?;
+    ensure(ascending(&values), || "sorted column out of order".to_string())?;
+    Ok(match (values.first(), values.last()) {
+        (Some(&lo), Some(&hi)) => (lo, hi),
+        _ => (0.0, 0.0),
+    })
+}
+
 /// Section layout: one metadata region (roles / pairing strategy / pairs /
-/// unpaired — every count below derives from these), the dataset's regions,
-/// each pair's §4 index (`meta` + `blocks.*`) under a `pair{i}` prefix, then
-/// each sorted column's regions under `col{i}`.
+/// unpaired — every count below derives from these — then one `(lo, hi)`
+/// extent per unpaired dimension), the dataset's regions, then each pair's
+/// §4 index (`meta` + `blocks.*`) under a `pair{i}` prefix. An index with
+/// nothing unpaired writes no extent, so its bytes are what they were when
+/// unpaired dimensions were sorted columns. A file of that older layout
+/// (no extents in `index.meta`, one `col{i}/values` + `col{i}/rows` pair of
+/// regions after the pairs) still decodes: each column's first and last
+/// values are its extent.
 impl Codec for SdIndex {
     fn encode(&self, w: &mut Writer) {
         w.meta_region(|m| {
@@ -917,24 +909,29 @@ impl Codec for SdIndex {
             self.pairing.encode(m);
             self.pairs.encode(m);
             self.unpaired.encode(m);
+            for &(lo, hi) in &self.extents {
+                m.f64(lo);
+                m.f64(hi);
+            }
         });
         self.data.as_ref().encode(w);
         for blocks in &self.pair_blocks {
             blocks.encode(w);
         }
-        for column in &self.columns {
-            column.encode(w);
-        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let (roles, pairing, pairs, unpaired) = r.meta_region("index.meta", |m| {
-            Ok((
-                Vec::<DimRole>::decode(m)?,
-                PairingStrategy::decode(m)?,
-                Vec::<DimPair>::decode(m)?,
-                Vec::<usize>::decode(m)?,
-            ))
+        let (roles, pairing, pairs, unpaired, extents) = r.meta_region("index.meta", |m| {
+            let roles = Vec::<DimRole>::decode(m)?;
+            let pairing = PairingStrategy::decode(m)?;
+            let pairs = Vec::<DimPair>::decode(m)?;
+            let unpaired = Vec::<usize>::decode(m)?;
+            let extents = if m.is_exhausted() {
+                None
+            } else {
+                Some(unpaired.iter().map(|_| Ok((m.f64()?, m.f64()?))).collect::<Result<_>>()?)
+            };
+            Ok((roles, pairing, pairs, unpaired, extents))
         })?;
         let mark = r.regions.len();
         let data = Dataset::decode(r)?;
@@ -945,17 +942,21 @@ impl Codec for SdIndex {
             r.pop_prefix(token);
             pair_blocks.push(blocks?);
         }
-        let mut columns = Vec::with_capacity(unpaired.len());
-        for i in 0..unpaired.len() {
-            let token = r.push_prefix(&format!("col{i}"));
-            let column = SortedColumn::decode(r);
-            r.pop_prefix(token);
-            columns.push(column?);
-        }
-        validate_sd_parts(&data, &roles, &pairs, &unpaired, &pair_blocks, &columns)?;
+        let extents: Vec<(f64, f64)> = match extents {
+            Some(extents) => extents,
+            None => (0..unpaired.len())
+                .map(|i| {
+                    let token = r.push_prefix(&format!("col{i}"));
+                    let extent = legacy_column_extent(r, data.len());
+                    r.pop_prefix(token);
+                    extent
+                })
+                .collect::<Result<_>>()?,
+        };
+        validate_sd_parts(&data, &roles, &pairs, &unpaired, &pair_blocks, &extents)?;
         // Every region past `index.meta` is one a query reads: coordinates
-        // to score candidates, block tables to walk the pairs, column tables
-        // to stream 1-D subproblems.
+        // to score candidates, block tables to walk the pairs (and an older
+        // file's columns, whose checksums still guard its extents).
         let query_integrity: Vec<Arc<SectionIntegrity>> = r.regions[mark..].to_vec();
         Ok(SdIndex {
             data: Arc::new(data),
@@ -964,7 +965,7 @@ impl Codec for SdIndex {
             pairs,
             unpaired,
             pair_blocks,
-            columns,
+            extents,
             query_integrity,
             mapped_check: Arc::new(std::sync::OnceLock::new()),
         })
@@ -977,9 +978,6 @@ impl Codec for SdIndex {
         finite_slice(self.data.flat(), "coordinate")?;
         for blocks in &self.pair_blocks {
             blocks.check_finite()?;
-        }
-        for column in &mut self.columns {
-            column.verify_decoded()?;
         }
         self.query_integrity = Vec::new();
         Ok(())

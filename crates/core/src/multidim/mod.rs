@@ -3,14 +3,24 @@
 //!
 //! The SD-score (Eqn. 3) is re-expressed as Eqn. 10: `min(|D|, |S|)`
 //! repulsive↔attractive 2-D subproblems — each served by a stored §4 index
-//! (see [`crate::topk`]) — plus 1-D subproblems for the leftover dimensions.
-//! Every subproblem yields points in non-increasing subscore order together with
+//! (see [`crate::topk`]) — plus the leftover dimensions. Every pair
+//! subproblem yields points in non-increasing subscore order together with
 //! an admissible bound; the aggregation loop fetches the per-subproblem
 //! tops, scores fetched points exactly on the *full* query, and stops once
 //! the k-th best exact score reaches the threshold `τ = Σ` (per-stream
 //! bounds) — the TA stopping rule, guaranteed optimal, but with two
 //! dimensions per subproblem, which is the source of the paper's
 //! scalability edge over classic TA (§6.2).
+//!
+//! A leftover (unpaired) dimension gets no stream. The paper serves it with
+//! a 1-D sorted list, but a 1-D stream surfaces one row a round beside a
+//! pair's 32-row block, so its bound barely moves before the query ends.
+//! Instead the index keeps each unpaired dimension's extent `[lo, hi]` over
+//! its rows and adds one constant to `τ` and to every pair stream's
+//! pruning bar: `w·max(|hi − q|, |q − lo|)` for a repulsive dimension,
+//! `−w·dist(q, [lo, hi])` for an attractive one ([`SdIndex`]'s
+//! `extent_bound`). The 1-D streams stay for the adapted-TA baseline
+//! ([`threshold_aggregate_with`]).
 //!
 //! ## Execution model
 //!
@@ -63,7 +73,6 @@ pub use pairing::{pair_dimensions, DimPair, PairingStrategy};
 pub use plan::{PairAction, PairPlan, QueryPlan};
 pub use stream1d::{AttractiveStream, RepulsiveStream, SortedColumn};
 
-use crate::codec::first_bad;
 use crate::deadline::Deadline;
 use crate::geometry::Angle;
 use crate::integrity::SectionIntegrity;
@@ -81,7 +90,8 @@ use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
 
 /// One subproblem of the §5 decomposition, as a closed enum so the
-/// aggregation inner loop is fully devirtualized.
+/// aggregation inner loop is fully devirtualized. An [`SdIndex`] assembles
+/// only pair streams; the 1-D ones are the adapted-TA baseline's.
 //
 // The 2-D variant is much larger than the 1-D ones, but boxing it would
 // reintroduce the very per-query allocation this enum removes; the enum
@@ -179,7 +189,7 @@ impl Default for SdIndexOptions {
 }
 
 /// The multi-dimensional SD-Query index (§5): one bulk-loaded §4 index per
-/// pair plus sorted columns for unpaired dimensions, aggregated under a
+/// pair plus the extent of every unpaired dimension, aggregated under a
 /// TA-style threshold at query time.
 ///
 /// Dimension *roles* are fixed at build time (they determine the pairing
@@ -198,14 +208,16 @@ pub struct SdIndex {
     /// One §4 index per pair over the projection `(x = attractive, y =
     /// repulsive)` of `data`; its point slots are dataset rows.
     pub(crate) pair_blocks: Vec<BlockSet>,
-    pub(crate) columns: Vec<SortedColumn>,
+    /// `(lo, hi)` of each unpaired dimension over this index's rows, in
+    /// `unpaired` order (`(0, 0)` when there are no rows).
+    pub(crate) extents: Vec<(f64, f64)>,
     /// Lazily verified CRC regions of this index when it was decoded lazily
-    /// (`open_mapped`): the dataset coordinate table, every pair's block
-    /// tables and every unpaired sorted column. Empty for built or eagerly
-    /// loaded indexes.
+    /// (`open_mapped`): the dataset coordinate table and every pair's block
+    /// tables (and an older file's sorted columns). Empty for built or
+    /// eagerly loaded indexes.
     pub(crate) query_integrity: Vec<Arc<SectionIntegrity>>,
     /// Once-shot content validation of a decode (block-table census, slot
-    /// and column row ids in range) — run after the CRCs pass: on the first
+    /// ids in range) — run after the CRCs pass: on the first
     /// query of a lazy open, before an eager one returns. `Some(detail)` is
     /// a sticky corruption verdict.
     pub(crate) mapped_check: Arc<OnceLock<Option<String>>>,
@@ -247,10 +259,7 @@ impl SdIndex {
             pts.extend(data.iter().map(|(_, c)| (c[p.attractive], c[p.repulsive])));
             pair_blocks.push(BlockSet::build(&pts, 0..data.len() as u32, &angles));
         }
-        let columns = unpaired
-            .iter()
-            .map(|&d| SortedColumn::new(&data.column(d)))
-            .collect();
+        let extents = unpaired.iter().map(|&d| extent(&data.column(d))).collect();
         Ok(SdIndex {
             data,
             roles: roles.to_vec(),
@@ -258,7 +267,7 @@ impl SdIndex {
             pairs,
             unpaired,
             pair_blocks,
-            columns,
+            extents,
             query_integrity: Vec::new(),
             mapped_check: Arc::new(OnceLock::new()),
         })
@@ -292,22 +301,13 @@ impl SdIndex {
     }
 
     /// The content checks of a decode that keep a forged-but-checksummed
-    /// file from indexing out of bounds: every pair's block-table census
-    /// and every sorted column's row ids against the dataset.
+    /// file from indexing out of bounds: every pair's block-table census.
     fn check_ids(&self) -> Result<(), String> {
         let n = self.data.len();
         for (pi, blocks) in self.pair_blocks.iter().enumerate() {
             blocks
                 .validate_structure(n)
                 .map_err(|e| format!("pair {pi}: {e}"))?;
-        }
-        for (ci, column) in self.columns.iter().enumerate() {
-            if let Some(i) = first_bad(&column.rows, |&row| row as usize >= n) {
-                let row = column.rows[i];
-                return Err(format!(
-                    "sorted column {ci}: row id {row} out of range for {n} rows"
-                ));
-            }
         }
         Ok(())
     }
@@ -327,7 +327,7 @@ impl SdIndex {
         &self.pairs
     }
 
-    /// Dimensions served by 1-D subproblems.
+    /// Dimensions left over after pairing, bounded by their extents.
     pub fn unpaired(&self) -> &[usize] {
         &self.unpaired
     }
@@ -339,11 +339,26 @@ impl SdIndex {
             .iter()
             .map(BlockSet::memory_bytes)
             .sum::<usize>()
-            + self
-                .columns
-                .iter()
-                .map(SortedColumn::memory_bytes)
-                .sum::<usize>()
+            + std::mem::size_of_val(&self.extents[..])
+    }
+
+    /// What the unpaired dimensions can add to the score of any row of this
+    /// index under `query`: each dimension's subscore at the row of its
+    /// extent that serves it best — `w·max(|hi − q|, |q − lo|)` for a
+    /// repulsive one, `−w·dist(q, [lo, hi])` for an attractive one. Each
+    /// term is computed as the kernels compute a row's (one subtraction,
+    /// one product), and rounding is monotone, so it is never below any
+    /// row's term; `0` with nothing unpaired.
+    fn extent_bound(&self, query: &SdQuery) -> f64 {
+        let mut bound = 0.0;
+        for (&d, &(lo, hi)) in self.unpaired.iter().zip(&self.extents) {
+            let (q, w) = (query.point[d], query.weights[d]);
+            bound += match self.roles[d] {
+                DimRole::Repulsive => w * (hi - q).abs().max((q - lo).abs()),
+                DimRole::Attractive => -(w * (lo - q).max(q - hi).max(0.0)),
+            };
+        }
+        bound
     }
 
     /// `(blocks, resident bytes)` of the per-pair §4 indexes, summed.
@@ -386,7 +401,7 @@ impl SdIndex {
                 }
             })
             .collect();
-        let unpaired_streams = self
+        let unpaired_extents = self
             .unpaired
             .iter()
             .filter(|&&d| query.weights[d] != 0.0)
@@ -394,7 +409,7 @@ impl SdIndex {
         Ok(QueryPlan {
             direct: self.single_pair(query).is_some(),
             pairs,
-            unpaired_streams,
+            unpaired_extents,
             scan_budget: plan::scan_budget(self.data.len()),
         })
     }
@@ -529,8 +544,8 @@ impl SdIndex {
         self.verify_integrity()
     }
 
-    /// [`SdIndex::begin_query`] past validation: this index's streams under
-    /// this index's fetch budget.
+    /// [`SdIndex::begin_query`] past validation: this index's streams and
+    /// extent bound under this index's fetch budget.
     fn begin<'i>(
         &'i self,
         query: &'i SdQuery,
@@ -550,6 +565,7 @@ impl SdIndex {
             query,
             k,
             streams,
+            self.extent_bound(query),
             mask,
             plan::scan_budget(n),
             scratch,
@@ -570,18 +586,18 @@ impl SdIndex {
         }
     }
 
-    /// Assembles the subproblem streams for one query into the scratch's
-    /// recycled buffer, one planner decision per pair. Zero-weight streams
-    /// contribute neither bounds nor useful candidates and are dropped
-    /// outright, so a query whose weights are all zero has no stream at all
-    /// — and its execution scans from the start (see [`aggregate_rounds`]).
+    /// Assembles the pair streams for one query into the scratch's recycled
+    /// buffer, one planner decision per pair. Zero-weight pairs contribute
+    /// neither bounds nor useful candidates and are dropped outright, so a
+    /// query whose pair weights are all zero has no stream at all — and its
+    /// execution scans from the start (see [`aggregate_rounds`]).
     fn assemble_streams<'i>(
         &'i self,
         query: &SdQuery,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<Subproblem<'i>>, SdError> {
         let mut streams = scratch.stream_buf();
-        streams.reserve(self.pairs.len() + self.unpaired.len());
+        streams.reserve(self.pairs.len());
         for (pair, blocks) in self.pairs.iter().zip(&self.pair_blocks) {
             let alpha = query.weights[pair.repulsive];
             let beta = query.weights[pair.attractive];
@@ -609,18 +625,17 @@ impl SdIndex {
                 }
             }
         }
-        for (column, &dim) in self.columns.iter().zip(&self.unpaired) {
-            let w = query.weights[dim];
-            if w == 0.0 {
-                continue;
-            }
-            let q = query.point[dim];
-            match self.roles[dim] {
-                DimRole::Repulsive => streams.push(Subproblem::repulsive(column, q, w)),
-                DimRole::Attractive => streams.push(Subproblem::attractive(column, q, w)),
-            }
-        }
         Ok(streams)
+    }
+}
+
+/// `(lo, hi)` of a column's values; `(0, 0)` for an empty column.
+pub(crate) fn extent(values: &[f64]) -> (f64, f64) {
+    match values.split_first() {
+        Some((&first, rest)) => rest
+            .iter()
+            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
+        None => (0.0, 0.0),
     }
 }
 
@@ -1016,8 +1031,8 @@ fn emit_pooled(
 /// complete (the answer buffer holds the canonical top `k_eff`, unsorted).
 ///
 /// Exact and **canonical**: a candidate is emitted only when its exact full
-/// score is strictly above the (FP-inflated) threshold `τ = Σ` stream
-/// bounds, so score ties always resolve through the pool's
+/// score is strictly above the (FP-inflated) threshold `τ` — the
+/// execution's extent bound plus every stream's bound — so score ties always resolve through the pool's
 /// `(score, Reverse(row))` order — smallest row first — independent of
 /// stream fetch order. Two further stop rules terminate early without
 /// breaking canonicity (see [`query_blocks_with`] for the argument):
@@ -1030,7 +1045,9 @@ fn emit_pooled(
 /// ([`score_rows_batched`]). Block streams additionally receive a
 /// per-stream floor-pruning threshold (`k`-th-score floor minus the other
 /// streams' bounds), so whole blocks certifiably outside the top-k are
-/// rejected before any of their points is scored.
+/// rejected before any of their points is scored. The extent bound (the
+/// unpaired dimensions' constant, `0` for the TA baseline) is one more
+/// term of `τ` and of every stream's "other bounds".
 ///
 /// The execution's `scan_budget` bounds what the loop may spend on fetching: an iteration
 /// that finds the query neither certified nor floor-terminated after more
@@ -1045,9 +1062,10 @@ fn emit_pooled(
 /// exit first, or by the engine before round one
 /// ([`SharedThreshold::verdict`], read after the emit and floor checks);
 /// every trigger reaches the one call, which marks the handle lost in turn.
-/// An execution with no stream — a query whose weights are all zero —
-/// starts lost on its own and scans at its first round head, counted as
-/// `scan_predicted`. Otherwise `usize::MAX` never scans: the paper's pure
+/// An execution with no stream — a query whose pair weights are all zero,
+/// or an index with no pair — starts lost on its own and scans at its
+/// first round head, counted as `scan_predicted`, unless the floor already
+/// beats its `τ`, the extent bound alone. Otherwise `usize::MAX` never scans: the paper's pure
 /// threshold aggregation.
 ///
 /// `on_score` observes the exact full score of every newly fetched
@@ -1073,6 +1091,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
         k_eff,
         publish,
         streams,
+        extent_bound,
         mask,
         pool,
         seen,
@@ -1088,7 +1107,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
         probe,
         done: _,
     } = exec;
-    let (data, roles, query) = (*data, *roles, *query);
+    let (data, roles, query, extent_bound) = (*data, *roles, *query, *extent_bound);
     let (k_eff, publish, mask, scan_budget) = (*k_eff, *publish, *mask, *scan_budget);
     // Fixed-size after the first call: no steady-state allocation.
     gather.resize(data.dims() * LANES, 0.0);
@@ -1117,7 +1136,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
 
         // Threshold over rows unseen by *every* stream; per-stream bounds
         // staged for the block-pruning thresholds below.
-        let mut tau = 0.0;
+        let mut tau = extent_bound;
         let mut any_drained = false;
         fbuf.clear();
         for s in streams.iter() {
@@ -1188,8 +1207,8 @@ fn aggregate_rounds<F: FnMut(f64)>(
         let spent = fetched > scan_budget as u64;
         let budget_left = !spent && scan_budget != usize::MAX;
         let verdict = match shared {
-            // No stream (every weight zero): nothing to fetch and no bound
-            // to certify with, whatever the budget.
+            // No stream (no pair with a non-zero weight): nothing to fetch
+            // and no bound to certify with, whatever the budget.
             _ if streams.is_empty() => Verdict::StartedLost,
             Some(h) if budget_left => h.verdict(),
             _ => Verdict::Open,
@@ -1218,13 +1237,13 @@ fn aggregate_rounds<F: FnMut(f64)>(
         // One emission unit per subproblem per iteration (§5's "top point
         // is fetched for each of the subproblems", at block granularity
         // for block-backed streams). Block streams prune against
-        // `f − Σ other bounds`: a block bounded below that can hold no
-        // top-k row no matter what the other subproblems contribute.
+        // `f − (extent bound + Σ other bounds)`: a block bounded below that
+        // can hold no top-k row no matter what the rest contributes.
         let mut progressed = false;
         batch.clear();
         for (i, s) in streams.iter_mut().enumerate() {
             let prune = if !any_drained && f > f64::NEG_INFINITY {
-                let mut others = 0.0;
+                let mut others = extent_bound;
                 for (j, &b) in fbuf.iter().enumerate() {
                     if j != i {
                         others += b;
@@ -1265,6 +1284,9 @@ pub struct ShardExecution<'i> {
     k_eff: usize,
     publish: bool,
     streams: Vec<Subproblem<'i>>,
+    /// What the dimensions no stream covers add to any row's score at most
+    /// (an index's unpaired extents; `0` for the TA baseline).
+    extent_bound: f64,
     mask: Option<MaskView<'i>>,
     pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
     seen: StampSet,
@@ -1287,7 +1309,8 @@ pub struct ShardExecution<'i> {
 impl<'i> ShardExecution<'i> {
     /// The one place an aggregation takes its buffers out of a
     /// [`QueryScratch`]: `streams` (assembled into that scratch's
-    /// [`QueryScratch::stream_buf`]) run against `data` under `mask`, and
+    /// [`QueryScratch::stream_buf`]), plus the constant `extent_bound` on
+    /// the dimensions they leave out, run against `data` under `mask`, and
     /// the execution switches to the kernel scan once it has fetched more
     /// than `scan_budget` rows, or projects that it will (`usize::MAX`:
     /// never).
@@ -1298,6 +1321,7 @@ impl<'i> ShardExecution<'i> {
         query: &'i SdQuery,
         k: usize,
         streams: Vec<Subproblem<'i>>,
+        extent_bound: f64,
         mask: Option<MaskView<'i>>,
         scan_budget: usize,
         scratch: &mut QueryScratch,
@@ -1330,6 +1354,7 @@ impl<'i> ShardExecution<'i> {
             // never publish.
             publish: k_eff == k,
             streams,
+            extent_bound,
             mask,
             pool,
             seen,
@@ -1466,7 +1491,7 @@ pub fn threshold_aggregate_with<'s>(
     streams: Vec<Subproblem<'_>>,
     scratch: &'s mut QueryScratch,
 ) -> Result<&'s [ScoredPoint], SdError> {
-    ShardExecution::begin(data, roles, query, k, streams, None, usize::MAX, scratch)
+    ShardExecution::begin(data, roles, query, k, streams, 0.0, None, usize::MAX, scratch)
         .run_into(None, scratch)
 }
 

@@ -356,8 +356,9 @@ pub struct QueryPlan {
     pub direct: bool,
     /// Per-pair decisions, in pair order.
     pub pairs: Vec<PairPlan>,
-    /// Number of unpaired 1-D streams with non-zero weight.
-    pub unpaired_streams: usize,
+    /// Number of unpaired dimensions with a non-zero weight: each adds its
+    /// extent's bound to the aggregation's threshold, and none streams.
+    pub unpaired_extents: usize,
     /// Rows the aggregation may fetch before it finishes with a kernel scan
     /// ([`scan_budget`] of the index's row count) — sooner when its
     /// threshold gap projects that it will ([`scan_checkpoint`]). Not
@@ -393,8 +394,8 @@ impl fmt::Display for QueryPlan {
         }
         write!(
             f,
-            "] + {} unpaired 1-D; kernel scan past {} rows fetched",
-            self.unpaired_streams, self.scan_budget
+            "] + {} unpaired extent bound(s); kernel scan past {} rows fetched",
+            self.unpaired_extents, self.scan_budget
         )
     }
 }

@@ -6,21 +6,17 @@
 //! start position outwards (nearest value first). Both emit `(row,
 //! subscore)` pairs in non-increasing subscore order and expose an
 //! admissible bound on every unemitted row — exactly the per-subproblem
-//! contract the threshold aggregation of §5 requires. These streams also
-//! power the adapted-TA baseline of §6.1, where *every* dimension is a 1-D
-//! subproblem.
+//! contract the threshold aggregation of §5 requires. They power the
+//! adapted-TA baseline of §6.1, where *every* dimension is a 1-D
+//! subproblem; an `SdIndex` bounds its unpaired dimensions by their extents
+//! instead (see the parent module).
 
-use crate::view::ColumnarView;
-
-/// A dimension's values sorted ascending, each tagged with its row id.
-///
-/// Stored as two parallel columns (values, rows) so the format-v5 snapshot
-/// can map both straight off the file; either column may therefore be a
-/// borrowed [`ColumnarView`] instead of owned memory.
+/// A dimension's values sorted ascending, each tagged with its row id, as
+/// two parallel columns.
 #[derive(Debug, Clone)]
 pub struct SortedColumn {
-    pub(crate) values: ColumnarView<f64>,
-    pub(crate) rows: ColumnarView<u32>,
+    values: Vec<f64>,
+    rows: Vec<u32>,
 }
 
 impl SortedColumn {
@@ -37,15 +33,9 @@ impl SortedColumn {
                 .then(a.1.cmp(&b.1))
         });
         SortedColumn {
-            values: ColumnarView::owned(entries.iter().map(|e| e.0).collect()),
-            rows: ColumnarView::owned(entries.iter().map(|e| e.1).collect()),
+            values: entries.iter().map(|e| e.0).collect(),
+            rows: entries.iter().map(|e| e.1).collect(),
         }
-    }
-
-    /// Reassembles a column from its two parallel halves (decode path).
-    pub(crate) fn from_parts(values: ColumnarView<f64>, rows: ColumnarView<u32>) -> Self {
-        debug_assert_eq!(values.len(), rows.len());
-        SortedColumn { values, rows }
     }
 
     /// Number of entries.
@@ -58,9 +48,9 @@ impl SortedColumn {
         self.values.is_empty()
     }
 
-    /// Approximate heap footprint in bytes (0 over a file mapping).
+    /// Approximate heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.values.heap_bytes() + self.rows.heap_bytes()
+        std::mem::size_of_val(&self.values[..]) + std::mem::size_of_val(&self.rows[..])
     }
 
     #[inline]

@@ -688,10 +688,10 @@ fn probe_leaves_friendly_queries_alone() {
 
 #[test]
 fn scan_after_every_row_was_seen_scores_nothing() {
-    // Two nearest-first 1-D streams whose two-row prefixes cover all four
-    // rows while both bounds stay at −2: τ = −4 certifies rows 0 and 2
-    // (−2) but not rows 1 and 3 (exactly −4), so the aggregation is still
-    // open with nothing left to discover.
+    // Two nearest-first 1-D streams (the TA baseline's) whose two-row
+    // prefixes cover all four rows while both bounds stay at −2: τ = −4
+    // certifies rows 0 and 2 (−2) but not rows 1 and 3 (exactly −4), so
+    // the aggregation is still open with nothing left to discover.
     let rows = [
         vec![0.0, 2.0],
         vec![1.0, 3.0],
@@ -700,13 +700,14 @@ fn scan_after_every_row_was_seen_scores_nothing() {
     ];
     let data = Dataset::from_rows(2, &rows).unwrap();
     let roles = vec![DimRole::Attractive, DimRole::Attractive];
-    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let columns: Vec<SortedColumn> = (0..2).map(|d| SortedColumn::new(&data.column(d))).collect();
     let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
     let want = oracle(&data, &roles, &q, 4);
     let mut scratch = QueryScratch::new();
 
-    let mut exec = index.begin_query(&q, 4, &mut scratch, None).unwrap();
-    exec.scan_budget = 3;
+    let mut streams = scratch.stream_buf();
+    streams.extend(columns.iter().map(|c| Subproblem::attractive(c, 0.0, 1.0)));
+    let mut exec = ShardExecution::begin(&data, &roles, &q, 4, streams, 0.0, None, 3, &mut scratch);
     assert!(!exec.step(2, None, |_| {}).unwrap());
     assert_eq!(exec.profile().rows_fetched, 4);
     assert_eq!(exec.profile().points_gathered, 4, "all four rows seen");
@@ -829,6 +830,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
         &q,
         k,
         streams,
+        0.0,
         mask,
         usize::MAX,
         &mut scratch,
@@ -1027,10 +1029,15 @@ fn every_exit_forced_at_the_one_constructor() {
                 if lost_after.is_none() {
                     assert_eq!(p.scan_inherited, 0, "no handle, no verdict");
                 }
-                // No stream (every weight zero): every run scans at its
+                // No stream (no pair, or every pair's weights zero — the
+                // unpaired dimensions only bound): every run scans at its
                 // first round head, whatever the budget or a handle says —
                 // unless there is no live row to answer with.
-                if q.weights.iter().all(|&w| w == 0.0) {
+                let streams = index
+                    .pairs
+                    .iter()
+                    .any(|p| q.weights[p.repulsive] != 0.0 || q.weights[p.attractive] != 0.0);
+                if !streams {
                     let scans = u64::from(!want.is_empty());
                     assert_eq!(
                         (p.rounds, p.scan_predicted, p.scan_fallbacks),
@@ -1226,37 +1233,57 @@ proptest! {
     }
 }
 
-/// A forged row id in the first, a middle and the last census chunk of a
-/// sorted column — and two at once — is named exactly as the
-/// row-at-a-time scan names it.
+/// Every unpaired dimension keeps its extent over the index's rows, and a
+/// decode names a forged extent — non-finite, or `lo > hi` — by its
+/// dimension, whichever one it sits in; a forged extent that is still an
+/// interval decodes.
 #[test]
-fn check_ids_names_the_first_column_offender_in_any_chunk() {
-    let per = crate::codec::CHECK_CHUNK_BYTES / 4;
-    let n = 3 * per + 100;
+fn decode_names_the_forged_extent_of_any_unpaired_dimension() {
+    use crate::codec::{decode_from_slice, encode_to_vec};
     let mut rng = rand::rngs::StdRng::seed_from_u64(28);
-    let roles = [DimRole::Attractive, DimRole::Repulsive, DimRole::Repulsive];
-    let index = SdIndex::build(rand_dataset(&mut rng, n, 3), &roles).unwrap();
-    assert_eq!(index.columns.len(), 1, "one unpaired dimension");
-    assert_eq!(index.check_ids(), Ok(()));
-    let nu = n as u32;
-    let cases: [&[(usize, u32)]; 5] = [
-        &[(0, nu)],
-        &[(per + 17, u32::MAX)],
-        &[(n - 1, nu + 3)],
-        &[(2 * per, nu), (per + 1, nu + 1)],
-        &[(per, nu - 1)], // in range
+    let roles = [
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
     ];
-    for at in cases {
-        let mut rows = index.columns[0].rows.to_vec();
-        for &(i, row) in at {
-            rows[i] = row;
+    let data = rand_dataset(&mut rng, 500, 4);
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    assert_eq!(index.unpaired(), &[2, 3]);
+    for (&d, &extent) in index.unpaired().iter().zip(&index.extents) {
+        let column = data.column(d);
+        let lo = column.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = column.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(extent, (lo, hi), "dimension {d}");
+    }
+    let bytes = encode_to_vec(&index);
+    // `index.meta` leads the encoding, `[crc32c][len][bytes]`, and its last
+    // 32 bytes are the two extents.
+    let len = u64::from_le_bytes(bytes[4..12].try_into().unwrap()) as usize;
+    let meta_end = 12 + len;
+    let forge = |at: usize, lo: f64, hi: f64| {
+        let mut forged = bytes.clone();
+        let slot = meta_end - 32 + 16 * at;
+        forged[slot..slot + 8].copy_from_slice(&lo.to_le_bytes());
+        forged[slot + 8..slot + 16].copy_from_slice(&hi.to_le_bytes());
+        let crc = crate::integrity::crc32c(&forged[12..meta_end]);
+        forged[..4].copy_from_slice(&crc.to_le_bytes());
+        decode_from_slice::<SdIndex>(&forged)
+    };
+    for (at, d) in [(0, 2), (1, 3)] {
+        for (lo, hi) in [
+            (0.75, 0.25),
+            (f64::NAN, 1.0),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.5),
+        ] {
+            let detail = format!("unpaired dimension {d}: extent [{lo}, {hi}]");
+            match forge(at, lo, hi) {
+                Err(SdError::SnapshotCorrupt { detail: got }) => assert_eq!(got, detail),
+                other => panic!("extent {at} forged to [{lo}, {hi}]: {other:?}"),
+            }
         }
-        let want = rows
-            .iter()
-            .find(|&&row| row as usize >= n)
-            .map(|row| format!("sorted column 0: row id {row} out of range for {n} rows"));
-        let mut forged = index.clone();
-        forged.columns[0].rows = crate::view::ColumnarView::owned(rows);
-        assert_eq!(forged.check_ids().err(), want, "{at:?}");
+        let back = forge(at, -1.0, 2.0).expect("an interval decodes");
+        assert_eq!(back.extents[at], (-1.0, 2.0));
     }
 }

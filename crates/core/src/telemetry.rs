@@ -21,16 +21,15 @@
 //!
 //! ## Journal
 //!
-//! [`EventJournal`] is a bounded multi-producer ring of [`EventRecord`]s
-//! guarded by per-slot sequence stamps (a seqlock): writers claim a slot
-//! with an odd stamp, copy the `Copy` record in, and publish with an even
-//! stamp; readers retry on stamp mismatch, so a drained snapshot never
-//! contains a torn record. Once the ring laps, the oldest records are
-//! overwritten — [`EventJournal::overwritten`] says how many.
+//! [`EventJournal`] is a bounded multi-producer ring of [`EventRecord`]s,
+//! one `Mutex` per slot: a writer copies its `Copy` record in under the
+//! slot's lock and a reader copies it out under the same lock, so a
+//! drained snapshot never contains a torn record. Lifecycle events are
+//! rare, so the locks are uncontended. Once the ring laps, the oldest
+//! records are overwritten — [`EventJournal::overwritten`] says how many.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::profile::QueryProfile;
@@ -439,28 +438,17 @@ impl Default for EventRecord {
     }
 }
 
-struct Slot {
-    /// 0 = never written; odd = a writer owns the slot; even `2·(seq+1)`
-    /// = the record for `seq` is published.
-    stamp: AtomicU64,
-    event: UnsafeCell<EventRecord>,
-}
-
 /// A bounded multi-producer ring of structured lifecycle events.
 ///
-/// Pushing is lock-free for disjoint slots (writers to the *same* slot —
-/// which requires lapping the whole ring mid-write — briefly spin on the
-/// slot's stamp). Readers never block writers: [`EventJournal::snapshot`]
-/// copies records out under per-slot stamp validation and retries torn
-/// reads, so every returned record is whole.
+/// A sequence number picks the slot; the slot's lock orders the writers
+/// and readers of that slot only, so writers to disjoint slots never meet.
+/// [`EventJournal::snapshot`] copies each record out under its slot's
+/// lock, so every returned record is whole.
 pub struct EventJournal {
-    slots: Box<[Slot]>,
+    /// `None` until the slot's first record.
+    slots: Box<[Mutex<Option<EventRecord>>]>,
     next: AtomicU64,
 }
-
-// Slots hold Copy data guarded by the per-slot stamp protocol.
-unsafe impl Sync for EventJournal {}
-unsafe impl Send for EventJournal {}
 
 impl Default for EventJournal {
     fn default() -> Self {
@@ -488,13 +476,29 @@ impl EventJournal {
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         EventJournal {
-            slots: (0..cap)
-                .map(|_| Slot {
-                    stamp: AtomicU64::new(0),
-                    event: UnsafeCell::new(EventRecord::default()),
-                })
-                .collect(),
+            slots: (0..cap).map(|_| Mutex::new(None)).collect(),
             next: AtomicU64::new(0),
+        }
+    }
+
+    /// The slot `seq` lands in, locked. A record is `Copy` and written in
+    /// one assignment, so a panic elsewhere cannot leave it half-written:
+    /// a poisoned lock is taken as is.
+    ///
+    /// Spins on `try_lock` rather than blocking in `lock`: two pushes meet
+    /// on a slot only when the ring laps mid-push, and a reader holds a
+    /// slot for one copy. It also keeps every lock operation in code
+    /// compiled with this crate, so ThreadSanitizer — which cannot see
+    /// inside a standard library built without it, where `lock`'s blocking
+    /// path lives — sees each acquire and release.
+    fn slot(&self, seq: u64) -> MutexGuard<'_, Option<EventRecord>> {
+        let slot = &self.slots[(seq & (self.slots.len() as u64 - 1)) as usize];
+        loop {
+            match slot.try_lock() {
+                Ok(guard) => return guard,
+                Err(TryLockError::Poisoned(poisoned)) => return poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => std::thread::yield_now(),
+            }
         }
     }
 
@@ -523,72 +527,28 @@ impl EventJournal {
     /// coarse wall-clock read here is off every hot path.
     pub fn push(&self, kind: EventKind) {
         let seq = self.next.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(seq & (self.slots.len() as u64 - 1)) as usize];
         let record = EventRecord {
             seq,
             unix_micros: unix_micros_now(),
             kind,
         };
-        // Claim the slot: even → our odd marker. A newer record already
-        // published here (we were lapped mid-flight) wins; ours is
-        // dropped and accounted as overwritten.
-        let mut cur = slot.stamp.load(Ordering::Acquire);
-        loop {
-            if cur & 1 == 1 {
-                std::hint::spin_loop();
-                cur = slot.stamp.load(Ordering::Acquire);
-                continue;
-            }
-            if cur >= (seq + 1) << 1 {
-                return;
-            }
-            match slot.stamp.compare_exchange_weak(
-                cur,
-                (seq << 1) | 1,
-                Ordering::Acquire,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
+        let mut slot = self.slot(seq);
+        // A newer record already published here (we were lapped mid-flight)
+        // wins; ours is dropped and accounted as overwritten.
+        if slot.is_none_or(|held| held.seq < seq) {
+            *slot = Some(record);
         }
-        // Safety: the odd stamp gives this writer exclusive slot access;
-        // readers seeing the odd stamp retry.
-        unsafe { *slot.event.get() = record };
-        slot.stamp.store((seq + 1) << 1, Ordering::Release);
     }
 
-    /// Copies out every retained record, ascending by sequence. Records
-    /// overwritten (or mid-overwrite) during the scan are skipped — their
-    /// sequences resurface at their new position or count as overwritten.
+    /// Copies out every retained record, ascending by sequence. A sequence
+    /// whose writer has not stored it yet, or whose slot a later lap has
+    /// already taken, is skipped — the latter counts as overwritten.
     pub fn snapshot(&self) -> Vec<EventRecord> {
         let head = self.pushed();
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for seq in start..head {
-            let slot = &self.slots[(seq & (cap - 1)) as usize];
-            loop {
-                let s1 = slot.stamp.load(Ordering::Acquire);
-                if s1 == 0 {
-                    break; // never written (racing writer not yet claimed)
-                }
-                if s1 & 1 == 1 {
-                    std::hint::spin_loop();
-                    continue; // writer mid-copy
-                }
-                // Safety: validated by re-reading the stamp below.
-                let rec = unsafe { std::ptr::read(slot.event.get()) };
-                if slot.stamp.load(Ordering::Acquire) != s1 {
-                    continue; // torn: a writer replaced the record under us
-                }
-                if rec.seq == seq {
-                    out.push(rec);
-                }
-                break;
-            }
-        }
-        out
+        let start = head.saturating_sub(self.slots.len() as u64);
+        (start..head)
+            .filter_map(|seq| (*self.slot(seq)).filter(|rec| rec.seq == seq))
+            .collect()
     }
 }
 

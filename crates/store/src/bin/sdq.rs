@@ -651,12 +651,12 @@ fn print_plan_table(explained: &Explain, k: usize) {
                 p.theta_label()
             );
         }
-        if plan.unpaired_streams > 0 {
+        if plan.unpaired_extents > 0 {
             println!(
                 "  {:>5}  {:<16} {:<20} {:>12}",
                 i,
                 "unpaired",
-                format!("{} × 1d-stream", plan.unpaired_streams),
+                format!("{} × extent bound", plan.unpaired_extents),
                 "-"
             );
         }

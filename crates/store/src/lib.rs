@@ -1525,12 +1525,14 @@ mod tests {
     fn one_format_is_pinned() {
         // With one format and no version ladder, a silent layout change has
         // no other guard. `PAYLOAD_CRC`, the first offset and the length were
-        // computed over this fixture by the commit that made an engine
-        // shard's pair its block set (section kind 12; `index.meta` records
-        // the pairing strategy; kinds 2, 4 and 8 retired). (The fixture goes
-        // through `sin`/`cos`; a libm that rounds them differently moves the
-        // coordinates, not the layout.)
-        const PAYLOAD_CRC: u32 = 0x4eca_8787;
+        // computed over this fixture by the commit that bounded an unpaired
+        // dimension by its extent (`index.meta` ends in one `(lo, hi)` per
+        // unpaired dimension; no `col{i}` regions) — after the one that
+        // made an engine shard's pair its block set (section kind 12;
+        // `index.meta` records the pairing strategy; kinds 2, 4 and 8
+        // retired). (The fixture goes through `sin`/`cos`; a libm that
+        // rounds them differently moves the coordinates, not the layout.)
+        const PAYLOAD_CRC: u32 = 0x9a40_8a7b;
         let bytes = durable_snapshot().to_bytes_v5().unwrap();
         assert_eq!(bytes[8..12], 5u32.to_le_bytes());
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
@@ -1538,7 +1540,7 @@ mod tests {
         kinds.dedup();
         assert_eq!(kinds, [7, 12, 9, 10, 11], "every section kind");
         let first = info.sections[0].offset as usize;
-        assert_eq!((first, bytes.len()), (192, 4572));
+        assert_eq!((first, bytes.len()), (192, 4060));
         assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
         // Deterministic through both readers.
         let owned = Snapshot::from_bytes(&bytes).unwrap();

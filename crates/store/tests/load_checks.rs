@@ -13,8 +13,9 @@ use sdq_store::{
 
 const ROLES: &str = "arr";
 
-/// 3-D rows under roles `arr`: one pair plus one unpaired sorted column per
-/// shard, so every kind of array region is present.
+/// 3-D rows under roles `arr`: one pair plus one unpaired dimension per
+/// shard, so every kind of region is present and `index.meta` carries an
+/// extent.
 fn engine() -> SdEngine {
     engine_of(40)
 }
@@ -73,9 +74,10 @@ fn is_typed(err: &SdError) -> bool {
 
 // ── (a) what a file holds ───────────────────────────────────────────────
 
-/// A shard is its coordinates, one §4 index per pair and one sorted column
-/// per unpaired dimension — one copy of the pair's (x, y) besides
-/// `data.coords`, one bound hierarchy, no point table and no node records.
+/// A shard is its coordinates and one §4 index per pair — one copy of the
+/// pair's (x, y) besides `data.coords`, one bound hierarchy, no point
+/// table, no node records and no sorted column: an unpaired dimension is
+/// its extent, at the end of `index.meta`.
 #[test]
 fn an_engine_file_lists_exactly_these_regions() {
     // 300 rows a shard: 10 leaf blocks under two envelope levels.
@@ -108,8 +110,6 @@ fn an_engine_file_lists_exactly_these_regions() {
                 "pair0/blocks.lvl0/xr",
                 "pair0/blocks.lvl1/bounds",
                 "pair0/blocks.lvl1/xr",
-                "col0/values",
-                "col0/rows",
             ]
             .map(|region| format!("engine-shard{shard}/{region}")),
         );
@@ -197,9 +197,14 @@ fn forge(bytes: &mut [u8], region: &str, patch: impl FnOnce(&mut [u8])) {
         .position(|r| r.name() == region)
         .unwrap_or_else(|| panic!("no region {region}"));
     let (at, len) = (regions[i].file_offset() as usize, regions[i].len() as usize);
-    // Regions are laid out back to back: this one's `[crc32c][count]`
-    // header starts where its predecessor's payload ends.
-    let header = (regions[i - 1].file_offset() + regions[i - 1].len()) as usize;
+    // A metadata region's `[crc32c][len]` header sits right before its
+    // bytes. Otherwise regions are laid out back to back: this one's
+    // `[crc32c][count]` header starts where its predecessor's payload ends.
+    let header = if region.ends_with("meta") {
+        at - 12
+    } else {
+        (regions[i - 1].file_offset() + regions[i - 1].len()) as usize
+    };
     assert_eq!(
         bytes[header..header + 4],
         regions[i].expected_crc().to_le_bytes(),
@@ -237,20 +242,23 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             // A padding lane: the kernels score those too.
             |p| set_f64(p, 31, f64::NAN),
         ),
-        ("engine-shard0/col0/values", "out of order", |p| {
-            // Swap the two ends of an ascending column.
-            let last = p.len() - 8;
-            let (a, b) = (p[..8].to_vec(), p[last..].to_vec());
-            p[..8].copy_from_slice(&b);
-            p[last..].copy_from_slice(&a);
+        // `index.meta` ends in the unpaired dimension's `(lo, hi)`.
+        ("engine-shard0/index.meta", "unpaired dimension 2: extent", |p| {
+            // Swap the two ends of the extent.
+            let lo = p.len() - 16;
+            p[lo..].rotate_left(8);
         }),
         (
-            "engine-shard0/col0/values",
-            "non-finite column value",
-            |p| set_f64(p, 0, f64::NEG_INFINITY),
+            "engine-shard0/index.meta",
+            "unpaired dimension 2: extent [-inf",
+            |p| {
+                let lo = p.len() - 16;
+                p[lo..lo + 8].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
+            },
         ),
-        ("engine-shard1/col0/rows", "out of range", |p| {
-            set_u32(p, 2, 1_000_000)
+        ("engine-shard1/index.meta", "NaN]", |p| {
+            let hi = p.len() - 8;
+            p[hi..].copy_from_slice(&f64::NAN.to_le_bytes());
         }),
         (
             "engine-shard0/pair0/blocks.slots",
@@ -296,7 +304,7 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             Ok(mapped) => mapped
                 .verify_all()
                 .unwrap_or_else(|e| panic!("{region}: forgery broke a checksum: {e}")),
-            Err(SdError::SnapshotCorrupt { detail }) if region.ends_with("/meta") => {
+            Err(SdError::SnapshotCorrupt { detail }) if region.ends_with("meta") => {
                 assert!(detail.contains(needle), "{region}: wrong detail: {detail}")
             }
             Err(e) => panic!("{region}: forgery broke the lazy open: {e}"),
