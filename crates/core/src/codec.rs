@@ -27,8 +27,8 @@
 //!   `DurableEngine::open`) verifies every region checksum and then runs
 //!   [`Codec::verify_decoded`] — the same structural checks plus the
 //!   content checks only an eager open makes (finite coordinates and block
-//!   lanes) — before it returns, and
-//!   drops the lazy sets so later queries pay nothing.
+//!   lanes) — before it returns, and drops the lazy sets so later queries
+//!   pay nothing.
 //!
 //! Decoding is **panic-free by contract**: every length is bounds-checked
 //! against the remaining buffer before allocation, every index is validated
@@ -884,9 +884,15 @@ fn legacy_column_extent(r: &mut Reader<'_>, n: usize) -> Result<(f64, f64)> {
     let (values, _) = r.pod_array::<f64>("values")?;
     let (rows, _) = r.pod_array::<u32>("rows")?;
     ensure(values.len() == n && rows.len() == n, || {
-        format!("{} values and {} rows for {n} rows", values.len(), rows.len())
+        format!(
+            "{} values and {} rows for {n} rows",
+            values.len(),
+            rows.len()
+        )
     })?;
-    ensure(ascending(&values), || "sorted column out of order".to_string())?;
+    ensure(ascending(&values), || {
+        "sorted column out of order".to_string()
+    })?;
     Ok(match (values.first(), values.last()) {
         (Some(&lo), Some(&hi)) => (lo, hi),
         _ => (0.0, 0.0),
@@ -926,11 +932,10 @@ impl Codec for SdIndex {
             let pairing = PairingStrategy::decode(m)?;
             let pairs = Vec::<DimPair>::decode(m)?;
             let unpaired = Vec::<usize>::decode(m)?;
-            let extents = if m.is_exhausted() {
-                None
-            } else {
-                Some(unpaired.iter().map(|_| Ok((m.f64()?, m.f64()?))).collect::<Result<_>>()?)
-            };
+            // An older file ends `index.meta` here.
+            let extents = (!m.is_exhausted())
+                .then(|| unpaired.iter().map(|_| Ok((m.f64()?, m.f64()?))).collect())
+                .transpose()?;
             Ok((roles, pairing, pairs, unpaired, extents))
         })?;
         let mark = r.regions.len();

@@ -48,8 +48,8 @@
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
 //! projects that it will ([`plan::scan_checkpoint`]), or whose sibling
 //! execution of the same query already did, or whose query started lost
-//! ([`SharedThreshold::verdict`]; a query whose weights are all zero has no
-//! stream and always does) — stops consulting its streams and finishes
+//! ([`SharedThreshold::verdict`]; a query with no pair to stream always
+//! does) — stops consulting its streams and finishes
 //! with one sequential kernel scan of the rows it has not seen.
 //! Every strategy is exact and the
 //! emission order is **canonical** (score descending, ties by row ascending), so planning can
@@ -630,7 +630,7 @@ impl SdIndex {
 }
 
 /// `(lo, hi)` of a column's values; `(0, 0)` for an empty column.
-pub(crate) fn extent(values: &[f64]) -> (f64, f64) {
+fn extent(values: &[f64]) -> (f64, f64) {
     match values.split_first() {
         Some((&first, rest)) => rest
             .iter()
@@ -1031,10 +1031,10 @@ fn emit_pooled(
 /// complete (the answer buffer holds the canonical top `k_eff`, unsorted).
 ///
 /// Exact and **canonical**: a candidate is emitted only when its exact full
-/// score is strictly above the (FP-inflated) threshold `τ` — the
-/// execution's extent bound plus every stream's bound — so score ties always resolve through the pool's
-/// `(score, Reverse(row))` order — smallest row first — independent of
-/// stream fetch order. Two further stop rules terminate early without
+/// score is strictly above the (FP-inflated) threshold `τ` (the execution's
+/// extent bound plus every stream's bound), so score ties always resolve
+/// through the pool's `(score, Reverse(row))` order — smallest row first —
+/// independent of stream fetch order. Two further stop rules terminate early without
 /// breaking canonicity (see [`query_blocks_with`] for the argument):
 /// the locally tracked k-th-best seen score, and the optional cross-shard
 /// [`SharedThreshold`] floor.
@@ -1065,8 +1065,8 @@ fn emit_pooled(
 /// An execution with no stream — a query whose pair weights are all zero,
 /// or an index with no pair — starts lost on its own and scans at its
 /// first round head, counted as `scan_predicted`, unless the floor already
-/// beats its `τ`, the extent bound alone. Otherwise `usize::MAX` never scans: the paper's pure
-/// threshold aggregation.
+/// beats its `τ`, the extent bound alone. Otherwise `usize::MAX` never
+/// scans: the paper's pure threshold aggregation.
 ///
 /// `on_score` observes the exact full score of every newly fetched
 /// distinct row that could still matter to a top-k — the engine feeds
@@ -1491,8 +1491,18 @@ pub fn threshold_aggregate_with<'s>(
     streams: Vec<Subproblem<'_>>,
     scratch: &'s mut QueryScratch,
 ) -> Result<&'s [ScoredPoint], SdError> {
-    ShardExecution::begin(data, roles, query, k, streams, 0.0, None, usize::MAX, scratch)
-        .run_into(None, scratch)
+    ShardExecution::begin(
+        data,
+        roles,
+        query,
+        k,
+        streams,
+        0.0,
+        None,
+        usize::MAX,
+        scratch,
+    )
+    .run_into(None, scratch)
 }
 
 /// A 2-D subproblem stream over one pair's §4 index.

@@ -50,6 +50,19 @@
 //! weight, and none has a shard small enough for the size arm (under ≈ 260
 //! rows at k = 16, ≈ 900 at k = 64).
 //!
+//! **Measured and removed: a 1-D stream per unpaired dimension.** A
+//! dimension left over after pairing is not streamed: the index keeps its
+//! extent `[lo, hi]` and adds one constant to `τ` and to every pair
+//! stream's pruning bar (see the parent module), and an execution with no
+//! pair stream scans. The paper's 1-D sorted list surfaced one row a round
+//! beside a pair's 32-row block, so its bound barely moved before the query
+//! ended. Against the columns (100k rows, one worker, 256 uniform queries,
+//! 2-core VM; every answer identical): on six shapes with a pair, rows
+//! fetched moved −5 % to +3 % and p50 held or fell (`agg_6d` 421–429 →
+//! 421–424 µs); on `aa` and `rrr`, which pair nothing, the scan beat the
+//! streams 1.04–3.2×; `agg_6d`'s index went 77.03 → 53.03 B/row and its
+//! build 75 → 44 ms. CHANGES.md has the table.
+//!
 //! A fourth path is not chosen per pair but reached by the execution
 //! itself: **the scan exit**. Threshold aggregation degrades towards a full
 //! scan as streams multiply and the data turns anti-correlated, and it

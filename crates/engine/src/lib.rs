@@ -34,10 +34,13 @@
 //! A monolithic [`SdIndex`] query is one sequential tree walk — batch QPS is
 //! flat no matter how many cores serve it. The engine partitions the dataset
 //! into `S` contiguous shards at build time, each with its own `SdIndex`
-//! (per-pair §4 indexes + sorted columns) over its row range. A query runs one
-//! §5 aggregation per shard — in parallel across however many workers the
-//! host grants — and the per-shard `Subproblem` bounds stay admissible
-//! because they are additive over disjoint point sets.
+//! (per-pair §4 indexes plus every unpaired dimension's extent) over its row
+//! range. A query runs one §5 aggregation per shard — in parallel across
+//! however many workers the host grants — and the per-shard bounds stay
+//! admissible because each covers only its own rows: a shard's `τ` is its
+//! pair streams' bounds plus what its unpaired dimensions can add at the
+//! ends of their extents. A shard with no pair to stream scans — unless
+//! the floor already beats that extent bound, and then it ends unread.
 //!
 //! The [`SharedThreshold`] is what keeps sharding from multiplying work: the
 //! k-th best *exact* score seen by any shard is a lower bound on the final

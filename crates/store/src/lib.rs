@@ -27,7 +27,7 @@
 //! | kind | name | holds |
 //! |-----:|------|-------|
 //! | 7 | `engine-manifest` | dimensionality, roles, per-shard row counts |
-//! | 12 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (roles, pairing strategy, pairs), `data.*`, per pair `pair{i}/meta` + `pair{i}/blocks.*`, per unpaired dimension `col{i}/*`; the shard ordinal sits in the table entry's `reserved` field |
+//! | 12 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (roles, pairing strategy, pairs, unpaired dimensions and each one's `(lo, hi)` extent), `data.*`, per pair `pair{i}/meta` + `pair{i}/blocks.*`; the shard ordinal sits in the table entry's `reserved` field. An older shard has no extents in `index.meta` and one `col{i}/values` + `col{i}/rows` per unpaired dimension after the pairs: it still opens (each column's first and last values are its extent) and is re-saved without them. A build from before extents refuses a shard that has them |
 //! | 9 | `mutation-delta` | uncompacted inserted rows (only when non-empty) |
 //! | 10 | `mutation-tombstones` | the addressable row domain plus a sorted dead-id list (only when non-empty) |
 //! | 11 | `durability` | checkpoint generation and epoch, tying the file to its write-ahead log (see the [`durable`] module) |
@@ -40,8 +40,7 @@
 //! small `[crc32c][len]` *metadata* regions verified eagerly at open, and
 //! `[crc32c][count][pad-to-64]` *array* regions whose payload bytes are the
 //! exact little-endian in-memory representation of the hot structures
-//! (SoA leaf blocks and their envelope levels, sorted columns, coordinate
-//! tables).
+//! (SoA leaf blocks and their envelope levels, coordinate tables).
 //! The table itself is covered by the trailing table checksum and padding
 //! must be zero, so *any* single flipped byte in the file is detected.
 //! Structural validation inside `sdq_core::codec` is the second line of

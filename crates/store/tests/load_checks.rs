@@ -243,11 +243,15 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             |p| set_f64(p, 31, f64::NAN),
         ),
         // `index.meta` ends in the unpaired dimension's `(lo, hi)`.
-        ("engine-shard0/index.meta", "unpaired dimension 2: extent", |p| {
-            // Swap the two ends of the extent.
-            let lo = p.len() - 16;
-            p[lo..].rotate_left(8);
-        }),
+        (
+            "engine-shard0/index.meta",
+            "unpaired dimension 2: extent",
+            |p| {
+                // Swap the two ends of the extent.
+                let lo = p.len() - 16;
+                p[lo..].rotate_left(8);
+            },
+        ),
         (
             "engine-shard0/index.meta",
             "unpaired dimension 2: extent [-inf",

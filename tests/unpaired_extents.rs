@@ -37,7 +37,10 @@ fn oracle(live: &[(u32, Vec<f64>)], roles: &[DimRole], q: &SdQuery, k: usize) ->
 }
 
 fn bits(answer: &[ScoredPoint]) -> Vec<(PointId, u64)> {
-    answer.iter().map(|sp| (sp.id, sp.score.to_bits())).collect()
+    answer
+        .iter()
+        .map(|sp| (sp.id, sp.score.to_bits()))
+        .collect()
 }
 
 /// The rows of a clean engine (no delta, no tombstone), by global id:
@@ -102,13 +105,20 @@ fn files_with_sorted_columns_open_owned_and_mapped() {
         assert_eq!(unpaired.len(), cols);
         let lone = |d: usize| unpaired.contains(&d);
 
-        let points = [vec![0.5; dims], vec![-3.0; dims], vec![4.0; dims], vec![-0.0; dims]];
+        let points = [
+            vec![0.5; dims],
+            vec![-3.0; dims],
+            vec![4.0; dims],
+            vec![-0.0; dims],
+        ];
         let weights = [
             vec![1.0; dims],
             (0..dims).map(|d| (d + 1) as f64 * 0.5).collect(),
             // The unpaired dimensions alone, and everything but them.
             (0..dims).map(|d| f64::from(u8::from(lone(d)))).collect(),
-            (0..dims).map(|d| if lone(d) { -0.0 } else { 1.0 }).collect(),
+            (0..dims)
+                .map(|d| if lone(d) { -0.0 } else { 1.0 })
+                .collect(),
         ];
         for point in &points {
             for w in &weights {
@@ -117,7 +127,11 @@ fn files_with_sorted_columns_open_owned_and_mapped() {
                     let want = bits(&oracle(&live, &roles, &q, k));
                     let at = format!("{name} point {point:?} weights {w:?} k {k}");
                     assert_eq!(bits(&owned.query(&q, k).unwrap()), want, "owned {at}");
-                    assert_eq!(bits(&mapped_engine.query(&q, k).unwrap()), want, "mapped {at}");
+                    assert_eq!(
+                        bits(&mapped_engine.query(&q, k).unwrap()),
+                        want,
+                        "mapped {at}"
+                    );
                 }
             }
         }
@@ -138,13 +152,26 @@ fn files_with_sorted_columns_open_owned_and_mapped() {
             .unwrap()
         };
         let image = resaved(&owned);
-        assert_eq!(resaved(mapped_engine), image, "{name}: owned and mapped re-save alike");
-        assert!(image.len() < bytes.len(), "{name}: the columns' bytes are gone");
+        assert_eq!(
+            resaved(mapped_engine),
+            image,
+            "{name}: owned and mapped re-save alike"
+        );
+        assert!(
+            image.len() < bytes.len(),
+            "{name}: the columns' bytes are gone"
+        );
         let names = region_names(&image);
-        assert!(names.iter().all(|r| !r.contains("/col")), "{name}: {names:?}");
+        assert!(
+            names.iter().all(|r| !r.contains("/col")),
+            "{name}: {names:?}"
+        );
         let reopened = Snapshot::from_bytes(&image).unwrap().engine.unwrap();
         let q = SdQuery::new(vec![0.25; dims], vec![1.0; dims]).unwrap();
-        assert_eq!(reopened.query(&q, 10).unwrap(), owned.query(&q, 10).unwrap());
+        assert_eq!(
+            reopened.query(&q, 10).unwrap(),
+            owned.query(&q, 10).unwrap()
+        );
     }
 }
 
@@ -277,8 +304,12 @@ fn a_pairless_execution_certifies_against_its_extents() {
     let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
     let k = 10;
     for (rows, scans) in [(&climbing, 4), (&falling, 1)] {
-        let live: Vec<(u32, Vec<f64>)> =
-            rows.iter().cloned().enumerate().map(|(i, r)| (i as u32, r)).collect();
+        let live: Vec<(u32, Vec<f64>)> = rows
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, r)| (i as u32, r))
+            .collect();
         let want = bits(&oracle(&live, &roles, &q, k));
         let winners = if scans == 4 { 300..400 } else { 0..100 };
         assert!(want.iter().all(|(id, _)| winners.contains(&id.index())));
