@@ -428,16 +428,6 @@ pub struct EventRecord {
     pub kind: EventKind,
 }
 
-impl Default for EventRecord {
-    fn default() -> Self {
-        EventRecord {
-            seq: 0,
-            unix_micros: 0,
-            kind: EventKind::EpochTransition { from: 0, to: 0 },
-        }
-    }
-}
-
 /// A bounded multi-producer ring of structured lifecycle events.
 ///
 /// A sequence number picks the slot; the slot's lock orders the writers

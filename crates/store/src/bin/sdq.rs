@@ -679,8 +679,8 @@ fn print_plan_table(explained: &Explain, k: usize) {
          the Claim-6 bracket; a shard that fetches more rows than its scan \
          budget, or whose threshold gap projects that it will, finishes with one kernel scan, \
          and so does a shard still open when an earlier sibling's verdict says so, and every \
-         shard of a query whose shape starts lost or whose weights are all zero; the query was \
-         not executed)"
+         shard of a query whose shape starts lost or that has no pair weight to stream, unless \
+         the floor beats its unpaired extent bound; the query was not executed)"
     );
 }
 
