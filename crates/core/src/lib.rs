@@ -22,7 +22,7 @@
 //!   pair walks its own §4 frontier, indexed or Claim-6 bracketed) and a
 //!   resumable [`ShardExecution`](multidim::ShardExecution) for the sharded
 //!   engine,
-//! * [`threshold`] — the atomic cross-shard k-th-score floor
+//! * [`threshold`] — the cross-shard k-th-score floor
 //!   ([`SharedThreshold`]),
 //! * [`mask`] — tombstone bitmaps ([`RowMask`]) whose dead rows are dropped
 //!   at scoring time by every masked query path,

@@ -735,24 +735,6 @@ fn pair_eval(
     FrontierEval::at(blocks.angles(), &theta, qx, qy)
 }
 
-/// Resolves a worker-count argument: `0` means auto — the host's available
-/// parallelism (1 when it cannot be determined), asked of the OS once per
-/// process: the answer is an affinity mask plus cgroup quota files, read
-/// and allocated for on every call, and `threads = 0` engines resolve it
-/// per query.
-pub fn resolve_threads(threads: usize) -> usize {
-    static AUTO: OnceLock<usize> = OnceLock::new();
-    if threads == 0 {
-        *AUTO.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-    } else {
-        threads
-    }
-}
-
 /// The scoring stage behind every row the aggregation looks at, whichever
 /// way the row arrived: a round's fetched batch ([`score_rows_batched`]) is
 /// tombstone-masked, gathered into [`LANES`]-wide SoA lanes and scored on

@@ -184,7 +184,7 @@
 //! (`scan_inherited`, the third trigger). The read comes after the emit and
 //! floor checks, so a sibling the floor already certifies ends unscanned;
 //! the TA entry, which has no handle, and the single-pair walk never see
-//! it. The engine's `drive` gives every execution one 8-round slice, so the
+//! it. The engine's driver gives every execution one 8-round slice, so the
 //! merged floor forms as it did, and then runs each open one to completion
 //! in shard order: the first verdict lands while the others have spent one
 //! slice each. On `agg_6d` (seed 1, traced run, one worker) that halves the
@@ -249,12 +249,8 @@
 //! streams' rows. With re-checks off entirely (`RECHECK` = 255, a scratch
 //! build; seeds 381–384, alternating with the audit) p95 read 277–350 µs
 //! (one noisy run 402) against the audit's 328–348, so the audit takes
-//! most of what the re-check cost. Only that one-worker audit is measured,
-//! so only a one-worker engine audits: with more workers the lead shards'
-//! scans and then the audit shard's streams would run one after the other
-//! where a full re-check runs every shard's side by side, and the shape's
-//! re-check stays a stream-first query (as at one shard, which has no
-//! sibling floor).
+//! most of what the re-check cost. A one-shard engine has no sibling floor
+//! to audit against, and its re-check stays a stream-first query.
 //!
 //! Why 3 and 16, over 512 queries per shape (one engine, 4 shards; started
 //! lost / of them needless — the query would have certified — / stream

@@ -4,17 +4,16 @@
 //! executions — the sharded engine runs one §5 aggregation per shard — every
 //! execution produces *real* candidate scores, and the k-th best score seen
 //! anywhere is a valid lower bound on the final global k-th score. A
-//! [`SharedThreshold`] carries that bound across executions (and across
-//! threads): each publishes its running k-th-best score with
-//! [`SharedThreshold::raise`], and each reads the global floor with
-//! [`SharedThreshold::floor`] to terminate early once its own admissible
-//! bound `τ` certifies that no unfetched point can reach the floor.
+//! [`SharedThreshold`] carries that bound across executions: each publishes
+//! its running k-th-best score with [`SharedThreshold::raise`], and each
+//! reads the global floor with [`SharedThreshold::floor`] to terminate early
+//! once its own admissible bound `τ` certifies that no unfetched point can
+//! reach the floor. All executions of one query run on the thread that
+//! serves it, so the handle is two [`Cell`]s.
 //!
-//! The floor is a pure *pruning hint*: readers may observe it arbitrarily
-//! stale without affecting correctness (a stale floor only prunes less), so
-//! all atomic accesses are `Relaxed`. Scores are totally ordered by encoding
-//! the `f64` bits into a monotone `u64` (sign-flip trick), which makes
-//! `fetch_max` the whole synchronisation story — no locks, no CAS loops.
+//! The floor is a pure *pruning hint*: a lower floor only prunes less. It
+//! is kept as the `f64` bits encoded into a monotone `u64` (sign-flip
+//! trick), so raising it is one integer `max` and `-0 < +0` holds.
 //!
 //! The handle also carries the query's scan verdict
 //! ([`SharedThreshold::mark_lost`]): the first execution that gives up on
@@ -25,12 +24,11 @@
 //! engine sets it when the query's shape lost its recent queries, and then
 //! every execution scans at its first round head. The handle keeps the two
 //! apart ([`Verdict`]), so a profile can say which one sent an execution to
-//! its scan. It is a cost hint as well — a scan is exact whenever it runs —
-//! so it is `Relaxed` too.
+//! its scan. It is a cost hint as well: a scan is exact whenever it runs.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::types::OrdF64;
 
@@ -103,10 +101,10 @@ pub enum Verdict {
 /// this one's executions to scans they may not need.
 #[derive(Debug)]
 pub struct SharedThreshold {
-    bits: AtomicU64,
+    bits: Cell<u64>,
     /// [`Verdict`] as `OPEN < LOST < STARTED_LOST`, so marking a query lost
-    /// is a `fetch_max` that never hides that it started lost.
-    verdict: AtomicU8,
+    /// is a `max` that never hides that it started lost.
+    verdict: Cell<u8>,
 }
 
 const OPEN: u8 = 0;
@@ -117,8 +115,8 @@ impl SharedThreshold {
     /// A fresh threshold with floor `-∞` (prunes nothing), not lost.
     pub fn new() -> Self {
         SharedThreshold {
-            bits: AtomicU64::new(encode(f64::NEG_INFINITY)),
-            verdict: AtomicU8::new(OPEN),
+            bits: Cell::new(encode(f64::NEG_INFINITY)),
+            verdict: Cell::new(OPEN),
         }
     }
 
@@ -127,7 +125,7 @@ impl SharedThreshold {
     /// engine partition one dataset, so the verdict stands for them all.
     #[inline]
     pub fn mark_lost(&self) {
-        self.verdict.fetch_max(LOST, Ordering::Relaxed);
+        self.verdict.set(self.verdict.get().max(LOST));
     }
 
     /// Marks the query lost before any of its executions begins: each one
@@ -137,13 +135,13 @@ impl SharedThreshold {
     /// sibling's exit sent it to.
     #[inline]
     pub fn start_lost(&self) {
-        self.verdict.store(STARTED_LOST, Ordering::Relaxed);
+        self.verdict.set(STARTED_LOST);
     }
 
     /// The query's scan verdict so far.
     #[inline]
     pub fn verdict(&self) -> Verdict {
-        match self.verdict.load(Ordering::Relaxed) {
+        match self.verdict.get() {
             OPEN => Verdict::Open,
             LOST => Verdict::Lost,
             _ => Verdict::StartedLost,
@@ -153,7 +151,7 @@ impl SharedThreshold {
     /// The highest k-th-best score any execution has published so far.
     #[inline]
     pub fn floor(&self) -> f64 {
-        decode(self.bits.load(Ordering::Relaxed))
+        decode(self.bits.get())
     }
 
     /// Publishes a k-th-best score; the floor only ever rises. `score` must
@@ -162,7 +160,7 @@ impl SharedThreshold {
     #[inline]
     pub fn raise(&self, score: f64) {
         debug_assert!(!score.is_nan(), "threshold floors must not be NaN");
-        self.bits.fetch_max(encode(score), Ordering::Relaxed);
+        self.bits.set(self.bits.get().max(encode(score)));
     }
 }
 
@@ -232,21 +230,5 @@ mod tests {
         let u = SharedThreshold::new();
         u.mark_lost();
         assert_eq!(u.verdict(), Verdict::Lost);
-    }
-
-    #[test]
-    fn shared_across_threads() {
-        let t = SharedThreshold::new();
-        std::thread::scope(|s| {
-            for i in 0..8 {
-                let t = &t;
-                s.spawn(move || {
-                    for j in 0..100 {
-                        t.raise((i * 100 + j) as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(t.floor(), 799.0);
     }
 }

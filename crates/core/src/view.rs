@@ -15,6 +15,8 @@
 //! copies a mapped view into owned memory on first write — the
 //! copy-on-first-write contract that keeps mapped engines mutable.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::any::Any;
 use std::fmt;
 use std::io::{self, Read};
@@ -102,13 +104,20 @@ impl AlignedBytes {
 /// by the `layout` tests below.
 pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 
+// SAFETY: one byte, alignment 1; every bit pattern is a value.
 unsafe impl Pod for u8 {}
+// SAFETY: no padding, alignment 4; every bit pattern is a value.
 unsafe impl Pod for u32 {}
+// SAFETY: no padding, alignment 8; every bit pattern is a value.
 unsafe impl Pod for u64 {}
+// SAFETY: no padding, alignment 8; every bit pattern is a value (NaNs
+// included — the codec rejects them, not the type).
 unsafe impl Pod for f64 {}
 // Homogeneous f64 pairs are used for interleaved point tables and x-range
-// tables. Size/alignment are pinned below; element order is pinned by the
-// `pair_layout_matches_declaration` test.
+// tables.
+// SAFETY: two f64 fields of the same size and alignment leave no padding
+// (size 16, alignment 8, pinned below), and both fields are `Pod`. Element
+// order is pinned by the `pair_layout_matches_declaration` test.
 unsafe impl Pod for (f64, f64) {}
 
 const _: () = assert!(std::mem::size_of::<(f64, f64)>() == 16);
@@ -131,10 +140,14 @@ pub enum ColumnarView<T: Pod> {
     },
 }
 
-// A mapped view points into immutable storage (read-only mapping or a
-// frozen read buffer) owned by the Sync keepalive, so sharing it across
-// threads is safe.
+// SAFETY: an owned view is a `Vec<T>` of `Send` elements; a mapped view is
+// a pointer into storage that stays immutable and alive while its `Send +
+// Sync` keepalive does (the `mapped` contract), so moving it to another
+// thread moves only a read-only borrow and a handle that keeps it valid.
 unsafe impl<T: Pod> Send for ColumnarView<T> {}
+// SAFETY: `&ColumnarView` hands out only `&[T]` over that immutable storage
+// (writes need `&mut` and copy first), and `T: Sync`, so shared reads from
+// several threads cannot race.
 unsafe impl<T: Pod> Sync for ColumnarView<T> {}
 
 impl<T: Pod> ColumnarView<T> {
@@ -168,7 +181,9 @@ impl<T: Pod> ColumnarView<T> {
         match self {
             ColumnarView::Owned(v) => v.as_slice(),
             ColumnarView::Mapped { ptr, len, .. } => {
-                // Safety: upheld by the `mapped` constructor contract.
+                // SAFETY: the `mapped` constructor's contract: `ptr` is
+                // aligned and valid for `len` elements of immutable memory
+                // that `keep`, held by this view, keeps alive.
                 unsafe { std::slice::from_raw_parts(*ptr, *len) }
             }
         }
@@ -278,6 +293,8 @@ mod tests {
         // The v5 format reinterprets raw bytes as (f64, f64) pairs; pin the
         // element order so a layout change cannot silently swap x and y.
         let p: (f64, f64) = (1.0, 2.0);
+        // SAFETY: `(f64, f64)` is 16 bytes without padding (asserted at its
+        // `Pod` impl), and every bit pattern is a valid `[u8; 16]`.
         let bytes: [u8; 16] = unsafe { std::mem::transmute(p) };
         assert_eq!(f64::from_le_bytes(bytes[..8].try_into().unwrap()), 1.0);
         assert_eq!(f64::from_le_bytes(bytes[8..].try_into().unwrap()), 2.0);
@@ -296,6 +313,8 @@ mod tests {
     fn mapped_view_reads_and_copies_on_write() {
         let backing: Arc<Vec<u32>> = Arc::new(vec![10, 20, 30]);
         let keep: ViewKeep = backing.clone();
+        // SAFETY: `keep` owns the aligned vector of three elements, which
+        // no one mutates while it is shared.
         let mut view = unsafe { ColumnarView::mapped(backing.as_ptr(), 3, keep, false) };
         assert!(view.is_mapped());
         assert_eq!(&view[..], &[10, 20, 30]);
@@ -315,6 +334,8 @@ mod tests {
     fn deref_mut_is_copy_on_write() {
         let backing: Arc<Vec<f64>> = Arc::new(vec![1.5, 2.5]);
         let keep: ViewKeep = backing.clone();
+        // SAFETY: `keep` owns the aligned vector of two elements, which no
+        // one mutates while it is shared.
         let mut view = unsafe { ColumnarView::mapped(backing.as_ptr(), 2, keep, false) };
         view[1] = 9.0;
         assert!(!view.is_mapped());
@@ -325,6 +346,8 @@ mod tests {
     fn equality_compares_contents_across_variants() {
         let backing: Arc<Vec<u64>> = Arc::new(vec![7, 8]);
         let keep: ViewKeep = backing.clone();
+        // SAFETY: `keep` owns the aligned vector of two elements, which no
+        // one mutates while it is shared.
         let mapped = unsafe { ColumnarView::mapped(backing.as_ptr(), 2, keep, false) };
         let owned = ColumnarView::owned(vec![7u64, 8]);
         assert_eq!(mapped, owned);
@@ -356,6 +379,8 @@ mod tests {
         // The same three u64s: owned, borrowed from a heap buffer (a loaded
         // snapshot), borrowed from file pages (a mapped one).
         let backing: Arc<Vec<u64>> = Arc::new(vec![1, 2, 3]);
+        // SAFETY: each view's keepalive owns the aligned vector of three
+        // elements, which no one mutates while it is shared.
         let view = |heap| unsafe {
             ColumnarView::mapped(backing.as_ptr(), 3, backing.clone() as ViewKeep, heap)
         };

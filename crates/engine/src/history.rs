@@ -18,11 +18,8 @@
 //! (the data changed, the query points moved) is found out within
 //! [`RECHECK`] + 1 queries, at the cost of one shard's stream phase per
 //! [`RECHECK`] queries while it stays lost. A one-shard engine has no
-//! sibling floor to audit against, and an engine with more than one worker
-//! would queue the audit shard's streams behind the others' scans where a
-//! full re-check runs them side by side (and that path has no measurement
-//! behind it): either engine's audit is a stream-first query, recorded as
-//! one.
+//! sibling floor to audit against: its audit is a stream-first query,
+//! recorded as one.
 //!
 //! The audit's verdict is sound evidence. The floor the audit shard starts
 //! from is the k-th best of every row its siblings scanned — their exact

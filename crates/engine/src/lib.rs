@@ -18,8 +18,8 @@
 //!        └─────┬─────┘      └─────┬─────┘      └─────┬─────┘  per shard
 //!              │    ▲             │    ▲             │    ▲
 //!              └────╂─────────────┴────╂─────────────┘    ┃
-//!                   ┗━━━━━ SharedThreshold (atomic ━━━━━━━┛
-//!                          k-th-score floor; raised by every
+//!                   ┗━━━━━━ SharedThreshold (k-th ━━━━━━━━┛
+//!                          score floor; raised by every
 //!                          shard, pruned against by all)
 //!                                 │
 //!                    ┌────────────▼────────────┐
@@ -31,12 +31,12 @@
 //!
 //! ## Why sharding helps
 //!
-//! A monolithic [`SdIndex`] query is one sequential tree walk — batch QPS is
-//! flat no matter how many cores serve it. The engine partitions the dataset
-//! into `S` contiguous shards at build time, each with its own `SdIndex`
-//! (per-pair §4 indexes plus every unpaired dimension's extent) over its row
-//! range. A query runs one §5 aggregation per shard — in parallel across
-//! however many workers the host grants — and the per-shard bounds stay
+//! The engine partitions the dataset into `S` contiguous shards at build
+//! time, each with its own `SdIndex` (per-pair §4 indexes plus every
+//! unpaired dimension's extent) over its row range, so compaction rebuilds
+//! one shard, not the whole index. A query runs one §5 aggregation per
+//! shard, all of them on the thread that calls it — parallelism is between
+//! queries ([`SdEngine::par_query_batch`]) — and the per-shard bounds stay
 //! admissible because each covers only its own rows: a shard's `τ` is its
 //! pair streams' bounds plus what its unpaired dimensions can add at the
 //! ends of their extents. A shard with no pair to stream scans — unless
@@ -45,9 +45,9 @@
 //! The [`SharedThreshold`] is what keeps sharding from multiplying work: the
 //! k-th best *exact* score seen by any shard is a lower bound on the final
 //! global k-th score, so every other shard terminates its aggregation as
-//! soon as its own admissible bound `τ` falls below that floor. Later (or
-//! slower) shards effectively only verify that they hold nothing better
-//! than the current global top-k.
+//! soon as its own admissible bound `τ` falls below that floor. Later
+//! shards effectively only verify that they hold nothing better than the
+//! current global top-k.
 //!
 //! ## Exactness
 //!
@@ -65,16 +65,15 @@
 //! Every shard aggregation runs the same way: [`SdIndex::begin_query`],
 //! one 8-round [`ShardExecution::step`] per shard, then each shard still
 //! open stepped to completion in shard order, [`ShardExecution::finish_into`].
-//! One worker drives all shards on the calling thread and keeps a merged
-//! k-of-union floor over every score any step has seen; several workers
-//! each drive a contiguous range of shards and meet only through the atomic
+//! The calling thread drives all shards and keeps a merged k-of-union floor
+//! over every score any step has seen, published through the
 //! [`SharedThreshold`] — which also carries the query's scan verdict: once
 //! one execution finds its streams lost and scans, its open siblings scan
 //! at their next round head instead of reaching the verdict again. A query
 //! that is one non-degenerate pair ([`SdIndex::single_pair`]) is not
-//! aggregated at all, whatever the shard count, tombstones or worker count:
+//! aggregated at all, whatever the shard count or tombstones:
 //! it is the paper's §4 walk over the pair's block sets of every shard at
-//! once ([`SinglePair::walk`], on the calling thread), after the delta scan
+//! once ([`SinglePair::walk`]), after the delta scan
 //! when the engine is dirty. [`SdEngine::explain`] says `direct` on every
 //! shard exactly then.
 //!
@@ -114,12 +113,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sdq_core::mask::{MaskView, RowMask};
-use sdq_core::multidim::{
-    resolve_threads, QueryPlan, SdIndex, SdIndexOptions, ShardExecution, ShardPart,
-};
+use sdq_core::multidim::{QueryPlan, SdIndex, SdIndexOptions, ShardExecution, ShardPart};
 use sdq_core::score::rank_cmp;
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::threshold::{track_floor, SharedThreshold};
@@ -136,14 +133,18 @@ pub use mutation::{CompactionOptions, CompactionReport, MutationStats};
 
 use history::{Shape, Start, VerdictHistory};
 
-/// Tuning knobs for [`SdEngine::build_with`].
+/// Tuning knobs for [`SdEngine::build_with`]. Every query runs its shards
+/// on the thread that calls it; a batch spreads queries over threads
+/// ([`SdEngine::par_query_batch`]).
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Number of shards (`≥ 1`; capped at the row count so no shard is
     /// empty). Contiguous row ranges, balanced within one row.
     pub shards: usize,
-    /// Worker threads for shard execution inside a single query; `0` means
-    /// auto ([`std::thread::available_parallelism`]).
+    /// Read by nothing. It named the per-query shard worker count, and
+    /// stays only because the repo benchmark, which a program change may
+    /// not edit, still sets it; it goes with that benchmark's next change.
+    #[deprecated(note = "a query runs on the thread that calls it; this field is ignored")]
     pub threads: usize,
     /// Per-shard [`SdIndex`] build options (pairing, angles).
     pub index: SdIndexOptions,
@@ -151,6 +152,7 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> Self {
+        #[allow(deprecated)] // the shim's own definition
         EngineOptions {
             shards: 1,
             threads: 0,
@@ -180,15 +182,15 @@ pub struct ShardInfo {
 /// per shard, per-shard result staging, merge cursors and the engine-level
 /// k-th-score tracker. Keep one per serving thread and reuse it across
 /// queries — every buffer (heaps, pools, seen-sets, answer lists, the
-/// driver's list of shard executions) is recycled, so a warmed
-/// single-worker query touches the allocator zero times.
+/// driver's list of shard executions) is recycled, so a warmed query
+/// touches the allocator zero times.
 #[derive(Default)]
 pub struct EngineScratch {
     /// One per shard: a [`ShardExecution`] owns its scratch's buffers while
-    /// it is in flight, and all shards of a worker are in flight at once.
-    workers: Vec<QueryScratch>,
-    /// The single-worker driver's execution list. Empty between queries;
-    /// only the allocation is retained.
+    /// it is in flight, and all shards of a query are in flight at once.
+    shards: Vec<QueryScratch>,
+    /// The driver's execution list. Empty between queries; only the
+    /// allocation is retained.
     runs: Vec<ShardExecution<'static>>,
     lists: Vec<Vec<ScoredPoint>>,
     heads: Vec<usize>,
@@ -206,7 +208,7 @@ pub struct EngineScratch {
     /// executions had done by then are still folded in.
     pub profile: QueryProfile,
     /// Cooperative deadline/cancel token of the next query served through
-    /// this scratch, propagated to every worker and checked once per
+    /// this scratch, propagated to every shard execution and checked once per
     /// aggregation round and per delta chunk. Unlimited by default; a
     /// bounded deadline captures its expiry at construction, so set a
     /// fresh one per query.
@@ -223,8 +225,8 @@ impl EngineScratch {
         if self.lists.len() != lists {
             self.lists.resize_with(lists, Vec::new);
         }
-        if self.workers.len() < shards {
-            self.workers.resize_with(shards, QueryScratch::new);
+        if self.shards.len() < shards {
+            self.shards.resize_with(shards, QueryScratch::new);
         }
     }
 }
@@ -587,7 +589,6 @@ pub struct SdEngine {
     /// First global row of shard `i` (parallel to `shards`).
     offsets: Vec<u32>,
     shards: Vec<SdIndex>,
-    threads: usize,
     /// Per-shard build options, reused by compaction-time rebuilds.
     index_options: SdIndexOptions,
     /// The write path: delta region, tombstones, epochs (see [`mutation`]).
@@ -620,7 +621,7 @@ pub enum ShapeState {
     /// The shape's last [`STREAK`] stream-first queries scanned: its next
     /// query starts lost, unless it is the shape's [`RECHECK`]-th, an audit
     /// whose last shard runs stream-first against the others' floor (at one
-    /// shard or more than one worker, the audit runs stream-first whole).
+    /// shard, the audit runs stream-first whole).
     StartsLost,
     /// The shape's last audit certified: its next query runs its streams
     /// first, and that query's verdict decides whether the shape stays
@@ -683,7 +684,6 @@ impl SdEngine {
             roles: roles.to_vec(),
             offsets,
             shards,
-            threads: options.threads,
             index_options: options.index.clone(),
             muts,
             metrics: EngineMetrics::default(),
@@ -740,7 +740,6 @@ impl SdEngine {
             roles,
             offsets,
             shards,
-            threads: 0,
             index_options,
             muts,
             metrics: EngineMetrics::default(),
@@ -792,10 +791,11 @@ impl SdEngine {
         self.shards.iter().try_for_each(SdIndex::verify_integrity)
     }
 
-    /// Sets the per-query shard worker count (`0` = auto).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
+    /// Does nothing. It set the per-query shard worker count, and stays
+    /// only because the repo benchmark, which a program change may not
+    /// edit, still calls it; it goes with that benchmark's next change.
+    #[deprecated(note = "a query runs on the thread that calls it; this call does nothing")]
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// The engine's lifetime metrics registry. The handle is cheap to
     /// clone and stays connected to this engine (and all of its clones)
@@ -878,37 +878,24 @@ impl SdEngine {
         Ok(self.query_with(query, k, &mut scratch)?.to_vec())
     }
 
-    /// Answers the top-k query with caller-owned scratch buffers, executing
-    /// shards across up to the configured worker count (see
-    /// [`EngineOptions::threads`]; `0` = auto) — or, for a single-pair
-    /// query, walking every shard at once on the calling thread. Returns a slice borrowed
-    /// from the scratch, **bit-identical** to the unsharded
-    /// [`SdIndex::query`] over the same data — regardless of shard count,
-    /// worker count or threshold-sharing timing.
+    /// Answers the top-k query with caller-owned scratch buffers, running
+    /// every shard on the calling thread — or, for a single-pair query,
+    /// walking every shard at once. Returns a slice borrowed from the
+    /// scratch, **bit-identical** to the unsharded [`SdIndex::query`] over
+    /// the same data, whatever the shard count.
+    ///
+    /// Times the query into the query-latency histogram and journals the
+    /// full profile when the slow-query threshold trips: one
+    /// `Instant` pair and one relaxed `fetch_add` per query — the whole
+    /// always-on telemetry cost of the clean read path.
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
         k: usize,
         scratch: &'s mut EngineScratch,
     ) -> Result<&'s [ScoredPoint], SdError> {
-        let workers = resolve_threads(self.threads);
-        self.query_inner(query, k, scratch, workers)?;
-        Ok(&scratch.answers)
-    }
-
-    /// Times [`Self::query_core`] into the query-latency histogram and
-    /// journals the full profile when the slow-query threshold trips.
-    /// One `Instant` pair and one relaxed `fetch_add` per query — the
-    /// whole always-on telemetry cost of the clean read path.
-    fn query_inner(
-        &self,
-        query: &SdQuery,
-        k: usize,
-        scratch: &mut EngineScratch,
-        workers: usize,
-    ) -> Result<(), SdError> {
         let t0 = std::time::Instant::now();
-        let res = self.query_core(query, k, scratch, workers);
+        let res = self.query_core(query, k, scratch);
         if matches!(
             res,
             Err(SdError::DeadlineExceeded { .. }) | Err(SdError::Cancelled)
@@ -928,7 +915,7 @@ impl SdEngine {
                 profile: scratch.profile,
             });
         }
-        Ok(())
+        Ok(&scratch.answers)
     }
 
     fn query_core(
@@ -936,7 +923,6 @@ impl SdEngine {
         query: &SdQuery,
         k: usize,
         scratch: &mut EngineScratch,
-        workers: usize,
     ) -> Result<(), SdError> {
         if k == 0 {
             return Err(SdError::ZeroK);
@@ -960,10 +946,9 @@ impl SdEngine {
             self.metrics.record_query(&scratch.profile);
             return Ok(());
         }
-        let w = workers.clamp(1, s.max(1));
         let lists_n = s + usize::from(dirty);
         scratch.ensure(lists_n, s);
-        for qs in scratch.workers.iter_mut() {
+        for qs in &mut scratch.shards[..s] {
             qs.profile.reset();
             qs.profile.timing = timing;
             qs.deadline = scratch.deadline.clone();
@@ -1020,7 +1005,7 @@ impl SdEngine {
         let t_agg = timing.then(std::time::Instant::now);
 
         let EngineScratch {
-            workers: worker_scratches,
+            shards: shard_scratches,
             runs,
             lists,
             heads,
@@ -1029,7 +1014,7 @@ impl SdEngine {
             profile,
             ..
         } = &mut *scratch;
-        let shard_scratches = &mut worker_scratches[..s];
+        let shard_scratches = &mut shard_scratches[..s];
         let pair = self
             .shards
             .first()
@@ -1038,20 +1023,18 @@ impl SdEngine {
         // starts lost: every execution scans at its first round head —
         // except, on the shape's audit, the last shard's, which runs
         // stream-first once its siblings are done. A one-shard engine has no
-        // sibling floor to audit against, and several workers would queue
-        // the last shard's streams behind scans a full re-check runs beside
-        // them: either way the audit is a stream-first query.
+        // sibling floor to audit against: its audit is a stream-first query.
         let shape = self.shape(query, k);
         let start = match shape.map(|shape| self.verdicts.begin(shape)) {
-            Some(Start::Audit) if s == 1 || w > 1 => Start::Streams,
+            Some(Start::Audit) if s == 1 => Start::Streams,
             start => start.unwrap_or(Start::Streams),
         };
         if start != Start::Streams {
             shared.start_lost();
         }
         let executed = if let Some(pair) = pair {
-            // One walk over every shard's block set, whatever the shard or
-            // worker count: no cross-shard machinery beyond the delta floor.
+            // One walk over every shard's block set, whatever the shard
+            // count: no cross-shard machinery beyond the delta floor.
             let parts = self
                 .shards
                 .iter()
@@ -1066,24 +1049,24 @@ impl SdEngine {
             pair.walk(parts, k, &mut shard_scratches[0], shared)
                 .map(drop)
         } else if start == Start::Audit {
-            // One worker: the audit shard starts from the merged floor it
-            // tracked through the delta and every lead shard's exact top k.
+            // The audit shard starts from the merged floor tracked through
+            // the delta and every lead shard's exact top k.
             let (lead, last) = shard_scratches.split_at_mut(s - 1);
-            self.aggregate(0, query, k, mask, &shared, floor, lead, runs, 1)
+            self.aggregate(0, query, k, mask, &shared, floor, lead, runs)
                 .and_then(|()| {
                     let audit = SharedThreshold::new();
                     if floor.len() == k {
                         audit.raise(floor.peek().expect("floor is non-empty").0 .0);
                     }
-                    self.aggregate(s - 1, query, k, mask, &audit, floor, last, runs, 1)
+                    self.aggregate(s - 1, query, k, mask, &audit, floor, last, runs)
                 })
         } else {
-            self.aggregate(0, query, k, mask, &shared, floor, shard_scratches, runs, w)
+            self.aggregate(0, query, k, mask, &shared, floor, shard_scratches, runs)
         };
-        // Fold the per-shard profiles into the engine-level one (unused
-        // worker scratches were reset above and merge as zeros) — also when
-        // a deadline ended the query: the counters say how far it got.
-        for qs in worker_scratches.iter() {
+        // Fold the per-shard profiles into the engine-level one (a walk's
+        // idle scratches were reset above and merge as zeros) — also when a
+        // deadline ended the query: the counters say how far it got.
+        for qs in shard_scratches.iter() {
             profile.merge(&qs.profile);
         }
         executed?;
@@ -1092,7 +1075,7 @@ impl SdEngine {
                 Start::Streams => self.verdicts.record(shape, profile.scan_fallbacks > 0),
                 Start::Audit => self
                     .verdicts
-                    .audited(shape, worker_scratches[s - 1].profile.scan_fallbacks > 0),
+                    .audited(shape, shard_scratches[s - 1].profile.scan_fallbacks > 0),
                 Start::Lost => {}
             }
         }
@@ -1105,16 +1088,16 @@ impl SdEngine {
         // A walk splits its floor updates by shard itself; an aggregation
         // left each shard's in that shard's scratch.
         if pair.is_some() {
-            let walk = &worker_scratches[0];
+            let walk = &shard_scratches[0];
             for (i, &updates) in walk.part_floor_updates().iter().enumerate() {
                 self.metrics.record_shard_floor(i, updates);
             }
         } else {
-            for (i, qs) in worker_scratches[..s].iter().enumerate() {
+            for (i, qs) in shard_scratches.iter().enumerate() {
                 self.metrics.record_shard_floor(i, qs.profile.floor_updates);
             }
         }
-        for (i, (qs, out)) in worker_scratches[..ran]
+        for (i, (qs, out)) in shard_scratches[..ran]
             .iter()
             .zip(lists.iter_mut())
             .enumerate()
@@ -1182,75 +1165,11 @@ impl SdEngine {
         Ok(())
     }
 
-    /// Runs shard aggregations `first..first + scratches.len()` under
-    /// `shared`. One worker drives them all on the calling thread, keeping
-    /// the merged k-of-union floor in `floor` (pre-seeded by the delta scan):
-    /// it reaches the global k-th within a few slices, so every shard —
-    /// including the first — terminates against a near-final floor instead
-    /// of its own weaker local one (measured ≈ the oracle floor's cost, where
-    /// strictly sequential shard execution leaves the first shard
-    /// floorless). More workers take contiguous shard ranges and meet only
-    /// through `shared`'s atomic floor; `floor` is left as it came.
-    #[allow(clippy::too_many_arguments)] // internal: one body, three call sites
-    fn aggregate(
-        &self,
-        first: usize,
-        query: &SdQuery,
-        k: usize,
-        mask: Option<&RowMask>,
-        shared: &SharedThreshold,
-        floor: &mut BinaryHeap<Reverse<OrdF64>>,
-        scratches: &mut [QueryScratch],
-        runs: &mut Vec<ShardExecution<'static>>,
-        w: usize,
-    ) -> Result<(), SdError> {
-        if w == 1 {
-            let mut active = recycle_vec(std::mem::take(runs));
-            let driven = self.drive(
-                first,
-                query,
-                k,
-                mask,
-                shared,
-                Some(floor),
-                scratches,
-                &mut active,
-            );
-            *runs = recycle_vec(active);
-            return driven;
-        }
-        let chunk = scratches.len().div_ceil(w);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = scratches
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, scratches)| {
-                    scope.spawn(move || {
-                        let mut active = Vec::with_capacity(scratches.len());
-                        self.drive(
-                            first + ci * chunk,
-                            query,
-                            k,
-                            mask,
-                            shared,
-                            None,
-                            scratches,
-                            &mut active,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("shard worker panicked"))
-        })
-    }
-
     /// The one way shard aggregations run: begins shard `first + j` out of
-    /// `scratches[j]` (with its tombstone view), steps them in two passes,
-    /// and finishes each into the scratch it was begun from — where its
-    /// canonical shard-local answer and its profile are left. The first
-    /// pass gives every execution one `SLICE_ROUNDS` slice, so a floor
+    /// `scratches[j]` (with its tombstone view) under `shared`, steps them
+    /// in two passes, and finishes each into the scratch it was begun from —
+    /// where its canonical shard-local answer and its profile are left. The
+    /// first pass gives every execution one `SLICE_ROUNDS` slice, so a floor
     /// forms from every shard's best rows; the second runs each one still
     /// open to completion, in shard order. So the first execution that
     /// finds its streams lost and takes the scan exit does so while its
@@ -1262,69 +1181,66 @@ impl SdEngine {
     /// back unfinished, so a tripped scratch serves its next query without
     /// re-allocating.
     ///
-    /// `merged` is the single worker's k-of-union floor over every score any
-    /// step has seen, published into `shared` after every step, so the next
-    /// shard's step already prunes against it; scoped workers pass `None`
-    /// and meet only through `shared`, floor and verdict alike.
-    /// `runs` must arrive empty and is left empty.
-    #[allow(clippy::too_many_arguments)] // internal: one body, two call sites
-    fn drive<'i>(
-        &'i self,
+    /// `floor` is the query's k-of-union floor over every score any step
+    /// has seen (pre-seeded by the delta scan), published into `shared`
+    /// after every step, so the next shard's step already prunes against
+    /// it. It reaches the global k-th within a few slices, so every shard —
+    /// including the first — terminates against a near-final floor instead
+    /// of its own weaker local one (measured ≈ the oracle floor's cost,
+    /// where strictly sequential shard execution leaves the first shard
+    /// floorless). `runs` lends its allocation and is left empty.
+    #[allow(clippy::too_many_arguments)] // internal: one body, three call sites
+    fn aggregate(
+        &self,
         first: usize,
-        query: &'i SdQuery,
+        query: &SdQuery,
         k: usize,
-        mask: Option<&'i RowMask>,
+        mask: Option<&RowMask>,
         shared: &SharedThreshold,
-        mut merged: Option<&mut BinaryHeap<Reverse<OrdF64>>>,
+        floor: &mut BinaryHeap<Reverse<OrdF64>>,
         scratches: &mut [QueryScratch],
-        runs: &mut Vec<ShardExecution<'i>>,
+        runs: &mut Vec<ShardExecution<'static>>,
     ) -> Result<(), SdError> {
         // Rounds of the first pass: enough that each slice makes real bound
         // progress, small enough that the merged floor forms while every
         // shard is still early in its descent.
         const SLICE_ROUNDS: usize = 8;
+        let mut active = recycle_vec(std::mem::take(runs));
         let mut advance = || -> Result<(), SdError> {
             for (i, qs) in (first..).zip(scratches.iter_mut()) {
                 let shard_mask = shard_mask_view(mask, self.offsets[i], self.muts.shard_dead[i]);
-                runs.push(self.shards[i].begin_query(query, k, qs, shard_mask)?);
+                active.push(self.shards[i].begin_query(query, k, qs, shard_mask)?);
             }
             for rounds in [SLICE_ROUNDS, usize::MAX] {
-                for run in runs.iter_mut().filter(|run| !run.done()) {
-                    match merged.as_deref_mut() {
-                        Some(floor) => {
-                            run.step(rounds, Some(shared), |score| {
-                                track_floor(floor, k, score);
-                            })?;
-                            // After every step, not every pass: a query
-                            // whose executions each finish inside their
-                            // first slice would otherwise end before the
-                            // first publication.
-                            if floor.len() == k {
-                                shared.raise(floor.peek().expect("floor is non-empty").0 .0);
-                            }
-                        }
-                        None => {
-                            run.step(rounds, Some(shared), |_| {})?;
-                        }
+                for run in active.iter_mut().filter(|run| !run.done()) {
+                    run.step(rounds, Some(shared), |score| {
+                        track_floor(floor, k, score);
+                    })?;
+                    // After every step, not every pass: a query whose
+                    // executions each finish inside their first slice would
+                    // otherwise end before the first publication.
+                    if floor.len() == k {
+                        shared.raise(floor.peek().expect("floor is non-empty").0 .0);
                     }
                 }
             }
             Ok(())
         };
         let advanced = advance();
-        for (run, qs) in runs.drain(..).zip(scratches.iter_mut()) {
+        for (run, qs) in active.drain(..).zip(scratches.iter_mut()) {
             match advanced {
                 Ok(()) => run.finish_into(qs),
                 Err(_) => run.abandon_into(qs),
             }
         }
+        *runs = recycle_vec(active);
         advanced
     }
 
-    /// Answers a batch of queries in parallel with up to `threads` workers
-    /// (`0` = auto), one [`EngineScratch`] per worker; each query executes
-    /// its shards sequentially inside its worker so the batch keeps every
-    /// core busy without oversubscription. Explicit counts are clamped to
+    /// Answers a batch of queries in parallel with up to `threads` threads
+    /// (`0` = auto, [`resolve_threads`]), one [`EngineScratch`] per thread;
+    /// each query runs on one of them, like [`SdEngine::query_with`] on the
+    /// thread that calls it. Explicit counts are clamped to
     /// the machine's available parallelism — oversubscribing a batch only
     /// adds scheduler churn (measured: `threads=4` on one core ran ~7%
     /// *slower* than serial). Results keep the input order and are
@@ -1340,10 +1256,7 @@ impl SdEngine {
             let mut scratch = EngineScratch::new();
             return queries
                 .iter()
-                .map(|q| {
-                    self.query_inner(q, k, &mut scratch, 1)?;
-                    Ok(scratch.answers.clone())
-                })
+                .map(|q| Ok(self.query_with(q, k, &mut scratch)?.to_vec()))
                 .collect();
         }
         let n_workers = threads.min(queries.len());
@@ -1359,9 +1272,7 @@ impl SdEngine {
                             .skip(w)
                             .step_by(n_workers)
                             .map(|(i, q)| {
-                                let r = self
-                                    .query_inner(q, k, &mut scratch, 1)
-                                    .map(|()| scratch.answers.clone());
+                                let r = self.query_with(q, k, &mut scratch).map(<[_]>::to_vec);
                                 (i, r)
                             })
                             .collect::<Vec<_>>()
@@ -1380,6 +1291,24 @@ impl SdEngine {
             }
         }
         Ok(out)
+    }
+}
+
+/// Resolves a thread-count argument of [`SdEngine::par_query_batch`] or
+/// `sdq query --threads`: `0` means auto — the host's available
+/// parallelism (1 when it cannot be determined), asked of the OS once per
+/// process: the answer is an affinity mask plus cgroup quota files, read
+/// and allocated for on every call.
+pub fn resolve_threads(threads: usize) -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    if threads == 0 {
+        *AUTO.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+    } else {
+        threads
     }
 }
 
@@ -1468,12 +1397,12 @@ mod tests {
         assert_eq!(e.len(), 3);
     }
 
-    /// The single worker publishes its merged k-of-union floor after every
-    /// step, so a sibling's first slice already prunes against the scores
-    /// of every slice before it; held to once per *pass*, the floor arrives
+    /// The driver publishes its merged k-of-union floor after every step,
+    /// so a sibling's first slice already prunes against the scores of
+    /// every slice before it; held to once per *pass*, the floor arrives
     /// only after every shard has run its first slice against its own local
-    /// floor. On these 4-D queries over eight 5 000-row shards (seeded, one
-    /// worker: the counts repeat exactly) that is the difference between
+    /// floor. On these 4-D queries over eight 5 000-row shards (seeded: the
+    /// counts repeat exactly) that is the difference between
     /// 69 180 rows fetched through the streams over the 32 queries and
     /// 56 444. (Scanned rows are left out: at this shard size 29 of the 256
     /// executions scan, 25 of them on an earlier sibling's verdict.)
@@ -1494,7 +1423,6 @@ mod tests {
             &roles,
             &EngineOptions {
                 shards: 8,
-                threads: 1,
                 ..EngineOptions::default()
             },
         )
@@ -1610,8 +1538,7 @@ mod tests {
     /// 200-row shards under k = 64: the streams spend the 25-row budget
     /// long before they could certify, so every query scans.
     fn scanning() -> (SdEngine, SdQuery) {
-        let mut e = engine(800, 6, 4);
-        e.set_threads(1);
+        let e = engine(800, 6, 4);
         let q = SdQuery::uniform_weights(vec![0.5; 6], e.roles());
         (e, q)
     }
@@ -1708,8 +1635,7 @@ mod tests {
 
     #[test]
     fn a_walk_never_consults_the_history() {
-        let mut e = engine(4_000, 2, 4);
-        e.set_threads(1);
+        let e = engine(4_000, 2, 4);
         let q = SdQuery::uniform_weights(vec![0.0, 1.0], e.roles());
         assert_eq!(e.explain(&q, 16).unwrap().shape, None);
         let mut scratch = EngineScratch::new();

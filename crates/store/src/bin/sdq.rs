@@ -17,14 +17,14 @@ use std::time::Instant;
 
 use sdq_core::geometry::Angle;
 use sdq_core::multidim::plan::scan_checkpoint;
-use sdq_core::multidim::{resolve_threads, PairingStrategy, QueryPlan, SdIndexOptions};
+use sdq_core::multidim::{PairingStrategy, QueryPlan, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::topk::default_angles;
 use sdq_core::{Dataset, Deadline, QueryProfile, ScoredPoint, SdQuery};
 use sdq_data::{generate, uniform_queries, Distribution};
 use sdq_engine::{
-    floor_slot_label, CompactionOptions, EngineMetrics, EngineOptions, EngineScratch, Explain,
-    MetricsSnapshot, SdEngine,
+    floor_slot_label, resolve_threads, CompactionOptions, EngineMetrics, EngineOptions,
+    EngineScratch, Explain, MetricsSnapshot, SdEngine,
 };
 use sdq_store::io::splitmix64;
 use sdq_store::json::Json;
@@ -143,7 +143,7 @@ QUERY OPTIONS:
     --k K              Result size (default 5).
     --repeat N         Answer the query N times and print latency
                        percentiles + QPS (default 1).
-    --threads T        Worker threads for the repeated batch (default 1;
+    --threads T        Threads for the repeated batch (default 1;
                        0 = auto: the host's available parallelism).
     --explain          Print the planner's per-pair strategy table (the
                        rule's strategy + the weight angle θ_q it read)
@@ -413,11 +413,11 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     }
     let options = EngineOptions {
         shards,
-        threads: 0,
         index: SdIndexOptions {
             pairing,
             angles: angle_grid(angle_count)?,
         },
+        ..EngineOptions::default()
     };
 
     println!(
@@ -539,7 +539,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             "--timeout-us needs --threads 1 (the batch path carries no deadline)",
         ));
     }
-    // --threads 0 = auto: resolve once so the printed worker count is the
+    // --threads 0 = auto: resolve once so the printed thread count is the
     // real one, not "0 thread(s)".
     let threads = resolve_threads(threads);
     // The engine opened below records into the process-global registry, so

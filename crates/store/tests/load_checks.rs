@@ -32,7 +32,6 @@ fn engine_of(n: usize) -> SdEngine {
         &parse_roles(ROLES).unwrap(),
         &EngineOptions {
             shards: 2,
-            threads: 1,
             ..Default::default()
         },
     )

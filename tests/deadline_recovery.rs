@@ -1,5 +1,5 @@
 //! A query deadline is an error for one query, not for the scratch that
-//! served it: when the single-worker scheduler aborts — between two
+//! served it: when the engine aborts it — between two
 //! aggregation rounds, in the middle of the kernel scan of the shard that
 //! found the query lost, in one its siblings inherited from it, or in a scan
 //! of a query that started lost — every suspended shard execution hands its
@@ -18,8 +18,13 @@
 //! profile the abort leaves behind (`scan_fallbacks` is counted when a
 //! scan starts): the sweep must produce at least one trip of each kind.
 //!
+//! A query runs on the thread that calls it, so the engines here are built
+//! with the default options and restored through `from_parts` as they come:
+//! a warmed query allocates nothing on either, and the auto thread count
+//! of a batch is asked of the OS once.
+//!
 //! Allocation counting as in `crates/core/tests/alloc_count.rs`: a
-//! counting global allocator with a thread-local counter, one `#[test]`.
+//! counting global allocator with a thread-local counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,7 +33,7 @@ use std::time::{Duration, Instant};
 use sdq::core::multidim::SdIndex;
 use sdq::core::{CancelToken, Deadline, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine, RECHECK, STREAK};
+use sdq::engine::{resolve_threads, EngineOptions, EngineScratch, SdEngine, RECHECK, STREAK};
 use sdq::{DimRole, ScoredPoint, SdError, SdQuery};
 
 struct CountingAlloc;
@@ -112,18 +117,13 @@ fn tripped_scratch_recovers_without_reallocating() {
         &roles,
         &EngineOptions {
             shards: 4,
-            threads: 1,
             ..EngineOptions::default()
         },
     )
     .unwrap();
     // An engine over the same shards with no verdict history: its first
     // STREAK queries of this shape run their streams first.
-    let fresh = || {
-        let mut e = SdEngine::from_parts(dims, roles.clone(), engine.shards().to_vec()).unwrap();
-        e.set_threads(1);
-        e
-    };
+    let fresh = || SdEngine::from_parts(dims, roles.clone(), engine.shards().to_vec()).unwrap();
     let query: SdQuery = uniform_queries(1, dims, 0xD1).remove(0);
     let want = fresh().query(&query, k).unwrap(); // a fresh scratch's answer
 
@@ -146,7 +146,7 @@ fn tripped_scratch_recovers_without_reallocating() {
             "one verdict, three siblings inherit it"
         );
         if i > 0 {
-            assert_eq!(allocs, 0, "a warmed single-worker query allocates nothing");
+            assert_eq!(allocs, 0, "a warmed query allocates nothing");
         }
     }
     // … and then started lost: its first such query sets the high-water
@@ -293,13 +293,11 @@ fn direct_2d_search_honours_a_cancelled_token() {
     assert_eq!(allocs, 0, "the cancelled scratch re-allocated");
 
     // An engine runs the same search over all its shards at once: one
-    // shard, four, and four with a tombstone and a delta row. (`threads =
-    // 1`: resolving the auto worker count asks the OS, which allocates.)
+    // shard, four, and four with a tombstone and a delta row.
     for (shards, dirty) in [(1, false), (4, false), (4, true)] {
         let cell = format!("{shards} shard(s), dirty {dirty}");
         let options = EngineOptions {
             shards,
-            threads: 1,
             ..EngineOptions::default()
         };
         let mut engine = SdEngine::build_with(data.clone(), &roles, &options).unwrap();
@@ -344,4 +342,64 @@ fn direct_2d_search_honours_a_cancelled_token() {
             "{cell}: the cancelled engine scratch re-allocated"
         );
     }
+}
+
+/// A 4-shard engine as `EngineOptions::default()` builds it, and the same
+/// shards as a store's open restores them (`SdEngine::from_parts`): once a
+/// scratch has served the queries, serving them again allocates nothing.
+/// No option picks a worker count, so no query spawns one.
+#[test]
+fn default_and_restored_engines_query_without_allocating() {
+    let (n, dims, k) = (20_000, 4, 16);
+    let roles = [
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+    ];
+    let built = SdEngine::build_with(
+        generate(Distribution::Uniform, n, dims, 0xA110C),
+        &roles,
+        &EngineOptions {
+            shards: 4,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    let restored = SdEngine::from_parts(dims, roles.to_vec(), built.shards().to_vec()).unwrap();
+    let queries = uniform_queries(8, dims, 0xA110D);
+    for (name, engine) in [("built", &built), ("restored", &restored)] {
+        let mut scratch = EngineScratch::new();
+        for _ in 0..2 {
+            for q in &queries {
+                engine.query_with(q, k, &mut scratch).unwrap();
+            }
+        }
+        let mut aggregated = 0;
+        let mut got = Vec::with_capacity(k);
+        for q in &queries {
+            got.clear();
+            let allocs = count_allocs(|| {
+                got.extend_from_slice(engine.query_with(q, k, &mut scratch).unwrap());
+            });
+            assert_eq!(allocs, 0, "{name}: a warmed query allocated {allocs} times");
+            aggregated += u32::from(scratch.profile.rounds > 0);
+            assert_bit_identical(&got, &engine.query(q, k).unwrap());
+        }
+        assert_eq!(aggregated, 8, "{name}: every query ran the §5 aggregation");
+    }
+}
+
+/// A batch's auto thread count (`resolve_threads(0)`) is asked of the OS
+/// (affinity mask, cgroup quota files — reads that allocate) once, and is
+/// a cached load from then on.
+#[test]
+fn auto_thread_count_is_resolved_once() {
+    let first = resolve_threads(0); // warm-up: the one OS query
+    assert!(first >= 1);
+    let mut second = 0;
+    let n = count_allocs(|| second = resolve_threads(0));
+    assert_eq!(n, 0, "resolve_threads(0) allocated {n} times after warm-up");
+    assert_eq!(second, first);
+    assert_eq!(resolve_threads(3), 3, "explicit counts pass through");
 }

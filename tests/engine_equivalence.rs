@@ -6,8 +6,6 @@
 //!   coordinate generator deliberately draws from a tiny value alphabet so
 //!   duplicated rows and tied scores are common, and zero weights force
 //!   the planner through its degenerate branch and its 0°/90° frontiers),
-//! * parallel shard execution (threshold-sharing across workers) returns
-//!   exactly the sequential answers,
 //! * a dirty, reused [`EngineScratch`] answers exactly like a fresh one,
 //! * `par_query_batch` is bit-identical to the serial loop,
 //! * snapshot round-trips preserve engine answers bit-exactly,
@@ -77,7 +75,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // The headline guarantee: shard-and-merge == monolithic, bit for bit,
-    // sequential and parallel, ties included — and at two dimensions, one
+    // ties included — and at two dimensions, one
     // walk over every shard == the walk over one index.
     #[test]
     fn engine_is_bit_identical_to_unsharded(
@@ -96,25 +94,17 @@ proptest! {
         let queries = build_queries(dims, &raw_queries);
 
         let mono = SdIndex::build(data.clone(), &roles).unwrap();
-        let mut sequential = SdEngine::build_with(
+        let engine = SdEngine::build_with(
             data.clone(),
             &roles,
-            &EngineOptions { shards, threads: 1, ..EngineOptions::default() },
+            &EngineOptions { shards, ..EngineOptions::default() },
         ).unwrap();
-        // Same shards, but forced multi-worker execution: the shared
-        // threshold is raced across scoped threads.
-        let mut parallel = sequential.clone();
-        parallel.set_threads(4);
 
         for q in &queries {
             let want = mono.query(q, k).unwrap();
-            let got_seq = sequential.query(q, k).unwrap();
-            assert_bit_identical("sequential engine", &got_seq, &want)?;
-            let got_par = parallel.query(q, k).unwrap();
-            assert_bit_identical("parallel engine", &got_par, &want)?;
+            let got = engine.query(q, k).unwrap();
+            assert_bit_identical("sharded engine", &got, &want)?;
         }
-        // Silence the unused-mut lint symmetrically.
-        sequential.set_threads(1);
     }
 
     // A scratch dirtied by arbitrary earlier queries returns exactly what
@@ -133,7 +123,7 @@ proptest! {
         let engine = SdEngine::build_with(
             data,
             &roles,
-            &EngineOptions { shards, threads: 1, ..EngineOptions::default() },
+            &EngineOptions { shards, ..EngineOptions::default() },
         ).unwrap();
 
         let mut scratch = EngineScratch::new();
@@ -221,7 +211,7 @@ proptest! {
 /// on every shard exactly when the query then runs without a single
 /// aggregation round, and that is exactly when it is one non-degenerate
 /// pair — one zero weight included, both zero not — whatever the shard
-/// count, worker count, tombstones or delta rows. Every cell answers like
+/// count, tombstones or delta rows. Every cell answers like
 /// the sequential scan over the live rows.
 #[test]
 fn explain_says_direct_exactly_when_the_direct_search_runs() {
@@ -241,55 +231,50 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
     flat.extend_from_slice(&data.flat()[best.index() * 2..best.index() * 2 + 2]);
     let with_delta = SeqScan::new(Dataset::from_flat(2, flat).unwrap(), &roles).unwrap();
     for shards in [1, 4] {
-        for threads in [1, 2] {
-            for (tombstones, delta) in [(false, false), (true, false), (true, true)] {
-                let cell = format!(
-                    "shards {shards} threads {threads} tombstones {tombstones} delta {delta}"
-                );
-                let options = EngineOptions {
-                    shards,
-                    threads,
-                    ..EngineOptions::default()
-                };
-                let mut engine = SdEngine::build_with(data.clone(), &roles, &options).unwrap();
-                let mut dead = Vec::new();
-                if tombstones {
-                    // One per shard, the best row of the first query among them.
-                    dead.push(best);
-                    for info in engine.shard_infos() {
-                        let id = PointId::new(info.offset as u32);
-                        if !dead.contains(&id) {
-                            dead.push(id);
-                        }
-                    }
-                    for &id in &dead {
-                        assert!(engine.delete(id).unwrap(), "{cell}");
+        for (tombstones, delta) in [(false, false), (true, false), (true, true)] {
+            let cell = format!("shards {shards} tombstones {tombstones} delta {delta}");
+            let options = EngineOptions {
+                shards,
+                ..EngineOptions::default()
+            };
+            let mut engine = SdEngine::build_with(data.clone(), &roles, &options).unwrap();
+            let mut dead = Vec::new();
+            if tombstones {
+                // One per shard, the best row of the first query among them.
+                dead.push(best);
+                for info in engine.shard_infos() {
+                    let id = PointId::new(info.offset as u32);
+                    if !dead.contains(&id) {
+                        dead.push(id);
                     }
                 }
-                let scan = if delta {
-                    let row = &data.flat()[best.index() * 2..best.index() * 2 + 2];
-                    assert_eq!(engine.insert(row).unwrap(), PointId::new(n as u32));
-                    &with_delta
-                } else {
-                    &scan
-                };
-                let mut scratch = EngineScratch::new();
-                for q in &queries {
-                    let plans = engine.explain(q, k).unwrap().plans;
-                    let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
-                    let ran_direct = scratch.profile.rounds == 0;
-                    let one_pair = q.weights.iter().any(|&w| w != 0.0);
-                    assert_eq!(ran_direct, one_pair, "{cell} {:?}", q.weights);
-                    assert_eq!(plans.len(), shards, "{cell}");
-                    assert!(plans.iter().all(|p| p.direct == ran_direct), "{cell}");
-                    if ran_direct {
-                        assert!(scratch.profile.blocks_popped > 0, "{cell}");
-                    }
-                    let mut want = scan.query(q, k + dead.len()).unwrap();
-                    want.retain(|sp| !dead.contains(&sp.id));
-                    want.truncate(k);
-                    assert_bit_identical(&cell, &got, &want).unwrap();
+                for &id in &dead {
+                    assert!(engine.delete(id).unwrap(), "{cell}");
                 }
+            }
+            let scan = if delta {
+                let row = &data.flat()[best.index() * 2..best.index() * 2 + 2];
+                assert_eq!(engine.insert(row).unwrap(), PointId::new(n as u32));
+                &with_delta
+            } else {
+                &scan
+            };
+            let mut scratch = EngineScratch::new();
+            for q in &queries {
+                let plans = engine.explain(q, k).unwrap().plans;
+                let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
+                let ran_direct = scratch.profile.rounds == 0;
+                let one_pair = q.weights.iter().any(|&w| w != 0.0);
+                assert_eq!(ran_direct, one_pair, "{cell} {:?}", q.weights);
+                assert_eq!(plans.len(), shards, "{cell}");
+                assert!(plans.iter().all(|p| p.direct == ran_direct), "{cell}");
+                if ran_direct {
+                    assert!(scratch.profile.blocks_popped > 0, "{cell}");
+                }
+                let mut want = scan.query(q, k + dead.len()).unwrap();
+                want.retain(|sp| !dead.contains(&sp.id));
+                want.truncate(k);
+                assert_bit_identical(&cell, &got, &want).unwrap();
             }
         }
     }

@@ -382,7 +382,6 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
                 &roles,
                 &EngineOptions {
                     shards,
-                    threads: 1,
                     ..EngineOptions::default()
                 },
             )

@@ -105,7 +105,6 @@ proptest! {
             .collect();
         let options = sdq::engine::EngineOptions {
             shards,
-            threads: 1,
             ..sdq::engine::EngineOptions::default()
         };
         let engine = sdq::engine::SdEngine::build_with(
@@ -220,7 +219,6 @@ fn mapped_regions_verify_on_demand() {
         &ROLES,
         &sdq::engine::EngineOptions {
             shards: 2,
-            threads: 1,
             ..Default::default()
         },
     )

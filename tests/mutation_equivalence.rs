@@ -123,7 +123,7 @@ proptest! {
             .iter()
             .map(|(p, w)| SdQuery::new(p.clone(), w.clone()).unwrap())
             .collect();
-        let options = EngineOptions { shards, threads: 1, ..EngineOptions::default() };
+        let options = EngineOptions { shards, ..EngineOptions::default() };
         let mut engine = SdEngine::build_with(
             Dataset::from_rows(DIMS, &rows).unwrap(),
             &ROLES,
@@ -203,41 +203,6 @@ proptest! {
         engine.compact().unwrap();
         let got = engine.query_with(q, 7, &mut scratch).unwrap();
         prop_assert_eq!(got, want.as_slice(), "post-compact answers must match literally");
-    }
-
-    // Multi-worker mutated execution (threshold sharing + masks raced
-    // across scoped threads) equals the single-worker answer.
-    #[test]
-    fn parallel_mutated_execution_matches_sequential(
-        rows in vec(vec(tie_heavy_coord(), DIMS), 4..48),
-        inserts in vec(vec(tie_heavy_coord(), DIMS), 0..8),
-        delete_sels in vec(0usize..10_000, 0..8),
-        raw_query in (vec(tie_heavy_coord(), DIMS), vec(tie_heavy_weight(), DIMS)),
-        k in 1usize..10,
-        shards in 2usize..5,
-    ) {
-        let q = SdQuery::new(raw_query.0, raw_query.1).unwrap();
-        let mut sequential = SdEngine::build_with(
-            Dataset::from_rows(DIMS, &rows).unwrap(),
-            &ROLES,
-            &EngineOptions { shards, threads: 1, ..EngineOptions::default() },
-        ).unwrap();
-        for row in &inserts {
-            sequential.insert(row).unwrap();
-        }
-        for sel in &delete_sels {
-            let target = (sel % sequential.total_rows()) as u32;
-            sequential.delete(PointId::new(target)).unwrap();
-        }
-        let mut parallel = sequential.clone();
-        parallel.set_threads(4);
-        let want = sequential.query(&q, k).unwrap();
-        let got = parallel.query(&q, k).unwrap();
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.id, w.id);
-            prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
-        }
     }
 
     // Snapshot save → load preserves mutated answers bit-exactly

@@ -147,9 +147,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     // 6-D anti-correlated rows (with exact duplicates, so k-th-score ties
-    // are real), tombstones and a delta region, 1–4 shards, interleaved
-    // and parallel execution: the engine's answer is SeqScan's over the
-    // live rows, bit for bit, whether or not an execution took the scan
+    // are real), tombstones and a delta region, 1–4 shards: the engine's
+    // answer is SeqScan's over the live rows, bit for bit, whether or not an execution took the scan
     // exit — and at least half the cases must take it, so the property
     // cannot hold by never scanning. (At these shard sizes a block stream
     // alone spends n/8 within a few rounds; the test after this one has
@@ -163,7 +162,6 @@ proptest! {
         k_permille in 0usize..=1_000,
         k_is_small in 0usize..3,
         shards in 1usize..=4,
-        threads in 1usize..=2,
         deletes_permille in 0usize..120,
         inserts in 0usize..40,
     ) {
@@ -187,7 +185,7 @@ proptest! {
         let mut engine = SdEngine::build_with(
             Dataset::from_rows(dims, &rows).unwrap(),
             &roles,
-            &EngineOptions { shards, threads, ..EngineOptions::default() },
+            &EngineOptions { shards, ..EngineOptions::default() },
         ).unwrap();
         // Delta region: copies of indexed rows (ties across base and delta)
         // and fresh rows; then tombstones over base and delta alike.
@@ -264,43 +262,35 @@ fn scanning_and_certifying_shards_merge_to_the_oracle() {
     let roles = roles_for(dims, 2);
     let oracle = SeqScan::new(data.clone(), &roles).unwrap();
     let queries = uniform_queries(24, dims, 0x5CAA);
-    for threads in [1, 2] {
-        let engine = SdEngine::build_with(
-            data.clone(),
-            &roles,
-            &EngineOptions {
-                shards,
-                threads,
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
-        let mut scratch = EngineScratch::new();
-        let (mut none, mut some, mut all) = (0, 0, 0);
-        for q in &queries {
-            let want = oracle.query(q, k).unwrap();
-            let got = engine.query_with(q, k, &mut scratch).unwrap();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(
-                    (g.id, g.score.to_bits()),
-                    (w.id, w.score.to_bits()),
-                    "threads = {threads}"
-                );
-            }
-            match scratch.profile.scan_fallbacks {
-                0 => none += 1,
-                f if f == shards as u64 => all += 1,
-                _ => some += 1,
-            }
+    let engine = SdEngine::build_with(
+        data.clone(),
+        &roles,
+        &EngineOptions {
+            shards,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    let mut scratch = EngineScratch::new();
+    let (mut none, mut some, mut all) = (0, 0, 0);
+    for q in &queries {
+        let want = oracle.query(q, k).unwrap();
+        let got = engine.query_with(q, k, &mut scratch).unwrap();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!((g.id, g.score.to_bits()), (w.id, w.score.to_bits()));
         }
-        // Which executions scan is a fact of the data at one worker; two
-        // workers race the shared floor, so only exactness is asserted.
-        assert!(
-            threads > 1 || (some > 0 && none > 0 && all > 0),
-            "{none} queries never scanned, {some} in some shards, {all} in all"
-        );
+        match scratch.profile.scan_fallbacks {
+            0 => none += 1,
+            f if f == shards as u64 => all += 1,
+            _ => some += 1,
+        }
     }
+    // Which executions scan is a fact of the data.
+    assert!(
+        some > 0 && none > 0 && all > 0,
+        "{none} queries never scanned, {some} in some shards, {all} in all"
+    );
 }
 
 /// How dirty an engine of the sweep below is.
@@ -323,7 +313,7 @@ enum Serve {
 
 static MAPPED_CASE: AtomicU32 = AtomicU32::new(0);
 
-/// Builds `rows` into an engine of `shards` × `threads`, dirties it, serves
+/// Builds `rows` into an engine of `shards` shards, dirties it, serves
 /// it as `serve` says, and checks `queries` — in order, on one engine, so
 /// its verdict history builds up across them — against SeqScan over its
 /// live rows, bit for bit, and every shard's plan against the planner's
@@ -333,7 +323,6 @@ fn scans_match_the_oracle(
     rows: &[Vec<f64>],
     roles: &[DimRole],
     shards: usize,
-    threads: usize,
     dirt: Dirt,
     serve: Serve,
     k: usize,
@@ -346,7 +335,6 @@ fn scans_match_the_oracle(
         roles,
         &EngineOptions {
             shards,
-            threads,
             ..EngineOptions::default()
         },
     )
@@ -386,7 +374,6 @@ fn scans_match_the_oracle(
             .engine
             .unwrap();
         assert!(engine.is_mapped());
-        engine.set_threads(threads);
         std::fs::remove_file(&path).ok();
     }
     let live_ids: Vec<u32> = (0..rows.len() as u32)
@@ -397,7 +384,7 @@ fn scans_match_the_oracle(
     let mut scratch = EngineScratch::new();
     let mut profiles = Vec::with_capacity(queries.len());
     for q in queries {
-        let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}");
+        let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}");
         // The rule: both weights zero drop a pair, one zero weight is the
         // indexed 0° or 90°, and every shard decides alike.
         for plan in engine.explain(q, k).unwrap().plans {
@@ -471,7 +458,7 @@ fn zero_weight_pairs_walk_their_frontier_to_the_oracle() {
             for dirt in [Dirt::Clean, Dirt::Tombstoned] {
                 for serve in [Serve::Owned, Serve::Mapped] {
                     let profiles =
-                        scans_match_the_oracle(&rows, &roles, shards, 1, dirt, serve, k, &queries);
+                        scans_match_the_oracle(&rows, &roles, shards, dirt, serve, k, &queries);
                     let all_zero = profiles.last().unwrap();
                     assert_eq!(
                         (all_zero.scan_predicted, all_zero.scan_fallbacks),
@@ -496,10 +483,9 @@ fn scan_sums(profiles: &[QueryProfile]) -> (u64, u64, u64) {
 }
 
 /// The third scan trigger against the oracle: once one shard execution
-/// finds its streams lost, its open siblings scan on that verdict — at one
-/// worker, where the verdict is always there before they resume, and at two,
-/// where it races their own — over clean, tombstoned and tombstoned-plus-
-/// delta engines, bit for bit. Each engine serves three queries, so none
+/// finds its streams lost, its open siblings scan on that verdict — it is
+/// always there before they resume — over clean, tombstoned and
+/// tombstoned-plus-delta engines, bit for bit. Each engine serves three queries, so none
 /// starts lost: the engine's history needs [`STREAK`] stream-first scans of
 /// a shape before it predicts the next one.
 #[test]
@@ -513,32 +499,16 @@ fn inherited_scans_merge_to_the_oracle() {
     let queries = uniform_queries(STREAK as usize, dims, 0x1A5);
     let q = queries.len() as u64;
     for shards in [1, 2, 4, 8] {
-        for threads in [1, 2] {
-            for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
-                let profiles = scans_match_the_oracle(
-                    &rows,
-                    &roles,
-                    shards,
-                    threads,
-                    dirt,
-                    Serve::Owned,
-                    k,
-                    &queries,
-                );
-                let (fallbacks, inherited, predicted) = scan_sums(&profiles);
-                let cell = format!("{shards} shard(s) × {threads} thread(s), {dirt:?}");
-                assert_eq!(predicted, 0, "{cell}: a query started lost");
-                // Every shard of every query scans at these sizes …
-                assert_eq!(fallbacks, shards as u64 * q, "{cell}");
-                if threads == 1 {
-                    // … and one worker finds that out once per query.
-                    assert_eq!(inherited, (shards as u64 - 1) * q, "{cell}");
-                } else if shards >= 4 {
-                    // Each worker's second shard resumes after its first
-                    // reached a verdict.
-                    assert!(inherited >= q, "{cell}: {inherited} inherited");
-                }
-            }
+        for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
+            let profiles =
+                scans_match_the_oracle(&rows, &roles, shards, dirt, Serve::Owned, k, &queries);
+            let (fallbacks, inherited, predicted) = scan_sums(&profiles);
+            let cell = format!("{shards} shard(s), {dirt:?}");
+            assert_eq!(predicted, 0, "{cell}: a query started lost");
+            // Every shard of every query scans at these sizes, and the
+            // query finds that out once.
+            assert_eq!(fallbacks, shards as u64 * q, "{cell}");
+            assert_eq!(inherited, (shards as u64 - 1) * q, "{cell}");
         }
     }
 
@@ -558,19 +528,16 @@ fn inherited_scans_merge_to_the_oracle() {
             .map(|(_, c)| c.to_vec()),
     );
     let queries = uniform_queries(4, dims, 0x1A5);
-    for threads in [1, 2] {
-        for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
-            let profiles =
-                scans_match_the_oracle(&rows, &roles, 4, threads, dirt, Serve::Owned, k, &queries);
-            let (_, inherited, predicted) = scan_sums(&profiles);
-            assert!(
-                threads > 1 || inherited > 0,
-                "{dirt:?}: the lead's verdict reached no sibling"
-            );
-            // Not every one of the first three queries scans here, so the
-            // fourth still runs its streams first.
-            assert_eq!(predicted, 0, "{dirt:?}: a query started lost");
-        }
+    for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
+        let profiles = scans_match_the_oracle(&rows, &roles, 4, dirt, Serve::Owned, k, &queries);
+        let (_, inherited, predicted) = scan_sums(&profiles);
+        assert!(
+            inherited > 0,
+            "{dirt:?}: the lead's verdict reached no sibling"
+        );
+        // Not every one of the first three queries scans here, so the
+        // fourth still runs its streams first.
+        assert_eq!(predicted, 0, "{dirt:?}: a query started lost");
     }
 }
 
@@ -578,15 +545,15 @@ fn inherited_scans_merge_to_the_oracle() {
 /// queries of a shape have scanned, the engine starts the next ones lost —
 /// every shard execution scans at its first round head, fetching nothing
 /// through its streams — and they must answer exactly what SeqScan does.
-/// Over shards {1, 2, 4, 8} × threads {1, 2} × clean / tombstoned /
+/// Over shards {1, 2, 4, 8} × clean / tombstoned /
 /// tombstoned-plus-delta, built in memory and opened mapped (a fresh engine
 /// with no history, so it builds its own streak), on rows with exact
 /// duplicates and signed zeros — ties at the k-th score — and a query at a
 /// signed zero; and at k ≥ n. Every engine serves [`RECHECK`] + 1 queries,
-/// so each cell holds the shape's audit — at one worker every shard but the
-/// last started lost, the last stream-first against their floor; at one
-/// shard or two workers the whole query stream-first — and the query after
-/// it, stream-first when the audit certified.
+/// so each cell holds the shape's audit — every shard but the last started
+/// lost, the last stream-first against their floor; at one shard the whole
+/// query stream-first — and the query after it, stream-first when the audit
+/// certified.
 #[test]
 fn started_lost_queries_merge_to_the_oracle() {
     let dims = 6;
@@ -595,56 +562,50 @@ fn started_lost_queries_merge_to_the_oracle() {
     let audit = RECHECK as usize - 1;
     let check = |rows: &[Vec<f64>], k: usize, queries: &[sdq::SdQuery], shards: &[usize]| {
         for &shards in shards {
-            for threads in [1, 2] {
-                for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
-                    for serve in [Serve::Owned, Serve::Mapped] {
-                        let profiles = scans_match_the_oracle(
-                            rows, &roles, shards, threads, dirt, serve, k, queries,
-                        );
-                        let cell = format!(
-                            "{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}, k {k}"
-                        );
-                        assert_eq!(profiles.len(), audit + 2, "{cell}");
-                        let mut audit_certified = false;
-                        for (i, p) in profiles.iter().enumerate() {
-                            if i < streak {
-                                // Stream-first, and every one scans: the
-                                // streak that condemns the shape.
-                                assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
-                                assert!(p.scan_fallbacks > 0, "{cell}: query {i}");
-                            } else if i == audit {
-                                // The audit: at one worker the lead shards'
-                                // scans are predicted ones, and the last
-                                // shard either certifies or takes one scan
-                                // of its own — never an inherited one, as it
-                                // runs under a threshold of its own. One
-                                // shard or two workers run every execution
-                                // stream-first instead.
-                                let lead = if threads == 1 { shards as u64 - 1 } else { 0 };
-                                assert_eq!(p.scan_predicted, lead, "{cell}: audit");
-                                let own = p.scan_fallbacks - p.scan_predicted;
-                                if lead > 0 {
-                                    assert_eq!(p.scan_inherited, 0, "{cell}: audit");
-                                    assert!(own <= 1, "{cell}: audit {p:?}");
-                                }
-                                audit_certified = own == 0;
-                            } else if i == audit + 1 && audit_certified {
-                                // A certifying audit runs the next query
-                                // stream-first (at one shard or two workers:
-                                // its reset streak does).
-                                assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
-                            } else {
-                                // Started lost: one round per execution, and
-                                // every scan a predicted one.
-                                assert_eq!(p.rounds, shards as u64, "{cell}: query {i}");
-                                assert_eq!(p.scan_predicted, p.scan_fallbacks, "{cell}: query {i}");
-                                assert_eq!(
-                                    (p.scan_projected, p.scan_inherited),
-                                    (0, 0),
-                                    "{cell}: query {i}"
-                                );
-                                assert!(p.scan_predicted > 0, "{cell}: query {i}");
+            for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
+                for serve in [Serve::Owned, Serve::Mapped] {
+                    let profiles =
+                        scans_match_the_oracle(rows, &roles, shards, dirt, serve, k, queries);
+                    let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}, k {k}");
+                    assert_eq!(profiles.len(), audit + 2, "{cell}");
+                    let mut audit_certified = false;
+                    for (i, p) in profiles.iter().enumerate() {
+                        if i < streak {
+                            // Stream-first, and every one scans: the
+                            // streak that condemns the shape.
+                            assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
+                            assert!(p.scan_fallbacks > 0, "{cell}: query {i}");
+                        } else if i == audit {
+                            // The audit: the lead shards' scans are
+                            // predicted ones, and the last shard either
+                            // certifies or takes one scan of its own —
+                            // never an inherited one, as it runs under a
+                            // threshold of its own. One shard runs its
+                            // execution stream-first instead.
+                            let lead = shards as u64 - 1;
+                            assert_eq!(p.scan_predicted, lead, "{cell}: audit");
+                            let own = p.scan_fallbacks - p.scan_predicted;
+                            if lead > 0 {
+                                assert_eq!(p.scan_inherited, 0, "{cell}: audit");
+                                assert!(own <= 1, "{cell}: audit {p:?}");
                             }
+                            audit_certified = own == 0;
+                        } else if i == audit + 1 && audit_certified {
+                            // A certifying audit runs the next query
+                            // stream-first (at one shard: its reset
+                            // streak does).
+                            assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
+                        } else {
+                            // Started lost: one round per execution, and
+                            // every scan a predicted one.
+                            assert_eq!(p.rounds, shards as u64, "{cell}: query {i}");
+                            assert_eq!(p.scan_predicted, p.scan_fallbacks, "{cell}: query {i}");
+                            assert_eq!(
+                                (p.scan_projected, p.scan_inherited),
+                                (0, 0),
+                                "{cell}: query {i}"
+                            );
+                            assert!(p.scan_predicted > 0, "{cell}: query {i}");
                         }
                     }
                 }
@@ -675,8 +636,7 @@ fn started_lost_queries_merge_to_the_oracle() {
 /// The audit's other outcome, against the oracle: rows that score far above
 /// the rest for one query point let the audit shard certify, and the
 /// shape's next query then runs every execution stream-first — where it
-/// scans again, so the one after it starts lost once more. At two workers
-/// the same query is a full stream-first re-check.
+/// scans again, so the one after it starts lost once more.
 #[test]
 fn a_certifying_audit_runs_the_next_query_stream_first() {
     let dims = 6;
@@ -708,36 +668,22 @@ fn a_certifying_audit_runs_the_next_query_stream_first() {
     )
     .unwrap();
     for shards in [2, 4, 8] {
-        for threads in [1, 2] {
-            for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
-                for serve in [Serve::Owned, Serve::Mapped] {
-                    let profiles = scans_match_the_oracle(
-                        &rows, &roles, shards, threads, dirt, serve, 64, &queries,
-                    );
-                    let cell =
-                        format!("{shards} shard(s) × {threads} thread(s), {dirt:?}, {serve:?}");
-                    let started =
-                        |i: usize| (profiles[i].scan_predicted, profiles[i].scan_fallbacks);
-                    for i in 0..streak {
-                        assert_eq!(started(i).0, 0, "{cell}: query {i}");
-                        assert!(started(i).1 > 0, "{cell}: query {i}");
-                    }
-                    let all = shards as u64;
-                    if threads > 1 {
-                        // Two workers re-check every shard stream-first, and
-                        // its record decides the next query: stream-first
-                        // when every shard certified, lost otherwise.
-                        assert_eq!(started(audit).0, 0, "{cell}: the re-check");
-                        let next = if started(audit).1 == 0 { 0 } else { all };
-                        assert_eq!(started(audit + 1).0, next, "{cell}: after it");
-                        continue;
-                    }
-                    let lead = all - 1;
-                    assert_eq!(started(audit), (lead, lead), "{cell}: the audit certified");
-                    assert_eq!(started(audit + 1).0, 0, "{cell}: stream-first after it");
-                    assert!(started(audit + 1).1 > 0, "{cell}: and it scanned");
-                    assert_eq!(started(audit + 2), (all, all), "{cell}: lost again");
+        for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
+            for serve in [Serve::Owned, Serve::Mapped] {
+                let profiles =
+                    scans_match_the_oracle(&rows, &roles, shards, dirt, serve, 64, &queries);
+                let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}");
+                let started = |i: usize| (profiles[i].scan_predicted, profiles[i].scan_fallbacks);
+                for i in 0..streak {
+                    assert_eq!(started(i).0, 0, "{cell}: query {i}");
+                    assert!(started(i).1 > 0, "{cell}: query {i}");
                 }
+                let all = shards as u64;
+                let lead = all - 1;
+                assert_eq!(started(audit), (lead, lead), "{cell}: the audit certified");
+                assert_eq!(started(audit + 1).0, 0, "{cell}: stream-first after it");
+                assert!(started(audit + 1).1 > 0, "{cell}: and it scanned");
+                assert_eq!(started(audit + 2), (all, all), "{cell}: lost again");
             }
         }
     }

@@ -207,7 +207,7 @@ proptest! {
         let mut engine = SdEngine::build_with(
             data,
             &roles,
-            &EngineOptions { shards, threads: 1, ..EngineOptions::default() },
+            &EngineOptions { shards, ..EngineOptions::default() },
         ).unwrap();
         // Indexed row 0 or none, and one of the 1–3 delta rows.
         if dead_row == 1 {
@@ -307,7 +307,6 @@ fn fixture_engine(n: usize, shards: usize) -> SdEngine {
         &roles,
         &EngineOptions {
             shards,
-            threads: 1,
             ..EngineOptions::default()
         },
     )
@@ -346,14 +345,13 @@ fn engine_metrics_registry_accumulates() {
     assert_eq!(snap.epoch_transitions, report.rebuilt_shards as u64);
 }
 
-/// A 4-shard 2-D (`ar`) engine over `rows`, queried at one thread.
+/// A 4-shard 2-D (`ar`) engine over `rows`.
 fn engine_2d(rows: &[Vec<f64>]) -> SdEngine {
     SdEngine::build_with(
         Dataset::from_rows(2, rows).unwrap(),
         &[DimRole::Attractive, DimRole::Repulsive],
         &EngineOptions {
             shards: 4,
-            threads: 1,
             ..EngineOptions::default()
         },
     )

@@ -41,7 +41,6 @@ fn build_engine(rows: &[Vec<f64>], shards: usize) -> SdEngine {
         &ROLES,
         &EngineOptions {
             shards,
-            threads: 1,
             ..EngineOptions::default()
         },
     )

@@ -241,7 +241,7 @@ proptest! {
                     let mut engine = SdEngine::build_with(
                         Dataset::from_rows(dims, &base).unwrap(),
                         &roles,
-                        &EngineOptions { shards, threads: 1, ..EngineOptions::default() },
+                        &EngineOptions { shards, ..EngineOptions::default() },
                     )
                     .unwrap();
                     let mut live: Vec<(u32, Vec<f64>)> =
@@ -313,25 +313,20 @@ fn a_pairless_execution_certifies_against_its_extents() {
         let want = bits(&oracle(&live, &roles, &q, k));
         let winners = if scans == 4 { 300..400 } else { 0..100 };
         assert!(want.iter().all(|(id, _)| winners.contains(&id.index())));
-        for threads in [1, 4] {
-            let engine = SdEngine::build_with(
-                Dataset::from_rows(2, rows).unwrap(),
-                &roles,
-                &EngineOptions {
-                    shards: 4,
-                    threads,
-                    ..EngineOptions::default()
-                },
-            )
-            .unwrap();
-            let mut scratch = EngineScratch::new();
-            let got = bits(engine.query_with(&q, k, &mut scratch).unwrap());
-            assert_eq!(got, want, "threads {threads}");
-            if threads == 1 {
-                let p = scratch.profile;
-                assert_eq!(p.scan_fallbacks, scans, "{p:?}");
-                assert_eq!(p.scan_rows, 100 * scans, "{p:?}");
-            }
-        }
+        let engine = SdEngine::build_with(
+            Dataset::from_rows(2, rows).unwrap(),
+            &roles,
+            &EngineOptions {
+                shards: 4,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        let mut scratch = EngineScratch::new();
+        let got = bits(engine.query_with(&q, k, &mut scratch).unwrap());
+        assert_eq!(got, want);
+        let p = scratch.profile;
+        assert_eq!(p.scan_fallbacks, scans, "{p:?}");
+        assert_eq!(p.scan_rows, 100 * scans, "{p:?}");
     }
 }
