@@ -64,6 +64,8 @@
 //! assert_eq!(back.query(&q, 2).unwrap(), index.query(&q, 2).unwrap());
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::sync::Arc;
 
 use crate::geometry::Angle;
@@ -126,8 +128,9 @@ impl Writer {
     /// zero padding to the next [`REGION_ALIGN`] boundary, then the raw
     /// little-endian element bytes (the exact in-memory representation).
     pub fn pod_array<T: Pod>(&mut self, vs: &[T]) {
-        // Safety: `Pod` guarantees no padding bytes and no invalid bit
-        // patterns, so the element memory is plain initialized bytes.
+        // SAFETY: `Pod` guarantees no padding bytes and no invalid bit
+        // patterns, so the `size_of_val(vs)` bytes at `vs`'s start are
+        // initialized, and the byte slice borrows `vs` for its lifetime.
         let bytes: &[u8] = unsafe {
             std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
         };
@@ -391,11 +394,14 @@ impl<'a> Reader<'a> {
             if !(data.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
                 return Err(corrupt(format!("misaligned mapped region {name}")));
             }
-            // Safety: the bytes live in `keep`-owned immutable memory
-            // (the `new_mapped` contract) and alignment was just checked.
+            // SAFETY: `data` is `count` elements' worth of bytes in
+            // `keep`-owned immutable memory (the `new_mapped` contract),
+            // and its alignment for `T` was just checked.
             let view = unsafe {
                 ColumnarView::mapped(data.as_ptr().cast::<T>(), count, keep.clone(), *heap)
             };
+            // SAFETY: the same `len_bytes` bytes, which `keep` keeps
+            // immutable and alive as long as the handle holds it.
             let integrity = unsafe {
                 SectionIntegrity::new_lazy(name, off, data.as_ptr(), len_bytes, crc, keep.clone())
             };
@@ -545,8 +551,8 @@ pub fn encode_to_vec<T: Codec>(value: &T) -> Vec<u8> {
 /// ensured and [`Codec::verify_decoded`] has passed.
 pub fn decode_from_slice<T: Codec>(bytes: &[u8]) -> Result<T> {
     let buffer = Arc::new(AlignedBytes::copy_from(bytes));
-    // Safety: `buffer` owns the aligned, never-again-written bytes and is
-    // the keepalive every view holds.
+    // SAFETY: `buffer` owns the 64-byte-aligned, never-again-written bytes
+    // and is the keepalive every view holds.
     let mut r = unsafe { Reader::new_mapped(buffer.as_slice(), buffer.clone(), true, "", 0) };
     let mut v = T::decode(&mut r)?;
     if !r.is_exhausted() {

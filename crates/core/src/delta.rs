@@ -13,9 +13,9 @@
 //! 1. the delta's **canonical top-k** (score descending, ties by global row
 //!    id ascending) — one more list for the engine's exact k-way merge, and
 //! 2. every live delta score that reaches the delta's running k-th score,
-//!    fed into the caller's **k-th-score floor** — the same floor the shard
-//!    aggregations publish into and prune against (see
-//!    [`SharedThreshold`](crate::threshold::SharedThreshold)), so a strong
+//!    fed into the caller's **k-th-score floor** — the engine's merged
+//!    floor, which it raises the shard executions'
+//!    [`SharedThreshold`](crate::threshold::SharedThreshold) to, so a strong
 //!    delta candidate terminates the indexed shard executions early exactly
 //!    like a strong candidate found by a sibling shard would.
 //!

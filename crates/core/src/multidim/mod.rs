@@ -31,11 +31,12 @@
 //! An aggregation runs one way: a [`ShardExecution`] takes its buffers out
 //! of a [`QueryScratch`] ([`SdIndex::begin_query`]), is advanced by
 //! [`ShardExecution::step`] — in slices by the sharded engine, in one
-//! unbounded step by [`SdIndex::query_masked`] and
+//! unbounded step by [`SdIndex::query_with`] and
 //! [`threshold_aggregate_with`] — and hands the buffers back in
-//! [`ShardExecution::finish_into`] / [`ShardExecution::abandon_into`]. The
-//! allocating [`SdIndex::query`] and the scratch-reusing
-//! [`SdIndex::query_with`] are thin wrappers over `query_masked`.
+//! [`ShardExecution::finish_into`] / [`ShardExecution::abandon_into`]. Every
+//! step and every walk runs under a [`SharedThreshold`]: the engine's, or a
+//! fresh one of the entry's own. The allocating [`SdIndex::query`] is a thin
+//! wrapper over `query_with`.
 //!
 //! Every pair is served by its own §4 frontier, by the rule in [`plan`]:
 //! certified at an indexed angle (0° and 90°, a zero weight, always are),
@@ -57,8 +58,8 @@
 //! execution (the `sdq-engine` crate) bit-identical to the monolithic path.
 //!
 //! The aggregation additionally terminates as soon as its *k-th-best seen*
-//! score — locally tracked, and optionally shared across shard executions
-//! through a [`SharedThreshold`] — certifiably beats the admissible bound
+//! score — locally tracked, or the [`SharedThreshold`] floor its driver
+//! raised across shard executions — certifiably beats the admissible bound
 //! on everything unfetched; see [`ShardExecution::step`].
 
 pub mod pairing;
@@ -372,7 +373,7 @@ impl SdIndex {
     /// strategy every pair runs under, the weight angle it read, and whether
     /// the whole query is the direct 2-D walk — exactly when
     /// [`SdIndex::single_pair`] is `Some`, which is when
-    /// [`SdIndex::query_masked`] and the engine, at any shard count, walk.
+    /// [`SdIndex::query_with`] and the engine, at any shard count, walk.
     /// Observability only ([`sdq inspect`] plumbs it out) — the hot path
     /// applies the same rule ([`plan::plan_pair`]) inline without allocating.
     ///
@@ -418,10 +419,10 @@ impl SdIndex {
     /// query is one non-degenerate pair over this index — one pair, no
     /// unpaired dimension, not both of its weights zero (one zero weight is
     /// a walk at 0° or 90°). Every index of an engine shares its roles, so
-    /// any shard answers for all of them. `query` must have this index's
-    /// dimensionality.
+    /// any shard answers for all of them. `None` for a query of another
+    /// dimensionality than this index's.
     pub fn single_pair(&self, query: &SdQuery) -> Option<SinglePair> {
-        if self.pairs.len() != 1 || !self.unpaired.is_empty() {
+        if self.pairs.len() != 1 || !self.unpaired.is_empty() || query.dims() != self.data.dims() {
             return None;
         }
         let p = self.pairs[0];
@@ -451,63 +452,46 @@ impl SdIndex {
     /// [`SdIndex::query`] with caller-owned scratch buffers: a warmed
     /// scratch makes the steady-state query path allocation-free. Returns
     /// a slice borrowed from the scratch, bit-identical to what `query`
-    /// returns for the same arguments.
+    /// returns for the same arguments; the answer is canonical (score
+    /// descending, ties by row id ascending).
+    ///
+    /// A query that is one non-degenerate pair ([`SdIndex::single_pair`]) is
+    /// the direct walk over the pair's §4 index ([`SinglePair::walk`] with
+    /// this index as its one shard). Everything else is
+    /// [`SdIndex::begin_query`] stepped once without a round limit. Either
+    /// runs under a fresh [`SharedThreshold`], which nothing raises.
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
         k: usize,
         scratch: &'s mut QueryScratch,
     ) -> Result<&'s [ScoredPoint], SdError> {
-        self.query_masked(query, k, scratch, None, None)
-    }
-
-    /// The run-to-completion entry: [`SdIndex::query_with`] with an
-    /// optional cross-execution [`SharedThreshold`] and an optional
-    /// tombstone [`MaskView`].
-    ///
-    /// With `shared`, the execution publishes its running k-th-best score
-    /// into the handle and prunes against the handle's floor, so it may
-    /// return fewer than `k` points when the floor proves the missing ones
-    /// cannot be in the global top-k. With `mask`, masked rows are dropped
-    /// *at scoring time* — before they can enter the candidate pool or the
-    /// k-th-score floor — so the answer is the canonical top-k of the
-    /// **live** rows only, exactly as if the dead rows had never been
-    /// indexed. Stream bounds keep covering dead rows (admissible for the
-    /// live subset; compaction restores tightness). Either way the answer
-    /// is canonical (score descending, ties by row id ascending).
-    ///
-    /// A query that is one non-degenerate pair ([`SdIndex::single_pair`]),
-    /// masked or not, is the direct walk over the pair's §4 index
-    /// ([`SinglePair::walk`] with this index as its one shard). Everything
-    /// else is [`SdIndex::begin_query`] stepped once without a round limit.
-    pub fn query_masked<'s>(
-        &self,
-        query: &SdQuery,
-        k: usize,
-        scratch: &'s mut QueryScratch,
-        shared: Option<&SharedThreshold>,
-        mask: Option<MaskView<'_>>,
-    ) -> Result<&'s [ScoredPoint], SdError> {
         self.check_query(query, k)?;
+        let shared = SharedThreshold::new();
         if let Some(pair) = self.single_pair(query) {
             let part = ShardPart {
                 index: self,
                 offset: 0,
-                mask,
+                mask: None,
             };
-            return pair.walk([part], k, scratch, shared);
+            return pair.walk([part], k, scratch, &shared);
         }
-        self.begin(query, k, scratch, mask)?
-            .run_into(shared, scratch)
+        self.begin(query, k, scratch, None)?
+            .run_into(&shared, scratch)
     }
 
     /// Starts a suspended, resumable execution of this index's aggregation
     /// — the unit the sharded engine schedules. The returned
     /// [`ShardExecution`] owns all its mutable state (taken from `scratch`;
     /// recovered by [`ShardExecution::finish_into`]), so one execution per
-    /// shard can be in flight simultaneously. With a tombstone `mask` the
-    /// execution scores (and therefore emits) live rows only; see
-    /// [`SdIndex::query_masked`] for the exactness argument.
+    /// shard can be in flight simultaneously.
+    ///
+    /// With a tombstone `mask`, masked rows are dropped *at scoring time* —
+    /// before they can enter the candidate pool or the k-th-score floor — so
+    /// the answer is the canonical top-k of the **live** rows only, exactly
+    /// as if the dead rows had never been indexed. Stream bounds keep
+    /// covering dead rows (admissible for the live subset; compaction
+    /// restores tightness).
     ///
     /// A suspended execution is always an aggregation: a single-pair query
     /// begun here does not walk (the walk runs to completion, with every
@@ -675,10 +659,10 @@ impl SinglePair {
     /// holds the walk's counters; `rounds` stays 0.
     ///
     /// Every shard must share the roles of the index this pair came from
-    /// (an engine's do). With `shared`, the walk publishes its k-th-best
-    /// score into the handle and prunes against the handle's floor, so it
-    /// may return fewer than `k` rows when the floor proves the missing ones
-    /// cannot be in the global top-k. `scratch.deadline` is consulted before
+    /// (an engine's do). The walk prunes against `shared`'s floor and never
+    /// raises it, so it may return fewer than `k` rows when a floor its
+    /// caller raised proves the missing ones cannot be in the global top-k
+    /// (an engine's delta rows). `scratch.deadline` is consulted before
     /// every pop; the scratch keeps every buffer either way, so a warmed
     /// scratch walks without allocating.
     pub fn walk<'s, 'a, I>(
@@ -686,7 +670,7 @@ impl SinglePair {
         shards: I,
         k: usize,
         scratch: &'s mut QueryScratch,
-        shared: Option<&SharedThreshold>,
+        shared: &SharedThreshold,
     ) -> Result<&'s [ScoredPoint], SdError>
     where
         I: IntoIterator<Item = ShardPart<'a>>,
@@ -746,8 +730,8 @@ fn pair_eval(
 /// the candidate pool ([`BatchScorer::admit`]).
 ///
 /// Lanes strictly below a known k-th score — the local floor once it holds
-/// `k_eff` real scores, or the cross-execution floor the round head last
-/// read, whichever is higher — are dropped by the batched survivor compare
+/// `k_eff` real scores, or the shared floor the round head last read,
+/// whichever is higher — are dropped by the batched survivor compare
 /// before touching any heap: they can never displace `k` known scores (ties
 /// survive, preserving canonical tie resolution), and a score below either
 /// floor is also below every merged floor downstream of `on_score`, so
@@ -758,7 +742,6 @@ struct BatchScorer<'a, F: FnMut(f64)> {
     query: &'a SdQuery,
     mask: Option<MaskView<'a>>,
     k_eff: usize,
-    publish: bool,
     pool: &'a mut BinaryHeap<(OrdF64, Reverse<u32>)>,
     floor: &'a mut BinaryHeap<Reverse<OrdF64>>,
     on_score: &'a mut F,
@@ -824,14 +807,15 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
     }
 
     /// The score a lane must reach to be worth a visit to the heaps: the
-    /// higher of the shared floor and — once it holds `k_eff` real scores of
-    /// a publishing execution — the local one; `−∞` with neither.
+    /// higher of the shared floor and — once it holds `k_eff` real scores —
+    /// the local one; `−∞` with neither. (With fewer than `k` live rows, a
+    /// full local floor has scored every one of them, so nothing is left
+    /// for the bar to drop.)
     #[inline]
     fn survivor_bar(&self) -> f64 {
-        let local = if self.publish && self.floor.len() == self.k_eff {
-            self.floor.peek().expect("floor is non-empty").0 .0
-        } else {
-            f64::NEG_INFINITY
+        let local = match self.floor.peek() {
+            Some(&Reverse(OrdF64(kth))) if self.floor.len() == self.k_eff => kth,
+            _ => f64::NEG_INFINITY,
         };
         local.max(self.shared_floor)
     }
@@ -1018,8 +1002,8 @@ fn emit_pooled(
 /// through the pool's `(score, Reverse(row))` order — smallest row first —
 /// independent of stream fetch order. Two further stop rules terminate early without
 /// breaking canonicity (see [`query_blocks_with`] for the argument):
-/// the locally tracked k-th-best seen score, and the optional cross-shard
-/// [`SharedThreshold`] floor.
+/// the locally tracked k-th-best seen score, and the cross-shard
+/// [`SharedThreshold`] floor, which only the execution's driver raises.
 ///
 /// One iteration fetches one *emission unit* per subproblem — a single row
 /// for 1-D streams, a whole SoA leaf block for block-backed 2-D streams —
@@ -1062,7 +1046,7 @@ fn emit_pooled(
 /// [`query_blocks_with`]: crate::topk::arbitrary::query_blocks_with
 fn aggregate_rounds<F: FnMut(f64)>(
     exec: &mut ShardExecution<'_>,
-    shared: Option<&SharedThreshold>,
+    shared: &SharedThreshold,
     mut rounds: usize,
     on_score: &mut F,
 ) -> Result<bool, SdError> {
@@ -1071,7 +1055,6 @@ fn aggregate_rounds<F: FnMut(f64)>(
         roles,
         query,
         k_eff,
-        publish,
         streams,
         extent_bound,
         mask,
@@ -1090,7 +1073,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
         done: _,
     } = exec;
     let (data, roles, query, extent_bound) = (*data, *roles, *query, *extent_bound);
-    let (k_eff, publish, mask, scan_budget) = (*k_eff, *publish, *mask, *scan_budget);
+    let (k_eff, mask, scan_budget) = (*k_eff, *mask, *scan_budget);
     // Fixed-size after the first call: no steady-state allocation.
     gather.resize(data.dims() * LANES, 0.0);
     scores.resize(LANES, 0.0);
@@ -1100,7 +1083,6 @@ fn aggregate_rounds<F: FnMut(f64)>(
         query,
         mask,
         k_eff,
-        publish,
         pool,
         floor,
         on_score,
@@ -1159,16 +1141,9 @@ fn aggregate_rounds<F: FnMut(f64)>(
         if !any_drained {
             if scorer.floor.len() == k_eff {
                 f = scorer.floor.peek().expect("floor is non-empty").0 .0;
-                if publish {
-                    if let Some(h) = shared {
-                        h.raise(f);
-                    }
-                }
             }
-            if let Some(h) = shared {
-                scorer.shared_floor = h.floor();
-                f = f.max(scorer.shared_floor);
-            }
+            scorer.shared_floor = shared.floor();
+            f = f.max(scorer.shared_floor);
             if f > inflate(tau) {
                 emit_pooled(scorer.pool, answers, k_eff);
                 return Ok(true);
@@ -1188,30 +1163,25 @@ fn aggregate_rounds<F: FnMut(f64)>(
         let fetched = scorer.prof.rows_fetched;
         let spent = fetched > scan_budget as u64;
         let budget_left = !spent && scan_budget != usize::MAX;
-        let verdict = match shared {
+        let verdict = if streams.is_empty() {
             // No stream (no pair with a non-zero weight): nothing to fetch
             // and no bound to certify with, whatever the budget.
-            _ if streams.is_empty() => Verdict::StartedLost,
-            Some(h) if budget_left => h.verdict(),
-            _ => Verdict::Open,
+            Verdict::StartedLost
+        } else if budget_left {
+            shared.verdict()
+        } else {
+            Verdict::Open
         };
         let projected = budget_left
             && verdict == Verdict::Open
             && f > f64::NEG_INFINITY
             && probe.lost(fetched, inflate(tau) - f, scan_budget);
         if spent || verdict != Verdict::Open || projected {
-            if let Some(h) = shared {
-                h.mark_lost();
-            }
+            shared.mark_lost();
             scorer.prof.scan_projected += u64::from(projected);
             scorer.prof.scan_inherited += u64::from(verdict == Verdict::Lost);
             scorer.prof.scan_predicted += u64::from(verdict == Verdict::StartedLost);
             scan_unseen(&mut scorer, seen, fbuf, deadline)?;
-            if publish && scorer.floor.len() == k_eff {
-                if let Some(h) = shared {
-                    h.raise(scorer.floor.peek().expect("floor is non-empty").0 .0);
-                }
-            }
             emit_pooled(scorer.pool, answers, k_eff);
             return Ok(true);
         }
@@ -1264,7 +1234,6 @@ pub struct ShardExecution<'i> {
     roles: &'i [DimRole],
     query: &'i SdQuery,
     k_eff: usize,
-    publish: bool,
     streams: Vec<Subproblem<'i>>,
     /// What the dimensions no stream covers add to any row's score at most
     /// (an index's unpaired extents; `0` for the TA baseline).
@@ -1331,10 +1300,6 @@ impl<'i> ShardExecution<'i> {
             roles,
             query,
             k_eff,
-            // A floor over fewer than k real points cannot bound the global
-            // k-th score, so shards smaller than k (counting live rows)
-            // never publish.
-            publish: k_eff == k,
             streams,
             extent_bound,
             mask,
@@ -1360,7 +1325,7 @@ impl<'i> ShardExecution<'i> {
     /// deadline ends it.
     fn run_into<'s>(
         mut self,
-        shared: Option<&SharedThreshold>,
+        shared: &SharedThreshold,
         scratch: &'s mut QueryScratch,
     ) -> Result<&'s [ScoredPoint], SdError> {
         let t0 = self.profile.timing.then(std::time::Instant::now);
@@ -1387,14 +1352,15 @@ impl<'i> ShardExecution<'i> {
     }
 
     /// Runs up to `rounds` aggregation iterations (one fetch per stream
-    /// each). Publishes its running k-th-best exact score into `shared`
-    /// and terminates as soon as that handle's floor (raised concurrently
-    /// by sibling shard executions of the same logical query) certifiably
-    /// beats the admissible bound `τ` on every unfetched row; `on_score`
-    /// observes every newly scored row's exact score. Returns `Ok(true)` once complete; a deadline or
-    /// cancellation carried in the originating scratch aborts with the
-    /// typed error (the execution keeps its certified partial answer —
-    /// hand its buffers back with [`ShardExecution::abandon_into`]).
+    /// each). Terminates as soon as its own k-th-best exact score, or
+    /// `shared`'s floor, certifiably beats the admissible bound `τ` on every
+    /// unfetched row. The step only reads that floor: the caller raises it
+    /// between steps from the scores `on_score` observes — every newly
+    /// scored row's exact score — across all executions of the same logical
+    /// query. Returns `Ok(true)` once complete; a deadline or cancellation
+    /// carried in the originating scratch aborts with the typed error (the
+    /// execution keeps its certified partial answer — hand its buffers back
+    /// with [`ShardExecution::abandon_into`]).
     ///
     /// A step is not bounded by `rounds` alone: the iteration that finds
     /// the fetch budget ([`plan::scan_budget`]) spent, projects that it
@@ -1406,7 +1372,7 @@ impl<'i> ShardExecution<'i> {
     pub fn step<F: FnMut(f64)>(
         &mut self,
         rounds: usize,
-        shared: Option<&SharedThreshold>,
+        shared: &SharedThreshold,
         mut on_score: F,
     ) -> Result<bool, SdError> {
         if !self.done {
@@ -1484,7 +1450,7 @@ pub fn threshold_aggregate_with<'s>(
         usize::MAX,
         scratch,
     )
-    .run_into(None, scratch)
+    .run_into(&SharedThreshold::new(), scratch)
 }
 
 /// A 2-D subproblem stream over one pair's §4 index.

@@ -183,11 +183,11 @@
 //! sibling still open reads the mark at its next round head and scans
 //! (`scan_inherited`, the third trigger). The read comes after the emit and
 //! floor checks, so a sibling the floor already certifies ends unscanned;
-//! the TA entry, which has no handle, and the single-pair walk never see
-//! it. The engine's driver gives every execution one 8-round slice, so the
-//! merged floor forms as it did, and then runs each open one to completion
-//! in shard order: the first verdict lands while the others have spent one
-//! slice each. On `agg_6d` (seed 1, traced run, one worker) that halves the
+//! the TA entry, whose unbounded budget never reads it, and the
+//! single-pair walk never see it. The engine's driver gives every execution
+//! one 8-round slice, so the merged floor forms as it did, and then runs
+//! each open one to completion in shard order: the first verdict lands
+//! while the others have spent one slice each. On `agg_6d` (seed 1, traced run, one worker) that halves the
 //! stream phase — `rounds_per_q` 106.3 → 54.3, `blocks_popped_per_q` 204.6
 //! → 100.6, `engine.aggregate_ns_per_q` 779k → 460k — while
 //! `rows_fetched_per_q` rises 90.5k → 95.2k, the scans taking over rows the

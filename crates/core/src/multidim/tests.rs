@@ -343,11 +343,37 @@ fn six_d_roles() -> Vec<DimRole> {
     ]
 }
 
+/// `index`'s answer to `q` over the rows `mask` leaves live, under `shared`,
+/// as an engine shard gives it: the direct walk for a single-pair query, an
+/// execution stepped to completion otherwise.
+fn answer<'s>(
+    index: &SdIndex,
+    q: &SdQuery,
+    k: usize,
+    scratch: &'s mut QueryScratch,
+    shared: &SharedThreshold,
+    mask: Option<MaskView<'_>>,
+) -> &'s [ScoredPoint] {
+    if let Some(pair) = index.single_pair(q) {
+        let part = ShardPart {
+            index,
+            offset: 0,
+            mask,
+        };
+        return pair.walk([part], k, scratch, shared).unwrap();
+    }
+    let mut exec = index.begin_query(q, k, scratch, mask).unwrap();
+    assert!(exec.step(usize::MAX, shared, |_| {}).unwrap());
+    exec.finish_into(scratch);
+    scratch.answers()
+}
+
 /// Steps `exec` one round at a time to completion, returning
 /// `rows_fetched` after every round.
 fn fetch_trajectory(exec: &mut ShardExecution<'_>) -> Vec<u64> {
+    let handle = SharedThreshold::new();
     let mut fetched = Vec::new();
-    while !exec.step(1, None, |_| {}).unwrap() {
+    while !exec.step(1, &handle, |_| {}).unwrap() {
         fetched.push(exec.profile().rows_fetched);
     }
     fetched
@@ -378,8 +404,9 @@ fn scan_switches_strictly_past_the_budget() {
         let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
         exec.scan_budget = budget as usize;
         exec.probe = plan::ScanProbe::new(usize::MAX); // the budget alone decides
+        let handle = SharedThreshold::new();
         for round in 1..scan_round {
-            assert!(!exec.step(1, None, |_| {}).unwrap());
+            assert!(!exec.step(1, &handle, |_| {}).unwrap());
             assert_eq!(
                 exec.profile().scan_fallbacks,
                 0,
@@ -389,7 +416,7 @@ fn scan_switches_strictly_past_the_budget() {
         }
         // `rows_fetched == budget` fetched once more; one row past it scans,
         // and the scan completes inside that step.
-        assert!(exec.step(1, None, |_| {}).unwrap());
+        assert!(exec.step(1, &handle, |_| {}).unwrap());
         let p = *exec.profile();
         assert_eq!(p.scan_fallbacks, 1, "budget {budget}");
         assert!(p.scan_rows > 0 && p.scan_rows < 2_000);
@@ -444,8 +471,9 @@ fn projected_scan_waits_for_its_second_checkpoint() {
     assert!(0 < first && first < second && starts_with[second] < budget / 2);
 
     let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+    let handle = SharedThreshold::new();
     let mut round = 0;
-    while !exec.step(1, None, |_| {}).unwrap() {
+    while !exec.step(1, &handle, |_| {}).unwrap() {
         assert_eq!(exec.profile().scan_fallbacks, 0);
         round += 1;
     }
@@ -487,11 +515,11 @@ fn inherited_verdict_scans_at_the_next_round_head() {
         let handle = SharedThreshold::new();
         let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
         if rounds_before > 0 {
-            assert!(!exec.step(rounds_before, Some(&handle), |_| {}).unwrap());
+            assert!(!exec.step(rounds_before, &handle, |_| {}).unwrap());
         }
         let streamed = exec.profile().rows_fetched;
         handle.mark_lost();
-        assert!(exec.step(1, Some(&handle), |_| {}).unwrap());
+        assert!(exec.step(1, &handle, |_| {}).unwrap());
         let p = *exec.profile();
         assert_eq!(
             p.rounds,
@@ -508,21 +536,19 @@ fn inherited_verdict_scans_at_the_next_round_head() {
         assert_bit_identical(scratch.answers(), &want);
     }
 
-    // Without a handle, or under an unbounded budget, nothing is inherited.
+    // Under an unbounded budget, nothing is inherited.
     let handle = SharedThreshold::new();
     handle.mark_lost();
     let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
     exec.scan_budget = usize::MAX;
-    assert!(exec.step(usize::MAX, Some(&handle), |_| {}).unwrap());
+    assert!(exec.step(usize::MAX, &handle, |_| {}).unwrap());
     assert_eq!(exec.profile().scan_fallbacks, 0);
     exec.finish_into(&mut scratch);
     assert_bit_identical(scratch.answers(), &want);
 
     // The execution that reaches the verdict itself publishes it.
     let handle = SharedThreshold::new();
-    let got = index
-        .query_masked(&q, k, &mut scratch, Some(&handle), None)
-        .unwrap();
+    let got = answer(&index, &q, k, &mut scratch, &handle, None);
     assert_bit_identical(got, &want);
     let p = scratch.profile;
     assert_eq!((p.scan_fallbacks, p.scan_inherited), (1, 0));
@@ -548,9 +574,7 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
 
     let handle = SharedThreshold::new();
     handle.start_lost();
-    let got = index
-        .query_masked(&q, k, &mut scratch, Some(&handle), None)
-        .unwrap();
+    let got = answer(&index, &q, k, &mut scratch, &handle, None);
     assert_bit_identical(got, &want);
     let p = scratch.profile;
     assert_eq!(p.rounds, 1, "scanned at the first head");
@@ -571,9 +595,7 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
     let handle = SharedThreshold::new();
     handle.start_lost();
     handle.raise(want[0].score + 1.0);
-    let got = index
-        .query_masked(&q, k, &mut scratch, Some(&handle), None)
-        .unwrap();
+    let got = answer(&index, &q, k, &mut scratch, &handle, None);
     assert!(got.is_empty());
     let p = scratch.profile;
     assert_eq!((p.rounds, p.scan_fallbacks, p.rows_fetched), (1, 0, 0));
@@ -626,7 +648,7 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
             // verdict.
             let handle = shared();
             let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
-            assert!(exec.step(usize::MAX, Some(&handle), |_| {}).unwrap());
+            assert!(exec.step(usize::MAX, &handle, |_| {}).unwrap());
             let alone = *exec.profile();
             exec.finish_into(&mut scratch);
             assert_eq!(alone.scan_fallbacks, 0, "a friendly query certifies");
@@ -639,10 +661,10 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
             let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
             let before = alone.rounds as usize - 1;
             if before > 0 {
-                assert!(!exec.step(before, Some(&handle), |_| {}).unwrap());
+                assert!(!exec.step(before, &handle, |_| {}).unwrap());
             }
             handle.mark_lost();
-            assert!(exec.step(usize::MAX, Some(&handle), |_| {}).unwrap());
+            assert!(exec.step(usize::MAX, &handle, |_| {}).unwrap());
             assert_eq!(*exec.profile(), alone, "the verdict changed the execution");
             exec.finish_into(&mut scratch);
             assert_bit_identical(scratch.answers(), &want);
@@ -650,6 +672,50 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
         }
     }
     assert!(short > 0, "no execution ended on the floor check");
+}
+
+#[test]
+fn executions_read_the_shared_floor_and_never_raise_it() {
+    // Only an execution's driver raises the query's floor: a stepped
+    // aggregation (4-D) and a walk (2-D), each under a handle raised below
+    // the k-th answer, leave it where it was — and answer the oracle's top k.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(309);
+    let k = 16;
+    for dims in [4, 2] {
+        let data = rand_dataset(&mut rng, 5_000, dims);
+        let roles = [
+            DimRole::Attractive,
+            DimRole::Repulsive,
+            DimRole::Repulsive,
+            DimRole::Attractive,
+        ];
+        let roles = &roles[..dims];
+        let index = SdIndex::build(data.clone(), roles).unwrap();
+        let mut scratch = QueryScratch::new();
+        for _ in 0..4 {
+            let q = rand_query(&mut rng, dims);
+            assert_eq!(index.single_pair(&q).is_some(), dims == 2);
+            let want = oracle(&data, roles, &q, 2 * k);
+            let below = want[2 * k - 1].score;
+            let handle = SharedThreshold::new();
+            handle.raise(below);
+            let got = answer(&index, &q, k, &mut scratch, &handle, None);
+            assert_bit_identical(got, &want[..k]);
+            assert_eq!(handle.floor(), below, "{dims}-D: the floor moved");
+        }
+    }
+}
+
+#[test]
+fn single_pair_refuses_a_query_of_another_dimensionality() {
+    let data = Dataset::from_rows(2, &[vec![1.0, 9.0], vec![1.1, 2.0], vec![7.0, 8.5]]).unwrap();
+    let index = SdIndex::build(data, &[DimRole::Attractive, DimRole::Repulsive]).unwrap();
+    for dims in [1, 3] {
+        let q = SdQuery::new(vec![1.0; dims], vec![1.0; dims]).unwrap();
+        assert!(index.single_pair(&q).is_none(), "{dims}-D query");
+    }
+    let q = SdQuery::new(vec![1.0; 2], vec![1.0; 2]).unwrap();
+    assert!(index.single_pair(&q).is_some());
 }
 
 #[test]
@@ -675,12 +741,11 @@ fn probe_leaves_friendly_queries_alone() {
         .unwrap();
         let mut exec = index.begin_query(&q, 16, &mut scratch, None).unwrap();
         exec.probe = plan::ScanProbe::new(usize::MAX);
-        assert!(exec.step(usize::MAX, None, |_| {}).unwrap());
+        let handle = SharedThreshold::new();
+        assert!(exec.step(usize::MAX, &handle, |_| {}).unwrap());
         exec.finish_into(&mut scratch);
         let off = scratch.profile;
-        index
-            .query_masked(&q, 16, &mut scratch, None, None)
-            .unwrap();
+        index.query_with(&q, 16, &mut scratch).unwrap();
         assert_eq!(scratch.profile.scan_fallbacks, 0);
         assert_eq!(scratch.profile, off);
     }
@@ -708,11 +773,12 @@ fn scan_after_every_row_was_seen_scores_nothing() {
     let mut streams = scratch.stream_buf();
     streams.extend(columns.iter().map(|c| Subproblem::attractive(c, 0.0, 1.0)));
     let mut exec = ShardExecution::begin(&data, &roles, &q, 4, streams, 0.0, None, 3, &mut scratch);
-    assert!(!exec.step(2, None, |_| {}).unwrap());
+    let handle = SharedThreshold::new();
+    assert!(!exec.step(2, &handle, |_| {}).unwrap());
     assert_eq!(exec.profile().rows_fetched, 4);
     assert_eq!(exec.profile().points_gathered, 4, "all four rows seen");
     let mut observed = 0;
-    assert!(exec.step(1, None, |_| observed += 1).unwrap());
+    assert!(exec.step(1, &handle, |_| observed += 1).unwrap());
     let p = *exec.profile();
     assert_eq!((p.scan_fallbacks, p.scan_rows), (1, 0));
     assert_eq!(observed, 0, "the scan scored nothing");
@@ -743,10 +809,9 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     let q = SdQuery::new(vec![0.3; 6], vec![1.0; 6]).unwrap();
     // k below, at and above the live row count (343 of 400).
     for k in [8, 343, 344, n + 3] {
-        let got = index
-            .query_masked(&q, k, &mut scratch, None, Some(MaskView::new(&dead, 0)))
-            .unwrap()
-            .to_vec();
+        let handle = SharedThreshold::new();
+        let mask = Some(MaskView::new(&dead, 0));
+        let got = answer(&index, &q, k, &mut scratch, &handle, mask).to_vec();
         assert_bit_identical(&got, &live_oracle(&q, k));
         let p = scratch.profile;
         assert_eq!(p.scan_fallbacks, 1, "k = {k}");
@@ -760,10 +825,9 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     // and scans at its first round head; every live row scores 0 and the
     // canonical answer is the first k live rows.
     let zero = SdQuery::new(vec![0.3; 6], vec![0.0; 6]).unwrap();
-    let got = index
-        .query_masked(&zero, 5, &mut scratch, None, Some(MaskView::new(&dead, 0)))
-        .unwrap()
-        .to_vec();
+    let handle = SharedThreshold::new();
+    let mask = Some(MaskView::new(&dead, 0));
+    let got = answer(&index, &zero, 5, &mut scratch, &handle, mask).to_vec();
     let p = scratch.profile;
     assert_eq!(p.rounds, 1);
     assert_eq!((p.scan_predicted, p.scan_fallbacks), (1, 1));
@@ -835,7 +899,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
         usize::MAX,
         &mut scratch,
     );
-    assert!(!exec.step(stars.len(), Some(&handle), |_| {}).unwrap());
+    assert!(!exec.step(stars.len(), &handle, |_| {}).unwrap());
     let unseen: Vec<usize> = (0..n)
         .filter(|&r| exec.seen.unseen_word(r, 1) == 1)
         .collect();
@@ -846,7 +910,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
 
     // The next round head finds the budget spent and scans.
     exec.scan_budget = 0;
-    assert!(exec.step(1, Some(&handle), |_| {}).unwrap());
+    assert!(exec.step(1, &handle, |_| {}).unwrap());
     let p = *exec.profile();
     assert_eq!(p.scan_fallbacks, 1);
     // Every counter the scan adds, recounted row by row.
@@ -979,8 +1043,8 @@ fn every_exit_forced_at_the_one_constructor() {
             let mut pure_rounds = 0;
             let natural = plan::scan_budget(n);
             // `lost_after`: the rounds run before the query's handle is
-            // marked lost, as a sibling's verdict would mark it (`None`: no
-            // handle).
+            // marked lost, as a sibling's verdict would mark it (`None`:
+            // never).
             for (budget, probe_live, lost_after) in [
                 (usize::MAX, false, None),
                 (natural, false, None),
@@ -997,14 +1061,13 @@ fn every_exit_forced_at_the_one_constructor() {
                         exec.probe = plan::ScanProbe::new(usize::MAX);
                     }
                     let handle = SharedThreshold::new();
-                    let shared = lost_after.map(|_| &handle);
                     let mut done = false;
                     if let Some(rounds) = lost_after {
-                        done = rounds > 0 && exec.step(rounds, shared, |_| {}).unwrap();
+                        done = rounds > 0 && exec.step(rounds, &handle, |_| {}).unwrap();
                         handle.mark_lost();
                     }
                     while !done {
-                        done = exec.step(step, shared, |_| {}).unwrap();
+                        done = exec.step(step, &handle, |_| {}).unwrap();
                     }
                     exec.finish_into(&mut scratch);
                     assert_bit_identical(scratch.answers(), want);
@@ -1027,7 +1090,7 @@ fn every_exit_forced_at_the_one_constructor() {
                         && p.scan_projected + p.scan_inherited <= p.scan_fallbacks
                 );
                 if lost_after.is_none() {
-                    assert_eq!(p.scan_inherited, 0, "no handle, no verdict");
+                    assert_eq!(p.scan_inherited, 0, "no verdict, none inherited");
                 }
                 // No stream (no pair, or every pair's weights zero — the
                 // unpaired dimensions only bound): every run scans at its
@@ -1179,7 +1242,8 @@ proptest! {
                 for k in [1, 16, n] {
                     let want = &want[..k.min(want.len())];
                     for index in [&tiled, &dealt] {
-                        let got = index.query_masked(&q, k, &mut scratch, None, mask).unwrap();
+                        let handle = SharedThreshold::new();
+                        let got = answer(index, &q, k, &mut scratch, &handle, mask);
                         assert_bit_identical(got, want);
                     }
                 }
@@ -1221,7 +1285,8 @@ proptest! {
                 let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
                 exec.scan_budget = usize::MAX;
                 exec.probe = plan::ScanProbe::new(usize::MAX);
-                while !exec.step(usize::MAX, None, |_| {}).unwrap() {}
+                let handle = SharedThreshold::new();
+                while !exec.step(usize::MAX, &handle, |_| {}).unwrap() {}
                 exec.finish_into(&mut scratch);
                 assert_bit_identical(scratch.answers(), &want[..k]);
                 let p = scratch.profile;

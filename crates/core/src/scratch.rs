@@ -119,9 +119,7 @@ pub struct QueryScratch {
     /// The rows one aggregation round fetched, staged for batched scoring.
     pub(crate) rows: Vec<u32>,
     /// Min-heap over the best `k` exact scores seen so far by the running
-    /// query — the k-th-best floor that powers early termination and the
-    /// cross-shard [`SharedThreshold`](crate::threshold::SharedThreshold)
-    /// publishing.
+    /// query — the k-th-best floor that powers early termination.
     pub(crate) floor: BinaryHeap<Reverse<OrdF64>>,
     /// Gather buffer of the batched aggregation: fetched rows transposed
     /// into dimension-major SoA lanes for the scoring kernels

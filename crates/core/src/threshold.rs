@@ -4,16 +4,19 @@
 //! executions — the sharded engine runs one §5 aggregation per shard — every
 //! execution produces *real* candidate scores, and the k-th best score seen
 //! anywhere is a valid lower bound on the final global k-th score. A
-//! [`SharedThreshold`] carries that bound across executions: each publishes
-//! its running k-th-best score with [`SharedThreshold::raise`], and each
-//! reads the global floor with [`SharedThreshold::floor`] to terminate early
-//! once its own admissible bound `τ` certifies that no unfetched point can
-//! reach the floor. All executions of one query run on the thread that
-//! serves it, so the handle is two [`Cell`]s.
+//! [`SharedThreshold`] carries that bound across executions: the code that
+//! drives them — the engine, over a k-of-union heap of every score any
+//! execution has seen — raises it with [`SharedThreshold::raise`] between
+//! steps, and each execution reads it with [`SharedThreshold::floor`] to
+//! terminate early once its own admissible bound `τ` certifies that no
+//! unfetched point can reach the floor. Executions never raise it: what
+//! they know of their own scores they already prune with. All executions of
+//! one query run on the thread that serves it, so the handle is two
+//! [`Cell`]s.
 //!
-//! The floor is a pure *pruning hint*: a lower floor only prunes less. It
-//! is kept as the `f64` bits encoded into a monotone `u64` (sign-flip
-//! trick), so raising it is one integer `max` and `-0 < +0` holds.
+//! The floor is a pure *pruning hint*: a lower floor only prunes less. Every
+//! reader compares against it with `>` or `>=`, so a `−0` floor and a `+0`
+//! floor prune alike.
 //!
 //! The handle also carries the query's scan verdict
 //! ([`SharedThreshold::mark_lost`]): the first execution that gives up on
@@ -34,11 +37,11 @@ use crate::types::OrdF64;
 
 /// Feeds one exact candidate score into a size-capped min-heap tracking the
 /// best `cap` scores seen so far; the heap top is then the running
-/// k-th-best floor — the value to [`SharedThreshold::raise`] once the heap
-/// holds `cap = k` real scores. Shared by the aggregation loops in this
-/// crate and the engine's merged cross-shard tracker. Returns `true` when
-/// the heap changed (the score entered the tracked top `cap`) — the
-/// query profile counts these as floor updates.
+/// k-th-best floor. Shared by the aggregation loops in this crate and the
+/// engine's merged cross-shard tracker, whose top the engine passes to
+/// [`SharedThreshold::raise`] once the heap holds `cap = k` real scores.
+/// Returns `true` when the heap changed (the score entered the tracked top
+/// `cap`) — the query profile counts these as floor updates.
 #[inline]
 pub fn track_floor(floor: &mut BinaryHeap<Reverse<OrdF64>>, cap: usize, score: f64) -> bool {
     if floor.len() < cap {
@@ -59,7 +62,7 @@ pub fn track_floor(floor: &mut BinaryHeap<Reverse<OrdF64>>, cap: usize, score: f
 
 /// Maps a non-NaN `f64` onto a `u64` whose unsigned order equals the float
 /// order: positive floats get the sign bit set, negative floats are
-/// bit-inverted.
+/// bit-inverted. The bulk load's sort key (`topk::blocks`).
 #[inline]
 pub(crate) fn encode(v: f64) -> u64 {
     let bits = v.to_bits();
@@ -68,13 +71,6 @@ pub(crate) fn encode(v: f64) -> u64 {
     } else {
         bits | (1 << 63)
     }
-}
-
-/// Inverse of [`encode`].
-#[inline]
-fn decode(e: u64) -> f64 {
-    let bits = if e >> 63 == 1 { e & !(1 << 63) } else { !e };
-    f64::from_bits(bits)
 }
 
 /// What the executions of one query know about its streams, read at a round
@@ -94,14 +90,15 @@ pub enum Verdict {
 /// A monotonically rising lower bound on the global k-th best score of one
 /// logical query, shared across shard executions.
 ///
-/// Start at `-∞` via [`SharedThreshold::new`], hand `Some(&t)` to every
-/// shard execution of the same `(query, k)`, and drop it with the query.
+/// Start at `-∞` via [`SharedThreshold::new`], hand `&t` to every shard
+/// execution of the same `(query, k)`, raise it from the driver between
+/// their steps, and drop it with the query.
 /// Never reuse one handle across *different* logical queries — a floor from
 /// another query would prune incorrectly, and its scan verdict would send
 /// this one's executions to scans they may not need.
 #[derive(Debug)]
 pub struct SharedThreshold {
-    bits: Cell<u64>,
+    floor: Cell<f64>,
     /// [`Verdict`] as `OPEN < LOST < STARTED_LOST`, so marking a query lost
     /// is a `max` that never hides that it started lost.
     verdict: Cell<u8>,
@@ -115,7 +112,7 @@ impl SharedThreshold {
     /// A fresh threshold with floor `-∞` (prunes nothing), not lost.
     pub fn new() -> Self {
         SharedThreshold {
-            bits: Cell::new(encode(f64::NEG_INFINITY)),
+            floor: Cell::new(f64::NEG_INFINITY),
             verdict: Cell::new(OPEN),
         }
     }
@@ -148,19 +145,22 @@ impl SharedThreshold {
         }
     }
 
-    /// The highest k-th-best score any execution has published so far.
+    /// The highest k-th-best score raised so far.
     #[inline]
     pub fn floor(&self) -> f64 {
-        decode(self.bits.get())
+        self.floor.get()
     }
 
-    /// Publishes a k-th-best score; the floor only ever rises. `score` must
-    /// be the k-th best of **k real, exactly scored points** of this logical
-    /// query (that is what makes the floor admissible for pruning).
+    /// Raises the floor to `score` if that is higher; the floor only ever
+    /// rises. `score` must be the k-th best of **k real, exactly scored
+    /// points** of this logical query (that is what makes the floor
+    /// admissible for pruning).
     #[inline]
     pub fn raise(&self, score: f64) {
         debug_assert!(!score.is_nan(), "threshold floors must not be NaN");
-        self.bits.set(self.bits.get().max(encode(score)));
+        if score > self.floor.get() {
+            self.floor.set(score);
+        }
     }
 }
 
@@ -188,7 +188,6 @@ mod tests {
         ];
         for w in samples.windows(2) {
             assert!(encode(w[0]) <= encode(w[1]), "{} vs {}", w[0], w[1]);
-            assert_eq!(decode(encode(w[0])), w[0]);
         }
         // -0.0 and 0.0 keep their bit distinction but order consistently.
         assert!(encode(-0.0) < encode(0.0));
@@ -202,8 +201,14 @@ mod tests {
         assert_eq!(t.floor(), -3.0);
         t.raise(2.0);
         assert_eq!(t.floor(), 2.0);
-        t.raise(-5.0); // lower publishes are ignored
+        t.raise(-5.0); // lower raises are ignored
         assert_eq!(t.floor(), 2.0);
+        // A compare raises, so +0 leaves a −0 floor as it is; every reader
+        // compares, and the two are equal to all of them.
+        let z = SharedThreshold::new();
+        z.raise(-0.0);
+        z.raise(0.0);
+        assert!(z.floor() == 0.0 && z.floor().is_sign_negative());
     }
 
     #[test]

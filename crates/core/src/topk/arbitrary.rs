@@ -73,11 +73,11 @@ pub(crate) struct PartWalk<'a> {
 ///   unsurfaced point strictly below the k-th of them can enter the answer;
 ///   when the admissible bound falls below that floor the pool drains
 ///   directly (in canonical order);
-/// * **shared floor**: the same rule against the cross-shard
-///   [`SharedThreshold`] floor, which other executions of the same logical
-///   query raise concurrently. Every candidate the walk drops is strictly
-///   below a score attained by `k` real points elsewhere, so the global
-///   merge cannot miss an answer.
+/// * **shared floor**: the same rule against the [`SharedThreshold`] floor,
+///   which the caller raises from `k` real scores of the same logical query
+///   found elsewhere (an engine's delta rows); the walk only reads it.
+///   Every candidate the walk drops is strictly below a score attained by
+///   `k` real points elsewhere, so the global merge cannot miss an answer.
 ///
 /// And two block-level savings:
 ///
@@ -105,7 +105,7 @@ pub(crate) fn query_blocks_with<'a>(
     beta: f64,
     k: usize,
     scratch: &mut QueryScratch,
-    shared: Option<&SharedThreshold>,
+    shared: &SharedThreshold,
 ) -> Result<(), SdError> {
     scratch.profile.reset();
     let theta = Angle::from_weights(alpha, beta)?;
@@ -132,7 +132,7 @@ pub(crate) fn query_blocks_with<'a>(
     }
     if outcome.is_ok() {
         let pair = (qx, qy, alpha, beta);
-        outcome = walk_parts(&mut walks, pair, k.min(live), k, scratch, shared);
+        outcome = walk_parts(&mut walks, pair, k.min(live), scratch, shared);
     }
     scratch.part_floor_updates.clear();
     for mut w in walks.drain(..) {
@@ -157,14 +157,10 @@ fn walk_parts(
     walks: &mut [PartWalk<'_>],
     (qx, qy, alpha, beta): (f64, f64, f64, f64),
     k_eff: usize,
-    k: usize,
     scratch: &mut QueryScratch,
-    shared: Option<&SharedThreshold>,
+    shared: &SharedThreshold,
 ) -> Result<(), SdError> {
     let r = alpha.hypot(beta);
-    // The floor is only publishable when it covers k real points; parts
-    // with fewer than k live rows can never certify a global k-th score.
-    let publish = k_eff == k;
     let QueryScratch {
         pool,
         answers,
@@ -206,15 +202,8 @@ fn walk_parts(
         let mut f = f64::NEG_INFINITY;
         if floor.len() == k_eff {
             f = floor.peek().expect("floor is non-empty").0 .0;
-            if publish {
-                if let Some(h) = shared {
-                    h.raise(f);
-                }
-            }
         }
-        if let Some(h) = shared {
-            f = f.max(h.floor());
-        }
+        f = f.max(shared.floor());
         if f > inflate(t) {
             while answers.len() < k_eff {
                 match pool.pop() {

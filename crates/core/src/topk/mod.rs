@@ -90,7 +90,7 @@ pub struct AngleBounds {
     pub min_v: f64,
 }
 
-// Safety: `#[repr(C)]` over four f64 fields — no padding, any bit pattern
+// SAFETY: `#[repr(C)]` over four f64 fields — no padding, any bit pattern
 // is four valid f64s.
 unsafe impl crate::view::Pod for AngleBounds {}
 

@@ -19,8 +19,8 @@
 //!              │    ▲             │    ▲             │    ▲
 //!              └────╂─────────────┴────╂─────────────┘    ┃
 //!                   ┗━━━━━━ SharedThreshold (k-th ━━━━━━━━┛
-//!                          score floor; raised by every
-//!                          shard, pruned against by all)
+//!                          score floor; raised by the
+//!                          driver, pruned against by all)
 //!                                 │
 //!                    ┌────────────▼────────────┐
 //!                    │    exact k-way merge    │   (score desc, id asc)
@@ -1045,8 +1045,7 @@ impl SdEngine {
                     offset,
                     mask: shard_mask_view(mask, offset, dead),
                 });
-            let shared = dirty.then_some(&shared);
-            pair.walk(parts, k, &mut shard_scratches[0], shared)
+            pair.walk(parts, k, &mut shard_scratches[0], &shared)
                 .map(drop)
         } else if start == Start::Audit {
             // The audit shard starts from the merged floor tracked through
@@ -1213,7 +1212,7 @@ impl SdEngine {
             }
             for rounds in [SLICE_ROUNDS, usize::MAX] {
                 for run in active.iter_mut().filter(|run| !run.done()) {
-                    run.step(rounds, Some(shared), |score| {
+                    run.step(rounds, shared, |score| {
                         track_floor(floor, k, score);
                     })?;
                     // After every step, not every pass: a query whose

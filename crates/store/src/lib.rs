@@ -689,7 +689,7 @@ impl Snapshot {
                 SectionKind::EngineShard => format!("{}{}", kind.name(), entry.reserved),
                 _ => kind.name().to_string(),
             };
-            // Safety: `payload` borrows `buffer`'s memory (64-aligned base
+            // SAFETY: `payload` borrows `buffer`'s memory (64-aligned base
             // + 64-aligned section offset) and `buffer.keep()` pins it for
             // as long as any view lives.
             let mut r = unsafe {
