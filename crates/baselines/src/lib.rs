@@ -20,6 +20,8 @@
 //! All methods share the [`TopKAlgorithm`] trait so the benchmark harness
 //! can drive them interchangeably.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod brs;
 pub mod pe;
 pub mod seqscan;

@@ -14,6 +14,8 @@
 //! Each run prints its table and writes a CSV copy under `--out` (default
 //! `results/`); no paper-vs-measured record is checked in yet.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod experiments;
 pub mod harness;
 

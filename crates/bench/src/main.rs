@@ -1,6 +1,8 @@
 //! Umbrella runner: executes every experiment of §6 in paper order.
 //! `cargo run --release -p sdq-bench [-- --full]`.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 fn main() {
     let cfg = sdq_bench::Config::from_args();
     println!(

@@ -72,7 +72,7 @@ use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
 use crate::multidim::{DimPair, PairingStrategy, SdIndex};
 use crate::topk::blocks::BlockSet;
-use crate::types::{Dataset, SdError};
+use crate::types::{Dataset, SdError, MAX_MAGNITUDE};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
 use crate::DimRole;
 
@@ -708,9 +708,14 @@ pub(crate) fn first_bad<T>(vs: &[T], bad: impl Fn(&T) -> bool) -> Option<usize> 
     })
 }
 
+/// Every coordinate in `vs` is finite and within ±[`MAX_MAGNITUDE`], as
+/// ingest requires ([`crate::check_coordinate`]).
 fn finite_slice(vs: &[f64], what: &str) -> Result<()> {
-    match first_bad(vs, |v| !v.is_finite()) {
-        Some(i) => Err(corrupt(format!("non-finite {what}: {}", vs[i]))),
+    match first_bad(vs, |v| !(0.0..=MAX_MAGNITUDE).contains(&v.abs())) {
+        Some(i) => {
+            let v = finite_f64(vs[i], what)?;
+            Err(corrupt(format!("{what} beyond ±2^500: {v:e}")))
+        }
         None => Ok(()),
     }
 }
@@ -1102,13 +1107,16 @@ mod tests {
         let reference = |vs: &[f64]| -> Result<()> {
             for &v in vs {
                 finite_f64(v, "coordinate")?;
+                ensure(v.abs() <= MAX_MAGNITUDE, || {
+                    format!("coordinate beyond ±2^500: {v:e}")
+                })?;
             }
             Ok(())
         };
         let clean = chunked_values();
         assert!(finite_slice(&clean, "coordinate").is_ok());
         for at in offender_sets(clean.len()) {
-            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308] {
                 let mut vs = clean.clone();
                 for (j, &i) in at.iter().enumerate() {
                     vs[i] = if j == 0 { bad } else { -bad };

@@ -11,13 +11,12 @@
 //! delta table at a time, and produces two things:
 //!
 //! 1. the delta's **canonical top-k** (score descending, ties by global row
-//!    id ascending) — one more list for the engine's exact k-way merge, and
-//! 2. every live delta score that reaches the delta's running k-th score,
-//!    fed into the caller's **k-th-score floor** — the engine's merged
-//!    floor, which it raises the shard executions'
-//!    [`SharedThreshold`](crate::threshold::SharedThreshold) to, so a strong
-//!    delta candidate terminates the indexed shard executions early exactly
-//!    like a strong candidate found by a sibling shard would.
+//!    id ascending) of the rows that reach the query's floor — one more
+//!    list for the engine's exact k-way merge, and
+//! 2. every live delta score that reaches that floor, fed into it: the
+//!    query's one [`QueryFloor`], which the shard executions then score
+//!    into and prune against, so a strong delta candidate terminates them
+//!    early exactly like a strong candidate found by a sibling shard would.
 //!
 //! Tombstoned delta rows are dropped with one mask word per chunk (see
 //! [`crate::mask`]), so they reach neither the merge nor the floor.
@@ -30,20 +29,21 @@ use crate::kernels::{self, LANES};
 use crate::mask::MaskView;
 use crate::profile::QueryProfile;
 use crate::score::{DimRole, SdQuery};
-use crate::threshold::track_floor;
+use crate::threshold::QueryFloor;
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 
 /// Scans the delta region exactly: appends the canonical top-`k` of the
-/// live delta rows to `out` (with **global** ids `id_offset + local row`)
-/// and feeds every live score that reaches the running k-th-best delta
-/// score into `floor` (capacity `k`) for cross-execution pruning.
+/// live delta rows that reach the query's `floor` to `out` (with **global**
+/// ids `id_offset + local row`) and feeds every one of their scores into
+/// `floor`.
 ///
 /// Each chunk of [`LANES`] rows reads its tombstones as one
 /// [`MaskView::dead_word32`]; unless every row in it is dead, it is scored
-/// and compared to the k-th-best delta score so far in one
-/// [`kernels::score_rows`] pass, and its live rows at or above that score
-/// are kept — a row strictly below it can change neither the delta top-k
-/// nor the floor. A chunk whose live rows all fall below it counts as
+/// and compared to the floor's bar in one [`kernels::score_rows`] pass, and
+/// its live rows at or above the bar are kept — a row strictly below it is
+/// below `k` real scores of the query, so it can be in no answer. (While
+/// the floor holds only delta scores, its bar is the k-th best delta score
+/// so far.) A chunk whose live rows all fall below it counts as
 /// `delta_blocks_pruned`. `mask`, when present, must view the engine mask
 /// at `id_offset` so delta-local rows resolve correctly.
 ///
@@ -64,7 +64,7 @@ pub fn scan_delta_into(
     id_offset: u32,
     mask: Option<MaskView<'_>>,
     pool: &mut BinaryHeap<(Reverse<OrdF64>, u32)>,
-    floor: &mut BinaryHeap<Reverse<OrdF64>>,
+    floor: &mut QueryFloor<'_>,
     out: &mut Vec<ScoredPoint>,
     sw: &mut Vec<f64>,
     prof: &mut QueryProfile,
@@ -91,14 +91,9 @@ pub fn scan_delta_into(
         prof.delta_rows_scanned += scanned;
         prof.points_gathered += scanned;
         prof.kernel_batches += 1;
-        // The pool root is the k-th best live delta score so far.
-        let fl = if pool.len() == k {
-            pool.peek().expect("pool is non-empty").0 .0 .0
-        } else {
-            f64::NEG_INFINITY
-        };
         let run = &flat[start * dims..(start + count) * dims];
-        let reach = kernels::score_rows(&mut scores[..count], run, dims, &query.point, sw, fl);
+        let bar = floor.bar();
+        let reach = kernels::score_rows(&mut scores[..count], run, dims, &query.point, sw, bar);
         let mut surv = reach & live;
         prof.delta_blocks_pruned += u64::from(surv == 0);
         while surv != 0 {
@@ -106,7 +101,7 @@ pub fn scan_delta_into(
             surv &= surv - 1;
             let score = scores[l];
             prof.points_scored += 1;
-            prof.floor_updates += u64::from(track_floor(floor, k, score));
+            prof.floor_updates += u64::from(floor.offer(score));
             // Bounded min-heap of the best k: the root is the worst kept
             // entry (lowest score, largest id among ties) under `rank_cmp`.
             pool.push((Reverse(OrdF64::new(score)), (start + l) as u32));
@@ -142,13 +137,14 @@ mod tests {
         mask: Option<MaskView<'_>>,
     ) -> (Vec<ScoredPoint>, Vec<f64>) {
         let mut pool = BinaryHeap::new();
-        let mut floor = BinaryHeap::new();
+        let mut heap = BinaryHeap::new();
+        let mut floor = QueryFloor::new(&mut heap, k);
         for (id, coords) in data.iter() {
             if mask.is_some_and(|m| m.is_dead(id.raw())) {
                 continue;
             }
             let score = sd_score(coords, &query.point, roles, &query.weights);
-            track_floor(&mut floor, k, score);
+            floor.offer(score);
             pool.push((Reverse(OrdF64::new(score)), id.raw()));
             if pool.len() > k {
                 pool.pop();
@@ -159,7 +155,7 @@ mod tests {
             .map(|(Reverse(OrdF64(s)), row)| ScoredPoint::new(PointId::new(offset + row), s))
             .collect();
         out.sort_by(rank_cmp);
-        (out, sorted_floor(floor))
+        (out, sorted_floor(heap))
     }
 
     fn sorted_floor(floor: BinaryHeap<Reverse<OrdF64>>) -> Vec<f64> {
@@ -168,8 +164,8 @@ mod tests {
         floors
     }
 
-    /// [`scan_delta_into`] on fresh buffers: its answer, its floor (sorted
-    /// ascending) and its profile.
+    /// [`scan_delta_into`] on fresh buffers under a fresh floor of `k`
+    /// scores: its answer, its floor (sorted ascending) and its profile.
     fn scan(
         data: &Dataset,
         roles: &[DimRole],
@@ -179,7 +175,7 @@ mod tests {
         mask: Option<MaskView<'_>>,
     ) -> (Vec<ScoredPoint>, Vec<f64>, QueryProfile) {
         let mut pool = BinaryHeap::new();
-        let mut floor = BinaryHeap::new();
+        let mut heap = BinaryHeap::new();
         let mut out = Vec::new();
         let mut prof = QueryProfile::new();
         scan_delta_into(
@@ -190,14 +186,14 @@ mod tests {
             offset,
             mask,
             &mut pool,
-            &mut floor,
+            &mut QueryFloor::new(&mut heap, k),
             &mut out,
             &mut Vec::new(),
             &mut prof,
             &Deadline::none(),
         )
         .unwrap();
-        (out, sorted_floor(floor), prof)
+        (out, sorted_floor(heap), prof)
     }
 
     #[test]

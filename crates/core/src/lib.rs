@@ -22,8 +22,8 @@
 //!   pair walks its own §4 frontier, indexed or Claim-6 bracketed) and a
 //!   resumable [`ShardExecution`](multidim::ShardExecution) for the sharded
 //!   engine,
-//! * [`threshold`] — the cross-shard k-th-score floor
-//!   ([`SharedThreshold`]),
+//! * [`threshold`] — the one k-th-score floor of a query
+//!   ([`QueryFloor`]),
 //! * [`mask`] — tombstone bitmaps ([`RowMask`]) whose dead rows are dropped
 //!   at scoring time by every masked query path,
 //! * [`delta`] — the exact scan of the engine's append-only delta region
@@ -65,6 +65,8 @@
 //! assert_eq!(top[0].id.index(), 0); // same x as q, far away in y
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod codec;
 pub mod deadline;
 pub mod delta;
@@ -89,8 +91,8 @@ pub use profile::QueryProfile;
 pub use score::{sd_score, DimRole, SdQuery};
 pub use scratch::{recycle_vec, QueryScratch};
 pub use telemetry::{EventJournal, EventKind, EventRecord, HistoSnapshot, LatencyHisto, Telemetry};
-pub use threshold::{SharedThreshold, Verdict};
-pub use types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
+pub use threshold::{QueryFloor, Verdict};
+pub use types::{check_coordinate, Dataset, OrdF64, PointId, ScoredPoint, SdError, MAX_MAGNITUDE};
 pub use view::ColumnarView;
 
 /// Convenience alias used across the workspace.

@@ -34,9 +34,9 @@
 //! unbounded step by [`SdIndex::query_with`] and
 //! [`threshold_aggregate_with`] — and hands the buffers back in
 //! [`ShardExecution::finish_into`] / [`ShardExecution::abandon_into`]. Every
-//! step and every walk runs under a [`SharedThreshold`]: the engine's, or a
-//! fresh one of the entry's own. The allocating [`SdIndex::query`] is a thin
-//! wrapper over `query_with`.
+//! step and every walk scores into the query's one [`QueryFloor`], passed
+//! `&mut`: the engine's, or a fresh one of the entry's own. The allocating
+//! [`SdIndex::query`] is a thin wrapper over `query_with`.
 //!
 //! Every pair is served by its own §4 frontier, by the rule in [`plan`]:
 //! certified at an indexed angle (0° and 90°, a zero weight, always are),
@@ -49,7 +49,7 @@
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
 //! projects that it will ([`plan::scan_checkpoint`]), or whose sibling
 //! execution of the same query already did, or whose query started lost
-//! ([`SharedThreshold::verdict`]; a query with no pair to stream always
+//! ([`QueryFloor::verdict`]; a query with no pair to stream always
 //! does) — stops consulting its streams and finishes
 //! with one sequential kernel scan of the rows it has not seen.
 //! Every strategy is exact and the
@@ -57,10 +57,10 @@
 //! never change an answer, only its cost; this is also what makes sharded
 //! execution (the `sdq-engine` crate) bit-identical to the monolithic path.
 //!
-//! The aggregation additionally terminates as soon as its *k-th-best seen*
-//! score — locally tracked, or the [`SharedThreshold`] floor its driver
-//! raised across shard executions — certifiably beats the admissible bound
-//! on everything unfetched; see [`ShardExecution::step`].
+//! The aggregation additionally terminates as soon as the query's
+//! [`QueryFloor`] — the k-th best exact score found by any of its scorers so
+//! far — certifiably beats the admissible bound on everything unfetched;
+//! see [`ShardExecution::step`].
 
 pub mod pairing;
 pub mod plan;
@@ -82,7 +82,7 @@ use crate::mask::MaskView;
 use crate::profile::QueryProfile;
 use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
-use crate::threshold::{track_floor, SharedThreshold, Verdict};
+use crate::threshold::{QueryFloor, Verdict};
 use crate::topk::arbitrary::{self, BlockPart};
 use crate::topk::blocks::{BlockFrontier, BlockSet};
 use crate::topk::stream::FrontierEval;
@@ -459,7 +459,7 @@ impl SdIndex {
     /// the direct walk over the pair's §4 index ([`SinglePair::walk`] with
     /// this index as its one shard). Everything else is
     /// [`SdIndex::begin_query`] stepped once without a round limit. Either
-    /// runs under a fresh [`SharedThreshold`], which nothing raises.
+    /// scores into a fresh [`QueryFloor`] of its own.
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
@@ -467,17 +467,18 @@ impl SdIndex {
         scratch: &'s mut QueryScratch,
     ) -> Result<&'s [ScoredPoint], SdError> {
         self.check_query(query, k)?;
-        let shared = SharedThreshold::new();
-        if let Some(pair) = self.single_pair(query) {
-            let part = ShardPart {
-                index: self,
-                offset: 0,
-                mask: None,
-            };
-            return pair.walk([part], k, scratch, &shared);
-        }
-        self.begin(query, k, scratch, None)?
-            .run_into(&shared, scratch)
+        under_fresh_floor(scratch, k.min(self.data.len()), |floor, scratch| {
+            if let Some(pair) = self.single_pair(query) {
+                let part = ShardPart {
+                    index: self,
+                    offset: 0,
+                    mask: None,
+                };
+                return pair.walk([part], k, scratch, floor).map(drop);
+            }
+            self.begin(query, k, scratch, None)?
+                .run_into(floor, scratch)
+        })
     }
 
     /// Starts a suspended, resumable execution of this index's aggregation
@@ -659,18 +660,18 @@ impl SinglePair {
     /// holds the walk's counters; `rounds` stays 0.
     ///
     /// Every shard must share the roles of the index this pair came from
-    /// (an engine's do). The walk prunes against `shared`'s floor and never
-    /// raises it, so it may return fewer than `k` rows when a floor its
-    /// caller raised proves the missing ones cannot be in the global top-k
-    /// (an engine's delta rows). `scratch.deadline` is consulted before
-    /// every pop; the scratch keeps every buffer either way, so a warmed
-    /// scratch walks without allocating.
+    /// (an engine's do). The walk scores into the query's `floor` and prunes
+    /// against it, so it may return fewer than `k` rows when scores already
+    /// there (an engine's delta rows) prove the missing ones cannot be in
+    /// the global top-k. `scratch.deadline` is consulted before every pop;
+    /// the scratch keeps every buffer either way, so a warmed scratch walks
+    /// without allocating.
     pub fn walk<'s, 'a, I>(
         self,
         shards: I,
         k: usize,
         scratch: &'s mut QueryScratch,
-        shared: &SharedThreshold,
+        floor: &mut QueryFloor<'_>,
     ) -> Result<&'s [ScoredPoint], SdError>
     where
         I: IntoIterator<Item = ShardPart<'a>>,
@@ -696,7 +697,7 @@ impl SinglePair {
             self.beta,
             k,
             scratch,
-            shared,
+            floor,
         )?;
         if let Some(t0) = t0 {
             scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
@@ -726,36 +727,29 @@ fn pair_eval(
 /// scores every run of consecutive rows where it lies, floor compare
 /// included, and only then drops the rows the streams already surfaced and
 /// the tombstoned ones. Either way the scores that pass the floor compare
-/// are fed to the k-th-score floor, the caller's `on_score` observer and
-/// the candidate pool ([`BatchScorer::admit`]).
+/// are fed to the query's [`QueryFloor`] and the candidate pool
+/// ([`BatchScorer::admit`]).
 ///
-/// Lanes strictly below a known k-th score — the local floor once it holds
-/// `k_eff` real scores, or the shared floor the round head last read,
-/// whichever is higher — are dropped by the batched survivor compare
-/// before touching any heap: they can never displace `k` known scores (ties
-/// survive, preserving canonical tie resolution), and a score below either
-/// floor is also below every merged floor downstream of `on_score`, so
-/// skipping the observer too loses nothing.
-struct BatchScorer<'a, F: FnMut(f64)> {
+/// Lanes strictly below the floor's bar — the k-th best score this query
+/// has found anywhere, once there are that many — are dropped by the
+/// batched survivor compare before touching any heap: they can never
+/// displace `k` known scores (ties survive, preserving canonical tie
+/// resolution).
+struct BatchScorer<'a, 'h> {
     data: &'a Dataset,
     roles: &'a [DimRole],
     query: &'a SdQuery,
     mask: Option<MaskView<'a>>,
-    k_eff: usize,
     pool: &'a mut BinaryHeap<(OrdF64, Reverse<u32>)>,
-    floor: &'a mut BinaryHeap<Reverse<OrdF64>>,
-    on_score: &'a mut F,
+    floor: &'a mut QueryFloor<'h>,
     gather: &'a mut Vec<f64>,
     scores: &'a mut Vec<f64>,
     prof: &'a mut QueryProfile,
-    /// The [`SharedThreshold`] floor as the round head last read it (it only
-    /// rises, so a stale reading is a lower bar, never a wrong one).
-    shared_floor: f64,
     lane_rows: [u32; LANES],
     cnt: usize,
 }
 
-impl<F: FnMut(f64)> BatchScorer<'_, F> {
+impl BatchScorer<'_, '_> {
     /// Takes one distinct (not yet seen) row: drops it if tombstoned,
     /// otherwise gathers it into the next free lane, scoring the batch
     /// when it fills.
@@ -797,7 +791,7 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
     fn score_lanes(&mut self, live: u32) {
         self.prof.kernel_batches += 1;
         self.prof.isa = kernels::active().name();
-        let bar = self.survivor_bar();
+        let bar = self.floor.bar();
         let mut surv = score_survivors(self.roles, self.query, self.gather, self.scores, live, bar);
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
@@ -806,26 +800,11 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
         }
     }
 
-    /// The score a lane must reach to be worth a visit to the heaps: the
-    /// higher of the shared floor and — once it holds `k_eff` real scores —
-    /// the local one; `−∞` with neither. (With fewer than `k` live rows, a
-    /// full local floor has scored every one of them, so nothing is left
-    /// for the bar to drop.)
-    #[inline]
-    fn survivor_bar(&self) -> f64 {
-        let local = match self.floor.peek() {
-            Some(&Reverse(OrdF64(kth))) if self.floor.len() == self.k_eff => kth,
-            _ => f64::NEG_INFINITY,
-        };
-        local.max(self.shared_floor)
-    }
-
-    /// The one per-row step behind every kept score: floor, observer, pool.
+    /// The one per-row step behind every kept score: floor, then pool.
     #[inline]
     fn admit(&mut self, row: u32, score: f64) {
         self.prof.points_scored += 1;
-        self.prof.floor_updates += u64::from(track_floor(self.floor, self.k_eff, score));
-        (self.on_score)(score);
+        self.prof.floor_updates += u64::from(self.floor.offer(score));
         self.pool.push((OrdF64::new(score), Reverse(row)));
     }
 }
@@ -833,10 +812,9 @@ impl<F: FnMut(f64)> BatchScorer<'_, F> {
 /// Kernel-scores the gathered lanes on the full query into `scores` and
 /// returns which of the `live` ones reach `floor`.
 ///
-/// This and [`UnseenScan::chunk`] are the observer-independent half of the
-/// scoring stage, kept out of line so that they compile once: inlined into
-/// each `F` instantiation of the loop they came out ≈ 25 % apart in speed
-/// from one source.
+/// This and [`UnseenScan::chunk`] are the kernel half of the scoring stage,
+/// kept out of line: inlined, the same source has come out ≈ 25 % apart in
+/// speed depending on the loop around it.
 #[inline(never)]
 fn score_survivors(
     roles: &[DimRole],
@@ -856,11 +834,7 @@ fn score_survivors(
 
 /// Scores one round's fetched rows: duplicates die on the seen-set, the
 /// rest go through the [`BatchScorer`].
-fn score_rows_batched<F: FnMut(f64)>(
-    scorer: &mut BatchScorer<'_, F>,
-    seen: &mut StampSet,
-    batch: &[u32],
-) {
+fn score_rows_batched(scorer: &mut BatchScorer<'_, '_>, seen: &mut StampSet, batch: &[u32]) {
     for &row in batch {
         if seen.insert(row) {
             scorer.offer(row);
@@ -872,7 +846,7 @@ fn score_rows_batched<F: FnMut(f64)>(
 }
 
 /// The read-only state of one [`scan_unseen`] pass — everything about the
-/// scan that does not depend on the score observer.
+/// scan but the scorer it feeds.
 struct UnseenScan<'a> {
     data: &'a Dataset,
     seen: &'a StampSet,
@@ -890,7 +864,7 @@ impl UnseenScan<'_> {
     /// seen, not tombstoned). The seen-set and the tombstones are read only
     /// for a chunk with a lane at the floor (on a lost 6-D query, ≈ 0.4 %
     /// of the rows reach it); a row already scored or dead costs a wasted
-    /// lane, never a visit to floor, observer or pool.
+    /// lane, never a visit to floor or pool.
     #[inline(never)]
     fn chunk(&self, start: usize, floor: f64, scores: &mut [f64]) -> u32 {
         let dims = self.data.dims();
@@ -934,8 +908,8 @@ impl UnseenScan<'_> {
 /// the pass meets every row once and ends the execution. The deadline is
 /// consulted once per chunk; an abort leaves the partial state behind
 /// exactly like an abort between rounds.
-fn scan_unseen<F: FnMut(f64)>(
-    scorer: &mut BatchScorer<'_, F>,
+fn scan_unseen(
+    scorer: &mut BatchScorer<'_, '_>,
     seen: &StampSet,
     sw: &mut Vec<f64>,
     deadline: &Deadline,
@@ -954,7 +928,7 @@ fn scan_unseen<F: FnMut(f64)>(
     let n = scan.data.len();
     for start in (0..n).step_by(LANES) {
         deadline.check()?;
-        let mut surv = scan.chunk(start, scorer.survivor_bar(), scorer.scores);
+        let mut surv = scan.chunk(start, scorer.floor.bar(), scorer.scores);
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
@@ -1000,10 +974,11 @@ fn emit_pooled(
 /// score is strictly above the (FP-inflated) threshold `τ` (the execution's
 /// extent bound plus every stream's bound), so score ties always resolve
 /// through the pool's `(score, Reverse(row))` order — smallest row first —
-/// independent of stream fetch order. Two further stop rules terminate early without
-/// breaking canonicity (see [`query_blocks_with`] for the argument):
-/// the locally tracked k-th-best seen score, and the cross-shard
-/// [`SharedThreshold`] floor, which only the execution's driver raises.
+/// independent of stream fetch order. One further stop rule terminates
+/// early without breaking canonicity (see [`query_blocks_with`] for the
+/// argument): the query's [`QueryFloor`], the k-th best exact score its
+/// scorers — this execution, its siblings, the engine's delta scan — have
+/// found so far.
 ///
 /// One iteration fetches one *emission unit* per subproblem — a single row
 /// for 1-D streams, a whole SoA leaf block for block-backed 2-D streams —
@@ -1023,20 +998,16 @@ fn emit_pooled(
 /// [`plan::scan_budget`] for the exchange rate behind the constant). So
 /// does an iteration in which the execution's `ScanProbe` reads off the
 /// threshold gap that the budget is going to be spent (see
-/// [`plan::scan_checkpoint`]), and one that finds the query's
-/// [`SharedThreshold`] marked lost — by a sibling execution that took the
-/// exit first, or by the engine before round one
-/// ([`SharedThreshold::verdict`], read after the emit and floor checks);
-/// every trigger reaches the one call, which marks the handle lost in turn.
+/// [`plan::scan_checkpoint`]), and one that finds the query's floor marked
+/// lost — by a sibling execution that took the exit first, or by the engine
+/// before round one ([`QueryFloor::verdict`], read after the emit and floor
+/// checks); every trigger reaches the one call, which marks the floor lost
+/// in turn.
 /// An execution with no stream — a query whose pair weights are all zero,
 /// or an index with no pair — starts lost on its own and scans at its
 /// first round head, counted as `scan_predicted`, unless the floor already
 /// beats its `τ`, the extent bound alone. Otherwise `usize::MAX` never
 /// scans: the paper's pure threshold aggregation.
-///
-/// `on_score` observes the exact full score of every newly fetched
-/// distinct row that could still matter to a top-k — the engine feeds
-/// these into its merged cross-shard k-th-score tracker.
 ///
 /// The execution's deadline is consulted once per iteration — block-pop granularity,
 /// one inlined branch when unset — and once per [`LANES`] scanned rows, and
@@ -1044,11 +1015,10 @@ fn emit_pooled(
 /// buffer keeps the certified partial prefix emitted so far.
 ///
 /// [`query_blocks_with`]: crate::topk::arbitrary::query_blocks_with
-fn aggregate_rounds<F: FnMut(f64)>(
+fn aggregate_rounds(
     exec: &mut ShardExecution<'_>,
-    shared: &SharedThreshold,
+    floor: &mut QueryFloor<'_>,
     mut rounds: usize,
-    on_score: &mut F,
 ) -> Result<bool, SdError> {
     let ShardExecution {
         data,
@@ -1061,7 +1031,6 @@ fn aggregate_rounds<F: FnMut(f64)>(
         pool,
         seen,
         answers,
-        floor,
         batch,
         gather,
         scores,
@@ -1082,14 +1051,11 @@ fn aggregate_rounds<F: FnMut(f64)>(
         roles,
         query,
         mask,
-        k_eff,
         pool,
         floor,
-        on_score,
         gather,
         scores,
         prof,
-        shared_floor: f64::NEG_INFINITY,
         lane_rows: [0; LANES],
         cnt: 0,
     };
@@ -1134,16 +1100,13 @@ fn aggregate_rounds<F: FnMut(f64)>(
             return Ok(true);
         }
 
-        // k-th-score floor: once k exact scores are known — here or in a
-        // sibling shard — and τ certifies every unfetched row is strictly
-        // below them, the remaining answers are already pooled.
+        // k-th-score floor: once k exact scores of the query are known —
+        // here, in a sibling shard or in the delta — and τ certifies every
+        // unfetched row is strictly below them, the remaining answers are
+        // already pooled.
         let mut f = f64::NEG_INFINITY;
         if !any_drained {
-            if scorer.floor.len() == k_eff {
-                f = scorer.floor.peek().expect("floor is non-empty").0 .0;
-            }
-            scorer.shared_floor = shared.floor();
-            f = f.max(scorer.shared_floor);
+            f = scorer.floor.bar();
             if f > inflate(tau) {
                 emit_pooled(scorer.pool, answers, k_eff);
                 return Ok(true);
@@ -1168,7 +1131,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
             // and no bound to certify with, whatever the budget.
             Verdict::StartedLost
         } else if budget_left {
-            shared.verdict()
+            scorer.floor.verdict()
         } else {
             Verdict::Open
         };
@@ -1177,7 +1140,7 @@ fn aggregate_rounds<F: FnMut(f64)>(
             && f > f64::NEG_INFINITY
             && probe.lost(fetched, inflate(tau) - f, scan_budget);
         if spent || verdict != Verdict::Open || projected {
-            shared.mark_lost();
+            scorer.floor.mark_lost();
             scorer.prof.scan_projected += u64::from(projected);
             scorer.prof.scan_inherited += u64::from(verdict == Verdict::Lost);
             scorer.prof.scan_predicted += u64::from(verdict == Verdict::StartedLost);
@@ -1242,7 +1205,6 @@ pub struct ShardExecution<'i> {
     pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
     seen: StampSet,
     answers: Vec<ScoredPoint>,
-    floor: BinaryHeap<Reverse<OrdF64>>,
     batch: Vec<u32>,
     gather: Vec<f64>,
     scores: Vec<f64>,
@@ -1290,8 +1252,6 @@ impl<'i> ShardExecution<'i> {
         let mut answers = std::mem::take(&mut scratch.answers);
         answers.clear();
         answers.reserve(k_eff);
-        let mut floor = std::mem::take(&mut scratch.floor);
-        floor.clear();
         let mut batch = std::mem::take(&mut scratch.rows);
         batch.clear();
         scratch.profile.reset();
@@ -1306,7 +1266,6 @@ impl<'i> ShardExecution<'i> {
             pool,
             seen,
             answers,
-            floor,
             batch,
             gather: std::mem::take(&mut scratch.gather),
             scores: std::mem::take(&mut scratch.scores),
@@ -1319,17 +1278,17 @@ impl<'i> ShardExecution<'i> {
         }
     }
 
-    /// Runs the execution to completion in one unbounded step and returns
-    /// the canonical answer out of `scratch` — the scratch it was begun
-    /// from, which gets every buffer back whether the step completes or a
+    /// Runs the execution to completion in one unbounded step and leaves
+    /// the canonical answer in `scratch` — the scratch it was begun from,
+    /// which gets every buffer back whether the step completes or a
     /// deadline ends it.
-    fn run_into<'s>(
+    fn run_into(
         mut self,
-        shared: &SharedThreshold,
-        scratch: &'s mut QueryScratch,
-    ) -> Result<&'s [ScoredPoint], SdError> {
+        floor: &mut QueryFloor<'_>,
+        scratch: &mut QueryScratch,
+    ) -> Result<(), SdError> {
         let t0 = self.profile.timing.then(std::time::Instant::now);
-        let stepped = self.step(usize::MAX, shared, |_| {});
+        let stepped = self.step(usize::MAX, floor);
         if let Some(t0) = t0 {
             self.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
         }
@@ -1337,7 +1296,7 @@ impl<'i> ShardExecution<'i> {
             Ok(done) => {
                 debug_assert!(done, "an unbounded step completes");
                 self.finish_into(scratch);
-                Ok(&scratch.answers)
+                Ok(())
             }
             Err(e) => {
                 self.abandon_into(scratch);
@@ -1352,38 +1311,36 @@ impl<'i> ShardExecution<'i> {
     }
 
     /// Runs up to `rounds` aggregation iterations (one fetch per stream
-    /// each). Terminates as soon as its own k-th-best exact score, or
-    /// `shared`'s floor, certifiably beats the admissible bound `τ` on every
-    /// unfetched row. The step only reads that floor: the caller raises it
-    /// between steps from the scores `on_score` observes — every newly
-    /// scored row's exact score — across all executions of the same logical
-    /// query. Returns `Ok(true)` once complete; a deadline or cancellation
-    /// carried in the originating scratch aborts with the typed error (the
-    /// execution keeps its certified partial answer — hand its buffers back
-    /// with [`ShardExecution::abandon_into`]).
+    /// each). Every exact score the step keeps goes into `floor` — the
+    /// query's one floor, which every other execution of the same logical
+    /// query and the engine's delta scan also score into — and the step
+    /// prunes against it and terminates as soon as it certifiably beats the
+    /// admissible bound `τ` on every unfetched row. Returns `Ok(true)` once
+    /// complete, with the floor's value then in the execution's profile; a
+    /// deadline or cancellation carried in the originating
+    /// scratch aborts with the typed error (the execution keeps its
+    /// certified partial answer — hand its buffers back with
+    /// [`ShardExecution::abandon_into`]).
     ///
     /// A step is not bounded by `rounds` alone: the iteration that finds
     /// the fetch budget ([`plan::scan_budget`]) spent, projects that it
-    /// will be, or finds `shared` marked lost by a sibling or from the start
-    /// ([`SharedThreshold::verdict`]) runs the kernel scan over every row
-    /// not seen yet to completion — one sequential pass over the shard,
+    /// will be, or finds `floor` marked lost by a sibling or from the start
+    /// ([`QueryFloor::verdict`]) runs the kernel scan over every row not
+    /// seen yet to completion — one sequential pass over the shard,
     /// deadline-checked every [`LANES`] rows — and completes the execution
-    /// inside this call, marking `shared` lost for the siblings after it.
-    pub fn step<F: FnMut(f64)>(
-        &mut self,
-        rounds: usize,
-        shared: &SharedThreshold,
-        mut on_score: F,
-    ) -> Result<bool, SdError> {
+    /// inside this call, marking `floor` lost for the siblings after it.
+    pub fn step(&mut self, rounds: usize, floor: &mut QueryFloor<'_>) -> Result<bool, SdError> {
         if !self.done {
-            self.done = aggregate_rounds(self, shared, rounds, &mut on_score)?;
+            self.done = aggregate_rounds(self, floor, rounds)?;
+            if self.done {
+                self.profile.floor_value = floor.value();
+            }
         }
         Ok(self.done)
     }
 
-    /// Execution counters accumulated so far (the finalized ones — floor
-    /// value, emission count — land in the scratch's profile at
-    /// [`ShardExecution::finish_into`]).
+    /// Execution counters accumulated so far (the emission count lands in
+    /// the scratch's profile at [`ShardExecution::finish_into`]).
     pub fn profile(&self) -> &QueryProfile {
         &self.profile
     }
@@ -1394,7 +1351,6 @@ impl<'i> ShardExecution<'i> {
     pub fn finish_into(mut self, scratch: &mut QueryScratch) {
         debug_assert!(self.done, "finish_into before completion");
         self.answers.sort_unstable_by(rank_cmp);
-        self.profile.floor_value = self.floor.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0);
         self.profile.emitted = self.answers.len() as u64;
         self.abandon_into(scratch);
     }
@@ -1411,7 +1367,6 @@ impl<'i> ShardExecution<'i> {
         scratch.put_streams(self.streams);
         scratch.pool = self.pool;
         scratch.seen = self.seen;
-        scratch.floor = self.floor;
         scratch.answers = self.answers;
         scratch.rows = self.batch;
         scratch.gather = self.gather;
@@ -1439,7 +1394,7 @@ pub fn threshold_aggregate_with<'s>(
     streams: Vec<Subproblem<'_>>,
     scratch: &'s mut QueryScratch,
 ) -> Result<&'s [ScoredPoint], SdError> {
-    ShardExecution::begin(
+    let exec = ShardExecution::begin(
         data,
         roles,
         query,
@@ -1449,8 +1404,24 @@ pub fn threshold_aggregate_with<'s>(
         None,
         usize::MAX,
         scratch,
-    )
-    .run_into(&SharedThreshold::new(), scratch)
+    );
+    under_fresh_floor(scratch, k.min(data.len()), |floor, scratch| {
+        exec.run_into(floor, scratch)
+    })
+}
+
+/// Runs `body` — a query with no caller's floor: a standalone index's or
+/// the TA entry's — over a fresh [`QueryFloor`] of `cap` scores on
+/// `scratch`'s floor heap, then hands back the answer it left in `scratch`.
+fn under_fresh_floor(
+    scratch: &mut QueryScratch,
+    cap: usize,
+    body: impl FnOnce(&mut QueryFloor<'_>, &mut QueryScratch) -> Result<(), SdError>,
+) -> Result<&[ScoredPoint], SdError> {
+    let mut heap = std::mem::take(&mut scratch.floor);
+    let ran = body(&mut QueryFloor::new(&mut heap, cap), scratch);
+    scratch.floor = heap;
+    ran.map(|()| &scratch.answers[..])
 }
 
 /// A 2-D subproblem stream over one pair's §4 index.

@@ -127,9 +127,10 @@
 //! query, and the cadence experiment is why the span is `budget / 8` and
 //! no less. Under the sharded engine an execution then ran in 8-round
 //! slices throughout (now: one slice, then to completion — see the shared
-//! verdict below) and its floor is mostly its siblings', published between
-//! slices: inside a slice the gap closes at the pace of τ alone, at a slice
-//! boundary it drops by a step. Readings at budget/16 and doubling (195, 390, 780,
+//! verdict below) and its floor was mostly its siblings', published between
+//! slices: inside a slice the gap closed at the pace of τ alone, at a slice
+//! boundary it dropped by a step. (Now every execution scores into the
+//! query's one floor, so its siblings' scores are there as they are found.) Readings at budget/16 and doubling (195, 390, 780,
 //! 1 560 rows at 25 000-row shards) put the first secant inside the first
 //! slice — 3–4 rounds — and it read that plateau as the trend on 2, 2, 4,
 //! 2 and 0 of 1024 anchor executions (five seeds), each a needless scan,
@@ -179,7 +180,7 @@
 //! **The verdict is reached once per query.** The shards of an engine
 //! partition one dataset answering one query, so the first execution that
 //! takes the exit — spent or projected — answers for its siblings: it marks
-//! the query's [`SharedThreshold`](crate::SharedThreshold) lost, and every
+//! the query's [`QueryFloor`](crate::QueryFloor) lost, and every
 //! sibling still open reads the mark at its next round head and scans
 //! (`scan_inherited`, the third trigger). The read comes after the emit and
 //! floor checks, so a sibling the floor already certifies ends unscanned;
@@ -213,8 +214,8 @@
 //! that change which streams run and how high the floor sits — whether its
 //! recent stream-first queries scanned. A shape whose last `STREAK` = 3
 //! stream-first queries all did starts its next query lost: the engine
-//! marks the query's [`SharedThreshold`](crate::SharedThreshold) before round
-//! one ([`start_lost`](crate::SharedThreshold::start_lost)), and every
+//! marks the query's [`QueryFloor`](crate::QueryFloor) before round
+//! one ([`start_lost`](crate::QueryFloor::start_lost)), and every
 //! execution scans at its first round head, after the emit and floor checks,
 //! without a fetch (`scan_predicted`, the fourth trigger). Every
 //! `RECHECK` = 16th query of such a shape runs stream-first again, so a shape
@@ -234,8 +235,8 @@
 //! stream phase on block tables the scans have pushed out of cache.
 //!
 //! So the re-check is an *audit*: every shard but the last starts lost and
-//! scans, then the last runs stream-first under a threshold of its own
-//! raised to the merged floor their scans left, and only its verdict is
+//! scans, then the last runs stream-first against the floor their scans
+//! left (the verdict set back to open), and only its verdict is
 //! recorded (`sdq-engine`'s `history` holds why that verdict is sound).
 //! One shard's stream phase where a re-check paid four: on `agg_6d` (8 s
 //! runs of the unmodified benchmark, 16 pairs — 10 parent first, seeds

@@ -343,15 +343,15 @@ fn six_d_roles() -> Vec<DimRole> {
     ]
 }
 
-/// `index`'s answer to `q` over the rows `mask` leaves live, under `shared`,
-/// as an engine shard gives it: the direct walk for a single-pair query, an
-/// execution stepped to completion otherwise.
+/// `index`'s answer to `q` over the rows `mask` leaves live, scoring into
+/// `floor`, as an engine shard gives it: the direct walk for a single-pair
+/// query, an execution stepped to completion otherwise.
 fn answer<'s>(
     index: &SdIndex,
     q: &SdQuery,
     k: usize,
     scratch: &'s mut QueryScratch,
-    shared: &SharedThreshold,
+    floor: &mut QueryFloor<'_>,
     mask: Option<MaskView<'_>>,
 ) -> &'s [ScoredPoint] {
     if let Some(pair) = index.single_pair(q) {
@@ -360,20 +360,31 @@ fn answer<'s>(
             offset: 0,
             mask,
         };
-        return pair.walk([part], k, scratch, shared).unwrap();
+        return pair.walk([part], k, scratch, floor).unwrap();
     }
     let mut exec = index.begin_query(q, k, scratch, mask).unwrap();
-    assert!(exec.step(usize::MAX, shared, |_| {}).unwrap());
+    assert!(exec.step(usize::MAX, floor).unwrap());
     exec.finish_into(scratch);
     scratch.answers()
 }
 
-/// Steps `exec` one round at a time to completion, returning
-/// `rows_fetched` after every round.
+/// A floor of `cap` scores already full at `bar`, as `cap` rows of another
+/// part of the query scoring `bar` each would leave it.
+fn floor_at(heap: &mut BinaryHeap<Reverse<OrdF64>>, cap: usize, bar: f64) -> QueryFloor<'_> {
+    let mut floor = QueryFloor::new(heap, cap);
+    for _ in 0..cap {
+        floor.offer(bar);
+    }
+    floor
+}
+
+/// Steps `exec` one round at a time to completion under a floor of its own,
+/// returning `rows_fetched` after every round.
 fn fetch_trajectory(exec: &mut ShardExecution<'_>) -> Vec<u64> {
-    let handle = SharedThreshold::new();
+    let mut heap = BinaryHeap::new();
+    let mut floor = QueryFloor::new(&mut heap, exec.k_eff);
     let mut fetched = Vec::new();
-    while !exec.step(1, &handle, |_| {}).unwrap() {
+    while !exec.step(1, &mut floor).unwrap() {
         fetched.push(exec.profile().rows_fetched);
     }
     fetched
@@ -404,9 +415,10 @@ fn scan_switches_strictly_past_the_budget() {
         let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
         exec.scan_budget = budget as usize;
         exec.probe = plan::ScanProbe::new(usize::MAX); // the budget alone decides
-        let handle = SharedThreshold::new();
+        let mut heap = BinaryHeap::new();
+        let mut floor = QueryFloor::new(&mut heap, k);
         for round in 1..scan_round {
-            assert!(!exec.step(1, &handle, |_| {}).unwrap());
+            assert!(!exec.step(1, &mut floor).unwrap());
             assert_eq!(
                 exec.profile().scan_fallbacks,
                 0,
@@ -416,7 +428,7 @@ fn scan_switches_strictly_past_the_budget() {
         }
         // `rows_fetched == budget` fetched once more; one row past it scans,
         // and the scan completes inside that step.
-        assert!(exec.step(1, &handle, |_| {}).unwrap());
+        assert!(exec.step(1, &mut floor).unwrap());
         let p = *exec.profile();
         assert_eq!(p.scan_fallbacks, 1, "budget {budget}");
         assert!(p.scan_rows > 0 && p.scan_rows < 2_000);
@@ -471,9 +483,10 @@ fn projected_scan_waits_for_its_second_checkpoint() {
     assert!(0 < first && first < second && starts_with[second] < budget / 2);
 
     let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
-    let handle = SharedThreshold::new();
+    let mut heap = BinaryHeap::new();
+    let mut floor = QueryFloor::new(&mut heap, k);
     let mut round = 0;
-    while !exec.step(1, &handle, |_| {}).unwrap() {
+    while !exec.step(1, &mut floor).unwrap() {
         assert_eq!(exec.profile().scan_fallbacks, 0);
         round += 1;
     }
@@ -497,9 +510,9 @@ fn projected_scan_waits_for_its_second_checkpoint() {
 
 #[test]
 fn inherited_verdict_scans_at_the_next_round_head() {
-    // The third trigger: an execution whose handle a sibling marked lost
+    // The third trigger: an execution whose floor a sibling marked lost
     // scans at its next round head, whatever its own budget and probe say —
-    // from the first head when it begins on a lost handle, or from the head
+    // from the first head when it begins on a lost floor, or from the head
     // after the verdict lands — and marks nothing it did not find.
     let mut rng = rand::rngs::StdRng::seed_from_u64(306);
     let n = 16_000;
@@ -511,15 +524,16 @@ fn inherited_verdict_scans_at_the_next_round_head() {
     let want = oracle(&data, &roles, &q, k);
     let mut scratch = QueryScratch::new();
 
+    let mut heap = BinaryHeap::new();
     for rounds_before in [0, 1, 3] {
-        let handle = SharedThreshold::new();
+        let mut floor = QueryFloor::new(&mut heap, k);
         let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
         if rounds_before > 0 {
-            assert!(!exec.step(rounds_before, &handle, |_| {}).unwrap());
+            assert!(!exec.step(rounds_before, &mut floor).unwrap());
         }
         let streamed = exec.profile().rows_fetched;
-        handle.mark_lost();
-        assert!(exec.step(1, &handle, |_| {}).unwrap());
+        floor.mark_lost();
+        assert!(exec.step(1, &mut floor).unwrap());
         let p = *exec.profile();
         assert_eq!(
             p.rounds,
@@ -537,30 +551,30 @@ fn inherited_verdict_scans_at_the_next_round_head() {
     }
 
     // Under an unbounded budget, nothing is inherited.
-    let handle = SharedThreshold::new();
-    handle.mark_lost();
+    let mut floor = QueryFloor::new(&mut heap, k);
+    floor.mark_lost();
     let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
     exec.scan_budget = usize::MAX;
-    assert!(exec.step(usize::MAX, &handle, |_| {}).unwrap());
+    assert!(exec.step(usize::MAX, &mut floor).unwrap());
     assert_eq!(exec.profile().scan_fallbacks, 0);
     exec.finish_into(&mut scratch);
     assert_bit_identical(scratch.answers(), &want);
 
     // The execution that reaches the verdict itself publishes it.
-    let handle = SharedThreshold::new();
-    let got = answer(&index, &q, k, &mut scratch, &handle, None);
+    let mut floor = QueryFloor::new(&mut heap, k);
+    let got = answer(&index, &q, k, &mut scratch, &mut floor, None);
     assert_bit_identical(got, &want);
     let p = scratch.profile;
     assert_eq!((p.scan_fallbacks, p.scan_inherited), (1, 0));
-    assert_eq!(handle.verdict(), Verdict::Lost);
+    assert_eq!(floor.verdict(), Verdict::Lost);
 }
 
 #[test]
 fn a_query_that_started_lost_scans_at_its_first_round_head() {
-    // The fourth trigger: a handle marked lost before the execution begins
+    // The fourth trigger: a floor marked lost before the execution begins
     // sends it to the scan at its first round head, without a fetch, and
     // counts the scan as predicted, not inherited — also after the
-    // execution's own exit marks the handle in turn. With a floor that
+    // execution's own exit marks the floor in turn. With a floor that
     // already certifies the execution, it ends there unscanned instead.
     let mut rng = rand::rngs::StdRng::seed_from_u64(308);
     let n = 16_000;
@@ -572,9 +586,10 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
     let want = oracle(&data, &roles, &q, k);
     let mut scratch = QueryScratch::new();
 
-    let handle = SharedThreshold::new();
-    handle.start_lost();
-    let got = answer(&index, &q, k, &mut scratch, &handle, None);
+    let mut heap = BinaryHeap::new();
+    let mut floor = QueryFloor::new(&mut heap, k);
+    floor.start_lost();
+    let got = answer(&index, &q, k, &mut scratch, &mut floor, None);
     assert_bit_identical(got, &want);
     let p = scratch.profile;
     assert_eq!(p.rounds, 1, "scanned at the first head");
@@ -589,13 +604,13 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
     );
     assert_eq!(p.rows_fetched, p.scan_rows, "nothing came through a stream");
     assert_eq!(p.points_gathered, n as u64, "every row scored exactly once");
-    assert_eq!(handle.verdict(), Verdict::StartedLost);
+    assert_eq!(floor.verdict(), Verdict::StartedLost);
 
-    // A floor above every row: certified at the first head, nothing scanned.
-    let handle = SharedThreshold::new();
-    handle.start_lost();
-    handle.raise(want[0].score + 1.0);
-    let got = answer(&index, &q, k, &mut scratch, &handle, None);
+    // A floor above every row (k rows elsewhere beat them all): certified
+    // at the first head, nothing scanned.
+    let mut floor = floor_at(&mut heap, k, want[0].score + 1.0);
+    floor.start_lost();
+    let got = answer(&index, &q, k, &mut scratch, &mut floor, None);
     assert!(got.is_empty());
     let p = scratch.profile;
     assert_eq!((p.rounds, p.scan_fallbacks, p.rows_fetched), (1, 0, 0));
@@ -607,7 +622,7 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
     // certified at the head where it first sees the flag ends there,
     // unscanned, exactly as it would have without the flag. On its own it
     // ends on the emit check; beside a sibling shard — whose rows hold most
-    // of the top k, and whose k-th score the handle carries — on the floor
+    // of the top k, and whose k-th score the floor holds — on the floor
     // check, with fewer than k answers.
     let mut rng = rand::rngs::StdRng::seed_from_u64(307);
     let data = rand_dataset(&mut rng, 25_000, 4);
@@ -630,41 +645,35 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
         let k = 16;
         let own = oracle(&data, &roles, &q, k);
         // The k-th best score of the two shards together: a floor a sibling
-        // execution of this query could publish.
+        // execution of this query could leave.
         let mut both: Vec<f64> = own.iter().map(|sp| sp.score).collect();
         both.extend(oracle(&sibling, &roles, &q, k).iter().map(|sp| sp.score));
         both.sort_by(|a, b| b.total_cmp(a));
         for floor in [f64::NEG_INFINITY, both[k - 1]] {
             let mut want = own.clone();
             want.retain(|sp| sp.score >= floor);
-            let shared = || {
-                let handle = SharedThreshold::new();
-                if floor.is_finite() {
-                    handle.raise(floor);
-                }
-                handle
-            };
+            let mut heap = BinaryHeap::new();
             // The reference: the rounds this execution needs without a
             // verdict.
-            let handle = shared();
+            let mut shared = floor_at(&mut heap, k, floor);
             let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
-            assert!(exec.step(usize::MAX, &handle, |_| {}).unwrap());
+            assert!(exec.step(usize::MAX, &mut shared).unwrap());
             let alone = *exec.profile();
             exec.finish_into(&mut scratch);
             assert_eq!(alone.scan_fallbacks, 0, "a friendly query certifies");
-            assert_eq!(handle.verdict(), Verdict::Open);
+            assert_eq!(shared.verdict(), Verdict::Open);
             assert_bit_identical(scratch.answers(), &want);
 
             // The same execution, told at its last head that a sibling is
             // lost.
-            let handle = shared();
+            let mut shared = floor_at(&mut heap, k, floor);
             let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
             let before = alone.rounds as usize - 1;
             if before > 0 {
-                assert!(!exec.step(before, &handle, |_| {}).unwrap());
+                assert!(!exec.step(before, &mut shared).unwrap());
             }
-            handle.mark_lost();
-            assert!(exec.step(usize::MAX, &handle, |_| {}).unwrap());
+            shared.mark_lost();
+            assert!(exec.step(usize::MAX, &mut shared).unwrap());
             assert_eq!(*exec.profile(), alone, "the verdict changed the execution");
             exec.finish_into(&mut scratch);
             assert_bit_identical(scratch.answers(), &want);
@@ -675,10 +684,10 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
 }
 
 #[test]
-fn executions_read_the_shared_floor_and_never_raise_it() {
-    // Only an execution's driver raises the query's floor: a stepped
-    // aggregation (4-D) and a walk (2-D), each under a handle raised below
-    // the k-th answer, leave it where it was — and answer the oracle's top k.
+fn executions_answer_the_oracle_under_a_pre_filled_floor() {
+    // A stepped aggregation (4-D) and a walk (2-D), each scoring into a
+    // floor another part of the query filled below the k-th answer, answer
+    // the oracle's top k — and leave the floor at the oracle's k-th score.
     let mut rng = rand::rngs::StdRng::seed_from_u64(309);
     let k = 16;
     for dims in [4, 2] {
@@ -696,12 +705,11 @@ fn executions_read_the_shared_floor_and_never_raise_it() {
             let q = rand_query(&mut rng, dims);
             assert_eq!(index.single_pair(&q).is_some(), dims == 2);
             let want = oracle(&data, roles, &q, 2 * k);
-            let below = want[2 * k - 1].score;
-            let handle = SharedThreshold::new();
-            handle.raise(below);
-            let got = answer(&index, &q, k, &mut scratch, &handle, None);
+            let mut heap = BinaryHeap::new();
+            let mut floor = floor_at(&mut heap, k, want[2 * k - 1].score);
+            let got = answer(&index, &q, k, &mut scratch, &mut floor, None);
             assert_bit_identical(got, &want[..k]);
-            assert_eq!(handle.floor(), below, "{dims}-D: the floor moved");
+            assert_eq!(floor.bar(), want[k - 1].score, "{dims}-D");
         }
     }
 }
@@ -741,8 +749,10 @@ fn probe_leaves_friendly_queries_alone() {
         .unwrap();
         let mut exec = index.begin_query(&q, 16, &mut scratch, None).unwrap();
         exec.probe = plan::ScanProbe::new(usize::MAX);
-        let handle = SharedThreshold::new();
-        assert!(exec.step(usize::MAX, &handle, |_| {}).unwrap());
+        let mut heap = BinaryHeap::new();
+        assert!(exec
+            .step(usize::MAX, &mut QueryFloor::new(&mut heap, 16))
+            .unwrap());
         exec.finish_into(&mut scratch);
         let off = scratch.profile;
         index.query_with(&q, 16, &mut scratch).unwrap();
@@ -773,15 +783,16 @@ fn scan_after_every_row_was_seen_scores_nothing() {
     let mut streams = scratch.stream_buf();
     streams.extend(columns.iter().map(|c| Subproblem::attractive(c, 0.0, 1.0)));
     let mut exec = ShardExecution::begin(&data, &roles, &q, 4, streams, 0.0, None, 3, &mut scratch);
-    let handle = SharedThreshold::new();
-    assert!(!exec.step(2, &handle, |_| {}).unwrap());
+    let mut heap = BinaryHeap::new();
+    let mut floor = QueryFloor::new(&mut heap, 4);
+    assert!(!exec.step(2, &mut floor).unwrap());
     assert_eq!(exec.profile().rows_fetched, 4);
     assert_eq!(exec.profile().points_gathered, 4, "all four rows seen");
-    let mut observed = 0;
-    assert!(exec.step(1, &handle, |_| observed += 1).unwrap());
+    let scored = exec.profile().points_scored;
+    assert!(exec.step(1, &mut floor).unwrap());
     let p = *exec.profile();
     assert_eq!((p.scan_fallbacks, p.scan_rows), (1, 0));
-    assert_eq!(observed, 0, "the scan scored nothing");
+    assert_eq!(p.points_scored, scored, "the scan scored nothing");
     assert_eq!((p.rows_fetched, p.points_gathered), (4, 4));
     exec.finish_into(&mut scratch);
     assert_bit_identical(scratch.answers(), &want);
@@ -808,10 +819,11 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     let mut scratch = QueryScratch::new();
     let q = SdQuery::new(vec![0.3; 6], vec![1.0; 6]).unwrap();
     // k below, at and above the live row count (343 of 400).
+    let mut heap = BinaryHeap::new();
     for k in [8, 343, 344, n + 3] {
-        let handle = SharedThreshold::new();
+        let mut floor = QueryFloor::new(&mut heap, k.min(343));
         let mask = Some(MaskView::new(&dead, 0));
-        let got = answer(&index, &q, k, &mut scratch, &handle, mask).to_vec();
+        let got = answer(&index, &q, k, &mut scratch, &mut floor, mask).to_vec();
         assert_bit_identical(&got, &live_oracle(&q, k));
         let p = scratch.profile;
         assert_eq!(p.scan_fallbacks, 1, "k = {k}");
@@ -825,9 +837,9 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     // and scans at its first round head; every live row scores 0 and the
     // canonical answer is the first k live rows.
     let zero = SdQuery::new(vec![0.3; 6], vec![0.0; 6]).unwrap();
-    let handle = SharedThreshold::new();
+    let mut floor = QueryFloor::new(&mut heap, 5);
     let mask = Some(MaskView::new(&dead, 0));
-    let got = answer(&index, &zero, 5, &mut scratch, &handle, mask).to_vec();
+    let got = answer(&index, &zero, 5, &mut scratch, &mut floor, mask).to_vec();
     let p = scratch.profile;
     assert_eq!(p.rounds, 1);
     assert_eq!((p.scan_predicted, p.scan_fallbacks), (1, 1));
@@ -847,9 +859,9 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     // one inside the second chunk is dead, so the streams have skipped a
     // tombstone already. Four more dead rows (score 4.5) sit at lanes 0 and
     // 31 of the third chunk and in the short one; three live rows just
-    // below them (3.4 to 3.6) complete the top 8, and the 8th score is on
-    // the shared floor. So the scan's kernel passes every star and every
-    // dead row, and only the seen-set and the tombstones keep them out.
+    // below them (3.4 to 3.6) complete the top 8, and the floor is filled at
+    // the 8th score. So the scan's kernel passes every star and every dead
+    // row, and only the seen-set and the tombstones keep them out.
     let n = 101;
     let stars = [0, 31, 32, 50, 63, 97];
     let dead_star = 50;
@@ -879,8 +891,8 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     let mut want = oracle(&data, &roles, &q, n);
     want.retain(|sp| !dead.get(sp.id.index()));
     want.truncate(k);
-    let handle = SharedThreshold::new();
-    handle.raise(want[k - 1].score);
+    let mut heap = BinaryHeap::new();
+    let mut floor = floor_at(&mut heap, k, want[k - 1].score);
 
     let columns: Vec<SortedColumn> = (0..2).map(|d| SortedColumn::new(&data.column(d))).collect();
     let mut scratch = QueryScratch::new();
@@ -899,7 +911,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
         usize::MAX,
         &mut scratch,
     );
-    assert!(!exec.step(stars.len(), &handle, |_| {}).unwrap());
+    assert!(!exec.step(stars.len(), &mut floor).unwrap());
     let unseen: Vec<usize> = (0..n)
         .filter(|&r| exec.seen.unseen_word(r, 1) == 1)
         .collect();
@@ -910,7 +922,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
 
     // The next round head finds the budget spent and scans.
     exec.scan_budget = 0;
-    assert!(exec.step(1, &handle, |_| {}).unwrap());
+    assert!(exec.step(1, &mut floor).unwrap());
     let p = *exec.profile();
     assert_eq!(p.scan_fallbacks, 1);
     // Every counter the scan adds, recounted row by row.
@@ -1042,7 +1054,7 @@ fn every_exit_forced_at_the_one_constructor() {
             let want = &live[..k.min(live.len())];
             let mut pure_rounds = 0;
             let natural = plan::scan_budget(n);
-            // `lost_after`: the rounds run before the query's handle is
+            // `lost_after`: the rounds run before the query's floor is
             // marked lost, as a sibling's verdict would mark it (`None`:
             // never).
             for (budget, probe_live, lost_after) in [
@@ -1060,14 +1072,15 @@ fn every_exit_forced_at_the_one_constructor() {
                     if !probe_live {
                         exec.probe = plan::ScanProbe::new(usize::MAX);
                     }
-                    let handle = SharedThreshold::new();
+                    let mut heap = BinaryHeap::new();
+                    let mut floor = QueryFloor::new(&mut heap, want.len());
                     let mut done = false;
                     if let Some(rounds) = lost_after {
-                        done = rounds > 0 && exec.step(rounds, &handle, |_| {}).unwrap();
-                        handle.mark_lost();
+                        done = rounds > 0 && exec.step(rounds, &mut floor).unwrap();
+                        floor.mark_lost();
                     }
                     while !done {
-                        done = exec.step(step, &handle, |_| {}).unwrap();
+                        done = exec.step(step, &mut floor).unwrap();
                     }
                     exec.finish_into(&mut scratch);
                     assert_bit_identical(scratch.answers(), want);
@@ -1094,7 +1107,7 @@ fn every_exit_forced_at_the_one_constructor() {
                 }
                 // No stream (no pair, or every pair's weights zero — the
                 // unpaired dimensions only bound): every run scans at its
-                // first round head, whatever the budget or a handle says —
+                // first round head, whatever the budget or the floor says —
                 // unless there is no live row to answer with.
                 let streams = index
                     .pairs
@@ -1242,8 +1255,9 @@ proptest! {
                 for k in [1, 16, n] {
                     let want = &want[..k.min(want.len())];
                     for index in [&tiled, &dealt] {
-                        let handle = SharedThreshold::new();
-                        let got = answer(index, &q, k, &mut scratch, &handle, mask);
+                        let mut heap = BinaryHeap::new();
+                        let mut floor = QueryFloor::new(&mut heap, want.len());
+                        let got = answer(index, &q, k, &mut scratch, &mut floor, mask);
                         assert_bit_identical(got, want);
                     }
                 }
@@ -1285,8 +1299,9 @@ proptest! {
                 let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
                 exec.scan_budget = usize::MAX;
                 exec.probe = plan::ScanProbe::new(usize::MAX);
-                let handle = SharedThreshold::new();
-                while !exec.step(usize::MAX, &handle, |_| {}).unwrap() {}
+                let mut heap = BinaryHeap::new();
+                let mut floor = QueryFloor::new(&mut heap, k);
+                while !exec.step(usize::MAX, &mut floor).unwrap() {}
                 exec.finish_into(&mut scratch);
                 assert_bit_identical(scratch.answers(), &want[..k]);
                 let p = scratch.profile;

@@ -123,11 +123,11 @@ pub struct QueryProfile {
     /// threshold gap's projection.
     pub scan_projected: u64,
     /// The scan fallbacks that left on a sibling execution's verdict, read
-    /// off the query's [`SharedThreshold`](crate::SharedThreshold).
+    /// off the query's [`QueryFloor`](crate::QueryFloor).
     pub scan_inherited: u64,
     /// The scan fallbacks of a query that started lost: the engine's history
     /// of the query's shape said its streams lose
-    /// ([`SharedThreshold::start_lost`](crate::SharedThreshold::start_lost)),
+    /// ([`QueryFloor::start_lost`](crate::QueryFloor::start_lost)),
     /// or the query has no stream at all (every weight zero), so each
     /// execution scanned at its first round head without fetching. Not
     /// also counted as `scan_inherited`, so `scan_fallbacks − scan_projected

@@ -3,7 +3,7 @@
 //! These kernels are shared by every index structure and baseline so that a
 //! single definition of the scoring function backs the whole workspace.
 
-use crate::types::{Dataset, PointId, ScoredPoint, SdError};
+use crate::types::{check_coordinate, Dataset, PointId, ScoredPoint, SdError, MAX_MAGNITUDE};
 
 /// Role of one dimension in an SD-Query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +42,8 @@ pub struct SdQuery {
 }
 
 impl SdQuery {
-    /// Creates a query after validating shapes, finiteness and weight signs.
+    /// Creates a query after validating shapes, finiteness, weight signs and
+    /// the magnitude bound ([`MAX_MAGNITUDE`]) on coordinates and weights.
     pub fn new(point: Vec<f64>, weights: Vec<f64>) -> Result<Self, SdError> {
         if point.len() != weights.len() {
             return Err(SdError::DimensionMismatch {
@@ -51,16 +52,11 @@ impl SdQuery {
             });
         }
         for (dim, &v) in point.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SdError::NonFiniteCoordinate {
-                    row: 0,
-                    dim,
-                    value: v,
-                });
-            }
+            check_coordinate(0, dim, v)?;
         }
         for (dim, &w) in weights.iter().enumerate() {
-            if !w.is_finite() || w < 0.0 {
+            // A NaN lies in no range.
+            if !(0.0..=MAX_MAGNITUDE).contains(&w) {
                 return Err(SdError::InvalidWeight { dim, value: w });
             }
         }
@@ -188,6 +184,23 @@ mod tests {
         assert!(SdQuery::new(vec![0.0], vec![-1.0]).is_err());
         assert!(SdQuery::new(vec![0.0], vec![f64::INFINITY]).is_err());
         assert!(SdQuery::new(vec![0.0, 1.0], vec![0.0, 3.0]).is_ok());
+    }
+
+    #[test]
+    fn a_query_whose_scores_could_overflow_is_refused() {
+        // −∞ attractive plus +∞ repulsive would score NaN on any row.
+        let err = SdQuery::new(vec![1e308, -1e308], vec![1e308, 1e308]).unwrap_err();
+        assert!(matches!(
+            err,
+            SdError::CoordinateOutOfRange { row: 0, dim: 0, .. }
+        ));
+        let err = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1e308]).unwrap_err();
+        assert!(matches!(err, SdError::InvalidWeight { dim: 1, .. }));
+        let m = MAX_MAGNITUDE;
+        let q = SdQuery::new(vec![m, -m], vec![m, m]).unwrap();
+        let roles = [DimRole::Attractive, DimRole::Repulsive];
+        let s = sd_score(&[-m, m], &q.point, &roles, &q.weights);
+        assert!(s.is_finite(), "the bound keeps every score finite: {s}");
     }
 
     #[test]

@@ -118,8 +118,9 @@ pub struct QueryScratch {
     pub(crate) answers: Vec<ScoredPoint>,
     /// The rows one aggregation round fetched, staged for batched scoring.
     pub(crate) rows: Vec<u32>,
-    /// Min-heap over the best `k` exact scores seen so far by the running
-    /// query — the k-th-best floor that powers early termination.
+    /// The heap the [`QueryFloor`](crate::QueryFloor) of a query served
+    /// from this scratch alone (`query_with`, the TA entry) borrows: the
+    /// best `min(k, n)` exact scores seen so far.
     pub(crate) floor: BinaryHeap<Reverse<OrdF64>>,
     /// Gather buffer of the batched aggregation: fetched rows transposed
     /// into dimension-major SoA lanes for the scoring kernels

@@ -1,35 +1,30 @@
-//! Cross-execution kth-score threshold sharing.
+//! The k-th-score floor of one logical query.
 //!
-//! When one logical top-k query is decomposed into several physical
-//! executions — the sharded engine runs one §5 aggregation per shard — every
-//! execution produces *real* candidate scores, and the k-th best score seen
-//! anywhere is a valid lower bound on the final global k-th score. A
-//! [`SharedThreshold`] carries that bound across executions: the code that
-//! drives them — the engine, over a k-of-union heap of every score any
-//! execution has seen — raises it with [`SharedThreshold::raise`] between
-//! steps, and each execution reads it with [`SharedThreshold::floor`] to
-//! terminate early once its own admissible bound `τ` certifies that no
-//! unfetched point can reach the floor. Executions never raise it: what
-//! they know of their own scores they already prune with. All executions of
-//! one query run on the thread that serves it, so the handle is two
-//! [`Cell`]s.
+//! Every exact score a query finds — in any shard execution, in the direct
+//! walk, in the engine's delta scan — goes into one [`QueryFloor`], passed
+//! `&mut` to whatever scores a row of the query. The floor keeps the best
+//! `min(k, live rows the query ranks)` of them; once it holds that many,
+//! its lowest is a lower bound on the query's final k-th score, so a scorer
+//! drops any row strictly below it and an aggregation stops once its own
+//! admissible bound `τ` falls below it (the paper's §5 stopping rule, Ranu &
+//! Singh, arXiv 1111.7165). The shards of an engine query thus prune against
+//! the union of every score found so far, not against their own.
 //!
 //! The floor is a pure *pruning hint*: a lower floor only prunes less. Every
 //! reader compares against it with `>` or `>=`, so a `−0` floor and a `+0`
 //! floor prune alike.
 //!
-//! The handle also carries the query's scan verdict
-//! ([`SharedThreshold::mark_lost`]): the first execution that gives up on
-//! its streams and finishes by scanning says so here, and every sibling
-//! still open reads it at its next round head and scans too, instead of
-//! spending its own stream phase to reach the same verdict. The verdict can
-//! also be there before round one ([`SharedThreshold::start_lost`]): the
-//! engine sets it when the query's shape lost its recent queries, and then
-//! every execution scans at its first round head. The handle keeps the two
-//! apart ([`Verdict`]), so a profile can say which one sent an execution to
-//! its scan. It is a cost hint as well: a scan is exact whenever it runs.
+//! The floor also carries the query's scan verdict
+//! ([`QueryFloor::mark_lost`]): the first execution that gives up on its
+//! streams and finishes by scanning says so here, and every sibling still
+//! open reads it at its next round head and scans too, instead of spending
+//! its own stream phase to reach the same verdict. The verdict can also be
+//! there before round one ([`QueryFloor::start_lost`]): the engine sets it
+//! when the query's shape lost its recent queries, and then every execution
+//! scans at its first round head. The floor keeps the two apart
+//! ([`Verdict`]), so a profile can say which one sent an execution to its
+//! scan. It is a cost hint as well: a scan is exact whenever it runs.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -37,9 +32,7 @@ use crate::types::OrdF64;
 
 /// Feeds one exact candidate score into a size-capped min-heap tracking the
 /// best `cap` scores seen so far; the heap top is then the running
-/// k-th-best floor. Shared by the aggregation loops in this crate and the
-/// engine's merged cross-shard tracker, whose top the engine passes to
-/// [`SharedThreshold::raise`] once the heap holds `cap = k` real scores.
+/// k-th-best floor. [`QueryFloor::offer`] is this over the query's heap.
 /// Returns `true` when the heap changed (the score entered the tracked top
 /// `cap`) — the query profile counts these as floor updates.
 #[inline]
@@ -74,55 +67,82 @@ pub(crate) fn encode(v: f64) -> u64 {
 }
 
 /// What the executions of one query know about its streams, read at a round
-/// head ([`SharedThreshold::verdict`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// head ([`QueryFloor::verdict`]). Ordered: marking a query lost never
+/// hides that it started lost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verdict {
     /// No execution has given up on its streams.
     Open,
     /// An execution of this query took the scan exit
-    /// ([`SharedThreshold::mark_lost`]).
+    /// ([`QueryFloor::mark_lost`]).
     Lost,
     /// The query was marked lost before any execution began
-    /// ([`SharedThreshold::start_lost`]).
+    /// ([`QueryFloor::start_lost`]).
     StartedLost,
 }
 
-/// A monotonically rising lower bound on the global k-th best score of one
-/// logical query, shared across shard executions.
+/// The one k-th-score floor of one logical query, and its scan verdict.
 ///
-/// Start at `-∞` via [`SharedThreshold::new`], hand `&t` to every shard
-/// execution of the same `(query, k)`, raise it from the driver between
-/// their steps, and drop it with the query.
-/// Never reuse one handle across *different* logical queries — a floor from
-/// another query would prune incorrectly, and its scan verdict would send
-/// this one's executions to scans they may not need.
+/// Make one per query over a recycled heap ([`QueryFloor::new`]) and hand
+/// it `&mut` to everything that scores a row of the query; each scorer
+/// feeds it every exact score it keeps ([`QueryFloor::offer`]) and prunes
+/// against [`QueryFloor::bar`]. Only exact scores of **distinct live rows**
+/// of this query may enter: a score from another query, a dead row or a
+/// row counted twice could lift the bar above the query's real k-th score.
+/// A caller may put in lower scores than that (a test's pre-filled floor):
+/// they only prune less.
 #[derive(Debug)]
-pub struct SharedThreshold {
-    floor: Cell<f64>,
-    /// [`Verdict`] as `OPEN < LOST < STARTED_LOST`, so marking a query lost
-    /// is a `max` that never hides that it started lost.
-    verdict: Cell<u8>,
+pub struct QueryFloor<'h> {
+    /// Min-heap over the best `cap` scores offered so far.
+    heap: &'h mut BinaryHeap<Reverse<OrdF64>>,
+    cap: usize,
+    verdict: Verdict,
 }
 
-const OPEN: u8 = 0;
-const LOST: u8 = 1;
-const STARTED_LOST: u8 = 2;
-
-impl SharedThreshold {
-    /// A fresh threshold with floor `-∞` (prunes nothing), not lost.
-    pub fn new() -> Self {
-        SharedThreshold {
-            floor: Cell::new(f64::NEG_INFINITY),
-            verdict: Cell::new(OPEN),
+impl<'h> QueryFloor<'h> {
+    /// An empty floor over `heap` (cleared here) that keeps the best `cap`
+    /// scores — `min(k, live rows the query ranks)` — and prunes nothing
+    /// until it holds them; the query is not lost.
+    pub fn new(heap: &'h mut BinaryHeap<Reverse<OrdF64>>, cap: usize) -> Self {
+        heap.clear();
+        QueryFloor {
+            heap,
+            cap,
+            verdict: Verdict::Open,
         }
+    }
+
+    /// Feeds the exact score of one live row of this query; `true` when it
+    /// entered the kept best (a floor update).
+    #[inline]
+    pub fn offer(&mut self, score: f64) -> bool {
+        track_floor(self.heap, self.cap, score)
+    }
+
+    /// The score a row must reach to matter: the lowest kept score once the
+    /// floor holds `cap` of them, `−∞` before. With fewer than `k` live rows
+    /// a full floor has scored every one of them, so nothing is left for the
+    /// bar to drop.
+    #[inline]
+    pub fn bar(&self) -> f64 {
+        match self.heap.peek() {
+            Some(&Reverse(OrdF64(kth))) if self.heap.len() == self.cap => kth,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// The lowest kept score — the k-th best once full — or `−∞` while
+    /// empty: what a profile reports as `floor_value`.
+    pub fn value(&self) -> f64 {
+        self.heap.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0)
     }
 
     /// Records that an execution of this query took the scan exit: its
     /// streams could not certify inside its fetch budget. The shards of one
     /// engine partition one dataset, so the verdict stands for them all.
     #[inline]
-    pub fn mark_lost(&self) {
-        self.verdict.set(self.verdict.get().max(LOST));
+    pub fn mark_lost(&mut self) {
+        self.verdict = self.verdict.max(Verdict::Lost);
     }
 
     /// Marks the query lost before any of its executions begins: each one
@@ -131,42 +151,21 @@ impl SharedThreshold {
     /// queries; [`Verdict::StartedLost`] tells such a scan apart from one a
     /// sibling's exit sent it to.
     #[inline]
-    pub fn start_lost(&self) {
-        self.verdict.set(STARTED_LOST);
+    pub fn start_lost(&mut self) {
+        self.verdict = Verdict::StartedLost;
+    }
+
+    /// Sets the verdict back to open, keeping every score: the engine's
+    /// audit runs its last shard stream-first against the floor its started
+    /// lost siblings left.
+    pub fn reopen(&mut self) {
+        self.verdict = Verdict::Open;
     }
 
     /// The query's scan verdict so far.
     #[inline]
     pub fn verdict(&self) -> Verdict {
-        match self.verdict.get() {
-            OPEN => Verdict::Open,
-            LOST => Verdict::Lost,
-            _ => Verdict::StartedLost,
-        }
-    }
-
-    /// The highest k-th-best score raised so far.
-    #[inline]
-    pub fn floor(&self) -> f64 {
-        self.floor.get()
-    }
-
-    /// Raises the floor to `score` if that is higher; the floor only ever
-    /// rises. `score` must be the k-th best of **k real, exactly scored
-    /// points** of this logical query (that is what makes the floor
-    /// admissible for pruning).
-    #[inline]
-    pub fn raise(&self, score: f64) {
-        debug_assert!(!score.is_nan(), "threshold floors must not be NaN");
-        if score > self.floor.get() {
-            self.floor.set(score);
-        }
-    }
-}
-
-impl Default for SharedThreshold {
-    fn default() -> Self {
-        Self::new()
+        self.verdict
     }
 }
 
@@ -195,44 +194,55 @@ mod tests {
 
     #[test]
     fn floor_only_rises() {
-        let t = SharedThreshold::new();
-        assert_eq!(t.floor(), f64::NEG_INFINITY);
-        t.raise(-3.0);
-        assert_eq!(t.floor(), -3.0);
-        t.raise(2.0);
-        assert_eq!(t.floor(), 2.0);
-        t.raise(-5.0); // lower raises are ignored
-        assert_eq!(t.floor(), 2.0);
-        // A compare raises, so +0 leaves a −0 floor as it is; every reader
-        // compares, and the two are equal to all of them.
-        let z = SharedThreshold::new();
-        z.raise(-0.0);
-        z.raise(0.0);
-        assert!(z.floor() == 0.0 && z.floor().is_sign_negative());
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse(OrdF64(9.0))); // a previous query's, cleared
+        let mut t = QueryFloor::new(&mut heap, 2);
+        assert_eq!((t.bar(), t.value()), (f64::NEG_INFINITY, f64::NEG_INFINITY));
+        assert!(t.offer(-3.0));
+        // Not full: the bar prunes nothing, the value is the lowest kept.
+        assert_eq!((t.bar(), t.value()), (f64::NEG_INFINITY, -3.0));
+        assert!(t.offer(2.0));
+        assert_eq!(t.bar(), -3.0);
+        assert!(!t.offer(-5.0), "a score under the bar is no update");
+        assert!(t.offer(4.0));
+        assert_eq!((t.bar(), t.value()), (2.0, 2.0));
+        // A tie with the bar is no update either.
+        assert!(!t.offer(2.0));
+        // A floor of no rows never fills with anything.
+        let mut empty = BinaryHeap::new();
+        let mut z = QueryFloor::new(&mut empty, 0);
+        assert!(!z.offer(1.0));
+        assert_eq!(z.bar(), f64::NEG_INFINITY);
     }
 
     #[test]
     fn lost_is_sticky_and_leaves_the_floor_alone() {
-        let t = SharedThreshold::new();
+        let mut heap = BinaryHeap::new();
+        let mut t = QueryFloor::new(&mut heap, 1);
         assert_eq!(t.verdict(), Verdict::Open);
-        t.raise(1.5);
+        t.offer(1.5);
         t.mark_lost();
         t.mark_lost();
         assert_eq!(t.verdict(), Verdict::Lost);
-        assert_eq!(t.floor(), 1.5);
+        assert_eq!(t.bar(), 1.5);
+        // The audit reopens the verdict on the same scores.
+        t.reopen();
+        assert_eq!((t.verdict(), t.bar()), (Verdict::Open, 1.5));
     }
 
     #[test]
     fn a_query_that_started_lost_stays_told_apart() {
-        let t = SharedThreshold::new();
+        let mut heap = BinaryHeap::new();
+        let mut t = QueryFloor::new(&mut heap, 1);
         assert_eq!(t.verdict(), Verdict::Open);
         t.start_lost();
         assert_eq!(t.verdict(), Verdict::StartedLost);
-        // An execution that scans marks the handle in turn; that must not
+        // An execution that scans marks the floor in turn; that must not
         // turn the prediction into a sibling's verdict.
         t.mark_lost();
         assert_eq!(t.verdict(), Verdict::StartedLost);
-        let u = SharedThreshold::new();
+        let mut heap = BinaryHeap::new();
+        let mut u = QueryFloor::new(&mut heap, 1);
         u.mark_lost();
         assert_eq!(u.verdict(), Verdict::Lost);
     }

@@ -23,7 +23,7 @@ use crate::kernels::{self, inflate, LANES};
 use crate::mask::MaskView;
 use crate::score::rank_cmp;
 use crate::scratch::QueryScratch;
-use crate::threshold::{track_floor, SharedThreshold};
+use crate::threshold::QueryFloor;
 use crate::types::{OrdF64, PointId, ScoredPoint, SdError};
 
 /// One part of a [`query_blocks_with`] walk — in an engine, one shard: the
@@ -66,18 +66,16 @@ pub(crate) struct PartWalk<'a> {
 /// its exact score is **strictly** above the inflated admissible bound on
 /// everything unsurfaced, so score ties always resolve through the pool's
 /// `(score, Reverse(id))` order — smallest id first — independent of
-/// frontier traversal order. Two further stop rules end the walk early
-/// without breaking canonicity:
-///
-/// * **k-th-score floor**: once `k` exact scores have been seen, no
-///   unsurfaced point strictly below the k-th of them can enter the answer;
-///   when the admissible bound falls below that floor the pool drains
-///   directly (in canonical order);
-/// * **shared floor**: the same rule against the [`SharedThreshold`] floor,
-///   which the caller raises from `k` real scores of the same logical query
-///   found elsewhere (an engine's delta rows); the walk only reads it.
-///   Every candidate the walk drops is strictly below a score attained by
-///   `k` real points elsewhere, so the global merge cannot miss an answer.
+/// frontier traversal order. One further stop rule ends the walk early
+/// without breaking canonicity, the **k-th-score floor**: the walk scores
+/// into the query's one [`QueryFloor`], which may already hold scores of
+/// the same logical query found elsewhere (an engine's delta rows). Once it
+/// holds `k` exact scores (or every live row's), no unsurfaced point
+/// strictly below the k-th of them can enter the answer; when the
+/// admissible bound falls below that floor the pool drains directly (in
+/// canonical order). Every candidate the walk drops is strictly below a
+/// score attained by `k` real points, so the global merge cannot miss an
+/// answer.
 ///
 /// And two block-level savings:
 ///
@@ -90,9 +88,10 @@ pub(crate) struct PartWalk<'a> {
 /// `min(k, live rows)` over all parts. The walk fills `scratch.profile`
 /// (reset here): the frontier counters, `rows_fetched` (live lanes of the
 /// popped blocks), `tombstones_skipped`, `points_gathered`,
-/// `kernel_batches`, `points_scored`, `floor_updates`, `floor_value` and
-/// `emitted`; `rounds` stays 0. It leaves each part's share of
-/// `floor_updates`, in part order, in `scratch.part_floor_updates`.
+/// `kernel_batches`, `points_scored`, `floor_updates` (its updates to the
+/// query's floor), `floor_value` and `emitted`; `rounds` stays 0. It leaves
+/// each part's share of `floor_updates`, in part order, in
+/// `scratch.part_floor_updates`.
 /// `scratch.deadline` is consulted before every pop. The frontiers live in
 /// the scratch's recycled buffers, so a warmed scratch walks any number of
 /// parts without allocating.
@@ -105,7 +104,7 @@ pub(crate) fn query_blocks_with<'a>(
     beta: f64,
     k: usize,
     scratch: &mut QueryScratch,
-    shared: &SharedThreshold,
+    floor: &mut QueryFloor<'_>,
 ) -> Result<(), SdError> {
     scratch.profile.reset();
     let theta = Angle::from_weights(alpha, beta)?;
@@ -132,7 +131,7 @@ pub(crate) fn query_blocks_with<'a>(
     }
     if outcome.is_ok() {
         let pair = (qx, qy, alpha, beta);
-        outcome = walk_parts(&mut walks, pair, k.min(live), scratch, shared);
+        outcome = walk_parts(&mut walks, pair, k.min(live), scratch, floor);
     }
     scratch.part_floor_updates.clear();
     for mut w in walks.drain(..) {
@@ -158,13 +157,12 @@ fn walk_parts(
     (qx, qy, alpha, beta): (f64, f64, f64, f64),
     k_eff: usize,
     scratch: &mut QueryScratch,
-    shared: &SharedThreshold,
+    floor: &mut QueryFloor<'_>,
 ) -> Result<(), SdError> {
     let r = alpha.hypot(beta);
     let QueryScratch {
         pool,
         answers,
-        floor,
         scores,
         deadline,
         profile: prof,
@@ -172,7 +170,6 @@ fn walk_parts(
     } = scratch;
     pool.clear();
     answers.clear();
-    floor.clear();
     answers.reserve(k_eff);
     scores.resize(LANES, 0.0);
     let mut outcome = Ok(());
@@ -199,11 +196,7 @@ fn walk_parts(
             break; // drained, and so is the pool
         };
         // Floor-based early termination (and the block-prune value).
-        let mut f = f64::NEG_INFINITY;
-        if floor.len() == k_eff {
-            f = floor.peek().expect("floor is non-empty").0 .0;
-        }
-        f = f.max(shared.floor());
+        let f = floor.bar();
         if f > inflate(t) {
             while answers.len() < k_eff {
                 match pool.pop() {
@@ -257,24 +250,19 @@ fn walk_parts(
             alpha,
             beta,
         );
-        // Lanes strictly below k_eff known scores can never be emitted.
-        let fl = if floor.len() == k_eff {
-            f.max(floor.peek().expect("floor is non-empty").0 .0)
-        } else {
-            f64::NEG_INFINITY
-        };
-        let mut surv = kernels::survivors(scores, live, fl);
+        // Lanes strictly below k known scores can never be emitted.
+        let mut surv = kernels::survivors(scores, live, floor.bar());
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
             let score = scores[l];
             prof.points_scored += 1;
-            *floor_updates += u64::from(track_floor(floor, k_eff, score));
+            *floor_updates += u64::from(floor.offer(score));
             pool.push((OrdF64::new(score), Reverse(part.offset + slots[l])));
         }
     }
     answers.sort_unstable_by(rank_cmp);
-    prof.floor_value = floor.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0);
+    prof.floor_value = floor.value();
     prof.emitted = answers.len() as u64;
     if prof.kernel_batches > 0 {
         prof.isa = kernels::active().name();

@@ -40,12 +40,35 @@ impl fmt::Display for PointId {
     }
 }
 
+/// The largest magnitude a coordinate, a query coordinate or a weight may
+/// have: 2^500. One score term is `w·|p − q| ≤ 2^500 · 2^501 = 2^1001`, so a
+/// score of fewer than 2^23 terms (dimensions) stays below `f64::MAX`
+/// (≈ 2^1024): no score overflows to ±∞, and none becomes NaN as the sum of
+/// an attractive −∞ and a repulsive +∞. Larger values are refused at ingest
+/// ([`SdError::CoordinateOutOfRange`], [`SdError::InvalidWeight`]).
+pub const MAX_MAGNITUDE: f64 = f64::from_bits((1023 + 500) << 52);
+
+/// Checks one coordinate of row `row` (a query's is row 0) at ingest: it
+/// must be finite and within ±[`MAX_MAGNITUDE`].
+pub fn check_coordinate(row: usize, dim: usize, value: f64) -> Result<(), SdError> {
+    if !value.is_finite() {
+        Err(SdError::NonFiniteCoordinate { row, dim, value })
+    } else if value.abs() > MAX_MAGNITUDE {
+        Err(SdError::CoordinateOutOfRange { row, dim, value })
+    } else {
+        Ok(())
+    }
+}
+
 /// Errors produced by index construction and querying.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SdError {
     /// A coordinate was NaN or infinite. All index structures rely on total
     /// order over coordinates, so non-finite values are rejected at ingest.
     NonFiniteCoordinate { row: usize, dim: usize, value: f64 },
+    /// A finite coordinate beyond ±[`MAX_MAGNITUDE`]: a score over it could
+    /// overflow.
+    CoordinateOutOfRange { row: usize, dim: usize, value: f64 },
     /// Row length did not match the dataset dimensionality.
     DimensionMismatch { expected: usize, got: usize },
     /// The operation requires a non-empty dataset.
@@ -54,7 +77,7 @@ pub enum SdError {
     ZeroK,
     /// More points than `u32::MAX`.
     TooManyPoints(usize),
-    /// A weight was negative, NaN or infinite.
+    /// A weight was negative, NaN, infinite or above [`MAX_MAGNITUDE`].
     InvalidWeight { dim: usize, value: f64 },
     /// Both weights of a 2-D query were zero, leaving the projection angle
     /// undefined.
@@ -113,6 +136,10 @@ impl fmt::Display for SdError {
             SdError::NonFiniteCoordinate { row, dim, value } => {
                 write!(f, "non-finite coordinate {value} at row {row}, dim {dim}")
             }
+            SdError::CoordinateOutOfRange { row, dim, value } => write!(
+                f,
+                "coordinate {value:e} at row {row}, dim {dim} is beyond ±2^500"
+            ),
             SdError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
@@ -252,13 +279,7 @@ impl Dataset {
             return Err(SdError::TooManyPoints(n));
         }
         for (i, &v) in coords.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SdError::NonFiniteCoordinate {
-                    row: i / dims,
-                    dim: i % dims,
-                    value: v,
-                });
-            }
+            check_coordinate(i / dims, i % dims, v)?;
         }
         Ok(Dataset {
             dims,
@@ -380,13 +401,7 @@ impl Dataset {
             return Err(SdError::TooManyPoints(id + 1));
         }
         for (dim, &v) in row.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SdError::NonFiniteCoordinate {
-                    row: id,
-                    dim,
-                    value: v,
-                });
-            }
+            check_coordinate(id, dim, v)?;
         }
         self.coords.make_mut().extend_from_slice(row);
         Ok(PointId::new(id as u32))
@@ -424,6 +439,19 @@ mod tests {
             err,
             SdError::NonFiniteCoordinate { row: 0, dim: 1, .. }
         ));
+    }
+
+    #[test]
+    fn dataset_rejects_coordinates_beyond_the_bound() {
+        assert!(Dataset::from_rows(1, &[vec![MAX_MAGNITUDE], vec![-MAX_MAGNITUDE]]).is_ok());
+        let err = Dataset::from_rows(2, &[vec![0.0, 0.0], vec![1.0, -1e308]]).unwrap_err();
+        assert!(matches!(
+            err,
+            SdError::CoordinateOutOfRange { row: 1, dim: 1, .. }
+        ));
+        let mut d = Dataset::from_rows(1, &[vec![0.0]]).unwrap();
+        let err = d.push_row(&[MAX_MAGNITUDE * 2.0]).unwrap_err();
+        assert!(matches!(err, SdError::CoordinateOutOfRange { row: 1, .. }));
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!
 //! All generators are deterministic given a seed.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod chembl;
 pub mod queries;
 pub mod rng;

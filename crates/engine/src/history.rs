@@ -6,7 +6,7 @@
 //! A shape is the query's zero-weight pattern and ⌈log₂ k⌉: both change
 //! which streams run and how high the k-th-score floor sits, while dims and
 //! roles are fixed per engine. A shape whose last [`STREAK`] stream-first
-//! queries all scanned *starts lost* ([`SharedThreshold::start_lost`]):
+//! queries all scanned *starts lost* ([`QueryFloor::start_lost`]):
 //! every shard execution scans at its first round head. Every
 //! [`RECHECK`]-th query of such a shape is an *audit* ([`Start::Audit`]):
 //! every shard execution but the last starts lost and scans, then the last
@@ -46,7 +46,7 @@
 //! p50 0.76×, and p95 0.81× for the audit — and the measurements behind
 //! [`STREAK`] and [`RECHECK`].
 //!
-//! [`SharedThreshold::start_lost`]: sdq_core::SharedThreshold::start_lost
+//! [`QueryFloor::start_lost`]: sdq_core::QueryFloor::start_lost
 //! [`record`]: VerdictHistory::record
 
 use std::sync::atomic::{AtomicU64, Ordering};

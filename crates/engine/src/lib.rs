@@ -18,9 +18,10 @@
 //!        └─────┬─────┘      └─────┬─────┘      └─────┬─────┘  per shard
 //!              │    ▲             │    ▲             │    ▲
 //!              └────╂─────────────┴────╂─────────────┘    ┃
-//!                   ┗━━━━━━ SharedThreshold (k-th ━━━━━━━━┛
-//!                          score floor; raised by the
-//!                          driver, pruned against by all)
+//!                   ┗━━━━━━━━ QueryFloor (the ━━━━━━━━━━━━┛
+//!                        query's one k-th-score floor;
+//!                        every shard and the delta scan
+//!                        score into it and prune against it)
 //!                                 │
 //!                    ┌────────────▼────────────┐
 //!                    │    exact k-way merge    │   (score desc, id asc)
@@ -42,12 +43,12 @@
 //! ends of their extents. A shard with no pair to stream scans — unless
 //! the floor already beats that extent bound, and then it ends unread.
 //!
-//! The [`SharedThreshold`] is what keeps sharding from multiplying work: the
-//! k-th best *exact* score seen by any shard is a lower bound on the final
-//! global k-th score, so every other shard terminates its aggregation as
-//! soon as its own admissible bound `τ` falls below that floor. Later
-//! shards effectively only verify that they hold nothing better than the
-//! current global top-k.
+//! The query's one [`QueryFloor`] is what keeps sharding from multiplying
+//! work: the k-th best *exact* score found by any shard is a lower bound on
+//! the final global k-th score, so every shard drops the rows below it and
+//! terminates its aggregation as soon as its own admissible bound `τ` falls
+//! below it. Later shards effectively only verify that they hold nothing
+//! better than the current global top-k.
 //!
 //! ## Exactness
 //!
@@ -65,9 +66,9 @@
 //! Every shard aggregation runs the same way: [`SdIndex::begin_query`],
 //! one 8-round [`ShardExecution::step`] per shard, then each shard still
 //! open stepped to completion in shard order, [`ShardExecution::finish_into`].
-//! The calling thread drives all shards and keeps a merged k-of-union floor
-//! over every score any step has seen, published through the
-//! [`SharedThreshold`] — which also carries the query's scan verdict: once
+//! The calling thread drives all shards, passing every step the query's one
+//! [`QueryFloor`]: the best `min(k, live rows)` exact scores any step or the
+//! delta scan has found. It also carries the query's scan verdict: once
 //! one execution finds its streams lost and scans, its open siblings scan
 //! at their next round head instead of reaching the verdict again. A query
 //! that is one non-degenerate pair ([`SdIndex::single_pair`]) is not
@@ -109,6 +110,8 @@
 //! assert_eq!(top.len(), 5);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -119,10 +122,9 @@ use sdq_core::mask::{MaskView, RowMask};
 use sdq_core::multidim::{QueryPlan, SdIndex, SdIndexOptions, ShardExecution, ShardPart};
 use sdq_core::score::rank_cmp;
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
-use sdq_core::threshold::{track_floor, SharedThreshold};
 use sdq_core::{
-    recycle_vec, Dataset, Deadline, DimRole, OrdF64, PointId, QueryProfile, QueryScratch,
-    ScoredPoint, SdError, SdQuery,
+    recycle_vec, Dataset, Deadline, DimRole, OrdF64, PointId, QueryFloor, QueryProfile,
+    QueryScratch, ScoredPoint, SdError, SdQuery,
 };
 
 mod history;
@@ -194,6 +196,7 @@ pub struct EngineScratch {
     runs: Vec<ShardExecution<'static>>,
     lists: Vec<Vec<ScoredPoint>>,
     heads: Vec<usize>,
+    /// The heap the query's one [`QueryFloor`] borrows.
     floor: BinaryHeap<Reverse<OrdF64>>,
     /// Bounded top-k heap of the delta scan (mutated engines).
     delta_pool: BinaryHeap<(Reverse<OrdF64>, u32)>,
@@ -312,7 +315,8 @@ impl EngineMetrics {
             .fetch_add(prof.points_scored, Ordering::Relaxed);
     }
 
-    /// Credits `floor_updates` k-th-score-floor raises to `shard`.
+    /// Credits `shard` with `floor_updates`: the updates its rows made to
+    /// the query's one k-th-score floor.
     fn record_shard_floor(&self, shard: usize, floor_updates: u64) {
         if floor_updates > 0 {
             let slot = shard.min(FLOOR_HIST_SLOTS - 1);
@@ -953,29 +957,32 @@ impl SdEngine {
             qs.profile.timing = timing;
             qs.deadline = scratch.deadline.clone();
         }
-        let shared = SharedThreshold::new();
         let mask = if self.muts.tombstones.any() {
             Some(&self.muts.tombstones)
         } else {
             None
         };
-        scratch.floor.clear();
+        let EngineScratch {
+            shards: shard_scratches,
+            runs,
+            lists,
+            heads,
+            floor,
+            delta_pool,
+            delta_sw,
+            answers,
+            profile,
+            deadline,
+        } = &mut *scratch;
+        // The query's one floor: every live row's score it keeps, whoever
+        // scored the row — delta scan, shard execution or walk.
+        let mut floor = QueryFloor::new(floor, k.min(self.len()));
 
         if dirty {
             // Delta scan first: its canonical top-k becomes merge list `s`,
-            // and every live delta score seeds the engine's k-th-score
-            // floor, so the indexed shard executions below terminate
-            // against fresh-row candidates exactly like against a sibling
-            // shard's.
-            let EngineScratch {
-                lists,
-                floor,
-                delta_pool,
-                delta_sw,
-                profile,
-                deadline,
-                ..
-            } = &mut *scratch;
+            // and its live scores go into the floor, so the indexed shard
+            // executions below terminate against fresh-row candidates
+            // exactly like against a sibling shard's.
             let out = &mut lists[s];
             out.clear();
             if !self.muts.delta.is_empty() {
@@ -988,7 +995,7 @@ impl SdEngine {
                     self.rows as u32,
                     mask.map(|m| MaskView::new(m, self.rows as u32)),
                     delta_pool,
-                    floor,
+                    &mut floor,
                     out,
                     delta_sw,
                     profile,
@@ -998,22 +1005,9 @@ impl SdEngine {
                     profile.delta_scan_nanos += t0.elapsed().as_nanos() as u64;
                 }
             }
-            if floor.len() == k {
-                shared.raise(floor.peek().expect("floor is non-empty").0 .0);
-            }
         }
         let t_agg = timing.then(std::time::Instant::now);
 
-        let EngineScratch {
-            shards: shard_scratches,
-            runs,
-            lists,
-            heads,
-            floor,
-            answers,
-            profile,
-            ..
-        } = &mut *scratch;
         let shard_scratches = &mut shard_scratches[..s];
         let pair = self
             .shards
@@ -1030,11 +1024,11 @@ impl SdEngine {
             start => start.unwrap_or(Start::Streams),
         };
         if start != Start::Streams {
-            shared.start_lost();
+            floor.start_lost();
         }
         let executed = if let Some(pair) = pair {
             // One walk over every shard's block set, whatever the shard
-            // count: no cross-shard machinery beyond the delta floor.
+            // count, scoring into the floor the delta scan left.
             let parts = self
                 .shards
                 .iter()
@@ -1045,22 +1039,19 @@ impl SdEngine {
                     offset,
                     mask: shard_mask_view(mask, offset, dead),
                 });
-            pair.walk(parts, k, &mut shard_scratches[0], &shared)
+            pair.walk(parts, k, &mut shard_scratches[0], &mut floor)
                 .map(drop)
         } else if start == Start::Audit {
-            // The audit shard starts from the merged floor tracked through
-            // the delta and every lead shard's exact top k.
+            // The audit shard runs stream-first against the floor the delta
+            // and every lead shard's scan left.
             let (lead, last) = shard_scratches.split_at_mut(s - 1);
-            self.aggregate(0, query, k, mask, &shared, floor, lead, runs)
+            self.aggregate(0, query, k, mask, &mut floor, lead, runs)
                 .and_then(|()| {
-                    let audit = SharedThreshold::new();
-                    if floor.len() == k {
-                        audit.raise(floor.peek().expect("floor is non-empty").0 .0);
-                    }
-                    self.aggregate(s - 1, query, k, mask, &audit, floor, last, runs)
+                    floor.reopen();
+                    self.aggregate(s - 1, query, k, mask, &mut floor, last, runs)
                 })
         } else {
-            self.aggregate(0, query, k, mask, &shared, floor, shard_scratches, runs)
+            self.aggregate(0, query, k, mask, &mut floor, shard_scratches, runs)
         };
         // Fold the per-shard profiles into the engine-level one (a walk's
         // idle scratches were reset above and merge as zeros) — also when a
@@ -1149,14 +1140,9 @@ impl SdEngine {
             }
         }
         // Pin the query-final facts: the emitted answer count and the
-        // highest k-th-score floor any execution reached.
+        // query's floor.
         profile.emitted = answers.len() as u64;
-        if floor.len() == k {
-            let merged = floor.peek().expect("floor is non-empty").0 .0;
-            if merged > profile.floor_value {
-                profile.floor_value = merged;
-            }
-        }
+        profile.floor_value = floor.value();
         if let Some(t) = t_merge {
             profile.merge_nanos += t.elapsed().as_nanos() as u64;
         }
@@ -1165,14 +1151,14 @@ impl SdEngine {
     }
 
     /// The one way shard aggregations run: begins shard `first + j` out of
-    /// `scratches[j]` (with its tombstone view) under `shared`, steps them
+    /// `scratches[j]` (with its tombstone view), steps them
     /// in two passes, and finishes each into the scratch it was begun from —
     /// where its canonical shard-local answer and its profile are left. The
     /// first pass gives every execution one `SLICE_ROUNDS` slice, so a floor
     /// forms from every shard's best rows; the second runs each one still
     /// open to completion, in shard order. So the first execution that
     /// finds its streams lost and takes the scan exit does so while its
-    /// siblings have spent one slice each, and its verdict on `shared`
+    /// siblings have spent one slice each, and its verdict on `floor`
     /// sends them straight to their own scans at their next round head
     /// (`scan_inherited`) — unless the floor certifies them first. A
     /// deadline or cancellation inside one step (between rounds, or
@@ -1180,14 +1166,15 @@ impl SdEngine {
     /// back unfinished, so a tripped scratch serves its next query without
     /// re-allocating.
     ///
-    /// `floor` is the query's k-of-union floor over every score any step
-    /// has seen (pre-seeded by the delta scan), published into `shared`
-    /// after every step, so the next shard's step already prunes against
-    /// it. It reaches the global k-th within a few slices, so every shard —
-    /// including the first — terminates against a near-final floor instead
-    /// of its own weaker local one (measured ≈ the oracle floor's cost,
-    /// where strictly sequential shard execution leaves the first shard
-    /// floorless). `runs` lends its allocation and is left empty.
+    /// `floor` is the query's one floor (holding the delta scan's scores, if
+    /// any): every step scores into it and prunes against it, so each
+    /// shard's step prunes against every score found so far, its own rows'
+    /// in the same step included. It reaches the global k-th within a few
+    /// slices, so every shard — including the first — terminates against a
+    /// near-final floor instead of its own weaker local one (measured ≈ the
+    /// oracle floor's cost, where strictly sequential shard execution
+    /// leaves the first shard floorless). `runs` lends its allocation and
+    /// is left empty.
     #[allow(clippy::too_many_arguments)] // internal: one body, three call sites
     fn aggregate(
         &self,
@@ -1195,8 +1182,7 @@ impl SdEngine {
         query: &SdQuery,
         k: usize,
         mask: Option<&RowMask>,
-        shared: &SharedThreshold,
-        floor: &mut BinaryHeap<Reverse<OrdF64>>,
+        floor: &mut QueryFloor<'_>,
         scratches: &mut [QueryScratch],
         runs: &mut Vec<ShardExecution<'static>>,
     ) -> Result<(), SdError> {
@@ -1212,15 +1198,7 @@ impl SdEngine {
             }
             for rounds in [SLICE_ROUNDS, usize::MAX] {
                 for run in active.iter_mut().filter(|run| !run.done()) {
-                    run.step(rounds, shared, |score| {
-                        track_floor(floor, k, score);
-                    })?;
-                    // After every step, not every pass: a query whose
-                    // executions each finish inside their first slice would
-                    // otherwise end before the first publication.
-                    if floor.len() == k {
-                        shared.raise(floor.peek().expect("floor is non-empty").0 .0);
-                    }
+                    run.step(rounds, floor)?;
                 }
             }
             Ok(())
@@ -1396,15 +1374,16 @@ mod tests {
         assert_eq!(e.len(), 3);
     }
 
-    /// The driver publishes its merged k-of-union floor after every step,
-    /// so a sibling's first slice already prunes against the scores of
-    /// every slice before it; held to once per *pass*, the floor arrives
-    /// only after every shard has run its first slice against its own local
-    /// floor. On these 4-D queries over eight 5 000-row shards (seeded: the
-    /// counts repeat exactly) that is the difference between
-    /// 69 180 rows fetched through the streams over the 32 queries and
-    /// 56 444. (Scanned rows are left out: at this shard size 29 of the 256
-    /// executions scan, 25 of them on an earlier sibling's verdict.)
+    /// Every step scores into the query's one floor, so a sibling's first
+    /// slice already prunes against the scores of every slice before it,
+    /// and every lane against the scores of its own step's earlier rows.
+    /// On these 4-D queries over eight 5 000-row shards (seeded: the counts
+    /// repeat exactly) the streams fetch 54 827 rows over the 32 queries;
+    /// a copy of the merged floor published after every step fetched
+    /// 56 444, and one published once per *pass* — after every shard had
+    /// run its first slice against its own local floor — 69 180. (Scanned
+    /// rows are left out: at this shard size some executions scan, most of
+    /// them on an earlier sibling's verdict.)
     #[test]
     fn the_merged_floor_reaches_a_sibling_inside_the_first_pass() {
         use rand::{Rng, SeedableRng};
@@ -1439,6 +1418,42 @@ mod tests {
             fetched < 62_000,
             "{fetched} rows fetched through streams over 32 queries"
         );
+    }
+
+    /// The test above at one lane: two 33-row shards scored `|x|` (one
+    /// repulsive dimension, so no stream: both scan). Shard 0 scores 10 and
+    /// 5 in its first chunk; shard 1 scores 9 in its first chunk and 6 in
+    /// its second. At k = 2 the 6 is below the two shards' 2nd best score
+    /// together (9), but not below shard 0's own (5), shard 1's own (6) or
+    /// a floor published once shard 0's step ended (5): only the query's
+    /// one floor, which shard 1's 9 entered a chunk earlier, drops it
+    /// unscored.
+    #[test]
+    fn a_lane_under_the_union_floor_is_never_scored() {
+        let mut rows = vec![vec![0.0]; 66];
+        for (row, x) in [(0, 10.0), (1, 5.0), (33, 9.0), (65, 6.0)] {
+            rows[row][0] = x;
+        }
+        let e = SdEngine::build_with(
+            Dataset::from_rows(1, &rows).unwrap(),
+            &[DimRole::Repulsive],
+            &EngineOptions {
+                shards: 2,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        let q = SdQuery::new(vec![0.0], vec![1.0]).unwrap();
+        let mut scratch = EngineScratch::new();
+        let got = e.query_with(&q, 2, &mut scratch).unwrap();
+        let got: Vec<(u32, f64)> = got.iter().map(|sp| (sp.id.raw(), sp.score)).collect();
+        assert_eq!(got, [(0, 10.0), (33, 9.0)]);
+        let p = scratch.profile;
+        assert_eq!(p.scan_fallbacks, 2, "both shards scan");
+        // Shard 0's whole first chunk (there was no floor yet) and shard
+        // 1's 9: the 6 never reaches a heap.
+        assert_eq!(p.points_scored, 33);
+        assert_eq!(p.floor_value, 9.0);
     }
 
     #[test]

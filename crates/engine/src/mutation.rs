@@ -476,7 +476,10 @@ impl SdEngine {
         options: &CompactionOptions,
     ) -> Result<CompactionReport, SdError> {
         let t0 = std::time::Instant::now();
-        if !self.has_mutations() && options.shards.is_none_or(|s| s == self.shards.len()) {
+        let s = self.shards.len();
+        // The requested count as the rebuild clamps it: no shard is empty.
+        let target_shards = options.shards.unwrap_or(s).max(1).min(self.len());
+        if !self.has_mutations() && target_shards == s {
             self.metrics.record_compaction(0);
             self.metrics.telemetry().compaction.record(t0.elapsed());
             return Ok(CompactionReport {
@@ -497,7 +500,6 @@ impl SdEngine {
                 epoch: self.muts.epoch,
             });
         let dims = self.dims;
-        let s = self.shards.len();
         let dropped = self.muts.tombstones.set_count();
 
         // Live rows per shard, and the live delta rows (local indices).
@@ -547,7 +549,6 @@ impl SdEngine {
             Some(last) => *last += merged,
             None => post.push(merged),
         }
-        let target_shards = options.shards.unwrap_or(s).max(1).min(live_total);
         let factor = options.rebalance_factor.max(1.0);
         let ideal = live_total as f64 / target_shards as f64;
         let rebalanced = s == 0
@@ -732,6 +733,10 @@ mod tests {
         // Arity and finiteness are validated.
         assert!(e.insert(&[1.0]).is_err());
         assert!(e.insert(&[1.0, f64::NAN, 0.0]).is_err());
+        assert!(matches!(
+            e.insert(&[1.0, 1e300, 0.0]),
+            Err(SdError::CoordinateOutOfRange { dim: 1, .. })
+        ));
         assert_eq!(e.delta_rows(), 2, "failed inserts leave no residue");
     }
 
@@ -764,6 +769,21 @@ mod tests {
         assert_eq!(r.rebuilt_shards, 0);
         assert_eq!(r.epoch, 0);
         assert_eq!(e.epoch(), 0);
+    }
+
+    #[test]
+    fn a_shard_count_clamped_to_the_rows_is_still_a_noop() {
+        // Ten rows hold ten shards at most: asking a clean ten-shard engine
+        // for 1000 asks for what it has.
+        let mut e = sample_engine(10, 10);
+        let r = e
+            .compact_with(&CompactionOptions {
+                shards: Some(1000),
+                ..CompactionOptions::default()
+            })
+            .unwrap();
+        assert_eq!((r.rebuilt_shards, r.rebalanced, r.epoch), (0, false, 0));
+        assert_eq!((e.epoch(), e.shard_count()), (0, 10));
     }
 
     #[test]

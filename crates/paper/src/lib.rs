@@ -32,6 +32,8 @@
 //! assert_eq!(index.query(1.0, 2.0, 2.0, 2.0, 1).unwrap()[0].id, id);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod envelope;
 pub mod geometry;
 pub mod top1;

@@ -21,6 +21,8 @@
 //!   an exact score for points, and results stream out in certified
 //!   descending order.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod rect;
 
 pub use rect::Rect;

@@ -11,6 +11,8 @@
 //! sdq inspect idx.sdq
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -451,7 +453,9 @@ fn save_engine(engine: SdEngine, out: &str) -> Result<(), CliError> {
 }
 
 /// Reads CSV rows from a file, or stdin when `path` is `"-"`. Blank lines
-/// and `#` comments are ignored.
+/// and `#` comments are ignored. A cell that does not parse, a row of
+/// another width than the first and a value ingest would refuse
+/// ([`sdq_core::check_coordinate`]) are reported at their file line.
 fn read_csv_rows(path: &str) -> Result<Vec<Vec<f64>>, CliError> {
     let text = if path == "-" {
         std::io::read_to_string(std::io::stdin())
@@ -465,11 +469,28 @@ fn read_csv_rows(path: &str) -> Result<Vec<Vec<f64>>, CliError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let at = |detail: String| runtime(format!("{path}:{}: {detail}", lineno + 1));
         let row: Result<Vec<f64>, _> = line
             .split(',')
             .map(|cell| cell.trim().parse::<f64>())
             .collect();
-        let row = row.map_err(|e| runtime(format!("{path}:{}: {e}", lineno + 1)))?;
+        let row = row.map_err(|e| at(e.to_string()))?;
+        if let Some(first) = rows.first() {
+            if row.len() != first.len() {
+                let (expected, got) = (first.len(), row.len());
+                return Err(at(format!(
+                    "dimension mismatch: expected {expected}, got {got}"
+                )));
+            }
+        }
+        for (dim, &v) in row.iter().enumerate() {
+            sdq_core::check_coordinate(0, dim, v).map_err(|_| {
+                at(format!(
+                    "column {}: {v:e} is not a finite value within ±2^500",
+                    dim + 1
+                ))
+            })?;
+        }
         rows.push(row);
     }
     Ok(rows)

@@ -626,16 +626,10 @@ impl<S: Storage> DurableEngine<S> {
                 got: row.len(),
             });
         }
-        for (dim, &value) in row.iter().enumerate() {
-            if !value.is_finite() {
-                return Err(SdError::NonFiniteCoordinate {
-                    row: self.engine.total_rows(),
-                    dim,
-                    value,
-                });
-            }
-        }
-        Ok(())
+        let id = self.engine.total_rows();
+        row.iter()
+            .enumerate()
+            .try_for_each(|(dim, &value)| sdq_core::check_coordinate(id, dim, value))
     }
 
     /// Builds the snapshot a checkpoint writes: the engine and the

@@ -28,6 +28,8 @@
 //! with respect to the crash — both of its entry edits share one survival
 //! decision — matching `rename(2)` semantics.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -121,16 +123,18 @@ enum MappedInner {
     Owned(AlignedBytes),
 }
 
-// Safety: the mapping is immutable (PROT_READ, MAP_PRIVATE) for its whole
-// lifetime and the owned variant is never written after construction.
+// SAFETY: the mapping is immutable (PROT_READ, MAP_PRIVATE) for its whole
+// lifetime and the owned variant is never written after construction, so
+// either may move to another thread…
 unsafe impl Send for MappedInner {}
+// SAFETY: …and, never written, be read from several at once.
 unsafe impl Sync for MappedInner {}
 
 impl Drop for MappedInner {
     fn drop(&mut self) {
         #[cfg(unix)]
         if let MappedInner::Mapped { ptr, len } = *self {
-            // Safety: `ptr`/`len` are exactly what mmap returned.
+            // SAFETY: `ptr`/`len` are exactly what mmap returned.
             unsafe {
                 sys::munmap(ptr, len);
             }
@@ -210,7 +214,7 @@ impl MappedBytes {
             let len =
                 usize::try_from(len).map_err(|_| io::Error::other("file too large to map"))?;
             if len > 0 {
-                // Safety: mapping a readable fd PROT_READ/MAP_PRIVATE; the
+                // SAFETY: mapping a readable fd PROT_READ/MAP_PRIVATE; the
                 // result (when not MAP_FAILED) is `len` valid bytes that
                 // stay valid until munmap — the fd may close immediately.
                 let ptr = unsafe {
@@ -251,7 +255,7 @@ impl MappedBytes {
         match &*self.inner {
             #[cfg(unix)]
             MappedInner::Mapped { ptr, len } => {
-                // Safety: the mapping is alive as long as `self.inner` is.
+                // SAFETY: the mapping is alive as long as `self.inner` is.
                 unsafe { std::slice::from_raw_parts(ptr.cast::<u8>().cast_const(), *len) }
             }
             MappedInner::Owned(bytes) => bytes.as_slice(),

@@ -104,6 +104,8 @@
 //! assert_eq!(top[0].id.index(), 0);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod chaos;
 pub mod durable;
 pub mod io;

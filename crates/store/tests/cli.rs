@@ -404,6 +404,88 @@ fn unknown_flags_and_corrupt_files_fail_cleanly() {
 }
 
 /// The same arguments write the same bytes, default and sharded alike.
+/// Finite values whose scores overflow — an attractive term of −∞ and a
+/// repulsive one of +∞ sum to NaN — are refused with a typed error instead
+/// of an empty answer; at the bound the same query answers `min(k, n)`.
+#[test]
+fn a_query_whose_scores_would_overflow_is_refused() {
+    let dir = temp_dir("overflow");
+    let path = dir.join("u.sdq");
+    let status = sdq()
+        .args([
+            "build",
+            "--synthetic",
+            "uniform",
+            "--n",
+            "1000",
+            "--dims",
+            "2",
+        ])
+        .args(["--roles", "ar", "--out"])
+        .arg(&path)
+        .stdout(Stdio::null())
+        .status()
+        .expect("spawn sdq build");
+    assert!(status.success());
+    let query = |point: &str, weights: &str| {
+        sdq()
+            .args(["query", path.to_str().unwrap(), "--point", point])
+            .args(["--weights", weights, "--k", "3"])
+            .output()
+            .expect("spawn sdq query")
+    };
+    let out = query("1e308,-1e308", "1e308,1e308");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("coordinate 1e308 at row 0, dim 0 is beyond ±2^500"),
+        "{stderr}"
+    );
+    let m = format!("{:e}", sdq_core::MAX_MAGNITUDE);
+    let out = query(&format!("{m},-{m}"), &format!("{m},{m}"));
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(parse_results(&stdout).len(), 3, "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A ragged row and a non-finite cell are reported at their file line —
+/// comment and blank lines counted — as a cell that does not parse is.
+#[test]
+fn csv_row_errors_name_their_line() {
+    let dir = temp_dir("csvlines");
+    for (body, want) in [
+        (
+            "# x, y\n1.0, 2.0\n\n3.0\n",
+            ":4: dimension mismatch: expected 2, got 1",
+        ),
+        (
+            "1.0, 2.0\n1.0, nan\n",
+            ":2: column 2: NaN is not a finite value",
+        ),
+        (
+            "# header\n1.0, 2.0\n1.0, 1e300\n",
+            ":3: column 2: 1e300 is not a finite value within ±2^500",
+        ),
+        ("1.0, 2.0\n1.0, x\n", ":2: invalid float literal"),
+    ] {
+        let csv = dir.join("rows.csv");
+        std::fs::write(&csv, body).unwrap();
+        let want = format!("{}{want}", csv.display());
+        let build = sdq()
+            .args(["build", "--roles", "ar", "--csv"])
+            .arg(&csv)
+            .arg("--out")
+            .arg(dir.join("rows.sdq"))
+            .output()
+            .expect("spawn sdq build");
+        let stderr = String::from_utf8_lossy(&build.stderr);
+        assert_eq!(build.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(&want), "{body:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn build_is_deterministic() {
     let dir = temp_dir("deterministic");

@@ -10,6 +10,8 @@
 //! See the repository `README.md` for a guided tour and the paper-to-module
 //! mapping.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub use sdq_baselines as baselines;
 pub use sdq_core as core;
 pub use sdq_data as data;
