@@ -51,8 +51,10 @@ impl SeqScan {
         }
         // Min-heap of the current best k: the root is the worst kept entry.
         // Reverse(score) makes the heap pop the lowest score first; ties
-        // break towards keeping the *smaller* id, matching `rank_cmp`.
-        let mut heap: BinaryHeap<(Reverse<OrdF64>, PointId)> = BinaryHeap::with_capacity(k + 1);
+        // break towards keeping the *smaller* id, matching `rank_cmp`. It
+        // never holds more than every row plus one, whatever `k` asks.
+        let mut heap: BinaryHeap<(Reverse<OrdF64>, PointId)> =
+            BinaryHeap::with_capacity(k.min(self.data.len()) + 1);
         for (id, coords) in self.data.iter() {
             let s = sd_score(coords, &query.point, &self.roles, &query.weights);
             heap.push((Reverse(OrdF64::new(s)), id));

@@ -101,7 +101,9 @@ impl Shape {
             .weights
             .iter()
             .fold(0u64, |z, &w| z.rotate_left(1) | u64::from(w == 0.0));
-        let k_bucket = u64::from(k.next_power_of_two().trailing_zeros());
+        // ⌈log₂ k⌉, defined for every `k` (`next_power_of_two` overflows
+        // past `usize::MAX / 2 + 1`).
+        let k_bucket = u64::from(usize::BITS - k.saturating_sub(1).leading_zeros());
         Shape(mix(mix(zeros) ^ k_bucket))
     }
 
@@ -400,6 +402,11 @@ mod tests {
         // Any non-zero weights and any k in the same power-of-two bucket
         // share the shape …
         assert_eq!(Shape::of(&query(&[3.0, 0.1, 9.0]), 33), base);
+        // Every k has a bucket, the absurd ones too: all past 2⁶³ share one.
+        assert_eq!(
+            Shape::of(&query(&[1.0, 0.5, 0.2]), usize::MAX),
+            Shape::of(&query(&[1.0, 0.5, 0.2]), (1 << 63) + 1)
+        );
         // … a zero weight or another bucket does not.
         for other in [
             Shape::of(&query(&[1.0, 0.0, 0.2]), 64),

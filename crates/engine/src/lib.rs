@@ -115,7 +115,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sdq_core::mask::{MaskView, RowMask};
@@ -654,7 +654,10 @@ impl SdEngine {
     }
 
     /// Builds the engine: partitions the dataset into contiguous shards and
-    /// builds one [`SdIndex`] per shard.
+    /// builds one [`SdIndex`] per shard. The shards are built concurrently,
+    /// on up to the host's available parallelism ([`resolve_threads`]`(0)`),
+    /// and the engine is the same whichever thread built which shard: its
+    /// saved bytes are identical to a build on one core.
     pub fn build_with(
         data: impl Into<Arc<Dataset>>,
         roles: &[DimRole],
@@ -670,17 +673,12 @@ impl SdEngine {
         let n = data.len();
         let dims = data.dims();
         let s = options.shards.max(1).min(n.max(1));
-        let mut shards = Vec::with_capacity(s);
-        let mut offsets = Vec::with_capacity(s);
-        if n > 0 {
-            for i in 0..s {
-                let a = i * n / s;
-                let b = (i + 1) * n / s;
-                let sub = Dataset::from_flat(dims, data.flat()[a * dims..b * dims].to_vec())?;
-                shards.push(SdIndex::build_with(sub, roles, &options.index)?);
-                offsets.push(a as u32);
-            }
-        }
+        let parts = if n > 0 { s } else { 0 };
+        let cut = |i: usize| i * n / s;
+        let shards = build_shards(dims, roles, &options.index, parts, |i| {
+            data.flat()[cut(i) * dims..cut(i + 1) * dims].to_vec()
+        })?;
+        let offsets = (0..parts).map(|i| cut(i) as u32).collect();
         let muts = mutation::MutationState::new(dims, n, shards.len());
         Ok(SdEngine {
             dims,
@@ -1289,6 +1287,55 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// Builds one [`SdIndex`] per part, `part(i)` giving the row-major
+/// coordinates of part `i`. A shard build reads only its own rows, so the
+/// parts are built side by side on up to [`resolve_threads`]`(0)` workers:
+/// the calling thread is one, and each worker claims the next unbuilt part,
+/// so one larger part (a compaction's tail shard) leaves no worker idle.
+/// With one part or one CPU the calling thread builds every part and
+/// nothing is spawned. The indexes come back in part order; when builds
+/// fail, the error is the lowest failing part's, as a build of one part
+/// after another would return.
+fn build_shards(
+    dims: usize,
+    roles: &[DimRole],
+    options: &SdIndexOptions,
+    parts: usize,
+    part: impl Fn(usize) -> Vec<f64> + Sync,
+) -> Result<Vec<SdIndex>, SdError> {
+    // `Relaxed`: the counter only hands out part numbers. A part's inputs
+    // are read-only and shared before the workers start, and its index
+    // comes back through `join`, which synchronises.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut built = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= parts {
+                return built;
+            }
+            let index = Dataset::from_flat(dims, part(i))
+                .and_then(|sub| SdIndex::build_with(sub, roles, options));
+            built.push((i, index));
+        }
+    };
+    let workers = resolve_threads(0).min(parts);
+    let mut built = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut built = work();
+        for helper in helpers {
+            built.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        built
+    });
+    built.sort_unstable_by_key(|&(i, _)| i);
+    built.into_iter().map(|(_, index)| index).collect()
+}
+
 /// The tombstone view one shard's execution should receive: `None` when no
 /// dead row falls inside the shard's range (per-shard counters maintained
 /// by `delete`, so this is O(1)), so delete-free shards skip the per-row
@@ -1302,6 +1349,7 @@ fn shard_mask_view(mask: Option<&RowMask>, offset: u32, dead: usize) -> Option<M
 mod tests {
     use super::*;
     use sdq_core::multidim::PairAction;
+    use std::sync::Barrier;
 
     fn sample(n: usize, dims: usize) -> (Dataset, Vec<DimRole>) {
         let rows: Vec<Vec<f64>> = (0..n)
@@ -1679,5 +1727,177 @@ mod tests {
             let batch = e.par_query_batch(&queries, 6, threads).unwrap();
             assert_eq!(batch, serial, "threads = {threads}");
         }
+    }
+
+    fn encoded(index: &SdIndex) -> Vec<u8> {
+        sdq_core::codec::encode_to_vec(index)
+    }
+
+    /// The logical live rows of an engine, row-major, in global id order:
+    /// the shards' rows, then the delta's, less the tombstoned ones.
+    fn live_flat(e: &SdEngine) -> Vec<f64> {
+        let shard_rows = e.shards.iter().flat_map(|shard| shard.data().iter());
+        shard_rows
+            .chain(e.delta().iter())
+            .zip(0u32..)
+            .filter(|&(_, id)| e.is_live(PointId::new(id)))
+            .flat_map(|((_, coords), _)| coords.iter().copied())
+            .collect()
+    }
+
+    /// Every shard of `e` encodes to the bytes of an index built alone over
+    /// the same rows of `flat` — what building the shards one after another
+    /// on one thread gives.
+    fn assert_shards_built_alone(e: &SdEngine, flat: &[f64], ctx: &str) {
+        let dims = e.dims;
+        let infos = e.shard_infos();
+        assert_eq!(
+            infos.iter().map(|i| i.rows).sum::<usize>() * dims,
+            flat.len()
+        );
+        for (s, (shard, info)) in e.shards.iter().zip(&infos).enumerate() {
+            let rows = &flat[info.offset * dims..(info.offset + info.rows) * dims];
+            let sub = Dataset::from_flat(dims, rows.to_vec()).unwrap();
+            let alone = SdIndex::build_with(sub, &e.roles, &e.index_options).unwrap();
+            assert_eq!(encoded(shard), encoded(&alone), "{ctx}: shard {s}");
+        }
+    }
+
+    #[test]
+    fn concurrent_shard_builds_encode_like_lone_builds() {
+        let (data, _) = sample(1009, 4);
+        for shards in [1, 4, 7] {
+            let e = engine(1009, 4, shards);
+            assert_eq!(e.shard_count(), shards);
+            assert_shards_built_alone(&e, data.flat(), &format!("{shards} shards"));
+        }
+    }
+
+    #[test]
+    fn compaction_of_dirty_shards_matches_a_fresh_build() {
+        // In place: deletes in shards 0 and 2 and inserts into the tail
+        // rebuild three of the four shards side by side.
+        let mut e = engine(400, 4, 4);
+        for id in [3, 50, 99, 210, 211] {
+            e.delete(PointId::new(id)).unwrap();
+        }
+        for i in 0..6 {
+            let row: Vec<f64> = (0..4)
+                .map(|d| (i * 7 + d * 3) as f64 * 0.21 - 4.0)
+                .collect();
+            e.insert(&row).unwrap();
+        }
+        e.delete(PointId::new(402)).unwrap();
+        let live = live_flat(&e);
+        let report = e.compact().unwrap();
+        assert!(!report.rebalanced);
+        assert_eq!(report.rebuilt_shards, 3);
+        assert_eq!(
+            e.shard_infos().iter().map(|i| i.epoch).collect::<Vec<_>>(),
+            [1, 0, 1, 1]
+        );
+        assert_shards_built_alone(&e, &live, "in place");
+
+        // Rebalanced: a new shard count repartitions and rebuilds all, as a
+        // fresh build over the live rows does.
+        e.delete(PointId::new(7)).unwrap();
+        e.delete(PointId::new(300)).unwrap();
+        e.insert(&[0.5, -1.0, 2.0, 0.25]).unwrap();
+        let live = live_flat(&e);
+        let report = e
+            .compact_with(&CompactionOptions {
+                shards: Some(3),
+                ..CompactionOptions::default()
+            })
+            .unwrap();
+        assert!(report.rebalanced);
+        let fresh = SdEngine::build_with(
+            Dataset::from_flat(4, live.clone()).unwrap(),
+            &e.roles,
+            &EngineOptions {
+                shards: 3,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(e.offsets, fresh.offsets);
+        for (s, (got, want)) in e.shards.iter().zip(&fresh.shards).enumerate() {
+            assert_eq!(encoded(got), encoded(want), "rebalanced: shard {s}");
+        }
+    }
+
+    #[test]
+    fn invalid_angles_fail_like_the_first_shard_built_alone() {
+        let (data, roles) = sample(200, 4);
+        let index = SdIndexOptions {
+            angles: vec![sdq_core::geometry::Angle::from_degrees(30.0).unwrap()],
+            ..SdIndexOptions::default()
+        };
+        let first = Dataset::from_flat(4, data.flat()[..50 * 4].to_vec()).unwrap();
+        let want = SdIndex::build_with(first, &roles, &index).unwrap_err();
+        assert!(matches!(want, SdError::AngleOutOfRange { .. }), "{want:?}");
+        for shards in [1, 4] {
+            let got = SdEngine::build_with(
+                data.clone(),
+                &roles,
+                &EngineOptions {
+                    shards,
+                    index: index.clone(),
+                    ..EngineOptions::default()
+                },
+            )
+            .err();
+            assert_eq!(got.as_ref(), Some(&want), "{shards} shards");
+        }
+    }
+
+    /// Three parts on two workers, made to interleave: parts 0 and 1 are
+    /// in flight together, and part 1 is held until part 2 is claimed, so
+    /// the worker that built part 0 builds part 2 too. Each worker's own
+    /// list is then out of part order, whichever of them is the calling
+    /// thread; the indexes, and the error when builds fail, must still
+    /// follow part order. (One CPU is one worker: nothing interleaves.)
+    #[test]
+    fn parts_come_back_in_part_order_whichever_worker_built_them() {
+        let roles = [DimRole::Attractive, DimRole::Repulsive];
+        let options = SdIndexOptions::default();
+        let interleave = resolve_threads(0) >= 2;
+        let rows = |i: usize| (0..3 * 2).map(|v| (i * 6 + v) as f64).collect::<Vec<f64>>();
+        // `bad(i)` is the row of part `i` that holds an out-of-range value.
+        let build = |bad: fn(usize) -> Option<usize>| {
+            let (in_flight, claimed) = (Barrier::new(2), Barrier::new(2));
+            build_shards(2, &roles, &options, 3, |i| {
+                if interleave {
+                    if i < 2 {
+                        in_flight.wait();
+                    }
+                    if i > 0 {
+                        claimed.wait();
+                    }
+                }
+                let mut flat = rows(i);
+                if let Some(row) = bad(i) {
+                    flat[row * 2 + 1] = 1e300;
+                }
+                flat
+            })
+        };
+        let ok = build(|_| None).unwrap();
+        assert_eq!(ok.len(), 3);
+        for (i, index) in ok.iter().enumerate() {
+            assert_eq!(index.data().flat(), rows(i).as_slice(), "part {i}");
+        }
+        // Parts 1 and 2 fail, at rows 1 and 0: part 1's error is returned.
+        let got = build(|i| [None, Some(1), Some(0)][i]).err();
+        assert!(
+            matches!(
+                got,
+                Some(SdError::CoordinateOutOfRange { row: 1, dim: 1, .. })
+            ),
+            "{got:?}"
+        );
+        assert!(build_shards(2, &roles, &options, 0, rows)
+            .unwrap()
+            .is_empty());
     }
 }

@@ -14,10 +14,11 @@
 //!               └──────────┬───────────────┘
 //!                          ▼  SdEngine::compact (epoch += 1)
 //!            ┌───────────────────────────────┐
-//!            │ per-shard rebuild, one shard  │  only dirty shards rebuild;
-//!            │ at a time; delta rows fold    │  rebalance when a shard's
-//!            │ into the tail shard; all      │  live-row count drifts past
-//!            │ tombstones dropped            │  rebalance_factor × ideal
+//!            │ per-shard rebuild, the dirty  │  only dirty shards rebuild;
+//!            │ shards side by side on every  │  rebalance when a shard's
+//!            │ CPU; delta rows fold into the │  live-row count drifts past
+//!            │ tail shard; all tombstones    │  rebalance_factor × ideal
+//!            │ dropped                       │
 //!            └───────────────────────────────┘
 //! ```
 //!
@@ -92,11 +93,10 @@
 
 use sdq_core::codec::corrupt;
 use sdq_core::mask::RowMask;
-use sdq_core::multidim::SdIndex;
 use sdq_core::telemetry::EventKind;
 use sdq_core::{Dataset, PointId, SdError};
 
-use crate::SdEngine;
+use crate::{build_shards, SdEngine};
 
 /// Mutation-pressure thresholds (percent) that journal a
 /// [`EventKind::DeltaThreshold`]/[`EventKind::TombstoneThreshold`] event
@@ -459,13 +459,16 @@ impl SdEngine {
     }
 
     /// Folds the delta region into the indexed shards and physically drops
-    /// every tombstoned row, rebuilding **one shard at a time** — clean
+    /// every tombstoned row, rebuilding only the dirty shards — clean
     /// shards are left untouched (their epoch keeps its value), so cost is
-    /// proportional to the dirty shards. Live delta rows fold into the tail
-    /// shard (they sit at the tail of the global id order, so contiguity is
-    /// preserved); when that drifts any shard's live-row count past
-    /// `rebalance_factor ×` the ideal share, the whole engine repartitions
-    /// evenly instead.
+    /// proportional to the dirty shards. The dirty shards are built
+    /// concurrently, on up to the host's available parallelism
+    /// ([`resolve_threads`](crate::resolve_threads)`(0)`), and the result
+    /// is identical to rebuilding them one after another. Live delta rows
+    /// fold into the tail shard (they sit at the tail of the global id
+    /// order, so contiguity is preserved); when that drifts any shard's
+    /// live-row count past `rebalance_factor ×` the ideal share, the whole
+    /// engine repartitions evenly instead.
     ///
     /// Ids are renumbered densely in logical-row order — the same order a
     /// from-scratch rebuild over the final logical dataset assigns — so
@@ -562,17 +565,12 @@ impl SdEngine {
             // evenly like `build_with`, rebuild every shard.
             let mut flat = Vec::with_capacity(live_total * dims);
             self.extend_with_live_rows(&mut flat, 0..s, &delta_live);
-            let mut new_shards = Vec::with_capacity(target_shards);
-            let mut new_offsets = Vec::with_capacity(target_shards);
-            for i in 0..target_shards {
-                let a = i * live_total / target_shards;
-                let b = (i + 1) * live_total / target_shards;
-                let sub = Dataset::from_flat(dims, flat[a * dims..b * dims].to_vec())?;
-                new_shards.push(SdIndex::build_with(sub, &self.roles, &self.index_options)?);
-                new_offsets.push(a as u32);
-            }
-            self.shards = new_shards;
-            self.offsets = new_offsets;
+            let cut = |i: usize| i * live_total / target_shards;
+            self.shards =
+                build_shards(dims, &self.roles, &self.index_options, target_shards, |i| {
+                    flat[cut(i) * dims..cut(i + 1) * dims].to_vec()
+                })?;
+            self.offsets = (0..target_shards).map(|i| cut(i) as u32).collect();
             self.muts.shard_epochs = vec![epoch_next; target_shards];
             CompactionReport {
                 rebuilt_shards: target_shards,
@@ -589,30 +587,24 @@ impl SdEngine {
             // the tail shard when it absorbs delta rows. Replacements are
             // built first and committed together, so a (theoretical) build
             // failure leaves the engine untouched.
-            let mut replacements: Vec<(usize, SdIndex)> = Vec::new();
-            for i in 0..s {
-                let takes_delta = i == s - 1 && merged > 0;
-                if live_per_shard[i] == self.shards[i].data().len() && !takes_delta {
-                    continue;
-                }
-                let mut flat = Vec::with_capacity(post[i] * dims);
-                self.extend_with_live_rows(
-                    &mut flat,
-                    i..i + 1,
-                    if takes_delta { &delta_live } else { &[] },
-                );
-                let sub = Dataset::from_flat(dims, flat)?;
-                replacements.push((
-                    i,
-                    SdIndex::build_with(sub, &self.roles, &self.index_options)?,
-                ));
-            }
+            let takes_delta = |i: usize| i == s - 1 && merged > 0;
+            let dirty: Vec<usize> = (0..s)
+                .filter(|&i| live_per_shard[i] != self.shards[i].data().len() || takes_delta(i))
+                .collect();
+            let replacements =
+                build_shards(dims, &self.roles, &self.index_options, dirty.len(), |j| {
+                    let i = dirty[j];
+                    let mut flat = Vec::with_capacity(post[i] * dims);
+                    self.extend_with_live_rows(
+                        &mut flat,
+                        i..i + 1,
+                        if takes_delta(i) { &delta_live } else { &[] },
+                    );
+                    flat
+                })?;
             let rebuilt = replacements.len();
-            let moved: usize = replacements
-                .iter()
-                .map(|(_, index)| index.data().len())
-                .sum();
-            for (i, index) in replacements {
+            let moved: usize = replacements.iter().map(|index| index.data().len()).sum();
+            for (&i, index) in dirty.iter().zip(replacements) {
                 self.shards[i] = index;
                 self.muts.shard_epochs[i] = epoch_next;
             }

@@ -130,7 +130,9 @@ pub fn query_alg4(
 
     // Step 1: top-k at the lower indexed angle.
     let mut aq_l = AngleQuery::new(index, lo, qx, qy);
-    let mut needed: Vec<u32> = Vec::with_capacity(k);
+    // No answer holds more than the live points, whatever `k` asks.
+    let cap = k.min(index.len());
+    let mut needed: Vec<u32> = Vec::with_capacity(cap);
     for _ in 0..k {
         match aq_l.next() {
             Some((slot, _)) => needed.push(slot),
@@ -140,7 +142,7 @@ pub fn query_alg4(
 
     // Step 2: grow the smallest θ_u-prefix containing the θ_l answer.
     let mut aq_u = AngleQuery::new(index, hi, qx, qy);
-    let mut candidates: Vec<u32> = Vec::with_capacity(2 * k);
+    let mut candidates: Vec<u32> = Vec::with_capacity(2 * cap);
     let mut remaining: FastSet = needed.iter().copied().collect();
     let mut last_score = f64::INFINITY;
     while !remaining.is_empty() {

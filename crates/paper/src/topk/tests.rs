@@ -400,8 +400,11 @@ fn alg4_faithful_path_matches_oracle() {
         {
             continue;
         }
-        let got = arbitrary::query_alg4(&idx, qx, qy, alpha, beta, k, &theta).unwrap();
-        assert_equiv(&got, &oracle(&pts, &alive, qx, qy, alpha, beta, k));
+        // A `k` past every point answers every point, however absurd.
+        for k in [k, 1 << 40, usize::MAX] {
+            let got = arbitrary::query_alg4(&idx, qx, qy, alpha, beta, k, &theta).unwrap();
+            assert_equiv(&got, &oracle(&pts, &alive, qx, qy, alpha, beta, k));
+        }
     }
 }
 

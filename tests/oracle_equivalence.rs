@@ -91,6 +91,55 @@ fn k_equals_n_and_beyond() {
     }
 }
 
+/// A `k` no dataset can fill — one that overflows `k + 1`, one whose heap
+/// would not fit in memory — is answered with every row, in the canonical
+/// order, by the oracle, TA, a bare index and a sharded engine alike; on
+/// one pair (the direct walk) and on two (the aggregation).
+#[test]
+fn absurd_k_answers_every_row_in_canonical_order() {
+    for (dims, attractive) in [(2usize, 1usize), (4, 2)] {
+        let data = Arc::new(generate(Distribution::AntiCorrelated, 57, dims, 31));
+        let roles = roles_for(dims, attractive);
+        let seqscan = SeqScan::new(data.clone(), &roles).unwrap();
+        let ta = TaIndex::build(data.clone(), &roles).unwrap();
+        let sd = SdIndex::build(data.clone(), &roles).unwrap();
+        let engine = SdEngine::build_with(
+            data.clone(),
+            &roles,
+            &EngineOptions {
+                shards: 4,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        for q in &uniform_queries(3, dims, 37) {
+            let mut want: Vec<ScoredPoint> = data
+                .iter()
+                .map(|(id, p)| ScoredPoint::new(id, sdq::sd_score(p, &q.point, &roles, &q.weights)))
+                .collect();
+            want.sort_by(sdq::core::score::rank_cmp);
+            for k in [usize::MAX, 1 << 40] {
+                let answers: [(&str, Vec<ScoredPoint>); 4] = [
+                    ("SeqScan::query", seqscan.query(q, k).unwrap()),
+                    ("TaIndex::query", ta.query(q, k).unwrap()),
+                    (
+                        "SdIndex::query_with",
+                        sd.query_with(q, k, &mut sdq::core::QueryScratch::new())
+                            .unwrap()
+                            .to_vec(),
+                    ),
+                    ("SdEngine::query", engine.query(q, k).unwrap()),
+                ];
+                for (method, got) in answers {
+                    let ids = |a: &[ScoredPoint]| a.iter().map(|p| p.id).collect::<Vec<_>>();
+                    assert_eq!(ids(&got), ids(&want), "{method} dims={dims} k={k}");
+                    assert_equiv(method, &got, &want, &format!("dims={dims} k={k}"));
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn correlation_aware_pairing_agrees_with_oracle() {
     let data = Arc::new(generate(Distribution::Correlated, 500, 6, 13));
