@@ -1270,7 +1270,8 @@ impl SdEngine {
 }
 
 /// Resolves a thread-count argument of [`SdEngine::par_query_batch`] or
-/// `sdq query --threads`: `0` means auto — the host's available
+/// `sdq query --threads`, and sizes the workers of `build_shards` (engine
+/// build and compaction) as `resolve_threads(0)`: `0` means auto — the host's available
 /// parallelism (1 when it cannot be determined), asked of the OS once per
 /// process: the answer is an affinity mask plus cgroup quota files, read
 /// and allocated for on every call.
@@ -1293,7 +1294,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// the calling thread is one, and each worker claims the next unbuilt part,
 /// so one larger part (a compaction's tail shard) leaves no worker idle.
 /// With one part or one CPU the calling thread builds every part and
-/// nothing is spawned. The indexes come back in part order; when builds
+/// nothing is spawned; a worker the OS refuses to start is one fewer, the
+/// others claiming its parts. The indexes come back in part order; when builds
 /// fail, the error is the lowest failing part's, as a build of one part
 /// after another would return.
 fn build_shards(
@@ -1321,7 +1323,9 @@ fn build_shards(
     };
     let workers = resolve_threads(0).min(parts);
     let mut built = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let helpers: Vec<_> = (1..workers)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, work).ok())
+            .collect();
         let mut built = work();
         for helper in helpers {
             built.extend(
@@ -1349,7 +1353,7 @@ fn shard_mask_view(mask: Option<&RowMask>, offset: u32, dead: usize) -> Option<M
 mod tests {
     use super::*;
     use sdq_core::multidim::PairAction;
-    use std::sync::Barrier;
+    use std::sync::{Barrier, Mutex};
 
     fn sample(n: usize, dims: usize) -> (Dataset, Vec<DimRole>) {
         let rows: Vec<Vec<f64>> = (0..n)
@@ -1851,48 +1855,66 @@ mod tests {
         }
     }
 
-    /// Three parts on two workers, made to interleave: parts 0 and 1 are
-    /// in flight together, and part 1 is held until part 2 is claimed, so
-    /// the worker that built part 0 builds part 2 too. Each worker's own
-    /// list is then out of part order, whichever of them is the calling
-    /// thread; the indexes, and the error when builds fail, must still
-    /// follow part order. (One CPU is one worker: nothing interleaves.)
+    /// `W + 1` parts on the `W` workers, made to interleave: each worker
+    /// holds one of the first `W` parts until all of them are in flight,
+    /// then the helpers' parts are held until the calling thread, the one
+    /// worker let go, has claimed part `W` too. The calling thread's list,
+    /// which comes first, is then `[c, W]`, out of part order whatever `c`
+    /// is; the indexes, and the error when builds fail, must still follow
+    /// part order. (One CPU is one worker: nothing interleaves.)
     #[test]
     fn parts_come_back_in_part_order_whichever_worker_built_them() {
         let roles = [DimRole::Attractive, DimRole::Repulsive];
         let options = SdIndexOptions::default();
-        let interleave = resolve_threads(0) >= 2;
-        let rows = |i: usize| (0..3 * 2).map(|v| (i * 6 + v) as f64).collect::<Vec<f64>>();
-        // `bad(i)` is the row of part `i` that holds an out-of-range value.
-        let build = |bad: fn(usize) -> Option<usize>| {
-            let (in_flight, claimed) = (Barrier::new(2), Barrier::new(2));
-            build_shards(2, &roles, &options, 3, |i| {
+        let workers = resolve_threads(0);
+        let interleave = workers >= 2;
+        let caller = std::thread::current().id();
+        let rows = |i: usize| (0..2 * 2).map(|v| (i * 4 + v) as f64).collect::<Vec<f64>>();
+        // With `fail`, part `W` fails at its row 0 and every part a helper
+        // builds fails at its row 1. Returns what the calling thread built.
+        let build = |fail: bool| {
+            let (in_flight, claimed) = (Barrier::new(workers), Barrier::new(workers));
+            let by_caller = Mutex::new(Vec::new());
+            let got = build_shards(2, &roles, &options, workers + 1, |i| {
+                let on_caller = std::thread::current().id() == caller;
+                if on_caller {
+                    by_caller.lock().unwrap().push(i);
+                }
                 if interleave {
-                    if i < 2 {
+                    if i < workers {
                         in_flight.wait();
                     }
-                    if i > 0 {
+                    if i == workers || !on_caller {
                         claimed.wait();
                     }
                 }
                 let mut flat = rows(i);
-                if let Some(row) = bad(i) {
-                    flat[row * 2 + 1] = 1e300;
+                if fail && (i == workers || !on_caller) {
+                    flat[usize::from(i < workers) * 2 + 1] = 1e300;
                 }
                 flat
-            })
+            });
+            (got, by_caller.into_inner().unwrap())
         };
-        let ok = build(|_| None).unwrap();
-        assert_eq!(ok.len(), 3);
+        let (ok, by_caller) = build(false);
+        assert!(
+            by_caller.len() == 2 && by_caller[1] == workers,
+            "the calling thread built {by_caller:?}"
+        );
+        let ok = ok.unwrap();
+        assert_eq!(ok.len(), workers + 1);
         for (i, index) in ok.iter().enumerate() {
             assert_eq!(index.data().flat(), rows(i).as_slice(), "part {i}");
         }
-        // Parts 1 and 2 fail, at rows 1 and 0: part 1's error is returned.
-        let got = build(|i| [None, Some(1), Some(0)][i]).err();
+        // The lowest failing part is a helper's (row 1), though the calling
+        // thread's failed part `W` (row 0) is the first failure it holds.
+        // On one worker only part `W` fails.
+        let want_row = usize::from(interleave);
+        let got = build(true).0.err();
         assert!(
             matches!(
                 got,
-                Some(SdError::CoordinateOutOfRange { row: 1, dim: 1, .. })
+                Some(SdError::CoordinateOutOfRange { row, dim: 1, .. }) if row == want_row
             ),
             "{got:?}"
         );
