@@ -182,10 +182,11 @@ impl PeIndex {
 
         loop {
             let frontier_bound = frontier.peek().map(|&(OrdF64(b), _, _)| b);
-            // Certified emissions.
+            // Certified emissions: strictly above every unexplored cell's
+            // bound, which may still hold a tied row with a smaller id.
             while answers.len() < k_eff {
                 match pool.peek() {
-                    Some(&(OrdF64(s), Reverse(row))) if frontier_bound.is_none_or(|b| s >= b) => {
+                    Some(&(OrdF64(s), Reverse(row))) if frontier_bound.is_none_or(|b| s > b) => {
                         pool.pop();
                         answers.push(ScoredPoint::new(PointId::new(row), s));
                     }

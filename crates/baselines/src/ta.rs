@@ -6,14 +6,23 @@
 //! dimensions and the closest points on the attractive dimensions. The
 //! pruning threshold is computed based on the points fetched."
 //!
-//! Every dimension is a 1-D subproblem — precisely the configuration the
-//! §5 aggregation degenerates to with zero pairs, so this reuses the
-//! workspace's certified threshold loop with single-dimension streams.
+//! Every dimension is one sorted list (`stream1d`), and the loop is the
+//! plain TA: one row from every list a round, each new row scored exactly,
+//! until the k-th best score beats the threshold `τ = Σ` (per-list bounds).
+//! It is the paper's yardstick, so it never leaves for a scan, however many
+//! rows the lists cost.
 
+mod stream1d;
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use sdq_core::multidim::{threshold_aggregate_with, SortedColumn, Subproblem};
-use sdq_core::{Dataset, DimRole, QueryScratch, ScoredPoint, SdError, SdQuery};
+use sdq_core::kernels::inflate;
+use sdq_core::score::{rank_cmp, sd_score};
+use sdq_core::{Dataset, DimRole, OrdF64, PointId, QueryScratch, ScoredPoint, SdError, SdQuery};
+
+use stream1d::{ColumnStream, SortedColumn};
 
 use crate::TopKAlgorithm;
 
@@ -65,9 +74,10 @@ impl TaIndex {
         Ok(self.query_with(query, k, &mut scratch)?.to_vec())
     }
 
-    /// [`TaIndex::query`] with caller-owned scratch buffers, sharing the
-    /// same devirtualized [`Subproblem`] streams and aggregation loop as
-    /// the §5 index.
+    /// [`TaIndex::query`] answering into `scratch`: the canonical top-k
+    /// (score descending, ties by row id ascending) is left in its answer
+    /// buffer, its profile counts `rounds`, `rows_fetched` and
+    /// `onedim_rows_pulled`, and its deadline is checked once a round.
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
@@ -86,16 +96,57 @@ impl TaIndex {
         if self.data.is_empty() {
             return Ok(&[]);
         }
-        let mut streams = scratch.stream_buf();
-        streams.reserve(self.columns.len());
-        for (d, col) in self.columns.iter().enumerate() {
-            let (q, w) = (query.point[d], query.weights[d]);
-            streams.push(match self.roles[d] {
-                DimRole::Repulsive => Subproblem::repulsive(col, q, w),
-                DimRole::Attractive => Subproblem::attractive(col, q, w),
-            });
+        let (data, roles) = (&*self.data, &self.roles[..]);
+        let k = k.min(data.len());
+        let mut streams: Vec<ColumnStream<'_>> = (self.columns.iter().zip(roles))
+            .enumerate()
+            .map(|(d, (col, &role))| ColumnStream::new(col, role, query.point[d], query.weights[d]))
+            .collect();
+        let mut seen = vec![false; data.len()];
+        // The best k scores so far, worst at the root, kept as `SeqScan`
+        // keeps them: of equal scores the larger id is evicted first.
+        let mut best: BinaryHeap<(Reverse<OrdF64>, PointId)> = BinaryHeap::with_capacity(k + 1);
+        let prof = &mut scratch.profile;
+        prof.reset();
+        'rounds: loop {
+            prof.rounds += 1;
+            scratch.deadline.check()?;
+            // A drained list has emitted every row, so `best` is final.
+            let mut tau = 0.0;
+            for s in &streams {
+                match s.bound() {
+                    Some(b) => tau += b,
+                    None => break 'rounds,
+                }
+            }
+            // Every unseen row scores at most τ: once the k-th best beats
+            // it, no unseen row can enter or tie its way in.
+            let kth = best.peek().map(|(Reverse(OrdF64(s)), _)| *s);
+            if best.len() == k && kth.is_some_and(|s| s > inflate(tau)) {
+                break;
+            }
+            for s in &mut streams {
+                let (row, _) = s.next().expect("a list with a bound has a row");
+                prof.rows_fetched += 1;
+                prof.onedim_rows_pulled += 1;
+                if !std::mem::replace(&mut seen[row as usize], true) {
+                    let id = PointId::new(row);
+                    let score = sd_score(data.point(id), &query.point, roles, &query.weights);
+                    best.push((Reverse(OrdF64::new(score)), id));
+                    if best.len() > k {
+                        best.pop();
+                    }
+                }
+            }
         }
-        threshold_aggregate_with(&self.data, &self.roles, query, k, streams, scratch)
+        let answers = scratch.answers_mut();
+        answers.clear();
+        answers.extend(
+            best.into_iter()
+                .map(|(Reverse(s), id)| ScoredPoint::new(id, s.0)),
+        );
+        answers.sort_unstable_by(rank_cmp);
+        Ok(scratch.answers())
     }
 }
 
@@ -225,6 +276,41 @@ mod tests {
         assert_eq!(sd.query_with(&q, k, &mut scratch).unwrap(), &want[..]);
         assert!(scratch.profile.scan_fallbacks >= 1);
     }
+    /// The deadline is checked once a round: a cancelled token ends the
+    /// query with the typed error, and the same scratch then answers as a
+    /// fresh one does.
+    #[test]
+    fn a_cancelled_token_ends_the_query_and_spares_the_scratch() {
+        use sdq_core::{CancelToken, Deadline};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7B);
+        let dims = 4;
+        let coords: Vec<f64> = (0..500 * dims).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let data = Dataset::from_flat(dims, coords).unwrap();
+        let roles = [
+            DimRole::Attractive,
+            DimRole::Repulsive,
+            DimRole::Attractive,
+            DimRole::Repulsive,
+        ];
+        let ta = TaIndex::build(data, &roles).unwrap();
+        let q = SdQuery::new(vec![0.4; 4], vec![1.0, 0.5, 0.8, 0.3]).unwrap();
+        let want = ta.query(&q, 10).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let mut scratch = QueryScratch::new();
+        scratch.deadline = Deadline::cancelled_by(&token);
+        assert!(matches!(
+            ta.query_with(&q, 10, &mut scratch),
+            Err(SdError::Cancelled)
+        ));
+        scratch.deadline = Deadline::none();
+        let got = ta.query_with(&q, 10, &mut scratch).unwrap();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!((g.id, g.score.to_bits()), (w.id, w.score.to_bits()));
+        }
+    }
+
     #[test]
     fn validation() {
         let data = Dataset::from_flat(2, vec![0.0, 0.0]).unwrap();

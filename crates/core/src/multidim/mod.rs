@@ -1,5 +1,5 @@
-//! The §5 extension to arbitrary dimensions: pairing, subproblem streams
-//! and TA-style threshold aggregation.
+//! The §5 extension to arbitrary dimensions: pairing, pair streams and
+//! TA-style threshold aggregation.
 //!
 //! The SD-score (Eqn. 3) is re-expressed as Eqn. 10: `min(|D|, |S|)`
 //! repulsive↔attractive 2-D subproblems — each served by a stored §4 index
@@ -19,20 +19,19 @@
 //! its rows and adds one constant to `τ` and to every pair stream's
 //! pruning bar: `w·max(|hi − q|, |q − lo|)` for a repulsive dimension,
 //! `−w·dist(q, [lo, hi])` for an attractive one ([`SdIndex`]'s
-//! `extent_bound`). The 1-D streams stay for the adapted-TA baseline
-//! ([`threshold_aggregate_with`]).
+//! `extent_bound`). The 1-D sorted lists live on only in the adapted-TA
+//! baseline (the `sdq-baselines` crate), which runs its own plain TA loop.
 //!
 //! ## Execution model
 //!
-//! Subproblems are one closed [`Subproblem`] enum rather than trait
-//! objects, so the `bound()`/`next_unit()` calls in the aggregation inner
-//! loop are direct (inlinable) dispatches — no vtable in the hot path.
+//! Every stream is a [`Pair2DStream`], so the `bound()`/`next_unit()` calls
+//! in the aggregation inner loop are direct (inlinable) calls — no vtable
+//! and no dispatch in the hot path.
 //!
 //! An aggregation runs one way: a [`ShardExecution`] takes its buffers out
 //! of a [`QueryScratch`] ([`SdIndex::begin_query`]), is advanced by
 //! [`ShardExecution::step`] — in slices by the sharded engine, in one
-//! unbounded step by [`SdIndex::query_with`] and
-//! [`threshold_aggregate_with`] — and hands the buffers back in
+//! unbounded step by [`SdIndex::query_with`] — and hands the buffers back in
 //! [`ShardExecution::finish_into`] / [`ShardExecution::abandon_into`]. Every
 //! step and every walk scores into the query's one [`QueryFloor`], passed
 //! `&mut`: the engine's, or a fresh one of the entry's own. The allocating
@@ -64,7 +63,6 @@
 
 pub mod pairing;
 pub mod plan;
-pub mod stream1d;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -72,7 +70,6 @@ use std::sync::{Arc, OnceLock};
 
 pub use pairing::{pair_dimensions, DimPair, PairingStrategy};
 pub use plan::{PairAction, PairPlan, QueryPlan};
-pub use stream1d::{AttractiveStream, RepulsiveStream, SortedColumn};
 
 use crate::deadline::Deadline;
 use crate::geometry::Angle;
@@ -89,86 +86,6 @@ use crate::topk::stream::FrontierEval;
 use crate::topk::{check_axes, default_angles, normalize_angles};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
-
-/// One subproblem of the §5 decomposition, as a closed enum so the
-/// aggregation inner loop is fully devirtualized. An [`SdIndex`] assembles
-/// only pair streams; the 1-D ones are the adapted-TA baseline's.
-//
-// The 2-D variant is much larger than the 1-D ones, but boxing it would
-// reintroduce the very per-query allocation this enum removes; the enum
-// lives in one small recycled Vec, so the size skew is irrelevant.
-#[allow(clippy::large_enum_variant)]
-pub enum Subproblem<'a> {
-    /// A repulsive↔attractive 2-D subproblem over a pair's §4 index.
-    Pair2d(Pair2DStream<'a>),
-    /// A leftover attractive dimension (nearest-first 1-D scan).
-    Attractive1d(AttractiveStream<'a>),
-    /// A leftover repulsive dimension (farthest-first 1-D scan).
-    Repulsive1d(RepulsiveStream<'a>),
-}
-
-impl<'a> Subproblem<'a> {
-    /// Wraps a nearest-first 1-D stream.
-    pub fn attractive(col: &'a SortedColumn, q: f64, weight: f64) -> Self {
-        Subproblem::Attractive1d(AttractiveStream::new(col, q, weight))
-    }
-
-    /// Wraps a farthest-first 1-D stream.
-    pub fn repulsive(col: &'a SortedColumn, q: f64, weight: f64) -> Self {
-        Subproblem::Repulsive1d(RepulsiveStream::new(col, q, weight))
-    }
-
-    /// Admissible upper bound on the subscore of every row this stream has
-    /// not yet surfaced; `None` once the stream is drained (at which point
-    /// it has surfaced every row of the dataset).
-    #[inline]
-    pub fn bound(&self) -> Option<f64> {
-        match self {
-            Subproblem::Pair2d(s) => s.bound(),
-            Subproblem::Attractive1d(s) => s.bound(),
-            Subproblem::Repulsive1d(s) => s.bound(),
-        }
-    }
-
-    /// Returns any owned buffers to the scratch for reuse.
-    fn recycle(self, scratch: &mut QueryScratch) {
-        if let Subproblem::Pair2d(s) = self {
-            s.recycle(scratch);
-        }
-    }
-
-    /// Fetches this stream's next *emission unit* into `out`:
-    ///
-    /// * 1-D streams append one row;
-    /// * a 2-D stream appends every live row of its next
-    ///   surviving SoA leaf block (up to [`LANES`] at once), after
-    ///   block-level floor pruning: with `prune = Some((f, others))` —
-    ///   `f` the current k-th-score floor and `others` the sum of every
-    ///   *other* stream's admissible bound — any block whose raw subscore
-    ///   bound `b` satisfies `f > inflate(b + others)` is certifiably
-    ///   outside the top-k (every point in it scores at most `b + others`)
-    ///   and is discarded before a single point is scored.
-    ///
-    /// Returns `false` once the stream is drained (nothing appended).
-    /// `prof` receives the fetch's execution counters (1-D pulls, frontier
-    /// walk statistics, per-lane mask drops).
-    #[inline]
-    fn next_unit(
-        &mut self,
-        prune: Option<(f64, f64)>,
-        out: &mut Vec<u32>,
-        prof: &mut QueryProfile,
-    ) -> bool {
-        let pulled = match self {
-            Subproblem::Pair2d(s) => return s.next_unit(prune, out, prof),
-            Subproblem::Attractive1d(s) => s.next(),
-            Subproblem::Repulsive1d(s) => s.next(),
-        };
-        prof.onedim_rows_pulled += u64::from(pulled.is_some());
-        out.extend(pulled.map(|(row, _)| row));
-        pulled.is_some()
-    }
-}
 
 /// Tuning knobs for [`SdIndex::build_with`].
 #[derive(Debug, Clone)]
@@ -538,22 +455,13 @@ impl SdIndex {
         scratch: &mut QueryScratch,
         mask: Option<MaskView<'i>>,
     ) -> Result<ShardExecution<'i>, SdError> {
-        let n = self.data.len();
-        let streams = if n == 0 {
+        let streams = if self.data.is_empty() {
             scratch.stream_buf()
         } else {
             self.assemble_streams(query, scratch)?
         };
         Ok(ShardExecution::begin(
-            &self.data,
-            &self.roles,
-            query,
-            k,
-            streams,
-            self.extent_bound(query),
-            mask,
-            plan::scan_budget(n),
-            scratch,
+            self, query, k, streams, mask, scratch,
         ))
     }
 
@@ -580,7 +488,7 @@ impl SdIndex {
         &'i self,
         query: &SdQuery,
         scratch: &mut QueryScratch,
-    ) -> Result<Vec<Subproblem<'i>>, SdError> {
+    ) -> Result<Vec<Pair2DStream<'i>>, SdError> {
         let mut streams = scratch.stream_buf();
         streams.reserve(self.pairs.len());
         for (pair, blocks) in self.pairs.iter().zip(&self.pair_blocks) {
@@ -597,9 +505,9 @@ impl SdIndex {
                 continue; // contributes exactly 0 to every score
             }
             match eval {
-                Ok(eval) => streams.push(Subproblem::Pair2d(Pair2DStream::with_scratch(
+                Ok(eval) => streams.push(Pair2DStream::with_scratch(
                     blocks, eval, alpha, beta, scratch,
-                ))),
+                )),
                 Err(e) => {
                     // Hand every buffer back before propagating.
                     for s in streams.drain(..) {
@@ -963,12 +871,10 @@ fn emit_pooled(
     }
 }
 
-/// The §5 aggregation loop, shared with the adapted-TA baseline (which uses
-/// one 1-D stream per dimension — precisely the configuration this
-/// degenerates to with zero pairs, as Fig. 7i–j observes). Runs up to
-/// `rounds` iterations over the state of one [`ShardExecution`] — its only
-/// caller is [`ShardExecution::step`]; returns `true` once the query is
-/// complete (the answer buffer holds the canonical top `k_eff`, unsorted).
+/// The §5 aggregation loop. Runs up to `rounds` iterations over the state of
+/// one [`ShardExecution`] — its only caller is [`ShardExecution::step`];
+/// returns `true` once the query is complete (the answer buffer holds the
+/// canonical top `k_eff`, unsorted).
 ///
 /// Exact and **canonical**: a candidate is emitted only when its exact full
 /// score is strictly above the (FP-inflated) threshold `τ` (the execution's
@@ -980,15 +886,14 @@ fn emit_pooled(
 /// scorers — this execution, its siblings, the engine's delta scan — have
 /// found so far.
 ///
-/// One iteration fetches one *emission unit* per subproblem — a single row
-/// for 1-D streams, a whole SoA leaf block for block-backed 2-D streams —
-/// and scores the round's union through the batched kernels
-/// ([`score_rows_batched`]). Block streams additionally receive a
+/// One iteration fetches one *emission unit* per pair stream — a whole SoA
+/// leaf block — and scores the round's union through the batched kernels
+/// ([`score_rows_batched`]). Every stream additionally receives a
 /// per-stream floor-pruning threshold (`k`-th-score floor minus the other
 /// streams' bounds), so whole blocks certifiably outside the top-k are
 /// rejected before any of their points is scored. The extent bound (the
-/// unpaired dimensions' constant, `0` for the TA baseline) is one more
-/// term of `τ` and of every stream's "other bounds".
+/// unpaired dimensions' constant) is one more term of `τ` and of every
+/// stream's "other bounds".
 ///
 /// The execution's `scan_budget` bounds what the loop may spend on fetching: an iteration
 /// that finds the query neither certified nor floor-terminated after more
@@ -1006,8 +911,7 @@ fn emit_pooled(
 /// An execution with no stream — a query whose pair weights are all zero,
 /// or an index with no pair — starts lost on its own and scans at its
 /// first round head, counted as `scan_predicted`, unless the floor already
-/// beats its `τ`, the extent bound alone. Otherwise `usize::MAX` never
-/// scans: the paper's pure threshold aggregation.
+/// beats its `τ`, the extent bound alone.
 ///
 /// The execution's deadline is consulted once per iteration — block-pop granularity,
 /// one inlined branch when unset — and once per [`LANES`] scanned rows, and
@@ -1125,17 +1029,16 @@ fn aggregate_rounds(
         // siblings.
         let fetched = scorer.prof.rows_fetched;
         let spent = fetched > scan_budget as u64;
-        let budget_left = !spent && scan_budget != usize::MAX;
         let verdict = if streams.is_empty() {
             // No stream (no pair with a non-zero weight): nothing to fetch
             // and no bound to certify with, whatever the budget.
             Verdict::StartedLost
-        } else if budget_left {
-            scorer.floor.verdict()
-        } else {
+        } else if spent {
             Verdict::Open
+        } else {
+            scorer.floor.verdict()
         };
-        let projected = budget_left
+        let projected = !spent
             && verdict == Verdict::Open
             && f > f64::NEG_INFINITY
             && probe.lost(fetched, inflate(tau) - f, scan_budget);
@@ -1149,9 +1052,9 @@ fn aggregate_rounds(
             return Ok(true);
         }
 
-        // One emission unit per subproblem per iteration (§5's "top point
-        // is fetched for each of the subproblems", at block granularity
-        // for block-backed streams). Block streams prune against
+        // One emission unit per stream per iteration (§5's "top point is
+        // fetched for each of the subproblems", at block granularity).
+        // Every stream prunes against
         // `f − (extent bound + Σ other bounds)`: a block bounded below that
         // can hold no top-k row no matter what the rest contributes.
         let mut progressed = false;
@@ -1197,9 +1100,9 @@ pub struct ShardExecution<'i> {
     roles: &'i [DimRole],
     query: &'i SdQuery,
     k_eff: usize,
-    streams: Vec<Subproblem<'i>>,
-    /// What the dimensions no stream covers add to any row's score at most
-    /// (an index's unpaired extents; `0` for the TA baseline).
+    streams: Vec<Pair2DStream<'i>>,
+    /// What the dimensions no stream covers add to any row's score at most:
+    /// the index's unpaired extents.
     extent_bound: f64,
     mask: Option<MaskView<'i>>,
     pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
@@ -1222,24 +1125,21 @@ pub struct ShardExecution<'i> {
 impl<'i> ShardExecution<'i> {
     /// The one place an aggregation takes its buffers out of a
     /// [`QueryScratch`]: `streams` (assembled into that scratch's
-    /// [`QueryScratch::stream_buf`]), plus the constant `extent_bound` on
-    /// the dimensions they leave out, run against `data` under `mask`, and
-    /// the execution switches to the kernel scan once it has fetched more
-    /// than `scan_budget` rows, or projects that it will (`usize::MAX`:
-    /// never).
-    #[allow(clippy::too_many_arguments)] // internal: the index's and the TA entry's
+    /// `stream_buf`), plus the constant extent bound on the dimensions they
+    /// leave out, run against `index`'s rows under `mask`, and the
+    /// execution switches to the kernel scan once it has fetched more than
+    /// [`plan::scan_budget`] rows, or projects that it will.
     fn begin(
-        data: &'i Dataset,
-        roles: &'i [DimRole],
+        index: &'i SdIndex,
         query: &'i SdQuery,
         k: usize,
-        streams: Vec<Subproblem<'i>>,
-        extent_bound: f64,
+        streams: Vec<Pair2DStream<'i>>,
         mask: Option<MaskView<'i>>,
-        scan_budget: usize,
         scratch: &mut QueryScratch,
     ) -> Self {
+        let data = &*index.data;
         let n = data.len();
+        let scan_budget = plan::scan_budget(n);
         let live = n - mask.map_or(0, |m| m.dead_among(n));
         let k_eff = k.min(live);
         // Pre-size: the pool holds at most one candidate per fetch round per
@@ -1257,11 +1157,11 @@ impl<'i> ShardExecution<'i> {
         scratch.profile.reset();
         ShardExecution {
             data,
-            roles,
+            roles: &index.roles,
             query,
             k_eff,
             streams,
-            extent_bound,
+            extent_bound: index.extent_bound(query),
             mask,
             pool,
             seen,
@@ -1376,43 +1276,9 @@ impl<'i> ShardExecution<'i> {
     }
 }
 
-/// The paper's threshold aggregation over caller-assembled streams — the
-/// entry the adapted-TA baseline rides. `streams` must have been assembled
-/// into a buffer obtained from [`QueryScratch::stream_buf`]; the vector (and
-/// every recyclable stream buffer inside it) is handed back to the scratch
-/// before returning, also on a deadline error. The answer slice is borrowed
-/// from the scratch.
-///
-/// This is the pure algorithm: it never takes the scan exit [`SdIndex`]
-/// queries take (see [`plan::scan_budget`]), whatever the streams cost —
-/// unless `streams` is empty, when a scan is the only way to meet a row.
-pub fn threshold_aggregate_with<'s>(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: Vec<Subproblem<'_>>,
-    scratch: &'s mut QueryScratch,
-) -> Result<&'s [ScoredPoint], SdError> {
-    let exec = ShardExecution::begin(
-        data,
-        roles,
-        query,
-        k,
-        streams,
-        0.0,
-        None,
-        usize::MAX,
-        scratch,
-    );
-    under_fresh_floor(scratch, k.min(data.len()), |floor, scratch| {
-        exec.run_into(floor, scratch)
-    })
-}
-
-/// Runs `body` — a query with no caller's floor: a standalone index's or
-/// the TA entry's — over a fresh [`QueryFloor`] of `cap` scores on
-/// `scratch`'s floor heap, then hands back the answer it left in `scratch`.
+/// Runs `body` — a standalone index's query, which no caller hands a floor —
+/// over a fresh [`QueryFloor`] of `cap` scores on `scratch`'s floor heap,
+/// then hands back the answer it left in `scratch`.
 fn under_fresh_floor(
     scratch: &mut QueryScratch,
     cap: usize,
@@ -1433,8 +1299,9 @@ fn under_fresh_floor(
 /// non-indexed θ_q the Claim 6 bracket in closed form, per envelope), and
 /// which walks the index once where a dual-stream bracket would walk it
 /// twice. Whole blocks surface (and are prunable against the k-th-score
-/// floor) at once; [`Subproblem::next_unit`] kernel-scores a popped block's
-/// lanes on the pair and filters them against the floor before emission.
+/// floor) at once; [`Pair2DStream::next_unit`] kernel-scores a popped
+/// block's lanes on the pair and filters them against the floor before
+/// emission.
 pub struct Pair2DStream<'a> {
     frontier: BlockFrontier<'a>,
     blocks: &'a BlockSet,
@@ -1468,7 +1335,18 @@ impl<'a> Pair2DStream<'a> {
         scratch.put_heap(self.frontier.into_scratch());
     }
 
-    /// Batch fetch: see [`Subproblem::next_unit`].
+    /// Fetches this stream's next *emission unit* into `out`: every live
+    /// row of its next surviving SoA leaf block (up to [`LANES`] at once),
+    /// after block-level floor pruning. With `prune = Some((f, others))` —
+    /// `f` the current k-th-score floor and `others` the extent bound plus
+    /// every *other* stream's admissible bound — any block whose raw
+    /// subscore bound `b` satisfies `f > inflate(b + others)` is certifiably
+    /// outside the top-k (every point in it scores at most `b + others`) and
+    /// is discarded before a single point is scored.
+    ///
+    /// Returns `false` once the stream is drained (nothing appended).
+    /// `prof` receives the fetch's execution counters (frontier walk
+    /// statistics, per-lane mask drops).
     fn next_unit(
         &mut self,
         prune: Option<(f64, f64)>,
@@ -1520,7 +1398,9 @@ impl<'a> Pair2DStream<'a> {
     }
 
     /// Admissible upper bound on the raw pair subscore of every row not yet
-    /// surfaced; `None` once drained.
+    /// surfaced; `None` once drained (at which point it has surfaced every
+    /// row of the index).
+    #[inline]
     fn bound(&self) -> Option<f64> {
         self.frontier.bound().map(|b| self.r * b)
     }

@@ -81,9 +81,9 @@
 //! rows that has fetched more than [`scan_budget`]`(n) = n / 8` of them and
 //! is still neither certified nor floor-terminated therefore stops fetching
 //! and finishes with one kernel scan over the rows it has not seen
-//! (`aggregate_rounds` in the parent module owns the exit;
-//! `threshold_aggregate_with`, which the TA baseline rides, never takes
-//! it). The constant is not a tuning knob — it is `n / 8` for every index —
+//! (`aggregate_rounds` in the parent module owns the exit; the TA
+//! baseline in `sdq-baselines` runs a loop of its own, which has none).
+//! The constant is not a tuning knob — it is `n / 8` for every index —
 //! and the sweep says where it sits (three 10-second runs of the unmodified
 //! benchmark per value, medians of p50 / p95, taken when the scan still
 //! cost 7 ns a row): on the 100k × 4-D uniform anchor (k = 16, 4 shards,

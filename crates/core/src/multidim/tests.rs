@@ -404,6 +404,7 @@ fn scan_switches_strictly_past_the_budget() {
     // The pure threshold aggregation: which round had fetched how much.
     let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
     exec.scan_budget = usize::MAX;
+    exec.probe = plan::ScanProbe::new(usize::MAX);
     let fetched = fetch_trajectory(&mut exec);
     assert_eq!(exec.profile().scan_fallbacks, 0);
     exec.finish_into(&mut scratch);
@@ -550,13 +551,16 @@ fn inherited_verdict_scans_at_the_next_round_head() {
         assert_bit_identical(scratch.answers(), &want);
     }
 
-    // Under an unbounded budget, nothing is inherited.
+    // An unbounded budget and a silent probe inherit the verdict all the
+    // same: no execution is exempt from it.
     let mut floor = QueryFloor::new(&mut heap, k);
     floor.mark_lost();
     let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
     exec.scan_budget = usize::MAX;
+    exec.probe = plan::ScanProbe::new(usize::MAX);
     assert!(exec.step(usize::MAX, &mut floor).unwrap());
-    assert_eq!(exec.profile().scan_fallbacks, 0);
+    let p = *exec.profile();
+    assert_eq!((p.rounds, p.scan_fallbacks, p.scan_inherited), (1, 1, 1));
     exec.finish_into(&mut scratch);
     assert_bit_identical(scratch.answers(), &want);
 
@@ -763,37 +767,47 @@ fn probe_leaves_friendly_queries_alone() {
 
 #[test]
 fn scan_after_every_row_was_seen_scores_nothing() {
-    // Two nearest-first 1-D streams (the TA baseline's) whose two-row
-    // prefixes cover all four rows while both bounds stay at −2: τ = −4
-    // certifies rows 0 and 2 (−2) but not rows 1 and 3 (exactly −4), so
-    // the aggregation is still open with nothing left to discover.
-    let rows = [
-        vec![0.0, 2.0],
-        vec![1.0, 3.0],
-        vec![2.0, 0.0],
-        vec![3.0, 1.0],
+    // Two pairs over 64 rows, so each pair's index holds two blocks: the 32
+    // rows of larger repulsive value, then the rest. Pair (x0, y1) is large
+    // on the even rows, pair (x2, y3) on the odd ones, so the first round
+    // surfaces every row while neither stream has drained. Every row
+    // scores 10 but row 0, whose x0 = 100 sinks it to −90: with k = 64 the
+    // floor is −90, below τ = 0 (both second blocks sit at their pair's
+    // origin), so the aggregation is still open with nothing left to
+    // discover.
+    let n = 64;
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|r| match r {
+            0 => vec![100.0, 10.0, 0.0, 0.0],
+            r if r % 2 == 0 => vec![0.0, 10.0, 0.0, 0.0],
+            _ => vec![0.0, 0.0, 0.0, 10.0],
+        })
+        .collect();
+    let data = Dataset::from_rows(4, &rows).unwrap();
+    let roles = vec![
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+        DimRole::Repulsive,
     ];
-    let data = Dataset::from_rows(2, &rows).unwrap();
-    let roles = vec![DimRole::Attractive, DimRole::Attractive];
-    let columns: Vec<SortedColumn> = (0..2).map(|d| SortedColumn::new(&data.column(d))).collect();
-    let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
-    let want = oracle(&data, &roles, &q, 4);
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.0; 4], vec![1.0; 4]).unwrap();
+    let want = oracle(&data, &roles, &q, n);
     let mut scratch = QueryScratch::new();
 
-    let mut streams = scratch.stream_buf();
-    streams.extend(columns.iter().map(|c| Subproblem::attractive(c, 0.0, 1.0)));
-    let mut exec = ShardExecution::begin(&data, &roles, &q, 4, streams, 0.0, None, 3, &mut scratch);
+    let mut exec = index.begin_query(&q, n, &mut scratch, None).unwrap();
     let mut heap = BinaryHeap::new();
-    let mut floor = QueryFloor::new(&mut heap, 4);
-    assert!(!exec.step(2, &mut floor).unwrap());
-    assert_eq!(exec.profile().rows_fetched, 4);
-    assert_eq!(exec.profile().points_gathered, 4, "all four rows seen");
+    let mut floor = QueryFloor::new(&mut heap, n);
+    assert!(!exec.step(1, &mut floor).unwrap());
+    assert_eq!(exec.profile().rows_fetched, n as u64);
+    assert_eq!(exec.profile().points_gathered, n as u64, "all rows seen");
     let scored = exec.profile().points_scored;
+    // The next round head finds the budget (n / 8 rows) spent and scans.
     assert!(exec.step(1, &mut floor).unwrap());
     let p = *exec.profile();
     assert_eq!((p.scan_fallbacks, p.scan_rows), (1, 0));
     assert_eq!(p.points_scored, scored, "the scan scored nothing");
-    assert_eq!((p.rows_fetched, p.points_gathered), (4, 4));
+    assert_eq!((p.rows_fetched, p.points_gathered), (n as u64, n as u64));
     exec.finish_into(&mut scratch);
     assert_bit_identical(scratch.answers(), &want);
 }
@@ -851,38 +865,54 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
 
 #[test]
 fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
-    // 101 rows — three full chunks and a five-row one — scored `|y| − |x|`
-    // from the origin by one 1-D stream per dimension, so the rows the
-    // streams hold when the scan starts are known: six rounds surface the
-    // six stars (x = 0, y ≥ 10), at lanes 0 and 31 of the first two chunks,
-    // inside the second and inside the short one, from both streams; the
-    // one inside the second chunk is dead, so the streams have skipped a
-    // tombstone already. Four more dead rows (score 4.5) sit at lanes 0 and
-    // 31 of the third chunk and in the short one; three live rows just
-    // below them (3.4 to 3.6) complete the top 8, and the floor is filled at
-    // the 8th score. So the scan's kernel passes every star and every dead
-    // row, and only the seen-set and the tombstones keep them out.
-    let n = 101;
+    // 99 rows — three full chunks and a three-row one — in 4-D, scored
+    // `y1 − x0 + y3 − x2` from the origin by the pairs (x0, y1) and
+    // (x2, y3). Each pair's index cuts its rows by the pair's repulsive
+    // value into blocks of 32, 32, 32 and the top three, so one round
+    // surfaces the top three of each pair: the six stars (x = 0, y ≥ 10),
+    // at lanes 0 and 31 of the first two chunks, inside the second and
+    // inside the short one, alternating between the pairs; the one inside
+    // the second chunk is dead, so the streams have skipped a tombstone
+    // already. Four more dead rows (score 4.5) sit at lanes 0 and 31 of the
+    // third chunk and in the short one; three live rows just below them
+    // (3.4 to 3.6) complete the top 8, and the floor is filled at the 8th
+    // score. So the scan's kernel passes every star and every dead row, and
+    // only the seen-set and the tombstones keep them out.
+    let n = 99;
     let stars = [0, 31, 32, 50, 63, 97];
     let dead_star = 50;
-    let dead_rows = [64, 95, 96, 100];
-    let near = [65, 94, 99];
+    let dead_rows = [64, 95, 96, 98];
+    let near = [65, 80, 94];
     let mut rng = rand::rngs::StdRng::seed_from_u64(308);
     let mut rows: Vec<Vec<f64>> = (0..n)
-        .map(|_| vec![rng.gen_range(1.0..2.0), rng.gen_range(0.0..1.0)])
+        .map(|_| {
+            let (x0, x2) = (rng.gen_range(1.0..2.0), rng.gen_range(1.0..2.0));
+            vec![x0, rng.gen_range(0.0..1.0), x2, rng.gen_range(0.0..1.0)]
+        })
         .collect();
     for (i, &r) in stars.iter().enumerate() {
-        rows[r] = vec![0.0, 10.0 + i as f64];
+        let y = 10.0 + i as f64;
+        rows[r] = if i % 2 == 0 {
+            vec![0.0, y, 0.0, 0.0]
+        } else {
+            vec![0.0, 0.0, 0.0, y]
+        };
     }
     for &r in &dead_rows {
-        rows[r] = vec![0.5, 5.0];
+        rows[r] = vec![0.5, 5.0, 0.0, 0.0];
     }
     for (i, &r) in near.iter().enumerate() {
-        rows[r] = vec![0.6, 4.0 + 0.1 * i as f64];
+        rows[r] = vec![0.6, 4.0 + 0.1 * i as f64, 0.0, 0.0];
     }
-    let data = Dataset::from_rows(2, &rows).unwrap();
-    let roles = vec![DimRole::Attractive, DimRole::Repulsive];
-    let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
+    let data = Dataset::from_rows(4, &rows).unwrap();
+    let roles = vec![
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+        DimRole::Repulsive,
+    ];
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.0; 4], vec![1.0; 4]).unwrap();
     let k = 8;
     let mut dead = RowMask::new(n);
     for &r in dead_rows.iter().chain([&dead_star]) {
@@ -894,24 +924,10 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     let mut heap = BinaryHeap::new();
     let mut floor = floor_at(&mut heap, k, want[k - 1].score);
 
-    let columns: Vec<SortedColumn> = (0..2).map(|d| SortedColumn::new(&data.column(d))).collect();
     let mut scratch = QueryScratch::new();
-    let mut streams = scratch.stream_buf();
-    streams.push(Subproblem::attractive(&columns[0], 0.0, 1.0));
-    streams.push(Subproblem::repulsive(&columns[1], 0.0, 1.0));
     let mask = Some(MaskView::new(&dead, 0));
-    let mut exec = ShardExecution::begin(
-        &data,
-        &roles,
-        &q,
-        k,
-        streams,
-        0.0,
-        mask,
-        usize::MAX,
-        &mut scratch,
-    );
-    assert!(!exec.step(stars.len(), &mut floor).unwrap());
+    let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
+    assert!(!exec.step(1, &mut floor).unwrap());
     let unseen: Vec<usize> = (0..n)
         .filter(|&r| exec.seen.unseen_word(r, 1) == 1)
         .collect();
@@ -941,36 +957,6 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     assert_eq!(p.points_scored - before.points_scored, near.len() as u64);
     exec.finish_into(&mut scratch);
     assert_bit_identical(scratch.answers(), &want);
-}
-
-#[test]
-fn threshold_aggregate_family_never_scans() {
-    // The public aggregation entry points (the TA baseline's) keep the
-    // paper's pure threshold algorithm: same streams as the index would
-    // assemble, no budget.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(302);
-    let data = anti_correlated(&mut rng, 1_000, 6);
-    let roles = six_d_roles();
-    let q = SdQuery::new(vec![0.2; 6], vec![1.0; 6]).unwrap();
-    let columns: Vec<SortedColumn> = (0..6).map(|d| SortedColumn::new(&data.column(d))).collect();
-    let mut scratch = QueryScratch::new();
-    let mut streams = scratch.stream_buf();
-    for (d, col) in columns.iter().enumerate() {
-        streams.push(match roles[d] {
-            DimRole::Repulsive => Subproblem::repulsive(col, q.point[d], q.weights[d]),
-            DimRole::Attractive => Subproblem::attractive(col, q.point[d], q.weights[d]),
-        });
-    }
-    let got = threshold_aggregate_with(&data, &roles, &q, 32, streams, &mut scratch)
-        .unwrap()
-        .to_vec();
-    assert_bit_identical(&got, &oracle(&data, &roles, &q, 32));
-    let p = scratch.profile;
-    assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));
-    assert!(
-        p.rows_fetched > plan::scan_budget(1_000) as u64,
-        "the workload must be one the index would have scanned"
-    );
 }
 
 // ─── every exit of the one execution path, forced in turn ───────────────────

@@ -101,11 +101,11 @@ pub struct QueryProfile {
     /// Lanes of surfaced blocks dropped by the per-lane pair-subscore
     /// filter before gathering.
     pub lanes_masked: u64,
-    /// Rows surfaced by the 1-D sorted-column streams: unpaired dimensions,
-    /// and every dimension of the TA baseline.
+    /// Rows the adapted-TA baseline (`sdq-baselines`' `TaIndex`) pulled off
+    /// its per-dimension sorted lists. No index or engine query sets it.
     pub onedim_rows_pulled: u64,
-    /// Candidate rows handed to the scoring stage: every stream's (block
-    /// lanes + 1-D rows), duplicates included, plus
+    /// Candidate rows handed to the scoring stage: every stream's block
+    /// lanes (a TA baseline's list rows), duplicates included, plus
     /// [`scan_rows`](QueryProfile::scan_rows) and every delta row (the live
     /// ones are [`delta_rows_scanned`](QueryProfile::delta_rows_scanned),
     /// the dead ones count in `tombstones_skipped`); on the direct walk,

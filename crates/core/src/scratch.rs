@@ -6,10 +6,11 @@
 //! first query through it, every buffer has grown to its high-water mark and
 //! subsequent queries of similar shape allocate nothing. One scratch serves
 //! every query path in the crate — the §5 aggregation of an
-//! [`SdIndex`](crate::multidim::SdIndex), the direct 2-D walk of a
-//! single-pair query and the baselines' `query_with` — because they all
-//! decompose into the same primitives: frontier heaps, a candidate pool, a
-//! seen-set and an answer buffer.
+//! [`SdIndex`](crate::multidim::SdIndex) and the direct 2-D walk of a
+//! single-pair query — because they decompose into the same primitives:
+//! frontier heaps, a candidate pool, a seen-set and an answer buffer. A
+//! baseline's `query_with` uses only its answer buffer, profile and
+//! deadline.
 //!
 //! Scratches are plain owned values: keep one per worker thread and reuse
 //! it across queries. The indexes themselves stay immutable during
@@ -40,7 +41,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::deadline::Deadline;
-use crate::multidim::Subproblem;
+use crate::multidim::Pair2DStream;
 use crate::profile::QueryProfile;
 use crate::topk::arbitrary::PartWalk;
 use crate::topk::stream::HeapEntry;
@@ -108,8 +109,7 @@ impl StampSet {
 pub struct QueryScratch {
     /// Recycled frontier heaps, one per block frontier of a query.
     pub(crate) heaps: Vec<BinaryHeap<HeapEntry>>,
-    /// Candidate pool of the outer threshold loop (TA aggregation and the
-    /// bracketed single-pair path).
+    /// Candidate pool of the outer threshold loop (the §5 aggregation).
     pub(crate) pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
     /// Rows already scored by the outer loop (stamped, not hashed: the
     /// dedup check runs once per fetched row).
@@ -119,7 +119,7 @@ pub struct QueryScratch {
     /// The rows one aggregation round fetched, staged for batched scoring.
     pub(crate) rows: Vec<u32>,
     /// The heap the [`QueryFloor`](crate::QueryFloor) of a query served
-    /// from this scratch alone (`query_with`, the TA entry) borrows: the
+    /// from this scratch alone (`SdIndex::query_with`) borrows: the
     /// best `min(k, n)` exact scores seen so far.
     pub(crate) floor: BinaryHeap<Reverse<OrdF64>>,
     /// Gather buffer of the batched aggregation: fetched rows transposed
@@ -142,9 +142,9 @@ pub struct QueryScratch {
     /// deadline captures its expiry at construction, so set a fresh one
     /// per query.
     pub deadline: Deadline,
-    /// Recycled subproblem list of the §5 aggregation. Empty between
+    /// Recycled pair-stream list of the §5 aggregation. Empty between
     /// queries; only the allocation is retained.
-    subproblems: Vec<Subproblem<'static>>,
+    streams: Vec<Pair2DStream<'static>>,
     /// Recycled per-part frontier list of the direct single-pair walk. Empty
     /// between queries; only the allocation is retained.
     walks: Vec<PartWalk<'static>>,
@@ -168,6 +168,13 @@ impl QueryScratch {
         &self.answers
     }
 
+    /// The answer buffer itself, for a query path outside this crate (a
+    /// baseline's `query_with`) to leave its answer where
+    /// [`QueryScratch::answers`] reads it.
+    pub fn answers_mut(&mut self) -> &mut Vec<ScoredPoint> {
+        &mut self.answers
+    }
+
     /// How the last direct single-pair walk
     /// ([`SinglePair::walk`](crate::multidim::SinglePair::walk)) served from
     /// this scratch splits its `profile.floor_updates` over its parts — one
@@ -187,22 +194,18 @@ impl QueryScratch {
         self.heaps.push(heap);
     }
 
-    /// Hands out the recycled (empty) subproblem buffer for assembling a
-    /// query's stream list. Give it back through
-    /// [`threshold_aggregate_with`](crate::multidim::threshold_aggregate_with),
-    /// which drains it and returns the allocation here.
-    ///
-    /// The move out is safe at any caller lifetime because `Subproblem` is
-    /// covariant and the vector is empty.
-    pub fn stream_buf<'a>(&mut self) -> Vec<Subproblem<'a>> {
-        debug_assert!(self.subproblems.is_empty());
-        std::mem::take(&mut self.subproblems)
+    /// Hands out the recycled (empty) pair-stream buffer for assembling a
+    /// query's stream list; give it back through
+    /// [`QueryScratch::put_streams`].
+    pub(crate) fn stream_buf<'a>(&mut self) -> Vec<Pair2DStream<'a>> {
+        debug_assert!(self.streams.is_empty());
+        std::mem::take(&mut self.streams)
     }
 
-    /// Adopts a drained subproblem buffer back into the scratch, keeping
+    /// Adopts a drained pair-stream buffer back into the scratch, keeping
     /// its allocation for the next query.
-    pub(crate) fn put_streams(&mut self, v: Vec<Subproblem<'_>>) {
-        self.subproblems = recycle_vec(v);
+    pub(crate) fn put_streams(&mut self, v: Vec<Pair2DStream<'_>>) {
+        self.streams = recycle_vec(v);
     }
 
     /// Hands out the recycled (empty) part list of the direct walk; give it
@@ -220,7 +223,7 @@ impl QueryScratch {
 
 /// Empties `v` and hands its allocation on as an empty `Vec<U>` — how a
 /// scratch keeps a buffer whose element type borrows from one query
-/// (`Vec<Subproblem<'a>>`, the engine's `Vec<ShardExecution<'a>>`) for the
+/// (`Vec<Pair2DStream<'a>>`, the engine's `Vec<ShardExecution<'a>>`) for the
 /// next query's lifetime without allocating again. `T` and `U` must agree in
 /// size and alignment (checked at compile time); in practice they are one
 /// type at two lifetimes.

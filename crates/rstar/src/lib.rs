@@ -646,7 +646,10 @@ impl RStarTree {
     ///
     /// `node_bound` must upper-bound `point_score` over every point inside
     /// the rect. Returns up to `k` highest-scoring points in descending
-    /// order; exact as long as the bound is admissible.
+    /// order, ties by id ascending; exact as long as the bound is
+    /// admissible. A node pops before a point of equal key, so a point is
+    /// emitted only once no unexpanded node can still hold a tied point
+    /// with a smaller id.
     pub fn search_best_first(
         &self,
         k: usize,
@@ -655,14 +658,16 @@ impl RStarTree {
     ) -> Vec<(u32, f64)> {
         let mut out = Vec::with_capacity(k.min(self.n_alive));
         let Some(root) = self.root else { return out };
-        let mut heap: BinaryHeap<(Key, Reverse<u32>, bool)> = BinaryHeap::new();
+        // `(key, is_node, id)`: node ids and row ids share one namespace,
+        // so the id only orders points among themselves.
+        let mut heap: BinaryHeap<(Key, bool, Reverse<u32>)> = BinaryHeap::new();
         heap.push((
             Key(node_bound(&self.nodes[root as usize].rect)),
+            true,
             Reverse(root),
-            false,
         ));
-        while let Some((Key(score), Reverse(id), is_point)) = heap.pop() {
-            if is_point {
+        while let Some((Key(score), is_node, Reverse(id))) = heap.pop() {
+            if !is_node {
                 out.push((id, score));
                 if out.len() == k {
                     break;
@@ -672,13 +677,13 @@ impl RStarTree {
             for &e in &self.nodes[id as usize].entries {
                 match e {
                     Entry::Point(p) => {
-                        heap.push((Key(point_score(self.coords_of(p))), Reverse(p), true));
+                        heap.push((Key(point_score(self.coords_of(p))), false, Reverse(p)));
                     }
                     Entry::Child(c) => {
                         heap.push((
                             Key(node_bound(&self.nodes[c as usize].rect)),
+                            true,
                             Reverse(c),
-                            false,
                         ));
                     }
                 }

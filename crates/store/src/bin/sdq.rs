@@ -721,10 +721,7 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
         "  blocks     popped {} · floor_pruned {} · lanes_masked {}",
         p.blocks_popped, p.blocks_floor_pruned, p.lanes_masked
     );
-    println!(
-        "  streams    onedim_rows {} · rounds {}",
-        p.onedim_rows_pulled, p.rounds
-    );
+    println!("  streams    rounds {}", p.rounds);
     println!(
         "  scoring    rows_fetched {} · gathered {} · scored {} · kernel_batches {}",
         p.rows_fetched, p.points_gathered, p.points_scored, p.kernel_batches

@@ -93,8 +93,8 @@ fn k_equals_n_and_beyond() {
 
 /// A `k` no dataset can fill — one that overflows `k + 1`, one whose heap
 /// would not fit in memory — is answered with every row, in the canonical
-/// order, by the oracle, TA, a bare index and a sharded engine alike; on
-/// one pair (the direct walk) and on two (the aggregation).
+/// order, by the oracle, TA, BRS, PE, a bare index and a sharded engine
+/// alike; on one pair (the direct walk) and on two (the aggregation).
 #[test]
 fn absurd_k_answers_every_row_in_canonical_order() {
     for (dims, attractive) in [(2usize, 1usize), (4, 2)] {
@@ -102,6 +102,8 @@ fn absurd_k_answers_every_row_in_canonical_order() {
         let roles = roles_for(dims, attractive);
         let seqscan = SeqScan::new(data.clone(), &roles).unwrap();
         let ta = TaIndex::build(data.clone(), &roles).unwrap();
+        let brs = BrsIndex::build(&data, &roles).unwrap();
+        let pe = PeIndex::build(data.clone(), &roles).unwrap();
         let sd = SdIndex::build(data.clone(), &roles).unwrap();
         let engine = SdEngine::build_with(
             data.clone(),
@@ -119,9 +121,11 @@ fn absurd_k_answers_every_row_in_canonical_order() {
                 .collect();
             want.sort_by(sdq::core::score::rank_cmp);
             for k in [usize::MAX, 1 << 40] {
-                let answers: [(&str, Vec<ScoredPoint>); 4] = [
+                let answers: [(&str, Vec<ScoredPoint>); 6] = [
                     ("SeqScan::query", seqscan.query(q, k).unwrap()),
                     ("TaIndex::query", ta.query(q, k).unwrap()),
+                    ("BrsIndex::query", brs.query(q, k).unwrap()),
+                    ("PeIndex::query", pe.query(q, k).unwrap()),
                     (
                         "SdIndex::query_with",
                         sd.query_with(q, k, &mut sdq::core::QueryScratch::new())
@@ -135,6 +139,75 @@ fn absurd_k_answers_every_row_in_canonical_order() {
                     assert_eq!(ids(&got), ids(&want), "{method} dims={dims} k={k}");
                     assert_equiv(method, &got, &want, &format!("dims={dims} k={k}"));
                 }
+            }
+        }
+    }
+}
+
+/// Ties everywhere: coordinates from {0, −0, 1, 2} and weights from
+/// {0, ½, 1, 2}, so most rows share their score with others and a row id
+/// decides the k-th place. Every method must break those ties as the
+/// oracle does — score descending, id ascending — bit for bit, including
+/// the ones that emit a row as soon as nothing unexplored can beat it (a
+/// BRS node or a PE cell whose bound only equals the row's score can still
+/// hold a tied row with a smaller id).
+#[test]
+fn tie_heavy_inputs_answer_like_the_oracle_bit_for_bit() {
+    const COORDS: [f64; 4] = [0.0, -0.0, 1.0, 2.0];
+    const WEIGHTS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
+    let bits = |a: &[ScoredPoint]| {
+        a.iter()
+            .map(|p| (p.id, p.score.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    for _ in 0..3000 {
+        let dims = rng.gen_range(1..=5);
+        let n = rng.gen_range(1..80);
+        let coords = (0..n * dims).map(|_| COORDS[rng.gen_range(0..4)]);
+        let data = Arc::new(Dataset::from_flat(dims, coords.collect()).unwrap());
+        let roles: Vec<DimRole> = (0..dims)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    DimRole::Attractive
+                } else {
+                    DimRole::Repulsive
+                }
+            })
+            .collect();
+        let oracle = SeqScan::new(data.clone(), &roles).unwrap();
+        let ta = TaIndex::build(data.clone(), &roles).unwrap();
+        let sd = SdIndex::build(data.clone(), &roles).unwrap();
+        let engine = SdEngine::build_with(
+            data.clone(),
+            &roles,
+            &EngineOptions {
+                shards: 3,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        let brs = BrsIndex::build(&data, &roles).unwrap();
+        let pe = PeIndex::build(data.clone(), &roles).unwrap();
+        for _ in 0..5 {
+            let point = (0..dims).map(|_| COORDS[rng.gen_range(0..4)]).collect();
+            let weights = (0..dims).map(|_| WEIGHTS[rng.gen_range(0..4)]).collect();
+            let q = sdq::SdQuery::new(point, weights).unwrap();
+            let k = rng.gen_range(1..20);
+            let want = bits(&oracle.query(&q, k).unwrap());
+            let answers: [(&str, Vec<ScoredPoint>); 5] = [
+                ("TaIndex", ta.query(&q, k).unwrap()),
+                ("SdIndex", sd.query(&q, k).unwrap()),
+                ("SdEngine(3 shards)", engine.query(&q, k).unwrap()),
+                ("BrsIndex", brs.query(&q, k).unwrap()),
+                ("PeIndex", pe.query(&q, k).unwrap()),
+            ];
+            for (method, got) in answers {
+                assert_eq!(
+                    bits(&got),
+                    want,
+                    "{method}: n={n} roles={roles:?} k={k} {q:?}"
+                );
             }
         }
     }
