@@ -1,8 +1,8 @@
 //! Cooperative query deadlines and cancellation.
 //!
-//! The §5 aggregation loop is an anytime algorithm: after every round the
-//! scratch holds the best certified prefix of the answer. That makes
-//! bounded-time serving cheap — the engine only needs a *check point* at
+//! The §5 aggregation loop is a sequence of short rounds, each leaving the
+//! query's floor consistent, so bounded-time serving is cheap — the engine
+//! only needs a *check point* at
 //! block-pop granularity, not preemption. [`Deadline`] is that check
 //! point: a cloneable token holding an optional expiry instant and an
 //! optional shared cancel flag, consulted once per aggregation round and

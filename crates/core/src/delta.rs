@@ -8,21 +8,15 @@
 //! order, so no bound over a run of them is tighter than the whole space.
 //! The scan is the one exact row pass of the workspace,
 //! [`kernels::score_rows`] over [`LANES`] consecutive rows of the row-major
-//! delta table at a time, and produces two things:
-//!
-//! 1. the delta's **canonical top-k** (score descending, ties by global row
-//!    id ascending) of the rows that reach the query's floor — one more
-//!    list for the engine's exact k-way merge, and
-//! 2. every live delta score that reaches that floor, fed into it: the
-//!    query's one [`QueryFloor`], which the shard executions then score
-//!    into and prune against, so a strong delta candidate terminates them
-//!    early exactly like a strong candidate found by a sibling shard would.
+//! delta table at a time, and offers every live delta score that reaches
+//! the query's floor to it, under the row's global id: the query's one
+//! [`QueryFloor`], whose drain is the answer, and which the shard
+//! executions then score into and prune against, so a strong delta
+//! candidate terminates them early exactly like a strong candidate found by
+//! a sibling shard would.
 //!
 //! Tombstoned delta rows are dropped with one mask word per chunk (see
-//! [`crate::mask`]), so they reach neither the merge nor the floor.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! [`crate::mask`]), so they never reach the floor.
 
 use crate::deadline::Deadline;
 use crate::kernels::{self, LANES};
@@ -30,49 +24,43 @@ use crate::mask::MaskView;
 use crate::profile::QueryProfile;
 use crate::score::{DimRole, SdQuery};
 use crate::threshold::QueryFloor;
-use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
+use crate::types::{Dataset, SdError};
 
-/// Scans the delta region exactly: appends the canonical top-`k` of the
-/// live delta rows that reach the query's `floor` to `out` (with **global**
-/// ids `id_offset + local row`) and feeds every one of their scores into
-/// `floor`.
+/// Scans the delta region exactly: offers every live delta row that
+/// reaches the query's `floor` to it, under its **global** id `id_offset +
+/// local row`.
 ///
 /// Each chunk of [`LANES`] rows reads its tombstones as one
 /// [`MaskView::dead_word32`]; unless every row in it is dead, it is scored
 /// and compared to the floor's bar in one [`kernels::score_rows`] pass, and
-/// its live rows at or above the bar are kept — a row strictly below it is
-/// below `k` real scores of the query, so it can be in no answer. (While
+/// its live rows at or above the bar are offered — a row strictly below it
+/// is below `k` real scores of the query, so it can be in no answer. (While
 /// the floor holds only delta scores, its bar is the k-th best delta score
 /// so far.) A chunk whose live rows all fall below it counts as
 /// `delta_blocks_pruned`. `mask`, when present, must view the engine mask
 /// at `id_offset` so delta-local rows resolve correctly.
 ///
-/// `pool` (the bounded heap) and `sw` (the role-signed weights) are the
-/// caller's recycled buffers, cleared here; a warmed scratch makes the scan
-/// allocation-free. The counters accumulate into `prof` (not reset here:
-/// the engine owns the per-query reset) the way the scan exit counts its
-/// rows: every delta row is fetched, the tombstoned ones are skipped and
-/// the live ones are gathered and counted as `delta_rows_scanned`. `deadline`
-/// is checked once per chunk and aborts the scan with the typed
-/// deadline/cancel error without touching `out`.
+/// `sw` (the role-signed weights) is the caller's recycled buffer, cleared
+/// here; a warmed scratch makes the scan allocation-free. The counters
+/// accumulate into `prof` (not reset here: the engine owns the per-query
+/// reset) the way the scan exit counts its rows: every delta row is
+/// fetched, the tombstoned ones are skipped and the live ones are gathered
+/// and counted as `delta_rows_scanned`. `deadline` is checked once per
+/// chunk and aborts the scan with the typed deadline/cancel error.
 #[allow(clippy::too_many_arguments)] // scratch-owned buffers, one call site
 pub fn scan_delta_into(
     data: &Dataset,
     roles: &[DimRole],
     query: &SdQuery,
-    k: usize,
     id_offset: u32,
     mask: Option<MaskView<'_>>,
-    pool: &mut BinaryHeap<(Reverse<OrdF64>, u32)>,
     floor: &mut QueryFloor<'_>,
-    out: &mut Vec<ScoredPoint>,
     sw: &mut Vec<f64>,
     prof: &mut QueryProfile,
     deadline: &Deadline,
 ) -> Result<(), SdError> {
     debug_assert_eq!(data.dims(), query.dims());
     debug_assert_eq!(data.dims(), roles.len());
-    pool.clear();
     sw.clear();
     sw.extend(roles.iter().zip(&query.weights).map(|(r, &w)| r.sign() * w));
     let (dims, n, flat) = (data.dims(), data.len(), data.flat());
@@ -99,35 +87,26 @@ pub fn scan_delta_into(
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
-            let score = scores[l];
             prof.points_scored += 1;
-            prof.floor_updates += u64::from(floor.offer(score));
-            // Bounded min-heap of the best k: the root is the worst kept
-            // entry (lowest score, largest id among ties) under `rank_cmp`.
-            pool.push((Reverse(OrdF64::new(score)), (start + l) as u32));
-            if pool.len() > k {
-                pool.pop();
-            }
+            let id = id_offset + (start + l) as u32;
+            prof.floor_updates += u64::from(floor.offer(scores[l], id));
         }
     }
     prof.isa = kernels::active().name();
-    let start = out.len();
-    while let Some((Reverse(OrdF64(score)), row)) = pool.pop() {
-        out.push(ScoredPoint::new(PointId::new(id_offset + row), score));
-    }
-    // Pops arrive worst-first; flip to canonical order.
-    out[start..].reverse();
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BinaryHeap;
+
     use super::*;
     use crate::mask::RowMask;
     use crate::score::{rank_cmp, sd_score};
+    use crate::types::{PointId, ScoredPoint};
 
-    /// The scan's reference: row by row, scalar [`sd_score`], every live
-    /// score fed into the floor.
+    /// The scan's reference: row by row, scalar [`sd_score`], the best `k`
+    /// live rows under their global ids in canonical order.
     fn reference(
         data: &Dataset,
         roles: &[DimRole],
@@ -135,37 +114,22 @@ mod tests {
         k: usize,
         offset: u32,
         mask: Option<MaskView<'_>>,
-    ) -> (Vec<ScoredPoint>, Vec<f64>) {
-        let mut pool = BinaryHeap::new();
-        let mut heap = BinaryHeap::new();
-        let mut floor = QueryFloor::new(&mut heap, k);
-        for (id, coords) in data.iter() {
-            if mask.is_some_and(|m| m.is_dead(id.raw())) {
-                continue;
-            }
-            let score = sd_score(coords, &query.point, roles, &query.weights);
-            floor.offer(score);
-            pool.push((Reverse(OrdF64::new(score)), id.raw()));
-            if pool.len() > k {
-                pool.pop();
-            }
-        }
-        let mut out: Vec<ScoredPoint> = pool
-            .into_iter()
-            .map(|(Reverse(OrdF64(s)), row)| ScoredPoint::new(PointId::new(offset + row), s))
+    ) -> Vec<ScoredPoint> {
+        let mut out: Vec<ScoredPoint> = data
+            .iter()
+            .filter(|(id, _)| !mask.is_some_and(|m| m.is_dead(id.raw())))
+            .map(|(id, coords)| {
+                let score = sd_score(coords, &query.point, roles, &query.weights);
+                ScoredPoint::new(PointId::new(offset + id.raw()), score)
+            })
             .collect();
         out.sort_by(rank_cmp);
-        (out, sorted_floor(heap))
-    }
-
-    fn sorted_floor(floor: BinaryHeap<Reverse<OrdF64>>) -> Vec<f64> {
-        let mut floors: Vec<f64> = floor.into_iter().map(|Reverse(OrdF64(s))| s).collect();
-        floors.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        floors
+        out.truncate(k);
+        out
     }
 
     /// [`scan_delta_into`] on fresh buffers under a fresh floor of `k`
-    /// scores: its answer, its floor (sorted ascending) and its profile.
+    /// scores: the floor's drain and the scan's profile.
     fn scan(
         data: &Dataset,
         roles: &[DimRole],
@@ -173,27 +137,25 @@ mod tests {
         k: usize,
         offset: u32,
         mask: Option<MaskView<'_>>,
-    ) -> (Vec<ScoredPoint>, Vec<f64>, QueryProfile) {
-        let mut pool = BinaryHeap::new();
+    ) -> (Vec<ScoredPoint>, QueryProfile) {
         let mut heap = BinaryHeap::new();
-        let mut out = Vec::new();
+        let mut floor = QueryFloor::new(&mut heap, k);
         let mut prof = QueryProfile::new();
         scan_delta_into(
             data,
             roles,
             query,
-            k,
             offset,
             mask,
-            &mut pool,
-            &mut QueryFloor::new(&mut heap, k),
-            &mut out,
+            &mut floor,
             &mut Vec::new(),
             &mut prof,
             &Deadline::none(),
         )
         .unwrap();
-        (out, sorted_floor(heap), prof)
+        let mut out = Vec::new();
+        floor.drain_into(&mut out);
+        (out, prof)
     }
 
     #[test]
@@ -204,7 +166,7 @@ mod tests {
         let data = Dataset::from_rows(2, &rows).unwrap();
         let roles = [DimRole::Attractive, DimRole::Repulsive];
         let q = SdQuery::new(vec![1.0, 0.5], vec![1.0, 2.0]).unwrap();
-        let (got, floors, _) = scan(&data, &roles, &q, 7, 100, None);
+        let (got, _) = scan(&data, &roles, &q, 7, 100, None);
 
         let mut oracle: Vec<ScoredPoint> = data
             .iter()
@@ -218,9 +180,6 @@ mod tests {
         oracle.sort_by(rank_cmp);
         oracle.truncate(7);
         assert_eq!(got, oracle);
-        // The floor holds exactly the 7 best scores.
-        assert_eq!(floors.len(), 7);
-        assert_eq!(floors[0], oracle[6].score);
     }
 
     #[test]
@@ -231,12 +190,9 @@ mod tests {
         let mut mask = RowMask::new(13);
         mask.set(10); // delta row 0 at offset 10
         let view = MaskView::new(&mask, 10);
-        let (got, floors, prof) = scan(&data, &roles, &q, 2, 10, Some(view));
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].id.raw(), 11);
-        assert_eq!(got[0].score, 9.0);
-        assert_eq!(got[1].id.raw(), 12);
-        assert_eq!(floors, vec![8.0, 9.0]);
+        let (got, prof) = scan(&data, &roles, &q, 2, 10, Some(view));
+        let got: Vec<(u32, f64)> = got.iter().map(|sp| (sp.id.raw(), sp.score)).collect();
+        assert_eq!(got, [(11, 9.0), (12, 8.0)]);
         assert_eq!((prof.delta_rows_scanned, prof.tombstones_skipped), (2, 1));
     }
 
@@ -246,8 +202,7 @@ mod tests {
         // one row, a chunk less one, one chunk, one chunk and a row, and
         // several chunks), with and without tombstones at lanes 0 and 31:
         // the chunk scan must reproduce the row-wise reference bit for bit
-        // (ids and score bits), and its floor must agree with the
-        // reference's k-th score.
+        // (ids and score bits).
         let roles = [DimRole::Attractive, DimRole::Repulsive, DimRole::Repulsive];
         let q = SdQuery::new(vec![1.5, 0.0, 2.0], vec![0.7, 1.0, 1.3]).unwrap();
         for n in [0usize, 1, 31, 32, 33, 150] {
@@ -265,8 +220,8 @@ mod tests {
             for k in [1, 5, 40, 200] {
                 for view in [None, Some(MaskView::new(&mask, 200))] {
                     let what = format!("n = {n}, k = {k}, masked = {}", view.is_some());
-                    let (want, want_floor) = reference(&data, &roles, &q, k, 200, view);
-                    let (got, floor, prof) = scan(&data, &roles, &q, k, 200, view);
+                    let want = reference(&data, &roles, &q, k, 200, view);
+                    let (got, prof) = scan(&data, &roles, &q, k, 200, view);
                     assert_eq!(got.len(), want.len(), "{what}");
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.id, w.id, "{what}");
@@ -276,12 +231,7 @@ mod tests {
                     assert_eq!(prof.tombstones_skipped, skipped, "{what}");
                     assert_eq!(prof.delta_rows_scanned, n as u64 - skipped, "{what}");
                     assert!(prof.points_scored <= prof.delta_rows_scanned, "{what}");
-                    assert!(prof.floor_updates >= floor.len() as u64, "{what}");
-                    // The floor's root (the k-th best) agrees when full.
-                    assert_eq!(floor.len(), want_floor.len(), "{what}");
-                    if let (Some(f), Some(w)) = (floor.first(), want_floor.first()) {
-                        assert_eq!(f.to_bits(), w.to_bits(), "{what}");
-                    }
+                    assert!(prof.floor_updates >= got.len() as u64, "{what}");
                 }
             }
         }
@@ -292,9 +242,8 @@ mod tests {
         let data = Dataset::from_rows(1, &[vec![1.0], vec![2.0]]).unwrap();
         let roles = [DimRole::Repulsive];
         let q = SdQuery::new(vec![0.0], vec![1.0]).unwrap();
-        let (got, floors, _) = scan(&data, &roles, &q, 5, 0, None);
-        assert_eq!(got.len(), 2);
+        let (got, _) = scan(&data, &roles, &q, 5, 0, None);
+        assert_eq!(got.len(), 2, "the floor cannot fill past the live rows");
         assert_eq!(got[0].score, 2.0);
-        assert_eq!(floors.len(), 2, "floor cannot fill past the live rows");
     }
 }

@@ -22,7 +22,7 @@
 //!   pair walks its own §4 frontier, indexed or Claim-6 bracketed) and a
 //!   resumable [`ShardExecution`](multidim::ShardExecution) for the sharded
 //!   engine,
-//! * [`threshold`] — the one k-th-score floor of a query
+//! * [`threshold`] — the one answer heap and k-th-score floor of a query
 //!   ([`QueryFloor`]),
 //! * [`mask`] — tombstone bitmaps ([`RowMask`]) whose dead rows are dropped
 //!   at scoring time by every masked query path,
@@ -91,7 +91,7 @@ pub use profile::QueryProfile;
 pub use score::{sd_score, DimRole, SdQuery};
 pub use scratch::{recycle_vec, QueryScratch};
 pub use telemetry::{EventJournal, EventKind, EventRecord, HistoSnapshot, LatencyHisto, Telemetry};
-pub use threshold::{QueryFloor, Verdict};
+pub use threshold::{FloorEntry, QueryFloor, Verdict};
 pub use types::{check_coordinate, Dataset, OrdF64, PointId, ScoredPoint, SdError, MAX_MAGNITUDE};
 pub use view::ColumnarView;
 

@@ -3,11 +3,10 @@
 //! A [`RowMask`] is a plain bitmap over a row-id domain — bit set means the
 //! row is *dead* (tombstoned). Deletion in the engine never touches the
 //! immutable index structures: the row stays in every tree and sorted
-//! column, and queries drop it **before** it can enter the candidate pool
-//! or the k-th-score floor. That placement matters for exactness: a dead
-//! row's score in the floor could prune *live* rows incorrectly, so the
-//! mask is consulted at scoring time, which in turn masks every downstream
-//! emission. Bounds (`τ`) keep covering dead rows — an upper bound over a
+//! column, and queries drop it **before** it can enter the query's floor,
+//! the answer heap. That placement matters for exactness: a dead row's
+//! score in the floor could prune *live* rows incorrectly, or answer, so
+//! the mask is consulted at scoring time. Bounds (`τ`) keep covering dead rows — an upper bound over a
 //! superset is still admissible for the live subset, it only prunes
 //! slightly less until the next compaction drops the tombstones for real.
 //!

@@ -32,9 +32,11 @@
 //! of a [`QueryScratch`] ([`SdIndex::begin_query`]), is advanced by
 //! [`ShardExecution::step`] — in slices by the sharded engine, in one
 //! unbounded step by [`SdIndex::query_with`] — and hands the buffers back in
-//! [`ShardExecution::finish_into`] / [`ShardExecution::abandon_into`]. Every
-//! step and every walk scores into the query's one [`QueryFloor`], passed
-//! `&mut`: the engine's, or a fresh one of the entry's own. The allocating
+//! [`ShardExecution::finish_into`]. Every step and every walk offers each
+//! score it keeps, under the row's global id, to the query's one
+//! [`QueryFloor`], passed `&mut`: the engine's, or a fresh one of the
+//! entry's own. That floor is the query's answer heap: one drain of it,
+//! once every scorer is done, is the answer. The allocating
 //! [`SdIndex::query`] is a thin wrapper over `query_with`.
 //!
 //! Every pair is served by its own §4 frontier, by the rule in [`plan`]:
@@ -51,21 +53,21 @@
 //! ([`QueryFloor::verdict`]; a query with no pair to stream always
 //! does) — stops consulting its streams and finishes
 //! with one sequential kernel scan of the rows it has not seen.
-//! Every strategy is exact and the
-//! emission order is **canonical** (score descending, ties by row ascending), so planning can
-//! never change an answer, only its cost; this is also what makes sharded
-//! execution (the `sdq-engine` crate) bit-identical to the monolithic path.
+//! Every strategy is exact: a row is left unscored only when it is strictly
+//! below `k` scores the floor holds, so the floor ends holding the
+//! **canonical** top k (score descending, ties by row ascending), and
+//! planning can never change an answer, only its cost; this is also what
+//! makes sharded execution (the `sdq-engine` crate) bit-identical to the
+//! monolithic path.
 //!
-//! The aggregation additionally terminates as soon as the query's
-//! [`QueryFloor`] — the k-th best exact score found by any of its scorers so
-//! far — certifiably beats the admissible bound on everything unfetched;
-//! see [`ShardExecution::step`].
+//! An aggregation terminates as soon as the query's [`QueryFloor`] — the
+//! k-th best exact score found by any of its scorers so far — certifiably
+//! beats the admissible bound on everything unfetched, or a stream has
+//! drained; see [`ShardExecution::step`].
 
 pub mod pairing;
 pub mod plan;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 pub use pairing::{pair_dimensions, DimPair, PairingStrategy};
@@ -77,14 +79,13 @@ use crate::integrity::SectionIntegrity;
 use crate::kernels::{self, inflate, LANES};
 use crate::mask::MaskView;
 use crate::profile::QueryProfile;
-use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
 use crate::threshold::{QueryFloor, Verdict};
 use crate::topk::arbitrary::{self, BlockPart};
 use crate::topk::blocks::{BlockFrontier, BlockSet};
 use crate::topk::stream::FrontierEval;
 use crate::topk::{check_axes, default_angles, normalize_angles};
-use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
+use crate::types::{Dataset, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
 
 /// Tuning knobs for [`SdIndex::build_with`].
@@ -291,10 +292,9 @@ impl SdIndex {
     /// the whole query is the direct 2-D walk — exactly when
     /// [`SdIndex::single_pair`] is `Some`, which is when
     /// [`SdIndex::query_with`] and the engine, at any shard count, walk.
-    /// Observability only ([`sdq inspect`] plumbs it out) — the hot path
-    /// applies the same rule ([`plan::plan_pair`]) inline without allocating.
-    ///
-    /// [`sdq inspect`]: https://docs.rs/sdq-store
+    /// Observability only (`sdq inspect` and `sdq query --explain`, in
+    /// `crates/store/src/bin/sdq.rs`, plumb it out) — the hot path applies
+    /// the same rule ([`plan::plan_pair`]) inline without allocating.
     pub fn plan(&self, query: &SdQuery) -> Result<QueryPlan, SdError> {
         if query.dims() != self.data.dims() {
             return Err(SdError::DimensionMismatch {
@@ -376,40 +376,52 @@ impl SdIndex {
     /// the direct walk over the pair's §4 index ([`SinglePair::walk`] with
     /// this index as its one shard). Everything else is
     /// [`SdIndex::begin_query`] stepped once without a round limit. Either
-    /// scores into a fresh [`QueryFloor`] of its own.
+    /// scores into a fresh [`QueryFloor`] of the scratch's, drained into
+    /// the answer.
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
         k: usize,
         scratch: &'s mut QueryScratch,
     ) -> Result<&'s [ScoredPoint], SdError> {
-        self.check_query(query, k)?;
-        under_fresh_floor(scratch, k.min(self.data.len()), |floor, scratch| {
-            if let Some(pair) = self.single_pair(query) {
-                let part = ShardPart {
-                    index: self,
-                    offset: 0,
-                    mask: None,
-                };
-                return pair.walk([part], k, scratch, floor).map(drop);
-            }
-            self.begin(query, k, scratch, None)?
-                .run_into(floor, scratch)
-        })
+        if k == 0 {
+            return Err(SdError::ZeroK);
+        }
+        self.check_query(query)?;
+        let mut heap = std::mem::take(&mut scratch.floor);
+        let mut floor = QueryFloor::new(&mut heap, k.min(self.data.len()));
+        let part = ShardPart {
+            index: self,
+            offset: 0,
+            mask: None,
+        };
+        let ran = match self.single_pair(query) {
+            Some(pair) => pair.walk([part], scratch, &mut floor),
+            None => ShardExecution::begin(part, query, scratch)
+                .and_then(|exec| exec.run_into(&mut floor, scratch)),
+        };
+        if ran.is_ok() {
+            scratch.profile.floor_value = floor.value();
+            floor.drain_into(&mut scratch.answers);
+            scratch.profile.emitted = scratch.answers.len() as u64;
+        }
+        scratch.floor = heap;
+        ran.map(|()| &scratch.answers[..])
     }
 
-    /// Starts a suspended, resumable execution of this index's aggregation
-    /// — the unit the sharded engine schedules. The returned
+    /// Starts a suspended, resumable execution of the aggregation of
+    /// `part`'s index — the unit the sharded engine schedules. The returned
     /// [`ShardExecution`] owns all its mutable state (taken from `scratch`;
-    /// recovered by [`ShardExecution::finish_into`]), so one execution per
-    /// shard can be in flight simultaneously.
+    /// handed back by [`ShardExecution::finish_into`]), so one execution per
+    /// shard can be in flight simultaneously. It offers every score it
+    /// keeps under the row's global id, `part.offset` + its row.
     ///
-    /// With a tombstone `mask`, masked rows are dropped *at scoring time* —
-    /// before they can enter the candidate pool or the k-th-score floor — so
-    /// the answer is the canonical top-k of the **live** rows only, exactly
-    /// as if the dead rows had never been indexed. Stream bounds keep
-    /// covering dead rows (admissible for the live subset; compaction
-    /// restores tightness).
+    /// With a tombstone mask (`part.mask`), masked rows are dropped *at
+    /// scoring time* — before they can enter the query's floor — so the
+    /// answer is the canonical top-k of the **live** rows only, exactly as
+    /// if the dead rows had never been indexed. Stream bounds keep covering
+    /// dead rows (admissible for the live subset; compaction restores
+    /// tightness).
     ///
     /// A suspended execution is always an aggregation: a single-pair query
     /// begun here does not walk (the walk runs to completion, with every
@@ -422,21 +434,17 @@ impl SdIndex {
     /// rows to completion instead of another round, so one step can cost a
     /// pass over the shard.
     pub fn begin_query<'i>(
-        &'i self,
+        part: ShardPart<'i>,
         query: &'i SdQuery,
-        k: usize,
         scratch: &mut QueryScratch,
-        mask: Option<MaskView<'i>>,
     ) -> Result<ShardExecution<'i>, SdError> {
-        self.check_query(query, k)?;
-        self.begin(query, k, scratch, mask)
+        part.index.check_query(query)?;
+        ShardExecution::begin(part, query, scratch)
     }
 
-    /// What every query entry validates before touching the index.
-    fn check_query(&self, query: &SdQuery, k: usize) -> Result<(), SdError> {
-        if k == 0 {
-            return Err(SdError::ZeroK);
-        }
+    /// What every query entry validates before touching the index, `k`
+    /// aside.
+    fn check_query(&self, query: &SdQuery) -> Result<(), SdError> {
         if query.dims() != self.data.dims() {
             return Err(SdError::DimensionMismatch {
                 expected: self.data.dims(),
@@ -444,25 +452,6 @@ impl SdIndex {
             });
         }
         self.verify_integrity()
-    }
-
-    /// [`SdIndex::begin_query`] past validation: this index's streams and
-    /// extent bound under this index's fetch budget.
-    fn begin<'i>(
-        &'i self,
-        query: &'i SdQuery,
-        k: usize,
-        scratch: &mut QueryScratch,
-        mask: Option<MaskView<'i>>,
-    ) -> Result<ShardExecution<'i>, SdError> {
-        let streams = if self.data.is_empty() {
-            scratch.stream_buf()
-        } else {
-            self.assemble_streams(query, scratch)?
-        };
-        Ok(ShardExecution::begin(
-            self, query, k, streams, mask, scratch,
-        ))
     }
 
     /// The build options of this index — what a compaction-time rebuild
@@ -545,13 +534,15 @@ pub struct SinglePair {
     qy: f64,
 }
 
-/// One shard of a [`SinglePair::walk`]: its index, the global id of its row
-/// 0, and its tombstones viewed at its local rows.
+/// One shard of a query — of a [`SinglePair::walk`] or of an execution
+/// ([`SdIndex::begin_query`]): its index, the global id of its row 0, and
+/// its tombstones viewed at its local rows.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPart<'a> {
     /// The shard's index.
     pub index: &'a SdIndex,
-    /// Global id of the shard's first row: the walk answers `offset + row`.
+    /// Global id of the shard's first row: a row's score enters the query's
+    /// floor under `offset + row`.
     pub offset: u32,
     /// The shard's dead rows, if any.
     pub mask: Option<MaskView<'a>>,
@@ -562,38 +553,35 @@ impl SinglePair {
     /// walk of the isoline index — over the pair's block sets of every
     /// shard at once: the frontier whose head bound is highest is popped
     /// first, which walks the shards as one index under a virtual root, and
-    /// tombstoned rows are dropped before they reach floor or pool. Returns
-    /// the canonical top-`min(k, live rows)` with global ids (score
-    /// descending, id ascending), borrowed from `scratch`, whose profile
-    /// holds the walk's counters; `rounds` stays 0.
+    /// tombstoned rows are dropped before they reach the floor. Every score
+    /// it keeps goes into the query's `floor` under its global id, so once
+    /// it returns the floor holds the walked rows' share of the canonical
+    /// top k; `scratch.profile` holds the walk's counters (`rounds` stays
+    /// 0).
     ///
     /// Every shard must share the roles of the index this pair came from
-    /// (an engine's do). The walk scores into the query's `floor` and prunes
-    /// against it, so it may return fewer than `k` rows when scores already
-    /// there (an engine's delta rows) prove the missing ones cannot be in
-    /// the global top-k. `scratch.deadline` is consulted before every pop;
-    /// the scratch keeps every buffer either way, so a warmed scratch walks
-    /// without allocating.
-    pub fn walk<'s, 'a, I>(
+    /// (an engine's do). The walk prunes against the floor, and ends once
+    /// the floor beats the bound on every row it has not surfaced, so
+    /// scores already there (an engine's delta rows) end it sooner.
+    /// `scratch.deadline` is consulted before every pop; the scratch keeps
+    /// every buffer either way, so a warmed scratch walks without
+    /// allocating.
+    pub fn walk<'a, I>(
         self,
         shards: I,
-        k: usize,
-        scratch: &'s mut QueryScratch,
+        scratch: &mut QueryScratch,
         floor: &mut QueryFloor<'_>,
-    ) -> Result<&'s [ScoredPoint], SdError>
+    ) -> Result<(), SdError>
     where
         I: IntoIterator<Item = ShardPart<'a>>,
         I::IntoIter: Clone,
     {
-        if k == 0 {
-            return Err(SdError::ZeroK);
-        }
         let shards = shards.into_iter();
         for part in shards.clone() {
             part.index.verify_integrity()?;
         }
         let t0 = scratch.profile.timing.then(std::time::Instant::now);
-        arbitrary::query_blocks_with(
+        let walked = arbitrary::query_blocks_with(
             shards.map(|part| BlockPart {
                 blocks: &part.index.pair_blocks[0],
                 offset: part.offset,
@@ -603,14 +591,13 @@ impl SinglePair {
             self.qy,
             self.alpha,
             self.beta,
-            k,
             scratch,
             floor,
-        )?;
+        );
         if let Some(t0) = t0 {
             scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
         }
-        Ok(&scratch.answers)
+        walked
     }
 }
 
@@ -635,7 +622,7 @@ fn pair_eval(
 /// scores every run of consecutive rows where it lies, floor compare
 /// included, and only then drops the rows the streams already surfaced and
 /// the tombstoned ones. Either way the scores that pass the floor compare
-/// are fed to the query's [`QueryFloor`] and the candidate pool
+/// are offered to the query's [`QueryFloor`] under their global ids
 /// ([`BatchScorer::admit`]).
 ///
 /// Lanes strictly below the floor's bar — the k-th best score this query
@@ -648,7 +635,8 @@ struct BatchScorer<'a, 'h> {
     roles: &'a [DimRole],
     query: &'a SdQuery,
     mask: Option<MaskView<'a>>,
-    pool: &'a mut BinaryHeap<(OrdF64, Reverse<u32>)>,
+    /// Global id of the shard's row 0.
+    offset: u32,
     floor: &'a mut QueryFloor<'h>,
     gather: &'a mut Vec<f64>,
     scores: &'a mut Vec<f64>,
@@ -663,8 +651,8 @@ impl BatchScorer<'_, '_> {
     /// when it fills.
     #[inline]
     fn offer(&mut self, row: u32) {
-        // Tombstoned rows are dropped here, before pool and floor: a dead
-        // row's score in the floor could prune live rows.
+        // Tombstoned rows are dropped here, before the floor: a dead row's
+        // score in it could prune live rows, or answer.
         if self.mask.is_some_and(|m| m.is_dead(row)) {
             self.prof.tombstones_skipped += 1;
             return;
@@ -708,12 +696,12 @@ impl BatchScorer<'_, '_> {
         }
     }
 
-    /// The one per-row step behind every kept score: floor, then pool.
+    /// The one per-row step behind every kept score: into the floor, under
+    /// the row's global id.
     #[inline]
     fn admit(&mut self, row: u32, score: f64) {
         self.prof.points_scored += 1;
-        self.prof.floor_updates += u64::from(self.floor.offer(score));
-        self.pool.push((OrdF64::new(score), Reverse(row)));
+        self.prof.floor_updates += u64::from(self.floor.offer(score, self.offset + row));
     }
 }
 
@@ -772,7 +760,7 @@ impl UnseenScan<'_> {
     /// seen, not tombstoned). The seen-set and the tombstones are read only
     /// for a chunk with a lane at the floor (on a lost 6-D query, ≈ 0.4 %
     /// of the rows reach it); a row already scored or dead costs a wasted
-    /// lane, never a visit to floor or pool.
+    /// lane, never a visit to the floor.
     #[inline(never)]
     fn chunk(&self, start: usize, floor: f64, scores: &mut [f64]) -> u32 {
         let dims = self.data.dims();
@@ -789,7 +777,7 @@ impl UnseenScan<'_> {
             return 0;
         }
         let live = reach & self.seen.unseen_word(start, count);
-        // Tombstoned rows stop here, before pool and floor.
+        // Tombstoned rows stop here, before the floor.
         self.mask
             .map_or(live, |m| live & !m.dead_word32(start as u32))
     }
@@ -800,8 +788,8 @@ impl UnseenScan<'_> {
 /// shard, in row order, [`LANES`] consecutive rows at a time
 /// ([`UnseenScan::chunk`]), and takes the survivors the streams had not
 /// surfaced yet through the same [`BatchScorer::admit`] the fetched batches
-/// end in. Afterwards every live row of the dataset has been scored, so the
-/// pool holds whatever of the top `k_eff` is not emitted yet.
+/// end in. Afterwards every live row of the shard has been offered to the
+/// floor or is strictly below it.
 ///
 /// Every chunk is scored, so `kernel_batches` grows by the shard's chunk
 /// count. The rest of the tallies are what a row-by-row pass over the
@@ -855,36 +843,19 @@ fn scan_unseen(
     Ok(())
 }
 
-/// Moves pooled candidates, best first, into `answers` until it holds
-/// `k_eff` rows or the pool runs dry — the exit taken whenever everything
-/// outside the pool is known to be irrelevant.
-fn emit_pooled(
-    pool: &mut BinaryHeap<(OrdF64, Reverse<u32>)>,
-    answers: &mut Vec<ScoredPoint>,
-    k_eff: usize,
-) {
-    while answers.len() < k_eff {
-        match pool.pop() {
-            Some((OrdF64(s), Reverse(row))) => answers.push(ScoredPoint::new(PointId::new(row), s)),
-            None => break,
-        }
-    }
-}
-
 /// The §5 aggregation loop. Runs up to `rounds` iterations over the state of
 /// one [`ShardExecution`] — its only caller is [`ShardExecution::step`];
-/// returns `true` once the query is complete (the answer buffer holds the
-/// canonical top `k_eff`, unsorted).
+/// returns `true` once the execution is complete: every live row of its
+/// shard that can be in the query's top k is in the query's floor.
 ///
-/// Exact and **canonical**: a candidate is emitted only when its exact full
-/// score is strictly above the (FP-inflated) threshold `τ` (the execution's
-/// extent bound plus every stream's bound), so score ties always resolve
-/// through the pool's `(score, Reverse(row))` order — smallest row first —
-/// independent of stream fetch order. One further stop rule terminates
-/// early without breaking canonicity (see [`query_blocks_with`] for the
-/// argument): the query's [`QueryFloor`], the k-th best exact score its
-/// scorers — this execution, its siblings, the engine's delta scan — have
-/// found so far.
+/// Exact and **canonical**: the execution ends at a round head where a
+/// stream has drained (every row has been fetched) or where the query's
+/// [`QueryFloor`] — the k-th best exact score its scorers, this execution,
+/// its siblings and the engine's delta scan, have found so far — is
+/// strictly above the (FP-inflated) threshold `τ` (the execution's extent
+/// bound plus every stream's bound), so every row left unscored is strictly
+/// below `k` kept scores and can be in no answer, however ties fall; the
+/// floor's `(score, id)` order resolves the ties it keeps.
 ///
 /// One iteration fetches one *emission unit* per pair stream — a whole SoA
 /// leaf block — and scores the round's union through the batched kernels
@@ -905,7 +876,7 @@ fn emit_pooled(
 /// threshold gap that the budget is going to be spent (see
 /// [`plan::scan_checkpoint`]), and one that finds the query's floor marked
 /// lost — by a sibling execution that took the exit first, or by the engine
-/// before round one ([`QueryFloor::verdict`], read after the emit and floor
+/// before round one ([`QueryFloor::verdict`], read after the drain and floor
 /// checks); every trigger reaches the one call, which marks the floor lost
 /// in turn.
 /// An execution with no stream — a query whose pair weights are all zero,
@@ -915,10 +886,7 @@ fn emit_pooled(
 ///
 /// The execution's deadline is consulted once per iteration — block-pop granularity,
 /// one inlined branch when unset — and once per [`LANES`] scanned rows, and
-/// aborts the aggregation with the typed deadline/cancel error; the answer
-/// buffer keeps the certified partial prefix emitted so far.
-///
-/// [`query_blocks_with`]: crate::topk::arbitrary::query_blocks_with
+/// aborts the aggregation with the typed deadline/cancel error.
 fn aggregate_rounds(
     exec: &mut ShardExecution<'_>,
     floor: &mut QueryFloor<'_>,
@@ -928,13 +896,11 @@ fn aggregate_rounds(
         data,
         roles,
         query,
-        k_eff,
+        offset,
         streams,
         extent_bound,
         mask,
-        pool,
         seen,
-        answers,
         batch,
         gather,
         scores,
@@ -946,7 +912,7 @@ fn aggregate_rounds(
         done: _,
     } = exec;
     let (data, roles, query, extent_bound) = (*data, *roles, *query, *extent_bound);
-    let (k_eff, mask, scan_budget) = (*k_eff, *mask, *scan_budget);
+    let (offset, mask, scan_budget) = (*offset, *mask, *scan_budget);
     // Fixed-size after the first call: no steady-state allocation.
     gather.resize(data.dims() * LANES, 0.0);
     scores.resize(LANES, 0.0);
@@ -955,7 +921,7 @@ fn aggregate_rounds(
         roles,
         query,
         mask,
-        pool,
+        offset,
         floor,
         gather,
         scores,
@@ -969,61 +935,34 @@ fn aggregate_rounds(
         deadline.check()?;
 
         // Threshold over rows unseen by *every* stream; per-stream bounds
-        // staged for the block-pruning thresholds below.
+        // staged for the block-pruning thresholds below. A drained stream
+        // has surfaced every row of the shard, so every live one is scored.
         let mut tau = extent_bound;
-        let mut any_drained = false;
         fbuf.clear();
         for s in streams.iter() {
-            match s.bound() {
-                Some(b) => {
-                    fbuf.push(b);
-                    tau += b;
-                }
-                None => {
-                    fbuf.push(f64::NEG_INFINITY);
-                    any_drained = true;
-                }
-            }
-        }
-
-        // Emit certified candidates (strictly above the bound; once any
-        // stream drained, every row has been fetched and pops are final).
-        while answers.len() < k_eff {
-            match scorer.pool.peek() {
-                Some(&(OrdF64(s), Reverse(row))) if any_drained || s > inflate(tau) => {
-                    scorer.pool.pop();
-                    answers.push(ScoredPoint::new(PointId::new(row), s));
-                }
-                _ => break,
-            }
-        }
-        if answers.len() >= k_eff {
-            return Ok(true);
-        }
-        if any_drained && scorer.pool.is_empty() {
-            return Ok(true);
+            let Some(b) = s.bound() else {
+                return Ok(true);
+            };
+            fbuf.push(b);
+            tau += b;
         }
 
         // k-th-score floor: once k exact scores of the query are known —
         // here, in a sibling shard or in the delta — and τ certifies every
-        // unfetched row is strictly below them, the remaining answers are
-        // already pooled.
-        let mut f = f64::NEG_INFINITY;
-        if !any_drained {
-            f = scorer.floor.bar();
-            if f > inflate(tau) {
-                emit_pooled(scorer.pool, answers, k_eff);
-                return Ok(true);
-            }
+        // unfetched row is strictly below them, this shard has nothing left
+        // to add.
+        let f = scorer.floor.bar();
+        if f > inflate(tau) {
+            return Ok(true);
         }
 
         // Fetch budget spent and the query still open — or a sibling
         // execution of the same query already found its streams lost, or
         // the query started lost (the shards partition one dataset; the
-        // emit and floor checks above still let an execution that is
+        // drain and floor checks above still let an execution that is
         // certified end without scanning) — or the gap's own slope says the
-        // budget will be spent (a floor is known, which also means every
-        // stream is live, and there is a budget to run out of): every
+        // budget will be spent (a floor is known and there is a budget to
+        // run out of): every
         // further fetch is a random access worth many sequential rows, so
         // finish with one pass over what is left instead, and tell the
         // siblings.
@@ -1048,7 +987,6 @@ fn aggregate_rounds(
             scorer.prof.scan_inherited += u64::from(verdict == Verdict::Lost);
             scorer.prof.scan_predicted += u64::from(verdict == Verdict::StartedLost);
             scan_unseen(&mut scorer, seen, fbuf, deadline)?;
-            emit_pooled(scorer.pool, answers, k_eff);
             return Ok(true);
         }
 
@@ -1060,7 +998,7 @@ fn aggregate_rounds(
         let mut progressed = false;
         batch.clear();
         for (i, s) in streams.iter_mut().enumerate() {
-            let prune = if !any_drained && f > f64::NEG_INFINITY {
+            let prune = if f > f64::NEG_INFINITY {
                 let mut others = extent_bound;
                 for (j, &b) in fbuf.iter().enumerate() {
                     if j != i {
@@ -1076,9 +1014,7 @@ fn aggregate_rounds(
         scorer.prof.rows_fetched += batch.len() as u64;
         score_rows_batched(&mut scorer, seen, batch);
         if !progressed {
-            // Everything fetched; drain what remains.
-            emit_pooled(scorer.pool, answers, k_eff);
-            return Ok(true);
+            return Ok(true); // every stream drained: everything fetched
         }
     }
     Ok(false)
@@ -1089,8 +1025,9 @@ fn aggregate_rounds(
 /// [`SdIndex::begin_query`], advance it in slices with
 /// [`ShardExecution::step`] (interleaving slices of *other* shards'
 /// executions in between, so the cross-shard floor converges while every
-/// shard is still early in its descent), and recover the canonical answer
-/// with [`ShardExecution::finish_into`].
+/// shard is still early in its descent), and hand its buffers back with
+/// [`ShardExecution::finish_into`]. It keeps no answer of its own: every
+/// score it keeps is in the query's [`QueryFloor`].
 ///
 /// All mutable state is owned (taken out of a [`QueryScratch`] at start,
 /// returned at finish), so any number of executions can be in flight at
@@ -1099,15 +1036,14 @@ pub struct ShardExecution<'i> {
     data: &'i Dataset,
     roles: &'i [DimRole],
     query: &'i SdQuery,
-    k_eff: usize,
+    /// Global id of the shard's row 0.
+    offset: u32,
     streams: Vec<Pair2DStream<'i>>,
     /// What the dimensions no stream covers add to any row's score at most:
     /// the index's unpaired extents.
     extent_bound: f64,
     mask: Option<MaskView<'i>>,
-    pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
     seen: StampSet,
-    answers: Vec<ScoredPoint>,
     batch: Vec<u32>,
     gather: Vec<f64>,
     scores: Vec<f64>,
@@ -1124,48 +1060,40 @@ pub struct ShardExecution<'i> {
 
 impl<'i> ShardExecution<'i> {
     /// The one place an aggregation takes its buffers out of a
-    /// [`QueryScratch`]: `streams` (assembled into that scratch's
-    /// `stream_buf`), plus the constant extent bound on the dimensions they
-    /// leave out, run against `index`'s rows under `mask`, and the
-    /// execution switches to the kernel scan once it has fetched more than
-    /// [`plan::scan_budget`] rows, or projects that it will.
+    /// [`QueryScratch`]: the pair streams of `part`'s index (assembled into
+    /// that scratch's `stream_buf`), plus the constant extent bound on the
+    /// dimensions they leave out, run against the index's rows under
+    /// `part.mask`, and the execution switches to the kernel scan once it
+    /// has fetched more than [`plan::scan_budget`] rows, or projects that
+    /// it will.
     fn begin(
-        index: &'i SdIndex,
+        part: ShardPart<'i>,
         query: &'i SdQuery,
-        k: usize,
-        streams: Vec<Pair2DStream<'i>>,
-        mask: Option<MaskView<'i>>,
         scratch: &mut QueryScratch,
-    ) -> Self {
+    ) -> Result<Self, SdError> {
+        let index = part.index;
         let data = &*index.data;
         let n = data.len();
+        let streams = if n == 0 {
+            scratch.stream_buf()
+        } else {
+            index.assemble_streams(query, scratch)?
+        };
         let scan_budget = plan::scan_budget(n);
-        let live = n - mask.map_or(0, |m| m.dead_among(n));
-        let k_eff = k.min(live);
-        // Pre-size: the pool holds at most one candidate per fetch round per
-        // stream beyond the k answers still wanted.
-        let mut pool = std::mem::take(&mut scratch.pool);
-        pool.clear();
-        pool.reserve(k_eff + streams.len());
         let mut seen = std::mem::take(&mut scratch.seen);
         seen.begin(n);
-        let mut answers = std::mem::take(&mut scratch.answers);
-        answers.clear();
-        answers.reserve(k_eff);
         let mut batch = std::mem::take(&mut scratch.rows);
         batch.clear();
         scratch.profile.reset();
-        ShardExecution {
+        Ok(ShardExecution {
             data,
             roles: &index.roles,
             query,
-            k_eff,
+            offset: part.offset,
             streams,
             extent_bound: index.extent_bound(query),
-            mask,
-            pool,
+            mask: part.mask,
             seen,
-            answers,
             batch,
             gather: std::mem::take(&mut scratch.gather),
             scores: std::mem::take(&mut scratch.scores),
@@ -1175,13 +1103,12 @@ impl<'i> ShardExecution<'i> {
             scan_budget,
             probe: plan::ScanProbe::new(scan_budget),
             done: n == 0,
-        }
+        })
     }
 
-    /// Runs the execution to completion in one unbounded step and leaves
-    /// the canonical answer in `scratch` — the scratch it was begun from,
-    /// which gets every buffer back whether the step completes or a
-    /// deadline ends it.
+    /// Runs the execution to completion in one unbounded step, then hands
+    /// every buffer back to `scratch` — the scratch it was begun from —
+    /// whether the step completes or a deadline ends it.
     fn run_into(
         mut self,
         floor: &mut QueryFloor<'_>,
@@ -1192,20 +1119,14 @@ impl<'i> ShardExecution<'i> {
         if let Some(t0) = t0 {
             self.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
         }
-        match stepped {
-            Ok(done) => {
-                debug_assert!(done, "an unbounded step completes");
-                self.finish_into(scratch);
-                Ok(())
-            }
-            Err(e) => {
-                self.abandon_into(scratch);
-                Err(e)
-            }
-        }
+        self.finish_into(scratch);
+        let done = stepped?;
+        debug_assert!(done, "an unbounded step completes");
+        Ok(())
     }
 
-    /// `true` once the execution has produced its canonical answer.
+    /// `true` once every live row of the shard that can be in the query's
+    /// top k is in its floor.
     pub fn done(&self) -> bool {
         self.done
     }
@@ -1215,12 +1136,9 @@ impl<'i> ShardExecution<'i> {
     /// query's one floor, which every other execution of the same logical
     /// query and the engine's delta scan also score into — and the step
     /// prunes against it and terminates as soon as it certifiably beats the
-    /// admissible bound `τ` on every unfetched row. Returns `Ok(true)` once
-    /// complete, with the floor's value then in the execution's profile; a
-    /// deadline or cancellation carried in the originating
-    /// scratch aborts with the typed error (the execution keeps its
-    /// certified partial answer — hand its buffers back with
-    /// [`ShardExecution::abandon_into`]).
+    /// admissible bound `τ` on every unfetched row, or a stream drains.
+    /// Returns `Ok(true)` once complete; a deadline or cancellation carried
+    /// in the originating scratch aborts with the typed error.
     ///
     /// A step is not bounded by `rounds` alone: the iteration that finds
     /// the fetch budget ([`plan::scan_budget`]) spent, projects that it
@@ -1232,62 +1150,31 @@ impl<'i> ShardExecution<'i> {
     pub fn step(&mut self, rounds: usize, floor: &mut QueryFloor<'_>) -> Result<bool, SdError> {
         if !self.done {
             self.done = aggregate_rounds(self, floor, rounds)?;
-            if self.done {
-                self.profile.floor_value = floor.value();
-            }
         }
         Ok(self.done)
     }
 
-    /// Execution counters accumulated so far (the emission count lands in
-    /// the scratch's profile at [`ShardExecution::finish_into`]).
+    /// Execution counters accumulated so far.
     pub fn profile(&self) -> &QueryProfile {
         &self.profile
     }
 
-    /// Sorts the canonical answer into `scratch.answers` and hands every
-    /// buffer back to the scratch for reuse. Must only be called once
-    /// [`ShardExecution::done`] returns `true`.
+    /// Hands every buffer, and the execution's counters, back to the
+    /// scratch it was begun from, so that scratch serves its next query
+    /// without re-allocating anything — whether the execution completed or
+    /// a step returned an error (deadline, cancellation).
     pub fn finish_into(mut self, scratch: &mut QueryScratch) {
-        debug_assert!(self.done, "finish_into before completion");
-        self.answers.sort_unstable_by(rank_cmp);
-        self.profile.emitted = self.answers.len() as u64;
-        self.abandon_into(scratch);
-    }
-
-    /// Hands every buffer back to the scratch without finishing: the exit
-    /// for an execution whose [`ShardExecution::step`] returned an error
-    /// (deadline, cancellation), so the scratch it was started from serves
-    /// its next query without re-allocating anything. `scratch.answers`
-    /// holds the certified prefix emitted so far, unsorted.
-    pub fn abandon_into(mut self, scratch: &mut QueryScratch) {
         for s in self.streams.drain(..) {
             s.recycle(scratch);
         }
         scratch.put_streams(self.streams);
-        scratch.pool = self.pool;
         scratch.seen = self.seen;
-        scratch.answers = self.answers;
         scratch.rows = self.batch;
         scratch.gather = self.gather;
         scratch.scores = self.scores;
         scratch.fbuf = self.fbuf;
         scratch.profile = self.profile;
     }
-}
-
-/// Runs `body` — a standalone index's query, which no caller hands a floor —
-/// over a fresh [`QueryFloor`] of `cap` scores on `scratch`'s floor heap,
-/// then hands back the answer it left in `scratch`.
-fn under_fresh_floor(
-    scratch: &mut QueryScratch,
-    cap: usize,
-    body: impl FnOnce(&mut QueryFloor<'_>, &mut QueryScratch) -> Result<(), SdError>,
-) -> Result<&[ScoredPoint], SdError> {
-    let mut heap = std::mem::take(&mut scratch.floor);
-    let ran = body(&mut QueryFloor::new(&mut heap, cap), scratch);
-    scratch.floor = heap;
-    ran.map(|()| &scratch.answers[..])
 }
 
 /// A 2-D subproblem stream over one pair's §4 index.

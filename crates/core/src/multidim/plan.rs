@@ -182,8 +182,8 @@
 //! takes the exit — spent or projected — answers for its siblings: it marks
 //! the query's [`QueryFloor`](crate::QueryFloor) lost, and every
 //! sibling still open reads the mark at its next round head and scans
-//! (`scan_inherited`, the third trigger). The read comes after the emit and
-//! floor checks, so a sibling the floor already certifies ends unscanned;
+//! (`scan_inherited`, the third trigger). The read comes after the drain
+//! and floor checks, so a sibling the floor already certifies ends unscanned;
 //! the TA entry, whose unbounded budget never reads it, and the
 //! single-pair walk never see it. The engine's driver gives every execution
 //! one 8-round slice, so the merged floor forms as it did, and then runs
@@ -216,7 +216,7 @@
 //! stream-first queries all did starts its next query lost: the engine
 //! marks the query's [`QueryFloor`](crate::QueryFloor) before round
 //! one ([`start_lost`](crate::QueryFloor::start_lost)), and every
-//! execution scans at its first round head, after the emit and floor checks,
+//! execution scans at its first round head, after the drain and floor checks,
 //! without a fetch (`scan_predicted`, the fourth trigger). Every
 //! `RECHECK` = 16th query of such a shape runs stream-first again, so a shape
 //! that turned friendly is found out within 16 queries. The verdict stays a
@@ -298,9 +298,10 @@
 //! bound is what lets a round head certify an execution under its
 //! siblings' floor.
 //!
-//! **Every strategy is exact**, and since the aggregation emits the
+//! **Every strategy is exact**, and since every strategy leaves the
 //! canonical answer (score descending, id ascending — see
-//! [`rank_cmp`](crate::score::rank_cmp)), the planner's choice can never
+//! [`rank_cmp`](crate::score::rank_cmp)) in the query's floor, the
+//! planner's choice can never
 //! change a query result, only its cost. The proptests in
 //! `tests/engine_equivalence.rs` pin this across random shard sizes and
 //! zero weights, which exercise every branch of the rule.

@@ -1,8 +1,11 @@
 //! Oracle-equivalence tests for the multi-dimensional SD-Index.
 
+use std::collections::BinaryHeap;
+
 use super::*;
 use crate::mask::RowMask;
-use crate::score::sd_score;
+use crate::score::{rank_cmp, sd_score};
+use crate::threshold::FloorEntry;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -343,48 +346,78 @@ fn six_d_roles() -> Vec<DimRole> {
     ]
 }
 
+/// The ids a pre-filled floor's entries carry: no row of a test index has
+/// one, and at a tied score every row ranks before them.
+const ELSEWHERE: u32 = u32::MAX / 2;
+
+/// `index` as the one shard of a query, at offset 0, under `mask`.
+fn part<'a>(index: &'a SdIndex, mask: Option<MaskView<'a>>) -> ShardPart<'a> {
+    ShardPart {
+        index,
+        offset: 0,
+        mask,
+    }
+}
+
+/// The rows `floor` ends holding, drained in canonical order, without the
+/// entries another part of the query put there ([`floor_at`]).
+fn drained(floor: &mut QueryFloor<'_>) -> Vec<ScoredPoint> {
+    let mut got = Vec::new();
+    floor.drain_into(&mut got);
+    got.retain(|sp| sp.id.raw() < ELSEWHERE);
+    got
+}
+
+/// Hands `exec`'s buffers back to `scratch` and drains `floor` into the
+/// answer, filling the profile's query-final facts as
+/// [`SdIndex::query_with`] does.
+fn finish(
+    exec: ShardExecution<'_>,
+    floor: &mut QueryFloor<'_>,
+    scratch: &mut QueryScratch,
+) -> Vec<ScoredPoint> {
+    exec.finish_into(scratch);
+    scratch.profile.floor_value = floor.value();
+    let got = drained(floor);
+    scratch.profile.emitted = got.len() as u64;
+    got
+}
+
 /// `index`'s answer to `q` over the rows `mask` leaves live, scoring into
 /// `floor`, as an engine shard gives it: the direct walk for a single-pair
 /// query, an execution stepped to completion otherwise.
-fn answer<'s>(
+fn answer(
     index: &SdIndex,
     q: &SdQuery,
-    k: usize,
-    scratch: &'s mut QueryScratch,
+    scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
     mask: Option<MaskView<'_>>,
-) -> &'s [ScoredPoint] {
+) -> Vec<ScoredPoint> {
     if let Some(pair) = index.single_pair(q) {
-        let part = ShardPart {
-            index,
-            offset: 0,
-            mask,
-        };
-        return pair.walk([part], k, scratch, floor).unwrap();
+        pair.walk([part(index, mask)], scratch, floor).unwrap();
+    } else {
+        let mut exec = SdIndex::begin_query(part(index, mask), q, scratch).unwrap();
+        assert!(exec.step(usize::MAX, floor).unwrap());
+        exec.finish_into(scratch);
     }
-    let mut exec = index.begin_query(q, k, scratch, mask).unwrap();
-    assert!(exec.step(usize::MAX, floor).unwrap());
-    exec.finish_into(scratch);
-    scratch.answers()
+    drained(floor)
 }
 
 /// A floor of `cap` scores already full at `bar`, as `cap` rows of another
 /// part of the query scoring `bar` each would leave it.
-fn floor_at(heap: &mut BinaryHeap<Reverse<OrdF64>>, cap: usize, bar: f64) -> QueryFloor<'_> {
+fn floor_at(heap: &mut BinaryHeap<FloorEntry>, cap: usize, bar: f64) -> QueryFloor<'_> {
     let mut floor = QueryFloor::new(heap, cap);
-    for _ in 0..cap {
-        floor.offer(bar);
+    for i in 0..cap {
+        floor.offer(bar, ELSEWHERE + i as u32);
     }
     floor
 }
 
-/// Steps `exec` one round at a time to completion under a floor of its own,
-/// returning `rows_fetched` after every round.
-fn fetch_trajectory(exec: &mut ShardExecution<'_>) -> Vec<u64> {
-    let mut heap = BinaryHeap::new();
-    let mut floor = QueryFloor::new(&mut heap, exec.k_eff);
+/// Steps `exec` one round at a time to completion under `floor`, returning
+/// `rows_fetched` after every round.
+fn fetch_trajectory(exec: &mut ShardExecution<'_>, floor: &mut QueryFloor<'_>) -> Vec<u64> {
     let mut fetched = Vec::new();
-    while !exec.step(1, &mut floor).unwrap() {
+    while !exec.step(1, floor).unwrap() {
         fetched.push(exec.profile().rows_fetched);
     }
     fetched
@@ -402,18 +435,19 @@ fn scan_switches_strictly_past_the_budget() {
     let mut scratch = QueryScratch::new();
 
     // The pure threshold aggregation: which round had fetched how much.
-    let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
     exec.scan_budget = usize::MAX;
     exec.probe = plan::ScanProbe::new(usize::MAX);
-    let fetched = fetch_trajectory(&mut exec);
+    let mut heap = BinaryHeap::new();
+    let mut floor = QueryFloor::new(&mut heap, k);
+    let fetched = fetch_trajectory(&mut exec, &mut floor);
     assert_eq!(exec.profile().scan_fallbacks, 0);
-    exec.finish_into(&mut scratch);
-    assert_bit_identical(scratch.answers(), &want);
+    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
     let i = fetched.len() / 2; // rounds 1..=i+1 ran, the query still open
     assert!(fetched[i] > fetched[i - 1], "round fetched nothing");
 
     for (budget, scan_round) in [(fetched[i], i + 3), (fetched[i] - 1, i + 2)] {
-        let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+        let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
         exec.scan_budget = budget as usize;
         exec.probe = plan::ScanProbe::new(usize::MAX); // the budget alone decides
         let mut heap = BinaryHeap::new();
@@ -438,8 +472,7 @@ fn scan_switches_strictly_past_the_budget() {
             p.rows_fetched
         );
         assert_eq!(p.points_gathered, 2_000, "every row scored exactly once");
-        exec.finish_into(&mut scratch);
-        assert_bit_identical(scratch.answers(), &want);
+        assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
     }
 }
 
@@ -462,10 +495,12 @@ fn projected_scan_waits_for_its_second_checkpoint() {
 
     // Probe held off: the rows each round starts with, up to the spent
     // budget. Round 1 starts with none and no floor; round 2 has both.
-    let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
     exec.probe = plan::ScanProbe::new(usize::MAX);
     let mut starts_with = vec![0];
-    starts_with.extend(fetch_trajectory(&mut exec));
+    let mut heap = BinaryHeap::new();
+    let mut floor = QueryFloor::new(&mut heap, k);
+    starts_with.extend(fetch_trajectory(&mut exec, &mut floor));
     let p = *exec.profile();
     assert_eq!(
         (p.scan_fallbacks, p.scan_projected),
@@ -473,8 +508,7 @@ fn projected_scan_waits_for_its_second_checkpoint() {
         "spent, not projected"
     );
     assert!(p.rows_fetched - p.scan_rows > budget);
-    exec.finish_into(&mut scratch);
-    assert_bit_identical(scratch.answers(), &want);
+    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
     // Checkpoints, as 0-based rounds: the first round with `span` rows in,
     // then the first with `span` more than that.
     let first = starts_with.iter().position(|&r| r >= span).unwrap();
@@ -483,7 +517,7 @@ fn projected_scan_waits_for_its_second_checkpoint() {
         .unwrap();
     assert!(0 < first && first < second && starts_with[second] < budget / 2);
 
-    let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, k);
     let mut round = 0;
@@ -505,8 +539,7 @@ fn projected_scan_waits_for_its_second_checkpoint() {
         p.points_gathered + p.seen_hits + p.tombstones_skipped,
         p.rows_fetched
     );
-    exec.finish_into(&mut scratch);
-    assert_bit_identical(scratch.answers(), &want);
+    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
 }
 
 #[test]
@@ -528,7 +561,7 @@ fn inherited_verdict_scans_at_the_next_round_head() {
     let mut heap = BinaryHeap::new();
     for rounds_before in [0, 1, 3] {
         let mut floor = QueryFloor::new(&mut heap, k);
-        let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+        let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
         if rounds_before > 0 {
             assert!(!exec.step(rounds_before, &mut floor).unwrap());
         }
@@ -547,27 +580,25 @@ fn inherited_verdict_scans_at_the_next_round_head() {
         );
         assert_eq!(p.rows_fetched - p.scan_rows, streamed, "no round ran");
         assert_eq!(p.points_gathered, n as u64, "every row scored exactly once");
-        exec.finish_into(&mut scratch);
-        assert_bit_identical(scratch.answers(), &want);
+        assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
     }
 
     // An unbounded budget and a silent probe inherit the verdict all the
     // same: no execution is exempt from it.
     let mut floor = QueryFloor::new(&mut heap, k);
     floor.mark_lost();
-    let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
     exec.scan_budget = usize::MAX;
     exec.probe = plan::ScanProbe::new(usize::MAX);
     assert!(exec.step(usize::MAX, &mut floor).unwrap());
     let p = *exec.profile();
     assert_eq!((p.rounds, p.scan_fallbacks, p.scan_inherited), (1, 1, 1));
-    exec.finish_into(&mut scratch);
-    assert_bit_identical(scratch.answers(), &want);
+    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
 
     // The execution that reaches the verdict itself publishes it.
     let mut floor = QueryFloor::new(&mut heap, k);
-    let got = answer(&index, &q, k, &mut scratch, &mut floor, None);
-    assert_bit_identical(got, &want);
+    let got = answer(&index, &q, &mut scratch, &mut floor, None);
+    assert_bit_identical(&got, &want);
     let p = scratch.profile;
     assert_eq!((p.scan_fallbacks, p.scan_inherited), (1, 0));
     assert_eq!(floor.verdict(), Verdict::Lost);
@@ -593,8 +624,8 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, k);
     floor.start_lost();
-    let got = answer(&index, &q, k, &mut scratch, &mut floor, None);
-    assert_bit_identical(got, &want);
+    let got = answer(&index, &q, &mut scratch, &mut floor, None);
+    assert_bit_identical(&got, &want);
     let p = scratch.profile;
     assert_eq!(p.rounds, 1, "scanned at the first head");
     assert_eq!(
@@ -614,7 +645,7 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
     // at the first head, nothing scanned.
     let mut floor = floor_at(&mut heap, k, want[0].score + 1.0);
     floor.start_lost();
-    let got = answer(&index, &q, k, &mut scratch, &mut floor, None);
+    let got = answer(&index, &q, &mut scratch, &mut floor, None);
     assert!(got.is_empty());
     let p = scratch.profile;
     assert_eq!((p.rounds, p.scan_fallbacks, p.rows_fetched), (1, 0, 0));
@@ -622,12 +653,12 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
 
 #[test]
 fn a_certified_execution_ignores_the_inherited_verdict() {
-    // The verdict is read after the emit and floor checks: an execution
+    // The verdict is read after the drain and floor checks: an execution
     // certified at the head where it first sees the flag ends there,
-    // unscanned, exactly as it would have without the flag. On its own it
-    // ends on the emit check; beside a sibling shard — whose rows hold most
-    // of the top k, and whose k-th score the floor holds — on the floor
-    // check, with fewer than k answers.
+    // unscanned, exactly as it would have without the flag — on its own,
+    // and beside a sibling shard whose rows hold most of the top k, and
+    // whose k-th score the floor holds, so that fewer than k of the answers
+    // are this shard's.
     let mut rng = rand::rngs::StdRng::seed_from_u64(307);
     let data = rand_dataset(&mut rng, 25_000, 4);
     let sibling = rand_dataset(&mut rng, 25_000, 4);
@@ -660,18 +691,17 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
             // The reference: the rounds this execution needs without a
             // verdict.
             let mut shared = floor_at(&mut heap, k, floor);
-            let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+            let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
             assert!(exec.step(usize::MAX, &mut shared).unwrap());
             let alone = *exec.profile();
-            exec.finish_into(&mut scratch);
             assert_eq!(alone.scan_fallbacks, 0, "a friendly query certifies");
             assert_eq!(shared.verdict(), Verdict::Open);
-            assert_bit_identical(scratch.answers(), &want);
+            assert_bit_identical(&finish(exec, &mut shared, &mut scratch), &want);
 
             // The same execution, told at its last head that a sibling is
             // lost.
             let mut shared = floor_at(&mut heap, k, floor);
-            let mut exec = index.begin_query(&q, k, &mut scratch, None).unwrap();
+            let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
             let before = alone.rounds as usize - 1;
             if before > 0 {
                 assert!(!exec.step(before, &mut shared).unwrap());
@@ -679,19 +709,18 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
             shared.mark_lost();
             assert!(exec.step(usize::MAX, &mut shared).unwrap());
             assert_eq!(*exec.profile(), alone, "the verdict changed the execution");
-            exec.finish_into(&mut scratch);
-            assert_bit_identical(scratch.answers(), &want);
+            assert_bit_identical(&finish(exec, &mut shared, &mut scratch), &want);
             short += usize::from(want.len() < k);
         }
     }
-    assert!(short > 0, "no execution ended on the floor check");
+    assert!(short > 0, "no sibling held most of the top k");
 }
 
 #[test]
 fn executions_answer_the_oracle_under_a_pre_filled_floor() {
     // A stepped aggregation (4-D) and a walk (2-D), each scoring into a
-    // floor another part of the query filled below the k-th answer, answer
-    // the oracle's top k — and leave the floor at the oracle's k-th score.
+    // floor another part of the query filled below the k-th answer, leave
+    // the oracle's top k in it, and none of that part's entries.
     let mut rng = rand::rngs::StdRng::seed_from_u64(309);
     let k = 16;
     for dims in [4, 2] {
@@ -711,9 +740,8 @@ fn executions_answer_the_oracle_under_a_pre_filled_floor() {
             let want = oracle(&data, roles, &q, 2 * k);
             let mut heap = BinaryHeap::new();
             let mut floor = floor_at(&mut heap, k, want[2 * k - 1].score);
-            let got = answer(&index, &q, k, &mut scratch, &mut floor, None);
-            assert_bit_identical(got, &want[..k]);
-            assert_eq!(floor.bar(), want[k - 1].score, "{dims}-D");
+            let got = answer(&index, &q, &mut scratch, &mut floor, None);
+            assert_bit_identical(&got, &want[..k]);
         }
     }
 }
@@ -751,13 +779,12 @@ fn probe_leaves_friendly_queries_alone() {
             (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
         )
         .unwrap();
-        let mut exec = index.begin_query(&q, 16, &mut scratch, None).unwrap();
+        let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
         exec.probe = plan::ScanProbe::new(usize::MAX);
         let mut heap = BinaryHeap::new();
-        assert!(exec
-            .step(usize::MAX, &mut QueryFloor::new(&mut heap, 16))
-            .unwrap());
-        exec.finish_into(&mut scratch);
+        let mut floor = QueryFloor::new(&mut heap, 16);
+        assert!(exec.step(usize::MAX, &mut floor).unwrap());
+        finish(exec, &mut floor, &mut scratch);
         let off = scratch.profile;
         index.query_with(&q, 16, &mut scratch).unwrap();
         assert_eq!(scratch.profile.scan_fallbacks, 0);
@@ -795,7 +822,7 @@ fn scan_after_every_row_was_seen_scores_nothing() {
     let want = oracle(&data, &roles, &q, n);
     let mut scratch = QueryScratch::new();
 
-    let mut exec = index.begin_query(&q, n, &mut scratch, None).unwrap();
+    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, n);
     assert!(!exec.step(1, &mut floor).unwrap());
@@ -808,8 +835,7 @@ fn scan_after_every_row_was_seen_scores_nothing() {
     assert_eq!((p.scan_fallbacks, p.scan_rows), (1, 0));
     assert_eq!(p.points_scored, scored, "the scan scored nothing");
     assert_eq!((p.rows_fetched, p.points_gathered), (n as u64, n as u64));
-    exec.finish_into(&mut scratch);
-    assert_bit_identical(scratch.answers(), &want);
+    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
 }
 
 #[test]
@@ -837,7 +863,7 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     for k in [8, 343, 344, n + 3] {
         let mut floor = QueryFloor::new(&mut heap, k.min(343));
         let mask = Some(MaskView::new(&dead, 0));
-        let got = answer(&index, &q, k, &mut scratch, &mut floor, mask).to_vec();
+        let got = answer(&index, &q, &mut scratch, &mut floor, mask);
         assert_bit_identical(&got, &live_oracle(&q, k));
         let p = scratch.profile;
         assert_eq!(p.scan_fallbacks, 1, "k = {k}");
@@ -853,7 +879,7 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     let zero = SdQuery::new(vec![0.3; 6], vec![0.0; 6]).unwrap();
     let mut floor = QueryFloor::new(&mut heap, 5);
     let mask = Some(MaskView::new(&dead, 0));
-    let got = answer(&index, &zero, 5, &mut scratch, &mut floor, mask).to_vec();
+    let got = answer(&index, &zero, &mut scratch, &mut floor, mask);
     let p = scratch.profile;
     assert_eq!(p.rounds, 1);
     assert_eq!((p.scan_predicted, p.scan_fallbacks), (1, 1));
@@ -926,7 +952,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
 
     let mut scratch = QueryScratch::new();
     let mask = Some(MaskView::new(&dead, 0));
-    let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
+    let mut exec = SdIndex::begin_query(part(&index, mask), &q, &mut scratch).unwrap();
     assert!(!exec.step(1, &mut floor).unwrap());
     let unseen: Vec<usize> = (0..n)
         .filter(|&r| exec.seen.unseen_word(r, 1) == 1)
@@ -955,8 +981,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
         unseen - unseen_dead
     );
     assert_eq!(p.points_scored - before.points_scored, near.len() as u64);
-    exec.finish_into(&mut scratch);
-    assert_bit_identical(scratch.answers(), &want);
+    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
 }
 
 // ─── every exit of the one execution path, forced in turn ───────────────────
@@ -1053,7 +1078,8 @@ fn every_exit_forced_at_the_one_constructor() {
             ] {
                 let mut stepped: Option<QueryProfile> = None;
                 for step in [1, 8, usize::MAX] {
-                    let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
+                    let mut exec =
+                        SdIndex::begin_query(part(&index, mask), &q, &mut scratch).unwrap();
                     exec.scan_budget = budget;
                     if !probe_live {
                         exec.probe = plan::ScanProbe::new(usize::MAX);
@@ -1068,8 +1094,7 @@ fn every_exit_forced_at_the_one_constructor() {
                     while !done {
                         done = exec.step(step, &mut floor).unwrap();
                     }
-                    exec.finish_into(&mut scratch);
-                    assert_bit_identical(scratch.answers(), want);
+                    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), want);
                     let p = scratch.profile;
                     let at = format!(
                         "case {case} n {n} dims {dims} k {k} budget {budget} \
@@ -1243,8 +1268,8 @@ proptest! {
                     for index in [&tiled, &dealt] {
                         let mut heap = BinaryHeap::new();
                         let mut floor = QueryFloor::new(&mut heap, want.len());
-                        let got = answer(index, &q, k, &mut scratch, &mut floor, mask);
-                        assert_bit_identical(got, want);
+                        let got = answer(index, &q, &mut scratch, &mut floor, mask);
+                        assert_bit_identical(&got, want);
                     }
                 }
             }
@@ -1282,14 +1307,13 @@ proptest! {
             let mut want = oracle(&data, &roles, &q, n);
             want.retain(|sp| !(mask.is_some() && dead.get(sp.id.index())));
             for k in [1, 16, 100] {
-                let mut exec = index.begin_query(&q, k, &mut scratch, mask).unwrap();
+                let mut exec = SdIndex::begin_query(part(&index, mask), &q, &mut scratch).unwrap();
                 exec.scan_budget = usize::MAX;
                 exec.probe = plan::ScanProbe::new(usize::MAX);
                 let mut heap = BinaryHeap::new();
                 let mut floor = QueryFloor::new(&mut heap, k);
                 while !exec.step(usize::MAX, &mut floor).unwrap() {}
-                exec.finish_into(&mut scratch);
-                assert_bit_identical(scratch.answers(), &want[..k]);
+                assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want[..k]);
                 let p = scratch.profile;
                 prop_assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));
                 blocks_popped += p.blocks_popped;

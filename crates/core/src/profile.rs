@@ -6,7 +6,8 @@
 //! entry point increments a fixed set of `u64` counters as it runs: the
 //! frontier walk ([`BlockFrontier`]), the block-level
 //! floor pruning, the per-lane mask filter, the batched scoring kernels,
-//! the delta scan, the tombstone mask and the k-way shard merge.
+//! the delta scan, the tombstone mask and the drain of the query's answer
+//! heap.
 //!
 //! The counters live inside [`QueryScratch`](crate::QueryScratch) (and are
 //! aggregated per engine query into
@@ -170,8 +171,9 @@ pub struct QueryProfile {
     /// Aggregation rounds executed (one fetch per stream each); 0 on the
     /// direct walk.
     pub rounds: u64,
-    /// K-way merge steps taken by the engine (rows popped across shard
-    /// lists; `0` on the monolithic path).
+    /// Rows the engine drained from the query's answer heap (its
+    /// [`QueryFloor`](crate::QueryFloor)) into the answer; `0` on the
+    /// monolithic path.
     pub merge_rounds: u64,
     /// Rows emitted into the final answer.
     pub emitted: u64,
@@ -182,7 +184,7 @@ pub struct QueryProfile {
     pub delta_scan_nanos: u64,
     /// Nanoseconds in shard aggregation (or the whole monolithic query).
     pub aggregate_nanos: u64,
-    /// Nanoseconds in the engine's k-way merge.
+    /// Nanoseconds in the engine's final drain of the answer heap.
     pub merge_nanos: u64,
 }
 

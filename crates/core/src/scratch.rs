@@ -1,4 +1,4 @@
-//! Reusable query-execution state: every heap, pool, seen-set and buffer
+//! Reusable query-execution state: every heap, seen-set and buffer
 //! the query paths need, owned in one place so a steady-state query touches
 //! the allocator **zero** times.
 //!
@@ -8,9 +8,9 @@
 //! every query path in the crate — the §5 aggregation of an
 //! [`SdIndex`](crate::multidim::SdIndex) and the direct 2-D walk of a
 //! single-pair query — because they decompose into the same primitives:
-//! frontier heaps, a candidate pool, a seen-set and an answer buffer. A
-//! baseline's `query_with` uses only its answer buffer, profile and
-//! deadline.
+//! frontier heaps, the query's answer heap, a seen-set and an answer
+//! buffer. A baseline's `query_with` uses only its answer buffer, profile
+//! and deadline.
 //!
 //! Scratches are plain owned values: keep one per worker thread and reuse
 //! it across queries. The indexes themselves stay immutable during
@@ -37,15 +37,15 @@
 //! }
 //! ```
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::deadline::Deadline;
 use crate::multidim::Pair2DStream;
 use crate::profile::QueryProfile;
+use crate::threshold::FloorEntry;
 use crate::topk::arbitrary::PartWalk;
 use crate::topk::stream::HeapEntry;
-use crate::types::{OrdF64, ScoredPoint};
+use crate::types::ScoredPoint;
 
 /// A generation-stamped membership set over dense row ids `0..n`: one
 /// `u32` stamp per row, `insert` is a single indexed compare-and-store —
@@ -109,8 +109,6 @@ impl StampSet {
 pub struct QueryScratch {
     /// Recycled frontier heaps, one per block frontier of a query.
     pub(crate) heaps: Vec<BinaryHeap<HeapEntry>>,
-    /// Candidate pool of the outer threshold loop (the §5 aggregation).
-    pub(crate) pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
     /// Rows already scored by the outer loop (stamped, not hashed: the
     /// dedup check runs once per fetched row).
     pub(crate) seen: StampSet,
@@ -119,9 +117,9 @@ pub struct QueryScratch {
     /// The rows one aggregation round fetched, staged for batched scoring.
     pub(crate) rows: Vec<u32>,
     /// The heap the [`QueryFloor`](crate::QueryFloor) of a query served
-    /// from this scratch alone (`SdIndex::query_with`) borrows: the
-    /// best `min(k, n)` exact scores seen so far.
-    pub(crate) floor: BinaryHeap<Reverse<OrdF64>>,
+    /// from this scratch alone (`SdIndex::query_with`) borrows: the best
+    /// `min(k, n)` `(score, row)` entries seen so far.
+    pub(crate) floor: BinaryHeap<FloorEntry>,
     /// Gather buffer of the batched aggregation: fetched rows transposed
     /// into dimension-major SoA lanes for the scoring kernels
     /// (`dims × LANES` once warmed).
@@ -160,10 +158,8 @@ impl QueryScratch {
         Self::default()
     }
 
-    /// The answer buffer of the most recent query (or
-    /// [`ShardExecution::finish_into`](crate::multidim::ShardExecution::finish_into))
-    /// served from this scratch — the same slice the `query_with` entry
-    /// points return a borrow of.
+    /// The answer buffer of the most recent query served from this scratch
+    /// — the same slice the `query_with` entry points return a borrow of.
     pub fn answers(&self) -> &[ScoredPoint] {
         &self.answers
     }

@@ -8,23 +8,20 @@
 //! form of the Claim 6 bracket ([`FrontierEval`] has the argument) — so the
 //! bracket is applied per envelope rather than per stream, and the index is
 //! walked once, not once per bracketing angle. Every surfaced point is
-//! scored exactly at the caller's weights; emission happens once the pooled
-//! best beats the frontier's bound. Exact for every input, and immune to the
-//! one-sided pathology of Alg. 4 as published (a wide bracket with θ_q near
-//! one end makes its θ_l order a poor proxy for θ_q; the `sdq-paper` crate
-//! keeps it for comparison).
-
-use std::cmp::Reverse;
+//! scored exactly at the caller's weights into the query's one
+//! [`QueryFloor`], which ends holding the answer. Exact for every input, and
+//! immune to the one-sided pathology of Alg. 4 as published (a wide bracket
+//! with θ_q near one end makes its θ_l order a poor proxy for θ_q; the
+//! `sdq-paper` crate keeps it for comparison).
 
 use super::blocks::{BlockFrontier, BlockSet};
 use super::stream::FrontierEval;
 use crate::geometry::Angle;
 use crate::kernels::{self, inflate, LANES};
 use crate::mask::MaskView;
-use crate::score::rank_cmp;
 use crate::scratch::QueryScratch;
 use crate::threshold::QueryFloor;
-use crate::types::{OrdF64, PointId, ScoredPoint, SdError};
+use crate::types::SdError;
 
 /// One part of a [`query_blocks_with`] walk — in an engine, one shard: the
 /// pair's stored §4 index over the part's rows, the id its slot 0 answers
@@ -47,10 +44,9 @@ pub(crate) struct PartWalk<'a> {
 /// Full 2-D query over the stored §4 indexes of one pair as a single
 /// certified frontier search — the *direct* strategy for single-pair
 /// queries, over one bare index and over every shard of an engine at once.
-/// Picks the indexed-angle
-/// evaluation when θ_q is indexed and the Claim 6 bracket otherwise
-/// ([`FrontierEval::at`], per part); the emission is **canonical** (score
-/// descending, ties by `offset + slot` ascending), so the result is
+/// Picks the indexed-angle evaluation when θ_q is indexed and the Claim 6
+/// bracket otherwise ([`FrontierEval::at`], per part); every score it keeps
+/// goes into the query's `floor` under `offset + slot`, so the answer is
 /// bit-identical to what the §5 aggregation produces for the same pair.
 ///
 /// The parts are walked as one index: every part has its own
@@ -59,63 +55,47 @@ pub(crate) struct PartWalk<'a> {
 /// is one best-first walk under a virtual root over all of them — so the
 /// threshold on everything unsurfaced is that head times `r`. A popped leaf
 /// block is batch-scored through the 2-D kernel (bit-identical to
-/// `sd_score_2d`) and its surviving lanes are pooled under their part's
-/// offset.
+/// `sd_score_2d`) and its lanes that reach the floor's bar are offered to
+/// it.
 ///
-/// Canonical-emission invariant: a pooled candidate is emitted only when
-/// its exact score is **strictly** above the inflated admissible bound on
-/// everything unsurfaced, so score ties always resolve through the pool's
-/// `(score, Reverse(id))` order — smallest id first — independent of
-/// frontier traversal order. One further stop rule ends the walk early
-/// without breaking canonicity, the **k-th-score floor**: the walk scores
-/// into the query's one [`QueryFloor`], which may already hold scores of
-/// the same logical query found elsewhere (an engine's delta rows). Once it
-/// holds `k` exact scores (or every live row's), no unsurfaced point
-/// strictly below the k-th of them can enter the answer; when the
-/// admissible bound falls below that floor the pool drains directly (in
-/// canonical order). Every candidate the walk drops is strictly below a
-/// score attained by `k` real points, so the global merge cannot miss an
-/// answer.
-///
-/// And two block-level savings:
+/// The walk stops when every frontier has drained or when the floor's bar —
+/// the k-th best exact score of the query, which may already hold scores
+/// found elsewhere (an engine's delta rows) — is strictly above the
+/// inflated admissible bound on everything unsurfaced: every row left is
+/// then strictly below `k` kept scores and can be in no answer, however
+/// ties fall. And two block-level savings:
 ///
 /// * a popped envelope or block whose bound already falls below the floor
 ///   is discarded without expanding or scoring anything under it;
 /// * blocks surface exactly once, so there is no seen-set on this path.
 ///
 /// A part's tombstoned lanes leave the block's live word before the floor
-/// compare, so a dead row reaches neither floor nor pool, and `k_eff` is
-/// `min(k, live rows)` over all parts. The walk fills `scratch.profile`
-/// (reset here): the frontier counters, `rows_fetched` (live lanes of the
-/// popped blocks), `tombstones_skipped`, `points_gathered`,
-/// `kernel_batches`, `points_scored`, `floor_updates` (its updates to the
-/// query's floor), `floor_value` and `emitted`; `rounds` stays 0. It leaves
-/// each part's share of `floor_updates`, in part order, in
+/// compare, so a dead row never reaches the floor. The walk fills
+/// `scratch.profile` (reset here): the frontier counters, `rows_fetched`
+/// (live lanes of the popped blocks), `tombstones_skipped`,
+/// `points_gathered`, `kernel_batches`, `points_scored` and `floor_updates`
+/// (its updates to the query's floor); `rounds` stays 0. It leaves each
+/// part's share of `floor_updates`, in part order, in
 /// `scratch.part_floor_updates`.
 /// `scratch.deadline` is consulted before every pop. The frontiers live in
 /// the scratch's recycled buffers, so a warmed scratch walks any number of
 /// parts without allocating.
-#[allow(clippy::too_many_arguments)] // internal hot path; mirrors query_with
 pub(crate) fn query_blocks_with<'a>(
     parts: impl IntoIterator<Item = BlockPart<'a>>,
     qx: f64,
     qy: f64,
     alpha: f64,
     beta: f64,
-    k: usize,
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
 ) -> Result<(), SdError> {
     scratch.profile.reset();
     let theta = Angle::from_weights(alpha, beta)?;
     let mut walks = scratch.walk_buf();
-    let mut live = 0;
     let mut outcome = Ok(());
     for part in parts {
         match FrontierEval::at(part.blocks.angles(), &theta, qx, qy) {
             Ok(eval) => {
-                let n = part.blocks.n_live();
-                live += n - part.mask.map_or(0, |m| m.dead_among(n));
                 let frontier = BlockFrontier::with_scratch(part.blocks, eval, scratch.take_heap());
                 walks.push(PartWalk {
                     part,
@@ -130,8 +110,7 @@ pub(crate) fn query_blocks_with<'a>(
         }
     }
     if outcome.is_ok() {
-        let pair = (qx, qy, alpha, beta);
-        outcome = walk_parts(&mut walks, pair, k.min(live), scratch, floor);
+        outcome = walk_parts(&mut walks, (qx, qy, alpha, beta), scratch, floor);
     }
     scratch.part_floor_updates.clear();
     for mut w in walks.drain(..) {
@@ -149,31 +128,23 @@ pub(crate) fn query_blocks_with<'a>(
     outcome
 }
 
-/// The loop of [`query_blocks_with`] over its set-up parts: leaves the
-/// canonical answer in `scratch.answers`, or the certified prefix emitted
-/// so far when the deadline ends it.
+/// The loop of [`query_blocks_with`] over its set-up parts: walks until the
+/// floor certifies, every part drains, or the deadline ends it.
 fn walk_parts(
     walks: &mut [PartWalk<'_>],
     (qx, qy, alpha, beta): (f64, f64, f64, f64),
-    k_eff: usize,
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
 ) -> Result<(), SdError> {
     let r = alpha.hypot(beta);
     let QueryScratch {
-        pool,
-        answers,
         scores,
         deadline,
         profile: prof,
         ..
     } = scratch;
-    pool.clear();
-    answers.clear();
-    answers.reserve(k_eff);
     scores.resize(LANES, 0.0);
-    let mut outcome = Ok(());
-    while answers.len() < k_eff {
+    let outcome = loop {
         // The walk's head: the part whose frontier bound is highest.
         let mut head: Option<(usize, f64)> = None;
         for (i, w) in walks.iter().enumerate() {
@@ -183,34 +154,16 @@ fn walk_parts(
                 }
             }
         }
-        let threshold = head.map(|(_, b)| r * b);
-        // Certified canonical emission.
-        if let Some(&(OrdF64(s), Reverse(id))) = pool.peek() {
-            if threshold.is_none_or(|t| s > inflate(t)) {
-                pool.pop();
-                answers.push(ScoredPoint::new(PointId::new(id), s));
-                continue;
-            }
-        }
-        let (Some((i, _)), Some(t)) = (head, threshold) else {
-            break; // drained, and so is the pool
+        let Some((i, b)) = head else {
+            break Ok(()); // drained: every live row has been offered
         };
-        // Floor-based early termination (and the block-prune value).
+        // Floor-based termination (and the block-prune value).
         let f = floor.bar();
-        if f > inflate(t) {
-            while answers.len() < k_eff {
-                match pool.pop() {
-                    Some((OrdF64(s), Reverse(id))) => {
-                        answers.push(ScoredPoint::new(PointId::new(id), s))
-                    }
-                    None => break,
-                }
-            }
-            break;
+        if f > inflate(r * b) {
+            break Ok(());
         }
-        outcome = deadline.check();
-        if outcome.is_err() {
-            break;
+        if let Err(e) = deadline.check() {
+            break Err(e);
         }
         // One step of the walk; anything bounded below the floor dies here.
         let PartWalk {
@@ -225,7 +178,7 @@ fn walk_parts(
         let mut live = blocks.live(block);
         prof.rows_fetched += u64::from(live.count_ones());
         if let Some(mask) = part.mask {
-            // Tombstoned lanes stop here, before floor and pool.
+            // Tombstoned lanes stop here, before the floor.
             let mut lanes = live;
             while lanes != 0 {
                 let l = lanes.trailing_zeros() as usize;
@@ -250,20 +203,15 @@ fn walk_parts(
             alpha,
             beta,
         );
-        // Lanes strictly below k known scores can never be emitted.
+        // Lanes strictly below k known scores can be in no answer.
         let mut surv = kernels::survivors(scores, live, floor.bar());
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
-            let score = scores[l];
             prof.points_scored += 1;
-            *floor_updates += u64::from(floor.offer(score));
-            pool.push((OrdF64::new(score), Reverse(part.offset + slots[l])));
+            *floor_updates += u64::from(floor.offer(scores[l], part.offset + slots[l]));
         }
-    }
-    answers.sort_unstable_by(rank_cmp);
-    prof.floor_value = floor.value();
-    prof.emitted = answers.len() as u64;
+    };
     if prof.kernel_batches > 0 {
         prof.isa = kernels::active().name();
     }

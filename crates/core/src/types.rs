@@ -121,9 +121,8 @@ pub enum SdError {
     /// The query's cancel token was triggered by another thread.
     Cancelled,
     /// The durable engine is degraded: reads are served, writes are
-    /// refused until [`try_recover`] re-checkpoints to fresh files.
-    ///
-    /// [`try_recover`]: https://docs.rs/sdq-store
+    /// refused until `DurableEngine::try_recover` (the `sdq-store` crate,
+    /// `crates/store/src/durable.rs`) re-checkpoints to fresh files.
     EngineDegraded { reason: String },
     /// The durable engine is poisoned: in-memory state may disagree with
     /// the log, so both reads and writes are refused. Reopen from disk.

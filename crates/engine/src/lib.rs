@@ -1,7 +1,8 @@
 //! # sdq-engine
 //!
 //! The unified query-execution layer of the SD-Query workspace: one front
-//! door ([`SdEngine`]) that plans, shards and merges every top-k query.
+//! door ([`SdEngine`]) that plans and shards every top-k query, and answers
+//! it from one heap.
 //!
 //! ```text
 //!                         SdEngine::query_with
@@ -19,12 +20,13 @@
 //!              │    ▲             │    ▲             │    ▲
 //!              └────╂─────────────┴────╂─────────────┘    ┃
 //!                   ┗━━━━━━━━ QueryFloor (the ━━━━━━━━━━━━┛
-//!                        query's one k-th-score floor;
-//!                        every shard and the delta scan
-//!                        score into it and prune against it)
+//!                        query's one answer heap: every
+//!                        shard and the delta scan offer
+//!                        (score, global id) to it and
+//!                        prune against its k-th score)
 //!                                 │
 //!                    ┌────────────▼────────────┐
-//!                    │    exact k-way merge    │   (score desc, id asc)
+//!                    │       one drain         │   (score desc, id asc)
 //!                    └────────────┬────────────┘
 //!                                 │
 //!                          top-k answer
@@ -53,13 +55,14 @@
 //! ## Exactness
 //!
 //! Results are **bit-identical** to the unsharded [`SdIndex::query`] path —
-//! including ties at the k-th score — because every execution strategy
-//! emits the *canonical* answer (score descending, ties by row id
-//! ascending) and per-point scores are computed by the same kernel on the
-//! same coordinates. The merge compares with
-//! [`rank_cmp`](sdq_core::score::rank_cmp) over globalised row ids, which
-//! is a total order. Property tests in `tests/engine_equivalence.rs` pin
-//! this across random datasets, roles, weights, `k` and shard counts.
+//! including ties at the k-th score — because every scorer offers each row
+//! it keeps under its global id to the one floor, which keeps the best
+//! `min(k, live rows)` under [`rank_cmp`](sdq_core::score::rank_cmp)
+//! (score descending, ties by id ascending, a total order), every row no
+//! scorer offers is strictly below `k` scores it keeps, and per-point
+//! scores are computed by the same kernel on the same coordinates.
+//! Property tests in `tests/engine_equivalence.rs` pin this across random
+//! datasets, roles, weights, `k` and shard counts.
 //!
 //! ## One driver, one walk
 //!
@@ -67,8 +70,9 @@
 //! one 8-round [`ShardExecution::step`] per shard, then each shard still
 //! open stepped to completion in shard order, [`ShardExecution::finish_into`].
 //! The calling thread drives all shards, passing every step the query's one
-//! [`QueryFloor`]: the best `min(k, live rows)` exact scores any step or the
-//! delta scan has found. It also carries the query's scan verdict: once
+//! [`QueryFloor`]: the best `min(k, live rows)` `(score, global id)`
+//! entries any step or the delta scan has found, whose one drain is the
+//! answer. It also carries the query's scan verdict: once
 //! one execution finds its streams lost and scans, its open siblings scan
 //! at their next round head instead of reaching the verdict again. A query
 //! that is one non-degenerate pair ([`SdIndex::single_pair`]) is not
@@ -112,7 +116,6 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -120,11 +123,10 @@ use std::sync::{Arc, OnceLock};
 
 use sdq_core::mask::{MaskView, RowMask};
 use sdq_core::multidim::{QueryPlan, SdIndex, SdIndexOptions, ShardExecution, ShardPart};
-use sdq_core::score::rank_cmp;
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::{
-    recycle_vec, Dataset, Deadline, DimRole, OrdF64, PointId, QueryFloor, QueryProfile,
-    QueryScratch, ScoredPoint, SdError, SdQuery,
+    recycle_vec, Dataset, Deadline, DimRole, FloorEntry, QueryFloor, QueryProfile, QueryScratch,
+    ScoredPoint, SdError, SdQuery,
 };
 
 mod history;
@@ -181,11 +183,10 @@ pub struct ShardInfo {
 }
 
 /// Reusable execution state for one engine consumer: one [`QueryScratch`]
-/// per shard, per-shard result staging, merge cursors and the engine-level
-/// k-th-score tracker. Keep one per serving thread and reuse it across
-/// queries — every buffer (heaps, pools, seen-sets, answer lists, the
-/// driver's list of shard executions) is recycled, so a warmed query
-/// touches the allocator zero times.
+/// per shard and the heap of the query's one [`QueryFloor`]. Keep one per
+/// serving thread and reuse it across queries — every buffer (heaps,
+/// seen-sets, the answer, the driver's list of shard executions) is
+/// recycled, so a warmed query touches the allocator zero times.
 #[derive(Default)]
 pub struct EngineScratch {
     /// One per shard: a [`ShardExecution`] owns its scratch's buffers while
@@ -194,18 +195,14 @@ pub struct EngineScratch {
     /// The driver's execution list. Empty between queries; only the
     /// allocation is retained.
     runs: Vec<ShardExecution<'static>>,
-    lists: Vec<Vec<ScoredPoint>>,
-    heads: Vec<usize>,
-    /// The heap the query's one [`QueryFloor`] borrows.
-    floor: BinaryHeap<Reverse<OrdF64>>,
-    /// Bounded top-k heap of the delta scan (mutated engines).
-    delta_pool: BinaryHeap<(Reverse<OrdF64>, u32)>,
+    /// The heap the query's one [`QueryFloor`] borrows: its answer.
+    floor: BinaryHeap<FloorEntry>,
     /// Role-signed weight staging of the delta scan.
     delta_sw: Vec<f64>,
     answers: Vec<ScoredPoint>,
     /// Execution counters of the most recent query served through this
     /// scratch: the merged per-shard profiles plus the engine's own delta
-    /// scan and merge statistics. Always on; set [`QueryProfile::timing`]
+    /// scan and final drain statistics. Always on; set [`QueryProfile::timing`]
     /// before querying to also collect per-stage wall times. When the
     /// driver aborts on a deadline, the counters of the work its shard
     /// executions had done by then are still folded in.
@@ -222,15 +219,6 @@ impl EngineScratch {
     /// Creates an empty scratch; buffers grow on first use and are retained.
     pub fn new() -> Self {
         EngineScratch::default()
-    }
-
-    fn ensure(&mut self, lists: usize, shards: usize) {
-        if self.lists.len() != lists {
-            self.lists.resize_with(lists, Vec::new);
-        }
-        if self.shards.len() < shards {
-            self.shards.resize_with(shards, QueryScratch::new);
-        }
     }
 }
 
@@ -851,8 +839,10 @@ impl SdEngine {
     /// engine walks all its shards at once. The delta region, when
     /// non-empty, additionally executes as an exact scan outside these
     /// per-shard plans (see [`mutation`]). Reading the history counts no
-    /// query.
+    /// query. Refuses what [`SdEngine::query_with`] refuses, with the same
+    /// error.
     pub fn explain(&self, query: &SdQuery, k: usize) -> Result<Explain, SdError> {
+        self.check_query(query, k)?;
         let plans = self
             .shards
             .iter()
@@ -860,6 +850,37 @@ impl SdEngine {
             .collect::<Result<Vec<_>, _>>()?;
         let shape = self.shape(query, k).map(|shape| self.verdicts.state(shape));
         Ok(Explain { plans, shape })
+    }
+
+    /// What every query entry — [`SdEngine::query_with`] and
+    /// [`SdEngine::explain`] — refuses before looking at a shard: `k = 0`
+    /// and a query of another dimensionality than the engine's.
+    fn check_query(&self, query: &SdQuery, k: usize) -> Result<(), SdError> {
+        if k == 0 {
+            return Err(SdError::ZeroK);
+        }
+        if query.dims() != self.dims {
+            return Err(SdError::DimensionMismatch {
+                expected: self.dims,
+                got: query.dims(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Shard `i` as one part of a query: its index, its global offset and
+    /// its tombstones — `None` when no dead row falls inside the shard's
+    /// range (per-shard counters maintained by `delete`, so this is O(1)),
+    /// so delete-free shards skip the per-row mask test.
+    fn shard_part<'a>(&'a self, i: usize, mask: Option<&'a RowMask>) -> ShardPart<'a> {
+        let offset = self.offsets[i];
+        ShardPart {
+            index: &self.shards[i],
+            offset,
+            mask: mask
+                .filter(|_| self.muts.shard_dead[i] > 0)
+                .map(|m| MaskView::new(m, offset)),
+        }
     }
 
     /// The shape under which the verdict history knows `query`: `None` when
@@ -926,35 +947,21 @@ impl SdEngine {
         k: usize,
         scratch: &mut EngineScratch,
     ) -> Result<(), SdError> {
-        if k == 0 {
-            return Err(SdError::ZeroK);
-        }
-        if query.dims() != self.dims {
-            return Err(SdError::DimensionMismatch {
-                expected: self.dims,
-                got: query.dims(),
-            });
-        }
-        scratch.answers.clear();
+        self.check_query(query, k)?;
         scratch.profile.reset();
         scratch.deadline.check()?;
         let timing = scratch.profile.timing;
         let s = self.shards.len();
-        // The write path: a dirty engine scans its delta region exactly
-        // (one extra merge list) and masks tombstoned rows out of every
-        // shard execution.
-        let dirty = self.has_mutations();
-        if s == 0 && !dirty {
-            self.metrics.record_query(&scratch.profile);
-            return Ok(());
+        if scratch.shards.len() < s {
+            scratch.shards.resize_with(s, QueryScratch::new);
         }
-        let lists_n = s + usize::from(dirty);
-        scratch.ensure(lists_n, s);
         for qs in &mut scratch.shards[..s] {
             qs.profile.reset();
             qs.profile.timing = timing;
             qs.deadline = scratch.deadline.clone();
         }
+        // The write path: a dirty engine scans its delta region exactly and
+        // masks tombstoned rows out of every shard execution.
         let mask = if self.muts.tombstones.any() {
             Some(&self.muts.tombstones)
         } else {
@@ -963,45 +970,35 @@ impl SdEngine {
         let EngineScratch {
             shards: shard_scratches,
             runs,
-            lists,
-            heads,
             floor,
-            delta_pool,
             delta_sw,
             answers,
             profile,
             deadline,
         } = &mut *scratch;
         // The query's one floor: every live row's score it keeps, whoever
-        // scored the row — delta scan, shard execution or walk.
+        // scored the row — delta scan, shard execution or walk — under the
+        // row's global id. Its drain below is the answer.
         let mut floor = QueryFloor::new(floor, k.min(self.len()));
 
-        if dirty {
-            // Delta scan first: its canonical top-k becomes merge list `s`,
-            // and its live scores go into the floor, so the indexed shard
-            // executions below terminate against fresh-row candidates
-            // exactly like against a sibling shard's.
-            let out = &mut lists[s];
-            out.clear();
-            if !self.muts.delta.is_empty() {
-                let t0 = timing.then(std::time::Instant::now);
-                sdq_core::delta::scan_delta_into(
-                    &self.muts.delta,
-                    &self.roles,
-                    query,
-                    k,
-                    self.rows as u32,
-                    mask.map(|m| MaskView::new(m, self.rows as u32)),
-                    delta_pool,
-                    &mut floor,
-                    out,
-                    delta_sw,
-                    profile,
-                    deadline,
-                )?;
-                if let Some(t0) = t0 {
-                    profile.delta_scan_nanos += t0.elapsed().as_nanos() as u64;
-                }
+        if !self.muts.delta.is_empty() {
+            // Delta scan first: its live scores go into the floor, so the
+            // indexed shard executions below terminate against fresh-row
+            // candidates exactly like against a sibling shard's.
+            let t0 = timing.then(std::time::Instant::now);
+            sdq_core::delta::scan_delta_into(
+                &self.muts.delta,
+                &self.roles,
+                query,
+                self.rows as u32,
+                mask.map(|m| MaskView::new(m, self.rows as u32)),
+                &mut floor,
+                delta_sw,
+                profile,
+                deadline,
+            )?;
+            if let Some(t0) = t0 {
+                profile.delta_scan_nanos += t0.elapsed().as_nanos() as u64;
             }
         }
         let t_agg = timing.then(std::time::Instant::now);
@@ -1027,29 +1024,19 @@ impl SdEngine {
         let executed = if let Some(pair) = pair {
             // One walk over every shard's block set, whatever the shard
             // count, scoring into the floor the delta scan left.
-            let parts = self
-                .shards
-                .iter()
-                .zip(&self.offsets)
-                .zip(&self.muts.shard_dead)
-                .map(|((index, &offset), &dead)| ShardPart {
-                    index,
-                    offset,
-                    mask: shard_mask_view(mask, offset, dead),
-                });
-            pair.walk(parts, k, &mut shard_scratches[0], &mut floor)
-                .map(drop)
+            let parts = (0..s).map(|i| self.shard_part(i, mask));
+            pair.walk(parts, &mut shard_scratches[0], &mut floor)
         } else if start == Start::Audit {
             // The audit shard runs stream-first against the floor the delta
             // and every lead shard's scan left.
             let (lead, last) = shard_scratches.split_at_mut(s - 1);
-            self.aggregate(0, query, k, mask, &mut floor, lead, runs)
+            self.aggregate(0, query, mask, &mut floor, lead, runs)
                 .and_then(|()| {
                     floor.reopen();
-                    self.aggregate(s - 1, query, k, mask, &mut floor, last, runs)
+                    self.aggregate(s - 1, query, mask, &mut floor, last, runs)
                 })
         } else {
-            self.aggregate(0, query, k, mask, &mut floor, shard_scratches, runs)
+            self.aggregate(0, query, mask, &mut floor, shard_scratches, runs)
         };
         // Fold the per-shard profiles into the engine-level one (a walk's
         // idle scratches were reset above and merge as zeros) — also when a
@@ -1067,12 +1054,6 @@ impl SdEngine {
                 Start::Lost => {}
             }
         }
-        // A walk leaves one list, already in global ids (shard 0's offset is
-        // 0), in the first scratch; an aggregation one list per shard.
-        let ran = if pair.is_some() { 1 } else { s };
-        for out in &mut lists[ran..s] {
-            out.clear();
-        }
         // A walk splits its floor updates by shard itself; an aggregation
         // left each shard's in that shard's scratch.
         if pair.is_some() {
@@ -1085,62 +1066,18 @@ impl SdEngine {
                 self.metrics.record_shard_floor(i, qs.profile.floor_updates);
             }
         }
-        for (i, (qs, out)) in shard_scratches[..ran]
-            .iter()
-            .zip(lists.iter_mut())
-            .enumerate()
-        {
-            let offset = self.offsets[i];
-            out.clear();
-            out.extend(
-                qs.answers()
-                    .iter()
-                    .map(|sp| ScoredPoint::new(PointId::new(offset + sp.id.raw()), sp.score)),
-            );
-        }
-
         if let Some(t) = t_agg {
             profile.aggregate_nanos += t.elapsed().as_nanos() as u64;
         }
 
-        // Exact k-way merge over the per-shard canonical lists (plus the
-        // delta list when dirty). Global ids are unique, so rank_cmp is a
-        // total order and the merge output is the canonical global top-k
-        // of the live rows.
+        // The answer: one drain of the floor, which holds the canonical
+        // top `min(k, live)` of every row any scorer offered — and every
+        // row none offered is strictly below its k-th score.
         let t_merge = timing.then(std::time::Instant::now);
-        let k_eff = k.min(self.len());
-        heads.clear();
-        heads.resize(lists.len(), 0);
-        answers.reserve(k_eff);
-        while answers.len() < k_eff {
-            let mut best: Option<usize> = None;
-            for (i, list) in lists.iter().enumerate() {
-                if heads[i] < list.len() {
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            rank_cmp(&list[heads[i]], &lists[b][heads[b]])
-                                == std::cmp::Ordering::Less
-                        }
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            match best {
-                Some(i) => {
-                    profile.merge_rounds += 1;
-                    answers.push(lists[i][heads[i]]);
-                    heads[i] += 1;
-                }
-                None => break,
-            }
-        }
-        // Pin the query-final facts: the emitted answer count and the
-        // query's floor.
-        profile.emitted = answers.len() as u64;
         profile.floor_value = floor.value();
+        floor.drain_into(answers);
+        profile.merge_rounds = answers.len() as u64;
+        profile.emitted = answers.len() as u64;
         if let Some(t) = t_merge {
             profile.merge_nanos += t.elapsed().as_nanos() as u64;
         }
@@ -1149,20 +1086,19 @@ impl SdEngine {
     }
 
     /// The one way shard aggregations run: begins shard `first + j` out of
-    /// `scratches[j]` (with its tombstone view), steps them
-    /// in two passes, and finishes each into the scratch it was begun from —
-    /// where its canonical shard-local answer and its profile are left. The
-    /// first pass gives every execution one `SLICE_ROUNDS` slice, so a floor
-    /// forms from every shard's best rows; the second runs each one still
-    /// open to completion, in shard order. So the first execution that
-    /// finds its streams lost and takes the scan exit does so while its
-    /// siblings have spent one slice each, and its verdict on `floor`
-    /// sends them straight to their own scans at their next round head
-    /// (`scan_inherited`) — unless the floor certifies them first. A
+    /// `scratches[j]` (with its tombstone view), steps them in two passes,
+    /// and hands each one's buffers and profile back to the scratch it was
+    /// begun from. The first pass gives every execution one `SLICE_ROUNDS`
+    /// slice, so a floor forms from every shard's best rows; the second
+    /// runs each one still open to completion, in shard order. So the first
+    /// execution that finds its streams lost and takes the scan exit does
+    /// so while its siblings have spent one slice each, and its verdict on
+    /// `floor` sends them straight to their own scans at their next round
+    /// head (`scan_inherited`) — unless the floor certifies them first. A
     /// deadline or cancellation inside one step (between rounds, or
     /// mid-scan) ends every in-flight execution: each hands its buffers
-    /// back unfinished, so a tripped scratch serves its next query without
-    /// re-allocating.
+    /// back all the same, so a tripped scratch serves its next query
+    /// without re-allocating.
     ///
     /// `floor` is the query's one floor (holding the delta scan's scores, if
     /// any): every step scores into it and prunes against it, so each
@@ -1173,12 +1109,10 @@ impl SdEngine {
     /// oracle floor's cost, where strictly sequential shard execution
     /// leaves the first shard floorless). `runs` lends its allocation and
     /// is left empty.
-    #[allow(clippy::too_many_arguments)] // internal: one body, three call sites
     fn aggregate(
         &self,
         first: usize,
         query: &SdQuery,
-        k: usize,
         mask: Option<&RowMask>,
         floor: &mut QueryFloor<'_>,
         scratches: &mut [QueryScratch],
@@ -1191,8 +1125,8 @@ impl SdEngine {
         let mut active = recycle_vec(std::mem::take(runs));
         let mut advance = || -> Result<(), SdError> {
             for (i, qs) in (first..).zip(scratches.iter_mut()) {
-                let shard_mask = shard_mask_view(mask, self.offsets[i], self.muts.shard_dead[i]);
-                active.push(self.shards[i].begin_query(query, k, qs, shard_mask)?);
+                let part = self.shard_part(i, mask);
+                active.push(SdIndex::begin_query(part, query, qs)?);
             }
             for rounds in [SLICE_ROUNDS, usize::MAX] {
                 for run in active.iter_mut().filter(|run| !run.done()) {
@@ -1203,10 +1137,7 @@ impl SdEngine {
         };
         let advanced = advance();
         for (run, qs) in active.drain(..).zip(scratches.iter_mut()) {
-            match advanced {
-                Ok(()) => run.finish_into(qs),
-                Err(_) => run.abandon_into(qs),
-            }
+            run.finish_into(qs);
         }
         *runs = recycle_vec(active);
         advanced
@@ -1340,19 +1271,11 @@ fn build_shards(
     built.into_iter().map(|(_, index)| index).collect()
 }
 
-/// The tombstone view one shard's execution should receive: `None` when no
-/// dead row falls inside the shard's range (per-shard counters maintained
-/// by `delete`, so this is O(1)), so delete-free shards skip the per-row
-/// mask test.
-fn shard_mask_view(mask: Option<&RowMask>, offset: u32, dead: usize) -> Option<MaskView<'_>> {
-    let view = MaskView::new(mask?, offset);
-    (dead > 0).then_some(view)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdq_core::multidim::PairAction;
+    use sdq_core::PointId;
     use std::sync::{Barrier, Mutex};
 
     fn sample(n: usize, dims: usize) -> (Dataset, Vec<DimRole>) {
@@ -1590,6 +1513,30 @@ mod tests {
             assert_eq!(p.pairs.len(), 2);
             // Unit weights hit the 45° indexed angle, whatever the shard size.
             assert!(p.pairs.iter().all(|pp| pp.action == PairAction::Frontier));
+        }
+    }
+
+    #[test]
+    fn explain_refuses_what_a_query_refuses() {
+        // `k = 0` on an engine with shards, and a query of the wrong
+        // dimensionality on one without any (no shard plan to catch it):
+        // `explain` says no exactly where `query` does.
+        let e = engine(400, 4, 4);
+        let empty = SdEngine::from_parts(4, e.roles().to_vec(), Vec::new()).unwrap();
+        let q4 = SdQuery::uniform_weights(vec![0.0; 4], e.roles());
+        let q3 = SdQuery::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
+        let wrong_dims = SdError::DimensionMismatch {
+            expected: 4,
+            got: 3,
+        };
+        for (engine, q, k, want) in [
+            (&e, &q4, 0, SdError::ZeroK),
+            (&empty, &q4, 0, SdError::ZeroK),
+            (&empty, &q3, 8, wrong_dims.clone()),
+            (&e, &q3, 8, wrong_dims),
+        ] {
+            assert_eq!(engine.explain(q, k).unwrap_err(), want);
+            assert_eq!(engine.query(q, k).unwrap_err(), want);
         }
     }
 

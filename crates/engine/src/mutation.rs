@@ -9,7 +9,7 @@
 //!        │ delta region │          │ tombstone mask │   (base ∪ delta ids)
 //!        │ (append-only │          │ (bit per row;  │
 //!        │  rows, exact │          │  checked before│
-//!        │  row scan)   │          │  pool + floor) │
+//!        │  row scan)   │          │  the floor)    │
 //!        └──────┬───────┘          └───────┬────────┘
 //!               └──────────┬───────────────┘
 //!                          ▼  SdEngine::compact (epoch += 1)
@@ -31,19 +31,19 @@
 //! * delta rows are scored *exactly* by the delta scan
 //!   ([`sdq_core::delta`]) — the same row kernel the scan exit runs, over
 //!   the row-major delta rows themselves, with no second copy of them — and
-//!   join the shard results through the engine's exact k-way merge;
-//! * tombstoned rows are dropped before they can enter any candidate pool
-//!   or k-th-score floor ([`sdq_core::mask`]), so they influence nothing;
+//!   offered to the query's one answer heap under their global ids, like
+//!   every shard's rows;
+//! * tombstoned rows are dropped before they can enter the query's floor
+//!   ([`sdq_core::mask`]), so they influence nothing;
 //! * global ids are assigned in logical-row order (base, then delta), so
 //!   the canonical tie-break — score descending, id ascending — resolves
 //!   ties in exactly the order a fresh rebuild over the logical dataset
 //!   would (the live-id renumbering is monotone).
 //!
 //! Early termination survives mutations: the delta scan feeds every live
-//! exact score into the engine's shared k-th-score floor before (or while)
-//! the indexed shard executions run, so a strong freshly-inserted candidate
-//! prunes the tree walks exactly like a strong candidate found by a
-//! sibling shard.
+//! exact score that reaches it into the query's floor before the indexed
+//! shard executions run, so a strong freshly-inserted candidate prunes the
+//! tree walks exactly like a strong candidate found by a sibling shard.
 //!
 //! ## Epochs
 //!

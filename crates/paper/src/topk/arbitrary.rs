@@ -24,11 +24,11 @@
 //! input, and immune to the one-sided pathology.
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use sdq_core::geometry::Angle;
 use sdq_core::kernels::inflate;
 use sdq_core::score::rank_cmp;
-use sdq_core::threshold::track_floor;
 use sdq_core::topk::{bracketing, FrontierEval};
 use sdq_core::{OrdF64, PointId, ScoredPoint, SdError};
 
@@ -113,6 +113,21 @@ pub(crate) fn query_points_with(
     answers.sort_unstable_by(rank_cmp);
     *heaps = frontier.into_heaps();
     Ok(())
+}
+
+/// Feeds one exact candidate score into a size-capped min-heap tracking the
+/// best `cap` scores seen so far; the heap top is then the running
+/// k-th-best floor.
+fn track_floor(floor: &mut BinaryHeap<Reverse<OrdF64>>, cap: usize, score: f64) {
+    if floor.len() < cap {
+        floor.push(Reverse(OrdF64::new(score)));
+    } else if floor
+        .peek()
+        .is_some_and(|&Reverse(kth)| kth < OrdF64(score))
+    {
+        floor.pop();
+        floor.push(Reverse(OrdF64::new(score)));
+    }
 }
 
 /// Alg. 4 exactly as published (kept for fidelity and comparison; see the

@@ -208,10 +208,12 @@ fn tripped_scratch_recovers_without_reallocating() {
                             continue; // tripped before any execution stepped
                         } else if p.scan_fallbacks == 0 {
                             Trip::Aggregation
-                        } else if p.scan_predicted > 0 && p.emitted > 0 {
-                            // Only an audit finishes executions before one
-                            // trips: its three lead shards, each a predicted
-                            // scan, and at most the last shard's own scan.
+                        } else if p.scan_predicted > 0 && p.rows_fetched > p.scan_rows {
+                            // A query that started lost fetches through its
+                            // streams only in an audit's last shard, run once
+                            // its three lead shards finished their predicted
+                            // scans; a scan counts its rows only when it
+                            // completes, so these came through streams.
                             assert_eq!((p.scan_predicted, p.scan_inherited), (3, 0), "{p:?}");
                             assert!(p.scan_fallbacks <= 4, "{p:?}");
                             Trip::Audit

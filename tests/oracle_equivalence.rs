@@ -150,7 +150,10 @@ fn absurd_k_answers_every_row_in_canonical_order() {
 /// oracle does — score descending, id ascending — bit for bit, including
 /// the ones that emit a row as soon as nothing unexplored can beat it (a
 /// BRS node or a PE cell whose bound only equals the row's score can still
-/// hold a tied row with a smaller id).
+/// hold a tied row with a smaller id). A dirty engine — three shards over
+/// the first half of the rows, the rest inserted into its delta, whose ids
+/// continue the shards' — puts the shards', the delta's and, on a 2-D
+/// `[a, r]` dataset, the walk's tied rows into one answer heap.
 #[test]
 fn tie_heavy_inputs_answer_like_the_oracle_bit_for_bit() {
     const COORDS: [f64; 4] = [0.0, -0.0, 1.0, 2.0];
@@ -187,6 +190,19 @@ fn tie_heavy_inputs_answer_like_the_oracle_bit_for_bit() {
             },
         )
         .unwrap();
+        let cut = n.div_ceil(2);
+        let mut dirty = SdEngine::build_with(
+            Dataset::from_flat(dims, data.flat()[..cut * dims].to_vec()).unwrap(),
+            &roles,
+            &EngineOptions {
+                shards: 3,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        for row in data.flat()[cut * dims..].chunks_exact(dims) {
+            dirty.insert(row).unwrap();
+        }
         let brs = BrsIndex::build(&data, &roles).unwrap();
         let pe = PeIndex::build(data.clone(), &roles).unwrap();
         for _ in 0..5 {
@@ -195,10 +211,11 @@ fn tie_heavy_inputs_answer_like_the_oracle_bit_for_bit() {
             let q = sdq::SdQuery::new(point, weights).unwrap();
             let k = rng.gen_range(1..20);
             let want = bits(&oracle.query(&q, k).unwrap());
-            let answers: [(&str, Vec<ScoredPoint>); 5] = [
+            let answers: [(&str, Vec<ScoredPoint>); 6] = [
                 ("TaIndex", ta.query(&q, k).unwrap()),
                 ("SdIndex", sd.query(&q, k).unwrap()),
                 ("SdEngine(3 shards)", engine.query(&q, k).unwrap()),
+                ("SdEngine(3 shards + delta)", dirty.query(&q, k).unwrap()),
                 ("BrsIndex", brs.query(&q, k).unwrap()),
                 ("PeIndex", pe.query(&q, k).unwrap()),
             ];
