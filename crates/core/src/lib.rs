@@ -19,9 +19,9 @@
 //!   the bulk-loaded block form an engine shard stores per pair,
 //! * [`multidim`] — the §5 pairing + threshold aggregation for any number of
 //!   dimensions, with a per-pair [`planner`](multidim::plan) rule (every
-//!   pair walks its own §4 frontier, indexed or Claim-6 bracketed) and a
-//!   resumable [`ShardExecution`](multidim::ShardExecution) for the sharded
-//!   engine,
+//!   pair walks its own §4 frontier, indexed or Claim-6 bracketed) and one
+//!   driver, [`answer_parts`](multidim::answer_parts), that answers a query
+//!   over one index or over every shard of an engine,
 //! * [`threshold`] — the one answer heap and k-th-score floor of a query
 //!   ([`QueryFloor`]),
 //! * [`mask`] — tombstone bitmaps ([`RowMask`]) whose dead rows are dropped
@@ -89,7 +89,7 @@ pub use integrity::{CrcState, SectionIntegrity};
 pub use mask::{MaskView, RowMask};
 pub use profile::QueryProfile;
 pub use score::{sd_score, DimRole, SdQuery};
-pub use scratch::{recycle_vec, QueryScratch};
+pub use scratch::QueryScratch;
 pub use telemetry::{EventJournal, EventKind, EventRecord, HistoSnapshot, LatencyHisto, Telemetry};
 pub use threshold::{FloorEntry, QueryFloor, Verdict};
 pub use types::{check_coordinate, Dataset, OrdF64, PointId, ScoredPoint, SdError, MAX_MAGNITUDE};

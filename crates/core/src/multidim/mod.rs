@@ -28,25 +28,27 @@
 //! in the aggregation inner loop are direct (inlinable) calls — no vtable
 //! and no dispatch in the hot path.
 //!
-//! An aggregation runs one way: a [`ShardExecution`] takes its buffers out
-//! of a [`QueryScratch`] ([`SdIndex::begin_query`]), is advanced by
-//! [`ShardExecution::step`] — in slices by the sharded engine, in one
-//! unbounded step by [`SdIndex::query_with`] — and hands the buffers back in
-//! [`ShardExecution::finish_into`]. Every step and every walk offers each
-//! score it keeps, under the row's global id, to the query's one
-//! [`QueryFloor`], passed `&mut`: the engine's, or a fresh one of the
-//! entry's own. That floor is the query's answer heap: one drain of it,
-//! once every scorer is done, is the answer. The allocating
-//! [`SdIndex::query`] is a thin wrapper over `query_with`.
+//! A query runs one way: [`answer_parts`], the one driver, over the parts of
+//! the query — the one index of [`SdIndex::query_with`], or every shard of
+//! an engine — out of one [`QueryScratch`]. A query that is one
+//! non-degenerate pair ([`SdIndex::single_pair`]) is the certified §4 walk
+//! over the pair's indexes of every part at once. Anything else is the §5
+//! aggregation: one execution per part, each given one slice of
+//! `SLICE_ROUNDS` rounds, then each still open run to completion in part
+//! order. The executions share the scratch's per-round buffers, its
+//! deadline, its frontier heaps and one seen-set over the query's global
+//! ids; each keeps only its streams, its fetch budget and its counters.
+//! Every execution and the walk offer each score they keep, under the row's
+//! global id, to the query's one [`QueryFloor`], passed `&mut`: the
+//! engine's, or a fresh one of `query_with`'s own. That floor is the
+//! query's answer heap: one drain of it, once every scorer is done, is the
+//! answer. The allocating [`SdIndex::query`] is a thin wrapper over
+//! `query_with`.
 //!
 //! Every pair is served by its own §4 frontier, by the rule in [`plan`]:
 //! certified at an indexed angle (0° and 90°, a zero weight, always are),
-//! Claim 6 bracketed otherwise, dropped when both weights are zero.
-//! Single-pair queries bypass the aggregation altogether
-//! ([`SdIndex::single_pair`]) — one certified frontier walk over the pair's
-//! §4 index, or over the pair's indexes of every shard at once
-//! ([`SinglePair::walk`]). An aggregation
-//! that has fetched more than
+//! Claim 6 bracketed otherwise, dropped when both weights are zero. An
+//! execution that has fetched more than
 //! [`plan::scan_budget`] rows without certifying — or whose threshold gap
 //! projects that it will ([`plan::scan_checkpoint`]), or whose sibling
 //! execution of the same query already did, or whose query started lost
@@ -63,7 +65,7 @@
 //! An aggregation terminates as soon as the query's [`QueryFloor`] — the
 //! k-th best exact score found by any of its scorers so far — certifiably
 //! beats the admissible bound on everything unfetched, or a stream has
-//! drained; see [`ShardExecution::step`].
+//! drained; see [`answer_parts`].
 
 pub mod pairing;
 pub mod plan;
@@ -372,12 +374,9 @@ impl SdIndex {
     /// returns for the same arguments; the answer is canonical (score
     /// descending, ties by row id ascending).
     ///
-    /// A query that is one non-degenerate pair ([`SdIndex::single_pair`]) is
-    /// the direct walk over the pair's §4 index ([`SinglePair::walk`] with
-    /// this index as its one shard). Everything else is
-    /// [`SdIndex::begin_query`] stepped once without a round limit. Either
-    /// scores into a fresh [`QueryFloor`] of the scratch's, drained into
-    /// the answer.
+    /// The one driver, [`answer_parts`], with this index as the query's one
+    /// part, scoring into a fresh [`QueryFloor`] of the scratch's, drained
+    /// into the answer.
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
@@ -387,7 +386,6 @@ impl SdIndex {
         if k == 0 {
             return Err(SdError::ZeroK);
         }
-        self.check_query(query)?;
         let mut heap = std::mem::take(&mut scratch.floor);
         let mut floor = QueryFloor::new(&mut heap, k.min(self.data.len()));
         let part = ShardPart {
@@ -395,11 +393,7 @@ impl SdIndex {
             offset: 0,
             mask: None,
         };
-        let ran = match self.single_pair(query) {
-            Some(pair) => pair.walk([part], scratch, &mut floor),
-            None => ShardExecution::begin(part, query, scratch)
-                .and_then(|exec| exec.run_into(&mut floor, scratch)),
-        };
+        let ran = answer_parts([part], query, scratch, &mut floor);
         if ran.is_ok() {
             scratch.profile.floor_value = floor.value();
             floor.drain_into(&mut scratch.answers);
@@ -407,39 +401,6 @@ impl SdIndex {
         }
         scratch.floor = heap;
         ran.map(|()| &scratch.answers[..])
-    }
-
-    /// Starts a suspended, resumable execution of the aggregation of
-    /// `part`'s index — the unit the sharded engine schedules. The returned
-    /// [`ShardExecution`] owns all its mutable state (taken from `scratch`;
-    /// handed back by [`ShardExecution::finish_into`]), so one execution per
-    /// shard can be in flight simultaneously. It offers every score it
-    /// keeps under the row's global id, `part.offset` + its row.
-    ///
-    /// With a tombstone mask (`part.mask`), masked rows are dropped *at
-    /// scoring time* — before they can enter the query's floor — so the
-    /// answer is the canonical top-k of the **live** rows only, exactly as
-    /// if the dead rows had never been indexed. Stream bounds keep covering
-    /// dead rows (admissible for the live subset; compaction restores
-    /// tightness).
-    ///
-    /// A suspended execution is always an aggregation: a single-pair query
-    /// begun here does not walk (the walk runs to completion, with every
-    /// shard in it — [`SinglePair::walk`]), and its answer is bit-identical
-    /// either way (both paths are canonical).
-    ///
-    /// The execution carries this index's fetch budget
-    /// ([`plan::scan_budget`]): the [`ShardExecution::step`] that finds it
-    /// spent, or projects that it will be, runs a kernel scan of the unseen
-    /// rows to completion instead of another round, so one step can cost a
-    /// pass over the shard.
-    pub fn begin_query<'i>(
-        part: ShardPart<'i>,
-        query: &'i SdQuery,
-        scratch: &mut QueryScratch,
-    ) -> Result<ShardExecution<'i>, SdError> {
-        part.index.check_query(query)?;
-        ShardExecution::begin(part, query, scratch)
     }
 
     /// What every query entry validates before touching the index, `k`
@@ -534,9 +495,9 @@ pub struct SinglePair {
     qy: f64,
 }
 
-/// One shard of a query — of a [`SinglePair::walk`] or of an execution
-/// ([`SdIndex::begin_query`]): its index, the global id of its row 0, and
-/// its tombstones viewed at its local rows.
+/// One part of a query ([`answer_parts`]) — in an engine, one shard: its
+/// index, the global id of its row 0, and its tombstones viewed at its
+/// local rows.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPart<'a> {
     /// The shard's index.
@@ -548,57 +509,117 @@ pub struct ShardPart<'a> {
     pub mask: Option<MaskView<'a>>,
 }
 
-impl SinglePair {
-    /// The paper's §4 answer to a one-pair query — one certified best-first
-    /// walk of the isoline index — over the pair's block sets of every
-    /// shard at once: the frontier whose head bound is highest is popped
-    /// first, which walks the shards as one index under a virtual root, and
-    /// tombstoned rows are dropped before they reach the floor. Every score
-    /// it keeps goes into the query's `floor` under its global id, so once
-    /// it returns the floor holds the walked rows' share of the canonical
-    /// top k; `scratch.profile` holds the walk's counters (`rounds` stays
-    /// 0).
-    ///
-    /// Every shard must share the roles of the index this pair came from
-    /// (an engine's do). The walk prunes against the floor, and ends once
-    /// the floor beats the bound on every row it has not surfaced, so
-    /// scores already there (an engine's delta rows) end it sooner.
-    /// `scratch.deadline` is consulted before every pop; the scratch keeps
-    /// every buffer either way, so a warmed scratch walks without
-    /// allocating.
-    pub fn walk<'a, I>(
-        self,
-        shards: I,
-        scratch: &mut QueryScratch,
-        floor: &mut QueryFloor<'_>,
-    ) -> Result<(), SdError>
-    where
-        I: IntoIterator<Item = ShardPart<'a>>,
-        I::IntoIter: Clone,
-    {
-        let shards = shards.into_iter();
-        for part in shards.clone() {
-            part.index.verify_integrity()?;
-        }
-        let t0 = scratch.profile.timing.then(std::time::Instant::now);
-        let walked = arbitrary::query_blocks_with(
-            shards.map(|part| BlockPart {
+/// Rounds of the aggregation's first pass: enough that each slice makes
+/// real bound progress, small enough that the query's floor forms while
+/// every part is still early in its descent.
+const SLICE_ROUNDS: usize = 8;
+
+/// The one driver of a query: answers `query` over `parts` — the one index
+/// of [`SdIndex::query_with`], or every shard of an engine — into `floor`,
+/// the query's one answer heap, out of one `scratch`, all on the calling
+/// thread. Every part must share the roles of the first (an engine's do).
+///
+/// A query that is one non-degenerate pair ([`SdIndex::single_pair`]) is the
+/// paper's §4 answer: one certified best-first walk over the pair's block
+/// sets of every part at once — the frontier whose head bound is highest is
+/// popped first, which walks the parts as one index under a virtual root
+/// (`rounds` stays 0). Anything else is the §5 aggregation: one execution
+/// per part, each given one slice of `SLICE_ROUNDS` (8) rounds, so a floor
+/// forms from every part's best rows, then each one still open run to
+/// completion in part order. So the first execution that finds its streams
+/// lost and takes the scan exit does so while its siblings have spent one
+/// slice each, and its verdict on `floor` sends them straight to their own
+/// scans at their next round head (`scan_inherited`) — unless the floor
+/// certifies them first.
+///
+/// Every scorer offers each row it keeps to `floor` under its global id,
+/// `offset + row`, and prunes against it, tombstoned rows (`mask`) dropped
+/// before they reach it; scores already there (an engine's delta rows, an
+/// audit's lead shards) end the parts sooner. Once it returns, the floor
+/// holds the parts' share of the canonical top k. `scratch.profile` is
+/// reset here and ends holding the parts' counters, summed — also when a
+/// deadline or cancellation (`scratch.deadline`, consulted before every pop
+/// of the walk, every round head and every scanned chunk) ended the query —
+/// and `scratch.part_floor_updates` each part's share of `floor_updates`,
+/// in part order. Every buffer goes back to the scratch either way, so a
+/// warmed scratch answers without allocating.
+pub fn answer_parts<'a, I>(
+    parts: I,
+    query: &'a SdQuery,
+    scratch: &mut QueryScratch,
+    floor: &mut QueryFloor<'_>,
+) -> Result<(), SdError>
+where
+    I: IntoIterator<Item = ShardPart<'a>>,
+    I::IntoIter: Clone,
+{
+    scratch.profile.reset();
+    scratch.part_floor_updates.clear();
+    let parts = parts.into_iter();
+    for part in parts.clone() {
+        part.index.check_query(query)?;
+    }
+    let Some(first) = parts.clone().next() else {
+        return Ok(());
+    };
+    let t0 = scratch.profile.timing.then(std::time::Instant::now);
+    let ran = match first.index.single_pair(query) {
+        Some(pair) => arbitrary::query_blocks_with(
+            parts.map(|part| BlockPart {
                 blocks: &part.index.pair_blocks[0],
                 offset: part.offset,
                 mask: part.mask,
             }),
-            self.qx,
-            self.qy,
-            self.alpha,
-            self.beta,
+            pair.qx,
+            pair.qy,
+            pair.alpha,
+            pair.beta,
             scratch,
             floor,
-        );
-        if let Some(t0) = t0 {
-            scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
-        }
-        walked
+        ),
+        None => aggregate(parts, query, scratch, floor),
+    };
+    if let Some(t0) = t0 {
+        scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
     }
+    ran
+}
+
+/// The aggregation road of [`answer_parts`]: begins one execution per part
+/// into the scratch's recycled run list, opens the query's seen-set over
+/// every part's global ids, steps the executions in two passes, and
+/// finishes every one it began — completed or tripped.
+fn aggregate<'a>(
+    mut parts: impl Iterator<Item = ShardPart<'a>>,
+    query: &'a SdQuery,
+    scratch: &mut QueryScratch,
+    floor: &mut QueryFloor<'_>,
+) -> Result<(), SdError> {
+    let mut runs = scratch.run_buf();
+    let mut ids = 0;
+    let mut ran = parts.try_for_each(|part| {
+        ids = ids.max(part.offset as usize + part.index.data.len());
+        runs.push(ShardExecution::begin(part, query, scratch)?);
+        Ok(())
+    });
+    if ran.is_ok() {
+        scratch.seen.begin(ids);
+        ran = [SLICE_ROUNDS, usize::MAX]
+            .into_iter()
+            .try_for_each(|rounds| {
+                runs.iter_mut()
+                    .try_for_each(|run| run.step(rounds, scratch, floor).map(drop))
+            });
+    }
+    let updates = runs.iter().map(|run| run.profile.floor_updates);
+    scratch.part_floor_updates.extend(updates);
+    // Last begun first: the next query's parts then take back the heaps and
+    // stream lists these took, part for part.
+    for run in runs.drain(..).rev() {
+        run.finish(scratch);
+    }
+    scratch.put_runs(runs);
+    ran
 }
 
 /// How a frontier over `blocks` evaluates the pair query `(α, β, (qx, qy))`;
@@ -728,11 +749,11 @@ fn score_survivors(
     kernels::survivors(scores, live, floor)
 }
 
-/// Scores one round's fetched rows: duplicates die on the seen-set, the
-/// rest go through the [`BatchScorer`].
+/// Scores one round's fetched rows: duplicates die on the query's
+/// seen-set (over global ids), the rest go through the [`BatchScorer`].
 fn score_rows_batched(scorer: &mut BatchScorer<'_, '_>, seen: &mut StampSet, batch: &[u32]) {
     for &row in batch {
-        if seen.insert(row) {
+        if seen.insert(scorer.offset + row) {
             scorer.offer(row);
         } else {
             scorer.prof.seen_hits += 1;
@@ -745,7 +766,9 @@ fn score_rows_batched(scorer: &mut BatchScorer<'_, '_>, seen: &mut StampSet, bat
 /// scan but the scorer it feeds.
 struct UnseenScan<'a> {
     data: &'a Dataset,
+    /// The query's seen-set, over global ids: row `r` is `offset + r` in it.
     seen: &'a StampSet,
+    offset: usize,
     mask: Option<MaskView<'a>>,
     /// The query point and the role-signed weights, one per dimension.
     q: &'a [f64],
@@ -776,7 +799,7 @@ impl UnseenScan<'_> {
         if reach == 0 {
             return 0;
         }
-        let live = reach & self.seen.unseen_word(start, count);
+        let live = reach & self.seen.unseen_word(self.offset + start, count);
         // Tombstoned rows stop here, before the floor.
         self.mask
             .map_or(live, |m| live & !m.dead_word32(start as u32))
@@ -817,6 +840,7 @@ fn scan_unseen(
     let scan = UnseenScan {
         data: scorer.data,
         seen,
+        offset: scorer.offset as usize,
         mask: scorer.mask,
         q: &query.point,
         sw,
@@ -844,7 +868,7 @@ fn scan_unseen(
 }
 
 /// The §5 aggregation loop. Runs up to `rounds` iterations over the state of
-/// one [`ShardExecution`] — its only caller is [`ShardExecution::step`];
+/// one [`ShardExecution`] — its only caller is `ShardExecution::step`;
 /// returns `true` once the execution is complete: every live row of its
 /// shard that can be in the query's top k is in the query's floor.
 ///
@@ -884,44 +908,47 @@ fn scan_unseen(
 /// first round head, counted as `scan_predicted`, unless the floor already
 /// beats its `τ`, the extent bound alone.
 ///
-/// The execution's deadline is consulted once per iteration — block-pop granularity,
-/// one inlined branch when unset — and once per [`LANES`] scanned rows, and
-/// aborts the aggregation with the typed deadline/cancel error.
+/// The scratch's deadline is consulted once per iteration — block-pop
+/// granularity, one inlined branch when unset — and once per [`LANES`]
+/// scanned rows, and aborts the aggregation with the typed deadline/cancel
+/// error. The round's buffers are the scratch's, shared by every execution
+/// of the query; what survives between steps is the execution's.
 fn aggregate_rounds(
     exec: &mut ShardExecution<'_>,
+    scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
     mut rounds: usize,
 ) -> Result<bool, SdError> {
     let ShardExecution {
-        data,
-        roles,
+        part,
         query,
-        offset,
         streams,
         extent_bound,
-        mask,
-        seen,
-        batch,
-        gather,
-        scores,
-        fbuf,
         profile: prof,
-        deadline,
         scan_budget,
         probe,
         done: _,
     } = exec;
-    let (data, roles, query, extent_bound) = (*data, *roles, *query, *extent_bound);
-    let (offset, mask, scan_budget) = (*offset, *mask, *scan_budget);
+    let QueryScratch {
+        seen,
+        rows: batch,
+        gather,
+        scores,
+        fbuf,
+        deadline,
+        ..
+    } = scratch;
+    let (data, query, extent_bound, scan_budget) =
+        (&*part.index.data, *query, *extent_bound, *scan_budget);
     // Fixed-size after the first call: no steady-state allocation.
     gather.resize(data.dims() * LANES, 0.0);
     scores.resize(LANES, 0.0);
     let mut scorer = BatchScorer {
         data,
-        roles,
+        roles: &part.index.roles,
         query,
-        mask,
-        offset,
+        mask: part.mask,
+        offset: part.offset,
         floor,
         gather,
         scores,
@@ -1020,36 +1047,23 @@ fn aggregate_rounds(
     Ok(false)
 }
 
-/// A suspended, resumable execution of one index's §5 aggregation — the
-/// unit the sharded engine schedules. Obtain one with
-/// [`SdIndex::begin_query`], advance it in slices with
-/// [`ShardExecution::step`] (interleaving slices of *other* shards'
-/// executions in between, so the cross-shard floor converges while every
-/// shard is still early in its descent), and hand its buffers back with
-/// [`ShardExecution::finish_into`]. It keeps no answer of its own: every
-/// score it keeps is in the query's [`QueryFloor`].
-///
-/// All mutable state is owned (taken out of a [`QueryScratch`] at start,
-/// returned at finish), so any number of executions can be in flight at
-/// once against the same or different indexes.
-pub struct ShardExecution<'i> {
-    data: &'i Dataset,
-    roles: &'i [DimRole],
+/// One part's §5 aggregation in flight inside [`answer_parts`], which
+/// begins it ([`ShardExecution::begin`]), steps it in slices between its
+/// siblings' ([`ShardExecution::step`]) and finishes it
+/// ([`ShardExecution::finish`]). It holds only what must survive between
+/// its steps — its streams, fetch budget, probe and counters — and keeps no
+/// answer: every score it keeps is in the query's [`QueryFloor`]. The round
+/// buffers, the seen-set and the deadline are the query's scratch's.
+pub(crate) struct ShardExecution<'i> {
+    part: ShardPart<'i>,
     query: &'i SdQuery,
-    /// Global id of the shard's row 0.
-    offset: u32,
     streams: Vec<Pair2DStream<'i>>,
     /// What the dimensions no stream covers add to any row's score at most:
     /// the index's unpaired extents.
     extent_bound: f64,
-    mask: Option<MaskView<'i>>,
-    seen: StampSet,
-    batch: Vec<u32>,
-    gather: Vec<f64>,
-    scores: Vec<f64>,
-    fbuf: Vec<f64>,
+    /// This execution's own counters: its fetch budget, probe and scan exit
+    /// read them, and [`ShardExecution::finish`] adds them to the scratch's.
     profile: QueryProfile,
-    deadline: Deadline,
     /// Rows this execution may fetch before it finishes by scanning.
     scan_budget: usize,
     /// The projection that sends it there earlier when the budget is a
@@ -1059,86 +1073,51 @@ pub struct ShardExecution<'i> {
 }
 
 impl<'i> ShardExecution<'i> {
-    /// The one place an aggregation takes its buffers out of a
-    /// [`QueryScratch`]: the pair streams of `part`'s index (assembled into
-    /// that scratch's `stream_buf`), plus the constant extent bound on the
-    /// dimensions they leave out, run against the index's rows under
-    /// `part.mask`, and the execution switches to the kernel scan once it
-    /// has fetched more than [`plan::scan_budget`] rows, or projects that
-    /// it will.
-    fn begin(
+    /// The pair streams of `part`'s index, assembled into a recycled stream
+    /// list of `scratch`, plus the constant extent bound on the dimensions
+    /// they leave out, run against the index's rows under `part.mask`; the
+    /// execution switches to the kernel scan once it has fetched more than
+    /// [`plan::scan_budget`] rows, or projects that it will.
+    ///
+    /// With a tombstone mask, masked rows are dropped *at scoring time* —
+    /// before they can enter the query's floor — so the answer is the
+    /// canonical top-k of the **live** rows only, exactly as if the dead
+    /// rows had never been indexed. Stream bounds keep covering dead rows
+    /// (admissible for the live subset; compaction restores tightness).
+    pub(crate) fn begin(
         part: ShardPart<'i>,
         query: &'i SdQuery,
         scratch: &mut QueryScratch,
     ) -> Result<Self, SdError> {
         let index = part.index;
-        let data = &*index.data;
-        let n = data.len();
+        let n = index.data.len();
         let streams = if n == 0 {
             scratch.stream_buf()
         } else {
             index.assemble_streams(query, scratch)?
         };
         let scan_budget = plan::scan_budget(n);
-        let mut seen = std::mem::take(&mut scratch.seen);
-        seen.begin(n);
-        let mut batch = std::mem::take(&mut scratch.rows);
-        batch.clear();
-        scratch.profile.reset();
         Ok(ShardExecution {
-            data,
-            roles: &index.roles,
+            part,
             query,
-            offset: part.offset,
             streams,
             extent_bound: index.extent_bound(query),
-            mask: part.mask,
-            seen,
-            batch,
-            gather: std::mem::take(&mut scratch.gather),
-            scores: std::mem::take(&mut scratch.scores),
-            fbuf: std::mem::take(&mut scratch.fbuf),
-            profile: scratch.profile,
-            deadline: scratch.deadline.clone(),
+            profile: QueryProfile::default(),
             scan_budget,
             probe: plan::ScanProbe::new(scan_budget),
             done: n == 0,
         })
     }
 
-    /// Runs the execution to completion in one unbounded step, then hands
-    /// every buffer back to `scratch` — the scratch it was begun from —
-    /// whether the step completes or a deadline ends it.
-    fn run_into(
-        mut self,
-        floor: &mut QueryFloor<'_>,
-        scratch: &mut QueryScratch,
-    ) -> Result<(), SdError> {
-        let t0 = self.profile.timing.then(std::time::Instant::now);
-        let stepped = self.step(usize::MAX, floor);
-        if let Some(t0) = t0 {
-            self.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
-        }
-        self.finish_into(scratch);
-        let done = stepped?;
-        debug_assert!(done, "an unbounded step completes");
-        Ok(())
-    }
-
-    /// `true` once every live row of the shard that can be in the query's
-    /// top k is in its floor.
-    pub fn done(&self) -> bool {
-        self.done
-    }
-
     /// Runs up to `rounds` aggregation iterations (one fetch per stream
-    /// each). Every exact score the step keeps goes into `floor` — the
-    /// query's one floor, which every other execution of the same logical
-    /// query and the engine's delta scan also score into — and the step
-    /// prunes against it and terminates as soon as it certifiably beats the
-    /// admissible bound `τ` on every unfetched row, or a stream drains.
-    /// Returns `Ok(true)` once complete; a deadline or cancellation carried
-    /// in the originating scratch aborts with the typed error.
+    /// each) out of `scratch`'s buffers, against the query's seen-set there.
+    /// Every exact score the step keeps goes into `floor` — the query's one
+    /// floor, which every other execution of the query and the engine's
+    /// delta scan also score into — and the step prunes against it and
+    /// terminates as soon as it certifiably beats the admissible bound `τ`
+    /// on every unfetched row, or a stream drains. Returns `Ok(true)` once
+    /// complete; a deadline or cancellation in `scratch` aborts with the
+    /// typed error.
     ///
     /// A step is not bounded by `rounds` alone: the iteration that finds
     /// the fetch budget ([`plan::scan_budget`]) spent, projects that it
@@ -1147,33 +1126,27 @@ impl<'i> ShardExecution<'i> {
     /// seen yet to completion — one sequential pass over the shard,
     /// deadline-checked every [`LANES`] rows — and completes the execution
     /// inside this call, marking `floor` lost for the siblings after it.
-    pub fn step(&mut self, rounds: usize, floor: &mut QueryFloor<'_>) -> Result<bool, SdError> {
+    pub(crate) fn step(
+        &mut self,
+        rounds: usize,
+        scratch: &mut QueryScratch,
+        floor: &mut QueryFloor<'_>,
+    ) -> Result<bool, SdError> {
         if !self.done {
-            self.done = aggregate_rounds(self, floor, rounds)?;
+            self.done = aggregate_rounds(self, scratch, floor, rounds)?;
         }
         Ok(self.done)
     }
 
-    /// Execution counters accumulated so far.
-    pub fn profile(&self) -> &QueryProfile {
-        &self.profile
-    }
-
-    /// Hands every buffer, and the execution's counters, back to the
-    /// scratch it was begun from, so that scratch serves its next query
-    /// without re-allocating anything — whether the execution completed or
-    /// a step returned an error (deadline, cancellation).
-    pub fn finish_into(mut self, scratch: &mut QueryScratch) {
+    /// Hands the execution's streams back to `scratch` and adds its
+    /// counters to `scratch.profile` — whether it completed or a step
+    /// returned an error (deadline, cancellation).
+    pub(crate) fn finish(mut self, scratch: &mut QueryScratch) {
         for s in self.streams.drain(..) {
             s.recycle(scratch);
         }
         scratch.put_streams(self.streams);
-        scratch.seen = self.seen;
-        scratch.rows = self.batch;
-        scratch.gather = self.gather;
-        scratch.scores = self.scores;
-        scratch.fbuf = self.fbuf;
-        scratch.profile = self.profile;
+        scratch.profile.merge(&self.profile);
     }
 }
 

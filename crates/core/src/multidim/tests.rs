@@ -368,15 +368,28 @@ fn drained(floor: &mut QueryFloor<'_>) -> Vec<ScoredPoint> {
     got
 }
 
-/// Hands `exec`'s buffers back to `scratch` and drains `floor` into the
-/// answer, filling the profile's query-final facts as
-/// [`SdIndex::query_with`] does.
+/// `index`'s execution of `q` under `mask`, begun out of `scratch` as the
+/// query's one part (its seen-set opened over the index's rows).
+fn begin<'a>(
+    index: &'a SdIndex,
+    mask: Option<MaskView<'a>>,
+    q: &'a SdQuery,
+    scratch: &mut QueryScratch,
+) -> ShardExecution<'a> {
+    scratch.seen.begin(index.data.len());
+    ShardExecution::begin(part(index, mask), q, scratch).unwrap()
+}
+
+/// Hands `exec`'s buffers back to `scratch`, sets `scratch.profile` to its
+/// counters and drains `floor` into the answer, filling the profile's
+/// query-final facts as [`SdIndex::query_with`] does.
 fn finish(
     exec: ShardExecution<'_>,
     floor: &mut QueryFloor<'_>,
     scratch: &mut QueryScratch,
 ) -> Vec<ScoredPoint> {
-    exec.finish_into(scratch);
+    scratch.profile.reset();
+    exec.finish(scratch);
     scratch.profile.floor_value = floor.value();
     let got = drained(floor);
     scratch.profile.emitted = got.len() as u64;
@@ -384,8 +397,7 @@ fn finish(
 }
 
 /// `index`'s answer to `q` over the rows `mask` leaves live, scoring into
-/// `floor`, as an engine shard gives it: the direct walk for a single-pair
-/// query, an execution stepped to completion otherwise.
+/// `floor`, as an engine shard gives it: the one driver over one part.
 fn answer(
     index: &SdIndex,
     q: &SdQuery,
@@ -393,13 +405,7 @@ fn answer(
     floor: &mut QueryFloor<'_>,
     mask: Option<MaskView<'_>>,
 ) -> Vec<ScoredPoint> {
-    if let Some(pair) = index.single_pair(q) {
-        pair.walk([part(index, mask)], scratch, floor).unwrap();
-    } else {
-        let mut exec = SdIndex::begin_query(part(index, mask), q, scratch).unwrap();
-        assert!(exec.step(usize::MAX, floor).unwrap());
-        exec.finish_into(scratch);
-    }
+    answer_parts([part(index, mask)], q, scratch, floor).unwrap();
     drained(floor)
 }
 
@@ -415,10 +421,14 @@ fn floor_at(heap: &mut BinaryHeap<FloorEntry>, cap: usize, bar: f64) -> QueryFlo
 
 /// Steps `exec` one round at a time to completion under `floor`, returning
 /// `rows_fetched` after every round.
-fn fetch_trajectory(exec: &mut ShardExecution<'_>, floor: &mut QueryFloor<'_>) -> Vec<u64> {
+fn fetch_trajectory(
+    exec: &mut ShardExecution<'_>,
+    scratch: &mut QueryScratch,
+    floor: &mut QueryFloor<'_>,
+) -> Vec<u64> {
     let mut fetched = Vec::new();
-    while !exec.step(1, floor).unwrap() {
-        fetched.push(exec.profile().rows_fetched);
+    while !exec.step(1, scratch, floor).unwrap() {
+        fetched.push(exec.profile.rows_fetched);
     }
     fetched
 }
@@ -435,36 +445,35 @@ fn scan_switches_strictly_past_the_budget() {
     let mut scratch = QueryScratch::new();
 
     // The pure threshold aggregation: which round had fetched how much.
-    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+    let mut exec = begin(&index, None, &q, &mut scratch);
     exec.scan_budget = usize::MAX;
     exec.probe = plan::ScanProbe::new(usize::MAX);
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, k);
-    let fetched = fetch_trajectory(&mut exec, &mut floor);
-    assert_eq!(exec.profile().scan_fallbacks, 0);
+    let fetched = fetch_trajectory(&mut exec, &mut scratch, &mut floor);
+    assert_eq!(exec.profile.scan_fallbacks, 0);
     assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
     let i = fetched.len() / 2; // rounds 1..=i+1 ran, the query still open
     assert!(fetched[i] > fetched[i - 1], "round fetched nothing");
 
     for (budget, scan_round) in [(fetched[i], i + 3), (fetched[i] - 1, i + 2)] {
-        let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+        let mut exec = begin(&index, None, &q, &mut scratch);
         exec.scan_budget = budget as usize;
         exec.probe = plan::ScanProbe::new(usize::MAX); // the budget alone decides
         let mut heap = BinaryHeap::new();
         let mut floor = QueryFloor::new(&mut heap, k);
         for round in 1..scan_round {
-            assert!(!exec.step(1, &mut floor).unwrap());
+            assert!(!exec.step(1, &mut scratch, &mut floor).unwrap());
             assert_eq!(
-                exec.profile().scan_fallbacks,
-                0,
+                exec.profile.scan_fallbacks, 0,
                 "budget {budget}: scanned in round {round}, at {} rows",
-                exec.profile().rows_fetched
+                exec.profile.rows_fetched
             );
         }
         // `rows_fetched == budget` fetched once more; one row past it scans,
         // and the scan completes inside that step.
-        assert!(exec.step(1, &mut floor).unwrap());
-        let p = *exec.profile();
+        assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
+        let p = exec.profile;
         assert_eq!(p.scan_fallbacks, 1, "budget {budget}");
         assert!(p.scan_rows > 0 && p.scan_rows < 2_000);
         assert_eq!(
@@ -495,13 +504,13 @@ fn projected_scan_waits_for_its_second_checkpoint() {
 
     // Probe held off: the rows each round starts with, up to the spent
     // budget. Round 1 starts with none and no floor; round 2 has both.
-    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+    let mut exec = begin(&index, None, &q, &mut scratch);
     exec.probe = plan::ScanProbe::new(usize::MAX);
     let mut starts_with = vec![0];
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, k);
-    starts_with.extend(fetch_trajectory(&mut exec, &mut floor));
-    let p = *exec.profile();
+    starts_with.extend(fetch_trajectory(&mut exec, &mut scratch, &mut floor));
+    let p = exec.profile;
     assert_eq!(
         (p.scan_fallbacks, p.scan_projected),
         (1, 0),
@@ -517,15 +526,15 @@ fn projected_scan_waits_for_its_second_checkpoint() {
         .unwrap();
     assert!(0 < first && first < second && starts_with[second] < budget / 2);
 
-    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+    let mut exec = begin(&index, None, &q, &mut scratch);
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, k);
     let mut round = 0;
-    while !exec.step(1, &mut floor).unwrap() {
-        assert_eq!(exec.profile().scan_fallbacks, 0);
+    while !exec.step(1, &mut scratch, &mut floor).unwrap() {
+        assert_eq!(exec.profile.scan_fallbacks, 0);
         round += 1;
     }
-    let p = *exec.profile();
+    let p = exec.profile;
     assert!(round >= second, "scanned in round {round}, before {second}");
     assert_eq!((p.scan_fallbacks, p.scan_projected), (1, 1));
     let through_streams = p.rows_fetched - p.scan_rows;
@@ -561,14 +570,14 @@ fn inherited_verdict_scans_at_the_next_round_head() {
     let mut heap = BinaryHeap::new();
     for rounds_before in [0, 1, 3] {
         let mut floor = QueryFloor::new(&mut heap, k);
-        let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+        let mut exec = begin(&index, None, &q, &mut scratch);
         if rounds_before > 0 {
-            assert!(!exec.step(rounds_before, &mut floor).unwrap());
+            assert!(!exec.step(rounds_before, &mut scratch, &mut floor).unwrap());
         }
-        let streamed = exec.profile().rows_fetched;
+        let streamed = exec.profile.rows_fetched;
         floor.mark_lost();
-        assert!(exec.step(1, &mut floor).unwrap());
-        let p = *exec.profile();
+        assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
+        let p = exec.profile;
         assert_eq!(
             p.rounds,
             rounds_before as u64 + 1,
@@ -587,11 +596,11 @@ fn inherited_verdict_scans_at_the_next_round_head() {
     // same: no execution is exempt from it.
     let mut floor = QueryFloor::new(&mut heap, k);
     floor.mark_lost();
-    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+    let mut exec = begin(&index, None, &q, &mut scratch);
     exec.scan_budget = usize::MAX;
     exec.probe = plan::ScanProbe::new(usize::MAX);
-    assert!(exec.step(usize::MAX, &mut floor).unwrap());
-    let p = *exec.profile();
+    assert!(exec.step(usize::MAX, &mut scratch, &mut floor).unwrap());
+    let p = exec.profile;
     assert_eq!((p.rounds, p.scan_fallbacks, p.scan_inherited), (1, 1, 1));
     assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
 
@@ -691,9 +700,9 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
             // The reference: the rounds this execution needs without a
             // verdict.
             let mut shared = floor_at(&mut heap, k, floor);
-            let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
-            assert!(exec.step(usize::MAX, &mut shared).unwrap());
-            let alone = *exec.profile();
+            let mut exec = begin(&index, None, &q, &mut scratch);
+            assert!(exec.step(usize::MAX, &mut scratch, &mut shared).unwrap());
+            let alone = exec.profile;
             assert_eq!(alone.scan_fallbacks, 0, "a friendly query certifies");
             assert_eq!(shared.verdict(), Verdict::Open);
             assert_bit_identical(&finish(exec, &mut shared, &mut scratch), &want);
@@ -701,14 +710,14 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
             // The same execution, told at its last head that a sibling is
             // lost.
             let mut shared = floor_at(&mut heap, k, floor);
-            let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+            let mut exec = begin(&index, None, &q, &mut scratch);
             let before = alone.rounds as usize - 1;
             if before > 0 {
-                assert!(!exec.step(before, &mut shared).unwrap());
+                assert!(!exec.step(before, &mut scratch, &mut shared).unwrap());
             }
             shared.mark_lost();
-            assert!(exec.step(usize::MAX, &mut shared).unwrap());
-            assert_eq!(*exec.profile(), alone, "the verdict changed the execution");
+            assert!(exec.step(usize::MAX, &mut scratch, &mut shared).unwrap());
+            assert_eq!(exec.profile, alone, "the verdict changed the execution");
             assert_bit_identical(&finish(exec, &mut shared, &mut scratch), &want);
             short += usize::from(want.len() < k);
         }
@@ -779,11 +788,11 @@ fn probe_leaves_friendly_queries_alone() {
             (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
         )
         .unwrap();
-        let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+        let mut exec = begin(&index, None, &q, &mut scratch);
         exec.probe = plan::ScanProbe::new(usize::MAX);
         let mut heap = BinaryHeap::new();
         let mut floor = QueryFloor::new(&mut heap, 16);
-        assert!(exec.step(usize::MAX, &mut floor).unwrap());
+        assert!(exec.step(usize::MAX, &mut scratch, &mut floor).unwrap());
         finish(exec, &mut floor, &mut scratch);
         let off = scratch.profile;
         index.query_with(&q, 16, &mut scratch).unwrap();
@@ -822,16 +831,16 @@ fn scan_after_every_row_was_seen_scores_nothing() {
     let want = oracle(&data, &roles, &q, n);
     let mut scratch = QueryScratch::new();
 
-    let mut exec = SdIndex::begin_query(part(&index, None), &q, &mut scratch).unwrap();
+    let mut exec = begin(&index, None, &q, &mut scratch);
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, n);
-    assert!(!exec.step(1, &mut floor).unwrap());
-    assert_eq!(exec.profile().rows_fetched, n as u64);
-    assert_eq!(exec.profile().points_gathered, n as u64, "all rows seen");
-    let scored = exec.profile().points_scored;
+    assert!(!exec.step(1, &mut scratch, &mut floor).unwrap());
+    assert_eq!(exec.profile.rows_fetched, n as u64);
+    assert_eq!(exec.profile.points_gathered, n as u64, "all rows seen");
+    let scored = exec.profile.points_scored;
     // The next round head finds the budget (n / 8 rows) spent and scans.
-    assert!(exec.step(1, &mut floor).unwrap());
-    let p = *exec.profile();
+    assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
+    let p = exec.profile;
     assert_eq!((p.scan_fallbacks, p.scan_rows), (1, 0));
     assert_eq!(p.points_scored, scored, "the scan scored nothing");
     assert_eq!((p.rows_fetched, p.points_gathered), (n as u64, n as u64));
@@ -952,20 +961,20 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
 
     let mut scratch = QueryScratch::new();
     let mask = Some(MaskView::new(&dead, 0));
-    let mut exec = SdIndex::begin_query(part(&index, mask), &q, &mut scratch).unwrap();
-    assert!(!exec.step(1, &mut floor).unwrap());
+    let mut exec = begin(&index, mask, &q, &mut scratch);
+    assert!(!exec.step(1, &mut scratch, &mut floor).unwrap());
     let unseen: Vec<usize> = (0..n)
-        .filter(|&r| exec.seen.unseen_word(r, 1) == 1)
+        .filter(|&r| scratch.seen.unseen_word(r, 1) == 1)
         .collect();
     assert_eq!(unseen.len(), n - stars.len(), "the streams hold the stars");
     assert!(stars.iter().all(|r| !unseen.contains(r)));
-    let before = *exec.profile();
+    let before = exec.profile;
     assert_eq!(before.tombstones_skipped, 1, "the dead star");
 
     // The next round head finds the budget spent and scans.
     exec.scan_budget = 0;
-    assert!(exec.step(1, &mut floor).unwrap());
-    let p = *exec.profile();
+    assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
+    let p = exec.profile;
     assert_eq!(p.scan_fallbacks, 1);
     // Every counter the scan adds, recounted row by row.
     let unseen_dead = unseen.iter().filter(|&&r| dead.get(r)).count() as u64;
@@ -1078,8 +1087,7 @@ fn every_exit_forced_at_the_one_constructor() {
             ] {
                 let mut stepped: Option<QueryProfile> = None;
                 for step in [1, 8, usize::MAX] {
-                    let mut exec =
-                        SdIndex::begin_query(part(&index, mask), &q, &mut scratch).unwrap();
+                    let mut exec = begin(&index, mask, &q, &mut scratch);
                     exec.scan_budget = budget;
                     if !probe_live {
                         exec.probe = plan::ScanProbe::new(usize::MAX);
@@ -1088,11 +1096,11 @@ fn every_exit_forced_at_the_one_constructor() {
                     let mut floor = QueryFloor::new(&mut heap, want.len());
                     let mut done = false;
                     if let Some(rounds) = lost_after {
-                        done = rounds > 0 && exec.step(rounds, &mut floor).unwrap();
+                        done = rounds > 0 && exec.step(rounds, &mut scratch, &mut floor).unwrap();
                         floor.mark_lost();
                     }
                     while !done {
-                        done = exec.step(step, &mut floor).unwrap();
+                        done = exec.step(step, &mut scratch, &mut floor).unwrap();
                     }
                     assert_bit_identical(&finish(exec, &mut floor, &mut scratch), want);
                     let p = scratch.profile;
@@ -1307,12 +1315,12 @@ proptest! {
             let mut want = oracle(&data, &roles, &q, n);
             want.retain(|sp| !(mask.is_some() && dead.get(sp.id.index())));
             for k in [1, 16, 100] {
-                let mut exec = SdIndex::begin_query(part(&index, mask), &q, &mut scratch).unwrap();
+                let mut exec = begin(&index, mask, &q, &mut scratch);
                 exec.scan_budget = usize::MAX;
                 exec.probe = plan::ScanProbe::new(usize::MAX);
                 let mut heap = BinaryHeap::new();
                 let mut floor = QueryFloor::new(&mut heap, k);
-                while !exec.step(usize::MAX, &mut floor).unwrap() {}
+                while !exec.step(usize::MAX, &mut scratch, &mut floor).unwrap() {}
                 assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want[..k]);
                 let p = scratch.profile;
                 prop_assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));

@@ -70,9 +70,9 @@ use crate::kernels::LANES;
 /// [`QueryProfile::merge`], so per-shard and engine-level timings never
 /// double-count).
 ///
-/// **On the direct single-pair walk**
-/// ([`SinglePair::walk`](crate::multidim::SinglePair::walk), one execution
-/// over every shard) the counters read: the four frontier counters as
+/// **On the direct single-pair walk** (the road of
+/// [`answer_parts`](crate::multidim::answer_parts) for a one-pair query,
+/// one walk over every shard) the counters read: the four frontier counters as
 /// everywhere; `rows_fetched` — the live lanes of the popped blocks (no
 /// lane filter runs, so `lanes_masked` stays 0); `tombstones_skipped` — the
 /// dead among them; `points_gathered` — the rest, every one scored by the

@@ -5,12 +5,13 @@
 //! A fresh [`QueryScratch`] is cheap (all containers start empty); after the
 //! first query through it, every buffer has grown to its high-water mark and
 //! subsequent queries of similar shape allocate nothing. One scratch serves
-//! every query path in the crate — the §5 aggregation of an
-//! [`SdIndex`](crate::multidim::SdIndex) and the direct 2-D walk of a
-//! single-pair query — because they decompose into the same primitives:
-//! frontier heaps, the query's answer heap, a seen-set and an answer
-//! buffer. A baseline's `query_with` uses only its answer buffer, profile
-//! and deadline.
+//! a whole query, all its parts — the one index of an
+//! [`SdIndex`](crate::multidim::SdIndex), or every shard of an engine —
+//! through the one driver, [`answer_parts`](crate::multidim::answer_parts):
+//! its §5 executions share the per-round buffers, the deadline, the frontier
+//! heaps and one seen-set over the query's global ids, and the direct 2-D
+//! walk of a single-pair query draws on the same heaps. A baseline's
+//! `query_with` uses only its answer buffer, profile and deadline.
 //!
 //! Scratches are plain owned values: keep one per worker thread and reuse
 //! it across queries. The indexes themselves stay immutable during
@@ -40,7 +41,7 @@
 use std::collections::BinaryHeap;
 
 use crate::deadline::Deadline;
-use crate::multidim::Pair2DStream;
+use crate::multidim::{Pair2DStream, ShardExecution};
 use crate::profile::QueryProfile;
 use crate::threshold::FloorEntry;
 use crate::topk::arbitrary::PartWalk;
@@ -109,8 +110,9 @@ impl StampSet {
 pub struct QueryScratch {
     /// Recycled frontier heaps, one per block frontier of a query.
     pub(crate) heaps: Vec<BinaryHeap<HeapEntry>>,
-    /// Rows already scored by the outer loop (stamped, not hashed: the
-    /// dedup check runs once per fetched row).
+    /// Rows already scored by the aggregation, by global id, over every
+    /// part of the query (stamped, not hashed: the dedup check runs once per
+    /// fetched row).
     pub(crate) seen: StampSet,
     /// The answer buffer `query_with` returns a borrow of.
     pub(crate) answers: Vec<ScoredPoint>,
@@ -140,14 +142,18 @@ pub struct QueryScratch {
     /// deadline captures its expiry at construction, so set a fresh one
     /// per query.
     pub deadline: Deadline,
-    /// Recycled pair-stream list of the §5 aggregation. Empty between
-    /// queries; only the allocation is retained.
-    streams: Vec<Pair2DStream<'static>>,
+    /// Recycled pair-stream lists of the §5 aggregation, one per execution
+    /// of a query. Each is empty between queries; only the allocations are
+    /// retained.
+    streams: Vec<Vec<Pair2DStream<'static>>>,
+    /// Recycled execution list of the §5 aggregation, one entry per part.
+    /// Empty between queries; only the allocation is retained.
+    runs: Vec<ShardExecution<'static>>,
     /// Recycled per-part frontier list of the direct single-pair walk. Empty
     /// between queries; only the allocation is retained.
     walks: Vec<PartWalk<'static>>,
-    /// The floor updates of each part of the last direct walk, in part
-    /// order (see [`QueryScratch::part_floor_updates`]).
+    /// The floor updates of each part of the last query, in part order
+    /// (see [`QueryScratch::part_floor_updates`]).
     pub(crate) part_floor_updates: Vec<u64>,
 }
 
@@ -171,11 +177,11 @@ impl QueryScratch {
         &mut self.answers
     }
 
-    /// How the last direct single-pair walk
-    /// ([`SinglePair::walk`](crate::multidim::SinglePair::walk)) served from
-    /// this scratch splits its `profile.floor_updates` over its parts — one
-    /// entry per shard, in the order the walk was handed them. Not touched
-    /// by other query paths.
+    /// How the last query served from this scratch by the one driver
+    /// ([`answer_parts`](crate::multidim::answer_parts)) splits its
+    /// `profile.floor_updates` over its parts — one entry per part (an
+    /// engine's shard), in the order the driver was handed them, whether
+    /// the query walked or aggregated.
     pub fn part_floor_updates(&self) -> &[u64] {
         &self.part_floor_updates
     }
@@ -190,18 +196,29 @@ impl QueryScratch {
         self.heaps.push(heap);
     }
 
-    /// Hands out the recycled (empty) pair-stream buffer for assembling a
-    /// query's stream list; give it back through
+    /// Hands out a recycled (empty) pair-stream list (or a fresh one) for
+    /// assembling one execution's streams; give it back through
     /// [`QueryScratch::put_streams`].
     pub(crate) fn stream_buf<'a>(&mut self) -> Vec<Pair2DStream<'a>> {
-        debug_assert!(self.streams.is_empty());
-        std::mem::take(&mut self.streams)
+        self.streams.pop().unwrap_or_default()
     }
 
-    /// Adopts a drained pair-stream buffer back into the scratch, keeping
-    /// its allocation for the next query.
+    /// Adopts a drained pair-stream list back into the scratch, keeping its
+    /// allocation for the next query.
     pub(crate) fn put_streams(&mut self, v: Vec<Pair2DStream<'_>>) {
-        self.streams = recycle_vec(v);
+        self.streams.push(recycle_vec(v));
+    }
+
+    /// Hands out the recycled (empty) execution list of the aggregation;
+    /// give it back through [`QueryScratch::put_runs`].
+    pub(crate) fn run_buf<'a>(&mut self) -> Vec<ShardExecution<'a>> {
+        debug_assert!(self.runs.is_empty());
+        std::mem::take(&mut self.runs)
+    }
+
+    /// Adopts a drained execution list back into the scratch.
+    pub(crate) fn put_runs(&mut self, v: Vec<ShardExecution<'_>>) {
+        self.runs = recycle_vec(v);
     }
 
     /// Hands out the recycled (empty) part list of the direct walk; give it
@@ -219,11 +236,11 @@ impl QueryScratch {
 
 /// Empties `v` and hands its allocation on as an empty `Vec<U>` — how a
 /// scratch keeps a buffer whose element type borrows from one query
-/// (`Vec<Pair2DStream<'a>>`, the engine's `Vec<ShardExecution<'a>>`) for the
-/// next query's lifetime without allocating again. `T` and `U` must agree in
-/// size and alignment (checked at compile time); in practice they are one
-/// type at two lifetimes.
-pub fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
+/// (`Vec<Pair2DStream<'a>>`, `Vec<ShardExecution<'a>>`) for the next query's
+/// lifetime without allocating again. `T` and `U` must agree in size and
+/// alignment (checked at compile time); in practice they are one type at
+/// two lifetimes.
+fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
     const {
         assert!(
             std::mem::size_of::<T>() == std::mem::size_of::<U>()

@@ -70,12 +70,13 @@ pub(crate) struct PartWalk<'a> {
 /// * blocks surface exactly once, so there is no seen-set on this path.
 ///
 /// A part's tombstoned lanes leave the block's live word before the floor
-/// compare, so a dead row never reaches the floor. The walk fills
-/// `scratch.profile` (reset here): the frontier counters, `rows_fetched`
-/// (live lanes of the popped blocks), `tombstones_skipped`,
+/// compare, so a dead row never reaches the floor. The walk adds to
+/// `scratch.profile` (reset by its one caller, the driver
+/// [`answer_parts`](crate::multidim::answer_parts)): the frontier counters,
+/// `rows_fetched` (live lanes of the popped blocks), `tombstones_skipped`,
 /// `points_gathered`, `kernel_batches`, `points_scored` and `floor_updates`
-/// (its updates to the query's floor); `rounds` stays 0. It leaves each
-/// part's share of `floor_updates`, in part order, in
+/// (its updates to the query's floor); `rounds` stays 0. It appends each
+/// part's share of `floor_updates`, in part order, to
 /// `scratch.part_floor_updates`.
 /// `scratch.deadline` is consulted before every pop. The frontiers live in
 /// the scratch's recycled buffers, so a warmed scratch walks any number of
@@ -89,7 +90,6 @@ pub(crate) fn query_blocks_with<'a>(
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
 ) -> Result<(), SdError> {
-    scratch.profile.reset();
     let theta = Angle::from_weights(alpha, beta)?;
     let mut walks = scratch.walk_buf();
     let mut outcome = Ok(());
@@ -112,7 +112,6 @@ pub(crate) fn query_blocks_with<'a>(
     if outcome.is_ok() {
         outcome = walk_parts(&mut walks, (qx, qy, alpha, beta), scratch, floor);
     }
-    scratch.part_floor_updates.clear();
     for mut w in walks.drain(..) {
         let c = w.frontier.take_counters();
         let prof = &mut scratch.profile;

@@ -14,9 +14,9 @@
 //!                                 │
 //!              ┌──────────────────┼──────────────────┐
 //!        ┌─────▼─────┐      ┌─────▼─────┐      ┌─────▼─────┐
-//!        │  shard 0  │      │  shard 1  │  …   │ shard S−1 │  one SdIndex +
-//!        │ (SdIndex) │      │ (SdIndex) │      │ (SdIndex) │  QueryScratch
-//!        └─────┬─────┘      └─────┬─────┘      └─────┬─────┘  per shard
+//!        │  shard 0  │      │  shard 1  │  …   │ shard S−1 │  one SdIndex
+//!        │ (SdIndex) │      │ (SdIndex) │      │ (SdIndex) │  per shard, one
+//!        └─────┬─────┘      └─────┬─────┘      └─────┬─────┘  QueryScratch
 //!              │    ▲             │    ▲             │    ▲
 //!              └────╂─────────────┴────╂─────────────┘    ┃
 //!                   ┗━━━━━━━━ QueryFloor (the ━━━━━━━━━━━━┛
@@ -64,25 +64,24 @@
 //! Property tests in `tests/engine_equivalence.rs` pin this across random
 //! datasets, roles, weights, `k` and shard counts.
 //!
-//! ## One driver, one walk
+//! ## One driver, one scratch
 //!
-//! Every shard aggregation runs the same way: [`SdIndex::begin_query`],
-//! one 8-round [`ShardExecution::step`] per shard, then each shard still
-//! open stepped to completion in shard order, [`ShardExecution::finish_into`].
-//! The calling thread drives all shards, passing every step the query's one
-//! [`QueryFloor`]: the best `min(k, live rows)` `(score, global id)`
-//! entries any step or the delta scan has found, whose one drain is the
-//! answer. It also carries the query's scan verdict: once
-//! one execution finds its streams lost and scans, its open siblings scan
-//! at their next round head instead of reaching the verdict again. A query
-//! that is one non-degenerate pair ([`SdIndex::single_pair`]) is not
-//! aggregated at all, whatever the shard count or tombstones:
-//! it is the paper's §4 walk over the pair's block sets of every shard at
-//! once ([`SinglePair::walk`]), after the delta scan
-//! when the engine is dirty. [`SdEngine::explain`] says `direct` on every
-//! shard exactly then.
-//!
-//! [`SinglePair::walk`]: sdq_core::multidim::SinglePair::walk
+//! A query's shards are answered by `sdq-core`'s one driver,
+//! [`answer_parts`], called once per query (twice for an audit: its lead
+//! shards, then, with the verdict reopened, its last) with every shard as
+//! one part, out of the engine scratch's one [`QueryScratch`], all on the
+//! calling thread — the same function [`SdIndex::query_with`] runs over its
+//! one index. Every shard scores into the query's one [`QueryFloor`]: the
+//! best `min(k, live rows)` `(score, global id)` entries any shard or the
+//! delta scan has found, whose one drain is the answer. It also carries the
+//! query's scan verdict: once one execution finds its streams lost and
+//! scans, its open siblings scan at their next round head instead of
+//! reaching the verdict again. A query that is one non-degenerate pair
+//! ([`SdIndex::single_pair`]) is not aggregated at all, whatever the shard
+//! count or tombstones: the driver walks the pair's block sets of every
+//! shard at once (the paper's §4 walk), after the delta scan when the
+//! engine is dirty. [`SdEngine::explain`] says `direct` on every shard
+//! exactly then.
 //!
 //! ## Migration
 //!
@@ -118,15 +117,16 @@
 
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sdq_core::mask::{MaskView, RowMask};
-use sdq_core::multidim::{QueryPlan, SdIndex, SdIndexOptions, ShardExecution, ShardPart};
+use sdq_core::multidim::{answer_parts, QueryPlan, SdIndex, SdIndexOptions, ShardPart};
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::{
-    recycle_vec, Dataset, Deadline, DimRole, FloorEntry, QueryFloor, QueryProfile, QueryScratch,
-    ScoredPoint, SdError, SdQuery,
+    Dataset, Deadline, DimRole, FloorEntry, QueryFloor, QueryProfile, QueryScratch, ScoredPoint,
+    SdError, SdQuery,
 };
 
 mod history;
@@ -182,36 +182,33 @@ pub struct ShardInfo {
     pub memory_bytes: usize,
 }
 
-/// Reusable execution state for one engine consumer: one [`QueryScratch`]
-/// per shard and the heap of the query's one [`QueryFloor`]. Keep one per
-/// serving thread and reuse it across queries — every buffer (heaps,
-/// seen-sets, the answer, the driver's list of shard executions) is
-/// recycled, so a warmed query touches the allocator zero times.
+/// Reusable execution state for one engine consumer: the one
+/// [`QueryScratch`] every shard of a query runs out of, and the heap of the
+/// query's one [`QueryFloor`]. Keep one per serving thread and reuse it
+/// across queries — every buffer (heaps, the seen-set, the answer, the
+/// driver's execution list) is recycled, so a warmed query touches the
+/// allocator zero times.
 #[derive(Default)]
 pub struct EngineScratch {
-    /// One per shard: a [`ShardExecution`] owns its scratch's buffers while
-    /// it is in flight, and all shards of a query are in flight at once.
-    shards: Vec<QueryScratch>,
-    /// The driver's execution list. Empty between queries; only the
-    /// allocation is retained.
-    runs: Vec<ShardExecution<'static>>,
+    /// The shards' scratch, handed to the driver; its answer buffer holds
+    /// the query's answer.
+    shards: QueryScratch,
     /// The heap the query's one [`QueryFloor`] borrows: its answer.
     floor: BinaryHeap<FloorEntry>,
     /// Role-signed weight staging of the delta scan.
     delta_sw: Vec<f64>,
-    answers: Vec<ScoredPoint>,
     /// Execution counters of the most recent query served through this
-    /// scratch: the merged per-shard profiles plus the engine's own delta
-    /// scan and final drain statistics. Always on; set [`QueryProfile::timing`]
-    /// before querying to also collect per-stage wall times. When the
-    /// driver aborts on a deadline, the counters of the work its shard
-    /// executions had done by then are still folded in.
+    /// scratch: the shards' counters plus the engine's own delta scan and
+    /// final drain statistics. Always on; set [`QueryProfile::timing`]
+    /// before querying to also collect per-stage wall times. When a
+    /// deadline aborts the query, the counters of the work its shards had
+    /// done by then are still folded in.
     pub profile: QueryProfile,
     /// Cooperative deadline/cancel token of the next query served through
-    /// this scratch, propagated to every shard execution and checked once per
-    /// aggregation round and per delta chunk. Unlimited by default; a
-    /// bounded deadline captures its expiry at construction, so set a
-    /// fresh one per query.
+    /// this scratch, handed to the shards and checked once per aggregation
+    /// round, walk pop and delta chunk. Unlimited by default; a bounded
+    /// deadline captures its expiry at construction, so set a fresh one
+    /// per query.
     pub deadline: Deadline,
 }
 
@@ -225,9 +222,9 @@ impl EngineScratch {
 /// Slots of the [`EngineMetrics`] per-shard floor-contribution histogram:
 /// slot `i` accumulates the k-th-score-floor updates contributed by shard
 /// `i`, with every shard `≥ FLOOR_HIST_SLOTS − 1` folded into the last
-/// slot (so resharding never invalidates the registry). A single-pair walk
-/// is one execution over every shard and credits each shard the updates its
-/// own rows made.
+/// slot (so resharding never invalidates the registry). Each shard is
+/// credited the updates its own rows made, whether the query walked or
+/// aggregated.
 pub const FLOOR_HIST_SLOTS: usize = 16;
 
 #[derive(Debug, Default)]
@@ -303,12 +300,13 @@ impl EngineMetrics {
             .fetch_add(prof.points_scored, Ordering::Relaxed);
     }
 
-    /// Credits `shard` with `floor_updates`: the updates its rows made to
-    /// the query's one k-th-score floor.
-    fn record_shard_floor(&self, shard: usize, floor_updates: u64) {
-        if floor_updates > 0 {
-            let slot = shard.min(FLOOR_HIST_SLOTS - 1);
-            self.inner.floor_contributions[slot].fetch_add(floor_updates, Ordering::Relaxed);
+    /// Credits every slot with the updates its shards' rows made to one
+    /// query's k-th-score floor.
+    fn record_floor_credits(&self, credits: &[u64; FLOOR_HIST_SLOTS]) {
+        for (slot, &updates) in self.inner.floor_contributions.iter().zip(credits) {
+            if updates > 0 {
+                slot.fetch_add(updates, Ordering::Relaxed);
+            }
         }
     }
 
@@ -938,7 +936,7 @@ impl SdEngine {
                 profile: scratch.profile,
             });
         }
-        Ok(&scratch.answers)
+        Ok(scratch.shards.answers())
     }
 
     fn query_core(
@@ -951,40 +949,29 @@ impl SdEngine {
         scratch.profile.reset();
         scratch.deadline.check()?;
         let timing = scratch.profile.timing;
-        let s = self.shards.len();
-        if scratch.shards.len() < s {
-            scratch.shards.resize_with(s, QueryScratch::new);
-        }
-        for qs in &mut scratch.shards[..s] {
-            qs.profile.reset();
-            qs.profile.timing = timing;
-            qs.deadline = scratch.deadline.clone();
-        }
         // The write path: a dirty engine scans its delta region exactly and
-        // masks tombstoned rows out of every shard execution.
+        // masks tombstoned rows out of every shard.
         let mask = if self.muts.tombstones.any() {
             Some(&self.muts.tombstones)
         } else {
             None
         };
         let EngineScratch {
-            shards: shard_scratches,
-            runs,
+            shards: qs,
             floor,
             delta_sw,
-            answers,
             profile,
             deadline,
         } = &mut *scratch;
         // The query's one floor: every live row's score it keeps, whoever
-        // scored the row — delta scan, shard execution or walk — under the
-        // row's global id. Its drain below is the answer.
+        // scored the row — the delta scan or a shard — under the row's
+        // global id. Its drain below is the answer.
         let mut floor = QueryFloor::new(floor, k.min(self.len()));
 
         if !self.muts.delta.is_empty() {
             // Delta scan first: its live scores go into the floor, so the
-            // indexed shard executions below terminate against fresh-row
-            // candidates exactly like against a sibling shard's.
+            // shards below terminate against fresh-row candidates exactly
+            // like against a sibling shard's.
             let t0 = timing.then(std::time::Instant::now);
             sdq_core::delta::scan_delta_into(
                 &self.muts.delta,
@@ -1003,16 +990,12 @@ impl SdEngine {
         }
         let t_agg = timing.then(std::time::Instant::now);
 
-        let shard_scratches = &mut shard_scratches[..s];
-        let pair = self
-            .shards
-            .first()
-            .and_then(|shard| shard.single_pair(query));
         // An aggregation whose shape lost its recent stream-first queries
         // starts lost: every execution scans at its first round head —
         // except, on the shape's audit, the last shard's, which runs
         // stream-first once its siblings are done. A one-shard engine has no
         // sibling floor to audit against: its audit is a stream-first query.
+        let s = self.shards.len();
         let shape = self.shape(query, k);
         let start = match shape.map(|shape| self.verdicts.begin(shape)) {
             Some(Start::Audit) if s == 1 => Start::Streams,
@@ -1021,51 +1004,39 @@ impl SdEngine {
         if start != Start::Streams {
             floor.start_lost();
         }
-        let executed = if let Some(pair) = pair {
-            // One walk over every shard's block set, whatever the shard
-            // count, scoring into the floor the delta scan left.
-            let parts = (0..s).map(|i| self.shard_part(i, mask));
-            pair.walk(parts, &mut shard_scratches[0], &mut floor)
-        } else if start == Start::Audit {
+        qs.profile.timing = timing;
+        qs.deadline = deadline.clone();
+        // Each slot's floor updates, credited once the query is answered.
+        let mut credits = [0; FLOOR_HIST_SLOTS];
+        // The driver over `shards`, its counters folded into the engine's —
+        // also when a deadline ends it: they say how far it got.
+        let mut answer = |shards: Range<usize>, floor: &mut QueryFloor<'_>| {
+            let parts = shards.clone().map(|i| self.shard_part(i, mask));
+            let answered = answer_parts(parts, query, qs, floor);
+            profile.merge(&qs.profile);
+            for (i, &updates) in shards.zip(qs.part_floor_updates()) {
+                credits[i.min(FLOOR_HIST_SLOTS - 1)] += updates;
+            }
+            answered
+        };
+        if start == Start::Audit {
             // The audit shard runs stream-first against the floor the delta
             // and every lead shard's scan left.
-            let (lead, last) = shard_scratches.split_at_mut(s - 1);
-            self.aggregate(0, query, mask, &mut floor, lead, runs)
-                .and_then(|()| {
-                    floor.reopen();
-                    self.aggregate(s - 1, query, mask, &mut floor, last, runs)
-                })
+            answer(0..s - 1, &mut floor)?;
+            floor.reopen();
+            answer(s - 1..s, &mut floor)?;
         } else {
-            self.aggregate(0, query, mask, &mut floor, shard_scratches, runs)
-        };
-        // Fold the per-shard profiles into the engine-level one (a walk's
-        // idle scratches were reset above and merge as zeros) — also when a
-        // deadline ended the query: the counters say how far it got.
-        for qs in shard_scratches.iter() {
-            profile.merge(&qs.profile);
+            answer(0..s, &mut floor)?;
         }
-        executed?;
         if let Some(shape) = shape {
             match start {
                 Start::Streams => self.verdicts.record(shape, profile.scan_fallbacks > 0),
-                Start::Audit => self
-                    .verdicts
-                    .audited(shape, shard_scratches[s - 1].profile.scan_fallbacks > 0),
+                // The driver's last call was the audit shard's alone.
+                Start::Audit => self.verdicts.audited(shape, qs.profile.scan_fallbacks > 0),
                 Start::Lost => {}
             }
         }
-        // A walk splits its floor updates by shard itself; an aggregation
-        // left each shard's in that shard's scratch.
-        if pair.is_some() {
-            let walk = &shard_scratches[0];
-            for (i, &updates) in walk.part_floor_updates().iter().enumerate() {
-                self.metrics.record_shard_floor(i, updates);
-            }
-        } else {
-            for (i, qs) in shard_scratches.iter().enumerate() {
-                self.metrics.record_shard_floor(i, qs.profile.floor_updates);
-            }
-        }
+        self.metrics.record_floor_credits(&credits);
         if let Some(t) = t_agg {
             profile.aggregate_nanos += t.elapsed().as_nanos() as u64;
         }
@@ -1075,6 +1046,7 @@ impl SdEngine {
         // row none offered is strictly below its k-th score.
         let t_merge = timing.then(std::time::Instant::now);
         profile.floor_value = floor.value();
+        let answers = qs.answers_mut();
         floor.drain_into(answers);
         profile.merge_rounds = answers.len() as u64;
         profile.emitted = answers.len() as u64;
@@ -1085,64 +1057,6 @@ impl SdEngine {
         Ok(())
     }
 
-    /// The one way shard aggregations run: begins shard `first + j` out of
-    /// `scratches[j]` (with its tombstone view), steps them in two passes,
-    /// and hands each one's buffers and profile back to the scratch it was
-    /// begun from. The first pass gives every execution one `SLICE_ROUNDS`
-    /// slice, so a floor forms from every shard's best rows; the second
-    /// runs each one still open to completion, in shard order. So the first
-    /// execution that finds its streams lost and takes the scan exit does
-    /// so while its siblings have spent one slice each, and its verdict on
-    /// `floor` sends them straight to their own scans at their next round
-    /// head (`scan_inherited`) — unless the floor certifies them first. A
-    /// deadline or cancellation inside one step (between rounds, or
-    /// mid-scan) ends every in-flight execution: each hands its buffers
-    /// back all the same, so a tripped scratch serves its next query
-    /// without re-allocating.
-    ///
-    /// `floor` is the query's one floor (holding the delta scan's scores, if
-    /// any): every step scores into it and prunes against it, so each
-    /// shard's step prunes against every score found so far, its own rows'
-    /// in the same step included. It reaches the global k-th within a few
-    /// slices, so every shard — including the first — terminates against a
-    /// near-final floor instead of its own weaker local one (measured ≈ the
-    /// oracle floor's cost, where strictly sequential shard execution
-    /// leaves the first shard floorless). `runs` lends its allocation and
-    /// is left empty.
-    fn aggregate(
-        &self,
-        first: usize,
-        query: &SdQuery,
-        mask: Option<&RowMask>,
-        floor: &mut QueryFloor<'_>,
-        scratches: &mut [QueryScratch],
-        runs: &mut Vec<ShardExecution<'static>>,
-    ) -> Result<(), SdError> {
-        // Rounds of the first pass: enough that each slice makes real bound
-        // progress, small enough that the merged floor forms while every
-        // shard is still early in its descent.
-        const SLICE_ROUNDS: usize = 8;
-        let mut active = recycle_vec(std::mem::take(runs));
-        let mut advance = || -> Result<(), SdError> {
-            for (i, qs) in (first..).zip(scratches.iter_mut()) {
-                let part = self.shard_part(i, mask);
-                active.push(SdIndex::begin_query(part, query, qs)?);
-            }
-            for rounds in [SLICE_ROUNDS, usize::MAX] {
-                for run in active.iter_mut().filter(|run| !run.done()) {
-                    run.step(rounds, floor)?;
-                }
-            }
-            Ok(())
-        };
-        let advanced = advance();
-        for (run, qs) in active.drain(..).zip(scratches.iter_mut()) {
-            run.finish_into(qs);
-        }
-        *runs = recycle_vec(active);
-        advanced
-    }
-
     /// Answers a batch of queries in parallel with up to `threads` threads
     /// (`0` = auto, [`resolve_threads`]), one [`EngineScratch`] per thread;
     /// each query runs on one of them, like [`SdEngine::query_with`] on the
@@ -1150,7 +1064,8 @@ impl SdEngine {
     /// the machine's available parallelism — oversubscribing a batch only
     /// adds scheduler churn (measured: `threads=4` on one core ran ~7%
     /// *slower* than serial). Results keep the input order and are
-    /// bit-identical to a serial [`SdEngine::query`] loop.
+    /// bit-identical to a serial [`SdEngine::query`] loop; so is the error
+    /// when queries fail: the lowest failing index's.
     pub fn par_query_batch(
         &self,
         queries: &[SdQuery],
@@ -1190,13 +1105,11 @@ impl SdEngine {
                 .map(|h| h.join().expect("batch worker panicked"))
                 .collect()
         });
-        let mut out: Vec<Vec<ScoredPoint>> = vec![Vec::new(); queries.len()];
-        for bucket in buckets {
-            for (i, r) in bucket {
-                out[i] = r?;
-            }
+        let mut out: Vec<Result<Vec<ScoredPoint>, SdError>> = vec![Ok(Vec::new()); queries.len()];
+        for (i, r) in buckets.into_iter().flatten() {
+            out[i] = r;
         }
-        Ok(out)
+        out.into_iter().collect()
     }
 }
 
@@ -1436,7 +1349,11 @@ mod tests {
         let (data, roles) = sample(500, 4);
         let mono = SdIndex::build(data.clone(), &roles).unwrap();
         let query = SdQuery::uniform_weights(vec![0.0, 1.0, 2.0, 3.0], &roles);
-        let want = mono.query(&query, 12).unwrap();
+        let mut mono_scratch = QueryScratch::new();
+        let want = mono
+            .query_with(&query, 12, &mut mono_scratch)
+            .unwrap()
+            .to_vec();
         for shards in [1, 2, 3, 5, 8] {
             let e = SdEngine::build_with(
                 data.clone(),
@@ -1447,11 +1364,24 @@ mod tests {
                 },
             )
             .unwrap();
-            let got = e.query(&query, 12).unwrap();
+            let mut scratch = EngineScratch::new();
+            let got = e.query_with(&query, 12, &mut scratch).unwrap();
             assert_eq!(got.len(), want.len(), "shards = {shards}");
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.id, w.id, "shards = {shards}");
                 assert_eq!(g.score.to_bits(), w.score.to_bits(), "shards = {shards}");
+            }
+            if shards == 1 {
+                // One driver: a fresh one-shard engine counts what the
+                // index does, in every counter both write (`merge_rounds`
+                // is the engine's alone).
+                let counters = mono_scratch.profile.counters();
+                for ((name, got), (_, want)) in scratch.profile.counters().into_iter().zip(counters)
+                {
+                    if name != "merge_rounds" {
+                        assert_eq!(got, want, "{name}");
+                    }
+                }
             }
         }
     }
@@ -1673,10 +1603,20 @@ mod tests {
                 SdQuery::new(vec![i as f64, 1.0, -2.0, 0.5], vec![1.0, 0.5, 2.0, 0.0]).unwrap()
             })
             .collect();
-        let serial: Vec<_> = queries.iter().map(|q| e.query(q, 6).unwrap()).collect();
-        for threads in [0, 1, 2, 4] {
-            let batch = e.par_query_batch(&queries, 6, threads).unwrap();
-            assert_eq!(batch, serial, "threads = {threads}");
+        // A 2-D engine's batch with two wrong-dimensional queries: on two
+        // workers the 5-D one is the first failure of the first worker's
+        // share, but the 3-D one comes first in input order.
+        let flat = engine(40, 2, 2);
+        let mixed: Vec<SdQuery> = [2, 3, 5, 2]
+            .into_iter()
+            .map(|dims| SdQuery::new(vec![0.5; dims], vec![1.0; dims]).unwrap())
+            .collect();
+        for (e, queries, k) in [(&e, &queries, 6), (&flat, &mixed, 4)] {
+            let serial: Result<Vec<_>, _> = queries.iter().map(|q| e.query(q, k)).collect();
+            for threads in [0, 1, 2, 4] {
+                let batch = e.par_query_batch(queries, k, threads);
+                assert_eq!(batch, serial, "threads = {threads}");
+            }
         }
     }
 

@@ -320,17 +320,21 @@ fn engine_metrics_registry_accumulates() {
 
     let mut scratch = EngineScratch::new();
     let mut scored_sum = 0u64;
+    let mut updates = 0u64;
     for _ in 0..5 {
         engine.query_with(&q, 8, &mut scratch).unwrap();
         scored_sum += scratch.profile.points_scored;
+        updates += scratch.profile.floor_updates;
     }
     let snap = engine.metrics().snapshot();
     assert_eq!(snap.queries_served, 5);
     assert_eq!(snap.rows_scored, scored_sum);
+    // Every shard is credited exactly the floor updates its rows made.
     assert!(
-        snap.floor_contributions.iter().sum::<u64>() > 0,
+        updates > 0,
         "some shard must have contributed floor updates"
     );
+    assert_eq!(snap.floor_contributions.iter().sum::<u64>(), updates);
     assert_eq!(snap.compactions, 0);
 
     // Mutate + compact: the registry sees the compaction and its epoch
