@@ -14,13 +14,11 @@
 
 mod stream1d;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sdq_core::kernels::inflate;
-use sdq_core::score::{rank_cmp, sd_score};
-use sdq_core::{Dataset, DimRole, OrdF64, PointId, QueryScratch, ScoredPoint, SdError, SdQuery};
+use sdq_core::score::sd_score;
+use sdq_core::{Dataset, DimRole, PointId, QueryScratch, ScoredPoint, SdError, SdQuery};
 
 use stream1d::{ColumnStream, SortedColumn};
 
@@ -74,10 +72,11 @@ impl TaIndex {
         Ok(self.query_with(query, k, &mut scratch)?.to_vec())
     }
 
-    /// [`TaIndex::query`] answering into `scratch`: the canonical top-k
-    /// (score descending, ties by row id ascending) is left in its answer
-    /// buffer, its profile counts `rounds`, `rows_fetched` and
-    /// `onedim_rows_pulled`, and its deadline is checked once a round.
+    /// [`TaIndex::query`] answering into `scratch` through its one answer
+    /// step ([`QueryScratch::answer_with`]): the canonical top-k (score
+    /// descending, ties by row id ascending) is left in its answer buffer,
+    /// its profile counts `rounds`, `rows_fetched` and `onedim_rows_pulled`,
+    /// and its deadline is checked once a round.
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
@@ -93,60 +92,46 @@ impl TaIndex {
                 got: query.dims(),
             });
         }
-        if self.data.is_empty() {
-            return Ok(&[]);
-        }
+        scratch.profile.reset();
         let (data, roles) = (&*self.data, &self.roles[..]);
-        let k = k.min(data.len());
-        let mut streams: Vec<ColumnStream<'_>> = (self.columns.iter().zip(roles))
-            .enumerate()
-            .map(|(d, (col, &role))| ColumnStream::new(col, role, query.point[d], query.weights[d]))
-            .collect();
-        let mut seen = vec![false; data.len()];
-        // The best k scores so far, worst at the root, kept as `SeqScan`
-        // keeps them: of equal scores the larger id is evicted first.
-        let mut best: BinaryHeap<(Reverse<OrdF64>, PointId)> = BinaryHeap::with_capacity(k + 1);
-        let prof = &mut scratch.profile;
-        prof.reset();
-        'rounds: loop {
-            prof.rounds += 1;
-            scratch.deadline.check()?;
-            // A drained list has emitted every row, so `best` is final.
-            let mut tau = 0.0;
-            for s in &streams {
-                match s.bound() {
-                    Some(b) => tau += b,
-                    None => break 'rounds,
+        scratch.answer_with(k.min(data.len()), |scratch, floor| {
+            let mut streams: Vec<ColumnStream<'_>> = (self.columns.iter().zip(roles))
+                .enumerate()
+                .map(|(d, (col, &role))| {
+                    ColumnStream::new(col, role, query.point[d], query.weights[d])
+                })
+                .collect();
+            let mut seen = vec![false; data.len()];
+            let prof = &mut scratch.profile;
+            'rounds: loop {
+                prof.rounds += 1;
+                scratch.deadline.check()?;
+                // A drained list has emitted every row, so the floor is final.
+                let mut tau = 0.0;
+                for s in &streams {
+                    match s.bound() {
+                        Some(b) => tau += b,
+                        None => break 'rounds,
+                    }
                 }
-            }
-            // Every unseen row scores at most τ: once the k-th best beats
-            // it, no unseen row can enter or tie its way in.
-            let kth = best.peek().map(|(Reverse(OrdF64(s)), _)| *s);
-            if best.len() == k && kth.is_some_and(|s| s > inflate(tau)) {
-                break;
-            }
-            for s in &mut streams {
-                let (row, _) = s.next().expect("a list with a bound has a row");
-                prof.rows_fetched += 1;
-                prof.onedim_rows_pulled += 1;
-                if !std::mem::replace(&mut seen[row as usize], true) {
-                    let id = PointId::new(row);
-                    let score = sd_score(data.point(id), &query.point, roles, &query.weights);
-                    best.push((Reverse(OrdF64::new(score)), id));
-                    if best.len() > k {
-                        best.pop();
+                // Every unseen row scores at most τ: once the k-th best beats
+                // it, no unseen row can enter or tie its way in. The bar is
+                // −∞ until the floor holds k scores.
+                if floor.bar() > inflate(tau) {
+                    break;
+                }
+                for s in &mut streams {
+                    let (row, _) = s.next().expect("a list with a bound has a row");
+                    prof.rows_fetched += 1;
+                    prof.onedim_rows_pulled += 1;
+                    if !std::mem::replace(&mut seen[row as usize], true) {
+                        let point = data.point(PointId::new(row));
+                        floor.offer(sd_score(point, &query.point, roles, &query.weights), row);
                     }
                 }
             }
-        }
-        let answers = scratch.answers_mut();
-        answers.clear();
-        answers.extend(
-            best.into_iter()
-                .map(|(Reverse(s), id)| ScoredPoint::new(id, s.0)),
-        );
-        answers.sort_unstable_by(rank_cmp);
-        Ok(scratch.answers())
+            Ok(())
+        })
     }
 }
 
@@ -213,6 +198,27 @@ mod tests {
         let ta = TaIndex::build(data, &roles).unwrap();
         let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
         assert!(ta.query(&q, 3).unwrap().is_empty());
+    }
+
+    /// A query over no rows still answers through the scratch: it leaves
+    /// an empty answer and its own counters, not the previous query's.
+    #[test]
+    fn an_empty_index_clears_the_previous_answer_and_profile() {
+        let roles = [DimRole::Repulsive, DimRole::Attractive];
+        let rows = Dataset::from_rows(2, &[vec![1.0, 0.0], vec![0.0, 2.0]]).unwrap();
+        let empty = Dataset::from_flat(2, vec![]).unwrap();
+        let (ta, none) = (
+            TaIndex::build(rows, &roles).unwrap(),
+            TaIndex::build(empty, &roles).unwrap(),
+        );
+        let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
+        let mut scratch = QueryScratch::new();
+        assert_eq!(ta.query_with(&q, 2, &mut scratch).unwrap().len(), 2);
+        assert!(scratch.profile.rows_fetched > 0);
+        assert!(none.query_with(&q, 2, &mut scratch).unwrap().is_empty());
+        assert!(scratch.answers().is_empty(), "{:?}", scratch.answers());
+        assert_eq!(scratch.profile.rows_fetched, 0);
+        assert_eq!(scratch.profile.emitted, 0);
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! Tombstoned delta rows are dropped with one mask word per chunk (see
 //! [`crate::mask`]), so they never reach the floor.
 
-use crate::deadline::Deadline;
 use crate::kernels::{self, LANES};
 use crate::mask::MaskView;
-use crate::profile::QueryProfile;
 use crate::score::{DimRole, SdQuery};
+use crate::scratch::QueryScratch;
 use crate::threshold::QueryFloor;
 use crate::types::{Dataset, SdError};
 
@@ -40,14 +39,15 @@ use crate::types::{Dataset, SdError};
 /// `delta_blocks_pruned`. `mask`, when present, must view the engine mask
 /// at `id_offset` so delta-local rows resolve correctly.
 ///
-/// `sw` (the role-signed weights) is the caller's recycled buffer, cleared
-/// here; a warmed scratch makes the scan allocation-free. The counters
-/// accumulate into `prof` (not reset here: the engine owns the per-query
-/// reset) the way the scan exit counts its rows: every delta row is
-/// fetched, the tombstoned ones are skipped and the live ones are gathered
-/// and counted as `delta_rows_scanned`. `deadline` is checked once per
-/// chunk and aborts the scan with the typed deadline/cancel error.
-#[allow(clippy::too_many_arguments)] // scratch-owned buffers, one call site
+/// Everything else it needs is the query's scratch: the role-signed
+/// weights are staged in its recycled `fbuf`, so a warmed scratch makes the
+/// scan allocation-free; its `deadline` is checked once per chunk and
+/// aborts the scan with the typed deadline/cancel error; and its `profile`
+/// (not reset here: the query's entry point resets it once) counts the
+/// rows the way the scan exit counts its own — every delta row is fetched,
+/// the tombstoned ones are skipped and the live ones are gathered and
+/// counted as `delta_rows_scanned` — and, while `profile.timing` is set,
+/// the scan's wall time as `delta_scan_nanos`.
 pub fn scan_delta_into(
     data: &Dataset,
     roles: &[DimRole],
@@ -55,18 +55,18 @@ pub fn scan_delta_into(
     id_offset: u32,
     mask: Option<MaskView<'_>>,
     floor: &mut QueryFloor<'_>,
-    sw: &mut Vec<f64>,
-    prof: &mut QueryProfile,
-    deadline: &Deadline,
+    scratch: &mut QueryScratch,
 ) -> Result<(), SdError> {
     debug_assert_eq!(data.dims(), query.dims());
     debug_assert_eq!(data.dims(), roles.len());
+    let t0 = scratch.profile.timing.then(std::time::Instant::now);
+    let (sw, prof) = (&mut scratch.fbuf, &mut scratch.profile);
     sw.clear();
     sw.extend(roles.iter().zip(&query.weights).map(|(r, &w)| r.sign() * w));
     let (dims, n, flat) = (data.dims(), data.len(), data.flat());
     let mut scores = [0.0f64; LANES];
     for start in (0..n).step_by(LANES) {
-        deadline.check()?;
+        scratch.deadline.check()?;
         let count = LANES.min(n - start);
         let full = u32::MAX >> (LANES - count);
         let live = full & !mask.map_or(0, |m| m.dead_word32(start as u32));
@@ -93,15 +93,17 @@ pub fn scan_delta_into(
         }
     }
     prof.isa = kernels::active().name();
+    if let Some(t0) = t0 {
+        prof.delta_scan_nanos += t0.elapsed().as_nanos() as u64;
+    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BinaryHeap;
-
     use super::*;
     use crate::mask::RowMask;
+    use crate::profile::QueryProfile;
     use crate::score::{rank_cmp, sd_score};
     use crate::types::{PointId, ScoredPoint};
 
@@ -128,7 +130,7 @@ mod tests {
         out
     }
 
-    /// [`scan_delta_into`] on fresh buffers under a fresh floor of `k`
+    /// [`scan_delta_into`] on a fresh scratch under a fresh floor of `k`
     /// scores: the floor's drain and the scan's profile.
     fn scan(
         data: &Dataset,
@@ -138,24 +140,14 @@ mod tests {
         offset: u32,
         mask: Option<MaskView<'_>>,
     ) -> (Vec<ScoredPoint>, QueryProfile) {
-        let mut heap = BinaryHeap::new();
-        let mut floor = QueryFloor::new(&mut heap, k);
-        let mut prof = QueryProfile::new();
-        scan_delta_into(
-            data,
-            roles,
-            query,
-            offset,
-            mask,
-            &mut floor,
-            &mut Vec::new(),
-            &mut prof,
-            &Deadline::none(),
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        floor.drain_into(&mut out);
-        (out, prof)
+        let mut scratch = QueryScratch::new();
+        let out = scratch
+            .answer_with(k, |scratch, floor| {
+                scan_delta_into(data, roles, query, offset, mask, floor, scratch)
+            })
+            .unwrap()
+            .to_vec();
+        (out, scratch.profile)
     }
 
     #[test]

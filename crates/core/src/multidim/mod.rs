@@ -39,11 +39,11 @@
 //! deadline, its frontier heaps and one seen-set over the query's global
 //! ids; each keeps only its streams, its fetch budget and its counters.
 //! Every execution and the walk offer each score they keep, under the row's
-//! global id, to the query's one [`QueryFloor`], passed `&mut`: the
-//! engine's, or a fresh one of `query_with`'s own. That floor is the
-//! query's answer heap: one drain of it, once every scorer is done, is the
-//! answer. The allocating [`SdIndex::query`] is a thin wrapper over
-//! `query_with`.
+//! global id, to the query's one [`QueryFloor`], passed `&mut`: the one
+//! [`QueryScratch::answer_with`] makes for the query, whether `query_with`
+//! is the index's or the engine's. That floor is the query's answer heap:
+//! one drain of it, once every scorer is done, is the answer. The
+//! allocating [`SdIndex::query`] is a thin wrapper over `query_with`.
 //!
 //! Every pair is served by its own §4 frontier, by the rule in [`plan`]:
 //! certified at an indexed angle (0° and 90°, a zero weight, always are),
@@ -375,8 +375,8 @@ impl SdIndex {
     /// descending, ties by row id ascending).
     ///
     /// The one driver, [`answer_parts`], with this index as the query's one
-    /// part, scoring into a fresh [`QueryFloor`] of the scratch's, drained
-    /// into the answer.
+    /// part, run through the scratch's one answer step
+    /// ([`QueryScratch::answer_with`]).
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
@@ -386,21 +386,15 @@ impl SdIndex {
         if k == 0 {
             return Err(SdError::ZeroK);
         }
-        let mut heap = std::mem::take(&mut scratch.floor);
-        let mut floor = QueryFloor::new(&mut heap, k.min(self.data.len()));
+        scratch.profile.reset();
         let part = ShardPart {
             index: self,
             offset: 0,
             mask: None,
         };
-        let ran = answer_parts([part], query, scratch, &mut floor);
-        if ran.is_ok() {
-            scratch.profile.floor_value = floor.value();
-            floor.drain_into(&mut scratch.answers);
-            scratch.profile.emitted = scratch.answers.len() as u64;
-        }
-        scratch.floor = heap;
-        ran.map(|()| &scratch.answers[..])
+        scratch.answer_with(k.min(self.data.len()), |scratch, floor| {
+            answer_parts([part], query, scratch, floor)
+        })
     }
 
     /// What every query entry validates before touching the index, `k`
@@ -536,13 +530,14 @@ const SLICE_ROUNDS: usize = 8;
 /// `offset + row`, and prunes against it, tombstoned rows (`mask`) dropped
 /// before they reach it; scores already there (an engine's delta rows, an
 /// audit's lead shards) end the parts sooner. Once it returns, the floor
-/// holds the parts' share of the canonical top k. `scratch.profile` is
-/// reset here and ends holding the parts' counters, summed — also when a
-/// deadline or cancellation (`scratch.deadline`, consulted before every pop
-/// of the walk, every round head and every scanned chunk) ended the query —
-/// and `scratch.part_floor_updates` each part's share of `floor_updates`,
-/// in part order. Every buffer goes back to the scratch either way, so a
-/// warmed scratch answers without allocating.
+/// holds the parts' share of the canonical top k. The parts' counters are
+/// added to `scratch.profile`, which the caller resets once per query, so
+/// two calls of one query sum — also when a deadline or cancellation
+/// (`scratch.deadline`, consulted before every pop of the walk, every round
+/// head and every scanned chunk) ended the query — and
+/// `scratch.part_floor_updates` holds each part's share of this call's
+/// `floor_updates`, in part order. Every buffer goes back to the scratch
+/// either way, so a warmed scratch answers without allocating.
 pub fn answer_parts<'a, I>(
     parts: I,
     query: &'a SdQuery,
@@ -553,7 +548,6 @@ where
     I: IntoIterator<Item = ShardPart<'a>>,
     I::IntoIter: Clone,
 {
-    scratch.profile.reset();
     scratch.part_floor_updates.clear();
     let parts = parts.into_iter();
     for part in parts.clone() {

@@ -143,7 +143,17 @@
 //! `agg_6d` is a projected one — and none of 8 192 again (eight seeds) over
 //! the tiled blocks, where an anchor execution is mostly over before its
 //! second reading falls due. The probe is three words and one compare
-//! per round until a reading is due.
+//! per round until a reading is due. Re-read over the one answer heap a
+//! query (every shard pruning against the union of every score found) and
+//! with the verdict history on, the probe decides only the executions that
+//! still run stream-first — a shape's first `STREAK` queries and the last
+//! shard of every audit — and that is where it pays: deleted on a scratch
+//! build (`projected` never set), `agg_6d`'s p50 does not move (246.5
+//! against 248.0 µs, medians of 9 runs of 8 s, seeds 401–409, rotating
+//! order, 2-core VM) while its p95, which is the audit, reads 391 against
+//! 318 µs (0.81×, lower on all 9 seeds), and lap 0 of a traced run (seed 1)
+//! reads `rounds_per_q` 10.0 against 7.4 and `blocks_popped_per_q` 12.0
+//! against 6.9.
 //!
 //! What a lost cause costs now: the stream phase up to the exit plus one
 //! scan, and the scan scores each 32-row chunk straight off the row-major
@@ -233,6 +243,15 @@
 //! within noise): one query in 16 of a lost shape re-checks, more than the
 //! 5 % a p95 leaves out, so the p95 of a lost shape *is* a re-check — a
 //! stream phase on block tables the scans have pushed out of cache.
+//! Re-read over the one answer heap a query, where a stream-first query's
+//! shards already prune against every score any of them found and inherit
+//! the first one's verdict: deleting the history on a scratch build (every
+//! query stream-first) reads `agg_6d` p50 348–409 µs against 225–258
+//! (medians 377 / 248, 9 runs of 8 s each, seeds 401–409, rotating order,
+//! 2-core VM; lower on all 9 seeds) and p95 423 against 318, so the
+//! history is still worth ≈ 0.66× of p50 and 0.75× of p95. Lap 0 (seed 1)
+//! reads `rounds_per_q` 59.2 → 7.4, `blocks_popped_per_q` 110.3 → 6.9 and
+//! `engine.aggregate_ns_per_q` 587k → 384k.
 //!
 //! So the re-check is an *audit*: every shard but the last starts lost and
 //! scans, then the last runs stream-first against the floor their scans

@@ -397,7 +397,8 @@ fn finish(
 }
 
 /// `index`'s answer to `q` over the rows `mask` leaves live, scoring into
-/// `floor`, as an engine shard gives it: the one driver over one part.
+/// `floor`, as an engine shard gives it: the one driver over one part,
+/// its profile reset first, as [`SdIndex::query_with`] resets it.
 fn answer(
     index: &SdIndex,
     q: &SdQuery,
@@ -405,6 +406,7 @@ fn answer(
     floor: &mut QueryFloor<'_>,
     mask: Option<MaskView<'_>>,
 ) -> Vec<ScoredPoint> {
+    scratch.profile.reset();
     answer_parts([part(index, mask)], q, scratch, floor).unwrap();
     drained(floor)
 }

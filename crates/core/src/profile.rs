@@ -9,10 +9,11 @@
 //! the delta scan, the tombstone mask and the drain of the query's answer
 //! heap.
 //!
-//! The counters live inside [`QueryScratch`](crate::QueryScratch) (and are
-//! aggregated per engine query into
-//! `EngineScratch`), so they are recycled with
-//! the scratch and the steady-state **zero-allocation** guarantee holds.
+//! The counters live inside [`QueryScratch`](crate::QueryScratch) — one
+//! profile a query, whatever answers it: the index, the engine (its delta
+//! scan and every shard add to the same one) or a baseline. The query's
+//! entry point resets it once, so it is recycled with the scratch and the
+//! steady-state **zero-allocation** guarantee holds.
 //! They are cheap enough to stay always-on: plain increments on state the
 //! hot loops already own. Only wall-clock timestamping has a cost worth
 //! gating — set [`QueryProfile::timing`] to collect per-stage nanosecond
@@ -59,16 +60,16 @@
 
 use crate::kernels::LANES;
 
-/// Execution counters for one query (or one shard's share of one engine
-/// query; the engine sums its shards' profiles into one).
+/// Execution counters for one query (or one shard execution's share of
+/// it, which the execution adds to the query's profile when it finishes).
 ///
 /// All counters are plain `u64`s incremented inline on the hot paths —
 /// always on. `floor_value` is the final k-th-score floor; `isa` names the
 /// kernel backend that scored the batches. The three `*_nanos` stage
 /// timings are collected only while [`QueryProfile::timing`] is set, and
-/// only by the top-level driver of a query (they are **not** summed by
-/// [`QueryProfile::merge`], so per-shard and engine-level timings never
-/// double-count).
+/// only on the query's own profile (they are **not** summed by
+/// [`QueryProfile::merge`], so a shard execution's share never
+/// double-counts them).
 ///
 /// **On the direct single-pair walk** (the road of
 /// [`answer_parts`](crate::multidim::answer_parts) for a one-pair query,
@@ -182,9 +183,13 @@ pub struct QueryProfile {
     pub timing: bool,
     /// Nanoseconds in the delta scan (engine path, dirty only).
     pub delta_scan_nanos: u64,
-    /// Nanoseconds in shard aggregation (or the whole monolithic query).
+    /// Nanoseconds in the driver ([`answer_parts`]), summed over its calls
+    /// of one query: the walk or the aggregation of every part.
+    ///
+    /// [`answer_parts`]: crate::multidim::answer_parts
     pub aggregate_nanos: u64,
-    /// Nanoseconds in the engine's final drain of the answer heap.
+    /// Nanoseconds in the final drain of the query's answer heap
+    /// ([`QueryScratch::answer_with`](crate::QueryScratch::answer_with)).
     pub merge_nanos: u64,
 }
 
@@ -241,10 +246,11 @@ impl QueryProfile {
         };
     }
 
-    /// Accumulates another profile's counters into this one (the engine
-    /// sums per-shard profiles). Counters add; `floor_value` takes the
-    /// max (floors only rise); stage timings are deliberately **not**
-    /// summed — they belong to the top-level driver alone.
+    /// Accumulates another profile's counters into this one: a shard
+    /// execution's share into the query's profile. Counters add;
+    /// `floor_value` takes the max (floors only rise); stage timings are
+    /// deliberately **not** summed — they belong to the query's profile
+    /// alone.
     pub fn merge(&mut self, other: &QueryProfile) {
         self.nodes_visited += other.nodes_visited;
         self.envelope_nodes_rejected += other.envelope_nodes_rejected;

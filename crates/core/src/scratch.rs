@@ -10,8 +10,17 @@
 //! through the one driver, [`answer_parts`](crate::multidim::answer_parts):
 //! its §5 executions share the per-round buffers, the deadline, the frontier
 //! heaps and one seen-set over the query's global ids, and the direct 2-D
-//! walk of a single-pair query draws on the same heaps. A baseline's
-//! `query_with` uses only its answer buffer, profile and deadline.
+//! walk of a single-pair query draws on the same heaps.
+//!
+//! Every `query_with` — the index's, the engine's (an engine's scratch is
+//! this one) and the TA baseline's — ends in the scratch's one answer step,
+//! [`QueryScratch::answer_with`]: one [`QueryFloor`] over the scratch's
+//! recycled heap, every scorer of the query offering its exact scores to
+//! it, and one drain of it into the answer buffer. The entry point resets
+//! the one [`QueryProfile`] once; the delta scan, the driver and the
+//! baseline's own loop add their counters to it and check the one
+//! [`Deadline`], so one scratch serves an index, an engine and a baseline
+//! in turn, each query reading its own answer and profile.
 //!
 //! Scratches are plain owned values: keep one per worker thread and reuse
 //! it across queries. The indexes themselves stay immutable during
@@ -43,10 +52,10 @@ use std::collections::BinaryHeap;
 use crate::deadline::Deadline;
 use crate::multidim::{Pair2DStream, ShardExecution};
 use crate::profile::QueryProfile;
-use crate::threshold::FloorEntry;
+use crate::threshold::{FloorEntry, QueryFloor};
 use crate::topk::arbitrary::PartWalk;
 use crate::topk::stream::HeapEntry;
-use crate::types::ScoredPoint;
+use crate::types::{ScoredPoint, SdError};
 
 /// A generation-stamped membership set over dense row ids `0..n`: one
 /// `u32` stamp per row, `insert` is a single indexed compare-and-store —
@@ -100,9 +109,10 @@ impl StampSet {
 /// Owned, reusable buffers for the whole query path.
 ///
 /// Obtain one with [`QueryScratch::new`], then pass it to the `query_with`
-/// entry points ([`SdIndex::query_with`](crate::multidim::SdIndex::query_with)
-/// or a baseline's equivalent). Results are returned as a slice borrowed from the
-/// scratch — copy them out if they must outlive the next query.
+/// entry points ([`SdIndex::query_with`](crate::multidim::SdIndex::query_with),
+/// the engine's or the TA baseline's). Results are returned as a slice
+/// borrowed from the scratch — copy them out if they must outlive the next
+/// query.
 ///
 /// The plain `query()` methods are thin wrappers that run `query_with` over
 /// a fresh scratch, so both entry points return bit-identical answers.
@@ -118,10 +128,10 @@ pub struct QueryScratch {
     pub(crate) answers: Vec<ScoredPoint>,
     /// The rows one aggregation round fetched, staged for batched scoring.
     pub(crate) rows: Vec<u32>,
-    /// The heap the [`QueryFloor`](crate::QueryFloor) of a query served
-    /// from this scratch alone (`SdIndex::query_with`) borrows: the best
-    /// `min(k, n)` `(score, row)` entries seen so far.
-    pub(crate) floor: BinaryHeap<FloorEntry>,
+    /// The heap the [`QueryFloor`] of the query served from this scratch
+    /// borrows ([`QueryScratch::answer_with`]): the best `min(k, n)`
+    /// `(score, id)` entries seen so far.
+    floor: BinaryHeap<FloorEntry>,
     /// Gather buffer of the batched aggregation: fetched rows transposed
     /// into dimension-major SoA lanes for the scoring kernels
     /// (`dims × LANES` once warmed).
@@ -137,10 +147,11 @@ pub struct QueryScratch {
     /// also collect per-stage nanosecond timings.
     pub profile: QueryProfile,
     /// Cooperative deadline/cancel token of the next query served from
-    /// this scratch, checked once per aggregation round. The default is
-    /// unlimited (a single predictable branch per check); a bounded
-    /// deadline captures its expiry at construction, so set a fresh one
-    /// per query.
+    /// this scratch, checked by every scorer of the query: once per
+    /// aggregation round, walk pop, scanned chunk and delta chunk. The
+    /// default is unlimited (a single predictable branch per check); a
+    /// bounded deadline captures its expiry at construction, so set a fresh
+    /// one per query.
     pub deadline: Deadline,
     /// Recycled pair-stream lists of the §5 aggregation, one per execution
     /// of a query. Each is empty between queries; only the allocations are
@@ -170,11 +181,33 @@ impl QueryScratch {
         &self.answers
     }
 
-    /// The answer buffer itself, for a query path outside this crate (a
-    /// baseline's `query_with`) to leave its answer where
-    /// [`QueryScratch::answers`] reads it.
-    pub fn answers_mut(&mut self) -> &mut Vec<ScoredPoint> {
-        &mut self.answers
+    /// The one answer step of every `query_with`: makes a fresh
+    /// [`QueryFloor`] of `cap` entries — `min(k, live rows the query
+    /// ranks)` — over this scratch's recycled heap, runs `score` with the
+    /// scratch and the floor, and on success drains the floor into the
+    /// answer buffer, setting `profile.floor_value` and `profile.emitted`
+    /// (the drain timed as `merge_nanos`). The profile is not reset here:
+    /// the entry point resets it once, before its first scorer. On an error
+    /// the previous answer stays and the profile holds the work done so
+    /// far.
+    pub fn answer_with<F>(&mut self, cap: usize, score: F) -> Result<&[ScoredPoint], SdError>
+    where
+        F: FnOnce(&mut QueryScratch, &mut QueryFloor<'_>) -> Result<(), SdError>,
+    {
+        let mut heap = std::mem::take(&mut self.floor);
+        let mut floor = QueryFloor::new(&mut heap, cap);
+        let ran = score(self, &mut floor);
+        if ran.is_ok() {
+            let t0 = self.profile.timing.then(std::time::Instant::now);
+            self.profile.floor_value = floor.value();
+            floor.drain_into(&mut self.answers);
+            self.profile.emitted = self.answers.len() as u64;
+            if let Some(t0) = t0 {
+                self.profile.merge_nanos += t0.elapsed().as_nanos() as u64;
+            }
+        }
+        self.floor = heap;
+        ran.map(|()| &self.answers[..])
     }
 
     /// How the last query served from this scratch by the one driver

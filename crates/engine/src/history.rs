@@ -42,9 +42,13 @@
 //! not persisted — a freshly opened or mapped engine starts with no
 //! history.
 //!
-//! `sdq_core::multidim::plan` (the scan exit) holds what it buys — `agg_6d`
-//! p50 0.76×, and p95 0.81× for the audit — and the measurements behind
-//! [`STREAK`] and [`RECHECK`].
+//! `sdq_core::multidim::plan` (the scan exit) holds what it buys and the
+//! measurements behind [`STREAK`] and [`RECHECK`]. Measured when it
+//! landed, `agg_6d` p50 read 0.76× and, with the audit, p95 0.81×. Re-read
+//! once every shard of a query scored into one answer heap (deleted on a
+//! scratch build, every query stream-first; 9 runs of 8 s each, 2-core VM)
+//! it is worth more, not less: p50 377 → 248 µs (≈ 0.66×, lower on all 9
+//! seeds) and p95 423 → 318 µs (≈ 0.75×).
 //!
 //! [`QueryFloor::start_lost`]: sdq_core::QueryFloor::start_lost
 //! [`record`]: VerdictHistory::record

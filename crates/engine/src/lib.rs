@@ -45,11 +45,11 @@
 //! ends of their extents. A shard with no pair to stream scans — unless
 //! the floor already beats that extent bound, and then it ends unread.
 //!
-//! The query's one [`QueryFloor`] is what keeps sharding from multiplying
-//! work: the k-th best *exact* score found by any shard is a lower bound on
-//! the final global k-th score, so every shard drops the rows below it and
-//! terminates its aggregation as soon as its own admissible bound `τ` falls
-//! below it. Later shards effectively only verify that they hold nothing
+//! The query's one [`QueryFloor`](sdq_core::QueryFloor) is what keeps
+//! sharding from multiplying work: the k-th best *exact* score found by any
+//! shard is a lower bound on the final global k-th score, so every shard
+//! drops the rows below it and terminates its aggregation as soon as its
+//! own admissible bound `τ` falls below it. Later shards effectively only verify that they hold nothing
 //! better than the current global top-k.
 //!
 //! ## Exactness
@@ -66,14 +66,19 @@
 //!
 //! ## One driver, one scratch
 //!
-//! A query's shards are answered by `sdq-core`'s one driver,
-//! [`answer_parts`], called once per query (twice for an audit: its lead
-//! shards, then, with the verdict reopened, its last) with every shard as
-//! one part, out of the engine scratch's one [`QueryScratch`], all on the
-//! calling thread — the same function [`SdIndex::query_with`] runs over its
-//! one index. Every shard scores into the query's one [`QueryFloor`]: the
-//! best `min(k, live rows)` `(score, global id)` entries any shard or the
-//! delta scan has found, whose one drain is the answer. It also carries the
+//! The engine's scratch is a [`QueryScratch`] ([`EngineScratch`] is only
+//! its other name), and a query is answered the way
+//! [`SdIndex::query_with`] answers one: through the scratch's one answer
+//! step, [`QueryScratch::answer_with`], which makes the query's one
+//! [`QueryFloor`](sdq_core::QueryFloor) and drains it into the answer.
+//! Inside that step the delta scan runs first, then `sdq-core`'s one
+//! driver, [`answer_parts`], called once per query (twice for an audit:
+//! its lead shards, then, with the verdict reopened, its last) with every
+//! shard as one part, all on the calling thread. Every scorer adds its
+//! counters to the scratch's one profile, reset once per query, and checks
+//! its one deadline. Every shard scores into the query's floor: the best
+//! `min(k, live rows)` `(score, global id)` entries any shard or the delta
+//! scan has found, whose one drain is the answer. It also carries the
 //! query's scan verdict: once one execution finds its streams lost and
 //! scans, its open siblings scan at their next round head instead of
 //! reaching the verdict again. A query that is one non-degenerate pair
@@ -92,8 +97,8 @@
 //! exactly like a planned `SdIndex` with engine ergonomics.
 //!
 //! ```
-//! use sdq_core::{Dataset, DimRole, SdQuery};
-//! use sdq_engine::{EngineOptions, EngineScratch, SdEngine};
+//! use sdq_core::{Dataset, DimRole, QueryScratch, SdQuery};
+//! use sdq_engine::{EngineOptions, SdEngine};
 //!
 //! let rows: Vec<Vec<f64>> = (0..64)
 //!     .map(|i| vec![i as f64, (64 - i) as f64, (i * i % 17) as f64])
@@ -107,7 +112,7 @@
 //! )
 //! .unwrap();
 //!
-//! let mut scratch = EngineScratch::new();
+//! let mut scratch = QueryScratch::new();
 //! let query = SdQuery::uniform_weights(vec![10.0, 30.0, 5.0], &roles);
 //! let top = engine.query_with(&query, 5, &mut scratch).unwrap();
 //! assert_eq!(top.len(), 5);
@@ -115,7 +120,6 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -124,10 +128,7 @@ use std::sync::{Arc, OnceLock};
 use sdq_core::mask::{MaskView, RowMask};
 use sdq_core::multidim::{answer_parts, QueryPlan, SdIndex, SdIndexOptions, ShardPart};
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
-use sdq_core::{
-    Dataset, Deadline, DimRole, FloorEntry, QueryFloor, QueryProfile, QueryScratch, ScoredPoint,
-    SdError, SdQuery,
-};
+use sdq_core::{Dataset, DimRole, QueryProfile, QueryScratch, ScoredPoint, SdError, SdQuery};
 
 mod history;
 pub mod mutation;
@@ -182,42 +183,13 @@ pub struct ShardInfo {
     pub memory_bytes: usize,
 }
 
-/// Reusable execution state for one engine consumer: the one
-/// [`QueryScratch`] every shard of a query runs out of, and the heap of the
-/// query's one [`QueryFloor`]. Keep one per serving thread and reuse it
-/// across queries — every buffer (heaps, the seen-set, the answer, the
-/// driver's execution list) is recycled, so a warmed query touches the
-/// allocator zero times.
-#[derive(Default)]
-pub struct EngineScratch {
-    /// The shards' scratch, handed to the driver; its answer buffer holds
-    /// the query's answer.
-    shards: QueryScratch,
-    /// The heap the query's one [`QueryFloor`] borrows: its answer.
-    floor: BinaryHeap<FloorEntry>,
-    /// Role-signed weight staging of the delta scan.
-    delta_sw: Vec<f64>,
-    /// Execution counters of the most recent query served through this
-    /// scratch: the shards' counters plus the engine's own delta scan and
-    /// final drain statistics. Always on; set [`QueryProfile::timing`]
-    /// before querying to also collect per-stage wall times. When a
-    /// deadline aborts the query, the counters of the work its shards had
-    /// done by then are still folded in.
-    pub profile: QueryProfile,
-    /// Cooperative deadline/cancel token of the next query served through
-    /// this scratch, handed to the shards and checked once per aggregation
-    /// round, walk pop and delta chunk. Unlimited by default; a bounded
-    /// deadline captures its expiry at construction, so set a fresh one
-    /// per query.
-    pub deadline: Deadline,
-}
-
-impl EngineScratch {
-    /// Creates an empty scratch; buffers grow on first use and are retained.
-    pub fn new() -> Self {
-        EngineScratch::default()
-    }
-}
+/// The engine's scratch is the [`QueryScratch`] every `query_with` runs
+/// out of: the delta scan, every shard and the answer step share its
+/// heaps, seen-set, buffers, profile and deadline. Keep one per serving
+/// thread and reuse it across queries; a warmed query touches the
+/// allocator zero times. The name stays only for the repo benchmark, which
+/// still uses it; it goes with that benchmark's next change.
+pub type EngineScratch = QueryScratch;
 
 /// Slots of the [`EngineMetrics`] per-shard floor-contribution histogram:
 /// slot `i` accumulates the k-th-score-floor updates contributed by shard
@@ -566,7 +538,7 @@ impl MetricsSnapshot {
 /// every query. See the crate docs for the architecture.
 ///
 /// Queries never mutate the engine, so one `SdEngine` is freely shared
-/// across threads; each consumer keeps its own [`EngineScratch`].
+/// across threads; each consumer keeps its own [`QueryScratch`].
 #[derive(Debug, Clone)]
 pub struct SdEngine {
     // The coordinates live only inside the shard indexes (each SdIndex owns
@@ -895,7 +867,7 @@ impl SdEngine {
     /// Answers the top-k query, allocating fresh scratch state. Steady-state
     /// callers should prefer [`SdEngine::query_with`].
     pub fn query(&self, query: &SdQuery, k: usize) -> Result<Vec<ScoredPoint>, SdError> {
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         Ok(self.query_with(query, k, &mut scratch)?.to_vec())
     }
 
@@ -913,7 +885,7 @@ impl SdEngine {
         &self,
         query: &SdQuery,
         k: usize,
-        scratch: &'s mut EngineScratch,
+        scratch: &'s mut QueryScratch,
     ) -> Result<&'s [ScoredPoint], SdError> {
         let t0 = std::time::Instant::now();
         let res = self.query_core(query, k, scratch);
@@ -936,19 +908,18 @@ impl SdEngine {
                 profile: scratch.profile,
             });
         }
-        Ok(scratch.shards.answers())
+        Ok(scratch.answers())
     }
 
     fn query_core(
         &self,
         query: &SdQuery,
         k: usize,
-        scratch: &mut EngineScratch,
+        scratch: &mut QueryScratch,
     ) -> Result<(), SdError> {
         self.check_query(query, k)?;
         scratch.profile.reset();
         scratch.deadline.check()?;
-        let timing = scratch.profile.timing;
         // The write path: a dirty engine scans its delta region exactly and
         // masks tombstoned rows out of every shard.
         let mask = if self.muts.tombstones.any() {
@@ -956,40 +927,6 @@ impl SdEngine {
         } else {
             None
         };
-        let EngineScratch {
-            shards: qs,
-            floor,
-            delta_sw,
-            profile,
-            deadline,
-        } = &mut *scratch;
-        // The query's one floor: every live row's score it keeps, whoever
-        // scored the row — the delta scan or a shard — under the row's
-        // global id. Its drain below is the answer.
-        let mut floor = QueryFloor::new(floor, k.min(self.len()));
-
-        if !self.muts.delta.is_empty() {
-            // Delta scan first: its live scores go into the floor, so the
-            // shards below terminate against fresh-row candidates exactly
-            // like against a sibling shard's.
-            let t0 = timing.then(std::time::Instant::now);
-            sdq_core::delta::scan_delta_into(
-                &self.muts.delta,
-                &self.roles,
-                query,
-                self.rows as u32,
-                mask.map(|m| MaskView::new(m, self.rows as u32)),
-                &mut floor,
-                delta_sw,
-                profile,
-                deadline,
-            )?;
-            if let Some(t0) = t0 {
-                profile.delta_scan_nanos += t0.elapsed().as_nanos() as u64;
-            }
-        }
-        let t_agg = timing.then(std::time::Instant::now);
-
         // An aggregation whose shape lost its recent stream-first queries
         // starts lost: every execution scans at its first round head —
         // except, on the shape's audit, the last shard's, which runs
@@ -1001,64 +938,65 @@ impl SdEngine {
             Some(Start::Audit) if s == 1 => Start::Streams,
             start => start.unwrap_or(Start::Streams),
         };
-        if start != Start::Streams {
-            floor.start_lost();
-        }
-        qs.profile.timing = timing;
-        qs.deadline = deadline.clone();
-        // Each slot's floor updates, credited once the query is answered.
-        let mut credits = [0; FLOOR_HIST_SLOTS];
-        // The driver over `shards`, its counters folded into the engine's —
-        // also when a deadline ends it: they say how far it got.
-        let mut answer = |shards: Range<usize>, floor: &mut QueryFloor<'_>| {
-            let parts = shards.clone().map(|i| self.shard_part(i, mask));
-            let answered = answer_parts(parts, query, qs, floor);
-            profile.merge(&qs.profile);
-            for (i, &updates) in shards.zip(qs.part_floor_updates()) {
-                credits[i.min(FLOOR_HIST_SLOTS - 1)] += updates;
+        // The query's one floor keeps every live row's score, whoever
+        // scored the row — the delta scan or a shard — under the row's
+        // global id; its drain is the answer.
+        let emitted = scratch.answer_with(k.min(self.len()), |qs, floor| {
+            if !self.muts.delta.is_empty() {
+                // Delta scan first: its live scores go into the floor, so the
+                // shards below terminate against fresh-row candidates exactly
+                // like against a sibling shard's.
+                sdq_core::delta::scan_delta_into(
+                    &self.muts.delta,
+                    &self.roles,
+                    query,
+                    self.rows as u32,
+                    mask.map(|m| MaskView::new(m, self.rows as u32)),
+                    floor,
+                    qs,
+                )?;
             }
-            answered
-        };
-        if start == Start::Audit {
-            // The audit shard runs stream-first against the floor the delta
-            // and every lead shard's scan left.
-            answer(0..s - 1, &mut floor)?;
-            floor.reopen();
-            answer(s - 1..s, &mut floor)?;
-        } else {
-            answer(0..s, &mut floor)?;
-        }
-        if let Some(shape) = shape {
-            match start {
-                Start::Streams => self.verdicts.record(shape, profile.scan_fallbacks > 0),
-                // The driver's last call was the audit shard's alone.
-                Start::Audit => self.verdicts.audited(shape, qs.profile.scan_fallbacks > 0),
-                Start::Lost => {}
+            if start != Start::Streams {
+                floor.start_lost();
             }
-        }
-        self.metrics.record_floor_credits(&credits);
-        if let Some(t) = t_agg {
-            profile.aggregate_nanos += t.elapsed().as_nanos() as u64;
-        }
-
-        // The answer: one drain of the floor, which holds the canonical
-        // top `min(k, live)` of every row any scorer offered — and every
-        // row none offered is strictly below its k-th score.
-        let t_merge = timing.then(std::time::Instant::now);
-        profile.floor_value = floor.value();
-        let answers = qs.answers_mut();
-        floor.drain_into(answers);
-        profile.merge_rounds = answers.len() as u64;
-        profile.emitted = answers.len() as u64;
-        if let Some(t) = t_merge {
-            profile.merge_nanos += t.elapsed().as_nanos() as u64;
-        }
-        self.metrics.record_query(profile);
+            // Each slot's floor updates, credited once the query is answered.
+            let mut credits = [0; FLOOR_HIST_SLOTS];
+            let mut answer = |qs: &mut QueryScratch, shards: Range<usize>, floor: &mut _| {
+                let parts = shards.clone().map(|i| self.shard_part(i, mask));
+                let answered = answer_parts(parts, query, qs, floor);
+                for (i, &updates) in shards.zip(qs.part_floor_updates()) {
+                    credits[i.min(FLOOR_HIST_SLOTS - 1)] += updates;
+                }
+                answered
+            };
+            if start == Start::Audit {
+                // The audit shard runs stream-first against the floor the
+                // delta and every lead shard's scan left; only its verdict,
+                // the rise in `scan_fallbacks` across its call, is recorded.
+                answer(qs, 0..s - 1, floor)?;
+                floor.reopen();
+                let before = qs.profile.scan_fallbacks;
+                answer(qs, s - 1..s, floor)?;
+                if let Some(shape) = shape {
+                    self.verdicts
+                        .audited(shape, qs.profile.scan_fallbacks > before);
+                }
+            } else {
+                answer(qs, 0..s, floor)?;
+                if let (Some(shape), Start::Streams) = (shape, start) {
+                    self.verdicts.record(shape, qs.profile.scan_fallbacks > 0);
+                }
+            }
+            self.metrics.record_floor_credits(&credits);
+            Ok(())
+        })?;
+        scratch.profile.merge_rounds = emitted.len() as u64;
+        self.metrics.record_query(&scratch.profile);
         Ok(())
     }
 
     /// Answers a batch of queries in parallel with up to `threads` threads
-    /// (`0` = auto, [`resolve_threads`]), one [`EngineScratch`] per thread;
+    /// (`0` = auto, [`resolve_threads`]), one [`QueryScratch`] per thread;
     /// each query runs on one of them, like [`SdEngine::query_with`] on the
     /// thread that calls it. Explicit counts are clamped to
     /// the machine's available parallelism — oversubscribing a batch only
@@ -1074,7 +1012,7 @@ impl SdEngine {
     ) -> Result<Vec<Vec<ScoredPoint>>, SdError> {
         let threads = resolve_threads(threads).min(resolve_threads(0));
         if threads <= 1 || queries.len() <= 1 {
-            let mut scratch = EngineScratch::new();
+            let mut scratch = QueryScratch::new();
             return queries
                 .iter()
                 .map(|q| Ok(self.query_with(q, k, &mut scratch)?.to_vec()))
@@ -1086,7 +1024,7 @@ impl SdEngine {
             let handles: Vec<_> = (0..n_workers)
                 .map(|w| {
                     scope.spawn(move || {
-                        let mut scratch = EngineScratch::new();
+                        let mut scratch = QueryScratch::new();
                         queries
                             .iter()
                             .enumerate()
@@ -1188,7 +1126,7 @@ fn build_shards(
 mod tests {
     use super::*;
     use sdq_core::multidim::PairAction;
-    use sdq_core::PointId;
+    use sdq_core::{Deadline, PointId};
     use std::sync::{Barrier, Mutex};
 
     fn sample(n: usize, dims: usize) -> (Dataset, Vec<DimRole>) {
@@ -1293,7 +1231,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         let mut fetched = 0;
         for _ in 0..32 {
             let point = draw(4);
@@ -1332,7 +1270,7 @@ mod tests {
         )
         .unwrap();
         let q = SdQuery::new(vec![0.0], vec![1.0]).unwrap();
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         let got = e.query_with(&q, 2, &mut scratch).unwrap();
         let got: Vec<(u32, f64)> = got.iter().map(|sp| (sp.id.raw(), sp.score)).collect();
         assert_eq!(got, [(0, 10.0), (33, 9.0)]);
@@ -1364,7 +1302,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let mut scratch = EngineScratch::new();
+            let mut scratch = QueryScratch::new();
             let got = e.query_with(&query, 12, &mut scratch).unwrap();
             assert_eq!(got.len(), want.len(), "shards = {shards}");
             for (g, w) in got.iter().zip(&want) {
@@ -1491,7 +1429,7 @@ mod tests {
         let (e, q) = scanning();
         let want = e.query(&q, 64).unwrap(); // stream-first query 1
         let twin = e.clone();
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         for _ in 1..STREAK {
             twin.query_with(&q, 64, &mut scratch).unwrap();
             assert_eq!(scratch.profile.scan_predicted, 0);
@@ -1516,7 +1454,7 @@ mod tests {
     #[test]
     fn explain_names_the_audit_and_what_a_certifying_one_leaves() {
         let (e, q) = scanning();
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         for _ in 1..RECHECK {
             e.query_with(&q, 64, &mut scratch).unwrap();
         }
@@ -1550,7 +1488,7 @@ mod tests {
     #[test]
     fn a_deadline_aborted_query_records_nothing() {
         let (e, q) = scanning();
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         // Budgets until one trips after an execution stepped (earlier ones
         // trip at the entry check, later ones let the query finish).
         for micros in 1..20_000 {
@@ -1581,7 +1519,7 @@ mod tests {
         let e = engine(4_000, 2, 4);
         let q = SdQuery::uniform_weights(vec![0.0, 1.0], e.roles());
         assert_eq!(e.explain(&q, 16).unwrap().shape, None);
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         for _ in 0..2 * STREAK {
             e.query_with(&q, 16, &mut scratch).unwrap();
             assert_eq!(scratch.profile.rounds, 0, "a walk");

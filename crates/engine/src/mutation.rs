@@ -688,7 +688,8 @@ impl SdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineOptions, EngineScratch};
+    use crate::EngineOptions;
+    use sdq_core::QueryScratch;
     use sdq_core::{DimRole, SdQuery};
 
     fn sample_engine(n: usize, shards: usize) -> SdEngine {
@@ -869,7 +870,7 @@ mod tests {
     #[test]
     fn mutated_queries_match_fresh_rebuild() {
         let mut e = sample_engine(40, 4);
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         e.delete(PointId::new(7)).unwrap();
         e.delete(PointId::new(39)).unwrap();
         e.insert(&[100.0, 3.0, 5.0]).unwrap();

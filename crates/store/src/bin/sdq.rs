@@ -22,11 +22,11 @@ use sdq_core::multidim::plan::scan_checkpoint;
 use sdq_core::multidim::{PairingStrategy, QueryPlan, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::topk::default_angles;
-use sdq_core::{Dataset, Deadline, QueryProfile, ScoredPoint, SdQuery};
+use sdq_core::{Dataset, Deadline, QueryProfile, QueryScratch, ScoredPoint, SdQuery};
 use sdq_data::{generate, uniform_queries, Distribution};
 use sdq_engine::{
-    floor_slot_label, resolve_threads, CompactionOptions, EngineMetrics, EngineOptions,
-    EngineScratch, Explain, MetricsSnapshot, SdEngine,
+    floor_slot_label, resolve_threads, CompactionOptions, EngineMetrics, EngineOptions, Explain,
+    MetricsSnapshot, SdEngine,
 };
 use sdq_store::io::splitmix64;
 use sdq_store::json::Json;
@@ -581,7 +581,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         print_plan_table(&explained, k);
         return Ok(());
     }
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     scratch.deadline = Deadline::within_micros(timeout_us);
     if profile || profile_json {
         scratch.profile.timing = true;
@@ -1869,7 +1869,7 @@ fn run_probe(engine: &mut SdEngine, p: &ProbeOpts) -> Result<(), CliError> {
     }
     if p.queries > 0 {
         let workload = uniform_queries(p.queries, engine.dims(), p.seed);
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         let mut sink = 0.0f64;
         for q in &workload {
             sink += engine
@@ -2280,7 +2280,7 @@ fn serve_repeated(
     threads: usize,
     timeout_us: u64,
 ) -> Result<Vec<ScoredPoint>, CliError> {
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     let mut lat_ms = Vec::with_capacity(repeat);
     for pass in 0..=repeat {
         scratch.deadline = Deadline::within_micros(timeout_us);

@@ -29,8 +29,7 @@
 
 use std::time::Instant;
 
-use sdq_core::{Dataset, Deadline, PointId, SdError, SdQuery};
-use sdq_engine::EngineScratch;
+use sdq_core::{Dataset, Deadline, PointId, QueryScratch, SdError, SdQuery};
 use sdq_engine::SdEngine;
 
 use crate::durable::{DurableEngine, DurableOptions, Health, SyncPolicy};
@@ -203,7 +202,7 @@ pub fn run_chaos(config: ChaosConfig) -> Result<ChaosReport, SdError> {
     // The oracle holds exactly the acknowledged ops; an op that fails
     // mid-flight may still surface after a crash (prefix + 1 tolerance).
     let mut oracle = base_engine();
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
 
     while report.ops_run < config.ops {
         report.ops_run += 1;

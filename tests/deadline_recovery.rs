@@ -4,7 +4,7 @@
 //! found the query lost, in one its siblings inherited from it, or in a scan
 //! of a query that started lost — every suspended shard execution hands its
 //! buffers back, the typed error surfaces, the `deadline_exceeded` metric
-//! counts it, and the same [`EngineScratch`] answers the same query again
+//! counts it, and the same [`QueryScratch`] answers the same query again
 //! bit-identically to a fresh one **without allocating at all**, like any
 //! warmed scratch — whether that query runs its streams first, starts lost
 //! or is its shape's audit.
@@ -23,6 +23,9 @@
 //! a warmed query allocates nothing on either, and the auto thread count
 //! of a batch is asked of the OS once.
 //!
+//! One scratch also serves a bare index, a dirty engine and the TA
+//! baseline in turn, each query reading its own answer and profile.
+//!
 //! Allocation counting as in `crates/core/tests/alloc_count.rs`: a
 //! counting global allocator with a thread-local counter.
 
@@ -30,11 +33,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
+use sdq::baselines::{SeqScan, TaIndex};
 use sdq::core::multidim::SdIndex;
 use sdq::core::{CancelToken, Deadline, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{resolve_threads, EngineOptions, EngineScratch, SdEngine, RECHECK, STREAK};
-use sdq::{DimRole, ScoredPoint, SdError, SdQuery};
+use sdq::engine::{resolve_threads, EngineOptions, SdEngine, RECHECK, STREAK};
+use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdError, SdQuery};
 
 struct CountingAlloc;
 
@@ -130,7 +134,7 @@ fn tripped_scratch_recovers_without_reallocating() {
     // Warm the scratch on this very query: buffer high-water marks are set
     // here, so a later run of it allocates nothing — stream-first, until the
     // engine's history has seen STREAK of them scan …
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     let mut full = Duration::MAX;
     for i in 0..STREAK {
         let t0 = Instant::now();
@@ -316,7 +320,7 @@ fn direct_2d_search_honours_a_cancelled_token() {
         if !dirty {
             assert_bit_identical(&fresh, &want);
         }
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &fresh);
         assert_eq!(scratch.profile.rounds, 0, "{cell}: the query walked");
         let before = engine.metrics().snapshot().deadline_exceeded;
@@ -371,7 +375,7 @@ fn default_and_restored_engines_query_without_allocating() {
     let restored = SdEngine::from_parts(dims, roles.to_vec(), built.shards().to_vec()).unwrap();
     let queries = uniform_queries(8, dims, 0xA110D);
     for (name, engine) in [("built", &built), ("restored", &restored)] {
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         for _ in 0..2 {
             for q in &queries {
                 engine.query_with(q, k, &mut scratch).unwrap();
@@ -389,6 +393,96 @@ fn default_and_restored_engines_query_without_allocating() {
             assert_bit_identical(&got, &engine.query(q, k).unwrap());
         }
         assert_eq!(aggregated, 8, "{name}: every query ran the §5 aggregation");
+    }
+}
+
+/// One [`QueryScratch`] serves three kinds of query in turn over the same
+/// rows — a bare [`SdIndex`], a dirty 4-shard engine (delta rows and
+/// tombstones) and the TA baseline — and each answers out of it as out of
+/// its own: every answer is `SeqScan`'s bit for bit, every profile is its
+/// own call's (no delta row, 1-D list row or leftover counter of the query
+/// before), and once warmed the index and engine queries allocate nothing.
+#[test]
+fn one_scratch_serves_index_engine_and_ta_in_turn() {
+    let (n, dims, k, fresh) = (20_000, 4, 16, 200);
+    let roles = [
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+    ];
+    let data = generate(Distribution::Uniform, n, dims, 0x5C4A);
+    let rows: Vec<Vec<f64>> = data.iter().map(|(_, c)| c.to_vec()).collect();
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let ta = TaIndex::build(data.clone(), &roles).unwrap();
+    let oracle = SeqScan::new(data, &roles).unwrap();
+    // The engine holds the same rows, its last `fresh` in the delta region.
+    let base = Dataset::from_rows(dims, &rows[..n - fresh]).unwrap();
+    let options = EngineOptions {
+        shards: 4,
+        ..EngineOptions::default()
+    };
+    let mut engine = SdEngine::build_with(base, &roles, &options).unwrap();
+    engine.insert_rows(&rows[n - fresh..]).unwrap();
+    // Tombstones: every query's best row and the first delta row.
+    let queries = uniform_queries(4, dims, 0x5C4B);
+    let mut dead: Vec<PointId> = queries
+        .iter()
+        .map(|q| oracle.query(q, 1).unwrap()[0].id)
+        .chain([PointId::new((n - fresh) as u32)])
+        .collect();
+    dead.sort();
+    dead.dedup();
+    for &id in &dead {
+        assert!(engine.delete(id).unwrap());
+    }
+    let live_fresh = fresh - dead.iter().filter(|id| id.index() >= n - fresh).count();
+    let want: Vec<(Vec<ScoredPoint>, Vec<ScoredPoint>)> = queries
+        .iter()
+        .map(|q| {
+            let live = (oracle.query(q, k + dead.len()).unwrap().into_iter())
+                .filter(|sp| !dead.contains(&sp.id))
+                .take(k)
+                .collect();
+            (oracle.query(q, k).unwrap(), live)
+        })
+        .collect();
+    // What each query's counters read off a scratch of its own.
+    let own = |q: &SdQuery, ta_query: bool| {
+        let mut scratch = QueryScratch::new();
+        if ta_query {
+            ta.query_with(q, k, &mut scratch).unwrap();
+        } else {
+            index.query_with(q, k, &mut scratch).unwrap();
+        }
+        scratch.profile.counters()
+    };
+
+    let mut scratch = QueryScratch::new();
+    for pass in 0..4 {
+        let warm = pass >= 2;
+        for (i, (q, (all, live))) in queries.iter().zip(&want).enumerate() {
+            let cell = format!("pass {pass}, query {i}");
+            let allocs = count_allocs(|| {
+                assert_bit_identical(index.query_with(q, k, &mut scratch).unwrap(), all);
+            });
+            assert_eq!(scratch.profile.counters(), own(q, false), "{cell}: index");
+            assert_eq!(scratch.profile.delta_rows_scanned, 0, "{cell}");
+            assert!(!warm || allocs == 0, "{cell}: index, {allocs} allocations");
+
+            let allocs = count_allocs(|| {
+                assert_bit_identical(engine.query_with(q, k, &mut scratch).unwrap(), live);
+            });
+            let p = scratch.profile;
+            assert_eq!(p.delta_rows_scanned, live_fresh as u64, "{cell}: engine");
+            assert!(p.tombstones_skipped >= 1, "{cell}: engine");
+            assert_eq!((p.onedim_rows_pulled, p.emitted), (0, k as u64), "{cell}");
+            assert!(!warm || allocs == 0, "{cell}: engine, {allocs} allocations");
+
+            assert_bit_identical(ta.query_with(q, k, &mut scratch).unwrap(), all);
+            assert_eq!(scratch.profile.counters(), own(q, true), "{cell}: TA");
+            assert_eq!(scratch.profile.delta_rows_scanned, 0, "{cell}");
+        }
     }
 }
 

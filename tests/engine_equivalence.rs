@@ -6,7 +6,7 @@
 //!   coordinate generator deliberately draws from a tiny value alphabet so
 //!   duplicated rows and tied scores are common, and zero weights force
 //!   the planner through its degenerate branch and its 0°/90° frontiers),
-//! * a dirty, reused [`EngineScratch`] answers exactly like a fresh one,
+//! * a dirty, reused [`QueryScratch`] answers exactly like a fresh one,
 //! * `par_query_batch` is bit-identical to the serial loop,
 //! * snapshot round-trips preserve engine answers bit-exactly,
 //! * `explain` reports the direct 2-D search exactly when it runs.
@@ -16,8 +16,9 @@ use proptest::prelude::*;
 
 use sdq::baselines::SeqScan;
 use sdq::core::multidim::SdIndex;
+use sdq::core::QueryScratch;
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::engine::{EngineOptions, SdEngine};
 use sdq::store::Snapshot;
 use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
@@ -126,11 +127,11 @@ proptest! {
             &EngineOptions { shards, ..EngineOptions::default() },
         ).unwrap();
 
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         for q in &queries {
             let fresh = engine.query(q, k).unwrap();
             let reused = engine.query_with(q, k, &mut scratch).unwrap();
-            assert_bit_identical("EngineScratch reuse", reused, &fresh)?;
+            assert_bit_identical("QueryScratch reuse", reused, &fresh)?;
         }
     }
 
@@ -259,7 +260,7 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
             } else {
                 &scan
             };
-            let mut scratch = EngineScratch::new();
+            let mut scratch = QueryScratch::new();
             for q in &queries {
                 let plans = engine.explain(q, k).unwrap().plans;
                 let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();

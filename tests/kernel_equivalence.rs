@@ -21,7 +21,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::core::kernels::{self, LANES};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine, STREAK};
+use sdq::core::QueryScratch;
+use sdq::engine::{EngineOptions, SdEngine, STREAK};
 use sdq::{sd_score, Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
 /// `force_scalar` is process-global; serialize the tests that toggle it.
@@ -320,7 +321,7 @@ fn engine_answers_bit_identical_scalar_vs_dispatched() {
         for id in [3u32, 77, 200, 399, 401, 410] {
             engine.delete(PointId::new(id)).unwrap();
         }
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         queries
             .iter()
             .flat_map(|q| {
@@ -403,7 +404,7 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
         let queries = uniform_queries(12, dims, 0x5CA8);
         let run = || {
             let engine = build();
-            let mut scratch = EngineScratch::new();
+            let mut scratch = QueryScratch::new();
             let mut out = Vec::new();
             for q in &queries {
                 let answer = engine.query_with(q, k, &mut scratch).unwrap().to_vec();

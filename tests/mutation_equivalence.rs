@@ -12,14 +12,15 @@
 //! compaction the mapping becomes the identity and answers are literally
 //! identical, ids included.
 //!
-//! A single `EngineScratch` is reused across every query of an op sequence
+//! A single `QueryScratch` is reused across every query of an op sequence
 //! — dirty-scratch reuse after arbitrary mutations must equal a fresh
 //! query, which each step also checks.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::core::QueryScratch;
+use sdq::engine::{EngineOptions, SdEngine};
 use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
 const DIMS: usize = 3;
@@ -134,7 +135,7 @@ proptest! {
         let mut logical: Vec<Vec<f64>> = rows.clone();
         let mut live_ids: Vec<u32> = (0..rows.len() as u32).collect();
         // One scratch for the whole interleaving: dirty reuse == fresh.
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
 
         for (step, op) in ops.iter().enumerate() {
             match op {

@@ -12,9 +12,9 @@ use rand::{Rng, SeedableRng};
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
 use sdq::core::multidim::{PairAction, PairingStrategy, SdIndex, SdIndexOptions};
-use sdq::core::QueryProfile;
+use sdq::core::{QueryProfile, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine, RECHECK, STREAK};
+use sdq::engine::{EngineOptions, SdEngine, RECHECK, STREAK};
 use sdq::store::Snapshot;
 use sdq::{Dataset, DimRole, PointId, ScoredPoint};
 
@@ -349,7 +349,7 @@ proptest! {
         let live_rows: Vec<Vec<f64>> = live_ids.iter().map(|&i| rows[i as usize].clone()).collect();
         let oracle = SeqScan::new(Dataset::from_rows(dims, &live_rows).unwrap(), &roles).unwrap();
 
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         let mut scanned = false;
         for q in &uniform_queries(3, dims, seed ^ 0xC0FFEE) {
             let want = oracle.query(q, k).unwrap();
@@ -410,7 +410,7 @@ fn scanning_and_certifying_shards_merge_to_the_oracle() {
         },
     )
     .unwrap();
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     let (mut none, mut some, mut all) = (0, 0, 0);
     for q in &queries {
         let want = oracle.query(q, k).unwrap();
@@ -520,7 +520,7 @@ fn scans_match_the_oracle(
         .collect();
     let live_rows: Vec<Vec<f64>> = live_ids.iter().map(|&i| rows[i as usize].clone()).collect();
     let oracle = SeqScan::new(Dataset::from_rows(dims, &live_rows).unwrap(), roles).unwrap();
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     let mut profiles = Vec::with_capacity(queries.len());
     for q in queries {
         let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}");

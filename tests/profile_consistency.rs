@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use sdq::core::kernels;
 use sdq::core::multidim::SdIndex;
 use sdq::core::{QueryProfile, QueryScratch};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::engine::{EngineOptions, SdEngine};
 use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
 /// Tiny coordinate alphabet: duplicate rows and tied scores are common,
@@ -220,7 +220,7 @@ proptest! {
         engine.delete(ids[dead_delta % ids.len()]).unwrap();
         let live = engine.len() as u64;
 
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         scratch.profile.timing = true;
         for q in &queries {
             let want = engine.query(q, k).unwrap();
@@ -318,7 +318,7 @@ fn engine_metrics_registry_accumulates() {
     let mut engine = fixture_engine(500, 3);
     let q = SdQuery::new(vec![3.0, 2.0, 1.0, 40.0], vec![1.0; 4]).unwrap();
 
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     let mut scored_sum = 0u64;
     let mut updates = 0u64;
     for _ in 0..5 {
@@ -371,7 +371,7 @@ fn single_pair_walk_floor_credits_sum_to_the_profile() {
         .map(|i| vec![((i * 37) % 101) as f64 * 0.1, ((i * 53) % 97) as f64 * 0.1])
         .collect();
     let engine = engine_2d(&rows);
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     let mut updates = 0;
     for i in 0..20 {
         let point = vec![(i % 5) as f64 * 2.0, (i % 7) as f64 * 1.5];
@@ -399,7 +399,7 @@ fn single_pair_walk_credits_the_shard_whose_rows_raised_the_floor() {
         .collect();
     let engine = engine_2d(&rows);
     let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     engine.query_with(&q, 16, &mut scratch).unwrap();
     let updates = scratch.profile.floor_updates;
     assert!(updates > 0);

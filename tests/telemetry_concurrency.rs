@@ -23,7 +23,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::core::telemetry::{EventJournal, EventKind, HistoSnapshot, LatencyHisto, Telemetry};
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::core::QueryScratch;
+use sdq::engine::{EngineOptions, SdEngine};
 use sdq::{Dataset, DimRole, ScoredPoint, SdQuery};
 
 const DIMS: usize = 4;
@@ -225,7 +226,7 @@ fn histograms_and_journal_survive_concurrent_hammering() {
     let mut engine = engine;
     let quiet = Telemetry::new();
     engine.set_telemetry(Arc::clone(&quiet));
-    let mut scratch = EngineScratch::new();
+    let mut scratch = QueryScratch::new();
     let mut state = 0xC0FFEE_u64;
     let mut raw: Vec<u64> = (0..256)
         .map(|_| {

@@ -16,7 +16,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::baselines::SeqScan;
-use sdq::engine::{EngineOptions, EngineScratch, SdEngine};
+use sdq::core::QueryScratch;
+use sdq::engine::{EngineOptions, SdEngine};
 use sdq::store::{parse_roles, scrub_path, MappedBytes, Snapshot};
 use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
@@ -322,7 +323,7 @@ fn a_pairless_execution_certifies_against_its_extents() {
             },
         )
         .unwrap();
-        let mut scratch = EngineScratch::new();
+        let mut scratch = QueryScratch::new();
         let got = bits(engine.query_with(&q, k, &mut scratch).unwrap());
         assert_eq!(got, want);
         let p = scratch.profile;
