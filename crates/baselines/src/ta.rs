@@ -18,7 +18,9 @@ use std::sync::Arc;
 
 use sdq_core::kernels::inflate;
 use sdq_core::score::sd_score;
-use sdq_core::{Dataset, DimRole, PointId, QueryScratch, ScoredPoint, SdError, SdQuery};
+use sdq_core::{
+    Dataset, DimRole, LoopScratch, PointId, QueryScratch, ScoredPoint, SdError, SdQuery,
+};
 
 use stream1d::{ColumnStream, SortedColumn};
 
@@ -76,7 +78,10 @@ impl TaIndex {
     /// step ([`QueryScratch::answer_with`]): the canonical top-k (score
     /// descending, ties by row id ascending) is left in its answer buffer,
     /// its profile counts `rounds`, `rows_fetched` and `onedim_rows_pulled`,
-    /// and its deadline is checked once a round.
+    /// and its deadline is checked once a round. The loop keeps each list's
+    /// two cursors and its seen rows in the scratch
+    /// ([`QueryScratch::loop_scratch`]), so a warmed scratch answers without
+    /// allocating.
     pub fn query_with<'s>(
         &self,
         query: &SdQuery,
@@ -95,21 +100,29 @@ impl TaIndex {
         scratch.profile.reset();
         let (data, roles) = (&*self.data, &self.roles[..]);
         scratch.answer_with(k.min(data.len()), |scratch, floor| {
-            let mut streams: Vec<ColumnStream<'_>> = (self.columns.iter().zip(roles))
-                .enumerate()
-                .map(|(d, (col, &role))| {
-                    ColumnStream::new(col, role, query.point[d], query.weights[d])
-                })
-                .collect();
-            let mut seen = vec![false; data.len()];
-            let prof = &mut scratch.profile;
+            // List `d`'s stream stands at cursors `(cursors[2d], cursors[2d + 1])`.
+            let stream = |d: usize, cursors: &[usize]| {
+                let (q, w) = (query.point[d], query.weights[d]);
+                ColumnStream::resume(&self.columns[d], roles[d], q, w, (cursors[0], cursors[1]))
+            };
+            let LoopScratch {
+                mut seen,
+                words: cursors,
+                profile: prof,
+                deadline,
+            } = scratch.loop_scratch(data.len());
+            for (d, (col, &role)) in self.columns.iter().zip(roles).enumerate() {
+                let (lo, hi) =
+                    ColumnStream::new(col, role, query.point[d], query.weights[d]).cursor();
+                cursors.extend([lo, hi]);
+            }
             'rounds: loop {
                 prof.rounds += 1;
-                scratch.deadline.check()?;
+                deadline.check()?;
                 // A drained list has emitted every row, so the floor is final.
                 let mut tau = 0.0;
-                for s in &streams {
-                    match s.bound() {
+                for (d, at) in cursors.chunks_exact(2).enumerate() {
+                    match stream(d, at).bound() {
                         Some(b) => tau += b,
                         None => break 'rounds,
                     }
@@ -120,11 +133,13 @@ impl TaIndex {
                 if floor.bar() > inflate(tau) {
                     break;
                 }
-                for s in &mut streams {
+                for (d, at) in cursors.chunks_exact_mut(2).enumerate() {
+                    let mut s = stream(d, at);
                     let (row, _) = s.next().expect("a list with a bound has a row");
+                    (at[0], at[1]) = s.cursor();
                     prof.rows_fetched += 1;
                     prof.onedim_rows_pulled += 1;
-                    if !std::mem::replace(&mut seen[row as usize], true) {
+                    if seen.insert(row) {
                         let point = data.point(PointId::new(row));
                         floor.offer(sd_score(point, &query.point, roles, &query.weights), row);
                     }

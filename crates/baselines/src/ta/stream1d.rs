@@ -60,13 +60,27 @@ impl<'a> ColumnStream<'a> {
     /// dimension, at the binary-searched position of `q` for an attractive
     /// one.
     pub(super) fn new(col: &'a SortedColumn, role: DimRole, q: f64, weight: f64) -> Self {
-        let repulsive = role == DimRole::Repulsive;
-        let (lo, hi) = if repulsive {
+        let cursor = if role == DimRole::Repulsive {
             (0, col.values.len())
         } else {
             let start = col.values.partition_point(|&v| v < q);
             (start, start)
         };
+        Self::resume(col, role, q, weight, cursor)
+    }
+
+    /// The stream [`ColumnStream::new`] started, at the `cursor` an earlier
+    /// view of it left ([`ColumnStream::cursor`]): a loop that keeps only
+    /// its streams' cursors rebuilds each stream from one, for free.
+    #[inline]
+    pub(super) fn resume(
+        col: &'a SortedColumn,
+        role: DimRole,
+        q: f64,
+        weight: f64,
+        (lo, hi): (usize, usize),
+    ) -> Self {
+        let repulsive = role == DimRole::Repulsive;
         ColumnStream {
             col,
             q,
@@ -79,6 +93,7 @@ impl<'a> ColumnStream<'a> {
 
     /// The column index and subscore of the row emitted next: the better of
     /// the two candidates, the left one on a tie. `None` once drained.
+    #[inline]
     fn peek(&self) -> Option<(usize, f64)> {
         let (left, right) = if self.repulsive {
             let live = self.lo < self.hi;
@@ -94,9 +109,17 @@ impl<'a> ColumnStream<'a> {
         }
     }
 
+    /// Where the stream stands: what [`ColumnStream::resume`] continues
+    /// from.
+    #[inline]
+    pub(super) fn cursor(&self) -> (usize, usize) {
+        (self.lo, self.hi)
+    }
+
     /// Admissible upper bound on the subscore of every row not yet
     /// emitted; `None` once the stream is drained (at which point every row
     /// of the column has been emitted).
+    #[inline]
     pub(super) fn bound(&self) -> Option<f64> {
         self.peek().map(|(_, s)| s)
     }
@@ -105,6 +128,7 @@ impl<'a> ColumnStream<'a> {
     /// like `Iterator::next`; an `Iterator` impl would hide the `bound()`
     /// coupling callers rely on.)
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub(super) fn next(&mut self) -> Option<(u32, f64)> {
         let (i, s) = self.peek()?;
         if self.repulsive {

@@ -5,7 +5,6 @@
 //! The block form an engine stores per pair has a fixed fanout and takes no
 //! `b`, so it is not in this figure.
 
-use sdq_core::topk::default_angles;
 use sdq_paper::topk::TopKIndex;
 
 use crate::harness::{Config, Report};
@@ -22,7 +21,7 @@ pub fn run(cfg: &Config) {
     let data = generate(Distribution::Uniform, n, 2, cfg.seed);
     let pts: Vec<(f64, f64)> = data.iter().map(|(_, c)| (c[0], c[1])).collect();
     for b in [2usize, 4, 8, 16, 32, 50] {
-        let index = TopKIndex::build_with(&pts, &default_angles(), b).unwrap();
+        let index = TopKIndex::build_with(&pts, &sdq_paper::section6_angles(), b).unwrap();
         report.row(vec![
             b.to_string(),
             format!("{:.2}", index.memory_bytes() as f64 / (1024.0 * 1024.0)),

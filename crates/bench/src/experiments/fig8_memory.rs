@@ -4,10 +4,9 @@
 //! distribution — correlated/anti-correlated data dominate more points in
 //! rotated space, hence the much smaller top-1 footprints.
 
-use sdq_core::multidim::SdIndex;
 use sdq_paper::top1::Top1Index;
 
-use crate::experiments::roles_mixed;
+use crate::experiments::{build_sd, roles_mixed};
 use crate::harness::{Config, Report};
 use sdq_data::{generate, Distribution};
 
@@ -32,7 +31,7 @@ pub fn run(cfg: &Config) {
         for (i, dist) in Distribution::ALL.iter().enumerate() {
             let data = generate(*dist, n, dims, cfg.seed);
             if i == 0 {
-                let sd = SdIndex::build(data.clone(), &roles).unwrap();
+                let sd = build_sd(data.clone(), &roles);
                 cells.push(mib(sd.memory_bytes()));
             }
             // One §3 structure per pair; the paper's top-1 index stores

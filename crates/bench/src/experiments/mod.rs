@@ -33,8 +33,18 @@ pub mod table1;
 use std::sync::Arc;
 
 use sdq_baselines::{BrsIndex, PeIndex, SeqScan, TaIndex};
-use sdq_core::multidim::SdIndex;
+use sdq_core::multidim::{SdIndex, SdIndexOptions};
 use sdq_core::{Dataset, DimRole};
+
+/// An SD-index over §6.1's five indexed angles, as the paper's experiments
+/// build it (an engine's default is three).
+pub fn build_sd(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> SdIndex {
+    let options = SdIndexOptions {
+        angles: sdq_paper::section6_angles(),
+        ..SdIndexOptions::default()
+    };
+    SdIndex::build_with(data, roles, &options).expect("index builds")
+}
 
 /// `dims` roles with the first `attractive` dims attractive and the rest
 /// repulsive (the paper's 6-D default is 3 + 3).
@@ -65,7 +75,7 @@ pub struct Methods {
 pub fn build_all(data: Dataset, roles: &[DimRole], with_pe: bool) -> Methods {
     let data = Arc::new(data);
     let scan = SeqScan::new(data.clone(), roles).expect("roles match");
-    let sd = SdIndex::build(data.clone(), roles).expect("index builds");
+    let sd = build_sd(data.clone(), roles);
     let ta = TaIndex::build(data.clone(), roles).expect("TA builds");
     let brs = BrsIndex::build(&data, roles).expect("BRS builds");
     let pe = with_pe.then(|| {

@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use sdq_core::multidim::SdIndex;
 use sdq_core::{Dataset, DimRole, SdQuery};
 
+use crate::experiments::build_sd;
 use crate::harness::{Config, Report};
 use sdq_data::chembl::{column_mean, generate_chembl, ChemblConfig, MoleculeDim};
 
@@ -40,7 +40,7 @@ pub fn run(cfg: &Config) {
     let normed = Arc::new(Dataset::from_flat(2, flat).unwrap());
 
     let roles = [DimRole::Attractive, DimRole::Repulsive];
-    let index = SdIndex::build(normed, &roles).unwrap();
+    let index = build_sd(normed, &roles);
     let query = SdQuery::new(vec![norm_dl(11.0), norm_mw(250.0)], vec![1.0, 1.0]).unwrap();
 
     let mut report = Report::new(

@@ -7,8 +7,9 @@
 //!
 //! There is one encoding. Small structural fields go into framed
 //! *metadata regions* (`[crc32c u32][len u64][bytes]`, verified as they are
-//! read); the hot arrays (SoA leaf blocks and their envelope levels, sorted
-//! columns, coordinate tables) go into framed *array regions* (`[crc32c u32]
+//! read); the hot arrays (SoA leaf blocks and their envelope levels,
+//! coordinate tables, a box-ordered index's id column and chunk boxes, an
+//! older file's sorted columns) go into framed *array regions* (`[crc32c u32]
 //! [count u64][zero pad to 64][raw little-endian elements]`) whose payload
 //! is the exact in-memory representation. `sdq-store` stores these bytes
 //! verbatim as snapshot section payloads.
@@ -22,13 +23,15 @@
 //!
 //! * a lazy open (`Snapshot::open_mapped`) leaves it to first touch — each
 //!   query entry ensures the regions it reads, then the block-table census
-//!   and the ids-in-range checks once;
+//!   and the ids-in-range checks (block slots and the row-id column) once;
+//!   that the row-id column names every row once is left to
+//!   `SdIndex::rows_by_id`, which compaction reads through;
 //! * an eager open ([`decode_from_slice`], `Snapshot::load` / `from_bytes`,
 //!   `DurableEngine::open`) verifies every region checksum and then runs
 //!   [`Codec::verify_decoded`] — the same structural checks plus the
 //!   content checks only an eager open makes (finite coordinates and block
-//!   lanes) — before it returns, and drops the lazy sets so later queries
-//!   pay nothing.
+//!   lanes, and the row-id census) — before it returns, and drops the lazy
+//!   sets so later queries pay nothing.
 //!
 //! Decoding is **panic-free by contract**: every length is bounds-checked
 //! against the remaining buffer before allocation, every index is validated
@@ -70,7 +73,7 @@ use std::sync::Arc;
 
 use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
-use crate::multidim::{DimPair, PairingStrategy, SdIndex};
+use crate::multidim::{BoxOrder, DimPair, PairingStrategy, SdIndex, CHUNK_ROWS};
 use crate::topk::blocks::BlockSet;
 use crate::types::{Dataset, SdError, MAX_MAGNITUDE};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
@@ -836,6 +839,7 @@ impl Codec for DimPair {
 /// (`SdIndex::verify_integrity`).
 fn validate_sd_parts(
     data: &Dataset,
+    order: Option<&BoxOrder>,
     roles: &[DimRole],
     pairs: &[DimPair],
     unpaired: &[usize],
@@ -844,6 +848,22 @@ fn validate_sd_parts(
 ) -> Result<()> {
     let dims = data.dims();
     let n = data.len();
+    if let Some(order) = order {
+        // The direct 2-D walk reads a single pair's slots as row ids.
+        ensure(pairs.len() != 1 || !unpaired.is_empty(), || {
+            "a single-pair index in box order".to_string()
+        })?;
+        ensure(order.ids.len() == n, || {
+            format!("box order: {} row ids for {n} rows", order.ids.len())
+        })?;
+        let want = 2 * dims * n.div_ceil(CHUNK_ROWS);
+        ensure(order.boxes.len() == want, || {
+            format!(
+                "box order: {} box bounds, expected {want}",
+                order.boxes.len()
+            )
+        })?;
+    }
     ensure(roles.len() == dims, || {
         format!("{} roles for {dims} dimensions", roles.len())
     })?;
@@ -912,13 +932,22 @@ fn legacy_column_extent(r: &mut Reader<'_>, n: usize) -> Result<(f64, f64)> {
 
 /// Section layout: one metadata region (roles / pairing strategy / pairs /
 /// unpaired — every count below derives from these — then one `(lo, hi)`
-/// extent per unpaired dimension), the dataset's regions, then each pair's
-/// §4 index (`meta` + `blocks.*`) under a `pair{i}` prefix. An index with
-/// nothing unpaired writes no extent, so its bytes are what they were when
-/// unpaired dimensions were sorted columns. A file of that older layout
-/// (no extents in `index.meta`, one `col{i}/values` + `col{i}/rows` pair of
-/// regions after the pairs) still decodes: each column's first and last
-/// values are its extent.
+/// extent per unpaired dimension, then, for rows in box order, the rows a
+/// chunk as a `u32`: always [`CHUNK_ROWS`], the marker of the box order),
+/// the dataset's regions (`data.meta`, `data.coords`: the rows by
+/// position), for rows in box order the id of every position
+/// (`data.ids`, `u32`) and the chunk boxes (`data.boxes`, `f32`, per
+/// dimension the lows then the highs of every chunk), then each pair's §4
+/// index (`meta` + `blocks.*`, slots are positions) under a `pair{i}`
+/// prefix.
+///
+/// Older layouts still decode. A file written before box order has no
+/// chunk size in `index.meta` and no `data.ids` / `data.boxes`: its rows
+/// are in id order and it is scanned as one run. A single-pair index is
+/// never in box order, so its bytes are still that layout's. A file written
+/// before extents (no extents in `index.meta`, one `col{i}/values` +
+/// `col{i}/rows` pair of regions after the pairs) reads each column's first
+/// and last values as its extent.
 impl Codec for SdIndex {
     fn encode(&self, w: &mut Writer) {
         w.meta_region(|m| {
@@ -930,27 +959,49 @@ impl Codec for SdIndex {
                 m.f64(lo);
                 m.f64(hi);
             }
+            if self.order.is_some() {
+                m.u32(CHUNK_ROWS as u32);
+            }
         });
         self.data.as_ref().encode(w);
+        if let Some(order) = &self.order {
+            w.pod_array(&order.ids);
+            w.pod_array(&order.boxes);
+        }
         for blocks in &self.pair_blocks {
             blocks.encode(w);
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let (roles, pairing, pairs, unpaired, extents) = r.meta_region("index.meta", |m| {
+        let meta = r.meta_region("index.meta", |m| {
             let roles = Vec::<DimRole>::decode(m)?;
             let pairing = PairingStrategy::decode(m)?;
             let pairs = Vec::<DimPair>::decode(m)?;
             let unpaired = Vec::<usize>::decode(m)?;
-            // An older file ends `index.meta` here.
+            // A file written before extents ends `index.meta` here, one
+            // written before box order after the extents.
             let extents = (!m.is_exhausted())
                 .then(|| unpaired.iter().map(|_| Ok((m.f64()?, m.f64()?))).collect())
                 .transpose()?;
-            Ok((roles, pairing, pairs, unpaired, extents))
+            let chunk_rows = (!m.is_exhausted()).then(|| m.u32()).transpose()?;
+            Ok((roles, pairing, pairs, unpaired, extents, chunk_rows))
         })?;
+        let (roles, pairing, pairs, unpaired, extents, chunk_rows) = meta;
         let mark = r.regions.len();
         let data = Dataset::decode(r)?;
+        let order = match chunk_rows {
+            // The one chunk size there is: the field marks the box order.
+            Some(rows) if rows as usize != CHUNK_ROWS => {
+                return Err(corrupt(format!("box order: {rows} rows a chunk")));
+            }
+            Some(_) => {
+                let (ids, _) = r.pod_array::<u32>("data.ids")?;
+                let (boxes, _) = r.pod_array::<f32>("data.boxes")?;
+                Some(BoxOrder { ids, boxes })
+            }
+            None => None,
+        };
         let mut pair_blocks = Vec::with_capacity(pairs.len());
         for i in 0..pairs.len() {
             let token = r.push_prefix(&format!("pair{i}"));
@@ -969,13 +1020,23 @@ impl Codec for SdIndex {
                 })
                 .collect::<Result<_>>()?,
         };
-        validate_sd_parts(&data, &roles, &pairs, &unpaired, &pair_blocks, &extents)?;
+        validate_sd_parts(
+            &data,
+            order.as_ref(),
+            &roles,
+            &pairs,
+            &unpaired,
+            &pair_blocks,
+            &extents,
+        )?;
         // Every region past `index.meta` is one a query reads: coordinates
-        // to score candidates, block tables to walk the pairs (and an older
-        // file's columns, whose checksums still guard its extents).
+        // to score candidates, ids and boxes to name and skip them, block
+        // tables to walk the pairs (and an older file's columns, whose
+        // checksums still guard its extents).
         let query_integrity: Vec<Arc<SectionIntegrity>> = r.regions[mark..].to_vec();
         Ok(SdIndex {
             data: Arc::new(data),
+            order,
             roles,
             pairing,
             pairs,
@@ -989,9 +1050,13 @@ impl Codec for SdIndex {
 
     fn verify_decoded(&mut self) -> Result<()> {
         // Region checksums, the block-table census and the ids-in-range
-        // checks; then everything whose contents only an eager open reads.
+        // checks; then everything whose contents only an eager open reads,
+        // and the id census.
         self.verify_integrity()?;
         finite_slice(self.data.flat(), "coordinate")?;
+        if let Some(order) = &self.order {
+            order.census(self.data.len()).map_err(corrupt)?;
+        }
         for blocks in &self.pair_blocks {
             blocks.check_finite()?;
         }

@@ -562,7 +562,7 @@ pub(crate) fn prefetch<T>(p: *const T) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::score::{sd_score, DimRole};
     use rand::{Rng, SeedableRng};
@@ -571,7 +571,8 @@ mod tests {
     /// the one that asserts on its value reads another's store.
     static ISA_TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn with_each_isa(mut f: impl FnMut()) {
+    /// Runs `f` under every kernel arm the host has, one test at a time.
+    pub(crate) fn with_each_isa(mut f: impl FnMut()) {
         let _turn = ISA_TURN.lock().unwrap_or_else(|e| e.into_inner());
         // Scalar first, then whatever the host detects (AVX2 or SSE2).
         force_scalar(true);

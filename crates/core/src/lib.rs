@@ -89,7 +89,7 @@ pub use integrity::{CrcState, SectionIntegrity};
 pub use mask::{MaskView, RowMask};
 pub use profile::QueryProfile;
 pub use score::{sd_score, DimRole, SdQuery};
-pub use scratch::QueryScratch;
+pub use scratch::{LoopScratch, QueryScratch, SeenRows};
 pub use telemetry::{EventJournal, EventKind, EventRecord, HistoSnapshot, LatencyHisto, Telemetry};
 pub use threshold::{FloorEntry, QueryFloor, Verdict};
 pub use types::{check_coordinate, Dataset, OrdF64, PointId, ScoredPoint, SdError, MAX_MAGNITUDE};

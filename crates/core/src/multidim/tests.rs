@@ -421,6 +421,54 @@ fn floor_at(heap: &mut BinaryHeap<FloorEntry>, cap: usize, bar: f64) -> QueryFlo
     floor
 }
 
+/// What the scan exit of a completed execution over `index` (one part, no
+/// tombstones) must have scored, recounted from the chunks it visited
+/// (`scratch.chunks.scanned`) and the seen-set the streams left: each chunk
+/// at most once; every chunk whose bound reaches the answer's k-th score
+/// (the floor never stood higher, so none of those can have been skipped);
+/// and, over the visited chunks, exactly the rows the streams had not
+/// surfaced — so every row is scored once at most, through a stream or by
+/// the scan, and no row of a reaching chunk is left out.
+fn assert_scan_scored(
+    index: &SdIndex,
+    q: &SdQuery,
+    scratch: &QueryScratch,
+    p: &QueryProfile,
+    want: &[ScoredPoint],
+) {
+    let order = index
+        .order
+        .as_ref()
+        .expect("an aggregating index is in box order");
+    let n = index.data.len();
+    let mut bounds = Vec::new();
+    boxes::chunk_bounds(order, &index.roles, &q.point, &q.weights, &mut bounds);
+    let scanned = &scratch.chunks.scanned;
+    let mut visited = vec![false; bounds.len()];
+    for &c in scanned {
+        assert!(!std::mem::replace(&mut visited[c], true), "chunk {c} twice");
+    }
+    let kth = want.last().expect("an answer").score;
+    for (c, &bound) in bounds.iter().enumerate() {
+        assert!(
+            visited[c] || bound < kth,
+            "chunk {c} reaches {kth} unscored"
+        );
+    }
+    let unseen = |pos: &usize| scratch.seen.unseen_word(*pos, 1) == 1;
+    let streamed = (0..n).filter(|pos| !unseen(pos)).count() as u64;
+    let by_scan = (0..n)
+        .filter(|&pos| visited[pos / CHUNK_ROWS] && unseen(&pos))
+        .count() as u64;
+    assert_eq!(p.tombstones_skipped, 0, "no tombstones here");
+    assert_eq!(p.scan_rows, by_scan, "the scan's rows");
+    assert_eq!(
+        p.points_gathered,
+        streamed + by_scan,
+        "every row scored at most once"
+    );
+}
+
 /// Steps `exec` one round at a time to completion under `floor`, returning
 /// `rows_fetched` after every round.
 fn fetch_trajectory(
@@ -482,7 +530,7 @@ fn scan_switches_strictly_past_the_budget() {
             p.points_gathered + p.seen_hits + p.tombstones_skipped,
             p.rows_fetched
         );
-        assert_eq!(p.points_gathered, 2_000, "every row scored exactly once");
+        assert_scan_scored(&index, &q, &scratch, &p, &want);
         assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
     }
 }
@@ -545,7 +593,7 @@ fn projected_scan_waits_for_its_second_checkpoint() {
         "left at a round's start"
     );
     assert!(through_streams <= budget, "left with budget to spare");
-    assert_eq!(p.points_gathered, n as u64, "every row scored exactly once");
+    assert_scan_scored(&index, &q, &scratch, &p, &want);
     assert_eq!(
         p.points_gathered + p.seen_hits + p.tombstones_skipped,
         p.rows_fetched
@@ -590,7 +638,7 @@ fn inherited_verdict_scans_at_the_next_round_head() {
             (1, 0, 1)
         );
         assert_eq!(p.rows_fetched - p.scan_rows, streamed, "no round ran");
-        assert_eq!(p.points_gathered, n as u64, "every row scored exactly once");
+        assert_scan_scored(&index, &q, &scratch, &p, &want);
         assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
     }
 
@@ -649,7 +697,7 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
         (1, 0, 0, 1)
     );
     assert_eq!(p.rows_fetched, p.scan_rows, "nothing came through a stream");
-    assert_eq!(p.points_gathered, n as u64, "every row scored exactly once");
+    assert_scan_scored(&index, &q, &scratch, &p, &want);
     assert_eq!(floor.verdict(), Verdict::StartedLost);
 
     // A floor above every row (k rows elsewhere beat them all): certified
@@ -914,7 +962,10 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     // third chunk and in the short one; three live rows just below them
     // (3.4 to 3.6) complete the top 8, and the floor is filled at the 8th
     // score. So the scan's kernel passes every star and every dead row, and
-    // only the seen-set and the tombstones keep them out.
+    // only the seen-set and the tombstones keep them out. (Lanes and chunks
+    // are named in id order; the index keeps its rows in box order, so the
+    // checks below go from ids to positions, which the seen-set and the
+    // chunks are over.)
     let n = 99;
     let stars = [0, 31, 32, 50, 63, 97];
     let dead_star = 50;
@@ -949,6 +1000,8 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
         DimRole::Repulsive,
     ];
     let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let ids = index.row_ids().expect("box order").to_vec();
+    let pos_of = |id: usize| ids.iter().position(|&i| i as usize == id).unwrap();
     let q = SdQuery::new(vec![0.0; 4], vec![1.0; 4]).unwrap();
     let k = 8;
     let mut dead = RowMask::new(n);
@@ -966,10 +1019,18 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     let mut exec = begin(&index, mask, &q, &mut scratch);
     assert!(!exec.step(1, &mut scratch, &mut floor).unwrap());
     let unseen: Vec<usize> = (0..n)
-        .filter(|&r| scratch.seen.unseen_word(r, 1) == 1)
+        .filter(|&p| scratch.seen.unseen_word(p, 1) == 1)
         .collect();
     assert_eq!(unseen.len(), n - stars.len(), "the streams hold the stars");
-    assert!(stars.iter().all(|r| !unseen.contains(r)));
+    assert!(stars.iter().all(|&r| !unseen.contains(&pos_of(r))));
+    // The scan visits the chunks whose box reaches the floor: those of the
+    // stars and the dead rows (4.5 and up) among them.
+    let order = index.order.as_ref().unwrap();
+    let mut bounds = Vec::new();
+    boxes::chunk_bounds(order, &roles, &q.point, &q.weights, &mut bounds);
+    let visited = |p: usize| bounds[p / CHUNK_ROWS] >= want[k - 1].score;
+    assert!(stars.iter().chain(&dead_rows).all(|&r| visited(pos_of(r))));
+    let unseen: Vec<usize> = unseen.into_iter().filter(|&p| visited(p)).collect();
     let before = exec.profile;
     assert_eq!(before.tombstones_skipped, 1, "the dead star");
 
@@ -978,8 +1039,19 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
     let p = exec.profile;
     assert_eq!(p.scan_fallbacks, 1);
+    // The floor stood at the answer's k-th score throughout: exactly the
+    // reaching chunks were scored, each once.
+    let mut scanned = scratch.chunks.scanned.clone();
+    scanned.sort_unstable();
+    let reaching: Vec<usize> = (0..bounds.len())
+        .filter(|&c| bounds[c] >= want[k - 1].score)
+        .collect();
+    assert_eq!(scanned, reaching);
     // Every counter the scan adds, recounted row by row.
-    let unseen_dead = unseen.iter().filter(|&&r| dead.get(r)).count() as u64;
+    let unseen_dead = unseen
+        .iter()
+        .filter(|&&p| dead.get(ids[p] as usize))
+        .count() as u64;
     let unseen = unseen.len() as u64;
     assert_eq!(p.scan_rows - before.scan_rows, unseen);
     assert_eq!(p.rows_fetched - before.rows_fetched, unseen);
@@ -1357,13 +1429,14 @@ fn decode_names_the_forged_extent_of_any_unpaired_dimension() {
         assert_eq!(extent, (lo, hi), "dimension {d}");
     }
     let bytes = encode_to_vec(&index);
-    // `index.meta` leads the encoding, `[crc32c][len][bytes]`, and its last
-    // 32 bytes are the two extents.
+    // `index.meta` leads the encoding, `[crc32c][len][bytes]`, and ends in
+    // the two extents (32 bytes) and the rows a chunk of the box order (a
+    // `u32`).
     let len = u64::from_le_bytes(bytes[4..12].try_into().unwrap()) as usize;
     let meta_end = 12 + len;
     let forge = |at: usize, lo: f64, hi: f64| {
         let mut forged = bytes.clone();
-        let slot = meta_end - 32 + 16 * at;
+        let slot = meta_end - 36 + 16 * at;
         forged[slot..slot + 8].copy_from_slice(&lo.to_le_bytes());
         forged[slot + 8..slot + 16].copy_from_slice(&hi.to_le_bytes());
         let crc = crate::integrity::crc32c(&forged[12..meta_end]);

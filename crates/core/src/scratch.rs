@@ -50,7 +50,7 @@
 use std::collections::BinaryHeap;
 
 use crate::deadline::Deadline;
-use crate::multidim::{Pair2DStream, ShardExecution};
+use crate::multidim::{ChunkBufs, Pair2DStream, ShardExecution};
 use crate::profile::QueryProfile;
 use crate::threshold::{FloorEntry, QueryFloor};
 use crate::topk::arbitrary::PartWalk;
@@ -106,6 +106,47 @@ impl StampSet {
     }
 }
 
+/// The seen-set of a caller's own per-query loop, served from a
+/// [`QueryScratch`] ([`QueryScratch::loop_scratch`]): which row ids of
+/// `0..n` the loop has met this query — one bit a row, cleared when the
+/// loop begins (`n / 8` bytes), so it stays in cache where a byte or a stamp
+/// a row would not, and allocates nothing once the scratch has served `n`
+/// rows.
+pub struct SeenRows<'a> {
+    bits: &'a mut Vec<u64>,
+}
+
+impl SeenRows<'_> {
+    /// `true` the first time `row` is inserted this query.
+    ///
+    /// # Panics
+    ///
+    /// When `row` is not below the `n` the set was opened over.
+    #[inline]
+    pub fn insert(&mut self, row: u32) -> bool {
+        let (word, bit) = (row as usize / 64, 1u64 << (row % 64));
+        let fresh = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        fresh
+    }
+}
+
+/// What a caller's own per-query loop — one that answers through
+/// [`QueryScratch::answer_with`] but is not the crate's driver, like the
+/// adapted-TA baseline — borrows from the scratch, all at once.
+pub struct LoopScratch<'a> {
+    /// Row ids met so far this query, over `0..n`.
+    pub seen: SeenRows<'a>,
+    /// A recycled list of words for the loop's own per-query state, left
+    /// empty (the adapted-TA baseline keeps each sorted list's two cursors
+    /// in it).
+    pub words: &'a mut Vec<usize>,
+    /// The query's profile, for the loop's counters.
+    pub profile: &'a mut QueryProfile,
+    /// The query's deadline, for the loop to check.
+    pub deadline: &'a Deadline,
+}
+
 /// Owned, reusable buffers for the whole query path.
 ///
 /// Obtain one with [`QueryScratch::new`], then pass it to the `query_with`
@@ -141,6 +182,8 @@ pub struct QueryScratch {
     /// Per-stream bound staging of one aggregation round (feeds the
     /// block-level floor-pruning thresholds).
     pub(crate) fbuf: Vec<f64>,
+    /// The scan exit's chunk bounds and its lead.
+    pub(crate) chunks: ChunkBufs,
     /// Execution counters of the most recent query served from this
     /// scratch — reset at query start, always on (see
     /// [`QueryProfile`]). Set [`QueryProfile::timing`] before querying to
@@ -166,6 +209,9 @@ pub struct QueryScratch {
     /// The floor updates of each part of the last query, in part order
     /// (see [`QueryScratch::part_floor_updates`]).
     pub(crate) part_floor_updates: Vec<u64>,
+    /// The recycled seen bits and words of [`QueryScratch::loop_scratch`].
+    loop_seen: Vec<u64>,
+    loop_words: Vec<usize>,
 }
 
 impl QueryScratch {
@@ -217,6 +263,23 @@ impl QueryScratch {
     /// the query walked or aggregated.
     pub fn part_floor_updates(&self) -> &[u64] {
         &self.part_floor_updates
+    }
+
+    /// The buffers of a caller's own loop over row ids `0..n`: a cleared
+    /// seen-set, an emptied word list, the profile and the deadline. Call
+    /// it inside [`QueryScratch::answer_with`]'s `score`, once per query.
+    pub fn loop_scratch(&mut self, n: usize) -> LoopScratch<'_> {
+        self.loop_seen.clear();
+        self.loop_seen.resize(n.div_ceil(64), 0);
+        self.loop_words.clear();
+        LoopScratch {
+            seen: SeenRows {
+                bits: &mut self.loop_seen,
+            },
+            words: &mut self.loop_words,
+            profile: &mut self.profile,
+            deadline: &self.deadline,
+        }
     }
 
     /// Pops a recycled frontier heap (or a fresh one).

@@ -30,6 +30,12 @@
 //! is an admissible index (a file written in x-strips opens and answers), and
 //! no reader knows which one it was handed.
 //!
+//! A slot is whatever row numbering the owner hands [`BlockSet::build`]: an
+//! [`SdIndex`](crate::multidim::SdIndex) in box order builds its pairs over
+//! its moved rows, so there a slot is a row's *position*, and the index's id
+//! column names the row; a single-pair index keeps id order, so its slots
+//! are ids, which the direct 2-D walk reads as such.
+//!
 //! It has no point updates. An engine never mutates a pair in place (writes
 //! go to its delta and tombstones, a compaction rebuilds), so a shard keeps
 //! only this. The paper's *dynamic* tree — per-point leaves in x-sorted
@@ -241,6 +247,12 @@ impl BlockSet {
     /// Number of points indexed.
     pub(crate) fn n_live(&self) -> usize {
         self.n_live
+    }
+
+    /// Entries a frontier over this index can hold at once, at most: every
+    /// block and every envelope node, each pushed once.
+    pub(crate) fn entries(&self) -> usize {
+        self.n_blocks + self.levels.iter().map(|l| l.xr.len()).sum::<usize>()
     }
 
     /// The per-level sizes of the implicit envelope tree over `n_blocks`
@@ -527,13 +539,16 @@ pub(crate) struct FrontierCounters {
 }
 
 impl<'a> BlockFrontier<'a> {
-    /// Starts a frontier in a recycled heap (cleared here).
+    /// Starts a frontier in a recycled heap (cleared here), reserved to the
+    /// index's entry count: a frontier never holds more, so a heap taken
+    /// from a warmed scratch never grows mid-walk, however the walk goes.
     pub(crate) fn with_scratch(
         set: &'a BlockSet,
         eval: FrontierEval,
         mut heap: BinaryHeap<HeapEntry>,
     ) -> Self {
         heap.clear();
+        heap.reserve(set.entries());
         let mut f = BlockFrontier {
             set,
             eval,
@@ -1005,7 +1020,11 @@ mod tests {
     #[test]
     fn decode_refuses_angles_out_of_order() {
         let pts = sample(100);
-        let set = BlockSet::build(&pts, all_slots(&pts), &default_angles());
+        let five: Vec<Angle> = [0.0, 22.5, 45.0, 67.5, 90.0]
+            .iter()
+            .map(|&d| Angle::from_degrees(d).unwrap())
+            .collect();
+        let set = BlockSet::build(&pts, all_slots(&pts), &five);
         // An unpinned reader serves metadata only: the honest index gets as
         // far as its first table, a forged one not past its angles.
         let decode = |set: &BlockSet| {

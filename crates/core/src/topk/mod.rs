@@ -35,10 +35,23 @@ use crate::types::{OrdF64, SdError};
 
 pub use stream::{bracketing, FrontierEval, StreamKind};
 
-/// Default indexed angles: five uniformly spread over `[0°, 90°]` (§6.1
-/// uses 0, 23, 45, 67, 90; we use the exact uniform grid).
+/// Default indexed angles: `{0°, 45°, 90°}` — the two axes every index must
+/// hold (a zero weight is θ_q = 0° or 90°) and the diagonal.
+///
+/// §6.1 indexes five (0, 23, 45, 67, 90), and so did this crate until the
+/// bytes were wanted for box order (`multidim`'s id column and chunk
+/// table). Each indexed angle costs 32 B a block and envelope node — 2.29
+/// B/row a pair of 25 000 rows for 22.5° and 67.5° together — and a query
+/// between two indexed angles is bracketed in closed form at about the
+/// cost of an indexed one. Three alternating pairs of benchmark runs (6 s
+/// each, every answer checked) read: `mem_bytes_per_row` 53.03 → 48.44 on
+/// the 2-pair shapes and 26.55 → 24.26 on the single-pair one, with
+/// latency unmoved (`direct_2d` p50 8.54 → 8.44 µs, the 4-D shapes and the
+/// 6-D one within their noise). `{0°, 90°}` alone cost the single-pair
+/// walk 11 % of its p50, so the diagonal stays. The paper's §6
+/// reproductions (`sdq-paper`, `sdq-bench`) keep §6.1's five.
 pub fn default_angles() -> Vec<Angle> {
-    [0.0, 22.5, 45.0, 67.5, 90.0]
+    [0.0, 45.0, 90.0]
         .iter()
         .map(|&d| Angle::from_degrees(d).expect("static angles are valid"))
         .collect()

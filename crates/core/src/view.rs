@@ -110,6 +110,8 @@ unsafe impl Pod for u8 {}
 unsafe impl Pod for u32 {}
 // SAFETY: no padding, alignment 8; every bit pattern is a value.
 unsafe impl Pod for u64 {}
+// SAFETY: no padding, alignment 4; every bit pattern is a value.
+unsafe impl Pod for f32 {}
 // SAFETY: no padding, alignment 8; every bit pattern is a value (NaNs
 // included — the codec rejects them, not the type).
 unsafe impl Pod for f64 {}

@@ -178,3 +178,57 @@ fn steady_state_queries_do_not_allocate() {
     // The checksum keeps every query's work observable.
     assert!(sink.is_finite());
 }
+
+/// The same query twice on one scratch: the second run allocates nothing,
+/// whatever the first one grew. A two-pair index takes one frontier heap
+/// a stream; handed back in stream order to the scratch's last-in,
+/// first-out pool, the heaps swapped streams on every query, and the
+/// stream that walked further grew the other's heap again (about half the
+/// second runs allocated, on each of these shapes).
+#[test]
+fn a_repeated_query_allocates_nothing() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4EA9);
+    let n = 20_000;
+    let anti = |rng: &mut rand::rngs::StdRng, dims: usize| -> Vec<f64> {
+        let mut coords = Vec::with_capacity(n * dims);
+        for _ in 0..n {
+            let raw: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.01..1.0)).collect();
+            let sum: f64 = raw.iter().sum();
+            coords.extend(raw.iter().map(|v| v / sum));
+        }
+        coords
+    };
+    let roles = |s: &str| -> Vec<DimRole> {
+        s.chars()
+            .map(|c| match c {
+                'a' => DimRole::Attractive,
+                _ => DimRole::Repulsive,
+            })
+            .collect()
+    };
+    for (shape, anti_rows) in [("arra", false), ("aaaarr", true), ("arar", false)] {
+        let dims = shape.len();
+        let coords = if anti_rows {
+            anti(&mut rng, dims)
+        } else {
+            (0..n * dims).map(|_| rng.gen_range(0.0..1.0)).collect()
+        };
+        let index =
+            SdIndex::build(Dataset::from_flat(dims, coords).unwrap(), &roles(shape)).unwrap();
+        let mut scratch = QueryScratch::new();
+        let mut grew = 0;
+        for _ in 0..100 {
+            let q = SdQuery::new(
+                (0..dims).map(|_| rng.gen_range(0.0..1.0)).collect(),
+                (0..dims).map(|_| rng.gen_range(0.1..1.0)).collect(),
+            )
+            .unwrap();
+            let first = index.query_with(&q, 16, &mut scratch).unwrap().to_vec();
+            let allocs = count_allocs(|| {
+                assert_eq!(index.query_with(&q, 16, &mut scratch).unwrap(), &first[..]);
+            });
+            grew += u64::from(allocs > 0);
+        }
+        assert_eq!(grew, 0, "{shape}: {grew} of 100 second runs allocated");
+    }
+}

@@ -634,7 +634,7 @@ impl SdEngine {
         let parts = if n > 0 { s } else { 0 };
         let cut = |i: usize| i * n / s;
         let shards = build_shards(dims, roles, &options.index, parts, |i| {
-            data.flat()[cut(i) * dims..cut(i + 1) * dims].to_vec()
+            Ok(data.flat()[cut(i) * dims..cut(i + 1) * dims].to_vec())
         })?;
         let offsets = (0..parts).map(|i| cut(i) as u32).collect();
         let muts = mutation::MutationState::new(dims, n, shards.len());
@@ -1085,7 +1085,7 @@ fn build_shards(
     roles: &[DimRole],
     options: &SdIndexOptions,
     parts: usize,
-    part: impl Fn(usize) -> Vec<f64> + Sync,
+    part: impl Fn(usize) -> Result<Vec<f64>, SdError> + Sync,
 ) -> Result<Vec<SdIndex>, SdError> {
     // `Relaxed`: the counter only hands out part numbers. A part's inputs
     // are read-only and shared before the workers start, and its index
@@ -1098,7 +1098,8 @@ fn build_shards(
             if i >= parts {
                 return built;
             }
-            let index = Dataset::from_flat(dims, part(i))
+            let index = part(i)
+                .and_then(|flat| Dataset::from_flat(dims, flat))
                 .and_then(|sub| SdIndex::build_with(sub, roles, options));
             built.push((i, index));
         }
@@ -1563,9 +1564,14 @@ mod tests {
     }
 
     /// The logical live rows of an engine, row-major, in global id order:
-    /// the shards' rows, then the delta's, less the tombstoned ones.
+    /// the shards' rows by id, then the delta's, less the tombstoned ones.
     fn live_flat(e: &SdEngine) -> Vec<f64> {
-        let shard_rows = e.shards.iter().flat_map(|shard| shard.data().iter());
+        let by_id: Vec<Dataset> = e
+            .shards
+            .iter()
+            .map(|s| s.rows_by_id().unwrap().into_owned())
+            .collect();
+        let shard_rows = by_id.iter().flat_map(|rows| rows.iter());
         shard_rows
             .chain(e.delta().iter())
             .zip(0u32..)
@@ -1717,7 +1723,7 @@ mod tests {
                 if fail && (i == workers || !on_caller) {
                     flat[usize::from(i < workers) * 2 + 1] = 1e300;
                 }
-                flat
+                Ok(flat)
             });
             (got, by_caller.into_inner().unwrap())
         };
@@ -1729,7 +1735,11 @@ mod tests {
         let ok = ok.unwrap();
         assert_eq!(ok.len(), workers + 1);
         for (i, index) in ok.iter().enumerate() {
-            assert_eq!(index.data().flat(), rows(i).as_slice(), "part {i}");
+            assert_eq!(
+                index.rows_by_id().unwrap().flat(),
+                rows(i).as_slice(),
+                "part {i}"
+            );
         }
         // The lowest failing part is a helper's (row 1), though the calling
         // thread's failed part `W` (row 0) is the first failure it holds.
@@ -1743,7 +1753,7 @@ mod tests {
             ),
             "{got:?}"
         );
-        assert!(build_shards(2, &roles, &options, 0, rows)
+        assert!(build_shards(2, &roles, &options, 0, |i| Ok(rows(i)))
             .unwrap()
             .is_empty());
     }

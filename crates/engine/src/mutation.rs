@@ -564,11 +564,11 @@ impl SdEngine {
             // Assemble the whole logical coordinate stream, repartition
             // evenly like `build_with`, rebuild every shard.
             let mut flat = Vec::with_capacity(live_total * dims);
-            self.extend_with_live_rows(&mut flat, 0..s, &delta_live);
+            self.extend_with_live_rows(&mut flat, 0..s, &delta_live)?;
             let cut = |i: usize| i * live_total / target_shards;
             self.shards =
                 build_shards(dims, &self.roles, &self.index_options, target_shards, |i| {
-                    flat[cut(i) * dims..cut(i + 1) * dims].to_vec()
+                    Ok(flat[cut(i) * dims..cut(i + 1) * dims].to_vec())
                 })?;
             self.offsets = (0..target_shards).map(|i| cut(i) as u32).collect();
             self.muts.shard_epochs = vec![epoch_next; target_shards];
@@ -599,8 +599,8 @@ impl SdEngine {
                         &mut flat,
                         i..i + 1,
                         if takes_delta(i) { &delta_live } else { &[] },
-                    );
-                    flat
+                    )?;
+                    Ok(flat)
                 })?;
             let rebuilt = replacements.len();
             let moved: usize = replacements.iter().map(|index| index.data().len()).sum();
@@ -664,16 +664,19 @@ impl SdEngine {
     }
 
     /// Appends the live coordinates of the given shard range (in logical
-    /// order), then the given live delta rows, to `flat`.
+    /// order: each shard's rows by id, whatever order it stores them in),
+    /// then the given live delta rows, to `flat`. Fails when a mapped
+    /// shard's deferred checks do ([`SdIndex::rows_by_id`]): its rows are
+    /// not carried into a new shard.
     fn extend_with_live_rows(
         &self,
         flat: &mut Vec<f64>,
         shard_range: std::ops::Range<usize>,
         delta_live: &[u32],
-    ) {
+    ) -> Result<(), SdError> {
         for i in shard_range {
             let off = self.offsets[i] as usize;
-            for (id, coords) in self.shards[i].data().iter() {
+            for (id, coords) in self.shards[i].rows_by_id()?.iter() {
                 if !self.muts.tombstones.get(off + id.index()) {
                     flat.extend_from_slice(coords);
                 }
@@ -682,6 +685,7 @@ impl SdEngine {
         for &r in delta_live {
             flat.extend_from_slice(self.muts.delta.point(PointId::new(r)));
         }
+        Ok(())
     }
 }
 
@@ -888,7 +892,8 @@ mod tests {
                 let coords = if (i as usize) < 40 {
                     let shard = (i as usize) / 10;
                     e.shards()[shard]
-                        .data()
+                        .rows_by_id()
+                        .unwrap()
                         .point(PointId::new(i - (shard as u32 * 10)))
                         .to_vec()
                 } else {

@@ -41,3 +41,16 @@ pub mod topk;
 
 pub use top1::Top1Index;
 pub use topk::{QueryScratch, TopKIndex};
+
+use sdq_core::geometry::Angle;
+
+/// The five indexed angles of the paper's §6.1 (0, 23, 45, 67, 90 there;
+/// the exact uniform grid here): what [`TopKIndex::build`] indexes and what
+/// the §6 reproductions (`sdq-bench`) build their SD-indexes over. An
+/// engine's default is three (`sdq_core::topk::default_angles`).
+pub fn section6_angles() -> Vec<Angle> {
+    [0.0, 22.5, 45.0, 67.5, 90.0]
+        .iter()
+        .map(|&d| Angle::from_degrees(d).expect("static angles are valid"))
+        .collect()
+}

@@ -42,7 +42,7 @@ use std::collections::BinaryHeap;
 
 use sdq_core::geometry::Angle;
 use sdq_core::score::sd_score_2d;
-use sdq_core::topk::{default_angles, normalize_angles, AngleBounds};
+use sdq_core::topk::{normalize_angles, AngleBounds};
 use sdq_core::{OrdF64, PointId, ScoredPoint, SdError};
 
 use stream::{FastSet, Heaps, Pool};
@@ -133,9 +133,10 @@ pub struct TopKIndex {
 }
 
 impl TopKIndex {
-    /// Builds the index with the default five angles and branching 8.
+    /// Builds the index with §6.1's five angles
+    /// ([`section6_angles`](crate::section6_angles)) and branching 8.
     pub fn build(points: &[(f64, f64)]) -> Result<Self, SdError> {
-        Self::build_with(points, &default_angles(), 8)
+        Self::build_with(points, &crate::section6_angles(), 8)
     }
 
     /// Builds the index over `points` for the given indexed `angles` and

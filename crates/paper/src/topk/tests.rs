@@ -70,7 +70,7 @@ fn all_default_angles_direct() {
     let pts = rand_pts(&mut rng, 80);
     let idx = TopKIndex::build(&pts).unwrap();
     let alive = vec![true; 80];
-    for a in default_angles() {
+    for a in crate::section6_angles() {
         let (alpha, beta) = (a.cos, a.sin);
         if alpha == 0.0 && beta == 0.0 {
             continue;
@@ -111,7 +111,7 @@ fn branching_factors_all_agree() {
     let pts = rand_pts(&mut rng, 150);
     let alive = vec![true; 150];
     for b in [2, 3, 4, 8, 16, 64] {
-        let idx = TopKIndex::build_with(&pts, &default_angles(), b).unwrap();
+        let idx = TopKIndex::build_with(&pts, &crate::section6_angles(), b).unwrap();
         idx.check_invariants();
         for _ in 0..10 {
             let (qx, qy) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
@@ -160,7 +160,7 @@ fn angle_out_of_range_is_error() {
 #[test]
 fn build_validation() {
     assert!(matches!(
-        TopKIndex::build_with(&[], &default_angles(), 1),
+        TopKIndex::build_with(&[], &crate::section6_angles(), 1),
         Err(SdError::InvalidBranching(1))
     ));
     assert!(matches!(
@@ -296,7 +296,7 @@ fn interleaved_updates_stay_exact() {
 #[test]
 fn rebuild_triggers_and_preserves_answers() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(108);
-    let mut idx = TopKIndex::new(&default_angles(), 2).unwrap();
+    let mut idx = TopKIndex::new(&crate::section6_angles(), 2).unwrap();
     idx.set_rebuild_threshold(0.05);
     let mut pts: Vec<(f64, f64)> = Vec::new();
     // Adversarial ascending inserts would degenerate an unbalanced tree.
@@ -318,8 +318,8 @@ fn rebuild_triggers_and_preserves_answers() {
 fn memory_shrinks_with_branching() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(109);
     let pts = rand_pts(&mut rng, 4000);
-    let small = TopKIndex::build_with(&pts, &default_angles(), 2).unwrap();
-    let large = TopKIndex::build_with(&pts, &default_angles(), 32).unwrap();
+    let small = TopKIndex::build_with(&pts, &crate::section6_angles(), 2).unwrap();
+    let large = TopKIndex::build_with(&pts, &crate::section6_angles(), 32).unwrap();
     assert!(
         small.memory_bytes() > large.memory_bytes(),
         "higher branching must shrink the tree (Fig. 8i)"

@@ -21,7 +21,6 @@ use sdq_core::geometry::Angle;
 use sdq_core::multidim::plan::scan_checkpoint;
 use sdq_core::multidim::{PairingStrategy, QueryPlan, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
-use sdq_core::topk::default_angles;
 use sdq_core::{Dataset, Deadline, QueryProfile, QueryScratch, ScoredPoint, SdQuery};
 use sdq_data::{generate, uniform_queries, Distribution};
 use sdq_engine::{
@@ -116,7 +115,7 @@ BUILD OPTIONS:
     --roles STR        One char per dimension: a(ttractive) | r(epulsive).
     --shards S         Shard count of the engine (default 1).
     --angles N         Indexed angle count, uniform over [0°, 90°]
-                       (default 5).
+                       (default 3).
     --pairing P        SD-index pairing: arbitrary | correlation.
 
 MUTATION OPTIONS (insert / delete / compact):
@@ -320,14 +319,11 @@ fn parse_csv_list(raw: &str, what: &str) -> Result<Vec<f64>, CliError> {
         .collect()
 }
 
-/// The uniform indexed-angle grid over [0°, 90°] that `build` indexes;
-/// `count == 5` short-circuits to the library default.
+/// The uniform indexed-angle grid over [0°, 90°] that `build` indexes; the
+/// default count, 3, is the library default.
 fn angle_grid(count: usize) -> Result<Vec<Angle>, CliError> {
     if count < 2 {
         return Err(usage("--angles must be at least 2"));
-    }
-    if count == 5 {
-        return Ok(default_angles());
     }
     Ok((0..count)
         .map(|i| {
@@ -347,7 +343,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let mut dims: usize = 2;
     let mut seed: u64 = 42;
     let mut roles_spec: Option<String> = None;
-    let mut angle_count: usize = 5;
+    let mut angle_count: usize = 3;
     let mut pairing = PairingStrategy::Arbitrary;
     let mut shards: usize = 1;
 

@@ -76,7 +76,9 @@ fn is_typed(err: &SdError) -> bool {
 /// A shard is its coordinates and one §4 index per pair — one copy of the
 /// pair's (x, y) besides `data.coords`, one bound hierarchy, no point
 /// table, no node records and no sorted column: an unpaired dimension is
-/// its extent, at the end of `index.meta`.
+/// its extent, in `index.meta`. Its rows are in box order, so it also holds
+/// the id of every position (`data.ids`) and the chunk boxes
+/// (`data.boxes`).
 #[test]
 fn an_engine_file_lists_exactly_these_regions() {
     // 300 rows a shard: 10 leaf blocks under two envelope levels.
@@ -98,6 +100,8 @@ fn an_engine_file_lists_exactly_these_regions() {
                 "index.meta",
                 "data.meta",
                 "data.coords",
+                "data.ids",
+                "data.boxes",
                 "pair0/meta",
                 "pair0/blocks.xs",
                 "pair0/blocks.ys",
@@ -226,7 +230,7 @@ fn set_u32(payload: &mut [u8], index: usize, v: u32) {
 fn load_refuses_forged_contents_under_valid_checksums() {
     let honest = honest_bytes();
     type Patch = fn(&mut [u8]);
-    let cases: [(&str, &str, Patch); 10] = [
+    let cases: [(&str, &str, Patch); 13] = [
         ("engine-shard0/data.coords", "non-finite coordinate", |p| {
             set_f64(p, 4, f64::NAN)
         }),
@@ -241,28 +245,44 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             // A padding lane: the kernels score those too.
             |p| set_f64(p, 31, f64::NAN),
         ),
-        // `index.meta` ends in the unpaired dimension's `(lo, hi)`.
+        // `index.meta` ends in the unpaired dimension's `(lo, hi)`, then
+        // the box order's rows a chunk (a `u32`).
         (
             "engine-shard0/index.meta",
             "unpaired dimension 2: extent",
             |p| {
                 // Swap the two ends of the extent.
-                let lo = p.len() - 16;
-                p[lo..].rotate_left(8);
+                let lo = p.len() - 20;
+                p[lo..lo + 16].rotate_left(8);
             },
         ),
         (
             "engine-shard0/index.meta",
             "unpaired dimension 2: extent [-inf",
             |p| {
-                let lo = p.len() - 16;
+                let lo = p.len() - 20;
                 p[lo..lo + 8].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
             },
         ),
         ("engine-shard1/index.meta", "NaN]", |p| {
-            let hi = p.len() - 8;
-            p[hi..].copy_from_slice(&f64::NAN.to_le_bytes());
+            let hi = p.len() - 12;
+            p[hi..hi + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         }),
+        ("engine-shard1/data.ids", "row id 300 out of range", |p| {
+            set_u32(p, 7, 300)
+        }),
+        // Position 1 names position 0's row: in range, but twice.
+        ("engine-shard0/data.ids", "repeated", |p| {
+            p.copy_within(0..4, 4)
+        }),
+        (
+            "engine-shard1/index.meta",
+            "box order: 32 rows a chunk",
+            |p| {
+                let at = p.len() - 4;
+                p[at..].copy_from_slice(&32u32.to_le_bytes());
+            },
+        ),
         (
             "engine-shard0/pair0/blocks.slots",
             "slot 1000000 out of range",
@@ -311,6 +331,37 @@ fn load_refuses_forged_contents_under_valid_checksums() {
                 assert!(detail.contains(needle), "{region}: wrong detail: {detail}")
             }
             Err(e) => panic!("{region}: forgery broke the lazy open: {e}"),
+        }
+    }
+}
+
+/// A mapped open leaves the id census to the reads that would trust the
+/// ids for good: a file whose id column names a row twice under valid
+/// checksums still opens (its ids are in range, so nothing reads out of
+/// bounds), but neither `rows_by_id` nor a compaction reads its rows —
+/// the compaction would otherwise write rows that were never inserted into
+/// a fresh, correctly checksummed shard.
+#[test]
+fn a_mapped_shard_with_a_repeated_row_id_is_never_compacted() {
+    let mut forged = honest_bytes();
+    forge(&mut forged, "engine-shard0/data.ids", |p| {
+        p.copy_within(0..4, 4)
+    });
+    let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&forged)).unwrap();
+    let mut engine = mapped.snapshot.engine.expect("an engine");
+    assert!(engine.is_mapped());
+    for err in [
+        engine.shards()[0].rows_by_id().err(),
+        engine.compact().err(),
+    ] {
+        match err {
+            Some(SdError::SnapshotCorrupt { detail }) => {
+                assert!(
+                    detail.contains("row id") && detail.contains("repeated"),
+                    "{detail}"
+                )
+            }
+            other => panic!("a forged shard was read: {other:?}"),
         }
     }
 }

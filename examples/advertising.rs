@@ -50,8 +50,10 @@ fn main() {
         "  {:>10} {:>8} {:>9} {:>10} {:>9}",
         "id", "price", "hit rate", "coverage", "score"
     );
+    // Answers name rows by id; the index may store them in another order.
+    let rows = index.rows_by_id().expect("a built index reads");
     for sp in &top {
-        let p = index.data().point(sp.id);
+        let p = rows.point(sp.id);
         println!(
             "  {:>10} {:>8.2} {:>9.2} {:>10.2} {:>9.3}",
             sp.id.to_string(),

@@ -41,8 +41,9 @@ fn main() {
     let top3 = index.query(&query, 3).expect("query succeeds");
 
     println!("top-3 for q = (0.5, 0.5):");
+    let rows = index.rows_by_id().expect("a built index reads");
     for sp in &top3 {
-        let p = index.data().point(sp.id);
+        let p = rows.point(sp.id);
         println!(
             "  {}  at ({:.2}, {:.2})  SD-score = {:+.3}",
             sp.id, p[0], p[1], sp.score

@@ -827,3 +827,128 @@ fn a_certifying_audit_runs_the_next_query_stream_first() {
         }
     }
 }
+
+/// Box order, end to end: 4-D and 6-D engines — every shard's rows in box
+/// order, scanned chunk by chunk — answer like SeqScan, bit for bit, built,
+/// loaded owned, opened mapped, dirty (rows inserted, and every query's best
+/// rows deleted, so its floor forms over rows the scan must find elsewhere)
+/// and compacted (the dirty shards re-boxed). Each query runs past `STREAK`
+/// times on one engine, so its later runs start lost and every shard scans.
+#[test]
+fn box_ordered_engines_answer_like_the_oracle() {
+    let k = 24;
+    for (roles, dist, seed) in [
+        ("arra", Distribution::Uniform, 0xB0C5),
+        ("aaaarr", Distribution::AntiCorrelated, 0xB0C6),
+    ] {
+        let roles: Vec<DimRole> = roles
+            .chars()
+            .map(|c| {
+                if c == 'a' {
+                    DimRole::Attractive
+                } else {
+                    DimRole::Repulsive
+                }
+            })
+            .collect();
+        let dims = roles.len();
+        let data = generate(dist, 6_000, dims, seed);
+        let mut rows: Vec<Vec<f64>> = data.iter().map(|(_, c)| c.to_vec()).collect();
+        let queries = uniform_queries(6, dims, seed + 1);
+        let options = EngineOptions {
+            shards: 3,
+            ..EngineOptions::default()
+        };
+        let mut engine = SdEngine::build_with(data, &roles, &options).unwrap();
+        let boxed = |engine: &SdEngine| engine.shards().iter().all(|s| s.row_ids().is_some());
+        assert!(
+            boxed(&engine),
+            "every shard of an aggregating engine is in box order"
+        );
+        // Every live row by global id; `None` once deleted.
+        let check = |engine: &SdEngine, rows: &[Option<Vec<f64>>], cell: &str| {
+            let live_ids: Vec<u32> = (0..rows.len() as u32)
+                .filter(|&i| rows[i as usize].is_some())
+                .collect();
+            let live: Vec<Vec<f64>> = rows.iter().flatten().cloned().collect();
+            let oracle = SeqScan::new(Dataset::from_rows(dims, &live).unwrap(), &roles).unwrap();
+            let mut scratch = QueryScratch::new();
+            for q in &queries {
+                let want = oracle.query(q, k).unwrap();
+                for run in 0..STREAK + 2 {
+                    let got = engine.query_with(q, k, &mut scratch).unwrap();
+                    let got: Vec<_> = got
+                        .iter()
+                        .map(|sp| (sp.id.raw(), sp.score.to_bits()))
+                        .collect();
+                    let want: Vec<_> = want
+                        .iter()
+                        .map(|sp| (live_ids[sp.id.index()], sp.score.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{cell}, run {run}");
+                }
+                assert!(
+                    scratch.profile.scan_fallbacks > 0,
+                    "{cell}: the last run scans"
+                );
+            }
+        };
+        let mut by_id: Vec<Option<Vec<f64>>> = rows.iter().cloned().map(Some).collect();
+        check(&engine, &by_id, "built");
+
+        let bytes = {
+            let mut snap = Snapshot::new();
+            snap.engine = Some(engine.clone());
+            snap.to_bytes_v5().unwrap()
+        };
+        let loaded = Snapshot::from_bytes(&bytes).unwrap().engine.unwrap();
+        assert!(boxed(&loaded));
+        check(&loaded, &by_id, "loaded");
+        let dir = std::env::temp_dir().join(format!("sdq-box-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{dims}d.sdq"));
+        std::fs::write(&path, &bytes).unwrap();
+        let mapped = Snapshot::open_mapped(&path)
+            .unwrap()
+            .snapshot
+            .engine
+            .unwrap();
+        assert!(mapped.is_mapped() && boxed(&mapped));
+        check(&mapped, &by_id, "mapped");
+        drop(mapped);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Dirty: copies of indexed rows (ties across base and delta) and
+        // fresh ones, then every query's three best rows deleted.
+        for i in 0..120 {
+            let row = if i % 2 == 0 {
+                rows[(i * 331) % rows.len()].clone()
+            } else {
+                (0..dims)
+                    .map(|d| ((i * 7 + d * 13) % 97) as f64 / 97.0)
+                    .collect()
+            };
+            engine.insert(&row).unwrap();
+            rows.push(row.clone());
+            by_id.push(Some(row));
+        }
+        for q in &queries {
+            let live: Vec<Vec<f64>> = by_id.iter().flatten().cloned().collect();
+            let live_ids: Vec<u32> = (0..by_id.len() as u32)
+                .filter(|&i| by_id[i as usize].is_some())
+                .collect();
+            let oracle = SeqScan::new(Dataset::from_rows(dims, &live).unwrap(), &roles).unwrap();
+            for sp in oracle.query(q, 3).unwrap() {
+                let id = live_ids[sp.id.index()];
+                assert!(engine.delete(PointId::new(id)).unwrap());
+                by_id[id as usize] = None;
+            }
+        }
+        check(&engine, &by_id, "dirty");
+
+        engine.compact().unwrap();
+        assert!(boxed(&engine), "compaction re-boxes the shards it rebuilds");
+        let compacted: Vec<Option<Vec<f64>>> = by_id.into_iter().flatten().map(Some).collect();
+        check(&engine, &compacted, "compacted");
+    }
+}

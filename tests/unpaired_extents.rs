@@ -45,11 +45,11 @@ fn bits(answer: &[ScoredPoint]) -> Vec<(PointId, u64)> {
 }
 
 /// The rows of a clean engine (no delta, no tombstone), by global id:
-/// every shard's rows in shard order.
+/// every shard's rows by id, in shard order.
 fn rows_of(engine: &SdEngine) -> Vec<(u32, Vec<f64>)> {
     let mut rows = Vec::new();
     for shard in engine.shards() {
-        for (_, c) in shard.data().iter() {
+        for (_, c) in shard.rows_by_id().unwrap().iter() {
             rows.push((rows.len() as u32, c.to_vec()));
         }
     }
@@ -75,7 +75,9 @@ fn fixture(name: &str) -> std::path::PathBuf {
 /// Both fixtures were written by `sdq build --shards 2` over 300 synthetic
 /// rows while an unpaired dimension was a sorted column (`aaarr`: uniform,
 /// seed 36, one attractive `col0`; `arrr`: anti-correlated, seed 37,
-/// repulsive `col0` and `col1`).
+/// repulsive `col0` and `col1`) — and so before box order: their rows are
+/// in id order, with no id column and no chunk table, and a scan reads each
+/// shard as one run. A compaction re-boxes the shards it rebuilds.
 #[test]
 fn files_with_sorted_columns_open_owned_and_mapped() {
     for (name, roles, cols) in [
@@ -93,9 +95,16 @@ fn files_with_sorted_columns_open_owned_and_mapped() {
                 }
             }
         }
+        assert!(
+            names
+                .iter()
+                .all(|r| !r.ends_with("data.ids") && !r.ends_with("data.boxes")),
+            "{name}: written before box order"
+        );
         let roles = parse_roles(roles).unwrap();
         let dims = roles.len();
         let owned = Snapshot::load(&path).unwrap().engine.unwrap();
+        assert!(owned.shards().iter().all(|s| s.row_ids().is_none()));
         let mapped = Snapshot::open_mapped(&path).unwrap();
         assert!(mapped.is_mapped());
         let mapped_engine = mapped.snapshot.engine.as_ref().unwrap();
@@ -173,6 +182,31 @@ fn files_with_sorted_columns_open_owned_and_mapped() {
             reopened.query(&q, 10).unwrap(),
             owned.query(&q, 10).unwrap()
         );
+
+        // A row deleted from each shard, then compacted: both shards are
+        // rebuilt in box order, and answer for the rows left.
+        let mut compacted = owned.clone();
+        for id in [0, 150] {
+            assert!(compacted.delete(PointId::new(id)).unwrap());
+        }
+        assert_eq!(compacted.compact().unwrap().rebuilt_shards, 2);
+        assert!(compacted.shards().iter().all(|s| s.row_ids().is_some()));
+        let left: Vec<(u32, Vec<f64>)> = (live.iter())
+            .filter(|(id, _)| ![0, 150].contains(id))
+            .enumerate()
+            .map(|(i, (_, row))| (i as u32, row.clone()))
+            .collect();
+        for point in &points {
+            let q = SdQuery::new(point.clone(), vec![1.0; dims]).unwrap();
+            for k in [1, 64, 298] {
+                let want = bits(&oracle(&left, &roles, &q, k));
+                assert_eq!(
+                    bits(&compacted.query(&q, k).unwrap()),
+                    want,
+                    "{name} compacted"
+                );
+            }
+        }
     }
 }
 
@@ -328,6 +362,10 @@ fn a_pairless_execution_certifies_against_its_extents() {
         assert_eq!(got, want);
         let p = scratch.profile;
         assert_eq!(p.scan_fallbacks, scans, "{p:?}");
-        assert_eq!(p.scan_rows, 100 * scans, "{p:?}");
+        // Each scan scores its shard's top chunk alone: box order cuts a
+        // shard's 100 rows into a leaf of the 64 lowest and one of the 36
+        // highest, and once those 36 put k = 10 scores in the floor, the
+        // lower leaf's box bound is under it.
+        assert_eq!(p.scan_rows, 36 * scans, "{p:?}");
     }
 }
