@@ -254,9 +254,9 @@ mod tests {
     }
 
     /// The baseline is the paper's adapted TA, not the shipped engine: on
-    /// data where `SdIndex` gives up fetching and finishes with a kernel
-    /// scan (see `sdq_core::multidim::plan::scan_budget`), `TaIndex` keeps
-    /// fetching — row for row what it fetched before that exit existed.
+    /// data where `SdIndex` answers with its box scan, `TaIndex` keeps
+    /// fetching off its sorted lists — row for row what it fetched before
+    /// the engine had a scan at all.
     #[test]
     fn ta_never_takes_the_scan_exit() {
         use sdq_core::multidim::SdIndex;

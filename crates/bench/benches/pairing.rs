@@ -1,13 +1,14 @@
 //! Ablation bench: arbitrary vs correlation-aware dimension pairing (§5's
-//! future-work direction). On data with strong cross-role correlations the
-//! aware pairing produces tighter 2-D subproblems and earlier threshold
-//! termination.
+//! future-work direction), on the paper's §5 index. On data with strong
+//! cross-role correlations the aware pairing produces tighter 2-D
+//! subproblems and earlier threshold termination.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
-use sdq_core::multidim::{PairingStrategy, SdIndex, SdIndexOptions};
+use sdq_core::multidim::{PairingStrategy, SdIndexOptions};
 use sdq_core::{Dataset, DimRole};
 use sdq_data::uniform_queries;
+use sdq_paper::PairedIndex;
 
 /// 6-D data where repulsive dim i strongly correlates with attractive dim
 /// (5 − i): the arbitrary zip picks the worst mapping.
@@ -48,7 +49,7 @@ fn bench_pairing(c: &mut Criterion) {
             pairing: strategy,
             ..Default::default()
         };
-        let index = SdIndex::build_with(data.clone(), &roles, &opts).unwrap();
+        let index = PairedIndex::build_with(data.clone(), &roles, &opts).unwrap();
         group.bench_function(label, |b| {
             let mut i = 0;
             b.iter(|| {

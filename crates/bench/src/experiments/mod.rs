@@ -33,17 +33,20 @@ pub mod table1;
 use std::sync::Arc;
 
 use sdq_baselines::{BrsIndex, PeIndex, SeqScan, TaIndex};
-use sdq_core::multidim::{SdIndex, SdIndexOptions};
+use sdq_core::multidim::SdIndexOptions;
 use sdq_core::{Dataset, DimRole};
+use sdq_paper::PairedIndex;
 
-/// An SD-index over §6.1's five indexed angles, as the paper's experiments
-/// build it (an engine's default is three).
-pub fn build_sd(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> SdIndex {
+/// The paper's §5 SD-index (one §4 index per pair under a TA threshold)
+/// over §6.1's five indexed angles, as the paper's experiments build it
+/// (an engine's default is three, and an engine answers anything but a
+/// single pair with a box scan instead).
+pub fn build_sd(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> PairedIndex {
     let options = SdIndexOptions {
         angles: sdq_paper::section6_angles(),
         ..SdIndexOptions::default()
     };
-    SdIndex::build_with(data, roles, &options).expect("index builds")
+    PairedIndex::build_with(data, roles, &options).expect("index builds")
 }
 
 /// `dims` roles with the first `attractive` dims attractive and the rest
@@ -63,7 +66,7 @@ pub fn roles_mixed(dims: usize, attractive: usize) -> Vec<DimRole> {
 /// Every method of §6.1 built over one dataset.
 pub struct Methods {
     pub scan: SeqScan,
-    pub sd: SdIndex,
+    pub sd: PairedIndex,
     pub ta: TaIndex,
     pub brs: BrsIndex,
     pub pe: Option<PeIndex>,

@@ -8,8 +8,8 @@
 //! There is one encoding. Small structural fields go into framed
 //! *metadata regions* (`[crc32c u32][len u64][bytes]`, verified as they are
 //! read); the hot arrays (SoA leaf blocks and their envelope levels,
-//! coordinate tables, a box-ordered index's id column and chunk boxes, an
-//! older file's sorted columns) go into framed *array regions* (`[crc32c u32]
+//! coordinate tables, a box-ordered index's id column, chunk boxes and
+//! chunk first ids, an older file's sorted columns) go into framed *array regions* (`[crc32c u32]
 //! [count u64][zero pad to 64][raw little-endian elements]`) whose payload
 //! is the exact in-memory representation. `sdq-store` stores these bytes
 //! verbatim as snapshot section payloads.
@@ -73,7 +73,7 @@ use std::sync::Arc;
 
 use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
-use crate::multidim::{BoxOrder, DimPair, PairingStrategy, SdIndex, CHUNK_ROWS};
+use crate::multidim::{chunk_firsts, BoxOrder, DimPair, PairingStrategy, SdIndex, CHUNK_ROWS};
 use crate::topk::blocks::BlockSet;
 use crate::types::{Dataset, SdError, MAX_MAGNITUDE};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
@@ -833,6 +833,10 @@ impl Codec for DimPair {
     }
 }
 
+/// The last `u32` of an aggregating index's `index.meta`: no pair index
+/// follows the rows (see `SdIndex`'s layout below).
+const NO_PAIR_INDEX: u32 = 1;
+
 /// The structural validation of `SdIndex::decode`: everything that can be
 /// judged from metadata and table shapes. The block-table census reads
 /// array contents, so it runs after the region checksums pass
@@ -848,22 +852,39 @@ fn validate_sd_parts(
 ) -> Result<()> {
     let dims = data.dims();
     let n = data.len();
+    let single_pair = pairs.len() == 1 && unpaired.is_empty();
     if let Some(order) = order {
         // The direct 2-D walk reads a single pair's slots as row ids.
-        ensure(pairs.len() != 1 || !unpaired.is_empty(), || {
+        ensure(!single_pair, || {
             "a single-pair index in box order".to_string()
         })?;
         ensure(order.ids.len() == n, || {
             format!("box order: {} row ids for {n} rows", order.ids.len())
         })?;
-        let want = 2 * dims * n.div_ceil(CHUNK_ROWS);
+        let chunks = n.div_ceil(CHUNK_ROWS);
+        let want = 2 * dims * chunks;
         ensure(order.boxes.len() == want, || {
             format!(
                 "box order: {} box bounds, expected {want}",
                 order.boxes.len()
             )
         })?;
+        ensure(order.firsts.len() == chunks, || {
+            format!(
+                "box order: {} chunk first ids for {chunks} chunks",
+                order.firsts.len()
+            )
+        })?;
     }
+    // The walk reads a single pair's block set; nothing reads any other's.
+    ensure(pair_blocks.len() == usize::from(single_pair), || {
+        format!(
+            "{} pair index(es) for {} pair(s) and {} unpaired dimension(s)",
+            pair_blocks.len(),
+            pairs.len(),
+            unpaired.len()
+        )
+    })?;
     ensure(roles.len() == dims, || {
         format!("{} roles for {dims} dimensions", roles.len())
     })?;
@@ -932,20 +953,27 @@ fn legacy_column_extent(r: &mut Reader<'_>, n: usize) -> Result<(f64, f64)> {
 
 /// Section layout: one metadata region (roles / pairing strategy / pairs /
 /// unpaired — every count below derives from these — then one `(lo, hi)`
-/// extent per unpaired dimension, then, for rows in box order, the rows a
-/// chunk as a `u32`: always [`CHUNK_ROWS`], the marker of the box order),
-/// the dataset's regions (`data.meta`, `data.coords`: the rows by
-/// position), for rows in box order the id of every position
-/// (`data.ids`, `u32`) and the chunk boxes (`data.boxes`, `f32`, per
-/// dimension the lows then the highs of every chunk), then each pair's §4
-/// index (`meta` + `blocks.*`, slots are positions) under a `pair{i}`
-/// prefix.
+/// extent per unpaired dimension), the dataset's regions (`data.meta`,
+/// `data.coords`: the rows by position), then either a single pair's §4
+/// index (`meta` + `blocks.*`, slots are row ids) under a `pair0` prefix,
+/// or — for an index that aggregates — nothing more than its box order.
+/// Such an index ends `index.meta` with two `u32`s: the rows a chunk
+/// ([`CHUNK_ROWS`], or `0` for rows in id order) and a `1` that says no
+/// pair index follows; for rows in box order the dataset is followed by
+/// the id of every position (`data.ids`, `u32`), the chunk boxes
+/// (`data.boxes`, `f32`, per dimension the lows then the highs of every
+/// chunk) and each chunk's smallest id (`data.firsts`, `u32`).
 ///
-/// Older layouts still decode. A file written before box order has no
-/// chunk size in `index.meta` and no `data.ids` / `data.boxes`: its rows
-/// are in id order and it is scanned as one run. A single-pair index is
-/// never in box order, so its bytes are still that layout's. A file written
-/// before extents (no extents in `index.meta`, one `col{i}/values` +
+/// Older layouts still decode, and re-encode in this one. Before the
+/// trailing `1`, every pair of an aggregating index was stored as a
+/// `pair{i}` index: those regions are read past (their checksums still
+/// verified at an eager open, never at a query) and dropped, and a
+/// box-ordered file of that time, whose `index.meta` ends at the rows a
+/// chunk, has its chunk first ids computed from its id column. A file
+/// written before box order has neither `u32`: its rows are in id order
+/// and it is scanned as one run. A single-pair index is never in box
+/// order, so its bytes are still that layout's. A file written before
+/// extents (no extents in `index.meta`, one `col{i}/values` +
 /// `col{i}/rows` pair of regions after the pairs) reads each column's first
 /// and last values as its extent.
 impl Codec for SdIndex {
@@ -959,14 +987,16 @@ impl Codec for SdIndex {
                 m.f64(lo);
                 m.f64(hi);
             }
-            if self.order.is_some() {
-                m.u32(CHUNK_ROWS as u32);
+            if self.pair_blocks.is_empty() {
+                m.u32(self.order.as_ref().map_or(0, |_| CHUNK_ROWS as u32));
+                m.u32(NO_PAIR_INDEX);
             }
         });
         self.data.as_ref().encode(w);
         if let Some(order) = &self.order {
             w.pod_array(&order.ids);
             w.pod_array(&order.boxes);
+            w.pod_array(&order.firsts);
         }
         for blocks in &self.pair_blocks {
             blocks.encode(w);
@@ -980,17 +1010,34 @@ impl Codec for SdIndex {
             let pairs = Vec::<DimPair>::decode(m)?;
             let unpaired = Vec::<usize>::decode(m)?;
             // A file written before extents ends `index.meta` here, one
-            // written before box order after the extents.
+            // written before box order after the extents, one that stored
+            // every pair's index after the rows a chunk.
             let extents = (!m.is_exhausted())
                 .then(|| unpaired.iter().map(|_| Ok((m.f64()?, m.f64()?))).collect())
                 .transpose()?;
             let chunk_rows = (!m.is_exhausted()).then(|| m.u32()).transpose()?;
-            Ok((roles, pairing, pairs, unpaired, extents, chunk_rows))
+            let no_pair_index = (!m.is_exhausted()).then(|| m.u32()).transpose()?;
+            Ok((
+                roles,
+                pairing,
+                pairs,
+                unpaired,
+                extents,
+                chunk_rows,
+                no_pair_index,
+            ))
         })?;
-        let (roles, pairing, pairs, unpaired, extents, chunk_rows) = meta;
+        let (roles, pairing, pairs, unpaired, extents, chunk_rows, no_pair_index) = meta;
+        let stored_pairs = match no_pair_index {
+            None => pairs.len(),
+            Some(NO_PAIR_INDEX) => 0,
+            Some(flag) => return Err(corrupt(format!("pair index flag {flag}"))),
+        };
         let mark = r.regions.len();
         let data = Dataset::decode(r)?;
         let order = match chunk_rows {
+            // Rows in id order, said so by a file with no pair index.
+            Some(0) if no_pair_index.is_some() => None,
             // The one chunk size there is: the field marks the box order.
             Some(rows) if rows as usize != CHUNK_ROWS => {
                 return Err(corrupt(format!("box order: {rows} rows a chunk")));
@@ -998,17 +1045,37 @@ impl Codec for SdIndex {
             Some(_) => {
                 let (ids, _) = r.pod_array::<u32>("data.ids")?;
                 let (boxes, _) = r.pod_array::<f32>("data.boxes")?;
-                Some(BoxOrder { ids, boxes })
+                let firsts = match no_pair_index {
+                    Some(_) => r.pod_array::<u32>("data.firsts")?.0,
+                    // Computed from an id column whose checksum may still
+                    // be deferred: a corrupt column fails that check before
+                    // any query reads either.
+                    None => ColumnarView::owned(chunk_firsts(&ids)),
+                };
+                Some(BoxOrder { ids, boxes, firsts })
             }
             None => None,
         };
-        let mut pair_blocks = Vec::with_capacity(pairs.len());
-        for i in 0..pairs.len() {
+        // Every region so far past `index.meta` is one a query reads:
+        // coordinates to score rows, ids, boxes and first ids to name and
+        // skip them.
+        let mut read = r.regions.len();
+        let single_pair = pairs.len() == 1 && unpaired.is_empty();
+        let mut pair_blocks = Vec::with_capacity(usize::from(single_pair));
+        for i in 0..stored_pairs {
             let token = r.push_prefix(&format!("pair{i}"));
             let blocks = BlockSet::decode(r);
             r.pop_prefix(token);
-            pair_blocks.push(blocks?);
+            let blocks = blocks?;
+            // A single pair's block tables are what its walk reads; an
+            // aggregating index's, written before they were dropped, are
+            // read past.
+            if single_pair {
+                pair_blocks.push(blocks);
+                read = r.regions.len();
+            }
         }
+        let columns = r.regions.len();
         let extents: Vec<(f64, f64)> = match extents {
             Some(extents) => extents,
             None => (0..unpaired.len())
@@ -1029,11 +1096,13 @@ impl Codec for SdIndex {
             &pair_blocks,
             &extents,
         )?;
-        // Every region past `index.meta` is one a query reads: coordinates
-        // to score candidates, ids and boxes to name and skip them, block
-        // tables to walk the pairs (and an older file's columns, whose
-        // checksums still guard its extents).
-        let query_integrity: Vec<Arc<SectionIntegrity>> = r.regions[mark..].to_vec();
+        // The regions a query reads, and an older file's columns, whose
+        // checksums still guard its extents.
+        let query_integrity: Vec<Arc<SectionIntegrity>> = r.regions[mark..read]
+            .iter()
+            .chain(&r.regions[columns..])
+            .cloned()
+            .collect();
         Ok(SdIndex {
             data: Arc::new(data),
             order,

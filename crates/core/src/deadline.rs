@@ -1,12 +1,12 @@
 //! Cooperative query deadlines and cancellation.
 //!
-//! The §5 aggregation loop is a sequence of short rounds, each leaving the
-//! query's floor consistent, so bounded-time serving is cheap — the engine
-//! only needs a *check point* at
-//! block-pop granularity, not preemption. [`Deadline`] is that check
-//! point: a cloneable token holding an optional expiry instant and an
-//! optional shared cancel flag, consulted once per aggregation round and
-//! once per 32-row delta chunk.
+//! Every query path is a sequence of short steps, each leaving the query's
+//! floor consistent — a walk pop, a 32-row piece of the box scan or of the
+//! delta scan, a round of a stream loop — so bounded-time serving is cheap:
+//! the engine only needs a *check point* between steps, not preemption.
+//! [`Deadline`] is that check point: a cloneable token holding an optional
+//! expiry instant and an optional shared cancel flag, consulted once per
+//! step.
 //!
 //! The unset token is the common case and must stay invisible on the hot
 //! path: [`Deadline::check`] is a single inline branch on two `Option`
@@ -41,8 +41,8 @@ impl CancelToken {
     }
 }
 
-/// A per-query time budget and/or cancel hook, checked cooperatively at
-/// block-pop granularity inside the aggregation loops.
+/// A per-query time budget and/or cancel hook, checked cooperatively
+/// between the steps of every query path.
 ///
 /// `Deadline::default()` is unlimited and free: the per-round check
 /// reduces to one predictable branch. A bounded deadline captures its

@@ -2,7 +2,7 @@
 //! append-only write buffer.
 //!
 //! Freshly inserted rows live outside every index structure until the next
-//! compaction, so they cannot be served by the §4/§5 bound machinery.
+//! compaction, so they cannot be served by the §4 walk or the chunk boxes.
 //! They do not need to be: the delta region is small by construction (the
 //! compactor folds it back once it drifts), and rows arrive in insertion
 //! order, so no bound over a run of them is tighter than the whole space.
@@ -10,10 +10,10 @@
 //! [`kernels::score_rows`] over [`LANES`] consecutive rows of the row-major
 //! delta table at a time, and offers every live delta score that reaches
 //! the query's floor to it, under the row's global id: the query's one
-//! [`QueryFloor`], whose drain is the answer, and which the shard
-//! executions then score into and prune against, so a strong delta
-//! candidate terminates them early exactly like a strong candidate found by
-//! a sibling shard would.
+//! [`QueryFloor`], whose drain is the answer, and which every shard then
+//! scores into and prunes against, so a strong delta candidate lets them
+//! skip chunks exactly like a strong candidate found by a sibling shard
+//! would.
 //!
 //! Tombstoned delta rows are dropped with one mask word per chunk (see
 //! [`crate::mask`]), so they never reach the floor.
@@ -44,7 +44,7 @@ use crate::types::{Dataset, SdError};
 /// scan allocation-free; its `deadline` is checked once per chunk and
 /// aborts the scan with the typed deadline/cancel error; and its `profile`
 /// (not reset here: the query's entry point resets it once) counts the
-/// rows the way the scan exit counts its own — every delta row is fetched,
+/// rows the way the box scan counts its own — every delta row is fetched,
 /// the tombstoned ones are skipped and the live ones are gathered and
 /// counted as `delta_rows_scanned` — and, while `profile.timing` is set,
 /// the scan's wall time as `delta_scan_nanos`.

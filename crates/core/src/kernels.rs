@@ -62,7 +62,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Points per block: the fixed lane width of every SoA block in the
 /// workspace (tree leaf blocks, gather batches) and of every row chunk
-/// [`score_rows`] scores (the scan exit, the delta scan).
+/// [`score_rows`] scores (the box scan, the delta scan).
 ///
 /// 32 doubles = 256 bytes per dimension column = 4 cache lines, and 8 AVX2
 /// vectors — wide enough to amortise per-block bookkeeping, small enough
@@ -483,7 +483,8 @@ pub fn inflate(threshold: f64) -> f64 {
     threshold + EPS_REL * (1.0 + threshold.abs())
 }
 
-/// Batched per-lane floor filter of the §5 aggregation: returns the bitmask
+/// Batched per-lane floor filter of a pair stream ([`Pair2DStream`](crate::multidim::Pair2DStream),
+/// which the paper's §5 aggregation in `sdq-paper` runs): returns the bitmask
 /// of lanes that are alive in `live` **and** satisfy
 /// `floor <= inflate(scores[l] + others)` — the lanes of a popped block
 /// whose pair subscore, plus everything the *other* streams can still

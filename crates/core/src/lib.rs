@@ -17,17 +17,18 @@
 //! * [`geometry`] — the isoline/projection machinery of §2 (Claims 1–4),
 //! * [`topk`] — the §4 projection-bound index for runtime `k`, `α`, `β`, in
 //!   the bulk-loaded block form an engine shard stores per pair,
-//! * [`multidim`] — the §5 pairing + threshold aggregation for any number of
-//!   dimensions, with a per-pair [`planner`](multidim::plan) rule (every
-//!   pair walks its own §4 frontier, indexed or Claim-6 bracketed) and one
-//!   driver, [`answer_parts`](multidim::answer_parts), that answers a query
-//!   over one index or over every shard of an engine,
+//! * [`multidim`] — the index for any number of dimensions and its one
+//!   driver, [`answer_parts`](multidim::answer_parts), over one index or
+//!   every shard of an engine: a single-pair query walks its pair's §4
+//!   frontier (indexed or Claim-6 bracketed, the [`planner`](multidim::plan)
+//!   rule), every other query is one box scan over rows stored in
+//!   recursive-median-split chunks,
 //! * [`threshold`] — the one answer heap and k-th-score floor of a query
 //!   ([`QueryFloor`]),
 //! * [`mask`] — tombstone bitmaps ([`RowMask`]) whose dead rows are dropped
 //!   at scoring time by every masked query path,
 //! * [`delta`] — the exact scan of the engine's append-only delta region
-//!   (the write path's unindexed rows): the scan exit's row kernel
+//!   (the write path's unindexed rows): the box scan's row kernel
 //!   ([`kernels::score_rows`]) over the row-major delta rows,
 //! * [`score`] — scoring kernels shared by indexes, baselines and tests,
 //! * [`profile`] — always-on per-query execution counters ([`QueryProfile`])
@@ -45,7 +46,8 @@
 //!
 //! The paper's reference structures that no engine path reaches — the §3
 //! top-1 region index, the Alg. 1 envelopes and the §4 dynamic tree with its
-//! point updates — are the `sdq-paper` crate, built on this one.
+//! point updates — and the paper's §5 pair-stream aggregation are the
+//! `sdq-paper` crate, built on this one.
 //!
 //! ## Quick start
 //!
@@ -91,7 +93,7 @@ pub use profile::QueryProfile;
 pub use score::{sd_score, DimRole, SdQuery};
 pub use scratch::{LoopScratch, QueryScratch, SeenRows};
 pub use telemetry::{EventJournal, EventKind, EventRecord, HistoSnapshot, LatencyHisto, Telemetry};
-pub use threshold::{FloorEntry, QueryFloor, Verdict};
+pub use threshold::{FloorEntry, QueryFloor};
 pub use types::{check_coordinate, Dataset, OrdF64, PointId, ScoredPoint, SdError, MAX_MAGNITUDE};
 pub use view::ColumnarView;
 

@@ -11,8 +11,8 @@
 //! slightly less until the next compaction drops the tombstones for real.
 //!
 //! A [`MaskView`] adapts the engine-global mask to one shard's local row
-//! ids (global id = shard offset + local row), which is the form the §5
-//! aggregation and the delta scan consume.
+//! ids (global id = shard offset + local row), which is the form the box
+//! scan, the walk and the delta scan consume.
 
 /// A bitmap of tombstoned (dead) rows over a contiguous id domain.
 ///
@@ -154,12 +154,6 @@ impl<'a> MaskView<'a> {
         self.mask.get(self.offset as usize + row as usize)
     }
 
-    /// Number of dead rows among the `n` local rows of this view.
-    pub fn dead_among(&self, n: usize) -> usize {
-        self.mask
-            .count_range(self.offset as usize, self.offset as usize + n)
-    }
-
     /// The dead bits of local rows `[local_start, local_start + 32)` as one
     /// word; see [`RowMask::dead_word32`].
     #[inline]
@@ -267,7 +261,5 @@ mod tests {
         assert!(v.is_dead(1));
         assert!(!v.is_dead(2));
         assert!(v.is_dead(59));
-        assert_eq!(v.dead_among(60), 3);
-        assert_eq!(v.dead_among(10), 2);
     }
 }

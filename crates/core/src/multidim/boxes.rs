@@ -1,5 +1,5 @@
 //! Box order: how an [`SdIndex`](super::SdIndex) that aggregates lays out
-//! its rows so the scan exit can skip whole chunks of them.
+//! its rows so the box scan can skip whole chunks of them.
 //!
 //! The rows are put in *recursive median split* order over all dimensions
 //! (the bulk-load idiom of a k-d tree): a run of rows is cut at a median
@@ -21,11 +21,46 @@
 //!   tombstones and anyone reading rows by id go through);
 //! * `boxes` — the chunk boxes, per dimension SoA: dimension `d`'s lows are
 //!   `boxes[2d·c..(2d+1)·c]` and its highs the next `c` entries, for `c`
-//!   chunks.
+//!   chunks;
+//! * `firsts` — each chunk's smallest row id (4 B a chunk): what lets the
+//!   scan skip a chunk whose bound only *ties* the floor ([`QueryFloor::worst`](crate::QueryFloor::worst)),
+//!   and what breaks ties between equal bounds in the scan's order.
 //!
 //! An index without a box order (a single-pair index, which the direct 2-D
-//! walk answers and never scans, or a file written before box order) keeps
-//! its rows in id order and is scanned as one unbounded run.
+//! walk answers — a scan only when both its weights are zero — or a file
+//! written before box order) keeps its rows in id order and is scanned as
+//! [`CHUNK_ROWS`]-row chunks in that order, each bounded by `+∞` (by `0`
+//! when every weight is zero).
+//!
+//! ## Box first
+//!
+//! Every query that is not a single pair is one box scan of these chunks
+//! (`scan_parts` in the parent module); the engine used to run the paper's
+//! §5 pair streams first and leave for this scan when they lost. Measured
+//! before that was dropped (a scratch build that forced either start, data
+//! seed 7, 256 uniform queries, 5 warmed laps, one pinned CPU of a 2-core
+//! VM; p50 µs at 4 shards, 1 shard in brackets):
+//!
+//! | shape | as shipped then | box first | streams first | BRS |
+//! |---|---|---|---|---|
+//! | 100k 4-D uniform `arra`, k 16 | 165–221 (134–174) | 39.2–39.7 (35.0–37.2) | 184 (156) | 49–62 |
+//! | 100k 6-D anti `aaaarr`, k 64 | 186 (138) | 171 (109) | 503 (705) | 996 |
+//! | 100k 6-D correlated `aaaarr`, k 64 | 170 (128) | 172 (120) | 409 (374) | 903 |
+//! | 100k 8-D uniform `aararrar`, k 16 | 201 (121) | 198 (122) | 714 (763) | 1 382 |
+//!
+//! Streams first won on no shape: on the 4-D anchor they fetched fewer rows
+//! (2.2k against 2.6k a query) but the per-block frontier walk cost more
+//! than the kernel's extra rows. With the scan the only road, an
+//! aggregating shard stores no pair block set (≈ 48 of its ≈ 53 B a row),
+//! and the repo benchmark, 10 alternating pairs of 15 s runs, read
+//! (parent median → this layout's, pairs won):
+//!
+//! | workload | `query_p50_us` | `query_p95_us` | `mem_bytes_per_row` |
+//! |---|---|---|---|
+//! | `cold_open_4d` | 70.09 → 21.85 (10/10) | 104.0 → 26.5 (10/10) | 52.94 → 4.69 |
+//! | `mixed_rw_4d` | 79.86 → 27.80 (10/10) | 119.4 → 35.3 (10/10) | 52.94 → 4.69 |
+//! | `agg_6d` | 100.2 → 90.9 (10/10) | 176.5 → 144.4 (10/10) | 53.19 → 4.94 |
+//! | `direct_2d` (a walk) | 7.34 → 7.37 (5/10) | 10.88 → 11.02 (5/10) | 24.26 → 24.26 |
 
 use crate::threshold::encode as order_key;
 use crate::types::Dataset;
@@ -45,6 +80,8 @@ pub(crate) struct BoxOrder {
     pub(crate) ids: ColumnarView<u32>,
     /// Per-dimension chunk boxes, rounded outward (module docs).
     pub(crate) boxes: ColumnarView<f32>,
+    /// The smallest row id of each chunk.
+    pub(crate) firsts: ColumnarView<u32>,
 }
 
 impl BoxOrder {
@@ -74,6 +111,7 @@ impl BoxOrder {
         let moved = Dataset::from_view_trusted(dims, ColumnarView::owned(moved))
             .expect("the shape of a valid dataset");
         let order = BoxOrder {
+            firsts: ColumnarView::owned(chunk_firsts(&ids)),
             ids: ColumnarView::owned(ids),
             boxes: ColumnarView::owned(boxes),
         };
@@ -85,9 +123,10 @@ impl BoxOrder {
         self.ids.len().div_ceil(CHUNK_ROWS)
     }
 
-    /// Checks that the id column names each of the `n` rows exactly once:
+    /// Checks that the id column names each of the `n` rows exactly once —
     /// one pass over an `n`-bit set, naming the first position whose id is
-    /// out of range or already met.
+    /// out of range or already met — and that each chunk's first id is the
+    /// smallest of its ids (a decode has checked there is one a chunk).
     pub(crate) fn census(&self, n: usize) -> Result<(), String> {
         let mut met = vec![0u64; n.div_ceil(64)];
         for (pos, &id) in self.ids.iter().enumerate() {
@@ -103,13 +142,30 @@ impl BoxOrder {
                 return Err(format!("position {pos}: row id {id} {what} for {n} rows"));
             }
         }
+        for (c, (ids, &first)) in self
+            .ids
+            .chunks(CHUNK_ROWS)
+            .zip(self.firsts.iter())
+            .enumerate()
+        {
+            if ids.iter().min() != Some(&first) {
+                return Err(format!("chunk {c}: first id {first} is not its smallest"));
+            }
+        }
         Ok(())
     }
 
-    /// Heap bytes of the id column and the box table.
+    /// Heap bytes of the id column, the box table and the first ids.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.ids.heap_bytes() + self.boxes.heap_bytes()
+        self.ids.heap_bytes() + self.boxes.heap_bytes() + self.firsts.heap_bytes()
     }
+}
+
+/// The smallest id of every [`CHUNK_ROWS`] consecutive ids.
+pub(crate) fn chunk_firsts(ids: &[u32]) -> Vec<u32> {
+    ids.chunks(CHUNK_ROWS)
+        .map(|chunk| chunk.iter().copied().min().unwrap_or(0))
+        .collect()
 }
 
 /// The recursive median split of `data` into leaves of `leaf` rows (module
@@ -196,8 +252,8 @@ pub(crate) fn box_term(role: DimRole, lo: f64, hi: f64, q: f64, w: f64) -> f64 {
     }
 }
 
-/// Every chunk's score bound under `(roles, q, weights)` into `bounds` (one
-/// entry per chunk of `order`): the sum from `0.0` of [`box_term`] over the
+/// Every chunk's score bound under `(roles, q, weights)`, appended to
+/// `bounds` (one entry per chunk of `order`): the sum from `0.0` of [`box_term`] over the
 /// dimensions with a non-zero weight, in dimension order — the order and
 /// the association in which [`kernels::score_rows`](crate::kernels::score_rows)
 /// sums a row's terms, and a row's term of a zero-weight dimension is `±0`.
@@ -211,8 +267,9 @@ pub(crate) fn chunk_bounds(
     bounds: &mut Vec<f64>,
 ) {
     let chunks = order.chunks();
-    bounds.clear();
-    bounds.resize(chunks, 0.0);
+    let from = bounds.len();
+    bounds.resize(from + chunks, 0.0);
+    let bounds = &mut bounds[from..];
     for (d, (&role, (&q, &w))) in roles.iter().zip(q.iter().zip(weights)).enumerate() {
         if w == 0.0 {
             continue;

@@ -179,25 +179,37 @@ fn zero_weights_on_some_dims() {
     // subproblem).
     let q = SdQuery::new(vec![0.5; 4], vec![0.0, 0.0, 1.0, 0.7]).unwrap();
     assert_equiv(&index.query(&q, 5).unwrap(), &oracle(&data, &roles, &q, 5));
-    // One zero weight per role: θ_q = 90° (repulsive weight zero) or 0°
-    // (attractive), both indexed, so the pair walks its own frontier.
-    for (zero, deg) in [(0, 90.0), (1, 0.0)] {
-        let mut weights = vec![1.0, 0.6, 1.0, 0.7];
-        weights[zero] = 0.0;
-        let q = SdQuery::new(vec![0.4, 0.6, 0.5, 0.5], weights).unwrap();
-        for k in [1, 5, 40] {
+    for k in [1, 5, 40] {
+        for zero in 0..4 {
+            let mut weights = vec![1.0, 0.6, 1.0, 0.7];
+            weights[zero] = 0.0;
+            let q = SdQuery::new(vec![0.4, 0.6, 0.5, 0.5], weights).unwrap();
             assert_equiv(&index.query(&q, k).unwrap(), &oracle(&data, &roles, &q, k));
         }
-        let plan = index.plan(&q).unwrap();
-        let pair = plan
-            .pairs
-            .iter()
-            .find(|p| p.repulsive == zero || p.attractive == zero)
-            .unwrap();
-        assert_eq!(pair.action, PairAction::Frontier, "d{zero} zero");
-        let theta = pair.theta.expect("one weight is live").degrees();
+    }
+    // One zero weight on a single pair: θ_q = 90° (repulsive weight zero)
+    // or 0° (attractive), both indexed, so the pair walks its own frontier.
+    let pair_roles = [DimRole::Repulsive, DimRole::Attractive];
+    let pair_data = rand_dataset(&mut rng, 120, 2);
+    let pair = SdIndex::build(pair_data.clone(), &pair_roles).unwrap();
+    for (zero, deg) in [(0, 90.0), (1, 0.0)] {
+        let mut weights = vec![1.0, 0.6];
+        weights[zero] = 0.0;
+        let q = SdQuery::new(vec![0.4, 0.6], weights).unwrap();
+        for k in [1, 5, 40] {
+            assert_equiv(
+                &pair.query(&q, k).unwrap(),
+                &oracle(&pair_data, &pair_roles, &q, k),
+            );
+        }
+        let QueryPlan::Direct(plan) = pair.plan(&q).unwrap() else {
+            panic!("one pair walks");
+        };
+        assert_eq!(plan.action, PairAction::Frontier, "d{zero} zero");
+        let theta = plan.theta.expect("one weight is live").degrees();
         assert!((theta - deg).abs() < 1e-9, "d{zero} zero: θ_q {theta}°");
     }
+    assert_eq!(index.plan(&q).unwrap(), QueryPlan::Scan { chunks: 2 });
     // All-zero weights: every score is 0; any k points are valid — check
     // count and zero scores only.
     let q = SdQuery::new(vec![0.5; 4], vec![0.0; 4]).unwrap();
@@ -277,7 +289,10 @@ fn memory_accounting() {
         DimRole::Attractive,
     ];
     let index = SdIndex::build(data, &roles).unwrap();
-    assert!(index.memory_bytes() > 0);
+    // Ids, boxes and first ids of eight chunks; no pair index.
+    let order = 4 * 500 + 4 * 2 * 4 * 8 + 4 * 8;
+    assert_eq!(index.memory_bytes(), order + 16 * index.unpaired().len());
+    assert_eq!(index.block_stats(), (0, 0));
 }
 
 #[test]
@@ -311,7 +326,7 @@ fn paper_publisher_example() {
     assert_equiv(&got, &oracle(&data, &roles, &q, 2));
 }
 
-// ─── the scan exit (plan::scan_budget) ──────────────────────────────────────
+// ─── the box scan ───────────────────────────────────────────────────────────
 
 fn assert_bit_identical(got: &[ScoredPoint], want: &[ScoredPoint]) {
     assert_eq!(got.len(), want.len(), "length: got {got:?}\nwant {want:?}");
@@ -323,8 +338,7 @@ fn assert_bit_identical(got: &[ScoredPoint], want: &[ScoredPoint]) {
 
 /// Rows on a noisy simplex: the coordinates of a row sum to ≈ 1, so a row
 /// good on one dimension is bad on the others — hostile to every
-/// threshold algorithm, which is what makes the aggregation outrun its
-/// fetch budget.
+/// threshold algorithm.
 fn anti_correlated(rng: &mut impl Rng, n: usize, dims: usize) -> Dataset {
     let mut coords = Vec::with_capacity(n * dims);
     for _ in 0..n {
@@ -368,34 +382,6 @@ fn drained(floor: &mut QueryFloor<'_>) -> Vec<ScoredPoint> {
     got
 }
 
-/// `index`'s execution of `q` under `mask`, begun out of `scratch` as the
-/// query's one part (its seen-set opened over the index's rows).
-fn begin<'a>(
-    index: &'a SdIndex,
-    mask: Option<MaskView<'a>>,
-    q: &'a SdQuery,
-    scratch: &mut QueryScratch,
-) -> ShardExecution<'a> {
-    scratch.seen.begin(index.data.len());
-    ShardExecution::begin(part(index, mask), q, scratch).unwrap()
-}
-
-/// Hands `exec`'s buffers back to `scratch`, sets `scratch.profile` to its
-/// counters and drains `floor` into the answer, filling the profile's
-/// query-final facts as [`SdIndex::query_with`] does.
-fn finish(
-    exec: ShardExecution<'_>,
-    floor: &mut QueryFloor<'_>,
-    scratch: &mut QueryScratch,
-) -> Vec<ScoredPoint> {
-    scratch.profile.reset();
-    exec.finish(scratch);
-    scratch.profile.floor_value = floor.value();
-    let got = drained(floor);
-    scratch.profile.emitted = got.len() as u64;
-    got
-}
-
 /// `index`'s answer to `q` over the rows `mask` leaves live, scoring into
 /// `floor`, as an engine shard gives it: the one driver over one part,
 /// its profile reset first, as [`SdIndex::query_with`] resets it.
@@ -421,365 +407,86 @@ fn floor_at(heap: &mut BinaryHeap<FloorEntry>, cap: usize, bar: f64) -> QueryFlo
     floor
 }
 
-/// What the scan exit of a completed execution over `index` (one part, no
-/// tombstones) must have scored, recounted from the chunks it visited
-/// (`scratch.chunks.scanned`) and the seen-set the streams left: each chunk
-/// at most once; every chunk whose bound reaches the answer's k-th score
-/// (the floor never stood higher, so none of those can have been skipped);
-/// and, over the visited chunks, exactly the rows the streams had not
-/// surfaced — so every row is scored once at most, through a stream or by
-/// the scan, and no row of a reaching chunk is left out.
+/// How the chunks of one box scan ended ([`assert_scan_scored`]).
+#[derive(Debug, Default, Clone, Copy)]
+struct Outcomes {
+    scored: u64,
+    /// Skipped with a bound strictly under the answer's k-th score.
+    below: u64,
+    /// Skipped with a bound equal to it, every id above its worst.
+    tied: u64,
+}
+
+/// What the box scan of one part over `index` must have scored, recounted
+/// from the chunks it visited (`scratch.chunks.scanned`) against `want`,
+/// the part's final floor (`(score, id)` of its worst entry, when full): no
+/// chunk twice; every chunk that can change that floor — bound above its
+/// score, or equal with its first id below its id — visited (the floor
+/// never stood higher, so none can have been skipped); and the counters
+/// over the visited chunks, dead rows (`dead`, by id) included. Returns how
+/// the chunks ended.
 fn assert_scan_scored(
     index: &SdIndex,
     q: &SdQuery,
     scratch: &QueryScratch,
-    p: &QueryProfile,
-    want: &[ScoredPoint],
-) {
+    worst: Option<(f64, u32)>,
+    dead: &dyn Fn(u32) -> bool,
+) -> Outcomes {
     let order = index
         .order
         .as_ref()
         .expect("an aggregating index is in box order");
     let n = index.data.len();
+    let p = &scratch.profile;
     let mut bounds = Vec::new();
     boxes::chunk_bounds(order, &index.roles, &q.point, &q.weights, &mut bounds);
-    let scanned = &scratch.chunks.scanned;
     let mut visited = vec![false; bounds.len()];
-    for &c in scanned {
+    for &c in &scratch.chunks.scanned {
         assert!(!std::mem::replace(&mut visited[c], true), "chunk {c} twice");
     }
-    let kth = want.last().expect("an answer").score;
+    let mut out = Outcomes::default();
     for (c, &bound) in bounds.iter().enumerate() {
+        let first = order.firsts[c];
+        let reaches = worst.is_none_or(|(s, id)| bound > s || (bound == s && first < id));
         assert!(
-            visited[c] || bound < kth,
-            "chunk {c} reaches {kth} unscored"
+            visited[c] || !reaches,
+            "chunk {c} ({bound}, first {first}) unscored under {worst:?}"
         );
-    }
-    let unseen = |pos: &usize| scratch.seen.unseen_word(*pos, 1) == 1;
-    let streamed = (0..n).filter(|pos| !unseen(pos)).count() as u64;
-    let by_scan = (0..n)
-        .filter(|&pos| visited[pos / CHUNK_ROWS] && unseen(&pos))
-        .count() as u64;
-    assert_eq!(p.tombstones_skipped, 0, "no tombstones here");
-    assert_eq!(p.scan_rows, by_scan, "the scan's rows");
-    assert_eq!(
-        p.points_gathered,
-        streamed + by_scan,
-        "every row scored at most once"
-    );
-}
-
-/// Steps `exec` one round at a time to completion under `floor`, returning
-/// `rows_fetched` after every round.
-fn fetch_trajectory(
-    exec: &mut ShardExecution<'_>,
-    scratch: &mut QueryScratch,
-    floor: &mut QueryFloor<'_>,
-) -> Vec<u64> {
-    let mut fetched = Vec::new();
-    while !exec.step(1, scratch, floor).unwrap() {
-        fetched.push(exec.profile.rows_fetched);
-    }
-    fetched
-}
-
-#[test]
-fn scan_switches_strictly_past_the_budget() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(300);
-    let data = anti_correlated(&mut rng, 2_000, 6);
-    let roles = six_d_roles();
-    let index = SdIndex::build(data.clone(), &roles).unwrap();
-    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
-    let k = 16;
-    let want = oracle(&data, &roles, &q, k);
-    let mut scratch = QueryScratch::new();
-
-    // The pure threshold aggregation: which round had fetched how much.
-    let mut exec = begin(&index, None, &q, &mut scratch);
-    exec.scan_budget = usize::MAX;
-    exec.probe = plan::ScanProbe::new(usize::MAX);
-    let mut heap = BinaryHeap::new();
-    let mut floor = QueryFloor::new(&mut heap, k);
-    let fetched = fetch_trajectory(&mut exec, &mut scratch, &mut floor);
-    assert_eq!(exec.profile.scan_fallbacks, 0);
-    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
-    let i = fetched.len() / 2; // rounds 1..=i+1 ran, the query still open
-    assert!(fetched[i] > fetched[i - 1], "round fetched nothing");
-
-    for (budget, scan_round) in [(fetched[i], i + 3), (fetched[i] - 1, i + 2)] {
-        let mut exec = begin(&index, None, &q, &mut scratch);
-        exec.scan_budget = budget as usize;
-        exec.probe = plan::ScanProbe::new(usize::MAX); // the budget alone decides
-        let mut heap = BinaryHeap::new();
-        let mut floor = QueryFloor::new(&mut heap, k);
-        for round in 1..scan_round {
-            assert!(!exec.step(1, &mut scratch, &mut floor).unwrap());
-            assert_eq!(
-                exec.profile.scan_fallbacks, 0,
-                "budget {budget}: scanned in round {round}, at {} rows",
-                exec.profile.rows_fetched
-            );
-        }
-        // `rows_fetched == budget` fetched once more; one row past it scans,
-        // and the scan completes inside that step.
-        assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
-        let p = exec.profile;
-        assert_eq!(p.scan_fallbacks, 1, "budget {budget}");
-        assert!(p.scan_rows > 0 && p.scan_rows < 2_000);
-        assert_eq!(
-            p.points_gathered + p.seen_hits + p.tombstones_skipped,
-            p.rows_fetched
-        );
-        assert_scan_scored(&index, &q, &scratch, &p, &want);
-        assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
-    }
-}
-
-#[test]
-fn projected_scan_waits_for_its_second_checkpoint() {
-    // The mirror of the test above for the other trigger: under the
-    // index's own budget, with the probe live, nothing scans before the
-    // second checkpoint, and the round that trips completes the scan.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(304);
-    let n = 16_000;
-    let data = anti_correlated(&mut rng, n, 6);
-    let roles = six_d_roles();
-    let index = SdIndex::build(data.clone(), &roles).unwrap();
-    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
-    let k = 16;
-    let want = oracle(&data, &roles, &q, k);
-    let mut scratch = QueryScratch::new();
-    let budget = plan::scan_budget(n) as u64;
-    let span = plan::scan_checkpoint(budget as usize) as u64;
-
-    // Probe held off: the rows each round starts with, up to the spent
-    // budget. Round 1 starts with none and no floor; round 2 has both.
-    let mut exec = begin(&index, None, &q, &mut scratch);
-    exec.probe = plan::ScanProbe::new(usize::MAX);
-    let mut starts_with = vec![0];
-    let mut heap = BinaryHeap::new();
-    let mut floor = QueryFloor::new(&mut heap, k);
-    starts_with.extend(fetch_trajectory(&mut exec, &mut scratch, &mut floor));
-    let p = exec.profile;
-    assert_eq!(
-        (p.scan_fallbacks, p.scan_projected),
-        (1, 0),
-        "spent, not projected"
-    );
-    assert!(p.rows_fetched - p.scan_rows > budget);
-    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
-    // Checkpoints, as 0-based rounds: the first round with `span` rows in,
-    // then the first with `span` more than that.
-    let first = starts_with.iter().position(|&r| r >= span).unwrap();
-    let second = (starts_with.iter())
-        .position(|&r| r >= starts_with[first] + span)
-        .unwrap();
-    assert!(0 < first && first < second && starts_with[second] < budget / 2);
-
-    let mut exec = begin(&index, None, &q, &mut scratch);
-    let mut heap = BinaryHeap::new();
-    let mut floor = QueryFloor::new(&mut heap, k);
-    let mut round = 0;
-    while !exec.step(1, &mut scratch, &mut floor).unwrap() {
-        assert_eq!(exec.profile.scan_fallbacks, 0);
-        round += 1;
-    }
-    let p = exec.profile;
-    assert!(round >= second, "scanned in round {round}, before {second}");
-    assert_eq!((p.scan_fallbacks, p.scan_projected), (1, 1));
-    let through_streams = p.rows_fetched - p.scan_rows;
-    assert_eq!(
-        through_streams, starts_with[round],
-        "left at a round's start"
-    );
-    assert!(through_streams <= budget, "left with budget to spare");
-    assert_scan_scored(&index, &q, &scratch, &p, &want);
-    assert_eq!(
-        p.points_gathered + p.seen_hits + p.tombstones_skipped,
-        p.rows_fetched
-    );
-    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
-}
-
-#[test]
-fn inherited_verdict_scans_at_the_next_round_head() {
-    // The third trigger: an execution whose floor a sibling marked lost
-    // scans at its next round head, whatever its own budget and probe say —
-    // from the first head when it begins on a lost floor, or from the head
-    // after the verdict lands — and marks nothing it did not find.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(306);
-    let n = 16_000;
-    let data = anti_correlated(&mut rng, n, 6);
-    let roles = six_d_roles();
-    let index = SdIndex::build(data.clone(), &roles).unwrap();
-    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
-    let k = 16;
-    let want = oracle(&data, &roles, &q, k);
-    let mut scratch = QueryScratch::new();
-
-    let mut heap = BinaryHeap::new();
-    for rounds_before in [0, 1, 3] {
-        let mut floor = QueryFloor::new(&mut heap, k);
-        let mut exec = begin(&index, None, &q, &mut scratch);
-        if rounds_before > 0 {
-            assert!(!exec.step(rounds_before, &mut scratch, &mut floor).unwrap());
-        }
-        let streamed = exec.profile.rows_fetched;
-        floor.mark_lost();
-        assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
-        let p = exec.profile;
-        assert_eq!(
-            p.rounds,
-            rounds_before as u64 + 1,
-            "scanned at the next head"
-        );
-        assert_eq!(
-            (p.scan_fallbacks, p.scan_projected, p.scan_inherited),
-            (1, 0, 1)
-        );
-        assert_eq!(p.rows_fetched - p.scan_rows, streamed, "no round ran");
-        assert_scan_scored(&index, &q, &scratch, &p, &want);
-        assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
-    }
-
-    // An unbounded budget and a silent probe inherit the verdict all the
-    // same: no execution is exempt from it.
-    let mut floor = QueryFloor::new(&mut heap, k);
-    floor.mark_lost();
-    let mut exec = begin(&index, None, &q, &mut scratch);
-    exec.scan_budget = usize::MAX;
-    exec.probe = plan::ScanProbe::new(usize::MAX);
-    assert!(exec.step(usize::MAX, &mut scratch, &mut floor).unwrap());
-    let p = exec.profile;
-    assert_eq!((p.rounds, p.scan_fallbacks, p.scan_inherited), (1, 1, 1));
-    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
-
-    // The execution that reaches the verdict itself publishes it.
-    let mut floor = QueryFloor::new(&mut heap, k);
-    let got = answer(&index, &q, &mut scratch, &mut floor, None);
-    assert_bit_identical(&got, &want);
-    let p = scratch.profile;
-    assert_eq!((p.scan_fallbacks, p.scan_inherited), (1, 0));
-    assert_eq!(floor.verdict(), Verdict::Lost);
-}
-
-#[test]
-fn a_query_that_started_lost_scans_at_its_first_round_head() {
-    // The fourth trigger: a floor marked lost before the execution begins
-    // sends it to the scan at its first round head, without a fetch, and
-    // counts the scan as predicted, not inherited — also after the
-    // execution's own exit marks the floor in turn. With a floor that
-    // already certifies the execution, it ends there unscanned instead.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(308);
-    let n = 16_000;
-    let data = anti_correlated(&mut rng, n, 6);
-    let roles = six_d_roles();
-    let index = SdIndex::build(data.clone(), &roles).unwrap();
-    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
-    let k = 16;
-    let want = oracle(&data, &roles, &q, k);
-    let mut scratch = QueryScratch::new();
-
-    let mut heap = BinaryHeap::new();
-    let mut floor = QueryFloor::new(&mut heap, k);
-    floor.start_lost();
-    let got = answer(&index, &q, &mut scratch, &mut floor, None);
-    assert_bit_identical(&got, &want);
-    let p = scratch.profile;
-    assert_eq!(p.rounds, 1, "scanned at the first head");
-    assert_eq!(
-        (
-            p.scan_fallbacks,
-            p.scan_projected,
-            p.scan_inherited,
-            p.scan_predicted
-        ),
-        (1, 0, 0, 1)
-    );
-    assert_eq!(p.rows_fetched, p.scan_rows, "nothing came through a stream");
-    assert_scan_scored(&index, &q, &scratch, &p, &want);
-    assert_eq!(floor.verdict(), Verdict::StartedLost);
-
-    // A floor above every row (k rows elsewhere beat them all): certified
-    // at the first head, nothing scanned.
-    let mut floor = floor_at(&mut heap, k, want[0].score + 1.0);
-    floor.start_lost();
-    let got = answer(&index, &q, &mut scratch, &mut floor, None);
-    assert!(got.is_empty());
-    let p = scratch.profile;
-    assert_eq!((p.rounds, p.scan_fallbacks, p.rows_fetched), (1, 0, 0));
-}
-
-#[test]
-fn a_certified_execution_ignores_the_inherited_verdict() {
-    // The verdict is read after the drain and floor checks: an execution
-    // certified at the head where it first sees the flag ends there,
-    // unscanned, exactly as it would have without the flag — on its own,
-    // and beside a sibling shard whose rows hold most of the top k, and
-    // whose k-th score the floor holds, so that fewer than k of the answers
-    // are this shard's.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(307);
-    let data = rand_dataset(&mut rng, 25_000, 4);
-    let sibling = rand_dataset(&mut rng, 25_000, 4);
-    let roles = vec![
-        DimRole::Attractive,
-        DimRole::Repulsive,
-        DimRole::Repulsive,
-        DimRole::Attractive,
-    ];
-    let index = SdIndex::build(data.clone(), &roles).unwrap();
-    let mut scratch = QueryScratch::new();
-    let mut short = 0;
-    for _ in 0..8 {
-        let q = SdQuery::new(
-            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
-            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
-        )
-        .unwrap();
-        let k = 16;
-        let own = oracle(&data, &roles, &q, k);
-        // The k-th best score of the two shards together: a floor a sibling
-        // execution of this query could leave.
-        let mut both: Vec<f64> = own.iter().map(|sp| sp.score).collect();
-        both.extend(oracle(&sibling, &roles, &q, k).iter().map(|sp| sp.score));
-        both.sort_by(|a, b| b.total_cmp(a));
-        for floor in [f64::NEG_INFINITY, both[k - 1]] {
-            let mut want = own.clone();
-            want.retain(|sp| sp.score >= floor);
-            let mut heap = BinaryHeap::new();
-            // The reference: the rounds this execution needs without a
-            // verdict.
-            let mut shared = floor_at(&mut heap, k, floor);
-            let mut exec = begin(&index, None, &q, &mut scratch);
-            assert!(exec.step(usize::MAX, &mut scratch, &mut shared).unwrap());
-            let alone = exec.profile;
-            assert_eq!(alone.scan_fallbacks, 0, "a friendly query certifies");
-            assert_eq!(shared.verdict(), Verdict::Open);
-            assert_bit_identical(&finish(exec, &mut shared, &mut scratch), &want);
-
-            // The same execution, told at its last head that a sibling is
-            // lost.
-            let mut shared = floor_at(&mut heap, k, floor);
-            let mut exec = begin(&index, None, &q, &mut scratch);
-            let before = alone.rounds as usize - 1;
-            if before > 0 {
-                assert!(!exec.step(before, &mut scratch, &mut shared).unwrap());
-            }
-            shared.mark_lost();
-            assert!(exec.step(usize::MAX, &mut scratch, &mut shared).unwrap());
-            assert_eq!(exec.profile, alone, "the verdict changed the execution");
-            assert_bit_identical(&finish(exec, &mut shared, &mut scratch), &want);
-            short += usize::from(want.len() < k);
+        match (visited[c], worst) {
+            (true, _) => out.scored += 1,
+            (false, Some((s, _))) if bound == s => out.tied += 1,
+            (false, _) => out.below += 1,
         }
     }
-    assert!(short > 0, "no sibling held most of the top k");
+    let rows = (0..n).filter(|&pos| visited[pos / CHUNK_ROWS]);
+    let scanned = rows.clone().count() as u64;
+    let dead_rows = rows.filter(|&pos| dead(order.ids[pos])).count() as u64;
+    assert_eq!(p.scan_fallbacks, 1);
+    assert_eq!(
+        (p.chunks_scored, p.chunks_skipped),
+        (out.scored, out.below + out.tied)
+    );
+    assert_eq!(
+        (p.scan_rows, p.rows_fetched),
+        (scanned, scanned),
+        "the scan's rows"
+    );
+    assert_eq!(p.tombstones_skipped, dead_rows);
+    assert_eq!(p.points_gathered, scanned - dead_rows);
+    let pieces = (0..bounds.len())
+        .filter(|&c| visited[c])
+        .map(|c| ((c + 1) * CHUNK_ROWS).min(n) - c * CHUNK_ROWS)
+        .map(|rows| rows.div_ceil(LANES) as u64);
+    assert_eq!(p.kernel_batches, pieces.sum::<u64>());
+    assert_eq!((p.rounds, p.seen_hits, p.blocks_popped), (0, 0, 0));
+    out
 }
 
 #[test]
 fn executions_answer_the_oracle_under_a_pre_filled_floor() {
-    // A stepped aggregation (4-D) and a walk (2-D), each scoring into a
-    // floor another part of the query filled below the k-th answer, leave
-    // the oracle's top k in it, and none of that part's entries.
+    // A box scan (4-D) and a walk (2-D), each scoring into a floor another
+    // part of the query filled below the k-th answer, leave the oracle's
+    // top k in it, and none of that part's entries.
     let mut rng = rand::rngs::StdRng::seed_from_u64(309);
     let k = 16;
     for dims in [4, 2] {
@@ -818,88 +525,7 @@ fn single_pair_refuses_a_query_of_another_dimensionality() {
 }
 
 #[test]
-fn probe_leaves_friendly_queries_alone() {
-    // The false-positive pin: on the anchor's shape — uniform 4-D, k = 16,
-    // one 25 000-row shard — no execution leaves for the scan, and the
-    // probe changes nothing about the ones that certify.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(305);
-    let data = rand_dataset(&mut rng, 25_000, 4);
-    let roles = vec![
-        DimRole::Attractive,
-        DimRole::Repulsive,
-        DimRole::Repulsive,
-        DimRole::Attractive,
-    ];
-    let index = SdIndex::build(data, &roles).unwrap();
-    let mut scratch = QueryScratch::new();
-    for _ in 0..32 {
-        let q = SdQuery::new(
-            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
-            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
-        )
-        .unwrap();
-        let mut exec = begin(&index, None, &q, &mut scratch);
-        exec.probe = plan::ScanProbe::new(usize::MAX);
-        let mut heap = BinaryHeap::new();
-        let mut floor = QueryFloor::new(&mut heap, 16);
-        assert!(exec.step(usize::MAX, &mut scratch, &mut floor).unwrap());
-        finish(exec, &mut floor, &mut scratch);
-        let off = scratch.profile;
-        index.query_with(&q, 16, &mut scratch).unwrap();
-        assert_eq!(scratch.profile.scan_fallbacks, 0);
-        assert_eq!(scratch.profile, off);
-    }
-}
-
-#[test]
-fn scan_after_every_row_was_seen_scores_nothing() {
-    // Two pairs over 64 rows, so each pair's index holds two blocks: the 32
-    // rows of larger repulsive value, then the rest. Pair (x0, y1) is large
-    // on the even rows, pair (x2, y3) on the odd ones, so the first round
-    // surfaces every row while neither stream has drained. Every row
-    // scores 10 but row 0, whose x0 = 100 sinks it to −90: with k = 64 the
-    // floor is −90, below τ = 0 (both second blocks sit at their pair's
-    // origin), so the aggregation is still open with nothing left to
-    // discover.
-    let n = 64;
-    let rows: Vec<Vec<f64>> = (0..n)
-        .map(|r| match r {
-            0 => vec![100.0, 10.0, 0.0, 0.0],
-            r if r % 2 == 0 => vec![0.0, 10.0, 0.0, 0.0],
-            _ => vec![0.0, 0.0, 0.0, 10.0],
-        })
-        .collect();
-    let data = Dataset::from_rows(4, &rows).unwrap();
-    let roles = vec![
-        DimRole::Attractive,
-        DimRole::Repulsive,
-        DimRole::Attractive,
-        DimRole::Repulsive,
-    ];
-    let index = SdIndex::build(data.clone(), &roles).unwrap();
-    let q = SdQuery::new(vec![0.0; 4], vec![1.0; 4]).unwrap();
-    let want = oracle(&data, &roles, &q, n);
-    let mut scratch = QueryScratch::new();
-
-    let mut exec = begin(&index, None, &q, &mut scratch);
-    let mut heap = BinaryHeap::new();
-    let mut floor = QueryFloor::new(&mut heap, n);
-    assert!(!exec.step(1, &mut scratch, &mut floor).unwrap());
-    assert_eq!(exec.profile.rows_fetched, n as u64);
-    assert_eq!(exec.profile.points_gathered, n as u64, "all rows seen");
-    let scored = exec.profile.points_scored;
-    // The next round head finds the budget (n / 8 rows) spent and scans.
-    assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
-    let p = exec.profile;
-    assert_eq!((p.scan_fallbacks, p.scan_rows), (1, 0));
-    assert_eq!(p.points_scored, scored, "the scan scored nothing");
-    assert_eq!((p.rows_fetched, p.points_gathered), (n as u64, n as u64));
-    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
-}
-
-#[test]
 fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
-    use crate::mask::RowMask;
     let mut rng = rand::rngs::StdRng::seed_from_u64(301);
     let n = 400;
     let data = anti_correlated(&mut rng, n, 6);
@@ -909,6 +535,7 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     for row in (0..n).step_by(7) {
         dead.set(row);
     }
+    let is_dead = |id: u32| dead.get(id as usize);
     let live_oracle = |q: &SdQuery, k: usize| -> Vec<ScoredPoint> {
         let mut all = oracle(&data, &roles, q, n);
         all.retain(|sp| !dead.get(sp.id.index()));
@@ -922,50 +549,101 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     for k in [8, 343, 344, n + 3] {
         let mut floor = QueryFloor::new(&mut heap, k.min(343));
         let mask = Some(MaskView::new(&dead, 0));
-        let got = answer(&index, &q, &mut scratch, &mut floor, mask);
+        scratch.profile.reset();
+        answer_parts([part(&index, mask)], &q, &mut scratch, &mut floor).unwrap();
+        let worst = floor.worst();
+        let got = drained(&mut floor);
         assert_bit_identical(&got, &live_oracle(&q, k));
-        let p = scratch.profile;
-        assert_eq!(p.scan_fallbacks, 1, "k = {k}");
-        assert!(p.tombstones_skipped > 0, "the scan met dead rows");
-        assert_eq!(
-            p.points_gathered + p.seen_hits + p.tombstones_skipped,
-            p.rows_fetched
+        assert_scan_scored(&index, &q, &scratch, worst, &is_dead);
+        assert!(
+            scratch.profile.tombstones_skipped > 0,
+            "the scan met dead rows"
         );
     }
-    // All-zero weights: no stream survives, so the execution starts lost
-    // and scans at its first round head; every live row scores 0 and the
-    // canonical answer is the first k live rows.
+    // All-zero weights: every chunk is bounded at 0 and every live row
+    // scores 0, so the canonical answer is the first k live rows. The scan
+    // takes the chunks by smallest id; once the floor holds five, a chunk
+    // whose ids all lie above its worst ties it and is skipped (the median
+    // split scatters small ids over most chunks of so few rows).
     let zero = SdQuery::new(vec![0.3; 6], vec![0.0; 6]).unwrap();
     let mut floor = QueryFloor::new(&mut heap, 5);
     let mask = Some(MaskView::new(&dead, 0));
-    let got = answer(&index, &zero, &mut scratch, &mut floor, mask);
-    let p = scratch.profile;
-    assert_eq!(p.rounds, 1);
-    assert_eq!((p.scan_predicted, p.scan_fallbacks), (1, 1));
-    assert_eq!((p.scan_rows, p.rows_fetched), (n as u64, n as u64));
+    scratch.profile.reset();
+    answer_parts([part(&index, mask)], &zero, &mut scratch, &mut floor).unwrap();
+    let worst = floor.worst();
+    let got = drained(&mut floor);
     let ids: Vec<usize> = got.iter().map(|sp| sp.id.index()).collect();
     assert_eq!(ids, [1, 2, 3, 4, 5]);
     assert!(got.iter().all(|sp| sp.score == 0.0));
+    let out = assert_scan_scored(&index, &zero, &scratch, worst, &is_dead);
+    assert_eq!(out.below, 0, "{out:?}");
+    assert!(out.tied > 0, "{out:?}");
+}
+
+/// The tie-aware skip at one chunk size: 256 copies of one row in 2-D
+/// `[a, a]` (no pair: a scan) are four chunks whose bound equals every
+/// row's score. Ties go by id, so the answer is ids 0..k, and once the
+/// floor holds them every chunk whose ids all lie above its worst is
+/// skipped unread.
+#[test]
+fn a_chunk_tied_with_the_floor_is_skipped_above_its_worst_id() {
+    let rows = vec![vec![0.25, -0.5]; 256];
+    let data = Dataset::from_rows(2, &rows).unwrap();
+    let roles = [DimRole::Attractive, DimRole::Attractive];
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 2.0]).unwrap();
+    let mut scratch = QueryScratch::new();
+    for k in [1, 16, 64, 65, 200] {
+        let want = oracle(&data, &roles, &q, k);
+        let got = index.query_with(&q, k, &mut scratch).unwrap();
+        assert_bit_identical(got, &want);
+        let p = scratch.profile;
+        // The chunks that hold ids below k, and no other.
+        let holding = index
+            .order
+            .as_ref()
+            .unwrap()
+            .firsts
+            .iter()
+            .filter(|&&first| (first as usize) < k)
+            .count() as u64;
+        assert_eq!(
+            (p.chunks_scored, p.chunks_skipped),
+            (holding, 4 - holding),
+            "k = {k}"
+        );
+    }
+    // Under a floor already full at that score with smaller ids, nothing
+    // of this part is read.
+    let mut heap = BinaryHeap::new();
+    let mut floor = QueryFloor::new(&mut heap, 4);
+    for id in 0..4 {
+        floor.offer(-1.25, id);
+    }
+    let far = ShardPart {
+        index: &index,
+        offset: 4,
+        mask: None,
+    };
+    scratch.profile.reset();
+    answer_parts([far], &q, &mut scratch, &mut floor).unwrap();
+    let p = scratch.profile;
+    assert_eq!((p.chunks_scored, p.chunks_skipped, p.scan_rows), (0, 4, 0));
 }
 
 #[test]
 fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
-    // 99 rows — three full chunks and a three-row one — in 4-D, scored
-    // `y1 − x0 + y3 − x2` from the origin by the pairs (x0, y1) and
-    // (x2, y3). Each pair's index cuts its rows by the pair's repulsive
-    // value into blocks of 32, 32, 32 and the top three, so one round
-    // surfaces the top three of each pair: the six stars (x = 0, y ≥ 10),
-    // at lanes 0 and 31 of the first two chunks, inside the second and
-    // inside the short one, alternating between the pairs; the one inside
-    // the second chunk is dead, so the streams have skipped a tombstone
-    // already. Four more dead rows (score 4.5) sit at lanes 0 and 31 of the
-    // third chunk and in the short one; three live rows just below them
-    // (3.4 to 3.6) complete the top 8, and the floor is filled at the 8th
-    // score. So the scan's kernel passes every star and every dead row, and
-    // only the seen-set and the tombstones keep them out. (Lanes and chunks
-    // are named in id order; the index keeps its rows in box order, so the
-    // checks below go from ids to positions, which the seen-set and the
-    // chunks are over.)
+    // 99 rows — one full chunk and a 35-row one — in 4-D, scored
+    // `y1 − x0 + y3 − x2` from the origin. Six stars (x = 0, y ≥ 10) lead;
+    // one of them and four more rows at 4.5, just above three live rows at
+    // 3.4 to 3.6, are dead. The floor is filled at the answer's 8th score,
+    // so the scan's kernel passes every star and every dead row, and only
+    // the tombstones keep the dead ones out. Both chunks reach the floor,
+    // so the lead scores them; the sweeps after it meet the stars' chunks
+    // again, bounds still above the floor, and must pass the rows the lead
+    // has seen by — a star offered twice would sit in the floor twice.
+    // (Rows are named by id; the index keeps them in box order, and the
+    // recount goes through its id column.)
     let n = 99;
     let stars = [0, 31, 32, 50, 63, 97];
     let dead_star = 50;
@@ -1000,8 +678,6 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
         DimRole::Repulsive,
     ];
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    let ids = index.row_ids().expect("box order").to_vec();
-    let pos_of = |id: usize| ids.iter().position(|&i| i as usize == id).unwrap();
     let q = SdQuery::new(vec![0.0; 4], vec![1.0; 4]).unwrap();
     let k = 8;
     let mut dead = RowMask::new(n);
@@ -1013,61 +689,265 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     want.truncate(k);
     let mut heap = BinaryHeap::new();
     let mut floor = floor_at(&mut heap, k, want[k - 1].score);
-
     let mut scratch = QueryScratch::new();
     let mask = Some(MaskView::new(&dead, 0));
-    let mut exec = begin(&index, mask, &q, &mut scratch);
-    assert!(!exec.step(1, &mut scratch, &mut floor).unwrap());
-    let unseen: Vec<usize> = (0..n)
-        .filter(|&p| scratch.seen.unseen_word(p, 1) == 1)
-        .collect();
-    assert_eq!(unseen.len(), n - stars.len(), "the streams hold the stars");
-    assert!(stars.iter().all(|&r| !unseen.contains(&pos_of(r))));
-    // The scan visits the chunks whose box reaches the floor: those of the
-    // stars and the dead rows (4.5 and up) among them.
-    let order = index.order.as_ref().unwrap();
-    let mut bounds = Vec::new();
-    boxes::chunk_bounds(order, &roles, &q.point, &q.weights, &mut bounds);
-    let visited = |p: usize| bounds[p / CHUNK_ROWS] >= want[k - 1].score;
-    assert!(stars.iter().chain(&dead_rows).all(|&r| visited(pos_of(r))));
-    let unseen: Vec<usize> = unseen.into_iter().filter(|&p| visited(p)).collect();
-    let before = exec.profile;
-    assert_eq!(before.tombstones_skipped, 1, "the dead star");
-
-    // The next round head finds the budget spent and scans.
-    exec.scan_budget = 0;
-    assert!(exec.step(1, &mut scratch, &mut floor).unwrap());
-    let p = exec.profile;
-    assert_eq!(p.scan_fallbacks, 1);
-    // The floor stood at the answer's k-th score throughout: exactly the
-    // reaching chunks were scored, each once.
-    let mut scanned = scratch.chunks.scanned.clone();
-    scanned.sort_unstable();
-    let reaching: Vec<usize> = (0..bounds.len())
-        .filter(|&c| bounds[c] >= want[k - 1].score)
-        .collect();
-    assert_eq!(scanned, reaching);
-    // Every counter the scan adds, recounted row by row.
-    let unseen_dead = unseen
-        .iter()
-        .filter(|&&p| dead.get(ids[p] as usize))
-        .count() as u64;
-    let unseen = unseen.len() as u64;
-    assert_eq!(p.scan_rows - before.scan_rows, unseen);
-    assert_eq!(p.rows_fetched - before.rows_fetched, unseen);
-    assert_eq!(
-        p.tombstones_skipped - before.tombstones_skipped,
-        unseen_dead
-    );
-    assert_eq!(
-        p.points_gathered - before.points_gathered,
-        unseen - unseen_dead
-    );
-    assert_eq!(p.points_scored - before.points_scored, near.len() as u64);
-    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want);
+    scratch.profile.reset();
+    answer_parts([part(&index, mask)], &q, &mut scratch, &mut floor).unwrap();
+    let worst = floor.worst();
+    assert_bit_identical(&drained(&mut floor), &want);
+    let out = assert_scan_scored(&index, &q, &scratch, worst, &|id| dead.get(id as usize));
+    assert!(out.scored > 0);
+    let p = scratch.profile;
+    assert!(p.tombstones_skipped >= dead_rows.len() as u64, "{p:?}");
+    // Every chunk in the lead, each read once ([`assert_scan_scored`]).
+    assert_eq!(part_chunks(&part(&index, None)), 2);
+    const { assert!(LEAD_CHUNKS >= 2) };
+    // Scored: the five live stars and the three near rows, each once; no
+    // dead one.
+    assert_eq!(p.points_scored, 8);
 }
 
-// ─── every exit of the one execution path, forced in turn ───────────────────
+/// After the lead has seen every row, the sweeps score nothing. The rows
+/// of the old two-pair probe — every row scores 10 but row 0, whose
+/// `x0 = 100` sinks it to −90 — at `k = n`, so the floor fills only with
+/// the last row: every chunk reaches it to the end. At [`LEAD_CHUNKS`]
+/// chunks the lead takes them all and the sweeps, which meet every chunk
+/// again, read none; with more chunks the sweeps read exactly the ones the
+/// lead left. Either way each row is offered once.
+#[test]
+fn scan_after_every_row_was_seen_scores_nothing() {
+    let roles = vec![
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+        DimRole::Repulsive,
+    ];
+    let q = SdQuery::new(vec![0.0; 4], vec![1.0; 4]).unwrap();
+    let mut scratch = QueryScratch::new();
+    for n in [LEAD_CHUNKS * CHUNK_ROWS, (LEAD_CHUNKS + 2) * CHUNK_ROWS + 5] {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|r| match r {
+                0 => vec![100.0, 10.0, 0.0, 0.0],
+                r if r % 2 == 0 => vec![0.0, 10.0, 0.0, 0.0],
+                _ => vec![0.0, 0.0, 0.0, 10.0],
+            })
+            .collect();
+        let data = Dataset::from_rows(4, &rows).unwrap();
+        let index = SdIndex::build(data.clone(), &roles).unwrap();
+        let chunks = n.div_ceil(CHUNK_ROWS);
+        let got = index.query_with(&q, n, &mut scratch).unwrap();
+        assert_bit_identical(got, &oracle(&data, &roles, &q, n));
+        let p = scratch.profile;
+        assert_eq!((p.chunks_scored, p.chunks_skipped), (chunks as u64, 0));
+        assert_eq!((p.scan_rows, p.points_scored), (n as u64, n as u64));
+        let scanned = &scratch.chunks.scanned;
+        assert_eq!(scanned.len(), chunks, "no chunk read twice");
+        // The lead's chunks come first; the sweeps read only the rest.
+        let mut swept = scanned[LEAD_CHUNKS..].to_vec();
+        swept.sort_unstable();
+        swept.dedup();
+        assert_eq!(swept.len(), chunks - LEAD_CHUNKS, "n = {n}");
+    }
+}
+
+/// Every aggregation now starts where a query that started lost once did:
+/// in the scan, at its first step, with no stream fetched first — no round,
+/// no block popped, every row it reads read by the scan. And under a floor
+/// above every row (`k` rows elsewhere beat them all) it ends there with
+/// nothing read: every chunk is bounded under it.
+#[test]
+fn a_query_that_started_lost_scans_at_its_first_round_head() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(308);
+    let n = 16_000;
+    let data = anti_correlated(&mut rng, n, 6);
+    let roles = six_d_roles();
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let q = SdQuery::new(vec![0.2; 6], vec![1.0, 0.8, 0.6, 0.9, 0.7, 1.0]).unwrap();
+    let k = 16;
+    let want = oracle(&data, &roles, &q, k);
+    let mut scratch = QueryScratch::new();
+
+    let mut heap = BinaryHeap::new();
+    let mut floor = QueryFloor::new(&mut heap, k);
+    scratch.profile.reset();
+    answer_parts([part(&index, None)], &q, &mut scratch, &mut floor).unwrap();
+    let worst = floor.worst();
+    assert_bit_identical(&drained(&mut floor), &want);
+    let p = scratch.profile;
+    assert_eq!((p.rounds, p.blocks_popped, p.nodes_visited), (0, 0, 0));
+    assert_eq!(p.rows_fetched, p.scan_rows, "nothing came through a stream");
+    assert!(0 < p.scan_rows && p.scan_rows < n as u64, "{p:?}");
+    assert_scan_scored(&index, &q, &scratch, worst, &|_| false);
+
+    let chunks = n.div_ceil(CHUNK_ROWS) as u64;
+    let mut floor = floor_at(&mut heap, k, want[0].score + 1.0);
+    let got = answer(&index, &q, &mut scratch, &mut floor, None);
+    assert!(got.is_empty());
+    let p = scratch.profile;
+    assert_eq!((p.chunks_scored, p.chunks_skipped), (0, chunks));
+    assert_eq!((p.scan_rows, p.rows_fetched, p.points_scored), (0, 0, 0));
+}
+
+/// What a part inherits from a sibling is the floor, and nothing else. A
+/// part scanned under the floor a sibling shard leaves — the k-th best
+/// score of the two shards together, so that fewer than `k` of the answers
+/// are this part's — answers exactly its share of the top k, reads every
+/// chunk that can still change that floor and no chunk more than it reads
+/// alone: the chunks the sibling's floor certifies are simply skipped.
+#[test]
+fn a_certified_execution_ignores_the_inherited_verdict() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(307);
+    let data = rand_dataset(&mut rng, 25_000, 4);
+    let sibling = rand_dataset(&mut rng, 25_000, 4);
+    let roles = vec![
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+    ];
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let mut scratch = QueryScratch::new();
+    let mut heap = BinaryHeap::new();
+    let (mut short, mut spared) = (0, 0);
+    for _ in 0..8 {
+        let q = SdQuery::new(
+            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
+            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
+        )
+        .unwrap();
+        let k = 16;
+        let own = oracle(&data, &roles, &q, k);
+        let mut both: Vec<f64> = own.iter().map(|sp| sp.score).collect();
+        both.extend(oracle(&sibling, &roles, &q, k).iter().map(|sp| sp.score));
+        both.sort_by(|a, b| b.total_cmp(a));
+
+        let mut floor = QueryFloor::new(&mut heap, k);
+        scratch.profile.reset();
+        answer_parts([part(&index, None)], &q, &mut scratch, &mut floor).unwrap();
+        let worst = floor.worst();
+        assert_bit_identical(&drained(&mut floor), &own);
+        assert_scan_scored(&index, &q, &scratch, worst, &|_| false);
+        let alone = scratch.profile;
+
+        let mut want = own.clone();
+        want.retain(|sp| sp.score >= both[k - 1]);
+        let mut floor = floor_at(&mut heap, k, both[k - 1]);
+        scratch.profile.reset();
+        answer_parts([part(&index, None)], &q, &mut scratch, &mut floor).unwrap();
+        let worst = floor.worst();
+        assert_bit_identical(&drained(&mut floor), &want);
+        assert_scan_scored(&index, &q, &scratch, worst, &|_| false);
+        let inherited = scratch.profile;
+        assert!(
+            inherited.chunks_scored <= alone.chunks_scored,
+            "{inherited:?}\n{alone:?}"
+        );
+        short += usize::from(want.len() < k);
+        spared += alone.chunks_scored - inherited.chunks_scored;
+    }
+    assert!(short > 0, "no sibling held most of the top k");
+    assert!(spared > 0, "the sibling's floor certified no chunk");
+}
+
+/// The false-positive pin of the scan, on the anchor's shape — uniform 4-D,
+/// k = 16, one 25 000-row shard: friendly queries stay cheap. Each reads
+/// under an eighth of its rows, answers like the oracle, and repeats its
+/// profile counter for counter.
+#[test]
+fn probe_leaves_friendly_queries_alone() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(305);
+    let n = 25_000;
+    let data = rand_dataset(&mut rng, n, 4);
+    let roles = vec![
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+    ];
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    let mut scratch = QueryScratch::new();
+    for _ in 0..32 {
+        let q = SdQuery::new(
+            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
+            (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
+        )
+        .unwrap();
+        let got = index.query_with(&q, 16, &mut scratch).unwrap().to_vec();
+        assert_bit_identical(&got, &oracle(&data, &roles, &q, 16));
+        let first = scratch.profile;
+        assert!(first.scan_rows < n as u64 / 8, "{first:?}");
+        index.query_with(&q, 16, &mut scratch).unwrap();
+        assert_eq!(scratch.profile, first);
+    }
+}
+
+/// One certifying stream against the box scan, at size. A [`Pair2DStream`]
+/// over a 2-D `[a, r]` index, run as a one-stream threshold loop — fetch a
+/// block, score its rows, stop once the k-th best beats the stream's bound
+/// — is what `sdq-paper`'s §5 aggregation runs one of per pair. On 20 000
+/// uniform rows it certifies before it has fetched a quarter of them, and
+/// answers, bit for bit, what the box scan answers over the same rows (a
+/// third column, unpaired and weighted 0, makes that index scan).
+#[test]
+fn certifying_streams_match_the_scan_at_size() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(302);
+    let n = 20_000;
+    let pair = rand_dataset(&mut rng, n, 2);
+    let flat = pair
+        .iter()
+        .flat_map(|(_, c)| [c[0], c[1], rng.gen_range(0.0..1.0)])
+        .collect();
+    let roles = [DimRole::Attractive, DimRole::Repulsive];
+    let streamed = SdIndex::build(pair.clone(), &roles).unwrap();
+    let scanned = SdIndex::build(
+        Dataset::from_flat(3, flat).unwrap(),
+        &[DimRole::Attractive, DimRole::Repulsive, DimRole::Attractive],
+    )
+    .unwrap();
+    let k = 16;
+    let (mut scratch, mut prof) = (QueryScratch::new(), QueryProfile::default());
+    let (mut heap, mut batch) = (BinaryHeap::new(), Vec::new());
+    for _ in 0..16 {
+        let point: Vec<f64> = (0..2).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let weights: Vec<f64> = (0..2).map(|_| rng.gen_range(0.1..1.0)).collect();
+        let q = SdQuery::new(point.clone(), weights.clone()).unwrap();
+        let mut stream = Pair2DStream::new(&streamed, &q).unwrap().expect("one pair");
+        let mut floor = QueryFloor::new(&mut heap, k);
+        let mut fetched = 0;
+        while let Some(bound) = stream.bound() {
+            let f = floor.bar();
+            if f > inflate(bound) {
+                break;
+            }
+            batch.clear();
+            let prune = (f > f64::NEG_INFINITY).then_some((f, 0.0));
+            if !stream.next_unit(prune, &mut batch, &mut prof) {
+                break;
+            }
+            fetched += batch.len();
+            for &row in &batch {
+                let p = pair.point(crate::types::PointId::new(row));
+                floor.offer(sd_score(p, &q.point, &roles, &q.weights), row);
+            }
+        }
+        let got = drained(&mut floor);
+        assert_bit_identical(&got, &oracle(&pair, &roles, &q, k));
+        assert!(fetched < n / 4, "fetched {fetched} of {n}");
+
+        let wide = SdQuery::new(
+            vec![point[0], point[1], rng.gen_range(0.0..1.0)],
+            vec![weights[0], weights[1], 0.0],
+        )
+        .unwrap();
+        assert!(scanned.single_pair(&wide).is_none());
+        let want = scanned.query_with(&wide, k, &mut scratch).unwrap();
+        assert_bit_identical(&got, want);
+        let p = scratch.profile;
+        assert_eq!((p.scan_fallbacks, p.rounds, p.blocks_popped), (1, 0, 0));
+    }
+}
+
+// ─── every way a chunk leaves the one scan, forced in turn ──────────────────
 
 /// One dataset of the sweep below, by kind: uniform, anti-correlated, a
 /// handful of distinct rows repeated, one constant column, ±0 coordinates.
@@ -1100,24 +980,24 @@ fn sweep_dataset(rng: &mut impl Rng, kind: usize, n: usize, dims: usize) -> Data
     }
 }
 
+/// Every way a chunk leaves the box scan — scored, skipped under the floor,
+/// skipped at a tie above the floor's worst id — over uniform, hostile,
+/// repeated, constant and ±0 rows, zero weights, tombstones, `k` from 1 to
+/// past `n`, and a floor another part of the query pre-filled or not: the
+/// answer is the oracle's bit for bit, and the counters recount exactly.
 #[test]
 fn every_exit_forced_at_the_one_constructor() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(303);
     let mut scratch = QueryScratch::new();
-    // How the budget-0 runs ended: by scanning, or certified before the
-    // budget was ever consulted with a row fetched.
-    let (mut scanned, mut certified_first) = (0, 0);
-    // How the runs under the index's own budget with the probe live ended:
-    // on the projection, on the spent budget, or certified.
-    let (mut projected, mut spent, mut certified) = (0, 0, 0);
-    // Runs told after their first round that a sibling is lost: scanned on
-    // that verdict, or certified (or spent) before it could count.
-    let (mut inherited, mut inherited_certified) = (0, 0);
+    let mut total = Outcomes::default();
     for case in 0..60 {
         let n = rng.gen_range(1..=600);
         let dims = rng.gen_range(2..=6);
         let data = sweep_dataset(&mut rng, case % 5, n, dims);
-        let roles = rand_roles(&mut rng, dims);
+        let mut roles = rand_roles(&mut rng, dims);
+        if roles.len() == 2 && roles[0] != roles[1] {
+            roles[1] = roles[0]; // a single pair walks; this sweep scans
+        }
         let index = SdIndex::build(data.clone(), &roles).unwrap();
         let weights: Vec<f64> = (0..dims)
             .map(|_| match (case % 7, rng.gen_range(0..4)) {
@@ -1143,140 +1023,29 @@ fn every_exit_forced_at_the_one_constructor() {
         let mask = (case % 2 == 1).then(|| MaskView::new(&dead, 0));
         let mut live = oracle(&data, &roles, &q, n);
         live.retain(|sp| !dead.get(sp.id.index()));
-
         for k in [1, n.saturating_sub(1).max(1), n, n + 3] {
             let want = &live[..k.min(live.len())];
-            let mut pure_rounds = 0;
-            let natural = plan::scan_budget(n);
-            // `lost_after`: the rounds run before the query's floor is
-            // marked lost, as a sibling's verdict would mark it (`None`:
-            // never).
-            for (budget, probe_live, lost_after) in [
-                (usize::MAX, false, None),
-                (natural, false, None),
-                (0, false, None),
-                (natural, true, None),
-                (natural, false, Some(0)),
-                (natural, false, Some(1)),
-            ] {
-                let mut stepped: Option<QueryProfile> = None;
-                for step in [1, 8, usize::MAX] {
-                    let mut exec = begin(&index, mask, &q, &mut scratch);
-                    exec.scan_budget = budget;
-                    if !probe_live {
-                        exec.probe = plan::ScanProbe::new(usize::MAX);
-                    }
-                    let mut heap = BinaryHeap::new();
-                    let mut floor = QueryFloor::new(&mut heap, want.len());
-                    let mut done = false;
-                    if let Some(rounds) = lost_after {
-                        done = rounds > 0 && exec.step(rounds, &mut scratch, &mut floor).unwrap();
-                        floor.mark_lost();
-                    }
-                    while !done {
-                        done = exec.step(step, &mut scratch, &mut floor).unwrap();
-                    }
-                    assert_bit_identical(&finish(exec, &mut floor, &mut scratch), want);
-                    let p = scratch.profile;
-                    let at = format!(
-                        "case {case} n {n} dims {dims} k {k} budget {budget} \
-                         probe {probe_live} lost after {lost_after:?} step {step}"
-                    );
-                    assert_eq!(
-                        p.points_gathered + p.seen_hits + p.tombstones_skipped,
-                        p.rows_fetched,
-                        "{at}"
-                    );
-                    // Slicing the loop differently changes no counter.
-                    assert_eq!(*stepped.get_or_insert(p), p, "{at}");
-                }
-                let p = stepped.expect("three runs");
-                assert!(
-                    p.scan_fallbacks <= 1
-                        && p.scan_projected + p.scan_inherited <= p.scan_fallbacks
-                );
-                if lost_after.is_none() {
-                    assert_eq!(p.scan_inherited, 0, "no verdict, none inherited");
-                }
-                // No stream (no pair, or every pair's weights zero — the
-                // unpaired dimensions only bound): every run scans at its
-                // first round head, whatever the budget or the floor says —
-                // unless there is no live row to answer with.
-                let streams = index
-                    .pairs
-                    .iter()
-                    .any(|p| q.weights[p.repulsive] != 0.0 || q.weights[p.attractive] != 0.0);
-                if !streams {
-                    let scans = u64::from(!want.is_empty());
-                    assert_eq!(
-                        (p.rounds, p.scan_predicted, p.scan_fallbacks),
-                        (1, scans, scans),
-                        "case {case} k {k} budget {budget} lost after {lost_after:?}"
-                    );
-                    continue;
-                }
-                match lost_after {
-                    // Marked lost before the first head: nothing streams.
-                    Some(0) => {
-                        assert_eq!((p.rounds, p.scan_inherited), (1, 1));
-                        assert_eq!(p.rows_fetched, p.scan_rows);
-                        continue;
-                    }
-                    // After one round: the second head scans unless the
-                    // first round ended the query (as for the empty budget
-                    // below), or it spent the budget itself.
-                    Some(_) => {
-                        match pure_rounds {
-                            1 => assert_eq!(p.scan_fallbacks, 0),
-                            r if r > 2 => assert_eq!(p.scan_fallbacks, 1),
-                            _ => {}
-                        }
-                        inherited += p.scan_inherited;
-                        inherited_certified += 1 - p.scan_inherited;
-                        continue;
-                    }
-                    None => {}
-                }
-                if probe_live {
-                    projected += p.scan_projected;
-                    spent += p.scan_fallbacks - p.scan_projected;
-                    certified += 1 - p.scan_fallbacks;
-                    continue;
-                }
-                assert_eq!(p.scan_projected, 0, "the probe was held off");
-                match budget {
-                    usize::MAX => {
-                        assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));
-                        pure_rounds = p.rounds;
-                    }
-                    // Round 1 fetches on an empty budget; round 2 certifies
-                    // or scans. The pure run says which: it was over within
-                    // one round, or still open after two.
-                    0 if pure_rounds == 1 => assert_eq!(p.scan_fallbacks, 0),
-                    0 if pure_rounds > 2 => assert_eq!(p.scan_fallbacks, 1),
-                    _ => {}
-                }
-                if budget == 0 {
-                    scanned += p.scan_fallbacks;
-                    certified_first += 1 - p.scan_fallbacks;
-                }
+            for prefilled in [false, true] {
+                let mut heap = BinaryHeap::new();
+                let mut floor = match want.last() {
+                    Some(last) if prefilled => floor_at(&mut heap, want.len(), last.score),
+                    _ => QueryFloor::new(&mut heap, want.len()),
+                };
+                scratch.profile.reset();
+                answer_parts([part(&index, mask)], &q, &mut scratch, &mut floor).unwrap();
+                let worst = floor.worst();
+                assert_bit_identical(&drained(&mut floor), want);
+                let out =
+                    assert_scan_scored(&index, &q, &scratch, worst, &|id| dead.get(id as usize));
+                total.scored += out.scored;
+                total.below += out.below;
+                total.tied += out.tied;
             }
         }
     }
     assert!(
-        scanned >= 120 && certified_first > 0,
-        "an empty budget must mostly scan, and sometimes not get to: \
-         {scanned} scans, {certified_first} certified"
-    );
-    assert!(
-        projected > 0 && spent > 0 && certified > 0,
-        "both triggers and plain certification must each occur: \
-         {projected} projected, {spent} spent, {certified} certified"
-    );
-    assert!(
-        inherited > 0 && inherited_certified > 0,
-        "a verdict after round one must send some runs to the scan and \
-         find others done: {inherited} inherited, {inherited_certified} not"
+        total.scored > 0 && total.below > 0 && total.tied > 0,
+        "every way out of the scan must occur: {total:?}"
     );
 }
 
@@ -1293,9 +1062,10 @@ fn rand_dead(rng: &mut impl Rng, n: usize) -> RowMask {
     dead
 }
 
-/// `index` with every pair's rows dealt into blocks by a random permutation
+/// `index` with its pair's rows dealt into blocks by a random permutation
 /// — no tiles, no strips, no order at all; a file written by a build that
-/// ordered its blocks some other way is one of these.
+/// ordered its blocks some other way is one of these. (An index that scans
+/// has no block set to deal.)
 fn dealt_at_random(index: &SdIndex, rng: &mut impl Rng) -> SdIndex {
     let n = index.data.len();
     let mut dealt = index.clone();
@@ -1320,7 +1090,7 @@ proptest! {
     // Every bound is a true min/max over the block's points, so the answer
     // cannot depend on which points share a block: tiled, dealt at random
     // and scanned agree bit for bit — the direct 2-D walk (two dimensions)
-    // and the §5 aggregation, dead rows or not.
+    // and the box scan, dead rows or not.
     #[test]
     fn any_order_is_an_index(
         seed in 0u64..1 << 48,
@@ -1359,52 +1129,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    // The certifying block-stream path at a size where it is the path: the
-    // small-n sweeps above mostly end in the scan exit, so here the budget
-    // is lifted and every query must certify off its streams — duplicate
-    // rows, a constant column and ±0 ties included.
-    #[test]
-    fn certifying_streams_match_the_scan_at_size(
-        seed in 0u64..1 << 48,
-        n in 4096usize..=8192,
-        dims in prop_oneof![Just(2usize), Just(4), Just(6)],
-        kind in 0usize..5,
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let data = sweep_dataset(&mut rng, kind, n, dims);
-        let roles: Vec<DimRole> = (0..dims)
-            .map(|d| if d % 2 == 0 { DimRole::Attractive } else { DimRole::Repulsive })
-            .collect();
-        let index = SdIndex::build(data.clone(), &roles).unwrap();
-        prop_assert_eq!(index.pairs().len(), dims / 2);
-        let dead = rand_dead(&mut rng, n);
-        let mut scratch = QueryScratch::new();
-        let mut blocks_popped = 0;
-        for i in 0..3 {
-            let q = rand_query(&mut rng, dims);
-            let mask = (i == 2).then(|| MaskView::new(&dead, 0));
-            let mut want = oracle(&data, &roles, &q, n);
-            want.retain(|sp| !(mask.is_some() && dead.get(sp.id.index())));
-            for k in [1, 16, 100] {
-                let mut exec = begin(&index, mask, &q, &mut scratch);
-                exec.scan_budget = usize::MAX;
-                exec.probe = plan::ScanProbe::new(usize::MAX);
-                let mut heap = BinaryHeap::new();
-                let mut floor = QueryFloor::new(&mut heap, k);
-                while !exec.step(usize::MAX, &mut scratch, &mut floor).unwrap() {}
-                assert_bit_identical(&finish(exec, &mut floor, &mut scratch), &want[..k]);
-                let p = scratch.profile;
-                prop_assert_eq!((p.scan_fallbacks, p.scan_rows), (0, 0));
-                blocks_popped += p.blocks_popped;
-            }
-        }
-        prop_assert!(blocks_popped > 0, "no block stream ran");
-    }
-}
-
 /// Every unpaired dimension keeps its extent over the index's rows, and a
 /// decode names a forged extent — non-finite, or `lo > hi` — by its
 /// dimension, whichever one it sits in; a forged extent that is still an
@@ -1430,13 +1154,13 @@ fn decode_names_the_forged_extent_of_any_unpaired_dimension() {
     }
     let bytes = encode_to_vec(&index);
     // `index.meta` leads the encoding, `[crc32c][len][bytes]`, and ends in
-    // the two extents (32 bytes) and the rows a chunk of the box order (a
-    // `u32`).
+    // the two extents (32 bytes), the rows a chunk of the box order and the
+    // flag that no pair index follows (a `u32` each).
     let len = u64::from_le_bytes(bytes[4..12].try_into().unwrap()) as usize;
     let meta_end = 12 + len;
     let forge = |at: usize, lo: f64, hi: f64| {
         let mut forged = bytes.clone();
-        let slot = meta_end - 36 + 16 * at;
+        let slot = meta_end - 40 + 16 * at;
         forged[slot..slot + 8].copy_from_slice(&lo.to_le_bytes());
         forged[slot + 8..slot + 16].copy_from_slice(&hi.to_le_bytes());
         let crc = crate::integrity::crc32c(&forged[12..meta_end]);

@@ -5,9 +5,8 @@
 //! scored — and [`QueryProfile`] is how that is observed. Every query
 //! entry point increments a fixed set of `u64` counters as it runs: the
 //! frontier walk ([`BlockFrontier`]), the block-level
-//! floor pruning, the per-lane mask filter, the batched scoring kernels,
-//! the delta scan, the tombstone mask and the drain of the query's answer
-//! heap.
+//! floor pruning, the box scan's chunks, the scoring kernels, the delta
+//! scan, the tombstone mask and the drain of the query's answer heap.
 //!
 //! The counters live inside [`QueryScratch`](crate::QueryScratch) — one
 //! profile a query, whatever answers it: the index, the engine (its delta
@@ -45,7 +44,7 @@
 //! let p = &scratch.profile;
 //! assert_eq!(p.emitted, 8);
 //! // Internal consistency: nothing is scored that was not gathered first,
-//! // and nothing is gathered that was not fetched from some stream.
+//! // and nothing is gathered that was not fetched first.
 //! assert!(p.points_scored <= p.points_gathered);
 //! assert!(p.points_gathered <= p.rows_fetched);
 //! // The pruning funnel is monotone non-increasing after the first stage.
@@ -60,16 +59,14 @@
 
 use crate::kernels::LANES;
 
-/// Execution counters for one query (or one shard execution's share of
-/// it, which the execution adds to the query's profile when it finishes).
+/// Execution counters for one query.
 ///
 /// All counters are plain `u64`s incremented inline on the hot paths —
 /// always on. `floor_value` is the final k-th-score floor; `isa` names the
 /// kernel backend that scored the batches. The three `*_nanos` stage
 /// timings are collected only while [`QueryProfile::timing`] is set, and
 /// only on the query's own profile (they are **not** summed by
-/// [`QueryProfile::merge`], so a shard execution's share never
-/// double-counts them).
+/// [`QueryProfile::merge`]).
 ///
 /// **On the direct single-pair walk** (the road of
 /// [`answer_parts`](crate::multidim::answer_parts) for a one-pair query,
@@ -79,10 +76,20 @@ use crate::kernels::LANES;
 /// dead among them; `points_gathered` — the rest, every one scored by the
 /// 2-D kernel in one `kernel_batches` call per block; `points_scored` and
 /// `floor_updates` — the lanes that passed the floor compare, and what they
-/// did to the floor; `floor_value` and `emitted` as everywhere. No row is
-/// met twice (`seen_hits` 0), nothing is scanned (`scan_*` 0) and there are
-/// no rounds: `rounds` stays 0, which is how a profile says the query
-/// walked.
+/// did to the floor; `floor_value` and `emitted` as everywhere. Nothing is
+/// scanned (`scan_*` and `chunks_*` 0).
+///
+/// **On the box scan** (every other engine or index query) the counters
+/// read: `scan_fallbacks` — the parts scanned; `chunks_scored` and
+/// `chunks_skipped` — their chunks; `rows_fetched` and `scan_rows` — the
+/// rows of the scored chunks (plus every delta row in `rows_fetched`);
+/// `tombstones_skipped` — the dead among them; `points_gathered` — the
+/// rest; `kernel_batches` — one per scored piece of up to [`LANES`] rows;
+/// `points_scored` and `floor_updates` — the rows that reached the floor,
+/// and what they did to it. No stream runs: the frontier counters,
+/// `lanes_masked`, `rounds` and `seen_hits` stay 0 — they count the paper's
+/// §5 aggregation (`sdq-paper`) and the TA baseline, which run loops of
+/// their own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryProfile {
     /// Envelope nodes expanded by the block frontiers, each counted once:
@@ -106,51 +113,35 @@ pub struct QueryProfile {
     /// Rows the adapted-TA baseline (`sdq-baselines`' `TaIndex`) pulled off
     /// its per-dimension sorted lists. No index or engine query sets it.
     pub onedim_rows_pulled: u64,
-    /// Candidate rows handed to the scoring stage: every stream's block
-    /// lanes (a TA baseline's list rows), duplicates included, plus
+    /// Candidate rows handed to the scoring stage: the box scan's
     /// [`scan_rows`](QueryProfile::scan_rows) and every delta row (the live
     /// ones are [`delta_rows_scanned`](QueryProfile::delta_rows_scanned),
     /// the dead ones count in `tombstones_skipped`); on the direct walk,
-    /// the live lanes of every popped block.
+    /// the live lanes of every popped block; in a stream loop (`sdq-paper`'s
+    /// §5 aggregation, the TA baseline) every fetched row, duplicates
+    /// included.
     pub rows_fetched: u64,
-    /// Shard executions that finished with a sequential kernel scan
-    /// instead of more fetches: their fetch budget
-    /// ([`scan_budget`](crate::multidim::plan::scan_budget)) was spent,
-    /// projected to be ([`scan_projected`](QueryProfile::scan_projected)),
-    /// a sibling's verdict said so
-    /// ([`scan_inherited`](QueryProfile::scan_inherited)), or the query
-    /// started lost ([`scan_predicted`](QueryProfile::scan_predicted)).
+    /// Parts (an engine's shards, or the one index) the box scan ran over.
     pub scan_fallbacks: u64,
-    /// The scan fallbacks that left *before* the budget was spent, on the
-    /// threshold gap's projection.
-    pub scan_projected: u64,
-    /// The scan fallbacks that left on a sibling execution's verdict, read
-    /// off the query's [`QueryFloor`](crate::QueryFloor).
-    pub scan_inherited: u64,
-    /// The scan fallbacks of a query that started lost: the engine's history
-    /// of the query's shape said its streams lose
-    /// ([`QueryFloor::start_lost`](crate::QueryFloor::start_lost)),
-    /// or the query has no stream at all (every weight zero), so each
-    /// execution scanned at its first round head without fetching. Not
-    /// also counted as `scan_inherited`, so `scan_fallbacks − scan_projected
-    /// − scan_inherited − scan_predicted` spent the whole budget first.
-    pub scan_predicted: u64,
-    /// Rows those scans visited — every row the streams had not surfaced
-    /// when the scan began, tombstoned ones included. Counted into
-    /// `rows_fetched`, so `rows_fetched − scan_rows` came through streams.
+    /// Rows of the chunks the box scan scored, tombstoned ones included.
+    /// Counted into `rows_fetched`.
     pub scan_rows: u64,
+    /// Chunks the box scan scored: their bound reached the floor at their
+    /// turn.
+    pub chunks_scored: u64,
+    /// Chunks the box scan bounded and skipped unread: their bound was under
+    /// the floor, or tied it with every id above the floor's worst.
+    pub chunks_skipped: u64,
     /// Distinct live rows gathered into SoA lanes for full scoring.
     pub points_gathered: u64,
     /// Rows whose exact full SD-score was computed and kept (survived the
     /// batched survivor compare against the higher of the local and the
     /// shared k-th-score floor).
     pub points_scored: u64,
-    /// Kernel batch invocations, each scoring up to [`LANES`] rows: a
-    /// gathered batch of fetched rows, a popped block of the direct walk,
-    /// and every chunk of [`LANES`] consecutive rows a scan scores — the
-    /// scan exit scores all of a shard's chunks, seen and tombstoned rows
-    /// included, so it adds the shard's chunk count; the delta scan skips
-    /// only a chunk whose rows are all tombstoned.
+    /// Kernel batch invocations, each scoring up to [`LANES`] rows: a popped
+    /// block of the direct walk, every piece of [`LANES`] consecutive rows
+    /// the box scan scores (tombstoned rows included), and every delta
+    /// piece with a live row.
     pub kernel_batches: u64,
     /// Kernel backend that scored the batches (`"avx2"`, `"sse2"`,
     /// `"scalar"`; empty until a batch runs).
@@ -163,14 +154,15 @@ pub struct QueryProfile {
     pub delta_blocks_pruned: u64,
     /// Rows dropped by the tombstone mask (indexed and delta).
     pub tombstones_skipped: u64,
-    /// Rows dropped by the seen-set (already scored this query).
+    /// Rows a stream loop dropped as already scored this query (`sdq-paper`'s
+    /// §5 aggregation; the box scan meets every row once).
     pub seen_hits: u64,
     /// Updates to the k-th-score floor (insertions and improvements).
     pub floor_updates: u64,
     /// Final k-th-score floor (`-inf` until `k` scores are known).
     pub floor_value: f64,
-    /// Aggregation rounds executed (one fetch per stream each); 0 on the
-    /// direct walk.
+    /// Rounds of a stream loop (one fetch per stream each: `sdq-paper`'s §5
+    /// aggregation, the TA baseline); 0 on the walk and the box scan.
     pub rounds: u64,
     /// Rows the engine drained from the query's answer heap (its
     /// [`QueryFloor`](crate::QueryFloor)) into the answer; `0` on the
@@ -184,7 +176,7 @@ pub struct QueryProfile {
     /// Nanoseconds in the delta scan (engine path, dirty only).
     pub delta_scan_nanos: u64,
     /// Nanoseconds in the driver ([`answer_parts`]), summed over its calls
-    /// of one query: the walk or the aggregation of every part.
+    /// of one query: the walk or the box scan of every part.
     ///
     /// [`answer_parts`]: crate::multidim::answer_parts
     pub aggregate_nanos: u64,
@@ -204,10 +196,9 @@ impl Default for QueryProfile {
             onedim_rows_pulled: 0,
             rows_fetched: 0,
             scan_fallbacks: 0,
-            scan_projected: 0,
-            scan_inherited: 0,
-            scan_predicted: 0,
             scan_rows: 0,
+            chunks_scored: 0,
+            chunks_skipped: 0,
             points_gathered: 0,
             points_scored: 0,
             kernel_batches: 0,
@@ -246,8 +237,8 @@ impl QueryProfile {
         };
     }
 
-    /// Accumulates another profile's counters into this one: a shard
-    /// execution's share into the query's profile. Counters add;
+    /// Accumulates another profile's counters into this one (many queries'
+    /// into one total). Counters add;
     /// `floor_value` takes the max (floors only rise); stage timings are
     /// deliberately **not** summed — they belong to the query's profile
     /// alone.
@@ -260,10 +251,9 @@ impl QueryProfile {
         self.onedim_rows_pulled += other.onedim_rows_pulled;
         self.rows_fetched += other.rows_fetched;
         self.scan_fallbacks += other.scan_fallbacks;
-        self.scan_projected += other.scan_projected;
-        self.scan_inherited += other.scan_inherited;
-        self.scan_predicted += other.scan_predicted;
         self.scan_rows += other.scan_rows;
+        self.chunks_scored += other.chunks_scored;
+        self.chunks_skipped += other.chunks_skipped;
         self.points_gathered += other.points_gathered;
         self.points_scored += other.points_scored;
         self.kernel_batches += other.kernel_batches;
@@ -287,7 +277,7 @@ impl QueryProfile {
     /// `--profile-json` and its slow-query events print. Each name is its
     /// field's, written once; the destructure names every field, so a new
     /// one does not compile until it is listed or set aside after the `;`.
-    pub fn counters(&self) -> [(&'static str, u64); 23] {
+    pub fn counters(&self) -> [(&'static str, u64); 22] {
         macro_rules! named {
             ($p:expr; $($counter:ident),*; $($other:ident),*) => {{
                 let QueryProfile { $($counter,)* $($other: _,)* } = $p;
@@ -297,10 +287,10 @@ impl QueryProfile {
         named! {
             *self;
             nodes_visited, envelope_nodes_rejected, blocks_popped, blocks_floor_pruned,
-            lanes_masked, onedim_rows_pulled, rows_fetched, scan_fallbacks, scan_projected,
-            scan_inherited, scan_predicted, scan_rows, points_gathered, points_scored,
-            kernel_batches, delta_rows_scanned, delta_blocks_pruned, tombstones_skipped,
-            seen_hits, floor_updates, rounds, merge_rounds, emitted;
+            lanes_masked, onedim_rows_pulled, rows_fetched, scan_fallbacks, scan_rows,
+            chunks_scored, chunks_skipped, points_gathered, points_scored, kernel_batches,
+            delta_rows_scanned, delta_blocks_pruned, tombstones_skipped, seen_hits,
+            floor_updates, rounds, merge_rounds, emitted;
             isa, floor_value, timing, delta_scan_nanos, aggregate_nanos, merge_nanos
         }
     }
@@ -316,7 +306,7 @@ impl QueryProfile {
     /// block-granularity stages count [`LANES`] points per block (the
     /// admissible upper bound on what survived), and rows that reach the
     /// scoring stage by another road (1-D streams, the live rows of the
-    /// delta scan, the scan exit's `scan_rows`) pass undiminished through
+    /// delta scan, the box scan's `scan_rows`) pass undiminished through
     /// the stages that cannot prune them. The lane-mask stage is the fetched
     /// rows less the tombstoned ones: the lanes the pair filter and the
     /// tombstone mask both let through to scoring.
@@ -349,13 +339,13 @@ mod tests {
         let mut p = QueryProfile::new();
         p.timing = true;
         p.rounds = 7;
-        p.scan_inherited = 3;
-        p.scan_predicted = 2;
+        p.chunks_scored = 3;
+        p.chunks_skipped = 2;
         p.floor_value = 3.5;
         p.aggregate_nanos = 99;
         p.reset();
         assert!(p.timing);
-        assert_eq!((p.rounds, p.scan_inherited, p.scan_predicted), (0, 0, 0));
+        assert_eq!((p.rounds, p.chunks_scored, p.chunks_skipped), (0, 0, 0));
         assert_eq!(p.aggregate_nanos, 0);
         assert_eq!(p.floor_value, f64::NEG_INFINITY);
     }
@@ -364,16 +354,16 @@ mod tests {
     fn merge_adds_counters_maxes_floor_skips_timing() {
         let mut a = QueryProfile {
             blocks_popped: 3,
-            scan_inherited: 1,
-            scan_predicted: 4,
+            chunks_scored: 1,
+            chunks_skipped: 4,
             floor_value: 1.0,
             aggregate_nanos: 10,
             ..QueryProfile::default()
         };
         let b = QueryProfile {
             blocks_popped: 4,
-            scan_inherited: 2,
-            scan_predicted: 4,
+            chunks_scored: 2,
+            chunks_skipped: 4,
             floor_value: 2.0,
             isa: "avx2",
             aggregate_nanos: 50,
@@ -381,7 +371,7 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(
-            (a.blocks_popped, a.scan_inherited, a.scan_predicted),
+            (a.blocks_popped, a.chunks_scored, a.chunks_skipped),
             (7, 3, 8)
         );
         assert_eq!(a.floor_value, 2.0);
@@ -402,11 +392,11 @@ mod tests {
         let c = p.counters();
         assert_eq!(c[0], ("nodes_visited", 1));
         assert_eq!(c[6], ("rows_fetched", 7));
-        assert_eq!(c[22], ("emitted", 23));
+        assert_eq!(c[21], ("emitted", 23));
         let mut names: Vec<&str> = c.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 23, "a name is listed twice");
+        assert_eq!(names.len(), 22, "a name is listed twice");
         assert_eq!(
             c.iter().map(|(_, v)| v).sum::<u64>(),
             31,

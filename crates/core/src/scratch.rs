@@ -8,9 +8,9 @@
 //! a whole query, all its parts — the one index of an
 //! [`SdIndex`](crate::multidim::SdIndex), or every shard of an engine —
 //! through the one driver, [`answer_parts`](crate::multidim::answer_parts):
-//! its §5 executions share the per-round buffers, the deadline, the frontier
-//! heaps and one seen-set over the query's global ids, and the direct 2-D
-//! walk of a single-pair query draws on the same heaps.
+//! the box scan of every part shares the chunk buffers, the staged weights
+//! and the deadline, and the direct 2-D walk of a single-pair query draws
+//! on the frontier heaps.
 //!
 //! Every `query_with` — the index's, the engine's (an engine's scratch is
 //! this one) and the TA baseline's — ends in the scratch's one answer step,
@@ -50,61 +50,12 @@
 use std::collections::BinaryHeap;
 
 use crate::deadline::Deadline;
-use crate::multidim::{ChunkBufs, Pair2DStream, ShardExecution};
+use crate::multidim::ChunkBufs;
 use crate::profile::QueryProfile;
 use crate::threshold::{FloorEntry, QueryFloor};
 use crate::topk::arbitrary::PartWalk;
 use crate::topk::stream::HeapEntry;
 use crate::types::{ScoredPoint, SdError};
-
-/// A generation-stamped membership set over dense row ids `0..n`: one
-/// `u32` stamp per row, `insert` is a single indexed compare-and-store —
-/// an order of magnitude cheaper than hashing on the aggregation's
-/// per-fetched-row dedup path. `begin(n)` opens a new generation (O(1)
-/// amortised; the stamp array zeroes only on first growth and on the
-/// ~4-billion-query generation wrap).
-#[derive(Default)]
-pub(crate) struct StampSet {
-    stamps: Vec<u32>,
-    generation: u32,
-}
-
-impl StampSet {
-    /// Starts a fresh set over ids `0..n` without clearing memory.
-    pub(crate) fn begin(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Wrapped: stale stamps from 2^32 generations ago could alias.
-            self.stamps.fill(0);
-            self.generation = 1;
-        }
-    }
-
-    /// Bit `l` set when row `start + l` is **not** in the current
-    /// generation, for the `count ≤ 32` rows from `start`: one slice
-    /// compare over the stamps.
-    #[inline]
-    pub(crate) fn unseen_word(&self, start: usize, count: usize) -> u32 {
-        debug_assert!(count <= 32);
-        let mut word = 0u32;
-        for (l, &stamp) in self.stamps[start..start + count].iter().enumerate() {
-            word |= u32::from(stamp != self.generation) << l;
-        }
-        word
-    }
-
-    /// `true` when `row` was not yet in the current generation.
-    #[inline]
-    pub(crate) fn insert(&mut self, row: u32) -> bool {
-        let slot = &mut self.stamps[row as usize];
-        let fresh = *slot != self.generation;
-        *slot = self.generation;
-        fresh
-    }
-}
 
 /// The seen-set of a caller's own per-query loop, served from a
 /// [`QueryScratch`] ([`QueryScratch::loop_scratch`]): which row ids of
@@ -161,28 +112,18 @@ pub struct LoopScratch<'a> {
 pub struct QueryScratch {
     /// Recycled frontier heaps, one per block frontier of a query.
     pub(crate) heaps: Vec<BinaryHeap<HeapEntry>>,
-    /// Rows already scored by the aggregation, by global id, over every
-    /// part of the query (stamped, not hashed: the dedup check runs once per
-    /// fetched row).
-    pub(crate) seen: StampSet,
     /// The answer buffer `query_with` returns a borrow of.
     pub(crate) answers: Vec<ScoredPoint>,
-    /// The rows one aggregation round fetched, staged for batched scoring.
-    pub(crate) rows: Vec<u32>,
     /// The heap the [`QueryFloor`] of the query served from this scratch
     /// borrows ([`QueryScratch::answer_with`]): the best `min(k, n)`
     /// `(score, id)` entries seen so far.
     floor: BinaryHeap<FloorEntry>,
-    /// Gather buffer of the batched aggregation: fetched rows transposed
-    /// into dimension-major SoA lanes for the scoring kernels
-    /// (`dims × LANES` once warmed).
-    pub(crate) gather: Vec<f64>,
-    /// Per-lane kernel output of the batched aggregation.
+    /// Per-lane kernel output of the box scan.
     pub(crate) scores: Vec<f64>,
-    /// Per-stream bound staging of one aggregation round (feeds the
-    /// block-level floor-pruning thresholds).
+    /// The role-signed weights of the query, staged by the delta scan and
+    /// the box scan.
     pub(crate) fbuf: Vec<f64>,
-    /// The scan exit's chunk bounds and its lead.
+    /// The box scan's chunk bounds and its lead.
     pub(crate) chunks: ChunkBufs,
     /// Execution counters of the most recent query served from this
     /// scratch — reset at query start, always on (see
@@ -190,19 +131,12 @@ pub struct QueryScratch {
     /// also collect per-stage nanosecond timings.
     pub profile: QueryProfile,
     /// Cooperative deadline/cancel token of the next query served from
-    /// this scratch, checked by every scorer of the query: once per
-    /// aggregation round, walk pop, scanned chunk and delta chunk. The
+    /// this scratch, checked by every scorer of the query: once per walk
+    /// pop, scanned piece of rows and delta chunk. The
     /// default is unlimited (a single predictable branch per check); a
     /// bounded deadline captures its expiry at construction, so set a fresh
     /// one per query.
     pub deadline: Deadline,
-    /// Recycled pair-stream lists of the §5 aggregation, one per execution
-    /// of a query. Each is empty between queries; only the allocations are
-    /// retained.
-    streams: Vec<Vec<Pair2DStream<'static>>>,
-    /// Recycled execution list of the §5 aggregation, one entry per part.
-    /// Empty between queries; only the allocation is retained.
-    runs: Vec<ShardExecution<'static>>,
     /// Recycled per-part frontier list of the direct single-pair walk. Empty
     /// between queries; only the allocation is retained.
     walks: Vec<PartWalk<'static>>,
@@ -260,7 +194,7 @@ impl QueryScratch {
     /// ([`answer_parts`](crate::multidim::answer_parts)) splits its
     /// `profile.floor_updates` over its parts — one entry per part (an
     /// engine's shard), in the order the driver was handed them, whether
-    /// the query walked or aggregated.
+    /// the query walked or scanned.
     pub fn part_floor_updates(&self) -> &[u64] {
         &self.part_floor_updates
     }
@@ -292,31 +226,6 @@ impl QueryScratch {
         self.heaps.push(heap);
     }
 
-    /// Hands out a recycled (empty) pair-stream list (or a fresh one) for
-    /// assembling one execution's streams; give it back through
-    /// [`QueryScratch::put_streams`].
-    pub(crate) fn stream_buf<'a>(&mut self) -> Vec<Pair2DStream<'a>> {
-        self.streams.pop().unwrap_or_default()
-    }
-
-    /// Adopts a drained pair-stream list back into the scratch, keeping its
-    /// allocation for the next query.
-    pub(crate) fn put_streams(&mut self, v: Vec<Pair2DStream<'_>>) {
-        self.streams.push(recycle_vec(v));
-    }
-
-    /// Hands out the recycled (empty) execution list of the aggregation;
-    /// give it back through [`QueryScratch::put_runs`].
-    pub(crate) fn run_buf<'a>(&mut self) -> Vec<ShardExecution<'a>> {
-        debug_assert!(self.runs.is_empty());
-        std::mem::take(&mut self.runs)
-    }
-
-    /// Adopts a drained execution list back into the scratch.
-    pub(crate) fn put_runs(&mut self, v: Vec<ShardExecution<'_>>) {
-        self.runs = recycle_vec(v);
-    }
-
     /// Hands out the recycled (empty) part list of the direct walk; give it
     /// back through [`QueryScratch::put_walks`].
     pub(crate) fn walk_buf<'a>(&mut self) -> Vec<PartWalk<'a>> {
@@ -332,7 +241,7 @@ impl QueryScratch {
 
 /// Empties `v` and hands its allocation on as an empty `Vec<U>` — how a
 /// scratch keeps a buffer whose element type borrows from one query
-/// (`Vec<Pair2DStream<'a>>`, `Vec<ShardExecution<'a>>`) for the next query's
+/// (`Vec<PartWalk<'a>>`) for the next query's
 /// lifetime without allocating again. `T` and `U` must agree in size and
 /// alignment (checked at compile time); in practice they are one type at
 /// two lifetimes.

@@ -1,32 +1,25 @@
 //! The answer heap of one logical query.
 //!
-//! Every exact score a query finds — in any shard execution, in the direct
-//! walk, in the engine's delta scan — goes into one [`QueryFloor`], passed
+//! Every exact score a query finds — in any shard's box scan, in the
+//! direct walk, in the engine's delta scan — goes into one [`QueryFloor`], passed
 //! `&mut` to whatever scores a row of the query, together with the row's
 //! global id. The floor keeps the best `min(k, live rows the query ranks)`
 //! `(score, id)` entries in the canonical order ([`rank_cmp`]: score
 //! descending, ties by id ascending), so one drain at the end of the query
 //! ([`QueryFloor::drain_into`]) is its answer. Once it holds that many, its
 //! lowest score is a lower bound on the query's final k-th score, so a
-//! scorer drops any row strictly below it and an aggregation stops once its
-//! own admissible bound `τ` falls below it (the paper's §5 stopping rule,
-//! Ranu & Singh, arXiv 1111.7165). The shards of an engine query thus prune
-//! against the union of every score found so far, not against their own.
+//! scorer drops any row strictly below it, a box scan skips any chunk whose
+//! bound is below it, and a walk stops once its admissible bound falls
+//! below it (the paper's threshold rule, Ranu & Singh, arXiv 1111.7165).
+//! The shards of an engine query thus prune against the union of every
+//! score found so far, not against their own.
 //!
 //! As a floor it is a pure *pruning hint*: a lower floor only prunes less.
 //! Every reader compares against it with `>` or `>=`, so a `−0` floor and a
-//! `+0` floor prune alike.
-//!
-//! The floor also carries the query's scan verdict
-//! ([`QueryFloor::mark_lost`]): the first execution that gives up on its
-//! streams and finishes by scanning says so here, and every sibling still
-//! open reads it at its next round head and scans too, instead of spending
-//! its own stream phase to reach the same verdict. The verdict can also be
-//! there before round one ([`QueryFloor::start_lost`]): the engine sets it
-//! when the query's shape lost its recent queries, and then every execution
-//! scans at its first round head. The floor keeps the two apart
-//! ([`Verdict`]), so a profile can say which one sent an execution to its
-//! scan. It is a cost hint as well: a scan is exact whenever it runs.
+//! `+0` floor prune alike. A reader that knows the smallest id a group of
+//! rows can carry may also drop the group at a score *equal* to the floor
+//! ([`QueryFloor::worst`]): a tied row enters only under a smaller id than
+//! the worst kept one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -52,23 +45,7 @@ pub(crate) fn encode(v: f64) -> u64 {
     }
 }
 
-/// What the executions of one query know about its streams, read at a round
-/// head ([`QueryFloor::verdict`]). Ordered: marking a query lost never
-/// hides that it started lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Verdict {
-    /// No execution has given up on its streams.
-    Open,
-    /// An execution of this query took the scan exit
-    /// ([`QueryFloor::mark_lost`]).
-    Lost,
-    /// The query was marked lost before any execution began
-    /// ([`QueryFloor::start_lost`]).
-    StartedLost,
-}
-
-/// The one answer heap of one logical query, its k-th-score floor, and its
-/// scan verdict.
+/// The one answer heap of one logical query and its k-th-score floor.
 ///
 /// Make one per query over a recycled heap ([`QueryFloor::new`]) and hand
 /// it `&mut` to everything that scores a row of the query; each scorer
@@ -84,20 +61,15 @@ pub struct QueryFloor<'h> {
     /// The best `cap` entries offered so far, worst on top.
     heap: &'h mut BinaryHeap<FloorEntry>,
     cap: usize,
-    verdict: Verdict,
 }
 
 impl<'h> QueryFloor<'h> {
     /// An empty floor over `heap` (cleared here) that keeps the best `cap`
     /// entries — `min(k, live rows the query ranks)` — and prunes nothing
-    /// until it holds them; the query is not lost.
+    /// until it holds them.
     pub fn new(heap: &'h mut BinaryHeap<FloorEntry>, cap: usize) -> Self {
         heap.clear();
-        QueryFloor {
-            heap,
-            cap,
-            verdict: Verdict::Open,
-        }
+        QueryFloor { heap, cap }
     }
 
     /// Feeds the exact score of the live row `id` of this query. Returns
@@ -135,6 +107,19 @@ impl<'h> QueryFloor<'h> {
         self.heap.peek().map_or(f64::INFINITY, |e| e.0 .0 .0)
     }
 
+    /// The entry the floor evicts first, `(score, id)`, once it holds its
+    /// `cap` entries; `None` before (and for a floor of no rows). A row
+    /// scoring exactly `score` enters only under an id below `id`, so a
+    /// group of rows none of which can score above `score` and whose ids
+    /// are all above `id` cannot change the answer.
+    #[inline]
+    pub fn worst(&self) -> Option<(f64, u32)> {
+        if self.heap.len() < self.cap {
+            return None;
+        }
+        self.heap.peek().map(|e| (e.0 .0 .0, e.1))
+    }
+
     /// The lowest kept score — the k-th best once full — or `−∞` while
     /// empty: what a profile reports as `floor_value`.
     pub fn value(&self) -> f64 {
@@ -143,7 +128,7 @@ impl<'h> QueryFloor<'h> {
 
     /// Empties the floor into `answers` (cleared first), sorted by
     /// [`rank_cmp`]: once every scorer of the query is done, the query's
-    /// canonical answer. The verdict stays.
+    /// canonical answer.
     pub fn drain_into(&mut self, answers: &mut Vec<ScoredPoint>) {
         answers.clear();
         answers.extend(
@@ -152,37 +137,6 @@ impl<'h> QueryFloor<'h> {
                 .map(|(Reverse(OrdF64(score)), id)| ScoredPoint::new(PointId::new(id), score)),
         );
         answers.sort_unstable_by(rank_cmp);
-    }
-
-    /// Records that an execution of this query took the scan exit: its
-    /// streams could not certify inside its fetch budget. The shards of one
-    /// engine partition one dataset, so the verdict stands for them all.
-    #[inline]
-    pub fn mark_lost(&mut self) {
-        self.verdict = self.verdict.max(Verdict::Lost);
-    }
-
-    /// Marks the query lost before any of its executions begins: each one
-    /// then scans at its first round head, unless the floor certifies it
-    /// there. The engine calls this when the query's shape lost its recent
-    /// queries; [`Verdict::StartedLost`] tells such a scan apart from one a
-    /// sibling's exit sent it to.
-    #[inline]
-    pub fn start_lost(&mut self) {
-        self.verdict = Verdict::StartedLost;
-    }
-
-    /// Sets the verdict back to open, keeping every score: the engine's
-    /// audit runs its last shard stream-first against the floor its started
-    /// lost siblings left.
-    pub fn reopen(&mut self) {
-        self.verdict = Verdict::Open;
-    }
-
-    /// The query's scan verdict so far.
-    #[inline]
-    pub fn verdict(&self) -> Verdict {
-        self.verdict
     }
 }
 
@@ -244,43 +198,11 @@ mod tests {
             for id in order {
                 t.offer(if id == 7 { 2.0 } else { 1.0 }, id);
             }
-            t.mark_lost();
+            assert_eq!(t.worst(), Some((1.0, 3)));
             t.drain_into(&mut answers);
             let got: Vec<(u32, f64)> = answers.iter().map(|sp| (sp.id.raw(), sp.score)).collect();
             assert_eq!(got, [(7, 2.0), (1, 1.0), (3, 1.0)], "{order:?}");
-            assert_eq!((t.value(), t.verdict()), (f64::NEG_INFINITY, Verdict::Lost));
+            assert_eq!((t.value(), t.worst()), (f64::NEG_INFINITY, None));
         }
-    }
-
-    #[test]
-    fn lost_is_sticky_and_leaves_the_floor_alone() {
-        let mut heap = BinaryHeap::new();
-        let mut t = QueryFloor::new(&mut heap, 1);
-        assert_eq!(t.verdict(), Verdict::Open);
-        t.offer(1.5, 0);
-        t.mark_lost();
-        t.mark_lost();
-        assert_eq!(t.verdict(), Verdict::Lost);
-        assert_eq!(t.bar(), 1.5);
-        // The audit reopens the verdict on the same scores.
-        t.reopen();
-        assert_eq!((t.verdict(), t.bar()), (Verdict::Open, 1.5));
-    }
-
-    #[test]
-    fn a_query_that_started_lost_stays_told_apart() {
-        let mut heap = BinaryHeap::new();
-        let mut t = QueryFloor::new(&mut heap, 1);
-        assert_eq!(t.verdict(), Verdict::Open);
-        t.start_lost();
-        assert_eq!(t.verdict(), Verdict::StartedLost);
-        // An execution that scans marks the floor in turn; that must not
-        // turn the prediction into a sibling's verdict.
-        t.mark_lost();
-        assert_eq!(t.verdict(), Verdict::StartedLost);
-        let mut heap = BinaryHeap::new();
-        let mut u = QueryFloor::new(&mut heap, 1);
-        u.mark_lost();
-        assert_eq!(u.verdict(), Verdict::Lost);
     }
 }

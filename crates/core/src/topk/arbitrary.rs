@@ -47,7 +47,7 @@ pub(crate) struct PartWalk<'a> {
 /// Picks the indexed-angle evaluation when θ_q is indexed and the Claim 6
 /// bracket otherwise ([`FrontierEval::at`], per part); every score it keeps
 /// goes into the query's `floor` under `offset + slot`, so the answer is
-/// bit-identical to what the §5 aggregation produces for the same pair.
+/// bit-identical to what the box scan produces for the same pair.
 ///
 /// The parts are walked as one index: every part has its own
 /// [`BlockFrontier`], and each step pops the head entry of the frontier

@@ -520,8 +520,8 @@ pub(crate) struct BlockFrontier<'a> {
     heap: BinaryHeap<HeapEntry>,
     /// Walk counters since the last [`BlockFrontier::take_counters`]
     /// drain — flushed into a
-    /// [`QueryProfile`](crate::profile::QueryProfile) by the aggregation
-    /// loop.
+    /// [`QueryProfile`](crate::profile::QueryProfile) by the walk or the
+    /// stream that owns the frontier.
     counters: FrontierCounters,
 }
 

@@ -110,8 +110,8 @@ pub enum SdError {
     /// Structurally invalid bytes inside a section (truncation, bad tag,
     /// inconsistent lengths, out-of-range index, …).
     SnapshotCorrupt { detail: String },
-    /// A query deadline expired before the aggregation certified its
-    /// answer. The scratch still holds the partial answer computed so far.
+    /// A query deadline expired before the query finished. The scratch
+    /// still holds the previous answer; its profile, the work done so far.
     DeadlineExceeded {
         /// Wall time spent before the deadline check fired, µs.
         elapsed_micros: u64,

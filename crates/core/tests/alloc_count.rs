@@ -1,8 +1,7 @@
 //! Proof of the zero-allocation query engine: after one warm-up pass, a
 //! reused [`QueryScratch`] answers every query of the steady-state workload
-//! with **zero** heap allocations on the §5 [`SdIndex`] aggregation path —
-//! including the queries that spend their fetch budget and finish with the
-//! kernel scan.
+//! with **zero** heap allocations on the [`SdIndex`] box scan and walk —
+//! including the hostile queries that score most chunks.
 //!
 //! The measurement uses a counting global allocator with a thread-local
 //! counter, so each `#[test]` in this binary observes exactly the
@@ -136,7 +135,7 @@ fn steady_state_queries_do_not_allocate() {
     assert_eq!(p.emitted, 16);
     assert!(p.aggregate_nanos > 0, "timing was enabled");
 
-    // ── scan exit: 6-D anti-correlated rows outrun the fetch budget ──────
+    // ── 6-D anti-correlated rows: the scan scores most chunks ────────────
     let dims = 6;
     let mut coords = Vec::with_capacity(4_000 * dims);
     for _ in 0..4_000 {
@@ -172,7 +171,7 @@ fn steady_state_queries_do_not_allocate() {
     };
     run_scan(&mut scratch, &mut sink);
     let n = count_allocs(|| run_scan(&mut scratch, &mut sink));
-    assert_eq!(n, 0, "scan-exit queries allocated {n} times after warm-up");
+    assert_eq!(n, 0, "scanning queries allocated {n} times after warm-up");
     assert_eq!(scans, 16, "every one of these queries must take the scan");
 
     // The checksum keeps every query's work observable.

@@ -8,9 +8,9 @@
 //!                         SdEngine::query_with
 //!                                 │
 //!                    ┌────────────▼────────────┐
-//!                    │  planner: one rule per  │   rule: indexed-angle
-//!                    │  pair, on every shard   │   frontier, Claim-6 bracket,
-//!                    └────────────┬────────────┘   or degenerate (weights only)
+//!                    │  one pair? the §4 walk  │   indexed-angle frontier or
+//!                    │  anything else: a scan  │   Claim-6 bracket; the box
+//!                    └────────────┬────────────┘   scan skips chunks by box
 //!                                 │
 //!              ┌──────────────────┼──────────────────┐
 //!        ┌─────▼─────┐      ┌─────▼─────┐      ┌─────▼─────┐
@@ -35,22 +35,20 @@
 //! ## Why sharding helps
 //!
 //! The engine partitions the dataset into `S` contiguous shards at build
-//! time, each with its own `SdIndex` (per-pair §4 indexes plus every
-//! unpaired dimension's extent) over its row range, so compaction rebuilds
-//! one shard, not the whole index. A query runs one §5 aggregation per
-//! shard, all of them on the thread that calls it — parallelism is between
-//! queries ([`SdEngine::par_query_batch`]) — and the per-shard bounds stay
-//! admissible because each covers only its own rows: a shard's `τ` is its
-//! pair streams' bounds plus what its unpaired dimensions can add at the
-//! ends of their extents. A shard with no pair to stream scans — unless
-//! the floor already beats that extent bound, and then it ends unread.
+//! time, each with its own `SdIndex` over its row range — a single pair's
+//! §4 index, or rows in box order with their chunk boxes — so compaction
+//! rebuilds one shard, not the whole index. A query scans the boxes of
+//! every shard as one index (or walks every shard's pair index at once), all on the
+//! thread that calls it — parallelism is between queries
+//! ([`SdEngine::par_query_batch`]) — and the per-chunk bounds stay
+//! admissible because each box covers only its own rows.
 //!
 //! The query's one [`QueryFloor`](sdq_core::QueryFloor) is what keeps
 //! sharding from multiplying work: the k-th best *exact* score found by any
 //! shard is a lower bound on the final global k-th score, so every shard
-//! drops the rows below it and terminates its aggregation as soon as its
-//! own admissible bound `τ` falls below it. Later shards effectively only verify that they hold nothing
-//! better than the current global top-k.
+//! skips each chunk whose box cannot reach it: after every shard's best
+//! chunks, the rest of the scan mostly verifies that nothing better than
+//! the current global top-k is left.
 //!
 //! ## Exactness
 //!
@@ -72,21 +70,16 @@
 //! step, [`QueryScratch::answer_with`], which makes the query's one
 //! [`QueryFloor`](sdq_core::QueryFloor) and drains it into the answer.
 //! Inside that step the delta scan runs first, then `sdq-core`'s one
-//! driver, [`answer_parts`], called once per query (twice for an audit:
-//! its lead shards, then, with the verdict reopened, its last) with every
-//! shard as one part, all on the calling thread. Every scorer adds its
-//! counters to the scratch's one profile, reset once per query, and checks
-//! its one deadline. Every shard scores into the query's floor: the best
-//! `min(k, live rows)` `(score, global id)` entries any shard or the delta
-//! scan has found, whose one drain is the answer. It also carries the
-//! query's scan verdict: once one execution finds its streams lost and
-//! scans, its open siblings scan at their next round head instead of
-//! reaching the verdict again. A query that is one non-degenerate pair
-//! ([`SdIndex::single_pair`]) is not aggregated at all, whatever the shard
-//! count or tombstones: the driver walks the pair's block sets of every
-//! shard at once (the paper's §4 walk), after the delta scan when the
-//! engine is dirty. [`SdEngine::explain`] says `direct` on every shard
-//! exactly then.
+//! driver, [`answer_parts`], called once per query with every shard as one
+//! part, all on the calling thread. Every scorer adds its counters to the
+//! scratch's one profile, reset once per query, and checks its one
+//! deadline. Every shard scores into the query's floor: the best `min(k,
+//! live rows)` `(score, global id)` entries any shard or the delta scan has
+//! found, whose one drain is the answer. A query that is one non-degenerate
+//! pair ([`SdIndex::single_pair`]) walks the pair's block sets of every
+//! shard at once (the paper's §4 walk), whatever the shard count or
+//! tombstones; every other query is one box scan of every shard.
+//! [`SdEngine::explain`] says which, on every shard.
 //!
 //! ## Migration
 //!
@@ -120,8 +113,6 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -130,13 +121,9 @@ use sdq_core::multidim::{answer_parts, QueryPlan, SdIndex, SdIndexOptions, Shard
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::{Dataset, DimRole, QueryProfile, QueryScratch, ScoredPoint, SdError, SdQuery};
 
-mod history;
 pub mod mutation;
 
-pub use history::{RECHECK, STREAK};
 pub use mutation::{CompactionOptions, CompactionReport, MutationStats};
-
-use history::{Shape, Start, VerdictHistory};
 
 /// Tuning knobs for [`SdEngine::build_with`]. Every query runs its shards
 /// on the thread that calls it; a batch spreads queries over threads
@@ -185,7 +172,7 @@ pub struct ShardInfo {
 
 /// The engine's scratch is the [`QueryScratch`] every `query_with` runs
 /// out of: the delta scan, every shard and the answer step share its
-/// heaps, seen-set, buffers, profile and deadline. Keep one per serving
+/// heaps, buffers, profile and deadline. Keep one per serving
 /// thread and reuse it across queries; a warmed query touches the
 /// allocator zero times. The name stays only for the repo benchmark, which
 /// still uses it; it goes with that benchmark's next change.
@@ -196,7 +183,7 @@ pub type EngineScratch = QueryScratch;
 /// `i`, with every shard `≥ FLOOR_HIST_SLOTS − 1` folded into the last
 /// slot (so resharding never invalidates the registry). Each shard is
 /// credited the updates its own rows made, whether the query walked or
-/// aggregated.
+/// scanned.
 pub const FLOOR_HIST_SLOTS: usize = 16;
 
 #[derive(Debug, Default)]
@@ -558,9 +545,6 @@ pub struct SdEngine {
     /// Lifetime counters, shared across engine clones (see
     /// [`EngineMetrics`]).
     metrics: EngineMetrics,
-    /// Which query shapes start lost, shared across engine clones like the
-    /// metrics; never persisted (see the `history` module).
-    verdicts: Arc<VerdictHistory>,
 }
 
 /// What [`SdEngine::explain`] reports for one query.
@@ -568,41 +552,6 @@ pub struct SdEngine {
 pub struct Explain {
     /// The planner's decision on every shard, in shard order.
     pub plans: Vec<QueryPlan>,
-    /// How the engine's verdict history would start the query; `None` when
-    /// the query walks (one non-degenerate pair), which never consults it,
-    /// or the engine has no shard.
-    pub shape: Option<ShapeState>,
-}
-
-/// A query shape's state in the engine's verdict history: the zero-weight
-/// pattern and ⌈log₂ k⌉ of a query decide its shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShapeState {
-    /// The next query of the shape runs its streams first.
-    StreamsFirst,
-    /// The shape's last [`STREAK`] stream-first queries scanned: its next
-    /// query starts lost, unless it is the shape's [`RECHECK`]-th, an audit
-    /// whose last shard runs stream-first against the others' floor (at one
-    /// shard, the audit runs stream-first whole).
-    StartsLost,
-    /// The shape's last audit certified: its next query runs its streams
-    /// first, and that query's verdict decides whether the shape stays
-    /// lost.
-    AuditCertified,
-}
-
-impl fmt::Display for ShapeState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShapeState::StreamsFirst => f.write_str("streams first"),
-            ShapeState::StartsLost => write!(
-                f,
-                "starts lost: its last {STREAK} stream-first queries scanned; \
-                 every {RECHECK}th audits its last shard stream-first against the others' floor"
-            ),
-            ShapeState::AuditCertified => f.write_str("streams first: its last audit certified"),
-        }
-    }
 }
 
 impl SdEngine {
@@ -647,7 +596,6 @@ impl SdEngine {
             index_options: options.index.clone(),
             muts,
             metrics: EngineMetrics::default(),
-            verdicts: Arc::default(),
         })
     }
 
@@ -703,7 +651,6 @@ impl SdEngine {
             index_options,
             muts,
             metrics: EngineMetrics::default(),
-            verdicts: Arc::default(),
         })
     }
 
@@ -797,20 +744,18 @@ impl SdEngine {
             .collect()
     }
 
-    /// The planner's decision for `query` on every shard — the rule reads
-    /// the weights only, so every shard's pairs read alike; only the scan
-    /// budget follows the shard's size — and the state of the query's
-    /// shape in the verdict history. Observability for `sdq query
-    /// --explain` and `sdq inspect`.
+    /// How `query` runs on every shard — the direct walk's rule reads the
+    /// weights only, so every shard plans a walk alike; a scan plan counts
+    /// the shard's chunks. Observability for `sdq query --explain` and `sdq
+    /// inspect`; nothing is executed.
     ///
     /// Reflects how the engine executes: every shard plans like a
     /// standalone [`SdIndex`], so the plans say `direct` exactly when the
     /// query is one non-degenerate pair ([`SdIndex::single_pair`]) and the
     /// engine walks all its shards at once. The delta region, when
     /// non-empty, additionally executes as an exact scan outside these
-    /// per-shard plans (see [`mutation`]). Reading the history counts no
-    /// query. Refuses what [`SdEngine::query_with`] refuses, with the same
-    /// error.
+    /// per-shard plans (see [`mutation`]). Refuses what
+    /// [`SdEngine::query_with`] refuses, with the same error.
     pub fn explain(&self, query: &SdQuery, k: usize) -> Result<Explain, SdError> {
         self.check_query(query, k)?;
         let plans = self
@@ -818,8 +763,7 @@ impl SdEngine {
             .iter()
             .map(|shard| shard.plan(query))
             .collect::<Result<Vec<_>, _>>()?;
-        let shape = self.shape(query, k).map(|shape| self.verdicts.state(shape));
-        Ok(Explain { plans, shape })
+        Ok(Explain { plans })
     }
 
     /// What every query entry — [`SdEngine::query_with`] and
@@ -851,17 +795,6 @@ impl SdEngine {
                 .filter(|_| self.muts.shard_dead[i] > 0)
                 .map(|m| MaskView::new(m, offset)),
         }
-    }
-
-    /// The shape under which the verdict history knows `query`: `None` when
-    /// nothing aggregates it — no shard, or one non-degenerate pair that
-    /// walks. `k ≥ 1` and `query` of the engine's dimensionality.
-    fn shape(&self, query: &SdQuery, k: usize) -> Option<Shape> {
-        let shard = self.shards.first()?;
-        shard
-            .single_pair(query)
-            .is_none()
-            .then(|| Shape::of(query, k))
     }
 
     /// Answers the top-k query, allocating fresh scratch state. Steady-state
@@ -927,17 +860,6 @@ impl SdEngine {
         } else {
             None
         };
-        // An aggregation whose shape lost its recent stream-first queries
-        // starts lost: every execution scans at its first round head —
-        // except, on the shape's audit, the last shard's, which runs
-        // stream-first once its siblings are done. A one-shard engine has no
-        // sibling floor to audit against: its audit is a stream-first query.
-        let s = self.shards.len();
-        let shape = self.shape(query, k);
-        let start = match shape.map(|shape| self.verdicts.begin(shape)) {
-            Some(Start::Audit) if s == 1 => Start::Streams,
-            start => start.unwrap_or(Start::Streams),
-        };
         // The query's one floor keeps every live row's score, whoever
         // scored the row — the delta scan or a shard — under the row's
         // global id; its drain is the answer.
@@ -956,36 +878,12 @@ impl SdEngine {
                     qs,
                 )?;
             }
-            if start != Start::Streams {
-                floor.start_lost();
-            }
+            let parts = (0..self.shards.len()).map(|i| self.shard_part(i, mask));
+            answer_parts(parts, query, qs, floor)?;
             // Each slot's floor updates, credited once the query is answered.
             let mut credits = [0; FLOOR_HIST_SLOTS];
-            let mut answer = |qs: &mut QueryScratch, shards: Range<usize>, floor: &mut _| {
-                let parts = shards.clone().map(|i| self.shard_part(i, mask));
-                let answered = answer_parts(parts, query, qs, floor);
-                for (i, &updates) in shards.zip(qs.part_floor_updates()) {
-                    credits[i.min(FLOOR_HIST_SLOTS - 1)] += updates;
-                }
-                answered
-            };
-            if start == Start::Audit {
-                // The audit shard runs stream-first against the floor the
-                // delta and every lead shard's scan left; only its verdict,
-                // the rise in `scan_fallbacks` across its call, is recorded.
-                answer(qs, 0..s - 1, floor)?;
-                floor.reopen();
-                let before = qs.profile.scan_fallbacks;
-                answer(qs, s - 1..s, floor)?;
-                if let Some(shape) = shape {
-                    self.verdicts
-                        .audited(shape, qs.profile.scan_fallbacks > before);
-                }
-            } else {
-                answer(qs, 0..s, floor)?;
-                if let (Some(shape), Start::Streams) = (shape, start) {
-                    self.verdicts.record(shape, qs.profile.scan_fallbacks > 0);
-                }
+            for (i, &updates) in qs.part_floor_updates().iter().enumerate() {
+                credits[i.min(FLOOR_HIST_SLOTS - 1)] += updates;
             }
             self.metrics.record_floor_credits(&credits);
             Ok(())
@@ -1126,7 +1024,7 @@ fn build_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdq_core::multidim::PairAction;
+    use sdq_core::multidim::{PairAction, QueryPlan};
     use sdq_core::{Deadline, PointId};
     use std::sync::{Barrier, Mutex};
 
@@ -1180,18 +1078,19 @@ mod tests {
 
     #[test]
     fn a_pair_costs_under_32_bytes_a_row() {
-        // One pair's index is one SoA copy of its (x, y) — 16 B — plus row
-        // ids, the live masks and the bound hierarchy: ≈ 27 B a row. A second
-        // coordinate copy (a point table, a per-point tree) cannot hide
-        // under 32.
-        for (dims, pairs) in [(2, 1), (4, 2)] {
-            let e = engine(20_000, dims, 2);
-            let per_row = e.memory_bytes() as f64 / 20_000.0;
-            assert!(
-                per_row < 32.0 * pairs as f64,
-                "{dims}-D: {per_row:.1} B/row over {pairs} pair(s)"
-            );
-        }
+        // A single pair's index is one SoA copy of its (x, y) — 16 B — plus
+        // row ids, the live masks and the bound hierarchy: ≈ 27 B a row. A
+        // second coordinate copy (a point table, a per-point tree) cannot
+        // hide under 32. An index that aggregates stores no pair index at
+        // all: its id column, chunk boxes and first ids are ≈ 5 B a row at
+        // 4-D.
+        let e = engine(20_000, 2, 2);
+        let per_row = e.memory_bytes() as f64 / 20_000.0;
+        assert!(per_row < 32.0, "2-D: {per_row:.1} B/row");
+        let e = engine(20_000, 4, 2);
+        let per_row = e.memory_bytes() as f64 / 20_000.0;
+        assert!(per_row < 6.0, "4-D: {per_row:.1} B/row");
+        assert_eq!(e.shards()[0].block_stats(), (0, 0));
     }
 
     #[test]
@@ -1201,16 +1100,11 @@ mod tests {
         assert_eq!(e.len(), 3);
     }
 
-    /// Every step scores into the query's one floor, so a sibling's first
-    /// slice already prunes against the scores of every slice before it,
-    /// and every lane against the scores of its own step's earlier rows.
-    /// On these 4-D queries over eight 5 000-row shards (seeded: the counts
-    /// repeat exactly) the streams fetch 54 827 rows over the 32 queries;
-    /// a copy of the merged floor published after every step fetched
-    /// 56 444, and one published once per *pass* — after every shard had
-    /// run its first slice against its own local floor — 69 180. (Scanned
-    /// rows are left out: at this shard size some executions scan, most of
-    /// them on an earlier sibling's verdict.)
+    /// Every shard scans against the query's one floor, so a shard skips
+    /// the chunks that cannot reach the best scores of every shard before
+    /// it, not only its own. On these 4-D queries over eight 5 000-row
+    /// shards (seeded: the counts repeat exactly) the engine scores 82 784
+    /// rows, the eight shards each answering alone 127 352.
     #[test]
     fn the_merged_floor_reaches_a_sibling_inside_the_first_pass() {
         use rand::{Rng, SeedableRng};
@@ -1233,22 +1127,26 @@ mod tests {
         )
         .unwrap();
         let mut scratch = QueryScratch::new();
-        let mut fetched = 0;
+        let (mut merged, mut alone) = (0, 0);
         for _ in 0..32 {
             let point = draw(4);
             let weights = draw(4).iter().map(|w| 0.1 + 0.9 * w).collect();
             let query = SdQuery::new(point, weights).unwrap();
             e.query_with(&query, 8, &mut scratch).unwrap();
-            fetched += scratch.profile.rows_fetched - scratch.profile.scan_rows;
+            merged += scratch.profile.scan_rows;
+            for shard in e.shards() {
+                shard.query_with(&query, 8, &mut scratch).unwrap();
+                alone += scratch.profile.scan_rows;
+            }
         }
         assert!(
-            fetched < 62_000,
-            "{fetched} rows fetched through streams over 32 queries"
+            3 * merged < 2 * alone,
+            "{merged} rows scored by the engine, {alone} by its shards alone"
         );
     }
 
     /// The test above at one lane: two 33-row shards scored `|x|` (one
-    /// repulsive dimension, so no stream: both scan). Shard 0 scores 10 and
+    /// repulsive dimension: both scan, one chunk each). Shard 0 scores 10 and
     /// 5 in its first chunk; shard 1 scores 9 in its first chunk and 6 in
     /// its second. At k = 2 the 6 is below the two shards' 2nd best score
     /// together (9), but not below shard 0's own (5), shard 1's own (6) or
@@ -1377,11 +1275,18 @@ mod tests {
         let e = engine(400, 4, 4);
         let q = SdQuery::uniform_weights(vec![0.0; 4], e.roles());
         let plans = e.explain(&q, 8).unwrap().plans;
-        assert_eq!(plans.len(), 4);
+        assert_eq!(plans, vec![QueryPlan::Scan { chunks: 2 }; 4]);
+        // A 2-D engine walks: unit weights hit the 45° indexed angle on every
+        // shard, whatever its size.
+        let e = engine(400, 2, 3);
+        let q = SdQuery::uniform_weights(vec![0.0; 2], e.roles());
+        let plans = e.explain(&q, 8).unwrap().plans;
+        assert_eq!(plans.len(), 3);
         for p in &plans {
-            assert_eq!(p.pairs.len(), 2);
-            // Unit weights hit the 45° indexed angle, whatever the shard size.
-            assert!(p.pairs.iter().all(|pp| pp.action == PairAction::Frontier));
+            let QueryPlan::Direct(pair) = p else {
+                panic!("{p:?}");
+            };
+            assert_eq!(pair.action, PairAction::Frontier);
         }
     }
 
@@ -1409,129 +1314,126 @@ mod tests {
         }
     }
 
-    /// The same engine with an empty verdict history.
-    fn forgetful(e: &SdEngine) -> SdEngine {
-        SdEngine {
-            verdicts: Arc::default(),
-            ..e.clone()
-        }
-    }
-
-    /// 200-row shards under k = 64: the streams spend the 25-row budget
-    /// long before they could certify, so every query scans.
-    fn scanning() -> (SdEngine, SdQuery) {
-        let e = engine(800, 6, 4);
-        let q = SdQuery::uniform_weights(vec![0.5; 6], e.roles());
-        (e, q)
-    }
-
+    /// What once started lost — a shape whose streams kept losing to the
+    /// scan (200-row shards under k = 64) — now starts in the scan on every
+    /// engine that serves it: the engine, a clone of it and an engine
+    /// reassembled from the same shards scan every shard from their first
+    /// query on, counter for counter, to the same answer. No query leaves
+    /// state that a later one, or a clone, reads.
     #[test]
     fn a_shape_that_keeps_scanning_starts_lost_on_every_clone() {
-        let (e, q) = scanning();
-        let want = e.query(&q, 64).unwrap(); // stream-first query 1
-        let twin = e.clone();
+        let e = engine(800, 6, 4);
+        let q = SdQuery::uniform_weights(vec![0.5; 6], e.roles());
         let mut scratch = QueryScratch::new();
-        for _ in 1..STREAK {
-            twin.query_with(&q, 64, &mut scratch).unwrap();
-            assert_eq!(scratch.profile.scan_predicted, 0);
-            assert!(scratch.profile.scan_fallbacks > 0);
-        }
-        assert_eq!(
-            e.explain(&q, 64).unwrap().shape,
-            Some(ShapeState::StartsLost),
-            "the clones share one history"
-        );
-        assert_eq!(e.query_with(&q, 64, &mut scratch).unwrap(), &want[..]);
-        let p = scratch.profile;
-        assert_eq!((p.scan_predicted, p.scan_fallbacks, p.rounds), (4, 4, 4));
-        // An engine reassembled from the same shards starts with none.
+        let want = e.query_with(&q, 64, &mut scratch).unwrap().to_vec();
+        let first = scratch.profile;
+        assert_eq!((first.rounds, first.scan_fallbacks), (0, 4));
+        assert_eq!(first.rows_fetched, first.scan_rows, "{first:?}");
+        let twin = e.clone();
         let rebuilt = SdEngine::from_parts(6, e.roles().to_vec(), e.shards().to_vec()).unwrap();
-        assert_eq!(
-            rebuilt.explain(&q, 64).unwrap().shape,
-            Some(ShapeState::StreamsFirst)
-        );
+        for (name, engine) in [("twin", &twin), ("rebuilt", &rebuilt), ("itself", &e)] {
+            for _ in 0..3 {
+                let got = engine.query_with(&q, 64, &mut scratch).unwrap();
+                assert_eq!(got, &want[..], "{name}");
+                assert_eq!(scratch.profile, first, "{name}");
+            }
+        }
     }
 
+    /// `explain` names the box scan each shard of an aggregating engine
+    /// runs and the chunks it bounds; the query then scores some of them
+    /// and leaves the rest unread, certified under the floor. Over four
+    /// random 5 000-row 4-D shards: every plan is a scan of the shard's
+    /// chunks, the query's scored and skipped chunks are exactly the
+    /// plans' chunks, and the floor certifies some.
     #[test]
     fn explain_names_the_audit_and_what_a_certifying_one_leaves() {
-        let (e, q) = scanning();
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        let rows: Vec<Vec<f64>> = (0..20_000)
+            .map(|_| (0..4).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        let roles = [
+            DimRole::Attractive,
+            DimRole::Repulsive,
+            DimRole::Repulsive,
+            DimRole::Attractive,
+        ];
+        let e = SdEngine::build_with(
+            Dataset::from_rows(4, &rows).unwrap(),
+            &roles,
+            &EngineOptions {
+                shards: 4,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
         let mut scratch = QueryScratch::new();
-        for _ in 1..RECHECK {
-            e.query_with(&q, 64, &mut scratch).unwrap();
+        for _ in 0..8 {
+            let point = (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let weights = (0..4).map(|_| rng.gen_range(0.1..1.0)).collect();
+            let q = SdQuery::new(point, weights).unwrap();
+            let plans = e.explain(&q, 16).unwrap().plans;
+            let chunks = 5_000usize.div_ceil(64);
+            assert_eq!(plans, vec![QueryPlan::Scan { chunks }; 4]);
+            assert_eq!(
+                plans[0].to_string(),
+                format!("box scan over {chunks} chunk(s)")
+            );
+            e.query_with(&q, 16, &mut scratch).unwrap();
+            let p = scratch.profile;
+            assert_eq!(p.chunks_scored + p.chunks_skipped, 4 * chunks as u64);
+            assert!(p.chunks_skipped > 0, "{p:?}");
         }
-        let lost = e.explain(&q, 64).unwrap().shape.unwrap();
-        assert_eq!(lost, ShapeState::StartsLost);
-        assert!(lost
-            .to_string()
-            .ends_with("every 16th audits its last shard stream-first against the others' floor"));
-        // The RECHECK-th query is the audit: three shards predicted, the
-        // last one's own scan, and the shape stays lost.
-        e.query_with(&q, 64, &mut scratch).unwrap();
-        let p = scratch.profile;
-        assert_eq!(
-            (p.scan_predicted, p.scan_inherited, p.scan_fallbacks),
-            (3, 0, 4)
-        );
-        assert_eq!(e.explain(&q, 64).unwrap().shape, Some(lost));
-        // Had it certified, the next query would run its streams first.
-        e.verdicts.audited(e.shape(&q, 64).unwrap(), false);
-        let certified = e.explain(&q, 64).unwrap().shape.unwrap();
-        assert_eq!(certified, ShapeState::AuditCertified);
-        assert_eq!(
-            certified.to_string(),
-            "streams first: its last audit certified"
-        );
-        e.query_with(&q, 64, &mut scratch).unwrap();
-        assert_eq!(scratch.profile.scan_predicted, 0);
-        assert_eq!(e.explain(&q, 64).unwrap().shape, Some(lost), "it scanned");
     }
 
+    /// A query that a deadline ends counts in no metric: not as served,
+    /// not in any shard's floor credit — only as a deadline exceeded.
     #[test]
     fn a_deadline_aborted_query_records_nothing() {
-        let (e, q) = scanning();
+        let e = engine(800, 6, 4);
+        let q = SdQuery::uniform_weights(vec![0.5; 6], e.roles());
         let mut scratch = QueryScratch::new();
-        // Budgets until one trips after an execution stepped (earlier ones
-        // trip at the entry check, later ones let the query finish).
-        for micros in 1..20_000 {
-            let e = forgetful(&e);
-            for _ in 1..STREAK {
-                e.query_with(&q, 64, &mut scratch).unwrap();
-            }
-            scratch.deadline = Deadline::within(std::time::Duration::from_micros(micros));
-            let tripped = e.query_with(&q, 64, &mut scratch).is_err();
-            scratch.deadline = Deadline::none();
-            if !tripped || scratch.profile.rounds == 0 {
-                continue;
-            }
-            assert_eq!(scratch.profile.scan_predicted, 0);
-            // Still STREAK − 1 scans: the next query runs its streams first,
-            // and only the one after it starts lost.
-            e.query_with(&q, 64, &mut scratch).unwrap();
-            assert_eq!(scratch.profile.scan_predicted, 0, "{micros} µs");
-            e.query_with(&q, 64, &mut scratch).unwrap();
-            assert_eq!(scratch.profile.scan_predicted, 4, "{micros} µs");
-            return;
-        }
-        panic!("no budget tripped inside the aggregation");
+        e.query_with(&q, 64, &mut scratch).unwrap();
+        let before = e.metrics().snapshot();
+        let token = sdq_core::CancelToken::new();
+        token.cancel();
+        scratch.deadline = Deadline::cancelled_by(&token);
+        assert!(matches!(
+            e.query_with(&q, 64, &mut scratch),
+            Err(SdError::Cancelled)
+        ));
+        scratch.deadline = Deadline::none();
+        let after = e.metrics().snapshot();
+        assert_eq!(after.queries_served, before.queries_served);
+        assert_eq!(after.floor_contributions, before.floor_contributions);
+        assert_eq!(after.deadline_exceeded, before.deadline_exceeded + 1);
     }
 
+    /// A walk reads nothing an earlier query left: its answer and profile
+    /// on a 2-D engine are the same before and after any number of walks
+    /// and aggregations (both weights zero: every shard scans) on that
+    /// engine, and on a clone of it.
     #[test]
     fn a_walk_never_consults_the_history() {
         let e = engine(4_000, 2, 4);
         let q = SdQuery::uniform_weights(vec![0.0, 1.0], e.roles());
-        assert_eq!(e.explain(&q, 16).unwrap().shape, None);
-        let mut scratch = QueryScratch::new();
-        for _ in 0..2 * STREAK {
-            e.query_with(&q, 16, &mut scratch).unwrap();
-            assert_eq!(scratch.profile.rounds, 0, "a walk");
-        }
-        // The same engine's aggregations (both weights zero) keep their own
-        // history, and a walk wrote none of it.
         let both_zero = SdQuery::new(vec![0.0, 1.0], vec![0.0, 0.0]).unwrap();
-        assert_eq!(
-            e.explain(&both_zero, 16).unwrap().shape,
-            Some(ShapeState::StreamsFirst)
-        );
+        let mut scratch = QueryScratch::new();
+        let want = e.query_with(&q, 16, &mut scratch).unwrap().to_vec();
+        let walk = scratch.profile;
+        assert_eq!(walk.scan_fallbacks, 0, "a walk");
+        assert!(walk.blocks_popped > 0, "{walk:?}");
+        let twin = e.clone();
+        for _ in 0..8 {
+            e.query_with(&both_zero, 16, &mut scratch).unwrap();
+            assert_eq!(scratch.profile.scan_fallbacks, 4, "an aggregation scans");
+            for engine in [&e, &twin] {
+                let got = engine.query_with(&q, 16, &mut scratch).unwrap();
+                assert_eq!(got, &want[..]);
+                assert_eq!(scratch.profile, walk);
+            }
+        }
     }
 
     #[test]

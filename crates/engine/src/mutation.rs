@@ -29,7 +29,7 @@
 //! delta rows in insertion order):
 //!
 //! * delta rows are scored *exactly* by the delta scan
-//!   ([`sdq_core::delta`]) — the same row kernel the scan exit runs, over
+//!   ([`sdq_core::delta`]) — the same row kernel the box scan runs, over
 //!   the row-major delta rows themselves, with no second copy of them — and
 //!   offered to the query's one answer heap under their global ids, like
 //!   every shard's rows;

@@ -1,7 +1,8 @@
 //! # sdq-paper
 //!
 //! The SD-Query paper's reference structures (Ranu & Singh, PVLDB 5(3),
-//! 2011), as written, over 2-D points (`x` attractive, `y` repulsive):
+//! 2011), as written — over 2-D points (`x` attractive, `y` repulsive), and
+//! the §5 aggregation over any number of dimensions:
 //!
 //! * [`geometry`] — the projection types of Definition 4 and Eqn. 6, and
 //!   the score-via-projection identities of Claims 1–3,
@@ -10,11 +11,16 @@
 //!   (`O(log n)` query, point inserts and deletes),
 //! * [`topk`] — the §4 dynamic tree for runtime `k`, `α`, `β`: one point
 //!   per leaf slot, point-level inserts and deletes, the |U|/n rebuild
-//!   policy, the certified per-type frontier (Alg. 2–3) and Alg. 4.
+//!   policy, the certified per-type frontier (Alg. 2–3) and Alg. 4,
+//! * [`aggregate`] — the §5 SD-index ([`PairedIndex`]): one §4 index per
+//!   repulsive↔attractive pair, each streamed through `sdq-core`'s
+//!   `Pair2DStream`, the unpaired dimensions bounded by their extents, and
+//!   a TA-style threshold loop over them.
 //!
-//! They are what fig. 8 of the paper measures (`sdq-bench`'s branching,
-//! insert, update, top-1, construction and memory experiments), and an
-//! oracle independent of what an engine ships: `sdq-core` stores a pair as a
+//! They are what figs. 7 and 8 of the paper measure (`sdq-bench`'s
+//! experiments), and an oracle independent of what an engine ships — an
+//! engine answers a single pair with the §4 walk and every other query with
+//! one box scan, never with the §5 streams: `sdq-core` stores a pair as a
 //! bulk-loaded block set and takes updates through a delta, tombstones and
 //! compaction, never through the tree. No engine, store or baseline crate
 //! depends on this one. What it shares with `sdq-core` is the §2 geometry,
@@ -34,11 +40,13 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod aggregate;
 pub mod envelope;
 pub mod geometry;
 pub mod top1;
 pub mod topk;
 
+pub use aggregate::PairedIndex;
 pub use top1::Top1Index;
 pub use topk::{QueryScratch, TopKIndex};
 

@@ -18,7 +18,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sdq_core::geometry::Angle;
-use sdq_core::multidim::plan::scan_checkpoint;
 use sdq_core::multidim::{PairingStrategy, QueryPlan, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::{Dataset, Deadline, QueryProfile, QueryScratch, ScoredPoint, SdQuery};
@@ -146,9 +145,10 @@ QUERY OPTIONS:
                        percentiles + QPS (default 1).
     --threads T        Threads for the repeated batch (default 1;
                        0 = auto: the host's available parallelism).
-    --explain          Print the planner's per-pair strategy table (the
-                       rule's strategy + the weight angle θ_q it read)
-                       without running the query.
+    --explain          Print how the query runs on every shard: the
+                       direct walk's rule + the weight angle θ_q it read,
+                       or the box scan's chunks — then, for a scan, run
+                       it once and print the chunks scored and skipped.
     --profile          Run the query once with per-stage timing and print
                        the execution counter tree plus the pruning funnel.
     --profile-json     Like --profile but machine-readable JSON on stdout.
@@ -160,8 +160,9 @@ QUERY OPTIONS:
                        with its full execution profile, and report captured
                        slow queries on stderr (0 = off).
     --timeout-us U     Abort the query once U microseconds of budget are
-                       spent (checked once per aggregation round, so
-                       overrun is bounded by one round). A tripped
+                       spent (checked at every walk pop and every 32-row
+                       piece a scan scores, so overrun is bounded by one
+                       such step). A tripped
                        deadline exits 1 with a typed 'deadline exceeded'
                        error. 0 = no deadline. With --repeat each
                        iteration gets a fresh budget; not available with
@@ -571,13 +572,24 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let query = SdQuery::new(point, weights).map_err(runtime)?;
     let k = k.unwrap_or(DEFAULT_K);
 
+    let mut scratch = QueryScratch::new();
     if explain {
         let explained = engine.explain(&query, k).map_err(runtime)?;
         println!("loaded {path} in {load_ms:.1} ms");
         print_plan_table(&explained, k);
+        // A scan's chunks scored and skipped are the query's own: it runs.
+        if explained
+            .plans
+            .iter()
+            .any(|p| matches!(p, QueryPlan::Scan { .. }))
+        {
+            engine
+                .query_with(&query, k, &mut scratch)
+                .map_err(runtime)?;
+            print_scan_outcome(&explained, &scratch.profile);
+        }
         return Ok(());
     }
-    let mut scratch = QueryScratch::new();
     scratch.deadline = Deadline::within_micros(timeout_us);
     if profile || profile_json {
         scratch.profile.timing = true;
@@ -643,61 +655,56 @@ fn print_results(results: &[ScoredPoint]) {
     }
 }
 
-/// `--explain`: the planner's per-pair decision table, one row per 2-D
-/// subproblem per shard, and the state of the query's shape in the
-/// engine's verdict history — without executing anything.
+/// `--explain`: how the query runs on every shard, one row per shard —
+/// the direct walk's pair, rule and weight angle, or the chunks the box
+/// scan bounds — without executing anything.
 fn print_plan_table(explained: &Explain, k: usize) {
-    let plans = &explained.plans;
     println!("planner decisions (k = {k}):");
     println!(
         "  {:>5}  {:<16} {:<20} {:>12}",
         "shard", "pair", "strategy", "θ_q"
     );
-    for (i, plan) in plans.iter().enumerate() {
-        for p in &plan.pairs {
-            let strategy = if plan.direct {
-                format!("direct {}", p.action.name())
-            } else {
-                p.action.name().to_string()
-            };
-            println!(
+    for (i, plan) in explained.plans.iter().enumerate() {
+        match plan {
+            QueryPlan::Direct(p) => println!(
                 "  {:>5}  {:<16} {:<20} {:>12}",
                 i,
                 format!("(d{} r, d{} a)", p.repulsive, p.attractive),
-                strategy,
+                format!("direct {}", p.action.name()),
                 p.theta_label()
-            );
-        }
-        if plan.unpaired_extents > 0 {
-            println!(
+            ),
+            QueryPlan::Scan { chunks } => println!(
                 "  {:>5}  {:<16} {:<20} {:>12}",
                 i,
-                "unpaired",
-                format!("{} × extent bound", plan.unpaired_extents),
-                "-"
-            );
+                "all dimensions",
+                "box scan",
+                format!("{chunks} chunks bounded")
+            ),
         }
-        if !plan.direct {
-            println!(
-                "  {:>5}  {:<16} {:<20} {:>12} (or projected to: a reading every {} rows)",
-                i,
-                "scan budget",
-                "kernel scan past",
-                format!("{} rows", plan.scan_budget),
-                scan_checkpoint(plan.scan_budget)
-            );
-        }
-    }
-    if let Some(shape) = explained.shape {
-        println!("  {:>5}  {:<16} {shape}", "all", "query shape");
     }
     println!(
-        "  (θ_q is the pair's weight angle: an indexed one walks the frontier at it, any other \
-         the Claim-6 bracket; a shard that fetches more rows than its scan \
-         budget, or whose threshold gap projects that it will, finishes with one kernel scan, \
-         and so does a shard still open when an earlier sibling's verdict says so, and every \
-         shard of a query whose shape starts lost or that has no pair weight to stream, unless \
-         the floor beats its unpaired extent bound; the query was not executed)"
+        "  (θ_q is a walked pair's weight angle: an indexed one walks the frontier \
+         at it, any other the Claim-6 bracket; a box scan bounds every chunk of every shard \
+         from its box, scores each shard's best chunks first, then sweeps the rest, skipping \
+         every chunk under the floor or tied with it above the floor's worst id)"
+    );
+}
+
+/// The box scan's outcome after `--explain`'s table: the chunks the query
+/// bounded, scored and skipped over all its shards, read off its profile.
+fn print_scan_outcome(explained: &Explain, p: &QueryProfile) {
+    let bounded: usize = explained
+        .plans
+        .iter()
+        .map(|plan| match plan {
+            QueryPlan::Scan { chunks } => *chunks,
+            QueryPlan::Direct(_) => 0,
+        })
+        .sum();
+    println!(
+        "  {:>5}  {:<16} {} chunks bounded: {} scored, {} skipped ({} rows scored; the query was \
+         executed)",
+        "all", "box scan", bounded, p.chunks_scored, p.chunks_skipped, p.scan_rows
     );
 }
 
@@ -727,14 +734,8 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
         p.seen_hits, p.tombstones_skipped
     );
     println!(
-        "  scan exit  fallbacks {} (projected {}, inherited {}, predicted {}) · scan_rows {} · \
-         rows through streams {}",
-        p.scan_fallbacks,
-        p.scan_projected,
-        p.scan_inherited,
-        p.scan_predicted,
-        p.scan_rows,
-        p.rows_fetched - p.scan_rows
+        "  box scan   shards {} · chunks scored {} · skipped {} · scan_rows {}",
+        p.scan_fallbacks, p.chunks_scored, p.chunks_skipped, p.scan_rows
     );
     println!(
         "  delta      rows_scanned {} · blocks_pruned {}",
@@ -2207,16 +2208,15 @@ fn event_detail(kind: &EventKind) -> (String, Json) {
         } => (
             format!(
                 "{wall_micros} µs ≥ {threshold_micros} µs (k {k}): {} block(s) popped, \
-                 {} floor-pruned, {} row(s) fetched ({} by {} scan(s): projected {}, \
-                 inherited {}, predicted {}), {} scored, {} emitted",
+                 {} floor-pruned, {} row(s) fetched ({} by {} scan(s): {} chunk(s) scored, \
+                 {} skipped), {} scored, {} emitted",
                 p.blocks_popped,
                 p.blocks_floor_pruned,
                 p.rows_fetched,
                 p.scan_rows,
                 p.scan_fallbacks,
-                p.scan_projected,
-                p.scan_inherited,
-                p.scan_predicted,
+                p.chunks_scored,
+                p.chunks_skipped,
                 p.points_scored,
                 p.emitted
             ),
@@ -2230,12 +2230,12 @@ fn event_detail(kind: &EventKind) -> (String, Json) {
 
 /// The engine's SoA block tables, summed over its shards: `(blocks, bytes,
 /// covered)`, the last being the total point count stored across all tables
-/// (each pair blocks every row its shard covers, so a 2-pair index over n
-/// rows packs 2·n points into lanes).
+/// (a single pair blocks every row its shard covers; a shard that scans
+/// stores no table).
 fn block_stats(engine: &SdEngine) -> (usize, usize, usize) {
     engine.shards().iter().fold((0, 0, 0), |sum, sd| {
         let (blocks, bytes) = sd.block_stats();
-        let covered = sd.data().len() * sd.pairs().len();
+        let covered = if blocks > 0 { sd.data().len() } else { 0 };
         (sum.0 + blocks, sum.1 + bytes, sum.2 + covered)
     })
 }

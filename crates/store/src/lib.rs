@@ -1526,17 +1526,19 @@ mod tests {
     fn one_format_is_pinned() {
         // With one format and no version ladder, a silent layout change has
         // no other guard. `PAYLOAD_CRC`, the first offset and the length were
-        // computed over this fixture by the commit that put an aggregating
-        // shard's rows in box order (`index.meta` ends in the rows a chunk;
-        // `data.ids` and `data.boxes` follow `data.coords`; three indexed
-        // angles by default) — after the one that bounded an unpaired
+        // computed over this fixture by the commit that stopped storing an
+        // aggregating shard's pair indexes (its `index.meta` ends in the rows
+        // a chunk and a `1`: no pair region follows; `data.firsts` follows
+        // `data.boxes`) — after the one that put an aggregating shard's rows
+        // in box order (`data.ids` and `data.boxes` follow `data.coords`;
+        // three indexed angles by default), the one that bounded an unpaired
         // dimension by its extent (`index.meta` holds one `(lo, hi)` per
         // unpaired dimension; no `col{i}` regions) and the one that made an
         // engine shard's pair its block set (section kind 12; `index.meta`
         // records the pairing strategy; kinds 2, 4 and 8 retired). (The
         // fixture goes through `sin`/`cos`; a libm that rounds them
         // differently moves the coordinates, not the layout.)
-        const PAYLOAD_CRC: u32 = 0x6353_0aa0;
+        const PAYLOAD_CRC: u32 = 0x76c0_8ef4;
         let bytes = durable_snapshot().to_bytes_v5().unwrap();
         assert_eq!(bytes[8..12], 5u32.to_le_bytes());
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
@@ -1544,7 +1546,7 @@ mod tests {
         kinds.dedup();
         assert_eq!(kinds, [7, 12, 9, 10, 11], "every section kind");
         let first = info.sections[0].offset as usize;
-        assert_eq!((first, bytes.len()), (192, 4188));
+        assert_eq!((first, bytes.len()), (192, 2012));
         assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
         // Deterministic through both readers.
         let owned = Snapshot::from_bytes(&bytes).unwrap();

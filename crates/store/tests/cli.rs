@@ -157,8 +157,8 @@ fn sharded_build_then_query_matches_in_memory_index() {
     assert!(inspect.contains("4 shard(s)"), "{inspect}");
     assert!(inspect.contains("planner"), "{inspect}");
 
-    // A zero weight is an indexed angle: d0 (attractive) weighted 0 puts
-    // pair (d1, d0) at θ_q = 0°, and every shard walks its frontier there.
+    // A 4-D query is a box scan on every shard, and `--explain` runs it to
+    // say how many chunks it scored and skipped.
     let explain = sdq()
         .args([
             "query",
@@ -173,14 +173,20 @@ fn sharded_build_then_query_matches_in_memory_index() {
     let explain = String::from_utf8(explain.stdout).unwrap();
     let rows: Vec<&str> = explain
         .lines()
-        .filter(|l| l.contains("(d1 r, d0 a)"))
+        .filter(|l| l.contains("box scan") && l.contains("chunks bounded"))
         .collect();
-    assert_eq!(rows.len(), 4, "{explain}");
-    for row in rows {
+    assert_eq!(rows.len(), 5, "{explain}");
+    for row in &rows[..4] {
         let cells: Vec<&str> = row.split_whitespace().collect();
-        assert_eq!(cells[cells.len() - 2..], ["frontier", "0.0°"], "{explain}");
+        assert_eq!(
+            cells[cells.len() - 3..],
+            ["20", "chunks", "bounded"],
+            "{explain}"
+        );
     }
-    assert!(!explain.contains("1d-streams"), "{explain}");
+    assert!(rows[4].contains("80 chunks bounded: "), "{explain}");
+    assert!(rows[4].contains(" skipped ("), "{explain}");
+    assert!(!explain.contains("direct frontier"), "{explain}");
 
     let output = sdq()
         .args([
@@ -373,13 +379,13 @@ fn unknown_flags_and_corrupt_files_fail_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!dir.join("never.sdq").exists());
 
-    // A reader that goes away ends the process quietly. 64 shards make
-    // `inspect` print ≈ 150 kB, more than a pipe buffers (64 KiB), so it cannot
+    // A reader that goes away ends the process quietly. 256 shards make
+    // `inspect` print ≈ 160 kB, more than a pipe buffers (64 KiB), so it cannot
     // have finished writing when the reader closes after one line.
     let wide = dir.join("wide.sdq");
     let status = sdq()
-        .args(["build", "--synthetic", "uniform", "--n", "6400"])
-        .args(["--dims", "4", "--roles", "arra", "--shards", "64", "--out"])
+        .args(["build", "--synthetic", "uniform", "--n", "25600"])
+        .args(["--dims", "4", "--roles", "arra", "--shards", "256", "--out"])
         .arg(&wide)
         .status()
         .expect("spawn sdq build");

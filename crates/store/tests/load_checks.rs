@@ -14,22 +14,25 @@ use sdq_store::{
 const ROLES: &str = "arr";
 
 /// 3-D rows under roles `arr`: one pair plus one unpaired dimension per
-/// shard, so every kind of region is present and `index.meta` carries an
+/// shard, so its shards scan in box order and `index.meta` carries an
 /// extent.
 fn engine() -> SdEngine {
-    engine_of(40)
+    engine_of(40, ROLES)
 }
 
-fn engine_of(n: usize) -> SdEngine {
+/// `n` rows under `roles` (`arr`, or `ar` for the first two dimensions: a
+/// single pair, whose shards store its §4 index), in two shards.
+fn engine_of(n: usize, roles: &str) -> SdEngine {
+    let dims = roles.len();
     let rows: Vec<Vec<f64>> = (0..n)
         .map(|i| {
             let x = i as f64;
-            vec![(x * 0.7).sin(), x * 0.3, 10.0 - x * 0.2]
+            vec![(x * 0.7).sin(), x * 0.3, 10.0 - x * 0.2][..dims].to_vec()
         })
         .collect();
     SdEngine::build_with(
-        Dataset::from_rows(3, &rows).unwrap(),
-        &parse_roles(ROLES).unwrap(),
+        Dataset::from_rows(dims, &rows).unwrap(),
+        &parse_roles(roles).unwrap(),
         &EngineOptions {
             shards: 2,
             ..Default::default()
@@ -45,8 +48,13 @@ fn probe() -> SdQuery {
 /// The engine with uncompacted writes: the honest file every sweep and
 /// forgery below starts from.
 fn honest_bytes() -> Vec<u8> {
-    let mut engine = engine();
-    engine.insert(&[0.5, 4.5, 9.0]).unwrap();
+    honest_bytes_of(ROLES)
+}
+
+/// [`honest_bytes`] over `roles`: 40 rows, one inserted, one deleted.
+fn honest_bytes_of(roles: &str) -> Vec<u8> {
+    let mut engine = engine_of(40, roles);
+    engine.insert(&[0.5, 4.5, 9.0][..roles.len()]).unwrap();
     engine.delete(PointId::new(3)).unwrap();
     let snap = Snapshot {
         engine: Some(engine),
@@ -73,35 +81,34 @@ fn is_typed(err: &SdError) -> bool {
 
 // ── (a) what a file holds ───────────────────────────────────────────────
 
-/// A shard is its coordinates and one §4 index per pair — one copy of the
-/// pair's (x, y) besides `data.coords`, one bound hierarchy, no point
-/// table, no node records and no sorted column: an unpaired dimension is
-/// its extent, in `index.meta`. Its rows are in box order, so it also holds
-/// the id of every position (`data.ids`) and the chunk boxes
-/// (`data.boxes`).
+/// A shard that scans (`arr`) is its coordinates in box order, the id of
+/// every position (`data.ids`), the chunk boxes (`data.boxes`) and each
+/// chunk's smallest id (`data.firsts`): no pair index, no point table, no
+/// sorted column — an unpaired dimension is its extent, in `index.meta`. A
+/// single pair's shard (`ar`) is its coordinates in id order and its §4
+/// index — one copy of the pair's (x, y) besides `data.coords`, one bound
+/// hierarchy, no node records.
 #[test]
 fn an_engine_file_lists_exactly_these_regions() {
     // 300 rows a shard: 10 leaf blocks under two envelope levels.
-    let snap = Snapshot {
-        engine: Some(engine_of(600)),
-        ..Snapshot::default()
-    };
-    let opened = Snapshot::from_mapped(MappedBytes::copy_from(&snap.to_bytes_v5().unwrap()));
-    let names: Vec<String> = opened
-        .unwrap()
-        .regions()
-        .iter()
-        .map(|r| r.name().to_string())
-        .collect();
-    let mut want = vec![String::from("engine-manifest/meta")];
-    for shard in 0..2 {
-        want.extend(
-            [
+    for (roles, regions) in [
+        (
+            "arr",
+            &[
                 "index.meta",
                 "data.meta",
                 "data.coords",
                 "data.ids",
                 "data.boxes",
+                "data.firsts",
+            ][..],
+        ),
+        (
+            "ar",
+            &[
+                "index.meta",
+                "data.meta",
+                "data.coords",
                 "pair0/meta",
                 "pair0/blocks.xs",
                 "pair0/blocks.ys",
@@ -113,11 +120,30 @@ fn an_engine_file_lists_exactly_these_regions() {
                 "pair0/blocks.lvl0/xr",
                 "pair0/blocks.lvl1/bounds",
                 "pair0/blocks.lvl1/xr",
-            ]
-            .map(|region| format!("engine-shard{shard}/{region}")),
-        );
+            ][..],
+        ),
+    ] {
+        let snap = Snapshot {
+            engine: Some(engine_of(600, roles)),
+            ..Snapshot::default()
+        };
+        let opened = Snapshot::from_mapped(MappedBytes::copy_from(&snap.to_bytes_v5().unwrap()));
+        let names: Vec<String> = opened
+            .unwrap()
+            .regions()
+            .iter()
+            .map(|r| r.name().to_string())
+            .collect();
+        let mut want = vec![String::from("engine-manifest/meta")];
+        for shard in 0..2 {
+            want.extend(
+                regions
+                    .iter()
+                    .map(|region| format!("engine-shard{shard}/{region}")),
+            );
+        }
+        assert_eq!(names, want, "{roles}");
     }
-    assert_eq!(names, want);
 }
 
 // ── (b) damaged files ───────────────────────────────────────────────────
@@ -228,9 +254,8 @@ fn set_u32(payload: &mut [u8], index: usize, v: u32) {
 
 #[test]
 fn load_refuses_forged_contents_under_valid_checksums() {
-    let honest = honest_bytes();
     type Patch = fn(&mut [u8]);
-    let cases: [(&str, &str, Patch); 13] = [
+    let cases: [(&str, &str, Patch); 15] = [
         ("engine-shard0/data.coords", "non-finite coordinate", |p| {
             set_f64(p, 4, f64::NAN)
         }),
@@ -246,13 +271,14 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             |p| set_f64(p, 31, f64::NAN),
         ),
         // `index.meta` ends in the unpaired dimension's `(lo, hi)`, then
-        // the box order's rows a chunk (a `u32`).
+        // the box order's rows a chunk and the flag that no pair index
+        // follows (a `u32` each).
         (
             "engine-shard0/index.meta",
             "unpaired dimension 2: extent",
             |p| {
                 // Swap the two ends of the extent.
-                let lo = p.len() - 20;
+                let lo = p.len() - 24;
                 p[lo..lo + 16].rotate_left(8);
             },
         ),
@@ -260,12 +286,12 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             "engine-shard0/index.meta",
             "unpaired dimension 2: extent [-inf",
             |p| {
-                let lo = p.len() - 20;
+                let lo = p.len() - 24;
                 p[lo..lo + 8].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
             },
         ),
         ("engine-shard1/index.meta", "NaN]", |p| {
-            let hi = p.len() - 12;
+            let hi = p.len() - 16;
             p[hi..hi + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         }),
         ("engine-shard1/data.ids", "row id 300 out of range", |p| {
@@ -279,10 +305,19 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             "engine-shard1/index.meta",
             "box order: 32 rows a chunk",
             |p| {
-                let at = p.len() - 4;
-                p[at..].copy_from_slice(&32u32.to_le_bytes());
+                let at = p.len() - 8;
+                p[at..at + 4].copy_from_slice(&32u32.to_le_bytes());
             },
         ),
+        ("engine-shard0/index.meta", "pair index flag 2", |p| {
+            let at = p.len() - 4;
+            p[at..].copy_from_slice(&2u32.to_le_bytes());
+        }),
+        // Chunk 0's first id raised past its smallest: the tie-aware skip
+        // would pass over a row it must score.
+        ("engine-shard1/data.firsts", "first id", |p| {
+            set_u32(p, 0, 19)
+        }),
         (
             "engine-shard0/pair0/blocks.slots",
             "slot 1000000 out of range",
@@ -310,10 +345,17 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             },
         ),
     ];
+    let (scanning, walking) = (honest_bytes(), honest_bytes_of("ar"));
     for (region, needle, patch) in cases {
+        // The pair regions are a single pair's: its shards store them.
+        let honest = if region.contains("/pair0/") {
+            &walking
+        } else {
+            &scanning
+        };
         let mut forged = honest.clone();
         forge(&mut forged, region, patch);
-        assert_ne!(forged, honest, "{region}: patch changed nothing");
+        assert_ne!(&forged, honest, "{region}: patch changed nothing");
         match Snapshot::from_bytes(&forged) {
             Err(SdError::SnapshotCorrupt { detail }) => {
                 assert!(detail.contains(needle), "{region}: wrong detail: {detail}")

@@ -4,8 +4,9 @@
 //! structures ([`sdq_core`]), the sharded engine ([`sdq_engine`]), the
 //! evaluation baselines ([`sdq_baselines`]), the R*-tree substrate
 //! ([`sdq_rstar`]), the workload generators ([`sdq_data`]), the snapshot
-//! persistence layer ([`sdq_store`]) and the paper's §3–§4 reference
-//! structures, which no engine path reaches ([`sdq_paper`]).
+//! persistence layer ([`sdq_store`]) and the paper's reference structures
+//! — the §3 top-1 index, the §4 dynamic tree and the §5 pair-stream
+//! aggregation — which no engine path reaches ([`sdq_paper`]).
 //!
 //! See the repository `README.md` for a guided tour and the paper-to-module
 //! mapping.

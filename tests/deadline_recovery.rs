@@ -1,13 +1,9 @@
 //! A query deadline is an error for one query, not for the scratch that
-//! served it: when the engine aborts it — between two
-//! aggregation rounds, in the middle of the kernel scan of the shard that
-//! found the query lost, in one its siblings inherited from it, or in a scan
-//! of a query that started lost — every suspended shard execution hands its
-//! buffers back, the typed error surfaces, the `deadline_exceeded` metric
-//! counts it, and the same [`QueryScratch`] answers the same query again
-//! bit-identically to a fresh one **without allocating at all**, like any
-//! warmed scratch — whether that query runs its streams first, starts lost
-//! or is its shape's audit.
+//! served it: when the engine aborts it — in the box scan's lead of the
+//! first shard, or in the sweeps after every shard's lead — the typed
+//! error surfaces, the `deadline_exceeded` metric counts it, and
+//! the same [`QueryScratch`] answers the same query again bit-identically
+//! to a fresh one **without allocating at all**, like any warmed scratch.
 //!
 //! The direct 2-D search — one certified frontier walk, no aggregation
 //! rounds — honours the same token at every pop, on a bare [`SdIndex`] and
@@ -15,8 +11,9 @@
 //!
 //! Deadlines are wall-clock, so the test sweeps budgets across the
 //! query's measured duration and classifies every trip from the partial
-//! profile the abort leaves behind (`scan_fallbacks` is counted when a
-//! scan starts): the sweep must produce at least one trip of each kind.
+//! profile the abort leaves behind (`chunks_scored` counts a chunk when
+//! its scoring starts): the sweep must produce at least one trip of each
+//! kind.
 //!
 //! A query runs on the thread that calls it, so the engines here are built
 //! with the default options and restored through `from_parts` as they come:
@@ -34,10 +31,10 @@ use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use sdq::baselines::{SeqScan, TaIndex};
-use sdq::core::multidim::SdIndex;
+use sdq::core::multidim::{QueryPlan, SdIndex};
 use sdq::core::{CancelToken, Deadline, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{resolve_threads, EngineOptions, SdEngine, RECHECK, STREAK};
+use sdq::engine::{resolve_threads, EngineOptions, SdEngine};
 use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdError, SdQuery};
 
 struct CountingAlloc;
@@ -89,21 +86,11 @@ fn assert_bit_identical(got: &[ScoredPoint], want: &[ScoredPoint]) {
 /// Where an aborted query was when its deadline tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Trip {
-    /// Between two aggregation rounds; no execution had started a scan.
-    Aggregation,
-    /// Inside the kernel scan of the shard that found the query lost (or
-    /// between rounds after it); no sibling had inherited the verdict yet.
-    Scan,
-    /// Inside a scan a sibling started on that verdict (or at the round
-    /// head of the next one).
-    InheritedScan,
-    /// Inside a scan of a query that started lost: the engine's history
-    /// sent every execution to its scan at its first round head.
-    PredictedScan,
-    /// Inside the last shard of the shape's audit (its every RECHECK-th
-    /// query), run stream-first once the other three finished their
-    /// predicted scans.
-    Audit,
+    /// Inside the first shard's lead: at most its 16 best chunks scored.
+    Lead,
+    /// Inside the sweeps, past every shard's lead: more than 4 × 16 chunks
+    /// scored.
+    Sweep,
 }
 
 #[test]
@@ -125,146 +112,74 @@ fn tripped_scratch_recovers_without_reallocating() {
         },
     )
     .unwrap();
-    // An engine over the same shards with no verdict history: its first
-    // STREAK queries of this shape run their streams first.
-    let fresh = || SdEngine::from_parts(dims, roles.clone(), engine.shards().to_vec()).unwrap();
     let query: SdQuery = uniform_queries(1, dims, 0xD1).remove(0);
-    let want = fresh().query(&query, k).unwrap(); // a fresh scratch's answer
+    let want = engine.query(&query, k).unwrap(); // a fresh scratch's answer
 
     // Warm the scratch on this very query: buffer high-water marks are set
-    // here, so a later run of it allocates nothing — stream-first, until the
-    // engine's history has seen STREAK of them scan …
+    // by its first run, so every later run allocates nothing.
     let mut scratch = QueryScratch::new();
     let mut full = Duration::MAX;
-    for i in 0..STREAK {
+    for i in 0..3 {
         let t0 = Instant::now();
         let allocs = count_allocs(|| {
             assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
         });
         full = full.min(t0.elapsed());
         let p = scratch.profile;
-        assert_eq!(p.scan_fallbacks, 4, "every shard must scan");
-        assert_eq!(
-            (p.scan_inherited, p.scan_predicted),
-            (3, 0),
-            "one verdict, three siblings inherit it"
-        );
+        assert_eq!(p.scan_fallbacks, 4, "every shard scans");
+        assert!(p.chunks_skipped > 0, "{p:?}");
         if i > 0 {
             assert_eq!(allocs, 0, "a warmed query allocates nothing");
         }
     }
-    // … and then started lost: its first such query sets the high-water
-    // marks of that path (a scan from round one pools more candidates than
-    // one that starts under a floor), and the next allocates nothing.
-    assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
-    let steady = count_allocs(|| {
-        engine.query_with(&query, k, &mut scratch).unwrap();
-    });
-    let p = scratch.profile;
-    assert_eq!(
-        (p.scan_fallbacks, p.scan_inherited, p.scan_predicted),
-        (4, 0, 4),
-        "the shape started lost"
-    );
-    assert_eq!(steady, 0, "a warmed started-lost query allocates nothing");
-    // The shape's audit — three predicted scans, then the last shard's
-    // streams, longer than any it ran before — sets that path's marks, and
-    // the next audit allocates nothing.
-    for lap in 0..2 {
-        let before = if lap == 0 { STREAK + 2 } else { 0 };
-        for _ in before..RECHECK - 1 {
-            engine.query_with(&query, k, &mut scratch).unwrap();
-        }
-        let audit = count_allocs(|| {
-            assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &want);
-        });
-        let p = scratch.profile;
-        assert_eq!((p.scan_predicted, p.scan_inherited), (3, 0), "audit {lap}");
-        if lap > 0 {
-            assert_eq!(audit, 0, "a warmed audit allocates nothing");
-        }
-    }
 
-    // The sweep runs each budget on an engine with no history (the query
-    // runs its streams first; a fresh one per budget, since the recovery
-    // below lengthens its streak) and on the warmed one (the query starts
-    // lost, but for its every RECHECK-th query).
-    // An audit trip is taken when the sweep happens on one, not sought.
-    let wanted = [
-        Trip::Aggregation,
-        Trip::Scan,
-        Trip::InheritedScan,
-        Trip::PredictedScan,
-    ];
-    // The budgets step by 1/STEPS of the query: the siblings' inherited
-    // box scans skip most of their chunks, so their window is a few
-    // hundredths of it.
+    let wanted = [Trip::Lead, Trip::Sweep];
+    // The budgets step by 1/STEPS of the query: the first lead is a small
+    // part of it.
     const STEPS: u32 = 192;
     let mut seen = Vec::new();
     'sweep: for _attempt in 0..4 {
         for step in 1..STEPS {
-            let stream_first = fresh();
-            for engine in [&stream_first, &engine] {
-                let before = engine.metrics().snapshot().deadline_exceeded;
-                scratch.deadline = Deadline::within(full * step / STEPS);
-                let trip = match engine.query_with(&query, k, &mut scratch) {
-                    Ok(_) => continue, // the budget was enough this time
-                    Err(SdError::DeadlineExceeded { budget_micros, .. }) => {
-                        assert_eq!(budget_micros, (full * step / STEPS).as_micros() as u64);
-                        let p = scratch.profile;
-                        if p.rounds == 0 {
-                            continue; // tripped before any execution stepped
-                        } else if p.scan_fallbacks == 0 {
-                            Trip::Aggregation
-                        } else if p.scan_predicted > 0 && p.rows_fetched > p.scan_rows {
-                            // A query that started lost fetches through its
-                            // streams only in an audit's last shard, run once
-                            // its three lead shards finished their predicted
-                            // scans; a scan counts its rows only when it
-                            // completes, so these came through streams.
-                            assert_eq!((p.scan_predicted, p.scan_inherited), (3, 0), "{p:?}");
-                            assert!(p.scan_fallbacks <= 4, "{p:?}");
-                            Trip::Audit
-                        } else if p.scan_predicted > 0 {
-                            assert!(p.scan_fallbacks <= 4 && p.emitted == 0);
-                            assert_eq!(p.scan_fallbacks, p.scan_predicted, "{p:?}");
-                            Trip::PredictedScan
-                        } else {
-                            assert!(p.scan_fallbacks <= 4 && p.emitted == 0);
-                            assert_eq!(p.scan_fallbacks - p.scan_inherited, 1, "{p:?}");
-                            if p.scan_inherited == 0 {
-                                Trip::Scan
-                            } else {
-                                Trip::InheritedScan
-                            }
-                        }
+            let before = engine.metrics().snapshot().deadline_exceeded;
+            scratch.deadline = Deadline::within(full * step / STEPS);
+            let trip = match engine.query_with(&query, k, &mut scratch) {
+                Ok(_) => continue, // the budget was enough this time
+                Err(SdError::DeadlineExceeded { budget_micros, .. }) => {
+                    assert_eq!(budget_micros, (full * step / STEPS).as_micros() as u64);
+                    let p = scratch.profile;
+                    assert!(p.scan_fallbacks <= 4 && p.emitted == 0, "{p:?}");
+                    match p.chunks_scored {
+                        0 => continue, // tripped before any chunk was scored
+                        1..=16 => Trip::Lead,
+                        17..=64 => continue, // in a later shard's lead
+                        _ => Trip::Sweep,
                     }
-                    Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
-                };
-                assert_eq!(
-                    engine.metrics().snapshot().deadline_exceeded,
-                    before + 1,
-                    "{trip:?}"
-                );
+                }
+                Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
+            };
+            assert_eq!(
+                engine.metrics().snapshot().deadline_exceeded,
+                before + 1,
+                "{trip:?}"
+            );
 
-                // The tripped scratch, no deadline: same answer as a fresh
-                // scratch, and still not one allocation.
-                scratch.deadline = Deadline::none();
-                let mut got = Vec::with_capacity(k);
-                let allocs = count_allocs(|| {
-                    got.extend_from_slice(engine.query_with(&query, k, &mut scratch).unwrap());
-                });
-                assert_bit_identical(&got, &want);
-                assert_eq!(
-                    allocs, 0,
-                    "{trip:?}: the scratch re-allocated after a tripped deadline"
-                );
-                if !seen.contains(&trip) {
-                    seen.push(trip);
-                }
-                if wanted.iter().all(|t| seen.contains(t)) {
-                    break 'sweep;
-                }
+            // The tripped scratch, no deadline: same answer as a fresh
+            // scratch, and still not one allocation.
+            scratch.deadline = Deadline::none();
+            let mut got = Vec::with_capacity(k);
+            let allocs = count_allocs(|| {
+                got.extend_from_slice(engine.query_with(&query, k, &mut scratch).unwrap());
+            });
+            assert_bit_identical(&got, &want);
+            assert_eq!(
+                allocs, 0,
+                "{trip:?}: the scratch re-allocated after a tripped deadline"
+            );
+            if !seen.contains(&trip) {
+                seen.push(trip);
+            }
+            if wanted.iter().all(|t| seen.contains(t)) {
+                break 'sweep;
             }
         }
     }
@@ -285,7 +200,7 @@ fn direct_2d_search_honours_a_cancelled_token() {
 
     // The bare index: nothing but the frontier walk can see the token.
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(index.plan(&query).unwrap().direct);
+    assert!(matches!(index.plan(&query).unwrap(), QueryPlan::Direct(_)));
     let want = index.query(&query, k).unwrap();
     let mut scratch = QueryScratch::new();
     index.query_with(&query, k, &mut scratch).unwrap(); // warm-up
@@ -317,7 +232,7 @@ fn direct_2d_search_honours_a_cancelled_token() {
         }
         let plans = engine.explain(&query, k).unwrap().plans;
         assert!(
-            plans.len() == shards && plans.iter().all(|p| p.direct),
+            plans.len() == shards && plans.iter().all(|p| matches!(p, QueryPlan::Direct(_))),
             "{cell}"
         );
         let fresh = engine.query(&query, k).unwrap();
@@ -393,10 +308,10 @@ fn default_and_restored_engines_query_without_allocating() {
                 got.extend_from_slice(engine.query_with(q, k, &mut scratch).unwrap());
             });
             assert_eq!(allocs, 0, "{name}: a warmed query allocated {allocs} times");
-            aggregated += u32::from(scratch.profile.rounds > 0);
+            aggregated += u32::from(scratch.profile.scan_fallbacks == 4);
             assert_bit_identical(&got, &engine.query(q, k).unwrap());
         }
-        assert_eq!(aggregated, 8, "{name}: every query ran the §5 aggregation");
+        assert_eq!(aggregated, 8, "{name}: every query scanned every shard");
     }
 }
 

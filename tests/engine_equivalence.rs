@@ -15,7 +15,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::baselines::SeqScan;
-use sdq::core::multidim::SdIndex;
+use sdq::core::multidim::{QueryPlan, SdIndex};
 use sdq::core::QueryScratch;
 use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{EngineOptions, SdEngine};
@@ -264,11 +264,12 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
             for q in &queries {
                 let plans = engine.explain(q, k).unwrap().plans;
                 let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
-                let ran_direct = scratch.profile.rounds == 0;
+                let ran_direct = scratch.profile.scan_fallbacks == 0;
                 let one_pair = q.weights.iter().any(|&w| w != 0.0);
                 assert_eq!(ran_direct, one_pair, "{cell} {:?}", q.weights);
                 assert_eq!(plans.len(), shards, "{cell}");
-                assert!(plans.iter().all(|p| p.direct == ran_direct), "{cell}");
+                let direct = |p: &QueryPlan| matches!(p, QueryPlan::Direct(_));
+                assert!(plans.iter().all(|p| direct(p) == ran_direct), "{cell}");
                 if ran_direct {
                     assert!(scratch.profile.blocks_popped > 0, "{cell}");
                 }

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: every index structure and baseline must
 //! agree with the sequential-scan oracle on every distribution, any mix of
 //! roles, runtime weights and k — and the sharded engine must agree with it
-//! **bit for bit** on the inputs that push its aggregation past the fetch
-//! budget and into the kernel-scan exit.
+//! **bit for bit**, through the §4 walk and the box scan alike, on hostile
+//! inputs as well as friendly ones.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -11,10 +11,10 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
-use sdq::core::multidim::{PairAction, PairingStrategy, SdIndex, SdIndexOptions};
+use sdq::core::multidim::{PairAction, PairingStrategy, QueryPlan, SdIndex, SdIndexOptions};
 use sdq::core::{QueryProfile, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
-use sdq::engine::{EngineOptions, SdEngine, RECHECK, STREAK};
+use sdq::engine::{EngineOptions, SdEngine};
 use sdq::store::Snapshot;
 use sdq::{Dataset, DimRole, PointId, ScoredPoint};
 
@@ -275,10 +275,10 @@ fn facade_reexports_work() {
     let _ = sdq::sd_score(&[0.0, 1.0], &[0.0, 0.0], &roles, &[1.0, 1.0]);
 }
 
-// ─── the scan exit against the oracle ───────────────────────────────────────
+// ─── the box scan against the oracle ────────────────────────────────────────
 
-/// Cases run so far by the property below, and how many of them saw at
-/// least one shard execution finish by scanning.
+/// Cases run so far by the property below, and how many of them scanned
+/// at least one shard.
 static SCAN_CASES: AtomicU32 = AtomicU32::new(0);
 static SCAN_CASES_SCANNED: AtomicU32 = AtomicU32::new(0);
 
@@ -287,11 +287,9 @@ proptest! {
 
     // 6-D anti-correlated rows (with exact duplicates, so k-th-score ties
     // are real), tombstones and a delta region, 1–4 shards: the engine's
-    // answer is SeqScan's over the live rows, bit for bit, whether or not an execution took the scan
-    // exit — and at least half the cases must take it, so the property
-    // cannot hold by never scanning. (At these shard sizes a block stream
-    // alone spends n/8 within a few rounds; the test after this one has
-    // shards large enough to certify inside the budget.)
+    // answer is SeqScan's over the live rows, bit for bit, through the box
+    // scan — and at least half the cases must scan, so the property cannot
+    // hold by never scanning.
     #[test]
     fn engine_matches_seqscan_through_the_scan_exit(
         n in 40usize..=4_000,
@@ -378,26 +376,28 @@ proptest! {
             + u32::from(scanned);
         prop_assert!(
             cases < 16 || 2 * with_scan >= cases,
-            "only {} of {} cases took the scan exit",
+            "only {} of {} cases scanned",
             with_scan,
             cases
         );
     }
 }
 
-/// Shards big enough that the exit is decided query by query, shard by
-/// shard: some executions certify inside the budget while their siblings —
-/// same query, same shared floor, same merge — finish by scanning, on the
-/// spent budget or on the projection that it will be. 4 500-row shards: of
-/// these 24 queries 7 scan in no shard, 12 in some, 5 in all; at 2 000 rows
-/// the projection sends every shard of every query to the scan, at 6 000 no
-/// query scans everywhere, at 12 000 none scans at all. (The bracket moves
-/// with the leaf layout: over x-strip blocks it read 3 000 / 6 000 / 12 000;
-/// tiled blocks certify sooner, so the contested sizes are smaller.)
+/// Every shard scans against the floor the shards before it left, so a
+/// query's shards split into those whose rows raise that floor and those
+/// whose boxes and rows certify they hold nothing better — query by query,
+/// shard by shard: on these 24 uniform queries over four 4 500-row shards,
+/// each a slab of the attractive dimension 0, both kinds occur, and the
+/// merged answer is SeqScan's bit for bit.
 #[test]
 fn scanning_and_certifying_shards_merge_to_the_oracle() {
     let (n, dims, k, shards) = (18_000, 4, 16, 4);
-    let data = Arc::new(generate(Distribution::Uniform, n, dims, 0x5CA9));
+    let mut rows: Vec<Vec<f64>> = generate(Distribution::Uniform, n, dims, 0x5CA9)
+        .iter()
+        .map(|(_, c)| c.to_vec())
+        .collect();
+    rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    let data = Arc::new(Dataset::from_rows(dims, &rows).unwrap());
     let roles = roles_for(dims, 2);
     let oracle = SeqScan::new(data.clone(), &roles).unwrap();
     let queries = uniform_queries(24, dims, 0x5CAA);
@@ -411,7 +411,7 @@ fn scanning_and_certifying_shards_merge_to_the_oracle() {
     )
     .unwrap();
     let mut scratch = QueryScratch::new();
-    let (mut none, mut some, mut all) = (0, 0, 0);
+    let (mut one, mut some, mut all) = (0, 0, 0);
     for q in &queries {
         let want = oracle.query(q, k).unwrap();
         let got = engine.query_with(q, k, &mut scratch).unwrap();
@@ -419,16 +419,22 @@ fn scanning_and_certifying_shards_merge_to_the_oracle() {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!((g.id, g.score.to_bits()), (w.id, w.score.to_bits()));
         }
-        match scratch.profile.scan_fallbacks {
-            0 => none += 1,
-            f if f == shards as u64 => all += 1,
+        assert_eq!(scratch.profile.scan_fallbacks, shards as u64);
+        let raising = scratch
+            .part_floor_updates()
+            .iter()
+            .filter(|&&updates| updates > 0)
+            .count();
+        match raising {
+            1 => one += 1,
+            r if r == shards => all += 1,
             _ => some += 1,
         }
     }
-    // Which executions scan is a fact of the data.
+    // Which shards raise the floor is a fact of the data.
     assert!(
-        some > 0 && none > 0 && all > 0,
-        "{none} queries never scanned, {some} in some shards, {all} in all"
+        one + some > 0,
+        "{one} queries raised by one shard, {some} by some, {all} by all"
     );
 }
 
@@ -438,6 +444,9 @@ enum Dirt {
     Clean,
     Tombstoned,
     TombstonedDelta,
+    /// Tombstoned and given delta rows, then compacted: the dirty shards
+    /// rebuilt and the ids renumbered densely over the live rows.
+    Compacted,
 }
 
 /// Where the engine of the sweep below serves its queries from.
@@ -453,8 +462,8 @@ enum Serve {
 static MAPPED_CASE: AtomicU32 = AtomicU32::new(0);
 
 /// Builds `rows` into an engine of `shards` shards, dirties it, serves
-/// it as `serve` says, and checks `queries` — in order, on one engine, so
-/// its verdict history builds up across them — against SeqScan over its
+/// it as `serve` says, and checks `queries` — in order, on one engine —
+/// against SeqScan over its
 /// live rows, bit for bit, and every shard's plan against the planner's
 /// rule; returns each query's profile.
 #[allow(clippy::too_many_arguments)] // one sweep cell
@@ -478,7 +487,7 @@ fn scans_match_the_oracle(
         },
     )
     .unwrap();
-    if let Dirt::TombstonedDelta = dirt {
+    if let Dirt::TombstonedDelta | Dirt::Compacted = dirt {
         // Copies of indexed rows (ties across base and delta) and fresh ones.
         for i in 0..24 {
             let row = if i % 2 == 0 {
@@ -496,6 +505,14 @@ fn scans_match_the_oracle(
             assert!(engine.delete(PointId::new(victim as u32)).unwrap());
             dead[victim] = true;
         }
+    }
+    if let Dirt::Compacted = dirt {
+        engine.compact().unwrap();
+        rows = (0..rows.len())
+            .filter(|&i| !dead[i])
+            .map(|i| rows[i].clone())
+            .collect();
+        dead = vec![false; rows.len()];
     }
     if let Serve::Mapped = serve {
         let dir = std::env::temp_dir().join(format!("sdq-oracle-eq-{}", std::process::id()));
@@ -524,23 +541,22 @@ fn scans_match_the_oracle(
     let mut profiles = Vec::with_capacity(queries.len());
     for q in queries {
         let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}");
-        // The rule: both weights zero drop a pair, one zero weight is the
-        // indexed 0° or 90°, and every shard decides alike.
+        // The rule: one pair with a live weight walks — one zero weight is
+        // the indexed 0° or 90° — anything else scans, and every shard
+        // decides alike.
+        let single_pair = dims == 2 && roles[0] != roles[1] && q.weights.iter().any(|&w| w > 0.0);
         for plan in engine.explain(q, k).unwrap().plans {
-            for p in plan.pairs {
-                let (alpha, beta) = (q.weights[p.repulsive], q.weights[p.attractive]);
-                let want: &[PairAction] = match (alpha == 0.0, beta == 0.0) {
-                    (true, true) => &[PairAction::Degenerate],
-                    (false, false) => &[PairAction::Frontier, PairAction::Bracketed],
-                    _ => &[PairAction::Frontier],
-                };
-                assert!(
-                    want.contains(&p.action),
-                    "{cell}: (d{}, d{}) {:?}",
-                    p.repulsive,
-                    p.attractive,
-                    p.action
-                );
+            match plan {
+                QueryPlan::Direct(p) => {
+                    assert!(single_pair, "{cell}: {q:?} walks");
+                    let (alpha, beta) = (q.weights[p.repulsive], q.weights[p.attractive]);
+                    let want: &[PairAction] = match (alpha == 0.0, beta == 0.0) {
+                        (false, false) => &[PairAction::Frontier, PairAction::Bracketed],
+                        _ => &[PairAction::Frontier],
+                    };
+                    assert!(want.contains(&p.action), "{cell}: {:?}", p.action);
+                }
+                QueryPlan::Scan { .. } => assert!(!single_pair, "{cell}: {q:?} scans"),
             }
         }
         let want = oracle.query(q, k).unwrap();
@@ -553,80 +569,73 @@ fn scans_match_the_oracle(
                 "{cell}"
             );
         }
-        let p = scratch.profile;
-        assert!(
-            p.scan_projected + p.scan_inherited + p.scan_predicted <= p.scan_fallbacks,
-            "{cell}: {p:?}"
-        );
-        profiles.push(p);
+        profiles.push(scratch.profile);
     }
     profiles
 }
 
 /// A zero weight walks the pair's 0° or 90° frontier, at every shard size:
-/// each query zeroes one dimension's weight (attractive for the first two,
-/// repulsive for the last two), on 4 shards of {200, 800, 1 250, 25 000}
-/// rows — where the scan exit ends most executions, and where the frontier
-/// certifies — at k {16, 64}, clean and tombstoned, owned and mapped, bit
-/// for bit against SeqScan and planned `frontier` on every shard. A last
-/// query zeroes every weight: no shard has a stream, so each one scans from
-/// its first round head (`scan_predicted`), and the answer is the first k
-/// live ids at score 0.
+/// each query zeroes one dimension's weight, on 4 shards of {200, 800,
+/// 1 250, 25 000} rows, at k {16, 64}, clean and tombstoned, owned and
+/// mapped, bit for bit against SeqScan — over a 2-D `[a, r]` engine, which
+/// walks and plans `frontier` on every shard, and over a 4-D one, which
+/// scans. A last query zeroes every weight: every shard scans, and the
+/// answer is the first k live ids at score 0, read off the chunks of the
+/// smallest ids.
 #[test]
 fn zero_weight_pairs_walk_their_frontier_to_the_oracle() {
-    let (dims, shards) = (4, 4);
-    let roles = roles_for(dims, 2);
-    let mut queries = uniform_queries(dims + 1, dims, 0x2E0);
-    for (zero, q) in queries.iter_mut().enumerate() {
-        match q.weights.get_mut(zero) {
-            Some(w) => *w = 0.0,
-            None => q.weights.fill(0.0),
+    let shards = 4;
+    for dims in [2, 4] {
+        let roles = roles_for(dims, dims / 2);
+        let mut queries = uniform_queries(dims + 1, dims, 0x2E0);
+        for (zero, q) in queries.iter_mut().enumerate() {
+            match q.weights.get_mut(zero) {
+                Some(w) => *w = 0.0,
+                None => q.weights.fill(0.0),
+            }
         }
-    }
-    for shard_rows in [200, 800, 1_250, 25_000] {
-        let rows: Vec<Vec<f64>> = generate(
-            Distribution::Uniform,
-            shards * shard_rows,
-            dims,
-            0x2E1 ^ shard_rows as u64,
-        )
-        .iter()
-        .map(|(_, c)| c.to_vec())
-        .collect();
-        for k in [16, 64] {
-            for dirt in [Dirt::Clean, Dirt::Tombstoned] {
-                for serve in [Serve::Owned, Serve::Mapped] {
-                    let profiles =
-                        scans_match_the_oracle(&rows, &roles, shards, dirt, serve, k, &queries);
-                    let all_zero = profiles.last().unwrap();
-                    assert_eq!(
-                        (all_zero.scan_predicted, all_zero.scan_fallbacks),
-                        (shards as u64, shards as u64),
-                        "{shard_rows} rows a shard, k = {k}, {dirt:?}, {serve:?}"
-                    );
+        for shard_rows in [200, 800, 1_250, 25_000] {
+            let rows: Vec<Vec<f64>> = generate(
+                Distribution::Uniform,
+                shards * shard_rows,
+                dims,
+                0x2E1 ^ shard_rows as u64,
+            )
+            .iter()
+            .map(|(_, c)| c.to_vec())
+            .collect();
+            for k in [16, 64] {
+                for dirt in [Dirt::Clean, Dirt::Tombstoned] {
+                    for serve in [Serve::Owned, Serve::Mapped] {
+                        let cell = format!(
+                            "{dims}-D, {shard_rows} rows a shard, k = {k}, {dirt:?}, {serve:?}"
+                        );
+                        let profiles =
+                            scans_match_the_oracle(&rows, &roles, shards, dirt, serve, k, &queries);
+                        let (all_zero, one_zero) = profiles.split_last().unwrap();
+                        for p in one_zero {
+                            let walked = p.scan_fallbacks == 0 && p.blocks_popped > 0;
+                            assert_eq!(walked, dims == 2, "{cell}: {p:?}");
+                        }
+                        assert_eq!(all_zero.scan_fallbacks, shards as u64, "{cell}");
+                        assert!(
+                            all_zero.scan_rows <= 2 * 64 * k as u64,
+                            "{cell}: {all_zero:?}"
+                        );
+                    }
                 }
             }
         }
     }
 }
 
-/// `(scan_fallbacks, scan_inherited, scan_predicted)` summed over `profiles`.
-fn scan_sums(profiles: &[QueryProfile]) -> (u64, u64, u64) {
-    profiles.iter().fold((0, 0, 0), |(f, i, p), q| {
-        (
-            f + q.scan_fallbacks,
-            i + q.scan_inherited,
-            p + q.scan_predicted,
-        )
-    })
-}
-
-/// The third scan trigger against the oracle: once one shard execution
-/// finds its streams lost, its open siblings scan on that verdict — it is
-/// always there before they resume — over clean, tombstoned and
-/// tombstoned-plus-delta engines, bit for bit. Each engine serves three queries, so none
-/// starts lost: the engine's history needs [`STREAK`] stream-first scans of
-/// a shape before it predicts the next one.
+/// Every shard after the first scans against the floor it inherits from
+/// the shards before it (and from the delta scan), over shards {1, 2, 4,
+/// 8} × clean, tombstoned and tombstoned-plus-delta engines, bit for bit
+/// against SeqScan. And a hostile lead: shard 0 holds 10 000
+/// anti-correlated rows, stretched about 0.5 so they compete for the top
+/// k, and shards 1–3 hold 10 000 uniform rows each; the floor the lead
+/// leaves lets the others skip chunks, and their answers must be exact too.
 #[test]
 fn inherited_scans_merge_to_the_oracle() {
     let (n, dims, k) = (16_000, 6, 64);
@@ -635,27 +644,20 @@ fn inherited_scans_merge_to_the_oracle() {
         .iter()
         .map(|(_, c)| c.to_vec())
         .collect();
-    let queries = uniform_queries(STREAK as usize, dims, 0x1A5);
-    let q = queries.len() as u64;
+    let queries = uniform_queries(3, dims, 0x1A5);
     for shards in [1, 2, 4, 8] {
         for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
             let profiles =
                 scans_match_the_oracle(&rows, &roles, shards, dirt, Serve::Owned, k, &queries);
-            let (fallbacks, inherited, predicted) = scan_sums(&profiles);
-            let cell = format!("{shards} shard(s), {dirt:?}");
-            assert_eq!(predicted, 0, "{cell}: a query started lost");
-            // Every shard of every query scans at these sizes, and the
-            // query finds that out once.
-            assert_eq!(fallbacks, shards as u64 * q, "{cell}");
-            assert_eq!(inherited, (shards as u64 - 1) * q, "{cell}");
+            for p in &profiles {
+                assert_eq!(
+                    p.scan_fallbacks, shards as u64,
+                    "{shards} shard(s), {dirt:?}"
+                );
+            }
         }
     }
 
-    // A hostile lead: shard 0 holds 10 000 anti-correlated rows, stretched
-    // about 0.5 so they compete for the top k, and shards 1–3 hold 10 000
-    // uniform rows each. On the last of these queries the lead is lost
-    // while the uniform shards, on their own, certify; its verdict sends
-    // them to three scans they did not need, and those must be exact too.
     let (m, k) = (10_000, 16);
     let mut rows: Vec<Vec<f64>> = generate(Distribution::AntiCorrelated, m, dims, 0x1A6)
         .iter()
@@ -669,36 +671,21 @@ fn inherited_scans_merge_to_the_oracle() {
     let queries = uniform_queries(4, dims, 0x1A5);
     for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
         let profiles = scans_match_the_oracle(&rows, &roles, 4, dirt, Serve::Owned, k, &queries);
-        let (_, inherited, predicted) = scan_sums(&profiles);
-        assert!(
-            inherited > 0,
-            "{dirt:?}: the lead's verdict reached no sibling"
-        );
-        // Not every one of the first three queries scans here, so the
-        // fourth still runs its streams first.
-        assert_eq!(predicted, 0, "{dirt:?}: a query started lost");
+        let skipped: u64 = profiles.iter().map(|p| p.chunks_skipped).sum();
+        assert!(skipped > 0, "{dirt:?}: no shard skipped a chunk");
     }
 }
 
-/// The fourth trigger against the oracle: once [`STREAK`] stream-first
-/// queries of a shape have scanned, the engine starts the next ones lost —
-/// every shard execution scans at its first round head, fetching nothing
-/// through its streams — and they must answer exactly what SeqScan does.
-/// Over shards {1, 2, 4, 8} × clean / tombstoned /
-/// tombstoned-plus-delta, built in memory and opened mapped (a fresh engine
-/// with no history, so it builds its own streak), on rows with exact
-/// duplicates and signed zeros — ties at the k-th score — and a query at a
-/// signed zero; and at k ≥ n. Every engine serves [`RECHECK`] + 1 queries,
-/// so each cell holds the shape's audit — every shard but the last started
-/// lost, the last stream-first against their floor; at one shard the whole
-/// query stream-first — and the query after it, stream-first when the audit
-/// certified.
+/// Every query starts where a query that started lost once did: with the
+/// scan, no stream fetched first. Over shards {1, 2, 4, 8} × clean /
+/// tombstoned / tombstoned-plus-delta, built in memory and opened mapped,
+/// on rows with exact duplicates and signed zeros — ties at the k-th score
+/// — and queries at a signed zero; and at k ≥ n: every answer is SeqScan's
+/// bit for bit, every shard scans, and no query runs a round.
 #[test]
 fn started_lost_queries_merge_to_the_oracle() {
     let dims = 6;
     let roles = roles_for(dims, 4);
-    let streak = STREAK as usize;
-    let audit = RECHECK as usize - 1;
     let check = |rows: &[Vec<f64>], k: usize, queries: &[sdq::SdQuery], shards: &[usize]| {
         for &shards in shards {
             for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
@@ -706,46 +693,9 @@ fn started_lost_queries_merge_to_the_oracle() {
                     let profiles =
                         scans_match_the_oracle(rows, &roles, shards, dirt, serve, k, queries);
                     let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}, k {k}");
-                    assert_eq!(profiles.len(), audit + 2, "{cell}");
-                    let mut audit_certified = false;
                     for (i, p) in profiles.iter().enumerate() {
-                        if i < streak {
-                            // Stream-first, and every one scans: the
-                            // streak that condemns the shape.
-                            assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
-                            assert!(p.scan_fallbacks > 0, "{cell}: query {i}");
-                        } else if i == audit {
-                            // The audit: the lead shards' scans are
-                            // predicted ones, and the last shard either
-                            // certifies or takes one scan of its own —
-                            // never an inherited one, as it runs under a
-                            // threshold of its own. One shard runs its
-                            // execution stream-first instead.
-                            let lead = shards as u64 - 1;
-                            assert_eq!(p.scan_predicted, lead, "{cell}: audit");
-                            let own = p.scan_fallbacks - p.scan_predicted;
-                            if lead > 0 {
-                                assert_eq!(p.scan_inherited, 0, "{cell}: audit");
-                                assert!(own <= 1, "{cell}: audit {p:?}");
-                            }
-                            audit_certified = own == 0;
-                        } else if i == audit + 1 && audit_certified {
-                            // A certifying audit runs the next query
-                            // stream-first (at one shard: its reset
-                            // streak does).
-                            assert_eq!(p.scan_predicted, 0, "{cell}: query {i}");
-                        } else {
-                            // Started lost: one round per execution, and
-                            // every scan a predicted one.
-                            assert_eq!(p.rounds, shards as u64, "{cell}: query {i}");
-                            assert_eq!(p.scan_predicted, p.scan_fallbacks, "{cell}: query {i}");
-                            assert_eq!(
-                                (p.scan_projected, p.scan_inherited),
-                                (0, 0),
-                                "{cell}: query {i}"
-                            );
-                            assert!(p.scan_predicted > 0, "{cell}: query {i}");
-                        }
+                        assert_eq!(p.rounds, 0, "{cell}: query {i}");
+                        assert_eq!(p.scan_fallbacks, shards as u64, "{cell}: query {i}");
                     }
                 }
             }
@@ -762,9 +712,9 @@ fn started_lost_queries_merge_to_the_oracle() {
     for (i, row) in rows.iter_mut().enumerate().step_by(13) {
         row[i % dims] = if i % 2 == 0 { 0.0 } else { -0.0 };
     }
-    let mut queries = uniform_queries(RECHECK as usize + 1, dims, 0x1A9);
-    queries[streak].point[0] = -0.0;
-    queries[streak + 1].point[0] = 0.0;
+    let mut queries = uniform_queries(4, dims, 0x1A9);
+    queries[1].point[0] = -0.0;
+    queries[2].point[0] = 0.0;
     check(&rows, 64, &queries, &[1, 2, 4, 8]);
 
     // k ≥ n: every live row is in the answer, and no floor ever forms.
@@ -772,25 +722,83 @@ fn started_lost_queries_merge_to_the_oracle() {
     check(&small, 340, &queries, &[1, 4]);
 }
 
-/// The audit's other outcome, against the oracle: rows that score far above
-/// the rest for one query point let the audit shard certify, and the
-/// shape's next query then runs every execution stream-first — where it
-/// scans again, so the one after it starts lost once more.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The box scan against the oracle on hostile inputs: rows drawn from a
+    // handful of distinct ones (exact duplicates, ties at every score) over
+    // ±0 and a few repeated values, all-zero and single-non-zero weights
+    // beside mixed ones, a query at ±0, and k from 1 to past n — on engines
+    // built, opened mapped, dirty (tombstones and delta rows) and compacted,
+    // at 1 to 4 shards, bit for bit. (CI runs it on both kernel arms.)
+    #[test]
+    fn box_first_engines_answer_hostile_inputs_like_the_oracle(
+        seed in 0u64..1 << 48,
+        n in 1usize..700,
+        dims in 3usize..=6,
+        shards in 1usize..=4,
+        k_kind in 0usize..4,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let value = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 0.5,
+            3 => -0.25,
+            _ => rng.gen_range(-1.0..1.0),
+        };
+        let distinct: Vec<Vec<f64>> = (0..rng.gen_range(1..=12))
+            .map(|_| (0..dims).map(|_| value(&mut rng)).collect())
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| distinct[rng.gen_range(0..distinct.len())].clone())
+            .collect();
+        let roles: Vec<DimRole> = (0..dims)
+            .map(|_| if rng.gen_bool(0.5) { DimRole::Repulsive } else { DimRole::Attractive })
+            .collect();
+        let mut queries = Vec::new();
+        for kind in 0..6 {
+            let point = (0..dims).map(|_| value(&mut rng)).collect();
+            let weights = (0..dims)
+                .map(|d| match kind {
+                    0 => 0.0,
+                    1 | 2 => if d == kind % dims { rng.gen_range(0.1..2.0) } else { 0.0 },
+                    _ => if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..2.0) },
+                })
+                .collect();
+            queries.push(sdq::SdQuery::new(point, weights).unwrap());
+        }
+        queries[5].point.fill(-0.0);
+        let k = [1, 7, n, n + 5][k_kind];
+        for dirt in [Dirt::Clean, Dirt::TombstonedDelta, Dirt::Compacted] {
+            for serve in [Serve::Owned, Serve::Mapped] {
+                let profiles =
+                    scans_match_the_oracle(&rows, &roles, shards, dirt, serve, k, &queries);
+                for p in &profiles {
+                    prop_assert_eq!(p.rounds, 0);
+                    prop_assert!(p.scan_fallbacks >= 1);
+                }
+            }
+        }
+    }
+}
+
+/// Rows that score far above the rest for one query, against the oracle:
+/// 200 rows far out in every dimension, spread over every shard, are the
+/// worst rows for a query inside the unit cube and the best by far for one
+/// at their attractive coordinates. Whichever shard finds them first, the
+/// floor they raise certifies the chunks around them, so that query scores
+/// fewer chunks than the plain queries before and after it; and the query
+/// after it runs exactly as on a fresh engine — the scan at once, counter
+/// for counter, nothing carried from one query to the next.
 #[test]
 fn a_certifying_audit_runs_the_next_query_stream_first() {
     let dims = 6;
     let roles = roles_for(dims, 4);
-    let streak = STREAK as usize;
-    let audit = RECHECK as usize - 1;
     let mut rows: Vec<Vec<f64>> = generate(Distribution::AntiCorrelated, 8_000, dims, 0x1AA)
         .iter()
         .map(|(_, c)| c.to_vec())
         .collect();
-    // 200 rows far out in every dimension, spread over every shard: the
-    // worst rows for a query inside the unit cube, and the best by far —
-    // ranked alike by every stream — for one whose attractive coordinates
-    // are theirs. Their order is shuffled across the shards, so the lead
-    // shards' top k sets a floor the audit shard's best rows clear.
     for (j, i) in (0..rows.len()).step_by(rows.len() / 200).enumerate() {
         for (d, x) in rows[i].iter_mut().enumerate() {
             *x = if d < 4 {
@@ -800,8 +808,8 @@ fn a_certifying_audit_runs_the_next_query_stream_first() {
             };
         }
     }
-    let mut queries = uniform_queries(audit + 3, dims, 0x1AB);
-    queries[audit] = sdq::SdQuery::new(
+    let mut queries = uniform_queries(3, dims, 0x1AB);
+    queries[1] = sdq::SdQuery::new(
         vec![1000.0, 1000.0, 1000.0, 1000.0, 0.5, 0.5],
         vec![1.0; dims],
     )
@@ -809,20 +817,23 @@ fn a_certifying_audit_runs_the_next_query_stream_first() {
     for shards in [2, 4, 8] {
         for dirt in [Dirt::Clean, Dirt::Tombstoned, Dirt::TombstonedDelta] {
             for serve in [Serve::Owned, Serve::Mapped] {
+                let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}");
                 let profiles =
                     scans_match_the_oracle(&rows, &roles, shards, dirt, serve, 64, &queries);
-                let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}");
-                let started = |i: usize| (profiles[i].scan_predicted, profiles[i].scan_fallbacks);
-                for i in 0..streak {
-                    assert_eq!(started(i).0, 0, "{cell}: query {i}");
-                    assert!(started(i).1 > 0, "{cell}: query {i}");
+                let fresh =
+                    scans_match_the_oracle(&rows, &roles, shards, dirt, serve, 64, &queries[2..]);
+                for p in &profiles {
+                    assert_eq!((p.rounds, p.scan_fallbacks), (0, shards as u64), "{cell}");
                 }
-                let all = shards as u64;
-                let lead = all - 1;
-                assert_eq!(started(audit), (lead, lead), "{cell}: the audit certified");
-                assert_eq!(started(audit + 1).0, 0, "{cell}: stream-first after it");
-                assert!(started(audit + 1).1 > 0, "{cell}: and it scanned");
-                assert_eq!(started(audit + 2), (all, all), "{cell}: lost again");
+                let far = profiles[1];
+                assert!(far.chunks_skipped > 0, "{cell}: {far:?}");
+                for plain in [profiles[0], profiles[2]] {
+                    assert!(
+                        far.chunks_scored < plain.chunks_scored,
+                        "{cell}: {far:?}\n{plain:?}"
+                    );
+                }
+                assert_eq!(profiles[2], fresh[0], "{cell}: the next query");
             }
         }
     }
@@ -832,8 +843,8 @@ fn a_certifying_audit_runs_the_next_query_stream_first() {
 /// order, scanned chunk by chunk — answer like SeqScan, bit for bit, built,
 /// loaded owned, opened mapped, dirty (rows inserted, and every query's best
 /// rows deleted, so its floor forms over rows the scan must find elsewhere)
-/// and compacted (the dirty shards re-boxed). Each query runs past `STREAK`
-/// times on one engine, so its later runs start lost and every shard scans.
+/// and compacted (the dirty shards re-boxed). Each query runs twice on one
+/// scratch, and every shard scans.
 #[test]
 fn box_ordered_engines_answer_like_the_oracle() {
     let k = 24;
@@ -875,7 +886,7 @@ fn box_ordered_engines_answer_like_the_oracle() {
             let mut scratch = QueryScratch::new();
             for q in &queries {
                 let want = oracle.query(q, k).unwrap();
-                for run in 0..STREAK + 2 {
+                for run in 0..2 {
                     let got = engine.query_with(q, k, &mut scratch).unwrap();
                     let got: Vec<_> = got
                         .iter()
@@ -887,9 +898,10 @@ fn box_ordered_engines_answer_like_the_oracle() {
                         .collect();
                     assert_eq!(got, want, "{cell}, run {run}");
                 }
-                assert!(
-                    scratch.profile.scan_fallbacks > 0,
-                    "{cell}: the last run scans"
+                assert_eq!(
+                    scratch.profile.scan_fallbacks,
+                    engine.shard_count() as u64,
+                    "{cell}: every shard scans"
                 );
             }
         };

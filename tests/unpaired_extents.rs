@@ -1,4 +1,6 @@
-//! An unpaired dimension is bounded by its extent, never streamed:
+//! An unpaired dimension is bounded by its extents, never streamed — its
+//! index's, recorded in every file, and each chunk box's, which the scan
+//! reads:
 //!
 //! * files written while unpaired dimensions were sorted columns (two
 //!   checked-in fixtures, one with a lone attractive column, one with two
@@ -9,8 +11,8 @@
 //!   delta region, built, reloaded or mapped, is bit-identical to
 //!   [`SeqScan`] over the live rows; query points outside the data, zero
 //!   and signed-zero weights and `k ≥ n` included;
-//! * an execution with no pair stream certifies against its extent bound,
-//!   not against 0: at 4 shards the rows that win are in the last shard.
+//! * a shard with no pair certifies against its chunks' extents, not
+//!   against 0: at 4 shards the rows that win are in the last shard.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -321,13 +323,12 @@ proptest! {
     }
 }
 
-/// `rr` has no pair, so each shard's execution has no stream and its `τ`
-/// is its extent bound alone. Rows climb with their id, so under a query at
-/// the origin the last shard holds every winner: an execution that took
-/// `τ = 0` would find the floor of the first shard's scan above it and
-/// end empty, answering with the first shard's rows. Run backwards, the
-/// first shard's scan does beat every later shard's extent bound, and they
-/// end without scanning.
+/// `rr` has no pair, so each shard is bounded by its chunks' extents (their
+/// boxes) alone. Rows climb with their id, so under a query at the origin
+/// the last shard holds every winner: a shard bounded by `0` would find the
+/// floor of the first shard's scan above it and score nothing, answering
+/// with the first shard's rows. Run backwards, the first shard's scan does
+/// beat every later shard's boxes, and they score no row.
 #[test]
 fn a_pairless_execution_certifies_against_its_extents() {
     let roles = parse_roles("rr").unwrap();
@@ -338,7 +339,7 @@ fn a_pairless_execution_certifies_against_its_extents() {
     let falling: Vec<Vec<f64>> = climbing.iter().rev().cloned().collect();
     let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
     let k = 10;
-    for (rows, scans) in [(&climbing, 4), (&falling, 1)] {
+    for (rows, scoring) in [(&climbing, 4), (&falling, 1)] {
         let live: Vec<(u32, Vec<f64>)> = rows
             .iter()
             .cloned()
@@ -346,7 +347,7 @@ fn a_pairless_execution_certifies_against_its_extents() {
             .map(|(i, r)| (i as u32, r))
             .collect();
         let want = bits(&oracle(&live, &roles, &q, k));
-        let winners = if scans == 4 { 300..400 } else { 0..100 };
+        let winners = if scoring == 4 { 300..400 } else { 0..100 };
         assert!(want.iter().all(|(id, _)| winners.contains(&id.index())));
         let engine = SdEngine::build_with(
             Dataset::from_rows(2, rows).unwrap(),
@@ -361,11 +362,13 @@ fn a_pairless_execution_certifies_against_its_extents() {
         let got = bits(engine.query_with(&q, k, &mut scratch).unwrap());
         assert_eq!(got, want);
         let p = scratch.profile;
-        assert_eq!(p.scan_fallbacks, scans, "{p:?}");
-        // Each scan scores its shard's top chunk alone: box order cuts a
+        assert_eq!(p.scan_fallbacks, 4, "{p:?}");
+        // Each scoring shard scores its top chunk alone: box order cuts a
         // shard's 100 rows into a leaf of the 64 lowest and one of the 36
         // highest, and once those 36 put k = 10 scores in the floor, the
         // lower leaf's box bound is under it.
-        assert_eq!(p.scan_rows, 36 * scans, "{p:?}");
+        assert_eq!(p.chunks_scored, scoring, "{p:?}");
+        assert_eq!(p.chunks_skipped, 8 - scoring, "{p:?}");
+        assert_eq!(p.scan_rows, 36 * scoring, "{p:?}");
     }
 }
