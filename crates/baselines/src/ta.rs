@@ -288,14 +288,14 @@ mod tests {
 
         let ta = TaIndex::build(data.clone(), &roles).unwrap();
         assert_eq!(ta.query_with(&q, k, &mut scratch).unwrap(), &want[..]);
-        assert_eq!(scratch.profile.scan_fallbacks, 0);
+        assert_eq!(scratch.profile.parts_scanned, 0);
         assert_eq!(scratch.profile.scan_rows, 0);
         // What the commit before the scan exit fetched for this seed.
         assert_eq!(scratch.profile.rows_fetched, 3186);
 
         let sd = SdIndex::build(data, &roles).unwrap();
         assert_eq!(sd.query_with(&q, k, &mut scratch).unwrap(), &want[..]);
-        assert!(scratch.profile.scan_fallbacks >= 1);
+        assert!(scratch.profile.parts_scanned >= 1);
     }
     /// The deadline is checked once a round: a cancelled token ends the
     /// query with the typed error, and the same scratch then answers as a

@@ -5,10 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
-use sdq_core::multidim::{PairingStrategy, SdIndexOptions};
 use sdq_core::{Dataset, DimRole};
 use sdq_data::uniform_queries;
-use sdq_paper::PairedIndex;
+use sdq_paper::{PairedIndex, PairedOptions, PairingStrategy};
 
 /// 6-D data where repulsive dim i strongly correlates with attractive dim
 /// (5 − i): the arbitrary zip picks the worst mapping.
@@ -45,7 +44,7 @@ fn bench_pairing(c: &mut Criterion) {
         ("arbitrary", PairingStrategy::Arbitrary),
         ("correlation_aware", PairingStrategy::CorrelationAware),
     ] {
-        let opts = SdIndexOptions {
+        let opts = PairedOptions {
             pairing: strategy,
             ..Default::default()
         };

@@ -33,18 +33,17 @@ pub mod table1;
 use std::sync::Arc;
 
 use sdq_baselines::{BrsIndex, PeIndex, SeqScan, TaIndex};
-use sdq_core::multidim::SdIndexOptions;
 use sdq_core::{Dataset, DimRole};
-use sdq_paper::PairedIndex;
+use sdq_paper::{PairedIndex, PairedOptions};
 
 /// The paper's §5 SD-index (one §4 index per pair under a TA threshold)
 /// over §6.1's five indexed angles, as the paper's experiments build it
 /// (an engine's default is three, and an engine answers anything but a
 /// single pair with a box scan instead).
 pub fn build_sd(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> PairedIndex {
-    let options = SdIndexOptions {
+    let options = PairedOptions {
         angles: sdq_paper::section6_angles(),
-        ..SdIndexOptions::default()
+        ..PairedOptions::default()
     };
     PairedIndex::build_with(data, roles, &options).expect("index builds")
 }

@@ -1,5 +1,5 @@
-//! Box order: how an [`SdIndex`](super::SdIndex) that aggregates lays out
-//! its rows so the box scan can skip whole chunks of them.
+//! Box order: how an [`SdIndex`](super::SdIndex) that is not one walked
+//! pair lays out its rows so the box scan can skip whole chunks of them.
 //!
 //! The rows are put in *recursive median split* order over all dimensions
 //! (the bulk-load idiom of a k-d tree): a run of rows is cut at a median
@@ -26,11 +26,10 @@
 //!   scan skip a chunk whose bound only *ties* the floor ([`QueryFloor::worst`](crate::QueryFloor::worst)),
 //!   and what breaks ties between equal bounds in the scan's order.
 //!
-//! An index without a box order (a single-pair index, which the direct 2-D
-//! walk answers — a scan only when both its weights are zero — or a file
-//! written before box order) keeps its rows in id order and is scanned as
-//! [`CHUNK_ROWS`]-row chunks in that order, each bounded by `+∞` (by `0`
-//! when every weight is zero).
+//! An index without a box order (a walked pair's, which the direct 2-D
+//! walk answers — a scan only when both its weights are zero) keeps its
+//! rows in id order and is scanned as [`CHUNK_ROWS`]-row chunks in that
+//! order, each bounded by `0`, every row's exact score then.
 //!
 //! ## Box first
 //!

@@ -1,23 +1,25 @@
 //! The SD-Query over any number of dimensions: one query path per query
 //! kind, both exact.
 //!
-//! A query that is one non-degenerate repulsive↔attractive pair over an
-//! index with nothing else ([`SdIndex::single_pair`]) is the paper's §4
-//! answer: one certified best-first walk over the pair's stored block set
-//! (see [`crate::topk`]). Every other query — more than one pair, any
-//! unpaired dimension, or both weights of the one pair zero — is one **box
-//! scan** of the index's rows ([`answer_parts`]): the rows sit in box order
+//! How an index stores its rows is read off its roles alone
+//! ([`walked_pair`]). A 2-D index of one attractive and one repulsive
+//! dimension keeps its rows in id order beside the pair's §4 block set, and
+//! a query over it with not both weights zero ([`SdIndex::single_pair`]) is
+//! the paper's §4 answer: one certified best-first walk over that block set
+//! (see [`crate::topk`]). Every other query — any other roles, or both
+//! weights of the one pair zero — is one **box scan** of the index's rows
+//! ([`answer_parts`]): every other index keeps its rows in box order
 //! ([`boxes`]), a recursive median split into leaves of 64 rows, each leaf
 //! one chunk with an outward-rounded `f32` bounding box and its smallest
 //! row id. The scan bounds every chunk from its box, scores each part's
 //! best ones first to raise the query's floor, then sweeps the rest in row
 //! order, skipping every chunk whose bound is under the floor — or equal
-//! to it, when all of its ids are above the floor's worst one. An index that
-//! aggregates therefore stores no pair block sets: nothing reads them.
-//! The paper's own §5 aggregation — pair streams under a TA threshold —
-//! is composed from this crate's public pieces in `sdq-paper`
-//! ([`Pair2DStream`] over one 2-D index per pair); `boxes.rs` has the table
-//! that retired it from this path.
+//! to it, when all of its ids are above the floor's worst one. Such an index
+//! stores no pair block set, and records no pairing: nothing reads either.
+//! The paper's own §5 aggregation — the pairing step, and pair streams under
+//! a TA threshold — is `sdq-paper`'s, composed from this crate's public
+//! pieces ([`Pair2DStream`] over one 2-D index per pair); `boxes.rs` has the
+//! table that retired it from this path.
 //!
 //! Either way, every score a query keeps goes into its one [`QueryFloor`],
 //! passed `&mut`, under the row's global id, and one drain of it is the
@@ -29,21 +31,19 @@
 //! monolithic path. The allocating [`SdIndex::query`] is a thin wrapper
 //! over [`SdIndex::query_with`].
 //!
-//! A single-pair index keeps its rows in id order, and so does a file
-//! written before box order: the scan reads such an index as 64-row chunks
-//! in id order, each bounded by `+∞`. A position names a row of the stored order; the id column
+//! A walked pair's index is scanned only when both its weights are zero: as
+//! 64-row chunks in id order, each bounded by `0`. A position names a row of
+//! the stored order; the id column
 //! ([`SdIndex::row_ids`]) is read only where an id is needed — the floor
 //! offer (`offset + ids[pos]`) and the tombstones — and by whoever reads
 //! the rows by id ([`SdIndex::rows_by_id`]).
 
 mod boxes;
-pub mod pairing;
 pub mod plan;
 
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
-pub use pairing::{pair_dimensions, DimPair, PairingStrategy};
 pub use plan::{PairAction, PairPlan, QueryPlan};
 
 use crate::deadline::Deadline;
@@ -62,62 +62,67 @@ use crate::types::{Dataset, ScoredPoint, SdError};
 use crate::view::ColumnarView;
 use crate::{DimRole, SdQuery};
 
-pub(crate) use boxes::{chunk_firsts, BoxOrder, CHUNK_ROWS};
+pub(crate) use boxes::{BoxOrder, CHUNK_ROWS};
 
 /// Tuning knobs for [`SdIndex::build_with`].
 #[derive(Debug, Clone)]
 pub struct SdIndexOptions {
-    /// How repulsive and attractive dimensions are matched (§5 / future
-    /// work).
-    pub pairing: PairingStrategy,
-    /// Indexed projection angles of the per-pair §4 indexes (§4.2).
+    /// Indexed projection angles of a walked pair's §4 index (§4.2).
     pub angles: Vec<Angle>,
 }
 
 impl Default for SdIndexOptions {
     fn default() -> Self {
         SdIndexOptions {
-            pairing: PairingStrategy::Arbitrary,
             angles: default_angles(),
         }
     }
 }
 
-/// The multi-dimensional SD-Query index: a single pair's bulk-loaded §4
-/// index, which the direct 2-D walk answers, or — for anything else — the
-/// rows in box order, which one box scan answers (module docs).
+/// The one layout rule, read off the roles alone: `Some((repulsive,
+/// attractive))` for a 2-D index of one attractive and one repulsive
+/// dimension — its rows stay in id order beside the pair's §4 block set,
+/// which the direct 2-D walk reads — and `None` for any other roles, whose
+/// rows are stored in box order for the box scan. Build, decode,
+/// [`SdIndex::single_pair`] and [`SdIndex::plan`] all decide by it.
+pub fn walked_pair(roles: &[DimRole]) -> Option<(usize, usize)> {
+    match roles {
+        [DimRole::Repulsive, DimRole::Attractive] => Some((0, 1)),
+        [DimRole::Attractive, DimRole::Repulsive] => Some((1, 0)),
+        _ => None,
+    }
+}
+
+/// What an [`SdIndex`] keeps beside its rows ([`walked_pair`] decides
+/// which).
+#[derive(Debug, Clone)]
+pub(crate) enum Layout {
+    /// A walked pair: the §4 index over the projection `(x = attractive,
+    /// y = repulsive)` of the rows, which stay in id order; its point slots
+    /// are row ids.
+    Pair(BlockSet),
+    /// Anything else: the box order of the rows (ids, chunk boxes and
+    /// first ids; see [`boxes`]).
+    Boxes(BoxOrder),
+}
+
+/// The multi-dimensional SD-Query index: its roles, its rows, and either a
+/// walked pair's bulk-loaded §4 index, which the direct 2-D walk answers,
+/// or the rows' box order, which one box scan answers (module docs).
 ///
-/// Dimension *roles* are fixed at build time (they determine the pairing
-/// and the physical indexes); weights and `k` are free at query time.
-/// Queries never mutate the index, so one `SdIndex` can be shared
-/// immutably across any number of threads.
+/// Dimension *roles* are fixed at build time (they determine the layout);
+/// weights and `k` are free at query time. Queries never mutate the index,
+/// so one `SdIndex` can be shared immutably across any number of threads.
 #[derive(Debug, Clone)]
 pub struct SdIndex {
-    /// The indexed rows, by position: in box order when `order` is `Some`,
-    /// in id order otherwise.
+    /// The indexed rows, by position: in box order for [`Layout::Boxes`],
+    /// in id order for [`Layout::Pair`].
     pub(crate) data: Arc<Dataset>,
-    /// The box order of the rows (ids, chunk boxes and first ids; see
-    /// [`boxes`]): every index but a single pair's has one, bar a file
-    /// written before box order.
-    pub(crate) order: Option<BoxOrder>,
     pub(crate) roles: Vec<DimRole>,
-    /// The strategy that chose `pairs`, recorded so a rebuild (compaction)
-    /// pairs the same way.
-    pub(crate) pairing: PairingStrategy,
-    pub(crate) pairs: Vec<DimPair>,
-    pub(crate) unpaired: Vec<usize>,
-    /// The §4 index of a single-pair index over the projection `(x =
-    /// attractive, y = repulsive)` of `data`, its point slots row ids; empty
-    /// for an index that aggregates, which the box scan answers alone.
-    pub(crate) pair_blocks: Vec<BlockSet>,
-    /// `(lo, hi)` of each unpaired dimension over this index's rows, in
-    /// `unpaired` order (`(0, 0)` when there are no rows): recorded with
-    /// the index, read by no query.
-    pub(crate) extents: Vec<(f64, f64)>,
+    pub(crate) layout: Layout,
     /// Lazily verified CRC regions of this index when it was decoded lazily
-    /// (`open_mapped`): the dataset coordinate table, the box order and a
-    /// single pair's block tables (and an older file's sorted columns).
-    /// Empty for built or eagerly loaded indexes.
+    /// (`open_mapped`): the dataset coordinate table and the box order or
+    /// the pair's block tables. Empty for built or eagerly loaded indexes.
     pub(crate) query_integrity: Vec<Arc<SectionIntegrity>>,
     /// Once-shot content validation of a decode (block-table census, slot
     /// ids in range) — run after the CRCs pass: on the first
@@ -127,7 +132,7 @@ pub struct SdIndex {
 }
 
 impl SdIndex {
-    /// Builds with default options (arbitrary pairing, three angles).
+    /// Builds with default options (three angles).
     pub fn build(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> Result<Self, SdError> {
         Self::build_with(data, roles, &SdIndexOptions::default())
     }
@@ -150,37 +155,25 @@ impl SdIndex {
         }
         let angles = normalize_angles(&options.angles)?;
         check_axes(&angles)?;
-        let (pairs, unpaired) = pair_dimensions(&data, roles, options.pairing);
-        // A single pair is answered by the direct 2-D walk, which never
-        // scans: its rows keep their id order, and its §4 index is
+        // A walked pair's rows keep their id order, and its §4 index is
         // bulk-loaded over the projection (x = attractive, y = repulsive),
-        // which is scratch — the index keeps its own SoA copy. Anything else
-        // is answered by the box scan alone: its rows go in box order, and
-        // no pair index is built.
-        let (data, order, pair_blocks) = match pairs[..] {
-            [p] if unpaired.is_empty() => {
-                let pts: Vec<(f64, f64)> = data
-                    .iter()
-                    .map(|(_, c)| (c[p.attractive], c[p.repulsive]))
-                    .collect();
+        // which is scratch — the index keeps its own SoA copy. Any other
+        // index is answered by the box scan alone: its rows go in box order.
+        let (data, layout) = match walked_pair(roles) {
+            Some((rep, att)) => {
+                let pts: Vec<(f64, f64)> = data.iter().map(|(_, c)| (c[att], c[rep])).collect();
                 let blocks = BlockSet::build(&pts, 0..data.len() as u32, &angles);
-                (data, None, vec![blocks])
+                (data, Layout::Pair(blocks))
             }
-            _ => {
+            None => {
                 let (moved, order) = BoxOrder::build(&data);
-                (Arc::new(moved), Some(order), Vec::new())
+                (Arc::new(moved), Layout::Boxes(order))
             }
         };
-        let extents = unpaired.iter().map(|&d| extent(&data.column(d))).collect();
         Ok(SdIndex {
             data,
-            order,
             roles: roles.to_vec(),
-            pairing: options.pairing,
-            pairs,
-            unpaired,
-            pair_blocks,
-            extents,
+            layout,
             query_integrity: Vec::new(),
             mapped_check: Arc::new(OnceLock::new()),
         })
@@ -214,7 +207,7 @@ impl SdIndex {
     }
 
     /// The content checks of a decode that keep a forged-but-checksummed
-    /// file from indexing out of bounds: a single pair's block-table census,
+    /// file from indexing out of bounds: a walked pair's block-table census,
     /// and every row id below the row count. (That the ids name every row
     /// once — [`BoxOrder::census`] — is checked where a repeat would be
     /// written into a fresh file or trusted for good: an eager decode and
@@ -222,21 +215,37 @@ impl SdIndex {
     /// would cost as much as the rest of that query's checks together.)
     fn check_ids(&self) -> Result<(), String> {
         let n = self.data.len();
-        if let Some(order) = &self.order {
-            let limit = u32::try_from(n).unwrap_or(u32::MAX);
-            if let Some(pos) = crate::codec::first_bad(&order.ids, |&id| id >= limit) {
-                return Err(format!(
-                    "position {pos}: row id {} out of range for {n} rows",
-                    order.ids[pos]
-                ));
+        match &self.layout {
+            Layout::Boxes(order) => {
+                let limit = u32::try_from(n).unwrap_or(u32::MAX);
+                match crate::codec::first_bad(&order.ids, |&id| id >= limit) {
+                    Some(pos) => Err(format!(
+                        "position {pos}: row id {} out of range for {n} rows",
+                        order.ids[pos]
+                    )),
+                    None => Ok(()),
+                }
             }
-        }
-        for (pi, blocks) in self.pair_blocks.iter().enumerate() {
-            blocks
+            Layout::Pair(blocks) => blocks
                 .validate_structure(n)
-                .map_err(|e| format!("pair {pi}: {e}"))?;
+                .map_err(|e| format!("pair 0: {e}")),
         }
-        Ok(())
+    }
+
+    /// The box order of the rows; `None` for a walked pair's index.
+    pub(crate) fn order(&self) -> Option<&BoxOrder> {
+        match &self.layout {
+            Layout::Boxes(order) => Some(order),
+            Layout::Pair(_) => None,
+        }
+    }
+
+    /// A walked pair's §4 block set; `None` for an index in box order.
+    pub(crate) fn pair_blocks(&self) -> Option<&BlockSet> {
+        match &self.layout {
+            Layout::Pair(blocks) => Some(blocks),
+            Layout::Boxes(_) => None,
+        }
     }
 
     /// The indexed rows by position: in box order when
@@ -248,10 +257,10 @@ impl SdIndex {
     }
 
     /// The row id of every position of [`SdIndex::data`] when the rows are
-    /// in box order; `None` when position and id agree (a single-pair
-    /// index, or a file written before box order).
+    /// in box order; `None` when position and id agree (a walked pair's
+    /// index).
     pub fn row_ids(&self) -> Option<&[u32]> {
-        self.order.as_ref().map(|o| &o.ids[..])
+        self.order().map(|o| &o.ids[..])
     }
 
     /// The indexed rows in id order — the dataset the index was built over.
@@ -263,7 +272,7 @@ impl SdIndex {
     /// these rows (compaction) cannot launder a bad file.
     pub fn rows_by_id(&self) -> Result<Cow<'_, Dataset>, SdError> {
         self.verify_integrity()?;
-        let Some(order) = &self.order else {
+        let Some(order) = self.order() else {
             return Ok(Cow::Borrowed(&self.data));
         };
         order
@@ -285,33 +294,20 @@ impl SdIndex {
         &self.roles
     }
 
-    /// The 2-D subproblem pairs.
-    pub fn pairs(&self) -> &[DimPair] {
-        &self.pairs
-    }
-
-    /// Dimensions left over after pairing.
-    pub fn unpaired(&self) -> &[usize] {
-        &self.unpaired
-    }
-
     /// Approximate heap footprint of the index structures (excluding the
-    /// shared dataset): a single pair's block tables, or the box order.
+    /// shared dataset): a walked pair's block tables, or the box order.
     pub fn memory_bytes(&self) -> usize {
-        self.pair_blocks
-            .iter()
-            .map(BlockSet::memory_bytes)
-            .sum::<usize>()
-            + std::mem::size_of_val(&self.extents[..])
-            + self.order.as_ref().map_or(0, BoxOrder::memory_bytes)
+        match &self.layout {
+            Layout::Pair(blocks) => blocks.memory_bytes(),
+            Layout::Boxes(order) => order.memory_bytes(),
+        }
     }
 
-    /// `(blocks, resident bytes)` of the stored §4 index (none when the
-    /// index aggregates).
+    /// `(blocks, resident bytes)` of the stored §4 index (none for an index
+    /// in box order).
     pub fn block_stats(&self) -> (usize, usize) {
-        self.pair_blocks.iter().fold((0, 0), |(blocks, bytes), b| {
-            (blocks + b.n_blocks(), bytes + b.memory_bytes())
-        })
+        self.pair_blocks()
+            .map_or((0, 0), |b| (b.n_blocks(), b.memory_bytes()))
     }
 
     /// How `query` runs against this index: the direct 2-D walk — exactly
@@ -334,44 +330,41 @@ impl SdIndex {
                 chunks: self.data.len().div_ceil(CHUNK_ROWS),
             });
         };
-        let p = self.pairs[0];
-        let indexed = pair_eval(
-            &self.pair_blocks[0],
-            pair.alpha,
-            pair.beta,
-            pair.qx,
-            pair.qy,
-        )
-        .is_ok_and(|e| e.indexed());
+        let indexed = pair_eval(pair.blocks, pair.alpha, pair.beta, pair.qx, pair.qy)
+            .is_ok_and(|e| e.indexed());
         Ok(QueryPlan::Direct(PairPlan {
-            repulsive: p.repulsive,
-            attractive: p.attractive,
+            repulsive: pair.repulsive,
+            attractive: pair.attractive,
             action: plan::plan_pair(pair.alpha, pair.beta, indexed),
             theta: Angle::from_weights(pair.alpha, pair.beta).ok(),
         }))
     }
 
-    /// The one predicate behind the direct 2-D walk: `Some` when the whole
-    /// query is one non-degenerate pair over this index — one pair, no
-    /// unpaired dimension, not both of its weights zero (one zero weight is
-    /// a walk at 0° or 90°). Every index of an engine shares its roles, so
-    /// any shard answers for all of them. `None` for a query of another
+    /// The one predicate behind the direct 2-D walk: `Some` when this index
+    /// is a walked pair's ([`walked_pair`]) and the query does not weigh
+    /// both of its dimensions zero (one zero weight is a walk at 0° or
+    /// 90°). Every index of an engine shares its roles, so any shard
+    /// answers for all of them. `None` for a query of another
     /// dimensionality than this index's.
-    pub fn single_pair(&self, query: &SdQuery) -> Option<SinglePair> {
-        if self.pairs.len() != 1 || !self.unpaired.is_empty() || query.dims() != self.data.dims() {
+    pub fn single_pair(&self, query: &SdQuery) -> Option<SinglePair<'_>> {
+        let blocks = self.pair_blocks()?;
+        let (repulsive, attractive) = walked_pair(&self.roles)?;
+        if query.dims() != self.data.dims() {
             return None;
         }
-        let p = self.pairs[0];
-        let alpha = query.weights[p.repulsive];
-        let beta = query.weights[p.attractive];
+        let alpha = query.weights[repulsive];
+        let beta = query.weights[attractive];
         if alpha == 0.0 && beta == 0.0 {
-            return None; // projection angle undefined; aggregation handles it
+            return None; // projection angle undefined; the scan handles it
         }
         Some(SinglePair {
+            blocks,
+            repulsive,
+            attractive,
             alpha,
             beta,
-            qx: query.point[p.attractive],
-            qy: query.point[p.repulsive],
+            qx: query.point[attractive],
+            qy: query.point[repulsive],
         })
     }
 
@@ -428,35 +421,28 @@ impl SdIndex {
 
     /// The build options of this index — what a compaction-time rebuild
     /// passes to [`SdIndex::build_with`] to reproduce the same physical
-    /// layout: the recorded pairing strategy and a single pair's indexed
-    /// angles (the default grid when there is no pair index to read them
-    /// from).
+    /// layout: a walked pair's indexed angles (the default grid for an
+    /// index in box order, which holds none).
     pub fn rebuild_options(&self) -> SdIndexOptions {
         SdIndexOptions {
-            pairing: self.pairing,
             angles: self
-                .pair_blocks
-                .first()
+                .pair_blocks()
                 .map_or_else(default_angles, |b| b.angles().to_vec()),
         }
     }
 }
 
-/// `(lo, hi)` of a column's values; `(0, 0)` for an empty column.
-fn extent(values: &[f64]) -> (f64, f64) {
-    match values.split_first() {
-        Some((&first, rest)) => rest
-            .iter()
-            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
-        None => (0.0, 0.0),
-    }
-}
-
-/// A query that is one non-degenerate pair over an index with one pair and
-/// nothing unpaired — the only query the direct 2-D walk answers, and so
-/// only obtained from [`SdIndex::single_pair`].
+/// A query that is one non-degenerate pair over a walked pair's index —
+/// the only query the direct 2-D walk answers, and so only obtained from
+/// [`SdIndex::single_pair`].
 #[derive(Debug, Clone, Copy)]
-pub struct SinglePair {
+pub struct SinglePair<'a> {
+    /// The pair's §4 index.
+    blocks: &'a BlockSet,
+    /// The repulsive dimension (the pair's `y`).
+    repulsive: usize,
+    /// The attractive dimension (the pair's `x`).
+    attractive: usize,
     /// Weight of the repulsive dimension (the pair's `y`).
     alpha: f64,
     /// Weight of the attractive dimension (the pair's `x`).
@@ -527,7 +513,10 @@ where
     let ran = match first.index.single_pair(query) {
         Some(pair) => arbitrary::query_blocks_with(
             parts.map(|part| BlockPart {
-                blocks: &part.index.pair_blocks[0],
+                blocks: part
+                    .index
+                    .pair_blocks()
+                    .expect("every part shares the roles"),
                 offset: part.offset,
                 mask: part.mask,
             }),
@@ -581,7 +570,7 @@ const LEAD_CHUNKS: usize = 16;
 /// cost `agg_6d` ≈ 8 %; the two plain sweeps ran within one sweep's
 /// run-to-run spread.
 ///
-/// Counters: `scan_fallbacks` one a part with rows, `chunks_scored` and
+/// Counters: `parts_scanned` one a part with rows, `chunks_scored` and
 /// `chunks_skipped` the chunks, and per scored piece of up to [`LANES`]
 /// rows `rows_fetched` and `scan_rows` its rows, `tombstones_skipped` the
 /// dead among them, `points_gathered` the rest and `kernel_batches` one.
@@ -710,9 +699,10 @@ fn part_chunks(part: &ShardPart<'_>) -> usize {
 }
 
 /// Appends the score bound of every chunk of `part` to `bounds`: from its
-/// box ([`boxes::chunk_bounds`]), or — for rows in id order — `+∞`, and `0`
-/// when every weight is zero (the exact score of every row then). Counts
-/// the part's scan (`scan_fallbacks`) unless it has no row.
+/// box ([`boxes::chunk_bounds`]), or — for a walked pair's rows, in id
+/// order — `0`: such an index is scanned only when both its weights are
+/// zero ([`SdIndex::single_pair`]), and `0` is then every row's exact
+/// score. Counts the part's scan (`parts_scanned`) unless it has no row.
 fn bound_part(
     part: &ShardPart<'_>,
     roles: &[DimRole],
@@ -724,14 +714,13 @@ fn bound_part(
     if n == 0 {
         return;
     }
-    prof.scan_fallbacks += 1;
+    prof.parts_scanned += 1;
     prof.isa = kernels::active().name();
-    match &part.index.order {
+    match part.index.order() {
         Some(order) => boxes::chunk_bounds(order, roles, &query.point, &query.weights, bounds),
         None => {
-            let zero = query.weights.iter().all(|&w| w == 0.0);
-            let bound = if zero { 0.0 } else { f64::INFINITY };
-            bounds.resize(bounds.len() + n.div_ceil(CHUNK_ROWS), bound);
+            debug_assert!(query.weights.iter().all(|&w| w == 0.0));
+            bounds.resize(bounds.len() + n.div_ceil(CHUNK_ROWS), 0.0);
         }
     }
 }
@@ -781,7 +770,7 @@ impl<'a> PartScan<'a> {
         PartScan {
             shard: *shard,
             data,
-            order: shard.index.order.as_ref(),
+            order: shard.index.order(),
             mask: shard.mask,
         }
     }
@@ -948,7 +937,7 @@ impl<'a> Pair2DStream<'a> {
         let Some(pair) = index.single_pair(query) else {
             return Ok(None);
         };
-        let blocks = &index.pair_blocks[0];
+        let blocks = pair.blocks;
         let eval = pair_eval(blocks, pair.alpha, pair.beta, pair.qx, pair.qy)?;
         Ok(Some(Pair2DStream {
             frontier: BlockFrontier::with_scratch(blocks, eval, Default::default()),

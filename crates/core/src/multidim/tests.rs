@@ -97,8 +97,9 @@ fn six_dims_three_three_paper_config() {
     ];
     let data = rand_dataset(&mut rng, 400, 6);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert_eq!(index.pairs().len(), 3);
-    assert!(index.unpaired().is_empty());
+    // Three pairs are not one: the rows go in box order, no block set.
+    assert!(index.row_ids().is_some());
+    assert_eq!(index.block_stats(), (0, 0));
     for _ in 0..25 {
         let q = rand_query(&mut rng, 6);
         let got = index.query(&q, 5).unwrap();
@@ -114,8 +115,7 @@ fn all_attractive_degenerates_to_ta() {
     let roles = vec![DimRole::Attractive; 4];
     let data = rand_dataset(&mut rng, 200, 4);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(index.pairs().is_empty());
-    assert_eq!(index.unpaired().len(), 4);
+    assert!(index.row_ids().is_some());
     for _ in 0..15 {
         let q = rand_query(&mut rng, 4);
         assert_equiv(&index.query(&q, 7).unwrap(), &oracle(&data, &roles, &q, 7));
@@ -128,7 +128,7 @@ fn all_repulsive_degenerates_to_ta() {
     let roles = vec![DimRole::Repulsive; 3];
     let data = rand_dataset(&mut rng, 200, 3);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(index.pairs().is_empty());
+    assert!(index.row_ids().is_some());
     for _ in 0..15 {
         let q = rand_query(&mut rng, 3);
         assert_equiv(&index.query(&q, 4).unwrap(), &oracle(&data, &roles, &q, 4));
@@ -145,22 +145,6 @@ fn single_dimension_queries() {
             let q = rand_query(&mut rng, 1);
             assert_equiv(&index.query(&q, 3).unwrap(), &oracle(&data, &[role], &q, 3));
         }
-    }
-}
-
-#[test]
-fn correlation_aware_pairing_stays_exact() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(205);
-    let data = rand_dataset(&mut rng, 300, 6);
-    let roles = rand_roles(&mut rng, 6);
-    let opts = SdIndexOptions {
-        pairing: PairingStrategy::CorrelationAware,
-        ..Default::default()
-    };
-    let index = SdIndex::build_with(data.clone(), &roles, &opts).unwrap();
-    for _ in 0..15 {
-        let q = rand_query(&mut rng, 6);
-        assert_equiv(&index.query(&q, 6).unwrap(), &oracle(&data, &roles, &q, 6));
     }
 }
 
@@ -231,10 +215,7 @@ fn validation_errors() {
         (vec![deg(0.0), deg(45.0), deg(80.0)], 90.0),
         (vec![deg(45.0)], 0.0),
     ] {
-        let options = SdIndexOptions {
-            angles,
-            ..SdIndexOptions::default()
-        };
+        let options = SdIndexOptions { angles };
         match SdIndex::build_with(data.clone(), &roles, &options) {
             Err(SdError::AngleOutOfRange { requested_deg, .. }) => {
                 assert_eq!(requested_deg, missing)
@@ -244,7 +225,6 @@ fn validation_errors() {
     }
     let axes = SdIndexOptions {
         angles: vec![deg(90.0), deg(0.0)],
-        ..SdIndexOptions::default()
     };
     assert!(SdIndex::build_with(data.clone(), &roles, &axes).is_ok());
     let index = SdIndex::build(data, &roles).unwrap();
@@ -291,7 +271,7 @@ fn memory_accounting() {
     let index = SdIndex::build(data, &roles).unwrap();
     // Ids, boxes and first ids of eight chunks; no pair index.
     let order = 4 * 500 + 4 * 2 * 4 * 8 + 4 * 8;
-    assert_eq!(index.memory_bytes(), order + 16 * index.unpaired().len());
+    assert_eq!(index.memory_bytes(), order);
     assert_eq!(index.block_stats(), (0, 0));
 }
 
@@ -312,15 +292,9 @@ fn paper_publisher_example() {
     .unwrap();
     let roles = vec![DimRole::Repulsive, DimRole::Attractive, DimRole::Attractive];
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert_eq!(index.pairs().len(), 1);
-    assert_eq!(
-        index.pairs()[0],
-        DimPair {
-            repulsive: 0,
-            attractive: 1
-        }
-    );
-    assert_eq!(index.unpaired(), &[2]);
+    // A pair and a 1-D subproblem are not one pair: one box scan.
+    assert_eq!(walked_pair(&roles), None);
+    assert!(index.row_ids().is_some());
     let q = SdQuery::new(vec![50.0, 38.0, 75.0], vec![1.0, 1.0, 1.0]).unwrap();
     let got = index.query(&q, 2).unwrap();
     assert_equiv(&got, &oracle(&data, &roles, &q, 2));
@@ -432,10 +406,7 @@ fn assert_scan_scored(
     worst: Option<(f64, u32)>,
     dead: &dyn Fn(u32) -> bool,
 ) -> Outcomes {
-    let order = index
-        .order
-        .as_ref()
-        .expect("an aggregating index is in box order");
+    let order = index.order().expect("an aggregating index is in box order");
     let n = index.data.len();
     let p = &scratch.profile;
     let mut bounds = Vec::new();
@@ -461,7 +432,7 @@ fn assert_scan_scored(
     let rows = (0..n).filter(|&pos| visited[pos / CHUNK_ROWS]);
     let scanned = rows.clone().count() as u64;
     let dead_rows = rows.filter(|&pos| dead(order.ids[pos])).count() as u64;
-    assert_eq!(p.scan_fallbacks, 1);
+    assert_eq!(p.parts_scanned, 1);
     assert_eq!(
         (p.chunks_scored, p.chunks_skipped),
         (out.scored, out.below + out.tied)
@@ -600,8 +571,7 @@ fn a_chunk_tied_with_the_floor_is_skipped_above_its_worst_id() {
         let p = scratch.profile;
         // The chunks that hold ids below k, and no other.
         let holding = index
-            .order
-            .as_ref()
+            .order()
             .unwrap()
             .firsts
             .iter()
@@ -943,7 +913,7 @@ fn certifying_streams_match_the_scan_at_size() {
         let want = scanned.query_with(&wide, k, &mut scratch).unwrap();
         assert_bit_identical(&got, want);
         let p = scratch.profile;
-        assert_eq!((p.scan_fallbacks, p.rounds, p.blocks_popped), (1, 0, 0));
+        assert_eq!((p.parts_scanned, p.rounds, p.blocks_popped), (1, 0, 0));
     }
 }
 
@@ -1069,12 +1039,9 @@ fn rand_dead(rng: &mut impl Rng, n: usize) -> RowMask {
 fn dealt_at_random(index: &SdIndex, rng: &mut impl Rng) -> SdIndex {
     let n = index.data.len();
     let mut dealt = index.clone();
-    for (p, blocks) in index.pairs.iter().zip(&mut dealt.pair_blocks) {
-        let pts: Vec<(f64, f64)> = index
-            .data
-            .iter()
-            .map(|(_, c)| (c[p.attractive], c[p.repulsive]))
-            .collect();
+    if let (Some((rep, att)), Layout::Pair(blocks)) = (walked_pair(&index.roles), &mut dealt.layout)
+    {
+        let pts: Vec<(f64, f64)> = index.data.iter().map(|(_, c)| (c[att], c[rep])).collect();
         let mut order: Vec<u32> = (0..n as u32).collect();
         for i in (1..n).rev() {
             order.swap(i, rng.gen_range(0..=i));
@@ -1129,58 +1096,33 @@ proptest! {
     }
 }
 
-/// Every unpaired dimension keeps its extent over the index's rows, and a
-/// decode names a forged extent — non-finite, or `lo > hi` — by its
-/// dimension, whichever one it sits in; a forged extent that is still an
-/// interval decodes.
+/// The layout is read off the roles alone: a 2-D index of one attractive
+/// and one repulsive dimension keeps its pair's block set and its rows in
+/// id order, every other index its rows in box order — built and decoded
+/// alike.
 #[test]
-fn decode_names_the_forged_extent_of_any_unpaired_dimension() {
+fn the_roles_alone_pick_the_layout() {
     use crate::codec::{decode_from_slice, encode_to_vec};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(28);
-    let roles = [
-        DimRole::Attractive,
-        DimRole::Repulsive,
-        DimRole::Repulsive,
-        DimRole::Repulsive,
-    ];
-    let data = rand_dataset(&mut rng, 500, 4);
-    let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert_eq!(index.unpaired(), &[2, 3]);
-    for (&d, &extent) in index.unpaired().iter().zip(&index.extents) {
-        let column = data.column(d);
-        let lo = column.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = column.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(extent, (lo, hi), "dimension {d}");
-    }
-    let bytes = encode_to_vec(&index);
-    // `index.meta` leads the encoding, `[crc32c][len][bytes]`, and ends in
-    // the two extents (32 bytes), the rows a chunk of the box order and the
-    // flag that no pair index follows (a `u32` each).
-    let len = u64::from_le_bytes(bytes[4..12].try_into().unwrap()) as usize;
-    let meta_end = 12 + len;
-    let forge = |at: usize, lo: f64, hi: f64| {
-        let mut forged = bytes.clone();
-        let slot = meta_end - 40 + 16 * at;
-        forged[slot..slot + 8].copy_from_slice(&lo.to_le_bytes());
-        forged[slot + 8..slot + 16].copy_from_slice(&hi.to_le_bytes());
-        let crc = crate::integrity::crc32c(&forged[12..meta_end]);
-        forged[..4].copy_from_slice(&crc.to_le_bytes());
-        decode_from_slice::<SdIndex>(&forged)
-    };
-    for (at, d) in [(0, 2), (1, 3)] {
-        for (lo, hi) in [
-            (0.75, 0.25),
-            (f64::NAN, 1.0),
-            (0.0, f64::INFINITY),
-            (f64::NEG_INFINITY, 0.5),
-        ] {
-            let detail = format!("unpaired dimension {d}: extent [{lo}, {hi}]");
-            match forge(at, lo, hi) {
-                Err(SdError::SnapshotCorrupt { detail: got }) => assert_eq!(got, detail),
-                other => panic!("extent {at} forged to [{lo}, {hi}]: {other:?}"),
-            }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    for spec in ["a", "r", "ar", "ra", "aa", "rr", "arr", "rar", "arra"] {
+        let roles: Vec<DimRole> = spec
+            .chars()
+            .map(|c| match c {
+                'r' => DimRole::Repulsive,
+                _ => DimRole::Attractive,
+            })
+            .collect();
+        let want = match spec {
+            "ar" => Some((1, 0)),
+            "ra" => Some((0, 1)),
+            _ => None,
+        };
+        assert_eq!(walked_pair(&roles), want, "{spec}");
+        let index = SdIndex::build(rand_dataset(&mut rng, 150, roles.len()), &roles).unwrap();
+        let back: SdIndex = decode_from_slice(&encode_to_vec(&index)).unwrap();
+        for index in [&index, &back] {
+            assert_eq!(index.pair_blocks().is_some(), want.is_some(), "{spec}");
+            assert_eq!(index.row_ids().is_some(), want.is_none(), "{spec}");
         }
-        let back = forge(at, -1.0, 2.0).expect("an interval decodes");
-        assert_eq!(back.extents[at], (-1.0, 2.0));
     }
 }

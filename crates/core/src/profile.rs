@@ -77,10 +77,10 @@ use crate::kernels::LANES;
 /// 2-D kernel in one `kernel_batches` call per block; `points_scored` and
 /// `floor_updates` — the lanes that passed the floor compare, and what they
 /// did to the floor; `floor_value` and `emitted` as everywhere. Nothing is
-/// scanned (`scan_*` and `chunks_*` 0).
+/// scanned (`parts_scanned`, `scan_rows` and `chunks_*` 0).
 ///
 /// **On the box scan** (every other engine or index query) the counters
-/// read: `scan_fallbacks` — the parts scanned; `chunks_scored` and
+/// read: `parts_scanned` — the parts scanned; `chunks_scored` and
 /// `chunks_skipped` — their chunks; `rows_fetched` and `scan_rows` — the
 /// rows of the scored chunks (plus every delta row in `rows_fetched`);
 /// `tombstones_skipped` — the dead among them; `points_gathered` — the
@@ -122,7 +122,7 @@ pub struct QueryProfile {
     /// included.
     pub rows_fetched: u64,
     /// Parts (an engine's shards, or the one index) the box scan ran over.
-    pub scan_fallbacks: u64,
+    pub parts_scanned: u64,
     /// Rows of the chunks the box scan scored, tombstoned ones included.
     /// Counted into `rows_fetched`.
     pub scan_rows: u64,
@@ -195,7 +195,7 @@ impl Default for QueryProfile {
             lanes_masked: 0,
             onedim_rows_pulled: 0,
             rows_fetched: 0,
-            scan_fallbacks: 0,
+            parts_scanned: 0,
             scan_rows: 0,
             chunks_scored: 0,
             chunks_skipped: 0,
@@ -250,7 +250,7 @@ impl QueryProfile {
         self.lanes_masked += other.lanes_masked;
         self.onedim_rows_pulled += other.onedim_rows_pulled;
         self.rows_fetched += other.rows_fetched;
-        self.scan_fallbacks += other.scan_fallbacks;
+        self.parts_scanned += other.parts_scanned;
         self.scan_rows += other.scan_rows;
         self.chunks_scored += other.chunks_scored;
         self.chunks_skipped += other.chunks_skipped;
@@ -287,7 +287,7 @@ impl QueryProfile {
         named! {
             *self;
             nodes_visited, envelope_nodes_rejected, blocks_popped, blocks_floor_pruned,
-            lanes_masked, onedim_rows_pulled, rows_fetched, scan_fallbacks, scan_rows,
+            lanes_masked, onedim_rows_pulled, rows_fetched, parts_scanned, scan_rows,
             chunks_scored, chunks_skipped, points_gathered, points_scored, kernel_batches,
             delta_rows_scanned, delta_blocks_pruned, tombstones_skipped, seen_hits,
             floor_updates, rounds, merge_rounds, emitted;

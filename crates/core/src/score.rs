@@ -29,7 +29,7 @@ impl DimRole {
 
 /// A fully specified SD-Query: a query point plus per-dimension weights.
 ///
-/// Roles are a property of the *index* (fixed at build time per §5 pairing);
+/// Roles are a property of the *index* (fixed at build time: they pick its layout);
 /// weights (`α` for repulsive dims, `β` for attractive dims) are supplied at
 /// query time, matching §4.2.
 #[derive(Debug, Clone, PartialEq)]

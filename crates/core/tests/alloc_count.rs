@@ -166,7 +166,7 @@ fn steady_state_queries_do_not_allocate() {
         for q in &queries6d {
             let r = sd6.query_with(q, 64, scratch).unwrap();
             *sink += r.iter().map(|sp| sp.score).sum::<f64>();
-            scans += scratch.profile.scan_fallbacks;
+            scans += scratch.profile.parts_scanned;
         }
     };
     run_scan(&mut scratch, &mut sink);

@@ -138,7 +138,7 @@ pub struct EngineOptions {
     /// not edit, still sets it; it goes with that benchmark's next change.
     #[deprecated(note = "a query runs on the thread that calls it; this field is ignored")]
     pub threads: usize,
-    /// Per-shard [`SdIndex`] build options (pairing, angles).
+    /// Per-shard [`SdIndex`] build options (a walked pair's angles).
     pub index: SdIndexOptions,
 }
 
@@ -1174,7 +1174,7 @@ mod tests {
         let got: Vec<(u32, f64)> = got.iter().map(|sp| (sp.id.raw(), sp.score)).collect();
         assert_eq!(got, [(0, 10.0), (33, 9.0)]);
         let p = scratch.profile;
-        assert_eq!(p.scan_fallbacks, 2, "both shards scan");
+        assert_eq!(p.parts_scanned, 2, "both shards scan");
         // Shard 0's whole first chunk (there was no floor yet) and shard
         // 1's 9: the 6 never reaches a heap.
         assert_eq!(p.points_scored, 33);
@@ -1327,7 +1327,7 @@ mod tests {
         let mut scratch = QueryScratch::new();
         let want = e.query_with(&q, 64, &mut scratch).unwrap().to_vec();
         let first = scratch.profile;
-        assert_eq!((first.rounds, first.scan_fallbacks), (0, 4));
+        assert_eq!((first.rounds, first.parts_scanned), (0, 4));
         assert_eq!(first.rows_fetched, first.scan_rows, "{first:?}");
         let twin = e.clone();
         let rebuilt = SdEngine::from_parts(6, e.roles().to_vec(), e.shards().to_vec()).unwrap();
@@ -1422,12 +1422,12 @@ mod tests {
         let mut scratch = QueryScratch::new();
         let want = e.query_with(&q, 16, &mut scratch).unwrap().to_vec();
         let walk = scratch.profile;
-        assert_eq!(walk.scan_fallbacks, 0, "a walk");
+        assert_eq!(walk.parts_scanned, 0, "a walk");
         assert!(walk.blocks_popped > 0, "{walk:?}");
         let twin = e.clone();
         for _ in 0..8 {
             e.query_with(&both_zero, 16, &mut scratch).unwrap();
-            assert_eq!(scratch.profile.scan_fallbacks, 4, "an aggregation scans");
+            assert_eq!(scratch.profile.parts_scanned, 4, "an aggregation scans");
             for engine in [&e, &twin] {
                 let got = engine.query_with(&q, 16, &mut scratch).unwrap();
                 assert_eq!(got, &want[..]);
@@ -1568,7 +1568,6 @@ mod tests {
         let (data, roles) = sample(200, 4);
         let index = SdIndexOptions {
             angles: vec![sdq_core::geometry::Angle::from_degrees(30.0).unwrap()],
-            ..SdIndexOptions::default()
         };
         let first = Dataset::from_flat(4, data.flat()[..50 * 4].to_vec()).unwrap();
         let want = SdIndex::build_with(first, &roles, &index).unwrap_err();

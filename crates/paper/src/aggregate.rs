@@ -2,7 +2,8 @@
 //! repulsive↔attractive pair, aggregated under a TA-style threshold.
 //!
 //! The SD-score (Eqn. 3) is re-expressed as Eqn. 10: `min(|D|, |S|)` 2-D
-//! subproblems — each served by a stored §4 index over the pair's
+//! subproblems — chosen by the pairing step ([`crate::pairing`]), each
+//! served by a stored §4 index over the pair's
 //! projection, built here as one 2-D `[a, r]` [`SdIndex`] — plus the
 //! leftover dimensions. Every pair subproblem yields rows in frontier order
 //! together with an admissible bound ([`Pair2DStream`]); the loop fetches
@@ -41,12 +42,34 @@
 
 use std::sync::Arc;
 
+use sdq_core::geometry::Angle;
 use sdq_core::kernels::inflate;
-use sdq_core::multidim::{pair_dimensions, DimPair, Pair2DStream, SdIndex, SdIndexOptions};
+use sdq_core::multidim::{Pair2DStream, SdIndex, SdIndexOptions};
 use sdq_core::score::sd_score;
 use sdq_core::{
     Dataset, DimRole, LoopScratch, PointId, QueryScratch, ScoredPoint, SdError, SdQuery,
 };
+
+use crate::pairing::{pair_dimensions, DimPair, PairingStrategy};
+
+/// Tuning knobs for [`PairedIndex::build_with`].
+#[derive(Debug, Clone)]
+pub struct PairedOptions {
+    /// How repulsive and attractive dimensions are matched into pairs (§5,
+    /// and its future-work direction).
+    pub pairing: PairingStrategy,
+    /// Indexed projection angles of every pair's §4 index (§4.2).
+    pub angles: Vec<Angle>,
+}
+
+impl Default for PairedOptions {
+    fn default() -> Self {
+        PairedOptions {
+            pairing: PairingStrategy::Arbitrary,
+            angles: sdq_core::topk::default_angles(),
+        }
+    }
+}
 
 /// The §5 SD-index: pairs, one 2-D §4 index each, and the extent of every
 /// unpaired dimension (module docs).
@@ -68,7 +91,7 @@ impl PairedIndex {
     /// Builds with default options (arbitrary pairing, the engine's
     /// angles).
     pub fn build(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> Result<Self, SdError> {
-        Self::build_with(data, roles, &SdIndexOptions::default())
+        Self::build_with(data, roles, &PairedOptions::default())
     }
 
     /// Builds with explicit options: the pairing strategy, and the indexed
@@ -76,7 +99,7 @@ impl PairedIndex {
     pub fn build_with(
         data: impl Into<Arc<Dataset>>,
         roles: &[DimRole],
-        options: &SdIndexOptions,
+        options: &PairedOptions,
     ) -> Result<Self, SdError> {
         let data: Arc<Dataset> = data.into();
         if roles.len() != data.dims() {
@@ -87,6 +110,9 @@ impl PairedIndex {
         }
         let (pairs, unpaired) = pair_dimensions(&data, roles, options.pairing);
         let pair_roles = [DimRole::Attractive, DimRole::Repulsive];
+        let pair_options = SdIndexOptions {
+            angles: options.angles.clone(),
+        };
         let pair_indexes = pairs
             .iter()
             .map(|p| {
@@ -94,7 +120,7 @@ impl PairedIndex {
                     .iter()
                     .flat_map(|(_, c)| [c[p.attractive], c[p.repulsive]])
                     .collect();
-                SdIndex::build_with(Dataset::from_flat(2, flat)?, &pair_roles, options)
+                SdIndex::build_with(Dataset::from_flat(2, flat)?, &pair_roles, &pair_options)
             })
             .collect::<Result<_, _>>()?;
         let extents = unpaired
@@ -280,7 +306,6 @@ impl PairedIndex {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
-    use sdq_core::multidim::PairingStrategy;
     use sdq_core::score::rank_cmp;
 
     /// The canonical top k, row by row.
@@ -333,9 +358,9 @@ mod tests {
             } else {
                 PairingStrategy::CorrelationAware
             };
-            let options = SdIndexOptions {
+            let options = PairedOptions {
                 pairing,
-                ..SdIndexOptions::default()
+                ..PairedOptions::default()
             };
             let index = PairedIndex::build_with(data.clone(), &roles, &options).unwrap();
             let mut scratch = QueryScratch::new();

@@ -12,6 +12,8 @@
 //! * [`topk`] — the §4 dynamic tree for runtime `k`, `α`, `β`: one point
 //!   per leaf slot, point-level inserts and deletes, the |U|/n rebuild
 //!   policy, the certified per-type frontier (Alg. 2–3) and Alg. 4,
+//! * [`pairing`] — the §5 pairing step: arbitrary, as the paper does, or
+//!   greedy by correlation, its future-work direction;
 //! * [`aggregate`] — the §5 SD-index ([`PairedIndex`]): one §4 index per
 //!   repulsive↔attractive pair, each streamed through `sdq-core`'s
 //!   `Pair2DStream`, the unpaired dimensions bounded by their extents, and
@@ -43,10 +45,12 @@
 pub mod aggregate;
 pub mod envelope;
 pub mod geometry;
+pub mod pairing;
 pub mod top1;
 pub mod topk;
 
-pub use aggregate::PairedIndex;
+pub use aggregate::{PairedIndex, PairedOptions};
+pub use pairing::{pair_dimensions, DimPair, PairingStrategy};
 pub use top1::Top1Index;
 pub use topk::{QueryScratch, TopKIndex};
 

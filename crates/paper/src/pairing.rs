@@ -1,14 +1,14 @@
 //! Dimension pairing for the §5 decomposition.
 //!
 //! `min(|D|, |S|)` repulsive↔attractive pairs become 2-D subproblems served
-//! by the §4 index; leftovers become 1-D subproblems. The paper pairs
+//! by the §4 index ([`PairedIndex`](crate::PairedIndex) builds one per
+//! pair); leftovers become 1-D subproblems. The paper pairs
 //! arbitrarily and calls a smarter mapping future work — we provide both
 //! the arbitrary mapping and a correlation-aware greedy matching (paired
 //! dimensions whose values are strongly correlated produce tighter 2-D
 //! score distributions and hence earlier threshold termination).
 
-use crate::types::Dataset;
-use crate::DimRole;
+use sdq_core::{Dataset, DimRole, OrdF64, PointId};
 
 /// One 2-D subproblem: a repulsive dimension mapped to an attractive one
 /// (the bijection `f : M → N` of Eqn. 10).
@@ -91,7 +91,7 @@ fn greedy_by_correlation(
             edges.push((c, r, a));
         }
     }
-    edges.sort_by_key(|e| std::cmp::Reverse(crate::types::OrdF64(e.0)));
+    edges.sort_by_key(|e| std::cmp::Reverse(OrdF64(e.0)));
 
     let mut rep_used: Vec<usize> = Vec::new();
     let mut att_used: Vec<usize> = Vec::new();
@@ -119,7 +119,7 @@ fn sampled_correlation(data: &Dataset, d1: usize, d2: usize, stride: usize) -> f
     let (mut s1, mut s2, mut s11, mut s22, mut s12) = (0.0, 0.0, 0.0, 0.0, 0.0);
     let mut row = 0usize;
     while row < data.len() {
-        let id = crate::types::PointId::new(row as u32);
+        let id = PointId::new(row as u32);
         let (a, b) = (data.coord(id, d1), data.coord(id, d2));
         s1 += a;
         s2 += b;

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sdq_core::geometry::Angle;
-use sdq_core::multidim::{PairingStrategy, QueryPlan, SdIndexOptions};
+use sdq_core::multidim::{QueryPlan, SdIndexOptions};
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::{Dataset, Deadline, QueryProfile, QueryScratch, ScoredPoint, SdQuery};
 use sdq_data::{generate, uniform_queries, Distribution};
@@ -39,7 +39,7 @@ sdq — SD-Query snapshot tool (build once, query many)
 USAGE:
     sdq build --out PATH (--csv FILE | --synthetic DIST --n N --dims D)
               --roles STR [--shards S] [--seed S]
-              [--angles N] [--pairing arbitrary|correlation]
+              [--angles N]
     sdq query PATH --point X,Y,... [--weights W,W,...] [--k K]
               [--repeat N] [--threads T] [--mapped] [--slow-query-us U]
               [--timeout-us U] [--explain | --profile | --profile-json]
@@ -115,7 +115,6 @@ BUILD OPTIONS:
     --shards S         Shard count of the engine (default 1).
     --angles N         Indexed angle count, uniform over [0°, 90°]
                        (default 3).
-    --pairing P        SD-index pairing: arbitrary | correlation.
 
 MUTATION OPTIONS (insert / delete / compact):
     --csv FILE         Rows to insert, one comma-separated row per line
@@ -345,7 +344,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let mut seed: u64 = 42;
     let mut roles_spec: Option<String> = None;
     let mut angle_count: usize = 3;
-    let mut pairing = PairingStrategy::Arbitrary;
     let mut shards: usize = 1;
 
     let mut flags = Flags::new(args);
@@ -371,13 +369,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             "--seed" => seed = flags.parsed("--seed")?,
             "--roles" => roles_spec = Some(flags.value("--roles")?.to_string()),
             "--angles" => angle_count = flags.parsed("--angles")?,
-            "--pairing" => {
-                pairing = match flags.value("--pairing")? {
-                    "arbitrary" => PairingStrategy::Arbitrary,
-                    "correlation" | "correlation-aware" => PairingStrategy::CorrelationAware,
-                    other => return Err(usage(format!("--pairing: unknown strategy {other:?}"))),
-                }
-            }
             other => return Err(usage(format!("unknown flag {other:?}"))),
         }
     }
@@ -413,7 +404,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let options = EngineOptions {
         shards,
         index: SdIndexOptions {
-            pairing,
             angles: angle_grid(angle_count)?,
         },
         ..EngineOptions::default()
@@ -735,7 +725,7 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
     );
     println!(
         "  box scan   shards {} · chunks scored {} · skipped {} · scan_rows {}",
-        p.scan_fallbacks, p.chunks_scored, p.chunks_skipped, p.scan_rows
+        p.parts_scanned, p.chunks_scored, p.chunks_skipped, p.scan_rows
     );
     println!(
         "  delta      rows_scanned {} · blocks_pruned {}",
@@ -1626,9 +1616,9 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
 /// The name `inspect` lists a section under: its kind's, `<retired: NAME>`
 /// for a kind this build no longer reads, `<unknown>` otherwise.
 fn section_label(s: &SectionInfo) -> String {
-    match (s.kind, SectionKind::retired_name(s.raw_kind)) {
+    match (s.kind, SectionKind::retired(s.raw_kind)) {
         (Some(kind), _) => kind.name().to_string(),
-        (None, Some(name)) => format!("<retired: {name}>"),
+        (None, Some((name, _))) => format!("<retired: {name}>"),
         (None, None) => String::from("<unknown>"),
     }
 }
@@ -2214,7 +2204,7 @@ fn event_detail(kind: &EventKind) -> (String, Json) {
                 p.blocks_floor_pruned,
                 p.rows_fetched,
                 p.scan_rows,
-                p.scan_fallbacks,
+                p.parts_scanned,
                 p.chunks_scored,
                 p.chunks_skipped,
                 p.points_scored,

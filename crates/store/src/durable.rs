@@ -937,44 +937,39 @@ mod tests {
     }
 
     #[test]
-    fn pairing_survives_compact_checkpoint_and_recover() {
-        use sdq_core::multidim::{DimPair, PairingStrategy, SdIndexOptions};
-        // Roles `arra` over rows where dim 2 follows dim 0 (tightly) and
-        // dim 1 follows dim 3 (loosely): correlation-aware pairing crosses
-        // what arbitrary pairing would take in dimension order.
-        let row = |i: usize| {
-            let (t, u) = ((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos());
-            vec![t, u + 0.2 * t, t - 1e-3 * u, u]
-        };
+    fn angles_survive_compact_checkpoint_and_recover() {
+        use sdq_core::geometry::Angle;
+        use sdq_core::multidim::SdIndexOptions;
+        // A 2-D `ar` engine over five indexed angles, not the default three:
+        // every shard a compaction rebuilds, before and after a reopen that
+        // replays the log, must index the same five.
+        let five: Vec<Angle> = [0.0, 22.5, 45.0, 67.5, 90.0]
+            .iter()
+            .map(|&d| Angle::from_degrees(d).unwrap())
+            .collect();
+        let row = |i: usize| vec![(i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()];
         let rows: Vec<Vec<f64>> = (0..200).map(row).collect();
         let engine = SdEngine::build_with(
-            Dataset::from_rows(4, &rows).unwrap(),
-            &crate::parse_roles("arra").unwrap(),
+            Dataset::from_rows(2, &rows).unwrap(),
+            &crate::parse_roles("ar").unwrap(),
             &EngineOptions {
                 shards: 2,
                 index: SdIndexOptions {
-                    pairing: PairingStrategy::CorrelationAware,
-                    ..SdIndexOptions::default()
+                    angles: five.clone(),
                 },
                 ..Default::default()
             },
         )
         .unwrap();
-        let pairs_of = |e: &SdEngine| -> Vec<Vec<DimPair>> {
-            e.shards().iter().map(|s| s.pairs().to_vec()).collect()
+        // What a rebuild reads off each shard: its block set's angles.
+        let angles_of = |e: &SdEngine| -> Vec<Vec<Angle>> {
+            e.shards()
+                .iter()
+                .map(|s| s.rebuild_options().angles)
+                .collect()
         };
-        let crossed = vec![
-            DimPair {
-                repulsive: 2,
-                attractive: 0,
-            },
-            DimPair {
-                repulsive: 1,
-                attractive: 3,
-            },
-        ];
-        let built = pairs_of(&engine);
-        assert_eq!(built, [crossed.clone(), crossed]);
+        let built = vec![five.clone(), five];
+        assert_eq!(angles_of(&engine), built);
 
         let mut d = DurableEngine::create(
             MemStorage::new(),
@@ -983,12 +978,13 @@ mod tests {
             DurableOptions::default(),
         )
         .unwrap();
-        // A compaction (which checkpoints) rebuilds every touched shard.
+        // A compaction (which checkpoints) rebuilds both shards: a delete
+        // in the first, delta rows for the tail.
         d.insert_rows(&(200..230).map(row).collect::<Vec<_>>())
             .unwrap();
         d.delete(PointId::new(5)).unwrap();
-        d.compact().unwrap();
-        assert_eq!(pairs_of(d.engine()), built);
+        assert_eq!(d.compact().unwrap().rebuilt_shards, 2);
+        assert_eq!(angles_of(d.engine()), built);
         // A plain checkpoint, then a tail left in the log for recovery.
         d.delete(PointId::new(150)).unwrap();
         d.checkpoint().unwrap();
@@ -997,10 +993,11 @@ mod tests {
         let mut back =
             DurableEngine::open(d.into_storage(), "idx.sdq", DurableOptions::default()).unwrap();
         assert!(back.recovery().replayed_records > 0);
-        assert_eq!(pairs_of(back.engine()), built);
-        // And the reopened store still compacts the way it was built.
-        back.compact().unwrap();
-        assert_eq!(pairs_of(back.engine()), built);
+        assert_eq!(angles_of(back.engine()), built);
+        // And the reopened store rebuilds both shards over the same angles.
+        back.delete(PointId::new(0)).unwrap();
+        assert_eq!(back.compact().unwrap().rebuilt_shards, 2);
+        assert_eq!(angles_of(back.engine()), built);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! | kind | name | holds |
 //! |-----:|------|-------|
 //! | 7 | `engine-manifest` | dimensionality, roles, per-shard row counts |
-//! | 12 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (roles, pairing strategy, pairs, unpaired dimensions and each one's `(lo, hi)` extent), `data.*`, per pair `pair{i}/meta` + `pair{i}/blocks.*`; the shard ordinal sits in the table entry's `reserved` field. An older shard has no extents in `index.meta` and one `col{i}/values` + `col{i}/rows` per unpaired dimension after the pairs: it still opens (each column's first and last values are its extent) and is re-saved without them. A build from before extents refuses a shard that has them |
+//! | 13 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (the roles, nothing else), `data.meta` + `data.coords`, then for a 2-D shard of one attractive and one repulsive dimension its pair's `pair0/meta` + `pair0/blocks.*`, for any other roles the box order `data.ids` + `data.boxes` + `data.firsts`; the shard ordinal sits in the table entry's `reserved` field |
 //! | 9 | `mutation-delta` | uncompacted inserted rows (only when non-empty) |
 //! | 10 | `mutation-tombstones` | the addressable row domain plus a sorted dead-id list (only when non-empty) |
 //! | 11 | `durability` | checkpoint generation and epoch, tying the file to its write-ahead log (see the [`durable`] module) |
@@ -35,6 +35,7 @@
 //! | 2 | `roles` | retired: the engine manifest carries the roles |
 //! | 4 | `topk-index` | retired: the §4 dynamic tree is an in-memory library index, never persisted |
 //! | 8 | `engine-shard` | retired: the shard layout that stored, per pair, a point table and the per-point node records beside the blocks |
+//! | 12 | `engine-shard` | retired: the shard layout that recorded a pairing strategy, its pairs and each unpaired dimension's extent (and, in its older files, one sorted column per unpaired dimension, aggregating shards' pair indexes, or rows not in box order) |
 //!
 //! Every payload is a stream of framed regions (see `sdq_core::codec`):
 //! small `[crc32c][len]` *metadata* regions verified eagerly at open, and
@@ -66,8 +67,8 @@
 //!   [`DurableEngine::open`] read the file once into an owned aligned
 //!   buffer (never a live mapping: a store rewrites its own files) and
 //!   verify **before returning**: every region checksum, the block-table
-//!   census, slot and row ids in range, finite coordinates, block lanes and
-//!   column values, ascending columns. What comes back behaves like a built
+//!   census, slot and row ids in range, finite coordinates and block
+//!   lanes, and the row-id census. What comes back behaves like a built
 //!   index
 //!   (`is_mapped() == false`, no per-query integrity work) but pins that
 //!   one file-sized buffer until its views are compacted or
@@ -162,7 +163,7 @@ pub enum SectionKind {
     EngineManifest = 7,
     /// One engine shard's [`SdIndex`]; the shard ordinal lives in the
     /// table entry's reserved `u32`.
-    EngineShard = 12,
+    EngineShard = 13,
     /// The engine's delta region: uncompacted inserted rows, as plain
     /// [`Dataset`] codec bytes.
     MutationDelta = 9,
@@ -181,27 +182,37 @@ impl SectionKind {
             9 => Some(SectionKind::MutationDelta),
             10 => Some(SectionKind::MutationTombstones),
             11 => Some(SectionKind::Durability),
-            12 => Some(SectionKind::EngineShard),
+            13 => Some(SectionKind::EngineShard),
             _ => None,
         }
     }
 
-    /// The name a retired kind number carried when it was written: a store
-    /// holds one engine, so the monolithic, §3, R*-tree, raw-dataset,
-    /// standalone-roles and standalone-§4-tree sections are no longer read,
-    /// nor is the shard layout (8) that stored a point table and per-point
-    /// node records beside each pair's blocks. The numbers stay reserved;
-    /// both readers refuse such a file by this name and `sdq inspect` lists
-    /// it.
-    pub fn retired_name(raw: u32) -> Option<&'static str> {
+    /// The name a retired kind number carried when it was written, and why
+    /// it is no longer read: a store holds one engine, so the monolithic,
+    /// §3, R*-tree and raw-dataset sections are gone, and so are the
+    /// standalone roles and §4 tree and two older shard layouts. The numbers
+    /// stay reserved; both readers refuse such a file by its name and reason
+    /// and `sdq inspect` lists it by name.
+    pub fn retired(raw: u32) -> Option<(&'static str, &'static str)> {
+        let one_engine = "a store holds one engine";
         match raw {
-            1 => Some("dataset"),
-            2 => Some("roles"),
-            3 => Some("sd-index"),
-            4 => Some("topk-index"),
-            5 => Some("top1-index"),
-            6 => Some("rstar-tree"),
-            8 => Some("engine-shard"),
+            1 => Some(("dataset", one_engine)),
+            2 => Some(("roles", "the engine manifest carries the roles")),
+            3 => Some(("sd-index", one_engine)),
+            4 => Some((
+                "topk-index",
+                "the §4 dynamic tree is an in-memory library index, never persisted",
+            )),
+            5 => Some(("top1-index", one_engine)),
+            6 => Some(("rstar-tree", one_engine)),
+            8 => Some((
+                "engine-shard",
+                "its layout stored a point table and per-point node records beside each pair's blocks",
+            )),
+            12 => Some((
+                "engine-shard",
+                "its layout recorded a pairing, its pairs and a range per unpaired dimension, which no query reads",
+            )),
             _ => None,
         }
     }
@@ -668,10 +679,9 @@ impl Snapshot {
         let mut seen = 0u32;
         for entry in entries {
             let Some(kind) = SectionKind::from_u32(entry.raw_kind) else {
-                return Err(match SectionKind::retired_name(entry.raw_kind) {
-                    Some(name) => corrupt(format!(
-                        "section kind {} ({name}) was retired: a store holds one engine; \
-                         rebuild it with `sdq build`",
+                return Err(match SectionKind::retired(entry.raw_kind) {
+                    Some((name, why)) => corrupt(format!(
+                        "section kind {} ({name}) was retired: {why}; rebuild it with `sdq build`",
                         entry.raw_kind
                     )),
                     None => corrupt(format!("unknown section kind {}", entry.raw_kind)),
@@ -1526,27 +1536,22 @@ mod tests {
     fn one_format_is_pinned() {
         // With one format and no version ladder, a silent layout change has
         // no other guard. `PAYLOAD_CRC`, the first offset and the length were
-        // computed over this fixture by the commit that stopped storing an
-        // aggregating shard's pair indexes (its `index.meta` ends in the rows
-        // a chunk and a `1`: no pair region follows; `data.firsts` follows
-        // `data.boxes`) — after the one that put an aggregating shard's rows
-        // in box order (`data.ids` and `data.boxes` follow `data.coords`;
-        // three indexed angles by default), the one that bounded an unpaired
-        // dimension by its extent (`index.meta` holds one `(lo, hi)` per
-        // unpaired dimension; no `col{i}` regions) and the one that made an
-        // engine shard's pair its block set (section kind 12; `index.meta`
-        // records the pairing strategy; kinds 2, 4 and 8 retired). (The
-        // fixture goes through `sin`/`cos`; a libm that rounds them
-        // differently moves the coordinates, not the layout.)
-        const PAYLOAD_CRC: u32 = 0x76c0_8ef4;
+        // computed over this fixture by the commit that made a shard's
+        // layout a function of its roles (section kind 13: `index.meta`
+        // holds the roles alone; a 2-D `ar` shard is its rows and `pair0`,
+        // any other its rows and `data.ids` + `data.boxes` + `data.firsts`;
+        // kinds 2, 4, 8 and 12 retired). (The fixture goes through
+        // `sin`/`cos`; a libm that rounds them differently moves the
+        // coordinates, not the layout.)
+        const PAYLOAD_CRC: u32 = 0x31d3_16e9;
         let bytes = durable_snapshot().to_bytes_v5().unwrap();
         assert_eq!(bytes[8..12], 5u32.to_le_bytes());
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         let mut kinds: Vec<u32> = info.sections.iter().map(|s| s.raw_kind).collect();
         kinds.dedup();
-        assert_eq!(kinds, [7, 12, 9, 10, 11], "every section kind");
+        assert_eq!(kinds, [7, 13, 9, 10, 11], "every section kind");
         let first = info.sections[0].offset as usize;
-        assert_eq!((first, bytes.len()), (192, 2012));
+        assert_eq!((first, bytes.len()), (192, 1884));
         assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
         // Deterministic through both readers.
         let owned = Snapshot::from_bytes(&bytes).unwrap();
@@ -1602,7 +1607,7 @@ mod tests {
     #[test]
     fn duplicate_singleton_section_is_refused() {
         let sections = durable_snapshot().sections();
-        for kind in (1..=12).filter_map(SectionKind::from_u32) {
+        for kind in (1..=13).filter_map(SectionKind::from_u32) {
             if kind == SectionKind::EngineShard {
                 continue;
             }
@@ -1774,16 +1779,17 @@ mod tests {
     }
 
     /// A production-framed file whose first section is relabelled as retired
-    /// kind `raw`: both readers must refuse it by `name`, before decoding a
-    /// byte of it, while the header-only reader still lists the table.
-    fn assert_retired_kind_refused(raw: u32, name: &str) {
-        assert_eq!(SectionKind::retired_name(raw), Some(name));
+    /// kind `raw`: both readers must refuse it by `name` and the kind's own
+    /// reason, `why`, before decoding a byte of it, while the header-only
+    /// reader still lists the table.
+    fn assert_retired_kind_refused(raw: u32, name: &str, why: &str) {
+        assert_eq!(SectionKind::retired(raw), Some((name, why)));
         let mut bytes = Snapshot::frame(&sample_snapshot().sections());
         bytes[16..20].copy_from_slice(&raw.to_le_bytes());
         resign_table(&mut bytes);
         assert_refused(
             &bytes,
-            &format!("section kind {raw} ({name}) was retired: a store holds one engine"),
+            &format!("section kind {raw} ({name}) was retired: {why}; rebuild it"),
         );
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         assert_eq!(
@@ -1794,28 +1800,42 @@ mod tests {
 
     #[test]
     fn retired_dataset_section_is_refused_by_name() {
-        assert_retired_kind_refused(1, "dataset");
+        assert_retired_kind_refused(1, "dataset", "a store holds one engine");
     }
 
     #[test]
     fn retired_sd_index_section_is_refused_by_name() {
-        assert_retired_kind_refused(3, "sd-index");
+        assert_retired_kind_refused(3, "sd-index", "a store holds one engine");
     }
 
     #[test]
     fn retired_top1_index_section_is_refused_by_name() {
-        assert_retired_kind_refused(5, "top1-index");
+        assert_retired_kind_refused(5, "top1-index", "a store holds one engine");
     }
 
     #[test]
     fn retired_rstar_tree_section_is_refused_by_name() {
-        assert_retired_kind_refused(6, "rstar-tree");
+        assert_retired_kind_refused(6, "rstar-tree", "a store holds one engine");
     }
 
     #[test]
     fn retired_roles_topk_and_old_shard_sections_are_refused_by_name() {
-        assert_retired_kind_refused(2, "roles");
-        assert_retired_kind_refused(4, "topk-index");
-        assert_retired_kind_refused(8, "engine-shard");
+        assert_retired_kind_refused(2, "roles", "the engine manifest carries the roles");
+        assert_retired_kind_refused(
+            4,
+            "topk-index",
+            "the §4 dynamic tree is an in-memory library index, never persisted",
+        );
+        assert_retired_kind_refused(
+            8,
+            "engine-shard",
+            "its layout stored a point table and per-point node records beside each pair's blocks",
+        );
+        assert_retired_kind_refused(
+            12,
+            "engine-shard",
+            "its layout recorded a pairing, its pairs and a range per unpaired dimension, \
+             which no query reads",
+        );
     }
 }

@@ -30,7 +30,7 @@ use crate::{wal, Snapshot};
 /// What one region scan found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionFinding {
-    /// Region name (`shard0/pair1/blocks.xs`, `wal`, `snapshot`).
+    /// Region name (`engine-shard0/pair0/blocks.xs`, `wal`, `snapshot`).
     pub name: String,
     /// Byte offset inside its file (0 for whole-file findings).
     pub offset: u64,

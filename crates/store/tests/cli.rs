@@ -75,7 +75,7 @@ fn build_then_query_matches_in_memory_index() {
         .skip(1)
         .map(|rest| rest.split(',').next().unwrap())
         .collect();
-    assert_eq!(kinds, ["7", "12"], "manifest + one shard\n{json}");
+    assert_eq!(kinds, ["7", "13"], "manifest + one shard\n{json}");
 
     // The same workload in memory: the engine and the scan agree, and the
     // CLI must print what they answer.
@@ -562,14 +562,29 @@ fn retired_section_kinds_are_refused_by_name() {
     assert!(status.success());
     let honest = std::fs::read(&path).unwrap();
     assert_eq!(honest[16..20], 7u32.to_le_bytes());
-    // The monolithic index; then the three kinds the last layout wrote:
+    // The monolithic index; the three kinds of an earlier layout:
     // standalone roles, a standalone §4 tree, and the shard that stored a
-    // point table and node records beside its blocks.
-    for (raw, name) in [
-        (3u32, "sd-index"),
-        (2, "roles"),
-        (4, "topk-index"),
-        (8, "engine-shard"),
+    // point table and node records beside its blocks; and the shard that
+    // recorded a pairing. Each is refused with its own reason.
+    for (raw, name, why) in [
+        (3u32, "sd-index", "a store holds one engine"),
+        (2, "roles", "the engine manifest carries the roles"),
+        (
+            4,
+            "topk-index",
+            "the §4 dynamic tree is an in-memory library index, never persisted",
+        ),
+        (
+            8,
+            "engine-shard",
+            "its layout stored a point table and per-point node records beside each pair's blocks",
+        ),
+        (
+            12,
+            "engine-shard",
+            "its layout recorded a pairing, its pairs and a range per unpaired dimension, \
+             which no query reads",
+        ),
     ] {
         // Relabel the first section (the manifest) and re-sign the table:
         // the layout stays production-valid.
@@ -581,10 +596,8 @@ fn retired_section_kinds_are_refused_by_name() {
         bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
-        let refusal = format!(
-            "section kind {raw} ({name}) was retired: a store holds one engine; \
-             rebuild it with `sdq build`"
-        );
+        let refusal =
+            format!("section kind {raw} ({name}) was retired: {why}; rebuild it with `sdq build`");
         for args in [
             vec!["query", p, "--point", "0.5,0.5"],
             vec!["query", p, "--point", "0.5,0.5", "--mapped"],

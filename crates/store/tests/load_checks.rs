@@ -13,9 +13,8 @@ use sdq_store::{
 
 const ROLES: &str = "arr";
 
-/// 3-D rows under roles `arr`: one pair plus one unpaired dimension per
-/// shard, so its shards scan in box order and `index.meta` carries an
-/// extent.
+/// 3-D rows under roles `arr`: not one pair, so its shards scan in box
+/// order.
 fn engine() -> SdEngine {
     engine_of(40, ROLES)
 }
@@ -84,8 +83,8 @@ fn is_typed(err: &SdError) -> bool {
 /// A shard that scans (`arr`) is its coordinates in box order, the id of
 /// every position (`data.ids`), the chunk boxes (`data.boxes`) and each
 /// chunk's smallest id (`data.firsts`): no pair index, no point table, no
-/// sorted column — an unpaired dimension is its extent, in `index.meta`. A
-/// single pair's shard (`ar`) is its coordinates in id order and its §4
+/// sorted column. A single pair's shard (`ar`) is its coordinates in id
+/// order and its §4
 /// index — one copy of the pair's (x, y) besides `data.coords`, one bound
 /// hierarchy, no node records.
 #[test]
@@ -255,7 +254,7 @@ fn set_u32(payload: &mut [u8], index: usize, v: u32) {
 #[test]
 fn load_refuses_forged_contents_under_valid_checksums() {
     type Patch = fn(&mut [u8]);
-    let cases: [(&str, &str, Patch); 15] = [
+    let cases: [(&str, &str, Patch); 11] = [
         ("engine-shard0/data.coords", "non-finite coordinate", |p| {
             set_f64(p, 4, f64::NAN)
         }),
@@ -270,48 +269,19 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             // A padding lane: the kernels score those too.
             |p| set_f64(p, 31, f64::NAN),
         ),
-        // `index.meta` ends in the unpaired dimension's `(lo, hi)`, then
-        // the box order's rows a chunk and the flag that no pair index
-        // follows (a `u32` each).
+        // `index.meta` is the roles alone: a `u64` count, then one tag
+        // byte a dimension.
         (
             "engine-shard0/index.meta",
-            "unpaired dimension 2: extent",
-            |p| {
-                // Swap the two ends of the extent.
-                let lo = p.len() - 24;
-                p[lo..lo + 16].rotate_left(8);
-            },
+            "invalid DimRole tag 0x02",
+            |p| p[9] = 2,
         ),
-        (
-            "engine-shard0/index.meta",
-            "unpaired dimension 2: extent [-inf",
-            |p| {
-                let lo = p.len() - 24;
-                p[lo..lo + 8].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
-            },
-        ),
-        ("engine-shard1/index.meta", "NaN]", |p| {
-            let hi = p.len() - 16;
-            p[hi..hi + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        }),
         ("engine-shard1/data.ids", "row id 300 out of range", |p| {
             set_u32(p, 7, 300)
         }),
         // Position 1 names position 0's row: in range, but twice.
         ("engine-shard0/data.ids", "repeated", |p| {
             p.copy_within(0..4, 4)
-        }),
-        (
-            "engine-shard1/index.meta",
-            "box order: 32 rows a chunk",
-            |p| {
-                let at = p.len() - 8;
-                p[at..at + 4].copy_from_slice(&32u32.to_le_bytes());
-            },
-        ),
-        ("engine-shard0/index.meta", "pair index flag 2", |p| {
-            let at = p.len() - 4;
-            p[at..].copy_from_slice(&2u32.to_le_bytes());
         }),
         // Chunk 0's first id raised past its smallest: the tie-aware skip
         // would pass over a row it must score.

@@ -35,10 +35,12 @@ fn main() {
 
     let roles = vec![DimRole::Repulsive, DimRole::Attractive, DimRole::Attractive];
     let index = SdIndex::build(data, &roles).expect("index builds");
+    // Three dimensions are not one pair: the rows are kept in box order,
+    // and every query is one box scan of them.
     println!(
-        "publisher index: pair(s) {:?}, 1-D subproblem dim(s) {:?}",
-        index.pairs(),
-        index.unpaired()
+        "publisher index: {} rows in box order ({} B beside them)",
+        index.data().len(),
+        index.memory_bytes()
     );
 
     // "Hit rate and coverage like the reference, price far from its 0.92."

@@ -30,11 +30,9 @@ fn main() {
     let roles = vec![DimRole::Attractive, DimRole::Repulsive];
 
     let index = SdIndex::build(data, &roles).expect("index builds");
-    println!(
-        "built SD-Index: {} 2-D pair(s), {} unpaired dim(s)",
-        index.pairs().len(),
-        index.unpaired().len()
-    );
+    // One attractive and one repulsive dimension: the pair's §4 index.
+    let (blocks, bytes) = index.block_stats();
+    println!("built SD-Index: one pair's §4 index, {blocks} block(s), {bytes} B");
 
     // Query at (0.5, 0.5): similar in dim 0, distant in dim 1; α = β = 1.
     let query = SdQuery::new(vec![0.5, 0.5], vec![1.0, 1.0]).expect("valid query");

@@ -126,7 +126,7 @@ fn tripped_scratch_recovers_without_reallocating() {
         });
         full = full.min(t0.elapsed());
         let p = scratch.profile;
-        assert_eq!(p.scan_fallbacks, 4, "every shard scans");
+        assert_eq!(p.parts_scanned, 4, "every shard scans");
         assert!(p.chunks_skipped > 0, "{p:?}");
         if i > 0 {
             assert_eq!(allocs, 0, "a warmed query allocates nothing");
@@ -147,7 +147,7 @@ fn tripped_scratch_recovers_without_reallocating() {
                 Err(SdError::DeadlineExceeded { budget_micros, .. }) => {
                     assert_eq!(budget_micros, (full * step / STEPS).as_micros() as u64);
                     let p = scratch.profile;
-                    assert!(p.scan_fallbacks <= 4 && p.emitted == 0, "{p:?}");
+                    assert!(p.parts_scanned <= 4 && p.emitted == 0, "{p:?}");
                     match p.chunks_scored {
                         0 => continue, // tripped before any chunk was scored
                         1..=16 => Trip::Lead,
@@ -308,7 +308,7 @@ fn default_and_restored_engines_query_without_allocating() {
                 got.extend_from_slice(engine.query_with(q, k, &mut scratch).unwrap());
             });
             assert_eq!(allocs, 0, "{name}: a warmed query allocated {allocs} times");
-            aggregated += u32::from(scratch.profile.scan_fallbacks == 4);
+            aggregated += u32::from(scratch.profile.parts_scanned == 4);
             assert_bit_identical(&got, &engine.query(q, k).unwrap());
         }
         assert_eq!(aggregated, 8, "{name}: every query scanned every shard");

@@ -264,7 +264,7 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
             for q in &queries {
                 let plans = engine.explain(q, k).unwrap().plans;
                 let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
-                let ran_direct = scratch.profile.scan_fallbacks == 0;
+                let ran_direct = scratch.profile.parts_scanned == 0;
                 let one_pair = q.weights.iter().any(|&w| w != 0.0);
                 assert_eq!(ran_direct, one_pair, "{cell} {:?}", q.weights);
                 assert_eq!(plans.len(), shards, "{cell}");

@@ -412,7 +412,7 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
         let dispatched = run();
         for (i, ((a, pa), (b, pb))) in scalar.iter().zip(&dispatched).enumerate() {
             assert_eq!(
-                pa.scan_fallbacks, shards as u64,
+                pa.parts_scanned, shards as u64,
                 "query {i}: every shard scans"
             );
             assert!(pa.scan_rows > 0 && pa.tombstones_skipped > 0);

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
-use sdq::core::multidim::{PairAction, PairingStrategy, QueryPlan, SdIndex, SdIndexOptions};
+use sdq::core::multidim::{PairAction, QueryPlan, SdIndex};
 use sdq::core::{QueryProfile, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{EngineOptions, SdEngine};
@@ -230,16 +230,20 @@ fn tie_heavy_inputs_answer_like_the_oracle_bit_for_bit() {
     }
 }
 
+/// The pairing step is the paper's §5 index's alone (an engine's shard
+/// records none): its correlation-aware matching answers like the oracle.
 #[test]
 fn correlation_aware_pairing_agrees_with_oracle() {
+    use sdq::paper::{PairedIndex, PairedOptions, PairingStrategy};
     let data = Arc::new(generate(Distribution::Correlated, 500, 6, 13));
     let roles = roles_for(6, 3);
     let oracle = SeqScan::new(data.clone(), &roles).unwrap();
-    let opts = SdIndexOptions {
+    let opts = PairedOptions {
         pairing: PairingStrategy::CorrelationAware,
         ..Default::default()
     };
-    let sd = SdIndex::build_with(data, &roles, &opts).unwrap();
+    let sd = PairedIndex::build_with(data, &roles, &opts).unwrap();
+    assert_eq!(sd.pairs().len(), 3);
     for q in &uniform_queries(10, 6, 17) {
         assert_equiv(
             "SD-Index(corr)",
@@ -358,8 +362,8 @@ proptest! {
                 prop_assert_eq!(g.score.to_bits(), w.score.to_bits(), "score bits (k = {})", k);
             }
             let p = scratch.profile;
-            prop_assert_eq!(p.scan_fallbacks == 0, p.scan_rows == 0);
-            prop_assert!(p.scan_fallbacks <= shards as u64);
+            prop_assert_eq!(p.parts_scanned == 0, p.scan_rows == 0);
+            prop_assert!(p.parts_scanned <= shards as u64);
             // (The delta seqscan counts its dead rows without fetching
             // them, so the fetch algebra is the indexed rows' alone.)
             if inserts == 0 {
@@ -369,7 +373,7 @@ proptest! {
                     "fetch accounting leaks rows"
                 );
             }
-            scanned |= p.scan_fallbacks > 0;
+            scanned |= p.parts_scanned > 0;
         }
         let cases = SCAN_CASES.fetch_add(1, Ordering::Relaxed) + 1;
         let with_scan = SCAN_CASES_SCANNED.fetch_add(u32::from(scanned), Ordering::Relaxed)
@@ -419,7 +423,7 @@ fn scanning_and_certifying_shards_merge_to_the_oracle() {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!((g.id, g.score.to_bits()), (w.id, w.score.to_bits()));
         }
-        assert_eq!(scratch.profile.scan_fallbacks, shards as u64);
+        assert_eq!(scratch.profile.parts_scanned, shards as u64);
         let raising = scratch
             .part_floor_updates()
             .iter()
@@ -614,10 +618,10 @@ fn zero_weight_pairs_walk_their_frontier_to_the_oracle() {
                             scans_match_the_oracle(&rows, &roles, shards, dirt, serve, k, &queries);
                         let (all_zero, one_zero) = profiles.split_last().unwrap();
                         for p in one_zero {
-                            let walked = p.scan_fallbacks == 0 && p.blocks_popped > 0;
+                            let walked = p.parts_scanned == 0 && p.blocks_popped > 0;
                             assert_eq!(walked, dims == 2, "{cell}: {p:?}");
                         }
-                        assert_eq!(all_zero.scan_fallbacks, shards as u64, "{cell}");
+                        assert_eq!(all_zero.parts_scanned, shards as u64, "{cell}");
                         assert!(
                             all_zero.scan_rows <= 2 * 64 * k as u64,
                             "{cell}: {all_zero:?}"
@@ -651,7 +655,7 @@ fn inherited_scans_merge_to_the_oracle() {
                 scans_match_the_oracle(&rows, &roles, shards, dirt, Serve::Owned, k, &queries);
             for p in &profiles {
                 assert_eq!(
-                    p.scan_fallbacks, shards as u64,
+                    p.parts_scanned, shards as u64,
                     "{shards} shard(s), {dirt:?}"
                 );
             }
@@ -695,7 +699,7 @@ fn started_lost_queries_merge_to_the_oracle() {
                     let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}, k {k}");
                     for (i, p) in profiles.iter().enumerate() {
                         assert_eq!(p.rounds, 0, "{cell}: query {i}");
-                        assert_eq!(p.scan_fallbacks, shards as u64, "{cell}: query {i}");
+                        assert_eq!(p.parts_scanned, shards as u64, "{cell}: query {i}");
                     }
                 }
             }
@@ -776,7 +780,7 @@ proptest! {
                     scans_match_the_oracle(&rows, &roles, shards, dirt, serve, k, &queries);
                 for p in &profiles {
                     prop_assert_eq!(p.rounds, 0);
-                    prop_assert!(p.scan_fallbacks >= 1);
+                    prop_assert!(p.parts_scanned >= 1);
                 }
             }
         }
@@ -823,7 +827,7 @@ fn a_certifying_audit_runs_the_next_query_stream_first() {
                 let fresh =
                     scans_match_the_oracle(&rows, &roles, shards, dirt, serve, 64, &queries[2..]);
                 for p in &profiles {
-                    assert_eq!((p.rounds, p.scan_fallbacks), (0, shards as u64), "{cell}");
+                    assert_eq!((p.rounds, p.parts_scanned), (0, shards as u64), "{cell}");
                 }
                 let far = profiles[1];
                 assert!(far.chunks_skipped > 0, "{cell}: {far:?}");
@@ -899,7 +903,7 @@ fn box_ordered_engines_answer_like_the_oracle() {
                     assert_eq!(got, want, "{cell}, run {run}");
                 }
                 assert_eq!(
-                    scratch.profile.scan_fallbacks,
+                    scratch.profile.parts_scanned,
                     engine.shard_count() as u64,
                     "{cell}: every shard scans"
                 );

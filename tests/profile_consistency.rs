@@ -88,11 +88,11 @@ fn assert_counters_consistent(p: &QueryProfile, k: usize, live: u64) -> Result<(
     // A query either walks (no scan, no chunk) or scans every non-empty
     // part once, each chunk of it scored or skipped, never both: the
     // scanned rows are the scored chunks' rows.
-    if p.scan_fallbacks == 0 {
+    if p.parts_scanned == 0 {
         prop_assert_eq!((p.scan_rows, p.chunks_scored, p.chunks_skipped), (0, 0, 0));
     } else {
         prop_assert_eq!(p.blocks_popped, 0, "a query walked and scanned");
-        prop_assert!(p.chunks_scored >= p.scan_fallbacks.min(1));
+        prop_assert!(p.chunks_scored >= p.parts_scanned.min(1));
         prop_assert!(p.scan_rows <= p.rows_fetched);
     }
     prop_assert_eq!(p.emitted, (k as u64).min(live), "emitted != min(k, live)");
@@ -249,7 +249,7 @@ proptest! {
         prop_assert_eq!(p1.lanes_masked, p2.lanes_masked);
         prop_assert_eq!(p1.onedim_rows_pulled, p2.onedim_rows_pulled);
         prop_assert_eq!(p1.rows_fetched, p2.rows_fetched);
-        prop_assert_eq!(p1.scan_fallbacks, p2.scan_fallbacks);
+        prop_assert_eq!(p1.parts_scanned, p2.parts_scanned);
         prop_assert_eq!(p1.chunks_scored, p2.chunks_scored);
         prop_assert_eq!(p1.chunks_skipped, p2.chunks_skipped);
         prop_assert_eq!(p1.scan_rows, p2.scan_rows);

@@ -1,16 +1,14 @@
-//! An unpaired dimension is bounded by its extents, never streamed — its
-//! index's, recorded in every file, and each chunk box's, which the scan
-//! reads:
+//! A dimension no pair takes is bounded by its chunks' extents — each chunk
+//! box's, which the scan reads — never streamed, and a shard's layout is a
+//! function of its roles alone:
 //!
-//! * files written while unpaired dimensions were sorted columns (two
-//!   checked-in fixtures, one with a lone attractive column, one with two
-//!   lone repulsive ones) still open owned and mapped, answer like the
-//!   oracle, scrub clean, and re-save without a single `col{i}` region;
 //! * for role sets heavy in unpaired dimensions — no pair at all included —
-//!   every engine answer, at 1, 2 and 4 shards, clean, tombstoned or with a
-//!   delta region, built, reloaded or mapped, is bit-identical to
-//!   [`SeqScan`] over the live rows; query points outside the data, zero
-//!   and signed-zero weights and `k ≥ n` included;
+//!   and for the two that are one pair (`ar`, `ra`), every engine answer, at
+//!   1, 2 and 4 shards, clean, tombstoned or with a delta region, built,
+//!   reloaded or mapped, is bit-identical to [`SeqScan`] over the live
+//!   rows; query points outside the data, zero and signed-zero weights and
+//!   `k ≥ n` included. A one-pair file holds the pair's block set and no
+//!   box order, every other file the box order and no block set;
 //! * a shard with no pair certifies against its chunks' extents, not
 //!   against 0: at 4 shards the rows that win are in the last shard.
 
@@ -18,9 +16,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::baselines::SeqScan;
+use sdq::core::multidim::walked_pair;
 use sdq::core::QueryScratch;
 use sdq::engine::{EngineOptions, SdEngine};
-use sdq::store::{parse_roles, scrub_path, MappedBytes, Snapshot};
+use sdq::store::{parse_roles, MappedBytes, Snapshot};
 use sdq::{Dataset, DimRole, PointId, ScoredPoint, SdQuery};
 
 /// The canonical top-`k` of `live` — `(global id, row)`, ascending by id —
@@ -46,18 +45,6 @@ fn bits(answer: &[ScoredPoint]) -> Vec<(PointId, u64)> {
         .collect()
 }
 
-/// The rows of a clean engine (no delta, no tombstone), by global id:
-/// every shard's rows by id, in shard order.
-fn rows_of(engine: &SdEngine) -> Vec<(u32, Vec<f64>)> {
-    let mut rows = Vec::new();
-    for shard in engine.shards() {
-        for (_, c) in shard.rows_by_id().unwrap().iter() {
-            rows.push((rows.len() as u32, c.to_vec()));
-        }
-    }
-    rows
-}
-
 /// Region names of a v5 image.
 fn region_names(bytes: &[u8]) -> Vec<String> {
     let opened = Snapshot::from_mapped(MappedBytes::copy_from(bytes)).unwrap();
@@ -66,150 +53,6 @@ fn region_names(bytes: &[u8]) -> Vec<String> {
         .iter()
         .map(|r| r.name().to_string())
         .collect()
-}
-
-fn fixture(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
-
-/// Both fixtures were written by `sdq build --shards 2` over 300 synthetic
-/// rows while an unpaired dimension was a sorted column (`aaarr`: uniform,
-/// seed 36, one attractive `col0`; `arrr`: anti-correlated, seed 37,
-/// repulsive `col0` and `col1`) — and so before box order: their rows are
-/// in id order, with no id column and no chunk table, and a scan reads each
-/// shard as one run. A compaction re-boxes the shards it rebuilds.
-#[test]
-fn files_with_sorted_columns_open_owned_and_mapped() {
-    for (name, roles, cols) in [
-        ("aaarr-sorted-columns.sdq", "aaarr", 1),
-        ("arrr-sorted-columns.sdq", "arrr", 2),
-    ] {
-        let path = fixture(name);
-        let bytes = std::fs::read(&path).unwrap();
-        let names = region_names(&bytes);
-        for shard in 0..2 {
-            for c in 0..cols {
-                for half in ["values", "rows"] {
-                    let region = format!("engine-shard{shard}/col{c}/{half}");
-                    assert!(names.contains(&region), "{name}: no {region}");
-                }
-            }
-        }
-        assert!(
-            names
-                .iter()
-                .all(|r| !r.ends_with("data.ids") && !r.ends_with("data.boxes")),
-            "{name}: written before box order"
-        );
-        let roles = parse_roles(roles).unwrap();
-        let dims = roles.len();
-        let owned = Snapshot::load(&path).unwrap().engine.unwrap();
-        assert!(owned.shards().iter().all(|s| s.row_ids().is_none()));
-        let mapped = Snapshot::open_mapped(&path).unwrap();
-        assert!(mapped.is_mapped());
-        let mapped_engine = mapped.snapshot.engine.as_ref().unwrap();
-        assert_eq!(owned.roles(), &roles[..]);
-        assert_eq!(owned.len(), 300);
-        let live = rows_of(&owned);
-        let unpaired = owned.shards()[0].unpaired().to_vec();
-        assert_eq!(unpaired.len(), cols);
-        let lone = |d: usize| unpaired.contains(&d);
-
-        let points = [
-            vec![0.5; dims],
-            vec![-3.0; dims],
-            vec![4.0; dims],
-            vec![-0.0; dims],
-        ];
-        let weights = [
-            vec![1.0; dims],
-            (0..dims).map(|d| (d + 1) as f64 * 0.5).collect(),
-            // The unpaired dimensions alone, and everything but them.
-            (0..dims).map(|d| f64::from(u8::from(lone(d)))).collect(),
-            (0..dims)
-                .map(|d| if lone(d) { -0.0 } else { 1.0 })
-                .collect(),
-        ];
-        for point in &points {
-            for w in &weights {
-                let q = SdQuery::new(point.clone(), w.clone()).unwrap();
-                for k in [1, 7, 64, 300, 305] {
-                    let want = bits(&oracle(&live, &roles, &q, k));
-                    let at = format!("{name} point {point:?} weights {w:?} k {k}");
-                    assert_eq!(bits(&owned.query(&q, k).unwrap()), want, "owned {at}");
-                    assert_eq!(
-                        bits(&mapped_engine.query(&q, k).unwrap()),
-                        want,
-                        "mapped {at}"
-                    );
-                }
-            }
-        }
-
-        // Every region, the columns' included, checks out.
-        mapped.verify_all().unwrap();
-        let report = scrub_path(&path, false).unwrap();
-        assert!(report.clean(), "{name}: {report:?}");
-
-        // Re-saved, both replicas write the extent layout: no column, the
-        // same bytes from each, and the same answers once reopened.
-        let resaved = |engine: &SdEngine| {
-            Snapshot {
-                engine: Some(engine.clone()),
-                ..Snapshot::default()
-            }
-            .to_bytes_v5()
-            .unwrap()
-        };
-        let image = resaved(&owned);
-        assert_eq!(
-            resaved(mapped_engine),
-            image,
-            "{name}: owned and mapped re-save alike"
-        );
-        assert!(
-            image.len() < bytes.len(),
-            "{name}: the columns' bytes are gone"
-        );
-        let names = region_names(&image);
-        assert!(
-            names.iter().all(|r| !r.contains("/col")),
-            "{name}: {names:?}"
-        );
-        let reopened = Snapshot::from_bytes(&image).unwrap().engine.unwrap();
-        let q = SdQuery::new(vec![0.25; dims], vec![1.0; dims]).unwrap();
-        assert_eq!(
-            reopened.query(&q, 10).unwrap(),
-            owned.query(&q, 10).unwrap()
-        );
-
-        // A row deleted from each shard, then compacted: both shards are
-        // rebuilt in box order, and answer for the rows left.
-        let mut compacted = owned.clone();
-        for id in [0, 150] {
-            assert!(compacted.delete(PointId::new(id)).unwrap());
-        }
-        assert_eq!(compacted.compact().unwrap().rebuilt_shards, 2);
-        assert!(compacted.shards().iter().all(|s| s.row_ids().is_some()));
-        let left: Vec<(u32, Vec<f64>)> = (live.iter())
-            .filter(|(id, _)| ![0, 150].contains(id))
-            .enumerate()
-            .map(|(i, (_, row))| (i as u32, row.clone()))
-            .collect();
-        for point in &points {
-            let q = SdQuery::new(point.clone(), vec![1.0; dims]).unwrap();
-            for k in [1, 64, 298] {
-                let want = bits(&oracle(&left, &roles, &q, k));
-                assert_eq!(
-                    bits(&compacted.query(&q, k).unwrap()),
-                    want,
-                    "{name} compacted"
-                );
-            }
-        }
-    }
 }
 
 /// Coordinates from a small alphabet (ties, ±0) plus a continuous range.
@@ -242,9 +85,10 @@ fn weight() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Role sets where unpaired dimensions dominate, none-paired ones included.
-const ROLE_SETS: [&str; 10] = [
-    "aar", "arr", "aaar", "arrr", "aaaarr", "a", "r", "aa", "rr", "rrr",
+/// Role sets where unpaired dimensions dominate, none-paired ones included,
+/// and the two that are one pair and so walk.
+const ROLE_SETS: [&str; 12] = [
+    "aar", "arr", "aaar", "arrr", "aaaarr", "a", "r", "aa", "rr", "rrr", "ar", "ra",
 ];
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -299,7 +143,12 @@ proptest! {
                     let image = Snapshot { engine: Some(engine.clone()), ..Snapshot::default() }
                         .to_bytes_v5()
                         .unwrap();
-                    prop_assert!(region_names(&image).iter().all(|r| !r.contains("/col")));
+                    // The roles alone pick the layout: a pair's block set, or
+                    // the box order.
+                    let names = region_names(&image);
+                    let walks = walked_pair(&roles).is_some();
+                    prop_assert_eq!(names.iter().any(|r| r.ends_with("/pair0/meta")), walks);
+                    prop_assert_eq!(names.iter().any(|r| r.ends_with("/data.firsts")), !walks);
                     let owned = Snapshot::from_bytes(&image).unwrap().engine.unwrap();
                     let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&image)).unwrap();
                     let mapped = mapped.snapshot.engine.unwrap();
@@ -362,7 +211,7 @@ fn a_pairless_execution_certifies_against_its_extents() {
         let got = bits(engine.query_with(&q, k, &mut scratch).unwrap());
         assert_eq!(got, want);
         let p = scratch.profile;
-        assert_eq!(p.scan_fallbacks, 4, "{p:?}");
+        assert_eq!(p.parts_scanned, 4, "{p:?}");
         // Each scoring shard scores its top chunk alone: box order cuts a
         // shard's 100 rows into a leaf of the 64 lowest and one of the 36
         // highest, and once those 36 put k = 10 scores in the floor, the
