@@ -23,15 +23,19 @@
 //!
 //! * a lazy open (`Snapshot::open_mapped`) leaves it to first touch — each
 //!   query entry ensures the regions it reads, then the block-table census
-//!   and the ids-in-range checks (block slots and the row-id column) once;
-//!   that the row-id column names every row once is left to
-//!   `SdIndex::rows_by_id`, which compaction reads through;
+//!   (block slots in range) once;
 //! * an eager open ([`decode_from_slice`], `Snapshot::load` / `from_bytes`,
 //!   `DurableEngine::open`) verifies every region checksum and then runs
 //!   [`Codec::verify_decoded`] — the same structural checks plus the
 //!   content checks only an eager open makes (finite coordinates and block
-//!   lanes, and the row-id census) — before it returns, and drops the lazy
-//!   sets so later queries pay nothing.
+//!   lanes, each chunk's first id its smallest) — before it returns, and
+//!   drops the lazy sets so later queries pay nothing.
+//!
+//! A box order's row ids name rows of its engine's id space — a shard is
+//! one cell of an engine-wide box order — so the engine checks them, not
+//! the decode: every id once at an eager open and in compaction
+//! ([`multidim::id_census`](crate::multidim::id_census)), every id in range
+//! before a mapped engine's first answer.
 //!
 //! Decoding is **panic-free by contract**: every length is bounds-checked
 //! against the remaining buffer before allocation, every index is validated
@@ -876,13 +880,13 @@ impl Codec for SdIndex {
     }
 
     fn verify_decoded(&mut self) -> Result<()> {
-        // Region checksums, the block-table census and the ids-in-range
-        // checks; then everything whose contents only an eager open reads,
-        // and the id census.
+        // Region checksums and the block-table census; then everything
+        // whose contents only an eager open reads. The ids name rows of an
+        // engine's id space, which its census checks (`id_census`).
         self.verify_integrity()?;
         finite_slice(self.data.flat(), "coordinate")?;
         match &self.layout {
-            Layout::Boxes(order) => order.census(self.data.len()).map_err(corrupt)?,
+            Layout::Boxes(order) => order.check_firsts().map_err(corrupt)?,
             Layout::Pair(blocks) => blocks.check_finite()?,
         }
         self.query_integrity = Vec::new();

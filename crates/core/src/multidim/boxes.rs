@@ -38,7 +38,7 @@
 //! §5 pair streams first and leave for this scan when they lost. Measured
 //! before that was dropped (a scratch build that forced either start, data
 //! seed 7, 256 uniform queries, 5 warmed laps, one pinned CPU of a 2-core
-//! VM; p50 µs at 4 shards, 1 shard in brackets):
+//! VM; p50 µs at 4 row-range shards, 1 shard in brackets):
 //!
 //! | shape | as shipped then | box first | streams first | BRS |
 //! |---|---|---|---|---|
@@ -60,6 +60,39 @@
 //! | `mixed_rw_4d` | 79.86 → 27.80 (10/10) | 119.4 → 35.3 (10/10) | 52.94 → 4.69 |
 //! | `agg_6d` | 100.2 → 90.9 (10/10) | 176.5 → 144.4 (10/10) | 53.19 → 4.94 |
 //! | `direct_2d` (a walk) | 7.34 → 7.37 (5/10) | 10.88 → 11.02 (5/10) | 24.26 → 24.26 |
+//!
+//! ## Cells
+//!
+//! An engine splits one box order into shards ([`cells`]): the top
+//! `⌈log₂ s⌉` levels of the median split of all its rows run once, over
+//! every row, with key columns of the cut dimensions only; the subtrees at
+//! that depth go to the `s` cells in order, and each cell's build finishes
+//! its own split ([`BoxOrder::build_cell`]) with key columns of its rows
+//! only. Concatenated in cell order, the cells are the one-shard order —
+//! rows, ids, boxes, first ids — and each cell's ids are the engine's. The
+//! scan bounds every cell's chunks and picks one lead across them, so `s`
+//! cells visit the chunks one index over the same rows visits, in its
+//! order. Measured against row-range shards, each box-ordered over its own
+//! rows and led on its own (a scratch program: data seed 7, 256 uniform
+//! queries, best of four warmed laps a query, one pinned CPU of a 2-core
+//! VM, three alternating rounds; the host's speed drifted 1.6× between
+//! rounds, so the p50s are the rounds' medians and the ratio the median of
+//! the rounds' 4 ÷ 1 ratios):
+//!
+//! | shape | rows scored a query, 4 / 1 shards | p50 µs, 4 / 1 shards | 4 ÷ 1 |
+//! |---|---|---|---|
+//! | 100k 4-D uniform `arra`, k 16, row ranges | 2 539 / 871 | 40.6 / 43.3 | 0.94 |
+//! | … cells | 871 / 871 | 27.9 / 27.5 | 1.04 |
+//! | 100k 6-D anti `aaaarr`, k 64, row ranges | 20 348 / 12 123 | 141.3 / 106.2 | 1.33 |
+//! | … cells | 12 123 / 12 123 | 86.3 / 81.3 | 1.05 |
+//! | 100k 6-D correlated `aaaarr`, k 64, row ranges | 18 208 / 11 998 | 131.3 / 108.2 | 1.21 |
+//! | … cells | 11 998 / 11 998 | 91.5 / 89.7 | 1.01 |
+//! | 100k 8-D uniform `aararrar`, k 16, row ranges | 18 202 / 11 544 | 142.1 / 108.8 | 1.30 |
+//! | … cells | 11 544 / 11 544 | 78.3 / 57.8 | 1.06 |
+//!
+//! (The one-shard p50 fell too: the lead is now picked in one filtered pass
+//! over the bounds, where each part pushed every reaching chunk and
+//! selected among them.)
 
 use crate::threshold::encode as order_key;
 use crate::types::Dataset;
@@ -85,10 +118,26 @@ pub(crate) struct BoxOrder {
 
 impl BoxOrder {
     /// Puts `data`'s rows in box order: returns the moved rows and the
-    /// order (ids and chunk boxes) over them.
+    /// order (ids and chunk boxes) over them. The one-cell case of
+    /// [`BoxOrder::build_cell`].
     pub(crate) fn build(data: &Dataset) -> (Dataset, BoxOrder) {
+        let n = data.len();
+        Self::build_cell(
+            data,
+            &Cell {
+                ids: (0..n as u32).collect(),
+                runs: vec![(0, n, 0)],
+            },
+        )
+    }
+
+    /// Finishes `cell`'s share of the median split of `data` ([`cells`]):
+    /// returns the cell's rows, moved into box order, and the order over
+    /// them, under the ids of `data`. Its rows, ids, chunk boxes and first
+    /// ids are exactly those positions of the split of all of `data`.
+    pub(crate) fn build_cell(data: &Dataset, cell: &Cell) -> (Dataset, BoxOrder) {
         let dims = data.dims();
-        let (moved, ids) = median_split(data, CHUNK_ROWS);
+        let (moved, ids) = finish_split(data, cell, CHUNK_ROWS);
         let chunks = ids.len().div_ceil(CHUNK_ROWS);
         let mut boxes = vec![0f32; 2 * dims * chunks];
         let (mut lo, mut hi) = (vec![0.0; dims], vec![0.0; dims]);
@@ -122,14 +171,12 @@ impl BoxOrder {
         self.ids.len().div_ceil(CHUNK_ROWS)
     }
 
-    /// Checks that the id column names each of the `n` rows exactly once —
-    /// one pass over an `n`-bit set, naming the first position whose id is
-    /// out of range or already met — and that each chunk's first id is the
-    /// smallest of its ids (a decode has checked there is one a chunk).
-    pub(crate) fn census(&self, n: usize) -> Result<(), String> {
-        let mut met = vec![0u64; n.div_ceil(64)];
+    /// Marks this order's ids in `met`, one bit an id of an id space of
+    /// `rows` ids — an engine's, which its cells share — naming the first
+    /// position whose id is out of range or already met.
+    pub(crate) fn census(&self, met: &mut [u64], rows: usize) -> Result<(), String> {
         for (pos, &id) in self.ids.iter().enumerate() {
-            let in_range = (id as usize) < n;
+            let in_range = (id as usize) < rows;
             let fresh = in_range && {
                 let (word, bit) = (&mut met[id as usize / 64], 1u64 << (id % 64));
                 let fresh = *word & bit == 0;
@@ -138,9 +185,17 @@ impl BoxOrder {
             };
             if !fresh {
                 let what = if in_range { "repeated" } else { "out of range" };
-                return Err(format!("position {pos}: row id {id} {what} for {n} rows"));
+                return Err(format!(
+                    "position {pos}: row id {id} {what} for {rows} rows"
+                ));
             }
         }
+        Ok(())
+    }
+
+    /// Checks that each chunk's first id is the smallest of its ids (a
+    /// decode has checked there is one a chunk).
+    pub(crate) fn check_firsts(&self) -> Result<(), String> {
         for (c, (ids, &first)) in self
             .ids
             .chunks(CHUNK_ROWS)
@@ -167,52 +222,182 @@ pub(crate) fn chunk_firsts(ids: &[u32]) -> Vec<u32> {
         .collect()
 }
 
-/// The recursive median split of `data` into leaves of `leaf` rows (module
-/// docs): the rows in that order and the id of each. A run of more than
-/// one leaf is cut after `⌈leaves / 2⌉` whole leaves, so every leaf but the
-/// last is full; the cuts cycle through the dimensions, one a level.
+/// A run of positions still to cut, `(start, end, depth)`: its cut goes
+/// through dimension `depth % dims`.
+type Run = (usize, usize, usize);
+
+/// One shard's share of an engine-wide box order: a run of whole leaves of
+/// the median split of all the engine's rows, and the runs of it still to
+/// cut ([`cells`]). [`SdIndex::build_cell`](super::SdIndex::build_cell)
+/// finishes the split of its rows.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The cell's ids, in the order the split's top levels left them.
+    ids: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+/// The most cells `rows` rows make: one a chunk, so that each holds whole
+/// leaves (at least one).
+pub(crate) fn max_cells(rows: usize) -> usize {
+    rows.div_ceil(CHUNK_ROWS).max(1)
+}
+
+/// Cuts `data`'s rows into `count` cells (at most one a chunk) by the
+/// top `⌈log₂ count⌉` levels of their recursive median split (module docs):
+/// the levels every cell shares, run here over all the rows, with key
+/// columns of the cut dimensions only. The split's subtrees at that depth
+/// (or leaves above it) go to the cells in order, `⌊m/count⌋` or one more
+/// each for `m` subtrees — at least `min(leaves, 2^levels)` of them, so no
+/// cell is empty. Each cell's build then finishes its own subtrees
+/// ([`SdIndex::build_cell`](super::SdIndex::build_cell)), and the cells'
+/// rows, ids, boxes and first ids, in cell order, are those of the split of
+/// all the rows.
+pub fn cells(data: &Dataset, count: usize) -> Vec<Cell> {
+    let (dims, n) = (data.dims(), data.len());
+    let count = count.clamp(1, max_cells(n));
+    let levels = count.next_power_of_two().trailing_zeros() as usize;
+    let keys = key_columns(data, 0..n as u32, levels.min(dims));
+    let mut order: Vec<u64> = (0..n as u64).collect();
+    let mut subtrees = Vec::new();
+    cut(
+        &mut order,
+        &keys,
+        dims,
+        vec![(0, n, 0)],
+        levels,
+        CHUNK_ROWS,
+        &mut subtrees,
+    );
+    subtrees.sort_unstable();
+    let m = subtrees.len();
+    (0..count)
+        .map(|j| {
+            let group = &subtrees[j * m / count..(j + 1) * m / count];
+            let (start, end) = (group[0].0, group[group.len() - 1].1);
+            Cell {
+                ids: order[start..end].iter().map(|&e| e as u32).collect(),
+                runs: group
+                    .iter()
+                    .map(|&(s, e, depth)| (s - start, e - start, depth))
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+/// Finishes the median split of `cell` into leaves of `leaf` rows (module
+/// docs): the cell's rows in that order and the id of each. A run of more
+/// than one leaf is cut after `⌈leaves / 2⌉` whole leaves, so every leaf
+/// but the last is full; the cuts cycle through the dimensions, one a level.
 ///
 /// Only ids move while cutting: each is packed under its row's key in the
 /// level's dimension, and one selection cuts the run. The key is the top 32
 /// bits of the value's order-preserving key — values that close (a relative
 /// 2^-20) count as a tie, and a tie goes by id — so both sides of every cut
 /// are a function of the rows alone, and so is the order within a leaf (the
-/// selections are deterministic). The rows are moved once, at the end.
-fn median_split(data: &Dataset, leaf: usize) -> (Vec<f64>, Vec<u32>) {
-    let (dims, n, flat) = (data.dims(), data.len(), data.flat());
-    // Each dimension's keys, by id: the cuts read them at random, and a
-    // column of `u32` keys stays in cache where the rows would not.
-    let mut keys = vec![0u32; dims * n];
-    for (id, row) in flat.chunks_exact(dims).enumerate() {
-        for (d, &v) in row.iter().enumerate() {
-            keys[d * n + id] = (order_key(v) >> 32) as u32;
+/// selections are deterministic). A cell packs each id's *rank* among its
+/// ids instead of the id: rank order is id order, so every selection
+/// compares, and so moves, exactly as in the split of all the rows, while
+/// the key columns cover the cell's rows only. The rows are moved once, at
+/// the end.
+fn finish_split(data: &Dataset, cell: &Cell, leaf: usize) -> (Vec<f64>, Vec<u32>) {
+    let (dims, flat) = (data.dims(), data.flat());
+    let m = cell.ids.len();
+    // The cell's ids ascending, and each one's rank among them: one bit an
+    // id of `data`, then a count of the bits below each word.
+    let mut words = vec![0u64; data.len().div_ceil(64)];
+    for &id in &cell.ids {
+        words[id as usize / 64] |= 1 << (id % 64);
+    }
+    let mut ascending = Vec::with_capacity(m);
+    let mut below = Vec::with_capacity(words.len());
+    for (w, &word) in words.iter().enumerate() {
+        below.push(ascending.len() as u32);
+        let mut bits = word;
+        while bits != 0 {
+            ascending.push(w as u32 * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
         }
     }
-    let mut packed: Vec<u64> = (0..n as u64).collect();
-    let mut runs = vec![(0, n, 0)];
+    let rank = |id: u32| {
+        let (w, bit) = (id as usize / 64, id % 64);
+        below[w] + (words[w] & ((1u64 << bit) - 1)).count_ones()
+    };
+    let mut order: Vec<u64> = cell.ids.iter().map(|&id| u64::from(rank(id))).collect();
+    let keys = key_columns(data, ascending.iter().copied(), dims);
+    cut(
+        &mut order,
+        &keys,
+        dims,
+        cell.runs.clone(),
+        usize::MAX,
+        leaf,
+        &mut Vec::new(),
+    );
+    let ids: Vec<u32> = order
+        .iter()
+        .map(|&e| ascending[e as u32 as usize])
+        .collect();
+    let mut rows = Vec::with_capacity(m * dims);
+    for &id in &ids {
+        let at = id as usize * dims;
+        rows.extend_from_slice(&flat[at..at + dims]);
+    }
+    (rows, ids)
+}
+
+/// The split keys of the rows `ids` names, for the first `columns`
+/// dimensions: column `d` holds, at `r`, the key of row `ids[r]` in
+/// dimension `d`. The cuts read them at random, and a column of `u32` keys
+/// stays in cache where the rows would not.
+fn key_columns(
+    data: &Dataset,
+    ids: impl ExactSizeIterator<Item = u32>,
+    columns: usize,
+) -> Vec<u32> {
+    let (dims, flat, m) = (data.dims(), data.flat(), ids.len());
+    let mut keys = vec![0u32; columns * m];
+    for (r, id) in ids.enumerate() {
+        let row = &flat[id as usize * dims..][..columns];
+        for (d, &v) in row.iter().enumerate() {
+            keys[d * m + r] = (order_key(v) >> 32) as u32;
+        }
+    }
+    keys
+}
+
+/// Cuts `runs` of `order` — entries whose low 32 bits index the key
+/// columns `keys` — into leaves of `leaf` rows, each cut at its depth's
+/// dimension; a run that is one leaf, or reaches depth `until`, is left
+/// whole and pushed to `left`.
+fn cut(
+    order: &mut [u64],
+    keys: &[u32],
+    dims: usize,
+    mut runs: Vec<Run>,
+    until: usize,
+    leaf: usize,
+    left: &mut Vec<Run>,
+) {
+    let m = order.len();
     while let Some((start, end, depth)) = runs.pop() {
-        let run = &mut packed[start..end];
+        let run = &mut order[start..end];
         let len = run.len();
-        if len <= leaf {
+        if len <= leaf || depth >= until {
+            left.push((start, end, depth));
             continue;
         }
-        let column = &keys[(depth % dims) * n..(depth % dims + 1) * n];
+        let column = &keys[(depth % dims) * m..(depth % dims + 1) * m];
         for e in run.iter_mut() {
-            let id = *e as u32;
-            *e = u64::from(column[id as usize]) << 32 | u64::from(id);
+            let at = *e as u32;
+            *e = u64::from(column[at as usize]) << 32 | u64::from(at);
         }
         let cut = len.div_ceil(leaf).div_ceil(2) * leaf;
         run.select_nth_unstable(cut);
         runs.push((start + cut, end, depth + 1));
         runs.push((start, start + cut, depth + 1));
     }
-    let ids: Vec<u32> = packed.iter().map(|&e| e as u32).collect();
-    let mut rows = Vec::with_capacity(flat.len());
-    for &id in &ids {
-        let at = id as usize * dims;
-        rows.extend_from_slice(&flat[at..at + dims]);
-    }
-    (rows, ids)
 }
 
 /// The largest `f32` at or below `v` (`-∞` below `f32`'s range).

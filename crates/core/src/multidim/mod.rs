@@ -11,10 +11,12 @@
 //! ([`answer_parts`]): every other index keeps its rows in box order
 //! ([`boxes`]), a recursive median split into leaves of 64 rows, each leaf
 //! one chunk with an outward-rounded `f32` bounding box and its smallest
-//! row id. The scan bounds every chunk from its box, scores each part's
-//! best ones first to raise the query's floor, then sweeps the rest in row
-//! order, skipping every chunk whose bound is under the floor — or equal
-//! to it, when all of its ids are above the floor's worst one. Such an index
+//! row id. The scan bounds every chunk from its box, scores the best ones
+//! across every part first to raise the query's floor, then sweeps the rest
+//! in row order, skipping every chunk whose bound is under the floor — or
+//! equal to it, when all of its ids are above the floor's worst one. An
+//! engine's parts are the cells of one such box order ([`cells`],
+//! [`SdIndex::build_cell`]), their ids global. Such an index
 //! stores no pair block set, and records no pairing: nothing reads either.
 //! The paper's own §5 aggregation — the pairing step, and pair streams under
 //! a TA threshold — is `sdq-paper`'s, composed from this crate's public
@@ -62,6 +64,7 @@ use crate::types::{Dataset, ScoredPoint, SdError};
 use crate::view::ColumnarView;
 use crate::{DimRole, SdQuery};
 
+pub use boxes::{cells, Cell};
 pub(crate) use boxes::{BoxOrder, CHUNK_ROWS};
 
 /// Tuning knobs for [`SdIndex::build_with`].
@@ -144,17 +147,7 @@ impl SdIndex {
         options: &SdIndexOptions,
     ) -> Result<Self, SdError> {
         let data: Arc<Dataset> = data.into();
-        if roles.len() != data.dims() {
-            return Err(SdError::DimensionMismatch {
-                expected: data.dims(),
-                got: roles.len(),
-            });
-        }
-        if data.len() > u32::MAX as usize {
-            return Err(SdError::TooManyPoints(data.len()));
-        }
-        let angles = normalize_angles(&options.angles)?;
-        check_axes(&angles)?;
+        let angles = check_build(&data, roles, options)?;
         // A walked pair's rows keep their id order, and its §4 index is
         // bulk-loaded over the projection (x = attractive, y = repulsive),
         // which is scratch — the index keeps its own SoA copy. Any other
@@ -170,13 +163,38 @@ impl SdIndex {
                 (Arc::new(moved), Layout::Boxes(order))
             }
         };
-        Ok(SdIndex {
+        Ok(Self::assemble(data, roles, layout))
+    }
+
+    /// Builds the index of one cell of `data`'s box order ([`cells`]): the
+    /// rows the cell names, in box order, under their ids in `data`. The
+    /// cells of one split, built in order, hold exactly the rows, ids,
+    /// chunk boxes and first ids of [`SdIndex::build_with`] over all of
+    /// `data`, which is how an engine's shards split one box order. Refuses
+    /// a walked pair's roles ([`walked_pair`]), whose rows are not box
+    /// ordered, with [`SdError::RoleMismatch`].
+    pub fn build_cell(
+        data: &Dataset,
+        roles: &[DimRole],
+        options: &SdIndexOptions,
+        cell: &Cell,
+    ) -> Result<Self, SdError> {
+        check_build(data, roles, options)?;
+        if walked_pair(roles).is_some() {
+            return Err(SdError::RoleMismatch);
+        }
+        let (moved, order) = BoxOrder::build_cell(data, cell);
+        Ok(Self::assemble(Arc::new(moved), roles, Layout::Boxes(order)))
+    }
+
+    fn assemble(data: Arc<Dataset>, roles: &[DimRole], layout: Layout) -> Self {
+        SdIndex {
             data,
             roles: roles.to_vec(),
             layout,
             query_integrity: Vec::new(),
             mapped_check: Arc::new(OnceLock::new()),
-        })
+        }
     }
 
     /// `true` while this index still defers region checksums to first touch
@@ -207,27 +225,17 @@ impl SdIndex {
     }
 
     /// The content checks of a decode that keep a forged-but-checksummed
-    /// file from indexing out of bounds: a walked pair's block-table census,
-    /// and every row id below the row count. (That the ids name every row
-    /// once — [`BoxOrder::census`] — is checked where a repeat would be
-    /// written into a fresh file or trusted for good: an eager decode and
-    /// [`SdIndex::rows_by_id`]. Here, on a mapped index's first query, it
-    /// would cost as much as the rest of that query's checks together.)
+    /// file from indexing out of bounds: a walked pair's block-table census.
+    /// A box order's ids index nothing here: they name rows of an id space
+    /// the index does not know (its engine's, for a cell), so whoever knows
+    /// it checks them — the engine, at eager open, before a mapped engine's
+    /// first answer and in compaction ([`id_census`]), and
+    /// [`SdIndex::rows_by_id`] for the index alone.
     fn check_ids(&self) -> Result<(), String> {
-        let n = self.data.len();
         match &self.layout {
-            Layout::Boxes(order) => {
-                let limit = u32::try_from(n).unwrap_or(u32::MAX);
-                match crate::codec::first_bad(&order.ids, |&id| id >= limit) {
-                    Some(pos) => Err(format!(
-                        "position {pos}: row id {} out of range for {n} rows",
-                        order.ids[pos]
-                    )),
-                    None => Ok(()),
-                }
-            }
+            Layout::Boxes(_) => Ok(()),
             Layout::Pair(blocks) => blocks
-                .validate_structure(n)
+                .validate_structure(self.data.len())
                 .map_err(|e| format!("pair 0: {e}")),
         }
     }
@@ -263,30 +271,41 @@ impl SdIndex {
         self.order().map(|o| &o.ids[..])
     }
 
-    /// The indexed rows in id order — the dataset the index was built over.
-    /// Borrowed when the rows are stored in that order, a copy when they
-    /// are in box order. Verifies the index first
-    /// ([`SdIndex::verify_integrity`]), as a query does, and that its id
-    /// column names every row exactly once: what a mapped file holds is read
-    /// only once its checksums and its id census pass, so a rebuild from
-    /// these rows (compaction) cannot launder a bad file.
+    /// The indexed rows in id order — the dataset the index was built over,
+    /// or, for a cell of an engine ([`SdIndex::build_cell`]), its rows by
+    /// ascending id. Borrowed when the rows are stored in that order, a copy
+    /// when they are in box order. Verifies the index first
+    /// ([`SdIndex::verify_integrity`]), as a query does, and that no id
+    /// names two rows: what a mapped file holds is read only once its
+    /// checksums and its ids pass, so a rebuild from these rows cannot
+    /// launder a bad file.
     pub fn rows_by_id(&self) -> Result<Cow<'_, Dataset>, SdError> {
         self.verify_integrity()?;
         let Some(order) = self.order() else {
             return Ok(Cow::Borrowed(&self.data));
         };
-        order
-            .census(self.data.len())
-            .map_err(|detail| SdError::SnapshotCorrupt { detail })?;
-        let (dims, flat) = (self.data.dims(), self.data.flat());
-        let mut by_id = vec![0.0; flat.len()];
-        for (row, &id) in flat.chunks_exact(dims).zip(order.ids.iter()) {
-            let at = id as usize * dims;
-            by_id[at..at + dims].copy_from_slice(row);
+        let ids = &order.ids;
+        let mut by_id: Vec<u32> = (0..ids.len() as u32).collect();
+        by_id.sort_unstable_by_key(|&p| ids[p as usize]);
+        if let Some(w) = by_id
+            .windows(2)
+            .find(|w| ids[w[0] as usize] == ids[w[1] as usize])
+        {
+            return Err(SdError::SnapshotCorrupt {
+                detail: format!(
+                    "positions {} and {}: row id {} repeated",
+                    w[0], w[1], ids[w[0] as usize]
+                ),
+            });
         }
-        let by_id = Dataset::from_view_trusted(dims, ColumnarView::owned(by_id))
+        let (dims, flat) = (self.data.dims(), self.data.flat());
+        let mut rows = Vec::with_capacity(flat.len());
+        for &p in &by_id {
+            rows.extend_from_slice(&flat[p as usize * dims..][..dims]);
+        }
+        let rows = Dataset::from_view_trusted(dims, ColumnarView::owned(rows))
             .expect("the shape of a valid dataset");
-        Ok(Cow::Owned(by_id))
+        Ok(Cow::Owned(rows))
     }
 
     /// Build-time dimension roles.
@@ -432,6 +451,85 @@ impl SdIndex {
     }
 }
 
+/// What every build validates: roles for every dimension, ids that fit a
+/// `u32`, and indexed angles that span 0° to 90°; returns the angles.
+fn check_build(
+    data: &Dataset,
+    roles: &[DimRole],
+    options: &SdIndexOptions,
+) -> Result<Vec<Angle>, SdError> {
+    if roles.len() != data.dims() {
+        return Err(SdError::DimensionMismatch {
+            expected: data.dims(),
+            got: roles.len(),
+        });
+    }
+    if data.len() > u32::MAX as usize {
+        return Err(SdError::TooManyPoints(data.len()));
+    }
+    let angles = normalize_angles(&options.angles)?;
+    check_axes(&angles)?;
+    Ok(angles)
+}
+
+/// The most shards `rows` rows under `roles` make with none empty: one a
+/// row for a walked pair's row ranges, one a 64-row chunk for the cells of
+/// a box order ([`cells`]), and at least one.
+pub fn shard_limit(roles: &[DimRole], rows: usize) -> usize {
+    match walked_pair(roles) {
+        Some(_) => rows.max(1),
+        None => boxes::max_cells(rows),
+    }
+}
+
+/// Checks that the box-ordered `indexes` — an engine's cells — name every
+/// id of `0..rows` at most once between them, and none outside it: one
+/// pass over an `rows`-bit set, naming the first index and position at
+/// fault. Indexes without a box order (a walked pair's row ranges) name
+/// their rows by position and are passed over. With the cells' rows
+/// summing to `rows`, as an engine's do, every id is then named once.
+pub fn id_census<'a>(
+    indexes: impl IntoIterator<Item = &'a SdIndex>,
+    rows: usize,
+) -> Result<(), SdError> {
+    let mut met = vec![0u64; rows.div_ceil(64)];
+    for (i, index) in indexes.into_iter().enumerate() {
+        if let Some(order) = index.order() {
+            order
+                .census(&mut met, rows)
+                .map_err(|e| SdError::SnapshotCorrupt {
+                    detail: format!("shard {i} {e}"),
+                })?;
+        }
+    }
+    Ok(())
+}
+
+/// What a mapped engine checks of its cells before its first answer, where
+/// [`id_census`] would cost as much as the rest of that query: every id of
+/// the box-ordered `indexes` below `rows`. An id named twice is left to
+/// the census of an eager open or a compaction.
+pub fn ids_in_range<'a>(
+    indexes: impl IntoIterator<Item = &'a SdIndex>,
+    rows: usize,
+) -> Result<(), SdError> {
+    let limit = u32::try_from(rows).unwrap_or(u32::MAX);
+    for (i, index) in indexes.into_iter().enumerate() {
+        let Some(order) = index.order() else {
+            continue;
+        };
+        if let Some(pos) = crate::codec::first_bad(&order.ids, |&id| id >= limit) {
+            return Err(SdError::SnapshotCorrupt {
+                detail: format!(
+                    "shard {i} position {pos}: row id {} out of range for {rows} rows",
+                    order.ids[pos]
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// A query that is one non-degenerate pair over a walked pair's index —
 /// the only query the direct 2-D walk answers, and so only obtained from
 /// [`SdIndex::single_pair`].
@@ -452,18 +550,21 @@ pub struct SinglePair<'a> {
 }
 
 /// One part of a query ([`answer_parts`]) — in an engine, one shard: its
-/// index, the global id of its row 0, and its tombstones viewed at its
-/// local rows.
+/// index, what turns the index's row ids into global ids, and the
+/// tombstones viewed at its ids.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPart<'a> {
     /// The shard's index.
     pub index: &'a SdIndex,
-    /// Global id of the shard's first row: a row's score enters the query's
-    /// floor under `offset + row`.
+    /// Added to the index's row ids to name a row globally: a row's score
+    /// enters the query's floor under `offset + id`. The global id of the
+    /// first row of a walked pair's shard, a row range of its engine; `0`
+    /// for a cell ([`SdIndex::build_cell`]), whose id column holds global
+    /// ids, and for an index alone.
     pub offset: u32,
-    /// The shard's dead rows: `None` when it has none, which spares the
-    /// scan and the walk a mask read a row (the engine passes `None` for a
-    /// shard without a dead row).
+    /// The dead rows, viewed at this part's ids (`MaskView::new(mask,
+    /// offset)`): `None` when there are none, which spares the scan and the
+    /// walk a mask read a row.
     pub mask: Option<MaskView<'a>>,
 }
 
@@ -476,12 +577,12 @@ pub struct ShardPart<'a> {
 /// paper's §4 answer: one certified best-first walk over the pair's block
 /// sets of every part at once — the frontier whose head bound is highest is
 /// popped first, which walks the parts as one index under a virtual root.
-/// Anything else is one box scan of every part (`scan_parts`): every
-/// part's best chunks first, then every part's sweeps, each against the
-/// floor everything before it left.
+/// Anything else is one box scan of every part (`scan_parts`): the best
+/// chunks across every part first, then every part's sweeps, each against
+/// the floor everything before it left.
 ///
 /// Every scorer offers each row it keeps to `floor` under its global id,
-/// `offset + row`, and prunes against it, tombstoned rows (`mask`) dropped
+/// `offset + id`, and prunes against it, tombstoned rows (`mask`) dropped
 /// before they reach it; scores already there (an engine's delta rows) end
 /// the parts sooner. Once it returns, the floor holds the parts' share of
 /// the canonical top k. The parts' counters are added to `scratch.profile`,
@@ -535,47 +636,56 @@ where
     ran
 }
 
-/// Chunks each part scores best bound first, before any part is swept:
-/// the floor they raise is what the sweeps skip chunks against.
+/// Chunks the query's lead scores best bound first, across all parts,
+/// before any part is swept: the floor they raise is what the sweeps skip
+/// chunks against.
 const LEAD_CHUNKS: usize = 16;
 
 /// The scan road of [`answer_parts`]: one box scan of every part, as one.
 ///
 /// Every chunk's bound first ([`bound_part`], the kernel's dimension order,
-/// zero weights skipped). Then every part's lead — its [`LEAD_CHUNKS`] best
-/// bounds that reach the floor, and every chunk tied with the last of
-/// them, ties by smallest id — scored best first, to raise the floor; then
-/// two sweeps in row order over every other chunk of every part, the first
-/// over the chunks bounded at least halfway from the floor to the best
-/// bound, the second over the rest, each chunk scored when it still
-/// reaches the floor at its turn ([`reaches`]). A chunk whose bound is
-/// strictly under the floor is skipped unread: every row of it scores at
-/// most the bound, so strictly below `k` kept scores. One whose bound
-/// equals the floor is skipped when its smallest id is above the floor's
-/// worst one: a row that ties the k-th score enters only under a smaller
-/// id. (An all-zero-weight query bounds every chunk at `0`: its leads take
-/// the chunks by smallest id, and once the floor holds `k` rows each chunk
-/// whose ids all lie above the worst of them is skipped.) Afterwards every
-/// live row of every part has been offered to the floor or is strictly
-/// below it, or tied with it under a larger id than any it keeps.
+/// zero weights skipped). Then the query's lead — the [`LEAD_CHUNKS`] best
+/// bounds that reach the floor across every part, and every chunk tied with
+/// the last of them, ties by smallest global id — scored best first, to
+/// raise the floor; then two sweeps in row order over every other chunk of
+/// every part, the first over the chunks bounded at least halfway from the
+/// floor to the best bound, the second over the rest, each chunk scored
+/// when it still reaches the floor at its turn ([`reaches`]). A chunk whose
+/// bound is strictly under the floor is skipped unread: every row of it
+/// scores at most the bound, so strictly below `k` kept scores. One whose
+/// bound equals the floor is skipped when its smallest id is above the
+/// floor's worst one: a row that ties the k-th score enters only under a
+/// smaller id. (An all-zero-weight query bounds every chunk at `0`: its
+/// lead takes every chunk by smallest id, and once the floor holds `k` rows
+/// each chunk whose ids all lie above the worst of them is skipped.)
+/// Afterwards every live row of every part has been offered to the floor
+/// or is strictly below it, or tied with it under a larger id than any it
+/// keeps.
+///
+/// The parts of an engine are the cells of one box order (the engine
+/// crate's docs), so one lead and the sweeps in part order visit the chunks
+/// a one-part scan of the same rows visits, in the same order, and count
+/// what it counts (`parts_scanned` aside).
 ///
 /// Why this order. Rows scored on CI's 6-D hostile probe (100k
-/// anti-correlated rows, 4 shards, k = 64), where every chunk best first
-/// across every part scores 70 672: each part's lead then its own
-/// row-order sweep, 80 848; every part's lead before one row-order sweep,
-/// 74 384; these two sweeps, 70 736. Best first throughout costs a heap pop
-/// a chunk and visits rows out of order: on the repo benchmark (6 s runs,
-/// 3–4 seeds each, 2-core VM) it ran `cold_open_4d` ≈ 1.3× and `agg_6d`
-/// ≈ 1.2× slower than one sweep, and sorting the sweep into bands of bound
-/// cost `agg_6d` ≈ 8 %; the two plain sweeps ran within one sweep's
-/// run-to-run spread.
+/// anti-correlated rows, 4 row-range shards, k = 64), where every chunk
+/// best first across every part scores 70 672: each part's lead then its
+/// own row-order sweep, 80 848; every part's lead before one row-order
+/// sweep, 74 384; these two sweeps, 70 736. Best first throughout costs a
+/// heap pop a chunk and visits rows out of order: on the repo benchmark (6
+/// s runs, 3–4 seeds each, 2-core VM) it ran `cold_open_4d` ≈ 1.3× and
+/// `agg_6d` ≈ 1.2× slower than one sweep, and sorting the sweep into bands
+/// of bound cost `agg_6d` ≈ 8 %; the two plain sweeps ran within one
+/// sweep's run-to-run spread.
 ///
 /// Counters: `parts_scanned` one a part with rows, `chunks_scored` and
 /// `chunks_skipped` the chunks, and per scored piece of up to [`LANES`]
 /// rows `rows_fetched` and `scan_rows` its rows, `tombstones_skipped` the
 /// dead among them, `points_gathered` the rest and `kernel_batches` one.
-/// The deadline is consulted once per piece; an abort leaves the floor
-/// holding what was offered so far.
+/// Under [`QueryProfile::timing`] the bound pass, the lead (its pick and
+/// its scoring) and the sweeps add their wall time to `bound_nanos`,
+/// `lead_nanos` and `sweep_nanos`. The deadline is consulted once per
+/// piece; an abort leaves the floor holding what was offered so far.
 fn scan_parts<'a>(
     parts: impl Iterator<Item = ShardPart<'a>> + Clone,
     roles: &[DimRole],
@@ -594,14 +704,22 @@ fn scan_parts<'a>(
         ..
     } = scratch;
     bufs.reserve(chunks);
-    let ChunkBufs { bounds, lead, .. } = bufs;
+    let ChunkBufs {
+        bounds,
+        lead,
+        starts,
+        ..
+    } = bufs;
     scores.resize(LANES, 0.0);
     sw.clear();
     sw.extend(roles.iter().zip(&query.weights).map(|(r, &w)| r.sign() * w));
     part_floor_updates.extend(parts.clone().map(|_| 0));
+    let mut clock = Clock::new(profile.timing);
     for part in parts.clone() {
+        starts.push(bounds.len());
         bound_part(&part, roles, query, bounds, profile);
     }
+    clock.lap(&mut profile.bound_nanos);
     let mut st = Scoring {
         q: &query.point,
         sw,
@@ -615,48 +733,52 @@ fn scan_parts<'a>(
     st.scanned.clear();
     let scored_before = st.prof.chunks_scored;
 
-    // Every part's lead, best bound first, ties by smallest id: keyed so
-    // the natural order of the pairs is the visiting order. The best bound
-    // of all sets where the first sweep stops.
-    let (mut from, mut top) = (0, f64::NEG_INFINITY);
+    // The lead: one pass over every bound, keyed so the natural order of
+    // the pairs is the visiting order (best bound first, ties by smallest
+    // global id; a chunk is named by its index into `bounds`). Only the
+    // chunks that reach the floor and can still make the lead are kept:
+    // each time the run fills, it is cut back to the lead so far, whose last
+    // bound becomes the bar. Nothing is offered to the floor during the
+    // pass, so [`reaches`] reads the floor once, and a chunk's first id only
+    // when it decides.
+    let (floor_bar, worst) = (floor.bar(), floor.worst());
+    let (mut bar, mut full) = (floor_bar, 4 * LEAD_CHUNKS);
     for (i, shard) in parts.clone().enumerate() {
         let part = PartScan::new(&shard);
-        let bounds = &mut bounds[from..from + part_chunks(&shard)];
-        from += bounds.len();
-        lead.clear();
-        for (c, &b) in bounds.iter().enumerate() {
-            if reaches(b, part.first(c), floor) {
-                top = top.max(b);
-                let key = u64::from(part.first(c)) << 32 | c as u64;
-                lead.push((!crate::threshold::encode(b), key));
+        let from = starts[i];
+        for (c, &b) in bounds[from..from + part_chunks(&shard)].iter().enumerate() {
+            if b < bar || b == floor_bar && worst.is_some_and(|(_, id)| part.first(c) >= id) {
+                continue;
             }
-        }
-        let leading = LEAD_CHUNKS.min(lead.len());
-        if leading < lead.len() {
-            lead.select_nth_unstable(leading);
-            // Every chunk tied with the last one in joins the lead: ties go
-            // by smallest id, so the lead takes them in the order they can
-            // win.
-            let cut = lead[..leading].iter().map(|e| e.0).max();
-            let mut end = leading;
-            for j in leading..lead.len() {
-                if Some(lead[j].0) == cut {
-                    lead.swap(j, end);
-                    end += 1;
-                }
+            let key = u64::from(part.first(c)) << 32 | (from + c) as u64;
+            lead.push((!crate::threshold::encode(b), key));
+            if lead.len() >= full {
+                bar = bounds[cut_lead(lead) as u32 as usize];
+                // Ties with the bar all stay: a run of them grows the room,
+                // so they are cut back only as often as their count doubles.
+                full = full.max(2 * lead.len());
             }
-            lead.truncate(end);
-        }
-        lead.sort_unstable();
-        for &(_, key) in lead.iter() {
-            let c = key as u32 as usize;
-            if reaches(bounds[c], part.first(c), floor) {
-                st.chunk(&part, c, floor, &mut part_floor_updates[i])?;
-            }
-            // Scored or beaten: the sweep passes it by (no bound is NaN).
-            bounds[c] = f64::NAN;
         }
     }
+    cut_lead(lead);
+    lead.sort_unstable();
+    // The best chunk that reaches the floor leads: the first sweep stops
+    // halfway from the floor to its bound.
+    let top = lead
+        .first()
+        .map_or(f64::NEG_INFINITY, |e| bounds[e.1 as u32 as usize]);
+    for &(_, key) in lead.iter() {
+        let g = key as u32 as usize;
+        let i = starts.partition_point(|&start| start <= g) - 1;
+        let shard = parts.clone().nth(i).expect("a chunk's part");
+        let (part, c) = (PartScan::new(&shard), g - starts[i]);
+        if reaches(bounds[g], part.first(c), floor) {
+            st.chunk(&part, c, floor, &mut part_floor_updates[i])?;
+        }
+        // Scored or beaten: the sweep passes it by (no bound is NaN).
+        bounds[g] = f64::NAN;
+    }
+    clock.lap(&mut st.prof.lead_nanos);
 
     // The sweeps: every chunk that still reaches the floor, in row order —
     // first those bounded at least halfway from the floor to the best
@@ -664,11 +786,10 @@ fn scan_parts<'a>(
     let bar = floor.bar();
     let half = bar + (top - bar) / 2.0;
     for upper in [true, false] {
-        let mut from = 0;
         for (i, shard) in parts.clone().enumerate() {
             let part = PartScan::new(&shard);
+            let from = starts[i];
             let bounds = &mut bounds[from..from + part_chunks(&shard)];
-            from += bounds.len();
             // The floor only rises when a chunk is scored: a bound under
             // its last reading is out without asking it again.
             let mut bar = floor.bar();
@@ -689,8 +810,48 @@ fn scan_parts<'a>(
             }
         }
     }
+    clock.lap(&mut st.prof.sweep_nanos);
     st.prof.chunks_skipped += chunks as u64 - (st.prof.chunks_scored - scored_before);
     Ok(())
+}
+
+/// Cuts `lead` back to the query's lead among its entries — the
+/// [`LEAD_CHUNKS`] smallest, and every one tied with the last of them on
+/// the bound (they join the lead in id order) — in any order, and returns
+/// that last entry's chunk: no bound under its can make the lead any more.
+/// A lead that fits is left as it is, and names no chunk (`u64::MAX`).
+fn cut_lead(lead: &mut Vec<(u64, u64)>) -> u64 {
+    if lead.len() <= LEAD_CHUNKS {
+        return u64::MAX;
+    }
+    let (_, &mut (bar, chunk), rest) = lead.select_nth_unstable(LEAD_CHUNKS - 1);
+    let mut end = LEAD_CHUNKS;
+    for j in 0..rest.len() {
+        if rest[j].0 == bar {
+            rest.swap(j, end - LEAD_CHUNKS);
+            end += 1;
+        }
+    }
+    lead.truncate(end);
+    chunk
+}
+
+/// Wall time between laps, read only under [`QueryProfile::timing`].
+struct Clock(Option<std::time::Instant>);
+
+impl Clock {
+    fn new(timing: bool) -> Self {
+        Clock(timing.then(std::time::Instant::now))
+    }
+
+    /// Adds the time since the last lap to `nanos`.
+    fn lap(&mut self, nanos: &mut u64) {
+        if let Some(t0) = &mut self.0 {
+            let now = std::time::Instant::now();
+            *nanos += (now - *t0).as_nanos() as u64;
+            *t0 = now;
+        }
+    }
 }
 
 /// Chunks of `part`: [`CHUNK_ROWS`] rows each, the last one short.
@@ -759,8 +920,7 @@ struct PartScan<'a> {
     data: &'a Dataset,
     /// The shard's box order; `None` when positions are ids.
     order: Option<&'a BoxOrder>,
-    /// The shard's tombstones (an engine passes none for a shard with no
-    /// dead row).
+    /// The tombstones (none when the engine has no dead row).
     mask: Option<MaskView<'a>>,
 }
 
@@ -775,7 +935,8 @@ impl<'a> PartScan<'a> {
         }
     }
 
-    /// The shard-local row id of position `pos`.
+    /// The index's row id of position `pos` (global for a cell, whose
+    /// offset is `0`).
     #[inline]
     fn id(&self, pos: usize) -> u32 {
         self.order.map_or(pos as u32, |o| o.ids[pos])
@@ -885,11 +1046,13 @@ impl Scoring<'_> {
 }
 
 /// The scan's per-query buffers, kept in the [`QueryScratch`]: one bound
-/// per chunk of every part of the query, and one part's lead at a time.
+/// per chunk of every part of the query, the query's lead, and where each
+/// part's bounds start.
 #[derive(Default)]
 pub(crate) struct ChunkBufs {
     bounds: Vec<f64>,
     lead: Vec<(u64, u64)>,
+    starts: Vec<usize>,
     /// The chunks the last query scored, in visiting order, as part-local
     /// indexes: what the tests recount its counters over.
     #[cfg(test)]
@@ -905,6 +1068,7 @@ impl ChunkBufs {
         self.bounds.reserve(chunks);
         self.lead.clear();
         self.lead.reserve(chunks);
+        self.starts.clear();
     }
 }
 

@@ -1126,3 +1126,111 @@ fn the_roles_alone_pick_the_layout() {
         }
     }
 }
+
+/// The cells of one split, each built alone, are the box order of all the
+/// rows cut at chunk boundaries: concatenated in cell order, their rows,
+/// ids, chunk boxes and first ids are `SdIndex::build`'s — at any cell
+/// count, over scattered rows, exact duplicates and short last chunks.
+#[test]
+fn cells_concatenate_to_the_whole_box_order() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xCE1);
+    for (n, dims) in [(1, 3), (64, 2), (65, 4), (700, 6), (4_097, 3), (3_000, 1)] {
+        let mut data = rand_dataset(&mut rng, n, dims);
+        if n == 700 {
+            // Every row one of five: ties go by id in every cut.
+            let flat: Vec<f64> = (0..n)
+                .flat_map(|i| data.point(crate::PointId::new((i % 5) as u32)).to_vec())
+                .collect();
+            data = Dataset::from_flat(dims, flat).unwrap();
+        }
+        let roles = vec![DimRole::Attractive; dims];
+        let whole = SdIndex::build(data.clone(), &roles).unwrap();
+        let want = whole.order().unwrap();
+        for count in [1, 2, 3, 4, 5, 8] {
+            let cells = cells(&data, count);
+            assert_eq!(cells.len(), count.min(n.div_ceil(CHUNK_ROWS)), "n {n}");
+            let built: Vec<SdIndex> = cells
+                .iter()
+                .map(|cell| SdIndex::build_cell(&data, &roles, &SdIndexOptions::default(), cell))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let ctx = format!("n {n} dims {dims} cells {count}");
+            let flat: Vec<f64> = built.iter().flat_map(|i| i.data.flat().to_vec()).collect();
+            assert_eq!(flat, whole.data.flat(), "{ctx}: rows");
+            let orders: Vec<&BoxOrder> = built.iter().map(|i| i.order().unwrap()).collect();
+            let ids: Vec<u32> = orders.iter().flat_map(|o| o.ids.to_vec()).collect();
+            assert_eq!(ids, &want.ids[..], "{ctx}: ids");
+            let firsts: Vec<u32> = orders.iter().flat_map(|o| o.firsts.to_vec()).collect();
+            assert_eq!(firsts, &want.firsts[..], "{ctx}: firsts");
+            // Boxes per dimension: every cell's lows then highs, in order.
+            let (all, mut at) = (want.chunks(), 0);
+            for (o, index) in orders.iter().zip(&built) {
+                assert!(
+                    index.data.len() % CHUNK_ROWS == 0 || at + o.chunks() == all,
+                    "{ctx}"
+                );
+                let c = o.chunks();
+                for d in 0..2 * dims {
+                    assert_eq!(
+                        &o.boxes[d * c..(d + 1) * c],
+                        &want.boxes[d * all + at..d * all + at + c],
+                        "{ctx}: boxes"
+                    );
+                }
+                at += c;
+            }
+            assert_eq!(at, all, "{ctx}");
+            // The ids name every row once across the cells.
+            assert!(id_census(&built, n).is_ok(), "{ctx}");
+        }
+    }
+    // A walked pair's roles have no box order to cut.
+    let data = rand_dataset(&mut rng, 200, 2);
+    let pair = [DimRole::Attractive, DimRole::Repulsive];
+    let cell = &cells(&data, 2)[0];
+    assert_eq!(
+        SdIndex::build_cell(&data, &pair, &SdIndexOptions::default(), cell).unwrap_err(),
+        SdError::RoleMismatch
+    );
+}
+
+/// The engine-wide checks of a box order's ids: a repeat and an id past
+/// the rows are named with their shard and position by the census; the
+/// range check a mapped engine runs first names only the second.
+#[test]
+fn the_id_census_spans_every_cell() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xCE2);
+    let data = rand_dataset(&mut rng, 300, 3);
+    let roles = vec![DimRole::Repulsive; 3];
+    let mut built: Vec<SdIndex> = cells(&data, 3)
+        .iter()
+        .map(|cell| SdIndex::build_cell(&data, &roles, &SdIndexOptions::default(), cell).unwrap())
+        .collect();
+    assert!(id_census(&built, 300).is_ok() && ids_in_range(&built, 300).is_ok());
+    // One row short of the id space: the last id is out of range.
+    assert!(id_census(&built, 299).is_err() && ids_in_range(&built, 299).is_err());
+    let repeat = built[0].order().unwrap().ids[5];
+    let Layout::Boxes(order) = &mut built[2].layout else {
+        unreachable!()
+    };
+    let mut ids = order.ids.to_vec();
+    ids[7] = repeat;
+    order.ids = ColumnarView::owned(ids.clone());
+    let detail = |e: SdError| match e {
+        SdError::SnapshotCorrupt { detail } => detail,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(
+        detail(id_census(&built, 300).unwrap_err()),
+        format!("shard 2 position 7: row id {repeat} repeated for 300 rows")
+    );
+    assert!(ids_in_range(&built, 300).is_ok(), "a repeat is in range");
+    // A cell alone sees a repeat within its own ids.
+    assert!(built[2].rows_by_id().is_ok());
+    ids[8] = ids[7];
+    let Layout::Boxes(order) = &mut built[2].layout else {
+        unreachable!()
+    };
+    order.ids = ColumnarView::owned(ids);
+    assert!(detail(built[2].rows_by_id().unwrap_err()).contains("repeated"));
+}

@@ -63,7 +63,7 @@ use crate::kernels::LANES;
 ///
 /// All counters are plain `u64`s incremented inline on the hot paths —
 /// always on. `floor_value` is the final k-th-score floor; `isa` names the
-/// kernel backend that scored the batches. The three `*_nanos` stage
+/// kernel backend that scored the batches. The `*_nanos` stage
 /// timings are collected only while [`QueryProfile::timing`] is set, and
 /// only on the query's own profile (they are **not** summed by
 /// [`QueryProfile::merge`]).
@@ -183,6 +183,14 @@ pub struct QueryProfile {
     /// Nanoseconds in the final drain of the query's answer heap
     /// ([`QueryScratch::answer_with`](crate::QueryScratch::answer_with)).
     pub merge_nanos: u64,
+    /// Of `aggregate_nanos`, the box scan's bound pass: every chunk of
+    /// every part bounded from its box.
+    pub bound_nanos: u64,
+    /// Of `aggregate_nanos`, the box scan's lead: picking the best chunks
+    /// across every part, and scoring them.
+    pub lead_nanos: u64,
+    /// Of `aggregate_nanos`, the box scan's two row-order sweeps.
+    pub sweep_nanos: u64,
 }
 
 impl Default for QueryProfile {
@@ -216,6 +224,9 @@ impl Default for QueryProfile {
             delta_scan_nanos: 0,
             aggregate_nanos: 0,
             merge_nanos: 0,
+            bound_nanos: 0,
+            lead_nanos: 0,
+            sweep_nanos: 0,
         }
     }
 }
@@ -291,7 +302,8 @@ impl QueryProfile {
             chunks_scored, chunks_skipped, points_gathered, points_scored, kernel_batches,
             delta_rows_scanned, delta_blocks_pruned, tombstones_skipped, seen_hits,
             floor_updates, rounds, merge_rounds, emitted;
-            isa, floor_value, timing, delta_scan_nanos, aggregate_nanos, merge_nanos
+            isa, floor_value, timing, delta_scan_nanos, aggregate_nanos, merge_nanos,
+            bound_nanos, lead_nanos, sweep_nanos
         }
     }
 

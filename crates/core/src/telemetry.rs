@@ -311,8 +311,6 @@ pub enum EventKind {
         rows_moved: u64,
         /// Wall time of the compaction, in microseconds.
         duration_micros: u64,
-        /// Whether the shard layout was repartitioned evenly.
-        rebalanced: bool,
     },
     /// The engine epoch advanced (one per effective compaction).
     EpochTransition {

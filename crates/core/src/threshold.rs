@@ -37,12 +37,10 @@ pub type FloorEntry = (Reverse<OrdF64>, u32);
 /// bit-inverted. The bulk load's sort key (`topk::blocks`).
 #[inline]
 pub(crate) fn encode(v: f64) -> u64 {
+    // Branch-free: the mask is all ones for a negative float, the sign bit
+    // alone otherwise (the box scan encodes bounds of either sign).
     let bits = v.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
 /// The one answer heap of one logical query and its k-th-score floor.

@@ -32,23 +32,37 @@
 //!                          top-k answer
 //! ```
 //!
-//! ## Why sharding helps
+//! ## Shards
 //!
-//! The engine partitions the dataset into `S` contiguous shards at build
-//! time, each with its own `SdIndex` over its row range — a single pair's
-//! §4 index, or rows in box order with their chunk boxes — so compaction
-//! rebuilds one shard, not the whole index. A query scans the boxes of
-//! every shard as one index (or walks every shard's pair index at once), all on the
-//! thread that calls it — parallelism is between queries
-//! ([`SdEngine::par_query_batch`]) — and the per-chunk bounds stay
-//! admissible because each box covers only its own rows.
+//! The engine cuts the dataset into `S` shards at build time, each with its
+//! own `SdIndex`, so that the shards build side by side on every CPU. How
+//! it cuts depends on the roles, as the layout does:
+//!
+//! * **Cells of one box order** (any roles but a walked pair's): the shards
+//!   are the subtrees of one recursive median split of all the rows. The
+//!   calling thread runs the split's top `⌈log₂ S⌉` levels over every row,
+//!   and each shard's build finishes its own cell ([`cells`],
+//!   [`SdIndex::build_cell`]). Concatenated in shard order, the shards'
+//!   rows, ids, chunk boxes and first ids are those of one [`SdIndex`]
+//!   over all the rows, and each shard's id column holds global ids. At
+//!   most one shard a 64-row chunk.
+//! * **Row ranges** (a walked pair's `ar`/`ra` roles): contiguous ranges
+//!   balanced within one row, each with the pair's §4 index over its rows;
+//!   a row's global id is its shard's first row plus its position.
+//!
+//! A query runs on the thread that calls it — parallelism is between
+//! queries ([`SdEngine::par_query_batch`]). It bounds the boxes of every
+//! shard as one index, scores the best chunks across all of them first
+//! and sweeps the rest in shard order, so a query over `S` cells visits
+//! the chunks, in the order, and counts what a one-shard engine does (or
+//! it walks every shard's pair index at once). A deleted id names no shard,
+//! so every compaction re-splits the live rows and rebuilds every shard
+//! ([`mutation`]).
 //!
 //! The query's one [`QueryFloor`](sdq_core::QueryFloor) is what keeps
-//! sharding from multiplying work: the k-th best *exact* score found by any
-//! shard is a lower bound on the final global k-th score, so every shard
-//! skips each chunk whose box cannot reach it: after every shard's best
-//! chunks, the rest of the scan mostly verifies that nothing better than
-//! the current global top-k is left.
+//! sharding from multiplying work: the k-th best *exact* score found in any
+//! shard is a lower bound on the final global k-th score, so every chunk
+//! whose box cannot reach it is skipped, whichever shard holds it.
 //!
 //! ## Exactness
 //!
@@ -117,7 +131,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sdq_core::mask::{MaskView, RowMask};
-use sdq_core::multidim::{answer_parts, QueryPlan, SdIndex, SdIndexOptions, ShardPart};
+use sdq_core::multidim::{
+    answer_parts, cells, id_census, ids_in_range, shard_limit, walked_pair, QueryPlan, SdIndex,
+    SdIndexOptions, ShardPart,
+};
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::{Dataset, DimRole, QueryProfile, QueryScratch, ScoredPoint, SdError, SdQuery};
 
@@ -130,8 +147,9 @@ pub use mutation::{CompactionOptions, CompactionReport, MutationStats};
 /// ([`SdEngine::par_query_batch`]).
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Number of shards (`≥ 1`; capped at the row count so no shard is
-    /// empty). Contiguous row ranges, balanced within one row.
+    /// Number of shards (`≥ 1`; capped so that no shard is empty —
+    /// [`shard_limit`]): the cells of one box order, or a walked pair's
+    /// contiguous row ranges, balanced within one row (see the crate docs).
     pub shards: usize,
     /// Read by nothing. It named the per-query shard worker count, and
     /// stays only because the repo benchmark, which a program change may
@@ -157,13 +175,16 @@ impl Default for EngineOptions {
 /// [`SdEngine::shard_infos`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardInfo {
-    /// First global row id this shard covers.
-    pub offset: usize,
+    /// The smallest global row id in the shard: its first row for a walked
+    /// pair's row range; a cell of a box order holds ids from all over the
+    /// id space.
+    pub smallest_id: usize,
     /// Number of rows in the shard (dead ones included).
     pub rows: usize,
     /// Tombstoned rows inside this shard, pending compaction.
     pub dead_rows: usize,
-    /// Engine epoch at which this shard was last rebuilt (`0` = initial
+    /// Engine epoch at which this shard was built: every compaction
+    /// rebuilds every shard, so this is the engine's epoch (`0` = initial
     /// build; see [`SdEngine::compact_with`]).
     pub epoch: u64,
     /// Approximate heap footprint of the shard's index structures.
@@ -535,9 +556,15 @@ pub struct SdEngine {
     /// Indexed (base) rows; delta rows live in `muts` until compaction.
     rows: usize,
     roles: Vec<DimRole>,
-    /// First global row of shard `i` (parallel to `shards`).
+    /// What shard `i`'s row ids add up to globally (parallel to `shards`,
+    /// [`ShardPart::offset`]): the first global row of a walked pair's row
+    /// range, `0` for a cell, whose ids are global.
     offsets: Vec<u32>,
     shards: Vec<SdIndex>,
+    /// Whether every cell's ids lie in `0..rows`: settled when the engine
+    /// is built or assembled from owned shards (there by the id census),
+    /// and before a mapped engine's first answer ([`ids_in_range`]).
+    ids_checked: Arc<OnceLock<Result<(), SdError>>>,
     /// Per-shard build options, reused by compaction-time rebuilds.
     index_options: SdIndexOptions,
     /// The write path: delta region, tombstones, epochs (see [`mutation`]).
@@ -560,11 +587,12 @@ impl SdEngine {
         Self::build_with(data, roles, &EngineOptions::default())
     }
 
-    /// Builds the engine: partitions the dataset into contiguous shards and
-    /// builds one [`SdIndex`] per shard. The shards are built concurrently,
-    /// on up to the host's available parallelism ([`resolve_threads`]`(0)`),
-    /// and the engine is the same whichever thread built which shard: its
-    /// saved bytes are identical to a build on one core.
+    /// Builds the engine: cuts the dataset into shards ([`EngineOptions::shards`],
+    /// crate docs) and builds one [`SdIndex`] per shard. The shards are
+    /// built concurrently, on up to the host's available parallelism
+    /// ([`resolve_threads`]`(0)`), and the engine is the same whichever
+    /// thread built which shard: its saved bytes are identical to a build
+    /// on one core.
     pub fn build_with(
         data: impl Into<Arc<Dataset>>,
         roles: &[DimRole],
@@ -577,31 +605,27 @@ impl SdEngine {
                 got: roles.len(),
             });
         }
-        let n = data.len();
-        let dims = data.dims();
-        let s = options.shards.max(1).min(n.max(1));
-        let parts = if n > 0 { s } else { 0 };
-        let cut = |i: usize| i * n / s;
-        let shards = build_shards(dims, roles, &options.index, parts, |i| {
-            Ok(data.flat()[cut(i) * dims..cut(i + 1) * dims].to_vec())
-        })?;
-        let offsets = (0..parts).map(|i| cut(i) as u32).collect();
-        let muts = mutation::MutationState::new(dims, n, shards.len());
+        let (shards, offsets) = build_layout(&data, roles, &options.index, options.shards)?;
         Ok(SdEngine {
-            dims,
-            rows: n,
+            dims: data.dims(),
+            rows: data.len(),
             roles: roles.to_vec(),
             offsets,
             shards,
+            ids_checked: Arc::new(OnceLock::from(Ok(()))),
             index_options: options.index.clone(),
-            muts,
+            muts: mutation::MutationState::new(data.dims(), data.len()),
             metrics: EngineMetrics::default(),
         })
     }
 
     /// Reassembles an engine from per-shard indexes (the snapshot restore
-    /// path). Shards must share `roles` and dimensionality; global row ids
-    /// are their row-order concatenation.
+    /// path). Shards must share `roles` and dimensionality. A walked pair's
+    /// shards are row ranges, global ids their row-order concatenation; any
+    /// other shard is a cell whose id column holds global ids, as
+    /// [`SdEngine::build_with`] writes them. Owned shards' ids are checked
+    /// here to name every row once ([`id_census`]); a mapped engine checks
+    /// them in range before its first answer.
     pub fn from_parts(
         dims: usize,
         roles: Vec<DimRole>,
@@ -631,25 +655,34 @@ impl SdEngine {
             if shard.roles() != roles.as_slice() {
                 return Err(SdError::RoleMismatch);
             }
-            offsets.push(rows as u32);
+            offsets.push(if shard.row_ids().is_some() {
+                0
+            } else {
+                rows as u32
+            });
             rows += shard.data().len();
             if rows > u32::MAX as usize {
                 return Err(SdError::TooManyPoints(rows));
             }
         }
+        let ids_checked = Arc::new(OnceLock::new());
+        if !shards.iter().any(SdIndex::is_mapped) {
+            id_census(&shards, rows)?;
+            let _ = ids_checked.set(Ok(()));
+        }
         let index_options = shards
             .first()
             .map(SdIndex::rebuild_options)
             .unwrap_or_default();
-        let muts = mutation::MutationState::new(dims, rows, shards.len());
         Ok(SdEngine {
             dims,
             rows,
             roles,
             offsets,
             shards,
+            ids_checked,
             index_options,
-            muts,
+            muts: mutation::MutationState::new(dims, rows),
             metrics: EngineMetrics::default(),
         })
     }
@@ -693,9 +726,14 @@ impl SdEngine {
     }
 
     /// Forces checksum verification of every lazily-verified region in
-    /// every shard (a no-op for owned shards).
+    /// every shard, then (once) that every cell's ids lie in range — what
+    /// a mapped engine runs before its first answer; a no-op for owned
+    /// shards.
     pub fn verify_integrity(&self) -> Result<(), SdError> {
-        self.shards.iter().try_for_each(SdIndex::verify_integrity)
+        self.shards.iter().try_for_each(SdIndex::verify_integrity)?;
+        self.ids_checked
+            .get_or_init(|| ids_in_range(&self.shards, self.rows))
+            .clone()
     }
 
     /// Does nothing. It set the per-query shard worker count, and stays
@@ -728,18 +766,30 @@ impl SdEngine {
         shards + delta + mask
     }
 
-    /// Per-shard layout, mutation pressure and footprint, in row order.
+    /// Per-shard layout, mutation pressure and footprint, in shard order.
+    /// Observability: a cell's smallest id and dead rows are counted over
+    /// its id column.
     pub fn shard_infos(&self) -> Vec<ShardInfo> {
+        let dead = &self.muts.tombstones;
         self.shards
             .iter()
             .zip(&self.offsets)
-            .zip(self.muts.shard_epochs.iter().zip(&self.muts.shard_dead))
-            .map(|((shard, &offset), (&epoch, &dead_rows))| ShardInfo {
-                offset: offset as usize,
-                rows: shard.data().len(),
-                dead_rows,
-                epoch,
-                memory_bytes: shard.memory_bytes(),
+            .map(|(shard, &offset)| {
+                let (offset, rows) = (offset as usize, shard.data().len());
+                let (smallest_id, dead_rows) = match shard.row_ids() {
+                    Some(ids) => (
+                        ids.iter().min().map_or(0, |&id| id as usize),
+                        ids.iter().filter(|&&id| dead.get(id as usize)).count(),
+                    ),
+                    None => (offset, dead.count_range(offset, offset + rows)),
+                };
+                ShardInfo {
+                    smallest_id,
+                    rows,
+                    dead_rows,
+                    epoch: self.muts.epoch,
+                    memory_bytes: shard.memory_bytes(),
+                }
             })
             .collect()
     }
@@ -782,18 +832,15 @@ impl SdEngine {
         Ok(())
     }
 
-    /// Shard `i` as one part of a query: its index, its global offset and
-    /// its tombstones — `None` when no dead row falls inside the shard's
-    /// range (per-shard counters maintained by `delete`, so this is O(1)),
-    /// so delete-free shards skip the per-row mask test.
+    /// Shard `i` as one part of a query: its index, its offset and the
+    /// tombstones, when the engine has any — a deleted id does not name
+    /// its shard, so every part reads the mask then.
     fn shard_part<'a>(&'a self, i: usize, mask: Option<&'a RowMask>) -> ShardPart<'a> {
         let offset = self.offsets[i];
         ShardPart {
             index: &self.shards[i],
             offset,
-            mask: mask
-                .filter(|_| self.muts.shard_dead[i] > 0)
-                .map(|m| MaskView::new(m, offset)),
+            mask: mask.map(|m| MaskView::new(m, offset)),
         }
     }
 
@@ -851,6 +898,7 @@ impl SdEngine {
         scratch: &mut QueryScratch,
     ) -> Result<(), SdError> {
         self.check_query(query, k)?;
+        self.verify_integrity()?;
         scratch.profile.reset();
         scratch.deadline.check()?;
         // The write path: a dirty engine scans its delta region exactly and
@@ -968,22 +1016,49 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Builds one [`SdIndex`] per part, `part(i)` giving the row-major
-/// coordinates of part `i`. A shard build reads only its own rows, so the
-/// parts are built side by side on up to [`resolve_threads`]`(0)` workers:
-/// the calling thread is one, and each worker claims the next unbuilt part,
-/// so one larger part (a compaction's tail shard) leaves no worker idle.
-/// With one part or one CPU the calling thread builds every part and
-/// nothing is spawned; a worker the OS refuses to start is one fewer, the
-/// others claiming its parts. The indexes come back in part order; when builds
-/// fail, the error is the lowest failing part's, as a build of one part
-/// after another would return.
-fn build_shards(
-    dims: usize,
+/// The shards of `data` under `roles`, `shards` of them capped at
+/// [`shard_limit`], and their offsets: a walked pair's contiguous row
+/// ranges, balanced within one row, or the cells of one box order
+/// ([`cells`]: the top levels of the median split run here, over all the
+/// rows; each shard's build finishes its own cell). No rows, no shards.
+fn build_layout(
+    data: &Arc<Dataset>,
     roles: &[DimRole],
     options: &SdIndexOptions,
+    shards: usize,
+) -> Result<(Vec<SdIndex>, Vec<u32>), SdError> {
+    let (n, dims) = (data.len(), data.dims());
+    if n == 0 {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    let s = shards.clamp(1, shard_limit(roles, n));
+    if walked_pair(roles).is_some() {
+        let cut = |i: usize| i * n / s;
+        let shards = build_shards(s, |i| {
+            let rows = data.flat()[cut(i) * dims..cut(i + 1) * dims].to_vec();
+            SdIndex::build_with(Dataset::from_flat(dims, rows)?, roles, options)
+        })?;
+        return Ok((shards, (0..s).map(|i| cut(i) as u32).collect()));
+    }
+    let cells = cells(data, s);
+    let shards = build_shards(cells.len(), |i| {
+        SdIndex::build_cell(data, roles, options, &cells[i])
+    })?;
+    Ok((shards, vec![0; cells.len()]))
+}
+
+/// Runs `build(i)` for every part `i` of `parts`. A shard build reads
+/// only its own rows, so the parts are built side by side on up to
+/// [`resolve_threads`]`(0)` workers: the calling thread is one, and each
+/// worker claims the next unbuilt part, so one larger part leaves no worker
+/// idle. With one part or one CPU the calling thread builds every part and
+/// nothing is spawned; a worker the OS refuses to start is one fewer, the
+/// others claiming its parts. The indexes come back in part order; when
+/// builds fail, the error is the lowest failing part's, as a build of one
+/// part after another would return.
+fn build_shards(
     parts: usize,
-    part: impl Fn(usize) -> Result<Vec<f64>, SdError> + Sync,
+    build: impl Fn(usize) -> Result<SdIndex, SdError> + Sync,
 ) -> Result<Vec<SdIndex>, SdError> {
     // `Relaxed`: the counter only hands out part numbers. A part's inputs
     // are read-only and shared before the workers start, and its index
@@ -996,10 +1071,7 @@ fn build_shards(
             if i >= parts {
                 return built;
             }
-            let index = part(i)
-                .and_then(|flat| Dataset::from_flat(dims, flat))
-                .and_then(|sub| SdIndex::build_with(sub, roles, options));
-            built.push((i, index));
+            built.push((i, build(i)));
         }
     };
     let workers = resolve_threads(0).min(parts);
@@ -1061,19 +1133,34 @@ mod tests {
         .unwrap()
     }
 
+    /// A walked pair's shards are contiguous row ranges, balanced within
+    /// a row.
     #[test]
     fn shard_layout_is_contiguous_and_balanced() {
-        let e = engine(103, 4, 4);
+        let e = engine(103, 2, 4);
         assert_eq!(e.shard_count(), 4);
-        let infos = e.shard_infos();
         let mut next = 0;
-        for info in &infos {
-            assert_eq!(info.offset, next);
+        for (info, &offset) in e.shard_infos().iter().zip(&e.offsets) {
+            assert_eq!((info.smallest_id, offset as usize), (next, next));
             next += info.rows;
             assert!(info.rows >= 103 / 4);
             assert!(info.memory_bytes > 0);
         }
         assert_eq!(next, 103);
+    }
+
+    /// Any other engine's shards are cells of one box order: whole chunks
+    /// (the last one aside), at most one a chunk, ids global.
+    #[test]
+    fn cells_are_whole_chunks_of_one_split() {
+        // 1 000 rows are 16 chunks: the top two cuts leave 8, 8 → 4, 4, 4, 4.
+        let e = engine(1000, 4, 4);
+        let infos = e.shard_infos();
+        let rows: Vec<usize> = infos.iter().map(|i| i.rows).collect();
+        assert_eq!(rows, [256, 256, 256, 232]);
+        assert!(infos.iter().all(|i| i.memory_bytes > 0));
+        assert_eq!(e.offsets, [0; 4], "a cell's ids are global");
+        assert_eq!(engine(103, 4, 4).shard_count(), 2, "one cell a chunk");
     }
 
     #[test]
@@ -1101,10 +1188,11 @@ mod tests {
     }
 
     /// Every shard scans against the query's one floor, so a shard skips
-    /// the chunks that cannot reach the best scores of every shard before
-    /// it, not only its own. On these 4-D queries over eight 5 000-row
-    /// shards (seeded: the counts repeat exactly) the engine scores 82 784
-    /// rows, the eight shards each answering alone 127 352.
+    /// the chunks that cannot reach the best scores of every shard, not
+    /// only its own. On these 4-D queries over eight 5 000-row cells
+    /// (seeded: the counts repeat exactly) the engine scores 17 920 rows,
+    /// the eight cells each answering alone 114 304. (Eight row-range
+    /// shards, each scanned under its own lead, scored 82 784 and 127 352.)
     #[test]
     fn the_merged_floor_reaches_a_sibling_inside_the_first_pass() {
         use rand::{Rng, SeedableRng};
@@ -1140,19 +1228,18 @@ mod tests {
             }
         }
         assert!(
-            3 * merged < 2 * alone,
+            4 * merged < alone,
             "{merged} rows scored by the engine, {alone} by its shards alone"
         );
     }
 
-    /// The test above at one lane: two 33-row shards scored `|x|` (one
-    /// repulsive dimension: both scan, one chunk each). Shard 0 scores 10 and
-    /// 5 in its first chunk; shard 1 scores 9 in its first chunk and 6 in
-    /// its second. At k = 2 the 6 is below the two shards' 2nd best score
-    /// together (9), but not below shard 0's own (5), shard 1's own (6) or
-    /// a floor published once shard 0's step ended (5): only the query's
-    /// one floor, which shard 1's 9 entered a chunk earlier, drops it
-    /// unscored.
+    /// The test above at one lane: 66 rows scored `|x|` (one repulsive
+    /// dimension), two shards. The cut puts the 64 smallest values in shard
+    /// 0 (the 5 and the 6 among zeros, a chunk bounded by 6) and the 9 and
+    /// the 10 in shard 1. The query's one lead crosses shards: it scores
+    /// shard 1's chunk first, whatever the shard order, and at k = 2 its 9
+    /// and 10 are the answer — the 5 and the 6 are under that union floor,
+    /// and shard 0's chunk is skipped unread.
     #[test]
     fn a_lane_under_the_union_floor_is_never_scored() {
         let mut rows = vec![vec![0.0]; 66];
@@ -1174,13 +1261,18 @@ mod tests {
         let got: Vec<(u32, f64)> = got.iter().map(|sp| (sp.id.raw(), sp.score)).collect();
         assert_eq!(got, [(0, 10.0), (33, 9.0)]);
         let p = scratch.profile;
+        assert_eq!(e.shard_infos()[1].rows, 2);
         assert_eq!(p.parts_scanned, 2, "both shards scan");
-        // Shard 0's whole first chunk (there was no floor yet) and shard
-        // 1's 9: the 6 never reaches a heap.
-        assert_eq!(p.points_scored, 33);
+        assert_eq!((p.chunks_scored, p.chunks_skipped), (1, 1));
+        assert_eq!(p.points_scored, 2);
         assert_eq!(p.floor_value, 9.0);
     }
 
+    /// Every shard count answers what the index over all the rows does,
+    /// and — the shards being cells of its box order, scanned under one
+    /// lead — visits the same chunks: every counter of the query is the
+    /// index's, `parts_scanned` and `merge_rounds` (the engine's alone)
+    /// aside.
     #[test]
     fn sharded_matches_unsharded() {
         let (data, roles) = sample(500, 4);
@@ -1208,16 +1300,10 @@ mod tests {
                 assert_eq!(g.id, w.id, "shards = {shards}");
                 assert_eq!(g.score.to_bits(), w.score.to_bits(), "shards = {shards}");
             }
-            if shards == 1 {
-                // One driver: a fresh one-shard engine counts what the
-                // index does, in every counter both write (`merge_rounds`
-                // is the engine's alone).
-                let counters = mono_scratch.profile.counters();
-                for ((name, got), (_, want)) in scratch.profile.counters().into_iter().zip(counters)
-                {
-                    if name != "merge_rounds" {
-                        assert_eq!(got, want, "{name}");
-                    }
+            let counters = mono_scratch.profile.counters();
+            for ((name, got), (_, want)) in scratch.profile.counters().into_iter().zip(counters) {
+                if name != "merge_rounds" && name != "parts_scanned" {
+                    assert_eq!(got, want, "shards = {shards}: {name}");
                 }
             }
         }
@@ -1244,7 +1330,7 @@ mod tests {
 
     #[test]
     fn from_parts_roundtrips_build() {
-        let e = engine(120, 3, 4);
+        let e = engine(300, 3, 4);
         let rebuilt = SdEngine::from_parts(3, e.roles().to_vec(), e.shards().to_vec()).unwrap();
         assert_eq!(rebuilt.len(), e.len());
         for (a, b) in rebuilt.shards().iter().zip(e.shards()) {
@@ -1272,10 +1358,12 @@ mod tests {
 
     #[test]
     fn explain_reports_per_shard_plans() {
+        // 400 rows are 7 chunks: the top two cuts leave 4, 3 → 2, 2, 2, 1.
         let e = engine(400, 4, 4);
         let q = SdQuery::uniform_weights(vec![0.0; 4], e.roles());
         let plans = e.explain(&q, 8).unwrap().plans;
-        assert_eq!(plans, vec![QueryPlan::Scan { chunks: 2 }; 4]);
+        let scan = |chunks| QueryPlan::Scan { chunks };
+        assert_eq!(plans, [scan(2), scan(2), scan(2), scan(1)]);
         // A 2-D engine walks: unit weights hit the 45° indexed angle on every
         // shard, whatever its size.
         let e = engine(400, 2, 3);
@@ -1343,9 +1431,9 @@ mod tests {
     /// `explain` names the box scan each shard of an aggregating engine
     /// runs and the chunks it bounds; the query then scores some of them
     /// and leaves the rest unread, certified under the floor. Over four
-    /// random 5 000-row 4-D shards: every plan is a scan of the shard's
-    /// chunks, the query's scored and skipped chunks are exactly the
-    /// plans' chunks, and the floor certifies some.
+    /// cells of 20 000 random 4-D rows (313 chunks: 79, 78, 78, 78): every
+    /// plan is a scan of the shard's chunks, the query's scored and skipped
+    /// chunks are exactly the plans' chunks, and the floor certifies some.
     #[test]
     fn explain_names_the_audit_and_what_a_certifying_one_leaves() {
         use rand::{Rng, SeedableRng};
@@ -1374,15 +1462,12 @@ mod tests {
             let weights = (0..4).map(|_| rng.gen_range(0.1..1.0)).collect();
             let q = SdQuery::new(point, weights).unwrap();
             let plans = e.explain(&q, 16).unwrap().plans;
-            let chunks = 5_000usize.div_ceil(64);
-            assert_eq!(plans, vec![QueryPlan::Scan { chunks }; 4]);
-            assert_eq!(
-                plans[0].to_string(),
-                format!("box scan over {chunks} chunk(s)")
-            );
+            let scan = |chunks| QueryPlan::Scan { chunks };
+            assert_eq!(plans, [scan(79), scan(78), scan(78), scan(78)]);
+            assert_eq!(plans[0].to_string(), "box scan over 79 chunk(s)");
             e.query_with(&q, 16, &mut scratch).unwrap();
             let p = scratch.profile;
-            assert_eq!(p.chunks_scored + p.chunks_skipped, 4 * chunks as u64);
+            assert_eq!(p.chunks_scored + p.chunks_skipped, 313);
             assert!(p.chunks_skipped > 0, "{p:?}");
         }
     }
@@ -1465,37 +1550,15 @@ mod tests {
         sdq_core::codec::encode_to_vec(index)
     }
 
-    /// The logical live rows of an engine, row-major, in global id order:
-    /// the shards' rows by id, then the delta's, less the tombstoned ones.
-    fn live_flat(e: &SdEngine) -> Vec<f64> {
-        let by_id: Vec<Dataset> = e
-            .shards
-            .iter()
-            .map(|s| s.rows_by_id().unwrap().into_owned())
-            .collect();
-        let shard_rows = by_id.iter().flat_map(|rows| rows.iter());
-        shard_rows
-            .chain(e.delta().iter())
-            .zip(0u32..)
-            .filter(|&(_, id)| e.is_live(PointId::new(id)))
-            .flat_map(|((_, coords), _)| coords.iter().copied())
-            .collect()
-    }
-
-    /// Every shard of `e` encodes to the bytes of an index built alone over
-    /// the same rows of `flat` — what building the shards one after another
-    /// on one thread gives.
+    /// Every shard of `e` encodes to the bytes of the cell of `flat`'s box
+    /// order built alone — what building the cells one after another on
+    /// one thread gives.
     fn assert_shards_built_alone(e: &SdEngine, flat: &[f64], ctx: &str) {
-        let dims = e.dims;
-        let infos = e.shard_infos();
-        assert_eq!(
-            infos.iter().map(|i| i.rows).sum::<usize>() * dims,
-            flat.len()
-        );
-        for (s, (shard, info)) in e.shards.iter().zip(&infos).enumerate() {
-            let rows = &flat[info.offset * dims..(info.offset + info.rows) * dims];
-            let sub = Dataset::from_flat(dims, rows.to_vec()).unwrap();
-            let alone = SdIndex::build_with(sub, &e.roles, &e.index_options).unwrap();
+        let data = Dataset::from_flat(e.dims, flat.to_vec()).unwrap();
+        let cells = cells(&data, e.shard_count());
+        assert_eq!(cells.len(), e.shard_count(), "{ctx}");
+        for (s, (shard, cell)) in e.shards.iter().zip(&cells).enumerate() {
+            let alone = SdIndex::build_cell(&data, &e.roles, &e.index_options, cell).unwrap();
             assert_eq!(encoded(shard), encoded(&alone), "{ctx}: shard {s}");
         }
     }
@@ -1510,10 +1573,11 @@ mod tests {
         }
     }
 
+    /// Compaction is one path: deletes and inserts anywhere rebuild every
+    /// shard, as a fresh build over the live rows builds them — at the
+    /// engine's shard count, or at a new one.
     #[test]
     fn compaction_of_dirty_shards_matches_a_fresh_build() {
-        // In place: deletes in shards 0 and 2 and inserts into the tail
-        // rebuild three of the four shards side by side.
         let mut e = engine(400, 4, 4);
         for id in [3, 50, 99, 210, 211] {
             e.delete(PointId::new(id)).unwrap();
@@ -1525,41 +1589,27 @@ mod tests {
             e.insert(&row).unwrap();
         }
         e.delete(PointId::new(402)).unwrap();
-        let live = live_flat(&e);
-        let report = e.compact().unwrap();
-        assert!(!report.rebalanced);
-        assert_eq!(report.rebuilt_shards, 3);
-        assert_eq!(
-            e.shard_infos().iter().map(|i| i.epoch).collect::<Vec<_>>(),
-            [1, 0, 1, 1]
-        );
-        assert_shards_built_alone(&e, &live, "in place");
-
-        // Rebalanced: a new shard count repartitions and rebuilds all, as a
-        // fresh build over the live rows does.
-        e.delete(PointId::new(7)).unwrap();
-        e.delete(PointId::new(300)).unwrap();
-        e.insert(&[0.5, -1.0, 2.0, 0.25]).unwrap();
-        let live = live_flat(&e);
-        let report = e
-            .compact_with(&CompactionOptions {
-                shards: Some(3),
-                ..CompactionOptions::default()
-            })
+        for shards in [None, Some(3)] {
+            let live = e.live_rows().unwrap();
+            let report = e.compact_with(&CompactionOptions { shards }).unwrap();
+            assert_eq!(report.rebuilt_shards, e.shard_count());
+            assert!(e.shard_infos().iter().all(|i| i.epoch == e.epoch()));
+            assert_shards_built_alone(&e, &live, &format!("{shards:?}"));
+            let fresh = SdEngine::build_with(
+                Dataset::from_flat(4, live).unwrap(),
+                &e.roles,
+                &EngineOptions {
+                    shards: shards.unwrap_or(4),
+                    ..EngineOptions::default()
+                },
+            )
             .unwrap();
-        assert!(report.rebalanced);
-        let fresh = SdEngine::build_with(
-            Dataset::from_flat(4, live.clone()).unwrap(),
-            &e.roles,
-            &EngineOptions {
-                shards: 3,
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(e.offsets, fresh.offsets);
-        for (s, (got, want)) in e.shards.iter().zip(&fresh.shards).enumerate() {
-            assert_eq!(encoded(got), encoded(want), "rebalanced: shard {s}");
+            assert_eq!(e.offsets, fresh.offsets);
+            for (s, (got, want)) in e.shards.iter().zip(&fresh.shards).enumerate() {
+                assert_eq!(encoded(got), encoded(want), "{shards:?}: shard {s}");
+            }
+            e.delete(PointId::new(7)).unwrap();
+            e.insert(&[0.5, -1.0, 2.0, 0.25]).unwrap();
         }
     }
 
@@ -1607,7 +1657,7 @@ mod tests {
         let build = |fail: bool| {
             let (in_flight, claimed) = (Barrier::new(workers), Barrier::new(workers));
             let by_caller = Mutex::new(Vec::new());
-            let got = build_shards(2, &roles, &options, workers + 1, |i| {
+            let got = build_shards(workers + 1, |i| {
                 let on_caller = std::thread::current().id() == caller;
                 if on_caller {
                     by_caller.lock().unwrap().push(i);
@@ -1624,7 +1674,7 @@ mod tests {
                 if fail && (i == workers || !on_caller) {
                     flat[usize::from(i < workers) * 2 + 1] = 1e300;
                 }
-                Ok(flat)
+                SdIndex::build_with(Dataset::from_flat(2, flat)?, &roles, &options)
             });
             (got, by_caller.into_inner().unwrap())
         };
@@ -1654,8 +1704,6 @@ mod tests {
             ),
             "{got:?}"
         );
-        assert!(build_shards(2, &roles, &options, 0, |i| Ok(rows(i)))
-            .unwrap()
-            .is_empty());
+        assert!(build_shards(0, |_| unreachable!()).unwrap().is_empty());
     }
 }

@@ -14,11 +14,11 @@
 //!               └──────────┬───────────────┘
 //!                          ▼  SdEngine::compact (epoch += 1)
 //!            ┌───────────────────────────────┐
-//!            │ per-shard rebuild, the dirty  │  only dirty shards rebuild;
-//!            │ shards side by side on every  │  rebalance when a shard's
-//!            │ CPU; delta rows fold into the │  live-row count drifts past
-//!            │ tail shard; all tombstones    │  rebalance_factor × ideal
-//!            │ dropped                       │
+//!            │ the live rows in id order,    │  one path: what build_with
+//!            │ then the live delta rows, cut │  does — the cells of one box
+//!            │ into shards again and rebuilt │  order (or a walked pair's
+//!            │ side by side on every CPU;    │  row ranges), every shard
+//!            │ all tombstones dropped        │  rebuilt
 //!            └───────────────────────────────┘
 //! ```
 //!
@@ -47,14 +47,14 @@
 //!
 //! ## Epochs
 //!
-//! Every compaction bumps the engine epoch; each shard records the epoch
-//! at which it was last rebuilt (`0` = initial build). Clean shards are
-//! not rebuilt — compaction cost is proportional to the *dirty* shards —
-//! and because each shard swap is independent, a serving deployment that
-//! wraps shards in per-shard locks only ever blocks one shard's readers at
-//! a time while the rest keep serving. Epochs are per-process
-//! observability counters: they are not persisted in snapshots (a restored
-//! engine restarts at epoch 0).
+//! Every compaction that has work to do bumps the engine epoch and
+//! rebuilds every shard: a shard of a box order is a cell of one split of
+//! all the rows, and a deleted or inserted row can move every cell's
+//! bounds, so no shard is clean while another is dirty. (The traffic agrees:
+//! deletes spread over the ids dirty nearly every shard between two
+//! compactions.) The build is [`SdEngine::build_with`]'s, over the live
+//! rows. Epochs are per-process observability counters: they are not
+//! persisted in snapshots (a restored engine restarts at epoch 0).
 //!
 //! ## Example
 //!
@@ -93,10 +93,11 @@
 
 use sdq_core::codec::corrupt;
 use sdq_core::mask::RowMask;
+use sdq_core::multidim::shard_limit;
 use sdq_core::telemetry::EventKind;
 use sdq_core::{Dataset, PointId, SdError};
 
-use crate::{build_shards, SdEngine};
+use crate::{build_layout, SdEngine};
 
 /// Mutation-pressure thresholds (percent) that journal a
 /// [`EventKind::DeltaThreshold`]/[`EventKind::TombstoneThreshold`] event
@@ -119,12 +120,6 @@ pub(crate) struct MutationState {
     pub(crate) delta: Dataset,
     /// Dead rows over base ∪ delta ids.
     pub(crate) tombstones: RowMask,
-    /// Per-shard dead-row counts, maintained by `delete` so the per-query
-    /// mask routing is O(1) per shard instead of a bitmap popcount sweep.
-    pub(crate) shard_dead: Vec<usize>,
-    /// Per-shard: the engine epoch at which the shard was last rebuilt
-    /// (`0` = initial build).
-    pub(crate) shard_epochs: Vec<u64>,
     /// Engine compaction epoch; bumped once per [`SdEngine::compact_with`]
     /// that had work to do.
     pub(crate) epoch: u64,
@@ -143,12 +138,10 @@ pub(crate) struct MutationState {
 }
 
 impl MutationState {
-    pub(crate) fn new(dims: usize, base_rows: usize, shards: usize) -> Self {
+    pub(crate) fn new(dims: usize, base_rows: usize) -> Self {
         MutationState {
             delta: empty_delta(dims),
             tombstones: RowMask::new(base_rows),
-            shard_dead: vec![0; shards],
-            shard_epochs: vec![0; shards],
             epoch: 0,
             inserted_total: 0,
             deleted_total: 0,
@@ -167,25 +160,11 @@ fn empty_delta(dims: usize) -> Dataset {
 }
 
 /// Tuning knobs for [`SdEngine::compact_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CompactionOptions {
-    /// A shard whose post-merge live-row count exceeds `rebalance_factor ×`
-    /// the ideal (live rows ÷ shard count) — or falls below the ideal ÷
-    /// `rebalance_factor` — triggers a full even repartition instead of the
-    /// default in-place per-shard rebuild. Must be ≥ 1.
-    pub rebalance_factor: f64,
-    /// Shard count after a rebalance; `None` keeps the current count.
-    /// Requesting a different count forces a rebalance.
+    /// Shard count after the compaction; `None` keeps the current count.
+    /// Requesting a different count compacts a clean engine too.
     pub shards: Option<usize>,
-}
-
-impl Default for CompactionOptions {
-    fn default() -> Self {
-        CompactionOptions {
-            rebalance_factor: 1.5,
-            shards: None,
-        }
-    }
 }
 
 /// What one [`SdEngine::compact_with`] call did.
@@ -197,8 +176,6 @@ pub struct CompactionReport {
     pub dropped_tombstones: usize,
     /// Live delta rows folded into the indexed shards.
     pub merged_delta_rows: usize,
-    /// `true` when the shard layout was repartitioned evenly.
-    pub rebalanced: bool,
     /// The engine epoch after the call.
     pub epoch: u64,
     /// Live rows after the call (every row is live post-compaction).
@@ -276,13 +253,6 @@ impl SdEngine {
         let newly = self.muts.tombstones.set(id.index());
         if newly {
             self.muts.deleted_total += 1;
-            if id.index() < self.rows {
-                let shard = self
-                    .offsets
-                    .partition_point(|&o| (o as usize) <= id.index())
-                    - 1;
-                self.muts.shard_dead[shard] += 1;
-            }
             self.note_tombstone_growth();
         }
         self.metrics.telemetry().mutation.record(t0.elapsed());
@@ -430,12 +400,6 @@ impl SdEngine {
         self.muts.inserted_total += delta.len() as u64;
         self.muts.deleted_total += tombstones.len() as u64;
         self.muts.delta = delta;
-        self.muts.shard_dead = self
-            .offsets
-            .iter()
-            .zip(&self.shards)
-            .map(|(&off, shard)| mask.count_range(off as usize, off as usize + shard.data().len()))
-            .collect();
         self.muts.tombstones = mask;
         // Restored pressure is not a *crossing*: seed the level trackers
         // silently so only future growth journals threshold events.
@@ -459,21 +423,21 @@ impl SdEngine {
     }
 
     /// Folds the delta region into the indexed shards and physically drops
-    /// every tombstoned row, rebuilding only the dirty shards — clean
-    /// shards are left untouched (their epoch keeps its value), so cost is
-    /// proportional to the dirty shards. The dirty shards are built
-    /// concurrently, on up to the host's available parallelism
-    /// ([`resolve_threads`](crate::resolve_threads)`(0)`), and the result
-    /// is identical to rebuilding them one after another. Live delta rows
-    /// fold into the tail shard (they sit at the tail of the global id
-    /// order, so contiguity is preserved); when that drifts any shard's
-    /// live-row count past `rebalance_factor ×` the ideal share, the whole
-    /// engine repartitions evenly instead.
+    /// every tombstoned row: the live rows — the base rows in id order, then
+    /// the live delta rows in insertion order — are cut into shards again
+    /// and every shard is rebuilt, as [`SdEngine::build_with`] builds them
+    /// (concurrently, on up to the host's available parallelism,
+    /// [`resolve_threads`](crate::resolve_threads)`(0)`, the result identical
+    /// to building them one after another).
     ///
-    /// Ids are renumbered densely in logical-row order — the same order a
+    /// Ids are renumbered densely in that logical-row order — the order a
     /// from-scratch rebuild over the final logical dataset assigns — so
-    /// post-compaction answers are bit-identical to that rebuild, ids
-    /// included. A clean engine returns an unchanged no-op report.
+    /// post-compaction answers, and the shards themselves, are bit-identical
+    /// to that rebuild, ids included. A clean engine asked for its own shard
+    /// count returns an unchanged no-op report. Fails, changing nothing, when
+    /// a mapped shard's checksums or ids do ([`SdEngine::verify_integrity`],
+    /// [`id_census`](sdq_core::multidim::id_census)): its rows are not
+    /// carried into a new shard.
     pub fn compact_with(
         &mut self,
         options: &CompactionOptions,
@@ -481,7 +445,11 @@ impl SdEngine {
         let t0 = std::time::Instant::now();
         let s = self.shards.len();
         // The requested count as the rebuild clamps it: no shard is empty.
-        let target_shards = options.shards.unwrap_or(s).max(1).min(self.len());
+        let target_shards = options
+            .shards
+            .unwrap_or(s)
+            .clamp(1, shard_limit(&self.roles, self.len()))
+            .min(self.len());
         if !self.has_mutations() && target_shards == s {
             self.metrics.record_compaction(0);
             self.metrics.telemetry().compaction.record(t0.elapsed());
@@ -489,7 +457,6 @@ impl SdEngine {
                 rebuilt_shards: 0,
                 dropped_tombstones: 0,
                 merged_delta_rows: 0,
-                rebalanced: false,
                 epoch: self.muts.epoch,
                 live_rows: self.len(),
                 rows_moved: 0,
@@ -504,139 +471,37 @@ impl SdEngine {
             });
         let dims = self.dims;
         let dropped = self.muts.tombstones.set_count();
-
-        // Live rows per shard, and the live delta rows (local indices).
-        let live_per_shard: Vec<usize> = self
-            .shards
-            .iter()
-            .zip(&self.muts.shard_dead)
-            .map(|(shard, &dead)| shard.data().len() - dead)
-            .collect();
-        let delta_live: Vec<u32> = (0..self.muts.delta.len() as u32)
-            .filter(|&r| !self.muts.tombstones.get(self.rows + r as usize))
-            .collect();
-        let merged = delta_live.len();
-        let live_total: usize = live_per_shard.iter().sum::<usize>() + merged;
-        let epoch_next = self.muts.epoch + 1;
-
-        // Everything dead: collapse to the empty engine (what a fresh
-        // build over the empty logical dataset produces).
-        if live_total == 0 {
-            self.shards.clear();
-            self.offsets.clear();
-            self.rows = 0;
-            let (inserted_total, deleted_total) =
-                (self.muts.inserted_total, self.muts.deleted_total);
-            self.muts = MutationState::new(dims, 0, 0);
-            self.muts.epoch = epoch_next;
-            self.muts.inserted_total = inserted_total;
-            self.muts.deleted_total = deleted_total;
-            self.metrics.record_compaction(0);
-            let report = CompactionReport {
-                rebuilt_shards: 0,
-                dropped_tombstones: dropped,
-                merged_delta_rows: 0,
-                rebalanced: true,
-                epoch: epoch_next,
-                live_rows: 0,
-                rows_moved: 0,
-                duration_micros: t0.elapsed().as_micros() as u64,
-            };
-            self.journal_compaction_finish(&report);
-            return Ok(report);
-        }
-
-        // Post-merge live counts (delta folds into the tail shard).
-        let mut post = live_per_shard.clone();
-        match post.last_mut() {
-            Some(last) => *last += merged,
-            None => post.push(merged),
-        }
-        let factor = options.rebalance_factor.max(1.0);
-        let ideal = live_total as f64 / target_shards as f64;
-        let rebalanced = s == 0
-            || target_shards != s
-            || post
-                .iter()
-                .any(|&c| c == 0 || c as f64 > factor * ideal || (c as f64) * factor < ideal);
-
-        let report = if rebalanced {
-            // Assemble the whole logical coordinate stream, repartition
-            // evenly like `build_with`, rebuild every shard.
-            let mut flat = Vec::with_capacity(live_total * dims);
-            self.extend_with_live_rows(&mut flat, 0..s, &delta_live)?;
-            let cut = |i: usize| i * live_total / target_shards;
-            self.shards =
-                build_shards(dims, &self.roles, &self.index_options, target_shards, |i| {
-                    Ok(flat[cut(i) * dims..cut(i + 1) * dims].to_vec())
-                })?;
-            self.offsets = (0..target_shards).map(|i| cut(i) as u32).collect();
-            self.muts.shard_epochs = vec![epoch_next; target_shards];
-            CompactionReport {
-                rebuilt_shards: target_shards,
-                dropped_tombstones: dropped,
-                merged_delta_rows: merged,
-                rebalanced: true,
-                epoch: epoch_next,
-                live_rows: live_total,
-                rows_moved: live_total,
-                duration_micros: 0, // stamped below, after the epilogue
-            }
-        } else {
-            // In-place path: rebuild only the shards with dead rows, plus
-            // the tail shard when it absorbs delta rows. Replacements are
-            // built first and committed together, so a (theoretical) build
-            // failure leaves the engine untouched.
-            let takes_delta = |i: usize| i == s - 1 && merged > 0;
-            let dirty: Vec<usize> = (0..s)
-                .filter(|&i| live_per_shard[i] != self.shards[i].data().len() || takes_delta(i))
-                .collect();
-            let replacements =
-                build_shards(dims, &self.roles, &self.index_options, dirty.len(), |j| {
-                    let i = dirty[j];
-                    let mut flat = Vec::with_capacity(post[i] * dims);
-                    self.extend_with_live_rows(
-                        &mut flat,
-                        i..i + 1,
-                        if takes_delta(i) { &delta_live } else { &[] },
-                    )?;
-                    Ok(flat)
-                })?;
-            let rebuilt = replacements.len();
-            let moved: usize = replacements.iter().map(|index| index.data().len()).sum();
-            for (&i, index) in dirty.iter().zip(replacements) {
-                self.shards[i] = index;
-                self.muts.shard_epochs[i] = epoch_next;
-            }
-            let mut off = 0u32;
-            for (shard, slot) in self.shards.iter().zip(self.offsets.iter_mut()) {
-                *slot = off;
-                off += shard.data().len() as u32;
-            }
-            CompactionReport {
-                rebuilt_shards: rebuilt,
-                dropped_tombstones: dropped,
-                merged_delta_rows: merged,
-                rebalanced: false,
-                epoch: epoch_next,
-                live_rows: live_total,
-                rows_moved: moved,
-                duration_micros: 0, // stamped below, after the epilogue
-            }
-        };
-
+        let merged = self.muts.delta.len()
+            - self
+                .muts
+                .tombstones
+                .count_range(self.rows, self.total_rows());
+        let live = Dataset::from_flat(dims, self.live_rows()?)?;
+        let live_total = live.len();
+        let (shards, offsets) = build_layout(
+            &live.into(),
+            &self.roles,
+            &self.index_options,
+            target_shards,
+        )?;
+        self.shards = shards;
+        self.offsets = offsets;
         self.rows = live_total;
-        self.muts.delta = empty_delta(dims);
-        self.muts.tombstones = RowMask::new(live_total);
-        self.muts.shard_dead = vec![0; self.shards.len()];
+        let epoch_next = self.muts.epoch + 1;
+        let (inserted_total, deleted_total) = (self.muts.inserted_total, self.muts.deleted_total);
+        self.muts = MutationState::new(dims, live_total);
         self.muts.epoch = epoch_next;
-        self.muts.delta_level = 0;
-        self.muts.tomb_level = 0;
-        debug_assert_eq!(self.muts.shard_epochs.len(), self.shards.len());
-        self.metrics.record_compaction(report.rebuilt_shards as u64);
+        self.muts.inserted_total = inserted_total;
+        self.muts.deleted_total = deleted_total;
+        self.metrics.record_compaction(self.shards.len() as u64);
         let report = CompactionReport {
+            rebuilt_shards: self.shards.len(),
+            dropped_tombstones: dropped,
+            merged_delta_rows: merged,
+            epoch: epoch_next,
+            live_rows: live_total,
+            rows_moved: live_total,
             duration_micros: t0.elapsed().as_micros() as u64,
-            ..report
         };
         self.journal_compaction_finish(&report);
         Ok(report)
@@ -657,35 +522,42 @@ impl SdEngine {
             dropped_tombstones: report.dropped_tombstones as u64,
             rows_moved: report.rows_moved as u64,
             duration_micros: report.duration_micros,
-            rebalanced: report.rebalanced,
         });
         tel.compaction
             .record_nanos(report.duration_micros.saturating_mul(1_000));
     }
 
-    /// Appends the live coordinates of the given shard range (in logical
-    /// order: each shard's rows by id, whatever order it stores them in),
-    /// then the given live delta rows, to `flat`. Fails when a mapped
-    /// shard's deferred checks do ([`SdIndex::rows_by_id`]): its rows are
-    /// not carried into a new shard.
-    fn extend_with_live_rows(
-        &self,
-        flat: &mut Vec<f64>,
-        shard_range: std::ops::Range<usize>,
-        delta_live: &[u32],
-    ) -> Result<(), SdError> {
-        for i in shard_range {
-            let off = self.offsets[i] as usize;
-            for (id, coords) in self.shards[i].rows_by_id()?.iter() {
-                if !self.muts.tombstones.get(off + id.index()) {
-                    flat.extend_from_slice(coords);
+    /// The live rows, row-major, in logical order: the base rows by global
+    /// id, then the delta rows, less the tombstoned ones. Fails when a
+    /// mapped shard's checksums or ids do: the ids must name every base row
+    /// once ([`id_census`](sdq_core::multidim::id_census)) before any row is
+    /// placed by them.
+    pub(crate) fn live_rows(&self) -> Result<Vec<f64>, SdError> {
+        self.verify_integrity()?;
+        sdq_core::multidim::id_census(&self.shards, self.rows)?;
+        let dims = self.dims;
+        let mut flat = vec![0.0; self.rows * dims];
+        for (shard, &offset) in self.shards.iter().zip(&self.offsets) {
+            let rows = shard.data().flat();
+            match shard.row_ids() {
+                Some(ids) => {
+                    for (row, &id) in rows.chunks_exact(dims).zip(ids) {
+                        flat[id as usize * dims..][..dims].copy_from_slice(row);
+                    }
                 }
+                None => flat[offset as usize * dims..][..rows.len()].copy_from_slice(rows),
             }
         }
-        for &r in delta_live {
-            flat.extend_from_slice(self.muts.delta.point(PointId::new(r)));
+        flat.extend_from_slice(self.muts.delta.flat());
+        let mut kept = 0;
+        for id in 0..self.total_rows() {
+            if !self.muts.tombstones.get(id) {
+                flat.copy_within(id * dims..(id + 1) * dims, kept * dims);
+                kept += 1;
+            }
         }
-        Ok(())
+        flat.truncate(kept * dims);
+        Ok(flat)
     }
 }
 
@@ -696,8 +568,8 @@ mod tests {
     use sdq_core::QueryScratch;
     use sdq_core::{DimRole, SdQuery};
 
-    fn sample_engine(n: usize, shards: usize) -> SdEngine {
-        let rows: Vec<Vec<f64>> = (0..n)
+    fn sample_rows(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
             .map(|i| {
                 vec![
                     ((i * 13) % 29) as f64,
@@ -705,10 +577,15 @@ mod tests {
                     i as f64 * 0.1,
                 ]
             })
-            .collect();
+            .collect()
+    }
+
+    /// `n` rows under roles `arr`, in `shards` cells (at most one a 64-row
+    /// chunk).
+    fn sample_engine(n: usize, shards: usize) -> SdEngine {
         let roles = vec![DimRole::Attractive, DimRole::Repulsive, DimRole::Repulsive];
         SdEngine::build_with(
-            Dataset::from_rows(3, &rows).unwrap(),
+            Dataset::from_rows(3, &sample_rows(n)).unwrap(),
             &roles,
             &EngineOptions {
                 shards,
@@ -761,7 +638,7 @@ mod tests {
 
     #[test]
     fn compact_is_noop_on_clean_engine() {
-        let mut e = sample_engine(20, 3);
+        let mut e = sample_engine(200, 3);
         let r = e.compact().unwrap();
         assert_eq!(r.rebuilt_shards, 0);
         assert_eq!(r.epoch, 0);
@@ -770,84 +647,86 @@ mod tests {
 
     #[test]
     fn a_shard_count_clamped_to_the_rows_is_still_a_noop() {
-        // Ten rows hold ten shards at most: asking a clean ten-shard engine
-        // for 1000 asks for what it has.
-        let mut e = sample_engine(10, 10);
+        // 200 rows are four chunks and hold four cells at most: asking a
+        // clean four-shard engine for 1000 asks for what it has.
+        let mut e = sample_engine(200, 10);
+        assert_eq!(e.shard_count(), 4);
         let r = e
-            .compact_with(&CompactionOptions {
-                shards: Some(1000),
-                ..CompactionOptions::default()
-            })
+            .compact_with(&CompactionOptions { shards: Some(1000) })
             .unwrap();
-        assert_eq!((r.rebuilt_shards, r.rebalanced, r.epoch), (0, false, 0));
-        assert_eq!((e.epoch(), e.shard_count()), (0, 10));
+        assert_eq!((r.rebuilt_shards, r.epoch), (0, 0));
+        assert_eq!((e.epoch(), e.shard_count()), (0, 4));
     }
 
+    /// One delete is enough to rebuild every shard: a deleted id names no
+    /// shard, and the live rows are cut into cells again.
     #[test]
-    fn compact_rebuilds_only_dirty_shards() {
-        let mut e = sample_engine(30, 3); // shards of 10
-        e.delete(PointId::new(0)).unwrap(); // dirties shard 0 only
+    fn compact_rebuilds_every_shard() {
+        let mut e = sample_engine(300, 3);
+        e.delete(PointId::new(0)).unwrap();
         let r = e.compact().unwrap();
-        assert_eq!(r.rebuilt_shards, 1);
-        assert!(!r.rebalanced);
-        assert_eq!(r.dropped_tombstones, 1);
-        assert_eq!(r.live_rows, 29);
+        assert_eq!(r.rebuilt_shards, 3);
+        assert_eq!(
+            (r.dropped_tombstones, r.live_rows, r.rows_moved),
+            (1, 299, 299)
+        );
         assert_eq!(e.epoch(), 1);
         let infos = e.shard_infos();
-        assert_eq!(infos[0].epoch, 1);
-        assert_eq!(infos[1].epoch, 0, "clean shard untouched");
-        assert_eq!(infos[2].epoch, 0);
-        assert_eq!(infos[0].rows, 9);
-        // Offsets re-derive contiguously.
-        assert_eq!(infos[1].offset, 9);
-        assert_eq!(infos[2].offset, 19);
+        assert!(infos.iter().all(|i| i.epoch == 1 && i.dead_rows == 0));
+        assert_eq!(infos.iter().map(|i| i.rows).sum::<usize>(), 299);
         assert!(!e.has_mutations());
     }
 
     #[test]
-    fn compact_merges_delta_into_tail_shard() {
-        let mut e = sample_engine(30, 3);
+    fn compact_folds_delta_rows_into_the_cells() {
+        let mut e = sample_engine(300, 3);
         e.insert(&[1.0, 2.0, 3.0]).unwrap();
         e.insert(&[4.0, 5.0, 6.0]).unwrap();
         let r = e.compact().unwrap();
-        assert_eq!(r.merged_delta_rows, 2);
-        assert_eq!(r.rebuilt_shards, 1);
-        assert!(!r.rebalanced);
-        let infos = e.shard_infos();
-        assert_eq!(infos[2].rows, 12);
-        assert_eq!(infos[2].epoch, 1);
-        assert_eq!(e.len(), 32);
+        assert_eq!((r.merged_delta_rows, r.rebuilt_shards), (2, 3));
+        assert_eq!(e.shard_infos().iter().map(|i| i.rows).sum::<usize>(), 302);
+        assert_eq!(e.len(), 302);
         assert_eq!(e.delta_rows(), 0);
     }
 
+    /// Every compaction re-splits the logical rows, so a delta larger than
+    /// the base lands across all the cells: whole chunks of one split, none
+    /// empty, none holding most of the rows.
     #[test]
     fn heavy_delta_triggers_rebalance() {
-        let mut e = sample_engine(30, 3);
-        for i in 0..40 {
+        let mut e = sample_engine(300, 3);
+        for i in 0..400 {
             e.insert(&[i as f64, 0.0, 1.0]).unwrap();
         }
-        // Tail shard would hold 50 of 70 rows: way past 1.5 × ideal.
         let r = e.compact().unwrap();
-        assert!(r.rebalanced);
-        assert_eq!(r.rebuilt_shards, 3);
+        assert_eq!((r.rebuilt_shards, r.merged_delta_rows), (3, 400));
+        assert_eq!(e.len(), 700);
         let infos = e.shard_infos();
-        assert_eq!(infos.len(), 3);
-        for info in &infos {
-            assert!((23..=24).contains(&info.rows), "balanced: {}", info.rows);
-            assert_eq!(info.epoch, 1);
-        }
+        assert!(infos.iter().all(|i| i.epoch == 1));
+        let rows: Vec<usize> = infos.iter().map(|i| i.rows).collect();
+        assert_eq!(rows.len(), 3);
+        assert!(rows[..2].iter().all(|&r| r > 0 && r % 64 == 0), "{rows:?}");
+        assert!(rows[2] > 0, "{rows:?}");
+        assert!(rows.iter().all(|&r| r <= 700 / 2), "balanced: {rows:?}");
     }
 
+    /// Deleting every id of an old shard leaves no shard empty: the live
+    /// rows are cut into cells again.
     #[test]
     fn draining_a_shard_triggers_rebalance() {
-        let mut e = sample_engine(30, 3);
-        for id in 0..10u32 {
-            e.delete(PointId::new(id)).unwrap(); // empty out shard 0
+        let mut e = sample_engine(300, 3);
+        let drained: Vec<u32> = e.shards()[0].row_ids().unwrap().to_vec();
+        for &id in &drained {
+            e.delete(PointId::new(id)).unwrap();
         }
+        let before = e.shard_infos();
+        assert_eq!(before[0].dead_rows, before[0].rows, "shard 0 is drained");
         let r = e.compact().unwrap();
-        assert!(r.rebalanced);
-        assert_eq!(e.len(), 20);
-        assert!(e.shard_infos().iter().all(|i| i.rows > 0));
+        assert_eq!((r.rebuilt_shards, r.dropped_tombstones), (3, drained.len()));
+        assert_eq!(e.len(), 300 - drained.len());
+        let rows: Vec<usize> = e.shard_infos().iter().map(|i| i.rows).collect();
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|&r| r > 0), "{rows:?}");
     }
 
     #[test]
@@ -873,35 +752,25 @@ mod tests {
 
     #[test]
     fn mutated_queries_match_fresh_rebuild() {
-        let mut e = sample_engine(40, 4);
+        let n = 400;
+        let mut e = sample_engine(n, 4);
         let mut scratch = QueryScratch::new();
         e.delete(PointId::new(7)).unwrap();
-        e.delete(PointId::new(39)).unwrap();
-        e.insert(&[100.0, 3.0, 5.0]).unwrap();
-        e.insert(&[2.0, 50.0, 0.5]).unwrap();
-        let id = e.insert(&[9.0, 9.0, 9.0]).unwrap();
+        e.delete(PointId::new(399)).unwrap();
+        let mut inserted = vec![vec![100.0, 3.0, 5.0], vec![2.0, 50.0, 0.5]];
+        for row in &inserted {
+            e.insert(row).unwrap();
+        }
+        inserted.push(vec![9.0, 9.0, 9.0]);
+        let id = e.insert(&inserted[2]).unwrap();
         e.delete(id).unwrap();
 
         // The logical dataset: live base rows in order, then live delta.
-        let mut logical: Vec<Vec<f64>> = Vec::new();
-        let mut live_ids: Vec<u32> = Vec::new();
-        for i in 0..e.total_rows() as u32 {
-            let id = PointId::new(i);
-            if e.is_live(id) {
-                live_ids.push(i);
-                let coords = if (i as usize) < 40 {
-                    let shard = (i as usize) / 10;
-                    e.shards()[shard]
-                        .rows_by_id()
-                        .unwrap()
-                        .point(PointId::new(i - (shard as u32 * 10)))
-                        .to_vec()
-                } else {
-                    e.delta().point(PointId::new(i - 40)).to_vec()
-                };
-                logical.push(coords);
-            }
-        }
+        let all: Vec<Vec<f64>> = sample_rows(n).into_iter().chain(inserted).collect();
+        let live_ids: Vec<u32> = (0..e.total_rows() as u32)
+            .filter(|&i| e.is_live(PointId::new(i)))
+            .collect();
+        let logical: Vec<Vec<f64>> = live_ids.iter().map(|&i| all[i as usize].clone()).collect();
         let fresh = SdEngine::build_with(
             Dataset::from_rows(3, &logical).unwrap(),
             e.roles(),
@@ -934,20 +803,18 @@ mod tests {
         }
     }
 
+    /// A cell's dead rows are counted over its ids: they sum to the dead
+    /// base rows, wherever the deletes fell.
     #[test]
     fn shard_dead_counters_track_deletes() {
-        let mut e = sample_engine(30, 3); // shards of 10
-        e.delete(PointId::new(0)).unwrap();
-        e.delete(PointId::new(10)).unwrap();
-        e.delete(PointId::new(11)).unwrap();
-        e.delete(PointId::new(11)).unwrap(); // repeat: no double count
+        let mut e = sample_engine(300, 3);
+        for id in [0, 10, 11, 11, 299] {
+            e.delete(PointId::new(id)).unwrap(); // a repeat counts once
+        }
         let id = e.insert(&[0.0, 0.0, 0.0]).unwrap();
-        e.delete(id).unwrap(); // delta dead: no shard counter
-        let infos = e.shard_infos();
-        assert_eq!(
-            infos.iter().map(|i| i.dead_rows).collect::<Vec<_>>(),
-            vec![1, 2, 0]
-        );
+        e.delete(id).unwrap(); // a delta row: no shard's
+        let dead: usize = e.shard_infos().iter().map(|i| i.dead_rows).sum();
+        assert_eq!(dead, 4);
         e.compact().unwrap();
         assert!(e.shard_infos().iter().all(|i| i.dead_rows == 0));
     }
@@ -959,15 +826,9 @@ mod tests {
         assert!(e.restore_mutations(delta.clone(), &[0, 10]).is_ok());
         assert_eq!(e.tombstone_count(), 2);
         assert_eq!(e.delta_rows(), 1);
-        // Per-shard counters rebuild from the restored mask (id 0 → shard
-        // 0; id 10 is the delta row).
-        assert_eq!(
-            e.shard_infos()
-                .iter()
-                .map(|i| i.dead_rows)
-                .collect::<Vec<_>>(),
-            vec![1, 0]
-        );
+        // The shard's dead rows read the restored mask (id 0 is its row;
+        // id 10 is the delta row).
+        assert_eq!(e.shard_infos()[0].dead_rows, 1);
         // Out-of-range id (10 base + 1 delta = 11 addressable).
         assert!(matches!(
             e.restore_mutations(delta.clone(), &[11]),
@@ -985,16 +846,13 @@ mod tests {
 
     #[test]
     fn explicit_reshard_via_compact_options() {
-        let mut e = sample_engine(40, 2);
+        let mut e = sample_engine(400, 2);
         e.delete(PointId::new(0)).unwrap();
         let r = e
-            .compact_with(&CompactionOptions {
-                shards: Some(4),
-                ..CompactionOptions::default()
-            })
+            .compact_with(&CompactionOptions { shards: Some(4) })
             .unwrap();
-        assert!(r.rebalanced);
+        assert_eq!(r.rebuilt_shards, 4);
         assert_eq!(e.shard_count(), 4);
-        assert_eq!(e.len(), 39);
+        assert_eq!(e.len(), 399);
     }
 }

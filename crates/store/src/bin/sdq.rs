@@ -45,7 +45,7 @@ USAGE:
               [--timeout-us U] [--explain | --profile | --profile-json]
     sdq insert PATH --csv FILE [--out PATH2 | --wal [--sync-every N]]
     sdq delete PATH --ids N,N,... [--out PATH2 | --wal [--sync-every N]]
-    sdq compact PATH [--rebalance-factor F] [--shards S]
+    sdq compact PATH [--shards S]
               [--out PATH2 | --wal]
     sdq recover PATH [--json]
     sdq scrub PATH [--repair] [--json]
@@ -121,10 +121,8 @@ MUTATION OPTIONS (insert / delete / compact):
                        ('-' reads stdin; blank lines and '#' comments
                        ignored).
     --ids CSV          Global row ids to tombstone.
-    --rebalance-factor F
-                       Repartition evenly when a shard's live-row count
-                       drifts past F × the ideal share (default 1.5).
-    --shards S         Repartition into S shards while compacting.
+    --shards S         Rebuild into S shards while compacting (every
+                       compaction rebuilds every shard).
     --out PATH2        Write the mutated snapshot here instead of rewriting
                        PATH in place.
     --wal              Write-ahead-log the mutation before applying it:
@@ -675,7 +673,7 @@ fn print_plan_table(explained: &Explain, k: usize) {
     println!(
         "  (θ_q is a walked pair's weight angle: an indexed one walks the frontier \
          at it, any other the Claim-6 bracket; a box scan bounds every chunk of every shard \
-         from its box, scores each shard's best chunks first, then sweeps the rest, skipping \
+         from its box, scores the best chunks of all shards first, then sweeps the rest, skipping \
          every chunk under the floor or tied with it above the floor's worst id)"
     );
 }
@@ -754,8 +752,14 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
     }
     if p.timing {
         println!(
-            "timings: delta scan {} ns · aggregate {} ns · merge {} ns",
-            p.delta_scan_nanos, p.aggregate_nanos, p.merge_nanos
+            "timings: delta scan {} ns · aggregate {} ns (bound {} · lead {} · sweep {}) \
+             · merge {} ns",
+            p.delta_scan_nanos,
+            p.aggregate_nanos,
+            p.bound_nanos,
+            p.lead_nanos,
+            p.sweep_nanos,
+            p.merge_nanos
         );
     }
 }
@@ -782,6 +786,7 @@ fn query_profile_json(
         "funnel": funnel.collect::<Json>(),
         "timings_nanos": json! {
             "delta_scan": p.delta_scan_nanos, "aggregate": p.aggregate_nanos,
+            "bound": p.bound_nanos, "lead": p.lead_nanos, "sweep": p.sweep_nanos,
             "merge": p.merge_nanos,
         },
     }
@@ -1098,12 +1103,6 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
-            "--rebalance-factor" => {
-                options.rebalance_factor = flags.parsed("--rebalance-factor")?;
-                if options.rebalance_factor.is_nan() || options.rebalance_factor < 1.0 {
-                    return Err(usage("--rebalance-factor must be at least 1"));
-                }
-            }
             "--shards" => {
                 let s: usize = flags.parsed("--shards")?;
                 if s == 0 {
@@ -1142,17 +1141,12 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     let (report, ms) = timed(|| engine.compact_with(&options));
     let report = report.map_err(runtime)?;
     println!(
-        "compacted in {ms:.1} ms ({} µs in-engine): rebuilt {} of {} shard(s){}, \
+        "compacted in {ms:.1} ms ({} µs in-engine): rebuilt {} of {} shard(s), \
          moved {} row(s), merged {} delta row(s), dropped {} tombstone(s); \
          epoch {}, {} live row(s)",
         report.duration_micros,
         report.rebuilt_shards,
         engine.shard_count(),
-        if report.rebalanced {
-            " (rebalanced)"
-        } else {
-            ""
-        },
         report.rows_moved,
         report.merged_delta_rows,
         report.dropped_tombstones,
@@ -1487,9 +1481,16 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         "{path}: snapshot format v{} ({} bytes)",
         info.version, info.file_len
     );
-    println!("  {:<16} {:>10} {:>12}", "section", "offset", "bytes");
-    for s in &info.sections {
-        println!("  {:<16} {:>10} {:>12}", section_label(s), s.offset, s.len);
+    // The label column is as wide as the longest label, a retired kind's
+    // `<retired: …>` included.
+    let labels: Vec<String> = info.sections.iter().map(section_label).collect();
+    let width = labels
+        .iter()
+        .map(String::len)
+        .fold("section".len(), usize::max);
+    println!("  {:<width$} {:>10} {:>12}", "section", "offset", "bytes");
+    for (s, label) in info.sections.iter().zip(&labels) {
+        println!("  {label:<width$} {:>10} {:>12}", s.offset, s.len);
     }
 
     // The framed regions inside the sections — the things `open_mapped`
@@ -1535,10 +1536,9 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         );
         for (i, info) in engine.shard_infos().iter().enumerate() {
             println!(
-                "    shard {i}: rows [{}, {}), {} points ({} dead), epoch {}, ≈{} KiB",
-                info.offset,
-                info.offset + info.rows,
+                "    shard {i}: {} rows, smallest id {} ({} dead), epoch {}, ≈{} KiB",
                 info.rows,
+                info.smallest_id,
                 info.dead_rows,
                 info.epoch,
                 info.memory_bytes / 1024
@@ -1738,7 +1738,7 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
         Some(engine) => {
             let shard_layout = engine.shard_infos().into_iter().enumerate().map(|(i, si)| {
                 json! {
-                    "shard": i, "offset": si.offset, "rows": si.rows, "dead_rows": si.dead_rows,
+                    "shard": i, "smallest_id": si.smallest_id, "rows": si.rows, "dead_rows": si.dead_rows,
                     "epoch": si.epoch, "memory_bytes": si.memory_bytes,
                 }
             });
@@ -2130,19 +2130,16 @@ fn event_detail(kind: &EventKind) -> (String, Json) {
             dropped_tombstones,
             rows_moved,
             duration_micros,
-            rebalanced,
         } => (
             format!(
                 "epoch {epoch}: rebuilt {rebuilt_shards} shard(s), merged {merged_delta_rows} \
                  delta row(s), dropped {dropped_tombstones} tombstone(s), moved {rows_moved} \
-                 row(s) in {duration_micros} µs{}",
-                if rebalanced { " (rebalanced)" } else { "" }
+                 row(s) in {duration_micros} µs"
             ),
             json! {
                 "epoch": epoch, "rebuilt_shards": rebuilt_shards,
                 "merged_delta_rows": merged_delta_rows, "dropped_tombstones": dropped_tombstones,
                 "rows_moved": rows_moved, "duration_micros": duration_micros,
-                "rebalanced": rebalanced,
             },
         ),
         EventKind::EpochTransition { from, to } => {

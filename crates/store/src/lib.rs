@@ -27,7 +27,7 @@
 //! | kind | name | holds |
 //! |-----:|------|-------|
 //! | 7 | `engine-manifest` | dimensionality, roles, per-shard row counts |
-//! | 13 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (the roles, nothing else), `data.meta` + `data.coords`, then for a 2-D shard of one attractive and one repulsive dimension its pair's `pair0/meta` + `pair0/blocks.*`, for any other roles the box order `data.ids` + `data.boxes` + `data.firsts`; the shard ordinal sits in the table entry's `reserved` field |
+//! | 14 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (the roles, nothing else), `data.meta` + `data.coords`, then for a 2-D shard of one attractive and one repulsive dimension (a row range of the engine's rows) its pair's `pair0/meta` + `pair0/blocks.*`, for any other roles (a cell of the engine's one box order) the box order `data.ids` + `data.boxes` + `data.firsts`, ids global; the shard ordinal sits in the table entry's `reserved` field |
 //! | 9 | `mutation-delta` | uncompacted inserted rows (only when non-empty) |
 //! | 10 | `mutation-tombstones` | the addressable row domain plus a sorted dead-id list (only when non-empty) |
 //! | 11 | `durability` | checkpoint generation and epoch, tying the file to its write-ahead log (see the [`durable`] module) |
@@ -36,6 +36,7 @@
 //! | 4 | `topk-index` | retired: the §4 dynamic tree is an in-memory library index, never persisted |
 //! | 8 | `engine-shard` | retired: the shard layout that stored, per pair, a point table and the per-point node records beside the blocks |
 //! | 12 | `engine-shard` | retired: the shard layout that recorded a pairing strategy, its pairs and each unpaired dimension's extent (and, in its older files, one sorted column per unpaired dimension, aggregating shards' pair indexes, or rows not in box order) |
+//! | 13 | `engine-shard` | retired: the shard layout whose box-ordered shards were row ranges, each box-ordered over its own rows under shard-local ids |
 //!
 //! Every payload is a stream of framed regions (see `sdq_core::codec`):
 //! small `[crc32c][len]` *metadata* regions verified eagerly at open, and
@@ -60,15 +61,17 @@
 //!   array checksums **lazily on first touch** (see
 //!   [`sdq_core::SectionIntegrity`]): open cost is O(metadata), the first
 //!   query pays one checksum pass over only the regions it touches (then
-//!   the block-table census and the ids-in-range checks, once), and
+//!   the block-table census and the engine's ids-in-range check, once), and
 //!   resident memory scales with touched pages rather than file size.
 //!   [`MappedSnapshot::verify_all`] settles every checksum on demand.
 //! * [`Snapshot::load`] / [`Snapshot::from_bytes`] and
 //!   [`DurableEngine::open`] read the file once into an owned aligned
 //!   buffer (never a live mapping: a store rewrites its own files) and
 //!   verify **before returning**: every region checksum, the block-table
-//!   census, slot and row ids in range, finite coordinates and block
-//!   lanes, and the row-id census. What comes back behaves like a built
+//!   census, slot ids in range, finite coordinates and block lanes, each
+//!   chunk's first id its smallest, and the engine-wide row-id census (every
+//!   id of the engine's rows once across its cells). What comes back
+//!   behaves like a built
 //!   index
 //!   (`is_mapped() == false`, no per-query integrity work) but pins that
 //!   one file-sized buffer until its views are compacted or
@@ -162,8 +165,9 @@ pub enum SectionKind {
     /// The sharded engine's manifest (dims, roles, shard row counts).
     EngineManifest = 7,
     /// One engine shard's [`SdIndex`]; the shard ordinal lives in the
-    /// table entry's reserved `u32`.
-    EngineShard = 13,
+    /// table entry's reserved `u32`. A box-ordered shard is a cell of the
+    /// engine's one box order, its ids global.
+    EngineShard = 14,
     /// The engine's delta region: uncompacted inserted rows, as plain
     /// [`Dataset`] codec bytes.
     MutationDelta = 9,
@@ -182,7 +186,7 @@ impl SectionKind {
             9 => Some(SectionKind::MutationDelta),
             10 => Some(SectionKind::MutationTombstones),
             11 => Some(SectionKind::Durability),
-            13 => Some(SectionKind::EngineShard),
+            14 => Some(SectionKind::EngineShard),
             _ => None,
         }
     }
@@ -190,7 +194,7 @@ impl SectionKind {
     /// The name a retired kind number carried when it was written, and why
     /// it is no longer read: a store holds one engine, so the monolithic,
     /// §3, R*-tree and raw-dataset sections are gone, and so are the
-    /// standalone roles and §4 tree and two older shard layouts. The numbers
+    /// standalone roles and §4 tree and three older shard layouts. The numbers
     /// stay reserved; both readers refuse such a file by its name and reason
     /// and `sdq inspect` lists it by name.
     pub fn retired(raw: u32) -> Option<(&'static str, &'static str)> {
@@ -212,6 +216,10 @@ impl SectionKind {
             12 => Some((
                 "engine-shard",
                 "its layout recorded a pairing, its pairs and a range per unpaired dimension, which no query reads",
+            )),
+            13 => Some((
+                "engine-shard",
+                "its box-ordered shards were row ranges under shard-local ids, where a shard is now a cell of one box order under global ids",
             )),
             _ => None,
         }
@@ -969,8 +977,10 @@ mod tests {
     use super::*;
     use sdq_core::SdQuery;
 
+    /// 100 rows: two 64-row chunks, so an engine over them holds up to two
+    /// cells.
     fn sample_sd() -> SdIndex {
-        let rows: Vec<Vec<f64>> = (0..30)
+        let rows: Vec<Vec<f64>> = (0..100)
             .map(|i| {
                 let x = i as f64;
                 vec![(x * 0.7).sin(), x * 0.3, 10.0 - x * 0.2]
@@ -1074,8 +1084,10 @@ mod tests {
         let engine = back.engine.as_ref().unwrap();
         assert!(!engine.has_mutations());
         let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], sd.roles());
-        // A clean engine answers exactly like the monolithic index.
-        assert_eq!(engine.query(&q, 5).unwrap(), sd.query(&q, 5).unwrap());
+        // A clean engine answers exactly like the monolithic index over the
+        // same rows.
+        let mono = SdIndex::build(sd.data().clone(), sd.roles()).unwrap();
+        assert_eq!(engine.query(&q, 5).unwrap(), mono.query(&q, 5).unwrap());
     }
 
     #[test]
@@ -1536,22 +1548,23 @@ mod tests {
     fn one_format_is_pinned() {
         // With one format and no version ladder, a silent layout change has
         // no other guard. `PAYLOAD_CRC`, the first offset and the length were
-        // computed over this fixture by the commit that made a shard's
-        // layout a function of its roles (section kind 13: `index.meta`
-        // holds the roles alone; a 2-D `ar` shard is its rows and `pair0`,
-        // any other its rows and `data.ids` + `data.boxes` + `data.firsts`;
-        // kinds 2, 4, 8 and 12 retired). (The fixture goes through
-        // `sin`/`cos`; a libm that rounds them differently moves the
-        // coordinates, not the layout.)
-        const PAYLOAD_CRC: u32 = 0x31d3_16e9;
+        // computed over this fixture (100 rows, two cells) by the commit
+        // that made a box-ordered engine's shards cells of one box order
+        // under global ids (section kind 14: `index.meta` holds the roles
+        // alone; a 2-D `ar` shard is its rows and `pair0`, any other its
+        // rows and `data.ids` + `data.boxes` + `data.firsts`; kinds 2, 4, 8,
+        // 12 and 13 retired). (The fixture goes through `sin`/`cos`; a libm
+        // that rounds them differently moves the coordinates, not the
+        // layout.)
+        const PAYLOAD_CRC: u32 = 0x0a42_1078;
         let bytes = durable_snapshot().to_bytes_v5().unwrap();
         assert_eq!(bytes[8..12], 5u32.to_le_bytes());
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         let mut kinds: Vec<u32> = info.sections.iter().map(|s| s.raw_kind).collect();
         kinds.dedup();
-        assert_eq!(kinds, [7, 13, 9, 10, 11], "every section kind");
+        assert_eq!(kinds, [7, 14, 9, 10, 11], "every section kind");
         let first = info.sections[0].offset as usize;
-        assert_eq!((first, bytes.len()), (192, 1884));
+        assert_eq!((first, bytes.len()), (192, 3868));
         assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
         // Deterministic through both readers.
         let owned = Snapshot::from_bytes(&bytes).unwrap();
@@ -1607,7 +1620,7 @@ mod tests {
     #[test]
     fn duplicate_singleton_section_is_refused() {
         let sections = durable_snapshot().sections();
-        for kind in (1..=13).filter_map(SectionKind::from_u32) {
+        for kind in (1..=14).filter_map(SectionKind::from_u32) {
             if kind == SectionKind::EngineShard {
                 continue;
             }
@@ -1654,13 +1667,13 @@ mod tests {
         let snap = sample_snapshot();
         let mut sections = snap.sections();
         let mut manifest = EngineManifest::of(snap.engine.as_ref().unwrap());
-        assert_eq!(manifest.shard_rows, [15, 15]);
-        manifest.shard_rows = vec![14, 16];
+        assert_eq!(manifest.shard_rows, [64, 36]);
+        manifest.shard_rows = vec![63, 37];
         let at = position(&sections, SectionKind::EngineManifest);
         sections[at].2 = meta(|w| manifest.encode(w));
         assert_refused(
             &Snapshot::frame(&sections),
-            "shard 0 holds 15 rows but the manifest says 14",
+            "shard 0 holds 64 rows but the manifest says 63",
         );
     }
 
@@ -1680,14 +1693,14 @@ mod tests {
     fn tombstone_domain_must_equal_base_plus_delta() {
         let mut sections = sample_snapshot().sections();
         let at = position(&sections, SectionKind::MutationTombstones);
-        // 30 base rows + 2 delta rows are addressable, not 31.
+        // 100 base rows + 2 delta rows are addressable, not 101.
         sections[at].2 = meta(|w| {
-            w.u64(31);
+            w.u64(101);
             w.u32s(&[3]);
         });
         assert_refused(
             &Snapshot::frame(&sections),
-            "tombstone domain 31 disagrees with the 32",
+            "tombstone domain 101 disagrees with the 102",
         );
     }
 
@@ -1697,7 +1710,7 @@ mod tests {
         let at = position(&sections, SectionKind::MutationTombstones);
         for ids in [[5u32, 3], [3, 3]] {
             sections[at].2 = meta(|w| {
-                w.u64(32);
+                w.u64(102);
                 w.u32s(&ids);
             });
             assert_refused(&Snapshot::frame(&sections), "not strictly ascending");
@@ -1836,6 +1849,12 @@ mod tests {
             "engine-shard",
             "its layout recorded a pairing, its pairs and a range per unpaired dimension, \
              which no query reads",
+        );
+        assert_retired_kind_refused(
+            13,
+            "engine-shard",
+            "its box-ordered shards were row ranges under shard-local ids, where a shard is \
+             now a cell of one box order under global ids",
         );
     }
 }

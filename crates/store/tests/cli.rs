@@ -75,7 +75,7 @@ fn build_then_query_matches_in_memory_index() {
         .skip(1)
         .map(|rest| rest.split(',').next().unwrap())
         .collect();
-    assert_eq!(kinds, ["7", "13"], "manifest + one shard\n{json}");
+    assert_eq!(kinds, ["7", "14"], "manifest + one shard\n{json}");
 
     // The same workload in memory: the engine and the scan agree, and the
     // CLI must print what they answer.
@@ -175,16 +175,18 @@ fn sharded_build_then_query_matches_in_memory_index() {
         .lines()
         .filter(|l| l.contains("box scan") && l.contains("chunks bounded"))
         .collect();
+    // 5 000 rows are 79 chunks: the top two cuts leave 40, 39 → 20, 20,
+    // 20, 19.
     assert_eq!(rows.len(), 5, "{explain}");
-    for row in &rows[..4] {
+    for (row, chunks) in rows[..4].iter().zip(["20", "20", "20", "19"]) {
         let cells: Vec<&str> = row.split_whitespace().collect();
         assert_eq!(
             cells[cells.len() - 3..],
-            ["20", "chunks", "bounded"],
+            [chunks, "chunks", "bounded"],
             "{explain}"
         );
     }
-    assert!(rows[4].contains("80 chunks bounded: "), "{explain}");
+    assert!(rows[4].contains("79 chunks bounded: "), "{explain}");
     assert!(rows[4].contains(" skipped ("), "{explain}");
     assert!(!explain.contains("direct frontier"), "{explain}");
 
@@ -1615,4 +1617,40 @@ fn inspect_json_prints_the_region_table_before_a_corrupt_region() {
     }
     assert!(!paths.contains("inspect .engine"), "{paths:?}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `inspect`'s section table sizes its label column to the longest label,
+/// as the region table below it does: on a file of retired shards,
+/// `<retired: engine-shard>` (23 characters) pushes no column out of line —
+/// every row's offset and size end where the header's do.
+#[test]
+fn inspect_aligns_the_section_table_around_retired_labels() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/aaarr-sorted-columns.sdq");
+    let out = sdq().arg("inspect").arg(&fixture).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "a retired kind is refused");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let table: Vec<&str> = stdout.lines().skip(1).take(4).collect();
+    assert!(table[0].trim_start().starts_with("section"), "{stdout}");
+    assert!(table[2].contains("<retired: engine-shard>"), "{stdout}");
+    // The right edge of each column, as a character position.
+    let edges = |line: &str| -> Vec<usize> {
+        let mut edges = Vec::new();
+        let chars: Vec<char> = line.chars().collect();
+        for i in 1..=chars.len() {
+            if chars[i - 1] != ' ' && chars.get(i).is_none_or(|&c| c == ' ') {
+                edges.push(i);
+            }
+        }
+        edges
+    };
+    let header = edges(table[0]);
+    for row in &table[1..] {
+        let got = edges(row);
+        assert_eq!(
+            got[got.len() - 2..],
+            header[header.len() - 2..],
+            "offset and size columns out of line:\n{stdout}"
+        );
+    }
 }

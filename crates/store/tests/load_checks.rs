@@ -16,11 +16,12 @@ const ROLES: &str = "arr";
 /// 3-D rows under roles `arr`: not one pair, so its shards scan in box
 /// order.
 fn engine() -> SdEngine {
-    engine_of(40, ROLES)
+    engine_of(200, ROLES)
 }
 
 /// `n` rows under `roles` (`arr`, or `ar` for the first two dimensions: a
-/// single pair, whose shards store its §4 index), in two shards.
+/// single pair, whose shards store its §4 index), in two shards (two cells
+/// of one box order take at least 65 rows).
 fn engine_of(n: usize, roles: &str) -> SdEngine {
     let dims = roles.len();
     let rows: Vec<Vec<f64>> = (0..n)
@@ -50,9 +51,9 @@ fn honest_bytes() -> Vec<u8> {
     honest_bytes_of(ROLES)
 }
 
-/// [`honest_bytes`] over `roles`: 40 rows, one inserted, one deleted.
+/// [`honest_bytes`] over `roles`: 200 rows, one inserted, one deleted.
 fn honest_bytes_of(roles: &str) -> Vec<u8> {
-    let mut engine = engine_of(40, roles);
+    let mut engine = engine_of(200, roles);
     engine.insert(&[0.5, 4.5, 9.0][..roles.len()]).unwrap();
     engine.delete(PointId::new(3)).unwrap();
     let snap = Snapshot {
@@ -286,7 +287,8 @@ fn load_refuses_forged_contents_under_valid_checksums() {
         // Chunk 0's first id raised past its smallest: the tie-aware skip
         // would pass over a row it must score.
         ("engine-shard1/data.firsts", "first id", |p| {
-            set_u32(p, 0, 19)
+            let first = u32::from_le_bytes(p[..4].try_into().unwrap());
+            set_u32(p, 0, first + 1)
         }),
         (
             "engine-shard0/pair0/blocks.slots",
@@ -376,6 +378,30 @@ fn a_mapped_shard_with_a_repeated_row_id_is_never_compacted() {
             other => panic!("a forged shard was read: {other:?}"),
         }
     }
+}
+
+/// A mapped open defers the ids' range check to the first query, and the
+/// verdict sticks: a shard naming a row past the engine's rows answers
+/// nothing, its honest twin answers, and a repeated id — in range — is
+/// left to the census of an eager open or a compaction (ROADMAP 6(b)).
+#[test]
+fn a_mapped_engine_checks_its_ids_in_range_before_its_first_answer() {
+    let mut forged = honest_bytes();
+    forge(&mut forged, "engine-shard1/data.ids", |p| {
+        set_u32(p, 7, 300)
+    });
+    let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&forged)).unwrap();
+    let engine = mapped.snapshot.engine.expect("an engine");
+    for _ in 0..2 {
+        match engine.query(&probe(), 3) {
+            Err(SdError::SnapshotCorrupt { detail }) => {
+                assert!(detail.contains("row id 300 out of range"), "{detail}")
+            }
+            other => panic!("an id past the rows was served: {other:?}"),
+        }
+    }
+    let honest = Snapshot::from_mapped(MappedBytes::copy_from(&honest_bytes())).unwrap();
+    assert!(honest.snapshot.engine.unwrap().query(&probe(), 3).is_ok());
 }
 
 // ── (d) the aligned read ────────────────────────────────────────────────

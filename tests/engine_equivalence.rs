@@ -244,7 +244,7 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
                 // One per shard, the best row of the first query among them.
                 dead.push(best);
                 for info in engine.shard_infos() {
-                    let id = PointId::new(info.offset as u32);
+                    let id = PointId::new(info.smallest_id as u32);
                     if !dead.contains(&id) {
                         dead.push(id);
                     }

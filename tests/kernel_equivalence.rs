@@ -356,11 +356,11 @@ fn engine_answers_bit_identical_scalar_vs_dispatched() {
 }
 
 /// The box scan scores rows straight off the row-major table
-/// (`kernels::score_rows`): shards whose row counts are not multiples of
-/// [`LANES`] (a short last chunk) or of eight (the AVX2 arm's scalar tail —
-/// 1, 4, 5 and 6 rows past its last eight-row step below), tombstones in
-/// the mask word, every shard scanned — answers and every counter are the
-/// same on both dispatch arms.
+/// (`kernels::score_rows`): row counts that are not multiples of [`LANES`]
+/// (a short last chunk, in the last cell) or of eight (the AVX2 arm's
+/// scalar tail — 1, 4, 5 and 6 rows past its last eight-row step below),
+/// tombstones in the mask word, every shard scanned — answers and every
+/// counter are the same on both dispatch arms.
 #[test]
 fn scan_exit_bit_identical_scalar_vs_dispatched() {
     use sdq::data::{generate, uniform_queries, Distribution};
@@ -372,8 +372,7 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
             _ => DimRole::Repulsive,
         })
         .collect();
-    // Shard rows 1 333 / 1 334 / 1 334, then 2 012 × 2, then 1 001 × 3.
-    for (n, shards) in [(4_001, 3), (4_024, 2), (3_003, 3)] {
+    for (n, shards) in [(4_001, 3), (4_012, 2), (3_005, 3), (4_006, 4)] {
         let build = || {
             let mut engine = SdEngine::build_with(
                 generate(Distribution::AntiCorrelated, n, dims, 0x5CA7),
@@ -389,11 +388,12 @@ fn scan_exit_bit_identical_scalar_vs_dispatched() {
             }
             engine
         };
-        // Every shard ends in a short piece.
-        assert!(build()
-            .shard_infos()
-            .iter()
-            .all(|s| s.rows % LANES != 0 && s.rows % 8 != 0));
+        // Every cell is whole chunks but the last, which ends in a short
+        // piece.
+        let infos = build().shard_infos();
+        let (last, whole) = infos.split_last().unwrap();
+        assert!(whole.iter().all(|s| s.rows % 64 == 0));
+        assert!(last.rows % LANES != 0 && last.rows % 8 != 0);
         let queries = uniform_queries(12, dims, 0x5CA8);
         let run = || {
             let engine = build();
