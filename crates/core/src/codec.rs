@@ -7,9 +7,9 @@
 //!
 //! There is one encoding. Small structural fields go into framed
 //! *metadata regions* (`[crc32c u32][len u64][bytes]`, verified as they are
-//! read); the hot arrays (SoA leaf blocks and their envelope levels,
-//! coordinate tables, a box-ordered index's id column, chunk boxes and
-//! chunk first ids) go into framed *array regions* (`[crc32c u32]
+//! read); the hot arrays (coordinate tables, an index's id column and
+//! chunk first ids, a walked pair's envelope tables, a box-ordered index's
+//! chunk boxes) go into framed *array regions* (`[crc32c u32]
 //! [count u64][zero pad to 64][raw little-endian elements]`) whose payload
 //! is the exact in-memory representation. `sdq-store` stores these bytes
 //! verbatim as snapshot section payloads.
@@ -22,18 +22,17 @@
 //! callers is only when the deferred work runs:
 //!
 //! * a lazy open (`Snapshot::open_mapped`) leaves it to first touch — each
-//!   query entry ensures the regions it reads, then the block-table census
-//!   (block slots in range) once;
+//!   query entry ensures the regions it reads;
 //! * an eager open ([`decode_from_slice`], `Snapshot::load` / `from_bytes`,
 //!   `DurableEngine::open`) verifies every region checksum and then runs
-//!   [`Codec::verify_decoded`] — the same structural checks plus the
-//!   content checks only an eager open makes (finite coordinates and block
-//!   lanes, each chunk's first id its smallest) — before it returns, and
-//!   drops the lazy sets so later queries pay nothing.
+//!   [`Codec::verify_decoded`] — the content checks only an eager open
+//!   makes (finite coordinates, each chunk's first id its smallest) —
+//!   before it returns, and drops the lazy sets so later queries pay
+//!   nothing.
 //!
-//! A box order's row ids name rows of its engine's id space — a shard is
-//! one cell of an engine-wide box order — so the engine checks them, not
-//! the decode: every id once at an eager open and in compaction
+//! An index's row ids name rows of its engine's id space — a shard is one
+//! cell of an engine's rows — so the engine checks them, not the decode:
+//! every id once at an eager open and in compaction
 //! ([`multidim::id_census`](crate::multidim::id_census)), every id in range
 //! before a mapped engine's first answer.
 //!
@@ -77,7 +76,7 @@ use std::sync::Arc;
 
 use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
-use crate::multidim::{walked_pair, BoxOrder, Layout, SdIndex, CHUNK_ROWS};
+use crate::multidim::{check_firsts, walked_pair, Layout, SdIndex, CHUNK_ROWS};
 use crate::topk::blocks::BlockSet;
 use crate::types::{Dataset, SdError, MAX_MAGNITUDE};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
@@ -96,8 +95,7 @@ pub fn corrupt(detail: impl Into<String>) -> SdError {
 // ─── byte-level writer / reader ─────────────────────────────────────────────
 
 /// Alignment of array regions (and of section payloads inside the snapshot
-/// container). Matches the cache-line alignment of `LaneBlock`, the
-/// widest-aligned mapped type.
+/// container): a cache line, so every mapped array starts on one.
 pub const REGION_ALIGN: usize = 64;
 
 /// Append-only little-endian byte sink.
@@ -265,7 +263,7 @@ impl<'a> Reader<'a> {
 
     /// A reader over one region-framed payload (a snapshot section) whose
     /// array regions become views borrowed from `buf`. Regions are named
-    /// under `prefix` and report absolute file offsets, `file_offset` being
+    /// under `prefix` and report absolute file positions, `file_offset` being
     /// the position of `buf[0]` in the snapshot file; `heap` says whether
     /// `keep` owns a heap buffer (so views count towards memory reports) or
     /// a file mapping.
@@ -783,112 +781,83 @@ impl Codec for Angle {
     }
 }
 
-/// The structural validation of `SdIndex::decode`: everything that can be
-/// judged from metadata and table shapes. The block-table census reads
-/// array contents, so it runs after the region checksums pass
-/// (`SdIndex::verify_integrity`).
-fn validate_sd_parts(data: &Dataset, roles: &[DimRole], layout: &Layout) -> Result<()> {
-    let dims = data.dims();
-    let n = data.len();
-    ensure(roles.len() == dims, || {
-        format!("{} roles for {dims} dimensions", roles.len())
-    })?;
-    match layout {
-        // Block slots are dataset rows: every row is indexed exactly once.
-        Layout::Pair(blocks) => ensure(blocks.n_live() == n, || {
-            format!(
-                "pair index 0 covers {} points for {n} rows",
-                blocks.n_live()
-            )
-        }),
-        Layout::Boxes(order) => {
-            ensure(order.ids.len() == n, || {
-                format!("box order: {} row ids for {n} rows", order.ids.len())
-            })?;
-            let chunks = n.div_ceil(CHUNK_ROWS);
-            let want = 2 * dims * chunks;
-            ensure(order.boxes.len() == want, || {
-                format!(
-                    "box order: {} box bounds, expected {want}",
-                    order.boxes.len()
-                )
-            })?;
-            ensure(order.firsts.len() == chunks, || {
-                format!(
-                    "box order: {} chunk first ids for {chunks} chunks",
-                    order.firsts.len()
-                )
-            })
-        }
-    }
-}
-
 /// Section layout: one metadata region holding the roles alone
 /// (`index.meta`), the dataset's regions (`data.meta`, `data.coords`: the
-/// rows by position), then what [`walked_pair`] reads off the roles — a
-/// walked pair's §4 index (`meta` + `blocks.*`, slots are row ids) under a
-/// `pair0` prefix, or for any other roles the box order: the id of every
-/// position (`data.ids`, `u32`), the chunk boxes (`data.boxes`, `f32`, per
-/// dimension the lows then the highs of every chunk) and each chunk's
-/// smallest id (`data.firsts`, `u32`). Nothing else is stored, and no other
-/// layout decodes: the snapshot layer refuses a shard of an older layout by
-/// its section kind before a byte of it is read.
+/// rows by position), the id of every position (`data.ids`, `u32`), then
+/// what [`walked_pair`] reads off the roles — a walked pair's §4 envelope
+/// tree (`meta` + `blocks.*`, block `b` the rows at positions `[32b, 32b +
+/// 32)`) under a `pair0` prefix, or for any other roles the chunk boxes
+/// (`data.boxes`, `f32`, per dimension the lows then the highs of every
+/// chunk) — and last each chunk's smallest id (`data.firsts`, `u32`).
+/// Nothing else is stored, and no other layout decodes: the snapshot layer
+/// refuses a shard of an older layout by its section kind before a byte of
+/// it is read.
 impl Codec for SdIndex {
     fn encode(&self, w: &mut Writer) {
         w.meta_region(|m| self.roles.encode(m));
         self.data.as_ref().encode(w);
+        w.pod_array(&self.ids);
         match &self.layout {
             Layout::Pair(blocks) => blocks.encode(w),
-            Layout::Boxes(order) => {
-                w.pod_array(&order.ids);
-                w.pod_array(&order.boxes);
-                w.pod_array(&order.firsts);
-            }
+            Layout::Boxes(boxes) => w.pod_array(boxes),
         }
+        w.pod_array(&self.firsts);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let roles = r.meta_region("index.meta", Vec::<DimRole>::decode)?;
         let mark = r.regions.len();
         let data = Dataset::decode(r)?;
+        let (dims, n) = (data.dims(), data.len());
+        ensure(roles.len() == dims, || {
+            format!("{} roles for {dims} dimensions", roles.len())
+        })?;
+        let chunks = n.div_ceil(CHUNK_ROWS);
+        let (ids, _) = r.pod_array::<u32>("data.ids")?;
+        ensure(ids.len() == n, || {
+            format!("{} row ids for {n} rows", ids.len())
+        })?;
         let layout = match walked_pair(&roles) {
             Some(_) => {
                 let token = r.push_prefix("pair0");
-                let blocks = BlockSet::decode(r);
+                let blocks = BlockSet::decode(r, n);
                 r.pop_prefix(token);
                 Layout::Pair(blocks?)
             }
             None => {
-                let (ids, _) = r.pod_array::<u32>("data.ids")?;
                 let (boxes, _) = r.pod_array::<f32>("data.boxes")?;
-                let (firsts, _) = r.pod_array::<u32>("data.firsts")?;
-                Layout::Boxes(BoxOrder { ids, boxes, firsts })
+                let want = 2 * dims * chunks;
+                ensure(boxes.len() == want, || {
+                    format!("box order: {} box bounds, expected {want}", boxes.len())
+                })?;
+                Layout::Boxes(boxes)
             }
         };
-        validate_sd_parts(&data, &roles, &layout)?;
+        let (firsts, _) = r.pod_array::<u32>("data.firsts")?;
+        ensure(firsts.len() == chunks, || {
+            format!("{} chunk first ids for {chunks} chunks", firsts.len())
+        })?;
         // Every region past `index.meta` is one a query reads: coordinates
-        // to score rows; ids, boxes and first ids to name and skip them, or
-        // the pair's block tables to walk.
+        // to score rows; ids and first ids to name and skip them; boxes, or
+        // the pair's envelope tree, to bound them.
         let query_integrity = r.regions[mark..].to_vec();
         Ok(SdIndex {
             data: Arc::new(data),
+            ids,
+            firsts,
             roles,
             layout,
             query_integrity,
-            mapped_check: Arc::new(std::sync::OnceLock::new()),
         })
     }
 
     fn verify_decoded(&mut self) -> Result<()> {
-        // Region checksums and the block-table census; then everything
-        // whose contents only an eager open reads. The ids name rows of an
-        // engine's id space, which its census checks (`id_census`).
+        // Region checksums, then everything whose contents only an eager
+        // open reads. The ids name rows of an engine's id space, which its
+        // census checks (`id_census`).
         self.verify_integrity()?;
         finite_slice(self.data.flat(), "coordinate")?;
-        match &self.layout {
-            Layout::Boxes(order) => order.check_firsts().map_err(corrupt)?,
-            Layout::Pair(blocks) => blocks.check_finite()?,
-        }
+        check_firsts(&self.ids, &self.firsts).map_err(corrupt)?;
         self.query_integrity = Vec::new();
         Ok(())
     }

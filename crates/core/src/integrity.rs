@@ -132,7 +132,7 @@ impl SectionIntegrity {
         })
     }
 
-    /// Region name, e.g. `shard2/pair0/blocks.xs`.
+    /// Region name, e.g. `engine-shard2/pair0/blocks.xr`.
     pub fn name(&self) -> &str {
         &self.name
     }

@@ -60,29 +60,14 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Points per block: the fixed lane width of every SoA block in the
-/// workspace (tree leaf blocks, gather batches) and of every row chunk
-/// [`score_rows`] scores (the box scan, the delta scan).
+/// Points per block: the fixed lane width of every leaf block of the §4
+/// index, of every gather batch and of every run of rows [`score_rows`]
+/// scores (the box scan, the walk, the delta scan).
 ///
-/// 32 doubles = 256 bytes per dimension column = 4 cache lines, and 8 AVX2
+/// 32 doubles = 256 bytes per dimension = 4 cache lines, and 8 AVX2
 /// vectors — wide enough to amortise per-block bookkeeping, small enough
 /// that per-block envelopes still prune usefully.
 pub const LANES: usize = 32;
-
-/// A cache-aligned lane group: one dimension column of one block.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, align(64))]
-pub struct LaneBlock(pub [f64; LANES]);
-
-impl Default for LaneBlock {
-    fn default() -> Self {
-        LaneBlock([0.0; LANES])
-    }
-}
-
-// SAFETY: `#[repr(C, align(64))]` over `[f64; LANES]` — no padding (size is
-// a multiple of the alignment), and any bit pattern is a valid f64 array.
-unsafe impl crate::view::Pod for LaneBlock {}
 
 /// The instruction-set level the kernels dispatch to.
 ///
@@ -245,25 +230,6 @@ fn score_add_dim_sse2(acc: &mut [f64], col: &[f64], q: f64, sw: f64) {
         unsafe { _mm_storeu_pd(a2.as_mut_ptr(), r) };
     }
     score_add_dim_scalar(accs.into_remainder(), cols.remainder(), q, sw);
-}
-
-/// Scores one 2-D SoA block at raw weights: per lane,
-/// `out[l] = (−β)·|x[l] − qx| + α·|y[l] − qy|` — bit-identical to
-/// [`sd_score_2d`](crate::score::sd_score_2d) (IEEE addition of the negated
-/// term commutes with the scalar subtraction).
-#[inline]
-pub fn score_block_2d(
-    out: &mut [f64],
-    xs: &[f64],
-    ys: &[f64],
-    qx: f64,
-    qy: f64,
-    alpha: f64,
-    beta: f64,
-) {
-    score_zero(out);
-    score_add_dim(out, xs, qx, -beta);
-    score_add_dim(out, ys, qy, alpha);
 }
 
 // ─── row-major runs ─────────────────────────────────────────────────────────

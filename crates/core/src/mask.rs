@@ -10,9 +10,10 @@
 //! superset is still admissible for the live subset, it only prunes
 //! slightly less until the next compaction drops the tombstones for real.
 //!
-//! A [`MaskView`] adapts the engine-global mask to one shard's local row
-//! ids (global id = shard offset + local row), which is the form the box
-//! scan, the walk and the delta scan consume.
+//! The box scan and the walk read the engine-global mask at a row's global
+//! id, which every shard's id column holds. A [`MaskView`] adapts it to the
+//! delta region's local rows (global id = base rows + delta row), which is
+//! the form the delta scan consumes.
 
 /// A bitmap of tombstoned (dead) rows over a contiguous id domain.
 ///

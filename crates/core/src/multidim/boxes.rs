@@ -1,5 +1,6 @@
 //! Box order: how an [`SdIndex`](super::SdIndex) that is not one walked
-//! pair lays out its rows so the box scan can skip whole chunks of them.
+//! pair lays out its rows so the box scan can skip whole chunks of them,
+//! and the 64-row chunks every index is scanned by.
 //!
 //! The rows are put in *recursive median split* order over all dimensions
 //! (the bulk-load idiom of a k-d tree): a run of rows is cut at a median
@@ -16,20 +17,20 @@
 //! the whole space, so a query whose floor is known skips most chunks
 //! unscored.
 //!
-//! The index keeps, beside the moved rows:
+//! Every index, in box order or not, keeps beside its rows:
 //! * `ids` — the row id of each position (what the query floor, the
 //!   tombstones and anyone reading rows by id go through);
-//! * `boxes` — the chunk boxes, per dimension SoA: dimension `d`'s lows are
-//!   `boxes[2d·c..(2d+1)·c]` and its highs the next `c` entries, for `c`
-//!   chunks;
 //! * `firsts` — each chunk's smallest row id (4 B a chunk): what lets the
 //!   scan skip a chunk whose bound only *ties* the floor ([`QueryFloor::worst`](crate::QueryFloor::worst)),
 //!   and what breaks ties between equal bounds in the scan's order.
 //!
-//! An index without a box order (a walked pair's, which the direct 2-D
-//! walk answers — a scan only when both its weights are zero) keeps its
-//! rows in id order and is scanned as [`CHUNK_ROWS`]-row chunks in that
-//! order, each bounded by `0`, every row's exact score then.
+//! An index in box order keeps `boxes` above them — the chunk boxes, per
+//! dimension SoA: dimension `d`'s lows are `boxes[2d·c..(2d+1)·c]` and its
+//! highs the next `c` entries, for `c` chunks. An index without one (a
+//! walked pair's, whose rows are in the §4 tile order and which the direct
+//! 2-D walk answers — a scan only when both its weights are zero) is
+//! scanned as its [`CHUNK_ROWS`]-row chunks, each bounded by `0`, every
+//! row's exact score then.
 //!
 //! ## Box first
 //!
@@ -63,12 +64,11 @@
 //!
 //! ## Cells
 //!
-//! An engine splits one box order into shards ([`cells`]): the top
+//! An engine splits one box order into shards ([`split`]): the top
 //! `⌈log₂ s⌉` levels of the median split of all its rows run once, over
 //! every row, with key columns of the cut dimensions only; the subtrees at
 //! that depth go to the `s` cells in order, and each cell's build finishes
-//! its own split ([`BoxOrder::build_cell`]) with key columns of its rows
-//! only. Concatenated in cell order, the cells are the one-shard order —
+//! its own split ([`finish_split`]) with key columns of its rows only. Concatenated in cell order, the cells are the one-shard order —
 //! rows, ids, boxes, first ids — and each cell's ids are the engine's. The
 //! scan bounds every cell's chunks and picks one lead across them, so `s`
 //! cells visit the chunks one index over the same rows visits, in its
@@ -96,7 +96,6 @@
 
 use crate::threshold::encode as order_key;
 use crate::types::Dataset;
-use crate::view::ColumnarView;
 use crate::DimRole;
 
 /// Rows per leaf of the median split, and so per chunk box. A measured
@@ -105,114 +104,28 @@ use crate::DimRole;
 /// marker of the box order, and a decode refuses any other value.
 pub(crate) const CHUNK_ROWS: usize = 64;
 
-/// The box order of one index's rows: see the module docs.
-#[derive(Debug, Clone)]
-pub(crate) struct BoxOrder {
-    /// Row id of each position.
-    pub(crate) ids: ColumnarView<u32>,
-    /// Per-dimension chunk boxes, rounded outward (module docs).
-    pub(crate) boxes: ColumnarView<f32>,
-    /// The smallest row id of each chunk.
-    pub(crate) firsts: ColumnarView<u32>,
-}
-
-impl BoxOrder {
-    /// Puts `data`'s rows in box order: returns the moved rows and the
-    /// order (ids and chunk boxes) over them. The one-cell case of
-    /// [`BoxOrder::build_cell`].
-    pub(crate) fn build(data: &Dataset) -> (Dataset, BoxOrder) {
-        let n = data.len();
-        Self::build_cell(
-            data,
-            &Cell {
-                ids: (0..n as u32).collect(),
-                runs: vec![(0, n, 0)],
-            },
-        )
-    }
-
-    /// Finishes `cell`'s share of the median split of `data` ([`cells`]):
-    /// returns the cell's rows, moved into box order, and the order over
-    /// them, under the ids of `data`. Its rows, ids, chunk boxes and first
-    /// ids are exactly those positions of the split of all of `data`.
-    pub(crate) fn build_cell(data: &Dataset, cell: &Cell) -> (Dataset, BoxOrder) {
-        let dims = data.dims();
-        let (moved, ids) = finish_split(data, cell, CHUNK_ROWS);
-        let chunks = ids.len().div_ceil(CHUNK_ROWS);
-        let mut boxes = vec![0f32; 2 * dims * chunks];
-        let (mut lo, mut hi) = (vec![0.0; dims], vec![0.0; dims]);
-        for (c, rows) in moved.chunks(CHUNK_ROWS * dims).enumerate() {
-            lo.fill(f64::INFINITY);
-            hi.fill(f64::NEG_INFINITY);
-            for row in rows.chunks_exact(dims) {
-                // Coordinates are finite: plain compares, no NaN handling.
-                for ((lo, hi), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
-                    *lo = if v < *lo { v } else { *lo };
-                    *hi = if v > *hi { v } else { *hi };
-                }
-            }
-            for d in 0..dims {
-                boxes[2 * d * chunks + c] = f32_down(lo[d]);
-                boxes[(2 * d + 1) * chunks + c] = f32_up(hi[d]);
+/// The chunk boxes of `rows` (row-major, `dims` coordinates a row), per
+/// dimension SoA, each rounded outward (module docs).
+pub(crate) fn chunk_boxes(rows: &[f64], dims: usize) -> Vec<f32> {
+    let chunks = rows.len().div_ceil(CHUNK_ROWS * dims);
+    let mut boxes = vec![0f32; 2 * dims * chunks];
+    let (mut lo, mut hi) = (vec![0.0; dims], vec![0.0; dims]);
+    for (c, rows) in rows.chunks(CHUNK_ROWS * dims).enumerate() {
+        lo.fill(f64::INFINITY);
+        hi.fill(f64::NEG_INFINITY);
+        for row in rows.chunks_exact(dims) {
+            // Coordinates are finite: plain compares, no NaN handling.
+            for ((lo, hi), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
+                *lo = if v < *lo { v } else { *lo };
+                *hi = if v > *hi { v } else { *hi };
             }
         }
-        let moved = Dataset::from_view_trusted(dims, ColumnarView::owned(moved))
-            .expect("the shape of a valid dataset");
-        let order = BoxOrder {
-            firsts: ColumnarView::owned(chunk_firsts(&ids)),
-            ids: ColumnarView::owned(ids),
-            boxes: ColumnarView::owned(boxes),
-        };
-        (moved, order)
-    }
-
-    /// Number of chunks.
-    pub(crate) fn chunks(&self) -> usize {
-        self.ids.len().div_ceil(CHUNK_ROWS)
-    }
-
-    /// Marks this order's ids in `met`, one bit an id of an id space of
-    /// `rows` ids — an engine's, which its cells share — naming the first
-    /// position whose id is out of range or already met.
-    pub(crate) fn census(&self, met: &mut [u64], rows: usize) -> Result<(), String> {
-        for (pos, &id) in self.ids.iter().enumerate() {
-            let in_range = (id as usize) < rows;
-            let fresh = in_range && {
-                let (word, bit) = (&mut met[id as usize / 64], 1u64 << (id % 64));
-                let fresh = *word & bit == 0;
-                *word |= bit;
-                fresh
-            };
-            if !fresh {
-                let what = if in_range { "repeated" } else { "out of range" };
-                return Err(format!(
-                    "position {pos}: row id {id} {what} for {rows} rows"
-                ));
-            }
+        for d in 0..dims {
+            boxes[2 * d * chunks + c] = f32_down(lo[d]);
+            boxes[(2 * d + 1) * chunks + c] = f32_up(hi[d]);
         }
-        Ok(())
     }
-
-    /// Checks that each chunk's first id is the smallest of its ids (a
-    /// decode has checked there is one a chunk).
-    pub(crate) fn check_firsts(&self) -> Result<(), String> {
-        for (c, (ids, &first)) in self
-            .ids
-            .chunks(CHUNK_ROWS)
-            .zip(self.firsts.iter())
-            .enumerate()
-        {
-            if ids.iter().min() != Some(&first) {
-                return Err(format!("chunk {c}: first id {first} is not its smallest"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Heap bytes of the id column, the box table and the first ids.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.ids.heap_bytes() + self.boxes.heap_bytes() + self.firsts.heap_bytes()
-    }
+    boxes
 }
 
 /// The smallest id of every [`CHUNK_ROWS`] consecutive ids.
@@ -222,28 +135,43 @@ pub(crate) fn chunk_firsts(ids: &[u32]) -> Vec<u32> {
         .collect()
 }
 
+/// Checks that each chunk's first id is the smallest of its ids (a decode
+/// has checked there is one a chunk).
+pub(crate) fn check_firsts(ids: &[u32], firsts: &[u32]) -> Result<(), String> {
+    for (c, (ids, &first)) in ids.chunks(CHUNK_ROWS).zip(firsts).enumerate() {
+        if ids.iter().min() != Some(&first) {
+            return Err(format!("chunk {c}: first id {first} is not its smallest"));
+        }
+    }
+    Ok(())
+}
+
 /// A run of positions still to cut, `(start, end, depth)`: its cut goes
 /// through dimension `depth % dims`.
 type Run = (usize, usize, usize);
 
-/// One shard's share of an engine-wide box order: a run of whole leaves of
-/// the median split of all the engine's rows, and the runs of it still to
-/// cut ([`cells`]). [`SdIndex::build_cell`](super::SdIndex::build_cell)
-/// finishes the split of its rows.
+/// One shard's share of an engine's rows ([`cells`](super::cells)): of a
+/// box order, a run of whole leaves of the median split of all the rows,
+/// and the runs of it still to cut; of a walked pair, a row range.
+/// [`SdIndex::build_cell`](super::SdIndex::build_cell) builds its rows.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// The cell's ids, in the order the split's top levels left them.
-    ids: Vec<u32>,
+    /// The cell's ids, in the order the split's top levels left them (a
+    /// row range's ascending).
+    pub(super) ids: Vec<u32>,
     runs: Vec<Run>,
 }
 
-/// The most cells `rows` rows make: one a chunk, so that each holds whole
-/// leaves (at least one).
-pub(crate) fn max_cells(rows: usize) -> usize {
-    rows.div_ceil(CHUNK_ROWS).max(1)
+impl Cell {
+    /// The cell of `ids`, none of them cut yet.
+    pub(super) fn of(ids: impl IntoIterator<Item = u32>) -> Self {
+        let ids: Vec<u32> = ids.into_iter().collect();
+        let runs = vec![(0, ids.len(), 0)];
+        Cell { ids, runs }
+    }
 }
 
-/// Cuts `data`'s rows into `count` cells (at most one a chunk) by the
+/// Cuts `data`'s rows into `count` cells (`1 ≤ count`, at most one a chunk) by the
 /// top `⌈log₂ count⌉` levels of their recursive median split (module docs):
 /// the levels every cell shares, run here over all the rows, with key
 /// columns of the cut dimensions only. The split's subtrees at that depth
@@ -253,9 +181,8 @@ pub(crate) fn max_cells(rows: usize) -> usize {
 /// ([`SdIndex::build_cell`](super::SdIndex::build_cell)), and the cells'
 /// rows, ids, boxes and first ids, in cell order, are those of the split of
 /// all the rows.
-pub fn cells(data: &Dataset, count: usize) -> Vec<Cell> {
+pub(crate) fn split(data: &Dataset, count: usize) -> Vec<Cell> {
     let (dims, n) = (data.dims(), data.len());
-    let count = count.clamp(1, max_cells(n));
     let levels = count.next_power_of_two().trailing_zeros() as usize;
     let keys = key_columns(data, 0..n as u32, levels.min(dims));
     let mut order: Vec<u64> = (0..n as u64).collect();
@@ -286,10 +213,11 @@ pub fn cells(data: &Dataset, count: usize) -> Vec<Cell> {
         .collect()
 }
 
-/// Finishes the median split of `cell` into leaves of `leaf` rows (module
-/// docs): the cell's rows in that order and the id of each. A run of more
-/// than one leaf is cut after `⌈leaves / 2⌉` whole leaves, so every leaf
-/// but the last is full; the cuts cycle through the dimensions, one a level.
+/// Finishes the median split of `cell` into leaves of [`CHUNK_ROWS`] rows
+/// (module docs): the id of each of the cell's rows in that order. A run of
+/// more than one leaf is cut after `⌈leaves / 2⌉` whole leaves, so every
+/// leaf but the last is full; the cuts cycle through the dimensions, one a
+/// level.
 ///
 /// Only ids move while cutting: each is packed under its row's key in the
 /// level's dimension, and one selection cuts the run. The key is the top 32
@@ -299,10 +227,10 @@ pub fn cells(data: &Dataset, count: usize) -> Vec<Cell> {
 /// selections are deterministic). A cell packs each id's *rank* among its
 /// ids instead of the id: rank order is id order, so every selection
 /// compares, and so moves, exactly as in the split of all the rows, while
-/// the key columns cover the cell's rows only. The rows are moved once, at
-/// the end.
-fn finish_split(data: &Dataset, cell: &Cell, leaf: usize) -> (Vec<f64>, Vec<u32>) {
-    let (dims, flat) = (data.dims(), data.flat());
+/// the key columns cover the cell's rows only. The caller moves the rows,
+/// once.
+pub(crate) fn finish_split(data: &Dataset, cell: &Cell) -> Vec<u32> {
+    let dims = data.dims();
     let m = cell.ids.len();
     // The cell's ids ascending, and each one's rank among them: one bit an
     // id of `data`, then a count of the bits below each word.
@@ -332,19 +260,13 @@ fn finish_split(data: &Dataset, cell: &Cell, leaf: usize) -> (Vec<f64>, Vec<u32>
         dims,
         cell.runs.clone(),
         usize::MAX,
-        leaf,
+        CHUNK_ROWS,
         &mut Vec::new(),
     );
-    let ids: Vec<u32> = order
+    order
         .iter()
         .map(|&e| ascending[e as u32 as usize])
-        .collect();
-    let mut rows = Vec::with_capacity(m * dims);
-    for &id in &ids {
-        let at = id as usize * dims;
-        rows.extend_from_slice(&flat[at..at + dims]);
-    }
-    (rows, ids)
+        .collect()
 }
 
 /// The split keys of the rows `ids` names, for the first `columns`
@@ -437,20 +359,20 @@ pub(crate) fn box_term(role: DimRole, lo: f64, hi: f64, q: f64, w: f64) -> f64 {
 }
 
 /// Every chunk's score bound under `(roles, q, weights)`, appended to
-/// `bounds` (one entry per chunk of `order`): the sum from `0.0` of [`box_term`] over the
+/// `bounds` (one entry per chunk of `boxes`): the sum from `0.0` of [`box_term`] over the
 /// dimensions with a non-zero weight, in dimension order — the order and
 /// the association in which [`kernels::score_rows`](crate::kernels::score_rows)
 /// sums a row's terms, and a row's term of a zero-weight dimension is `±0`.
 /// Each partial sum is at least the row's, since addition rounds monotonely
 /// in each argument, so no row of a chunk scores above its bound.
 pub(crate) fn chunk_bounds(
-    order: &BoxOrder,
+    boxes: &[f32],
     roles: &[DimRole],
     q: &[f64],
     weights: &[f64],
     bounds: &mut Vec<f64>,
 ) {
-    let chunks = order.chunks();
+    let chunks = boxes.len() / (2 * roles.len());
     let from = bounds.len();
     bounds.resize(from + chunks, 0.0);
     let bounds = &mut bounds[from..];
@@ -458,8 +380,8 @@ pub(crate) fn chunk_bounds(
         if w == 0.0 {
             continue;
         }
-        let lows = &order.boxes[2 * d * chunks..(2 * d + 1) * chunks];
-        let highs = &order.boxes[(2 * d + 1) * chunks..(2 * d + 2) * chunks];
+        let lows = &boxes[2 * d * chunks..(2 * d + 1) * chunks];
+        let highs = &boxes[(2 * d + 1) * chunks..(2 * d + 2) * chunks];
         for ((b, &lo), &hi) in bounds.iter_mut().zip(lows).zip(highs) {
             *b += box_term(role, f64::from(lo), f64::from(hi), q, w);
         }
@@ -477,6 +399,15 @@ mod tests {
         Dataset::from_flat(dims, rows.to_vec()).unwrap()
     }
 
+    /// What an index in box order stores of `data`: its rows moved into box
+    /// order, the id of each and the chunk boxes.
+    fn box_order(data: &Dataset) -> (Vec<f64>, Vec<u32>, Vec<f32>) {
+        let ids = finish_split(data, &Cell::of(0..data.len() as u32));
+        let rows = super::super::gather(data, &ids);
+        let boxes = chunk_boxes(&rows, data.dims());
+        (rows, ids, boxes)
+    }
+
     /// Every id once, every leaf but the last full, rows moved with their
     /// ids, boxes around their chunks — and the same order twice.
     #[test]
@@ -487,31 +418,29 @@ mod tests {
                 .map(|i| ((i * 7919) % 1013) as f64 * 0.37 - 100.0)
                 .collect();
             let data = dataset(dims, &rows);
-            let (moved, order) = BoxOrder::build(&data);
-            assert_eq!(order.ids.len(), n);
-            let mut ids = order.ids.to_vec();
-            ids.sort_unstable();
-            assert!(ids.iter().copied().eq(0..n as u32), "a permutation");
-            for (pos, &id) in order.ids.iter().enumerate() {
+            let (moved, ids, boxes) = box_order(&data);
+            assert_eq!(ids.len(), n);
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            assert!(sorted.iter().copied().eq(0..n as u32), "a permutation");
+            for (pos, &id) in ids.iter().enumerate() {
                 let at = pos * dims;
-                assert_eq!(
-                    &moved.flat()[at..at + dims],
-                    data.point(crate::PointId::new(id))
-                );
+                assert_eq!(&moved[at..at + dims], data.point(crate::PointId::new(id)));
             }
-            let chunks = order.chunks();
-            for (c, rows) in moved.flat().chunks(CHUNK_ROWS * dims).enumerate() {
+            let chunks = n.div_ceil(CHUNK_ROWS);
+            assert_eq!(boxes.len(), 2 * dims * chunks);
+            for (c, rows) in moved.chunks(CHUNK_ROWS * dims).enumerate() {
                 for (l, row) in rows.chunks(dims).enumerate() {
                     for (d, &v) in row.iter().enumerate() {
-                        let lo = f64::from(order.boxes[2 * d * chunks + c]);
-                        let hi = f64::from(order.boxes[(2 * d + 1) * chunks + c]);
+                        let lo = f64::from(boxes[2 * d * chunks + c]);
+                        let hi = f64::from(boxes[(2 * d + 1) * chunks + c]);
                         assert!(lo <= v && v <= hi, "chunk {c} row {l} dim {d}");
                     }
                 }
             }
-            let (again, order2) = BoxOrder::build(&data);
-            assert_eq!(again.flat(), moved.flat());
-            assert_eq!(&order2.ids[..], &order.ids[..]);
+            let (again, ids2, _) = box_order(&data);
+            assert_eq!(again, moved);
+            assert_eq!(ids2, ids);
         }
     }
 
@@ -519,16 +448,16 @@ mod tests {
     /// of each dimension (insertion order spans nearly all of it).
     #[test]
     fn chunks_are_cells() {
-        let n = 20_000;
+        let n: usize = 20_000;
         let rows: Vec<f64> = (0..n * 4)
             .map(|i| ((i as u64 * 2_654_435_761) % 1_000_003) as f64 / 1_000_003.0)
             .collect();
-        let (_, order) = BoxOrder::build(&dataset(4, &rows));
-        let chunks = order.chunks();
+        let (_, _, boxes) = box_order(&dataset(4, &rows));
+        let chunks = n.div_ceil(CHUNK_ROWS);
         let mut volume = 0.0;
         for c in 0..chunks {
             volume += (0..4)
-                .map(|d| order.boxes[(2 * d + 1) * chunks + c] - order.boxes[2 * d * chunks + c])
+                .map(|d| boxes[(2 * d + 1) * chunks + c] - boxes[2 * d * chunks + c])
                 .product::<f32>();
         }
         let mean = volume / chunks as f32;
@@ -607,13 +536,13 @@ mod tests {
                 .collect();
             let (q, w) = (&q_seed[..dims], &w_seed[..dims]);
             let sw: Vec<f64> = roles.iter().zip(w).map(|(r, w)| r.sign() * w).collect();
-            let (moved, order) = BoxOrder::build(&data);
+            let (moved, _, boxes) = box_order(&data);
             let mut bounds = Vec::new();
-            chunk_bounds(&order, &roles, q, w, &mut bounds);
+            chunk_bounds(&boxes, &roles, q, w, &mut bounds);
             let mut over = None;
             kernels::tests::with_each_isa(|| {
                 let mut scores = [0.0; kernels::LANES];
-                for (piece, run) in moved.flat().chunks(kernels::LANES * dims).enumerate() {
+                for (piece, run) in moved.chunks(kernels::LANES * dims).enumerate() {
                     let count = run.len() / dims;
                     kernels::score_rows(&mut scores[..count], run, dims, q, &sw, f64::NEG_INFINITY);
                     for (l, &s) in scores[..count].iter().enumerate() {

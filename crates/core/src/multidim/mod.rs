@@ -1,27 +1,34 @@
 //! The SD-Query over any number of dimensions: one query path per query
 //! kind, both exact.
 //!
-//! How an index stores its rows is read off its roles alone
-//! ([`walked_pair`]). A 2-D index of one attractive and one repulsive
-//! dimension keeps its rows in id order beside the pair's §4 block set, and
-//! a query over it with not both weights zero ([`SdIndex::single_pair`]) is
-//! the paper's §4 answer: one certified best-first walk over that block set
-//! (see [`crate::topk`]). Every other query — any other roles, or both
-//! weights of the one pair zero — is one **box scan** of the index's rows
-//! ([`answer_parts`]): every other index keeps its rows in box order
-//! ([`boxes`]), a recursive median split into leaves of 64 rows, each leaf
-//! one chunk with an outward-rounded `f32` bounding box and its smallest
-//! row id. The scan bounds every chunk from its box, scores the best ones
-//! across every part first to raise the query's floor, then sweeps the rest
-//! in row order, skipping every chunk whose bound is under the floor — or
-//! equal to it, when all of its ids are above the floor's worst one. An
-//! engine's parts are the cells of one such box order ([`cells`],
-//! [`SdIndex::build_cell`]), their ids global. Such an index
-//! stores no pair block set, and records no pairing: nothing reads either.
-//! The paper's own §5 aggregation — the pairing step, and pair streams under
-//! a TA threshold — is `sdq-paper`'s, composed from this crate's public
-//! pieces ([`Pair2DStream`] over one 2-D index per pair); `boxes.rs` has the
-//! table that retired it from this path.
+//! Every index stores its rows once, in its own stored order, with the
+//! global id of each position (`ids`) and the smallest id of each 64-row
+//! chunk (`firsts`). How it orders them, and what it keeps above them, is
+//! read off its roles alone ([`walked_pair`]):
+//!
+//! * a 2-D index of one attractive and one repulsive dimension keeps its
+//!   rows in the §4 tile order under the pair's envelope tree, and a query
+//!   over it with not both weights zero ([`SdIndex::single_pair`]) is the
+//!   paper's §4 answer: one certified best-first walk over that tree,
+//!   scoring each popped block of 32 rows straight off the rows (see
+//!   [`crate::topk`]);
+//! * every other index keeps its rows in box order ([`boxes`]), a recursive
+//!   median split into leaves of 64 rows, each leaf one chunk with an
+//!   outward-rounded `f32` bounding box.
+//!
+//! Every other query — any other roles, or both weights of the one pair
+//! zero — is one **box scan** of the index's rows ([`answer_parts`]). The
+//! scan bounds every chunk from its box, scores the best ones across every
+//! part first to raise the query's floor, then sweeps the rest in row
+//! order, skipping every chunk whose bound is under the floor — or equal to
+//! it, when all of its ids are above the floor's worst one. An engine's
+//! parts are the cells of one such box order, or a walked pair's row ranges
+//! ([`cells`], [`SdIndex::build_cell`]), their ids global. No index records
+//! a pairing: nothing reads one. The paper's own §5 aggregation — the
+//! pairing step, and pair streams under a TA threshold — is `sdq-paper`'s,
+//! composed from this crate's public pieces ([`Pair2DStream`] over one 2-D
+//! index per pair); `boxes.rs` has the table that retired it from this
+//! path.
 //!
 //! Either way, every score a query keeps goes into its one [`QueryFloor`],
 //! passed `&mut`, under the row's global id, and one drain of it is the
@@ -34,17 +41,15 @@
 //! over [`SdIndex::query_with`].
 //!
 //! A walked pair's index is scanned only when both its weights are zero: as
-//! 64-row chunks in id order, each bounded by `0`. A position names a row of
-//! the stored order; the id column
-//! ([`SdIndex::row_ids`]) is read only where an id is needed — the floor
-//! offer (`offset + ids[pos]`) and the tombstones — and by whoever reads
-//! the rows by id ([`SdIndex::rows_by_id`]).
+//! its 64-row chunks, each bounded by `0`. A position names a row of the
+//! stored order; the id column ([`SdIndex::row_ids`]) is read only where
+//! an id is needed — the floor offer, the tombstones and a chunk's first id
+//! — and by whoever reads the rows by id ([`SdIndex::rows_by_id`]).
 
 mod boxes;
 pub mod plan;
 
-use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 pub use plan::{PairAction, PairPlan, QueryPlan};
 
@@ -52,20 +57,20 @@ use crate::deadline::Deadline;
 use crate::geometry::Angle;
 use crate::integrity::SectionIntegrity;
 use crate::kernels::{self, inflate, LANES};
-use crate::mask::MaskView;
+use crate::mask::RowMask;
 use crate::profile::QueryProfile;
 use crate::scratch::QueryScratch;
 use crate::threshold::QueryFloor;
-use crate::topk::arbitrary::{self, BlockPart};
-use crate::topk::blocks::{BlockFrontier, BlockSet};
+use crate::topk::arbitrary;
+use crate::topk::blocks::{tile, BlockFrontier, BlockSet};
 use crate::topk::stream::FrontierEval;
 use crate::topk::{check_axes, default_angles, normalize_angles};
 use crate::types::{Dataset, ScoredPoint, SdError};
 use crate::view::ColumnarView;
-use crate::{DimRole, SdQuery};
+use crate::{DimRole, PointId, SdQuery};
 
-pub use boxes::{cells, Cell};
-pub(crate) use boxes::{BoxOrder, CHUNK_ROWS};
+pub use boxes::Cell;
+pub(crate) use boxes::{check_firsts, CHUNK_ROWS};
 
 /// Tuning knobs for [`SdIndex::build_with`].
 #[derive(Debug, Clone)]
@@ -84,10 +89,11 @@ impl Default for SdIndexOptions {
 
 /// The one layout rule, read off the roles alone: `Some((repulsive,
 /// attractive))` for a 2-D index of one attractive and one repulsive
-/// dimension — its rows stay in id order beside the pair's §4 block set,
-/// which the direct 2-D walk reads — and `None` for any other roles, whose
-/// rows are stored in box order for the box scan. Build, decode,
-/// [`SdIndex::single_pair`] and [`SdIndex::plan`] all decide by it.
+/// dimension — its rows are stored in the §4 tile order under the pair's
+/// envelope tree, which the direct 2-D walk reads — and `None` for any
+/// other roles, whose rows are stored in box order for the box scan. Build,
+/// decode, [`cells`], [`SdIndex::single_pair`] and [`SdIndex::plan`] all
+/// decide by it.
 pub fn walked_pair(roles: &[DimRole]) -> Option<(usize, usize)> {
     match roles {
         [DimRole::Repulsive, DimRole::Attractive] => Some((0, 1)),
@@ -96,42 +102,44 @@ pub fn walked_pair(roles: &[DimRole]) -> Option<(usize, usize)> {
     }
 }
 
-/// What an [`SdIndex`] keeps beside its rows ([`walked_pair`] decides
+/// What an [`SdIndex`] keeps above its rows ([`walked_pair`] decides
 /// which).
 #[derive(Debug, Clone)]
 pub(crate) enum Layout {
-    /// A walked pair: the §4 index over the projection `(x = attractive,
-    /// y = repulsive)` of the rows, which stay in id order; its point slots
-    /// are row ids.
+    /// A walked pair: the §4 envelope tree over the projection `(x =
+    /// attractive, y = repulsive)` of the rows, block `b` its positions
+    /// `[32b, 32b + 32)`.
     Pair(BlockSet),
-    /// Anything else: the box order of the rows (ids, chunk boxes and
-    /// first ids; see [`boxes`]).
-    Boxes(BoxOrder),
+    /// Anything else: the chunk boxes of the box order, per dimension SoA
+    /// (see [`boxes`]).
+    Boxes(ColumnarView<f32>),
 }
 
-/// The multi-dimensional SD-Query index: its roles, its rows, and either a
-/// walked pair's bulk-loaded §4 index, which the direct 2-D walk answers,
-/// or the rows' box order, which one box scan answers (module docs).
+/// The multi-dimensional SD-Query index: its roles, its rows with their
+/// ids and chunk first ids, and either a walked pair's bulk-loaded §4
+/// envelope tree, which the direct 2-D walk answers, or the rows' chunk
+/// boxes, which one box scan answers (module docs).
 ///
 /// Dimension *roles* are fixed at build time (they determine the layout);
 /// weights and `k` are free at query time. Queries never mutate the index,
 /// so one `SdIndex` can be shared immutably across any number of threads.
 #[derive(Debug, Clone)]
 pub struct SdIndex {
-    /// The indexed rows, by position: in box order for [`Layout::Boxes`],
-    /// in id order for [`Layout::Pair`].
+    /// The indexed rows, by position: in box order, or a walked pair's tile
+    /// order.
     pub(crate) data: Arc<Dataset>,
+    /// The global id of each position.
+    pub(crate) ids: ColumnarView<u32>,
+    /// The smallest id of each [`CHUNK_ROWS`] positions: what lets the scan
+    /// skip a chunk whose bound only *ties* the floor, and what breaks ties
+    /// between equal bounds in the scan's order.
+    pub(crate) firsts: ColumnarView<u32>,
     pub(crate) roles: Vec<DimRole>,
     pub(crate) layout: Layout,
     /// Lazily verified CRC regions of this index when it was decoded lazily
-    /// (`open_mapped`): the dataset coordinate table and the box order or
-    /// the pair's block tables. Empty for built or eagerly loaded indexes.
+    /// (`open_mapped`): every region a query reads. Empty for built or
+    /// eagerly loaded indexes.
     pub(crate) query_integrity: Vec<Arc<SectionIntegrity>>,
-    /// Once-shot content validation of a decode (block-table census, slot
-    /// ids in range) — run after the CRCs pass: on the first
-    /// query of a lazy open, before an eager one returns. `Some(detail)` is
-    /// a sticky corruption verdict.
-    pub(crate) mapped_check: Arc<OnceLock<Option<String>>>,
 }
 
 impl SdIndex {
@@ -140,60 +148,69 @@ impl SdIndex {
         Self::build_with(data, roles, &SdIndexOptions::default())
     }
 
-    /// Builds with explicit options.
+    /// Builds with explicit options: the index of every row of `data`,
+    /// under ids `0..n`.
     pub fn build_with(
         data: impl Into<Arc<Dataset>>,
         roles: &[DimRole],
         options: &SdIndexOptions,
     ) -> Result<Self, SdError> {
         let data: Arc<Dataset> = data.into();
-        let angles = check_build(&data, roles, options)?;
-        // A walked pair's rows keep their id order, and its §4 index is
-        // bulk-loaded over the projection (x = attractive, y = repulsive),
-        // which is scratch — the index keeps its own SoA copy. Any other
-        // index is answered by the box scan alone: its rows go in box order.
-        let (data, layout) = match walked_pair(roles) {
+        let angles = check_build(&data, roles, &options.angles)?;
+        let all = Cell::of(0..data.len() as u32);
+        Ok(Self::build_over(&data, roles, &angles, &all))
+    }
+
+    /// Builds the index of one cell of `data` ([`cells`]): the rows the
+    /// cell names, under their ids in `data`, a walked pair's over the
+    /// default angles. The cells of a box order, built in order, hold
+    /// exactly the rows, ids, chunk boxes and first ids of
+    /// [`SdIndex::build_with`] over all of `data`, which is how an engine's
+    /// shards split one box order; a walked pair's cell is a row range,
+    /// tiled on its own.
+    pub fn build_cell(data: &Dataset, roles: &[DimRole], cell: &Cell) -> Result<Self, SdError> {
+        let angles = check_build(data, roles, &default_angles())?;
+        Ok(Self::build_over(data, roles, &angles, cell))
+    }
+
+    /// The rows `cell` names in their stored order under `roles`, with their
+    /// ids, first ids and what the layout keeps above them.
+    fn build_over(data: &Dataset, roles: &[DimRole], angles: &[Angle], cell: &Cell) -> Self {
+        let pair = walked_pair(roles);
+        let ids: Vec<u32> = match pair {
+            // The tile order of the pair's projection (x = attractive, y =
+            // repulsive) of the cell's rows.
             Some((rep, att)) => {
-                let pts: Vec<(f64, f64)> = data.iter().map(|(_, c)| (c[att], c[rep])).collect();
-                let blocks = BlockSet::build(&pts, 0..data.len() as u32, &angles);
-                (data, Layout::Pair(blocks))
+                let pts: Vec<(f64, f64)> = cell
+                    .ids
+                    .iter()
+                    .map(|&id| {
+                        let row = data.point(PointId::new(id));
+                        (row[att], row[rep])
+                    })
+                    .collect();
+                tile(&pts).iter().map(|&s| cell.ids[s as usize]).collect()
             }
-            None => {
-                let (moved, order) = BoxOrder::build(&data);
-                (Arc::new(moved), Layout::Boxes(order))
-            }
+            None => boxes::finish_split(data, cell),
         };
-        Ok(Self::assemble(data, roles, layout))
-    }
-
-    /// Builds the index of one cell of `data`'s box order ([`cells`]): the
-    /// rows the cell names, in box order, under their ids in `data`. The
-    /// cells of one split, built in order, hold exactly the rows, ids,
-    /// chunk boxes and first ids of [`SdIndex::build_with`] over all of
-    /// `data`, which is how an engine's shards split one box order. Refuses
-    /// a walked pair's roles ([`walked_pair`]), whose rows are not box
-    /// ordered, with [`SdError::RoleMismatch`].
-    pub fn build_cell(
-        data: &Dataset,
-        roles: &[DimRole],
-        options: &SdIndexOptions,
-        cell: &Cell,
-    ) -> Result<Self, SdError> {
-        check_build(data, roles, options)?;
-        if walked_pair(roles).is_some() {
-            return Err(SdError::RoleMismatch);
-        }
-        let (moved, order) = BoxOrder::build_cell(data, cell);
-        Ok(Self::assemble(Arc::new(moved), roles, Layout::Boxes(order)))
-    }
-
-    fn assemble(data: Arc<Dataset>, roles: &[DimRole], layout: Layout) -> Self {
+        let rows = gather(data, &ids);
+        let layout = match pair {
+            Some((rep, att)) => {
+                let stored: Vec<(f64, f64)> =
+                    rows.chunks_exact(2).map(|r| (r[att], r[rep])).collect();
+                Layout::Pair(BlockSet::build(&stored, angles))
+            }
+            None => Layout::Boxes(ColumnarView::owned(boxes::chunk_boxes(&rows, data.dims()))),
+        };
+        let rows = Dataset::from_view_trusted(data.dims(), ColumnarView::owned(rows))
+            .expect("the shape of a valid dataset");
         SdIndex {
-            data,
+            data: Arc::new(rows),
+            firsts: ColumnarView::owned(boxes::chunk_firsts(&ids)),
+            ids: ColumnarView::owned(ids),
             roles: roles.to_vec(),
             layout,
             query_integrity: Vec::new(),
-            mapped_check: Arc::new(OnceLock::new()),
         }
     }
 
@@ -204,48 +221,19 @@ impl SdIndex {
         !self.query_integrity.is_empty()
     }
 
-    /// Verifies (once) every lazily checksummed region of this index, then
-    /// the deferred content checks. Every query entry calls this, and so
-    /// must whoever re-encodes a mapped index, so corruption cannot be
-    /// laundered into a fresh file under fresh checksums. Free for owned
-    /// indexes and after the first call — verified regions are an atomic
-    /// load; failures are sticky.
-    pub fn verify_integrity(&self) -> Result<(), SdError> {
-        if self.query_integrity.is_empty() {
-            return Ok(());
-        }
-        crate::integrity::ensure_all(&self.query_integrity)?;
-        let failure = self.mapped_check.get_or_init(|| self.check_ids().err());
-        match failure {
-            None => Ok(()),
-            Some(detail) => Err(SdError::SnapshotCorrupt {
-                detail: detail.clone(),
-            }),
-        }
-    }
-
-    /// The content checks of a decode that keep a forged-but-checksummed
-    /// file from indexing out of bounds: a walked pair's block-table census.
-    /// A box order's ids index nothing here: they name rows of an id space
-    /// the index does not know (its engine's, for a cell), so whoever knows
-    /// it checks them — the engine, at eager open, before a mapped engine's
-    /// first answer and in compaction ([`id_census`]), and
+    /// Verifies (once) every lazily checksummed region of this index. Every
+    /// query entry calls this, and so must whoever re-encodes a mapped
+    /// index, so corruption cannot be laundered into a fresh file under
+    /// fresh checksums. Free for owned indexes and after the first call —
+    /// verified regions are an atomic load; failures are sticky.
+    ///
+    /// Nothing here reads an id as an offset: the ids name rows of an id
+    /// space the index does not know (its engine's, for a cell), so
+    /// whoever knows it checks them — the engine, at eager open, before a
+    /// mapped engine's first answer and in compaction ([`id_census`]), and
     /// [`SdIndex::rows_by_id`] for the index alone.
-    fn check_ids(&self) -> Result<(), String> {
-        match &self.layout {
-            Layout::Boxes(_) => Ok(()),
-            Layout::Pair(blocks) => blocks
-                .validate_structure(self.data.len())
-                .map_err(|e| format!("pair 0: {e}")),
-        }
-    }
-
-    /// The box order of the rows; `None` for a walked pair's index.
-    pub(crate) fn order(&self) -> Option<&BoxOrder> {
-        match &self.layout {
-            Layout::Boxes(order) => Some(order),
-            Layout::Pair(_) => None,
-        }
+    pub fn verify_integrity(&self) -> Result<(), SdError> {
+        crate::integrity::ensure_all(&self.query_integrity)
     }
 
     /// A walked pair's §4 block set; `None` for an index in box order.
@@ -256,35 +244,28 @@ impl SdIndex {
         }
     }
 
-    /// The indexed rows by position: in box order when
-    /// [`SdIndex::row_ids`] is `Some`, so row `p` of this dataset is row
-    /// `row_ids()[p]` of the dataset the index was built over. Use
-    /// [`SdIndex::rows_by_id`] to read them by id.
+    /// The indexed rows by position, in the stored order: row `p` of this
+    /// dataset is row `row_ids()[p]` of the dataset the index was built
+    /// over. Use [`SdIndex::rows_by_id`] to read them by id.
     pub fn data(&self) -> &Dataset {
         &self.data
     }
 
-    /// The row id of every position of [`SdIndex::data`] when the rows are
-    /// in box order; `None` when position and id agree (a walked pair's
-    /// index).
-    pub fn row_ids(&self) -> Option<&[u32]> {
-        self.order().map(|o| &o.ids[..])
+    /// The row id of every position of [`SdIndex::data`].
+    pub fn row_ids(&self) -> &[u32] {
+        &self.ids
     }
 
     /// The indexed rows in id order — the dataset the index was built over,
     /// or, for a cell of an engine ([`SdIndex::build_cell`]), its rows by
-    /// ascending id. Borrowed when the rows are stored in that order, a copy
-    /// when they are in box order. Verifies the index first
+    /// ascending id — as a copy. Verifies the index first
     /// ([`SdIndex::verify_integrity`]), as a query does, and that no id
     /// names two rows: what a mapped file holds is read only once its
     /// checksums and its ids pass, so a rebuild from these rows cannot
     /// launder a bad file.
-    pub fn rows_by_id(&self) -> Result<Cow<'_, Dataset>, SdError> {
+    pub fn rows_by_id(&self) -> Result<Dataset, SdError> {
         self.verify_integrity()?;
-        let Some(order) = self.order() else {
-            return Ok(Cow::Borrowed(&self.data));
-        };
-        let ids = &order.ids;
+        let ids = &self.ids;
         let mut by_id: Vec<u32> = (0..ids.len() as u32).collect();
         by_id.sort_unstable_by_key(|&p| ids[p as usize]);
         if let Some(w) = by_id
@@ -303,9 +284,8 @@ impl SdIndex {
         for &p in &by_id {
             rows.extend_from_slice(&flat[p as usize * dims..][..dims]);
         }
-        let rows = Dataset::from_view_trusted(dims, ColumnarView::owned(rows))
-            .expect("the shape of a valid dataset");
-        Ok(Cow::Owned(rows))
+        Ok(Dataset::from_view_trusted(dims, ColumnarView::owned(rows))
+            .expect("the shape of a valid dataset"))
     }
 
     /// Build-time dimension roles.
@@ -314,16 +294,18 @@ impl SdIndex {
     }
 
     /// Approximate heap footprint of the index structures (excluding the
-    /// shared dataset): a walked pair's block tables, or the box order.
+    /// shared rows): the id column, the chunk first ids, and a walked
+    /// pair's envelope tree or the chunk boxes.
     pub fn memory_bytes(&self) -> usize {
-        match &self.layout {
+        let above = match &self.layout {
             Layout::Pair(blocks) => blocks.memory_bytes(),
-            Layout::Boxes(order) => order.memory_bytes(),
-        }
+            Layout::Boxes(boxes) => boxes.heap_bytes(),
+        };
+        self.ids.heap_bytes() + self.firsts.heap_bytes() + above
     }
 
-    /// `(blocks, resident bytes)` of the stored §4 index (none for an index
-    /// in box order).
+    /// `(blocks, resident bytes)` of the stored §4 envelope tree (none for
+    /// an index in box order).
     pub fn block_stats(&self) -> (usize, usize) {
         self.pair_blocks()
             .map_or((0, 0), |b| (b.n_blocks(), b.memory_bytes()))
@@ -349,8 +331,7 @@ impl SdIndex {
                 chunks: self.data.len().div_ceil(CHUNK_ROWS),
             });
         };
-        let indexed = pair_eval(pair.blocks, pair.alpha, pair.beta, pair.qx, pair.qy)
-            .is_ok_and(|e| e.indexed());
+        let indexed = pair.eval().is_ok_and(|e| e.indexed());
         Ok(QueryPlan::Direct(PairPlan {
             repulsive: pair.repulsive,
             attractive: pair.attractive,
@@ -418,7 +399,6 @@ impl SdIndex {
         scratch.profile.reset();
         let part = ShardPart {
             index: self,
-            offset: 0,
             mask: None,
         };
         scratch.answer_with(k.min(self.data.len()), |scratch, floor| {
@@ -437,27 +417,11 @@ impl SdIndex {
         }
         self.verify_integrity()
     }
-
-    /// The build options of this index — what a compaction-time rebuild
-    /// passes to [`SdIndex::build_with`] to reproduce the same physical
-    /// layout: a walked pair's indexed angles (the default grid for an
-    /// index in box order, which holds none).
-    pub fn rebuild_options(&self) -> SdIndexOptions {
-        SdIndexOptions {
-            angles: self
-                .pair_blocks()
-                .map_or_else(default_angles, |b| b.angles().to_vec()),
-        }
-    }
 }
 
 /// What every build validates: roles for every dimension, ids that fit a
 /// `u32`, and indexed angles that span 0° to 90°; returns the angles.
-fn check_build(
-    data: &Dataset,
-    roles: &[DimRole],
-    options: &SdIndexOptions,
-) -> Result<Vec<Angle>, SdError> {
+fn check_build(data: &Dataset, roles: &[DimRole], angles: &[Angle]) -> Result<Vec<Angle>, SdError> {
     if roles.len() != data.dims() {
         return Err(SdError::DimensionMismatch {
             expected: data.dims(),
@@ -467,62 +431,93 @@ fn check_build(
     if data.len() > u32::MAX as usize {
         return Err(SdError::TooManyPoints(data.len()));
     }
-    let angles = normalize_angles(&options.angles)?;
+    let angles = normalize_angles(angles)?;
     check_axes(&angles)?;
     Ok(angles)
 }
 
+/// The rows of `data` that `ids` names, in that order, row-major.
+fn gather(data: &Dataset, ids: &[u32]) -> Vec<f64> {
+    let (dims, flat) = (data.dims(), data.flat());
+    let mut rows = Vec::with_capacity(ids.len() * dims);
+    for &id in ids {
+        rows.extend_from_slice(&flat[id as usize * dims..][..dims]);
+    }
+    rows
+}
+
 /// The most shards `rows` rows under `roles` make with none empty: one a
 /// row for a walked pair's row ranges, one a 64-row chunk for the cells of
-/// a box order ([`cells`]), and at least one.
+/// a box order, and at least one.
 pub fn shard_limit(roles: &[DimRole], rows: usize) -> usize {
     match walked_pair(roles) {
         Some(_) => rows.max(1),
-        None => boxes::max_cells(rows),
+        None => rows.div_ceil(CHUNK_ROWS).max(1),
     }
 }
 
-/// Checks that the box-ordered `indexes` — an engine's cells — name every
-/// id of `0..rows` at most once between them, and none outside it: one
-/// pass over an `rows`-bit set, naming the first index and position at
-/// fault. Indexes without a box order (a walked pair's row ranges) name
-/// their rows by position and are passed over. With the cells' rows
-/// summing to `rows`, as an engine's do, every id is then named once.
+/// Cuts `data`'s rows into `count` cells under `roles`, clamped to
+/// [`shard_limit`] (so none is empty) and at least one — the shards an
+/// engine builds, each with [`SdIndex::build_cell`]. A walked pair's cells
+/// are contiguous row ranges, balanced within one row; any other roles'
+/// are the subtrees of one box order ([`boxes`]): the top `⌈log₂ count⌉`
+/// levels of the median split of all the rows, run here.
+pub fn cells(data: &Dataset, roles: &[DimRole], count: usize) -> Vec<Cell> {
+    let n = data.len();
+    let count = count.clamp(1, shard_limit(roles, n));
+    match walked_pair(roles) {
+        Some(_) => (0..count)
+            .map(|i| Cell::of((i * n / count) as u32..((i + 1) * n / count) as u32))
+            .collect(),
+        None => boxes::split(data, count),
+    }
+}
+
+/// Checks that `indexes` — an engine's shards — name every id of `0..rows`
+/// at most once between them, and none outside it: one pass over an
+/// `rows`-bit set, naming the first index and position at fault. With the
+/// shards' rows summing to `rows`, as an engine's do, every id is then
+/// named once.
 pub fn id_census<'a>(
     indexes: impl IntoIterator<Item = &'a SdIndex>,
     rows: usize,
 ) -> Result<(), SdError> {
     let mut met = vec![0u64; rows.div_ceil(64)];
     for (i, index) in indexes.into_iter().enumerate() {
-        if let Some(order) = index.order() {
-            order
-                .census(&mut met, rows)
-                .map_err(|e| SdError::SnapshotCorrupt {
-                    detail: format!("shard {i} {e}"),
-                })?;
+        for (pos, &id) in index.ids.iter().enumerate() {
+            let in_range = (id as usize) < rows;
+            let fresh = in_range && {
+                let (word, bit) = (&mut met[id as usize / 64], 1u64 << (id % 64));
+                let fresh = *word & bit == 0;
+                *word |= bit;
+                fresh
+            };
+            if !fresh {
+                let what = if in_range { "repeated" } else { "out of range" };
+                return Err(SdError::SnapshotCorrupt {
+                    detail: format!("shard {i} position {pos}: row id {id} {what} for {rows} rows"),
+                });
+            }
         }
     }
     Ok(())
 }
 
-/// What a mapped engine checks of its cells before its first answer, where
-/// [`id_census`] would cost as much as the rest of that query: every id of
-/// the box-ordered `indexes` below `rows`. An id named twice is left to
-/// the census of an eager open or a compaction.
+/// What a mapped engine checks of its shards before its first answer,
+/// where [`id_census`] would cost as much as the rest of that query: every
+/// id of `indexes` below `rows`. An id named twice is left to the census of
+/// an eager open or a compaction.
 pub fn ids_in_range<'a>(
     indexes: impl IntoIterator<Item = &'a SdIndex>,
     rows: usize,
 ) -> Result<(), SdError> {
     let limit = u32::try_from(rows).unwrap_or(u32::MAX);
     for (i, index) in indexes.into_iter().enumerate() {
-        let Some(order) = index.order() else {
-            continue;
-        };
-        if let Some(pos) = crate::codec::first_bad(&order.ids, |&id| id >= limit) {
+        if let Some(pos) = crate::codec::first_bad(&index.ids, |&id| id >= limit) {
             return Err(SdError::SnapshotCorrupt {
                 detail: format!(
                     "shard {i} position {pos}: row id {} out of range for {rows} rows",
-                    order.ids[pos]
+                    index.ids[pos]
                 ),
             });
         }
@@ -549,23 +544,51 @@ pub struct SinglePair<'a> {
     qy: f64,
 }
 
+impl SinglePair<'_> {
+    /// How a frontier over the pair's block set evaluates the query; an
+    /// error for a weight angle outside the indexed range.
+    pub(crate) fn eval(&self) -> Result<FrontierEval, SdError> {
+        self.eval_over(self.blocks)
+    }
+
+    /// [`SinglePair::eval`] over `blocks`, another part's block set of the
+    /// same pair.
+    pub(crate) fn eval_over(&self, blocks: &BlockSet) -> Result<FrontierEval, SdError> {
+        let theta = Angle::from_weights(self.alpha, self.beta)?;
+        FrontierEval::at(blocks.angles(), &theta, self.qx, self.qy)
+    }
+
+    /// `r = ‖(α, β)‖`: a frontier bound, in normalised θ_q units, times `r`
+    /// is a bound on the pair's score.
+    pub(crate) fn r(&self) -> f64 {
+        self.alpha.hypot(self.beta)
+    }
+}
+
 /// One part of a query ([`answer_parts`]) — in an engine, one shard: its
-/// index, what turns the index's row ids into global ids, and the
-/// tombstones viewed at its ids.
+/// index, whose id column holds the rows' global ids, and the tombstones.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPart<'a> {
     /// The shard's index.
     pub index: &'a SdIndex,
-    /// Added to the index's row ids to name a row globally: a row's score
-    /// enters the query's floor under `offset + id`. The global id of the
-    /// first row of a walked pair's shard, a row range of its engine; `0`
-    /// for a cell ([`SdIndex::build_cell`]), whose id column holds global
-    /// ids, and for an index alone.
-    pub offset: u32,
-    /// The dead rows, viewed at this part's ids (`MaskView::new(mask,
-    /// offset)`): `None` when there are none, which spares the scan and the
-    /// walk a mask read a row.
-    pub mask: Option<MaskView<'a>>,
+    /// The dead rows, by global id: `None` when there are none, which
+    /// spares the scan and the walk an id lookup a row.
+    pub mask: Option<&'a RowMask>,
+}
+
+impl ShardPart<'_> {
+    /// The tombstone bits of the `count` positions from `start`: one id
+    /// lookup a lane.
+    #[inline]
+    pub(crate) fn dead_word(&self, start: usize, count: usize) -> u32 {
+        let Some(mask) = self.mask else {
+            return 0;
+        };
+        self.index.ids[start..start + count]
+            .iter()
+            .enumerate()
+            .fold(0, |w, (l, &id)| w | u32::from(mask.get(id as usize)) << l)
+    }
 }
 
 /// The one driver of a query: answers `query` over `parts` — the one index
@@ -582,13 +605,13 @@ pub struct ShardPart<'a> {
 /// the floor everything before it left.
 ///
 /// Every scorer offers each row it keeps to `floor` under its global id,
-/// `offset + id`, and prunes against it, tombstoned rows (`mask`) dropped
-/// before they reach it; scores already there (an engine's delta rows) end
-/// the parts sooner. Once it returns, the floor holds the parts' share of
-/// the canonical top k. The parts' counters are added to `scratch.profile`,
-/// which the caller resets once per query — also when a deadline or
-/// cancellation (`scratch.deadline`, consulted before every pop of the walk
-/// and every scanned piece of rows) ended the query — and
+/// the index's `ids[pos]`, and prunes against it, tombstoned rows (`mask`)
+/// dropped before they reach it; scores already there (an engine's delta
+/// rows) end the parts sooner. Once it returns, the floor holds the parts'
+/// share of the canonical top k. The parts' counters are added to
+/// `scratch.profile`, which the caller resets once per query — also when a
+/// deadline or cancellation (`scratch.deadline`, consulted before every pop
+/// of the walk and every scanned piece of rows) ended the query — and
 /// `scratch.part_floor_updates` holds each part's share of this call's
 /// `floor_updates`, in part order. Every buffer goes back to the scratch
 /// either way, so a warmed scratch answers without allocating.
@@ -611,23 +634,12 @@ where
         return Ok(());
     };
     let t0 = scratch.profile.timing.then(std::time::Instant::now);
+    // The role-signed weights every scorer of the query scores rows with.
+    scratch.fbuf.clear();
+    let signed = first.index.roles.iter().zip(&query.weights);
+    scratch.fbuf.extend(signed.map(|(r, &w)| r.sign() * w));
     let ran = match first.index.single_pair(query) {
-        Some(pair) => arbitrary::query_blocks_with(
-            parts.map(|part| BlockPart {
-                blocks: part
-                    .index
-                    .pair_blocks()
-                    .expect("every part shares the roles"),
-                offset: part.offset,
-                mask: part.mask,
-            }),
-            pair.qx,
-            pair.qy,
-            pair.alpha,
-            pair.beta,
-            scratch,
-            floor,
-        ),
+        Some(pair) => arbitrary::query_blocks_with(parts, &pair, query, scratch, floor),
         None => scan_parts(parts, &first.index.roles, query, scratch, floor),
     };
     if let Some(t0) = t0 {
@@ -711,8 +723,6 @@ fn scan_parts<'a>(
         ..
     } = bufs;
     scores.resize(LANES, 0.0);
-    sw.clear();
-    sw.extend(roles.iter().zip(&query.weights).map(|(r, &w)| r.sign() * w));
     part_floor_updates.extend(parts.clone().map(|_| 0));
     let mut clock = Clock::new(profile.timing);
     for part in parts.clone() {
@@ -744,13 +754,13 @@ fn scan_parts<'a>(
     let (floor_bar, worst) = (floor.bar(), floor.worst());
     let (mut bar, mut full) = (floor_bar, 4 * LEAD_CHUNKS);
     for (i, shard) in parts.clone().enumerate() {
-        let part = PartScan::new(&shard);
         let from = starts[i];
         for (c, &b) in bounds[from..from + part_chunks(&shard)].iter().enumerate() {
-            if b < bar || b == floor_bar && worst.is_some_and(|(_, id)| part.first(c) >= id) {
+            let first = shard.index.firsts[c];
+            if b < bar || b == floor_bar && worst.is_some_and(|(_, id)| first >= id) {
                 continue;
             }
-            let key = u64::from(part.first(c)) << 32 | (from + c) as u64;
+            let key = u64::from(first) << 32 | (from + c) as u64;
             lead.push((!crate::threshold::encode(b), key));
             if lead.len() >= full {
                 bar = bounds[cut_lead(lead) as u32 as usize];
@@ -770,9 +780,9 @@ fn scan_parts<'a>(
     for &(_, key) in lead.iter() {
         let g = key as u32 as usize;
         let i = starts.partition_point(|&start| start <= g) - 1;
-        let shard = parts.clone().nth(i).expect("a chunk's part");
-        let (part, c) = (PartScan::new(&shard), g - starts[i]);
-        if reaches(bounds[g], part.first(c), floor) {
+        let part = parts.clone().nth(i).expect("a chunk's part");
+        let c = g - starts[i];
+        if reaches(bounds[g], part.index.firsts[c], floor) {
             st.chunk(&part, c, floor, &mut part_floor_updates[i])?;
         }
         // Scored or beaten: the sweep passes it by (no bound is NaN).
@@ -786,10 +796,9 @@ fn scan_parts<'a>(
     let bar = floor.bar();
     let half = bar + (top - bar) / 2.0;
     for upper in [true, false] {
-        for (i, shard) in parts.clone().enumerate() {
-            let part = PartScan::new(&shard);
+        for (i, part) in parts.clone().enumerate() {
             let from = starts[i];
-            let bounds = &mut bounds[from..from + part_chunks(&shard)];
+            let bounds = &mut bounds[from..from + part_chunks(&part)];
             // The floor only rises when a chunk is scored: a bound under
             // its last reading is out without asking it again.
             let mut bar = floor.bar();
@@ -800,7 +809,7 @@ fn scan_parts<'a>(
                 if upper && b.partial_cmp(&half).is_none_or(|o| o.is_lt()) {
                     continue;
                 }
-                if b >= bar && reaches(b, part.first(c), floor) {
+                if b >= bar && reaches(b, part.index.firsts[c], floor) {
                     st.chunk(&part, c, floor, &mut part_floor_updates[i])?;
                     bar = floor.bar();
                 }
@@ -860,10 +869,10 @@ fn part_chunks(part: &ShardPart<'_>) -> usize {
 }
 
 /// Appends the score bound of every chunk of `part` to `bounds`: from its
-/// box ([`boxes::chunk_bounds`]), or — for a walked pair's rows, in id
-/// order — `0`: such an index is scanned only when both its weights are
-/// zero ([`SdIndex::single_pair`]), and `0` is then every row's exact
-/// score. Counts the part's scan (`parts_scanned`) unless it has no row.
+/// box ([`boxes::chunk_bounds`]), or — for a walked pair's rows — `0`: such
+/// an index is scanned only when both its weights are zero
+/// ([`SdIndex::single_pair`]), and `0` is then every row's exact score.
+/// Counts the part's scan (`parts_scanned`) unless it has no row.
 fn bound_part(
     part: &ShardPart<'_>,
     roles: &[DimRole],
@@ -877,9 +886,11 @@ fn bound_part(
     }
     prof.parts_scanned += 1;
     prof.isa = kernels::active().name();
-    match part.index.order() {
-        Some(order) => boxes::chunk_bounds(order, roles, &query.point, &query.weights, bounds),
-        None => {
+    match &part.index.layout {
+        Layout::Boxes(boxes) => {
+            boxes::chunk_bounds(boxes, roles, &query.point, &query.weights, bounds)
+        }
+        Layout::Pair(_) => {
             debug_assert!(query.weights.iter().all(|&w| w == 0.0));
             bounds.resize(bounds.len() + n.div_ceil(CHUNK_ROWS), 0.0);
         }
@@ -894,78 +905,6 @@ fn bound_part(
 fn reaches(bound: f64, first: u32, floor: &QueryFloor<'_>) -> bool {
     let bar = floor.bar();
     bound > bar || (bound == bar && floor.worst().is_none_or(|(_, id)| first < id))
-}
-
-/// How a frontier over `blocks` evaluates the pair query `(α, β, (qx, qy))`;
-/// an error for both-zero weights (the planner never consults the
-/// evaluation for them) and for a weight angle outside the indexed range.
-fn pair_eval(
-    blocks: &BlockSet,
-    alpha: f64,
-    beta: f64,
-    qx: f64,
-    qy: f64,
-) -> Result<FrontierEval, SdError> {
-    let theta = Angle::from_weights(alpha, beta)?;
-    FrontierEval::at(blocks.angles(), &theta, qx, qy)
-}
-
-/// One part of a box scan: the shard's rows and how to name them.
-///
-/// A row is handled by its *position* in the shard's stored order: the
-/// scored pieces read positions, and only the floor and the tombstones read
-/// the row's id, through the index's id column ([`PartScan::id`]).
-struct PartScan<'a> {
-    shard: ShardPart<'a>,
-    data: &'a Dataset,
-    /// The shard's box order; `None` when positions are ids.
-    order: Option<&'a BoxOrder>,
-    /// The tombstones (none when the engine has no dead row).
-    mask: Option<MaskView<'a>>,
-}
-
-impl<'a> PartScan<'a> {
-    fn new(shard: &ShardPart<'a>) -> Self {
-        let data = &*shard.index.data;
-        PartScan {
-            shard: *shard,
-            data,
-            order: shard.index.order(),
-            mask: shard.mask,
-        }
-    }
-
-    /// The index's row id of position `pos` (global for a cell, whose
-    /// offset is `0`).
-    #[inline]
-    fn id(&self, pos: usize) -> u32 {
-        self.order.map_or(pos as u32, |o| o.ids[pos])
-    }
-
-    /// The smallest global id of chunk `c`: rows in id order start a chunk
-    /// with it.
-    #[inline]
-    fn first(&self, c: usize) -> u32 {
-        let local = self.order.map_or((c * CHUNK_ROWS) as u32, |o| o.firsts[c]);
-        self.shard.offset + local
-    }
-
-    /// The tombstone bits of the `count` positions from `start`: one mask
-    /// word in id order, one id lookup a lane in box order.
-    #[inline]
-    fn dead_word(&self, start: usize, count: usize) -> u32 {
-        let Some(mask) = self.mask else {
-            return 0;
-        };
-        let lanes = u32::MAX >> (LANES - count);
-        match self.order {
-            None => mask.dead_word32(start as u32) & lanes,
-            Some(o) => o.ids[start..start + count]
-                .iter()
-                .enumerate()
-                .fold(0, |w, (l, &id)| w | u32::from(mask.is_dead(id)) << l),
-        }
-    }
 }
 
 /// What the box scan scores with, across all its parts: the query point
@@ -990,7 +929,7 @@ impl Scoring<'_> {
     /// [`scan_parts`]).
     fn chunk(
         &mut self,
-        part: &PartScan<'_>,
+        part: &ShardPart<'_>,
         c: usize,
         floor: &mut QueryFloor<'_>,
         updates: &mut u64,
@@ -998,13 +937,16 @@ impl Scoring<'_> {
         #[cfg(test)]
         self.scanned.push(c);
         self.prof.chunks_scored += 1;
-        let n = part.data.len();
-        let (lo, hi) = (c * CHUNK_ROWS, ((c + 1) * CHUNK_ROWS).min(n));
+        let (data, ids) = (&*part.index.data, &part.index.ids);
+        let dims = data.dims();
+        let (lo, hi) = (c * CHUNK_ROWS, ((c + 1) * CHUNK_ROWS).min(data.len()));
         for start in (lo..hi).step_by(LANES) {
             self.deadline.check()?;
             let count = LANES.min(hi - start);
             let dead = part.dead_word(start, count);
-            let mut reach = self.piece(part.data, start, count, dead, floor.bar());
+            let live = (u32::MAX >> (LANES - count)) & !dead;
+            let run = &data.flat()[start * dims..(start + count) * dims];
+            let mut reach = score_piece(self.scores, run, live, (self.q, self.sw), floor.bar());
             let dead = u64::from(dead.count_ones());
             let prof = &mut *self.prof;
             prof.kernel_batches += 1;
@@ -1015,8 +957,7 @@ impl Scoring<'_> {
             while reach != 0 {
                 let l = reach.trailing_zeros() as usize;
                 reach &= reach - 1;
-                let id = part.shard.offset + part.id(start + l);
-                let rose = floor.offer(self.scores[l], id);
+                let rose = floor.offer(self.scores[l], ids[start + l]);
                 prof.points_scored += 1;
                 prof.floor_updates += u64::from(rose);
                 *updates += u64::from(rose);
@@ -1024,25 +965,31 @@ impl Scoring<'_> {
         }
         Ok(())
     }
+}
 
-    /// Scores the up to [`LANES`] consecutive positions of `data` from
-    /// `start`, inside one chunk, on the full query straight off the
-    /// row-major table, compared to `floor` in the same pass
-    /// ([`kernels::score_rows`]), and returns the live rows at or above it.
-    /// A dead row costs a wasted lane, never a visit to the floor.
-    ///
-    /// Kept out of line: inlined, the same kernel source has come out
-    /// ≈ 25 % apart in speed depending on the loop around it.
-    #[inline(never)]
-    fn piece(&mut self, data: &Dataset, start: usize, count: usize, dead: u32, floor: f64) -> u32 {
-        let live = (u32::MAX >> (LANES - count)) & !dead;
-        if live == 0 {
-            return 0;
-        }
-        let dims = data.dims();
-        let run = &data.flat()[start * dims..(start + count) * dims];
-        kernels::score_rows(&mut self.scores[..count], run, dims, self.q, self.sw, floor) & live
+/// Scores `run` — up to [`LANES`] consecutive rows of a stored row table,
+/// inside one chunk or block — on the full query, the point `q` and the
+/// role-signed weights `sw`, compared to `floor` in the same pass
+/// ([`kernels::score_rows`]), and returns the rows of `live` at or above
+/// it. A dead row costs a wasted lane, never a visit to the floor. The one
+/// scorer of a stored row: the box scan's chunks and the walk's blocks.
+///
+/// Kept out of line: inlined, the same kernel source has come out ≈ 25 %
+/// apart in speed depending on the loop around it.
+#[inline(never)]
+pub(crate) fn score_piece(
+    scores: &mut [f64],
+    run: &[f64],
+    live: u32,
+    (q, sw): (&[f64], &[f64]),
+    floor: f64,
+) -> u32 {
+    if live == 0 {
+        return 0;
     }
+    let dims = q.len();
+    let count = run.len() / dims;
+    kernels::score_rows(&mut scores[..count], run, dims, q, sw, floor) & live
 }
 
 /// The scan's per-query buffers, kept in the [`QueryScratch`]: one bound
@@ -1083,13 +1030,15 @@ impl ChunkBufs {
 /// whose one heap is ordered by θ_q score bounds ([`FrontierEval`]: for
 /// non-indexed θ_q the Claim 6 bracket in closed form, per envelope). Whole
 /// blocks surface (and are prunable against a floor) at once;
-/// [`Pair2DStream::next_unit`] kernel-scores a popped block's lanes on the
+/// [`Pair2DStream::next_unit`] kernel-scores a popped block's rows on the
 /// pair and filters them against the floor before emission.
 pub struct Pair2DStream<'a> {
     frontier: BlockFrontier<'a>,
-    blocks: &'a BlockSet,
-    alpha: f64,
-    beta: f64,
+    index: &'a SdIndex,
+    /// The pair's query point and role-signed weights, in the index's
+    /// dimension order.
+    q: [f64; 2],
+    sw: [f64; 2],
     r: f64,
 }
 
@@ -1101,26 +1050,31 @@ impl<'a> Pair2DStream<'a> {
         let Some(pair) = index.single_pair(query) else {
             return Ok(None);
         };
-        let blocks = pair.blocks;
-        let eval = pair_eval(blocks, pair.alpha, pair.beta, pair.qx, pair.qy)?;
+        let rows = (index.data.flat(), &index.ids[..]);
+        let signed = |d: usize| index.roles[d].sign() * query.weights[d];
         Ok(Some(Pair2DStream {
-            frontier: BlockFrontier::with_scratch(blocks, eval, Default::default()),
-            blocks,
-            alpha: pair.alpha,
-            beta: pair.beta,
-            r: pair.alpha.hypot(pair.beta),
+            frontier: BlockFrontier::with_scratch(
+                pair.blocks,
+                rows,
+                pair.eval()?,
+                Default::default(),
+            ),
+            index,
+            q: [query.point[0], query.point[1]],
+            sw: [signed(0), signed(1)],
+            r: pair.r(),
         }))
     }
 
     /// Fetches this stream's next *emission unit* into `out`: the row id of
-    /// every live row of its next surviving SoA leaf block (up to [`LANES`]
-    /// at once), after block-level floor pruning. With `prune = Some((f,
-    /// others))` — `f` the current k-th-score floor and `others` what the
-    /// rest of the score can add at most — any block whose raw subscore
-    /// bound `b` satisfies `f > inflate(b + others)` is certifiably outside
-    /// the top-k (every point in it scores at most `b + others`) and is
-    /// discarded before a single point is scored, and so is every lane with
-    /// `f > inflate(subscore + others)`.
+    /// every row of its next surviving leaf block (up to [`LANES`] at once),
+    /// after block-level floor pruning. With `prune = Some((f, others))` —
+    /// `f` the current k-th-score floor and `others` what the rest of the
+    /// score can add at most — any block whose raw subscore bound `b`
+    /// satisfies `f > inflate(b + others)` is certifiably outside the top-k
+    /// (every point in it scores at most `b + others`) and is discarded
+    /// before a single point is scored, and so is every lane with `f >
+    /// inflate(subscore + others)`.
     ///
     /// Returns `false` once the stream is drained (nothing appended).
     /// `prof` receives the fetch's execution counters (frontier walk
@@ -1131,7 +1085,7 @@ impl<'a> Pair2DStream<'a> {
         out: &mut Vec<u32>,
         prof: &mut QueryProfile,
     ) -> bool {
-        let (blocks, r) = (self.blocks, self.r);
+        let r = self.r;
         // One whole block per round; envelope-level pruning first.
         let picked = self.frontier.next_block(|b| match prune {
             Some((f, others)) => f > inflate(r * b + others),
@@ -1145,31 +1099,31 @@ impl<'a> Pair2DStream<'a> {
         let Some(block) = picked else {
             return false;
         };
-        let mut live = blocks.live(block);
-        let slots = blocks.slots(block);
+        let start = block as usize * LANES;
+        let count = LANES.min(self.index.data.len() - start);
+        let mut live = u32::MAX >> (LANES - count);
         if let Some((f, others)) = prune {
-            // Per-lane floor filter on the cheap SoA pair subscores: a lane
-            // with `f > inflate(subscore + others)` can hold no top-k row no
-            // matter what the rest contributes, and dies here.
+            // Per-lane floor filter on the pair subscores: a lane with `f >
+            // inflate(subscore + others)` can hold no top-k row no matter
+            // what the rest contributes, and dies here.
             let mut scores = [0.0f64; LANES];
-            let eval = self.frontier.eval();
-            kernels::score_block_2d(
-                &mut scores,
-                blocks.xs(block),
-                blocks.ys(block),
-                eval.qx,
-                eval.qy,
-                self.alpha,
-                self.beta,
+            let run = &self.index.data.flat()[2 * start..2 * (start + count)];
+            kernels::score_rows(
+                &mut scores[..count],
+                run,
+                2,
+                &self.q,
+                &self.sw,
+                f64::NEG_INFINITY,
             );
-            let keep = kernels::lane_filter(&scores, live, others, f);
+            let keep = kernels::lane_filter(&scores[..count], live, others, f);
             prof.lanes_masked += u64::from((live & !keep).count_ones());
             live = keep;
         }
         while live != 0 {
             let l = live.trailing_zeros() as usize;
             live &= live - 1;
-            out.push(slots[l]);
+            out.push(self.index.ids[start + l]);
         }
         true
     }

@@ -98,7 +98,7 @@ fn six_dims_three_three_paper_config() {
     let data = rand_dataset(&mut rng, 400, 6);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
     // Three pairs are not one: the rows go in box order, no block set.
-    assert!(index.row_ids().is_some());
+    assert!(index.pair_blocks().is_none());
     assert_eq!(index.block_stats(), (0, 0));
     for _ in 0..25 {
         let q = rand_query(&mut rng, 6);
@@ -115,7 +115,7 @@ fn all_attractive_degenerates_to_ta() {
     let roles = vec![DimRole::Attractive; 4];
     let data = rand_dataset(&mut rng, 200, 4);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(index.row_ids().is_some());
+    assert!(index.pair_blocks().is_none());
     for _ in 0..15 {
         let q = rand_query(&mut rng, 4);
         assert_equiv(&index.query(&q, 7).unwrap(), &oracle(&data, &roles, &q, 7));
@@ -128,7 +128,7 @@ fn all_repulsive_degenerates_to_ta() {
     let roles = vec![DimRole::Repulsive; 3];
     let data = rand_dataset(&mut rng, 200, 3);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(index.row_ids().is_some());
+    assert!(index.pair_blocks().is_none());
     for _ in 0..15 {
         let q = rand_query(&mut rng, 3);
         assert_equiv(&index.query(&q, 4).unwrap(), &oracle(&data, &roles, &q, 4));
@@ -294,7 +294,7 @@ fn paper_publisher_example() {
     let index = SdIndex::build(data.clone(), &roles).unwrap();
     // A pair and a 1-D subproblem are not one pair: one box scan.
     assert_eq!(walked_pair(&roles), None);
-    assert!(index.row_ids().is_some());
+    assert!(index.pair_blocks().is_none());
     let q = SdQuery::new(vec![50.0, 38.0, 75.0], vec![1.0, 1.0, 1.0]).unwrap();
     let got = index.query(&q, 2).unwrap();
     assert_equiv(&got, &oracle(&data, &roles, &q, 2));
@@ -338,13 +338,9 @@ fn six_d_roles() -> Vec<DimRole> {
 /// one, and at a tied score every row ranks before them.
 const ELSEWHERE: u32 = u32::MAX / 2;
 
-/// `index` as the one shard of a query, at offset 0, under `mask`.
-fn part<'a>(index: &'a SdIndex, mask: Option<MaskView<'a>>) -> ShardPart<'a> {
-    ShardPart {
-        index,
-        offset: 0,
-        mask,
-    }
+/// `index` as the one shard of a query, under `mask`.
+fn part<'a>(index: &'a SdIndex, mask: Option<&'a RowMask>) -> ShardPart<'a> {
+    ShardPart { index, mask }
 }
 
 /// The rows `floor` ends holding, drained in canonical order, without the
@@ -364,7 +360,7 @@ fn answer(
     q: &SdQuery,
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
-    mask: Option<MaskView<'_>>,
+    mask: Option<&RowMask>,
 ) -> Vec<ScoredPoint> {
     scratch.profile.reset();
     answer_parts([part(index, mask)], q, scratch, floor).unwrap();
@@ -406,18 +402,20 @@ fn assert_scan_scored(
     worst: Option<(f64, u32)>,
     dead: &dyn Fn(u32) -> bool,
 ) -> Outcomes {
-    let order = index.order().expect("an aggregating index is in box order");
+    let Layout::Boxes(boxes) = &index.layout else {
+        panic!("an aggregating index is in box order");
+    };
     let n = index.data.len();
     let p = &scratch.profile;
     let mut bounds = Vec::new();
-    boxes::chunk_bounds(order, &index.roles, &q.point, &q.weights, &mut bounds);
+    boxes::chunk_bounds(boxes, &index.roles, &q.point, &q.weights, &mut bounds);
     let mut visited = vec![false; bounds.len()];
     for &c in &scratch.chunks.scanned {
         assert!(!std::mem::replace(&mut visited[c], true), "chunk {c} twice");
     }
     let mut out = Outcomes::default();
     for (c, &bound) in bounds.iter().enumerate() {
-        let first = order.firsts[c];
+        let first = index.firsts[c];
         let reaches = worst.is_none_or(|(s, id)| bound > s || (bound == s && first < id));
         assert!(
             visited[c] || !reaches,
@@ -431,7 +429,7 @@ fn assert_scan_scored(
     }
     let rows = (0..n).filter(|&pos| visited[pos / CHUNK_ROWS]);
     let scanned = rows.clone().count() as u64;
-    let dead_rows = rows.filter(|&pos| dead(order.ids[pos])).count() as u64;
+    let dead_rows = rows.filter(|&pos| dead(index.ids[pos])).count() as u64;
     assert_eq!(p.parts_scanned, 1);
     assert_eq!(
         (p.chunks_scored, p.chunks_skipped),
@@ -519,7 +517,7 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     let mut heap = BinaryHeap::new();
     for k in [8, 343, 344, n + 3] {
         let mut floor = QueryFloor::new(&mut heap, k.min(343));
-        let mask = Some(MaskView::new(&dead, 0));
+        let mask = Some(&dead);
         scratch.profile.reset();
         answer_parts([part(&index, mask)], &q, &mut scratch, &mut floor).unwrap();
         let worst = floor.worst();
@@ -538,7 +536,7 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     // split scatters small ids over most chunks of so few rows).
     let zero = SdQuery::new(vec![0.3; 6], vec![0.0; 6]).unwrap();
     let mut floor = QueryFloor::new(&mut heap, 5);
-    let mask = Some(MaskView::new(&dead, 0));
+    let mask = Some(&dead);
     scratch.profile.reset();
     answer_parts([part(&index, mask)], &zero, &mut scratch, &mut floor).unwrap();
     let worst = floor.worst();
@@ -571,8 +569,6 @@ fn a_chunk_tied_with_the_floor_is_skipped_above_its_worst_id() {
         let p = scratch.profile;
         // The chunks that hold ids below k, and no other.
         let holding = index
-            .order()
-            .unwrap()
             .firsts
             .iter()
             .filter(|&&first| (first as usize) < k)
@@ -584,17 +580,15 @@ fn a_chunk_tied_with_the_floor_is_skipped_above_its_worst_id() {
         );
     }
     // Under a floor already full at that score with smaller ids, nothing
-    // of this part is read.
+    // of a part whose ids all lie above them is read.
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, 4);
     for id in 0..4 {
         floor.offer(-1.25, id);
     }
-    let far = ShardPart {
-        index: &index,
-        offset: 4,
-        mask: None,
-    };
+    let shifted = Dataset::from_rows(2, &vec![vec![0.25, -0.5]; 260]).unwrap();
+    let above = SdIndex::build_cell(&shifted, &roles, &Cell::of(4..260)).unwrap();
+    let far = part(&above, None);
     scratch.profile.reset();
     answer_parts([far], &q, &mut scratch, &mut floor).unwrap();
     let p = scratch.profile;
@@ -660,7 +654,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     let mut heap = BinaryHeap::new();
     let mut floor = floor_at(&mut heap, k, want[k - 1].score);
     let mut scratch = QueryScratch::new();
-    let mask = Some(MaskView::new(&dead, 0));
+    let mask = Some(&dead);
     scratch.profile.reset();
     answer_parts([part(&index, mask)], &q, &mut scratch, &mut floor).unwrap();
     let worst = floor.worst();
@@ -990,7 +984,7 @@ fn every_exit_forced_at_the_one_constructor() {
         } else {
             RowMask::new(n)
         };
-        let mask = (case % 2 == 1).then(|| MaskView::new(&dead, 0));
+        let mask = (case % 2 == 1).then_some(&dead);
         let mut live = oracle(&data, &roles, &q, n);
         live.retain(|sp| !dead.get(sp.id.index()));
         for k in [1, n.saturating_sub(1).max(1), n, n + 3] {
@@ -1032,21 +1026,26 @@ fn rand_dead(rng: &mut impl Rng, n: usize) -> RowMask {
     dead
 }
 
-/// `index` with its pair's rows dealt into blocks by a random permutation
-/// — no tiles, no strips, no order at all; a file written by a build that
-/// ordered its blocks some other way is one of these. (An index that scans
-/// has no block set to deal.)
+/// `index` with its pair's rows stored in a random permutation, and so
+/// dealt into blocks by it — no tiles, no strips, no order at all; a file
+/// written by a build that ordered its rows some other way is one of
+/// these. (An index that scans has no block set to deal.)
 fn dealt_at_random(index: &SdIndex, rng: &mut impl Rng) -> SdIndex {
     let n = index.data.len();
     let mut dealt = index.clone();
     if let (Some((rep, att)), Layout::Pair(blocks)) = (walked_pair(&index.roles), &mut dealt.layout)
     {
-        let pts: Vec<(f64, f64)> = index.data.iter().map(|(_, c)| (c[att], c[rep])).collect();
         let mut order: Vec<u32> = (0..n as u32).collect();
         for i in (1..n).rev() {
             order.swap(i, rng.gen_range(0..=i));
         }
-        *blocks = BlockSet::from_order(&pts, &order, blocks.angles());
+        let rows = gather(&index.data, &order);
+        let pts: Vec<(f64, f64)> = rows.chunks(2).map(|c| (c[att], c[rep])).collect();
+        *blocks = BlockSet::build(&pts, blocks.angles());
+        let ids: Vec<u32> = order.iter().map(|&p| index.ids[p as usize]).collect();
+        dealt.data = Arc::new(Dataset::from_flat(2, rows).unwrap());
+        dealt.firsts = ColumnarView::owned(boxes::chunk_firsts(&ids));
+        dealt.ids = ColumnarView::owned(ids);
     }
     dealt
 }
@@ -1079,7 +1078,7 @@ proptest! {
             let q = rand_query(&mut rng, dims);
             let all = oracle(&data, &roles, &q, n);
             for masked in [false, true] {
-                let mask = masked.then(|| MaskView::new(&dead, 0));
+                let mask = masked.then_some(&dead);
                 let mut want = all.clone();
                 want.retain(|sp| !(masked && dead.get(sp.id.index())));
                 for k in [1, 16, n] {
@@ -1097,9 +1096,9 @@ proptest! {
 }
 
 /// The layout is read off the roles alone: a 2-D index of one attractive
-/// and one repulsive dimension keeps its pair's block set and its rows in
-/// id order, every other index its rows in box order — built and decoded
-/// alike.
+/// and one repulsive dimension keeps its pair's block set above its rows,
+/// every other index the chunk boxes of its rows in box order; both keep
+/// an id a row and a first id a chunk — built and decoded alike.
 #[test]
 fn the_roles_alone_pick_the_layout() {
     use crate::codec::{decode_from_slice, encode_to_vec};
@@ -1122,7 +1121,15 @@ fn the_roles_alone_pick_the_layout() {
         let back: SdIndex = decode_from_slice(&encode_to_vec(&index)).unwrap();
         for index in [&index, &back] {
             assert_eq!(index.pair_blocks().is_some(), want.is_some(), "{spec}");
-            assert_eq!(index.row_ids().is_some(), want.is_none(), "{spec}");
+            assert_eq!(
+                matches!(index.layout, Layout::Boxes(_)),
+                want.is_none(),
+                "{spec}"
+            );
+            let mut ids = index.row_ids().to_vec();
+            ids.sort_unstable();
+            assert!(ids.into_iter().eq(0..150), "{spec}");
+            assert_eq!(index.firsts.len(), 3, "{spec}");
         }
     }
 }
@@ -1145,35 +1152,36 @@ fn cells_concatenate_to_the_whole_box_order() {
         }
         let roles = vec![DimRole::Attractive; dims];
         let whole = SdIndex::build(data.clone(), &roles).unwrap();
-        let want = whole.order().unwrap();
+        let boxes_of = |index: &SdIndex| match &index.layout {
+            Layout::Boxes(boxes) => boxes.to_vec(),
+            Layout::Pair(_) => unreachable!("no pair among these roles"),
+        };
+        let want = boxes_of(&whole);
         for count in [1, 2, 3, 4, 5, 8] {
-            let cells = cells(&data, count);
+            let cells = cells(&data, &roles, count);
             assert_eq!(cells.len(), count.min(n.div_ceil(CHUNK_ROWS)), "n {n}");
             let built: Vec<SdIndex> = cells
                 .iter()
-                .map(|cell| SdIndex::build_cell(&data, &roles, &SdIndexOptions::default(), cell))
+                .map(|cell| SdIndex::build_cell(&data, &roles, cell))
                 .collect::<Result<_, _>>()
                 .unwrap();
             let ctx = format!("n {n} dims {dims} cells {count}");
             let flat: Vec<f64> = built.iter().flat_map(|i| i.data.flat().to_vec()).collect();
             assert_eq!(flat, whole.data.flat(), "{ctx}: rows");
-            let orders: Vec<&BoxOrder> = built.iter().map(|i| i.order().unwrap()).collect();
-            let ids: Vec<u32> = orders.iter().flat_map(|o| o.ids.to_vec()).collect();
-            assert_eq!(ids, &want.ids[..], "{ctx}: ids");
-            let firsts: Vec<u32> = orders.iter().flat_map(|o| o.firsts.to_vec()).collect();
-            assert_eq!(firsts, &want.firsts[..], "{ctx}: firsts");
+            let ids: Vec<u32> = built.iter().flat_map(|i| i.ids.to_vec()).collect();
+            assert_eq!(ids, &whole.ids[..], "{ctx}: ids");
+            let firsts: Vec<u32> = built.iter().flat_map(|i| i.firsts.to_vec()).collect();
+            assert_eq!(firsts, &whole.firsts[..], "{ctx}: firsts");
             // Boxes per dimension: every cell's lows then highs, in order.
-            let (all, mut at) = (want.chunks(), 0);
-            for (o, index) in orders.iter().zip(&built) {
-                assert!(
-                    index.data.len() % CHUNK_ROWS == 0 || at + o.chunks() == all,
-                    "{ctx}"
-                );
-                let c = o.chunks();
+            let (all, mut at) = (whole.firsts.len(), 0);
+            for index in &built {
+                let c = index.firsts.len();
+                assert!(index.data.len() % CHUNK_ROWS == 0 || at + c == all, "{ctx}");
+                let boxes = boxes_of(index);
                 for d in 0..2 * dims {
                     assert_eq!(
-                        &o.boxes[d * c..(d + 1) * c],
-                        &want.boxes[d * all + at..d * all + at + c],
+                        &boxes[d * c..(d + 1) * c],
+                        &want[d * all + at..d * all + at + c],
                         "{ctx}: boxes"
                     );
                 }
@@ -1184,17 +1192,23 @@ fn cells_concatenate_to_the_whole_box_order() {
             assert!(id_census(&built, n).is_ok(), "{ctx}");
         }
     }
-    // A walked pair's roles have no box order to cut.
+    // A walked pair's cells are row ranges, balanced within a row, each
+    // tiled on its own under the ids of the range.
     let data = rand_dataset(&mut rng, 200, 2);
     let pair = [DimRole::Attractive, DimRole::Repulsive];
-    let cell = &cells(&data, 2)[0];
-    assert_eq!(
-        SdIndex::build_cell(&data, &pair, &SdIndexOptions::default(), cell).unwrap_err(),
-        SdError::RoleMismatch
-    );
+    let mut next = 0;
+    for cell in cells(&data, &pair, 3) {
+        let index = SdIndex::build_cell(&data, &pair, &cell).unwrap();
+        let len = index.data.len();
+        assert!(len == 66 || len == 67, "{len}");
+        let rows = index.rows_by_id().unwrap();
+        assert_eq!(rows.flat(), &data.flat()[2 * next..2 * (next + len)]);
+        next += len;
+    }
+    assert_eq!(next, 200);
 }
 
-/// The engine-wide checks of a box order's ids: a repeat and an id past
+/// The engine-wide checks of the shards' ids: a repeat and an id past
 /// the rows are named with their shard and position by the census; the
 /// range check a mapped engine runs first names only the second.
 #[test]
@@ -1202,20 +1216,17 @@ fn the_id_census_spans_every_cell() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xCE2);
     let data = rand_dataset(&mut rng, 300, 3);
     let roles = vec![DimRole::Repulsive; 3];
-    let mut built: Vec<SdIndex> = cells(&data, 3)
+    let mut built: Vec<SdIndex> = cells(&data, &roles, 3)
         .iter()
-        .map(|cell| SdIndex::build_cell(&data, &roles, &SdIndexOptions::default(), cell).unwrap())
+        .map(|cell| SdIndex::build_cell(&data, &roles, cell).unwrap())
         .collect();
     assert!(id_census(&built, 300).is_ok() && ids_in_range(&built, 300).is_ok());
     // One row short of the id space: the last id is out of range.
     assert!(id_census(&built, 299).is_err() && ids_in_range(&built, 299).is_err());
-    let repeat = built[0].order().unwrap().ids[5];
-    let Layout::Boxes(order) = &mut built[2].layout else {
-        unreachable!()
-    };
-    let mut ids = order.ids.to_vec();
+    let repeat = built[0].ids[5];
+    let mut ids = built[2].ids.to_vec();
     ids[7] = repeat;
-    order.ids = ColumnarView::owned(ids.clone());
+    built[2].ids = ColumnarView::owned(ids.clone());
     let detail = |e: SdError| match e {
         SdError::SnapshotCorrupt { detail } => detail,
         other => panic!("{other:?}"),
@@ -1228,9 +1239,6 @@ fn the_id_census_spans_every_cell() {
     // A cell alone sees a repeat within its own ids.
     assert!(built[2].rows_by_id().is_ok());
     ids[8] = ids[7];
-    let Layout::Boxes(order) = &mut built[2].layout else {
-        unreachable!()
-    };
-    order.ids = ColumnarView::owned(ids);
+    built[2].ids = ColumnarView::owned(ids);
     assert!(detail(built[2].rows_by_id().unwrap_err()).contains("repeated"));
 }

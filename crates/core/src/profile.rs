@@ -71,10 +71,10 @@ use crate::kernels::LANES;
 /// **On the direct single-pair walk** (the road of
 /// [`answer_parts`](crate::multidim::answer_parts) for a one-pair query,
 /// one walk over every shard) the counters read: the four frontier counters as
-/// everywhere; `rows_fetched` — the live lanes of the popped blocks (no
-/// lane filter runs, so `lanes_masked` stays 0); `tombstones_skipped` — the
-/// dead among them; `points_gathered` — the rest, every one scored by the
-/// 2-D kernel in one `kernel_batches` call per block; `points_scored` and
+/// everywhere; `rows_fetched` — the rows of the popped blocks (no lane
+/// filter runs, so `lanes_masked` stays 0); `tombstones_skipped` — the dead
+/// among them; `points_gathered` — the rest, every one scored by the row
+/// kernel in one `kernel_batches` call per block; `points_scored` and
 /// `floor_updates` — the lanes that passed the floor compare, and what they
 /// did to the floor; `floor_value` and `emitted` as everywhere. Nothing is
 /// scanned (`parts_scanned`, `scan_rows` and `chunks_*` 0).
@@ -117,7 +117,7 @@ pub struct QueryProfile {
     /// [`scan_rows`](QueryProfile::scan_rows) and every delta row (the live
     /// ones are [`delta_rows_scanned`](QueryProfile::delta_rows_scanned),
     /// the dead ones count in `tombstones_skipped`); on the direct walk,
-    /// the live lanes of every popped block; in a stream loop (`sdq-paper`'s
+    /// the rows of every popped block; in a stream loop (`sdq-paper`'s
     /// §5 aggregation, the TA baseline) every fetched row, duplicates
     /// included.
     pub rows_fetched: u64,

@@ -118,10 +118,10 @@ pub struct QueryScratch {
     /// borrows ([`QueryScratch::answer_with`]): the best `min(k, n)`
     /// `(score, id)` entries seen so far.
     floor: BinaryHeap<FloorEntry>,
-    /// Per-lane kernel output of the box scan.
+    /// Per-lane kernel output of the box scan and the walk.
     pub(crate) scores: Vec<f64>,
     /// The role-signed weights of the query, staged by the delta scan and
-    /// the box scan.
+    /// the driver for every scorer of the query's parts.
     pub(crate) fbuf: Vec<f64>,
     /// The box scan's chunk bounds and its lead.
     pub(crate) chunks: ChunkBufs,

@@ -1,11 +1,13 @@
 //! The direct §4 search: one certified best-first walk over the stored
-//! index of one pair — one [`BlockSet`], or every shard's at once — that
+//! index of one pair — one [`BlockSet`](super::blocks::BlockSet), or every
+//! shard's at once — that
 //! answers a single-pair query exactly, at an indexed weight angle and at
 //! any other.
 //!
 //! Every envelope is bounded *at θ_q* from its two bracketing tables —
 //! `λ₁·(bound at θ_l) + λ₂·(bound at θ_u)` per projection type, the closed
-//! form of the Claim 6 bracket ([`FrontierEval`] has the argument) — so the
+//! form of the Claim 6 bracket ([`FrontierEval`](super::FrontierEval) has
+//! the argument) — so the
 //! bracket is applied per envelope rather than per stream, and the index is
 //! walked once, not once per bracketing angle. Every surfaced point is
 //! scored exactly at the caller's weights into the query's one
@@ -14,29 +16,20 @@
 //! with θ_q near one end makes its θ_l order a poor proxy for θ_q; the
 //! `sdq-paper` crate keeps it for comparison).
 
-use super::blocks::{BlockFrontier, BlockSet};
-use super::stream::FrontierEval;
-use crate::geometry::Angle;
+use super::blocks::BlockFrontier;
 use crate::kernels::{self, inflate, LANES};
-use crate::mask::MaskView;
+use crate::multidim::{score_piece, ShardPart, SinglePair};
 use crate::scratch::QueryScratch;
 use crate::threshold::QueryFloor;
 use crate::types::SdError;
+use crate::SdQuery;
 
-/// One part of a [`query_blocks_with`] walk — in an engine, one shard: the
-/// pair's stored §4 index over the part's rows, the id its slot 0 answers
-/// under, and the part's tombstones (viewed at its slots).
-pub(crate) struct BlockPart<'a> {
-    pub(crate) blocks: &'a BlockSet,
-    pub(crate) offset: u32,
-    pub(crate) mask: Option<MaskView<'a>>,
-}
-
-/// A [`BlockPart`] in flight: the part, the frontier walking it and the
-/// floor updates its lanes made. Lives in [`QueryScratch::walk_buf`] for the
-/// length of one walk.
+/// A part of a [`query_blocks_with`] walk in flight — in an engine, one
+/// shard: the part, the frontier walking its pair's block set and the floor
+/// updates its rows made. Lives in [`QueryScratch::walk_buf`] for the length
+/// of one walk.
 pub(crate) struct PartWalk<'a> {
-    part: BlockPart<'a>,
+    part: ShardPart<'a>,
     frontier: BlockFrontier<'a>,
     floor_updates: u64,
 }
@@ -45,18 +38,20 @@ pub(crate) struct PartWalk<'a> {
 /// certified frontier search — the *direct* strategy for single-pair
 /// queries, over one bare index and over every shard of an engine at once.
 /// Picks the indexed-angle evaluation when θ_q is indexed and the Claim 6
-/// bracket otherwise ([`FrontierEval::at`], per part); every score it keeps
-/// goes into the query's `floor` under `offset + slot`, so the answer is
-/// bit-identical to what the box scan produces for the same pair.
+/// bracket otherwise ([`FrontierEval::at`](super::FrontierEval::at), per
+/// part); every score it keeps goes into the query's `floor` under the
+/// row's id, so the answer is bit-identical to what the box scan produces
+/// for the same pair.
 ///
 /// The parts are walked as one index: every part has its own
 /// [`BlockFrontier`], and each step pops the head entry of the frontier
 /// whose head bound is highest — a k-way merge of best-first streams, which
 /// is one best-first walk under a virtual root over all of them — so the
 /// threshold on everything unsurfaced is that head times `r`. A popped leaf
-/// block is batch-scored through the 2-D kernel (bit-identical to
-/// `sd_score_2d`) and its lanes that reach the floor's bar are offered to
-/// it.
+/// block is the 32 rows at its positions, scored straight off the part's
+/// rows by the one row scorer ([`score_piece`]: the query's point and the
+/// role-signed weights staged in `scratch.fbuf`, bit-identical to
+/// `sd_score`), and its rows that reach the floor's bar are offered to it.
 ///
 /// The walk stops when every frontier has drained or when the floor's bar —
 /// the k-th best exact score of the query, which may already hold scores
@@ -69,11 +64,11 @@ pub(crate) struct PartWalk<'a> {
 ///   is discarded without expanding or scoring anything under it;
 /// * blocks surface exactly once, so there is no seen-set on this path.
 ///
-/// A part's tombstoned lanes leave the block's live word before the floor
+/// A part's tombstoned rows leave the block's live word before the floor
 /// compare, so a dead row never reaches the floor. The walk adds to
 /// `scratch.profile` (reset by its one caller, the driver
 /// [`answer_parts`](crate::multidim::answer_parts)): the frontier counters,
-/// `rows_fetched` (live lanes of the popped blocks), `tombstones_skipped`,
+/// `rows_fetched` (the rows of the popped blocks), `tombstones_skipped`,
 /// `points_gathered`, `kernel_batches`, `points_scored` and `floor_updates`
 /// (its updates to the query's floor); `rounds` stays 0. It appends each
 /// part's share of `floor_updates`, in part order, to
@@ -82,21 +77,23 @@ pub(crate) struct PartWalk<'a> {
 /// the scratch's recycled buffers, so a warmed scratch walks any number of
 /// parts without allocating.
 pub(crate) fn query_blocks_with<'a>(
-    parts: impl IntoIterator<Item = BlockPart<'a>>,
-    qx: f64,
-    qy: f64,
-    alpha: f64,
-    beta: f64,
+    parts: impl IntoIterator<Item = ShardPart<'a>>,
+    pair: &SinglePair<'_>,
+    query: &SdQuery,
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
 ) -> Result<(), SdError> {
-    let theta = Angle::from_weights(alpha, beta)?;
     let mut walks = scratch.walk_buf();
     let mut outcome = Ok(());
     for part in parts {
-        match FrontierEval::at(part.blocks.angles(), &theta, qx, qy) {
+        let index = part.index;
+        let blocks = index.pair_blocks().expect("every part shares the roles");
+        // Every part holds the engine's angles; one that does not is
+        // evaluated, and refused, on its own.
+        match pair.eval_over(blocks) {
             Ok(eval) => {
-                let frontier = BlockFrontier::with_scratch(part.blocks, eval, scratch.take_heap());
+                let rows = (index.data().flat(), index.row_ids());
+                let frontier = BlockFrontier::with_scratch(blocks, rows, eval, scratch.take_heap());
                 walks.push(PartWalk {
                     part,
                     frontier,
@@ -110,7 +107,7 @@ pub(crate) fn query_blocks_with<'a>(
         }
     }
     if outcome.is_ok() {
-        outcome = walk_parts(&mut walks, (qx, qy, alpha, beta), scratch, floor);
+        outcome = walk_parts(&mut walks, pair.r(), &query.point, scratch, floor);
     }
     for mut w in walks.drain(..) {
         let c = w.frontier.take_counters();
@@ -128,16 +125,18 @@ pub(crate) fn query_blocks_with<'a>(
 }
 
 /// The loop of [`query_blocks_with`] over its set-up parts: walks until the
-/// floor certifies, every part drains, or the deadline ends it.
+/// floor certifies, every part drains, or the deadline ends it. `r` turns a
+/// frontier bound into a score bound; `q` is the query's point.
 fn walk_parts(
     walks: &mut [PartWalk<'_>],
-    (qx, qy, alpha, beta): (f64, f64, f64, f64),
+    r: f64,
+    q: &[f64],
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
 ) -> Result<(), SdError> {
-    let r = alpha.hypot(beta);
     let QueryScratch {
         scores,
+        fbuf: sw,
         deadline,
         profile: prof,
         ..
@@ -173,42 +172,27 @@ fn walk_parts(
         let Some(block) = frontier.pop(|b| f > inflate(r * b)) else {
             continue; // an envelope expanded, or an entry pruned
         };
-        let (blocks, slots) = (part.blocks, part.blocks.slots(block));
-        let mut live = blocks.live(block);
-        prof.rows_fetched += u64::from(live.count_ones());
-        if let Some(mask) = part.mask {
-            // Tombstoned lanes stop here, before the floor.
-            let mut lanes = live;
-            while lanes != 0 {
-                let l = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                if mask.is_dead(slots[l]) {
-                    live &= !(1 << l);
-                    prof.tombstones_skipped += 1;
-                }
-            }
-        }
+        let (data, ids) = (part.index.data(), part.index.row_ids());
+        let start = block as usize * LANES;
+        let count = LANES.min(data.len() - start);
+        prof.rows_fetched += count as u64;
+        // Tombstoned rows stop here, before the floor.
+        let dead = part.dead_word(start, count);
+        prof.tombstones_skipped += u64::from(dead.count_ones());
+        let live = (u32::MAX >> (LANES - count)) & !dead;
         prof.points_gathered += u64::from(live.count_ones());
         if live == 0 {
             continue;
         }
         prof.kernel_batches += 1;
-        kernels::score_block_2d(
-            scores,
-            blocks.xs(block),
-            blocks.ys(block),
-            qx,
-            qy,
-            alpha,
-            beta,
-        );
-        // Lanes strictly below k known scores can be in no answer.
-        let mut surv = kernels::survivors(scores, live, floor.bar());
+        // Rows strictly below k known scores can be in no answer.
+        let run = &data.flat()[2 * start..2 * (start + count)];
+        let mut surv = score_piece(scores, run, live, (q, sw), floor.bar());
         while surv != 0 {
             let l = surv.trailing_zeros() as usize;
             surv &= surv - 1;
             prof.points_scored += 1;
-            *floor_updates += u64::from(floor.offer(scores[l], part.offset + slots[l]));
+            *floor_updates += u64::from(floor.offer(scores[l], ids[start + l]));
         }
     };
     if prof.kernel_batches > 0 {

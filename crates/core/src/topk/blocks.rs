@@ -1,20 +1,20 @@
-//! The stored §4 index: a bulk-loaded, immutable, structure-of-arrays tree
-//! over one pair's points, plus the best-first block frontier that walks it.
+//! The stored §4 index: a bulk-loaded, immutable envelope tree over one
+//! pair's rows, plus the best-first block frontier that walks it.
 //!
-//! A [`BlockSet`] is the whole per-pair index an engine shard
-//! ([`SdIndex`](crate::multidim::SdIndex)) holds, persists and maps: the
-//! points in *tiled* order (below), grouped into cache-aligned blocks of
-//! [`LANES`] points with split `x`/`y` coordinate columns, the originating
-//! point slots, a live-lane mask, and *micro-envelopes* — per-block
-//! per-indexed-angle projection [`AngleBounds`] plus the block's x-range.
-//! Above the blocks sits a pointer-free implicit tree (fanout
-//! [`GROUP_FANOUT`]) of aggregated envelopes, so a frontier search descends
-//! `O(log n)` levels and then consumes whole blocks. With the indexed angles
-//! and the live-point count it is self-contained: nothing else is needed to
-//! answer a 2-D query, and nothing else of a pair is written to a snapshot.
+//! A [`BlockSet`] is the envelope tree a walked pair's
+//! [`SdIndex`](crate::multidim::SdIndex) holds, persists and maps above its
+//! rows. The index stores its rows once, in *tiled* order (below), and leaf
+//! block `b` is positions `[b·LANES, (b + 1)·LANES)` of them — [`LANES`]
+//! rows, the last block short. The block set keeps only what bounds them:
+//! per block per indexed angle the projection [`AngleBounds`] and the
+//! block's x-range (*micro-envelopes*), and above the blocks a pointer-free
+//! implicit tree (fanout [`GROUP_FANOUT`]) of aggregated envelopes, so a
+//! frontier search descends `O(log n)` levels and then consumes whole
+//! blocks, whose rows the walk scores straight off the index's row table
+//! and names by its id column.
 //!
 //! **The bulk-load order is a two-level sort-tile-recursive one**, owned by
-//! [`BlockSet::build`]: the points are sorted by x, cut into x-slabs of
+//! [`tile`]: the points are sorted by x, cut into x-slabs of
 //! [`SLAB_BLOCKS`] blocks, each slab is sorted by y and cut into its blocks,
 //! and the lanes of a block run by (x, slot). A leaf block is therefore a 2-D
 //! cell — 1/49 of the x-range by 1/16 of the y-range on 25 000 uniform
@@ -26,15 +26,9 @@
 //! 16 blocks per slab takes nearly all of the gain a uniform 4-D aggregation
 //! has to take and caps that tail (CHANGES.md, PR 23, has the sweep). The
 //! order is a bulk-load choice and nothing else: every bound is a true
-//! min/max over the block's points, so *any* assignment of points to blocks
-//! is an admissible index (a file written in x-strips opens and answers), and
-//! no reader knows which one it was handed.
-//!
-//! A slot is whatever row numbering the owner hands [`BlockSet::build`]: an
-//! [`SdIndex`](crate::multidim::SdIndex) in box order builds its pairs over
-//! its moved rows, so there a slot is a row's *position*, and the index's id
-//! column names the row; a single-pair index keeps id order, so its slots
-//! are ids, which the direct 2-D walk reads as such.
+//! min/max over the block's points, so *any* order of the rows is an
+//! admissible index ([`BlockSet::build`] bounds whatever order it is
+//! handed), and no reader knows which one it was.
 //!
 //! It has no point updates. An engine never mutates a pair in place (writes
 //! go to its delta and tombstones, a compaction rebuilds), so a shard keeps
@@ -48,9 +42,8 @@
 //! * the frontier heap holds **blocks, not points** — a pop surfaces up to
 //!   32 points at once instead of one, collapsing heap churn ~32× — and
 //!   holds each entry once, under the best of its projection types;
-//! * surfaced blocks are scored by the [`kernels`](crate::kernels) batch
-//!   kernels over contiguous SoA columns — no pointer chasing, no
-//!   per-point call;
+//! * surfaced blocks are scored by the [`kernels`](crate::kernels) row
+//!   kernel over 32 adjacent rows — no pointer chasing, no per-point call;
 //! * a block whose envelope bound falls strictly below the caller's
 //!   k-th-score floor (the `prune` hook of [`BlockFrontier::next_block`])
 //!   is rejected **before any of its points is scored** — the §4
@@ -58,9 +51,9 @@
 
 use std::collections::BinaryHeap;
 
-use crate::codec::{corrupt, first_bad, Codec, Reader, Result, Writer, CHECK_CHUNK_BYTES};
+use crate::codec::{corrupt, Codec, Reader, Result, Writer};
 use crate::geometry::Angle;
-use crate::kernels::{prefetch, LaneBlock, LANES};
+use crate::kernels::{prefetch, LANES};
 use crate::threshold::encode as order_key;
 use crate::types::OrdF64;
 use crate::view::ColumnarView;
@@ -76,18 +69,19 @@ pub(crate) const GROUP_FANOUT: usize = 8;
 /// constant, not a knob — see the module docs.
 const SLAB_BLOCKS: usize = 16;
 
-/// Puts `slots` into the tiled bulk-load order of the module docs. Every
-/// sort is over `(key, slot)` with an order-preserving integer key, so it is
-/// total — the result is a pure function of the point set — and compares
+/// The tiled bulk-load order of `pts` (module docs): the slots `0..n` of
+/// the points, in the order their rows are stored. Every sort is over
+/// `(key, slot)` with an order-preserving integer key, so it is total — the
+/// result is a pure function of the points and their slots — and compares
 /// without touching `pts`.
-fn tile(pts: &[(f64, f64)], slots: impl IntoIterator<Item = u32>) -> Vec<u32> {
+pub(crate) fn tile(pts: &[(f64, f64)]) -> Vec<u32> {
     let sort_on = |part: &mut [(u64, u32)], coord: fn(&(f64, f64)) -> f64| {
         for e in part.iter_mut() {
             e.0 = order_key(coord(&pts[e.1 as usize]));
         }
         part.sort_unstable();
     };
-    let mut keyed: Vec<(u64, u32)> = slots.into_iter().map(|s| (0, s)).collect();
+    let mut keyed: Vec<(u64, u32)> = (0..pts.len() as u32).map(|s| (0, s)).collect();
     sort_on(&mut keyed, |p| p.0);
     for slab in keyed.chunks_mut(SLAB_BLOCKS * LANES) {
         sort_on(slab, |p| p.1);
@@ -107,7 +101,8 @@ struct Level {
     xr: ColumnarView<(f64, f64)>,
 }
 
-/// The bulk-loaded SoA §4 index over one point set. See the module docs.
+/// The bulk-loaded §4 envelope tree over one pair's rows. See the module
+/// docs.
 ///
 /// Every table is a [`ColumnarView`]: owned after a build, possibly
 /// borrowed straight off a mapped format-v5 snapshot after `open_mapped` —
@@ -116,61 +111,32 @@ struct Level {
 pub(crate) struct BlockSet {
     /// The indexed angles, ascending (`bounds` stride).
     angles: Vec<Angle>,
-    /// Points indexed: the live lanes over all blocks.
-    n_live: usize,
-    n_blocks: usize,
-    /// Cache-aligned coordinate columns, one [`LaneBlock`] per block.
-    xs: ColumnarView<LaneBlock>,
-    ys: ColumnarView<LaneBlock>,
-    /// Originating point slots, `slots[b * LANES + l]`; dead lanes hold
-    /// `u32::MAX` and are never read (masked by `live`).
-    slots: ColumnarView<u32>,
-    /// Per-block live-lane mask (only the tail block can be partial).
-    live: ColumnarView<u32>,
     /// Block-major per-angle micro-envelopes: `bounds[b * m + angle_i]`.
     bounds: ColumnarView<AngleBounds>,
-    /// Per-block `(xmin, xmax)`: the true x-range of the block's live lanes,
+    /// Per-block `(xmin, xmax)`: the true x-range of the block's rows,
     /// which is what decides the side of the query a block can serve.
     xr: ColumnarView<(f64, f64)>,
     /// Implicit envelope tree: `levels[0]` groups blocks, each further
     /// level groups the one below, last level has a single root. Empty when
-    /// `n_blocks <= 1`.
+    /// there is at most one block.
     levels: Vec<Level>,
 }
 
 impl BlockSet {
-    /// Builds the index over `slots` (distinct, in any order — the layout
-    /// depends on the points, not on how they arrived); `angles` ascending
-    /// and non-empty (see [`normalize_angles`](super::normalize_angles)). No
-    /// slots yield an index of zero blocks.
-    pub(crate) fn build(
-        pts: &[(f64, f64)],
-        slots: impl IntoIterator<Item = u32>,
-        angles: &[Angle],
-    ) -> BlockSet {
-        Self::from_order(pts, &tile(pts, slots), angles)
-    }
-
-    /// Deals the slots into blocks in exactly the order given:
-    /// `order[b * LANES + l]` is lane `l` of block `b`. [`BlockSet::build`]
-    /// hands it the tiled order; any other one is an index too, only a
-    /// slower one — which is what the tests use it for.
-    pub(crate) fn from_order(pts: &[(f64, f64)], order: &[u32], angles: &[Angle]) -> BlockSet {
+    /// Bounds `pts` — the pair's `(x, y)` of every row, in stored order —
+    /// as blocks of [`LANES`] consecutive rows; `angles` ascending and
+    /// non-empty (see [`normalize_angles`](super::normalize_angles)). The
+    /// rows are bounded in whatever order they come: [`tile`] is the order
+    /// a build stores them in, and any other one is an index too, only a
+    /// slower one — which is what the tests use it for. No points yield an
+    /// index of zero blocks.
+    pub(crate) fn build(pts: &[(f64, f64)], angles: &[Angle]) -> BlockSet {
         let m = angles.len();
-        let n_blocks = order.len().div_ceil(LANES);
-        let mut xs = vec![LaneBlock::default(); n_blocks];
-        let mut ys = vec![LaneBlock::default(); n_blocks];
-        let mut slots = vec![u32::MAX; n_blocks * LANES];
-        let mut live = vec![0u32; n_blocks];
+        let n_blocks = pts.len().div_ceil(LANES);
         let mut bounds = vec![AngleBounds::EMPTY; n_blocks * m];
         let mut xr = vec![(f64::INFINITY, f64::NEG_INFINITY); n_blocks];
-        for (b, chunk) in order.chunks(LANES).enumerate() {
-            let (xb, yb) = (&mut xs[b].0, &mut ys[b].0);
-            for (l, &slot) in chunk.iter().enumerate() {
-                let (x, y) = pts[slot as usize];
-                xb[l] = x;
-                yb[l] = y;
-                slots[b * LANES + l] = slot;
+        for (b, block) in pts.chunks(LANES).enumerate() {
+            for &(x, y) in block {
                 let xr = &mut xr[b];
                 xr.0 = xr.0.min(x);
                 xr.1 = xr.1.max(x);
@@ -178,64 +144,39 @@ impl BlockSet {
                     bounds[b * m + i].extend_point(a.u(x, y), a.v(x, y));
                 }
             }
-            // Pad dead lanes with the last live point: finite coordinates
-            // keep the kernels NaN-free, the live mask keeps them unread.
-            let last = chunk.len() - 1;
-            for l in chunk.len()..LANES {
-                xb[l] = xb[last];
-                yb[l] = yb[last];
-            }
-            live[b] = if chunk.len() == LANES {
-                u32::MAX
-            } else {
-                (1u32 << chunk.len()) - 1
-            };
         }
-        // Envelope tree above the blocks.
-        let mut built: Vec<Level> = Vec::new();
-        {
-            type StagedLevel = (Vec<AngleBounds>, Vec<(f64, f64)>);
-            let mut below: (&[AngleBounds], &[(f64, f64)]) = (&bounds, &xr);
-            let mut staged: Vec<StagedLevel> = Vec::new();
-            loop {
-                let (below_bounds, below_xr) = below;
-                if below_xr.len() <= 1 {
-                    break;
-                }
-                let len = below_xr.len().div_ceil(GROUP_FANOUT);
-                let mut lb = vec![AngleBounds::EMPTY; len * m];
-                let mut lxr = vec![(f64::INFINITY, f64::NEG_INFINITY); len];
-                for (j, bxr) in below_xr.iter().enumerate() {
-                    let g = j / GROUP_FANOUT;
-                    let xr = &mut lxr[g];
-                    xr.0 = xr.0.min(bxr.0);
-                    xr.1 = xr.1.max(bxr.1);
-                    for i in 0..m {
-                        lb[g * m + i].extend(&below_bounds[j * m + i]);
-                    }
-                }
-                staged.push((lb, lxr));
-                let last = staged.last().expect("just pushed");
-                below = (&last.0, &last.1);
+        // Envelope tree above the blocks: each level groups the one below.
+        let mut levels: Vec<Level> = Vec::new();
+        loop {
+            let (below_bounds, below_xr): (&[AngleBounds], &[(f64, f64)]) = match levels.last() {
+                Some(level) => (&level.bounds, &level.xr),
+                None => (&bounds, &xr),
+            };
+            if below_xr.len() <= 1 {
+                break;
             }
-            for (lb, lxr) in staged {
-                built.push(Level {
-                    bounds: ColumnarView::owned(lb),
-                    xr: ColumnarView::owned(lxr),
-                });
+            let len = below_xr.len().div_ceil(GROUP_FANOUT);
+            let mut lb = vec![AngleBounds::EMPTY; len * m];
+            let mut lxr = vec![(f64::INFINITY, f64::NEG_INFINITY); len];
+            for (j, bxr) in below_xr.iter().enumerate() {
+                let g = j / GROUP_FANOUT;
+                let xr = &mut lxr[g];
+                xr.0 = xr.0.min(bxr.0);
+                xr.1 = xr.1.max(bxr.1);
+                for i in 0..m {
+                    lb[g * m + i].extend(&below_bounds[j * m + i]);
+                }
             }
+            levels.push(Level {
+                bounds: ColumnarView::owned(lb),
+                xr: ColumnarView::owned(lxr),
+            });
         }
         BlockSet {
             angles: angles.to_vec(),
-            n_live: order.len(),
-            n_blocks,
-            xs: ColumnarView::owned(xs),
-            ys: ColumnarView::owned(ys),
-            slots: ColumnarView::owned(slots),
-            live: ColumnarView::owned(live),
             bounds: ColumnarView::owned(bounds),
             xr: ColumnarView::owned(xr),
-            levels: built,
+            levels,
         }
     }
 
@@ -244,15 +185,10 @@ impl BlockSet {
         &self.angles
     }
 
-    /// Number of points indexed.
-    pub(crate) fn n_live(&self) -> usize {
-        self.n_live
-    }
-
     /// Entries a frontier over this index can hold at once, at most: every
     /// block and every envelope node, each pushed once.
     pub(crate) fn entries(&self) -> usize {
-        self.n_blocks + self.levels.iter().map(|l| l.xr.len()).sum::<usize>()
+        self.n_blocks() + self.levels.iter().map(|l| l.xr.len()).sum::<usize>()
     }
 
     /// The per-level sizes of the implicit envelope tree over `n_blocks`
@@ -267,18 +203,10 @@ impl BlockSet {
         sizes
     }
 
-    /// Writes the index (format v5): one `meta` region — angles, point and
-    /// block counts — then every table as an aligned array region.
+    /// Writes the index (format v5): one `meta` region — the angles — then
+    /// every table as an aligned array region.
     pub(crate) fn encode(&self, w: &mut Writer) {
-        w.meta_region(|w| {
-            self.angles.encode(w);
-            w.usize(self.n_live);
-            w.usize(self.n_blocks);
-        });
-        w.pod_array(&self.xs);
-        w.pod_array(&self.ys);
-        w.pod_array(&self.slots);
-        w.pod_array(&self.live);
+        w.meta_region(|w| self.angles.encode(w));
         w.pod_array(&self.bounds);
         w.pod_array(&self.xr);
         for level in &self.levels {
@@ -287,14 +215,12 @@ impl BlockSet {
         }
     }
 
-    /// Reads what [`BlockSet::encode`] wrote, enforcing the exact shape the
-    /// metadata implies. Table contents are **not** inspected here: that
-    /// waits for [`BlockSet::validate_structure`], after the region
-    /// checksums pass.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let (angles, n_live, n_blocks) = r.meta_region("meta", |m| {
-            Ok((Vec::<Angle>::decode(m)?, m.usize()?, m.usize()?))
-        })?;
+    /// Reads what [`BlockSet::encode`] wrote over `rows` rows, enforcing the
+    /// exact shape that implies. Bound contents are not inspected: a wrong
+    /// bound can cost an answer its exactness but reads nothing out of
+    /// bounds, like a wrong chunk box.
+    pub(crate) fn decode(r: &mut Reader<'_>, rows: usize) -> Result<Self> {
+        let angles = r.meta_region("meta", Vec::<Angle>::decode)?;
         if angles.is_empty() {
             return Err(corrupt("blocks: no indexed angles"));
         }
@@ -309,35 +235,14 @@ impl BlockSet {
                 "blocks: indexed angles must span 0° to 90°: {e}"
             )));
         }
-        if n_live > u32::MAX as usize || n_blocks != n_live.div_ceil(LANES) {
-            return Err(corrupt(format!(
-                "blocks: {n_blocks} blocks for {n_live} points"
-            )));
-        }
-        let m = angles.len();
+        let (m, n_blocks) = (angles.len(), rows.div_ceil(LANES));
         let fail = |what: &str, got: usize, want: usize| {
             corrupt(format!(
-                "blocks: {what} holds {got} entries, expected {want}"
+                "blocks: {what} holds {got} entries, expected {want} for {rows} rows"
             ))
         };
-        let (xs, _) = r.pod_array::<LaneBlock>("blocks.xs")?;
-        let (ys, _) = r.pod_array::<LaneBlock>("blocks.ys")?;
-        let (slots, _) = r.pod_array::<u32>("blocks.slots")?;
-        let (live, _) = r.pod_array::<u32>("blocks.live")?;
         let (bounds, _) = r.pod_array::<AngleBounds>("blocks.bounds")?;
         let (xr, _) = r.pod_array::<(f64, f64)>("blocks.xr")?;
-        if xs.len() != n_blocks {
-            return Err(fail("xs", xs.len(), n_blocks));
-        }
-        if ys.len() != n_blocks {
-            return Err(fail("ys", ys.len(), n_blocks));
-        }
-        if slots.len() != n_blocks * LANES {
-            return Err(fail("slots", slots.len(), n_blocks * LANES));
-        }
-        if live.len() != n_blocks {
-            return Err(fail("live", live.len(), n_blocks));
-        }
         if bounds.len() != n_blocks * m {
             return Err(fail("bounds", bounds.len(), n_blocks * m));
         }
@@ -363,131 +268,22 @@ impl BlockSet {
         }
         Ok(BlockSet {
             angles,
-            n_live,
-            n_blocks,
-            xs,
-            ys,
-            slots,
-            live,
             bounds,
             xr,
             levels,
         })
     }
 
-    /// Content checks a decoded index must pass once (post-checksum) before
-    /// any query trusts it: live-lane slot ids must stay below `n_slots` and
-    /// the live lanes must cover exactly the `n_live` points the metadata
-    /// promised — otherwise a forged-but-checksummed file could index out of
-    /// bounds at scoring time.
-    ///
-    /// The census is one branch-free pass per [`CHECK_CHUNK_BYTES`] of
-    /// slots that ORs "live and out of range" over every lane; only a chunk
-    /// that trips is walked lane by lane to name the first offender.
-    pub(crate) fn validate_structure(&self, n_slots: usize) -> std::result::Result<(), String> {
-        /// Bit `l` of a live mask, per lane: the mask test as a lane-wise
-        /// AND and compare.
-        const LANE_BIT: [u32; LANES] = {
-            let mut bits = [0; LANES];
-            let mut l = 0;
-            while l < LANES {
-                bits[l] = 1 << l;
-                l += 1;
-            }
-            bits
-        };
-        const CHUNK_BLOCKS: usize = CHECK_CHUNK_BYTES / (LANES * 4);
-        // A slot is a `u32`: past `u32::MAX` points none is out of range,
-        // and the lane walk below is what decides.
-        let limit = u32::try_from(n_slots).unwrap_or(u32::MAX);
-        let mut live_total = 0usize;
-        let chunks = self
-            .live
-            .chunks(CHUNK_BLOCKS)
-            .zip(self.slots.chunks(CHUNK_BLOCKS * LANES));
-        for (c, (live, slots)) in chunks.enumerate() {
-            let mut tripped = false;
-            for (&mask, slots) in live.iter().zip(slots.chunks_exact(LANES)) {
-                live_total += mask.count_ones() as usize;
-                for (&bit, &slot) in LANE_BIT.iter().zip(slots) {
-                    tripped |= (mask & bit != 0) & (slot >= limit);
-                }
-            }
-            if !tripped {
-                continue;
-            }
-            for (i, (&mask, slots)) in live.iter().zip(slots.chunks_exact(LANES)).enumerate() {
-                for (l, &slot) in slots.iter().enumerate() {
-                    if mask & (1 << l) != 0 && slot as usize >= n_slots {
-                        let b = c * CHUNK_BLOCKS + i;
-                        return Err(format!(
-                            "block {b} lane {l}: slot {slot} out of range for {n_slots} points"
-                        ));
-                    }
-                }
-            }
-        }
-        if live_total != self.n_live {
-            return Err(format!(
-                "blocks cover {live_total} live lanes for {} live points",
-                self.n_live
-            ));
-        }
-        Ok(())
-    }
-
-    /// What only an eager open reads: every stored coordinate — padding
-    /// lanes included, the kernels score them too — must be finite.
-    pub(crate) fn check_finite(&self) -> Result<()> {
-        for (table, what) in [(&self.xs, "x"), (&self.ys, "y")] {
-            let bad_block = |b: &LaneBlock| b.0.iter().fold(false, |acc, v| acc | !v.is_finite());
-            if let Some(b) = first_bad(table, bad_block) {
-                let v = table[b].0.into_iter().find(|v| !v.is_finite());
-                let v = v.expect("the block tripped");
-                return Err(corrupt(format!("non-finite {what} coordinate: {v}")));
-            }
-        }
-        Ok(())
-    }
-
     /// Number of blocks.
     #[inline]
     pub(crate) fn n_blocks(&self) -> usize {
-        self.n_blocks
-    }
-
-    /// One block's x-coordinate lanes.
-    #[inline]
-    pub(crate) fn xs(&self, b: u32) -> &[f64; LANES] {
-        &self.xs[b as usize].0
-    }
-
-    /// One block's y-coordinate lanes.
-    #[inline]
-    pub(crate) fn ys(&self, b: u32) -> &[f64; LANES] {
-        &self.ys[b as usize].0
-    }
-
-    /// One block's originating point slots (dead lanes hold `u32::MAX`).
-    #[inline]
-    pub(crate) fn slots(&self, b: u32) -> &[u32] {
-        &self.slots[b as usize * LANES..(b as usize + 1) * LANES]
-    }
-
-    /// One block's live-lane mask.
-    #[inline]
-    pub(crate) fn live(&self, b: u32) -> u32 {
-        self.live[b as usize]
+        self.xr.len()
     }
 
     /// Approximate heap footprint in bytes. Tables over a file mapping count
     /// zero: their bytes are file pages, not heap.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.xs.heap_bytes()
-            + self.ys.heap_bytes()
-            + self.slots.heap_bytes()
-            + self.live.heap_bytes()
-            + self.bounds.heap_bytes()
+        self.bounds.heap_bytes()
             + self.xr.heap_bytes()
             + self
                 .levels
@@ -515,6 +311,11 @@ const BLOCK_LVL: u32 = 0;
 /// rises.
 pub(crate) struct BlockFrontier<'a> {
     set: &'a BlockSet,
+    /// The rows the blocks bound, two coordinates each, and their ids: what
+    /// the next pop's caller reads, so what [`BlockFrontier::prefetch_next`]
+    /// loads.
+    rows: &'a [f64],
+    ids: &'a [u32],
     eval: FrontierEval,
     /// The frontier, in a recycled allocation.
     heap: BinaryHeap<HeapEntry>,
@@ -539,11 +340,14 @@ pub(crate) struct FrontierCounters {
 }
 
 impl<'a> BlockFrontier<'a> {
-    /// Starts a frontier in a recycled heap (cleared here), reserved to the
-    /// index's entry count: a frontier never holds more, so a heap taken
-    /// from a warmed scratch never grows mid-walk, however the walk goes.
+    /// Starts a frontier over `set`, which bounds `rows` (two coordinates
+    /// a row, in stored order) named by `ids`, in a recycled heap (cleared
+    /// here), reserved to the index's entry count: a frontier never holds
+    /// more, so a heap taken from a warmed scratch never grows mid-walk,
+    /// however the walk goes.
     pub(crate) fn with_scratch(
         set: &'a BlockSet,
+        (rows, ids): (&'a [f64], &'a [u32]),
         eval: FrontierEval,
         mut heap: BinaryHeap<HeapEntry>,
     ) -> Self {
@@ -551,11 +355,13 @@ impl<'a> BlockFrontier<'a> {
         heap.reserve(set.entries());
         let mut f = BlockFrontier {
             set,
+            rows,
+            ids,
             eval,
             heap,
             counters: FrontierCounters::default(),
         };
-        if set.n_blocks > 0 {
+        if set.n_blocks() > 0 {
             f.push(set.levels.len() as u32, 0); // the root; 0 = the single block
         }
         f
@@ -606,12 +412,6 @@ impl<'a> BlockFrontier<'a> {
     #[inline]
     pub(crate) fn bound(&self) -> Option<f64> {
         self.heap.peek().map(|&(OrdF64(p), _, _)| p)
-    }
-
-    /// The evaluation this frontier bounds its entries under.
-    #[inline]
-    pub(crate) fn eval(&self) -> &FrontierEval {
-        &self.eval
     }
 
     /// Surfaces the next block, or `None` once drained: [`BlockFrontier::pop`]
@@ -666,11 +466,11 @@ impl<'a> BlockFrontier<'a> {
     }
 
     /// Starts loading what the *next* pop will read while the caller is
-    /// still busy scoring the block just surfaced: a block entry's `xs`,
-    /// `ys` and `slots` lines, or — for an envelope — the bounds and
-    /// x-ranges of the children its expansion pushes. The tables are far
-    /// larger than L2 and popped in score order, not address order, so
-    /// without the hint every pop starts with a chain of cache misses.
+    /// still busy scoring the block just surfaced: a block entry's rows and
+    /// ids, or — for an envelope — the bounds and x-ranges of the children
+    /// its expansion pushes. The tables are far larger than L2 and popped in
+    /// score order, not address order, so without the hint every pop starts
+    /// with a chain of cache misses.
     #[inline]
     fn prefetch_next(&self) {
         let Some(&(_, std::cmp::Reverse(lvl), idx)) = self.heap.peek() else {
@@ -679,17 +479,14 @@ impl<'a> BlockFrontier<'a> {
         let i = idx as usize;
         let set = self.set;
         if lvl == BLOCK_LVL {
-            let (xs, ys) = (
-                set.xs.as_ptr().wrapping_add(i),
-                set.ys.as_ptr().wrapping_add(i),
-            );
-            for line in 0..LANES / 8 {
-                prefetch(xs.cast::<[f64; 8]>().wrapping_add(line));
-                prefetch(ys.cast::<[f64; 8]>().wrapping_add(line));
+            // A block's rows are `2·LANES` coordinates: eight lines of eight.
+            let rows = self.rows.as_ptr().wrapping_add(i * 2 * LANES);
+            for line in 0..2 * LANES / 8 {
+                prefetch(rows.cast::<[f64; 8]>().wrapping_add(line));
             }
-            let slots = set.slots.as_ptr().wrapping_add(i * LANES);
-            prefetch(slots);
-            prefetch(slots.wrapping_add(LANES / 2));
+            let ids = self.ids.as_ptr().wrapping_add(i * LANES);
+            prefetch(ids);
+            prefetch(ids.wrapping_add(LANES / 2));
             return;
         }
         let (bounds, xr) = self.entry_tables(lvl - 1);
@@ -755,37 +552,36 @@ mod tests {
         ]
     }
 
-    fn all_slots(pts: &[(f64, f64)]) -> std::ops::Range<u32> {
-        0..pts.len() as u32
+    /// What a build stores: `pts` in tiled order, and the block set over
+    /// them.
+    fn tiled(pts: &[(f64, f64)], angles: &[Angle]) -> (Vec<(f64, f64)>, BlockSet) {
+        let stored: Vec<(f64, f64)> = tile(pts).iter().map(|&s| pts[s as usize]).collect();
+        let set = BlockSet::build(&stored, angles);
+        (stored, set)
     }
 
-    /// The live `(slot, x, y)` lanes of one block.
-    fn lanes(set: &BlockSet, b: u32) -> impl Iterator<Item = (u32, f64, f64)> + '_ {
-        (0..LANES)
-            .filter(move |l| set.live(b) & (1 << l) != 0)
-            .map(move |l| (set.slots(b)[l], set.xs(b)[l], set.ys(b)[l]))
+    /// The `(x, y)` rows of block `b`.
+    fn lanes(stored: &[(f64, f64)], b: usize) -> &[(f64, f64)] {
+        &stored[b * LANES..((b + 1) * LANES).min(stored.len())]
     }
 
     #[test]
     fn build_covers_every_point_once() {
         for n in SIZES {
             for pts in shapes(n) {
-                let set = BlockSet::build(&pts, all_slots(&pts), &default_angles());
-                assert_eq!(set.n_blocks(), n.div_ceil(LANES));
-                assert_eq!(set.n_live(), n);
-                set.validate_structure(n).unwrap();
-                set.check_finite().unwrap();
+                let order = tile(&pts);
                 let mut seen = vec![false; n];
-                for b in 0..set.n_blocks() as u32 {
-                    for (slot, x, y) in lanes(&set, b) {
-                        let s = slot as usize;
-                        assert!(!seen[s], "slot {s} twice");
-                        seen[s] = true;
-                        assert_eq!(x.to_bits(), pts[s].0.to_bits());
-                        assert_eq!(y.to_bits(), pts[s].1.to_bits());
-                    }
+                for &s in &order {
+                    assert!(!seen[s as usize], "slot {s} twice");
+                    seen[s as usize] = true;
                 }
-                assert!(seen.iter().all(|&s| s), "every point in some block");
+                assert!(seen.iter().all(|&s| s), "every point stored");
+                let (_, set) = tiled(&pts, &default_angles());
+                assert_eq!(set.n_blocks(), n.div_ceil(LANES));
+                assert_eq!(set.entries(), {
+                    let levels: usize = BlockSet::level_sizes(set.n_blocks()).iter().sum();
+                    set.n_blocks() + levels
+                });
             }
         }
     }
@@ -796,9 +592,9 @@ mod tests {
         let m = angles.len();
         for n in SIZES {
             for pts in shapes(n) {
-                let set = BlockSet::build(&pts, all_slots(&pts), &angles);
+                let (stored, set) = tiled(&pts, &angles);
                 for b in 0..set.n_blocks() {
-                    for (_, x, y) in lanes(&set, b as u32) {
+                    for &(x, y) in lanes(&stored, b) {
                         let (xmin, xmax) = set.xr[b];
                         assert!(xmin <= x && x <= xmax);
                         for (i, a) in angles.iter().enumerate() {
@@ -839,11 +635,11 @@ mod tests {
         let pts: Vec<(f64, f64)> = (0..20_000)
             .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
             .collect();
-        let set = BlockSet::build(&pts, all_slots(&pts), &default_angles());
+        let (stored, set) = tiled(&pts, &default_angles());
         let (mut dx, mut dy) = (0.0, 0.0);
-        for b in 0..set.n_blocks() as u32 {
-            let (xmin, xmax) = set.xr[b as usize];
-            let ys = || lanes(&set, b).map(|(_, _, y)| y);
+        for b in 0..set.n_blocks() {
+            let (xmin, xmax) = set.xr[b];
+            let ys = || lanes(&stored, b).iter().map(|&(_, y)| y);
             dx += xmax - xmin;
             dy += ys().fold(f64::MIN, f64::max) - ys().fold(f64::MAX, f64::min);
         }
@@ -852,10 +648,9 @@ mod tests {
     }
 
     /// The layout depends on the points, not on how they arrived: the same
-    /// rows under another slot numbering, handed over in another order,
-    /// fall into the same blocks. (Distinct coordinates — a tie would be
-    /// broken by slot, which is what makes one build deterministic, not two
-    /// numberings equal.)
+    /// rows handed over in another order fall into the same blocks.
+    /// (Distinct coordinates — a tie would be broken by slot, which is what
+    /// makes one build deterministic, not two arrival orders equal.)
     #[test]
     fn layout_is_independent_of_arrival_order() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(24);
@@ -863,158 +658,21 @@ mod tests {
             let pts: Vec<(f64, f64)> = (0..n)
                 .map(|i| (i as f64 + rng.gen_range(0.0..0.5), rng.gen_range(-1.0..1.0)))
                 .collect();
-            let mut perm: Vec<u32> = all_slots(&pts).collect();
+            let mut shuffled = pts.clone();
             for i in (1..n).rev() {
-                perm.swap(i, rng.gen_range(0..=i));
+                shuffled.swap(i, rng.gen_range(0..=i));
             }
-            let shuffled: Vec<(f64, f64)> = perm.iter().map(|&s| pts[s as usize]).collect();
             let angles = default_angles();
-            let a = BlockSet::build(&pts, all_slots(&pts), &angles);
-            let b = BlockSet::build(&shuffled, all_slots(&pts).rev(), &angles);
-            assert_eq!(a.n_blocks(), b.n_blocks());
-            for blk in 0..a.n_blocks() as u32 {
-                let cell = |set: &BlockSet| -> Vec<(u64, u64)> {
-                    lanes(set, blk)
-                        .map(|(_, x, y)| (x.to_bits(), y.to_bits()))
-                        .collect()
-                };
-                assert_eq!(cell(&a), cell(&b), "block {blk} of {n} points");
-            }
+            let bits = |stored: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+                stored
+                    .iter()
+                    .map(|(x, y)| (x.to_bits(), y.to_bits()))
+                    .collect()
+            };
+            let (a, _) = tiled(&pts, &angles);
+            let (b, _) = tiled(&shuffled, &angles);
+            assert_eq!(bits(a), bits(b), "{n} points");
         }
-    }
-
-    /// The census as a lane-at-a-time loop with an early exit: what the
-    /// chunked pass must agree with, error text included.
-    fn census_reference(set: &BlockSet, n_slots: usize) -> std::result::Result<(), String> {
-        let mut live_total = 0usize;
-        for b in 0..set.n_blocks {
-            let mask = set.live[b];
-            live_total += mask.count_ones() as usize;
-            for l in 0..LANES {
-                let slot = set.slots[b * LANES + l];
-                if mask & (1 << l) != 0 && slot as usize >= n_slots {
-                    return Err(format!(
-                        "block {b} lane {l}: slot {slot} out of range for {n_slots} points"
-                    ));
-                }
-            }
-        }
-        if live_total != set.n_live {
-            return Err(format!(
-                "blocks cover {live_total} live lanes for {} live points",
-                set.n_live
-            ));
-        }
-        Ok(())
-    }
-
-    /// Three census chunks and a partial fourth, ending in a partial block.
-    fn chunked_set() -> (Vec<(f64, f64)>, BlockSet) {
-        let chunk_points = CHECK_CHUNK_BYTES / 4;
-        let pts = sample(3 * chunk_points + 500);
-        let set = BlockSet::build(&pts, all_slots(&pts), &default_angles());
-        (pts, set)
-    }
-
-    /// A forged slot in the first, a middle and the last census chunk — and
-    /// two at once — is named exactly as the lane-at-a-time loop names it.
-    #[test]
-    fn census_names_the_first_offender_in_any_chunk() {
-        let (pts, set) = chunked_set();
-        let n = pts.len();
-        let last = set.n_blocks - 1;
-        let forged = |at: &[(usize, usize, u32)]| {
-            let mut slots = set.slots.to_vec();
-            for &(b, l, slot) in at {
-                slots[b * LANES + l] = slot;
-            }
-            BlockSet {
-                slots: ColumnarView::owned(slots),
-                ..set.clone()
-            }
-        };
-        let nu = n as u32;
-        let cases: [&[(usize, usize, u32)]; 5] = [
-            &[(0, 3, nu)],
-            &[(40, 31, u32::MAX - 1)],
-            &[(last, 0, nu + 7)],
-            &[(70, 2, nu), (40, 9, nu + 1)],
-            &[(33, 0, nu - 1)], // in range: no offender
-        ];
-        for at in cases {
-            let set = forged(at);
-            assert_eq!(
-                set.validate_structure(n),
-                census_reference(&set, n),
-                "{at:?}"
-            );
-        }
-        assert!(forged(&[(0, 3, nu)]).validate_structure(n).is_err());
-        // A live lane dropped from a full block: the lane count fails.
-        let mut live = set.live.to_vec();
-        live[50] &= !(1 << 4);
-        let dropped = BlockSet {
-            live: ColumnarView::owned(live),
-            ..set.clone()
-        };
-        let err = dropped.validate_structure(n).unwrap_err();
-        assert_eq!(Err(err), census_reference(&dropped, n));
-    }
-
-    /// Dead lanes are never read, so what they hold is not the census's
-    /// business — not even a slot past the point count.
-    #[test]
-    fn census_ignores_dead_lanes() {
-        let (pts, set) = chunked_set();
-        let last = set.n_blocks - 1;
-        let dead = (set.live[last].trailing_ones() as usize)..LANES;
-        assert!(!dead.is_empty(), "the last block is partial");
-        let mut slots = set.slots.to_vec();
-        for l in dead {
-            slots[last * LANES + l] = pts.len() as u32 + l as u32;
-        }
-        let set = BlockSet {
-            slots: ColumnarView::owned(slots),
-            ..set
-        };
-        assert_eq!(set.validate_structure(pts.len()), Ok(()));
-    }
-
-    /// A non-finite coordinate in the first, a middle and the last chunk of
-    /// either table — padding lanes included — reads as the value-at-a-time
-    /// scan reads it: the first in x order, then in y order.
-    #[test]
-    fn check_finite_names_the_first_offender_in_any_chunk() {
-        let reference = |set: &BlockSet| {
-            for (table, what) in [(&set.xs, "x"), (&set.ys, "y")] {
-                if let Some(v) = table.iter().flat_map(|b| b.0).find(|v| !v.is_finite()) {
-                    return Err(corrupt(format!("non-finite {what} coordinate: {v}")).to_string());
-                }
-            }
-            Ok(())
-        };
-        let (_, set) = chunked_set();
-        let last = set.n_blocks - 1;
-        let cases: [&[(bool, usize, usize, f64)]; 5] = [
-            &[(false, 0, 0, f64::NAN)],
-            &[(false, 50, 31, f64::INFINITY)],
-            &[(true, last, LANES - 1, f64::NEG_INFINITY)], // a padding lane
-            &[(true, 60, 1, f64::NAN), (true, 20, 8, f64::INFINITY)],
-            &[(true, 3, 3, f64::NAN), (false, last, 0, f64::INFINITY)],
-        ];
-        for at in cases {
-            let mut forged = set.clone();
-            for &(y, b, l, v) in at {
-                let table = if y { &mut forged.ys } else { &mut forged.xs };
-                let mut blocks = table.to_vec();
-                blocks[b].0[l] = v;
-                *table = ColumnarView::owned(blocks);
-            }
-            let got = forged.check_finite().map_err(|e| e.to_string());
-            assert!(got.is_err(), "{at:?}");
-            assert_eq!(got, reference(&forged), "{at:?}");
-        }
-        set.check_finite().unwrap();
     }
 
     #[test]
@@ -1024,16 +682,16 @@ mod tests {
             .iter()
             .map(|&d| Angle::from_degrees(d).unwrap())
             .collect();
-        let set = BlockSet::build(&pts, all_slots(&pts), &five);
+        let (_, set) = tiled(&pts, &five);
         // An unpinned reader serves metadata only: the honest index gets as
         // far as its first table, a forged one not past its angles.
         let decode = |set: &BlockSet| {
             let mut w = Writer::new();
             set.encode(&mut w);
-            let err = BlockSet::decode(&mut Reader::new(&w.into_bytes())).unwrap_err();
+            let err = BlockSet::decode(&mut Reader::new(&w.into_bytes()), pts.len()).unwrap_err();
             err.to_string()
         };
-        assert!(decode(&set).contains("blocks.xs"), "{}", decode(&set));
+        assert!(decode(&set).contains("blocks.bounds"), "{}", decode(&set));
         let (mut swapped, mut repeated) = (set.clone(), set.clone());
         swapped.angles.swap(1, 2);
         repeated.angles[3] = repeated.angles[2];
@@ -1052,16 +710,21 @@ mod tests {
         }
     }
 
+    /// A frontier over `set` alone: these tests pop blocks and read no row.
+    fn frontier(set: &BlockSet, eval: FrontierEval) -> BlockFrontier<'_> {
+        BlockFrontier::with_scratch(set, (&[], &[]), eval, BinaryHeap::new())
+    }
+
     /// One heap, every entry pushed once: each block surfaces exactly once
     /// and each envelope is expanded once, with no seen-set anywhere.
     #[test]
     fn frontier_surfaces_every_block_exactly_once() {
         let pts = sample(333);
         let angles = default_angles();
-        let set = BlockSet::build(&pts, all_slots(&pts), &angles);
+        let (_, set) = tiled(&pts, &angles);
         for theta in [angles[2], Angle::from_weights(1.0, 0.3).unwrap()] {
             let eval = FrontierEval::at(&angles, &theta, 0.5, 0.5).unwrap();
-            let mut f = BlockFrontier::with_scratch(&set, eval, BinaryHeap::new());
+            let mut f = frontier(&set, eval);
             let mut surfaced = vec![0u32; set.n_blocks()];
             while let Some(b) = f.next_block(|_| false) {
                 surfaced[b as usize] += 1;
@@ -1081,11 +744,11 @@ mod tests {
         let angles = default_angles();
         for n in SIZES {
             for pts in shapes(n) {
-                let set = BlockSet::build(&pts, all_slots(&pts), &angles);
+                let (stored, set) = tiled(&pts, &angles);
                 for (qx, qy) in [(0.0, 0.0), (5.0, -2.0), (-3.0, 1.0)] {
                     for theta in [angles[1], Angle::from_weights(1.0, 0.3).unwrap()] {
                         let eval = FrontierEval::at(&angles, &theta, qx, qy).unwrap();
-                        bound_dominates(&set, eval);
+                        bound_dominates(&stored, &set, eval);
                     }
                 }
             }
@@ -1095,17 +758,18 @@ mod tests {
     /// Walks `set` to exhaustion, asserting before every pop that each point
     /// of each unsurfaced block scores at or under the frontier's bound, and
     /// that the bound never rises from one reading to the next.
-    fn bound_dominates(set: &BlockSet, eval: FrontierEval) {
+    fn bound_dominates(stored: &[(f64, f64)], set: &BlockSet, eval: FrontierEval) {
         let (theta, qx, qy) = (eval.theta, eval.qx, eval.qy);
         // Best score per block, once: the walk below is quadratic in blocks.
-        let best: Vec<f64> = (0..set.n_blocks() as u32)
+        let best: Vec<f64> = (0..set.n_blocks())
             .map(|b| {
-                lanes(set, b)
-                    .map(|(_, x, y)| theta.normalized_score(x, y, qx, qy))
+                lanes(stored, b)
+                    .iter()
+                    .map(|&(x, y)| theta.normalized_score(x, y, qx, qy))
                     .fold(f64::NEG_INFINITY, f64::max)
             })
             .collect();
-        let mut f = BlockFrontier::with_scratch(set, eval, BinaryHeap::new());
+        let mut f = frontier(set, eval);
         let mut unsurfaced: std::collections::HashSet<u32> = (0..set.n_blocks() as u32).collect();
         let mut last = f64::INFINITY;
         loop {

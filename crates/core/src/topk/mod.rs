@@ -1,6 +1,7 @@
 //! The §4 index structure for top-k queries with runtime `k`, `α`, `β`, in
-//! the form an engine stores: one pair's `BlockSet` (`blocks.rs`) — points in
-//! SoA leaf blocks under a fanout-8 envelope tree that keeps, for every
+//! the form an engine stores: one pair's `BlockSet` (`blocks.rs`) — leaf
+//! blocks of 32 consecutive rows of the index's own row table under a
+//! fanout-8 envelope tree that keeps, for every
 //! *indexed angle* θ, bounds on the four projection intercepts of what lies
 //! underneath:
 //!

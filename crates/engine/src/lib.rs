@@ -47,8 +47,11 @@
 //!   over all the rows, and each shard's id column holds global ids. At
 //!   most one shard a 64-row chunk.
 //! * **Row ranges** (a walked pair's `ar`/`ra` roles): contiguous ranges
-//!   balanced within one row, each with the pair's §4 index over its rows;
-//!   a row's global id is its shard's first row plus its position.
+//!   balanced within one row, each shard's rows in its own §4 tile order
+//!   under the pair's envelope tree, its id column global too.
+//!
+//! Either way a shard stores its rows once, with the global id of each, so
+//! every scorer names a row by its shard's id column and nothing else.
 //!
 //! A query runs on the thread that calls it — parallelism is between
 //! queries ([`SdEngine::par_query_batch`]). It bounds the boxes of every
@@ -130,10 +133,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use sdq_core::mask::{MaskView, RowMask};
+use sdq_core::mask::MaskView;
 use sdq_core::multidim::{
-    answer_parts, cells, id_census, ids_in_range, shard_limit, walked_pair, QueryPlan, SdIndex,
-    SdIndexOptions, ShardPart,
+    answer_parts, cells, id_census, ids_in_range, QueryPlan, SdIndex, ShardPart,
 };
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::{Dataset, DimRole, QueryProfile, QueryScratch, ScoredPoint, SdError, SdQuery};
@@ -148,16 +150,16 @@ pub use mutation::{CompactionOptions, CompactionReport, MutationStats};
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Number of shards (`≥ 1`; capped so that no shard is empty —
-    /// [`shard_limit`]): the cells of one box order, or a walked pair's
-    /// contiguous row ranges, balanced within one row (see the crate docs).
+    /// [`shard_limit`](sdq_core::multidim::shard_limit)): the cells of one
+    /// box order, or a walked pair's contiguous row ranges, balanced within
+    /// one row (see the crate docs). A walked pair's shards index the
+    /// default angles ([`default_angles`](sdq_core::topk::default_angles)).
     pub shards: usize,
     /// Read by nothing. It named the per-query shard worker count, and
     /// stays only because the repo benchmark, which a program change may
     /// not edit, still sets it; it goes with that benchmark's next change.
     #[deprecated(note = "a query runs on the thread that calls it; this field is ignored")]
     pub threads: usize,
-    /// Per-shard [`SdIndex`] build options (a walked pair's angles).
-    pub index: SdIndexOptions,
 }
 
 impl Default for EngineOptions {
@@ -166,7 +168,6 @@ impl Default for EngineOptions {
         EngineOptions {
             shards: 1,
             threads: 0,
-            index: SdIndexOptions::default(),
         }
     }
 }
@@ -175,9 +176,9 @@ impl Default for EngineOptions {
 /// [`SdEngine::shard_infos`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardInfo {
-    /// The smallest global row id in the shard: its first row for a walked
-    /// pair's row range; a cell of a box order holds ids from all over the
-    /// id space.
+    /// The smallest global row id in the shard: a walked pair's row range
+    /// starts at it; a cell of a box order holds ids from all over the id
+    /// space.
     pub smallest_id: usize,
     /// Number of rows in the shard (dead ones included).
     pub rows: usize,
@@ -556,17 +557,12 @@ pub struct SdEngine {
     /// Indexed (base) rows; delta rows live in `muts` until compaction.
     rows: usize,
     roles: Vec<DimRole>,
-    /// What shard `i`'s row ids add up to globally (parallel to `shards`,
-    /// [`ShardPart::offset`]): the first global row of a walked pair's row
-    /// range, `0` for a cell, whose ids are global.
-    offsets: Vec<u32>,
+    /// The shards, each of whose id columns holds global ids.
     shards: Vec<SdIndex>,
-    /// Whether every cell's ids lie in `0..rows`: settled when the engine
+    /// Whether every shard's ids lie in `0..rows`: settled when the engine
     /// is built or assembled from owned shards (there by the id census),
     /// and before a mapped engine's first answer ([`ids_in_range`]).
     ids_checked: Arc<OnceLock<Result<(), SdError>>>,
-    /// Per-shard build options, reused by compaction-time rebuilds.
-    index_options: SdIndexOptions,
     /// The write path: delta region, tombstones, epochs (see [`mutation`]).
     muts: mutation::MutationState,
     /// Lifetime counters, shared across engine clones (see
@@ -605,27 +601,24 @@ impl SdEngine {
                 got: roles.len(),
             });
         }
-        let (shards, offsets) = build_layout(&data, roles, &options.index, options.shards)?;
+        let shards = build_layout(&data, roles, options.shards)?;
         Ok(SdEngine {
             dims: data.dims(),
             rows: data.len(),
             roles: roles.to_vec(),
-            offsets,
             shards,
             ids_checked: Arc::new(OnceLock::from(Ok(()))),
-            index_options: options.index.clone(),
             muts: mutation::MutationState::new(data.dims(), data.len()),
             metrics: EngineMetrics::default(),
         })
     }
 
     /// Reassembles an engine from per-shard indexes (the snapshot restore
-    /// path). Shards must share `roles` and dimensionality. A walked pair's
-    /// shards are row ranges, global ids their row-order concatenation; any
-    /// other shard is a cell whose id column holds global ids, as
-    /// [`SdEngine::build_with`] writes them. Owned shards' ids are checked
-    /// here to name every row once ([`id_census`]); a mapped engine checks
-    /// them in range before its first answer.
+    /// path). Shards must share `roles` and dimensionality; each shard's id
+    /// column holds global ids, as [`SdEngine::build_with`] writes them.
+    /// Owned shards' ids are checked here to name every row once
+    /// ([`id_census`]); a mapped engine checks them in range before its
+    /// first answer.
     pub fn from_parts(
         dims: usize,
         roles: Vec<DimRole>,
@@ -643,7 +636,6 @@ impl SdEngine {
                 got: roles.len(),
             });
         }
-        let mut offsets = Vec::with_capacity(shards.len());
         let mut rows = 0usize;
         for shard in &shards {
             if shard.data().dims() != dims {
@@ -655,11 +647,6 @@ impl SdEngine {
             if shard.roles() != roles.as_slice() {
                 return Err(SdError::RoleMismatch);
             }
-            offsets.push(if shard.row_ids().is_some() {
-                0
-            } else {
-                rows as u32
-            });
             rows += shard.data().len();
             if rows > u32::MAX as usize {
                 return Err(SdError::TooManyPoints(rows));
@@ -670,18 +657,12 @@ impl SdEngine {
             id_census(&shards, rows)?;
             let _ = ids_checked.set(Ok(()));
         }
-        let index_options = shards
-            .first()
-            .map(SdIndex::rebuild_options)
-            .unwrap_or_default();
         Ok(SdEngine {
             dims,
             rows,
             roles,
-            offsets,
             shards,
             ids_checked,
-            index_options,
             muts: mutation::MutationState::new(dims, rows),
             metrics: EngineMetrics::default(),
         })
@@ -726,7 +707,7 @@ impl SdEngine {
     }
 
     /// Forces checksum verification of every lazily-verified region in
-    /// every shard, then (once) that every cell's ids lie in range — what
+    /// every shard, then (once) that every shard's ids lie in range — what
     /// a mapped engine runs before its first answer; a no-op for owned
     /// shards.
     pub fn verify_integrity(&self) -> Result<(), SdError> {
@@ -767,26 +748,17 @@ impl SdEngine {
     }
 
     /// Per-shard layout, mutation pressure and footprint, in shard order.
-    /// Observability: a cell's smallest id and dead rows are counted over
-    /// its id column.
+    /// Observability: a shard's dead rows are counted over its id column.
     pub fn shard_infos(&self) -> Vec<ShardInfo> {
         let dead = &self.muts.tombstones;
         self.shards
             .iter()
-            .zip(&self.offsets)
-            .map(|(shard, &offset)| {
-                let (offset, rows) = (offset as usize, shard.data().len());
-                let (smallest_id, dead_rows) = match shard.row_ids() {
-                    Some(ids) => (
-                        ids.iter().min().map_or(0, |&id| id as usize),
-                        ids.iter().filter(|&&id| dead.get(id as usize)).count(),
-                    ),
-                    None => (offset, dead.count_range(offset, offset + rows)),
-                };
+            .map(|shard| {
+                let ids = shard.row_ids();
                 ShardInfo {
-                    smallest_id,
-                    rows,
-                    dead_rows,
+                    smallest_id: ids.iter().min().map_or(0, |&id| id as usize),
+                    rows: ids.len(),
+                    dead_rows: ids.iter().filter(|&&id| dead.get(id as usize)).count(),
                     epoch: self.muts.epoch,
                     memory_bytes: shard.memory_bytes(),
                 }
@@ -830,18 +802,6 @@ impl SdEngine {
             });
         }
         Ok(())
-    }
-
-    /// Shard `i` as one part of a query: its index, its offset and the
-    /// tombstones, when the engine has any — a deleted id does not name
-    /// its shard, so every part reads the mask then.
-    fn shard_part<'a>(&'a self, i: usize, mask: Option<&'a RowMask>) -> ShardPart<'a> {
-        let offset = self.offsets[i];
-        ShardPart {
-            index: &self.shards[i],
-            offset,
-            mask: mask.map(|m| MaskView::new(m, offset)),
-        }
     }
 
     /// Answers the top-k query, allocating fresh scratch state. Steady-state
@@ -926,7 +886,9 @@ impl SdEngine {
                     qs,
                 )?;
             }
-            let parts = (0..self.shards.len()).map(|i| self.shard_part(i, mask));
+            // A deleted id does not name its shard, so every part reads the
+            // mask when there is one.
+            let parts = self.shards.iter().map(|index| ShardPart { index, mask });
             answer_parts(parts, query, qs, floor)?;
             // Each slot's floor updates, credited once the query is answered.
             let mut credits = [0; FLOOR_HIST_SLOTS];
@@ -1016,35 +978,17 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// The shards of `data` under `roles`, `shards` of them capped at
-/// [`shard_limit`], and their offsets: a walked pair's contiguous row
-/// ranges, balanced within one row, or the cells of one box order
-/// ([`cells`]: the top levels of the median split run here, over all the
-/// rows; each shard's build finishes its own cell). No rows, no shards.
-fn build_layout(
-    data: &Arc<Dataset>,
-    roles: &[DimRole],
-    options: &SdIndexOptions,
-    shards: usize,
-) -> Result<(Vec<SdIndex>, Vec<u32>), SdError> {
-    let (n, dims) = (data.len(), data.dims());
-    if n == 0 {
-        return Ok((Vec::new(), Vec::new()));
+/// The shards of `data` under `roles`, `shards` of them capped so that
+/// none is empty: the [`cells`] of the rows — a walked pair's contiguous row
+/// ranges, balanced within one row, or the cells of one box order, whose
+/// split's top levels run here over all the rows — each built by
+/// [`SdIndex::build_cell`]. No rows, no shards.
+fn build_layout(data: &Dataset, roles: &[DimRole], shards: usize) -> Result<Vec<SdIndex>, SdError> {
+    if data.is_empty() {
+        return Ok(Vec::new());
     }
-    let s = shards.clamp(1, shard_limit(roles, n));
-    if walked_pair(roles).is_some() {
-        let cut = |i: usize| i * n / s;
-        let shards = build_shards(s, |i| {
-            let rows = data.flat()[cut(i) * dims..cut(i + 1) * dims].to_vec();
-            SdIndex::build_with(Dataset::from_flat(dims, rows)?, roles, options)
-        })?;
-        return Ok((shards, (0..s).map(|i| cut(i) as u32).collect()));
-    }
-    let cells = cells(data, s);
-    let shards = build_shards(cells.len(), |i| {
-        SdIndex::build_cell(data, roles, options, &cells[i])
-    })?;
-    Ok((shards, vec![0; cells.len()]))
+    let cells = cells(data, roles, shards);
+    build_shards(cells.len(), |i| SdIndex::build_cell(data, roles, &cells[i]))
 }
 
 /// Runs `build(i)` for every part `i` of `parts`. A shard build reads
@@ -1134,14 +1078,17 @@ mod tests {
     }
 
     /// A walked pair's shards are contiguous row ranges, balanced within
-    /// a row.
+    /// a row, each holding the ids of its range.
     #[test]
     fn shard_layout_is_contiguous_and_balanced() {
         let e = engine(103, 2, 4);
         assert_eq!(e.shard_count(), 4);
         let mut next = 0;
-        for (info, &offset) in e.shard_infos().iter().zip(&e.offsets) {
-            assert_eq!((info.smallest_id, offset as usize), (next, next));
+        for (info, shard) in e.shard_infos().iter().zip(e.shards()) {
+            assert_eq!(info.smallest_id, next);
+            let mut ids = shard.row_ids().to_vec();
+            ids.sort_unstable();
+            assert!(ids.into_iter().eq(next as u32..(next + info.rows) as u32));
             next += info.rows;
             assert!(info.rows >= 103 / 4);
             assert!(info.memory_bytes > 0);
@@ -1159,21 +1106,19 @@ mod tests {
         let rows: Vec<usize> = infos.iter().map(|i| i.rows).collect();
         assert_eq!(rows, [256, 256, 256, 232]);
         assert!(infos.iter().all(|i| i.memory_bytes > 0));
-        assert_eq!(e.offsets, [0; 4], "a cell's ids are global");
         assert_eq!(engine(103, 4, 4).shard_count(), 2, "one cell a chunk");
     }
 
     #[test]
     fn a_pair_costs_under_32_bytes_a_row() {
-        // A single pair's index is one SoA copy of its (x, y) — 16 B — plus
-        // row ids, the live masks and the bound hierarchy: ≈ 27 B a row. A
-        // second coordinate copy (a point table, a per-point tree) cannot
-        // hide under 32. An index that aggregates stores no pair index at
-        // all: its id column, chunk boxes and first ids are ≈ 5 B a row at
-        // 4-D.
+        // Beside its rows a single pair's index holds its id column and
+        // first ids and the bound hierarchy: ≈ 8 B a row. A coordinate copy
+        // (SoA blocks, a point table, a per-point tree) cannot hide under
+        // 12. An index that aggregates stores no pair index at all: its id
+        // column, chunk boxes and first ids are ≈ 5 B a row at 4-D.
         let e = engine(20_000, 2, 2);
         let per_row = e.memory_bytes() as f64 / 20_000.0;
-        assert!(per_row < 32.0, "2-D: {per_row:.1} B/row");
+        assert!(per_row < 12.0, "2-D: {per_row:.1} B/row");
         let e = engine(20_000, 4, 2);
         let per_row = e.memory_bytes() as f64 / 20_000.0;
         assert!(per_row < 6.0, "4-D: {per_row:.1} B/row");
@@ -1339,6 +1284,43 @@ mod tests {
         assert_eq!(rebuilt.shard_count(), 4);
         let q = SdQuery::uniform_weights(vec![0.5, 1.5, -3.0], e.roles());
         assert_eq!(e.query(&q, 7).unwrap(), rebuilt.query(&q, 7).unwrap());
+    }
+
+    /// A pair's shard indexed over other angles than the engine's three —
+    /// one a library caller built and assembled — answers as the engine
+    /// does, and a compaction rebuilds it as the engine builds: over the
+    /// default angles.
+    #[test]
+    fn a_pair_over_other_angles_answers_and_compacts_to_the_default() {
+        use sdq_core::geometry::Angle;
+        use sdq_core::multidim::SdIndexOptions;
+        let (data, roles) = sample(300, 2);
+        let five = SdIndexOptions {
+            angles: [0.0, 22.5, 45.0, 67.5, 90.0]
+                .iter()
+                .map(|&d| Angle::from_degrees(d).unwrap())
+                .collect(),
+        };
+        let shard = SdIndex::build_with(data.clone(), &roles, &five).unwrap();
+        let mut e = SdEngine::from_parts(2, roles.clone(), vec![shard]).unwrap();
+        let fresh = |shards| {
+            let options = EngineOptions {
+                shards,
+                ..EngineOptions::default()
+            };
+            SdEngine::build_with(data.clone(), &roles, &options).unwrap()
+        };
+        let q = SdQuery::new(vec![0.5, 1.5], vec![0.3, 1.0]).unwrap();
+        let want = fresh(1).query(&q, 9).unwrap();
+        assert_eq!(e.query(&q, 9).unwrap(), want);
+        let report = e
+            .compact_with(&CompactionOptions { shards: Some(2) })
+            .unwrap();
+        assert_eq!(report.rebuilt_shards, 2);
+        assert_eq!(e.query(&q, 9).unwrap(), want);
+        for (got, want) in e.shards().iter().zip(fresh(2).shards()) {
+            assert_eq!(encoded(got), encoded(want));
+        }
     }
 
     #[test]
@@ -1555,10 +1537,10 @@ mod tests {
     /// one thread gives.
     fn assert_shards_built_alone(e: &SdEngine, flat: &[f64], ctx: &str) {
         let data = Dataset::from_flat(e.dims, flat.to_vec()).unwrap();
-        let cells = cells(&data, e.shard_count());
+        let cells = cells(&data, &e.roles, e.shard_count());
         assert_eq!(cells.len(), e.shard_count(), "{ctx}");
         for (s, (shard, cell)) in e.shards.iter().zip(&cells).enumerate() {
-            let alone = SdIndex::build_cell(&data, &e.roles, &e.index_options, cell).unwrap();
+            let alone = SdIndex::build_cell(&data, &e.roles, cell).unwrap();
             assert_eq!(encoded(shard), encoded(&alone), "{ctx}: shard {s}");
         }
     }
@@ -1604,36 +1586,11 @@ mod tests {
                 },
             )
             .unwrap();
-            assert_eq!(e.offsets, fresh.offsets);
             for (s, (got, want)) in e.shards.iter().zip(&fresh.shards).enumerate() {
                 assert_eq!(encoded(got), encoded(want), "{shards:?}: shard {s}");
             }
             e.delete(PointId::new(7)).unwrap();
             e.insert(&[0.5, -1.0, 2.0, 0.25]).unwrap();
-        }
-    }
-
-    #[test]
-    fn invalid_angles_fail_like_the_first_shard_built_alone() {
-        let (data, roles) = sample(200, 4);
-        let index = SdIndexOptions {
-            angles: vec![sdq_core::geometry::Angle::from_degrees(30.0).unwrap()],
-        };
-        let first = Dataset::from_flat(4, data.flat()[..50 * 4].to_vec()).unwrap();
-        let want = SdIndex::build_with(first, &roles, &index).unwrap_err();
-        assert!(matches!(want, SdError::AngleOutOfRange { .. }), "{want:?}");
-        for shards in [1, 4] {
-            let got = SdEngine::build_with(
-                data.clone(),
-                &roles,
-                &EngineOptions {
-                    shards,
-                    index: index.clone(),
-                    ..EngineOptions::default()
-                },
-            )
-            .err();
-            assert_eq!(got.as_ref(), Some(&want), "{shards} shards");
         }
     }
 
@@ -1647,7 +1604,7 @@ mod tests {
     #[test]
     fn parts_come_back_in_part_order_whichever_worker_built_them() {
         let roles = [DimRole::Attractive, DimRole::Repulsive];
-        let options = SdIndexOptions::default();
+        let options = sdq_core::multidim::SdIndexOptions::default();
         let workers = resolve_threads(0);
         let interleave = workers >= 2;
         let caller = std::thread::current().id();

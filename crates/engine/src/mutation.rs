@@ -478,14 +478,7 @@ impl SdEngine {
                 .count_range(self.rows, self.total_rows());
         let live = Dataset::from_flat(dims, self.live_rows()?)?;
         let live_total = live.len();
-        let (shards, offsets) = build_layout(
-            &live.into(),
-            &self.roles,
-            &self.index_options,
-            target_shards,
-        )?;
-        self.shards = shards;
-        self.offsets = offsets;
+        self.shards = build_layout(&live, &self.roles, target_shards)?;
         self.rows = live_total;
         let epoch_next = self.muts.epoch + 1;
         let (inserted_total, deleted_total) = (self.muts.inserted_total, self.muts.deleted_total);
@@ -537,15 +530,10 @@ impl SdEngine {
         sdq_core::multidim::id_census(&self.shards, self.rows)?;
         let dims = self.dims;
         let mut flat = vec![0.0; self.rows * dims];
-        for (shard, &offset) in self.shards.iter().zip(&self.offsets) {
-            let rows = shard.data().flat();
-            match shard.row_ids() {
-                Some(ids) => {
-                    for (row, &id) in rows.chunks_exact(dims).zip(ids) {
-                        flat[id as usize * dims..][..dims].copy_from_slice(row);
-                    }
-                }
-                None => flat[offset as usize * dims..][..rows.len()].copy_from_slice(rows),
+        for shard in &self.shards {
+            let rows = shard.data().flat().chunks_exact(dims);
+            for (row, &id) in rows.zip(shard.row_ids()) {
+                flat[id as usize * dims..][..dims].copy_from_slice(row);
             }
         }
         flat.extend_from_slice(self.muts.delta.flat());
@@ -715,7 +703,7 @@ mod tests {
     #[test]
     fn draining_a_shard_triggers_rebalance() {
         let mut e = sample_engine(300, 3);
-        let drained: Vec<u32> = e.shards()[0].row_ids().unwrap().to_vec();
+        let drained: Vec<u32> = e.shards()[0].row_ids().to_vec();
         for &id in &drained {
             e.delete(PointId::new(id)).unwrap();
         }

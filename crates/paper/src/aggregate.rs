@@ -150,12 +150,13 @@ impl PairedIndex {
         &self.pairs
     }
 
-    /// Approximate heap footprint of the per-pair §4 indexes (their block
-    /// tables; the rows are the caller's).
+    /// Approximate heap footprint of the per-pair §4 indexes: each pair's
+    /// `(x, y)` rows, which its index stores in its leaf order, and what
+    /// the index keeps beside them (the full rows are the caller's).
     pub fn memory_bytes(&self) -> usize {
         self.pair_indexes
             .iter()
-            .map(SdIndex::memory_bytes)
+            .map(|index| index.memory_bytes() + std::mem::size_of_val(index.data().flat()))
             .sum::<usize>()
             + std::mem::size_of_val(&self.extents[..])
     }

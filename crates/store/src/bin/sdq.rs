@@ -17,8 +17,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sdq_core::geometry::Angle;
-use sdq_core::multidim::{QueryPlan, SdIndexOptions};
+use sdq_core::multidim::QueryPlan;
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::{Dataset, Deadline, QueryProfile, QueryScratch, ScoredPoint, SdQuery};
 use sdq_data::{generate, uniform_queries, Distribution};
@@ -39,7 +38,6 @@ sdq — SD-Query snapshot tool (build once, query many)
 USAGE:
     sdq build --out PATH (--csv FILE | --synthetic DIST --n N --dims D)
               --roles STR [--shards S] [--seed S]
-              [--angles N]
     sdq query PATH --point X,Y,... [--weights W,W,...] [--k K]
               [--repeat N] [--threads T] [--mapped] [--slow-query-us U]
               [--timeout-us U] [--explain | --profile | --profile-json]
@@ -113,8 +111,6 @@ BUILD OPTIONS:
     --seed S           Generator seed (default 42).
     --roles STR        One char per dimension: a(ttractive) | r(epulsive).
     --shards S         Shard count of the engine (default 1).
-    --angles N         Indexed angle count, uniform over [0°, 90°]
-                       (default 3).
 
 MUTATION OPTIONS (insert / delete / compact):
     --csv FILE         Rows to insert, one comma-separated row per line
@@ -317,20 +313,6 @@ fn parse_csv_list(raw: &str, what: &str) -> Result<Vec<f64>, CliError> {
         .collect()
 }
 
-/// The uniform indexed-angle grid over [0°, 90°] that `build` indexes; the
-/// default count, 3, is the library default.
-fn angle_grid(count: usize) -> Result<Vec<Angle>, CliError> {
-    if count < 2 {
-        return Err(usage("--angles must be at least 2"));
-    }
-    Ok((0..count)
-        .map(|i| {
-            Angle::from_degrees(90.0 * i as f64 / (count - 1) as f64)
-                .expect("grid angles are in range")
-        })
-        .collect())
-}
-
 // ─── build ──────────────────────────────────────────────────────────────────
 
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
@@ -341,7 +323,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let mut dims: usize = 2;
     let mut seed: u64 = 42;
     let mut roles_spec: Option<String> = None;
-    let mut angle_count: usize = 3;
     let mut shards: usize = 1;
 
     let mut flags = Flags::new(args);
@@ -366,7 +347,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             "--dims" => dims = flags.parsed("--dims")?,
             "--seed" => seed = flags.parsed("--seed")?,
             "--roles" => roles_spec = Some(flags.value("--roles")?.to_string()),
-            "--angles" => angle_count = flags.parsed("--angles")?,
             other => return Err(usage(format!("unknown flag {other:?}"))),
         }
     }
@@ -401,9 +381,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     }
     let options = EngineOptions {
         shards,
-        index: SdIndexOptions {
-            angles: angle_grid(angle_count)?,
-        },
         ..EngineOptions::default()
     };
 

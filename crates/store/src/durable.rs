@@ -937,70 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn angles_survive_compact_checkpoint_and_recover() {
-        use sdq_core::geometry::Angle;
-        use sdq_core::multidim::SdIndexOptions;
-        // A 2-D `ar` engine over five indexed angles, not the default three:
-        // every shard a compaction rebuilds, before and after a reopen that
-        // replays the log, must index the same five.
-        let five: Vec<Angle> = [0.0, 22.5, 45.0, 67.5, 90.0]
-            .iter()
-            .map(|&d| Angle::from_degrees(d).unwrap())
-            .collect();
-        let row = |i: usize| vec![(i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()];
-        let rows: Vec<Vec<f64>> = (0..200).map(row).collect();
-        let engine = SdEngine::build_with(
-            Dataset::from_rows(2, &rows).unwrap(),
-            &crate::parse_roles("ar").unwrap(),
-            &EngineOptions {
-                shards: 2,
-                index: SdIndexOptions {
-                    angles: five.clone(),
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // What a rebuild reads off each shard: its block set's angles.
-        let angles_of = |e: &SdEngine| -> Vec<Vec<Angle>> {
-            e.shards()
-                .iter()
-                .map(|s| s.rebuild_options().angles)
-                .collect()
-        };
-        let built = vec![five.clone(), five];
-        assert_eq!(angles_of(&engine), built);
-
-        let mut d = DurableEngine::create(
-            MemStorage::new(),
-            "idx.sdq",
-            engine,
-            DurableOptions::default(),
-        )
-        .unwrap();
-        // A compaction (which checkpoints) rebuilds both shards: a delete
-        // in the first, delta rows for the tail.
-        d.insert_rows(&(200..230).map(row).collect::<Vec<_>>())
-            .unwrap();
-        d.delete(PointId::new(5)).unwrap();
-        assert_eq!(d.compact().unwrap().rebuilt_shards, 2);
-        assert_eq!(angles_of(d.engine()), built);
-        // A plain checkpoint, then a tail left in the log for recovery.
-        d.delete(PointId::new(150)).unwrap();
-        d.checkpoint().unwrap();
-        d.insert_rows(&(230..250).map(row).collect::<Vec<_>>())
-            .unwrap();
-        let mut back =
-            DurableEngine::open(d.into_storage(), "idx.sdq", DurableOptions::default()).unwrap();
-        assert!(back.recovery().replayed_records > 0);
-        assert_eq!(angles_of(back.engine()), built);
-        // And the reopened store rebuilds both shards over the same angles.
-        back.delete(PointId::new(0)).unwrap();
-        assert_eq!(back.compact().unwrap().rebuilt_shards, 2);
-        assert_eq!(angles_of(back.engine()), built);
-    }
-
-    #[test]
     fn group_commit_acks_at_the_batch_boundary() {
         let mut d = DurableEngine::create(
             MemStorage::new(),

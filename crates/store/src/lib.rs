@@ -27,7 +27,7 @@
 //! | kind | name | holds |
 //! |-----:|------|-------|
 //! | 7 | `engine-manifest` | dimensionality, roles, per-shard row counts |
-//! | 14 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (the roles, nothing else), `data.meta` + `data.coords`, then for a 2-D shard of one attractive and one repulsive dimension (a row range of the engine's rows) its pair's `pair0/meta` + `pair0/blocks.*`, for any other roles (a cell of the engine's one box order) the box order `data.ids` + `data.boxes` + `data.firsts`, ids global; the shard ordinal sits in the table entry's `reserved` field |
+//! | 15 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (the roles, nothing else), `data.meta` + `data.coords` (the rows, once, in the shard's stored order) and `data.ids` (the global id of each), then for a 2-D shard of one attractive and one repulsive dimension (a row range of the engine's rows, in the §4 tile order) its pair's envelope tree `pair0/meta` + `pair0/blocks.*`, for any other roles (a cell of the engine's one box order) the chunk boxes `data.boxes`, and last `data.firsts` (each 64-row chunk's smallest id); the shard ordinal sits in the table entry's `reserved` field |
 //! | 9 | `mutation-delta` | uncompacted inserted rows (only when non-empty) |
 //! | 10 | `mutation-tombstones` | the addressable row domain plus a sorted dead-id list (only when non-empty) |
 //! | 11 | `durability` | checkpoint generation and epoch, tying the file to its write-ahead log (see the [`durable`] module) |
@@ -37,12 +37,13 @@
 //! | 8 | `engine-shard` | retired: the shard layout that stored, per pair, a point table and the per-point node records beside the blocks |
 //! | 12 | `engine-shard` | retired: the shard layout that recorded a pairing strategy, its pairs and each unpaired dimension's extent (and, in its older files, one sorted column per unpaired dimension, aggregating shards' pair indexes, or rows not in box order) |
 //! | 13 | `engine-shard` | retired: the shard layout whose box-ordered shards were row ranges, each box-ordered over its own rows under shard-local ids |
+//! | 14 | `engine-shard` | retired: the shard layout whose 2-D shards kept their rows in id order under shard-local ids and a second copy of them, with slots and live masks, in the pair's blocks |
 //!
 //! Every payload is a stream of framed regions (see `sdq_core::codec`):
 //! small `[crc32c][len]` *metadata* regions verified eagerly at open, and
 //! `[crc32c][count][pad-to-64]` *array* regions whose payload bytes are the
 //! exact little-endian in-memory representation of the hot structures
-//! (SoA leaf blocks and their envelope levels, coordinate tables).
+//! (coordinate tables, id columns, chunk boxes, envelope tables).
 //! The table itself is covered by the trailing table checksum and padding
 //! must be zero, so *any* single flipped byte in the file is detected.
 //! Structural validation inside `sdq_core::codec` is the second line of
@@ -61,16 +62,16 @@
 //!   array checksums **lazily on first touch** (see
 //!   [`sdq_core::SectionIntegrity`]): open cost is O(metadata), the first
 //!   query pays one checksum pass over only the regions it touches (then
-//!   the block-table census and the engine's ids-in-range check, once), and
+//!   the engine's ids-in-range check, once), and
 //!   resident memory scales with touched pages rather than file size.
 //!   [`MappedSnapshot::verify_all`] settles every checksum on demand.
 //! * [`Snapshot::load`] / [`Snapshot::from_bytes`] and
 //!   [`DurableEngine::open`] read the file once into an owned aligned
 //!   buffer (never a live mapping: a store rewrites its own files) and
-//!   verify **before returning**: every region checksum, the block-table
-//!   census, slot ids in range, finite coordinates and block lanes, each
-//!   chunk's first id its smallest, and the engine-wide row-id census (every
-//!   id of the engine's rows once across its cells). What comes back
+//!   verify **before returning**: every region checksum, finite
+//!   coordinates, each chunk's first id its smallest, and the engine-wide
+//!   row-id census (every id of the engine's rows once across its shards).
+//!   What comes back
 //!   behaves like a built
 //!   index
 //!   (`is_mapped() == false`, no per-query integrity work) but pins that
@@ -165,9 +166,10 @@ pub enum SectionKind {
     /// The sharded engine's manifest (dims, roles, shard row counts).
     EngineManifest = 7,
     /// One engine shard's [`SdIndex`]; the shard ordinal lives in the
-    /// table entry's reserved `u32`. A box-ordered shard is a cell of the
-    /// engine's one box order, its ids global.
-    EngineShard = 14,
+    /// table entry's reserved `u32`. Every shard stores its rows once under
+    /// global ids; a box-ordered shard is a cell of the engine's one box
+    /// order.
+    EngineShard = 15,
     /// The engine's delta region: uncompacted inserted rows, as plain
     /// [`Dataset`] codec bytes.
     MutationDelta = 9,
@@ -186,7 +188,7 @@ impl SectionKind {
             9 => Some(SectionKind::MutationDelta),
             10 => Some(SectionKind::MutationTombstones),
             11 => Some(SectionKind::Durability),
-            14 => Some(SectionKind::EngineShard),
+            15 => Some(SectionKind::EngineShard),
             _ => None,
         }
     }
@@ -194,7 +196,7 @@ impl SectionKind {
     /// The name a retired kind number carried when it was written, and why
     /// it is no longer read: a store holds one engine, so the monolithic,
     /// §3, R*-tree and raw-dataset sections are gone, and so are the
-    /// standalone roles and §4 tree and three older shard layouts. The numbers
+    /// standalone roles and §4 tree and four older shard layouts. The numbers
     /// stay reserved; both readers refuse such a file by its name and reason
     /// and `sdq inspect` lists it by name.
     pub fn retired(raw: u32) -> Option<(&'static str, &'static str)> {
@@ -220,6 +222,10 @@ impl SectionKind {
             13 => Some((
                 "engine-shard",
                 "its box-ordered shards were row ranges under shard-local ids, where a shard is now a cell of one box order under global ids",
+            )),
+            14 => Some((
+                "engine-shard",
+                "its 2-D shards kept a second copy of their rows in the pair's blocks, under shard-local ids, where a shard now stores its rows once under global ids",
             )),
             _ => None,
         }
@@ -1550,19 +1556,20 @@ mod tests {
         // no other guard. `PAYLOAD_CRC`, the first offset and the length were
         // computed over this fixture (100 rows, two cells) by the commit
         // that made a box-ordered engine's shards cells of one box order
-        // under global ids (section kind 14: `index.meta` holds the roles
-        // alone; a 2-D `ar` shard is its rows and `pair0`, any other its
-        // rows and `data.ids` + `data.boxes` + `data.firsts`; kinds 2, 4, 8,
-        // 12 and 13 retired). (The fixture goes through `sin`/`cos`; a libm
-        // that rounds them differently moves the coordinates, not the
-        // layout.)
+        // under global ids, and held by the one that made every shard store
+        // its rows once (section kind 15: `index.meta` holds the roles
+        // alone; every shard is its rows, `data.ids`, then `pair0` for a
+        // 2-D `ar` shard or `data.boxes` for any other, then `data.firsts`;
+        // kinds 2, 4, 8, 12, 13 and 14 retired). (The fixture goes through
+        // `sin`/`cos`; a libm that rounds them differently moves the
+        // coordinates, not the layout.)
         const PAYLOAD_CRC: u32 = 0x0a42_1078;
         let bytes = durable_snapshot().to_bytes_v5().unwrap();
         assert_eq!(bytes[8..12], 5u32.to_le_bytes());
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         let mut kinds: Vec<u32> = info.sections.iter().map(|s| s.raw_kind).collect();
         kinds.dedup();
-        assert_eq!(kinds, [7, 14, 9, 10, 11], "every section kind");
+        assert_eq!(kinds, [7, 15, 9, 10, 11], "every section kind");
         let first = info.sections[0].offset as usize;
         assert_eq!((first, bytes.len()), (192, 3868));
         assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
@@ -1620,7 +1627,7 @@ mod tests {
     #[test]
     fn duplicate_singleton_section_is_refused() {
         let sections = durable_snapshot().sections();
-        for kind in (1..=14).filter_map(SectionKind::from_u32) {
+        for kind in (1..=15).filter_map(SectionKind::from_u32) {
             if kind == SectionKind::EngineShard {
                 continue;
             }
@@ -1855,6 +1862,12 @@ mod tests {
             "engine-shard",
             "its box-ordered shards were row ranges under shard-local ids, where a shard is \
              now a cell of one box order under global ids",
+        );
+        assert_retired_kind_refused(
+            14,
+            "engine-shard",
+            "its 2-D shards kept a second copy of their rows in the pair's blocks, under \
+             shard-local ids, where a shard now stores its rows once under global ids",
         );
     }
 }

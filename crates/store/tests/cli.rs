@@ -75,7 +75,7 @@ fn build_then_query_matches_in_memory_index() {
         .skip(1)
         .map(|rest| rest.split(',').next().unwrap())
         .collect();
-    assert_eq!(kinds, ["7", "14"], "manifest + one shard\n{json}");
+    assert_eq!(kinds, ["7", "15"], "manifest + one shard\n{json}");
 
     // The same workload in memory: the engine and the scan agree, and the
     // CLI must print what they answer.
@@ -344,9 +344,12 @@ fn unknown_flags_and_corrupt_files_fail_cleanly() {
     assert!(!dir.join("never.sdq").exists());
 
     // A store is an engine: the flags that picked another artifact are gone,
-    // and so is the one that shaped a per-point tree no shard holds.
+    // and so are the one that shaped a per-point tree no shard holds and the
+    // one that picked a walked pair's indexed angles (every engine indexes
+    // the default three).
     for flag in [
         ["--branching", "4"],
+        ["--angles", "5"],
         ["--index", "sd"],
         ["--alpha", "1"],
         ["--beta", "1"],
@@ -566,8 +569,10 @@ fn retired_section_kinds_are_refused_by_name() {
     assert_eq!(honest[16..20], 7u32.to_le_bytes());
     // The monolithic index; the three kinds of an earlier layout:
     // standalone roles, a standalone §4 tree, and the shard that stored a
-    // point table and node records beside its blocks; and the shard that
-    // recorded a pairing. Each is refused with its own reason.
+    // point table and node records beside its blocks; the shard that
+    // recorded a pairing; the shard whose box-ordered shards were row
+    // ranges; and the shard whose 2-D shards kept a second copy of their
+    // rows. Each is refused with its own reason.
     for (raw, name, why) in [
         (3u32, "sd-index", "a store holds one engine"),
         (2, "roles", "the engine manifest carries the roles"),
@@ -586,6 +591,18 @@ fn retired_section_kinds_are_refused_by_name() {
             "engine-shard",
             "its layout recorded a pairing, its pairs and a range per unpaired dimension, \
              which no query reads",
+        ),
+        (
+            13,
+            "engine-shard",
+            "its box-ordered shards were row ranges under shard-local ids, where a shard is \
+             now a cell of one box order under global ids",
+        ),
+        (
+            14,
+            "engine-shard",
+            "its 2-D shards kept a second copy of their rows in the pair's blocks, under \
+             shard-local ids, where a shard now stores its rows once under global ids",
         ),
     ] {
         // Relabel the first section (the manifest) and re-sign the table:

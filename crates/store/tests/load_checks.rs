@@ -20,8 +20,8 @@ fn engine() -> SdEngine {
 }
 
 /// `n` rows under `roles` (`arr`, or `ar` for the first two dimensions: a
-/// single pair, whose shards store its §4 index), in two shards (two cells
-/// of one box order take at least 65 rows).
+/// single pair, whose shards store its §4 envelope tree), in two shards
+/// (two cells of one box order take at least 65 rows).
 fn engine_of(n: usize, roles: &str) -> SdEngine {
     let dims = roles.len();
     let rows: Vec<Vec<f64>> = (0..n)
@@ -42,7 +42,13 @@ fn engine_of(n: usize, roles: &str) -> SdEngine {
 }
 
 fn probe() -> SdQuery {
-    SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], &parse_roles(ROLES).unwrap())
+    probe_of(ROLES)
+}
+
+/// [`probe`] over the first `roles.len()` dimensions.
+fn probe_of(roles: &str) -> SdQuery {
+    let point = vec![0.2, 3.0, 7.0][..roles.len()].to_vec();
+    SdQuery::uniform_weights(point, &parse_roles(roles).unwrap())
 }
 
 /// The engine with uncompacted writes: the honest file every sweep and
@@ -81,13 +87,14 @@ fn is_typed(err: &SdError) -> bool {
 
 // ── (a) what a file holds ───────────────────────────────────────────────
 
-/// A shard that scans (`arr`) is its coordinates in box order, the id of
-/// every position (`data.ids`), the chunk boxes (`data.boxes`) and each
-/// chunk's smallest id (`data.firsts`): no pair index, no point table, no
-/// sorted column. A single pair's shard (`ar`) is its coordinates in id
-/// order and its §4
-/// index — one copy of the pair's (x, y) besides `data.coords`, one bound
-/// hierarchy, no node records.
+/// Every shard is its coordinates, once, in its stored order, the global
+/// id of every position (`data.ids`) and each chunk's smallest id
+/// (`data.firsts`). Between the two, a shard that scans (`arr`) holds the
+/// chunk boxes of its box order (`data.boxes`): no pair index, no point
+/// table, no sorted column. A single pair's shard (`ar`) holds its §4
+/// envelope tree over its rows in tile order — one bound hierarchy, no
+/// second copy of the pair's (x, y), no slots, no live masks, no node
+/// records.
 #[test]
 fn an_engine_file_lists_exactly_these_regions() {
     // 300 rows a shard: 10 leaf blocks under two envelope levels.
@@ -109,17 +116,15 @@ fn an_engine_file_lists_exactly_these_regions() {
                 "index.meta",
                 "data.meta",
                 "data.coords",
+                "data.ids",
                 "pair0/meta",
-                "pair0/blocks.xs",
-                "pair0/blocks.ys",
-                "pair0/blocks.slots",
-                "pair0/blocks.live",
                 "pair0/blocks.bounds",
                 "pair0/blocks.xr",
                 "pair0/blocks.lvl0/bounds",
                 "pair0/blocks.lvl0/xr",
                 "pair0/blocks.lvl1/bounds",
                 "pair0/blocks.lvl1/xr",
+                "data.firsts",
             ][..],
         ),
     ] {
@@ -252,24 +257,33 @@ fn set_u32(payload: &mut [u8], index: usize, v: u32) {
     payload[index * 4..index * 4 + 4].copy_from_slice(&v.to_le_bytes());
 }
 
+/// A forgery: the region it patches, what the refusal must say, the patch.
+type Forgery = (&'static str, &'static str, fn(&mut [u8]));
+
+/// The forgeries every layout must refuse: its id column and its chunks'
+/// first ids, whatever the roles.
+const ID_FORGERIES: [Forgery; 3] = [
+    ("engine-shard1/data.ids", "row id 300 out of range", |p| {
+        set_u32(p, 7, 300)
+    }),
+    // Position 1 names position 0's row: in range, but twice.
+    ("engine-shard0/data.ids", "repeated", |p| {
+        p.copy_within(0..4, 4)
+    }),
+    // Chunk 0's first id raised past its smallest: the tie-aware skip
+    // would pass over a row it must score.
+    ("engine-shard1/data.firsts", "first id", |p| {
+        let first = u32::from_le_bytes(p[..4].try_into().unwrap());
+        set_u32(p, 0, first + 1)
+    }),
+];
+
 #[test]
 fn load_refuses_forged_contents_under_valid_checksums() {
-    type Patch = fn(&mut [u8]);
-    let cases: [(&str, &str, Patch); 11] = [
+    let cases: [Forgery; 4] = [
         ("engine-shard0/data.coords", "non-finite coordinate", |p| {
             set_f64(p, 4, f64::NAN)
         }),
-        (
-            "engine-shard1/pair0/blocks.xs",
-            "non-finite x coordinate",
-            |p| set_f64(p, 6, f64::INFINITY),
-        ),
-        (
-            "engine-shard0/pair0/blocks.ys",
-            "non-finite y coordinate",
-            // A padding lane: the kernels score those too.
-            |p| set_f64(p, 31, f64::NAN),
-        ),
         // `index.meta` is the roles alone: a `u64` count, then one tag
         // byte a dimension.
         (
@@ -277,27 +291,6 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             "invalid DimRole tag 0x02",
             |p| p[9] = 2,
         ),
-        ("engine-shard1/data.ids", "row id 300 out of range", |p| {
-            set_u32(p, 7, 300)
-        }),
-        // Position 1 names position 0's row: in range, but twice.
-        ("engine-shard0/data.ids", "repeated", |p| {
-            p.copy_within(0..4, 4)
-        }),
-        // Chunk 0's first id raised past its smallest: the tie-aware skip
-        // would pass over a row it must score.
-        ("engine-shard1/data.firsts", "first id", |p| {
-            let first = u32::from_le_bytes(p[..4].try_into().unwrap());
-            set_u32(p, 0, first + 1)
-        }),
-        (
-            "engine-shard0/pair0/blocks.slots",
-            "slot 1000000 out of range",
-            |p| set_u32(p, 0, 1_000_000),
-        ),
-        ("engine-shard1/pair0/blocks.live", "live lanes", |p| {
-            set_u32(p, 0, 1)
-        }),
         (
             "engine-shard0/pair0/meta",
             "indexed angles not strictly ascending",
@@ -318,13 +311,19 @@ fn load_refuses_forged_contents_under_valid_checksums() {
         ),
     ];
     let (scanning, walking) = (honest_bytes(), honest_bytes_of("ar"));
-    for (region, needle, patch) in cases {
-        // The pair regions are a single pair's: its shards store them.
-        let honest = if region.contains("/pair0/") {
-            &walking
-        } else {
-            &scanning
-        };
+    // The pair regions are a single pair's: its shards store them. The ids
+    // and first ids are every shard's.
+    let pair_cases = cases.iter().filter(|c| c.0.contains("/pair0/"));
+    let other_cases = cases.iter().filter(|c| !c.0.contains("/pair0/"));
+    let runs = pair_cases
+        .map(|c| (&walking, c))
+        .chain(other_cases.map(|c| (&scanning, c)))
+        .chain(
+            ID_FORGERIES
+                .iter()
+                .flat_map(|c| [(&scanning, c), (&walking, c)]),
+        );
+    for (honest, &(region, needle, patch)) in runs {
         let mut forged = honest.clone();
         forge(&mut forged, region, patch);
         assert_ne!(&forged, honest, "{region}: patch changed nothing");
@@ -354,28 +353,30 @@ fn load_refuses_forged_contents_under_valid_checksums() {
 /// checksums still opens (its ids are in range, so nothing reads out of
 /// bounds), but neither `rows_by_id` nor a compaction reads its rows —
 /// the compaction would otherwise write rows that were never inserted into
-/// a fresh, correctly checksummed shard.
+/// a fresh, correctly checksummed shard. Either layout.
 #[test]
 fn a_mapped_shard_with_a_repeated_row_id_is_never_compacted() {
-    let mut forged = honest_bytes();
-    forge(&mut forged, "engine-shard0/data.ids", |p| {
-        p.copy_within(0..4, 4)
-    });
-    let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&forged)).unwrap();
-    let mut engine = mapped.snapshot.engine.expect("an engine");
-    assert!(engine.is_mapped());
-    for err in [
-        engine.shards()[0].rows_by_id().err(),
-        engine.compact().err(),
-    ] {
-        match err {
-            Some(SdError::SnapshotCorrupt { detail }) => {
-                assert!(
-                    detail.contains("row id") && detail.contains("repeated"),
-                    "{detail}"
-                )
+    for roles in [ROLES, "ar"] {
+        let mut forged = honest_bytes_of(roles);
+        forge(&mut forged, "engine-shard0/data.ids", |p| {
+            p.copy_within(0..4, 4)
+        });
+        let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&forged)).unwrap();
+        let mut engine = mapped.snapshot.engine.expect("an engine");
+        assert!(engine.is_mapped());
+        for err in [
+            engine.shards()[0].rows_by_id().err(),
+            engine.compact().err(),
+        ] {
+            match err {
+                Some(SdError::SnapshotCorrupt { detail }) => {
+                    assert!(
+                        detail.contains("row id") && detail.contains("repeated"),
+                        "{roles}: {detail}"
+                    )
+                }
+                other => panic!("{roles}: a forged shard was read: {other:?}"),
             }
-            other => panic!("a forged shard was read: {other:?}"),
         }
     }
 }
@@ -383,25 +384,33 @@ fn a_mapped_shard_with_a_repeated_row_id_is_never_compacted() {
 /// A mapped open defers the ids' range check to the first query, and the
 /// verdict sticks: a shard naming a row past the engine's rows answers
 /// nothing, its honest twin answers, and a repeated id — in range — is
-/// left to the census of an eager open or a compaction (ROADMAP 6(b)).
+/// left to the census of an eager open or a compaction. Either layout: a
+/// single pair's walk names its rows by the same id column.
 #[test]
 fn a_mapped_engine_checks_its_ids_in_range_before_its_first_answer() {
-    let mut forged = honest_bytes();
-    forge(&mut forged, "engine-shard1/data.ids", |p| {
-        set_u32(p, 7, 300)
-    });
-    let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&forged)).unwrap();
-    let engine = mapped.snapshot.engine.expect("an engine");
-    for _ in 0..2 {
-        match engine.query(&probe(), 3) {
-            Err(SdError::SnapshotCorrupt { detail }) => {
-                assert!(detail.contains("row id 300 out of range"), "{detail}")
+    for roles in [ROLES, "ar"] {
+        let mut forged = honest_bytes_of(roles);
+        forge(&mut forged, "engine-shard1/data.ids", |p| {
+            set_u32(p, 7, 300)
+        });
+        let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&forged)).unwrap();
+        let engine = mapped.snapshot.engine.expect("an engine");
+        for _ in 0..2 {
+            match engine.query(&probe_of(roles), 3) {
+                Err(SdError::SnapshotCorrupt { detail }) => {
+                    assert!(
+                        detail.contains("row id 300 out of range"),
+                        "{roles}: {detail}"
+                    )
+                }
+                other => panic!("{roles}: an id past the rows was served: {other:?}"),
             }
-            other => panic!("an id past the rows was served: {other:?}"),
         }
+        let honest =
+            Snapshot::from_mapped(MappedBytes::copy_from(&honest_bytes_of(roles))).unwrap();
+        let engine = honest.snapshot.engine.unwrap();
+        assert!(engine.query(&probe_of(roles), 3).is_ok(), "{roles}");
     }
-    let honest = Snapshot::from_mapped(MappedBytes::copy_from(&honest_bytes())).unwrap();
-    assert!(honest.snapshot.engine.unwrap().query(&probe(), 3).is_ok());
 }
 
 // ── (d) the aligned read ────────────────────────────────────────────────

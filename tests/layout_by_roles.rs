@@ -1,15 +1,19 @@
-//! A dimension no pair takes is bounded by its chunks' extents — each chunk
-//! box's, which the scan reads — never streamed, and a shard's layout is a
-//! function of its roles alone:
+//! A shard's layout is a function of its roles alone, and every layout
+//! answers what [`SeqScan`] answers:
 //!
+//! * every file holds each shard's rows once, the global id of each row
+//!   (`data.ids`) and each 64-row chunk's smallest id (`data.firsts`); a
+//!   file of one pair (`ar`, `ra`) holds the pair's envelope tree
+//!   (`pair0/*`) above them, and every other file the chunk boxes
+//!   (`data.boxes`);
 //! * for role sets heavy in unpaired dimensions — no pair at all included —
-//!   and for the two that are one pair (`ar`, `ra`), every engine answer, at
-//!   1, 2 and 4 shards, clean, tombstoned or with a delta region, built,
-//!   reloaded or mapped, is bit-identical to [`SeqScan`] over the live
-//!   rows; query points outside the data, zero and signed-zero weights and
-//!   `k ≥ n` included. A one-pair file holds the pair's block set and no
-//!   box order, every other file the box order and no block set;
-//! * a shard with no pair certifies against its chunks' extents, not
+//!   and for the two that are one pair, every engine answer, at 1, 2 and 4
+//!   shards, clean, tombstoned or with a delta region, built, reloaded or
+//!   mapped, is bit-identical to [`SeqScan`] over the live rows; query
+//!   points outside the data, zero and signed-zero weights and `k ≥ n`
+//!   included;
+//! * a dimension no pair takes is bounded by its chunks' boxes, never
+//!   streamed, and a shard with no pair certifies against those boxes, not
 //!   against 0: at 4 shards the rows that win are in the last shard.
 
 use proptest::collection::vec;
@@ -143,12 +147,15 @@ proptest! {
                     let image = Snapshot { engine: Some(engine.clone()), ..Snapshot::default() }
                         .to_bytes_v5()
                         .unwrap();
-                    // The roles alone pick the layout: a pair's block set, or
-                    // the box order.
+                    // The roles alone pick the layout: every shard's ids and
+                    // first ids, then a pair's envelope tree or the chunk
+                    // boxes.
                     let names = region_names(&image);
                     let walks = walked_pair(&roles).is_some();
-                    prop_assert_eq!(names.iter().any(|r| r.ends_with("/pair0/meta")), walks);
-                    prop_assert_eq!(names.iter().any(|r| r.ends_with("/data.firsts")), !walks);
+                    let holds = |region: &str| names.iter().any(|r| r.ends_with(region));
+                    prop_assert!(holds("/data.ids") && holds("/data.firsts"));
+                    prop_assert_eq!(holds("/pair0/meta"), walks);
+                    prop_assert_eq!(holds("/data.boxes"), !walks);
                     let owned = Snapshot::from_bytes(&image).unwrap().engine.unwrap();
                     let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&image)).unwrap();
                     let mapped = mapped.snapshot.engine.unwrap();

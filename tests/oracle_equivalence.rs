@@ -875,7 +875,7 @@ fn box_ordered_engines_answer_like_the_oracle() {
             ..EngineOptions::default()
         };
         let mut engine = SdEngine::build_with(data, &roles, &options).unwrap();
-        let boxed = |engine: &SdEngine| engine.shards().iter().all(|s| s.row_ids().is_some());
+        let boxed = |engine: &SdEngine| engine.shards().iter().all(|s| s.block_stats() == (0, 0));
         assert!(
             boxed(&engine),
             "every shard of an aggregating engine is in box order"
