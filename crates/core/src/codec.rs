@@ -9,7 +9,7 @@
 //! *metadata regions* (`[crc32c u32][len u64][bytes]`, verified as they are
 //! read); the hot arrays (coordinate tables, an index's id column and
 //! chunk first ids, a walked pair's envelope tables, a box-ordered index's
-//! chunk boxes) go into framed *array regions* (`[crc32c u32]
+//! node boxes and chunk codes) go into framed *array regions* (`[crc32c u32]
 //! [count u64][zero pad to 64][raw little-endian elements]`) whose payload
 //! is the exact in-memory representation. `sdq-store` stores these bytes
 //! verbatim as snapshot section payloads.
@@ -26,7 +26,8 @@
 //! * an eager open ([`decode_from_slice`], `Snapshot::load` / `from_bytes`,
 //!   `DurableEngine::open`) verifies every region checksum and then runs
 //!   [`Codec::verify_decoded`] — the content checks only an eager open
-//!   makes (finite coordinates, each chunk's first id its smallest) —
+//!   makes (finite coordinates, each chunk's and each tree node's first id
+//!   its smallest) —
 //!   before it returns, and drops the lazy sets so later queries pay
 //!   nothing.
 //!
@@ -76,7 +77,7 @@ use std::sync::Arc;
 
 use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
-use crate::multidim::{check_firsts, walked_pair, Layout, SdIndex, CHUNK_ROWS};
+use crate::multidim::{check_firsts, walked_pair, BoxTree, Layout, SdIndex, CHUNK_ROWS};
 use crate::topk::blocks::BlockSet;
 use crate::types::{Dataset, SdError, MAX_MAGNITUDE};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
@@ -786,9 +787,12 @@ impl Codec for Angle {
 /// rows by position), the id of every position (`data.ids`, `u32`), then
 /// what [`walked_pair`] reads off the roles — a walked pair's §4 envelope
 /// tree (`meta` + `blocks.*`, block `b` the rows at positions `[32b, 32b +
-/// 32)`) under a `pair0` prefix, or for any other roles the chunk boxes
-/// (`data.boxes`, `f32`, per dimension the lows then the highs of every
-/// chunk) — and last each chunk's smallest id (`data.firsts`, `u32`).
+/// 32)`) under a `pair0` prefix, or for any other roles the box tree: its
+/// shape (`tree.meta`, each group's chunk count), its node boxes
+/// (`tree.boxes`, `f32`, per node the `(lo, hi)` of each dimension), its
+/// nodes' smallest ids (`tree.firsts`, `u32`) and the chunk codes
+/// (`data.codes`, `u8`, per chunk the `(lo, hi)` code of each dimension)
+/// — and last each chunk's smallest id (`data.firsts`, `u32`).
 /// Nothing else is stored, and no other layout decodes: the snapshot layer
 /// refuses a shard of an older layout by its section kind before a byte of
 /// it is read.
@@ -799,7 +803,12 @@ impl Codec for SdIndex {
         w.pod_array(&self.ids);
         match &self.layout {
             Layout::Pair(blocks) => blocks.encode(w),
-            Layout::Boxes(boxes) => w.pod_array(boxes),
+            Layout::Boxes(tree) => {
+                w.meta_region(|m| m.u32s(&tree.groups));
+                w.pod_array(&tree.boxes);
+                w.pod_array(&tree.firsts);
+                w.pod_array(&tree.codes);
+            }
         }
         w.pod_array(&self.firsts);
     }
@@ -825,12 +834,12 @@ impl Codec for SdIndex {
                 Layout::Pair(blocks?)
             }
             None => {
-                let (boxes, _) = r.pod_array::<f32>("data.boxes")?;
-                let want = 2 * dims * chunks;
-                ensure(boxes.len() == want, || {
-                    format!("box order: {} box bounds, expected {want}", boxes.len())
-                })?;
-                Layout::Boxes(boxes)
+                let groups = r.meta_region("tree.meta", |m| m.u32s())?;
+                let (boxes, _) = r.pod_array::<f32>("tree.boxes")?;
+                let (firsts, _) = r.pod_array::<u32>("tree.firsts")?;
+                let (codes, _) = r.pod_array::<u8>("data.codes")?;
+                let tables = (boxes, firsts, codes);
+                Layout::Boxes(BoxTree::from_parts(groups, chunks, dims, tables).map_err(corrupt)?)
             }
         };
         let (firsts, _) = r.pod_array::<u32>("data.firsts")?;
@@ -858,6 +867,9 @@ impl Codec for SdIndex {
         self.verify_integrity()?;
         finite_slice(self.data.flat(), "coordinate")?;
         check_firsts(&self.ids, &self.firsts).map_err(corrupt)?;
+        if let Layout::Boxes(tree) = &self.layout {
+            tree.check_firsts(&self.firsts).map_err(corrupt)?;
+        }
         self.query_integrity = Vec::new();
         Ok(())
     }

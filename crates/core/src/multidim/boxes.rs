@@ -1,21 +1,19 @@
 //! Box order: how an [`SdIndex`](super::SdIndex) that is not one walked
-//! pair lays out its rows so the box scan can skip whole chunks of them,
-//! and the 64-row chunks every index is scanned by.
+//! pair lays out its rows, and the tree over them the box scan walks so it
+//! can skip whole subtrees of rows; and the 64-row chunks every index is
+//! scanned by.
 //!
 //! The rows are put in *recursive median split* order over all dimensions
 //! (the bulk-load idiom of a k-d tree): a run of rows is cut at a median
 //! into two runs of whole leaves, each cut again, in the next dimension,
-//! until a run is one leaf of [`CHUNK_ROWS`] rows. (Cutting the widest
-//! dimension instead skips within two points as many rows on the 6-D
-//! benchmark shape, and costs a pass over the rows a cut.) Ties break by row
-//! id, so the order is a pure function of the rows; within a leaf the rows
-//! stay where the last cut left them (no order the scan relies on). Every
-//! [`CHUNK_ROWS`] consecutive positions are then one
-//! leaf, and its bounding box — one `(lo, hi)` per dimension, rounded
-//! outward to `f32` — bounds the score of every row in it
-//! ([`chunk_bounds`]). On scattered rows a chunk's box is a small cell, not
-//! the whole space, so a query whose floor is known skips most chunks
-//! unscored.
+//! until a run is one leaf of [`CHUNK_ROWS`] rows. A run of `L` leaves is
+//! cut after `⌈L/2⌉`, so the shape of the split is a function of the chunk
+//! count alone. (Cutting the widest dimension instead skips within two
+//! points as many rows on the 6-D benchmark shape, and costs a pass over
+//! the rows a cut.) Ties break by row id, so the order is a pure function
+//! of the rows; within a leaf the rows stay where the last cut left them
+//! (no order the scan relies on). Every [`CHUNK_ROWS`] consecutive
+//! positions are then one leaf — a chunk.
 //!
 //! Every index, in box order or not, keeps beside its rows:
 //! * `ids` — the row id of each position (what the query floor, the
@@ -24,13 +22,82 @@
 //!   scan skip a chunk whose bound only *ties* the floor ([`QueryFloor::worst`](crate::QueryFloor::worst)),
 //!   and what breaks ties between equal bounds in the scan's order.
 //!
-//! An index in box order keeps `boxes` above them — the chunk boxes, per
-//! dimension SoA: dimension `d`'s lows are `boxes[2d·c..(2d+1)·c]` and its
-//! highs the next `c` entries, for `c` chunks. An index without one (a
-//! walked pair's, whose rows are in the §4 tile order and which the direct
-//! 2-D walk answers — a scan only when both its weights are zero) is
-//! scanned as its [`CHUNK_ROWS`]-row chunks, each bounded by `0`, every
-//! row's exact score then.
+//! ## The box tree
+//!
+//! An index in box order keeps the split's tree above them ([`BoxTree`]),
+//! stored every 4th level: the nodes at global depths 4, 8, … of the split
+//! of *all* the engine's rows, so a stored node has up to 16 children — its
+//! descendants four cuts below it that hold a chunk: a chunk, or the node
+//! above two chunks or more. Each stored node keeps an outward-rounded
+//! `f32` box (one `(lo, hi)` a dimension) and its smallest id. A box bounds
+//! the score of every row in it ([`box_bound`]).
+//!
+//! The top stored level of a cell is its subtrees at the first depth of 4,
+//! 8, … at or below the cell's own; each is a *group*, and a file records
+//! the tree's shape as the chunk count of each group, in order. Below a
+//! group's top node, the nodes on one level hold `⌊L/16^l⌋` chunks or one
+//! more, so where a node sits in the tables is arithmetic on its place in
+//! the split ([`BoxTree::children`]): nothing is derived at open but the
+//! groups' offsets. Per 100k 4-D rows (1 563 chunks): 272 nodes on two
+//! levels (16 + 256), 9.8 KB of node boxes and first ids, and 12.5 KB of
+//! codes, where the chunks' `f32` boxes took 50 KB.
+//!
+//! Each chunk's box is stored as two `u8` codes a dimension inside the box
+//! of its *group*, decoded outward ([`decode`]): `plo + lo·step` and `phi −
+//! (255 − hi)·step`, `step` 1/255 of the group's width. The build codes each
+//! chunk's outward `f32` box tightly and checks every code through that one
+//! decode; codes 0 and 255 decode to the group's own sides exactly, which is
+//! the fallback when no tighter code holds — a group box at ±∞ or of zero
+//! width. Coding inside the group rather than inside the nearest stored
+//! node costs a chunk's box at most 1/255 of its group's width a side, and
+//! lets the sweep bound every chunk under a run of reaching children in one
+//! pass, a dimension at a time, with one step a dimension
+//! ([`BoxTree::run_bounds`], which AVX2 runs four lanes a step). Coded
+//! inside the nearest stored node, the sweep took one short pass a node and
+//! a dimension, and on the `agg_6d` shape (100k 6-D anti-correlated rows,
+//! k 64) those passes cost more than the rows the tree spared.
+//!
+//! The scan (`scan_parts` in the parent module) walks this tree over every
+//! part of a query at once: best first from the top stored level of every
+//! part, until [`LEAD_CHUNKS`](super::LEAD_CHUNKS) chunks are scored (the
+//! *lead*, raising the floor), then the sweep: the groups that still reach
+//! the floor, best bound first, each depth first in row order, skipping
+//! every node and chunk that cannot reach the floor and every chunk the
+//! lead scored. Neither bounds what it never reaches, so on scattered rows
+//! a query's cost follows the rows it can use, not the rows there are.
+//!
+//! Measured against the flat scan it replaced — every chunk of every part
+//! bounded from its `f32` box, a lead cut out of the bounds, two row-order
+//! sweeps — on scratch builds of both (data seed 7, 4 cells, uniform
+//! queries, best of six warmed laps a query, one pinned CPU of a 2-core
+//! VM whose speed drifted up to 1.6× between runs; p50 / p95 µs, the range
+//! of two alternating runs):
+//!
+//! | shape | flat scan | tree | boxes bounded, tree | chunks scored, flat → tree |
+//! |---|---|---|---|---|
+//! | 100k 4-D uniform `arra`, k 16 | 22.4–23.1 / 26.5 | 4.8–8.8 / 10.0–18.7 | 134 | 13.7 → 14.1 |
+//! | 1M 4-D uniform `arra`, k 16 | 148–154 / 159–174 | 12.6–13.3 / 26.3–26.8 | 220 | 17.2 → 18.1 |
+//! | 100k 6-D anti `aaaarr`, k 64 | 46.8–67.2 / 75–105 | 75.8–81.8 / 124–127 | 909 | 189.5 → 198.0 |
+//! | 200k 2-D uniform `ar`, k 16, 1 / 4 cells (the §4 walk instead: 5.0–5.2 / 7.9–8.0) | – | 4.2 / 4.3–4.4 | 49 | – |
+//!
+//! So the tree wins where its boxes prune — 1M rows cost 2.6× what 100k
+//! do, where the flat scan's 6.6× followed the rows — and loses where they
+//! do not: on 6-D anti-correlated rows it bounds 909 boxes and scores 5 %
+//! more chunks than the flat scan, whose one bound pass over all 1 563
+//! chunks was cheap. The repo benchmark, 10 alternating pairs of 6 s runs
+//! (parent median (IQR) → this tree's, pairs won):
+//!
+//! | workload | `query_p50_us` | `query_p95_us` | `mem_bytes_per_row` |
+//! |---|---|---|---|
+//! | `cold_open_4d` | 17.33 (0.23) → 7.91 (10/10) | 20.61 → 15.94 (10/10) | 4.688 → 4.413 |
+//! | `mixed_rw_4d` (5 pairs) | 20.01 (1.55) → 11.40 (5/5) | 23.52 → 20.99 (5/5) | 4.688 → 4.413 |
+//! | `agg_6d` | 62.32 (1.51) → 68.27 (0/10) | 97.62 → 110.0 (0/10) | 4.938 → 4.519 |
+//! | `direct_2d` (a walk; 5 pairs) | 7.82 (0.15) → 7.81 (3/5) | 11.72 → 11.61 (3/5) | 8.195 → 8.195 |
+//!
+//! An index without a box order (a walked pair's, whose rows are in the §4
+//! tile order and which the direct 2-D walk answers — a scan only when both
+//! its weights are zero) is scanned as one level of its [`CHUNK_ROWS`]-row
+//! chunks, each bounded by `0`, every row's exact score then.
 //!
 //! ## Box first
 //!
@@ -68,16 +135,18 @@
 //! `⌈log₂ s⌉` levels of the median split of all its rows run once, over
 //! every row, with key columns of the cut dimensions only; the subtrees at
 //! that depth go to the `s` cells in order, and each cell's build finishes
-//! its own split ([`finish_split`]) with key columns of its rows only. Concatenated in cell order, the cells are the one-shard order —
-//! rows, ids, boxes, first ids — and each cell's ids are the engine's. The
-//! scan bounds every cell's chunks and picks one lead across them, so `s`
-//! cells visit the chunks one index over the same rows visits, in its
-//! order. Measured against row-range shards, each box-ordered over its own
-//! rows and led on its own (a scratch program: data seed 7, 256 uniform
-//! queries, best of four warmed laps a query, one pinned CPU of a 2-core
-//! VM, three alternating rounds; the host's speed drifted 1.6× between
-//! rounds, so the p50s are the rounds' medians and the ratio the median of
-//! the rounds' 4 ÷ 1 ratios):
+//! its own split ([`finish_split`]) with key columns of its rows only.
+//! Concatenated in cell order, the cells are the one-shard order — rows,
+//! ids, codes, first ids — and each cell's ids are the engine's. A cell of
+//! an engine of up to 16 shards is a union of whole depth-4 subtrees, so
+//! its groups are the one-shard index's, its stored nodes theirs: the scan
+//! walks `s` such cells as the one index over the same rows, bounding and
+//! scoring exactly what it does, in its order. Measured against row-range
+//! shards, each box-ordered over its own rows and led on its own (a scratch
+//! program: data seed 7, 256 uniform queries, best of four warmed laps a
+//! query, one pinned CPU of a 2-core VM, three alternating rounds; the
+//! host's speed drifted 1.6× between rounds, so the p50s are the rounds'
+//! medians and the ratio the median of the rounds' 4 ÷ 1 ratios):
 //!
 //! | shape | rows scored a query, 4 / 1 shards | p50 µs, 4 / 1 shards | 4 ÷ 1 |
 //! |---|---|---|---|
@@ -90,12 +159,15 @@
 //! | 100k 8-D uniform `aararrar`, k 16, row ranges | 18 202 / 11 544 | 142.1 / 108.8 | 1.30 |
 //! | … cells | 11 544 / 11 544 | 78.3 / 57.8 | 1.06 |
 //!
-//! (The one-shard p50 fell too: the lead is now picked in one filtered pass
-//! over the bounds, where each part pushed every reaching chunk and
-//! selected among them.)
+//! (Those cells were scanned by bounding every chunk of every cell, then
+//! one lead picked across all the bounds and two row-order sweeps: the flat
+//! scan the tree replaced.)
+
+use std::sync::Mutex;
 
 use crate::threshold::encode as order_key;
 use crate::types::Dataset;
+use crate::view::ColumnarView;
 use crate::DimRole;
 
 /// Rows per leaf of the median split, and so per chunk box. A measured
@@ -104,13 +176,25 @@ use crate::DimRole;
 /// marker of the box order, and a decode refuses any other value.
 pub(crate) const CHUNK_ROWS: usize = 64;
 
-/// The chunk boxes of `rows` (row-major, `dims` coordinates a row), per
-/// dimension SoA, each rounded outward (module docs).
+/// Cuts of the split from one stored level to the next: a stored node's
+/// children are its descendants this many cuts below it.
+const STRIDE: u32 = 4;
+
+/// The most children a stored node has.
+pub(crate) const FANOUT: usize = 1 << STRIDE;
+
+/// The chunk boxes of `rows` (row-major, `dims` coordinates a row), each
+/// rounded outward: chunk `c`'s `(lo, hi)` in dimension `d` at `2(c·dims +
+/// d)`. What the build codes into the tree (module docs); no index keeps
+/// them.
 pub(crate) fn chunk_boxes(rows: &[f64], dims: usize) -> Vec<f32> {
     let chunks = rows.len().div_ceil(CHUNK_ROWS * dims);
     let mut boxes = vec![0f32; 2 * dims * chunks];
     let (mut lo, mut hi) = (vec![0.0; dims], vec![0.0; dims]);
-    for (c, rows) in rows.chunks(CHUNK_ROWS * dims).enumerate() {
+    for (rows, out) in rows
+        .chunks(CHUNK_ROWS * dims)
+        .zip(boxes.chunks_exact_mut(2 * dims))
+    {
         lo.fill(f64::INFINITY);
         hi.fill(f64::NEG_INFINITY);
         for row in rows.chunks_exact(dims) {
@@ -120,9 +204,9 @@ pub(crate) fn chunk_boxes(rows: &[f64], dims: usize) -> Vec<f32> {
                 *hi = if v > *hi { v } else { *hi };
             }
         }
-        for d in 0..dims {
-            boxes[2 * d * chunks + c] = f32_down(lo[d]);
-            boxes[(2 * d + 1) * chunks + c] = f32_up(hi[d]);
+        for (d, side) in out.chunks_exact_mut(2).enumerate() {
+            side[0] = f32_down(lo[d]);
+            side[1] = f32_up(hi[d]);
         }
     }
     boxes
@@ -144,6 +228,751 @@ pub(crate) fn check_firsts(ids: &[u32], firsts: &[u32]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The run of chunks `cuts` levels of the split below a run of `len`
+/// chunks from `p`, `j` naming the turns from the top (a set bit is the
+/// right side): `(p, len)` of its chunks. A run is cut after `⌈len / 2⌉`
+/// chunks; a run of one chunk, cut again, keeps it on the left and leaves
+/// the right empty.
+#[inline]
+fn descend(mut p: u32, mut len: u32, j: u32, cuts: u32) -> (u32, u32) {
+    for b in (0..cuts).rev() {
+        let left = len.div_ceil(2);
+        if j >> b & 1 == 1 {
+            p += left;
+            len -= left;
+        } else {
+            len = left;
+        }
+    }
+    (p, len)
+}
+
+/// The stored nodes on `level` of a group of `len` chunks: the group's top
+/// node on level 0, and below it those of the `16^level` nodes that hold two
+/// chunks or more. The split keeps every run within one chunk of its
+/// siblings, so each of those holds `⌊len / 16^level⌋` chunks or one more.
+fn level_nodes(len: u32, level: u32) -> u64 {
+    if level == 0 {
+        return 1;
+    }
+    let shift = STRIDE * level;
+    if shift >= 32 {
+        return 0;
+    }
+    let (len, width) = (u64::from(len), 1u64 << shift);
+    match len >> shift {
+        0 => 0,
+        1 => len - width,
+        _ => width,
+    }
+}
+
+/// Where node `m` of `level`, its chunks from `p` of its group of `len`, sits
+/// among that level's stored nodes: node `m` itself when every node of the
+/// level holds two chunks or more; otherwise only the nodes of two are
+/// stored, and one of them lies left of it for each of its `p` chunks past
+/// one a node.
+#[inline]
+fn rank(len: u32, level: u32, m: u32, p: u32) -> u32 {
+    if level == 0 {
+        0
+    } else if len >> (STRIDE * level) >= 2 {
+        m
+    } else {
+        p - m
+    }
+}
+
+/// Stored nodes on the levels above `level` of a group of `len` chunks.
+fn level_start(len: u32, level: u32) -> u64 {
+    (0..level).map(|l| level_nodes(len, l)).sum()
+}
+
+/// Stored levels of a group of `len` chunks, and its nodes on them.
+fn group_shape(len: u32) -> (u32, u64) {
+    let counts = (0..).map(|l| level_nodes(len, l)).take_while(|&n| n > 0);
+    counts.fold((0, 0), |(levels, nodes), n| (levels + 1, nodes + n))
+}
+
+/// A stored node met by a walk: its group, its level below the group's top
+/// node, its place `m` among the `16^level` nodes of that level, its chunks
+/// `[p, p + len)` of the index and its place in the node tables.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    pub(crate) group: u32,
+    level: u32,
+    m: u32,
+    pub(crate) p: u32,
+    pub(crate) len: u32,
+    pub(crate) index: u32,
+}
+
+/// A child of a stored node ([`BoxTree::children`]): a chunk, or the
+/// stored node above two chunks or more.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Child {
+    /// A chunk, by its index in the index's chunks.
+    Chunk(u32),
+    /// A stored node.
+    Node(Node),
+}
+
+/// What a box's score bound is taken under: the roles and the query's
+/// point and weights.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BoxQuery<'a> {
+    pub(crate) roles: &'a [DimRole],
+    pub(crate) q: &'a [f64],
+    pub(crate) w: &'a [f64],
+}
+
+/// The stored levels of the median split over one index's chunks (module
+/// docs): the nodes at every 4th global depth, each an outward `f32` box
+/// and its smallest id, and each chunk's box as `u8` codes inside the box
+/// of its group — the node on the top stored level above it.
+#[derive(Debug, Clone)]
+pub(crate) struct BoxTree {
+    /// The chunks under each group — a node on the index's top stored
+    /// level — in order: all a file records of the tree's shape.
+    pub(crate) groups: Vec<u32>,
+    /// Where each group's chunks and nodes start, and past the last: read
+    /// off `groups`.
+    starts: Vec<(u32, u32)>,
+    /// The node boxes — each group's nodes level by level, in split order
+    /// within a level — rounded outward, one block a level of a group
+    /// ([`BoxTree::block`]): of `n` nodes from node `s`, the `r`-th node's
+    /// low in dimension `d` at `2·dims·s + 2d·n + r` and its high `n`
+    /// further, so a node's children that are nodes are read a dimension at
+    /// a time. (A group's top node is a block of one.)
+    pub(crate) boxes: ColumnarView<f32>,
+    /// Each node's smallest id: what breaks ties in the descent's order and
+    /// lets a walk skip a node that only ties the floor.
+    pub(crate) firsts: ColumnarView<u32>,
+    /// Each chunk's box as codes inside its group's ([`decode`]), per
+    /// dimension SoA: of `n` chunks, dimension `d`'s low codes at `2d·n`
+    /// and its high codes the next `n` — so the chunks under one node, one
+    /// run of positions, are read a dimension at a time.
+    pub(crate) codes: ColumnarView<u8>,
+}
+
+impl BoxTree {
+    /// The tree of an index whose rows the split of `cell` left in `rows`
+    /// (row-major, `dims` a row), with `firsts` each chunk's smallest id:
+    /// every node's box the union of its children's, every code the
+    /// tightest inside its group's box whose decoded box still holds its
+    /// chunk's `f32` box ([`encode`]).
+    pub(crate) fn build(rows: &[f64], dims: usize, firsts: &[u32], cell: &Cell) -> Self {
+        let groups = groups(&cell.runs);
+        let starts = starts(&groups).expect("a tree of whole chunks");
+        let nodes = starts.last().map_or(0, |s| s.1 as usize);
+        let mut build = Build {
+            dims,
+            chunk_boxes: chunk_boxes(rows, dims),
+            chunk_firsts: firsts,
+            boxes: vec![0f32; 2 * dims * nodes],
+            firsts: vec![0u32; nodes],
+            codes: vec![0u8; 2 * dims * firsts.len()],
+        };
+        let mut tree = BoxTree {
+            groups,
+            starts,
+            boxes: ColumnarView::owned(Vec::new()),
+            firsts: ColumnarView::owned(Vec::new()),
+            codes: ColumnarView::owned(Vec::new()),
+        };
+        for top in tree.tops() {
+            build.node(&tree, top);
+            build.codes(&top);
+        }
+        tree.boxes = ColumnarView::owned(build.boxes);
+        tree.firsts = ColumnarView::owned(build.firsts);
+        tree.codes = ColumnarView::owned(build.codes);
+        tree
+    }
+
+    /// The tree over `groups` of `chunks` chunks in `dims` dimensions, with
+    /// its node tables and codes as a file holds them; refuses tables that
+    /// do not fit the shape, which a decode then reports as corrupt.
+    pub(crate) fn from_parts(
+        groups: Vec<u32>,
+        chunks: usize,
+        dims: usize,
+        (boxes, firsts, codes): (ColumnarView<f32>, ColumnarView<u32>, ColumnarView<u8>),
+    ) -> Result<Self, String> {
+        if let Some(g) = groups.iter().position(|&len| len == 0) {
+            return Err(format!("box tree: group {g} holds no chunk"));
+        }
+        let starts = starts(&groups).ok_or("box tree: more than 2^32 chunks or nodes")?;
+        let (held, nodes) = starts
+            .last()
+            .map_or((0, 0), |&(c, n)| (c as usize, n as usize));
+        let want = [
+            ("chunks under its groups", held, chunks),
+            ("node box bounds", boxes.len(), 2 * dims * nodes),
+            ("node first ids", firsts.len(), nodes),
+            ("chunk codes", codes.len(), 2 * dims * chunks),
+        ];
+        if let Some((what, got, want)) = want.into_iter().find(|w| w.1 != w.2) {
+            return Err(format!("box tree: {got} {what}, expected {want}"));
+        }
+        Ok(BoxTree {
+            groups,
+            starts,
+            boxes,
+            firsts,
+            codes,
+        })
+    }
+
+    /// Checks that each node's first id is the smallest of its children's
+    /// (`chunk_firsts` each chunk's).
+    pub(crate) fn check_firsts(&self, chunk_firsts: &[u32]) -> Result<(), String> {
+        let mut stack: Vec<Node> = self.tops().collect();
+        let mut kids = [Child::Chunk(0); FANOUT];
+        while let Some(node) = stack.pop() {
+            let n = self.children(&node, &mut kids);
+            let least = kids[..n].iter().map(|kid| match *kid {
+                Child::Chunk(c) => chunk_firsts[c as usize],
+                Child::Node(child) => {
+                    stack.push(child);
+                    self.firsts[child.index as usize]
+                }
+            });
+            let first = self.firsts[node.index as usize];
+            if least.min() != Some(first) {
+                return Err(format!(
+                    "box tree node {}: first id {first} is not its smallest",
+                    node.index
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Nodes, and stored levels — the most any group has.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        let levels = self.groups.iter().map(|&len| group_shape(len).0);
+        let nodes = self.starts.last().map_or(0, |s| s.1 as usize);
+        (nodes, levels.max().unwrap_or(0) as usize)
+    }
+
+    /// Bytes of the node boxes, their first ids and the chunk codes.
+    pub(crate) fn table_bytes(&self) -> usize {
+        self.boxes.heap_bytes() + self.firsts.heap_bytes() + self.codes.heap_bytes()
+    }
+
+    /// Heap bytes: the tables, and the shape.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.table_bytes()
+            + self.groups.capacity() * std::mem::size_of::<u32>()
+            + self.starts.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
+
+    /// Entries a walk can meet: every node and every chunk once.
+    pub(crate) fn entries(&self) -> usize {
+        self.starts.last().map_or(0, |&(c, n)| (c + n) as usize)
+    }
+
+    /// The top node of every group, in order.
+    pub(crate) fn tops(&self) -> impl Iterator<Item = Node> + '_ {
+        self.groups
+            .iter()
+            .zip(&self.starts)
+            .enumerate()
+            .map(|(g, (&len, &(p, index)))| Node {
+                group: g as u32,
+                level: 0,
+                m: 0,
+                p,
+                len,
+                index,
+            })
+    }
+
+    /// The children of `node` into `kids`, in split order — each of its
+    /// descendants [`STRIDE`] cuts below it that holds a chunk: a chunk, or
+    /// the stored node above two or more — and how many there are.
+    #[inline]
+    pub(crate) fn children(&self, node: &Node, kids: &mut [Child; FANOUT]) -> usize {
+        // The node's runs `STRIDE` cuts down, cut a level at a time in
+        // place: after level `l`, run `i` of `2^(l+1)` is the `i`-th.
+        if node.len as usize <= FANOUT {
+            // Every child a chunk (each run below holds one or none).
+            for (c, kid) in (node.p..node.p + node.len).zip(kids.iter_mut()) {
+                *kid = Child::Chunk(c);
+            }
+            return node.len as usize;
+        }
+        let mut runs = [(0u32, 0u32); FANOUT];
+        runs[0] = (node.p, node.len);
+        for level in 0..STRIDE {
+            for i in (0..1usize << level).rev() {
+                let (p, len) = runs[i];
+                let left = len.div_ceil(2);
+                runs[2 * i] = (p, left);
+                runs[2 * i + 1] = (p + left, len - left);
+            }
+        }
+        let g = node.group as usize;
+        let (len, (gp, gn)) = (self.groups[g], self.starts[g]);
+        let level = node.level + 1;
+        // Below the top, a group's nodes number under 2^32: they index a table.
+        let base = gn + level_start(len, level) as u32;
+        let mut n = 0;
+        for (j, &(p, count)) in runs.iter().enumerate() {
+            kids[n] = match count {
+                0 => continue,
+                1 => Child::Chunk(p),
+                _ => {
+                    let m = node.m * FANOUT as u32 + j as u32;
+                    let index = base + rank(len, level, m, p - gp);
+                    Child::Node(Node {
+                        group: node.group,
+                        level,
+                        m,
+                        p,
+                        len: count,
+                        index,
+                    })
+                }
+            };
+            n += 1;
+        }
+        n
+    }
+
+    /// The nodes on `level` of group `g`: where the first sits in the node
+    /// tables, and how many there are. Their boxes are one block, per
+    /// dimension the nodes' lows, then their highs.
+    #[inline]
+    fn block(&self, g: usize, level: u32) -> (usize, usize) {
+        let len = self.groups[g];
+        let start = u64::from(self.starts[g].1) + level_start(len, level);
+        (start as usize, level_nodes(len, level) as usize)
+    }
+
+    /// The score bound of stored node `node`, from its box ([`box_bound`]).
+    #[inline]
+    pub(crate) fn node_bound(&self, node: &Node, at: &BoxQuery<'_>) -> f64 {
+        let dims = at.roles.len();
+        let (start, count) = self.block(node.group as usize, node.level);
+        let r = node.index as usize - start;
+        let sides = &self.boxes[2 * dims * start..][..2 * dims * count];
+        box_bound(at, |d| {
+            let lo = 2 * d * count + r;
+            (f64::from(sides[lo]), f64::from(sides[lo + count]))
+        })
+    }
+
+    /// The score bound of each of `kids`, children of `node`
+    /// ([`BoxTree::children`]), into `bounds`: a chunk's from its codes
+    /// inside its group's box, a node's from its own — per child the sum
+    /// [`box_bound`] takes, in its order. A dimension at a time, for every
+    /// child at once: the codes' step is taken once a dimension, and the
+    /// role once; the children of a node over at most 16 chunks, all
+    /// chunks, are one run of codes.
+    #[inline]
+    pub(crate) fn child_bounds(
+        &self,
+        node: &Node,
+        kids: &[Child],
+        at: &BoxQuery<'_>,
+        bounds: &mut [f64; FANOUT],
+    ) {
+        if node.len as usize <= FANOUT {
+            return self.leaf_bounds(node, at, bounds);
+        }
+        match crate::kernels::active() {
+            #[cfg(target_arch = "x86_64")]
+            crate::kernels::Isa::Avx2 => {
+                // SAFETY: `active()` reports `Avx2` only after runtime
+                // detection of the feature.
+                unsafe { self.child_bounds_avx2(node, kids, at, bounds) }
+            }
+            _ => self.child_bounds_in(node, kids, at, bounds),
+        }
+    }
+
+    /// [`BoxTree::child_bounds`] compiled for AVX2: the same operations, in
+    /// the same order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn child_bounds_avx2(
+        &self,
+        node: &Node,
+        kids: &[Child],
+        at: &BoxQuery<'_>,
+        bounds: &mut [f64; FANOUT],
+    ) {
+        self.child_bounds_in(node, kids, at, bounds)
+    }
+
+    /// The body of [`BoxTree::child_bounds`] for a node over more than 16
+    /// chunks.
+    #[inline(always)]
+    fn child_bounds_in(
+        &self,
+        node: &Node,
+        kids: &[Child],
+        at: &BoxQuery<'_>,
+        bounds: &mut [f64; FANOUT],
+    ) {
+        let dims = at.roles.len();
+        let chunks = self.codes.len() / (2 * dims);
+        let (codes, boxes): (&[u8], &[f32]) = (&self.codes, &self.boxes);
+        let group = self.starts[node.group as usize].1 as usize;
+        let parent = &boxes[2 * dims * group..][..2 * dims];
+        // The block of the children that are nodes ([`BoxTree::block`]).
+        let (start, count) = self.block(node.group as usize, node.level + 1);
+        let block = &boxes[2 * dims * start..][..2 * dims * count];
+        bounds[..kids.len()].fill(0.0);
+        // Each child's place in `kids`, and its chunk, or its place in the
+        // block.
+        let mut sides = Sides {
+            chunks: [(0, 0); FANOUT],
+            nodes: [(0, 0); FANOUT],
+            counts: (0, 0),
+        };
+        for (j, kid) in kids.iter().enumerate() {
+            match *kid {
+                Child::Chunk(c) => {
+                    sides.chunks[sides.counts.0] = (j, c as usize);
+                    sides.counts.0 += 1;
+                }
+                Child::Node(n) => {
+                    sides.nodes[sides.counts.1] = (j, n.index as usize - start);
+                    sides.counts.1 += 1;
+                }
+            }
+        }
+        // Children that are all nodes are one run of the block.
+        let run = match (sides.counts, kids.first()) {
+            ((0, n), Some(Child::Node(first))) => Some((first.index as usize - start, n)),
+            _ => None,
+        };
+        for (d, (&role, (&q, &w))) in at.roles.iter().zip(at.q.iter().zip(at.w)).enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let parent = (f64::from(parent[2 * d]), f64::from(parent[2 * d + 1]));
+            let step = code_step(parent.0, parent.1);
+            let (los, his) = (&codes[2 * d * chunks..], &codes[(2 * d + 1) * chunks..]);
+            let side = Side {
+                parent,
+                step,
+                los,
+                his,
+                nodes: (
+                    &block[2 * d * count..][..count],
+                    &block[(2 * d + 1) * count..][..count],
+                ),
+            };
+            // The role's term, inlined with a constant role.
+            match (role, run) {
+                (DimRole::Repulsive, Some(run)) => side.add_nodes(run, bounds, |lo, hi| {
+                    box_term(DimRole::Repulsive, lo, hi, q, w)
+                }),
+                (DimRole::Attractive, Some(run)) => side.add_nodes(run, bounds, |lo, hi| {
+                    box_term(DimRole::Attractive, lo, hi, q, w)
+                }),
+                (DimRole::Repulsive, None) => side.add(&sides, bounds, |lo, hi| {
+                    box_term(DimRole::Repulsive, lo, hi, q, w)
+                }),
+                (DimRole::Attractive, None) => side.add(&sides, bounds, |lo, hi| {
+                    box_term(DimRole::Attractive, lo, hi, q, w)
+                }),
+            }
+        }
+    }
+
+    /// [`BoxTree::child_bounds`] of a node over at most 16 chunks, whose
+    /// children are those chunks, one run: their bounds, in order, into
+    /// `bounds`.
+    #[inline]
+    pub(crate) fn leaf_bounds(&self, node: &Node, at: &BoxQuery<'_>, bounds: &mut [f64; FANOUT]) {
+        let run = &mut bounds[..node.len as usize];
+        self.run_bounds(node.group as usize, node.p as usize, at, run);
+    }
+
+    /// The bounds of the `bounds.len()` chunks from `p` of group `g`, in
+    /// order, decoded inside the group's box: a dimension at a time, one
+    /// run of codes each — the whole group's chunks as cheaply as a flat
+    /// pass over them.
+    #[inline]
+    pub(crate) fn run_bounds(&self, g: usize, p: usize, at: &BoxQuery<'_>, bounds: &mut [f64]) {
+        match crate::kernels::active() {
+            #[cfg(target_arch = "x86_64")]
+            crate::kernels::Isa::Avx2 => {
+                // SAFETY: `active()` reports `Avx2` only after runtime
+                // detection of the feature.
+                unsafe { self.run_bounds_avx2(g, p, at, bounds) }
+            }
+            _ => self.run_bounds_in(g, p, at, bounds),
+        }
+    }
+
+    /// [`BoxTree::run_bounds`] compiled for AVX2: the same operations, in
+    /// the same order, four lanes a step.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_bounds_avx2(&self, g: usize, p: usize, at: &BoxQuery<'_>, bounds: &mut [f64]) {
+        self.run_bounds_in(g, p, at, bounds)
+    }
+
+    /// The body of [`BoxTree::run_bounds`].
+    #[inline(always)]
+    fn run_bounds_in(&self, g: usize, p: usize, at: &BoxQuery<'_>, bounds: &mut [f64]) {
+        let (dims, n) = (at.roles.len(), bounds.len());
+        let chunks = self.codes.len() / (2 * dims);
+        let (codes, boxes): (&[u8], &[f32]) = (&self.codes, &self.boxes);
+        let parent = &boxes[2 * dims * self.starts[g].1 as usize..][..2 * dims];
+        bounds.fill(0.0);
+        for (d, (&role, (&q, &w))) in at.roles.iter().zip(at.q.iter().zip(at.w)).enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let parent = (f64::from(parent[2 * d]), f64::from(parent[2 * d + 1]));
+            let step = code_step(parent.0, parent.1);
+            let los = &codes[2 * d * chunks + p..][..n];
+            let his = &codes[(2 * d + 1) * chunks + p..][..n];
+            let run = bounds.iter_mut().zip(los.iter().zip(his));
+            // The role's term, inlined with a constant role.
+            match role {
+                DimRole::Repulsive => {
+                    for (b, (&lo, &hi)) in run {
+                        let (lo, hi) = decode(parent, step, (lo, hi));
+                        *b += box_term(DimRole::Repulsive, lo, hi, q, w);
+                    }
+                }
+                DimRole::Attractive => {
+                    for (b, (&lo, &hi)) in run {
+                        let (lo, hi) = decode(parent, step, (lo, hi));
+                        *b += box_term(DimRole::Attractive, lo, hi, q, w);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The children of one node as [`BoxTree::child_bounds`] reads them when
+/// they are not one run of chunks: each chunk's place among the children
+/// and its index, each node's place and where its box starts, and how many
+/// of each.
+struct Sides {
+    chunks: [(usize, usize); FANOUT],
+    nodes: [(usize, usize); FANOUT],
+    counts: (usize, usize),
+}
+
+/// One dimension of a node's children ([`BoxTree::child_bounds`]): its
+/// group's `(lo, hi)` and its [`code_step`], the chunks' low and high
+/// codes, and the lows and highs of the block of its children that are
+/// nodes.
+struct Side<'a> {
+    parent: (f64, f64),
+    step: f64,
+    los: &'a [u8],
+    his: &'a [u8],
+    nodes: (&'a [f32], &'a [f32]),
+}
+
+impl Side<'_> {
+    /// Adds `term` of every child of `sides` to its bound: a chunk's
+    /// decoded, a node's from its box.
+    #[inline(always)]
+    fn add(&self, sides: &Sides, bounds: &mut [f64], term: impl Fn(f64, f64) -> f64) {
+        for &(j, c) in &sides.chunks[..sides.counts.0] {
+            let (lo, hi) = decode(self.parent, self.step, (self.los[c], self.his[c]));
+            bounds[j] += term(lo, hi);
+        }
+        for &(j, r) in &sides.nodes[..sides.counts.1] {
+            let (lo, hi) = (self.nodes.0[r], self.nodes.1[r]);
+            bounds[j] += term(f64::from(lo), f64::from(hi));
+        }
+    }
+
+    /// Adds `term` of the `n` nodes of the block from place `r` to the
+    /// first `n` bounds, in one pass.
+    #[inline(always)]
+    fn add_nodes(
+        &self,
+        (r, n): (usize, usize),
+        bounds: &mut [f64],
+        term: impl Fn(f64, f64) -> f64,
+    ) {
+        let sides = self.nodes.0[r..r + n].iter().zip(&self.nodes.1[r..r + n]);
+        for (b, (&lo, &hi)) in bounds[..n].iter_mut().zip(sides) {
+            *b += term(f64::from(lo), f64::from(hi));
+        }
+    }
+}
+
+/// Where each of `groups`' chunks and nodes start, and past the last;
+/// `None` past `u32`.
+fn starts(groups: &[u32]) -> Option<Vec<(u32, u32)>> {
+    let mut at = (0u32, 0u32);
+    let mut starts = Vec::with_capacity(groups.len() + 1);
+    for &len in groups {
+        starts.push(at);
+        let nodes = u32::try_from(group_shape(len).1).ok()?;
+        at = (at.0.checked_add(len)?, at.1.checked_add(nodes)?);
+    }
+    starts.push(at);
+    Some(starts)
+}
+
+/// The groups of a cell whose rows the split left in `runs` (module docs):
+/// the nodes of each run at the first stored depth at or below every run's
+/// — depth 4 for a cell of an engine of up to 16 shards — in order, as
+/// their chunk counts. A run of one chunk, above that depth, is a group of
+/// one.
+fn groups(runs: &[Run]) -> Vec<u32> {
+    let deepest = runs.iter().map(|r| r.2 as u32).max().unwrap_or(0);
+    let top = STRIDE * deepest.div_ceil(STRIDE).max(1);
+    let mut groups = Vec::new();
+    for &(start, end, depth) in runs {
+        let len = (end - start).div_ceil(CHUNK_ROWS) as u32;
+        if len <= 1 {
+            groups.extend((len == 1).then_some(1));
+            continue;
+        }
+        // Every run of more than one chunk stops at the same depth.
+        let cuts = top - depth as u32;
+        let nodes = (0..1u32 << cuts).map(|j| descend(0, len, j, cuts).1);
+        groups.extend(nodes.filter(|&len| len > 0));
+    }
+    groups
+}
+
+/// The tables a tree's build fills ([`BoxTree::build`]).
+struct Build<'a> {
+    dims: usize,
+    chunk_boxes: Vec<f32>,
+    chunk_firsts: &'a [u32],
+    boxes: Vec<f32>,
+    firsts: Vec<u32>,
+    codes: Vec<u8>,
+}
+
+impl Build<'_> {
+    /// Fills `node`'s box and first id from its children, its children's
+    /// first.
+    fn node(&mut self, tree: &BoxTree, node: Node) {
+        let w = 2 * self.dims;
+        let mut kids = [Child::Chunk(0); FANOUT];
+        let n = tree.children(&node, &mut kids);
+        let mut sides: Vec<f32> = [f32::INFINITY, f32::NEG_INFINITY].repeat(self.dims);
+        let mut first = u32::MAX;
+        for kid in &kids[..n] {
+            let id = match *kid {
+                Child::Chunk(c) => {
+                    let from = &self.chunk_boxes[w * c as usize..][..w];
+                    for (side, v) in sides.chunks_exact_mut(2).zip(from.chunks_exact(2)) {
+                        side[0] = side[0].min(v[0]);
+                        side[1] = side[1].max(v[1]);
+                    }
+                    self.chunk_firsts[c as usize]
+                }
+                Child::Node(child) => {
+                    self.node(tree, child);
+                    let at = self.sides(tree, &child);
+                    for (side, (lo, hi)) in sides.chunks_exact_mut(2).zip(at) {
+                        side[0] = side[0].min(self.boxes[lo]);
+                        side[1] = side[1].max(self.boxes[hi]);
+                    }
+                    self.firsts[child.index as usize]
+                }
+            };
+            first = first.min(id);
+        }
+        for (side, (lo, hi)) in sides.chunks_exact(2).zip(self.sides(tree, &node)) {
+            (self.boxes[lo], self.boxes[hi]) = (side[0], side[1]);
+        }
+        self.firsts[node.index as usize] = first;
+    }
+
+    /// Where `node`'s `(lo, hi)` of each dimension sits in the node boxes
+    /// (its block's, [`BoxTree::block`]).
+    fn sides(&self, tree: &BoxTree, node: &Node) -> impl Iterator<Item = (usize, usize)> {
+        let (start, count) = tree.block(node.group as usize, node.level);
+        let at = 2 * self.dims * start + node.index as usize - start;
+        (0..self.dims).map(move |d| (at + 2 * d * count, at + (2 * d + 1) * count))
+    }
+
+    /// Codes every chunk under `top`, a group's node, inside its box.
+    fn codes(&mut self, top: &Node) {
+        let (w, chunks) = (2 * self.dims, self.chunk_firsts.len());
+        let sides = &self.boxes[w * top.index as usize..][..w];
+        for c in top.p as usize..(top.p + top.len) as usize {
+            let chunk = &self.chunk_boxes[w * c..][..w];
+            for d in 0..self.dims {
+                let parent = (f64::from(sides[2 * d]), f64::from(sides[2 * d + 1]));
+                let within = (f64::from(chunk[2 * d]), f64::from(chunk[2 * d + 1]));
+                let (lo, hi) = encode(parent, within);
+                self.codes[2 * d * chunks + c] = lo;
+                self.codes[(2 * d + 1) * chunks + c] = hi;
+            }
+        }
+    }
+}
+
+/// The step between codes inside `[plo, phi]`: 1/255 of its width, held
+/// finite, so code 0 decodes to `plo` and code 255 to `phi` exactly, ±∞
+/// ends and zero widths included.
+#[inline]
+fn code_step(plo: f64, phi: f64) -> f64 {
+    // `min` takes the number over a NaN (`∞ − ∞`).
+    ((phi - plo) * (1.0 / 255.0)).min(f64::MAX)
+}
+
+/// The box codes `(lo, hi)` stand for inside `[plo, phi]`, whose
+/// [`code_step`] is `step`: `plo + lo·step` and `phi − (255 − hi)·step`.
+/// The one decode — the build checks every code through it ([`encode`]),
+/// and the walk bounds every chunk through it.
+#[inline]
+pub(crate) fn decode((plo, phi): (f64, f64), step: f64, (lo, hi): (u8, u8)) -> (f64, f64) {
+    (plo + f64::from(lo) * step, phi - f64::from(255 - hi) * step)
+}
+
+/// The codes of `[lo, hi]` inside `[plo, phi]`, which holds it: the
+/// largest low code and the smallest high code whose [`decode`]d box still
+/// holds `[lo, hi]` — each found from its closest guess, stepped until it
+/// holds and the next one would not, the decoded value rising with the
+/// code. Codes 0 and 255 decode to `plo` and `phi` exactly, so some pair
+/// always holds it: the fallback when a group box is infinite or has no
+/// width.
+pub(crate) fn encode((plo, phi): (f64, f64), (lo, hi): (f64, f64)) -> (u8, u8) {
+    let step = code_step(plo, phi);
+    let holds_lo = |c: u8| decode((plo, phi), step, (c, 255)).0 <= lo;
+    let holds_hi = |c: u8| decode((plo, phi), step, (0, c)).1 >= hi;
+    // A guess in range: a NaN one (an infinite or empty box) casts to 0.
+    let guess = |at: f64| (at / step).clamp(0.0, 255.0) as u8;
+    let mut a = guess(lo - plo);
+    while a > 0 && !holds_lo(a) {
+        a -= 1;
+    }
+    while a < 255 && holds_lo(a + 1) {
+        a += 1;
+    }
+    let mut e = 255 - guess(phi - hi);
+    while e < 255 && !holds_hi(e) {
+        e += 1;
+    }
+    while e > 0 && holds_hi(e - 1) {
+        e -= 1;
+    }
+    (a, e)
 }
 
 /// A run of positions still to cut, `(start, end, depth)`: its cut goes
@@ -174,28 +1003,54 @@ impl Cell {
 /// Cuts `data`'s rows into `count` cells (`1 ≤ count`, at most one a chunk) by the
 /// top `⌈log₂ count⌉` levels of their recursive median split (module docs):
 /// the levels every cell shares, run here over all the rows, with key
-/// columns of the cut dimensions only. The split's subtrees at that depth
+/// columns of the cut dimensions only — the root's cut on the calling
+/// thread, then the two sides' on two workers (one after the other when
+/// the OS refuses the thread; either way the same cuts). The split's
+/// subtrees at that depth
 /// (or leaves above it) go to the cells in order, `⌊m/count⌋` or one more
 /// each for `m` subtrees — at least `min(leaves, 2^levels)` of them, so no
 /// cell is empty. Each cell's build then finishes its own subtrees
 /// ([`SdIndex::build_cell`](super::SdIndex::build_cell)), and the cells'
-/// rows, ids, boxes and first ids, in cell order, are those of the split of
-/// all the rows.
+/// rows, ids, codes and first ids, in cell order, are those of the split
+/// of all the rows, and so are their stored nodes.
 pub(crate) fn split(data: &Dataset, count: usize) -> Vec<Cell> {
     let (dims, n) = (data.dims(), data.len());
     let levels = count.next_power_of_two().trailing_zeros() as usize;
     let keys = key_columns(data, 0..n as u32, levels.min(dims));
     let mut order: Vec<u64> = (0..n as u64).collect();
     let mut subtrees = Vec::new();
-    cut(
-        &mut order,
-        &keys,
-        dims,
-        vec![(0, n, 0)],
-        levels,
-        CHUNK_ROWS,
-        &mut subtrees,
-    );
+    let cut_from = |order: &mut [u64], base: usize, run: Run, until: usize, left: &mut Vec<Run>| {
+        cut(order, base, &keys, n, dims, vec![run], until, left)
+    };
+    cut_from(&mut order, 0, (0, n, 0), levels.min(1), &mut subtrees);
+    if let [lower, upper] = subtrees[..] {
+        if levels > 1 {
+            subtrees.clear();
+            let (low, high) = order.split_at_mut(upper.0);
+            let high = Mutex::new((high, Vec::new()));
+            let cut_high = || {
+                let mut high = high.lock().expect("no cut of the upper half panicked");
+                let (order, left) = &mut *high;
+                cut_from(order, upper.0, upper, levels, left);
+            };
+            std::thread::scope(|scope| {
+                let helper = std::thread::Builder::new()
+                    .spawn_scoped(scope, cut_high)
+                    .ok();
+                cut_from(low, 0, lower, levels, &mut subtrees);
+                match helper {
+                    Some(helper) => helper
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                    None => cut_high(),
+                }
+            });
+            let (_, left) = high
+                .into_inner()
+                .expect("no cut of the upper half panicked");
+            subtrees.extend(left);
+        }
+    }
     subtrees.sort_unstable();
     let m = subtrees.len();
     (0..count)
@@ -254,13 +1109,15 @@ pub(crate) fn finish_split(data: &Dataset, cell: &Cell) -> Vec<u32> {
     };
     let mut order: Vec<u64> = cell.ids.iter().map(|&id| u64::from(rank(id))).collect();
     let keys = key_columns(data, ascending.iter().copied(), dims);
+    let runs = cell.runs.clone();
     cut(
         &mut order,
+        0,
         &keys,
+        m,
         dims,
-        cell.runs.clone(),
+        runs,
         usize::MAX,
-        CHUNK_ROWS,
         &mut Vec::new(),
     );
     order
@@ -289,33 +1146,35 @@ fn key_columns(
     keys
 }
 
-/// Cuts `runs` of `order` — entries whose low 32 bits index the key
-/// columns `keys` — into leaves of `leaf` rows, each cut at its depth's
-/// dimension; a run that is one leaf, or reaches depth `until`, is left
-/// whole and pushed to `left`.
+/// Cuts `runs` of the positions `order` holds from `base` on — entries
+/// whose low 32 bits index the key columns `keys`, `rows` keys a column —
+/// into leaves of [`CHUNK_ROWS`] rows, each cut at its depth's dimension; a
+/// run that is one leaf, or reaches depth `until`, is left whole and pushed
+/// to `left`.
+#[allow(clippy::too_many_arguments)]
 fn cut(
     order: &mut [u64],
+    base: usize,
     keys: &[u32],
+    rows: usize,
     dims: usize,
     mut runs: Vec<Run>,
     until: usize,
-    leaf: usize,
     left: &mut Vec<Run>,
 ) {
-    let m = order.len();
     while let Some((start, end, depth)) = runs.pop() {
-        let run = &mut order[start..end];
+        let run = &mut order[start - base..end - base];
         let len = run.len();
-        if len <= leaf || depth >= until {
+        if len <= CHUNK_ROWS || depth >= until {
             left.push((start, end, depth));
             continue;
         }
-        let column = &keys[(depth % dims) * m..(depth % dims + 1) * m];
+        let column = &keys[(depth % dims) * rows..(depth % dims + 1) * rows];
         for e in run.iter_mut() {
             let at = *e as u32;
             *e = u64::from(column[at as usize]) << 32 | u64::from(at);
         }
-        let cut = len.div_ceil(leaf).div_ceil(2) * leaf;
+        let cut = len.div_ceil(CHUNK_ROWS).div_ceil(2) * CHUNK_ROWS;
         run.select_nth_unstable(cut);
         runs.push((start + cut, end, depth + 1));
         runs.push((start, start + cut, depth + 1));
@@ -352,39 +1211,61 @@ pub(crate) fn f32_up(v: f64) -> f32 {
 /// `±0`, and an infinite box would make `0·∞`.
 #[inline]
 pub(crate) fn box_term(role: DimRole, lo: f64, hi: f64, q: f64, w: f64) -> f64 {
+    // No operand is NaN (a box holds finite rows, a query is finite), so a
+    // plain compare picks the larger: one instruction, where `f64::max`
+    // adds a NaN check.
+    let max = |a: f64, b: f64| if a > b { a } else { b };
     match role {
-        DimRole::Repulsive => w * (hi - q).abs().max((q - lo).abs()),
-        DimRole::Attractive => -(w * (lo - q).max(q - hi).max(0.0)),
+        DimRole::Repulsive => w * max((hi - q).abs(), (q - lo).abs()),
+        DimRole::Attractive => -(w * max(max(lo - q, q - hi), 0.0)),
     }
 }
 
-/// Every chunk's score bound under `(roles, q, weights)`, appended to
-/// `bounds` (one entry per chunk of `boxes`): the sum from `0.0` of [`box_term`] over the
-/// dimensions with a non-zero weight, in dimension order — the order and
-/// the association in which [`kernels::score_rows`](crate::kernels::score_rows)
-/// sums a row's terms, and a row's term of a zero-weight dimension is `±0`.
-/// Each partial sum is at least the row's, since addition rounds monotonely
-/// in each argument, so no row of a chunk scores above its bound.
-pub(crate) fn chunk_bounds(
-    boxes: &[f32],
-    roles: &[DimRole],
-    q: &[f64],
-    weights: &[f64],
-    bounds: &mut Vec<f64>,
-) {
-    let chunks = boxes.len() / (2 * roles.len());
-    let from = bounds.len();
-    bounds.resize(from + chunks, 0.0);
-    let bounds = &mut bounds[from..];
-    for (d, (&role, (&q, &w))) in roles.iter().zip(q.iter().zip(weights)).enumerate() {
-        if w == 0.0 {
-            continue;
+/// The score bound of a box, `side(d)` its `(lo, hi)` in dimension `d`,
+/// under `at`: the sum from `0.0` of [`box_term`] over the dimensions with a
+/// non-zero weight, in dimension order — the order and the association in
+/// which [`kernels::score_rows`](crate::kernels::score_rows) sums a row's
+/// terms, and a row's term of a zero-weight dimension is `±0`. Each partial
+/// sum is at least the row's, since addition rounds monotonely in each
+/// argument, so no row in the box scores above it.
+/// [`BoxTree::child_bounds`] takes the same sum.
+#[inline]
+pub(crate) fn box_bound(at: &BoxQuery<'_>, side: impl Fn(usize) -> (f64, f64)) -> f64 {
+    let mut bound = 0.0;
+    for (d, (&role, (&q, &w))) in at.roles.iter().zip(at.q.iter().zip(at.w)).enumerate() {
+        if w != 0.0 {
+            let (lo, hi) = side(d);
+            bound += box_term(role, lo, hi, q, w);
         }
-        let lows = &boxes[2 * d * chunks..(2 * d + 1) * chunks];
-        let highs = &boxes[(2 * d + 1) * chunks..(2 * d + 2) * chunks];
-        for ((b, &lo), &hi) in bounds.iter_mut().zip(lows).zip(highs) {
-            *b += box_term(role, f64::from(lo), f64::from(hi), q, w);
+    }
+    bound
+}
+
+#[cfg(test)]
+impl BoxTree {
+    /// The tightest bound the tree holds for each chunk under `at`, in
+    /// order: its own, decoded, or a stored node's above it, whichever is
+    /// lower — what a walk may skip it by.
+    pub(crate) fn every_chunk_bound(&self, at: &BoxQuery<'_>) -> Vec<f64> {
+        let chunks = self.starts.last().map_or(0, |s| s.0 as usize);
+        let mut out = vec![f64::NAN; chunks];
+        let mut stack: Vec<(Node, f64)> = self
+            .tops()
+            .map(|top| (top, self.node_bound(&top, at)))
+            .collect();
+        let (mut kids, mut bounds) = ([Child::Chunk(0); FANOUT], [0.0; FANOUT]);
+        while let Some((node, above)) = stack.pop() {
+            let n = self.children(&node, &mut kids);
+            self.child_bounds(&node, &kids[..n], at, &mut bounds);
+            for (kid, &bound) in kids[..n].iter().zip(&bounds) {
+                let bound = if bound < above { bound } else { above };
+                match *kid {
+                    Child::Chunk(c) => out[c as usize] = bound,
+                    Child::Node(child) => stack.push((child, bound)),
+                }
+            }
         }
+        out
     }
 }
 
@@ -399,13 +1280,23 @@ mod tests {
         Dataset::from_flat(dims, rows.to_vec()).unwrap()
     }
 
-    /// What an index in box order stores of `data`: its rows moved into box
-    /// order, the id of each and the chunk boxes.
+    /// What an index in box order holds of `data`: its rows moved into box
+    /// order, the id of each and the chunk boxes its tree codes.
     fn box_order(data: &Dataset) -> (Vec<f64>, Vec<u32>, Vec<f32>) {
         let ids = finish_split(data, &Cell::of(0..data.len() as u32));
         let rows = super::super::gather(data, &ids);
         let boxes = chunk_boxes(&rows, data.dims());
         (rows, ids, boxes)
+    }
+
+    /// The box tree of `rows` in box order, `ids` their ids.
+    fn tree_of(rows: &[f64], dims: usize, ids: &[u32]) -> BoxTree {
+        BoxTree::build(
+            rows,
+            dims,
+            &chunk_firsts(ids),
+            &Cell::of(0..ids.len() as u32),
+        )
     }
 
     /// Every id once, every leaf but the last full, rows moved with their
@@ -432,8 +1323,8 @@ mod tests {
             for (c, rows) in moved.chunks(CHUNK_ROWS * dims).enumerate() {
                 for (l, row) in rows.chunks(dims).enumerate() {
                     for (d, &v) in row.iter().enumerate() {
-                        let lo = f64::from(boxes[2 * d * chunks + c]);
-                        let hi = f64::from(boxes[(2 * d + 1) * chunks + c]);
+                        let lo = f64::from(boxes[2 * (c * dims + d)]);
+                        let hi = f64::from(boxes[2 * (c * dims + d) + 1]);
                         assert!(lo <= v && v <= hi, "chunk {c} row {l} dim {d}");
                     }
                 }
@@ -457,7 +1348,7 @@ mod tests {
         let mut volume = 0.0;
         for c in 0..chunks {
             volume += (0..4)
-                .map(|d| boxes[(2 * d + 1) * chunks + c] - boxes[2 * d * chunks + c])
+                .map(|d| boxes[2 * (c * 4 + d) + 1] - boxes[2 * (c * 4 + d)])
                 .product::<f32>();
         }
         let mean = volume / chunks as f32;
@@ -506,15 +1397,63 @@ mod tests {
         prop_oneof![Just(0.0), Just(MAX_MAGNITUDE), 0.0..10.0f64, Just(1e-300)]
     }
 
-    // No row of a chunk scores above the chunk's bound, under every kernel
-    // arm, whatever the coordinates, the weights and the roles.
+    /// Each code pair decodes to a box that holds the `f32` box it
+    /// replaces and lies inside its group's — ordinary, zero-width, `±0`
+    /// and infinite group boxes, chunks at either end of them — and codes 0
+    /// and 255 decode to the group's own sides.
+    #[test]
+    fn decoded_codes_bracket_the_box_they_replace() {
+        let inf = f64::INFINITY;
+        let mut cases = vec![
+            ((0.0, 1.0), (0.25, 0.5)),
+            ((0.0, 1.0), (0.0, 1.0)),
+            ((0.0, 1.0), (1.0, 1.0)),
+            ((-0.0, 0.0), (0.0, -0.0)),
+            ((3.5, 3.5), (3.5, 3.5)),
+            ((-inf, inf), (-1.0, 2.0)),
+            ((-inf, 1.0), (-inf, 0.5)),
+            ((-2.0, inf), (-1.0, inf)),
+            ((f64::from(f32::MAX), inf), (inf, inf)),
+            ((-1e30, 1e30), (-1e-30, 1e-30)),
+            ((1.0, f64::from(1.0f32.next_up())), (1.0, 1.0)),
+        ];
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..2_000 {
+            let (a, b) = (next() * 200.0 - 100.0, next() * 200.0 - 100.0);
+            let (plo, phi) = (a.min(b), a.max(b));
+            let (x, y) = (plo + next() * (phi - plo), plo + next() * (phi - plo));
+            cases.push(((plo, phi), (x.min(y), x.max(y))));
+        }
+        for ((plo, phi), (lo, hi)) in cases {
+            // The sides as a build has them: `f32`, rounded outward.
+            let parent = (f64::from(f32_down(plo)), f64::from(f32_up(phi)));
+            let within = (f64::from(f32_down(lo)), f64::from(f32_up(hi)));
+            let step = code_step(parent.0, parent.1);
+            let codes = encode(parent, within);
+            let (dlo, dhi) = decode(parent, step, codes);
+            let ctx = format!("{within:?} in {parent:?}: codes {codes:?} → ({dlo}, {dhi})");
+            assert!(dlo <= within.0 && within.1 <= dhi, "{ctx}");
+            assert!(parent.0 <= dlo && dhi <= parent.1, "{ctx}");
+            assert_eq!(decode(parent, step, (0, 255)), parent, "{ctx}");
+        }
+    }
+
+    // No row of a stored node or a chunk scores above its bound — a node's
+    // from its `f32` box, a chunk's decoded from its codes — under every
+    // kernel arm, whatever the coordinates, the weights and the roles.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
         #[test]
         fn chunk_bound_is_at_least_every_row_score(
             dims in 1usize..7,
-            seed_rows in proptest::collection::vec(coordinate(), 1..400),
+            seed_rows in proptest::collection::vec(coordinate(), 1..4200),
             dup in 0u8..2,
             q_seed in proptest::collection::vec(coordinate(), 7),
             w_seed in proptest::collection::vec(weight(), 7),
@@ -524,7 +1463,7 @@ mod tests {
             prop_assume!(n > 0);
             let mut rows = seed_rows[..n * dims].to_vec();
             if dup == 1 {
-                // Every row a copy of the first: one box of zero width.
+                // Every row a copy of the first: boxes of zero width.
                 let first = rows[..dims].to_vec();
                 for row in rows.chunks_mut(dims) {
                     row.copy_from_slice(&first);
@@ -536,25 +1475,51 @@ mod tests {
                 .collect();
             let (q, w) = (&q_seed[..dims], &w_seed[..dims]);
             let sw: Vec<f64> = roles.iter().zip(w).map(|(r, w)| r.sign() * w).collect();
-            let (moved, _, boxes) = box_order(&data);
-            let mut bounds = Vec::new();
-            chunk_bounds(&boxes, &roles, q, w, &mut bounds);
+            let (moved, ids, _) = box_order(&data);
+            let tree = tree_of(&moved, dims, &ids);
+            let at = BoxQuery { roles: &roles, q, w };
+            // Every box the tree bounds, with the chunks under it: each
+            // stored node (from its box, and as its parent's child), and
+            // each chunk (decoded, as its parent's child).
+            let mut checks: Vec<(std::ops::Range<usize>, f64, &str)> = Vec::new();
+            let mut stack: Vec<Node> = tree.tops().collect();
+            let (mut kids, mut bounds) = ([Child::Chunk(0); FANOUT], [0.0; FANOUT]);
+            while let Some(node) = stack.pop() {
+                let (p, len) = (node.p as usize, node.len as usize);
+                checks.push((p..p + len, tree.node_bound(&node, &at), "node"));
+                let k = tree.children(&node, &mut kids);
+                tree.child_bounds(&node, &kids[..k], &at, &mut bounds);
+                for (kid, &bound) in kids[..k].iter().zip(&bounds) {
+                    match *kid {
+                        Child::Chunk(c) => checks.push((c as usize..c as usize + 1, bound, "chunk")),
+                        Child::Node(child) => {
+                            let own = tree.node_bound(&child, &at);
+                            prop_assert!(own == bound || own.is_nan() && bound.is_nan());
+                            stack.push(child);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(checks.iter().filter(|c| c.2 == "chunk").count(), n.div_ceil(CHUNK_ROWS));
             let mut over = None;
             kernels::tests::with_each_isa(|| {
-                let mut scores = [0.0; kernels::LANES];
+                let mut scores = vec![0.0; n];
+                let mut lane = [0.0; kernels::LANES];
                 for (piece, run) in moved.chunks(kernels::LANES * dims).enumerate() {
                     let count = run.len() / dims;
-                    kernels::score_rows(&mut scores[..count], run, dims, q, &sw, f64::NEG_INFINITY);
-                    for (l, &s) in scores[..count].iter().enumerate() {
-                        let pos = piece * kernels::LANES + l;
-                        let bound = bounds[pos / CHUNK_ROWS];
-                        if s > bound && over.is_none() {
-                            over = Some((pos, s, bound, kernels::active().name()));
+                    kernels::score_rows(&mut lane[..count], run, dims, q, &sw, f64::NEG_INFINITY);
+                    scores[piece * kernels::LANES..][..count].copy_from_slice(&lane[..count]);
+                }
+                for (chunks, bound, what) in &checks {
+                    let rows = chunks.start * CHUNK_ROWS..(chunks.end * CHUNK_ROWS).min(n);
+                    for pos in rows {
+                        if scores[pos] > *bound && over.is_none() {
+                            over = Some((*what, pos, scores[pos], *bound, kernels::active().name()));
                         }
                     }
                 }
             });
-            prop_assert!(over.is_none(), "a row scores over its chunk's bound: {over:?}");
+            prop_assert!(over.is_none(), "a row scores over its box's bound: {over:?}");
         }
     }
 }

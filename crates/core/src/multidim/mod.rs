@@ -13,15 +13,17 @@
 //!   scoring each popped block of 32 rows straight off the rows (see
 //!   [`crate::topk`]);
 //! * every other index keeps its rows in box order ([`boxes`]), a recursive
-//!   median split into leaves of 64 rows, each leaf one chunk with an
-//!   outward-rounded `f32` bounding box.
+//!   median split into leaves of 64 rows, each leaf one chunk, under the
+//!   split's tree stored every 4th level: outward-rounded `f32` boxes of
+//!   its nodes, and each chunk's box coded in `u8` inside its group's.
 //!
 //! Every other query — any other roles, or both weights of the one pair
-//! zero — is one **box scan** of the index's rows ([`answer_parts`]). The
-//! scan bounds every chunk from its box, scores the best ones across every
-//! part first to raise the query's floor, then sweeps the rest in row
-//! order, skipping every chunk whose bound is under the floor — or equal to
-//! it, when all of its ids are above the floor's worst one. An engine's
+//! zero — is one **box scan** of the index's rows ([`answer_parts`]): a
+//! walk of the tree that bounds only the nodes and chunks it reaches. It
+//! descends best first across every part until the best chunks are scored
+//! to raise the query's floor, then sweeps what still reaches it, skipping
+//! every node and chunk whose bound is under the floor — or equal to it,
+//! when all of its ids are above the floor's worst one. An engine's
 //! parts are the cells of one such box order, or a walked pair's row ranges
 //! ([`cells`], [`SdIndex::build_cell`]), their ids global. No index records
 //! a pairing: nothing reads one. The paper's own §5 aggregation — the
@@ -49,6 +51,7 @@
 mod boxes;
 pub mod plan;
 
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 pub use plan::{PairAction, PairPlan, QueryPlan};
@@ -70,7 +73,8 @@ use crate::view::ColumnarView;
 use crate::{DimRole, PointId, SdQuery};
 
 pub use boxes::Cell;
-pub(crate) use boxes::{check_firsts, CHUNK_ROWS};
+pub(crate) use boxes::{check_firsts, BoxTree, CHUNK_ROWS};
+use boxes::{BoxQuery, Child, FANOUT};
 
 /// Tuning knobs for [`SdIndex::build_with`].
 #[derive(Debug, Clone)]
@@ -110,9 +114,9 @@ pub(crate) enum Layout {
     /// attractive, y = repulsive)` of the rows, block `b` its positions
     /// `[32b, 32b + 32)`.
     Pair(BlockSet),
-    /// Anything else: the chunk boxes of the box order, per dimension SoA
-    /// (see [`boxes`]).
-    Boxes(ColumnarView<f32>),
+    /// Anything else: the stored levels of the box order's split tree, and
+    /// every chunk's box as codes inside its parent's (see [`boxes`]).
+    Boxes(BoxTree),
 }
 
 /// The multi-dimensional SD-Query index: its roles, its rows with their
@@ -164,10 +168,11 @@ impl SdIndex {
     /// Builds the index of one cell of `data` ([`cells`]): the rows the
     /// cell names, under their ids in `data`, a walked pair's over the
     /// default angles. The cells of a box order, built in order, hold
-    /// exactly the rows, ids, chunk boxes and first ids of
-    /// [`SdIndex::build_with`] over all of `data`, which is how an engine's
-    /// shards split one box order; a walked pair's cell is a row range,
-    /// tiled on its own.
+    /// exactly the rows, ids, chunk codes and first ids of
+    /// [`SdIndex::build_with`] over all of `data` — and, for a cell of at
+    /// most a 16th of the split, whole groups of its box tree — which is
+    /// how an engine's shards split one box order; a walked pair's cell is
+    /// a row range, tiled on its own.
     pub fn build_cell(data: &Dataset, roles: &[DimRole], cell: &Cell) -> Result<Self, SdError> {
         let angles = check_build(data, roles, &default_angles())?;
         Ok(Self::build_over(data, roles, &angles, cell))
@@ -194,19 +199,20 @@ impl SdIndex {
             None => boxes::finish_split(data, cell),
         };
         let rows = gather(data, &ids);
+        let firsts = boxes::chunk_firsts(&ids);
         let layout = match pair {
             Some((rep, att)) => {
                 let stored: Vec<(f64, f64)> =
                     rows.chunks_exact(2).map(|r| (r[att], r[rep])).collect();
                 Layout::Pair(BlockSet::build(&stored, angles))
             }
-            None => Layout::Boxes(ColumnarView::owned(boxes::chunk_boxes(&rows, data.dims()))),
+            None => Layout::Boxes(BoxTree::build(&rows, data.dims(), &firsts, cell)),
         };
         let rows = Dataset::from_view_trusted(data.dims(), ColumnarView::owned(rows))
             .expect("the shape of a valid dataset");
         SdIndex {
             data: Arc::new(rows),
-            firsts: ColumnarView::owned(boxes::chunk_firsts(&ids)),
+            firsts: ColumnarView::owned(firsts),
             ids: ColumnarView::owned(ids),
             roles: roles.to_vec(),
             layout,
@@ -295,11 +301,11 @@ impl SdIndex {
 
     /// Approximate heap footprint of the index structures (excluding the
     /// shared rows): the id column, the chunk first ids, and a walked
-    /// pair's envelope tree or the chunk boxes.
+    /// pair's envelope tree or the box tree.
     pub fn memory_bytes(&self) -> usize {
         let above = match &self.layout {
             Layout::Pair(blocks) => blocks.memory_bytes(),
-            Layout::Boxes(boxes) => boxes.heap_bytes(),
+            Layout::Boxes(tree) => tree.memory_bytes(),
         };
         self.ids.heap_bytes() + self.firsts.heap_bytes() + above
     }
@@ -309,6 +315,19 @@ impl SdIndex {
     pub fn block_stats(&self) -> (usize, usize) {
         self.pair_blocks()
             .map_or((0, 0), |b| (b.n_blocks(), b.memory_bytes()))
+    }
+
+    /// `(nodes, stored levels, bytes)` of the box tree — the bytes of the
+    /// node boxes, their first ids and the chunk codes (none for a walked
+    /// pair's index).
+    pub fn tree_stats(&self) -> (usize, usize, usize) {
+        match &self.layout {
+            Layout::Boxes(tree) => {
+                let (nodes, levels) = tree.shape();
+                (nodes, levels, tree.table_bytes())
+            }
+            Layout::Pair(_) => (0, 0, 0),
+        }
     }
 
     /// How `query` runs against this index: the direct 2-D walk — exactly
@@ -327,8 +346,12 @@ impl SdIndex {
             });
         }
         let Some(pair) = self.single_pair(query) else {
+            let (nodes, levels, bytes) = self.tree_stats();
             return Ok(QueryPlan::Scan {
                 chunks: self.data.len().div_ceil(CHUNK_ROWS),
+                levels,
+                nodes,
+                bytes,
             });
         };
         let indexed = pair.eval().is_ok_and(|e| e.indexed());
@@ -648,56 +671,80 @@ where
     ran
 }
 
-/// Chunks the query's lead scores best bound first, across all parts,
-/// before any part is swept: the floor they raise is what the sweeps skip
-/// chunks against.
+/// Chunks the descent scores, best bound first across every part, before
+/// the sweep: the floor they raise is what the sweep skips subtrees
+/// against.
 const LEAD_CHUNKS: usize = 16;
 
-/// The scan road of [`answer_parts`]: one box scan of every part, as one.
+#[cfg(test)]
+thread_local! {
+    /// The lead a test runs the scan under in place of [`LEAD_CHUNKS`].
+    static LEAD_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Chunks the descent scores: [`LEAD_CHUNKS`], or what a test set.
+#[inline]
+fn lead_chunks() -> usize {
+    #[cfg(test)]
+    if let Some(lead) = LEAD_OVERRIDE.with(std::cell::Cell::get) {
+        return lead;
+    }
+    LEAD_CHUNKS
+}
+
+/// The scan road of [`answer_parts`]: one walk of every part's box tree
+/// ([`boxes`]), as one.
 ///
-/// Every chunk's bound first ([`bound_part`], the kernel's dimension order,
-/// zero weights skipped). Then the query's lead — the [`LEAD_CHUNKS`] best
-/// bounds that reach the floor across every part, and every chunk tied with
-/// the last of them, ties by smallest global id — scored best first, to
-/// raise the floor; then two sweeps in row order over every other chunk of
-/// every part, the first over the chunks bounded at least halfway from the
-/// floor to the best bound, the second over the rest, each chunk scored
-/// when it still reaches the floor at its turn ([`reaches`]). A chunk whose
-/// bound is strictly under the floor is skipped unread: every row of it
-/// scores at most the bound, so strictly below `k` kept scores. One whose
-/// bound equals the floor is skipped when its smallest id is above the
-/// floor's worst one: a row that ties the k-th score enters only under a
-/// smaller id. (An all-zero-weight query bounds every chunk at `0`: its
-/// lead takes every chunk by smallest id, and once the floor holds `k` rows
-/// each chunk whose ids all lie above the worst of them is skipped.)
-/// Afterwards every live row of every part has been offered to the floor
-/// or is strictly below it, or tied with it under a larger id than any it
-/// keeps.
+/// First the **descent** ([`Scan::descend`]): the top stored nodes of every
+/// part — its groups — go into one heap, best bound first, ties by
+/// smallest global id; the best is taken again and again — a node's
+/// children bounded and pushed, a chunk scored — until [`LEAD_CHUNKS`]
+/// chunks are scored, and then every chunk still tied with the last of
+/// them (all of them at all-zero weights), raising the floor. Once that
+/// many chunks are known, nothing bounded under the least of the best of
+/// them is pushed: it cannot join the lead. Then the **sweep**
+/// ([`Scan::sweep`]): the groups that still reach the floor, best bound
+/// first, each depth first in row order — a node's children bounded at
+/// once, every node and chunk that no longer [`reaches`] the floor skipped
+/// unread, and every chunk the descent scored passed by. A node or chunk
+/// whose bound is strictly under the floor holds no row above it, so
+/// strictly below `k` kept scores; one whose bound equals the floor is
+/// skipped when its smallest id is above the floor's worst one: a row that
+/// ties the k-th score enters only under a smaller id. The floor only
+/// rises, so when the descent's best no longer reaches the floor and it
+/// left nothing out, nothing left does, and the sweep is not run. A walked
+/// pair's part, scanned only when both its weights are zero, is one level
+/// of chunks, each bounded by `0`. Afterwards every live row of every part
+/// has been offered to the floor or is strictly below it, or tied with it
+/// under a larger id than any it keeps.
 ///
-/// The parts of an engine are the cells of one box order (the engine
-/// crate's docs), so one lead and the sweeps in part order visit the chunks
-/// a one-part scan of the same rows visits, in the same order, and count
-/// what it counts (`parts_scanned` aside).
+/// The parts of an engine are the cells of one box order, a cell of an
+/// engine of up to 16 shards whole groups of the one-part tree (the
+/// engine crate's docs), so the descent and the sweep over them meet the
+/// nodes and chunks one part over the same rows meets, in the same order,
+/// and the scan counts what it counts (`parts_scanned` aside).
 ///
-/// Why this order. Rows scored on CI's 6-D hostile probe (100k
-/// anti-correlated rows, 4 row-range shards, k = 64), where every chunk
-/// best first across every part scores 70 672: each part's lead then its
-/// own row-order sweep, 80 848; every part's lead before one row-order
-/// sweep, 74 384; these two sweeps, 70 736. Best first throughout costs a
-/// heap pop a chunk and visits rows out of order: on the repo benchmark (6
-/// s runs, 3–4 seeds each, 2-core VM) it ran `cold_open_4d` ≈ 1.3× and
-/// `agg_6d` ≈ 1.2× slower than one sweep, and sorting the sweep into bands
-/// of bound cost `agg_6d` ≈ 8 %; the two plain sweeps ran within one
-/// sweep's run-to-run spread.
+/// Why this order. Measured on scratch builds of this walk (100k rows, 4
+/// cells, 96–512 uniform queries, best of six warmed laps, one pinned CPU
+/// of a 2-core VM): a lead of 32 or 64 chunks, or best first to the end,
+/// ran the 6-D anti-correlated shape (k 64) 1.05–1.3× slower than a lead
+/// of 16 — its chunks sit anywhere in the rows, and visiting rows out of
+/// order costs more than the floor it raises saves; a sweep of every
+/// group in row order scored 215.7 chunks a query there, the groups best
+/// bound first 208.3; a second, upper pass first (every node and chunk
+/// halfway from the floor to the lead's best bound, as the flat scan
+/// swept) scored 202.7 but bounded 1 282 boxes where one pass bounds 932,
+/// and ran 1.35× slower.
 ///
-/// Counters: `parts_scanned` one a part with rows, `chunks_scored` and
-/// `chunks_skipped` the chunks, and per scored piece of up to [`LANES`]
-/// rows `rows_fetched` and `scan_rows` its rows, `tombstones_skipped` the
-/// dead among them, `points_gathered` the rest and `kernel_batches` one.
-/// Under [`QueryProfile::timing`] the bound pass, the lead (its pick and
-/// its scoring) and the sweeps add their wall time to `bound_nanos`,
-/// `lead_nanos` and `sweep_nanos`. The deadline is consulted once per
-/// piece; an abort leaves the floor holding what was offered so far.
+/// Counters: `parts_scanned` one a part with rows, `boxes_bounded` every
+/// node and chunk bounded (the descent's and the sweep's), `chunks_scored`
+/// the chunks scored and `chunks_skipped` the rest, and per scored piece of
+/// up to [`LANES`] rows `rows_fetched` and `scan_rows` its rows,
+/// `tombstones_skipped` the dead among them, `points_gathered` the rest and
+/// `kernel_batches` one. Under [`QueryProfile::timing`] the descent and the
+/// sweep add their wall time to `lead_nanos` and `sweep_nanos`. The
+/// deadline is consulted once per piece; an abort leaves the floor holding
+/// what was offered so far.
 fn scan_parts<'a>(
     parts: impl Iterator<Item = ShardPart<'a>> + Clone,
     roles: &[DimRole],
@@ -705,144 +752,70 @@ fn scan_parts<'a>(
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
 ) -> Result<(), SdError> {
-    let chunks = parts.clone().map(|part| part_chunks(&part)).sum();
     let QueryScratch {
         fbuf: sw,
         scores,
-        chunks: bufs,
+        scan: bufs,
         profile,
         deadline,
         part_floor_updates,
         ..
     } = scratch;
-    bufs.reserve(chunks);
-    let ChunkBufs {
-        bounds,
-        lead,
-        starts,
-        ..
-    } = bufs;
+    let (mut chunks, mut entries, mut groups) = (0, 0, 0);
+    for part in parts.clone() {
+        let n = part.index.data.len();
+        if n > 0 {
+            profile.parts_scanned += 1;
+            profile.isa = kernels::active().name();
+        }
+        chunks += n.div_ceil(CHUNK_ROWS);
+        match &part.index.layout {
+            Layout::Boxes(tree) => {
+                entries += tree.entries();
+                groups += tree.groups.len();
+            }
+            Layout::Pair(_) => entries += n.div_ceil(CHUNK_ROWS),
+        }
+    }
+    bufs.reset((entries, groups));
     scores.resize(LANES, 0.0);
     part_floor_updates.extend(parts.clone().map(|_| 0));
+    let ScanBufs {
+        heap,
+        lead,
+        groups,
+        run,
+        #[cfg(test)]
+        scanned,
+    } = bufs;
+    #[cfg(test)]
+    scanned.clear();
     let mut clock = Clock::new(profile.timing);
-    for part in parts.clone() {
-        starts.push(bounds.len());
-        bound_part(&part, roles, query, bounds, profile);
-    }
-    clock.lap(&mut profile.bound_nanos);
-    let mut st = Scoring {
-        q: &query.point,
+    let mut scan = Scan {
+        at: BoxQuery {
+            roles,
+            q: &query.point,
+            w: &query.weights,
+        },
         sw,
         scores,
         prof: profile,
         deadline,
+        floor,
+        updates: part_floor_updates,
         #[cfg(test)]
-        scanned: &mut bufs.scanned,
+        scanned,
     };
-    #[cfg(test)]
-    st.scanned.clear();
-    let scored_before = st.prof.chunks_scored;
-
-    // The lead: one pass over every bound, keyed so the natural order of
-    // the pairs is the visiting order (best bound first, ties by smallest
-    // global id; a chunk is named by its index into `bounds`). Only the
-    // chunks that reach the floor and can still make the lead are kept:
-    // each time the run fills, it is cut back to the lead so far, whose last
-    // bound becomes the bar. Nothing is offered to the floor during the
-    // pass, so [`reaches`] reads the floor once, and a chunk's first id only
-    // when it decides.
-    let (floor_bar, worst) = (floor.bar(), floor.worst());
-    let (mut bar, mut full) = (floor_bar, 4 * LEAD_CHUNKS);
-    for (i, shard) in parts.clone().enumerate() {
-        let from = starts[i];
-        for (c, &b) in bounds[from..from + part_chunks(&shard)].iter().enumerate() {
-            let first = shard.index.firsts[c];
-            if b < bar || b == floor_bar && worst.is_some_and(|(_, id)| first >= id) {
-                continue;
-            }
-            let key = u64::from(first) << 32 | (from + c) as u64;
-            lead.push((!crate::threshold::encode(b), key));
-            if lead.len() >= full {
-                bar = bounds[cut_lead(lead) as u32 as usize];
-                // Ties with the bar all stay: a run of them grows the room,
-                // so they are cut back only as often as their count doubles.
-                full = full.max(2 * lead.len());
-            }
-        }
+    let scored_before = scan.prof.chunks_scored;
+    let sweep = scan.descend(parts.clone(), heap, lead);
+    clock.lap(&mut scan.prof.lead_nanos);
+    if sweep? {
+        lead.sort_unstable();
+        scan.sweep(parts, lead, groups, run)?;
     }
-    cut_lead(lead);
-    lead.sort_unstable();
-    // The best chunk that reaches the floor leads: the first sweep stops
-    // halfway from the floor to its bound.
-    let top = lead
-        .first()
-        .map_or(f64::NEG_INFINITY, |e| bounds[e.1 as u32 as usize]);
-    for &(_, key) in lead.iter() {
-        let g = key as u32 as usize;
-        let i = starts.partition_point(|&start| start <= g) - 1;
-        let part = parts.clone().nth(i).expect("a chunk's part");
-        let c = g - starts[i];
-        if reaches(bounds[g], part.index.firsts[c], floor) {
-            st.chunk(&part, c, floor, &mut part_floor_updates[i])?;
-        }
-        // Scored or beaten: the sweep passes it by (no bound is NaN).
-        bounds[g] = f64::NAN;
-    }
-    clock.lap(&mut st.prof.lead_nanos);
-
-    // The sweeps: every chunk that still reaches the floor, in row order —
-    // first those bounded at least halfway from the floor to the best
-    // bound, then every other.
-    let bar = floor.bar();
-    let half = bar + (top - bar) / 2.0;
-    for upper in [true, false] {
-        for (i, part) in parts.clone().enumerate() {
-            let from = starts[i];
-            let bounds = &mut bounds[from..from + part_chunks(&part)];
-            // The floor only rises when a chunk is scored: a bound under
-            // its last reading is out without asking it again.
-            let mut bar = floor.bar();
-            for (c, bound) in bounds.iter_mut().enumerate() {
-                let b = *bound;
-                // A NaN half (no full floor yet, or an infinite best bound)
-                // leaves every chunk to the second sweep.
-                if upper && b.partial_cmp(&half).is_none_or(|o| o.is_lt()) {
-                    continue;
-                }
-                if b >= bar && reaches(b, part.index.firsts[c], floor) {
-                    st.chunk(&part, c, floor, &mut part_floor_updates[i])?;
-                    bar = floor.bar();
-                }
-                if upper {
-                    *bound = f64::NAN;
-                }
-            }
-        }
-    }
-    clock.lap(&mut st.prof.sweep_nanos);
-    st.prof.chunks_skipped += chunks as u64 - (st.prof.chunks_scored - scored_before);
+    clock.lap(&mut scan.prof.sweep_nanos);
+    scan.prof.chunks_skipped += chunks as u64 - (scan.prof.chunks_scored - scored_before);
     Ok(())
-}
-
-/// Cuts `lead` back to the query's lead among its entries — the
-/// [`LEAD_CHUNKS`] smallest, and every one tied with the last of them on
-/// the bound (they join the lead in id order) — in any order, and returns
-/// that last entry's chunk: no bound under its can make the lead any more.
-/// A lead that fits is left as it is, and names no chunk (`u64::MAX`).
-fn cut_lead(lead: &mut Vec<(u64, u64)>) -> u64 {
-    if lead.len() <= LEAD_CHUNKS {
-        return u64::MAX;
-    }
-    let (_, &mut (bar, chunk), rest) = lead.select_nth_unstable(LEAD_CHUNKS - 1);
-    let mut end = LEAD_CHUNKS;
-    for j in 0..rest.len() {
-        if rest[j].0 == bar {
-            rest.swap(j, end - LEAD_CHUNKS);
-            end += 1;
-        }
-    }
-    lead.truncate(end);
-    chunk
 }
 
 /// Wall time between laps, read only under [`QueryProfile::timing`].
@@ -863,77 +836,371 @@ impl Clock {
     }
 }
 
-/// Chunks of `part`: [`CHUNK_ROWS`] rows each, the last one short.
-fn part_chunks(part: &ShardPart<'_>) -> usize {
-    part.index.data.len().div_ceil(CHUNK_ROWS)
+/// A group the sweep takes in turn: its order (its bound, order-preserving,
+/// then its smallest id reversed), its bound, its part and its top node.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Group {
+    order: (u64, u32),
+    bound: f64,
+    part: u32,
+    top: boxes::Node,
 }
 
-/// Appends the score bound of every chunk of `part` to `bounds`: from its
-/// box ([`boxes::chunk_bounds`]), or — for a walked pair's rows — `0`: such
-/// an index is scanned only when both its weights are zero
-/// ([`SdIndex::single_pair`]), and `0` is then every row's exact score.
-/// Counts the part's scan (`parts_scanned`) unless it has no row.
-fn bound_part(
-    part: &ShardPart<'_>,
-    roles: &[DimRole],
-    query: &SdQuery,
-    bounds: &mut Vec<f64>,
-    prof: &mut QueryProfile,
-) {
-    let n = part.index.data.len();
-    if n == 0 {
-        return;
-    }
-    prof.parts_scanned += 1;
-    prof.isa = kernels::active().name();
-    match &part.index.layout {
-        Layout::Boxes(boxes) => {
-            boxes::chunk_bounds(boxes, roles, &query.point, &query.weights, bounds)
-        }
-        Layout::Pair(_) => {
-            debug_assert!(query.weights.iter().all(|&w| w == 0.0));
-            bounds.resize(bounds.len() + n.div_ceil(CHUNK_ROWS), 0.0);
-        }
-    }
+/// Whether the descent scored chunk `c` of part `i` (`lead` ascending).
+#[inline]
+fn scored(lead: &[(u32, u32)], i: usize, c: usize) -> bool {
+    lead.binary_search(&(i as u32, c as u32)).is_ok()
 }
 
-/// Whether a chunk whose rows score at most `bound` and carry global ids
-/// from `first` on can still change what `floor` holds: its bound is above
-/// the floor's bar, or equal to it and some id of the chunk could win a
-/// tie — the floor is not full yet, or `first` is below its worst id.
+/// Whether a node or chunk whose rows score at most `bound` and carry
+/// global ids from `first` on can still change what `floor` holds: its
+/// bound is above the floor's bar, or equal to it and some id of it could
+/// win a tie — the floor is not full yet, or `first` is below its worst id.
 #[inline]
 fn reaches(bound: f64, first: u32, floor: &QueryFloor<'_>) -> bool {
     let bar = floor.bar();
     bound > bar || (bound == bar && floor.worst().is_none_or(|(_, id)| first < id))
 }
 
-/// What the box scan scores with, across all its parts: the query point
-/// and role-signed weights, the kernel's per-lane output, the query's
-/// profile and deadline.
-struct Scoring<'a> {
-    q: &'a [f64],
-    sw: &'a [f64],
-    scores: &'a mut [f64],
-    prof: &'a mut QueryProfile,
-    deadline: &'a Deadline,
+/// A node or chunk of part `part` the descent has bounded and not yet
+/// taken.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pending {
+    bound: f64,
+    first: u32,
+    part: u32,
+    item: Child,
+}
+
+/// The descent's heap: each pending entry's place in `pending` under its
+/// order, `(bound, !first, place)` packed in a `u128` — the highest bound
+/// first, then the smallest id (no bound is NaN past [`reaches`], and no
+/// two entries share an id).
+#[derive(Default)]
+pub(crate) struct Frontier {
+    heap: BinaryHeap<u128>,
+    pending: Vec<Pending>,
+    /// The best chunk bounds met so far, as many as the lead takes, the
+    /// least on top (order-preserving keys): once there are that many,
+    /// nothing bounded under the least of them can join the lead, and is
+    /// left out of the heap.
+    best: BinaryHeap<std::cmp::Reverse<u64>>,
+    /// Whether something that reaches the floor was left out so: the sweep
+    /// then runs, whatever the heap holds.
+    dropped: bool,
+}
+
+impl Frontier {
+    fn push(&mut self, entry: Pending) {
+        let order = u128::from(crate::threshold::encode(entry.bound)) << 64
+            | u128::from(!entry.first) << 32
+            | self.pending.len() as u128;
+        self.pending.push(entry);
+        self.heap.push(order);
+    }
+
+    fn pop(&mut self) -> Option<Pending> {
+        let order = self.heap.pop()?;
+        Some(self.pending[order as u32 as usize])
+    }
+
+    fn peek(&self) -> Option<&Pending> {
+        let &order = self.heap.peek()?;
+        Some(&self.pending[order as u32 as usize])
+    }
+}
+
+/// What one box scan works with, across all its parts: the query its boxes
+/// are bounded under, the point and role-signed weights it scores with, the
+/// kernel's per-lane output, the query's profile, deadline and floor, and
+/// each part's share of the floor's updates.
+struct Scan<'s, 'f> {
+    at: BoxQuery<'s>,
+    sw: &'s [f64],
+    scores: &'s mut [f64],
+    prof: &'s mut QueryProfile,
+    deadline: &'s Deadline,
+    floor: &'s mut QueryFloor<'f>,
+    updates: &'s mut [u64],
     /// The chunks the query scored, in visiting order, as `part`-local
     /// indexes: what the tests recount its counters over.
     #[cfg(test)]
-    scanned: &'a mut Vec<usize>,
+    scanned: &'s mut Vec<usize>,
 }
 
-impl Scoring<'_> {
-    /// Scores chunk `c` of `part` [`LANES`] rows at a time, offers its rows
-    /// that reach the floor under their global ids — adding what that did
-    /// to the floor to `updates` — and tallies its counters (see
-    /// [`scan_parts`]).
-    fn chunk(
+impl Scan<'_, '_> {
+    /// The descent (see [`scan_parts`]): scores chunks best first from the
+    /// top stored nodes of every part until the lead is full; `true` when
+    /// something may still reach the floor, which the sweep then finds.
+    fn descend<'a>(
+        &mut self,
+        parts: impl Iterator<Item = ShardPart<'a>> + Clone,
+        heap: &mut Frontier,
+        lead: &mut Vec<(u32, u32)>,
+    ) -> Result<bool, SdError> {
+        let want = lead_chunks();
+        if want == 0 {
+            return Ok(true);
+        }
+        for (i, part) in parts.clone().enumerate() {
+            let index = part.index;
+            match &index.layout {
+                Layout::Boxes(tree) => {
+                    for top in tree.tops() {
+                        let bound = tree.node_bound(&top, &self.at);
+                        let first = tree.firsts[top.index as usize];
+                        self.push(heap, want, i, (bound, first), Child::Node(top));
+                    }
+                }
+                Layout::Pair(_) => {
+                    for (c, &first) in index.firsts.iter().enumerate() {
+                        self.push(heap, want, i, (0.0, first), Child::Chunk(c as u32));
+                    }
+                }
+            }
+        }
+        let mut kids = [Child::Chunk(0); FANOUT];
+        let mut bounds = [0.0; FANOUT];
+        // Once the lead is full, the entries tied with its last chunk's
+        // bound join it too (all of them, at all-zero weights).
+        let mut tie = f64::INFINITY;
+        while lead.len() < want || heap.peek().is_some_and(|top| top.bound >= tie) {
+            let Some(best) = heap.pop() else {
+                return Ok(heap.dropped);
+            };
+            if !reaches(best.bound, best.first, self.floor) {
+                return Ok(heap.dropped);
+            }
+            let i = best.part as usize;
+            let part = parts.clone().nth(i).expect("a pending entry's part");
+            match best.item {
+                Child::Chunk(c) => {
+                    self.chunk(&part, i, c as usize)?;
+                    lead.push((best.part, c));
+                    if lead.len() == want {
+                        tie = best.bound;
+                    }
+                }
+                Child::Node(node) if node.len as usize <= FANOUT => {
+                    // Every child a chunk, one run of them.
+                    let Layout::Boxes(tree) = &part.index.layout else {
+                        unreachable!("only a box tree has nodes");
+                    };
+                    let (p, n) = (node.p as usize, node.len as usize);
+                    tree.leaf_bounds(&node, &self.at, &mut bounds);
+                    let firsts = &part.index.firsts[p..p + n];
+                    for (c, (&bound, &first)) in (p as u32..).zip(bounds.iter().zip(firsts)) {
+                        self.push(heap, want, i, (bound, first), Child::Chunk(c));
+                    }
+                }
+                Child::Node(node) => {
+                    let Layout::Boxes(tree) = &part.index.layout else {
+                        unreachable!("only a box tree has nodes");
+                    };
+                    let n = tree.children(&node, &mut kids);
+                    tree.child_bounds(&node, &kids[..n], &self.at, &mut bounds);
+                    for (&kid, &bound) in kids[..n].iter().zip(&bounds) {
+                        let first = match kid {
+                            Child::Chunk(c) => part.index.firsts[c as usize],
+                            Child::Node(child) => tree.firsts[child.index as usize],
+                        };
+                        self.push(heap, want, i, (bound, first), kid);
+                    }
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Counts a bounded node or chunk of part `i`, and pushes it when it
+    /// reaches the floor and can still join a lead of `want` chunks (see
+    /// [`Frontier::best`]).
+    #[inline]
+    fn push(
+        &mut self,
+        heap: &mut Frontier,
+        want: usize,
+        i: usize,
+        (bound, first): (f64, u32),
+        item: Child,
+    ) {
+        self.prof.boxes_bounded += 1;
+        if reaches(bound, first, self.floor) {
+            let key = crate::threshold::encode(bound);
+            let full = heap.best.len() >= want;
+            if full && heap.best.peek().is_some_and(|least| key < least.0) {
+                heap.dropped = true;
+                return;
+            }
+            if let Child::Chunk(_) = item {
+                if full {
+                    heap.best.pop();
+                }
+                heap.best.push(std::cmp::Reverse(key));
+            }
+            let part = i as u32;
+            heap.push(Pending {
+                bound,
+                first,
+                part,
+                item,
+            });
+        }
+    }
+
+    /// The sweep (see [`scan_parts`]): every part's groups that reach the
+    /// floor, best bound first, ties by smallest id, each swept depth first
+    /// in row order ([`Scan::sweep_node`]); a walked pair's chunks one by
+    /// one, in row order, bounded at `0`. `lead` holds the chunks the
+    /// descent scored (`(part, chunk)` ascending), `groups` and `run` room.
+    fn sweep<'a>(
+        &mut self,
+        parts: impl Iterator<Item = ShardPart<'a>> + Clone,
+        lead: &[(u32, u32)],
+        groups: &mut Vec<Group>,
+        run: &mut [f64],
+    ) -> Result<(), SdError> {
+        groups.clear();
+        for (i, part) in parts.clone().enumerate() {
+            let index = part.index;
+            match &index.layout {
+                Layout::Boxes(tree) => {
+                    for top in tree.tops() {
+                        self.prof.boxes_bounded += 1;
+                        let bound = tree.node_bound(&top, &self.at);
+                        let first = tree.firsts[top.index as usize];
+                        if reaches(bound, first, self.floor) {
+                            let order = (crate::threshold::encode(bound), !first);
+                            groups.push(Group {
+                                order,
+                                bound,
+                                part: i as u32,
+                                top,
+                            });
+                        }
+                    }
+                }
+                Layout::Pair(_) => {
+                    self.prof.boxes_bounded += index.firsts.len() as u64;
+                    for (c, &first) in index.firsts.iter().enumerate() {
+                        if reaches(0.0, first, self.floor) && !scored(lead, i, c) {
+                            self.chunk(&part, i, c)?;
+                        }
+                    }
+                }
+            }
+        }
+        groups.sort_unstable_by_key(|group| std::cmp::Reverse(group.order));
+        for group in groups.iter() {
+            // The floor only rises, and every group after this one is
+            // bounded lower, or as high with a larger smallest id.
+            if !reaches(group.bound, !group.order.1, self.floor) {
+                break;
+            }
+            let i = group.part as usize;
+            let part = parts.clone().nth(i).expect("a group's part");
+            let Layout::Boxes(tree) = &part.index.layout else {
+                unreachable!("only a box tree has groups");
+            };
+            self.sweep_node(&part, i, tree, &group.top, lead, run)?;
+        }
+        Ok(())
+    }
+
+    /// Sweeps `node` of part `i`'s `tree`, which reached the floor. A node
+    /// over at most 16 chunks has its chunks bounded in one pass
+    /// ([`BoxTree::run_bounds`]) and scored in row order as they reach the
+    /// floor at their turn, bar those the descent scored. Any other has its
+    /// children bounded at once and taken in row order: every one that
+    /// reaches the floor swept in turn, the chunks of every run of reaching
+    /// children over at most 16 chunks each (chunks, or nodes whose
+    /// children are all chunks) bounded and scored as one.
+    fn sweep_node(
         &mut self,
         part: &ShardPart<'_>,
-        c: usize,
-        floor: &mut QueryFloor<'_>,
-        updates: &mut u64,
+        i: usize,
+        tree: &BoxTree,
+        node: &boxes::Node,
+        lead: &[(u32, u32)],
+        run: &mut [f64],
     ) -> Result<(), SdError> {
+        if node.len as usize <= FANOUT {
+            let chunks = node.p as usize..(node.p + node.len) as usize;
+            return self.sweep_run(part, i, tree, node.group as usize, chunks, lead, run);
+        }
+        let mut kids = [Child::Chunk(0); FANOUT];
+        let mut bounds = [0.0; FANOUT];
+        let n = tree.children(node, &mut kids);
+        tree.child_bounds(node, &kids[..n], &self.at, &mut bounds);
+        self.prof.boxes_bounded += n as u64;
+        // The run of reaching children over at most 16 chunks so far.
+        let mut pending = 0..0;
+        for (kid, &bound) in kids[..n].iter().zip(&bounds) {
+            let (chunks, first, whole) = match *kid {
+                Child::Chunk(c) => {
+                    let c = c as usize;
+                    (c..c + 1, part.index.firsts[c], false)
+                }
+                Child::Node(child) => {
+                    let chunks = child.p as usize..(child.p + child.len) as usize;
+                    let whole = child.len as usize > FANOUT;
+                    (chunks, tree.firsts[child.index as usize], whole)
+                }
+            };
+            let reach = reaches(bound, first, self.floor);
+            if reach && !whole {
+                // Children are in row order, one after the other.
+                if pending.is_empty() {
+                    pending = chunks;
+                } else {
+                    pending.end = chunks.end;
+                }
+                continue;
+            }
+            let group = node.group as usize;
+            self.sweep_run(part, i, tree, group, pending, lead, run)?;
+            pending = 0..0;
+            if let (true, Child::Node(child)) = (reach, kid) {
+                self.sweep_node(part, i, tree, child, lead, run)?;
+            }
+        }
+        self.sweep_run(part, i, tree, node.group as usize, pending, lead, run)
+    }
+
+    /// Bounds the chunks `chunks` of group `g` in one pass, and scores each
+    /// that reaches the floor at its turn and that the descent did not
+    /// score.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_run(
+        &mut self,
+        part: &ShardPart<'_>,
+        i: usize,
+        tree: &BoxTree,
+        g: usize,
+        chunks: std::ops::Range<usize>,
+        lead: &[(u32, u32)],
+        run: &mut [f64],
+    ) -> Result<(), SdError> {
+        if chunks.is_empty() {
+            return Ok(());
+        }
+        let bounds = &mut run[..chunks.len()];
+        tree.run_bounds(g, chunks.start, &self.at, bounds);
+        self.prof.boxes_bounded += chunks.len() as u64;
+        let firsts = &part.index.firsts[chunks.clone()];
+        for (c, (&bound, &first)) in chunks.zip(bounds.iter().zip(firsts)) {
+            if reaches(bound, first, self.floor) && !scored(lead, i, c) {
+                self.chunk(part, i, c)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Scores chunk `c` of part `i` [`LANES`] rows at a time, offers its
+    /// rows that reach the floor under their global ids — adding what that
+    /// did to the floor to the part's updates — and tallies its counters
+    /// (see [`scan_parts`]).
+    fn chunk(&mut self, part: &ShardPart<'_>, i: usize, c: usize) -> Result<(), SdError> {
         #[cfg(test)]
         self.scanned.push(c);
         self.prof.chunks_scored += 1;
@@ -946,7 +1213,8 @@ impl Scoring<'_> {
             let dead = part.dead_word(start, count);
             let live = (u32::MAX >> (LANES - count)) & !dead;
             let run = &data.flat()[start * dims..(start + count) * dims];
-            let mut reach = score_piece(self.scores, run, live, (self.q, self.sw), floor.bar());
+            let q = self.at.q;
+            let mut reach = score_piece(self.scores, run, live, (q, self.sw), self.floor.bar());
             let dead = u64::from(dead.count_ones());
             let prof = &mut *self.prof;
             prof.kernel_batches += 1;
@@ -957,10 +1225,10 @@ impl Scoring<'_> {
             while reach != 0 {
                 let l = reach.trailing_zeros() as usize;
                 reach &= reach - 1;
-                let rose = floor.offer(self.scores[l], ids[start + l]);
+                let rose = self.floor.offer(self.scores[l], ids[start + l]);
                 prof.points_scored += 1;
                 prof.floor_updates += u64::from(rose);
-                *updates += u64::from(rose);
+                self.updates[i] += u64::from(rose);
             }
         }
         Ok(())
@@ -992,30 +1260,46 @@ pub(crate) fn score_piece(
     kernels::score_rows(&mut scores[..count], run, dims, q, sw, floor) & live
 }
 
-/// The scan's per-query buffers, kept in the [`QueryScratch`]: one bound
-/// per chunk of every part of the query, the query's lead, and where each
-/// part's bounds start.
+/// The scan's per-query buffers, kept in the [`QueryScratch`]: the
+/// descent's heap and the chunks it scored.
 #[derive(Default)]
-pub(crate) struct ChunkBufs {
-    bounds: Vec<f64>,
-    lead: Vec<(u64, u64)>,
-    starts: Vec<usize>,
+pub(crate) struct ScanBufs {
+    heap: Frontier,
+    lead: Vec<(u32, u32)>,
+    groups: Vec<Group>,
+    /// Room for the bounds of one run of chunks the sweep bounds at once:
+    /// one node's, at most 16 of its children over at most 16 chunks each.
+    run: Vec<f64>,
     /// The chunks the last query scored, in visiting order, as part-local
     /// indexes: what the tests recount its counters over.
     #[cfg(test)]
     scanned: Vec<usize>,
 }
 
-impl ChunkBufs {
-    /// Makes room for `chunks` of each: reserved when a query begins, so a
-    /// scratch that has served the same parts once never grows them
-    /// mid-scan.
-    fn reserve(&mut self, chunks: usize) {
-        self.bounds.clear();
-        self.bounds.reserve(chunks);
+impl ScanBufs {
+    /// Empties both and makes room for `entries` pending nodes and chunks —
+    /// every one of the query's parts holds, the most the heap can meet —
+    /// when a query begins, so a scratch that has served the same parts
+    /// once never grows them mid-scan.
+    fn reset(&mut self, (entries, groups): (usize, usize)) {
+        let Frontier {
+            heap,
+            pending,
+            best,
+            dropped,
+        } = &mut self.heap;
+        heap.clear();
+        heap.reserve(entries);
+        pending.clear();
+        pending.reserve(entries);
+        best.clear();
+        best.reserve(LEAD_CHUNKS + 1);
+        *dropped = false;
         self.lead.clear();
-        self.lead.reserve(chunks);
-        self.starts.clear();
+        self.lead.reserve(LEAD_CHUNKS.min(entries));
+        self.groups.clear();
+        self.groups.reserve(groups);
+        self.run.resize(FANOUT * FANOUT, 0.0);
     }
 }
 

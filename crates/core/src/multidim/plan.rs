@@ -84,12 +84,19 @@ pub enum QueryPlan {
     /// engine, over the pair's indexes of every shard at once, so every
     /// shard's plan says it.
     Direct(PairPlan),
-    /// Anything else: one box scan of the index, which bounds each of its
-    /// `chunks` from its box and scores only those that can still change
-    /// the floor (one unbounded chunk for rows not in box order).
+    /// Anything else: one box scan of the index, a walk of its box tree
+    /// that bounds the nodes and chunks it reaches and scores only the
+    /// chunks that can still change the floor (a walked pair's chunks, at
+    /// all-zero weights, one level bounded at `0`).
     Scan {
-        /// Chunks the scan bounds.
+        /// Chunks under the tree.
         chunks: usize,
+        /// Stored levels of the tree (0 for a walked pair's index).
+        levels: usize,
+        /// Stored nodes on them.
+        nodes: usize,
+        /// Bytes of the node boxes, their first ids and the chunk codes.
+        bytes: usize,
     },
 }
 
@@ -103,7 +110,16 @@ impl fmt::Display for QueryPlan {
                 p.repulsive,
                 p.attractive
             ),
-            QueryPlan::Scan { chunks } => write!(f, "box scan over {chunks} chunk(s)"),
+            QueryPlan::Scan {
+                chunks,
+                levels,
+                nodes,
+                bytes,
+            } => write!(
+                f,
+                "box scan over {chunks} chunk(s) under {nodes} node(s) on {levels} stored \
+                 level(s), {bytes} B of node boxes and codes"
+            ),
         }
     }
 }

@@ -193,7 +193,17 @@ fn zero_weights_on_some_dims() {
         let theta = plan.theta.expect("one weight is live").degrees();
         assert!((theta - deg).abs() < 1e-9, "d{zero} zero: θ_q {theta}°");
     }
-    assert_eq!(index.plan(&q).unwrap(), QueryPlan::Scan { chunks: 2 });
+    assert_eq!(
+        index.plan(&q).unwrap(),
+        QueryPlan::Scan {
+            chunks: 2,
+            levels: 1,
+            nodes: 2,
+            // Two groups of one chunk: two node boxes, their first ids,
+            // two chunks' codes.
+            bytes: 2 * (2 * 4 * 4) + 2 * 4 + 2 * 4 * 2,
+        }
+    );
     // All-zero weights: every score is 0; any k points are valid — check
     // count and zero scores only.
     let q = SdQuery::new(vec![0.5; 4], vec![0.0; 4]).unwrap();
@@ -269,8 +279,11 @@ fn memory_accounting() {
         DimRole::Attractive,
     ];
     let index = SdIndex::build(data, &roles).unwrap();
-    // Ids, boxes and first ids of eight chunks; no pair index.
-    let order = 4 * 500 + 4 * 2 * 4 * 8 + 4 * 8;
+    // Ids and first ids of eight chunks, and their tree: under 16 chunks
+    // each is a group of its own, a node box and first id each, its codes,
+    // and the groups with their offsets. No pair index.
+    let tree = 8 * (4 * 2 * 4 + 4) + 8 * 2 * 4 + 8 * 4 + 9 * 8;
+    let order = 4 * 500 + 4 * 8 + tree;
     assert_eq!(index.memory_bytes(), order);
     assert_eq!(index.block_stats(), (0, 0));
 }
@@ -388,10 +401,11 @@ struct Outcomes {
 }
 
 /// What the box scan of one part over `index` must have scored, recounted
-/// from the chunks it visited (`scratch.chunks.scanned`) against `want`,
+/// from the chunks it visited (`scratch.scan.scanned`) against `want`,
 /// the part's final floor (`(score, id)` of its worst entry, when full): no
-/// chunk twice; every chunk that can change that floor — bound above its
-/// score, or equal with its first id below its id — visited (the floor
+/// chunk twice; every chunk that can change that floor — the tightest bound
+/// the tree holds for it above its score, or equal with its first id below
+/// its id — visited (the floor
 /// never stood higher, so none can have been skipped); and the counters
 /// over the visited chunks, dead rows (`dead`, by id) included. Returns how
 /// the chunks ended.
@@ -402,15 +416,19 @@ fn assert_scan_scored(
     worst: Option<(f64, u32)>,
     dead: &dyn Fn(u32) -> bool,
 ) -> Outcomes {
-    let Layout::Boxes(boxes) = &index.layout else {
+    let Layout::Boxes(tree) = &index.layout else {
         panic!("an aggregating index is in box order");
     };
     let n = index.data.len();
     let p = &scratch.profile;
-    let mut bounds = Vec::new();
-    boxes::chunk_bounds(boxes, &index.roles, &q.point, &q.weights, &mut bounds);
+    let at = boxes::BoxQuery {
+        roles: &index.roles,
+        q: &q.point,
+        w: &q.weights,
+    };
+    let bounds = tree.every_chunk_bound(&at);
     let mut visited = vec![false; bounds.len()];
-    for &c in &scratch.chunks.scanned {
+    for &c in &scratch.scan.scanned {
         assert!(!std::mem::replace(&mut visited[c], true), "chunk {c} twice");
     }
     let mut out = Outcomes::default();
@@ -664,7 +682,7 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     let p = scratch.profile;
     assert!(p.tombstones_skipped >= dead_rows.len() as u64, "{p:?}");
     // Every chunk in the lead, each read once ([`assert_scan_scored`]).
-    assert_eq!(part_chunks(&part(&index, None)), 2);
+    assert_eq!(index.data.len().div_ceil(CHUNK_ROWS), 2);
     const { assert!(LEAD_CHUNKS >= 2) };
     // Scored: the five live stars and the three near rows, each once; no
     // dead one.
@@ -704,7 +722,7 @@ fn scan_after_every_row_was_seen_scores_nothing() {
         let p = scratch.profile;
         assert_eq!((p.chunks_scored, p.chunks_skipped), (chunks as u64, 0));
         assert_eq!((p.scan_rows, p.points_scored), (n as u64, n as u64));
-        let scanned = &scratch.chunks.scanned;
+        let scanned = &scratch.scan.scanned;
         assert_eq!(scanned.len(), chunks, "no chunk read twice");
         // The lead's chunks come first; the sweeps read only the rest.
         let mut swept = scanned[LEAD_CHUNKS..].to_vec();
@@ -1097,7 +1115,7 @@ proptest! {
 
 /// The layout is read off the roles alone: a 2-D index of one attractive
 /// and one repulsive dimension keeps its pair's block set above its rows,
-/// every other index the chunk boxes of its rows in box order; both keep
+/// every other index the box tree of its rows in box order; both keep
 /// an id a row and a first id a chunk — built and decoded alike.
 #[test]
 fn the_roles_alone_pick_the_layout() {
@@ -1136,8 +1154,9 @@ fn the_roles_alone_pick_the_layout() {
 
 /// The cells of one split, each built alone, are the box order of all the
 /// rows cut at chunk boundaries: concatenated in cell order, their rows,
-/// ids, chunk boxes and first ids are `SdIndex::build`'s — at any cell
-/// count, over scattered rows, exact duplicates and short last chunks.
+/// ids, chunk codes and first ids are `SdIndex::build`'s, and so are their
+/// trees' groups and stored nodes — at any cell count up to 16, over
+/// scattered rows, exact duplicates and short last chunks.
 #[test]
 fn cells_concatenate_to_the_whole_box_order() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xCE1);
@@ -1152,11 +1171,11 @@ fn cells_concatenate_to_the_whole_box_order() {
         }
         let roles = vec![DimRole::Attractive; dims];
         let whole = SdIndex::build(data.clone(), &roles).unwrap();
-        let boxes_of = |index: &SdIndex| match &index.layout {
-            Layout::Boxes(boxes) => boxes.to_vec(),
+        let tree_of = |index: &SdIndex| match &index.layout {
+            Layout::Boxes(tree) => tree.clone(),
             Layout::Pair(_) => unreachable!("no pair among these roles"),
         };
-        let want = boxes_of(&whole);
+        let want = tree_of(&whole);
         for count in [1, 2, 3, 4, 5, 8] {
             let cells = cells(&data, &roles, count);
             assert_eq!(cells.len(), count.min(n.div_ceil(CHUNK_ROWS)), "n {n}");
@@ -1172,17 +1191,26 @@ fn cells_concatenate_to_the_whole_box_order() {
             assert_eq!(ids, &whole.ids[..], "{ctx}: ids");
             let firsts: Vec<u32> = built.iter().flat_map(|i| i.firsts.to_vec()).collect();
             assert_eq!(firsts, &whole.firsts[..], "{ctx}: firsts");
-            // Boxes per dimension: every cell's lows then highs, in order.
+            // The trees: every cell's groups, node boxes and node first ids
+            // in order are the whole's (a cell of up to 16 is whole groups),
+            // and so are its chunk codes per dimension, every cell's lows
+            // then highs.
+            let trees: Vec<BoxTree> = built.iter().map(tree_of).collect();
+            let groups: Vec<u32> = trees.iter().flat_map(|t| t.groups.clone()).collect();
+            assert_eq!(groups, want.groups, "{ctx}: groups");
+            let boxes: Vec<f32> = trees.iter().flat_map(|t| t.boxes.to_vec()).collect();
+            assert_eq!(boxes, &want.boxes[..], "{ctx}: node boxes");
+            let firsts: Vec<u32> = trees.iter().flat_map(|t| t.firsts.to_vec()).collect();
+            assert_eq!(firsts, &want.firsts[..], "{ctx}: node first ids");
             let (all, mut at) = (whole.firsts.len(), 0);
-            for index in &built {
+            for (index, tree) in built.iter().zip(&trees) {
                 let c = index.firsts.len();
                 assert!(index.data.len() % CHUNK_ROWS == 0 || at + c == all, "{ctx}");
-                let boxes = boxes_of(index);
                 for d in 0..2 * dims {
                     assert_eq!(
-                        &boxes[d * c..(d + 1) * c],
-                        &want[d * all + at..d * all + at + c],
-                        "{ctx}: boxes"
+                        &tree.codes[d * c..(d + 1) * c],
+                        &want.codes[d * all + at..d * all + at + c],
+                        "{ctx}: codes"
                     );
                 }
                 at += c;
@@ -1241,4 +1269,82 @@ fn the_id_census_spans_every_cell() {
     ids[8] = ids[7];
     built[2].ids = ColumnarView::owned(ids);
     assert!(detail(built[2].rows_by_id().unwrap_err()).contains("repeated"));
+}
+
+/// `index` decoded from its bytes the way an `open_mapped` leaves it: every
+/// array region a view of one aligned buffer, its checksum deferred to the
+/// first query.
+fn mapped_copy(index: &SdIndex) -> SdIndex {
+    use crate::codec::{encode_to_vec, Codec, Reader};
+    let bytes = std::sync::Arc::new(crate::view::AlignedBytes::copy_from(&encode_to_vec(index)));
+    // SAFETY: `bytes` owns the 64-byte-aligned, never-again-written buffer
+    // and is the keepalive every view holds.
+    let mut reader = unsafe { Reader::new_mapped(bytes.as_slice(), bytes.clone(), true, "", 0) };
+    let mapped = SdIndex::decode(&mut reader).unwrap();
+    assert!(mapped.is_mapped());
+    mapped
+}
+
+/// The paper's Claims 4–6 as a test of the walk: the order a box scan
+/// visits the tree in can change what it costs, never what it answers. The
+/// lead is forced to no chunk (the sweep does everything), one chunk,
+/// [`LEAD_CHUNKS`] and every chunk (best first to the end), and under each
+/// the answer is the sequential scan's bit for bit, built and mapped — on
+/// ties, `±0`, duplicate rows, `k ≥ n` and all-zero weights.
+#[test]
+fn the_walk_order_never_changes_an_answer() {
+    struct Lead(Option<usize>);
+    impl Drop for Lead {
+        fn drop(&mut self) {
+            LEAD_OVERRIDE.with(|l| l.set(self.0));
+        }
+    }
+    let _restore = Lead(LEAD_OVERRIDE.with(std::cell::Cell::get));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0D5);
+    let roles = vec![
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+    ];
+    let n: usize = 3_000;
+    // Coordinates on a grid of five values, `±0` among them: many ties.
+    let grid = [-0.0, 0.0, 0.25, 0.5, 1.0];
+    let mut rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| (0..4).map(|_| grid[rng.gen_range(0..grid.len())]).collect())
+        .collect();
+    // And a block of exact duplicates, the first row 400 times over.
+    for i in 1000..1400 {
+        rows[i] = rows[0].clone();
+    }
+    let data = Dataset::from_rows(4, &rows).unwrap();
+    let built = SdIndex::build(data.clone(), &roles).unwrap();
+    let mapped = mapped_copy(&built);
+    let chunks = n.div_ceil(CHUNK_ROWS);
+    let queries = [
+        SdQuery::new(vec![0.5; 4], vec![1.0; 4]).unwrap(),
+        SdQuery::new(vec![-0.0, 0.0, -0.0, 0.0], vec![1.0, 2.0, 0.5, 1.0]).unwrap(),
+        SdQuery::new(vec![0.25; 4], vec![0.0, 1.0, 0.0, 3.0]).unwrap(),
+        SdQuery::new(vec![0.3; 4], vec![0.0; 4]).unwrap(),
+        rand_query(&mut rng, 4),
+    ];
+    let mut scratch = QueryScratch::new();
+    for lead in [0, 1, LEAD_CHUNKS, usize::MAX] {
+        LEAD_OVERRIDE.with(|l| l.set(Some(lead)));
+        for q in &queries {
+            for k in [1, 16, 64, 700, n, n + 5] {
+                let want = oracle(&data, &roles, q, k);
+                for (mode, index) in [("built", &built), ("mapped", &mapped)] {
+                    let got = index.query_with(q, k, &mut scratch).unwrap();
+                    assert_bit_identical(got, &want);
+                    let p = scratch.profile;
+                    assert_eq!(
+                        p.chunks_scored + p.chunks_skipped,
+                        chunks as u64,
+                        "{mode}, lead {lead}, k {k}, {q:?}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -77,11 +77,13 @@ use crate::kernels::LANES;
 /// kernel in one `kernel_batches` call per block; `points_scored` and
 /// `floor_updates` — the lanes that passed the floor compare, and what they
 /// did to the floor; `floor_value` and `emitted` as everywhere. Nothing is
-/// scanned (`parts_scanned`, `scan_rows` and `chunks_*` 0).
+/// scanned (`parts_scanned`, `scan_rows`, `boxes_bounded` and `chunks_*` 0).
 ///
 /// **On the box scan** (every other engine or index query) the counters
-/// read: `parts_scanned` — the parts scanned; `chunks_scored` and
-/// `chunks_skipped` — their chunks; `rows_fetched` and `scan_rows` — the
+/// read: `parts_scanned` — the parts scanned; `boxes_bounded` — the nodes
+/// and chunks of their box trees whose bound the scan computed;
+/// `chunks_scored` and `chunks_skipped` — their chunks scored, and the
+/// rest; `rows_fetched` and `scan_rows` — the
 /// rows of the scored chunks (plus every delta row in `rows_fetched`);
 /// `tombstones_skipped` — the dead among them; `points_gathered` — the
 /// rest; `kernel_batches` — one per scored piece of up to [`LANES`] rows;
@@ -126,11 +128,17 @@ pub struct QueryProfile {
     /// Rows of the chunks the box scan scored, tombstoned ones included.
     /// Counted into `rows_fetched`.
     pub scan_rows: u64,
+    /// Nodes and chunks of the parts' box trees whose score bound the box
+    /// scan computed, its descent's and its sweep's (a node or chunk met by
+    /// both counts twice).
+    pub boxes_bounded: u64,
     /// Chunks the box scan scored: their bound reached the floor at their
     /// turn.
     pub chunks_scored: u64,
-    /// Chunks the box scan bounded and skipped unread: their bound was under
-    /// the floor, or tied it with every id above the floor's worst.
+    /// Chunks of the scanned parts the box scan did not score — the
+    /// chunks less `chunks_scored`: their bound, or a node's above them,
+    /// was under the floor, or tied it with every id above the floor's
+    /// worst.
     pub chunks_skipped: u64,
     /// Distinct live rows gathered into SoA lanes for full scoring.
     pub points_gathered: u64,
@@ -183,13 +191,10 @@ pub struct QueryProfile {
     /// Nanoseconds in the final drain of the query's answer heap
     /// ([`QueryScratch::answer_with`](crate::QueryScratch::answer_with)).
     pub merge_nanos: u64,
-    /// Of `aggregate_nanos`, the box scan's bound pass: every chunk of
-    /// every part bounded from its box.
-    pub bound_nanos: u64,
-    /// Of `aggregate_nanos`, the box scan's lead: picking the best chunks
-    /// across every part, and scoring them.
+    /// Of `aggregate_nanos`, the box scan's descent: the best nodes and
+    /// chunks across every part, taken until the lead is scored.
     pub lead_nanos: u64,
-    /// Of `aggregate_nanos`, the box scan's two row-order sweeps.
+    /// Of `aggregate_nanos`, the box scan's depth-first sweep in row order.
     pub sweep_nanos: u64,
 }
 
@@ -205,6 +210,7 @@ impl Default for QueryProfile {
             rows_fetched: 0,
             parts_scanned: 0,
             scan_rows: 0,
+            boxes_bounded: 0,
             chunks_scored: 0,
             chunks_skipped: 0,
             points_gathered: 0,
@@ -224,7 +230,6 @@ impl Default for QueryProfile {
             delta_scan_nanos: 0,
             aggregate_nanos: 0,
             merge_nanos: 0,
-            bound_nanos: 0,
             lead_nanos: 0,
             sweep_nanos: 0,
         }
@@ -263,6 +268,7 @@ impl QueryProfile {
         self.rows_fetched += other.rows_fetched;
         self.parts_scanned += other.parts_scanned;
         self.scan_rows += other.scan_rows;
+        self.boxes_bounded += other.boxes_bounded;
         self.chunks_scored += other.chunks_scored;
         self.chunks_skipped += other.chunks_skipped;
         self.points_gathered += other.points_gathered;
@@ -288,7 +294,7 @@ impl QueryProfile {
     /// `--profile-json` and its slow-query events print. Each name is its
     /// field's, written once; the destructure names every field, so a new
     /// one does not compile until it is listed or set aside after the `;`.
-    pub fn counters(&self) -> [(&'static str, u64); 22] {
+    pub fn counters(&self) -> [(&'static str, u64); 23] {
         macro_rules! named {
             ($p:expr; $($counter:ident),*; $($other:ident),*) => {{
                 let QueryProfile { $($counter,)* $($other: _,)* } = $p;
@@ -299,11 +305,11 @@ impl QueryProfile {
             *self;
             nodes_visited, envelope_nodes_rejected, blocks_popped, blocks_floor_pruned,
             lanes_masked, onedim_rows_pulled, rows_fetched, parts_scanned, scan_rows,
-            chunks_scored, chunks_skipped, points_gathered, points_scored, kernel_batches,
-            delta_rows_scanned, delta_blocks_pruned, tombstones_skipped, seen_hits,
-            floor_updates, rounds, merge_rounds, emitted;
+            boxes_bounded, chunks_scored, chunks_skipped, points_gathered, points_scored,
+            kernel_batches, delta_rows_scanned, delta_blocks_pruned, tombstones_skipped,
+            seen_hits, floor_updates, rounds, merge_rounds, emitted;
             isa, floor_value, timing, delta_scan_nanos, aggregate_nanos, merge_nanos,
-            bound_nanos, lead_nanos, sweep_nanos
+            lead_nanos, sweep_nanos
         }
     }
 
@@ -404,11 +410,11 @@ mod tests {
         let c = p.counters();
         assert_eq!(c[0], ("nodes_visited", 1));
         assert_eq!(c[6], ("rows_fetched", 7));
-        assert_eq!(c[21], ("emitted", 23));
+        assert_eq!(c[22], ("emitted", 23));
         let mut names: Vec<&str> = c.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 22, "a name is listed twice");
+        assert_eq!(names.len(), 23, "a name is listed twice");
         assert_eq!(
             c.iter().map(|(_, v)| v).sum::<u64>(),
             31,

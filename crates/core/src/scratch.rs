@@ -8,8 +8,8 @@
 //! a whole query, all its parts — the one index of an
 //! [`SdIndex`](crate::multidim::SdIndex), or every shard of an engine —
 //! through the one driver, [`answer_parts`](crate::multidim::answer_parts):
-//! the box scan of every part shares the chunk buffers, the staged weights
-//! and the deadline, and the direct 2-D walk of a single-pair query draws
+//! the box scan of every part shares the descent's heap, the staged
+//! weights and the deadline, and the direct 2-D walk of a single-pair query draws
 //! on the frontier heaps.
 //!
 //! Every `query_with` — the index's, the engine's (an engine's scratch is
@@ -50,7 +50,7 @@
 use std::collections::BinaryHeap;
 
 use crate::deadline::Deadline;
-use crate::multidim::ChunkBufs;
+use crate::multidim::ScanBufs;
 use crate::profile::QueryProfile;
 use crate::threshold::{FloorEntry, QueryFloor};
 use crate::topk::arbitrary::PartWalk;
@@ -123,8 +123,8 @@ pub struct QueryScratch {
     /// The role-signed weights of the query, staged by the delta scan and
     /// the driver for every scorer of the query's parts.
     pub(crate) fbuf: Vec<f64>,
-    /// The box scan's chunk bounds and its lead.
-    pub(crate) chunks: ChunkBufs,
+    /// The box scan's descent heap and the chunks its lead scored.
+    pub(crate) scan: ScanBufs,
     /// Execution counters of the most recent query served from this
     /// scratch — reset at query start, always on (see
     /// [`QueryProfile`]). Set [`QueryProfile::timing`] before querying to

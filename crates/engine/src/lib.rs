@@ -40,11 +40,13 @@
 //!
 //! * **Cells of one box order** (any roles but a walked pair's): the shards
 //!   are the subtrees of one recursive median split of all the rows. The
-//!   calling thread runs the split's top `⌈log₂ S⌉` levels over every row,
-//!   and each shard's build finishes its own cell ([`cells`],
-//!   [`SdIndex::build_cell`]). Concatenated in shard order, the shards'
-//!   rows, ids, chunk boxes and first ids are those of one [`SdIndex`]
-//!   over all the rows, and each shard's id column holds global ids. At
+//!   split's top `⌈log₂ S⌉` levels run over every row (the root's cut on
+//!   the calling thread, its two sides on two), and each shard's build
+//!   finishes its own cell ([`cells`], [`SdIndex::build_cell`]).
+//!   Concatenated in shard order, the shards' rows, ids, chunk codes and
+//!   first ids are those of one [`SdIndex`] over all the rows — and at up
+//!   to 16 shards so are the stored nodes of their box trees, each shard
+//!   whole groups of it — and each shard's id column holds global ids. At
 //!   most one shard a 64-row chunk.
 //! * **Row ranges** (a walked pair's `ar`/`ra` roles): contiguous ranges
 //!   balanced within one row, each shard's rows in its own §4 tile order
@@ -54,11 +56,12 @@
 //! every scorer names a row by its shard's id column and nothing else.
 //!
 //! A query runs on the thread that calls it — parallelism is between
-//! queries ([`SdEngine::par_query_batch`]). It bounds the boxes of every
-//! shard as one index, scores the best chunks across all of them first
-//! and sweeps the rest in shard order, so a query over `S` cells visits
-//! the chunks, in the order, and counts what a one-shard engine does (or
-//! it walks every shard's pair index at once). A deleted id names no shard,
+//! queries ([`SdEngine::par_query_batch`]). It walks the box trees of
+//! every shard as one index — best first across all of them until the
+//! best chunks are scored, then the groups that still reach the floor,
+//! best first, each in row order — so a query over up to 16 cells bounds
+//! and scores what a one-shard engine does, in its order, and counts what
+//! it counts (or it walks every shard's pair index at once). A deleted id names no shard,
 //! so every compaction re-splits the live rows and rebuilds every shard
 //! ([`mutation`]).
 //!
@@ -1115,7 +1118,7 @@ mod tests {
         // first ids and the bound hierarchy: ≈ 8 B a row. A coordinate copy
         // (SoA blocks, a point table, a per-point tree) cannot hide under
         // 12. An index that aggregates stores no pair index at all: its id
-        // column, chunk boxes and first ids are ≈ 5 B a row at 4-D.
+        // column, box tree and first ids are ≈ 4.5 B a row at 4-D.
         let e = engine(20_000, 2, 2);
         let per_row = e.memory_bytes() as f64 / 20_000.0;
         assert!(per_row < 12.0, "2-D: {per_row:.1} B/row");
@@ -1338,14 +1341,22 @@ mod tests {
         ));
     }
 
+    /// The chunks a box scan's plan bounds under its tree.
+    fn scan_chunks(plan: &QueryPlan) -> usize {
+        match plan {
+            QueryPlan::Scan { chunks, .. } => *chunks,
+            QueryPlan::Direct(_) => panic!("{plan:?} walks"),
+        }
+    }
+
     #[test]
     fn explain_reports_per_shard_plans() {
         // 400 rows are 7 chunks: the top two cuts leave 4, 3 → 2, 2, 2, 1.
         let e = engine(400, 4, 4);
         let q = SdQuery::uniform_weights(vec![0.0; 4], e.roles());
         let plans = e.explain(&q, 8).unwrap().plans;
-        let scan = |chunks| QueryPlan::Scan { chunks };
-        assert_eq!(plans, [scan(2), scan(2), scan(2), scan(1)]);
+        let chunks: Vec<usize> = plans.iter().map(scan_chunks).collect();
+        assert_eq!(chunks, [2, 2, 2, 1]);
         // A 2-D engine walks: unit weights hit the 45° indexed angle on every
         // shard, whatever its size.
         let e = engine(400, 2, 3);
@@ -1444,9 +1455,17 @@ mod tests {
             let weights = (0..4).map(|_| rng.gen_range(0.1..1.0)).collect();
             let q = SdQuery::new(point, weights).unwrap();
             let plans = e.explain(&q, 16).unwrap().plans;
-            let scan = |chunks| QueryPlan::Scan { chunks };
-            assert_eq!(plans, [scan(79), scan(78), scan(78), scan(78)]);
-            assert_eq!(plans[0].to_string(), "box scan over 79 chunk(s)");
+            let chunks: Vec<usize> = plans.iter().map(scan_chunks).collect();
+            assert_eq!(chunks, [79, 78, 78, 78]);
+            // 313 chunks make 16 groups of 19 or 20, four a cell; below each
+            // group the nodes of two chunks (3 or 4 of them) are stored: 19
+            // nodes in the first cell, 36 B each (a box and a first id), and
+            // 8 B of codes a chunk.
+            assert_eq!(
+                plans[0].to_string(),
+                "box scan over 79 chunk(s) under 19 node(s) on 2 stored level(s), \
+                 1316 B of node boxes and codes"
+            );
             e.query_with(&q, 16, &mut scratch).unwrap();
             let p = scratch.profile;
             assert_eq!(p.chunks_scored + p.chunks_skipped, 313);

@@ -638,38 +638,46 @@ fn print_plan_table(explained: &Explain, k: usize) {
                 format!("direct {}", p.action.name()),
                 p.theta_label()
             ),
-            QueryPlan::Scan { chunks } => println!(
+            QueryPlan::Scan {
+                chunks,
+                levels,
+                nodes,
+                bytes,
+            } => println!(
                 "  {:>5}  {:<16} {:<20} {:>12}",
                 i,
                 "all dimensions",
                 "box scan",
-                format!("{chunks} chunks bounded")
+                format!("{chunks} chunks under {nodes} nodes on {levels} levels ({bytes} B)")
             ),
         }
     }
     println!(
         "  (θ_q is a walked pair's weight angle: an indexed one walks the frontier \
-         at it, any other the Claim-6 bracket; a box scan bounds every chunk of every shard \
-         from its box, scores the best chunks of all shards first, then sweeps the rest, skipping \
-         every chunk under the floor or tied with it above the floor's worst id)"
+         at it, any other the Claim-6 bracket; a box scan walks every shard's box tree — its \
+         stored levels of node boxes, the chunks coded inside them — best first across all shards \
+         until the lead's chunks are scored, then depth first in row order, skipping every node \
+         and chunk under the floor or tied with it above the floor's worst id; the bytes are the \
+         node boxes, their first ids and the chunk codes)"
     );
 }
 
-/// The box scan's outcome after `--explain`'s table: the chunks the query
-/// bounded, scored and skipped over all its shards, read off its profile.
+/// The box scan's outcome after `--explain`'s table: the nodes and chunks
+/// the query bounded, and the chunks it scored and skipped over all its
+/// shards, read off its profile.
 fn print_scan_outcome(explained: &Explain, p: &QueryProfile) {
-    let bounded: usize = explained
+    let chunks: usize = explained
         .plans
         .iter()
         .map(|plan| match plan {
-            QueryPlan::Scan { chunks } => *chunks,
+            QueryPlan::Scan { chunks, .. } => *chunks,
             QueryPlan::Direct(_) => 0,
         })
         .sum();
     println!(
-        "  {:>5}  {:<16} {} chunks bounded: {} scored, {} skipped ({} rows scored; the query was \
-         executed)",
-        "all", "box scan", bounded, p.chunks_scored, p.chunks_skipped, p.scan_rows
+        "  {:>5}  {:<16} {} chunks, {} boxes bounded: {} scored, {} skipped ({} rows scored; the \
+         query was executed)",
+        "all", "box scan", chunks, p.boxes_bounded, p.chunks_scored, p.chunks_skipped, p.scan_rows
     );
 }
 
@@ -699,8 +707,8 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
         p.seen_hits, p.tombstones_skipped
     );
     println!(
-        "  box scan   shards {} · chunks scored {} · skipped {} · scan_rows {}",
-        p.parts_scanned, p.chunks_scored, p.chunks_skipped, p.scan_rows
+        "  box scan   shards {} · boxes bounded {} · chunks scored {} · skipped {} · scan_rows {}",
+        p.parts_scanned, p.boxes_bounded, p.chunks_scored, p.chunks_skipped, p.scan_rows
     );
     println!(
         "  delta      rows_scanned {} · blocks_pruned {}",
@@ -729,14 +737,8 @@ fn print_profile(p: &QueryProfile, live_points: u64, k: usize, wall_ms: f64, sha
     }
     if p.timing {
         println!(
-            "timings: delta scan {} ns · aggregate {} ns (bound {} · lead {} · sweep {}) \
-             · merge {} ns",
-            p.delta_scan_nanos,
-            p.aggregate_nanos,
-            p.bound_nanos,
-            p.lead_nanos,
-            p.sweep_nanos,
-            p.merge_nanos
+            "timings: delta scan {} ns · aggregate {} ns (lead {} · sweep {}) · merge {} ns",
+            p.delta_scan_nanos, p.aggregate_nanos, p.lead_nanos, p.sweep_nanos, p.merge_nanos
         );
     }
 }
@@ -763,7 +765,7 @@ fn query_profile_json(
         "funnel": funnel.collect::<Json>(),
         "timings_nanos": json! {
             "delta_scan": p.delta_scan_nanos, "aggregate": p.aggregate_nanos,
-            "bound": p.bound_nanos, "lead": p.lead_nanos, "sweep": p.sweep_nanos,
+            "lead": p.lead_nanos, "sweep": p.sweep_nanos,
             "merge": p.merge_nanos,
         },
     }

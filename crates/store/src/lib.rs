@@ -27,7 +27,7 @@
 //! | kind | name | holds |
 //! |-----:|------|-------|
 //! | 7 | `engine-manifest` | dimensionality, roles, per-shard row counts |
-//! | 15 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (the roles, nothing else), `data.meta` + `data.coords` (the rows, once, in the shard's stored order) and `data.ids` (the global id of each), then for a 2-D shard of one attractive and one repulsive dimension (a row range of the engine's rows, in the §4 tile order) its pair's envelope tree `pair0/meta` + `pair0/blocks.*`, for any other roles (a cell of the engine's one box order) the chunk boxes `data.boxes`, and last `data.firsts` (each 64-row chunk's smallest id); the shard ordinal sits in the table entry's `reserved` field |
+//! | 16 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (the roles, nothing else), `data.meta` + `data.coords` (the rows, once, in the shard's stored order) and `data.ids` (the global id of each), then for a 2-D shard of one attractive and one repulsive dimension (a row range of the engine's rows, in the §4 tile order) its pair's envelope tree `pair0/meta` + `pair0/blocks.*`, for any other roles (a cell of the engine's one box order) its box tree — `tree.meta` (each group's chunk count), `tree.boxes` + `tree.firsts` (the stored nodes' `f32` boxes and smallest ids) and `data.codes` (each chunk's box as `u8` codes inside its group's) — and last `data.firsts` (each 64-row chunk's smallest id); the shard ordinal sits in the table entry's `reserved` field |
 //! | 9 | `mutation-delta` | uncompacted inserted rows (only when non-empty) |
 //! | 10 | `mutation-tombstones` | the addressable row domain plus a sorted dead-id list (only when non-empty) |
 //! | 11 | `durability` | checkpoint generation and epoch, tying the file to its write-ahead log (see the [`durable`] module) |
@@ -38,12 +38,14 @@
 //! | 12 | `engine-shard` | retired: the shard layout that recorded a pairing strategy, its pairs and each unpaired dimension's extent (and, in its older files, one sorted column per unpaired dimension, aggregating shards' pair indexes, or rows not in box order) |
 //! | 13 | `engine-shard` | retired: the shard layout whose box-ordered shards were row ranges, each box-ordered over its own rows under shard-local ids |
 //! | 14 | `engine-shard` | retired: the shard layout whose 2-D shards kept their rows in id order under shard-local ids and a second copy of them, with slots and live masks, in the pair's blocks |
+//! | 15 | `engine-shard` | retired: the shard layout whose box-ordered shards stored every chunk's `f32` box and no box tree |
 //!
 //! Every payload is a stream of framed regions (see `sdq_core::codec`):
 //! small `[crc32c][len]` *metadata* regions verified eagerly at open, and
 //! `[crc32c][count][pad-to-64]` *array* regions whose payload bytes are the
 //! exact little-endian in-memory representation of the hot structures
-//! (coordinate tables, id columns, chunk boxes, envelope tables).
+//! (coordinate tables, id columns, node boxes and chunk codes, envelope
+//! tables).
 //! The table itself is covered by the trailing table checksum and padding
 //! must be zero, so *any* single flipped byte in the file is detected.
 //! Structural validation inside `sdq_core::codec` is the second line of
@@ -169,7 +171,7 @@ pub enum SectionKind {
     /// table entry's reserved `u32`. Every shard stores its rows once under
     /// global ids; a box-ordered shard is a cell of the engine's one box
     /// order.
-    EngineShard = 15,
+    EngineShard = 16,
     /// The engine's delta region: uncompacted inserted rows, as plain
     /// [`Dataset`] codec bytes.
     MutationDelta = 9,
@@ -188,7 +190,7 @@ impl SectionKind {
             9 => Some(SectionKind::MutationDelta),
             10 => Some(SectionKind::MutationTombstones),
             11 => Some(SectionKind::Durability),
-            15 => Some(SectionKind::EngineShard),
+            16 => Some(SectionKind::EngineShard),
             _ => None,
         }
     }
@@ -196,7 +198,7 @@ impl SectionKind {
     /// The name a retired kind number carried when it was written, and why
     /// it is no longer read: a store holds one engine, so the monolithic,
     /// §3, R*-tree and raw-dataset sections are gone, and so are the
-    /// standalone roles and §4 tree and four older shard layouts. The numbers
+    /// standalone roles and §4 tree and five older shard layouts. The numbers
     /// stay reserved; both readers refuse such a file by its name and reason
     /// and `sdq inspect` lists it by name.
     pub fn retired(raw: u32) -> Option<(&'static str, &'static str)> {
@@ -226,6 +228,10 @@ impl SectionKind {
             14 => Some((
                 "engine-shard",
                 "its 2-D shards kept a second copy of their rows in the pair's blocks, under shard-local ids, where a shard now stores its rows once under global ids",
+            )),
+            15 => Some((
+                "engine-shard",
+                "its box-ordered shards stored a flat table of chunk boxes, where a shard now stores its box tree with each chunk coded inside it",
             )),
             _ => None,
         }
@@ -1556,22 +1562,24 @@ mod tests {
         // no other guard. `PAYLOAD_CRC`, the first offset and the length were
         // computed over this fixture (100 rows, two cells) by the commit
         // that made a box-ordered engine's shards cells of one box order
-        // under global ids, and held by the one that made every shard store
-        // its rows once (section kind 15: `index.meta` holds the roles
+        // under global ids, held by the one that made every shard store its
+        // rows once, and recomputed by the one that stored each box-ordered
+        // shard's box tree (section kind 16: `index.meta` holds the roles
         // alone; every shard is its rows, `data.ids`, then `pair0` for a
-        // 2-D `ar` shard or `data.boxes` for any other, then `data.firsts`;
-        // kinds 2, 4, 8, 12, 13 and 14 retired). (The fixture goes through
-        // `sin`/`cos`; a libm that rounds them differently moves the
-        // coordinates, not the layout.)
-        const PAYLOAD_CRC: u32 = 0x0a42_1078;
+        // 2-D `ar` shard or `tree.meta` + `tree.boxes` + `tree.firsts` +
+        // `data.codes` for any other, then `data.firsts`; kinds 2, 4, 8,
+        // 12, 13, 14 and 15 retired). (The fixture goes through `sin`/`cos`;
+        // a libm that rounds them differently moves the coordinates, not
+        // the layout.)
+        const PAYLOAD_CRC: u32 = 0x61ab_40af;
         let bytes = durable_snapshot().to_bytes_v5().unwrap();
         assert_eq!(bytes[8..12], 5u32.to_le_bytes());
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         let mut kinds: Vec<u32> = info.sections.iter().map(|s| s.raw_kind).collect();
         kinds.dedup();
-        assert_eq!(kinds, [7, 15, 9, 10, 11], "every section kind");
+        assert_eq!(kinds, [7, 16, 9, 10, 11], "every section kind");
         let first = info.sections[0].offset as usize;
-        assert_eq!((first, bytes.len()), (192, 3868));
+        assert_eq!((first, bytes.len()), (192, 4124));
         assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
         // Deterministic through both readers.
         let owned = Snapshot::from_bytes(&bytes).unwrap();
@@ -1627,7 +1635,7 @@ mod tests {
     #[test]
     fn duplicate_singleton_section_is_refused() {
         let sections = durable_snapshot().sections();
-        for kind in (1..=15).filter_map(SectionKind::from_u32) {
+        for kind in (1..=16).filter_map(SectionKind::from_u32) {
             if kind == SectionKind::EngineShard {
                 continue;
             }
@@ -1868,6 +1876,12 @@ mod tests {
             "engine-shard",
             "its 2-D shards kept a second copy of their rows in the pair's blocks, under \
              shard-local ids, where a shard now stores its rows once under global ids",
+        );
+        assert_retired_kind_refused(
+            15,
+            "engine-shard",
+            "its box-ordered shards stored a flat table of chunk boxes, where a shard now \
+             stores its box tree with each chunk coded inside it",
         );
     }
 }

@@ -75,7 +75,7 @@ fn build_then_query_matches_in_memory_index() {
         .skip(1)
         .map(|rest| rest.split(',').next().unwrap())
         .collect();
-    assert_eq!(kinds, ["7", "15"], "manifest + one shard\n{json}");
+    assert_eq!(kinds, ["7", "16"], "manifest + one shard\n{json}");
 
     // The same workload in memory: the engine and the scan agree, and the
     // CLI must print what they answer.
@@ -173,20 +173,35 @@ fn sharded_build_then_query_matches_in_memory_index() {
     let explain = String::from_utf8(explain.stdout).unwrap();
     let rows: Vec<&str> = explain
         .lines()
-        .filter(|l| l.contains("box scan") && l.contains("chunks bounded"))
+        .filter(|l| l.contains(" chunks under ") || l.contains(" boxes bounded: "))
         .collect();
     // 5 000 rows are 79 chunks: the top two cuts leave 40, 39 → 20, 20,
-    // 20, 19.
+    // 20, 19, each cell four groups of five chunks (four and five in the
+    // last) — its stored nodes, on one level: 4 · (2 · 4 · 4 + 4) B of
+    // node boxes and first ids, and 2 · 4 B of codes a chunk.
     assert_eq!(rows.len(), 5, "{explain}");
-    for (row, chunks) in rows[..4].iter().zip(["20", "20", "20", "19"]) {
+    for (row, chunks) in rows[..4].iter().zip([20, 20, 20, 19]) {
         let cells: Vec<&str> = row.split_whitespace().collect();
+        let bytes = format!("({}", 4 * (2 * 4 * 4 + 4) + 2 * 4 * chunks);
         assert_eq!(
-            cells[cells.len() - 3..],
-            [chunks, "chunks", "bounded"],
+            cells[cells.len() - 10..],
+            [
+                &chunks.to_string(),
+                "chunks",
+                "under",
+                "4",
+                "nodes",
+                "on",
+                "1",
+                "levels",
+                &bytes,
+                "B)"
+            ],
             "{explain}"
         );
     }
-    assert!(rows[4].contains("79 chunks bounded: "), "{explain}");
+    assert!(rows[4].contains("79 chunks, "), "{explain}");
+    assert!(rows[4].contains(" boxes bounded: "), "{explain}");
     assert!(rows[4].contains(" skipped ("), "{explain}");
     assert!(!explain.contains("direct frontier"), "{explain}");
 
@@ -603,6 +618,12 @@ fn retired_section_kinds_are_refused_by_name() {
             "engine-shard",
             "its 2-D shards kept a second copy of their rows in the pair's blocks, under \
              shard-local ids, where a shard now stores its rows once under global ids",
+        ),
+        (
+            15,
+            "engine-shard",
+            "its box-ordered shards stored a flat table of chunk boxes, where a shard now \
+             stores its box tree with each chunk coded inside it",
         ),
     ] {
         // Relabel the first section (the manifest) and re-sign the table:

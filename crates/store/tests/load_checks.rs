@@ -90,8 +90,10 @@ fn is_typed(err: &SdError) -> bool {
 /// Every shard is its coordinates, once, in its stored order, the global
 /// id of every position (`data.ids`) and each chunk's smallest id
 /// (`data.firsts`). Between the two, a shard that scans (`arr`) holds the
-/// chunk boxes of its box order (`data.boxes`): no pair index, no point
-/// table, no sorted column. A single pair's shard (`ar`) holds its §4
+/// box tree of its box order — its shape (`tree.meta`), its stored nodes'
+/// boxes and smallest ids (`tree.boxes`, `tree.firsts`) and each chunk's
+/// codes (`data.codes`): no flat table of chunk boxes, no pair index, no
+/// point table, no sorted column. A single pair's shard (`ar`) holds its §4
 /// envelope tree over its rows in tile order — one bound hierarchy, no
 /// second copy of the pair's (x, y), no slots, no live masks, no node
 /// records.
@@ -106,7 +108,10 @@ fn an_engine_file_lists_exactly_these_regions() {
                 "data.meta",
                 "data.coords",
                 "data.ids",
-                "data.boxes",
+                "tree.meta",
+                "tree.boxes",
+                "tree.firsts",
+                "data.codes",
                 "data.firsts",
             ][..],
         ),

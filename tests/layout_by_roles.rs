@@ -4,8 +4,8 @@
 //! * every file holds each shard's rows once, the global id of each row
 //!   (`data.ids`) and each 64-row chunk's smallest id (`data.firsts`); a
 //!   file of one pair (`ar`, `ra`) holds the pair's envelope tree
-//!   (`pair0/*`) above them, and every other file the chunk boxes
-//!   (`data.boxes`);
+//!   (`pair0/*`) above them, and every other file the box tree (node boxes
+//!   `tree.boxes`, chunk codes `data.codes`);
 //! * for role sets heavy in unpaired dimensions — no pair at all included —
 //!   and for the two that are one pair, every engine answer, at 1, 2 and 4
 //!   shards, clean, tombstoned or with a delta region, built, reloaded or
@@ -148,14 +148,15 @@ proptest! {
                         .to_bytes_v5()
                         .unwrap();
                     // The roles alone pick the layout: every shard's ids and
-                    // first ids, then a pair's envelope tree or the chunk
-                    // boxes.
+                    // first ids, then a pair's envelope tree or the box tree
+                    // (node boxes, chunk codes); no flat table of chunk boxes.
                     let names = region_names(&image);
                     let walks = walked_pair(&roles).is_some();
                     let holds = |region: &str| names.iter().any(|r| r.ends_with(region));
                     prop_assert!(holds("/data.ids") && holds("/data.firsts"));
                     prop_assert_eq!(holds("/pair0/meta"), walks);
-                    prop_assert_eq!(holds("/data.boxes"), !walks);
+                    prop_assert_eq!(holds("/tree.boxes") && holds("/data.codes"), !walks);
+                    prop_assert!(!holds("/data.boxes"));
                     let owned = Snapshot::from_bytes(&image).unwrap().engine.unwrap();
                     let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&image)).unwrap();
                     let mapped = mapped.snapshot.engine.unwrap();
