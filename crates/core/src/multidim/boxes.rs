@@ -40,7 +40,10 @@
 //! the split ([`BoxTree::children`]): nothing is derived at open but the
 //! groups' offsets. Per 100k 4-D rows (1 563 chunks): 272 nodes on two
 //! levels (16 + 256), 9.8 KB of node boxes and first ids, and 12.5 KB of
-//! codes, where the chunks' `f32` boxes took 50 KB.
+//! codes, where the chunks' `f32` boxes took 50 KB. A query reads a node's
+//! children only when it holds more than 256 chunks — a group of a cell of
+//! over 1.6M rows — so below that the levels under the groups are built,
+//! stored and checked at an eager open, and read by no query.
 //!
 //! Each chunk's box is stored as two `u8` codes a dimension inside the box
 //! of its *group*, decoded outward ([`decode`]): `plo + lo·step` and `phi −
@@ -50,49 +53,60 @@
 //! the fallback when no tighter code holds — a group box at ±∞ or of zero
 //! width. Coding inside the group rather than inside the nearest stored
 //! node costs a chunk's box at most 1/255 of its group's width a side, and
-//! lets the sweep bound every chunk under a run of reaching children in one
+//! lets a scan bound all the chunks of a group, or of any node, in one
 //! pass, a dimension at a time, with one step a dimension
 //! ([`BoxTree::run_bounds`], which AVX2 runs four lanes a step). Coded
-//! inside the nearest stored node, the sweep took one short pass a node and
-//! a dimension, and on the `agg_6d` shape (100k 6-D anti-correlated rows,
-//! k 64) those passes cost more than the rows the tree spared.
+//! inside the nearest stored node, a pass took one short run a node and a
+//! dimension, and on the `agg_6d` shape (100k 6-D anti-correlated rows,
+//! k 64) those runs cost more than the rows the tree spared. The looser
+//! boxes cost that shape 2.3 % more chunks scored (199.7 against 195.3 a
+//! query with the chunks' own `f32` boxes, 512 queries).
 //!
 //! The scan (`scan_parts` in the parent module) walks this tree over every
 //! part of a query at once: best first from the top stored level of every
-//! part, until [`LEAD_CHUNKS`](super::LEAD_CHUNKS) chunks are scored (the
-//! *lead*, raising the floor), then the sweep: the groups that still reach
-//! the floor, best bound first, each depth first in row order, skipping
-//! every node and chunk that cannot reach the floor and every chunk the
-//! lead scored. Neither bounds what it never reaches, so on scattered rows
-//! a query's cost follows the rows it can use, not the rows there are.
+//! part until [`LEAD_CHUNKS`](super::LEAD_CHUNKS) chunks are scored (the
+//! *lead*, raising the floor) — a node of at most 256 chunks taken by
+//! bounding its chunks in one pass, a larger one through its children —
+//! then the sweep: every node that still reaches the floor, down to nodes
+//! of at most 256 chunks, each such node's chunks bounded once (the
+//! descent's bounds kept), and its chunks scored in row order, the upper
+//! half first. Neither bounds a group it never reaches, so on scattered
+//! rows a query's cost follows the rows it can use, not the rows there
+//! are.
 //!
 //! Measured against the flat scan it replaced — every chunk of every part
 //! bounded from its `f32` box, a lead cut out of the bounds, two row-order
-//! sweeps — on scratch builds of both (data seed 7, 4 cells, uniform
-//! queries, best of six warmed laps a query, one pinned CPU of a 2-core
-//! VM whose speed drifted up to 1.6× between runs; p50 / p95 µs, the range
-//! of two alternating runs):
+//! sweeps — on scratch builds of both (data seed 7, 4 cells, 256 uniform
+//! queries run in turn, eight rounds, the best of four untimed rounds a
+//! query, one pinned CPU of a 2-core VM; medians of three alternating
+//! runs):
 //!
-//! | shape | flat scan | tree | boxes bounded, tree | chunks scored, flat → tree |
+//! | shape | flat scan p50 / p95 µs | tree p50 / p95 µs | boxes bounded, tree | chunks scored, flat → tree |
 //! |---|---|---|---|---|
-//! | 100k 4-D uniform `arra`, k 16 | 22.4–23.1 / 26.5 | 4.8–8.8 / 10.0–18.7 | 134 | 13.7 → 14.1 |
-//! | 1M 4-D uniform `arra`, k 16 | 148–154 / 159–174 | 12.6–13.3 / 26.3–26.8 | 220 | 17.2 → 18.1 |
-//! | 100k 6-D anti `aaaarr`, k 64 | 46.8–67.2 / 75–105 | 75.8–81.8 / 124–127 | 909 | 189.5 → 198.0 |
-//! | 200k 2-D uniform `ar`, k 16, 1 / 4 cells (the §4 walk instead: 5.0–5.2 / 7.9–8.0) | – | 4.2 / 4.3–4.4 | 49 | – |
+//! | 100k 4-D uniform `arra`, k 16 | 16.7 / 20.3 | 10.6 / 15.8 | 275 | 13.6 → 14.1 |
+//! | 1M 4-D uniform `arra`, k 16 | 128.4 / 157.6 | 19.3 / 32.9 | 317 | 17.2 → 18.1 |
+//! | 100k 6-D anti `aaaarr`, k 64 | 57.3 / 82.5 | 61.8 / 91.9 | 1 255 | 189.5 → 193.8 |
 //!
-//! So the tree wins where its boxes prune — 1M rows cost 2.6× what 100k
-//! do, where the flat scan's 6.6× followed the rows — and loses where they
-//! do not: on 6-D anti-correlated rows it bounds 909 boxes and scores 5 %
-//! more chunks than the flat scan, whose one bound pass over all 1 563
-//! chunks was cheap. The repo benchmark, 10 alternating pairs of 6 s runs
-//! (parent median (IQR) → this tree's, pairs won):
+//! So the tree wins where its boxes prune and loses a little where they do
+//! not: on 6-D anti-correlated rows four groups in five still reach the
+//! floor after the lead, so the scan bounds about as many chunks as the
+//! flat scan did, each from codes (7 ns a chunk against the `f32` boxes'
+//! 5–6), and scores the 2.3 % more chunks the looser boxes let through.
+//! Walks that took a group's 16 children before its chunks bounded fewer
+//! boxes (918 against 1 595 on CI's 4-D anchor) and ran `agg_6d` 9.0 %
+//! (children first), 10.6 % (descent by children, sweep by groups) and
+//! 13.7 % (descent and sweep by children, best group first; 5 pairs each
+//! for these two) slower than the flat scan, where this one runs it 3.5 %
+//! slower. The repo benchmark,
+//! 10 interleaved pairs of 6 s runs (parent median (IQR) → this tree's,
+//! pairs won):
 //!
 //! | workload | `query_p50_us` | `query_p95_us` | `mem_bytes_per_row` |
 //! |---|---|---|---|
-//! | `cold_open_4d` | 17.33 (0.23) → 7.91 (10/10) | 20.61 → 15.94 (10/10) | 4.688 → 4.413 |
-//! | `mixed_rw_4d` (5 pairs) | 20.01 (1.55) → 11.40 (5/5) | 23.52 → 20.99 (5/5) | 4.688 → 4.413 |
-//! | `agg_6d` | 62.32 (1.51) → 68.27 (0/10) | 97.62 → 110.0 (0/10) | 4.938 → 4.519 |
-//! | `direct_2d` (a walk; 5 pairs) | 7.82 (0.15) → 7.81 (3/5) | 11.72 → 11.61 (3/5) | 8.195 → 8.195 |
+//! | `cold_open_4d` | 16.32 (0.97) → 9.81 (10/10) | 19.31 (1.19) → 14.69 (10/10) | 4.688 → 4.413 |
+//! | `mixed_rw_4d` | 18.68 (0.86) → 12.86 (10/10) | 22.45 (1.22) → 18.58 (10/10) | 4.688 → 4.413 |
+//! | `agg_6d` | 58.93 (3.61) → 61.00 (3/10) | 95.16 (9.94) → 99.32 (2/10) | 4.938 → 4.519 |
+//! | `direct_2d` (a walk) | 7.36 (0.57) → 7.37 (5/10) | 11.00 (0.60) → 11.03 (5/10) | 8.195 → 8.195 |
 //!
 //! An index without a box order (a walked pair's, whose rows are in the §4
 //! tile order and which the direct 2-D walk answers — a scan only when both
@@ -162,8 +176,6 @@
 //! (Those cells were scanned by bounding every chunk of every cell, then
 //! one lead picked across all the bounds and two row-order sweeps: the flat
 //! scan the tree replaced.)
-
-use std::sync::Mutex;
 
 use crate::threshold::encode as order_key;
 use crate::types::Dataset;
@@ -570,10 +582,9 @@ impl BoxTree {
     /// ([`BoxTree::children`]), into `bounds`: a chunk's from its codes
     /// inside its group's box, a node's from its own — per child the sum
     /// [`box_bound`] takes, in its order. A dimension at a time, for every
-    /// child at once: the codes' step is taken once a dimension, and the
-    /// role once; the children of a node over at most 16 chunks, all
-    /// chunks, are one run of codes.
-    #[inline]
+    /// child at once: the codes' step is taken once a dimension; the
+    /// children of a node over at most 16 chunks, all chunks, are one run
+    /// of codes ([`BoxTree::run_bounds`]).
     pub(crate) fn child_bounds(
         &self,
         node: &Node,
@@ -582,47 +593,9 @@ impl BoxTree {
         bounds: &mut [f64; FANOUT],
     ) {
         if node.len as usize <= FANOUT {
-            return self.leaf_bounds(node, at, bounds);
+            let run = &mut bounds[..node.len as usize];
+            return self.run_bounds(node.group as usize, node.p as usize, at, run);
         }
-        match crate::kernels::active() {
-            #[cfg(target_arch = "x86_64")]
-            crate::kernels::Isa::Avx2 => {
-                // SAFETY: `active()` reports `Avx2` only after runtime
-                // detection of the feature.
-                unsafe { self.child_bounds_avx2(node, kids, at, bounds) }
-            }
-            _ => self.child_bounds_in(node, kids, at, bounds),
-        }
-    }
-
-    /// [`BoxTree::child_bounds`] compiled for AVX2: the same operations, in
-    /// the same order.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn child_bounds_avx2(
-        &self,
-        node: &Node,
-        kids: &[Child],
-        at: &BoxQuery<'_>,
-        bounds: &mut [f64; FANOUT],
-    ) {
-        self.child_bounds_in(node, kids, at, bounds)
-    }
-
-    /// The body of [`BoxTree::child_bounds`] for a node over more than 16
-    /// chunks.
-    #[inline(always)]
-    fn child_bounds_in(
-        &self,
-        node: &Node,
-        kids: &[Child],
-        at: &BoxQuery<'_>,
-        bounds: &mut [f64; FANOUT],
-    ) {
         let dims = at.roles.len();
         let chunks = self.codes.len() / (2 * dims);
         let (codes, boxes): (&[u8], &[f32]) = (&self.codes, &self.boxes);
@@ -632,30 +605,6 @@ impl BoxTree {
         let (start, count) = self.block(node.group as usize, node.level + 1);
         let block = &boxes[2 * dims * start..][..2 * dims * count];
         bounds[..kids.len()].fill(0.0);
-        // Each child's place in `kids`, and its chunk, or its place in the
-        // block.
-        let mut sides = Sides {
-            chunks: [(0, 0); FANOUT],
-            nodes: [(0, 0); FANOUT],
-            counts: (0, 0),
-        };
-        for (j, kid) in kids.iter().enumerate() {
-            match *kid {
-                Child::Chunk(c) => {
-                    sides.chunks[sides.counts.0] = (j, c as usize);
-                    sides.counts.0 += 1;
-                }
-                Child::Node(n) => {
-                    sides.nodes[sides.counts.1] = (j, n.index as usize - start);
-                    sides.counts.1 += 1;
-                }
-            }
-        }
-        // Children that are all nodes are one run of the block.
-        let run = match (sides.counts, kids.first()) {
-            ((0, n), Some(Child::Node(first))) => Some((first.index as usize - start, n)),
-            _ => None,
-        };
         for (d, (&role, (&q, &w))) in at.roles.iter().zip(at.q.iter().zip(at.w)).enumerate() {
             if w == 0.0 {
                 continue;
@@ -663,47 +612,28 @@ impl BoxTree {
             let parent = (f64::from(parent[2 * d]), f64::from(parent[2 * d + 1]));
             let step = code_step(parent.0, parent.1);
             let (los, his) = (&codes[2 * d * chunks..], &codes[(2 * d + 1) * chunks..]);
-            let side = Side {
-                parent,
-                step,
-                los,
-                his,
-                nodes: (
-                    &block[2 * d * count..][..count],
-                    &block[(2 * d + 1) * count..][..count],
-                ),
-            };
-            // The role's term, inlined with a constant role.
-            match (role, run) {
-                (DimRole::Repulsive, Some(run)) => side.add_nodes(run, bounds, |lo, hi| {
-                    box_term(DimRole::Repulsive, lo, hi, q, w)
-                }),
-                (DimRole::Attractive, Some(run)) => side.add_nodes(run, bounds, |lo, hi| {
-                    box_term(DimRole::Attractive, lo, hi, q, w)
-                }),
-                (DimRole::Repulsive, None) => side.add(&sides, bounds, |lo, hi| {
-                    box_term(DimRole::Repulsive, lo, hi, q, w)
-                }),
-                (DimRole::Attractive, None) => side.add(&sides, bounds, |lo, hi| {
-                    box_term(DimRole::Attractive, lo, hi, q, w)
-                }),
+            let (lows, highs) = (&block[2 * d * count..], &block[(2 * d + 1) * count..]);
+            for (b, kid) in bounds.iter_mut().zip(kids) {
+                let (lo, hi) = match *kid {
+                    Child::Chunk(c) => {
+                        let c = c as usize;
+                        decode(parent, step, (los[c], his[c]))
+                    }
+                    Child::Node(n) => {
+                        let r = n.index as usize - start;
+                        (f64::from(lows[r]), f64::from(highs[r]))
+                    }
+                };
+                *b += box_term(role, lo, hi, q, w);
             }
         }
     }
 
-    /// [`BoxTree::child_bounds`] of a node over at most 16 chunks, whose
-    /// children are those chunks, one run: their bounds, in order, into
-    /// `bounds`.
-    #[inline]
-    pub(crate) fn leaf_bounds(&self, node: &Node, at: &BoxQuery<'_>, bounds: &mut [f64; FANOUT]) {
-        let run = &mut bounds[..node.len as usize];
-        self.run_bounds(node.group as usize, node.p as usize, at, run);
-    }
-
     /// The bounds of the `bounds.len()` chunks from `p` of group `g`, in
     /// order, decoded inside the group's box: a dimension at a time, one
-    /// run of codes each — the whole group's chunks as cheaply as a flat
-    /// pass over them.
+    /// run of codes each. AVX2 runs it four lanes a step: without that arm
+    /// the repo benchmark's `agg_6d` p50 read 68.08 µs against 61.00
+    /// (`cold_open_4d` 10.73 against 9.81; 10 pairs each).
     #[inline]
     pub(crate) fn run_bounds(&self, g: usize, p: usize, at: &BoxQuery<'_>, bounds: &mut [f64]) {
         match crate::kernels::active() {
@@ -745,75 +675,10 @@ impl BoxTree {
             let step = code_step(parent.0, parent.1);
             let los = &codes[2 * d * chunks + p..][..n];
             let his = &codes[(2 * d + 1) * chunks + p..][..n];
-            let run = bounds.iter_mut().zip(los.iter().zip(his));
-            // The role's term, inlined with a constant role.
-            match role {
-                DimRole::Repulsive => {
-                    for (b, (&lo, &hi)) in run {
-                        let (lo, hi) = decode(parent, step, (lo, hi));
-                        *b += box_term(DimRole::Repulsive, lo, hi, q, w);
-                    }
-                }
-                DimRole::Attractive => {
-                    for (b, (&lo, &hi)) in run {
-                        let (lo, hi) = decode(parent, step, (lo, hi));
-                        *b += box_term(DimRole::Attractive, lo, hi, q, w);
-                    }
-                }
+            for (b, (&lo, &hi)) in bounds.iter_mut().zip(los.iter().zip(his)) {
+                let (lo, hi) = decode(parent, step, (lo, hi));
+                *b += box_term(role, lo, hi, q, w);
             }
-        }
-    }
-}
-
-/// The children of one node as [`BoxTree::child_bounds`] reads them when
-/// they are not one run of chunks: each chunk's place among the children
-/// and its index, each node's place and where its box starts, and how many
-/// of each.
-struct Sides {
-    chunks: [(usize, usize); FANOUT],
-    nodes: [(usize, usize); FANOUT],
-    counts: (usize, usize),
-}
-
-/// One dimension of a node's children ([`BoxTree::child_bounds`]): its
-/// group's `(lo, hi)` and its [`code_step`], the chunks' low and high
-/// codes, and the lows and highs of the block of its children that are
-/// nodes.
-struct Side<'a> {
-    parent: (f64, f64),
-    step: f64,
-    los: &'a [u8],
-    his: &'a [u8],
-    nodes: (&'a [f32], &'a [f32]),
-}
-
-impl Side<'_> {
-    /// Adds `term` of every child of `sides` to its bound: a chunk's
-    /// decoded, a node's from its box.
-    #[inline(always)]
-    fn add(&self, sides: &Sides, bounds: &mut [f64], term: impl Fn(f64, f64) -> f64) {
-        for &(j, c) in &sides.chunks[..sides.counts.0] {
-            let (lo, hi) = decode(self.parent, self.step, (self.los[c], self.his[c]));
-            bounds[j] += term(lo, hi);
-        }
-        for &(j, r) in &sides.nodes[..sides.counts.1] {
-            let (lo, hi) = (self.nodes.0[r], self.nodes.1[r]);
-            bounds[j] += term(f64::from(lo), f64::from(hi));
-        }
-    }
-
-    /// Adds `term` of the `n` nodes of the block from place `r` to the
-    /// first `n` bounds, in one pass.
-    #[inline(always)]
-    fn add_nodes(
-        &self,
-        (r, n): (usize, usize),
-        bounds: &mut [f64],
-        term: impl Fn(f64, f64) -> f64,
-    ) {
-        let sides = self.nodes.0[r..r + n].iter().zip(&self.nodes.1[r..r + n]);
-        for (b, (&lo, &hi)) in bounds[..n].iter_mut().zip(sides) {
-            *b += term(f64::from(lo), f64::from(hi));
         }
     }
 }
@@ -1003,10 +868,7 @@ impl Cell {
 /// Cuts `data`'s rows into `count` cells (`1 ≤ count`, at most one a chunk) by the
 /// top `⌈log₂ count⌉` levels of their recursive median split (module docs):
 /// the levels every cell shares, run here over all the rows, with key
-/// columns of the cut dimensions only — the root's cut on the calling
-/// thread, then the two sides' on two workers (one after the other when
-/// the OS refuses the thread; either way the same cuts). The split's
-/// subtrees at that depth
+/// columns of the cut dimensions only. The split's subtrees at that depth
 /// (or leaves above it) go to the cells in order, `⌊m/count⌋` or one more
 /// each for `m` subtrees — at least `min(leaves, 2^levels)` of them, so no
 /// cell is empty. Each cell's build then finishes its own subtrees
@@ -1019,38 +881,14 @@ pub(crate) fn split(data: &Dataset, count: usize) -> Vec<Cell> {
     let keys = key_columns(data, 0..n as u32, levels.min(dims));
     let mut order: Vec<u64> = (0..n as u64).collect();
     let mut subtrees = Vec::new();
-    let cut_from = |order: &mut [u64], base: usize, run: Run, until: usize, left: &mut Vec<Run>| {
-        cut(order, base, &keys, n, dims, vec![run], until, left)
-    };
-    cut_from(&mut order, 0, (0, n, 0), levels.min(1), &mut subtrees);
-    if let [lower, upper] = subtrees[..] {
-        if levels > 1 {
-            subtrees.clear();
-            let (low, high) = order.split_at_mut(upper.0);
-            let high = Mutex::new((high, Vec::new()));
-            let cut_high = || {
-                let mut high = high.lock().expect("no cut of the upper half panicked");
-                let (order, left) = &mut *high;
-                cut_from(order, upper.0, upper, levels, left);
-            };
-            std::thread::scope(|scope| {
-                let helper = std::thread::Builder::new()
-                    .spawn_scoped(scope, cut_high)
-                    .ok();
-                cut_from(low, 0, lower, levels, &mut subtrees);
-                match helper {
-                    Some(helper) => helper
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                    None => cut_high(),
-                }
-            });
-            let (_, left) = high
-                .into_inner()
-                .expect("no cut of the upper half panicked");
-            subtrees.extend(left);
-        }
-    }
+    cut(
+        &mut order,
+        &keys,
+        dims,
+        vec![(0, n, 0)],
+        levels,
+        &mut subtrees,
+    );
     subtrees.sort_unstable();
     let m = subtrees.len();
     (0..count)
@@ -1110,16 +948,7 @@ pub(crate) fn finish_split(data: &Dataset, cell: &Cell) -> Vec<u32> {
     let mut order: Vec<u64> = cell.ids.iter().map(|&id| u64::from(rank(id))).collect();
     let keys = key_columns(data, ascending.iter().copied(), dims);
     let runs = cell.runs.clone();
-    cut(
-        &mut order,
-        0,
-        &keys,
-        m,
-        dims,
-        runs,
-        usize::MAX,
-        &mut Vec::new(),
-    );
+    cut(&mut order, &keys, dims, runs, usize::MAX, &mut Vec::new());
     order
         .iter()
         .map(|&e| ascending[e as u32 as usize])
@@ -1146,24 +975,21 @@ fn key_columns(
     keys
 }
 
-/// Cuts `runs` of the positions `order` holds from `base` on — entries
-/// whose low 32 bits index the key columns `keys`, `rows` keys a column —
-/// into leaves of [`CHUNK_ROWS`] rows, each cut at its depth's dimension; a
-/// run that is one leaf, or reaches depth `until`, is left whole and pushed
-/// to `left`.
-#[allow(clippy::too_many_arguments)]
+/// Cuts `runs` of the positions `order` holds — entries whose low 32 bits
+/// index the key columns `keys`, one key a position a column — into leaves
+/// of [`CHUNK_ROWS`] rows, each cut at its depth's dimension; a run that is
+/// one leaf, or reaches depth `until`, is left whole and pushed to `left`.
 fn cut(
     order: &mut [u64],
-    base: usize,
     keys: &[u32],
-    rows: usize,
     dims: usize,
     mut runs: Vec<Run>,
     until: usize,
     left: &mut Vec<Run>,
 ) {
+    let rows = order.len();
     while let Some((start, end, depth)) = runs.pop() {
-        let run = &mut order[start - base..end - base];
+        let run = &mut order[start..end];
         let len = run.len();
         if len <= CHUNK_ROWS || depth >= until {
             left.push((start, end, depth));

@@ -697,26 +697,27 @@ fn lead_chunks() -> usize {
 ///
 /// First the **descent** ([`Scan::descend`]): the top stored nodes of every
 /// part — its groups — go into one heap, best bound first, ties by
-/// smallest global id; the best is taken again and again — a node's
-/// children bounded and pushed, a chunk scored — until [`LEAD_CHUNKS`]
-/// chunks are scored, and then every chunk still tied with the last of
-/// them (all of them at all-zero weights), raising the floor. Once that
-/// many chunks are known, nothing bounded under the least of the best of
-/// them is pushed: it cannot join the lead. Then the **sweep**
-/// ([`Scan::sweep`]): the groups that still reach the floor, best bound
-/// first, each depth first in row order — a node's children bounded at
-/// once, every node and chunk that no longer [`reaches`] the floor skipped
-/// unread, and every chunk the descent scored passed by. A node or chunk
-/// whose bound is strictly under the floor holds no row above it, so
-/// strictly below `k` kept scores; one whose bound equals the floor is
-/// skipped when its smallest id is above the floor's worst one: a row that
-/// ties the k-th score enters only under a smaller id. The floor only
-/// rises, so when the descent's best no longer reaches the floor and it
-/// left nothing out, nothing left does, and the sweep is not run. A walked
-/// pair's part, scanned only when both its weights are zero, is one level
-/// of chunks, each bounded by `0`. Afterwards every live row of every part
-/// has been offered to the floor or is strictly below it, or tied with it
-/// under a larger id than any it keeps.
+/// smallest global id; the best is taken again and again until
+/// [`LEAD_CHUNKS`] chunks are scored, and then every chunk still tied with
+/// the last of them (all of them at all-zero weights), raising the floor.
+/// A node taken is split: one of at most [`FLAT`] chunks — every group of
+/// an index of up to 1.6M rows a cell — by bounding all its chunks in one
+/// pass ([`BoxTree::run_bounds`]), a larger one through its 16 children.
+/// Once that many chunk bounds are known, nothing bounded under the least
+/// of them is pushed: it cannot join the lead. Then the **sweep**
+/// ([`Scan::sweep`]): every group that still reaches the floor, down to
+/// its nodes of at most [`FLAT`] chunks that do, each one *span* of chunk
+/// bounds — the descent's, or taken now — and then, over those spans in
+/// row order, the chunks bounded at least halfway from the floor to the
+/// best chunk bound, then every other that still [`reaches`] the floor, the
+/// descent's own passed by. A node or chunk whose bound is strictly under
+/// the floor holds no row above it, so strictly below `k` kept scores; one
+/// whose bound equals the floor is skipped when its smallest id is above
+/// the floor's worst one: a row that ties the k-th score enters only under
+/// a smaller id. A walked pair's part, scanned only when both its weights
+/// are zero, is one span of chunks, each bounded by `0`. Afterwards every
+/// live row of every part has been offered to the floor or is strictly
+/// below it, or tied with it under a larger id than any it keeps.
 ///
 /// The parts of an engine are the cells of one box order, a cell of an
 /// engine of up to 16 shards whole groups of the one-part tree (the
@@ -724,17 +725,16 @@ fn lead_chunks() -> usize {
 /// nodes and chunks one part over the same rows meets, in the same order,
 /// and the scan counts what it counts (`parts_scanned` aside).
 ///
-/// Why this order. Measured on scratch builds of this walk (100k rows, 4
-/// cells, 96–512 uniform queries, best of six warmed laps, one pinned CPU
-/// of a 2-core VM): a lead of 32 or 64 chunks, or best first to the end,
-/// ran the 6-D anti-correlated shape (k 64) 1.05–1.3× slower than a lead
-/// of 16 — its chunks sit anywhere in the rows, and visiting rows out of
-/// order costs more than the floor it raises saves; a sweep of every
-/// group in row order scored 215.7 chunks a query there, the groups best
-/// bound first 208.3; a second, upper pass first (every node and chunk
-/// halfway from the floor to the lead's best bound, as the flat scan
-/// swept) scored 202.7 but bounded 1 282 boxes where one pass bounds 932,
-/// and ran 1.35× slower.
+/// Why this shape. On the 6-D anti-correlated shape (100k rows, k 64) the
+/// groups hardly prune — four in five still reach the floor after the lead
+/// — so what a query pays there is the chunk bounds it takes, and each is
+/// taken once: bounding a group's chunks in one pass costs less than
+/// walking its 16-way nodes to them, and a sweep that walked the nodes a
+/// second time (best group first, each depth first in row order) ran the
+/// repo benchmark's `agg_6d` 10.6–13.7 % slower than the flat scan, where
+/// this shape runs it 3.5 % slower (`boxes.rs` has the table). Two passes, the upper one first, score fewer chunks
+/// than one (the flat scan's finding). A lead of 32 or 64 chunks ran that
+/// shape 1.06–1.17× slower than 16: its chunks sit anywhere in the rows.
 ///
 /// Counters: `parts_scanned` one a part with rows, `boxes_bounded` every
 /// node and chunk bounded (the descent's and the sweep's), `chunks_scored`
@@ -761,30 +761,28 @@ fn scan_parts<'a>(
         part_floor_updates,
         ..
     } = scratch;
-    let (mut chunks, mut entries, mut groups) = (0, 0, 0);
+    let (mut chunks, mut entries, mut count) = (0, 0, 0);
     for part in parts.clone() {
+        count += 1;
         let n = part.index.data.len();
         if n > 0 {
             profile.parts_scanned += 1;
             profile.isa = kernels::active().name();
         }
         chunks += n.div_ceil(CHUNK_ROWS);
-        match &part.index.layout {
-            Layout::Boxes(tree) => {
-                entries += tree.entries();
-                groups += tree.groups.len();
-            }
-            Layout::Pair(_) => entries += n.div_ceil(CHUNK_ROWS),
-        }
+        entries += match &part.index.layout {
+            Layout::Boxes(tree) => tree.entries(),
+            Layout::Pair(_) => n.div_ceil(CHUNK_ROWS),
+        };
     }
-    bufs.reset((entries, groups));
+    bufs.reset((entries, chunks, count));
     scores.resize(LANES, 0.0);
     part_floor_updates.extend(parts.clone().map(|_| 0));
     let ScanBufs {
         heap,
         lead,
-        groups,
-        run,
+        bounds,
+        spans,
         #[cfg(test)]
         scanned,
     } = bufs;
@@ -803,16 +801,17 @@ fn scan_parts<'a>(
         deadline,
         floor,
         updates: part_floor_updates,
+        bounds,
+        spans,
+        filled: 0,
         #[cfg(test)]
         scanned,
     };
     let scored_before = scan.prof.chunks_scored;
-    let sweep = scan.descend(parts.clone(), heap, lead);
+    let top = scan.descend(parts.clone(), heap, lead)?;
     clock.lap(&mut scan.prof.lead_nanos);
-    if sweep? {
-        lead.sort_unstable();
-        scan.sweep(parts, lead, groups, run)?;
-    }
+    lead.sort_unstable();
+    scan.sweep(parts, lead, top)?;
     clock.lap(&mut scan.prof.sweep_nanos);
     scan.prof.chunks_skipped += chunks as u64 - (scan.prof.chunks_scored - scored_before);
     Ok(())
@@ -836,21 +835,21 @@ impl Clock {
     }
 }
 
-/// A group the sweep takes in turn: its order (its bound, order-preserving,
-/// then its smallest id reversed), its bound, its part and its top node.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Group {
-    order: (u64, u32),
-    bound: f64,
+/// A run of chunks whose bounds a scan took in one pass: chunks
+/// `start..end` of part `part`, their bounds in the scan's bound buffer from
+/// `at`. A node of at most [`FLAT`] chunks, or a walked pair's chunks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Span {
     part: u32,
-    top: boxes::Node,
+    start: u32,
+    end: u32,
+    at: u32,
 }
 
-/// Whether the descent scored chunk `c` of part `i` (`lead` ascending).
-#[inline]
-fn scored(lead: &[(u32, u32)], i: usize, c: usize) -> bool {
-    lead.binary_search(&(i as u32, c as u32)).is_ok()
-}
+/// The most chunks under a node whose chunks a scan bounds in one pass
+/// rather than through its children: a node of the top stored level of an
+/// index of up to 1.6M rows a cell.
+const FLAT: usize = FANOUT * FANOUT;
 
 /// Whether a node or chunk whose rows score at most `bound` and carry
 /// global ids from `first` on can still change what `floor` holds: its
@@ -883,11 +882,12 @@ pub(crate) struct Frontier {
     /// The best chunk bounds met so far, as many as the lead takes, the
     /// least on top (order-preserving keys): once there are that many,
     /// nothing bounded under the least of them can join the lead, and is
-    /// left out of the heap.
+    /// left out of the heap — the sweep finds it if it reaches the floor.
+    /// A node of up to 256 chunks offers all of them at once; without this
+    /// the 6-D anti-correlated shape (100k rows, k 64) ran 1.07× slower at
+    /// p50 and 1.10× at p95, the 4-D one 0.98× (6 and 4 rounds of 256
+    /// queries, one pinned CPU).
     best: BinaryHeap<std::cmp::Reverse<u64>>,
-    /// Whether something that reaches the floor was left out so: the sweep
-    /// then runs, whatever the heap holds.
-    dropped: bool,
 }
 
 impl Frontier {
@@ -912,8 +912,9 @@ impl Frontier {
 
 /// What one box scan works with, across all its parts: the query its boxes
 /// are bounded under, the point and role-signed weights it scores with, the
-/// kernel's per-lane output, the query's profile, deadline and floor, and
-/// each part's share of the floor's updates.
+/// kernel's per-lane output, the query's profile, deadline and floor, each
+/// part's share of the floor's updates, and the chunk bounds taken so far
+/// (`bounds`, in runs `spans` names).
 struct Scan<'s, 'f> {
     at: BoxQuery<'s>,
     sw: &'s [f64],
@@ -922,6 +923,10 @@ struct Scan<'s, 'f> {
     deadline: &'s Deadline,
     floor: &'s mut QueryFloor<'f>,
     updates: &'s mut [u64],
+    bounds: &'s mut [f64],
+    spans: &'s mut Vec<Span>,
+    /// Bounds taken so far: where the next span's go.
+    filled: u32,
     /// The chunks the query scored, in visiting order, as `part`-local
     /// indexes: what the tests recount its counters over.
     #[cfg(test)]
@@ -930,22 +935,26 @@ struct Scan<'s, 'f> {
 
 impl Scan<'_, '_> {
     /// The descent (see [`scan_parts`]): scores chunks best first from the
-    /// top stored nodes of every part until the lead is full; `true` when
-    /// something may still reach the floor, which the sweep then finds.
+    /// top stored nodes of every part until the lead is full, and returns
+    /// the best bound of any chunk it met. A node of at most [`FLAT`]
+    /// chunks is taken by bounding its chunks in one pass ([`Scan::span`]),
+    /// any other through its children.
     fn descend<'a>(
         &mut self,
         parts: impl Iterator<Item = ShardPart<'a>> + Clone,
         heap: &mut Frontier,
         lead: &mut Vec<(u32, u32)>,
-    ) -> Result<bool, SdError> {
+    ) -> Result<f64, SdError> {
         let want = lead_chunks();
+        let mut top = f64::NEG_INFINITY;
         if want == 0 {
-            return Ok(true);
+            return Ok(top);
         }
         for (i, part) in parts.clone().enumerate() {
             let index = part.index;
             match &index.layout {
                 Layout::Boxes(tree) => {
+                    self.prof.boxes_bounded += tree.groups.len() as u64;
                     for top in tree.tops() {
                         let bound = tree.node_bound(&top, &self.at);
                         let first = tree.firsts[top.index as usize];
@@ -964,57 +973,55 @@ impl Scan<'_, '_> {
         // Once the lead is full, the entries tied with its last chunk's
         // bound join it too (all of them, at all-zero weights).
         let mut tie = f64::INFINITY;
-        while lead.len() < want || heap.peek().is_some_and(|top| top.bound >= tie) {
+        while lead.len() < want || heap.peek().is_some_and(|next| next.bound >= tie) {
             let Some(best) = heap.pop() else {
-                return Ok(heap.dropped);
+                break;
             };
             if !reaches(best.bound, best.first, self.floor) {
-                return Ok(heap.dropped);
+                break;
             }
             let i = best.part as usize;
             let part = parts.clone().nth(i).expect("a pending entry's part");
-            match best.item {
+            let node = match best.item {
+                Child::Node(node) => node,
                 Child::Chunk(c) => {
                     self.chunk(&part, i, c as usize)?;
                     lead.push((best.part, c));
+                    top = top.max(best.bound);
                     if lead.len() == want {
                         tie = best.bound;
                     }
+                    continue;
                 }
-                Child::Node(node) if node.len as usize <= FANOUT => {
-                    // Every child a chunk, one run of them.
-                    let Layout::Boxes(tree) = &part.index.layout else {
-                        unreachable!("only a box tree has nodes");
-                    };
-                    let (p, n) = (node.p as usize, node.len as usize);
-                    tree.leaf_bounds(&node, &self.at, &mut bounds);
-                    let firsts = &part.index.firsts[p..p + n];
-                    for (c, (&bound, &first)) in (p as u32..).zip(bounds.iter().zip(firsts)) {
-                        self.push(heap, want, i, (bound, first), Child::Chunk(c));
-                    }
+            };
+            let Layout::Boxes(tree) = &part.index.layout else {
+                unreachable!("only a box tree has nodes");
+            };
+            if node.len as usize <= FLAT {
+                let span = self.span(i, tree, &node);
+                let firsts = &part.index.firsts[span.start as usize..span.end as usize];
+                for (c, &first) in (span.start..).zip(firsts) {
+                    let bound = self.bounds[(span.at + c - span.start) as usize];
+                    self.push(heap, want, i, (bound, first), Child::Chunk(c));
                 }
-                Child::Node(node) => {
-                    let Layout::Boxes(tree) = &part.index.layout else {
-                        unreachable!("only a box tree has nodes");
-                    };
-                    let n = tree.children(&node, &mut kids);
-                    tree.child_bounds(&node, &kids[..n], &self.at, &mut bounds);
-                    for (&kid, &bound) in kids[..n].iter().zip(&bounds) {
-                        let first = match kid {
-                            Child::Chunk(c) => part.index.firsts[c as usize],
-                            Child::Node(child) => tree.firsts[child.index as usize],
-                        };
-                        self.push(heap, want, i, (bound, first), kid);
-                    }
-                }
+                continue;
+            }
+            let n = tree.children(&node, &mut kids);
+            tree.child_bounds(&node, &kids[..n], &self.at, &mut bounds);
+            self.prof.boxes_bounded += n as u64;
+            for (&kid, &bound) in kids[..n].iter().zip(&bounds) {
+                let first = match kid {
+                    Child::Chunk(c) => part.index.firsts[c as usize],
+                    Child::Node(child) => tree.firsts[child.index as usize],
+                };
+                self.push(heap, want, i, (bound, first), kid);
             }
         }
-        Ok(true)
+        Ok(top)
     }
 
-    /// Counts a bounded node or chunk of part `i`, and pushes it when it
-    /// reaches the floor and can still join a lead of `want` chunks (see
-    /// [`Frontier::best`]).
+    /// Pushes a bounded node or chunk of part `i` when it reaches the floor
+    /// and can still join a lead of `want` chunks (see [`Frontier::best`]).
     #[inline]
     fn push(
         &mut self,
@@ -1024,12 +1031,10 @@ impl Scan<'_, '_> {
         (bound, first): (f64, u32),
         item: Child,
     ) {
-        self.prof.boxes_bounded += 1;
         if reaches(bound, first, self.floor) {
             let key = crate::threshold::encode(bound);
             let full = heap.best.len() >= want;
             if full && heap.best.peek().is_some_and(|least| key < least.0) {
-                heap.dropped = true;
                 return;
             }
             if let Child::Chunk(_) = item {
@@ -1048,152 +1053,137 @@ impl Scan<'_, '_> {
         }
     }
 
-    /// The sweep (see [`scan_parts`]): every part's groups that reach the
-    /// floor, best bound first, ties by smallest id, each swept depth first
-    /// in row order ([`Scan::sweep_node`]); a walked pair's chunks one by
-    /// one, in row order, bounded at `0`. `lead` holds the chunks the
-    /// descent scored (`(part, chunk)` ascending), `groups` and `run` room.
+    /// Bounds the chunks under `node` of part `i`'s `tree`, a node of at
+    /// most [`FLAT`] chunks, in one pass ([`BoxTree::run_bounds`]) into
+    /// the bound buffer, and returns their span.
+    fn span(&mut self, i: usize, tree: &BoxTree, node: &boxes::Node) -> Span {
+        let at = self.filled;
+        self.filled += node.len;
+        let span = Span {
+            part: i as u32,
+            start: node.p,
+            end: node.p + node.len,
+            at,
+        };
+        let run = &mut self.bounds[at as usize..][..node.len as usize];
+        tree.run_bounds(node.group as usize, node.p as usize, &self.at, run);
+        self.prof.boxes_bounded += u64::from(node.len);
+        self.spans.push(span);
+        span
+    }
+
+    /// The sweep (see [`scan_parts`]): bounds every node of every part that
+    /// reaches the floor down to nodes of at most [`FLAT`] chunks, and the
+    /// chunks of each of those the descent did not bound ([`Scan::span`]);
+    /// a walked pair's chunks are bounded at `0`. Then, in row order, it
+    /// scores the chunks of every span bounded at least halfway from the
+    /// floor to `top`, the best bound of any chunk, and then every other
+    /// that still reaches the floor, bar those the descent scored (`lead`,
+    /// `(part, chunk)` ascending).
     fn sweep<'a>(
         &mut self,
         parts: impl Iterator<Item = ShardPart<'a>> + Clone,
         lead: &[(u32, u32)],
-        groups: &mut Vec<Group>,
-        run: &mut [f64],
+        top: f64,
     ) -> Result<(), SdError> {
-        groups.clear();
+        // The descent's spans, sorted, then the spans to scan, in row order.
+        self.spans.sort_unstable();
+        let taken = self.spans.len();
         for (i, part) in parts.clone().enumerate() {
             let index = part.index;
-            match &index.layout {
-                Layout::Boxes(tree) => {
-                    for top in tree.tops() {
-                        self.prof.boxes_bounded += 1;
-                        let bound = tree.node_bound(&top, &self.at);
-                        let first = tree.firsts[top.index as usize];
-                        if reaches(bound, first, self.floor) {
-                            let order = (crate::threshold::encode(bound), !first);
-                            groups.push(Group {
-                                order,
-                                bound,
-                                part: i as u32,
-                                top,
-                            });
-                        }
-                    }
-                }
-                Layout::Pair(_) => {
-                    self.prof.boxes_bounded += index.firsts.len() as u64;
-                    for (c, &first) in index.firsts.iter().enumerate() {
-                        if reaches(0.0, first, self.floor) && !scored(lead, i, c) {
-                            self.chunk(&part, i, c)?;
-                        }
-                    }
+            let Layout::Boxes(tree) = &index.layout else {
+                let (part, end, at) = (i as u32, index.firsts.len() as u32, self.filled);
+                self.filled += end;
+                self.bounds[at as usize..][..end as usize].fill(0.0);
+                self.prof.boxes_bounded += u64::from(end);
+                self.spans.push(Span {
+                    part,
+                    start: 0,
+                    end,
+                    at,
+                });
+                continue;
+            };
+            for top in tree.tops() {
+                self.prof.boxes_bounded += 1;
+                let bound = tree.node_bound(&top, &self.at);
+                if reaches(bound, tree.firsts[top.index as usize], self.floor) {
+                    self.cover(i, tree, &top, taken);
                 }
             }
         }
-        groups.sort_unstable_by_key(|group| std::cmp::Reverse(group.order));
-        for group in groups.iter() {
-            // The floor only rises, and every group after this one is
-            // bounded lower, or as high with a larger smallest id.
-            if !reaches(group.bound, !group.order.1, self.floor) {
-                break;
+        let scan = taken..self.spans.len();
+        for &(i, c) in lead {
+            // The descent's chunks are passed by: no pass takes a NaN.
+            let spans = &self.spans[scan.clone()];
+            let at = spans.partition_point(|s| (s.part, s.start) <= (i, c));
+            if let Some(span) = at.checked_sub(1).map(|at| spans[at]) {
+                if span.part == i && c < span.end {
+                    self.bounds[(span.at + c - span.start) as usize] = f64::NAN;
+                }
             }
-            let i = group.part as usize;
-            let part = parts.clone().nth(i).expect("a group's part");
-            let Layout::Boxes(tree) = &part.index.layout else {
-                unreachable!("only a box tree has groups");
-            };
-            self.sweep_node(&part, i, tree, &group.top, lead, run)?;
+        }
+        let bar = self.floor.bar();
+        let half = bar + (top - bar) / 2.0;
+        for upper in [true, false] {
+            for s in scan.clone() {
+                let span = self.spans[s];
+                let i = span.part as usize;
+                let part = parts.clone().nth(i).expect("a span's part");
+                // The floor only rises when a chunk is scored: a bound under
+                // its last reading is out without asking it again.
+                let mut bar = self.floor.bar();
+                for c in span.start as usize..span.end as usize {
+                    let at = span.at as usize + c - span.start as usize;
+                    let b = self.bounds[at];
+                    // A NaN half (no full floor yet, or an infinite best
+                    // bound) leaves every chunk to the second pass.
+                    if upper && b.partial_cmp(&half).is_none_or(|o| o.is_lt()) {
+                        continue;
+                    }
+                    if b >= bar && reaches(b, part.index.firsts[c], self.floor) {
+                        self.chunk(&part, i, c)?;
+                        bar = self.floor.bar();
+                    }
+                    if upper {
+                        self.bounds[at] = f64::NAN;
+                    }
+                }
+            }
         }
         Ok(())
     }
 
-    /// Sweeps `node` of part `i`'s `tree`, which reached the floor. A node
-    /// over at most 16 chunks has its chunks bounded in one pass
-    /// ([`BoxTree::run_bounds`]) and scored in row order as they reach the
-    /// floor at their turn, bar those the descent scored. Any other has its
-    /// children bounded at once and taken in row order: every one that
-    /// reaches the floor swept in turn, the chunks of every run of reaching
-    /// children over at most 16 chunks each (chunks, or nodes whose
-    /// children are all chunks) bounded and scored as one.
-    fn sweep_node(
-        &mut self,
-        part: &ShardPart<'_>,
-        i: usize,
-        tree: &BoxTree,
-        node: &boxes::Node,
-        lead: &[(u32, u32)],
-        run: &mut [f64],
-    ) -> Result<(), SdError> {
-        if node.len as usize <= FANOUT {
-            let chunks = node.p as usize..(node.p + node.len) as usize;
-            return self.sweep_run(part, i, tree, node.group as usize, chunks, lead, run);
+    /// Adds the spans under `node` of part `i`'s `tree`, which reaches the
+    /// floor, to the spans to scan: the node's own, when it holds at most
+    /// [`FLAT`] chunks — the descent's, when it bounded them (among the
+    /// first `taken` spans, sorted), else bounded now; or those under every
+    /// child that reaches the floor, in turn.
+    fn cover(&mut self, i: usize, tree: &BoxTree, node: &boxes::Node, taken: usize) {
+        if node.len as usize <= FLAT {
+            let key = (i as u32, node.p);
+            let spans = &self.spans[..taken];
+            match spans.binary_search_by(|s| (s.part, s.start).cmp(&key)) {
+                Ok(at) => self.spans.push(spans[at]),
+                Err(_) => {
+                    self.span(i, tree, node);
+                }
+            }
+            return;
         }
         let mut kids = [Child::Chunk(0); FANOUT];
         let mut bounds = [0.0; FANOUT];
         let n = tree.children(node, &mut kids);
         tree.child_bounds(node, &kids[..n], &self.at, &mut bounds);
         self.prof.boxes_bounded += n as u64;
-        // The run of reaching children over at most 16 chunks so far.
-        let mut pending = 0..0;
         for (kid, &bound) in kids[..n].iter().zip(&bounds) {
-            let (chunks, first, whole) = match *kid {
-                Child::Chunk(c) => {
-                    let c = c as usize;
-                    (c..c + 1, part.index.firsts[c], false)
+            // Under a node of more than `FLAT` chunks, every child is a node.
+            if let Child::Node(child) = kid {
+                if reaches(bound, tree.firsts[child.index as usize], self.floor) {
+                    self.cover(i, tree, child, taken);
                 }
-                Child::Node(child) => {
-                    let chunks = child.p as usize..(child.p + child.len) as usize;
-                    let whole = child.len as usize > FANOUT;
-                    (chunks, tree.firsts[child.index as usize], whole)
-                }
-            };
-            let reach = reaches(bound, first, self.floor);
-            if reach && !whole {
-                // Children are in row order, one after the other.
-                if pending.is_empty() {
-                    pending = chunks;
-                } else {
-                    pending.end = chunks.end;
-                }
-                continue;
-            }
-            let group = node.group as usize;
-            self.sweep_run(part, i, tree, group, pending, lead, run)?;
-            pending = 0..0;
-            if let (true, Child::Node(child)) = (reach, kid) {
-                self.sweep_node(part, i, tree, child, lead, run)?;
             }
         }
-        self.sweep_run(part, i, tree, node.group as usize, pending, lead, run)
-    }
-
-    /// Bounds the chunks `chunks` of group `g` in one pass, and scores each
-    /// that reaches the floor at its turn and that the descent did not
-    /// score.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_run(
-        &mut self,
-        part: &ShardPart<'_>,
-        i: usize,
-        tree: &BoxTree,
-        g: usize,
-        chunks: std::ops::Range<usize>,
-        lead: &[(u32, u32)],
-        run: &mut [f64],
-    ) -> Result<(), SdError> {
-        if chunks.is_empty() {
-            return Ok(());
-        }
-        let bounds = &mut run[..chunks.len()];
-        tree.run_bounds(g, chunks.start, &self.at, bounds);
-        self.prof.boxes_bounded += chunks.len() as u64;
-        let firsts = &part.index.firsts[chunks.clone()];
-        for (c, (&bound, &first)) in chunks.zip(bounds.iter().zip(firsts)) {
-            if reaches(bound, first, self.floor) && !scored(lead, i, c) {
-                self.chunk(part, i, c)?;
-            }
-        }
-        Ok(())
     }
 
     /// Scores chunk `c` of part `i` [`LANES`] rows at a time, offers its
@@ -1261,15 +1251,15 @@ pub(crate) fn score_piece(
 }
 
 /// The scan's per-query buffers, kept in the [`QueryScratch`]: the
-/// descent's heap and the chunks it scored.
+/// descent's heap, the chunks it scored, and the chunk bounds taken so far
+/// with their spans.
 #[derive(Default)]
 pub(crate) struct ScanBufs {
     heap: Frontier,
     lead: Vec<(u32, u32)>,
-    groups: Vec<Group>,
-    /// Room for the bounds of one run of chunks the sweep bounds at once:
-    /// one node's, at most 16 of its children over at most 16 chunks each.
-    run: Vec<f64>,
+    /// Room for every chunk's bound.
+    bounds: Vec<f64>,
+    spans: Vec<Span>,
     /// The chunks the last query scored, in visiting order, as part-local
     /// indexes: what the tests recount its counters over.
     #[cfg(test)]
@@ -1277,16 +1267,16 @@ pub(crate) struct ScanBufs {
 }
 
 impl ScanBufs {
-    /// Empties both and makes room for `entries` pending nodes and chunks —
-    /// every one of the query's parts holds, the most the heap can meet —
-    /// when a query begins, so a scratch that has served the same parts
-    /// once never grows them mid-scan.
-    fn reset(&mut self, (entries, groups): (usize, usize)) {
+    /// Empties them and makes room for `entries` pending nodes and chunks —
+    /// every one of the query's `parts` holds, the most the heap can meet —
+    /// `chunks` bounds and the spans (a node's at most twice, one a walked
+    /// pair), when a query begins, so a scratch that has served the same
+    /// parts once never grows them mid-scan.
+    fn reset(&mut self, (entries, chunks, parts): (usize, usize, usize)) {
         let Frontier {
             heap,
             pending,
             best,
-            dropped,
         } = &mut self.heap;
         heap.clear();
         heap.reserve(entries);
@@ -1294,12 +1284,11 @@ impl ScanBufs {
         pending.reserve(entries);
         best.clear();
         best.reserve(LEAD_CHUNKS + 1);
-        *dropped = false;
         self.lead.clear();
         self.lead.reserve(LEAD_CHUNKS.min(entries));
-        self.groups.clear();
-        self.groups.reserve(groups);
-        self.run.resize(FANOUT * FANOUT, 0.0);
+        self.bounds.resize(chunks, 0.0);
+        self.spans.clear();
+        self.spans.reserve(2 * entries + parts);
     }
 }
 

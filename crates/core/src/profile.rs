@@ -129,8 +129,8 @@ pub struct QueryProfile {
     /// Counted into `rows_fetched`.
     pub scan_rows: u64,
     /// Nodes and chunks of the parts' box trees whose score bound the box
-    /// scan computed, its descent's and its sweep's (a node or chunk met by
-    /// both counts twice).
+    /// scan computed, its descent's and its sweep's: a chunk once, a node
+    /// on the top stored level once each (the sweep bounds them again).
     pub boxes_bounded: u64,
     /// Chunks the box scan scored: their bound reached the floor at their
     /// turn.
@@ -194,7 +194,8 @@ pub struct QueryProfile {
     /// Of `aggregate_nanos`, the box scan's descent: the best nodes and
     /// chunks across every part, taken until the lead is scored.
     pub lead_nanos: u64,
-    /// Of `aggregate_nanos`, the box scan's depth-first sweep in row order.
+    /// Of `aggregate_nanos`, the box scan's sweep: the nodes still reaching
+    /// the floor, their chunks scored in row order.
     pub sweep_nanos: u64,
 }
 

@@ -123,7 +123,8 @@ pub struct QueryScratch {
     /// The role-signed weights of the query, staged by the delta scan and
     /// the driver for every scorer of the query's parts.
     pub(crate) fbuf: Vec<f64>,
-    /// The box scan's descent heap and the chunks its lead scored.
+    /// The box scan's descent heap, the chunks its lead scored and the
+    /// chunk bounds it took.
     pub(crate) scan: ScanBufs,
     /// Execution counters of the most recent query served from this
     /// scratch — reset at query start, always on (see

@@ -656,8 +656,9 @@ fn print_plan_table(explained: &Explain, k: usize) {
         "  (θ_q is a walked pair's weight angle: an indexed one walks the frontier \
          at it, any other the Claim-6 bracket; a box scan walks every shard's box tree — its \
          stored levels of node boxes, the chunks coded inside them — best first across all shards \
-         until the lead's chunks are scored, then depth first in row order, skipping every node \
-         and chunk under the floor or tied with it above the floor's worst id; the bytes are the \
+         until the lead's chunks are scored, then the nodes still reaching the floor, their chunks \
+         in row order, skipping every node and chunk under the floor or tied with it above the \
+         floor's worst id; the bytes are the \
          node boxes, their first ids and the chunk codes)"
     );
 }
