@@ -75,10 +75,8 @@
 
 use std::sync::Arc;
 
-use crate::geometry::Angle;
 use crate::integrity::{crc32c, ensure_all, SectionIntegrity};
-use crate::multidim::{check_firsts, walked_pair, BoxTree, Layout, SdIndex, CHUNK_ROWS};
-use crate::topk::blocks::BlockSet;
+use crate::multidim::{check_firsts, BoxTree, SdIndex, CHUNK_ROWS};
 use crate::types::{Dataset, SdError, MAX_MAGNITUDE};
 use crate::view::{AlignedBytes, ColumnarView, Pod, ViewKeep};
 use crate::DimRole;
@@ -762,33 +760,10 @@ impl Codec for DimRole {
     }
 }
 
-impl Codec for Angle {
-    const MIN_ENCODED_BYTES: usize = 16;
-    fn encode(&self, w: &mut Writer) {
-        w.f64(self.cos);
-        w.f64(self.sin);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let cos = finite_f64(r.f64()?, "angle cos")?;
-        let sin = finite_f64(r.f64()?, "angle sin")?;
-        ensure(
-            (0.0..=1.0).contains(&cos) && (0.0..=1.0).contains(&sin),
-            || format!("angle ({cos}, {sin}) outside the first quadrant"),
-        )?;
-        ensure((cos * cos + sin * sin - 1.0).abs() < 1e-9, || {
-            format!("angle ({cos}, {sin}) not on the unit circle")
-        })?;
-        Ok(Angle { cos, sin })
-    }
-}
-
 /// Section layout: one metadata region holding the roles alone
 /// (`index.meta`), the dataset's regions (`data.meta`, `data.coords`: the
-/// rows by position), the id of every position (`data.ids`, `u32`), then
-/// what [`walked_pair`] reads off the roles — a walked pair's §4 envelope
-/// tree (`meta` + `blocks.*`, block `b` the rows at positions `[32b, 32b +
-/// 32)`) under a `pair0` prefix, or for any other roles the box tree: its
-/// shape (`tree.meta`, each group's chunk count), its node boxes
+/// rows by position, in box order), the id of every position (`data.ids`,
+/// `u32`), then the box tree: its shape (`tree.meta`, each group's chunk count), its node boxes
 /// (`tree.boxes`, `f32`, per node the `(lo, hi)` of each dimension), its
 /// nodes' smallest ids (`tree.firsts`, `u32`) and the chunk codes
 /// (`data.codes`, `u8`, per chunk the `(lo, hi)` code of each dimension)
@@ -801,15 +776,11 @@ impl Codec for SdIndex {
         w.meta_region(|m| self.roles.encode(m));
         self.data.as_ref().encode(w);
         w.pod_array(&self.ids);
-        match &self.layout {
-            Layout::Pair(blocks) => blocks.encode(w),
-            Layout::Boxes(tree) => {
-                w.meta_region(|m| m.u32s(&tree.groups));
-                w.pod_array(&tree.boxes);
-                w.pod_array(&tree.firsts);
-                w.pod_array(&tree.codes);
-            }
-        }
+        let tree = &self.tree;
+        w.meta_region(|m| m.u32s(&tree.groups));
+        w.pod_array(&tree.boxes);
+        w.pod_array(&tree.firsts);
+        w.pod_array(&tree.codes);
         w.pod_array(&self.firsts);
     }
 
@@ -826,36 +797,26 @@ impl Codec for SdIndex {
         ensure(ids.len() == n, || {
             format!("{} row ids for {n} rows", ids.len())
         })?;
-        let layout = match walked_pair(&roles) {
-            Some(_) => {
-                let token = r.push_prefix("pair0");
-                let blocks = BlockSet::decode(r, n);
-                r.pop_prefix(token);
-                Layout::Pair(blocks?)
-            }
-            None => {
-                let groups = r.meta_region("tree.meta", |m| m.u32s())?;
-                let (boxes, _) = r.pod_array::<f32>("tree.boxes")?;
-                let (firsts, _) = r.pod_array::<u32>("tree.firsts")?;
-                let (codes, _) = r.pod_array::<u8>("data.codes")?;
-                let tables = (boxes, firsts, codes);
-                Layout::Boxes(BoxTree::from_parts(groups, chunks, dims, tables).map_err(corrupt)?)
-            }
-        };
+        let groups = r.meta_region("tree.meta", |m| m.u32s())?;
+        let (boxes, _) = r.pod_array::<f32>("tree.boxes")?;
+        let (tree_firsts, _) = r.pod_array::<u32>("tree.firsts")?;
+        let (codes, _) = r.pod_array::<u8>("data.codes")?;
+        let tables = (boxes, tree_firsts, codes);
+        let tree = BoxTree::from_parts(groups, chunks, dims, tables).map_err(corrupt)?;
         let (firsts, _) = r.pod_array::<u32>("data.firsts")?;
         ensure(firsts.len() == chunks, || {
             format!("{} chunk first ids for {chunks} chunks", firsts.len())
         })?;
         // Every region past `index.meta` is one a query reads: coordinates
-        // to score rows; ids and first ids to name and skip them; boxes, or
-        // the pair's envelope tree, to bound them.
+        // to score rows; ids and first ids to name and skip them; boxes to
+        // bound them.
         let query_integrity = r.regions[mark..].to_vec();
         Ok(SdIndex {
             data: Arc::new(data),
             ids,
             firsts,
             roles,
-            layout,
+            tree,
             query_integrity,
         })
     }
@@ -867,9 +828,7 @@ impl Codec for SdIndex {
         self.verify_integrity()?;
         finite_slice(self.data.flat(), "coordinate")?;
         check_firsts(&self.ids, &self.firsts).map_err(corrupt)?;
-        if let Layout::Boxes(tree) = &self.layout {
-            tree.check_firsts(&self.firsts).map_err(corrupt)?;
-        }
+        self.tree.check_firsts(&self.firsts).map_err(corrupt)?;
         self.query_integrity = Vec::new();
         Ok(())
     }
@@ -1017,8 +976,8 @@ mod tests {
 
     #[test]
     fn topk_flipped_slot_index_is_corrupt_not_panic() {
-        // A stored §4 index: six points (one duplicated) as a 2-D `ar`
-        // shard, so the file holds one pair's block tables and their slots.
+        // Six points (one duplicated) as a 2-D `ar` shard: the file holds
+        // the rows in box order, their ids, the box tree and first ids.
         let rows = [
             [0.0, 1.0],
             [2.0, 5.0],

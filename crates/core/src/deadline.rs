@@ -1,8 +1,8 @@
 //! Cooperative query deadlines and cancellation.
 //!
 //! Every query path is a sequence of short steps, each leaving the query's
-//! floor consistent — a walk pop, a 32-row piece of the box scan or of the
-//! delta scan, a round of a stream loop — so bounded-time serving is cheap:
+//! floor consistent — a 32-row piece of the box scan or of the delta scan,
+//! a walk pop or a round of a stream loop — so bounded-time serving is cheap:
 //! the engine only needs a *check point* between steps, not preemption.
 //! [`Deadline`] is that check point: a cloneable token holding an optional
 //! expiry instant and an optional shared cancel flag, consulted once per

@@ -2,7 +2,7 @@
 //! append-only write buffer.
 //!
 //! Freshly inserted rows live outside every index structure until the next
-//! compaction, so they cannot be served by the §4 walk or the box tree.
+//! compaction, so they cannot be served by the box tree.
 //! They do not need to be: the delta region is small by construction (the
 //! compactor folds it back once it drifts), and rows arrive in insertion
 //! order, so no bound over a run of them is tighter than the whole space.

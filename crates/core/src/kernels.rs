@@ -60,9 +60,9 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Points per block: the fixed lane width of every leaf block of the §4
-/// index, of every gather batch and of every run of rows [`score_rows`]
-/// scores (the box scan, the walk, the delta scan).
+/// Points per block: the fixed lane width of every gather batch and of
+/// every run of rows [`score_rows`] scores (the box scan, the delta scan,
+/// and the leaf blocks of `sdq-paper`'s §4 block index).
 ///
 /// 32 doubles = 256 bytes per dimension = 4 cache lines, and 8 AVX2
 /// vectors — wide enough to amortise per-block bookkeeping, small enough
@@ -442,15 +442,15 @@ const EPS_REL: f64 = 1e-12;
 
 /// `threshold` widened by the relative slack every bound compare in the
 /// workspace applies: `t + EPS_REL·(1 + |t|)`. The one definition — the
-/// certified loops of `topk` and `multidim` call it per compare, and it is
+/// certified loops of `sdq-paper` call it per compare, and it is
 /// the scalar arm of [`lane_filter`] lane for lane.
 #[inline]
 pub fn inflate(threshold: f64) -> f64 {
     threshold + EPS_REL * (1.0 + threshold.abs())
 }
 
-/// Batched per-lane floor filter of a pair stream ([`Pair2DStream`](crate::multidim::Pair2DStream),
-/// which the paper's §5 aggregation in `sdq-paper` runs): returns the bitmask
+/// Batched per-lane floor filter of a pair stream (`sdq-paper`'s
+/// `Pair2DStream`, which the paper's §5 aggregation runs): returns the bitmask
 /// of lanes that are alive in `live` **and** satisfy
 /// `floor <= inflate(scores[l] + others)` — the lanes of a popped block
 /// whose pair subscore, plus everything the *other* streams can still
@@ -507,25 +507,6 @@ fn lane_filter_avx2(scores: &[f64], others: f64, floor: f64) -> u32 {
         m |= lane_filter_scalar(tail, others, floor) << (scores.len() - tail.len());
     }
     m
-}
-
-// ─── prefetch ───────────────────────────────────────────────────────────────
-
-/// Hints the cache hierarchy to load the line holding `*p` (all levels).
-/// Purely a performance hint: it reads nothing architecturally, so any
-/// pointer value is acceptable — callers index with
-/// `as_ptr().wrapping_add(i)` and need no bounds proof. A no-op off x86-64.
-#[inline(always)]
-pub(crate) fn prefetch<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: PREFETCHh never faults and has no architectural effect — an
-    // unmapped, unaligned or dangling address is simply ignored — and SSE
-    // is part of the x86-64 baseline, so the instruction always exists.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 #[cfg(test)]

@@ -15,14 +15,10 @@
 //! The crate provides:
 //!
 //! * [`geometry`] — the isoline/projection machinery of §2 (Claims 1–4),
-//! * [`topk`] — the §4 projection-bound index for runtime `k`, `α`, `β`, in
-//!   the bulk-loaded block form an engine shard stores per pair,
 //! * [`multidim`] — the index for any number of dimensions and its one
 //!   driver, [`answer_parts`](multidim::answer_parts), over one index or
-//!   every shard of an engine: a single-pair query walks its pair's §4
-//!   frontier (indexed or Claim-6 bracketed, the [`planner`](multidim::plan)
-//!   rule), every other query is one box scan over rows stored in
-//!   recursive-median-split chunks,
+//!   every shard of an engine: every query, a single pair's too, is one box
+//!   scan over rows stored in recursive-median-split chunks,
 //! * [`threshold`] — the one answer heap and k-th-score floor of a query
 //!   ([`QueryFloor`]),
 //! * [`mask`] — tombstone bitmaps ([`RowMask`]) whose dead rows are dropped
@@ -45,9 +41,10 @@
 //!   persistence example).
 //!
 //! The paper's reference structures that no engine path reaches — the §3
-//! top-1 region index, the Alg. 1 envelopes and the §4 dynamic tree with its
-//! point updates — and the paper's §5 pair-stream aggregation are the
-//! `sdq-paper` crate, built on this one.
+//! top-1 region index, the Alg. 1 envelopes, the §4 dynamic tree with its
+//! point updates and the bulk-loaded §4 block index with its certified walk
+//! — and the paper's §5 pair-stream aggregation are the `sdq-paper` crate,
+//! built on this one.
 //!
 //! ## Quick start
 //!
@@ -82,7 +79,6 @@ pub mod score;
 mod scratch;
 pub mod telemetry;
 pub mod threshold;
-pub mod topk;
 mod types;
 pub mod view;
 

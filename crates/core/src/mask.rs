@@ -10,7 +10,7 @@
 //! superset is still admissible for the live subset, it only prunes
 //! slightly less until the next compaction drops the tombstones for real.
 //!
-//! The box scan and the walk read the engine-global mask at a row's global
+//! The box scan reads the engine-global mask at a row's global
 //! id, which every shard's id column holds. A [`MaskView`] adapts it to the
 //! delta region's local rows (global id = base rows + delta row), which is
 //! the form the delta scan consumes.

@@ -1,6 +1,6 @@
-//! Box order: how an [`SdIndex`](super::SdIndex) that is not one walked
-//! pair lays out its rows, and the tree over them the box scan walks so it
-//! can skip whole subtrees of rows; and the 64-row chunks every index is
+//! Box order: how every [`SdIndex`](super::SdIndex), whatever its roles,
+//! lays out its rows, and the tree over them the box scan walks so it can
+//! skip whole subtrees of rows; and the 64-row chunks every index is
 //! scanned by.
 //!
 //! The rows are put in *recursive median split* order over all dimensions
@@ -15,7 +15,7 @@
 //! (no order the scan relies on). Every [`CHUNK_ROWS`] consecutive
 //! positions are then one leaf — a chunk.
 //!
-//! Every index, in box order or not, keeps beside its rows:
+//! Every index keeps beside its rows:
 //! * `ids` — the row id of each position (what the query floor, the
 //!   tombstones and anyone reading rows by id go through);
 //! * `firsts` — each chunk's smallest row id (4 B a chunk): what lets the
@@ -24,7 +24,7 @@
 //!
 //! ## The box tree
 //!
-//! An index in box order keeps the split's tree above them ([`BoxTree`]),
+//! Every index keeps the split's tree above them ([`BoxTree`]),
 //! stored every 4th level: the nodes at global depths 4, 8, … of the split
 //! of *all* the engine's rows, so a stored node has up to 16 children — its
 //! descendants four cuts below it that hold a chunk: a chunk, or the node
@@ -38,12 +38,14 @@
 //! group's top node, the nodes on one level hold `⌊L/16^l⌋` chunks or one
 //! more, so where a node sits in the tables is arithmetic on its place in
 //! the split ([`BoxTree::children`]): nothing is derived at open but the
-//! groups' offsets. Per 100k 4-D rows (1 563 chunks): 272 nodes on two
-//! levels (16 + 256), 9.8 KB of node boxes and first ids, and 12.5 KB of
-//! codes, where the chunks' `f32` boxes took 50 KB. A query reads a node's
-//! children only when it holds more than 256 chunks — a group of a cell of
-//! over 1.6M rows — so below that the levels under the groups are built,
-//! stored and checked at an eager open, and read by no query.
+//! groups' offsets. A query reads a node's children only when it holds
+//! more than 256 chunks ([`FLAT`]) — a group of a cell of over 262 144
+//! rows — so a group of at most that many stores its top node alone, and a
+//! larger one the levels down to nodes of at most 256 chunks. Per 100k 4-D
+//! rows (1 563 chunks): 16 nodes on one level, 0.6 KB of node boxes and
+//! first ids, and 12.5 KB of codes, where the chunks' `f32` boxes took 50
+//! KB (the 256 level-1 nodes it stored until no query read them were
+//! another 9.2 KB, ≈ 0.09 B a row).
 //!
 //! Each chunk's box is stored as two `u8` codes a dimension inside the box
 //! of its *group*, decoded outward ([`decode`]): `plo + lo·step` and `phi −
@@ -108,16 +110,21 @@
 //! | `agg_6d` | 58.93 (3.61) → 61.00 (3/10) | 95.16 (9.94) → 99.32 (2/10) | 4.938 → 4.519 |
 //! | `direct_2d` (a walk) | 7.36 (0.57) → 7.37 (5/10) | 11.00 (0.60) → 11.03 (5/10) | 8.195 → 8.195 |
 //!
-//! An index without a box order (a walked pair's, whose rows are in the §4
-//! tile order and which the direct 2-D walk answers — a scan only when both
-//! its weights are zero) is scanned as one level of its [`CHUNK_ROWS`]-row
-//! chunks, each bounded by `0`, every row's exact score then.
+//! A 2-D index of one attractive and one repulsive dimension was the last
+//! one stored otherwise: its rows in the §4 tile order under the pair's
+//! envelope tree, answered by the certified §4 walk (now `sdq-paper`'s
+//! `BlockIndex`). Stored in box order like the rest, on the same benchmark
+//! (a scratch build of the parent with every roles box-ordered, 6
+//! interleaved pairs of 10–30 s runs, parent → box order, pairs won):
+//!
+//! | workload | `query_p50_us` | `query_p95_us` | `mem_bytes_per_row` |
+//! |---|---|---|---|
+//! | `direct_2d`, 4 cells | 7.04–7.34 → 5.86–6.32 (6/6) | 10.5–11.0 → 8.4–9.1 | 8.19 → 4.28 |
 //!
 //! ## Box first
 //!
-//! Every query that is not a single pair is one box scan of these chunks
-//! (`scan_parts` in the parent module); the engine used to run the paper's
-//! §5 pair streams first and leave for this scan when they lost. Measured
+//! Every query is one box scan of these chunks (`scan_parts` in the parent
+//! module); the engine used to run the paper's §5 pair streams first and leave for this scan when they lost. Measured
 //! before that was dropped (a scratch build that forced either start, data
 //! seed 7, 256 uniform queries, 5 warmed laps, one pinned CPU of a 2-core
 //! VM; p50 µs at 4 row-range shards, 1 shard in brackets):
@@ -192,8 +199,16 @@ pub(crate) const CHUNK_ROWS: usize = 64;
 /// children are its descendants this many cuts below it.
 const STRIDE: u32 = 4;
 
-/// The most children a stored node has.
+/// The children a stored node has, when it has any: every node a walk
+/// splits holds more than [`FLAT`] chunks, and each of its descendants
+/// [`STRIDE`] cuts below it holds 16 or more.
 pub(crate) const FANOUT: usize = 1 << STRIDE;
+
+/// The most chunks under a node whose chunks a walk bounds in one pass
+/// rather than through its children: every group of an index of up to
+/// 262 144 rows (16 groups of 256 chunks). No walk reads the children of
+/// such a node, so none is stored ([`level_nodes`]).
+pub(crate) const FLAT: usize = FANOUT * FANOUT;
 
 /// The chunk boxes of `rows` (row-major, `dims` coordinates a row), each
 /// rounded outward: chunk `c`'s `(lo, hi)` in dimension `d` at `2(c·dims +
@@ -262,38 +277,19 @@ fn descend(mut p: u32, mut len: u32, j: u32, cuts: u32) -> (u32, u32) {
 }
 
 /// The stored nodes on `level` of a group of `len` chunks: the group's top
-/// node on level 0, and below it those of the `16^level` nodes that hold two
-/// chunks or more. The split keeps every run within one chunk of its
-/// siblings, so each of those holds `⌊len / 16^level⌋` chunks or one more.
+/// node on level 0, and below it all `16^level` nodes of a level whose
+/// parents hold more than [`FLAT`] chunks — `len > 16^(level + 1)` — and
+/// none otherwise: a node of at most `FLAT` chunks is bounded by its chunks,
+/// never through its children. The split keeps every run within one chunk
+/// of its siblings, so each node of a stored level holds `⌊len / 16^level⌋`
+/// chunks or one more, 16 or more.
 fn level_nodes(len: u32, level: u32) -> u64 {
     if level == 0 {
         return 1;
     }
-    let shift = STRIDE * level;
-    if shift >= 32 {
-        return 0;
-    }
-    let (len, width) = (u64::from(len), 1u64 << shift);
-    match len >> shift {
-        0 => 0,
-        1 => len - width,
-        _ => width,
-    }
-}
-
-/// Where node `m` of `level`, its chunks from `p` of its group of `len`, sits
-/// among that level's stored nodes: node `m` itself when every node of the
-/// level holds two chunks or more; otherwise only the nodes of two are
-/// stored, and one of them lies left of it for each of its `p` chunks past
-/// one a node.
-#[inline]
-fn rank(len: u32, level: u32, m: u32, p: u32) -> u32 {
-    if level == 0 {
-        0
-    } else if len >> (STRIDE * level) >= 2 {
-        m
-    } else {
-        p - m
+    match 1u64.checked_shl(STRIDE * (level + 1)) {
+        Some(parents) if u64::from(len) > parents => 1 << (STRIDE * level),
+        _ => 0,
     }
 }
 
@@ -311,7 +307,7 @@ fn group_shape(len: u32) -> (u32, u64) {
 /// A stored node met by a walk: its group, its level below the group's top
 /// node, its place `m` among the `16^level` nodes of that level, its chunks
 /// `[p, p + len)` of the index and its place in the node tables.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Node {
     pub(crate) group: u32,
     level: u32,
@@ -321,8 +317,7 @@ pub(crate) struct Node {
     pub(crate) index: u32,
 }
 
-/// A child of a stored node ([`BoxTree::children`]): a chunk, or the
-/// stored node above two chunks or more.
+/// What a walk's heap holds: a chunk, or a stored node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Child {
     /// A chunk, by its index in the index's chunks.
@@ -438,22 +433,23 @@ impl BoxTree {
         })
     }
 
-    /// Checks that each node's first id is the smallest of its children's
+    /// Checks that each node's first id is the smallest of its children's,
+    /// or of its chunks' for a node of at most [`FLAT`] chunks
     /// (`chunk_firsts` each chunk's).
     pub(crate) fn check_firsts(&self, chunk_firsts: &[u32]) -> Result<(), String> {
         let mut stack: Vec<Node> = self.tops().collect();
-        let mut kids = [Child::Chunk(0); FANOUT];
+        let mut kids = [Node::default(); FANOUT];
         while let Some(node) = stack.pop() {
-            let n = self.children(&node, &mut kids);
-            let least = kids[..n].iter().map(|kid| match *kid {
-                Child::Chunk(c) => chunk_firsts[c as usize],
-                Child::Node(child) => {
-                    stack.push(child);
-                    self.firsts[child.index as usize]
-                }
-            });
+            let least = if node.len as usize <= FLAT {
+                let (p, len) = (node.p as usize, node.len as usize);
+                chunk_firsts[p..p + len].iter().copied().min()
+            } else {
+                self.children(&node, &mut kids);
+                stack.extend(kids);
+                kids.iter().map(|kid| self.firsts[kid.index as usize]).min()
+            };
             let first = self.firsts[node.index as usize];
-            if least.min() != Some(first) {
+            if least != Some(first) {
                 return Err(format!(
                     "box tree node {}: first id {first} is not its smallest",
                     node.index
@@ -503,20 +499,14 @@ impl BoxTree {
             })
     }
 
-    /// The children of `node` into `kids`, in split order — each of its
-    /// descendants [`STRIDE`] cuts below it that holds a chunk: a chunk, or
-    /// the stored node above two or more — and how many there are.
+    /// The children of `node`, a node of more than [`FLAT`] chunks, into
+    /// `kids`, in split order: its descendants [`STRIDE`] cuts below it,
+    /// each a stored node of 16 chunks or more.
     #[inline]
-    pub(crate) fn children(&self, node: &Node, kids: &mut [Child; FANOUT]) -> usize {
+    pub(crate) fn children(&self, node: &Node, kids: &mut [Node; FANOUT]) {
+        debug_assert!(node.len as usize > FLAT, "a flat node has no children");
         // The node's runs `STRIDE` cuts down, cut a level at a time in
         // place: after level `l`, run `i` of `2^(l+1)` is the `i`-th.
-        if node.len as usize <= FANOUT {
-            // Every child a chunk (each run below holds one or none).
-            for (c, kid) in (node.p..node.p + node.len).zip(kids.iter_mut()) {
-                *kid = Child::Chunk(c);
-            }
-            return node.len as usize;
-        }
         let mut runs = [(0u32, 0u32); FANOUT];
         runs[0] = (node.p, node.len);
         for level in 0..STRIDE {
@@ -528,31 +518,20 @@ impl BoxTree {
             }
         }
         let g = node.group as usize;
-        let (len, (gp, gn)) = (self.groups[g], self.starts[g]);
         let level = node.level + 1;
         // Below the top, a group's nodes number under 2^32: they index a table.
-        let base = gn + level_start(len, level) as u32;
-        let mut n = 0;
-        for (j, &(p, count)) in runs.iter().enumerate() {
-            kids[n] = match count {
-                0 => continue,
-                1 => Child::Chunk(p),
-                _ => {
-                    let m = node.m * FANOUT as u32 + j as u32;
-                    let index = base + rank(len, level, m, p - gp);
-                    Child::Node(Node {
-                        group: node.group,
-                        level,
-                        m,
-                        p,
-                        len: count,
-                        index,
-                    })
-                }
+        let base = self.starts[g].1 + level_start(self.groups[g], level) as u32;
+        for (j, (&(p, len), kid)) in runs.iter().zip(kids).enumerate() {
+            let m = node.m * FANOUT as u32 + j as u32;
+            *kid = Node {
+                group: node.group,
+                level,
+                m,
+                p,
+                len,
+                index: base + m,
             };
-            n += 1;
         }
-        n
     }
 
     /// The nodes on `level` of group `g`: where the first sits in the node
@@ -578,53 +557,30 @@ impl BoxTree {
         })
     }
 
-    /// The score bound of each of `kids`, children of `node`
-    /// ([`BoxTree::children`]), into `bounds`: a chunk's from its codes
-    /// inside its group's box, a node's from its own — per child the sum
-    /// [`box_bound`] takes, in its order. A dimension at a time, for every
-    /// child at once: the codes' step is taken once a dimension; the
-    /// children of a node over at most 16 chunks, all chunks, are one run
-    /// of codes ([`BoxTree::run_bounds`]).
+    /// The score bound of each of `kids`, the children of `node`
+    /// ([`BoxTree::children`]), into `bounds`, from their boxes — per child
+    /// the sum [`box_bound`] takes, in its order, so each is its
+    /// [`BoxTree::node_bound`]. A dimension at a time, for every child at
+    /// once: the children are one block of the node tables.
     pub(crate) fn child_bounds(
         &self,
         node: &Node,
-        kids: &[Child],
+        kids: &[Node; FANOUT],
         at: &BoxQuery<'_>,
         bounds: &mut [f64; FANOUT],
     ) {
-        if node.len as usize <= FANOUT {
-            let run = &mut bounds[..node.len as usize];
-            return self.run_bounds(node.group as usize, node.p as usize, at, run);
-        }
         let dims = at.roles.len();
-        let chunks = self.codes.len() / (2 * dims);
-        let (codes, boxes): (&[u8], &[f32]) = (&self.codes, &self.boxes);
-        let group = self.starts[node.group as usize].1 as usize;
-        let parent = &boxes[2 * dims * group..][..2 * dims];
-        // The block of the children that are nodes ([`BoxTree::block`]).
         let (start, count) = self.block(node.group as usize, node.level + 1);
-        let block = &boxes[2 * dims * start..][..2 * dims * count];
-        bounds[..kids.len()].fill(0.0);
+        let block = &self.boxes[2 * dims * start..][..2 * dims * count];
+        bounds.fill(0.0);
         for (d, (&role, (&q, &w))) in at.roles.iter().zip(at.q.iter().zip(at.w)).enumerate() {
             if w == 0.0 {
                 continue;
             }
-            let parent = (f64::from(parent[2 * d]), f64::from(parent[2 * d + 1]));
-            let step = code_step(parent.0, parent.1);
-            let (los, his) = (&codes[2 * d * chunks..], &codes[(2 * d + 1) * chunks..]);
             let (lows, highs) = (&block[2 * d * count..], &block[(2 * d + 1) * count..]);
             for (b, kid) in bounds.iter_mut().zip(kids) {
-                let (lo, hi) = match *kid {
-                    Child::Chunk(c) => {
-                        let c = c as usize;
-                        decode(parent, step, (los[c], his[c]))
-                    }
-                    Child::Node(n) => {
-                        let r = n.index as usize - start;
-                        (f64::from(lows[r]), f64::from(highs[r]))
-                    }
-                };
-                *b += box_term(role, lo, hi, q, w);
+                let r = kid.index as usize - start;
+                *b += box_term(role, f64::from(lows[r]), f64::from(highs[r]), q, w);
             }
         }
     }
@@ -731,35 +687,33 @@ struct Build<'a> {
 }
 
 impl Build<'_> {
-    /// Fills `node`'s box and first id from its children, its children's
-    /// first.
+    /// Fills `node`'s box and first id: from its chunks when it holds at
+    /// most [`FLAT`] of them, else from its children, its children's first.
     fn node(&mut self, tree: &BoxTree, node: Node) {
         let w = 2 * self.dims;
-        let mut kids = [Child::Chunk(0); FANOUT];
-        let n = tree.children(&node, &mut kids);
         let mut sides: Vec<f32> = [f32::INFINITY, f32::NEG_INFINITY].repeat(self.dims);
         let mut first = u32::MAX;
-        for kid in &kids[..n] {
-            let id = match *kid {
-                Child::Chunk(c) => {
-                    let from = &self.chunk_boxes[w * c as usize..][..w];
-                    for (side, v) in sides.chunks_exact_mut(2).zip(from.chunks_exact(2)) {
-                        side[0] = side[0].min(v[0]);
-                        side[1] = side[1].max(v[1]);
-                    }
-                    self.chunk_firsts[c as usize]
+        if node.len as usize <= FLAT {
+            for c in node.p as usize..(node.p + node.len) as usize {
+                let from = &self.chunk_boxes[w * c..][..w];
+                for (side, v) in sides.chunks_exact_mut(2).zip(from.chunks_exact(2)) {
+                    side[0] = side[0].min(v[0]);
+                    side[1] = side[1].max(v[1]);
                 }
-                Child::Node(child) => {
-                    self.node(tree, child);
-                    let at = self.sides(tree, &child);
-                    for (side, (lo, hi)) in sides.chunks_exact_mut(2).zip(at) {
-                        side[0] = side[0].min(self.boxes[lo]);
-                        side[1] = side[1].max(self.boxes[hi]);
-                    }
-                    self.firsts[child.index as usize]
+                first = first.min(self.chunk_firsts[c]);
+            }
+        } else {
+            let mut kids = [Node::default(); FANOUT];
+            tree.children(&node, &mut kids);
+            for child in kids {
+                self.node(tree, child);
+                let at = self.sides(tree, &child);
+                for (side, (lo, hi)) in sides.chunks_exact_mut(2).zip(at) {
+                    side[0] = side[0].min(self.boxes[lo]);
+                    side[1] = side[1].max(self.boxes[hi]);
                 }
-            };
-            first = first.min(id);
+                first = first.min(self.firsts[child.index as usize]);
+            }
         }
         for (side, (lo, hi)) in sides.chunks_exact(2).zip(self.sides(tree, &node)) {
             (self.boxes[lo], self.boxes[hi]) = (side[0], side[1]);
@@ -844,14 +798,13 @@ pub(crate) fn encode((plo, phi): (f64, f64), (lo, hi): (f64, f64)) -> (u8, u8) {
 /// through dimension `depth % dims`.
 type Run = (usize, usize, usize);
 
-/// One shard's share of an engine's rows ([`cells`](super::cells)): of a
-/// box order, a run of whole leaves of the median split of all the rows,
-/// and the runs of it still to cut; of a walked pair, a row range.
+/// One shard's share of an engine's rows ([`cells`](super::cells)): a run
+/// of whole leaves of the median split of all the rows, and the runs of it
+/// still to cut.
 /// [`SdIndex::build_cell`](super::SdIndex::build_cell) builds its rows.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// The cell's ids, in the order the split's top levels left them (a
-    /// row range's ascending).
+    /// The cell's ids, in the order the split's top levels left them.
     pub(super) ids: Vec<u32>,
     runs: Vec<Run>,
 }
@@ -1073,22 +1026,25 @@ impl BoxTree {
     /// order: its own, decoded, or a stored node's above it, whichever is
     /// lower — what a walk may skip it by.
     pub(crate) fn every_chunk_bound(&self, at: &BoxQuery<'_>) -> Vec<f64> {
+        let lower = |a: f64, b: f64| if a < b { a } else { b };
         let chunks = self.starts.last().map_or(0, |s| s.0 as usize);
         let mut out = vec![f64::NAN; chunks];
         let mut stack: Vec<(Node, f64)> = self
             .tops()
             .map(|top| (top, self.node_bound(&top, at)))
             .collect();
-        let (mut kids, mut bounds) = ([Child::Chunk(0); FANOUT], [0.0; FANOUT]);
+        let (mut kids, mut bounds) = ([Node::default(); FANOUT], [0.0; FANOUT]);
         while let Some((node, above)) = stack.pop() {
-            let n = self.children(&node, &mut kids);
-            self.child_bounds(&node, &kids[..n], at, &mut bounds);
-            for (kid, &bound) in kids[..n].iter().zip(&bounds) {
-                let bound = if bound < above { bound } else { above };
-                match *kid {
-                    Child::Chunk(c) => out[c as usize] = bound,
-                    Child::Node(child) => stack.push((child, bound)),
-                }
+            if node.len as usize <= FLAT {
+                let run = &mut out[node.p as usize..][..node.len as usize];
+                self.run_bounds(node.group as usize, node.p as usize, at, run);
+                run.iter_mut().for_each(|b| *b = lower(*b, above));
+                continue;
+            }
+            self.children(&node, &mut kids);
+            self.child_bounds(&node, &kids, at, &mut bounds);
+            for (&kid, &bound) in kids.iter().zip(&bounds) {
+                stack.push((kid, lower(bound, above)));
             }
         }
         out
@@ -1306,24 +1262,25 @@ mod tests {
             let at = BoxQuery { roles: &roles, q, w };
             // Every box the tree bounds, with the chunks under it: each
             // stored node (from its box, and as its parent's child), and
-            // each chunk (decoded, as its parent's child).
+            // each chunk (decoded, with the others of its flat node).
             let mut checks: Vec<(std::ops::Range<usize>, f64, &str)> = Vec::new();
             let mut stack: Vec<Node> = tree.tops().collect();
-            let (mut kids, mut bounds) = ([Child::Chunk(0); FANOUT], [0.0; FANOUT]);
+            let (mut kids, mut bounds) = ([Node::default(); FANOUT], [0.0; FANOUT]);
             while let Some(node) = stack.pop() {
                 let (p, len) = (node.p as usize, node.len as usize);
                 checks.push((p..p + len, tree.node_bound(&node, &at), "node"));
-                let k = tree.children(&node, &mut kids);
-                tree.child_bounds(&node, &kids[..k], &at, &mut bounds);
-                for (kid, &bound) in kids[..k].iter().zip(&bounds) {
-                    match *kid {
-                        Child::Chunk(c) => checks.push((c as usize..c as usize + 1, bound, "chunk")),
-                        Child::Node(child) => {
-                            let own = tree.node_bound(&child, &at);
-                            prop_assert!(own == bound || own.is_nan() && bound.is_nan());
-                            stack.push(child);
-                        }
-                    }
+                if len <= FLAT {
+                    let mut run = vec![0.0; len];
+                    tree.run_bounds(node.group as usize, p, &at, &mut run);
+                    checks.extend(run.iter().enumerate().map(|(c, &b)| (p + c..p + c + 1, b, "chunk")));
+                    continue;
+                }
+                tree.children(&node, &mut kids);
+                tree.child_bounds(&node, &kids, &at, &mut bounds);
+                for (&kid, &bound) in kids.iter().zip(&bounds) {
+                    let own = tree.node_bound(&kid, &at);
+                    prop_assert!(own == bound || own.is_nan() && bound.is_nan());
+                    stack.push(kid);
                 }
             }
             prop_assert_eq!(checks.iter().filter(|c| c.2 == "chunk").count(), n.div_ceil(CHUNK_ROWS));

@@ -1,52 +1,42 @@
-//! The SD-Query over any number of dimensions: one query path per query
-//! kind, both exact.
+//! The SD-Query over any number of dimensions: one layout, one query path,
+//! exact.
 //!
-//! Every index stores its rows once, in its own stored order, with the
-//! global id of each position (`ids`) and the smallest id of each 64-row
-//! chunk (`firsts`). How it orders them, and what it keeps above them, is
-//! read off its roles alone ([`walked_pair`]):
+//! Every index stores its rows once, in box order ([`boxes`]): a recursive
+//! median split over all its dimensions into leaves of 64 rows, each leaf
+//! one chunk, with the global id of each position (`ids`) and the smallest
+//! id of each chunk (`firsts`), under the split's tree stored every 4th
+//! level — outward-rounded `f32` boxes of its nodes, and each chunk's box
+//! coded in `u8` inside its group's. The roles change what a box bounds,
+//! never how the rows are laid out: a 2-D index of one attractive and one
+//! repulsive dimension is laid out like any other.
 //!
-//! * a 2-D index of one attractive and one repulsive dimension keeps its
-//!   rows in the §4 tile order under the pair's envelope tree, and a query
-//!   over it with not both weights zero ([`SdIndex::single_pair`]) is the
-//!   paper's §4 answer: one certified best-first walk over that tree,
-//!   scoring each popped block of 32 rows straight off the rows (see
-//!   [`crate::topk`]);
-//! * every other index keeps its rows in box order ([`boxes`]), a recursive
-//!   median split into leaves of 64 rows, each leaf one chunk, under the
-//!   split's tree stored every 4th level: outward-rounded `f32` boxes of
-//!   its nodes, and each chunk's box coded in `u8` inside its group's.
-//!
-//! Every other query — any other roles, or both weights of the one pair
-//! zero — is one **box scan** of the index's rows ([`answer_parts`]): a
-//! walk of the tree that bounds only the nodes and chunks it reaches. It
+//! Every query is one **box scan** of the index's rows ([`answer_parts`]):
+//! a walk of the tree that bounds only the nodes and chunks it reaches. It
 //! descends best first across every part until the best chunks are scored
 //! to raise the query's floor, then sweeps what still reaches it, skipping
 //! every node and chunk whose bound is under the floor — or equal to it,
-//! when all of its ids are above the floor's worst one. An engine's
-//! parts are the cells of one such box order, or a walked pair's row ranges
-//! ([`cells`], [`SdIndex::build_cell`]), their ids global. No index records
-//! a pairing: nothing reads one. The paper's own §5 aggregation — the
-//! pairing step, and pair streams under a TA threshold — is `sdq-paper`'s,
-//! composed from this crate's public pieces ([`Pair2DStream`] over one 2-D
-//! index per pair); `boxes.rs` has the table that retired it from this
+//! when all of its ids are above the floor's worst one. An engine's parts
+//! are the cells of one such box order ([`cells`], [`SdIndex::build_cell`]),
+//! their ids global. No index records a pairing: nothing reads one. The
+//! paper's own §4 walk and §5 aggregation — the bulk-loaded pair index, its
+//! certified walk, the pairing step and pair streams under a TA threshold —
+//! are `sdq-paper`'s; `boxes.rs` has the tables that retired them from this
 //! path.
 //!
-//! Either way, every score a query keeps goes into its one [`QueryFloor`],
-//! passed `&mut`, under the row's global id, and one drain of it is the
-//! answer ([`QueryScratch::answer_with`]). The floor keeps the **canonical**
-//! top k (score descending, ties by row ascending): a row is left unscored
-//! only when it is strictly below `k` kept scores, or tied with them under
-//! a larger id, so planning can never change an answer, only its cost — and
-//! sharded execution (the `sdq-engine` crate) is bit-identical to the
-//! monolithic path. The allocating [`SdIndex::query`] is a thin wrapper
-//! over [`SdIndex::query_with`].
+//! Every score a query keeps goes into its one [`QueryFloor`], passed
+//! `&mut`, under the row's global id, and one drain of it is the answer
+//! ([`QueryScratch::answer_with`]). The floor keeps the **canonical** top k
+//! (score descending, ties by row ascending): a row is left unscored only
+//! when it is strictly below `k` kept scores, or tied with them under a
+//! larger id, so the walk's order can never change an answer, only its cost
+//! — and sharded execution (the `sdq-engine` crate) is bit-identical to the
+//! monolithic path. The allocating [`SdIndex::query`] is a thin wrapper over
+//! [`SdIndex::query_with`].
 //!
-//! A walked pair's index is scanned only when both its weights are zero: as
-//! its 64-row chunks, each bounded by `0`. A position names a row of the
-//! stored order; the id column ([`SdIndex::row_ids`]) is read only where
-//! an id is needed — the floor offer, the tombstones and a chunk's first id
-//! — and by whoever reads the rows by id ([`SdIndex::rows_by_id`]).
+//! A position names a row of the stored order; the id column
+//! ([`SdIndex::row_ids`]) is read only where an id is needed — the floor
+//! offer, the tombstones and a chunk's first id — and by whoever reads the
+//! rows by id ([`SdIndex::rows_by_id`]).
 
 mod boxes;
 pub mod plan;
@@ -54,83 +44,33 @@ pub mod plan;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-pub use plan::{PairAction, PairPlan, QueryPlan};
+pub use plan::QueryPlan;
 
 use crate::deadline::Deadline;
-use crate::geometry::Angle;
 use crate::integrity::SectionIntegrity;
-use crate::kernels::{self, inflate, LANES};
+use crate::kernels::{self, LANES};
 use crate::mask::RowMask;
 use crate::profile::QueryProfile;
 use crate::scratch::QueryScratch;
 use crate::threshold::QueryFloor;
-use crate::topk::arbitrary;
-use crate::topk::blocks::{tile, BlockFrontier, BlockSet};
-use crate::topk::stream::FrontierEval;
-use crate::topk::{check_axes, default_angles, normalize_angles};
 use crate::types::{Dataset, ScoredPoint, SdError};
 use crate::view::ColumnarView;
-use crate::{DimRole, PointId, SdQuery};
+use crate::{DimRole, SdQuery};
 
 pub use boxes::Cell;
 pub(crate) use boxes::{check_firsts, BoxTree, CHUNK_ROWS};
-use boxes::{BoxQuery, Child, FANOUT};
+use boxes::{BoxQuery, Child, FANOUT, FLAT};
 
-/// Tuning knobs for [`SdIndex::build_with`].
-#[derive(Debug, Clone)]
-pub struct SdIndexOptions {
-    /// Indexed projection angles of a walked pair's §4 index (§4.2).
-    pub angles: Vec<Angle>,
-}
-
-impl Default for SdIndexOptions {
-    fn default() -> Self {
-        SdIndexOptions {
-            angles: default_angles(),
-        }
-    }
-}
-
-/// The one layout rule, read off the roles alone: `Some((repulsive,
-/// attractive))` for a 2-D index of one attractive and one repulsive
-/// dimension — its rows are stored in the §4 tile order under the pair's
-/// envelope tree, which the direct 2-D walk reads — and `None` for any
-/// other roles, whose rows are stored in box order for the box scan. Build,
-/// decode, [`cells`], [`SdIndex::single_pair`] and [`SdIndex::plan`] all
-/// decide by it.
-pub fn walked_pair(roles: &[DimRole]) -> Option<(usize, usize)> {
-    match roles {
-        [DimRole::Repulsive, DimRole::Attractive] => Some((0, 1)),
-        [DimRole::Attractive, DimRole::Repulsive] => Some((1, 0)),
-        _ => None,
-    }
-}
-
-/// What an [`SdIndex`] keeps above its rows ([`walked_pair`] decides
-/// which).
-#[derive(Debug, Clone)]
-pub(crate) enum Layout {
-    /// A walked pair: the §4 envelope tree over the projection `(x =
-    /// attractive, y = repulsive)` of the rows, block `b` its positions
-    /// `[32b, 32b + 32)`.
-    Pair(BlockSet),
-    /// Anything else: the stored levels of the box order's split tree, and
-    /// every chunk's box as codes inside its parent's (see [`boxes`]).
-    Boxes(BoxTree),
-}
-
-/// The multi-dimensional SD-Query index: its roles, its rows with their
-/// ids and chunk first ids, and either a walked pair's bulk-loaded §4
-/// envelope tree, which the direct 2-D walk answers, or the rows' chunk
-/// boxes, which one box scan answers (module docs).
+/// The multi-dimensional SD-Query index: its roles, its rows in box order
+/// with their ids and chunk first ids, and the box tree over them, which
+/// one box scan answers (module docs).
 ///
-/// Dimension *roles* are fixed at build time (they determine the layout);
-/// weights and `k` are free at query time. Queries never mutate the index,
+/// Dimension *roles* are fixed at build time; weights and `k` are free at
+/// query time. Queries never mutate the index,
 /// so one `SdIndex` can be shared immutably across any number of threads.
 #[derive(Debug, Clone)]
 pub struct SdIndex {
-    /// The indexed rows, by position: in box order, or a walked pair's tile
-    /// order.
+    /// The indexed rows, by position, in box order.
     pub(crate) data: Arc<Dataset>,
     /// The global id of each position.
     pub(crate) ids: ColumnarView<u32>,
@@ -139,7 +79,9 @@ pub struct SdIndex {
     /// between equal bounds in the scan's order.
     pub(crate) firsts: ColumnarView<u32>,
     pub(crate) roles: Vec<DimRole>,
-    pub(crate) layout: Layout,
+    /// The stored levels of the box order's split tree, and every chunk's
+    /// box as codes inside its group's (see [`boxes`]).
+    pub(crate) tree: BoxTree,
     /// Lazily verified CRC regions of this index when it was decoded lazily
     /// (`open_mapped`): every region a query reads. Empty for built or
     /// eagerly loaded indexes.
@@ -147,67 +89,35 @@ pub struct SdIndex {
 }
 
 impl SdIndex {
-    /// Builds with default options (three angles).
+    /// The index of every row of `data`, under ids `0..n`.
     pub fn build(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> Result<Self, SdError> {
-        Self::build_with(data, roles, &SdIndexOptions::default())
-    }
-
-    /// Builds with explicit options: the index of every row of `data`,
-    /// under ids `0..n`.
-    pub fn build_with(
-        data: impl Into<Arc<Dataset>>,
-        roles: &[DimRole],
-        options: &SdIndexOptions,
-    ) -> Result<Self, SdError> {
         let data: Arc<Dataset> = data.into();
-        let angles = check_build(&data, roles, &options.angles)?;
-        let all = Cell::of(0..data.len() as u32);
-        Ok(Self::build_over(&data, roles, &angles, &all))
+        check_build(&data, roles)?;
+        Ok(Self::build_over(
+            &data,
+            roles,
+            &Cell::of(0..data.len() as u32),
+        ))
     }
 
     /// Builds the index of one cell of `data` ([`cells`]): the rows the
-    /// cell names, under their ids in `data`, a walked pair's over the
-    /// default angles. The cells of a box order, built in order, hold
-    /// exactly the rows, ids, chunk codes and first ids of
-    /// [`SdIndex::build_with`] over all of `data` — and, for a cell of at
-    /// most a 16th of the split, whole groups of its box tree — which is
-    /// how an engine's shards split one box order; a walked pair's cell is
-    /// a row range, tiled on its own.
+    /// cell names, under their ids in `data`. The cells of a box order,
+    /// built in order, hold exactly the rows, ids, chunk codes and first ids
+    /// of [`SdIndex::build`] over all of `data` — and, for a cell of at most
+    /// a 16th of the split, whole groups of its box tree — which is how an
+    /// engine's shards split one box order.
     pub fn build_cell(data: &Dataset, roles: &[DimRole], cell: &Cell) -> Result<Self, SdError> {
-        let angles = check_build(data, roles, &default_angles())?;
-        Ok(Self::build_over(data, roles, &angles, cell))
+        check_build(data, roles)?;
+        Ok(Self::build_over(data, roles, cell))
     }
 
-    /// The rows `cell` names in their stored order under `roles`, with their
-    /// ids, first ids and what the layout keeps above them.
-    fn build_over(data: &Dataset, roles: &[DimRole], angles: &[Angle], cell: &Cell) -> Self {
-        let pair = walked_pair(roles);
-        let ids: Vec<u32> = match pair {
-            // The tile order of the pair's projection (x = attractive, y =
-            // repulsive) of the cell's rows.
-            Some((rep, att)) => {
-                let pts: Vec<(f64, f64)> = cell
-                    .ids
-                    .iter()
-                    .map(|&id| {
-                        let row = data.point(PointId::new(id));
-                        (row[att], row[rep])
-                    })
-                    .collect();
-                tile(&pts).iter().map(|&s| cell.ids[s as usize]).collect()
-            }
-            None => boxes::finish_split(data, cell),
-        };
+    /// The rows `cell` names in box order, with their ids, first ids and
+    /// box tree.
+    fn build_over(data: &Dataset, roles: &[DimRole], cell: &Cell) -> Self {
+        let ids = boxes::finish_split(data, cell);
         let rows = gather(data, &ids);
         let firsts = boxes::chunk_firsts(&ids);
-        let layout = match pair {
-            Some((rep, att)) => {
-                let stored: Vec<(f64, f64)> =
-                    rows.chunks_exact(2).map(|r| (r[att], r[rep])).collect();
-                Layout::Pair(BlockSet::build(&stored, angles))
-            }
-            None => Layout::Boxes(BoxTree::build(&rows, data.dims(), &firsts, cell)),
-        };
+        let tree = BoxTree::build(&rows, data.dims(), &firsts, cell);
         let rows = Dataset::from_view_trusted(data.dims(), ColumnarView::owned(rows))
             .expect("the shape of a valid dataset");
         SdIndex {
@@ -215,7 +125,7 @@ impl SdIndex {
             firsts: ColumnarView::owned(firsts),
             ids: ColumnarView::owned(ids),
             roles: roles.to_vec(),
-            layout,
+            tree,
             query_integrity: Vec::new(),
         }
     }
@@ -240,14 +150,6 @@ impl SdIndex {
     /// [`SdIndex::rows_by_id`] for the index alone.
     pub fn verify_integrity(&self) -> Result<(), SdError> {
         crate::integrity::ensure_all(&self.query_integrity)
-    }
-
-    /// A walked pair's §4 block set; `None` for an index in box order.
-    pub(crate) fn pair_blocks(&self) -> Option<&BlockSet> {
-        match &self.layout {
-            Layout::Pair(blocks) => Some(blocks),
-            Layout::Boxes(_) => None,
-        }
     }
 
     /// The indexed rows by position, in the stored order: row `p` of this
@@ -300,44 +202,22 @@ impl SdIndex {
     }
 
     /// Approximate heap footprint of the index structures (excluding the
-    /// shared rows): the id column, the chunk first ids, and a walked
-    /// pair's envelope tree or the box tree.
+    /// shared rows): the id column, the chunk first ids and the box tree.
     pub fn memory_bytes(&self) -> usize {
-        let above = match &self.layout {
-            Layout::Pair(blocks) => blocks.memory_bytes(),
-            Layout::Boxes(tree) => tree.memory_bytes(),
-        };
-        self.ids.heap_bytes() + self.firsts.heap_bytes() + above
-    }
-
-    /// `(blocks, resident bytes)` of the stored §4 envelope tree (none for
-    /// an index in box order).
-    pub fn block_stats(&self) -> (usize, usize) {
-        self.pair_blocks()
-            .map_or((0, 0), |b| (b.n_blocks(), b.memory_bytes()))
+        self.ids.heap_bytes() + self.firsts.heap_bytes() + self.tree.memory_bytes()
     }
 
     /// `(nodes, stored levels, bytes)` of the box tree — the bytes of the
-    /// node boxes, their first ids and the chunk codes (none for a walked
-    /// pair's index).
+    /// node boxes, their first ids and the chunk codes.
     pub fn tree_stats(&self) -> (usize, usize, usize) {
-        match &self.layout {
-            Layout::Boxes(tree) => {
-                let (nodes, levels) = tree.shape();
-                (nodes, levels, tree.table_bytes())
-            }
-            Layout::Pair(_) => (0, 0, 0),
-        }
+        let (nodes, levels) = self.tree.shape();
+        (nodes, levels, self.tree.table_bytes())
     }
 
-    /// How `query` runs against this index: the direct 2-D walk — exactly
-    /// when [`SdIndex::single_pair`] is `Some`, which is when
-    /// [`SdIndex::query_with`] and the engine, at any shard count, walk —
-    /// with the rule its pair runs under and the weight angle it read, or
-    /// the box scan over this index's chunks. Observability only (`sdq
-    /// inspect` and `sdq query --explain`, in `crates/store/src/bin/sdq.rs`,
-    /// plumb it out) — the hot path applies the same rule
-    /// ([`plan::plan_pair`]) inline without allocating.
+    /// How `query` runs against this index: one box scan over its chunks
+    /// under its stored nodes, whatever the roles and the weights.
+    /// Observability only (`sdq inspect` and `sdq query --explain`, in
+    /// `crates/store/src/bin/sdq.rs`, plumb it out).
     pub fn plan(&self, query: &SdQuery) -> Result<QueryPlan, SdError> {
         if query.dims() != self.data.dims() {
             return Err(SdError::DimensionMismatch {
@@ -345,49 +225,12 @@ impl SdIndex {
                 got: query.dims(),
             });
         }
-        let Some(pair) = self.single_pair(query) else {
-            let (nodes, levels, bytes) = self.tree_stats();
-            return Ok(QueryPlan::Scan {
-                chunks: self.data.len().div_ceil(CHUNK_ROWS),
-                levels,
-                nodes,
-                bytes,
-            });
-        };
-        let indexed = pair.eval().is_ok_and(|e| e.indexed());
-        Ok(QueryPlan::Direct(PairPlan {
-            repulsive: pair.repulsive,
-            attractive: pair.attractive,
-            action: plan::plan_pair(pair.alpha, pair.beta, indexed),
-            theta: Angle::from_weights(pair.alpha, pair.beta).ok(),
-        }))
-    }
-
-    /// The one predicate behind the direct 2-D walk: `Some` when this index
-    /// is a walked pair's ([`walked_pair`]) and the query does not weigh
-    /// both of its dimensions zero (one zero weight is a walk at 0° or
-    /// 90°). Every index of an engine shares its roles, so any shard
-    /// answers for all of them. `None` for a query of another
-    /// dimensionality than this index's.
-    pub fn single_pair(&self, query: &SdQuery) -> Option<SinglePair<'_>> {
-        let blocks = self.pair_blocks()?;
-        let (repulsive, attractive) = walked_pair(&self.roles)?;
-        if query.dims() != self.data.dims() {
-            return None;
-        }
-        let alpha = query.weights[repulsive];
-        let beta = query.weights[attractive];
-        if alpha == 0.0 && beta == 0.0 {
-            return None; // projection angle undefined; the scan handles it
-        }
-        Some(SinglePair {
-            blocks,
-            repulsive,
-            attractive,
-            alpha,
-            beta,
-            qx: query.point[attractive],
-            qy: query.point[repulsive],
+        let (nodes, levels, bytes) = self.tree_stats();
+        Ok(QueryPlan::Scan {
+            chunks: self.data.len().div_ceil(CHUNK_ROWS),
+            levels,
+            nodes,
+            bytes,
         })
     }
 
@@ -442,9 +285,9 @@ impl SdIndex {
     }
 }
 
-/// What every build validates: roles for every dimension, ids that fit a
-/// `u32`, and indexed angles that span 0° to 90°; returns the angles.
-fn check_build(data: &Dataset, roles: &[DimRole], angles: &[Angle]) -> Result<Vec<Angle>, SdError> {
+/// What every build validates: roles for every dimension, and ids that fit
+/// a `u32`.
+fn check_build(data: &Dataset, roles: &[DimRole]) -> Result<(), SdError> {
     if roles.len() != data.dims() {
         return Err(SdError::DimensionMismatch {
             expected: data.dims(),
@@ -454,9 +297,7 @@ fn check_build(data: &Dataset, roles: &[DimRole], angles: &[Angle]) -> Result<Ve
     if data.len() > u32::MAX as usize {
         return Err(SdError::TooManyPoints(data.len()));
     }
-    let angles = normalize_angles(angles)?;
-    check_axes(&angles)?;
-    Ok(angles)
+    Ok(())
 }
 
 /// The rows of `data` that `ids` names, in that order, row-major.
@@ -469,31 +310,18 @@ fn gather(data: &Dataset, ids: &[u32]) -> Vec<f64> {
     rows
 }
 
-/// The most shards `rows` rows under `roles` make with none empty: one a
-/// row for a walked pair's row ranges, one a 64-row chunk for the cells of
-/// a box order, and at least one.
-pub fn shard_limit(roles: &[DimRole], rows: usize) -> usize {
-    match walked_pair(roles) {
-        Some(_) => rows.max(1),
-        None => rows.div_ceil(CHUNK_ROWS).max(1),
-    }
+/// The most shards `rows` rows make with none empty: one a 64-row chunk,
+/// and at least one.
+pub fn shard_limit(rows: usize) -> usize {
+    rows.div_ceil(CHUNK_ROWS).max(1)
 }
 
-/// Cuts `data`'s rows into `count` cells under `roles`, clamped to
-/// [`shard_limit`] (so none is empty) and at least one — the shards an
-/// engine builds, each with [`SdIndex::build_cell`]. A walked pair's cells
-/// are contiguous row ranges, balanced within one row; any other roles'
-/// are the subtrees of one box order ([`boxes`]): the top `⌈log₂ count⌉`
-/// levels of the median split of all the rows, run here.
-pub fn cells(data: &Dataset, roles: &[DimRole], count: usize) -> Vec<Cell> {
-    let n = data.len();
-    let count = count.clamp(1, shard_limit(roles, n));
-    match walked_pair(roles) {
-        Some(_) => (0..count)
-            .map(|i| Cell::of((i * n / count) as u32..((i + 1) * n / count) as u32))
-            .collect(),
-        None => boxes::split(data, count),
-    }
+/// Cuts `data`'s rows into `count` cells, clamped to [`shard_limit`] (so
+/// none is empty) and at least one — the shards an engine builds, each with
+/// [`SdIndex::build_cell`]: the subtrees of one box order ([`boxes`]), the
+/// top `⌈log₂ count⌉` levels of the median split of all the rows, run here.
+pub fn cells(data: &Dataset, count: usize) -> Vec<Cell> {
+    boxes::split(data, count.clamp(1, shard_limit(data.len())))
 }
 
 /// Checks that `indexes` — an engine's shards — name every id of `0..rows`
@@ -548,46 +376,6 @@ pub fn ids_in_range<'a>(
     Ok(())
 }
 
-/// A query that is one non-degenerate pair over a walked pair's index —
-/// the only query the direct 2-D walk answers, and so only obtained from
-/// [`SdIndex::single_pair`].
-#[derive(Debug, Clone, Copy)]
-pub struct SinglePair<'a> {
-    /// The pair's §4 index.
-    blocks: &'a BlockSet,
-    /// The repulsive dimension (the pair's `y`).
-    repulsive: usize,
-    /// The attractive dimension (the pair's `x`).
-    attractive: usize,
-    /// Weight of the repulsive dimension (the pair's `y`).
-    alpha: f64,
-    /// Weight of the attractive dimension (the pair's `x`).
-    beta: f64,
-    qx: f64,
-    qy: f64,
-}
-
-impl SinglePair<'_> {
-    /// How a frontier over the pair's block set evaluates the query; an
-    /// error for a weight angle outside the indexed range.
-    pub(crate) fn eval(&self) -> Result<FrontierEval, SdError> {
-        self.eval_over(self.blocks)
-    }
-
-    /// [`SinglePair::eval`] over `blocks`, another part's block set of the
-    /// same pair.
-    pub(crate) fn eval_over(&self, blocks: &BlockSet) -> Result<FrontierEval, SdError> {
-        let theta = Angle::from_weights(self.alpha, self.beta)?;
-        FrontierEval::at(blocks.angles(), &theta, self.qx, self.qy)
-    }
-
-    /// `r = ‖(α, β)‖`: a frontier bound, in normalised θ_q units, times `r`
-    /// is a bound on the pair's score.
-    pub(crate) fn r(&self) -> f64 {
-        self.alpha.hypot(self.beta)
-    }
-}
-
 /// One part of a query ([`answer_parts`]) — in an engine, one shard: its
 /// index, whose id column holds the rows' global ids, and the tombstones.
 #[derive(Debug, Clone, Copy)]
@@ -595,7 +383,7 @@ pub struct ShardPart<'a> {
     /// The shard's index.
     pub index: &'a SdIndex,
     /// The dead rows, by global id: `None` when there are none, which
-    /// spares the scan and the walk an id lookup a row.
+    /// spares the scan an id lookup a row.
     pub mask: Option<&'a RowMask>,
 }
 
@@ -619,13 +407,9 @@ impl ShardPart<'_> {
 /// the query's one answer heap, out of one `scratch`, all on the calling
 /// thread. Every part must share the roles of the first (an engine's do).
 ///
-/// A query that is one non-degenerate pair ([`SdIndex::single_pair`]) is the
-/// paper's §4 answer: one certified best-first walk over the pair's block
-/// sets of every part at once — the frontier whose head bound is highest is
-/// popped first, which walks the parts as one index under a virtual root.
-/// Anything else is one box scan of every part (`scan_parts`): the best
-/// chunks across every part first, then every part's sweeps, each against
-/// the floor everything before it left.
+/// Every query, whatever its roles and weights, is one box scan of every
+/// part (`scan_parts`): the best chunks across every part first, then the
+/// sweep of what still reaches the floor they raised.
 ///
 /// Every scorer offers each row it keeps to `floor` under its global id,
 /// the index's `ids[pos]`, and prunes against it, tombstoned rows (`mask`)
@@ -633,8 +417,8 @@ impl ShardPart<'_> {
 /// rows) end the parts sooner. Once it returns, the floor holds the parts'
 /// share of the canonical top k. The parts' counters are added to
 /// `scratch.profile`, which the caller resets once per query — also when a
-/// deadline or cancellation (`scratch.deadline`, consulted before every pop
-/// of the walk and every scanned piece of rows) ended the query — and
+/// deadline or cancellation (`scratch.deadline`, consulted before every
+/// scanned piece of rows) ended the query — and
 /// `scratch.part_floor_updates` holds each part's share of this call's
 /// `floor_updates`, in part order. Every buffer goes back to the scratch
 /// either way, so a warmed scratch answers without allocating.
@@ -661,10 +445,7 @@ where
     scratch.fbuf.clear();
     let signed = first.index.roles.iter().zip(&query.weights);
     scratch.fbuf.extend(signed.map(|(r, &w)| r.sign() * w));
-    let ran = match first.index.single_pair(query) {
-        Some(pair) => arbitrary::query_blocks_with(parts, &pair, query, scratch, floor),
-        None => scan_parts(parts, &first.index.roles, query, scratch, floor),
-    };
+    let ran = scan_parts(parts, &first.index.roles, query, scratch, floor);
     if let Some(t0) = t0 {
         scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
     }
@@ -701,7 +482,7 @@ fn lead_chunks() -> usize {
 /// [`LEAD_CHUNKS`] chunks are scored, and then every chunk still tied with
 /// the last of them (all of them at all-zero weights), raising the floor.
 /// A node taken is split: one of at most [`FLAT`] chunks — every group of
-/// an index of up to 1.6M rows a cell — by bounding all its chunks in one
+/// an index of up to 262 144 rows a cell — by bounding all its chunks in one
 /// pass ([`BoxTree::run_bounds`]), a larger one through its 16 children.
 /// Once that many chunk bounds are known, nothing bounded under the least
 /// of them is pushed: it cannot join the lead. Then the **sweep**
@@ -714,8 +495,7 @@ fn lead_chunks() -> usize {
 /// the floor holds no row above it, so strictly below `k` kept scores; one
 /// whose bound equals the floor is skipped when its smallest id is above
 /// the floor's worst one: a row that ties the k-th score enters only under
-/// a smaller id. A walked pair's part, scanned only when both its weights
-/// are zero, is one span of chunks, each bounded by `0`. Afterwards every
+/// a smaller id. Afterwards every
 /// live row of every part has been offered to the floor or is strictly
 /// below it, or tied with it under a larger id than any it keeps.
 ///
@@ -761,21 +541,17 @@ fn scan_parts<'a>(
         part_floor_updates,
         ..
     } = scratch;
-    let (mut chunks, mut entries, mut count) = (0, 0, 0);
+    let (mut chunks, mut entries) = (0, 0);
     for part in parts.clone() {
-        count += 1;
         let n = part.index.data.len();
         if n > 0 {
             profile.parts_scanned += 1;
             profile.isa = kernels::active().name();
         }
         chunks += n.div_ceil(CHUNK_ROWS);
-        entries += match &part.index.layout {
-            Layout::Boxes(tree) => tree.entries(),
-            Layout::Pair(_) => n.div_ceil(CHUNK_ROWS),
-        };
+        entries += part.index.tree.entries();
     }
-    bufs.reset((entries, chunks, count));
+    bufs.reset(entries, chunks);
     scores.resize(LANES, 0.0);
     part_floor_updates.extend(parts.clone().map(|_| 0));
     let ScanBufs {
@@ -837,7 +613,7 @@ impl Clock {
 
 /// A run of chunks whose bounds a scan took in one pass: chunks
 /// `start..end` of part `part`, their bounds in the scan's bound buffer from
-/// `at`. A node of at most [`FLAT`] chunks, or a walked pair's chunks.
+/// `at`: the chunks of a node of at most [`FLAT`] chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Span {
     part: u32,
@@ -845,11 +621,6 @@ pub(crate) struct Span {
     end: u32,
     at: u32,
 }
-
-/// The most chunks under a node whose chunks a scan bounds in one pass
-/// rather than through its children: a node of the top stored level of an
-/// index of up to 1.6M rows a cell.
-const FLAT: usize = FANOUT * FANOUT;
 
 /// Whether a node or chunk whose rows score at most `bound` and carry
 /// global ids from `first` on can still change what `floor` holds: its
@@ -951,24 +722,15 @@ impl Scan<'_, '_> {
             return Ok(top);
         }
         for (i, part) in parts.clone().enumerate() {
-            let index = part.index;
-            match &index.layout {
-                Layout::Boxes(tree) => {
-                    self.prof.boxes_bounded += tree.groups.len() as u64;
-                    for top in tree.tops() {
-                        let bound = tree.node_bound(&top, &self.at);
-                        let first = tree.firsts[top.index as usize];
-                        self.push(heap, want, i, (bound, first), Child::Node(top));
-                    }
-                }
-                Layout::Pair(_) => {
-                    for (c, &first) in index.firsts.iter().enumerate() {
-                        self.push(heap, want, i, (0.0, first), Child::Chunk(c as u32));
-                    }
-                }
+            let tree = &part.index.tree;
+            self.prof.boxes_bounded += tree.groups.len() as u64;
+            for top in tree.tops() {
+                let bound = tree.node_bound(&top, &self.at);
+                let first = tree.firsts[top.index as usize];
+                self.push(heap, want, i, (bound, first), Child::Node(top));
             }
         }
-        let mut kids = [Child::Chunk(0); FANOUT];
+        let mut kids = [boxes::Node::default(); FANOUT];
         let mut bounds = [0.0; FANOUT];
         // Once the lead is full, the entries tied with its last chunk's
         // bound join it too (all of them, at all-zero weights).
@@ -994,9 +756,7 @@ impl Scan<'_, '_> {
                     continue;
                 }
             };
-            let Layout::Boxes(tree) = &part.index.layout else {
-                unreachable!("only a box tree has nodes");
-            };
+            let tree = &part.index.tree;
             if node.len as usize <= FLAT {
                 let span = self.span(i, tree, &node);
                 let firsts = &part.index.firsts[span.start as usize..span.end as usize];
@@ -1006,15 +766,12 @@ impl Scan<'_, '_> {
                 }
                 continue;
             }
-            let n = tree.children(&node, &mut kids);
-            tree.child_bounds(&node, &kids[..n], &self.at, &mut bounds);
-            self.prof.boxes_bounded += n as u64;
-            for (&kid, &bound) in kids[..n].iter().zip(&bounds) {
-                let first = match kid {
-                    Child::Chunk(c) => part.index.firsts[c as usize],
-                    Child::Node(child) => tree.firsts[child.index as usize],
-                };
-                self.push(heap, want, i, (bound, first), kid);
+            tree.children(&node, &mut kids);
+            tree.child_bounds(&node, &kids, &self.at, &mut bounds);
+            self.prof.boxes_bounded += FANOUT as u64;
+            for (&kid, &bound) in kids.iter().zip(&bounds) {
+                let first = tree.firsts[kid.index as usize];
+                self.push(heap, want, i, (bound, first), Child::Node(kid));
             }
         }
         Ok(top)
@@ -1074,8 +831,8 @@ impl Scan<'_, '_> {
 
     /// The sweep (see [`scan_parts`]): bounds every node of every part that
     /// reaches the floor down to nodes of at most [`FLAT`] chunks, and the
-    /// chunks of each of those the descent did not bound ([`Scan::span`]);
-    /// a walked pair's chunks are bounded at `0`. Then, in row order, it
+    /// chunks of each of those the descent did not bound ([`Scan::span`]).
+    /// Then, in row order, it
     /// scores the chunks of every span bounded at least halfway from the
     /// floor to `top`, the best bound of any chunk, and then every other
     /// that still reaches the floor, bar those the descent scored (`lead`,
@@ -1090,20 +847,7 @@ impl Scan<'_, '_> {
         self.spans.sort_unstable();
         let taken = self.spans.len();
         for (i, part) in parts.clone().enumerate() {
-            let index = part.index;
-            let Layout::Boxes(tree) = &index.layout else {
-                let (part, end, at) = (i as u32, index.firsts.len() as u32, self.filled);
-                self.filled += end;
-                self.bounds[at as usize..][..end as usize].fill(0.0);
-                self.prof.boxes_bounded += u64::from(end);
-                self.spans.push(Span {
-                    part,
-                    start: 0,
-                    end,
-                    at,
-                });
-                continue;
-            };
+            let tree = &part.index.tree;
             for top in tree.tops() {
                 self.prof.boxes_bounded += 1;
                 let bound = tree.node_bound(&top, &self.at);
@@ -1171,17 +915,14 @@ impl Scan<'_, '_> {
             }
             return;
         }
-        let mut kids = [Child::Chunk(0); FANOUT];
+        let mut kids = [boxes::Node::default(); FANOUT];
         let mut bounds = [0.0; FANOUT];
-        let n = tree.children(node, &mut kids);
-        tree.child_bounds(node, &kids[..n], &self.at, &mut bounds);
-        self.prof.boxes_bounded += n as u64;
-        for (kid, &bound) in kids[..n].iter().zip(&bounds) {
-            // Under a node of more than `FLAT` chunks, every child is a node.
-            if let Child::Node(child) = kid {
-                if reaches(bound, tree.firsts[child.index as usize], self.floor) {
-                    self.cover(i, tree, child, taken);
-                }
+        tree.children(node, &mut kids);
+        tree.child_bounds(node, &kids, &self.at, &mut bounds);
+        self.prof.boxes_bounded += FANOUT as u64;
+        for (kid, &bound) in kids.iter().zip(&bounds) {
+            if reaches(bound, tree.firsts[kid.index as usize], self.floor) {
+                self.cover(i, tree, kid, taken);
             }
         }
     }
@@ -1269,10 +1010,10 @@ pub(crate) struct ScanBufs {
 impl ScanBufs {
     /// Empties them and makes room for `entries` pending nodes and chunks —
     /// every one of the query's `parts` holds, the most the heap can meet —
-    /// `chunks` bounds and the spans (a node's at most twice, one a walked
-    /// pair), when a query begins, so a scratch that has served the same
+    /// `chunks` bounds and the spans (a node's at most twice), when a query
+    /// begins, so a scratch that has served the same
     /// parts once never grows them mid-scan.
-    fn reset(&mut self, (entries, chunks, parts): (usize, usize, usize)) {
+    fn reset(&mut self, entries: usize, chunks: usize) {
         let Frontier {
             heap,
             pending,
@@ -1288,125 +1029,7 @@ impl ScanBufs {
         self.lead.reserve(LEAD_CHUNKS.min(entries));
         self.bounds.resize(chunks, 0.0);
         self.spans.clear();
-        self.spans.reserve(2 * entries + parts);
-    }
-}
-
-/// A 2-D subproblem stream over one pair's §4 index: the piece of the
-/// paper's §5 aggregation this crate keeps public, so the reproduction in
-/// `sdq-paper` can run that aggregation over one 2-D index per pair
-/// ([`Pair2DStream::new`]).
-///
-/// Emissions arrive in *frontier* order, not sorted subscore order — a
-/// threshold aggregation only requires an admissible **bound** on unemitted
-/// rows, so the stream runs on the pool-free uncertified [`BlockFrontier`],
-/// whose one heap is ordered by θ_q score bounds ([`FrontierEval`]: for
-/// non-indexed θ_q the Claim 6 bracket in closed form, per envelope). Whole
-/// blocks surface (and are prunable against a floor) at once;
-/// [`Pair2DStream::next_unit`] kernel-scores a popped block's rows on the
-/// pair and filters them against the floor before emission.
-pub struct Pair2DStream<'a> {
-    frontier: BlockFrontier<'a>,
-    index: &'a SdIndex,
-    /// The pair's query point and role-signed weights, in the index's
-    /// dimension order.
-    q: [f64; 2],
-    sw: [f64; 2],
-    r: f64,
-}
-
-impl<'a> Pair2DStream<'a> {
-    /// The stream of `index` — a single-pair (2-D) index — under `query`,
-    /// a query over its two dimensions with not both weights zero; its
-    /// frontier heap is a fresh one. `None` for any other index or query.
-    pub fn new(index: &'a SdIndex, query: &SdQuery) -> Result<Option<Self>, SdError> {
-        let Some(pair) = index.single_pair(query) else {
-            return Ok(None);
-        };
-        let rows = (index.data.flat(), &index.ids[..]);
-        let signed = |d: usize| index.roles[d].sign() * query.weights[d];
-        Ok(Some(Pair2DStream {
-            frontier: BlockFrontier::with_scratch(
-                pair.blocks,
-                rows,
-                pair.eval()?,
-                Default::default(),
-            ),
-            index,
-            q: [query.point[0], query.point[1]],
-            sw: [signed(0), signed(1)],
-            r: pair.r(),
-        }))
-    }
-
-    /// Fetches this stream's next *emission unit* into `out`: the row id of
-    /// every row of its next surviving leaf block (up to [`LANES`] at once),
-    /// after block-level floor pruning. With `prune = Some((f, others))` —
-    /// `f` the current k-th-score floor and `others` what the rest of the
-    /// score can add at most — any block whose raw subscore bound `b`
-    /// satisfies `f > inflate(b + others)` is certifiably outside the top-k
-    /// (every point in it scores at most `b + others`) and is discarded
-    /// before a single point is scored, and so is every lane with `f >
-    /// inflate(subscore + others)`.
-    ///
-    /// Returns `false` once the stream is drained (nothing appended).
-    /// `prof` receives the fetch's execution counters (frontier walk
-    /// statistics, per-lane mask drops).
-    pub fn next_unit(
-        &mut self,
-        prune: Option<(f64, f64)>,
-        out: &mut Vec<u32>,
-        prof: &mut QueryProfile,
-    ) -> bool {
-        let r = self.r;
-        // One whole block per round; envelope-level pruning first.
-        let picked = self.frontier.next_block(|b| match prune {
-            Some((f, others)) => f > inflate(r * b + others),
-            None => false,
-        });
-        let c = self.frontier.take_counters();
-        prof.nodes_visited += c.nodes_visited;
-        prof.envelope_nodes_rejected += c.envelope_rejected;
-        prof.blocks_floor_pruned += c.blocks_floor_pruned;
-        prof.blocks_popped += c.blocks_popped;
-        let Some(block) = picked else {
-            return false;
-        };
-        let start = block as usize * LANES;
-        let count = LANES.min(self.index.data.len() - start);
-        let mut live = u32::MAX >> (LANES - count);
-        if let Some((f, others)) = prune {
-            // Per-lane floor filter on the pair subscores: a lane with `f >
-            // inflate(subscore + others)` can hold no top-k row no matter
-            // what the rest contributes, and dies here.
-            let mut scores = [0.0f64; LANES];
-            let run = &self.index.data.flat()[2 * start..2 * (start + count)];
-            kernels::score_rows(
-                &mut scores[..count],
-                run,
-                2,
-                &self.q,
-                &self.sw,
-                f64::NEG_INFINITY,
-            );
-            let keep = kernels::lane_filter(&scores[..count], live, others, f);
-            prof.lanes_masked += u64::from((live & !keep).count_ones());
-            live = keep;
-        }
-        while live != 0 {
-            let l = live.trailing_zeros() as usize;
-            live &= live - 1;
-            out.push(self.index.ids[start + l]);
-        }
-        true
-    }
-
-    /// Admissible upper bound on the raw pair subscore of every row not yet
-    /// surfaced; `None` once drained (at which point it has surfaced every
-    /// row of the index, bar the lanes its floor filter dropped).
-    #[inline]
-    pub fn bound(&self) -> Option<f64> {
-        self.frontier.bound().map(|b| self.r * b)
+        self.spans.reserve(2 * entries);
     }
 }
 

@@ -97,9 +97,8 @@ fn six_dims_three_three_paper_config() {
     ];
     let data = rand_dataset(&mut rng, 400, 6);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    // Three pairs are not one: the rows go in box order, no block set.
-    assert!(index.pair_blocks().is_none());
-    assert_eq!(index.block_stats(), (0, 0));
+    // The rows go in box order under a tree of the 7 chunks' groups.
+    assert_eq!(index.tree_stats().0, 7);
     for _ in 0..25 {
         let q = rand_query(&mut rng, 6);
         let got = index.query(&q, 5).unwrap();
@@ -115,7 +114,6 @@ fn all_attractive_degenerates_to_ta() {
     let roles = vec![DimRole::Attractive; 4];
     let data = rand_dataset(&mut rng, 200, 4);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(index.pair_blocks().is_none());
     for _ in 0..15 {
         let q = rand_query(&mut rng, 4);
         assert_equiv(&index.query(&q, 7).unwrap(), &oracle(&data, &roles, &q, 7));
@@ -128,7 +126,6 @@ fn all_repulsive_degenerates_to_ta() {
     let roles = vec![DimRole::Repulsive; 3];
     let data = rand_dataset(&mut rng, 200, 3);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(index.pair_blocks().is_none());
     for _ in 0..15 {
         let q = rand_query(&mut rng, 3);
         assert_equiv(&index.query(&q, 4).unwrap(), &oracle(&data, &roles, &q, 4));
@@ -171,12 +168,12 @@ fn zero_weights_on_some_dims() {
             assert_equiv(&index.query(&q, k).unwrap(), &oracle(&data, &roles, &q, k));
         }
     }
-    // One zero weight on a single pair: θ_q = 90° (repulsive weight zero)
-    // or 0° (attractive), both indexed, so the pair walks its own frontier.
+    // One zero weight on a single pair: the scan bounds the other
+    // dimension alone, as it would any query.
     let pair_roles = [DimRole::Repulsive, DimRole::Attractive];
     let pair_data = rand_dataset(&mut rng, 120, 2);
     let pair = SdIndex::build(pair_data.clone(), &pair_roles).unwrap();
-    for (zero, deg) in [(0, 90.0), (1, 0.0)] {
+    for zero in 0..2 {
         let mut weights = vec![1.0, 0.6];
         weights[zero] = 0.0;
         let q = SdQuery::new(vec![0.4, 0.6], weights).unwrap();
@@ -186,12 +183,10 @@ fn zero_weights_on_some_dims() {
                 &oracle(&pair_data, &pair_roles, &q, k),
             );
         }
-        let QueryPlan::Direct(plan) = pair.plan(&q).unwrap() else {
-            panic!("one pair walks");
-        };
-        assert_eq!(plan.action, PairAction::Frontier, "d{zero} zero");
-        let theta = plan.theta.expect("one weight is live").degrees();
-        assert!((theta - deg).abs() < 1e-9, "d{zero} zero: θ_q {theta}°");
+        assert!(matches!(
+            pair.plan(&q).unwrap(),
+            QueryPlan::Scan { chunks: 2, .. }
+        ));
     }
     assert_eq!(
         index.plan(&q).unwrap(),
@@ -217,26 +212,6 @@ fn validation_errors() {
     let data = Dataset::from_rows(2, &[vec![0.0, 0.0]]).unwrap();
     let roles = vec![DimRole::Attractive, DimRole::Repulsive];
     assert!(SdIndex::build(data.clone(), &[DimRole::Attractive]).is_err());
-    // Every index holds both axes: an angle set short of 0° or of 90° is
-    // refused at build time, naming the missing axis.
-    let deg = |d: f64| Angle::from_degrees(d).unwrap();
-    for (angles, missing) in [
-        (vec![deg(10.0), deg(45.0), deg(90.0)], 0.0),
-        (vec![deg(0.0), deg(45.0), deg(80.0)], 90.0),
-        (vec![deg(45.0)], 0.0),
-    ] {
-        let options = SdIndexOptions { angles };
-        match SdIndex::build_with(data.clone(), &roles, &options) {
-            Err(SdError::AngleOutOfRange { requested_deg, .. }) => {
-                assert_eq!(requested_deg, missing)
-            }
-            other => panic!("a set without {missing}° built: {other:?}"),
-        }
-    }
-    let axes = SdIndexOptions {
-        angles: vec![deg(90.0), deg(0.0)],
-    };
-    assert!(SdIndex::build_with(data.clone(), &roles, &axes).is_ok());
     let index = SdIndex::build(data, &roles).unwrap();
     let q = SdQuery::new(vec![0.0], vec![1.0]).unwrap();
     assert!(matches!(
@@ -281,11 +256,14 @@ fn memory_accounting() {
     let index = SdIndex::build(data, &roles).unwrap();
     // Ids and first ids of eight chunks, and their tree: under 16 chunks
     // each is a group of its own, a node box and first id each, its codes,
-    // and the groups with their offsets. No pair index.
+    // and the groups with their offsets.
     let tree = 8 * (4 * 2 * 4 + 4) + 8 * 2 * 4 + 8 * 4 + 9 * 8;
     let order = 4 * 500 + 4 * 8 + tree;
     assert_eq!(index.memory_bytes(), order);
-    assert_eq!(index.block_stats(), (0, 0));
+    // A 2-D index of one pair holds the same kind of tree, nothing more.
+    let pair = SdIndex::build(rand_dataset(&mut rng, 500, 2), &roles[..2]).unwrap();
+    let tree = 8 * (4 * 2 * 2 + 4) + 8 * 2 * 2 + 8 * 4 + 9 * 8;
+    assert_eq!(pair.memory_bytes(), 4 * 500 + 4 * 8 + tree);
 }
 
 #[test]
@@ -305,9 +283,11 @@ fn paper_publisher_example() {
     .unwrap();
     let roles = vec![DimRole::Repulsive, DimRole::Attractive, DimRole::Attractive];
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    // A pair and a 1-D subproblem are not one pair: one box scan.
-    assert_eq!(walked_pair(&roles), None);
-    assert!(index.pair_blocks().is_none());
+    // A pair and a 1-D subproblem, as any roles: one box scan.
+    assert!(matches!(
+        index.plan(&SdQuery::uniform_weights(vec![0.0; 3], &roles)),
+        Ok(QueryPlan::Scan { .. })
+    ));
     let q = SdQuery::new(vec![50.0, 38.0, 75.0], vec![1.0, 1.0, 1.0]).unwrap();
     let got = index.query(&q, 2).unwrap();
     assert_equiv(&got, &oracle(&data, &roles, &q, 2));
@@ -416,9 +396,7 @@ fn assert_scan_scored(
     worst: Option<(f64, u32)>,
     dead: &dyn Fn(u32) -> bool,
 ) -> Outcomes {
-    let Layout::Boxes(tree) = &index.layout else {
-        panic!("an aggregating index is in box order");
-    };
+    let tree = &index.tree;
     let n = index.data.len();
     let p = &scratch.profile;
     let at = boxes::BoxQuery {
@@ -471,9 +449,9 @@ fn assert_scan_scored(
 
 #[test]
 fn executions_answer_the_oracle_under_a_pre_filled_floor() {
-    // A box scan (4-D) and a walk (2-D), each scoring into a floor another
-    // part of the query filled below the k-th answer, leave the oracle's
-    // top k in it, and none of that part's entries.
+    // A box scan, 4-D and 2-D, scoring into a floor another part of the
+    // query filled below the k-th answer, leaves the oracle's top k in it,
+    // and none of that part's entries.
     let mut rng = rand::rngs::StdRng::seed_from_u64(309);
     let k = 16;
     for dims in [4, 2] {
@@ -489,7 +467,6 @@ fn executions_answer_the_oracle_under_a_pre_filled_floor() {
         let mut scratch = QueryScratch::new();
         for _ in 0..4 {
             let q = rand_query(&mut rng, dims);
-            assert_eq!(index.single_pair(&q).is_some(), dims == 2);
             let want = oracle(&data, roles, &q, 2 * k);
             let mut heap = BinaryHeap::new();
             let mut floor = floor_at(&mut heap, k, want[2 * k - 1].score);
@@ -499,16 +476,27 @@ fn executions_answer_the_oracle_under_a_pre_filled_floor() {
     }
 }
 
+/// A 2-D index of one pair refuses a query of another dimensionality, in
+/// its plan and its answer alike, and scans one of its own.
 #[test]
 fn single_pair_refuses_a_query_of_another_dimensionality() {
     let data = Dataset::from_rows(2, &[vec![1.0, 9.0], vec![1.1, 2.0], vec![7.0, 8.5]]).unwrap();
     let index = SdIndex::build(data, &[DimRole::Attractive, DimRole::Repulsive]).unwrap();
     for dims in [1, 3] {
         let q = SdQuery::new(vec![1.0; dims], vec![1.0; dims]).unwrap();
-        assert!(index.single_pair(&q).is_none(), "{dims}-D query");
+        let wrong = SdError::DimensionMismatch {
+            expected: 2,
+            got: dims,
+        };
+        assert_eq!(index.plan(&q), Err(wrong.clone()), "{dims}-D query");
+        assert_eq!(index.query(&q, 1), Err(wrong), "{dims}-D query");
     }
     let q = SdQuery::new(vec![1.0; 2], vec![1.0; 2]).unwrap();
-    assert!(index.single_pair(&q).is_some());
+    assert!(matches!(
+        index.plan(&q),
+        Ok(QueryPlan::Scan { chunks: 1, .. })
+    ));
+    assert_eq!(index.query(&q, 1).unwrap()[0].id.index(), 0);
 }
 
 #[test]
@@ -863,72 +851,6 @@ fn probe_leaves_friendly_queries_alone() {
     }
 }
 
-/// One certifying stream against the box scan, at size. A [`Pair2DStream`]
-/// over a 2-D `[a, r]` index, run as a one-stream threshold loop — fetch a
-/// block, score its rows, stop once the k-th best beats the stream's bound
-/// — is what `sdq-paper`'s §5 aggregation runs one of per pair. On 20 000
-/// uniform rows it certifies before it has fetched a quarter of them, and
-/// answers, bit for bit, what the box scan answers over the same rows (a
-/// third column, unpaired and weighted 0, makes that index scan).
-#[test]
-fn certifying_streams_match_the_scan_at_size() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(302);
-    let n = 20_000;
-    let pair = rand_dataset(&mut rng, n, 2);
-    let flat = pair
-        .iter()
-        .flat_map(|(_, c)| [c[0], c[1], rng.gen_range(0.0..1.0)])
-        .collect();
-    let roles = [DimRole::Attractive, DimRole::Repulsive];
-    let streamed = SdIndex::build(pair.clone(), &roles).unwrap();
-    let scanned = SdIndex::build(
-        Dataset::from_flat(3, flat).unwrap(),
-        &[DimRole::Attractive, DimRole::Repulsive, DimRole::Attractive],
-    )
-    .unwrap();
-    let k = 16;
-    let (mut scratch, mut prof) = (QueryScratch::new(), QueryProfile::default());
-    let (mut heap, mut batch) = (BinaryHeap::new(), Vec::new());
-    for _ in 0..16 {
-        let point: Vec<f64> = (0..2).map(|_| rng.gen_range(0.0..1.0)).collect();
-        let weights: Vec<f64> = (0..2).map(|_| rng.gen_range(0.1..1.0)).collect();
-        let q = SdQuery::new(point.clone(), weights.clone()).unwrap();
-        let mut stream = Pair2DStream::new(&streamed, &q).unwrap().expect("one pair");
-        let mut floor = QueryFloor::new(&mut heap, k);
-        let mut fetched = 0;
-        while let Some(bound) = stream.bound() {
-            let f = floor.bar();
-            if f > inflate(bound) {
-                break;
-            }
-            batch.clear();
-            let prune = (f > f64::NEG_INFINITY).then_some((f, 0.0));
-            if !stream.next_unit(prune, &mut batch, &mut prof) {
-                break;
-            }
-            fetched += batch.len();
-            for &row in &batch {
-                let p = pair.point(crate::types::PointId::new(row));
-                floor.offer(sd_score(p, &q.point, &roles, &q.weights), row);
-            }
-        }
-        let got = drained(&mut floor);
-        assert_bit_identical(&got, &oracle(&pair, &roles, &q, k));
-        assert!(fetched < n / 4, "fetched {fetched} of {n}");
-
-        let wide = SdQuery::new(
-            vec![point[0], point[1], rng.gen_range(0.0..1.0)],
-            vec![weights[0], weights[1], 0.0],
-        )
-        .unwrap();
-        assert!(scanned.single_pair(&wide).is_none());
-        let want = scanned.query_with(&wide, k, &mut scratch).unwrap();
-        assert_bit_identical(&got, want);
-        let p = scratch.profile;
-        assert_eq!((p.parts_scanned, p.rounds, p.blocks_popped), (1, 0, 0));
-    }
-}
-
 // ─── every way a chunk leaves the one scan, forced in turn ──────────────────
 
 /// One dataset of the sweep below, by kind: uniform, anti-correlated, a
@@ -1044,37 +966,35 @@ fn rand_dead(rng: &mut impl Rng, n: usize) -> RowMask {
     dead
 }
 
-/// `index` with its pair's rows stored in a random permutation, and so
-/// dealt into blocks by it — no tiles, no strips, no order at all; a file
-/// written by a build that ordered its rows some other way is one of
-/// these. (An index that scans has no block set to deal.)
+/// `index` with its rows stored in a random permutation, and so dealt into
+/// chunks by it — no split, no order at all — under the box tree the build
+/// makes over whatever rows it is handed: every box a true min/max over
+/// its rows. A file written by a build that ordered its rows some other way
+/// is one of these.
 fn dealt_at_random(index: &SdIndex, rng: &mut impl Rng) -> SdIndex {
-    let n = index.data.len();
-    let mut dealt = index.clone();
-    if let (Some((rep, att)), Layout::Pair(blocks)) = (walked_pair(&index.roles), &mut dealt.layout)
-    {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        for i in (1..n).rev() {
-            order.swap(i, rng.gen_range(0..=i));
-        }
-        let rows = gather(&index.data, &order);
-        let pts: Vec<(f64, f64)> = rows.chunks(2).map(|c| (c[att], c[rep])).collect();
-        *blocks = BlockSet::build(&pts, blocks.angles());
-        let ids: Vec<u32> = order.iter().map(|&p| index.ids[p as usize]).collect();
-        dealt.data = Arc::new(Dataset::from_flat(2, rows).unwrap());
-        dealt.firsts = ColumnarView::owned(boxes::chunk_firsts(&ids));
-        dealt.ids = ColumnarView::owned(ids);
+    let (n, dims) = (index.data.len(), index.data.dims());
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        order.swap(i, rng.gen_range(0..=i));
     }
+    let rows = gather(&index.data, &order);
+    let ids: Vec<u32> = order.iter().map(|&p| index.ids[p as usize]).collect();
+    let firsts = boxes::chunk_firsts(&ids);
+    let mut dealt = index.clone();
+    dealt.tree = BoxTree::build(&rows, dims, &firsts, &Cell::of(0..n as u32));
+    dealt.data = Arc::new(Dataset::from_flat(dims, rows).unwrap());
+    dealt.firsts = ColumnarView::owned(firsts);
+    dealt.ids = ColumnarView::owned(ids);
     dealt
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Every bound is a true min/max over the block's points, so the answer
-    // cannot depend on which points share a block: tiled, dealt at random
-    // and scanned agree bit for bit — the direct 2-D walk (two dimensions)
-    // and the box scan, dead rows or not.
+    // Every bound is a true min/max over the chunk's rows, so the answer
+    // cannot depend on which rows share a chunk: box-ordered and dealt at
+    // random agree bit for bit — at two dimensions as at any other, dead
+    // rows or not.
     #[test]
     fn any_order_is_an_index(
         seed in 0u64..1 << 48,
@@ -1090,6 +1010,7 @@ proptest! {
         };
         let tiled = SdIndex::build(data.clone(), &roles).unwrap();
         let dealt = dealt_at_random(&tiled, &mut rng);
+        prop_assert!(dealt.tree.check_firsts(&dealt.firsts).is_ok());
         let dead = rand_dead(&mut rng, n);
         let mut scratch = QueryScratch::new();
         for _ in 0..4 {
@@ -1113,10 +1034,10 @@ proptest! {
     }
 }
 
-/// The layout is read off the roles alone: a 2-D index of one attractive
-/// and one repulsive dimension keeps its pair's block set above its rows,
-/// every other index the box tree of its rows in box order; both keep
-/// an id a row and a first id a chunk — built and decoded alike.
+/// The roles pick no layout: every index — a 2-D one of one attractive and
+/// one repulsive dimension too — keeps its rows in box order under their
+/// box tree, an id a row and a first id a chunk, built and decoded alike;
+/// and the same rows under other roles are stored in the same order.
 #[test]
 fn the_roles_alone_pick_the_layout() {
     use crate::codec::{decode_from_slice, encode_to_vec};
@@ -1129,21 +1050,21 @@ fn the_roles_alone_pick_the_layout() {
                 _ => DimRole::Attractive,
             })
             .collect();
-        let want = match spec {
-            "ar" => Some((1, 0)),
-            "ra" => Some((0, 1)),
-            _ => None,
-        };
-        assert_eq!(walked_pair(&roles), want, "{spec}");
-        let index = SdIndex::build(rand_dataset(&mut rng, 150, roles.len()), &roles).unwrap();
+        let data = rand_dataset(&mut rng, 150, roles.len());
+        let index = SdIndex::build(data.clone(), &roles).unwrap();
+        let flipped: Vec<DimRole> = roles
+            .iter()
+            .map(|r| match r {
+                DimRole::Attractive => DimRole::Repulsive,
+                DimRole::Repulsive => DimRole::Attractive,
+            })
+            .collect();
+        let other = SdIndex::build(data, &flipped).unwrap();
+        assert_eq!(other.row_ids(), index.row_ids(), "{spec}");
         let back: SdIndex = decode_from_slice(&encode_to_vec(&index)).unwrap();
         for index in [&index, &back] {
-            assert_eq!(index.pair_blocks().is_some(), want.is_some(), "{spec}");
-            assert_eq!(
-                matches!(index.layout, Layout::Boxes(_)),
-                want.is_none(),
-                "{spec}"
-            );
+            assert_eq!(index.tree.groups, [1, 1, 1], "{spec}");
+            assert!(index.tree.check_firsts(&index.firsts).is_ok(), "{spec}");
             let mut ids = index.row_ids().to_vec();
             ids.sort_unstable();
             assert!(ids.into_iter().eq(0..150), "{spec}");
@@ -1171,13 +1092,10 @@ fn cells_concatenate_to_the_whole_box_order() {
         }
         let roles = vec![DimRole::Attractive; dims];
         let whole = SdIndex::build(data.clone(), &roles).unwrap();
-        let tree_of = |index: &SdIndex| match &index.layout {
-            Layout::Boxes(tree) => tree.clone(),
-            Layout::Pair(_) => unreachable!("no pair among these roles"),
-        };
+        let tree_of = |index: &SdIndex| index.tree.clone();
         let want = tree_of(&whole);
         for count in [1, 2, 3, 4, 5, 8] {
-            let cells = cells(&data, &roles, count);
+            let cells = cells(&data, count);
             assert_eq!(cells.len(), count.min(n.div_ceil(CHUNK_ROWS)), "n {n}");
             let built: Vec<SdIndex> = cells
                 .iter()
@@ -1220,20 +1138,43 @@ fn cells_concatenate_to_the_whole_box_order() {
             assert!(id_census(&built, n).is_ok(), "{ctx}");
         }
     }
-    // A walked pair's cells are row ranges, balanced within a row, each
-    // tiled on its own under the ids of the range.
-    let data = rand_dataset(&mut rng, 200, 2);
-    let pair = [DimRole::Attractive, DimRole::Repulsive];
-    let mut next = 0;
-    for cell in cells(&data, &pair, 3) {
-        let index = SdIndex::build_cell(&data, &pair, &cell).unwrap();
-        let len = index.data.len();
-        assert!(len == 66 || len == 67, "{len}");
-        let rows = index.rows_by_id().unwrap();
-        assert_eq!(rows.flat(), &data.flat()[2 * next..2 * (next + len)]);
-        next += len;
+}
+
+/// A group of more than [`FLAT`] chunks is the one node a walk splits
+/// rather than bounding its chunks: its 16 children are stored, bounded as
+/// the descent and the sweep meet them, and every run of chunk bounds the
+/// query takes is one child's. One index of 300 000 2-D rows (more than
+/// 16 · 256 chunks) is 16 groups of 293 chunks under 272 stored nodes; one
+/// of 100 000 stores its 16 groups' top nodes alone.
+#[test]
+fn a_group_over_flat_chunks_descends_through_its_stored_children() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1A7);
+    let roles = [DimRole::Attractive, DimRole::Repulsive];
+    let small = SdIndex::build(rand_dataset(&mut rng, 100_000, 2), &roles).unwrap();
+    assert_eq!(small.tree_stats().0, 16);
+    assert_eq!(small.tree_stats().1, 1);
+    let n = 300_000;
+    let data = rand_dataset(&mut rng, n, 2);
+    let index = SdIndex::build(data.clone(), &roles).unwrap();
+    assert_eq!(index.tree.groups, [293; 16]);
+    let (nodes, levels, _) = index.tree_stats();
+    assert_eq!((nodes, levels), (16 + 256, 2));
+    assert!(index.tree.check_firsts(&index.firsts).is_ok());
+    let mapped = mapped_copy(&index);
+    let mut scratch = QueryScratch::new();
+    for _ in 0..4 {
+        let q = rand_query(&mut rng, 2);
+        let want = oracle(&data, &roles, &q, 16);
+        for index in [&index, &mapped] {
+            let got = index.query_with(&q, 16, &mut scratch).unwrap().to_vec();
+            assert_bit_identical(&got, &want);
+            let spans = &scratch.scan.spans;
+            assert!(!spans.is_empty());
+            assert!(spans.iter().all(|s| s.end - s.start <= 19), "{spans:?}");
+            // The groups, twice, and at least one group's children.
+            assert!(scratch.profile.boxes_bounded >= 2 * 16 + 16);
+        }
     }
-    assert_eq!(next, 200);
 }
 
 /// The engine-wide checks of the shards' ids: a repeat and an id past
@@ -1244,7 +1185,7 @@ fn the_id_census_spans_every_cell() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xCE2);
     let data = rand_dataset(&mut rng, 300, 3);
     let roles = vec![DimRole::Repulsive; 3];
-    let mut built: Vec<SdIndex> = cells(&data, &roles, 3)
+    let mut built: Vec<SdIndex> = cells(&data, 3)
         .iter()
         .map(|cell| SdIndex::build_cell(&data, &roles, cell).unwrap())
         .collect();

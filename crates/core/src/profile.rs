@@ -4,9 +4,10 @@
 //! wins because most envelope nodes, leaf blocks and points are never
 //! scored — and [`QueryProfile`] is how that is observed. Every query
 //! entry point increments a fixed set of `u64` counters as it runs: the
-//! frontier walk ([`BlockFrontier`]), the block-level
-//! floor pruning, the box scan's chunks, the scoring kernels, the delta
-//! scan, the tombstone mask and the drain of the query's answer heap.
+//! box scan's nodes and chunks, the scoring kernels, the delta scan, the
+//! tombstone mask and the drain of the query's answer heap — and, for the
+//! paper's own §4 walks and §5 streams (`sdq-paper`), the frontier and its
+//! block-level floor pruning.
 //!
 //! The counters live inside [`QueryScratch`](crate::QueryScratch) — one
 //! profile a query, whatever answers it: the index, the engine (its delta
@@ -54,8 +55,6 @@
 //! }
 //! assert!(p.aggregate_nanos > 0, "timing was enabled");
 //! ```
-//!
-//! [`BlockFrontier`]: crate::topk::blocks
 
 use crate::kernels::LANES;
 
@@ -68,18 +67,7 @@ use crate::kernels::LANES;
 /// only on the query's own profile (they are **not** summed by
 /// [`QueryProfile::merge`]).
 ///
-/// **On the direct single-pair walk** (the road of
-/// [`answer_parts`](crate::multidim::answer_parts) for a one-pair query,
-/// one walk over every shard) the counters read: the four frontier counters as
-/// everywhere; `rows_fetched` — the rows of the popped blocks (no lane
-/// filter runs, so `lanes_masked` stays 0); `tombstones_skipped` — the dead
-/// among them; `points_gathered` — the rest, every one scored by the row
-/// kernel in one `kernel_batches` call per block; `points_scored` and
-/// `floor_updates` — the lanes that passed the floor compare, and what they
-/// did to the floor; `floor_value` and `emitted` as everywhere. Nothing is
-/// scanned (`parts_scanned`, `scan_rows`, `boxes_bounded` and `chunks_*` 0).
-///
-/// **On the box scan** (every other engine or index query) the counters
+/// **On the box scan** (every engine or index query) the counters
 /// read: `parts_scanned` — the parts scanned; `boxes_bounded` — the nodes
 /// and chunks of their box trees whose bound the scan computed;
 /// `chunks_scored` and `chunks_skipped` — their chunks scored, and the
@@ -88,13 +76,14 @@ use crate::kernels::LANES;
 /// `tombstones_skipped` — the dead among them; `points_gathered` — the
 /// rest; `kernel_batches` — one per scored piece of up to [`LANES`] rows;
 /// `points_scored` and `floor_updates` — the rows that reached the floor,
-/// and what they did to it. No stream runs: the frontier counters,
-/// `lanes_masked`, `rounds` and `seen_hits` stay 0 — they count the paper's
-/// §5 aggregation (`sdq-paper`) and the TA baseline, which run loops of
-/// their own.
+/// and what they did to it. No frontier or stream runs: the frontier
+/// counters, `lanes_masked`, `rounds` and `seen_hits` stay 0 — they count
+/// the paper's §4 walks and §5 aggregation (`sdq-paper`) and the TA
+/// baseline, which run loops of their own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryProfile {
-    /// Envelope nodes expanded by the block frontiers, each counted once:
+    /// Envelope nodes expanded by a block frontier (`sdq-paper`'s), each
+    /// counted once:
     /// an entry sits in one heap under the best of its projection types,
     /// not in one heap per type.
     pub nodes_visited: u64,
@@ -118,8 +107,8 @@ pub struct QueryProfile {
     /// Candidate rows handed to the scoring stage: the box scan's
     /// [`scan_rows`](QueryProfile::scan_rows) and every delta row (the live
     /// ones are [`delta_rows_scanned`](QueryProfile::delta_rows_scanned),
-    /// the dead ones count in `tombstones_skipped`); on the direct walk,
-    /// the rows of every popped block; in a stream loop (`sdq-paper`'s
+    /// the dead ones count in `tombstones_skipped`); on a §4 walk
+    /// (`sdq-paper`'s), the rows of every popped block; in a stream loop (`sdq-paper`'s
     /// §5 aggregation, the TA baseline) every fetched row, duplicates
     /// included.
     pub rows_fetched: u64,
@@ -146,9 +135,8 @@ pub struct QueryProfile {
     /// batched survivor compare against the higher of the local and the
     /// shared k-th-score floor).
     pub points_scored: u64,
-    /// Kernel batch invocations, each scoring up to [`LANES`] rows: a popped
-    /// block of the direct walk, every piece of [`LANES`] consecutive rows
-    /// the box scan scores (tombstoned rows included), and every delta
+    /// Kernel batch invocations, each scoring up to [`LANES`] rows: every
+    /// piece of [`LANES`] consecutive rows the box scan scores (tombstoned rows included), and every delta
     /// piece with a live row.
     pub kernel_batches: u64,
     /// Kernel backend that scored the batches (`"avx2"`, `"sse2"`,
@@ -170,7 +158,7 @@ pub struct QueryProfile {
     /// Final k-th-score floor (`-inf` until `k` scores are known).
     pub floor_value: f64,
     /// Rounds of a stream loop (one fetch per stream each: `sdq-paper`'s §5
-    /// aggregation, the TA baseline); 0 on the walk and the box scan.
+    /// aggregation, the TA baseline); 0 on the box scan.
     pub rounds: u64,
     /// Rows the engine drained from the query's answer heap (its
     /// [`QueryFloor`](crate::QueryFloor)) into the answer; `0` on the
@@ -184,7 +172,7 @@ pub struct QueryProfile {
     /// Nanoseconds in the delta scan (engine path, dirty only).
     pub delta_scan_nanos: u64,
     /// Nanoseconds in the driver ([`answer_parts`]), summed over its calls
-    /// of one query: the walk or the box scan of every part.
+    /// of one query: the box scan of every part.
     ///
     /// [`answer_parts`]: crate::multidim::answer_parts
     pub aggregate_nanos: u64,

@@ -8,9 +8,8 @@
 //! a whole query, all its parts — the one index of an
 //! [`SdIndex`](crate::multidim::SdIndex), or every shard of an engine —
 //! through the one driver, [`answer_parts`](crate::multidim::answer_parts):
-//! the box scan of every part shares the descent's heap, the staged
-//! weights and the deadline, and the direct 2-D walk of a single-pair query draws
-//! on the frontier heaps.
+//! the box scan of every part shares the descent's heap, the chunk bounds,
+//! the staged weights and the deadline.
 //!
 //! Every `query_with` — the index's, the engine's (an engine's scratch is
 //! this one) and the TA baseline's — ends in the scratch's one answer step,
@@ -53,8 +52,6 @@ use crate::deadline::Deadline;
 use crate::multidim::ScanBufs;
 use crate::profile::QueryProfile;
 use crate::threshold::{FloorEntry, QueryFloor};
-use crate::topk::arbitrary::PartWalk;
-use crate::topk::stream::HeapEntry;
 use crate::types::{ScoredPoint, SdError};
 
 /// The seen-set of a caller's own per-query loop, served from a
@@ -110,15 +107,13 @@ pub struct LoopScratch<'a> {
 /// a fresh scratch, so both entry points return bit-identical answers.
 #[derive(Default)]
 pub struct QueryScratch {
-    /// Recycled frontier heaps, one per block frontier of a query.
-    pub(crate) heaps: Vec<BinaryHeap<HeapEntry>>,
     /// The answer buffer `query_with` returns a borrow of.
     pub(crate) answers: Vec<ScoredPoint>,
     /// The heap the [`QueryFloor`] of the query served from this scratch
     /// borrows ([`QueryScratch::answer_with`]): the best `min(k, n)`
     /// `(score, id)` entries seen so far.
     floor: BinaryHeap<FloorEntry>,
-    /// Per-lane kernel output of the box scan and the walk.
+    /// Per-lane kernel output of the box scan.
     pub(crate) scores: Vec<f64>,
     /// The role-signed weights of the query, staged by the delta scan and
     /// the driver for every scorer of the query's parts.
@@ -132,15 +127,12 @@ pub struct QueryScratch {
     /// also collect per-stage nanosecond timings.
     pub profile: QueryProfile,
     /// Cooperative deadline/cancel token of the next query served from
-    /// this scratch, checked by every scorer of the query: once per walk
-    /// pop, scanned piece of rows and delta chunk. The
+    /// this scratch, checked by every scorer of the query: once per
+    /// scanned piece of rows and delta chunk. The
     /// default is unlimited (a single predictable branch per check); a
     /// bounded deadline captures its expiry at construction, so set a fresh
     /// one per query.
     pub deadline: Deadline,
-    /// Recycled per-part frontier list of the direct single-pair walk. Empty
-    /// between queries; only the allocation is retained.
-    walks: Vec<PartWalk<'static>>,
     /// The floor updates of each part of the last query, in part order
     /// (see [`QueryScratch::part_floor_updates`]).
     pub(crate) part_floor_updates: Vec<u64>,
@@ -194,8 +186,7 @@ impl QueryScratch {
     /// How the last query served from this scratch by the one driver
     /// ([`answer_parts`](crate::multidim::answer_parts)) splits its
     /// `profile.floor_updates` over its parts — one entry per part (an
-    /// engine's shard), in the order the driver was handed them, whether
-    /// the query walked or scanned.
+    /// engine's shard), in the order the driver was handed them.
     pub fn part_floor_updates(&self) -> &[u64] {
         &self.part_floor_updates
     }
@@ -216,51 +207,4 @@ impl QueryScratch {
             deadline: &self.deadline,
         }
     }
-
-    /// Pops a recycled frontier heap (or a fresh one).
-    pub(crate) fn take_heap(&mut self) -> BinaryHeap<HeapEntry> {
-        self.heaps.pop().unwrap_or_default()
-    }
-
-    /// Returns a frontier heap to the pool for reuse.
-    pub(crate) fn put_heap(&mut self, heap: BinaryHeap<HeapEntry>) {
-        self.heaps.push(heap);
-    }
-
-    /// Hands out the recycled (empty) part list of the direct walk; give it
-    /// back through [`QueryScratch::put_walks`].
-    pub(crate) fn walk_buf<'a>(&mut self) -> Vec<PartWalk<'a>> {
-        debug_assert!(self.walks.is_empty());
-        std::mem::take(&mut self.walks)
-    }
-
-    /// Adopts a drained part list back into the scratch.
-    pub(crate) fn put_walks(&mut self, v: Vec<PartWalk<'_>>) {
-        self.walks = recycle_vec(v);
-    }
-}
-
-/// Empties `v` and hands its allocation on as an empty `Vec<U>` — how a
-/// scratch keeps a buffer whose element type borrows from one query
-/// (`Vec<PartWalk<'a>>`) for the next query's
-/// lifetime without allocating again. `T` and `U` must agree in size and
-/// alignment (checked at compile time); in practice they are one type at
-/// two lifetimes.
-fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
-    const {
-        assert!(
-            std::mem::size_of::<T>() == std::mem::size_of::<U>()
-                && std::mem::align_of::<T>() == std::mem::align_of::<U>()
-        )
-    };
-    v.clear();
-    let cap = v.capacity();
-    let ptr = v.as_mut_ptr();
-    std::mem::forget(v);
-    // SAFETY: the vector is empty, so no `T` survives to be read as a `U`;
-    // only the raw allocation is adopted. It was made by the global
-    // allocator for `cap` elements of `T`'s size and alignment, which the
-    // assertion above makes `U`'s size and alignment too — all that
-    // `from_raw_parts` requires of a zero-length vector.
-    unsafe { Vec::from_raw_parts(ptr.cast::<U>(), 0, cap) }
 }

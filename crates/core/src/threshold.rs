@@ -1,8 +1,8 @@
 //! The answer heap of one logical query.
 //!
 //! Every exact score a query finds — in any shard's box scan, in the
-//! direct walk, in the engine's delta scan — goes into one [`QueryFloor`], passed
-//! `&mut` to whatever scores a row of the query, together with the row's
+//! engine's delta scan, in `sdq-paper`'s walks — goes into one
+//! [`QueryFloor`], passed `&mut` to whatever scores a row of the query, together with the row's
 //! global id. The floor keeps the best `min(k, live rows the query ranks)`
 //! `(score, id)` entries in the canonical order ([`rank_cmp`]: score
 //! descending, ties by id ascending), so one drain at the end of the query
@@ -34,7 +34,8 @@ pub type FloorEntry = (Reverse<OrdF64>, u32);
 
 /// Maps a non-NaN `f64` onto a `u64` whose unsigned order equals the float
 /// order: positive floats get the sign bit set, negative floats are
-/// bit-inverted. The bulk load's sort key (`topk::blocks`).
+/// bit-inverted. The split's sort key (`multidim::boxes`) and the
+/// descent's heap order.
 #[inline]
 pub(crate) fn encode(v: f64) -> u64 {
     // Branch-free: the mask is all ones for a negative float, the sign bit

@@ -1,6 +1,6 @@
 //! Proof of the zero-allocation query engine: after one warm-up pass, a
 //! reused [`QueryScratch`] answers every query of the steady-state workload
-//! with **zero** heap allocations on the [`SdIndex`] box scan and walk —
+//! with **zero** heap allocations on the [`SdIndex`] box scan —
 //! including the hostile queries that score most chunks.
 //!
 //! The measurement uses a counting global allocator with a thread-local
@@ -66,7 +66,7 @@ fn steady_state_queries_do_not_allocate() {
     let mut scratch = QueryScratch::new();
     let mut sink = 0.0f64;
 
-    // ── §5 index: 4-D, two pairs, TA aggregation over Pair2DStreams ──────
+    // ── the box scan: 4-D, two attractive and two repulsive dimensions ───
     let dims = 4;
     let coords: Vec<f64> = (0..8_000 * dims).map(|_| rng.gen_range(0.0..1.0)).collect();
     let data = Dataset::from_flat(dims, coords).unwrap();
@@ -100,9 +100,9 @@ fn steady_state_queries_do_not_allocate() {
         "SdIndex::query_with allocated {n} times after warm-up"
     );
 
-    // ── a zero pair weight, first of its kind: θ_q = 0° or 90°, an indexed
-    //    angle of the pair's own frontier, so a scratch warmed by full-weight
-    //    queries serves it as is and the index builds nothing for it ─────
+    // ── a zero weight, first of its kind: the scan leaves the dimension
+    //    out of every bound, so a scratch warmed by full-weight queries
+    //    serves it as is and the index builds nothing for it ────────────
     let bytes = sd.memory_bytes();
     for (zero, q) in queries4d.iter().enumerate().take(dims) {
         let mut q = q.clone();

@@ -8,9 +8,9 @@
 //!                         SdEngine::query_with
 //!                                 │
 //!                    ┌────────────▼────────────┐
-//!                    │  one pair? the §4 walk  │   indexed-angle frontier or
-//!                    │  anything else: a scan  │   Claim-6 bracket; the box
-//!                    └────────────┬────────────┘   scan skips chunks by box
+//!                    │   one box scan of every │   the box tree's descent,
+//!                    │   shard, whatever roles │   then a sweep that skips
+//!                    └────────────┬────────────┘   chunks by box
 //!                                 │
 //!              ┌──────────────────┼──────────────────┐
 //!        ┌─────▼─────┐      ┌─────▼─────┐      ┌─────▼─────┐
@@ -35,25 +35,18 @@
 //! ## Shards
 //!
 //! The engine cuts the dataset into `S` shards at build time, each with its
-//! own `SdIndex`, so that the shards build side by side on every CPU. How
-//! it cuts depends on the roles, as the layout does:
-//!
-//! * **Cells of one box order** (any roles but a walked pair's): the shards
-//!   are the subtrees of one recursive median split of all the rows. The
-//!   split's top `⌈log₂ S⌉` levels run over every row (the root's cut on
-//!   the calling thread, its two sides on two), and each shard's build
-//!   finishes its own cell ([`cells`], [`SdIndex::build_cell`]).
-//!   Concatenated in shard order, the shards' rows, ids, chunk codes and
-//!   first ids are those of one [`SdIndex`] over all the rows — and at up
-//!   to 16 shards so are the stored nodes of their box trees, each shard
-//!   whole groups of it — and each shard's id column holds global ids. At
-//!   most one shard a 64-row chunk.
-//! * **Row ranges** (a walked pair's `ar`/`ra` roles): contiguous ranges
-//!   balanced within one row, each shard's rows in its own §4 tile order
-//!   under the pair's envelope tree, its id column global too.
-//!
-//! Either way a shard stores its rows once, with the global id of each, so
-//! every scorer names a row by its shard's id column and nothing else.
+//! own `SdIndex`, so that the shards build side by side on every CPU.
+//! Whatever the roles, the shards are the **cells of one box order**: the
+//! subtrees of one recursive median split of all the rows. The split's top
+//! `⌈log₂ S⌉` levels run over every row (the root's cut on the calling
+//! thread, its two sides on two), and each shard's build finishes its own
+//! cell ([`cells`], [`SdIndex::build_cell`]). Concatenated in shard order,
+//! the shards' rows, ids, chunk codes and first ids are those of one
+//! [`SdIndex`] over all the rows — and at up to 16 shards so are the stored
+//! nodes of their box trees, each shard whole groups of it. At most one
+//! shard a 64-row chunk. A shard stores its rows once, with the global id
+//! of each, so every scorer names a row by its shard's id column and
+//! nothing else.
 //!
 //! A query runs on the thread that calls it — parallelism is between
 //! queries ([`SdEngine::par_query_batch`]). It walks the box trees of
@@ -61,7 +54,7 @@
 //! best chunks are scored, then the groups that still reach the floor,
 //! best first, each in row order — so a query over up to 16 cells bounds
 //! and scores what a one-shard engine does, in its order, and counts what
-//! it counts (or it walks every shard's pair index at once). A deleted id names no shard,
+//! it counts. A deleted id names no shard,
 //! so every compaction re-splits the live rows and rebuilds every shard
 //! ([`mutation`]).
 //!
@@ -95,11 +88,9 @@
 //! scratch's one profile, reset once per query, and checks its one
 //! deadline. Every shard scores into the query's floor: the best `min(k,
 //! live rows)` `(score, global id)` entries any shard or the delta scan has
-//! found, whose one drain is the answer. A query that is one non-degenerate
-//! pair ([`SdIndex::single_pair`]) walks the pair's block sets of every
-//! shard at once (the paper's §4 walk), whatever the shard count or
-//! tombstones; every other query is one box scan of every shard.
-//! [`SdEngine::explain`] says which, on every shard.
+//! found, whose one drain is the answer. Every query — a single pair's too,
+//! whatever the shard count or tombstones — is one box scan of every shard,
+//! and [`SdEngine::explain`] reports each shard's.
 //!
 //! ## Migration
 //!
@@ -154,9 +145,7 @@ pub use mutation::{CompactionOptions, CompactionReport, MutationStats};
 pub struct EngineOptions {
     /// Number of shards (`≥ 1`; capped so that no shard is empty —
     /// [`shard_limit`](sdq_core::multidim::shard_limit)): the cells of one
-    /// box order, or a walked pair's contiguous row ranges, balanced within
-    /// one row (see the crate docs). A walked pair's shards index the
-    /// default angles ([`default_angles`](sdq_core::topk::default_angles)).
+    /// box order (see the crate docs).
     pub shards: usize,
     /// Read by nothing. It named the per-query shard worker count, and
     /// stays only because the repo benchmark, which a program change may
@@ -179,9 +168,8 @@ impl Default for EngineOptions {
 /// [`SdEngine::shard_infos`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardInfo {
-    /// The smallest global row id in the shard: a walked pair's row range
-    /// starts at it; a cell of a box order holds ids from all over the id
-    /// space.
+    /// The smallest global row id in the shard: a cell of a box order holds
+    /// ids from all over the id space.
     pub smallest_id: usize,
     /// Number of rows in the shard (dead ones included).
     pub rows: usize,
@@ -207,8 +195,7 @@ pub type EngineScratch = QueryScratch;
 /// slot `i` accumulates the k-th-score-floor updates contributed by shard
 /// `i`, with every shard `≥ FLOOR_HIST_SLOTS − 1` folded into the last
 /// slot (so resharding never invalidates the registry). Each shard is
-/// credited the updates its own rows made, whether the query walked or
-/// scanned.
+/// credited the updates its own rows made.
 pub const FLOOR_HIST_SLOTS: usize = 16;
 
 #[derive(Debug, Default)]
@@ -769,15 +756,13 @@ impl SdEngine {
             .collect()
     }
 
-    /// How `query` runs on every shard — the direct walk's rule reads the
-    /// weights only, so every shard plans a walk alike; a scan plan counts
-    /// the shard's chunks. Observability for `sdq query --explain` and `sdq
-    /// inspect`; nothing is executed.
+    /// How `query` runs on every shard: one box scan each, its plan
+    /// counting the shard's chunks and stored nodes. Observability for `sdq
+    /// query --explain` and `sdq inspect`; nothing is executed.
     ///
     /// Reflects how the engine executes: every shard plans like a
-    /// standalone [`SdIndex`], so the plans say `direct` exactly when the
-    /// query is one non-degenerate pair ([`SdIndex::single_pair`]) and the
-    /// engine walks all its shards at once. The delta region, when
+    /// standalone [`SdIndex`], and the engine scans all its shards as one
+    /// index. The delta region, when
     /// non-empty, additionally executes as an exact scan outside these
     /// per-shard plans (see [`mutation`]). Refuses what
     /// [`SdEngine::query_with`] refuses, with the same error.
@@ -814,9 +799,9 @@ impl SdEngine {
         Ok(self.query_with(query, k, &mut scratch)?.to_vec())
     }
 
-    /// Answers the top-k query with caller-owned scratch buffers, running
-    /// every shard on the calling thread — or, for a single-pair query,
-    /// walking every shard at once. Returns a slice borrowed from the
+    /// Answers the top-k query with caller-owned scratch buffers, scanning
+    /// every shard on the calling thread as one index. Returns a slice
+    /// borrowed from the
     /// scratch, **bit-identical** to the unsharded [`SdIndex::query`] over
     /// the same data, whatever the shard count.
     ///
@@ -982,15 +967,14 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// The shards of `data` under `roles`, `shards` of them capped so that
-/// none is empty: the [`cells`] of the rows — a walked pair's contiguous row
-/// ranges, balanced within one row, or the cells of one box order, whose
-/// split's top levels run here over all the rows — each built by
+/// none is empty: the [`cells`] of one box order of the rows, whose split's
+/// top levels run here over all the rows, each built by
 /// [`SdIndex::build_cell`]. No rows, no shards.
 fn build_layout(data: &Dataset, roles: &[DimRole], shards: usize) -> Result<Vec<SdIndex>, SdError> {
     if data.is_empty() {
         return Ok(Vec::new());
     }
-    let cells = cells(data, roles, shards);
+    let cells = cells(data, shards);
     build_shards(cells.len(), |i| SdIndex::build_cell(data, roles, &cells[i]))
 }
 
@@ -1043,7 +1027,7 @@ fn build_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdq_core::multidim::{PairAction, QueryPlan};
+    use sdq_core::multidim::QueryPlan;
     use sdq_core::{Deadline, PointId};
     use std::sync::{Barrier, Mutex};
 
@@ -1080,23 +1064,28 @@ mod tests {
         .unwrap()
     }
 
-    /// A walked pair's shards are contiguous row ranges, balanced within
-    /// a row, each holding the ids of its range.
+    /// A 2-D engine's shards are cells of one box order like any other's:
+    /// contiguous runs of the one-shard engine's positions, in order, and
+    /// balanced within a chunk, each holding the global ids of its run.
     #[test]
     fn shard_layout_is_contiguous_and_balanced() {
-        let e = engine(103, 2, 4);
-        assert_eq!(e.shard_count(), 4);
-        let mut next = 0;
+        // 1 000 rows are 16 chunks: the top two cuts leave 8, 8 → 4, 4, 4, 4.
+        let (e, one) = (engine(1000, 2, 4), engine(1000, 2, 1));
+        let rows: Vec<usize> = e.shard_infos().iter().map(|i| i.rows).collect();
+        assert_eq!(rows, [256, 256, 256, 232]);
+        let ids: Vec<u32> = e
+            .shards()
+            .iter()
+            .flat_map(|s| s.row_ids().to_vec())
+            .collect();
+        assert_eq!(ids, one.shards()[0].row_ids());
         for (info, shard) in e.shard_infos().iter().zip(e.shards()) {
-            assert_eq!(info.smallest_id, next);
-            let mut ids = shard.row_ids().to_vec();
-            ids.sort_unstable();
-            assert!(ids.into_iter().eq(next as u32..(next + info.rows) as u32));
-            next += info.rows;
-            assert!(info.rows >= 103 / 4);
+            assert_eq!(
+                Some(info.smallest_id as u32),
+                shard.row_ids().iter().copied().min()
+            );
             assert!(info.memory_bytes > 0);
         }
-        assert_eq!(next, 103);
     }
 
     /// Any other engine's shards are cells of one box order: whole chunks
@@ -1114,25 +1103,25 @@ mod tests {
 
     #[test]
     fn a_pair_costs_under_32_bytes_a_row() {
-        // Beside its rows a single pair's index holds its id column and
-        // first ids and the bound hierarchy: ≈ 8 B a row. A coordinate copy
-        // (SoA blocks, a point table, a per-point tree) cannot hide under
-        // 12. An index that aggregates stores no pair index at all: its id
-        // column, box tree and first ids are ≈ 4.5 B a row at 4-D.
-        let e = engine(20_000, 2, 2);
-        let per_row = e.memory_bytes() as f64 / 20_000.0;
-        assert!(per_row < 12.0, "2-D: {per_row:.1} B/row");
-        let e = engine(20_000, 4, 2);
-        let per_row = e.memory_bytes() as f64 / 20_000.0;
-        assert!(per_row < 6.0, "4-D: {per_row:.1} B/row");
-        assert_eq!(e.shards()[0].block_stats(), (0, 0));
+        // Beside its rows a single pair's index, like any other, holds its
+        // id column, box tree and first ids: ≈ 4.3 B a row at 2-D, ≈ 4.5
+        // at 4-D. A coordinate copy (SoA blocks, a point table, a per-point
+        // tree) or a pair's envelope tree (≈ 4 B a row more) cannot hide
+        // under 6.
+        for dims in [2, 4] {
+            let e = engine(20_000, dims, 2);
+            let per_row = e.memory_bytes() as f64 / 20_000.0;
+            assert!(per_row < 6.0, "{dims}-D: {per_row:.1} B/row");
+        }
     }
 
     #[test]
     fn shards_capped_at_row_count() {
+        // At most one shard a 64-row chunk, at 2-D as at any other.
         let e = engine(3, 2, 16);
-        assert_eq!(e.shard_count(), 3);
+        assert_eq!(e.shard_count(), 1);
         assert_eq!(e.len(), 3);
+        assert_eq!(engine(130, 2, 16).shard_count(), 3);
     }
 
     /// Every shard scans against the query's one floor, so a shard skips
@@ -1289,22 +1278,14 @@ mod tests {
         assert_eq!(e.query(&q, 7).unwrap(), rebuilt.query(&q, 7).unwrap());
     }
 
-    /// A pair's shard indexed over other angles than the engine's three —
-    /// one a library caller built and assembled — answers as the engine
-    /// does, and a compaction rebuilds it as the engine builds: over the
-    /// default angles.
+    /// A pair's shard a library caller built and assembled — one 2-D index
+    /// over every row, no angles to choose: a 2-D shard is a cell of a box
+    /// order like any other — answers as the engine does, and a compaction
+    /// rebuilds it as the engine builds.
     #[test]
     fn a_pair_over_other_angles_answers_and_compacts_to_the_default() {
-        use sdq_core::geometry::Angle;
-        use sdq_core::multidim::SdIndexOptions;
         let (data, roles) = sample(300, 2);
-        let five = SdIndexOptions {
-            angles: [0.0, 22.5, 45.0, 67.5, 90.0]
-                .iter()
-                .map(|&d| Angle::from_degrees(d).unwrap())
-                .collect(),
-        };
-        let shard = SdIndex::build_with(data.clone(), &roles, &five).unwrap();
+        let shard = SdIndex::build(data.clone(), &roles).unwrap();
         let mut e = SdEngine::from_parts(2, roles.clone(), vec![shard]).unwrap();
         let fresh = |shards| {
             let options = EngineOptions {
@@ -1343,10 +1324,8 @@ mod tests {
 
     /// The chunks a box scan's plan bounds under its tree.
     fn scan_chunks(plan: &QueryPlan) -> usize {
-        match plan {
-            QueryPlan::Scan { chunks, .. } => *chunks,
-            QueryPlan::Direct(_) => panic!("{plan:?} walks"),
-        }
+        let QueryPlan::Scan { chunks, .. } = plan;
+        *chunks
     }
 
     #[test]
@@ -1357,18 +1336,13 @@ mod tests {
         let plans = e.explain(&q, 8).unwrap().plans;
         let chunks: Vec<usize> = plans.iter().map(scan_chunks).collect();
         assert_eq!(chunks, [2, 2, 2, 1]);
-        // A 2-D engine walks: unit weights hit the 45° indexed angle on every
-        // shard, whatever its size.
+        // A 2-D engine scans its cells too: three of the four subtrees
+        // 2, 2, 2, 1, the last two in one cell.
         let e = engine(400, 2, 3);
         let q = SdQuery::uniform_weights(vec![0.0; 2], e.roles());
         let plans = e.explain(&q, 8).unwrap().plans;
-        assert_eq!(plans.len(), 3);
-        for p in &plans {
-            let QueryPlan::Direct(pair) = p else {
-                panic!("{p:?}");
-            };
-            assert_eq!(pair.action, PairAction::Frontier);
-        }
+        let chunks: Vec<usize> = plans.iter().map(scan_chunks).collect();
+        assert_eq!(chunks, [2, 2, 3]);
     }
 
     #[test]
@@ -1457,14 +1431,14 @@ mod tests {
             let plans = e.explain(&q, 16).unwrap().plans;
             let chunks: Vec<usize> = plans.iter().map(scan_chunks).collect();
             assert_eq!(chunks, [79, 78, 78, 78]);
-            // 313 chunks make 16 groups of 19 or 20, four a cell; below each
-            // group the nodes of two chunks (3 or 4 of them) are stored: 19
-            // nodes in the first cell, 36 B each (a box and a first id), and
-            // 8 B of codes a chunk.
+            // 313 chunks make 16 groups of 19 or 20, four a cell; a group of
+            // at most 256 chunks is bounded by its chunks, so only its top
+            // node is stored: 4 nodes in the first cell, 36 B each (a box and
+            // a first id), and 8 B of codes a chunk.
             assert_eq!(
                 plans[0].to_string(),
-                "box scan over 79 chunk(s) under 19 node(s) on 2 stored level(s), \
-                 1316 B of node boxes and codes"
+                "box scan over 79 chunk(s) under 4 node(s) on 1 stored level(s), \
+                 776 B of node boxes and codes"
             );
             e.query_with(&q, 16, &mut scratch).unwrap();
             let p = scratch.profile;
@@ -1496,10 +1470,9 @@ mod tests {
         assert_eq!(after.deadline_exceeded, before.deadline_exceeded + 1);
     }
 
-    /// A walk reads nothing an earlier query left: its answer and profile
-    /// on a 2-D engine are the same before and after any number of walks
-    /// and aggregations (both weights zero: every shard scans) on that
-    /// engine, and on a clone of it.
+    /// A 2-D scan reads nothing an earlier query left: its answer and
+    /// profile on a 2-D engine are the same before and after any number of
+    /// scans and all-zero-weight scans on that engine, and on a clone of it.
     #[test]
     fn a_walk_never_consults_the_history() {
         let e = engine(4_000, 2, 4);
@@ -1508,12 +1481,12 @@ mod tests {
         let mut scratch = QueryScratch::new();
         let want = e.query_with(&q, 16, &mut scratch).unwrap().to_vec();
         let walk = scratch.profile;
-        assert_eq!(walk.parts_scanned, 0, "a walk");
-        assert!(walk.blocks_popped > 0, "{walk:?}");
+        assert_eq!(walk.parts_scanned, 4, "a scan of every cell");
+        assert_eq!(walk.blocks_popped, 0, "{walk:?}");
         let twin = e.clone();
         for _ in 0..8 {
             e.query_with(&both_zero, 16, &mut scratch).unwrap();
-            assert_eq!(scratch.profile.parts_scanned, 4, "an aggregation scans");
+            assert_eq!(scratch.profile.parts_scanned, 4, "an all-zero query scans");
             for engine in [&e, &twin] {
                 let got = engine.query_with(&q, 16, &mut scratch).unwrap();
                 assert_eq!(got, &want[..]);
@@ -1556,7 +1529,7 @@ mod tests {
     /// one thread gives.
     fn assert_shards_built_alone(e: &SdEngine, flat: &[f64], ctx: &str) {
         let data = Dataset::from_flat(e.dims, flat.to_vec()).unwrap();
-        let cells = cells(&data, &e.roles, e.shard_count());
+        let cells = cells(&data, e.shard_count());
         assert_eq!(cells.len(), e.shard_count(), "{ctx}");
         for (s, (shard, cell)) in e.shards.iter().zip(&cells).enumerate() {
             let alone = SdIndex::build_cell(&data, &e.roles, cell).unwrap();
@@ -1623,7 +1596,6 @@ mod tests {
     #[test]
     fn parts_come_back_in_part_order_whichever_worker_built_them() {
         let roles = [DimRole::Attractive, DimRole::Repulsive];
-        let options = sdq_core::multidim::SdIndexOptions::default();
         let workers = resolve_threads(0);
         let interleave = workers >= 2;
         let caller = std::thread::current().id();
@@ -1650,7 +1622,7 @@ mod tests {
                 if fail && (i == workers || !on_caller) {
                     flat[usize::from(i < workers) * 2 + 1] = 1e300;
                 }
-                SdIndex::build_with(Dataset::from_flat(2, flat)?, &roles, &options)
+                SdIndex::build(Dataset::from_flat(2, flat)?, &roles)
             });
             (got, by_caller.into_inner().unwrap())
         };

@@ -16,9 +16,9 @@
 //!            ┌───────────────────────────────┐
 //!            │ the live rows in id order,    │  one path: what build_with
 //!            │ then the live delta rows, cut │  does — the cells of one box
-//!            │ into shards again and rebuilt │  order (or a walked pair's
-//!            │ side by side on every CPU;    │  row ranges), every shard
-//!            │ all tombstones dropped        │  rebuilt
+//!            │ into shards again and rebuilt │  order, every shard rebuilt
+//!            │ side by side on every CPU;    │
+//!            │ all tombstones dropped        │
 //!            └───────────────────────────────┘
 //! ```
 //!
@@ -448,7 +448,7 @@ impl SdEngine {
         let target_shards = options
             .shards
             .unwrap_or(s)
-            .clamp(1, shard_limit(&self.roles, self.len()))
+            .clamp(1, shard_limit(self.len()))
             .min(self.len());
         if !self.has_mutations() && target_shards == s {
             self.metrics.record_compaction(0);

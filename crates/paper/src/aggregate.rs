@@ -3,9 +3,8 @@
 //!
 //! The SD-score (Eqn. 3) is re-expressed as Eqn. 10: `min(|D|, |S|)` 2-D
 //! subproblems — chosen by the pairing step ([`crate::pairing`]), each
-//! served by a stored §4 index over the pair's
-//! projection, built here as one 2-D `[a, r]` [`SdIndex`] — plus the
-//! leftover dimensions. Every pair subproblem yields rows in frontier order
+//! served by a bulk-loaded §4 index over the pair's
+//! projection ([`BlockIndex`]) — plus the leftover dimensions. Every pair subproblem yields rows in frontier order
 //! together with an admissible bound ([`Pair2DStream`]); the loop fetches
 //! one block from every stream a round, scores the new rows exactly on the
 //! *full* query, and stops once the k-th best exact score beats the
@@ -44,13 +43,13 @@ use std::sync::Arc;
 
 use sdq_core::geometry::Angle;
 use sdq_core::kernels::inflate;
-use sdq_core::multidim::{Pair2DStream, SdIndex, SdIndexOptions};
 use sdq_core::score::sd_score;
 use sdq_core::{
     Dataset, DimRole, LoopScratch, PointId, QueryScratch, ScoredPoint, SdError, SdQuery,
 };
 
 use crate::pairing::{pair_dimensions, DimPair, PairingStrategy};
+use crate::topk::{default_angles, BlockIndex, Pair2DStream};
 
 /// Tuning knobs for [`PairedIndex::build_with`].
 #[derive(Debug, Clone)]
@@ -66,7 +65,7 @@ impl Default for PairedOptions {
     fn default() -> Self {
         PairedOptions {
             pairing: PairingStrategy::Arbitrary,
-            angles: sdq_core::topk::default_angles(),
+            angles: default_angles(),
         }
     }
 }
@@ -79,16 +78,16 @@ pub struct PairedIndex {
     roles: Vec<DimRole>,
     pairs: Vec<DimPair>,
     unpaired: Vec<usize>,
-    /// One `[a, r]` index per pair over the projection `(x = attractive,
-    /// y = repulsive)` of the rows; its row ids are the rows'.
-    pair_indexes: Vec<SdIndex>,
+    /// One §4 index per pair over the projection `(x = attractive, y =
+    /// repulsive)` of the rows; its slots are the rows' ids.
+    pair_indexes: Vec<BlockIndex>,
     /// `(lo, hi)` of each unpaired dimension, in `unpaired` order (`(0, 0)`
     /// when there are no rows).
     extents: Vec<(f64, f64)>,
 }
 
 impl PairedIndex {
-    /// Builds with default options (arbitrary pairing, the engine's
+    /// Builds with default options (arbitrary pairing, the three default
     /// angles).
     pub fn build(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> Result<Self, SdError> {
         Self::build_with(data, roles, &PairedOptions::default())
@@ -109,18 +108,14 @@ impl PairedIndex {
             });
         }
         let (pairs, unpaired) = pair_dimensions(&data, roles, options.pairing);
-        let pair_roles = [DimRole::Attractive, DimRole::Repulsive];
-        let pair_options = SdIndexOptions {
-            angles: options.angles.clone(),
-        };
         let pair_indexes = pairs
             .iter()
             .map(|p| {
-                let flat = data
+                let pts: Vec<(f64, f64)> = data
                     .iter()
-                    .flat_map(|(_, c)| [c[p.attractive], c[p.repulsive]])
+                    .map(|(_, c)| (c[p.attractive], c[p.repulsive]))
                     .collect();
-                SdIndex::build_with(Dataset::from_flat(2, flat)?, &pair_roles, &pair_options)
+                BlockIndex::build(&pts, &options.angles)
             })
             .collect::<Result<_, _>>()?;
         let extents = unpaired
@@ -156,7 +151,7 @@ impl PairedIndex {
     pub fn memory_bytes(&self) -> usize {
         self.pair_indexes
             .iter()
-            .map(|index| index.memory_bytes() + std::mem::size_of_val(index.data().flat()))
+            .map(BlockIndex::memory_bytes)
             .sum::<usize>()
             + std::mem::size_of_val(&self.extents[..])
     }
@@ -211,19 +206,11 @@ impl PairedIndex {
         let n = self.data.len();
         // Each pair's 2-D query; a pair whose weights are both zero adds 0
         // to every score and streams nothing.
-        let pair_queries = self
-            .pairs
-            .iter()
-            .map(|p| {
-                SdQuery::new(
-                    vec![query.point[p.attractive], query.point[p.repulsive]],
-                    vec![query.weights[p.attractive], query.weights[p.repulsive]],
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         let mut streams = Vec::with_capacity(self.pairs.len());
-        for (index, pair_query) in self.pair_indexes.iter().zip(&pair_queries) {
-            streams.extend(Pair2DStream::new(index, pair_query)?);
+        for (index, p) in self.pair_indexes.iter().zip(&self.pairs) {
+            let (q, w) = (&query.point, &query.weights);
+            let (x, y) = (p.attractive, p.repulsive);
+            streams.extend(Pair2DStream::new(index, q[x], q[y], w[y], w[x])?);
         }
         let extent_bound = self.extent_bound(query);
         let (data, roles) = (&*self.data, &self.roles[..]);
@@ -307,6 +294,7 @@ impl PairedIndex {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+    use sdq_core::multidim::SdIndex;
     use sdq_core::score::rank_cmp;
 
     /// The canonical top k, row by row.

@@ -16,7 +16,7 @@
 //! `query_points_with`): one best-first walk of the tree whose every node
 //! is bounded *at θ_q* from its two bracketing tables —
 //! `λ₁·(bound at θ_l) + λ₂·(bound at θ_u)` per projection type, the closed
-//! form of the Claim 6 bracket (`sdq_core::topk::FrontierEval` has the
+//! form of the Claim 6 bracket ([`FrontierEval`] has the
 //! argument) — so the bracket is applied per node rather than per stream,
 //! and the tree is walked once, not once per bracketing angle. Every
 //! surfaced point is scored exactly at the caller's weights; emission
@@ -26,10 +26,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use super::eval::{bracketing, FrontierEval};
 use sdq_core::geometry::Angle;
 use sdq_core::kernels::inflate;
 use sdq_core::score::rank_cmp;
-use sdq_core::topk::{bracketing, FrontierEval};
 use sdq_core::{OrdF64, PointId, ScoredPoint, SdError};
 
 use super::stream::{AngleQuery, FastSet, PairFrontier};

@@ -1,9 +1,8 @@
-//! The stored §4 index: a bulk-loaded, immutable envelope tree over one
-//! pair's rows, plus the best-first block frontier that walks it.
+//! The bulk-loaded §4 index: an immutable envelope tree over one pair's
+//! rows, plus the best-first block frontier that walks it.
 //!
-//! A [`BlockSet`] is the envelope tree a walked pair's
-//! [`SdIndex`](crate::multidim::SdIndex) holds, persists and maps above its
-//! rows. The index stores its rows once, in *tiled* order (below), and leaf
+//! A [`BlockSet`] is the envelope tree a [`BlockIndex`](super::BlockIndex)
+//! holds above its rows. The index stores its rows once, in *tiled* order (below), and leaf
 //! block `b` is positions `[b·LANES, (b + 1)·LANES)` of them — [`LANES`]
 //! rows, the last block short. The block set keeps only what bounds them:
 //! per block per indexed angle the projection [`AngleBounds`] and the
@@ -30,20 +29,18 @@
 //! admissible index ([`BlockSet::build`] bounds whatever order it is
 //! handed), and no reader knows which one it was.
 //!
-//! It has no point updates. An engine never mutates a pair in place (writes
-//! go to its delta and tombstones, a compaction rebuilds), so a shard keeps
-//! only this. The paper's *dynamic* tree — per-point leaves in x-sorted
-//! order, `insert` / `delete`, the |U|/n rebuild policy — lives in the
-//! `sdq-paper` crate and shares nothing with this index but the envelope
-//! arithmetic ([`FrontierEval`], [`AngleBounds`]).
+//! It has no point updates. The paper's *dynamic* tree — per-point leaves
+//! in x-sorted order, `insert` / `delete`, the |U|/n rebuild policy — is
+//! [`TopKIndex`](super::TopKIndex), and shares nothing with this index but
+//! the envelope arithmetic ([`FrontierEval`], [`AngleBounds`]).
 //!
 //! The payoff of the layout is threefold:
 //!
 //! * the frontier heap holds **blocks, not points** — a pop surfaces up to
 //!   32 points at once instead of one, collapsing heap churn ~32× — and
 //!   holds each entry once, under the best of its projection types;
-//! * surfaced blocks are scored by the [`kernels`](crate::kernels) row
-//!   kernel over 32 adjacent rows — no pointer chasing, no per-point call;
+//! * surfaced blocks are scored by `sdq_core`'s row kernel
+//!   ([`score_rows`](sdq_core::kernels::score_rows)) over 32 adjacent rows — no pointer chasing, no per-point call;
 //! * a block whose envelope bound falls strictly below the caller's
 //!   k-th-score floor (the `prune` hook of [`BlockFrontier::next_block`])
 //!   is rejected **before any of its points is scored** — the §4
@@ -51,14 +48,11 @@
 
 use std::collections::BinaryHeap;
 
-use crate::codec::{corrupt, Codec, Reader, Result, Writer};
-use crate::geometry::Angle;
-use crate::kernels::{prefetch, LANES};
-use crate::threshold::encode as order_key;
-use crate::types::OrdF64;
-use crate::view::ColumnarView;
+use sdq_core::geometry::Angle;
+use sdq_core::kernels::LANES;
+use sdq_core::OrdF64;
 
-use super::stream::{FrontierEval, HeapEntry, StreamKind};
+use super::eval::{FrontierEval, HeapEntry, StreamKind};
 use super::AngleBounds;
 
 /// Fanout of the implicit envelope tree above the blocks.
@@ -96,26 +90,22 @@ pub(crate) fn tile(pts: &[(f64, f64)]) -> Vec<u32> {
 #[derive(Debug, Clone)]
 struct Level {
     /// Node-major per-angle bounds: `bounds[node * m + angle_i]`.
-    bounds: ColumnarView<AngleBounds>,
+    bounds: Vec<AngleBounds>,
     /// Per-node `(xmin, xmax)`.
-    xr: ColumnarView<(f64, f64)>,
+    xr: Vec<(f64, f64)>,
 }
 
 /// The bulk-loaded §4 envelope tree over one pair's rows. See the module
 /// docs.
-///
-/// Every table is a [`ColumnarView`]: owned after a build, possibly
-/// borrowed straight off a mapped format-v5 snapshot after `open_mapped` —
-/// the file image **is** this in-memory representation.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockSet {
     /// The indexed angles, ascending (`bounds` stride).
     angles: Vec<Angle>,
     /// Block-major per-angle micro-envelopes: `bounds[b * m + angle_i]`.
-    bounds: ColumnarView<AngleBounds>,
+    bounds: Vec<AngleBounds>,
     /// Per-block `(xmin, xmax)`: the true x-range of the block's rows,
     /// which is what decides the side of the query a block can serve.
-    xr: ColumnarView<(f64, f64)>,
+    xr: Vec<(f64, f64)>,
     /// Implicit envelope tree: `levels[0]` groups blocks, each further
     /// level groups the one below, last level has a single root. Empty when
     /// there is at most one block.
@@ -168,14 +158,14 @@ impl BlockSet {
                 }
             }
             levels.push(Level {
-                bounds: ColumnarView::owned(lb),
-                xr: ColumnarView::owned(lxr),
+                bounds: lb,
+                xr: lxr,
             });
         }
         BlockSet {
             angles: angles.to_vec(),
-            bounds: ColumnarView::owned(bounds),
-            xr: ColumnarView::owned(xr),
+            bounds,
+            xr,
             levels,
         }
     }
@@ -191,104 +181,22 @@ impl BlockSet {
         self.n_blocks() + self.levels.iter().map(|l| l.xr.len()).sum::<usize>()
     }
 
-    /// The per-level sizes of the implicit envelope tree over `n_blocks`
-    /// blocks — the shape every decoded layout must match exactly.
-    pub(crate) fn level_sizes(n_blocks: usize) -> Vec<usize> {
-        let mut sizes = Vec::new();
-        let mut n = n_blocks;
-        while n > 1 {
-            n = n.div_ceil(GROUP_FANOUT);
-            sizes.push(n);
-        }
-        sizes
-    }
-
-    /// Writes the index (format v5): one `meta` region — the angles — then
-    /// every table as an aligned array region.
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.meta_region(|w| self.angles.encode(w));
-        w.pod_array(&self.bounds);
-        w.pod_array(&self.xr);
-        for level in &self.levels {
-            w.pod_array(&level.bounds);
-            w.pod_array(&level.xr);
-        }
-    }
-
-    /// Reads what [`BlockSet::encode`] wrote over `rows` rows, enforcing the
-    /// exact shape that implies. Bound contents are not inspected: a wrong
-    /// bound can cost an answer its exactness but reads nothing out of
-    /// bounds, like a wrong chunk box.
-    pub(crate) fn decode(r: &mut Reader<'_>, rows: usize) -> Result<Self> {
-        let angles = r.meta_region("meta", Vec::<Angle>::decode)?;
-        if angles.is_empty() {
-            return Err(corrupt("blocks: no indexed angles"));
-        }
-        // `stream::bracketing` binary-searches them and `FrontierEval` reads
-        // a bracket as (lower, upper).
-        if !angles.windows(2).all(|w| w[0].degrees() < w[1].degrees()) {
-            return Err(corrupt("blocks: indexed angles not strictly ascending"));
-        }
-        // A zero weight is served at 0° or 90° as an indexed angle.
-        if let Err(e) = super::check_axes(&angles) {
-            return Err(corrupt(format!(
-                "blocks: indexed angles must span 0° to 90°: {e}"
-            )));
-        }
-        let (m, n_blocks) = (angles.len(), rows.div_ceil(LANES));
-        let fail = |what: &str, got: usize, want: usize| {
-            corrupt(format!(
-                "blocks: {what} holds {got} entries, expected {want} for {rows} rows"
-            ))
-        };
-        let (bounds, _) = r.pod_array::<AngleBounds>("blocks.bounds")?;
-        let (xr, _) = r.pod_array::<(f64, f64)>("blocks.xr")?;
-        if bounds.len() != n_blocks * m {
-            return Err(fail("bounds", bounds.len(), n_blocks * m));
-        }
-        if xr.len() != n_blocks {
-            return Err(fail("xr", xr.len(), n_blocks));
-        }
-        let mut levels = Vec::new();
-        for (li, size) in Self::level_sizes(n_blocks).into_iter().enumerate() {
-            let t = r.push_prefix(&format!("blocks.lvl{li}"));
-            let (lb, _) = r.pod_array::<AngleBounds>("bounds")?;
-            let (lxr, _) = r.pod_array::<(f64, f64)>("xr")?;
-            r.pop_prefix(t);
-            if lb.len() != size * m {
-                return Err(fail("level bounds", lb.len(), size * m));
-            }
-            if lxr.len() != size {
-                return Err(fail("level xr", lxr.len(), size));
-            }
-            levels.push(Level {
-                bounds: lb,
-                xr: lxr,
-            });
-        }
-        Ok(BlockSet {
-            angles,
-            bounds,
-            xr,
-            levels,
-        })
-    }
-
     /// Number of blocks.
     #[inline]
     pub(crate) fn n_blocks(&self) -> usize {
         self.xr.len()
     }
 
-    /// Approximate heap footprint in bytes. Tables over a file mapping count
-    /// zero: their bytes are file pages, not heap.
+    /// Approximate heap footprint in bytes.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.bounds.heap_bytes()
-            + self.xr.heap_bytes()
+        let tables = |b: &Vec<AngleBounds>, xr: &Vec<(f64, f64)>| {
+            std::mem::size_of_val(&b[..]) + std::mem::size_of_val(&xr[..])
+        };
+        tables(&self.bounds, &self.xr)
             + self
                 .levels
                 .iter()
-                .map(|l| l.bounds.heap_bytes() + l.xr.heap_bytes())
+                .map(|l| tables(&l.bounds, &l.xr))
                 .sum::<usize>()
     }
 }
@@ -317,11 +225,11 @@ pub(crate) struct BlockFrontier<'a> {
     rows: &'a [f64],
     ids: &'a [u32],
     eval: FrontierEval,
-    /// The frontier, in a recycled allocation.
+    /// The frontier.
     heap: BinaryHeap<HeapEntry>,
     /// Walk counters since the last [`BlockFrontier::take_counters`]
     /// drain — flushed into a
-    /// [`QueryProfile`](crate::profile::QueryProfile) by the walk or the
+    /// [`QueryProfile`](sdq_core::QueryProfile) by the walk or the
     /// stream that owns the frontier.
     counters: FrontierCounters,
 }
@@ -341,18 +249,15 @@ pub(crate) struct FrontierCounters {
 
 impl<'a> BlockFrontier<'a> {
     /// Starts a frontier over `set`, which bounds `rows` (two coordinates
-    /// a row, in stored order) named by `ids`, in a recycled heap (cleared
-    /// here), reserved to the index's entry count: a frontier never holds
-    /// more, so a heap taken from a warmed scratch never grows mid-walk,
-    /// however the walk goes.
-    pub(crate) fn with_scratch(
+    /// a row, in stored order) named by `ids`, its heap reserved to the
+    /// index's entry count: a frontier never holds more, so it never grows
+    /// mid-walk, however the walk goes.
+    pub(crate) fn new(
         set: &'a BlockSet,
         (rows, ids): (&'a [f64], &'a [u32]),
         eval: FrontierEval,
-        mut heap: BinaryHeap<HeapEntry>,
     ) -> Self {
-        heap.clear();
-        heap.reserve(set.entries());
+        let heap = BinaryHeap::with_capacity(set.entries());
         let mut f = BlockFrontier {
             set,
             rows,
@@ -365,11 +270,6 @@ impl<'a> BlockFrontier<'a> {
             f.push(set.levels.len() as u32, 0); // the root; 0 = the single block
         }
         f
-    }
-
-    /// Recovers the heap for reuse by a later query.
-    pub(crate) fn into_scratch(self) -> BinaryHeap<HeapEntry> {
-        self.heap
     }
 
     /// Drains the walk counters accumulated since the last call
@@ -504,6 +404,32 @@ impl<'a> BlockFrontier<'a> {
     }
 }
 
+/// Maps a non-NaN `f64` onto a `u64` whose unsigned order equals the float
+/// order: positive floats get the sign bit set, negative floats are
+/// bit-inverted. The bulk load's sort key.
+#[inline]
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// Hints the cache hierarchy to load the line holding `*p` (all levels).
+/// Purely a performance hint: it reads nothing architecturally, so any
+/// pointer value is acceptable — callers index with
+/// `as_ptr().wrapping_add(i)` and need no bounds proof. A no-op off x86-64.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHh never faults and has no architectural effect — an
+    // unmapped, unaligned or dangling address is simply ignored — and SSE
+    // is part of the x86-64 baseline, so the instruction always exists.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,10 +504,14 @@ mod tests {
                 assert!(seen.iter().all(|&s| s), "every point stored");
                 let (_, set) = tiled(&pts, &default_angles());
                 assert_eq!(set.n_blocks(), n.div_ceil(LANES));
-                assert_eq!(set.entries(), {
-                    let levels: usize = BlockSet::level_sizes(set.n_blocks()).iter().sum();
-                    set.n_blocks() + levels
-                });
+                // Every level groups the one below by `GROUP_FANOUT`, up to
+                // one root.
+                let (mut want, mut width) = (set.n_blocks(), set.n_blocks());
+                while width > 1 {
+                    width = width.div_ceil(GROUP_FANOUT);
+                    want += width;
+                }
+                assert_eq!(set.entries(), want);
             }
         }
     }
@@ -675,44 +605,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decode_refuses_angles_out_of_order() {
-        let pts = sample(100);
-        let five: Vec<Angle> = [0.0, 22.5, 45.0, 67.5, 90.0]
-            .iter()
-            .map(|&d| Angle::from_degrees(d).unwrap())
-            .collect();
-        let (_, set) = tiled(&pts, &five);
-        // An unpinned reader serves metadata only: the honest index gets as
-        // far as its first table, a forged one not past its angles.
-        let decode = |set: &BlockSet| {
-            let mut w = Writer::new();
-            set.encode(&mut w);
-            let err = BlockSet::decode(&mut Reader::new(&w.into_bytes()), pts.len()).unwrap_err();
-            err.to_string()
-        };
-        assert!(decode(&set).contains("blocks.bounds"), "{}", decode(&set));
-        let (mut swapped, mut repeated) = (set.clone(), set.clone());
-        swapped.angles.swap(1, 2);
-        repeated.angles[3] = repeated.angles[2];
-        for forged in [swapped, repeated] {
-            let err = decode(&forged);
-            assert!(err.contains("not strictly ascending"), "{err}");
-        }
-        // Still ascending, but short of an axis: a zero weight would find
-        // no indexed angle.
-        let (mut low, mut high) = (set.clone(), set.clone());
-        low.angles[0] = Angle::from_degrees(10.0).unwrap();
-        high.angles[4] = Angle::from_degrees(80.0).unwrap();
-        for forged in [low, high] {
-            let err = decode(&forged);
-            assert!(err.contains("must span 0° to 90°"), "{err}");
-        }
-    }
-
     /// A frontier over `set` alone: these tests pop blocks and read no row.
     fn frontier(set: &BlockSet, eval: FrontierEval) -> BlockFrontier<'_> {
-        BlockFrontier::with_scratch(set, (&[], &[]), eval, BinaryHeap::new())
+        BlockFrontier::new(set, (&[], &[]), eval)
     }
 
     /// One heap, every entry pushed once: each block surfaces exactly once
@@ -735,7 +630,7 @@ mod tests {
             assert_eq!(c.blocks_popped, set.n_blocks() as u64);
             let inner: usize = set.levels.iter().map(|l| l.xr.len()).sum();
             assert_eq!(c.nodes_visited, inner as u64, "every envelope once");
-            assert!(f.into_scratch().is_empty());
+            assert!(f.bound().is_none());
         }
     }
 

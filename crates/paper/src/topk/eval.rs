@@ -15,9 +15,10 @@
 
 use std::cmp::Reverse;
 
+use sdq_core::geometry::Angle;
+use sdq_core::{OrdF64, SdError};
+
 use super::AngleBounds;
-use crate::geometry::Angle;
-use crate::types::{OrdF64, SdError};
 
 /// One frontier-heap element of the block walk: `(priority, Reverse(level),
 /// index within level)`.
@@ -93,11 +94,11 @@ pub fn bracketing(angles: &[Angle], theta: &Angle) -> Result<(usize, usize), SdE
 /// absolute error — and the bound's, relative to the projection keys — is
 /// ≈ 1e-16 / sin(θ_u − θ_l): 3e-16 on the default 22.5° grid, 6e-13 here,
 /// which is where it meets the 1e-12 relative slack of
-/// [`inflate`](crate::kernels::inflate).
+/// [`inflate`](sdq_core::kernels::inflate).
 const MIN_BRACKET_SIN: f64 = 1.745e-4;
 
-/// How a frontier (the block walk's `BlockFrontier` over a
-/// stored pair, or the `sdq-paper` crate's over the dynamic tree) scores an
+/// How a frontier (the `BlockFrontier` over a [`BlockIndex`](super::BlockIndex),
+/// or the frontier over the dynamic [`TopKIndex`](super::TopKIndex)) scores an
 /// envelope for the query `(θ_q, q)`: the Claim 6 bracket in
 /// closed form, every query constant computed once.
 ///
@@ -147,8 +148,8 @@ pub struct FrontierEval {
 impl FrontierEval {
     /// The evaluation of the query `(theta, (qx, qy))` over an index whose
     /// indexed angles are `angles` (ascending). The single source of the
-    /// indexed-or-bracketed decision: the planner, the §5 pair streams and
-    /// the direct 2-D path all read it here.
+    /// indexed-or-bracketed decision: the §5 pair streams, the §4 walk and
+    /// the dynamic tree all read it here.
     pub fn at(angles: &[Angle], theta: &Angle, qx: f64, qy: f64) -> Result<Self, SdError> {
         let (theta, lo_i, hi_i, l1, l2) = match indexed_angle(angles, theta) {
             Some(i) => (angles[i], i, i, 1.0, 0.0),

@@ -1,5 +1,6 @@
-//! The §4 index structure for top-k queries with runtime `k`, `α`, `β` —
-//! **the paper's dynamic tree**, as written.
+//! The §4 index structure for top-k queries with runtime `k`, `α`, `β`, in
+//! two forms: **the paper's dynamic tree**, as written ([`TopKIndex`]), and
+//! its bulk-loaded block form ([`BlockIndex`]).
 //!
 //! A balanced kd-style tree over the x-coordinates (branching factor `b`)
 //! stores, at every non-leaf node and for every *indexed angle* θ, bounds on
@@ -25,16 +26,19 @@
 //! [`TopKIndex`] has one point per leaf slot, point-level
 //! [`insert`](TopKIndex::insert) / [`delete`](TopKIndex::delete) and the
 //! |U|/n rebuild policy — what fig. 8's branching / insert / update
-//! experiments measure. It is an in-memory reference structure: it is never
-//! persisted, and no engine path reaches it. What an engine stores per pair
-//! is `sdq_core`'s bulk-loaded block form of the same index (32 points to a
-//! tiled leaf, fanout-8 envelopes, no point updates); a static 2-D point set
-//! gets that one through an `SdIndex` over roles `[a, r]`, and the two answer
-//! bit for bit alike.
-//!
-//! [`FrontierEval`]: sdq_core::topk::FrontierEval
+//! experiments measure. [`BlockIndex`] is the same index bulk-loaded — 32
+//! points to a tiled leaf block, fanout-8 envelopes, no point updates
+//! (`blocks.rs`) — that the §5 aggregation keeps per pair ([`Pair2DStream`])
+//! and whose certified walk answers one pair directly (`stored.rs`). The two
+//! answer every query bit for bit alike. Both are in-memory reference
+//! structures: neither is persisted, and no engine path reaches them — an
+//! engine answers every query, a single pair's too, with one box scan
+//! (`sdq_core::multidim`).
 
 pub mod arbitrary;
+mod blocks;
+mod eval;
+mod stored;
 pub(crate) mod stream;
 
 use std::cmp::Reverse;
@@ -42,12 +46,96 @@ use std::collections::BinaryHeap;
 
 use sdq_core::geometry::Angle;
 use sdq_core::score::sd_score_2d;
-use sdq_core::topk::{normalize_angles, AngleBounds};
 use sdq_core::{OrdF64, PointId, ScoredPoint, SdError};
 
 use stream::{FastSet, Heaps, Pool};
 
+pub use eval::{bracketing, FrontierEval, StreamKind};
+pub use stored::{BlockIndex, Pair2DStream};
 pub use stream::AngleQuery;
+
+/// The default indexed angles of a [`BlockIndex`] under
+/// [`PairedIndex`](crate::PairedIndex): `{0°, 45°, 90°}` — the two axes
+/// every index must hold (a zero weight is θ_q = 0° or 90°) and the
+/// diagonal. A query between two indexed angles is bracketed in closed form
+/// at about the cost of an indexed one; without the diagonal a single-pair
+/// walk ran 11 % slower at p50. The §6 reproductions (`sdq-bench`) build
+/// over §6.1's five ([`section6_angles`](crate::section6_angles)).
+pub fn default_angles() -> Vec<Angle> {
+    [0.0, 45.0, 90.0]
+        .iter()
+        .map(|&d| Angle::from_degrees(d).expect("static angles are valid"))
+        .collect()
+}
+
+/// The indexed-angle set an index is built over: `angles` sorted ascending
+/// and deduplicated; empty is [`SdError::NoAngles`].
+pub fn normalize_angles(angles: &[Angle]) -> Result<Vec<Angle>, SdError> {
+    if angles.is_empty() {
+        return Err(SdError::NoAngles);
+    }
+    let mut sorted = angles.to_vec();
+    sorted.sort_by_key(|a| OrdF64(a.degrees()));
+    sorted.dedup_by(|a, b| (a.degrees() - b.degrees()).abs() < 1e-12);
+    Ok(sorted)
+}
+
+/// Checks that an ascending, non-empty angle set runs from 0° to 90°, as
+/// every [`BlockIndex`] must: a zero weight is θ_q = 0° or 90°, served from
+/// the frontier at that indexed angle. The error
+/// names the axis that is missing against the range the set does cover.
+pub(crate) fn check_axes(angles: &[Angle]) -> Result<(), SdError> {
+    let (first, last) = (&angles[0], &angles[angles.len() - 1]);
+    let missing = if first.sin != 0.0 {
+        0.0
+    } else if last.cos != 0.0 {
+        90.0
+    } else {
+        return Ok(());
+    };
+    Err(SdError::AngleOutOfRange {
+        requested_deg: missing,
+        min_deg: first.degrees(),
+        max_deg: last.degrees(),
+    })
+}
+
+/// Per-angle projection bounds of one envelope.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AngleBounds {
+    pub max_u: f64,
+    pub min_u: f64,
+    pub max_v: f64,
+    pub min_v: f64,
+}
+
+impl AngleBounds {
+    /// The bounds of nothing: every extension replaces them.
+    pub const EMPTY: AngleBounds = AngleBounds {
+        max_u: f64::NEG_INFINITY,
+        min_u: f64::INFINITY,
+        max_v: f64::NEG_INFINITY,
+        min_v: f64::INFINITY,
+    };
+
+    /// Widens the bounds to cover a point with keys `(u, v)`.
+    #[inline]
+    pub fn extend_point(&mut self, u: f64, v: f64) {
+        self.max_u = self.max_u.max(u);
+        self.min_u = self.min_u.min(u);
+        self.max_v = self.max_v.max(v);
+        self.min_v = self.min_v.min(v);
+    }
+
+    /// Widens the bounds to cover another envelope.
+    #[inline]
+    pub fn extend(&mut self, other: &AngleBounds) {
+        self.max_u = self.max_u.max(other.max_u);
+        self.min_u = self.min_u.min(other.min_u);
+        self.max_v = self.max_v.max(other.max_v);
+        self.min_v = self.min_v.min(other.min_v);
+    }
+}
 
 /// Owned, reusable buffers of [`TopKIndex::query_with`]: the tree's four
 /// frontier heaps, the candidate pool, the seen-set, the k-th-score floor

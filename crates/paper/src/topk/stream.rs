@@ -24,8 +24,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
+use super::eval::{FrontierEval, StreamKind};
 use sdq_core::kernels::inflate;
-use sdq_core::topk::{FrontierEval, StreamKind};
 use sdq_core::OrdF64;
 
 use super::{Child, TopKIndex};

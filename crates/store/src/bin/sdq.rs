@@ -621,45 +621,36 @@ fn print_results(results: &[ScoredPoint]) {
 }
 
 /// `--explain`: how the query runs on every shard, one row per shard —
-/// the direct walk's pair, rule and weight angle, or the chunks the box
-/// scan bounds — without executing anything.
+/// the chunks its box scan bounds under its tree — without executing
+/// anything.
 fn print_plan_table(explained: &Explain, k: usize) {
     println!("planner decisions (k = {k}):");
     println!(
         "  {:>5}  {:<16} {:<20} {:>12}",
-        "shard", "pair", "strategy", "θ_q"
+        "shard", "dimensions", "strategy", "tree"
     );
     for (i, plan) in explained.plans.iter().enumerate() {
-        match plan {
-            QueryPlan::Direct(p) => println!(
-                "  {:>5}  {:<16} {:<20} {:>12}",
-                i,
-                format!("(d{} r, d{} a)", p.repulsive, p.attractive),
-                format!("direct {}", p.action.name()),
-                p.theta_label()
-            ),
-            QueryPlan::Scan {
-                chunks,
-                levels,
-                nodes,
-                bytes,
-            } => println!(
-                "  {:>5}  {:<16} {:<20} {:>12}",
-                i,
-                "all dimensions",
-                "box scan",
-                format!("{chunks} chunks under {nodes} nodes on {levels} levels ({bytes} B)")
-            ),
-        }
+        let QueryPlan::Scan {
+            chunks,
+            levels,
+            nodes,
+            bytes,
+        } = plan;
+        println!(
+            "  {:>5}  {:<16} {:<20} {:>12}",
+            i,
+            "all dimensions",
+            "box scan",
+            format!("{chunks} chunks under {nodes} nodes on {levels} levels ({bytes} B)")
+        );
     }
     println!(
-        "  (θ_q is a walked pair's weight angle: an indexed one walks the frontier \
-         at it, any other the Claim-6 bracket; a box scan walks every shard's box tree — its \
-         stored levels of node boxes, the chunks coded inside them — best first across all shards \
-         until the lead's chunks are scored, then the nodes still reaching the floor, their chunks \
-         in row order, skipping every node and chunk under the floor or tied with it above the \
-         floor's worst id; the bytes are the \
-         node boxes, their first ids and the chunk codes)"
+        "  (every shard is a box scan, whatever the roles: the query walks every shard's box \
+         tree — its stored levels of node boxes, the chunks coded inside them — best first \
+         across all shards until the lead's chunks are scored, then the nodes still reaching the \
+         floor, their chunks in row order, skipping every node and chunk under the floor or tied \
+         with it above the floor's worst id; the bytes are the node boxes, their first ids and \
+         the chunk codes)"
     );
 }
 
@@ -670,10 +661,7 @@ fn print_scan_outcome(explained: &Explain, p: &QueryProfile) {
     let chunks: usize = explained
         .plans
         .iter()
-        .map(|plan| match plan {
-            QueryPlan::Scan { chunks, .. } => *chunks,
-            QueryPlan::Direct(_) => 0,
-        })
+        .map(|QueryPlan::Scan { chunks, .. }| *chunks)
         .sum();
     println!(
         "  {:>5}  {:<16} {} chunks, {} boxes bounded: {} scored, {} skipped ({} rows scored; the \
@@ -1524,7 +1512,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
                 info.memory_bytes / 1024
             );
         }
-        print_block_stats(engine);
+        print_tree_stats(engine);
         let stats = engine.mutation_stats();
         println!(
             "    delta: {} row(s) ({} dead); {} tombstone(s) total; engine epoch {}",
@@ -1533,8 +1521,6 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
             stats.base_dead + stats.delta_dead,
             stats.epoch
         );
-        // The rule reads only the weights and the indexed angles, so every
-        // shard prints the same strategies.
         if let Some(MeanProbe { plans, floor }) = mean_probe(engine)? {
             println!("  planner (unit weights at the dataset mean, k = {DEFAULT_K}):");
             for (i, plan) in plans.iter().enumerate() {
@@ -1722,7 +1708,6 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
                     "epoch": si.epoch, "memory_bytes": si.memory_bytes,
                 }
             });
-            let (blocks, bytes, covered) = block_stats(engine);
             let stats = engine.mutation_stats();
             let floor = mean_probe(engine)?
                 .and_then(|probe| probe.floor)
@@ -1732,9 +1717,11 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
                 "shards": engine.shard_count(), "epoch": stats.epoch,
                 "memory_bytes": engine.memory_bytes(),
                 "shard_layout": shard_layout.collect::<Json>(),
+                // No shard holds a §4 block table any more; the keys stay
+                // until the report's key paths change with the benchmark.
                 "block_stats": json! {
-                    "blocks": blocks, "lanes": sdq_core::kernels::LANES, "bytes": bytes,
-                    "covered_points": covered,
+                    "blocks": 0usize, "lanes": sdq_core::kernels::LANES, "bytes": 0usize,
+                    "covered_points": 0usize,
                 },
                 "delta": json! { "rows": stats.delta_rows, "dead": stats.delta_dead },
                 "tombstones": stats.base_dead + stats.delta_dead,
@@ -2195,35 +2182,17 @@ fn event_detail(kind: &EventKind) -> (String, Json) {
     }
 }
 
-/// The engine's SoA block tables, summed over its shards: `(blocks, bytes,
-/// covered)`, the last being the total point count stored across all tables
-/// (a single pair blocks every row its shard covers; a shard that scans
-/// stores no table).
-fn block_stats(engine: &SdEngine) -> (usize, usize, usize) {
-    engine.shards().iter().fold((0, 0, 0), |sum, sd| {
-        let (blocks, bytes) = sd.block_stats();
-        let covered = if blocks > 0 { sd.data().len() } else { 0 };
-        (sum.0 + blocks, sum.1 + bytes, sum.2 + covered)
-    })
-}
-
-/// The block-table line `inspect` prints under the engine (counted in
-/// `memory_bytes`); the fill factor reports how full the fixed-capacity
-/// lanes are.
-fn print_block_stats(engine: &SdEngine) {
-    let (blocks, bytes, covered) = block_stats(engine);
-    let lanes = sdq_core::kernels::LANES;
-    let fill = if blocks > 0 {
-        format!(
-            ", fill {:.1}% ({:.1}/{lanes} points per block)",
-            100.0 * covered as f64 / (blocks * lanes) as f64,
-            covered as f64 / blocks as f64
-        )
-    } else {
-        String::new()
-    };
+/// The box-tree line `inspect` prints under the engine (counted in
+/// `memory_bytes`): every shard's stored nodes, the most stored levels any
+/// shard has, and the bytes of the node boxes, their first ids and the
+/// chunk codes.
+fn print_tree_stats(engine: &SdEngine) {
+    let (nodes, levels, bytes) = engine.shards().iter().fold((0, 0, 0), |sum, sd| {
+        let (nodes, levels, bytes) = sd.tree_stats();
+        (sum.0 + nodes, sum.1.max(levels), sum.2 + bytes)
+    });
     println!(
-        "    block tables: {blocks} SoA leaf block(s) × {lanes} lanes, ≈{} KiB{fill}",
+        "    box trees: {nodes} stored node(s) on up to {levels} level(s), ≈{} KiB of node boxes and chunk codes",
         bytes / 1024,
     );
 }

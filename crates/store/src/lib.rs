@@ -27,7 +27,7 @@
 //! | kind | name | holds |
 //! |-----:|------|-------|
 //! | 7 | `engine-manifest` | dimensionality, roles, per-shard row counts |
-//! | 16 | `engine-shard` | one shard's [`SdIndex`] — `index.meta` (the roles, nothing else), `data.meta` + `data.coords` (the rows, once, in the shard's stored order) and `data.ids` (the global id of each), then for a 2-D shard of one attractive and one repulsive dimension (a row range of the engine's rows, in the §4 tile order) its pair's envelope tree `pair0/meta` + `pair0/blocks.*`, for any other roles (a cell of the engine's one box order) its box tree — `tree.meta` (each group's chunk count), `tree.boxes` + `tree.firsts` (the stored nodes' `f32` boxes and smallest ids) and `data.codes` (each chunk's box as `u8` codes inside its group's) — and last `data.firsts` (each 64-row chunk's smallest id); the shard ordinal sits in the table entry's `reserved` field |
+//! | 17 | `engine-shard` | one shard's [`SdIndex`], a cell of the engine's one box order whatever its roles — `index.meta` (the roles, nothing else), `data.meta` + `data.coords` (the rows, once, in box order) and `data.ids` (the global id of each), then its box tree — `tree.meta` (each group's chunk count), `tree.boxes` + `tree.firsts` (the stored nodes' `f32` boxes and smallest ids: each group's top node, and the levels below a group of more than 256 chunks) and `data.codes` (each chunk's box as `u8` codes inside its group's) — and last `data.firsts` (each 64-row chunk's smallest id); the shard ordinal sits in the table entry's `reserved` field |
 //! | 9 | `mutation-delta` | uncompacted inserted rows (only when non-empty) |
 //! | 10 | `mutation-tombstones` | the addressable row domain plus a sorted dead-id list (only when non-empty) |
 //! | 11 | `durability` | checkpoint generation and epoch, tying the file to its write-ahead log (see the [`durable`] module) |
@@ -39,6 +39,7 @@
 //! | 13 | `engine-shard` | retired: the shard layout whose box-ordered shards were row ranges, each box-ordered over its own rows under shard-local ids |
 //! | 14 | `engine-shard` | retired: the shard layout whose 2-D shards kept their rows in id order under shard-local ids and a second copy of them, with slots and live masks, in the pair's blocks |
 //! | 15 | `engine-shard` | retired: the shard layout whose box-ordered shards stored every chunk's `f32` box and no box tree |
+//! | 16 | `engine-shard` | retired: the shard layout whose 2-D shards were row ranges in the §4 tile order under their pair's envelope tree (`pair0/*`), and whose box trees stored the levels under groups of at most 256 chunks, which no query reads |
 //!
 //! Every payload is a stream of framed regions (see `sdq_core::codec`):
 //! small `[crc32c][len]` *metadata* regions verified eagerly at open, and
@@ -169,9 +170,8 @@ pub enum SectionKind {
     EngineManifest = 7,
     /// One engine shard's [`SdIndex`]; the shard ordinal lives in the
     /// table entry's reserved `u32`. Every shard stores its rows once under
-    /// global ids; a box-ordered shard is a cell of the engine's one box
-    /// order.
-    EngineShard = 16,
+    /// global ids, a cell of the engine's one box order.
+    EngineShard = 17,
     /// The engine's delta region: uncompacted inserted rows, as plain
     /// [`Dataset`] codec bytes.
     MutationDelta = 9,
@@ -190,7 +190,7 @@ impl SectionKind {
             9 => Some(SectionKind::MutationDelta),
             10 => Some(SectionKind::MutationTombstones),
             11 => Some(SectionKind::Durability),
-            16 => Some(SectionKind::EngineShard),
+            17 => Some(SectionKind::EngineShard),
             _ => None,
         }
     }
@@ -198,7 +198,7 @@ impl SectionKind {
     /// The name a retired kind number carried when it was written, and why
     /// it is no longer read: a store holds one engine, so the monolithic,
     /// §3, R*-tree and raw-dataset sections are gone, and so are the
-    /// standalone roles and §4 tree and five older shard layouts. The numbers
+    /// standalone roles and §4 tree and six older shard layouts. The numbers
     /// stay reserved; both readers refuse such a file by its name and reason
     /// and `sdq inspect` lists it by name.
     pub fn retired(raw: u32) -> Option<(&'static str, &'static str)> {
@@ -233,6 +233,7 @@ impl SectionKind {
                 "engine-shard",
                 "its box-ordered shards stored a flat table of chunk boxes, where a shard now stores its box tree with each chunk coded inside it",
             )),
+            16 => Some(("engine-shard", "its 2-D shards were row ranges under a pair's §4 envelope tree, and its box trees stored levels no query reads, where every shard is now a cell of one box order whose tree stores only the nodes a query reads")),
             _ => None,
         }
     }
@@ -1563,12 +1564,13 @@ mod tests {
         // computed over this fixture (100 rows, two cells) by the commit
         // that made a box-ordered engine's shards cells of one box order
         // under global ids, held by the one that made every shard store its
-        // rows once, and recomputed by the one that stored each box-ordered
-        // shard's box tree (section kind 16: `index.meta` holds the roles
-        // alone; every shard is its rows, `data.ids`, then `pair0` for a
-        // 2-D `ar` shard or `tree.meta` + `tree.boxes` + `tree.firsts` +
-        // `data.codes` for any other, then `data.firsts`; kinds 2, 4, 8,
-        // 12, 13, 14 and 15 retired). (The fixture goes through `sin`/`cos`;
+        // rows once, recomputed by the one that stored each box-ordered
+        // shard's box tree, and again by the one that made every shard a
+        // cell of one box order and dropped the tree levels no query reads
+        // (section kind 17: `index.meta` holds the roles alone; every shard
+        // is its rows, `data.ids`, `tree.meta` + `tree.boxes` +
+        // `tree.firsts` + `data.codes`, then `data.firsts`; kinds 2, 4, 8,
+        // 12, 13, 14, 15 and 16 retired). (The fixture goes through `sin`/`cos`;
         // a libm that rounds them differently moves the coordinates, not
         // the layout.)
         const PAYLOAD_CRC: u32 = 0x61ab_40af;
@@ -1577,7 +1579,7 @@ mod tests {
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         let mut kinds: Vec<u32> = info.sections.iter().map(|s| s.raw_kind).collect();
         kinds.dedup();
-        assert_eq!(kinds, [7, 16, 9, 10, 11], "every section kind");
+        assert_eq!(kinds, [7, 17, 9, 10, 11], "every section kind");
         let first = info.sections[0].offset as usize;
         assert_eq!((first, bytes.len()), (192, 4124));
         assert_eq!(crc32c(&bytes[first..]), PAYLOAD_CRC, "payload bytes moved");
@@ -1635,7 +1637,7 @@ mod tests {
     #[test]
     fn duplicate_singleton_section_is_refused() {
         let sections = durable_snapshot().sections();
-        for kind in (1..=16).filter_map(SectionKind::from_u32) {
+        for kind in (1..=17).filter_map(SectionKind::from_u32) {
             if kind == SectionKind::EngineShard {
                 continue;
             }
@@ -1882,6 +1884,13 @@ mod tests {
             "engine-shard",
             "its box-ordered shards stored a flat table of chunk boxes, where a shard now \
              stores its box tree with each chunk coded inside it",
+        );
+        assert_retired_kind_refused(
+            16,
+            "engine-shard",
+            "its 2-D shards were row ranges under a pair's §4 envelope tree, and its box trees \
+             stored levels no query reads, where every shard is now a cell of one box order \
+             whose tree stores only the nodes a query reads",
         );
     }
 }

@@ -75,7 +75,7 @@ fn build_then_query_matches_in_memory_index() {
         .skip(1)
         .map(|rest| rest.split(',').next().unwrap())
         .collect();
-    assert_eq!(kinds, ["7", "16"], "manifest + one shard\n{json}");
+    assert_eq!(kinds, ["7", "17"], "manifest + one shard\n{json}");
 
     // The same workload in memory: the engine and the scan agree, and the
     // CLI must print what they answer.
@@ -244,11 +244,11 @@ fn sharded_build_then_query_matches_in_memory_index() {
 
 #[test]
 fn topk_query_respects_stored_roles_order() {
-    // Regression: with roles "ra" (repulsive first) the direct 2-D walk runs
-    // over (x = attractive dim 1, y = repulsive dim 0) of every shard; the
-    // query side must map the dataset-ordered --point through the stored
-    // roles rather than assuming attractive-first, and the ids of every
-    // shard's part must come back global.
+    // Regression: with roles "ra" (repulsive first) every shard's box scan
+    // bounds dim 0 as repulsive and dim 1 as attractive; the query side must
+    // read the dataset-ordered --point through the stored roles rather than
+    // assuming attractive-first, and the ids of every shard's part must
+    // come back global.
     let dir = temp_dir("roles-ra");
     let data = generate(Distribution::Uniform, 300, 2, 11);
     let roles = parse_roles("ra").unwrap();
@@ -284,12 +284,13 @@ fn topk_query_respects_stored_roles_order() {
             .output()
             .expect("spawn sdq query --explain");
         let explain = String::from_utf8(explain.stdout).unwrap();
-        let rows = explain.lines().filter(|l| l.contains("(d0 r, d1 a)"));
+        let rows = explain.lines().filter(|l| l.contains("all dimensions"));
         assert_eq!(
-            rows.filter(|l| l.contains("direct ")).count(),
+            rows.filter(|l| l.contains("box scan")).count(),
             shards.parse::<usize>().unwrap(),
             "{explain}"
         );
+        assert!(!explain.contains("direct "), "{explain}");
 
         let out = sdq()
             .args(["query", path.to_str().unwrap(), "--point", "0.2,0.8"])

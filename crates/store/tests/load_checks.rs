@@ -99,40 +99,20 @@ fn is_typed(err: &SdError) -> bool {
 /// records.
 #[test]
 fn an_engine_file_lists_exactly_these_regions() {
-    // 300 rows a shard: 10 leaf blocks under two envelope levels.
-    for (roles, regions) in [
-        (
-            "arr",
-            &[
-                "index.meta",
-                "data.meta",
-                "data.coords",
-                "data.ids",
-                "tree.meta",
-                "tree.boxes",
-                "tree.firsts",
-                "data.codes",
-                "data.firsts",
-            ][..],
-        ),
-        (
-            "ar",
-            &[
-                "index.meta",
-                "data.meta",
-                "data.coords",
-                "data.ids",
-                "pair0/meta",
-                "pair0/blocks.bounds",
-                "pair0/blocks.xr",
-                "pair0/blocks.lvl0/bounds",
-                "pair0/blocks.lvl0/xr",
-                "pair0/blocks.lvl1/bounds",
-                "pair0/blocks.lvl1/xr",
-                "data.firsts",
-            ][..],
-        ),
-    ] {
+    // 300 rows a shard, and the same regions whatever the roles: a single
+    // pair's shard is a cell of the one box order like any other.
+    let regions = [
+        "index.meta",
+        "data.meta",
+        "data.coords",
+        "data.ids",
+        "tree.meta",
+        "tree.boxes",
+        "tree.firsts",
+        "data.codes",
+        "data.firsts",
+    ];
+    for roles in ["arr", "ar"] {
         let snap = Snapshot {
             engine: Some(engine_of(600, roles)),
             ..Snapshot::default()
@@ -285,7 +265,7 @@ const ID_FORGERIES: [Forgery; 3] = [
 
 #[test]
 fn load_refuses_forged_contents_under_valid_checksums() {
-    let cases: [Forgery; 4] = [
+    let cases: [Forgery; 3] = [
         ("engine-shard0/data.coords", "non-finite coordinate", |p| {
             set_f64(p, 4, f64::NAN)
         }),
@@ -296,38 +276,24 @@ fn load_refuses_forged_contents_under_valid_checksums() {
             "invalid DimRole tag 0x02",
             |p| p[9] = 2,
         ),
+        // The first group's first id raised past its chunks' smallest: a
+        // tie at the floor would skip the group over a row it must score.
         (
-            "engine-shard0/pair0/meta",
-            "indexed angles not strictly ascending",
-            // `[count][cos sin][cos sin]…`: the first angle repeated where
-            // the second stood. The bracket search assumes neither happens.
-            |p| p.copy_within(8..24, 24),
-        ),
-        (
-            "engine-shard1/pair0/meta",
-            "indexed angles must span 0° to 90°",
-            // The first angle, 0°, rewritten as 10°: still ascending, but a
-            // zero attractive weight would find no indexed angle.
+            "engine-shard1/tree.firsts",
+            "box tree node 0: first id",
             |p| {
-                let (sin, cos) = 10f64.to_radians().sin_cos();
-                set_f64(p, 1, cos);
-                set_f64(p, 2, sin);
+                let first = u32::from_le_bytes(p[..4].try_into().unwrap());
+                set_u32(p, 0, first + 1)
             },
         ),
     ];
-    let (scanning, walking) = (honest_bytes(), honest_bytes_of("ar"));
-    // The pair regions are a single pair's: its shards store them. The ids
-    // and first ids are every shard's.
-    let pair_cases = cases.iter().filter(|c| c.0.contains("/pair0/"));
-    let other_cases = cases.iter().filter(|c| !c.0.contains("/pair0/"));
-    let runs = pair_cases
-        .map(|c| (&walking, c))
-        .chain(other_cases.map(|c| (&scanning, c)))
-        .chain(
-            ID_FORGERIES
-                .iter()
-                .flat_map(|c| [(&scanning, c), (&walking, c)]),
-        );
+    // Every forgery, on a file of two pairs' roles and on one of a single
+    // pair's: the two store the same regions.
+    let (scanning, single) = (honest_bytes(), honest_bytes_of("ar"));
+    let runs = cases
+        .iter()
+        .chain(&ID_FORGERIES)
+        .flat_map(|c| [(&scanning, c), (&single, c)]);
     for (honest, &(region, needle, patch)) in runs {
         let mut forged = honest.clone();
         forge(&mut forged, region, patch);
@@ -358,7 +324,8 @@ fn load_refuses_forged_contents_under_valid_checksums() {
 /// checksums still opens (its ids are in range, so nothing reads out of
 /// bounds), but neither `rows_by_id` nor a compaction reads its rows —
 /// the compaction would otherwise write rows that were never inserted into
-/// a fresh, correctly checksummed shard. Either layout.
+/// a fresh, correctly checksummed shard. Two pairs' roles or a single
+/// pair's.
 #[test]
 fn a_mapped_shard_with_a_repeated_row_id_is_never_compacted() {
     for roles in [ROLES, "ar"] {
@@ -389,8 +356,8 @@ fn a_mapped_shard_with_a_repeated_row_id_is_never_compacted() {
 /// A mapped open defers the ids' range check to the first query, and the
 /// verdict sticks: a shard naming a row past the engine's rows answers
 /// nothing, its honest twin answers, and a repeated id — in range — is
-/// left to the census of an eager open or a compaction. Either layout: a
-/// single pair's walk names its rows by the same id column.
+/// left to the census of an eager open or a compaction. Two pairs' roles
+/// or a single pair's: every scan names its rows by the same id column.
 #[test]
 fn a_mapped_engine_checks_its_ids_in_range_before_its_first_answer() {
     for roles in [ROLES, "ar"] {

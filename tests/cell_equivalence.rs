@@ -53,12 +53,15 @@ fn counted(p: &QueryProfile) -> Vec<(&'static str, u64)> {
 }
 
 /// Counter for counter, the query a one-shard engine runs: clean, and with
-/// tombstones and delta rows (every part reads the mask then).
+/// tombstones and delta rows (every part reads the mask then) — a single
+/// pair's cells (`ar`, `ra`) as any other roles'.
 #[test]
 fn cells_count_what_one_shard_counts() {
     for (roles, dist) in [
         ("aaaarr", Distribution::AntiCorrelated),
         ("arra", Distribution::Uniform),
+        ("ar", Distribution::Uniform),
+        ("ra", Distribution::AntiCorrelated),
     ] {
         let dims = roles.len();
         let data = generate(dist, 5_000, dims, 0xCE11);

@@ -197,9 +197,12 @@ fn direct_2d_search_honours_a_cancelled_token() {
     let token = CancelToken::new();
     token.cancel();
 
-    // The bare index: nothing but the frontier walk can see the token.
+    // The bare index: nothing but its box scan can see the token.
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(matches!(index.plan(&query).unwrap(), QueryPlan::Direct(_)));
+    assert!(matches!(
+        index.plan(&query).unwrap(),
+        QueryPlan::Scan { .. }
+    ));
     let want = index.query(&query, k).unwrap();
     let mut scratch = QueryScratch::new();
     index.query_with(&query, k, &mut scratch).unwrap(); // warm-up
@@ -216,7 +219,7 @@ fn direct_2d_search_honours_a_cancelled_token() {
     assert_bit_identical(&got, &want);
     assert_eq!(allocs, 0, "the cancelled scratch re-allocated");
 
-    // An engine runs the same search over all its shards at once: one
+    // An engine runs the same box scan over all its shards at once: one
     // shard, four, and four with a tombstone and a delta row.
     for (shards, dirty) in [(1, false), (4, false), (4, true)] {
         let cell = format!("{shards} shard(s), dirty {dirty}");
@@ -231,7 +234,7 @@ fn direct_2d_search_honours_a_cancelled_token() {
         }
         let plans = engine.explain(&query, k).unwrap().plans;
         assert!(
-            plans.len() == shards && plans.iter().all(|p| matches!(p, QueryPlan::Direct(_))),
+            plans.len() == shards && plans.iter().all(|p| matches!(p, QueryPlan::Scan { .. })),
             "{cell}"
         );
         let fresh = engine.query(&query, k).unwrap();
@@ -240,7 +243,12 @@ fn direct_2d_search_honours_a_cancelled_token() {
         }
         let mut scratch = QueryScratch::new();
         assert_bit_identical(engine.query_with(&query, k, &mut scratch).unwrap(), &fresh);
-        assert_eq!(scratch.profile.rounds, 0, "{cell}: the query walked");
+        let p = scratch.profile;
+        assert_eq!((p.rounds, p.blocks_popped), (0, 0), "{cell}: no walk");
+        assert_eq!(
+            p.parts_scanned, shards as u64,
+            "{cell}: every shard scanned"
+        );
         let before = engine.metrics().snapshot().deadline_exceeded;
         scratch.deadline = Deadline::cancelled_by(&token);
         assert!(

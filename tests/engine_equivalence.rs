@@ -208,12 +208,11 @@ proptest! {
     }
 }
 
-/// `explain` and the executor consult one predicate: a plan says `direct`
-/// on every shard exactly when the query then runs without a single
-/// aggregation round, and that is exactly when it is one non-degenerate
-/// pair — one zero weight included, both zero not — whatever the shard
-/// count, tombstones or delta rows. Every cell answers like
-/// the sequential scan over the live rows.
+/// `explain` and the executor agree at 2-D, where a walk used to run: a
+/// plan says box scan on every shard, and the query then scans every shard
+/// and walks none — one zero weight, both zero or neither, whatever the
+/// shard count, tombstones or delta rows. Every cell answers like the
+/// sequential scan over the live rows.
 #[test]
 fn explain_says_direct_exactly_when_the_direct_search_runs() {
     let (n, k) = (2_000, 10);
@@ -264,15 +263,18 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
             for q in &queries {
                 let plans = engine.explain(q, k).unwrap().plans;
                 let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
-                let ran_direct = scratch.profile.parts_scanned == 0;
-                let one_pair = q.weights.iter().any(|&w| w != 0.0);
-                assert_eq!(ran_direct, one_pair, "{cell} {:?}", q.weights);
+                let p = scratch.profile;
+                assert_eq!(p.parts_scanned, shards as u64, "{cell} {:?}", q.weights);
+                assert_eq!(
+                    (p.blocks_popped, p.nodes_visited, p.rounds),
+                    (0, 0, 0),
+                    "{cell}"
+                );
                 assert_eq!(plans.len(), shards, "{cell}");
-                let direct = |p: &QueryPlan| matches!(p, QueryPlan::Direct(_));
-                assert!(plans.iter().all(|p| direct(p) == ran_direct), "{cell}");
-                if ran_direct {
-                    assert!(scratch.profile.blocks_popped > 0, "{cell}");
-                }
+                assert!(
+                    plans.iter().all(|p| matches!(p, QueryPlan::Scan { .. })),
+                    "{cell}"
+                );
                 let mut want = scan.query(q, k + dead.len()).unwrap();
                 want.retain(|sp| !dead.contains(&sp.id));
                 want.truncate(k);

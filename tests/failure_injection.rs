@@ -94,7 +94,7 @@ fn dimension_mismatches_rejected() {
 #[test]
 fn topk_build_configuration_errors() {
     assert!(matches!(
-        TopKIndex::build_with(&[], &sdq::core::topk::default_angles(), 0),
+        TopKIndex::build_with(&[], &sdq::paper::topk::default_angles(), 0),
         Err(SdError::InvalidBranching(0))
     ));
     assert!(matches!(

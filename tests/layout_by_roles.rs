@@ -1,11 +1,11 @@
-//! A shard's layout is a function of its roles alone, and every layout
-//! answers what [`SeqScan`] answers:
+//! Every shard has one layout, whatever its roles, and it answers what
+//! [`SeqScan`] answers:
 //!
-//! * every file holds each shard's rows once, the global id of each row
-//!   (`data.ids`) and each 64-row chunk's smallest id (`data.firsts`); a
-//!   file of one pair (`ar`, `ra`) holds the pair's envelope tree
-//!   (`pair0/*`) above them, and every other file the box tree (node boxes
-//!   `tree.boxes`, chunk codes `data.codes`);
+//! * every file holds each shard's rows once, in box order, the global id
+//!   of each row (`data.ids`), each 64-row chunk's smallest id
+//!   (`data.firsts`) and the box tree (node boxes `tree.boxes`, chunk codes
+//!   `data.codes`) — a file of one pair (`ar`, `ra`) too, with no envelope
+//!   tree (`pair0/*`) and no flat table of chunk boxes;
 //! * for role sets heavy in unpaired dimensions — no pair at all included —
 //!   and for the two that are one pair, every engine answer, at 1, 2 and 4
 //!   shards, clean, tombstoned or with a delta region, built, reloaded or
@@ -20,7 +20,6 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::baselines::SeqScan;
-use sdq::core::multidim::walked_pair;
 use sdq::core::QueryScratch;
 use sdq::engine::{EngineOptions, SdEngine};
 use sdq::store::{parse_roles, MappedBytes, Snapshot};
@@ -90,7 +89,7 @@ fn weight() -> impl Strategy<Value = f64> {
 }
 
 /// Role sets where unpaired dimensions dominate, none-paired ones included,
-/// and the two that are one pair and so walk.
+/// and the two that are one pair, which once walked and now scan.
 const ROLE_SETS: [&str; 12] = [
     "aar", "arr", "aaar", "arrr", "aaaarr", "a", "r", "aa", "rr", "rrr", "ar", "ra",
 ];
@@ -147,16 +146,17 @@ proptest! {
                     let image = Snapshot { engine: Some(engine.clone()), ..Snapshot::default() }
                         .to_bytes_v5()
                         .unwrap();
-                    // The roles alone pick the layout: every shard's ids and
-                    // first ids, then a pair's envelope tree or the box tree
-                    // (node boxes, chunk codes); no flat table of chunk boxes.
+                    // Every role string is box-ordered: every shard's ids and
+                    // first ids and its box tree (node boxes, chunk codes);
+                    // no pair's envelope tree, no flat table of chunk boxes.
                     let names = region_names(&image);
-                    let walks = walked_pair(&roles).is_some();
-                    let holds = |region: &str| names.iter().any(|r| r.ends_with(region));
-                    prop_assert!(holds("/data.ids") && holds("/data.firsts"));
-                    prop_assert_eq!(holds("/pair0/meta"), walks);
-                    prop_assert_eq!(holds("/tree.boxes") && holds("/data.codes"), !walks);
-                    prop_assert!(!holds("/data.boxes"));
+                    let shards = engine.shard_count();
+                    let count = |region: &str| names.iter().filter(|r| r.ends_with(region)).count();
+                    for region in ["/data.ids", "/data.firsts", "/tree.boxes", "/data.codes"] {
+                        prop_assert_eq!(count(region), shards, "{} {}", spec, region);
+                    }
+                    prop_assert!(!names.iter().any(|r| r.contains("/pair0/")), "{}", spec);
+                    prop_assert_eq!(count("/data.boxes"), 0);
                     let owned = Snapshot::from_bytes(&image).unwrap().engine.unwrap();
                     let mapped = Snapshot::from_mapped(MappedBytes::copy_from(&image)).unwrap();
                     let mapped = mapped.snapshot.engine.unwrap();

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
-use sdq::core::multidim::{PairAction, QueryPlan, SdIndex};
+use sdq::core::multidim::{QueryPlan, SdIndex};
 use sdq::core::{QueryProfile, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{EngineOptions, SdEngine};
@@ -545,24 +545,20 @@ fn scans_match_the_oracle(
     let mut profiles = Vec::with_capacity(queries.len());
     for q in queries {
         let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}");
-        // The rule: one pair with a live weight walks — one zero weight is
-        // the indexed 0° or 90° — anything else scans, and every shard
-        // decides alike.
-        let single_pair = dims == 2 && roles[0] != roles[1] && q.weights.iter().any(|&w| w > 0.0);
-        for plan in engine.explain(q, k).unwrap().plans {
-            match plan {
-                QueryPlan::Direct(p) => {
-                    assert!(single_pair, "{cell}: {q:?} walks");
-                    let (alpha, beta) = (q.weights[p.repulsive], q.weights[p.attractive]);
-                    let want: &[PairAction] = match (alpha == 0.0, beta == 0.0) {
-                        (false, false) => &[PairAction::Frontier, PairAction::Bracketed],
-                        _ => &[PairAction::Frontier],
-                    };
-                    assert!(want.contains(&p.action), "{cell}: {:?}", p.action);
-                }
-                QueryPlan::Scan { .. } => assert!(!single_pair, "{cell}: {q:?} scans"),
-            }
-        }
+        // Every plan is a box scan of its shard's chunks — one pair's,
+        // with a live weight or none, as any other roles' — and the plans
+        // count every chunk of the engine once.
+        let plans = engine.explain(q, k).unwrap().plans;
+        let chunks: usize = plans
+            .iter()
+            .map(|QueryPlan::Scan { chunks, .. }| chunks)
+            .sum();
+        let base: usize = engine
+            .shard_infos()
+            .iter()
+            .map(|s| s.rows.div_ceil(64))
+            .sum();
+        assert_eq!(chunks, base, "{cell}: {q:?}");
         let want = oracle.query(q, k).unwrap();
         let got = engine.query_with(q, k, &mut scratch).unwrap();
         assert_eq!(got.len(), want.len(), "{cell}");
@@ -578,14 +574,13 @@ fn scans_match_the_oracle(
     profiles
 }
 
-/// A zero weight walks the pair's 0° or 90° frontier, at every shard size:
-/// each query zeroes one dimension's weight, on 4 shards of {200, 800,
-/// 1 250, 25 000} rows, at k {16, 64}, clean and tombstoned, owned and
-/// mapped, bit for bit against SeqScan — over a 2-D `[a, r]` engine, which
-/// walks and plans `frontier` on every shard, and over a 4-D one, which
-/// scans. A last query zeroes every weight: every shard scans, and the
-/// answer is the first k live ids at score 0, read off the chunks of the
-/// smallest ids.
+/// A zero weight is bounded out of the box scan, at every shard size: each
+/// query zeroes one dimension's weight, on 4 shards of {200, 800, 1 250,
+/// 25 000} rows, at k {16, 64}, clean and tombstoned, owned and mapped, bit
+/// for bit against SeqScan — over a 2-D `[a, r]` engine and a 4-D one, both
+/// of which scan every shard and walk none. A last query zeroes every
+/// weight: every shard scans, and the answer is the first k live ids at
+/// score 0, read off the chunks of the smallest ids.
 #[test]
 fn zero_weight_pairs_walk_their_frontier_to_the_oracle() {
     let shards = 4;
@@ -618,8 +613,8 @@ fn zero_weight_pairs_walk_their_frontier_to_the_oracle() {
                             scans_match_the_oracle(&rows, &roles, shards, dirt, serve, k, &queries);
                         let (all_zero, one_zero) = profiles.split_last().unwrap();
                         for p in one_zero {
-                            let walked = p.parts_scanned == 0 && p.blocks_popped > 0;
-                            assert_eq!(walked, dims == 2, "{cell}: {p:?}");
+                            assert_eq!(p.parts_scanned, shards as u64, "{cell}: {p:?}");
+                            assert_eq!(p.blocks_popped, 0, "{cell}: {p:?}");
                         }
                         assert_eq!(all_zero.parts_scanned, shards as u64, "{cell}");
                         assert!(
@@ -875,7 +870,7 @@ fn box_ordered_engines_answer_like_the_oracle() {
             ..EngineOptions::default()
         };
         let mut engine = SdEngine::build_with(data, &roles, &options).unwrap();
-        let boxed = |engine: &SdEngine| engine.shards().iter().all(|s| s.block_stats() == (0, 0));
+        let boxed = |engine: &SdEngine| engine.shards().iter().all(|s| s.tree_stats().0 > 0);
         assert!(
             boxed(&engine),
             "every shard of an aggregating engine is in box order"

@@ -332,7 +332,7 @@ fn engine_metrics_registry_accumulates() {
     assert_eq!(snap.epoch_transitions, report.rebuilt_shards as u64);
 }
 
-/// A 4-shard 2-D (`ar`) engine over `rows`.
+/// A 4-shard 2-D (`ar`) engine over `rows`: four cells of one box order.
 fn engine_2d(rows: &[Vec<f64>]) -> SdEngine {
     SdEngine::build_with(
         Dataset::from_rows(2, rows).unwrap(),
@@ -345,7 +345,7 @@ fn engine_2d(rows: &[Vec<f64>]) -> SdEngine {
     .unwrap()
 }
 
-/// A single-pair walk is one execution over every shard, and each shard is
+/// A single-pair query is one box scan over every cell, and each cell is
 /// credited the floor updates its own rows made: the slots add up to the
 /// profiles' `floor_updates`, and more than one slot is credited.
 #[test]
@@ -360,7 +360,12 @@ fn single_pair_walk_floor_credits_sum_to_the_profile() {
         let point = vec![(i % 5) as f64 * 2.0, (i % 7) as f64 * 1.5];
         let q = SdQuery::new(point, vec![1.0, 0.5 + i as f64 * 0.1]).unwrap();
         engine.query_with(&q, 16, &mut scratch).unwrap();
-        assert_eq!(scratch.profile.rounds, 0, "a direct walk");
+        let p = scratch.profile;
+        assert_eq!(
+            (p.parts_scanned, p.blocks_popped),
+            (4, 0),
+            "one scan of every cell"
+        );
         updates += scratch.profile.floor_updates;
     }
     let slots = engine.metrics().snapshot().floor_contributions;
@@ -368,15 +373,19 @@ fn single_pair_walk_floor_credits_sum_to_the_profile() {
     assert!(slots.iter().filter(|&&c| c > 0).count() > 1, "{slots:?}");
 }
 
-/// Every row that can reach the answer lies in shard 2, so every floor
-/// update of the walk is shard 2's.
+/// Every row that can reach the answer is a far one — the ids of the
+/// third quarter, 100 up the repulsive dimension — near the query in the
+/// attractive one. The split cuts the attractive dimension first and the
+/// repulsive one second, so the far rows are the upper cell of each half,
+/// and those near the query are cell 1's: every floor update of the scan
+/// is cell 1's, none the other cells'.
 #[test]
 fn single_pair_walk_credits_the_shard_whose_rows_raised_the_floor() {
     let n = 4000;
+    let far = |i: usize| (n / 2..3 * n / 4).contains(&i);
     let rows: Vec<Vec<f64>> = (0..n)
         .map(|i| {
-            let far = (n / 2..3 * n / 4).contains(&i);
-            let y = ((i * 53) % 97) as f64 * 0.01 + if far { 100.0 } else { 0.0 };
+            let y = ((i * 53) % 97) as f64 * 0.01 + if far(i) { 100.0 } else { 0.0 };
             vec![((i * 37) % 101) as f64 * 0.01, y]
         })
         .collect();
@@ -387,7 +396,13 @@ fn single_pair_walk_credits_the_shard_whose_rows_raised_the_floor() {
     let updates = scratch.profile.floor_updates;
     assert!(updates > 0);
     let slots = engine.metrics().snapshot().floor_contributions;
-    assert_eq!(slots[2], updates, "{slots:?}");
+    let holds_far: Vec<bool> = engine
+        .shards()
+        .iter()
+        .map(|s| s.row_ids().iter().any(|&id| far(id as usize)))
+        .collect();
+    assert_eq!(holds_far, [false, true, false, true]);
+    assert_eq!(slots[1], updates, "{slots:?}");
     assert_eq!(slots.iter().sum::<u64>(), updates, "{slots:?}");
 }
 
