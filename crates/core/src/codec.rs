@@ -8,8 +8,7 @@
 //! There is one encoding. Small structural fields go into framed
 //! *metadata regions* (`[crc32c u32][len u64][bytes]`, verified as they are
 //! read); the hot arrays (coordinate tables, an index's id column and
-//! chunk first ids, a walked pair's envelope tables, a box-ordered index's
-//! node boxes and chunk codes) go into framed *array regions* (`[crc32c u32]
+//! chunk first ids, its box tree's node boxes and chunk codes) go into framed *array regions* (`[crc32c u32]
 //! [count u64][zero pad to 64][raw little-endian elements]`) whose payload
 //! is the exact in-memory representation. `sdq-store` stores these bytes
 //! verbatim as snapshot section payloads.

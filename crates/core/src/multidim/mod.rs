@@ -967,11 +967,11 @@ impl Scan<'_, '_> {
 }
 
 /// Scores `run` — up to [`LANES`] consecutive rows of a stored row table,
-/// inside one chunk or block — on the full query, the point `q` and the
+/// inside one chunk — on the full query, the point `q` and the
 /// role-signed weights `sw`, compared to `floor` in the same pass
 /// ([`kernels::score_rows`]), and returns the rows of `live` at or above
 /// it. A dead row costs a wasted lane, never a visit to the floor. The one
-/// scorer of a stored row: the box scan's chunks and the walk's blocks.
+/// scorer of a stored row.
 ///
 /// Kept out of line: inlined, the same kernel source has come out ≈ 25 %
 /// apart in speed depending on the loop around it.

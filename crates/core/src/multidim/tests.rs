@@ -479,7 +479,7 @@ fn executions_answer_the_oracle_under_a_pre_filled_floor() {
 /// A 2-D index of one pair refuses a query of another dimensionality, in
 /// its plan and its answer alike, and scans one of its own.
 #[test]
-fn single_pair_refuses_a_query_of_another_dimensionality() {
+fn a_pair_index_refuses_a_query_of_another_dimensionality() {
     let data = Dataset::from_rows(2, &[vec![1.0, 9.0], vec![1.1, 2.0], vec![7.0, 8.5]]).unwrap();
     let index = SdIndex::build(data, &[DimRole::Attractive, DimRole::Repulsive]).unwrap();
     for dims in [1, 3] {

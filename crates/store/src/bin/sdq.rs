@@ -138,10 +138,9 @@ QUERY OPTIONS:
                        percentiles + QPS (default 1).
     --threads T        Threads for the repeated batch (default 1;
                        0 = auto: the host's available parallelism).
-    --explain          Print how the query runs on every shard: the
-                       direct walk's rule + the weight angle θ_q it read,
-                       or the box scan's chunks — then, for a scan, run
-                       it once and print the chunks scored and skipped.
+    --explain          Print how the query runs on every shard: its box
+                       scan's chunks and tree — then run it once and
+                       print the chunks scored and skipped.
     --profile          Run the query once with per-stage timing and print
                        the execution counter tree plus the pruning funnel.
     --profile-json     Like --profile but machine-readable JSON on stdout.
