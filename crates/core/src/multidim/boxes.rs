@@ -38,7 +38,7 @@
 //! group's top node, the nodes on one level hold `⌊L/16^l⌋` chunks or one
 //! more, so where a node sits in the tables is arithmetic on its place in
 //! the split ([`BoxTree::children`]): nothing is derived at open but the
-//! groups' offsets. A query reads a node's children only when it holds
+//! groups' starts. A query reads a node's children only when it holds
 //! more than 256 chunks ([`FLAT`]) — a group of a cell of over 262 144
 //! rows — so a group of at most that many stores its top node alone, and a
 //! larger one the levels down to nodes of at most 256 chunks. Per 100k 4-D

@@ -256,7 +256,7 @@ fn memory_accounting() {
     let index = SdIndex::build(data, &roles).unwrap();
     // Ids and first ids of eight chunks, and their tree: under 16 chunks
     // each is a group of its own, a node box and first id each, its codes,
-    // and the groups with their offsets.
+    // and the groups with where each starts.
     let tree = 8 * (4 * 2 * 4 + 4) + 8 * 2 * 4 + 8 * 4 + 9 * 8;
     let order = 4 * 500 + 4 * 8 + tree;
     assert_eq!(index.memory_bytes(), order);
