@@ -39,12 +39,9 @@
 //! rows by id ([`SdIndex::rows_by_id`]).
 
 mod boxes;
-pub mod plan;
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-pub use plan::QueryPlan;
 
 use crate::deadline::Deadline;
 use crate::integrity::SectionIntegrity;
@@ -207,31 +204,15 @@ impl SdIndex {
         self.ids.heap_bytes() + self.firsts.heap_bytes() + self.tree.memory_bytes()
     }
 
-    /// `(nodes, stored levels, bytes)` of the box tree — the bytes of the
-    /// node boxes, their first ids and the chunk codes.
-    pub fn tree_stats(&self) -> (usize, usize, usize) {
+    /// The size of the box tree every query scans (module docs).
+    pub fn tree_stats(&self) -> TreeStats {
         let (nodes, levels) = self.tree.shape();
-        (nodes, levels, self.tree.table_bytes())
-    }
-
-    /// How `query` runs against this index: one box scan over its chunks
-    /// under its stored nodes, whatever the roles and the weights.
-    /// Observability only (`sdq inspect` and `sdq query --explain`, in
-    /// `crates/store/src/bin/sdq.rs`, plumb it out).
-    pub fn plan(&self, query: &SdQuery) -> Result<QueryPlan, SdError> {
-        if query.dims() != self.data.dims() {
-            return Err(SdError::DimensionMismatch {
-                expected: self.data.dims(),
-                got: query.dims(),
-            });
-        }
-        let (nodes, levels, bytes) = self.tree_stats();
-        Ok(QueryPlan::Scan {
+        TreeStats {
             chunks: self.data.len().div_ceil(CHUNK_ROWS),
-            levels,
             nodes,
-            bytes,
-        })
+            levels,
+            bytes: self.tree.table_bytes(),
+        }
     }
 
     /// Answers the SD-Query: the `min(k, n)` highest SD-scores under the
@@ -251,7 +232,7 @@ impl SdIndex {
     /// descending, ties by row id ascending).
     ///
     /// The one driver, [`answer_parts`], with this index as the query's one
-    /// part, run through the scratch's one answer step
+    /// shard and no dead rows, run through the scratch's one answer step
     /// ([`QueryScratch::answer_with`]).
     pub fn query_with<'s>(
         &self,
@@ -263,12 +244,8 @@ impl SdIndex {
             return Err(SdError::ZeroK);
         }
         scratch.profile.reset();
-        let part = ShardPart {
-            index: self,
-            mask: None,
-        };
         scratch.answer_with(k.min(self.data.len()), |scratch, floor| {
-            answer_parts([part], query, scratch, floor)
+            answer_parts(std::slice::from_ref(self), None, query, scratch, floor)
         })
     }
 
@@ -283,6 +260,20 @@ impl SdIndex {
         }
         self.verify_integrity()
     }
+}
+
+/// The size of one index's box tree ([`SdIndex::tree_stats`]): what
+/// `sdq query --explain` and `sdq inspect` report of each shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeStats {
+    /// Chunks under the tree.
+    pub chunks: usize,
+    /// Stored nodes.
+    pub nodes: usize,
+    /// Stored levels.
+    pub levels: usize,
+    /// Bytes of the node boxes, their first ids and the chunk codes.
+    pub bytes: usize,
 }
 
 /// What every build validates: roles for every dimension, and ids that fit
@@ -376,76 +367,60 @@ pub fn ids_in_range<'a>(
     Ok(())
 }
 
-/// One part of a query ([`answer_parts`]) — in an engine, one shard: its
-/// index, whose id column holds the rows' global ids, and the tombstones.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardPart<'a> {
-    /// The shard's index.
-    pub index: &'a SdIndex,
-    /// The dead rows, by global id: `None` when there are none, which
-    /// spares the scan an id lookup a row.
-    pub mask: Option<&'a RowMask>,
+/// The tombstone bits of `ids`, up to [`LANES`] consecutive positions of a
+/// shard: one lookup in `mask` a lane, none without one.
+#[inline]
+fn dead_word(mask: Option<&RowMask>, ids: &[u32]) -> u32 {
+    let Some(mask) = mask else {
+        return 0;
+    };
+    ids.iter()
+        .enumerate()
+        .fold(0, |w, (l, &id)| w | u32::from(mask.get(id as usize)) << l)
 }
 
-impl ShardPart<'_> {
-    /// The tombstone bits of the `count` positions from `start`: one id
-    /// lookup a lane.
-    #[inline]
-    pub(crate) fn dead_word(&self, start: usize, count: usize) -> u32 {
-        let Some(mask) = self.mask else {
-            return 0;
-        };
-        self.index.ids[start..start + count]
-            .iter()
-            .enumerate()
-            .fold(0, |w, (l, &id)| w | u32::from(mask.get(id as usize)) << l)
-    }
-}
-
-/// The one driver of a query: answers `query` over `parts` — the one index
+/// The one driver of a query: answers `query` over `shards` — the one index
 /// of [`SdIndex::query_with`], or every shard of an engine — into `floor`,
 /// the query's one answer heap, out of one `scratch`, all on the calling
-/// thread. Every part must share the roles of the first (an engine's do).
+/// thread. Every shard must share the roles of the first (an engine's do),
+/// and holds the rows' global ids in its id column.
 ///
 /// Every query, whatever its roles and weights, is one box scan of every
-/// part (`scan_parts`): the best chunks across every part first, then the
+/// shard (`scan_parts`): the best chunks across every shard first, then the
 /// sweep of what still reaches the floor they raised.
 ///
 /// Every scorer offers each row it keeps to `floor` under its global id,
-/// the index's `ids[pos]`, and prunes against it, tombstoned rows (`mask`)
-/// dropped before they reach it; scores already there (an engine's delta
-/// rows) end the parts sooner. Once it returns, the floor holds the parts'
-/// share of the canonical top k. The parts' counters are added to
+/// the index's `ids[pos]`, and prunes against it, the rows `mask` marks
+/// dead (by global id; `None` spares the scan an id lookup a row) dropped
+/// before they reach it; scores already there (an engine's delta rows) end
+/// the scan sooner. Once it returns, the floor holds the shards' share of
+/// the canonical top k. The shards' counters are added to
 /// `scratch.profile`, which the caller resets once per query — also when a
 /// deadline or cancellation (`scratch.deadline`, consulted before every
 /// scanned piece of rows) ended the query — and
-/// `scratch.part_floor_updates` holds each part's share of this call's
-/// `floor_updates`, in part order. Every buffer goes back to the scratch
+/// `scratch.part_floor_updates` holds each shard's share of this call's
+/// `floor_updates`, in shard order. Every buffer goes back to the scratch
 /// either way, so a warmed scratch answers without allocating.
-pub fn answer_parts<'a, I>(
-    parts: I,
-    query: &'a SdQuery,
+pub fn answer_parts(
+    shards: &[SdIndex],
+    mask: Option<&RowMask>,
+    query: &SdQuery,
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
-) -> Result<(), SdError>
-where
-    I: IntoIterator<Item = ShardPart<'a>>,
-    I::IntoIter: Clone,
-{
+) -> Result<(), SdError> {
     scratch.part_floor_updates.clear();
-    let parts = parts.into_iter();
-    for part in parts.clone() {
-        part.index.check_query(query)?;
+    for shard in shards {
+        shard.check_query(query)?;
     }
-    let Some(first) = parts.clone().next() else {
+    let Some(first) = shards.first() else {
         return Ok(());
     };
     let t0 = scratch.profile.timing.then(std::time::Instant::now);
     // The role-signed weights every scorer of the query scores rows with.
     scratch.fbuf.clear();
-    let signed = first.index.roles.iter().zip(&query.weights);
+    let signed = first.roles.iter().zip(&query.weights);
     scratch.fbuf.extend(signed.map(|(r, &w)| r.sign() * w));
-    let ran = scan_parts(parts, &first.index.roles, query, scratch, floor);
+    let ran = scan_parts(shards, mask, query, scratch, floor);
     if let Some(t0) = t0 {
         scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
     }
@@ -473,7 +448,7 @@ fn lead_chunks() -> usize {
     LEAD_CHUNKS
 }
 
-/// The scan road of [`answer_parts`]: one walk of every part's box tree
+/// The scan of [`answer_parts`]: one walk of every shard's box tree
 /// ([`boxes`]), as one.
 ///
 /// First the **descent** ([`Scan::descend`]): the top stored nodes of every
@@ -525,9 +500,9 @@ fn lead_chunks() -> usize {
 /// sweep add their wall time to `lead_nanos` and `sweep_nanos`. The
 /// deadline is consulted once per piece; an abort leaves the floor holding
 /// what was offered so far.
-fn scan_parts<'a>(
-    parts: impl Iterator<Item = ShardPart<'a>> + Clone,
-    roles: &[DimRole],
+fn scan_parts(
+    shards: &[SdIndex],
+    mask: Option<&RowMask>,
     query: &SdQuery,
     scratch: &mut QueryScratch,
     floor: &mut QueryFloor<'_>,
@@ -542,18 +517,18 @@ fn scan_parts<'a>(
         ..
     } = scratch;
     let (mut chunks, mut entries) = (0, 0);
-    for part in parts.clone() {
-        let n = part.index.data.len();
+    for shard in shards {
+        let n = shard.data.len();
         if n > 0 {
             profile.parts_scanned += 1;
             profile.isa = kernels::active().name();
         }
         chunks += n.div_ceil(CHUNK_ROWS);
-        entries += part.index.tree.entries();
+        entries += shard.tree.entries();
     }
     bufs.reset(entries, chunks);
     scores.resize(LANES, 0.0);
-    part_floor_updates.extend(parts.clone().map(|_| 0));
+    part_floor_updates.resize(shards.len(), 0);
     let ScanBufs {
         heap,
         lead,
@@ -567,10 +542,12 @@ fn scan_parts<'a>(
     let mut clock = Clock::new(profile.timing);
     let mut scan = Scan {
         at: BoxQuery {
-            roles,
+            roles: &shards[0].roles,
             q: &query.point,
             w: &query.weights,
         },
+        shards,
+        mask,
         sw,
         scores,
         prof: profile,
@@ -584,10 +561,10 @@ fn scan_parts<'a>(
         scanned,
     };
     let scored_before = scan.prof.chunks_scored;
-    let top = scan.descend(parts.clone(), heap, lead)?;
+    let top = scan.descend(heap, lead)?;
     clock.lap(&mut scan.prof.lead_nanos);
     lead.sort_unstable();
-    scan.sweep(parts, lead, top)?;
+    scan.sweep(lead, top)?;
     clock.lap(&mut scan.prof.sweep_nanos);
     scan.prof.chunks_skipped += chunks as u64 - (scan.prof.chunks_scored - scored_before);
     Ok(())
@@ -681,12 +658,15 @@ impl Frontier {
     }
 }
 
-/// What one box scan works with, across all its parts: the query its boxes
-/// are bounded under, the point and role-signed weights it scores with, the
-/// kernel's per-lane output, the query's profile, deadline and floor, each
-/// part's share of the floor's updates, and the chunk bounds taken so far
-/// (`bounds`, in runs `spans` names).
+/// What one box scan works with, across all its shards: the shards and
+/// their dead rows, the query its boxes are bounded under, the point and
+/// role-signed weights it scores with, the kernel's per-lane output, the
+/// query's profile, deadline and floor, each shard's share of the floor's
+/// updates, and the chunk bounds taken so far (`bounds`, in runs `spans`
+/// names).
 struct Scan<'s, 'f> {
+    shards: &'s [SdIndex],
+    mask: Option<&'s RowMask>,
     at: BoxQuery<'s>,
     sw: &'s [f64],
     scores: &'s mut [f64],
@@ -710,19 +690,15 @@ impl Scan<'_, '_> {
     /// the best bound of any chunk it met. A node of at most [`FLAT`]
     /// chunks is taken by bounding its chunks in one pass ([`Scan::span`]),
     /// any other through its children.
-    fn descend<'a>(
-        &mut self,
-        parts: impl Iterator<Item = ShardPart<'a>> + Clone,
-        heap: &mut Frontier,
-        lead: &mut Vec<(u32, u32)>,
-    ) -> Result<f64, SdError> {
+    fn descend(&mut self, heap: &mut Frontier, lead: &mut Vec<(u32, u32)>) -> Result<f64, SdError> {
         let want = lead_chunks();
         let mut top = f64::NEG_INFINITY;
         if want == 0 {
             return Ok(top);
         }
-        for (i, part) in parts.clone().enumerate() {
-            let tree = &part.index.tree;
+        let shards = self.shards;
+        for (i, shard) in shards.iter().enumerate() {
+            let tree = &shard.tree;
             self.prof.boxes_bounded += tree.groups.len() as u64;
             for top in tree.tops() {
                 let bound = tree.node_bound(&top, &self.at);
@@ -743,11 +719,11 @@ impl Scan<'_, '_> {
                 break;
             }
             let i = best.part as usize;
-            let part = parts.clone().nth(i).expect("a pending entry's part");
+            let shard = &shards[i];
             let node = match best.item {
                 Child::Node(node) => node,
                 Child::Chunk(c) => {
-                    self.chunk(&part, i, c as usize)?;
+                    self.chunk(i, c as usize)?;
                     lead.push((best.part, c));
                     top = top.max(best.bound);
                     if lead.len() == want {
@@ -756,10 +732,10 @@ impl Scan<'_, '_> {
                     continue;
                 }
             };
-            let tree = &part.index.tree;
+            let tree = &shard.tree;
             if node.len as usize <= FLAT {
                 let span = self.span(i, tree, &node);
-                let firsts = &part.index.firsts[span.start as usize..span.end as usize];
+                let firsts = &shard.firsts[span.start as usize..span.end as usize];
                 for (c, &first) in (span.start..).zip(firsts) {
                     let bound = self.bounds[(span.at + c - span.start) as usize];
                     self.push(heap, want, i, (bound, first), Child::Chunk(c));
@@ -837,17 +813,13 @@ impl Scan<'_, '_> {
     /// floor to `top`, the best bound of any chunk, and then every other
     /// that still reaches the floor, bar those the descent scored (`lead`,
     /// `(part, chunk)` ascending).
-    fn sweep<'a>(
-        &mut self,
-        parts: impl Iterator<Item = ShardPart<'a>> + Clone,
-        lead: &[(u32, u32)],
-        top: f64,
-    ) -> Result<(), SdError> {
+    fn sweep(&mut self, lead: &[(u32, u32)], top: f64) -> Result<(), SdError> {
         // The descent's spans, sorted, then the spans to scan, in row order.
         self.spans.sort_unstable();
         let taken = self.spans.len();
-        for (i, part) in parts.clone().enumerate() {
-            let tree = &part.index.tree;
+        let shards = self.shards;
+        for (i, shard) in shards.iter().enumerate() {
+            let tree = &shard.tree;
             for top in tree.tops() {
                 self.prof.boxes_bounded += 1;
                 let bound = tree.node_bound(&top, &self.at);
@@ -873,7 +845,7 @@ impl Scan<'_, '_> {
             for s in scan.clone() {
                 let span = self.spans[s];
                 let i = span.part as usize;
-                let part = parts.clone().nth(i).expect("a span's part");
+                let firsts = &shards[i].firsts;
                 // The floor only rises when a chunk is scored: a bound under
                 // its last reading is out without asking it again.
                 let mut bar = self.floor.bar();
@@ -885,8 +857,8 @@ impl Scan<'_, '_> {
                     if upper && b.partial_cmp(&half).is_none_or(|o| o.is_lt()) {
                         continue;
                     }
-                    if b >= bar && reaches(b, part.index.firsts[c], self.floor) {
-                        self.chunk(&part, i, c)?;
+                    if b >= bar && reaches(b, firsts[c], self.floor) {
+                        self.chunk(i, c)?;
                         bar = self.floor.bar();
                     }
                     if upper {
@@ -927,21 +899,22 @@ impl Scan<'_, '_> {
         }
     }
 
-    /// Scores chunk `c` of part `i` [`LANES`] rows at a time, offers its
+    /// Scores chunk `c` of shard `i` [`LANES`] rows at a time, offers its
     /// rows that reach the floor under their global ids — adding what that
-    /// did to the floor to the part's updates — and tallies its counters
+    /// did to the floor to the shard's updates — and tallies its counters
     /// (see [`scan_parts`]).
-    fn chunk(&mut self, part: &ShardPart<'_>, i: usize, c: usize) -> Result<(), SdError> {
+    fn chunk(&mut self, i: usize, c: usize) -> Result<(), SdError> {
         #[cfg(test)]
         self.scanned.push(c);
         self.prof.chunks_scored += 1;
-        let (data, ids) = (&*part.index.data, &part.index.ids);
+        let shard = &self.shards[i];
+        let (data, ids) = (&*shard.data, &shard.ids);
         let dims = data.dims();
         let (lo, hi) = (c * CHUNK_ROWS, ((c + 1) * CHUNK_ROWS).min(data.len()));
         for start in (lo..hi).step_by(LANES) {
             self.deadline.check()?;
             let count = LANES.min(hi - start);
-            let dead = part.dead_word(start, count);
+            let dead = dead_word(self.mask, &ids[start..start + count]);
             let live = (u32::MAX >> (LANES - count)) & !dead;
             let run = &data.flat()[start * dims..(start + count) * dims];
             let q = self.at.q;
@@ -1009,10 +982,10 @@ pub(crate) struct ScanBufs {
 
 impl ScanBufs {
     /// Empties them and makes room for `entries` pending nodes and chunks —
-    /// every one of the query's `parts` holds, the most the heap can meet —
+    /// every one of the query's shards holds, the most the heap can meet —
     /// `chunks` bounds and the spans (a node's at most twice), when a query
     /// begins, so a scratch that has served the same
-    /// parts once never grows them mid-scan.
+    /// shards once never grows them mid-scan.
     fn reset(&mut self, entries: usize, chunks: usize) {
         let Frontier {
             heap,

@@ -98,7 +98,7 @@ fn six_dims_three_three_paper_config() {
     let data = rand_dataset(&mut rng, 400, 6);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
     // The rows go in box order under a tree of the 7 chunks' groups.
-    assert_eq!(index.tree_stats().0, 7);
+    assert_eq!(index.tree_stats().nodes, 7);
     for _ in 0..25 {
         let q = rand_query(&mut rng, 6);
         let got = index.query(&q, 5).unwrap();
@@ -173,6 +173,7 @@ fn zero_weights_on_some_dims() {
     let pair_roles = [DimRole::Repulsive, DimRole::Attractive];
     let pair_data = rand_dataset(&mut rng, 120, 2);
     let pair = SdIndex::build(pair_data.clone(), &pair_roles).unwrap();
+    assert_eq!(pair.tree_stats().chunks, 2);
     for zero in 0..2 {
         let mut weights = vec![1.0, 0.6];
         weights[zero] = 0.0;
@@ -183,17 +184,13 @@ fn zero_weights_on_some_dims() {
                 &oracle(&pair_data, &pair_roles, &q, k),
             );
         }
-        assert!(matches!(
-            pair.plan(&q).unwrap(),
-            QueryPlan::Scan { chunks: 2, .. }
-        ));
     }
     assert_eq!(
-        index.plan(&q).unwrap(),
-        QueryPlan::Scan {
+        index.tree_stats(),
+        TreeStats {
             chunks: 2,
-            levels: 1,
             nodes: 2,
+            levels: 1,
             // Two groups of one chunk: two node boxes, their first ids,
             // two chunks' codes.
             bytes: 2 * (2 * 4 * 4) + 2 * 4 + 2 * 4 * 2,
@@ -283,11 +280,9 @@ fn paper_publisher_example() {
     .unwrap();
     let roles = vec![DimRole::Repulsive, DimRole::Attractive, DimRole::Attractive];
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    // A pair and a 1-D subproblem, as any roles: one box scan.
-    assert!(matches!(
-        index.plan(&SdQuery::uniform_weights(vec![0.0; 3], &roles)),
-        Ok(QueryPlan::Scan { .. })
-    ));
+    // A pair and a 1-D subproblem, as any roles: one box scan of its one
+    // chunk.
+    assert_eq!(index.tree_stats().chunks, 1);
     let q = SdQuery::new(vec![50.0, 38.0, 75.0], vec![1.0, 1.0, 1.0]).unwrap();
     let got = index.query(&q, 2).unwrap();
     assert_equiv(&got, &oracle(&data, &roles, &q, 2));
@@ -331,11 +326,6 @@ fn six_d_roles() -> Vec<DimRole> {
 /// one, and at a tied score every row ranks before them.
 const ELSEWHERE: u32 = u32::MAX / 2;
 
-/// `index` as the one shard of a query, under `mask`.
-fn part<'a>(index: &'a SdIndex, mask: Option<&'a RowMask>) -> ShardPart<'a> {
-    ShardPart { index, mask }
-}
-
 /// The rows `floor` ends holding, drained in canonical order, without the
 /// entries another part of the query put there ([`floor_at`]).
 fn drained(floor: &mut QueryFloor<'_>) -> Vec<ScoredPoint> {
@@ -356,7 +346,7 @@ fn answer(
     mask: Option<&RowMask>,
 ) -> Vec<ScoredPoint> {
     scratch.profile.reset();
-    answer_parts([part(index, mask)], q, scratch, floor).unwrap();
+    answer_parts(std::slice::from_ref(index), mask, q, scratch, floor).unwrap();
     drained(floor)
 }
 
@@ -477,7 +467,7 @@ fn executions_answer_the_oracle_under_a_pre_filled_floor() {
 }
 
 /// A 2-D index of one pair refuses a query of another dimensionality, in
-/// its plan and its answer alike, and scans one of its own.
+/// its answer, and scans its one chunk for one of its own.
 #[test]
 fn a_pair_index_refuses_a_query_of_another_dimensionality() {
     let data = Dataset::from_rows(2, &[vec![1.0, 9.0], vec![1.1, 2.0], vec![7.0, 8.5]]).unwrap();
@@ -488,14 +478,10 @@ fn a_pair_index_refuses_a_query_of_another_dimensionality() {
             expected: 2,
             got: dims,
         };
-        assert_eq!(index.plan(&q), Err(wrong.clone()), "{dims}-D query");
         assert_eq!(index.query(&q, 1), Err(wrong), "{dims}-D query");
     }
     let q = SdQuery::new(vec![1.0; 2], vec![1.0; 2]).unwrap();
-    assert!(matches!(
-        index.plan(&q),
-        Ok(QueryPlan::Scan { chunks: 1, .. })
-    ));
+    assert_eq!(index.tree_stats().chunks, 1);
     assert_eq!(index.query(&q, 1).unwrap()[0].id.index(), 0);
 }
 
@@ -525,7 +511,14 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
         let mut floor = QueryFloor::new(&mut heap, k.min(343));
         let mask = Some(&dead);
         scratch.profile.reset();
-        answer_parts([part(&index, mask)], &q, &mut scratch, &mut floor).unwrap();
+        answer_parts(
+            std::slice::from_ref(&index),
+            mask,
+            &q,
+            &mut scratch,
+            &mut floor,
+        )
+        .unwrap();
         let worst = floor.worst();
         let got = drained(&mut floor);
         assert_bit_identical(&got, &live_oracle(&q, k));
@@ -544,7 +537,14 @@ fn scan_exit_handles_tombstones_large_k_and_zero_weights() {
     let mut floor = QueryFloor::new(&mut heap, 5);
     let mask = Some(&dead);
     scratch.profile.reset();
-    answer_parts([part(&index, mask)], &zero, &mut scratch, &mut floor).unwrap();
+    answer_parts(
+        std::slice::from_ref(&index),
+        mask,
+        &zero,
+        &mut scratch,
+        &mut floor,
+    )
+    .unwrap();
     let worst = floor.worst();
     let got = drained(&mut floor);
     let ids: Vec<usize> = got.iter().map(|sp| sp.id.index()).collect();
@@ -594,9 +594,15 @@ fn a_chunk_tied_with_the_floor_is_skipped_above_its_worst_id() {
     }
     let shifted = Dataset::from_rows(2, &vec![vec![0.25, -0.5]; 260]).unwrap();
     let above = SdIndex::build_cell(&shifted, &roles, &Cell::of(4..260)).unwrap();
-    let far = part(&above, None);
     scratch.profile.reset();
-    answer_parts([far], &q, &mut scratch, &mut floor).unwrap();
+    answer_parts(
+        std::slice::from_ref(&above),
+        None,
+        &q,
+        &mut scratch,
+        &mut floor,
+    )
+    .unwrap();
     let p = scratch.profile;
     assert_eq!((p.chunks_scored, p.chunks_skipped, p.scan_rows), (0, 4, 0));
 }
@@ -662,7 +668,14 @@ fn scan_drops_seen_and_dead_rows_that_reach_the_floor() {
     let mut scratch = QueryScratch::new();
     let mask = Some(&dead);
     scratch.profile.reset();
-    answer_parts([part(&index, mask)], &q, &mut scratch, &mut floor).unwrap();
+    answer_parts(
+        std::slice::from_ref(&index),
+        mask,
+        &q,
+        &mut scratch,
+        &mut floor,
+    )
+    .unwrap();
     let worst = floor.worst();
     assert_bit_identical(&drained(&mut floor), &want);
     let out = assert_scan_scored(&index, &q, &scratch, worst, &|id| dead.get(id as usize));
@@ -740,7 +753,14 @@ fn a_query_that_started_lost_scans_at_its_first_round_head() {
     let mut heap = BinaryHeap::new();
     let mut floor = QueryFloor::new(&mut heap, k);
     scratch.profile.reset();
-    answer_parts([part(&index, None)], &q, &mut scratch, &mut floor).unwrap();
+    answer_parts(
+        std::slice::from_ref(&index),
+        None,
+        &q,
+        &mut scratch,
+        &mut floor,
+    )
+    .unwrap();
     let worst = floor.worst();
     assert_bit_identical(&drained(&mut floor), &want);
     let p = scratch.profile;
@@ -793,7 +813,14 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
 
         let mut floor = QueryFloor::new(&mut heap, k);
         scratch.profile.reset();
-        answer_parts([part(&index, None)], &q, &mut scratch, &mut floor).unwrap();
+        answer_parts(
+            std::slice::from_ref(&index),
+            None,
+            &q,
+            &mut scratch,
+            &mut floor,
+        )
+        .unwrap();
         let worst = floor.worst();
         assert_bit_identical(&drained(&mut floor), &own);
         assert_scan_scored(&index, &q, &scratch, worst, &|_| false);
@@ -803,7 +830,14 @@ fn a_certified_execution_ignores_the_inherited_verdict() {
         want.retain(|sp| sp.score >= both[k - 1]);
         let mut floor = floor_at(&mut heap, k, both[k - 1]);
         scratch.profile.reset();
-        answer_parts([part(&index, None)], &q, &mut scratch, &mut floor).unwrap();
+        answer_parts(
+            std::slice::from_ref(&index),
+            None,
+            &q,
+            &mut scratch,
+            &mut floor,
+        )
+        .unwrap();
         let worst = floor.worst();
         assert_bit_identical(&drained(&mut floor), &want);
         assert_scan_scored(&index, &q, &scratch, worst, &|_| false);
@@ -936,7 +970,14 @@ fn every_exit_forced_at_the_one_constructor() {
                     _ => QueryFloor::new(&mut heap, want.len()),
                 };
                 scratch.profile.reset();
-                answer_parts([part(&index, mask)], &q, &mut scratch, &mut floor).unwrap();
+                answer_parts(
+                    std::slice::from_ref(&index),
+                    mask,
+                    &q,
+                    &mut scratch,
+                    &mut floor,
+                )
+                .unwrap();
                 let worst = floor.worst();
                 assert_bit_identical(&drained(&mut floor), want);
                 let out =
@@ -1151,13 +1192,15 @@ fn a_group_over_flat_chunks_descends_through_its_stored_children() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1A7);
     let roles = [DimRole::Attractive, DimRole::Repulsive];
     let small = SdIndex::build(rand_dataset(&mut rng, 100_000, 2), &roles).unwrap();
-    assert_eq!(small.tree_stats().0, 16);
-    assert_eq!(small.tree_stats().1, 1);
+    assert_eq!(
+        (small.tree_stats().nodes, small.tree_stats().levels),
+        (16, 1)
+    );
     let n = 300_000;
     let data = rand_dataset(&mut rng, n, 2);
     let index = SdIndex::build(data.clone(), &roles).unwrap();
     assert_eq!(index.tree.groups, [293; 16]);
-    let (nodes, levels, _) = index.tree_stats();
+    let TreeStats { nodes, levels, .. } = index.tree_stats();
     assert_eq!((nodes, levels), (16 + 256, 2));
     assert!(index.tree.check_firsts(&index.firsts).is_ok());
     let mapped = mapped_copy(&index);

@@ -305,18 +305,17 @@ impl QueryProfile {
     /// The pruning funnel: how many points were still in play after each
     /// pruning stage, labelled, monotone non-increasing from the second
     /// stage on (the first stage is the dataset size supplied by the
-    /// caller; on multi-pair queries the envelope stage counts each
-    /// pair's coverage separately, so it is bounded by `pairs × n`, not
-    /// `n`).
+    /// caller).
     ///
-    /// Stages after the first are derived from the counters:
-    /// block-granularity stages count [`LANES`] points per block (the
-    /// admissible upper bound on what survived), and rows that reach the
-    /// scoring stage by another road (1-D streams, the live rows of the
-    /// delta scan, the box scan's `scan_rows`) pass undiminished through
-    /// the stages that cannot prune them. The lane-mask stage is the fetched
-    /// rows less the tombstoned ones: the lanes the pair filter and the
-    /// tombstone mask both let through to scoring.
+    /// Stages after the first are derived from the counters. The two block
+    /// stages count [`LANES`] points per block a §4 frontier popped or
+    /// rejected (the admissible upper bound on what survived; no engine or
+    /// index query pops one, so they read 0 there), and the rows that reach
+    /// scoring without a block — the box scan's `scan_rows`, the delta
+    /// scan's live rows, the TA baseline's `onedim_rows_pulled` — pass
+    /// undiminished through them. The lane-mask stage is the fetched rows
+    /// less the tombstoned ones: the lanes the tombstone mask lets through
+    /// to scoring.
     pub fn funnel(&self, points_in_dataset: u64) -> [(&'static str, u64); 6] {
         let lanes = LANES as u64;
         let pass_through = self.onedim_rows_pulled + self.delta_rows_scanned + self.scan_rows;

@@ -1,8 +1,8 @@
 //! # sdq-engine
 //!
 //! The unified query-execution layer of the SD-Query workspace: one front
-//! door ([`SdEngine`]) that plans and shards every top-k query, and answers
-//! it from one heap.
+//! door ([`SdEngine`]) that shards every top-k query, scans every shard as
+//! one index, and answers it from one heap.
 //!
 //! ```text
 //!                         SdEngine::query_with
@@ -38,9 +38,8 @@
 //! own `SdIndex`, so that the shards build side by side on every CPU.
 //! Whatever the roles, the shards are the **cells of one box order**: the
 //! subtrees of one recursive median split of all the rows. The split's top
-//! `⌈log₂ S⌉` levels run over every row (the root's cut on the calling
-//! thread, its two sides on two), and each shard's build finishes its own
-//! cell ([`cells`], [`SdIndex::build_cell`]). Concatenated in shard order,
+//! `⌈log₂ S⌉` levels run over every row, on the calling thread, and each
+//! shard's build finishes its own cell ([`cells`], [`SdIndex::build_cell`]). Concatenated in shard order,
 //! the shards' rows, ids, chunk codes and first ids are those of one
 //! [`SdIndex`] over all the rows — and at up to 16 shards so are the stored
 //! nodes of their box trees, each shard whole groups of it. At most one
@@ -51,8 +50,9 @@
 //! A query runs on the thread that calls it — parallelism is between
 //! queries ([`SdEngine::par_query_batch`]). It walks the box trees of
 //! every shard as one index — best first across all of them until the
-//! best chunks are scored, then the groups that still reach the floor,
-//! best first, each in row order — so a query over up to 16 cells bounds
+//! best chunks are scored, then every node that still reaches the floor,
+//! down to runs of chunk bounds, and those runs' chunks in row order in two
+//! passes, the best-bounded first — so a query over up to 16 cells bounds
 //! and scores what a one-shard engine does, in its order, and counts what
 //! it counts. A deleted id names no shard,
 //! so every compaction re-splits the live rows and rebuilds every shard
@@ -83,22 +83,22 @@
 //! step, [`QueryScratch::answer_with`], which makes the query's one
 //! [`QueryFloor`](sdq_core::QueryFloor) and drains it into the answer.
 //! Inside that step the delta scan runs first, then `sdq-core`'s one
-//! driver, [`answer_parts`], called once per query with every shard as one
-//! part, all on the calling thread. Every scorer adds its counters to the
+//! driver, [`answer_parts`], called once per query over the engine's shards
+//! and its tombstones, all on the calling thread. Every scorer adds its counters to the
 //! scratch's one profile, reset once per query, and checks its one
 //! deadline. Every shard scores into the query's floor: the best `min(k,
 //! live rows)` `(score, global id)` entries any shard or the delta scan has
 //! found, whose one drain is the answer. Every query — a single pair's too,
 //! whatever the shard count or tombstones — is one box scan of every shard,
-//! and [`SdEngine::explain`] reports each shard's.
+//! and [`SdEngine::explain`] reports each shard's box tree.
 //!
 //! ## Migration
 //!
 //! [`SdIndex::query`] remains fully supported — over roles `[a, r]` it is
 //! the 2-D index too; the engine is the recommended front door for serving —
-//! it subsumes it as plan strategies and adds sharding, cross-shard pruning
-//! and batch execution. `SdEngine::build_with` with `shards = 1` behaves
-//! exactly like a planned `SdIndex` with engine ergonomics.
+//! it runs the same box scan and adds sharding, cross-shard pruning, the
+//! write path and batch execution. `SdEngine::build_with` with `shards = 1`
+//! answers exactly like an `SdIndex` with engine ergonomics.
 //!
 //! ```
 //! use sdq_core::{Dataset, DimRole, QueryScratch, SdQuery};
@@ -128,9 +128,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sdq_core::mask::MaskView;
-use sdq_core::multidim::{
-    answer_parts, cells, id_census, ids_in_range, QueryPlan, SdIndex, ShardPart,
-};
+use sdq_core::multidim::{answer_parts, cells, id_census, ids_in_range, SdIndex, TreeStats};
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::{Dataset, DimRole, QueryProfile, QueryScratch, ScoredPoint, SdError, SdQuery};
 
@@ -560,13 +558,6 @@ pub struct SdEngine {
     metrics: EngineMetrics,
 }
 
-/// What [`SdEngine::explain`] reports for one query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Explain {
-    /// The planner's decision on every shard, in shard order.
-    pub plans: Vec<QueryPlan>,
-}
-
 impl SdEngine {
     /// Builds a single-shard engine with default options.
     pub fn build(data: impl Into<Arc<Dataset>>, roles: &[DimRole]) -> Result<Self, SdError> {
@@ -756,24 +747,16 @@ impl SdEngine {
             .collect()
     }
 
-    /// How `query` runs on every shard: one box scan each, its plan
-    /// counting the shard's chunks and stored nodes. Observability for `sdq
-    /// query --explain` and `sdq inspect`; nothing is executed.
-    ///
-    /// Reflects how the engine executes: every shard plans like a
-    /// standalone [`SdIndex`], and the engine scans all its shards as one
-    /// index. The delta region, when
-    /// non-empty, additionally executes as an exact scan outside these
-    /// per-shard plans (see [`mutation`]). Refuses what
-    /// [`SdEngine::query_with`] refuses, with the same error.
-    pub fn explain(&self, query: &SdQuery, k: usize) -> Result<Explain, SdError> {
+    /// What `query` would scan: the box tree of every shard
+    /// ([`SdIndex::tree_stats`]), in shard order — every query is one box
+    /// scan of them all, whatever its roles and weights, and the delta
+    /// region, when non-empty, one exact scan besides (see [`mutation`]).
+    /// Observability for `sdq query --explain`; nothing is executed and no
+    /// metric moves. Refuses what [`SdEngine::query_with`] refuses, with
+    /// the same error.
+    pub fn explain(&self, query: &SdQuery, k: usize) -> Result<Vec<TreeStats>, SdError> {
         self.check_query(query, k)?;
-        let plans = self
-            .shards
-            .iter()
-            .map(|shard| shard.plan(query))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Explain { plans })
+        Ok(self.shards.iter().map(SdIndex::tree_stats).collect())
     }
 
     /// What every query entry — [`SdEngine::query_with`] and
@@ -874,10 +857,9 @@ impl SdEngine {
                     qs,
                 )?;
             }
-            // A deleted id does not name its shard, so every part reads the
+            // A deleted id does not name its shard, so every shard reads the
             // mask when there is one.
-            let parts = self.shards.iter().map(|index| ShardPart { index, mask });
-            answer_parts(parts, query, qs, floor)?;
+            answer_parts(&self.shards, mask, query, qs, floor)?;
             // Each slot's floor updates, credited once the query is answered.
             let mut credits = [0; FLOOR_HIST_SLOTS];
             for (i, &updates) in qs.part_floor_updates().iter().enumerate() {
@@ -1027,7 +1009,6 @@ fn build_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdq_core::multidim::QueryPlan;
     use sdq_core::{Deadline, PointId};
     use std::sync::{Barrier, Mutex};
 
@@ -1322,10 +1303,9 @@ mod tests {
         ));
     }
 
-    /// The chunks a box scan's plan bounds under its tree.
-    fn scan_chunks(plan: &QueryPlan) -> usize {
-        let QueryPlan::Scan { chunks, .. } = plan;
-        *chunks
+    /// The chunks of every shard's tree, in shard order.
+    fn chunks(trees: &[TreeStats]) -> Vec<usize> {
+        trees.iter().map(|t| t.chunks).collect()
     }
 
     #[test]
@@ -1333,22 +1313,39 @@ mod tests {
         // 400 rows are 7 chunks: the top two cuts leave 4, 3 → 2, 2, 2, 1.
         let e = engine(400, 4, 4);
         let q = SdQuery::uniform_weights(vec![0.0; 4], e.roles());
-        let plans = e.explain(&q, 8).unwrap().plans;
-        let chunks: Vec<usize> = plans.iter().map(scan_chunks).collect();
-        assert_eq!(chunks, [2, 2, 2, 1]);
+        let trees = e.explain(&q, 8).unwrap();
+        assert_eq!(chunks(&trees), [2, 2, 2, 1]);
+        let shards: Vec<TreeStats> = e.shards().iter().map(SdIndex::tree_stats).collect();
+        assert_eq!(trees, shards);
         // A 2-D engine scans its cells too: three of the four subtrees
         // 2, 2, 2, 1, the last two in one cell.
         let e = engine(400, 2, 3);
         let q = SdQuery::uniform_weights(vec![0.0; 2], e.roles());
-        let plans = e.explain(&q, 8).unwrap().plans;
-        let chunks: Vec<usize> = plans.iter().map(scan_chunks).collect();
-        assert_eq!(chunks, [2, 2, 3]);
+        assert_eq!(chunks(&e.explain(&q, 8).unwrap()), [2, 2, 3]);
+    }
+
+    /// `explain` runs nothing: no counter, credit or histogram of the
+    /// engine's metrics moves, whatever it is asked, refused or not.
+    #[test]
+    fn explain_has_no_side_effect() {
+        let mut e = engine(800, 4, 4);
+        e.set_telemetry(Telemetry::new());
+        let q = SdQuery::uniform_weights(vec![0.5; 4], e.roles());
+        e.query(&q, 8).unwrap();
+        let before = e.metrics().snapshot();
+        let served = e.metrics().telemetry().query.snapshot();
+        for k in [0, 1, 8, 10_000] {
+            let _ = e.explain(&q, k);
+        }
+        assert_eq!(e.metrics().snapshot(), before);
+        assert_eq!(e.metrics().telemetry().query.snapshot(), served);
+        assert_eq!(before.queries_served, 1);
     }
 
     #[test]
     fn explain_refuses_what_a_query_refuses() {
         // `k = 0` on an engine with shards, and a query of the wrong
-        // dimensionality on one without any (no shard plan to catch it):
+        // dimensionality on one without any (no shard to catch it):
         // `explain` says no exactly where `query` does.
         let e = engine(400, 4, 4);
         let empty = SdEngine::from_parts(4, e.roles().to_vec(), Vec::new()).unwrap();
@@ -1395,12 +1392,12 @@ mod tests {
         }
     }
 
-    /// `explain` names the box scan each shard of an aggregating engine
-    /// runs and the chunks it bounds; the query then scores some of them
+    /// `explain` names the box tree each shard of an aggregating engine
+    /// scans and the chunks under it; the query then scores some of them
     /// and leaves the rest unread, certified under the floor. Over four
-    /// cells of 20 000 random 4-D rows (313 chunks: 79, 78, 78, 78): every
-    /// plan is a scan of the shard's chunks, the query's scored and skipped
-    /// chunks are exactly the plans' chunks, and the floor certifies some.
+    /// cells of 20 000 random 4-D rows (313 chunks: 79, 78, 78, 78): the
+    /// query's scored and skipped chunks are exactly the trees' chunks, and
+    /// the floor certifies some.
     #[test]
     fn explain_names_the_audit_and_what_a_certifying_one_leaves() {
         use rand::{Rng, SeedableRng};
@@ -1428,17 +1425,20 @@ mod tests {
             let point = (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
             let weights = (0..4).map(|_| rng.gen_range(0.1..1.0)).collect();
             let q = SdQuery::new(point, weights).unwrap();
-            let plans = e.explain(&q, 16).unwrap().plans;
-            let chunks: Vec<usize> = plans.iter().map(scan_chunks).collect();
-            assert_eq!(chunks, [79, 78, 78, 78]);
+            let trees = e.explain(&q, 16).unwrap();
+            assert_eq!(chunks(&trees), [79, 78, 78, 78]);
             // 313 chunks make 16 groups of 19 or 20, four a cell; a group of
             // at most 256 chunks is bounded by its chunks, so only its top
             // node is stored: 4 nodes in the first cell, 36 B each (a box and
             // a first id), and 8 B of codes a chunk.
             assert_eq!(
-                plans[0].to_string(),
-                "box scan over 79 chunk(s) under 4 node(s) on 1 stored level(s), \
-                 776 B of node boxes and codes"
+                trees[0],
+                TreeStats {
+                    chunks: 79,
+                    nodes: 4,
+                    levels: 1,
+                    bytes: 776
+                }
             );
             e.query_with(&q, 16, &mut scratch).unwrap();
             let p = scratch.profile;

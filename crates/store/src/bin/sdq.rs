@@ -17,12 +17,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sdq_core::multidim::QueryPlan;
+use sdq_core::multidim::TreeStats;
 use sdq_core::telemetry::{EventKind, EventRecord, HistoSnapshot, Telemetry};
 use sdq_core::{Dataset, Deadline, QueryProfile, QueryScratch, ScoredPoint, SdQuery};
 use sdq_data::{generate, uniform_queries, Distribution};
 use sdq_engine::{
-    floor_slot_label, resolve_threads, CompactionOptions, EngineMetrics, EngineOptions, Explain,
+    floor_slot_label, resolve_threads, CompactionOptions, EngineMetrics, EngineOptions,
     MetricsSnapshot, SdEngine,
 };
 use sdq_store::io::splitmix64;
@@ -88,10 +88,10 @@ SUBCOMMANDS:
                  printing 'acked N' after each acknowledged write — the
                  kill -9 crash-smoke driver.
     inspect      Print the snapshot header, section table, region table
-                 and the engine's shard layout, per-shard delta and
-                 tombstone pressure, and the planner decision. --json
-                 renders the same facts machine-readably. A section kind
-                 this build no longer reads is listed as <retired: NAME>.
+                 and the engine's shard layout, box trees, delta and
+                 tombstone pressure; it runs no query. --json renders the
+                 same facts machine-readably. A section kind this build
+                 no longer reads is listed as <retired: NAME>.
     metrics      Load a snapshot, run a small probe workload against it,
                  and render the engine's telemetry: latency histograms,
                  lifetime counters, per-shard floor provenance and the
@@ -538,20 +538,14 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
 
     let mut scratch = QueryScratch::new();
     if explain {
-        let explained = engine.explain(&query, k).map_err(runtime)?;
+        let trees = engine.explain(&query, k).map_err(runtime)?;
         println!("loaded {path} in {load_ms:.1} ms");
-        print_plan_table(&explained, k);
-        // A scan's chunks scored and skipped are the query's own: it runs.
-        if explained
-            .plans
-            .iter()
-            .any(|p| matches!(p, QueryPlan::Scan { .. }))
-        {
-            engine
-                .query_with(&query, k, &mut scratch)
-                .map_err(runtime)?;
-            print_scan_outcome(&explained, &scratch.profile);
-        }
+        print_tree_table(&trees);
+        // The chunks scored and skipped are the query's own: it runs.
+        engine
+            .query_with(&query, k, &mut scratch)
+            .map_err(runtime)?;
+        print_scan_outcome(&trees, &scratch.profile);
         return Ok(());
     }
     scratch.deadline = Deadline::within_micros(timeout_us);
@@ -619,22 +613,21 @@ fn print_results(results: &[ScoredPoint]) {
     }
 }
 
-/// `--explain`: how the query runs on every shard, one row per shard —
-/// the chunks its box scan bounds under its tree — without executing
-/// anything.
-fn print_plan_table(explained: &Explain, k: usize) {
-    println!("planner decisions (k = {k}):");
+/// `--explain`: what the query scans, one row per shard — the chunks
+/// under its box tree, the tree's stored nodes and levels, and the bytes
+/// of its node boxes, their first ids and the chunk codes.
+fn print_tree_table(trees: &[TreeStats]) {
     println!(
         "  {:>5}  {:<16} {:<20} {:>12}",
-        "shard", "dimensions", "strategy", "tree"
+        "shard", "dimensions", "scan", "tree"
     );
-    for (i, plan) in explained.plans.iter().enumerate() {
-        let QueryPlan::Scan {
+    for (i, tree) in trees.iter().enumerate() {
+        let TreeStats {
             chunks,
-            levels,
             nodes,
+            levels,
             bytes,
-        } = plan;
+        } = tree;
         println!(
             "  {:>5}  {:<16} {:<20} {:>12}",
             i,
@@ -643,25 +636,13 @@ fn print_plan_table(explained: &Explain, k: usize) {
             format!("{chunks} chunks under {nodes} nodes on {levels} levels ({bytes} B)")
         );
     }
-    println!(
-        "  (every shard is a box scan, whatever the roles: the query walks every shard's box \
-         tree — its stored levels of node boxes, the chunks coded inside them — best first \
-         across all shards until the lead's chunks are scored, then the nodes still reaching the \
-         floor, their chunks in row order, skipping every node and chunk under the floor or tied \
-         with it above the floor's worst id; the bytes are the node boxes, their first ids and \
-         the chunk codes)"
-    );
 }
 
 /// The box scan's outcome after `--explain`'s table: the nodes and chunks
 /// the query bounded, and the chunks it scored and skipped over all its
 /// shards, read off its profile.
-fn print_scan_outcome(explained: &Explain, p: &QueryProfile) {
-    let chunks: usize = explained
-        .plans
-        .iter()
-        .map(|QueryPlan::Scan { chunks, .. }| *chunks)
-        .sum();
+fn print_scan_outcome(trees: &[TreeStats], p: &QueryProfile) {
+    let chunks: usize = trees.iter().map(|t| t.chunks).sum();
     println!(
         "  {:>5}  {:<16} {} chunks, {} boxes bounded: {} scored, {} skipped ({} rows scored; the \
          query was executed)",
@@ -1520,18 +1501,6 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
             stats.base_dead + stats.delta_dead,
             stats.epoch
         );
-        if let Some(MeanProbe { plans, floor }) = mean_probe(engine)? {
-            println!("  planner (unit weights at the dataset mean, k = {DEFAULT_K}):");
-            for (i, plan) in plans.iter().enumerate() {
-                println!("    shard {i}: {plan}");
-            }
-            if let Some(floor) = &floor {
-                println!(
-                    "  floor provenance (probe query, k = {DEFAULT_K}): {}",
-                    floor_contributions_human(floor)
-                );
-            }
-        }
     }
     // Durability status: present whenever the snapshot or a WAL sidecar
     // says this store is WAL-backed.
@@ -1588,46 +1557,6 @@ fn section_label(s: &SectionInfo) -> String {
     }
 }
 
-/// `inspect`'s planner sample: a unit-weight query at the per-dimension
-/// mean of the engine's base rows (they live inside its shard indexes, so
-/// the mean sums across them), planned on every shard and — on a non-empty
-/// engine — run once for real, so `floor` shows which shard slots raised
-/// the shared k-th-score floor.
-struct MeanProbe {
-    plans: Vec<QueryPlan>,
-    floor: Option<MetricsSnapshot>,
-}
-
-/// Runs the [`MeanProbe`]; `None` for an engine without shards.
-fn mean_probe(engine: &SdEngine) -> Result<Option<MeanProbe>, CliError> {
-    if engine.shard_count() == 0 {
-        return Ok(None);
-    }
-    let mut mean = vec![0.0; engine.dims()];
-    let mut counted = 0usize;
-    for data in engine.shards().iter().map(|s| s.data()) {
-        for (_, coords) in data.iter() {
-            for (m, &c) in mean.iter_mut().zip(coords) {
-                *m += c;
-            }
-        }
-        counted += data.len();
-    }
-    for m in &mut mean {
-        *m /= counted.max(1) as f64;
-    }
-    let dims = mean.len();
-    let sample = SdQuery::new(mean, vec![1.0; dims]).map_err(runtime)?;
-    let plans = engine.explain(&sample, DEFAULT_K).map_err(runtime)?.plans;
-    let floor = if engine.is_empty() {
-        None
-    } else {
-        engine.query(&sample, DEFAULT_K).map_err(runtime)?;
-        Some(engine.metrics().snapshot())
-    };
-    Ok(Some(MeanProbe { plans, floor }))
-}
-
 /// What `inspect` finds in a WAL-backed store's sidecar.
 enum WalState {
     Missing,
@@ -1675,8 +1604,8 @@ fn printed_before(report: &Json, e: impl std::fmt::Display) -> CliError {
 }
 
 /// `inspect --json`: the same facts machine-readably — header, section
-/// table, v5 region table, shard layout, block stats, mutation pressure,
-/// floor provenance and the durability generation. A file whose payloads
+/// table, v5 region table, shard layout, mutation pressure and the
+/// durability generation. A file whose payloads
 /// do not open or decode still gets the facts read so far printed before
 /// the error.
 fn inspect_json(path: &str) -> Result<(), CliError> {
@@ -1708,23 +1637,13 @@ fn inspect_json(path: &str) -> Result<(), CliError> {
                 }
             });
             let stats = engine.mutation_stats();
-            let floor = mean_probe(engine)?
-                .and_then(|probe| probe.floor)
-                .map_or(json! {}, |m| floor_contributions(&m));
             json! {
                 "roles": format_roles(engine.roles()), "live_rows": engine.len(),
                 "shards": engine.shard_count(), "epoch": stats.epoch,
                 "memory_bytes": engine.memory_bytes(),
                 "shard_layout": shard_layout.collect::<Json>(),
-                // No shard holds a §4 block table any more; the keys stay
-                // until the report's key paths change with the benchmark.
-                "block_stats": json! {
-                    "blocks": 0usize, "lanes": sdq_core::kernels::LANES, "bytes": 0usize,
-                    "covered_points": 0usize,
-                },
                 "delta": json! { "rows": stats.delta_rows, "dead": stats.delta_dead },
                 "tombstones": stats.base_dead + stats.delta_dead,
-                "floor_contributions": floor,
             }
         }
         None => Json::Null,
@@ -2187,8 +2106,8 @@ fn event_detail(kind: &EventKind) -> (String, Json) {
 /// chunk codes.
 fn print_tree_stats(engine: &SdEngine) {
     let (nodes, levels, bytes) = engine.shards().iter().fold((0, 0, 0), |sum, sd| {
-        let (nodes, levels, bytes) = sd.tree_stats();
-        (sum.0 + nodes, sum.1.max(levels), sum.2 + bytes)
+        let t = sd.tree_stats();
+        (sum.0 + t.nodes, sum.1.max(t.levels), sum.2 + t.bytes)
     });
     println!(
         "    box trees: {nodes} stored node(s) on up to {levels} level(s), ≈{} KiB of node boxes and chunk codes",

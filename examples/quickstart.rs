@@ -32,8 +32,11 @@ fn main() {
     let index = SdIndex::build(data, &roles).expect("index builds");
     // One attractive and one repulsive dimension, in box order like any
     // other roles: the rows under their box tree.
-    let (nodes, levels, bytes) = index.tree_stats();
-    println!("built SD-Index: {nodes} node(s) on {levels} stored level(s), {bytes} B of boxes");
+    let tree = index.tree_stats();
+    println!(
+        "built SD-Index: {} chunk(s) under {} node(s) on {} stored level(s), {} B of boxes",
+        tree.chunks, tree.nodes, tree.levels, tree.bytes
+    );
 
     // Query at (0.5, 0.5): similar in dim 0, distant in dim 1; α = β = 1.
     let query = SdQuery::new(vec![0.5, 0.5], vec![1.0, 1.0]).expect("valid query");

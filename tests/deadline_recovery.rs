@@ -31,7 +31,7 @@ use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use sdq::baselines::{SeqScan, TaIndex};
-use sdq::core::multidim::{QueryPlan, SdIndex};
+use sdq::core::multidim::SdIndex;
 use sdq::core::{CancelToken, Deadline, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{resolve_threads, EngineOptions, SdEngine};
@@ -199,10 +199,7 @@ fn direct_2d_search_honours_a_cancelled_token() {
 
     // The bare index: nothing but its box scan can see the token.
     let index = SdIndex::build(data.clone(), &roles).unwrap();
-    assert!(matches!(
-        index.plan(&query).unwrap(),
-        QueryPlan::Scan { .. }
-    ));
+    assert_eq!(index.tree_stats().chunks, n.div_ceil(64));
     let want = index.query(&query, k).unwrap();
     let mut scratch = QueryScratch::new();
     index.query_with(&query, k, &mut scratch).unwrap(); // warm-up
@@ -232,11 +229,10 @@ fn direct_2d_search_honours_a_cancelled_token() {
             assert!(engine.delete(want[0].id).unwrap());
             engine.insert(&query.point).unwrap();
         }
-        let plans = engine.explain(&query, k).unwrap().plans;
-        assert!(
-            plans.len() == shards && plans.iter().all(|p| matches!(p, QueryPlan::Scan { .. })),
-            "{cell}"
-        );
+        let trees = engine.explain(&query, k).unwrap();
+        assert_eq!(trees.len(), shards, "{cell}");
+        let chunks: usize = trees.iter().map(|t| t.chunks).sum();
+        assert_eq!(chunks, index.tree_stats().chunks, "{cell}");
         let fresh = engine.query(&query, k).unwrap();
         if !dirty {
             assert_bit_identical(&fresh, &want);

@@ -4,18 +4,18 @@
 //!   [`SdIndex`] path — same ids, same score bits — for random datasets,
 //!   roles, weights and `k`, *including ties at the k-th score* (the
 //!   coordinate generator deliberately draws from a tiny value alphabet so
-//!   duplicated rows and tied scores are common, and zero weights force
-//!   the planner through its degenerate branch and its 0°/90° frontiers),
+//!   duplicated rows and tied scores are common, and zero weights leave
+//!   the box bounds of single dimensions, or of none, to prune with),
 //! * a dirty, reused [`QueryScratch`] answers exactly like a fresh one,
 //! * `par_query_batch` is bit-identical to the serial loop,
 //! * snapshot round-trips preserve engine answers bit-exactly,
-//! * `explain` reports the direct 2-D search exactly when it runs.
+//! * `explain` reports the box tree of every shard the query scans.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdq::baselines::SeqScan;
-use sdq::core::multidim::{QueryPlan, SdIndex};
+use sdq::core::multidim::SdIndex;
 use sdq::core::QueryScratch;
 use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{EngineOptions, SdEngine};
@@ -208,11 +208,12 @@ proptest! {
     }
 }
 
-/// `explain` and the executor agree at 2-D, where a walk used to run: a
-/// plan says box scan on every shard, and the query then scans every shard
-/// and walks none — one zero weight, both zero or neither, whatever the
-/// shard count, tombstones or delta rows. Every cell answers like the
-/// sequential scan over the live rows.
+/// `explain` and the executor agree at 2-D, where a walk used to run:
+/// `explain` names every shard's box tree, and the query then scans every
+/// shard, walks none, and scores or skips exactly the trees' chunks — one
+/// zero weight, both zero or neither, whatever the shard count, tombstones
+/// or delta rows. Every cell answers like the sequential scan over the live
+/// rows.
 #[test]
 fn explain_says_direct_exactly_when_the_direct_search_runs() {
     let (n, k) = (2_000, 10);
@@ -261,7 +262,7 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
             };
             let mut scratch = QueryScratch::new();
             for q in &queries {
-                let plans = engine.explain(q, k).unwrap().plans;
+                let trees = engine.explain(q, k).unwrap();
                 let got = engine.query_with(q, k, &mut scratch).unwrap().to_vec();
                 let p = scratch.profile;
                 assert_eq!(p.parts_scanned, shards as u64, "{cell} {:?}", q.weights);
@@ -270,11 +271,10 @@ fn explain_says_direct_exactly_when_the_direct_search_runs() {
                     (0, 0, 0),
                     "{cell}"
                 );
-                assert_eq!(plans.len(), shards, "{cell}");
-                assert!(
-                    plans.iter().all(|p| matches!(p, QueryPlan::Scan { .. })),
-                    "{cell}"
-                );
+                assert_eq!(trees.len(), shards, "{cell}");
+                let chunks: usize = trees.iter().map(|t| t.chunks).sum();
+                assert_eq!(chunks, n.div_ceil(64), "{cell}");
+                assert_eq!(p.chunks_scored + p.chunks_skipped, chunks as u64, "{cell}");
                 let mut want = scan.query(q, k + dead.len()).unwrap();
                 want.retain(|sp| !dead.contains(&sp.id));
                 want.truncate(k);

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: every index structure and baseline must
 //! agree with the sequential-scan oracle on every distribution, any mix of
 //! roles, runtime weights and k — and the sharded engine must agree with it
-//! **bit for bit**, through the §4 walk and the box scan alike, on hostile
-//! inputs as well as friendly ones.
+//! **bit for bit**, through its one box scan, on hostile inputs as well as
+//! friendly ones.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use sdq::baselines::{BrsIndex, PeIndex, SeqScan, TaIndex, TopKAlgorithm};
-use sdq::core::multidim::{QueryPlan, SdIndex};
+use sdq::core::multidim::SdIndex;
 use sdq::core::{QueryProfile, QueryScratch};
 use sdq::data::{generate, uniform_queries, Distribution};
 use sdq::engine::{EngineOptions, SdEngine};
@@ -468,8 +468,8 @@ static MAPPED_CASE: AtomicU32 = AtomicU32::new(0);
 /// Builds `rows` into an engine of `shards` shards, dirties it, serves
 /// it as `serve` says, and checks `queries` — in order, on one engine —
 /// against SeqScan over its
-/// live rows, bit for bit, and every shard's plan against the planner's
-/// rule; returns each query's profile.
+/// live rows, bit for bit, and what `explain` reports against the shards'
+/// chunks; returns each query's profile.
 #[allow(clippy::too_many_arguments)] // one sweep cell
 fn scans_match_the_oracle(
     rows: &[Vec<f64>],
@@ -545,14 +545,12 @@ fn scans_match_the_oracle(
     let mut profiles = Vec::with_capacity(queries.len());
     for q in queries {
         let cell = format!("{shards} shard(s), {dirt:?}, {serve:?}");
-        // Every plan is a box scan of its shard's chunks — one pair's,
-        // with a live weight or none, as any other roles' — and the plans
-        // count every chunk of the engine once.
-        let plans = engine.explain(q, k).unwrap().plans;
-        let chunks: usize = plans
-            .iter()
-            .map(|QueryPlan::Scan { chunks, .. }| chunks)
-            .sum();
+        // `explain` names one box tree a shard — one pair's, with a live
+        // weight or none, as any other roles' — and the trees count every
+        // chunk of the engine once.
+        let trees = engine.explain(q, k).unwrap();
+        assert_eq!(trees.len(), engine.shard_count(), "{cell}");
+        let chunks: usize = trees.iter().map(|t| t.chunks).sum();
         let base: usize = engine
             .shard_infos()
             .iter()
@@ -870,7 +868,7 @@ fn box_ordered_engines_answer_like_the_oracle() {
             ..EngineOptions::default()
         };
         let mut engine = SdEngine::build_with(data, &roles, &options).unwrap();
-        let boxed = |engine: &SdEngine| engine.shards().iter().all(|s| s.tree_stats().0 > 0);
+        let boxed = |engine: &SdEngine| engine.shards().iter().all(|s| s.tree_stats().nodes > 0);
         assert!(
             boxed(&engine),
             "every shard of an aggregating engine is in box order"

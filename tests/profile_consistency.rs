@@ -38,9 +38,9 @@ fn coord() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Weights with zeros so the planner's dropped pairs, its 0°/90° frontiers
-/// and the all-zero query (no stream at all: it scans from the start, its
-/// rows passing through the funnel's block stages) are exercised.
+/// Weights with zeros so boxes bounded on some dimensions alone, and the
+/// all-zero query (every chunk bounded at 0, led by its first ids), are
+/// exercised.
 fn weight() -> impl Strategy<Value = f64> {
     prop_oneof![1 => Just(0.0), 1 => Just(1.0), 2 => 0.0..3.0f64]
 }
